@@ -315,8 +315,8 @@ func BenchmarkScanWarm(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Vectorized kernel micro-benchmarks (§V-B/§V-E): each benchmark runs the
 // same workload on the vectorized hot path and on the legacy per-row
-// encoded-key/closure path (the DisableVectorKernels ablation), as vec/legacy
-// sub-benchmarks. scripts/bench.sh records the pairs in BENCH_5.json.
+// encoded-key/interpreted-filter path (the DisableVectorKernels ablation), as
+// vec/legacy sub-benchmarks. scripts/bench.sh records the pairs in BENCH_5.json.
 // ---------------------------------------------------------------------------
 
 // kernelCtx returns an operator context for the chosen path.
@@ -491,8 +491,8 @@ func BenchmarkHashJoinBuildProbe(b *testing.B) {
 }
 
 // BenchmarkFilterSelectivity measures a flat-column comparison filter at 1%,
-// 50%, and 99% selectivity: the columnar selection kernel vs the per-row
-// compiled closure.
+// 50%, and 99% selectivity: the columnar selection kernel vs the
+// interpreted filter.
 func BenchmarkFilterSelectivity(b *testing.B) {
 	const nRows = 8192
 	vals := make([]int64, nRows)
@@ -757,32 +757,17 @@ func BenchmarkMorselSkewScan(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Vectorized projection engine (§V-B, §V-E): typed columnar kernels with
-// selection fusion and CSE vs the compiled row-at-a-time closures.
-// scripts/bench.sh records the vec/legacy pairs in BENCH_10.json.
+// selection fusion and CSE.
 // ---------------------------------------------------------------------------
 
-// projBenchProcessor pairs a projection list (and optional filter) with the
-// two processor modes under benchmark.
-func projBenchProcessor(filter expr.Expr, proj []expr.Expr, legacy bool) *expr.PageProcessor {
-	pp := expr.NewPageProcessor(filter, proj)
-	if legacy {
-		pp.DisableVectorizedProjections()
-	}
-	return pp
-}
-
 func runProjBench(b *testing.B, page *block.Page, filter expr.Expr, proj []expr.Expr) {
-	for _, mode := range []string{"vec", "legacy"} {
-		b.Run(mode, func(b *testing.B) {
-			pp := projBenchProcessor(filter, proj, mode == "legacy")
-			b.SetBytes(int64(page.RowCount()) * 8)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := pp.Process(page); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	pp := expr.NewPageProcessor(filter, proj)
+	b.SetBytes(int64(page.RowCount()) * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pp.Process(page); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -289,6 +289,41 @@ func TestDistributedTPCHSmoke(t *testing.T) {
 	}
 }
 
+// TestDistributedDisableSharedScans: session toggles reach HTTP workers
+// through the same Session→TaskConfig mapping as embedded tasks, so a query
+// under DisableSharedScans opens no shared scan on any worker's hub.
+func TestDistributedDisableSharedScans(t *testing.T) {
+	d := newDistCluster(t, 2, nil)
+	d.catalog.Register(workload.LoadTPCHMemory("tpch", chaosScale))
+	hubScans := func() int64 {
+		var n int64
+		for _, w := range d.workers {
+			n += w.Shared.Stats().Scans
+		}
+		return n
+	}
+	run := func(s Session) {
+		t.Helper()
+		res, err := d.Coord.Execute("SELECT count(*) FROM tpch.orders", s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := res.All(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// DisableCache keeps the page cache from answering the control run
+	// before it reaches the hub.
+	run(Session{DisableSharedScans: true, DisableCache: true})
+	if n := hubScans(); n != 0 {
+		t.Fatalf("query under DisableSharedScans opened %d shared scans on remote workers", n)
+	}
+	run(Session{DisableCache: true})
+	if hubScans() == 0 {
+		t.Fatal("control: a default session opened no shared scan, so the check above proves nothing")
+	}
+}
+
 // TestDistributedMetricsAggregation checks that one coordinator scrape
 // covers the cluster: /v1/metrics must proxy every registered worker's
 // gauges alongside the coordinator's own.

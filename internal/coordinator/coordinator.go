@@ -78,14 +78,10 @@ type Session struct {
 	// DisableCache bypasses the page and split caches for this query
 	// (the A/B toggle; X-Presto-Disable-Cache over HTTP).
 	DisableCache bool
-	// DisableVectorKernels runs this query on the legacy per-row hash and
-	// filter paths instead of the vectorized kernels (the A/B toggle;
-	// X-Presto-Disable-Vector-Kernels over HTTP).
+	// DisableVectorKernels runs this query on the legacy per-row hash paths
+	// and interpreted filters instead of the vectorized kernels (the A/B
+	// toggle; X-Presto-Disable-Vector-Kernels over HTTP).
 	DisableVectorKernels bool
-	// DisableVectorProjections runs this query's projections through the
-	// compiled row-at-a-time closures instead of the columnar kernels (the
-	// A/B toggle; X-Presto-Disable-Vector-Projections over HTTP).
-	DisableVectorProjections bool
 	// DisableMorsels runs this query's leaf pipelines with static
 	// split-per-driver assignment instead of the shared morsel queue (the
 	// A/B toggle; X-Presto-Disable-Morsels over HTTP).
@@ -119,6 +115,19 @@ type Session struct {
 	// and the scheduler can re-place only the tasks a dead worker lost
 	// (the A/B toggle; X-Presto-Materialized-Exchange over HTTP).
 	MaterializedExchange bool
+}
+
+// apply folds the session's per-task toggles into cfg. The embedded and the
+// remote scheduler both configure their tasks through it, so a toggle cannot
+// reach one kind of worker and miss the other. MaterializedExchange is not
+// here: the two schedulers wire it differently.
+func (s Session) apply(cfg *exec.TaskConfig) {
+	cfg.CacheDisabled = cfg.CacheDisabled || s.DisableCache
+	cfg.VectorKernelsDisabled = cfg.VectorKernelsDisabled || s.DisableVectorKernels
+	cfg.MorselsDisabled = cfg.MorselsDisabled || s.DisableMorsels
+	cfg.DynamicFiltersDisabled = cfg.DynamicFiltersDisabled || s.DisableDynamicFilters
+	cfg.SharedScansDisabled = cfg.SharedScansDisabled || s.DisableSharedScans
+	cfg.SpillEnabled = cfg.SpillEnabled && !s.DisableSpill
 }
 
 // QueryState tracks lifecycle.

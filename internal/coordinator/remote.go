@@ -119,24 +119,7 @@ func (c *Coordinator) scheduleRemote(q *Query, dp *plan.DistributedPlan) (*Resul
 	}
 
 	cfg := c.cfg.Task
-	if q.session.DisableCache {
-		cfg.CacheDisabled = true
-	}
-	if q.session.DisableVectorKernels {
-		cfg.VectorKernelsDisabled = true
-	}
-	if q.session.DisableVectorProjections {
-		cfg.VectorProjectionsDisabled = true
-	}
-	if q.session.DisableMorsels {
-		cfg.MorselsDisabled = true
-	}
-	if q.session.DisableDynamicFilters {
-		cfg.DynamicFiltersDisabled = true
-	}
-	if q.session.DisableSpill {
-		cfg.SpillEnabled = false
-	}
+	q.session.apply(&cfg)
 	if q.session.MaterializedExchange {
 		// Remote workers materialize into their own stores; consumers still
 		// fetch over HTTP from whichever process holds the sealed segments.

@@ -114,27 +114,7 @@ func (c *Coordinator) schedule(q *Query, dp *plan.DistributedPlan) (*Result, err
 				}
 			})
 			cfg := c.cfg.Task
-			if q.session.DisableCache {
-				cfg.CacheDisabled = true
-			}
-			if q.session.DisableVectorKernels {
-				cfg.VectorKernelsDisabled = true
-			}
-			if q.session.DisableVectorProjections {
-				cfg.VectorProjectionsDisabled = true
-			}
-			if q.session.DisableMorsels {
-				cfg.MorselsDisabled = true
-			}
-			if q.session.DisableDynamicFilters {
-				cfg.DynamicFiltersDisabled = true
-			}
-			if q.session.DisableSharedScans {
-				cfg.SharedScansDisabled = true
-			}
-			if q.session.DisableSpill {
-				cfg.SpillEnabled = false
-			}
+			q.session.apply(&cfg)
 			if mat {
 				cfg.MaterializedExchange = true
 				cfg.Store = c.store

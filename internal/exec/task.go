@@ -59,14 +59,11 @@ type TaskConfig struct {
 	// CacheDisabled bypasses the worker page cache for this task's scans
 	// (the per-query session toggle for A/B runs).
 	CacheDisabled bool
-	// VectorKernelsDisabled switches the hash-agg/join/distinct/filter hot
-	// paths back to the per-row closure and encoded-key map implementations
-	// (the vectorized-kernels ablation; Session.DisableVectorKernels).
+	// VectorKernelsDisabled switches the hash-agg/join/distinct hot paths
+	// back to the encoded-key map implementations and runs filters on the
+	// interpreter (the vectorized-kernels ablation;
+	// Session.DisableVectorKernels).
 	VectorKernelsDisabled bool
-	// VectorProjectionsDisabled reverts projection evaluation to the
-	// compiled row-at-a-time closures (the columnar-projection ablation;
-	// Session.DisableVectorProjections). Filters stay vectorized.
-	VectorProjectionsDisabled bool
 	// MorselsDisabled reverts leaf pipelines to static split-per-driver
 	// assignment (the morsel-execution ablation; Session.DisableMorsels).
 	// By default scan drivers pull ~64k-row morsels from a shared per-scan
@@ -360,9 +357,6 @@ func (t *Task) newProcessor(pred expr.Expr, proj []expr.Expr) *expr.PageProcesso
 	pp := expr.NewPageProcessor(pred, proj)
 	if t.cfg.VectorKernelsDisabled {
 		pp.DisableVectorizedFilter()
-	}
-	if t.cfg.VectorProjectionsDisabled {
-		pp.DisableVectorizedProjections()
 	}
 	return pp
 }

@@ -5,323 +5,47 @@ import (
 	"repro/internal/types"
 )
 
-// The compiler specializes an expression tree into a graph of Go closures
-// with unboxed typed signatures. It plays the role of the paper's bytecode
-// generation (§V-B): constants are folded into the closures, type dispatch
-// happens once at compile time instead of per row, and the per-row inner
-// loops are monomorphic.
-
-// longFn/doubleFn/strFn/boolFn evaluate one row, returning (value, isNull).
-type longFn func(p *block.Page, row int) (int64, bool)
-type doubleFn func(p *block.Page, row int) (float64, bool)
-type strFn func(p *block.Page, row int) (string, bool)
-type boolFn func(p *block.Page, row int) (bool, bool)
-
-// compEnv carries runtime-error state for one compiled closure graph. The
-// typed closure signatures have no error slot, so a closure that hits a
-// runtime error (division by zero) records it here and returns NULL; the
-// page-level wrappers check the environment every row and surface the
-// error, matching the interpreter. Filter contexts deliberately never read
-// it: a failing predicate row simply does not pass, in every evaluation
-// strategy.
-type compEnv struct{ err error }
-
-func (env *compEnv) fail(err error) {
-	if env.err == nil {
-		env.err = err
-	}
-}
-
-// Evaluator computes a full output column for an input page.
+// Evaluator computes a full output column for an input page. It is the
+// paper's two evaluation strategies (§V-B) behind one call: expressions the
+// vectorized kernels cover run as a kernel tree specialized to the
+// expression (constants folded in, type dispatch done once, monomorphic
+// inner loops); everything else runs on the tree-walking interpreter, which
+// stays the semantic reference. An Evaluator reuses scratch buffers across
+// pages and is not safe for concurrent use.
 type Evaluator struct {
-	T types.Type
-	// eval produces the output block for the rows of p.
-	eval func(p *block.Page) (block.Block, error)
-	// rowBool is set for BOOLEAN evaluators and is used by filters.
-	rowBool boolFn
-	// sel is set for compiled BOOLEAN evaluators: a columnar selection
-	// kernel producing the filter's passing rows directly (§V-E). Nil for
-	// interpreted evaluators, which serve as the ablation baseline.
-	sel selFn
-	// identCol is >= 0 when the expression is a bare column reference,
-	// letting the page processor pass the input block through unchanged.
-	identCol int
-	// env is the compiled closure graph's error environment (nil for
-	// interpreted evaluators).
-	env *compEnv
-	// rowLong/rowDouble/rowStr retain the typed row closure so the page
-	// processor can fuse projection with the filter's selection vector
-	// (evaluate only surviving rows, no gathered intermediate page).
-	rowLong   longFn
-	rowDouble doubleFn
-	rowStr    strFn
+	e   Expr
+	vec *vecProjector // nil: interpreted
+	it  Interpreter
 }
 
-// Type returns the evaluator's result type.
-func (ev *Evaluator) Type() types.Type { return ev.T }
+// Compile builds an evaluator for e, specialized where the kernels cover it.
+func Compile(e Expr) *Evaluator {
+	return &Evaluator{e: e, vec: compileVecProj(e)}
+}
+
+// InterpretOnly wraps e in a pure-interpreter evaluator: the baseline side
+// of the codegen ablation and the oracle of the differential tests.
+func InterpretOnly(e Expr) *Evaluator {
+	return &Evaluator{e: e}
+}
 
 // EvalPage computes the output column for every row of p.
 func (ev *Evaluator) EvalPage(p *block.Page) (block.Block, error) {
-	return ev.eval(p)
-}
-
-// Compile builds a specialized evaluator for e. Expressions the specializer
-// does not cover fall back to a per-row interpreter (still correct, slower) —
-// mirroring Presto, where the interpreter remains the semantic reference.
-func Compile(e Expr) *Evaluator {
-	ev := compile(e)
-	if c, ok := e.(*ColumnRef); ok {
-		ev.identCol = c.Index
+	n := p.RowCount()
+	if ev.vec != nil {
+		return ev.vec.eval(&vecInput{p: p, n: n})
 	}
-	return ev
-}
-
-func compile(e Expr) *Evaluator {
-	t := e.Type()
-	env := &compEnv{}
-	switch t {
-	case types.Bigint, types.Date:
-		f, ok := compileLong(e, env)
-		if !ok {
-			return interpEvaluator(e)
+	vals := make([]types.Value, n)
+	row := pageRow{p: p}
+	for i := range vals {
+		row.row = i
+		v, err := ev.it.Eval(ev.e, &row)
+		if err != nil {
+			return nil, err
 		}
-		return &Evaluator{T: t, identCol: -1, env: env, rowLong: f, eval: func(p *block.Page) (block.Block, error) {
-			n := p.RowCount()
-			env.err = nil
-			vals := make([]int64, n)
-			var nulls []bool
-			for i := 0; i < n; i++ {
-				v, null := f(p, i)
-				if env.err != nil {
-					return nil, env.err
-				}
-				if null {
-					if nulls == nil {
-						nulls = make([]bool, n)
-					}
-					nulls[i] = true
-				} else {
-					vals[i] = v
-				}
-			}
-			return &block.LongBlock{T: t, Vals: vals, Nulls: nulls}, nil
-		}}
-	case types.Double:
-		f, ok := compileDouble(e, env)
-		if !ok {
-			return interpEvaluator(e)
-		}
-		return &Evaluator{T: t, identCol: -1, env: env, rowDouble: f, eval: func(p *block.Page) (block.Block, error) {
-			n := p.RowCount()
-			env.err = nil
-			vals := make([]float64, n)
-			var nulls []bool
-			for i := 0; i < n; i++ {
-				v, null := f(p, i)
-				if env.err != nil {
-					return nil, env.err
-				}
-				if null {
-					if nulls == nil {
-						nulls = make([]bool, n)
-					}
-					nulls[i] = true
-				} else {
-					vals[i] = v
-				}
-			}
-			return block.NewDoubleBlock(vals, nulls), nil
-		}}
-	case types.Varchar:
-		f, ok := compileStr(e, env)
-		if !ok {
-			return interpEvaluator(e)
-		}
-		return &Evaluator{T: t, identCol: -1, env: env, rowStr: f, eval: func(p *block.Page) (block.Block, error) {
-			n := p.RowCount()
-			env.err = nil
-			vals := make([]string, n)
-			var nulls []bool
-			for i := 0; i < n; i++ {
-				v, null := f(p, i)
-				if env.err != nil {
-					return nil, env.err
-				}
-				if null {
-					if nulls == nil {
-						nulls = make([]bool, n)
-					}
-					nulls[i] = true
-				} else {
-					vals[i] = v
-				}
-			}
-			return block.NewVarcharBlock(vals, nulls), nil
-		}}
-	case types.Boolean:
-		f, ok := compileBool(e, env)
-		if !ok {
-			return interpEvaluator(e)
-		}
-		ev := &Evaluator{T: t, identCol: -1, env: env, rowBool: f, eval: func(p *block.Page) (block.Block, error) {
-			n := p.RowCount()
-			env.err = nil
-			vals := make([]bool, n)
-			var nulls []bool
-			for i := 0; i < n; i++ {
-				v, null := f(p, i)
-				if env.err != nil {
-					return nil, env.err
-				}
-				if null {
-					if nulls == nil {
-						nulls = make([]bool, n)
-					}
-					nulls[i] = true
-				} else {
-					vals[i] = v
-				}
-			}
-			return block.NewBoolBlock(vals, nulls), nil
-		}}
-		if s, ok := compileSel(e, false, env); ok {
-			ev.sel = s
-		}
-		return ev
-	default:
-		return interpEvaluator(e)
+		vals[i] = v
 	}
-}
-
-// evalRows evaluates the compiled row closure directly at the given source
-// rows of p, producing an outRows-long block without materializing a
-// gathered intermediate page (selection fusion for expressions the
-// vectorized kernels don't cover). ok=false means the evaluator has no
-// retained row closure (interpreted fallback) and the caller must gather.
-func (ev *Evaluator) evalRows(p *block.Page, rows []int) (block.Block, bool, error) {
-	if ev.env == nil {
-		return nil, false, nil
-	}
-	n := len(rows)
-	switch {
-	case ev.rowLong != nil:
-		ev.env.err = nil
-		vals := make([]int64, n)
-		var nulls []bool
-		for i, r := range rows {
-			v, null := ev.rowLong(p, r)
-			if ev.env.err != nil {
-				return nil, true, ev.env.err
-			}
-			if null {
-				if nulls == nil {
-					nulls = make([]bool, n)
-				}
-				nulls[i] = true
-			} else {
-				vals[i] = v
-			}
-		}
-		return &block.LongBlock{T: ev.T, Vals: vals, Nulls: nulls}, true, nil
-	case ev.rowDouble != nil:
-		ev.env.err = nil
-		vals := make([]float64, n)
-		var nulls []bool
-		for i, r := range rows {
-			v, null := ev.rowDouble(p, r)
-			if ev.env.err != nil {
-				return nil, true, ev.env.err
-			}
-			if null {
-				if nulls == nil {
-					nulls = make([]bool, n)
-				}
-				nulls[i] = true
-			} else {
-				vals[i] = v
-			}
-		}
-		return block.NewDoubleBlock(vals, nulls), true, nil
-	case ev.rowStr != nil:
-		ev.env.err = nil
-		vals := make([]string, n)
-		var nulls []bool
-		for i, r := range rows {
-			v, null := ev.rowStr(p, r)
-			if ev.env.err != nil {
-				return nil, true, ev.env.err
-			}
-			if null {
-				if nulls == nil {
-					nulls = make([]bool, n)
-				}
-				nulls[i] = true
-			} else {
-				vals[i] = v
-			}
-		}
-		return block.NewVarcharBlock(vals, nulls), true, nil
-	case ev.rowBool != nil:
-		ev.env.err = nil
-		vals := make([]bool, n)
-		var nulls []bool
-		for i, r := range rows {
-			v, null := ev.rowBool(p, r)
-			if ev.env.err != nil {
-				return nil, true, ev.env.err
-			}
-			if null {
-				if nulls == nil {
-					nulls = make([]bool, n)
-				}
-				nulls[i] = true
-			} else {
-				vals[i] = v
-			}
-		}
-		return block.NewBoolBlock(vals, nulls), true, nil
-	}
-	return nil, false, nil
-}
-
-// InterpretOnly wraps e in a pure-interpreter evaluator; used by the codegen
-// ablation bench to measure interpreted execution on the same plans.
-func InterpretOnly(e Expr) *Evaluator {
-	ev := interpEvaluator(e)
-	if c, ok := e.(*ColumnRef); ok {
-		ev.identCol = c.Index
-	}
-	return ev
-}
-
-func interpEvaluator(e Expr) *Evaluator {
-	t := e.Type()
-	var it Interpreter
-	ev := &Evaluator{T: t, identCol: -1, eval: func(p *block.Page) (block.Block, error) {
-		n := p.RowCount()
-		vals := make([]types.Value, n)
-		row := pageRow{p: p}
-		for i := 0; i < n; i++ {
-			row.row = i
-			v, err := it.Eval(e, &row)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		return block.BuildBlock(t, vals), nil
-	}}
-	if t == types.Boolean {
-		ev.rowBool = func(p *block.Page, rowIdx int) (bool, bool) {
-			row := pageRow{p: p, row: rowIdx}
-			v, err := it.Eval(e, &row)
-			if err != nil || v.Null {
-				return false, true
-			}
-			return v.B, false
-		}
-	}
-	return ev
+	return block.BuildBlock(ev.e.Type(), vals), nil
 }
 
 // pageRow adapts one row of a page as an interpreter Row.
@@ -331,589 +55,3 @@ type pageRow struct {
 }
 
 func (r *pageRow) ColValue(i int) types.Value { return r.p.Col(i).Value(r.row) }
-
-func compileLong(e Expr, env *compEnv) (longFn, bool) {
-	switch x := e.(type) {
-	case *Const:
-		v := x.Val
-		if v.Null {
-			return func(*block.Page, int) (int64, bool) { return 0, true }, true
-		}
-		c := v.I
-		return func(*block.Page, int) (int64, bool) { return c, false }, true
-	case *ColumnRef:
-		idx := x.Index
-		return func(p *block.Page, row int) (int64, bool) {
-			col := p.Col(idx)
-			if col.IsNull(row) {
-				return 0, true
-			}
-			return col.Long(row), false
-		}, true
-	case *Neg:
-		f, ok := compileLong(x.E, env)
-		if !ok {
-			return nil, false
-		}
-		return func(p *block.Page, row int) (int64, bool) {
-			v, null := f(p, row)
-			return -v, null
-		}, true
-	case *Arith:
-		l, lok := compileLong(x.L, env)
-		r, rok := compileLong(x.R, env)
-		if !lok || !rok {
-			return nil, false
-		}
-		op := x.Op
-		return func(p *block.Page, row int) (int64, bool) {
-			lv, ln := l(p, row)
-			rv, rn := r(p, row)
-			if ln || rn {
-				return 0, true
-			}
-			switch op {
-			case OpAdd:
-				return lv + rv, false
-			case OpSub:
-				return lv - rv, false
-			case OpMul:
-				return lv * rv, false
-			case OpDiv:
-				if rv == 0 {
-					env.fail(errDivZero)
-					return 0, true
-				}
-				return lv / rv, false
-			case OpMod:
-				if rv == 0 {
-					env.fail(errDivZero)
-					return 0, true
-				}
-				return lv % rv, false
-			}
-			return 0, true
-		}, true
-	case *Case:
-		return compileLongCase(x, env)
-	case *Cast:
-		if x.E.Type() == types.Double {
-			f, ok := compileDouble(x.E, env)
-			if !ok {
-				return nil, false
-			}
-			return func(p *block.Page, row int) (int64, bool) {
-				v, null := f(p, row)
-				return int64(v), null
-			}, true
-		}
-		if x.E.Type() == types.Bigint || x.E.Type() == types.Date {
-			return compileLong(x.E, env)
-		}
-		return nil, false
-	default:
-		return nil, false
-	}
-}
-
-func compileLongCase(x *Case, env *compEnv) (longFn, bool) {
-	conds := make([]boolFn, len(x.Whens))
-	thens := make([]longFn, len(x.Whens))
-	for i, w := range x.Whens {
-		c, ok := compileBool(w.Cond, env)
-		if !ok {
-			return nil, false
-		}
-		t, ok := compileLong(w.Then, env)
-		if !ok {
-			return nil, false
-		}
-		conds[i], thens[i] = c, t
-	}
-	var elseFn longFn
-	if x.Else != nil {
-		f, ok := compileLong(x.Else, env)
-		if !ok {
-			return nil, false
-		}
-		elseFn = f
-	}
-	return func(p *block.Page, row int) (int64, bool) {
-		for i, c := range conds {
-			v, null := c(p, row)
-			if !null && v {
-				return thens[i](p, row)
-			}
-		}
-		if elseFn != nil {
-			return elseFn(p, row)
-		}
-		return 0, true
-	}, true
-}
-
-func compileDouble(e Expr, env *compEnv) (doubleFn, bool) {
-	// Bigint/Date sub-expressions can be widened transparently.
-	if e.Type() == types.Bigint || e.Type() == types.Date {
-		f, ok := compileLong(e, env)
-		if !ok {
-			return nil, false
-		}
-		return func(p *block.Page, row int) (float64, bool) {
-			v, null := f(p, row)
-			return float64(v), null
-		}, true
-	}
-	switch x := e.(type) {
-	case *Const:
-		v := x.Val
-		if v.Null {
-			return func(*block.Page, int) (float64, bool) { return 0, true }, true
-		}
-		c := v.F
-		return func(*block.Page, int) (float64, bool) { return c, false }, true
-	case *ColumnRef:
-		idx := x.Index
-		return func(p *block.Page, row int) (float64, bool) {
-			col := p.Col(idx)
-			if col.IsNull(row) {
-				return 0, true
-			}
-			return col.Double(row), false
-		}, true
-	case *Neg:
-		f, ok := compileDouble(x.E, env)
-		if !ok {
-			return nil, false
-		}
-		return func(p *block.Page, row int) (float64, bool) {
-			v, null := f(p, row)
-			return -v, null
-		}, true
-	case *Arith:
-		l, lok := compileDouble(x.L, env)
-		r, rok := compileDouble(x.R, env)
-		if !lok || !rok {
-			return nil, false
-		}
-		op := x.Op
-		return func(p *block.Page, row int) (float64, bool) {
-			lv, ln := l(p, row)
-			rv, rn := r(p, row)
-			if ln || rn {
-				return 0, true
-			}
-			switch op {
-			case OpAdd:
-				return lv + rv, false
-			case OpSub:
-				return lv - rv, false
-			case OpMul:
-				return lv * rv, false
-			case OpDiv:
-				if rv == 0 {
-					env.fail(errDivZero)
-					return 0, true
-				}
-				return lv / rv, false
-			}
-			return 0, true
-		}, true
-	case *Cast:
-		if x.E.Type() == types.Bigint || x.E.Type() == types.Date {
-			return compileDouble(x.E, env)
-		}
-		if x.E.Type() == types.Double {
-			return compileDouble(x.E, env)
-		}
-		return nil, false
-	case *Case:
-		conds := make([]boolFn, len(x.Whens))
-		thens := make([]doubleFn, len(x.Whens))
-		for i, w := range x.Whens {
-			c, ok := compileBool(w.Cond, env)
-			if !ok {
-				return nil, false
-			}
-			t, ok := compileDouble(w.Then, env)
-			if !ok {
-				return nil, false
-			}
-			conds[i], thens[i] = c, t
-		}
-		var elseFn doubleFn
-		if x.Else != nil {
-			f, ok := compileDouble(x.Else, env)
-			if !ok {
-				return nil, false
-			}
-			elseFn = f
-		}
-		return func(p *block.Page, row int) (float64, bool) {
-			for i, c := range conds {
-				v, null := c(p, row)
-				if !null && v {
-					return thens[i](p, row)
-				}
-			}
-			if elseFn != nil {
-				return elseFn(p, row)
-			}
-			return 0, true
-		}, true
-	default:
-		return nil, false
-	}
-}
-
-func compileStr(e Expr, env *compEnv) (strFn, bool) {
-	switch x := e.(type) {
-	case *Const:
-		v := x.Val
-		if v.Null {
-			return func(*block.Page, int) (string, bool) { return "", true }, true
-		}
-		c := v.S
-		return func(*block.Page, int) (string, bool) { return c, false }, true
-	case *ColumnRef:
-		idx := x.Index
-		return func(p *block.Page, row int) (string, bool) {
-			col := p.Col(idx)
-			if col.IsNull(row) {
-				return "", true
-			}
-			return col.Str(row), false
-		}, true
-	case *Arith:
-		if x.Op != OpConcat {
-			return nil, false
-		}
-		l, lok := compileStr(x.L, env)
-		r, rok := compileStr(x.R, env)
-		if !lok || !rok {
-			return nil, false
-		}
-		return func(p *block.Page, row int) (string, bool) {
-			lv, ln := l(p, row)
-			rv, rn := r(p, row)
-			if ln || rn {
-				return "", true
-			}
-			return lv + rv, false
-		}, true
-	default:
-		return nil, false
-	}
-}
-
-func compileBool(e Expr, env *compEnv) (boolFn, bool) {
-	switch x := e.(type) {
-	case *Const:
-		v := x.Val
-		if v.Null {
-			return func(*block.Page, int) (bool, bool) { return false, true }, true
-		}
-		c := v.B
-		return func(*block.Page, int) (bool, bool) { return c, false }, true
-	case *ColumnRef:
-		idx := x.Index
-		return func(p *block.Page, row int) (bool, bool) {
-			col := p.Col(idx)
-			if col.IsNull(row) {
-				return false, true
-			}
-			return col.Bool(row), false
-		}, true
-	case *Not:
-		f, ok := compileBool(x.E, env)
-		if !ok {
-			return nil, false
-		}
-		return func(p *block.Page, row int) (bool, bool) {
-			v, null := f(p, row)
-			return !v, null
-		}, true
-	case *And:
-		l, lok := compileBool(x.L, env)
-		r, rok := compileBool(x.R, env)
-		if !lok || !rok {
-			return nil, false
-		}
-		return func(p *block.Page, row int) (bool, bool) {
-			lv, ln := l(p, row)
-			if !ln && !lv {
-				return false, false
-			}
-			rv, rn := r(p, row)
-			if !rn && !rv {
-				return false, false
-			}
-			if ln || rn {
-				return false, true
-			}
-			return true, false
-		}, true
-	case *Or:
-		l, lok := compileBool(x.L, env)
-		r, rok := compileBool(x.R, env)
-		if !lok || !rok {
-			return nil, false
-		}
-		return func(p *block.Page, row int) (bool, bool) {
-			lv, ln := l(p, row)
-			if !ln && lv {
-				return true, false
-			}
-			rv, rn := r(p, row)
-			if !rn && rv {
-				return true, false
-			}
-			if ln || rn {
-				return false, true
-			}
-			return false, false
-		}, true
-	case *IsNull:
-		neg := x.Negate
-		inner := x.E
-		if c, ok := inner.(*ColumnRef); ok {
-			idx := c.Index
-			return func(p *block.Page, row int) (bool, bool) {
-				return p.Col(idx).IsNull(row) != neg, false
-			}, true
-		}
-		return nil, false
-	case *Compare:
-		return compileCompare(x, env)
-	case *Between:
-		lt := types.CommonType(x.E.Type(), types.CommonType(x.Lo.Type(), x.Hi.Type()))
-		if lt == types.Bigint || lt == types.Date {
-			v, ok1 := compileLong(x.E, env)
-			lo, ok2 := compileLong(x.Lo, env)
-			hi, ok3 := compileLong(x.Hi, env)
-			if !ok1 || !ok2 || !ok3 {
-				return nil, false
-			}
-			neg := x.Negate
-			return func(p *block.Page, row int) (bool, bool) {
-				vv, vn := v(p, row)
-				lv, ln := lo(p, row)
-				hv, hn := hi(p, row)
-				if vn || ln || hn {
-					return false, true
-				}
-				return (vv >= lv && vv <= hv) != neg, false
-			}, true
-		}
-		if lt == types.Double {
-			v, ok1 := compileDouble(x.E, env)
-			lo, ok2 := compileDouble(x.Lo, env)
-			hi, ok3 := compileDouble(x.Hi, env)
-			if !ok1 || !ok2 || !ok3 {
-				return nil, false
-			}
-			neg := x.Negate
-			return func(p *block.Page, row int) (bool, bool) {
-				vv, vn := v(p, row)
-				lv, ln := lo(p, row)
-				hv, hn := hi(p, row)
-				if vn || ln || hn {
-					return false, true
-				}
-				return (vv >= lv && vv <= hv) != neg, false
-			}, true
-		}
-		return nil, false
-	case *Like:
-		pat, ok := x.Pattern.(*Const)
-		if !ok || pat.Val.Null {
-			return nil, false
-		}
-		f, ok := compileStr(x.E, env)
-		if !ok {
-			return nil, false
-		}
-		pattern := pat.Val.S
-		neg := x.Negate
-		return func(p *block.Page, row int) (bool, bool) {
-			v, null := f(p, row)
-			if null {
-				return false, true
-			}
-			return likeMatch(v, pattern) != neg, false
-		}, true
-	case *In:
-		return compileIn(x, env)
-	default:
-		return nil, false
-	}
-}
-
-func compileIn(x *In, env *compEnv) (boolFn, bool) {
-	// Specialize IN over constant lists into set lookups.
-	t := x.E.Type()
-	allConst := true
-	for _, le := range x.List {
-		if _, ok := le.(*Const); !ok {
-			allConst = false
-			break
-		}
-	}
-	if !allConst {
-		return nil, false
-	}
-	neg := x.Negate
-	switch t {
-	case types.Bigint, types.Date:
-		set := make(map[int64]bool, len(x.List))
-		for _, le := range x.List {
-			c := le.(*Const)
-			if !c.Val.Null {
-				set[c.Val.I] = true
-			}
-		}
-		f, ok := compileLong(x.E, env)
-		if !ok {
-			return nil, false
-		}
-		return func(p *block.Page, row int) (bool, bool) {
-			v, null := f(p, row)
-			if null {
-				return false, true
-			}
-			return set[v] != neg, false
-		}, true
-	case types.Varchar:
-		set := make(map[string]bool, len(x.List))
-		for _, le := range x.List {
-			c := le.(*Const)
-			if !c.Val.Null {
-				set[c.Val.S] = true
-			}
-		}
-		f, ok := compileStr(x.E, env)
-		if !ok {
-			return nil, false
-		}
-		return func(p *block.Page, row int) (bool, bool) {
-			v, null := f(p, row)
-			if null {
-				return false, true
-			}
-			return set[v] != neg, false
-		}, true
-	default:
-		return nil, false
-	}
-}
-
-func compileCompare(x *Compare, env *compEnv) (boolFn, bool) {
-	lt := types.CommonType(x.L.Type(), x.R.Type())
-	op := x.Op
-	switch lt {
-	case types.Bigint, types.Date:
-		l, lok := compileLong(x.L, env)
-		r, rok := compileLong(x.R, env)
-		if !lok || !rok {
-			return nil, false
-		}
-		return func(p *block.Page, row int) (bool, bool) {
-			lv, ln := l(p, row)
-			rv, rn := r(p, row)
-			if ln || rn {
-				return false, true
-			}
-			switch op {
-			case CmpEq:
-				return lv == rv, false
-			case CmpNe:
-				return lv != rv, false
-			case CmpLt:
-				return lv < rv, false
-			case CmpLe:
-				return lv <= rv, false
-			case CmpGt:
-				return lv > rv, false
-			default:
-				return lv >= rv, false
-			}
-		}, true
-	case types.Double:
-		l, lok := compileDouble(x.L, env)
-		r, rok := compileDouble(x.R, env)
-		if !lok || !rok {
-			return nil, false
-		}
-		return func(p *block.Page, row int) (bool, bool) {
-			lv, ln := l(p, row)
-			rv, rn := r(p, row)
-			if ln || rn {
-				return false, true
-			}
-			switch op {
-			case CmpEq:
-				return lv == rv, false
-			case CmpNe:
-				return lv != rv, false
-			case CmpLt:
-				return lv < rv, false
-			case CmpLe:
-				return lv <= rv, false
-			case CmpGt:
-				return lv > rv, false
-			default:
-				return lv >= rv, false
-			}
-		}, true
-	case types.Varchar:
-		l, lok := compileStr(x.L, env)
-		r, rok := compileStr(x.R, env)
-		if !lok || !rok {
-			return nil, false
-		}
-		return func(p *block.Page, row int) (bool, bool) {
-			lv, ln := l(p, row)
-			rv, rn := r(p, row)
-			if ln || rn {
-				return false, true
-			}
-			switch op {
-			case CmpEq:
-				return lv == rv, false
-			case CmpNe:
-				return lv != rv, false
-			case CmpLt:
-				return lv < rv, false
-			case CmpLe:
-				return lv <= rv, false
-			case CmpGt:
-				return lv > rv, false
-			default:
-				return lv >= rv, false
-			}
-		}, true
-	case types.Boolean:
-		l, lok := compileBool(x.L, env)
-		r, rok := compileBool(x.R, env)
-		if !lok || !rok {
-			return nil, false
-		}
-		return func(p *block.Page, row int) (bool, bool) {
-			lv, ln := l(p, row)
-			rv, rn := r(p, row)
-			if ln || rn {
-				return false, true
-			}
-			switch op {
-			case CmpEq:
-				return lv == rv, false
-			case CmpNe:
-				return lv != rv, false
-			default:
-				return false, true
-			}
-		}, true
-	default:
-		return nil, false
-	}
-}

@@ -362,7 +362,9 @@ func EvalArith(op BinOp, t types.Type, l, r types.Value) (types.Value, error) {
 			}
 			return types.DoubleValue(lf / rf), nil
 		case OpMod:
-			if rf == 0 {
+			// Modulo is taken on the truncated operands, so a divisor in
+			// (-1, 1) is a zero divisor too.
+			if int64(rf) == 0 {
 				return types.Value{}, errDivZero
 			}
 			return types.DoubleValue(float64(int64(lf) % int64(rf))), nil

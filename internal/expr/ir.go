@@ -1,10 +1,10 @@
 // Package expr defines the engine's scalar expression IR and its two
 // evaluation strategies: a tree-walking interpreter (the reference path, used
-// for tests and cold code) and a compiler that specializes expressions into
-// Go closures — this repository's stand-in for the paper's JVM bytecode
-// generation (§V-B). It also implements the page processor, which evaluates
-// filters and projections a page at a time and exploits dictionary/RLE
-// encodings (§V-E).
+// for tests and for expressions nothing else covers) and a compiler that
+// specializes expressions into trees of typed columnar kernels — this
+// repository's stand-in for the paper's JVM bytecode generation (§V-B). It
+// also implements the page processor, which evaluates filters and projections
+// a page at a time and exploits dictionary/RLE encodings (§V-E).
 package expr
 
 import (

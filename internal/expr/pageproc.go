@@ -14,30 +14,22 @@ import (
 // subtrees are evaluated once per processor and emitted as RLE blocks.
 // Projections the vectorized kernels cover (§V-B) run loop-per-operator over
 // the typed column vectors, fused with the filter's selection vector; the
-// compiled-closure path is the fallback and the ablation baseline
-// (Session.DisableVectorProjections).
+// interpreter is the fallback for everything else and the ablation baseline
+// (NewInterpretedPageProcessor).
 type PageProcessor struct {
-	filter      *Evaluator // nil means no filter
-	filterCols  []int      // column indices referenced by the filter
+	filterExpr  Expr  // nil means no filter
+	filter      selFn // selection kernels, or the interpreter over filterExpr
+	filterCols  []int // column indices referenced by the filter
 	projections []*Evaluator
+	identCol    []int   // input column a projection passes through, or -1
 	projInputs  [][]int // referenced column indices per projection
 	projConst   []bool  // deterministic zero-input projections (RLE output)
-
-	// vecDisabled turns off the columnar filter selection kernels, forcing
-	// the row-closure path (Session.DisableVectorKernels ablation).
-	vecDisabled bool
-	// projDisabled turns off the vectorized projection engine (kernels,
-	// CSE, fusion, const-RLE), forcing the compiled-closure path
-	// (Session.DisableVectorProjections ablation).
-	projDisabled bool
-	// interpreted marks the pure-interpreter baseline processor.
-	interpreted bool
 
 	selIn  []int // identity row vector, grown monotonically
 	selOut []int // selection output buffer, reused across pages
 
 	// Vectorized projection state: one projector per covered projection
-	// (nil entries fall back to closures), the CSE slots in evaluation
+	// (nil entries run on the interpreter), the CSE slots in evaluation
 	// order, which slots covered projections actually reference, and the
 	// per-page evaluation context.
 	projVec        []*vecProjector
@@ -94,38 +86,69 @@ type ProcessorStats struct {
 
 // NewPageProcessor compiles filter (may be nil) and projections.
 func NewPageProcessor(filter Expr, projections []Expr) *PageProcessor {
-	pp := &PageProcessor{dictCache: make(map[dictCacheKey]block.Block)}
+	pp := newPageProcessor(filter, projections, Compile)
 	if filter != nil {
-		pp.filter = Compile(filter)
-		pp.filterCols = Columns(filter)
+		pp.filter = compileSel(filter, false)
 	}
-	for _, e := range projections {
-		pp.projections = append(pp.projections, Compile(e))
-		pp.projInputs = append(pp.projInputs, Columns(e))
-		pp.projConst = append(pp.projConst, len(Columns(e)) == 0 && IsDeterministic(e))
+	for i, e := range projections {
+		pp.projConst[i] = len(pp.projInputs[i]) == 0 && IsDeterministic(e)
 	}
-	pp.constVal = make([]block.Block, len(projections))
 	pp.compileVectorized(projections)
 	return pp
 }
 
-// compileVectorized plans CSE across the projection list and compiles the
-// vectorized projectors over the rewritten expressions.
+// NewInterpretedPageProcessor builds a processor that uses only the
+// interpreter — the baseline side of the codegen ablation.
+func NewInterpretedPageProcessor(filter Expr, projections []Expr) *PageProcessor {
+	pp := newPageProcessor(filter, projections, InterpretOnly)
+	pp.DisableVectorizedFilter()
+	return pp
+}
+
+func newPageProcessor(filter Expr, projections []Expr, evaluator func(Expr) *Evaluator) *PageProcessor {
+	pp := &PageProcessor{
+		dictCache:  make(map[dictCacheKey]block.Block),
+		filterExpr: filter,
+		projConst:  make([]bool, len(projections)),
+		constVal:   make([]block.Block, len(projections)),
+		projVec:    make([]*vecProjector, len(projections)),
+	}
+	if filter != nil {
+		pp.filterCols = Columns(filter)
+	}
+	for _, e := range projections {
+		pp.projections = append(pp.projections, evaluator(e))
+		pp.projInputs = append(pp.projInputs, Columns(e))
+		ident := -1
+		if c, ok := e.(*ColumnRef); ok {
+			ident = c.Index
+		}
+		pp.identCol = append(pp.identCol, ident)
+	}
+	return pp
+}
+
+// compileVectorized plans CSE across the projection list and picks each
+// covered projection's projector: its evaluator's own when CSE left it
+// alone, one compiled over the rewritten expression when it reads a slot.
 func (pp *PageProcessor) compileVectorized(projections []Expr) {
 	rewritten, slots := planCSE(projections)
-	pp.projVec = make([]*vecProjector, len(projections))
 	for i, e := range rewritten {
-		if pp.projections[i].identCol >= 0 || pp.projConst[i] {
-			continue // identity and constant projections have dedicated paths
+		switch {
+		case pp.identCol[i] >= 0 || pp.projConst[i]:
+			// identity and constant projections have dedicated paths
+		case countSlotRefs(e) == 0:
+			pp.projVec[i] = pp.projections[i].vec
+		default:
+			pp.projVec[i] = compileVecProj(e)
 		}
-		pp.projVec[i] = compileVecProj(e)
 	}
 	if len(slots) == 0 {
 		return
 	}
 	// A slot is needed only if some covered projection (or a needed later
-	// slot) reads it; projections that fell back to closures use their
-	// original, unrewritten expressions.
+	// slot) reads it; interpreted projections use their original,
+	// unrewritten expressions.
 	needed := make([]bool, len(slots))
 	for i, e := range rewritten {
 		if pp.projVec[i] != nil {
@@ -157,29 +180,12 @@ func (pp *PageProcessor) compileVectorized(projections []Expr) {
 	pp.cseHitsPerPage = int64(refs - evals)
 }
 
-// DisableVectorizedFilter forces the per-row closure filter path; the
-// ablation/escape hatch behind Session.DisableVectorKernels.
-func (pp *PageProcessor) DisableVectorizedFilter() { pp.vecDisabled = true }
-
-// DisableVectorizedProjections forces the compiled-closure projection path;
-// the ablation/escape hatch behind Session.DisableVectorProjections.
-func (pp *PageProcessor) DisableVectorizedProjections() { pp.projDisabled = true }
-
-// NewInterpretedPageProcessor builds a processor that uses only the
-// interpreter — the baseline side of the codegen ablation.
-func NewInterpretedPageProcessor(filter Expr, projections []Expr) *PageProcessor {
-	pp := &PageProcessor{dictCache: make(map[dictCacheKey]block.Block), interpreted: true, projDisabled: true}
-	if filter != nil {
-		pp.filter = InterpretOnly(filter)
-		pp.filterCols = Columns(filter)
+// DisableVectorizedFilter runs this processor's filter on the interpreter;
+// the filter half of the Session.DisableVectorKernels ablation.
+func (pp *PageProcessor) DisableVectorizedFilter() {
+	if pp.filterExpr != nil {
+		pp.filter = selInterp(pp.filterExpr, false)
 	}
-	for _, e := range projections {
-		pp.projections = append(pp.projections, InterpretOnly(e))
-		pp.projInputs = append(pp.projInputs, Columns(e))
-		pp.projConst = append(pp.projConst, false)
-	}
-	pp.projVec = make([]*vecProjector, len(projections))
-	return pp
 }
 
 // Process filters p and computes the projections, returning the output page
@@ -190,14 +196,10 @@ func (pp *PageProcessor) Process(p *block.Page) (*block.Page, error) {
 	n := p.RowCount()
 	var selected []int
 	if pp.filter != nil {
-		rows, err := pp.evalFilter(p)
-		if err != nil {
-			return nil, err
-		}
-		if len(rows) == 0 {
+		selected = pp.evalFilter(p)
+		if len(selected) == 0 {
 			return nil, nil
 		}
-		selected = rows
 	}
 	outRows := n
 	if selected != nil {
@@ -211,9 +213,8 @@ func (pp *PageProcessor) Process(p *block.Page) (*block.Page, error) {
 		return block.NewEmptyPage(outRows), nil
 	}
 
-	vec := !pp.projDisabled && outRows > 0
 	pp.vin = vecInput{p: p, sel: selected, n: outRows, shared: pp.vin.shared[:0]}
-	if vec && len(pp.cseSlots) > 0 {
+	if len(pp.cseSlots) > 0 {
 		if err := pp.evalCSESlots(); err != nil {
 			return nil, err
 		}
@@ -222,7 +223,7 @@ func (pp *PageProcessor) Process(p *block.Page) (*block.Page, error) {
 	var gathered *block.Page
 	cols := make([]block.Block, len(pp.projections))
 	for i := range pp.projections {
-		col, err := pp.project(i, p, selected, outRows, vec, &gathered)
+		col, err := pp.project(i, p, selected, outRows, &gathered)
 		if err != nil {
 			return nil, err
 		}
@@ -250,56 +251,25 @@ func (pp *PageProcessor) evalCSESlots() error {
 	return nil
 }
 
-func (pp *PageProcessor) evalFilter(p *block.Page) ([]int, error) {
+// evalFilter returns the rows of p that pass the filter. The result aliases
+// processor-owned buffers and is valid until the next page.
+func (pp *PageProcessor) evalFilter(p *block.Page) []int {
 	n := p.RowCount()
+	for i := len(pp.selIn); i < n; i++ {
+		pp.selIn = append(pp.selIn, i)
+	}
 	// RLE fast path: if every column the filter references is RLE the result
 	// is all-or-nothing; evaluate the first row only.
-	if pp.filter.rowBool != nil && n > 0 && pp.allFilterInputsRLE(p) {
-		v, null := pp.filter.rowBool(p, 0)
-		if null || !v {
-			return nil, nil
+	if n > 0 && pp.allFilterInputsRLE(p) {
+		pp.selOut = pp.filter(p, pp.selIn[:1], pp.selOut[:0])
+		if len(pp.selOut) == 0 {
+			return nil
 		}
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		return all, nil
+		return pp.selIn[:n]
 	}
-	// Vectorized path: run the compiled selection kernels, which scan the
-	// typed column slices directly and emit the selection vector.
-	if pp.filter.sel != nil && !pp.vecDisabled {
-		for i := len(pp.selIn); i < n; i++ {
-			pp.selIn = append(pp.selIn, i)
-		}
-		rows := pp.filter.sel(p, pp.selIn[:n], pp.selOut[:0])
-		pp.selOut = rows // retain capacity; consumed before the next page
-		pp.Stats.CellsProcessed += int64(n)
-		return rows, nil
-	}
-	if pp.filter.rowBool != nil {
-		rows := make([]int, 0, n/4+1)
-		for i := 0; i < n; i++ {
-			v, null := pp.filter.rowBool(p, i)
-			if !null && v {
-				rows = append(rows, i)
-			}
-		}
-		pp.Stats.CellsProcessed += int64(n)
-		return rows, nil
-	}
-	// Generic path through a materialized boolean column.
-	b, err := pp.filter.EvalPage(p)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]int, 0, n/4+1)
-	for i := 0; i < n; i++ {
-		if !b.IsNull(i) && b.Bool(i) {
-			rows = append(rows, i)
-		}
-	}
+	pp.selOut = pp.filter(p, pp.selIn[:n], pp.selOut[:0])
 	pp.Stats.CellsProcessed += int64(n)
-	return rows, nil
+	return pp.selOut
 }
 
 // allFilterInputsRLE reports whether every column the filter actually
@@ -320,14 +290,13 @@ func (pp *PageProcessor) allFilterInputsRLE(p *block.Page) bool {
 
 // project computes projection i over the selected rows of p. gathered caches
 // the FilterPositions page across projections of the same input page, so the
-// generic fallback gathers at most once per page.
-func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows int, vec bool, gathered **block.Page) (block.Block, error) {
+// interpreted fallback gathers at most once per page.
+func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows int, gathered **block.Page) (block.Block, error) {
 	inputs := pp.projInputs[i]
-	ev := pp.projections[i]
 
 	// Identity projection: just gather the input column.
-	if cr, ok := identityColumn(ev); ok {
-		col := p.Col(cr)
+	if c := pp.identCol[i]; c >= 0 {
+		col := p.Col(c)
 		if selected == nil {
 			return col, nil
 		}
@@ -335,7 +304,7 @@ func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows i
 	}
 
 	// Constant subtree: evaluate once per processor, emit an RLE run.
-	if vec && pp.projConst[i] {
+	if pp.projConst[i] && outRows > 0 {
 		one, err := pp.constOne(i, p)
 		if err != nil {
 			return nil, err
@@ -370,7 +339,7 @@ func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows i
 	// RLE fast path: every referenced input is a single run, so the
 	// projection has one distinct result; evaluate it once.
 	if len(inputs) > 0 && outRows > 0 && allInputsRLE(p, inputs) {
-		out, err := ev.EvalPage(pp.rleRunPage(p, inputs))
+		out, err := pp.projections[i].EvalPage(pp.rleRunPage(p, inputs))
 		if err != nil {
 			return nil, err
 		}
@@ -381,7 +350,7 @@ func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows i
 
 	// Vectorized kernels, fused with the selection vector: compute only the
 	// surviving rows, straight from the source page.
-	if vec && pp.projVec[i] != nil {
+	if pp.projVec[i] != nil {
 		blk, err := pp.projVec[i].eval(&pp.vin)
 		if err != nil {
 			return nil, err
@@ -391,20 +360,7 @@ func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows i
 		return blk, nil
 	}
 
-	// Fused closure fallback: drive the compiled row closure directly at the
-	// selected source rows (no gathered intermediate page).
-	if vec && selected != nil {
-		if blk, ok, err := ev.evalRows(p, selected); ok {
-			if err != nil {
-				return nil, err
-			}
-			pp.Stats.FullEvals++
-			pp.Stats.CellsProcessed += int64(outRows * len(inputs))
-			return blk, nil
-		}
-	}
-
-	// Generic path: gather selected rows, evaluate per row.
+	// Interpreted path: gather selected rows, evaluate per row.
 	in := p
 	if selected != nil {
 		if *gathered == nil {
@@ -414,7 +370,7 @@ func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows i
 	}
 	pp.Stats.FullEvals++
 	pp.Stats.CellsProcessed += int64(in.RowCount() * len(inputs))
-	return ev.EvalPage(in)
+	return pp.projections[i].EvalPage(in)
 }
 
 // constOne evaluates constant projection i once, caching the 1-row result.
@@ -520,19 +476,4 @@ func (pp *PageProcessor) filler(n int) *block.RLEBlock {
 		pp.rleFiller = block.NewRLEBlockFromBlock(pp.rleFillerVal, n)
 	}
 	return pp.rleFiller
-}
-
-func identityColumn(ev *Evaluator) (int, bool) {
-	// Recognize a compiled or interpreted single ColumnRef via its source
-	// expression; Evaluator does not retain it, so mark identities at
-	// construction time instead.
-	return ev.identity()
-}
-
-// identity support: Compile tags pure column references.
-func (ev *Evaluator) identity() (int, bool) {
-	if ev.identCol >= 0 {
-		return ev.identCol, true
-	}
-	return 0, false
 }

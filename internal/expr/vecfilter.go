@@ -7,8 +7,8 @@ import (
 	"repro/internal/types"
 )
 
-// Columnar filter kernels (§V-E): instead of evaluating a boolean closure
-// row-by-row, a compiled filter can run as a tree of selection kernels that
+// Columnar filter kernels (§V-E): instead of evaluating a predicate
+// row-by-row, a compiled filter runs as a tree of selection kernels that
 // scan the typed value slices of flat blocks directly and produce the
 // selection vector in one pass. Conjunctions chain kernels so each stage only
 // inspects rows that survived the previous one; RLE inputs are decided once
@@ -26,10 +26,24 @@ func selNone(_ *block.Page, _ []int, out []int) []int { return out }
 func selAll(_ *block.Page, in []int, out []int) []int { return append(out, in...) }
 
 // compileSel builds a selection kernel for e. neg=true asks for the rows
-// where e is definitely false. Sub-expressions without a specialized kernel
-// fall back to the compiled row closure, evaluated only over the current
-// selection; compileSel fails (ok=false) only when compileBool does.
-func compileSel(e Expr, neg bool, env *compEnv) (selFn, bool) {
+// where e is definitely false. It never fails: a sub-expression without a
+// specialized selection kernel runs as its vectorized boolean kernel, and one
+// the kernels do not cover at all runs on the interpreter; both are evaluated
+// only over the current selection, so composition with specialized siblings
+// stays cheap.
+func compileSel(e Expr, neg bool) selFn {
+	if s, ok := compileSelKernel(e, neg); ok {
+		return s
+	}
+	if k, ok := vecBool(e); ok {
+		return selVecBool(e, k, neg)
+	}
+	return selInterp(e, neg)
+}
+
+// compileSelKernel builds the specialized selection kernel for e, if its
+// shape has one; connectives compose whatever compileSel gives their operands.
+func compileSelKernel(e Expr, neg bool) (selFn, bool) {
 	switch x := e.(type) {
 	case *Const:
 		v := x.Val
@@ -38,44 +52,30 @@ func compileSel(e Expr, neg bool, env *compEnv) (selFn, bool) {
 		}
 		return selNone, true
 	case *Not:
-		return compileSel(x.E, !neg, env)
+		return compileSel(x.E, !neg), true
 	case *And:
-		l, lok := compileSel(x.L, neg, env)
-		r, rok := compileSel(x.R, neg, env)
-		if lok && rok {
-			if !neg {
-				// TRUE(L AND R) = TRUE(L) ∩ TRUE(R): chain, so R only
-				// inspects rows that survived L.
-				return selIntersectChain(l, r), true
-			}
-			// FALSE(L AND R) = FALSE(L) ∪ FALSE(R).
-			return selUnion(l, r), true
-		}
-	case *Or:
-		l, lok := compileSel(x.L, neg, env)
-		r, rok := compileSel(x.R, neg, env)
-		if lok && rok {
-			if !neg {
-				return selUnion(l, r), true
-			}
+		l, r := compileSel(x.L, neg), compileSel(x.R, neg)
+		if !neg {
+			// TRUE(L AND R) = TRUE(L) ∩ TRUE(R): chain, so R only
+			// inspects rows that survived L.
 			return selIntersectChain(l, r), true
 		}
+		// FALSE(L AND R) = FALSE(L) ∪ FALSE(R).
+		return selUnion(l, r), true
+	case *Or:
+		l, r := compileSel(x.L, neg), compileSel(x.R, neg)
+		if !neg {
+			return selUnion(l, r), true
+		}
+		return selIntersectChain(l, r), true
 	case *Compare:
-		if s, ok := compileSelCompare(x, neg); ok {
-			return s, true
-		}
+		return compileSelCompare(x, neg)
 	case *Between:
-		if s, ok := compileSelBetween(x, neg); ok {
-			return s, true
-		}
+		return compileSelBetween(x, neg)
 	case *In:
-		if s, ok := compileSelIn(x, neg); ok {
-			return s, true
-		}
+		return compileSelIn(x, neg)
 	case *Like:
-		if s, ok := compileSelLike(x, neg); ok {
-			return s, true
-		}
+		return compileSelLike(x, neg)
 	case *IsNull:
 		if c, ok := x.E.(*ColumnRef); ok {
 			// IS [NOT] NULL never yields NULL itself.
@@ -86,19 +86,46 @@ func compileSel(e Expr, neg bool, env *compEnv) (selFn, bool) {
 			return selBoolCol(x.Index, neg), true
 		}
 	}
-	// Generic fallback: the compiled row closure, driven over the current
-	// selection so composition with vectorized siblings stays cheap.
-	f, ok := compileBool(e, env)
-	if !ok {
-		return nil, false
-	}
-	return makeRowBoolSel(f, neg), true
+	return nil, false
 }
 
-func makeRowBoolSel(f boolFn, neg bool) selFn {
+// selVecBool drives a vectorized boolean kernel over the current selection
+// (col-vs-col compares, arithmetic inside a predicate, CASE conditions).
+func selVecBool(e Expr, k boolKernel, neg bool) selFn {
+	var vals, nulls []bool
+	var vin vecInput
+	interp := selInterp(e, neg)
 	return func(p *block.Page, in, out []int) []int {
+		n := len(in)
+		vin = vecInput{p: p, sel: in, n: n}
+		if n == p.RowCount() {
+			vin.sel = nil // in is ascending and duplicate-free, so this is every row
+		}
+		vals, nulls = growSlice(vals, n), growSlice(nulls, n)
+		if _, err := k(&vin, nil, vals, nulls); err != nil {
+			// A kernel stops at the first failing row, but in a filter a
+			// failing row just does not pass: decide the batch row by row.
+			return interp(p, in, out)
+		}
+		for i, r := range in {
+			if !nulls[i] && vals[i] != neg {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+}
+
+// selInterp evaluates e on the interpreter for each row of the current
+// selection. A row whose evaluation fails does not pass in either polarity,
+// like a NULL.
+func selInterp(e Expr, neg bool) selFn {
+	var it Interpreter
+	return func(p *block.Page, in, out []int) []int {
+		row := pageRow{p: p}
 		for _, r := range in {
-			if v, null := f(p, r); !null && v != neg {
+			row.row = r
+			if v, err := it.Eval(e, &row); err == nil && !v.Null && v.B != neg {
 				out = append(out, r)
 			}
 		}
@@ -707,8 +734,7 @@ func compileSelIn(x *In, neg bool) (selFn, bool) {
 		}
 	}
 	flip := x.Negate != neg
-	// NULL list elements are skipped, matching compileIn's set semantics
-	// (deliberately, so the vectorized and closure paths agree exactly).
+	// NULL list elements are skipped, matching vecIn's set semantics.
 	switch col.T {
 	case types.Bigint, types.Date:
 		set := make(map[int64]bool, len(x.List))

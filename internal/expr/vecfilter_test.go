@@ -123,16 +123,34 @@ func filterPredicates() []Expr {
 		&Compare{Op: CmpEq, L: c4(), R: strConst("run")},
 		&Compare{Op: CmpNe, L: c4(), R: strConst("run")},
 		// Shapes with no kernel: col-vs-col compare, arithmetic operand —
-		// must still agree through the closure/interpreter fallback.
+		// must still agree through the boolean-kernel/interpreter fallback.
 		&Compare{Op: CmpLt, L: c0(), R: c1()},
 		&Compare{Op: CmpGt, L: &Arith{Op: OpAdd, L: c0(), R: longConst(1), T: types.Bigint}, R: longConst(2)},
+		// The same under a prior selection and under negation: the boolean
+		// kernel only sees the rows its specialized sibling let through.
+		&And{L: &Compare{Op: CmpGt, L: c0(), R: longConst(-2)}, R: &Compare{Op: CmpLt, L: c0(), R: c1()}},
+		&Not{E: &And{L: &Compare{Op: CmpLt, L: c0(), R: c1()}, R: c3()}},
+		// A predicate that fails on some rows (zero divisors, and for double
+		// modulo divisors that truncate to zero): those rows do not pass.
+		&Compare{Op: CmpGt, L: &Arith{Op: OpDiv, L: longConst(10), R: c0(), T: types.Bigint}, R: longConst(1)},
+		&Not{E: &Compare{Op: CmpGt, L: &Arith{Op: OpDiv, L: longConst(10), R: c0(), T: types.Bigint}, R: longConst(1)}},
+		&Compare{Op: CmpEq, L: &Arith{Op: OpMod, L: c1(), R: dblConst(2), T: types.Double}, R: dblConst(1)},
+		&Compare{Op: CmpGe, L: &Arith{Op: OpMod, L: dblConst(7), R: c1(), T: types.Double}, R: dblConst(0)},
+		// No kernel at all (a function call): interpreted leaf under a
+		// specialized sibling.
+		&And{L: &Compare{Op: CmpGt, L: c0(), R: longConst(0)}, R: &Compare{Op: CmpGt, L: lengthOf(c5()), R: longConst(5)}},
 	)
 	return ps
 }
 
+func lengthOf(e Expr) Expr {
+	fn, _ := LookupBuiltin("length")
+	return &Call{Fn: fn, Args: []Expr{e}}
+}
+
 // hasNullInListElem reports whether pred contains an IN with a NULL list
-// element. The compiled closure (and, bug-compatibly, the selection kernel)
-// skip NULL elements, while the interpreter implements the standard
+// element. The selection and projection kernels skip NULL elements, while
+// the interpreter implements the standard
 // three-valued semantics — a pre-existing divergence this differential test
 // is not trying to relitigate.
 func hasNullInListElem(pred Expr) bool {
@@ -168,8 +186,9 @@ func passingIDs(t *testing.T, pp *PageProcessor, p *block.Page) []int64 {
 }
 
 // TestVectorizedFilterDifferential runs every predicate shape through the
-// vectorized kernels, the per-row closure fallback, and the interpreter, and
-// requires identical surviving rows in identical order.
+// vectorized kernels, the interpreted filter under vectorized projections
+// (DisableVectorizedFilter), and the interpreted processor, and requires
+// identical surviving rows in identical order.
 func TestVectorizedFilterDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	pages := []*block.Page{
@@ -180,32 +199,26 @@ func TestVectorizedFilterDifferential(t *testing.T) {
 	proj := []Expr{colRef(6, types.Bigint)}
 	for pi, pred := range filterPredicates() {
 		vec := NewPageProcessor(pred, proj)
-		closure := NewPageProcessor(pred, proj)
-		closure.DisableVectorizedFilter()
+		off := NewPageProcessor(pred, proj)
+		off.DisableVectorizedFilter()
 		interp := NewInterpretedPageProcessor(pred, proj)
 		for gi, p := range pages {
 			name := fmt.Sprintf("pred %d %s page %d", pi, pred, gi)
 			v := passingIDs(t, vec, p)
-			c := passingIDs(t, closure, p)
-			in := v
+			o, in := v, v
 			if !hasNullInListElem(pred) {
-				in = passingIDs(t, interp, p)
+				o, in = passingIDs(t, off, p), passingIDs(t, interp, p)
 			}
-			if len(v) != len(c) || len(v) != len(in) {
-				t.Fatalf("%s: vec=%d closure=%d interp=%d rows", name, len(v), len(c), len(in))
-			}
-			for i := range v {
-				if v[i] != c[i] || v[i] != in[i] {
-					t.Fatalf("%s: row %d: vec=%d closure=%d interp=%d", name, i, v[i], c[i], in[i])
-				}
+			if fmt.Sprint(v) != fmt.Sprint(o) || fmt.Sprint(v) != fmt.Sprint(in) {
+				t.Fatalf("%s:\nvec        %v\nfilter-off %v\ninterp     %v", name, v, o, in)
 			}
 		}
 	}
 }
 
 // TestSelKernelsCompiled pins down which predicate shapes actually get a
-// selection kernel, so fallback regressions are caught rather than silently
-// eating the speedup.
+// specialized selection kernel, so fallback regressions are caught rather
+// than silently eating the speedup.
 func TestSelKernelsCompiled(t *testing.T) {
 	kernelized := []Expr{
 		&Compare{Op: CmpLt, L: colRef(0, types.Bigint), R: longConst(3)},
@@ -214,25 +227,26 @@ func TestSelKernelsCompiled(t *testing.T) {
 		&In{E: colRef(5, types.Varchar), List: []Expr{strConst("a")}},
 		&Like{E: colRef(5, types.Varchar), Pattern: strConst("a%")},
 		&IsNull{E: colRef(0, types.Bigint)},
-		&Not{E: &And{L: colRef(3, types.Boolean), R: &Compare{Op: CmpEq, L: colRef(0, types.Bigint), R: longConst(1)}}},
+		colRef(3, types.Boolean),
 	}
 	for _, e := range kernelized {
-		if ev := Compile(e); ev.sel == nil {
+		if _, ok := compileSelKernel(e, false); !ok {
 			t.Errorf("expected selection kernel for %s", e)
 		}
 	}
-	notKernelized := []Expr{
+	// Shapes without a selection kernel must land on the vectorized boolean
+	// kernel, not the interpreter.
+	booleanKernel := []Expr{
 		&Compare{Op: CmpEq, L: colRef(0, types.Bigint), R: colRef(1, types.Double)},
+		&Compare{Op: CmpGt, L: &Arith{Op: OpAdd, L: colRef(0, types.Bigint), R: longConst(1), T: types.Bigint}, R: longConst(2)},
 	}
-	for _, e := range notKernelized {
-		if ev := Compile(e); ev.sel == nil {
-			// col-vs-col still gets the rowBool fallback wrapper; that is
-			// fine — what matters is it does not crash. Nothing to assert.
-			_ = ev
+	for _, e := range booleanKernel {
+		if _, ok := compileSelKernel(e, false); ok {
+			t.Errorf("unexpected selection kernel for %s", e)
 		}
-	}
-	if ev := InterpretOnly(&IsNull{E: colRef(0, types.Bigint)}); ev.sel != nil {
-		t.Error("interpreted evaluators must not carry selection kernels (ablation baseline)")
+		if _, ok := vecBool(e); !ok {
+			t.Errorf("expected vectorized boolean kernel for %s", e)
+		}
 	}
 }
 
@@ -284,22 +298,67 @@ func TestRLEFastPathOnlyChecksFilterColumns(t *testing.T) {
 	}
 }
 
-// TestVectorizedFilterNaN checks comparisons against NaN never select rows
-// in either polarity (matching the closure semantics).
+// TestRLEFastPathWithoutSelectionKernel: an all-RLE filter page decides the
+// whole page from row 0 whichever evaluator the predicate runs on — the
+// boolean kernel (col-vs-col), the interpreter (function call), or the
+// interpreted processor — including a run whose evaluation fails.
+func TestRLEFastPathWithoutSelectionKernel(t *testing.T) {
+	n := 64
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	page := func(a, b int64) *block.Page {
+		return block.NewPage(
+			block.NewRLEBlock(types.BigintValue(a), n),
+			block.NewRLEBlock(types.BigintValue(b), n),
+			block.NewRLEBlock(types.VarcharValue("sixsix"), n),
+			block.NewLongBlock(ids, nil),
+		)
+	}
+	c0, c1 := colRef(0, types.Bigint), colRef(1, types.Bigint)
+	preds := []Expr{
+		&Compare{Op: CmpLt, L: c0, R: c1},
+		&Compare{Op: CmpGt, L: &Arith{Op: OpDiv, L: c1, R: c0, T: types.Bigint}, R: longConst(1)},
+		&Compare{Op: CmpGt, L: lengthOf(colRef(2, types.Varchar)), R: c0},
+	}
+	proj := []Expr{colRef(3, types.Bigint)}
+	for _, pred := range preds {
+		for _, ab := range [][2]int64{{1, 5}, {5, 1}, {0, 5}} {
+			p := page(ab[0], ab[1])
+			vec := NewPageProcessor(pred, proj)
+			v := passingIDs(t, vec, p)
+			in := passingIDs(t, NewInterpretedPageProcessor(pred, proj), p)
+			if fmt.Sprint(v) != fmt.Sprint(in) {
+				t.Errorf("%s over runs %v: vec=%v interp=%v", pred, ab, v, in)
+			}
+			if len(v) != 0 && len(v) != n {
+				t.Errorf("%s over runs %v: %d of %d rows passed an all-RLE page", pred, ab, len(v), n)
+			}
+			if vec.Stats.CellsProcessed != 0 {
+				t.Errorf("%s over runs %v: fast path not taken", pred, ab)
+			}
+		}
+	}
+}
+
+// TestVectorizedFilterNaN pins the kernels' IEEE semantics for NaN: it
+// compares unequal to everything and is ordered against nothing, in the
+// specialized selection kernel and in the boolean kernel alike. (The
+// interpreter's total-order Compare ranks NaN equal to every number, a
+// divergence this test is not trying to relitigate.)
 func TestVectorizedFilterNaN(t *testing.T) {
 	vals := []float64{1.0, math.NaN(), -2.0}
 	ids := []int64{0, 1, 2}
-	p := block.NewPage(block.NewDoubleBlock(vals, nil), block.NewLongBlock(ids, nil))
-	proj := []Expr{colRef(1, types.Bigint)}
+	p := block.NewPage(block.NewDoubleBlock(vals, nil), block.NewRLEBlock(types.DoubleValue(1.0), 3), block.NewLongBlock(ids, nil))
+	proj := []Expr{colRef(2, types.Bigint)}
+	want := map[CmpOp]string{CmpEq: "[0]", CmpNe: "[1 2]", CmpLt: "[2]", CmpLe: "[0 2]", CmpGt: "[]", CmpGe: "[0]"}
 	for op := CmpEq; op <= CmpGe; op++ {
-		pred := &Compare{Op: op, L: colRef(0, types.Double), R: dblConst(1.0)}
-		vec := NewPageProcessor(pred, proj)
-		closure := NewPageProcessor(pred, proj)
-		closure.DisableVectorizedFilter()
-		v := passingIDs(t, vec, p)
-		c := passingIDs(t, closure, p)
-		if fmt.Sprint(v) != fmt.Sprint(c) {
-			t.Errorf("op %s: vec=%v closure=%v", op, v, c)
+		sel := NewPageProcessor(&Compare{Op: op, L: colRef(0, types.Double), R: dblConst(1.0)}, proj)
+		kern := NewPageProcessor(&Compare{Op: op, L: colRef(0, types.Double), R: colRef(1, types.Double)}, proj)
+		s, k := fmt.Sprint(passingIDs(t, sel, p)), fmt.Sprint(passingIDs(t, kern, p))
+		if s != want[op] || k != want[op] {
+			t.Errorf("op %s: selection kernel %s, boolean kernel %s, want %s", op, s, k, want[op])
 		}
 	}
 }

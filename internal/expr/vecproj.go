@@ -8,8 +8,8 @@ import (
 	"repro/internal/types"
 )
 
-// Vectorized projection kernels (§V-B + §V-E): instead of evaluating a
-// closure graph row-by-row, a covered projection compiles into a tree of
+// Vectorized projection kernels (§V-B + §V-E): instead of walking the
+// expression tree row-by-row, a covered projection compiles into a tree of
 // columnar kernels, each of which runs one tight loop-per-operator over
 // typed value vectors. Selection fusion: the kernels gather directly from
 // the source page through the filter's selection vector, so projections
@@ -18,19 +18,18 @@ import (
 // branching per row, which preserves lazy-evaluation semantics (a division
 // in a THEN branch only ever sees the rows whose WHEN matched).
 //
-// The compiled-closure path (compile.go) remains the fallback for
-// expressions the kernels do not cover, and the ablation baseline
-// (Session.DisableVectorProjections).
+// The interpreter (interp.go) remains the fallback for expressions the
+// kernels do not cover, and the ablation baseline.
 
-// errDivZero is the shared division-by-zero error. The interpreter, the
-// compiled closures, and the vectorized kernels all raise this same error so
-// the three evaluation strategies stay differentially identical.
+// errDivZero is the shared division-by-zero error. The interpreter and the
+// vectorized kernels raise this same error so the two evaluation strategies
+// stay differentially identical.
 var errDivZero = errors.New("division by zero")
 
 // virtualColBase offsets ColumnRef indices that address CSE slot outputs
 // instead of page columns. Rewritten projections referencing virtual columns
-// are only ever compiled by the vectorized compiler, never by the closure
-// compiler or interpreter, so the indices can never reach Page.Col.
+// are only ever compiled by the vectorized compiler, never handed to the
+// interpreter, so the indices can never reach Page.Col.
 const virtualColBase = 1 << 20
 
 // vecInput is the evaluation context for one page: the source page, the
@@ -63,10 +62,10 @@ func (in *vecInput) colBlock(colIdx int) (block.Block, []int) {
 // null-free tight loop; true is always safe to return.
 type vkernel[T any] func(in *vecInput, idx []int, out []T, nulls []bool) (bool, error)
 
-type vlongFn = vkernel[int64]
-type vdoubleFn = vkernel[float64]
-type vstrFn = vkernel[string]
-type vboolFn = vkernel[bool]
+type longKernel = vkernel[int64]
+type doubleKernel = vkernel[float64]
+type strKernel = vkernel[string]
+type boolKernel = vkernel[bool]
 
 // ---- shared buffer and loop helpers ----
 
@@ -229,7 +228,7 @@ func gatherBlock[T any](b block.Block, get func(int) T, sel, idx []int, n int, o
 
 // ---- column loaders (encoding-aware) ----
 
-func vecLongCol(colIdx int) vlongFn {
+func vecLongCol(colIdx int) longKernel {
 	return func(in *vecInput, idx []int, out []int64, nulls []bool) (bool, error) {
 		b, sel := in.colBlock(colIdx)
 		switch src := b.(type) {
@@ -246,7 +245,7 @@ func vecLongCol(colIdx int) vlongFn {
 	}
 }
 
-func vecDoubleCol(colIdx int) vdoubleFn {
+func vecDoubleCol(colIdx int) doubleKernel {
 	return func(in *vecInput, idx []int, out []float64, nulls []bool) (bool, error) {
 		b, sel := in.colBlock(colIdx)
 		switch src := b.(type) {
@@ -263,7 +262,7 @@ func vecDoubleCol(colIdx int) vdoubleFn {
 	}
 }
 
-func vecStrCol(colIdx int) vstrFn {
+func vecStrCol(colIdx int) strKernel {
 	return func(in *vecInput, idx []int, out []string, nulls []bool) (bool, error) {
 		b, sel := in.colBlock(colIdx)
 		switch src := b.(type) {
@@ -280,7 +279,7 @@ func vecStrCol(colIdx int) vstrFn {
 	}
 }
 
-func vecBoolCol(colIdx int) vboolFn {
+func vecBoolCol(colIdx int) boolKernel {
 	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
 		b, sel := in.colBlock(colIdx)
 		switch src := b.(type) {
@@ -304,7 +303,7 @@ func vecConst[T any](v T, null bool) vkernel[T] {
 // vecArithLong evaluates both operands into scratch vectors, then applies
 // the operator in one tight loop. Division/modulo by a non-null zero raises
 // errDivZero, matching the interpreter.
-func vecArithLong(op BinOp, l, r vlongFn) vlongFn {
+func vecArithLong(op BinOp, l, r longKernel) longKernel {
 	var lv, rv []int64
 	var ln, rn []bool
 	return func(in *vecInput, idx []int, out []int64, nulls []bool) (bool, error) {
@@ -398,8 +397,8 @@ func vecArithLong(op BinOp, l, r vlongFn) vlongFn {
 	}
 }
 
-// vecArithDouble covers +,-,*,/ (no modulo, mirroring compileDouble).
-func vecArithDouble(op BinOp, l, r vdoubleFn) vdoubleFn {
+// vecArithDouble covers +,-,*,/ (vecDouble leaves modulo to the interpreter).
+func vecArithDouble(op BinOp, l, r doubleKernel) doubleKernel {
 	var lv, rv []float64
 	var ln, rn []bool
 	return func(in *vecInput, idx []int, out []float64, nulls []bool) (bool, error) {
@@ -501,7 +500,7 @@ func vecNeg[T int64 | float64](f vkernel[T]) vkernel[T] {
 }
 
 // vecLongToDouble widens a bigint/date kernel to double.
-func vecLongToDouble(f vlongFn) vdoubleFn {
+func vecLongToDouble(f longKernel) doubleKernel {
 	var lv []int64
 	return func(in *vecInput, idx []int, out []float64, nulls []bool) (bool, error) {
 		lv = growSlice(lv, in.n)
@@ -523,7 +522,7 @@ func vecLongToDouble(f vlongFn) vdoubleFn {
 }
 
 // vecDoubleToLong truncates a double kernel to bigint (CAST semantics).
-func vecDoubleToLong(f vdoubleFn) vlongFn {
+func vecDoubleToLong(f doubleKernel) longKernel {
 	var dv []float64
 	return func(in *vecInput, idx []int, out []int64, nulls []bool) (bool, error) {
 		dv = growSlice(dv, in.n)
@@ -545,7 +544,7 @@ func vecDoubleToLong(f vdoubleFn) vlongFn {
 }
 
 // vecConcat is string concatenation with null propagation.
-func vecConcat(l, r vstrFn) vstrFn {
+func vecConcat(l, r strKernel) strKernel {
 	var lv, rv []string
 	var ln, rn []bool
 	return func(in *vecInput, idx []int, out []string, nulls []bool) (bool, error) {
@@ -609,7 +608,7 @@ func cmpApply[T cmp.Ordered](op CmpOp, a, b T) bool {
 	}
 }
 
-func vecCompareOrd[T cmp.Ordered](op CmpOp, l, r vkernel[T]) vboolFn {
+func vecCompareOrd[T cmp.Ordered](op CmpOp, l, r vkernel[T]) boolKernel {
 	var lv, rv []T
 	var ln, rn []bool
 	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
@@ -677,8 +676,8 @@ func vecCompareOrd[T cmp.Ordered](op CmpOp, l, r vkernel[T]) vboolFn {
 	}
 }
 
-// vecCompareBool covers boolean = and <>, mirroring compileCompare.
-func vecCompareBool(op CmpOp, l, r vboolFn) (vboolFn, bool) {
+// vecCompareBool covers boolean = and <>.
+func vecCompareBool(op CmpOp, l, r boolKernel) (boolKernel, bool) {
 	if op != CmpEq && op != CmpNe {
 		return nil, false
 	}
@@ -715,7 +714,7 @@ func vecCompareBool(op CmpOp, l, r vboolFn) (vboolFn, bool) {
 	}, true
 }
 
-func vecBetweenOrd[T cmp.Ordered](v, lo, hi vkernel[T], neg bool) vboolFn {
+func vecBetweenOrd[T cmp.Ordered](v, lo, hi vkernel[T], neg bool) boolKernel {
 	var vv, lv, hv []T
 	var vn, ln, hn []bool
 	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
@@ -765,7 +764,7 @@ func vecBetweenOrd[T cmp.Ordered](v, lo, hi vkernel[T], neg bool) vboolFn {
 	}
 }
 
-func vecInSet[T comparable](f vkernel[T], set map[T]bool, neg bool) vboolFn {
+func vecInSet[T comparable](f vkernel[T], set map[T]bool, neg bool) boolKernel {
 	var vv []T
 	var vn []bool
 	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
@@ -805,7 +804,7 @@ func vecInSet[T comparable](f vkernel[T], set map[T]bool, neg bool) vboolFn {
 	}
 }
 
-func vecLike(f vstrFn, pattern string, neg bool) vboolFn {
+func vecLike(f strKernel, pattern string, neg bool) boolKernel {
 	var vv []string
 	var vn []bool
 	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
@@ -836,7 +835,7 @@ func vecLike(f vstrFn, pattern string, neg bool) vboolFn {
 	}
 }
 
-func vecIsNullCol(colIdx int, neg bool) vboolFn {
+func vecIsNullCol(colIdx int, neg bool) boolKernel {
 	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
 		b, sel := in.colBlock(colIdx)
 		step := func(i int) {
@@ -862,7 +861,7 @@ func vecIsNullCol(colIdx int, neg bool) vboolFn {
 // ---- logical connectives and CASE (selection partitioning) ----
 
 // vecNot inverts the child's definite values; NULL stays NULL.
-func vecNot(f vboolFn) vboolFn {
+func vecNot(f boolKernel) boolKernel {
 	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
 		has, err := f(in, idx, out, nulls)
 		if err != nil {
@@ -883,9 +882,9 @@ func vecNot(f vboolFn) vboolFn {
 
 // vecAnd evaluates the left side everywhere, then the right side only at
 // positions the left did not decide (definitely-false short-circuits), then
-// merges with three-valued semantics — the batch analogue of the compiled
-// closure's lazy right operand.
-func vecAnd(l, r vboolFn) vboolFn {
+// merges with three-valued semantics — the batch analogue of the
+// interpreter's lazy right operand.
+func vecAnd(l, r boolKernel) boolKernel {
 	var lv, ln []bool
 	var need []int
 	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
@@ -934,7 +933,7 @@ func vecAnd(l, r vboolFn) vboolFn {
 }
 
 // vecOr mirrors vecAnd with definitely-true short-circuits.
-func vecOr(l, r vboolFn) vboolFn {
+func vecOr(l, r boolKernel) boolKernel {
 	var lv, ln []bool
 	var need []int
 	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
@@ -987,7 +986,7 @@ func vecOr(l, r vboolFn) vboolFn {
 // over the positions its WHEN matched, and the ELSE over whatever remains.
 // Rows therefore see exactly the branch evaluations row-at-a-time execution
 // would have performed.
-func vecCase[T any](conds []vboolFn, thens []vkernel[T], els vkernel[T]) vkernel[T] {
+func vecCase[T any](conds []boolKernel, thens []vkernel[T], els vkernel[T]) vkernel[T] {
 	var cv, cn []bool
 	var rem, match []int
 	return func(in *vecInput, idx []int, out []T, nulls []bool) (bool, error) {
@@ -1047,7 +1046,7 @@ func vecCase[T any](conds []vboolFn, thens []vkernel[T], els vkernel[T]) vkernel
 }
 
 func vecCaseOf[T any](x *Case, child func(Expr) (vkernel[T], bool)) (vkernel[T], bool) {
-	conds := make([]vboolFn, len(x.Whens))
+	conds := make([]boolKernel, len(x.Whens))
 	thens := make([]vkernel[T], len(x.Whens))
 	for i, w := range x.Whens {
 		c, ok := vecBool(w.Cond)
@@ -1071,9 +1070,9 @@ func vecCaseOf[T any](x *Case, child func(Expr) (vkernel[T], bool)) (vkernel[T],
 	return vecCase(conds, thens, els), true
 }
 
-// ---- per-type kernel compilers (coverage mirrors compile.go) ----
+// ---- per-type kernel compilers ----
 
-func vecLong(e Expr) (vlongFn, bool) {
+func vecLong(e Expr) (longKernel, bool) {
 	switch x := e.(type) {
 	case *Const:
 		return vecConst(x.Val.I, x.Val.Null), true
@@ -1114,7 +1113,7 @@ func vecLong(e Expr) (vlongFn, bool) {
 	}
 }
 
-func vecDouble(e Expr) (vdoubleFn, bool) {
+func vecDouble(e Expr) (doubleKernel, bool) {
 	if e.Type() == types.Bigint || e.Type() == types.Date {
 		f, ok := vecLong(e)
 		if !ok {
@@ -1134,8 +1133,7 @@ func vecDouble(e Expr) (vdoubleFn, bool) {
 		}
 		return vecNeg(f), true
 	case *Arith:
-		// No vectorized double modulo: the closure fallback defines the
-		// engine's (null-producing) semantics for it.
+		// Double modulo stays on the interpreter (EvalArith).
 		if x.Op == OpConcat || x.Op == OpMod {
 			return nil, false
 		}
@@ -1157,7 +1155,7 @@ func vecDouble(e Expr) (vdoubleFn, bool) {
 	}
 }
 
-func vecStr(e Expr) (vstrFn, bool) {
+func vecStr(e Expr) (strKernel, bool) {
 	switch x := e.(type) {
 	case *Const:
 		return vecConst(x.Val.S, x.Val.Null), true
@@ -1180,7 +1178,7 @@ func vecStr(e Expr) (vstrFn, bool) {
 	}
 }
 
-func vecBool(e Expr) (vboolFn, bool) {
+func vecBool(e Expr) (boolKernel, bool) {
 	switch x := e.(type) {
 	case *Const:
 		return vecConst(x.Val.B, x.Val.Null), true
@@ -1253,7 +1251,7 @@ func vecBool(e Expr) (vboolFn, bool) {
 	}
 }
 
-func vecCompare(x *Compare) (vboolFn, bool) {
+func vecCompare(x *Compare) (boolKernel, bool) {
 	switch types.CommonType(x.L.Type(), x.R.Type()) {
 	case types.Bigint, types.Date:
 		l, lok := vecLong(x.L)
@@ -1288,7 +1286,7 @@ func vecCompare(x *Compare) (vboolFn, bool) {
 	}
 }
 
-func vecIn(x *In) (vboolFn, bool) {
+func vecIn(x *In) (boolKernel, bool) {
 	for _, le := range x.List {
 		if _, ok := le.(*Const); !ok {
 			return nil, false
@@ -1332,15 +1330,15 @@ func vecIn(x *In) (vboolFn, bool) {
 // downstream operators retain pages.
 type vecProjector struct {
 	t     types.Type
-	lk    vlongFn
-	dk    vdoubleFn
-	sk    vstrFn
-	bk    vboolFn
+	lk    longKernel
+	dk    doubleKernel
+	sk    strKernel
+	bk    boolKernel
 	nulls []bool
 }
 
 // compileVecProj builds a vectorized projector for e, or nil when the
-// kernels do not cover it (the compiled-closure path then takes over).
+// kernels do not cover it (the interpreter then takes over).
 func compileVecProj(e Expr) *vecProjector {
 	t := e.Type()
 	switch t {

@@ -176,9 +176,8 @@ func renderPage(t *testing.T, pp *PageProcessor, p *block.Page) string {
 }
 
 // TestVectorizedProjectionDifferential runs every projection shape through
-// the columnar kernels, the compiled row-at-a-time closures, and the
-// interpreter, with and without a filter (selection-vector fusion), and
-// requires bit-identical output pages.
+// the columnar kernels and the interpreter, with and without a filter
+// (selection-vector fusion), and requires bit-identical output pages.
 func TestVectorizedProjectionDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	pages := []*block.Page{
@@ -196,17 +195,11 @@ func TestVectorizedProjectionDifferential(t *testing.T) {
 		proj := []Expr{e, colRef(7, types.Bigint)}
 		for fi, f := range filters {
 			vec := NewPageProcessor(f, proj)
-			closure := NewPageProcessor(f, proj)
-			closure.DisableVectorizedProjections()
 			interp := NewInterpretedPageProcessor(f, proj)
 			for gi, p := range pages {
 				name := fmt.Sprintf("expr %d %s filter %d page %d", ei, e, fi, gi)
 				v := renderPage(t, vec, p)
-				c := renderPage(t, closure, p)
 				in := renderPage(t, interp, p)
-				if v != c {
-					t.Fatalf("%s:\nvec     %s\nclosure %s", name, v, c)
-				}
 				if v != in {
 					t.Fatalf("%s:\nvec    %s\ninterp %s", name, v, in)
 				}
@@ -236,9 +229,8 @@ func TestVectorizedProjectionKernelsUsed(t *testing.T) {
 		t.Fatalf("expected no row-at-a-time evals, got %d", pp.Stats.FullEvals)
 	}
 
-	// The ablation switch reroutes everything to the closure path.
-	off := NewPageProcessor(nil, proj)
-	off.DisableVectorizedProjections()
+	// The interpreted processor runs none of them.
+	off := NewInterpretedPageProcessor(nil, proj)
 	if _, err := off.Process(p); err != nil {
 		t.Fatal(err)
 	}
@@ -264,13 +256,8 @@ func TestProjectionCSE(t *testing.T) {
 	if len(vec.cseSlots) != 1 {
 		t.Fatalf("expected 1 CSE slot, got %d", len(vec.cseSlots))
 	}
-	closure := NewPageProcessor(nil, proj)
-	closure.DisableVectorizedProjections()
 	interp := NewInterpretedPageProcessor(nil, proj)
 	v := renderPage(t, vec, p)
-	if c := renderPage(t, closure, p); v != c {
-		t.Fatalf("CSE changed results:\nvec     %s\nclosure %s", v, c)
-	}
 	if in := renderPage(t, interp, p); v != in {
 		t.Fatalf("CSE changed results vs interpreter:\nvec    %s\ninterp %s", v, in)
 	}
@@ -318,8 +305,8 @@ func TestCSEDoesNotHoistErrors(t *testing.T) {
 }
 
 // TestDivisionByZeroConsistency: an unguarded division by zero must raise
-// the same error from the vectorized kernels, the compiled closures, and the
-// interpreter — not silently produce NULL in one of them.
+// the same error from the vectorized kernels and the interpreter — not
+// silently produce NULL in one of them.
 func TestDivisionByZeroConsistency(t *testing.T) {
 	page := block.NewPage(
 		block.NewLongBlock([]int64{6, 3, 0, 2}, nil),
@@ -330,11 +317,6 @@ func TestDivisionByZeroConsistency(t *testing.T) {
 		proj := []Expr{e}
 		for _, mk := range []func() *PageProcessor{
 			func() *PageProcessor { return NewPageProcessor(nil, proj) },
-			func() *PageProcessor {
-				pp := NewPageProcessor(nil, proj)
-				pp.DisableVectorizedProjections()
-				return pp
-			},
 			func() *PageProcessor { return NewInterpretedPageProcessor(nil, proj) },
 		} {
 			_, err := mk().Process(page)
@@ -349,11 +331,6 @@ func TestDivisionByZeroConsistency(t *testing.T) {
 	div := &Arith{Op: OpDiv, L: longConst(12), R: colRef(0, types.Bigint), T: types.Bigint}
 	for _, mk := range []func() *PageProcessor{
 		func() *PageProcessor { return NewPageProcessor(f, []Expr{div}) },
-		func() *PageProcessor {
-			pp := NewPageProcessor(f, []Expr{div})
-			pp.DisableVectorizedProjections()
-			return pp
-		},
 		func() *PageProcessor { return NewInterpretedPageProcessor(f, []Expr{div}) },
 	} {
 		out, err := mk().Process(page)
@@ -362,6 +339,42 @@ func TestDivisionByZeroConsistency(t *testing.T) {
 		}
 		if out.RowCount() != 3 {
 			t.Fatalf("expected 3 surviving rows, got %d", out.RowCount())
+		}
+	}
+}
+
+// TestDoubleModuloConsistency: double modulo has no kernel, so the
+// interpreter defines it for the default processor too — a value, NULL for a
+// NULL operand, an error for a zero divisor in a projection, and a row that
+// does not pass for a zero divisor in a filter.
+func TestDoubleModuloConsistency(t *testing.T) {
+	page := block.NewPage(
+		block.NewDoubleBlock([]float64{7.5, 9, 4, 5}, []bool{false, false, true, false}),
+		block.NewDoubleBlock([]float64{2, 4, 3, 0}, nil),
+		block.NewLongBlock([]int64{0, 1, 2, 3}, nil),
+	)
+	mod := &Arith{Op: OpMod, L: colRef(0, types.Double), R: colRef(1, types.Double), T: types.Double}
+	nonzero := &Compare{Op: CmpNe, L: colRef(1, types.Double), R: dblConst(0)}
+	isOne := &Compare{Op: CmpEq, L: mod, R: dblConst(1)}
+	for name, mk := range map[string]func(Expr, []Expr) *PageProcessor{
+		"default": NewPageProcessor, "interpreted": NewInterpretedPageProcessor,
+	} {
+		if _, err := mk(nil, []Expr{mod}).Process(page); err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Errorf("%s: unguarded double modulo by zero: got %v, want division by zero", name, err)
+		}
+		out, err := mk(nonzero, []Expr{mod}).Process(page)
+		if err != nil {
+			t.Fatalf("%s: guarded double modulo: %v", name, err)
+		}
+		if got := renderBlock(out.Col(0), out.RowCount()); got != renderBlock(block.NewDoubleBlock([]float64{1, 1, 0}, []bool{false, false, true}), 3) {
+			t.Errorf("%s: guarded double modulo = %s", name, got)
+		}
+		out, err = mk(isOne, []Expr{colRef(2, types.Bigint)}).Process(page)
+		if err != nil {
+			t.Fatalf("%s: double modulo in a filter: %v", name, err)
+		}
+		if got := renderBlock(out.Col(0), out.RowCount()); got != "0;1;" {
+			t.Errorf("%s: rows passing x %% y = 1: %s, want 0;1;", name, got)
 		}
 	}
 }
@@ -389,6 +402,14 @@ func TestDictProjectionErrorFallthrough(t *testing.T) {
 	bad := block.NewPage(block.NewDictionaryBlock(dict, []int32{0, 2}))
 	if _, err := NewPageProcessor(nil, []Expr{div}).Process(bad); err == nil {
 		t.Fatal("referenced zero divisor did not raise")
+	}
+	// Unless the filter drops that row: only surviving rows are evaluated,
+	// by the kernels and by the interpreter alike.
+	guard := &Compare{Op: CmpNe, L: colRef(0, types.Bigint), R: longConst(0)}
+	guarded := block.NewPage(block.NewDictionaryBlock(dict, []int32{0, 2, 1, 2}))
+	v := renderPage(t, NewPageProcessor(guard, []Expr{div}), guarded)
+	if in := renderPage(t, NewInterpretedPageProcessor(guard, []Expr{div}), guarded); v != in || v != "4;2;|" {
+		t.Fatalf("filtered dictionary projection: vec %s interp %s, want 4;2;|", v, in)
 	}
 }
 

@@ -474,7 +474,8 @@ type LookupJoinOperator struct {
 	bridge    *JoinBridge
 	jt        plan.JoinType
 	probeKeys []int
-	residual  *expr.Evaluator // over concatenated (probe ++ build) schema
+	residual  expr.Expr // over concatenated (probe ++ build) schema
+	interp    expr.Interpreter
 	probeTs   []types.Type
 	buildTs   []types.Type
 	batch     batchKeys   // probe-side scratch
@@ -494,10 +495,7 @@ type LookupJoinOperator struct {
 func NewLookupJoin(ctx *OpContext, bridge *JoinBridge, jt plan.JoinType, probeKeys []int, residual expr.Expr, probeTs, buildTs []types.Type, pageSize int) *LookupJoinOperator {
 	op := &LookupJoinOperator{
 		ctx: ctx, bridge: bridge, jt: jt, probeKeys: probeKeys,
-		probeTs: probeTs, buildTs: buildTs, pageSize: pageSize,
-	}
-	if residual != nil {
-		op.residual = expr.Compile(residual)
+		residual: residual, probeTs: probeTs, buildTs: buildTs, pageSize: pageSize,
 	}
 	if op.pageSize <= 0 {
 		op.pageSize = 4096
@@ -955,16 +953,11 @@ func (o *LookupJoinOperator) matchExists(p *block.Page, r int, matches []bridgeR
 	return false
 }
 
+// residualTrue interprets the residual over one candidate (probe ++ build)
+// row; like a filter, a NULL or failing row is not a match.
 func (o *LookupJoinOperator) residualTrue(row []types.Value) bool {
-	// Evaluate the residual via a one-row page.
-	ts := append(append([]types.Type{}, o.probeTs...), o.buildTs...)
-	b := block.NewPageBuilder(ts)
-	b.AppendRow(row)
-	out, err := o.residual.EvalPage(b.Build())
-	if err != nil || out.Len() == 0 {
-		return false
-	}
-	return !out.IsNull(0) && out.Bool(0)
+	v, err := o.interp.Eval(o.residual, expr.ValuesRow(row))
+	return err == nil && !v.Null && v.B
 }
 
 func (o *LookupJoinOperator) Finish() {

@@ -50,20 +50,19 @@ type SourceEntry struct {
 // TaskConfig is the serializable subset of exec.TaskConfig (function-valued
 // fields like WriteDelay cannot cross the wire).
 type TaskConfig struct {
-	PageSize                  int    `json:"pageSize,omitempty"`
-	OutputBufferBytes         int64  `json:"outputBufferBytes,omitempty"`
-	TargetSplitConcurrency    int    `json:"targetSplitConcurrency,omitempty"`
-	MaxWriters                int    `json:"maxWriters,omitempty"`
-	SpillEnabled              bool   `json:"spillEnabled,omitempty"`
-	SpillDir                  string `json:"spillDir,omitempty"`
-	MaterializedExchange      bool   `json:"materializedExchange,omitempty"`
-	Interpreted               bool   `json:"interpreted,omitempty"`
-	Phased                    bool   `json:"phased,omitempty"`
-	CacheDisabled             bool   `json:"cacheDisabled,omitempty"`
-	VectorKernelsDisabled     bool   `json:"vectorKernelsDisabled,omitempty"`
-	VectorProjectionsDisabled bool   `json:"vectorProjectionsDisabled,omitempty"`
-	MorselsDisabled           bool   `json:"morselsDisabled,omitempty"`
-	MorselRows                int    `json:"morselRows,omitempty"`
+	PageSize               int    `json:"pageSize,omitempty"`
+	OutputBufferBytes      int64  `json:"outputBufferBytes,omitempty"`
+	TargetSplitConcurrency int    `json:"targetSplitConcurrency,omitempty"`
+	MaxWriters             int    `json:"maxWriters,omitempty"`
+	SpillEnabled           bool   `json:"spillEnabled,omitempty"`
+	SpillDir               string `json:"spillDir,omitempty"`
+	MaterializedExchange   bool   `json:"materializedExchange,omitempty"`
+	Interpreted            bool   `json:"interpreted,omitempty"`
+	Phased                 bool   `json:"phased,omitempty"`
+	CacheDisabled          bool   `json:"cacheDisabled,omitempty"`
+	VectorKernelsDisabled  bool   `json:"vectorKernelsDisabled,omitempty"`
+	MorselsDisabled        bool   `json:"morselsDisabled,omitempty"`
+	MorselRows             int    `json:"morselRows,omitempty"`
 
 	DynamicFiltersDisabled bool  `json:"dynamicFiltersDisabled,omitempty"`
 	DynamicFilterWaitNs    int64 `json:"dynamicFilterWaitNs,omitempty"`
@@ -81,54 +80,52 @@ type TaskConfig struct {
 // EncodeTaskConfig projects an exec.TaskConfig onto the wire.
 func EncodeTaskConfig(c exec.TaskConfig) TaskConfig {
 	return TaskConfig{
-		PageSize:                  c.PageSize,
-		OutputBufferBytes:         c.OutputBufferBytes,
-		TargetSplitConcurrency:    c.TargetSplitConcurrency,
-		MaxWriters:                c.MaxWriters,
-		SpillEnabled:              c.SpillEnabled,
-		SpillDir:                  c.SpillDir,
-		MaterializedExchange:      c.MaterializedExchange,
-		Interpreted:               c.Interpreted,
-		Phased:                    c.Phased,
-		CacheDisabled:             c.CacheDisabled,
-		VectorKernelsDisabled:     c.VectorKernelsDisabled,
-		VectorProjectionsDisabled: c.VectorProjectionsDisabled,
-		MorselsDisabled:           c.MorselsDisabled,
-		MorselRows:                c.MorselRows,
-		DynamicFiltersDisabled:    c.DynamicFiltersDisabled,
-		DynamicFilterWaitNs:       int64(c.DynamicFilterWait),
-		DynamicFilterMaxSet:       c.DynamicFilterMaxSet,
-		SharedScansDisabled:       c.SharedScansDisabled,
-		SharedScanWindowNs:        int64(c.SharedScanWindow),
-		FetchMaxRetries:           c.FetchRetry.MaxRetries,
-		FetchBaseBackoffNs:        int64(c.FetchRetry.BaseBackoff),
-		FetchMaxBackoffNs:         int64(c.FetchRetry.MaxBackoff),
-		FetchTimeoutNs:            int64(c.FetchRetry.FetchTimeout),
+		PageSize:               c.PageSize,
+		OutputBufferBytes:      c.OutputBufferBytes,
+		TargetSplitConcurrency: c.TargetSplitConcurrency,
+		MaxWriters:             c.MaxWriters,
+		SpillEnabled:           c.SpillEnabled,
+		SpillDir:               c.SpillDir,
+		MaterializedExchange:   c.MaterializedExchange,
+		Interpreted:            c.Interpreted,
+		Phased:                 c.Phased,
+		CacheDisabled:          c.CacheDisabled,
+		VectorKernelsDisabled:  c.VectorKernelsDisabled,
+		MorselsDisabled:        c.MorselsDisabled,
+		MorselRows:             c.MorselRows,
+		DynamicFiltersDisabled: c.DynamicFiltersDisabled,
+		DynamicFilterWaitNs:    int64(c.DynamicFilterWait),
+		DynamicFilterMaxSet:    c.DynamicFilterMaxSet,
+		SharedScansDisabled:    c.SharedScansDisabled,
+		SharedScanWindowNs:     int64(c.SharedScanWindow),
+		FetchMaxRetries:        c.FetchRetry.MaxRetries,
+		FetchBaseBackoffNs:     int64(c.FetchRetry.BaseBackoff),
+		FetchMaxBackoffNs:      int64(c.FetchRetry.MaxBackoff),
+		FetchTimeoutNs:         int64(c.FetchRetry.FetchTimeout),
 	}
 }
 
 // Decode reconstitutes the exec.TaskConfig.
 func (c TaskConfig) Decode() exec.TaskConfig {
 	return exec.TaskConfig{
-		PageSize:                  c.PageSize,
-		OutputBufferBytes:         c.OutputBufferBytes,
-		TargetSplitConcurrency:    c.TargetSplitConcurrency,
-		MaxWriters:                c.MaxWriters,
-		SpillEnabled:              c.SpillEnabled,
-		SpillDir:                  c.SpillDir,
-		MaterializedExchange:      c.MaterializedExchange,
-		Interpreted:               c.Interpreted,
-		Phased:                    c.Phased,
-		CacheDisabled:             c.CacheDisabled,
-		VectorKernelsDisabled:     c.VectorKernelsDisabled,
-		VectorProjectionsDisabled: c.VectorProjectionsDisabled,
-		MorselsDisabled:           c.MorselsDisabled,
-		MorselRows:                c.MorselRows,
-		DynamicFiltersDisabled:    c.DynamicFiltersDisabled,
-		DynamicFilterWait:         time.Duration(c.DynamicFilterWaitNs),
-		DynamicFilterMaxSet:       c.DynamicFilterMaxSet,
-		SharedScansDisabled:       c.SharedScansDisabled,
-		SharedScanWindow:          time.Duration(c.SharedScanWindowNs),
+		PageSize:               c.PageSize,
+		OutputBufferBytes:      c.OutputBufferBytes,
+		TargetSplitConcurrency: c.TargetSplitConcurrency,
+		MaxWriters:             c.MaxWriters,
+		SpillEnabled:           c.SpillEnabled,
+		SpillDir:               c.SpillDir,
+		MaterializedExchange:   c.MaterializedExchange,
+		Interpreted:            c.Interpreted,
+		Phased:                 c.Phased,
+		CacheDisabled:          c.CacheDisabled,
+		VectorKernelsDisabled:  c.VectorKernelsDisabled,
+		MorselsDisabled:        c.MorselsDisabled,
+		MorselRows:             c.MorselRows,
+		DynamicFiltersDisabled: c.DynamicFiltersDisabled,
+		DynamicFilterWait:      time.Duration(c.DynamicFilterWaitNs),
+		DynamicFilterMaxSet:    c.DynamicFilterMaxSet,
+		SharedScansDisabled:    c.SharedScansDisabled,
+		SharedScanWindow:       time.Duration(c.SharedScanWindowNs),
 		FetchRetry: shuffle.RetryPolicy{
 			MaxRetries:   c.FetchMaxRetries,
 			BaseBackoff:  time.Duration(c.FetchBaseBackoffNs),

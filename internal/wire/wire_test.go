@@ -260,15 +260,15 @@ func TestFragmentRejectsGarbage(t *testing.T) {
 // TestTaskConfigRoundTrip checks the exec.TaskConfig wire projection.
 func TestTaskConfigRoundTrip(t *testing.T) {
 	in := TaskConfig{
-		PageSize:                  1024,
-		OutputBufferBytes:         1 << 20,
-		TargetSplitConcurrency:    3,
-		SpillEnabled:              true,
-		Interpreted:               true,
-		VectorProjectionsDisabled: true,
-		FetchMaxRetries:           5,
-		FetchBaseBackoffNs:        int64(2_000_000),
-		FetchTimeoutNs:            int64(750_000_000),
+		PageSize:               1024,
+		OutputBufferBytes:      1 << 20,
+		TargetSplitConcurrency: 3,
+		SpillEnabled:           true,
+		Interpreted:            true,
+		VectorKernelsDisabled:  true,
+		FetchMaxRetries:        5,
+		FetchBaseBackoffNs:     int64(2_000_000),
+		FetchTimeoutNs:         int64(750_000_000),
 	}
 	out := EncodeTaskConfig(in.Decode())
 	if out != in {

@@ -113,13 +113,15 @@ type ClusterConfig struct {
 	// Interpreted forces interpreted expression evaluation (the codegen
 	// ablation, §V-B).
 	Interpreted bool
-	// DisableVectorKernels forces the legacy per-row hash and filter paths
-	// cluster-wide (the vectorized-kernels ablation; per-query via
-	// Session.DisableVectorKernels).
+	// DisableVectorKernels forces the legacy per-row hash paths and
+	// interpreted filters cluster-wide (the vectorized-kernels ablation;
+	// per-query via Session.DisableVectorKernels).
 	DisableVectorKernels bool
-	// DisableVectorProjections forces the compiled row-at-a-time projection
-	// closures cluster-wide (the columnar-projection ablation; per-query
-	// via Session.DisableVectorProjections).
+	// DisableVectorProjections is kept only because the frozen benchmark
+	// names it; the only non-vectorized projection path left is the
+	// interpreter, so it means Interpreted.
+	//
+	// Deprecated: set Interpreted.
 	DisableVectorProjections bool
 	// DisableMorsels reverts leaf pipelines to static split-per-driver
 	// execution cluster-wide (the morsel-scheduling ablation; per-query via
@@ -236,25 +238,24 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	catalog.Register(memconn.New(cfg.DefaultCatalog))
 
 	taskCfg := exec.TaskConfig{
-		PageSize:                  cfg.PageSize,
-		OutputBufferBytes:         cfg.OutputBufferBytes,
-		TargetSplitConcurrency:    cfg.TargetSplitConcurrency,
-		SpillEnabled:              cfg.SpillEnabled,
-		SpillDir:                  cfg.SpillDir,
-		MaterializedExchange:      cfg.MaterializedExchange,
-		Interpreted:               cfg.Interpreted,
-		VectorKernelsDisabled:     cfg.DisableVectorKernels,
-		VectorProjectionsDisabled: cfg.DisableVectorProjections,
-		MorselsDisabled:           cfg.DisableMorsels,
-		MorselRows:                cfg.MorselRows,
-		DynamicFiltersDisabled:    cfg.DisableDynamicFilters,
-		DynamicFilterWait:         cfg.DynamicFilterWait,
-		DynamicFilterMaxSet:       cfg.DynamicFilterMaxSet,
-		SharedScanWindow:          cfg.SharedScanWindow,
-		Phased:                    cfg.Phased,
-		MaxWriters:                cfg.MaxWriters,
-		WriteDelay:                cfg.WriteDelay,
-		FetchRetry:                cfg.FetchRetry,
+		PageSize:               cfg.PageSize,
+		OutputBufferBytes:      cfg.OutputBufferBytes,
+		TargetSplitConcurrency: cfg.TargetSplitConcurrency,
+		SpillEnabled:           cfg.SpillEnabled,
+		SpillDir:               cfg.SpillDir,
+		MaterializedExchange:   cfg.MaterializedExchange,
+		Interpreted:            cfg.Interpreted || cfg.DisableVectorProjections,
+		VectorKernelsDisabled:  cfg.DisableVectorKernels,
+		MorselsDisabled:        cfg.DisableMorsels,
+		MorselRows:             cfg.MorselRows,
+		DynamicFiltersDisabled: cfg.DisableDynamicFilters,
+		DynamicFilterWait:      cfg.DynamicFilterWait,
+		DynamicFilterMaxSet:    cfg.DynamicFilterMaxSet,
+		SharedScanWindow:       cfg.SharedScanWindow,
+		Phased:                 cfg.Phased,
+		MaxWriters:             cfg.MaxWriters,
+		WriteDelay:             cfg.WriteDelay,
+		FetchRetry:             cfg.FetchRetry,
 	}
 	wcfg := exec.WorkerConfig{
 		Threads:          cfg.ThreadsPerWorker,

@@ -25,12 +25,6 @@
 # The test itself writes git-SHA-stamped QPS/p50/p95/p99 JSON to
 # BENCH_8.json.
 #
-# Vectorized projection benchmark (PR 10): columnar expression kernels with
-# selection fusion and projection-list CSE vs the compiled row-at-a-time
-# closures (DisableVectorProjections ablation): flat bigint/double
-# arithmetic, varchar concat, and the TPC-H q1/q6 page-processor stages.
-# Writes git-SHA-stamped BENCH_10.json at the repository root.
-#
 #   scripts/bench.sh                 # 2s per benchmark (~2 min total)
 #   BENCHTIME=500ms scripts/bench.sh # quicker, noisier
 set -euo pipefail
@@ -163,63 +157,3 @@ GIT_SHA="$(git rev-parse HEAD 2>/dev/null || echo unknown)" \
   go test -run 'TestSpillElasticBench' -count=1 -v . | grep -E 'wall=|recovery|PASS|FAIL' || true
 
 echo "==> wrote BENCH_9.json"
-
-out10="BENCH_10.json"
-tmp10="$(mktemp)"
-trap 'rm -f "$tmp" "$tmp7" "$tmp10"' EXIT
-
-echo "==> go test -bench projection kernels (benchtime $benchtime)"
-go test -run '^$' \
-  -bench 'ProjArithBigint|ProjArithDouble|ProjVarcharConcat|ProjTPCHQ1Proc|ProjTPCHQ6Proc' \
-  -benchtime "$benchtime" -benchmem . | tee "$tmp10"
-
-{
-  echo '{'
-  echo '  "bench": "vectorized projection engine (columnar kernels + CSE vs compiled row closures)",'
-  echo "  \"sha\": \"$(git rev-parse HEAD 2>/dev/null || echo unknown)\","
-  echo "  \"benchtime\": \"$benchtime\","
-  echo "  \"go\": \"$(go env GOVERSION)\","
-  echo '  "results": ['
-  awk '
-    /^Benchmark/ {
-      name = $1; sub(/-[0-9]+$/, "", name); sub(/^Benchmark/, "", name)
-      row = sprintf("    {\"name\": \"%s\", \"iters\": %s, \"ns_per_op\": %s", name, $2, $3)
-      for (i = 4; i < NF; i++) {
-        if ($(i+1) == "MB/s")      row = row sprintf(", \"mb_per_s\": %s", $i)
-        if ($(i+1) == "B/op")      row = row sprintf(", \"bytes_per_op\": %s", $i)
-        if ($(i+1) == "allocs/op") row = row sprintf(", \"allocs_per_op\": %s", $i)
-      }
-      rows[n++] = row "}"
-    }
-    END { for (i = 0; i < n; i++) printf "%s%s\n", rows[i], (i < n-1 ? "," : "") }
-  ' "$tmp10"
-  echo '  ],'
-  echo '  "speedups": ['
-  awk '
-    /^Benchmark/ {
-      name = $1; sub(/-[0-9]+$/, "", name); sub(/^Benchmark/, "", name)
-      base = name
-      if (sub(/\/vec$/, "", base)) variant = "fast"
-      else if (sub(/\/legacy$/, "", base)) variant = "slow"
-      else next
-      if (!(base in idx)) { order[m++] = base; idx[base] = 1 }
-      ns[base "." variant] = $3
-    }
-    END {
-      first = 1
-      for (i = 0; i < m; i++) {
-        b = order[i]; f = ns[b ".fast"]; s = ns[b ".slow"]
-        if (f > 0 && s > 0) {
-          if (!first) printf ",\n"
-          first = 0
-          printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"ablation_ns_per_op\": %s, \"speedup\": %.2f}", b, f, s, s / f
-        }
-      }
-      printf "\n"
-    }
-  ' "$tmp10"
-  echo '  ]'
-  echo '}'
-} > "$out10"
-
-echo "==> wrote $out10"

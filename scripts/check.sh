@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repository check: build, vet, and run the full test suite under the race
-# detector, plus a fixed-seed chaos smoke (fault-injected TPC-H queries).
+# detector, plus a fixed-seed chaos smoke (fault-injected TPC-H queries) and
+# the nested benchmark module (bench/ has its own go.mod, so ./... skips it).
 # Run from the repository root before sending changes.
 #
 #   scripts/check.sh          # build + vet + race tests + chaos smoke
@@ -30,6 +31,9 @@ go vet ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> nested benchmark module (bench/ against the working tree)"
+(cd bench && go vet . && go test -count=1 .)
 
 echo "==> cache unit tests"
 go test -race -count=1 ./internal/cache/
@@ -71,8 +75,8 @@ echo "==> elastic chaos (worker kill/join mid-query under materialized exchange)
 go test -race -count=1 -run 'TestStore|TestOutputBufferMaterialized|TestDecodeSegment' ./internal/shuffle/
 go test -race -count=1 -run 'TestElastic' .
 
-echo "==> projection ablation differential (vec x closure x interpreted, morsel x static, div-by-zero regression)"
-go test -race -count=1 -run 'TestVectorizedProjectionDifferential|TestProjectionCSE|TestCSEDoesNotHoistErrors|TestDivisionByZeroConsistency|TestDictProjectionErrorFallthrough|TestDictCacheBounded' ./internal/expr/
+echo "==> projection differential (vec x interpreted, morsel x static, div-by-zero and double-modulo regressions)"
+go test -race -count=1 -run 'TestVectorizedProjectionDifferential|TestProjectionCSE|TestCSEDoesNotHoistErrors|TestDivisionByZeroConsistency|TestDoubleModuloConsistency|TestDictProjectionErrorFallthrough|TestDictCacheBounded' ./internal/expr/
 go test -race -count=1 -run 'TestVecProj' .
 
 echo "==> kernel + morsel bench smoke (1 iteration per benchmark)"

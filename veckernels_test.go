@@ -3,7 +3,7 @@ package presto
 // End-to-end differential coverage for the vectorized hash and filter
 // kernels: every query runs twice — once on the default (vectorized) path and
 // once with Session.DisableVectorKernels forcing the legacy per-row
-// encoded-key and closure implementations — and the result sets must be
+// encoded-key hashing and interpreted filters — and the result sets must be
 // identical. This is the kernel analogue of the cache and chaos differential
 // suites.
 

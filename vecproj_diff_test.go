@@ -1,9 +1,9 @@
 package presto
 
 // End-to-end differential coverage for the vectorized projection engine:
-// every query runs under the full ablation matrix — columnar kernels vs
-// compiled row-at-a-time closures vs the interpreter, crossed with morsel vs
-// static scheduling — and the result sets must be identical, in-process and
+// every query runs under the ablation matrix — columnar kernels with morsel
+// and static scheduling and with the hash/filter kernels off — and on a fully
+// interpreted cluster, and the result sets must be identical, in-process and
 // over the HTTP-distributed cluster. Division-by-zero must raise the same
 // error in every mode, and filter/CASE guards must suppress it in every
 // mode.
@@ -47,11 +47,8 @@ var projMatrix = []struct {
 	s    Session
 }{
 	{"vec+morsel", Session{}},
-	{"closure+morsel", Session{DisableVectorProjections: true}},
 	{"vec+static", Session{DisableMorsels: true}},
-	{"closure+static", Session{DisableVectorProjections: true, DisableMorsels: true}},
 	{"novec-kernels", Session{DisableVectorKernels: true}},
-	{"all-off", Session{DisableVectorProjections: true, DisableVectorKernels: true, DisableMorsels: true}},
 }
 
 // TestVecProjDifferentialTPCH runs the projection workload under the full
@@ -80,17 +77,21 @@ func TestVecProjDifferentialTPCH(t *testing.T) {
 func TestVecProjDifferentialEdgeData(t *testing.T) {
 	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
 	defer c.Close()
-	mustExec(t, c, "CREATE TABLE pe (k BIGINT, v BIGINT, d DOUBLE, s VARCHAR)")
-	for _, r := range []string{
-		"(1, 2, 0.0, 'a')",
-		"(2, 0, -0.0, '')",
-		"(3, NULL, 2.0, NULL)",
-		"(NULL, 3, 2.5, 'bb')",
-		"(0, -4, -3.5, 'a')",
-		"(5, 5, 1e18, 'ccc')",
-		"(NULL, NULL, NULL, NULL)",
-	} {
-		mustExec(t, c, "INSERT INTO pe VALUES "+r)
+	interp := NewCluster(ClusterConfig{Workers: 1, ThreadsPerWorker: 2, Interpreted: true})
+	defer interp.Close()
+	for _, cl := range []*Cluster{c, interp} {
+		mustExec(t, cl, "CREATE TABLE pe (k BIGINT, v BIGINT, d DOUBLE, s VARCHAR)")
+		for _, r := range []string{
+			"(1, 2, 0.0, 'a')",
+			"(2, 0, -0.0, '')",
+			"(3, NULL, 2.0, NULL)",
+			"(NULL, 3, 2.5, 'bb')",
+			"(0, -4, -3.5, 'a')",
+			"(5, 5, 1e18, 'ccc')",
+			"(NULL, NULL, NULL, NULL)",
+		} {
+			mustExec(t, cl, "INSERT INTO pe VALUES "+r)
+		}
 	}
 	queries := []string{
 		"SELECT k + v, k * v, -k FROM pe",
@@ -103,6 +104,18 @@ func TestVecProjDifferentialEdgeData(t *testing.T) {
 		"SELECT k BETWEEN 0 AND 3, v IN (2, 3, -4) FROM pe",
 		"SELECT k / v FROM pe WHERE v <> 0",
 		"SELECT 7, 'const', k FROM pe",
+		// Predicates with no selection kernel: col-vs-col and arithmetic
+		// operands, alone and behind a kernelized conjunct.
+		"SELECT k, v FROM pe WHERE k < v",
+		"SELECT k, d FROM pe WHERE k > 0 AND k + v > d",
+		"SELECT s FROM pe WHERE NOT (k >= v OR s = 'a')",
+		// Non-equi join residuals over NULLs (interpreted per candidate
+		// pair), where the residual cannot be pushed below the join.
+		"SELECT a.k, a.v, b.d FROM pe a LEFT JOIN pe b ON a.k = b.k AND a.v < b.d",
+		"SELECT a.k, b.s FROM pe a LEFT JOIN pe b ON a.s = b.s AND a.k + 1 > b.v",
+		// Window function over a computed argument.
+		"SELECT k, sum(v * 2 + 1) OVER (PARTITION BY s ORDER BY k) FROM pe WHERE k IS NOT NULL",
+		"SELECT k, max(d / 2.0) OVER (ORDER BY k) FROM pe WHERE k IS NOT NULL",
 	}
 	for _, q := range queries {
 		base := stringifyRows(execSession(t, c, q, projMatrix[0].s))
@@ -110,6 +123,7 @@ func TestVecProjDifferentialEdgeData(t *testing.T) {
 			got := stringifyRows(execSession(t, c, q, m.s))
 			assertRows(t, q+" ["+m.name+"]", got, base)
 		}
+		assertRows(t, q+" [interpreted]", stringifyRows(execSession(t, interp, q, Session{})), base)
 	}
 	// Anchor: -0.0 renders the same as 0.0 through every path is NOT
 	// required, but k/v over the guarded filter must drop exactly the two
@@ -143,8 +157,15 @@ func TestVecProjDivisionByZeroMatrix(t *testing.T) {
 	defer interp.Close()
 	mustExec(t, interp, "CREATE TABLE dz (a BIGINT, b BIGINT)")
 	mustExec(t, interp, "INSERT INTO dz VALUES (10, 2), (9, 3), (7, 0), (8, 4)")
+	// Double modulo has no kernel; the interpreter defines it in every arm:
+	// a value, NULL for a NULL operand, an error for a zero divisor in a
+	// projection and a row that does not pass for one in a filter.
+	for _, cl := range []*Cluster{c, interp} {
+		mustExec(t, cl, "CREATE TABLE dm (x DOUBLE, y DOUBLE)")
+		mustExec(t, cl, "INSERT INTO dm VALUES (7.5, 2.0), (9.0, 4.0), (NULL, 3.0), (5.0, 0.0)")
+	}
 
-	for _, q := range []string{"SELECT a / b FROM dz", "SELECT a % b FROM dz"} {
+	for _, q := range []string{"SELECT a / b FROM dz", "SELECT a % b FROM dz", "SELECT x % y FROM dm"} {
 		for _, m := range projMatrix {
 			s := m.s
 			s.DisableResultCache = true
@@ -166,12 +187,17 @@ func TestVecProjDivisionByZeroMatrix(t *testing.T) {
 	for _, q := range []string{
 		"SELECT a / b FROM dz WHERE b <> 0",
 		"SELECT sum(CASE WHEN b <> 0 THEN a / b ELSE 0 END) FROM dz",
+		"SELECT x % y FROM dm WHERE y <> 0",
+		"SELECT x FROM dm WHERE x % y = 1.0",
 	} {
 		base := stringifyRows(execSession(t, c, q, projMatrix[0].s))
 		for _, m := range projMatrix[1:] {
 			assertRows(t, q+" ["+m.name+"]", stringifyRows(execSession(t, c, q, m.s)), base)
 		}
 		assertRows(t, q+" [interpreted]", stringifyRows(execSession(t, interp, q, Session{})), base)
+	}
+	if rows := execSession(t, c, "SELECT x FROM dm WHERE x % y = 1.0", Session{}); len(rows) != 2 {
+		t.Fatalf("x %% y = 1.0 passed %d rows, want 2 (7.5 %% 2.0 and 9.0 %% 4.0)", len(rows))
 	}
 }
 
@@ -188,7 +214,7 @@ func TestVecProjDistributedDifferential(t *testing.T) {
 	for _, q := range projDiffQueries {
 		want := stringifyRows(execSession(t, ref, q, Session{}))
 		assertRows(t, q+" [distributed]", stringifyRows(d.mustQuery(t, q)), want)
-		res, err := d.Coord.Execute(q, Session{DisableVectorProjections: true})
+		res, err := d.Coord.Execute(q, Session{DisableVectorKernels: true})
 		if err != nil {
 			t.Fatalf("distributed ablated %q: %v", q, err)
 		}
@@ -196,31 +222,30 @@ func TestVecProjDistributedDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("distributed ablated %q: %v", q, err)
 		}
-		assertRows(t, q+" [distributed closure]", stringifyRows(rows), want)
+		assertRows(t, q+" [distributed novec-kernels]", stringifyRows(rows), want)
 	}
 }
 
 // TestVecProjExplainAnalyzeCounters: the kernel counters must surface in the
-// EXPLAIN ANALYZE operator table and vanish under the ablation.
+// EXPLAIN ANALYZE operator table and vanish on an interpreted cluster.
 func TestVecProjExplainAnalyzeCounters(t *testing.T) {
-	c := NewCluster(ClusterConfig{Workers: 1, ThreadsPerWorker: 2})
-	defer c.Close()
-	c.Register(workload.LoadTPCHMemory("tpch", chaosScale))
 	q := "EXPLAIN ANALYZE SELECT sum(l_extendedprice * (1 - l_discount)), sum(l_extendedprice * (1 - l_discount) * (1 + l_tax)) FROM tpch.lineitem"
-	text := func(s Session) string {
+	text := func(interpreted bool) string {
+		c := NewCluster(ClusterConfig{Workers: 1, ThreadsPerWorker: 2, Interpreted: interpreted})
+		defer c.Close()
+		c.Register(workload.LoadTPCHMemory("tpch", chaosScale))
 		var sb strings.Builder
-		for _, r := range execSession(t, c, q, s) {
+		for _, r := range execSession(t, c, q, Session{}) {
 			sb.WriteString(r[0].S)
 			sb.WriteByte('\n')
 		}
 		return sb.String()
 	}
-	on := text(Session{})
+	on := text(false)
 	if !strings.Contains(on, "vec-proj") || !strings.Contains(on, "cse-hits") {
 		t.Errorf("explain analyze missing projection kernel counters:\n%s", on)
 	}
-	off := text(Session{DisableVectorProjections: true})
-	if strings.Contains(off, "vec-proj") {
-		t.Errorf("ablated run still reports vectorized projection counters:\n%s", off)
+	if off := text(true); strings.Contains(off, "vec-proj") {
+		t.Errorf("interpreted run still reports vectorized projection counters:\n%s", off)
 	}
 }
