@@ -210,25 +210,6 @@ func TestChaosConnectorFaultsMasked(t *testing.T) {
 	}
 }
 
-// TestChaosTaskCreateFatalFailsClean makes every task creation fail fatally:
-// the query must fail with the injected error, and the abort path must drain
-// every reservation and goroutine it started.
-func TestChaosTaskCreateFatalFailsClean(t *testing.T) {
-	inj := faultinject.New(chaosSeed(t), faultinject.Rule{
-		Site: faultinject.SiteTaskCreate, Kind: faultinject.KindError, Rate: 1,
-	})
-	c := chaosCluster(t, inj)
-	goroutines := runtime.NumGoroutine()
-	_, err := c.Query(chaosQueries[1])
-	if err == nil {
-		t.Fatal("query should fail when task creation is poisoned")
-	}
-	if !strings.Contains(err.Error(), "injected") {
-		t.Fatalf("error should surface the injected fault: %v", err)
-	}
-	checkNoLeaks(t, c, goroutines)
-}
-
 // TestChaosTaskCreateTransientReadmitted injects exactly two transient
 // task-creation faults; with the default two re-admission retries the query
 // must succeed on its third scheduling attempt.

@@ -8,6 +8,7 @@ package presto
 // transport faults.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,6 +30,7 @@ import (
 	"repro/internal/memory"
 	"repro/internal/optimizer"
 	"repro/internal/types"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -49,7 +52,7 @@ type distCluster struct {
 
 func newDistCluster(t *testing.T, n int, inj *faultinject.Injector) *distCluster {
 	t.Helper()
-	return newDistClusterSpill(t, n, inj, nil)
+	return newDistClusterWith(t, n, distConfig{inj: inj})
 }
 
 // distSpillConfig caps each worker's per-node user memory and points spill
@@ -61,6 +64,26 @@ type distSpillConfig struct {
 
 func newDistClusterSpill(t *testing.T, n int, inj *faultinject.Injector, sp *distSpillConfig) *distCluster {
 	t.Helper()
+	return newDistClusterWith(t, n, distConfig{inj: inj, spill: sp})
+}
+
+// distConfig is everything a test may vary about a distCluster.
+type distConfig struct {
+	inj   *faultinject.Injector
+	spill *distSpillConfig
+	// task is the coordinator's base task config (spill fields are filled
+	// from spill).
+	task exec.TaskConfig
+	// wrap, when set, interposes on worker i's task-API handler.
+	wrap func(i int, h http.Handler) http.Handler
+	// broadcastRows overrides the optimizer's broadcast-join threshold
+	// (1 forces partitioned joins).
+	broadcastRows int64
+}
+
+func newDistClusterWith(t *testing.T, n int, dc distConfig) *distCluster {
+	t.Helper()
+	inj, sp := dc.inj, dc.spill
 	catalog := coordinator.NewCatalogManager()
 	mem := memconn.New("memory")
 	catalog.Register(mem)
@@ -81,7 +104,11 @@ func newDistClusterSpill(t *testing.T, n int, inj *faultinject.Injector, sp *dis
 		if sp != nil {
 			ws.Limits = memory.QueryLimits{PerNodeUser: sp.perNodeCap, SpillEnabled: true}
 		}
-		ts := httptest.NewServer(ws.Handler())
+		h := ws.Handler()
+		if dc.wrap != nil {
+			h = dc.wrap(i, h)
+		}
+		ts := httptest.NewServer(h)
 		reg.Register(ts.URL)
 		d.workers = append(d.workers, w)
 		d.servers = append(d.servers, ws)
@@ -91,9 +118,13 @@ func newDistClusterSpill(t *testing.T, n int, inj *faultinject.Injector, sp *dis
 		Optimizer:    optimizer.DefaultConfig(),
 		Registry:     reg,
 		WorkerClient: client,
+		Task:         dc.task,
+	}
+	if dc.broadcastRows != 0 {
+		ccfg.Optimizer.BroadcastThresholdRows = dc.broadcastRows
 	}
 	if sp != nil {
-		ccfg.Task = exec.TaskConfig{SpillEnabled: true, SpillDir: sp.dir}
+		ccfg.Task.SpillEnabled, ccfg.Task.SpillDir = true, sp.dir
 		ccfg.MemoryLimits = memory.QueryLimits{PerNodeUser: sp.perNodeCap, SpillEnabled: true}
 	}
 	d.Coord = coordinator.New(catalog, nil, ccfg)
@@ -582,5 +613,109 @@ func TestChaosDistributedFilterPublishFaults(t *testing.T) {
 				t.Errorf("suite took %v under %s filter-publish faults", el, tc.name)
 			}
 		})
+	}
+}
+
+// TestDistributedCollectorlessFilterPublisher is the regression test for the
+// HTTP dynamic-filter path. Worker 0's build task stands in for a publisher
+// with no collector: whenever it serves a published summary, the test rewrites
+// the response to what such a task announces — a Disabled summary. The
+// coordinator must learn of publications from TaskStatus.FiltersReady in the
+// status poll it already makes (filter publication is delayed 60ms here, so a
+// blind GET ticker would collect 404s first), pull each summary exactly once,
+// and let the Disabled contribution disable the whole union: the gated probe
+// scans are released at once and run unfiltered, rows identical.
+func TestDistributedCollectorlessFilterPublisher(t *testing.T) {
+	var mu sync.Mutex
+	filterGets := map[string]int{} // worker/path → GETs
+	notFound := 0
+	var delivered []bool // Disabled flag of every summary POSTed to a task
+	wrap := func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch {
+			case r.Method == http.MethodGet && strings.Contains(r.URL.Path, "/filter/"):
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, r)
+				mu.Lock()
+				filterGets[fmt.Sprintf("%d%s", i, r.URL.Path)]++
+				if rec.Code == http.StatusNotFound {
+					notFound++
+				}
+				mu.Unlock()
+				if i == 0 && rec.Code == http.StatusOK {
+					w.Header().Set("Content-Type", "application/json")
+					json.NewEncoder(w).Encode(wire.FilterSummary{Disabled: true})
+					return
+				}
+				w.WriteHeader(rec.Code)
+				w.Write(rec.Body.Bytes())
+				return
+			case r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/filters"):
+				body, _ := io.ReadAll(r.Body)
+				var req wire.FilterRequest
+				if err := json.Unmarshal(body, &req); err != nil {
+					t.Errorf("POST %s: %v", r.URL.Path, err)
+				}
+				mu.Lock()
+				for _, fe := range req.Filters {
+					delivered = append(delivered, fe.Summary.Disabled)
+				}
+				mu.Unlock()
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	inj := faultinject.New(1, faultinject.Rule{Site: faultinject.SiteFilterPublish,
+		Kind: faultinject.KindDelay, Rate: 1, Delay: 60 * time.Millisecond})
+	// The join is partitioned, so each build task sees one partition's keys
+	// and no probe scan can be served by its own task's summary. An explicit
+	// wait gates even zero-copy probe scans, so the query cannot end before
+	// the filter round trip — and ends right after it only if the Disabled
+	// union is actually delivered.
+	const gate = 3 * time.Second
+	d := newDistClusterWith(t, 2, distConfig{inj: inj, wrap: wrap, broadcastRows: 1,
+		task: exec.TaskConfig{DynamicFilterWait: gate}})
+	r := rand.New(rand.NewSource(47))
+	d.loadRefTable(t, "d", randomRows(r, 200))
+	d.loadRefTable(t, "e", randomRows(r, 80))
+
+	sql := distJoinQueries[0]
+	res, err := d.Coord.Execute(sql, Session{DisableDynamicFilters: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := res.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	got := d.mustQuery(t, sql)
+	elapsed := time.Since(start)
+	assertRows(t, sql, stringifyRows(got), stringifyRows(want))
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(filterGets) < 2 {
+		t.Fatalf("filter summaries pulled from %d publishers, want both build tasks: %v", len(filterGets), filterGets)
+	}
+	for path, n := range filterGets {
+		if n != 1 {
+			t.Errorf("GET %s issued %d times, want once", path, n)
+		}
+	}
+	if notFound != 0 {
+		t.Errorf("%d filter GETs hit 404: the coordinator polled for summaries no status had announced", notFound)
+	}
+	if len(delivered) == 0 {
+		t.Error("no merged filter was delivered to the probe tasks")
+	}
+	for _, disabled := range delivered {
+		if !disabled {
+			t.Error("a union containing a collector-less publisher was delivered enabled")
+		}
+	}
+	if elapsed >= gate {
+		t.Errorf("query took %v: the probe scans waited out their %v gate instead of being released by the Disabled filter", elapsed, gate)
 	}
 }

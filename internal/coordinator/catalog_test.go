@@ -4,13 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/connector"
 	"repro/internal/connectors/memconn"
-	"repro/internal/exec"
-	"repro/internal/memory"
-	"repro/internal/plan"
 	"repro/internal/sqlparser"
-	"repro/internal/types"
 )
 
 func TestCatalogResolve(t *testing.T) {
@@ -62,62 +57,5 @@ func TestConnectorLookup(t *testing.T) {
 	}
 	if got := cm.Catalogs(); len(got) != 1 || got[0] != "a" {
 		t.Errorf("catalogs: %v", got)
-	}
-}
-
-// rackSplit is a fake split preferring rack "r1".
-type rackSplit struct{}
-
-func (rackSplit) Connector() string        { return "fake" }
-func (rackSplit) PreferredNodes() []int    { return nil }
-func (rackSplit) EstimatedRows() int64     { return 1 }
-func (rackSplit) PreferredRacks() []string { return []string{"r1"} }
-
-func TestRackLocalPlacement(t *testing.T) {
-	// Build a coordinator with topology node0→r0, node1→r1 and verify
-	// pickTask routes a rack-located split to the r1 worker's task.
-	cm := NewCatalogManager()
-	mem := memconn.New("memory")
-	cm.Register(mem)
-	workers := []*exec.Worker{
-		exec.NewWorker(0, cm, exec.WorkerConfig{Threads: 1}),
-		exec.NewWorker(1, cm, exec.WorkerConfig{Threads: 1}),
-	}
-	defer workers[0].Close()
-	defer workers[1].Close()
-	c := New(cm, workers, Config{
-		DefaultCatalog: "memory",
-		Topology:       map[int]string{0: "r0", 1: "r1"},
-	})
-
-	// Two dummy tasks standing in for a leaf stage.
-	mem.CreateTable("t", []connector.Column{{Name: "v", T: types.Bigint}})
-	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{})
-	mkTask := func(w *exec.Worker, idx int) *exec.Task {
-		frag := &plan.Fragment{
-			ID: 0,
-			Root: &plan.Scan{
-				Handle:  plan.TableHandle{Catalog: "memory", Table: "t"},
-				Columns: []string{"v"},
-				Out:     plan.Schema{{Name: "v", T: types.Bigint}},
-			},
-			OutputPartitioning: plan.Partitioning{Kind: plan.PartitionSingle},
-		}
-		task, err := w.CreateTask(exec.TaskID{QueryID: "q", Fragment: 0, Index: idx}, frag, qmem, 1, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return task
-	}
-	t0 := mkTask(workers[0], 0)
-	t1 := mkTask(workers[1], 1)
-	defer t0.Abort()
-	defer t1.Abort()
-	stage := []*exec.Task{t0, t1}
-	nodeTask := map[int]*exec.Task{0: t0, 1: t1}
-
-	got := c.pickTask(stage, nodeTask, 0, rackSplit{}, "")
-	if got != t1 {
-		t.Errorf("rack-located split should land on the r1 worker's task")
 	}
 }

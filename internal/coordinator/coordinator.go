@@ -31,7 +31,7 @@ type Config struct {
 	// DefaultCatalog resolves unqualified table names.
 	DefaultCatalog string
 	// HashPartitions is the task count for intermediate (hash/round-robin)
-	// stages.
+	// stages (<= 0: one per alive worker when the query is scheduled).
 	HashPartitions int
 	// Optimizer configures the planner.
 	Optimizer optimizer.Config
@@ -117,10 +117,7 @@ type Session struct {
 	MaterializedExchange bool
 }
 
-// apply folds the session's per-task toggles into cfg. The embedded and the
-// remote scheduler both configure their tasks through it, so a toggle cannot
-// reach one kind of worker and miss the other. MaterializedExchange is not
-// here: the two schedulers wire it differently.
+// apply folds the session's per-task toggles into cfg.
 func (s Session) apply(cfg *exec.TaskConfig) {
 	cfg.CacheDisabled = cfg.CacheDisabled || s.DisableCache
 	cfg.VectorKernelsDisabled = cfg.VectorKernelsDisabled || s.DisableVectorKernels
@@ -128,6 +125,7 @@ func (s Session) apply(cfg *exec.TaskConfig) {
 	cfg.DynamicFiltersDisabled = cfg.DynamicFiltersDisabled || s.DisableDynamicFilters
 	cfg.SharedScansDisabled = cfg.SharedScansDisabled || s.DisableSharedScans
 	cfg.SpillEnabled = cfg.SpillEnabled && !s.DisableSpill
+	cfg.MaterializedExchange = cfg.MaterializedExchange || s.MaterializedExchange
 }
 
 // QueryState tracks lifecycle.
@@ -205,7 +203,7 @@ type Query struct {
 	session Session            // client settings captured at admission
 	cancel  context.CancelFunc // cancels admission (set before registration)
 	mu      sync.Mutex
-	tasks   []*exec.Task
+	tasks   []taskClient
 	qmem    *memory.QueryContext
 	result  *Result
 	coord   *Coordinator
@@ -213,39 +211,10 @@ type Query struct {
 	// splitsTotal counts splits enumerated so far (live progress counter;
 	// final total once enumeration completes).
 	splitsTotal atomic.Int64
-
-	// remoteCleanup releases distributed-mode resources (pollers, exchange
-	// client, remote tasks); set by scheduleRemote, run exactly once from
-	// abort or from the result's close hook.
-	remoteMu      sync.Mutex
-	remoteOnce    *sync.Once
-	remoteCleanup func()
-}
-
-// setRemoteCleanup registers the query's distributed-mode teardown.
-func (q *Query) setRemoteCleanup(fn func()) {
-	q.remoteMu.Lock()
-	q.remoteOnce = &sync.Once{}
-	q.remoteCleanup = fn
-	q.remoteMu.Unlock()
-}
-
-// runRemoteCleanup runs the registered teardown at most once; safe to call
-// from any path, including queries that never went remote.
-func (q *Query) runRemoteCleanup() {
-	q.remoteMu.Lock()
-	once, fn := q.remoteOnce, q.remoteCleanup
-	q.remoteMu.Unlock()
-	if once != nil && fn != nil {
-		once.Do(fn)
-	}
 }
 
 // New creates a coordinator over the given workers.
 func New(catalog *CatalogManager, workers []*exec.Worker, cfg Config) *Coordinator {
-	if cfg.HashPartitions <= 0 {
-		cfg.HashPartitions = len(workers)
-	}
 	if cfg.SplitBatchSize <= 0 {
 		cfg.SplitBatchSize = 16
 	}
@@ -546,11 +515,30 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 		}
 	}
 
+	// end is the query's one teardown, however it ends: with err, whatever
+	// tasks exist are aborted (which also releases what their clients hold)
+	// and the query is failed; then memory, exchange segments, the admission
+	// slot (nil while the query holds none) and the context go.
+	var release func()
+	end := func(err error) {
+		if err != nil {
+			q.abort()
+			q.fail(err)
+		}
+		if q.qmem != nil {
+			q.qmem.Close()
+			c.arbiter.Clear(id)
+		}
+		c.store.RemoveQuery(id)
+		if release != nil {
+			release()
+		}
+		cancel()
+		c.observeLatency(start)
+	}
 	release, err := c.queue.Acquire(qctx, session.Source)
 	if err != nil {
-		cancel()
-		q.fail(err)
-		c.observeLatency(start)
+		end(err)
 		return nil, nil, err
 	}
 
@@ -558,10 +546,7 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 	if pre == nil {
 		logical, dp, err = c.planStatement(stmt, session)
 		if err != nil {
-			release()
-			cancel()
-			q.fail(err)
-			c.observeLatency(start)
+			end(err)
 			return nil, nil, err
 		}
 	}
@@ -571,10 +556,7 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 	targets := writeTargets(logical)
 	for _, t := range targets {
 		if err := c.checkDistributedWrite(t[0]); err != nil {
-			release()
-			cancel()
-			q.fail(err)
-			c.observeLatency(start)
+			end(err)
 			return nil, nil, err
 		}
 	}
@@ -604,45 +586,38 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 
 	limits := c.cfg.MemoryLimits
 	limits.SpillEnabled = c.cfg.Task.SpillEnabled && !session.DisableSpill
-	qmem := memory.NewQueryContext(id, limits, c.poolsSnapshot())
-	qmem.PromoteHook = c.promoteHook
-	q.qmem = qmem
+	q.qmem = memory.NewQueryContext(id, limits, c.poolsSnapshot())
+	q.qmem.PromoteHook = c.promoteHook
 
 	q.setState(StateRunning)
 	q.Info.Started = time.Now()
 	maxRetries := c.cfg.MaxScheduleRetries
 	var result *Result
 	for attempt := 0; ; attempt++ {
-		result, err = c.schedule(q, dp)
+		var workers []workerClient
+		if workers, err = c.workerClients(); err == nil {
+			result, err = c.schedule(workers, q, dp)
+		}
 		if err == nil {
 			break
 		}
 		// schedule aborted and drained its created tasks before returning.
 		if !faultinject.IsTransient(err) || attempt >= maxRetries || qctx.Err() != nil {
-			release()
-			cancel()
-			q.abort()
-			q.fail(err)
-			qmem.Close()
-			c.arbiter.Clear(id)
-			c.store.RemoveQuery(id)
-			c.observeLatency(start)
+			end(err)
 			return nil, nil, err
 		}
 		// Transient failure: re-admit through the queue and retry. Drop any
 		// materialized segments the failed attempt produced so the retry
-		// starts from a clean store.
+		// starts from a clean store, and forget its aborted tasks (stats and
+		// CPU rollups would otherwise double-count them).
 		c.store.RemoveQuery(id)
-		q.clearTasks()
+		q.mu.Lock()
+		q.tasks = nil
+		q.mu.Unlock()
 		q.setState(StateQueued)
 		release()
-		release, err = c.queue.Acquire(qctx, session.Source)
-		if err != nil {
-			cancel()
-			q.fail(err)
-			qmem.Close()
-			c.arbiter.Clear(id)
-			c.observeLatency(start)
+		if release, err = c.queue.Acquire(qctx, session.Source); err != nil {
+			end(err)
 			return nil, nil, err
 		}
 		q.setState(StateRunning)
@@ -657,48 +632,25 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 	q.result = result
 	result.QueryID = id
 	result.onClose = func(resErr error) {
-		if resErr != nil {
-			if capture != nil {
-				capture.Abandon()
-			}
-			q.abort()
-			q.fail(resErr)
-		} else {
-			if capture != nil {
-				// Commit only a fully drained stream: a client may Close a
-				// completed result with pages still undelivered, and those
-				// never reached the capture.
-				if result.drained {
-					capture.Commit(result.Columns)
-				} else {
-					capture.Abandon()
-				}
-			}
-			q.finish()
-			q.runRemoteCleanup()
+		// Commit only a fully drained stream: a client may Close a completed
+		// result with pages still undelivered, and those never reached the
+		// capture.
+		if capture != nil && resErr == nil && result.drained {
+			capture.Commit(result.Columns)
+		} else if capture != nil {
+			capture.Abandon()
+		}
+		if resErr == nil {
+			stats := q.finish()
 			for _, t := range targets {
 				c.invalidateMeta(t[0], t[1])
 			}
-			c.recordHistory(q, dp, session)
-			c.accumulateDynStats(q)
+			c.recordHistory(stats, dp, session)
+			c.accumulateDynStats(stats)
 		}
-		qmem.Close()
-		c.arbiter.Clear(id)
-		c.store.RemoveQuery(id)
-		release()
-		cancel()
-		c.observeLatency(start)
+		end(resErr)
 	}
 	return result, q, nil
-}
-
-// clearTasks forgets aborted tasks from a failed scheduling attempt so a
-// re-admission retry starts clean (stats and CPU rollups would otherwise
-// double-count them).
-func (q *Query) clearTasks() {
-	q.mu.Lock()
-	q.tasks = nil
-	q.mu.Unlock()
 }
 
 // Cancel cancels a query by id: a queued query is removed from the admission
@@ -772,21 +724,32 @@ func (q *Query) fail(err error) {
 	q.mu.Unlock()
 }
 
-func (q *Query) finish() {
+// finish marks the query finished, releases its task clients, and returns
+// the final task stats for the history and lifetime-counter rollups.
+func (q *Query) finish() []exec.TaskStats {
 	q.mu.Lock()
 	q.Info.State = StateFinished
 	q.Info.Finished = time.Now()
+	tasks := q.tasks
+	q.mu.Unlock()
 	var cpu int64
-	for _, t := range q.tasks {
-		cpu += t.CPUNanos()
+	stats := make([]exec.TaskStats, len(tasks))
+	for i, t := range tasks {
+		stats[i] = t.Stats()
+		cpu += stats[i].CPUNanos
+		t.Close()
 	}
+	q.mu.Lock()
 	q.Info.CPUNanos = cpu
 	if q.qmem != nil {
 		q.Info.PeakMemory = q.qmem.PeakBytes()
 	}
 	q.mu.Unlock()
+	return stats
 }
 
+// abort cancels every task placed so far; a task client's Abort also
+// releases whatever it holds outside this process, exactly once.
 func (q *Query) abort() {
 	q.mu.Lock()
 	tasks := q.tasks
@@ -794,7 +757,6 @@ func (q *Query) abort() {
 	for _, t := range tasks {
 		t.Abort()
 	}
-	q.runRemoteCleanup()
 }
 
 // QueryInfo returns a snapshot of a query's state.

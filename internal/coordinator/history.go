@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"repro/internal/exec"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
 )
@@ -14,19 +15,13 @@ import (
 // same plan shape over unchanged tables then reorders its joins from ground
 // truth instead of selectivity guesses.
 
-// recordHistory stores observed operator cardinalities for a finished query.
-// Embedded mode only: remote tasks' operator stats stay on their workers (the
-// status poll carries only coarse state), so a remote-only coordinator
-// records nothing — a deliberate scope cut, not a correctness issue.
-func (c *Coordinator) recordHistory(q *Query, dp *plan.DistributedPlan, session Session) {
+// recordHistory stores observed operator cardinalities for a finished query
+// from its tasks' final stats. Remote tasks' operator stats stay on their
+// workers (the status poll carries only coarse state), so a query on HTTP
+// workers records nothing — a deliberate scope cut, not a correctness issue.
+func (c *Coordinator) recordHistory(tasks []exec.TaskStats, dp *plan.DistributedPlan, session Session) {
 	h := c.cfg.Optimizer.History
-	if h == nil || session.DisableHBO || dp == nil {
-		return
-	}
-	q.mu.Lock()
-	tasks := q.tasks
-	q.mu.Unlock()
-	if len(tasks) == 0 {
+	if h == nil || session.DisableHBO || dp == nil || len(tasks) == 0 {
 		return
 	}
 
@@ -55,8 +50,7 @@ func (c *Coordinator) recordHistory(q *Query, dp *plan.DistributedPlan, session 
 	rows := map[uint64]int64{}
 	inst := map[uint64]int{}
 	firstOfFragment := map[int]bool{}
-	for _, t := range tasks {
-		ts := t.Stats()
+	for _, ts := range tasks {
 		first := !firstOfFragment[ts.Fragment]
 		firstOfFragment[ts.Fragment] = true
 		for _, pl := range ts.Pipelines {

@@ -3,289 +3,198 @@ package coordinator
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/connector"
+	"repro/internal/dynfilter"
 	"repro/internal/exec"
+	"repro/internal/faultinject"
+	"repro/internal/shuffle"
 )
 
 // maxReplaceAttempts bounds how many times one task slot may be re-placed
 // after worker loss before the query fails.
 const maxReplaceAttempts = 3
 
-// recovery tracks a materialized-exchange query's task placements and
-// re-places only the tasks a dead worker lost (paper §III: Presto restarts
-// whole queries on failure; recoverable exchanges narrow the blast radius to
-// the lost tasks). The mechanism leans entirely on seal-before-read: a lost
-// task whose store entry sealed has durable output and is simply skipped; an
-// unsealed one re-runs from scratch on a surviving worker, with its full
-// split log replayed — correct because Create reset the entry, discarding
-// every partial page the dead attempt produced.
-type recovery struct {
-	c   *Coordinator
-	q   *Query
-	res *Result
+// recoveryTask is the in-process client under materialized exchange: a slot
+// that re-places its task when the worker running it dies, so only the lost
+// tasks re-run (paper §III: Presto restarts whole queries on failure;
+// recoverable exchanges narrow the blast radius to the lost tasks). The
+// mechanism leans entirely on seal-before-read: a lost task whose store entry
+// sealed has durable output and is simply skipped; an unsealed one re-runs
+// from scratch on a surviving worker, with its full split log replayed —
+// correct because creating the task reset the entry, discarding every partial
+// page the dead attempt produced. The scheduler sees none of it: the slot's
+// Done closes on its final verdict, after any re-placements.
+type recoveryTask struct {
+	c    *Coordinator
+	spec taskSpec
 
-	mu    sync.Mutex
-	slots []*recSlot
-	// gen increments on every successful replacement; waitDone uses it to
-	// detect that its task snapshot went stale mid-wait.
-	gen    int
-	failed error
-}
-
-type recSlot struct {
-	id     exec.TaskID
-	task   *exec.Task
-	create func(*exec.Worker) (*exec.Task, error)
+	mu  sync.Mutex
+	cur localTask // the live attempt; only replace changes it
 	// attempts counts re-placements of this slot (not the initial placement).
 	attempts int
 	// splits/noMore log every split delivery so a replacement can replay the
-	// slot's entire input. Logged and delivered under recovery.mu: a split
-	// must never land only on a task that was already condemned.
+	// slot's entire input.
 	splits map[int][]connector.Split
 	noMore map[int]bool
+	// stopped: the query aborted or ended, so a lost attempt stays lost.
+	// Abort and Close set it under the lock replace holds while it creates
+	// a task, and the query sweeps its store entries only after them — so
+	// no entry can be created after the sweep.
+	stopped bool
+
+	done chan struct{}
+	err  error // the verdict; written before done closes
 }
 
-func newRecovery(c *Coordinator, q *Query) *recovery {
-	return &recovery{c: c, q: q}
-}
-
-// track registers one placed task and the closure that re-places it.
-func (r *recovery) track(id exec.TaskID, t *exec.Task, create func(*exec.Worker) (*exec.Task, error)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.slots = append(r.slots, &recSlot{
-		id:     id,
-		task:   t,
-		create: create,
+func newRecoveryTask(c *Coordinator, spec taskSpec, first *exec.Task) *recoveryTask {
+	t := &recoveryTask{
+		c:      c,
+		spec:   spec,
+		cur:    localTask{first},
 		splits: map[int][]connector.Split{},
 		noMore: map[int]bool{},
-	})
-}
-
-// start spawns one watcher per slot. Called once the Result exists (failures
-// propagate through it).
-func (r *recovery) start(res *Result) {
-	r.mu.Lock()
-	r.res = res
-	slots := append([]*recSlot(nil), r.slots...)
-	r.mu.Unlock()
-	for _, sl := range slots {
-		go r.watch(sl)
+		done:   make(chan struct{}),
 	}
+	go t.watch()
+	return t
 }
 
-// addSplit logs a split against its slot and delivers it to the slot's
-// current task, atomically with respect to replacement.
-func (r *recovery) addSplit(id exec.TaskID, scanID int, s connector.Split) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sl := r.slotLocked(id)
-	if sl == nil {
-		return fmt.Errorf("recovery: unknown task %s", id)
-	}
-	sl.splits[scanID] = append(sl.splits[scanID], s)
-	return sl.task.AddSplit(scanID, s)
+func (t *recoveryTask) current() localTask {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.cur
 }
 
-// noMoreSplits logs end-of-enumeration for a slot's scan and forwards it.
-func (r *recovery) noMoreSplits(id exec.TaskID, scanID int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sl := r.slotLocked(id)
-	if sl == nil {
-		return
-	}
-	sl.noMore[scanID] = true
-	sl.task.NoMoreSplits(scanID)
+// AddSplit logs and delivers under the slot lock: a split must never land
+// only on an attempt that was already condemned.
+func (t *recoveryTask) AddSplit(scanID int, s connector.Split) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.splits[scanID] = append(t.splits[scanID], s)
+	return t.cur.AddSplit(scanID, s)
 }
 
-func (r *recovery) slotLocked(id exec.TaskID) *recSlot {
-	for _, sl := range r.slots {
-		if sl.id == id {
-			return sl
-		}
-	}
-	return nil
+func (t *recoveryTask) NoMoreSplits(scanID int) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.noMore[scanID] = true
+	return t.cur.NoMoreSplits(scanID)
 }
 
-// watch follows one slot across placements: clean completion ends it, a
-// plain failure fails the query, worker loss triggers replacement and
-// another round of watching.
-func (r *recovery) watch(sl *recSlot) {
+func (t *recoveryTask) QueueDepth(scanID int) (splits, runnable int) {
+	return t.current().QueueDepth(scanID)
+}
+
+// Output fetches by store key, not through the task object: a re-placed
+// producer repopulates the same entry, so consumers — the client stream
+// included — need no re-pointing.
+func (t *recoveryTask) Output(part int) shuffle.Fetcher {
+	return &shuffle.StoreFetcher{Store: t.c.store, Key: t.spec.ID.String(), Part: part}
+}
+
+func (t *recoveryTask) Done() <-chan struct{} { return t.done }
+
+func (t *recoveryTask) Wait() error {
+	<-t.done
+	return t.err
+}
+
+// DeliverFilter is never called: recoverable queries run without dynamic
+// filters (see schedule).
+func (t *recoveryTask) DeliverFilter(int, *dynfilter.Summary) {}
+
+func (t *recoveryTask) Stats() exec.TaskStats { return t.current().Stats() }
+
+func (t *recoveryTask) Abort() {
+	t.Close()
+	t.current().Abort()
+}
+
+// Close stops re-placement; the live attempt is left to finish.
+func (t *recoveryTask) Close() {
+	t.mu.Lock()
+	t.stopped = true
+	t.mu.Unlock()
+}
+
+// watch follows the slot across placements to its verdict: clean completion
+// (with no sticky store failure — in-memory fetch paths cannot carry one), a
+// plain failure, or worker loss that re-placement could not absorb.
+func (t *recoveryTask) watch() {
 	for {
-		r.mu.Lock()
-		t := sl.task
-		r.mu.Unlock()
-		<-t.Done()
-		err := t.Err()
+		cur := t.current().task
+		<-cur.Done()
+		err := cur.Err()
+		if exec.IsLost(err) {
+			replaced, verdict := t.replace(err)
+			if replaced {
+				continue
+			}
+			err = verdict
+		}
 		if err == nil {
-			return
+			if e := t.c.store.Entry(t.spec.ID.String()); e != nil {
+				err = e.Err()
+			}
 		}
-		if !exec.IsLost(err) {
-			r.fail(err)
-			return
-		}
-		if !r.replace(sl) {
-			return
-		}
+		t.err = err
+		close(t.done)
+		return
 	}
 }
 
 // replace re-places a lost slot onto a surviving worker and replays its
-// split log. Returns false when no replacement is needed (sealed output or
-// query already failed) or possible (attempts exhausted, no workers) — in
-// the latter cases the query has been failed.
-func (r *recovery) replace(sl *recSlot) bool {
-	r.mu.Lock()
-	if r.failed != nil || r.queryTerminal() {
-		r.mu.Unlock()
-		return false
+// split log. replaced=false ends the slot with the returned verdict: nil
+// when the lost attempt's output already sealed (consumers replay it from
+// disk and the task need not re-run), the loss itself once the query stopped,
+// or the reason no replacement was possible.
+func (t *recoveryTask) replace(lost error) (replaced bool, verdict error) {
+	id := t.spec.ID
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e := t.c.store.Entry(id.String()); e != nil && e.Sealed() {
+		return false, nil
 	}
-	// Durable output: the entry sealed before the worker died, so consumers
-	// replay from disk and the task need not re-run.
-	if e := r.c.store.Entry(sl.id.String()); e != nil && e.Sealed() {
-		r.mu.Unlock()
-		return false
+	if t.stopped {
+		return false, lost
 	}
-	sl.attempts++
-	if sl.attempts > maxReplaceAttempts {
-		r.mu.Unlock()
-		r.fail(fmt.Errorf("task %s: %d replacements exhausted: %w",
-			sl.id, maxReplaceAttempts, exec.ErrTaskLost))
-		return false
+	t.attempts++
+	if t.attempts > maxReplaceAttempts {
+		return false, fmt.Errorf("task %s: %d replacements exhausted: %w",
+			id, maxReplaceAttempts, exec.ErrTaskLost)
 	}
-	workers := r.c.aliveWorkers()
+	workers := t.c.aliveWorkers()
 	if len(workers) == 0 {
-		r.mu.Unlock()
-		r.fail(fmt.Errorf("task %s: no workers left to re-place onto: %w",
-			sl.id, exec.ErrTaskLost))
-		return false
+		return false, fmt.Errorf("task %s: no workers left to re-place onto: %w",
+			id, exec.ErrTaskLost)
 	}
 	var nt *exec.Task
 	var err error
-	for k := 0; k < len(workers); k++ {
-		w := workers[(sl.id.Index+sl.attempts+k)%len(workers)]
-		if nt, err = sl.create(w); err == nil {
+	for k := range workers {
+		w := workers[(id.Index+t.attempts+k)%len(workers)]
+		if err = t.c.cfg.FaultInject.Err(faultinject.SiteTaskCreate); err == nil {
+			nt, err = t.c.startLocal(w, t.spec)
+		}
+		if err == nil {
 			break
 		}
 	}
-	if nt == nil {
-		r.mu.Unlock()
-		r.fail(fmt.Errorf("re-placing task %s: %w", sl.id, err))
-		return false
+	if err != nil {
+		return false, fmt.Errorf("re-placing task %s: %w", id, err)
 	}
-	sl.task = nt
-	r.gen++
+	t.cur = localTask{nt}
 	// Replay the full input log. Correct from scratch: creating the task
 	// reset its unsealed store entry, discarding the lost attempt's pages.
-	for scanID, splits := range sl.splits {
+	for scanID, splits := range t.splits {
 		for _, s := range splits {
 			if err := nt.AddSplit(scanID, s); err != nil {
-				r.mu.Unlock()
-				r.fail(err)
-				return false
+				return false, err
 			}
 		}
 	}
-	for scanID := range sl.noMore {
+	for scanID := range t.noMore {
 		nt.NoMoreSplits(scanID)
 	}
-	r.mu.Unlock()
-
-	// A client Close or clean finish can race the replacement: the query's
-	// cleanup (RemoveQuery) may already have swept the store, so an entry
-	// created after it would leak. Terminal state is set strictly before
-	// that sweep, so re-checking here after task creation closes the race:
-	// either this check sees terminal and tears the replacement down, or the
-	// sweep runs after our Create and removes the entry itself.
-	r.q.mu.Lock()
-	terminal := r.q.Info.State == StateFinished || r.q.Info.State == StateFailed
-	if !terminal {
-		r.q.tasks = append(r.q.tasks, nt)
-	}
-	r.q.mu.Unlock()
-	if terminal {
-		nt.Abort()
-		r.c.store.RemoveQuery(r.q.Info.ID)
-		return false
-	}
-	return true
-}
-
-// queryTerminal reports whether the query already reached a terminal state
-// (finished or failed); replacement after that point would recreate store
-// entries the query's cleanup has already swept.
-func (r *recovery) queryTerminal() bool {
-	r.q.mu.Lock()
-	defer r.q.mu.Unlock()
-	return r.q.Info.State == StateFinished || r.q.Info.State == StateFailed
-}
-
-func (r *recovery) fail(err error) {
-	r.mu.Lock()
-	if r.failed == nil {
-		r.failed = err
-	}
-	r.mu.Unlock()
-	r.res.setFailure(err)
-	r.q.abort()
-}
-
-// waitDone is the query's final verdict: every slot's current task done and
-// clean (or lost with sealed output), no sticky store failure. Replacement
-// can invalidate the snapshot mid-wait; the generation counter restarts it.
-func (r *recovery) waitDone() error {
-	for {
-		r.mu.Lock()
-		gen := r.gen
-		failed := r.failed
-		type snap struct {
-			id exec.TaskID
-			t  *exec.Task
-		}
-		ts := make([]snap, 0, len(r.slots))
-		for _, sl := range r.slots {
-			ts = append(ts, snap{sl.id, sl.task})
-		}
-		r.mu.Unlock()
-		if failed != nil {
-			return failed
-		}
-		for _, s := range ts {
-			<-s.t.Done()
-		}
-		r.mu.Lock()
-		stale := r.gen != gen
-		failed = r.failed
-		r.mu.Unlock()
-		if failed != nil {
-			return failed
-		}
-		if stale {
-			continue
-		}
-		lostPending := false
-		for _, s := range ts {
-			err := s.t.Err()
-			if err == nil {
-				continue
-			}
-			if !exec.IsLost(err) {
-				return err
-			}
-			// Lost with sealed output counts as success (the watcher skipped
-			// re-running it); lost without means its watcher is mid-replace.
-			if e := r.c.store.Entry(s.id.String()); e != nil && e.Sealed() {
-				continue
-			}
-			lostPending = true
-		}
-		if lostPending {
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		return r.c.store.QueryErr(r.q.Info.ID)
-	}
+	return true, nil
 }

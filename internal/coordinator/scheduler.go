@@ -3,67 +3,129 @@ package coordinator
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/connector"
+	"repro/internal/dynfilter"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
+	"repro/internal/memory"
 	"repro/internal/plan"
 	"repro/internal/shuffle"
 )
 
-// schedule places tasks for every fragment of the distributed plan
-// (paper §IV-D2): leaf (source) stages get a task on every worker — since
-// most CPU goes to decompressing/decoding/filtering connector data, running
-// leaves everywhere yields the shortest wall time; intermediate stages get
-// HashPartitions tasks spread round-robin; single stages get one task. Then
-// split enumeration starts lazily (§IV-D3), assigning each split to the
-// eligible task with the shortest queue.
-func (c *Coordinator) schedule(q *Query, dp *plan.DistributedPlan) (*Result, error) {
-	// Snapshot the worker list: elastic scale-out/in replaces it concurrently.
-	workers := c.aliveWorkers()
+// The scheduler (paper §III, §IV-D) is one algorithm — stage placement, lazy
+// split enumeration, shortest-queue assignment, task monitoring — that does
+// not care how a task is reached. It talks to workers and tasks through the
+// two interfaces below. There are two implementations: localclient.go calls
+// *exec.Worker / *exec.Task directly, httpclient.go speaks the task API. The
+// scheduler never sees net/http or the wire format; a client never picks a
+// worker.
+
+// workerClient places tasks on one worker.
+type workerClient interface {
+	// NodeID is the worker's cluster node id (split locality, rack lookup).
+	NodeID() int
+	CreateTask(spec taskSpec) (taskClient, error)
+}
+
+// taskSpec is everything a worker needs to instantiate one task.
+type taskSpec struct {
+	ID            exec.TaskID
+	Fragment      *plan.Fragment
+	OutPartitions int
+	// Sources lists, per producing fragment id, the producer tasks; this
+	// task reads output partition ID.Index of each.
+	Sources map[int][]taskClient
+	Config  exec.TaskConfig
+	// Mem is the query's memory context on this coordinator (in-process
+	// tasks charge it; a remote worker keeps its own).
+	Mem *memory.QueryContext
+	// Publish receives the summaries this task's join builds complete, one
+	// per filter id they publish (nil when the fragment has none).
+	Publish func(ids []int, sums []*dynfilter.Summary)
+}
+
+// taskClient drives one placed task.
+type taskClient interface {
+	// AddSplit queues a split for scan scanID; NoMoreSplits ends the scan's
+	// enumeration. A client may batch deliveries up to NoMoreSplits.
+	AddSplit(scanID int, s connector.Split) error
+	NoMoreSplits(scanID int) error
+	// QueueDepth is the shortest-queue placement metric: splits outstanding
+	// for the scan, and runnable drivers on the hosting executor (0 when
+	// unknown). Runnable depth, not total queue length — blocked and
+	// finished-but-unreaped drivers occupy no thread, and counting them
+	// steered splits away from workers that actually had idle capacity.
+	QueueDepth(scanID int) (splits, runnable int)
+	// Output reads one partition of the task's output.
+	Output(part int) shuffle.Fetcher
+	// Done closes once the task is known finished, failed or aborted.
+	Done() <-chan struct{}
+	// Wait returns the task's failure, if any. Called when a consumer has
+	// seen end-of-stream: an in-process task is awaited; a remote one is
+	// asked once, and a task still running by then counts as clean.
+	Wait() error
+	DeliverFilter(id int, s *dynfilter.Summary)
+	// Stats snapshots the task. A remote task reports its CPU time only: its
+	// operators' counters stay with its worker.
+	Stats() exec.TaskStats
+	// Abort cancels the task and drops its output.
+	Abort()
+	// Close ends the client's interest in the task once the query is over,
+	// without disturbing a finished task's results.
+	Close()
+}
+
+// workerClients snapshots the workers queries schedule onto: the in-process
+// workers while any are alive, otherwise whatever the registry reports.
+func (c *Coordinator) workerClients() ([]workerClient, error) {
+	if local := c.aliveWorkers(); len(local) > 0 {
+		ws := make([]workerClient, len(local))
+		for i, w := range local {
+			ws[i] = localWorker{c: c, w: w}
+		}
+		return ws, nil
+	}
+	if c.cfg.Registry != nil {
+		if ws := c.httpWorkers(); len(ws) > 0 {
+			return ws, nil
+		}
+	}
+	return nil, fmt.Errorf("cluster has no workers")
+}
+
+// schedule places tasks for every fragment of the distributed plan on a
+// snapshot of the alive workers (elastic scale-out/in replaces the list
+// concurrently; paper §IV-D2): leaf (source) stages get a task on every
+// worker — since most CPU goes to decompressing/decoding/filtering connector
+// data, running leaves everywhere yields the shortest wall time; intermediate
+// stages get HashPartitions tasks spread round-robin; single stages get one
+// task. Then split enumeration starts lazily (§IV-D3), assigning each split
+// to the eligible task with the shortest queue.
+func (c *Coordinator) schedule(workers []workerClient, q *Query, dp *plan.DistributedPlan) (*Result, error) {
 	nWorkers := len(workers)
-	if nWorkers == 0 {
-		if c.cfg.Registry != nil {
-			return c.scheduleRemote(q, dp)
-		}
-		return nil, fmt.Errorf("cluster has no workers")
+
+	cfg := c.cfg.Task
+	q.session.apply(&cfg)
+	if cfg.MaterializedExchange {
+		// Materialized exchange (recoverable shuffles): producers write
+		// sealed disk segments that outlive them. A re-placed build task
+		// would publish a second time into a hub sized for the first, so
+		// recoverable queries trade dynamic filters away.
+		cfg.DynamicFiltersDisabled = true
 	}
 
-	// Materialized exchange (recoverable shuffles): producers write sealed
-	// disk segments in the coordinator's shared store, consumers fetch by
-	// task key rather than through producer task objects, and a per-slot
-	// recovery watcher re-places lost tasks onto surviving workers.
-	mat := q.session.MaterializedExchange || c.cfg.Task.MaterializedExchange
-	var rec *recovery
-	if mat {
-		rec = newRecovery(c, q)
-	}
+	counts, outParts := taskCounts(dp, nWorkers, c.cfg.HashPartitions)
 
-	// Decide task counts.
-	counts := make([]int, len(dp.Fragments))
-	for _, f := range dp.Fragments {
-		switch partitioningOf(f, dp) {
-		case plan.PartitionSingle:
-			counts[f.ID] = 1
-		case plan.PartitionSource:
-			counts[f.ID] = nWorkers
-		default:
-			counts[f.ID] = c.cfg.HashPartitions
-			if counts[f.ID] > nWorkers*4 {
-				counts[f.ID] = nWorkers * 4
-			}
-		}
-	}
-
-	// Output partitions of a fragment = task count of its consumer.
-	outParts := make([]int, len(dp.Fragments))
-	for _, f := range dp.Fragments {
-		if f.OutputConsumer < 0 {
-			outParts[f.ID] = 1 // coordinator reads the root
-		} else {
-			outParts[f.ID] = counts[f.OutputConsumer]
-		}
+	// Dynamic-filter exchange: build-side summaries published by any task
+	// route through a per-query hub that merges partitioned builds and fans
+	// the union out to the subscribed scans' tasks (see filterHub).
+	var hub *filterHub
+	if !cfg.DynamicFiltersDisabled {
+		hub = newFilterHub(dp, counts)
 	}
 
 	// Create tasks in fragment-id order: the fragmenter numbers producers
@@ -71,169 +133,143 @@ func (c *Coordinator) schedule(q *Query, dp *plan.DistributedPlan) (*Result, err
 	// created on other workers — they hold executor drivers and memory
 	// reservations — so every created task is tracked and aborted (and
 	// drained) before the error propagates.
-	tasks := make([][]*exec.Task, len(dp.Fragments))
-	var created []*exec.Task
+	tasks := make([][]taskClient, len(dp.Fragments))
+	nodeTask := make([]map[int]taskClient, len(dp.Fragments)) // by worker node id, for split locality
+	var created []taskClient
 	singleRR := 0
 	for _, f := range dp.Fragments {
-		f := f
-		n := counts[f.ID]
-		tasks[f.ID] = make([]*exec.Task, n)
-		for i := 0; i < n; i++ {
-			var w *exec.Worker
-			switch partitioningOf(f, dp) {
-			case plan.PartitionSource:
-				w = workers[i]
-			case plan.PartitionSingle:
+		kind := partitioningOf(f, dp)
+		tasks[f.ID] = make([]taskClient, counts[f.ID])
+		nodeTask[f.ID] = make(map[int]taskClient, nWorkers)
+		spec := taskSpec{
+			Fragment:      f,
+			OutPartitions: outParts[f.ID],
+			Sources:       map[int][]taskClient{},
+			Config:        cfg,
+			Mem:           q.qmem,
+		}
+		plan.Walk(f.Root, func(n plan.Node) {
+			if rs, ok := n.(*plan.RemoteSource); ok {
+				for _, pid := range rs.SourceFragments {
+					spec.Sources[pid] = tasks[pid]
+				}
+			}
+		})
+		if hub != nil && hub.publishers[f.ID] {
+			spec.Publish = hub.publish
+		}
+		for i := range tasks[f.ID] {
+			w := workers[i%nWorkers] // source stages: task i on worker i
+			if kind == plan.PartitionSingle {
 				w = workers[singleRR%nWorkers]
 				singleRR++
-			default:
-				w = workers[i%nWorkers]
 			}
-			// Wire exchange sources: for every producing fragment, this
-			// task reads partition i of every producer task. Materialized
-			// mode fetches by store key instead of producer task object, so
-			// a re-placed producer needs no consumer re-pointing.
-			sources := map[int][]shuffle.Fetcher{}
-			plan.Walk(f.Root, func(n plan.Node) {
-				rs, ok := n.(*plan.RemoteSource)
-				if !ok {
-					return
-				}
-				for _, pid := range rs.SourceFragments {
-					for j, pt := range tasks[pid] {
-						var fetch shuffle.Fetcher
-						if mat {
-							key := exec.TaskID{QueryID: q.Info.ID, Fragment: pid, Index: j}.String()
-							fetch = &shuffle.StoreFetcher{Store: c.store, Key: key, Part: i}
-						} else {
-							fetch = &shuffle.LocalFetcher{Buf: pt.Output().Partition(i)}
-						}
-						sources[pid] = append(sources[pid],
-							faultinject.WrapFetcher(c.cfg.FaultInject, fetch))
-					}
-				}
-			})
-			cfg := c.cfg.Task
-			q.session.apply(&cfg)
-			if mat {
-				cfg.MaterializedExchange = true
-				cfg.Store = c.store
-				// Dynamic filters flow through direct task references; a
-				// re-placed build task would publish a second time into a
-				// hub sized for the first. Recoverable queries trade them
-				// away for restart-free worker loss.
-				cfg.DynamicFiltersDisabled = true
+			spec.ID = exec.TaskID{QueryID: q.Info.ID, Fragment: f.ID, Index: i}
+			// The fault-injection hook sits in front of the worker call, the
+			// seam where a real deployment would see an RPC failure.
+			err := c.cfg.FaultInject.Err(faultinject.SiteTaskCreate)
+			var t taskClient
+			if err == nil {
+				t, err = w.CreateTask(spec)
 			}
-			id := exec.TaskID{QueryID: q.Info.ID, Fragment: f.ID, Index: i}
-			t, err := createTask(c.cfg.FaultInject, w, id, f, q, outParts[f.ID], sources, &cfg)
 			if err != nil {
+				hub.deliverTo(nil)
 				abortAndDrain(created)
-				return nil, fmt.Errorf("creating task %s: %w", id, err)
+				return nil, fmt.Errorf("creating task %s: %w", spec.ID, err)
 			}
-			tasks[f.ID][i] = t
+			tasks[f.ID][i], nodeTask[f.ID][w.NodeID()] = t, t
 			created = append(created, t)
 			q.mu.Lock()
 			q.tasks = append(q.tasks, t)
 			q.mu.Unlock()
-			if rec != nil {
-				cfg, sources, outP := cfg, sources, outParts[f.ID]
-				rec.track(id, t, func(w *exec.Worker) (*exec.Task, error) {
-					return createTask(c.cfg.FaultInject, w, id, f, q, outP, sources, &cfg)
-				})
-			}
 		}
 	}
-
-	// Dynamic-filter exchange: build-side summaries published by any task
-	// route through a per-query hub that merges partitioned builds and fans
-	// the union out to every task (see filterHub). Installed after creation —
-	// a build that completes inside the install window self-delivers, which
-	// is safe (its own scans filter; remote siblings stay unfiltered).
-	if !q.session.DisableDynamicFilters && !mat {
-		if hub := newFilterHub(dp, counts, created); hub != nil {
-			for _, t := range created {
-				t.SetFilterPublisher(hub.publish)
-			}
-		}
-	}
+	hub.deliverTo(tasks)
 
 	// Build the result before starting enumeration so failures propagate.
 	root := dp.Root()
-	names := outputNames(root)
-	var rootFetch shuffle.Fetcher
-	if mat {
-		// Read the root output through the exchange store: if the root task's
-		// worker dies, its re-placed replacement repopulates the same store
-		// entry, so the client stream survives the loss.
-		key := exec.TaskID{QueryID: q.Info.ID, Fragment: root.ID, Index: 0}.String()
-		rootFetch = &shuffle.StoreFetcher{Store: c.store, Key: key, Part: 0}
-	} else {
-		rootFetch = &shuffle.LocalFetcher{Buf: tasks[root.ID][0].Output().Partition(0)}
+	res := &Result{Columns: outputNames(root), buf: tasks[root.ID][0].Output(0)}
+	var failOnce sync.Once
+	fail := func(err error) {
+		res.setFailure(err)
+		failOnce.Do(q.abort)
 	}
-	res := &Result{Columns: names, buf: rootFetch}
 
-	if rec != nil {
-		// Recovery watchers own failure propagation: worker loss re-places
-		// the lost tasks; anything else fails the query through res.
-		rec.start(res)
-		res.waitDone = rec.waitDone
-	} else {
-		// Failure monitor: the first task error cancels the query.
-		go func() {
-			for _, ft := range tasks {
-				for _, t := range ft {
-					<-t.Done()
-					if err := t.Err(); err != nil {
-						res.setFailure(err)
-						q.abort()
-						return
-					}
-				}
+	// Failure monitor (paper §III: the coordinator monitors task health and
+	// fails queries whose tasks die): the first task error cancels the query.
+	for _, t := range created {
+		go func(t taskClient) {
+			<-t.Done()
+			if err := t.Wait(); err != nil {
+				fail(err)
 			}
-		}()
-		// The monitor publishes failures asynchronously; a consumer that sees
-		// the output stream complete (a failed task destroys its buffer, which
-		// looks like end-of-stream) re-checks every task's verdict here before
-		// declaring success. At that point the tasks are finished or aborting,
-		// so the waits are short.
-		res.waitDone = func() error {
-			for _, ft := range tasks {
-				for _, t := range ft {
-					<-t.Done()
-					if err := t.Err(); err != nil {
-						return err
-					}
-				}
+		}(t)
+	}
+	// The monitor publishes failures asynchronously; a consumer that sees
+	// the output stream complete (a failed task destroys its buffer, which
+	// looks like end-of-stream) re-checks every task's verdict here before
+	// declaring success. At that point the tasks are finished or aborting,
+	// so the waits are short.
+	res.waitDone = func() error {
+		for _, t := range created {
+			if err := t.Wait(); err != nil {
+				return err
 			}
-			return nil
 		}
+		return nil
 	}
 
-	// Split scheduling (§IV-D3): one enumerator per scan of each leaf stage.
+	// Split scheduling (§IV-D3): one enumerator per scan of each leaf stage;
+	// a failed enumeration fails the query.
 	for _, f := range dp.Fragments {
-		stage := tasks[f.ID]
-		scans := stage[0].Scans()
-		for scanID := range scans {
-			go c.enumerateSplits(q, res, stage, scanID, scans[scanID], workers, rec)
+		for scanID, scan := range exec.ScanOrder(f.Root) {
+			go func() {
+				if err := c.enumerateSplits(q, tasks[f.ID], nodeTask[f.ID], scanID, scan); err != nil {
+					fail(err)
+				}
+			}()
 		}
 	}
 	return res, nil
 }
 
-// createTask places one task, with the fault-injection hook in front of the
-// worker call (the seam where a real deployment would see an RPC failure).
-func createTask(inj *faultinject.Injector, w *exec.Worker, id exec.TaskID, f *plan.Fragment,
-	q *Query, outParts int, sources map[int][]shuffle.Fetcher, cfg *exec.TaskConfig) (*exec.Task, error) {
-	if err := inj.Err(faultinject.SiteTaskCreate); err != nil {
-		return nil, err
+// taskCounts decides how many tasks each fragment runs on nWorkers alive
+// workers, and how many output partitions each produces (= the task count of
+// its consumer; the coordinator reads the root's single partition).
+// hashPartitions <= 0 selects one hash task per worker.
+func taskCounts(dp *plan.DistributedPlan, nWorkers, hashPartitions int) (counts, outParts []int) {
+	if hashPartitions <= 0 {
+		hashPartitions = nWorkers
 	}
-	return w.CreateTask(id, f, q.qmem, outParts, sources, cfg)
+	if hashPartitions > nWorkers*4 {
+		hashPartitions = nWorkers * 4
+	}
+	counts = make([]int, len(dp.Fragments))
+	for _, f := range dp.Fragments {
+		switch partitioningOf(f, dp) {
+		case plan.PartitionSingle:
+			counts[f.ID] = 1
+		case plan.PartitionSource:
+			counts[f.ID] = nWorkers
+		default:
+			counts[f.ID] = hashPartitions
+		}
+	}
+	outParts = make([]int, len(dp.Fragments))
+	for _, f := range dp.Fragments {
+		if f.OutputConsumer < 0 {
+			outParts[f.ID] = 1
+		} else {
+			outParts[f.ID] = counts[f.OutputConsumer]
+		}
+	}
+	return counts, outParts
 }
 
 // abortAndDrain aborts the given tasks and waits for each to finish, so
 // their drivers have exited and their memory reservations are released
 // before the caller fails or re-admits the query.
-func abortAndDrain(tasks []*exec.Task) {
+func abortAndDrain(tasks []taskClient) {
 	for _, t := range tasks {
 		t.Abort()
 	}
@@ -246,57 +282,48 @@ func abortAndDrain(tasks []*exec.Task) {
 	}
 }
 
-// splitRetryLimit bounds inline retries of transient split-enumeration
-// failures (metastore hiccups are routine in production deployments).
-const splitRetryLimit = 4
+// transientRetryLimit bounds inline retries of transient failures at the
+// coordinator's I/O seams: split enumeration (metastore hiccups are routine
+// in production deployments) and task-API requests.
+const transientRetryLimit = 4
+
+// retryTransient runs op until it succeeds, fails with a non-transient
+// error, or has failed transientRetryLimit+1 times, backing off 2ms doubling.
+// op must be safe to repeat.
+func retryTransient(what string, op func() error) error {
+	backoff := 2 * time.Millisecond
+	var lastErr error
+	for attempt := 0; attempt <= transientRetryLimit; attempt++ {
+		if attempt > 0 {
+			time.Sleep(backoff)
+			backoff *= 2
+		}
+		err := op()
+		if err == nil {
+			return nil
+		}
+		if !faultinject.IsTransient(err) {
+			return err
+		}
+		lastErr = err
+	}
+	return fmt.Errorf("%s failed after %d attempts: %w", what, transientRetryLimit+1, lastErr)
+}
 
 // openSplitSource opens split enumeration with bounded retry of transient
 // failures, and threads the fault injector into the returned source.
-func (c *Coordinator) openSplitSource(conn connector.Connector, scan *plan.Scan) (connector.SplitSource, error) {
-	backoff := 2 * time.Millisecond
-	var lastErr error
-	for attempt := 0; attempt <= splitRetryLimit; attempt++ {
-		if attempt > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
+func (c *Coordinator) openSplitSource(conn connector.Connector, scan *plan.Scan) (src connector.SplitSource, err error) {
+	err = retryTransient("split enumeration", func() error {
+		if err := c.cfg.FaultInject.Err(faultinject.SiteConnectorSplits); err != nil {
+			return err
 		}
-		err := c.cfg.FaultInject.Err(faultinject.SiteConnectorSplits)
-		if err == nil {
-			var src connector.SplitSource
-			src, err = conn.Splits(scan.Handle)
-			if err == nil {
-				return faultinject.WrapSplitSource(c.cfg.FaultInject, src), nil
-			}
-		}
-		if !faultinject.IsTransient(err) {
-			return nil, err
-		}
-		lastErr = err
+		src, err = conn.Splits(scan.Handle)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("split enumeration failed after %d attempts: %w", splitRetryLimit+1, lastErr)
-}
-
-// nextBatch pulls one split batch, retrying transient failures. The injected
-// wrapper faults before touching enumeration state, so a retry observes the
-// same batch.
-func (c *Coordinator) nextBatch(src connector.SplitSource) (connector.SplitBatch, error) {
-	backoff := 2 * time.Millisecond
-	var lastErr error
-	for attempt := 0; attempt <= splitRetryLimit; attempt++ {
-		if attempt > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		batch, err := src.NextBatch(c.cfg.SplitBatchSize)
-		if err == nil {
-			return batch, nil
-		}
-		if !faultinject.IsTransient(err) {
-			return connector.SplitBatch{}, err
-		}
-		lastErr = err
-	}
-	return connector.SplitBatch{}, fmt.Errorf("split batch failed after %d attempts: %w", splitRetryLimit+1, lastErr)
+	return faultinject.WrapSplitSource(c.cfg.FaultInject, src), nil
 }
 
 // partitioningOf infers the scheduling class of a fragment (§IV-D2):
@@ -343,38 +370,32 @@ func outputNames(f *plan.Fragment) []string {
 }
 
 // enumerateSplits lazily pulls split batches from the connector and assigns
-// them: bucketed splits go to task (bucket mod tasks) so co-located tables
-// align; node-local splits go to their owning worker; everything else goes
-// to the task with the shortest split queue. Complete enumerations are
-// memoized in the coordinator metadata cache keyed by the table handle
-// (layout and pushed-down constraint included), so repeated scans of an
-// unchanged table skip the connector round-trips entirely.
-func (c *Coordinator) enumerateSplits(q *Query, res *Result, stage []*exec.Task, scanID int, scan *plan.Scan,
-	workers []*exec.Worker, rec *recovery) {
+// them (see pickTask). nodeTask maps a worker's node id to its task of stage.
+// Complete enumerations are memoized in the coordinator metadata cache keyed
+// by the table handle (layout and pushed-down constraint included), so
+// repeated scans of an unchanged table skip the connector round-trips
+// entirely.
+func (c *Coordinator) enumerateSplits(q *Query, stage []taskClient, nodeTask map[int]taskClient,
+	scanID int, scan *plan.Scan) error {
 
-	nodeTask := map[int]*exec.Task{}
-	for i, t := range stage {
-		nodeTask[workers[i%len(workers)].ID] = t
-	}
 	affinity := c.affinityFn(q, scan)
-	assign := func(s connector.Split) error {
-		t := c.pickTask(stage, nodeTask, scanID, s, affinity(s))
-		q.splitsTotal.Add(1)
-		if rec != nil {
-			// Recoverable queries log every split under the recovery lock so
-			// a replacement task replays its full input.
-			return rec.addSplit(t.ID, scanID, s)
-		}
-		return t.AddSplit(scanID, s)
-	}
-	noMore := func() {
-		for _, t := range stage {
-			if rec != nil {
-				rec.noMoreSplits(t.ID, scanID)
-			} else {
-				t.NoMoreSplits(scanID)
+	assign := func(splits []connector.Split) error {
+		for _, s := range splits {
+			t := c.pickTask(stage, nodeTask, scanID, s, affinity(s))
+			q.splitsTotal.Add(1)
+			if err := t.AddSplit(scanID, s); err != nil {
+				return err
 			}
 		}
+		return nil
+	}
+	noMore := func() error {
+		for _, t := range stage {
+			if err := t.NoMoreSplits(scanID); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 
 	cacheKey := ""
@@ -383,49 +404,40 @@ func (c *Coordinator) enumerateSplits(q *Query, res *Result, stage []*exec.Task,
 		// table-name prefix clears every layout/constraint variant at once.
 		cacheKey = "splits/" + scan.Handle.String()
 		if v, ok := c.meta.Get(cacheKey); ok {
-			for _, s := range v.([]connector.Split) {
-				if err := assign(s); err != nil {
-					res.setFailure(err)
-					q.abort()
-					return
-				}
+			if err := assign(v.([]connector.Split)); err != nil {
+				return err
 			}
-			noMore()
-			return
+			return noMore()
 		}
 	}
 
 	conn, err := c.Catalog.Connector(scan.Handle.Catalog)
 	if err != nil {
-		res.setFailure(err)
-		q.abort()
-		return
+		return err
 	}
 	src, err := c.openSplitSource(conn, scan)
 	if err != nil {
-		res.setFailure(err)
-		q.abort()
-		return
+		return err
 	}
 	defer src.Close()
 
 	var collected []connector.Split
 	for {
-		batch, err := c.nextBatch(src)
-		if err != nil {
-			res.setFailure(err)
-			q.abort()
-			return
+		// The injected wrapper faults before touching enumeration state, so a
+		// retried pull observes the same batch.
+		var batch connector.SplitBatch
+		err := retryTransient("split batch", func() (err error) {
+			batch, err = src.NextBatch(c.cfg.SplitBatchSize)
+			return err
+		})
+		if err == nil {
+			err = assign(batch.Splits)
 		}
-		for _, s := range batch.Splits {
-			if cacheKey != "" {
-				collected = append(collected, s)
-			}
-			if err := assign(s); err != nil {
-				res.setFailure(err)
-				q.abort()
-				return
-			}
+		if err != nil {
+			return err
+		}
+		if cacheKey != "" {
+			collected = append(collected, batch.Splits...)
 		}
 		if batch.Done {
 			break
@@ -435,48 +447,36 @@ func (c *Coordinator) enumerateSplits(q *Query, res *Result, stage []*exec.Task,
 	if cacheKey != "" {
 		c.meta.Put(cacheKey, collected)
 	}
-	noMore()
+	return noMore()
 }
 
-func (c *Coordinator) pickTask(stage []*exec.Task, nodeTask map[int]*exec.Task, scanID int, s connector.Split, affinity string) *exec.Task {
+// pickTask places one split: bucketed splits go to task (bucket mod tasks)
+// so co-located tables align; node-local splits go to their owning worker;
+// rack-located ones to the shortest queue in a preferred rack; everything
+// else to the task with the shortest queue, unless cache affinity holds it.
+func (c *Coordinator) pickTask(stage []taskClient, nodeTask map[int]taskClient, scanID int, s connector.Split, affinity string) taskClient {
 	if b, ok := s.(connector.Bucketed); ok {
 		return stage[b.Bucket()%len(stage)]
 	}
-	if pref := s.PreferredNodes(); len(pref) > 0 {
-		for _, node := range pref {
-			if t, ok := nodeTask[node]; ok {
-				return t
-			}
+	for _, node := range s.PreferredNodes() {
+		if t, ok := nodeTask[node]; ok {
+			return t
 		}
 	}
 	// Rack-local placement (§IV-D2): among tasks whose worker sits in a
 	// preferred rack, pick the shortest queue; fall back to the whole stage.
 	if rl, ok := s.(connector.RackLocated); ok && len(c.cfg.Topology) > 0 {
-		prefRacks := map[string]bool{}
-		for _, r := range rl.PreferredRacks() {
-			prefRacks[r] = true
-		}
-		var best *exec.Task
-		bestLen := 0
+		var inRack []taskClient
 		for node, t := range nodeTask {
-			if !prefRacks[c.cfg.Topology[node]] {
-				continue
-			}
-			if l := taskLoad(t, scanID); best == nil || l < bestLen {
-				best, bestLen = t, l
+			if slices.Contains(rl.PreferredRacks(), c.cfg.Topology[node]) {
+				inRack = append(inRack, t)
 			}
 		}
-		if best != nil {
+		if best, _ := shortestQueue(inRack, scanID); best != nil {
 			return best
 		}
 	}
-	best := stage[0]
-	bestLen := taskLoad(best, scanID)
-	for _, t := range stage[1:] {
-		if l := taskLoad(t, scanID); l < bestLen {
-			best, bestLen = t, l
-		}
-	}
+	best, minSplits := shortestQueue(stage, scanID)
 	// Soft cache affinity (§IV-D3): cacheable splits hash to a stable
 	// preferred task so repeated scans land on the worker already holding
 	// their pages. The preference yields only when that worker's split
@@ -487,17 +487,28 @@ func (c *Coordinator) pickTask(stage []*exec.Task, nodeTask map[int]*exec.Task, 
 	// race against driver ramp-up instead of a measure of split backlog.
 	if affinity != "" {
 		pref := stage[affinityHash(affinity)%uint32(len(stage))]
-		minSplits := stage[0].SplitQueueLength(scanID)
-		for _, t := range stage[1:] {
-			if l := t.SplitQueueLength(scanID); l < minSplits {
-				minSplits = l
-			}
-		}
-		if pref.SplitQueueLength(scanID) <= minSplits+affinitySlack {
+		if splits, _ := pref.QueueDepth(scanID); splits <= minSplits+affinitySlack {
 			return pref
 		}
 	}
 	return best
+}
+
+// shortestQueue returns the task with the least load on scanID — outstanding
+// splits plus runnable drivers — and the smallest split backlog alone; nil
+// for no tasks.
+func shortestQueue(tasks []taskClient, scanID int) (best taskClient, minSplits int) {
+	bestLen := 0
+	for i, t := range tasks {
+		splits, runnable := t.QueueDepth(scanID)
+		if l := splits + runnable; i == 0 || l < bestLen {
+			best, bestLen = t, l
+		}
+		if i == 0 || splits < minSplits {
+			minSplits = splits
+		}
+	}
+	return best, minSplits
 }
 
 // affinitySlack is how much deeper a split's affinity-preferred worker queue
@@ -534,13 +545,4 @@ func (c *Coordinator) affinityFn(q *Query, scan *plan.Scan) func(connector.Split
 		}
 		return key
 	}
-}
-
-// taskLoad is the shortest-queue placement metric: splits queued for this
-// scan plus the runnable-driver depth of the hosting executor. Runnable depth
-// (not total queue length) matters — blocked and finished-but-unreaped
-// drivers occupy no thread, and counting them steered splits away from
-// workers running blocking-heavy plans that actually had idle capacity.
-func taskLoad(t *exec.Task, scanID int) int {
-	return t.SplitQueueLength(scanID) + t.ExecutorRunnable()
 }

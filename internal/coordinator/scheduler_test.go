@@ -1,0 +1,700 @@
+package coordinator
+
+import (
+	"errors"
+	"fmt"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/block"
+	"repro/internal/connector"
+	"repro/internal/connectors/memconn"
+	"repro/internal/dynfilter"
+	"repro/internal/exec"
+	"repro/internal/optimizer"
+	"repro/internal/plan"
+	"repro/internal/shuffle"
+	"repro/internal/types"
+)
+
+// Scheduler conformance: the one scheduler driven through fake worker and
+// task clients, so what it decides — task counts, worker choice, source
+// wiring, split placement, exactly-once delivery, abort-and-drain, the final
+// verdict, filter routing — is asserted without running a query. Both real
+// clients sit behind the same two interfaces, so these rules hold for
+// in-process and HTTP workers alike.
+
+// fakeCluster records every task the scheduler creates.
+type fakeCluster struct {
+	mu         sync.Mutex
+	tasks      []*fakeTask // creation order
+	failCreate int         // fail the k-th CreateTask (1-based; 0 = never)
+}
+
+type fakeWorker struct {
+	cl   *fakeCluster
+	node int
+}
+
+func (w *fakeWorker) NodeID() int { return w.node }
+
+func (w *fakeWorker) CreateTask(spec taskSpec) (taskClient, error) {
+	w.cl.mu.Lock()
+	defer w.cl.mu.Unlock()
+	if w.cl.failCreate == len(w.cl.tasks)+1 {
+		return nil, errors.New("fake: create refused")
+	}
+	t := &fakeTask{spec: spec, node: w.node, splits: map[int][]connector.Split{},
+		noMore: map[int]int{}, filters: map[int]*dynfilter.Summary{}, done: make(chan struct{})}
+	w.cl.tasks = append(w.cl.tasks, t)
+	return t, nil
+}
+
+func (cl *fakeCluster) workers(n int) []workerClient {
+	ws := make([]workerClient, n)
+	for i := range ws {
+		ws[i] = &fakeWorker{cl: cl, node: 10 + i} // node ids differ from indexes on purpose
+	}
+	return ws
+}
+
+// stage returns the tasks of one fragment in task-index order.
+func (cl *fakeCluster) stage(fragment int) []*fakeTask {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	var out []*fakeTask
+	for _, t := range cl.tasks {
+		if t.spec.ID.Fragment == fragment {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+type fakeTask struct {
+	spec taskSpec
+	node int
+
+	mu       sync.Mutex
+	splits   map[int][]connector.Split
+	noMore   map[int]int
+	depth    int         // reported split-queue depth of every scan...
+	depthOf  map[int]int // ...but the scans listed here
+	runnable int
+	filters  map[int]*dynfilter.Summary
+	aborted  bool
+	closed   bool
+	err      error
+	done     chan struct{}
+	doneOnce sync.Once
+}
+
+func (t *fakeTask) AddSplit(scanID int, s connector.Split) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.splits[scanID] = append(t.splits[scanID], s)
+	return nil
+}
+
+func (t *fakeTask) NoMoreSplits(scanID int) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.noMore[scanID]++
+	return nil
+}
+
+func (t *fakeTask) QueueDepth(scanID int) (int, int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if d, ok := t.depthOf[scanID]; ok {
+		return d, t.runnable
+	}
+	return t.depth, t.runnable
+}
+
+// Output is an already-complete empty stream: the fake produces no pages.
+func (t *fakeTask) Output(int) shuffle.Fetcher { return completeFetcher{} }
+
+type completeFetcher struct{}
+
+func (completeFetcher) Fetch(token, _ int64, _ time.Duration) ([]*block.Page, int64, bool, error) {
+	return nil, token, true, nil
+}
+
+func (t *fakeTask) Done() <-chan struct{} { return t.done }
+
+func (t *fakeTask) Wait() error {
+	<-t.done
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.err
+}
+
+func (t *fakeTask) finish(err error) {
+	t.doneOnce.Do(func() {
+		t.mu.Lock()
+		t.err = err
+		t.mu.Unlock()
+		close(t.done)
+	})
+}
+
+func (t *fakeTask) DeliverFilter(id int, s *dynfilter.Summary) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.filters[id] = s
+}
+
+func (t *fakeTask) Stats() exec.TaskStats { return exec.TaskStats{} }
+
+func (t *fakeTask) Abort() {
+	t.mu.Lock()
+	t.aborted = true
+	t.mu.Unlock()
+	t.finish(errors.New("fake: aborted"))
+}
+
+func (t *fakeTask) Close() {
+	t.mu.Lock()
+	t.closed = true
+	t.mu.Unlock()
+}
+
+// fakeConn plans like a memory catalog but enumerates scripted splits, and
+// gives keyed splits a page-cache key (the affinity signal).
+type fakeConn struct {
+	*memconn.Connector
+	splits map[string][]connector.Split // by table
+}
+
+func (f *fakeConn) Splits(h plan.TableHandle) (connector.SplitSource, error) {
+	return &fakeSplitSource{splits: f.splits[h.Table]}, nil
+}
+
+func (f *fakeConn) PageCacheKey(s connector.Split, _ []string, _ plan.TableHandle) (string, bool) {
+	if fs, ok := s.(*fakeSplit); ok && fs.cacheKey != "" {
+		return fs.cacheKey, true
+	}
+	return "", false
+}
+
+type fakeSplitSource struct{ splits []connector.Split }
+
+func (s *fakeSplitSource) NextBatch(max int) (connector.SplitBatch, error) {
+	n := min(max, len(s.splits))
+	b := connector.SplitBatch{Splits: s.splits[:n]}
+	s.splits = s.splits[n:]
+	b.Done = len(s.splits) == 0
+	return b, nil
+}
+func (s *fakeSplitSource) Close() {}
+
+type fakeSplit struct {
+	name     string
+	nodes    []int
+	cacheKey string
+}
+
+func (s *fakeSplit) Connector() string     { return "memory" }
+func (s *fakeSplit) PreferredNodes() []int { return s.nodes }
+func (s *fakeSplit) EstimatedRows() int64  { return 1 }
+
+type bucketSplit struct {
+	fakeSplit
+	bucket int
+}
+
+func (s *bucketSplit) Bucket() int { return s.bucket }
+
+type rackSplit struct {
+	fakeSplit
+	racks []string
+}
+
+func (s *rackSplit) PreferredRacks() []string { return s.racks }
+
+// schedFixture is a coordinator over fake workers with two joinable tables.
+type schedFixture struct {
+	c    *Coordinator
+	conn *fakeConn
+	cl   *fakeCluster
+}
+
+func newSchedFixture(t *testing.T, cfg Config) *schedFixture {
+	t.Helper()
+	mem := memconn.New("memory")
+	cols := []connector.Column{{Name: "k", T: types.Bigint}, {Name: "v", T: types.Bigint}}
+	for _, table := range []string{"big", "small"} {
+		if err := mem.CreateTable(table, cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn := &fakeConn{Connector: mem, splits: map[string][]connector.Split{}}
+	cm := NewCatalogManager()
+	cm.Register(conn)
+	cfg.DefaultCatalog = "memory"
+	cfg.Optimizer = optimizer.DefaultConfig()
+	return &schedFixture{c: New(cm, nil, cfg), conn: conn, cl: &fakeCluster{}}
+}
+
+// schedule plans sql and runs the scheduler over n fake workers.
+func (f *schedFixture) schedule(t *testing.T, sql string, n int) (*plan.DistributedPlan, *Query, *Result, error) {
+	t.Helper()
+	_, dp, err := f.c.Plan(sql, Session{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &Query{coord: f.c}
+	q.Info.ID = "q1"
+	res, err := f.c.schedule(f.cl.workers(n), q, dp)
+	return dp, q, res, err
+}
+
+// waitFor polls cond (enumerators run on their own goroutines).
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+var conformanceQueries = []string{
+	"SELECT count(*) FROM big",
+	"SELECT k, count(*) FROM big GROUP BY k",
+	"SELECT big.k, sum(small.v) FROM big JOIN small ON big.k = small.k GROUP BY big.k",
+}
+
+// TestSchedulerPlacementAndWiring: task counts and worker choice per
+// partitioning kind, output partitions, and producer→consumer wiring.
+func TestSchedulerPlacementAndWiring(t *testing.T) {
+	const nWorkers = 3
+	seen := map[plan.PartitioningKind]bool{}
+	for _, sql := range conformanceQueries {
+		f := newSchedFixture(t, Config{})
+		dp, q, _, err := f.schedule(t, sql, nWorkers)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		singles := 0
+		for _, fr := range dp.Fragments {
+			kind := partitioningOf(fr, dp)
+			seen[kind] = true
+			stage := f.cl.stage(fr.ID)
+			want := map[plan.PartitioningKind]int{
+				plan.PartitionSingle: 1, plan.PartitionSource: nWorkers, plan.PartitionHash: nWorkers,
+			}[kind]
+			if len(stage) != want {
+				t.Fatalf("%s: fragment %d (kind %v) has %d tasks, want %d", sql, fr.ID, kind, len(stage), want)
+			}
+			for i, task := range stage {
+				if task.spec.ID.Index != i || task.spec.ID.QueryID != "q1" {
+					t.Errorf("%s: fragment %d task %d has id %v", sql, fr.ID, i, task.spec.ID)
+				}
+				wantNode := 10 + i%nWorkers
+				if kind == plan.PartitionSingle {
+					wantNode = 10 + singles%nWorkers // single stages round-robin across workers
+					singles++
+				}
+				if task.node != wantNode {
+					t.Errorf("%s: fragment %d task %d on node %d, want %d", sql, fr.ID, i, task.node, wantNode)
+				}
+				// Output partitions = the consumer's task count (the
+				// coordinator reads the root's one partition).
+				wantParts := 1
+				if fr.OutputConsumer >= 0 {
+					wantParts = len(f.cl.stage(fr.OutputConsumer))
+				}
+				if task.spec.OutPartitions != wantParts {
+					t.Errorf("%s: fragment %d has %d output partitions, want %d", sql, fr.ID, task.spec.OutPartitions, wantParts)
+				}
+				// Sources: every task of every producing fragment, in order.
+				var producers []int
+				for _, p := range dp.Fragments {
+					if p.OutputConsumer == fr.ID {
+						producers = append(producers, p.ID)
+					}
+				}
+				if len(task.spec.Sources) != len(producers) {
+					t.Errorf("%s: fragment %d wired to %d source fragments, want %v", sql, fr.ID, len(task.spec.Sources), producers)
+				}
+				for _, pid := range producers {
+					got, want := task.spec.Sources[pid], f.cl.stage(pid)
+					if len(got) != len(want) {
+						t.Fatalf("%s: fragment %d reads %d tasks of fragment %d, want %d", sql, fr.ID, len(got), pid, len(want))
+					}
+					for j := range want {
+						if got[j] != taskClient(want[j]) {
+							t.Errorf("%s: fragment %d source %d/%d is not that stage's task %d", sql, fr.ID, pid, j, j)
+						}
+					}
+				}
+			}
+		}
+		q.abort()
+	}
+	for _, kind := range []plan.PartitioningKind{plan.PartitionSingle, plan.PartitionSource, plan.PartitionHash} {
+		if !seen[kind] {
+			t.Errorf("conformance queries never produced a %v stage", kind)
+		}
+	}
+}
+
+// TestSchedulerHashTaskCount: the hash-stage count comes from the alive-worker
+// snapshot at schedule time, or from HashPartitions capped at four per worker.
+func TestSchedulerHashTaskCount(t *testing.T) {
+	for _, tc := range []struct{ hashPartitions, workers, want int }{
+		{0, 2, 2}, {0, 5, 5}, {3, 2, 3}, {64, 2, 8},
+	} {
+		f := newSchedFixture(t, Config{HashPartitions: tc.hashPartitions})
+		dp, q, _, err := f.schedule(t, conformanceQueries[1], tc.workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fr := range dp.Fragments {
+			if partitioningOf(fr, dp) == plan.PartitionHash {
+				if got := len(f.cl.stage(fr.ID)); got != tc.want {
+					t.Errorf("HashPartitions=%d on %d workers: %d hash tasks, want %d",
+						tc.hashPartitions, tc.workers, got, tc.want)
+				}
+			}
+		}
+		q.abort()
+	}
+}
+
+// TestSchedulerSplitDelivery: every split reaches exactly one task exactly
+// once, NoMoreSplits arrives once per (task, scan), and bucketed, node-local
+// and cache-affine splits land where the placement rules say — also on the
+// memoized second enumeration.
+func TestSchedulerSplitDelivery(t *testing.T) {
+	const nWorkers = 3
+	f := newSchedFixture(t, Config{SplitBatchSize: 4})
+	var all []connector.Split
+	for i := 0; i < 7; i++ {
+		all = append(all, &bucketSplit{fakeSplit{name: fmt.Sprintf("bucket-%d", i)}, i})
+	}
+	for i := 0; i < 6; i++ {
+		all = append(all, &fakeSplit{name: fmt.Sprintf("local-%d", i), nodes: []int{99, 10 + i%nWorkers}})
+	}
+	for i := 0; i < 6; i++ {
+		all = append(all, &fakeSplit{name: fmt.Sprintf("aff-%d", i), cacheKey: fmt.Sprintf("key-%d", i)})
+	}
+	for i := 0; i < 5; i++ {
+		all = append(all, &fakeSplit{name: fmt.Sprintf("plain-%d", i)})
+	}
+	f.conn.splits["big"] = all
+
+	for round := 0; round < 2; round++ { // round 1 is served from the split cache
+		f.cl = &fakeCluster{}
+		dp, q, _, err := f.schedule(t, conformanceQueries[0], nWorkers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var leaf []*fakeTask
+		for _, fr := range dp.Fragments {
+			if partitioningOf(fr, dp) == plan.PartitionSource {
+				leaf = f.cl.stage(fr.ID)
+			}
+		}
+		waitFor(t, "split enumeration", func() bool {
+			for _, task := range leaf {
+				task.mu.Lock()
+				n := task.noMore[0]
+				task.mu.Unlock()
+				if n == 0 {
+					return false
+				}
+			}
+			return true
+		})
+		delivered := map[string]int{}
+		for i, task := range leaf {
+			task.mu.Lock()
+			if task.noMore[0] != 1 || len(task.noMore) != 1 {
+				t.Errorf("round %d: task %d got NoMoreSplits %v, want once for scan 0", round, i, task.noMore)
+			}
+			for _, s := range task.splits[0] {
+				switch s := s.(type) {
+				case *bucketSplit:
+					delivered[s.name]++
+					if want := s.bucket % nWorkers; i != want {
+						t.Errorf("round %d: %s on task %d, want %d", round, s.name, i, want)
+					}
+				case *fakeSplit:
+					delivered[s.name]++
+					if len(s.nodes) > 0 && task.node != s.nodes[1] {
+						t.Errorf("round %d: %s on node %d, want %d", round, s.name, task.node, s.nodes[1])
+					}
+					if s.cacheKey != "" {
+						if want := int(affinityHash(s.cacheKey) % nWorkers); i != want {
+							t.Errorf("round %d: %s on task %d, want its affinity task %d", round, s.name, i, want)
+						}
+					}
+				}
+			}
+			task.mu.Unlock()
+		}
+		for _, s := range all {
+			name := ""
+			switch s := s.(type) {
+			case *bucketSplit:
+				name = s.name
+			case *fakeSplit:
+				name = s.name
+			}
+			if delivered[name] != 1 {
+				t.Errorf("round %d: split %s delivered %d times", round, name, delivered[name])
+			}
+		}
+		if got := q.splitsTotal.Load(); got != int64(len(all)) {
+			t.Errorf("round %d: splitsTotal = %d, want %d", round, got, len(all))
+		}
+		q.abort()
+	}
+	if st := f.c.MetaCacheStats(); st.Hits == 0 {
+		t.Errorf("second enumeration did not come from the split cache: %+v", st)
+	}
+}
+
+// TestPickTask pins the placement order — bucketed → node-local → rack →
+// shortest queue → cache affinity — on queue depths the fakes report.
+func TestPickTask(t *testing.T) {
+	f := newSchedFixture(t, Config{Topology: map[int]string{10: "r0", 11: "r1", 12: "r1"}})
+	mk := func(depths ...int) ([]taskClient, map[int]taskClient) {
+		stage := make([]taskClient, len(depths))
+		nodeTask := map[int]taskClient{}
+		for i, d := range depths {
+			stage[i] = &fakeTask{node: 10 + i, depth: d}
+			nodeTask[10+i] = stage[i]
+		}
+		return stage, nodeTask
+	}
+	stage, nodeTask := mk(5, 9, 2)
+	idx := func(got taskClient) int {
+		for i, task := range stage {
+			if task == got {
+				return i
+			}
+		}
+		return -1
+	}
+	if got := idx(f.c.pickTask(stage, nodeTask, 0, &bucketSplit{fakeSplit{nodes: []int{11}}, 4}, "")); got != 1 {
+		t.Errorf("bucket 4 of 3 tasks on task %d, want 1 (bucketing beats locality)", got)
+	}
+	if got := idx(f.c.pickTask(stage, nodeTask, 0, &fakeSplit{nodes: []int{11}}, "")); got != 1 {
+		t.Errorf("node-local split on task %d, want the node-11 task", got)
+	}
+	if got := idx(f.c.pickTask(stage, nodeTask, 0, &rackSplit{racks: []string{"r0"}}, "")); got != 0 {
+		t.Errorf("rack r0 split on task %d, want 0", got)
+	}
+	if got := idx(f.c.pickTask(stage, nodeTask, 0, &rackSplit{racks: []string{"r1"}}, "")); got != 2 {
+		t.Errorf("rack r1 split on task %d, want the shorter r1 queue (2)", got)
+	}
+	if got := idx(f.c.pickTask(stage, nodeTask, 0, &rackSplit{racks: []string{"r9"}}, "")); got != 2 {
+		t.Errorf("unknown-rack split on task %d, want the shortest queue (2)", got)
+	}
+	if got := idx(f.c.pickTask(stage, nodeTask, 0, &fakeSplit{}, "")); got != 2 {
+		t.Errorf("plain split on task %d, want the shortest queue (2)", got)
+	}
+	// Runnable drivers count toward load but not toward the affinity yield.
+	stage[2].(*fakeTask).runnable = 10
+	if got := idx(f.c.pickTask(stage, nodeTask, 0, &fakeSplit{}, "")); got != 0 {
+		t.Errorf("plain split on task %d, want 0 once task 2's executor is busy", got)
+	}
+	// A fragment with two scans: each scan's splits are placed on that
+	// scan's queues alone, whatever backlog the other scan has.
+	stage, nodeTask = mk(9, 0, 9)
+	stage[1].(*fakeTask).depthOf = map[int]int{1: 20}
+	if got := idx(f.c.pickTask(stage, nodeTask, 0, &fakeSplit{}, "")); got != 1 {
+		t.Errorf("scan 0 split on task %d, want 1 (scan 1's backlog there is not scan 0's)", got)
+	}
+	if got := idx(f.c.pickTask(stage, nodeTask, 1, &fakeSplit{}, "")); got == 1 {
+		t.Errorf("scan 1 split on task 1, where scan 1's queue is the deepest")
+	}
+	key := "some-page"
+	pref := int(affinityHash(key) % 3)
+	stage, nodeTask = mk(0, 0, 0)
+	stage[pref].(*fakeTask).depth = affinitySlack
+	if got := idx(f.c.pickTask(stage, nodeTask, 0, &fakeSplit{}, key)); got != pref {
+		t.Errorf("affine split on task %d, want its preferred task %d within the slack", got, pref)
+	}
+	stage[pref].(*fakeTask).depth = affinitySlack + 1
+	if got := idx(f.c.pickTask(stage, nodeTask, 0, &fakeSplit{}, key)); got == pref {
+		t.Errorf("affine split stayed on task %d beyond the slack", pref)
+	}
+}
+
+// TestSchedulerCreateFailureAbortsAndDrains: a create failure on the k-th
+// task aborts and drains the k−1 already created.
+func TestSchedulerCreateFailureAbortsAndDrains(t *testing.T) {
+	f := newSchedFixture(t, Config{})
+	f.cl.failCreate = 5
+	_, _, res, err := f.schedule(t, conformanceQueries[2], 3)
+	if err == nil || res != nil || !strings.Contains(err.Error(), "create refused") {
+		t.Fatalf("schedule = (%v, %v), want the create failure", res, err)
+	}
+	if len(f.cl.tasks) != 4 {
+		t.Fatalf("%d tasks created before the failing fifth, want 4", len(f.cl.tasks))
+	}
+	for i, task := range f.cl.tasks {
+		task.mu.Lock()
+		if !task.aborted {
+			t.Errorf("task %d was not aborted", i)
+		}
+		task.mu.Unlock()
+		select {
+		case <-task.done:
+		default:
+			t.Errorf("task %d was not drained", i)
+		}
+	}
+}
+
+// TestSchedulerFailedTaskSurfacesAfterCleanEnd: a task failure that the
+// consumer saw only as a clean end-of-stream still fails the query, through
+// the final verdict — and the query's other tasks are aborted.
+func TestSchedulerFailedTaskSurfacesAfterCleanEnd(t *testing.T) {
+	f := newSchedFixture(t, Config{})
+	_, _, res, err := f.schedule(t, conformanceQueries[1], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("fake: operator blew up")
+	for i, task := range f.cl.tasks {
+		if i == 1 {
+			task.finish(boom)
+		} else {
+			task.finish(nil)
+		}
+	}
+	if err := res.waitDone(); !errors.Is(err, boom) {
+		t.Fatalf("final verdict = %v, want the task failure", err)
+	}
+	// Every fake output is an empty complete stream, so NextPage goes
+	// straight to the verdict (unless the failure monitor got there first).
+	if p, err := res.NextPage(); !errors.Is(err, boom) {
+		t.Fatalf("NextPage = (%v, %v), want the task failure", p, err)
+	}
+
+	// All clean: end of stream is success.
+	f = newSchedFixture(t, Config{})
+	if _, _, res, err = f.schedule(t, conformanceQueries[1], 2); err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range f.cl.tasks {
+		task.finish(nil)
+	}
+	if p, err := res.NextPage(); p != nil || err != nil {
+		t.Fatalf("NextPage = (%v, %v), want a clean end of stream", p, err)
+	}
+}
+
+// TestSchedulerFailureMonitorAbortsQuery: the first task failure aborts every
+// other task without waiting for a consumer to notice.
+func TestSchedulerFailureMonitorAbortsQuery(t *testing.T) {
+	f := newSchedFixture(t, Config{})
+	if _, _, _, err := f.schedule(t, conformanceQueries[1], 2); err != nil {
+		t.Fatal(err)
+	}
+	f.cl.tasks[len(f.cl.tasks)-1].finish(errors.New("fake: died"))
+	waitFor(t, "the monitor to abort the other tasks", func() bool {
+		for _, task := range f.cl.tasks[:len(f.cl.tasks)-1] {
+			task.mu.Lock()
+			aborted := task.aborted
+			task.mu.Unlock()
+			if !aborted {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// TestSchedulerFilterRouting: join-build tasks, and only they, are handed the
+// hub's publish hook; a union completes when every task of the
+// publishing fragment has contributed and reaches exactly the fragments whose
+// scans subscribe; a publisher with no collector (a Disabled summary) disables the filter
+// rather than leaving it pending.
+func TestSchedulerFilterRouting(t *testing.T) {
+	f := newSchedFixture(t, Config{})
+	sql := "SELECT count(*) FROM big JOIN small ON big.k = small.k"
+	dp, q, _, err := f.schedule(t, sql, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.abort()
+	publishers := map[int][]int{}  // fragment → filter ids it publishes
+	subscribers := map[int][]int{} // filter id → subscribing fragments
+	for _, fr := range dp.Fragments {
+		plan.Walk(fr.Root, func(n plan.Node) {
+			switch n := n.(type) {
+			case *plan.Join:
+				for _, df := range n.DynFilters {
+					publishers[fr.ID] = append(publishers[fr.ID], df.ID)
+				}
+			case *plan.Scan:
+				for _, df := range n.DynFilters {
+					subscribers[df.ID] = append(subscribers[df.ID], fr.ID)
+				}
+			}
+		})
+	}
+	if len(publishers) == 0 || len(subscribers) == 0 {
+		t.Fatalf("plan assigns no dynamic filters:\n%s", dp.Format())
+	}
+	for _, task := range f.cl.tasks {
+		if ids := publishers[task.spec.ID.Fragment]; (task.spec.Publish != nil) != (len(ids) > 0) {
+			t.Errorf("task %v: publish hook=%v, publishes filters %v", task.spec.ID, task.spec.Publish != nil, ids)
+		}
+	}
+	received := func(id int) (got []int, sum *dynfilter.Summary) {
+		for _, task := range f.cl.tasks {
+			task.mu.Lock()
+			if s, ok := task.filters[id]; ok {
+				got = append(got, task.spec.ID.Fragment)
+				sum = s
+			}
+			task.mu.Unlock()
+		}
+		sort.Ints(got)
+		return got, sum
+	}
+	for fid, ids := range publishers {
+		stage := f.cl.stage(fid)
+		for _, id := range ids {
+			for i, task := range stage {
+				if got, _ := received(id); len(got) > 0 {
+					t.Fatalf("filter %d delivered after %d of %d publications", id, i, len(stage))
+				}
+				s := dynfilter.NewSummary(types.Bigint)
+				s.AddLong(int64(100+i), 0)
+				if i == len(stage)-1 {
+					// What a publisher with no collector sends.
+					s = &dynfilter.Summary{Disabled: true}
+				}
+				task.spec.Publish([]int{id}, []*dynfilter.Summary{s})
+			}
+			var want []int
+			for _, sub := range subscribers[id] {
+				for range f.cl.stage(sub) {
+					want = append(want, sub)
+				}
+			}
+			sort.Ints(want)
+			got, sum := received(id)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("filter %d reached fragments %v, want its subscribers %v", id, got, want)
+			}
+			if sum == nil || !sum.Disabled {
+				t.Errorf("filter %d with a collector-less publisher delivered %+v, want Disabled", id, sum)
+			}
+		}
+	}
+}

@@ -71,7 +71,7 @@ func (c *Coordinator) QueryStats(id string) (QueryStats, bool) {
 
 	q.mu.Lock()
 	info := q.Info
-	tasks := append([]*exec.Task{}, q.tasks...)
+	tasks := append([]taskClient{}, q.tasks...)
 	qmem := q.qmem
 	result := q.result
 	q.mu.Unlock()
@@ -152,12 +152,8 @@ func (c *Coordinator) VecProjTotals() (vecEvals, cseHits, dictEvictions int64) {
 
 // accumulateDynStats folds one finished query's dynamic-filter and
 // vectorized-projection counters into the coordinator-lifetime totals.
-func (c *Coordinator) accumulateDynStats(q *Query) {
-	q.mu.Lock()
-	tasks := append([]*exec.Task{}, q.tasks...)
-	q.mu.Unlock()
-	for _, t := range tasks {
-		ts := t.Stats()
+func (c *Coordinator) accumulateDynStats(tasks []exec.TaskStats) {
+	for _, ts := range tasks {
 		for _, pl := range ts.Pipelines {
 			for _, op := range pl.Operators {
 				c.dynRowsFiltered.Add(op.DynRowsFiltered)

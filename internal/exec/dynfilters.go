@@ -41,6 +41,17 @@ func (t *Task) SetFilterPublisher(fn func(ids []int, sums []*dynfilter.Summary))
 // delayed or lost delivery — a dropped publication leaves probe scans
 // unfiltered, which is always safe.
 func (t *Task) publishFilters(ids []int, sums []*dynfilter.Summary) {
+	// A publisher with no collector still publishes — "never filter" — so
+	// the merged filter completes and gated probe scans stop waiting,
+	// whichever way the publication travels (hub callback or status poll).
+	full := make([]*dynfilter.Summary, len(ids))
+	for i := range ids {
+		if i < len(sums) && sums[i] != nil {
+			full[i] = sums[i]
+		} else {
+			full[i] = &dynfilter.Summary{Disabled: true}
+		}
+	}
 	go func() {
 		if err := t.cfg.Inject.Err(faultinject.SiteFilterPublish); err != nil {
 			return // injected loss
@@ -50,14 +61,12 @@ func (t *Task) publishFilters(ids []int, sums []*dynfilter.Summary) {
 			t.dynPublished = map[int]*dynfilter.Summary{}
 		}
 		for i, id := range ids {
-			if i < len(sums) && sums[i] != nil {
-				t.dynPublished[id] = sums[i]
-			}
+			t.dynPublished[id] = full[i]
 		}
 		fn := t.filterPublish
 		t.dynMu.Unlock()
 		if fn != nil {
-			fn(ids, sums)
+			fn(ids, full)
 			return
 		}
 		// No publisher (single-task execution, or a remote worker between
@@ -66,9 +75,7 @@ func (t *Task) publishFilters(ids []int, sums []*dynfilter.Summary) {
 		// build rows their own probe rows can match, and partitioned builds
 		// have no probe scan in the same fragment.
 		for i, id := range ids {
-			if i < len(sums) {
-				t.DeliverFilter(id, sums[i])
-			}
+			t.DeliverFilter(id, full[i])
 		}
 	}()
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/connector"
 	"repro/internal/connectors/memconn"
+	"repro/internal/dynfilter"
 	"repro/internal/memory"
 	"repro/internal/operators"
 	"repro/internal/plan"
@@ -298,5 +299,102 @@ func TestWorkerLifecycle(t *testing.T) {
 	}
 	if w.TaskCount() != 0 {
 		t.Error("finished task should be reaped")
+	}
+}
+
+// TestUnstartedTaskInvisibleToMonitor is the regression test for the
+// register-before-Start hole in Worker.CreateTask: a task with no scan
+// pipeline has no drivers until Start, so the 10ms monitor's PumpSplits used
+// to read "no active drivers" as "finished" and seal its output — the
+// consumer then saw a clean end-of-stream with rows missing. The test parks
+// a registered, unstarted exchange-only task across several monitor ticks.
+func TestUnstartedTaskInvisibleToMonitor(t *testing.T) {
+	producer := shuffle.NewOutputBuffer(1, 1<<20)
+	producer.Add(0, block.NewPage(block.NewLongBlock([]int64{1, 2, 3}, nil)))
+	producer.SetNoMorePages()
+	rs := &plan.RemoteSource{SourceFragments: []int{1}, Out: plan.Schema{{Name: "v", T: types.Bigint}}}
+	frag := &plan.Fragment{
+		ID: 0, Root: rs,
+		OutputPartitioning: plan.Partitioning{Kind: plan.PartitionSingle},
+		OutputConsumer:     -1,
+	}
+	w := NewWorker(0, &testRegistry{conn: memconn.New("mem")}, WorkerConfig{Threads: 1})
+	defer w.Close()
+	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: w.Pool})
+	id := TaskID{QueryID: "q", Fragment: 0}
+	task, err := NewTask(id, frag, 0, w.Exec, w.connectors, qmem, w.Pool, nil, 1,
+		map[int][]shuffle.Fetcher{1: {&shuffle.LocalFetcher{Buf: producer.Partition(0)}}}, TaskConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What CreateTask does between NewTask and Start, stretched.
+	w.mu.Lock()
+	w.tasks[id] = task
+	w.mu.Unlock()
+	time.Sleep(35 * time.Millisecond)
+	select {
+	case <-task.Done():
+		t.Fatal("the monitor finished a task that was never started")
+	default:
+	}
+	if err := task.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if !task.waitDone(5 * time.Second) {
+		t.Fatal("task did not finish")
+	}
+	rows := 0
+	var token int64
+	for {
+		pages, next, done := task.Output().Partition(0).Fetch(token, 0, 100*time.Millisecond)
+		for _, p := range pages {
+			rows += p.RowCount()
+		}
+		token = next
+		if done {
+			break
+		}
+	}
+	if rows != 3 {
+		t.Errorf("rows: %d, want 3", rows)
+	}
+}
+
+// TestCollectorlessPublicationIsAnnounced: a join build that publishes with
+// no collector must still publish — as a Disabled ("never filter") summary —
+// both to the installed publisher and in PublishedFilters, which is how a
+// remote coordinator's status poll learns of it. Dropping it left the merged
+// filter pending forever and the probe scans waiting out their whole gate.
+func TestCollectorlessPublicationIsAnnounced(t *testing.T) {
+	ex := NewExecutor(ExecutorConfig{Threads: 1})
+	defer ex.Close()
+	pool := memory.NewNodePool(1<<30, 0)
+	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
+	task, err := NewTask(TaskID{QueryID: "q", Fragment: 0}, buildScanFragment("mem"), 0,
+		ex, &testRegistry{conn: loadTestTable(1)}, qmem, pool, nil, 1, nil, TaskConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer task.Abort()
+	got := make(chan *dynfilter.Summary, 1)
+	task.SetFilterPublisher(func(ids []int, sums []*dynfilter.Summary) {
+		if len(ids) == 1 && ids[0] == 7 && len(sums) == 1 {
+			got <- sums[0]
+		} else {
+			t.Errorf("publisher got ids %v, %d summaries", ids, len(sums))
+			got <- nil
+		}
+	})
+	task.publishFilters([]int{7}, nil)
+	select {
+	case s := <-got:
+		if s == nil || !s.Disabled {
+			t.Errorf("publisher received %+v, want a Disabled summary", s)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("publication never reached the publisher")
+	}
+	if s := task.PublishedFilters()[7]; s == nil || !s.Disabled {
+		t.Errorf("PublishedFilters()[7] = %+v, want a Disabled summary", s)
 	}
 }

@@ -282,8 +282,17 @@ func (e *Executor) run() {
 	}
 }
 
+// waitTimeout waits on c (whose lock the caller holds) for at most d. The
+// timer broadcasts under c's lock: the caller holds that lock until Wait has
+// queued it, so even a deadline a few nanoseconds away cannot fire into the
+// gap before Wait and be lost — which parked the scheduling thread until an
+// unrelated Kick, or forever on an idle worker.
 func waitTimeout(c *sync.Cond, d time.Duration) {
-	t := time.AfterFunc(d, func() { c.Broadcast() })
+	t := time.AfterFunc(d, func() {
+		c.L.Lock()
+		c.Broadcast()
+		c.L.Unlock()
+	})
 	defer t.Stop()
 	c.Wait()
 }

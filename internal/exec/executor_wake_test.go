@@ -208,3 +208,27 @@ func TestExecutorIdleNoBusyPoll(t *testing.T) {
 		t.Fatal("driver did not finish")
 	}
 }
+
+// TestWaitTimeoutKeepsItsWakeup: a deadline that expires before Wait has
+// queued the caller must still wake it. The idle scheduling thread computes
+// such deadlines (a starved driver's park time minus now can be nanoseconds),
+// and a lost wakeup left every parked driver of the worker stranded — the
+// "query stops making progress" hang of single-threaded workers.
+func TestWaitTimeoutKeepsItsWakeup(t *testing.T) {
+	var mu sync.Mutex
+	c := sync.NewCond(&mu)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		mu.Lock()
+		defer mu.Unlock()
+		for i := 0; i < 20000; i++ {
+			waitTimeout(c, time.Nanosecond)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("waitTimeout lost its wakeup and never returned")
+	}
+}

@@ -49,7 +49,9 @@ func (t *Task) Stats() TaskStats {
 		}
 		st.SplitsRunning += n
 	}
-	st.SplitsDone = t.splitsDone
+	for _, n := range t.splitsDone {
+		st.SplitsDone += n
+	}
 	for _, q := range t.morsels {
 		queued, running, done := q.splitStats()
 		st.SplitsQueued += queued

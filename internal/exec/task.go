@@ -152,15 +152,18 @@ type Task struct {
 
 	compiled  []*pipelineSpec
 	scanPipes map[int]*pipelineSpec // scanID → pipeline
-	scans     []*plan.Scan
 
-	mu            sync.Mutex
+	mu sync.Mutex
+	// started is set by Start. Until then the task has no drivers yet, so
+	// "no active drivers" must not read as "finished": the worker monitor
+	// skips unstarted tasks.
+	started       bool
 	activeDrivers int
 	pendingSplits map[int][]connector.Split // scanID → queued splits (static mode)
 	morsels       map[int]*morselQueue      // scanID → shared work queue (morsel mode)
 	runningSplits map[int]int               // scanID → running drivers
 	noMoreSplits  map[int]bool
-	splitsDone    int // completed split drivers across all scans
+	splitsDone    map[int]int // scanID → completed split drivers (static mode)
 	failed        error
 	doneCh        chan struct{}
 	doneOnce      sync.Once
@@ -230,6 +233,7 @@ func NewTask(id TaskID, f *plan.Fragment, nodeID int, ex *Executor, reg Connecto
 		pendingSplits: map[int][]connector.Split{},
 		morsels:       map[int]*morselQueue{},
 		runningSplits: map[int]int{},
+		splitsDone:    map[int]int{},
 		noMoreSplits:  map[int]bool{},
 		doneCh:        make(chan struct{}),
 		scanPipes:     map[int]*pipelineSpec{},
@@ -248,7 +252,6 @@ func NewTask(id TaskID, f *plan.Fragment, nodeID int, ex *Executor, reg Connecto
 		return nil, err
 	}
 	t.compiled = c.pipelines
-	t.scans = c.scans
 	for _, p := range t.compiled {
 		if p.source == srcScan {
 			t.scanPipes[p.scanID] = p
@@ -292,9 +295,6 @@ func NewTask(id TaskID, f *plan.Fragment, nodeID int, ex *Executor, reg Connecto
 // Output returns the task's partitioned output buffer.
 func (t *Task) Output() *shuffle.OutputBuffer { return t.output }
 
-// Handle returns the MLFQ accounting handle.
-func (t *Task) Handle() *TaskHandle { return t.handle }
-
 // Start launches the task's non-split drivers.
 func (t *Task) Start() error {
 	for _, client := range t.exchangeClients {
@@ -302,6 +302,10 @@ func (t *Task) Start() error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.aborted {
+		return t.failed // killed between registration and start
+	}
+	t.started = true
 	for _, p := range t.compiled {
 		switch p.source {
 		case srcValues:
@@ -616,7 +620,7 @@ func (t *Task) driverDone(p *pipelineSpec, err error) {
 		if _, morsel := t.morsels[p.scanID]; !morsel {
 			// Morsel-mode split completion is counted by the queue at source
 			// exhaustion; a scan driver there is not one split.
-			t.splitsDone++
+			t.splitsDone[p.scanID]++
 		}
 		if err == nil && !t.aborted {
 			if serr := t.maybeStartSplitsLocked(p.scanID); serr != nil && t.failed == nil {
@@ -740,7 +744,7 @@ func (t *Task) terminate(reason error) {
 func (t *Task) PumpSplits() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.failed != nil || t.aborted {
+	if !t.started || t.failed != nil || t.aborted {
 		return
 	}
 	for id := range t.scanPipes {
@@ -759,7 +763,7 @@ func (t *Task) PumpSplits() {
 func (t *Task) ScaleWriters() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.failed != nil || t.aborted {
+	if !t.started || t.failed != nil || t.aborted {
 		return
 	}
 	for _, sp := range t.scalablePipes {
@@ -792,17 +796,6 @@ func (t *Task) ScaleWriters() {
 	}
 }
 
-// WriterCount reports the current writer drivers (for the scaling bench).
-func (t *Task) WriterCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for _, sp := range t.scalablePipes {
-		n += sp.drivers
-	}
-	return n
-}
-
 // SplitQueueLength reports queued plus running splits for a scan, used for
 // the coordinator's shortest-queue split assignment (§IV-D3). In morsel mode
 // the queue's outstanding count already covers both pending and open splits;
@@ -817,6 +810,22 @@ func (t *Task) SplitQueueLength(scanID int) int {
 	return len(t.pendingSplits[scanID]) + t.runningSplits[scanID]
 }
 
+// SplitsDone reports completed splits by scan id (task status over the wire
+// carries it so a remote coordinator can count its queues locally).
+func (t *Task) SplitsDone() []int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	done := make([]int, len(t.scanPipes))
+	for id := range done {
+		if q, ok := t.morsels[id]; ok {
+			_, _, done[id] = q.splitStats()
+		} else {
+			done[id] = t.splitsDone[id]
+		}
+	}
+	return done
+}
+
 // ExecutorRunnable reports the runnable-driver depth of the executor hosting
 // this task. The coordinator's split placement adds it to the per-scan split
 // queue so load comparisons reflect drivers actually competing for threads,
@@ -828,10 +837,6 @@ func (t *Task) ExecutorRunnable() int {
 
 // CPUNanos reports task CPU time.
 func (t *Task) CPUNanos() int64 { return t.handle.CPUNanos() }
-
-// Scans exposes the fragment's scan nodes in scanID order (for split
-// scheduling).
-func (t *Task) Scans() []*plan.Scan { return t.scans }
 
 // waitDone blocks until completion or timeout.
 func (t *Task) waitDone(d time.Duration) bool {

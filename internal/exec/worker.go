@@ -157,40 +157,35 @@ func (w *Worker) CreateTask(id TaskID, f *plan.Fragment, qmem *memory.QueryConte
 	if cfg.Store == nil {
 		cfg.Store = w.store
 	}
-	w.mu.Lock()
-	if w.killed {
-		w.mu.Unlock()
-		return nil, fmt.Errorf("worker %d is dead", w.ID)
-	}
-	w.mu.Unlock()
 	t, err := NewTask(id, f, w.ID, w.Exec, w.connectors, qmem, w.Pool, w.Cache, outPartitions, exchangeSources, cfg)
 	if err != nil {
 		return nil, err
 	}
 	t.sharedScans = w.Shared
+	// Liveness is checked in the critical section that registers the task:
+	// Kill marks the worker dead and snapshots w.tasks under the same lock,
+	// so a task is either refused here or lost with its worker — never
+	// started on an executor that Kill has already closed.
 	w.mu.Lock()
+	if w.killed {
+		w.mu.Unlock()
+		t.Abort()
+		return nil, fmt.Errorf("worker %d is dead", w.ID)
+	}
 	w.tasks[id] = t
 	w.mu.Unlock()
-	if err := t.Start(); err != nil {
-		t.Abort()
-		return nil, err
-	}
-	// Reap the task when done.
+	// Reap the task when done — including a task whose Start fails.
 	go func() {
 		<-t.Done()
 		w.mu.Lock()
 		delete(w.tasks, id)
 		w.mu.Unlock()
 	}()
+	if err := t.Start(); err != nil {
+		t.Abort()
+		return nil, err
+	}
 	return t, nil
-}
-
-// Task looks up a running task.
-func (w *Worker) Task(id TaskID) (*Task, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	t, ok := w.tasks[id]
-	return t, ok
 }
 
 // TaskCount returns the number of live tasks (for scheduling metrics).
@@ -217,25 +212,6 @@ func (w *Worker) OutputBufferUtilization() float64 {
 		}
 	}
 	return max
-}
-
-// AbortQuery aborts all of a query's tasks on this worker and drops the
-// query's materialized-exchange segments from the worker-local store. (In
-// embedded clusters the coordinator owns the shared store and cleans it up
-// itself; the worker store is then empty for the query, so this is a no-op.)
-func (w *Worker) AbortQuery(queryID string) {
-	w.mu.Lock()
-	var ts []*Task
-	for id, t := range w.tasks {
-		if id.QueryID == queryID {
-			ts = append(ts, t)
-		}
-	}
-	w.mu.Unlock()
-	for _, t := range ts {
-		t.Abort()
-	}
-	w.store.RemoveQuery(queryID)
 }
 
 // Kill simulates abrupt worker death for elastic-recovery tests: every live

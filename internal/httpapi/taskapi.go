@@ -107,13 +107,6 @@ func (s *WorkerServer) Close() {
 	}
 }
 
-// TaskCount reports live entries in the server map (for tests).
-func (s *WorkerServer) TaskCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.tasks)
-}
-
 // TaskIDs lists the ids still held by the server map (for tests).
 func (s *WorkerServer) TaskIDs() []string {
 	s.mu.Lock()
@@ -278,7 +271,8 @@ func (s *WorkerServer) handleSplits(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *WorkerServer) statusOf(rt *remoteTask) wire.TaskStatus {
-	st := wire.TaskStatus{ID: rt.id.String(), State: "running", CPUNanos: rt.task.CPUNanos()}
+	st := wire.TaskStatus{ID: rt.id.String(), State: "running",
+		CPUNanos: rt.task.CPUNanos(), SplitsDone: rt.task.SplitsDone()}
 	if pub := rt.task.PublishedFilters(); len(pub) > 0 {
 		st.FiltersReady = make([]int, 0, len(pub))
 		for id := range pub {
@@ -316,9 +310,9 @@ func (s *WorkerServer) handleTaskStatus(w http.ResponseWriter, r *http.Request) 
 }
 
 // handleFetchFilter serves one published dynamic-filter summary (the
-// coordinator pulls summaries announced in TaskStatus.FiltersReady, merges
-// them across the build fragment's tasks, and pushes the union to probe-side
-// tasks).
+// coordinator pulls each summary announced in TaskStatus.FiltersReady once,
+// merges them across the build fragment's tasks, and pushes the union to
+// every task of the query).
 func (s *WorkerServer) handleFetchFilter(w http.ResponseWriter, r *http.Request) {
 	rt, ok := s.lookupTask(w, r)
 	if !ok {

@@ -173,14 +173,6 @@ func (c *ExchangeClient) targetConcurrencyLocked() int {
 	return t
 }
 
-// TargetConcurrency reports the current concurrency target (for tests and
-// metrics).
-func (c *ExchangeClient) TargetConcurrency() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.targetConcurrencyLocked()
-}
-
 func (c *ExchangeClient) fetchLoop(src Fetcher) {
 	var token int64
 	failures := 0
@@ -199,7 +191,7 @@ func (c *ExchangeClient) fetchLoop(src Fetcher) {
 		c.inflight++
 		c.mu.Unlock()
 
-		pages, next, done, err := c.fetchOnce(src, token)
+		pages, next, done, err := fetchOnce(src, token, c.capacity/4, fetchWait, c.retry.FetchTimeout)
 
 		c.mu.Lock()
 		c.inflight--
@@ -243,14 +235,13 @@ func (c *ExchangeClient) fetchLoop(src Fetcher) {
 	}
 }
 
-// fetchOnce issues one fetch attempt, bounded by the per-attempt timeout. On
-// timeout the attempt counts as failed; the in-flight request's eventual
-// response is discarded (its goroutine exits once the underlying fetch
-// returns, which the long-poll wait bounds).
-func (c *ExchangeClient) fetchOnce(src Fetcher, token int64) ([]*block.Page, int64, bool, error) {
-	maxBytes := c.capacity / 4
-	if c.retry.FetchTimeout <= 0 {
-		return src.Fetch(token, maxBytes, fetchWait)
+// fetchOnce issues one fetch attempt, bounded by the per-attempt timeout
+// (<= 0 disables it). On timeout the attempt counts as failed; the in-flight
+// request's eventual response is discarded (its goroutine exits once the
+// underlying fetch returns, which the long-poll wait bounds).
+func fetchOnce(src Fetcher, token, maxBytes int64, wait, timeout time.Duration) ([]*block.Page, int64, bool, error) {
+	if timeout <= 0 {
+		return src.Fetch(token, maxBytes, wait)
 	}
 	type result struct {
 		pages []*block.Page
@@ -260,30 +251,35 @@ func (c *ExchangeClient) fetchOnce(src Fetcher, token int64) ([]*block.Page, int
 	}
 	ch := make(chan result, 1)
 	go func() {
-		pages, next, done, err := src.Fetch(token, maxBytes, fetchWait)
+		pages, next, done, err := src.Fetch(token, maxBytes, wait)
 		ch <- result{pages, next, done, err}
 	}()
-	timer := time.NewTimer(c.retry.FetchTimeout)
+	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case r := <-ch:
 		return r.pages, r.next, r.done, r.err
 	case <-timer.C:
-		return nil, token, false, fmt.Errorf("fetch timed out after %v", c.retry.FetchTimeout)
+		return nil, token, false, fmt.Errorf("fetch timed out after %v", timeout)
 	}
 }
 
-// sleepBackoff waits the capped exponential backoff for the given failure
-// count; false means the client closed while waiting.
-func (c *ExchangeClient) sleepBackoff(failures int) bool {
-	d := c.retry.BaseBackoff
-	for i := 1; i < failures && d < c.retry.MaxBackoff; i++ {
+// backoff is the capped exponential delay before retry number failures.
+func (p RetryPolicy) backoff(failures int) time.Duration {
+	d := p.BaseBackoff
+	for i := 1; i < failures && d < p.MaxBackoff; i++ {
 		d *= 2
 	}
-	if d > c.retry.MaxBackoff {
-		d = c.retry.MaxBackoff
+	if d > p.MaxBackoff {
+		d = p.MaxBackoff
 	}
-	timer := time.NewTimer(d)
+	return d
+}
+
+// sleepBackoff waits the backoff for the given failure count; false means the
+// client closed while waiting.
+func (c *ExchangeClient) sleepBackoff(failures int) bool {
+	timer := time.NewTimer(c.retry.backoff(failures))
 	defer timer.Stop()
 	select {
 	case <-timer.C:
@@ -291,6 +287,35 @@ func (c *ExchangeClient) sleepBackoff(failures int) bool {
 	case <-c.closedCh:
 		return false
 	}
+}
+
+// RetryFetcher absorbs failed fetches of one source for a consumer that
+// fetches in a loop and must stay interruptible between attempts (the
+// coordinator's read of a remote root stage): a failed attempt backs off and
+// reports "no pages yet" with the token unadvanced, so the caller's next Fetch
+// is the retry; only MaxRetries consecutive failures surface as an error. Not
+// safe for concurrent use.
+type RetryFetcher struct {
+	Src   Fetcher
+	Retry RetryPolicy
+
+	failures int
+}
+
+// Fetch implements Fetcher.
+func (f *RetryFetcher) Fetch(token int64, maxBytes int64, wait time.Duration) ([]*block.Page, int64, bool, error) {
+	p := f.Retry.normalized()
+	pages, next, done, err := fetchOnce(f.Src, token, maxBytes, wait, p.FetchTimeout)
+	if err == nil {
+		f.failures = 0
+		return pages, next, done, nil
+	}
+	f.failures++
+	if f.failures > p.MaxRetries {
+		return nil, token, false, fmt.Errorf("exchange fetch failed after %d attempts: %w", f.failures, err)
+	}
+	time.Sleep(p.backoff(f.failures))
+	return nil, token, false, nil
 }
 
 // fail records a terminal stream failure.

@@ -29,7 +29,7 @@ const (
 // TransportError is a fetch failure at the transport layer: connection
 // errors, malformed frames, unexpected statuses. It is transient — the token
 // protocol makes retrying safe — so the ExchangeClient retry policy and the
-// remote scheduler both treat it as recoverable.
+// coordinator's task-API client both treat it as recoverable.
 type TransportError struct {
 	Op  string
 	Err error

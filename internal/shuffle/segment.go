@@ -258,9 +258,6 @@ func (e *StoreEntry) resetLocked(parts int) {
 	e.err = nil
 }
 
-// Key returns the entry's store key (the producer task ID).
-func (e *StoreEntry) Key() string { return e.key }
-
 // Sealed reports whether the producer finished and the output is readable.
 func (e *StoreEntry) Sealed() bool {
 	e.mu.Lock()
@@ -426,24 +423,6 @@ func (s *ExchangeStore) Entry(key string) *StoreEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.entries[key]
-}
-
-// QueryErr reports the first sticky entry failure for a query, if any (the
-// coordinator consults it in its final verdict; in-memory fetch paths cannot
-// carry the error).
-func (s *ExchangeStore) QueryErr(queryID string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prefix := queryID + "."
-	for k, e := range s.entries {
-		if !strings.HasPrefix(k, prefix) {
-			continue
-		}
-		if err := e.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RemoveQuery deletes every entry (and segment file) belonging to a query.

@@ -223,8 +223,8 @@ func (p *PartitionBuffer) Fetch(token int64, maxBytes int64, wait time.Duration)
 		part := p.part
 		p.mu.Unlock()
 		// This signature cannot carry an error; a sticky read failure ends
-		// the stream and the coordinator's final verdict consults
-		// ExchangeStore.QueryErr before declaring success.
+		// the stream and the coordinator's final verdict consults the
+		// producer's StoreEntry.Err before declaring success.
 		pages, next, done, _ := e.fetch(part, token, maxBytes, wait)
 		return pages, next, done
 	}
@@ -276,9 +276,15 @@ func (p *PartitionBuffer) Fetch(token int64, maxBytes int64, wait time.Duration)
 	return out, next, complete
 }
 
-// waitCond waits on a condition variable with a timeout.
+// waitCond waits on a condition variable (whose lock the caller holds) with
+// a timeout. The timer broadcasts under the lock so it cannot fire before
+// Wait has queued the caller and be lost.
 func waitCond(c *sync.Cond, d time.Duration) {
-	timer := time.AfterFunc(d, func() { c.Broadcast() })
+	timer := time.AfterFunc(d, func() {
+		c.L.Lock()
+		c.Broadcast()
+		c.L.Unlock()
+	})
 	defer timer.Stop()
 	c.Wait()
 }

@@ -160,8 +160,11 @@ type TaskStatus struct {
 	// Transient marks a failed task's error as retryable.
 	Transient bool  `json:"transient,omitempty"`
 	CPUNanos  int64 `json:"cpuNanos,omitempty"`
+	// SplitsDone counts completed splits by scan id, so the coordinator's
+	// shortest-queue placement can subtract them from the splits it assigned.
+	SplitsDone []int `json:"splitsDone,omitempty"`
 	// FiltersReady lists dynamic-filter ids whose build-side summaries this
-	// task has published; the coordinator fetches each via
+	// task has published; the coordinator fetches each once via
 	// GET /v1/task/{id}/filter/{fid}.
 	FiltersReady []int `json:"filtersReady,omitempty"`
 }
@@ -187,6 +190,9 @@ type FilterSummary struct {
 
 // EncodeFilterSummary flattens a summary for the task protocol.
 func EncodeFilterSummary(s *dynfilter.Summary) FilterSummary {
+	if s.Disabled {
+		return FilterSummary{T: int(s.T), Disabled: true} // nothing else is read
+	}
 	f := FilterSummary{
 		T:              int(s.T),
 		Disabled:       s.Disabled,

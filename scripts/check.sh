@@ -35,49 +35,8 @@ go test -race ./...
 echo "==> nested benchmark module (bench/ against the working tree)"
 (cd bench && go vet . && go test -count=1 .)
 
-echo "==> cache unit tests"
-go test -race -count=1 ./internal/cache/
-
-echo "==> cold/warm cache smoke"
-go test -race -count=1 -run 'TestCacheColdWarmSmoke|TestCacheBytesShrinkUnderRevocation|TestCacheSessionToggle|TestMetadataCacheInvalidatedOnWrite' .
-
 echo "==> chaos smoke (seed 7)"
 CHAOS_SEED=7 go test -race -count=1 -run 'TestChaos' .
-
-echo "==> distributed smoke (HTTP workers)"
-go test -race -count=1 -run 'TestDistributedTPCHSmoke|TestDistributedDifferential' .
-
-echo "==> vector kernel differential smoke"
-go test -race -count=1 -run 'TestVecKernelsDifferential' .
-
-echo "==> morsel ablation differential (vec x legacy x morsel x static, encoded/skewed data)"
-go test -race -count=1 -run 'TestEncodedDifferentialMatrix|TestEncodedDictProbeFlatBuildJoin|TestEncodedDistributedDifferential' .
-
-echo "==> morsel skew smoke (oversized split fans out across drivers)"
-go test -race -count=1 -run 'TestEncodedSkewUsesAllDrivers' .
-go test -race -count=1 -run 'TestMorselQueue' ./internal/exec/
-
-echo "==> dynamic filter + HBO ablation differential (on x off, embedded x distributed, faulted)"
-go test -race -count=1 ./internal/dynfilter/
-go test -race -count=1 -run 'TestFilterSummaryWireRoundTrip|TestFragmentDynFilterRoundTrip|TestTaskConfigDynKnobsRoundTrip' ./internal/wire/
-go test -race -count=1 -run 'TestDynamicFilter|TestHBOJoinOrderFeedback|TestChaosDynamicFilterDelayAndLoss|TestChaosMorselOpenFailure|TestDistributedDynamicFilterDifferential|TestChaosDistributedFilterPublishFaults' .
-
-echo "==> serving tier: unit tests, differential suite, and QPS smoke"
-go test -race -count=1 ./internal/serving/
-go test -race -count=1 -run 'TestServing' .
-
-echo "==> spill differential wall (capped pool, rows identical, artifacts deleted)"
-go test -race -count=1 ./internal/spill/
-go test -race -count=1 -run 'TestRevocationOrderCacheBeforeSpill|TestSpillDisabledReserveFailsClean' ./internal/memory/
-go test -race -count=1 -run 'TestSpill|TestMaterializedExchangeDifferential|TestDistributedSpillDifferential' .
-
-echo "==> elastic chaos (worker kill/join mid-query under materialized exchange)"
-go test -race -count=1 -run 'TestStore|TestOutputBufferMaterialized|TestDecodeSegment' ./internal/shuffle/
-go test -race -count=1 -run 'TestElastic' .
-
-echo "==> projection differential (vec x interpreted, morsel x static, div-by-zero and double-modulo regressions)"
-go test -race -count=1 -run 'TestVectorizedProjectionDifferential|TestProjectionCSE|TestCSEDoesNotHoistErrors|TestDivisionByZeroConsistency|TestDoubleModuloConsistency|TestDictProjectionErrorFallthrough|TestDictCacheBounded' ./internal/expr/
-go test -race -count=1 -run 'TestVecProj' .
 
 echo "==> kernel + morsel bench smoke (1 iteration per benchmark)"
 go test -run '^$' -bench 'HashAggBigintKey|HashAggVarcharKey|HashAggDictVarcharKey|HashAggRLEKey|HashJoinBuildProbe|HashJoinDictKey|FilterSelectivity|MorselSkewScan|DynFilterFig6|ProjArithBigint|ProjArithDouble|ProjVarcharConcat|ProjTPCHQ1Proc|ProjTPCHQ6Proc' -benchtime 1x . > /dev/null
