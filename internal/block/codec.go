@@ -1,9 +1,9 @@
 package block
 
-// Binary page codec: the serialized form of a Page shipped between workers on
-// the shuffle wire (paper §IV-E2) and usable by spill/cache paths. The format
-// is length-prefixed and self-checking so a receiver can frame pages out of a
-// byte stream and reject corruption:
+// Binary page codec: the serialized form of a Page. HTTP shuffle responses
+// (paper §IV-E2), spill files and materialized-exchange segments all carry
+// these frames. A frame is length-prefixed and self-checking, so a receiver
+// can cut pages out of a byte stream and reject corruption:
 //
 //	frame  := "PPG1" flags(1) storedLen(u32le) rawLen(u32le) crc32c(u32le) stored
 //	payload (stored, flate-compressed when flags&1):
@@ -16,8 +16,35 @@ package block
 // Flat data by type: BIGINT/DATE/DOUBLE are 8-byte little-endian; BOOLEAN is
 // an LSB-first bitmap; VARCHAR is uvarint length + bytes per value; ARRAY is
 // a boxed value list per row. The encodings of §IV-D (RLE, dictionary) travel
-// as-is — the wire never expands them. Decoding arbitrary bytes must never
-// panic: every count is bounded by the remaining input before allocation.
+// as-is — the wire never expands them.
+//
+// What a frame costs. Encoding and decoding allocate and compute in
+// proportion to the page and nothing else:
+//
+//   - Encode appends the header and payload into one slice (AppendPage; a
+//     pooled scratch under EncodePage and WritePage), copies fixed-width
+//     columns in bulk, and patches the 17-byte header in place. A payload over
+//     maxFramePayload is refused before the bytes that cross the limit are
+//     copied, and before any compression.
+//   - Decode copies values out of the frame — a flat VARCHAR block into one
+//     backing string that its Vals slice into — so the bytes a frame was read
+//     into, and the scratch a compressed frame inflates into, are free for
+//     reuse the moment a decode returns.
+//   - Compressor and decompressor state (1.2 MB and 40 KB of tables, whatever
+//     the page holds) lives in sync.Pools and is Reset per frame; it is built
+//     only on a pool miss and goes back only after a clean end of stream, so a
+//     failure never hands the next caller a dirty one.
+//
+// Who compresses is the caller's fixed rule, not an option: a frame that
+// stays on the host (spill file, exchange segment, results response to a
+// loopback or same-address peer) is raw, because flate at ~150 MB/s in front
+// of a memory copy is pure cost there; a frame for another host is deflated
+// and kept deflated only when that shrinks it. The CRC-32C covers the stored
+// bytes either way, and decoders accept both flags wherever a frame came from.
+//
+// Decoding arbitrary bytes must never panic, and every count — the declared
+// decompressed size included — is bounded by the remaining input before
+// anything is allocated for it.
 
 import (
 	"bytes"
@@ -28,6 +55,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/types"
 )
@@ -45,6 +74,16 @@ const (
 	// maxFramePayload bounds both stored and decompressed payload sizes;
 	// frames claiming more are rejected before any allocation.
 	maxFramePayload = 64 << 20
+	// maxInflateRatio is the most deflate can expand its input: a match
+	// symbol yields up to 258 bytes from two bits. A compressed frame that
+	// declares more than this times its stored length is lying.
+	maxInflateRatio = 1032
+	// minCompressPayload is the payload size below which deflate cannot pay
+	// for its own block header.
+	minCompressPayload = 128
+	// maxPooledScratch keeps one oversized page from pinning a huge scratch
+	// slice in the pool.
+	maxPooledScratch = 4 << 20
 	// maxCodecRows bounds row/run counts (RLE runs allocate nothing, but a
 	// bound keeps downstream arithmetic in int range).
 	maxCodecRows = 1 << 27
@@ -64,96 +103,259 @@ func corruptf(format string, args ...interface{}) error {
 	return fmt.Errorf("%w: %s", ErrCorruptPage, fmt.Sprintf(format, args...))
 }
 
-// EncodePage serializes one page into a self-delimiting frame. Lazy blocks
+// --- pooled state ---
+
+// scratchPool holds the slices frames are assembled in, read into and
+// inflated into. Entries are *[]byte so a Put does not allocate.
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+
+func putScratch(bp *[]byte, buf []byte) {
+	if cap(buf) <= maxPooledScratch {
+		*bp = buf[:0]
+		scratchPool.Put(bp)
+	}
+}
+
+// appendWriter is the io.Writer a pooled compressor appends to.
+type appendWriter struct{ buf []byte }
+
+func (a *appendWriter) Write(b []byte) (int, error) {
+	a.buf = append(a.buf, b...)
+	return len(b), nil
+}
+
+// deflater is one pooled compressor and the sink it writes to.
+type deflater struct {
+	zw  *flate.Writer
+	out appendWriter
+}
+
+var deflaterPool sync.Pool
+
+// deflate appends the compressed form of raw to dst. It reports false — and
+// drops the compressor instead of pooling it — when the stream did not close
+// cleanly.
+func deflate(dst, raw []byte) ([]byte, bool) {
+	d, _ := deflaterPool.Get().(*deflater)
+	if d == nil {
+		d = new(deflater)
+		d.zw, _ = flate.NewWriter(&d.out, flate.BestSpeed) // fails only on a bad level
+	}
+	d.zw.Reset(&d.out)
+	d.out.buf = dst
+	_, err := d.zw.Write(raw)
+	if err == nil {
+		err = d.zw.Close()
+	}
+	dst, d.out.buf = d.out.buf, nil
+	if err != nil {
+		return dst, false
+	}
+	deflaterPool.Put(d)
+	return dst, true
+}
+
+// inflater is one pooled decompressor and the reader it pulls from.
+type inflater struct {
+	zr  io.ReadCloser // from flate.NewReader; also a flate.Resetter
+	src bytes.Reader
+	one [1]byte
+}
+
+var inflaterPool sync.Pool
+
+// inflate fills dst from the deflate stream in stored, which must end exactly
+// there. The decompressor goes back to the pool only after a clean end of
+// stream.
+func inflate(dst, stored []byte) error {
+	f, _ := inflaterPool.Get().(*inflater)
+	if f == nil {
+		f = new(inflater)
+		f.zr = flate.NewReader(&f.src)
+	}
+	f.src.Reset(stored)
+	if err := f.zr.(flate.Resetter).Reset(&f.src, nil); err != nil {
+		return corruptf("decompress: %v", err)
+	}
+	if _, err := io.ReadFull(f.zr, dst); err != nil {
+		return corruptf("decompress: %v", err)
+	}
+	n, err := f.zr.Read(f.one[:])
+	if n != 0 {
+		return corruptf("decompressed payload longer than declared %d", len(dst))
+	}
+	if err == io.EOF {
+		f.src.Reset(nil)
+		inflaterPool.Put(f)
+	}
+	return nil
+}
+
+// --- frames ---
+
+// AppendPage appends p's frame to dst and returns the extended slice; on
+// error dst comes back at its original length. It is the one-copy form for
+// callers that frame records themselves and own a reusable buffer. Lazy blocks
 // are materialized; RLE and dictionary encodings are preserved. When compress
-// is set the payload is flate-compressed if that actually shrinks it.
+// is set the payload is deflated if that actually shrinks it.
+func AppendPage(dst []byte, p *Page, compress bool) ([]byte, error) {
+	if !compress {
+		return appendRawFrame(dst, p)
+	}
+	bp := scratchPool.Get().(*[]byte)
+	raw, err := appendRawFrame((*bp)[:0], p)
+	if err == nil {
+		dst = appendDeflated(dst, raw)
+	}
+	putScratch(bp, raw)
+	return dst, err
+}
+
+// EncodePage serializes one page into a self-delimiting frame the caller
+// owns, sized exactly. See AppendPage.
 func EncodePage(p *Page, compress bool) ([]byte, error) {
-	p = p.LoadLazy()
-	var payload bytes.Buffer
-	putUvarint(&payload, uint64(p.rows))
-	putUvarint(&payload, uint64(len(p.Cols)))
+	bp := scratchPool.Get().(*[]byte)
+	frame, err := AppendPage((*bp)[:0], p, compress)
+	var out []byte
+	if err == nil {
+		out = make([]byte, len(frame))
+		copy(out, frame)
+	}
+	putScratch(bp, frame)
+	return out, err
+}
+
+// WritePage writes one encoded frame to w in a single Write.
+func WritePage(w io.Writer, p *Page, compress bool) error {
+	bp := scratchPool.Get().(*[]byte)
+	frame, err := AppendPage((*bp)[:0], p, compress)
+	if err == nil {
+		_, err = w.Write(frame)
+	}
+	putScratch(bp, frame)
+	return err
+}
+
+var errFrameTooLarge = fmt.Errorf("page payload exceeds the %d-byte frame limit", maxFramePayload)
+
+func appendRawFrame(dst []byte, p *Page) ([]byte, error) {
+	start := len(dst)
+	var hdr [frameHeaderLen]byte
+	w := frameWriter{buf: append(dst, hdr[:]...), limit: start + frameHeaderLen + maxFramePayload}
+	w.uvarint(uint64(p.rows))
+	w.uvarint(uint64(len(p.Cols)))
 	for _, b := range p.Cols {
-		if err := encodeBlock(&payload, b, 0); err != nil {
-			return nil, err
+		w.block(b, 0)
+	}
+	if w.err == nil && len(w.buf) > w.limit {
+		w.err = errFrameTooLarge
+	}
+	if w.err != nil {
+		return w.buf[:start], w.err
+	}
+	putFrameHeader(w.buf[start:], 0, len(w.buf)-start-frameHeaderLen)
+	return w.buf, nil
+}
+
+// appendDeflated appends rawFrame to dst with its payload deflated, or as it
+// is when deflate would not shrink it.
+func appendDeflated(dst, rawFrame []byte) []byte {
+	payload := rawFrame[frameHeaderLen:]
+	if len(payload) > minCompressPayload {
+		start := len(dst)
+		out, ok := deflate(append(dst, rawFrame[:frameHeaderLen]...), payload)
+		if ok && len(out)-start-frameHeaderLen < len(payload) {
+			putFrameHeader(out[start:], flagCompressed, len(payload))
+			return out
 		}
+		dst = out[:start]
 	}
-	raw := payload.Bytes()
-	stored := raw
-	flags := byte(0)
-	if compress && len(raw) > 128 {
-		var cb bytes.Buffer
-		zw, err := flate.NewWriter(&cb, flate.BestSpeed)
-		if err == nil {
-			if _, err = zw.Write(raw); err == nil && zw.Close() == nil && cb.Len() < len(raw) {
-				stored = cb.Bytes()
-				flags = flagCompressed
-			}
-		}
+	return append(dst, rawFrame...)
+}
+
+// putFrameHeader fills in the header of frame, whose stored bytes are
+// already in place behind it.
+func putFrameHeader(frame []byte, flags byte, rawLen int) {
+	stored := frame[frameHeaderLen:]
+	copy(frame, codecMagic)
+	frame[4] = flags
+	binary.LittleEndian.PutUint32(frame[5:], uint32(len(stored)))
+	binary.LittleEndian.PutUint32(frame[9:], uint32(rawLen))
+	binary.LittleEndian.PutUint32(frame[13:], crc32.Checksum(stored, crcTable))
+}
+
+// frameHeader is a validated frame header.
+type frameHeader struct {
+	flags             byte
+	storedLen, rawLen uint32
+	crc               uint32
+}
+
+func parseFrameHeader(h []byte) (frameHeader, error) {
+	if len(h) < frameHeaderLen {
+		return frameHeader{}, corruptf("frame header truncated (%d bytes)", len(h))
 	}
-	if len(raw) > maxFramePayload {
-		return nil, fmt.Errorf("page payload %d bytes exceeds frame limit", len(raw))
+	if string(h[:4]) != codecMagic {
+		return frameHeader{}, corruptf("bad magic %q", h[:4])
 	}
-	out := make([]byte, 0, frameHeaderLen+len(stored))
-	out = append(out, codecMagic...)
-	out = append(out, flags)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(stored)))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(raw)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(stored, crcTable))
-	out = append(out, stored...)
-	return out, nil
+	fh := frameHeader{
+		flags:     h[4],
+		storedLen: binary.LittleEndian.Uint32(h[5:9]),
+		rawLen:    binary.LittleEndian.Uint32(h[9:13]),
+		crc:       binary.LittleEndian.Uint32(h[13:17]),
+	}
+	if fh.flags&^byte(flagCompressed) != 0 {
+		return frameHeader{}, corruptf("unknown flags 0x%x", fh.flags)
+	}
+	if fh.storedLen > maxFramePayload || fh.rawLen > maxFramePayload {
+		return frameHeader{}, corruptf("payload length %d/%d exceeds limit", fh.storedLen, fh.rawLen)
+	}
+	return fh, nil
 }
 
 // DecodePage parses one frame from the front of data, returning the page and
-// the number of bytes consumed. It never panics on arbitrary input.
+// the number of bytes consumed. It never panics on arbitrary input, and the
+// page shares no memory with data.
 func DecodePage(data []byte) (*Page, int, error) {
-	if len(data) < frameHeaderLen {
-		return nil, 0, corruptf("frame header truncated (%d bytes)", len(data))
-	}
-	if string(data[:4]) != codecMagic {
-		return nil, 0, corruptf("bad magic %q", data[:4])
-	}
-	flags := data[4]
-	if flags&^byte(flagCompressed) != 0 {
-		return nil, 0, corruptf("unknown flags 0x%x", flags)
-	}
-	storedLen := binary.LittleEndian.Uint32(data[5:9])
-	rawLen := binary.LittleEndian.Uint32(data[9:13])
-	crc := binary.LittleEndian.Uint32(data[13:17])
-	if storedLen > maxFramePayload || rawLen > maxFramePayload {
-		return nil, 0, corruptf("payload length %d/%d exceeds limit", storedLen, rawLen)
-	}
-	if uint64(len(data)-frameHeaderLen) < uint64(storedLen) {
-		return nil, 0, corruptf("frame body truncated: want %d bytes, have %d", storedLen, len(data)-frameHeaderLen)
-	}
-	stored := data[frameHeaderLen : frameHeaderLen+int(storedLen)]
-	p, err := decodeFrame(flags, rawLen, crc, stored)
+	h, err := parseFrameHeader(data)
 	if err != nil {
 		return nil, 0, err
 	}
-	return p, frameHeaderLen + int(storedLen), nil
+	if uint64(len(data)-frameHeaderLen) < uint64(h.storedLen) {
+		return nil, 0, corruptf("frame body truncated: want %d bytes, have %d", h.storedLen, len(data)-frameHeaderLen)
+	}
+	end := frameHeaderLen + int(h.storedLen)
+	p, err := decodeFrame(h, data[frameHeaderLen:end])
+	if err != nil {
+		return nil, 0, err
+	}
+	return p, end, nil
 }
 
-func decodeFrame(flags byte, rawLen, crc uint32, stored []byte) (*Page, error) {
-	if crc32.Checksum(stored, crcTable) != crc {
+func decodeFrame(h frameHeader, stored []byte) (*Page, error) {
+	if crc32.Checksum(stored, crcTable) != h.crc {
 		return nil, corruptf("checksum mismatch")
 	}
-	raw := stored
-	if flags&flagCompressed != 0 {
-		zr := flate.NewReader(bytes.NewReader(stored))
-		buf := make([]byte, rawLen)
-		if _, err := io.ReadFull(zr, buf); err != nil {
-			return nil, corruptf("decompress: %v", err)
+	if h.flags&flagCompressed == 0 {
+		if uint32(len(stored)) != h.rawLen {
+			return nil, corruptf("raw length %d disagrees with stored length %d", h.rawLen, len(stored))
 		}
-		// The stream must end exactly at rawLen.
-		var one [1]byte
-		if n, _ := zr.Read(one[:]); n != 0 {
-			return nil, corruptf("decompressed payload longer than declared %d", rawLen)
-		}
-		raw = buf
-	} else if uint32(len(stored)) != rawLen {
-		return nil, corruptf("raw length %d disagrees with stored length %d", rawLen, len(stored))
+		return decodePayload(stored)
 	}
-	return decodePayload(raw)
+	// The checksum is over bytes the sender chose, so the declared size is
+	// still untrusted: bound it by what the stored bytes can inflate to.
+	if uint64(h.rawLen) > uint64(len(stored))*maxInflateRatio {
+		return nil, corruptf("declared payload %d bytes exceeds what %d compressed bytes can hold", h.rawLen, len(stored))
+	}
+	bp := scratchPool.Get().(*[]byte)
+	raw := slices.Grow((*bp)[:0], int(h.rawLen))[:h.rawLen]
+	err := inflate(raw, stored)
+	var p *Page
+	if err == nil {
+		p, err = decodePayload(raw)
+	}
+	putScratch(bp, raw)
+	return p, err
 }
 
 func decodePayload(raw []byte) (*Page, error) {
@@ -175,6 +377,9 @@ func decodePayload(raw []byte) (*Page, error) {
 		return nil, corruptf("column count %d exceeds payload", ncols)
 	}
 	var cols []Block
+	if ncols > 0 {
+		cols = make([]Block, 0, ncols)
+	}
 	for i := uint64(0); i < ncols; i++ {
 		b, err := decodeBlock(r, 0)
 		if err != nil {
@@ -191,136 +396,168 @@ func decodePayload(raw []byte) (*Page, error) {
 	return &Page{Cols: cols, rows: int(rows)}, nil
 }
 
-// WritePage appends one encoded frame to w.
-func WritePage(w io.Writer, p *Page, compress bool) error {
-	frame, err := EncodePage(p, compress)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(frame)
-	return err
-}
-
 // PageReader frames pages out of a byte stream written by WritePage.
 type PageReader struct {
 	r   io.Reader
 	hdr [frameHeaderLen]byte
-	buf []byte
 }
 
 // NewPageReader wraps a stream of page frames.
 func NewPageReader(r io.Reader) *PageReader { return &PageReader{r: r} }
 
 // Next returns the next page, or io.EOF when the stream ends cleanly on a
-// frame boundary. A stream truncated mid-frame yields io.ErrUnexpectedEOF.
+// frame boundary. A stream that ends mid-frame yields io.ErrUnexpectedEOF;
+// any other read failure is returned wrapped, so the caller sees its cause.
+// A stream cannot bound a frame by its remaining input, so a frame body is
+// bounded by maxFramePayload alone.
 func (pr *PageReader) Next() (*Page, error) {
 	if _, err := io.ReadFull(pr.r, pr.hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, io.ErrUnexpectedEOF
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil, err
 		}
+		return nil, fmt.Errorf("read page frame header: %w", err)
+	}
+	h, err := parseFrameHeader(pr.hdr[:])
+	if err != nil {
 		return nil, err
 	}
-	if string(pr.hdr[:4]) != codecMagic {
-		return nil, corruptf("bad magic %q", pr.hdr[:4])
+	bp := scratchPool.Get().(*[]byte)
+	body := slices.Grow((*bp)[:0], int(h.storedLen))[:h.storedLen]
+	var p *Page
+	switch _, err = io.ReadFull(pr.r, body); err {
+	case nil:
+		p, err = decodeFrame(h, body)
+	case io.EOF, io.ErrUnexpectedEOF:
+		err = io.ErrUnexpectedEOF
+	default:
+		err = fmt.Errorf("read page frame body: %w", err)
 	}
-	storedLen := binary.LittleEndian.Uint32(pr.hdr[5:9])
-	if storedLen > maxFramePayload {
-		return nil, corruptf("payload length %d exceeds limit", storedLen)
-	}
-	if uint64(cap(pr.buf)) < uint64(storedLen) {
-		pr.buf = make([]byte, storedLen)
-	}
-	pr.buf = pr.buf[:storedLen]
-	if _, err := io.ReadFull(pr.r, pr.buf); err != nil {
-		return nil, io.ErrUnexpectedEOF
-	}
-	flags := pr.hdr[4]
-	if flags&^byte(flagCompressed) != 0 {
-		return nil, corruptf("unknown flags 0x%x", flags)
-	}
-	rawLen := binary.LittleEndian.Uint32(pr.hdr[9:13])
-	if rawLen > maxFramePayload {
-		return nil, corruptf("payload length %d exceeds limit", rawLen)
-	}
-	crc := binary.LittleEndian.Uint32(pr.hdr[13:17])
-	return decodeFrame(flags, rawLen, crc, pr.buf)
+	putScratch(bp, body)
+	return p, err
 }
 
 // --- block encode ---
 
-func encodeBlock(w *bytes.Buffer, b Block, depth int) error {
+// frameWriter appends a payload to buf. Small writes go unchecked and the
+// total is checked once at the end; bulk writes ask extend for room first, so
+// an oversized page fails before the bytes that cross the limit are copied.
+type frameWriter struct {
+	buf   []byte
+	limit int // the len(buf) a maximal payload reaches
+	err   error
+}
+
+func (w *frameWriter) u8(b byte)        { w.buf = append(w.buf, b) }
+func (w *frameWriter) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
+
+// room reports whether n more bytes fit under the frame limit, failing the
+// frame when they do not.
+func (w *frameWriter) room(n int) bool {
+	if w.err == nil && n > w.limit-len(w.buf) {
+		w.err = errFrameTooLarge
+	}
+	return w.err == nil
+}
+
+// extend grows buf by n bytes and returns them; their content is whatever
+// the scratch held before.
+func (w *frameWriter) extend(n int) ([]byte, bool) {
+	if !w.room(n) {
+		return nil, false
+	}
+	old := len(w.buf)
+	w.buf = slices.Grow(w.buf, n)[:old+n]
+	return w.buf[old:], true
+}
+
+func (w *frameWriter) str(s string) {
+	if w.room(len(s)) {
+		w.buf = append(binary.AppendUvarint(w.buf, uint64(len(s))), s...)
+	}
+}
+
+func (w *frameWriter) bits(vals []bool, n int) {
+	dst, ok := w.extend((n + 7) / 8)
+	if !ok {
+		return
+	}
+	clear(dst)
+	for i := 0; i < n && i < len(vals); i++ {
+		if vals[i] {
+			dst[i/8] |= 1 << (i % 8)
+		}
+	}
+}
+
+func (w *frameWriter) block(b Block, depth int) {
+	if w.err != nil {
+		return
+	}
 	if depth > maxBlockDepth {
-		return fmt.Errorf("block nesting exceeds %d", maxBlockDepth)
+		w.err = fmt.Errorf("block nesting exceeds %d", maxBlockDepth)
+		return
 	}
 	switch x := b.(type) {
 	case *LazyBlock:
-		return encodeBlock(w, x.Load(), depth)
+		w.block(x.Load(), depth)
 	case *RLEBlock:
-		w.WriteByte(blockRLE)
-		putUvarint(w, uint64(x.Count))
-		return encodeBlock(w, x.Val, depth+1)
+		w.u8(blockRLE)
+		w.uvarint(uint64(x.Count))
+		w.block(x.Val, depth+1)
 	case *DictionaryBlock:
-		w.WriteByte(blockDict)
-		putUvarint(w, uint64(len(x.Indices)))
+		w.u8(blockDict)
+		w.uvarint(uint64(len(x.Indices)))
 		for _, ix := range x.Indices {
-			putUvarint(w, uint64(uint32(ix)))
+			w.uvarint(uint64(uint32(ix)))
 		}
-		return encodeBlock(w, x.Dict, depth+1)
+		w.block(x.Dict, depth+1)
 	case *LongBlock:
-		writeFlatHeader(w, x.T, len(x.Vals), x.Nulls)
-		var tmp [8]byte
-		for _, v := range x.Vals {
-			binary.LittleEndian.PutUint64(tmp[:], uint64(v))
-			w.Write(tmp[:])
-		}
-		return nil
-	case *DoubleBlock:
-		writeFlatHeader(w, types.Double, len(x.Vals), x.Nulls)
-		var tmp [8]byte
-		for _, v := range x.Vals {
-			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-			w.Write(tmp[:])
-		}
-		return nil
-	case *BoolBlock:
-		writeFlatHeader(w, types.Boolean, len(x.Vals), x.Nulls)
-		w.Write(packBits(x.Vals))
-		return nil
-	case *VarcharBlock:
-		writeFlatHeader(w, types.Varchar, len(x.Vals), x.Nulls)
-		for _, s := range x.Vals {
-			putUvarint(w, uint64(len(s)))
-			w.WriteString(s)
-		}
-		return nil
-	case *ArrayBlock:
-		writeFlatHeader(w, types.Array, len(x.Vals), x.Nulls)
-		for _, arr := range x.Vals {
-			putUvarint(w, uint64(len(arr)))
-			for _, v := range arr {
-				if err := encodeValue(w, v, 0); err != nil {
-					return err
-				}
+		w.flatHeader(x.T, len(x.Vals), x.Nulls)
+		if dst, ok := w.extend(8 * len(x.Vals)); ok {
+			for i, v := range x.Vals {
+				binary.LittleEndian.PutUint64(dst[8*i:], uint64(v))
 			}
 		}
-		return nil
+	case *DoubleBlock:
+		w.flatHeader(types.Double, len(x.Vals), x.Nulls)
+		if dst, ok := w.extend(8 * len(x.Vals)); ok {
+			for i, v := range x.Vals {
+				binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+			}
+		}
+	case *BoolBlock:
+		w.flatHeader(types.Boolean, len(x.Vals), x.Nulls)
+		w.bits(x.Vals, len(x.Vals))
+	case *VarcharBlock:
+		w.flatHeader(types.Varchar, len(x.Vals), x.Nulls)
+		for _, s := range x.Vals {
+			w.str(s)
+		}
+	case *ArrayBlock:
+		w.flatHeader(types.Array, len(x.Vals), x.Nulls)
+		for _, arr := range x.Vals {
+			w.uvarint(uint64(len(arr)))
+			for _, v := range arr {
+				w.value(v, 0)
+			}
+		}
 	default:
 		// Unknown block implementation: box the values into a flat block.
 		vals := make([]types.Value, b.Len())
 		for i := range vals {
 			vals[i] = b.Value(i)
 		}
-		return encodeBlock(w, BuildBlock(b.Type(), vals), depth)
+		w.block(BuildBlock(b.Type(), vals), depth)
 	}
 }
 
-// writeFlatHeader emits kind, type, length, and the canonical null bitmap:
-// the bitmap is present only when at least one row is NULL, so an all-false
+// flatHeader emits kind, type, length, and the canonical null bitmap: the
+// bitmap is present only when at least one row is NULL, so an all-false
 // Nulls slice encodes identically to a nil one.
-func writeFlatHeader(w *bytes.Buffer, t types.Type, n int, nulls []bool) {
-	w.WriteByte(blockFlat)
-	w.WriteByte(byte(t))
-	putUvarint(w, uint64(n))
+func (w *frameWriter) flatHeader(t types.Type, n int, nulls []bool) {
+	w.u8(blockFlat)
+	w.u8(byte(t))
+	w.uvarint(uint64(n))
 	has := false
 	for _, v := range nulls {
 		if v {
@@ -329,72 +566,46 @@ func writeFlatHeader(w *bytes.Buffer, t types.Type, n int, nulls []bool) {
 		}
 	}
 	if !has {
-		w.WriteByte(0)
+		w.u8(0)
 		return
 	}
-	w.WriteByte(1)
-	bitmap := make([]byte, (n+7)/8)
-	for i := 0; i < n && i < len(nulls); i++ {
-		if nulls[i] {
-			bitmap[i/8] |= 1 << (i % 8)
-		}
-	}
-	w.Write(bitmap)
+	w.u8(1)
+	w.bits(nulls, n)
 }
 
-func packBits(vals []bool) []byte {
-	out := make([]byte, (len(vals)+7)/8)
-	for i, v := range vals {
-		if v {
-			out[i/8] |= 1 << (i % 8)
-		}
+func (w *frameWriter) value(v types.Value, depth int) {
+	if w.err != nil {
+		return
 	}
-	return out
-}
-
-func encodeValue(w *bytes.Buffer, v types.Value, depth int) error {
 	if depth > maxValueDepth {
-		return fmt.Errorf("array value nesting exceeds %d", maxValueDepth)
+		w.err = fmt.Errorf("array value nesting exceeds %d", maxValueDepth)
+		return
 	}
-	w.WriteByte(byte(v.T))
+	w.u8(byte(v.T))
 	if v.Null {
-		w.WriteByte(1)
-		return nil
+		w.u8(1)
+		return
 	}
-	w.WriteByte(0)
+	w.u8(0)
 	switch v.T {
 	case types.Bigint, types.Date:
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], uint64(v.I))
-		w.Write(tmp[:])
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(v.I))
 	case types.Double:
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v.F))
-		w.Write(tmp[:])
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v.F))
 	case types.Boolean:
 		if v.B {
-			w.WriteByte(1)
+			w.u8(1)
 		} else {
-			w.WriteByte(0)
+			w.u8(0)
 		}
 	case types.Varchar:
-		putUvarint(w, uint64(len(v.S)))
-		w.WriteString(v.S)
+		w.str(v.S)
 	case types.Array:
-		putUvarint(w, uint64(len(v.A)))
+		w.uvarint(uint64(len(v.A)))
 		for _, e := range v.A {
-			if err := encodeValue(w, e, depth+1); err != nil {
-				return err
-			}
+			w.value(e, depth+1)
 		}
 	}
-	return nil
-}
-
-func putUvarint(w *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	w.Write(tmp[:n])
 }
 
 // --- block decode ---
@@ -560,8 +771,11 @@ func decodeFlatBlock(r *byteReader) (Block, error) {
 		if n > r.remaining() {
 			return nil, corruptf("varchar block length %d exceeds payload", n)
 		}
-		vals := make([]string, n)
-		for i := range vals {
+		// One pass validates the lengths and finds the end of the block; the
+		// block's wire bytes are then copied once into a backing string, and
+		// a second pass slices the values out of it.
+		start := r.pos
+		for i := 0; i < n; i++ {
 			l, err := r.uvarint()
 			if err != nil {
 				return nil, err
@@ -569,11 +783,17 @@ func decodeFlatBlock(r *byteReader) (Block, error) {
 			if l > uint64(r.remaining()) {
 				return nil, corruptf("varchar value length %d exceeds payload", l)
 			}
-			b, err := r.bytes(int(l))
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = string(b)
+			r.pos += int(l)
+		}
+		wire := r.data[start:r.pos]
+		backing := string(wire)
+		vals := make([]string, n)
+		off := 0
+		for i := range vals {
+			l, k := binary.Uvarint(wire[off:])
+			off += k
+			vals[i] = backing[off : off+int(l)]
+			off += int(l)
 		}
 		return &VarcharBlock{Vals: vals, Nulls: nulls}, nil
 	case types.Array:

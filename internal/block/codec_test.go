@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -51,6 +52,10 @@ func blocksEqual(a, b Block) error {
 		av, bv := a.Value(i), b.Value(i)
 		if av.String() != bv.String() || av.Null != bv.Null {
 			return fmt.Errorf("row %d: %v != %v", i, av, bv)
+		}
+		// -0.0 and NaN payloads must survive bit for bit.
+		if math.Float64bits(av.F) != math.Float64bits(bv.F) {
+			return fmt.Errorf("row %d: double bits %x != %x", i, math.Float64bits(av.F), math.Float64bits(bv.F))
 		}
 	}
 	return nil

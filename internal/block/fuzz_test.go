@@ -39,6 +39,7 @@ func FuzzPageCodecDecode(f *testing.F) {
 	}
 	f.Add([]byte(codecMagic))
 	f.Add([]byte{})
+	f.Add(inflateBombFrame(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, n, err := DecodePage(data)
 		if err != nil {

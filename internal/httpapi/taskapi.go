@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -359,7 +360,8 @@ func (s *WorkerServer) handleDeliverFilters(w http.ResponseWriter, r *http.Reque
 // handleResults is the producer half of the HTTP shuffle (paper §IV-E2):
 // long-poll fetch with an acknowledged token. The response body is a
 // sequence of binary page frames (internal/block codec); the next token and
-// completion flag travel in headers.
+// completion flag travel in headers. Frames for a consumer on this host are
+// raw, frames for any other are deflated (peerOnThisHost).
 func (s *WorkerServer) handleResults(w http.ResponseWriter, r *http.Request) {
 	rt, ok := s.lookupTask(w, r)
 	if !ok {
@@ -405,13 +407,33 @@ func (s *WorkerServer) handleResults(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(shuffle.HeaderNextToken, strconv.FormatInt(next, 10))
 	w.Header().Set(shuffle.HeaderComplete, strconv.FormatBool(done))
 	w.Header().Set("Content-Type", "application/x-presto-pages")
+	compress := !peerOnThisHost(r)
 	for _, p := range pages {
-		if err := block.WritePage(w, p, true); err != nil {
+		if err := block.WritePage(w, p, compress); err != nil {
 			// Headers are out; the client sees a truncated body and
 			// retries with an unadvanced token.
 			return
 		}
 	}
+}
+
+// peerOnThisHost reports whether a request came from this machine: from a
+// loopback address, or from the very address it was received on. Bytes to
+// such a peer never reach a network, so compressing them buys nothing.
+func peerOnThisHost(r *http.Request) bool {
+	host, _, err := net.SplitHostPort(r.RemoteAddr)
+	if err != nil {
+		return false
+	}
+	peer := net.ParseIP(host)
+	if peer == nil {
+		return false
+	}
+	if peer.IsLoopback() {
+		return true
+	}
+	local, _ := r.Context().Value(http.LocalAddrContextKey).(*net.TCPAddr)
+	return local != nil && local.IP.Equal(peer)
 }
 
 func (s *WorkerServer) handleDeleteTask(w http.ResponseWriter, r *http.Request) {

@@ -831,7 +831,7 @@ func buildGroupCol(t types.Type, groups []*groupEntry, get func(*groupEntry) typ
 
 // mergePartition folds one spill file's pages of one partition into the
 // merged map. Records tagged with other partitions are skipped without
-// decoding their page frames.
+// buffering or decoding their page frames.
 func (o *HashAggregationOperator) mergePartition(name string, part int, merged map[string]*groupEntry) error {
 	r, err := spill.OpenReader(name)
 	if err != nil {
@@ -841,17 +841,10 @@ func (o *HashAggregationOperator) mergePartition(name string, part int, merged m
 	nk, na := len(o.groupCols), len(o.aggs)
 	var kb []byte
 	for {
-		recPart, frame, err := r.Next()
+		p, err := r.NextPage(part)
 		if err == io.EOF {
 			return nil
 		}
-		if err != nil {
-			return fmt.Errorf("spill file %s: %w", name, err)
-		}
-		if recPart != part {
-			continue
-		}
-		p, _, err := block.DecodePage(frame)
 		if err != nil {
 			return fmt.Errorf("spill file %s: %w", name, err)
 		}

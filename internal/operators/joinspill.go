@@ -318,7 +318,8 @@ func writeJoinPartitioned(w *spill.Writer, p *block.Page, keys []int) error {
 }
 
 // spillPartIter streams the pages of one partition across a set of spill
-// files, skipping other partitions' records without decoding them.
+// files, skipping other partitions' records without buffering or decoding
+// them.
 type spillPartIter struct {
 	files []string
 	part  int
@@ -338,24 +339,14 @@ func (it *spillPartIter) next() (*block.Page, error) {
 			}
 			it.r = r
 		}
-		part, frame, err := it.r.Next()
+		p, err := it.r.NextPage(it.part)
 		if err == io.EOF {
 			it.r.Close()
 			it.r = nil
 			it.idx++
 			continue
 		}
-		if err != nil {
-			return nil, err
-		}
-		if part != it.part {
-			continue
-		}
-		p, _, err := block.DecodePage(frame)
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
+		return p, err
 	}
 }
 

@@ -19,8 +19,10 @@
 //	record  uvarint(frameLen) frame
 //	...
 //
-// where frame is one PPG1 page frame from block.EncodePage. Decoding is
-// allocation-capped (FuzzExchangeSegmentDecode locks this in).
+// where frame is one PPG1 page frame from block.EncodePage, written raw — the
+// segment is a local file, so deflating it would only cost CPU (readers
+// accept compressed frames all the same). Decoding is allocation-capped
+// (FuzzExchangeSegmentDecode locks this in).
 package shuffle
 
 import (
@@ -30,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -105,6 +108,7 @@ type segmentPart struct {
 	bw     *bufio.Writer
 	rf     *os.File // read handle (sealed, non-empty segments only)
 	path   string
+	frame  []byte // the record being written or read, reused
 	offs   []segRecord
 	bytes  int64
 	sealed bool
@@ -130,7 +134,8 @@ func (s *segmentPart) append(p *block.Page) error {
 		s.bytes = int64(len(segMagic))
 		statSegsCreated.Add(1)
 	}
-	frame, err := block.EncodePage(p, true)
+	frame, err := block.AppendPage(s.frame[:0], p, false)
+	s.frame = frame
 	if err != nil {
 		return err
 	}
@@ -176,7 +181,8 @@ func (s *segmentPart) seal() error {
 // read decodes the record at index i from the sealed file.
 func (s *segmentPart) read(i int) (*block.Page, error) {
 	rec := s.offs[i]
-	buf := make([]byte, rec.len)
+	buf := slices.Grow(s.frame[:0], int(rec.len))[:rec.len]
+	s.frame = buf
 	if _, err := s.rf.ReadAt(buf, rec.off); err != nil {
 		return nil, err
 	}
@@ -207,7 +213,7 @@ func (s *segmentPart) discard() {
 		}
 		s.path = ""
 	}
-	s.offs, s.bytes, s.sealed = nil, 0, false
+	s.frame, s.offs, s.bytes, s.sealed = nil, nil, 0, false
 }
 
 // segDir resolves a configured segment directory: empty means the OS temp dir.

@@ -13,12 +13,15 @@
 //	...
 //
 // where frame is one PPG1 page frame exactly as produced by
-// block.EncodePage. The per-record frame length lets a drain pass skip
-// partitions it is not merging without decoding them; the frame itself
-// carries its own CRC, so corruption surfaces as block.ErrCorruptPage.
-// Decoding is allocation-capped (partition and frame-length ceilings are
-// validated before any allocation), so a truncated or hostile file fails
-// cleanly; FuzzSpillFileDecode locks this in.
+// block.EncodePage. Frames are written raw: the file never leaves the host,
+// and deflating a page costs more than writing and re-reading its bytes
+// (readers still accept compressed frames). The per-record frame length lets
+// a drain pass skip partitions it is not merging without reading them into
+// memory, let alone decoding them (Reader.NextPage); the frame itself carries
+// its own CRC, so corruption surfaces as block.ErrCorruptPage. Decoding is
+// allocation-capped (partition and frame-length ceilings are validated before
+// any allocation), so a truncated or hostile file fails cleanly;
+// FuzzSpillFileDecode locks this in.
 package spill
 
 import (
@@ -28,6 +31,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/block"
@@ -93,10 +98,20 @@ func Dir(dir string) string {
 	return dir
 }
 
+// ioBufSize is the buffer between a spill file and its records. A drain
+// opens every file once per partition, so the buffers are pooled rather than
+// allocated per open.
+const ioBufSize = 256 << 10
+
+var writeBufPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, ioBufSize) }}
+
+var errWriterClosed = errors.New("spill writer is closed")
+
 // Writer writes one partitioned spill file.
 type Writer struct {
 	f     *os.File
-	bw    *bufio.Writer
+	bw    *bufio.Writer // pooled; nil once the writer finished or aborted
+	frame []byte        // the current record's page frame, reused
 	path  string
 	bytes int64
 	err   error
@@ -109,7 +124,8 @@ func NewWriter(dir, label string) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{f: f, bw: bufio.NewWriterSize(f, 256<<10), path: f.Name()}
+	w := &Writer{f: f, bw: writeBufPool.Get().(*bufio.Writer), path: f.Name()}
+	w.bw.Reset(f)
 	if _, err := w.bw.Write(magic[:]); err != nil {
 		w.Abort()
 		return nil, err
@@ -125,8 +141,7 @@ func (w *Writer) Path() string { return w.path }
 // Bytes returns the bytes written so far (including buffered).
 func (w *Writer) Bytes() int64 { return w.bytes }
 
-// WritePage appends one page record under the given partition tag. Pages are
-// compressed through the codec's flate path when that shrinks them.
+// WritePage appends one page record under the given partition tag.
 func (w *Writer) WritePage(partition int, p *block.Page) error {
 	if w.err != nil {
 		return w.err
@@ -134,7 +149,8 @@ func (w *Writer) WritePage(partition int, p *block.Page) error {
 	if partition < 0 || partition >= MaxPartitions {
 		return fmt.Errorf("spill partition %d out of range", partition)
 	}
-	frame, err := block.EncodePage(p, true)
+	frame, err := block.AppendPage(w.frame[:0], p, false)
+	w.frame = frame
 	if err != nil {
 		w.err = err
 		return err
@@ -158,6 +174,9 @@ func (w *Writer) WritePage(partition int, p *block.Page) error {
 
 // Finish flushes and closes the file, leaving it on disk for readers.
 func (w *Writer) Finish() error {
+	if w.bw == nil {
+		return w.err // already finished or aborted
+	}
 	if w.err != nil {
 		w.Abort()
 		return w.err
@@ -166,13 +185,28 @@ func (w *Writer) Finish() error {
 		w.Abort()
 		return err
 	}
+	w.releaseBuf()
 	return w.f.Close()
 }
 
 // Abort closes and deletes the file.
 func (w *Writer) Abort() {
+	w.releaseBuf()
 	w.f.Close()
 	Remove(w.path)
+}
+
+// releaseBuf returns the write buffer to the pool; later writes fail.
+func (w *Writer) releaseBuf() {
+	if w.bw == nil {
+		return
+	}
+	w.bw.Reset(nil)
+	writeBufPool.Put(w.bw)
+	w.bw = nil
+	if w.err == nil {
+		w.err = errWriterClosed
+	}
 }
 
 // Remove deletes a spill file, feeding the deletion counter. Removing an
@@ -187,10 +221,18 @@ func Remove(path string) {
 	}
 }
 
+// readBuf is what a Reader borrows from the pool for as long as it is open.
+type readBuf struct {
+	br    *bufio.Reader
+	frame []byte // NextPage's current frame
+}
+
+var readBufPool = sync.Pool{New: func() any { return &readBuf{br: bufio.NewReaderSize(nil, ioBufSize)} }}
+
 // Reader iterates the records of one spill file.
 type Reader struct {
-	f  *os.File
-	br *bufio.Reader
+	f   *os.File
+	buf *readBuf // nil once closed
 }
 
 // OpenReader opens a spill file and validates its magic.
@@ -199,63 +241,123 @@ func OpenReader(path string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{f: f, br: bufio.NewReaderSize(f, 256<<10)}
+	r := &Reader{f: f, buf: readBufPool.Get().(*readBuf)}
+	r.buf.br.Reset(f)
 	var m [4]byte
-	if _, err := io.ReadFull(r.br, m[:]); err != nil {
-		f.Close()
+	if _, err := io.ReadFull(r.buf.br, m[:]); err != nil {
+		r.Close()
 		return nil, corruptf("missing magic: %v", err)
 	}
 	if m != magic {
-		f.Close()
+		r.Close()
 		return nil, corruptf("bad magic %q", m[:])
 	}
 	return r, nil
 }
 
 // Next returns the next record's partition tag and raw page frame, io.EOF at
-// a clean end of file, or an error on corruption. Decode the frame with
-// block.DecodePage; skip it by ignoring the bytes.
+// a clean end of file, or an error on corruption. The frame is the caller's
+// to keep; decode it with block.DecodePage. A drain that wants one partition
+// uses NextPage, which does not read the others into memory.
 func (r *Reader) Next() (int, []byte, error) {
-	part, frame, err := readRecord(r.br)
+	part, n, err := r.header()
 	if err != nil {
 		return 0, nil, err
 	}
-	statBytesRead.Add(int64(len(frame)))
+	frame := make([]byte, n)
+	if err := readFrame(r.buf.br, frame); err != nil {
+		return 0, nil, err
+	}
 	return part, frame, nil
 }
 
-// Close closes the underlying file (the file itself stays on disk).
-func (r *Reader) Close() error { return r.f.Close() }
+// NextPage returns the next page tagged with partition, or io.EOF at a clean
+// end of file. Records of other partitions are discarded without being
+// buffered or decoded — their bytes still come off the file and still count
+// in Stats.BytesRead — and the matching record is decoded out of one reused
+// frame buffer.
+func (r *Reader) NextPage(partition int) (*block.Page, error) {
+	for {
+		part, n, err := r.header()
+		if err != nil {
+			return nil, err
+		}
+		if part != partition {
+			if _, err := r.buf.br.Discard(n); err != nil {
+				return nil, corruptf("frame truncated: %v", err)
+			}
+			continue
+		}
+		r.buf.frame = slices.Grow(r.buf.frame[:0], n)[:n]
+		if err := readFrame(r.buf.br, r.buf.frame); err != nil {
+			return nil, err
+		}
+		return decodeRecord(r.buf.frame)
+	}
+}
 
-// readRecord reads one partition-tagged frame from a byte stream with
-// allocation caps enforced before any buffer is sized.
-func readRecord(br io.ByteReader) (int, []byte, error) {
-	part, err := binary.ReadUvarint(br)
+// header reads the next record's header and counts its frame as read.
+func (r *Reader) header() (part, frameLen int, err error) {
+	if r.buf == nil {
+		return 0, 0, os.ErrClosed
+	}
+	part, frameLen, err = readHeader(r.buf.br)
+	if err == nil {
+		statBytesRead.Add(int64(frameLen))
+	}
+	return part, frameLen, err
+}
+
+// Close closes the underlying file (the file itself stays on disk).
+func (r *Reader) Close() error {
+	if r.buf != nil {
+		r.buf.br.Reset(nil)
+		readBufPool.Put(r.buf)
+		r.buf = nil
+	}
+	return r.f.Close()
+}
+
+// readHeader reads one record's partition tag and frame length, enforcing
+// the caps before any buffer is sized from them.
+func readHeader(br io.ByteReader) (part, frameLen int, err error) {
+	p, err := binary.ReadUvarint(br)
 	if err == io.EOF {
-		return 0, nil, io.EOF
+		return 0, 0, io.EOF
 	}
 	if err != nil {
-		return 0, nil, corruptf("partition tag: %v", err)
+		return 0, 0, corruptf("partition tag: %v", err)
 	}
-	if part >= MaxPartitions {
-		return 0, nil, corruptf("partition %d out of range", part)
+	if p >= MaxPartitions {
+		return 0, 0, corruptf("partition %d out of range", p)
 	}
-	frameLen, err := binary.ReadUvarint(br)
+	n, err := binary.ReadUvarint(br)
 	if err != nil {
-		return 0, nil, corruptf("frame length: %v", err)
+		return 0, 0, corruptf("frame length: %v", err)
 	}
-	if frameLen == 0 || frameLen > maxFrameLen {
-		return 0, nil, corruptf("frame length %d out of range", frameLen)
+	if n == 0 || n > maxFrameLen {
+		return 0, 0, corruptf("frame length %d out of range", n)
 	}
-	frame := make([]byte, frameLen)
-	rd, ok := br.(io.Reader)
-	if !ok {
-		return 0, nil, corruptf("reader cannot stream")
+	return int(p), int(n), nil
+}
+
+func readFrame(r io.Reader, frame []byte) error {
+	if _, err := io.ReadFull(r, frame); err != nil {
+		return corruptf("frame truncated: %v", err)
 	}
-	if _, err := io.ReadFull(rd, frame); err != nil {
-		return 0, nil, corruptf("frame truncated: %v", err)
+	return nil
+}
+
+// decodeRecord decodes a record's frame, which must hold exactly one page.
+func decodeRecord(frame []byte) (*block.Page, error) {
+	p, consumed, err := block.DecodePage(frame)
+	if err != nil {
+		return nil, err
 	}
-	return int(part), frame, nil
+	if consumed != len(frame) {
+		return nil, corruptf("record frame has %d trailing bytes", len(frame)-consumed)
+	}
+	return p, nil
 }
 
 // Record is one decoded spill record.
@@ -277,19 +379,20 @@ func DecodeAll(data []byte) ([]Record, error) {
 	br := bufio.NewReader(newByteReader(data[4:]))
 	var out []Record
 	for {
-		part, frame, err := readRecord(br)
+		part, n, err := readHeader(br)
 		if err == io.EOF {
 			return out, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		p, consumed, err := block.DecodePage(frame)
-		if err != nil {
+		frame := make([]byte, n)
+		if err := readFrame(br, frame); err != nil {
 			return nil, err
 		}
-		if consumed != len(frame) {
-			return nil, corruptf("record frame has %d trailing bytes", len(frame)-consumed)
+		p, err := decodeRecord(frame)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, Record{Partition: part, Page: p})
 	}

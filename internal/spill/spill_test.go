@@ -1,6 +1,7 @@
 package spill
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -74,19 +75,7 @@ func TestSpillRoundTrip(t *testing.T) {
 			t.Fatalf("partition %d: got %d pages, want %d", part, len(got[part]), len(pages))
 		}
 		for i, p := range pages {
-			g := got[part][i]
-			if g.RowCount() != p.RowCount() || g.ColCount() != p.ColCount() {
-				t.Fatalf("partition %d page %d shape mismatch", part, i)
-			}
-			for r := 0; r < p.RowCount(); r++ {
-				wr, gr := p.Row(r), g.Row(r)
-				for c := range wr {
-					if !wr[c].Equal(gr[c]) {
-						t.Fatalf("partition %d page %d row %d col %d: got %v want %v",
-							part, i, r, c, gr[c], wr[c])
-					}
-				}
-			}
+			samePage(t, got[part][i], p)
 		}
 	}
 }
@@ -197,4 +186,161 @@ func TestSpillRejectsCorruption(t *testing.T) {
 			t.Fatalf("unexpected records: %+v", recs)
 		}
 	})
+}
+
+func samePage(t *testing.T, got, want *block.Page) {
+	t.Helper()
+	if got.RowCount() != want.RowCount() || got.ColCount() != want.ColCount() {
+		t.Fatalf("page shape %dx%d, want %dx%d", got.RowCount(), got.ColCount(), want.RowCount(), want.ColCount())
+	}
+	for r := 0; r < want.RowCount(); r++ {
+		wr, gr := want.Row(r), got.Row(r)
+		for c := range wr {
+			if !wr[c].Equal(gr[c]) {
+				t.Fatalf("row %d col %d: got %v want %v", r, c, gr[c], wr[c])
+			}
+		}
+	}
+}
+
+// TestSpillNextPageFiltersByPartition: a partition drain sees exactly its own
+// pages in order, out of a frame buffer it reuses, and the records it skips
+// still count as read — they come off the file all the same, so the drain's
+// read amplification is what it was.
+func TestSpillNextPageFiltersByPartition(t *testing.T) {
+	const parts = 16
+	w, err := NewWriter(t.TempDir(), "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int][]*block.Page{}
+	for i := 0; i < 3*parts+5; i++ {
+		p := testPage(t, int64(i*100))
+		if err := w.WritePage(i%parts, p); err != nil {
+			t.Fatal(err)
+		}
+		want[i%parts] = append(want[i%parts], p)
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := OpenReader(w.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := CurrentStats().BytesRead
+	for {
+		_, frame, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frame[4] != 0 {
+			t.Fatalf("spill frame has flags %#x, want a raw frame", frame[4])
+		}
+	}
+	r.Close()
+	fullPass := CurrentStats().BytesRead - before
+	if fullPass == 0 {
+		t.Fatal("a full pass read no bytes")
+	}
+
+	for part := 0; part < parts; part++ {
+		r, err := OpenReader(w.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := CurrentStats().BytesRead
+		var got []*block.Page
+		for {
+			p, err := r.NextPage(part)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, p)
+		}
+		if read := CurrentStats().BytesRead - before; read != fullPass {
+			t.Errorf("partition %d drain counted %d bytes read, a full pass counts %d", part, read, fullPass)
+		}
+		if len(got) != len(want[part]) {
+			t.Fatalf("partition %d: got %d pages, want %d", part, len(got), len(want[part]))
+		}
+		// Compared only now: a page must not alias the reused frame buffer.
+		for i := range got {
+			samePage(t, got[i], want[part][i])
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.NextPage(part); !errors.Is(err, os.ErrClosed) {
+			t.Errorf("NextPage on a closed reader: %v, want os.ErrClosed", err)
+		}
+	}
+}
+
+// TestSpillReaderAcceptsCompressedFrames: files written before frames went
+// raw still drain.
+func TestSpillReaderAcceptsCompressedFrames(t *testing.T) {
+	pb := block.NewPageBuilder([]types.Type{types.Varchar})
+	for i := 0; i < 500; i++ {
+		pb.AppendRow([]types.Value{types.VarcharValue("the same value every row")})
+	}
+	p := pb.Build()
+	frame, err := block.EncodePage(p, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame[4] != 1 {
+		t.Fatalf("want a compressed frame, got flags %#x", frame[4])
+	}
+	data := append([]byte(nil), magic[:]...)
+	data = binary.AppendUvarint(data, 3)
+	data = binary.AppendUvarint(data, uint64(len(frame)))
+	data = append(data, frame...)
+	path := filepath.Join(t.TempDir(), "old.bin")
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReader(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	got, err := r.NextPage(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePage(t, got, p)
+	if _, err := r.NextPage(3); err != io.EOF {
+		t.Fatalf("want io.EOF after the only record, got %v", err)
+	}
+}
+
+// TestSpillWriterClosedIsInert: the write buffer goes back to a pool on
+// Finish, so a finished writer must refuse writes rather than scribble on a
+// buffer someone else now holds, and a second Finish must not delete the file.
+func TestSpillWriterClosedIsInert(t *testing.T) {
+	w, err := NewWriter(t.TempDir(), "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WritePage(0, testPage(t, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WritePage(0, testPage(t, 0)); err == nil {
+		t.Error("write to a finished writer succeeded")
+	}
+	w.Finish()
+	if _, err := os.Stat(w.Path()); err != nil {
+		t.Errorf("finished spill file gone after a second Finish: %v", err)
+	}
 }

@@ -4,7 +4,8 @@
 # the nested benchmark module (bench/ has its own go.mod, so ./... skips it).
 # Run from the repository root before sending changes.
 #
-#   scripts/check.sh          # build + vet + race tests + chaos smoke
+#   scripts/check.sh          # build + vet + race tests + chaos smoke +
+#                             # non-race allocation ceilings and bench smokes
 #   scripts/check.sh -chaos   # additionally sweep the chaos suite over more
 #                             # seeds (CHAOS_FULL), verbose
 #   scripts/check.sh -fuzz    # additionally run 10s fuzz smokes over the
@@ -40,6 +41,10 @@ CHAOS_SEED=7 go test -race -count=1 -run 'TestChaos' .
 
 echo "==> kernel + morsel bench smoke (1 iteration per benchmark)"
 go test -run '^$' -bench 'HashAggBigintKey|HashAggVarcharKey|HashAggDictVarcharKey|HashAggRLEKey|HashJoinBuildProbe|HashJoinDictKey|FilterSelectivity|MorselSkewScan|DynFilterFig6|ProjArithBigint|ProjArithDouble|ProjVarcharConcat|ProjTPCHQ1Proc|ProjTPCHQ6Proc' -benchtime 1x . > /dev/null
+
+echo "==> page codec allocation ceilings + bench smoke (no -race: the ceilings skip under it)"
+go test -count=1 -run 'TestCodecAllocationCeilings' ./internal/block/
+go test -run '^$' -bench 'CodecEncodeRaw|CodecEncodeFlate|CodecDecodeRaw|CodecDecodeFlate' -benchtime 1x -benchmem ./internal/block/ > /dev/null
 
 if [ "$chaos_full" = 1 ]; then
   echo "==> chaos full sweep"
