@@ -141,26 +141,60 @@ func (p *Page) String() string {
 
 // PageBuilder accumulates rows of boxed values into a page. It is the
 // convenience path used by connectors and operators that produce output
-// row-at-a-time; hot operators build blocks directly.
+// row-at-a-time; hot operators build blocks directly. Each value is unboxed
+// as it arrives into the slice its column's block will own, so a buffered
+// cell costs its own width and not a types.Value.
 type PageBuilder struct {
-	types [][]types.Value
-	ts    []types.Type
-	rows  int
+	ts   []types.Type
+	cols []colBuilder
+	rows int
+}
+
+// colBuilder is one column under construction: the slice its declared type
+// selects, plus a null mask created at the first NULL. Array and untyped
+// columns stay boxed and go through BuildBlock.
+type colBuilder struct {
+	longs   []int64
+	doubles []float64
+	strs    []string
+	bools   []bool
+	boxed   []types.Value
+	nulls   []bool // nil until the column sees a NULL, then one entry per row
 }
 
 // NewPageBuilder creates a builder for the given column types.
 func NewPageBuilder(ts []types.Type) *PageBuilder {
-	cols := make([][]types.Value, len(ts))
-	return &PageBuilder{types: cols, ts: append([]types.Type(nil), ts...)}
+	return &PageBuilder{ts: append([]types.Type(nil), ts...), cols: make([]colBuilder, len(ts))}
 }
 
-// AppendRow adds one row; len(vals) must equal the column count.
+// AppendRow adds one row; len(vals) must equal the column count. A value
+// lands in its column by the column's declared type, read from the raw field
+// of that type exactly as BuildBlock reads it (no coercion).
 func (b *PageBuilder) AppendRow(vals []types.Value) {
-	if len(vals) != len(b.types) {
-		panic(fmt.Sprintf("row has %d values, want %d", len(vals), len(b.types)))
+	if len(vals) != len(b.cols) {
+		panic(fmt.Sprintf("row has %d values, want %d", len(vals), len(b.cols)))
 	}
-	for i, v := range vals {
-		b.types[i] = append(b.types[i], v)
+	for i := range vals {
+		v, c := &vals[i], &b.cols[i]
+		switch b.ts[i] {
+		case types.Bigint, types.Date:
+			c.longs = append(c.longs, v.I)
+		case types.Double:
+			c.doubles = append(c.doubles, v.F)
+		case types.Varchar:
+			c.strs = append(c.strs, v.S)
+		case types.Boolean:
+			c.bools = append(c.bools, v.B)
+		default:
+			c.boxed = append(c.boxed, *v)
+			continue
+		}
+		if v.Null && c.nulls == nil {
+			c.nulls = make([]bool, b.rows)
+		}
+		if c.nulls != nil {
+			c.nulls = append(c.nulls, v.Null)
+		}
 	}
 	b.rows++
 }
@@ -168,12 +202,24 @@ func (b *PageBuilder) AppendRow(vals []types.Value) {
 // RowCount returns the number of buffered rows.
 func (b *PageBuilder) RowCount() int { return b.rows }
 
-// Build converts the buffered rows into a page and resets the builder.
+// Build hands the buffered columns over as a page and resets the builder.
 func (b *PageBuilder) Build() *Page {
-	cols := make([]Block, len(b.types))
-	for i, vals := range b.types {
-		cols[i] = BuildBlock(b.ts[i], vals)
-		b.types[i] = nil
+	cols := make([]Block, len(b.cols))
+	for i := range b.cols {
+		c := &b.cols[i]
+		switch t := b.ts[i]; t {
+		case types.Bigint, types.Date:
+			cols[i] = &LongBlock{T: t, Vals: c.longs, Nulls: c.nulls}
+		case types.Double:
+			cols[i] = &DoubleBlock{Vals: c.doubles, Nulls: c.nulls}
+		case types.Varchar:
+			cols[i] = &VarcharBlock{Vals: c.strs, Nulls: c.nulls}
+		case types.Boolean:
+			cols[i] = &BoolBlock{Vals: c.bools, Nulls: c.nulls}
+		default:
+			cols[i] = BuildBlock(t, c.boxed)
+		}
+		*c = colBuilder{}
 	}
 	rows := b.rows
 	b.rows = 0

@@ -432,12 +432,3 @@ func HashPartitionPage(p *block.Page, cols []int, parts int, dst []int) []int {
 	hashVecPool.Put(hp)
 	return dst
 }
-
-// encodeValueKey appends the canonical encoding of boxed key values: the same
-// bytes encodeRowKey produces for the source row. Used to key spilled groups.
-func encodeValueKey(buf []byte, vals []types.Value) []byte {
-	for _, v := range vals {
-		buf = appendValueKey(buf, v)
-	}
-	return buf
-}

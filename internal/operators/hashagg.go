@@ -3,7 +3,6 @@ package operators
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"repro/internal/block"
@@ -81,6 +80,7 @@ type HashAggregationOperator struct {
 	spills     int // lifetime revocation count (spillFiles is cleared on drain)
 	spillable  bool
 	spillDir   string // empty = OS temp dir
+	spillKeys  []int  // where a spilled page keeps the group keys: columns 0..nk-1
 
 	finished bool
 	out      []*block.Page
@@ -108,12 +108,10 @@ func NewHashAggregation(ctx *OpContext, groupCols []int, groupTs []types.Type, a
 		pageSize:  pageSize,
 		vec:       ctx == nil || !ctx.DisableVecKernels,
 	}
-	o.fixedKeys = true
-	for _, t := range groupTs {
-		if !fixedWidthKey(t) {
-			o.fixedKeys = false
-			break
-		}
+	o.fixedKeys = fixedWidthKeys(groupTs)
+	o.spillKeys = make([]int, len(groupCols))
+	for i := range o.spillKeys {
+		o.spillKeys[i] = i
 	}
 	o.resetTableLocked()
 	return o
@@ -171,15 +169,12 @@ func (o *HashAggregationOperator) NeedsInput() bool { return !o.finished }
 func (o *HashAggregationOperator) AddInput(p *block.Page) error {
 	o.ctx.recordIn(p)
 	o.mu.Lock()
-	n := p.RowCount()
+	ids, runID := o.resolveGroups(p, o.groupCols)
 	var err error
-	switch {
-	case o.vec && o.fixedKeys:
-		err = o.addInputVecFixed(p, n)
-	case o.vec:
-		err = o.addInputVecBytes(p, n)
-	default:
-		err = o.addInputRows(p, n)
+	if o.vec {
+		err = o.accumulatePage(ids, runID, p, len(ids))
+	} else {
+		err = o.accumulateRows(ids, p)
 	}
 	if err != nil {
 		o.mu.Unlock()
@@ -202,90 +197,126 @@ func (o *HashAggregationOperator) AddInput(p *block.Page) error {
 	return err
 }
 
-// addInputVecFixed is the vectorized fixed-cell path: one tight probe pass
-// resolves every row to a dense group id, then each aggregate runs as a
-// columnar update loop over the id vector (§V-B). Caller holds o.mu.
-func (o *HashAggregationOperator) addInputVecFixed(p *block.Page, n int) error {
+// resolveGroups maps every row of p to the dense id of its group, keyed on
+// the given columns, materializing a fresh group for each key not seen since
+// the table was last reset. Input pages (keys at o.groupCols) and spilled
+// pages on their way back (keys at o.spillKeys) take the same path. A
+// runID >= 0 marks a page whose rows all fall in one group. The id vector is
+// the operator's scratch, valid until the next call. Caller holds o.mu.
+func (o *HashAggregationOperator) resolveGroups(p *block.Page, cols []int) (ids []int32, runID int32) {
+	n := p.RowCount()
 	if cap(o.ids) < n {
 		o.ids = make([]int32, n)
 	}
-	ids := o.ids[:n]
-	nk, na := len(o.groupCols), len(o.aggs)
-	freshBytes := int64(9*nk) + int64(64*na) + 48
-	runID := int32(-1)
-	resolved := false
-	if nk == 1 {
-		runID, resolved = o.resolveEncodedSingle(p, ids, n)
-	}
-	if !resolved {
-		o.batch.reset(p, o.groupCols, true)
-		if nk == 1 {
-			// Single-key fast path: probe on scalars, no per-row slicing.
-			cells, tags, hashes := o.batch.cells, o.batch.tags, o.batch.hashes
-			c0 := o.groupCols[0]
-			for r := 0; r < n; r++ {
-				id, fresh := o.table.getOrInsertFixed1(hashes[r], cells[r], tags[r])
-				if fresh {
-					g := o.newGroupLocked()
-					g.Key[0] = p.Col(c0).Value(r)
-					o.entries = append(o.entries, g)
-					o.bytes += freshBytes
-				}
-				ids[r] = int32(id)
-			}
-		} else {
-			for r := 0; r < n; r++ {
-				cells, tags := o.batch.row(r)
-				id, fresh := o.table.getOrInsertFixed(o.batch.hashes[r], cells, tags)
-				if fresh {
-					g := o.newGroupLocked()
-					for i, c := range o.groupCols {
-						g.Key[i] = p.Col(c).Value(r)
-					}
-					o.entries = append(o.entries, g)
-					o.bytes += freshBytes
-				}
-				ids[r] = int32(id)
-			}
+	ids = o.ids[:n]
+	switch {
+	case !o.vec:
+		o.resolveRows(p, ids, cols)
+		return ids, -1
+	case len(cols) == 1:
+		if runID, resolved := o.resolveEncodedSingle(p, ids, cols[0]); resolved {
+			return ids, runID
 		}
 	}
-	return o.accumulatePage(ids, runID, p, n)
+	if o.fixedKeys {
+		o.resolveVecFixed(p, ids, cols)
+	} else {
+		o.resolveVecBytes(p, ids, cols)
+	}
+	return ids, -1
 }
 
-// addInputVecBytes is the vectorized byte-layout path (varchar/array/mixed
-// group keys): one pass resolves every row to a dense group id — probing the
-// table once per dictionary entry or RLE run instead of materializing a
-// canonical key encoding per row — then each aggregate runs over the id
-// vector with the same columnar kernels as the fixed path (§V-B). Caller
-// holds o.mu.
-func (o *HashAggregationOperator) addInputVecBytes(p *block.Page, n int) error {
-	if cap(o.ids) < n {
-		o.ids = make([]int32, n)
-	}
-	ids := o.ids[:n]
-	runID := int32(-1)
-	resolved := false
-	if len(o.groupCols) == 1 {
-		runID, resolved = o.resolveEncodedSingle(p, ids, n)
-	}
-	if !resolved {
-		o.batch.reset(p, o.groupCols, false)
-		na := len(o.aggs)
-		for r := 0; r < n; r++ {
-			o.batch.buf = encodeRowKey(o.batch.buf[:0], p, r, o.groupCols)
-			id, fresh := o.table.getOrInsertBytes(o.batch.hashes[r], o.batch.buf)
+// resolveVecFixed is the vectorized fixed-cell lookup: one tight probe pass
+// over the page's normalized key cells (§V-B). Caller holds o.mu.
+func (o *HashAggregationOperator) resolveVecFixed(p *block.Page, ids []int32, cols []int) {
+	nk, na := len(cols), len(o.aggs)
+	freshBytes := int64(9*nk) + int64(64*na) + 48
+	o.batch.reset(p, cols, true)
+	if nk == 1 {
+		// Single-key fast path: probe on scalars, no per-row slicing.
+		cells, tags, hashes := o.batch.cells, o.batch.tags, o.batch.hashes
+		c0 := p.Col(cols[0])
+		for r := range ids {
+			id, fresh := o.table.getOrInsertFixed1(hashes[r], cells[r], tags[r])
 			if fresh {
 				g := o.newGroupLocked()
-				for i, c := range o.groupCols {
-					g.Key[i] = p.Col(c).Value(r)
-				}
+				g.Key[0] = c0.Value(r)
 				o.entries = append(o.entries, g)
-				o.bytes += int64(len(o.batch.buf)) + int64(64*na) + 48
+				o.bytes += freshBytes
 			}
 			ids[r] = int32(id)
 		}
+		return
 	}
-	return o.accumulatePage(ids, runID, p, n)
+	for r := range ids {
+		cells, tags := o.batch.row(r)
+		id, fresh := o.table.getOrInsertFixed(o.batch.hashes[r], cells, tags)
+		if fresh {
+			g := o.newGroupLocked()
+			for i, c := range cols {
+				g.Key[i] = p.Col(c).Value(r)
+			}
+			o.entries = append(o.entries, g)
+			o.bytes += freshBytes
+		}
+		ids[r] = int32(id)
+	}
+}
+
+// resolveVecBytes is the vectorized byte-layout lookup (varchar/array/mixed
+// group keys): hashes come from the batch kernels, the canonical key encoding
+// is built only to verify and store the key. Caller holds o.mu.
+func (o *HashAggregationOperator) resolveVecBytes(p *block.Page, ids []int32, cols []int) {
+	o.batch.reset(p, cols, false)
+	na := len(o.aggs)
+	for r := range ids {
+		o.batch.buf = encodeRowKey(o.batch.buf[:0], p, r, cols)
+		id, fresh := o.table.getOrInsertBytes(o.batch.hashes[r], o.batch.buf)
+		if fresh {
+			g := o.newGroupLocked()
+			for i, c := range cols {
+				g.Key[i] = p.Col(c).Value(r)
+			}
+			o.entries = append(o.entries, g)
+			o.bytes += int64(len(o.batch.buf)) + int64(64*na) + 48
+		}
+		ids[r] = int32(id)
+	}
+}
+
+// resolveRows is the legacy row-at-a-time map lookup, kept as the ablation
+// baseline (OpContext.DisableVecKernels). Caller holds o.mu.
+func (o *HashAggregationOperator) resolveRows(p *block.Page, ids []int32, cols []int) {
+	buf := o.batch.buf
+	for r := range ids {
+		buf = encodeRowKey(buf[:0], p, r, cols)
+		id, ok := o.legacy[string(buf)]
+		if !ok {
+			id = len(o.entries)
+			o.legacy[string(buf)] = id
+			key := make([]types.Value, len(cols))
+			for i, c := range cols {
+				key[i] = p.Col(c).Value(r)
+			}
+			o.entries = append(o.entries, &groupEntry{Key: key, States: make([]aggState, len(o.aggs))})
+			o.bytes += int64(len(buf)) + int64(64*len(o.aggs)) + 48
+		}
+		ids[r] = int32(id)
+	}
+	o.batch.buf = buf
+}
+
+// accumulateRows is the legacy per-row accumulate over resolved ids.
+func (o *HashAggregationOperator) accumulateRows(ids []int32, p *block.Page) error {
+	for r, id := range ids {
+		g := o.entries[id]
+		for i := range o.aggs {
+			if err := o.accumulate(&g.States[i], &o.aggs[i], p, r); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // resolveEncodedSingle resolves dictionary/RLE-encoded single-column group
@@ -295,8 +326,8 @@ func (o *HashAggregationOperator) addInputVecBytes(p *block.Page, n int) error {
 // one group, letting aggregates fold whole RLE runs in a single step.
 // resolved=false means the key column is flat and the caller should run the
 // batch path. Caller holds o.mu.
-func (o *HashAggregationOperator) resolveEncodedSingle(p *block.Page, ids []int32, n int) (runID int32, resolved bool) {
-	switch kc := loadCol(p.Col(o.groupCols[0])).(type) {
+func (o *HashAggregationOperator) resolveEncodedSingle(p *block.Page, ids []int32, col int) (runID int32, resolved bool) {
+	switch kc := loadCol(p.Col(col)).(type) {
 	case *block.RLEBlock:
 		id := o.groupIDForCell(kc.Val, 0)
 		for i := range ids {
@@ -308,7 +339,7 @@ func (o *HashAggregationOperator) resolveEncodedSingle(p *block.Page, ids []int3
 		for j := range memo {
 			memo[j] = -1 // unresolved: unreferenced ids never create groups
 		}
-		for r := 0; r < n; r++ {
+		for r := range ids {
 			j := kc.Indices[r]
 			if memo[j] < 0 {
 				memo[j] = o.groupIDForCell(kc.Dict, int(j))
@@ -416,38 +447,6 @@ func (o *HashAggregationOperator) accumulateRun(spec *AggSpec, si int, id int32,
 		return false
 	}
 	return true
-}
-
-// addInputRows is the legacy row-at-a-time map path, kept as the ablation
-// baseline (OpContext.DisableVecKernels). Caller holds o.mu.
-func (o *HashAggregationOperator) addInputRows(p *block.Page, n int) error {
-	var buf []byte
-	for r := 0; r < n; r++ {
-		buf = encodeRowKey(buf[:0], p, r, o.groupCols)
-		id, ok := o.legacy[string(buf)]
-		fresh := false
-		if !ok {
-			id = len(o.entries)
-			o.legacy[string(buf)] = id
-			fresh = true
-			o.bytes += int64(len(buf))
-		}
-		if fresh {
-			key := make([]types.Value, len(o.groupCols))
-			for i, c := range o.groupCols {
-				key[i] = p.Col(c).Value(r)
-			}
-			o.entries = append(o.entries, &groupEntry{Key: key, States: make([]aggState, len(o.aggs))})
-			o.bytes += int64(64*len(o.aggs)) + 48
-		}
-		g := o.entries[id]
-		for i := range o.aggs {
-			if err := o.accumulate(&g.States[i], &o.aggs[i], p, r); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // accumulateVec runs one aggregate as a columnar loop over the row→group id
@@ -695,48 +694,71 @@ func (o *HashAggregationOperator) prepareOutput() error {
 		return nil
 	}
 	o.prepared = true
-	// Global aggregation with no groups: one row even for empty input.
-	if len(o.groupCols) == 0 && len(o.entries) == 0 && len(o.spillFiles) == 0 {
-		o.entries = append(o.entries, &groupEntry{Key: nil, States: make([]aggState, len(o.aggs))})
-	}
 	outTypes := make([]types.Type, 0, len(o.groupTs)+len(o.aggs))
 	outTypes = append(outTypes, o.groupTs...)
 	for _, a := range o.aggs {
 		outTypes = append(outTypes, a.Out)
 	}
-	if len(o.spillFiles) == 0 {
-		o.emitGroups(o.entries, outTypes)
-		o.entries = nil
-		return nil
-	}
-	// Spilled: flush the in-memory tail too, then merge one hash partition
-	// at a time so peak memory stays ~1/spillPartitions of the table.
+	// The last look at state a revoker may still be writing: once finished is
+	// set Revoke is a no-op, so whoever holds o.mu here sees either all of a
+	// revocation or none of it, and from here on the table, entries and
+	// spillFiles are this goroutine's alone until Close.
 	o.mu.Lock()
-	if len(o.entries) > 0 {
-		if _, err := o.revokeLocked(); err != nil {
+	if len(o.spillFiles) > 0 && len(o.entries) > 0 {
+		// Spilled: the in-memory tail joins the files, so the drain below has
+		// one source.
+		if _, err := o.spillLocked(); err != nil {
 			o.mu.Unlock()
 			return err
 		}
 	}
+	files := o.spillFiles
 	o.mu.Unlock()
+	if len(files) == 0 {
+		// Global aggregation with no groups: one row even for empty input.
+		if len(o.groupCols) == 0 && len(o.entries) == 0 {
+			o.entries = append(o.entries, &groupEntry{Key: nil, States: make([]aggState, len(o.aggs))})
+		}
+		o.emitGroups(o.entries, outTypes)
+		o.entries = nil
+		return nil
+	}
+	return o.drainSpilled(files, outTypes)
+}
+
+// drainSpilled merges the spill files back one hash partition at a time, so
+// peak memory stays ~1/spillPartitions of the table: each partition's pages
+// go back through the lookup AddInput uses into a table reset per partition,
+// their state columns merge by group id, and the partition's groups are
+// emitted before the next one is read. A partition pass reads only that
+// partition's extents of each file, so every record is read once.
+func (o *HashAggregationOperator) drainSpilled(files []string, outTypes []types.Type) error {
 	for part := 0; part < spillPartitions; part++ {
-		merged := make(map[string]*groupEntry)
-		for _, name := range o.spillFiles {
-			if err := o.mergePartition(name, part, merged); err != nil {
+		o.resetTableLocked()
+		pages := spillPartIter{files: files, part: part}
+		for {
+			p, err := pages.next()
+			if err == nil && p != nil {
+				err = o.mergeSpilledPage(p)
+			}
+			if err != nil {
+				pages.close()
 				return err
 			}
+			if p == nil {
+				break
+			}
 		}
-		groups := make([]*groupEntry, 0, len(merged))
-		for _, g := range merged {
-			groups = append(groups, g)
-		}
-		o.emitGroups(groups, outTypes)
+		o.emitGroups(o.entries, outTypes)
 	}
-	for _, name := range o.spillFiles {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, name := range files {
 		spill.Remove(name)
 	}
 	o.spillFiles = nil
-	o.entries = nil
+	o.resetTableLocked()
+	o.bytes = 0
 	return nil
 }
 
@@ -829,55 +851,6 @@ func buildGroupCol(t types.Type, groups []*groupEntry, get func(*groupEntry) typ
 	}
 }
 
-// mergePartition folds one spill file's pages of one partition into the
-// merged map. Records tagged with other partitions are skipped without
-// buffering or decoding their page frames.
-func (o *HashAggregationOperator) mergePartition(name string, part int, merged map[string]*groupEntry) error {
-	r, err := spill.OpenReader(name)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	nk, na := len(o.groupCols), len(o.aggs)
-	var kb []byte
-	for {
-		p, err := r.NextPage(part)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("spill file %s: %w", name, err)
-		}
-		if p.ColCount() != nk+5*na {
-			return fmt.Errorf("spill file %s: page has %d columns, want %d", name, p.ColCount(), nk+5*na)
-		}
-		for row := 0; row < p.RowCount(); row++ {
-			vals := p.Row(row)
-			key := vals[:nk:nk]
-			states := make([]aggState, na)
-			for i := range states {
-				base := nk + 5*i
-				states[i] = aggState{
-					Count:  vals[base].I,
-					SumI:   vals[base+1].I,
-					SumF:   vals[base+2].F,
-					HasVal: vals[base+3].B,
-					MinMax: vals[base+4],
-				}
-			}
-			kb = encodeValueKey(kb[:0], key)
-			g, ok := merged[string(kb)]
-			if !ok {
-				merged[string(kb)] = &groupEntry{Key: key, States: states}
-				continue
-			}
-			for i := range g.States {
-				mergeState(&g.States[i], &states[i], &o.aggs[i])
-			}
-		}
-	}
-}
-
 func (o *HashAggregationOperator) Output() (*block.Page, error) {
 	if !o.finished {
 		return nil, nil
@@ -899,6 +872,8 @@ func (o *HashAggregationOperator) IsFinished() bool {
 }
 func (o *HashAggregationOperator) IsBlocked() bool { return false }
 func (o *HashAggregationOperator) Close() error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	for _, f := range o.spillFiles {
 		spill.Remove(f)
 	}
@@ -916,21 +891,22 @@ func (o *HashAggregationOperator) Close() error {
 // table (§IV-F2).
 const spillPartitions = 16
 
-// spillSchema is the columnar on-disk form of a spilled aggregation table:
-// the group-key columns followed by five state columns per aggregate
-// (Count, SumI, SumF, HasVal, MinMax). Pages go through the binary page
-// codec (internal/block), partition-tagged per spill record.
-func (o *HashAggregationOperator) spillSchema() []types.Type {
-	ts := make([]types.Type, 0, len(o.groupTs)+5*len(o.aggs))
-	ts = append(ts, o.groupTs...)
-	for _, a := range o.aggs {
-		mm := a.Out
-		if mm == types.Unknown {
-			mm = types.Bigint
-		}
-		ts = append(ts, types.Bigint, types.Bigint, types.Double, types.Boolean, mm)
+// spillPartition is the partition of a group whose key hashes to h: the top
+// bits, because a key table places entries by the low ones and a partition's
+// keys are about to share a table.
+func spillPartition(h uint64) uint8 { return uint8(h >> 60) }
+
+// spillStateCols is how many columns an aggregate's state takes in a spilled
+// page. A function spills only the state it keeps: Count for the counts;
+// Count, SumI, SumF, HasVal for sum and avg; HasVal, MinMax for min and max.
+func spillStateCols(f plan.AggFunc) int {
+	switch f {
+	case plan.AggSum, plan.AggAvg:
+		return 4
+	case plan.AggMin, plan.AggMax:
+		return 2
 	}
-	return ts
+	return 1
 }
 
 // RevocableBytes implements memory.Revocable.
@@ -954,74 +930,64 @@ func (o *HashAggregationOperator) ExecutionNanos() int64 {
 	return 0
 }
 
-// Revoke spills the hash table to a temp file and clears it.
+// Revoke spills the hash table to a temp file and clears it. Once the
+// operator is finished its state is draining or gone and there is nothing to
+// revoke: the pool picks its candidates, drops its lock and only then calls
+// Revoke on each, so the call can arrive after Finish.
 func (o *HashAggregationOperator) Revoke() (int64, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.revokeLocked()
+	if !o.spillable || o.finished {
+		return 0, nil
+	}
+	return o.spillLocked()
 }
 
-func (o *HashAggregationOperator) revokeLocked() (int64, error) {
+// spillLocked writes every live group to one new spill file, bucketed by
+// partition, and resets the table. The pages are built column by column
+// straight from the group entries. Caller holds o.mu.
+func (o *HashAggregationOperator) spillLocked() (int64, error) {
 	if len(o.entries) == 0 {
 		return 0, nil
 	}
+	// Counting sort of the groups by partition. The partition comes from the
+	// hash the lookup index already keyed the group on, so a key lands in the
+	// same partition of every file this operator writes.
+	parts := make([]uint8, len(o.entries))
+	if o.vec {
+		for id, h := range o.table.hashes {
+			parts[id] = spillPartition(h)
+		}
+	} else {
+		for k, id := range o.legacy {
+			parts[id] = spillPartition(hashRowKey(k))
+		}
+	}
+	var ends [spillPartitions + 1]int
+	for _, part := range parts {
+		ends[part+1]++
+	}
+	for part := 0; part < spillPartitions; part++ {
+		ends[part+1] += ends[part]
+	}
+	next := ends
+	groups := make([]*groupEntry, len(o.entries))
+	for id, g := range o.entries {
+		groups[next[parts[id]]] = g
+		next[parts[id]]++
+	}
+
 	w, err := spill.NewWriter(o.spillDir, "agg")
 	if err != nil {
 		return 0, err
 	}
-	schema := o.spillSchema()
-	builders := make([]*block.PageBuilder, spillPartitions)
-	flush := func(part int) error {
-		pb := builders[part]
-		if pb == nil {
-			return nil
-		}
-		builders[part] = nil
-		return w.WritePage(part, pb.Build())
-	}
-	var kb []byte
-	var row []types.Value
-	for _, g := range o.entries {
-		// The partition is derived from the canonical encoding of the boxed
-		// group key — the same bytes the legacy map used — so spill files
-		// written by the vectorized and legacy paths merge interchangeably.
-		kb = encodeValueKey(kb[:0], g.Key)
-		part := int(hashRowKey(kb) % spillPartitions)
-		row = row[:0]
-		row = append(row, g.Key...)
-		for i := range g.States {
-			st := &g.States[i]
-			mm := schema[len(o.groupTs)+5*i+4]
-			mv := types.NullValue(mm)
-			if st.HasVal && !st.MinMax.Null && st.MinMax.T != types.Unknown {
-				mv = st.MinMax
-				if cv, cerr := mv.Coerce(mm); cerr == nil {
-					mv = cv
-				}
-			}
-			row = append(row,
-				types.BigintValue(st.Count),
-				types.BigintValue(st.SumI),
-				types.DoubleValue(st.SumF),
-				types.BooleanValue(st.HasVal),
-				mv,
-			)
-		}
-		if builders[part] == nil {
-			builders[part] = block.NewPageBuilder(schema)
-		}
-		builders[part].AppendRow(row)
-		if builders[part].RowCount() >= o.pageSize {
-			if err := flush(part); err != nil {
+	for part := 0; part < spillPartitions; part++ {
+		for from := ends[part]; from < ends[part+1]; from += o.pageSize {
+			to := min(from+o.pageSize, ends[part+1])
+			if err := w.WritePage(part, o.spillPage(groups[from:to])); err != nil {
 				w.Abort()
 				return 0, err
 			}
-		}
-	}
-	for part := range builders {
-		if err := flush(part); err != nil {
-			w.Abort()
-			return 0, err
 		}
 	}
 	if err := w.Finish(); err != nil {
@@ -1036,6 +1002,121 @@ func (o *HashAggregationOperator) revokeLocked() (int64, error) {
 		return 0, err
 	}
 	return freed, nil
+}
+
+// spillPage is the columnar on-disk form of a run of groups: the group-key
+// columns, then each aggregate's state columns (spillStateCols).
+func (o *HashAggregationOperator) spillPage(groups []*groupEntry) *block.Page {
+	n := len(groups)
+	cols := make([]block.Block, 0, len(o.groupTs)+4*len(o.aggs))
+	for k, t := range o.groupTs {
+		k := k
+		cols = append(cols, buildGroupCol(t, groups, func(g *groupEntry) types.Value { return g.Key[k] }))
+	}
+	for i := range o.aggs {
+		a := &o.aggs[i]
+		switch a.Func {
+		case plan.AggSum, plan.AggAvg:
+			counts, sumI, sumF, has := make([]int64, n), make([]int64, n), make([]float64, n), make([]bool, n)
+			for j, g := range groups {
+				st := &g.States[i]
+				counts[j], sumI[j], sumF[j], has[j] = st.Count, st.SumI, st.SumF, st.HasVal
+			}
+			cols = append(cols,
+				&block.LongBlock{T: types.Bigint, Vals: counts},
+				&block.LongBlock{T: types.Bigint, Vals: sumI},
+				&block.DoubleBlock{Vals: sumF},
+				&block.BoolBlock{Vals: has})
+		case plan.AggMin, plan.AggMax:
+			has := make([]bool, n)
+			for j, g := range groups {
+				has[j] = g.States[i].HasVal
+			}
+			// Spilled in the aggregate's output type, which result coerces
+			// to anyway.
+			mm := a.Out
+			if mm == types.Unknown {
+				mm = types.Bigint
+			}
+			cols = append(cols, &block.BoolBlock{Vals: has}, buildGroupCol(mm, groups, func(g *groupEntry) types.Value {
+				st := &g.States[i]
+				if !st.HasVal {
+					return types.NullValue(mm)
+				}
+				if st.MinMax.T != mm {
+					if v, err := st.MinMax.Coerce(mm); err == nil {
+						return v
+					}
+				}
+				return st.MinMax
+			}))
+		default:
+			counts := make([]int64, n)
+			for j, g := range groups {
+				counts[j] = g.States[i].Count
+			}
+			cols = append(cols, &block.LongBlock{T: types.Bigint, Vals: counts})
+		}
+	}
+	return block.NewPage(cols...)
+}
+
+// mergeSpilledPage folds one spilled page into the table: its key columns
+// resolve to group ids through the lookup AddInput uses, then each
+// aggregate's state columns accumulate into the groups by id — mergeState,
+// a column at a time. Caller owns the table (the operator is finished).
+func (o *HashAggregationOperator) mergeSpilledPage(p *block.Page) error {
+	want := len(o.groupTs)
+	for i := range o.aggs {
+		want += spillStateCols(o.aggs[i].Func)
+	}
+	if p.ColCount() != want {
+		return fmt.Errorf("spilled page has %d columns, want %d", p.ColCount(), want)
+	}
+	ids, _ := o.resolveGroups(p, o.spillKeys)
+	entries := o.entries
+	c := len(o.groupTs)
+	for i := range o.aggs {
+		a := &o.aggs[i]
+		switch a.Func {
+		case plan.AggSum, plan.AggAvg:
+			counts, ok0 := p.Col(c).(*block.LongBlock)
+			sumI, ok1 := p.Col(c + 1).(*block.LongBlock)
+			sumF, ok2 := p.Col(c + 2).(*block.DoubleBlock)
+			has, ok3 := p.Col(c + 3).(*block.BoolBlock)
+			if !(ok0 && ok1 && ok2 && ok3) {
+				return fmt.Errorf("spilled state columns %d..%d are %T, %T, %T, %T", c, c+3, p.Col(c), p.Col(c+1), p.Col(c+2), p.Col(c+3))
+			}
+			for r, id := range ids {
+				st := &entries[id].States[i]
+				st.Count += counts.Vals[r]
+				st.SumI += sumI.Vals[r]
+				st.SumF += sumF.Vals[r]
+				st.HasVal = st.HasVal || has.Vals[r]
+			}
+		case plan.AggMin, plan.AggMax:
+			has, ok := p.Col(c).(*block.BoolBlock)
+			if !ok {
+				return fmt.Errorf("spilled state column %d is %T", c, p.Col(c))
+			}
+			vals := p.Col(c + 1)
+			for r, id := range ids {
+				if has.Vals[r] {
+					mergeState(&entries[id].States[i], &aggState{HasVal: true, MinMax: vals.Value(r)}, a)
+				}
+			}
+		default:
+			counts, ok := p.Col(c).(*block.LongBlock)
+			if !ok {
+				return fmt.Errorf("spilled state column %d is %T", c, p.Col(c))
+			}
+			for r, id := range ids {
+				entries[id].States[i].Count += counts.Vals[r]
+			}
+		}
+		c += spillStateCols(a.Func)
+	}
+	return nil
 }
 
 // SpillCount reports how many times the operator spilled (for benches).

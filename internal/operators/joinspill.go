@@ -2,6 +2,7 @@ package operators
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -318,8 +319,8 @@ func writeJoinPartitioned(w *spill.Writer, p *block.Page, keys []int) error {
 }
 
 // spillPartIter streams the pages of one partition across a set of spill
-// files, skipping other partitions' records without buffering or decoding
-// them.
+// files, one file open at a time, reading only that partition's extents of
+// each. Join and aggregation drains both run on it.
 type spillPartIter struct {
 	files []string
 	part  int
@@ -335,7 +336,7 @@ func (it *spillPartIter) next() (*block.Page, error) {
 			}
 			r, err := spill.OpenReader(it.files[it.idx])
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("spill file %s: %w", it.files[it.idx], err)
 			}
 			it.r = r
 		}
@@ -346,7 +347,10 @@ func (it *spillPartIter) next() (*block.Page, error) {
 			it.idx++
 			continue
 		}
-		return p, err
+		if err != nil {
+			return nil, fmt.Errorf("spill file %s: %w", it.files[it.idx], err)
+		}
+		return p, nil
 	}
 }
 

@@ -52,43 +52,6 @@ func appendCellKey(buf []byte, col block.Block, r int) []byte {
 	return buf
 }
 
-// appendValueKey appends the canonical encoding of one boxed value — the same
-// bytes appendCellKey produces for the cell the value was read from.
-func appendValueKey(buf []byte, v types.Value) []byte {
-	if v.Null {
-		return append(buf, 0)
-	}
-	switch v.T {
-	case types.Bigint, types.Date:
-		buf = append(buf, 1)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I))
-	case types.Double:
-		buf = append(buf, 2)
-		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e15 {
-			buf[len(buf)-1] = 1
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(v.F)))
-		} else {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
-		}
-	case types.Varchar:
-		buf = append(buf, 3)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.S)))
-		buf = append(buf, v.S...)
-	case types.Boolean:
-		if v.B {
-			buf = append(buf, 4, 1)
-		} else {
-			buf = append(buf, 4, 0)
-		}
-	default:
-		buf = append(buf, 5)
-		s := v.String()
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-		buf = append(buf, s...)
-	}
-	return buf
-}
-
 // encodeRowKey appends a canonical binary encoding of the given columns of
 // row r to buf. It is the hashing primitive for aggregations, joins,
 // distinct, and hash partitioning: equal rows encode identically.
@@ -100,10 +63,10 @@ func encodeRowKey(buf []byte, p *block.Page, r int, cols []int) []byte {
 }
 
 // hashRowKey hashes the encoded key with FNV-1a, used for partitioning.
-func hashRowKey(key []byte) uint64 {
+func hashRowKey[K []byte | string](key K) uint64 {
 	var h uint64 = 14695981039346656037
-	for _, b := range key {
-		h ^= uint64(b)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
 		h *= 1099511628211
 	}
 	return h

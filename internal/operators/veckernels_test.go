@@ -89,7 +89,7 @@ func TestNormValueCanonicalEquivalence(t *testing.T) {
 		types.DoubleValue(2.5), types.NullValue(types.Double), types.BooleanValue(true),
 	} {
 		tag, _ := normValue(v)
-		want := appendValueKey(nil, v)[0]
+		want := appendCellKey(nil, block.BuildBlock(v.T, []types.Value{v}), 0)[0]
 		if tag != want {
 			t.Errorf("%v: cell tag %d != canonical tag %d", v, tag, want)
 		}

@@ -1,11 +1,13 @@
 package spill
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -161,19 +163,27 @@ func TestSpillRejectsCorruption(t *testing.T) {
 			t.Fatal("corrupted frame accepted")
 		}
 	})
+	// A record header that lies, under an index that covers it honestly.
+	footed := func(record ...byte) []byte {
+		bad := append(append([]byte(nil), magic[:]...), record...)
+		only := extent{partition: 0, offset: int64(len(magic)), length: int64(len(record))}
+		return appendIndex(bad, []extent{only}, int64(len(bad)))
+	}
 	t.Run("huge partition tag", func(t *testing.T) {
-		bad := append([]byte(nil), data[:4]...)
 		// uvarint(1<<20) exceeds MaxPartitions.
-		bad = append(bad, 0x80, 0x80, 0x40)
-		if _, err := DecodeAll(bad); !errors.Is(err, ErrCorruptFile) {
+		if _, err := DecodeAll(footed(0x80, 0x80, 0x40, 0x01, 0x00)); !errors.Is(err, ErrCorruptFile) {
 			t.Fatalf("got %v, want ErrCorruptFile", err)
 		}
 	})
 	t.Run("huge frame length", func(t *testing.T) {
-		bad := append([]byte(nil), data[:4]...)
-		bad = append(bad, 0x00)                         // partition 0
-		bad = append(bad, 0xff, 0xff, 0xff, 0xff, 0x7f) // ~34 GiB frame
-		if _, err := DecodeAll(bad); !errors.Is(err, ErrCorruptFile) {
+		// Partition 0, then a ~34 GiB frame.
+		if _, err := DecodeAll(footed(0x00, 0xff, 0xff, 0xff, 0xff, 0x7f)); !errors.Is(err, ErrCorruptFile) {
+			t.Fatalf("got %v, want ErrCorruptFile", err)
+		}
+	})
+	t.Run("frame longer than its extent", func(t *testing.T) {
+		// Under both caps, but the span holds two more bytes, not 100.
+		if _, err := DecodeAll(footed(0x00, 100, 0x00, 0x00)); !errors.Is(err, ErrCorruptFile) {
 			t.Fatalf("got %v, want ErrCorruptFile", err)
 		}
 	})
@@ -203,89 +213,257 @@ func samePage(t *testing.T, got, want *block.Page) {
 	}
 }
 
-// TestSpillNextPageFiltersByPartition: a partition drain sees exactly its own
-// pages in order, out of a frame buffer it reuses, and the records it skips
-// still count as read — they come off the file all the same, so the drain's
-// read amplification is what it was.
-func TestSpillNextPageFiltersByPartition(t *testing.T) {
-	const parts = 16
+// writeFile writes pages under the given partition tags, in order, and
+// returns the finished file's path and the pages by partition.
+func writeFile(t *testing.T, parts []int) (string, map[int][]*block.Page) {
+	t.Helper()
 	w, err := NewWriter(t.TempDir(), "test")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[int][]*block.Page{}
-	for i := 0; i < 3*parts+5; i++ {
+	for i, part := range parts {
 		p := testPage(t, int64(i*100))
-		if err := w.WritePage(i%parts, p); err != nil {
+		if err := w.WritePage(part, p); err != nil {
 			t.Fatal(err)
 		}
-		want[i%parts] = append(want[i%parts], p)
+		want[part] = append(want[part], p)
 	}
 	if err := w.Finish(); err != nil {
 		t.Fatal(err)
 	}
+	return w.Path(), want
+}
 
-	r, err := OpenReader(w.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
+// drainPartition reads partition part to io.EOF and returns its pages and the
+// bytes the reads counted.
+func drainPartition(t *testing.T, r *Reader, part int) ([]*block.Page, int64) {
+	t.Helper()
 	before := CurrentStats().BytesRead
+	var got []*block.Page
 	for {
-		_, frame, err := r.Next()
+		p, err := r.NextPage(part)
 		if err == io.EOF {
-			break
+			return got, CurrentStats().BytesRead - before
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if frame[4] != 0 {
-			t.Fatalf("spill frame has flags %#x, want a raw frame", frame[4])
-		}
-	}
-	r.Close()
-	fullPass := CurrentStats().BytesRead - before
-	if fullPass == 0 {
-		t.Fatal("a full pass read no bytes")
-	}
-
-	for part := 0; part < parts; part++ {
-		r, err := OpenReader(w.Path())
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := CurrentStats().BytesRead
-		var got []*block.Page
-		for {
-			p, err := r.NextPage(part)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, p)
-		}
-		if read := CurrentStats().BytesRead - before; read != fullPass {
-			t.Errorf("partition %d drain counted %d bytes read, a full pass counts %d", part, read, fullPass)
-		}
-		if len(got) != len(want[part]) {
-			t.Fatalf("partition %d: got %d pages, want %d", part, len(got), len(want[part]))
-		}
-		// Compared only now: a page must not alias the reused frame buffer.
-		for i := range got {
-			samePage(t, got[i], want[part][i])
-		}
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.NextPage(part); !errors.Is(err, os.ErrClosed) {
-			t.Errorf("NextPage on a closed reader: %v, want os.ErrClosed", err)
-		}
+		got = append(got, p)
 	}
 }
 
-// TestSpillReaderAcceptsCompressedFrames: files written before frames went
-// raw still drain.
+// TestSpillIndexReadsEachPartitionOnce: whatever order partitions were
+// written in — bucket by bucket (the aggregation's revoke), interleaved (the
+// join's page-at-a-time split), with partitions that hold nothing — a
+// partition drain sees exactly its own pages in write order and takes only
+// their bytes off the file, one open reader can drain every partition in
+// turn, and Next still yields every record in write order and then io.EOF
+// where the index starts.
+func TestSpillIndexReadsEachPartitionOnce(t *testing.T) {
+	const parts = 16
+	interleaved := make([]int, 0, 3*parts+5)
+	for i := 0; i < 3*parts+5; i++ {
+		interleaved = append(interleaved, i%parts)
+	}
+	for name, tc := range map[string]struct {
+		tags    []int
+		extents int
+	}{
+		"bucketed":    {[]int{0, 0, 0, 3, 3, 15, 15, 15, 15}, 3},
+		"interleaved": {interleaved, len(interleaved)},
+		"mixed runs":  {[]int{2, 2, 7, 2, 2, 2, 7, 7, 9}, 5},
+		"one record":  {[]int{11}, 1},
+		"no records":  {nil, 0},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path, want := writeFile(t, tc.tags)
+
+			r, err := OpenReader(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(r.extents) != tc.extents {
+				t.Errorf("index has %d extents, want %d: %+v", len(r.extents), tc.extents, r.extents)
+			}
+			before := CurrentStats().BytesRead
+			seen := map[int]int{}
+			for i := 0; ; i++ {
+				part, frame, err := r.Next()
+				if err == io.EOF {
+					if i != len(tc.tags) {
+						t.Fatalf("Next hit io.EOF after %d of %d records", i, len(tc.tags))
+					}
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if part != tc.tags[i] {
+					t.Fatalf("record %d: partition %d, written as %d", i, part, tc.tags[i])
+				}
+				if frame[4] != 0 {
+					t.Fatalf("spill frame has flags %#x, want a raw frame", frame[4])
+				}
+				p, _, err := block.DecodePage(frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				samePage(t, p, want[part][seen[part]])
+				seen[part]++
+			}
+			if _, _, err := r.Next(); err != io.EOF {
+				t.Errorf("Next after io.EOF: %v, want io.EOF again", err)
+			}
+			fullPass := CurrentStats().BytesRead - before
+			r.Close()
+
+			r, err = OpenReader(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var drained int64
+			for part := 0; part < parts; part++ {
+				got, read := drainPartition(t, r, part)
+				drained += read
+				if len(got) != len(want[part]) {
+					t.Fatalf("partition %d: got %d pages, want %d", part, len(got), len(want[part]))
+				}
+				if len(got) == 0 && read != 0 {
+					t.Errorf("empty partition %d read %d bytes", part, read)
+				}
+				// Compared only now: a page must not alias the reused frame buffer.
+				for i := range got {
+					samePage(t, got[i], want[part][i])
+				}
+			}
+			if drained != fullPass {
+				t.Errorf("draining all %d partitions read %d bytes, one full pass reads %d", parts, drained, fullPass)
+			}
+			// A partition asked for again starts over.
+			if got, _ := drainPartition(t, r, 2); len(got) != len(want[2]) {
+				t.Errorf("second drain of partition 2: %d pages, want %d", len(got), len(want[2]))
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.NextPage(0); !errors.Is(err, os.ErrClosed) {
+				t.Errorf("NextPage on a closed reader: %v, want os.ErrClosed", err)
+			}
+			if _, _, err := r.Next(); !errors.Is(err, os.ErrClosed) {
+				t.Errorf("Next on a closed reader: %v, want os.ErrClosed", err)
+			}
+		})
+	}
+}
+
+// TestSpillRejectsLyingFooter: a trailer or index that is cut short or that
+// lies — about where the index is, where an extent is, which partition it
+// holds or how many there are — is ErrCorruptFile, and nothing is allocated
+// on the word of the lie.
+func TestSpillRejectsLyingFooter(t *testing.T) {
+	path, _ := writeFile(t, []int{1, 1, 4, 1})
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := newReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := append([]extent(nil), probe.extents...)
+	probe.Close()
+	if len(good) != 3 {
+		t.Fatalf("want 3 extents, got %+v", good)
+	}
+	end := good[2].offset + good[2].length // where the index starts
+	records := data[:end]
+	refoot := func(extents []extent, indexOff int64) []byte {
+		return appendIndex(append([]byte(nil), records...), extents, indexOff)
+	}
+	edit := func(f func(e []extent)) []byte {
+		e := append([]extent(nil), good...)
+		f(e)
+		return refoot(e, end)
+	}
+	if _, err := DecodeAll(refoot(good, end)); err != nil {
+		t.Fatalf("rebuilt honest footer rejected: %v", err)
+	}
+	hugeCount := append([]byte(nil), records...)
+	hugeCount = binary.AppendUvarint(hugeCount, 1<<40)
+	hugeCount = binary.LittleEndian.AppendUint64(hugeCount, uint64(end))
+	hugeCount = append(hugeCount, tailMagic[:]...)
+
+	for name, bad := range map[string][]byte{
+		"trailer cut":            data[:len(data)-1],
+		"index cut":              append(append([]byte(nil), data[:len(data)-trailerLen-2]...), data[len(data)-trailerLen:]...),
+		"no trailer":             records,
+		"index offset past EOF":  refoot(good, int64(len(data))+100),
+		"index offset huge":      refoot(good, 1<<62),
+		"index offset in magic":  refoot(good, 2),
+		"index offset early":     refoot(good, end-1),
+		"extent past EOF":        edit(func(e []extent) { e[2].length = 1 << 40 }),
+		"extent offset past EOF": edit(func(e []extent) { e[2].offset = 1 << 40 }),
+		"overlapping extents":    edit(func(e []extent) { e[1].offset -= 3; e[1].length += 3 }),
+		"gap between extents":    edit(func(e []extent) { e[1].offset++; e[1].length-- }),
+		"zero-length extent":     edit(func(e []extent) { e[1].length = 0 }),
+		"records not covered":    refoot(good[:2], end),
+		"partition too large":    edit(func(e []extent) { e[0].partition = MaxPartitions }),
+		"extent count huge":      hugeCount,
+	} {
+		t.Run(name, func(t *testing.T) {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			_, err := DecodeAll(bad)
+			runtime.ReadMemStats(&m1)
+			if !errors.Is(err, ErrCorruptFile) {
+				t.Fatalf("got %v, want ErrCorruptFile", err)
+			}
+			if got := m1.TotalAlloc - m0.TotalAlloc; got > 64<<10 {
+				t.Errorf("rejecting a %d-byte file allocated %d bytes", len(bad), got)
+			}
+		})
+	}
+
+	// Lies the index validation cannot see surface when the extent is read.
+	for name, bad := range map[string][]byte{
+		"extent holds another partition": edit(func(e []extent) { e[1].partition = 9 }),
+		"extent boundary inside a record": edit(func(e []extent) {
+			e[0].length -= 5
+			e[1].offset -= 5
+			e[1].length += 5
+		}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			r, err := newReader(bytes.NewReader(bad), int64(len(bad)))
+			if err != nil {
+				if !errors.Is(err, ErrCorruptFile) {
+					t.Fatalf("open: %v", err)
+				}
+				return
+			}
+			defer r.Close()
+			for _, e := range r.extents {
+				for {
+					_, err := r.NextPage(e.partition)
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						if !errors.Is(err, ErrCorruptFile) && !errors.Is(err, block.ErrCorruptPage) {
+							t.Fatalf("partition %d: %v, want a corruption error", e.partition, err)
+						}
+						return
+					}
+				}
+			}
+			t.Fatal("every extent drained cleanly")
+		})
+	}
+}
+
+// TestSpillReaderAcceptsCompressedFrames: the writer stores raw frames, but a
+// record is whatever frame the page codec reads.
 func TestSpillReaderAcceptsCompressedFrames(t *testing.T) {
 	pb := block.NewPageBuilder([]types.Type{types.Varchar})
 	for i := 0; i < 500; i++ {
@@ -303,7 +481,9 @@ func TestSpillReaderAcceptsCompressedFrames(t *testing.T) {
 	data = binary.AppendUvarint(data, 3)
 	data = binary.AppendUvarint(data, uint64(len(frame)))
 	data = append(data, frame...)
-	path := filepath.Join(t.TempDir(), "old.bin")
+	only := extent{partition: 3, offset: int64(len(magic)), length: int64(len(data) - len(magic))}
+	data = appendIndex(data, []extent{only}, int64(len(data)))
+	path := filepath.Join(t.TempDir(), "flate.bin")
 	if err := os.WriteFile(path, data, 0o600); err != nil {
 		t.Fatal(err)
 	}

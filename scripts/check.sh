@@ -9,8 +9,8 @@
 #   scripts/check.sh -chaos   # additionally sweep the chaos suite over more
 #                             # seeds (CHAOS_FULL), verbose
 #   scripts/check.sh -fuzz    # additionally run 10s fuzz smokes over the
-#                             # page codec, SQL parser, spill files, and
-#                             # exchange segments
+#                             # page codec, SQL parser, spill files and
+#                             # their index, and exchange segments
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,6 +46,10 @@ echo "==> page codec allocation ceilings + bench smoke (no -race: the ceilings s
 go test -count=1 -run 'TestCodecAllocationCeilings' ./internal/block/
 go test -run '^$' -bench 'CodecEncodeRaw|CodecEncodeFlate|CodecDecodeRaw|CodecDecodeFlate' -benchtime 1x -benchmem ./internal/block/ > /dev/null
 
+echo "==> aggregation spill allocation ceiling + bench smoke (no -race, same reason)"
+go test -count=1 -run 'TestAggSpillAllocationCeiling' ./internal/operators/
+go test -run '^$' -bench 'AggSpillRevokeDrain' -benchtime 1x -benchmem ./internal/operators/ > /dev/null
+
 if [ "$chaos_full" = 1 ]; then
   echo "==> chaos full sweep"
   CHAOS_SEED=7 CHAOS_FULL=1 go test -race -count=1 -v -run 'TestChaos' .
@@ -60,6 +64,8 @@ if [ "$fuzz" = 1 ]; then
   go test -fuzz '^FuzzParser$' -fuzztime 10s ./internal/sqlparser/
   echo "==> fuzz smoke: spill file decode (10s)"
   go test -fuzz '^FuzzSpillFileDecode$' -fuzztime 10s ./internal/spill/
+  echo "==> fuzz smoke: spill file index (10s)"
+  go test -fuzz '^FuzzSpillIndex$' -fuzztime 10s ./internal/spill/
   echo "==> fuzz smoke: exchange segment decode (10s)"
   go test -fuzz '^FuzzExchangeSegmentDecode$' -fuzztime 10s ./internal/shuffle/
 fi
