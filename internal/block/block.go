@@ -10,6 +10,7 @@ package block
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/types"
 )
@@ -107,6 +108,13 @@ func (b *DoubleBlock) SizeBytes() int64 { return int64(8*len(b.Vals) + len(b.Nul
 type VarcharBlock struct {
 	Vals  []string
 	Nulls []bool
+	// size caches SizeBytes, which costs a walk over every string: stats and
+	// cache accounting ask for a page's size several times per operator it
+	// passes, and a block is immutable, so the walk is done once. Zero means
+	// not computed (a block of zero bytes has nothing to walk). Blocks are
+	// shared between drivers, hence the atomic; racing first calls store the
+	// same number.
+	size atomic.Int64
 }
 
 // NewVarcharBlock builds a VARCHAR block; nulls may be nil.
@@ -130,10 +138,14 @@ func (b *VarcharBlock) Value(row int) types.Value {
 	return types.VarcharValue(b.Vals[row])
 }
 func (b *VarcharBlock) SizeBytes() int64 {
+	if n := b.size.Load(); n != 0 {
+		return n
+	}
 	n := int64(16*len(b.Vals) + len(b.Nulls))
 	for _, s := range b.Vals {
 		n += int64(len(s))
 	}
+	b.size.Store(n)
 	return n
 }
 
@@ -170,6 +182,7 @@ func (b *BoolBlock) SizeBytes() int64 { return int64(len(b.Vals) + len(b.Nulls))
 type ArrayBlock struct {
 	Vals  [][]types.Value
 	Nulls []bool
+	size  atomic.Int64 // cached SizeBytes, as in VarcharBlock
 }
 
 // NewArrayBlock builds an ARRAY block; nulls may be nil.
@@ -193,10 +206,14 @@ func (b *ArrayBlock) Value(row int) types.Value {
 	return types.ArrayValue(b.Vals[row])
 }
 func (b *ArrayBlock) SizeBytes() int64 {
+	if n := b.size.Load(); n != 0 {
+		return n
+	}
 	n := int64(24*len(b.Vals) + len(b.Nulls))
 	for _, a := range b.Vals {
 		n += int64(48 * len(a))
 	}
+	b.size.Store(n)
 	return n
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -499,6 +500,7 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 	var dp *plan.DistributedPlan
 	var tables [][2]string
 	var resultKey string
+	var keyVersions []int64 // the table versions resultKey was built from
 
 	resultCacheOn := servable && tier != nil && tier.Results != nil && !session.DisableResultCache
 	if pre != nil {
@@ -507,7 +509,8 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 			// Pre-admission result check: a repeat of a cached statement
 			// skips the queue as well as execution. The key embeds current
 			// table versions, so a write since the cached run misses here.
-			resultKey = serving.ResultKey(pre.ResultBase, tables, c.tableVersions(tables))
+			keyVersions = c.tableVersions(tables)
+			resultKey = serving.ResultKey(pre.ResultBase, tables, keyVersions)
 			if e, ok := tier.Results.Get(resultKey); ok {
 				cancel()
 				return c.servedResult(q, e, start), q, nil
@@ -575,7 +578,8 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 			tier.Plans.Put(planKey, entry)
 		}
 		if resultCacheOn && entry.ResultOK {
-			resultKey = serving.ResultKey(entry.ResultBase, tables, entry.Versions)
+			keyVersions = entry.Versions
+			resultKey = serving.ResultKey(entry.ResultBase, tables, keyVersions)
 			if e, ok := tier.Results.Get(resultKey); ok {
 				release()
 				cancel()
@@ -634,8 +638,11 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 	result.onClose = func(resErr error) {
 		// Commit only a fully drained stream: a client may Close a completed
 		// result with pages still undelivered, and those never reached the
-		// capture.
-		if capture != nil && resErr == nil && result.drained {
+		// capture. And only while the tables are still at the versions the key
+		// names: the key was built before the splits were enumerated, so a
+		// write landing in between is in the rows and not in the key.
+		if capture != nil && resErr == nil && result.drained &&
+			slices.Equal(c.tableVersions(tables), keyVersions) {
 			capture.Commit(result.Columns)
 		} else if capture != nil {
 			capture.Abandon()

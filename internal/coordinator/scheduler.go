@@ -402,7 +402,13 @@ func (c *Coordinator) enumerateSplits(q *Query, stage []taskClient, nodeTask map
 	if c.meta != nil && !q.session.DisableCache {
 		// Handle.String() leads with catalog.table, so write invalidation by
 		// table-name prefix clears every layout/constraint variant at once.
-		cacheKey = "splits/" + scan.Handle.String()
+		// The table's version, read before enumerating, is part of the key:
+		// a write's invalidation and a reader re-filling the cache are not
+		// ordered, so without it a reader that enumerated before the write
+		// could leave the old row ranges for one that runs after it.
+		// Unversioned connectors read 0 and stay TTL-bounded.
+		cacheKey = fmt.Sprintf("splits/%s@%d", scan.Handle.String(),
+			c.Catalog.TableVersion(scan.Handle.Catalog, scan.Handle.Table))
 		if v, ok := c.meta.Get(cacheKey); ok {
 			if err := assign(v.([]connector.Split)); err != nil {
 				return err

@@ -170,6 +170,15 @@ func (e *Executor) pick() *driverRunner {
 			lvl := e.levelOf(r.task)
 			e.levels[lvl] = append(e.levels[lvl], r)
 		} else {
+			if !r.parkedUntil.IsZero() && !now.Before(r.parkedUntil) {
+				// A starved runner whose driver has since become blocked has
+				// served its park; what holds it now is the blocking
+				// condition. Left in place, the expired deadline made run()
+				// compute a wait of no time at all and spin on this list with
+				// e.mu held, locking out the very Kick or Enqueue that would
+				// have unblocked the driver.
+				r.parkedUntil = time.Time{}
+			}
 			stillBlocked = append(stillBlocked, r)
 		}
 	}

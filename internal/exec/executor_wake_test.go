@@ -232,3 +232,70 @@ func TestWaitTimeoutKeepsItsWakeup(t *testing.T) {
 		t.Fatal("waitTimeout lost its wakeup and never returned")
 	}
 }
+
+// starvedThenBlocked is a source that is starved at first (not blocked,
+// nothing to give) and blocked from the moment block() is called, like an
+// exchange source whose client has not started fetching yet.
+type starvedThenBlocked struct {
+	gateSource
+	blocking atomic.Bool
+}
+
+func (s *starvedThenBlocked) IsBlocked() bool {
+	return s.blocking.Load() && s.gateSource.IsBlocked()
+}
+
+// TestExecutorStarvedThenBlockedYieldsLock: a runner parked as starved whose
+// driver turns blocked before the park deadline must not leave the scheduling
+// thread spinning on the blocked list with the executor lock held — Kick,
+// Enqueue and QueueLengths all need that lock, and the unblock arrives
+// through them. BlockedPoll is far above the asserted latency.
+func TestExecutorStarvedThenBlockedYieldsLock(t *testing.T) {
+	e := NewExecutor(ExecutorConfig{Threads: 1, Quanta: time.Millisecond,
+		StarvedPark: 30 * time.Millisecond, BlockedPoll: 5 * time.Second})
+	defer func() {
+		if !t.Failed() { // a spinning thread never lets Close in
+			e.Close()
+		}
+	}()
+
+	s := &starvedThenBlocked{}
+	d := NewDriver([]operators.Operator{s, &passthrough{}})
+	done := make(chan error, 1)
+	e.Enqueue(d, NewTaskHandle("q"), func(err error) { done <- err })
+
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		if _, parked := e.QueueLengths(); parked == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("driver never parked as starved")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.blocking.Store(true)
+	time.Sleep(60 * time.Millisecond) // the park deadline passes while blocked
+
+	// Still blocked: whatever unblocks it will need the lock first.
+	locked := make(chan struct{})
+	go func() {
+		e.QueueLengths()
+		close(locked)
+	}()
+	select {
+	case <-locked:
+	case <-time.After(time.Second):
+		t.Fatal("the executor lock is not available: the scheduling thread is spinning with it held")
+	}
+	s.Open()
+	e.Kick()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("driver did not finish after unblock")
+	}
+}

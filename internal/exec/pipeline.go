@@ -180,7 +180,34 @@ func (c *chain) seal() {
 			ctx.ctxs = append(ctx.ctxs, ctx.last)
 		}
 		ctx.stats = nil
+		lendOutputs(ops)
 		return ops, nil
+	}
+}
+
+// inputReleaser is implemented by operators that are done with an input page
+// and every array under it when AddInput returns (today the hash
+// aggregation; the method's comment there says why it holds).
+type inputReleaser interface {
+	ReleasesInput()
+}
+
+// lendOutputs is the one place a page processor is told its output pages are
+// borrowed (DESIGN.md, "Who owns a page"): exactly when the operator placed
+// after it is an inputReleaser. The driver hands a page from Output straight
+// to the next AddInput and asks the processor for another only after that, so
+// the processor's next page is the first moment the vectors are written
+// again. The operator chain is fixed by the plan shape, so this is a
+// compile-time rule, evaluated where the chain is built.
+func lendOutputs(ops []operators.Operator) {
+	for i := 0; i+1 < len(ops); i++ {
+		fp, ok := ops[i].(*operators.FilterProjectOperator)
+		if !ok {
+			continue
+		}
+		if _, ok := ops[i+1].(inputReleaser); ok {
+			fp.Processor().BorrowOutput()
+		}
 	}
 }
 
@@ -274,17 +301,31 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 		return nil
 
 	case *plan.Project:
-		// Fuse Project(Filter(y)) into one page processor.
+		// Fuse Project*(Filter?(y)) into one page processor: stacked
+		// projections compose into one list over the bottom input, so a
+		// computed column reads the source page through the selection vector
+		// and no intermediate page exists. Project is transparent to
+		// CardFingerprint, so the stack's fingerprint is the top node's.
+		exprs, input := x.Exprs, x.Input
+		for {
+			inner, ok := input.(*plan.Project)
+			if !ok {
+				break
+			}
+			composed, ok := composeProjections(exprs, inner.Exprs)
+			if !ok {
+				break
+			}
+			exprs, input = composed, inner.Input
+		}
 		var pred expr.Expr
-		input := x.Input
-		if f, ok := x.Input.(*plan.Filter); ok {
+		if f, ok := input.(*plan.Filter); ok {
 			pred = f.Predicate
 			input = f.Input
 		}
 		if err := c.compile(input, pb); err != nil {
 			return err
 		}
-		exprs := x.Exprs
 		pb.append("FilterProject", func(ctx *driverCtx) (operators.Operator, error) {
 			return operators.NewFilterProject(ctx.opCtx(memory.System), ctx.task.newProcessor(pred, exprs)), nil
 		})
@@ -534,6 +575,43 @@ func (c *compiler) compileIndexJoin(j *plan.Join, pb *chain) error {
 	})
 	pb.stampFP(plan.CardFingerprint(j, nil))
 	return nil
+}
+
+// composeProjections rewrites outer, a projection list over the columns
+// inner produces, into the same list over inner's input. A column reference
+// becomes the inner expression it named. That is refused (ok=false, the two
+// layers stay two operators) when it would evaluate a computed inner
+// expression twice or move a non-deterministic one: every inner expression
+// the outer list reads must be a column, a constant, or deterministic and
+// read once.
+func composeProjections(outer, inner []expr.Expr) (composed []expr.Expr, ok bool) {
+	reads := make([]int, len(inner))
+	for _, e := range outer {
+		expr.Walk(e, func(x expr.Expr) {
+			if c, ok := x.(*expr.ColumnRef); ok {
+				reads[c.Index]++
+			}
+		})
+	}
+	for i, e := range inner {
+		switch e.(type) {
+		case *expr.ColumnRef, *expr.Const:
+			continue
+		}
+		if reads[i] > 1 || (reads[i] == 1 && !expr.IsDeterministic(e)) {
+			return nil, false
+		}
+	}
+	composed = make([]expr.Expr, len(outer))
+	for i, e := range outer {
+		composed[i] = expr.Rewrite(e, func(x expr.Expr) expr.Expr {
+			if c, ok := x.(*expr.ColumnRef); ok {
+				return inner[c.Index]
+			}
+			return nil
+		})
+	}
+	return composed, true
 }
 
 func identityExprs(sch plan.Schema) []expr.Expr {

@@ -33,7 +33,7 @@ func InterpretOnly(e Expr) *Evaluator {
 func (ev *Evaluator) EvalPage(p *block.Page) (block.Block, error) {
 	n := p.RowCount()
 	if ev.vec != nil {
-		return ev.vec.eval(&vecInput{p: p, n: n})
+		return ev.vec.eval(&vecInput{p: p, n: n}, false)
 	}
 	vals := make([]types.Value, n)
 	row := pageRow{p: p}

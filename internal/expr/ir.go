@@ -398,6 +398,8 @@ func Rewrite(e Expr, fn func(Expr) Expr) Expr {
 			args[i] = Rewrite(a, fn)
 		}
 		return &Call{Fn: x.Fn, Args: args}
+	case *Lambda:
+		return &Lambda{NParams: x.NParams, Body: Rewrite(x.Body, fn)}
 	case *Subscript:
 		return &Subscript{Base: Rewrite(x.Base, fn), Index: Rewrite(x.Index, fn), T: x.T}
 	case *ArrayCtor:

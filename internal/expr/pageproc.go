@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"slices"
+
 	"repro/internal/block"
 	"repro/internal/types"
 )
@@ -22,11 +24,16 @@ type PageProcessor struct {
 	filterCols  []int // column indices referenced by the filter
 	projections []*Evaluator
 	identCol    []int   // input column a projection passes through, or -1
+	identFirst  []int   // first projection passing the same input column through (itself if none earlier)
 	projInputs  [][]int // referenced column indices per projection
 	projConst   []bool  // deterministic zero-input projections (RLE output)
 
 	selIn  []int // identity row vector, grown monotonically
 	selOut []int // selection output buffer, reused across pages
+
+	// borrow: the output page is read before the next Process call and not
+	// after, so its arrays can be the projectors' own (BorrowOutput).
+	borrow bool
 
 	// Vectorized projection state: one projector per covered projection
 	// (nil entries run on the interpreter), the CSE slots in evaluation
@@ -84,7 +91,17 @@ type ProcessorStats struct {
 	CellsProcessed int64
 }
 
-// NewPageProcessor compiles filter (may be nil) and projections.
+// poisonBorrowed, when not empty, makes a borrowing processor overwrite its
+// output vectors at the start of every Process, so that a consumer that kept
+// part of a borrowed page past its time reads values no input holds. Nothing
+// but tests turns it on: this package's through export_test.go, and
+// scripts/check.sh by linking it on (-ldflags -X) under the aggregation
+// differential walls of the other packages.
+var poisonBorrowed string
+
+// NewPageProcessor compiles filter (may be nil) and projections. The pages
+// it returns are owned by the caller and immutable, unless BorrowOutput says
+// otherwise.
 func NewPageProcessor(filter Expr, projections []Expr) *PageProcessor {
 	pp := newPageProcessor(filter, projections, Compile)
 	if filter != nil {
@@ -116,17 +133,37 @@ func newPageProcessor(filter Expr, projections []Expr, evaluator func(Expr) *Eva
 	if filter != nil {
 		pp.filterCols = Columns(filter)
 	}
-	for _, e := range projections {
+	firstIdent := map[int]int{}
+	for i, e := range projections {
 		pp.projections = append(pp.projections, evaluator(e))
 		pp.projInputs = append(pp.projInputs, Columns(e))
-		ident := -1
+		ident, first := -1, i
 		if c, ok := e.(*ColumnRef); ok {
 			ident = c.Index
+			if j, seen := firstIdent[ident]; seen {
+				first = j
+			} else {
+				firstIdent[ident] = i
+			}
 		}
 		pp.identCol = append(pp.identCol, ident)
+		pp.identFirst = append(pp.identFirst, first)
 	}
 	return pp
 }
+
+// BorrowOutput tells the processor, once and before its first page, that
+// whoever receives an output page is done with it, and with every array
+// under it, before the next Process call. Filtered pass-through columns and
+// kernel-evaluated projections are from then on written into vectors the
+// processor owns and overwrites for the next page, so a driver allocates them
+// once and not per page. Everything else — an unfiltered pass-through column,
+// dictionary, RLE and array outputs, interpreted projections — stays an
+// owned, immutable block as without the call.
+func (pp *PageProcessor) BorrowOutput() { pp.borrow = true }
+
+// BorrowsOutput reports whether BorrowOutput has been called.
+func (pp *PageProcessor) BorrowsOutput() bool { return pp.borrow }
 
 // compileVectorized plans CSE across the projection list and picks each
 // covered projection's projector: its evaluator's own when CSE left it
@@ -193,12 +230,18 @@ func (pp *PageProcessor) DisableVectorizedFilter() {
 func (pp *PageProcessor) Process(p *block.Page) (*block.Page, error) {
 	pp.Stats.PagesIn++
 	pp.Stats.RowsIn += int64(p.RowCount())
+	if pp.borrow && poisonBorrowed != "" {
+		pp.poisonOutput()
+	}
 	n := p.RowCount()
 	var selected []int
 	if pp.filter != nil {
 		selected = pp.evalFilter(p)
 		if len(selected) == 0 {
 			return nil, nil
+		}
+		if len(selected) == n {
+			selected = nil // every row passed: nothing to gather
 		}
 	}
 	outRows := n
@@ -223,6 +266,10 @@ func (pp *PageProcessor) Process(p *block.Page) (*block.Page, error) {
 	var gathered *block.Page
 	cols := make([]block.Block, len(pp.projections))
 	for i := range pp.projections {
+		if j := pp.identFirst[i]; j < i {
+			cols[i] = cols[j] // a column projected twice is gathered once
+			continue
+		}
 		col, err := pp.project(i, p, selected, outRows, &gathered)
 		if err != nil {
 			return nil, err
@@ -240,7 +287,9 @@ func (pp *PageProcessor) evalCSESlots() error {
 			pp.vin.shared = append(pp.vin.shared, nil)
 			continue
 		}
-		b, err := s.proj.eval(&pp.vin)
+		// A slot's block is read by this page's projectors and copied from,
+		// never handed out, so it is always scratch.
+		b, err := s.proj.eval(&pp.vin, true)
 		if err != nil {
 			return err
 		}
@@ -255,8 +304,16 @@ func (pp *PageProcessor) evalCSESlots() error {
 // processor-owned buffers and is valid until the next page.
 func (pp *PageProcessor) evalFilter(p *block.Page) []int {
 	n := p.RowCount()
-	for i := len(pp.selIn); i < n; i++ {
-		pp.selIn = append(pp.selIn, i)
+	// Both vectors are sized for the page, so a run of pages grows them once
+	// and not by doubling under append.
+	if len(pp.selIn) < n {
+		pp.selIn = slices.Grow(pp.selIn, n-len(pp.selIn))
+		for i := len(pp.selIn); i < n; i++ {
+			pp.selIn = append(pp.selIn, i)
+		}
+	}
+	if cap(pp.selOut) < n {
+		pp.selOut = make([]int, 0, n)
 	}
 	// RLE fast path: if every column the filter references is RLE the result
 	// is all-or-nothing; evaluate the first row only.
@@ -294,11 +351,16 @@ func (pp *PageProcessor) allFilterInputsRLE(p *block.Page) bool {
 func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows int, gathered **block.Page) (block.Block, error) {
 	inputs := pp.projInputs[i]
 
-	// Identity projection: just gather the input column.
+	// Identity projection: just gather the input column — into the
+	// projector's own vector when the page is borrowed and the column is flat
+	// (the kernels would expand an encoded one).
 	if c := pp.identCol[i]; c >= 0 {
 		col := p.Col(c)
 		if selected == nil {
 			return col, nil
+		}
+		if vp := pp.projections[i].vec; pp.borrow && vp != nil && isFlat(unwrapLazy(col)) {
+			return vp.eval(&pp.vin, true)
 		}
 		return block.CopyPositions(col, selected), nil
 	}
@@ -351,7 +413,7 @@ func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows i
 	// Vectorized kernels, fused with the selection vector: compute only the
 	// surviving rows, straight from the source page.
 	if pp.projVec[i] != nil {
-		blk, err := pp.projVec[i].eval(&pp.vin)
+		blk, err := pp.projVec[i].eval(&pp.vin, pp.borrow)
 		if err != nil {
 			return nil, err
 		}
@@ -371,6 +433,28 @@ func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows i
 	pp.Stats.FullEvals++
 	pp.Stats.CellsProcessed += int64(in.RowCount() * len(inputs))
 	return pp.projections[i].EvalPage(in)
+}
+
+// isFlat reports whether b is a plain typed block the column kernels gather
+// from without changing its encoding.
+func isFlat(b block.Block) bool {
+	switch b.(type) {
+	case *block.LongBlock, *block.DoubleBlock, *block.VarcharBlock, *block.BoolBlock:
+		return true
+	}
+	return false
+}
+
+// poisonOutput overwrites the vectors borrowed output pages view.
+func (pp *PageProcessor) poisonOutput() {
+	for i, vp := range pp.projVec {
+		if vp != nil {
+			vp.poison()
+		}
+		if ident := pp.projections[i].vec; ident != nil {
+			ident.poison()
+		}
+	}
 }
 
 // constOne evaluates constant projection i once, caching the 1-row result.

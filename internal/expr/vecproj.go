@@ -3,6 +3,8 @@ package expr
 import (
 	"cmp"
 	"errors"
+	"math"
+	"math/bits"
 
 	"repro/internal/block"
 	"repro/internal/types"
@@ -71,7 +73,7 @@ type boolKernel = vkernel[bool]
 
 func growSlice[T any](b []T, n int) []T {
 	if cap(b) < n {
-		return make([]T, n)
+		return make([]T, n, 1<<bits.Len(uint(n-1)))
 	}
 	return b[:n]
 }
@@ -1326,8 +1328,12 @@ func vecIn(x *In) (boolKernel, bool) {
 
 // vecProjector evaluates one projection expression as a kernel tree and
 // boxes the result into a flat block. Interior scratch buffers are reused
-// across pages; the output block's value slice is freshly allocated because
-// downstream operators retain pages.
+// across pages. The output block's arrays are freshly allocated by default,
+// because a page is immutable and whoever receives it may keep it; a caller
+// that knows the block is read before the projector's next eval (a CSE slot,
+// or a page processor whose output is borrowed — PageProcessor.BorrowOutput)
+// asks for scratch output instead, and the block then views vectors the
+// projector owns and overwrites on that next eval.
 type vecProjector struct {
 	t     types.Type
 	lk    longKernel
@@ -1335,6 +1341,13 @@ type vecProjector struct {
 	sk    strKernel
 	bk    boolKernel
 	nulls []bool
+
+	// Scratch output vectors, one per kernel type (only the projector's own
+	// type is ever grown).
+	longs   []int64
+	doubles []float64
+	strs    []string
+	bools   []bool
 }
 
 // compileVecProj builds a vectorized projector for e, or nil when the
@@ -1362,44 +1375,55 @@ func compileVecProj(e Expr) *vecProjector {
 	return nil
 }
 
-func (vp *vecProjector) eval(in *vecInput) (block.Block, error) {
+// outVec returns the n-long vector a projector writes its result into: a
+// fresh one the output block will own, or the projector's own, grown to fit.
+func outVec[T any](own *[]T, n int, scratch bool) []T {
+	if !scratch {
+		return make([]T, n)
+	}
+	*own = growSlice(*own, n)
+	return *own
+}
+
+func (vp *vecProjector) eval(in *vecInput, scratch bool) (block.Block, error) {
 	n := in.n
 	vp.nulls = growSlice(vp.nulls, n)
 	switch {
 	case vp.lk != nil:
-		vals := make([]int64, n)
+		vals := outVec(&vp.longs, n, scratch)
 		has, err := vp.lk(in, nil, vals, vp.nulls)
 		if err != nil {
 			return nil, err
 		}
-		return &block.LongBlock{T: vp.t, Vals: vals, Nulls: nullMask(vp.nulls[:n], has)}, nil
+		return &block.LongBlock{T: vp.t, Vals: vals, Nulls: nullMask(vp.nulls[:n], has, scratch)}, nil
 	case vp.dk != nil:
-		vals := make([]float64, n)
+		vals := outVec(&vp.doubles, n, scratch)
 		has, err := vp.dk(in, nil, vals, vp.nulls)
 		if err != nil {
 			return nil, err
 		}
-		return block.NewDoubleBlock(vals, nullMask(vp.nulls[:n], has)), nil
+		return block.NewDoubleBlock(vals, nullMask(vp.nulls[:n], has, scratch)), nil
 	case vp.sk != nil:
-		vals := make([]string, n)
+		vals := outVec(&vp.strs, n, scratch)
 		has, err := vp.sk(in, nil, vals, vp.nulls)
 		if err != nil {
 			return nil, err
 		}
-		return block.NewVarcharBlock(vals, nullMask(vp.nulls[:n], has)), nil
+		return block.NewVarcharBlock(vals, nullMask(vp.nulls[:n], has, scratch)), nil
 	default:
-		vals := make([]bool, n)
+		vals := outVec(&vp.bools, n, scratch)
 		has, err := vp.bk(in, nil, vals, vp.nulls)
 		if err != nil {
 			return nil, err
 		}
-		return block.NewBoolBlock(vals, nullMask(vp.nulls[:n], has)), nil
+		return block.NewBoolBlock(vals, nullMask(vp.nulls[:n], has, scratch)), nil
 	}
 }
 
-// nullMask copies the scratch null vector into a fresh mask, or returns nil
-// when no position is null (hint=false skips even the scan).
-func nullMask(nulls []bool, hint bool) []bool {
+// nullMask turns the scratch null vector into the output block's mask: nil
+// when no position is null (hint=false skips even the scan), else a fresh
+// copy, or the scratch vector itself for scratch output.
+func nullMask(nulls []bool, hint, scratch bool) []bool {
 	if !hint {
 		return nil
 	}
@@ -1413,7 +1437,35 @@ func nullMask(nulls []bool, hint bool) []bool {
 	if !any {
 		return nil
 	}
+	if scratch {
+		return nulls
+	}
 	out := make([]bool, len(nulls))
 	copy(out, nulls)
 	return out
+}
+
+// poison overwrites every scratch output vector, to its full capacity, with
+// values no input produces, so a consumer still reading a borrowed block
+// after its time computes a visibly wrong answer (see poisonBorrowed).
+func (vp *vecProjector) poison() {
+	fillCap(vp.longs, math.MinInt64)
+	fillCap(vp.doubles, math.NaN())
+	fillCap(vp.strs, "\x00poisoned borrowed page")
+	flipCap(vp.bools)
+	flipCap(vp.nulls)
+}
+
+func fillCap[T any](v []T, x T) {
+	v = v[:cap(v)]
+	for i := range v {
+		v[i] = x
+	}
+}
+
+func flipCap(v []bool) {
+	v = v[:cap(v)]
+	for i, b := range v {
+		v[i] = !b
+	}
 }

@@ -164,6 +164,11 @@ func renderPage(t *testing.T, pp *PageProcessor, p *block.Page) string {
 	if err != nil {
 		t.Fatalf("process: %v", err)
 	}
+	return renderOut(out)
+}
+
+// renderOut renders an output page column by column ("" for nil).
+func renderOut(out *block.Page) string {
 	if out == nil {
 		return ""
 	}

@@ -166,6 +166,18 @@ func (o *HashAggregationOperator) newGroupLocked() *groupEntry {
 
 func (o *HashAggregationOperator) NeedsInput() bool { return !o.finished }
 
+// ReleasesInput declares to the pipeline compiler that the operator keeps no
+// reference to an input page, or to any array under it, once AddInput
+// returns, on any path. The page processor in front of it then reuses its
+// output vectors from page to page (expr.PageProcessor.BorrowOutput). It
+// holds because group keys and min/max states copy types.Values out of the
+// page (a varchar value shares the string's bytes, which are immutable, not
+// the vector that held it), DISTINCT sets copy encoded bytes, the batch
+// hashing scratch is the operator's own, and Revoke and the drain read
+// groups, not pages. Array-typed keys would share the element slice, but no
+// processor lends an array block.
+func (o *HashAggregationOperator) ReleasesInput() {}
+
 func (o *HashAggregationOperator) AddInput(p *block.Page) error {
 	o.ctx.recordIn(p)
 	o.mu.Lock()

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/connector"
+	"repro/internal/connectors/memconn"
+	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/memory"
 	"repro/internal/plan"
 	"repro/internal/types"
 )
@@ -273,5 +277,54 @@ func TestTaskConfigRoundTrip(t *testing.T) {
 	out := EncodeTaskConfig(in.Decode())
 	if out != in {
 		t.Fatalf("task config round trip: %+v != %+v", out, in)
+	}
+}
+
+type oneCatalog struct{ conn connector.Connector }
+
+func (r oneCatalog) Connector(string) (connector.Connector, error) { return r.conn, nil }
+
+// TestCompilingLeavesFragmentUnchanged: stacked projections compose into one
+// page processor in the pipeline compiler, not in the plan, so a fragment
+// reads the same on the wire and in EXPLAIN after a task has compiled it.
+func TestCompilingLeavesFragmentUnchanged(t *testing.T) {
+	scan := &plan.Scan{Handle: plan.TableHandle{Catalog: "memory", Table: "d"}, Columns: []string{"k", "v"},
+		Out: plan.Schema{{Name: "k", T: types.Bigint}, {Name: "v", T: types.Double}}}
+	filter := &plan.Filter{Input: scan, Predicate: &expr.Compare{Op: expr.CmpGt, L: col(0, types.Bigint, "k"), R: &expr.Const{Val: bigintVal(0)}}}
+	pruned := &plan.Project{Input: filter, Exprs: []expr.Expr{col(1, types.Double, "v"), col(0, types.Bigint, "k")},
+		Out: plan.Schema{{Name: "v", T: types.Double}, {Name: "k", T: types.Bigint}}}
+	args := &plan.Project{Input: pruned, Exprs: []expr.Expr{col(1, types.Bigint, "k"),
+		&expr.Arith{Op: expr.OpMul, L: col(0, types.Double, "v"), R: col(0, types.Double, "v"), T: types.Double}, col(0, types.Double, "v")},
+		Out: plan.Schema{{Name: "_k0", T: types.Bigint}, {Name: "_a0", T: types.Double}, {Name: "_a1", T: types.Double}}}
+	agg := &plan.Aggregation{Input: args, GroupBy: []expr.Expr{col(0, types.Bigint, "_k0")},
+		Aggregates: []plan.Aggregate{{Func: plan.AggSum, Arg: col(1, types.Double, "_a0"), Out: types.Double}, {Func: plan.AggMax, Arg: col(2, types.Double, "_a1"), Out: types.Double}},
+		Step:       plan.AggPartial, Out: plan.Schema{{Name: "_k0", T: types.Bigint}, {Name: "_p1", T: types.Double}, {Name: "_p2", T: types.Double}}}
+	frag := &plan.Fragment{ID: 1, Root: agg, OutputPartitioning: plan.Partitioning{Kind: plan.PartitionHash, Cols: []int{0}}}
+
+	rawBefore, err := MarshalFragment(frag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explainBefore := plan.Format(frag.Root)
+
+	conn := memconn.New("memory")
+	conn.LoadTable("d", []connector.Column{{Name: "k", T: types.Bigint}, {Name: "v", T: types.Double}}, nil)
+	ex := exec.NewExecutor(exec.ExecutorConfig{Threads: 1})
+	defer ex.Close()
+	pool := memory.NewNodePool(1<<30, 0)
+	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
+	if _, err := exec.NewTask(exec.TaskID{QueryID: "q", Fragment: 1}, frag, 0, ex, oneCatalog{conn}, qmem, pool, nil, 2, nil, exec.TaskConfig{}); err != nil {
+		t.Fatal(err)
+	}
+
+	rawAfter, err := MarshalFragment(frag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rawBefore, rawAfter) {
+		t.Errorf("compiling changed the fragment's wire form:\n%s\nwas\n%s", rawAfter, rawBefore)
+	}
+	if got := plan.Format(frag.Root); got != explainBefore {
+		t.Errorf("compiling changed the fragment's EXPLAIN text:\n%s\nwas\n%s", got, explainBefore)
 	}
 }

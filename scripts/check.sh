@@ -5,7 +5,8 @@
 # Run from the repository root before sending changes.
 #
 #   scripts/check.sh          # build + vet + race tests + chaos smoke +
-#                             # non-race allocation ceilings and bench smokes
+#                             # borrowed-page poison run + non-race
+#                             # allocation ceilings and bench smokes
 #   scripts/check.sh -chaos   # additionally sweep the chaos suite over more
 #                             # seeds (CHAOS_FULL), verbose
 #   scripts/check.sh -fuzz    # additionally run 10s fuzz smokes over the
@@ -39,6 +40,13 @@ echo "==> nested benchmark module (bench/ against the working tree)"
 echo "==> chaos smoke (seed 7)"
 CHAOS_SEED=7 go test -race -count=1 -run 'TestChaos' .
 
+echo "==> borrowed pages are never read late (poison linked on under the differential walls)"
+# expr.poisonBorrowed makes a page processor that lends its output overwrite
+# the lent vectors before every page; only a linker flag (or expr's own
+# tests) can set it. The walls that reach an aggregation through a processor
+# live in these four packages.
+go test -count=1 -ldflags '-X repro/internal/expr.poisonBorrowed=on' . ./internal/exec ./internal/operators ./internal/expr
+
 echo "==> kernel + morsel bench smoke (1 iteration per benchmark)"
 go test -run '^$' -bench 'HashAggBigintKey|HashAggVarcharKey|HashAggDictVarcharKey|HashAggRLEKey|HashJoinBuildProbe|HashJoinDictKey|FilterSelectivity|MorselSkewScan|DynFilterFig6|ProjArithBigint|ProjArithDouble|ProjVarcharConcat|ProjTPCHQ1Proc|ProjTPCHQ6Proc' -benchtime 1x . > /dev/null
 
@@ -49,6 +57,10 @@ go test -run '^$' -bench 'CodecEncodeRaw|CodecEncodeFlate|CodecDecodeRaw|CodecDe
 echo "==> aggregation spill allocation ceiling + bench smoke (no -race, same reason)"
 go test -count=1 -run 'TestAggSpillAllocationCeiling' ./internal/operators/
 go test -run '^$' -bench 'AggSpillRevokeDrain' -benchtime 1x -benchmem ./internal/operators/ > /dev/null
+
+echo "==> filter -> project -> aggregate allocation ceiling + bench smoke (no -race, same reason)"
+go test -count=1 -run 'TestFilterProjectAggAllocationCeiling' ./internal/exec/
+go test -run '^$' -bench 'FilterProjectAgg' -benchtime 1x -benchmem ./internal/exec/ > /dev/null
 
 if [ "$chaos_full" = 1 ]; then
   echo "==> chaos full sweep"
