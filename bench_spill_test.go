@@ -131,8 +131,8 @@ func TestSpillElasticBench(t *testing.T) {
 	chaosBase := baselineRows(t)
 
 	floor := func(b int64) int64 {
-		if b < 128<<10 {
-			return 128 << 10
+		if b < 32<<10 {
+			return 32 << 10
 		}
 		return b
 	}

@@ -313,18 +313,12 @@ func BenchmarkScanWarm(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized kernel micro-benchmarks (§V-B/§V-E): each benchmark runs the
-// same workload on the vectorized hot path and on the legacy per-row
-// encoded-key/interpreted-filter path (the DisableVectorKernels ablation), as
-// vec/legacy sub-benchmarks. scripts/bench.sh records the pairs in BENCH_5.json.
+// Kernel micro-benchmarks (§V-B/§V-E). Hash aggregation and hash join have
+// one implementation, so their benchmarks are absolute (run with -benchmem:
+// bytes per op is the table's cost); the filter benchmark still runs the
+// columnar selection kernel against the interpreted filter as vec/legacy
+// sub-benchmarks.
 // ---------------------------------------------------------------------------
-
-// kernelCtx returns an operator context for the chosen path.
-func kernelCtx(vec bool) *operators.OpContext {
-	ctx := operators.NopContext()
-	ctx.DisableVecKernels = !vec
-	return ctx
-}
 
 // benchKeyPages builds pages of (key BIGINT, val BIGINT) rows with nGroups
 // distinct keys.
@@ -365,38 +359,30 @@ func drainOperator(b *testing.B, op operators.Operator) int {
 }
 
 // BenchmarkHashAggBigintKey measures single-BIGINT-key grouped aggregation:
-// the batch-hash + open-addressing table fast path vs the per-row
-// encodeRowKey + map path.
+// the batch-hash + open-addressing table fast path over fixed cells.
 func BenchmarkHashAggBigintKey(b *testing.B) {
 	const nRows, nGroups = 1 << 17, 1 << 13
 	pages := benchKeyPages(nRows, nGroups, 8192)
 	specs := []operators.AggSpec{{Func: plan.AggSum, ArgCol: 1, Out: types.Bigint}}
-	for _, mode := range []struct {
-		name string
-		vec  bool
-	}{{"vec", true}, {"legacy", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.SetBytes(int64(nRows * 16))
-			for i := 0; i < b.N; i++ {
-				op := operators.NewHashAggregation(kernelCtx(mode.vec), []int{0},
-					[]types.Type{types.Bigint}, specs, false, 0)
-				for _, p := range pages {
-					if err := op.AddInput(p); err != nil {
-						b.Fatal(err)
-					}
-				}
-				op.Finish()
-				if got := drainOperator(b, op); got != nGroups {
-					b.Fatalf("groups: got %d, want %d", got, nGroups)
-				}
+	b.SetBytes(int64(nRows * 16))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op := operators.NewHashAggregation(operators.NopContext(), []int{0},
+			[]types.Type{types.Bigint}, specs, false, 0)
+		for _, p := range pages {
+			if err := op.AddInput(p); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
+		op.Finish()
+		if got := drainOperator(b, op); got != nGroups {
+			b.Fatalf("groups: got %d, want %d", got, nGroups)
+		}
 	}
 }
 
 // BenchmarkHashAggVarcharKey measures the byte-arena fallback layout on a
-// VARCHAR group key: the vectorized path must not regress versus the legacy
-// map even when keys need canonical byte encodings.
+// VARCHAR group key, where keys need canonical byte encodings.
 func BenchmarkHashAggVarcharKey(b *testing.B) {
 	const nRows, nGroups = 1 << 17, 1 << 13
 	var pages []*block.Page
@@ -411,82 +397,68 @@ func BenchmarkHashAggVarcharKey(b *testing.B) {
 		pages = append(pages, block.NewPage(block.NewVarcharBlock(keys, nil), block.NewLongBlock(vals, nil)))
 	}
 	specs := []operators.AggSpec{{Func: plan.AggSum, ArgCol: 1, Out: types.Bigint}}
-	for _, mode := range []struct {
-		name string
-		vec  bool
-	}{{"vec", true}, {"legacy", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.SetBytes(int64(nRows * 20))
-			for i := 0; i < b.N; i++ {
-				op := operators.NewHashAggregation(kernelCtx(mode.vec), []int{0},
-					[]types.Type{types.Varchar}, specs, false, 0)
-				for _, p := range pages {
-					if err := op.AddInput(p); err != nil {
-						b.Fatal(err)
-					}
-				}
-				op.Finish()
-				if got := drainOperator(b, op); got != nGroups {
-					b.Fatalf("groups: got %d, want %d", got, nGroups)
-				}
+	b.SetBytes(int64(nRows * 20))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op := operators.NewHashAggregation(operators.NopContext(), []int{0},
+			[]types.Type{types.Varchar}, specs, false, 0)
+		for _, p := range pages {
+			if err := op.AddInput(p); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
+		op.Finish()
+		if got := drainOperator(b, op); got != nGroups {
+			b.Fatalf("groups: got %d, want %d", got, nGroups)
+		}
 	}
 }
 
 // BenchmarkHashJoinBuildProbe measures a BIGINT-key hash join build + probe:
-// vectorized batch hashing and open-addressing lookups vs the per-row
-// encoded-key map.
+// batch hashing, open-addressing lookups and the flat build row list.
 func BenchmarkHashJoinBuildProbe(b *testing.B) {
 	const nBuild, nProbe = 1 << 14, 1 << 17
 	buildPages := benchKeyPages(nBuild, nBuild, 8192)
 	probePages := benchKeyPages(nProbe, nBuild, 8192)
-	for _, mode := range []struct {
-		name string
-		vec  bool
-	}{{"vec", true}, {"legacy", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.SetBytes(int64((nBuild + nProbe) * 16))
-			for i := 0; i < b.N; i++ {
-				ctx := kernelCtx(mode.vec)
-				bridge := operators.NewJoinBridge()
-				bridge.SetVectorized(mode.vec)
-				bridge.AddBuilder()
-				hb := operators.NewHashBuild(ctx, bridge, []int{0}, []types.Type{types.Bigint})
-				for _, p := range buildPages {
-					if err := hb.AddInput(p); err != nil {
-						b.Fatal(err)
-					}
-				}
-				bridge.NoMoreBuilders()
-				hb.Finish()
-				bridge.AddProbe()
-				join := operators.NewLookupJoin(ctx, bridge, plan.InnerJoin, []int{0}, nil,
-					[]types.Type{types.Bigint, presto.Bigint},
-					[]types.Type{types.Bigint, presto.Bigint}, 0)
-				rows := 0
-				for _, p := range probePages {
-					if err := join.AddInput(p); err != nil {
-						b.Fatal(err)
-					}
-					for {
-						out, err := join.Output()
-						if err != nil {
-							b.Fatal(err)
-						}
-						if out == nil {
-							break
-						}
-						rows += out.RowCount()
-					}
-				}
-				join.Finish()
-				rows += drainOperator(b, join)
-				if rows != nProbe {
-					b.Fatalf("join rows: got %d, want %d", rows, nProbe)
-				}
+	b.SetBytes(int64((nBuild + nProbe) * 16))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx := operators.NopContext()
+		bridge := operators.NewJoinBridge()
+		bridge.AddBuilder()
+		hb := operators.NewHashBuild(ctx, bridge, []int{0}, []types.Type{types.Bigint})
+		for _, p := range buildPages {
+			if err := hb.AddInput(p); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
+		bridge.NoMoreBuilders()
+		hb.Finish()
+		bridge.AddProbe()
+		join := operators.NewLookupJoin(ctx, bridge, plan.InnerJoin, []int{0}, nil,
+			[]types.Type{types.Bigint, presto.Bigint},
+			[]types.Type{types.Bigint, presto.Bigint}, 0)
+		rows := 0
+		for _, p := range probePages {
+			if err := join.AddInput(p); err != nil {
+				b.Fatal(err)
+			}
+			for {
+				out, err := join.Output()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if out == nil {
+					break
+				}
+				rows += out.RowCount()
+			}
+		}
+		join.Finish()
+		rows += drainOperator(b, join)
+		if rows != nProbe {
+			b.Fatalf("join rows: got %d, want %d", rows, nProbe)
+		}
 	}
 }
 
@@ -529,9 +501,8 @@ func BenchmarkFilterSelectivity(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Encoded-block kernels and morsel scheduling (§V-C, §IV-F): dictionary and
-// RLE inputs on the decode-free fast paths vs the legacy per-row decode, and
-// morsel-driven vs static split scheduling on a skewed table. scripts/bench.sh
-// records the pairs in BENCH_6.json.
+// RLE inputs on the decode-free fast paths, and morsel-driven vs static split
+// scheduling on a skewed table. scripts/bench.sh records them in BENCH_6.json.
 // ---------------------------------------------------------------------------
 
 // benchDictPages builds pages whose varchar key column is dictionary-encoded
@@ -561,33 +532,26 @@ func benchDictPages(nRows, nGroups, pageRows int) []*block.Page {
 }
 
 // BenchmarkHashAggDictVarcharKey measures grouped aggregation on a
-// dictionary-encoded VARCHAR key: the vectorized path hashes dictionary ids
-// (one encode per distinct entry per page) while the legacy path decodes and
-// re-encodes the string on every row.
+// dictionary-encoded VARCHAR key: dictionary ids are hashed, one encode per
+// distinct entry per page.
 func BenchmarkHashAggDictVarcharKey(b *testing.B) {
 	const nRows, nGroups = 1 << 17, 1 << 10
 	pages := benchDictPages(nRows, nGroups, 8192)
 	specs := []operators.AggSpec{{Func: plan.AggSum, ArgCol: 1, Out: types.Bigint}}
-	for _, mode := range []struct {
-		name string
-		vec  bool
-	}{{"vec", true}, {"legacy", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.SetBytes(int64(nRows * 12))
-			for i := 0; i < b.N; i++ {
-				op := operators.NewHashAggregation(kernelCtx(mode.vec), []int{0},
-					[]types.Type{types.Varchar}, specs, false, 0)
-				for _, p := range pages {
-					if err := op.AddInput(p); err != nil {
-						b.Fatal(err)
-					}
-				}
-				op.Finish()
-				if got := drainOperator(b, op); got != nGroups {
-					b.Fatalf("groups: got %d, want %d", got, nGroups)
-				}
+	b.SetBytes(int64(nRows * 12))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op := operators.NewHashAggregation(operators.NopContext(), []int{0},
+			[]types.Type{types.Varchar}, specs, false, 0)
+		for _, p := range pages {
+			if err := op.AddInput(p); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
+		op.Finish()
+		if got := drainOperator(b, op); got != nGroups {
+			b.Fatalf("groups: got %d, want %d", got, nGroups)
+		}
 	}
 }
 
@@ -607,33 +571,26 @@ func BenchmarkHashAggRLEKey(b *testing.B) {
 			block.NewLongBlock(vals, nil)))
 	}
 	specs := []operators.AggSpec{{Func: plan.AggSum, ArgCol: 1, Out: types.Bigint}}
-	for _, mode := range []struct {
-		name string
-		vec  bool
-	}{{"vec", true}, {"legacy", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.SetBytes(int64(nPages * pageRows * 16))
-			for i := 0; i < b.N; i++ {
-				op := operators.NewHashAggregation(kernelCtx(mode.vec), []int{0},
-					[]types.Type{types.Varchar}, specs, false, 0)
-				for _, p := range pages {
-					if err := op.AddInput(p); err != nil {
-						b.Fatal(err)
-					}
-				}
-				op.Finish()
-				if got := drainOperator(b, op); got != nGroups {
-					b.Fatalf("groups: got %d, want %d", got, nGroups)
-				}
+	b.SetBytes(int64(nPages * pageRows * 16))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op := operators.NewHashAggregation(operators.NopContext(), []int{0},
+			[]types.Type{types.Varchar}, specs, false, 0)
+		for _, p := range pages {
+			if err := op.AddInput(p); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
+		op.Finish()
+		if got := drainOperator(b, op); got != nGroups {
+			b.Fatalf("groups: got %d, want %d", got, nGroups)
+		}
 	}
 }
 
 // BenchmarkHashJoinDictKey measures a VARCHAR-key hash join whose probe side
 // is dictionary-encoded and whose build side is flat — the layout-mismatch
-// shape. The vectorized path hashes probe dictionary ids once per entry; the
-// legacy path re-encodes every probe row.
+// shape. Probe dictionary ids are hashed once per entry.
 func BenchmarkHashJoinDictKey(b *testing.B) {
 	const nBuild, nProbe = 1 << 10, 1 << 17
 	buildKeys := make([]string, nBuild)
@@ -653,52 +610,45 @@ func BenchmarkHashJoinDictKey(b *testing.B) {
 			block.NewLongBlock(buildVals[start:end], nil)))
 	}
 	probePages := benchDictPages(nProbe, nBuild, 8192)
-	for _, mode := range []struct {
-		name string
-		vec  bool
-	}{{"vec", true}, {"legacy", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.SetBytes(int64((nBuild + nProbe) * 12))
-			for i := 0; i < b.N; i++ {
-				ctx := kernelCtx(mode.vec)
-				bridge := operators.NewJoinBridge()
-				bridge.SetVectorized(mode.vec)
-				bridge.AddBuilder()
-				hb := operators.NewHashBuild(ctx, bridge, []int{0}, []types.Type{types.Varchar})
-				for _, p := range buildPages {
-					if err := hb.AddInput(p); err != nil {
-						b.Fatal(err)
-					}
-				}
-				bridge.NoMoreBuilders()
-				hb.Finish()
-				bridge.AddProbe()
-				join := operators.NewLookupJoin(ctx, bridge, plan.InnerJoin, []int{0}, nil,
-					[]types.Type{types.Varchar, types.Bigint},
-					[]types.Type{types.Varchar, types.Bigint}, 0)
-				rows := 0
-				for _, p := range probePages {
-					if err := join.AddInput(p); err != nil {
-						b.Fatal(err)
-					}
-					for {
-						out, err := join.Output()
-						if err != nil {
-							b.Fatal(err)
-						}
-						if out == nil {
-							break
-						}
-						rows += out.RowCount()
-					}
-				}
-				join.Finish()
-				rows += drainOperator(b, join)
-				if rows != nProbe {
-					b.Fatalf("join rows: got %d, want %d", rows, nProbe)
-				}
+	b.SetBytes(int64((nBuild + nProbe) * 12))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx := operators.NopContext()
+		bridge := operators.NewJoinBridge()
+		bridge.AddBuilder()
+		hb := operators.NewHashBuild(ctx, bridge, []int{0}, []types.Type{types.Varchar})
+		for _, p := range buildPages {
+			if err := hb.AddInput(p); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
+		bridge.NoMoreBuilders()
+		hb.Finish()
+		bridge.AddProbe()
+		join := operators.NewLookupJoin(ctx, bridge, plan.InnerJoin, []int{0}, nil,
+			[]types.Type{types.Varchar, types.Bigint},
+			[]types.Type{types.Varchar, types.Bigint}, 0)
+		rows := 0
+		for _, p := range probePages {
+			if err := join.AddInput(p); err != nil {
+				b.Fatal(err)
+			}
+			for {
+				out, err := join.Output()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if out == nil {
+					break
+				}
+				rows += out.RowCount()
+			}
+		}
+		join.Finish()
+		rows += drainOperator(b, join)
+		if rows != nProbe {
+			b.Fatalf("join rows: got %d, want %d", rows, nProbe)
+		}
 	}
 }
 

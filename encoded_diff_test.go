@@ -137,7 +137,7 @@ var encDiffQueries = []string{
 	"SELECT f.g, d.label, count(*) FROM enc.facts f JOIN enc.dims d ON f.k = d.k GROUP BY f.g, d.label",
 }
 
-// encMatrix is the ablation session matrix: vectorized vs legacy kernels
+// encMatrix is the ablation session matrix: filter kernels vs interpreted filters ("legacy")
 // crossed with morsel vs static split scheduling.
 var encMatrix = []struct {
 	name string

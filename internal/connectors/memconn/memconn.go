@@ -6,6 +6,8 @@ package memconn
 import (
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
+	"math"
 	"strings"
 	"sync"
 
@@ -32,6 +34,9 @@ type table struct {
 	meta  connector.TableMeta
 	pages []*block.Page
 	stats connector.TableStats
+	// ndv holds, per column, one 64-bit identity per distinct non-null cell
+	// seen, so that an insert folds in only the pages it appends.
+	ndv []map[uint64]struct{}
 }
 
 // New creates an empty in-memory catalog with the given name.
@@ -115,7 +120,7 @@ func (c *Connector) LoadTable(name string, columns []connector.Column, pages []*
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := &table{meta: connector.TableMeta{Name: name, Columns: columns}, pages: pages}
-	t.stats = computeStats(columns, pages)
+	t.foldStats(pages)
 	c.tables[name] = t
 	c.versions[name]++
 }
@@ -136,33 +141,81 @@ func (c *Connector) AppendRows(name string, rows [][]types.Value) error {
 	for _, r := range rows {
 		b.AppendRow(r)
 	}
-	t.pages = append(t.pages, b.Build())
-	t.stats = computeStats(t.meta.Columns, t.pages)
+	page := b.Build()
+	t.pages = append(t.pages, page)
+	t.foldStats([]*block.Page{page})
 	c.versions[name]++
 	return nil
 }
 
-func computeStats(columns []connector.Column, pages []*block.Page) connector.TableStats {
-	stats := connector.TableStats{ColumnNDV: map[string]int64{}}
-	ndv := make([]map[string]struct{}, len(columns))
-	for i := range ndv {
-		ndv[i] = map[string]struct{}{}
-	}
-	for _, p := range pages {
-		stats.RowCount += int64(p.RowCount())
-		for ci := range columns {
-			col := p.Col(ci)
-			for r := 0; r < p.RowCount(); r++ {
-				if !col.IsNull(r) {
-					ndv[ci][col.Value(r).String()] = struct{}{}
-				}
-			}
+// foldStats adds pages, which the caller has appended (or is loading), to the
+// table's statistics: the row count, and each column's count of distinct
+// non-null values. It publishes a new ColumnNDV map, never writes the one a
+// reader may hold.
+func (t *table) foldStats(pages []*block.Page) {
+	if t.ndv == nil {
+		t.ndv = make([]map[uint64]struct{}, len(t.meta.Columns))
+		for i := range t.ndv {
+			t.ndv[i] = map[uint64]struct{}{}
 		}
 	}
-	for i, col := range columns {
-		stats.ColumnNDV[col.Name] = int64(len(ndv[i]))
+	rows := t.stats.RowCount
+	for _, p := range pages {
+		rows += int64(p.RowCount())
+		for ci := range t.meta.Columns {
+			foldDistinct(t.ndv[ci], p.Col(ci))
+		}
 	}
-	return stats
+	ndv := make(map[string]int64, len(t.meta.Columns))
+	for i, col := range t.meta.Columns {
+		ndv[col.Name] = int64(len(t.ndv[i]))
+	}
+	t.stats = connector.TableStats{RowCount: rows, ColumnNDV: ndv}
+}
+
+var ndvSeed = maphash.MakeSeed()
+
+// foldDistinct adds the identity of every non-null cell of col to set. Two
+// cells share an identity when they render the same (Value.String): an
+// integer, date or boolean is its own identity and so is a double's bit
+// pattern (-0.0 is not 0.0; every NaN is one value); a string, and anything
+// else through its rendering, is a 64-bit hash, whose collisions among a
+// table's values are too rare to move a cardinality estimate.
+func foldDistinct(set map[uint64]struct{}, col block.Block) {
+	var last uint64
+	seen := false
+	typ := col.Type()
+	for r, n := 0, col.Len(); r < n; r++ {
+		if col.IsNull(r) {
+			continue
+		}
+		var id uint64
+		switch typ {
+		case types.Bigint, types.Date:
+			id = uint64(col.Long(r))
+		case types.Double:
+			f := col.Double(r)
+			if f != f {
+				f = math.NaN()
+			}
+			id = math.Float64bits(f)
+		case types.Boolean:
+			if col.Bool(r) {
+				id = 1
+			}
+		case types.Varchar:
+			id = maphash.String(ndvSeed, col.Str(r))
+		default:
+			id = maphash.String(ndvSeed, col.Value(r).String())
+		}
+		// Runs of one value are common (clustered keys, flags): skip the
+		// lookup for a repeat of the cell before.
+		if seen && id == last {
+			continue
+		}
+		last, seen = id, true
+		set[id] = struct{}{}
+	}
 }
 
 // split is a contiguous page range of a table.
@@ -350,7 +403,7 @@ func (s *pageSink) Finish() (int64, error) {
 		return 0, fmt.Errorf("table %s.%s vanished during write", s.c.name, s.table)
 	}
 	t.pages = append(t.pages, s.pages...)
-	t.stats = computeStats(t.meta.Columns, t.pages)
+	t.foldStats(s.pages)
 	s.c.versions[s.table]++
 	return s.rows, nil
 }

@@ -1,6 +1,9 @@
 package memconn
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/block"
@@ -46,5 +49,118 @@ func TestCreateDuplicateFails(t *testing.T) {
 	}
 	if err := c.DropTable("missing"); err == nil {
 		t.Error("dropping a missing table should fail")
+	}
+}
+
+// recomputeStats is the statistics pass the connector made over every page of
+// a table on every insert, before it folded appended pages in: the reference
+// the incremental statistics must equal.
+func recomputeStats(columns []connector.Column, pages []*block.Page) connector.TableStats {
+	stats := connector.TableStats{ColumnNDV: map[string]int64{}}
+	ndv := make([]map[string]struct{}, len(columns))
+	for i := range ndv {
+		ndv[i] = map[string]struct{}{}
+	}
+	for _, p := range pages {
+		stats.RowCount += int64(p.RowCount())
+		for ci := range columns {
+			col := p.Col(ci)
+			for r := 0; r < p.RowCount(); r++ {
+				if !col.IsNull(r) {
+					ndv[ci][col.Value(r).String()] = struct{}{}
+				}
+			}
+		}
+	}
+	for i, col := range columns {
+		stats.ColumnNDV[col.Name] = int64(len(ndv[i]))
+	}
+	return stats
+}
+
+// TestIncrementalStatsEqualRecompute: after a load and after every one of a
+// series of random appends — boxed rows and sink pages, with NULLs, -0.0 and
+// 0.0, NaN, the empty string, repeated strings, a leading zero and runs of
+// one value — the row count and every column's NDV are what a pass over the
+// whole table gives.
+func TestIncrementalStatsEqualRecompute(t *testing.T) {
+	columns := []connector.Column{
+		{Name: "i", T: types.Bigint}, {Name: "f", T: types.Double}, {Name: "s", T: types.Varchar},
+		{Name: "b", T: types.Boolean}, {Name: "d", T: types.Date},
+	}
+	ts := []types.Type{types.Bigint, types.Double, types.Varchar, types.Boolean, types.Date}
+	r := rand.New(rand.NewSource(23))
+	doubles := []float64{math.Copysign(0, -1), 0, math.NaN(), -math.NaN(), 1.5, 3, 1e300}
+	strs := []string{"", "a", "a", "bb", "longer value", "ü"}
+	randRow := func() []types.Value {
+		row := []types.Value{
+			types.BigintValue(int64(r.Intn(6))), // 0 first: a zero cell must count
+			types.DoubleValue(doubles[r.Intn(len(doubles))]),
+			types.VarcharValue(strs[r.Intn(len(strs))]),
+			types.BooleanValue(r.Intn(2) == 0),
+			types.DateValue(int64(17000 + r.Intn(4))),
+		}
+		for i := range row {
+			if r.Intn(5) == 0 {
+				row[i] = types.NullValue(ts[i])
+			}
+		}
+		return row
+	}
+	randPage := func(n int) *block.Page {
+		b := block.NewPageBuilder(ts)
+		for i := 0; i < n; i++ {
+			b.AppendRow(randRow())
+		}
+		return b.Build()
+	}
+
+	c := New("mem")
+	all := []*block.Page{randPage(40), randPage(1)}
+	c.LoadTable("t", columns, append([]*block.Page(nil), all...))
+	check := func(step string) {
+		t.Helper()
+		got, want := c.Stats("t"), recomputeStats(columns, all)
+		if got.RowCount != want.RowCount {
+			t.Fatalf("%s: RowCount %d, recomputed %d", step, got.RowCount, want.RowCount)
+		}
+		for _, col := range columns {
+			if got.NDV(col.Name) != want.NDV(col.Name) {
+				t.Fatalf("%s: NDV(%s) %d, recomputed %d", step, col.Name, got.NDV(col.Name), want.NDV(col.Name))
+			}
+		}
+	}
+	check("load")
+	for step := 0; step < 60; step++ {
+		if step%2 == 0 {
+			rows := make([][]types.Value, r.Intn(4)) // sometimes no rows at all
+			for i := range rows {
+				rows[i] = randRow()
+			}
+			if err := c.AppendRows("t", rows); err != nil {
+				t.Fatal(err)
+			}
+			b := block.NewPageBuilder(ts)
+			for _, row := range rows {
+				b.AppendRow(row)
+			}
+			all = append(all, b.Build())
+		} else {
+			sink, err := c.PageSink("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := r.Intn(3); i > 0; i-- {
+				p := randPage(1 + r.Intn(5))
+				if err := sink.Append(p); err != nil {
+					t.Fatal(err)
+				}
+				all = append(all, p)
+			}
+			if _, err := sink.Finish(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(fmt.Sprintf("append %d", step))
 	}
 }

@@ -79,9 +79,9 @@ type Session struct {
 	// DisableCache bypasses the page and split caches for this query
 	// (the A/B toggle; X-Presto-Disable-Cache over HTTP).
 	DisableCache bool
-	// DisableVectorKernels runs this query on the legacy per-row hash paths
-	// and interpreted filters instead of the vectorized kernels (the A/B
-	// toggle; X-Presto-Disable-Vector-Kernels over HTTP).
+	// DisableVectorKernels runs this query's filters on the interpreter
+	// instead of the columnar selection kernels (the A/B toggle;
+	// X-Presto-Disable-Vector-Kernels over HTTP).
 	DisableVectorKernels bool
 	// DisableMorsels runs this query's leaf pipelines with static
 	// split-per-driver assignment instead of the shared morsel queue (the

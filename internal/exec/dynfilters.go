@@ -102,15 +102,18 @@ func (t *Task) DeliverFilter(id int, s *dynfilter.Summary) {
 	if s == nil || t.cfg.DynamicFiltersDisabled {
 		return
 	}
+	// Under t.mu from before the summary becomes visible: a split added
+	// between the publication and the short circuit below would find the
+	// filter present, skip the gate and open, and the empty summary would then
+	// filter its every row instead of the split never being read.
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.dynMu.Lock()
 	if t.dynFilters == nil {
 		t.dynFilters = map[int]*dynfilter.Summary{}
 	}
 	t.dynFilters[id] = s
 	t.dynMu.Unlock()
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.aborted || t.failed != nil {
 		return
 	}

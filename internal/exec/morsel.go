@@ -29,6 +29,7 @@ type morselQueue struct {
 	stripes [][]connector.Split // per-driver pending splits
 	pending int                 // total pending splits across stripes
 	open    []*openSplit
+	opening int // splits taken off pending whose source is still being opened
 	noMore  bool
 	stopped bool // canceled: pending dropped, sources closed
 	rr      int  // round-robin split dealing
@@ -43,6 +44,10 @@ type morselQueue struct {
 	morselRows int
 	openFn     func(connector.Split) (connector.PageSource, error)
 	onReady    func()
+	// onDrained is called, outside q.mu and possibly more than once, by a
+	// driver that finds the queue drained: no driver started after that could
+	// find work, which the task needs to know before the running ones finish.
+	onDrained func()
 }
 
 // openSplit is one split's page source while it is being drained. busy
@@ -176,7 +181,7 @@ func (q *morselQueue) wakeLocked() bool {
 func (q *morselQueue) hasWork() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return !q.stopped && (q.pending > 0 || len(q.open) > 0)
+	return !q.stopped && (q.pending > 0 || q.opening > 0 || len(q.open) > 0)
 }
 
 // outstanding reports pending splits plus open sources, for the scheduler's
@@ -195,7 +200,7 @@ func (q *morselQueue) drained() bool {
 }
 
 func (q *morselQueue) drainedLocked() bool {
-	return q.stopped || (q.noMore && q.pending == 0 && len(q.open) == 0)
+	return q.stopped || (q.noMore && q.pending == 0 && q.opening == 0 && len(q.open) == 0)
 }
 
 // starved reports that no work is available right now but more may appear
@@ -292,9 +297,11 @@ func (q *morselQueue) next(stripe int) (*block.Page, error) {
 		}
 		// Open a pending split: own stripe first, then steal.
 		if s, ok := q.takeSplitLocked(stripe); ok {
+			q.opening++ // neither pending nor open: the queue is not drained
 			q.mu.Unlock()
 			src, err := q.openFn(s)
 			q.mu.Lock()
+			q.opening--
 			if err != nil {
 				q.mu.Unlock()
 				return nil, err
@@ -308,10 +315,14 @@ func (q *morselQueue) next(stripe int) (*block.Page, error) {
 			continue
 		}
 		// Nothing available: starved (or drained — caller checks).
-		if !q.drainedLocked() {
+		drained := q.drainedLocked()
+		if !drained {
 			q.hungry = true
 		}
 		q.mu.Unlock()
+		if drained && q.onDrained != nil {
+			q.onDrained()
+		}
 		return nil, nil
 	}
 }

@@ -111,9 +111,8 @@ func (d *driverCtx) opCtx(kind memory.Kind) *operators.OpContext {
 		st = &operators.OpStats{}
 	}
 	c := &operators.OpContext{
-		Mem:               memory.NewLocalContext(d.task.queryMem, d.task.nodeID, kind),
-		Stats:             st,
-		DisableVecKernels: d.task.cfg.VectorKernelsDisabled,
+		Mem:   memory.NewLocalContext(d.task.queryMem, d.task.nodeID, kind),
+		Stats: st,
 	}
 	d.last = c
 	return c
@@ -473,9 +472,6 @@ func (c *compiler) compileJoin(j *plan.Join, pb *chain) error {
 	}
 	// Build side: its own pipeline ending in HashBuild.
 	bridge := operators.NewJoinBridge()
-	if c.task.cfg.VectorKernelsDisabled {
-		bridge.SetVectorized(false)
-	}
 	build := c.newPipeline()
 	if err := c.compile(j.Right, build); err != nil {
 		return err

@@ -59,10 +59,10 @@ type TaskConfig struct {
 	// CacheDisabled bypasses the worker page cache for this task's scans
 	// (the per-query session toggle for A/B runs).
 	CacheDisabled bool
-	// VectorKernelsDisabled switches the hash-agg/join/distinct hot paths
-	// back to the encoded-key map implementations and runs filters on the
-	// interpreter (the vectorized-kernels ablation;
-	// Session.DisableVectorKernels).
+	// VectorKernelsDisabled runs filters on the interpreter instead of the
+	// columnar selection kernels (Session.DisableVectorKernels). Hash
+	// aggregation, joins and distinct have one implementation and do not
+	// read it.
 	VectorKernelsDisabled bool
 	// MorselsDisabled reverts leaf pipelines to static split-per-driver
 	// assignment (the morsel-execution ablation; Session.DisableMorsels).
@@ -464,6 +464,11 @@ func (t *Task) morselQueueLocked(scanID int) (*morselQueue, error) {
 			return t.openPageSource(conn, s, pipe, stats)
 		})
 	q.onReady = t.executor.Kick
+	q.onDrained = func() {
+		t.mu.Lock()
+		t.maybeDeclareScanDoneLocked(scanID)
+		t.mu.Unlock()
+	}
 	t.morsels[scanID] = q
 	return q, nil
 }
@@ -480,8 +485,12 @@ func (t *Task) NoMoreSplits(scanID int) {
 	t.maybeFinishLocked()
 }
 
+// maybeDeclareScanDoneLocked declares a scan pipeline's drivers complete once
+// none can be started any more: enumeration is over and nothing is left to
+// hand a new driver. It does not wait for the running drivers to finish —
+// a probe of a spilled join cannot finish before it hears this.
 func (t *Task) maybeDeclareScanDoneLocked(scanID int) {
-	if !t.noMoreSplits[scanID] || t.runningSplits[scanID] != 0 {
+	if !t.noMoreSplits[scanID] {
 		return
 	}
 	if q, ok := t.morsels[scanID]; ok {

@@ -218,7 +218,7 @@ func (pp *PageProcessor) compileVectorized(projections []Expr) {
 }
 
 // DisableVectorizedFilter runs this processor's filter on the interpreter;
-// the filter half of the Session.DisableVectorKernels ablation.
+// it is all that Session.DisableVectorKernels selects.
 func (pp *PageProcessor) DisableVectorizedFilter() {
 	if pp.filterExpr != nil {
 		pp.filter = selInterp(pp.filterExpr, false)

@@ -2,6 +2,7 @@ package operators
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/block"
@@ -328,10 +329,10 @@ func (bk *batchKeys) reset(p *block.Page, cols []int, fixed bool) {
 	n := p.RowCount()
 	bk.fixed = fixed
 	bk.nk = len(cols)
-	bk.hashes = growU64(bk.hashes, n)
+	bk.hashes = scratch(bk.hashes, n)
 	if fixed {
-		bk.cells = growU64(bk.cells, n*bk.nk)
-		bk.tags = growBytes(bk.tags, n*bk.nk)
+		bk.cells = scratch(bk.cells, n*bk.nk)
+		bk.tags = scratch(bk.tags, n*bk.nk)
 		for k, c := range cols {
 			normCol(p.Col(c), bk.cells, bk.tags, k, bk.nk, n)
 		}
@@ -380,25 +381,15 @@ func (bk *batchKeys) nullKey(r int) bool {
 	return false
 }
 
-func growU64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
+// scratch returns per-page scratch of length n with unspecified contents:
+// s when it is big enough, else a new array of the next power of two. Page
+// sizes vary, and scratch sized to each record high is reallocated at every
+// one.
+func scratch[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
 	}
-	return s[:n]
-}
-
-func growBytes(s []byte, n int) []byte {
-	if cap(s) < n {
-		return make([]byte, n)
-	}
-	return s[:n]
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
+	return make([]T, n, 1<<bits.Len(uint(n-1)))
 }
 
 // hashVecPool recycles hash vectors across HashPartitionPage calls.
@@ -410,7 +401,7 @@ var hashVecPool = sync.Pool{New: func() any { return new([]uint64) }}
 // bit-identical to HashPartition for every row.
 func HashPartitionPage(p *block.Page, cols []int, parts int, dst []int) []int {
 	n := p.RowCount()
-	dst = growInts(dst, n)
+	dst = scratch(dst, n)
 	if parts <= 1 {
 		for i := range dst {
 			dst[i] = 0
@@ -418,7 +409,7 @@ func HashPartitionPage(p *block.Page, cols []int, parts int, dst []int) []int {
 		return dst
 	}
 	hp := hashVecPool.Get().(*[]uint64)
-	hs := growU64(*hp, n)
+	hs := scratch(*hp, n)
 	for i := range hs {
 		hs[i] = fnvOffset
 	}

@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -23,58 +24,94 @@ type AggSpec struct {
 	Out      types.Type
 }
 
-// aggState is the per-group accumulator for one aggregate.
-type aggState struct {
-	Count  int64
-	SumI   int64
-	SumF   float64
-	HasVal bool
-	MinMax types.Value
-	// distinct values for DISTINCT aggregates (not spillable: set state
-	// cannot be merged incrementally, so DISTINCT disables spilling).
-	distinct map[string]struct{} // legacy path
-	dset     *keyTable           // vectorized path
+// aggVec is the state of one aggregate for every group: one vector per field
+// its result reads, indexed by group id. The others stay nil.
+type aggVec struct {
+	spec     AggSpec
+	floatSum bool      // sum/avg accumulate in sumF (avg, and sum with a double result), else sumI
+	count    []int64   // the count family's result; for sum and avg the non-null inputs seen
+	sumI     []int64   // sum with a bigint result
+	sumF     []float64 // avg, and sum with a double result
+	mm       valueVec  // min, max: the value kept, in the aggregate's output type
+	dset     *keyTable // DISTINCT: the (group id, argument cell) pairs seen
 }
 
-// groupEntry is one hash-table entry: the group's key values plus one state
-// per aggregate.
-type groupEntry struct {
-	Key    []types.Value
-	States []aggState
+func (a *aggVec) grow(n int) {
+	switch a.spec.Func {
+	case plan.AggMin, plan.AggMax:
+		a.mm.grow(n)
+		return
+	case plan.AggSum, plan.AggAvg:
+		if a.floatSum {
+			a.sumF = extend(a.sumF, n)
+		} else {
+			a.sumI = extend(a.sumI, n)
+		}
+	}
+	a.count = extend(a.count, n)
+}
+
+// reset empties the state and keeps its arrays for the next fill.
+func (a *aggVec) reset() {
+	a.count, a.sumI, a.sumF = truncate(a.count), truncate(a.sumI), truncate(a.sumF)
+	a.mm.reset()
+	if a.dset != nil {
+		a.dset.reset()
+	}
+}
+
+func (a *aggVec) memBytes() int64 {
+	n := int64(8*(cap(a.count)+cap(a.sumI)+cap(a.sumF))) + a.mm.memBytes()
+	if a.dset != nil {
+		n += a.dset.memBytes()
+	}
+	return n
+}
+
+// add folds n copies of the non-null argument b[r] into group id: n is 1 for
+// a row and the run length when a whole RLE run lands in one group.
+func (a *aggVec) add(id int, b block.Block, r int, n int64) {
+	switch a.spec.Func {
+	case plan.AggCount:
+		a.count[id] += n
+	case plan.AggCountMerge:
+		a.count[id] += b.Long(r) * n
+	case plan.AggSum, plan.AggAvg:
+		a.count[id] += n
+		if a.floatSum {
+			a.sumF[id] += b.Double(r) * float64(n)
+		} else {
+			a.sumI[id] += b.Long(r) * n
+		}
+	case plan.AggMin, plan.AggMax:
+		a.mm.keep(id, b, r, a.spec.Func == plan.AggMax)
+	}
 }
 
 // HashAggregationOperator implements GROUP BY aggregation with a flat hash
 // table, memory accounting, and optional spill-to-disk revocation (§IV-F2).
 //
-// Group lookup runs on one of two interchangeable indexes over the shared
-// entries slice: an open-addressing keyTable fed by the batch hashing kernels
-// (the default), or the legacy encodeRowKey+map path kept as the ablation
-// baseline (OpContext.DisableVecKernels).
+// The table is columnar (§V-A): the keyTable maps a key to a dense group id
+// and holds the key's normalized cells, and everything else about a group is
+// an entry at that id in a typed vector — one vector per group key the cells
+// cannot give back (keys), and per aggregate one vector per field its result
+// reads (accs). Nothing is allocated per group; vectors start empty and
+// double.
 type HashAggregationOperator struct {
 	ctx       *OpContext
 	groupCols []int
 	groupTs   []types.Type
-	aggs      []AggSpec
-	vec       bool
-	fixedKeys bool
 
 	// mu guards the table state and bytes: the pool's revocation path may
 	// call Revoke from another query's thread (§IV-F2).
-	mu      sync.Mutex
-	entries []*groupEntry
-	table   *keyTable      // vectorized lookup index
-	legacy  map[string]int // ablation lookup index (entry position)
-	batch   batchKeys
-	ids     []int32 // per-page row→group id vector (vectorized fixed-key path)
-	bytes   int64
-
-	// Chunked arenas for fresh-group materialization on the vectorized path:
-	// groups are allocated groupChunk at a time instead of three small objects
-	// per group. Chunks are never reallocated once handed out (a full chunk is
-	// replaced, not grown), so interior pointers stay valid.
-	entryArena []groupEntry
-	stateArena []aggState
-	keyArena   []types.Value
+	mu    sync.Mutex
+	table *keyTable
+	keys  []*valueVec // per group key; nil where table.cellBlock gives the key back
+	accs  []aggVec
+	batch batchKeys
+	ids   []int32 // per-page row→group id vector
+	memo  []int32 // per-page dictionary id→group id memo
+	bytes int64
 
 	spillFiles []string
 	spills     int // lifetime revocation count (spillFiles is cleared on drain)
@@ -91,11 +128,6 @@ type HashAggregationOperator struct {
 
 // NewHashAggregation builds the operator. spillable enables revocation.
 func NewHashAggregation(ctx *OpContext, groupCols []int, groupTs []types.Type, aggs []AggSpec, spillable bool, pageSize int) *HashAggregationOperator {
-	for _, a := range aggs {
-		if a.Distinct {
-			spillable = false // DISTINCT state is not spillable
-		}
-	}
 	if pageSize <= 0 {
 		pageSize = 4096
 	}
@@ -103,65 +135,77 @@ func NewHashAggregation(ctx *OpContext, groupCols []int, groupTs []types.Type, a
 		ctx:       ctx,
 		groupCols: groupCols,
 		groupTs:   groupTs,
-		aggs:      aggs,
 		spillable: spillable,
 		pageSize:  pageSize,
-		vec:       ctx == nil || !ctx.DisableVecKernels,
+		accs:      make([]aggVec, len(aggs)),
+		keys:      make([]*valueVec, len(groupCols)),
+		spillKeys: make([]int, len(groupCols)),
 	}
-	o.fixedKeys = fixedWidthKeys(groupTs)
-	o.spillKeys = make([]int, len(groupCols))
-	for i := range o.spillKeys {
-		o.spillKeys[i] = i
+	for i, spec := range aggs {
+		o.accs[i].spec = spec
+		if spec.Distinct {
+			o.spillable = false // set state cannot be merged incrementally
+		}
 	}
-	o.resetTableLocked()
+	for k := range o.spillKeys {
+		o.spillKeys[k] = k
+	}
+	o.resetTableLocked(false)
 	return o
 }
 
 // SetSpillDir directs spill files to dir instead of the OS temp dir.
 func (o *HashAggregationOperator) SetSpillDir(dir string) { o.spillDir = dir }
 
-// resetTableLocked installs a fresh, empty lookup index.
-func (o *HashAggregationOperator) resetTableLocked() {
-	o.entries = nil
-	o.entryArena, o.stateArena, o.keyArena = nil, nil, nil
-	if o.vec {
-		o.table = newKeyTable(o.fixedKeys, len(o.groupCols))
-	} else {
-		o.legacy = make(map[string]int)
+// resetTableLocked empties the table. keep leaves every array in place for
+// the next fill — the drain refills the table once per partition, all about
+// the same size; without it the table is built anew and the arrays are
+// dropped, which is what a revocation owes the pool.
+func (o *HashAggregationOperator) resetTableLocked(keep bool) {
+	if keep {
+		o.table.reset()
+		for _, v := range o.keys {
+			if v != nil {
+				v.reset()
+			}
+		}
+		for i := range o.accs {
+			o.accs[i].reset()
+		}
+		return
+	}
+	fixed := fixedWidthKeys(o.groupTs)
+	o.table = newKeyTable(fixed, len(o.groupTs))
+	for k, t := range o.groupTs {
+		o.keys[k] = nil
+		if !fixed || t == types.Double {
+			o.keys[k] = &valueVec{t: t}
+		}
+	}
+	for i := range o.accs {
+		spec := o.accs[i].spec
+		a := aggVec{spec: spec, mm: valueVec{t: spec.Out}}
+		a.floatSum = spec.Func == plan.AggAvg || spec.Out == types.Double
+		if spec.Distinct {
+			a.dset = newKeyTable(false, 1)
+		}
+		o.accs[i] = a
 	}
 }
 
-// groupChunk is how many groups each arena chunk holds.
-const groupChunk = 256
-
-// newGroupLocked materializes a fresh group entry from chunked arenas. The
-// returned entry's Key is zeroed and len(o.groupCols) long; States is zeroed
-// and len(o.aggs) long.
-func (o *HashAggregationOperator) newGroupLocked() *groupEntry {
-	nk, na := len(o.groupCols), len(o.aggs)
-	if len(o.entryArena) == cap(o.entryArena) {
-		o.entryArena = make([]groupEntry, 0, groupChunk)
-	}
-	var key []types.Value
-	if nk > 0 {
-		if len(o.keyArena)+nk > cap(o.keyArena) {
-			o.keyArena = make([]types.Value, 0, groupChunk*nk)
+// memBytesLocked is what the table holds, summed from the capacity and
+// element width of every array under it.
+func (o *HashAggregationOperator) memBytesLocked() int64 {
+	n := o.table.memBytes()
+	for _, v := range o.keys {
+		if v != nil {
+			n += v.memBytes()
 		}
-		n0 := len(o.keyArena)
-		o.keyArena = o.keyArena[:n0+nk]
-		key = o.keyArena[n0 : n0+nk : n0+nk]
 	}
-	var states []aggState
-	if na > 0 {
-		if len(o.stateArena)+na > cap(o.stateArena) {
-			o.stateArena = make([]aggState, 0, groupChunk*na)
-		}
-		n0 := len(o.stateArena)
-		o.stateArena = o.stateArena[:n0+na]
-		states = o.stateArena[n0 : n0+na : n0+na]
+	for i := range o.accs {
+		n += o.accs[i].memBytes()
 	}
-	o.entryArena = append(o.entryArena, groupEntry{Key: key, States: states})
-	return &o.entryArena[len(o.entryArena)-1]
+	return n
 }
 
 func (o *HashAggregationOperator) NeedsInput() bool { return !o.finished }
@@ -170,30 +214,24 @@ func (o *HashAggregationOperator) NeedsInput() bool { return !o.finished }
 // reference to an input page, or to any array under it, once AddInput
 // returns, on any path. The page processor in front of it then reuses its
 // output vectors from page to page (expr.PageProcessor.BorrowOutput). It
-// holds because group keys and min/max states copy types.Values out of the
-// page (a varchar value shares the string's bytes, which are immutable, not
-// the vector that held it), DISTINCT sets copy encoded bytes, the batch
-// hashing scratch is the operator's own, and Revoke and the drain read
-// groups, not pages. Array-typed keys would share the element slice, but no
-// processor lends an array block.
+// holds because the key table copies normalized cells and encoded bytes, key
+// and min/max vectors copy values out of the page (valueVec), DISTINCT sets
+// copy encoded bytes, the batch hashing scratch is the operator's own, and
+// Revoke and the drain read the table, not pages. Array-typed keys would
+// share the element slice, but no processor lends an array block.
 func (o *HashAggregationOperator) ReleasesInput() {}
 
 func (o *HashAggregationOperator) AddInput(p *block.Page) error {
 	o.ctx.recordIn(p)
 	o.mu.Lock()
 	ids, runID := o.resolveGroups(p, o.groupCols)
-	var err error
-	if o.vec {
-		err = o.accumulatePage(ids, runID, p, len(ids))
-	} else {
-		err = o.accumulateRows(ids, p)
-	}
-	if err != nil {
-		o.mu.Unlock()
-		return err
-	}
+	err := o.accumulatePage(ids, runID, p)
+	o.bytes = o.memBytesLocked()
 	bytes := o.bytes
 	o.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	err = o.ctx.Mem.SetBytes(bytes)
 	if err != nil && o.spillable && errors.Is(err, memory.ErrExceededLimit) {
 		// Self-spill: the page is fully accumulated, so the table can be
@@ -201,60 +239,69 @@ func (o *HashAggregationOperator) AddInput(p *block.Page) error {
 		if _, serr := o.Revoke(); serr != nil {
 			return serr
 		}
-		o.mu.Lock()
-		bytes = o.bytes
-		o.mu.Unlock()
-		err = o.ctx.Mem.SetBytes(bytes)
+		err = o.syncMem()
 	}
 	return err
 }
 
+// syncMem reserves what the table holds now. The pool is never called under
+// o.mu: it calls RevocableBytes, which takes o.mu, under its own lock.
+func (o *HashAggregationOperator) syncMem() error {
+	o.mu.Lock()
+	bytes := o.bytes
+	o.mu.Unlock()
+	return o.ctx.Mem.SetBytes(bytes)
+}
+
 // resolveGroups maps every row of p to the dense id of its group, keyed on
-// the given columns, materializing a fresh group for each key not seen since
-// the table was last reset. Input pages (keys at o.groupCols) and spilled
-// pages on their way back (keys at o.spillKeys) take the same path. A
-// runID >= 0 marks a page whose rows all fall in one group. The id vector is
-// the operator's scratch, valid until the next call. Caller holds o.mu.
+// the given columns, entering each key not seen since the table was last
+// reset, and grows every state vector to the table's new size. Input pages
+// (keys at o.groupCols) and spilled pages on their way back (keys at
+// o.spillKeys) take the same path. A runID >= 0 marks a page whose rows all
+// fall in one group. The id vector is the operator's scratch, valid until the
+// next call. Caller holds o.mu.
 func (o *HashAggregationOperator) resolveGroups(p *block.Page, cols []int) (ids []int32, runID int32) {
-	n := p.RowCount()
-	if cap(o.ids) < n {
-		o.ids = make([]int32, n)
+	o.ids = scratch(o.ids, p.RowCount())
+	ids, runID = o.ids, -1
+	resolved := false
+	if len(cols) == 1 {
+		runID, resolved = o.resolveEncodedSingle(p, ids, cols[0])
 	}
-	ids = o.ids[:n]
 	switch {
-	case !o.vec:
-		o.resolveRows(p, ids, cols)
-		return ids, -1
-	case len(cols) == 1:
-		if runID, resolved := o.resolveEncodedSingle(p, ids, cols[0]); resolved {
-			return ids, runID
-		}
-	}
-	if o.fixedKeys {
+	case resolved:
+	case o.table.fixed:
 		o.resolveVecFixed(p, ids, cols)
-	} else {
+	default:
 		o.resolveVecBytes(p, ids, cols)
 	}
-	return ids, -1
+	n := o.table.Len()
+	for i := range o.accs {
+		o.accs[i].grow(n)
+	}
+	return ids, runID
+}
+
+// keepKeysLocked copies the key of the fresh group id out of row r, for the
+// key columns the table's cells cannot give back.
+func (o *HashAggregationOperator) keepKeysLocked(id int, p *block.Page, cols []int, r int) {
+	for k, v := range o.keys {
+		if v != nil {
+			v.put(id, p.Col(cols[k]), r)
+		}
+	}
 }
 
 // resolveVecFixed is the vectorized fixed-cell lookup: one tight probe pass
 // over the page's normalized key cells (§V-B). Caller holds o.mu.
 func (o *HashAggregationOperator) resolveVecFixed(p *block.Page, ids []int32, cols []int) {
-	nk, na := len(cols), len(o.aggs)
-	freshBytes := int64(9*nk) + int64(64*na) + 48
 	o.batch.reset(p, cols, true)
-	if nk == 1 {
+	if len(cols) == 1 {
 		// Single-key fast path: probe on scalars, no per-row slicing.
 		cells, tags, hashes := o.batch.cells, o.batch.tags, o.batch.hashes
-		c0 := p.Col(cols[0])
 		for r := range ids {
 			id, fresh := o.table.getOrInsertFixed1(hashes[r], cells[r], tags[r])
-			if fresh {
-				g := o.newGroupLocked()
-				g.Key[0] = c0.Value(r)
-				o.entries = append(o.entries, g)
-				o.bytes += freshBytes
+			if fresh && o.keys[0] != nil {
+				o.keys[0].put(id, p.Col(cols[0]), r)
 			}
 			ids[r] = int32(id)
 		}
@@ -264,12 +311,7 @@ func (o *HashAggregationOperator) resolveVecFixed(p *block.Page, ids []int32, co
 		cells, tags := o.batch.row(r)
 		id, fresh := o.table.getOrInsertFixed(o.batch.hashes[r], cells, tags)
 		if fresh {
-			g := o.newGroupLocked()
-			for i, c := range cols {
-				g.Key[i] = p.Col(c).Value(r)
-			}
-			o.entries = append(o.entries, g)
-			o.bytes += freshBytes
+			o.keepKeysLocked(id, p, cols, r)
 		}
 		ids[r] = int32(id)
 	}
@@ -280,55 +322,14 @@ func (o *HashAggregationOperator) resolveVecFixed(p *block.Page, ids []int32, co
 // is built only to verify and store the key. Caller holds o.mu.
 func (o *HashAggregationOperator) resolveVecBytes(p *block.Page, ids []int32, cols []int) {
 	o.batch.reset(p, cols, false)
-	na := len(o.aggs)
 	for r := range ids {
 		o.batch.buf = encodeRowKey(o.batch.buf[:0], p, r, cols)
 		id, fresh := o.table.getOrInsertBytes(o.batch.hashes[r], o.batch.buf)
 		if fresh {
-			g := o.newGroupLocked()
-			for i, c := range cols {
-				g.Key[i] = p.Col(c).Value(r)
-			}
-			o.entries = append(o.entries, g)
-			o.bytes += int64(len(o.batch.buf)) + int64(64*na) + 48
+			o.keepKeysLocked(id, p, cols, r)
 		}
 		ids[r] = int32(id)
 	}
-}
-
-// resolveRows is the legacy row-at-a-time map lookup, kept as the ablation
-// baseline (OpContext.DisableVecKernels). Caller holds o.mu.
-func (o *HashAggregationOperator) resolveRows(p *block.Page, ids []int32, cols []int) {
-	buf := o.batch.buf
-	for r := range ids {
-		buf = encodeRowKey(buf[:0], p, r, cols)
-		id, ok := o.legacy[string(buf)]
-		if !ok {
-			id = len(o.entries)
-			o.legacy[string(buf)] = id
-			key := make([]types.Value, len(cols))
-			for i, c := range cols {
-				key[i] = p.Col(c).Value(r)
-			}
-			o.entries = append(o.entries, &groupEntry{Key: key, States: make([]aggState, len(o.aggs))})
-			o.bytes += int64(len(buf)) + int64(64*len(o.aggs)) + 48
-		}
-		ids[r] = int32(id)
-	}
-	o.batch.buf = buf
-}
-
-// accumulateRows is the legacy per-row accumulate over resolved ids.
-func (o *HashAggregationOperator) accumulateRows(ids []int32, p *block.Page) error {
-	for r, id := range ids {
-		g := o.entries[id]
-		for i := range o.aggs {
-			if err := o.accumulate(&g.States[i], &o.aggs[i], p, r); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // resolveEncodedSingle resolves dictionary/RLE-encoded single-column group
@@ -347,7 +348,8 @@ func (o *HashAggregationOperator) resolveEncodedSingle(p *block.Page, ids []int3
 		}
 		return id, true
 	case *block.DictionaryBlock:
-		memo := make([]int32, kc.Dict.Len())
+		o.memo = scratch(o.memo, kc.Dict.Len())
+		memo := o.memo
 		for j := range memo {
 			memo[j] = -1 // unresolved: unreferenced ids never create groups
 		}
@@ -364,215 +366,125 @@ func (o *HashAggregationOperator) resolveEncodedSingle(p *block.Page, ids []int3
 }
 
 // groupIDForCell returns the dense group id of the single key cell blk[j],
-// materializing a fresh group when absent. NULL is a valid group key in
+// entering a fresh group when absent. NULL is a valid group key in
 // aggregation (unlike joins). Caller holds o.mu.
 func (o *HashAggregationOperator) groupIDForCell(blk block.Block, j int) int32 {
-	na := len(o.aggs)
 	var id int
 	var fresh bool
 	if o.table.fixed {
 		tag, cell := normValue(blk.Value(j))
 		id, fresh = o.table.getOrInsertFixed1(fixed1Hash(cell, tag), cell, tag)
-		if fresh {
-			o.bytes += int64(9 + 64*na + 48)
-		}
 	} else {
 		o.batch.buf = appendCellKey(o.batch.buf[:0], blk, j)
 		id, fresh = o.table.getOrInsertBytes(bytes1Hash(o.batch.buf), o.batch.buf)
-		if fresh {
-			o.bytes += int64(len(o.batch.buf)) + int64(64*na) + 48
-		}
 	}
-	if fresh {
-		g := o.newGroupLocked()
-		g.Key[0] = blk.Value(j)
-		o.entries = append(o.entries, g)
+	if fresh && o.keys[0] != nil {
+		o.keys[0].put(id, blk, j)
 	}
 	return int32(id)
 }
 
 // accumulatePage runs every aggregate over the resolved id vector: the O(1)
-// whole-run kernel when the page is a single group's RLE run, else the
-// columnar kernels, else the per-row fallback. Caller holds o.mu.
-func (o *HashAggregationOperator) accumulatePage(ids []int32, runID int32, p *block.Page, n int) error {
-	for i := range o.aggs {
-		if runID >= 0 && o.accumulateRun(&o.aggs[i], i, runID, p, n) {
-			continue
-		}
-		if o.accumulateVec(&o.aggs[i], i, ids, p) {
-			continue
-		}
-		for r := 0; r < n; r++ {
-			if err := o.accumulate(&o.entries[ids[r]].States[i], &o.aggs[i], p, r); err != nil {
-				return err
+// whole-run step when the page is a single group's RLE run, else the columnar
+// kernels over state[ids[r]], else the per-row fallback (DISTINCT, varchar
+// and boolean arguments, RLE/dictionary encodings). Caller holds o.mu.
+func (o *HashAggregationOperator) accumulatePage(ids []int32, runID int32, p *block.Page) error {
+	for i := range o.accs {
+		a := &o.accs[i]
+		switch a.spec.Func {
+		case plan.AggCountAll:
+			if runID >= 0 {
+				a.count[runID] += int64(len(ids))
+			} else {
+				for _, id := range ids {
+					a.count[id]++
+				}
 			}
+			continue
+		case plan.AggCount, plan.AggCountMerge, plan.AggSum, plan.AggAvg, plan.AggMin, plan.AggMax:
+		default:
+			return fmt.Errorf("unknown aggregate %q", a.spec.Func)
+		}
+		col := loadCol(p.Col(a.spec.ArgCol))
+		if rle, ok := col.(*block.RLEBlock); ok && runID >= 0 && a.dset == nil {
+			// The whole page is one group's run of one argument value; a NULL
+			// argument is skipped by every aggregate.
+			if !rle.Val.IsNull(0) {
+				a.add(int(runID), rle.Val, 0, int64(len(ids)))
+			}
+			continue
+		}
+		if a.dset == nil && a.accumulateVec(ids, col) {
+			continue
+		}
+		for r, id := range ids {
+			if col.IsNull(r) || (a.dset != nil && !o.firstSeenLocked(a, id, col, r)) {
+				continue
+			}
+			a.add(int(id), col, r, 1)
 		}
 	}
 	return nil
 }
 
-// accumulateRun folds an entire page into one group in a single step: when
-// every row falls in the same group (RLE group key) and the argument is also
-// RLE-encoded (or COUNT(*)), the run's contribution is computed arithmetically
-// instead of n accumulator updates. Returns false to fall back to the
-// columnar/per-row kernels. Caller holds o.mu.
-func (o *HashAggregationOperator) accumulateRun(spec *AggSpec, si int, id int32, p *block.Page, n int) bool {
-	if spec.Distinct {
-		return false
-	}
-	st := &o.entries[id].States[si]
-	if spec.Func == plan.AggCountAll {
-		st.Count += int64(n)
-		return true
-	}
-	rle, ok := loadCol(p.Col(spec.ArgCol)).(*block.RLEBlock)
-	if !ok {
-		return false
-	}
-	if rle.Val.IsNull(0) {
-		return true // NULL argument: every aggregate skips it
-	}
-	v := rle.Val.Value(0)
-	switch spec.Func {
-	case plan.AggCount:
-		st.Count += int64(n)
-	case plan.AggCountMerge:
-		st.Count += v.I * int64(n)
-	case plan.AggSum, plan.AggAvg:
-		st.Count += int64(n)
-		st.HasVal = true
-		if v.T == types.Double {
-			st.SumF += v.F * float64(n)
-		} else {
-			st.SumI += v.I * int64(n)
-			st.SumF += float64(v.I) * float64(n)
-		}
-	case plan.AggMin:
-		if !st.HasVal || v.Compare(st.MinMax) < 0 {
-			st.MinMax, st.HasVal = v, true
-		}
-	case plan.AggMax:
-		if !st.HasVal || v.Compare(st.MinMax) > 0 {
-			st.MinMax, st.HasVal = v, true
-		}
-	default:
-		return false
-	}
-	return true
+// firstSeenLocked enters (group id, col[r]) in a DISTINCT aggregate's set and
+// reports whether the pair is new.
+func (o *HashAggregationOperator) firstSeenLocked(a *aggVec, id int32, col block.Block, r int) bool {
+	buf := binary.LittleEndian.AppendUint32(o.batch.buf[:0], uint32(id))
+	buf = appendCellKey(buf, col, r)
+	o.batch.buf = buf
+	_, fresh := a.dset.getOrInsertBytes(hashRowKey(buf), buf)
+	return fresh
 }
 
 // accumulateVec runs one aggregate as a columnar loop over the row→group id
-// vector when the argument column has a specialized flat kernel. It returns
-// false to fall back to the per-row accumulate path (DISTINCT aggregates,
-// varchar/bool arguments, RLE/dictionary encodings). Each kernel mirrors
-// accumulate's semantics exactly: NULL arguments are skipped, sums track both
-// integer and float forms, and min/max comparisons match Value.Compare for
-// the block's type.
-func (o *HashAggregationOperator) accumulateVec(spec *AggSpec, si int, ids []int32, p *block.Page) bool {
-	if spec.Distinct {
-		return false
-	}
-	entries := o.entries
-	if spec.Func == plan.AggCountAll {
-		for _, id := range ids {
-			entries[id].States[si].Count++
-		}
-		return true
-	}
-	col := p.Col(spec.ArgCol)
-	if lz, ok := col.(*block.LazyBlock); ok {
-		col = lz.Load()
-	}
+// vector when the argument column has a specialized flat kernel, and returns
+// false when it has none. Each kernel mirrors add exactly: NULL arguments are
+// skipped, and min/max comparisons match Value.Compare for the block's type.
+func (a *aggVec) accumulateVec(ids []int32, col block.Block) bool {
+	count := a.count
 	switch src := col.(type) {
 	case *block.LongBlock:
 		vals, nulls := src.Vals, src.Nulls
-		switch spec.Func {
+		switch a.spec.Func {
 		case plan.AggCount:
-			countNonNull(entries, si, ids, nulls)
+			countNonNull(count, ids, nulls)
 		case plan.AggCountMerge:
 			for r, id := range ids {
-				if nulls != nil && nulls[r] {
-					continue
+				if nulls == nil || !nulls[r] {
+					count[id] += vals[r]
 				}
-				entries[id].States[si].Count += vals[r]
 			}
 		case plan.AggSum, plan.AggAvg:
-			for r, id := range ids {
-				if nulls != nil && nulls[r] {
-					continue
-				}
-				st := &entries[id].States[si]
-				v := vals[r]
-				st.Count++
-				st.HasVal = true
-				st.SumI += v
-				st.SumF += float64(v)
+			if a.floatSum {
+				sumNonNull(count, a.sumF, ids, vals, nulls)
+			} else {
+				sumNonNull(count, a.sumI, ids, vals, nulls)
 			}
-		case plan.AggMin:
-			for r, id := range ids {
-				if nulls != nil && nulls[r] {
-					continue
-				}
-				st := &entries[id].States[si]
-				if v := vals[r]; !st.HasVal || v < st.MinMax.I {
-					st.MinMax = types.Value{T: src.T, I: v}
-					st.HasVal = true
-				}
+		case plan.AggMin, plan.AggMax:
+			if a.mm.t != types.Bigint && a.mm.t != types.Date {
+				return false
 			}
-		case plan.AggMax:
-			for r, id := range ids {
-				if nulls != nil && nulls[r] {
-					continue
-				}
-				st := &entries[id].States[si]
-				if v := vals[r]; !st.HasVal || v > st.MinMax.I {
-					st.MinMax = types.Value{T: src.T, I: v}
-					st.HasVal = true
-				}
-			}
-		default:
-			return false
+			keepOrdered(a.mm.has, a.mm.longs, ids, vals, nulls, a.spec.Func == plan.AggMax)
 		}
 		return true
 	case *block.DoubleBlock:
 		vals, nulls := src.Vals, src.Nulls
-		switch spec.Func {
+		switch a.spec.Func {
 		case plan.AggCount:
-			countNonNull(entries, si, ids, nulls)
+			countNonNull(count, ids, nulls)
 		case plan.AggSum, plan.AggAvg:
-			for r, id := range ids {
-				if nulls != nil && nulls[r] {
-					continue
-				}
-				st := &entries[id].States[si]
-				st.Count++
-				st.HasVal = true
-				st.SumF += vals[r]
+			if !a.floatSum {
+				return false
 			}
-		case plan.AggMin:
+			sumNonNull(count, a.sumF, ids, vals, nulls)
+		case plan.AggMin, plan.AggMax:
+			if a.mm.t != types.Double {
+				return false
+			}
 			// v < cur matches compareFloat: NaN compares equal, so an
 			// incumbent is never displaced by NaN and vice versa.
-			for r, id := range ids {
-				if nulls != nil && nulls[r] {
-					continue
-				}
-				st := &entries[id].States[si]
-				if v := vals[r]; !st.HasVal || v < st.MinMax.F {
-					st.MinMax = types.DoubleValue(v)
-					st.HasVal = true
-				}
-			}
-		case plan.AggMax:
-			for r, id := range ids {
-				if nulls != nil && nulls[r] {
-					continue
-				}
-				st := &entries[id].States[si]
-				if v := vals[r]; !st.HasVal || v > st.MinMax.F {
-					st.MinMax = types.DoubleValue(v)
-					st.HasVal = true
-				}
-			}
+			keepOrdered(a.mm.has, a.mm.doubles, ids, vals, nulls, a.spec.Func == plan.AggMax)
 		default:
 			return false
 		}
@@ -582,115 +494,64 @@ func (o *HashAggregationOperator) accumulateVec(spec *AggSpec, si int, ids []int
 }
 
 // countNonNull is the shared COUNT(col) kernel over a flat null mask.
-func countNonNull(entries []*groupEntry, si int, ids []int32, nulls []bool) {
+func countNonNull(count []int64, ids []int32, nulls []bool) {
 	if nulls == nil {
 		for _, id := range ids {
-			entries[id].States[si].Count++
+			count[id]++
 		}
 		return
 	}
 	for r, id := range ids {
 		if !nulls[r] {
-			entries[id].States[si].Count++
+			count[id]++
 		}
 	}
 }
 
-func (o *HashAggregationOperator) accumulate(st *aggState, spec *AggSpec, p *block.Page, r int) error {
-	if spec.Func == plan.AggCountAll {
-		st.Count++
-		return nil
-	}
-	col := p.Col(spec.ArgCol)
-	if col.IsNull(r) {
-		return nil
-	}
-	if spec.Distinct {
-		if o.vec {
-			if st.dset == nil {
-				st.dset = newKeyTable(false, 1)
-			}
-			o.batch.buf = appendCellKey(o.batch.buf[:0], col, r)
-			_, fresh := st.dset.getOrInsertBytes(hashRowKey(o.batch.buf), o.batch.buf)
-			if !fresh {
-				return nil
-			}
-			o.bytes += int64(len(o.batch.buf) + 16)
-		} else {
-			if st.distinct == nil {
-				st.distinct = make(map[string]struct{})
-			}
-			var kb []byte
-			kb = encodeRowKey(kb, p, r, []int{spec.ArgCol})
-			k := string(kb)
-			if _, seen := st.distinct[k]; seen {
-				return nil
-			}
-			st.distinct[k] = struct{}{}
-			o.bytes += int64(len(k) + 16)
+// sumNonNull is the SUM/AVG kernel: each non-null value counts and adds, in
+// the sum's own arithmetic, to its group.
+func sumNonNull[S, V int64 | float64](count []int64, sum []S, ids []int32, vals []V, nulls []bool) {
+	for r, id := range ids {
+		if nulls == nil || !nulls[r] {
+			count[id]++
+			sum[id] += S(vals[r])
 		}
 	}
-	switch spec.Func {
-	case plan.AggCount:
-		st.Count++
-	case plan.AggCountMerge:
-		st.Count += col.Long(r)
-	case plan.AggSum, plan.AggAvg:
-		st.Count++
-		st.HasVal = true
-		if col.Type() == types.Double {
-			st.SumF += col.Double(r)
-		} else {
-			st.SumI += col.Long(r)
-			st.SumF += float64(col.Long(r))
-		}
-	case plan.AggMin:
-		v := col.Value(r)
-		if !st.HasVal || v.Compare(st.MinMax) < 0 {
-			st.MinMax = v
-			st.HasVal = true
-		}
-	case plan.AggMax:
-		v := col.Value(r)
-		if !st.HasVal || v.Compare(st.MinMax) > 0 {
-			st.MinMax = v
-			st.HasVal = true
-		}
-	default:
-		return fmt.Errorf("unknown aggregate %q", spec.Func)
-	}
-	return nil
 }
 
-// result renders one aggregate's final value.
-func (spec *AggSpec) result(st *aggState) types.Value {
-	switch spec.Func {
-	case plan.AggCount, plan.AggCountAll, plan.AggCountMerge:
-		return types.BigintValue(st.Count)
-	case plan.AggSum:
-		if !st.HasVal {
-			return types.NullValue(spec.Out)
+// keepOrdered is the min/max kernel over a flat column whose type is the
+// state's own.
+func keepOrdered[T int64 | float64](has []bool, cur []T, ids []int32, vals []T, nulls []bool, larger bool) {
+	for r, id := range ids {
+		if nulls != nil && nulls[r] {
+			continue
 		}
-		if spec.Out == types.Double {
-			return types.DoubleValue(st.SumF)
+		if v := vals[r]; !has[id] || (larger && v > cur[id]) || (!larger && v < cur[id]) {
+			cur[id], has[id] = v, true
 		}
-		return types.BigintValue(st.SumI)
-	case plan.AggAvg:
-		if st.Count == 0 {
-			return types.NullValue(types.Double)
-		}
-		return types.DoubleValue(st.SumF / float64(st.Count))
+	}
+}
+
+// resultBlock renders the aggregate's final value for the selected groups.
+func (a *aggVec) resultBlock(sel []int32) block.Block {
+	switch a.spec.Func {
 	case plan.AggMin, plan.AggMax:
-		if !st.HasVal {
-			return types.NullValue(spec.Out)
+		return a.mm.block(sel)
+	case plan.AggSum:
+		if a.floatSum {
+			return &block.DoubleBlock{Vals: pick(a.sumF, sel), Nulls: zeroMask(a.count, sel)}
 		}
-		v, err := st.MinMax.Coerce(spec.Out)
-		if err != nil {
-			return st.MinMax
+		return &block.LongBlock{T: a.spec.Out, Vals: pick(a.sumI, sel), Nulls: zeroMask(a.count, sel)}
+	case plan.AggAvg:
+		vals := pick(a.sumF, sel)
+		for i, id := range sel {
+			if n := a.count[id]; n != 0 {
+				vals[i] /= float64(n)
+			}
 		}
-		return v
+		return &block.DoubleBlock{Vals: vals, Nulls: zeroMask(a.count, sel)}
 	}
-	return types.NullValue(spec.Out)
+	return &block.LongBlock{T: types.Bigint, Vals: pick(a.count, sel)}
 }
 
 func (o *HashAggregationOperator) Finish() {
@@ -706,17 +567,12 @@ func (o *HashAggregationOperator) prepareOutput() error {
 		return nil
 	}
 	o.prepared = true
-	outTypes := make([]types.Type, 0, len(o.groupTs)+len(o.aggs))
-	outTypes = append(outTypes, o.groupTs...)
-	for _, a := range o.aggs {
-		outTypes = append(outTypes, a.Out)
-	}
 	// The last look at state a revoker may still be writing: once finished is
 	// set Revoke is a no-op, so whoever holds o.mu here sees either all of a
-	// revocation or none of it, and from here on the table, entries and
-	// spillFiles are this goroutine's alone until Close.
+	// revocation or none of it, and from here on the table and spillFiles are
+	// this goroutine's alone until Close.
 	o.mu.Lock()
-	if len(o.spillFiles) > 0 && len(o.entries) > 0 {
+	if len(o.spillFiles) > 0 && o.table.Len() > 0 {
 		// Spilled: the in-memory tail joins the files, so the drain below has
 		// one source.
 		if _, err := o.spillLocked(); err != nil {
@@ -726,27 +582,33 @@ func (o *HashAggregationOperator) prepareOutput() error {
 	}
 	files := o.spillFiles
 	o.mu.Unlock()
-	if len(files) == 0 {
-		// Global aggregation with no groups: one row even for empty input.
-		if len(o.groupCols) == 0 && len(o.entries) == 0 {
-			o.entries = append(o.entries, &groupEntry{Key: nil, States: make([]aggState, len(o.aggs))})
+	if len(files) > 0 {
+		if err := o.syncMem(); err != nil {
+			return err
 		}
-		o.emitGroups(o.entries, outTypes)
-		o.entries = nil
-		return nil
+		return o.drainSpilled(files)
 	}
-	return o.drainSpilled(files, outTypes)
+	if len(o.groupCols) == 0 && o.table.Len() == 0 {
+		// Global aggregation with no groups: one row even for empty input.
+		o.table.getOrInsertFixed(fnvOffset, nil, nil)
+		for i := range o.accs {
+			o.accs[i].grow(1)
+		}
+	}
+	o.emitGroups()
+	o.resetTableLocked(false)
+	return nil
 }
 
 // drainSpilled merges the spill files back one hash partition at a time, so
 // peak memory stays ~1/spillPartitions of the table: each partition's pages
-// go back through the lookup AddInput uses into a table reset per partition,
-// their state columns merge by group id, and the partition's groups are
-// emitted before the next one is read. A partition pass reads only that
-// partition's extents of each file, so every record is read once.
-func (o *HashAggregationOperator) drainSpilled(files []string, outTypes []types.Type) error {
+// go back through the lookup AddInput uses into a table emptied per
+// partition, their state columns merge by group id, and the partition's
+// groups are emitted before the next one is read. A partition pass reads only
+// that partition's extents of each file, so every record is read once.
+func (o *HashAggregationOperator) drainSpilled(files []string) error {
 	for part := 0; part < spillPartitions; part++ {
-		o.resetTableLocked()
+		o.resetTableLocked(true)
 		pages := spillPartIter{files: files, part: part}
 		for {
 			p, err := pages.next()
@@ -761,7 +623,7 @@ func (o *HashAggregationOperator) drainSpilled(files []string, outTypes []types.
 				break
 			}
 		}
-		o.emitGroups(o.entries, outTypes)
+		o.emitGroups()
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -769,98 +631,42 @@ func (o *HashAggregationOperator) drainSpilled(files []string, outTypes []types.
 		spill.Remove(name)
 	}
 	o.spillFiles = nil
-	o.resetTableLocked()
+	o.resetTableLocked(false)
 	o.bytes = 0
 	return nil
 }
 
-// emitGroups renders group entries into output pages column-at-a-time: each
-// output column unboxes straight into its typed slice, skipping the boxed
-// row builder's per-row value copies. Field extraction matches BuildBlock
-// exactly (raw field reads, no coercion).
-func (o *HashAggregationOperator) emitGroups(groups []*groupEntry, outTypes []types.Type) {
-	nkeys := len(o.groupTs)
-	for start := 0; start < len(groups); start += o.pageSize {
-		end := start + o.pageSize
-		if end > len(groups) {
-			end = len(groups)
+// emitGroups renders every group of the table into output pages, a column at
+// a time: each output block owns a gather of the vector (or of the table's
+// cells) it reads, so nothing is boxed and the table's arrays stay the
+// table's.
+func (o *HashAggregationOperator) emitGroups() {
+	for lo, n := 0, o.table.Len(); lo < n; lo += o.pageSize {
+		sel := scratch(o.ids, min(o.pageSize, n-lo))
+		for i := range sel {
+			sel[i] = int32(lo + i)
 		}
-		chunk := groups[start:end]
-		cols := make([]block.Block, len(outTypes))
-		for c, t := range outTypes {
-			ci := c
-			get := func(g *groupEntry) types.Value { return g.Key[ci] }
-			if c >= nkeys {
-				spec := &o.aggs[c-nkeys]
-				si := c - nkeys
-				get = func(g *groupEntry) types.Value { return spec.result(&g.States[si]) }
-			}
-			cols[c] = buildGroupCol(t, chunk, get)
+		o.ids = sel
+		cols := o.keyBlocks(sel, len(o.accs))
+		for i := range o.accs {
+			cols = append(cols, o.accs[i].resultBlock(sel))
 		}
 		o.out = append(o.out, block.NewPage(cols...))
 	}
 }
 
-// buildGroupCol builds one typed output column from a chunk of groups.
-func buildGroupCol(t types.Type, groups []*groupEntry, get func(*groupEntry) types.Value) block.Block {
-	n := len(groups)
-	var nulls []bool
-	setNull := func(i int) {
-		if nulls == nil {
-			nulls = make([]bool, n)
+// keyBlocks renders the group-key columns of the selected groups, with room
+// for extra more columns behind them.
+func (o *HashAggregationOperator) keyBlocks(sel []int32, extra int) []block.Block {
+	cols := make([]block.Block, 0, len(o.keys)+extra)
+	for k, v := range o.keys {
+		if v != nil {
+			cols = append(cols, v.block(sel))
+		} else {
+			cols = append(cols, o.table.cellBlock(k, o.groupTs[k], sel))
 		}
-		nulls[i] = true
 	}
-	switch t {
-	case types.Bigint, types.Date:
-		vals := make([]int64, n)
-		for i, g := range groups {
-			v := get(g)
-			if v.Null {
-				setNull(i)
-			}
-			vals[i] = v.I
-		}
-		return &block.LongBlock{T: t, Vals: vals, Nulls: nulls}
-	case types.Double:
-		vals := make([]float64, n)
-		for i, g := range groups {
-			v := get(g)
-			if v.Null {
-				setNull(i)
-			}
-			vals[i] = v.F
-		}
-		return &block.DoubleBlock{Vals: vals, Nulls: nulls}
-	case types.Varchar:
-		vals := make([]string, n)
-		for i, g := range groups {
-			v := get(g)
-			if v.Null {
-				setNull(i)
-			}
-			vals[i] = v.S
-		}
-		return &block.VarcharBlock{Vals: vals, Nulls: nulls}
-	case types.Boolean:
-		vals := make([]bool, n)
-		for i, g := range groups {
-			v := get(g)
-			if v.Null {
-				setNull(i)
-			}
-			vals[i] = v.B
-		}
-		return &block.BoolBlock{Vals: vals, Nulls: nulls}
-	default:
-		// Array keys and untyped NULL-literal columns: box through the
-		// generic builder, mirroring BuildBlock's handling.
-		vals := make([]types.Value, n)
-		for i, g := range groups {
-			vals[i] = get(g)
-		}
-		return block.BuildBlock(t, vals)
-	}
+	return cols
 }
 
 func (o *HashAggregationOperator) Output() (*block.Page, error) {
@@ -885,13 +691,14 @@ func (o *HashAggregationOperator) IsFinished() bool {
 func (o *HashAggregationOperator) IsBlocked() bool { return false }
 func (o *HashAggregationOperator) Close() error {
 	o.mu.Lock()
-	defer o.mu.Unlock()
 	for _, f := range o.spillFiles {
 		spill.Remove(f)
 	}
 	o.spillFiles = nil
-	o.entries, o.table, o.legacy, o.out = nil, nil, nil, nil
-	o.ctx.Mem.Close()
+	o.resetTableLocked(false)
+	o.bytes, o.out = 0, nil
+	o.mu.Unlock()
+	o.ctx.Mem.Close() // outside o.mu, as syncMem
 	return nil
 }
 
@@ -909,13 +716,12 @@ const spillPartitions = 16
 func spillPartition(h uint64) uint8 { return uint8(h >> 60) }
 
 // spillStateCols is how many columns an aggregate's state takes in a spilled
-// page. A function spills only the state it keeps: Count for the counts;
-// Count, SumI, SumF, HasVal for sum and avg; HasVal, MinMax for min and max.
+// page. A function spills the vectors it keeps: count for the counts; count
+// and the one sum for sum and avg; the has mask and the value for min and
+// max.
 func spillStateCols(f plan.AggFunc) int {
 	switch f {
-	case plan.AggSum, plan.AggAvg:
-		return 4
-	case plan.AggMin, plan.AggMax:
+	case plan.AggSum, plan.AggAvg, plan.AggMin, plan.AggMax:
 		return 2
 	}
 	return 1
@@ -948,45 +754,43 @@ func (o *HashAggregationOperator) ExecutionNanos() int64 {
 // Revoke on each, so the call can arrive after Finish.
 func (o *HashAggregationOperator) Revoke() (int64, error) {
 	o.mu.Lock()
-	defer o.mu.Unlock()
 	if !o.spillable || o.finished {
+		o.mu.Unlock()
 		return 0, nil
 	}
-	return o.spillLocked()
+	freed, err := o.spillLocked()
+	o.mu.Unlock()
+	if err != nil || freed == 0 {
+		return freed, err
+	}
+	return freed, o.syncMem()
 }
 
 // spillLocked writes every live group to one new spill file, bucketed by
-// partition, and resets the table. The pages are built column by column
-// straight from the group entries. Caller holds o.mu.
+// partition, and drops the table. The pages are gathered column by column
+// straight from the table's vectors. Caller holds o.mu, and gives the freed
+// reservation back (syncMem) once it has let go of it.
 func (o *HashAggregationOperator) spillLocked() (int64, error) {
-	if len(o.entries) == 0 {
+	n := o.table.Len()
+	if n == 0 {
 		return 0, nil
 	}
-	// Counting sort of the groups by partition. The partition comes from the
-	// hash the lookup index already keyed the group on, so a key lands in the
+	// Counting sort of the group ids by partition. The partition comes from
+	// the hash the table already keyed the group on, so a key lands in the
 	// same partition of every file this operator writes.
-	parts := make([]uint8, len(o.entries))
-	if o.vec {
-		for id, h := range o.table.hashes {
-			parts[id] = spillPartition(h)
-		}
-	} else {
-		for k, id := range o.legacy {
-			parts[id] = spillPartition(hashRowKey(k))
-		}
-	}
 	var ends [spillPartitions + 1]int
-	for _, part := range parts {
-		ends[part+1]++
+	for _, h := range o.table.hashes {
+		ends[spillPartition(h)+1]++
 	}
 	for part := 0; part < spillPartitions; part++ {
 		ends[part+1] += ends[part]
 	}
 	next := ends
-	groups := make([]*groupEntry, len(o.entries))
-	for id, g := range o.entries {
-		groups[next[parts[id]]] = g
-		next[parts[id]]++
+	order := make([]int32, n)
+	for id, h := range o.table.hashes {
+		part := spillPartition(h)
+		order[next[part]] = int32(id)
+		next[part]++
 	}
 
 	w, err := spill.NewWriter(o.spillDir, "agg")
@@ -996,7 +800,7 @@ func (o *HashAggregationOperator) spillLocked() (int64, error) {
 	for part := 0; part < spillPartitions; part++ {
 		for from := ends[part]; from < ends[part+1]; from += o.pageSize {
 			to := min(from+o.pageSize, ends[part+1])
-			if err := w.WritePage(part, o.spillPage(groups[from:to])); err != nil {
+			if err := w.WritePage(part, o.spillPage(order[from:to])); err != nil {
 				w.Abort()
 				return 0, err
 			}
@@ -1008,66 +812,29 @@ func (o *HashAggregationOperator) spillLocked() (int64, error) {
 	o.spillFiles = append(o.spillFiles, w.Path())
 	o.spills++
 	freed := o.bytes
-	o.resetTableLocked()
+	o.resetTableLocked(false)
 	o.bytes = 0
-	if err := o.ctx.Mem.SetBytes(0); err != nil {
-		return 0, err
-	}
 	return freed, nil
 }
 
-// spillPage is the columnar on-disk form of a run of groups: the group-key
-// columns, then each aggregate's state columns (spillStateCols).
-func (o *HashAggregationOperator) spillPage(groups []*groupEntry) *block.Page {
-	n := len(groups)
-	cols := make([]block.Block, 0, len(o.groupTs)+4*len(o.aggs))
-	for k, t := range o.groupTs {
-		k := k
-		cols = append(cols, buildGroupCol(t, groups, func(g *groupEntry) types.Value { return g.Key[k] }))
-	}
-	for i := range o.aggs {
-		a := &o.aggs[i]
-		switch a.Func {
-		case plan.AggSum, plan.AggAvg:
-			counts, sumI, sumF, has := make([]int64, n), make([]int64, n), make([]float64, n), make([]bool, n)
-			for j, g := range groups {
-				st := &g.States[i]
-				counts[j], sumI[j], sumF[j], has[j] = st.Count, st.SumI, st.SumF, st.HasVal
-			}
-			cols = append(cols,
-				&block.LongBlock{T: types.Bigint, Vals: counts},
-				&block.LongBlock{T: types.Bigint, Vals: sumI},
-				&block.DoubleBlock{Vals: sumF},
-				&block.BoolBlock{Vals: has})
+// spillPage is the columnar on-disk form of the selected groups: the
+// group-key columns, then each aggregate's state vectors (spillStateCols).
+func (o *HashAggregationOperator) spillPage(sel []int32) *block.Page {
+	cols := o.keyBlocks(sel, 2*len(o.accs))
+	for i := range o.accs {
+		a := &o.accs[i]
+		switch a.spec.Func {
 		case plan.AggMin, plan.AggMax:
-			has := make([]bool, n)
-			for j, g := range groups {
-				has[j] = g.States[i].HasVal
+			cols = append(cols, &block.BoolBlock{Vals: pick(a.mm.has, sel)}, a.mm.block(sel))
+		case plan.AggSum, plan.AggAvg:
+			cols = append(cols, block.NewLongBlock(pick(a.count, sel), nil))
+			if a.floatSum {
+				cols = append(cols, &block.DoubleBlock{Vals: pick(a.sumF, sel)})
+			} else {
+				cols = append(cols, block.NewLongBlock(pick(a.sumI, sel), nil))
 			}
-			// Spilled in the aggregate's output type, which result coerces
-			// to anyway.
-			mm := a.Out
-			if mm == types.Unknown {
-				mm = types.Bigint
-			}
-			cols = append(cols, &block.BoolBlock{Vals: has}, buildGroupCol(mm, groups, func(g *groupEntry) types.Value {
-				st := &g.States[i]
-				if !st.HasVal {
-					return types.NullValue(mm)
-				}
-				if st.MinMax.T != mm {
-					if v, err := st.MinMax.Coerce(mm); err == nil {
-						return v
-					}
-				}
-				return st.MinMax
-			}))
 		default:
-			counts := make([]int64, n)
-			for j, g := range groups {
-				counts[j] = g.States[i].Count
-			}
-			cols = append(cols, &block.LongBlock{T: types.Bigint, Vals: counts})
+			cols = append(cols, block.NewLongBlock(pick(a.count, sel), nil))
 		}
 	}
 	return block.NewPage(cols...)
@@ -1075,58 +842,58 @@ func (o *HashAggregationOperator) spillPage(groups []*groupEntry) *block.Page {
 
 // mergeSpilledPage folds one spilled page into the table: its key columns
 // resolve to group ids through the lookup AddInput uses, then each
-// aggregate's state columns accumulate into the groups by id — mergeState,
-// a column at a time. Caller owns the table (the operator is finished).
+// aggregate's state columns accumulate into its vectors by id, a column at a
+// time. Caller owns the table (the operator is finished).
 func (o *HashAggregationOperator) mergeSpilledPage(p *block.Page) error {
 	want := len(o.groupTs)
-	for i := range o.aggs {
-		want += spillStateCols(o.aggs[i].Func)
+	for i := range o.accs {
+		want += spillStateCols(o.accs[i].spec.Func)
 	}
 	if p.ColCount() != want {
 		return fmt.Errorf("spilled page has %d columns, want %d", p.ColCount(), want)
 	}
 	ids, _ := o.resolveGroups(p, o.spillKeys)
-	entries := o.entries
 	c := len(o.groupTs)
-	for i := range o.aggs {
-		a := &o.aggs[i]
-		switch a.Func {
-		case plan.AggSum, plan.AggAvg:
-			counts, ok0 := p.Col(c).(*block.LongBlock)
-			sumI, ok1 := p.Col(c + 1).(*block.LongBlock)
-			sumF, ok2 := p.Col(c + 2).(*block.DoubleBlock)
-			has, ok3 := p.Col(c + 3).(*block.BoolBlock)
-			if !(ok0 && ok1 && ok2 && ok3) {
-				return fmt.Errorf("spilled state columns %d..%d are %T, %T, %T, %T", c, c+3, p.Col(c), p.Col(c+1), p.Col(c+2), p.Col(c+3))
-			}
-			for r, id := range ids {
-				st := &entries[id].States[i]
-				st.Count += counts.Vals[r]
-				st.SumI += sumI.Vals[r]
-				st.SumF += sumF.Vals[r]
-				st.HasVal = st.HasVal || has.Vals[r]
-			}
+	for i := range o.accs {
+		a := &o.accs[i]
+		badCols := func() error {
+			return fmt.Errorf("spilled state columns of %s at %d are %T, %T", a.spec.Func, c, p.Col(c), p.Col(c+spillStateCols(a.spec.Func)-1))
+		}
+		switch a.spec.Func {
 		case plan.AggMin, plan.AggMax:
 			has, ok := p.Col(c).(*block.BoolBlock)
-			if !ok {
-				return fmt.Errorf("spilled state column %d is %T", c, p.Col(c))
-			}
 			vals := p.Col(c + 1)
+			if !ok || (a.mm.t != types.Unknown && vals.Type() != a.mm.t) {
+				return badCols()
+			}
 			for r, id := range ids {
 				if has.Vals[r] {
-					mergeState(&entries[id].States[i], &aggState{HasVal: true, MinMax: vals.Value(r)}, a)
+					a.mm.keep(int(id), vals, r, a.spec.Func == plan.AggMax)
 				}
 			}
+		case plan.AggSum, plan.AggAvg:
+			if sums, ok := p.Col(c + 1).(*block.DoubleBlock); ok && a.floatSum {
+				for r, id := range ids {
+					a.sumF[id] += sums.Vals[r]
+				}
+			} else if sums, ok := p.Col(c + 1).(*block.LongBlock); ok && !a.floatSum {
+				for r, id := range ids {
+					a.sumI[id] += sums.Vals[r]
+				}
+			} else {
+				return badCols()
+			}
+			fallthrough
 		default:
 			counts, ok := p.Col(c).(*block.LongBlock)
 			if !ok {
-				return fmt.Errorf("spilled state column %d is %T", c, p.Col(c))
+				return badCols()
 			}
 			for r, id := range ids {
-				entries[id].States[i].Count += counts.Vals[r]
+				a.count[id] += counts.Vals[r]
 			}
 		}
-		c += spillStateCols(a.Func)
+		c += spillStateCols(a.spec.Func)
 	}
 	return nil
 }
@@ -1136,28 +903,6 @@ func (o *HashAggregationOperator) SpillCount() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.spills
-}
-
-func mergeState(dst, src *aggState, spec *AggSpec) {
-	switch spec.Func {
-	case plan.AggCount, plan.AggCountAll, plan.AggCountMerge:
-		dst.Count += src.Count
-	case plan.AggSum, plan.AggAvg:
-		dst.Count += src.Count
-		dst.SumI += src.SumI
-		dst.SumF += src.SumF
-		dst.HasVal = dst.HasVal || src.HasVal
-	case plan.AggMin:
-		if src.HasVal && (!dst.HasVal || src.MinMax.Compare(dst.MinMax) < 0) {
-			dst.MinMax = src.MinMax
-			dst.HasVal = true
-		}
-	case plan.AggMax:
-		if src.HasVal && (!dst.HasVal || src.MinMax.Compare(dst.MinMax) > 0) {
-			dst.MinMax = src.MinMax
-			dst.HasVal = true
-		}
-	}
 }
 
 // BuildAggProjection computes the projection expressions that feed a hash

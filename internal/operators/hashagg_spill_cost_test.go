@@ -63,16 +63,16 @@ func revokeAndDrain(tb testing.TB, op *HashAggregationOperator) int {
 }
 
 // TestAggSpillAllocationCeiling: a spilled group costs its columns on the way
-// out, and its table entry, its columns and its output cells on the way back
-// — not a boxed row each way. One revoke plus drain measures about 1 000 bytes per
-// group, 660 of them the boxed keys and states of the entry the drain
-// rebuilds (newGroupLocked); through boxed rows it was 6 500. The ceiling is
-// twice the measurement.
+// out, and its columns and its output cells on the way back — not a boxed row
+// each way, and not a table per partition: the drain refills one table's
+// arrays sixteen times. One revoke plus drain measures about 200 bytes per
+// group; with an object per group the drain rebuilt it was 990, through boxed
+// rows 6 500. The ceiling is twice the measurement.
 func TestAggSpillAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates")
 	}
-	const ceiling = 2000
+	const ceiling = 400
 	op := loadedSpillAgg(t, t.TempDir())
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

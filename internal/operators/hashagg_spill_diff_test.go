@@ -112,12 +112,94 @@ func sortedRows(pages []*block.Page) []string {
 	return rows
 }
 
-// TestHashAggSpillDifferential: for every aggregate function, single and
-// multi-column keys of every key type, and both lookup indexes, an
-// aggregation revoked every few pages — so that its drain merges several
-// files, one of them holding two groups and fourteen empty partitions —
-// returns exactly the rows of one that never spilled, and leaves no file.
-func TestHashAggSpillDifferential(t *testing.T) {
+// distinctSpecs is every aggregate function with DISTINCT over an argument
+// type it takes (count_merge only ever merges partial counts and is never
+// DISTINCT).
+var distinctSpecs = []AggSpec{
+	{Func: plan.AggCount, ArgCol: colArgBigint, Distinct: true, Out: types.Bigint},
+	{Func: plan.AggCount, ArgCol: colArgVarchar, Distinct: true, Out: types.Bigint},
+	{Func: plan.AggSum, ArgCol: colArgBigint, Distinct: true, Out: types.Bigint},
+	{Func: plan.AggSum, ArgCol: colArgDouble, Distinct: true, Out: types.Double},
+	{Func: plan.AggAvg, ArgCol: colArgBigint, Distinct: true, Out: types.Double},
+	{Func: plan.AggMin, ArgCol: colArgDate, Distinct: true, Out: types.Date},
+	{Func: plan.AggMax, ArgCol: colArgVarchar, Distinct: true, Out: types.Varchar},
+	{Func: plan.AggCountAll, ArgCol: -1, Out: types.Bigint},
+}
+
+// dictEncoded re-encodes every column of p as a dictionary block whose
+// dictionary starts with two entries no row references: a value (which for a
+// boolean column duplicates a referenced one) and NULL. Neither may surface
+// as a group or reach an aggregate.
+func dictEncoded(p *block.Page) *block.Page {
+	unreferenced := map[types.Type]types.Value{
+		types.Bigint: types.BigintValue(987654321), types.Date: types.DateValue(99999),
+		types.Double: types.DoubleValue(777.5), types.Varchar: types.VarcharValue("never"),
+		types.Boolean: types.BooleanValue(true),
+	}
+	cols := make([]block.Block, p.ColCount())
+	for c := range cols {
+		src := p.Col(c)
+		dict := []types.Value{unreferenced[src.Type()], types.NullValue(src.Type())}
+		index := map[string]int32{}
+		idx := make([]int32, p.RowCount())
+		for r := range idx {
+			v := src.Value(r)
+			j, ok := index[cellText(v)]
+			if !ok {
+				j = int32(len(dict))
+				index[cellText(v)] = j
+				dict = append(dict, v)
+			}
+			idx[r] = j
+		}
+		cols[c] = block.NewDictionaryBlock(block.BuildBlock(src.Type(), dict), idx)
+	}
+	return block.NewPage(cols...)
+}
+
+// lazyWrapped defers every column of p behind a lazy block.
+func lazyWrapped(p *block.Page) *block.Page {
+	cols := make([]block.Block, p.ColCount())
+	for c := range cols {
+		col := p.Col(c)
+		cols[c] = block.NewLazyBlock(col.Type(), col.Len(), func() block.Block { return col })
+	}
+	return block.NewPage(cols...)
+}
+
+// rleRun is an n-row page whose columns are runs of row r of src — keys and
+// arguments alike, so that a single-key aggregation folds the page in one
+// step — except the double and varchar arguments, which stay flat.
+func rleRun(src *block.Page, r, n int) *block.Page {
+	cols := make([]block.Block, src.ColCount())
+	for c := range cols {
+		if c == colArgDouble || c == colArgVarchar {
+			cols[c] = block.Slice(src.Col(c), 0, n)
+		} else {
+			cols[c] = block.NewRLEBlock(src.Col(c).Value(r), n)
+		}
+	}
+	return block.NewPage(cols...)
+}
+
+func firstNull(p *block.Page, c int) int {
+	for r := 0; r < p.RowCount(); r++ {
+		if p.Col(c).IsNull(r) {
+			return r
+		}
+	}
+	panic("column has no NULL")
+}
+
+// TestGroupTableDifferential holds the columnar group table against the
+// per-row reference (refAggregate): every aggregate function, plain and
+// DISTINCT, over single, mixed and zero-column keys of every key type, fed
+// flat, dictionary-encoded (with unreferenced entries), run-length-encoded
+// and lazy pages whose keys take NULL, -0.0, 0.0, NaN and the empty string. Unrevoked and
+// revoked every 1, 2 and 4 pages — so that a drain merges several files, one
+// of them holding two groups and fourteen empty partitions — the operator
+// returns exactly the reference's rows and leaves no file.
+func TestGroupTableDifferential(t *testing.T) {
 	keySets := map[string][]int{
 		"bigint":              {colKeyBigint},
 		"date":                {colKeyDate},
@@ -133,40 +215,41 @@ func TestHashAggSpillDifferential(t *testing.T) {
 	const pageRows, pages = 300, 9
 	var input []*block.Page
 	for pg := 0; pg < pages; pg++ {
-		input = append(input, diffPage(pg*pageRows, (pg+1)*pageRows))
+		p := diffPage(pg*pageRows, (pg+1)*pageRows)
+		switch pg % 4 {
+		case 1:
+			p = dictEncoded(p)
+		case 2:
+			p = lazyWrapped(p)
+		}
+		input = append(input, p)
+		if pg%4 == 3 {
+			// Runs of an ordinary row, of a NULL key and of a NULL argument.
+			for _, r := range []int{0, firstNull(p, colKeyBigint), firstNull(p, colKeyDouble), firstNull(p, colArgBigint)} {
+				input = append(input, rleRun(p, r, 40))
+			}
+		}
 	}
 	tiny := diffPage(5, 7) // two rows: a spill file that is mostly empty partitions
+	input = append(input[:5], append([]*block.Page{tiny}, input[5:]...)...)
 
-	run := func(t *testing.T, keys []int, vec bool, revokeEvery int) ([]string, int) {
-		ctx := NopContext()
-		ctx.DisableVecKernels = !vec
+	run := func(t *testing.T, keys []int, specs []AggSpec, revokeEvery int) ([]string, int) {
 		keyTs := make([]types.Type, len(keys))
 		for i, c := range keys {
 			keyTs[i] = diffColTypes[c]
 		}
 		// A 64-row output page makes a partition of a spill file several pages.
-		op := NewHashAggregation(ctx, keys, keyTs, diffSpecs, true, 64)
+		op := NewHashAggregation(NopContext(), keys, keyTs, specs, true, 64)
 		op.SetSpillDir(t.TempDir())
 		before := spill.CurrentStats()
-		revoke := func() {
-			if _, err := op.Revoke(); err != nil {
-				t.Fatal(err)
-			}
-		}
 		for i, p := range input {
 			if err := op.AddInput(p); err != nil {
 				t.Fatal(err)
 			}
-			if revokeEvery > 0 && i%revokeEvery == revokeEvery-1 {
-				revoke()
-			}
-			if i == 4 {
-				// Same rows in both runs; only the spilled one cuts a file here.
-				if err := op.AddInput(tiny); err != nil {
+			// The tiny page is cut into a file of its own.
+			if revokeEvery > 0 && (i%revokeEvery == revokeEvery-1 || p == tiny) {
+				if _, err := op.Revoke(); err != nil {
 					t.Fatal(err)
-				}
-				if revokeEvery > 0 {
-					revoke()
 				}
 			}
 		}
@@ -181,34 +264,45 @@ func TestHashAggSpillDifferential(t *testing.T) {
 		}
 		return rows, spills
 	}
+	same := func(t *testing.T, what string, got, want []string) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d groups, reference %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: row %d\n got %s\nwant %s", what, i, got[i], want[i])
+			}
+		}
+	}
 
 	for name, keys := range keySets {
-		for _, vec := range []bool{true, false} {
-			index := "vec"
-			if !vec {
-				index = "legacy"
+		t.Run(name, func(t *testing.T) {
+			keyTs := make([]types.Type, len(keys))
+			for i, c := range keys {
+				keyTs[i] = diffColTypes[c]
 			}
-			t.Run(name+"/"+index, func(t *testing.T) {
-				want, spills := run(t, keys, vec, 0)
-				if spills != 0 {
-					t.Fatalf("reference run spilled %d times", spills)
+			want := sortedRows([]*block.Page{refAggregate(input, keys, keyTs, diffSpecs)})
+			got, spills := run(t, keys, diffSpecs, 0)
+			if spills != 0 {
+				t.Fatalf("unrevoked run spilled %d times", spills)
+			}
+			same(t, "unrevoked", got, want)
+			for _, every := range []int{1, 2, 4} {
+				got, spills := run(t, keys, diffSpecs, every)
+				if spills < 3 {
+					t.Fatalf("revoke every %d pages: %d spill files, want a drain that merges at least 3", every, spills)
 				}
-				for _, every := range []int{1, 2, 4} {
-					got, spills := run(t, keys, vec, every)
-					if spills < 3 {
-						t.Fatalf("revoke every %d pages: %d spill files, want a drain that merges at least 3", every, spills)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("revoke every %d pages: %d groups, unspilled %d", every, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("revoke every %d pages: row %d\n got %s\nwant %s", every, i, got[i], want[i])
-						}
-					}
-				}
-			})
-		}
+				same(t, fmt.Sprintf("revoke every %d pages", every), got, want)
+			}
+			// DISTINCT state is not spillable: a revocation finds nothing to take.
+			want = sortedRows([]*block.Page{refAggregate(input, keys, keyTs, distinctSpecs)})
+			got, spills = run(t, keys, distinctSpecs, 2)
+			if spills != 0 {
+				t.Fatalf("DISTINCT aggregation spilled %d times", spills)
+			}
+			same(t, "distinct", got, want)
+		})
 	}
 }
 

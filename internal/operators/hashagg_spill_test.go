@@ -12,8 +12,8 @@ import (
 
 // TestHashAggSpillMixedTypes drives the codec-based spill path through mixed
 // group-key types (varchar + bigint with NULLs), every aggregate kind, and
-// multiple revocations, on both the vectorized and legacy lookup paths. The
-// spilled run must produce exactly the rows of an unspilled run.
+// multiple revocations. The spilled run must produce exactly the rows of an
+// unspilled run.
 func TestHashAggSpillMixedTypes(t *testing.T) {
 	specs := []AggSpec{
 		{Func: plan.AggCountAll, ArgCol: -1, Out: types.Bigint},
@@ -62,10 +62,8 @@ func TestHashAggSpillMixedTypes(t *testing.T) {
 		return pages
 	}
 
-	run := func(t *testing.T, vec, spilled bool) map[string]bool {
-		ctx := NopContext()
-		ctx.DisableVecKernels = !vec
-		op := NewHashAggregation(ctx, groupCols, groupTs, specs, true, 0)
+	run := func(t *testing.T, spilled bool) map[string]bool {
+		op := NewHashAggregation(NopContext(), groupCols, groupTs, specs, true, 0)
 		op.SetSpillDir(t.TempDir())
 		for i, p := range makePages() {
 			if err := op.AddInput(p); err != nil {
@@ -102,22 +100,14 @@ func TestHashAggSpillMixedTypes(t *testing.T) {
 		return rows
 	}
 
-	for _, vec := range []bool{true, false} {
-		name := "vec"
-		if !vec {
-			name = "legacy"
+	base := run(t, false)
+	got := run(t, true)
+	if len(got) != len(base) {
+		t.Fatalf("spilled run has %d groups, unspilled %d", len(got), len(base))
+	}
+	for row := range base {
+		if !got[row] {
+			t.Errorf("spilled run missing row %q", row)
 		}
-		t.Run(name, func(t *testing.T) {
-			base := run(t, vec, false)
-			got := run(t, vec, true)
-			if len(got) != len(base) {
-				t.Fatalf("spilled run has %d groups, unspilled %d", len(got), len(base))
-			}
-			for row := range base {
-				if !got[row] {
-					t.Errorf("spilled run missing row %q", row)
-				}
-			}
-		})
 	}
 }

@@ -18,17 +18,23 @@ type JoinBridge struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	// vec selects the vectorized lookup index (keyTable + batch hashing,
-	// the default); when false the legacy encoded-key map is used instead.
-	// Set via SetVectorized before any build input arrives.
-	vec   bool
-	ktab  *keyTable     // vectorized index; layout chosen on first build page
-	krows [][]bridgeRow // build rows per ktab entry id
-	batch batchKeys     // build-side scratch (guarded by mu)
+	// The build index. ktab maps a key to a dense key id (layout chosen on
+	// the first build page). While building, each page records its rows' key
+	// ids in keyIDs (-1: NULL key, never matches) — four bytes a row, sized
+	// once. The built transition counting-sorts them into one flat row list:
+	// key id's build rows are krows[rowOff[id]:rowOff[id+1]], in arrival
+	// order, and keyIDs is dropped. Nothing is allocated per key.
+	ktab   *keyTable
+	keyIDs [][]int32
+	rowOff []int32
+	krows  []bridgeRow
+	batch  batchKeys // build-side scratch (guarded by mu)
+	memo   []int32   // build-side dictionary id→key id scratch (guarded by mu)
 
-	table   map[string][]bridgeRow // legacy index
-	pages   []*block.Page
-	matched [][]bool // per page, per row: matched flags for RIGHT/FULL joins
+	pages []*block.Page
+	// matched holds, per page and row, the flags RIGHT/FULL joins emit their
+	// unmatched build rows by; a page's flags are nil until its first match.
+	matched [][]bool
 	built   bool
 	rows    int64
 
@@ -130,11 +136,17 @@ func (b *JoinBridge) BuilderFinished() {
 // Cancel force-completes the bridge during task failure or abort. A build
 // driver that died never reports BuilderFinished, so waiting for the builder
 // count to drain would park probe drivers forever; marking the bridge built
-// releases them against whatever partial table exists. No wrong rows escape:
-// the task is already failed and its output buffer destroyed or about to be.
+// releases them against an empty table (an unbuilt one has no row list), and
+// build drivers still running have their later pages dropped by AddInput. No
+// wrong rows escape: the task is already failed and its output buffer
+// destroyed or about to be.
 func (b *JoinBridge) Cancel() {
 	b.mu.Lock()
 	b.filtersDone = true // partial build: suppress any future publication
+	if !b.built {
+		// The row list was never indexed: probes see an empty build side.
+		b.ktab, b.keyIDs = nil, nil
+	}
 	b.built = true
 	b.noMoreBuilders = true
 	b.noMoreProbes = true
@@ -160,7 +172,7 @@ func (b *JoinBridge) NoMoreBuilders() {
 }
 
 func (b *JoinBridge) maybeBuiltLocked() {
-	if b.noMoreBuilders && b.buildersActive == 0 {
+	if !b.built && b.noMoreBuilders && b.buildersActive == 0 {
 		b.built = true
 		if spl := b.spl; spl != nil && spl.spilled {
 			// Once spilled, every later build page streamed straight to
@@ -173,8 +185,47 @@ func (b *JoinBridge) maybeBuiltLocked() {
 				spl.err = err
 			}
 		}
+		b.indexRowsLocked()
 		b.cond.Broadcast()
 	}
+}
+
+// indexRowsLocked turns the per-page key ids into the flat row list, by
+// counting sort: count each key's rows, prefix-sum the counts into rowOff,
+// place every row at its key's cursor.
+func (b *JoinBridge) indexRowsLocked() {
+	if b.ktab == nil {
+		return
+	}
+	off := make([]int32, b.ktab.Len()+1)
+	for _, ids := range b.keyIDs {
+		for _, id := range ids {
+			if id >= 0 {
+				off[id+1]++
+			}
+		}
+	}
+	for k := 1; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+	rows := make([]bridgeRow, off[len(off)-1])
+	for pg, ids := range b.keyIDs {
+		for r, id := range ids {
+			if id >= 0 {
+				rows[off[id]] = bridgeRow{page: int32(pg), row: int32(r)}
+				off[id]++
+			}
+		}
+	}
+	// Every cursor now stands at its key's end, the next key's start.
+	copy(off[1:], off)
+	off[0] = 0
+	b.rowOff, b.krows, b.keyIDs = off, rows, nil
+}
+
+// matchesLocked returns the build rows of key id, in arrival order.
+func (b *JoinBridge) matchesLocked(id int32) []bridgeRow {
+	return b.krows[b.rowOff[id]:b.rowOff[id+1]]
 }
 
 // AddProbe registers a probe-side driver.
@@ -221,25 +272,18 @@ func (b *JoinBridge) ClaimOuter() bool {
 	return true
 }
 
+// bridgeRow addresses one build row: its page in JoinBridge.pages and its row
+// in that page.
 type bridgeRow struct {
-	page int
-	row  int
+	page int32
+	row  int32
 }
 
 // NewJoinBridge creates an empty bridge.
 func NewJoinBridge() *JoinBridge {
-	b := &JoinBridge{vec: true}
+	b := &JoinBridge{}
 	b.cond = sync.NewCond(&b.mu)
 	return b
-}
-
-// SetVectorized selects between the vectorized keyTable index and the legacy
-// encoded-key map. Must be called before the build side starts (pipeline
-// compile time).
-func (b *JoinBridge) SetVectorized(v bool) {
-	b.mu.Lock()
-	b.vec = v
-	b.mu.Unlock()
 }
 
 // Built reports whether the build side has completed.
@@ -287,6 +331,13 @@ func (o *HashBuildOperator) AddInput(p *block.Page) error {
 	p = p.LoadLazy()
 	b := o.bridge
 	b.mu.Lock()
+	if b.built {
+		// Only Cancel completes a bridge under a running builder (drivers of a
+		// failed or aborted task are not stopped): the page is dropped, since
+		// released probes read a table that has no row list for new keys.
+		b.mu.Unlock()
+		return nil
+	}
 	nk := len(o.keyCols)
 	if b.collector != nil {
 		for i, sp := range b.collector.Specs() {
@@ -304,31 +355,22 @@ func (o *HashBuildOperator) AddInput(p *block.Page) error {
 		b.mu.Unlock()
 		return err
 	}
-	pageIdx := len(b.pages)
+	n := p.RowCount()
 	b.pages = append(b.pages, p)
-	b.matched = append(b.matched, make([]bool, p.RowCount()))
-	if b.vec {
+	b.matched = append(b.matched, nil)
+	b.rows += int64(n)
+	var ids []int32 // keyless joins probe every build row and keep no index
+	if nk > 0 {
 		if b.ktab == nil {
 			b.ktab = newKeyTable(fixedWidthKeys(o.keyTs), nk)
 		}
-		if nk != 1 || !o.addEncodedLocked(p, pageIdx) {
-			o.addBatchLocked(p, pageIdx, nk)
-		}
-	} else {
-		if b.table == nil {
-			b.table = make(map[string][]bridgeRow)
-		}
-		var buf []byte
-		for r := 0; r < p.RowCount(); r++ {
-			b.rows++
-			if nk > 0 && rowKeyNull(p, r, o.keyCols) {
-				continue
-			}
-			buf = encodeRowKey(buf[:0], p, r, o.keyCols)
-			b.table[string(buf)] = append(b.table[string(buf)], bridgeRow{pageIdx, r})
+		ids = make([]int32, n)
+		if nk != 1 || !o.addEncodedLocked(p, ids) {
+			o.addBatchLocked(p, ids)
 		}
 	}
-	delta := p.SizeBytes() + int64(p.RowCount()*32)
+	b.keyIDs = append(b.keyIDs, ids)
+	delta := p.SizeBytes() + int64(n*32)
 	if b.spl != nil {
 		// Spill-armed bridges account at bridge level: the delta lands under
 		// the lock (so a concurrent revoke's reset captures it), while the
@@ -343,77 +385,54 @@ func (o *HashBuildOperator) AddInput(p *block.Page) error {
 	return o.ctx.Mem.SetBytes(o.bytes)
 }
 
-// addBatchLocked is the general vectorized build path: batch-hash the page's
-// key columns, then insert row by row. Caller holds the bridge lock.
-func (o *HashBuildOperator) addBatchLocked(p *block.Page, pageIdx, nk int) {
+// addBatchLocked is the general build path: batch-hash the page's key
+// columns, then resolve each row to its key id. Caller holds the bridge lock.
+func (o *HashBuildOperator) addBatchLocked(p *block.Page, ids []int32) {
 	b := o.bridge
-	b.batch.reset(p, o.keyCols, b.ktab.fixed)
-	for r := 0; r < p.RowCount(); r++ {
-		b.rows++
-		// Rows with NULL keys never match an equi-join.
-		if nk > 0 {
-			if b.ktab.fixed {
-				if b.batch.nullKey(r) {
-					continue
-				}
-			} else if rowKeyNull(p, r, o.keyCols) {
-				continue
+	t := b.ktab
+	b.batch.reset(p, o.keyCols, t.fixed)
+	for r := range ids {
+		id := -1 // rows with NULL keys never match an equi-join
+		if t.fixed {
+			if !b.batch.nullKey(r) {
+				cells, tags := b.batch.row(r)
+				id, _ = t.getOrInsertFixed(b.batch.hashes[r], cells, tags)
 			}
-		}
-		var id int
-		var fresh bool
-		if b.ktab.fixed {
-			cells, tags := b.batch.row(r)
-			id, fresh = b.ktab.getOrInsertFixed(b.batch.hashes[r], cells, tags)
-		} else {
+		} else if !rowKeyNull(p, r, o.keyCols) {
 			b.batch.buf = encodeRowKey(b.batch.buf[:0], p, r, o.keyCols)
-			id, fresh = b.ktab.getOrInsertBytes(b.batch.hashes[r], b.batch.buf)
+			id, _ = t.getOrInsertBytes(b.batch.hashes[r], b.batch.buf)
 		}
-		if fresh {
-			b.krows = append(b.krows, nil)
-		}
-		b.krows[id] = append(b.krows[id], bridgeRow{pageIdx, r})
+		ids[r] = int32(id)
 	}
 }
 
-// addEncodedLocked indexes a dictionary- or RLE-encoded single-key build page
-// by distinct entry instead of per row: each referenced dictionary id (or the
-// one RLE value) hits the key table once, and rows map onto entry ids through
-// the index vector. Unreferenced dictionary ids are never inserted. Returns
-// false for flat key columns (the caller runs the batch path). Caller holds
-// the bridge lock.
-func (o *HashBuildOperator) addEncodedLocked(p *block.Page, pageIdx int) bool {
+// addEncodedLocked resolves a dictionary- or RLE-encoded single-key build
+// page by distinct entry instead of per row: each referenced dictionary id
+// (or the one RLE value) hits the key table once, and rows map onto key ids
+// through the index vector. Unreferenced dictionary ids are never inserted.
+// Returns false for flat key columns (the caller runs the batch path). Caller
+// holds the bridge lock.
+func (o *HashBuildOperator) addEncodedLocked(p *block.Page, ids []int32) bool {
 	b := o.bridge
-	n := p.RowCount()
 	switch kc := loadCol(p.Col(o.keyCols[0])).(type) {
 	case *block.RLEBlock:
-		b.rows += int64(n)
-		id := o.insertKeyCell(kc.Val, 0)
-		if id < 0 {
-			return true // NULL key: no row of this page can match
+		id := int32(o.insertKeyCell(kc.Val, 0))
+		for r := range ids {
+			ids[r] = id
 		}
-		rows := b.krows[id]
-		for r := 0; r < n; r++ {
-			rows = append(rows, bridgeRow{pageIdx, r})
-		}
-		b.krows[id] = rows
 		return true
 	case *block.DictionaryBlock:
-		memo := make([]int32, kc.Dict.Len())
+		b.memo = scratch(b.memo, kc.Dict.Len())
+		memo := b.memo
 		for j := range memo {
 			memo[j] = -2 // unresolved
 		}
-		for r := 0; r < n; r++ {
-			b.rows++
+		for r := range ids {
 			j := kc.Indices[r]
-			id := memo[j]
-			if id == -2 {
-				id = int32(o.insertKeyCell(kc.Dict, int(j)))
-				memo[j] = id
+			if memo[j] == -2 {
+				memo[j] = int32(o.insertKeyCell(kc.Dict, int(j)))
 			}
-			if id >= 0 {
-				b.krows[id] = append(b.krows[id], bridgeRow{pageIdx, r})
-			}
+			ids[r] = memo[j]
 		}
 		return true
 	}
@@ -421,23 +440,19 @@ func (o *HashBuildOperator) addEncodedLocked(p *block.Page, pageIdx int) bool {
 }
 
 // insertKeyCell inserts the single key cell blk[j] into the bridge's table,
-// returning its entry id, or -1 for NULL (equi-join keys never match NULL).
+// returning its key id, or -1 for NULL (equi-join keys never match NULL).
 func (o *HashBuildOperator) insertKeyCell(blk block.Block, j int) int {
 	b := o.bridge
 	if blk.IsNull(j) {
 		return -1
 	}
 	var id int
-	var fresh bool
 	if b.ktab.fixed {
 		tag, cell := normValue(blk.Value(j))
-		id, fresh = b.ktab.getOrInsertFixed1(fixed1Hash(cell, tag), cell, tag)
+		id, _ = b.ktab.getOrInsertFixed1(fixed1Hash(cell, tag), cell, tag)
 	} else {
 		b.batch.buf = appendCellKey(b.batch.buf[:0], blk, j)
-		id, fresh = b.ktab.getOrInsertBytes(bytes1Hash(b.batch.buf), b.batch.buf)
-	}
-	if fresh {
-		b.krows = append(b.krows, nil)
+		id, _ = b.ktab.getOrInsertBytes(bytes1Hash(b.batch.buf), b.batch.buf)
 	}
 	return id
 }
@@ -479,7 +494,8 @@ type LookupJoinOperator struct {
 	probeTs   []types.Type
 	buildTs   []types.Type
 	batch     batchKeys   // probe-side scratch
-	ids       []int32     // per-page row→build-entry id scratch
+	ids       []int32     // per-page row→build key id scratch
+	memo      []int32     // per-page dictionary id→build key id scratch
 	probeSel  []int32     // vectorized emit: probe row per output row
 	buildSel  []bridgeRow // vectorized emit: build row per output row (page -1 = NULL-extend)
 
@@ -547,7 +563,6 @@ func (o *LookupJoinOperator) AddInput(p *block.Page) error {
 	defer b.mu.Unlock()
 
 	builder := block.NewPageBuilder(o.outTypes())
-	var buf []byte
 	nProbe := len(o.probeTs)
 	row := make([]types.Value, nProbe+len(o.buildTs))
 
@@ -557,12 +572,15 @@ func (o *LookupJoinOperator) AddInput(p *block.Page) error {
 		}
 	}
 
-	// Vectorized probing: resolve every probe row to a build-table entry id
-	// in one page-level pass (layout compatibility is checked once per page,
-	// dictionary entries probe once per distinct id, RLE once per page).
-	useVec := b.vec && len(o.probeKeys) > 0 && o.jt != plan.CrossJoin
+	// Keyed joins resolve every probe row to a build key id in one page-level
+	// pass (layout compatibility is checked once per page, dictionary entries
+	// probe once per distinct id, RLE once per page). Cross joins and keyless
+	// semi joins have no key: every build row is a candidate for every probe
+	// row.
+	keyed := len(o.probeKeys) > 0 && o.jt != plan.CrossJoin
 	var ids []int32
-	if useVec {
+	var matches []bridgeRow
+	if keyed {
 		ids = o.resolveProbeLocked(p, b)
 		// INNER/LEFT joins without a residual emit column-at-a-time: the
 		// match list is flattened once and every output column is gathered
@@ -571,22 +589,15 @@ func (o *LookupJoinOperator) AddInput(p *block.Page) error {
 			o.emitVecLocked(p, b, ids)
 			return nil
 		}
+	} else {
+		matches = allBuildRows(b)
 	}
 
 	for r := 0; r < p.RowCount(); r++ {
-		var matches []bridgeRow
-		switch {
-		case o.jt == plan.CrossJoin || len(o.probeKeys) == 0:
-			// Cross join / keyless semi: all build rows are candidates.
-			matches = allBuildRows(b)
-		case useVec:
+		if keyed {
+			matches = nil
 			if id := ids[r]; id >= 0 {
-				matches = b.krows[id]
-			}
-		default:
-			if !rowKeyNull(p, r, o.probeKeys) {
-				buf = encodeRowKey(buf[:0], p, r, o.probeKeys)
-				matches = b.table[string(buf)]
+				matches = b.matchesLocked(id)
 			}
 		}
 
@@ -613,12 +624,15 @@ func (o *LookupJoinOperator) AddInput(p *block.Page) error {
 			for _, m := range matches {
 				bp := b.pages[m.page]
 				for c := 0; c < len(o.buildTs); c++ {
-					row[nProbe+c] = bp.Col(c).Value(m.row)
+					row[nProbe+c] = bp.Col(c).Value(int(m.row))
 				}
 				if o.residual != nil && !o.residualTrue(row) {
 					continue
 				}
 				matched = true
+				if b.matched[m.page] == nil {
+					b.matched[m.page] = make([]bool, bp.RowCount())
+				}
 				b.matched[m.page][m.row] = true
 				builder.AppendRow(row)
 				if builder.RowCount() >= o.pageSize {
@@ -651,10 +665,8 @@ func (o *LookupJoinOperator) AddInput(p *block.Page) error {
 // holds the bridge lock.
 func (o *LookupJoinOperator) resolveProbeLocked(p *block.Page, b *JoinBridge) []int32 {
 	n := p.RowCount()
-	if cap(o.ids) < n {
-		o.ids = make([]int32, n)
-	}
-	ids := o.ids[:n]
+	o.ids = scratch(o.ids, n)
+	ids := o.ids
 	t := b.ktab
 	if t == nil {
 		for i := range ids {
@@ -681,7 +693,8 @@ func (o *LookupJoinOperator) resolveProbeLocked(p *block.Page, b *JoinBridge) []
 			}
 			return ids
 		case *block.DictionaryBlock:
-			memo := make([]int32, kc.Dict.Len())
+			o.memo = scratch(o.memo, kc.Dict.Len())
+			memo := o.memo
 			for j := range memo {
 				memo[j] = -2 // unresolved: unreferenced ids never probe
 			}
@@ -740,7 +753,7 @@ func (o *LookupJoinOperator) emitVecLocked(p *block.Page, b *JoinBridge, ids []i
 	buildSel := o.buildSel[:0]
 	for r := 0; r < n; r++ {
 		if id := ids[r]; id >= 0 {
-			for _, m := range b.krows[id] {
+			for _, m := range b.matchesLocked(id) {
 				probeSel = append(probeSel, int32(r))
 				buildSel = append(buildSel, m)
 			}
@@ -854,10 +867,10 @@ func gatherBuildCol(pages []*block.Page, c int, t types.Type, sel []bridgeRow) b
 				continue
 			}
 			col := pages[m.page].Col(c)
-			if col.IsNull(m.row) {
+			if col.IsNull(int(m.row)) {
 				nulls[i] = true
 			} else {
-				vals[i] = col.Long(m.row)
+				vals[i] = col.Long(int(m.row))
 			}
 		}
 		return &block.LongBlock{T: t, Vals: vals, Nulls: nulls}
@@ -870,10 +883,10 @@ func gatherBuildCol(pages []*block.Page, c int, t types.Type, sel []bridgeRow) b
 				continue
 			}
 			col := pages[m.page].Col(c)
-			if col.IsNull(m.row) {
+			if col.IsNull(int(m.row)) {
 				nulls[i] = true
 			} else {
-				vals[i] = col.Double(m.row)
+				vals[i] = col.Double(int(m.row))
 			}
 		}
 		return block.NewDoubleBlock(vals, nulls)
@@ -886,10 +899,10 @@ func gatherBuildCol(pages []*block.Page, c int, t types.Type, sel []bridgeRow) b
 				continue
 			}
 			col := pages[m.page].Col(c)
-			if col.IsNull(m.row) {
+			if col.IsNull(int(m.row)) {
 				nulls[i] = true
 			} else {
-				vals[i] = col.Str(m.row)
+				vals[i] = col.Str(int(m.row))
 			}
 		}
 		return block.NewVarcharBlock(vals, nulls)
@@ -902,10 +915,10 @@ func gatherBuildCol(pages []*block.Page, c int, t types.Type, sel []bridgeRow) b
 				continue
 			}
 			col := pages[m.page].Col(c)
-			if col.IsNull(m.row) {
+			if col.IsNull(int(m.row)) {
 				nulls[i] = true
 			} else {
-				vals[i] = col.Bool(m.row)
+				vals[i] = col.Bool(int(m.row))
 			}
 		}
 		return block.NewBoolBlock(vals, nulls)
@@ -915,7 +928,7 @@ func gatherBuildCol(pages []*block.Page, c int, t types.Type, sel []bridgeRow) b
 			if m.page < 0 {
 				vals[i] = types.NullValue(t)
 			} else {
-				vals[i] = pages[m.page].Col(c).Value(m.row)
+				vals[i] = pages[m.page].Col(c).Value(int(m.row))
 			}
 		}
 		return block.BuildBlock(t, vals)
@@ -926,7 +939,7 @@ func allBuildRows(b *JoinBridge) []bridgeRow {
 	var out []bridgeRow
 	for pi, p := range b.pages {
 		for r := 0; r < p.RowCount(); r++ {
-			out = append(out, bridgeRow{pi, r})
+			out = append(out, bridgeRow{page: int32(pi), row: int32(r)})
 		}
 	}
 	return out
@@ -944,7 +957,7 @@ func (o *LookupJoinOperator) matchExists(p *block.Page, r int, matches []bridgeR
 	for _, m := range matches {
 		bp := b.pages[m.page]
 		for c := 0; c < len(o.buildTs); c++ {
-			row[nProbe+c] = bp.Col(c).Value(m.row)
+			row[nProbe+c] = bp.Col(c).Value(int(m.row))
 		}
 		if o.residualTrue(row) {
 			return true
@@ -988,7 +1001,7 @@ func (o *LookupJoinOperator) emitUnmatchedBuild() {
 	}
 	for pi, p := range b.pages {
 		for r := 0; r < p.RowCount(); r++ {
-			if b.matched[pi][r] {
+			if flags := b.matched[pi]; flags != nil && flags[r] {
 				continue
 			}
 			for c := 0; c < len(o.buildTs); c++ {

@@ -2,7 +2,7 @@ package operators
 
 import (
 	"fmt"
-	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/block"
@@ -43,90 +43,83 @@ func joinSpillPages(npages, rows, keyMod, offset int) []*block.Page {
 	return pages
 }
 
-// TestHashJoinSpillDifferential drives build-side spill through every join
-// type on both lookup paths: a run with the bridge revoked mid-build (and the
-// probe side therefore spilled too) must produce exactly the multiset of rows
-// of an in-memory run. Also locks in that every spill temp file is deleted.
+// runJoin builds a bridge from buildPages (revoking it after every
+// revokeEvery-th page when the bridge is spill-armed), probes it with
+// probePages and returns the output rows as a multiset.
+func runJoin(t *testing.T, jt plan.JoinType, buildPages, probePages []*block.Page, residual expr.Expr, rowTs []types.Type, spilled bool, revokeEvery int) map[string]int {
+	t.Helper()
+	keyTs := []types.Type{rowTs[0]}
+	bridge := NewJoinBridge()
+	if spilled {
+		bridge.EnableSpill(spillTestMem(), t.TempDir(), []int{0}, keyTs)
+	}
+	bridge.AddBuilder()
+	hb := NewHashBuild(NopContext(), bridge, []int{0}, keyTs)
+	for i, p := range buildPages {
+		if err := hb.AddInput(p); err != nil {
+			t.Fatal(err)
+		}
+		if spilled && i%revokeEvery == 0 {
+			if _, err := bridge.Revoke(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	hb.Finish()
+	bridge.NoMoreBuilders()
+
+	bridge.AddProbe()
+	bridge.NoMoreProbes()
+	op := NewLookupJoin(NopContext(), bridge, jt, []int{0}, residual, rowTs, rowTs, 0)
+	out := drain(t, op, probePages...)
+	if spilled && bridge.SpillCount() == 0 {
+		t.Fatal("expected build-side spill")
+	}
+	if err := op.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bridge.ReleaseSpill()
+	return rowCounts(out)
+}
+
+var allJoinTypes = []struct {
+	name string
+	jt   plan.JoinType
+}{
+	{"inner", plan.InnerJoin},
+	{"left", plan.LeftJoin},
+	{"right", plan.RightJoin},
+	{"full", plan.FullJoin},
+	{"semi", plan.SemiJoin},
+	{"anti", plan.AntiJoin},
+}
+
+// TestHashJoinSpillDifferential drives every join type, with and without a
+// residual, in memory and with the bridge revoked between build pages (and
+// the probe side therefore spilled too): both must produce exactly the
+// multiset of rows of the per-row reference (refJoin). Also locks in that
+// every spill temp file is deleted.
 func TestHashJoinSpillDifferential(t *testing.T) {
 	buildPages := joinSpillPages(6, 80, 17, 0)
 	probePages := joinSpillPages(5, 90, 29, 3)
-	keyTs := []types.Type{types.Bigint}
 	rowTs := []types.Type{types.Bigint, types.Varchar}
-
-	run := func(t *testing.T, jt plan.JoinType, vec, spilled bool) map[string]int {
-		bridge := NewJoinBridge()
-		bridge.SetVectorized(vec)
-		if spilled {
-			bridge.EnableSpill(spillTestMem(), t.TempDir(), []int{0}, keyTs)
-		}
-		bridge.AddBuilder()
-		hb := NewHashBuild(NopContext(), bridge, []int{0}, keyTs)
-		for i, p := range buildPages {
-			if err := hb.AddInput(p); err != nil {
-				t.Fatal(err)
-			}
-			if spilled && i%2 == 0 {
-				if _, err := bridge.Revoke(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		hb.Finish()
-		bridge.NoMoreBuilders()
-
-		bridge.AddProbe()
-		bridge.NoMoreProbes()
-		op := NewLookupJoin(NopContext(), bridge, jt, []int{0}, nil, rowTs, rowTs, 0)
-		out := drain(t, op, probePages...)
-		if spilled && bridge.SpillCount() == 0 {
-			t.Fatal("expected build-side spill")
-		}
-		if err := op.Close(); err != nil {
-			t.Fatal(err)
-		}
-		bridge.ReleaseSpill()
-		rows := map[string]int{}
-		for _, p := range out {
-			for r := 0; r < p.RowCount(); r++ {
-				var parts []string
-				for _, v := range p.Row(r) {
-					parts = append(parts, v.String())
-				}
-				rows[strings.Join(parts, "|")]++
-			}
-		}
-		return rows
+	// Residual over (probe ++ build): probe key > 3.
+	residual := &expr.Compare{
+		Op: expr.CmpGt,
+		L:  &expr.ColumnRef{Index: 0, T: types.Bigint},
+		R:  expr.NewConst(types.BigintValue(3)),
 	}
-
-	joinTypes := []struct {
-		name string
-		jt   plan.JoinType
-	}{
-		{"inner", plan.InnerJoin},
-		{"left", plan.LeftJoin},
-		{"right", plan.RightJoin},
-		{"full", plan.FullJoin},
-		{"semi", plan.SemiJoin},
-		{"anti", plan.AntiJoin},
-	}
-	for _, vec := range []bool{true, false} {
-		mode := "vec"
-		if !vec {
-			mode = "legacy"
-		}
-		for _, tc := range joinTypes {
-			t.Run(mode+"/"+tc.name, func(t *testing.T) {
+	for _, tc := range allJoinTypes {
+		for name, res := range map[string]expr.Expr{"": nil, "+residual": residual} {
+			t.Run(tc.name+name, func(t *testing.T) {
 				before := spill.CurrentStats()
-				base := run(t, tc.jt, vec, false)
-				got := run(t, tc.jt, vec, true)
-				if len(got) != len(base) {
-					t.Fatalf("spilled run has %d distinct rows, unspilled %d", len(got), len(base))
+				want := refJoin(t, tc.jt, buildPages, probePages, []int{0}, []int{0}, res, rowTs, rowTs)
+				if len(want) == 0 {
+					t.Fatal("reference join is empty; test is vacuous")
 				}
-				for row, n := range base {
-					if got[row] != n {
-						t.Errorf("row %q: spilled count %d, unspilled %d", row, got[row], n)
-					}
-				}
+				assertSameCounts(t, "in memory", runJoin(t, tc.jt, buildPages, probePages, res, rowTs, false, 0), want)
+				assertSameCounts(t, "revoked every 2 build pages", runJoin(t, tc.jt, buildPages, probePages, res, rowTs, true, 2), want)
+				assertSameCounts(t, "revoked every build page", runJoin(t, tc.jt, buildPages, probePages, res, rowTs, true, 1), want)
 				after := spill.CurrentStats()
 				if created, deleted := after.FilesCreated-before.FilesCreated, after.FilesDeleted-before.FilesDeleted; created != deleted {
 					t.Fatalf("spill file leak: %d created, %d deleted", created, deleted)
@@ -136,72 +129,102 @@ func TestHashJoinSpillDifferential(t *testing.T) {
 	}
 }
 
-// TestHashJoinSpillResidual exercises the residual-filter path through the
-// spill drain (the compiled evaluator is shared with each partition's
-// sub-join).
-func TestHashJoinSpillResidual(t *testing.T) {
-	buildPages := joinSpillPages(4, 60, 11, 0)
-	probePages := joinSpillPages(4, 60, 19, 5)
-	keyTs := []types.Type{types.Bigint}
-	rowTs := []types.Type{types.Bigint, types.Varchar}
-	// Residual over (probe ++ build): probe key > 3.
-	residual := &expr.Compare{
-		Op: expr.CmpGt,
-		L:  &expr.ColumnRef{Index: 0, T: types.Bigint},
-		R:  expr.NewConst(types.BigintValue(3)),
-	}
-
-	run := func(t *testing.T, spilled bool) map[string]int {
-		bridge := NewJoinBridge()
-		if spilled {
-			bridge.EnableSpill(spillTestMem(), t.TempDir(), []int{0}, keyTs)
+// TestJoinBuildConcurrentDrivers: several build drivers feed one bridge at
+// once, their pages — flat, dictionary-encoded and run-length-encoded, every
+// key duplicated across many of them — interleaving in whatever order the
+// lock grants; the built row lists must hold every row under its key, for
+// every join type, as the per-row reference does. Run under -race.
+func TestJoinBuildConcurrentDrivers(t *testing.T) {
+	buildPages := joinSpillPages(24, 60, 7, 0)
+	for i, p := range buildPages {
+		switch i % 3 {
+		case 1:
+			buildPages[i] = dictEncoded(p)
+		case 2:
+			// A run of the page's first key over its own payload column.
+			buildPages[i] = block.NewPage(block.NewRLEBlock(p.Col(0).Value(0), p.RowCount()), p.Col(1))
 		}
-		bridge.AddBuilder()
-		hb := NewHashBuild(NopContext(), bridge, []int{0}, keyTs)
-		for _, p := range buildPages {
-			if err := hb.AddInput(p); err != nil {
-				t.Fatal(err)
+	}
+	probePages := joinSpillPages(5, 90, 11, 3)
+	rowTs := []types.Type{types.Bigint, types.Varchar}
+	for _, tc := range allJoinTypes {
+		t.Run(tc.name, func(t *testing.T) {
+			const drivers = 4
+			bridge := NewJoinBridge()
+			var wg sync.WaitGroup
+			for d := 0; d < drivers; d++ {
+				bridge.AddBuilder()
+				hb := NewHashBuild(NopContext(), bridge, []int{0}, rowTs[:1])
+				wg.Add(1)
+				go func(d int) {
+					defer wg.Done()
+					for i := d; i < len(buildPages); i += drivers {
+						if err := hb.AddInput(buildPages[i]); err != nil {
+							t.Error(err)
+						}
+					}
+					hb.Finish()
+				}(d)
 			}
-			if spilled {
-				if _, err := bridge.Revoke(); err != nil {
+			bridge.NoMoreBuilders()
+			wg.Wait()
+			bridge.AddProbe()
+			bridge.NoMoreProbes()
+			op := NewLookupJoin(NopContext(), bridge, tc.jt, []int{0}, nil, rowTs, rowTs, 0)
+			got := rowCounts(drain(t, op, probePages...))
+			assertSameCounts(t, tc.name, got, refJoin(t, tc.jt, buildPages, probePages, []int{0}, []int{0}, nil, rowTs, rowTs))
+		})
+	}
+}
+
+// TestJoinEmptyBuild: a build side with no pages, and one whose every key is
+// NULL, match nothing: INNER and SEMI are empty, LEFT and ANTI pass every
+// probe row, RIGHT and FULL add the unmatched build rows.
+func TestJoinEmptyBuild(t *testing.T) {
+	probePages := joinSpillPages(2, 30, 5, 0)
+	rowTs := []types.Type{types.Bigint, types.Varchar}
+	nullKeys := block.NewPage(
+		block.NewLongBlock([]int64{0, 0, 0}, []bool{true, true, true}),
+		block.NewVarcharBlock([]string{"a", "b", "c"}, nil))
+	for name, buildPages := range map[string][]*block.Page{"no pages": nil, "null keys": {nullKeys}} {
+		for _, tc := range allJoinTypes {
+			got := runJoin(t, tc.jt, buildPages, probePages, nil, rowTs, false, 0)
+			assertSameCounts(t, name+"/"+tc.name, got, refJoin(t, tc.jt, buildPages, probePages, []int{0}, []int{0}, nil, rowTs, rowTs))
+		}
+	}
+}
+
+// TestJoinCancelThenLateBuildPage: a task failure cancels the bridge while a
+// sibling build driver is still running (nothing stops it). Its late pages
+// must be dropped — before and after some pages were indexed, keyed and
+// keyless — so the released probes see a build side that is consistent with
+// its row list, instead of resolving a key that has no rows.
+func TestJoinCancelThenLateBuildPage(t *testing.T) {
+	rowTs := []types.Type{types.Bigint, types.Bigint}
+	for _, early := range []bool{false, true} {
+		for _, tc := range allJoinTypes {
+			for _, keys := range [][]int{{0}, nil} {
+				bridge := NewJoinBridge()
+				bridge.AddBuilder()
+				bridge.AddBuilder()
+				hb := NewHashBuild(NopContext(), bridge, keys, rowTs[:len(keys)])
+				if early {
+					if err := hb.AddInput(twoColPage([]int64{1, 3}, []int64{10, 30})); err != nil {
+						t.Fatal(err)
+					}
+				}
+				bridge.Cancel()
+				if err := hb.AddInput(twoColPage([]int64{1, 2}, []int64{11, 20})); err != nil {
 					t.Fatal(err)
 				}
-			}
-		}
-		hb.Finish()
-		bridge.NoMoreBuilders()
-		bridge.AddProbe()
-		bridge.NoMoreProbes()
-		op := NewLookupJoin(NopContext(), bridge, plan.InnerJoin, []int{0}, residual, rowTs, rowTs, 0)
-		out := drain(t, op, probePages...)
-		if err := op.Close(); err != nil {
-			t.Fatal(err)
-		}
-		bridge.ReleaseSpill()
-		rows := map[string]int{}
-		for _, p := range out {
-			for r := 0; r < p.RowCount(); r++ {
-				var parts []string
-				for _, v := range p.Row(r) {
-					parts = append(parts, v.String())
+				hb.Finish()
+				if got := bridge.BuildRows(); early && got != 2 || !early && got != 0 {
+					t.Fatalf("%s early=%v: bridge counts %d build rows after a dropped page", tc.name, early, got)
 				}
-				rows[strings.Join(parts, "|")]++
+				op := NewLookupJoin(NopContext(), bridge, tc.jt, keys, nil, rowTs, rowTs, 0)
+				// Any output is acceptable (the task has failed); a panic is not.
+				_ = drain(t, op, twoColPage([]int64{1, 2, 4}, []int64{1, 2, 4}))
 			}
-		}
-		return rows
-	}
-
-	base := run(t, false)
-	got := run(t, true)
-	if len(base) == 0 {
-		t.Fatal("residual filtered everything; test is vacuous")
-	}
-	if len(got) != len(base) {
-		t.Fatalf("spilled run has %d distinct rows, unspilled %d", len(got), len(base))
-	}
-	for row, n := range base {
-		if got[row] != n {
-			t.Errorf("row %q: spilled count %d, unspilled %d", row, got[row], n)
 		}
 	}
 }

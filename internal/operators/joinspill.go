@@ -134,7 +134,7 @@ func (b *JoinBridge) revokeSpillLocked() (int64, error) {
 		}
 	}
 	b.pages, b.matched = nil, nil
-	b.ktab, b.krows, b.table = nil, nil, nil
+	b.ktab, b.keyIDs, b.rowOff, b.krows = nil, nil, nil, nil
 	b.batch = batchKeys{}
 	spl.spilled = true
 	spl.spills++
@@ -435,7 +435,6 @@ func (d *joinSpillDrain) next() (*block.Page, error) {
 func (d *joinSpillDrain) openPartition() error {
 	o, spl := d.o, d.spl
 	sub := NewJoinBridge()
-	sub.SetVectorized(o.bridge.vec)
 	sub.AddBuilder()
 	hb := NewHashBuild(o.ctx, sub, spl.buildKeys, spl.buildKeyTs)
 	builds := &spillPartIter{files: spl.buildFiles, part: d.part}

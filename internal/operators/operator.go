@@ -40,11 +40,6 @@ type Operator interface {
 type OpContext struct {
 	Mem   *memory.LocalContext
 	Stats *OpStats
-	// DisableVecKernels switches aggregation/distinct/join hashing to the
-	// legacy per-row encodeRowKey+map paths. The zero value keeps the
-	// vectorized kernels on; the flag exists as an ablation/escape hatch
-	// (Session.DisableVectorKernels).
-	DisableVecKernels bool
 }
 
 // OpStats counts operator work for EXPLAIN ANALYZE, the live stats

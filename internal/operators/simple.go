@@ -164,18 +164,14 @@ func (o *LimitOperator) IsBlocked() bool { return false }
 func (o *LimitOperator) Close() error    { return nil }
 
 // DistinctOperator removes duplicate rows using a hash set of row keys: an
-// open-addressing keyTable fed by the batch hashing kernels by default, or
-// the legacy encoded-key map when vectorized kernels are disabled.
+// open-addressing keyTable fed by the batch hashing kernels.
 type DistinctOperator struct {
 	ctx      *OpContext
-	vec      bool
-	table    *keyTable // vectorized path; layout chosen on first page
+	table    *keyTable
 	batch    batchKeys
-	seen     map[string]struct{} // legacy path
 	keyCols  []int
 	pending  *block.Page
 	finished bool
-	bytes    int64
 }
 
 // NewDistinct builds a distinct operator over all columns. ts are the
@@ -187,13 +183,7 @@ func NewDistinct(ctx *OpContext, ts []types.Type) *DistinctOperator {
 	for i := range cols {
 		cols[i] = i
 	}
-	o := &DistinctOperator{ctx: ctx, keyCols: cols, vec: ctx == nil || !ctx.DisableVecKernels}
-	if o.vec {
-		o.table = newKeyTable(fixedWidthKeys(ts), len(cols))
-	} else {
-		o.seen = make(map[string]struct{})
-	}
-	return o
+	return &DistinctOperator{ctx: ctx, keyCols: cols, table: newKeyTable(fixedWidthKeys(ts), len(cols))}
 }
 
 func (o *DistinctOperator) NeedsInput() bool { return !o.finished && o.pending == nil }
@@ -201,40 +191,21 @@ func (o *DistinctOperator) NeedsInput() bool { return !o.finished && o.pending =
 func (o *DistinctOperator) AddInput(p *block.Page) error {
 	o.ctx.recordIn(p)
 	var keep []int
-	if o.vec {
-		o.batch.reset(p, o.keyCols, o.table.fixed)
-		for r := 0; r < p.RowCount(); r++ {
-			var fresh bool
-			if o.table.fixed {
-				cells, tags := o.batch.row(r)
-				_, fresh = o.table.getOrInsertFixed(o.batch.hashes[r], cells, tags)
-				if fresh {
-					o.bytes += int64(9*len(o.keyCols) + 16)
-				}
-			} else {
-				o.batch.buf = encodeRowKey(o.batch.buf[:0], p, r, o.keyCols)
-				_, fresh = o.table.getOrInsertBytes(o.batch.hashes[r], o.batch.buf)
-				if fresh {
-					o.bytes += int64(len(o.batch.buf) + 16)
-				}
-			}
-			if fresh {
-				keep = append(keep, r)
-			}
+	o.batch.reset(p, o.keyCols, o.table.fixed)
+	for r := 0; r < p.RowCount(); r++ {
+		var fresh bool
+		if o.table.fixed {
+			cells, tags := o.batch.row(r)
+			_, fresh = o.table.getOrInsertFixed(o.batch.hashes[r], cells, tags)
+		} else {
+			o.batch.buf = encodeRowKey(o.batch.buf[:0], p, r, o.keyCols)
+			_, fresh = o.table.getOrInsertBytes(o.batch.hashes[r], o.batch.buf)
 		}
-	} else {
-		var buf []byte
-		for r := 0; r < p.RowCount(); r++ {
-			buf = encodeRowKey(buf[:0], p, r, o.keyCols)
-			k := string(buf)
-			if _, ok := o.seen[k]; !ok {
-				o.seen[k] = struct{}{}
-				o.bytes += int64(len(k) + 16)
-				keep = append(keep, r)
-			}
+		if fresh {
+			keep = append(keep, r)
 		}
 	}
-	if err := o.ctx.Mem.SetBytes(o.bytes); err != nil {
+	if err := o.ctx.Mem.SetBytes(o.table.memBytes()); err != nil {
 		return err
 	}
 	if len(keep) > 0 {
@@ -254,7 +225,7 @@ func (o *DistinctOperator) Finish()          { o.finished = true }
 func (o *DistinctOperator) IsFinished() bool { return o.finished && o.pending == nil }
 func (o *DistinctOperator) IsBlocked() bool  { return false }
 func (o *DistinctOperator) Close() error {
-	o.seen, o.table = nil, nil
+	o.table = nil
 	o.ctx.Mem.Close()
 	return nil
 }

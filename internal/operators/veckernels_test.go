@@ -4,49 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/block"
 	"repro/internal/plan"
 	"repro/internal/types"
 )
-
-// legacyContext returns a test context that forces the per-row
-// encodeRowKey+map paths (the vectorized-kernels ablation).
-func legacyContext() *OpContext {
-	ctx := NopContext()
-	ctx.DisableVecKernels = true
-	return ctx
-}
-
-func pagesToSortedRows(pages []*block.Page) []string {
-	var out []string
-	for _, p := range pages {
-		for r := 0; r < p.RowCount(); r++ {
-			parts := make([]string, p.ColCount())
-			for c := 0; c < p.ColCount(); c++ {
-				parts[c] = p.Col(c).Value(r).String()
-			}
-			out = append(out, strings.Join(parts, "|"))
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func assertSameRows(t *testing.T, name string, vec, legacy []string) {
-	t.Helper()
-	if len(vec) != len(legacy) {
-		t.Fatalf("%s: vec %d rows, legacy %d rows\nvec: %v\nlegacy: %v", name, len(vec), len(legacy), vec, legacy)
-	}
-	for i := range vec {
-		if vec[i] != legacy[i] {
-			t.Fatalf("%s: row %d: vec=%q legacy=%q", name, i, vec[i], legacy[i])
-		}
-	}
-}
 
 // TestNormValueCanonicalEquivalence checks that the normalized fixed-cell
 // representation groups exactly the values the canonical byte encoding
@@ -140,7 +103,7 @@ func randomMixedPage(r *rand.Rand, n int) *block.Page {
 
 // TestHashPartitionPageMatchesRowHash verifies the batch hasher reproduces
 // the per-row canonical hash bit-for-bit across every encoding, so
-// partitioning decisions are identical on the vectorized and legacy paths.
+// partitioning decisions agree wherever a row is hashed.
 func TestHashPartitionPageMatchesRowHash(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	colSets := [][]int{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {0, 1}, {2, 5}, {0, 1, 2, 3, 4, 5, 6}}
@@ -160,10 +123,10 @@ func TestHashPartitionPageMatchesRowHash(t *testing.T) {
 	}
 }
 
-// TestHashAggVecVsLegacyEdgeKeys aggregates over pathological keys — NULLs,
-// -0.0/+0.0, NaN, doubles equal to integers, empty vs NULL varchar — and
-// requires the vectorized and legacy paths to produce identical groups.
-func TestHashAggVecVsLegacyEdgeKeys(t *testing.T) {
+// TestHashAggEdgeKeys aggregates over pathological keys — NULLs, -0.0/+0.0,
+// NaN, doubles equal to integers, empty vs NULL varchar — and requires the
+// operator to produce the groups of the per-row reference.
+func TestHashAggEdgeKeys(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	keyPage := func() *block.Page {
 		return block.NewPage(
@@ -176,129 +139,100 @@ func TestHashAggVecVsLegacyEdgeKeys(t *testing.T) {
 			block.NewLongBlock([]int64{1, 2, 3, 4, 5, 6, 7, 8}, nil),
 		)
 	}
-	run := func(ctx *OpContext) []string {
-		specs := []AggSpec{
-			{Func: plan.AggCountAll, ArgCol: -1, Out: types.Bigint},
-			{Func: plan.AggSum, ArgCol: 2, Out: types.Bigint},
-		}
-		op := NewHashAggregation(ctx, []int{0, 1}, []types.Type{types.Double, types.Varchar}, specs, false, 0)
-		return pagesToSortedRows(drain(t, op, keyPage(), keyPage()))
+	specs := []AggSpec{
+		{Func: plan.AggCountAll, ArgCol: -1, Out: types.Bigint},
+		{Func: plan.AggSum, ArgCol: 2, Out: types.Bigint},
 	}
-	vec := run(NopContext())
-	legacy := run(legacyContext())
-	assertSameRows(t, "hashagg edge keys", vec, legacy)
+	keyTs := []types.Type{types.Double, types.Varchar}
+	op := NewHashAggregation(NopContext(), []int{0, 1}, keyTs, specs, false, 0)
+	got := rowCounts(drain(t, op, keyPage(), keyPage()))
+	want := rowCounts([]*block.Page{refAggregate([]*block.Page{keyPage(), keyPage()}, []int{0, 1}, keyTs, specs)})
+	assertSameCounts(t, "hashagg edge keys", got, want)
 	// -0.0 and +0.0 with the same varchar must be one group; empty varchar
 	// and NULL varchar must be distinct groups.
-	if len(vec) != 7 {
-		t.Errorf("expected 7 groups, got %d: %v", len(vec), vec)
+	if len(got) != 7 {
+		t.Errorf("expected 7 groups, got %d: %v", len(got), got)
 	}
 }
 
-// TestDistinctVecVsLegacy covers empty-vs-NULL varchar and NULL long keys.
-func TestDistinctVecVsLegacy(t *testing.T) {
+// TestDistinctEdgeKeys covers empty-vs-NULL varchar and NULL long keys.
+func TestDistinctEdgeKeys(t *testing.T) {
 	page := func() *block.Page {
 		return block.NewPage(
 			block.NewVarcharBlock([]string{"", "", "a", "", "a"}, []bool{false, true, false, true, false}),
 			&block.LongBlock{T: types.Bigint, Vals: []int64{0, 0, 1, 0, 1}, Nulls: []bool{true, false, false, true, false}},
 		)
 	}
-	run := func(ctx *OpContext) []string {
-		op := NewDistinct(ctx, []types.Type{types.Varchar, types.Bigint})
-		return pagesToSortedRows(drain(t, op, page(), page()))
-	}
-	vec := run(NopContext())
-	legacy := run(legacyContext())
-	assertSameRows(t, "distinct", vec, legacy)
-	if len(vec) != 4 {
-		t.Errorf("expected 4 distinct rows, got %d: %v", len(vec), vec)
+	op := NewDistinct(NopContext(), []types.Type{types.Varchar, types.Bigint})
+	got := rowCounts(drain(t, op, page(), page()))
+	assertSameCounts(t, "distinct", got, refDistinct([]*block.Page{page(), page()}))
+	if len(got) != 4 {
+		t.Errorf("expected 4 distinct rows, got %d: %v", len(got), got)
 	}
 }
 
-// TestCountDistinctVecVsLegacy exercises the DISTINCT accumulator key sets.
-func TestCountDistinctVecVsLegacy(t *testing.T) {
+// TestCountDistinctEdgeValues exercises the DISTINCT accumulator's
+// (group, value) set: the empty string, NULL, and a value shared by two
+// groups.
+func TestCountDistinctEdgeValues(t *testing.T) {
 	page := func() *block.Page {
 		return block.NewPage(
 			block.NewLongBlock([]int64{1, 1, 1, 2, 2}, nil),
 			block.NewVarcharBlock([]string{"", "x", "", "x", "y"}, []bool{false, false, true, false, false}),
 		)
 	}
-	run := func(ctx *OpContext) []string {
-		specs := []AggSpec{{Func: plan.AggCount, ArgCol: 1, Distinct: true, Out: types.Bigint}}
-		op := NewHashAggregation(ctx, []int{0}, []types.Type{types.Bigint}, specs, false, 0)
-		return pagesToSortedRows(drain(t, op, page(), page()))
+	specs := []AggSpec{{Func: plan.AggCount, ArgCol: 1, Distinct: true, Out: types.Bigint}}
+	keyTs := []types.Type{types.Bigint}
+	op := NewHashAggregation(NopContext(), []int{0}, keyTs, specs, false, 0)
+	got := rowCounts(drain(t, op, page(), page()))
+	assertSameCounts(t, "count distinct", got, rowCounts([]*block.Page{refAggregate([]*block.Page{page(), page()}, []int{0}, keyTs, specs)}))
+}
+
+// joinOnce runs one build page against one probe page through the operators.
+func joinOnce(t *testing.T, jt plan.JoinType, build, probe *block.Page, buildTs, probeTs []types.Type) map[string]int {
+	t.Helper()
+	bridge := NewJoinBridge()
+	bridge.AddBuilder()
+	hb := NewHashBuild(NopContext(), bridge, []int{0}, buildTs[:1])
+	if err := hb.AddInput(build); err != nil {
+		t.Fatal(err)
 	}
-	assertSameRows(t, "count distinct", run(NopContext()), run(legacyContext()))
+	bridge.NoMoreBuilders()
+	hb.Finish()
+	bridge.AddProbe()
+	op := NewLookupJoin(NopContext(), bridge, jt, []int{0}, nil, probeTs, buildTs, 0)
+	return rowCounts(drain(t, op, probe))
 }
 
 // TestJoinDoubleProbeBigintBuild joins a DOUBLE probe column against a
 // BIGINT build key: integral doubles (including -0.0) must match, fractional
-// values and NaN must not — identically on both paths.
+// values and NaN must not — as in the per-row reference.
 func TestJoinDoubleProbeBigintBuild(t *testing.T) {
-	buildPage := func() *block.Page {
-		return block.NewPage(
-			&block.LongBlock{T: types.Bigint, Vals: []int64{0, 2, 5, 0}, Nulls: []bool{false, false, false, true}},
-			block.NewLongBlock([]int64{100, 200, 500, 999}, nil),
-		)
-	}
-	probe := func() *block.Page {
-		negZero := math.Copysign(0, -1)
-		return block.NewPage(block.NewDoubleBlock(
-			[]float64{2.0, 2.5, negZero, math.NaN(), 5.0, 0.0},
-			[]bool{false, false, false, false, false, true}))
-	}
-	run := func(vec bool) []string {
-		bridge := NewJoinBridge()
-		bridge.SetVectorized(vec)
-		bridge.AddBuilder()
-		ctx := NopContext()
-		if !vec {
-			ctx = legacyContext()
-		}
-		hb := NewHashBuild(ctx, bridge, []int{0}, []types.Type{types.Bigint})
-		if err := hb.AddInput(buildPage()); err != nil {
-			t.Fatal(err)
-		}
-		bridge.NoMoreBuilders()
-		hb.Finish()
-		bridge.AddProbe()
-		op := NewLookupJoin(ctx, bridge, plan.InnerJoin, []int{0}, nil,
-			[]types.Type{types.Double}, []types.Type{types.Bigint, types.Bigint}, 0)
-		return pagesToSortedRows(drain(t, op, probe()))
-	}
-	vec := run(true)
-	legacy := run(false)
-	assertSameRows(t, "double-probe join", vec, legacy)
-	if len(vec) != 3 { // 2.0→2, -0.0→0, 5.0→5; NaN/2.5/NULL unmatched
-		t.Errorf("expected 3 join rows, got %d: %v", len(vec), vec)
+	build := block.NewPage(
+		&block.LongBlock{T: types.Bigint, Vals: []int64{0, 2, 5, 0}, Nulls: []bool{false, false, false, true}},
+		block.NewLongBlock([]int64{100, 200, 500, 999}, nil),
+	)
+	negZero := math.Copysign(0, -1)
+	probe := block.NewPage(block.NewDoubleBlock(
+		[]float64{2.0, 2.5, negZero, math.NaN(), 5.0, 0.0},
+		[]bool{false, false, false, false, false, true}))
+	buildTs, probeTs := []types.Type{types.Bigint, types.Bigint}, []types.Type{types.Double}
+	got := joinOnce(t, plan.InnerJoin, build, probe, buildTs, probeTs)
+	want := refJoin(t, plan.InnerJoin, []*block.Page{build}, []*block.Page{probe}, []int{0}, []int{0}, nil, probeTs, buildTs)
+	assertSameCounts(t, "double-probe join", got, want)
+	if len(got) != 3 { // 2.0→2, -0.0→0, 5.0→5; NaN/2.5/NULL unmatched
+		t.Errorf("expected 3 join rows, got %d: %v", len(got), got)
 	}
 }
 
 // TestJoinVarcharProbeBigintBuild probes a fixed-key table with a
 // variable-width key: the kinds cannot match, so the join yields no rows
-// (tag bytes differ under the canonical encoding) on both paths.
+// (tag bytes differ under the canonical encoding).
 func TestJoinVarcharProbeBigintBuild(t *testing.T) {
-	run := func(vec bool) int {
-		bridge := NewJoinBridge()
-		bridge.SetVectorized(vec)
-		bridge.AddBuilder()
-		hb := NewHashBuild(NopContext(), bridge, []int{0}, []types.Type{types.Bigint})
-		if err := hb.AddInput(block.NewPage(block.NewLongBlock([]int64{1, 2}, nil))); err != nil {
-			t.Fatal(err)
-		}
-		bridge.NoMoreBuilders()
-		hb.Finish()
-		bridge.AddProbe()
-		op := NewLookupJoin(NopContext(), bridge, plan.InnerJoin, []int{0}, nil,
-			[]types.Type{types.Varchar}, []types.Type{types.Bigint}, 0)
-		probe := block.NewPage(block.NewVarcharBlock([]string{"1", "2"}, nil))
-		n := 0
-		for _, p := range drain(t, op, probe) {
-			n += p.RowCount()
-		}
-		return n
-	}
-	if v, l := run(true), run(false); v != 0 || l != 0 {
-		t.Errorf("varchar-probe-vs-bigint-build should match nothing: vec=%d legacy=%d", v, l)
+	build := block.NewPage(block.NewLongBlock([]int64{1, 2}, nil))
+	probe := block.NewPage(block.NewVarcharBlock([]string{"1", "2"}, nil))
+	if got := joinOnce(t, plan.InnerJoin, build, probe, []types.Type{types.Bigint}, []types.Type{types.Varchar}); len(got) != 0 {
+		t.Errorf("varchar-probe-vs-bigint-build should match nothing: %v", got)
 	}
 }
 

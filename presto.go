@@ -113,9 +113,10 @@ type ClusterConfig struct {
 	// Interpreted forces interpreted expression evaluation (the codegen
 	// ablation, §V-B).
 	Interpreted bool
-	// DisableVectorKernels forces the legacy per-row hash paths and
-	// interpreted filters cluster-wide (the vectorized-kernels ablation;
-	// per-query via Session.DisableVectorKernels).
+	// DisableVectorKernels runs filters on the interpreter instead of the
+	// columnar selection kernels, cluster-wide (per-query via
+	// Session.DisableVectorKernels). It no longer reaches hash aggregation,
+	// joins or distinct, which have one implementation.
 	DisableVectorKernels bool
 	// DisableVectorProjections is kept only because the frozen benchmark
 	// names it; the only non-vectorized projection path left is the

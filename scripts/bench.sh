@@ -1,13 +1,11 @@
 #!/usr/bin/env bash
-# Kernel and scheduling benchmarks (PR 5/6): vectorized vs legacy hash
-# aggregation (flat, dictionary, and RLE keys), hash join build+probe (flat
-# and dictionary probe), filter selection kernels, and morsel-driven vs
-# static split scheduling over a pathologically skewed table. Each kernel
-# benchmark runs the same workload through the vectorized kernels and
-# through the per-row ablation baseline (DisableVecKernels); the skew
-# benchmark runs morsel-driven vs the DisableMorsels static ablation. The
-# ratio is the feature's speedup. Writes machine-readable results to
-# BENCH_6.json at the repository root.
+# Kernel and scheduling benchmarks (PR 5/6): hash aggregation (flat,
+# dictionary, and RLE keys) and hash join build+probe (flat and dictionary
+# probe), which have one implementation and are recorded as absolute numbers;
+# filter selection kernels vs the interpreted filter; and morsel-driven vs
+# static split scheduling (DisableMorsels) over a pathologically skewed table.
+# Where a benchmark has a slower twin the ratio is the feature's speedup.
+# Writes machine-readable results to BENCH_6.json at the repository root.
 #
 # Adaptive-execution benchmarks (PR 7): selective Fig. 6 join shapes
 # (q37/q64/q82) with dynamic join filters on vs the
@@ -42,7 +40,7 @@ go test -run '^$' \
 
 {
   echo '{'
-  echo '  "bench": "vectorized kernels (vec vs legacy) and morsel scheduling (morsel vs static)",'
+  echo '  "bench": "hash kernels (absolute), filter kernels (vec vs legacy) and morsel scheduling (morsel vs static)",'
   echo "  \"benchtime\": \"$benchtime\","
   echo "  \"go\": \"$(go env GOVERSION)\","
   echo '  "results": ['

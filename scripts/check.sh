@@ -6,7 +6,8 @@
 #
 #   scripts/check.sh          # build + vet + race tests + chaos smoke +
 #                             # borrowed-page poison run + non-race
-#                             # allocation ceilings and bench smokes
+#                             # allocation ceilings (page codec, group
+#                             # table, join build, spill) and bench smokes
 #   scripts/check.sh -chaos   # additionally sweep the chaos suite over more
 #                             # seeds (CHAOS_FULL), verbose
 #   scripts/check.sh -fuzz    # additionally run 10s fuzz smokes over the
@@ -54,9 +55,10 @@ echo "==> page codec allocation ceilings + bench smoke (no -race: the ceilings s
 go test -count=1 -run 'TestCodecAllocationCeilings' ./internal/block/
 go test -run '^$' -bench 'CodecEncodeRaw|CodecEncodeFlate|CodecDecodeRaw|CodecDecodeFlate' -benchtime 1x -benchmem ./internal/block/ > /dev/null
 
-echo "==> aggregation spill allocation ceiling + bench smoke (no -race, same reason)"
-go test -count=1 -run 'TestAggSpillAllocationCeiling' ./internal/operators/
+echo "==> what a group and a build row cost: allocation ceilings, accounting vs heap, bench smoke (no -race, same reason)"
+go test -count=1 -v -run 'TestAggSpillAllocationCeiling|TestGroupTableBytesPerGroup|TestJoinBuildBytesPerRow|TestHashAggAccountingMatchesHeap' ./internal/operators/ | grep -E '^(---|ok|FAIL|panic)|bytes'
 go test -run '^$' -bench 'AggSpillRevokeDrain' -benchtime 1x -benchmem ./internal/operators/ > /dev/null
+go test -run '^$' -bench 'HashAggBigintKey|HashJoinBuildProbe' -benchtime 5x -benchmem . | grep '^Benchmark'
 
 echo "==> filter -> project -> aggregate allocation ceiling + bench smoke (no -race, same reason)"
 go test -count=1 -run 'TestFilterProjectAggAllocationCeiling' ./internal/exec/

@@ -1,11 +1,11 @@
 package presto
 
-// End-to-end differential coverage for the vectorized hash and filter
-// kernels: every query runs twice — once on the default (vectorized) path and
-// once with Session.DisableVectorKernels forcing the legacy per-row
-// encoded-key hashing and interpreted filters — and the result sets must be
-// identical. This is the kernel analogue of the cache and chaos differential
-// suites.
+// End-to-end differential coverage for the filter kernels over hash-heavy
+// statements: every query runs twice — once on the default path and once
+// with Session.DisableVectorKernels forcing interpreted filters — and the
+// result sets must be identical. (The hash operators have one implementation;
+// their per-row reference and its differentials live in internal/operators.)
+// This is the kernel analogue of the cache and chaos differential suites.
 
 import (
 	"fmt"
