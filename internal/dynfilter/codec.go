@@ -12,13 +12,11 @@ import (
 // ExactCells returns the exact fixed-width cell set as (tag, payload) pairs,
 // or nil when overflowed/varchar.
 func (s *Summary) ExactCells() [][2]uint64 {
-	if s.Exact == nil {
+	if s.exact == nil {
 		return nil
 	}
-	out := make([][2]uint64, 0, len(s.Exact))
-	for c := range s.Exact {
-		out = append(out, [2]uint64{uint64(c.tag), c.payload})
-	}
+	out := make([][2]uint64, 0, s.exact.n)
+	s.exact.each(func(c cell) { out = append(out, [2]uint64{uint64(c.tag), c.payload}) })
 	return out
 }
 
@@ -51,17 +49,18 @@ func FromParts(t types.Type, disabled bool, rows int64,
 	s.Rows = rows
 	copy(s.Bloom, bloom)
 	if !hasExact {
-		s.Exact, s.Strs = nil, nil
+		s.exact, s.Strs = nil, nil
 	} else if s.Strs != nil {
 		for _, v := range strs {
 			s.Strs[v] = struct{}{}
 		}
-	} else if s.Exact != nil {
+	} else if s.exact != nil {
+		s.reserve(len(cells))
 		for _, c := range cells {
-			if c[0] > 255 {
+			if c[0] == uint64(cellNull) || c[0] > 255 {
 				return nil, fmt.Errorf("dynfilter: bad cell tag %d", c[0])
 			}
-			s.Exact[cell{byte(c[0]), c[1]}] = struct{}{}
+			s.exact.add(cell{byte(c[0]), c[1]})
 		}
 	}
 	s.HasBounds, s.BoundsPoisoned = hasBounds, poisoned
@@ -72,4 +71,4 @@ func FromParts(t types.Type, disabled bool, rows int64,
 }
 
 // HasExact reports whether the summary still carries its exact key set.
-func (s *Summary) HasExact() bool { return s.Exact != nil || s.Strs != nil }
+func (s *Summary) HasExact() bool { return s.exact != nil || s.Strs != nil }

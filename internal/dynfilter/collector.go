@@ -14,9 +14,9 @@ type ColumnSpec struct {
 	T      types.Type
 }
 
-// Collector accumulates per-key-column summaries during a hash-join build.
-// It is not goroutine-safe: the JoinBridge feeds it under its own lock (build
-// insertion is already serialized there).
+// Collector turns a finished hash-join build into one summary per filter
+// column. It is not goroutine-safe: the JoinBridge calls it once, under its
+// own lock, on the built transition.
 type Collector struct {
 	MaxSet  int
 	MaxRows int
@@ -41,91 +41,43 @@ func NewCollector(specs []ColumnSpec, maxSet, maxRows int) *Collector {
 	return c
 }
 
-// Specs exposes the collected columns (the build operator uses KeyIdx to
-// locate each key column in its input pages).
-func (c *Collector) Specs() []ColumnSpec { return c.specs }
-
-// AddBlock folds one build page's key column into summary i, skipping NULLs.
-// Typed fast paths keep the per-row cost to a map/bloom insert; dictionary
-// blocks fold each referenced entry once, RLE runs once per run.
-func (c *Collector) AddBlock(i int, b block.Block) {
-	s := c.sums[i]
-	if s.Disabled {
+// Collect summarizes a build from its distinct keys, which the join's key
+// table already holds: rows build rows have a non-NULL key, there are keys
+// distinct key tuples, and at(k) names a page and row holding tuple k in
+// columns keyCols. Past MaxRows the build is too large for a useful probe
+// filter and the summaries are disabled unread.
+func (c *Collector) Collect(rows int64, keys int, keyCols []int, at func(k int) (*block.Page, int)) {
+	if rows > int64(c.MaxRows) {
+		c.Disable()
 		return
 	}
-	if s.Rows > int64(c.MaxRows) {
-		// Build too large for a useful probe filter: stop paying for it.
-		s.Disabled = true
-		s.Exact, s.Strs = nil, nil
-		return
+	for i, s := range c.sums {
+		if c.specs[i].KeyIdx >= len(keyCols) {
+			s.Disabled = true // not a key of this build: nothing to say
+		}
+		if len(keyCols) == 1 && keys > c.MaxSet {
+			s.exact, s.Strs = nil, nil // one key column: the set is known to overflow
+		}
+		s.reserve(min(keys, c.MaxSet))
 	}
-	c.addBlock(s, b)
+	for k := 0; k < keys; k++ {
+		p, r := at(k)
+		for i, s := range c.sums {
+			if !s.Disabled {
+				s.AddValue(p.Col(keyCols[c.specs[i].KeyIdx]).Value(r), c.MaxSet)
+			}
+		}
+	}
+	for _, s := range c.sums {
+		s.Rows = rows
+	}
 }
 
-func (c *Collector) addBlock(s *Summary, b block.Block) {
-	if lz, ok := b.(*block.LazyBlock); ok {
-		b = lz.Load()
-	}
-	switch col := b.(type) {
-	case *block.LongBlock:
-		for r, v := range col.Vals {
-			if col.Nulls != nil && col.Nulls[r] {
-				continue
-			}
-			s.AddLong(v, c.MaxSet)
-		}
-	case *block.DoubleBlock:
-		for r, v := range col.Vals {
-			if col.Nulls != nil && col.Nulls[r] {
-				continue
-			}
-			s.AddDouble(v, c.MaxSet)
-		}
-	case *block.VarcharBlock:
-		for r, v := range col.Vals {
-			if col.Nulls != nil && col.Nulls[r] {
-				continue
-			}
-			s.AddStr(v, c.MaxSet)
-		}
-	case *block.BoolBlock:
-		for r, v := range col.Vals {
-			if col.Nulls != nil && col.Nulls[r] {
-				continue
-			}
-			s.AddBool(v, c.MaxSet)
-		}
-	case *block.RLEBlock:
-		if col.Len() == 0 || col.Val.IsNull(0) {
-			return
-		}
-		s.AddValue(col.Val.Value(0), c.MaxSet)
-		s.Rows += int64(col.Len() - 1)
-	case *block.DictionaryBlock:
-		// Only referenced entries are build keys; unreferenced dictionary
-		// entries must not widen the filter. Each distinct entry folds once
-		// (AddValue bumps Rows by 1); repeats bump the row count only.
-		seen := make([]bool, col.Dict.Len())
-		repeats := int64(0)
-		for _, id := range col.Indices {
-			if col.Dict.IsNull(int(id)) {
-				continue
-			}
-			if seen[id] {
-				repeats++
-				continue
-			}
-			seen[id] = true
-			s.AddValue(col.Dict.Value(int(id)), c.MaxSet)
-		}
-		s.Rows += repeats
-	default:
-		for r := 0; r < b.Len(); r++ {
-			if b.IsNull(r) {
-				continue
-			}
-			s.AddValue(b.Value(r), c.MaxSet)
-		}
+// Disable makes every summary filter nothing: the build spilled or is too big.
+func (c *Collector) Disable() {
+	for _, s := range c.sums {
+		s.Disabled = true
+		s.exact, s.Strs = nil, nil
 	}
 }
 

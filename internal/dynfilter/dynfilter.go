@@ -21,7 +21,6 @@ package dynfilter
 
 import (
 	"math"
-	"sync/atomic"
 
 	"repro/internal/types"
 )
@@ -81,9 +80,9 @@ type Summary struct {
 	// Rows counts non-null build keys observed.
 	Rows int64
 
-	// Exact carries the distinct normalized cells while the cardinality is
+	// exact carries the distinct normalized cells while the cardinality is
 	// ≤ maxSet; nil once overflowed. For varchar keys Strs is used instead.
-	Exact map[cell]struct{}
+	exact *cellSet
 	Strs  map[string]struct{}
 
 	// Bloom is a fixed-size blocked bloom over the canonical cell hash,
@@ -98,64 +97,78 @@ type Summary struct {
 	// BoundsPoisoned distinguishes "no keys yet" from "bounds invalidated
 	// by a NaN key" so merges propagate the poison.
 	BoundsPoisoned bool
-
-	// probe is an immutable open-addressed mirror of Exact, built lazily
-	// for the per-row match path and published atomically (probes run
-	// concurrently across drivers). A Go map lookup costs ~25ns of hashing
-	// and bucket walks — more than the vectorized join probe the filter is
-	// trying to save — while a linear-probe table stays at a few ns.
-	probe atomic.Pointer[probeTab]
 }
 
-// probeTab is the immutable probe-side cell set. Collected cells never use
-// tag cellNull (NULL build keys are excluded), so the zero cell doubles as
-// the empty-slot sentinel.
-type probeTab struct {
-	cells []cell
-	mask  uint64
+// cellSet is the exact key set: open-addressed, linear-probing, at most half
+// full; tag cellNull marks an empty slot (NULL keys are never collected). One
+// goroutine writes it while its summary is collected or merged; published, it
+// is only read (probes run concurrently), in a few ns where a Go map's hashing
+// costs more than the vectorized join probe the filter is trying to save.
+type cellSet struct {
+	tags     []byte // cellNull: an empty slot; 9 bytes a slot, not a padded 16
+	payloads []uint64
+	n        int
+	// shared: the arrays belong to a published summary this one was merged
+	// from and are copied before the first write; a union of identical sets
+	// (every task of a broadcast build publishes the same one) never copies.
+	shared bool
 }
 
-func buildProbeTab(m map[cell]struct{}) *probeTab {
-	size := 1
-	for size < 2*len(m)+1 {
+// newCellSet returns an empty set with room for keys cells.
+func newCellSet(keys int) *cellSet {
+	size := 16
+	for size < 2*keys {
 		size <<= 1
 	}
-	t := &probeTab{cells: make([]cell, size), mask: uint64(size - 1)}
-	for c := range m {
-		i := cellHash(c) & t.mask
-		for t.cells[i].tag != cellNull {
-			i = (i + 1) & t.mask
-		}
-		t.cells[i] = c
-	}
-	return t
+	return &cellSet{tags: make([]byte, size), payloads: make([]uint64, size)}
 }
 
-func (t *probeTab) has(c cell) bool {
-	i := cellHash(c) & t.mask
-	for {
-		e := t.cells[i]
-		if e.tag == cellNull {
-			return false
+// find returns the slot c is in, or the empty slot where it would go.
+func (t *cellSet) find(c cell) uint64 {
+	mask := uint64(len(t.tags) - 1)
+	for i := cellHash(c) & mask; ; i = (i + 1) & mask {
+		if t.tags[i] == cellNull || (t.tags[i] == c.tag && t.payloads[i] == c.payload) {
+			return i
 		}
-		if e == c {
-			return true
-		}
-		i = (i + 1) & t.mask
 	}
 }
 
-// matchCell is the shared fixed-width membership test: exact table when the
-// set survived, bloom otherwise; a varchar build never equals a fixed-width
+func (t *cellSet) has(c cell) bool { return t.tags[t.find(c)] != cellNull }
+
+// put stores a cell the set does not hold and has room for.
+func (t *cellSet) put(c cell) {
+	i := t.find(c)
+	t.tags[i], t.payloads[i] = c.tag, c.payload
+	t.n++
+}
+
+func (t *cellSet) add(c cell) {
+	if t.has(c) {
+		return
+	}
+	if 2*(t.n+1) > len(t.tags) || t.shared {
+		old := *t
+		*t = *newCellSet(old.n + 1)
+		old.each(t.put)
+	}
+	t.put(c)
+}
+
+// each calls fn with every member, in no particular order.
+func (t *cellSet) each(fn func(cell)) {
+	for i, tag := range t.tags {
+		if tag != cellNull {
+			fn(cell{tag, t.payloads[i]})
+		}
+	}
+}
+
+// matchCell is the shared fixed-width membership test: exact set when it
+// survived, bloom otherwise; a varchar build never equals a fixed-width
 // probe.
 func (s *Summary) matchCell(c cell) bool {
-	if s.Exact != nil {
-		t := s.probe.Load()
-		if t == nil {
-			t = buildProbeTab(s.Exact)
-			s.probe.Store(t)
-		}
-		return t.has(c)
+	if s.exact != nil {
+		return s.exact.has(c)
 	}
 	if s.Strs != nil {
 		return false
@@ -170,7 +183,7 @@ func NewSummary(t types.Type) *Summary {
 	case types.Varchar:
 		s.Strs = make(map[string]struct{})
 	case types.Bigint, types.Date, types.Double, types.Boolean:
-		s.Exact = make(map[cell]struct{})
+		s.exact = newCellSet(0)
 	default:
 		// Array/Unknown keys: no safe normalization — never filter.
 		s.Disabled = true
@@ -223,62 +236,60 @@ func strHash(v string) uint64 {
 func (s *Summary) addCell(c cell, maxSet int) {
 	s.Rows++
 	s.bloomSet(cellHash(c))
-	if s.Exact != nil {
-		if _, ok := s.Exact[c]; !ok {
-			if len(s.Exact) >= maxSet {
-				s.Exact = nil // overflow: bloom + bounds carry on
-			} else {
-				s.Exact[c] = struct{}{}
-			}
-			s.probe.Store(nil) // stale: rebuilt on next probe
+	if t := s.exact; t != nil && !t.has(c) {
+		if t.n >= maxSet {
+			s.exact = nil // overflow: bloom + bounds carry on
+		} else {
+			t.add(c)
 		}
 	}
 }
 
-// observeBounds folds v into min/max. NaN poisons the bounds.
-func (s *Summary) observeBounds(v types.Value) {
-	if v.T == types.Double && math.IsNaN(v.F) {
-		s.HasBounds = false
-		s.BoundsPoisoned = true
-		s.Min, s.Max = types.Value{}, types.Value{}
-		return
+// widen folds the key v into min/max, compared as its own type: lo and hi are
+// the field of Min and Max that holds it, first the boxed key.
+func widen[T int64 | float64 | string](s *Summary, v T, lo, hi *T, first types.Value) {
+	switch {
+	case s.BoundsPoisoned:
+	case !s.HasBounds:
+		s.HasBounds, s.Min, s.Max = true, first, first
+	case v < *lo:
+		*lo = v
+	case v > *hi:
+		*hi = v
 	}
-	if s.BoundsPoisoned {
-		return
-	}
-	if !s.HasBounds {
-		s.HasBounds = true
-		s.Min, s.Max = v, v
-		return
-	}
-	if v.Compare(s.Min) < 0 {
-		s.Min = v
-	}
-	if v.Compare(s.Max) > 0 {
-		s.Max = v
-	}
+}
+
+// poisonBounds drops min/max for good: a NaN key is unordered.
+func (s *Summary) poisonBounds() {
+	s.HasBounds, s.BoundsPoisoned = false, true
+	s.Min, s.Max = types.Value{}, types.Value{}
 }
 
 // AddLong records a non-null bigint/date key.
 func (s *Summary) AddLong(v int64, maxSet int) {
 	s.addCell(cell{cellLong, uint64(v)}, maxSet)
-	s.observeBounds(types.Value{T: s.T, I: v})
+	widen(s, v, &s.Min.I, &s.Max.I, types.Value{T: s.T, I: v})
 }
 
 // AddDouble records a non-null double key.
 func (s *Summary) AddDouble(f float64, maxSet int) {
 	s.addCell(normDouble(f), maxSet)
-	s.observeBounds(types.DoubleValue(f))
+	if math.IsNaN(f) {
+		s.poisonBounds()
+		return
+	}
+	widen(s, f, &s.Min.F, &s.Max.F, types.DoubleValue(f))
+}
+
+func boolCell(b bool) cell {
+	if b {
+		return cell{cellBool, 1}
+	}
+	return cell{cellBool, 0}
 }
 
 // AddBool records a non-null boolean key.
-func (s *Summary) AddBool(b bool, maxSet int) {
-	var p uint64
-	if b {
-		p = 1
-	}
-	s.addCell(cell{cellBool, p}, maxSet)
-}
+func (s *Summary) AddBool(b bool, maxSet int) { s.addCell(boolCell(b), maxSet) }
 
 // AddStr records a non-null varchar key.
 func (s *Summary) AddStr(v string, maxSet int) {
@@ -293,10 +304,10 @@ func (s *Summary) AddStr(v string, maxSet int) {
 			}
 		}
 	}
-	s.observeBounds(types.VarcharValue(v))
+	widen(s, v, &s.Min.S, &s.Max.S, types.VarcharValue(v))
 }
 
-// AddValue records a boxed key value (legacy row path). NULLs are skipped.
+// AddValue records a boxed key value. NULLs are skipped.
 func (s *Summary) AddValue(v types.Value, maxSet int) {
 	if s.Disabled || v.Null {
 		return
@@ -328,13 +339,7 @@ func (s *Summary) MatchDouble(f float64) bool {
 }
 
 // MatchBool reports whether a boolean probe value may match a build key.
-func (s *Summary) MatchBool(b bool) bool {
-	var p uint64
-	if b {
-		p = 1
-	}
-	return s.matchCell(cell{cellBool, p})
-}
+func (s *Summary) MatchBool(b bool) bool { return s.matchCell(boolCell(b)) }
 
 // MatchStr reports whether a varchar probe value may match a build key.
 func (s *Summary) MatchStr(v string) bool {
@@ -342,7 +347,7 @@ func (s *Summary) MatchStr(v string) bool {
 		_, ok := s.Strs[v]
 		return ok
 	}
-	if s.Exact != nil {
+	if s.exact != nil {
 		return false // fixed-width build keys never equal a varchar probe
 	}
 	return s.bloomHas(strHash(v))
@@ -370,6 +375,22 @@ func (s *Summary) MatchValue(v types.Value) bool {
 	}
 }
 
+// reserve makes room in a still-empty exact set for keys cells at once,
+// instead of by doubling.
+func (s *Summary) reserve(keys int) {
+	if s.exact != nil && s.exact.n == 0 && 2*keys > len(s.exact.tags) {
+		s.exact = newCellSet(keys)
+	}
+}
+
+// ExactLen is the size of the exact key set, 0 when there is none.
+func (s *Summary) ExactLen() int {
+	if s.exact != nil {
+		return s.exact.n
+	}
+	return len(s.Strs)
+}
+
 // ExactValues returns the exact key set as boxed values of the summary's
 // type, or nil when overflowed/unavailable. Used for IN-list domain pushdown.
 func (s *Summary) ExactValues() []types.Value {
@@ -383,11 +404,11 @@ func (s *Summary) ExactValues() []types.Value {
 		}
 		return out
 	}
-	if s.Exact == nil {
+	if s.exact == nil {
 		return nil
 	}
-	out := make([]types.Value, 0, len(s.Exact))
-	for c := range s.Exact {
+	out := make([]types.Value, 0, s.exact.n)
+	s.exact.each(func(c cell) {
 		switch c.tag {
 		case cellLong:
 			switch s.T {
@@ -401,7 +422,7 @@ func (s *Summary) ExactValues() []types.Value {
 		case cellBool:
 			out = append(out, types.BooleanValue(c.payload != 0))
 		}
-	}
+	})
 	return out
 }
 
@@ -440,20 +461,20 @@ func (s *Summary) Merge(o *Summary) {
 				s.Strs[v] = struct{}{}
 			}
 		}
-	case s.Exact != nil:
-		s.probe.Store(nil) // stale: rebuilt on next probe
-		if o.Exact == nil {
-			s.Exact = nil
-		} else {
-			for c := range o.Exact {
-				s.Exact[c] = struct{}{}
-			}
+	case s.exact != nil:
+		switch {
+		case o.exact == nil:
+			s.exact = nil
+		case s.exact.n == 0:
+			adopted := *o.exact
+			adopted.shared = true
+			s.exact = &adopted
+		default:
+			o.exact.each(s.exact.add)
 		}
 	}
 	if o.BoundsPoisoned {
-		s.HasBounds = false
-		s.BoundsPoisoned = true
-		s.Min, s.Max = types.Value{}, types.Value{}
+		s.poisonBounds()
 	} else if o.HasBounds && !s.BoundsPoisoned {
 		if !s.HasBounds {
 			s.HasBounds = true

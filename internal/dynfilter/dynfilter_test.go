@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/types"
 )
 
@@ -227,5 +228,109 @@ func TestFromPartsRoundTripAndValidation(t *testing.T) {
 	d, err := FromParts(types.Bigint, true, 0, false, nil, nil, nil, false, false, types.Value{}, types.Value{})
 	if err != nil || !d.Disabled {
 		t.Errorf("disabled summary round-trip: %v disabled=%v", err, d != nil && d.Disabled)
+	}
+}
+
+// collect runs a Collector over the distinct keys of one bigint key column.
+func collect(c *Collector, rows int64, keys []int64) {
+	p := block.NewPage(block.NewLongBlock(keys, nil))
+	c.Collect(rows, len(keys), []int{0}, func(k int) (*block.Page, int) { return p, k })
+}
+
+// TestCollectorSummarizesDistinctKeys: the collector sees each distinct key
+// once and is told the row count; what it publishes matches every key, keeps
+// the exact set under MaxSet, and reports the build's rows, not its keys.
+func TestCollectorSummarizesDistinctKeys(t *testing.T) {
+	specs := []ColumnSpec{{ID: 7, KeyIdx: 0, T: types.Bigint}}
+	c := NewCollector(specs, 8, 0)
+	collect(c, 40, []int64{5, -3, 12})
+	s := c.Summaries()[0]
+	if s.Rows != 40 || s.Empty() || !s.HasExact() || s.ExactLen() != 3 {
+		t.Errorf("rows %d empty %v exact %v len %d, want 40 false true 3", s.Rows, s.Empty(), s.HasExact(), s.ExactLen())
+	}
+	for _, k := range []int64{5, -3, 12} {
+		if !s.MatchLong(k) {
+			t.Errorf("key %d missing", k)
+		}
+	}
+	if min, max, ok := s.Bounds(); s.MatchLong(6) || !ok || min.I != -3 || max.I != 12 {
+		t.Errorf("absent key matched, or bounds [%v, %v] ok=%v", min, max, ok)
+	}
+
+	// More distinct keys than MaxSet on a single key column: the exact set is
+	// known to overflow and is never built; bloom and bounds still answer.
+	many := make([]int64, 100)
+	for i := range many {
+		many[i] = int64(i * 3)
+	}
+	c = NewCollector(specs, 8, 0)
+	collect(c, 100, many)
+	if s = c.Summaries()[0]; s.HasExact() || s.Disabled {
+		t.Errorf("overflowed summary: exact %v disabled %v", s.HasExact(), s.Disabled)
+	}
+	for _, k := range many {
+		if !s.MatchLong(k) {
+			t.Fatalf("bloom false negative for %d", k)
+		}
+	}
+
+	// No build row at all: the summary stays empty and short-circuits.
+	c = NewCollector(specs, 8, 0)
+	if s = c.Summaries()[0]; !s.Empty() || s.MatchLong(1) {
+		t.Error("an uncollected summary is not the empty one")
+	}
+	// Too many rows, or a spilled build: never filter.
+	c = NewCollector(specs, 8, 10)
+	collect(c, 11, []int64{1})
+	if !c.Summaries()[0].Disabled {
+		t.Error("a build past MaxRows still filters")
+	}
+}
+
+// TestCollectorTwoKeyColumns: distinct key tuples repeat a column's values;
+// the summary of each column holds each value once.
+func TestCollectorTwoKeyColumns(t *testing.T) {
+	p := block.NewPage(
+		block.NewLongBlock([]int64{1, 1, 2, 2}, nil),
+		block.NewVarcharBlock([]string{"a", "b", "a", "b"}, nil))
+	c := NewCollector([]ColumnSpec{{ID: 1, KeyIdx: 0, T: types.Bigint}, {ID: 2, KeyIdx: 1, T: types.Varchar}}, 0, 0)
+	c.Collect(9, 4, []int{0, 1}, func(k int) (*block.Page, int) { return p, k })
+	longs, strs := c.Summaries()[0], c.Summaries()[1]
+	if longs.ExactLen() != 2 || strs.ExactLen() != 2 || longs.Rows != 9 || strs.Rows != 9 {
+		t.Errorf("exact sets of %d and %d values over %d and %d rows, want 2 and 2 over 9 and 9", longs.ExactLen(), strs.ExactLen(), longs.Rows, strs.Rows)
+	}
+	if !longs.MatchLong(2) || longs.MatchLong(3) || !strs.MatchStr("b") || strs.MatchStr("c") {
+		t.Error("two-column summaries match the wrong values")
+	}
+}
+
+// TestMergeSharesThenCopies: a union adopts the first published set without
+// copying it, stays on it while later contributions add nothing new (every
+// task of a broadcast build publishes the same keys), and copies before the
+// first new key — the published summary is never written.
+func TestMergeSharesThenCopies(t *testing.T) {
+	pub := NewSummary(types.Bigint)
+	for k := int64(0); k < 20; k++ {
+		pub.AddLong(k, DefaultMaxSet)
+	}
+	union := NewSummary(types.Bigint)
+	union.Merge(pub)
+	union.Merge(pub)
+	if &union.exact.tags[0] != &pub.exact.tags[0] {
+		t.Error("a union of identical sets copied the set")
+	}
+	other := NewSummary(types.Bigint)
+	other.AddLong(99, DefaultMaxSet)
+	union.Merge(other)
+	if &union.exact.tags[0] == &pub.exact.tags[0] || pub.MatchLong(99) || pub.ExactLen() != 20 {
+		t.Error("a new key was written into the published summary's set")
+	}
+	for k := int64(0); k < 20; k++ {
+		if !union.MatchLong(k) {
+			t.Errorf("union lost %d", k)
+		}
+	}
+	if !union.MatchLong(99) || union.ExactLen() != 21 {
+		t.Errorf("union of 21 keys holds %d, 99 in it: %v", union.ExactLen(), union.MatchLong(99))
 	}
 }

@@ -284,7 +284,8 @@ func (t *Task) dynScanFilters(p *pipelineSpec) ([]expr.SelVector, plan.TableHand
 // deterministic), everything else degrades to the observed [min,max] range.
 // NULL never joins, so NullAllowed stays false.
 func summaryDomain(s *dynfilter.Summary) *plan.ColumnDomain {
-	if vals := s.ExactValues(); len(vals) > 0 && len(vals) <= dynMaxPushdownPoints {
+	if n := s.ExactLen(); n > 0 && n <= dynMaxPushdownPoints {
+		vals := s.ExactValues()
 		sort.Slice(vals, func(i, j int) bool { return vals[i].String() < vals[j].String() })
 		return &plan.ColumnDomain{T: s.T, Points: vals}
 	}

@@ -41,6 +41,13 @@ func project(in plan.Node, exprs ...expr.Expr) *plan.Project {
 // whose catalog "mem" holds table t(a bigint, b double, s varchar).
 func compileTestFragment(tb testing.TB, root plan.Node) *Task {
 	tb.Helper()
+	return compileTestFragmentPart(tb, root, plan.PartitionSingle)
+}
+
+// compileTestFragmentPart is compileTestFragment with the given output
+// partitioning.
+func compileTestFragmentPart(tb testing.TB, root plan.Node, part plan.PartitioningKind) *Task {
+	tb.Helper()
 	conn := memconn.New("mem")
 	conn.LoadTable("t", []connector.Column{
 		{Name: "a", T: types.Bigint}, {Name: "b", T: types.Double}, {Name: "s", T: types.Varchar},
@@ -49,7 +56,7 @@ func compileTestFragment(tb testing.TB, root plan.Node) *Task {
 	tb.Cleanup(ex.Close)
 	pool := memory.NewNodePool(1<<30, 0)
 	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
-	frag := &plan.Fragment{Root: root, OutputPartitioning: plan.Partitioning{Kind: plan.PartitionSingle}, OutputConsumer: -1}
+	frag := &plan.Fragment{Root: root, OutputPartitioning: plan.Partitioning{Kind: part}, OutputConsumer: -1}
 	task, err := NewTask(TaskID{QueryID: "q"}, frag, 0, ex, &testRegistry{conn: conn}, qmem, pool, nil, 1, nil, TaskConfig{})
 	if err != nil {
 		tb.Fatal(err)
@@ -105,10 +112,11 @@ func randomCall() expr.Expr {
 	return &expr.Call{Fn: rnd}
 }
 
-// TestBorrowOnlyBeforeHashAggregation compiles a projection in front of every
-// kind of consumer and requires the page processor to lend its output exactly
-// when the operator behind it is a hash aggregation.
-func TestBorrowOnlyBeforeHashAggregation(t *testing.T) {
+// TestBorrowOnlyBeforeReleasers compiles a projection in front of every kind
+// of consumer and requires the page processor to lend its output exactly when
+// the operator behind it releases its input: a hash aggregation, a lookup
+// join, or a processor that itself lends.
+func TestBorrowOnlyBeforeReleasers(t *testing.T) {
 	proj := func(in plan.Node) plan.Node { return project(in, col(0, types.Bigint), aPlusOne()) }
 	bigints := plan.Schema{{Name: "c0", T: types.Bigint}, {Name: "c1", T: types.Bigint}}
 	agg := func(in plan.Node) plan.Node {
@@ -146,7 +154,11 @@ func TestBorrowOnlyBeforeHashAggregation(t *testing.T) {
 				}
 				next := opNames(task)[pi][i+1]
 				seen = seen || next == consumer
-				if got, want := fp.Processor().BorrowsOutput(), next == "HashAggregation"; got != want {
+				want := next == "HashAggregation" || next == "LookupJoin"
+				if nfp, ok := ops[i+1].(*operators.FilterProjectOperator); ok {
+					want = nfp.Processor().BorrowsOutput()
+				}
+				if got := fp.Processor().BorrowsOutput(); got != want {
 					t.Errorf("%s: FilterProject in front of %s lends its output = %v, want %v", consumer, next, got, want)
 				}
 			}

@@ -184,28 +184,38 @@ func (c *chain) seal() {
 	}
 }
 
-// inputReleaser is implemented by operators that are done with an input page
-// and every array under it when AddInput returns (today the hash
-// aggregation; the method's comment there says why it holds).
+// inputReleaser is implemented by operators that can be done with an input
+// page, and with every array under it, by the next time their NeedsInput is
+// true: the hash aggregation (when AddInput returns), the lookup join (it
+// gathers what it emits, and asks for no page while it has rows left to
+// emit), and a filter/project exactly when its own output is lent. Each
+// method's comment says why it holds.
 type inputReleaser interface {
-	ReleasesInput()
+	ReleasesInput() bool
 }
 
-// lendOutputs is the one place a page processor is told its output pages are
+// outputLender is implemented by the operators that can write their output
+// into vectors they own and reuse: filter/project and the lookup join.
+type outputLender interface {
+	LendOutput(consumer operators.Operator)
+}
+
+// lendOutputs is the one place an operator is told its output pages are
 // borrowed (DESIGN.md, "Who owns a page"): exactly when the operator placed
-// after it is an inputReleaser. The driver hands a page from Output straight
-// to the next AddInput and asks the processor for another only after that, so
-// the processor's next page is the first moment the vectors are written
-// again. The operator chain is fixed by the plan shape, so this is a
-// compile-time rule, evaluated where the chain is built.
+// after it releases its input. It walks the chain from the sink backwards,
+// because whether a filter/project releases depends on whether it lends. The
+// driver calls Output only when the next operator's NeedsInput is true, so
+// that is the first moment lent vectors are written again. The operator chain
+// is fixed by the plan shape, so this is a compile-time rule, evaluated where
+// the chain is built.
 func lendOutputs(ops []operators.Operator) {
-	for i := 0; i+1 < len(ops); i++ {
-		fp, ok := ops[i].(*operators.FilterProjectOperator)
+	for i := len(ops) - 2; i >= 0; i-- {
+		lender, ok := ops[i].(outputLender)
 		if !ok {
 			continue
 		}
-		if _, ok := ops[i+1].(inputReleaser); ok {
-			fp.Processor().BorrowOutput()
+		if next, ok := ops[i+1].(inputReleaser); ok && next.ReleasesInput() {
+			lender.LendOutput(ops[i+1])
 		}
 	}
 }
@@ -322,9 +332,13 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 			pred = f.Predicate
 			input = f.Input
 		}
-		if err := c.compile(input, pb); err != nil {
+		remap, err := c.compileRead(input, pb, func() []bool {
+			return columnsRead(len(input.Schema()), append(exprs[:len(exprs):len(exprs)], pred)...)
+		})
+		if err != nil {
 			return err
 		}
+		exprs, pred = remapColumns(exprs, remap), remapColumn(pred, remap)
 		pb.append("FilterProject", func(ctx *driverCtx) (operators.Operator, error) {
 			return operators.NewFilterProject(ctx.opCtx(memory.System), ctx.task.newProcessor(pred, exprs)), nil
 		})
@@ -398,7 +412,16 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 		return nil
 
 	case *plan.Aggregation:
-		if err := c.compile(x.Input, pb); err != nil {
+		remap, err := c.compileRead(x.Input, pb, func() []bool {
+			reads := columnsRead(len(x.Input.Schema()), x.GroupBy...)
+			for _, a := range x.Aggregates {
+				for _, col := range expr.Columns(a.Arg) {
+					reads[col] = true
+				}
+			}
+			return reads
+		})
+		if err != nil {
 			return err
 		}
 		groupCols := make([]int, len(x.GroupBy))
@@ -408,7 +431,7 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 			if !ok {
 				return fmt.Errorf("aggregation group key %d is not a column (fragmenter should have projected it)", i)
 			}
-			groupCols[i] = cr.Index
+			groupCols[i] = remapIndex(cr.Index, remap)
 			groupTs[i] = cr.T
 		}
 		specs := make([]operators.AggSpec, len(x.Aggregates))
@@ -419,7 +442,7 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 				if !ok {
 					return fmt.Errorf("aggregate argument %d is not a column", i)
 				}
-				spec.ArgCol = cr.Index
+				spec.ArgCol = remapIndex(cr.Index, remap)
 			}
 			specs[i] = spec
 		}
@@ -435,7 +458,8 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 		return nil
 
 	case *plan.Join:
-		return c.compileJoin(x, pb)
+		_, err := c.compileJoin(x, pb, nil)
+		return err
 
 	case *plan.TableWrite:
 		if err := c.compile(x.Input, pb); err != nil {
@@ -466,15 +490,79 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 	}
 }
 
-func (c *compiler) compileJoin(j *plan.Join, pb *chain) error {
+// compileRead compiles n for a consumer that reads only the columns of n's
+// schema that reads marks (asked only when it matters). A hash join is then
+// told to emit just those channels; any other node (an index join too)
+// compiles in full. The returned remap gives each schema column its position
+// in the page the consumer will see (-1: no longer emitted), and is nil when
+// every column stays where it was.
+func (c *compiler) compileRead(n plan.Node, pb *chain, reads func() []bool) ([]int, error) {
+	if j, ok := n.(*plan.Join); ok {
+		return c.compileJoin(j, pb, reads())
+	}
+	return nil, c.compile(n, pb)
+}
+
+// columnsRead marks which of n input columns the expressions read.
+func columnsRead(n int, exprs ...expr.Expr) []bool {
+	reads := make([]bool, n)
+	for _, e := range exprs {
+		for _, col := range expr.Columns(e) {
+			reads[col] = true
+		}
+	}
+	return reads
+}
+
+// remapColumn rewrites e's column references through remap (compileRead), as
+// composeProjections rewrites them through an inner projection list.
+func remapColumn(e expr.Expr, remap []int) expr.Expr {
+	if remap == nil {
+		return e
+	}
+	return expr.Rewrite(e, func(x expr.Expr) expr.Expr {
+		if c, ok := x.(*expr.ColumnRef); ok {
+			return &expr.ColumnRef{Index: remap[c.Index], T: c.T, Name: c.Name}
+		}
+		return nil
+	})
+}
+
+func remapColumns(exprs []expr.Expr, remap []int) []expr.Expr {
+	if remap == nil {
+		return exprs
+	}
+	out := make([]expr.Expr, len(exprs))
+	for i, e := range exprs {
+		out[i] = remapColumn(e, remap)
+	}
+	return out
+}
+
+// remapIndex is remapColumn for a bare column index.
+func remapIndex(col int, remap []int) int {
+	if remap == nil {
+		return col
+	}
+	return remap[col]
+}
+
+// compileJoin compiles a hash join that emits the columns of its output
+// schema marked in reads (nil: all of them), and returns where each schema
+// column lands in its output page (-1: not emitted). What the join itself
+// reads of its probe input — the listed probe channels, its probe keys, the
+// probe side of its residual — is passed down the same way, so a join under a
+// join prunes too. The plan node is not touched: EXPLAIN, the wire form and
+// the fingerprints describe the full join.
+func (c *compiler) compileJoin(j *plan.Join, pb *chain, reads []bool) ([]int, error) {
 	if j.Strategy == plan.StrategyIndex {
-		return c.compileIndexJoin(j, pb)
+		return nil, c.compileIndexJoin(j, pb)
 	}
 	// Build side: its own pipeline ending in HashBuild.
 	bridge := operators.NewJoinBridge()
 	build := c.newPipeline()
 	if err := c.compile(j.Right, build); err != nil {
-		return err
+		return nil, err
 	}
 	buildKeys := make([]int, len(j.Equi))
 	probeKeys := make([]int, len(j.Equi))
@@ -513,26 +601,86 @@ func (c *compiler) compileJoin(j *plan.Join, pb *chain) error {
 		}
 		coll := dynfilter.NewCollector(specs, c.task.cfg.DynamicFilterMaxSet, 0)
 		task := c.task
-		bridge.SetFilterCollector(coll, func(sums []*dynfilter.Summary) {
+		bridge.SetFilterCollector(coll, buildKeys, func(sums []*dynfilter.Summary) {
 			task.publishFilters(ids, sums)
 		})
 	}
 
-	// Probe continues the current pipeline.
-	if err := c.compile(j.Left, pb); err != nil {
-		return err
+	// The output channels: the schema columns the consumer reads, probe side
+	// first. SEMI and ANTI joins have no build columns in their schema.
+	nLeft := len(j.Left.Schema())
+	outMap := make([]int, len(j.Schema()))
+	var probeOut, buildOut []int
+	for col := range outMap {
+		switch {
+		case reads != nil && !reads[col]:
+			outMap[col] = -1
+			continue
+		case col < nLeft:
+			probeOut = append(probeOut, col)
+		default:
+			buildOut = append(buildOut, col-nLeft)
+		}
+		outMap[col] = len(probeOut) + len(buildOut) - 1
+	}
+
+	// Probe continues the current pipeline, and is asked for the columns
+	// this join reads of it: its keys, its probe channels, the probe side of
+	// its residual.
+	leftSchema := j.Left.Schema()
+	leftReads := make([]bool, nLeft)
+	for _, col := range probeKeys {
+		leftReads[col] = true
+	}
+	for _, col := range probeOut {
+		leftReads[col] = true
+	}
+	for _, col := range expr.Columns(j.Residual) {
+		if col < nLeft {
+			leftReads[col] = true
+		}
+	}
+	leftMap, err := c.compileRead(j.Left, pb, func() []bool { return leftReads })
+	if err != nil {
+		return nil, err
+	}
+	probeTs := leftSchema.Types()
+	residual := j.Residual
+	if leftMap != nil {
+		probeTs = probeTs[:0]
+		for col, at := range leftMap {
+			if at >= 0 {
+				probeTs = append(probeTs, leftSchema[col].T)
+			}
+		}
+		for i := range probeKeys {
+			probeKeys[i] = leftMap[probeKeys[i]]
+		}
+		for i := range probeOut {
+			probeOut[i] = leftMap[probeOut[i]]
+		}
+		// The residual runs over (probe ++ build): the build columns move
+		// with the probe page's width.
+		both := append([]int(nil), leftMap...)
+		for col := range j.Right.Schema() {
+			both = append(both, len(probeTs)+col)
+		}
+		residual = remapColumn(residual, both)
 	}
 	jt := j.Type
-	residual := j.Residual
-	probeTs := j.Left.Schema().Types()
 	buildTs := j.Right.Schema().Types()
 	pb.append("LookupJoin", func(ctx *driverCtx) (operators.Operator, error) {
 		bridge.AddProbe()
-		return operators.NewLookupJoin(ctx.opCtx(memory.User), bridge, jt, probeKeys, residual, probeTs, buildTs, c.pageSize), nil
+		op := operators.NewLookupJoin(ctx.opCtx(memory.User), bridge, jt, probeKeys, residual, probeTs, buildTs, c.pageSize)
+		op.SetOutputChannels(probeOut, buildOut)
+		return op, nil
 	})
 	pb.stampFP(plan.CardFingerprint(j, nil))
 	pb.spec.probeBridges = append(pb.spec.probeBridges, bridge)
-	return nil
+	if len(probeOut)+len(buildOut) == len(outMap) {
+		outMap = nil // nothing dropped: every column is where the schema says
+	}
+	return outMap, nil
 }
 
 func (c *compiler) compileIndexJoin(j *plan.Join, pb *chain) error {

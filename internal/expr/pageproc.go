@@ -99,6 +99,11 @@ type ProcessorStats struct {
 // differential walls of the other packages.
 var poisonBorrowed string
 
+// PoisonsBorrowed reports whether the borrowed-page poison is on; an operator
+// outside this package that lends its output (the lookup join) asks before
+// every page and overwrites its lent vectors with PoisonVectors.
+func PoisonsBorrowed() bool { return poisonBorrowed != "" }
+
 // NewPageProcessor compiles filter (may be nil) and projections. The pages
 // it returns are owned by the caller and immutable, unless BorrowOutput says
 // otherwise.

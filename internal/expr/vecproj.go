@@ -1449,11 +1449,17 @@ func nullMask(nulls []bool, hint, scratch bool) []bool {
 // values no input produces, so a consumer still reading a borrowed block
 // after its time computes a visibly wrong answer (see poisonBorrowed).
 func (vp *vecProjector) poison() {
-	fillCap(vp.longs, math.MinInt64)
-	fillCap(vp.doubles, math.NaN())
-	fillCap(vp.strs, "\x00poisoned borrowed page")
-	flipCap(vp.bools)
-	flipCap(vp.nulls)
+	PoisonVectors(vp.longs, vp.doubles, vp.strs, vp.bools, vp.nulls)
+}
+
+// PoisonVectors overwrites lent vectors, to their full capacity, with values
+// no input produces.
+func PoisonVectors(longs []int64, doubles []float64, strs []string, bools, nulls []bool) {
+	fillCap(longs, math.MinInt64)
+	fillCap(doubles, math.NaN())
+	fillCap(strs, "\x00poisoned borrowed page")
+	flipCap(bools)
+	flipCap(nulls)
 }
 
 func fillCap[T any](v []T, x T) {

@@ -423,3 +423,27 @@ func HashPartitionPage(p *block.Page, cols []int, parts int, dst []int) []int {
 	hashVecPool.Put(hp)
 	return dst
 }
+
+// partitionRows groups a page's rows by target partition, by counting sort:
+// rows[offs[t]:offs[t+1]] are, in page order, the rows parts sends to
+// partition t of n. rows and offs are scratch the caller keeps from page to
+// page, so nothing is allocated per page or grown by append.
+func partitionRows(parts []int, n int, rows, offs []int) ([]int, []int) {
+	offs = scratch(offs, n+1)
+	clear(offs)
+	for _, t := range parts {
+		offs[t+1]++
+	}
+	for t := 1; t <= n; t++ {
+		offs[t] += offs[t-1]
+	}
+	rows = scratch(rows, len(parts))
+	for r, t := range parts {
+		rows[offs[t]] = r
+		offs[t]++
+	}
+	// Every cursor now stands at its partition's end, the next one's start.
+	copy(offs[1:], offs)
+	offs[0] = 0
+	return rows, offs
+}

@@ -19,6 +19,8 @@ type PartitionedOutputOperator struct {
 	mode     OutputMode
 	rr       int
 	parts    []int // per-row partition scratch, reused across pages
+	rows     []int // partitionRows scratch
+	offs     []int
 	finished bool
 }
 
@@ -70,15 +72,11 @@ func (o *PartitionedOutputOperator) AddInput(p *block.Page) error {
 	default: // OutputHash
 		// Split the page by target partition, batch-hashing the key columns.
 		o.parts = HashPartitionPage(p, o.hashCols, n, o.parts)
-		targets := make([][]int, n)
-		for r, t := range o.parts {
-			targets[t] = append(targets[t], r)
-		}
-		for t, rows := range targets {
-			if len(rows) == 0 {
-				continue
+		o.rows, o.offs = partitionRows(o.parts, n, o.rows, o.offs)
+		for t := 0; t < n; t++ {
+			if rows := o.rows[o.offs[t]:o.offs[t+1]]; len(rows) > 0 {
+				o.buf.Add(t, p.FilterPositions(rows))
 			}
-			o.buf.Add(t, p.FilterPositions(rows))
 		}
 	}
 	return nil
@@ -168,6 +166,8 @@ type LocalExchange struct {
 	done  bool
 	hash  []int
 	parts []int // per-row partition scratch, reused across pages
+	rows  []int // partitionRows scratch
+	offs  []int
 	rr    int
 	cap   int
 
@@ -283,12 +283,9 @@ func (l *LocalExchange) add(p *block.Page) {
 	n := len(l.queue)
 	if len(l.hash) > 0 && n > 1 {
 		l.parts = HashPartitionPage(p, l.hash, n, l.parts)
-		targets := make([][]int, n)
-		for r, t := range l.parts {
-			targets[t] = append(targets[t], r)
-		}
-		for t, rows := range targets {
-			if len(rows) > 0 {
+		l.rows, l.offs = partitionRows(l.parts, n, l.rows, l.offs)
+		for t := 0; t < n; t++ {
+			if rows := l.rows[l.offs[t]:l.offs[t+1]]; len(rows) > 0 {
 				l.queue[t] = append(l.queue[t], p.FilterPositions(rows))
 			}
 		}

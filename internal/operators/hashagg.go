@@ -212,14 +212,13 @@ func (o *HashAggregationOperator) NeedsInput() bool { return !o.finished }
 
 // ReleasesInput declares to the pipeline compiler that the operator keeps no
 // reference to an input page, or to any array under it, once AddInput
-// returns, on any path. The page processor in front of it then reuses its
-// output vectors from page to page (expr.PageProcessor.BorrowOutput). It
-// holds because the key table copies normalized cells and encoded bytes, key
+// returns, on any path. The operator in front of it then reuses its output
+// vectors from page to page (LendOutput). It holds because the key table copies normalized cells and encoded bytes, key
 // and min/max vectors copy values out of the page (valueVec), DISTINCT sets
 // copy encoded bytes, the batch hashing scratch is the operator's own, and
 // Revoke and the drain read the table, not pages. Array-typed keys would
 // share the element slice, but no processor lends an array block.
-func (o *HashAggregationOperator) ReleasesInput() {}
+func (o *HashAggregationOperator) ReleasesInput() bool { return true }
 
 func (o *HashAggregationOperator) AddInput(p *block.Page) error {
 	o.ctx.recordIn(p)

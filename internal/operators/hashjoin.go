@@ -15,23 +15,19 @@ import (
 // pipeline (paper Fig. 4): the build side publishes its hash table here and
 // the probe side blocks until it is ready.
 type JoinBridge struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 
 	// The build index. ktab maps a key to a dense key id (layout chosen on
 	// the first build page). While building, each page records its rows' key
-	// ids in keyIDs (-1: NULL key, never matches) — four bytes a row, sized
-	// once. The built transition counting-sorts them into one flat row list:
-	// key id's build rows are krows[rowOff[id]:rowOff[id+1]], in arrival
-	// order, and keyIDs is dropped. Nothing is allocated per key.
-	ktab   *keyTable
+	// ids in keyIDs (-1: NULL key, never matches), four bytes a row. The built
+	// transition counting-sorts them into one flat row list — key id's build
+	// rows are krows[rowOff[id]:rowOff[id+1]], in arrival order — and drops
+	// keyIDs. Nothing is allocated per key.
+	builtTable
 	keyIDs [][]int32
-	rowOff []int32
-	krows  []bridgeRow
 	batch  batchKeys // build-side scratch (guarded by mu)
 	memo   []int32   // build-side dictionary id→key id scratch (guarded by mu)
 
-	pages []*block.Page
 	// matched holds, per page and row, the flags RIGHT/FULL joins emit their
 	// unmatched build rows by; a page's flags are nil until its first match.
 	matched [][]bool
@@ -55,11 +51,13 @@ type JoinBridge struct {
 	// executor registers its Kick here.
 	notify func()
 
-	// Dynamic-filter collection: build drivers fold their key columns into
-	// the collector under mu, and the summaries publish through onFilters
-	// exactly once, on the clean built transition. A cancelled build never
-	// publishes — its partial key set would wrongly filter probe rows.
+	// Dynamic-filter collection: the built transition hands the table's
+	// distinct keys (columns filterKeys of the build pages) to the collector
+	// and publishes the summaries through onFilters, once. A cancelled build
+	// never publishes — its partial key set would wrongly filter probe rows —
+	// and a spilled one publishes "never filter": its rows are on disk.
 	collector   *dynfilter.Collector
+	filterKeys  []int
 	onFilters   func([]*dynfilter.Summary)
 	filtersDone bool
 
@@ -69,13 +67,27 @@ type JoinBridge struct {
 	spl *bridgeSpill
 }
 
-// SetFilterCollector installs the dynamic-filter collector and its publish
-// callback; set at pipeline compile time, before any build driver runs.
-func (b *JoinBridge) SetFilterCollector(c *dynfilter.Collector, publish func([]*dynfilter.Summary)) {
+// SetFilterCollector installs the dynamic-filter collector, the build key
+// columns it summarizes and its publish callback, before any driver runs.
+func (b *JoinBridge) SetFilterCollector(c *dynfilter.Collector, keyCols []int, publish func([]*dynfilter.Summary)) {
 	b.mu.Lock()
-	b.collector = c
+	b.collector, b.filterKeys = c, keyCols
 	b.onFilters = publish
 	b.mu.Unlock()
+}
+
+// summarizeKeysLocked summarizes a just-built table, one row per distinct key.
+func (b *JoinBridge) summarizeKeysLocked() {
+	switch c := b.collector; {
+	case c == nil:
+	case b.spl != nil && b.spl.spilled:
+		c.Disable()
+	case b.ktab != nil: // else no build row arrived: the summaries stay empty
+		c.Collect(int64(len(b.krows)), b.ktab.Len(), b.filterKeys, func(k int) (*block.Page, int) {
+			m := b.krows[b.rowOff[k]]
+			return b.pages[m.page], int(m.row)
+		})
+	}
 }
 
 // takeFilterPublishLocked claims the one-time filter publication if the build
@@ -87,13 +99,7 @@ func (b *JoinBridge) takeFilterPublishLocked() func() {
 	}
 	b.filtersDone = true
 	fn, col := b.onFilters, b.collector
-	return func() {
-		var sums []*dynfilter.Summary
-		if col != nil {
-			sums = col.Summaries()
-		}
-		fn(sums)
-	}
+	return func() { fn(col.Summaries()) }
 }
 
 // SetNotify installs the unblock callback; set before drivers start.
@@ -151,7 +157,6 @@ func (b *JoinBridge) Cancel() {
 	b.noMoreBuilders = true
 	b.noMoreProbes = true
 	b.probesActive = 0 // dead probe drivers never call ProbeFinished
-	b.cond.Broadcast()
 	notify := b.notifyLocked()
 	b.mu.Unlock()
 	notify()
@@ -186,7 +191,7 @@ func (b *JoinBridge) maybeBuiltLocked() {
 			}
 		}
 		b.indexRowsLocked()
-		b.cond.Broadcast()
+		b.summarizeKeysLocked()
 	}
 }
 
@@ -223,9 +228,20 @@ func (b *JoinBridge) indexRowsLocked() {
 	b.rowOff, b.krows, b.keyIDs = off, rows, nil
 }
 
-// matchesLocked returns the build rows of key id, in arrival order.
-func (b *JoinBridge) matchesLocked(id int32) []bridgeRow {
-	return b.krows[b.rowOff[id]:b.rowOff[id+1]]
+// builtTable is what a probe reads. Writers hold the bridge's mu; nothing
+// changes once the bridge is built and a probe page has arrived (a revocation
+// only happens before that, Cancel leaves a built table alone), so a probe
+// copies it under mu, once per page, and reads the copy unlocked.
+type builtTable struct {
+	ktab   *keyTable
+	rowOff []int32
+	krows  []bridgeRow
+	pages  []*block.Page
+}
+
+// matches returns the build rows of key id, in arrival order.
+func (t *builtTable) matches(id int32) []bridgeRow {
+	return t.krows[t.rowOff[id]:t.rowOff[id+1]]
 }
 
 // AddProbe registers a probe-side driver.
@@ -272,19 +288,14 @@ func (b *JoinBridge) ClaimOuter() bool {
 	return true
 }
 
-// bridgeRow addresses one build row: its page in JoinBridge.pages and its row
-// in that page.
+// bridgeRow addresses one build row: its page in pages and its row in it.
 type bridgeRow struct {
 	page int32
 	row  int32
 }
 
 // NewJoinBridge creates an empty bridge.
-func NewJoinBridge() *JoinBridge {
-	b := &JoinBridge{}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
+func NewJoinBridge() *JoinBridge { return &JoinBridge{} }
 
 // Built reports whether the build side has completed.
 func (b *JoinBridge) Built() bool {
@@ -339,13 +350,6 @@ func (o *HashBuildOperator) AddInput(p *block.Page) error {
 		return nil
 	}
 	nk := len(o.keyCols)
-	if b.collector != nil {
-		for i, sp := range b.collector.Specs() {
-			if sp.KeyIdx < nk {
-				b.collector.AddBlock(i, p.Col(o.keyCols[sp.KeyIdx]))
-			}
-		}
-	}
 	if spl := b.spl; spl != nil && spl.spilled {
 		// The bridge has revoked its table to disk: stream this page straight
 		// to the build spill file instead of regrowing the table (the drain
@@ -365,8 +369,9 @@ func (o *HashBuildOperator) AddInput(p *block.Page) error {
 			b.ktab = newKeyTable(fixedWidthKeys(o.keyTs), nk)
 		}
 		ids = make([]int32, n)
-		if nk != 1 || !o.addEncodedLocked(p, ids) {
-			o.addBatchLocked(p, ids)
+		insert := func(blk block.Block, j int) int32 { return keyCell(b.ktab, &b.batch.buf, blk, j, true) }
+		if nk != 1 || !resolveEncoded(p.Col(o.keyCols[0]), ids, &b.memo, insert) {
+			resolveBatch(b.ktab, &b.batch, p, o.keyCols, ids, true)
 		}
 	}
 	b.keyIDs = append(b.keyIDs, ids)
@@ -385,76 +390,86 @@ func (o *HashBuildOperator) AddInput(p *block.Page) error {
 	return o.ctx.Mem.SetBytes(o.bytes)
 }
 
-// addBatchLocked is the general build path: batch-hash the page's key
-// columns, then resolve each row to its key id. Caller holds the bridge lock.
-func (o *HashBuildOperator) addBatchLocked(p *block.Page, ids []int32) {
-	b := o.bridge
-	t := b.ktab
-	b.batch.reset(p, o.keyCols, t.fixed)
+// resolveBatch is the general path of build and probe: batch-hash the page's
+// key columns, then resolve each row to its key id in t, inserting absent keys
+// if insert is set. -1: a NULL key (never matches an equi-join) or no such key.
+func resolveBatch(t *keyTable, bk *batchKeys, p *block.Page, cols []int, ids []int32, insert bool) {
+	bk.reset(p, cols, t.fixed)
 	for r := range ids {
-		id := -1 // rows with NULL keys never match an equi-join
-		if t.fixed {
-			if !b.batch.nullKey(r) {
-				cells, tags := b.batch.row(r)
-				id, _ = t.getOrInsertFixed(b.batch.hashes[r], cells, tags)
+		id := -1
+		switch {
+		case t.fixed && bk.nullKey(r), !t.fixed && rowKeyNull(p, r, cols):
+		case t.fixed && insert:
+			cells, tags := bk.row(r)
+			id, _ = t.getOrInsertFixed(bk.hashes[r], cells, tags)
+		case t.fixed:
+			cells, tags := bk.row(r)
+			id = t.lookupFixed(bk.hashes[r], cells, tags)
+		default:
+			bk.buf = encodeRowKey(bk.buf[:0], p, r, cols)
+			if insert {
+				id, _ = t.getOrInsertBytes(bk.hashes[r], bk.buf)
+			} else {
+				id = t.lookupBytes(bk.hashes[r], bk.buf)
 			}
-		} else if !rowKeyNull(p, r, o.keyCols) {
-			b.batch.buf = encodeRowKey(b.batch.buf[:0], p, r, o.keyCols)
-			id, _ = t.getOrInsertBytes(b.batch.hashes[r], b.batch.buf)
 		}
 		ids[r] = int32(id)
 	}
 }
 
-// addEncodedLocked resolves a dictionary- or RLE-encoded single-key build
-// page by distinct entry instead of per row: each referenced dictionary id
-// (or the one RLE value) hits the key table once, and rows map onto key ids
-// through the index vector. Unreferenced dictionary ids are never inserted.
-// Returns false for flat key columns (the caller runs the batch path). Caller
-// holds the bridge lock.
-func (o *HashBuildOperator) addEncodedLocked(p *block.Page, ids []int32) bool {
-	b := o.bridge
-	switch kc := loadCol(p.Col(o.keyCols[0])).(type) {
+// resolveEncoded resolves a dictionary- or RLE-encoded single key column by
+// distinct entry instead of per row: each referenced dictionary id (or the
+// one RLE value) is put to cell once, and rows map onto key ids through the
+// index vector. Returns false for flat columns (the caller runs the batch path).
+func resolveEncoded(col block.Block, ids []int32, memo *[]int32, cell func(blk block.Block, j int) int32) bool {
+	switch kc := loadCol(col).(type) {
 	case *block.RLEBlock:
-		id := int32(o.insertKeyCell(kc.Val, 0))
+		id := cell(kc.Val, 0)
 		for r := range ids {
 			ids[r] = id
 		}
 		return true
 	case *block.DictionaryBlock:
-		b.memo = scratch(b.memo, kc.Dict.Len())
-		memo := b.memo
-		for j := range memo {
-			memo[j] = -2 // unresolved
+		*memo = scratch(*memo, kc.Dict.Len())
+		m := *memo
+		for j := range m {
+			m[j] = -2 // unresolved
 		}
 		for r := range ids {
 			j := kc.Indices[r]
-			if memo[j] == -2 {
-				memo[j] = int32(o.insertKeyCell(kc.Dict, int(j)))
+			if m[j] == -2 {
+				m[j] = cell(kc.Dict, int(j))
 			}
-			ids[r] = memo[j]
+			ids[r] = m[j]
 		}
 		return true
 	}
 	return false
 }
 
-// insertKeyCell inserts the single key cell blk[j] into the bridge's table,
-// returning its key id, or -1 for NULL (equi-join keys never match NULL).
-func (o *HashBuildOperator) insertKeyCell(blk block.Block, j int) int {
-	b := o.bridge
+// keyCell resolves the single key cell blk[j] to its key id in t, inserted
+// when absent if insert is set; -1 for no match or NULL.
+func keyCell(t *keyTable, buf *[]byte, blk block.Block, j int, insert bool) int32 {
 	if blk.IsNull(j) {
 		return -1
 	}
 	var id int
-	if b.ktab.fixed {
+	if t.fixed {
 		tag, cell := normValue(blk.Value(j))
-		id, _ = b.ktab.getOrInsertFixed1(fixed1Hash(cell, tag), cell, tag)
+		if h := fixed1Hash(cell, tag); insert {
+			id, _ = t.getOrInsertFixed1(h, cell, tag)
+		} else {
+			id = t.lookupFixed1(h, cell, tag)
+		}
 	} else {
-		b.batch.buf = appendCellKey(b.batch.buf[:0], blk, j)
-		id, _ = b.ktab.getOrInsertBytes(bytes1Hash(b.batch.buf), b.batch.buf)
+		*buf = appendCellKey((*buf)[:0], blk, j)
+		if h := bytes1Hash(*buf); insert {
+			id, _ = t.getOrInsertBytes(h, *buf)
+		} else {
+			id = t.lookupBytes(h, *buf)
+		}
 	}
-	return id
+	return int32(id)
 }
 
 // rowKeyNull reports whether any key column of row r is NULL.
@@ -483,7 +498,11 @@ func (o *HashBuildOperator) Close() error                 { return nil }
 // LookupJoinOperator probes the bridge's hash table with left-side pages and
 // emits joined rows. It implements INNER, LEFT, RIGHT, FULL, CROSS, SEMI,
 // and ANTI joins; RIGHT/FULL emit unmatched build rows after the probe side
-// finishes.
+// finishes. A keyed INNER, LEFT, SEMI or ANTI join without a residual is
+// selection first: AddInput flattens the page's matches into one (probe row,
+// build row) selection and each Output gathers the next pageSize rows of it,
+// column at a time. The other shapes — a residual, RIGHT/FULL's matched
+// flags, no key — join row by row through boxed values.
 type LookupJoinOperator struct {
 	ctx       *OpContext
 	bridge    *JoinBridge
@@ -493,14 +512,27 @@ type LookupJoinOperator struct {
 	interp    expr.Interpreter
 	probeTs   []types.Type
 	buildTs   []types.Type
-	batch     batchKeys   // probe-side scratch
-	ids       []int32     // per-page row→build key id scratch
-	memo      []int32     // per-page dictionary id→build key id scratch
-	probeSel  []int32     // vectorized emit: probe row per output row
-	buildSel  []bridgeRow // vectorized emit: build row per output row (page -1 = NULL-extend)
+	// The probe and build channels the join emits, probe side first: every
+	// one unless SetOutputChannels says less; no build channel for SEMI/ANTI.
+	probeOut, buildOut []int
+	lend               bool // LendOutput
 
-	pending      []*block.Page
-	outPos       int
+	batch batchKeys // probe-side scratch
+	ids   []int32   // per-page row→build key id scratch
+	memo  []int32   // per-page dictionary id→build key id scratch
+
+	// The selection path: the probe page being emitted, its output selection
+	// (build page -1 = NULL-extend) and how far Output has gathered it; a typed
+	// view per build channel, the vectors a lending join fills per column.
+	tab      builtTable
+	probe    *block.Page
+	probeSel []int32
+	buildSel []bridgeRow
+	selPos   int
+	chans    []*buildChan
+	vecs     []joinVec
+
+	rows         *rowSink // the row path's output
 	finished     bool
 	outerHandled bool
 	pageSize     int
@@ -516,30 +548,112 @@ func NewLookupJoin(ctx *OpContext, bridge *JoinBridge, jt plan.JoinType, probeKe
 	if op.pageSize <= 0 {
 		op.pageSize = 4096
 	}
+	op.probeOut = allChannels(len(probeTs))
+	if jt != plan.SemiJoin && jt != plan.AntiJoin {
+		op.buildOut = allChannels(len(buildTs))
+	}
 	return op
 }
 
-func (o *LookupJoinOperator) IsBlocked() bool {
-	if !o.bridge.Built() {
-		return true
+func allChannels(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
 	}
-	// A finished RIGHT/FULL probe waits for its peers before emitting
-	// unmatched build rows.
-	return o.finished && !o.outerHandled && !o.bridge.AllProbesFinished()
+	return out
+}
+
+// SetOutputChannels names, before the first page, the channels the join
+// emits: the pipeline compiler derives them from what the operator above reads.
+func (o *LookupJoinOperator) SetOutputChannels(probe, build []int) {
+	o.probeOut, o.buildOut = probe, build
+}
+
+// ReleasesInput declares to the pipeline compiler that the join is done with
+// a probe page, and every array under it, by the next time NeedsInput is true:
+// it asks for no page while it has rows of the last one to emit, what it emits
+// is gathered into other arrays (a dictionary or run shares its dictionary or
+// value, which nobody lends), and a spilled probe page is encoded at once.
+func (o *LookupJoinOperator) ReleasesInput() bool { return true }
+
+// LendOutput tells the join, before its first page, that its consumer
+// releases its input: flat columns are then gathered into vectors the join
+// owns and refills in its next Output, which the driver calls only once the
+// consumer wants input again.
+func (o *LookupJoinOperator) LendOutput(Operator) { o.lend = true }
+
+// LendsOutput reports whether LendOutput has been called.
+func (o *LookupJoinOperator) LendsOutput() bool { return o.lend }
+
+// IsBlocked: on the build, and — a finished RIGHT/FULL probe — on its peers,
+// before it emits unmatched build rows.
+func (o *LookupJoinOperator) IsBlocked() bool {
+	return !o.bridge.Built() || o.finished && !o.outerHandled && !o.bridge.AllProbesFinished()
 }
 
 func (o *LookupJoinOperator) NeedsInput() bool {
-	return o.bridge.Built() && !o.finished && len(o.pending) == 0
+	return o.bridge.Built() && !o.finished && o.probe == nil && o.rows.empty()
 }
 
-// outTypes returns the join's output column types.
-func (o *LookupJoinOperator) outTypes() []types.Type {
-	switch o.jt {
-	case plan.SemiJoin, plan.AntiJoin:
-		return o.probeTs
-	default:
-		return append(append([]types.Type{}, o.probeTs...), o.buildTs...)
+// rowSink takes the row-at-a-time joins' output: the listed columns of every
+// emitted row go to a page builder, full pages onto a queue Output drains.
+type rowSink struct {
+	idx      []int // output column → its position in an emitted row
+	pageSize int
+	builder  *block.PageBuilder
+	out      []types.Value
+	pages    []*block.Page
+	pos      int
+}
+
+// newRowSink creates a sink for rows of types ts, of which it keeps idx.
+func newRowSink(idx []int, ts []types.Type, pageSize int) *rowSink {
+	outTs := make([]types.Type, len(idx))
+	for i, c := range idx {
+		outTs[i] = ts[c]
 	}
+	return &rowSink{idx: idx, pageSize: pageSize, builder: block.NewPageBuilder(outTs), out: make([]types.Value, len(idx))}
+}
+
+func (s *rowSink) emit(row []types.Value) {
+	for i, c := range s.idx {
+		s.out[i] = row[c]
+	}
+	s.builder.AppendRow(s.out)
+	if s.builder.RowCount() >= s.pageSize {
+		s.flush()
+	}
+}
+
+func (s *rowSink) flush() {
+	if s.builder.RowCount() > 0 {
+		s.pages = append(s.pages, s.builder.Build())
+	}
+}
+
+func (s *rowSink) empty() bool { return s == nil || s.pos >= len(s.pages) }
+
+func (s *rowSink) next() *block.Page {
+	if s.empty() {
+		return nil
+	}
+	p := s.pages[s.pos]
+	if s.pos++; s.pos == len(s.pages) {
+		s.pages, s.pos = s.pages[:0], 0
+	}
+	return p
+}
+
+// sink keeps the listed channels of the boxed (probe ++ build) rows.
+func (o *LookupJoinOperator) sink() *rowSink {
+	if o.rows == nil {
+		idx := append([]int(nil), o.probeOut...)
+		for _, c := range o.buildOut {
+			idx = append(idx, len(o.probeTs)+c)
+		}
+		o.rows = newRowSink(idx, append(o.probeTs[:len(o.probeTs):len(o.probeTs)], o.buildTs...), o.pageSize)
+	}
+	return o.rows
 }
 
 func (o *LookupJoinOperator) AddInput(p *block.Page) error {
@@ -560,293 +674,236 @@ func (o *LookupJoinOperator) AddInput(p *block.Page) error {
 			return err
 		}
 	}
-	defer b.mu.Unlock()
+	o.tab = b.builtTable
+	b.mu.Unlock()
 
-	builder := block.NewPageBuilder(o.outTypes())
-	nProbe := len(o.probeTs)
-	row := make([]types.Value, nProbe+len(o.buildTs))
-
-	flush := func() {
-		if builder.RowCount() > 0 {
-			o.pending = append(o.pending, builder.Build())
-		}
+	// Cross joins and keyless semi joins have no key: every build row is a
+	// candidate for every probe row.
+	switch {
+	case len(o.probeKeys) == 0 || o.jt == plan.CrossJoin:
+		o.joinRows(p, nil)
+	case o.residual != nil || o.jt == plan.RightJoin || o.jt == plan.FullJoin:
+		o.joinRows(p, o.resolveProbe(p))
+	default:
+		o.selectMatches(p, o.resolveProbe(p))
 	}
-
-	// Keyed joins resolve every probe row to a build key id in one page-level
-	// pass (layout compatibility is checked once per page, dictionary entries
-	// probe once per distinct id, RLE once per page). Cross joins and keyless
-	// semi joins have no key: every build row is a candidate for every probe
-	// row.
-	keyed := len(o.probeKeys) > 0 && o.jt != plan.CrossJoin
-	var ids []int32
-	var matches []bridgeRow
-	if keyed {
-		ids = o.resolveProbeLocked(p, b)
-		// INNER/LEFT joins without a residual emit column-at-a-time: the
-		// match list is flattened once and every output column is gathered
-		// with a typed kernel instead of boxing row values (§V-B).
-		if o.residual == nil && (o.jt == plan.InnerJoin || o.jt == plan.LeftJoin) {
-			o.emitVecLocked(p, b, ids)
-			return nil
-		}
-	} else {
-		matches = allBuildRows(b)
-	}
-
-	for r := 0; r < p.RowCount(); r++ {
-		if keyed {
-			matches = nil
-			if id := ids[r]; id >= 0 {
-				matches = b.matchesLocked(id)
-			}
-		}
-
-		switch o.jt {
-		case plan.SemiJoin:
-			if o.matchExists(p, r, matches, b) {
-				for c := 0; c < nProbe; c++ {
-					row[c] = p.Col(c).Value(r)
-				}
-				builder.AppendRow(row[:nProbe])
-			}
-		case plan.AntiJoin:
-			if !o.matchExists(p, r, matches, b) {
-				for c := 0; c < nProbe; c++ {
-					row[c] = p.Col(c).Value(r)
-				}
-				builder.AppendRow(row[:nProbe])
-			}
-		default:
-			matched := false
-			for c := 0; c < nProbe; c++ {
-				row[c] = p.Col(c).Value(r)
-			}
-			for _, m := range matches {
-				bp := b.pages[m.page]
-				for c := 0; c < len(o.buildTs); c++ {
-					row[nProbe+c] = bp.Col(c).Value(int(m.row))
-				}
-				if o.residual != nil && !o.residualTrue(row) {
-					continue
-				}
-				matched = true
-				if b.matched[m.page] == nil {
-					b.matched[m.page] = make([]bool, bp.RowCount())
-				}
-				b.matched[m.page][m.row] = true
-				builder.AppendRow(row)
-				if builder.RowCount() >= o.pageSize {
-					flush()
-					builder = block.NewPageBuilder(o.outTypes())
-				}
-			}
-			if !matched && (o.jt == plan.LeftJoin || o.jt == plan.FullJoin) {
-				for c := 0; c < len(o.buildTs); c++ {
-					row[nProbe+c] = types.NullValue(o.buildTs[c])
-				}
-				builder.AppendRow(row)
-			}
-		}
-		if builder.RowCount() >= o.pageSize {
-			flush()
-			builder = block.NewPageBuilder(o.outTypes())
-		}
-	}
-	flush()
 	return nil
 }
 
-// resolveProbeLocked maps every probe row to a build-table entry id (-1 = no
+// joinRows is the row path: every candidate (probe ++ build) row is boxed and
+// put to the residual. ids == nil: every build row is a candidate.
+func (o *LookupJoinOperator) joinRows(p *block.Page, ids []int32) {
+	if o.jt == plan.RightJoin || o.jt == plan.FullJoin {
+		// The matched flags are shared by every probe driver of the bridge.
+		o.bridge.mu.Lock()
+		defer o.bridge.mu.Unlock()
+	}
+	t := &o.tab
+	nProbe := len(o.probeTs)
+	row := make([]types.Value, nProbe+len(o.buildTs))
+	out := o.sink()
+	var matches []bridgeRow
+	if ids == nil {
+		matches = allBuildRows(t.pages)
+	}
+	for r := 0; r < p.RowCount(); r++ {
+		if ids != nil {
+			matches = nil
+			if id := ids[r]; id >= 0 {
+				matches = t.matches(id)
+			}
+		}
+		for c := 0; c < nProbe; c++ {
+			row[c] = p.Col(c).Value(r)
+		}
+		matched := false
+		for _, m := range matches {
+			bp := t.pages[m.page]
+			for c := range o.buildTs {
+				row[nProbe+c] = bp.Col(c).Value(int(m.row))
+			}
+			if o.residual != nil && !o.residualTrue(row) {
+				continue
+			}
+			matched = true
+			if o.jt == plan.SemiJoin || o.jt == plan.AntiJoin {
+				break
+			}
+			if o.jt == plan.RightJoin || o.jt == plan.FullJoin {
+				flags := o.bridge.matched
+				if flags[m.page] == nil {
+					flags[m.page] = make([]bool, bp.RowCount())
+				}
+				flags[m.page][m.row] = true
+			}
+			out.emit(row)
+		}
+		switch {
+		case o.jt == plan.SemiJoin && matched, o.jt == plan.AntiJoin && !matched:
+			out.emit(row)
+		case !matched && (o.jt == plan.LeftJoin || o.jt == plan.FullJoin):
+			for c, typ := range o.buildTs {
+				row[nProbe+c] = types.NullValue(typ)
+			}
+			out.emit(row)
+		}
+	}
+	out.flush()
+}
+
+// resolveProbe maps every probe row to a build-table entry id (-1 = no
 // match or NULL key) in one page-level pass. A probe column whose canonical
 // encoding can never equal the build layout's (varchar keys against a
 // fixed-width table: the tag bytes differ) resolves the whole page to
-// no-match once, instead of being re-checked per row. Dictionary keys probe
-// the table once per referenced entry, RLE keys once per page (§V-B). Caller
-// holds the bridge lock.
-func (o *LookupJoinOperator) resolveProbeLocked(p *block.Page, b *JoinBridge) []int32 {
-	n := p.RowCount()
-	o.ids = scratch(o.ids, n)
-	ids := o.ids
-	t := b.ktab
-	if t == nil {
+// no-match once. Dictionary keys probe the table once per referenced entry,
+// RLE keys once per page (§V-B).
+func (o *LookupJoinOperator) resolveProbe(p *block.Page) []int32 {
+	o.ids = scratch(o.ids, p.RowCount())
+	ids, t := o.ids, o.tab.ktab
+	compatible := t != nil // else an empty build side
+	for _, c := range o.probeKeys {
+		compatible = compatible && (!t.fixed || fixedWidthKey(p.Col(c).Type()))
+	}
+	lookup := func(blk block.Block, j int) int32 { return keyCell(t, &o.batch.buf, blk, j, false) }
+	switch {
+	case !compatible:
 		for i := range ids {
-			ids[i] = -1 // empty build side
+			ids[i] = -1
 		}
-		return ids
-	}
-	if t.fixed {
-		for _, c := range o.probeKeys {
-			if !fixedWidthKey(p.Col(c).Type()) {
-				for i := range ids {
-					ids[i] = -1 // incompatible key layout: never matches
-				}
-				return ids
-			}
-		}
-	}
-	if len(o.probeKeys) == 1 {
-		switch kc := loadCol(p.Col(o.probeKeys[0])).(type) {
-		case *block.RLEBlock:
-			id := int32(o.lookupKeyCell(t, kc.Val, 0))
-			for i := range ids {
-				ids[i] = id
-			}
-			return ids
-		case *block.DictionaryBlock:
-			o.memo = scratch(o.memo, kc.Dict.Len())
-			memo := o.memo
-			for j := range memo {
-				memo[j] = -2 // unresolved: unreferenced ids never probe
-			}
-			for r := 0; r < n; r++ {
-				j := kc.Indices[r]
-				if memo[j] == -2 {
-					memo[j] = int32(o.lookupKeyCell(t, kc.Dict, int(j)))
-				}
-				ids[r] = memo[j]
-			}
-			return ids
-		}
-	}
-	o.batch.reset(p, o.probeKeys, t.fixed)
-	for r := 0; r < n; r++ {
-		id := -1
-		if t.fixed {
-			if !o.batch.nullKey(r) {
-				cells, tags := o.batch.row(r)
-				id = t.lookupFixed(o.batch.hashes[r], cells, tags)
-			}
-		} else if !rowKeyNull(p, r, o.probeKeys) {
-			o.batch.buf = encodeRowKey(o.batch.buf[:0], p, r, o.probeKeys)
-			id = t.lookupBytes(o.batch.hashes[r], o.batch.buf)
-		}
-		ids[r] = int32(id)
+	case len(o.probeKeys) == 1 && resolveEncoded(p.Col(o.probeKeys[0]), ids, &o.memo, lookup):
+	default:
+		resolveBatch(t, &o.batch, p, o.probeKeys, ids, false)
 	}
 	return ids
 }
 
-// lookupKeyCell probes the build table with the single key cell blk[j],
-// returning its entry id, or -1 for no match or NULL.
-func (o *LookupJoinOperator) lookupKeyCell(t *keyTable, blk block.Block, j int) int {
-	if blk.IsNull(j) {
-		return -1
-	}
-	if t.fixed {
-		tag, cell := normValue(blk.Value(j))
-		return t.lookupFixed1(fixed1Hash(cell, tag), cell, tag)
-	}
-	o.batch.buf = appendCellKey(o.batch.buf[:0], blk, j)
-	return t.lookupBytes(bytes1Hash(o.batch.buf), o.batch.buf)
-}
-
-// emitVecLocked emits the joined rows for a probe page column-at-a-time.
-// The resolved id vector is flattened into one (probe row, build row)
-// selection, then each output column is gathered with a typed kernel:
-// dictionary- and RLE-encoded probe columns stay encoded in the output, flat
-// columns copy through their typed slices, and no row value is ever boxed.
-// Only INNER and LEFT joins without a residual take this path — they need
-// neither per-row residual evaluation nor build-side matched flags. Caller
-// holds the bridge lock.
-func (o *LookupJoinOperator) emitVecLocked(p *block.Page, b *JoinBridge, ids []int32) {
-	n := p.RowCount()
-	probeSel := o.probeSel[:0]
+// selectMatches flattens the resolved ids into the page's output selection,
+// counted first so both vectors are sized once: a pair per match, plus a
+// NULL-extended pair per unmatched probe row for LEFT; the matched (SEMI) or
+// unmatched (ANTI) probe rows alone. A page that selects nothing is dropped.
+func (o *LookupJoinOperator) selectMatches(p *block.Page, ids []int32) {
+	t := &o.tab
+	semi, anti, left := o.jt == plan.SemiJoin, o.jt == plan.AntiJoin, o.jt == plan.LeftJoin
+	n := len(ids) // SEMI and ANTI select probe rows, at most all of them
 	buildSel := o.buildSel[:0]
-	for r := 0; r < n; r++ {
-		if id := ids[r]; id >= 0 {
-			for _, m := range b.matchesLocked(id) {
+	if !semi && !anti {
+		n = 0
+		for _, id := range ids {
+			if id >= 0 {
+				n += int(t.rowOff[id+1] - t.rowOff[id])
+			} else if left {
+				n++
+			}
+		}
+		buildSel = scratch(buildSel, n)[:0]
+	}
+	probeSel := scratch(o.probeSel, n)[:0]
+	for r, id := range ids {
+		switch {
+		case semi || anti:
+			if (id >= 0) == semi {
+				probeSel = append(probeSel, int32(r))
+			}
+		case id >= 0:
+			for _, m := range t.matches(id) {
 				probeSel = append(probeSel, int32(r))
 				buildSel = append(buildSel, m)
 			}
-		} else if o.jt == plan.LeftJoin {
+		case left:
 			probeSel = append(probeSel, int32(r))
 			buildSel = append(buildSel, bridgeRow{page: -1})
 		}
 	}
-	o.probeSel, o.buildSel = probeSel, buildSel
-	nProbe := len(o.probeTs)
-	for start := 0; start < len(probeSel); start += o.pageSize {
-		end := start + o.pageSize
-		if end > len(probeSel) {
-			end = len(probeSel)
-		}
-		cols := make([]block.Block, nProbe+len(o.buildTs))
-		for c := 0; c < nProbe; c++ {
-			cols[c] = gatherProbeCol(p.Col(c), probeSel[start:end])
-		}
-		for c := range o.buildTs {
-			cols[nProbe+c] = gatherBuildCol(b.pages, c, o.buildTs[c], buildSel[start:end])
-		}
-		o.pending = append(o.pending, block.NewPage(cols...))
+	o.probeSel, o.buildSel, o.selPos = probeSel, buildSel, 0
+	if len(probeSel) > 0 {
+		o.probe = p
 	}
 }
 
-// gatherProbeCol gathers col at the selected rows into a fresh block. Encoded
-// blocks are gathered without decoding: a dictionary result shares the source
-// dictionary, an RLE run stays a run.
-func gatherProbeCol(col block.Block, sel []int32) block.Block {
+// gatherNext builds the selection's next output page, the listed channels only.
+func (o *LookupJoinOperator) gatherNext() *block.Page {
+	start, end := o.selPos, min(o.selPos+o.pageSize, len(o.probeSel))
+	nProbe, nOut := len(o.probeOut), len(o.probeOut)+len(o.buildOut)
+	if o.vecs == nil {
+		o.vecs, o.chans = make([]joinVec, nOut), make([]*buildChan, len(o.buildOut))
+	}
+	for i := range o.vecs {
+		if v := &o.vecs[i]; o.lend && expr.PoisonsBorrowed() {
+			expr.PoisonVectors(v.longs, v.doubles, v.strs, v.bools, v.nulls)
+		}
+	}
+	out := block.NewEmptyPage(end - start)
+	if nOut > 0 {
+		cols := make([]block.Block, nOut)
+		for i, c := range o.probeOut {
+			cols[i] = o.gatherProbe(&o.vecs[i], o.probe.Col(c), o.probeSel[start:end])
+		}
+		for i, c := range o.buildOut {
+			if o.chans[i] == nil {
+				o.chans[i] = newBuildChan(o.tab.pages, c, o.buildTs[c])
+			}
+			cols[nProbe+i] = o.gatherBuild(&o.vecs[nProbe+i], o.chans[i], o.buildSel[start:end])
+		}
+		out = block.NewPage(cols...)
+	}
+	if o.selPos = end; end == len(o.probeSel) {
+		o.probe = nil
+	}
+	return out
+}
+
+// joinVec is the storage of one output column of a join that lends its output,
+// refilled page after page; a join that does not gathers into fresh arrays.
+type joinVec struct {
+	longs   []int64
+	doubles []float64
+	strs    []string
+	bools   []bool
+	nulls   []bool
+}
+
+// vec returns the n-long array a gather writes: fresh, or *own when lent.
+func vec[T any](own *[]T, n int, lend bool) []T {
+	if !lend {
+		return make([]T, n)
+	}
+	*own = scratch(*own, n)
+	return *own
+}
+
+func gatherAt[T any](dst, src []T, sel []int32) []T {
+	for i, r := range sel {
+		dst[i] = src[r]
+	}
+	return dst
+}
+
+// gatherProbe gathers probe column col at the selected rows. Encoded columns
+// are gathered without decoding — a dictionary result shares the source
+// dictionary under fresh indices, an RLE run stays a run — and never lent.
+func (o *LookupJoinOperator) gatherProbe(v *joinVec, col block.Block, sel []int32) block.Block {
+	n := len(sel)
+	nulls := func(src []bool) []bool {
+		if src == nil {
+			return nil
+		}
+		return gatherAt(vec(&v.nulls, n, o.lend), src, sel)
+	}
 	switch src := col.(type) {
 	case *block.LongBlock:
-		vals := make([]int64, len(sel))
-		var nulls []bool
-		if src.Nulls != nil {
-			nulls = make([]bool, len(sel))
-		}
-		for i, r := range sel {
-			vals[i] = src.Vals[r]
-			if nulls != nil {
-				nulls[i] = src.Nulls[r]
-			}
-		}
-		return &block.LongBlock{T: src.T, Vals: vals, Nulls: nulls}
+		return &block.LongBlock{T: src.T, Vals: gatherAt(vec(&v.longs, n, o.lend), src.Vals, sel), Nulls: nulls(src.Nulls)}
 	case *block.DoubleBlock:
-		vals := make([]float64, len(sel))
-		var nulls []bool
-		if src.Nulls != nil {
-			nulls = make([]bool, len(sel))
-		}
-		for i, r := range sel {
-			vals[i] = src.Vals[r]
-			if nulls != nil {
-				nulls[i] = src.Nulls[r]
-			}
-		}
-		return block.NewDoubleBlock(vals, nulls)
+		return block.NewDoubleBlock(gatherAt(vec(&v.doubles, n, o.lend), src.Vals, sel), nulls(src.Nulls))
 	case *block.VarcharBlock:
-		vals := make([]string, len(sel))
-		var nulls []bool
-		if src.Nulls != nil {
-			nulls = make([]bool, len(sel))
-		}
-		for i, r := range sel {
-			vals[i] = src.Vals[r]
-			if nulls != nil {
-				nulls[i] = src.Nulls[r]
-			}
-		}
-		return block.NewVarcharBlock(vals, nulls)
+		return block.NewVarcharBlock(gatherAt(vec(&v.strs, n, o.lend), src.Vals, sel), nulls(src.Nulls))
 	case *block.BoolBlock:
-		vals := make([]bool, len(sel))
-		var nulls []bool
-		if src.Nulls != nil {
-			nulls = make([]bool, len(sel))
-		}
-		for i, r := range sel {
-			vals[i] = src.Vals[r]
-			if nulls != nil {
-				nulls[i] = src.Nulls[r]
-			}
-		}
-		return block.NewBoolBlock(vals, nulls)
+		return block.NewBoolBlock(gatherAt(vec(&v.bools, n, o.lend), src.Vals, sel), nulls(src.Nulls))
 	case *block.DictionaryBlock:
-		idx := make([]int32, len(sel))
-		for i, r := range sel {
-			idx[i] = src.Indices[r]
-		}
-		return block.NewDictionaryBlock(src.Dict, idx)
+		return block.NewDictionaryBlock(src.Dict, gatherAt(make([]int32, n), src.Indices, sel))
 	case *block.RLEBlock:
-		return block.NewRLEBlockFromBlock(src.Val, len(sel))
+		return block.NewRLEBlockFromBlock(src.Val, n)
 	default:
-		vals := make([]types.Value, len(sel))
+		vals := make([]types.Value, n)
 		for i, r := range sel {
 			vals[i] = col.Value(int(r))
 		}
@@ -854,116 +911,116 @@ func gatherProbeCol(col block.Block, sel []int32) block.Block {
 	}
 }
 
-// gatherBuildCol gathers build column c across the bridge's pages at the
-// selected (page, row) pairs; page -1 produces NULL (LEFT-join extension).
-func gatherBuildCol(pages []*block.Page, c int, t types.Type, sel []bridgeRow) block.Block {
-	switch t {
-	case types.Bigint, types.Date:
-		vals := make([]int64, len(sel))
-		nulls := make([]bool, len(sel))
-		for i, m := range sel {
-			if m.page < 0 {
-				nulls[i] = true
-				continue
-			}
-			col := pages[m.page].Col(c)
-			if col.IsNull(int(m.row)) {
-				nulls[i] = true
-			} else {
-				vals[i] = col.Long(int(m.row))
-			}
-		}
-		return &block.LongBlock{T: t, Vals: vals, Nulls: nulls}
-	case types.Double:
-		vals := make([]float64, len(sel))
-		nulls := make([]bool, len(sel))
-		for i, m := range sel {
-			if m.page < 0 {
-				nulls[i] = true
-				continue
-			}
-			col := pages[m.page].Col(c)
-			if col.IsNull(int(m.row)) {
-				nulls[i] = true
-			} else {
-				vals[i] = col.Double(int(m.row))
-			}
-		}
-		return block.NewDoubleBlock(vals, nulls)
-	case types.Varchar:
-		vals := make([]string, len(sel))
-		nulls := make([]bool, len(sel))
-		for i, m := range sel {
-			if m.page < 0 {
-				nulls[i] = true
-				continue
-			}
-			col := pages[m.page].Col(c)
-			if col.IsNull(int(m.row)) {
-				nulls[i] = true
-			} else {
-				vals[i] = col.Str(int(m.row))
-			}
-		}
-		return block.NewVarcharBlock(vals, nulls)
-	case types.Boolean:
-		vals := make([]bool, len(sel))
-		nulls := make([]bool, len(sel))
-		for i, m := range sel {
-			if m.page < 0 {
-				nulls[i] = true
-				continue
-			}
-			col := pages[m.page].Col(c)
-			if col.IsNull(int(m.row)) {
-				nulls[i] = true
-			} else {
-				vals[i] = col.Bool(int(m.row))
-			}
-		}
-		return block.NewBoolBlock(vals, nulls)
-	default:
-		vals := make([]types.Value, len(sel))
-		for i, m := range sel {
-			if m.page < 0 {
-				vals[i] = types.NullValue(t)
-			} else {
-				vals[i] = pages[m.page].Col(c).Value(int(m.row))
-			}
-		}
-		return block.BuildBlock(t, vals)
-	}
+// buildChan is one build channel as the gather kernels read it: page pg's
+// values are the pg-th slice of the field its type selects, under null mask
+// nulls[pg] (nil: none). Array channels have no slices and are gathered boxed.
+type buildChan struct {
+	c       int
+	t       types.Type
+	longs   [][]int64
+	doubles [][]float64
+	strs    [][]string
+	bools   [][]bool
+	nulls   [][]bool
+	anyNull bool
 }
 
-func allBuildRows(b *JoinBridge) []bridgeRow {
+// flatPage returns col as flat block B, reading out an encoded or untyped one.
+func flatPage[B block.Block](col block.Block, t types.Type) B {
+	col = block.Decode(col)
+	if b, ok := col.(B); ok {
+		return b
+	}
+	vals := make([]types.Value, col.Len())
+	for r := range vals {
+		vals[r] = col.Value(r)
+	}
+	return block.BuildBlock(t, vals).(B)
+}
+
+func newBuildChan(pages []*block.Page, c int, t types.Type) *buildChan {
+	bc := &buildChan{c: c, t: t}
+	for _, p := range pages {
+		var nulls []bool
+		switch col := p.Col(c); t {
+		case types.Bigint, types.Date:
+			b := flatPage[*block.LongBlock](col, t)
+			bc.longs, nulls = append(bc.longs, b.Vals), b.Nulls
+		case types.Double:
+			b := flatPage[*block.DoubleBlock](col, t)
+			bc.doubles, nulls = append(bc.doubles, b.Vals), b.Nulls
+		case types.Varchar:
+			b := flatPage[*block.VarcharBlock](col, t)
+			bc.strs, nulls = append(bc.strs, b.Vals), b.Nulls
+		case types.Boolean:
+			b := flatPage[*block.BoolBlock](col, t)
+			bc.bools, nulls = append(bc.bools, b.Vals), b.Nulls
+		}
+		bc.nulls = append(bc.nulls, nulls)
+		bc.anyNull = bc.anyNull || nulls != nil
+	}
+	return bc
+}
+
+// gatherRows copies the selected build rows of one channel into dst. mask is
+// nil when no row can be NULL; otherwise it receives every row's NULL flag: a
+// NULL in the build column, or page -1, a probe row LEFT-joined to nothing.
+func gatherRows[T any](dst []T, mask []bool, pages [][]T, nulls [][]bool, sel []bridgeRow) []T {
+	if mask == nil {
+		for i, m := range sel {
+			dst[i] = pages[m.page][m.row]
+		}
+		return dst
+	}
+	var null T
+	for i, m := range sel {
+		if m.page < 0 || (nulls[m.page] != nil && nulls[m.page][m.row]) {
+			dst[i], mask[i] = null, true
+		} else {
+			dst[i], mask[i] = pages[m.page][m.row], false
+		}
+	}
+	return dst
+}
+
+// gatherBuild gathers build channel bc at the selected (page, row) pairs, with
+// a null mask only when the channel holds NULLs or the join null-extends: a
+// NULL-free build column stays on its consumer's no-null-check kernels.
+func (o *LookupJoinOperator) gatherBuild(v *joinVec, bc *buildChan, sel []bridgeRow) block.Block {
+	n := len(sel)
+	var mask []bool
+	if bc.anyNull || o.jt == plan.LeftJoin {
+		mask = vec(&v.nulls, n, o.lend)
+	}
+	switch bc.t {
+	case types.Bigint, types.Date:
+		return &block.LongBlock{T: bc.t, Vals: gatherRows(vec(&v.longs, n, o.lend), mask, bc.longs, bc.nulls, sel), Nulls: mask}
+	case types.Double:
+		return block.NewDoubleBlock(gatherRows(vec(&v.doubles, n, o.lend), mask, bc.doubles, bc.nulls, sel), mask)
+	case types.Varchar:
+		return block.NewVarcharBlock(gatherRows(vec(&v.strs, n, o.lend), mask, bc.strs, bc.nulls, sel), mask)
+	case types.Boolean:
+		return block.NewBoolBlock(gatherRows(vec(&v.bools, n, o.lend), mask, bc.bools, bc.nulls, sel), mask)
+	}
+	vals := make([]types.Value, n)
+	for i, m := range sel {
+		if m.page < 0 {
+			vals[i] = types.NullValue(bc.t)
+		} else {
+			vals[i] = o.tab.pages[m.page].Col(bc.c).Value(int(m.row))
+		}
+	}
+	return block.BuildBlock(bc.t, vals)
+}
+
+func allBuildRows(pages []*block.Page) []bridgeRow {
 	var out []bridgeRow
-	for pi, p := range b.pages {
+	for pi, p := range pages {
 		for r := 0; r < p.RowCount(); r++ {
 			out = append(out, bridgeRow{page: int32(pi), row: int32(r)})
 		}
 	}
 	return out
-}
-
-func (o *LookupJoinOperator) matchExists(p *block.Page, r int, matches []bridgeRow, b *JoinBridge) bool {
-	if o.residual == nil {
-		return len(matches) > 0
-	}
-	nProbe := len(o.probeTs)
-	row := make([]types.Value, nProbe+len(o.buildTs))
-	for c := 0; c < nProbe; c++ {
-		row[c] = p.Col(c).Value(r)
-	}
-	for _, m := range matches {
-		bp := b.pages[m.page]
-		for c := 0; c < len(o.buildTs); c++ {
-			row[nProbe+c] = bp.Col(c).Value(int(m.row))
-		}
-		if o.residualTrue(row) {
-			return true
-		}
-	}
-	return false
 }
 
 // residualTrue interprets the residual over one candidate (probe ++ build)
@@ -979,44 +1036,34 @@ func (o *LookupJoinOperator) Finish() {
 	}
 	o.finished = true
 	o.bridge.ProbeFinished()
-	if o.bridge.spillDrainPending() {
-		// Spilled build: every join type defers to the disk drain, which one
-		// probe operator claims in Output once all probes have finished.
-		return
-	}
-	if o.jt != plan.RightJoin && o.jt != plan.FullJoin {
-		o.outerHandled = true
-	}
+	// A spilled build defers every join type to the disk drain, which one
+	// probe operator claims in Output once all probes have finished; RIGHT
+	// and FULL wait likewise to emit unmatched build rows.
+	o.outerHandled = !o.bridge.spillDrainPending() && o.jt != plan.RightJoin && o.jt != plan.FullJoin
 }
 
 func (o *LookupJoinOperator) emitUnmatchedBuild() {
 	b := o.bridge
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	builder := block.NewPageBuilder(o.outTypes())
 	nProbe := len(o.probeTs)
 	row := make([]types.Value, nProbe+len(o.buildTs))
 	for c := 0; c < nProbe; c++ {
 		row[c] = types.NullValue(o.probeTs[c])
 	}
+	out := o.sink()
 	for pi, p := range b.pages {
 		for r := 0; r < p.RowCount(); r++ {
 			if flags := b.matched[pi]; flags != nil && flags[r] {
 				continue
 			}
-			for c := 0; c < len(o.buildTs); c++ {
+			for c := range o.buildTs {
 				row[nProbe+c] = p.Col(c).Value(r)
 			}
-			builder.AppendRow(row)
-			if builder.RowCount() >= o.pageSize {
-				o.pending = append(o.pending, builder.Build())
-				builder = block.NewPageBuilder(o.outTypes())
-			}
+			out.emit(row)
 		}
 	}
-	if builder.RowCount() > 0 {
-		o.pending = append(o.pending, builder.Build())
-	}
+	out.flush()
 }
 
 func (o *LookupJoinOperator) Output() (*block.Page, error) {
@@ -1043,21 +1090,18 @@ func (o *LookupJoinOperator) Output() (*block.Page, error) {
 			return p, nil
 		}
 	}
-	if o.outPos >= len(o.pending) {
-		if o.outPos > 0 {
-			o.pending = o.pending[:0]
-			o.outPos = 0
-		}
-		return nil, nil
+	var p *block.Page
+	if o.probe != nil {
+		p = o.gatherNext()
+	} else {
+		p = o.rows.next()
 	}
-	p := o.pending[o.outPos]
-	o.outPos++
 	o.ctx.recordOut(p)
 	return p, nil
 }
 
 func (o *LookupJoinOperator) IsFinished() bool {
-	return o.finished && o.outerHandled && o.outPos >= len(o.pending) &&
+	return o.finished && o.outerHandled && o.probe == nil && o.rows.empty() &&
 		(o.drain == nil || o.drain.done)
 }
 
@@ -1079,10 +1123,8 @@ type IndexJoinOperator struct {
 	probeKeys []int
 	probeTs   []types.Type
 	buildTs   []types.Type
-	pending   []*block.Page
-	outPos    int
+	rows      *rowSink
 	finished  bool
-	pageSize  int
 }
 
 // IndexLookupFunc probes the connector index with one key tuple.
@@ -1093,19 +1135,19 @@ func NewIndexJoin(ctx *OpContext, lookup IndexLookupFunc, jt plan.JoinType, prob
 	if pageSize <= 0 {
 		pageSize = 4096
 	}
-	return &IndexJoinOperator{ctx: ctx, lookup: lookup, jt: jt, probeKeys: probeKeys, probeTs: probeTs, buildTs: buildTs, pageSize: pageSize}
+	ts := append(append([]types.Type{}, probeTs...), buildTs...)
+	return &IndexJoinOperator{ctx: ctx, lookup: lookup, jt: jt, probeKeys: probeKeys, probeTs: probeTs, buildTs: buildTs,
+		rows: newRowSink(allChannels(len(ts)), ts, pageSize)}
 }
 
-func (o *IndexJoinOperator) NeedsInput() bool { return !o.finished && len(o.pending) == 0 }
+func (o *IndexJoinOperator) NeedsInput() bool { return !o.finished && o.rows.empty() }
 func (o *IndexJoinOperator) IsBlocked() bool  { return false }
 
 func (o *IndexJoinOperator) AddInput(p *block.Page) error {
 	o.ctx.recordIn(p)
 	p = p.DecodeAll()
 	nProbe := len(o.probeTs)
-	ts := append(append([]types.Type{}, o.probeTs...), o.buildTs...)
-	builder := block.NewPageBuilder(ts)
-	row := make([]types.Value, len(ts))
+	row := make([]types.Value, nProbe+len(o.buildTs))
 	keys := make([]types.Value, len(o.probeKeys))
 	for r := 0; r < p.RowCount(); r++ {
 		for i, c := range o.probeKeys {
@@ -1125,40 +1167,26 @@ func (o *IndexJoinOperator) AddInput(p *block.Page) error {
 				for c := 0; c < len(o.buildTs); c++ {
 					row[nProbe+c] = res.Col(c).Value(br)
 				}
-				builder.AppendRow(row)
+				o.rows.emit(row)
 			}
 		}
 		if !matched && o.jt == plan.LeftJoin {
 			for c := 0; c < len(o.buildTs); c++ {
 				row[nProbe+c] = types.NullValue(o.buildTs[c])
 			}
-			builder.AppendRow(row)
-		}
-		if builder.RowCount() >= o.pageSize {
-			o.pending = append(o.pending, builder.Build())
-			builder = block.NewPageBuilder(ts)
+			o.rows.emit(row)
 		}
 	}
-	if builder.RowCount() > 0 {
-		o.pending = append(o.pending, builder.Build())
-	}
+	o.rows.flush()
 	return nil
 }
 
 func (o *IndexJoinOperator) Output() (*block.Page, error) {
-	if o.outPos >= len(o.pending) {
-		if o.outPos > 0 {
-			o.pending = o.pending[:0]
-			o.outPos = 0
-		}
-		return nil, nil
-	}
-	p := o.pending[o.outPos]
-	o.outPos++
+	p := o.rows.next()
 	o.ctx.recordOut(p)
 	return p, nil
 }
 
 func (o *IndexJoinOperator) Finish()          { o.finished = true }
-func (o *IndexJoinOperator) IsFinished() bool { return o.finished && o.outPos >= len(o.pending) }
+func (o *IndexJoinOperator) IsFinished() bool { return o.finished && o.rows.empty() }
 func (o *IndexJoinOperator) Close() error     { return nil }

@@ -133,8 +133,7 @@ func (b *JoinBridge) revokeSpillLocked() (int64, error) {
 			return 0, err
 		}
 	}
-	b.pages, b.matched = nil, nil
-	b.ktab, b.keyIDs, b.rowOff, b.krows = nil, nil, nil, nil
+	b.builtTable, b.matched, b.keyIDs = builtTable{}, nil, nil
 	b.batch = batchKeys{}
 	spl.spilled = true
 	spl.spills++
@@ -458,6 +457,7 @@ func (d *joinSpillDrain) openPartition() error {
 	d.inner = &LookupJoinOperator{
 		ctx: o.ctx, bridge: sub, jt: o.jt, probeKeys: o.probeKeys,
 		residual: o.residual, probeTs: o.probeTs, buildTs: o.buildTs,
+		probeOut: o.probeOut, buildOut: o.buildOut, lend: o.lend,
 		pageSize: o.pageSize,
 	}
 	sub.AddProbe()

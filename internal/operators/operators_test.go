@@ -212,7 +212,7 @@ func TestHashAggregationSpillRoundTrip(t *testing.T) {
 }
 
 // buildBridge loads rows into a join bridge via a HashBuildOperator.
-func buildBridge(t *testing.T, keys []int, pages ...*block.Page) *JoinBridge {
+func buildBridge(t testing.TB, keys []int, pages ...*block.Page) *JoinBridge {
 	t.Helper()
 	bridge := NewJoinBridge()
 	bridge.AddBuilder()

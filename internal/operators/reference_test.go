@@ -155,6 +155,14 @@ func (st *refState) result(spec *AggSpec) types.Value {
 // is evaluated over the concatenated (probe ++ build) row.
 func refJoin(t *testing.T, jt plan.JoinType, build, probe []*block.Page, buildKeys, probeKeys []int, residual expr.Expr, probeTs, buildTs []types.Type) map[string]int {
 	t.Helper()
+	out := map[string]int{}
+	refJoinRows(jt, build, probe, buildKeys, probeKeys, residual, probeTs, buildTs, func(row []types.Value) { out[rowText(row)]++ })
+	return out
+}
+
+// refJoinRows is refJoin handing each output row — probe values then, except
+// for SEMI and ANTI, build values — to emit.
+func refJoinRows(jt plan.JoinType, build, probe []*block.Page, buildKeys, probeKeys []int, residual expr.Expr, probeTs, buildTs []types.Type, emit func(row []types.Value)) {
 	type buildRow struct {
 		vals    []types.Value
 		matched bool
@@ -187,7 +195,6 @@ func refJoin(t *testing.T, jt plan.JoinType, build, probe []*block.Page, buildKe
 		}
 		return out
 	}
-	out := map[string]int{}
 	for _, p := range probe {
 		for r := 0; r < p.RowCount(); r++ {
 			pv := p.Row(r)
@@ -207,25 +214,24 @@ func refJoin(t *testing.T, jt plan.JoinType, build, probe []*block.Page, buildKe
 				matched = true
 				if jt != plan.SemiJoin && jt != plan.AntiJoin {
 					br.matched = true
-					out[rowText(row)]++
+					emit(row)
 				}
 			}
 			switch {
 			case jt == plan.SemiJoin && matched, jt == plan.AntiJoin && !matched:
-				out[rowText(pv)]++
+				emit(pv)
 			case !matched && (jt == plan.LeftJoin || jt == plan.FullJoin):
-				out[rowText(append(append([]types.Value(nil), pv...), nulls(buildTs)...))]++
+				emit(append(append([]types.Value(nil), pv...), nulls(buildTs)...))
 			}
 		}
 	}
 	if jt == plan.RightJoin || jt == plan.FullJoin {
 		for _, br := range all {
 			if !br.matched {
-				out[rowText(append(nulls(probeTs), br.vals...))]++
+				emit(append(nulls(probeTs), br.vals...))
 			}
 		}
 	}
-	return out
 }
 
 // refDistinct returns the distinct rows of pages, rendered by rowText.

@@ -50,6 +50,7 @@ func (o *ValuesOperator) Output() (*block.Page, error) {
 type FilterProjectOperator struct {
 	ctx      *OpContext
 	proc     *expr.PageProcessor
+	consumer Operator // who takes the output, when it is lent (LendOutput)
 	pending  *block.Page
 	finished bool
 	done     bool
@@ -64,8 +65,29 @@ func NewFilterProject(ctx *OpContext, proc *expr.PageProcessor) *FilterProjectOp
 // Processor exposes the underlying page processor (for experiment stats).
 func (o *FilterProjectOperator) Processor() *expr.PageProcessor { return o.proc }
 
+// LendOutput tells the operator, once and before its first page, that
+// consumer — the operator it feeds — releases its input (ReleasesInput), so
+// the processor may write its output into vectors it owns and reuses
+// (expr.PageProcessor.BorrowOutput).
+func (o *FilterProjectOperator) LendOutput(consumer Operator) {
+	o.proc.BorrowOutput()
+	o.consumer = consumer
+}
+
+// ReleasesInput reports whether the operator is done with an input page, and
+// with every array under it, by the next time NeedsInput is true: exactly
+// when its own output is lent. An unfiltered pass-through column is the input
+// block, so the output page may carry a column the operator in front lent;
+// the consumer of a lent page releases it in turn, and NeedsInput waits for
+// that. A processor whose output is owned hands it to a consumer that may
+// keep it forever, and so must not be lent anything.
+func (o *FilterProjectOperator) ReleasesInput() bool { return o.consumer != nil }
+
+// NeedsInput holds a lending processor back until its consumer wants input
+// again: AddInput overwrites the lent vectors, and a consumer that emits one
+// input page over several outputs (a join) reads them until then.
 func (o *FilterProjectOperator) NeedsInput() bool {
-	return !o.finished && o.pending == nil
+	return !o.finished && o.pending == nil && (o.consumer == nil || o.consumer.NeedsInput())
 }
 
 func (o *FilterProjectOperator) AddInput(p *block.Page) error {

@@ -7,7 +7,8 @@
 #   scripts/check.sh          # build + vet + race tests + chaos smoke +
 #                             # borrowed-page poison run + non-race
 #                             # allocation ceilings (page codec, group
-#                             # table, join build, spill) and bench smokes
+#                             # table, join build and probe, spill) and
+#                             # bench smokes
 #   scripts/check.sh -chaos   # additionally sweep the chaos suite over more
 #                             # seeds (CHAOS_FULL), verbose
 #   scripts/check.sh -fuzz    # additionally run 10s fuzz smokes over the
@@ -42,10 +43,11 @@ echo "==> chaos smoke (seed 7)"
 CHAOS_SEED=7 go test -race -count=1 -run 'TestChaos' .
 
 echo "==> borrowed pages are never read late (poison linked on under the differential walls)"
-# expr.poisonBorrowed makes a page processor that lends its output overwrite
-# the lent vectors before every page; only a linker flag (or expr's own
-# tests) can set it. The walls that reach an aggregation through a processor
-# live in these four packages.
+# expr.poisonBorrowed makes an operator that lends its output — a page
+# processor, a lookup join — overwrite the lent vectors before every page;
+# only a linker flag (or expr's own tests) can set it. The walls that reach an
+# aggregation or a join through a lender live in these four packages
+# (TestJoinLentVectorsArePoisoned runs only here).
 go test -count=1 -ldflags '-X repro/internal/expr.poisonBorrowed=on' . ./internal/exec ./internal/operators ./internal/expr
 
 echo "==> kernel + morsel bench smoke (1 iteration per benchmark)"
@@ -55,9 +57,9 @@ echo "==> page codec allocation ceilings + bench smoke (no -race: the ceilings s
 go test -count=1 -run 'TestCodecAllocationCeilings' ./internal/block/
 go test -run '^$' -bench 'CodecEncodeRaw|CodecEncodeFlate|CodecDecodeRaw|CodecDecodeFlate' -benchtime 1x -benchmem ./internal/block/ > /dev/null
 
-echo "==> what a group and a build row cost: allocation ceilings, accounting vs heap, bench smoke (no -race, same reason)"
-go test -count=1 -v -run 'TestAggSpillAllocationCeiling|TestGroupTableBytesPerGroup|TestJoinBuildBytesPerRow|TestHashAggAccountingMatchesHeap' ./internal/operators/ | grep -E '^(---|ok|FAIL|panic)|bytes'
-go test -run '^$' -bench 'AggSpillRevokeDrain' -benchtime 1x -benchmem ./internal/operators/ > /dev/null
+echo "==> what a group, a build row and a probe row cost: allocation ceilings, accounting vs heap, bench smoke (no -race, same reason)"
+go test -count=1 -v -run 'TestAggSpillAllocationCeiling|TestGroupTableBytesPerGroup|TestJoinBuildBytesPerRow|TestJoinProbeAllocationCeiling|TestHashAggAccountingMatchesHeap' ./internal/operators/ | grep -E '^(---|ok|FAIL|panic)|bytes'
+go test -run '^$' -bench 'AggSpillRevokeDrain|HashJoinProbeParallel' -benchtime 1x -benchmem ./internal/operators/ > /dev/null
 go test -run '^$' -bench 'HashAggBigintKey|HashJoinBuildProbe' -benchtime 5x -benchmem . | grep '^Benchmark'
 
 echo "==> filter -> project -> aggregate allocation ceiling + bench smoke (no -race, same reason)"
