@@ -21,6 +21,7 @@ import (
 	"repro/internal/connectors/memconn"
 	"repro/internal/faultinject"
 	"repro/internal/optimizer"
+	"repro/internal/plan"
 	"repro/internal/types"
 	"repro/internal/workload"
 )
@@ -424,6 +425,65 @@ func TestHBOJoinOrderFeedback(t *testing.T) {
 	}
 	if noHBO.String() != before {
 		t.Errorf("DisableHBO plan differs from the pre-history plan:\n--- pre-history\n%s\n--- DisableHBO\n%s", before, noHBO.String())
+	}
+}
+
+// TestHistoryScanRowsIgnoreDynamicFilters: what history files under a scan is
+// what the connector produced, whether or not a dynamic filter arrived in time
+// to drop most of it on the way to the join. The filter runs in the processor
+// above the scan, so the 20 000-row probe scan of a 10-key join records 20 000
+// rows with filters on and off alike; it recorded the ten survivors when the
+// filter ran inside the source, and a later query scanning the same table
+// planned from whichever run came last.
+func TestHistoryScanRowsIgnoreDynamicFilters(t *testing.T) {
+	c := adaptiveCluster(t, ClusterConfig{EnableHBO: true})
+	mustExec(t, c, "CREATE TABLE big (k BIGINT, v BIGINT)")
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO big SELECT * FROM (VALUES ")
+	for i := 0; i < 20000; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d)", i, i%97)
+	}
+	sb.WriteString(")")
+	mustExec(t, c, sb.String())
+	mustExec(t, c, "CREATE TABLE small (k BIGINT)")
+	mustExec(t, c, "INSERT INTO small SELECT * FROM (VALUES (3), (1003), (2003), (3003), (4003), (5003), (6003), (7003), (8003), (9003))")
+
+	sql := "SELECT big.k, big.v FROM big JOIN small ON big.k = small.k"
+	recorded := func(s Session) float64 {
+		t.Helper()
+		rows, st := queryWith(t, c, sql, s)
+		if len(rows) != 10 {
+			t.Fatalf("join returned %d rows, want 10", len(rows))
+		}
+		if filtered := st.DynRowsFiltered > 0; filtered == s.DisableDynamicFilters {
+			t.Fatalf("DisableDynamicFilters=%v but %d rows were dynamically filtered", s.DisableDynamicFilters, st.DynRowsFiltered)
+		}
+		_, dp, err := c.Coordinator.Plan(sql, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := optimizer.HistoryFingerprintOpts(c.Coordinator.Catalog, dp)
+		var got float64
+		found := false
+		for _, f := range dp.Fragments {
+			plan.Walk(f.Root, func(n plan.Node) {
+				if sc, ok := n.(*plan.Scan); ok && sc.Handle.Table == "big" {
+					got, found = c.Coordinator.History().Lookup(plan.CardFingerprint(sc, opts))
+				}
+			})
+		}
+		if !found {
+			t.Fatal("no history entry for the scan of big")
+		}
+		return got
+	}
+	on := recorded(Session{})
+	off := recorded(Session{DisableDynamicFilters: true})
+	if on != 20000 || off != 20000 {
+		t.Errorf("history holds %v rows for the scan of big with dynamic filters on, %v with them off; want 20000 both", on, off)
 	}
 }
 

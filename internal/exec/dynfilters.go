@@ -4,22 +4,20 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/block"
-	"repro/internal/connector"
 	"repro/internal/dynfilter"
 	"repro/internal/expr"
 	"repro/internal/faultinject"
-	"repro/internal/operators"
 	"repro/internal/plan"
 )
 
 // Runtime-adaptive execution, probe side (see internal/dynfilter): a task
 // receives build-side key summaries for the filter ids its scans subscribed
 // to (plan.ScanDynFilter), briefly gates subscribed split starts on their
-// arrival, and applies arrived summaries at split-open time — as a narrowed
-// table handle for connector-side pruning and as vectorized row predicates
-// over the produced pages. Everything is best-effort: a summary that never
-// arrives leaves the scan unfiltered and row-for-row identical.
+// arrival, and applies arrived summaries twice: at split-open time as a
+// narrowed table handle for connector-side pruning, and page by page as
+// vectorized row predicates in the page processor placed on the scan.
+// Everything is best-effort: a summary that never arrives leaves the scan
+// unfiltered and row-for-row identical.
 
 // dynMaxPushdownPoints caps the IN-list size pushed into a scan's constraint;
 // larger exact sets fall back to min/max range pushdown (the full set still
@@ -96,8 +94,9 @@ func (t *Task) PublishedFilters() map[int]*dynfilter.Summary {
 // gated on the filter resume immediately; an empty summary short-circuits
 // subscribed INNER/SEMI scans by dropping their remaining splits. Late
 // delivery (after the bounded wait expired and splits opened unfiltered)
-// still narrows every split opened afterwards. Safe at any point in the task
-// lifecycle, including after completion.
+// still narrows every split opened afterwards and filters every page read
+// afterwards, of open splits too. Safe at any point in the task lifecycle,
+// including after completion.
 func (t *Task) DeliverFilter(id int, s *dynfilter.Summary) {
 	if s == nil || t.cfg.DynamicFiltersDisabled {
 		return
@@ -113,6 +112,7 @@ func (t *Task) DeliverFilter(id int, s *dynfilter.Summary) {
 		t.dynFilters = map[int]*dynfilter.Summary{}
 	}
 	t.dynFilters[id] = s
+	t.dynArrivals.Add(1)
 	t.dynMu.Unlock()
 	if t.aborted || t.failed != nil {
 		return
@@ -221,39 +221,64 @@ func (t *Task) dynGateLocked(p *pipelineSpec) bool {
 	return true
 }
 
-// dynScanFilters snapshots the filters applicable to a scan pipeline right
-// now: the vectorized row predicates and the handle narrowed for connector
-// pruning. Called at split-open time from both the static path (holding
-// t.mu) and the morsel open function (not holding it) — it takes only dynMu.
-func (t *Task) dynScanFilters(p *pipelineSpec) ([]expr.SelVector, plan.TableHandle) {
-	h := p.scanHandle
+// appliedFilter is one of a scan's subscriptions whose summary has arrived and
+// filters.
+type appliedFilter struct {
+	df  plan.ScanDynFilter
+	sum *dynfilter.Summary
+}
+
+// dynApplied snapshots the filters applicable to a scan pipeline right now.
+// Called from split opens (with or without t.mu) and from drivers — it takes
+// only dynMu.
+func (t *Task) dynApplied(p *pipelineSpec) []appliedFilter {
 	sc := p.scanNode
 	if sc == nil || len(sc.DynFilters) == 0 || t.cfg.DynamicFiltersDisabled {
-		return nil, h
+		return nil
 	}
-	type applied struct {
-		df  plan.ScanDynFilter
-		sum *dynfilter.Summary
-	}
-	var fs []applied
+	var fs []appliedFilter
 	t.dynMu.Lock()
 	for _, df := range sc.DynFilters {
 		if s := t.dynFilters[df.ID]; s != nil && !s.Disabled {
-			fs = append(fs, applied{df, s})
+			fs = append(fs, appliedFilter{df, s})
 		}
 	}
 	t.dynMu.Unlock()
-	if len(fs) == 0 {
-		return nil, h
+	return fs
+}
+
+// dynRowSelectors returns what a driver's page processor asks before every
+// page of a subscribed scan: the vectorized row predicates of the summaries
+// that have arrived, rebuilt only when another one has.
+func (t *Task) dynRowSelectors(p *pipelineSpec) func() []expr.SelVector {
+	var sels []expr.SelVector
+	seen := int64(-1) // the arrival count sels was built at
+	return func() []expr.SelVector {
+		if n := t.dynArrivals.Load(); n != seen {
+			seen, sels = n, sels[:0]
+			for _, f := range t.dynApplied(p) {
+				sels = append(sels, expr.DynFilterSel(f.df.Col, p.scanNode.Out[f.df.Col].T, f.sum))
+			}
+		}
+		return sels
 	}
-	sels := make([]expr.SelVector, 0, len(fs))
+}
+
+// dynNarrowedHandle returns the scan's table handle narrowed, for connector
+// pruning, by the summaries that have arrived at split-open time.
+func (t *Task) dynNarrowedHandle(p *pipelineSpec) plan.TableHandle {
+	h := p.scanHandle
+	fs := t.dynApplied(p)
+	if len(fs) == 0 {
+		return h
+	}
+	sc := p.scanNode
 	add := map[string]*plan.ColumnDomain{}
 	for _, f := range fs {
-		sels = append(sels, expr.DynFilterSel(f.df.Col, sc.Out[f.df.Col].T, f.sum))
 		name := sc.Columns[f.df.Col]
-		// Handle narrowing: only same-type summaries (cross-type equality
-		// folding stays in the row kernels, where it is exact) and only for
-		// columns the pushed-down constraint does not already bound.
+		// Only same-type summaries (cross-type equality folding stays in the
+		// row kernels, where it is exact) and only for columns the pushed-down
+		// constraint does not already bound.
 		if f.sum.T != sc.Out[f.df.Col].T || add[name] != nil {
 			continue
 		}
@@ -276,7 +301,7 @@ func (t *Task) dynScanFilters(p *pipelineSpec) ([]expr.SelVector, plan.TableHand
 		}
 		h.Constraint = nc
 	}
-	return sels, h
+	return h
 }
 
 // summaryDomain converts a summary to a connector-evaluable column domain:
@@ -297,54 +322,3 @@ func summaryDomain(s *dynfilter.Summary) *plan.ColumnDomain {
 	}
 	return nil
 }
-
-// dynFilteredSource applies dynamic-filter row predicates to a split's pages.
-// It wraps outside the page cache, so cached pages are exactly the
-// connector's output for the (narrowed) handle, independent of when filters
-// arrived.
-type dynFilteredSource struct {
-	src     connector.PageSource
-	sels    []expr.SelVector
-	stats   *operators.OpStats
-	in, out []int
-}
-
-func (d *dynFilteredSource) NextPage() (*block.Page, error) {
-	for {
-		p, err := d.src.NextPage()
-		if p == nil || err != nil {
-			return p, err
-		}
-		n := p.RowCount()
-		if n == 0 {
-			return p, nil
-		}
-		if cap(d.in) < n {
-			d.in = make([]int, n)
-			d.out = make([]int, n)
-		}
-		rows := d.in[:n]
-		for i := range rows {
-			rows[i] = i
-		}
-		scratch := d.out[:n]
-		for _, sel := range d.sels {
-			if len(rows) == 0 {
-				break
-			}
-			res := sel(p, rows, scratch[:0])
-			scratch, rows = rows, res
-		}
-		if len(rows) == n {
-			return p, nil
-		}
-		d.stats.RecordDynFiltered(int64(n - len(rows)))
-		if len(rows) == 0 {
-			continue // fully pruned: pull the next page
-		}
-		return expr.ApplySel(p, rows), nil
-	}
-}
-
-func (d *dynFilteredSource) BytesRead() int64 { return d.src.BytesRead() }
-func (d *dynFilteredSource) Close()           { d.src.Close() }

@@ -135,12 +135,37 @@ type chain struct {
 	names     []string
 	fps       []uint64
 	factories []opFactory
+	// dynScan is the pipeline's scan while it subscribes to dynamic filters
+	// and nothing has been placed on it yet: whatever is appended next applies
+	// their row predicates.
+	dynScan *plan.Scan
 }
 
 func (c *chain) append(name string, f opFactory) {
+	if sc := c.dynScan; sc != nil {
+		// Not a filter or a projection: an identity processor goes between,
+		// which hands on untouched a page the filters drop nothing from.
+		c.appendProcessor(nil, identityExprs(sc.Schema()))
+	}
 	c.names = append(c.names, name)
 	c.fps = append(c.fps, 0)
 	c.factories = append(c.factories, f)
+}
+
+// appendProcessor appends the filter/project operator of pred (nil: none)
+// and exprs. Placed directly on a scan that subscribes to dynamic filters, its
+// processor runs them ahead of pred, over the one selection vector the page
+// is gathered by.
+func (c *chain) appendProcessor(pred expr.Expr, exprs []expr.Expr) {
+	spec, dyn := c.spec, c.dynScan != nil
+	c.dynScan = nil
+	c.append("FilterProject", func(ctx *driverCtx) (operators.Operator, error) {
+		op := operators.NewFilterProject(ctx.opCtx(memory.System), ctx.task.newProcessor(pred, exprs))
+		if dyn {
+			op.SetDynamicFilters(ctx.task.dynRowSelectors(spec), spec.opStats[0])
+		}
+		return op, nil
+	})
 }
 
 // stampFP tags the most recently appended operator with the cardinality
@@ -263,6 +288,9 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 		pb.spec.scanNode = x
 		pb.spec.sourceFP = plan.CardFingerprint(x, nil)
 		c.scans = append(c.scans, x)
+		if len(x.DynFilters) > 0 && !c.task.cfg.DynamicFiltersDisabled {
+			pb.dynScan = x
+		}
 		return nil
 
 	case *plan.RemoteSource:
@@ -300,12 +328,7 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 		if err := c.compile(x.Input, pb); err != nil {
 			return err
 		}
-		sch := x.Input.Schema()
-		proj := identityExprs(sch)
-		pred := x.Predicate
-		pb.append("FilterProject", func(ctx *driverCtx) (operators.Operator, error) {
-			return operators.NewFilterProject(ctx.opCtx(memory.System), ctx.task.newProcessor(pred, proj)), nil
-		})
+		pb.appendProcessor(x.Predicate, identityExprs(x.Input.Schema()))
 		pb.stampFP(plan.CardFingerprint(x, nil))
 		return nil
 
@@ -338,10 +361,7 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 		if err != nil {
 			return err
 		}
-		exprs, pred = remapColumns(exprs, remap), remapColumn(pred, remap)
-		pb.append("FilterProject", func(ctx *driverCtx) (operators.Operator, error) {
-			return operators.NewFilterProject(ctx.opCtx(memory.System), ctx.task.newProcessor(pred, exprs)), nil
-		})
+		pb.appendProcessor(remapColumn(pred, remap), remapColumns(exprs, remap))
 		pb.stampFP(plan.CardFingerprint(x, nil))
 		return nil
 
@@ -601,7 +621,7 @@ func (c *compiler) compileJoin(j *plan.Join, pb *chain, reads []bool) ([]int, er
 		}
 		coll := dynfilter.NewCollector(specs, c.task.cfg.DynamicFilterMaxSet, 0)
 		task := c.task
-		bridge.SetFilterCollector(coll, buildKeys, func(sums []*dynfilter.Summary) {
+		bridge.SetFilterCollector(coll, func(sums []*dynfilter.Summary) {
 			task.publishFilters(ids, sums)
 		})
 	}

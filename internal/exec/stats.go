@@ -70,8 +70,11 @@ func (t *Task) Stats() TaskStats {
 		}
 		st.Pipelines = append(st.Pipelines, ps)
 		if p.source == srcScan && len(p.opStats) > 0 {
+			// Rows read are the rows a scan gave the query: what the connector
+			// produced less what the scan's dynamic filters dropped (they run
+			// in the processor placed on it and are counted on its stats).
 			src := ps.Operators[0]
-			st.RowsRead += src.RowsOut
+			st.RowsRead += src.RowsOut - src.DynRowsFiltered
 			st.BytesRead += src.BytesOut
 		}
 	}

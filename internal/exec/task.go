@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -177,6 +178,7 @@ type Task struct {
 	// whether or not they hold t.mu.
 	dynMu         sync.Mutex
 	dynFilters    map[int]*dynfilter.Summary // arrived summaries by filter id
+	dynArrivals   atomic.Int64               // deliveries so far: drivers rebuild their row predicates when it moves
 	dynPublished  map[int]*dynfilter.Summary // summaries this task's builds published
 	filterPublish func(ids []int, sums []*dynfilter.Summary)
 
@@ -574,13 +576,13 @@ func (t *Task) maybeStartSplitsLocked(scanID int) error {
 // Dynamic filters that have arrived by open time narrow the table handle —
 // the narrowed handle is both the connector read (stripe/split pruning) and
 // the cache identity, so cached pages always match what the connector would
-// produce for that constraint — and wrap the source with the row-level filter
-// kernels. Row filtering runs outside the cache: cached pages stay exactly
-// the connector's output for the narrowed handle.
+// produce for that constraint. Their row predicates run later, in the page
+// processor on the scan (dynRowSelectors): the source hands on exactly what
+// the connector, or the cache, produced.
 func (t *Task) openPageSource(conn connector.Connector, s connector.Split,
 	p *pipelineSpec, stats *operators.OpStats) (connector.PageSource, error) {
 
-	sels, handle := t.dynScanFilters(p)
+	handle := t.dynNarrowedHandle(p)
 	open := func() (connector.PageSource, error) {
 		return conn.PageSource(s, p.scanCols, handle)
 	}
@@ -598,25 +600,15 @@ func (t *Task) openPageSource(conn connector.Connector, s connector.Split,
 			return t.sharedScans.Open(key, raw)
 		}
 	}
-	var src connector.PageSource
 	if haveKey && t.pageCache != nil && !t.cfg.CacheDisabled {
 		cached, hit, err := t.pageCache.OpenThrough(key, open)
 		if err != nil {
 			return nil, err
 		}
 		stats.RecordCacheAccess(hit)
-		src = cached
-	} else {
-		var err error
-		src, err = open()
-		if err != nil {
-			return nil, err
-		}
+		return cached, nil
 	}
-	if len(sels) > 0 {
-		src = &dynFilteredSource{src: src, sels: sels, stats: stats}
-	}
-	return src, nil
+	return open()
 }
 
 // driverDone is called by the executor when a driver completes.

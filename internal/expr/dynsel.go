@@ -6,9 +6,10 @@ import (
 	"repro/internal/types"
 )
 
-// Dynamic-filter selection kernels: a runtime join-key summary attaches to a
-// probe scan as an extra vecfilter predicate. The kernels follow the same
-// shape as the static ones in vecfilter.go — typed flat-slice loops,
+// Dynamic-filter selection kernels: a runtime join-key summary attaches to the
+// page processor on a probe scan as an extra vecfilter predicate, run ahead of
+// the processor's own (PageProcessor.SetDynamicFilters). The kernels follow
+// the same shape as the static ones in vecfilter.go — typed flat-slice loops,
 // once-per-run RLE decisions, once-per-entry dictionary verdicts — with
 // membership delegated to the summary's normalized-cell testers. NULL probe
 // keys never pass (they cannot match any build row, and filters only attach
@@ -35,19 +36,6 @@ func DynFilterSel(idx int, t types.Type, s *dynfilter.Summary) SelVector {
 		return dynSelBool(idx, s)
 	default:
 		return selAll
-	}
-}
-
-// ApplySel materializes the selection: the original page when every row
-// passed, nil when none did, a gathered page otherwise.
-func ApplySel(p *block.Page, rows []int) *block.Page {
-	switch {
-	case len(rows) == p.RowCount():
-		return p
-	case len(rows) == 0:
-		return nil
-	default:
-		return p.FilterPositions(rows)
 	}
 }
 

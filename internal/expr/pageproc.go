@@ -28,8 +28,14 @@ type PageProcessor struct {
 	projInputs  [][]int // referenced column indices per projection
 	projConst   []bool  // deterministic zero-input projections (RLE output)
 
+	// dyn, when set, returns the dynamic-filter selection kernels to run
+	// ahead of the filter: this page's, so a summary that arrives between two
+	// pages of a split filters the second (SetDynamicFilters).
+	dyn func() []SelVector
+
 	selIn  []int // identity row vector, grown monotonically
 	selOut []int // selection output buffer, reused across pages
+	selTmp []int // the second output buffer a chain of selections alternates with
 
 	// borrow: the output page is read before the next Process call and not
 	// after, so its arrays can be the projectors' own (BorrowOutput).
@@ -81,6 +87,7 @@ type ProcessorStats struct {
 	PagesIn        int64
 	RowsIn         int64
 	RowsOut        int64
+	DynFiltered    int64 // rows the dynamic filters dropped ahead of the filter
 	DictEvals      int64 // projections evaluated once-per-dictionary
 	FullEvals      int64 // projections evaluated once-per-row
 	DictCacheHits  int64 // shared-dictionary result reuse
@@ -230,6 +237,14 @@ func (pp *PageProcessor) DisableVectorizedFilter() {
 	}
 }
 
+// SetDynamicFilters puts dynamic join filters ahead of the processor's own
+// filter: sels is asked before every page for the selection kernels of the
+// summaries that have arrived, and the rows they drop are neither filtered nor
+// gathered again — a page is narrowed to one selection vector and gathered
+// once, into lent vectors under BorrowOutput. Call before the first page, on
+// the processor that reads the subscribed scan's pages.
+func (pp *PageProcessor) SetDynamicFilters(sels func() []SelVector) { pp.dyn = sels }
+
 // Process filters p and computes the projections, returning the output page
 // (nil when no rows pass the filter).
 func (pp *PageProcessor) Process(p *block.Page) (*block.Page, error) {
@@ -240,8 +255,8 @@ func (pp *PageProcessor) Process(p *block.Page) (*block.Page, error) {
 	}
 	n := p.RowCount()
 	var selected []int
-	if pp.filter != nil {
-		selected = pp.evalFilter(p)
+	if pp.filter != nil || pp.dyn != nil {
+		selected = pp.selectRows(p)
 		if len(selected) == 0 {
 			return nil, nil
 		}
@@ -305,33 +320,53 @@ func (pp *PageProcessor) evalCSESlots() error {
 	return nil
 }
 
-// evalFilter returns the rows of p that pass the filter. The result aliases
-// processor-owned buffers and is valid until the next page.
-func (pp *PageProcessor) evalFilter(p *block.Page) []int {
+// selectRows returns the rows of p that pass the dynamic filters and then the
+// filter. The result aliases processor-owned buffers and is valid until the
+// next page.
+func (pp *PageProcessor) selectRows(p *block.Page) []int {
 	n := p.RowCount()
-	// Both vectors are sized for the page, so a run of pages grows them once
-	// and not by doubling under append.
+	// The identity vector is sized for the page, so a run of pages grows it
+	// once and not by doubling under append.
 	if len(pp.selIn) < n {
 		pp.selIn = slices.Grow(pp.selIn, n-len(pp.selIn))
 		for i := len(pp.selIn); i < n; i++ {
 			pp.selIn = append(pp.selIn, i)
 		}
 	}
-	if cap(pp.selOut) < n {
-		pp.selOut = make([]int, 0, n)
+	// Each selection reads rows and writes the buffer rows does not alias;
+	// the two output buffers then trade places. Either is sized, for the page,
+	// when a selection first needs it: one selection a page never needs both.
+	rows, out, spare := pp.selIn[:n], &pp.selOut, &pp.selTmp
+	run := func(sel selFn, in []int) []int {
+		if cap(*out) < n {
+			*out = make([]int, 0, n)
+		}
+		res := sel(p, in, (*out)[:0])
+		out, spare = spare, out
+		return res
+	}
+	if pp.dyn != nil {
+		for _, sel := range pp.dyn() {
+			if len(rows) == 0 {
+				break
+			}
+			rows = run(sel, rows)
+		}
+		pp.Stats.DynFiltered += int64(n - len(rows))
+	}
+	if pp.filter == nil || len(rows) == 0 {
+		return rows
 	}
 	// RLE fast path: if every column the filter references is RLE the result
 	// is all-or-nothing; evaluate the first row only.
-	if n > 0 && pp.allFilterInputsRLE(p) {
-		pp.selOut = pp.filter(p, pp.selIn[:1], pp.selOut[:0])
-		if len(pp.selOut) == 0 {
+	if pp.allFilterInputsRLE(p) {
+		if len(run(pp.filter, rows[:1])) == 0 {
 			return nil
 		}
-		return pp.selIn[:n]
+		return rows
 	}
-	pp.selOut = pp.filter(p, pp.selIn[:n], pp.selOut[:0])
-	pp.Stats.CellsProcessed += int64(n)
-	return pp.selOut
+	pp.Stats.CellsProcessed += int64(len(rows))
+	return run(pp.filter, rows)
 }
 
 // allFilterInputsRLE reports whether every column the filter actually

@@ -175,7 +175,7 @@ func (o *HashAggregationOperator) resetTableLocked(keep bool) {
 		return
 	}
 	fixed := fixedWidthKeys(o.groupTs)
-	o.table = newKeyTable(fixed, len(o.groupTs))
+	o.table = newKeyTable(fixed, len(o.groupTs), 0)
 	for k, t := range o.groupTs {
 		o.keys[k] = nil
 		if !fixed || t == types.Double {
@@ -187,7 +187,7 @@ func (o *HashAggregationOperator) resetTableLocked(keep bool) {
 		a := aggVec{spec: spec, mm: valueVec{t: spec.Out}}
 		a.floatSum = spec.Func == plan.AggAvg || spec.Out == types.Double
 		if spec.Distinct {
-			a.dset = newKeyTable(false, 1)
+			a.dset = newKeyTable(false, 1, 0)
 		}
 		o.accs[i] = a
 	}

@@ -3,10 +3,12 @@ package operators
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/block"
 	"repro/internal/dynfilter"
 	"repro/internal/expr"
+	"repro/internal/memory"
 	"repro/internal/plan"
 	"repro/internal/types"
 )
@@ -17,22 +19,38 @@ import (
 type JoinBridge struct {
 	mu sync.Mutex
 
-	// The build index. ktab maps a key to a dense key id (layout chosen on
-	// the first build page). While building, each page records its rows' key
-	// ids in keyIDs (-1: NULL key, never matches), four bytes a row. The built
-	// transition counting-sorts them into one flat row list — key id's build
-	// rows are krows[rowOff[id]:rowOff[id+1]], in arrival order — and drops
-	// keyIDs. Nothing is allocated per key.
+	// The build side. Until every builder has finished the bridge holds only
+	// the build pages, in arrival order, and no index: AddInput appends under
+	// mu and hashes nothing. The last builder's departure builds the index once
+	// (buildIndexLocked), from a row count it knows: ktab maps a key to a dense
+	// key id, and key id's build rows are krows[rowOff[id]:rowOff[id+1]], in
+	// arrival order. Nothing is allocated per key and nothing grows.
 	builtTable
-	keyIDs [][]int32
-	batch  batchKeys // build-side scratch (guarded by mu)
-	memo   []int32   // build-side dictionary id→key id scratch (guarded by mu)
+	keyCols []int        // build key columns and their planner types, from
+	keyTs   []types.Type // the first NewHashBuild (every builder agrees)
 
 	// matched holds, per page and row, the flags RIGHT/FULL joins emit their
 	// unmatched build rows by; a page's flags are nil until its first match.
 	matched [][]bool
+	indexed bool // the index build has been claimed (it runs once)
 	built   bool
 	rows    int64
+
+	// Accounting is the bridge's, not a builder's: the pages and the index are
+	// shared. mem is the context EnableSpill gave, else the first builder's;
+	// bytes is what the bridge holds — every page, plus buildIndexBytes of the
+	// rows so far until the index exists and its real size from then on. bytes
+	// changes under mu; the reservation follows outside it (syncBuildMem),
+	// since a reserve may block on this very bridge's revocation.
+	mem *memory.LocalContext
+	// memMu serializes SetBytes callers; Revoke only TryLocks it (a builder
+	// holding it may be blocked inside SetBytes -> Reserve -> TryRevoke ->
+	// Revoke on this very bridge, and resyncs itself afterwards anyway).
+	memMu sync.Mutex
+	bytes atomic.Int64
+	// buildErr is a failed true-up of the built index that no revocation could
+	// absorb; probes report it.
+	buildErr error
 
 	// Multi-driver accounting: a leaf build pipeline runs one driver per
 	// split, each with its own HashBuildOperator feeding this bridge; the
@@ -52,12 +70,11 @@ type JoinBridge struct {
 	notify func()
 
 	// Dynamic-filter collection: the built transition hands the table's
-	// distinct keys (columns filterKeys of the build pages) to the collector
+	// distinct keys (columns keyCols of the build pages) to the collector
 	// and publishes the summaries through onFilters, once. A cancelled build
 	// never publishes — its partial key set would wrongly filter probe rows —
 	// and a spilled one publishes "never filter": its rows are on disk.
 	collector   *dynfilter.Collector
-	filterKeys  []int
 	onFilters   func([]*dynfilter.Summary)
 	filtersDone bool
 
@@ -67,12 +84,11 @@ type JoinBridge struct {
 	spl *bridgeSpill
 }
 
-// SetFilterCollector installs the dynamic-filter collector, the build key
-// columns it summarizes and its publish callback, before any driver runs.
-func (b *JoinBridge) SetFilterCollector(c *dynfilter.Collector, keyCols []int, publish func([]*dynfilter.Summary)) {
+// SetFilterCollector installs the dynamic-filter collector, which summarizes
+// the build key columns, and its publish callback, before any driver runs.
+func (b *JoinBridge) SetFilterCollector(c *dynfilter.Collector, publish func([]*dynfilter.Summary)) {
 	b.mu.Lock()
-	b.collector, b.filterKeys = c, keyCols
-	b.onFilters = publish
+	b.collector, b.onFilters = c, publish
 	b.mu.Unlock()
 }
 
@@ -83,7 +99,7 @@ func (b *JoinBridge) summarizeKeysLocked() {
 	case b.spl != nil && b.spl.spilled:
 		c.Disable()
 	case b.ktab != nil: // else no build row arrived: the summaries stay empty
-		c.Collect(int64(len(b.krows)), b.ktab.Len(), b.filterKeys, func(k int) (*block.Page, int) {
+		c.Collect(int64(len(b.krows)), b.ktab.Len(), b.keyCols, func(k int) (*block.Page, int) {
 			m := b.krows[b.rowOff[k]]
 			return b.pages[m.page], int(m.row)
 		})
@@ -127,32 +143,19 @@ func (b *JoinBridge) AddBuilder() {
 // BuilderFinished marks one build driver complete; the bridge becomes built
 // when no builders remain and the task has declared no more will come.
 func (b *JoinBridge) BuilderFinished() {
-	b.mu.Lock()
-	b.buildersActive--
-	b.maybeBuiltLocked()
-	publish := b.takeFilterPublishLocked()
-	notify := b.notifyLocked()
-	b.mu.Unlock()
-	if publish != nil {
-		publish()
-	}
-	notify()
+	b.builderStep(func() { b.buildersActive-- })
 }
 
 // Cancel force-completes the bridge during task failure or abort. A build
 // driver that died never reports BuilderFinished, so waiting for the builder
 // count to drain would park probe drivers forever; marking the bridge built
-// releases them against an empty table (an unbuilt one has no row list), and
-// build drivers still running have their later pages dropped by AddInput. No
-// wrong rows escape: the task is already failed and its output buffer
-// destroyed or about to be.
+// releases them against whatever index exists — none, if the builders had not
+// finished, and a probe matches nothing without one — and build drivers still
+// running have their later pages dropped by AddInput. No wrong rows escape: the
+// task is already failed and its output buffer destroyed or about to be.
 func (b *JoinBridge) Cancel() {
 	b.mu.Lock()
 	b.filtersDone = true // partial build: suppress any future publication
-	if !b.built {
-		// The row list was never indexed: probes see an empty build side.
-		b.ktab, b.keyIDs = nil, nil
-	}
 	b.built = true
 	b.noMoreBuilders = true
 	b.noMoreProbes = true
@@ -164,9 +167,40 @@ func (b *JoinBridge) Cancel() {
 
 // NoMoreBuilders declares that every build driver has been created.
 func (b *JoinBridge) NoMoreBuilders() {
+	b.builderStep(func() { b.noMoreBuilders = true })
+}
+
+// builderStep applies a change to the builder accounting and, if that leaves
+// no builder running and none to come, makes the built transition, once: index
+// the pages under mu, true the reservation up to what the index took outside
+// it — where a spill-armed bridge that cannot have the difference is revoked,
+// table and all, and joins on the grace path — and only then mark the bridge
+// built, which is what releases the probes.
+func (b *JoinBridge) builderStep(change func()) {
 	b.mu.Lock()
-	b.noMoreBuilders = true
-	b.maybeBuiltLocked()
+	change()
+	last := !b.indexed && !b.built && b.noMoreBuilders && b.buildersActive == 0
+	if last {
+		b.indexed = true
+		b.buildIndexLocked()
+	}
+	b.mu.Unlock()
+	if !last {
+		return
+	}
+	err := b.syncBuildMem()
+	b.mu.Lock()
+	if !b.built { // else cancelled meanwhile
+		b.built, b.buildErr = true, err
+		if spl := b.spl; spl != nil && spl.spilled {
+			// Every page is on disk (a revocation took them, and later ones
+			// streamed there): seal the file for the drain.
+			if err := spl.finishBuild(); err != nil && spl.err == nil {
+				spl.err = err
+			}
+		}
+		b.summarizeKeysLocked()
+	}
 	publish := b.takeFilterPublishLocked()
 	notify := b.notifyLocked()
 	b.mu.Unlock()
@@ -176,56 +210,70 @@ func (b *JoinBridge) NoMoreBuilders() {
 	notify()
 }
 
-func (b *JoinBridge) maybeBuiltLocked() {
-	if !b.built && b.noMoreBuilders && b.buildersActive == 0 {
-		b.built = true
-		if spl := b.spl; spl != nil && spl.spilled {
-			// Once spilled, every later build page streamed straight to
-			// disk, so there is no in-memory tail here — flush whatever
-			// remains (defensively) and seal the file for the drain.
-			if _, err := b.revokeSpillLocked(); err != nil && spl.err == nil {
-				spl.err = err
-			}
-			if err := spl.finishBuild(); err != nil && spl.err == nil {
-				spl.err = err
-			}
-		}
-		b.indexRowsLocked()
-		b.summarizeKeysLocked()
+// buildIndexBytes is what the index over rows build rows takes while it is
+// built, and what the bridge has reserved for it by then, page by page: the
+// key table sized for as many keys as rows, a key id a row (dropped once
+// sorted) and the row list — an address a row, an offset a key. The arena of a
+// bytes-layout table is not in it; the true-up adds it.
+func buildIndexBytes(rows, nk int, fixed bool) int64 {
+	if rows == 0 || nk == 0 {
+		return 0
 	}
+	return keyTableBytes(fixed, nk, rows) + int64(rows)*(4+8) + int64(rows+1)*4
 }
 
-// indexRowsLocked turns the per-page key ids into the flat row list, by
-// counting sort: count each key's rows, prefix-sum the counts into rowOff,
-// place every row at its key's cursor.
-func (b *JoinBridge) indexRowsLocked() {
-	if b.ktab == nil {
+// buildIndexLocked indexes the build pages, in one pass each: resolve every
+// row to its key id (-1: NULL key, never matches) in a table created at its
+// final size, then counting-sort the ids into the flat row list — count each
+// key's rows, prefix-sum the counts into rowOff, place every row at its key's
+// cursor. A keyless join probes every build row and keeps no index.
+func (b *JoinBridge) buildIndexLocked() {
+	nk, rows := len(b.keyCols), 0
+	for _, p := range b.pages {
+		rows += p.RowCount()
+	}
+	if nk == 0 || rows == 0 {
 		return
 	}
-	off := make([]int32, b.ktab.Len()+1)
-	for _, ids := range b.keyIDs {
-		for _, id := range ids {
-			if id >= 0 {
-				off[id+1]++
-			}
+	fixed := fixedWidthKeys(b.keyTs)
+	t := newKeyTable(fixed, nk, rows)
+	ids := make([]int32, rows)
+	var batch batchKeys
+	var memo []int32
+	insert := func(blk block.Block, j int) int32 { return keyCell(t, &batch.buf, blk, j, true) }
+	at := 0
+	for _, p := range b.pages {
+		pageIDs := ids[at : at+p.RowCount()]
+		at += len(pageIDs)
+		if nk != 1 || !resolveEncoded(p.Col(b.keyCols[0]), pageIDs, &memo, insert) {
+			resolveBatch(t, &batch, p, b.keyCols, pageIDs, true)
+		}
+	}
+	off := make([]int32, t.Len()+1)
+	for _, id := range ids {
+		if id >= 0 {
+			off[id+1]++
 		}
 	}
 	for k := 1; k < len(off); k++ {
 		off[k] += off[k-1]
 	}
-	rows := make([]bridgeRow, off[len(off)-1])
-	for pg, ids := range b.keyIDs {
-		for r, id := range ids {
+	krows := make([]bridgeRow, off[len(off)-1])
+	at = 0
+	for pg, p := range b.pages {
+		for r, id := range ids[at : at+p.RowCount()] {
 			if id >= 0 {
-				rows[off[id]] = bridgeRow{page: int32(pg), row: int32(r)}
+				krows[off[id]] = bridgeRow{page: int32(pg), row: int32(r)}
 				off[id]++
 			}
 		}
+		at += p.RowCount()
 	}
 	// Every cursor now stands at its key's end, the next key's start.
 	copy(off[1:], off)
 	off[0] = 0
-	b.rowOff, b.krows, b.keyIDs = off, rows, nil
+	b.ktab, b.rowOff, b.krows = t, off, krows
+	b.bytes.Add(t.memBytes() + int64(8*cap(krows)+4*cap(off)) - buildIndexBytes(rows, nk, fixed))
 }
 
 // builtTable is what a probe reads. Writers hold the bridge's mu; nothing
@@ -311,14 +359,12 @@ func (b *JoinBridge) BuildRows() int64 {
 	return b.rows
 }
 
-// HashBuildOperator consumes the build side of a join and publishes the hash
-// table to the bridge. It acts as a pipeline sink: it produces no output.
+// HashBuildOperator consumes the build side of a join and hands its pages to
+// the bridge, which indexes them when the last builder has finished. It acts
+// as a pipeline sink: it produces no output.
 type HashBuildOperator struct {
 	ctx      *OpContext
 	bridge   *JoinBridge
-	keyCols  []int
-	keyTs    []types.Type
-	bytes    int64
 	finished bool
 }
 
@@ -326,10 +372,28 @@ type HashBuildOperator struct {
 // types of the key columns, aligned with keyCols: they, not input block
 // types, decide the shared key table's layout (see fixedWidthKeys).
 func NewHashBuild(ctx *OpContext, bridge *JoinBridge, keyCols []int, keyTs []types.Type) *HashBuildOperator {
-	if ctx != nil {
-		bridge.registerBuildStats(ctx.Stats)
+	bridge.registerBuilder(ctx, keyCols, keyTs)
+	return &HashBuildOperator{ctx: ctx, bridge: bridge}
+}
+
+// registerBuilder takes from a build driver what the bridge needs of it: the
+// build keys and an accounting context if it has none yet, and its stats for
+// ExecutionNanos.
+func (b *JoinBridge) registerBuilder(ctx *OpContext, keyCols []int, keyTs []types.Type) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.keyCols == nil {
+		b.keyCols, b.keyTs = keyCols, keyTs
 	}
-	return &HashBuildOperator{ctx: ctx, bridge: bridge, keyCols: keyCols, keyTs: keyTs}
+	if ctx == nil {
+		return
+	}
+	if b.mem == nil {
+		b.mem = ctx.Mem
+	}
+	if b.spl != nil && ctx.Stats != nil {
+		b.spl.stats = append(b.spl.stats, ctx.Stats)
+	}
 }
 
 func (o *HashBuildOperator) NeedsInput() bool { return !o.finished }
@@ -345,49 +409,31 @@ func (o *HashBuildOperator) AddInput(p *block.Page) error {
 	if b.built {
 		// Only Cancel completes a bridge under a running builder (drivers of a
 		// failed or aborted task are not stopped): the page is dropped, since
-		// released probes read a table that has no row list for new keys.
+		// released probes read a bridge that indexes nothing more.
 		b.mu.Unlock()
 		return nil
 	}
-	nk := len(o.keyCols)
+	n := p.RowCount()
 	if spl := b.spl; spl != nil && spl.spilled {
-		// The bridge has revoked its table to disk: stream this page straight
-		// to the build spill file instead of regrowing the table (the drain
-		// re-joins it partition by partition).
-		b.rows += int64(p.RowCount())
-		err := spl.writeBuildPage(p)
+		// The bridge has revoked its pages to disk: stream this one straight
+		// to the build spill file (the drain re-joins it partition by
+		// partition).
+		b.rows += int64(n)
+		err := spl.writeBuildPage(p, b.keyCols)
 		b.mu.Unlock()
 		return err
 	}
-	n := p.RowCount()
+	// Not spilled: every row so far is in memory, and the index over them is
+	// reserved as they arrive, so that a capped pool revokes before the built
+	// transition allocates it.
+	nk, fixed := len(b.keyCols), fixedWidthKeys(b.keyTs)
+	index := buildIndexBytes(int(b.rows)+n, nk, fixed) - buildIndexBytes(int(b.rows), nk, fixed)
 	b.pages = append(b.pages, p)
 	b.matched = append(b.matched, nil)
 	b.rows += int64(n)
-	var ids []int32 // keyless joins probe every build row and keep no index
-	if nk > 0 {
-		if b.ktab == nil {
-			b.ktab = newKeyTable(fixedWidthKeys(o.keyTs), nk)
-		}
-		ids = make([]int32, n)
-		insert := func(blk block.Block, j int) int32 { return keyCell(b.ktab, &b.batch.buf, blk, j, true) }
-		if nk != 1 || !resolveEncoded(p.Col(o.keyCols[0]), ids, &b.memo, insert) {
-			resolveBatch(b.ktab, &b.batch, p, o.keyCols, ids, true)
-		}
-	}
-	b.keyIDs = append(b.keyIDs, ids)
-	delta := p.SizeBytes() + int64(n*32)
-	if b.spl != nil {
-		// Spill-armed bridges account at bridge level: the delta lands under
-		// the lock (so a concurrent revoke's reset captures it), while the
-		// pool reservation syncs outside it (a reserve may block on this very
-		// bridge's revocation).
-		b.spl.bytes.Add(delta)
-		b.mu.Unlock()
-		return b.syncBuildMem()
-	}
+	b.bytes.Add(p.SizeBytes() + index)
 	b.mu.Unlock()
-	o.bytes += delta
-	return o.ctx.Mem.SetBytes(o.bytes)
+	return b.syncBuildMem()
 }
 
 // resolveBatch is the general path of build and probe: batch-hash the page's
@@ -395,6 +441,23 @@ func (o *HashBuildOperator) AddInput(p *block.Page) error {
 // if insert is set. -1: a NULL key (never matches an equi-join) or no such key.
 func resolveBatch(t *keyTable, bk *batchKeys, p *block.Page, cols []int, ids []int32, insert bool) {
 	bk.reset(p, cols, t.fixed)
+	if t.fixed && len(cols) == 1 {
+		// One fixed-width key, which is most joins: probe on scalars, no
+		// per-row slicing (as the aggregation's resolveVecFixed).
+		cells, tags, hashes := bk.cells, bk.tags, bk.hashes
+		for r := range ids {
+			id := -1
+			switch {
+			case tags[r] == cellNull:
+			case insert:
+				id, _ = t.getOrInsertFixed1(hashes[r], cells[r], tags[r])
+			default:
+				id = t.lookupFixed1(hashes[r], cells[r], tags[r])
+			}
+			ids[r] = int32(id)
+		}
+		return
+	}
 	for r := range ids {
 		id := -1
 		switch {
@@ -661,6 +724,10 @@ func (o *LookupJoinOperator) AddInput(p *block.Page) error {
 	p = p.LoadLazy()
 	b := o.bridge
 	b.mu.Lock()
+	if err := b.buildErr; err != nil {
+		b.mu.Unlock()
+		return fmt.Errorf("join build: %w", err)
+	}
 	if spl := b.spl; spl != nil {
 		// From the first probe page on, the build table is no longer
 		// revocable: probes hold row references and matched flags into it.

@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -254,4 +255,180 @@ func TestHashJoinSpillRefusedAfterProbe(t *testing.T) {
 		t.Fatalf("revoke after probe start: freed %d, err %v", n, err)
 	}
 	bridge.ReleaseSpill()
+}
+
+// TestJoinRevokeBeforeBuiltWritesPagesOnly: until its last builder finishes a
+// bridge holds pages and no index, so a revocation then writes the pages and
+// gives back their bytes and the index's advance reservation — there is no
+// table to drop — and the join still answers as the reference does, through
+// the drain.
+func TestJoinRevokeBeforeBuiltWritesPagesOnly(t *testing.T) {
+	buildPages := joinSpillPages(6, 80, 17, 0)
+	probePages := joinSpillPages(5, 90, 29, 3)
+	rowTs := []types.Type{types.Bigint, types.Varchar}
+	bridge := NewJoinBridge()
+	bridge.EnableSpill(spillTestMem(), t.TempDir(), []int{0}, rowTs[:1])
+	bridge.AddBuilder()
+	hb := NewHashBuild(NopContext(), bridge, []int{0}, rowTs[:1])
+	var held int64
+	rows := 0
+	for _, p := range buildPages[:4] {
+		if err := hb.AddInput(p); err != nil {
+			t.Fatal(err)
+		}
+		held += p.SizeBytes()
+		rows += p.RowCount()
+	}
+	if bridge.ktab != nil || bridge.krows != nil {
+		t.Fatal("the bridge indexed build pages before its builders finished")
+	}
+	if want, got := held+buildIndexBytes(rows, 1, true), bridge.RevocableBytes(); got != want {
+		t.Fatalf("%d revocable bytes, want the pages and the index reserved ahead, %d", got, want)
+	}
+	before := spill.CurrentStats()
+	freed, err := bridge.Revoke()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := held + buildIndexBytes(rows, 1, true); freed != want {
+		t.Errorf("revocation freed %d bytes, want %d", freed, want)
+	}
+	if len(bridge.pages) != 0 || bridge.ktab != nil || bridge.bytes.Load() != 0 || bridge.mem.Held() != 0 {
+		t.Errorf("after the revocation the bridge holds %d pages, %d bytes (%d reserved)", len(bridge.pages), bridge.bytes.Load(), bridge.mem.Held())
+	}
+	if wrote := spill.CurrentStats().BytesWritten - before.BytesWritten; wrote == 0 {
+		t.Error("the revocation wrote nothing")
+	}
+	for _, p := range buildPages[4:] {
+		if err := hb.AddInput(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hb.Finish()
+	bridge.NoMoreBuilders()
+	if bridge.ktab != nil {
+		t.Error("a spilled bridge built an in-memory index")
+	}
+	bridge.AddProbe()
+	bridge.NoMoreProbes()
+	op := NewLookupJoin(NopContext(), bridge, plan.FullJoin, []int{0}, nil, rowTs, rowTs, 0)
+	got := rowCounts(drain(t, op, probePages...))
+	assertSameCounts(t, "revoked before built", got, refJoin(t, plan.FullJoin, buildPages, probePages, []int{0}, []int{0}, nil, rowTs, rowTs))
+	if err := op.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bridge.ReleaseSpill()
+}
+
+// TestJoinRevokeUnderConcurrentBuilders: four build drivers append to one
+// spill-armed bridge while revocations land between their pages. Every row —
+// appended before a revocation (written by it), after one (streamed), or after
+// the last (in memory, indexed at the built transition and then revoked with
+// its table or not at all) — joins exactly once. Run under -race.
+func TestJoinRevokeUnderConcurrentBuilders(t *testing.T) {
+	buildPages := joinSpillPages(40, 60, 23, 0)
+	probePages := joinSpillPages(5, 90, 31, 3)
+	rowTs := []types.Type{types.Bigint, types.Varchar}
+	for _, tc := range allJoinTypes {
+		t.Run(tc.name, func(t *testing.T) {
+			const drivers = 4
+			bridge := NewJoinBridge()
+			bridge.EnableSpill(spillTestMem(), t.TempDir(), []int{0}, rowTs[:1])
+			var wg sync.WaitGroup
+			appended := make(chan struct{}, len(buildPages)) // one token a page, so no sender waits
+			for d := 0; d < drivers; d++ {
+				bridge.AddBuilder()
+				hb := NewHashBuild(NopContext(), bridge, []int{0}, rowTs[:1])
+				wg.Add(1)
+				go func(d int) {
+					defer wg.Done()
+					for i := d; i < len(buildPages); i += drivers {
+						if err := hb.AddInput(buildPages[i]); err != nil {
+							t.Error(err)
+						}
+						appended <- struct{}{}
+					}
+					hb.Finish()
+				}(d)
+			}
+			bridge.NoMoreBuilders()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < len(buildPages)/2; i++ {
+					<-appended
+					if i%8 == 7 {
+						if _, err := bridge.Revoke(); err != nil {
+							t.Error(err)
+						}
+					}
+				}
+			}()
+			wg.Wait()
+			if bridge.SpillCount() == 0 {
+				t.Fatal("no revocation landed")
+			}
+			bridge.AddProbe()
+			bridge.NoMoreProbes()
+			op := NewLookupJoin(NopContext(), bridge, tc.jt, []int{0}, nil, rowTs, rowTs, 0)
+			got := rowCounts(drain(t, op, probePages...))
+			assertSameCounts(t, tc.name, got, refJoin(t, tc.jt, buildPages, probePages, []int{0}, []int{0}, nil, rowTs, rowTs))
+			if err := op.Close(); err != nil {
+				t.Fatal(err)
+			}
+			bridge.ReleaseSpill()
+		})
+	}
+}
+
+// TestJoinIndexTrueUpOverLimit: a bytes-layout index holds an arena of encoded
+// keys that no page-by-page reservation knows the size of, so the true-up at
+// the built transition can ask for more than the query may have. A spill-armed
+// bridge is then revoked — pages and fresh index alike, before any probe is
+// released — and joins on the grace path; a bridge that cannot spill fails its
+// probes with the limit error.
+func TestJoinIndexTrueUpOverLimit(t *testing.T) {
+	const rows = 2000
+	keys, vals := make([]string, rows), make([]int64, rows)
+	for i := range keys {
+		keys[i], vals[i] = fmt.Sprintf("%0100d", i), int64(i)
+	}
+	page := block.NewPage(block.NewVarcharBlock(keys, nil), block.NewLongBlock(vals, nil))
+	rowTs := []types.Type{types.Varchar, types.Bigint}
+	// The pages and the index reserved ahead fit; the 210 KB arena does not.
+	limit := page.SizeBytes() + buildIndexBytes(rows, 1, false) + 50<<10
+	for _, armed := range []bool{true, false} {
+		q := memory.NewQueryContext("trueup", memory.QueryLimits{PerNodeUser: limit, SpillEnabled: armed},
+			map[int]*memory.NodePool{0: memory.NewNodePool(1<<30, 0)})
+		ctx := &OpContext{Mem: memory.NewLocalContext(q, 0, memory.User), Stats: &OpStats{}}
+		bridge := NewJoinBridge()
+		if armed {
+			bridge.EnableSpill(ctx.Mem, t.TempDir(), []int{0}, rowTs[:1])
+		}
+		bridge.AddBuilder()
+		hb := NewHashBuild(ctx, bridge, []int{0}, rowTs[:1])
+		if err := hb.AddInput(page); err != nil {
+			t.Fatalf("armed=%v: the page and the index reserved ahead must fit: %v", armed, err)
+		}
+		hb.Finish()
+		bridge.NoMoreBuilders()
+		bridge.AddProbe()
+		bridge.NoMoreProbes()
+		op := NewLookupJoin(NopContext(), bridge, plan.InnerJoin, []int{0}, nil, rowTs, rowTs, 0)
+		if !armed {
+			if err := op.AddInput(page); !errors.Is(err, memory.ErrExceededLimit) {
+				t.Errorf("a bridge that cannot spill: probe error %v, want the memory limit", err)
+			}
+			continue
+		}
+		if bridge.SpillCount() != 1 || bridge.ktab != nil {
+			t.Fatalf("the over-limit true-up revoked the bridge %d times (index dropped: %v)", bridge.SpillCount(), bridge.ktab == nil)
+		}
+		got := rowCounts(drain(t, op, page))
+		assertSameCounts(t, "grace path", got, refJoin(t, plan.InnerJoin, []*block.Page{page}, []*block.Page{page}, []int{0}, []int{0}, nil, rowTs, rowTs))
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
+		bridge.ReleaseSpill()
+	}
 }

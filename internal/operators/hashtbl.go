@@ -43,13 +43,43 @@ type keyTable struct {
 	offs  []uint32
 }
 
-// newKeyTable creates an empty table with the given key layout.
-func newKeyTable(fixed bool, nk int) *keyTable {
-	t := &keyTable{fixed: fixed, nk: nk, slots: make([]int32, 16), mask: 15}
-	if !fixed {
-		t.offs = append(t.offs, 0)
+// newKeyTable creates an empty table with the given key layout, its arrays
+// sized for n entries: no insert up to the n-th grows the slot array or
+// reallocates a vector (a bytes-layout arena aside — key lengths are not known
+// ahead). n = 0 is a table that doubles to size.
+func newKeyTable(fixed bool, nk, n int) *keyTable {
+	slots := slotsFor(n)
+	t := &keyTable{fixed: fixed, nk: nk, slots: make([]int32, slots), mask: uint64(slots - 1)}
+	if n > 0 {
+		t.hashes = make([]uint64, 0, n)
+	}
+	switch {
+	case !fixed:
+		t.offs = append(make([]uint32, 0, n+1), 0)
+	case n > 0:
+		t.cells, t.tags = make([]uint64, 0, n*nk), make([]byte, 0, n*nk)
 	}
 	return t
+}
+
+// slotsFor is the slot-array length that holds n entries under the 3/4 load
+// factor maybeGrow keeps.
+func slotsFor(n int) int {
+	slots := 16
+	for n*4 > slots*3 {
+		slots *= 2
+	}
+	return slots
+}
+
+// keyTableBytes is memBytes of newKeyTable(fixed, nk, n) — what a table takes
+// before an arena.
+func keyTableBytes(fixed bool, nk, n int) int64 {
+	b := int64(4*slotsFor(n)) + int64(8*n)
+	if fixed {
+		return b + int64(9*n*nk)
+	}
+	return b + int64(4*(n+1))
 }
 
 // Len returns the number of distinct keys inserted.
@@ -72,19 +102,18 @@ func (t *keyTable) reset() {
 	}
 }
 
-// grow doubles the slot array and redistributes entries from stored hashes.
+// grow doubles the slot array and redistributes entries from stored hashes,
+// in entry order: the hashes are read in sequence and only the slot written is
+// a random access.
 func (t *keyTable) grow() {
 	ns := make([]int32, 2*len(t.slots))
 	mask := uint64(len(ns) - 1)
-	for _, id := range t.slots {
-		if id == 0 {
-			continue
-		}
-		i := t.hashes[id-1] & mask
+	for e, h := range t.hashes {
+		i := h & mask
 		for ns[i] != 0 {
 			i = (i + 1) & mask
 		}
-		ns[i] = id
+		ns[i] = int32(e + 1)
 	}
 	t.slots, t.mask = ns, mask
 }

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/block"
 	"repro/internal/memory"
@@ -19,24 +17,10 @@ import (
 const spillJoinPartitions = 16
 
 // bridgeSpill holds the disk-backed state of a spilled hash-join build side.
-// It hangs off the JoinBridge so every build and probe driver shares it; all
-// fields except mem/bytes are guarded by the bridge's mu.
+// It hangs off the JoinBridge so every build and probe driver shares it; its
+// fields are guarded by the bridge's mu.
 type bridgeSpill struct {
-	// mem accounts the bridge's in-memory build table against the query's
-	// pool. It is bridge-level (not per build driver) because the table is
-	// shared: absolute SetBytes values self-heal across the revoke race.
-	mem *memory.LocalContext
-	// memMu serializes SetBytes callers; Revoke only TryLocks it (a builder
-	// holding it may be blocked inside SetBytes -> Reserve -> TryRevoke ->
-	// Revoke on this very bridge, and resyncs itself afterwards anyway).
-	memMu sync.Mutex
-	// bytes is the accounted size of the in-memory table. Mutated under the
-	// bridge mu; read lock-free by the sync path.
-	bytes atomic.Int64
-
-	dir        string
-	buildKeys  []int
-	buildKeyTs []types.Type
+	dir string
 
 	spilled      bool // build side has been written to disk at least once
 	probeStarted bool // a probe page arrived: matched flags are now live
@@ -59,12 +43,10 @@ type bridgeSpill struct {
 // driver runs.
 func (b *JoinBridge) EnableSpill(mem *memory.LocalContext, dir string, buildKeys []int, buildKeyTs []types.Type) {
 	b.mu.Lock()
-	b.spl = &bridgeSpill{
-		mem:        mem,
-		dir:        dir,
-		buildKeys:  append([]int(nil), buildKeys...),
-		buildKeyTs: append([]types.Type(nil), buildKeyTs...),
-	}
+	b.mem = mem
+	b.keyCols = append([]int(nil), buildKeys...)
+	b.keyTs = append([]types.Type(nil), buildKeyTs...)
+	b.spl = &bridgeSpill{dir: dir}
 	b.mu.Unlock()
 }
 
@@ -88,7 +70,7 @@ func (b *JoinBridge) RevocableBytes() int64 {
 	if spl == nil || spl.probeStarted || spl.draining || spl.released || len(b.pages) == 0 {
 		return 0
 	}
-	return spl.bytes.Load()
+	return b.bytes.Load()
 }
 
 // ExecutionNanos implements memory.Revocable: the pool revokes the cheapest
@@ -106,8 +88,8 @@ func (b *JoinBridge) ExecutionNanos() int64 {
 	return n
 }
 
-// Revoke implements memory.Revocable: write the in-memory build table to the
-// partitioned spill file and release its reservation.
+// Revoke implements memory.Revocable: write the in-memory build pages to the
+// partitioned spill file and release their reservation.
 func (b *JoinBridge) Revoke() (int64, error) {
 	b.mu.Lock()
 	freed, err := b.revokeSpillLocked()
@@ -123,50 +105,53 @@ func (b *JoinBridge) Revoke() (int64, error) {
 	return freed, err
 }
 
+// revokeSpillLocked moves the build pages to disk. Before the built transition
+// that is all there is; after it (and before a probe page) the index over them
+// is dropped too — the drain builds each partition its own.
 func (b *JoinBridge) revokeSpillLocked() (int64, error) {
 	spl := b.spl
 	if spl == nil || spl.probeStarted || spl.draining || spl.released || len(b.pages) == 0 {
 		return 0, nil
 	}
 	for _, p := range b.pages {
-		if err := spl.writeBuildPage(p); err != nil {
+		if err := spl.writeBuildPage(p, b.keyCols); err != nil {
 			return 0, err
 		}
 	}
-	b.builtTable, b.matched, b.keyIDs = builtTable{}, nil, nil
-	b.batch = batchKeys{}
+	b.builtTable, b.matched = builtTable{}, nil
 	spl.spilled = true
 	spl.spills++
-	return spl.bytes.Swap(0), nil
+	return b.bytes.Swap(0), nil
 }
 
-// syncBuildMem reconciles the pool reservation with the accounted table
-// size; on limit pressure it self-spills and retries at (near) zero, the
-// same protocol hash aggregation follows.
+// syncBuildMem reconciles the pool reservation with what the bridge holds; on
+// limit pressure a spill-armed bridge self-spills and retries at (near) zero,
+// the same protocol hash aggregation follows.
 func (b *JoinBridge) syncBuildMem() error {
-	spl := b.spl
-	spl.memMu.Lock()
-	defer spl.memMu.Unlock()
-	err := spl.mem.SetBytes(spl.bytes.Load())
-	if err == nil || !errors.Is(err, memory.ErrExceededLimit) {
+	if b.mem == nil {
+		return nil
+	}
+	b.memMu.Lock()
+	defer b.memMu.Unlock()
+	err := b.mem.SetBytes(b.bytes.Load())
+	if err == nil || b.spl == nil || !errors.Is(err, memory.ErrExceededLimit) {
 		return err
 	}
 	if _, serr := b.Revoke(); serr != nil {
 		return serr
 	}
-	return spl.mem.SetBytes(spl.bytes.Load())
+	return b.mem.SetBytes(b.bytes.Load())
 }
 
 // releaseSpilledBytes shrinks the reservation after a revoke. TryLock only:
 // the memMu holder is a builder blocked inside its own reserve attempt — it
 // resyncs with the post-revoke byte count as soon as that attempt returns.
 func (b *JoinBridge) releaseSpilledBytes() {
-	spl := b.spl
-	if !spl.memMu.TryLock() {
+	if !b.memMu.TryLock() {
 		return
 	}
-	defer spl.memMu.Unlock()
-	_ = spl.mem.SetBytes(spl.bytes.Load())
+	defer b.memMu.Unlock()
+	_ = b.mem.SetBytes(b.bytes.Load())
 }
 
 // spillDrainPending reports whether probe output must come from the
@@ -225,24 +210,12 @@ func (b *JoinBridge) ReleaseSpill() {
 	for _, f := range files {
 		spill.Remove(f)
 	}
-	spl.mem.Close()
-}
-
-// registerBuildStats records a build driver's stats for ExecutionNanos.
-func (b *JoinBridge) registerBuildStats(s *OpStats) {
-	if s == nil {
-		return
-	}
-	b.mu.Lock()
-	if b.spl != nil {
-		b.spl.stats = append(b.spl.stats, s)
-	}
-	b.mu.Unlock()
+	b.mem.Close()
 }
 
 // writeBuildPage appends one build page to the build spill file, partitioned
 // by key hash. Caller holds the bridge mu.
-func (s *bridgeSpill) writeBuildPage(p *block.Page) error {
+func (s *bridgeSpill) writeBuildPage(p *block.Page, buildKeys []int) error {
 	if s.buildW == nil {
 		w, err := spill.NewWriter(s.dir, "joinbuild")
 		if err != nil {
@@ -251,7 +224,7 @@ func (s *bridgeSpill) writeBuildPage(p *block.Page) error {
 		s.buildW = w
 		s.buildFiles = append(s.buildFiles, w.Path())
 	}
-	return writeJoinPartitioned(s.buildW, p, s.buildKeys)
+	return writeJoinPartitioned(s.buildW, p, buildKeys)
 }
 
 // writeProbePage appends one probe page to the probe spill file, partitioned
@@ -435,7 +408,7 @@ func (d *joinSpillDrain) openPartition() error {
 	o, spl := d.o, d.spl
 	sub := NewJoinBridge()
 	sub.AddBuilder()
-	hb := NewHashBuild(o.ctx, sub, spl.buildKeys, spl.buildKeyTs)
+	hb := NewHashBuild(o.ctx, sub, o.bridge.keyCols, o.bridge.keyTs)
 	builds := &spillPartIter{files: spl.buildFiles, part: d.part}
 	for {
 		p, err := builds.next()

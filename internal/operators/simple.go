@@ -51,6 +51,7 @@ type FilterProjectOperator struct {
 	ctx      *OpContext
 	proc     *expr.PageProcessor
 	consumer Operator // who takes the output, when it is lent (LendOutput)
+	scan     *OpStats // the scan whose dynamic filters the processor applies, if any
 	pending  *block.Page
 	finished bool
 	done     bool
@@ -64,6 +65,15 @@ func NewFilterProject(ctx *OpContext, proc *expr.PageProcessor) *FilterProjectOp
 
 // Processor exposes the underlying page processor (for experiment stats).
 func (o *FilterProjectOperator) Processor() *expr.PageProcessor { return o.proc }
+
+// SetDynamicFilters makes the operator — the one placed directly on a scan
+// that subscribes to dynamic join filters — apply them ahead of its own filter
+// (expr.PageProcessor.SetDynamicFilters). The rows they drop are counted on
+// scan, the subscribed scan's stats: it is the scan's filter, whoever runs it.
+func (o *FilterProjectOperator) SetDynamicFilters(sels func() []expr.SelVector, scan *OpStats) {
+	o.proc.SetDynamicFilters(sels)
+	o.scan = scan
+}
 
 // LendOutput tells the operator, once and before its first page, that
 // consumer — the operator it feeds — releases its input (ReleasesInput), so
@@ -120,6 +130,7 @@ func (o *FilterProjectOperator) flushKernelStats() {
 		return
 	}
 	st := o.proc.Stats
+	o.scan.RecordDynFiltered(st.DynFiltered - o.flushed.DynFiltered)
 	o.ctx.Stats.RecordProjKernels(
 		st.VecProjEvals-o.flushed.VecProjEvals,
 		st.CSEHits-o.flushed.CSEHits,
@@ -205,7 +216,7 @@ func NewDistinct(ctx *OpContext, ts []types.Type) *DistinctOperator {
 	for i := range cols {
 		cols[i] = i
 	}
-	return &DistinctOperator{ctx: ctx, keyCols: cols, table: newKeyTable(fixedWidthKeys(ts), len(cols))}
+	return &DistinctOperator{ctx: ctx, keyCols: cols, table: newKeyTable(fixedWidthKeys(ts), len(cols), 0)}
 }
 
 func (o *DistinctOperator) NeedsInput() bool { return !o.finished && o.pending == nil }

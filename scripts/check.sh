@@ -7,8 +7,8 @@
 #   scripts/check.sh          # build + vet + race tests + chaos smoke +
 #                             # borrowed-page poison run + non-race
 #                             # allocation ceilings (page codec, group
-#                             # table, join build and probe, spill) and
-#                             # bench smokes
+#                             # table, join build and probe, dynamically
+#                             # filtered scan, spill) and bench smokes
 #   scripts/check.sh -chaos   # additionally sweep the chaos suite over more
 #                             # seeds (CHAOS_FULL), verbose
 #   scripts/check.sh -fuzz    # additionally run 10s fuzz smokes over the
@@ -47,7 +47,10 @@ echo "==> borrowed pages are never read late (poison linked on under the differe
 # processor, a lookup join — overwrite the lent vectors before every page;
 # only a linker flag (or expr's own tests) can set it. The walls that reach an
 # aggregation or a join through a lender live in these four packages
-# (TestJoinLentVectorsArePoisoned runs only here).
+# (TestJoinLentVectorsArePoisoned runs only here; ./internal/exec holds the
+# processor composed onto a dynamically filtered scan,
+# TestDynFilteredScanGathersOnce, and the root package the dynamic-filter
+# differentials that run it under every join type).
 go test -count=1 -ldflags '-X repro/internal/expr.poisonBorrowed=on' . ./internal/exec ./internal/operators ./internal/expr
 
 echo "==> kernel + morsel bench smoke (1 iteration per benchmark)"
@@ -58,12 +61,13 @@ go test -count=1 -run 'TestCodecAllocationCeilings' ./internal/block/
 go test -run '^$' -bench 'CodecEncodeRaw|CodecEncodeFlate|CodecDecodeRaw|CodecDecodeFlate' -benchtime 1x -benchmem ./internal/block/ > /dev/null
 
 echo "==> what a group, a build row and a probe row cost: allocation ceilings, accounting vs heap, bench smoke (no -race, same reason)"
-go test -count=1 -v -run 'TestAggSpillAllocationCeiling|TestGroupTableBytesPerGroup|TestJoinBuildBytesPerRow|TestJoinProbeAllocationCeiling|TestHashAggAccountingMatchesHeap' ./internal/operators/ | grep -E '^(---|ok|FAIL|panic)|bytes'
+go test -count=1 -v -run 'TestAggSpillAllocationCeiling|TestGroupTableBytesPerGroup|TestJoinBuildBytesPerRow|TestJoinBuildAllocatesOnce|TestJoinProbeAllocationCeiling|TestHashAggAccountingMatchesHeap|TestJoinBuildAccountingMatchesHeap' ./internal/operators/ | grep -E '^(---|ok|FAIL|panic)|bytes'
 go test -run '^$' -bench 'AggSpillRevokeDrain|HashJoinProbeParallel' -benchtime 1x -benchmem ./internal/operators/ > /dev/null
-go test -run '^$' -bench 'HashAggBigintKey|HashJoinBuildProbe' -benchtime 5x -benchmem . | grep '^Benchmark'
+go test -run '^$' -bench 'HashJoinBuildParallel' -benchtime 5x -benchmem -cpu 1,2 ./internal/operators/ | grep '^Benchmark'
+go test -run '^$' -bench 'HashAggBigintKey|HashJoinBuildProbe|HashJoinDictKey' -benchtime 5x -benchmem . | grep '^Benchmark'
 
-echo "==> filter -> project -> aggregate allocation ceiling + bench smoke (no -race, same reason)"
-go test -count=1 -run 'TestFilterProjectAggAllocationCeiling' ./internal/exec/
+echo "==> filter -> project -> aggregate and dynamically filtered scan -> join -> aggregate allocation ceilings + bench smoke (no -race, same reason)"
+go test -count=1 -v -run 'TestFilterProjectAggAllocationCeiling|TestDynFilteredScanGathersOnce' ./internal/exec/ | grep -E '^(---|ok|FAIL|panic)|bytes'
 go test -run '^$' -bench 'FilterProjectAgg' -benchtime 1x -benchmem ./internal/exec/ > /dev/null
 
 if [ "$chaos_full" = 1 ]; then
