@@ -196,6 +196,8 @@ type Coordinator struct {
 	// stmtLatency is the end-to-end statement latency histogram (admission
 	// through final page), over the most recent statements.
 	stmtLatency *metrics.RingHistogram
+	// stageSkew is the input skew of finished queries' scanning stages.
+	stageSkew *metrics.BucketHistogram
 }
 
 // Query is a running or finished query.
@@ -250,6 +252,7 @@ func New(catalog *CatalogManager, workers []*exec.Worker, cfg Config) *Coordinat
 		store:       shuffle.NewExchangeStore(cfg.Task.SpillDir),
 		meta:        meta,
 		stmtLatency: metrics.NewRingHistogram(0),
+		stageSkew:   metrics.NewBucketHistogram(1.05, 1.15, 1.5, 2, 4),
 	}
 }
 

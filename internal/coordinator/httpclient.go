@@ -52,6 +52,10 @@ func (c *Coordinator) httpWorkers() []workerClient {
 
 func (w *httpWorker) NodeID() int { return w.node }
 
+// CachesPages is true until the registry says otherwise: a registered worker
+// does not report its cache configuration, and prestod workers keep one.
+func (w *httpWorker) CachesPages() bool { return true }
+
 // CreateTask POSTs the task spec, retrying transport-level failures; creation
 // is idempotent by task id, so a retried POST that raced a successful one is
 // absorbed.
@@ -80,19 +84,16 @@ func (w *httpWorker) CreateTask(spec taskSpec) (taskClient, error) {
 		}
 		ws.Sources = append(ws.Sources, entry)
 	}
-	scans := exec.ScanOrder(spec.Fragment.Root)
 	t := &httpTask{
-		w:          w,
-		id:         spec.ID,
-		base:       w.uri + "/v1/task/" + spec.ID.String(),
-		scans:      scans,
-		publish:    spec.Publish,
-		pending:    map[int][]wire.SplitData{},
-		seqs:       map[int]int64{},
-		assigned:   make([]atomic.Int64, len(scans)),
-		splitsDone: make([]atomic.Int64, len(scans)),
-		fetched:    map[int]bool{},
-		done:       make(chan struct{}),
+		w:       w,
+		id:      spec.ID,
+		base:    w.uri + "/v1/task/" + spec.ID.String(),
+		scans:   exec.ScanOrder(spec.Fragment.Root),
+		publish: spec.Publish,
+		pending: map[int][]wire.SplitData{},
+		seqs:    map[int]int64{},
+		fetched: map[int]bool{},
+		done:    make(chan struct{}),
 	}
 	if err := w.post(w.uri+"/v1/task", ws, "create task"); err != nil {
 		return nil, fmt.Errorf("on %s: %w", w.uri, err)
@@ -157,10 +158,6 @@ type httpTask struct {
 	splitMu sync.Mutex
 	pending map[int][]wire.SplitData
 	seqs    map[int]int64
-	// By scan id: assigned counts splits handed to this task and splitsDone
-	// those the last status reported complete. Their difference is the queue
-	// depth, at no round-trip per split.
-	assigned, splitsDone []atomic.Int64
 
 	// publish receives each dynamic-filter summary the task announces in
 	// its status (nil when it publishes none); fetched are the filter ids
@@ -195,7 +192,6 @@ func (t *httpTask) AddSplit(scanID int, s connector.Split) error {
 	if err != nil {
 		return err
 	}
-	t.assigned[scanID].Add(1)
 	t.splitMu.Lock()
 	defer t.splitMu.Unlock()
 	t.pending[scanID] = append(t.pending[scanID], wire.SplitData{Catalog: catalog, Data: data})
@@ -219,10 +215,6 @@ func (t *httpTask) flushLocked(scanID int, noMore bool) error {
 	t.seqs[scanID]++
 	delete(t.pending, scanID)
 	return nil
-}
-
-func (t *httpTask) QueueDepth(scanID int) (splits, runnable int) {
-	return int(t.assigned[scanID].Load() - t.splitsDone[scanID].Load()), 0
 }
 
 // Output reads a partition with the same retry policy the workers' exchange
@@ -334,11 +326,6 @@ func (t *httpTask) refresh(filters bool) error {
 		return err
 	}
 	t.cpuNanos.Store(st.CPUNanos)
-	for scanID, n := range st.SplitsDone {
-		if scanID < len(t.splitsDone) {
-			t.splitsDone[scanID].Store(int64(n))
-		}
-	}
 	for _, id := range st.FiltersReady {
 		if !filters || t.publish == nil || t.fetched[id] {
 			continue

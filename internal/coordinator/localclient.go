@@ -22,6 +22,8 @@ type localWorker struct {
 
 func (lw localWorker) NodeID() int { return lw.w.ID }
 
+func (lw localWorker) CachesPages() bool { return lw.w.Cache != nil }
+
 func (lw localWorker) CreateTask(spec taskSpec) (taskClient, error) {
 	task, err := lw.c.startLocal(lw.w, spec)
 	if err != nil {
@@ -67,10 +69,6 @@ func (t localTask) AddSplit(scanID int, s connector.Split) error { return t.task
 func (t localTask) NoMoreSplits(scanID int) error {
 	t.task.NoMoreSplits(scanID)
 	return nil
-}
-
-func (t localTask) QueueDepth(scanID int) (splits, runnable int) {
-	return t.task.SplitQueueLength(scanID), t.task.ExecutorRunnable()
 }
 
 func (t localTask) Output(part int) shuffle.Fetcher {

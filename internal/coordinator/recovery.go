@@ -82,10 +82,6 @@ func (t *recoveryTask) NoMoreSplits(scanID int) error {
 	return t.cur.NoMoreSplits(scanID)
 }
 
-func (t *recoveryTask) QueueDepth(scanID int) (splits, runnable int) {
-	return t.current().QueueDepth(scanID)
-}
-
 // Output fetches by store key, not through the task object: a re-placed
 // producer repopulates the same entry, so consumers — the client stream
 // included — need no re-pointing.

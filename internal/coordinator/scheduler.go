@@ -17,7 +17,7 @@ import (
 )
 
 // The scheduler (paper §III, §IV-D) is one algorithm — stage placement, lazy
-// split enumeration, shortest-queue assignment, task monitoring — that does
+// split enumeration, lightest-task assignment, task monitoring — that does
 // not care how a task is reached. It talks to workers and tasks through the
 // two interfaces below. There are two implementations: localclient.go calls
 // *exec.Worker / *exec.Task directly, httpclient.go speaks the task API. The
@@ -28,6 +28,9 @@ import (
 type workerClient interface {
 	// NodeID is the worker's cluster node id (split locality, rack lookup).
 	NodeID() int
+	// CachesPages reports whether the worker keeps a page cache: cache
+	// affinity has nothing to return to on a stage where none does.
+	CachesPages() bool
 	CreateTask(spec taskSpec) (taskClient, error)
 }
 
@@ -54,12 +57,6 @@ type taskClient interface {
 	// enumeration. A client may batch deliveries up to NoMoreSplits.
 	AddSplit(scanID int, s connector.Split) error
 	NoMoreSplits(scanID int) error
-	// QueueDepth is the shortest-queue placement metric: splits outstanding
-	// for the scan, and runnable drivers on the hosting executor (0 when
-	// unknown). Runnable depth, not total queue length — blocked and
-	// finished-but-unreaped drivers occupy no thread, and counting them
-	// steered splits away from workers that actually had idle capacity.
-	QueueDepth(scanID int) (splits, runnable int)
 	// Output reads one partition of the task's output.
 	Output(part int) shuffle.Fetcher
 	// Done closes once the task is known finished, failed or aborted.
@@ -104,7 +101,7 @@ func (c *Coordinator) workerClients() ([]workerClient, error) {
 // data, running leaves everywhere yields the shortest wall time; intermediate
 // stages get HashPartitions tasks spread round-robin; single stages get one
 // task. Then split enumeration starts lazily (§IV-D3), assigning each split
-// to the eligible task with the shortest queue.
+// to the eligible task the stage's ledger says is lightest.
 func (c *Coordinator) schedule(workers []workerClient, q *Query, dp *plan.DistributedPlan) (*Result, error) {
 	nWorkers := len(workers)
 
@@ -134,13 +131,13 @@ func (c *Coordinator) schedule(workers []workerClient, q *Query, dp *plan.Distri
 	// reservations — so every created task is tracked and aborted (and
 	// drained) before the error propagates.
 	tasks := make([][]taskClient, len(dp.Fragments))
-	nodeTask := make([]map[int]taskClient, len(dp.Fragments)) // by worker node id, for split locality
+	ledgers := make([]*stageLedger, len(dp.Fragments))
 	var created []taskClient
 	singleRR := 0
 	for _, f := range dp.Fragments {
 		kind := partitioningOf(f, dp)
 		tasks[f.ID] = make([]taskClient, counts[f.ID])
-		nodeTask[f.ID] = make(map[int]taskClient, nWorkers)
+		ledgers[f.ID] = newStageLedger(tasks[f.ID], c.cfg.Topology)
 		spec := taskSpec{
 			Fragment:      f,
 			OutPartitions: outParts[f.ID],
@@ -177,7 +174,8 @@ func (c *Coordinator) schedule(workers []workerClient, q *Query, dp *plan.Distri
 				abortAndDrain(created)
 				return nil, fmt.Errorf("creating task %s: %w", spec.ID, err)
 			}
-			tasks[f.ID][i], nodeTask[f.ID][w.NodeID()] = t, t
+			tasks[f.ID][i] = t
+			ledgers[f.ID].placed(i, w)
 			created = append(created, t)
 			q.mu.Lock()
 			q.tasks = append(q.tasks, t)
@@ -224,7 +222,7 @@ func (c *Coordinator) schedule(workers []workerClient, q *Query, dp *plan.Distri
 	for _, f := range dp.Fragments {
 		for scanID, scan := range exec.ScanOrder(f.Root) {
 			go func() {
-				if err := c.enumerateSplits(q, tasks[f.ID], nodeTask[f.ID], scanID, scan); err != nil {
+				if err := c.enumerateSplits(q, ledgers[f.ID], scanID, scan); err != nil {
 					fail(err)
 				}
 			}()
@@ -370,18 +368,15 @@ func outputNames(f *plan.Fragment) []string {
 }
 
 // enumerateSplits lazily pulls split batches from the connector and assigns
-// them (see pickTask). nodeTask maps a worker's node id to its task of stage.
-// Complete enumerations are memoized in the coordinator metadata cache keyed
-// by the table handle (layout and pushed-down constraint included), so
-// repeated scans of an unchanged table skip the connector round-trips
-// entirely.
-func (c *Coordinator) enumerateSplits(q *Query, stage []taskClient, nodeTask map[int]taskClient,
-	scanID int, scan *plan.Scan) error {
-
-	affinity := c.affinityFn(q, scan)
+// them from the stage's ledger (see stageLedger.pick). Complete enumerations
+// are memoized in the coordinator metadata cache keyed by the table handle
+// (layout and pushed-down constraint included), so repeated scans of an
+// unchanged table skip the connector round-trips entirely.
+func (c *Coordinator) enumerateSplits(q *Query, stage *stageLedger, scanID int, scan *plan.Scan) error {
+	affinity := c.affinityFn(q, stage, scan)
 	assign := func(splits []connector.Split) error {
 		for _, s := range splits {
-			t := c.pickTask(stage, nodeTask, scanID, s, affinity(s))
+			t := stage.tasks[stage.pick(s, affinity(s))]
 			q.splitsTotal.Add(1)
 			if err := t.AddSplit(scanID, s); err != nil {
 				return err
@@ -390,7 +385,7 @@ func (c *Coordinator) enumerateSplits(q *Query, stage []taskClient, nodeTask map
 		return nil
 	}
 	noMore := func() error {
-		for _, t := range stage {
+		for _, t := range stage.tasks {
 			if err := t.NoMoreSplits(scanID); err != nil {
 				return err
 			}
@@ -456,69 +451,97 @@ func (c *Coordinator) enumerateSplits(q *Query, stage []taskClient, nodeTask map
 	return noMore()
 }
 
-// pickTask places one split: bucketed splits go to task (bucket mod tasks)
-// so co-located tables align; node-local splits go to their owning worker;
-// rack-located ones to the shortest queue in a preferred rack; everything
-// else to the task with the shortest queue, unless cache affinity holds it.
-func (c *Coordinator) pickTask(stage []taskClient, nodeTask map[int]taskClient, scanID int, s connector.Split, affinity string) taskClient {
+// stageLedger is the coordinator's own account of one stage's split load
+// (§IV-D3): the weight — estimated rows, at least 1 — it has assigned to each
+// task, shared by every scan of the stage and their concurrent enumerators.
+// Nothing is read back from the workers: every split of a scan is assigned
+// before the first finishes, so what a task has outstanding is what it was
+// given, and placement is a pure function of the split lists — the same
+// statement lands the same way every time, which is what brings a repeated
+// scan back to the worker whose page cache holds it.
+type stageLedger struct {
+	tasks  []taskClient
+	nodes  []int          // worker node id by task index
+	racks  map[int]string // Config.Topology: node id → rack
+	cached bool           // some worker of the stage keeps a page cache
+
+	mu       sync.Mutex
+	assigned []int64 // weight by task index
+}
+
+func newStageLedger(tasks []taskClient, racks map[int]string) *stageLedger {
+	return &stageLedger{tasks: tasks, nodes: make([]int, len(tasks)), racks: racks,
+		assigned: make([]int64, len(tasks))}
+}
+
+// placed records the worker task i was created on.
+func (l *stageLedger) placed(i int, w workerClient) {
+	l.nodes[i] = w.NodeID()
+	l.cached = l.cached || w.CachesPages()
+}
+
+// pick places one split and charges its weight to the chosen task, returning
+// the task's index: bucketed splits go to task (bucket mod tasks) so
+// co-located tables align; node-local splits go to their owning worker;
+// rack-located ones to the lightest task in a preferred rack; a split with a
+// cache-affinity key to the task the key hashes to while that costs no more
+// than affinitySlack splits of its own weight in imbalance; everything else
+// to the lightest task, the lowest index on a tie.
+func (l *stageLedger) pick(s connector.Split, affinity string) int {
+	w := max(s.EstimatedRows(), 1)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	i := l.chooseLocked(s, affinity, w)
+	l.assigned[i] += w
+	return i
+}
+
+func (l *stageLedger) chooseLocked(s connector.Split, affinity string, w int64) int {
 	if b, ok := s.(connector.Bucketed); ok {
-		return stage[b.Bucket()%len(stage)]
+		return b.Bucket() % len(l.tasks)
 	}
 	for _, node := range s.PreferredNodes() {
-		if t, ok := nodeTask[node]; ok {
-			return t
+		if i := slices.Index(l.nodes, node); i >= 0 {
+			return i
 		}
 	}
-	// Rack-local placement (§IV-D2): among tasks whose worker sits in a
-	// preferred rack, pick the shortest queue; fall back to the whole stage.
-	if rl, ok := s.(connector.RackLocated); ok && len(c.cfg.Topology) > 0 {
-		var inRack []taskClient
-		for node, t := range nodeTask {
-			if slices.Contains(rl.PreferredRacks(), c.cfg.Topology[node]) {
-				inRack = append(inRack, t)
-			}
-		}
-		if best, _ := shortestQueue(inRack, scanID); best != nil {
-			return best
+	// Rack-local placement (§IV-D2): the lightest task whose worker sits in
+	// a preferred rack; the whole stage when there is none.
+	if rl, ok := s.(connector.RackLocated); ok {
+		inRack := l.lightestLocked(func(i int) bool {
+			return slices.Contains(rl.PreferredRacks(), l.racks[l.nodes[i]])
+		})
+		if inRack >= 0 {
+			return inRack
 		}
 	}
-	best, minSplits := shortestQueue(stage, scanID)
-	// Soft cache affinity (§IV-D3): cacheable splits hash to a stable
-	// preferred task so repeated scans land on the worker already holding
-	// their pages. The preference yields only when that worker's split
-	// backlog is meaningfully deeper than the stage minimum — cache hits are
-	// worth a short wait, not a hotspot. The comparison deliberately uses
-	// split-queue depth alone: executor runnable depth swings by whole
-	// driver fan-outs in morsel mode, which would make the yield decision a
-	// race against driver ramp-up instead of a measure of split backlog.
+	lightest := l.lightestLocked(nil)
+	// Soft cache affinity (§IV-D3): cache hits are worth a short wait, not
+	// a hotspot.
 	if affinity != "" {
-		pref := stage[affinityHash(affinity)%uint32(len(stage))]
-		if splits, _ := pref.QueueDepth(scanID); splits <= minSplits+affinitySlack {
+		pref := int(affinityHash(affinity) % uint32(len(l.tasks)))
+		if l.assigned[pref] <= l.assigned[lightest]+affinitySlack*w {
 			return pref
+		}
+	}
+	return lightest
+}
+
+// lightestLocked returns the least-charged task among those eligible admits
+// (nil admits all), the lowest index on a tie; -1 when it admits none.
+func (l *stageLedger) lightestLocked(eligible func(i int) bool) int {
+	best := -1
+	for i, a := range l.assigned {
+		if (eligible == nil || eligible(i)) && (best < 0 || a < l.assigned[best]) {
+			best = i
 		}
 	}
 	return best
 }
 
-// shortestQueue returns the task with the least load on scanID — outstanding
-// splits plus runnable drivers — and the smallest split backlog alone; nil
-// for no tasks.
-func shortestQueue(tasks []taskClient, scanID int) (best taskClient, minSplits int) {
-	bestLen := 0
-	for i, t := range tasks {
-		splits, runnable := t.QueueDepth(scanID)
-		if l := splits + runnable; i == 0 || l < bestLen {
-			best, bestLen = t, l
-		}
-		if i == 0 || splits < minSplits {
-			minSplits = splits
-		}
-	}
-	return best, minSplits
-}
-
-// affinitySlack is how much deeper a split's affinity-preferred worker queue
-// may be (vs the stage minimum) before placement falls back to shortest-queue.
+// affinitySlack is how many splits of its own weight a split's
+// affinity-preferred task may be ahead of the lightest before placement
+// yields to balance.
 const affinitySlack = 8
 
 func affinityHash(s string) uint32 {
@@ -528,16 +551,20 @@ func affinityHash(s string) uint32 {
 }
 
 // affinityFn returns a per-split affinity key function for a scan: the page
-// cache key when the connector caches this read (so placement follows cache
-// residency), "" otherwise. Sessions that disable caching get no affinity —
-// there is nothing resident to return to.
-func (c *Coordinator) affinityFn(q *Query, scan *plan.Scan) func(connector.Split) string {
+// cache key when the read costs something to repeat and a cache of the stage
+// could hold it, "" otherwise — a session that disables caching, workers
+// without a page cache, and zero-copy connectors (every worker already holds
+// their pages; the stable placement finds their cache entries again).
+func (c *Coordinator) affinityFn(q *Query, stage *stageLedger, scan *plan.Scan) func(connector.Split) string {
 	none := func(connector.Split) string { return "" }
-	if q.session.DisableCache {
+	if q.session.DisableCache || !stage.cached {
 		return none
 	}
 	conn, err := c.Catalog.Connector(scan.Handle.Catalog)
 	if err != nil {
+		return none
+	}
+	if zc, ok := conn.(connector.ZeroCopyScans); ok && zc.ZeroCopy() {
 		return none
 	}
 	pc, ok := conn.(connector.PageCacheable)

@@ -3,6 +3,7 @@ package coordinator
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -29,9 +30,10 @@ import (
 
 // fakeCluster records every task the scheduler creates.
 type fakeCluster struct {
-	mu         sync.Mutex
-	tasks      []*fakeTask // creation order
-	failCreate int         // fail the k-th CreateTask (1-based; 0 = never)
+	mu          sync.Mutex
+	tasks       []*fakeTask // creation order
+	failCreate  int         // fail the k-th CreateTask (1-based; 0 = never)
+	noPageCache bool        // the workers report no page cache
 }
 
 type fakeWorker struct {
@@ -39,7 +41,8 @@ type fakeWorker struct {
 	node int
 }
 
-func (w *fakeWorker) NodeID() int { return w.node }
+func (w *fakeWorker) NodeID() int       { return w.node }
+func (w *fakeWorker) CachesPages() bool { return !w.cl.noPageCache }
 
 func (w *fakeWorker) CreateTask(spec taskSpec) (taskClient, error) {
 	w.cl.mu.Lock()
@@ -81,9 +84,6 @@ type fakeTask struct {
 	mu       sync.Mutex
 	splits   map[int][]connector.Split
 	noMore   map[int]int
-	depth    int         // reported split-queue depth of every scan...
-	depthOf  map[int]int // ...but the scans listed here
-	runnable int
 	filters  map[int]*dynfilter.Summary
 	aborted  bool
 	closed   bool
@@ -104,15 +104,6 @@ func (t *fakeTask) NoMoreSplits(scanID int) error {
 	defer t.mu.Unlock()
 	t.noMore[scanID]++
 	return nil
-}
-
-func (t *fakeTask) QueueDepth(scanID int) (int, int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if d, ok := t.depthOf[scanID]; ok {
-		return d, t.runnable
-	}
-	return t.depth, t.runnable
 }
 
 // Output is an already-complete empty stream: the fake produces no pages.
@@ -164,11 +155,16 @@ func (t *fakeTask) Close() {
 }
 
 // fakeConn plans like a memory catalog but enumerates scripted splits, and
-// gives keyed splits a page-cache key (the affinity signal).
+// gives keyed splits a page-cache key (the affinity signal). Unlike the
+// memory catalog it embeds, its reads cost something to repeat unless
+// zeroCopy says otherwise.
 type fakeConn struct {
 	*memconn.Connector
-	splits map[string][]connector.Split // by table
+	splits   map[string][]connector.Split // by table
+	zeroCopy bool
 }
+
+func (f *fakeConn) ZeroCopy() bool { return f.zeroCopy }
 
 func (f *fakeConn) Splits(h plan.TableHandle) (connector.SplitSource, error) {
 	return &fakeSplitSource{splits: f.splits[h.Table]}, nil
@@ -196,11 +192,12 @@ type fakeSplit struct {
 	name     string
 	nodes    []int
 	cacheKey string
+	rows     int64 // 0: the connector has no estimate
 }
 
 func (s *fakeSplit) Connector() string     { return "memory" }
 func (s *fakeSplit) PreferredNodes() []int { return s.nodes }
-func (s *fakeSplit) EstimatedRows() int64  { return 1 }
+func (s *fakeSplit) EstimatedRows() int64  { return s.rows }
 
 type bucketSplit struct {
 	fakeSplit
@@ -263,6 +260,51 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// scheduleScan schedules a scan of "big" over n fresh fake workers and waits
+// for its enumeration to end; it returns the leaf stage's tasks.
+func (f *schedFixture) scheduleScan(t *testing.T, n int) ([]*fakeTask, *Query) {
+	t.Helper()
+	f.cl = &fakeCluster{noPageCache: f.cl.noPageCache}
+	dp, q, _, err := f.schedule(t, conformanceQueries[0], n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaf []*fakeTask
+	for _, fr := range dp.Fragments {
+		if partitioningOf(fr, dp) == plan.PartitionSource {
+			leaf = f.cl.stage(fr.ID)
+		}
+	}
+	waitFor(t, "split enumeration", func() bool {
+		for _, task := range leaf {
+			task.mu.Lock()
+			n := task.noMore[0]
+			task.mu.Unlock()
+			if n == 0 {
+				return false
+			}
+		}
+		return true
+	})
+	return leaf, q
+}
+
+// placeScan is scheduleScan reduced to the task index each split landed on.
+func (f *schedFixture) placeScan(t *testing.T, n int) map[string]int {
+	t.Helper()
+	leaf, q := f.scheduleScan(t, n)
+	defer q.abort()
+	placed := map[string]int{}
+	for i, task := range leaf {
+		task.mu.Lock()
+		for _, s := range task.splits[0] {
+			placed[s.(*fakeSplit).name] = i
+		}
+		task.mu.Unlock()
+	}
+	return placed
 }
 
 var conformanceQueries = []string{
@@ -370,9 +412,9 @@ func TestSchedulerHashTaskCount(t *testing.T) {
 }
 
 // TestSchedulerSplitDelivery: every split reaches exactly one task exactly
-// once, NoMoreSplits arrives once per (task, scan), and bucketed, node-local
-// and cache-affine splits land where the placement rules say — also on the
-// memoized second enumeration.
+// once, NoMoreSplits arrives once per (task, scan), and bucketed, node-local,
+// cache-affine and unconstrained splits land where the placement rules say —
+// also on the memoized second enumeration.
 func TestSchedulerSplitDelivery(t *testing.T) {
 	const nWorkers = 3
 	f := newSchedFixture(t, Config{SplitBatchSize: 4})
@@ -392,31 +434,14 @@ func TestSchedulerSplitDelivery(t *testing.T) {
 	f.conn.splits["big"] = all
 
 	for round := 0; round < 2; round++ { // round 1 is served from the split cache
-		f.cl = &fakeCluster{}
-		dp, q, _, err := f.schedule(t, conformanceQueries[0], nWorkers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var leaf []*fakeTask
-		for _, fr := range dp.Fragments {
-			if partitioningOf(fr, dp) == plan.PartitionSource {
-				leaf = f.cl.stage(fr.ID)
-			}
-		}
-		waitFor(t, "split enumeration", func() bool {
-			for _, task := range leaf {
-				task.mu.Lock()
-				n := task.noMore[0]
-				task.mu.Unlock()
-				if n == 0 {
-					return false
-				}
-			}
-			return true
-		})
+		leaf, q := f.scheduleScan(t, nWorkers)
 		delivered := map[string]int{}
+		placed := map[connector.Split]int{}
 		for i, task := range leaf {
 			task.mu.Lock()
+			for _, s := range task.splits[0] {
+				placed[s] = i
+			}
 			if task.noMore[0] != 1 || len(task.noMore) != 1 {
 				t.Errorf("round %d: task %d got NoMoreSplits %v, want once for scan 0", round, i, task.noMore)
 			}
@@ -441,6 +466,9 @@ func TestSchedulerSplitDelivery(t *testing.T) {
 			}
 			task.mu.Unlock()
 		}
+		// Replayed in enumeration order, every split counts toward its task
+		// and an unconstrained one goes to the lightest so far.
+		ledger := make([]int, nWorkers)
 		for _, s := range all {
 			name := ""
 			switch s := s.(type) {
@@ -448,10 +476,14 @@ func TestSchedulerSplitDelivery(t *testing.T) {
 				name = s.name
 			case *fakeSplit:
 				name = s.name
+				if lightest := slices.Index(ledger, slices.Min(ledger)); strings.HasPrefix(name, "plain") && placed[s] != lightest {
+					t.Errorf("round %d: %s on task %d with the ledger at %v, want the lightest (%d)", round, name, placed[s], ledger, lightest)
+				}
 			}
 			if delivered[name] != 1 {
 				t.Errorf("round %d: split %s delivered %d times", round, name, delivered[name])
 			}
+			ledger[placed[s]]++
 		}
 		if got := q.splitsTotal.Load(); got != int64(len(all)) {
 			t.Errorf("round %d: splitsTotal = %d, want %d", round, got, len(all))
@@ -463,71 +495,166 @@ func TestSchedulerSplitDelivery(t *testing.T) {
 	}
 }
 
+// newTestLedger is a stage of n tasks on nodes 10, 11, ... with pages cached.
+func newTestLedger(n int, racks map[int]string) *stageLedger {
+	l := newStageLedger(make([]taskClient, n), racks)
+	cl := &fakeCluster{}
+	for i := range l.tasks {
+		l.placed(i, &fakeWorker{cl: cl, node: 10 + i})
+	}
+	return l
+}
+
 // TestPickTask pins the placement order — bucketed → node-local → rack →
-// shortest queue → cache affinity — on queue depths the fakes report.
+// cache affinity within the slack → lightest task — on the ledger of what
+// the scheduler itself has assigned.
 func TestPickTask(t *testing.T) {
-	f := newSchedFixture(t, Config{Topology: map[int]string{10: "r0", 11: "r1", 12: "r1"}})
-	mk := func(depths ...int) ([]taskClient, map[int]taskClient) {
-		stage := make([]taskClient, len(depths))
-		nodeTask := map[int]taskClient{}
-		for i, d := range depths {
-			stage[i] = &fakeTask{node: 10 + i, depth: d}
-			nodeTask[10+i] = stage[i]
+	plain := func(rows int64) *fakeSplit { return &fakeSplit{rows: rows} }
+	place := func(l *stageLedger, weights ...int64) []int64 {
+		for _, w := range weights {
+			l.pick(plain(w), "")
 		}
-		return stage, nodeTask
+		return l.assigned
 	}
-	stage, nodeTask := mk(5, 9, 2)
-	idx := func(got taskClient) int {
-		for i, task := range stage {
-			if task == got {
-				return i
-			}
-		}
-		return -1
+	if got := place(newTestLedger(2, nil), 5, 5, 5, 5); got[0] != 10 || got[1] != 10 {
+		t.Errorf("4 equal splits over 2 tasks weigh %v, want 10 : 10", got)
 	}
-	if got := idx(f.c.pickTask(stage, nodeTask, 0, &bucketSplit{fakeSplit{nodes: []int{11}}, 4}, "")); got != 1 {
+	if got := place(newTestLedger(2, nil), 8, 1, 1, 1, 1, 1, 1, 1, 1); got[0] != 8 || got[1] != 8 {
+		t.Errorf("weights 8,1,1,1,1,1,1,1,1 over 2 tasks weigh %v, want 8 : 8", got)
+	}
+	// A connector with no estimate still counts one per split.
+	if got := place(newTestLedger(2, nil), 0, 0, 0); got[0] != 2 || got[1] != 1 {
+		t.Errorf("3 unsized splits over 2 tasks weigh %v, want 2 : 1 (lowest index on a tie)", got)
+	}
+
+	l := newTestLedger(3, map[int]string{10: "r0", 11: "r1", 12: "r1"})
+	l.assigned = []int64{5, 9, 2}
+	if got := l.pick(&bucketSplit{fakeSplit{nodes: []int{12}}, 4}, ""); got != 1 {
 		t.Errorf("bucket 4 of 3 tasks on task %d, want 1 (bucketing beats locality)", got)
 	}
-	if got := idx(f.c.pickTask(stage, nodeTask, 0, &fakeSplit{nodes: []int{11}}, "")); got != 1 {
+	if got := l.pick(&fakeSplit{nodes: []int{99, 11}}, ""); got != 1 {
 		t.Errorf("node-local split on task %d, want the node-11 task", got)
 	}
-	if got := idx(f.c.pickTask(stage, nodeTask, 0, &rackSplit{racks: []string{"r0"}}, "")); got != 0 {
+	if l.assigned[1] != 11 {
+		t.Errorf("constrained splits are not charged to the ledger: %v", l.assigned)
+	}
+	if got := l.pick(&rackSplit{racks: []string{"r0"}}, ""); got != 0 {
 		t.Errorf("rack r0 split on task %d, want 0", got)
 	}
-	if got := idx(f.c.pickTask(stage, nodeTask, 0, &rackSplit{racks: []string{"r1"}}, "")); got != 2 {
-		t.Errorf("rack r1 split on task %d, want the shorter r1 queue (2)", got)
+	if got := l.pick(&rackSplit{racks: []string{"r1"}}, ""); got != 2 {
+		t.Errorf("rack r1 split on task %d, want the lighter r1 task (2)", got)
 	}
-	if got := idx(f.c.pickTask(stage, nodeTask, 0, &rackSplit{racks: []string{"r9"}}, "")); got != 2 {
-		t.Errorf("unknown-rack split on task %d, want the shortest queue (2)", got)
+	if got := l.pick(&rackSplit{racks: []string{"r9"}}, ""); got != 2 {
+		t.Errorf("unknown-rack split on task %d, want the lightest (2)", got)
 	}
-	if got := idx(f.c.pickTask(stage, nodeTask, 0, &fakeSplit{}, "")); got != 2 {
-		t.Errorf("plain split on task %d, want the shortest queue (2)", got)
-	}
-	// Runnable drivers count toward load but not toward the affinity yield.
-	stage[2].(*fakeTask).runnable = 10
-	if got := idx(f.c.pickTask(stage, nodeTask, 0, &fakeSplit{}, "")); got != 0 {
-		t.Errorf("plain split on task %d, want 0 once task 2's executor is busy", got)
-	}
-	// A fragment with two scans: each scan's splits are placed on that
-	// scan's queues alone, whatever backlog the other scan has.
-	stage, nodeTask = mk(9, 0, 9)
-	stage[1].(*fakeTask).depthOf = map[int]int{1: 20}
-	if got := idx(f.c.pickTask(stage, nodeTask, 0, &fakeSplit{}, "")); got != 1 {
-		t.Errorf("scan 0 split on task %d, want 1 (scan 1's backlog there is not scan 0's)", got)
-	}
-	if got := idx(f.c.pickTask(stage, nodeTask, 1, &fakeSplit{}, "")); got == 1 {
-		t.Errorf("scan 1 split on task 1, where scan 1's queue is the deepest")
-	}
+	// A rack rule beats affinity; a rack nobody sits in does not.
 	key := "some-page"
 	pref := int(affinityHash(key) % 3)
-	stage, nodeTask = mk(0, 0, 0)
-	stage[pref].(*fakeTask).depth = affinitySlack
-	if got := idx(f.c.pickTask(stage, nodeTask, 0, &fakeSplit{}, key)); got != pref {
+	inRack := map[int]string{10: "r0", 11: "r0", 12: "r0"}
+	delete(inRack, 10+pref)
+	l = newTestLedger(3, inRack)
+	if got := l.pick(&rackSplit{racks: []string{"r0"}}, key); got == pref {
+		t.Errorf("rack-located split on its affinity task %d, which is outside the rack", pref)
+	}
+
+	// Affinity holds while the preferred task is at most affinitySlack splits
+	// of this split's weight ahead of the lightest, then yields to balance.
+	l = newTestLedger(3, nil)
+	l.assigned[pref] = affinitySlack * 100
+	if got := l.pick(plain(100), key); got != pref {
 		t.Errorf("affine split on task %d, want its preferred task %d within the slack", got, pref)
 	}
-	stage[pref].(*fakeTask).depth = affinitySlack + 1
-	if got := idx(f.c.pickTask(stage, nodeTask, 0, &fakeSplit{}, key)); got == pref {
+	if got := l.pick(plain(100), key); got == pref {
 		t.Errorf("affine split stayed on task %d beyond the slack", pref)
+	}
+	if got := l.pick(plain(1000), key); got != pref {
+		t.Errorf("a heavier split's slack is wider: on task %d, want %d", got, pref)
+	}
+}
+
+// TestLedgerSharedByConcurrentEnumerators: two scans of one stage, assigned
+// from two goroutines, draw on one ledger, so the stage ends balanced to
+// within one split's weight whatever the interleaving.
+func TestLedgerSharedByConcurrentEnumerators(t *testing.T) {
+	const maxRows = 50
+	for rep := 0; rep < 200; rep++ {
+		l := newTestLedger(3, nil)
+		var wg sync.WaitGroup
+		for scan := 0; scan < 2; scan++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 40; i++ {
+					l.pick(&fakeSplit{rows: int64(1 + (7*i+13*scan+rep)%maxRows)}, "")
+				}
+			}()
+		}
+		wg.Wait()
+		if d := slices.Max(l.assigned) - slices.Min(l.assigned); d > maxRows {
+			t.Fatalf("rep %d: ledger %v is %d apart, more than one split's weight (%d)", rep, l.assigned, d, maxRows)
+		}
+	}
+}
+
+// TestSchedulerPlacementIsDeterministic: a scan's split→task map is a
+// function of its split list alone — the same every time it is scheduled,
+// from the connector or from the memoized enumeration — and balanced.
+func TestSchedulerPlacementIsDeterministic(t *testing.T) {
+	f := newSchedFixture(t, Config{SplitBatchSize: 3})
+	total := int64(0)
+	for i := 0; i < 11; i++ {
+		rows := int64(100 + 37*i%90)
+		total += rows
+		f.conn.splits["big"] = append(f.conn.splits["big"], &fakeSplit{name: fmt.Sprintf("s%d", i), rows: rows})
+	}
+	var first map[string]int
+	for rep := 0; rep < 200; rep++ {
+		placed := f.placeScan(t, 2)
+		if rep == 0 {
+			first = placed
+			var weight [2]int64
+			for _, s := range f.conn.splits["big"] {
+				weight[placed[s.(*fakeSplit).name]] += s.EstimatedRows()
+			}
+			if d := weight[0] - weight[1]; d > 190 || d < -190 {
+				t.Errorf("tasks were assigned %v of %d rows, more than one split apart", weight, total)
+			}
+		} else if fmt.Sprint(placed) != fmt.Sprint(first) {
+			t.Fatalf("rep %d placed %v, rep 0 placed %v", rep, placed, first)
+		}
+	}
+}
+
+// TestNoAffinityWithoutPageCache: cache affinity needs a cache. Splits with a
+// page-cache key hash to a fixed task only when some worker of the stage
+// keeps pages and the connector's reads cost something to repeat; otherwise
+// they are dealt by weight like any other.
+func TestNoAffinityWithoutPageCache(t *testing.T) {
+	for _, tc := range []struct {
+		name                  string
+		noPageCache, zeroCopy bool
+		wantAffinity          bool
+	}{
+		{"cached workers, copying connector", false, false, true},
+		{"workers without a page cache", true, false, false},
+		{"zero-copy connector", false, true, false},
+	} {
+		f := newSchedFixture(t, Config{})
+		f.cl.noPageCache, f.conn.zeroCopy = tc.noPageCache, tc.zeroCopy
+		// One key for every split: affinity sends all four to one task.
+		for i := 0; i < 4; i++ {
+			f.conn.splits["big"] = append(f.conn.splits["big"],
+				&fakeSplit{name: fmt.Sprintf("s%d", i), cacheKey: "one-key", rows: 10})
+		}
+		perTask := [2]int{}
+		for _, i := range f.placeScan(t, 2) {
+			perTask[i]++
+		}
+		if affine := perTask[0] == 4 || perTask[1] == 4; affine != tc.wantAffinity {
+			t.Errorf("%s: splits landed %v, affinity = %v, want %v", tc.name, perTask, affine, tc.wantAffinity)
+		} else if !affine && perTask != [2]int{2, 2} {
+			t.Errorf("%s: splits landed %v, want 2 : 2", tc.name, perTask)
+		}
 	}
 }
 

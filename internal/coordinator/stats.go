@@ -2,11 +2,14 @@ package coordinator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/metrics"
 	"repro/internal/operators"
 )
 
@@ -21,10 +24,30 @@ type PipelineRollup struct {
 
 // StageStats aggregates the tasks of one fragment.
 type StageStats struct {
-	Fragment  int              `json:"fragment"`
-	Tasks     int              `json:"tasks"`
-	CPUNanos  int64            `json:"cpuNanos"`
-	Pipelines []PipelineRollup `json:"pipelines"`
+	Fragment int   `json:"fragment"`
+	Tasks    int   `json:"tasks"`
+	CPUNanos int64 `json:"cpuNanos"`
+	// Where the splits went, by task index: the rows each task's scans were
+	// handed by their connectors (exec.TaskStats.ScanRows) and the splits it
+	// has finished. Skew is the largest task's rows over the mean: 1 is an
+	// even stage, Tasks is one task doing all of it, 0 a stage that scanned
+	// nothing (or whose tasks are remote and report no rows).
+	TaskInputRows []int64          `json:"taskInputRows"`
+	TaskSplits    []int            `json:"taskSplits"`
+	Skew          float64          `json:"skew"`
+	Pipelines     []PipelineRollup `json:"pipelines"`
+}
+
+// inputSkew is max/mean of a stage's per-task input rows, 0 for no rows.
+func inputSkew(rows []int64) float64 {
+	var total int64
+	for _, r := range rows {
+		total += r
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(slices.Max(rows)) * float64(len(rows)) / float64(total)
 }
 
 // QueryStats is the live rollup served by /v1/query/{id}/stats: query-level
@@ -112,6 +135,8 @@ func (c *Coordinator) QueryStats(id string) (QueryStats, bool) {
 		}
 		sg.Tasks++
 		sg.CPUNanos += ts.CPUNanos
+		sg.TaskInputRows = append(sg.TaskInputRows, ts.ScanRows)
+		sg.TaskSplits = append(sg.TaskSplits, ts.SplitsDone)
 		mergePipelines(sg, ts.Pipelines)
 	}
 	frags := make([]int, 0, len(stages))
@@ -121,6 +146,7 @@ func (c *Coordinator) QueryStats(id string) (QueryStats, bool) {
 	sort.Ints(frags)
 	for _, f := range frags {
 		sg := stages[f]
+		sg.Skew = inputSkew(sg.TaskInputRows)
 		for _, pl := range sg.Pipelines {
 			for _, op := range pl.Operators {
 				st.BlockedNanos += op.BlockedNanos
@@ -150,9 +176,23 @@ func (c *Coordinator) VecProjTotals() (vecEvals, cseHits, dictEvictions int64) {
 	return c.vecProjEvals.Load(), c.cseHits.Load(), c.dictEvictions.Load()
 }
 
+// StageSkew is the coordinator-lifetime distribution of StageStats.Skew over
+// the scanning stages of finished queries (/v1/metrics exports it).
+func (c *Coordinator) StageSkew() *metrics.BucketHistogram { return c.stageSkew }
+
 // accumulateDynStats folds one finished query's dynamic-filter and
-// vectorized-projection counters into the coordinator-lifetime totals.
+// vectorized-projection counters, and its scanning stages' input skew, into
+// the coordinator-lifetime totals.
 func (c *Coordinator) accumulateDynStats(tasks []exec.TaskStats) {
+	stageRows := map[int][]int64{}
+	for _, ts := range tasks {
+		stageRows[ts.Fragment] = append(stageRows[ts.Fragment], ts.ScanRows)
+	}
+	for _, rows := range stageRows {
+		if skew := inputSkew(rows); skew > 0 {
+			c.stageSkew.Observe(skew)
+		}
+	}
 	for _, ts := range tasks {
 		for _, pl := range ts.Pipelines {
 			for _, op := range pl.Operators {
@@ -195,6 +235,15 @@ func mergePipelines(sg *StageStats, pls []exec.PipelineStats) {
 	}
 }
 
+// joinSlash renders per-task counts as "150012 / 149988".
+func joinSlash[T int | int64](vs []T) string {
+	parts := make([]string, len(vs))
+	for i, v := range vs {
+		parts[i] = strconv.FormatInt(int64(v), 10)
+	}
+	return strings.Join(parts, " / ")
+}
+
 // FormatOperatorTable renders the per-operator breakdown appended to
 // EXPLAIN ANALYZE output and printed by presto-cli --stats.
 func FormatOperatorTable(st QueryStats) string {
@@ -203,6 +252,10 @@ func FormatOperatorTable(st QueryStats) string {
 	for _, sg := range st.Stages {
 		fmt.Fprintf(&sb, "Fragment %d (%d tasks, cpu %s):\n",
 			sg.Fragment, sg.Tasks, time.Duration(sg.CPUNanos).Round(10*time.Microsecond))
+		if sg.Skew > 0 {
+			fmt.Fprintf(&sb, "  Tasks: %d (rows %s, splits %s, skew %.2f)\n", sg.Tasks,
+				joinSlash(sg.TaskInputRows), joinSlash(sg.TaskSplits), sg.Skew)
+		}
 		for _, pl := range sg.Pipelines {
 			fmt.Fprintf(&sb, "  pipeline %d (%d drivers):\n", pl.Pipeline, pl.Drivers)
 			for _, op := range pl.Operators {

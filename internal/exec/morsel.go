@@ -184,14 +184,6 @@ func (q *morselQueue) hasWork() bool {
 	return !q.stopped && (q.pending > 0 || q.opening > 0 || len(q.open) > 0)
 }
 
-// outstanding reports pending splits plus open sources, for the scheduler's
-// shortest-queue placement.
-func (q *morselQueue) outstanding() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.pending + len(q.open)
-}
-
 // drained reports that no morsel will ever be produced again.
 func (q *morselQueue) drained() bool {
 	q.mu.Lock()

@@ -16,14 +16,18 @@ type PipelineStats struct {
 // occupancy, and per-operator rollups. Safe to call while the task runs —
 // operator counters are atomics, the rest is read under the task lock.
 type TaskStats struct {
-	TaskID        string          `json:"taskId"`
-	Fragment      int             `json:"fragment"`
-	SplitsQueued  int             `json:"splitsQueued"`
-	SplitsRunning int             `json:"splitsRunning"`
-	SplitsDone    int             `json:"splitsDone"`
-	ActiveDrivers int             `json:"activeDrivers"`
-	CPUNanos      int64           `json:"cpuNanos"`
-	RowsRead      int64           `json:"rowsRead"`
+	TaskID        string `json:"taskId"`
+	Fragment      int    `json:"fragment"`
+	SplitsQueued  int    `json:"splitsQueued"`
+	SplitsRunning int    `json:"splitsRunning"`
+	SplitsDone    int    `json:"splitsDone"`
+	ActiveDrivers int    `json:"activeDrivers"`
+	CPUNanos      int64  `json:"cpuNanos"`
+	RowsRead      int64  `json:"rowsRead"`
+	// ScanRows is what the connectors produced for the task's scans, before
+	// a dynamic filter dropped any: the work its splits were, whatever the
+	// filters' timing made of it (StageStats.Skew is taken over it).
+	ScanRows      int64           `json:"scanRows"`
 	BytesRead     int64           `json:"bytesRead"`
 	OutputRows    int64           `json:"outputRows"`
 	OutputBytes   int64           `json:"outputBytes"`
@@ -74,6 +78,7 @@ func (t *Task) Stats() TaskStats {
 			// produced less what the scan's dynamic filters dropped (they run
 			// in the processor placed on it and are counted on its stats).
 			src := ps.Operators[0]
+			st.ScanRows += src.RowsOut
 			st.RowsRead += src.RowsOut - src.DynRowsFiltered
 			st.BytesRead += src.BytesOut
 		}

@@ -532,10 +532,15 @@ func (t *Task) maybeStartSplitsLocked(scanID int) error {
 	if q, ok := t.morsels[scanID]; ok {
 		// Morsel mode: drivers are not tied to splits — start pullers up to
 		// the adaptive target while the shared queue has any work at all, so
-		// even a single oversized split fans out across every driver.
+		// even a single oversized split fans out across every driver. A
+		// puller beyond the executor's threads would only compile an operator
+		// chain, find the queue drained and exit. (The static path below
+		// keeps its split-per-driver count: a probe of a spilled join waits
+		// for every driver of its pipeline to have been started.)
 		if p.noMoreDrivers {
 			return nil
 		}
+		target = min(target, t.executor.Threads())
 		for t.runningSplits[scanID] < target && q.hasWork() {
 			sctx := t.sourceCtx(p)
 			src := operators.NewMorselScan(sctx, &morselStripe{q: q, stripe: q.claimStripe()})
@@ -795,45 +800,6 @@ func (t *Task) ScaleWriters() {
 			}
 		}
 	}
-}
-
-// SplitQueueLength reports queued plus running splits for a scan, used for
-// the coordinator's shortest-queue split assignment (§IV-D3). In morsel mode
-// the queue's outstanding count already covers both pending and open splits;
-// runningSplits there counts the driver fan-out (many drivers share one
-// split), which would double-count a single split's work.
-func (t *Task) SplitQueueLength(scanID int) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if q, ok := t.morsels[scanID]; ok {
-		return q.outstanding()
-	}
-	return len(t.pendingSplits[scanID]) + t.runningSplits[scanID]
-}
-
-// SplitsDone reports completed splits by scan id (task status over the wire
-// carries it so a remote coordinator can count its queues locally).
-func (t *Task) SplitsDone() []int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	done := make([]int, len(t.scanPipes))
-	for id := range done {
-		if q, ok := t.morsels[id]; ok {
-			_, _, done[id] = q.splitStats()
-		} else {
-			done[id] = t.splitsDone[id]
-		}
-	}
-	return done
-}
-
-// ExecutorRunnable reports the runnable-driver depth of the executor hosting
-// this task. The coordinator's split placement adds it to the per-scan split
-// queue so load comparisons reflect drivers actually competing for threads,
-// not drivers parked on blocking conditions.
-func (t *Task) ExecutorRunnable() int {
-	runnable, _ := t.executor.QueueLengths()
-	return runnable
 }
 
 // CPUNanos reports task CPU time.

@@ -291,6 +291,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metrics.PromGauge(w, "presto_dynamic_filter_rows_skipped_total", nil, float64(dynRows))
 	metrics.PromGauge(w, "presto_dynamic_filter_splits_skipped_total", nil, float64(dynSplits))
 	metrics.PromGauge(w, "presto_dynamic_filter_wait_nanos_total", nil, float64(dynWait))
+	// Where the splits went: max/mean of per-task input rows, one
+	// observation per scanning stage of every finished query.
+	s.Coord.StageSkew().WriteProm(w, "presto_stage_input_skew")
 	vecEvals, cseHits, dictEvict := s.Coord.VecProjTotals()
 	metrics.PromGauge(w, "presto_vecproj_evals_total", nil, float64(vecEvals))
 	metrics.PromGauge(w, "presto_vecproj_cse_hits_total", nil, float64(cseHits))

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -187,12 +188,25 @@ func TestQueryStatsEndpoint(t *testing.T) {
 		t.Fatal("no stages in rollup")
 	}
 	names := map[string]bool{}
+	var scanned int64
 	for _, sg := range st.Stages {
+		if len(sg.TaskInputRows) != sg.Tasks || len(sg.TaskSplits) != sg.Tasks {
+			t.Errorf("fragment %d: %d tasks but per-task rows %v, splits %v", sg.Fragment, sg.Tasks, sg.TaskInputRows, sg.TaskSplits)
+		}
+		for _, rows := range sg.TaskInputRows {
+			scanned += rows
+		}
+		if (sg.Skew >= 1) != (slices.Max(sg.TaskInputRows) > 0) {
+			t.Errorf("fragment %d: skew %.2f over per-task rows %v", sg.Fragment, sg.Skew, sg.TaskInputRows)
+		}
 		for _, pl := range sg.Pipelines {
 			for _, op := range pl.Operators {
 				names[op.Name] = true
 			}
 		}
+	}
+	if scanned != 3 {
+		t.Errorf("per-task input rows sum to %d, want the 3 rows scanned", scanned)
 	}
 	if !names["TableScan"] || !names["HashAggregation"] {
 		t.Errorf("operator names = %v, want TableScan and HashAggregation", names)
@@ -240,6 +254,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"presto_metadata_cache_hits_total ",
 		"presto_metadata_cache_entries ",
 		"presto_queries_running ",
+		`presto_stage_input_skew_bucket{le="1.15"} `,
+		`presto_stage_input_skew_bucket{le="+Inf"} `,
+		"presto_stage_input_skew_sum ",
+		"presto_stage_input_skew_count ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q\n%s", want, text)

@@ -272,8 +272,7 @@ func (s *WorkerServer) handleSplits(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *WorkerServer) statusOf(rt *remoteTask) wire.TaskStatus {
-	st := wire.TaskStatus{ID: rt.id.String(), State: "running",
-		CPUNanos: rt.task.CPUNanos(), SplitsDone: rt.task.SplitsDone()}
+	st := wire.TaskStatus{ID: rt.id.String(), State: "running", CPUNanos: rt.task.CPUNanos()}
 	if pub := rt.task.PublishedFilters(); len(pub) > 0 {
 		st.FiltersReady = make([]int, 0, len(pub))
 		for id := range pub {

@@ -179,6 +179,49 @@ func PromGauge(w io.Writer, name string, labels map[string]string, value float64
 	fmt.Fprintf(w, " %g\n", value)
 }
 
+// BucketHistogram counts observations into fixed cumulative buckets: the
+// constant-memory shape of a Prometheus histogram, for a ratio or a size
+// where RingHistogram's durations do not fit.
+type BucketHistogram struct {
+	bounds []float64 // ascending upper bounds; +Inf is implied
+	mu     sync.Mutex
+	counts []int64 // observations ≤ bounds[i]; the last entry is +Inf
+	sum    float64
+}
+
+// NewBucketHistogram creates a histogram over the given ascending upper
+// bounds.
+func NewBucketHistogram(bounds ...float64) *BucketHistogram {
+	return &BucketHistogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
+}
+
+// Observe records one value.
+func (h *BucketHistogram) Observe(v float64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.sum += v
+	for i, b := range h.bounds {
+		if v <= b {
+			h.counts[i]++
+		}
+	}
+	h.counts[len(h.bounds)]++
+}
+
+// WriteProm writes the histogram in the Prometheus text exposition format:
+// name_bucket{le="..."} per bound and +Inf, then name_sum and name_count.
+func (h *BucketHistogram) WriteProm(w io.Writer, name string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i, b := range h.bounds {
+		PromGauge(w, name+"_bucket", map[string]string{"le": fmt.Sprintf("%g", b)}, float64(h.counts[i]))
+	}
+	n := h.counts[len(h.bounds)]
+	PromGauge(w, name+"_bucket", map[string]string{"le": "+Inf"}, float64(n))
+	PromGauge(w, name+"_sum", nil, h.sum)
+	PromGauge(w, name+"_count", nil, float64(n))
+}
+
 // RingHistogram is a bounded latency histogram for production metrics: it
 // keeps the most recent n samples (overwriting the oldest) plus a lifetime
 // count, so a long-lived serving endpoint reports current tail latency in

@@ -126,3 +126,21 @@ func TestLogScaleBuckets(t *testing.T) {
 		}
 	}
 }
+
+func TestBucketHistogram(t *testing.T) {
+	h := NewBucketHistogram(1.15, 2)
+	for _, v := range []float64{1, 1.15, 1.5, 3} {
+		h.Observe(v)
+	}
+	var sb strings.Builder
+	h.WriteProm(&sb, "skew")
+	want := `skew_bucket{le="1.15"} 2
+skew_bucket{le="2"} 3
+skew_bucket{le="+Inf"} 4
+skew_sum 6.65
+skew_count 4
+`
+	if sb.String() != want {
+		t.Errorf("exposition:\n%swant:\n%s", sb.String(), want)
+	}
+}

@@ -160,9 +160,6 @@ type TaskStatus struct {
 	// Transient marks a failed task's error as retryable.
 	Transient bool  `json:"transient,omitempty"`
 	CPUNanos  int64 `json:"cpuNanos,omitempty"`
-	// SplitsDone counts completed splits by scan id, so the coordinator's
-	// shortest-queue placement can subtract them from the splits it assigned.
-	SplitsDone []int `json:"splitsDone,omitempty"`
 	// FiltersReady lists dynamic-filter ids whose build-side summaries this
 	// task has published; the coordinator fetches each once via
 	// GET /v1/task/{id}/filter/{fid}.

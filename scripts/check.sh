@@ -5,7 +5,8 @@
 # Run from the repository root before sending changes.
 #
 #   scripts/check.sh          # build + vet + race tests + chaos smoke +
-#                             # borrowed-page poison run + non-race
+#                             # split placement / driver cap ("no idle
+#                             # core") + borrowed-page poison run + non-race
 #                             # allocation ceilings (page codec, group
 #                             # table, join build and probe, dynamically
 #                             # filtered scan, spill) and bench smokes
@@ -41,6 +42,14 @@ echo "==> nested benchmark module (bench/ against the working tree)"
 
 echo "==> chaos smoke (seed 7)"
 CHAOS_SEED=7 go test -race -count=1 -run 'TestChaos' .
+
+echo "==> no idle core: splits are dealt evenly and the same way every run, a scan starts no more drivers than threads"
+# The report lines are one warm pass of the scan_agg and join_local statement
+# shapes on a 2-worker x 1-thread cluster: each statement's scanning-stage
+# skew (max/mean of per-task input rows; what TestScanSplitsBalanced bounds)
+# and each worker's executor busy share of the pass.
+go test -count=1 -run 'TestScanDriversCappedAtThreads' ./internal/exec/
+go test -count=1 -v -run 'TestScanSplitsBalanced|TestPlacementStableAcrossRuns|TestNoIdleCoreReport' . | grep -E '^(---|ok|FAIL|panic)|skew|busy'
 
 echo "==> borrowed pages are never read late (poison linked on under the differential walls)"
 # expr.poisonBorrowed makes an operator that lends its output — a page

@@ -518,7 +518,9 @@ func TestSQLExplainAnalyze(t *testing.T) {
 	for _, want := range []string{"Fragment", "wall:", "task CPU:", "output rows: 3",
 		// Per-operator breakdown appended from the stats rollup.
 		"Operator stats:", "TableScan", "HashAggregation", "pipeline", "drivers",
-		"cpu ", "blocked ", "peak mem"} {
+		"cpu ", "blocked ", "peak mem",
+		// Where the scanning stage's splits went.
+		"Tasks: ", "(rows ", ", skew "} {
 		if !strings.Contains(text, want) {
 			t.Errorf("explain analyze missing %q:\n%s", want, text)
 		}
