@@ -321,6 +321,7 @@ func TestChaosCacheFaultsAgree(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			inj := faultinject.New(chaosSeed(t), sc.rule)
 			c := chaosCluster(t, inj)
+			coldCatalog(t, c.catalog, "tpch")
 			// Pass 0 fills the cache; later passes read through it under faults.
 			for pass := 0; pass < 3; pass++ {
 				for _, q := range chaosQueries {

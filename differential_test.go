@@ -94,6 +94,7 @@ func buildDifferentialCluster(t *testing.T, rows []refRow) *Cluster {
 	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2,
 		DisablePlanCache: true, DisableResultCache: true})
 	t.Cleanup(c.Close)
+	coldCatalog(t, c.catalog, "memory")
 	mustExec(t, c, "CREATE TABLE d (k BIGINT, v BIGINT, s VARCHAR)")
 	sql := "INSERT INTO d SELECT * FROM (VALUES "
 	for i, r := range rows {

@@ -256,6 +256,7 @@ func TestDistributedDifferential(t *testing.T) {
 	// distributed mode (see TestDistributedRejectsLocalWrites).
 	d.loadRefTable(t, "d", left)
 	d.loadRefTable(t, "e", right)
+	coldCatalog(t, d.catalog, "memory")
 
 	for _, q := range distDiffQueries {
 		want := stringifyRows(mustExec(t, ref, q.sql))
@@ -326,6 +327,7 @@ func TestDistributedTPCHSmoke(t *testing.T) {
 func TestDistributedDisableSharedScans(t *testing.T) {
 	d := newDistCluster(t, 2, nil)
 	d.catalog.Register(workload.LoadTPCHMemory("tpch", chaosScale))
+	coldCatalog(t, d.catalog, "tpch")
 	hubScans := func() int64 {
 		var n int64
 		for _, w := range d.workers {

@@ -411,13 +411,13 @@ func Decode(b Block) Block {
 		return Decode(src.Load())
 	case *RLEBlock:
 		rows := make([]int, src.Count)
-		return CopyPositions(src.Val, rows) // all zeros: repeat row 0
+		return Decode(CopyPositions(src.Val, rows)) // all zeros: repeat row 0
 	case *DictionaryBlock:
 		rows := make([]int, len(src.Indices))
 		for i, id := range src.Indices {
 			rows[i] = int(id)
 		}
-		return CopyPositions(src.Dict, rows)
+		return Decode(CopyPositions(src.Dict, rows))
 	default:
 		return b
 	}

@@ -1,6 +1,7 @@
 package block
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -211,6 +212,67 @@ func TestConcatPages(t *testing.T) {
 	out := ConcatPages([]*Page{p1, p2})
 	if out.RowCount() != 3 || out.Col(0).Long(2) != 3 {
 		t.Error("concat")
+	}
+}
+
+// TestConcatPagesBitExact: concatenation is typed, so over the codec's edge
+// corpus every cell of the result is the cell it was — NULL masks, -0.0, NaN
+// payloads, empty strings next to NULL strings, arrays, decoded encodings.
+func TestConcatPagesBitExact(t *testing.T) {
+	payloadNaN := math.Float64frombits(0x7ff8000000000123)
+	corpus := append(codecEdgePages(), namedPage{"nan_payload", NewPage(
+		&DoubleBlock{Vals: []float64{payloadNaN, math.Copysign(0, -1), 0}, Nulls: []bool{false, false, true}})})
+	for _, np := range corpus {
+		t.Run(np.name, func(t *testing.T) {
+			n, want := np.page.RowCount(), np.page.DecodeAll()
+			// Three parts, so a null mask can start at any of them.
+			got := ConcatPages([]*Page{np.page, np.page.SlicePage(0, n/2), np.page})
+			if got.RowCount() != 2*n+n/2 {
+				t.Fatalf("%d rows, want %d", got.RowCount(), 2*n+n/2)
+			}
+			for _, part := range []struct {
+				from, to int
+				want     *Page
+			}{{0, n, want}, {n, n + n/2, want.SlicePage(0, n/2)}, {n + n/2, 2*n + n/2, want}} {
+				if err := pagesEqual(part.want, got.SlicePage(part.from, part.to)); err != nil {
+					t.Errorf("rows [%d,%d): %v", part.from, part.to, err)
+				}
+			}
+		})
+	}
+}
+
+// TestConcatPagesUntypedNulls: the all-NULL column a NULL literal builds has
+// no type of its own and adopts the column's, whichever side it is on.
+func TestConcatPagesUntypedNulls(t *testing.T) {
+	untyped := BuildBlock(types.Unknown, []types.Value{types.NullValue(types.Unknown), types.NullValue(types.Unknown)})
+	for name, typed := range map[string]Block{
+		"bigint":  NewLongBlock([]int64{7, 8, 9}, nil),
+		"date":    NewDateBlock([]int64{7, 8, 9}, []bool{false, true, false}),
+		"double":  NewDoubleBlock([]float64{7, 8, 9}, nil),
+		"varchar": NewVarcharBlock([]string{"", "b", "c"}, nil),
+	} {
+		for _, order := range [][]Block{{typed, untyped}, {untyped, typed}, {untyped, untyped, typed}} {
+			var pages []*Page
+			for _, b := range order {
+				pages = append(pages, NewPage(b))
+			}
+			col := ConcatPages(pages).Col(0)
+			if col.Type() != typed.Type() {
+				t.Fatalf("%s: column type %v, want %v", name, col.Type(), typed.Type())
+			}
+			at := 0
+			for _, b := range order {
+				for r := 0; r < b.Len(); r, at = r+1, at+1 {
+					if col.IsNull(at) != b.IsNull(r) || (!b.IsNull(r) && col.Value(at).String() != b.Value(r).String()) {
+						t.Errorf("%s: row %d is %v, want %v", name, at, col.Value(at), b.Value(r))
+					}
+				}
+			}
+		}
+	}
+	if col := ConcatPages([]*Page{NewPage(untyped), NewPage(untyped)}).Col(0); col.Len() != 4 || !allNull(col) {
+		t.Errorf("two untyped columns: %v", col)
 	}
 }
 

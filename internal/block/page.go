@@ -226,7 +226,12 @@ func (b *PageBuilder) Build() *Page {
 	return &Page{Cols: cols, rows: rows}
 }
 
-// ConcatPages concatenates pages with identical schemas into one page.
+// ConcatPages concatenates pages with identical schemas into one page of flat
+// columns. Each column is appended slice to slice in its own type, so what a
+// cell held it still holds: a double keeps its bits (-0.0, NaN payloads), an
+// empty string stays empty and not NULL, a NULL keeps the raw value under its
+// mask. An all-NULL column that does not share the others' type (the untyped
+// column a NULL literal builds) adopts it.
 func ConcatPages(pages []*Page) *Page {
 	if len(pages) == 1 {
 		return pages[0]
@@ -234,25 +239,90 @@ func ConcatPages(pages []*Page) *Page {
 	if len(pages) == 0 {
 		return NewEmptyPage(0)
 	}
-	ncols := pages[0].ColCount()
 	totalRows := 0
 	for _, p := range pages {
 		totalRows += p.RowCount()
 	}
-	cols := make([]Block, ncols)
-	for c := 0; c < ncols; c++ {
-		vals := make([]types.Value, 0, totalRows)
-		t := pages[0].Col(c).Type()
-		for _, p := range pages {
-			col := p.Col(c)
-			if col.Type() != types.Unknown {
-				t = col.Type()
-			}
-			for r := 0; r < p.RowCount(); r++ {
-				vals = append(vals, col.Value(r))
-			}
+	cols := make([]Block, pages[0].ColCount())
+	parts := make([]Block, len(pages))
+	for c := range cols {
+		for i, p := range pages {
+			parts[i] = Decode(p.Col(c))
 		}
-		cols[c] = BuildBlock(t, vals)
+		cols[c] = concatColumn(parts, totalRows)
 	}
 	return &Page{Cols: cols, rows: totalRows}
+}
+
+// concatColumn appends flat blocks end to end. The first block that holds a
+// value decides the column's type.
+func concatColumn(parts []Block, total int) Block {
+	proto := parts[0]
+	for _, b := range parts {
+		if !allNull(b) {
+			proto = b
+			break
+		}
+	}
+	switch p := proto.(type) {
+	case *LongBlock:
+		vals, nulls := concatVals(parts, total, func(b *LongBlock) ([]int64, []bool) { return b.Vals, b.Nulls })
+		return &LongBlock{T: p.T, Vals: vals, Nulls: nulls}
+	case *DoubleBlock:
+		vals, nulls := concatVals(parts, total, func(b *DoubleBlock) ([]float64, []bool) { return b.Vals, b.Nulls })
+		return &DoubleBlock{Vals: vals, Nulls: nulls}
+	case *VarcharBlock:
+		vals, nulls := concatVals(parts, total, func(b *VarcharBlock) ([]string, []bool) { return b.Vals, b.Nulls })
+		return &VarcharBlock{Vals: vals, Nulls: nulls}
+	case *BoolBlock:
+		vals, nulls := concatVals(parts, total, func(b *BoolBlock) ([]bool, []bool) { return b.Vals, b.Nulls })
+		return &BoolBlock{Vals: vals, Nulls: nulls}
+	case *ArrayBlock:
+		vals, nulls := concatVals(parts, total, func(b *ArrayBlock) ([][]types.Value, []bool) { return b.Vals, b.Nulls })
+		return &ArrayBlock{Vals: vals, Nulls: nulls}
+	}
+	panic("ConcatPages: " + typeName(proto) + " is not a flat block")
+}
+
+// concatVals appends the values and null masks (created at the first part that
+// has one) of the parts that are a B. A part of another type must be all NULL:
+// it contributes zero values, all masked.
+func concatVals[T any, B Block](parts []Block, total int, of func(B) ([]T, []bool)) ([]T, []bool) {
+	vals := make([]T, 0, total)
+	var nulls []bool
+	for _, b := range parts {
+		var v []T
+		var mask []bool
+		if tb, ok := b.(B); ok {
+			v, mask = of(tb)
+		} else if allNull(b) {
+			v, mask = make([]T, b.Len()), make([]bool, b.Len())
+			for i := range mask {
+				mask[i] = true
+			}
+		} else {
+			panic(fmt.Sprintf("ConcatPages: %s in a column of %T", typeName(b), vals))
+		}
+		if mask != nil && nulls == nil {
+			nulls = make([]bool, len(vals), total)
+		}
+		vals = append(vals, v...)
+		if mask != nil {
+			nulls = append(nulls, mask...)
+		} else if nulls != nil {
+			nulls = nulls[:len(vals)]
+		}
+	}
+	return vals, nulls
+}
+
+// allNull reports whether every row of b is NULL. An empty block is: it holds
+// no value that could decide a type.
+func allNull(b Block) bool {
+	for r, n := 0, b.Len(); r < n; r++ {
+		if !b.IsNull(r) {
+			return false
+		}
+	}
+	return true
 }

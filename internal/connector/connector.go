@@ -62,6 +62,9 @@ type TableStats struct {
 	RowCount int64
 	// ColumnNDV maps column name to estimated distinct-value count.
 	ColumnNDV map[string]int64
+	// Pages is how many pages a scan of the table reads (0 when the connector
+	// does not say): RowCount/Pages far below a page's worth means tiny pages.
+	Pages int64
 }
 
 // Unknown reports whether statistics are unavailable.

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
-	"strings"
 	"sync"
 
 	"repro/internal/block"
@@ -23,8 +22,8 @@ type Connector struct {
 
 	mu     sync.RWMutex
 	tables map[string]*table
-	// versions counts mutations per table; it is part of every page-cache
-	// key, so a write invalidates cached pages by changing their key.
+	// versions counts mutations per table (connector.Versioned): plans,
+	// cached results and recorded cardinalities are valid for one version.
 	versions map[string]int64
 	// SplitsPerTable controls how many splits a scan enumerates (default 4).
 	SplitsPerTable int
@@ -141,17 +140,51 @@ func (c *Connector) AppendRows(name string, rows [][]types.Value) error {
 	for _, r := range rows {
 		b.AppendRow(r)
 	}
-	page := b.Build()
-	t.pages = append(t.pages, page)
-	t.foldStats([]*block.Page{page})
+	pages := []*block.Page{b.Build()}
+	t.appendPages(pages)
+	t.foldStats(pages)
 	c.versions[name]++
 	return nil
 }
 
+// mergeTarget is the row count written pages are merged up to: the page size
+// workload.LoadTPCHMemory loads at.
+const mergeTarget = 4096
+
+// appendPages publishes written pages at the table's tail. A page first takes
+// in the tail page while that one has no more rows than it and the two fit
+// mergeTarget, so a table written a row at a time holds a binary counter of
+// pages (a row is copied about log2(mergeTarget) times, a full page never)
+// and not a page per INSERT. Readers hold sub-slices of t.pages, so the first
+// merge moves to a private copy, published at the end; a plain append writes
+// past every reader's end.
+func (t *table) appendPages(in []*block.Page) {
+	pages, private := t.pages, false
+	for _, p := range in {
+		if p.RowCount() == 0 {
+			continue
+		}
+		keep := len(pages)
+		for keep > 0 {
+			tail := pages[keep-1]
+			if tail.RowCount() > p.RowCount() || tail.RowCount()+p.RowCount() > mergeTarget {
+				break
+			}
+			p = block.ConcatPages([]*block.Page{tail, p})
+			keep--
+		}
+		if keep < len(pages) && !private {
+			pages, private = pages[:keep:keep], true // append copies
+		}
+		pages = append(pages[:keep], p)
+	}
+	t.pages = pages
+}
+
 // foldStats adds pages, which the caller has appended (or is loading), to the
-// table's statistics: the row count, and each column's count of distinct
-// non-null values. It publishes a new ColumnNDV map, never writes the one a
-// reader may hold.
+// table's statistics: the row count, each column's count of distinct non-null
+// values, and how many pages the table now holds. It publishes a new
+// ColumnNDV map, never writes the one a reader may hold.
 func (t *table) foldStats(pages []*block.Page) {
 	if t.ndv == nil {
 		t.ndv = make([]map[uint64]struct{}, len(t.meta.Columns))
@@ -170,7 +203,7 @@ func (t *table) foldStats(pages []*block.Page) {
 	for i, col := range t.meta.Columns {
 		ndv[col.Name] = int64(len(t.ndv[i]))
 	}
-	t.stats = connector.TableStats{RowCount: rows, ColumnNDV: ndv}
+	t.stats = connector.TableStats{RowCount: rows, ColumnNDV: ndv, Pages: int64(len(t.pages))}
 }
 
 var ndvSeed = maphash.MakeSeed()
@@ -218,13 +251,19 @@ func foldDistinct(set map[uint64]struct{}, col block.Block) {
 	}
 }
 
-// split is a contiguous page range of a table.
+// split is a contiguous page range of a table. One enumerated here carries
+// the pages it ranges over, as they were at enumeration: a write may merge the
+// table's tail pages, so page indices do not outlive a table version. One
+// decoded from the wire has only the range, resolved against the worker's own
+// (read-only) copy of the table.
 type split struct {
 	catalog string
 	table   string
 	from    int // page index
 	to      int
 	rows    int64
+	tbl     *table // the table enumerated, nil when decoded from the wire
+	pages   []*block.Page
 }
 
 func (s *split) Connector() string     { return s.catalog }
@@ -260,7 +299,8 @@ func (c *Connector) Splits(handle plan.TableHandle) (connector.SplitSource, erro
 		for _, p := range t.pages[from:to] {
 			rows += int64(p.RowCount())
 		}
-		splits = append(splits, &split{catalog: c.name, table: handle.Table, from: from, to: to, rows: rows})
+		splits = append(splits, &split{catalog: c.name, table: handle.Table, from: from, to: to, rows: rows,
+			tbl: t, pages: t.pages[from:to]})
 	}
 	return &sliceSplitSource{splits: splits}, nil
 }
@@ -283,25 +323,6 @@ func (s *sliceSplitSource) NextBatch(max int) (connector.SplitBatch, error) {
 
 func (s *sliceSplitSource) Close() {}
 
-// PageCacheKey implements connector.PageCacheable. The per-table version
-// counter makes every mutation change the key; the constraint is omitted
-// because memconn never filters during the scan.
-func (c *Connector) PageCacheKey(s connector.Split, columns []string, handle plan.TableHandle) (string, bool) {
-	ms, ok := s.(*split)
-	if !ok {
-		return "", false
-	}
-	c.mu.RLock()
-	_, exists := c.tables[ms.table]
-	ver := c.versions[ms.table]
-	c.mu.RUnlock()
-	if !exists {
-		return "", false
-	}
-	return fmt.Sprintf("mem/%s/%s/%d-%d@v%d|%s",
-		c.name, ms.table, ms.from, ms.to, ver, strings.Join(columns, ",")), true
-}
-
 // pageSource replays the split's pages with the requested columns.
 type pageSource struct {
 	pages []*block.Page
@@ -310,21 +331,29 @@ type pageSource struct {
 	bytes int64
 }
 
-// PageSource implements the Data Source API. The read lock covers the
-// column resolution and the page-range slice: a concurrent writer's Finish
-// replaces t.pages, and the source must capture a consistent snapshot (the
-// pages themselves are immutable once published, so releasing the lock after
-// slicing is safe).
+// PageSource implements the Data Source API. A split enumerated by this
+// connector is read from its own snapshot (pages and metadata are immutable
+// once published). A split from the wire is resolved against the table under
+// the read lock, which covers the page-range slice: a concurrent writer's
+// Finish replaces t.pages.
 func (c *Connector) PageSource(s connector.Split, columns []string, handle plan.TableHandle) (connector.PageSource, error) {
 	ms, ok := s.(*split)
 	if !ok {
 		return nil, fmt.Errorf("foreign split type %T", s)
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	t, ok := c.tables[ms.table]
-	if !ok {
-		return nil, fmt.Errorf("table %s.%s does not exist", c.name, ms.table)
+	t, pages := ms.tbl, ms.pages
+	if t == nil {
+		c.mu.RLock()
+		if t, ok = c.tables[ms.table]; ok {
+			// A range computed against another version can out-range a table
+			// that was dropped and recreated smaller; clamp rather than panic.
+			to := min(ms.to, len(t.pages))
+			pages = t.pages[min(ms.from, to):to]
+		}
+		c.mu.RUnlock()
+		if !ok {
+			return nil, fmt.Errorf("table %s.%s does not exist", c.name, ms.table)
+		}
 	}
 	cols := make([]int, len(columns))
 	for i, name := range columns {
@@ -334,17 +363,7 @@ func (c *Connector) PageSource(s connector.Split, columns []string, handle plan.
 		}
 		cols[i] = idx
 	}
-	// A split computed against an older table version can out-range a table
-	// that was dropped and recreated smaller; clamp rather than panic (the
-	// coordinator's metadata invalidation makes this window tiny).
-	from, to := ms.from, ms.to
-	if n := len(t.pages); to > n {
-		to = n
-	}
-	if from > to {
-		from = to
-	}
-	return &pageSource{pages: t.pages[from:to], cols: cols}, nil
+	return &pageSource{pages: pages, cols: cols}, nil
 }
 
 func (p *pageSource) NextPage() (*block.Page, error) {
@@ -402,7 +421,7 @@ func (s *pageSink) Finish() (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("table %s.%s vanished during write", s.c.name, s.table)
 	}
-	t.pages = append(t.pages, s.pages...)
+	t.appendPages(s.pages)
 	t.foldStats(s.pages)
 	s.c.versions[s.table]++
 	return s.rows, nil

@@ -12,7 +12,6 @@ package raptor
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/block"
@@ -29,9 +28,6 @@ type Connector struct {
 
 	mu     sync.RWMutex
 	tables map[string]*table
-	// versions counts mutations per table; it is part of every page-cache
-	// key, so a write invalidates cached pages by changing their key.
-	versions map[string]int64
 }
 
 type table struct {
@@ -53,7 +49,7 @@ func New(name string, nodes int) *Connector {
 	if nodes <= 0 {
 		nodes = 1
 	}
-	return &Connector{name: name, nodes: nodes, tables: map[string]*table{}, versions: map[string]int64{}}
+	return &Connector{name: name, nodes: nodes, tables: map[string]*table{}}
 }
 
 // Name implements connector.Connector.
@@ -90,7 +86,6 @@ func (c *Connector) CreateBucketedTable(name string, columns []connector.Column,
 		stats:     connector.TableStats{RowCount: 0, ColumnNDV: map[string]int64{}},
 		indexes:   map[string]map[string][]rowRef{},
 	}
-	c.versions[name]++
 	return nil
 }
 
@@ -135,7 +130,6 @@ func (c *Connector) LoadRows(tableName string, rows [][]types.Value) error {
 	if !ok {
 		return fmt.Errorf("table %s.%s does not exist", c.name, tableName)
 	}
-	c.versions[tableName]++
 	return t.appendRows(rows)
 }
 
@@ -332,25 +326,6 @@ func (p *pageSource) NextPage() (*block.Page, error) {
 func (p *pageSource) BytesRead() int64 { return p.bytes }
 func (p *pageSource) Close()           {}
 
-// PageCacheKey implements connector.PageCacheable. The per-table version
-// counter makes every load change the key; the constraint is omitted because
-// raptor scans do not filter (domains are enforced by the engine).
-func (c *Connector) PageCacheKey(sp connector.Split, columns []string, handle plan.TableHandle) (string, bool) {
-	rs, ok := sp.(*split)
-	if !ok {
-		return "", false
-	}
-	c.mu.RLock()
-	_, exists := c.tables[rs.table]
-	ver := c.versions[rs.table]
-	c.mu.RUnlock()
-	if !exists {
-		return "", false
-	}
-	return fmt.Sprintf("raptor/%s/%s/b%d@v%d|%s",
-		c.name, rs.table, rs.bucket, ver, strings.Join(columns, ",")), true
-}
-
 // CreateTable implements DDL with a default single-bucket layout.
 func (c *Connector) CreateTable(name string, columns []connector.Column) error {
 	if len(columns) == 0 {
@@ -367,7 +342,6 @@ func (c *Connector) DropTable(name string) error {
 		return fmt.Errorf("table %s.%s does not exist", c.name, name)
 	}
 	delete(c.tables, name)
-	c.versions[name]++
 	return nil
 }
 

@@ -198,6 +198,8 @@ type Coordinator struct {
 	stmtLatency *metrics.RingHistogram
 	// stageSkew is the input skew of finished queries' scanning stages.
 	stageSkew *metrics.BucketHistogram
+	// scanRowsPerPage is the mean page size of finished queries' scans.
+	scanRowsPerPage *metrics.BucketHistogram
 }
 
 // Query is a running or finished query.
@@ -243,16 +245,17 @@ func New(catalog *CatalogManager, workers []*exec.Worker, cfg Config) *Coordinat
 	}
 	catalog.SetMetaCache(meta)
 	return &Coordinator{
-		Catalog:     catalog,
-		workers:     workers,
-		cfg:         cfg,
-		queue:       queue.NewManager(cfg.QueuePolicies...),
-		arbiter:     memory.NewArbiter(pools),
-		pools:       pools,
-		store:       shuffle.NewExchangeStore(cfg.Task.SpillDir),
-		meta:        meta,
-		stmtLatency: metrics.NewRingHistogram(0),
-		stageSkew:   metrics.NewBucketHistogram(1.05, 1.15, 1.5, 2, 4),
+		Catalog:         catalog,
+		workers:         workers,
+		cfg:             cfg,
+		queue:           queue.NewManager(cfg.QueuePolicies...),
+		arbiter:         memory.NewArbiter(pools),
+		pools:           pools,
+		store:           shuffle.NewExchangeStore(cfg.Task.SpillDir),
+		meta:            meta,
+		stmtLatency:     metrics.NewRingHistogram(0),
+		stageSkew:       metrics.NewBucketHistogram(1.05, 1.15, 1.5, 2, 4),
+		scanRowsPerPage: metrics.NewBucketHistogram(1, 16, 256, 1024, 4096),
 	}
 }
 

@@ -551,10 +551,10 @@ func affinityHash(s string) uint32 {
 }
 
 // affinityFn returns a per-split affinity key function for a scan: the page
-// cache key when the read costs something to repeat and a cache of the stage
-// could hold it, "" otherwise — a session that disables caching, workers
-// without a page cache, and zero-copy connectors (every worker already holds
-// their pages; the stable placement finds their cache entries again).
+// cache key when the connector issues one and a cache of the stage could hold
+// the read, "" otherwise — a session that disables caching, workers without a
+// page cache, and connectors that are not page-cache clients (resident tables:
+// every worker already holds their pages).
 func (c *Coordinator) affinityFn(q *Query, stage *stageLedger, scan *plan.Scan) func(connector.Split) string {
 	none := func(connector.Split) string { return "" }
 	if q.session.DisableCache || !stage.cached {
@@ -562,9 +562,6 @@ func (c *Coordinator) affinityFn(q *Query, stage *stageLedger, scan *plan.Scan) 
 	}
 	conn, err := c.Catalog.Connector(scan.Handle.Catalog)
 	if err != nil {
-		return none
-	}
-	if zc, ok := conn.(connector.ZeroCopyScans); ok && zc.ZeroCopy() {
 		return none
 	}
 	pc, ok := conn.(connector.PageCacheable)

@@ -155,16 +155,12 @@ func (t *fakeTask) Close() {
 }
 
 // fakeConn plans like a memory catalog but enumerates scripted splits, and
-// gives keyed splits a page-cache key (the affinity signal). Unlike the
-// memory catalog it embeds, its reads cost something to repeat unless
-// zeroCopy says otherwise.
+// gives keyed splits a page-cache key (the affinity signal): unlike the
+// memory catalog it embeds, it is a page-cache client.
 type fakeConn struct {
 	*memconn.Connector
-	splits   map[string][]connector.Split // by table
-	zeroCopy bool
+	splits map[string][]connector.Split // by table
 }
-
-func (f *fakeConn) ZeroCopy() bool { return f.zeroCopy }
 
 func (f *fakeConn) Splits(h plan.TableHandle) (connector.SplitSource, error) {
 	return &fakeSplitSource{splits: f.splits[h.Table]}, nil
@@ -627,24 +623,25 @@ func TestSchedulerPlacementIsDeterministic(t *testing.T) {
 
 // TestNoAffinityWithoutPageCache: cache affinity needs a cache. Splits with a
 // page-cache key hash to a fixed task only when some worker of the stage
-// keeps pages and the connector's reads cost something to repeat; otherwise
-// they are dealt by weight like any other.
+// keeps pages; otherwise, and when the connector issues no key for the read
+// (a resident table), they are dealt by weight like any other.
 func TestNoAffinityWithoutPageCache(t *testing.T) {
 	for _, tc := range []struct {
-		name                  string
-		noPageCache, zeroCopy bool
-		wantAffinity          bool
+		name         string
+		noPageCache  bool
+		cacheKey     string
+		wantAffinity bool
 	}{
-		{"cached workers, copying connector", false, false, true},
-		{"workers without a page cache", true, false, false},
-		{"zero-copy connector", false, true, false},
+		{"cached workers, keyed reads", false, "one-key", true},
+		{"workers without a page cache", true, "one-key", false},
+		{"connector issues no key", false, "", false},
 	} {
 		f := newSchedFixture(t, Config{})
-		f.cl.noPageCache, f.conn.zeroCopy = tc.noPageCache, tc.zeroCopy
+		f.cl.noPageCache = tc.noPageCache
 		// One key for every split: affinity sends all four to one task.
 		for i := 0; i < 4; i++ {
 			f.conn.splits["big"] = append(f.conn.splits["big"],
-				&fakeSplit{name: fmt.Sprintf("s%d", i), cacheKey: "one-key", rows: 10})
+				&fakeSplit{name: fmt.Sprintf("s%d", i), cacheKey: tc.cacheKey, rows: 10})
 		}
 		perTask := [2]int{}
 		for _, i := range f.placeScan(t, 2) {

@@ -180,9 +180,14 @@ func (c *Coordinator) VecProjTotals() (vecEvals, cseHits, dictEvictions int64) {
 // the scanning stages of finished queries (/v1/metrics exports it).
 func (c *Coordinator) StageSkew() *metrics.BucketHistogram { return c.stageSkew }
 
+// ScanRowsPerPage is the coordinator-lifetime distribution of the mean page a
+// task's scan operator produced, over finished queries (/v1/metrics exports
+// it): mass in the low buckets means tables made of tiny pages.
+func (c *Coordinator) ScanRowsPerPage() *metrics.BucketHistogram { return c.scanRowsPerPage }
+
 // accumulateDynStats folds one finished query's dynamic-filter and
-// vectorized-projection counters, and its scanning stages' input skew, into
-// the coordinator-lifetime totals.
+// vectorized-projection counters, its scanning stages' input skew and its
+// scans' page sizes into the coordinator-lifetime totals.
 func (c *Coordinator) accumulateDynStats(tasks []exec.TaskStats) {
 	stageRows := map[int][]int64{}
 	for _, ts := range tasks {
@@ -202,9 +207,21 @@ func (c *Coordinator) accumulateDynStats(tasks []exec.TaskStats) {
 				c.vecProjEvals.Add(op.VecProjEvals)
 				c.cseHits.Add(op.CSEHits)
 				c.dictEvictions.Add(op.DictEvictions)
+				if pages := scanPages(op); pages > 0 {
+					c.scanRowsPerPage.Observe(float64(op.RowsOut) / float64(pages))
+				}
 			}
 		}
 	}
+}
+
+// scanPages is how many pages a table scan produced, 0 for any other operator
+// (the name is the one exec's pipeline compiler gives a scan source).
+func scanPages(op operators.OpStatsSnapshot) int64 {
+	if op.Name != "TableScan" {
+		return 0
+	}
+	return op.PagesOut
 }
 
 // mergePipelines folds one task's pipelines into the stage rollup
@@ -265,6 +282,9 @@ func FormatOperatorTable(st QueryStats) string {
 					time.Duration(op.CPUNanos).Round(10*time.Microsecond),
 					time.Duration(op.BlockedNanos).Round(10*time.Microsecond),
 					op.PeakMemBytes)
+				if pages := scanPages(op); pages > 0 {
+					fmt.Fprintf(&sb, "  pages %d (avg %d rows)", pages, op.RowsOut/pages)
+				}
 				if total := op.CacheHits + op.CacheMisses; total > 0 {
 					fmt.Fprintf(&sb, "  cache %d/%d", op.CacheHits, total)
 				}

@@ -588,13 +588,15 @@ func (t *Task) openPageSource(conn connector.Connector, s connector.Split,
 	p *pipelineSpec, stats *operators.OpStats) (connector.PageSource, error) {
 
 	handle := t.dynNarrowedHandle(p)
-	open := func() (connector.PageSource, error) {
+	// A connector is cached iff it says how: one that issues no key for this
+	// read (resident tables, lazy reads) is opened directly.
+	pc, ok := conn.(connector.PageCacheable)
+	if !ok {
 		return conn.PageSource(s, p.scanCols, handle)
 	}
-	var key string
-	haveKey := false
-	if pc, ok := conn.(connector.PageCacheable); ok {
-		key, haveKey = pc.PageCacheKey(s, p.scanCols, handle)
+	key, haveKey := pc.PageCacheKey(s, p.scanCols, handle)
+	open := func() (connector.PageSource, error) {
+		return conn.PageSource(s, p.scanCols, handle)
 	}
 	// Shared scans layer under the page cache: the hub deduplicates the
 	// connector reads that fill the cache (or that run uncached), while a

@@ -1,7 +1,7 @@
 package expr
 
 import (
-	"slices"
+	"sync/atomic"
 
 	"repro/internal/block"
 	"repro/internal/types"
@@ -33,8 +33,7 @@ type PageProcessor struct {
 	// pages of a split filters the second (SetDynamicFilters).
 	dyn func() []SelVector
 
-	selIn  []int // identity row vector, grown monotonically
-	selOut []int // selection output buffer, reused across pages
+	selOut []int // selection output buffer, grown by the rows that survive
 	selTmp []int // the second output buffer a chain of selections alternates with
 
 	// borrow: the output page is read before the next Process call and not
@@ -320,28 +319,44 @@ func (pp *PageProcessor) evalCSESlots() error {
 	return nil
 }
 
+// identity is the process-wide identity row vector 0, 1, 2, …: every
+// selection chain starts from a prefix of it. It is shared by all processors
+// on all goroutines, so it is read-only — a selection kernel reads in and
+// appends to out, never the reverse — and grows by publishing a longer copy.
+var identity atomic.Pointer[[]int]
+
+// identityRows returns the first n entries of the shared identity vector.
+func identityRows(n int) []int {
+	cur := identity.Load()
+	if cur != nil && len(*cur) >= n {
+		return (*cur)[:n]
+	}
+	v := make([]int, n)
+	for i := range v {
+		v[i] = i
+	}
+	// Lose the race to another grower and v is still a valid identity; the
+	// published vector only ever gets longer.
+	identity.CompareAndSwap(cur, &v)
+	return v
+}
+
 // selectRows returns the rows of p that pass the dynamic filters and then the
-// filter. The result aliases processor-owned buffers and is valid until the
-// next page.
+// filter. The result aliases processor-owned buffers (or the shared identity
+// vector) and is valid until the next page.
 func (pp *PageProcessor) selectRows(p *block.Page) []int {
 	n := p.RowCount()
-	// The identity vector is sized for the page, so a run of pages grows it
-	// once and not by doubling under append.
-	if len(pp.selIn) < n {
-		pp.selIn = slices.Grow(pp.selIn, n-len(pp.selIn))
-		for i := len(pp.selIn); i < n; i++ {
-			pp.selIn = append(pp.selIn, i)
-		}
-	}
-	// Each selection reads rows and writes the buffer rows does not alias;
-	// the two output buffers then trade places. Either is sized, for the page,
-	// when a selection first needs it: one selection a page never needs both.
-	rows, out, spare := pp.selIn[:n], &pp.selOut, &pp.selTmp
+	// Each selection reads rows and appends to the buffer rows does not alias;
+	// the two output buffers then trade places. They start small and keep what
+	// append grew them to, so a selective read pays for the rows that survive
+	// and a full scan pays one doubling sequence on its first page.
+	rows, out, spare := identityRows(n), &pp.selOut, &pp.selTmp
 	run := func(sel selFn, in []int) []int {
-		if cap(*out) < n {
-			*out = make([]int, 0, n)
+		if *out == nil {
+			*out = make([]int, 0, min(n, 64))
 		}
 		res := sel(p, in, (*out)[:0])
+		*out = res[:0]
 		out, spare = spare, out
 		return res
 	}

@@ -14,6 +14,7 @@ package httpapi
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -103,9 +104,14 @@ type StatementResponse struct {
 
 func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request) {
 	defer r.Body.Close()
-	var sql strings.Builder
-	if _, err := copyBody(&sql, r); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	sql, err := readStatement(w, r)
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "read statement: "+err.Error(), status)
 		return
 	}
 	session := coordinator.Session{
@@ -126,7 +132,7 @@ func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request) {
 	// The request context cancels admission: a client that disconnects
 	// while its statement is queued is removed from the queue instead of
 	// leaking a parked waiter.
-	res, err := s.Coord.ExecuteCtx(r.Context(), sql.String(), session)
+	res, err := s.Coord.ExecuteCtx(r.Context(), sql, session)
 	if err != nil {
 		writeJSON(w, StatementResponse{State: "FAILED", Error: err.Error()})
 		return
@@ -294,6 +300,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Where the splits went: max/mean of per-task input rows, one
 	// observation per scanning stage of every finished query.
 	s.Coord.StageSkew().WriteProm(w, "presto_stage_input_skew")
+	s.Coord.ScanRowsPerPage().WriteProm(w, "presto_scan_rows_per_page")
 	vecEvals, cseHits, dictEvict := s.Coord.VecProjTotals()
 	metrics.PromGauge(w, "presto_vecproj_evals_total", nil, float64(vecEvals))
 	metrics.PromGauge(w, "presto_vecproj_cse_hits_total", nil, float64(cseHits))
@@ -376,21 +383,19 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 	json.NewEncoder(w).Encode(v)
 }
 
-func copyBody(sb *strings.Builder, r *http.Request) (int64, error) {
-	buf := make([]byte, 4096)
-	var total int64
-	for {
-		n, err := r.Body.Read(buf)
-		sb.Write(buf[:n])
-		total += int64(n)
-		if err != nil {
-			if err.Error() == "EOF" {
-				return total, nil
-			}
-			return total, nil
-		}
-		if total > 10<<20 {
-			return total, fmt.Errorf("statement too large")
-		}
+// maxStatementBytes bounds a statement's text.
+const maxStatementBytes = 10 << 20
+
+// readStatement reads the request body whole, into a buffer of its declared
+// length when it declares one. A body cut short is an error, never a shorter
+// statement.
+func readStatement(w http.ResponseWriter, r *http.Request) (string, error) {
+	body := http.MaxBytesReader(w, r.Body, maxStatementBytes)
+	if n := r.ContentLength; n >= 0 && n <= maxStatementBytes {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(body, buf)
+		return string(buf), err
 	}
+	buf, err := io.ReadAll(body)
+	return string(buf), err
 }

@@ -258,6 +258,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`presto_stage_input_skew_bucket{le="+Inf"} `,
 		"presto_stage_input_skew_sum ",
 		"presto_stage_input_skew_count ",
+		`presto_scan_rows_per_page_bucket{le="16"} `,
+		"presto_scan_rows_per_page_count ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q\n%s", want, text)
@@ -325,5 +327,64 @@ func TestCancel(t *testing.T) {
 	dresp.Body.Close()
 	if dresp.StatusCode != http.StatusNoContent {
 		t.Errorf("cancel status: %d", dresp.StatusCode)
+	}
+}
+
+// failingBody delivers its first bytes and then a read error, like a request
+// cut by a reset connection.
+type failingBody struct {
+	data []byte
+	err  error
+}
+
+func (b *failingBody) Read(p []byte) (int, error) {
+	if len(b.data) == 0 {
+		return 0, b.err
+	}
+	n := copy(p, b.data)
+	b.data = b.data[n:]
+	return n, nil
+}
+
+// TestStatementBodyReadError: a body that fails after ten bytes is a 400 with
+// the error's text. Its first ten bytes are a statement of their own, which
+// the server used to parse and run.
+func TestStatementBodyReadError(t *testing.T) {
+	srv := testServer(t)
+	for _, tc := range []struct {
+		name     string
+		declared int64
+		err      error
+		want     string
+	}{
+		{"undeclared length", -1, io.ErrClosedPipe, io.ErrClosedPipe.Error()},
+		{"declared length", 13, io.EOF, io.ErrUnexpectedEOF.Error()},
+	} {
+		req := httptest.NewRequest("POST", "/v1/statement", &failingBody{data: []byte("SELECT 123"), err: tc.err})
+		req.ContentLength = tc.declared
+		rec := httptest.NewRecorder()
+		srv.Config.Handler.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Errorf("%s: status %d body %q, want 400 naming %q", tc.name, rec.Code, rec.Body.String(), tc.want)
+		}
+	}
+}
+
+func TestStatementTooLarge(t *testing.T) {
+	srv := testServer(t)
+	sql := "SELECT '" + strings.Repeat("x", maxStatementBytes) + "'"
+	for _, declared := range []bool{true, false} {
+		var body io.Reader = strings.NewReader(sql)
+		if !declared {
+			body = io.MultiReader(body) // hides the length: sent chunked
+		}
+		resp, err := http.Post(srv.URL+"/v1/statement", "text/plain", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("declared length %v: status %d, want 413", declared, resp.StatusCode)
+		}
 	}
 }

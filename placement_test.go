@@ -131,10 +131,11 @@ func TestScanSplitsBalanced(t *testing.T) {
 }
 
 // TestPlacementStableAcrossRuns: the same statement lands the same way every
-// time, so a warm run finds the pages the cold run cached without placement
-// hashing on the cache key.
+// time, and over a cacheable catalog a warm run finds the pages the cold run
+// cached.
 func TestPlacementStableAcrossRuns(t *testing.T) {
 	c := noIdleCoreCluster(t, 2)
+	coldCatalog(t, c.catalog, "tpch")
 	var first string
 	for run := 0; run < 10; run++ {
 		_, id := runTrackedQuery(t, c, shaped(t, "h01").sql)

@@ -1,0 +1,5 @@
+//go:build !race
+
+package presto
+
+const raceEnabled = false

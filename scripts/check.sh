@@ -6,7 +6,8 @@
 #
 #   scripts/check.sh          # build + vet + race tests + chaos smoke +
 #                             # split placement / driver cap ("no idle
-#                             # core") + borrowed-page poison run + non-race
+#                             # core") + point-read byte budget and written
+#                             # tables + borrowed-page poison run + non-race
 #                             # allocation ceilings (page codec, group
 #                             # table, join build and probe, dynamically
 #                             # filtered scan, spill) and bench smokes
@@ -50,6 +51,10 @@ echo "==> no idle core: splits are dealt evenly and the same way every run, a sc
 # and each worker's executor busy share of the pass.
 go test -count=1 -run 'TestScanDriversCappedAtThreads' ./internal/exec/
 go test -count=1 -v -run 'TestScanSplitsBalanced|TestPlacementStableAcrossRuns|TestNoIdleCoreReport' . | grep -E '^(---|ok|FAIL|panic)|skew|busy'
+
+echo "==> what a point read pays: byte budget (no -race: it skips under it), resident tables bypass the page cache, a written table stays worth scanning"
+go test -count=1 -v -run 'TestPointReadByteBudget|TestResidentTablesBypassPageCache' . | grep -E '^(---|ok|FAIL|panic)|bytes per'
+go test -race -count=1 -run 'TestInsertsMergeIntoTail|TestSplitReadsItsSnapshot' ./internal/connectors/memconn/
 
 echo "==> borrowed pages are never read late (poison linked on under the differential walls)"
 # expr.poisonBorrowed makes an operator that lends its output — a page

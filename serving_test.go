@@ -233,6 +233,7 @@ func TestServingSharedScanDifferential(t *testing.T) {
 		SharedScanWindow: 2 * time.Second})
 	defer c.Close()
 	c.Register(workload.LoadTPCHMemory("tpch", 0.2))
+	coldCatalog(t, c.catalog, "tpch")
 
 	// Page cache off so scans reach the hub; result cache off so every run
 	// actually executes; plan cache off so runs stay symmetric.
