@@ -150,7 +150,11 @@ func runCoordinator(addr string, scale float64, lakeDir string, noStats, noDyn, 
 			MaterializedExchange: sp.materialized,
 		},
 		Registry: coordinator.NewWorkerRegistry(),
-		Serving:  tier,
+		// One client, and so one connection pool, for everything this node
+		// says to its peers (http.DefaultClient keeps two idle connections a
+		// host and redials the rest every statement).
+		WorkerClient: httpapi.NewClusterClient(),
+		Serving:      tier,
 	})
 
 	srv := httpapi.NewServer(coord)
@@ -165,13 +169,15 @@ func runWorker(addr, coordURL, publicURL string, threads int, scale float64, lak
 	catalog := coordinator.NewCatalogManager()
 	provisionCatalogs(catalog, scale, lakeDir)
 
+	client := httpapi.NewClusterClient() // registration, heartbeats and shuffle fetches share its pool
+
 	// Register with the coordinator, retrying while it comes up; the
 	// assigned node id becomes the worker id so memory pools and metrics
 	// are attributed consistently cluster-wide.
 	var id int
 	for attempt := 0; ; attempt++ {
 		var err error
-		id, err = httpapi.RegisterWorker(nil, coordURL, publicURL)
+		id, err = httpapi.RegisterWorker(client, coordURL, publicURL)
 		if err == nil {
 			break
 		}
@@ -189,12 +195,13 @@ func runWorker(addr, coordURL, publicURL string, threads int, scale float64, lak
 	}})
 	defer w.Close()
 	srv := httpapi.NewWorkerServer(w, catalog)
+	srv.Client = client
 
 	// Heartbeat: re-register periodically so the coordinator's liveness
 	// window (WorkerRegistry.TTL) stays open.
 	go func() {
 		for range time.Tick(3 * time.Second) {
-			if _, err := httpapi.RegisterWorker(nil, coordURL, publicURL); err != nil {
+			if _, err := httpapi.RegisterWorker(client, coordURL, publicURL); err != nil {
 				log.Printf("heartbeat: %v", err)
 			}
 		}

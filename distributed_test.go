@@ -24,6 +24,7 @@ import (
 	"repro/internal/connector"
 	"repro/internal/connectors/memconn"
 	"repro/internal/coordinator"
+	"repro/internal/dynfilter"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/httpapi"
@@ -79,6 +80,20 @@ type distConfig struct {
 	// broadcastRows overrides the optimizer's broadcast-join threshold
 	// (1 forces partitioned joins).
 	broadcastRows int64
+	// observe, when set, sees every request the coordinator and the workers
+	// send (the cluster's one client), retries included.
+	observe func(*http.Request)
+}
+
+// observedTransport reports each request before sending it.
+type observedTransport struct {
+	base    http.RoundTripper
+	observe func(*http.Request)
+}
+
+func (o observedTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	o.observe(r)
+	return o.base.RoundTrip(r)
 }
 
 func newDistClusterWith(t *testing.T, n int, dc distConfig) *distCluster {
@@ -92,6 +107,9 @@ func newDistClusterWith(t *testing.T, n int, dc distConfig) *distCluster {
 
 	d := &distCluster{catalog: catalog, mem: mem, transport: &http.Transport{}}
 	client := &http.Client{Transport: d.transport}
+	if dc.observe != nil {
+		client.Transport = observedTransport{d.transport, dc.observe}
+	}
 	wcfg := exec.WorkerConfig{Threads: 2}
 	if sp != nil {
 		wcfg.Task = exec.TaskConfig{SpillEnabled: true, SpillDir: sp.dir}
@@ -119,6 +137,7 @@ func newDistClusterWith(t *testing.T, n int, dc distConfig) *distCluster {
 		Registry:     reg,
 		WorkerClient: client,
 		Task:         dc.task,
+		FaultInject:  inj, // rules are per site: the workers' HTTP faults never fire here
 	}
 	if dc.broadcastRows != 0 {
 		ccfg.Optimizer.BroadcastThresholdRows = dc.broadcastRows
@@ -128,6 +147,15 @@ func newDistClusterWith(t *testing.T, n int, dc distConfig) *distCluster {
 		ccfg.MemoryLimits = memory.QueryLimits{PerNodeUser: sp.perNodeCap, SpillEnabled: true}
 	}
 	d.Coord = coordinator.New(catalog, nil, ccfg)
+	// Registered last, so it runs before the workers close: a query that has
+	// ended — drained, failed or cancelled — has been deleted on every worker.
+	t.Cleanup(func() {
+		for i, ws := range d.servers {
+			if ids := ws.TaskIDs(); len(ids) != 0 && !t.Failed() {
+				t.Errorf("worker %d still holds tasks %v after the test's queries ended", i, ids)
+			}
+		}
+	})
 	return d
 }
 
@@ -386,8 +414,9 @@ func TestDistributedMetricsAggregation(t *testing.T) {
 
 // TestChaosHTTPTransportFaultsMasked injects dropped connections, truncated
 // responses, and stalls into every worker HTTP response; the retry protocol
-// (idempotent task creation, sequenced split delivery, token-acknowledged
-// fetches) must mask all of it and return exactly the baseline rows.
+// (create batches idempotent by task id, sequenced split delivery, versioned
+// status, token-acknowledged fetches, idempotent deletes) must mask all of it
+// and return exactly the baseline rows.
 func TestChaosHTTPTransportFaultsMasked(t *testing.T) {
 	inj := faultinject.New(chaosSeed(t),
 		faultinject.Rule{Site: faultinject.SiteHTTPDrop, Kind: faultinject.KindError, Rate: 0.03, Transient: true},
@@ -407,10 +436,10 @@ func TestChaosHTTPTransportFaultsMasked(t *testing.T) {
 }
 
 // TestChaosHTTPHardFaultAborts turns the network off mid-query (every
-// request dropped after the first 10, which is enough for the leaf task
-// creates to land): the query must fail with a clear error, and
+// request dropped after the first 10, which is enough for both workers'
+// create batches to land): the query must fail with a clear error, and
 // coordinator-side goroutines and worker-side resources must wind down — no
-// leaked pollers, pumps, or buffered pages.
+// leaked status channels, pumps, or buffered pages.
 func TestChaosHTTPHardFaultAborts(t *testing.T) {
 	inj := faultinject.New(chaosSeed(t),
 		faultinject.Rule{Site: faultinject.SiteHTTPDrop, Kind: faultinject.KindError, Rate: 1, After: 10})
@@ -423,9 +452,10 @@ func TestChaosHTTPHardFaultAborts(t *testing.T) {
 		t.Fatal("query survived a dead network")
 	}
 
-	// The coordinator's DELETEs were dropped with everything else, so the
-	// worker maps still hold orphaned tasks — scan tasks parked waiting for
-	// split batches that never arrived. Close (the worker-shutdown path)
+	// The coordinator's DELETEs were dropped with everything else (each is
+	// logged and counted), so the worker maps still hold orphaned tasks —
+	// parked on split batches and fetches that can no longer arrive. Close
+	// (the worker-shutdown path)
 	// aborts them; after that, every goroutine on both sides of the wire
 	// must exit (idle HTTP connections are closed explicitly so their read
 	// loops don't count).
@@ -558,8 +588,9 @@ var distJoinQueries = []string{
 // TestDistributedDynamicFilterDifferential runs the join suite through the
 // HTTP-distributed cluster with dynamic filters on and off — rows must be
 // identical. The build-side summaries travel through the coordinator relay
-// (fetch from publisher task, merge, POST to every task), so this exercises
-// the full wire path, not the in-process shortcut.
+// (up in the publishers' workers' status channels, merged, one POST to each
+// subscribed worker), so this exercises the full wire path, not the
+// in-process shortcut.
 func TestDistributedDynamicFilterDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	d := newDistCluster(t, 2, nil)
@@ -620,47 +651,66 @@ func TestChaosDistributedFilterPublishFaults(t *testing.T) {
 
 // TestDistributedCollectorlessFilterPublisher is the regression test for the
 // HTTP dynamic-filter path. Worker 0's build task stands in for a publisher
-// with no collector: whenever it serves a published summary, the test rewrites
-// the response to what such a task announces — a Disabled summary. The
-// coordinator must learn of publications from TaskStatus.FiltersReady in the
-// status poll it already makes (filter publication is delayed 60ms here, so a
-// blind GET ticker would collect 404s first), pull each summary exactly once,
-// and let the Disabled contribution disable the whole union: the gated probe
-// scans are released at once and run unfiltered, rows identical.
+// with no collector: whenever its status channel carries a published summary,
+// the test rewrites the frame to what such a task announces — a Disabled
+// summary. The coordinator must learn of publications from the status
+// long-poll it already holds (filter publication is delayed 60ms here; the
+// long-poll is answered when it happens, not on a ticker), apply each event
+// exactly once, and let the Disabled contribution disable the whole union: the
+// gated probe scans are released at once and run unfiltered, rows identical.
 func TestDistributedCollectorlessFilterPublisher(t *testing.T) {
 	var mu sync.Mutex
-	filterGets := map[string]int{} // worker/path → GETs
-	notFound := 0
-	var delivered []bool // Disabled flag of every summary POSTed to a task
+	published := map[string]int{} // "worker/event number" → filter summaries in it
+	statusErrors := 0
+	var delivered []bool // Disabled flag of every union POSTed to a worker
+	disabledFrame := dynfilter.AppendSummary(nil, &dynfilter.Summary{Disabled: true})
 	wrap := func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			switch {
-			case r.Method == http.MethodGet && strings.Contains(r.URL.Path, "/filter/"):
+			case r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/status"):
 				rec := httptest.NewRecorder()
 				h.ServeHTTP(rec, r)
-				mu.Lock()
-				filterGets[fmt.Sprintf("%d%s", i, r.URL.Path)]++
-				if rec.Code == http.StatusNotFound {
-					notFound++
-				}
-				mu.Unlock()
-				if i == 0 && rec.Code == http.StatusOK {
-					w.Header().Set("Content-Type", "application/json")
-					json.NewEncoder(w).Encode(wire.FilterSummary{Disabled: true})
+				var st wire.QueryStatus
+				if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &st) != nil {
+					mu.Lock()
+					// The DELETE that ends the query answers its long-poll 404.
+					if rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), "deleted") {
+						statusErrors++
+					}
+					mu.Unlock()
+					w.WriteHeader(rec.Code)
+					w.Write(rec.Body.Bytes())
 					return
 				}
-				w.WriteHeader(rec.Code)
-				w.Write(rec.Body.Bytes())
+				mu.Lock()
+				for k, ev := range st.Events {
+					if len(ev.Filters) > 0 {
+						published[fmt.Sprintf("%d/%d", i, st.From+int64(k))] = len(ev.Filters)
+					}
+					for j := range ev.Filters {
+						if i == 0 {
+							ev.Filters[j] = disabledFrame
+						}
+					}
+				}
+				mu.Unlock()
+				w.Header().Set("Content-Type", "application/json")
+				json.NewEncoder(w).Encode(st)
 				return
 			case r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/filters"):
 				body, _ := io.ReadAll(r.Body)
-				var req wire.FilterRequest
+				var req wire.FiltersRequest
 				if err := json.Unmarshal(body, &req); err != nil {
 					t.Errorf("POST %s: %v", r.URL.Path, err)
 				}
 				mu.Lock()
-				for _, fe := range req.Filters {
-					delivered = append(delivered, fe.Summary.Disabled)
+				for _, fd := range req.Filters {
+					sum, err := dynfilter.DecodeSummary(fd.Summary)
+					if err != nil {
+						t.Errorf("POST %s: filter %d: %v", r.URL.Path, fd.ID, err)
+						continue
+					}
+					delivered = append(delivered, sum.Disabled)
 				}
 				mu.Unlock()
 				r.Body = io.NopCloser(bytes.NewReader(body))
@@ -698,16 +748,18 @@ func TestDistributedCollectorlessFilterPublisher(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(filterGets) < 2 {
-		t.Fatalf("filter summaries pulled from %d publishers, want both build tasks: %v", len(filterGets), filterGets)
-	}
-	for path, n := range filterGets {
-		if n != 1 {
-			t.Errorf("GET %s issued %d times, want once", path, n)
+	workers := map[byte]bool{}
+	for event, n := range published {
+		workers[event[0]] = true
+		if n == 0 {
+			t.Errorf("status event %s announced filters without their summaries", event)
 		}
 	}
-	if notFound != 0 {
-		t.Errorf("%d filter GETs hit 404: the coordinator polled for summaries no status had announced", notFound)
+	if len(workers) < 2 {
+		t.Fatalf("filter summaries arrived from %d workers' status channels, want both build tasks': %v", len(workers), published)
+	}
+	if statusErrors != 0 {
+		t.Errorf("%d status polls failed: the channel is answered by events, not hammered until they exist", statusErrors)
 	}
 	if len(delivered) == 0 {
 		t.Error("no merged filter was delivered to the probe tasks")

@@ -62,7 +62,7 @@ type Config struct {
 	// registered workers through the task API (distributed mode).
 	Registry *WorkerRegistry
 	// WorkerClient issues coordinator-to-worker HTTP requests in
-	// distributed mode (nil = http.DefaultClient).
+	// distributed mode (nil = shuffle.ClusterClient()).
 	WorkerClient *http.Client
 	// Serving holds the high-QPS serving tier (plan + result caches); nil
 	// disables both. Shared scans live on the workers (exec.WorkerConfig).
@@ -187,6 +187,13 @@ type Coordinator struct {
 	dynSplitsSkipped atomic.Int64
 	dynWaitNanos     atomic.Int64
 
+	// What distributed mode's control plane did, cumulatively: summaries that
+	// arrived in a worker's status channel, unions a worker acknowledged, and
+	// query DELETEs that never got through.
+	dynPublications atomic.Int64
+	dynDeliveries   atomic.Int64
+	deleteFailures  atomic.Int64
+
 	// Cumulative vectorized-projection counters across finished queries
 	// (exposed as gauges on /v1/metrics).
 	vecProjEvals  atomic.Int64
@@ -208,7 +215,9 @@ type Query struct {
 	session Session            // client settings captured at admission
 	cancel  context.CancelFunc // cancels admission (set before registration)
 	mu      sync.Mutex
-	tasks   []taskClient
+	tasks   []taskClient // in placement order: what stats walk
+	groups  []taskGroup  // the same tasks by worker: what control talks to
+	remote  bool         // the workers are other processes (see eachWorker)
 	qmem    *memory.QueryContext
 	result  *Result
 	coord   *Coordinator
@@ -622,7 +631,7 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 		// CPU rollups would otherwise double-count them).
 		c.store.RemoveQuery(id)
 		q.mu.Lock()
-		q.tasks = nil
+		q.tasks, q.groups = nil, nil
 		q.mu.Unlock()
 		q.setState(StateQueued)
 		release()
@@ -737,21 +746,22 @@ func (q *Query) fail(err error) {
 	q.mu.Unlock()
 }
 
-// finish marks the query finished, releases its task clients, and returns
-// the final task stats for the history and lifetime-counter rollups.
+// finish marks the query finished, releases its task groups — every worker
+// at once — and returns the final task stats for the history and
+// lifetime-counter rollups.
 func (q *Query) finish() []exec.TaskStats {
 	q.mu.Lock()
 	q.Info.State = StateFinished
 	q.Info.Finished = time.Now()
-	tasks := q.tasks
+	tasks, groups, remote := q.tasks, q.groups, q.remote
 	q.mu.Unlock()
 	var cpu int64
 	stats := make([]exec.TaskStats, len(tasks))
 	for i, t := range tasks {
 		stats[i] = t.Stats()
 		cpu += stats[i].CPUNanos
-		t.Close()
 	}
+	eachWorker(len(groups), remote, func(i int) { groups[i].Close() })
 	q.mu.Lock()
 	q.Info.CPUNanos = cpu
 	if q.qmem != nil {
@@ -761,15 +771,13 @@ func (q *Query) finish() []exec.TaskStats {
 	return stats
 }
 
-// abort cancels every task placed so far; a task client's Abort also
+// abort cancels every task placed, every worker at once; a group's Abort also
 // releases whatever it holds outside this process, exactly once.
 func (q *Query) abort() {
 	q.mu.Lock()
-	tasks := q.tasks
+	groups, remote := q.groups, q.remote
 	q.mu.Unlock()
-	for _, t := range tasks {
-		t.Abort()
-	}
+	eachWorker(len(groups), remote, func(i int) { groups[i].Abort() })
 }
 
 // QueryInfo returns a snapshot of a query's state.

@@ -27,7 +27,7 @@ const maxReplaceAttempts = 3
 // Done closes on its final verdict, after any re-placements.
 type recoveryTask struct {
 	c    *Coordinator
-	spec taskSpec
+	spec *taskSpec
 
 	mu  sync.Mutex
 	cur localTask // the live attempt; only replace changes it
@@ -47,7 +47,7 @@ type recoveryTask struct {
 	err  error // the verdict; written before done closes
 }
 
-func newRecoveryTask(c *Coordinator, spec taskSpec, first *exec.Task) *recoveryTask {
+func newRecoveryTask(c *Coordinator, spec *taskSpec, first *exec.Task) *recoveryTask {
 	t := &recoveryTask{
 		c:      c,
 		spec:   spec,

@@ -18,9 +18,13 @@ import (
 
 // The scheduler (paper §III, §IV-D) is one algorithm — stage placement, lazy
 // split enumeration, lightest-task assignment, task monitoring — that does
-// not care how a task is reached. It talks to workers and tasks through the
-// two interfaces below. There are two implementations: localclient.go calls
-// *exec.Worker / *exec.Task directly, httpclient.go speaks the task API. The
+// not care how a worker is reached. The unit it talks to is the worker: it
+// decides where every task of a statement goes, hands each worker its share
+// in one CreateTasks call, and from then on addresses the group that call
+// returned — flush the splits, deliver this filter, what went wrong, stop.
+// There are two implementations: localclient.go calls *exec.Worker /
+// *exec.Task directly (a group is a loop over tasks), httpclient.go speaks
+// the task API (a group is three requests and a status channel). The
 // scheduler never sees net/http or the wire format; a client never picks a
 // worker.
 
@@ -31,49 +35,129 @@ type workerClient interface {
 	// CachesPages reports whether the worker keeps a page cache: cache
 	// affinity has nothing to return to on a stage where none does.
 	CachesPages() bool
-	CreateTask(spec taskSpec) (taskClient, error)
+	// Remote reports whether talking to the worker waits on a network, which
+	// is when a walk over the statement's workers is worth overlapping (see
+	// eachWorker). A statement's workers are all of one kind.
+	Remote() bool
+	// CreateTasks instantiates every task of one statement placed on this
+	// worker, in spec order (producers before their consumers), each with the
+	// splits already in hand. Workers are called concurrently, so a consumer
+	// may exist before a producer that runs elsewhere. On error nothing of
+	// the batch is left running.
+	CreateTasks(specs []*taskSpec) (taskGroup, error)
 }
 
-// taskSpec is everything a worker needs to instantiate one task.
+// taskSpec is one task of a statement from the moment the scheduler decided
+// where it runs: everything its worker needs to instantiate it, and — once
+// every worker's CreateTasks has returned — the client that drives it.
 type taskSpec struct {
-	ID            exec.TaskID
+	ID exec.TaskID
+	// Worker is where the task runs. With ID it is all a consumer in another
+	// process needs of a producer, and both are known before either exists.
+	Worker        workerClient
 	Fragment      *plan.Fragment
 	OutPartitions int
 	// Sources lists, per producing fragment id, the producer tasks; this
 	// task reads output partition ID.Index of each.
-	Sources map[int][]taskClient
-	Config  exec.TaskConfig
+	Sources map[int][]*taskSpec
+	// Splits, by scan id, are the splits whose enumeration was in hand when
+	// the task was placed; NoMore marks the scans they complete.
+	Splits [][]connector.Split
+	NoMore []bool
+	// Config is the statement's one task configuration, shared and read-only.
+	Config *exec.TaskConfig
 	// Mem is the query's memory context on this coordinator (in-process
 	// tasks charge it; a remote worker keeps its own).
 	Mem *memory.QueryContext
 	// Publish receives the summaries this task's join builds complete, one
-	// per filter id they publish (nil when the fragment has none).
+	// per filter id they publish (nil when the fragment has none). Relay are
+	// the ids among them that another fragment subscribes to: what a task in
+	// another process has to send back.
 	Publish func(ids []int, sums []*dynfilter.Summary)
+	Relay   []int
+
+	on int // Worker's index in the statement's worker list
+	// created is the statement's: closed once every task's client is final —
+	// nil where the create failed.
+	created <-chan struct{}
+	client  taskClient
+}
+
+// workerShare is one worker's part of a statement while it is scheduled.
+type workerShare struct {
+	specs []*taskSpec // the tasks placed on the worker, in fragment-id order
+	group taskGroup   // what CreateTasks returned
+	err   error       // why it did not
+}
+
+// taskGroup drives the tasks one CreateTasks call placed: what the scheduler
+// says to a worker about a statement.
+type taskGroup interface {
+	// Tasks are the group's clients, in spec order.
+	Tasks() []taskClient
+	// Flush delivers the splits and end-of-enumeration marks queued on the
+	// group's tasks since the last flush.
+	Flush() error
+	// DeliverFilter hands a completed union to the group's tasks of the
+	// subscribed fragments. Best-effort: a failed delivery degrades those
+	// tasks' scans to unfiltered, never fails the query.
+	DeliverFilter(f *unionFilter, fragments []int)
+	// Monitor calls fail with every task failure as it becomes known (paper
+	// §III: the coordinator monitors task health). Called once.
+	Monitor(fail func(error))
+	// Wait returns a failure among the group's tasks, if any. Called when a
+	// consumer has seen end-of-stream: in-process tasks are awaited; a remote
+	// worker is asked at most once, and a task still running by then counts
+	// as clean.
+	Wait() error
+	// Abort cancels the tasks and drops their output; Close ends the
+	// coordinator's interest in them once the query is over, without
+	// disturbing a finished task's results while they are read. Either
+	// releases what the group holds outside this process, exactly once.
+	Abort()
+	Close()
 }
 
 // taskClient drives one placed task.
 type taskClient interface {
 	// AddSplit queues a split for scan scanID; NoMoreSplits ends the scan's
-	// enumeration. A client may batch deliveries up to NoMoreSplits.
+	// enumeration. A client may hold deliveries back until its group's Flush.
 	AddSplit(scanID int, s connector.Split) error
 	NoMoreSplits(scanID int) error
 	// Output reads one partition of the task's output.
 	Output(part int) shuffle.Fetcher
 	// Done closes once the task is known finished, failed or aborted.
 	Done() <-chan struct{}
-	// Wait returns the task's failure, if any. Called when a consumer has
-	// seen end-of-stream: an in-process task is awaited; a remote one is
-	// asked once, and a task still running by then counts as clean.
-	Wait() error
-	DeliverFilter(id int, s *dynfilter.Summary)
-	// Stats snapshots the task. A remote task reports its CPU time only: its
-	// operators' counters stay with its worker.
+	// Stats snapshots the task. A remote task reports its CPU time only, and
+	// only once it has ended: its operators' counters stay with its worker.
 	Stats() exec.TaskStats
-	// Abort cancels the task and drops its output.
-	Abort()
-	// Close ends the client's interest in the task once the query is over,
-	// without disturbing a finished task's results.
-	Close()
+}
+
+// eachWorker runs fn(0..n-1), one call per worker of a statement, and returns
+// when all have: every walk over workers that may do network I/O goes through
+// it. Calls to remote workers overlap; calls to workers in this process are
+// made in turn, because each is a few method calls and handing one to another
+// goroutine costs more than making it (a point read paid +17 % for three
+// overlapped walks).
+func eachWorker(n int, remote bool, fn func(i int)) {
+	if !remote {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n-1; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	if n > 0 {
+		fn(n - 1)
+	}
+	wg.Wait()
 }
 
 // workerClients snapshots the workers queries schedule onto: the in-process
@@ -100,10 +184,12 @@ func (c *Coordinator) workerClients() ([]workerClient, error) {
 // worker — since most CPU goes to decompressing/decoding/filtering connector
 // data, running leaves everywhere yields the shortest wall time; intermediate
 // stages get HashPartitions tasks spread round-robin; single stages get one
-// task. Then split enumeration starts lazily (§IV-D3), assigning each split
-// to the eligible task the stage's ledger says is lightest.
+// task. Splits whose enumeration the metadata cache already holds are
+// assigned from the stage's ledger before anything is created and travel with
+// the tasks; every other scan is enumerated lazily once they exist (§IV-D3),
+// each split going to the eligible task the ledger says is lightest.
 func (c *Coordinator) schedule(workers []workerClient, q *Query, dp *plan.DistributedPlan) (*Result, error) {
-	nWorkers := len(workers)
+	nWorkers, remote := len(workers), workers[0].Remote()
 
 	cfg := c.cfg.Task
 	q.session.apply(&cfg)
@@ -125,110 +211,172 @@ func (c *Coordinator) schedule(workers []workerClient, q *Query, dp *plan.Distri
 		hub = newFilterHub(dp, counts)
 	}
 
-	// Create tasks in fragment-id order: the fragmenter numbers producers
-	// before consumers. A mid-stage failure must not strand tasks already
-	// created on other workers — they hold executor drivers and memory
-	// reservations — so every created task is tracked and aborted (and
-	// drained) before the error propagates.
-	tasks := make([][]taskClient, len(dp.Fragments))
+	// Placement comes first and is whole before any worker hears of the
+	// statement: it is a pure function of the plan and the worker list, and a
+	// producer's address is a function of its id, so every worker's share —
+	// fragments, wiring, the splits in hand — is one batch, in fragment-id
+	// order: the fragmenter numbers producers before consumers.
+	placed := make([][]*taskSpec, len(dp.Fragments))
 	ledgers := make([]*stageLedger, len(dp.Fragments))
-	var created []taskClient
-	singleRR := 0
+	per := make([]workerShare, nWorkers)
+	created := make(chan struct{})
+	injected := false
+	var lazy []func() error // the enumerations not in hand
+	total, singleRR := 0, 0
 	for _, f := range dp.Fragments {
 		kind := partitioningOf(f, dp)
-		tasks[f.ID] = make([]taskClient, counts[f.ID])
-		ledgers[f.ID] = newStageLedger(tasks[f.ID], c.cfg.Topology)
-		spec := taskSpec{
-			Fragment:      f,
-			OutPartitions: outParts[f.ID],
-			Sources:       map[int][]taskClient{},
-			Config:        cfg,
-			Mem:           q.qmem,
-		}
+		stage := make([]taskSpec, counts[f.ID])
+		placed[f.ID] = make([]*taskSpec, len(stage))
+		ledger := newStageLedger(len(stage), c.cfg.Topology)
+		ledgers[f.ID] = ledger
+		total += len(stage)
+		sources := map[int][]*taskSpec{}
 		plan.Walk(f.Root, func(n plan.Node) {
 			if rs, ok := n.(*plan.RemoteSource); ok {
 				for _, pid := range rs.SourceFragments {
-					spec.Sources[pid] = tasks[pid]
+					sources[pid] = placed[pid]
 				}
 			}
 		})
-		if hub != nil && hub.publishers[f.ID] {
-			spec.Publish = hub.publish
+		var publish func(ids []int, sums []*dynfilter.Summary)
+		var relay []int
+		if hub != nil {
+			if relayed, publishes := hub.relayed(f.ID); publishes {
+				publish, relay = hub.publish, relayed
+			}
 		}
-		for i := range tasks[f.ID] {
-			w := workers[i%nWorkers] // source stages: task i on worker i
+		scans := exec.ScanOrder(f.Root)
+		noMore := make([]bool, len(scans))
+		for i := range stage {
+			wi := i % nWorkers // source stages: task i on worker i
 			if kind == plan.PartitionSingle {
-				w = workers[singleRR%nWorkers]
+				wi = singleRR % nWorkers
 				singleRR++
 			}
-			spec.ID = exec.TaskID{QueryID: q.Info.ID, Fragment: f.ID, Index: i}
-			// The fault-injection hook sits in front of the worker call, the
-			// seam where a real deployment would see an RPC failure.
-			err := c.cfg.FaultInject.Err(faultinject.SiteTaskCreate)
-			var t taskClient
-			if err == nil {
-				t, err = w.CreateTask(spec)
+			stage[i] = taskSpec{
+				ID:     exec.TaskID{QueryID: q.Info.ID, Fragment: f.ID, Index: i},
+				Worker: workers[wi], Fragment: f, OutPartitions: outParts[f.ID], Sources: sources,
+				Splits: make([][]connector.Split, len(scans)), NoMore: noMore,
+				Config: &cfg, Mem: q.qmem, Publish: publish, Relay: relay,
+				on: wi, created: created,
 			}
-			if err != nil {
-				hub.deliverTo(nil)
-				abortAndDrain(created)
-				return nil, fmt.Errorf("creating task %s: %w", spec.ID, err)
+			placed[f.ID][i] = &stage[i]
+			ledger.placed(i, workers[wi])
+		}
+		for scanID, scan := range scans {
+			key := c.splitCacheKey(q, scan)
+			if memo, ok := c.memoizedSplits(key); ok {
+				affinity := c.affinityFn(q, ledger, scan)
+				for _, s := range memo {
+					spec := &stage[ledger.pick(s, affinity(s))]
+					spec.Splits[scanID] = append(spec.Splits[scanID], s)
+				}
+				q.splitsTotal.Add(int64(len(memo)))
+				noMore[scanID] = true
+				continue
 			}
-			tasks[f.ID][i] = t
-			ledgers[f.ID].placed(i, w)
-			created = append(created, t)
-			q.mu.Lock()
-			q.tasks = append(q.tasks, t)
-			q.mu.Unlock()
+			lazy = append(lazy, func() error { return c.enumerateSplits(q, ledger, scanID, scan, key) })
+		}
+		for _, spec := range placed[f.ID] {
+			share := &per[spec.on]
+			share.specs = append(share.specs, spec)
+			// The fault-injection hook stands where a real deployment would
+			// see an RPC failure: the first fault fails its worker's batch.
+			if !injected {
+				if err := c.cfg.FaultInject.Err(faultinject.SiteTaskCreate); err != nil {
+					injected, share.err = true, fmt.Errorf("task %s: %w", spec.ID, err)
+				}
+			}
 		}
 	}
-	hub.deliverTo(tasks)
 
-	// Build the result before starting enumeration so failures propagate.
+	// One create per worker, all workers at once. A failed batch must not
+	// strand what the other workers created — tasks hold executor drivers and
+	// memory reservations — so every group is aborted and drained before the
+	// error propagates.
+	eachWorker(nWorkers, remote, func(wi int) {
+		share := &per[wi]
+		if share.err != nil || len(share.specs) == 0 {
+			return
+		}
+		if share.group, share.err = workers[wi].CreateTasks(share.specs); share.err != nil {
+			share.group = nil
+			return
+		}
+		for k, t := range share.group.Tasks() {
+			share.specs[k].client = t
+		}
+	})
+	close(created)
+	live := make([]taskGroup, 0, nWorkers)
+	var failed error
+	for wi, share := range per {
+		if share.err != nil && failed == nil {
+			failed = fmt.Errorf("creating tasks on worker %d: %w", workers[wi].NodeID(), share.err)
+		} else if share.group != nil {
+			live = append(live, share.group)
+		}
+	}
+	if failed != nil {
+		hub.deliverTo(nil)
+		abortAndDrain(live, remote)
+		return nil, failed
+	}
+	tasks := make([]taskClient, 0, total)
+	for fid, ps := range placed {
+		for _, p := range ps {
+			tasks = append(tasks, p.client)
+		}
+		ledgers[fid].tasks = tasks[len(tasks)-len(ps):]
+	}
+	q.mu.Lock()
+	q.tasks, q.groups, q.remote = tasks, live, remote
+	q.mu.Unlock()
+	hub.deliverTo(live)
+
 	root := dp.Root()
-	res := &Result{Columns: outputNames(root), buf: tasks[root.ID][0].Output(0)}
+	res := &Result{Columns: outputNames(root), buf: placed[root.ID][0].client.Output(0)}
 	var failOnce sync.Once
 	fail := func(err error) {
 		res.setFailure(err)
 		failOnce.Do(q.abort)
 	}
-
 	// Failure monitor (paper §III: the coordinator monitors task health and
 	// fails queries whose tasks die): the first task error cancels the query.
-	for _, t := range created {
-		go func(t taskClient) {
-			<-t.Done()
-			if err := t.Wait(); err != nil {
-				fail(err)
-			}
-		}(t)
+	for _, g := range live {
+		g.Monitor(fail)
 	}
 	// The monitor publishes failures asynchronously; a consumer that sees
 	// the output stream complete (a failed task destroys its buffer, which
-	// looks like end-of-stream) re-checks every task's verdict here before
+	// looks like end-of-stream) re-checks every worker's verdict here before
 	// declaring success. At that point the tasks are finished or aborting,
 	// so the waits are short.
 	res.waitDone = func() error {
-		for _, t := range created {
-			if err := t.Wait(); err != nil {
-				return err
-			}
-		}
-		return nil
+		verdicts := make([]error, len(live))
+		eachWorker(len(live), remote, func(i int) { verdicts[i] = live[i].Wait() })
+		return firstError(verdicts)
 	}
 
-	// Split scheduling (§IV-D3): one enumerator per scan of each leaf stage;
-	// a failed enumeration fails the query.
-	for _, f := range dp.Fragments {
-		for scanID, scan := range exec.ScanOrder(f.Root) {
-			go func() {
-				if err := c.enumerateSplits(q, ledgers[f.ID], scanID, scan); err != nil {
-					fail(err)
-				}
-			}()
-		}
+	// Lazy split scheduling (§IV-D3): one enumerator per scan that was not in
+	// hand; a failed enumeration fails the query.
+	for _, enumerate := range lazy {
+		go func() {
+			if err := enumerate(); err != nil {
+				fail(err)
+			}
+		}()
 	}
 	return res, nil
+}
+
+// firstError returns the first failure of a walk over workers, nil when none.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // taskCounts decides how many tasks each fragment runs on nWorkers alive
@@ -264,18 +412,21 @@ func taskCounts(dp *plan.DistributedPlan, nWorkers, hashPartitions int) (counts,
 	return counts, outParts
 }
 
-// abortAndDrain aborts the given tasks and waits for each to finish, so
-// their drivers have exited and their memory reservations are released
-// before the caller fails or re-admits the query.
-func abortAndDrain(tasks []taskClient) {
-	for _, t := range tasks {
-		t.Abort()
-	}
-	for _, t := range tasks {
-		select {
-		case <-t.Done():
-		case <-time.After(10 * time.Second):
-			return // a wedged task; don't block the error path forever
+// abortAndDrain aborts the given groups, remote workers all at once, and waits for
+// their tasks to finish, so their drivers have exited and their memory
+// reservations are released before the caller fails or re-admits the query.
+// The whole drain, not each task, gets ten seconds: a wedged task must not
+// block the error path forever.
+func abortAndDrain(groups []taskGroup, remote bool) {
+	eachWorker(len(groups), remote, func(i int) { groups[i].Abort() })
+	wedged := time.After(10 * time.Second)
+	for _, g := range groups {
+		for _, t := range g.Tasks() {
+			select {
+			case <-t.Done():
+			case <-wedged:
+				return
+			}
 		}
 	}
 }
@@ -367,50 +518,43 @@ func outputNames(f *plan.Fragment) []string {
 	return names
 }
 
-// enumerateSplits lazily pulls split batches from the connector and assigns
-// them from the stage's ledger (see stageLedger.pick). Complete enumerations
-// are memoized in the coordinator metadata cache keyed by the table handle
-// (layout and pushed-down constraint included), so repeated scans of an
-// unchanged table skip the connector round-trips entirely.
-func (c *Coordinator) enumerateSplits(q *Query, stage *stageLedger, scanID int, scan *plan.Scan) error {
-	affinity := c.affinityFn(q, stage, scan)
-	assign := func(splits []connector.Split) error {
-		for _, s := range splits {
-			t := stage.tasks[stage.pick(s, affinity(s))]
-			q.splitsTotal.Add(1)
-			if err := t.AddSplit(scanID, s); err != nil {
-				return err
-			}
-		}
-		return nil
+// splitCacheKey names a scan's complete enumeration in the coordinator
+// metadata cache, "" when the query does not use it. Handle.String() leads
+// with catalog.table, so write invalidation by table-name prefix clears every
+// layout/constraint variant at once. The table's version, read before
+// enumerating, is part of the key: a write's invalidation and a reader
+// re-filling the cache are not ordered, so without it a reader that
+// enumerated before the write could leave the old row ranges for one that
+// runs after it. Unversioned connectors read 0 and stay TTL-bounded.
+func (c *Coordinator) splitCacheKey(q *Query, scan *plan.Scan) string {
+	if c.meta == nil || q.session.DisableCache {
+		return ""
 	}
-	noMore := func() error {
-		for _, t := range stage.tasks {
-			if err := t.NoMoreSplits(scanID); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	return fmt.Sprintf("splits/%s@%d", scan.Handle.String(),
+		c.Catalog.TableVersion(scan.Handle.Catalog, scan.Handle.Table))
+}
 
-	cacheKey := ""
-	if c.meta != nil && !q.session.DisableCache {
-		// Handle.String() leads with catalog.table, so write invalidation by
-		// table-name prefix clears every layout/constraint variant at once.
-		// The table's version, read before enumerating, is part of the key:
-		// a write's invalidation and a reader re-filling the cache are not
-		// ordered, so without it a reader that enumerated before the write
-		// could leave the old row ranges for one that runs after it.
-		// Unversioned connectors read 0 and stay TTL-bounded.
-		cacheKey = fmt.Sprintf("splits/%s@%d", scan.Handle.String(),
-			c.Catalog.TableVersion(scan.Handle.Catalog, scan.Handle.Table))
-		if v, ok := c.meta.Get(cacheKey); ok {
-			if err := assign(v.([]connector.Split)); err != nil {
-				return err
-			}
-			return noMore()
+// memoizedSplits returns the enumeration the metadata cache holds under key
+// (a splitCacheKey): repeated scans of an unchanged table skip the connector
+// round-trips, and their splits are in hand before their tasks are created.
+func (c *Coordinator) memoizedSplits(key string) ([]connector.Split, bool) {
+	if key != "" {
+		if v, ok := c.meta.Get(key); ok {
+			return v.([]connector.Split), true
 		}
 	}
+	return nil, false
+}
+
+// enumerateSplits lazily pulls split batches from the connector and assigns
+// them from the stage's ledger (see stageLedger.pick); a clean, complete
+// enumeration is memoized under cacheKey (the scan's splitCacheKey, read
+// before enumerating; "" memoizes nothing). It runs once the tasks exist,
+// first batch included: a connector call at placement would put a slow
+// metastore in front of every task's creation. The end of the enumeration is
+// flushed to every worker at once.
+func (c *Coordinator) enumerateSplits(q *Query, stage *stageLedger, scanID int, scan *plan.Scan, cacheKey string) error {
+	affinity := c.affinityFn(q, stage, scan)
 
 	conn, err := c.Catalog.Connector(scan.Handle.Catalog)
 	if err != nil {
@@ -431,11 +575,14 @@ func (c *Coordinator) enumerateSplits(q *Query, stage *stageLedger, scanID int, 
 			batch, err = src.NextBatch(c.cfg.SplitBatchSize)
 			return err
 		})
-		if err == nil {
-			err = assign(batch.Splits)
-		}
 		if err != nil {
 			return err
+		}
+		for _, s := range batch.Splits {
+			q.splitsTotal.Add(1)
+			if err := stage.tasks[stage.pick(s, affinity(s))].AddSplit(scanID, s); err != nil {
+				return err
+			}
 		}
 		if cacheKey != "" {
 			collected = append(collected, batch.Splits...)
@@ -448,7 +595,17 @@ func (c *Coordinator) enumerateSplits(q *Query, stage *stageLedger, scanID int, 
 	if cacheKey != "" {
 		c.meta.Put(cacheKey, collected)
 	}
-	return noMore()
+	for _, t := range stage.tasks {
+		if err := t.NoMoreSplits(scanID); err != nil {
+			return err
+		}
+	}
+	q.mu.Lock()
+	groups, remote := q.groups, q.remote
+	q.mu.Unlock()
+	errs := make([]error, len(groups))
+	eachWorker(len(errs), remote, func(i int) { errs[i] = groups[i].Flush() })
+	return firstError(errs)
 }
 
 // stageLedger is the coordinator's own account of one stage's split load
@@ -460,6 +617,8 @@ func (c *Coordinator) enumerateSplits(q *Query, stage *stageLedger, scanID int, 
 // statement lands the same way every time, which is what brings a repeated
 // scan back to the worker whose page cache holds it.
 type stageLedger struct {
+	// tasks are what split delivery addresses once they exist; the ledger
+	// picks by index from placement on.
 	tasks  []taskClient
 	nodes  []int          // worker node id by task index
 	racks  map[int]string // Config.Topology: node id → rack
@@ -469,12 +628,11 @@ type stageLedger struct {
 	assigned []int64 // weight by task index
 }
 
-func newStageLedger(tasks []taskClient, racks map[int]string) *stageLedger {
-	return &stageLedger{tasks: tasks, nodes: make([]int, len(tasks)), racks: racks,
-		assigned: make([]int64, len(tasks))}
+func newStageLedger(tasks int, racks map[int]string) *stageLedger {
+	return &stageLedger{nodes: make([]int, tasks), racks: racks, assigned: make([]int64, tasks)}
 }
 
-// placed records the worker task i was created on.
+// placed records the worker task i goes to.
 func (l *stageLedger) placed(i int, w workerClient) {
 	l.nodes[i] = w.NodeID()
 	l.cached = l.cached || w.CachesPages()
@@ -498,7 +656,7 @@ func (l *stageLedger) pick(s connector.Split, affinity string) int {
 
 func (l *stageLedger) chooseLocked(s connector.Split, affinity string, w int64) int {
 	if b, ok := s.(connector.Bucketed); ok {
-		return b.Bucket() % len(l.tasks)
+		return b.Bucket() % len(l.nodes)
 	}
 	for _, node := range s.PreferredNodes() {
 		if i := slices.Index(l.nodes, node); i >= 0 {
@@ -519,7 +677,7 @@ func (l *stageLedger) chooseLocked(s connector.Split, affinity string, w int64) 
 	// Soft cache affinity (§IV-D3): cache hits are worth a short wait, not
 	// a hotspot.
 	if affinity != "" {
-		pref := int(affinityHash(affinity) % uint32(len(l.tasks)))
+		pref := int(affinityHash(affinity) % uint32(len(l.nodes)))
 		if l.assigned[pref] <= l.assigned[lightest]+affinitySlack*w {
 			return pref
 		}

@@ -30,10 +30,13 @@ import (
 
 // fakeCluster records every task the scheduler creates.
 type fakeCluster struct {
-	mu          sync.Mutex
-	tasks       []*fakeTask // creation order
-	failCreate  int         // fail the k-th CreateTask (1-based; 0 = never)
-	noPageCache bool        // the workers report no page cache
+	mu    sync.Mutex
+	tasks []*fakeTask // creation order, which across workers is any order
+	calls int         // CreateTasks calls
+	// failNode's batch is refused after failAfter of its tasks were created
+	// (failNode 0 = never: node ids start at 10).
+	failNode, failAfter int
+	noPageCache         bool // the workers report no page cache
 }
 
 type fakeWorker struct {
@@ -44,16 +47,31 @@ type fakeWorker struct {
 func (w *fakeWorker) NodeID() int       { return w.node }
 func (w *fakeWorker) CachesPages() bool { return !w.cl.noPageCache }
 
-func (w *fakeWorker) CreateTask(spec taskSpec) (taskClient, error) {
+// Remote: the fakes are walked the way HTTP workers are, all at once.
+func (w *fakeWorker) Remote() bool { return true }
+
+// CreateTasks is the in-process loop over fake tasks: a group of them is a
+// localGroup, so what the scheduler says to a worker reaches each task.
+func (w *fakeWorker) CreateTasks(specs []*taskSpec) (taskGroup, error) {
 	w.cl.mu.Lock()
-	defer w.cl.mu.Unlock()
-	if w.cl.failCreate == len(w.cl.tasks)+1 {
-		return nil, errors.New("fake: create refused")
+	w.cl.calls++
+	w.cl.mu.Unlock()
+	g := &localGroup{}
+	for i, spec := range specs {
+		if w.node == w.cl.failNode && i == w.cl.failAfter {
+			abortAndDrain([]taskGroup{g}, false)
+			return nil, errors.New("fake: create refused")
+		}
+		t := &fakeTask{spec: spec, node: w.node, splits: map[int][]connector.Split{},
+			noMore: map[int]int{}, filters: map[int]*dynfilter.Summary{}, done: make(chan struct{})}
+		w.cl.mu.Lock()
+		w.cl.tasks = append(w.cl.tasks, t)
+		w.cl.mu.Unlock()
+		if err := g.add(t, spec); err != nil {
+			return nil, err
+		}
 	}
-	t := &fakeTask{spec: spec, node: w.node, splits: map[int][]connector.Split{},
-		noMore: map[int]int{}, filters: map[int]*dynfilter.Summary{}, done: make(chan struct{})}
-	w.cl.tasks = append(w.cl.tasks, t)
-	return t, nil
+	return g, nil
 }
 
 func (cl *fakeCluster) workers(n int) []workerClient {
@@ -74,11 +92,12 @@ func (cl *fakeCluster) stage(fragment int) []*fakeTask {
 			out = append(out, t)
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].spec.ID.Index < out[j].spec.ID.Index })
 	return out
 }
 
 type fakeTask struct {
-	spec taskSpec
+	spec *taskSpec
 	node int
 
 	mu       sync.Mutex
@@ -368,12 +387,15 @@ func TestSchedulerPlacementAndWiring(t *testing.T) {
 						t.Fatalf("%s: fragment %d reads %d tasks of fragment %d, want %d", sql, fr.ID, len(got), pid, len(want))
 					}
 					for j := range want {
-						if got[j] != taskClient(want[j]) {
+						if got[j].client != taskClient(want[j]) || got[j].ID != want[j].spec.ID || got[j].Worker.NodeID() != want[j].node {
 							t.Errorf("%s: fragment %d source %d/%d is not that stage's task %d", sql, fr.ID, pid, j, j)
 						}
 					}
 				}
 			}
+		}
+		if f.cl.calls != nWorkers {
+			t.Errorf("%s: %d CreateTasks calls on %d workers, want one each", sql, f.cl.calls, nWorkers)
 		}
 		q.abort()
 	}
@@ -493,9 +515,9 @@ func TestSchedulerSplitDelivery(t *testing.T) {
 
 // newTestLedger is a stage of n tasks on nodes 10, 11, ... with pages cached.
 func newTestLedger(n int, racks map[int]string) *stageLedger {
-	l := newStageLedger(make([]taskClient, n), racks)
+	l := newStageLedger(n, racks)
 	cl := &fakeCluster{}
-	for i := range l.tasks {
+	for i := range l.nodes {
 		l.placed(i, &fakeWorker{cl: cl, node: 10 + i})
 	}
 	return l
@@ -655,17 +677,32 @@ func TestNoAffinityWithoutPageCache(t *testing.T) {
 	}
 }
 
-// TestSchedulerCreateFailureAbortsAndDrains: a create failure on the k-th
-// task aborts and drains the k−1 already created.
+// TestSchedulerCreateFailureAbortsAndDrains: a create batch that fails on one
+// worker, part-way through, aborts and drains what it created and what the
+// other workers — called at the same time — created in full.
 func TestSchedulerCreateFailureAbortsAndDrains(t *testing.T) {
 	f := newSchedFixture(t, Config{})
-	f.cl.failCreate = 5
-	_, _, res, err := f.schedule(t, conformanceQueries[2], 3)
-	if err == nil || res != nil || !strings.Contains(err.Error(), "create refused") {
-		t.Fatalf("schedule = (%v, %v), want the create failure", res, err)
+	f.cl.failNode, f.cl.failAfter = 11, 2
+	dp, _, res, err := f.schedule(t, conformanceQueries[2], 3)
+	if err == nil || res != nil || !strings.Contains(err.Error(), "create refused") || !strings.Contains(err.Error(), "worker 11") {
+		t.Fatalf("schedule = (%v, %v), want worker 11's create failure", res, err)
 	}
-	if len(f.cl.tasks) != 4 {
-		t.Fatalf("%d tasks created before the failing fifth, want 4", len(f.cl.tasks))
+	counts, _ := taskCounts(dp, 3, 0)
+	placedElsewhere, singles := 0, 0
+	for _, fr := range dp.Fragments {
+		for i := 0; i < counts[fr.ID]; i++ {
+			on := i % 3
+			if partitioningOf(fr, dp) == plan.PartitionSingle {
+				on = singles % 3
+				singles++
+			}
+			if on != 1 {
+				placedElsewhere++
+			}
+		}
+	}
+	if len(f.cl.tasks) != placedElsewhere+2 {
+		t.Fatalf("%d tasks created, want the other workers' %d and the failing batch's first 2", len(f.cl.tasks), placedElsewhere)
 	}
 	for i, task := range f.cl.tasks {
 		task.mu.Lock()

@@ -94,7 +94,7 @@ func (c *Coordinator) QueryStats(id string) (QueryStats, bool) {
 
 	q.mu.Lock()
 	info := q.Info
-	tasks := append([]taskClient{}, q.tasks...)
+	tasks := q.tasks
 	qmem := q.qmem
 	result := q.result
 	q.mu.Unlock()
@@ -167,6 +167,13 @@ func (c *Coordinator) QueryStats(id string) (QueryStats, bool) {
 // total time spent gated waiting for filters.
 func (c *Coordinator) DynFilterTotals() (rowsFiltered, splitsSkipped, waitNanos int64) {
 	return c.dynRowsFiltered.Load(), c.dynSplitsSkipped.Load(), c.dynWaitNanos.Load()
+}
+
+// ControlPlaneTotals reports what distributed mode's control plane did across
+// all queries: dynamic-filter summaries that arrived from workers' status
+// channels, unions a worker acknowledged, and query DELETEs that failed.
+func (c *Coordinator) ControlPlaneTotals() (publications, deliveries, deleteFailures int64) {
+	return c.dynPublications.Load(), c.dynDeliveries.Load(), c.deleteFailures.Load()
 }
 
 // VecProjTotals reports the cumulative vectorized-projection counters

@@ -383,6 +383,9 @@ func (s *Summary) reserve(keys int) {
 	}
 }
 
+// HasExact reports whether the summary still carries its exact key set.
+func (s *Summary) HasExact() bool { return s.exact != nil || s.Strs != nil }
+
 // ExactLen is the size of the exact key set, 0 when there is none.
 func (s *Summary) ExactLen() int {
 	if s.exact != nil {

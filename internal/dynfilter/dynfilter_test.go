@@ -195,42 +195,6 @@ func TestSummaryMergeExactOverflowWins(t *testing.T) {
 	}
 }
 
-func TestFromPartsRoundTripAndValidation(t *testing.T) {
-	s := NewSummary(types.Double)
-	s.AddDouble(1.5, DefaultMaxSet)
-	s.AddDouble(-3.0, DefaultMaxSet)
-	got, err := FromParts(s.T, s.Disabled, s.Rows, s.HasExact(), s.ExactCells(), s.ExactStrs(),
-		s.Bloom, s.HasBounds, s.BoundsPoisoned, s.Min, s.Max)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []float64{1.5, -3.0} {
-		if !got.MatchDouble(f) {
-			t.Errorf("round-tripped summary missing %v", f)
-		}
-	}
-	if got.MatchDouble(2.5) {
-		t.Error("round-tripped summary matched an absent key")
-	}
-	if !got.MatchLong(-3) {
-		t.Error("round-trip lost double==int normalization")
-	}
-
-	if _, err := FromParts(types.Bigint, false, 1, false, nil, nil,
-		[]uint64{1, 2, 3}, false, false, types.Value{}, types.Value{}); err == nil {
-		t.Error("short bloom accepted")
-	}
-	if _, err := FromParts(types.Bigint, false, 1, true, [][2]uint64{{999, 0}}, nil,
-		make([]uint64, BloomBits/64), false, false, types.Value{}, types.Value{}); err == nil {
-		t.Error("out-of-range cell tag accepted")
-	}
-	// A disabled summary decodes without a bloom (nothing else matters).
-	d, err := FromParts(types.Bigint, true, 0, false, nil, nil, nil, false, false, types.Value{}, types.Value{})
-	if err != nil || !d.Disabled {
-		t.Errorf("disabled summary round-trip: %v disabled=%v", err, d != nil && d.Disabled)
-	}
-}
-
 // collect runs a Collector over the distinct keys of one bigint key column.
 func collect(c *Collector, rows int64, keys []int64) {
 	p := block.NewPage(block.NewLongBlock(keys, nil))

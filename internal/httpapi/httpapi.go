@@ -277,7 +277,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// carries its worker label.
 	if reg := s.Coord.Registry(); reg != nil {
 		for _, rw := range reg.Alive() {
-			resp, err := http.Get(rw.URI + "/v1/worker/metrics")
+			resp, err := shuffle.ClusterClient().Get(rw.URI + "/v1/worker/metrics")
 			if err != nil {
 				metrics.PromGauge(w, "presto_worker_scrape_failed",
 					map[string]string{"worker": fmt.Sprintf("%d", rw.ID)}, 1)
@@ -293,6 +293,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metrics.PromGauge(w, "presto_metadata_cache_invalidations_total", nil, float64(ms.Invalidations))
 	metrics.PromGauge(w, "presto_metadata_cache_entries", nil, float64(ms.Entries))
 	metrics.PromGauge(w, "presto_queries_running", nil, float64(s.Coord.RunningQueries()))
+	// Distributed mode's control plane, seen from here: summaries that came
+	// up workers' status channels, unions a worker acknowledged, DELETEs that
+	// never got through (the workers count the requests they served, by
+	// class, in the lines proxied above).
+	pubs, deliveries, lostDeletes := s.Coord.ControlPlaneTotals()
+	metrics.PromGauge(w, "presto_dynfilter_remote_publications_total", nil, float64(pubs))
+	metrics.PromGauge(w, "presto_dynfilter_remote_deliveries_total", nil, float64(deliveries))
+	metrics.PromGauge(w, "presto_task_api_delete_failures_total", nil, float64(lostDeletes))
 	dynRows, dynSplits, dynWait := s.Coord.DynFilterTotals()
 	metrics.PromGauge(w, "presto_dynamic_filter_rows_skipped_total", nil, float64(dynRows))
 	metrics.PromGauge(w, "presto_dynamic_filter_splits_skipped_total", nil, float64(dynSplits))

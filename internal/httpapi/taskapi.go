@@ -4,38 +4,55 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/block"
 	"repro/internal/connector"
+	"repro/internal/dynfilter"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/memory"
 	"repro/internal/metrics"
+	"repro/internal/plan"
 	"repro/internal/shuffle"
 	"repro/internal/wire"
 )
 
 // WorkerServer serves the coordinator-to-worker task API on one worker
 // process (paper §III: the coordinator distributes serialized fragments to
-// workers, which pull shuffle data from each other over HTTP):
+// workers, which pull shuffle data from each other over HTTP). The unit of
+// control is the query, not the task — a statement costs a worker one create,
+// one status channel and one delete however many tasks it runs here:
 //
-//	POST   /v1/task                                  create a task (idempotent)
-//	POST   /v1/task/{id}/splits                      deliver a split batch
-//	GET    /v1/task/{id}                             task status
-//	GET    /v1/task/{id}/results/{partition}/{token} long-poll result fetch
-//	DELETE /v1/task/{id}                             abort and forget the task
-//	GET    /v1/worker/metrics                        this worker's gauges
+//	POST   /v1/query/{qid}/tasks    create the query's tasks placed here, splits in hand included
+//	POST   /v1/query/{qid}/splits   split batches of lazy enumerations, by (task, scan, seq)
+//	GET    /v1/query/{qid}/status   long-poll for the events from ?version=N on
+//	POST   /v1/query/{qid}/filters  completed dynamic-filter unions, by fragment
+//	DELETE /v1/query/{qid}          abort and forget the query's tasks
+//	GET    /v1/task/{id}/results/{partition}/{token}  long-poll result fetch
+//	GET    /v1/worker/metrics       this worker's gauges
+//
+// Workers hear of a query concurrently and consumers name their producers by
+// URI, so a results fetch may precede the task it names: it waits for it
+// inside its own long-poll window instead of 404-ing into the fetcher's
+// back-off, and a deleted query's id is remembered for goneTTL so a fetch that
+// is merely late is told so. A status version counts the query's events here —
+// a task ended, a task published filter summaries — in an append-only log, so
+// asking for version N again serves the same events again. That makes every
+// request safe to retry: creates by task id, splits by sequence number,
+// filters by id, status by version, and a delete is a delete.
 //
 // The server keeps its own task map because exec.Worker reaps finished
-// tasks: consumers must still be able to fetch buffered results and status
-// after the task completes, until the coordinator deletes it.
+// tasks: consumers must still be able to fetch buffered results after the
+// task completes, until the coordinator deletes the query.
 type WorkerServer struct {
 	Worker   *exec.Worker
 	Registry exec.ConnectorRegistry
@@ -43,12 +60,52 @@ type WorkerServer struct {
 	Limits memory.QueryLimits
 	// Inject threads transport faults into result responses (nil = off).
 	Inject *faultinject.Injector
-	// Client is used for fetches from upstream workers (nil = default).
+	// Client is used for fetches from upstream workers (nil = the shared
+	// cluster client).
 	Client *http.Client
 
-	mu      sync.Mutex
+	mu      sync.Mutex // guards the maps and every remoteQuery
 	tasks   map[string]*remoteTask
-	queries map[string]*queryMem
+	queries map[string]*remoteQuery
+	gone    map[string]time.Time // deleted query ids, by when
+	// wake is closed and replaced when a long-poll may have its answer: a task
+	// was registered, an urgent event logged, a query deleted.
+	wake chan struct{}
+
+	requests [len(requestClasses)]atomic.Int64
+	// Dynamic-filter summaries logged for the coordinator, and unions it sent.
+	relayed, delivered atomic.Int64
+}
+
+// requestClasses label presto_task_api_requests_total.
+var requestClasses = [...]string{"create", "splits", "status", "filters", "delete", "results"}
+
+const (
+	classCreate = iota
+	classSplits
+	classStatus
+	classFilters
+	classDelete
+	classResults
+)
+
+// goneTTL is how long a deleted query's id is remembered.
+const goneTTL = time.Minute
+
+// remoteQuery is one query's presence on this worker: its tasks, their
+// shared memory context, and the event log its status channel serves.
+type remoteQuery struct {
+	id   string
+	qmem *memory.QueryContext
+	// creating is held while a create batch is applied, so a replayed batch
+	// finds every task the first one registered.
+	creating sync.Mutex
+
+	tasks   []*remoteTask
+	running int // tasks not yet ended; the memory context closes at zero
+	events  []wire.StatusEvent
+	urgent  int // the log's length at its last urgent event (see recordLocked)
+	deleted bool
 }
 
 // remoteTask is one task created over HTTP plus its delivery state.
@@ -62,34 +119,22 @@ type remoteTask struct {
 	nextSeq map[int]int64
 }
 
-// queryMem refcounts one query's memory context across its tasks on this
-// worker, mirroring the coordinator's per-query context in embedded mode.
-type queryMem struct {
-	qmem *memory.QueryContext
-	refs int
-}
-
 // NewWorkerServer wraps a worker for the task API.
 func NewWorkerServer(w *exec.Worker, reg exec.ConnectorRegistry) *WorkerServer {
-	return &WorkerServer{
-		Worker:   w,
-		Registry: reg,
-		tasks:    map[string]*remoteTask{},
-		queries:  map[string]*queryMem{},
-	}
+	return &WorkerServer{Worker: w, Registry: reg, tasks: map[string]*remoteTask{},
+		queries: map[string]*remoteQuery{}, gone: map[string]time.Time{}, wake: make(chan struct{})}
 }
 
 // Handler returns the worker API routes, with transport fault injection
 // interposed when configured.
 func (s *WorkerServer) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/task", s.handleCreateTask)
-	mux.HandleFunc("POST /v1/task/{id}/splits", s.handleSplits)
-	mux.HandleFunc("POST /v1/task/{id}/filters", s.handleDeliverFilters)
-	mux.HandleFunc("GET /v1/task/{id}", s.handleTaskStatus)
-	mux.HandleFunc("GET /v1/task/{id}/filter/{fid}", s.handleFetchFilter)
+	mux.HandleFunc("POST /v1/query/{qid}/tasks", s.handleCreateTasks)
+	mux.HandleFunc("POST /v1/query/{qid}/splits", s.handleSplits)
+	mux.HandleFunc("GET /v1/query/{qid}/status", s.handleStatus)
+	mux.HandleFunc("POST /v1/query/{qid}/filters", s.handleFilters)
+	mux.HandleFunc("DELETE /v1/query/{qid}", s.handleDeleteQuery)
 	mux.HandleFunc("GET /v1/task/{id}/results/{partition}/{token}", s.handleResults)
-	mux.HandleFunc("DELETE /v1/task/{id}", s.handleDeleteTask)
 	mux.HandleFunc("GET /v1/worker/metrics", s.handleWorkerMetrics)
 	return faultinject.WrapHTTPHandler(s.Inject, mux)
 }
@@ -97,14 +142,13 @@ func (s *WorkerServer) Handler() http.Handler {
 // Close aborts every live task (used by tests and worker shutdown).
 func (s *WorkerServer) Close() {
 	s.mu.Lock()
-	ts := make([]*remoteTask, 0, len(s.tasks))
-	for _, t := range s.tasks {
-		ts = append(ts, t)
+	qids := make([]string, 0, len(s.queries))
+	for qid := range s.queries {
+		qids = append(qids, qid)
 	}
-	s.tasks = map[string]*remoteTask{}
 	s.mu.Unlock()
-	for _, t := range ts {
-		t.task.Abort()
+	for _, qid := range qids {
+		s.deleteQuery(qid)
 	}
 }
 
@@ -119,239 +163,327 @@ func (s *WorkerServer) TaskIDs() []string {
 	return ids
 }
 
-func (s *WorkerServer) handleCreateTask(w http.ResponseWriter, r *http.Request) {
-	defer r.Body.Close()
-	var spec wire.TaskSpec
-	if err := json.NewDecoder(io.LimitReader(r.Body, 32<<20)).Decode(&spec); err != nil {
-		http.Error(w, "decode task spec: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	id := exec.TaskID{QueryID: spec.QueryID, Fragment: spec.Fragment, Index: spec.Index}
-	key := id.String()
-
+// TaskStats snapshots the tasks the server still holds (for tests: a remote
+// task's operator counters never leave its worker).
+func (s *WorkerServer) TaskStats() []exec.TaskStats {
 	s.mu.Lock()
-	if rt, ok := s.tasks[key]; ok {
-		// Idempotent create: a retried POST finds the original task.
-		s.mu.Unlock()
-		writeJSON(w, s.statusOf(rt))
-		return
+	defer s.mu.Unlock()
+	stats := make([]exec.TaskStats, 0, len(s.tasks))
+	for _, rt := range s.tasks {
+		stats = append(stats, rt.task.Stats())
 	}
-	s.mu.Unlock()
+	return stats
+}
 
-	frag, err := wire.UnmarshalFragment(spec.Frag)
-	if err != nil {
-		http.Error(w, "decode fragment: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	sources := map[int][]shuffle.Fetcher{}
-	for _, src := range spec.Sources {
-		for _, uri := range src.URIs {
-			sources[src.Fragment] = append(sources[src.Fragment],
-				&shuffle.HTTPFetcher{Client: s.Client, URL: uri})
+// wakeLocked answers the long-polls; each re-checks what it was waiting for.
+func (s *WorkerServer) wakeLocked() {
+	close(s.wake)
+	s.wake = make(chan struct{})
+}
+
+// awaitLocked returns once ready reports true or wait has passed, whichever
+// is first; s.mu is released while it waits.
+func (s *WorkerServer) awaitLocked(wait time.Duration, ready func() bool) {
+	timeout := time.NewTimer(wait)
+	defer timeout.Stop()
+	for expired := false; !expired && !ready(); s.mu.Lock() {
+		wake := s.wake
+		s.mu.Unlock()
+		select {
+		case <-wake:
+		case <-timeout.C:
+			expired = true
 		}
 	}
-	cfg := spec.Config.Decode()
+}
+
+// decodeBody reads a request's JSON body into v, answering 400 when it is not.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	defer r.Body.Close()
+	if err := json.NewDecoder(io.LimitReader(r.Body, 32<<20)).Decode(v); err != nil {
+		http.Error(w, "decode "+r.URL.Path+": "+err.Error(), http.StatusBadRequest)
+		return false
+	}
+	return true
+}
+
+// handleCreateTasks creates the batch's tasks in order, handing each the
+// splits that came with it before the next is built: a scan is reading while
+// its consumers are still being compiled. A task the query already has is
+// not created again — a retried POST finds the originals — and its splits
+// are sequence 0, which it has seen. Nothing is rolled back on error: the
+// coordinator deletes a query whose create failed.
+func (s *WorkerServer) handleCreateTasks(w http.ResponseWriter, r *http.Request) {
+	s.requests[classCreate].Add(1)
+	var req wire.CreateRequest
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	qid := r.PathValue("qid")
+	s.mu.Lock()
+	rq := s.queries[qid]
+	if rq == nil {
+		rq = &remoteQuery{id: qid, qmem: memory.NewQueryContext(qid, s.Limits,
+			map[int]*memory.NodePool{s.Worker.ID: s.Worker.Pool})}
+		s.queries[qid] = rq
+		delete(s.gone, qid) // a re-admitted query schedules under its old id
+	}
+	s.mu.Unlock()
+	rq.creating.Lock()
+	defer rq.creating.Unlock()
+
+	frags := map[int]*plan.Fragment{}
+	for _, raw := range req.Fragments {
+		f, err := wire.UnmarshalFragment(raw)
+		if err != nil {
+			http.Error(w, "decode fragment: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		frags[f.ID] = f
+	}
+	cfg := req.Config.Decode()
 	// The injector never travels on the wire; thread this worker's own into
 	// the task so exec-level fault seams (morsel open, filter publish) fire
 	// for remote tasks too.
 	cfg.Inject = s.Inject
-
-	s.mu.Lock()
-	if rt, ok := s.tasks[key]; ok { // lost a concurrent create race
-		s.mu.Unlock()
-		writeJSON(w, s.statusOf(rt))
-		return
+	splits := map[exec.TaskID][]wire.SplitEntry{}
+	for _, e := range req.Splits {
+		id := exec.TaskID{QueryID: qid, Fragment: e.Fragment, Index: e.Index}
+		splits[id] = append(splits[id], e)
 	}
-	qm, ok := s.queries[spec.QueryID]
-	if !ok {
-		qm = &queryMem{qmem: memory.NewQueryContext(spec.QueryID, s.Limits,
-			map[int]*memory.NodePool{s.Worker.ID: s.Worker.Pool})}
-		s.queries[spec.QueryID] = qm
-	}
-	qm.refs++
-	s.mu.Unlock()
-
-	t, err := s.Worker.CreateTask(id, frag, qm.qmem, spec.OutPartitions, sources, &cfg)
-	if err != nil {
-		s.releaseQuery(spec.QueryID)
-		http.Error(w, "create task: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	rt := &remoteTask{id: id, task: t, nextSeq: map[int]int64{}}
-	s.mu.Lock()
-	s.tasks[key] = rt
-	s.mu.Unlock()
-	go func() {
-		<-t.Done()
-		s.releaseQuery(spec.QueryID)
-	}()
-	writeJSON(w, s.statusOf(rt))
-}
-
-// releaseQuery drops one task's reference on a query memory context,
-// closing the context when the last task on this worker finishes.
-func (s *WorkerServer) releaseQuery(queryID string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	qm, ok := s.queries[queryID]
-	if !ok {
-		return
-	}
-	qm.refs--
-	if qm.refs <= 0 {
-		qm.qmem.Close()
-		delete(s.queries, queryID)
-	}
-}
-
-func (s *WorkerServer) lookupTask(w http.ResponseWriter, r *http.Request) (*remoteTask, bool) {
-	key := r.PathValue("id")
-	s.mu.Lock()
-	rt, ok := s.tasks[key]
-	s.mu.Unlock()
-	if !ok {
-		http.Error(w, "unknown task "+key, http.StatusNotFound)
-		return nil, false
-	}
-	return rt, true
-}
-
-func (s *WorkerServer) handleSplits(w http.ResponseWriter, r *http.Request) {
-	defer r.Body.Close()
-	rt, ok := s.lookupTask(w, r)
-	if !ok {
-		return
-	}
-	var req wire.SplitRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 32<<20)).Decode(&req); err != nil {
-		http.Error(w, "decode splits: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	next := rt.nextSeq[req.Scan]
-	switch {
-	case req.Seq < next:
-		// Replay of an applied batch: acknowledge without reapplying.
-		w.WriteHeader(http.StatusOK)
-		return
-	case req.Seq > next:
-		// The coordinator sends batches in order over retried POSTs; a gap
-		// means the caller is confused, not a transport artifact.
-		http.Error(w, fmt.Sprintf("split batch out of order: got seq %d, want %d", req.Seq, next),
-			http.StatusConflict)
-		return
-	}
-	for _, sd := range req.Splits {
-		conn, err := s.Registry.Connector(sd.Catalog)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+	for _, spec := range req.Tasks {
+		id := exec.TaskID{QueryID: qid, Fragment: spec.Fragment, Index: spec.Index}
+		if s.task(id) == nil && !s.createTask(w, rq, id, spec, frags[spec.Fragment], &cfg) {
 			return
 		}
-		codec, ok := conn.(connector.SplitCodec)
-		if !ok {
-			http.Error(w, fmt.Sprintf("catalog %q cannot decode remote splits", sd.Catalog),
-				http.StatusBadRequest)
-			return
-		}
-		sp, err := codec.DecodeSplit(sd.Data)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := rt.task.AddSplit(req.Scan, sp); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+		if !s.applySplits(w, qid, splits[id]) {
 			return
 		}
 	}
-	if req.NoMore {
-		rt.task.NoMoreSplits(req.Scan)
-	}
-	rt.nextSeq[req.Scan] = req.Seq + 1
 	w.WriteHeader(http.StatusOK)
 }
 
-func (s *WorkerServer) statusOf(rt *remoteTask) wire.TaskStatus {
-	st := wire.TaskStatus{ID: rt.id.String(), State: "running", CPUNanos: rt.task.CPUNanos()}
-	if pub := rt.task.PublishedFilters(); len(pub) > 0 {
-		st.FiltersReady = make([]int, 0, len(pub))
-		for id := range pub {
-			st.FiltersReady = append(st.FiltersReady, id)
-		}
-		sort.Ints(st.FiltersReady)
+// createTask starts one task of a batch and registers it; a failure is
+// answered on w and reported as false.
+func (s *WorkerServer) createTask(w http.ResponseWriter, rq *remoteQuery, id exec.TaskID,
+	spec wire.TaskSpec, frag *plan.Fragment, cfg *exec.TaskConfig) bool {
+	if frag == nil {
+		http.Error(w, fmt.Sprintf("task %s: fragment not in the batch", id), http.StatusBadRequest)
+		return false
 	}
-	select {
-	case <-rt.task.Done():
-		if err := rt.task.Err(); err != nil {
-			st.State = "failed"
-			st.Error = err.Error()
-			st.Transient = faultinject.IsTransient(err)
-		} else {
-			st.State = "finished"
-		}
-	default:
-		// A failing task can carry an error before Done closes; surface it
-		// early so the coordinator aborts without waiting for wind-down.
-		if err := rt.task.Err(); err != nil {
-			st.State = "failed"
-			st.Error = err.Error()
-			st.Transient = faultinject.IsTransient(err)
+	sources := map[int][]shuffle.Fetcher{}
+	for _, src := range spec.Sources {
+		for _, uri := range src.URIs {
+			sources[src.Fragment] = append(sources[src.Fragment], &shuffle.HTTPFetcher{Client: s.Client, URL: uri})
 		}
 	}
-	return st
-}
-
-func (s *WorkerServer) handleTaskStatus(w http.ResponseWriter, r *http.Request) {
-	rt, ok := s.lookupTask(w, r)
-	if !ok {
-		return
-	}
-	writeJSON(w, s.statusOf(rt))
-}
-
-// handleFetchFilter serves one published dynamic-filter summary (the
-// coordinator pulls each summary announced in TaskStatus.FiltersReady once,
-// merges them across the build fragment's tasks, and pushes the union to
-// every task of the query).
-func (s *WorkerServer) handleFetchFilter(w http.ResponseWriter, r *http.Request) {
-	rt, ok := s.lookupTask(w, r)
-	if !ok {
-		return
-	}
-	fid, err := strconv.Atoi(r.PathValue("fid"))
+	t, err := s.Worker.CreateTask(id, frag, rq.qmem, spec.OutPartitions, sources, cfg)
 	if err != nil {
-		http.Error(w, "bad filter id", http.StatusBadRequest)
-		return
+		http.Error(w, "create task: "+err.Error(), http.StatusInternalServerError)
+		return false
 	}
-	sum, ok := rt.task.PublishedFilters()[fid]
-	if !ok {
-		http.Error(w, fmt.Sprintf("filter %d not published", fid), http.StatusNotFound)
-		return
+	rt := &remoteTask{id: id, task: t, nextSeq: map[int]int64{}}
+	// The task's own scans get its summaries at once (what a task without
+	// a publisher does); the coordinator hears, in the status channel, of
+	// those another fragment subscribes to.
+	relay := spec.Relay // all the publisher, which lives as long as the task, keeps of spec
+	t.SetFilterPublisher(func(ids []int, sums []*dynfilter.Summary) {
+		s.published(rq, rt, relay, ids, sums)
+		for i, fid := range ids {
+			t.DeliverFilter(fid, sums[i])
+		}
+	})
+	s.mu.Lock()
+	if rq.deleted {
+		s.mu.Unlock()
+		t.Abort()
+		http.Error(w, "query "+rq.id+" was deleted", http.StatusNotFound)
+		return false
 	}
-	writeJSON(w, wire.EncodeFilterSummary(sum))
+	rq.tasks, rq.running = append(rq.tasks, rt), rq.running+1
+	s.tasks[id.String()] = rt
+	s.wakeLocked() // a fetch may be waiting for this task
+	s.mu.Unlock()
+	go func() {
+		<-t.Done()
+		s.ended(rq, rt)
+	}()
+	return true
 }
 
-// handleDeliverFilters accepts merged dynamic-filter summaries for this
-// task's probe scans. Delivery is idempotent and safe at any point in the
-// task lifecycle.
-func (s *WorkerServer) handleDeliverFilters(w http.ResponseWriter, r *http.Request) {
-	defer r.Body.Close()
-	rt, ok := s.lookupTask(w, r)
-	if !ok {
-		return
+func (s *WorkerServer) task(id exec.TaskID) *remoteTask {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.tasks[id.String()]
+}
+
+// recordLocked appends one event to the query's log. An urgent one —
+// something the coordinator acts on — answers the status long-poll now; the
+// others ride with the next answer.
+func (s *WorkerServer) recordLocked(rq *remoteQuery, ev wire.StatusEvent, urgent bool) {
+	if rq.events = append(rq.events, ev); urgent {
+		rq.urgent = len(rq.events)
+		s.wakeLocked()
 	}
-	var req wire.FilterRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 32<<20)).Decode(&req); err != nil {
-		http.Error(w, "decode filters: "+err.Error(), http.StatusBadRequest)
-		return
+}
+
+// published logs those of a task's dynamic-filter summaries that are to be
+// relayed, each encoded once.
+func (s *WorkerServer) published(rq *remoteQuery, rt *remoteTask, relay, ids []int, sums []*dynfilter.Summary) {
+	ev := wire.StatusEvent{Fragment: rt.id.Fragment, Index: rt.id.Index}
+	for i, id := range ids {
+		if slices.Contains(relay, id) {
+			ev.FilterIDs, ev.Filters = append(ev.FilterIDs, id), append(ev.Filters, dynfilter.AppendSummary(nil, sums[i]))
+		}
 	}
-	for _, fe := range req.Filters {
-		sum, err := fe.Summary.Decode()
+	if len(ev.FilterIDs) > 0 {
+		s.relayed.Add(int64(len(ev.FilterIDs)))
+		s.mu.Lock()
+		s.recordLocked(rq, ev, true)
+		s.mu.Unlock()
+	}
+}
+
+// ended logs a task's verdict. A failure is news at once; a clean end is
+// news when it is the query's last here — until then nobody acts on it, and
+// the coordinator's end-of-stream check asks without waiting.
+func (s *WorkerServer) ended(rq *remoteQuery, rt *remoteTask) {
+	ev := wire.StatusEvent{Fragment: rt.id.Fragment, Index: rt.id.Index, State: "finished", CPUNanos: rt.task.CPUNanos()}
+	if err := rt.task.Err(); err != nil {
+		ev.State, ev.Error, ev.Transient = "failed", err.Error(), faultinject.IsTransient(err)
+	}
+	s.mu.Lock()
+	rq.running--
+	last := rq.running == 0
+	s.recordLocked(rq, ev, last || ev.State == "failed")
+	s.mu.Unlock()
+	if last {
+		rq.qmem.Close()
+	}
+}
+
+func (s *WorkerServer) handleSplits(w http.ResponseWriter, r *http.Request) {
+	s.requests[classSplits].Add(1)
+	var req wire.SplitsRequest
+	if decodeBody(w, r, &req) && s.applySplits(w, r.PathValue("qid"), req.Entries) {
+		w.WriteHeader(http.StatusOK)
+	}
+}
+
+// applySplits applies each entry whose sequence number is its scan's next; a
+// failure is answered on w and reported as false.
+func (s *WorkerServer) applySplits(w http.ResponseWriter, qid string, entries []wire.SplitEntry) bool {
+	for _, e := range entries {
+		id := exec.TaskID{QueryID: qid, Fragment: e.Fragment, Index: e.Index}
+		rt := s.task(id)
+		if rt == nil {
+			http.Error(w, fmt.Sprintf("splits for unknown task %s", id), http.StatusNotFound)
+			return false
+		}
+		if status, err := s.applyEntry(rt, e); err != nil {
+			http.Error(w, err.Error(), status)
+			return false
+		}
+	}
+	return true
+}
+
+func (s *WorkerServer) applyEntry(rt *remoteTask, e wire.SplitEntry) (int, error) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	switch next := rt.nextSeq[e.Scan]; {
+	case e.Seq < next:
+		return 0, nil // replay of an applied batch: acknowledge without reapplying
+	case e.Seq > next:
+		// The coordinator sends a scan's batches in order over retried POSTs;
+		// a gap means the caller is confused, not a transport artifact.
+		return http.StatusConflict, fmt.Errorf("split batch out of order: got seq %d, want %d", e.Seq, next)
+	}
+	for _, sd := range e.Splits {
+		conn, err := s.Registry.Connector(sd.Catalog)
 		if err != nil {
-			http.Error(w, fmt.Sprintf("filter %d: %v", fe.ID, err), http.StatusBadRequest)
+			return http.StatusBadRequest, err
+		}
+		codec, ok := conn.(connector.SplitCodec)
+		if !ok {
+			return http.StatusBadRequest, fmt.Errorf("catalog %q cannot decode remote splits", sd.Catalog)
+		}
+		sp, err := codec.DecodeSplit(sd.Data)
+		if err != nil {
+			return http.StatusBadRequest, err
+		}
+		if err := rt.task.AddSplit(e.Scan, sp); err != nil {
+			return http.StatusInternalServerError, err
+		}
+	}
+	if e.NoMore {
+		rt.task.NoMoreSplits(e.Scan)
+	}
+	rt.nextSeq[e.Scan] = e.Seq + 1
+	return 0, nil
+}
+
+// waitParam reads a request's long-poll window, capped at a second.
+func waitParam(r *http.Request) time.Duration {
+	ms, _ := strconv.Atoi(r.URL.Query().Get("waitMs"))
+	return min(time.Duration(max(ms, 0))*time.Millisecond, time.Second)
+}
+
+// handleStatus answers with the events from ?version=N on as soon as an urgent
+// one is among them, and with whatever there is, possibly nothing, when
+// ?waitMs runs out (at once for waitMs=0: the end-of-stream check). A deleted
+// query answers 404 at once, which is what ends the coordinator's long-poll
+// when it deletes the query.
+func (s *WorkerServer) handleStatus(w http.ResponseWriter, r *http.Request) {
+	s.requests[classStatus].Add(1)
+	from, err := strconv.Atoi(r.URL.Query().Get("version"))
+	if err != nil || from < 0 {
+		http.Error(w, "bad version", http.StatusBadRequest)
+		return
+	}
+	s.mu.Lock()
+	rq := s.queries[r.PathValue("qid")]
+	if rq != nil {
+		s.awaitLocked(waitParam(r), func() bool { return rq.deleted || rq.urgent > from })
+	}
+	if rq == nil || rq.deleted {
+		s.mu.Unlock()
+		http.Error(w, "query "+r.PathValue("qid")+" is unknown or was deleted", http.StatusNotFound)
+		return
+	}
+	from = min(from, len(rq.events))
+	st := wire.QueryStatus{From: int64(from), Events: rq.events[from:]}
+	s.mu.Unlock()
+	writeJSON(w, st)
+}
+
+// handleFilters hands completed unions to the tasks of the fragments that
+// subscribe; each is decoded once and shared. Delivery is idempotent and safe
+// at any point in a task's lifecycle.
+func (s *WorkerServer) handleFilters(w http.ResponseWriter, r *http.Request) {
+	s.requests[classFilters].Add(1)
+	var req wire.FiltersRequest
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	s.mu.Lock()
+	var tasks []*remoteTask
+	if rq := s.queries[r.PathValue("qid")]; rq != nil {
+		tasks = rq.tasks
+	}
+	s.mu.Unlock()
+	for _, fd := range req.Filters {
+		sum, err := dynfilter.DecodeSummary(fd.Summary)
+		if err != nil {
+			http.Error(w, fmt.Sprintf("filter %d: %v", fd.ID, err), http.StatusBadRequest)
 			return
 		}
-		rt.task.DeliverFilter(fe.ID, sum)
+		for _, rt := range tasks {
+			if slices.Contains(fd.Fragments, rt.id.Fragment) {
+				rt.task.DeliverFilter(fd.ID, sum)
+			}
+		}
+		s.delivered.Add(1)
 	}
 	w.WriteHeader(http.StatusOK)
 }
@@ -362,10 +494,7 @@ func (s *WorkerServer) handleDeliverFilters(w http.ResponseWriter, r *http.Reque
 // completion flag travel in headers. Frames for a consumer on this host are
 // raw, frames for any other are deflated (peerOnThisHost).
 func (s *WorkerServer) handleResults(w http.ResponseWriter, r *http.Request) {
-	rt, ok := s.lookupTask(w, r)
-	if !ok {
-		return
-	}
+	s.requests[classResults].Add(1)
 	partition, err1 := strconv.Atoi(r.PathValue("partition"))
 	token, err2 := strconv.ParseInt(r.PathValue("token"), 10, 64)
 	if err1 != nil || err2 != nil || partition < 0 || token < 0 {
@@ -376,14 +505,37 @@ func (s *WorkerServer) handleResults(w http.ResponseWriter, r *http.Request) {
 	if maxBytes <= 0 {
 		maxBytes = 4 << 20
 	}
-	waitMs, _ := strconv.Atoi(r.URL.Query().Get("waitMs"))
-	wait := time.Duration(waitMs) * time.Millisecond
+	wait := waitParam(r)
 	if wait <= 0 {
 		wait = 100 * time.Millisecond
 	}
-	if wait > time.Second {
-		wait = time.Second
+	// The task may not be here yet (see WorkerServer): wait for it, unless its
+	// query — the id less ".<fragment>.<index>" — was deleted.
+	key, start := r.PathValue("id"), time.Now()
+	qid := key
+	for range 2 {
+		qid = qid[:max(strings.LastIndexByte(qid, '.'), 0)]
 	}
+	var rt *remoteTask
+	gone := false
+	s.mu.Lock()
+	s.awaitLocked(wait, func() bool {
+		rt, gone = s.tasks[key], !s.gone[qid].IsZero()
+		return rt != nil || gone
+	})
+	s.mu.Unlock()
+	if gone {
+		http.Error(w, "task "+key+" was deleted with its query", http.StatusNotFound)
+		return
+	}
+	w.Header().Set("Content-Type", "application/x-presto-pages")
+	if rt == nil {
+		// Not created yet: no pages, same token, ask again.
+		w.Header().Set(shuffle.HeaderNextToken, strconv.FormatInt(token, 10))
+		w.Header().Set(shuffle.HeaderComplete, "false")
+		return
+	}
+	wait = max(wait-time.Since(start), 0)
 
 	// A failed task's destroyed buffers report "complete"; report the
 	// failure instead so consumers fail fast rather than truncate.
@@ -405,7 +557,6 @@ func (s *WorkerServer) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(shuffle.HeaderNextToken, strconv.FormatInt(next, 10))
 	w.Header().Set(shuffle.HeaderComplete, strconv.FormatBool(done))
-	w.Header().Set("Content-Type", "application/x-presto-pages")
 	compress := !peerOnThisHost(r)
 	for _, p := range pages {
 		if err := block.WritePage(w, p, compress); err != nil {
@@ -435,31 +586,61 @@ func peerOnThisHost(r *http.Request) bool {
 	return local != nil && local.IP.Equal(peer)
 }
 
-func (s *WorkerServer) handleDeleteTask(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("id")
-	s.mu.Lock()
-	rt, ok := s.tasks[key]
-	delete(s.tasks, key)
-	s.mu.Unlock()
-	if !ok {
-		http.Error(w, "unknown task "+key, http.StatusNotFound)
-		return
-	}
-	rt.task.Abort()
+// handleDeleteQuery is idempotent: deleting a query this worker never heard
+// of (its create never landed) still remembers the id.
+func (s *WorkerServer) handleDeleteQuery(w http.ResponseWriter, r *http.Request) {
+	s.requests[classDelete].Add(1)
+	s.deleteQuery(r.PathValue("qid"))
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// deleteQuery forgets a query and aborts its tasks; its status long-poll and
+// the fetches waiting for its tasks are answered.
+func (s *WorkerServer) deleteQuery(qid string) {
+	s.mu.Lock()
+	now := time.Now()
+	maps.DeleteFunc(s.gone, func(_ string, at time.Time) bool { return now.Sub(at) > goneTTL })
+	s.gone[qid] = now
+	var tasks []*remoteTask
+	if rq := s.queries[qid]; rq != nil {
+		rq.deleted, tasks = true, rq.tasks
+		delete(s.queries, qid)
+		for _, rt := range tasks {
+			delete(s.tasks, rt.id.String())
+		}
+	}
+	s.wakeLocked()
+	s.mu.Unlock()
+	for _, rt := range tasks {
+		rt.task.Abort()
+	}
 }
 
 func (s *WorkerServer) handleWorkerMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	writeWorkerGauges(w, s.Worker)
+	worker := fmt.Sprintf("%d", s.Worker.ID)
+	for class, name := range requestClasses {
+		metrics.PromGauge(w, "presto_task_api_requests_total",
+			map[string]string{"worker": worker, "class": name}, float64(s.requests[class].Load()))
+	}
+	lbl := map[string]string{"worker": worker}
+	metrics.PromGauge(w, "presto_dynfilter_remote_publications_total", lbl, float64(s.relayed.Load()))
+	metrics.PromGauge(w, "presto_dynfilter_remote_deliveries_total", lbl, float64(s.delivered.Load()))
 }
+
+// NewClusterClient returns the HTTP client a node of a multi-process cluster
+// uses for its peers — the coordinator for the task API, a worker for
+// shuffle fetches and registration (see shuffle.NewClusterClient, where it
+// lives so the packages below this one can default to it).
+func NewClusterClient() *http.Client { return shuffle.NewClusterClient() }
 
 // RegisterWorker announces a worker's public URI to the coordinator's
 // /v1/node endpoint and returns the assigned node id. Called at worker
 // startup (with retries) and periodically as a heartbeat.
 func RegisterWorker(client *http.Client, coordinatorURL, selfURL string) (int, error) {
 	if client == nil {
-		client = http.DefaultClient
+		client = shuffle.ClusterClient()
 	}
 	body, err := json.Marshal(wire.RegisterRequest{URI: selfURL})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/block"
@@ -49,9 +50,34 @@ type TaskFailedError struct{ Msg string }
 
 func (e *TaskFailedError) Error() string { return "producer task failed: " + e.Msg }
 
+// clusterIdleConnsPerHost is how many connections a node keeps open to one
+// peer: one per fetch its exchange clients can have in flight there — a
+// consumer task polls each of its producers at once, so (consumers here) ×
+// (producers there), 16 for the widest plan the suite runs on two workers —
+// times a few concurrent statements, plus each statement's control channel.
+// http.DefaultTransport keeps 2, and redials the rest every statement.
+const clusterIdleConnsPerHost = 64
+
+// NewClusterClient returns an HTTP client for node-to-node traffic: the
+// coordinator's task API requests and every worker's shuffle fetches. Its
+// transport keeps a statement's worth of connections per peer and looks up
+// no proxy (peers are named by address).
+func NewClusterClient() *http.Client {
+	return &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        4 * clusterIdleConnsPerHost,
+		MaxIdleConnsPerHost: clusterIdleConnsPerHost,
+		IdleConnTimeout:     90 * time.Second,
+	}}
+}
+
+// ClusterClient is the process-wide client every nil client field defaults
+// to (Config.WorkerClient, WorkerServer.Client, HTTPFetcher.Client), so they
+// share one connection pool.
+var ClusterClient = sync.OnceValue(NewClusterClient)
+
 // HTTPFetcher implements Fetcher over the worker task-results endpoint. URL
 // is the result stream base, ".../v1/task/{id}/results/{partition}"; Fetch
-// appends "/{token}". The zero Client uses http.DefaultClient; distributed
+// appends "/{token}". The zero Client uses ClusterClient; distributed
 // queries share one client so connections pool across fetchers.
 type HTTPFetcher struct {
 	Client *http.Client
@@ -64,7 +90,7 @@ func (f *HTTPFetcher) Fetch(token int64, maxBytes int64, wait time.Duration) ([]
 	url := fmt.Sprintf("%s/%d?maxBytes=%d&waitMs=%d", f.URL, token, maxBytes, wait.Milliseconds())
 	client := f.Client
 	if client == nil {
-		client = http.DefaultClient
+		client = ClusterClient()
 	}
 	resp, err := client.Get(url)
 	if err != nil {

@@ -1,122 +1,12 @@
 package wire
 
 import (
-	"encoding/json"
-	"math"
 	"testing"
 
-	"repro/internal/dynfilter"
 	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/types"
 )
-
-// jsonCycle pushes a FilterSummary through its actual transport encoding.
-func jsonCycle(t *testing.T, f FilterSummary) FilterSummary {
-	t.Helper()
-	raw, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got FilterSummary
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatal(err)
-	}
-	return got
-}
-
-func TestFilterSummaryWireRoundTrip(t *testing.T) {
-	t.Run("bigint exact", func(t *testing.T) {
-		s := dynfilter.NewSummary(types.Bigint)
-		for _, k := range []int64{1, -5, 42} {
-			s.AddLong(k, dynfilter.DefaultMaxSet)
-		}
-		got, err := jsonCycle(t, EncodeFilterSummary(s)).Decode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int64{1, -5, 42} {
-			if !got.MatchLong(k) {
-				t.Errorf("lost key %d", k)
-			}
-		}
-		if got.MatchLong(7) {
-			t.Error("decoded summary matched an absent key")
-		}
-		if min, max, ok := got.Bounds(); !ok || min.I != -5 || max.I != 42 {
-			t.Errorf("bounds [%v, %v] ok=%v, want [-5, 42]", min, max, ok)
-		}
-	})
-
-	t.Run("double nan poison", func(t *testing.T) {
-		s := dynfilter.NewSummary(types.Double)
-		s.AddDouble(1.5, dynfilter.DefaultMaxSet)
-		s.AddDouble(math.NaN(), dynfilter.DefaultMaxSet)
-		got, err := jsonCycle(t, EncodeFilterSummary(s)).Decode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.MatchDouble(math.NaN()) {
-			t.Error("NaN key lost in transit")
-		}
-		if _, _, ok := got.Bounds(); ok {
-			t.Error("poisoned bounds came back as usable")
-		}
-		if !got.BoundsPoisoned {
-			t.Error("BoundsPoisoned flag lost: a merge downstream would resurrect bounds")
-		}
-	})
-
-	t.Run("varchar", func(t *testing.T) {
-		s := dynfilter.NewSummary(types.Varchar)
-		s.AddStr("aa", dynfilter.DefaultMaxSet)
-		got, err := jsonCycle(t, EncodeFilterSummary(s)).Decode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.MatchStr("aa") || got.MatchStr("zz") {
-			t.Error("varchar keys lost in transit")
-		}
-	})
-
-	t.Run("overflowed bloom only", func(t *testing.T) {
-		s := dynfilter.NewSummary(types.Bigint)
-		for i := int64(0); i < 50; i++ {
-			s.AddLong(i, 4)
-		}
-		got, err := jsonCycle(t, EncodeFilterSummary(s)).Decode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.HasExact() {
-			t.Error("overflow state lost: decoded summary claims an exact set")
-		}
-		for i := int64(0); i < 50; i++ {
-			if !got.MatchLong(i) {
-				t.Fatalf("bloom false negative for %d after transit", i)
-			}
-		}
-	})
-
-	t.Run("empty and disabled", func(t *testing.T) {
-		e, err := jsonCycle(t, EncodeFilterSummary(dynfilter.NewSummary(types.Bigint))).Decode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !e.Empty() {
-			t.Error("empty summary not Empty after transit (breaks short-circuit)")
-		}
-		d := dynfilter.NewSummary(types.Bigint)
-		d.Disabled = true
-		got, err := jsonCycle(t, EncodeFilterSummary(d)).Decode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Disabled || got.Empty() {
-			t.Error("disabled flag lost: would wrongly filter or short-circuit")
-		}
-	})
-}
 
 // TestFragmentDynFilterRoundTrip: scan subscriptions and join publications
 // must survive fragment serialization with ids, columns, and the

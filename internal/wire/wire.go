@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/dynfilter"
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/plan"
@@ -25,20 +24,34 @@ import (
 
 // --- task protocol bodies ---
 
-// TaskSpec is the body of POST /v1/task: everything a worker needs to
-// instantiate one task of a query fragment.
+// CreateRequest is the body of POST /v1/query/{qid}/tasks: every task of one
+// statement placed on one worker. A fragment is serialized once however many
+// of its tasks run there, the task configuration once for the statement, and
+// Splits carries what split enumeration already had in hand at placement
+// (sequence 0 of its scan, replay-safe like any later batch).
+type CreateRequest struct {
+	Config TaskConfig `json:"config"`
+	// Fragments are MarshalFragment documents; a TaskSpec names one by id.
+	Fragments []json.RawMessage `json:"fragments"`
+	Tasks     []TaskSpec        `json:"tasks"`
+	Splits    []SplitEntry      `json:"splits,omitempty"`
+}
+
+// TaskSpec is one task of a CreateRequest.
 type TaskSpec struct {
-	QueryID  string `json:"queryId"`
-	Fragment int    `json:"fragment"`
-	Index    int    `json:"index"`
-	// Frag is the fragment produced by MarshalFragment.
-	Frag json.RawMessage `json:"frag"`
+	Fragment int `json:"fragment"`
+	Index    int `json:"index"`
 	// OutPartitions sizes the task's partitioned output buffer.
 	OutPartitions int `json:"outPartitions"`
 	// Sources lists, per producing fragment id, the result URIs this task
 	// fetches through HTTPFetcher ("<worker>/v1/task/<tid>/results/<part>").
+	// A URI is a function of the producer's id and worker, so it may name a
+	// task that does not exist yet.
 	Sources []SourceEntry `json:"sources,omitempty"`
-	Config  TaskConfig    `json:"config"`
+	// Relay lists the dynamic-filter ids whose summaries the task reports in
+	// its worker's status channel: those a fragment other than its own
+	// subscribes to. The rest stay with the task, whose own scans use them.
+	Relay []int `json:"relay,omitempty"`
 }
 
 // SourceEntry wires one RemoteSource fragment to its producers' result URIs.
@@ -135,15 +148,22 @@ func (c TaskConfig) Decode() exec.TaskConfig {
 	}
 }
 
-// SplitRequest is the body of POST /v1/task/{id}/splits. Seq makes delivery
-// idempotent: the worker applies a batch only when Seq matches the next
-// expected sequence for (task, scan), so transport retries cannot duplicate
-// splits.
-type SplitRequest struct {
-	Scan   int         `json:"scan"`
-	Seq    int64       `json:"seq"`
-	Splits []SplitData `json:"splits,omitempty"`
-	NoMore bool        `json:"noMore,omitempty"`
+// SplitsRequest is the body of POST /v1/query/{qid}/splits: the split batches
+// of lazy enumeration (§IV-D3) for every task of the statement on one worker.
+type SplitsRequest struct {
+	Entries []SplitEntry `json:"entries"`
+}
+
+// SplitEntry is one batch for one scan of one task. Seq makes delivery
+// idempotent: the worker applies a batch only when Seq is the next expected
+// for (task, scan), so transport retries cannot duplicate splits.
+type SplitEntry struct {
+	Fragment int         `json:"fragment"`
+	Index    int         `json:"index"`
+	Scan     int         `json:"scan"`
+	Seq      int64       `json:"seq"`
+	Splits   []SplitData `json:"splits,omitempty"`
+	NoMore   bool        `json:"noMore,omitempty"`
 }
 
 // SplitData is one split encoded by its connector's SplitCodec.
@@ -152,93 +172,42 @@ type SplitData struct {
 	Data    []byte `json:"data"`
 }
 
-// TaskStatus is the body of GET /v1/task/{id}.
-type TaskStatus struct {
-	ID    string `json:"id"`
-	State string `json:"state"` // "running" | "finished" | "failed"
-	Error string `json:"error,omitempty"`
+// QueryStatus is the body of GET /v1/query/{qid}/status?version=N: the events
+// of one statement on one worker numbered From (= N, or the log's length if
+// that is less) onwards; the coordinator asks next for From + len(Events).
+// The log only grows, so asking for N again serves the same events again.
+type QueryStatus struct {
+	From   int64         `json:"from"`
+	Events []StatusEvent `json:"events,omitempty"`
+}
+
+// StatusEvent is one thing a task did that the coordinator acts on: it reached
+// a terminal state (State set), or its join builds published dynamic-filter
+// summaries (FilterIDs set; Filters are dynfilter.AppendSummary frames).
+type StatusEvent struct {
+	Fragment int    `json:"fragment"`
+	Index    int    `json:"index"`
+	State    string `json:"state,omitempty"` // "finished" | "failed"
+	Error    string `json:"error,omitempty"`
 	// Transient marks a failed task's error as retryable.
-	Transient bool  `json:"transient,omitempty"`
-	CPUNanos  int64 `json:"cpuNanos,omitempty"`
-	// FiltersReady lists dynamic-filter ids whose build-side summaries this
-	// task has published; the coordinator fetches each once via
-	// GET /v1/task/{id}/filter/{fid}.
-	FiltersReady []int `json:"filtersReady,omitempty"`
+	Transient bool     `json:"transient,omitempty"`
+	CPUNanos  int64    `json:"cpuNanos,omitempty"`
+	FilterIDs []int    `json:"filterIds,omitempty"`
+	Filters   [][]byte `json:"filters,omitempty"`
 }
 
-// FilterSummary is the wire form of one dynamic-filter summary
-// (dynfilter.Summary), served by GET /v1/task/{id}/filter/{fid} and delivered
-// by POST /v1/task/{id}/filters.
-type FilterSummary struct {
-	T        int   `json:"t"`
-	Disabled bool  `json:"disabled,omitempty"`
-	Rows     int64 `json:"rows"`
-	// HasExact distinguishes an empty exact set (matches nothing) from an
-	// overflowed one (bloom + bounds only).
-	HasExact       bool        `json:"hasExact,omitempty"`
-	Cells          [][2]uint64 `json:"cells,omitempty"`
-	Strs           []string    `json:"strs,omitempty"`
-	Bloom          []uint64    `json:"bloom,omitempty"`
-	HasBounds      bool        `json:"hasBounds,omitempty"`
-	BoundsPoisoned bool        `json:"boundsPoisoned,omitempty"`
-	Min            *jvalue     `json:"min,omitempty"`
-	Max            *jvalue     `json:"max,omitempty"`
+// FiltersRequest is the body of POST /v1/query/{qid}/filters: completed
+// unions for the statement's tasks on one worker.
+type FiltersRequest struct {
+	Filters []FilterDelivery `json:"filters"`
 }
 
-// EncodeFilterSummary flattens a summary for the task protocol.
-func EncodeFilterSummary(s *dynfilter.Summary) FilterSummary {
-	if s.Disabled {
-		return FilterSummary{T: int(s.T), Disabled: true} // nothing else is read
-	}
-	f := FilterSummary{
-		T:              int(s.T),
-		Disabled:       s.Disabled,
-		Rows:           s.Rows,
-		HasExact:       s.HasExact(),
-		Cells:          s.ExactCells(),
-		Strs:           s.ExactStrs(),
-		Bloom:          s.Bloom,
-		HasBounds:      s.HasBounds,
-		BoundsPoisoned: s.BoundsPoisoned,
-	}
-	if s.HasBounds {
-		min, max := encodeValue(s.Min), encodeValue(s.Max)
-		f.Min, f.Max = &min, &max
-	}
-	return f
-}
-
-// Decode reassembles the summary.
-func (f FilterSummary) Decode() (*dynfilter.Summary, error) {
-	t, err := decodeType(f.T)
-	if err != nil {
-		return nil, err
-	}
-	var min, max types.Value
-	if f.Min != nil {
-		if min, err = decodeValue(*f.Min); err != nil {
-			return nil, err
-		}
-	}
-	if f.Max != nil {
-		if max, err = decodeValue(*f.Max); err != nil {
-			return nil, err
-		}
-	}
-	return dynfilter.FromParts(t, f.Disabled, f.Rows, f.HasExact, f.Cells, f.Strs,
-		f.Bloom, f.HasBounds, f.BoundsPoisoned, min, max)
-}
-
-// FilterEntry pairs a dynamic-filter id with its (merged) summary.
-type FilterEntry struct {
-	ID      int           `json:"id"`
-	Summary FilterSummary `json:"summary"`
-}
-
-// FilterRequest is the body of POST /v1/task/{id}/filters: the coordinator
-// pushes merged build-side summaries to a probe-side task.
-type FilterRequest struct {
-	Filters []FilterEntry `json:"filters"`
+// FilterDelivery is one union (a dynfilter.AppendSummary frame) and the
+// fragments whose tasks subscribe to it.
+type FilterDelivery struct {
+	ID        int    `json:"id"`
+	Summary   []byte `json:"summary"`
+	Fragments []int  `json:"fragments"`
 }
 
 // RegisterRequest is the body of POST /v1/node (worker registration and

@@ -6,7 +6,9 @@
 #
 #   scripts/check.sh          # build + vet + race tests + chaos smoke +
 #                             # split placement / driver cap ("no idle
-#                             # core") + point-read byte budget and written
+#                             # core") + distributed control plane (request
+#                             # classes of one statement, filters in time)
+#                             # + point-read byte budget and written
 #                             # tables + borrowed-page poison run + non-race
 #                             # allocation ceilings (page codec, group
 #                             # table, join build and probe, dynamically
@@ -15,7 +17,8 @@
 #                             # seeds (CHAOS_FULL), verbose
 #   scripts/check.sh -fuzz    # additionally run 10s fuzz smokes over the
 #                             # page codec, SQL parser, spill files and
-#                             # their index, and exchange segments
+#                             # their index, exchange segments, and
+#                             # dynamic-filter summary frames
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,6 +54,15 @@ echo "==> no idle core: splits are dealt evenly and the same way every run, a sc
 # and each worker's executor busy share of the pass.
 go test -count=1 -run 'TestScanDriversCappedAtThreads' ./internal/exec/
 go test -count=1 -v -run 'TestScanSplitsBalanced|TestPlacementStableAcrossRuns|TestNoIdleCoreReport' . | grep -E '^(---|ok|FAIL|panic)|skew|busy'
+
+echo "==> distributed control plane: one create, one status channel and one delete per worker"
+# The report lines are one three-join statement on two HTTP workers, split
+# enumerations memoized: its requests by class (what the workers export as
+# presto_task_api_requests_total), and a partitioned join whose build
+# summaries cross processes in time to filter the probe scans.
+go test -race -count=1 -run 'TestFetchBeforeProducerRegistered|TestCreateBatchIdempotent|TestStatusVersionMonotone' ./internal/httpapi/
+go test -race -count=1 -run 'TestHTTPTaskBatchesSplits|TestSchedulerCreateFailureAbortsAndDrains' ./internal/coordinator/
+go test -race -count=1 -v -run 'TestHTTPControlRequestsPerStatement|TestDistributedFilterArrivesBeforeProbe|TestCreateBatchPartialFailureDrains' . | grep -E '^(---|ok|FAIL|panic)|requests per statement|rows filtered'
 
 echo "==> what a point read pays: byte budget (no -race: it skips under it), resident tables bypass the page cache, a written table stays worth scanning"
 go test -count=1 -v -run 'TestPointReadByteBudget|TestResidentTablesBypassPageCache' . | grep -E '^(---|ok|FAIL|panic)|bytes per'
@@ -102,6 +114,8 @@ if [ "$fuzz" = 1 ]; then
   go test -fuzz '^FuzzSpillIndex$' -fuzztime 10s ./internal/spill/
   echo "==> fuzz smoke: exchange segment decode (10s)"
   go test -fuzz '^FuzzExchangeSegmentDecode$' -fuzztime 10s ./internal/shuffle/
+  echo "==> fuzz smoke: dynamic-filter summary decode (10s)"
+  go test -fuzz '^FuzzSummaryDecode$' -fuzztime 10s ./internal/dynfilter/
 fi
 
 echo "OK"
