@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
@@ -22,7 +23,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/block"
+	"repro/internal/connector"
+	"repro/internal/connectors/memconn"
 	"repro/internal/faultinject"
+	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
@@ -435,5 +440,84 @@ func TestChaosCoordinatorCancelQueued(t *testing.T) {
 	}
 	if _, err := c.Query("SELECT count(*) FROM tpch.nation"); err != nil {
 		t.Fatalf("cluster unhealthy after cancellation: %v", err)
+	}
+}
+
+// panickyConnector is a memory catalog whose page sources panic on their
+// second page: the scan operator, mid-split, hits a bug.
+type panickyConnector struct{ *memconn.Connector }
+
+type panickySource struct {
+	connector.PageSource
+	pages int
+}
+
+func (s *panickySource) NextPage() (*block.Page, error) {
+	if s.pages++; s.pages == 2 {
+		var none []block.Block
+		_ = none[s.pages] // index out of range
+	}
+	return s.PageSource.NextPage()
+}
+
+func (c panickyConnector) PageSource(s connector.Split, columns []string, h plan.TableHandle) (connector.PageSource, error) {
+	src, err := c.Connector.PageSource(s, columns, h)
+	return &panickySource{PageSource: src}, err
+}
+
+// TestOperatorPanicFailsOneQuery: a query whose scan panics on its second page
+// fails with the panic and its stack in its error and in its stats, while a
+// second query runs on the same workers; that one, and every query after,
+// returns what it returned before. Nothing in the engine recovered a panic
+// before the driver step did: the process died with every query on it.
+func TestOperatorPanicFailsOneQuery(t *testing.T) {
+	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true})
+	defer c.Close()
+	c.Register(workload.LoadTPCHMemory("tpch", 1))
+	c.Register(panickyConnector{workload.LoadTPCHMemory("broken", 1)})
+
+	const healthy = "SELECT l_returnflag, count(*), sum(l_quantity) FROM tpch.lineitem GROUP BY l_returnflag"
+	first, _ := runTrackedQuery(t, c, healthy)
+	want := stringifyRows(first)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the second query, over and over, while the first one dies
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rows, err := c.Query(healthy)
+			if err != nil {
+				t.Errorf("the healthy query failed beside the panicking one: %v", err)
+				return
+			}
+			if got := stringifyRows(rows); !reflect.DeepEqual(got, want) {
+				t.Errorf("the healthy query returned %v, want %v", got, want)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 3; i++ {
+		res, err := c.Execute("SELECT l_shipmode, count(*) FROM broken.lineitem GROUP BY l_shipmode")
+		if err == nil {
+			_, err = res.All()
+		}
+		if err == nil || !strings.Contains(err.Error(), "index out of range") || !strings.Contains(err.Error(), "panickySource).NextPage") {
+			t.Fatalf("the panicking query reported %v, want the panic and its stack", err)
+		}
+		if st, ok := c.QueryStats(res.QueryID); !ok || st.State != "FAILED" || !strings.Contains(st.Error, "panickySource).NextPage") {
+			t.Errorf("stats of the panicking query: state %q, error %q", st.State, st.Error)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if last, _ := runTrackedQuery(t, c, healthy); !reflect.DeepEqual(stringifyRows(last), want) {
+		got := stringifyRows(last)
+		t.Errorf("after the panics the healthy query returns %v, want %v", got, want)
 	}
 }

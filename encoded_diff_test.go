@@ -10,12 +10,15 @@ package presto
 // the matrix cannot agree on a shared wrong answer.
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/block"
 	"repro/internal/connector"
 	"repro/internal/connectors/memconn"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // encGiantRows exceeds the 64k morsel target so the giant page must be sliced
@@ -94,9 +97,63 @@ func encodedFactPages() []*block.Page {
 	return pages
 }
 
-// newEncodedConnector loads the facts and dims tables into a fresh memconn
-// catalog named "enc". dims is deliberately flat so the join probes a
-// dictionary-encoded varchar key against a flat build side.
+// encodedPairPages builds the pairs table (a, b varchar; c, v bigint), whose
+// pages put every mix of encodings under a two- or three-column group key:
+// dictionaries on all three (one with a NULL entry, all with entries no row
+// references), a dictionary beside runs, a dictionary beside flat columns (the
+// rows must be resolved one by one), runs only, three rows under dictionaries
+// of fifteen combinations (fewer rows than combinations: the row path again),
+// and a flat page with NULLs and empty strings.
+func encodedPairPages() []*block.Page {
+	aDict := block.NewVarcharBlock([]string{"x", "y", "z", "", "unusedA"}, []bool{false, false, false, true, false})
+	bDict := block.NewVarcharBlock([]string{"p", "q", "unusedB"}, nil)
+	cDict := block.NewLongBlock([]int64{10, 20, 30, 99}, nil)
+	seq := func(n int, from int64) *block.LongBlock {
+		v := make([]int64, n)
+		for i := range v {
+			v[i] = from + int64(i)
+		}
+		return block.NewLongBlock(v, nil)
+	}
+	idx := func(n, mod, step int) []int32 {
+		out := make([]int32, n)
+		for i := range out {
+			out[i] = int32(i * step % mod)
+		}
+		return out
+	}
+	flatB, flatC := make([]string, 600), make([]int64, 600)
+	for i := range flatB {
+		flatB[i], flatC[i] = []string{"p", "q", "r"}[i%3], int64(10*(1+i%4))
+	}
+	return []*block.Page{
+		block.NewPage(block.NewDictionaryBlock(aDict, idx(2000, 4, 1)), block.NewDictionaryBlock(bDict, idx(2000, 2, 3)),
+			block.NewDictionaryBlock(cDict, idx(2000, 3, 5)), seq(2000, 0)),
+		block.NewPage(block.NewDictionaryBlock(aDict, idx(1000, 4, 3)), block.NewRLEBlock(types.VarcharValue("p"), 1000),
+			block.NewRLEBlock(types.BigintValue(10), 1000), seq(1000, 5000)),
+		block.NewPage(block.NewDictionaryBlock(aDict, idx(600, 3, 1)), block.NewVarcharBlock(flatB, nil),
+			block.NewLongBlock(flatC, nil), seq(600, 10000)),
+		block.NewPage(block.NewRLEBlock(types.VarcharValue("z"), 500), block.NewRLEBlock(types.VarcharValue("q"), 500),
+			block.NewRLEBlock(types.BigintValue(30), 500), seq(500, 20000)),
+		block.NewPage(block.NewDictionaryBlock(aDict, []int32{0, 3, 0}), block.NewDictionaryBlock(bDict, []int32{1, 1, 0}),
+			block.NewDictionaryBlock(cDict, []int32{2, 2, 2}), seq(3, 30000)),
+		block.NewPage(
+			block.NewVarcharBlock([]string{"x", "", "", "w", "x"}, []bool{false, true, false, false, false}),
+			block.NewVarcharBlock([]string{"p", "p", "", "", "p"}, []bool{false, false, false, true, false}),
+			block.NewLongBlock([]int64{10, 10, 0, 0, 10}, []bool{false, false, true, false, false}), seq(5, 40000)),
+	}
+}
+
+// encodedPairDictRows is how many rows of encodedPairPages an aggregation
+// keyed on (a, b) or (a, b, c) resolves through its dictionary memo: the
+// pages whose key columns are all encoded and at least as long as their
+// combinations are many.
+const encodedPairDictRows = 2000 + 1000 + 500
+
+// newEncodedConnector loads the facts, pairs, lens and dims tables into a
+// fresh memconn catalog named "enc". dims is deliberately flat so the join
+// probes a dictionary-encoded varchar key against a flat build side (the
+// memory catalog stores its label column under a dictionary all the same).
 func newEncodedConnector() *memconn.Connector {
 	conn := memconn.New("enc")
 	factCols := []connector.Column{
@@ -115,6 +172,26 @@ func newEncodedConnector() *memconn.Connector {
 		block.NewVarcharBlock([]string{"H", "K1", "K3", "A", "EMPTY", "Z", "N"}, nil),
 	)
 	conn.LoadTable("dims", dimCols, []*block.Page{dims})
+
+	conn.LoadTable("pairs", []connector.Column{
+		{Name: "a", T: types.Varchar}, {Name: "b", T: types.Varchar}, {Name: "c", T: types.Bigint}, {Name: "v", T: types.Bigint},
+	}, encodedPairPages())
+
+	// lens: 1 / (length(a) - length(b)) fails for exactly one combination of
+	// the two dictionaries' entries, ("aa", "yy"), which only rows v >= 50 have.
+	la, lb, lv := make([]int32, 100), make([]int32, 100), make([]int64, 100)
+	for i := range la {
+		la[i], lb[i], lv[i] = int32(i%3), int32(i%2), int64(i)
+		if la[i] == 0 && lb[i] == 1 && i < 50 {
+			lb[i] = 0
+		}
+	}
+	conn.LoadTable("lens", []connector.Column{
+		{Name: "a", T: types.Varchar}, {Name: "b", T: types.Varchar}, {Name: "v", T: types.Bigint},
+	}, []*block.Page{block.NewPage(
+		block.NewDictionaryBlock(block.NewVarcharBlock([]string{"aa", "bbb", "cccc"}, nil), la),
+		block.NewDictionaryBlock(block.NewVarcharBlock([]string{"x", "yy"}, nil), lb),
+		block.NewLongBlock(lv, nil))})
 	return conn
 }
 
@@ -135,6 +212,12 @@ var encDiffQueries = []string{
 	"SELECT d.label, count(*), sum(f.v) FROM enc.facts f JOIN enc.dims d ON f.k = d.k GROUP BY d.label",
 	"SELECT count(*) FROM enc.facts f JOIN enc.dims d ON f.k = d.k",
 	"SELECT f.g, d.label, count(*) FROM enc.facts f JOIN enc.dims d ON f.k = d.k GROUP BY f.g, d.label",
+	"SELECT a, b, count(*), sum(v) FROM enc.pairs GROUP BY a, b",
+	"SELECT a, b, c, count(*), sum(v), min(v) FROM enc.pairs GROUP BY a, b, c",
+	"SELECT b, a, count(*) FROM enc.pairs WHERE v % 7 <> 0 GROUP BY b, a",
+	"SELECT a || '/' || b, count(*), sum(v) FROM enc.pairs GROUP BY a || '/' || b",
+	"SELECT count(*) FROM enc.pairs WHERE a = 'x' AND b IN ('p', 'r')",
+	"SELECT sum(10 / (length(a) - length(b))), count(*) FROM enc.lens WHERE v < 50",
 }
 
 // encMatrix is the ablation session matrix: filter kernels vs interpreted filters ("legacy")
@@ -205,6 +288,190 @@ func TestEncodedDifferentialMatrix(t *testing.T) {
 					m.name, k, row[1].I, row[2].I, want[0], want[1])
 			}
 		}
+	}
+}
+
+// encPairTruth walks the pairs pages through the row-at-a-time Block interface
+// and returns count and sum(v) per rendered (a, b[, c]) key.
+func encPairTruth(keyCols int) map[string][2]int64 {
+	truth := map[string][2]int64{}
+	for _, p := range encodedPairPages() {
+		for r := 0; r < p.RowCount(); r++ {
+			var key []string
+			for c := 0; c < keyCols; c++ {
+				key = append(key, p.Col(c).Value(r).String())
+			}
+			e := truth[strings.Join(key, "|")]
+			e[0]++
+			e[1] += p.Col(3).Long(r)
+			truth[strings.Join(key, "|")] = e
+		}
+	}
+	return truth
+}
+
+// TestEncodedMultiKeyGroupBy anchors the two- and three-key group-bys over
+// every mix of encodings against a Go-loop ground truth, under every session
+// of the matrix, and reads off the query's own stats that the pages which
+// could be resolved by dictionary entry were, and the others (a flat key
+// column beside a dictionary; fewer rows than combinations) were not.
+func TestEncodedMultiKeyGroupBy(t *testing.T) {
+	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
+	defer c.Close()
+	c.Register(newEncodedConnector())
+	for keyCols, q := range map[int]string{
+		2: "SELECT a, b, count(*), sum(v) FROM enc.pairs GROUP BY a, b",
+		3: "SELECT a, b, c, count(*), sum(v) FROM enc.pairs GROUP BY a, b, c",
+	} {
+		truth := encPairTruth(keyCols)
+		for _, m := range encMatrix {
+			s := m.s
+			s.DisableResultCache = true
+			res, err := c.ExecuteSession(q, s)
+			if err != nil {
+				t.Fatalf("%s [%s]: %v", q, m.name, err)
+			}
+			rows, err := res.All()
+			if err != nil {
+				t.Fatalf("%s [%s]: %v", q, m.name, err)
+			}
+			if len(rows) != len(truth) {
+				t.Errorf("%s [%s]: %d groups, ground truth has %d", q, m.name, len(rows), len(truth))
+			}
+			for _, row := range rows {
+				var key []string
+				for _, v := range row[:keyCols] {
+					key = append(key, v.String())
+				}
+				want, ok := truth[strings.Join(key, "|")]
+				if !ok || row[keyCols].I != want[0] || row[keyCols+1].I != want[1] {
+					t.Errorf("%s [%s]: group %v = (count %d, sum %d), want %v (unreferenced entry leaked, or a combination mis-resolved?)",
+						q, m.name, key, row[keyCols].I, row[keyCols+1].I, want)
+				}
+			}
+			st, _ := c.QueryStats(res.QueryID)
+			var dictRows int64
+			for _, sg := range st.Stages {
+				for _, pl := range sg.Pipelines {
+					for _, op := range pl.Operators {
+						if op.Name == "HashAggregation" {
+							dictRows += op.DictRows
+						}
+					}
+				}
+			}
+			if dictRows != encodedPairDictRows {
+				t.Errorf("%s [%s]: aggregations resolved %d rows by dictionary entry, want %d (the all-encoded pages and no other)",
+					q, m.name, dictRows, encodedPairDictRows)
+			}
+		}
+	}
+}
+
+// TestDictionaryPathsInExplainAnalyze: whether a statement took the
+// dictionary paths is read off its own EXPLAIN ANALYZE — the scan says how
+// many of its columns arrived encoded, the filter/project, the aggregation and
+// the lookup join how many rows they handled by dictionary entry.
+func TestDictionaryPathsInExplainAnalyze(t *testing.T) {
+	c := NewCluster(ClusterConfig{Workers: 1, ThreadsPerWorker: 2})
+	defer c.Close()
+	c.Register(workload.LoadTPCHMemory("tpch", chaosScale))
+	lines := func(q string) []string {
+		var out []string
+		for _, r := range execSession(t, c, "EXPLAIN ANALYZE "+q, Session{}) {
+			out = append(out, r[0].S)
+		}
+		return out
+	}
+	has := func(lines []string, operator, counter string) bool {
+		for _, l := range lines {
+			if strings.Contains(l, operator) && strings.Contains(l, counter) {
+				return true
+			}
+		}
+		return false
+	}
+	agg := lines(`SELECT l_shipmode || '-' || l_returnflag, count(*) FROM tpch.lineitem
+		WHERE l_shipdate > DATE '1995-01-01' GROUP BY l_shipmode || '-' || l_returnflag`)
+	for operator, counter := range map[string]string{"TableScan": "encoded-cols 2", "FilterProject": "dict-rows", "HashAggregation": "dict-rows"} {
+		if !has(agg, operator, counter) {
+			t.Errorf("%s line without %q:\n%s", operator, counter, strings.Join(agg, "\n"))
+		}
+	}
+	join := lines(`SELECT count(*) FROM tpch.customer a JOIN tpch.customer b ON a.c_mktsegment = b.c_mktsegment`)
+	if !has(join, "LookupJoin", "dict-rows") {
+		t.Errorf("LookupJoin line without dict-rows:\n%s", strings.Join(join, "\n"))
+	}
+	flat := lines("SELECT l_orderkey, count(*) FROM tpch.lineitem GROUP BY l_orderkey")
+	if has(flat, "", "dict-rows") || has(flat, "", "encoded-cols") {
+		t.Errorf("a statement over flat columns reports dictionary work:\n%s", strings.Join(flat, "\n"))
+	}
+}
+
+// TestEncodedProjectionErrorsOnlyWhenReferenced: a projection over two
+// dictionary columns is evaluated once per combination of their entries, and
+// one combination divides by zero. While no surviving row has it the query
+// succeeds (the rows are then evaluated one by one); once a row has it the
+// query fails with the row path's error.
+func TestEncodedProjectionErrorsOnlyWhenReferenced(t *testing.T) {
+	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
+	defer c.Close()
+	c.Register(newEncodedConnector())
+	const proj = "SELECT sum(10 / (length(a) - length(b))), count(*) FROM enc.lens"
+	for _, m := range encMatrix {
+		rows := execSession(t, c, proj+" WHERE v < 50", m.s)
+		var want int64
+		for i := 0; i < 50; i++ {
+			la, lb := []int64{2, 3, 4}[i%3], []int64{1, 2}[i%2]
+			if i%3 == 0 && i%2 == 1 {
+				lb = 1
+			}
+			want += 10 / (la - lb)
+		}
+		if len(rows) != 1 || rows[0][0].I != want || rows[0][1].I != 50 {
+			t.Errorf("[%s] unreferenced failing combination: got %v, want sum %d over 50 rows", m.name, rows, want)
+		}
+		s := m.s
+		s.DisableResultCache = true
+		res, err := c.ExecuteSession(proj, s)
+		if err == nil {
+			_, err = res.All()
+		}
+		if err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Errorf("[%s] referenced failing combination: err %v, want division by zero", m.name, err)
+		}
+	}
+}
+
+// TestEncodedLoadedThenInserted: a table the memory catalog loaded (its key
+// column stored under a dictionary) and then took INSERTs into (flat pages
+// behind the encoded ones) groups each key once, old and new rows together.
+func TestEncodedLoadedThenInserted(t *testing.T) {
+	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
+	defer c.Close()
+	conn := memconn.New("mem")
+	keys, vals := make([]string, 300), make([]int64, 300)
+	for i := range keys {
+		keys[i], vals[i] = []string{"hot", "warm", "cold"}[i%3], 1
+	}
+	conn.LoadTable("t", []connector.Column{{Name: "k", T: types.Varchar}, {Name: "v", T: types.Bigint}},
+		[]*block.Page{block.NewPage(block.NewVarcharBlock(keys, nil), block.NewLongBlock(vals, nil))})
+	c.Register(conn)
+	if ndv := conn.Stats("t").ColumnNDV["k"]; ndv != 3 {
+		t.Fatalf("ColumnNDV[k] = %d after the load, want 3", ndv)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := c.Query(fmt.Sprintf("INSERT INTO mem.t VALUES ('hot', 10), ('new%d', 100)", i%2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ndv := conn.Stats("t").ColumnNDV["k"]; ndv != 5 {
+		t.Errorf("ColumnNDV[k] = %d after the inserts, want 5", ndv)
+	}
+	want := []string{"cold|100|100", "hot|105|150", "new0|3|300", "new1|2|200", "warm|100|100"}
+	for _, m := range encMatrix {
+		got := stringifyRows(execSession(t, c, "SELECT k, count(*), sum(v) FROM mem.t GROUP BY k", m.s))
+		assertRows(t, "loaded then inserted ["+m.name+"]", got, want)
 	}
 }
 

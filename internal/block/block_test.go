@@ -1,6 +1,7 @@
 package block
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -311,5 +312,68 @@ func TestNullDictionaryEntries(t *testing.T) {
 	enc := DictEncode(b, 1.0)
 	if !enc.IsNull(1) || enc.IsNull(0) {
 		t.Error("null tracking through dictionary encode")
+	}
+}
+
+// TestDictEncoderCarriesDictionaryAcrossPages: one encoder over the pages of
+// a column numbers values in order of first appearance, NULL and the empty
+// string apart, through the point where it stops scanning its entries and
+// starts hashing them; every page's indices read back its values against the
+// dictionary as it stands after the last page; and it gives up, for good, at
+// the entry that would pass the bound.
+func TestDictEncoderCarriesDictionaryAcrossPages(t *testing.T) {
+	var pages []*VarcharBlock
+	for pg := 0; pg < 4; pg++ {
+		vals, nulls := make([]string, 50), make([]bool, 50)
+		for i := range vals {
+			switch k := (pg*50 + i) % (5 + 4*pg); { // more distinct values page by page: 5, 9, 13, 17
+			case k == 3:
+				nulls[i] = true
+			case k == 4:
+				vals[i] = ""
+			default:
+				vals[i] = fmt.Sprint("v", k)
+			}
+		}
+		pages = append(pages, NewVarcharBlock(vals, nulls))
+	}
+	var enc DictEncoder
+	indices := make([][]int32, len(pages))
+	for pg, p := range pages {
+		var ok bool
+		if indices[pg], ok = enc.Encode(p, 64); !ok {
+			t.Fatalf("page %d: the encoder gave up at %d entries under a bound of 64", pg, enc.Len())
+		}
+	}
+	dict := enc.Dict()
+	if dict.Len() != 17 || enc.Len() != 17 {
+		t.Fatalf("dictionary has %d entries, want 17 (15 strings, the empty string, NULL)", dict.Len())
+	}
+	for pg, p := range pages {
+		enc := NewDictionaryBlock(dict, indices[pg])
+		for r := 0; r < p.Len(); r++ {
+			if enc.IsNull(r) != p.IsNull(r) || (!p.IsNull(r) && enc.Str(r) != p.Str(r)) {
+				t.Fatalf("page %d row %d reads %v through the dictionary, want %v", pg, r, enc.Value(r), p.Value(r))
+			}
+		}
+	}
+	seen := map[string]bool{}
+	for j := 0; j < dict.Len(); j++ {
+		if key := dict.Value(j).String(); seen[key] {
+			t.Errorf("entry %d repeats %s", j, key)
+		} else {
+			seen[key] = true
+		}
+	}
+
+	var small DictEncoder
+	if _, ok := small.Encode(pages[0], 5); !ok {
+		t.Error("five distinct values (NULL is one) do not fit a bound of 5")
+	}
+	if _, ok := small.Encode(pages[1], 5); ok {
+		t.Error("nine distinct values fit a bound of 5")
+	}
+	if _, ok := small.Encode(NewLongBlock([]int64{1}, nil), 5); ok {
+		t.Error("a bigint page was encoded under a varchar dictionary")
 	}
 }

@@ -505,6 +505,15 @@ func (w *frameWriter) block(b Block, depth int) {
 		w.uvarint(uint64(x.Count))
 		w.block(x.Val, depth+1)
 	case *DictionaryBlock:
+		if len(x.Indices) < x.Dict.Len() {
+			// Fewer rows than entries: the dictionary would be most of the
+			// frame, and a dictionary many pages share (a stored column's)
+			// would cross the boundary again with every small page — a hash
+			// partition's slice, a selective filter's survivors. The rows go
+			// flat, and the reader does no work per entry it has no row for.
+			w.block(Decode(x), depth)
+			return
+		}
 		w.u8(blockDict)
 		w.uvarint(uint64(len(x.Indices)))
 		for _, ix := range x.Indices {

@@ -119,86 +119,146 @@ func (b *LazyBlock) SizeBytes() int64 {
 	return 16
 }
 
+// DictEncoder dictionary-encodes a BIGINT, DATE or VARCHAR column a page at a
+// time under one dictionary that grows from page to page: entries are numbered
+// in order of first appearance (NULL takes one), so indices handed out for an
+// earlier page stay valid, and every page of the column can share the block
+// Dict returns once the last one is in. The zero value is an empty encoder.
+type DictEncoder struct {
+	typ    types.Type
+	strs   dictValues[string]
+	longs  dictValues[int64]
+	nullAt int32 // the NULL entry's index + 1; 0 while no NULL has been seen
+}
+
+// dictValues is the dictionary over one value type: vals[id] is entry id (the
+// zero value at the NULL entry), ids finds a value's entry once there are
+// more than dictScanEntries of them; fewer are found by scanning vals, which
+// for a handful of flags or modes costs less than hashing the value.
+type dictValues[T comparable] struct {
+	ids  map[T]int32
+	vals []T
+}
+
+const dictScanEntries = 8
+
+// find returns v's entry. nullAt is the NULL entry's index + 1: its slot holds
+// the zero value and is no value's entry.
+func (d *dictValues[T]) find(v T, nullAt int32) (int32, bool) {
+	if d.ids != nil {
+		id, ok := d.ids[v]
+		return id, ok
+	}
+	for id, x := range d.vals {
+		if x == v && int32(id) != nullAt-1 {
+			return int32(id), true
+		}
+	}
+	return 0, false
+}
+
+// add appends an entry — v, or at index nullAt-1 the NULL entry — and returns
+// its index.
+func (d *dictValues[T]) add(v T, nullAt int32) int32 {
+	id := int32(len(d.vals))
+	d.vals = append(d.vals, v)
+	switch {
+	case d.ids != nil:
+		if id != nullAt-1 {
+			d.ids[v] = id
+		}
+	case len(d.vals) > dictScanEntries:
+		d.ids = make(map[T]int32, 2*len(d.vals))
+		for j, x := range d.vals {
+			if int32(j) != nullAt-1 {
+				d.ids[x] = int32(j)
+			}
+		}
+	}
+	return id
+}
+
+// encode appends src's unseen values to the dictionary and returns src's
+// indices, or false once the dictionary would pass max entries.
+func (d *dictValues[T]) encode(src []T, nulls []bool, nullAt *int32, max int) ([]int32, bool) {
+	out := make([]int32, len(src))
+	var last T
+	lastID := int32(-1)
+	for i, v := range src {
+		if nulls != nil && nulls[i] {
+			if *nullAt == 0 {
+				if len(d.vals) >= max {
+					return nil, false
+				}
+				var zero T
+				*nullAt = int32(len(d.vals)) + 1
+				d.add(zero, *nullAt)
+			}
+			out[i] = *nullAt - 1
+			continue
+		}
+		// Runs of one value are common (flags, clustered keys): a repeat of
+		// the cell before skips the lookup.
+		if lastID < 0 || v != last {
+			id, ok := d.find(v, *nullAt)
+			if !ok {
+				if len(d.vals) >= max {
+					return nil, false
+				}
+				id = d.add(v, *nullAt)
+			}
+			last, lastID = v, id
+		}
+		out[i] = lastID
+	}
+	return out, true
+}
+
+// Encode returns b's rows as indices into the encoder's dictionary, entering
+// the values it has not seen. It returns false when b is not a flat block of
+// an encodable type (or not of the type of the pages before it), or once the
+// dictionary would hold more than maxEntries: the encoder is then spent.
+func (e *DictEncoder) Encode(b Block, maxEntries int) ([]int32, bool) {
+	if e.Len() > 0 && b.Type() != e.typ {
+		return nil, false
+	}
+	e.typ = b.Type()
+	switch src := b.(type) {
+	case *VarcharBlock:
+		return e.strs.encode(src.Vals, src.Nulls, &e.nullAt, maxEntries)
+	case *LongBlock:
+		return e.longs.encode(src.Vals, src.Nulls, &e.nullAt, maxEntries)
+	}
+	return nil, false
+}
+
+// Len is the number of dictionary entries so far, the NULL entry included.
+func (e *DictEncoder) Len() int { return len(e.strs.vals) + len(e.longs.vals) }
+
+// Dict returns the dictionary as a block. Call it after the last Encode: the
+// block shares the encoder's arrays.
+func (e *DictEncoder) Dict() Block {
+	var nulls []bool
+	if e.nullAt > 0 {
+		nulls = make([]bool, e.Len())
+		nulls[e.nullAt-1] = true
+	}
+	if e.typ == types.Varchar {
+		return &VarcharBlock{Vals: e.strs.vals, Nulls: nulls}
+	}
+	return &LongBlock{T: e.typ, Vals: e.longs.vals, Nulls: nulls}
+}
+
 // DictEncode builds a dictionary block from a plain block if the column's
 // cardinality is low enough to make it worthwhile; otherwise it returns the
 // input unchanged. maxRatio caps dictionary size as a fraction of row count.
 func DictEncode(b Block, maxRatio float64) Block {
-	n := b.Len()
-	if n == 0 {
+	var enc DictEncoder
+	indices, ok := enc.Encode(b, int(maxRatio*float64(b.Len())))
+	if !ok || len(indices) == 0 {
 		return b
 	}
-	switch src := b.(type) {
-	case *VarcharBlock:
-		seen := make(map[string]int32)
-		indices := make([]int32, n)
-		var dict []string
-		var dictNull bool
-		nullID := int32(-1)
-		for i := 0; i < n; i++ {
-			if src.IsNull(i) {
-				if nullID < 0 {
-					nullID = int32(len(dict))
-					dict = append(dict, "")
-					dictNull = true
-				}
-				indices[i] = nullID
-				continue
-			}
-			s := src.Vals[i]
-			id, ok := seen[s]
-			if !ok {
-				id = int32(len(dict))
-				dict = append(dict, s)
-				seen[s] = id
-			}
-			indices[i] = id
-			if float64(len(dict)) > maxRatio*float64(n) {
-				return b
-			}
-		}
-		var nulls []bool
-		if dictNull {
-			nulls = make([]bool, len(dict))
-			nulls[nullID] = true
-		}
-		return &DictionaryBlock{Dict: &VarcharBlock{Vals: dict, Nulls: nulls}, Indices: indices}
-	case *LongBlock:
-		seen := make(map[int64]int32)
-		indices := make([]int32, n)
-		var dict []int64
-		var dictNull bool
-		nullID := int32(-1)
-		for i := 0; i < n; i++ {
-			if src.IsNull(i) {
-				if nullID < 0 {
-					nullID = int32(len(dict))
-					dict = append(dict, 0)
-					dictNull = true
-				}
-				indices[i] = nullID
-				continue
-			}
-			v := src.Vals[i]
-			id, ok := seen[v]
-			if !ok {
-				id = int32(len(dict))
-				dict = append(dict, v)
-				seen[v] = id
-			}
-			indices[i] = id
-			if float64(len(dict)) > maxRatio*float64(n) {
-				return b
-			}
-		}
-		var nulls []bool
-		if dictNull {
-			nulls = make([]bool, len(dict))
-			nulls[nullID] = true
-		}
-		return &DictionaryBlock{Dict: &LongBlock{T: src.T, Vals: dict, Nulls: nulls}, Indices: indices}
-	default:
-		return b
-	}
+	return &DictionaryBlock{Dict: enc.Dict(), Indices: indices}
 }
 
 // RLEEncode returns an RLE block if every row of b holds the same value

@@ -36,6 +36,9 @@ type table struct {
 	// ndv holds, per column, one 64-bit identity per distinct non-null cell
 	// seen, so that an insert folds in only the pages it appends.
 	ndv []map[uint64]struct{}
+	// dicts holds, per column, the dictionary LoadTable encoded it under (nil:
+	// stored as it arrived). Its entries are in ndv already, each once.
+	dicts []block.Block
 }
 
 // New creates an empty in-memory catalog with the given name.
@@ -118,8 +121,9 @@ func (c *Connector) DropTable(name string) error {
 func (c *Connector) LoadTable(name string, columns []connector.Column, pages []*block.Page) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := &table{meta: connector.TableMeta{Name: name, Columns: columns}, pages: pages}
-	t.foldStats(pages)
+	t := &table{meta: connector.TableMeta{Name: name, Columns: columns}}
+	t.pages = t.encodeLowCardinality(pages)
+	t.foldStats(t.pages)
 	c.tables[name] = t
 	c.versions[name]++
 }
@@ -181,22 +185,85 @@ func (t *table) appendPages(in []*block.Page) {
 	t.pages = pages
 }
 
-// foldStats adds pages, which the caller has appended (or is loading), to the
-// table's statistics: the row count, each column's count of distinct non-null
-// values, and how many pages the table now holds. It publishes a new
-// ColumnNDV map, never writes the one a reader may hold.
-func (t *table) foldStats(pages []*block.Page) {
+// dictMaxEntries is the one bound of the stored encoding: a varchar column is
+// kept under a dictionary while its distinct values (NULL is one) number at
+// most this many. It covers the enumerations a warehouse groups and filters by
+// (flags, modes, brands, types — the TPC-H specification's widest has 150 values) and is a
+// sixteenth of the 4096-row page tables load at, so on a full page a pass over
+// the dictionary, or over a pair of small ones, is small beside the pass over
+// the rows it replaces.
+const dictMaxEntries = 256
+
+// encodeLowCardinality returns the pages a table loads with: every varchar
+// column that arrives flat on all of them and stays within dictMaxEntries is
+// stored as indices into one dictionary block the column's pages share (paper
+// §V-C), so that filters, projections and group tables downstream meet the
+// same dictionary page after page and do their work once per entry (§V-E).
+// The dictionary's entries are the column's distinct values: they go into the
+// NDV set here, once each, and foldStats skips the column's rows.
+func (t *table) encodeLowCardinality(pages []*block.Page) []*block.Page {
+	t.initNDV()
+	t.dicts = make([]block.Block, len(t.meta.Columns))
+	out, copied := pages, false
+	indices := make([][]int32, len(pages))
+	for ci, col := range t.meta.Columns {
+		if col.T != types.Varchar || len(pages) == 0 {
+			continue
+		}
+		var enc block.DictEncoder
+		ok := true
+		for pi, p := range pages {
+			flat, isFlat := p.Col(ci).(*block.VarcharBlock)
+			if ok = isFlat; ok {
+				indices[pi], ok = enc.Encode(flat, dictMaxEntries)
+			}
+			if !ok {
+				break
+			}
+		}
+		if !ok || enc.Len() == 0 {
+			continue
+		}
+		dict := enc.Dict()
+		foldDistinct(t.ndv[ci], dict)
+		t.dicts[ci] = dict
+		if !copied { // the caller's pages are not ours to rewrite
+			out, copied = make([]*block.Page, len(pages)), true
+			for pi, p := range pages {
+				out[pi] = block.NewPage(append([]block.Block(nil), p.Cols...)...)
+			}
+		}
+		for pi := range out {
+			out[pi].Cols[ci] = block.NewDictionaryBlock(dict, indices[pi])
+		}
+	}
+	return out
+}
+
+func (t *table) initNDV() {
 	if t.ndv == nil {
 		t.ndv = make([]map[uint64]struct{}, len(t.meta.Columns))
 		for i := range t.ndv {
 			t.ndv[i] = map[uint64]struct{}{}
 		}
 	}
+}
+
+// foldStats adds pages, which the caller has appended (or is loading), to the
+// table's statistics: the row count, each column's count of distinct non-null
+// values, and how many pages the table now holds. It publishes a new
+// ColumnNDV map, never writes the one a reader may hold.
+func (t *table) foldStats(pages []*block.Page) {
+	t.initNDV()
 	rows := t.stats.RowCount
 	for _, p := range pages {
 		rows += int64(p.RowCount())
 		for ci := range t.meta.Columns {
-			foldDistinct(t.ndv[ci], p.Col(ci))
+			col := p.Col(ci)
+			if d, ok := col.(*block.DictionaryBlock); ok && t.dicts != nil && d.Dict == t.dicts[ci] {
+				continue // the table's own dictionary: folded when it was built
+			}
+			foldDistinct(t.ndv[ci], col)
 		}
 	}
 	ndv := make(map[string]int64, len(t.meta.Columns))

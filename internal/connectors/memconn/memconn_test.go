@@ -164,3 +164,73 @@ func TestIncrementalStatsEqualRecompute(t *testing.T) {
 		check(fmt.Sprintf("append %d", step))
 	}
 }
+
+// TestLoadTableEncodesLowCardinality: a load stores a flat varchar column of at
+// most dictMaxEntries distinct values as indices into one dictionary block all
+// its pages share, leaves a column over the bound, a column that arrives
+// encoded and every non-varchar column as they came, reads back every cell,
+// and reports the statistics a pass over the flat cells gives.
+func TestLoadTableEncodesLowCardinality(t *testing.T) {
+	columns := []connector.Column{
+		{Name: "flag", T: types.Varchar}, {Name: "name", T: types.Varchar},
+		{Name: "given", T: types.Varchar}, {Name: "n", T: types.Bigint},
+		{Name: "edge", T: types.Varchar},
+	}
+	const pages, rows = 3, 200
+	var in []*block.Page
+	for pg := 0; pg < pages; pg++ {
+		flag, name, edge := make([]string, rows), make([]string, rows), make([]string, rows)
+		flagNulls, n, given := make([]bool, rows), make([]int64, rows), make([]int32, rows)
+		for r := 0; r < rows; r++ {
+			i := pg*rows + r
+			flag[r], flagNulls[r] = []string{"A", "N", "", "R"}[i%4], i%11 == 0
+			name[r] = fmt.Sprint("name-", i) // 600 distinct: over the bound
+			edge[r] = fmt.Sprint("e", i%dictMaxEntries)
+			n[r], given[r] = int64(i%7), int32(i%2)
+		}
+		in = append(in, block.NewPage(block.NewVarcharBlock(flag, flagNulls), block.NewVarcharBlock(name, nil),
+			block.NewDictionaryBlock(block.NewVarcharBlock([]string{"x", "y", "unreferenced"}, nil), given),
+			block.NewLongBlock(n, nil), block.NewVarcharBlock(edge, nil)))
+	}
+	c := New("mem")
+	c.LoadTable("t", columns, in)
+	stored := c.tables["t"].pages
+	if len(stored) != pages {
+		t.Fatalf("%d pages stored, want %d", len(stored), pages)
+	}
+	for _, ci := range []int{0, 4} { // flag: 5 entries with NULL; edge: exactly the bound
+		first, ok := stored[0].Col(ci).(*block.DictionaryBlock)
+		if !ok {
+			t.Fatalf("column %s is stored as %T, want a dictionary block", columns[ci].Name, stored[0].Col(ci))
+		}
+		for pg, p := range stored {
+			if d, ok := p.Col(ci).(*block.DictionaryBlock); !ok || d.Dict != first.Dict {
+				t.Errorf("column %s, page %d: %T does not share page 0's dictionary", columns[ci].Name, pg, p.Col(ci))
+			}
+		}
+	}
+	if n := stored[0].Col(0).(*block.DictionaryBlock).Dict.Len(); n != 5 {
+		t.Errorf("flag's dictionary has %d entries, want 5 (A, N, the empty string, R, NULL)", n)
+	}
+	for pg, p := range stored {
+		if p.Col(1) != in[pg].Col(1) || p.Col(2) != in[pg].Col(2) || p.Col(3) != in[pg].Col(3) {
+			t.Errorf("page %d: a high-cardinality, an already encoded or a bigint column was re-stored", pg)
+		}
+		for ci := range columns {
+			for r := 0; r < rows; r++ {
+				if got, want := p.Col(ci).Value(r), in[pg].Col(ci).Value(r); got.String() != want.String() || got.Null != want.Null {
+					t.Fatalf("page %d column %s row %d reads %v, was loaded as %v", pg, columns[ci].Name, r, got, want)
+				}
+			}
+		}
+	}
+	got, want := c.Stats("t"), recomputeStats(columns, in)
+	if got.RowCount != want.RowCount || got.Pages != pages {
+		t.Errorf("stats %+v, want %d rows in %d pages", got, want.RowCount, pages)
+	}
+	for _, col := range columns {
+		if got.NDV(col.Name) != want.NDV(col.Name) {
+			t.Errorf("NDV(%s) = %d, a pass over the flat cells gives %d", col.Name, got.NDV(col.Name), want.NDV(col.Name))
+		}
+	}
+}

@@ -142,6 +142,7 @@ func TestInsertsMergeIntoTail(t *testing.T) {
 	loaded := full.Build()
 	c := New("mem")
 	c.LoadTable("events", eventColumns, []*block.Page{loaded})
+	stored := c.tables["events"].pages[0] // loaded, its string column under the table's dictionary
 	const inserts = 1000
 	for i := mergeTarget; i < mergeTarget+inserts; i++ {
 		insertRow(t, c, "events", i)
@@ -156,7 +157,7 @@ func TestInsertsMergeIntoTail(t *testing.T) {
 		}
 	}
 	tbl := c.tables["events"]
-	if tbl.pages[0] != loaded {
+	if tbl.pages[0] != stored {
 		t.Error("the loaded full page was copied")
 	}
 	if got := c.Stats("events"); got.RowCount != mergeTarget+inserts || got.Pages != int64(len(tbl.pages)) {

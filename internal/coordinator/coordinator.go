@@ -199,6 +199,10 @@ type Coordinator struct {
 	vecProjEvals  atomic.Int64
 	cseHits       atomic.Int64
 	dictEvictions atomic.Int64
+	// dictRows counts, per operator name, the rows finished queries handled by
+	// dictionary entry (OpStatsSnapshot.DictRows); dictRowsMu guards it.
+	dictRowsMu sync.Mutex
+	dictRows   map[string]int64
 
 	// stmtLatency is the end-to-end statement latency histogram (admission
 	// through final page), over the most recent statements.
@@ -217,6 +221,10 @@ type Query struct {
 	mu      sync.Mutex
 	tasks   []taskClient // in placement order: what stats walk
 	groups  []taskGroup  // the same tasks by worker: what control talks to
+	// final is what the tasks' stats read when the query finished. From then
+	// on it stands for them: tasks and groups are dropped, so a finished
+	// query keeps counters and not its operators, buffers and plans.
+	final []exec.TaskStats
 	remote  bool         // the workers are other processes (see eachWorker)
 	qmem    *memory.QueryContext
 	result  *Result
@@ -748,7 +756,7 @@ func (q *Query) fail(err error) {
 
 // finish marks the query finished, releases its task groups — every worker
 // at once — and returns the final task stats for the history and
-// lifetime-counter rollups.
+// lifetime-counter rollups; the query keeps them in place of its tasks.
 func (q *Query) finish() []exec.TaskStats {
 	q.mu.Lock()
 	q.Info.State = StateFinished
@@ -763,6 +771,7 @@ func (q *Query) finish() []exec.TaskStats {
 	}
 	eachWorker(len(groups), remote, func(i int) { groups[i].Close() })
 	q.mu.Lock()
+	q.final, q.tasks, q.groups = stats, nil, nil
 	q.Info.CPUNanos = cpu
 	if q.qmem != nil {
 		q.Info.PeakMemory = q.qmem.PeakBytes()

@@ -140,6 +140,7 @@ func (r *Result) finishLocked() {
 	r.closed = true
 	if r.onClose != nil {
 		r.onClose(r.err)
+		r.onClose = nil // it holds the plan and the capture; it runs once
 	}
 }
 

@@ -158,7 +158,11 @@ func (t *fakeTask) DeliverFilter(id int, s *dynfilter.Summary) {
 	t.filters[id] = s
 }
 
-func (t *fakeTask) Stats() exec.TaskStats { return exec.TaskStats{} }
+// Stats says which stage the task is of and counts one split done, so that a
+// rollup can be told from an empty one.
+func (t *fakeTask) Stats() exec.TaskStats {
+	return exec.TaskStats{Fragment: t.spec.ID.Fragment, SplitsDone: 1}
+}
 
 func (t *fakeTask) Abort() {
 	t.mu.Lock()
@@ -858,4 +862,48 @@ func TestSchedulerFilterRouting(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFinishedQueryKeepsStatsNotTasks: finish reads every task's stats once,
+// closes the groups and drops both, so a finished query pins no operators,
+// buffers or plans; QueryStats answers from what finish read, as it did from
+// the live tasks.
+func TestFinishedQueryKeepsStatsNotTasks(t *testing.T) {
+	f := newSchedFixture(t, Config{})
+	_, q := f.scheduleScan(t, 2)
+	f.c.queries = map[string]*Query{q.Info.ID: q}
+	f.cl.mu.Lock()
+	tasks := append([]*fakeTask(nil), f.cl.tasks...)
+	f.cl.mu.Unlock()
+	for _, task := range tasks {
+		task.finish(nil)
+	}
+	live, ok := f.c.QueryStats(q.Info.ID)
+	if !ok || live.Tasks != len(tasks) || live.SplitsDone != len(tasks) {
+		t.Fatalf("live stats: ok=%v tasks=%d splitsDone=%d, want %d tasks", ok, live.Tasks, live.SplitsDone, len(tasks))
+	}
+
+	if got := q.finish(); len(got) != len(tasks) {
+		t.Fatalf("finish returned %d task stats, want %d", len(got), len(tasks))
+	}
+	for _, task := range tasks {
+		task.mu.Lock()
+		closed := task.closed
+		task.mu.Unlock()
+		if !closed {
+			t.Errorf("task %s was not closed", task.spec.ID)
+		}
+	}
+	q.mu.Lock()
+	held := len(q.tasks) + len(q.groups)
+	q.mu.Unlock()
+	if held != 0 {
+		t.Errorf("a finished query still holds %d tasks and groups", held)
+	}
+	done, _ := f.c.QueryStats(q.Info.ID)
+	if done.State != "FINISHED" || done.Tasks != live.Tasks || done.SplitsDone != live.SplitsDone ||
+		len(done.Stages) != len(live.Stages) {
+		t.Errorf("finished stats %+v differ from the live ones %+v", done, live)
+	}
+	q.abort() // nothing left to talk to: must not panic
 }

@@ -55,8 +55,11 @@ func inputSkew(rows []int64) float64 {
 // It is valid both while the query runs (live counters) and after it
 // finishes (final totals — tasks are retained on the query record).
 type QueryStats struct {
-	ID              string `json:"id"`
-	State           string `json:"state"`
+	ID    string `json:"id"`
+	State string `json:"state"`
+	// Error is why a failed query failed; a recovered operator panic carries
+	// its stack here.
+	Error           string `json:"error,omitempty"`
 	ElapsedNanos    int64  `json:"elapsedNanos"`
 	CPUNanos        int64  `json:"cpuNanos"`
 	BlockedNanos    int64  `json:"blockedNanos"`
@@ -94,7 +97,7 @@ func (c *Coordinator) QueryStats(id string) (QueryStats, bool) {
 
 	q.mu.Lock()
 	info := q.Info
-	tasks := q.tasks
+	tasks, final := q.tasks, q.final
 	qmem := q.qmem
 	result := q.result
 	q.mu.Unlock()
@@ -103,7 +106,10 @@ func (c *Coordinator) QueryStats(id string) (QueryStats, bool) {
 		ID:          info.ID,
 		State:       info.State.String(),
 		SplitsTotal: q.splitsTotal.Load(),
-		Tasks:       len(tasks),
+		Tasks:       len(tasks) + len(final),
+	}
+	if info.Err != nil {
+		st.Error = info.Err.Error()
 	}
 	switch {
 	case info.Started.IsZero():
@@ -119,9 +125,14 @@ func (c *Coordinator) QueryStats(id string) (QueryStats, bool) {
 		st.OutputRows = result.RowCount()
 	}
 
+	if final == nil {
+		final = make([]exec.TaskStats, len(tasks))
+		for i, t := range tasks {
+			final[i] = t.Stats()
+		}
+	}
 	stages := map[int]*StageStats{}
-	for _, t := range tasks {
-		ts := t.Stats()
+	for _, ts := range final {
 		st.CPUNanos += ts.CPUNanos
 		st.SplitsQueued += ts.SplitsQueued
 		st.SplitsRunning += ts.SplitsRunning
@@ -187,6 +198,19 @@ func (c *Coordinator) VecProjTotals() (vecEvals, cseHits, dictEvictions int64) {
 // the scanning stages of finished queries (/v1/metrics exports it).
 func (c *Coordinator) StageSkew() *metrics.BucketHistogram { return c.stageSkew }
 
+// DictionaryRows returns, per operator name, the rows finished queries
+// handled by dictionary entry instead of row by row (/v1/metrics exports it as
+// presto_dictionary_rows_total).
+func (c *Coordinator) DictionaryRows() map[string]int64 {
+	c.dictRowsMu.Lock()
+	defer c.dictRowsMu.Unlock()
+	out := make(map[string]int64, len(c.dictRows))
+	for name, rows := range c.dictRows {
+		out[name] = rows
+	}
+	return out
+}
+
 // ScanRowsPerPage is the coordinator-lifetime distribution of the mean page a
 // task's scan operator produced, over finished queries (/v1/metrics exports
 // it): mass in the low buckets means tables made of tiny pages.
@@ -214,6 +238,14 @@ func (c *Coordinator) accumulateDynStats(tasks []exec.TaskStats) {
 				c.vecProjEvals.Add(op.VecProjEvals)
 				c.cseHits.Add(op.CSEHits)
 				c.dictEvictions.Add(op.DictEvictions)
+				if op.DictRows > 0 {
+					c.dictRowsMu.Lock()
+					if c.dictRows == nil {
+						c.dictRows = map[string]int64{}
+					}
+					c.dictRows[op.Name] += op.DictRows
+					c.dictRowsMu.Unlock()
+				}
 				if pages := scanPages(op); pages > 0 {
 					c.scanRowsPerPage.Observe(float64(op.RowsOut) / float64(pages))
 				}
@@ -302,6 +334,12 @@ func FormatOperatorTable(st QueryStats) string {
 				}
 				if op.VecProjEvals+op.CSEHits > 0 {
 					fmt.Fprintf(&sb, "  vec-proj %d  cse-hits %d", op.VecProjEvals, op.CSEHits)
+				}
+				if op.EncodedCols > 0 {
+					fmt.Fprintf(&sb, "  encoded-cols %d", op.EncodedCols)
+				}
+				if op.DictRows > 0 {
+					fmt.Fprintf(&sb, "  dict-rows %d", op.DictRows)
 				}
 				sb.WriteByte('\n')
 			}

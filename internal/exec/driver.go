@@ -6,6 +6,8 @@
 package exec
 
 import (
+	"fmt"
+	"runtime/debug"
 	"time"
 
 	"repro/internal/memory"
@@ -121,7 +123,7 @@ func (d *Driver) Process(quanta time.Duration) (progress bool, err error) {
 	}()
 
 	for {
-		moved := d.iterate()
+		moved := d.step()
 		now := time.Now()
 		d.attribute(now.Sub(last).Nanoseconds())
 		last = now
@@ -225,6 +227,22 @@ func (d *Driver) touch(i int) {
 	if d.touched != nil {
 		d.touched[i] = true
 	}
+}
+
+// step is one iterate pass, and the engine's one recover: a panic under an
+// operator — a block of an encoding a type switch does not know, an index out
+// of range — fails this driver, and through it its query, with the panic and
+// its stack as the error, instead of taking down the process and every query
+// on it. The executor thread goes on to the next driver; the failed driver's
+// operators are closed as after any error (finishDriver), so an operator must
+// not hold a lock across code that can panic other than by defer.
+func (d *Driver) step() (moved bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			d.failed = fmt.Errorf("operator panicked: %v\n%s", r, debug.Stack())
+		}
+	}()
+	return d.iterate()
 }
 
 // iterate makes one pass over adjacent operator pairs, moving at most one

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -396,5 +397,80 @@ func TestCollectorlessPublicationIsAnnounced(t *testing.T) {
 	}
 	if s := task.PublishedFilters()[7]; s == nil || !s.Disabled {
 		t.Errorf("PublishedFilters()[7] = %+v, want a Disabled summary", s)
+	}
+}
+
+// rowPages is a source of left one-row pages.
+type rowPages struct{ left int }
+
+func (s *rowPages) NeedsInput() bool             { return false }
+func (s *rowPages) AddInput(p *block.Page) error { return nil }
+func (s *rowPages) Finish()                      { s.left = 0 }
+func (s *rowPages) IsFinished() bool             { return s.left == 0 }
+func (s *rowPages) IsBlocked() bool              { return false }
+func (s *rowPages) Close() error                 { return nil }
+func (s *rowPages) Output() (*block.Page, error) {
+	if s.left == 0 {
+		return nil, nil
+	}
+	s.left--
+	return block.NewPage(block.NewLongBlock([]int64{int64(s.left)}, nil)), nil
+}
+
+// panicOnSecondPage passes its first page through and panics on the next.
+type panicOnSecondPage struct {
+	passthrough
+	pages int
+}
+
+func (o *panicOnSecondPage) AddInput(p *block.Page) error {
+	if o.pages++; o.pages == 2 {
+		var cols []block.Block
+		_ = cols[p.RowCount()] // index out of range
+	}
+	return o.passthrough.AddInput(p)
+}
+
+// TestDriverRecoversOperatorPanic: an operator that panics on its second page
+// fails its own driver, with the panic and its stack as the error, while
+// another query's driver shares the one executor thread; that driver, and one
+// enqueued afterwards, run to completion on the same thread.
+func TestDriverRecoversOperatorPanic(t *testing.T) {
+	e := NewExecutor(ExecutorConfig{Threads: 1, Quanta: 50 * time.Microsecond})
+	defer e.Close()
+	onePagePerRow := func(rows int) operators.Operator { return &rowPages{left: rows} }
+	results := make(chan error, 3)
+	healthy := &passthrough{}
+	e.Enqueue(NewDriver([]operators.Operator{onePagePerRow(500), healthy}), NewTaskHandle("healthy"), func(err error) { results <- err })
+	bad := NewDriver([]operators.Operator{onePagePerRow(5), &panicOnSecondPage{}})
+	e.Enqueue(bad, NewTaskHandle("panics"), func(err error) {
+		if err == nil || !strings.Contains(err.Error(), "index out of range") ||
+			!strings.Contains(err.Error(), "panicOnSecondPage).AddInput") {
+			t.Errorf("the panicking driver reported %v, want the panic and its stack", err)
+		}
+		results <- nil
+	})
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-results:
+			if err != nil {
+				t.Errorf("the healthy query failed: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a driver never finished: the executor thread died with the panic")
+		}
+	}
+	if healthy.rows != 500 || !bad.Finished() {
+		t.Errorf("healthy driver moved %d rows of 500; panicking driver finished=%v", healthy.rows, bad.Finished())
+	}
+	after := &passthrough{}
+	e.Enqueue(NewDriver([]operators.Operator{onePagePerRow(3), after}), NewTaskHandle("after"), func(err error) { results <- err })
+	select {
+	case err := <-results:
+		if err != nil || after.rows != 3 {
+			t.Errorf("a driver enqueued after the panic: err %v, %d rows of 3", err, after.rows)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the executor runs nothing after the panic")
 	}
 }

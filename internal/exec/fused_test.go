@@ -645,8 +645,9 @@ func TestBorrowedAggregationMatchesOwned(t *testing.T) {
 // h01Pipeline compiles the scan_agg h01 shape — partial aggregation over the
 // aggregation's projection over the pruning projection over a date filter —
 // and returns one driver's processor and aggregation, and lineitem-like pages
-// of 4096 rows to feed them.
-func h01Pipeline(tb testing.TB, pages int) (*operators.FilterProjectOperator, *operators.HashAggregationOperator, []*block.Page) {
+// of 4096 rows to feed them; with encoded set the two group-key columns arrive
+// as the memory catalog stores them, each under one dictionary its pages share.
+func h01Pipeline(tb testing.TB, pages int, encoded bool) (*operators.FilterProjectOperator, *operators.HashAggregationOperator, []*block.Page) {
 	tb.Helper()
 	d, v := types.Double, types.Varchar
 	scan := &plan.Scan{Handle: plan.TableHandle{Catalog: "mem", Table: "t"},
@@ -702,6 +703,18 @@ func h01Pipeline(tb testing.TB, pages int) (*operators.FilterProjectOperator, *o
 		in = append(in, block.NewPage(block.NewDoubleBlock(cols[0], nil), block.NewDoubleBlock(cols[1], nil), block.NewDoubleBlock(cols[2], nil),
 			block.NewDoubleBlock(cols[3], nil), block.NewVarcharBlock(flag, nil), block.NewDateBlock(date, nil), block.NewVarcharBlock(mode, nil)))
 	}
+	if encoded {
+		var flagEnc, modeEnc block.DictEncoder
+		idx := make([][2][]int32, len(in))
+		for i, p := range in {
+			idx[i][0], _ = flagEnc.Encode(p.Col(4), 256)
+			idx[i][1], _ = modeEnc.Encode(p.Col(6), 256)
+		}
+		flagDict, modeDict := flagEnc.Dict(), modeEnc.Dict()
+		for i, p := range in {
+			p.Cols[4], p.Cols[6] = block.NewDictionaryBlock(flagDict, idx[i][0]), block.NewDictionaryBlock(modeDict, idx[i][1])
+		}
+	}
 	return ops[0].(*operators.FilterProjectOperator), ops[1].(*operators.HashAggregationOperator), in
 }
 
@@ -732,37 +745,49 @@ func drive(tb testing.TB, fp *operators.FilterProjectOperator, agg *operators.Ha
 // seen a few pages — its scratch vectors sized, its 21 groups made — a further
 // page costs the output page's headers and nothing per row: 0.9 bytes per
 // input row at 4096-row pages. Through two processors and owned pages it was
-// 94 (every surviving row's projected cells, twice over). The ceiling
-// is about twice the measurement.
+// 94 (every surviving row's projected cells, twice over). With the two group
+// keys under dictionaries the filtered index vectors are lent like any other
+// vector and the group memo is the operator's scratch: the same headers. The
+// ceilings are about twice the measurements.
 func TestFilterProjectAggAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates")
 	}
-	const ceiling = 2.0 // bytes per input row
-	fp, agg, pages := h01Pipeline(t, 72)
-	drive(t, fp, agg, pages[:8])
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	rows := drive(t, fp, agg, pages[8:])
-	runtime.ReadMemStats(&after)
-	if got := float64(after.TotalAlloc-before.TotalAlloc) / float64(rows); got > ceiling {
-		t.Errorf("a steady-state filter -> project -> aggregate driver allocates %.2f bytes per input row over %d pages, want <= %.2f", got, len(pages)-8, ceiling)
-	} else {
-		t.Logf("%.3f bytes per input row over %d pages", got, len(pages)-8)
+	for _, c := range []struct {
+		name    string
+		encoded bool
+		ceiling float64 // bytes per input row
+	}{{"flat keys", false, 2.0}, {"dictionary keys", true, 0.2}} {
+		fp, agg, pages := h01Pipeline(t, 72, c.encoded)
+		drive(t, fp, agg, pages[:8])
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rows := drive(t, fp, agg, pages[8:])
+		runtime.ReadMemStats(&after)
+		if got := float64(after.TotalAlloc-before.TotalAlloc) / float64(rows); got > c.ceiling {
+			t.Errorf("%s: a steady-state filter -> project -> aggregate driver allocates %.2f bytes per input row over %d pages, want <= %.2f", c.name, got, len(pages)-8, c.ceiling)
+		} else {
+			t.Logf("%s: %.3f bytes per input row over %d pages", c.name, got, len(pages)-8)
+		}
 	}
 }
 
 // BenchmarkFilterProjectAgg times one driver of the h01 shape over 72 pages
-// of 4096 rows, processor and aggregation built once per round as a driver
-// builds them; run with -benchmem for bytes and allocations per round.
+// of 4096 rows, group keys flat and under dictionaries, processor and
+// aggregation built once per round as a driver builds them; run with -benchmem
+// for bytes and allocations per round.
 func BenchmarkFilterProjectAgg(b *testing.B) {
-	b.ReportAllocs()
-	var rows int
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		fp, agg, pages := h01Pipeline(b, 72)
-		b.StartTimer()
-		rows += drive(b, fp, agg, pages)
+	for _, encoded := range []bool{false, true} {
+		b.Run(fmt.Sprintf("dictkeys=%v", encoded), func(b *testing.B) {
+			b.ReportAllocs()
+			var rows int
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fp, agg, pages := h01Pipeline(b, 72, encoded)
+				b.StartTimer()
+				rows += drive(b, fp, agg, pages)
+			}
+			b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
+		})
 	}
-	b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
 }

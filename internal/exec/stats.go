@@ -63,11 +63,13 @@ func (t *Task) Stats() TaskStats {
 		st.SplitsDone += done
 	}
 	st.ActiveDrivers = t.activeDrivers
+	st.Pipelines = make([]PipelineStats, 0, len(t.compiled))
 	for _, p := range t.compiled {
 		ps := PipelineStats{
 			Pipeline:    p.id,
 			Drivers:     p.driversStarted,
 			DriversDone: p.driversDone,
+			Operators:   make([]operators.OpStatsSnapshot, 0, len(p.opStats)),
 		}
 		for _, s := range p.opStats {
 			ps.Operators = append(ps.Operators, s.Snapshot())

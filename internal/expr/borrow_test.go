@@ -67,10 +67,11 @@ func TestBorrowedOutputDifferential(t *testing.T) {
 }
 
 // TestBorrowedOutputNeverLendsEncodedOrPassThrough pins down what is never
-// scratch: an unfiltered pass-through column is the input block itself, a
+// scratch: an unfiltered pass-through column is the input block itself, RLE
+// and constant outputs stay RLE, and an interpreted projection's block is
+// freshly built — all of them still intact after the next page, poison on. A
 // filtered dictionary column stays a dictionary over the input's dictionary,
-// RLE and constant outputs stay RLE, and an interpreted projection's block is
-// freshly built — all of them still intact after the next page, poison on.
+// which is never lent; its index vector is, like a flat vector.
 func TestBorrowedOutputNeverLendsEncodedOrPassThrough(t *testing.T) {
 	PoisonBorrowedPages(t)
 	r := rand.New(rand.NewSource(43))
@@ -99,11 +100,14 @@ func TestBorrowedOutputNeverLendsEncodedOrPassThrough(t *testing.T) {
 			t.Errorf("column %d came out as %T, want RLE", c, out1.Col(c))
 		}
 	}
-	want := make([]string, 4)
+	want := map[int]string{1: "", 2: "", 3: ""}
 	for c := range want {
 		want[c] = renderBlock(out1.Col(c), out1.RowCount())
 	}
 	lent := renderBlock(out1.Col(4), out1.RowCount())
+	dict1 := out1.Col(0).(*block.DictionaryBlock)
+	dictWant := renderBlock(dict1.Dict, dict1.Dict.Len())
+	idxLent := fmt.Sprint(dict1.Indices)
 	if _, err := pp.Process(projTestPage(r, 400)); err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +115,12 @@ func TestBorrowedOutputNeverLendsEncodedOrPassThrough(t *testing.T) {
 		if got := renderBlock(out1.Col(c), out1.RowCount()); got != want[c] {
 			t.Errorf("column %d of a borrowed page changed with the next page: it was lent and must not be", c)
 		}
+	}
+	if got := renderBlock(dict1.Dict, dict1.Dict.Len()); got != dictWant {
+		t.Error("the dictionary of a borrowed dictionary column changed with the next page")
+	}
+	if fmt.Sprint(dict1.Indices) == idxLent {
+		t.Error("the filtered dictionary column's index vector survived the next page unpoisoned: it was not lent, or the poison is off")
 	}
 	if got := renderBlock(out1.Col(4), out1.RowCount()); got == lent {
 		t.Error("the filtered flat column survived the next page unpoisoned: it was not lent, or the poison is off")

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"sync/atomic"
 
 	"repro/internal/block"
@@ -9,11 +10,12 @@ import (
 
 // PageProcessor evaluates a filter and a set of projections one page at a
 // time. It implements the paper's compressed-execution optimizations (§V-E):
-// when a projection's single input column arrives dictionary-encoded, the
-// projection is evaluated once per dictionary entry and the indices are
-// reused; when successive pages share a dictionary, the computed results are
-// retained and reused; RLE inputs are evaluated once per run; constant
-// subtrees are evaluated once per processor and emitted as RLE blocks.
+// when every input column of a projection arrives dictionary-encoded, the
+// projection is evaluated once per combination of dictionary entries and the
+// output is a dictionary block over the composed indices; when successive
+// pages share their dictionaries, the computed results are retained and
+// reused; RLE inputs are evaluated once per run; constant subtrees are
+// evaluated once per processor and emitted as RLE blocks.
 // Projections the vectorized kernels cover (§V-B) run loop-per-operator over
 // the typed column vectors, fused with the filter's selection vector; the
 // interpreter is the fallback for everything else and the ablation baseline
@@ -27,6 +29,7 @@ type PageProcessor struct {
 	identFirst  []int   // first projection passing the same input column through (itself if none earlier)
 	projInputs  [][]int // referenced column indices per projection
 	projConst   []bool  // deterministic zero-input projections (RLE output)
+	projEncoded []bool  // deterministic projections of 1..maxDictInputs columns: one result per combination of their entries
 
 	// dyn, when set, returns the dynamic-filter selection kernels to run
 	// ahead of the filter: this page's, so a summary that arrives between two
@@ -54,15 +57,19 @@ type PageProcessor struct {
 	constVal []block.Block
 
 	// Per-dictionary projection cache: maps (projection, input dictionary
-	// block) to the projected dictionary, emulating Presto's retained-array
+	// blocks) to the projected dictionary, emulating Presto's retained-array
 	// optimization for shared dictionaries. Bounded: when full, the oldest
 	// entry is evicted (cheap FIFO approximation of LRU — long-lived scans
 	// cycle through few distinct dictionaries, so recency ~= insertion).
 	dictCache map[dictCacheKey]block.Block
 	dictOrder []dictCacheKey
+	// dictIdx holds, per projection, the index vector of a dictionary output
+	// while output is borrowed (BorrowOutput); it is refilled for the next
+	// page. Made when the first dictionary output is.
+	dictIdx [][]int32
 
-	// rleFiller caches the placeholder column used by single-column pages on
-	// the dictionary/RLE fast paths, instead of allocating one per call.
+	// rleFiller caches the placeholder column of the pages the dictionary/RLE
+	// fast paths evaluate over, instead of allocating one per call.
 	rleFillerVal block.Block
 	rleFiller    *block.RLEBlock
 
@@ -70,12 +77,16 @@ type PageProcessor struct {
 	Stats ProcessorStats
 }
 
-// dictCacheKey identifies a cached dictionary projection. The projection
-// index is part of the key: two projections over the same dictionary column
-// compute different outputs.
+// maxDictInputs is how many dictionary-encoded input columns a projection may
+// read and still be evaluated by combination.
+const maxDictInputs = 4
+
+// dictCacheKey identifies a cached dictionary projection: the projection (two
+// projections over the same dictionaries compute different outputs) and the
+// dictionary of each of its inputs, in input order.
 type dictCacheKey struct {
-	proj int
-	dict block.Block
+	proj  int
+	dicts [maxDictInputs]block.Block
 }
 
 // dictCacheCap bounds the per-processor dictionary projection cache.
@@ -88,6 +99,7 @@ type ProcessorStats struct {
 	RowsOut        int64
 	DynFiltered    int64 // rows the dynamic filters dropped ahead of the filter
 	DictEvals      int64 // projections evaluated once-per-dictionary
+	DictRows       int64 // rows whose projection was emitted as indices into such results
 	FullEvals      int64 // projections evaluated once-per-row
 	DictCacheHits  int64 // shared-dictionary result reuse
 	DictEvictions  int64 // dictionary cache entries evicted at capacity
@@ -135,11 +147,12 @@ func NewInterpretedPageProcessor(filter Expr, projections []Expr) *PageProcessor
 
 func newPageProcessor(filter Expr, projections []Expr, evaluator func(Expr) *Evaluator) *PageProcessor {
 	pp := &PageProcessor{
-		dictCache:  make(map[dictCacheKey]block.Block),
-		filterExpr: filter,
-		projConst:  make([]bool, len(projections)),
-		constVal:   make([]block.Block, len(projections)),
-		projVec:    make([]*vecProjector, len(projections)),
+		dictCache:   make(map[dictCacheKey]block.Block),
+		filterExpr:  filter,
+		projEncoded: make([]bool, 0, len(projections)),
+		projConst:   make([]bool, len(projections)),
+		constVal:    make([]block.Block, len(projections)),
+		projVec:     make([]*vecProjector, len(projections)),
 	}
 	if filter != nil {
 		pp.filterCols = Columns(filter)
@@ -147,7 +160,11 @@ func newPageProcessor(filter Expr, projections []Expr, evaluator func(Expr) *Eva
 	firstIdent := map[int]int{}
 	for i, e := range projections {
 		pp.projections = append(pp.projections, evaluator(e))
-		pp.projInputs = append(pp.projInputs, Columns(e))
+		inputs := Columns(e)
+		pp.projInputs = append(pp.projInputs, inputs)
+		// One result per combination of entries is the result of every row
+		// only if equal inputs give equal outputs.
+		pp.projEncoded = append(pp.projEncoded, len(inputs) >= 1 && len(inputs) <= maxDictInputs && IsDeterministic(e))
 		ident, first := -1, i
 		if c, ok := e.(*ColumnRef); ok {
 			ident = c.Index
@@ -168,9 +185,11 @@ func newPageProcessor(filter Expr, projections []Expr, evaluator func(Expr) *Eva
 // under it, before the next Process call. Filtered pass-through columns and
 // kernel-evaluated projections are from then on written into vectors the
 // processor owns and overwrites for the next page, so a driver allocates them
-// once and not per page. Everything else — an unfiltered pass-through column,
-// dictionary, RLE and array outputs, interpreted projections — stays an
-// owned, immutable block as without the call.
+// once and not per page; the index vector of a dictionary output (a filtered
+// pass-through dictionary column, a projection evaluated by combination) is
+// lent under the same rule, its dictionary never. Everything else — an
+// unfiltered pass-through column, RLE and array outputs, interpreted
+// projections — stays an owned, immutable block as without the call.
 func (pp *PageProcessor) BorrowOutput() { pp.borrow = true }
 
 // BorrowsOutput reports whether BorrowOutput has been called.
@@ -408,11 +427,15 @@ func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows i
 
 	// Identity projection: just gather the input column — into the
 	// projector's own vector when the page is borrowed and the column is flat
-	// (the kernels would expand an encoded one).
+	// (the kernels would expand an encoded one); a dictionary column keeps its
+	// dictionary under gathered indices.
 	if c := pp.identCol[i]; c >= 0 {
 		col := p.Col(c)
 		if selected == nil {
 			return col, nil
+		}
+		if d, ok := col.(*block.DictionaryBlock); ok {
+			return block.NewDictionaryBlock(d.Dict, pp.composeIndices(i, []*block.DictionaryBlock{d}, selected)), nil
 		}
 		if vp := pp.projections[i].vec; pp.borrow && vp != nil && isFlat(unwrapLazy(col)) {
 			return vp.eval(&pp.vin, true)
@@ -429,33 +452,16 @@ func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows i
 		return block.NewRLEBlockFromBlock(one, outRows), nil
 	}
 
-	if len(inputs) == 1 && outRows > 0 {
-		// Dictionary fast path: single input column that is
-		// dictionary-encoded.
-		if src, ok := p.Col(inputs[0]).(*block.DictionaryBlock); ok {
-			projDict, err := pp.projectDictionary(i, inputs[0], src)
-			if err == nil {
-				var indices []int32
-				if selected == nil {
-					indices = src.Indices
-				} else {
-					indices = make([]int32, len(selected))
-					for j, r := range selected {
-						indices[j] = src.Indices[r]
-					}
-				}
-				return block.NewDictionaryBlock(projDict, indices), nil
-			}
-			// The dictionary may hold entries no surviving row references
-			// (an unreferenced zero divisor, say). Fall through to the
-			// row-level paths, which touch only surviving rows, so errors
-			// surface exactly when a referenced row triggers them.
+	// Dictionary fast path: every input column is dictionary-encoded.
+	if pp.projEncoded[i] && outRows > 0 {
+		if blk := pp.projectDictionary(i, p, selected, outRows); blk != nil {
+			return blk, nil
 		}
 	}
 
 	// RLE fast path: every referenced input is a single run, so the
 	// projection has one distinct result; evaluate it once.
-	if len(inputs) > 0 && outRows > 0 && allInputsRLE(p, inputs) {
+	if pp.projEncoded[i] && outRows > 0 && allInputsRLE(p, inputs) {
 		out, err := pp.projections[i].EvalPage(pp.rleRunPage(p, inputs))
 		if err != nil {
 			return nil, err
@@ -510,6 +516,9 @@ func (pp *PageProcessor) poisonOutput() {
 			ident.poison()
 		}
 	}
+	for _, idx := range pp.dictIdx {
+		fillCap(idx, math.MinInt32) // addresses no dictionary entry
+	}
 }
 
 // constOne evaluates constant projection i once, caching the 1-row result.
@@ -521,7 +530,7 @@ func (pp *PageProcessor) constOne(i int, p *block.Page) (block.Block, error) {
 	if ncols == 0 {
 		ncols = 1 // the projection reads no columns; give the page a row
 	}
-	one, err := pp.projections[i].EvalPage(pp.singleColumnPage(ncols, -1, nil))
+	one, err := pp.projections[i].EvalPage(block.NewPage(pp.placeholderCols(ncols, 1)...))
 	if err != nil {
 		return nil, err
 	}
@@ -530,32 +539,127 @@ func (pp *PageProcessor) constOne(i int, p *block.Page) (block.Block, error) {
 	return one, nil
 }
 
-// projectDictionary evaluates projection i over the dictionary entries of
-// src (placed at column position col), caching per-dictionary results so
-// successive pages sharing a dictionary reuse the computation. The cache is
-// bounded at dictCacheCap entries with FIFO eviction.
-func (pp *PageProcessor) projectDictionary(i, col int, src *block.DictionaryBlock) (block.Block, error) {
-	key := dictCacheKey{proj: i, dict: src.Dict}
-	if cached, ok := pp.dictCache[key]; ok {
+// projectDictionary computes projection i, whose inputs all arrive
+// dictionary-encoded in p, once per combination of their dictionaries' entries
+// rather than once per row: the output is a dictionary block of the
+// per-combination results under the rows' composed indices. The results are
+// cached per (projection, dictionaries), so successive pages sharing their
+// dictionaries reuse the computation; the cache is bounded at dictCacheCap
+// entries with FIFO eviction. It returns nil, and the caller takes a row-level
+// path, when an input is not a dictionary; when the page has fewer surviving
+// rows than there are combinations to evaluate (the paper's guard, §V-E: the
+// row path then does less work); and when evaluation fails — a combination no
+// surviving row has (an unreferenced zero divisor, say) may be the one that
+// failed, and the row paths touch only surviving rows, so errors surface
+// exactly when a referenced row triggers them.
+func (pp *PageProcessor) projectDictionary(i int, p *block.Page, selected []int, outRows int) block.Block {
+	inputs := pp.projInputs[i]
+	var srcs [maxDictInputs]*block.DictionaryBlock
+	key := dictCacheKey{proj: i}
+	combos := 1
+	for k, c := range inputs {
+		d, ok := p.Col(c).(*block.DictionaryBlock)
+		if !ok {
+			return nil
+		}
+		srcs[k], key.dicts[k] = d, d.Dict
+		if combos <= outRows { // else already too many; and no overflow
+			combos *= d.Dict.Len()
+		}
+	}
+	projDict, ok := pp.dictCache[key]
+	if ok {
 		pp.Stats.DictCacheHits++
-		return cached, nil
+	} else {
+		if combos > outRows {
+			return nil
+		}
+		out, err := pp.projections[i].EvalPage(pp.combinationPage(p.ColCount(), inputs, srcs[:len(inputs)], combos))
+		if err != nil {
+			return nil
+		}
+		pp.Stats.DictEvals++
+		pp.Stats.CellsProcessed += int64(combos * len(inputs))
+		if len(pp.dictCache) >= dictCacheCap {
+			oldest := pp.dictOrder[0]
+			pp.dictOrder = pp.dictOrder[1:]
+			delete(pp.dictCache, oldest)
+			pp.Stats.DictEvictions++
+		}
+		pp.dictCache[key] = out
+		pp.dictOrder = append(pp.dictOrder, key)
+		projDict = out
 	}
-	dictPage := pp.singleColumnPage(col+1, col, src.Dict)
-	out, err := pp.projections[i].EvalPage(dictPage)
-	if err != nil {
-		return nil, err
+	pp.Stats.DictRows += int64(outRows)
+	return block.NewDictionaryBlock(projDict, pp.composeIndices(i, srcs[:len(inputs)], selected))
+}
+
+// composeIndices returns, for every surviving row, the index of its
+// combination of dictionary entries: the first input's index varies slowest.
+// One input under no selection is its own index vector; anything else is
+// written into a vector the processor lends when its output is borrowed.
+func (pp *PageProcessor) composeIndices(i int, srcs []*block.DictionaryBlock, selected []int) []int32 {
+	first := srcs[0].Indices
+	if len(srcs) == 1 && selected == nil {
+		return first
 	}
-	pp.Stats.DictEvals++
-	pp.Stats.CellsProcessed += int64(src.Dict.Len())
-	if len(pp.dictCache) >= dictCacheCap {
-		oldest := pp.dictOrder[0]
-		pp.dictOrder = pp.dictOrder[1:]
-		delete(pp.dictCache, oldest)
-		pp.Stats.DictEvictions++
+	n := len(first)
+	if selected != nil {
+		n = len(selected)
 	}
-	pp.dictCache[key] = out
-	pp.dictOrder = append(pp.dictOrder, key)
-	return out, nil
+	var out []int32
+	if pp.borrow {
+		if pp.dictIdx == nil {
+			pp.dictIdx = make([][]int32, len(pp.projections))
+		}
+		pp.dictIdx[i] = growSlice(pp.dictIdx[i], n)
+		out = pp.dictIdx[i]
+	} else {
+		out = make([]int32, n)
+	}
+	if selected == nil {
+		copy(out, first)
+	} else {
+		for j, r := range selected {
+			out[j] = first[r]
+		}
+	}
+	for _, src := range srcs[1:] {
+		width, idx := int32(src.Dict.Len()), src.Indices
+		if selected == nil {
+			for j := range out {
+				out[j] = out[j]*width + idx[j]
+			}
+		} else {
+			for j, r := range selected {
+				out[j] = out[j]*width + idx[r]
+			}
+		}
+	}
+	return out
+}
+
+// combinationPage builds the page a projection is evaluated over once per
+// combination: row j holds, at each input column, the entry of that input's
+// dictionary that combination j (composeIndices) addresses.
+func (pp *PageProcessor) combinationPage(ncols int, inputs []int, srcs []*block.DictionaryBlock, combos int) *block.Page {
+	cols := pp.placeholderCols(ncols, combos)
+	stride := combos
+	for k, c := range inputs {
+		dict := srcs[k].Dict
+		if len(inputs) == 1 {
+			cols[c] = dict
+			break
+		}
+		width := dict.Len()
+		stride /= width
+		idx := make([]int32, combos)
+		for j := range idx {
+			idx[j] = int32(j / stride % width)
+		}
+		cols[c] = block.NewDictionaryBlock(dict, idx)
+	}
+	return block.NewPage(cols...)
 }
 
 // allInputsRLE reports whether every referenced input column is a single
@@ -572,37 +676,23 @@ func allInputsRLE(p *block.Page, inputs []int) bool {
 // rleRunPage builds a 1-row page holding each referenced RLE input's run
 // value, for evaluating an all-RLE projection once.
 func (pp *PageProcessor) rleRunPage(p *block.Page, inputs []int) *block.Page {
-	cols := make([]block.Block, p.ColCount())
-	filler := pp.filler(1)
-	for i := range cols {
-		cols[i] = filler
-	}
+	cols := pp.placeholderCols(p.ColCount(), 1)
 	for _, c := range inputs {
 		cols[c] = p.Col(c).(*block.RLEBlock).Val
 	}
 	return block.NewPage(cols...)
 }
 
-// singleColumnPage builds a page with ncols columns where only position col
-// is populated (others are placeholders never accessed, because the
-// projection references only col; col < 0 means all placeholders). All
-// columns must have equal length, so the placeholders repeat a cached RLE
-// null of matching length.
-func (pp *PageProcessor) singleColumnPage(ncols, col int, b block.Block) *block.Page {
-	n := 1
-	if b != nil {
-		n = b.Len()
-	}
+// placeholderCols returns ncols columns of n rows for a page of which a
+// projection reads only the positions the caller then fills in: all columns
+// of a page must have equal length, so the others repeat a cached RLE null.
+func (pp *PageProcessor) placeholderCols(ncols, n int) []block.Block {
 	cols := make([]block.Block, ncols)
 	filler := pp.filler(n)
 	for i := range cols {
-		if i == col {
-			cols[i] = b
-		} else {
-			cols[i] = filler
-		}
+		cols[i] = filler
 	}
-	return block.NewPage(cols...)
+	return cols
 }
 
 // filler returns the processor's cached placeholder column, rebuilt only

@@ -378,27 +378,63 @@ func compileSelCompare(x *Compare, neg bool) (selFn, bool) {
 	return nil, false
 }
 
+// dictSel is the dictionary case of a selection kernel over one column:
+// entries are tested once each and the verdicts kept while pages share the
+// dictionary (paper §V-E). A kernel makes one when its column first arrives
+// under a dictionary.
+type dictSel struct {
+	dict    block.Block // the dictionary verdict holds the verdicts of
+	verdict []bool
+}
+
+// selDict appends the rows of in whose dictionary entry passes test, which
+// gives the verdict on a non-null entry; *sp is the calling kernel's memo, made
+// on first need. It declines (false) when b is not a
+// dictionary block, and when its dictionary is new and has more entries than
+// there are rows to select from: testing those rows then costs less than
+// testing the entries (the paper's guard), and the kernel's row-level case
+// does.
+func selDict(sp **dictSel, b block.Block, in, out []int, test func(d block.Block, k int) bool) ([]int, bool) {
+	col, ok := b.(*block.DictionaryBlock)
+	if !ok {
+		return out, false
+	}
+	if *sp == nil {
+		*sp = new(dictSel)
+	}
+	s := *sp
+	if d := col.Dict; d != s.dict {
+		if d.Len() > len(in) {
+			return out, false
+		}
+		s.verdict = growSlice(s.verdict, d.Len())
+		for k := range s.verdict {
+			s.verdict[k] = !d.IsNull(k) && test(d, k)
+		}
+		s.dict = d
+	}
+	verdict, indices := s.verdict, col.Indices
+	for _, r := range in {
+		if verdict[indices[r]] {
+			out = append(out, r)
+		}
+	}
+	return out, true
+}
+
 func selLongCmp(idx int, op CmpOp, c int64) selFn {
+	var dict *dictSel
 	return func(p *block.Page, in, out []int) []int {
 		b := unwrapLazy(p.Col(idx))
+		if res, ok := selDict(&dict, b, in, out, func(d block.Block, k int) bool { return cmpOrd(op, d.Long(k), c) }); ok {
+			return res
+		}
 		switch col := b.(type) {
 		case *block.LongBlock:
 			return selCmpConst(op, col.Vals, col.Nulls, c, in, out)
 		case *block.RLEBlock:
 			if !col.Val.IsNull(0) && cmpOrd(op, col.Val.Long(0), c) {
 				return append(out, in...)
-			}
-			return out
-		case *block.DictionaryBlock:
-			d := col.Dict
-			verdict := make([]bool, d.Len())
-			for k := range verdict {
-				verdict[k] = !d.IsNull(k) && cmpOrd(op, d.Long(k), c)
-			}
-			for _, r := range in {
-				if verdict[col.Indices[r]] {
-					out = append(out, r)
-				}
 			}
 			return out
 		default:
@@ -413,8 +449,12 @@ func selLongCmp(idx int, op CmpOp, c int64) selFn {
 }
 
 func selDoubleCmp(idx int, op CmpOp, c float64) selFn {
+	var dict *dictSel
 	return func(p *block.Page, in, out []int) []int {
 		b := unwrapLazy(p.Col(idx))
+		if res, ok := selDict(&dict, b, in, out, func(d block.Block, k int) bool { return cmpOrd(op, d.Double(k), c) }); ok {
+			return res
+		}
 		switch col := b.(type) {
 		case *block.DoubleBlock:
 			return selCmpConst(op, col.Vals, col.Nulls, c, in, out)
@@ -432,18 +472,6 @@ func selDoubleCmp(idx int, op CmpOp, c float64) selFn {
 				return append(out, in...)
 			}
 			return out
-		case *block.DictionaryBlock:
-			d := col.Dict
-			verdict := make([]bool, d.Len())
-			for k := range verdict {
-				verdict[k] = !d.IsNull(k) && cmpOrd(op, d.Double(k), c)
-			}
-			for _, r := range in {
-				if verdict[col.Indices[r]] {
-					out = append(out, r)
-				}
-			}
-			return out
 		default:
 			for _, r := range in {
 				if !b.IsNull(r) && cmpOrd(op, b.Double(r), c) {
@@ -456,26 +484,18 @@ func selDoubleCmp(idx int, op CmpOp, c float64) selFn {
 }
 
 func selStrCmp(idx int, op CmpOp, c string) selFn {
+	var dict *dictSel
 	return func(p *block.Page, in, out []int) []int {
 		b := unwrapLazy(p.Col(idx))
+		if res, ok := selDict(&dict, b, in, out, func(d block.Block, k int) bool { return cmpOrd(op, d.Str(k), c) }); ok {
+			return res
+		}
 		switch col := b.(type) {
 		case *block.VarcharBlock:
 			return selCmpConst(op, col.Vals, col.Nulls, c, in, out)
 		case *block.RLEBlock:
 			if !col.Val.IsNull(0) && cmpOrd(op, col.Val.Str(0), c) {
 				return append(out, in...)
-			}
-			return out
-		case *block.DictionaryBlock:
-			d := col.Dict
-			verdict := make([]bool, d.Len())
-			for k := range verdict {
-				verdict[k] = !d.IsNull(k) && cmpOrd(op, d.Str(k), c)
-			}
-			for _, r := range in {
-				if verdict[col.Indices[r]] {
-					out = append(out, r)
-				}
 			}
 			return out
 		default:
@@ -592,8 +612,12 @@ func compileSelBetween(x *Between, neg bool) (selFn, bool) {
 }
 
 func selBetweenLong(idx int, lo, hi int64, flip bool) selFn {
+	var dict *dictSel
 	return func(p *block.Page, in, out []int) []int {
 		b := unwrapLazy(p.Col(idx))
+		if res, ok := selDict(&dict, b, in, out, func(d block.Block, k int) bool { return (d.Long(k) >= lo && d.Long(k) <= hi) != flip }); ok {
+			return res
+		}
 		switch col := b.(type) {
 		case *block.LongBlock:
 			nulls := col.Nulls
@@ -621,21 +645,6 @@ func selBetweenLong(idx int, lo, hi int64, flip bool) selFn {
 				v := col.Val.Long(0)
 				if (v >= lo && v <= hi) != flip {
 					return append(out, in...)
-				}
-			}
-			return out
-		case *block.DictionaryBlock:
-			d := col.Dict
-			verdict := make([]bool, d.Len())
-			for k := range verdict {
-				if !d.IsNull(k) {
-					v := d.Long(k)
-					verdict[k] = (v >= lo && v <= hi) != flip
-				}
-			}
-			for _, r := range in {
-				if verdict[col.Indices[r]] {
-					out = append(out, r)
 				}
 			}
 			return out
@@ -757,8 +766,12 @@ func compileSelIn(x *In, neg bool) (selFn, bool) {
 }
 
 func selInLong(idx int, set map[int64]bool, flip bool) selFn {
+	var dict *dictSel
 	return func(p *block.Page, in, out []int) []int {
 		b := unwrapLazy(p.Col(idx))
+		if res, ok := selDict(&dict, b, in, out, func(d block.Block, k int) bool { return set[d.Long(k)] != flip }); ok {
+			return res
+		}
 		switch col := b.(type) {
 		case *block.LongBlock:
 			nulls := col.Nulls
@@ -776,18 +789,6 @@ func selInLong(idx int, set map[int64]bool, flip bool) selFn {
 				return append(out, in...)
 			}
 			return out
-		case *block.DictionaryBlock:
-			d := col.Dict
-			verdict := make([]bool, d.Len())
-			for k := range verdict {
-				verdict[k] = !d.IsNull(k) && set[d.Long(k)] != flip
-			}
-			for _, r := range in {
-				if verdict[col.Indices[r]] {
-					out = append(out, r)
-				}
-			}
-			return out
 		default:
 			for _, r := range in {
 				if !b.IsNull(r) && set[b.Long(r)] != flip {
@@ -800,8 +801,12 @@ func selInLong(idx int, set map[int64]bool, flip bool) selFn {
 }
 
 func selInStr(idx int, set map[string]bool, flip bool) selFn {
+	var dict *dictSel
 	return func(p *block.Page, in, out []int) []int {
 		b := unwrapLazy(p.Col(idx))
+		if res, ok := selDict(&dict, b, in, out, func(d block.Block, k int) bool { return set[d.Str(k)] != flip }); ok {
+			return res
+		}
 		switch col := b.(type) {
 		case *block.VarcharBlock:
 			nulls := col.Nulls
@@ -817,18 +822,6 @@ func selInStr(idx int, set map[string]bool, flip bool) selFn {
 		case *block.RLEBlock:
 			if !col.Val.IsNull(0) && set[col.Val.Str(0)] != flip {
 				return append(out, in...)
-			}
-			return out
-		case *block.DictionaryBlock:
-			d := col.Dict
-			verdict := make([]bool, d.Len())
-			for k := range verdict {
-				verdict[k] = !d.IsNull(k) && set[d.Str(k)] != flip
-			}
-			for _, r := range in {
-				if verdict[col.Indices[r]] {
-					out = append(out, r)
-				}
 			}
 			return out
 		default:
@@ -855,8 +848,14 @@ func compileSelLike(x *Like, neg bool) (selFn, bool) {
 }
 
 func selLike(idx int, pattern string, flip bool) selFn {
+	// The big win: the (potentially expensive) match runs once per distinct
+	// entry instead of once per row.
+	var dict *dictSel
 	return func(p *block.Page, in, out []int) []int {
 		b := unwrapLazy(p.Col(idx))
+		if res, ok := selDict(&dict, b, in, out, func(d block.Block, k int) bool { return likeMatch(d.Str(k), pattern) != flip }); ok {
+			return res
+		}
 		switch col := b.(type) {
 		case *block.VarcharBlock:
 			nulls := col.Nulls
@@ -872,20 +871,6 @@ func selLike(idx int, pattern string, flip bool) selFn {
 		case *block.RLEBlock:
 			if !col.Val.IsNull(0) && likeMatch(col.Val.Str(0), pattern) != flip {
 				return append(out, in...)
-			}
-			return out
-		case *block.DictionaryBlock:
-			// The big win: the (potentially expensive) match runs once per
-			// distinct entry instead of once per row.
-			d := col.Dict
-			verdict := make([]bool, d.Len())
-			for k := range verdict {
-				verdict[k] = !d.IsNull(k) && likeMatch(d.Str(k), pattern) != flip
-			}
-			for _, r := range in {
-				if verdict[col.Indices[r]] {
-					out = append(out, r)
-				}
 			}
 			return out
 		default:

@@ -1449,17 +1449,19 @@ func nullMask(nulls []bool, hint, scratch bool) []bool {
 // values no input produces, so a consumer still reading a borrowed block
 // after its time computes a visibly wrong answer (see poisonBorrowed).
 func (vp *vecProjector) poison() {
-	PoisonVectors(vp.longs, vp.doubles, vp.strs, vp.bools, vp.nulls)
+	PoisonVectors(vp.longs, vp.doubles, vp.strs, vp.bools, vp.nulls, nil)
 }
 
 // PoisonVectors overwrites lent vectors, to their full capacity, with values
-// no input produces.
-func PoisonVectors(longs []int64, doubles []float64, strs []string, bools, nulls []bool) {
+// no input produces; a dictionary index vector with one that addresses no
+// entry.
+func PoisonVectors(longs []int64, doubles []float64, strs []string, bools, nulls []bool, indices []int32) {
 	fillCap(longs, math.MinInt64)
 	fillCap(doubles, math.NaN())
 	fillCap(strs, "\x00poisoned borrowed page")
 	flipCap(bools)
 	flipCap(nulls)
+	fillCap(indices, math.MinInt32)
 }
 
 func fillCap[T any](v []T, x T) {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -313,6 +314,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metrics.PromGauge(w, "presto_vecproj_evals_total", nil, float64(vecEvals))
 	metrics.PromGauge(w, "presto_vecproj_cse_hits_total", nil, float64(cseHits))
 	metrics.PromGauge(w, "presto_dict_proj_evictions_total", nil, float64(dictEvict))
+	// Rows operators of finished queries handled by dictionary entry: an
+	// aggregation's or a join's memo, a projection evaluated per combination.
+	dictRows := s.Coord.DictionaryRows()
+	ops := make([]string, 0, len(dictRows))
+	for op := range dictRows {
+		ops = append(ops, op)
+	}
+	sort.Strings(ops)
+	for _, op := range ops {
+		metrics.PromGauge(w, "presto_dictionary_rows_total", map[string]string{"operator": op}, float64(dictRows[op]))
+	}
 	// End-to-end statement latency (admission through final page) over the
 	// most recent statements, plus admission-queue depth per resource group.
 	lat := s.Coord.StatementLatency()

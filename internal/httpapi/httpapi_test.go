@@ -9,15 +9,25 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/block"
+	"repro/internal/connector"
 	"repro/internal/connectors/memconn"
 	"repro/internal/coordinator"
 	"repro/internal/exec"
+	"repro/internal/types"
 )
 
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	catalog := coordinator.NewCatalogManager()
-	catalog.Register(memconn.New("memory"))
+	mem := memconn.New("memory")
+	flags := make([]string, 64)
+	for i := range flags {
+		flags[i] = []string{"A", "N", "R"}[i%3]
+	}
+	mem.LoadTable("flags", []connector.Column{{Name: "flag", T: types.Varchar}},
+		[]*block.Page{block.NewPage(block.NewVarcharBlock(flags, nil))})
+	catalog.Register(mem)
 	workers := []*exec.Worker{exec.NewWorker(0, catalog, exec.WorkerConfig{Threads: 2})}
 	coord := coordinator.New(catalog, workers, coordinator.Config{DefaultCatalog: "memory"})
 	srv := httptest.NewServer(NewServer(coord).Handler())
@@ -228,6 +238,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, errStr := runSQL(t, srv, "SELECT 1 + 2"); errStr != "" {
 		t.Fatal(errStr)
 	}
+	// A group-by over a loaded table's low-cardinality string: the catalog
+	// stores it under a dictionary and the aggregation resolves it by entry.
+	if _, errStr := runSQL(t, srv, "SELECT flag, count(*) FROM memory.flags GROUP BY flag"); errStr != "" {
+		t.Fatal(errStr)
+	}
 	resp, err := http.Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -260,6 +275,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"presto_stage_input_skew_count ",
 		`presto_scan_rows_per_page_bucket{le="16"} `,
 		"presto_scan_rows_per_page_count ",
+		`presto_dictionary_rows_total{operator="HashAggregation"} 64`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q\n%s", want, text)

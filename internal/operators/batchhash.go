@@ -147,8 +147,9 @@ func fnvStr(h uint64, s string) uint64 {
 
 // normCol writes the normalized cells of column b into the row-major scratch
 // at key position k (stride nk). RLE columns normalize once; dictionary
-// columns normalize per dictionary entry and gather through the index vector.
-func normCol(b block.Block, cells []uint64, tags []byte, k, nk, n int) {
+// columns normalize per dictionary entry (kept in dk while pages share the
+// dictionary) and gather through the index vector.
+func normCol(b block.Block, cells []uint64, tags []byte, k, nk, n int, dk *dictKeys) {
 	switch src := b.(type) {
 	case *block.LongBlock:
 		for i := 0; i < n; i++ {
@@ -182,34 +183,76 @@ func normCol(b block.Block, cells []uint64, tags []byte, k, nk, n int) {
 			tags[i*nk+k], cells[i*nk+k] = tag, cell
 		}
 	case *block.DictionaryBlock:
-		d := src.Dict
-		dn := d.Len()
-		dtags := make([]byte, dn)
-		dcells := make([]uint64, dn)
-		for j := 0; j < dn; j++ {
-			dtags[j], dcells[j] = normValue(d.Value(j))
+		if !dk.covers(src.Dict, n, true) {
+			normRows(b, cells, tags, k, nk, n)
+			return
 		}
 		for i := 0; i < n; i++ {
 			id := src.Indices[i]
-			tags[i*nk+k], cells[i*nk+k] = dtags[id], dcells[id]
+			tags[i*nk+k], cells[i*nk+k] = dk.tags[id], dk.cells[id]
 		}
 	case *block.LazyBlock:
-		normCol(src.Load(), cells, tags, k, nk, n)
+		normCol(src.Load(), cells, tags, k, nk, n, dk)
 	default:
-		for i := 0; i < n; i++ {
-			if b.IsNull(i) {
-				tags[i*nk+k], cells[i*nk+k] = cellNull, 0
-			} else {
-				tags[i*nk+k], cells[i*nk+k] = normValue(b.Value(i))
-			}
-		}
+		normRows(b, cells, tags, k, nk, n)
 	}
+}
+
+// normRows is normCol's row-at-a-time case, for any block.
+func normRows(b block.Block, cells []uint64, tags []byte, k, nk, n int) {
+	for i := 0; i < n; i++ {
+		tags[i*nk+k], cells[i*nk+k] = normValue(b.Value(i))
+	}
+}
+
+// dictKeys is the key form of every entry of one dictionary — canonical
+// encodings in an arena (bytes layout) or normalized cells (fixed layout) —
+// built once per dictionary identity and kept as scratch by whoever hashes a
+// key column page after page: pages of one column share their dictionary.
+type dictKeys struct {
+	dict  block.Block
+	fixed bool
+	arena []byte
+	offs  []uint32
+	tags  []byte
+	cells []uint64
+	row   []byte // one row's encoding, when the column is hashed row by row
+}
+
+// covers makes dk hold d's entries in the asked layout and reports true; it
+// reports false, holding what it held, when that takes building them for a
+// dictionary with more entries than the page has rows — the rows are then
+// encoded one by one for less (the paper's guard, §V-E).
+func (dk *dictKeys) covers(d block.Block, rows int, fixed bool) bool {
+	if dk.dict == d && dk.fixed == fixed {
+		return true
+	}
+	dn := d.Len()
+	if dn > rows {
+		return false
+	}
+	dk.dict, dk.fixed = d, fixed
+	if fixed {
+		dk.tags, dk.cells = scratch(dk.tags, dn), scratch(dk.cells, dn)
+		for j := 0; j < dn; j++ {
+			dk.tags[j], dk.cells[j] = normValue(d.Value(j))
+		}
+		return true
+	}
+	dk.arena, dk.offs = dk.arena[:0], scratch(dk.offs, dn+1)
+	dk.offs[0] = 0
+	for j := 0; j < dn; j++ {
+		dk.arena = appendCellKey(dk.arena, d, j)
+		dk.offs[j+1] = uint32(len(dk.arena))
+	}
+	return true
 }
 
 // hashCol folds column b's canonical per-row encoding into the hash vector,
 // column-at-a-time. After folding every key column in order, hashes[i] equals
-// hashRowKey(encodeRowKey(nil, p, i, cols)).
-func hashCol(b block.Block, hashes []uint64, n int) {
+// hashRowKey(encodeRowKey(nil, p, i, cols)). dk is the caller's scratch for
+// this key column's dictionary, should it arrive under one.
+func hashCol(b block.Block, hashes []uint64, n int, dk *dictKeys) {
 	switch src := b.(type) {
 	case *block.LongBlock:
 		for i := 0; i < n; i++ {
@@ -252,26 +295,27 @@ func hashCol(b block.Block, hashes []uint64, n int) {
 			hashes[i] = fnvBytes(hashes[i], enc)
 		}
 	case *block.DictionaryBlock:
-		d := src.Dict
-		dn := d.Len()
-		var arena []byte
-		offs := make([]uint32, dn+1)
-		for j := 0; j < dn; j++ {
-			arena = appendCellKey(arena, d, j)
-			offs[j+1] = uint32(len(arena))
+		if !dk.covers(src.Dict, n, false) {
+			hashRows(b, hashes, n, dk)
+			return
 		}
+		arena, offs := dk.arena, dk.offs
 		for i := 0; i < n; i++ {
 			id := src.Indices[i]
 			hashes[i] = fnvBytes(hashes[i], arena[offs[id]:offs[id+1]])
 		}
 	case *block.LazyBlock:
-		hashCol(src.Load(), hashes, n)
+		hashCol(src.Load(), hashes, n, dk)
 	default:
-		var buf []byte
-		for i := 0; i < n; i++ {
-			buf = appendCellKey(buf[:0], b, i)
-			hashes[i] = fnvBytes(hashes[i], buf)
-		}
+		hashRows(b, hashes, n, dk)
+	}
+}
+
+// hashRows is hashCol's row-at-a-time case, for any block.
+func hashRows(b block.Block, hashes []uint64, n int, dk *dictKeys) {
+	for i := 0; i < n; i++ {
+		dk.row = appendCellKey(dk.row[:0], b, i)
+		hashes[i] = fnvBytes(hashes[i], dk.row)
 	}
 }
 
@@ -281,9 +325,10 @@ type batchKeys struct {
 	fixed  bool
 	nk     int
 	hashes []uint64
-	cells  []uint64 // row-major, nk per row (fixed mode only)
-	tags   []byte   // row-major, nk per row (fixed mode only)
-	buf    []byte   // canonical-encoding scratch (bytes mode)
+	cells  []uint64   // row-major, nk per row (fixed mode only)
+	tags   []byte     // row-major, nk per row (fixed mode only)
+	buf    []byte     // canonical-encoding scratch (bytes mode)
+	dicts  []dictKeys // per key column, the entries of the dictionary it arrives under
 }
 
 // mix64 is the splitmix64 finalizer: a full-avalanche 64-bit mixer, far
@@ -300,18 +345,24 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// fixed1Hash is the table hash of a single normalized fixed-width key cell —
-// the nk==1 case of batchKeys.reset's fused pass. Single-cell fast paths
-// (dictionary/RLE memoization in join build/probe and aggregation) must use
-// this exact function so their hashes agree with rows inserted via reset.
+// fixed1Hash is the table hash of a single normalized fixed-width key cell.
 func fixed1Hash(cell uint64, tag byte) uint64 {
 	return mix64(cell ^ uint64(tag)*0x9e3779b97f4a7c15)
 }
 
-// bytes1Hash is the table hash of a single canonically-encoded key cell — the
-// single-column case of the bytes-layout fold in batchKeys.reset.
-func bytes1Hash(enc []byte) uint64 {
-	return fnvBytes(fnvOffset, enc)
+// fixedHash is the table hash of one row's normalized cells: the tag is
+// folded in via a golden-ratio multiple so equal payloads of different kinds
+// (e.g. long 1 vs bool true) hash apart. reset hashes a page's rows with it
+// and rowKey a single row, so a key hashes the same whichever resolved it.
+func fixedHash(cells []uint64, tags []byte) uint64 {
+	if len(cells) == 1 {
+		return fixed1Hash(cells[0], tags[0])
+	}
+	h := uint64(fnvOffset)
+	for k, cell := range cells {
+		h = mix64(h ^ cell ^ uint64(tags[k])*0x9e3779b97f4a7c15)
+	}
+	return h
 }
 
 // loadCol unwraps a lazy block so encoding type-switches see the real block.
@@ -330,15 +381,14 @@ func (bk *batchKeys) reset(p *block.Page, cols []int, fixed bool) {
 	bk.fixed = fixed
 	bk.nk = len(cols)
 	bk.hashes = scratch(bk.hashes, n)
+	bk.dicts = extend(bk.dicts, bk.nk)
 	if fixed {
 		bk.cells = scratch(bk.cells, n*bk.nk)
 		bk.tags = scratch(bk.tags, n*bk.nk)
 		for k, c := range cols {
-			normCol(p.Col(c), bk.cells, bk.tags, k, bk.nk, n)
+			normCol(p.Col(c), bk.cells, bk.tags, k, bk.nk, n, &bk.dicts[k])
 		}
-		// One fused pass over the row-major cells: tag folded in via a
-		// golden-ratio multiple so equal payloads of different kinds
-		// (e.g. long 1 vs bool true) hash apart.
+		// One fused pass over the row-major cells.
 		nk := bk.nk
 		if nk == 1 {
 			for i := 0; i < n; i++ {
@@ -346,22 +396,112 @@ func (bk *batchKeys) reset(p *block.Page, cols []int, fixed bool) {
 			}
 		} else {
 			for i := 0; i < n; i++ {
-				h := uint64(fnvOffset)
-				base := i * nk
-				for k := 0; k < nk; k++ {
-					h = mix64(h ^ bk.cells[base+k] ^ uint64(bk.tags[base+k])*0x9e3779b97f4a7c15)
-				}
-				bk.hashes[i] = h
+				bk.hashes[i] = fixedHash(bk.cells[i*nk:(i+1)*nk], bk.tags[i*nk:(i+1)*nk])
 			}
 		}
 	} else {
 		for i := range bk.hashes {
 			bk.hashes[i] = fnvOffset
 		}
-		for _, c := range cols {
-			hashCol(p.Col(c), bk.hashes, n)
+		for k, c := range cols {
+			hashCol(p.Col(c), bk.hashes, n, &bk.dicts[k])
 		}
 	}
+}
+
+// rowKey computes the key of the single row r of p as reset computes every
+// row's, in place of a reset for the page: in fixed mode the row's normalized
+// cells (cells, tags), else its canonical encoding (buf), and the key's table
+// hash, which it returns. It is the miss path of encodedKeys: a key it enters
+// and a key reset's batch enters are found by either.
+func (bk *batchKeys) rowKey(p *block.Page, cols []int, r int, fixed bool) uint64 {
+	if !fixed {
+		bk.buf = encodeRowKey(bk.buf[:0], p, r, cols)
+		return hashRowKey(bk.buf)
+	}
+	bk.cells, bk.tags = scratch(bk.cells, len(cols)), scratch(bk.tags, len(cols))
+	for k, c := range cols {
+		bk.tags[k], bk.cells[k] = normValue(p.Col(c).Value(r))
+	}
+	return fixedHash(bk.cells, bk.tags)
+}
+
+// unresolvedKey marks a combination no row of the page has asked for yet in
+// an encodedKeys memo: key ids are >= 0, -1 is a join's "no such key".
+const unresolvedKey = -2
+
+// encodedKeys resolves the pages whose key columns all arrive dictionary- or
+// RLE-encoded (paper §V-E): a row's key is then one of a few combinations of
+// dictionary entries, named by combining the columns' indices (an RLE column
+// is a dictionary of one entry), and the hash table is asked once per
+// combination the page references instead of once per row.
+type encodedKeys struct {
+	memo []int32 // per page: combination → key id, or unresolvedKey
+}
+
+// resolve writes every row's key id into ids, asking miss(r) for the id of row
+// r's key at the first row of each combination; combinations no row has are
+// never looked up or entered. run reports that the page is a single
+// combination (every column RLE): ids[0] is every row's. It declines (ok
+// false, ids scratch) when a key column is flat, and when the page has fewer
+// rows than combinations — the memo then costs more to clear than the rows to
+// resolve (the paper's guard).
+func (e *encodedKeys) resolve(p *block.Page, cols []int, ids []int32, miss func(r int) int32) (run, ok bool) {
+	n := len(ids)
+	if n == 0 || len(cols) == 0 {
+		return false, false
+	}
+	combos, dicts := 1, 0
+	for _, c := range cols {
+		switch kc := loadCol(p.Col(c)).(type) {
+		case *block.RLEBlock:
+		case *block.DictionaryBlock:
+			dicts++
+			if combos *= kc.Dict.Len(); combos > n {
+				return false, false
+			}
+		default:
+			return false, false
+		}
+	}
+	if dicts == 0 {
+		id := miss(0)
+		for r := range ids {
+			ids[r] = id
+		}
+		return true, true
+	}
+	// Combine the index vectors into ids, first key column slowest, then
+	// replace each combination by its key id.
+	first := true
+	for _, c := range cols {
+		kc, isDict := loadCol(p.Col(c)).(*block.DictionaryBlock)
+		switch {
+		case !isDict:
+		case first:
+			copy(ids, kc.Indices)
+			first = false
+		default:
+			width, idx := int32(kc.Dict.Len()), kc.Indices
+			for r := range ids {
+				ids[r] = ids[r]*width + idx[r]
+			}
+		}
+	}
+	e.memo = scratch(e.memo, combos)
+	memo := e.memo
+	for j := range memo {
+		memo[j] = unresolvedKey
+	}
+	for r, j := range ids {
+		id := memo[j]
+		if id == unresolvedKey {
+			id = miss(r)
+			memo[j] = id
+		}
+		ids[r] = id
+	}
+	return false, true
 }
 
 // row returns the normalized cells and tags of row r (fixed mode).
@@ -392,8 +532,16 @@ func scratch[T any](s []T, n int) []T {
 	return make([]T, n, 1<<bits.Len(uint(n-1)))
 }
 
-// hashVecPool recycles hash vectors across HashPartitionPage calls.
-var hashVecPool = sync.Pool{New: func() any { return new([]uint64) }}
+// partitionScratch is what HashPartitionPage keeps between calls: the hash
+// vector and, per hash column, the encodings of the dictionary it arrives
+// under.
+type partitionScratch struct {
+	hashes []uint64
+	dicts  []dictKeys
+}
+
+// partitionScratchPool recycles the scratch across HashPartitionPage calls.
+var partitionScratchPool = sync.Pool{New: func() any { return new(partitionScratch) }}
 
 // HashPartitionPage computes every row's target partition in one batched
 // pass, replacing the per-row encodeRowKey+HashPartition loop on the exchange
@@ -408,19 +556,20 @@ func HashPartitionPage(p *block.Page, cols []int, parts int, dst []int) []int {
 		}
 		return dst
 	}
-	hp := hashVecPool.Get().(*[]uint64)
-	hs := scratch(*hp, n)
+	ps := partitionScratchPool.Get().(*partitionScratch)
+	hs := scratch(ps.hashes, n)
 	for i := range hs {
 		hs[i] = fnvOffset
 	}
-	for _, c := range cols {
-		hashCol(p.Col(c), hs, n)
+	ps.dicts = extend(ps.dicts, len(cols))
+	for k, c := range cols {
+		hashCol(p.Col(c), hs, n, &ps.dicts[k])
 	}
 	for i, h := range hs {
 		dst[i] = int(h % uint64(parts))
 	}
-	*hp = hs
-	hashVecPool.Put(hp)
+	ps.hashes = hs
+	partitionScratchPool.Put(ps)
 	return dst
 }
 

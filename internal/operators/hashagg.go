@@ -109,8 +109,8 @@ type HashAggregationOperator struct {
 	keys  []*valueVec // per group key; nil where table.cellBlock gives the key back
 	accs  []aggVec
 	batch batchKeys
-	ids   []int32 // per-page row→group id vector
-	memo  []int32 // per-page dictionary id→group id memo
+	ids   []int32     // per-page row→group id vector
+	enc   encodedKeys // pages whose group keys all arrive dictionary/RLE-encoded
 	bytes int64
 
 	spillFiles []string
@@ -222,12 +222,7 @@ func (o *HashAggregationOperator) ReleasesInput() bool { return true }
 
 func (o *HashAggregationOperator) AddInput(p *block.Page) error {
 	o.ctx.recordIn(p)
-	o.mu.Lock()
-	ids, runID := o.resolveGroups(p, o.groupCols)
-	err := o.accumulatePage(ids, runID, p)
-	o.bytes = o.memBytesLocked()
-	bytes := o.bytes
-	o.mu.Unlock()
+	bytes, err := o.addPage(p)
 	if err != nil {
 		return err
 	}
@@ -241,6 +236,18 @@ func (o *HashAggregationOperator) AddInput(p *block.Page) error {
 		err = o.syncMem()
 	}
 	return err
+}
+
+// addPage folds p into the table and returns what the table then holds. o.mu
+// is released by defer: a panic under it is recovered at the driver step, and
+// Close and the pool's revoker take the lock after that.
+func (o *HashAggregationOperator) addPage(p *block.Page) (int64, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	ids, runID := o.resolveGroups(p, o.groupCols)
+	err := o.accumulatePage(ids, runID, p)
+	o.bytes = o.memBytesLocked()
+	return o.bytes, err
 }
 
 // syncMem reserves what the table holds now. The pool is never called under
@@ -262,11 +269,16 @@ func (o *HashAggregationOperator) syncMem() error {
 func (o *HashAggregationOperator) resolveGroups(p *block.Page, cols []int) (ids []int32, runID int32) {
 	o.ids = scratch(o.ids, p.RowCount())
 	ids, runID = o.ids, -1
-	resolved := false
-	if len(cols) == 1 {
-		runID, resolved = o.resolveEncodedSingle(p, ids, cols[0])
+	// Encoded keys: the table is asked once per combination of dictionary
+	// entries the page references (or once per page of runs), through the
+	// row-at-a-time lookup; aggregates fold a whole run in a single step.
+	run, resolved := o.enc.resolve(p, cols, ids, func(r int) int32 { return o.groupIDForRow(p, cols, r) })
+	if resolved {
+		o.ctx.recordDictRows(len(ids))
 	}
 	switch {
+	case run:
+		runID = ids[0]
 	case resolved:
 	case o.table.fixed:
 		o.resolveVecFixed(p, ids, cols)
@@ -331,54 +343,20 @@ func (o *HashAggregationOperator) resolveVecBytes(p *block.Page, ids []int32, co
 	}
 }
 
-// resolveEncodedSingle resolves dictionary/RLE-encoded single-column group
-// keys by distinct entry: the key table is probed once per referenced
-// dictionary id (or once per page for RLE) and rows gather their group ids
-// through the index vector. A runID >= 0 marks a page whose rows all fall in
-// one group, letting aggregates fold whole RLE runs in a single step.
-// resolved=false means the key column is flat and the caller should run the
-// batch path. Caller holds o.mu.
-func (o *HashAggregationOperator) resolveEncodedSingle(p *block.Page, ids []int32, col int) (runID int32, resolved bool) {
-	switch kc := loadCol(p.Col(col)).(type) {
-	case *block.RLEBlock:
-		id := o.groupIDForCell(kc.Val, 0)
-		for i := range ids {
-			ids[i] = id
-		}
-		return id, true
-	case *block.DictionaryBlock:
-		o.memo = scratch(o.memo, kc.Dict.Len())
-		memo := o.memo
-		for j := range memo {
-			memo[j] = -1 // unresolved: unreferenced ids never create groups
-		}
-		for r := range ids {
-			j := kc.Indices[r]
-			if memo[j] < 0 {
-				memo[j] = o.groupIDForCell(kc.Dict, int(j))
-			}
-			ids[r] = memo[j]
-		}
-		return -1, true
-	}
-	return -1, false
-}
-
-// groupIDForCell returns the dense group id of the single key cell blk[j],
-// entering a fresh group when absent. NULL is a valid group key in
+// groupIDForRow returns the dense group id of row r's key, entering a fresh
+// group when absent: the lookup of resolveVecFixed and resolveVecBytes for one
+// row, whatever the encodings of its columns. NULL is a valid group key in
 // aggregation (unlike joins). Caller holds o.mu.
-func (o *HashAggregationOperator) groupIDForCell(blk block.Block, j int) int32 {
+func (o *HashAggregationOperator) groupIDForRow(p *block.Page, cols []int, r int) int32 {
 	var id int
 	var fresh bool
-	if o.table.fixed {
-		tag, cell := normValue(blk.Value(j))
-		id, fresh = o.table.getOrInsertFixed1(fixed1Hash(cell, tag), cell, tag)
+	if h := o.batch.rowKey(p, cols, r, o.table.fixed); o.table.fixed {
+		id, fresh = o.table.getOrInsertFixed(h, o.batch.cells, o.batch.tags)
 	} else {
-		o.batch.buf = appendCellKey(o.batch.buf[:0], blk, j)
-		id, fresh = o.table.getOrInsertBytes(bytes1Hash(o.batch.buf), o.batch.buf)
+		id, fresh = o.table.getOrInsertBytes(h, o.batch.buf)
 	}
-	if fresh && o.keys[0] != nil {
-		o.keys[0].put(id, blk, j)
+	if fresh {
+		o.keepKeysLocked(id, p, cols, r)
 	}
 	return int32(id)
 }

@@ -198,7 +198,12 @@ func firstNull(p *block.Page, c int) int {
 // and lazy pages whose keys take NULL, -0.0, 0.0, NaN and the empty string. Unrevoked and
 // revoked every 1, 2 and 4 pages — so that a drain merges several files, one
 // of them holding two groups and fourteen empty partitions — the operator
-// returns exactly the reference's rows and leaves no file.
+// returns exactly the reference's rows and leaves no file. Keys arrive encoded
+// and flat in one stream: the dictionary and run pages of every key set but
+// "varchar,bigint" and "bigint,date" (more combinations of dictionary entries
+// than a page has rows: the run pages only) are resolved by
+// combination of entries, and a revocation between two of them empties the
+// table the next page's memo then refills.
 func TestGroupTableDifferential(t *testing.T) {
 	keySets := map[string][]int{
 		"bigint":              {colKeyBigint},
@@ -208,11 +213,12 @@ func TestGroupTableDifferential(t *testing.T) {
 		"boolean":             {colKeyBool},
 		"bigint,date":         {colKeyBigint, colKeyDate},
 		"double,boolean":      {colKeyDouble, colKeyBool},
+		"varchar,boolean":     {colKeyVarchar, colKeyBool},
 		"varchar,bigint":      {colKeyVarchar, colKeyBigint2},
 		"bool,varchar,double": {colKeyBool, colKeyVarchar, colKeyDouble},
 		"global":              {},
 	}
-	const pageRows, pages = 300, 9
+	const pageRows, pages = 512, 9
 	var input []*block.Page
 	for pg := 0; pg < pages; pg++ {
 		p := diffPage(pg*pageRows, (pg+1)*pageRows)
@@ -255,6 +261,21 @@ func TestGroupTableDifferential(t *testing.T) {
 		}
 		rows := sortedRows(drain(t, op))
 		spills := op.SpillCount()
+		// What went through the dictionary memo: the two dictionary pages, or
+		// (more combinations than rows) the run pages alone; no key, no memo.
+		memo := op.ctx.Stats.Snapshot().DictRows
+		switch name := t.Name(); {
+		case len(keys) == 0:
+			if memo != 0 {
+				t.Errorf("a global aggregation resolved %d rows by dictionary entry", memo)
+			}
+		case strings.HasSuffix(name, "varchar,bigint"), strings.HasSuffix(name, "bigint,date"):
+			if memo != 8*40 {
+				t.Errorf("%d rows resolved by dictionary entry, want the %d of the run pages: a page of %d rows has fewer rows than key combinations", memo, 8*40, pageRows)
+			}
+		case memo != 2*pageRows+8*40:
+			t.Errorf("%d rows resolved by dictionary entry, want %d: two dictionary pages and eight run pages", memo, 2*pageRows+8*40)
+		}
 		if err := op.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -177,14 +177,17 @@ func (b *JoinBridge) NoMoreBuilders() {
 // table and all, and joins on the grace path — and only then mark the bridge
 // built, which is what releases the probes.
 func (b *JoinBridge) builderStep(change func()) {
-	b.mu.Lock()
-	change()
-	last := !b.indexed && !b.built && b.noMoreBuilders && b.buildersActive == 0
-	if last {
-		b.indexed = true
-		b.buildIndexLocked()
-	}
-	b.mu.Unlock()
+	last := func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock() // by defer: Cancel takes mu after a panic in the index build
+		change()
+		last := !b.indexed && !b.built && b.noMoreBuilders && b.buildersActive == 0
+		if last {
+			b.indexed = true
+			b.buildIndexLocked()
+		}
+		return last
+	}()
 	if !last {
 		return
 	}
@@ -239,15 +242,12 @@ func (b *JoinBridge) buildIndexLocked() {
 	t := newKeyTable(fixed, nk, rows)
 	ids := make([]int32, rows)
 	var batch batchKeys
-	var memo []int32
-	insert := func(blk block.Block, j int) int32 { return keyCell(t, &batch.buf, blk, j, true) }
+	var enc encodedKeys
 	at := 0
 	for _, p := range b.pages {
 		pageIDs := ids[at : at+p.RowCount()]
 		at += len(pageIDs)
-		if nk != 1 || !resolveEncoded(p.Col(b.keyCols[0]), pageIDs, &memo, insert) {
-			resolveBatch(t, &batch, p, b.keyCols, pageIDs, true)
-		}
+		resolveKeys(t, &batch, &enc, p, b.keyCols, pageIDs, true)
 	}
 	off := make([]int32, t.Len()+1)
 	for _, id := range ids {
@@ -436,9 +436,20 @@ func (o *HashBuildOperator) AddInput(p *block.Page) error {
 	return b.syncBuildMem()
 }
 
+// resolveKeys resolves every row of p to its key id in t, inserting absent
+// keys if insert is set; -1: a NULL key (never matches an equi-join) or no such
+// key. Pages whose key columns all arrive dictionary- or RLE-encoded ask the
+// table once per combination of entries they reference (enc), the rest once
+// per row of a batch-hashed page. It reports which of the two it was.
+func resolveKeys(t *keyTable, bk *batchKeys, enc *encodedKeys, p *block.Page, cols []int, ids []int32, insert bool) (encoded bool) {
+	if _, encoded = enc.resolve(p, cols, ids, func(r int) int32 { return keyRow(t, bk, p, cols, r, insert) }); !encoded {
+		resolveBatch(t, bk, p, cols, ids, insert)
+	}
+	return encoded
+}
+
 // resolveBatch is the general path of build and probe: batch-hash the page's
-// key columns, then resolve each row to its key id in t, inserting absent keys
-// if insert is set. -1: a NULL key (never matches an equi-join) or no such key.
+// key columns, then resolve each row to its key id in t.
 func resolveBatch(t *keyTable, bk *batchKeys, p *block.Page, cols []int, ids []int32, insert bool) {
 	bk.reset(p, cols, t.fixed)
 	if t.fixed && len(cols) == 1 {
@@ -480,57 +491,22 @@ func resolveBatch(t *keyTable, bk *batchKeys, p *block.Page, cols []int, ids []i
 	}
 }
 
-// resolveEncoded resolves a dictionary- or RLE-encoded single key column by
-// distinct entry instead of per row: each referenced dictionary id (or the
-// one RLE value) is put to cell once, and rows map onto key ids through the
-// index vector. Returns false for flat columns (the caller runs the batch path).
-func resolveEncoded(col block.Block, ids []int32, memo *[]int32, cell func(blk block.Block, j int) int32) bool {
-	switch kc := loadCol(col).(type) {
-	case *block.RLEBlock:
-		id := cell(kc.Val, 0)
-		for r := range ids {
-			ids[r] = id
-		}
-		return true
-	case *block.DictionaryBlock:
-		*memo = scratch(*memo, kc.Dict.Len())
-		m := *memo
-		for j := range m {
-			m[j] = -2 // unresolved
-		}
-		for r := range ids {
-			j := kc.Indices[r]
-			if m[j] == -2 {
-				m[j] = cell(kc.Dict, int(j))
-			}
-			ids[r] = m[j]
-		}
-		return true
-	}
-	return false
-}
-
-// keyCell resolves the single key cell blk[j] to its key id in t, inserted
-// when absent if insert is set; -1 for no match or NULL.
-func keyCell(t *keyTable, buf *[]byte, blk block.Block, j int, insert bool) int32 {
-	if blk.IsNull(j) {
+// keyRow resolves the key of the single row r of p to its key id in t, as
+// resolveBatch resolves every row's.
+func keyRow(t *keyTable, bk *batchKeys, p *block.Page, cols []int, r int, insert bool) int32 {
+	if rowKeyNull(p, r, cols) {
 		return -1
 	}
 	var id int
-	if t.fixed {
-		tag, cell := normValue(blk.Value(j))
-		if h := fixed1Hash(cell, tag); insert {
-			id, _ = t.getOrInsertFixed1(h, cell, tag)
-		} else {
-			id = t.lookupFixed1(h, cell, tag)
-		}
-	} else {
-		*buf = appendCellKey((*buf)[:0], blk, j)
-		if h := bytes1Hash(*buf); insert {
-			id, _ = t.getOrInsertBytes(h, *buf)
-		} else {
-			id = t.lookupBytes(h, *buf)
-		}
+	switch h := bk.rowKey(p, cols, r, t.fixed); {
+	case t.fixed && insert:
+		id, _ = t.getOrInsertFixed(h, bk.cells, bk.tags)
+	case t.fixed:
+		id = t.lookupFixed(h, bk.cells, bk.tags)
+	case insert:
+		id, _ = t.getOrInsertBytes(h, bk.buf)
+	default:
+		id = t.lookupBytes(h, bk.buf)
 	}
 	return int32(id)
 }
@@ -580,9 +556,9 @@ type LookupJoinOperator struct {
 	probeOut, buildOut []int
 	lend               bool // LendOutput
 
-	batch batchKeys // probe-side scratch
-	ids   []int32   // per-page row→build key id scratch
-	memo  []int32   // per-page dictionary id→build key id scratch
+	batch batchKeys   // probe-side scratch
+	ids   []int32     // per-page row→build key id scratch
+	enc   encodedKeys // probe pages whose keys all arrive dictionary/RLE-encoded
 
 	// The selection path: the probe page being emitted, its output selection
 	// (build page -1 = NULL-extend) and how far Output has gathered it; a typed
@@ -831,15 +807,14 @@ func (o *LookupJoinOperator) resolveProbe(p *block.Page) []int32 {
 	for _, c := range o.probeKeys {
 		compatible = compatible && (!t.fixed || fixedWidthKey(p.Col(c).Type()))
 	}
-	lookup := func(blk block.Block, j int) int32 { return keyCell(t, &o.batch.buf, blk, j, false) }
-	switch {
-	case !compatible:
+	if !compatible {
 		for i := range ids {
 			ids[i] = -1
 		}
-	case len(o.probeKeys) == 1 && resolveEncoded(p.Col(o.probeKeys[0]), ids, &o.memo, lookup):
-	default:
-		resolveBatch(t, &o.batch, p, o.probeKeys, ids, false)
+		return ids
+	}
+	if resolveKeys(t, &o.batch, &o.enc, p, o.probeKeys, ids, false) {
+		o.ctx.recordDictRows(len(ids))
 	}
 	return ids
 }
@@ -896,7 +871,7 @@ func (o *LookupJoinOperator) gatherNext() *block.Page {
 	}
 	for i := range o.vecs {
 		if v := &o.vecs[i]; o.lend && expr.PoisonsBorrowed() {
-			expr.PoisonVectors(v.longs, v.doubles, v.strs, v.bools, v.nulls)
+			expr.PoisonVectors(v.longs, v.doubles, v.strs, v.bools, v.nulls, v.idx)
 		}
 	}
 	out := block.NewEmptyPage(end - start)
@@ -907,7 +882,7 @@ func (o *LookupJoinOperator) gatherNext() *block.Page {
 		}
 		for i, c := range o.buildOut {
 			if o.chans[i] == nil {
-				o.chans[i] = newBuildChan(o.tab.pages, c, o.buildTs[c])
+				o.chans[i] = newBuildChan(o.tab.pages, c, o.buildTs[c], o.jt == plan.LeftJoin)
 			}
 			cols[nProbe+i] = o.gatherBuild(&o.vecs[nProbe+i], o.chans[i], o.buildSel[start:end])
 		}
@@ -927,6 +902,7 @@ type joinVec struct {
 	strs    []string
 	bools   []bool
 	nulls   []bool
+	idx     []int32 // a dictionary column's indices; its dictionary is never lent
 }
 
 // vec returns the n-long array a gather writes: fresh, or *own when lent.
@@ -946,8 +922,9 @@ func gatherAt[T any](dst, src []T, sel []int32) []T {
 }
 
 // gatherProbe gathers probe column col at the selected rows. Encoded columns
-// are gathered without decoding — a dictionary result shares the source
-// dictionary under fresh indices, an RLE run stays a run — and never lent.
+// are gathered without decoding: a dictionary result shares the source
+// dictionary under gathered indices, lent like a flat vector; an RLE run stays
+// a run.
 func (o *LookupJoinOperator) gatherProbe(v *joinVec, col block.Block, sel []int32) block.Block {
 	n := len(sel)
 	nulls := func(src []bool) []bool {
@@ -966,7 +943,7 @@ func (o *LookupJoinOperator) gatherProbe(v *joinVec, col block.Block, sel []int3
 	case *block.BoolBlock:
 		return block.NewBoolBlock(gatherAt(vec(&v.bools, n, o.lend), src.Vals, sel), nulls(src.Nulls))
 	case *block.DictionaryBlock:
-		return block.NewDictionaryBlock(src.Dict, gatherAt(make([]int32, n), src.Indices, sel))
+		return block.NewDictionaryBlock(src.Dict, gatherAt(vec(&v.idx, n, o.lend), src.Indices, sel))
 	case *block.RLEBlock:
 		return block.NewRLEBlockFromBlock(src.Val, n)
 	default:
@@ -980,7 +957,11 @@ func (o *LookupJoinOperator) gatherProbe(v *joinVec, col block.Block, sel []int3
 
 // buildChan is one build channel as the gather kernels read it: page pg's
 // values are the pg-th slice of the field its type selects, under null mask
-// nulls[pg] (nil: none). Array channels have no slices and are gathered boxed.
+// nulls[pg] (nil: none). A channel whose pages all arrive under one dictionary
+// (a stored low-cardinality column) is read as its index vectors instead and
+// gathered into a dictionary block over dict: four bytes a row, and a group-by
+// above the join resolves it by entry. Array channels have no slices and are
+// gathered boxed.
 type buildChan struct {
 	c       int
 	t       types.Type
@@ -990,6 +971,22 @@ type buildChan struct {
 	bools   [][]bool
 	nulls   [][]bool
 	anyNull bool
+	dict    block.Block
+	idx     [][]int32
+}
+
+// sharedDictionary returns the dictionary every page's column c is encoded
+// under, or nil when they are not all dictionary blocks over one.
+func sharedDictionary(pages []*block.Page, c int) block.Block {
+	var dict block.Block
+	for _, p := range pages {
+		d, ok := p.Col(c).(*block.DictionaryBlock)
+		if !ok || (dict != nil && d.Dict != dict) {
+			return nil
+		}
+		dict = d.Dict
+	}
+	return dict
 }
 
 // flatPage returns col as flat block B, reading out an encoded or untyped one.
@@ -1005,8 +1002,19 @@ func flatPage[B block.Block](col block.Block, t types.Type) B {
 	return block.BuildBlock(t, vals).(B)
 }
 
-func newBuildChan(pages []*block.Page, c int, t types.Type) *buildChan {
+// newBuildChan reads build channel c of pages. nullExtends: the join emits
+// rows with no build row (LEFT), which a dictionary without a NULL entry
+// cannot say, so the channel is read flat.
+func newBuildChan(pages []*block.Page, c int, t types.Type, nullExtends bool) *buildChan {
 	bc := &buildChan{c: c, t: t}
+	if !nullExtends {
+		if bc.dict = sharedDictionary(pages, c); bc.dict != nil {
+			for _, p := range pages {
+				bc.idx = append(bc.idx, p.Col(c).(*block.DictionaryBlock).Indices)
+			}
+			return bc
+		}
+	}
 	for _, p := range pages {
 		var nulls []bool
 		switch col := p.Col(c); t {
@@ -1055,6 +1063,9 @@ func gatherRows[T any](dst []T, mask []bool, pages [][]T, nulls [][]bool, sel []
 // NULL-free build column stays on its consumer's no-null-check kernels.
 func (o *LookupJoinOperator) gatherBuild(v *joinVec, bc *buildChan, sel []bridgeRow) block.Block {
 	n := len(sel)
+	if bc.dict != nil {
+		return block.NewDictionaryBlock(bc.dict, gatherRows(vec(&v.idx, n, o.lend), nil, bc.idx, nil, sel))
+	}
 	var mask []bool
 	if bc.anyNull || o.jt == plan.LeftJoin {
 		mask = vec(&v.nulls, n, o.lend)

@@ -14,9 +14,10 @@ import (
 )
 
 // channelTestTs is the schema of both sides of the channel-list wall: the
-// join key, then a varchar, a bigint and a double payload.
+// join key, then a varchar, a bigint and a double payload, and a varchar
+// stored the way the memory catalog stores a low-cardinality one.
 func channelTestTs(keyT types.Type) []types.Type {
-	return []types.Type{keyT, types.Varchar, types.Bigint, types.Double}
+	return []types.Type{keyT, types.Varchar, types.Bigint, types.Double, types.Varchar}
 }
 
 // channelKeyKinds are the key columns the wall joins on. Each returns the key
@@ -56,11 +57,19 @@ var channelKeyKinds = []struct {
 }
 
 // channelTestPages builds one side's pages: the key column of the given
-// kind, a varchar payload (dictionary-encoded on odd pages), a bigint with
-// NULLs (a run on every third page) and a double.
+// kind, a varchar payload (dictionary-encoded on odd pages, a dictionary a
+// page), a bigint with NULLs (a run on every third page), a double, and a
+// varchar under one dictionary all the side's pages share (a NULL entry, and
+// one no row references).
 func channelTestPages(key func(pg, rows, off int) block.Block, npages, rows, off int) []*block.Page {
 	var pages []*block.Page
+	shared := block.NewVarcharBlock([]string{fmt.Sprint("d", off, "-0"), "", fmt.Sprint("d", off, "-2"), "unreferenced", fmt.Sprint("d", off, "-4")},
+		[]bool{false, true, false, false, false})
 	for pg := 0; pg < npages; pg++ {
+		idx := make([]int32, rows)
+		for r := range idx {
+			idx[r] = []int32{0, 1, 2, 4}[(pg*rows+r)%4]
+		}
 		strs, longs, lnulls, doubles := make([]string, rows), make([]int64, rows), make([]bool, rows), make([]float64, rows)
 		for r := 0; r < rows; r++ {
 			i := pg*rows + r
@@ -75,7 +84,7 @@ func channelTestPages(key func(pg, rows, off int) block.Block, npages, rows, off
 		if pg%3 == 2 {
 			lb = block.NewRLEBlock(types.BigintValue(int64(pg)), rows)
 		}
-		pages = append(pages, block.NewPage(key(pg, rows, off), sb, lb, block.NewDoubleBlock(doubles, nil)))
+		pages = append(pages, block.NewPage(key(pg, rows, off), sb, lb, block.NewDoubleBlock(doubles, nil), block.NewDictionaryBlock(shared, idx)))
 	}
 	return pages
 }
@@ -123,16 +132,21 @@ func drainCounts(t *testing.T, op Operator, inputs ...*block.Page) map[string]in
 // a build spilled after every page (the drain's private operator) — must emit
 // exactly the listed columns of the per-row reference's rows. Pages of seven
 // rows make every probe page span several Outputs, so a lending join refills
-// its vectors while the probe page is still being emitted.
+// its vectors — a dictionary column's index vector among them — while the
+// probe page is still being emitted. The build's last column is one shared
+// dictionary over all its pages: from memory it is gathered as indices (but
+// for LEFT, which null-extends), from a spilled build it comes back a
+// dictionary a page and is gathered flat.
 func TestJoinOutputChannelsDifferential(t *testing.T) {
 	cases := []struct {
 		name         string
 		probe, build []int
 		emptyBuild   bool
 	}{
-		{"all channels", []int{0, 1, 2, 3}, []int{0, 1, 2, 3}, false},
-		{"keys dropped", []int{1, 2, 3}, []int{1, 2, 3}, false},
+		{"all channels", []int{0, 1, 2, 3, 4}, []int{0, 1, 2, 3, 4}, false},
+		{"keys dropped", []int{1, 2, 3, 4}, []int{1, 2, 3, 4}, false},
 		{"one build column", nil, []int{2}, false},
+		{"shared dictionaries", []int{4}, []int{4}, false},
 		{"probe only", []int{3, 1}, nil, false},
 		{"empty build", []int{0, 2}, []int{1, 3}, true},
 	}
@@ -260,6 +274,43 @@ func TestJoinLentVectorsArePoisoned(t *testing.T) {
 	}
 	if after := rowText(first.Row(0)); after == before {
 		t.Errorf("a lent page still reads %q after the next gather", after)
+	}
+
+	// Dictionary columns, probe side and (one dictionary over all its pages)
+	// build side: the dictionaries are never lent, the index vectors are, and a
+	// poisoned index addresses no entry.
+	kind := channelKeyKinds[0]
+	dts := channelTestTs(kind.t)
+	bridge = buildBridge(t, []int{0}, channelTestPages(kind.key, 2, 25, 0)...)
+	bridge.AddProbe()
+	op = NewLookupJoin(NopContext(), bridge, plan.InnerJoin, []int{0}, nil, dts, dts, 7)
+	op.SetOutputChannels([]int{4}, []int{4})
+	op.LendOutput(nil)
+	if err := op.AddInput(channelTestPages(kind.key, 1, 40, 2)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if first, err = op.Output(); err != nil || first == nil {
+		t.Fatalf("first page: %v %v", first, err)
+	}
+	var lent [2]string
+	for c := range lent {
+		d, ok := first.Col(c).(*block.DictionaryBlock)
+		if !ok {
+			t.Fatalf("column %d of the join's output is %T, want a dictionary block", c, first.Col(c))
+		}
+		lent[c] = fmt.Sprint(d.Indices)
+	}
+	if _, err := op.Output(); err != nil {
+		t.Fatal(err)
+	}
+	for c := range lent {
+		d := first.Col(c).(*block.DictionaryBlock)
+		if after := fmt.Sprint(d.Indices); after == lent[c] {
+			t.Errorf("column %d: a lent index vector still reads %s after the next gather", c, after)
+		}
+		if d.Dict.Str(0) == "" {
+			t.Errorf("column %d: the dictionary changed; only index vectors are lent", c)
+		}
 	}
 }
 

@@ -89,6 +89,22 @@ type OpStats struct {
 	vecProjEvals  atomic.Int64
 	cseHits       atomic.Int64
 	dictEvictions atomic.Int64
+
+	// Compressed-execution accounting (paper §V-E). dictRows: rows an
+	// aggregation or a lookup join resolved through a memo over dictionary
+	// entries and not through its hash table, and rows a filter/project
+	// computed a projection for once per combination of entries. encodedCols
+	// (scans only): the most dictionary- or RLE-encoded columns a page of the
+	// scan arrived with.
+	dictRows    atomic.Int64
+	encodedCols atomic.Int64
+}
+
+// RecordDictRows counts rows an operator handled by dictionary entry.
+func (s *OpStats) RecordDictRows(rows int64) {
+	if s != nil && rows > 0 {
+		s.dictRows.Add(rows)
+	}
 }
 
 // RecordProjKernels accumulates vectorized-projection counter deltas flushed
@@ -204,6 +220,8 @@ type OpStatsSnapshot struct {
 	VecProjEvals     int64  `json:"vecProjEvals,omitempty"`
 	CSEHits          int64  `json:"cseHits,omitempty"`
 	DictEvictions    int64  `json:"dictProjEvictions,omitempty"`
+	DictRows         int64  `json:"dictRows,omitempty"`
+	EncodedCols      int64  `json:"encodedCols,omitempty"`
 }
 
 // Snapshot copies the counters.
@@ -231,6 +249,8 @@ func (s *OpStats) Snapshot() OpStatsSnapshot {
 		VecProjEvals:     s.vecProjEvals.Load(),
 		CSEHits:          s.cseHits.Load(),
 		DictEvictions:    s.dictEvictions.Load(),
+		DictRows:         s.dictRows.Load(),
+		EncodedCols:      s.encodedCols.Load(),
 	}
 }
 
@@ -264,6 +284,8 @@ func (s *OpStatsSnapshot) Merge(o OpStatsSnapshot) {
 	s.VecProjEvals += o.VecProjEvals
 	s.CSEHits += o.CSEHits
 	s.DictEvictions += o.DictEvictions
+	s.DictRows += o.DictRows
+	s.EncodedCols = max(s.EncodedCols, o.EncodedCols) // every task scans the same columns
 }
 
 // NopContext returns a context with no memory accounting, for tests.
@@ -277,6 +299,34 @@ func (c *OpContext) recordIn(p *block.Page) {
 		c.Stats.pagesIn.Add(1)
 		c.Stats.rowsIn.Add(int64(p.RowCount()))
 		c.Stats.bytesIn.Add(p.SizeBytes())
+	}
+}
+
+func (c *OpContext) recordDictRows(rows int) {
+	if c != nil {
+		c.Stats.RecordDictRows(int64(rows))
+	}
+}
+
+// recordScanOut is recordOut for a scan's page, and notes how many of its
+// columns arrived dictionary- or RLE-encoded.
+func (c *OpContext) recordScanOut(p *block.Page) {
+	c.recordOut(p)
+	if c == nil || c.Stats == nil || p == nil {
+		return
+	}
+	var encoded int64
+	for _, col := range p.Cols {
+		switch col.(type) {
+		case *block.DictionaryBlock, *block.RLEBlock:
+			encoded++
+		}
+	}
+	for {
+		cur := c.Stats.encodedCols.Load()
+		if encoded <= cur || c.Stats.encodedCols.CompareAndSwap(cur, encoded) {
+			return
+		}
 	}
 }
 

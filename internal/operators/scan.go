@@ -41,7 +41,7 @@ func (o *TableScanOperator) Output() (*block.Page, error) {
 		o.done = true
 		return nil, nil
 	}
-	o.ctx.recordOut(p)
+	o.ctx.recordScanOut(p)
 	return p, nil
 }
 
@@ -104,7 +104,7 @@ func (o *MorselScanOperator) Output() (*block.Page, error) {
 		}
 		return nil, nil
 	}
-	o.ctx.recordOut(p)
+	o.ctx.recordScanOut(p)
 	return p, nil
 }
 

@@ -136,6 +136,7 @@ func (o *FilterProjectOperator) flushKernelStats() {
 		st.CSEHits-o.flushed.CSEHits,
 		st.DictEvictions-o.flushed.DictEvictions,
 	)
+	o.ctx.Stats.RecordDictRows(st.DictRows - o.flushed.DictRows)
 	o.flushed = st
 }
 

@@ -154,15 +154,19 @@ func TestPlacementStableAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestNoIdleCoreReport prints, for one warm pass of each statement list,
-// every statement's widest-stage skew and each worker's executor busy share
-// of the pass (scripts/check.sh shows it). Summed over a pass the workers
-// look alike even when statements skew in opposite directions; the
-// per-statement skew is what TestScanSplitsBalanced asserts.
+// TestNoIdleCoreReport prints, for five warm passes of each statement list,
+// every statement's median time and widest-stage skew and each worker's
+// executor busy share of the passes (scripts/check.sh shows it). Summed over a
+// pass the workers look alike even when statements skew in opposite
+// directions; the per-statement skew is what TestScanSplitsBalanced asserts.
+// The scan_agg medians are where a change to the dictionary paths shows first:
+// h01, concat, like and q50 filter, build or group on stored low-cardinality
+// strings (EXPERIMENTS.md "What a low-cardinality string costs").
 func TestNoIdleCoreReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("report only")
 	}
+	const passes = 5
 	for _, list := range []struct {
 		name   string
 		scale  float64
@@ -176,18 +180,25 @@ func TestNoIdleCoreReport(t *testing.T) {
 		for i, w := range c.Workers() {
 			busy[i] = w.Exec.BusyNanos()
 		}
+		times := make([][]time.Duration, len(list.shapes))
+		skews := make([]float64, len(list.shapes))
 		start := time.Now()
-		for _, s := range list.shapes {
-			begin := time.Now()
-			_, id := runTrackedQuery(t, c, s.sql)
-			skew := 0.0
-			for _, sg := range wideStages(t, c, id) {
-				skew = max(skew, sg.Skew)
+		for pass := 0; pass < passes; pass++ {
+			for i, s := range list.shapes {
+				begin := time.Now()
+				_, id := runTrackedQuery(t, c, s.sql)
+				times[i] = append(times[i], time.Since(begin))
+				for _, sg := range wideStages(t, c, id) {
+					skews[i] = max(skews[i], sg.Skew)
+				}
 			}
-			t.Logf("%-10s %-6s %6.1f ms  skew %.2f", list.name, s.id,
-				float64(time.Since(begin).Microseconds())/1e3, skew)
 		}
 		elapsed := time.Since(start)
+		for i, s := range list.shapes {
+			slices.Sort(times[i])
+			t.Logf("%-10s %-6s p50 %6.1f ms  skew %.2f", list.name, s.id,
+				float64(times[i][passes/2].Microseconds())/1e3, skews[i])
+		}
 		for i, w := range c.Workers() {
 			t.Logf("%-10s worker %d busy %.2f of %.0f ms", list.name, i,
 				float64(w.Exec.BusyNanos()-busy[i])/float64(elapsed.Nanoseconds()), float64(elapsed.Milliseconds()))

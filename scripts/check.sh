@@ -9,7 +9,9 @@
 #                             # core") + distributed control plane (request
 #                             # classes of one statement, filters in time)
 #                             # + point-read byte budget and written
-#                             # tables + borrowed-page poison run + non-race
+#                             # tables + dictionary paths (guards, stats,
+#                             # a panicking operator fails one query)
+#                             # + borrowed-page poison run + non-race
 #                             # allocation ceilings (page codec, group
 #                             # table, join build and probe, dynamically
 #                             # filtered scan, spill) and bench smokes
@@ -48,10 +50,11 @@ echo "==> chaos smoke (seed 7)"
 CHAOS_SEED=7 go test -race -count=1 -run 'TestChaos' .
 
 echo "==> no idle core: splits are dealt evenly and the same way every run, a scan starts no more drivers than threads"
-# The report lines are one warm pass of the scan_agg and join_local statement
-# shapes on a 2-worker x 1-thread cluster: each statement's scanning-stage
-# skew (max/mean of per-task input rows; what TestScanSplitsBalanced bounds)
-# and each worker's executor busy share of the pass.
+# The report lines are five warm passes of the scan_agg and join_local
+# statement shapes on a 2-worker x 1-thread cluster: each statement's median
+# time (h01, concat, like and q50 are the ones the dictionary paths carry),
+# its scanning-stage skew (max/mean of per-task input rows; what
+# TestScanSplitsBalanced bounds) and each worker's executor busy share.
 go test -count=1 -run 'TestScanDriversCappedAtThreads' ./internal/exec/
 go test -count=1 -v -run 'TestScanSplitsBalanced|TestPlacementStableAcrossRuns|TestNoIdleCoreReport' . | grep -E '^(---|ok|FAIL|panic)|skew|busy'
 
@@ -68,12 +71,23 @@ echo "==> what a point read pays: byte budget (no -race: it skips under it), res
 go test -count=1 -v -run 'TestPointReadByteBudget|TestResidentTablesBypassPageCache' . | grep -E '^(---|ok|FAIL|panic)|bytes per'
 go test -race -count=1 -run 'TestInsertsMergeIntoTail|TestSplitReadsItsSnapshot' ./internal/connectors/memconn/
 
+echo "==> what a low-cardinality string costs: stored under one dictionary a column, resolved by combination, guarded by rows >= entries; a panicking operator fails one query"
+# The dict-rows figures are read off the statements' own stats: the pages
+# whose group keys are all encoded are resolved by entry, the others are not.
+go test -race -count=1 -run 'TestDictEncoder|TestCodecSmallPageWritesDictionaryFlat' ./internal/block/
+go test -race -count=1 -run 'TestLoadTableEncodesLowCardinality' ./internal/connectors/memconn/
+go test -race -count=1 -run 'TestDriverRecoversOperatorPanic' ./internal/exec/
+go test -race -count=1 -run 'TestEncodedMultiKeyGroupBy|TestEncodedProjectionErrorsOnlyWhenReferenced|TestEncodedLoadedThenInserted|TestDictionaryPathsInExplainAnalyze|TestOperatorPanicFailsOneQuery' .
+
 echo "==> borrowed pages are never read late (poison linked on under the differential walls)"
 # expr.poisonBorrowed makes an operator that lends its output — a page
 # processor, a lookup join — overwrite the lent vectors before every page;
 # only a linker flag (or expr's own tests) can set it. The walls that reach an
 # aggregation or a join through a lender live in these four packages
-# (TestJoinLentVectorsArePoisoned runs only here; ./internal/exec holds the
+# (TestJoinLentVectorsArePoisoned runs only here, over flat vectors and over
+# the index vectors of dictionary probe and build columns; the root package's
+# tables are stored dictionary-encoded, so its walls read a processor's lent
+# index vectors; ./internal/exec holds the
 # processor composed onto a dynamically filtered scan,
 # TestDynFilteredScanGathersOnce, and the root package the dynamic-filter
 # differentials that run it under every join type).
@@ -92,7 +106,7 @@ go test -run '^$' -bench 'AggSpillRevokeDrain|HashJoinProbeParallel' -benchtime 
 go test -run '^$' -bench 'HashJoinBuildParallel' -benchtime 5x -benchmem -cpu 1,2 ./internal/operators/ | grep '^Benchmark'
 go test -run '^$' -bench 'HashAggBigintKey|HashJoinBuildProbe|HashJoinDictKey' -benchtime 5x -benchmem . | grep '^Benchmark'
 
-echo "==> filter -> project -> aggregate and dynamically filtered scan -> join -> aggregate allocation ceilings + bench smoke (no -race, same reason)"
+echo "==> filter -> project -> aggregate (flat and dictionary group keys) and dynamically filtered scan -> join -> aggregate allocation ceilings + bench smoke (no -race, same reason)"
 go test -count=1 -v -run 'TestFilterProjectAggAllocationCeiling|TestDynFilteredScanGathersOnce' ./internal/exec/ | grep -E '^(---|ok|FAIL|panic)|bytes'
 go test -run '^$' -bench 'FilterProjectAgg' -benchtime 1x -benchmem ./internal/exec/ > /dev/null
 
