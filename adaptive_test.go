@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/connector"
 	"repro/internal/connectors/memconn"
+	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
@@ -64,7 +65,7 @@ func queryWith(t *testing.T, c *Cluster, sql string, s Session) ([]string, Query
 	// These tests assert per-query execution stats (rows filtered, splits
 	// skipped) and compare toggle arms — a result-cache serve would return
 	// the other arm's rows with no execution stats at all.
-	s.DisableResultCache = true
+	s.Switches |= exec.DisableResultCache
 	res, err := c.ExecuteSession(sql, s)
 	if err != nil {
 		t.Fatalf("%q: %v", sql, err)
@@ -98,7 +99,7 @@ func TestDynamicFilterPrunesSelectiveJoin(t *testing.T) {
 
 	sql := "SELECT big.k, big.v FROM big JOIN small ON big.k = small.k"
 	on, onStats := queryWith(t, c, sql, Session{})
-	off, _ := queryWith(t, c, sql, Session{DisableDynamicFilters: true})
+	off, _ := queryWith(t, c, sql, Session{Switches: exec.DisableDynamicFilters})
 	assertRows(t, sql, on, off)
 	if len(on) != 10 {
 		t.Fatalf("join returned %d rows, want 10", len(on))
@@ -184,7 +185,7 @@ func TestDynamicFilterDifferentialEdgeData(t *testing.T) {
 	edgeKeyTables(t, c)
 	for _, sql := range edgeJoinQueries {
 		on, _ := queryWith(t, c, sql, Session{})
-		off, _ := queryWith(t, c, sql, Session{DisableDynamicFilters: true})
+		off, _ := queryWith(t, c, sql, Session{Switches: exec.DisableDynamicFilters})
 		assertRows(t, sql, on, off)
 	}
 }
@@ -220,7 +221,7 @@ func TestDynamicFilterEmptyBuildShortCircuit(t *testing.T) {
 			t.Errorf("%s: probe scan read %d rows; short circuit should have dropped most of 50000", sql, st.RowsRead)
 		}
 		// Differential leg: same zero rows with the machinery off.
-		off, _ := queryWith(t, c, sql, Session{DisableDynamicFilters: true})
+		off, _ := queryWith(t, c, sql, Session{Switches: exec.DisableDynamicFilters})
 		assertRows(t, sql+" [off]", got, off)
 	}
 }
@@ -252,7 +253,7 @@ func TestChaosDynamicFilterDelayAndLoss(t *testing.T) {
 			start := time.Now()
 			for _, sql := range edgeJoinQueries {
 				on, _ := queryWith(t, c, sql, Session{})
-				off, _ := queryWith(t, c, sql, Session{DisableDynamicFilters: true})
+				off, _ := queryWith(t, c, sql, Session{Switches: exec.DisableDynamicFilters})
 				assertRows(t, sql, on, off)
 			}
 			if el := time.Since(start); el > 30*time.Second {
@@ -411,7 +412,7 @@ func TestHBOJoinOrderFeedback(t *testing.T) {
 	}
 
 	// The per-query opt-out must plan exactly like the history-free run.
-	res, err := c.ExecuteSession("EXPLAIN "+sql, Session{DisableHBO: true})
+	res, err := c.ExecuteSession("EXPLAIN "+sql, Session{Switches: exec.DisableHBO})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +425,7 @@ func TestHBOJoinOrderFeedback(t *testing.T) {
 		noHBO.WriteString(r[0].S + "\n")
 	}
 	if noHBO.String() != before {
-		t.Errorf("DisableHBO plan differs from the pre-history plan:\n--- pre-history\n%s\n--- DisableHBO\n%s", before, noHBO.String())
+		t.Errorf("exec.DisableHBO plan differs from the pre-history plan:\n--- pre-history\n%s\n--- exec.DisableHBO\n%s", before, noHBO.String())
 	}
 }
 
@@ -458,8 +459,8 @@ func TestHistoryScanRowsIgnoreDynamicFilters(t *testing.T) {
 		if len(rows) != 10 {
 			t.Fatalf("join returned %d rows, want 10", len(rows))
 		}
-		if filtered := st.DynRowsFiltered > 0; filtered == s.DisableDynamicFilters {
-			t.Fatalf("DisableDynamicFilters=%v but %d rows were dynamically filtered", s.DisableDynamicFilters, st.DynRowsFiltered)
+		if filtered := st.DynRowsFiltered > 0; filtered == s.Switches.Has(exec.DisableDynamicFilters) {
+			t.Fatalf("exec.DisableDynamicFilters=%v but %d rows were dynamically filtered", s.Switches.Has(exec.DisableDynamicFilters), st.DynRowsFiltered)
 		}
 		_, dp, err := c.Coordinator.Plan(sql, s)
 		if err != nil {
@@ -481,7 +482,7 @@ func TestHistoryScanRowsIgnoreDynamicFilters(t *testing.T) {
 		return got
 	}
 	on := recorded(Session{})
-	off := recorded(Session{DisableDynamicFilters: true})
+	off := recorded(Session{Switches: exec.DisableDynamicFilters})
 	if on != 20000 || off != 20000 {
 		t.Errorf("history holds %v rows for the scan of big with dynamic filters on, %v with them off; want 20000 both", on, off)
 	}
@@ -528,8 +529,8 @@ func BenchmarkDynFilterFig6(b *testing.B) {
 			// HBO stays off in both modes: the benchmark's own repeat
 			// runs would otherwise feed history back into the planner and
 			// flip join orders mid-measurement, confounding the ablation.
-			{"on", Session{DisableHBO: true}},
-			{"off", Session{DisableHBO: true, DisableDynamicFilters: true}},
+			{"on", Session{Switches: exec.DisableHBO}},
+			{"off", Session{Switches: exec.DisableHBO | exec.DisableDynamicFilters}},
 		} {
 			b.Run(id+"/"+mode.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/connectors/hive"
+	"repro/internal/exec"
 	"repro/internal/workload"
 )
 
@@ -156,9 +157,8 @@ func TestServingClosedLoopBench(t *testing.T) {
 	const clients = 16
 	const perClient = 160 // 2560 statements per phase
 
-	off := Session{Catalog: "tpch", DisableHBO: true,
-		DisablePlanCache: true, DisableResultCache: true, DisableSharedScans: true}
-	on := Session{Catalog: "tpch", DisableHBO: true}
+	off := Session{Catalog: "tpch", Switches: exec.DisableHBO | exec.DisablePlanCache | exec.DisableResultCache | exec.DisableSharedScans}
+	on := Session{Catalog: "tpch", Switches: exec.DisableHBO}
 
 	offWall, offLats := servingClosedLoop(t, c, off, clients, perClient, stmts)
 	c.ClearServingCaches() // the on phase warms from scratch
@@ -181,10 +181,9 @@ func TestServingClosedLoopBench(t *testing.T) {
 		"SELECT l_returnflag, count(*), sum(l_quantity) FROM lake.lineitem GROUP BY l_returnflag",
 		"SELECT o_orderstatus, count(*) FROM lake.orders GROUP BY o_orderstatus",
 	}
-	shareOff := Session{Catalog: "lake", DisableHBO: true, DisableCache: true,
-		DisableResultCache: true, DisableSharedScans: true}
+	shareOff := Session{Catalog: "lake", Switches: exec.DisableHBO | exec.DisableCache | exec.DisableResultCache | exec.DisableSharedScans}
 	shareOn := shareOff
-	shareOn.DisableSharedScans = false
+	shareOn.Switches &^= exec.DisableSharedScans
 	const sharePerClient = 20
 	shareOffWall, shareOffLats := servingClosedLoop(t, c, shareOff, clients, sharePerClient, lakeStmts)
 	shareOnWall, shareOnLats := servingClosedLoop(t, c, shareOn, clients, sharePerClient, lakeStmts)
@@ -250,7 +249,7 @@ func TestServingQPSSmoke(t *testing.T) {
 	c.Register(workload.LoadTPCHMemory("tpch", 0.05))
 	stmts := servingBenchStatements("tpch")
 
-	wall, lats := servingClosedLoop(t, c, Session{Catalog: "tpch", DisableHBO: true}, 4, 40, stmts)
+	wall, lats := servingClosedLoop(t, c, Session{Catalog: "tpch", Switches: exec.DisableHBO}, 4, 40, stmts)
 	if len(lats) != 4*40 {
 		t.Fatalf("closed loop completed %d statements, want %d", len(lats), 4*40)
 	}

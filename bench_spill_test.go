@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/shuffle"
 	"repro/internal/spill"
 	"repro/internal/workload"
@@ -98,7 +99,7 @@ func bench9RecoveryRun(t *testing.T, base map[string][]string, kill bool) time.D
 	c.Register(workload.LoadTPCHMemory("tpch", chaosScale))
 
 	start := time.Now()
-	res, err := c.ExecuteSession(q, Session{MaterializedExchange: true})
+	res, err := c.ExecuteSession(q, Session{Switches: exec.MaterializedExchange})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/connector"
 	"repro/internal/connectors/hive"
 	"repro/internal/connectors/memconn"
+	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/expr"
 	"repro/internal/operators"
@@ -711,7 +712,7 @@ func BenchmarkMorselSkewScan(b *testing.B) {
 	for _, mode := range []struct {
 		name string
 		s    presto.Session
-	}{{"morsel", presto.Session{}}, {"static", presto.Session{DisableMorsels: true}}} {
+	}{{"morsel", presto.Session{}}, {"static", presto.Session{Switches: exec.DisableMorsels}}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := c.ExecuteSession(q, mode.s)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/connectors/hive"
+	"repro/internal/exec"
 	"repro/internal/workload"
 )
 
@@ -113,7 +114,7 @@ func TestCacheSessionToggle(t *testing.T) {
 	c := newHiveCacheCluster(t)
 	sql := "SELECT count(*) FROM tpch.orders"
 	runDisabled := func() string {
-		res, err := c.ExecuteSession(sql, Session{DisableCache: true})
+		res, err := c.ExecuteSession(sql, Session{Switches: exec.DisableCache})
 		if err != nil {
 			t.Fatal(err)
 		}

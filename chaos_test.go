@@ -26,6 +26,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/connector"
 	"repro/internal/connectors/memconn"
+	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/plan"
 	"repro/internal/workload"
@@ -339,7 +340,7 @@ func TestChaosCacheFaultsAgree(t *testing.T) {
 			}
 			// The A/B toggle: a session that bypasses the cache agrees too.
 			for _, q := range chaosQueries {
-				res, err := c.ExecuteSession(q, Session{DisableCache: true})
+				res, err := c.ExecuteSession(q, Session{Switches: exec.DisableCache})
 				if err != nil {
 					t.Fatalf("%s uncached: %v", q, err)
 				}

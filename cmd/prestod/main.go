@@ -129,9 +129,15 @@ func runCoordinator(addr string, scale float64, lakeDir string, noStats, noDyn, 
 	catalog := coordinator.NewCatalogManager()
 	provisionCatalogs(catalog, scale, lakeDir)
 
+	var switches exec.Switches
+	if noDyn {
+		switches |= exec.DisableDynamicFilters
+	}
+	if sp.materialized {
+		switches |= exec.MaterializedExchange
+	}
 	optCfg := optimizer.DefaultConfig()
 	optCfg.UseStats = !noStats
-	optCfg.DisableDynamicFilters = noDyn
 	if hbo {
 		optCfg.History = optimizer.NewMemoryHistory()
 	}
@@ -145,9 +151,9 @@ func runCoordinator(addr string, scale float64, lakeDir string, noStats, noDyn, 
 		DefaultCatalog: "memory",
 		Optimizer:      optCfg,
 		Task: exec.TaskConfig{
-			SpillEnabled:         sp.enabled,
-			SpillDir:             sp.dir,
-			MaterializedExchange: sp.materialized,
+			SpillEnabled: sp.enabled,
+			SpillDir:     sp.dir,
+			Switches:     switches,
 		},
 		Registry: coordinator.NewWorkerRegistry(),
 		// One client, and so one connection pool, for everything this node

@@ -162,7 +162,7 @@ func TestDistributedFilterArrivesBeforeProbe(t *testing.T) {
 	sql := `SELECT count(*) FROM tpch.lineitem JOIN tpch.orders ON l_orderkey = o_orderkey
 		WHERE o_orderkey < 200`
 
-	res, err := d.Coord.Execute(sql, Session{DisableDynamicFilters: true})
+	res, err := d.Coord.Execute(sql, Session{Switches: exec.DisableDynamicFilters})
 	if err != nil {
 		t.Fatal(err)
 	}

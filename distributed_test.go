@@ -375,11 +375,11 @@ func TestDistributedDisableSharedScans(t *testing.T) {
 	}
 	// DisableCache keeps the page cache from answering the control run
 	// before it reaches the hub.
-	run(Session{DisableSharedScans: true, DisableCache: true})
+	run(Session{Switches: exec.DisableSharedScans | exec.DisableCache})
 	if n := hubScans(); n != 0 {
 		t.Fatalf("query under DisableSharedScans opened %d shared scans on remote workers", n)
 	}
-	run(Session{DisableCache: true})
+	run(Session{Switches: exec.DisableCache})
 	if hubScans() == 0 {
 		t.Fatal("control: a default session opened no shared scan, so the check above proves nothing")
 	}
@@ -598,7 +598,7 @@ func TestDistributedDynamicFilterDifferential(t *testing.T) {
 	d.loadRefTable(t, "e", randomRows(r, 80))
 	for _, sql := range distJoinQueries {
 		on := d.mustQuery(t, sql)
-		res, err := d.Coord.Execute(sql, Session{DisableDynamicFilters: true})
+		res, err := d.Coord.Execute(sql, Session{Switches: exec.DisableDynamicFilters})
 		if err != nil {
 			t.Fatalf("distributed %q filters off: %v", sql, err)
 		}
@@ -733,7 +733,7 @@ func TestDistributedCollectorlessFilterPublisher(t *testing.T) {
 	d.loadRefTable(t, "e", randomRows(r, 80))
 
 	sql := distJoinQueries[0]
-	res, err := d.Coord.Execute(sql, Session{DisableDynamicFilters: true})
+	res, err := d.Coord.Execute(sql, Session{Switches: exec.DisableDynamicFilters})
 	if err != nil {
 		t.Fatal(err)
 	}

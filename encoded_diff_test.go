@@ -17,6 +17,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/connector"
 	"repro/internal/connectors/memconn"
+	"repro/internal/exec"
 	"repro/internal/types"
 	"repro/internal/workload"
 )
@@ -227,9 +228,9 @@ var encMatrix = []struct {
 	s    Session
 }{
 	{"vec+morsel", Session{}},
-	{"legacy+morsel", Session{DisableVectorKernels: true}},
-	{"vec+static", Session{DisableMorsels: true}},
-	{"legacy+static", Session{DisableVectorKernels: true, DisableMorsels: true}},
+	{"legacy+morsel", Session{Switches: exec.DisableVectorKernels}},
+	{"vec+static", Session{Switches: exec.DisableMorsels}},
+	{"legacy+static", Session{Switches: exec.DisableVectorKernels | exec.DisableMorsels}},
 }
 
 // encGroundTruth walks the pages through the row-at-a-time Block interface —
@@ -326,7 +327,7 @@ func TestEncodedMultiKeyGroupBy(t *testing.T) {
 		truth := encPairTruth(keyCols)
 		for _, m := range encMatrix {
 			s := m.s
-			s.DisableResultCache = true
+			s.Switches |= exec.DisableResultCache
 			res, err := c.ExecuteSession(q, s)
 			if err != nil {
 				t.Fatalf("%s [%s]: %v", q, m.name, err)
@@ -432,7 +433,7 @@ func TestEncodedProjectionErrorsOnlyWhenReferenced(t *testing.T) {
 			t.Errorf("[%s] unreferenced failing combination: got %v, want sum %d over 50 rows", m.name, rows, want)
 		}
 		s := m.s
-		s.DisableResultCache = true
+		s.Switches |= exec.DisableResultCache
 		res, err := c.ExecuteSession(proj, s)
 		if err == nil {
 			_, err = res.All()
@@ -527,7 +528,7 @@ func TestEncodedDistributedDifferential(t *testing.T) {
 	for _, q := range encDiffQueries {
 		want := stringifyRows(execSession(t, ref, q, Session{}))
 		assertRows(t, q+" [distributed]", stringifyRows(d.mustQuery(t, q)), want)
-		res, err := d.Coord.Execute(q, Session{DisableMorsels: true})
+		res, err := d.Coord.Execute(q, Session{Switches: exec.DisableMorsels})
 		if err != nil {
 			t.Fatalf("distributed static %q: %v", q, err)
 		}
@@ -553,7 +554,7 @@ func TestEncodedSkewUsesAllDrivers(t *testing.T) {
 
 	q := "SELECT g, count(*), sum(v) FROM enc.facts GROUP BY g"
 	morsel := stringifyRows(execSession(t, c, q, Session{}))
-	static := stringifyRows(execSession(t, c, q, Session{DisableMorsels: true}))
+	static := stringifyRows(execSession(t, c, q, Session{Switches: exec.DisableMorsels}))
 	assertRows(t, q+" [morsel vs static on skew]", morsel, static)
 	if len(morsel) != 15 { // g in 0..12 from the giant page, 13 from the edge page, plus the NULL group
 		t.Errorf("skew scan produced %d groups, want 15: %v", len(morsel), morsel)

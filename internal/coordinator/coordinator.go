@@ -51,9 +51,6 @@ type Config struct {
 	// engine's I/O seams (split enumeration, shuffle fetches, task
 	// creation) for chaos testing; see internal/faultinject.
 	FaultInject *faultinject.Injector
-	// MaxScheduleRetries bounds full-query re-admission after a transient
-	// scheduling failure (default 2 retries; negative disables).
-	MaxScheduleRetries int
 	// MetadataTTL bounds staleness of the coordinator metadata/split cache
 	// (default 30s; negative disables metadata caching).
 	MetadataTTL time.Duration
@@ -69,6 +66,9 @@ type Config struct {
 	Serving *serving.Tier
 }
 
+// maxScheduleRetries bounds re-admissions after transient scheduling failures.
+const maxScheduleRetries = 2
+
 // Session carries per-query client settings.
 type Session struct {
 	Catalog string
@@ -76,58 +76,14 @@ type Session struct {
 	Source string
 	// User identifies the client (informational).
 	User string
-	// DisableCache bypasses the page and split caches for this query
-	// (the A/B toggle; X-Presto-Disable-Cache over HTTP).
-	DisableCache bool
-	// DisableVectorKernels runs this query's filters on the interpreter
-	// instead of the columnar selection kernels (the A/B toggle;
-	// X-Presto-Disable-Vector-Kernels over HTTP).
-	DisableVectorKernels bool
-	// DisableMorsels runs this query's leaf pipelines with static
-	// split-per-driver assignment instead of the shared morsel queue (the
-	// A/B toggle; X-Presto-Disable-Morsels over HTTP).
-	DisableMorsels bool
-	// DisableDynamicFilters turns off runtime dynamic join filters for this
-	// query: the optimizer assigns none and the tasks apply none (the A/B
-	// toggle; X-Presto-Disable-Dynamic-Filters over HTTP).
-	DisableDynamicFilters bool
-	// DisableHBO turns off history-based optimizer feedback for this query:
-	// planning ignores recorded cardinalities and the run records none (the
-	// A/B toggle; X-Presto-Disable-HBO over HTTP).
-	DisableHBO bool
-	// DisablePlanCache skips the parse→plan cache for this statement: it is
-	// planned from scratch and the outcome is not stored (the A/B toggle;
-	// X-Presto-Disable-Plan-Cache over HTTP).
-	DisablePlanCache bool
-	// DisableResultCache skips the versioned result cache for this statement,
-	// both lookup and capture (the A/B toggle; X-Presto-Disable-Result-Cache
-	// over HTTP).
-	DisableResultCache bool
-	// DisableSharedScans opts this query's leaf scans out of the workers'
-	// shared-scan hubs (the A/B toggle; X-Presto-Disable-Shared-Scans over
-	// HTTP).
-	DisableSharedScans bool
-	// DisableSpill turns off disk-backed revocation for this query: memory
-	// pressure fails the query with the §IV-F2 exceeded-limit error instead
-	// of spilling (the A/B toggle; X-Presto-Disable-Spill over HTTP).
-	DisableSpill bool
-	// MaterializedExchange routes this query's shuffles through disk-backed,
-	// sealed exchange segments so a consumer stage can outlive its producers
-	// and the scheduler can re-place only the tasks a dead worker lost
-	// (the A/B toggle; X-Presto-Materialized-Exchange over HTTP).
-	MaterializedExchange bool
+	// Switches turns shipped defaults off for this query (the A/B toggles;
+	// over HTTP, the headers of exec.SwitchHeaders). The coordinator adds the
+	// cluster's own set when it admits the statement.
+	Switches exec.Switches
 }
 
-// apply folds the session's per-task toggles into cfg.
-func (s Session) apply(cfg *exec.TaskConfig) {
-	cfg.CacheDisabled = cfg.CacheDisabled || s.DisableCache
-	cfg.VectorKernelsDisabled = cfg.VectorKernelsDisabled || s.DisableVectorKernels
-	cfg.MorselsDisabled = cfg.MorselsDisabled || s.DisableMorsels
-	cfg.DynamicFiltersDisabled = cfg.DynamicFiltersDisabled || s.DisableDynamicFilters
-	cfg.SharedScansDisabled = cfg.SharedScansDisabled || s.DisableSharedScans
-	cfg.SpillEnabled = cfg.SpillEnabled && !s.DisableSpill
-	cfg.MaterializedExchange = cfg.MaterializedExchange || s.MaterializedExchange
-}
+// apply folds the session's switches into a task configuration.
+func (s Session) apply(cfg *exec.TaskConfig) { cfg.Switches |= s.Switches }
 
 // QueryState tracks lifecycle.
 type QueryState int
@@ -224,11 +180,11 @@ type Query struct {
 	// final is what the tasks' stats read when the query finished. From then
 	// on it stands for them: tasks and groups are dropped, so a finished
 	// query keeps counters and not its operators, buffers and plans.
-	final []exec.TaskStats
-	remote  bool         // the workers are other processes (see eachWorker)
-	qmem    *memory.QueryContext
-	result  *Result
-	coord   *Coordinator
+	final  []exec.TaskStats
+	remote bool // the workers are other processes (see eachWorker)
+	qmem   *memory.QueryContext
+	result *Result
+	coord  *Coordinator
 
 	// splitsTotal counts splits enumerated so far (live progress counter;
 	// final total once enumeration completes).
@@ -242,11 +198,6 @@ func New(catalog *CatalogManager, workers []*exec.Worker, cfg Config) *Coordinat
 	}
 	if cfg.DefaultCatalog == "" {
 		cfg.DefaultCatalog = "memory"
-	}
-	if cfg.MaxScheduleRetries == 0 {
-		cfg.MaxScheduleRetries = 2
-	} else if cfg.MaxScheduleRetries < 0 {
-		cfg.MaxScheduleRetries = 0
 	}
 	pools := map[int]*memory.NodePool{}
 	for _, w := range workers {
@@ -403,9 +354,7 @@ func (c *Coordinator) Execute(sql string, session Session) (*Result, error) {
 // before the streaming result is drained.
 func (c *Coordinator) ExecuteCtx(ctx context.Context, sql string, session Session) (*Result, error) {
 	start := time.Now()
-	if session.Catalog == "" {
-		session.Catalog = c.cfg.DefaultCatalog
-	}
+	session = c.admitSession(session)
 	// Serving front door: a validated plan-cache hit skips the parser,
 	// analyzer and optimizer entirely (only plannable read statements are
 	// ever stored, so statement dispatch is implicit in the hit).
@@ -469,10 +418,18 @@ func (c *Coordinator) Plan(sql string, session Session) (plan.Node, *plan.Distri
 	if err != nil {
 		return nil, nil, fmt.Errorf("parse error: %w", err)
 	}
-	if session.Catalog == "" {
-		session.Catalog = c.cfg.DefaultCatalog
+	return c.planStatement(stmt, c.admitSession(session))
+}
+
+// admitSession fills in what a session leaves to the cluster: the default
+// catalog, and the cluster's switches unioned into the session's — the
+// statement's effective set from here on, computed once.
+func (c *Coordinator) admitSession(s Session) Session {
+	if s.Catalog == "" {
+		s.Catalog = c.cfg.DefaultCatalog
 	}
-	return c.planStatement(stmt, session)
+	s.Switches |= c.cfg.Task.Switches
+	return s
 }
 
 func (c *Coordinator) planStatement(stmt sqlparser.Statement, session Session) (plan.Node, *plan.DistributedPlan, error) {
@@ -482,10 +439,10 @@ func (c *Coordinator) planStatement(stmt sqlparser.Statement, session Session) (
 		return nil, nil, err
 	}
 	optCfg := c.cfg.Optimizer
-	if session.DisableDynamicFilters {
+	if session.Switches.Has(exec.DisableDynamicFilters | exec.MaterializedExchange) {
 		optCfg.DisableDynamicFilters = true
 	}
-	if session.DisableHBO {
+	if session.Switches.Has(exec.DisableHBO) {
 		optCfg.History = nil
 	}
 	opt := optimizer.New(c.Catalog, optCfg)
@@ -505,7 +462,7 @@ func (c *Coordinator) planStatement(stmt sqlparser.Statement, session Session) (
 // dropped connections) are recovered by bounded full-query re-admission: the
 // slot is released, the query rejoins the admission queue, and scheduling
 // restarts from scratch — the paper's client-driven retry model (§III)
-// applied one layer down.
+// applied one layer down — at most maxScheduleRetries times.
 func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre *serving.PlanEntry,
 	planKey, sql string, session Session, start time.Time, servable bool) (*Result, *Query, error) {
 
@@ -525,7 +482,7 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 	var resultKey string
 	var keyVersions []int64 // the table versions resultKey was built from
 
-	resultCacheOn := servable && tier != nil && tier.Results != nil && !session.DisableResultCache
+	resultCacheOn := servable && tier != nil && tier.Results != nil && !session.Switches.Has(exec.DisableResultCache)
 	if pre != nil {
 		logical, dp, tables = pre.Logical, pre.Distributed, pre.Tables
 		if resultCacheOn && pre.ResultOK {
@@ -593,11 +550,11 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 		c.invalidateMeta(t[0], t[1])
 	}
 
-	if pre == nil && servable && tier != nil && len(targets) == 0 {
+	if pre == nil && (planKey != "" || resultCacheOn) && len(targets) == 0 {
 		// Freshly planned read-only statement: offer it to the serving tier.
 		entry, deterministic := c.buildPlanEntry(logical, dp, session)
 		tables = entry.Tables
-		if tier.Plans != nil && planKey != "" && deterministic {
+		if planKey != "" && deterministic {
 			tier.Plans.Put(planKey, entry)
 		}
 		if resultCacheOn && entry.ResultOK {
@@ -612,13 +569,12 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 	}
 
 	limits := c.cfg.MemoryLimits
-	limits.SpillEnabled = c.cfg.Task.SpillEnabled && !session.DisableSpill
+	limits.SpillEnabled = c.cfg.Task.SpillEnabled && !session.Switches.Has(exec.DisableSpill)
 	q.qmem = memory.NewQueryContext(id, limits, c.poolsSnapshot())
 	q.qmem.PromoteHook = c.promoteHook
 
 	q.setState(StateRunning)
 	q.Info.Started = time.Now()
-	maxRetries := c.cfg.MaxScheduleRetries
 	var result *Result
 	for attempt := 0; ; attempt++ {
 		var workers []workerClient
@@ -629,7 +585,7 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 			break
 		}
 		// schedule aborted and drained its created tasks before returning.
-		if !faultinject.IsTransient(err) || attempt >= maxRetries || qctx.Err() != nil {
+		if !faultinject.IsTransient(err) || attempt >= maxScheduleRetries || qctx.Err() != nil {
 			end(err)
 			return nil, nil, err
 		}
@@ -959,7 +915,8 @@ func (c *Coordinator) describe(s *sqlparser.Describe, session Session) (*Result,
 }
 
 // explainAnalyze executes the statement and reports the plan annotated with
-// run statistics (wall time, aggregate task CPU, peak memory, output rows).
+// run statistics (wall time, aggregate task CPU, peak memory, output rows)
+// and the switches it ran under.
 func (c *Coordinator) explainAnalyze(ctx context.Context, s *sqlparser.Explain, sql string, session Session) (*Result, error) {
 	logical, dp, err := c.planStatement(s.Stmt, session)
 	if err != nil {
@@ -989,6 +946,7 @@ func (c *Coordinator) explainAnalyze(ctx context.Context, s *sqlparser.Explain, 
 	text += fmt.Sprintf("\nwall: %s  task CPU: %s  peak memory: %d bytes  output rows: %d\n",
 		wall.Round(time.Millisecond), time.Duration(info.CPUNanos).Round(time.Millisecond),
 		info.PeakMemory, outRows)
+	text += "switches: " + session.Switches.String() + "\n"
 	if st, ok := c.QueryStats(info.ID); ok {
 		text += "\n" + FormatOperatorTable(st)
 	}

@@ -21,7 +21,7 @@ import (
 // workers records nothing — a deliberate scope cut, not a correctness issue.
 func (c *Coordinator) recordHistory(tasks []exec.TaskStats, dp *plan.DistributedPlan, session Session) {
 	h := c.cfg.Optimizer.History
-	if h == nil || session.DisableHBO || dp == nil || len(tasks) == 0 {
+	if h == nil || session.Switches.Has(exec.DisableHBO) || dp == nil || len(tasks) == 0 {
 		return
 	}
 

@@ -76,7 +76,7 @@ func (w *httpWorker) resultsURI(id exec.TaskID, part int) string {
 // A batch that fails for good is deleted: part of it may have landed.
 func (w *httpWorker) CreateTasks(specs []*taskSpec) (taskGroup, error) {
 	g := &httpGroup{w: w, base: w.uri + "/v1/query/" + specs[0].ID.QueryID, stop: make(chan struct{})}
-	req := wire.CreateRequest{Config: wire.EncodeTaskConfig(*specs[0].Config)}
+	req := wire.CreateRequest{Config: *specs[0].Config}
 	for _, spec := range specs {
 		id := spec.ID
 		if !slices.Contains(g.fragments, id.Fragment) {
@@ -293,7 +293,6 @@ func (t *httpTask) Output(part int) shuffle.Fetcher {
 	return &shuffle.RetryFetcher{
 		Src: faultinject.WrapFetcher(w.c.cfg.FaultInject,
 			&shuffle.HTTPFetcher{Client: w.client, URL: w.resultsURI(t.id, part)}),
-		Retry: w.c.cfg.Task.FetchRetry,
 	}
 }
 

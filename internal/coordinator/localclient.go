@@ -38,7 +38,7 @@ func (lw localWorker) CreateTasks(specs []*taskSpec) (taskGroup, error) {
 		task, err := lw.c.startLocal(lw.w, spec)
 		if err == nil {
 			var t localTaskClient = localTask{task}
-			if spec.Config.MaterializedExchange {
+			if spec.Config.Switches.Has(exec.MaterializedExchange) {
 				t = newRecoveryTask(lw.c, spec, task)
 			}
 			err = g.add(t, spec)
@@ -61,9 +61,7 @@ func (c *Coordinator) startLocal(w *exec.Worker, spec *taskSpec) (*exec.Task, er
 		}
 	}
 	cfg := *spec.Config
-	if cfg.MaterializedExchange {
-		cfg.Store = c.store
-	}
+	cfg.Store = c.store
 	task, err := w.CreateTask(spec.ID, spec.Fragment, spec.Mem, spec.OutPartitions, sources, &cfg)
 	if err != nil {
 		return nil, err

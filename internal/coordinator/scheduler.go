@@ -193,23 +193,14 @@ func (c *Coordinator) schedule(workers []workerClient, q *Query, dp *plan.Distri
 
 	cfg := c.cfg.Task
 	q.session.apply(&cfg)
-	if cfg.MaterializedExchange {
-		// Materialized exchange (recoverable shuffles): producers write
-		// sealed disk segments that outlive them. A re-placed build task
-		// would publish a second time into a hub sized for the first, so
-		// recoverable queries trade dynamic filters away.
-		cfg.DynamicFiltersDisabled = true
-	}
 
 	counts, outParts := taskCounts(dp, nWorkers, c.cfg.HashPartitions)
 
 	// Dynamic-filter exchange: build-side summaries published by any task
 	// route through a per-query hub that merges partitioned builds and fans
-	// the union out to the subscribed scans' tasks (see filterHub).
-	var hub *filterHub
-	if !cfg.DynamicFiltersDisabled {
-		hub = newFilterHub(dp, counts)
-	}
+	// the union out to the subscribed scans' tasks (see filterHub). Whether
+	// there are any was decided at planning.
+	hub := newFilterHub(dp, counts)
 
 	// Placement comes first and is whole before any worker hears of the
 	// statement: it is a pure function of the plan and the worker list, and a
@@ -527,7 +518,7 @@ func outputNames(f *plan.Fragment) []string {
 // enumerated before the write could leave the old row ranges for one that
 // runs after it. Unversioned connectors read 0 and stay TTL-bounded.
 func (c *Coordinator) splitCacheKey(q *Query, scan *plan.Scan) string {
-	if c.meta == nil || q.session.DisableCache {
+	if c.meta == nil || q.session.Switches.Has(exec.DisableCache) {
 		return ""
 	}
 	return fmt.Sprintf("splits/%s@%d", scan.Handle.String(),
@@ -715,7 +706,7 @@ func affinityHash(s string) uint32 {
 // every worker already holds their pages).
 func (c *Coordinator) affinityFn(q *Query, stage *stageLedger, scan *plan.Scan) func(connector.Split) string {
 	none := func(connector.Split) string { return "" }
-	if q.session.DisableCache || !stage.cached {
+	if q.session.Switches.Has(exec.DisableCache) || !stage.cached {
 		return none
 	}
 	conn, err := c.Catalog.Connector(scan.Handle.Catalog)

@@ -259,11 +259,17 @@ func newSchedFixture(t *testing.T, cfg Config) *schedFixture {
 // schedule plans sql and runs the scheduler over n fake workers.
 func (f *schedFixture) schedule(t *testing.T, sql string, n int) (*plan.DistributedPlan, *Query, *Result, error) {
 	t.Helper()
-	_, dp, err := f.c.Plan(sql, Session{})
+	return f.scheduleSession(t, sql, n, Session{})
+}
+
+// scheduleSession is schedule under session s.
+func (f *schedFixture) scheduleSession(t *testing.T, sql string, n int, s Session) (*plan.DistributedPlan, *Query, *Result, error) {
+	t.Helper()
+	_, dp, err := f.c.Plan(sql, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := &Query{coord: f.c}
+	q := &Query{coord: f.c, session: s}
 	q.Info.ID = "q1"
 	res, err := f.c.schedule(f.cl.workers(n), q, dp)
 	return dp, q, res, err
@@ -861,6 +867,47 @@ func TestSchedulerFilterRouting(t *testing.T) {
 				t.Errorf("filter %d with a collector-less publisher delivered %+v, want Disabled", id, sum)
 			}
 		}
+	}
+}
+
+// TestMaterializedExchangeCreatesNoFilterHub: whether a statement has dynamic
+// filters is decided once, at planning. Under materialized exchange the plan
+// carries none, so the scheduler builds no filter hub and hands no task a
+// publish hook; under the default session the same statement gets both. Every
+// task's config carries the session's switches.
+func TestMaterializedExchangeCreatesNoFilterHub(t *testing.T) {
+	sql := "SELECT count(*) FROM big JOIN small ON big.k = small.k"
+	for _, s := range []Session{{}, {Switches: exec.MaterializedExchange}} {
+		f := newSchedFixture(t, Config{})
+		dp, q, _, err := f.scheduleSession(t, sql, 2, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		filters := 0
+		for _, fr := range dp.Fragments {
+			plan.Walk(fr.Root, func(n plan.Node) {
+				switch n := n.(type) {
+				case *plan.Join:
+					filters += len(n.DynFilters)
+				case *plan.Scan:
+					filters += len(n.DynFilters)
+				}
+			})
+		}
+		hooks := 0
+		for _, task := range f.cl.tasks {
+			if task.spec.Publish != nil {
+				hooks++
+			}
+			if task.spec.Config.Switches != s.Switches {
+				t.Errorf("%v: task %s runs under %v", s.Switches, task.spec.ID, task.spec.Config.Switches)
+			}
+		}
+		if want := s.Switches == 0; (filters > 0) != want || (hooks > 0) != want {
+			t.Errorf("%v: the plan has %d dynamic filters and %d tasks a publish hook; want some of both: %v",
+				s.Switches, filters, hooks, want)
+		}
+		q.abort()
 	}
 }
 

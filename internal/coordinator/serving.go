@@ -6,21 +6,15 @@ package coordinator
 // same write-invalidation hook the metadata cache uses into both caches.
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/connector"
+	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/serving"
 )
-
-// planFlags folds the session knobs that change planning output into the
-// plan-cache key. Catalog is a separate key component; execution-only toggles
-// (cache, kernels, morsels) deliberately share entries.
-func planFlags(s Session) string {
-	return fmt.Sprintf("df=%t|hbo=%t", s.DisableDynamicFilters, s.DisableHBO)
-}
 
 // scanTables collects the distinct (catalog, table) pairs a plan reads, in
 // first-visit order.
@@ -64,7 +58,7 @@ func (c *Coordinator) allVersioned(tables [][2]string) bool {
 // historyGen is the optimizer history generation this session plans under (0
 // when the store is absent, non-generational, or HBO is off for the session).
 func (c *Coordinator) historyGen(session Session) uint64 {
-	if session.DisableHBO {
+	if session.Switches.Has(exec.DisableHBO) {
 		return 0
 	}
 	if g, ok := c.cfg.Optimizer.History.(serving.Generational); ok {
@@ -73,16 +67,18 @@ func (c *Coordinator) historyGen(session Session) uint64 {
 	return 0
 }
 
-// cachedPlan looks up and validates a plan-cache entry for the statement.
-// The key is returned even on a miss so the planning path can store under
-// it. A version or history-generation mismatch drops the entry and replans:
+// cachedPlan looks up and validates a plan-cache entry for the statement,
+// keyed on its text, its catalog and the switches that change planning;
+// execution-only switches (cache, kernels, morsels) share entries. The key
+// is returned even on a miss so the planning path can store under it. A
+// version or history-generation mismatch drops the entry and replans:
 // statistics, pushdown pruning, and history salts may all have changed.
 func (c *Coordinator) cachedPlan(sql string, session Session) (*serving.PlanEntry, string, bool) {
 	tier := c.cfg.Serving
-	if tier == nil || tier.Plans == nil || session.DisablePlanCache {
+	if tier == nil || tier.Plans == nil || session.Switches.Has(exec.DisablePlanCache) {
 		return nil, "", false
 	}
-	key := serving.PlanKey(sql, session.Catalog, planFlags(session))
+	key := serving.PlanKey(sql, session.Catalog, strconv.Itoa(int(session.Switches.Planning())))
 	e, ok := tier.Plans.Get(key)
 	if !ok {
 		return nil, key, false

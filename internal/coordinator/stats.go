@@ -59,7 +59,9 @@ type QueryStats struct {
 	State string `json:"state"`
 	// Error is why a failed query failed; a recovered operator panic carries
 	// its stack here.
-	Error           string `json:"error,omitempty"`
+	Error string `json:"error,omitempty"`
+	// Switches is the query's effective switch set (exec.Switches.String).
+	Switches        string `json:"switches"`
 	ElapsedNanos    int64  `json:"elapsedNanos"`
 	CPUNanos        int64  `json:"cpuNanos"`
 	BlockedNanos    int64  `json:"blockedNanos"`
@@ -105,6 +107,7 @@ func (c *Coordinator) QueryStats(id string) (QueryStats, bool) {
 	st := QueryStats{
 		ID:          info.ID,
 		State:       info.State.String(),
+		Switches:    q.session.Switches.String(),
 		SplitsTotal: q.splitsTotal.Load(),
 		Tasks:       len(tasks) + len(final),
 	}

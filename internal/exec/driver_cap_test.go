@@ -96,7 +96,7 @@ func TestScanDriversCappedAtThreads(t *testing.T) {
 		{"4 threads, 4 splits", 4, 4, TaskConfig{}, 4},
 		{"8 threads: the split-concurrency target still bounds it", 8, 4, TaskConfig{}, 4},
 		{"one oversized split is shared by 2 threads' drivers", 2, 1, TaskConfig{}, 2},
-		{"static ablation: a driver per split, whatever the threads", 1, 4, TaskConfig{MorselsDisabled: true}, 4},
+		{"static ablation: a driver per split, whatever the threads", 1, 4, TaskConfig{Switches: DisableMorsels}, 4},
 	} {
 		if got := scanDrivers(t, tc.threads, tc.splits, tc.cfg); got != tc.want {
 			t.Errorf("%s: %d scan drivers started, want %d", tc.name, got, tc.want)

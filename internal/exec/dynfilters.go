@@ -98,7 +98,7 @@ func (t *Task) PublishedFilters() map[int]*dynfilter.Summary {
 // afterwards, of open splits too. Safe at any point in the task lifecycle,
 // including after completion.
 func (t *Task) DeliverFilter(id int, s *dynfilter.Summary) {
-	if s == nil || t.cfg.DynamicFiltersDisabled {
+	if s == nil {
 		return
 	}
 	// Under t.mu from before the summary becomes visible: a split added
@@ -168,7 +168,7 @@ func (t *Task) dropScanSplitsLocked(scanID int) {
 // t.mu.
 func (t *Task) dynGateLocked(p *pipelineSpec) bool {
 	sc := p.scanNode
-	if sc == nil || len(sc.DynFilters) == 0 || t.cfg.DynamicFiltersDisabled {
+	if sc == nil || len(sc.DynFilters) == 0 {
 		return false
 	}
 	if g := t.dynGates[p.scanID]; g != nil && g.done {
@@ -233,7 +233,7 @@ type appliedFilter struct {
 // only dynMu.
 func (t *Task) dynApplied(p *pipelineSpec) []appliedFilter {
 	sc := p.scanNode
-	if sc == nil || len(sc.DynFilters) == 0 || t.cfg.DynamicFiltersDisabled {
+	if sc == nil || len(sc.DynFilters) == 0 {
 		return nil
 	}
 	var fs []appliedFilter

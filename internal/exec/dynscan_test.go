@@ -252,7 +252,11 @@ func (s *hookSource) NextPage() (*block.Page, error) {
 func runDynJoin(t *testing.T, late *dynfilter.Summary, morsels bool) (rows, sumA int64, scan operators.OpStatsSnapshot) {
 	t.Helper()
 	conn := &hookConnector{Connector: dynTables(6)}
-	task := dynTask(t, dynJoinPlan(false), conn, 2, TaskConfig{MorselsDisabled: !morsels, TargetSplitConcurrency: 1})
+	cfg := TaskConfig{TargetSplitConcurrency: 1}
+	if !morsels {
+		cfg.Switches = DisableMorsels
+	}
+	task := dynTask(t, dynJoinPlan(false), conn, 2, cfg)
 	if late != nil {
 		conn.afterFirst = func() { task.DeliverFilter(1, late) }
 	}

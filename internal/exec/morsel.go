@@ -64,9 +64,6 @@ func newMorselQueue(stripes, morselRows int, openFn func(connector.Split) (conne
 	if stripes <= 0 {
 		stripes = 1
 	}
-	if morselRows <= 0 {
-		morselRows = DefaultMorselRows
-	}
 	return &morselQueue{
 		stripes:    make([][]connector.Split, stripes),
 		morselRows: morselRows,

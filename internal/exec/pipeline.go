@@ -288,7 +288,7 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 		pb.spec.scanNode = x
 		pb.spec.sourceFP = plan.CardFingerprint(x, nil)
 		c.scans = append(c.scans, x)
-		if len(x.DynFilters) > 0 && !c.task.cfg.DynamicFiltersDisabled {
+		if len(x.DynFilters) > 0 {
 			pb.dynScan = x
 		}
 		return nil
@@ -612,14 +612,14 @@ func (c *compiler) compileJoin(j *plan.Join, pb *chain, reads []bool) ([]int, er
 
 	// Dynamic-filter collection: the bridge folds build key columns into
 	// per-filter summaries and publishes them once the table is built.
-	if len(j.DynFilters) > 0 && !c.task.cfg.DynamicFiltersDisabled {
+	if len(j.DynFilters) > 0 {
 		specs := make([]dynfilter.ColumnSpec, len(j.DynFilters))
 		ids := make([]int, len(j.DynFilters))
 		for i, df := range j.DynFilters {
 			specs[i] = dynfilter.ColumnSpec{ID: df.ID, KeyIdx: df.KeyIdx, T: buildKeyTs[df.KeyIdx]}
 			ids[i] = df.ID
 		}
-		coll := dynfilter.NewCollector(specs, c.task.cfg.DynamicFilterMaxSet, 0)
+		coll := dynfilter.NewCollector(specs, dynfilter.DefaultMaxSet, dynfilter.DefaultMaxRows)
 		task := c.task
 		bridge.SetFilterCollector(coll, func(sums []*dynfilter.Summary) {
 			task.publishFilters(ids, sums)

@@ -31,80 +31,53 @@ func (t TaskID) String() string {
 	return fmt.Sprintf("%s.%d.%d", t.QueryID, t.Fragment, t.Index)
 }
 
-// TaskConfig tunes task execution.
+// TaskConfig tunes task execution. It is also the configuration's wire form:
+// the coordinator sends it, JSON-encoded, in every create request, so a field
+// added here reaches remote workers without further plumbing. What cannot
+// cross a process boundary is tagged json:"-".
 type TaskConfig struct {
 	// PageSize is the target rows per page for accumulating operators.
-	PageSize int
+	PageSize int `json:"pageSize,omitempty"`
 	// OutputBufferBytes caps each output partition before backpressure.
-	OutputBufferBytes int64
+	OutputBufferBytes int64 `json:"outputBufferBytes,omitempty"`
 	// TargetSplitConcurrency is the initial number of concurrently running
 	// leaf splits per task; the task adapts it down when output buffers
 	// stay full (§IV-E2).
-	TargetSplitConcurrency int
+	TargetSplitConcurrency int `json:"targetSplitConcurrency,omitempty"`
 	// MaxWriters bounds adaptive writer scaling (§IV-E3).
-	MaxWriters int
-	// SpillEnabled allows aggregations to spill under memory pressure.
-	SpillEnabled bool
+	MaxWriters int `json:"maxWriters,omitempty"`
+	// SpillEnabled allows aggregations and join builds to spill under memory
+	// pressure, unless Switches holds DisableSpill.
+	SpillEnabled bool `json:"spillEnabled,omitempty"`
 	// Interpreted forces interpreted expression evaluation (codegen
 	// ablation).
-	Interpreted bool
+	Interpreted bool `json:"interpreted,omitempty"`
 	// Phased delays probe-side splits until the join build completes
 	// (stage scheduling policy, §IV-D1), trading wall-clock time for peak
 	// memory. All-at-once (false) is the latency-optimized default.
-	Phased bool
-	// FetchRetry configures exchange-fetch recovery (backoff, per-fetch
-	// timeouts); the zero value selects the shuffle package defaults.
-	FetchRetry shuffle.RetryPolicy
-	// WriteDelay simulates remote-storage write latency (benchmarks).
-	WriteDelay func()
-	// CacheDisabled bypasses the worker page cache for this task's scans
-	// (the per-query session toggle for A/B runs).
-	CacheDisabled bool
-	// VectorKernelsDisabled runs filters on the interpreter instead of the
-	// columnar selection kernels (Session.DisableVectorKernels). Hash
-	// aggregation, joins and distinct have one implementation and do not
-	// read it.
-	VectorKernelsDisabled bool
-	// MorselsDisabled reverts leaf pipelines to static split-per-driver
-	// assignment (the morsel-execution ablation; Session.DisableMorsels).
-	// By default scan drivers pull ~64k-row morsels from a shared per-scan
-	// queue and steal from sibling stripes, so skewed split sizes no longer
-	// serialize a pipeline on one driver.
-	MorselsDisabled bool
-	// MorselRows overrides the target morsel size (tests; 0 = default).
-	MorselRows int
-	// DynamicFiltersDisabled turns off runtime join-filter collection,
-	// delivery, and application for this task (the per-query session
-	// toggle; Session.DisableDynamicFilters).
-	DynamicFiltersDisabled bool
+	Phased bool `json:"phased,omitempty"`
+	// Switches is the query's switch set: on a coordinator's or worker's
+	// template the cluster's, on a task the union with its session's.
+	Switches Switches `json:"switches,omitempty"`
 	// DynamicFilterWait bounds how long a subscribed scan holds its split
 	// starts for filter delivery. 0 selects DefaultDynamicFilterWait,
 	// negative disables waiting (filters still apply to late-opened splits).
-	DynamicFilterWait time.Duration
-	// DynamicFilterMaxSet overrides the exact-set cardinality threshold of
-	// collected summaries (0 = dynfilter.DefaultMaxSet).
-	DynamicFilterMaxSet int
-	// SharedScansDisabled opts this task's scans out of the worker's shared
-	// scan hub (the per-query session toggle; Session.DisableSharedScans).
-	SharedScansDisabled bool
+	DynamicFilterWait time.Duration `json:"dynamicFilterWaitNs,omitempty"`
 	// SharedScanWindow is how long a shared scan stays joinable after its
 	// first open. 0 selects DefaultSharedScanWindow, negative disables the
 	// hub on workers built from this config.
-	SharedScanWindow time.Duration
+	SharedScanWindow time.Duration `json:"sharedScanWindowNs,omitempty"`
 	// SpillDir is where spill files and materialized exchange segments are
 	// written; empty selects the OS temp dir.
-	SpillDir string
-	// MaterializedExchange overflows this task's output buffer to disk-backed
-	// segment files and retains them until query cleanup, so consumers can
-	// outlive the producer and a re-scheduled consumer replays from the
-	// materialized output (paper §IV-D: recoverable exchanges).
-	MaterializedExchange bool
+	SpillDir string `json:"spillDir,omitempty"`
+	// WriteDelay simulates remote-storage write latency (benchmarks).
+	WriteDelay func() `json:"-"`
 	// Inject threads the chaos injector into task-level seams (morsel split
-	// opens, dynamic-filter publication). Never serialized; local only.
-	Inject *faultinject.Injector
+	// opens, dynamic-filter publication).
+	Inject *faultinject.Injector `json:"-"`
 	// Store is the worker's materialized-exchange segment store; required
-	// when MaterializedExchange is set. Never serialized; local only.
-	Store *shuffle.ExchangeStore
+	// when Switches holds MaterializedExchange.
+	Store *shuffle.ExchangeStore `json:"-"`
 }
 
 // DefaultDynamicFilterWait is the bounded wait a subscribed scan applies to
@@ -230,7 +203,7 @@ func NewTask(id TaskID, f *plan.Fragment, nodeID int, ex *Executor, reg Connecto
 		output:        shuffle.NewOutputBuffer(outPartitions, cfg.OutputBufferBytes),
 		handle:        NewTaskHandle(id.QueryID),
 		cfg:           cfg,
-		spillEnabled:  cfg.SpillEnabled,
+		spillEnabled:  cfg.SpillEnabled && !cfg.Switches.Has(DisableSpill),
 		writeDelay:    cfg.WriteDelay,
 		pendingSplits: map[int][]connector.Split{},
 		morsels:       map[int]*morselQueue{},
@@ -240,7 +213,7 @@ func NewTask(id TaskID, f *plan.Fragment, nodeID int, ex *Executor, reg Connecto
 		doneCh:        make(chan struct{}),
 		scanPipes:     map[int]*pipelineSpec{},
 	}
-	if cfg.MaterializedExchange && cfg.Store != nil {
+	if cfg.Switches.Has(MaterializedExchange) && cfg.Store != nil {
 		// Key the entry by task ID: a re-placed task (same query, fragment,
 		// index) resets the same entry, so consumers follow it transparently.
 		// A sealed entry means a prior attempt already finished — its output
@@ -270,7 +243,6 @@ func NewTask(id TaskID, f *plan.Fragment, nodeID int, ex *Executor, reg Connecto
 			fetchers = append(fetchers, exchangeSources[fid]...)
 		}
 		client := shuffle.NewExchangeClient(fetchers, cfg.OutputBufferBytes)
-		client.Retry = cfg.FetchRetry
 		t.exchangeClients = append(t.exchangeClients, client)
 		p.exchangeClient = client
 	}
@@ -361,7 +333,7 @@ func (t *Task) newProcessor(pred expr.Expr, proj []expr.Expr) *expr.PageProcesso
 		return expr.NewInterpretedPageProcessor(pred, proj)
 	}
 	pp := expr.NewPageProcessor(pred, proj)
-	if t.cfg.VectorKernelsDisabled {
+	if t.cfg.Switches.Has(DisableVectorKernels) {
 		pp.DisableVectorizedFilter()
 	}
 	return pp
@@ -431,7 +403,7 @@ func (t *Task) AddSplit(scanID int, s connector.Split) error {
 		p.opStats[0].RecordDynSplitSkipped(1)
 		return nil
 	}
-	if !t.cfg.MorselsDisabled {
+	if !t.cfg.Switches.Has(DisableMorsels) {
 		q, err := t.morselQueueLocked(scanID)
 		if err != nil {
 			return err
@@ -458,7 +430,7 @@ func (t *Task) morselQueueLocked(scanID int) (*morselQueue, error) {
 	}
 	pipe := p
 	stats := p.opStats[0]
-	q := newMorselQueue(t.cfg.TargetSplitConcurrency, t.cfg.MorselRows,
+	q := newMorselQueue(t.cfg.TargetSplitConcurrency, DefaultMorselRows,
 		func(s connector.Split) (connector.PageSource, error) {
 			if err := t.cfg.Inject.Err(faultinject.SiteMorselOpen); err != nil {
 				return nil, err
@@ -601,13 +573,13 @@ func (t *Task) openPageSource(conn connector.Connector, s connector.Split,
 	// Shared scans layer under the page cache: the hub deduplicates the
 	// connector reads that fill the cache (or that run uncached), while a
 	// page-cache hit — already free — never round-trips through the hub.
-	if haveKey && t.sharedScans != nil && !t.cfg.SharedScansDisabled {
+	if haveKey && t.sharedScans != nil && !t.cfg.Switches.Has(DisableSharedScans) {
 		raw := open
 		open = func() (connector.PageSource, error) {
 			return t.sharedScans.Open(key, raw)
 		}
 	}
-	if haveKey && t.pageCache != nil && !t.cfg.CacheDisabled {
+	if haveKey && t.pageCache != nil && !t.cfg.Switches.Has(DisableCache) {
 		cached, hit, err := t.pageCache.OpenThrough(key, open)
 		if err != nil {
 			return nil, err

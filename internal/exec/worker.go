@@ -100,7 +100,7 @@ func NewWorker(id int, reg ConnectorRegistry, cfg WorkerConfig) *Worker {
 	if window == 0 {
 		window = DefaultSharedScanWindow
 	}
-	if window > 0 {
+	if window > 0 && !cfg.Task.Switches.Has(DisableSharedScans) {
 		w.Shared = serving.NewScanHub(serving.ScanHubConfig{
 			Window:     window,
 			Accountant: serving.NewPoolAccountant(w.Pool, serving.ScanPoolOwner),

@@ -248,7 +248,7 @@ func (pp *PageProcessor) compileVectorized(projections []Expr) {
 }
 
 // DisableVectorizedFilter runs this processor's filter on the interpreter;
-// it is all that Session.DisableVectorKernels selects.
+// it is all that the DisableVectorKernels switch selects.
 func (pp *PageProcessor) DisableVectorizedFilter() {
 	if pp.filterExpr != nil {
 		pp.filter = selInterp(pp.filterExpr, false)

@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/coordinator"
+	"repro/internal/exec"
 	"repro/internal/metrics"
 	"repro/internal/shuffle"
 	"repro/internal/spill"
@@ -116,19 +117,14 @@ func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	session := coordinator.Session{
-		Catalog:               r.Header.Get("X-Presto-Catalog"),
-		Source:                r.Header.Get("X-Presto-Source"),
-		User:                  r.Header.Get("X-Presto-User"),
-		DisableCache:          r.Header.Get("X-Presto-Disable-Cache") != "",
-		DisableVectorKernels:  r.Header.Get("X-Presto-Disable-Vector-Kernels") != "",
-		DisableMorsels:        r.Header.Get("X-Presto-Disable-Morsels") != "",
-		DisableDynamicFilters: r.Header.Get("X-Presto-Disable-Dynamic-Filters") != "",
-		DisableHBO:            r.Header.Get("X-Presto-Disable-HBO") != "",
-		DisablePlanCache:      r.Header.Get("X-Presto-Disable-Plan-Cache") != "",
-		DisableResultCache:    r.Header.Get("X-Presto-Disable-Result-Cache") != "",
-		DisableSharedScans:    r.Header.Get("X-Presto-Disable-Shared-Scans") != "",
-		DisableSpill:          r.Header.Get("X-Presto-Disable-Spill") != "",
-		MaterializedExchange:  r.Header.Get("X-Presto-Materialized-Exchange") != "",
+		Catalog: r.Header.Get("X-Presto-Catalog"),
+		Source:  r.Header.Get("X-Presto-Source"),
+		User:    r.Header.Get("X-Presto-User"),
+	}
+	for i, name := range exec.SwitchHeaders {
+		if r.Header.Get(name) != "" {
+			session.Switches |= 1 << i
+		}
 	}
 	// The request context cancels admission: a client that disconnects
 	// while its statement is queued is removed from the queue instead of

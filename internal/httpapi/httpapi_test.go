@@ -129,11 +129,18 @@ func TestUnknownStatementID(t *testing.T) {
 	}
 }
 
-// runSQLWithQueryID drains a statement and returns the queryId the server
-// attached to the protocol documents.
-func runSQLWithQueryID(t *testing.T, srv *httptest.Server, sql string) string {
+// runSQLWithQueryID drains a statement sent with the given headers and
+// returns the queryId the server attached to the protocol documents.
+func runSQLWithQueryID(t *testing.T, srv *httptest.Server, sql string, header http.Header) string {
 	t.Helper()
-	resp, err := http.Post(srv.URL+"/v1/statement", "text/plain", strings.NewReader(sql))
+	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/statement", strings.NewReader(sql))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, vals := range header {
+		req.Header[name] = vals
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +175,7 @@ func TestQueryStatsEndpoint(t *testing.T) {
 	if _, errStr := runSQL(t, srv, "INSERT INTO qs SELECT * FROM (VALUES (1), (2), (3))"); errStr != "" {
 		t.Fatal(errStr)
 	}
-	queryID := runSQLWithQueryID(t, srv, "SELECT sum(a) FROM qs")
+	queryID := runSQLWithQueryID(t, srv, "SELECT sum(a) FROM qs", nil)
 	if queryID == "" {
 		t.Fatal("statement documents carried no queryId")
 	}
@@ -230,6 +237,43 @@ func TestQueryStatsEndpoint(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown query status: %d", resp2.StatusCode)
+	}
+}
+
+// TestSwitchHeaders: each header of the switches' name table sets its switch
+// in the session the coordinator runs the statement under — what the query's
+// stats report — and an unknown X-Presto-Disable-* header sets nothing.
+func TestSwitchHeaders(t *testing.T) {
+	srv := testServer(t)
+	switchesOf := func(header http.Header) string {
+		t.Helper()
+		id := runSQLWithQueryID(t, srv, "SELECT flag, count(*) FROM flags GROUP BY flag", header)
+		resp, err := http.Get(srv.URL + "/v1/query/" + id + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st coordinator.QueryStats
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Switches
+	}
+	for i, name := range exec.SwitchHeaders {
+		want := exec.Switches(1 << i).String()
+		if got := switchesOf(http.Header{name: {"1"}}); got != want {
+			t.Errorf("%s: the query ran under %q, want %q", name, got, want)
+		}
+	}
+	if got := switchesOf(http.Header{"X-Presto-Disable-Foo": {"1"}}); got != "defaults" {
+		t.Errorf("X-Presto-Disable-Foo: the query ran under %q, want the defaults", got)
+	}
+	all := http.Header{}
+	for _, name := range exec.SwitchHeaders {
+		all.Set(name, "true")
+	}
+	if got, want := switchesOf(all), exec.Switches(1<<len(exec.SwitchHeaders)-1).String(); got != want {
+		t.Errorf("every header: the query ran under %q, want %q", got, want)
 	}
 }
 

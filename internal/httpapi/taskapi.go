@@ -241,10 +241,10 @@ func (s *WorkerServer) handleCreateTasks(w http.ResponseWriter, r *http.Request)
 		}
 		frags[f.ID] = f
 	}
-	cfg := req.Config.Decode()
 	// The injector never travels on the wire; thread this worker's own into
 	// the task so exec-level fault seams (morsel open, filter publish) fire
 	// for remote tasks too.
+	cfg := req.Config
 	cfg.Inject = s.Inject
 	splits := map[exec.TaskID][]wire.SplitEntry{}
 	for _, e := range req.Splits {

@@ -34,10 +34,8 @@ type Config struct {
 	BroadcastThresholdRows int64
 	// DisableColocated turns off co-located join planning (ablation).
 	DisableColocated bool
-	// DisableTopN keeps Sort+Limit unfused (ablation).
-	DisableTopN bool
-	// DisableDynamicFilters skips dynamic join-filter assignment (ablation;
-	// Session.DisableDynamicFilters).
+	// DisableDynamicFilters skips dynamic join-filter assignment (the
+	// coordinator sets it per statement from its effective switches).
 	DisableDynamicFilters bool
 	// History, when set, supplies observed cardinalities from prior runs of
 	// the same plan shape; estimates consult it before statistics. Nil

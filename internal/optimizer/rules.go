@@ -339,9 +339,6 @@ func conjunctDomain(e expr.Expr) (*plan.ColumnDomain, int, bool) {
 
 // fuseTopN turns Limit(Sort(x)) into TopN(x).
 func fuseTopN(o *Optimizer, n plan.Node) (plan.Node, bool) {
-	if o.Config.DisableTopN {
-		return n, false
-	}
 	l, ok := n.(*plan.Limit)
 	if !ok || l.Offset != 0 {
 		return n, false

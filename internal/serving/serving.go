@@ -5,8 +5,10 @@
 // Three layers, composed front to back:
 //
 //   - PlanCache (plancache.go): an expirable LRU over parse→analyze→optimize
-//     output, keyed by normalized SQL + the session flags that affect
-//     planning + the catalog default. A hit skips the parser, analyzer and
+//     output, keyed by normalized SQL + the catalog default + the query's
+//     planning switches (exec.Switches.Planning: dynamic filters, HBO,
+//     materialized exchange). Its size (512 plans) and expiry (5m) are this
+//     package's defaults. A hit skips the parser, analyzer and
 //     optimizer entirely; validity is checked against the referenced tables'
 //     connector versions and the history store's generation, so a write or a
 //     materially-changed cardinality observation forces a replan.
@@ -16,7 +18,9 @@
 //     connector version keys. Entries are charged to the node memory pool as
 //     system memory under ResultPoolOwner, verified by structural checksum on
 //     every hit (corruption degrades to a miss), and invalidated by the same
-//     write hooks that invalidate the metadata/split caches.
+//     write hooks that invalidate the metadata/split caches. Its budget
+//     (16 MiB, an eighth of it per entry) and expiry (5m) are this package's
+//     defaults.
 //
 //   - ScanHub (sharedscan.go): GLADE-style shared scans. Concurrently
 //     admitted queries whose leaf scans share a page-cache key (table
@@ -28,9 +32,10 @@
 //     scan stays joinable.
 //
 // The coordinator owns a Tier (plan + result caches); each worker owns a
-// ScanHub. Every layer has a session toggle (Session.DisablePlanCache /
-// DisableResultCache / DisableSharedScans and the matching X-Presto-Disable-*
-// headers) so A/B ablations run side by side in one cluster.
+// ScanHub. Every layer has a switch (exec.DisablePlanCache /
+// DisableResultCache / DisableSharedScans) that a cluster sets for all its
+// queries and a session — or its X-Presto-Disable-* header — for one, so A/B
+// ablations run side by side in one cluster.
 package serving
 
 // Tier bundles the coordinator-side serving caches. Either field may be nil

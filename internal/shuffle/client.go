@@ -296,15 +296,14 @@ func (c *ExchangeClient) sleepBackoff(failures int) bool {
 // is the retry; only MaxRetries consecutive failures surface as an error. Not
 // safe for concurrent use.
 type RetryFetcher struct {
-	Src   Fetcher
-	Retry RetryPolicy
+	Src Fetcher
 
 	failures int
 }
 
-// Fetch implements Fetcher.
+// Fetch implements Fetcher, under the default RetryPolicy.
 func (f *RetryFetcher) Fetch(token int64, maxBytes int64, wait time.Duration) ([]*block.Page, int64, bool, error) {
-	p := f.Retry.normalized()
+	p := RetryPolicy{}.normalized()
 	pages, next, done, err := fetchOnce(f.Src, token, maxBytes, wait, p.FetchTimeout)
 	if err == nil {
 		f.failures = 0

@@ -1,9 +1,13 @@
 package wire
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/exec"
+	"repro/internal/faultinject"
 	"repro/internal/plan"
 	"repro/internal/types"
 )
@@ -63,32 +67,37 @@ func TestFragmentDynFilterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTaskConfigDynKnobsRoundTrip: the dynamic-filter knobs must survive the
-// wire projection (and the injector, which never travels, must stay nil).
+// TestTaskConfigDynKnobsRoundTrip: the dynamic-filter and shared-scan knobs
+// must survive a create request's JSON round trip, and the injector, which
+// never travels, must come back nil.
 func TestTaskConfigDynKnobsRoundTrip(t *testing.T) {
-	in := TaskConfig{
-		PageSize:               1024,
-		DynamicFiltersDisabled: true,
-		DynamicFilterWaitNs:    int64(250_000_000),
-		DynamicFilterMaxSet:    512,
-		SharedScansDisabled:    true,
-		SharedScanWindowNs:     int64(50_000_000),
+	in := exec.TaskConfig{
+		PageSize:          1024,
+		Switches:          exec.DisableDynamicFilters | exec.DisableSharedScans,
+		DynamicFilterWait: 250 * time.Millisecond,
+		SharedScanWindow:  50 * time.Millisecond,
+		Inject:            faultinject.New(1),
 	}
-	dec := in.Decode()
-	if !dec.DynamicFiltersDisabled || dec.DynamicFilterWait.Nanoseconds() != 250_000_000 || dec.DynamicFilterMaxSet != 512 {
+	raw, err := json.Marshal(CreateRequest{Config: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got CreateRequest
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	dec := got.Config
+	if !dec.Switches.Has(exec.DisableDynamicFilters) || dec.DynamicFilterWait != 250*time.Millisecond {
 		t.Fatalf("decode lost dyn knobs: %+v", dec)
 	}
-	if !dec.SharedScansDisabled || dec.SharedScanWindow.Nanoseconds() != 50_000_000 {
+	if !dec.Switches.Has(exec.DisableSharedScans) || dec.SharedScanWindow != 50*time.Millisecond {
 		t.Fatalf("decode lost shared-scan knobs: %+v", dec)
 	}
 	if dec.Inject != nil {
 		t.Fatal("injector materialized from the wire")
 	}
-	if out := EncodeTaskConfig(dec); out != in {
-		t.Fatalf("round trip: %+v != %+v", out, in)
-	}
-	var zero exec.TaskConfig
-	if EncodeTaskConfig(zero) != (TaskConfig{}) {
-		t.Fatalf("zero config not zero on the wire: %+v", EncodeTaskConfig(zero))
+	in.Inject = nil
+	if !reflect.DeepEqual(dec, in) {
+		t.Fatalf("round trip: %+v != %+v", dec, in)
 	}
 }

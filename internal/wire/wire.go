@@ -13,12 +13,10 @@ package wire
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/plan"
-	"repro/internal/shuffle"
 	"repro/internal/types"
 )
 
@@ -30,7 +28,7 @@ import (
 // Splits carries what split enumeration already had in hand at placement
 // (sequence 0 of its scan, replay-safe like any later batch).
 type CreateRequest struct {
-	Config TaskConfig `json:"config"`
+	Config exec.TaskConfig `json:"config"`
 	// Fragments are MarshalFragment documents; a TaskSpec names one by id.
 	Fragments []json.RawMessage `json:"fragments"`
 	Tasks     []TaskSpec        `json:"tasks"`
@@ -58,94 +56,6 @@ type TaskSpec struct {
 type SourceEntry struct {
 	Fragment int      `json:"fragment"`
 	URIs     []string `json:"uris"`
-}
-
-// TaskConfig is the serializable subset of exec.TaskConfig (function-valued
-// fields like WriteDelay cannot cross the wire).
-type TaskConfig struct {
-	PageSize               int    `json:"pageSize,omitempty"`
-	OutputBufferBytes      int64  `json:"outputBufferBytes,omitempty"`
-	TargetSplitConcurrency int    `json:"targetSplitConcurrency,omitempty"`
-	MaxWriters             int    `json:"maxWriters,omitempty"`
-	SpillEnabled           bool   `json:"spillEnabled,omitempty"`
-	SpillDir               string `json:"spillDir,omitempty"`
-	MaterializedExchange   bool   `json:"materializedExchange,omitempty"`
-	Interpreted            bool   `json:"interpreted,omitempty"`
-	Phased                 bool   `json:"phased,omitempty"`
-	CacheDisabled          bool   `json:"cacheDisabled,omitempty"`
-	VectorKernelsDisabled  bool   `json:"vectorKernelsDisabled,omitempty"`
-	MorselsDisabled        bool   `json:"morselsDisabled,omitempty"`
-	MorselRows             int    `json:"morselRows,omitempty"`
-
-	DynamicFiltersDisabled bool  `json:"dynamicFiltersDisabled,omitempty"`
-	DynamicFilterWaitNs    int64 `json:"dynamicFilterWaitNs,omitempty"`
-	DynamicFilterMaxSet    int   `json:"dynamicFilterMaxSet,omitempty"`
-
-	SharedScansDisabled bool  `json:"sharedScansDisabled,omitempty"`
-	SharedScanWindowNs  int64 `json:"sharedScanWindowNs,omitempty"`
-
-	FetchMaxRetries    int   `json:"fetchMaxRetries,omitempty"`
-	FetchBaseBackoffNs int64 `json:"fetchBaseBackoffNs,omitempty"`
-	FetchMaxBackoffNs  int64 `json:"fetchMaxBackoffNs,omitempty"`
-	FetchTimeoutNs     int64 `json:"fetchTimeoutNs,omitempty"`
-}
-
-// EncodeTaskConfig projects an exec.TaskConfig onto the wire.
-func EncodeTaskConfig(c exec.TaskConfig) TaskConfig {
-	return TaskConfig{
-		PageSize:               c.PageSize,
-		OutputBufferBytes:      c.OutputBufferBytes,
-		TargetSplitConcurrency: c.TargetSplitConcurrency,
-		MaxWriters:             c.MaxWriters,
-		SpillEnabled:           c.SpillEnabled,
-		SpillDir:               c.SpillDir,
-		MaterializedExchange:   c.MaterializedExchange,
-		Interpreted:            c.Interpreted,
-		Phased:                 c.Phased,
-		CacheDisabled:          c.CacheDisabled,
-		VectorKernelsDisabled:  c.VectorKernelsDisabled,
-		MorselsDisabled:        c.MorselsDisabled,
-		MorselRows:             c.MorselRows,
-		DynamicFiltersDisabled: c.DynamicFiltersDisabled,
-		DynamicFilterWaitNs:    int64(c.DynamicFilterWait),
-		DynamicFilterMaxSet:    c.DynamicFilterMaxSet,
-		SharedScansDisabled:    c.SharedScansDisabled,
-		SharedScanWindowNs:     int64(c.SharedScanWindow),
-		FetchMaxRetries:        c.FetchRetry.MaxRetries,
-		FetchBaseBackoffNs:     int64(c.FetchRetry.BaseBackoff),
-		FetchMaxBackoffNs:      int64(c.FetchRetry.MaxBackoff),
-		FetchTimeoutNs:         int64(c.FetchRetry.FetchTimeout),
-	}
-}
-
-// Decode reconstitutes the exec.TaskConfig.
-func (c TaskConfig) Decode() exec.TaskConfig {
-	return exec.TaskConfig{
-		PageSize:               c.PageSize,
-		OutputBufferBytes:      c.OutputBufferBytes,
-		TargetSplitConcurrency: c.TargetSplitConcurrency,
-		MaxWriters:             c.MaxWriters,
-		SpillEnabled:           c.SpillEnabled,
-		SpillDir:               c.SpillDir,
-		MaterializedExchange:   c.MaterializedExchange,
-		Interpreted:            c.Interpreted,
-		Phased:                 c.Phased,
-		CacheDisabled:          c.CacheDisabled,
-		VectorKernelsDisabled:  c.VectorKernelsDisabled,
-		MorselsDisabled:        c.MorselsDisabled,
-		MorselRows:             c.MorselRows,
-		DynamicFiltersDisabled: c.DynamicFiltersDisabled,
-		DynamicFilterWait:      time.Duration(c.DynamicFilterWaitNs),
-		DynamicFilterMaxSet:    c.DynamicFilterMaxSet,
-		SharedScansDisabled:    c.SharedScansDisabled,
-		SharedScanWindow:       time.Duration(c.SharedScanWindowNs),
-		FetchRetry: shuffle.RetryPolicy{
-			MaxRetries:   c.FetchMaxRetries,
-			BaseBackoff:  time.Duration(c.FetchBaseBackoffNs),
-			MaxBackoff:   time.Duration(c.FetchMaxBackoffNs),
-			FetchTimeout: time.Duration(c.FetchTimeoutNs),
-		},
-	}
 }
 
 // SplitsRequest is the body of POST /v1/query/{qid}/splits: the split batches

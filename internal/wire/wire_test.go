@@ -22,7 +22,7 @@ func col(i int, t types.Type, name string) expr.Expr {
 
 // testFragments hand-builds fragments exercising every node kind and most
 // expression kinds the compiler can emit.
-func testFragments(t *testing.T) []*plan.Fragment {
+func testFragments(t testing.TB) []*plan.Fragment {
 	t.Helper()
 	scanOut := plan.Schema{
 		{Name: "k", T: types.Bigint},
@@ -258,25 +258,6 @@ func TestFragmentRejectsGarbage(t *testing.T) {
 		if _, err := UnmarshalFragment([]byte(c)); err == nil {
 			t.Fatalf("accepted garbage fragment: %s", c)
 		}
-	}
-}
-
-// TestTaskConfigRoundTrip checks the exec.TaskConfig wire projection.
-func TestTaskConfigRoundTrip(t *testing.T) {
-	in := TaskConfig{
-		PageSize:               1024,
-		OutputBufferBytes:      1 << 20,
-		TargetSplitConcurrency: 3,
-		SpillEnabled:           true,
-		Interpreted:            true,
-		VectorKernelsDisabled:  true,
-		FetchMaxRetries:        5,
-		FetchBaseBackoffNs:     int64(2_000_000),
-		FetchTimeoutNs:         int64(750_000_000),
-	}
-	out := EncodeTaskConfig(in.Decode())
-	if out != in {
-		t.Fatalf("task config round trip: %+v != %+v", out, in)
 	}
 }
 

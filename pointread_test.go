@@ -14,6 +14,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/connector"
 	"repro/internal/connectors/memconn"
+	"repro/internal/exec"
 	"repro/internal/types"
 )
 
@@ -71,7 +72,7 @@ func TestResidentTablesBypassPageCache(t *testing.T) {
 	}
 	for k := 0; k < 20; k++ {
 		got := stringifyRows(mustExec(t, c, pointRead(k)))
-		res, err := c.ExecuteSession(pointRead(k), Session{DisableCache: true})
+		res, err := c.ExecuteSession(pointRead(k), Session{Switches: exec.DisableCache})
 		if err != nil {
 			t.Fatal(err)
 		}

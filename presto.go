@@ -33,7 +33,6 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/queue"
 	"repro/internal/serving"
-	"repro/internal/shuffle"
 	"repro/internal/types"
 )
 
@@ -94,16 +93,14 @@ type ClusterConfig struct {
 	// PerNodeQueryMemoryBytes is the per-query per-node user limit.
 	PerNodeQueryMemoryBytes int64
 	// SpillEnabled lets aggregations and join builds spill to disk under
-	// memory pressure (per-query opt-out via Session.DisableSpill /
-	// X-Presto-Disable-Spill).
+	// memory pressure (per-query opt-out: the DisableSpill switch).
 	SpillEnabled bool
 	// SpillDir is where spill files and materialized-exchange segments land
 	// (empty = OS temp dir).
 	SpillDir string
 	// MaterializedExchange routes every query's shuffles through disk-backed
 	// sealed segments, enabling task-level recovery from worker loss
-	// (per-query opt-in via Session.MaterializedExchange /
-	// X-Presto-Materialized-Exchange).
+	// (per-query: the MaterializedExchange switch).
 	MaterializedExchange bool
 	// DisableStats turns off cost-based optimization (Figure 6's
 	// "no stats" configuration).
@@ -114,9 +111,8 @@ type ClusterConfig struct {
 	// ablation, §V-B).
 	Interpreted bool
 	// DisableVectorKernels runs filters on the interpreter instead of the
-	// columnar selection kernels, cluster-wide (per-query via
-	// Session.DisableVectorKernels). It no longer reaches hash aggregation,
-	// joins or distinct, which have one implementation.
+	// columnar selection kernels, cluster-wide (per-query: the switch of the
+	// same name, as for every Disable* field below that has one).
 	DisableVectorKernels bool
 	// DisableVectorProjections is kept only because the frozen benchmark
 	// names it; the only non-vectorized projection path left is the
@@ -125,27 +121,20 @@ type ClusterConfig struct {
 	// Deprecated: set Interpreted.
 	DisableVectorProjections bool
 	// DisableMorsels reverts leaf pipelines to static split-per-driver
-	// execution cluster-wide (the morsel-scheduling ablation; per-query via
-	// Session.DisableMorsels).
+	// execution cluster-wide (the morsel-scheduling ablation).
 	DisableMorsels bool
-	// MorselRows overrides the target rows per morsel (default 64k).
-	MorselRows int
 	// DisableDynamicFilters turns off runtime dynamic join filters
-	// cluster-wide (the adaptive-execution ablation; per-query via
-	// Session.DisableDynamicFilters / X-Presto-Disable-Dynamic-Filters).
+	// cluster-wide (the adaptive-execution ablation).
 	DisableDynamicFilters bool
 	// DynamicFilterWait bounds how long a probe scan waits for a dynamic
 	// filter before running unfiltered (default 100ms; negative disables
 	// waiting — late filters still narrow later splits).
 	DynamicFilterWait time.Duration
-	// DynamicFilterMaxSet caps the exact-key-set size collected per join key
-	// column before degrading to bloom + min/max (default 10000).
-	DynamicFilterMaxSet int
 	// EnableHBO turns on history-based optimization: finished queries record
 	// observed operator cardinalities keyed by plan fingerprint, and repeat
 	// runs of the same plan shape over unchanged tables reorder joins from
-	// those observations instead of selectivity guesses (per-query opt-out
-	// via Session.DisableHBO / X-Presto-Disable-HBO).
+	// those observations instead of selectivity guesses (per-query opt-out:
+	// the DisableHBO switch).
 	EnableHBO bool
 	// Phased enables phased stage scheduling (§IV-D1); default is
 	// all-at-once.
@@ -167,12 +156,6 @@ type ClusterConfig struct {
 	// cluster's I/O seams (split enumeration, page fetch, shuffle fetch, task
 	// creation) — see internal/faultinject. Nil means no faults.
 	FaultInjector *faultinject.Injector
-	// FetchRetry tunes exchange-client retry/backoff/timeout behaviour; the
-	// zero value picks sensible defaults.
-	FetchRetry shuffle.RetryPolicy
-	// MaxScheduleRetries bounds full-query re-admission after transient
-	// scheduling failures (default 2; negative disables).
-	MaxScheduleRetries int
 	// PageCacheBytes sizes each worker's page cache: 0 defaults to
 	// min(64 MiB, NodeMemoryBytes/4); negative disables page caching.
 	PageCacheBytes int64
@@ -180,30 +163,12 @@ type ClusterConfig struct {
 	// cache (default 30s; negative disables metadata caching).
 	MetadataCacheTTL time.Duration
 	// DisablePlanCache turns off the serving tier's parse→plan cache
-	// cluster-wide (per-statement via Session.DisablePlanCache /
-	// X-Presto-Disable-Plan-Cache).
+	// cluster-wide.
 	DisablePlanCache bool
-	// PlanCacheEntries bounds cached plans (default 512).
-	PlanCacheEntries int
-	// PlanCacheTTL expires cached plans absent invalidation (default 5m;
-	// negative disables expiry).
-	PlanCacheTTL time.Duration
 	// DisableResultCache turns off the serving tier's versioned result cache
-	// cluster-wide (per-statement via Session.DisableResultCache /
-	// X-Presto-Disable-Result-Cache).
+	// cluster-wide.
 	DisableResultCache bool
-	// ResultCacheBytes bounds total cached result bytes (default 16 MiB),
-	// charged to worker 0's node pool as system memory.
-	ResultCacheBytes int64
-	// ResultCacheMaxEntryBytes bounds one cached result set (default
-	// ResultCacheBytes/8).
-	ResultCacheMaxEntryBytes int64
-	// ResultCacheTTL expires cached results absent invalidation (default 5m;
-	// negative disables expiry).
-	ResultCacheTTL time.Duration
-	// DisableSharedScans turns off GLADE-style shared scans cluster-wide
-	// (per-query via Session.DisableSharedScans /
-	// X-Presto-Disable-Shared-Scans).
+	// DisableSharedScans turns off GLADE-style shared scans cluster-wide.
 	DisableSharedScans bool
 	// SharedScanWindow is how long a shared scan stays joinable after its
 	// first open (default 100ms; negative also disables sharing).
@@ -244,20 +209,27 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		TargetSplitConcurrency: cfg.TargetSplitConcurrency,
 		SpillEnabled:           cfg.SpillEnabled,
 		SpillDir:               cfg.SpillDir,
-		MaterializedExchange:   cfg.MaterializedExchange,
 		Interpreted:            cfg.Interpreted || cfg.DisableVectorProjections,
-		VectorKernelsDisabled:  cfg.DisableVectorKernels,
-		MorselsDisabled:        cfg.DisableMorsels,
-		MorselRows:             cfg.MorselRows,
-		DynamicFiltersDisabled: cfg.DisableDynamicFilters,
 		DynamicFilterWait:      cfg.DynamicFilterWait,
-		DynamicFilterMaxSet:    cfg.DynamicFilterMaxSet,
 		SharedScanWindow:       cfg.SharedScanWindow,
 		Phased:                 cfg.Phased,
 		MaxWriters:             cfg.MaxWriters,
 		WriteDelay:             cfg.WriteDelay,
-		FetchRetry:             cfg.FetchRetry,
 	}
+	// The cluster's switches are folded once, before anything is built from
+	// them: workers, coordinator and every task read this one set.
+	fold := func(on bool, s exec.Switches) {
+		if on {
+			taskCfg.Switches |= s
+		}
+	}
+	fold(cfg.DisableVectorKernels, exec.DisableVectorKernels)
+	fold(cfg.DisableMorsels, exec.DisableMorsels)
+	fold(cfg.DisableDynamicFilters, exec.DisableDynamicFilters)
+	fold(cfg.DisablePlanCache, exec.DisablePlanCache)
+	fold(cfg.DisableResultCache, exec.DisableResultCache)
+	fold(cfg.DisableSharedScans, exec.DisableSharedScans)
+	fold(cfg.MaterializedExchange, exec.MaterializedExchange)
 	wcfg := exec.WorkerConfig{
 		Threads:          cfg.ThreadsPerWorker,
 		Quanta:           cfg.Quanta,
@@ -271,35 +243,21 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	for i := range workers {
 		workers[i] = exec.NewWorker(i, catalog, wcfg)
 	}
-	if cfg.DisableSharedScans {
-		taskCfg.SharedScanWindow = -1
-	}
 	optCfg := optimizer.DefaultConfig()
 	optCfg.UseStats = !cfg.DisableStats
 	optCfg.DisableColocated = cfg.DisableColocated
-	optCfg.DisableDynamicFilters = cfg.DisableDynamicFilters
 	if cfg.EnableHBO {
 		optCfg.History = optimizer.NewMemoryHistory()
 	}
 
-	var tier *serving.Tier
-	if !cfg.DisablePlanCache || !cfg.DisableResultCache {
-		tier = &serving.Tier{}
-		if !cfg.DisablePlanCache {
-			tier.Plans = serving.NewPlanCache(serving.PlanCacheConfig{
-				MaxEntries: cfg.PlanCacheEntries,
-				TTL:        cfg.PlanCacheTTL,
-			})
-		}
-		if !cfg.DisableResultCache {
-			tier.Results = serving.NewResultCache(serving.ResultCacheConfig{
-				MaxBytes:      cfg.ResultCacheBytes,
-				MaxEntryBytes: cfg.ResultCacheMaxEntryBytes,
-				TTL:           cfg.ResultCacheTTL,
-				Accountant:    serving.NewPoolAccountant(workers[0].Pool, serving.ResultPoolOwner),
-				Inject:        cfg.FaultInjector,
-			})
-		}
+	// The caches exist whatever the switches say: the coordinator consults a
+	// statement's effective set before either, as it does for every switch.
+	tier := &serving.Tier{
+		Plans: serving.NewPlanCache(serving.PlanCacheConfig{}),
+		Results: serving.NewResultCache(serving.ResultCacheConfig{
+			Accountant: serving.NewPoolAccountant(workers[0].Pool, serving.ResultPoolOwner),
+			Inject:     cfg.FaultInjector,
+		}),
 	}
 
 	coord := coordinator.New(catalog, workers, coordinator.Config{
@@ -311,11 +269,10 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 			GlobalUser:  cfg.QueryMemoryBytes,
 			PerNodeUser: cfg.PerNodeQueryMemoryBytes,
 		},
-		QueuePolicies:      cfg.QueuePolicies,
-		FaultInject:        cfg.FaultInjector,
-		MaxScheduleRetries: cfg.MaxScheduleRetries,
-		MetadataTTL:        cfg.MetadataCacheTTL,
-		Serving:            tier,
+		QueuePolicies: cfg.QueuePolicies,
+		FaultInject:   cfg.FaultInjector,
+		MetadataTTL:   cfg.MetadataCacheTTL,
+		Serving:       tier,
 	})
 	return &Cluster{
 		Coordinator:  coord,

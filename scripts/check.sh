@@ -15,12 +15,17 @@
 #                             # allocation ceilings (page codec, group
 #                             # table, join build and probe, dynamically
 #                             # filtered scan, spill) and bench smokes
+#                             # + configuration (one switch set: cluster vs
+#                             # session twins, the switch headers, TaskConfig
+#                             # on the wire, dynamic filters decided at
+#                             # planning)
 #   scripts/check.sh -chaos   # additionally sweep the chaos suite over more
 #                             # seeds (CHAOS_FULL), verbose
 #   scripts/check.sh -fuzz    # additionally run 10s fuzz smokes over the
 #                             # page codec, SQL parser, spill files and
-#                             # their index, exchange segments, and
-#                             # dynamic-filter summary frames
+#                             # their index, exchange segments,
+#                             # dynamic-filter summary frames, and create
+#                             # requests (fragments plus task config)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -79,6 +84,17 @@ go test -race -count=1 -run 'TestLoadTableEncodesLowCardinality' ./internal/conn
 go test -race -count=1 -run 'TestDriverRecoversOperatorPanic' ./internal/exec/
 go test -race -count=1 -run 'TestEncodedMultiKeyGroupBy|TestEncodedProjectionErrorsOnlyWhenReferenced|TestEncodedLoadedThenInserted|TestDictionaryPathsInExplainAnalyze|TestOperatorPanicFailsOneQuery' .
 
+echo "==> configuration: a query's switches are one value, from the HTTP header to the task"
+# A cluster switch has its session twin's effect; each switch header sets its
+# switch and nothing else; every TaskConfig field survives the create
+# request; dynamic filters are decided at planning (materialized exchange
+# plans none, creates no filter hub, keeps its own plan-cache entry and still
+# recovers from a killed worker).
+go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestMaterializedExchangeDecidedAtPlanning|TestElasticKillWorkerMidQuery' .
+go test -race -count=1 -run 'TestSwitchHeaders' ./internal/httpapi/
+go test -race -count=1 -run 'TestTaskConfigRoundTrip|TestTaskConfigDynKnobsRoundTrip' ./internal/wire/
+go test -race -count=1 -run 'TestMaterializedExchangeCreatesNoFilterHub' ./internal/coordinator/
+
 echo "==> borrowed pages are never read late (poison linked on under the differential walls)"
 # expr.poisonBorrowed makes an operator that lends its output — a page
 # processor, a lookup join — overwrite the lent vectors before every page;
@@ -130,6 +146,8 @@ if [ "$fuzz" = 1 ]; then
   go test -fuzz '^FuzzExchangeSegmentDecode$' -fuzztime 10s ./internal/shuffle/
   echo "==> fuzz smoke: dynamic-filter summary decode (10s)"
   go test -fuzz '^FuzzSummaryDecode$' -fuzztime 10s ./internal/dynfilter/
+  echo "==> fuzz smoke: task create request decode (10s)"
+  go test -fuzz '^FuzzCreateRequestDecode$' -fuzztime 10s ./internal/wire/
 fi
 
 echo "OK"

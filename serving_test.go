@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/workload"
 )
@@ -64,9 +65,8 @@ func TestServingDifferentialFig6(t *testing.T) {
 	defer c.Close()
 	c.Register(workload.LoadTPCHMemory("tpch", 0.05))
 
-	off := Session{Catalog: "tpch", DisableHBO: true,
-		DisablePlanCache: true, DisableResultCache: true, DisableSharedScans: true}
-	on := Session{Catalog: "tpch", DisableHBO: true}
+	off := Session{Catalog: "tpch", Switches: exec.DisableHBO | exec.DisablePlanCache | exec.DisableResultCache | exec.DisableSharedScans}
+	on := Session{Catalog: "tpch", Switches: exec.DisableHBO}
 
 	for _, q := range workload.Fig6Queries("tpch") {
 		if col, tie := fig6TieKey[q.ID]; tie {
@@ -205,7 +205,7 @@ func TestServingResultCacheCorruptionChaos(t *testing.T) {
 	defer c.Close()
 	c.Register(workload.LoadTPCHMemory("tpch", 0.05))
 
-	s := Session{Catalog: "tpch", DisableHBO: true}
+	s := Session{Catalog: "tpch", Switches: exec.DisableHBO}
 	sql := "SELECT l_returnflag, count(*), sum(l_quantity) FROM lineitem GROUP BY l_returnflag"
 	want := servingRun(t, c, sql, s) // cold: executes and caches
 	for i := 0; i < 3; i++ {
@@ -237,10 +237,9 @@ func TestServingSharedScanDifferential(t *testing.T) {
 
 	// Page cache off so scans reach the hub; result cache off so every run
 	// actually executes; plan cache off so runs stay symmetric.
-	shared := Session{Catalog: "tpch", DisableCache: true,
-		DisableResultCache: true, DisablePlanCache: true}
+	shared := Session{Catalog: "tpch", Switches: exec.DisableCache | exec.DisableResultCache | exec.DisablePlanCache}
 	private := shared
-	private.DisableSharedScans = true
+	private.Switches |= exec.DisableSharedScans
 
 	// Aggregates chosen to be arrival-order independent (integral sums,
 	// min/max): parallel partial aggregation reorders float addition with or

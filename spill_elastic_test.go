@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/memory"
 	"repro/internal/shuffle"
 	"repro/internal/spill"
@@ -195,7 +196,7 @@ func TestSpillDifferentialMaterialized(t *testing.T) {
 	segBase := shuffle.CurrentSegmentStats()
 	c := cappedCluster(t, peak, 8, nil)
 	for _, q := range spillQueries {
-		rows, err := querySession(c, q, Session{MaterializedExchange: true})
+		rows, err := querySession(c, q, Session{Switches: exec.MaterializedExchange})
 		if err != nil {
 			t.Fatalf("capped+materialized %q: %v", q, err)
 		}
@@ -217,7 +218,7 @@ func TestSpillDisabledSessionOOM(t *testing.T) {
 	c := cappedCluster(t, peak, 16, nil)
 	q := spillQueries[0]
 
-	_, err := querySession(c, q, Session{DisableSpill: true})
+	_, err := querySession(c, q, Session{Switches: exec.DisableSpill})
 	if err == nil {
 		t.Fatalf("capped query with spill disabled succeeded; want memory-limit failure")
 	}
@@ -285,7 +286,7 @@ func TestSpillCancelCleansArtifacts(t *testing.T) {
 	segBase := shuffle.CurrentSegmentStats()
 	c := cappedCluster(t, peak, 16, nil)
 	for i := 0; i < 3; i++ {
-		res, err := c.ExecuteSession(spillQueries[0], Session{MaterializedExchange: true})
+		res, err := c.ExecuteSession(spillQueries[0], Session{Switches: exec.MaterializedExchange})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +308,7 @@ func TestMaterializedExchangeDifferential(t *testing.T) {
 	t.Cleanup(c.Close)
 	c.Register(workload.LoadTPCHMemory("tpch", chaosScale))
 	for _, q := range chaosQueries {
-		rows, err := querySession(c, q, Session{MaterializedExchange: true})
+		rows, err := querySession(c, q, Session{Switches: exec.MaterializedExchange})
 		if err != nil {
 			t.Fatalf("materialized %q: %v", q, err)
 		}
@@ -335,7 +336,7 @@ func TestElasticKillWorkerMidQuery(t *testing.T) {
 			DisablePlanCache: true, DisableResultCache: true})
 		c.Register(workload.LoadTPCHMemory("tpch", chaosScale))
 
-		res, err := c.ExecuteSession(q, Session{MaterializedExchange: true})
+		res, err := c.ExecuteSession(q, Session{Switches: exec.MaterializedExchange})
 		if err != nil {
 			c.Close()
 			t.Fatal(err)
@@ -368,7 +369,7 @@ func TestElasticScaleOutMidQuery(t *testing.T) {
 	t.Cleanup(c.Close)
 	c.Register(workload.LoadTPCHMemory("tpch", chaosScale))
 
-	res, err := c.ExecuteSession(chaosQueries[1], Session{MaterializedExchange: true})
+	res, err := c.ExecuteSession(chaosQueries[1], Session{Switches: exec.MaterializedExchange})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +381,7 @@ func TestElasticScaleOutMidQuery(t *testing.T) {
 	assertRows(t, chaosQueries[1], stringifyRows(rows), base[chaosQueries[1]])
 
 	// The next query runs across all three nodes: the new worker gets tasks.
-	rows, err = querySession(c, chaosQueries[1], Session{MaterializedExchange: true})
+	rows, err = querySession(c, chaosQueries[1], Session{Switches: exec.MaterializedExchange})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +436,7 @@ func TestElasticChaosSwarm(t *testing.T) {
 	succeeded := 0
 	for i := 0; i < 12; i++ {
 		q := chaosQueries[i%len(chaosQueries)]
-		rows, err := querySession(c, q, Session{MaterializedExchange: true})
+		rows, err := querySession(c, q, Session{Switches: exec.MaterializedExchange})
 		if err == nil {
 			assertRows(t, q, stringifyRows(rows), base[q])
 			succeeded++

@@ -516,6 +516,8 @@ func TestSQLExplainAnalyze(t *testing.T) {
 		text += r[0].S + "\n"
 	}
 	for _, want := range []string{"Fragment", "wall:", "task CPU:", "output rows: 3",
+		// The switches the statement ran under: none set.
+		"switches: defaults",
 		// Per-operator breakdown appended from the stats rollup.
 		"Operator stats:", "TableScan", "HashAggregation", "pipeline", "drivers",
 		"cpu ", "blocked ", "peak mem",

@@ -2,7 +2,7 @@ package presto
 
 // End-to-end differential coverage for the filter kernels over hash-heavy
 // statements: every query runs twice — once on the default path and once
-// with Session.DisableVectorKernels forcing interpreted filters — and the
+// with the DisableVectorKernels switch forcing interpreted filters — and the
 // result sets must be identical. (The hash operators have one implementation;
 // their per-row reference and its differentials live in internal/operators.)
 // This is the kernel analogue of the cache and chaos differential suites.
@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/workload"
 )
 
@@ -54,7 +55,7 @@ func TestVecKernelsDifferentialTPCH(t *testing.T) {
 	c.Register(workload.LoadTPCHMemory("tpch", chaosScale))
 	for _, q := range vecDiffQueries {
 		vec := stringifyRows(execSession(t, c, q, Session{}))
-		legacy := stringifyRows(execSession(t, c, q, Session{DisableVectorKernels: true}))
+		legacy := stringifyRows(execSession(t, c, q, Session{Switches: exec.DisableVectorKernels}))
 		assertRows(t, q, vec, legacy)
 	}
 }
@@ -116,7 +117,7 @@ func TestVecKernelsDifferentialEdgeData(t *testing.T) {
 	}
 	for _, q := range queries {
 		vec := foldGroupKey(q, stringifyRows(execSession(t, c, q, Session{})))
-		legacy := foldGroupKey(q, stringifyRows(execSession(t, c, q, Session{DisableVectorKernels: true})))
+		legacy := foldGroupKey(q, stringifyRows(execSession(t, c, q, Session{Switches: exec.DisableVectorKernels})))
 		assertRows(t, q, vec, legacy)
 	}
 	// Sanity anchors (not just vec==legacy): -0.0 groups with +0.0, and the
@@ -165,7 +166,7 @@ func TestVecKernelsDifferentialRandom(t *testing.T) {
 	}
 	for _, q := range queries {
 		vec := stringifyRows(execSession(t, c, q, Session{}))
-		legacy := stringifyRows(execSession(t, c, q, Session{DisableVectorKernels: true}))
+		legacy := stringifyRows(execSession(t, c, q, Session{Switches: exec.DisableVectorKernels}))
 		assertRows(t, q, vec, legacy)
 	}
 }
@@ -175,7 +176,7 @@ func execSession(t *testing.T, c *Cluster, q string, s Session) [][]Value {
 	// The ablation arms these harnesses compare differ only in execution
 	// toggles, which share result-cache entries by design — a cached serve
 	// of the other arm's rows would make the comparison vacuous.
-	s.DisableResultCache = true
+	s.Switches |= exec.DisableResultCache
 	res, err := c.ExecuteSession(q, s)
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)

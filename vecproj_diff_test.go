@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/workload"
 )
 
@@ -47,8 +48,8 @@ var projMatrix = []struct {
 	s    Session
 }{
 	{"vec+morsel", Session{}},
-	{"vec+static", Session{DisableMorsels: true}},
-	{"novec-kernels", Session{DisableVectorKernels: true}},
+	{"vec+static", Session{Switches: exec.DisableMorsels}},
+	{"novec-kernels", Session{Switches: exec.DisableVectorKernels}},
 }
 
 // TestVecProjDifferentialTPCH runs the projection workload under the full
@@ -168,7 +169,7 @@ func TestVecProjDivisionByZeroMatrix(t *testing.T) {
 	for _, q := range []string{"SELECT a / b FROM dz", "SELECT a % b FROM dz", "SELECT x % y FROM dm"} {
 		for _, m := range projMatrix {
 			s := m.s
-			s.DisableResultCache = true
+			s.Switches |= exec.DisableResultCache
 			err := projQueryErr(c, q, s)
 			if err == nil {
 				t.Fatalf("%s [%s]: expected division-by-zero error, got rows", q, m.name)
@@ -177,7 +178,7 @@ func TestVecProjDivisionByZeroMatrix(t *testing.T) {
 				t.Fatalf("%s [%s]: wrong error: %v", q, m.name, err)
 			}
 		}
-		if err := projQueryErr(interp, q, Session{DisableResultCache: true}); err == nil ||
+		if err := projQueryErr(interp, q, Session{Switches: exec.DisableResultCache}); err == nil ||
 			!strings.Contains(err.Error(), "division by zero") {
 			t.Fatalf("%s [interpreted]: wrong error: %v", q, err)
 		}
@@ -214,7 +215,7 @@ func TestVecProjDistributedDifferential(t *testing.T) {
 	for _, q := range projDiffQueries {
 		want := stringifyRows(execSession(t, ref, q, Session{}))
 		assertRows(t, q+" [distributed]", stringifyRows(d.mustQuery(t, q)), want)
-		res, err := d.Coord.Execute(q, Session{DisableVectorKernels: true})
+		res, err := d.Coord.Execute(q, Session{Switches: exec.DisableVectorKernels})
 		if err != nil {
 			t.Fatalf("distributed ablated %q: %v", q, err)
 		}
