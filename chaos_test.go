@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -25,9 +26,11 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/connector"
+	"repro/internal/connectors/hive"
 	"repro/internal/connectors/memconn"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
+	"repro/internal/orcish"
 	"repro/internal/plan"
 	"repro/internal/workload"
 )
@@ -521,4 +524,84 @@ func TestOperatorPanicFailsOneQuery(t *testing.T) {
 		got := stringifyRows(last)
 		t.Errorf("after the panics the healthy query returns %v, want %v", got, want)
 	}
+}
+
+// damageLineitem flips one byte in the middle of the l_quantity section of
+// the second stripe of the lake's lineitem file.
+func damageLineitem(t *testing.T, dir string) string {
+	t.Helper()
+	files, _ := filepath.Glob(filepath.Join(dir, "lineitem", "*.orcish"))
+	for _, f := range files {
+		footer, err := orcish.ReadFooter(f)
+		if err != nil || len(footer.Stripes) < 2 {
+			continue
+		}
+		for ci, col := range footer.Columns {
+			if col.Name != "l_quantity" {
+				continue
+			}
+			s := footer.Stripes[1]
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[s.Offset+s.ColOffsets[ci]+s.ColLengths[ci]/2] ^= 0x10
+			if err := os.WriteFile(f, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	t.Fatal("no lineitem file with two stripes")
+	return ""
+}
+
+// TestChaosDamagedLakeFile: one flipped byte in a lake file's stripe fails
+// every query that reads that column of that stripe — eagerly at the scan, or
+// lazily where an operator forces the column (the driver's recover turns the
+// reader's panic into the query's error) — with an error naming the file and
+// the column, never a crash and never an answer. Queries that do not touch
+// the damaged section, and queries on an intact table, answer as before.
+func TestChaosDamagedLakeFile(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		dir := t.TempDir()
+		c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2, DisableResultCache: true})
+		lake, err := workload.LoadTPCHHiveConfig("lake", 0.05, hive.Config{Dir: dir, LazyReads: lazy, StripeRows: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Register(lake)
+		const intact = "SELECT o_orderstatus, count(*) FROM lake.orders GROUP BY o_orderstatus ORDER BY o_orderstatus"
+		want := stringifyRows(mustExec(t, c, intact))
+		okCols := stringifyRows(mustExec(t, c, "SELECT count(*), sum(l_orderkey) FROM lake.lineitem"))
+
+		path := damageLineitem(t, dir)
+		for i := 0; i < 2; i++ {
+			res, err := c.Execute("SELECT l_returnflag, sum(l_quantity) FROM lake.lineitem GROUP BY l_returnflag")
+			if err == nil {
+				_, err = res.All()
+			}
+			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), `column "l_quantity"`) {
+				t.Fatalf("lazy=%v: the query over the damaged section returned %v, want an error naming %s and l_quantity", lazy, err, path)
+			}
+			if st, ok := c.QueryStats(res.QueryID); !ok || st.State != "FAILED" || !strings.Contains(st.Error, "l_quantity") {
+				t.Errorf("lazy=%v: stats of the failed query: state %q, error %q", lazy, st.State, st.Error)
+			}
+		}
+		if lazy {
+			// Only the damaged column's section fails: a lazy scan that never
+			// forces it answers.
+			if got := stringifyRows(mustExec(t, c, "SELECT count(*), sum(l_orderkey) FROM lake.lineitem")); !equalRows(got, okCols) {
+				t.Errorf("a scan not touching the damaged column returned %v, want %v", got, okCols)
+			}
+		}
+		if got := stringifyRows(mustExec(t, c, intact)); !equalRows(got, want) {
+			t.Errorf("lazy=%v: the intact table returned %v after the failures, want %v", lazy, got, want)
+		}
+		c.Close()
+	}
+}
+
+func equalRows(a, b []string) bool {
+	return strings.Join(a, "\n") == strings.Join(b, "\n")
 }

@@ -2,8 +2,9 @@ package block
 
 // Binary page codec: the serialized form of a Page. HTTP shuffle responses
 // (paper §IV-E2), spill files and materialized-exchange segments all carry
-// these frames. A frame is length-prefixed and self-checking, so a receiver
-// can cut pages out of a byte stream and reject corruption:
+// these frames, and so do the column sections and footers of orcish lake
+// files. A frame is length-prefixed and self-checking, so a receiver can cut
+// pages out of a byte stream and reject corruption:
 //
 //	frame  := "PPG1" flags(1) storedLen(u32le) rawLen(u32le) crc32c(u32le) stored
 //	payload (stored, flate-compressed when flags&1):
@@ -330,6 +331,31 @@ func DecodePage(data []byte) (*Page, int, error) {
 		return nil, 0, err
 	}
 	return p, end, nil
+}
+
+// DecodePageAt decodes the frame that is exactly the n bytes at off in ra —
+// one section of a file whose index records where its frames are. The bytes
+// are read into pooled scratch, which goes back to the pool before the call
+// returns (the page shares no memory with it), so concurrent callers over one
+// ReaderAt each take their own buffer and nothing is retained.
+func DecodePageAt(ra io.ReaderAt, off int64, n int) (*Page, error) {
+	if n < frameHeaderLen || n > frameHeaderLen+maxFramePayload {
+		return nil, corruptf("frame length %d out of range", n)
+	}
+	bp := scratchPool.Get().(*[]byte)
+	buf := slices.Grow((*bp)[:0], n)[:n]
+	var p *Page
+	got, err := ra.ReadAt(buf, off)
+	if got == n {
+		var used int
+		if p, used, err = DecodePage(buf); err == nil && used != n {
+			p, err = nil, corruptf("%d trailing bytes after the frame", n-used)
+		}
+	} else if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	putScratch(bp, buf)
+	return p, err
 }
 
 func decodeFrame(h frameHeader, stored []byte) (*Page, error) {

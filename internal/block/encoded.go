@@ -1,6 +1,8 @@
 package block
 
 import (
+	"cmp"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -262,7 +264,8 @@ func DictEncode(b Block, maxRatio float64) Block {
 }
 
 // RLEEncode returns an RLE block if every row of b holds the same value
-// (including all-NULL), otherwise b unchanged.
+// (including all-NULL), otherwise b unchanged. Doubles must match to the bit:
+// 0.0 and -0.0 are equal values but not one run, so neither sign is lost.
 func RLEEncode(b Block) Block {
 	n := b.Len()
 	if n == 0 {
@@ -274,9 +277,89 @@ func RLEEncode(b Block) Block {
 		if v.Null != first.Null {
 			return b
 		}
-		if !v.Null && !v.Equal(first) {
+		if !v.Null && (!v.Equal(first) || math.Float64bits(v.F) != math.Float64bits(first.F)) {
 			return b
 		}
 	}
 	return NewRLEBlock(first, n)
+}
+
+// Bounds summarizes b for min/max skipping (§V-C): its least and greatest
+// non-NULL values, how many rows are NULL, and ok=false when no row holds a
+// value. A run is read as its one value and a dictionary as its entries —
+// exact for one DictEncode built from the rows, conservative for a dictionary
+// shared with other pages — and flat columns in typed loops. Of equal values
+// the first is kept, a value that compares false both ways (a NaN after the
+// first) moves neither bound, and values without an order (arrays) take the
+// first as both: types.Value.Compare's answers, without boxing each row.
+func Bounds(b Block) (lo, hi types.Value, nulls int64, ok bool) {
+	switch x := b.(type) {
+	case *LazyBlock:
+		return Bounds(x.Load())
+	case *RLEBlock:
+		lo, hi, nulls, ok = Bounds(x.Val)
+		return lo, hi, nulls * int64(x.Count), ok
+	case *DictionaryBlock:
+		lo, hi, _, ok = Bounds(x.Dict)
+		for _, ix := range x.Indices {
+			if x.Dict.IsNull(int(ix)) {
+				nulls++
+			}
+		}
+		return lo, hi, nulls, ok
+	case *LongBlock:
+		return bounds(x.Vals, x.Nulls, func(v int64) types.Value { return types.Value{T: x.T, I: v} })
+	case *DoubleBlock:
+		return bounds(x.Vals, x.Nulls, types.DoubleValue)
+	case *VarcharBlock:
+		return bounds(x.Vals, x.Nulls, types.VarcharValue)
+	case *BoolBlock:
+		// false < true: the least is false if any value is, the greatest true
+		// if any is.
+		var seen [2]bool
+		for i, v := range x.Vals {
+			if x.Nulls != nil && x.Nulls[i] {
+				nulls++
+			} else if v {
+				seen[1] = true
+			} else {
+				seen[0] = true
+			}
+		}
+		if ok = seen[0] || seen[1]; ok {
+			lo, hi = types.BooleanValue(!seen[0]), types.BooleanValue(seen[1])
+		}
+		return lo, hi, nulls, ok
+	}
+	for r := 0; r < b.Len(); r++ {
+		if b.IsNull(r) {
+			nulls++
+		} else if !ok {
+			lo, hi, ok = b.Value(r), b.Value(r), true
+		}
+	}
+	return lo, hi, nulls, ok
+}
+
+func bounds[T cmp.Ordered](vals []T, nullMask []bool, box func(T) types.Value) (lo, hi types.Value, nulls int64, ok bool) {
+	var l, h T
+	for i, v := range vals {
+		switch {
+		case nullMask != nil && nullMask[i]:
+			nulls++
+		case !ok:
+			l, h, ok = v, v, true
+		default:
+			if v < l {
+				l = v
+			}
+			if v > h {
+				h = v
+			}
+		}
+	}
+	if ok {
+		lo, hi = box(l), box(h)
+	}
+	return lo, hi, nulls, ok
 }

@@ -10,6 +10,7 @@ package hive
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -101,11 +102,10 @@ func (c *Connector) footer(path string) (*orcish.Footer, error) {
 	if c.meta == nil {
 		return orcish.ReadFooter(path)
 	}
-	fi, err := os.Stat(path)
+	key, err := footerKey(path)
 	if err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("footer/%s@%d:%d", path, fi.ModTime().UnixNano(), fi.Size())
 	if v, ok := c.meta.Get(key); ok {
 		return v.(*orcish.Footer), nil
 	}
@@ -115,6 +115,14 @@ func (c *Connector) footer(path string) (*orcish.Footer, error) {
 	}
 	c.meta.Put(key, f)
 	return f, nil
+}
+
+func footerKey(path string) (string, error) {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("footer/%s@%d:%d", path, fi.ModTime().UnixNano(), fi.Size()), nil
 }
 
 // MetaStats exposes the footer-cache counters (tests and metrics).
@@ -176,19 +184,21 @@ func (c *Connector) loadTableInfo(table string) (*tableInfo, error) {
 func (c *Connector) computeStats(files []string) connector.TableStats {
 	stats := connector.TableStats{ColumnNDV: map[string]int64{}}
 	for _, f := range files {
-		footer, err := c.footer(f)
-		if err != nil {
-			continue
-		}
-		rows, ndv := orcish.FileStats(footer)
-		stats.RowCount += rows
-		for col, n := range ndv {
-			if n > stats.ColumnNDV[col] {
-				stats.ColumnNDV[col] = n
-			}
+		if footer, err := c.footer(f); err == nil {
+			addFileStats(&stats, footer)
 		}
 	}
 	return stats
+}
+
+// addFileStats folds one file into a table's statistics: rows add up, and a
+// column's distinct-count estimate is the largest any file gives.
+func addFileStats(stats *connector.TableStats, footer *orcish.Footer) {
+	rows, ndv := orcish.FileStats(footer)
+	stats.RowCount += rows
+	for col, n := range ndv {
+		stats.ColumnNDV[col] = max(stats.ColumnNDV[col], n)
+	}
 }
 
 // listDataFiles walks a table directory, returning data files and the
@@ -445,9 +455,6 @@ func (p *pageSource) NextPage() (*block.Page, error) {
 func (p *pageSource) BytesRead() int64 { return p.reader.BytesRead() }
 func (p *pageSource) Close()           { p.reader.Close() }
 
-// Reader exposes the underlying orcish reader (experiment instrumentation).
-func (p *pageSource) Reader() *orcish.Reader { return p.reader }
-
 // busyWait spins for roughly d nanoseconds on the given clock (std sleep
 // granularity is too coarse for per-page delays).
 func busyWait(clock Clock, nanos int64) {
@@ -573,14 +580,26 @@ func (s *pageSink) Finish() (int64, error) {
 	if err := s.f.Close(); err != nil {
 		return 0, err
 	}
-	// The new file gets a fresh mtime-versioned footer key, but drop the
-	// table's footer entries anyway so the cache does not hold dead files.
-	s.c.meta.Invalidate("footer/" + filepath.Join(s.c.cfg.Dir, s.table))
-	// Refresh statistics.
+	// The writer holds the footer it wrote: it is the new file's cache entry
+	// (files are write-once, so the table's other entries stay valid), and
+	// the table's statistics take it in without re-reading the others.
+	footer := s.w.Footer()
+	if key, err := footerKey(s.f.Name()); err == nil {
+		s.c.meta.Put(key, footer)
+	}
+	if !s.c.cfg.CollectStats {
+		return s.rows, nil
+	}
 	s.c.mu.Lock()
-	if info, ok := s.c.tables[s.table]; ok && s.c.cfg.CollectStats {
-		files, _, _ := listDataFiles(filepath.Join(s.c.cfg.Dir, s.table))
-		info.stats = s.c.computeStats(files)
+	if info, ok := s.c.tables[s.table]; ok {
+		// Stats hands out the map; the folded one is a copy.
+		stats := info.stats
+		stats.ColumnNDV = maps.Clone(stats.ColumnNDV)
+		if stats.ColumnNDV == nil {
+			stats.ColumnNDV = map[string]int64{}
+		}
+		addFileStats(&stats, footer)
+		info.stats = stats
 	}
 	s.c.mu.Unlock()
 	return s.rows, nil

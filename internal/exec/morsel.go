@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/connector"
+	"repro/internal/operators"
 )
 
 // DefaultMorselRows is the target morsel size: drivers pull batches of at
@@ -43,7 +44,10 @@ type morselQueue struct {
 
 	morselRows int
 	openFn     func(connector.Split) (connector.PageSource, error)
-	onReady    func()
+	// stats is the scan's source stats: every source the queue drops gives
+	// it the bytes it read.
+	stats   *operators.OpStats
+	onReady func()
 	// onDrained is called, outside q.mu and possibly more than once, by a
 	// driver that finds the queue drained: no driver started after that could
 	// find work, which the task needs to know before the running ones finish.
@@ -122,6 +126,7 @@ func (q *morselQueue) cancel() {
 	srcs := make([]connector.PageSource, 0, len(q.open))
 	for _, os := range q.open {
 		if !os.busy { // a busy source is closed by its reader on return
+			q.stats.RecordSourceClosed(os.src)
 			srcs = append(srcs, os.src)
 		}
 	}
@@ -249,6 +254,7 @@ func (q *morselQueue) next(stripe int) (*block.Page, error) {
 			q.mu.Lock()
 			os.busy = false
 			if q.stopped {
+				q.stats.RecordSourceClosed(os.src)
 				q.mu.Unlock()
 				os.src.Close()
 				return nil, nil
@@ -380,8 +386,10 @@ func (q *morselQueue) takeSplitLocked(stripe int) (connector.Split, bool) {
 
 // removeLocked drops an exhausted source from the open list. In morsel mode
 // drivers outnumber splits, so split progress is counted here — at source
-// exhaustion — rather than at driver completion.
+// exhaustion — rather than at driver completion; so are the source's bytes,
+// before the queue can be seen drained and the task finish.
 func (q *morselQueue) removeLocked(os *openSplit) {
+	q.stats.RecordSourceClosed(os.src)
 	for i, o := range q.open {
 		if o == os {
 			q.open = append(q.open[:i], q.open[i+1:]...)

@@ -79,10 +79,12 @@ func (t *Task) Stats() TaskStats {
 			// Rows read are the rows a scan gave the query: what the connector
 			// produced less what the scan's dynamic filters dropped (they run
 			// in the processor placed on it and are counted on its stats).
+			// Bytes read are what its sources fetched, not the size of the
+			// pages they made: a lazy column that never loads was not read.
 			src := ps.Operators[0]
 			st.ScanRows += src.RowsOut
 			st.RowsRead += src.RowsOut - src.DynRowsFiltered
-			st.BytesRead += src.BytesOut
+			st.BytesRead += src.BytesRead
 		}
 	}
 	t.mu.Unlock()

@@ -437,6 +437,7 @@ func (t *Task) morselQueueLocked(scanID int) (*morselQueue, error) {
 			}
 			return t.openPageSource(conn, s, pipe, stats)
 		})
+	q.stats = stats
 	q.onReady = t.executor.Kick
 	q.onDrained = func() {
 		t.mu.Lock()

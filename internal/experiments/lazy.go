@@ -42,7 +42,7 @@ func RunLazy(opt Options) (*LazyResult, error) {
 			return nil, err
 		}
 		cluster := presto.NewCluster(presto.ClusterConfig{Workers: opt.Workers, ThreadsPerWorker: 2})
-		conn, err := loadLazyLake(dir, opt.Scale, lazy)
+		conn, err := workload.LoadTPCHHiveLazy("lake", dir, opt.Scale, lazy)
 		if err != nil {
 			cluster.Close()
 			os.RemoveAll(dir)
@@ -52,26 +52,21 @@ func RunLazy(opt Options) (*LazyResult, error) {
 
 		start := time.Now()
 		r, err := cluster.Execute(query)
-		if err != nil {
-			cluster.Close()
-			os.RemoveAll(dir)
-			return nil, err
-		}
-		if _, err := r.All(); err != nil {
-			cluster.Close()
-			os.RemoveAll(dir)
-			return nil, err
+		if err == nil {
+			_, err = r.All()
 		}
 		wall := time.Since(start)
-
-		// Aggregate CPU from the finished query.
-		var cpu time.Duration
-		if info, ok := cluster.Coordinator.QueryInfo("q1"); ok {
-			cpu = time.Duration(info.CPUNanos)
+		// The query's own stats: CPU, and the bytes its scans' sources fetched.
+		var st presto.QueryStats
+		if err == nil {
+			st, _ = cluster.QueryStats(r.QueryID)
 		}
-		bytes := conn.BytesReadTotal()
 		cluster.Close()
 		os.RemoveAll(dir)
+		if err != nil {
+			return nil, err
+		}
+		bytes, cpu := st.BytesRead, time.Duration(st.CPUNanos)
 
 		if lazy {
 			res.LazyBytes, res.LazyCPU, res.LazyWall = bytes, cpu, wall
@@ -94,13 +89,4 @@ func (r *LazyResult) Report() string {
 	}
 	fmt.Fprintf(&sb, "shape check: lazy reads fewer bytes → %v\n", r.LazyBytes < r.EagerBytes)
 	return sb.String()
-}
-
-// loadLazyLake builds a lake connector with byte accounting.
-func loadLazyLake(dir string, scale float64, lazy bool) (*countingHive, error) {
-	inner, err := workload.LoadTPCHHiveLazy("lake", dir, scale, lazy)
-	if err != nil {
-		return nil, err
-	}
-	return &countingHive{Connector: inner}, nil
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/block"
+	"repro/internal/connector"
 	"repro/internal/memory"
 )
 
@@ -63,6 +64,9 @@ type OpStats struct {
 	pagesOut atomic.Int64
 	rowsOut  atomic.Int64
 	bytesOut atomic.Int64
+	// bytesRead (leaf scans only) is what the scan's sources fetched, taken
+	// from each as it closes: a lazy column that never loads costs nothing.
+	bytesRead atomic.Int64
 
 	wallNanos    atomic.Int64 // sum of owning-driver lifetimes
 	cpuNanos     atomic.Int64 // iterate-pass time attributed to this operator
@@ -121,6 +125,13 @@ func (s *OpStats) RecordProjKernels(vecEvals, cseHits, evictions int64) {
 	}
 	if evictions > 0 {
 		s.dictEvictions.Add(evictions)
+	}
+}
+
+// RecordSourceClosed takes a closing page source's physical bytes read.
+func (s *OpStats) RecordSourceClosed(src connector.PageSource) {
+	if s != nil {
+		s.bytesRead.Add(src.BytesRead())
 	}
 }
 
@@ -205,6 +216,7 @@ type OpStatsSnapshot struct {
 	PagesOut     int64  `json:"pagesOut"`
 	RowsOut      int64  `json:"rowsOut"`
 	BytesOut     int64  `json:"bytesOut"`
+	BytesRead    int64  `json:"bytesRead,omitempty"`
 	WallNanos    int64  `json:"wallNanos"`
 	CPUNanos     int64  `json:"cpuNanos"`
 	BlockedNanos int64  `json:"blockedNanos"`
@@ -234,6 +246,7 @@ func (s *OpStats) Snapshot() OpStatsSnapshot {
 		PagesOut:     s.pagesOut.Load(),
 		RowsOut:      s.rowsOut.Load(),
 		BytesOut:     s.bytesOut.Load(),
+		BytesRead:    s.bytesRead.Load(),
 		WallNanos:    s.wallNanos.Load(),
 		CPUNanos:     s.cpuNanos.Load(),
 		BlockedNanos: s.blockedNanos.Load(),
@@ -268,6 +281,7 @@ func (s *OpStatsSnapshot) Merge(o OpStatsSnapshot) {
 	s.PagesOut += o.PagesOut
 	s.RowsOut += o.RowsOut
 	s.BytesOut += o.BytesOut
+	s.BytesRead += o.BytesRead
 	s.WallNanos += o.WallNanos
 	s.CPUNanos += o.CPUNanos
 	s.BlockedNanos += o.BlockedNanos

@@ -45,10 +45,8 @@ func (o *TableScanOperator) Output() (*block.Page, error) {
 	return p, nil
 }
 
-// BytesRead reports physical bytes fetched by the underlying source.
-func (o *TableScanOperator) BytesRead() int64 { return o.source.BytesRead() }
-
 func (o *TableScanOperator) Close() error {
+	o.ctx.Stats.RecordSourceClosed(o.source)
 	o.source.Close()
 	return nil
 }

@@ -6,31 +6,46 @@
 // run-length-encoded. Readers skip whole stripes using footer statistics and
 // materialize columns lazily (§V-D).
 //
-// Layout:
+// Sections and footer are frames of the engine's page codec (internal/block),
+// the serialized form shuffle, spill and exchange segments use too: CRC-32C
+// checked, bounded on decode, encodings preserved.
 //
-//	[stripe 0][stripe 1]...[stripe N-1][footer][footer length: 8 bytes][magic]
+//	file    := stripe* schema stripes footerLen(u64le) "ORCISH02"
+//	stripe  := section*  -- one per column, back to back
+//	section := frame: a one-column page of the stripe's rows, flat, RLE or
+//	           dictionary encoded
+//	schema  := frame: one row per column (name VARCHAR, type BIGINT)
+//	stripes := frame: one row per stripe (offset, length, rows BIGINT; per
+//	           column: section offset and length, null count BIGINT, min and
+//	           max of the column's type, NULL when the stripe has no value)
 //
-// Stripes and the footer are length-prefixed gob blobs; columns within a
-// stripe are separately offset so lazy readers fetch only what they touch.
+// footerLen covers schema and stripes. A lazy reader fetches only the
+// sections a query touches.
 package orcish
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/block"
 	"repro/internal/types"
 )
 
-// Magic trails every orcish file.
-const Magic = "ORCISH01"
+const (
+	// Magic trails every orcish file.
+	Magic = "ORCISH02"
+	// DefaultStripeRows is the row count per stripe.
+	DefaultStripeRows = 8192
 
-// DefaultStripeRows is the row count per stripe.
-const DefaultStripeRows = 8192
+	tailLen = 16 // footerLen + Magic
+	// stripeCols and statCols are the stripe table's columns per stripe and
+	// per file column.
+	stripeCols, statCols = 3, 5
+)
 
 // ColumnMeta describes one column of the file.
 type ColumnMeta struct {
@@ -50,7 +65,7 @@ type StripeInfo struct {
 	Offset     int64
 	Length     int64
 	Rows       int64
-	ColOffsets []int64 // column data offset within the stripe blob
+	ColOffsets []int64 // section offset within the stripe
 	ColLengths []int64
 	Stats      []ColumnStats
 }
@@ -62,37 +77,15 @@ type Footer struct {
 	Rows    int64
 }
 
-// encoding kinds for column sections.
-const (
-	encPlain byte = iota
-	encRLE
-	encDict
-)
-
-// columnSection is the serialized form of one column in one stripe.
-type columnSection struct {
-	Enc   byte
-	T     types.Type
-	Longs []int64
-	Dbls  []float64
-	Strs  []string
-	Bools []bool
-	Nulls []bool
-	// Dictionary encoding: Indices into the value slices above.
-	Indices []int32
-	// RLE: Count rows of the single value above.
-	Count int
-}
-
 // Writer streams pages into an orcish file.
 type Writer struct {
-	w          io.WriteSeeker
-	columns    []ColumnMeta
+	w          io.Writer
 	footer     Footer
 	pending    []*block.Page
 	pendRows   int
 	stripeRows int
 	offset     int64
+	buf        []byte // one stripe's sections, then the footer; reused
 }
 
 // NewWriter creates a writer over ws for the given schema.
@@ -100,7 +93,7 @@ func NewWriter(ws io.WriteSeeker, columns []ColumnMeta, stripeRows int) *Writer 
 	if stripeRows <= 0 {
 		stripeRows = DefaultStripeRows
 	}
-	return &Writer{w: ws, columns: columns, footer: Footer{Columns: columns}, stripeRows: stripeRows}
+	return &Writer{w: ws, footer: Footer{Columns: columns}, stripeRows: stripeRows}
 }
 
 // Append buffers a page, flushing complete stripes.
@@ -122,19 +115,18 @@ func (w *Writer) Close() error {
 			return err
 		}
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&w.footer); err != nil {
-		return err
+	buf, err := appendFooter(w.buf[:0], &w.footer)
+	if err == nil {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(buf)))
+		_, err = w.w.Write(append(buf, Magic...))
 	}
-	if _, err := w.w.Write(buf.Bytes()); err != nil {
-		return err
-	}
-	var tail [16]byte
-	binary.LittleEndian.PutUint64(tail[:8], uint64(buf.Len()))
-	copy(tail[8:], Magic)
-	_, err := w.w.Write(tail[:])
+	w.buf = nil
 	return err
 }
+
+// Footer returns the table of contents Close wrote: what ReadFooter decodes
+// from the file, without reading it back.
+func (w *Writer) Footer() *Footer { return &w.footer }
 
 // flushStripe writes the first n pending rows as one stripe.
 func (w *Writer) flushStripe(n int) error {
@@ -148,150 +140,96 @@ func (w *Writer) flushStripe(n int) error {
 	}
 	w.pendRows -= n
 
-	info := StripeInfo{Offset: w.offset, Rows: int64(n)}
-	var body bytes.Buffer
-	for ci := range w.columns {
-		col := stripe.Col(ci)
-		sec := encodeColumn(col)
-		start := int64(body.Len())
-		if err := gob.NewEncoder(&body).Encode(sec); err != nil {
-			return err
+	nc := len(w.footer.Columns)
+	info := StripeInfo{Offset: w.offset, Rows: int64(n),
+		ColOffsets: make([]int64, nc), ColLengths: make([]int64, nc), Stats: make([]ColumnStats, nc)}
+	w.buf = w.buf[:0]
+	for ci, cm := range w.footer.Columns {
+		col, err := encodeColumn(cm.T, stripe.Col(ci))
+		if err == nil {
+			start := len(w.buf)
+			w.buf, err = block.AppendPage(w.buf, block.NewPage(col), false)
+			info.ColOffsets[ci], info.ColLengths[ci] = int64(start), int64(len(w.buf)-start)
 		}
-		info.ColOffsets = append(info.ColOffsets, start)
-		info.ColLengths = append(info.ColLengths, int64(body.Len())-start)
-		info.Stats = append(info.Stats, computeColumnStats(col))
+		if err != nil {
+			return fmt.Errorf("column %q: %w", cm.Name, err)
+		}
+		lo, hi, nulls, ok := block.Bounds(col)
+		// A bound outlives the stripe in a cached footer: it must not pin the
+		// stripe's string memory.
+		lo.S, hi.S = strings.Clone(lo.S), strings.Clone(hi.S)
+		info.Stats[ci] = ColumnStats{Min: lo, Max: hi, NullCount: nulls, HasValues: ok}
 	}
-	if _, err := w.w.Write(body.Bytes()); err != nil {
+	if _, err := w.w.Write(w.buf); err != nil {
 		return err
 	}
-	info.Length = int64(body.Len())
+	info.Length = int64(len(w.buf))
 	w.offset += info.Length
 	w.footer.Stripes = append(w.footer.Stripes, info)
 	w.footer.Rows += int64(n)
 	return nil
 }
 
-func computeColumnStats(col block.Block) ColumnStats {
-	var st ColumnStats
-	for r := 0; r < col.Len(); r++ {
-		if col.IsNull(r) {
-			st.NullCount++
-			continue
-		}
-		v := col.Value(r)
-		if !st.HasValues {
-			st.Min, st.Max = v, v
-			st.HasValues = true
-			continue
-		}
-		if v.T.Comparable() {
-			if v.Compare(st.Min) < 0 {
-				st.Min = v
+// encodeColumn picks a stripe column's encoding: RLE for a constant run, a
+// dictionary for low cardinality, flat otherwise. A section holds its
+// column's type: a block of another type (an untyped NULL literal's, or an
+// INSERT's BIGINT into a DOUBLE column) is coerced first.
+func encodeColumn(t types.Type, col block.Block) (block.Block, error) {
+	if col.Type() != t {
+		vals := make([]types.Value, col.Len())
+		for r := range vals {
+			v, err := col.Value(r).Coerce(t)
+			if err != nil {
+				return nil, err
 			}
-			if v.Compare(st.Max) > 0 {
-				st.Max = v
-			}
+			vals[r] = v
 		}
+		col = block.BuildBlock(t, vals)
 	}
-	return st
-}
-
-// encodeColumn picks an encoding: RLE for constant runs, dictionary for
-// low-cardinality columns, plain otherwise.
-func encodeColumn(col block.Block) *columnSection {
-	n := col.Len()
-	sec := &columnSection{T: col.Type()}
-	// Constant column → RLE.
 	if rle, ok := block.RLEEncode(col).(*block.RLEBlock); ok {
-		sec.Enc = encRLE
-		sec.Count = n
-		fillSectionValues(sec, rle.Val)
-		return sec
+		return rle, nil
 	}
-	// Low cardinality → dictionary.
-	if dict, ok := block.DictEncode(col, 0.5).(*block.DictionaryBlock); ok {
-		sec.Enc = encDict
-		sec.Indices = dict.Indices
-		fillSectionValues(sec, dict.Dict)
-		return sec
-	}
-	sec.Enc = encPlain
-	fillSectionValues(sec, col)
-	return sec
+	return block.DictEncode(col, 0.5), nil
 }
 
-// fillSectionValues copies a block's values into the section's typed slices.
-func fillSectionValues(sec *columnSection, col block.Block) {
-	n := col.Len()
-	hasNull := false
-	for r := 0; r < n; r++ {
-		if col.IsNull(r) {
-			hasNull = true
-			break
-		}
+// appendFooter appends f's schema frame and stripe-table frame to dst.
+func appendFooter(dst []byte, f *Footer) ([]byte, error) {
+	names := make([]string, len(f.Columns))
+	kinds := make([]int64, len(f.Columns))
+	for i, c := range f.Columns {
+		names[i], kinds[i] = c.Name, int64(c.T)
 	}
-	if hasNull {
-		sec.Nulls = make([]bool, n)
-		for r := 0; r < n; r++ {
-			sec.Nulls[r] = col.IsNull(r)
-		}
+	dst, err := block.AppendPage(dst, block.NewPage(block.NewVarcharBlock(names, nil), block.NewLongBlock(kinds, nil)), false)
+	if err != nil {
+		return dst, err
 	}
-	switch col.Type() {
-	case types.Bigint, types.Date:
-		sec.Longs = make([]int64, n)
-		for r := 0; r < n; r++ {
-			if !col.IsNull(r) {
-				sec.Longs[r] = col.Long(r)
+	long := func(get func(s *StripeInfo) int64) block.Block {
+		vals := make([]int64, len(f.Stripes))
+		for i := range f.Stripes {
+			vals[i] = get(&f.Stripes[i])
+		}
+		return block.NewLongBlock(vals, nil)
+	}
+	cols := []block.Block{
+		long(func(s *StripeInfo) int64 { return s.Offset }),
+		long(func(s *StripeInfo) int64 { return s.Length }),
+		long(func(s *StripeInfo) int64 { return s.Rows }),
+	}
+	for ci, c := range f.Columns {
+		mins, maxs := make([]types.Value, len(f.Stripes)), make([]types.Value, len(f.Stripes))
+		for i := range f.Stripes {
+			mins[i], maxs[i] = types.NullValue(c.T), types.NullValue(c.T)
+			if st := f.Stripes[i].Stats[ci]; st.HasValues {
+				mins[i], maxs[i] = st.Min, st.Max
 			}
 		}
-	case types.Double:
-		sec.Dbls = make([]float64, n)
-		for r := 0; r < n; r++ {
-			if !col.IsNull(r) {
-				sec.Dbls[r] = col.Double(r)
-			}
-		}
-	case types.Varchar:
-		sec.Strs = make([]string, n)
-		for r := 0; r < n; r++ {
-			if !col.IsNull(r) {
-				sec.Strs[r] = col.Str(r)
-			}
-		}
-	case types.Boolean:
-		sec.Bools = make([]bool, n)
-		for r := 0; r < n; r++ {
-			if !col.IsNull(r) {
-				sec.Bools[r] = col.Bool(r)
-			}
-		}
+		cols = append(cols,
+			long(func(s *StripeInfo) int64 { return s.ColOffsets[ci] }),
+			long(func(s *StripeInfo) int64 { return s.ColLengths[ci] }),
+			long(func(s *StripeInfo) int64 { return s.Stats[ci].NullCount }),
+			block.BuildBlock(c.T, mins), block.BuildBlock(c.T, maxs))
 	}
-}
-
-// decodeSection reconstructs the block for a column section.
-func (sec *columnSection) decode() block.Block {
-	plain := func() block.Block {
-		switch sec.T {
-		case types.Bigint, types.Date:
-			return &block.LongBlock{T: sec.T, Vals: sec.Longs, Nulls: sec.Nulls}
-		case types.Double:
-			return block.NewDoubleBlock(sec.Dbls, sec.Nulls)
-		case types.Varchar:
-			return block.NewVarcharBlock(sec.Strs, sec.Nulls)
-		case types.Boolean:
-			return block.NewBoolBlock(sec.Bools, sec.Nulls)
-		default:
-			return block.NewBoolBlock(make([]bool, len(sec.Nulls)), sec.Nulls)
-		}
-	}
-	switch sec.Enc {
-	case encRLE:
-		return block.NewRLEBlockFromBlock(plain(), sec.Count)
-	case encDict:
-		return block.NewDictionaryBlock(plain(), sec.Indices)
-	default:
-		return plain()
-	}
+	return block.AppendPage(dst, block.NewPage(cols...), false)
 }
 
 // WriteFile writes pages to path with the given schema.
@@ -302,16 +240,17 @@ func WriteFile(path string, columns []ColumnMeta, pages []*block.Page, stripeRow
 	}
 	w := NewWriter(f, columns, stripeRows)
 	for _, p := range pages {
-		if err := w.Append(p); err != nil {
-			f.Close()
-			return err
+		if err = w.Append(p); err != nil {
+			break
 		}
 	}
-	if err := w.Close(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = w.Close()
 	}
-	return f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // ReadFooter loads a file's footer.
@@ -322,27 +261,114 @@ func ReadFooter(path string) (*Footer, error) {
 	}
 	defer f.Close()
 	st, err := f.Stat()
+	var footer *Footer
+	if err == nil {
+		footer, err = readFooter(f, st.Size())
+	}
 	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return footer, nil
+}
+
+// readFooter decodes the footer of the size-byte file in ra. What it
+// allocates is bounded by size: the footer's length is checked against the
+// file, the codec bounds its frames, the stripe table must be flat (a stripe
+// costs its row's bytes), and every section must lie inside the stripe data.
+func readFooter(ra io.ReaderAt, size int64) (*Footer, error) {
+	if size < tailLen {
+		return nil, errors.New("not an orcish file (too small)")
+	}
+	var tail [tailLen]byte
+	if _, err := ra.ReadAt(tail[:], size-tailLen); err != nil {
 		return nil, err
 	}
-	if st.Size() < 16 {
-		return nil, fmt.Errorf("%s: not an orcish file (too small)", path)
+	switch magic := string(tail[8:]); {
+	case magic == "ORCISH01":
+		return nil, errors.New("ORCISH01 is the retired gob format and is not read; rewrite the file")
+	case magic != Magic:
+		return nil, fmt.Errorf("not an orcish file (magic %q)", magic)
 	}
-	var tail [16]byte
-	if _, err := f.ReadAt(tail[:], st.Size()-16); err != nil {
-		return nil, err
+	flen := binary.LittleEndian.Uint64(tail[:8])
+	if flen > uint64(size-tailLen) {
+		return nil, fmt.Errorf("footer length %d exceeds the %d-byte file", flen, size)
 	}
-	if string(tail[8:]) != Magic {
-		return nil, fmt.Errorf("%s: bad magic %q", path, tail[8:])
-	}
-	flen := int64(binary.LittleEndian.Uint64(tail[:8]))
+	data := size - tailLen - int64(flen)
 	buf := make([]byte, flen)
-	if _, err := f.ReadAt(buf, st.Size()-16-flen); err != nil {
+	if _, err := ra.ReadAt(buf, data); err != nil {
 		return nil, err
 	}
-	var footer Footer
-	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&footer); err != nil {
-		return nil, fmt.Errorf("%s: corrupt footer: %w", path, err)
+	corrupt := func(format string, args ...any) error { return fmt.Errorf("corrupt footer: "+format, args...) }
+	schema, n, err := block.DecodePage(buf)
+	if err != nil {
+		return nil, corrupt("%w", err)
 	}
-	return &footer, nil
+	table, m, err := block.DecodePage(buf[n:])
+	if err != nil {
+		return nil, corrupt("%w", err)
+	}
+	if n+m != len(buf) {
+		return nil, corrupt("%d trailing bytes", len(buf)-n-m)
+	}
+	if !shaped(schema, []types.Type{types.Varchar, types.Bigint}) {
+		return nil, corrupt("bad schema frame")
+	}
+	f := &Footer{Columns: make([]ColumnMeta, schema.RowCount())}
+	want := []types.Type{types.Bigint, types.Bigint, types.Bigint}
+	for i := range f.Columns {
+		t := types.Type(schema.Col(1).Long(i))
+		f.Columns[i] = ColumnMeta{Name: schema.Col(0).Str(i), T: t}
+		want = append(want, types.Bigint, types.Bigint, types.Bigint, t, t)
+	}
+	// A type code no block has fails here too: its min and max columns are
+	// blocks of some type.
+	if !shaped(table, want) {
+		return nil, corrupt("bad stripe table frame")
+	}
+	long := func(c, i int) int64 { return table.Col(c).Long(i) }
+	nc := len(f.Columns)
+	f.Stripes = make([]StripeInfo, table.RowCount())
+	for i := range f.Stripes {
+		s := StripeInfo{Offset: long(0, i), Length: long(1, i), Rows: long(2, i),
+			ColOffsets: make([]int64, nc), ColLengths: make([]int64, nc), Stats: make([]ColumnStats, nc)}
+		if s.Offset < 0 || s.Length < 0 || s.Length > data-s.Offset || s.Rows < 1 {
+			return nil, corrupt("stripe %d (offset %d, length %d, %d rows) is out of place", i, s.Offset, s.Length, s.Rows)
+		}
+		for ci := range f.Columns {
+			c := stripeCols + statCols*ci
+			off, n := long(c, i), long(c+1, i)
+			if off < 0 || n < 0 || n > s.Length-off {
+				return nil, corrupt("stripe %d column %q section is out of place", i, f.Columns[ci].Name)
+			}
+			s.ColOffsets[ci], s.ColLengths[ci] = off, n
+			st := &s.Stats[ci]
+			st.NullCount = long(c+2, i)
+			if lo, hi := table.Col(c+3), table.Col(c+4); !lo.IsNull(i) && !hi.IsNull(i) {
+				st.Min, st.Max, st.HasValues = lo.Value(i), hi.Value(i), true
+			}
+		}
+		f.Rows += s.Rows
+		f.Stripes[i] = s
+	}
+	return f, nil
+}
+
+// shaped reports whether p's columns are flat blocks of the given types (an
+// UNKNOWN column's NULLs may be stored as any). The writer writes the footer
+// flat: an encoded block would let a row cost no bytes, and the footer's size
+// would then bound nothing.
+func shaped(p *block.Page, want []types.Type) bool {
+	if p.ColCount() != len(want) {
+		return false
+	}
+	for i, b := range p.Cols {
+		switch b.(type) {
+		case *block.RLEBlock, *block.DictionaryBlock:
+			return false
+		}
+		if b.Type() != want[i] && want[i] != types.Unknown {
+			return false
+		}
+	}
+	return true
 }

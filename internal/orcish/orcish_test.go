@@ -1,8 +1,10 @@
 package orcish
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -198,6 +200,91 @@ func TestCorruptFileErrors(t *testing.T) {
 	if _, err := ReadFooter(tiny); err == nil {
 		t.Error("tiny file should error")
 	}
+
+	good := writeTestFile(t, 100, testPage(250, 0))
+	data, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	footer, err := ReadFooter(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewrite := func(name string, b []byte) string {
+		p := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	openErr := func(path, want string) {
+		t.Helper()
+		_, err := OpenReader(path, []string{"id"}, nil, false)
+		if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), want) {
+			t.Errorf("open %s: got %v, want an error naming the file and %q", filepath.Base(path), err, want)
+		}
+	}
+
+	// A footer cut short: its length no longer fits, or its frames no longer
+	// parse, and the open says so.
+	flen := int64(len(data)) - tailLen - footer.Stripes[2].Offset - footer.Stripes[2].Length
+	cut := append(append([]byte(nil), data[:len(data)-tailLen-int(flen)/2]...), data[len(data)-tailLen:]...)
+	openErr(rewrite("cut.orcish", cut), "footer")
+	flipped := append([]byte(nil), data...)
+	flipped[len(data)-tailLen-5]++
+	openErr(rewrite("footer.orcish", flipped), "corrupt footer")
+	// The retired gob format is refused by name.
+	old := append([]byte(nil), data...)
+	copy(old[len(old)-8:], "ORCISH01")
+	openErr(rewrite("old.orcish", old), "ORCISH01")
+
+	// One flipped byte inside a stripe's "score" section fails the read of
+	// that column, eagerly or lazily, naming the file and the column; the
+	// other columns still read.
+	st := footer.Stripes[1]
+	bad := append([]byte(nil), data...)
+	bad[st.Offset+st.ColOffsets[2]+st.ColLengths[2]/2] ^= 0x40
+	badPath := rewrite("stripe.orcish", bad)
+	wantErr := func(err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), badPath) || !strings.Contains(err.Error(), `column "score"`) {
+			t.Errorf("got %v, want an error naming %s and column score", err, badPath)
+		}
+	}
+	eager, err := OpenReader(badPath, []string{"id", "score"}, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eager.Close()
+	if _, err := eager.NextPage(); err != nil {
+		t.Fatalf("stripe 0 is intact: %v", err)
+	}
+	_, err = eager.NextPage()
+	wantErr(err)
+
+	lazy, err := OpenReader(badPath, []string{"id", "score"}, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lazy.Close()
+	lazy.NextPage()
+	p, err := lazy.NextPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Col(0).Long(0) != 100 {
+		t.Errorf("intact id column of stripe 1 reads %d", p.Col(0).Long(0))
+	}
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("forcing the damaged lazy column did not fail")
+			}
+			wantErr(fmt.Errorf("%v", r))
+		}()
+		p.Col(1).Double(0)
+	}()
 }
 
 func TestNullsRoundTrip(t *testing.T) {
@@ -222,6 +309,38 @@ func TestNullsRoundTrip(t *testing.T) {
 	}
 	if !p.Col(1).IsNull(2) || p.Col(1).Str(0) != "a" {
 		t.Error("varchar nulls lost")
+	}
+}
+
+// TestSectionsHoldTheColumnType: a page whose blocks are not of the columns'
+// types — an INSERT's BIGINT into a DOUBLE column, an untyped NULL literal's
+// column — is stored in the columns' types, so every section reads back as
+// what the footer says it is.
+func TestSectionsHoldTheColumnType(t *testing.T) {
+	page := block.NewPage(
+		block.NewLongBlock([]int64{1, 2, 3}, nil),
+		block.NewVarcharBlock([]string{"a", "b", "c"}, nil),
+		block.NewLongBlock([]int64{7, 8, 9}, nil),
+		block.BuildBlock(types.Unknown, make([]types.Value, 3)),
+	)
+	path := filepath.Join(t.TempDir(), "coerce.orcish")
+	if err := WriteFile(path, testColumns(), []*block.Page{page}, 0); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReader(path, []string{"score", "flag"}, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	p, err := r.NextPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if score := p.Col(0); score.Type() != types.Double || score.Double(2) != 9 {
+		t.Errorf("score reads back as %s %v", score.Type(), score.Value(2))
+	}
+	if flag := p.Col(1); flag.Type() != types.Varchar || !flag.IsNull(0) {
+		t.Errorf("flag reads back as %s %v", flag.Type(), flag.Value(0))
 	}
 }
 

@@ -1,11 +1,12 @@
 package orcish
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/block"
@@ -17,20 +18,18 @@ import (
 // statistics cannot match a pushed-down constraint (§V-C) and materializing
 // columns lazily so untouched columns are never fetched or decoded (§V-D).
 type Reader struct {
-	path    string
 	footer  *Footer
 	columns []int // projected column indices into footer.Columns
 	domain  *plan.Domain
 	lazy    bool
 
-	f         *os.File
+	f         dataFile
 	stripe    int
 	bytesRead atomic.Int64
 
-	// Stats for the lazy-loading experiment.
+	// Stripes skipped by their statistics and read.
 	StripesSkipped int64
 	StripesRead    int64
-	CellsDecoded   atomic.Int64
 }
 
 // OpenReader opens path projecting the named columns. domain (may be nil)
@@ -52,15 +51,9 @@ func OpenReaderWithFooter(path string, footer *Footer, columns []string, domain 
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{path: path, footer: footer, domain: domain, lazy: lazy, f: f}
+	r := &Reader{footer: footer, domain: domain, lazy: lazy, f: dataFile{f, path}}
 	for _, name := range columns {
-		idx := -1
-		for i, cm := range footer.Columns {
-			if cm.Name == name {
-				idx = i
-				break
-			}
-		}
+		idx := footer.column(name)
 		if idx < 0 {
 			f.Close()
 			return nil, fmt.Errorf("%s: column %q not found", path, name)
@@ -70,13 +63,8 @@ func OpenReaderWithFooter(path string, footer *Footer, columns []string, domain 
 	return r, nil
 }
 
-// Schema returns the projected column metadata.
-func (r *Reader) Schema() []ColumnMeta {
-	out := make([]ColumnMeta, len(r.columns))
-	for i, c := range r.columns {
-		out[i] = r.footer.Columns[c]
-	}
-	return out
+func (f *Footer) column(name string) int {
+	return slices.IndexFunc(f.Columns, func(c ColumnMeta) bool { return c.Name == name })
 }
 
 // BytesRead reports physical bytes fetched (grows as lazy columns load).
@@ -100,25 +88,11 @@ func (r *Reader) NextPage() (*block.Page, error) {
 // stripeMatches tests footer statistics against the pushed-down domain.
 func (r *Reader) stripeMatches(info *StripeInfo) bool {
 	for name, cd := range r.domain.Columns {
-		ci := -1
-		for i, cm := range r.footer.Columns {
-			if cm.Name == name {
-				ci = i
-				break
-			}
-		}
-		if ci < 0 || ci >= len(info.Stats) {
-			continue
-		}
-		st := info.Stats[ci]
-		if !st.HasValues {
-			if !cd.NullAllowed {
+		if ci := r.footer.column(name); ci >= 0 {
+			st := info.Stats[ci]
+			if st.HasValues && !cd.OverlapsMinMax(st.Min, st.Max) || !st.HasValues && !cd.NullAllowed {
 				return false
 			}
-			continue
-		}
-		if !cd.OverlapsMinMax(st.Min, st.Max) {
-			return false
 		}
 	}
 	return true
@@ -131,65 +105,76 @@ func (r *Reader) readStripe(info *StripeInfo) (*block.Page, error) {
 	}
 	cols := make([]block.Block, len(r.columns))
 	for i, ci := range r.columns {
-		t := r.footer.Columns[ci].T
-		if r.lazy {
-			ciCopy := ci
-			cols[i] = block.NewLazyBlock(t, rows, func() block.Block {
-				b, err := r.loadColumn(info, ciCopy)
-				if err != nil {
-					// A short or typed-wrong substitute block would corrupt
-					// results (or crash far from the cause with an opaque
-					// index-out-of-range); name the real failure instead.
-					panic(fmt.Sprintf("orcish: lazy column load: %v", err))
-				}
-				return b
-			})
+		if !r.lazy {
+			var err error
+			if cols[i], err = r.loadColumn(info, ci); err != nil {
+				return nil, err
+			}
 			continue
 		}
-		b, err := r.loadColumn(info, ci)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = b
+		cols[i] = block.NewLazyBlock(r.footer.Columns[ci].T, rows, func() block.Block {
+			b, err := r.loadColumn(info, ci)
+			if err != nil {
+				// A substitute block would corrupt results or crash far from
+				// the cause: fail the query with the real failure.
+				panic(fmt.Sprintf("orcish: lazy column load: %v", err))
+			}
+			return b
+		})
 	}
 	return block.NewPage(cols...), nil
 }
 
-// loadColumn fetches and decodes one column section of a stripe.
+// loadColumn fetches and decodes one column section of a stripe. Sibling
+// drivers may force lazy columns of one reader at once: each read takes its
+// own pooled scratch, and the block it becomes shares none of it.
 func (r *Reader) loadColumn(info *StripeInfo, ci int) (block.Block, error) {
-	off := info.Offset + info.ColOffsets[ci]
-	length := info.ColLengths[ci]
-	buf := make([]byte, length)
-	if err := r.readSection(buf, off); err != nil {
-		return nil, fmt.Errorf("%s: reading column %d: %w", r.path, ci, err)
+	b, err := decodeSection(r.f, r.footer.Columns[ci].T, info, ci)
+	if err != nil {
+		return nil, fmt.Errorf("%s: column %q of the stripe at byte %d: %w", r.f.path, r.footer.Columns[ci].Name, info.Offset, err)
 	}
-	r.bytesRead.Add(length)
-	var sec columnSection
-	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&sec); err != nil {
-		return nil, fmt.Errorf("%s: corrupt column %d: %w", r.path, ci, err)
-	}
-	b := sec.decode()
-	r.CellsDecoded.Add(int64(b.Len()))
+	r.bytesRead.Add(info.ColLengths[ci])
 	return b, nil
 }
 
-// readSection fills buf from the data file at off. The shared handle is the
-// fast path; if it has already been closed — the morsel queue closes an
-// exhausted source while sibling drivers still hold its pages, and a lazy
-// column may be forced long after that — reopen by path for this one read.
-// Orcish files are write-once, so a fresh handle sees identical bytes.
-func (r *Reader) readSection(buf []byte, off int64) error {
-	_, err := r.f.ReadAt(buf, off)
-	if err == nil || !errors.Is(err, os.ErrClosed) {
-		return err
-	}
-	f, err := os.Open(r.path)
+// decodeSection decodes column ci of a stripe: one frame of a one-column page
+// holding the stripe's rows in the column's type.
+func decodeSection(ra io.ReaderAt, t types.Type, info *StripeInfo, ci int) (block.Block, error) {
+	p, err := block.DecodePageAt(ra, info.Offset+info.ColOffsets[ci], int(info.ColLengths[ci]))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer f.Close()
-	_, err = f.ReadAt(buf, off)
-	return err
+	if p.ColCount() != 1 || int64(p.RowCount()) != info.Rows {
+		return nil, fmt.Errorf("%w: section holds %d columns of %d rows, want 1 of %d", block.ErrCorruptPage, p.ColCount(), p.RowCount(), info.Rows)
+	}
+	// A column of the untyped NULL's type is stored as BOOLEAN NULLs.
+	if b := p.Col(0); b.Type() == t || t == types.Unknown {
+		return b, nil
+	}
+	return nil, fmt.Errorf("%w: %s section in a %s column", block.ErrCorruptPage, p.Col(0).Type(), t)
+}
+
+// dataFile reads a file by offset. Its shared handle is the fast path; if it
+// has already been closed — the morsel queue closes an exhausted source while
+// sibling drivers still hold its pages, and a lazy column may be forced long
+// after that — it reopens by path for this one read. Orcish files are
+// write-once, so a fresh handle sees identical bytes.
+type dataFile struct {
+	*os.File
+	path string
+}
+
+func (f dataFile) ReadAt(buf []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(buf, off)
+	if !errors.Is(err, os.ErrClosed) {
+		return n, err
+	}
+	g, err := os.Open(f.path)
+	if err != nil {
+		return 0, err
+	}
+	defer g.Close()
+	return g.ReadAt(buf, off)
 }
 
 // Close releases the file handle.
@@ -204,29 +189,14 @@ func FileStats(footer *Footer) (rows int64, ndv map[string]int64) {
 		if cm.T != types.Bigint && cm.T != types.Date {
 			continue
 		}
-		var lo, hi types.Value
-		seen := false
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 		for _, s := range footer.Stripes {
-			if ci >= len(s.Stats) || !s.Stats[ci].HasValues {
-				continue
-			}
-			if !seen {
-				lo, hi = s.Stats[ci].Min, s.Stats[ci].Max
-				seen = true
-				continue
-			}
-			if s.Stats[ci].Min.Compare(lo) < 0 {
-				lo = s.Stats[ci].Min
-			}
-			if s.Stats[ci].Max.Compare(hi) > 0 {
-				hi = s.Stats[ci].Max
+			if st := s.Stats[ci]; st.HasValues {
+				lo, hi = min(lo, st.Min.I), max(hi, st.Max.I)
 			}
 		}
-		if seen {
-			span := hi.I - lo.I + 1
-			if span > 0 {
-				ndv[cm.Name] = span
-			}
+		if span := hi - lo + 1; lo <= hi && span > 0 {
+			ndv[cm.Name] = span
 		}
 	}
 	return footer.Rows, ndv

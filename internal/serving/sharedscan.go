@@ -282,12 +282,16 @@ func (e *scanEntry) release() {
 
 // sharedConsumer adapts one query's view of a shared scan to PageSource.
 type sharedConsumer struct {
-	e      *scanEntry
-	pos    int   // pages consumed from the log
-	rows   int64 // rows consumed (skip count after truncation)
+	e    *scanEntry
+	pos  int   // pages consumed from the log
+	rows int64 // rows consumed (skip count after truncation)
+	// bytes is what this consumer's own reads of the shared source fetched; a
+	// page replayed from the log, like a page-cache hit, fetched nothing.
 	bytes  int64
 	direct connector.PageSource // private source after adoption/reopen
-	closed bool
+	// directBase is what direct had fetched when this consumer took it over.
+	directBase int64
+	closed     bool
 }
 
 // NextPage implements connector.PageSource.
@@ -319,6 +323,7 @@ func (c *sharedConsumer) NextPage() (*block.Page, error) {
 			// skip what they already consumed.
 			if e.src != nil {
 				c.direct, e.src = e.src, nil
+				c.directBase = c.direct.BytesRead()
 				e.mu.Unlock()
 				return c.track(c.direct.NextPage())
 			}
@@ -335,7 +340,9 @@ func (c *sharedConsumer) NextPage() (*block.Page, error) {
 		// entry lock is held across the read — sharing one source serializes
 		// its consumers by construction, and shared sources are in-memory
 		// page reads, not blocking I/O.
+		before := e.src.BytesRead()
 		p, err := e.src.NextPage()
+		c.bytes += e.src.BytesRead() - before
 		if err != nil {
 			e.err = err
 			continue
@@ -358,6 +365,7 @@ func (c *sharedConsumer) NextPage() (*block.Page, error) {
 			// happen outside e.mu (lock order is hub.mu → e.mu).
 			e.truncated = true
 			c.direct, e.src = e.src, nil
+			c.directBase = c.direct.BytesRead()
 			e.mu.Unlock()
 			e.hub.mu.Lock()
 			e.hub.stats.Truncated++
@@ -371,17 +379,22 @@ func (c *sharedConsumer) NextPage() (*block.Page, error) {
 	}
 }
 
-// track counts delivered rows/bytes (rows drive post-truncation skip).
+// track counts delivered rows (they drive post-truncation skip).
 func (c *sharedConsumer) track(p *block.Page, err error) (*block.Page, error) {
 	if p != nil {
 		c.rows += int64(p.RowCount())
-		c.bytes += p.SizeBytes()
 	}
 	return p, err
 }
 
-// BytesRead implements connector.PageSource: bytes this consumer received.
-func (c *sharedConsumer) BytesRead() int64 { return c.bytes }
+// BytesRead implements connector.PageSource: the bytes this consumer's reads
+// fetched, from the shared source or its private one.
+func (c *sharedConsumer) BytesRead() int64 {
+	if c.direct == nil {
+		return c.bytes
+	}
+	return c.bytes + c.direct.BytesRead() - c.directBase
+}
 
 // Close implements connector.PageSource.
 func (c *sharedConsumer) Close() {

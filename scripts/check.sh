@@ -18,12 +18,15 @@
 #                             # + configuration (one switch set: cluster vs
 #                             # session twins, the switch headers, TaskConfig
 #                             # on the wire, dynamic filters decided at
-#                             # planning)
+#                             # planning) + lake (orcish and hive under
+#                             # -race, fetched-bytes accounting, a damaged
+#                             # file fails one query; no encoding/gob)
 #   scripts/check.sh -chaos   # additionally sweep the chaos suite over more
 #                             # seeds (CHAOS_FULL), verbose
 #   scripts/check.sh -fuzz    # additionally run 10s fuzz smokes over the
-#                             # page codec, SQL parser, spill files and
-#                             # their index, exchange segments,
+#                             # page codec, orcish footers and sections,
+#                             # SQL parser, spill files and their index,
+#                             # exchange segments,
 #                             # dynamic-filter summary frames, and create
 #                             # requests (fragments plus task config)
 set -euo pipefail
@@ -95,6 +98,17 @@ go test -race -count=1 -run 'TestSwitchHeaders' ./internal/httpapi/
 go test -race -count=1 -run 'TestTaskConfigRoundTrip|TestTaskConfigDynKnobsRoundTrip' ./internal/wire/
 go test -race -count=1 -run 'TestMaterializedExchangeCreatesNoFilterHub' ./internal/coordinator/
 
+echo "==> lake: orcish sections and footers are page-codec frames, and nothing imports encoding/gob"
+# One serialized form serves shuffle, spill, exchange and the lake; the gob
+# format is gone, so an import of it anywhere in the module (tests included)
+# fails the check.
+if go list -f '{{.ImportPath}}: {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... | grep -E '(^| )encoding/gob( |$)'; then
+  echo "encoding/gob is imported by the packages above" >&2
+  exit 1
+fi
+go test -race -count=1 ./internal/orcish/ ./internal/connectors/hive/
+go test -race -count=1 -run 'TestScanBytesReadAreFetchedBytes|TestChaosDamagedLakeFile' .
+
 echo "==> borrowed pages are never read late (poison linked on under the differential walls)"
 # expr.poisonBorrowed makes an operator that lends its output — a page
 # processor, a lookup join — overwrite the lent vectors before every page;
@@ -136,6 +150,9 @@ if [ "$fuzz" = 1 ]; then
   go test -fuzz '^FuzzPageCodecDecode$' -fuzztime 10s ./internal/block/
   echo "==> fuzz smoke: page codec round trip (10s)"
   go test -fuzz '^FuzzPageCodecRoundTrip$' -fuzztime 10s ./internal/block/
+  echo "==> fuzz smoke: orcish footer and section decode (10s)"
+  # Seeds are whole files; minimizing one takes longer than the smoke.
+  go test -fuzz '^FuzzOrcishDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/orcish/
   echo "==> fuzz smoke: SQL parser (10s)"
   go test -fuzz '^FuzzParser$' -fuzztime 10s ./internal/sqlparser/
   echo "==> fuzz smoke: spill file decode (10s)"
