@@ -12,10 +12,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -300,6 +302,60 @@ func TestDistributedDifferential(t *testing.T) {
 	}
 	if hits := d.cacheHits(); hits == 0 {
 		t.Errorf("warm distributed runs recorded no worker page-cache hits")
+	}
+}
+
+// TestDistributedNonFiniteDoubles: NaN, ±Infinity and −0.0 reach HTTP
+// workers everywhere a double constant travels in a fragment, in a projection
+// and in a join, and the rows come back bit for bit what the in-process
+// engine returns. SQL makes a non-finite constant only in VALUES rows; in a
+// predicate's constant and a pushed-down domain point it can make −0.0, and
+// the first predicate below keeps its rows only if the sign arrives. (The
+// wire tests carry NaN and ±Infinity in those two places too.)
+func TestDistributedNonFiniteDoubles(t *testing.T) {
+	const special = "(VALUES (1, CAST('NaN' AS DOUBLE)), (2, CAST('Infinity' AS DOUBLE))," +
+		" (3, CAST('-Infinity' AS DOUBLE)), (4, CAST('-0.0' AS DOUBLE)), (5, 1.5))"
+	lake := func() *memconn.Connector {
+		c := memconn.New("lake")
+		if err := c.CreateTable("f", []connector.Column{{Name: "k", T: types.Bigint}, {Name: "x", T: types.Double}}); err != nil {
+			t.Fatal(err)
+		}
+		var rows [][]types.Value
+		for k, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1.5} {
+			rows = append(rows, []types.Value{types.BigintValue(int64(k + 1)), types.DoubleValue(x)})
+		}
+		if err := c.AppendRows("f", rows); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	ref := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
+	t.Cleanup(ref.Close)
+	ref.Register(lake())
+	d := newDistCluster(t, 2, nil)
+	d.catalog.Register(lake())
+
+	bits := func(rows [][]Value) []string {
+		out := make([]string, len(rows))
+		for i, row := range rows {
+			for _, v := range row {
+				out[i] += fmt.Sprintf("%s/%t/%d/%016x|", v.T, v.Null, v.I, math.Float64bits(v.F))
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, sql := range []string{
+		"SELECT k, x FROM " + special + " t(k, x)",
+		"SELECT k, x FROM lake.f WHERE CAST(-0.0 AS VARCHAR) = '-0'",
+		"SELECT k, x FROM lake.f WHERE x = -0.0",
+		"SELECT f.k, f.x, t.y FROM lake.f JOIN " + special + " t(k, y) ON f.k = t.k",
+	} {
+		want := mustExec(t, ref, sql)
+		if len(want) == 0 {
+			t.Fatalf("%s: no rows in process", sql)
+		}
+		assertRows(t, sql, bits(d.mustQuery(t, sql)), bits(want))
 	}
 }
 

@@ -68,6 +68,9 @@ func (op BinOp) String() string {
 	return [...]string{"+", "-", "*", "/", "%", "||"}[op]
 }
 
+// Valid reports whether op is one of the operators above.
+func (op BinOp) Valid() bool { return op >= OpAdd && op <= OpConcat }
+
 // Arith applies a binary arithmetic (or string concat) operator.
 type Arith struct {
 	Op   BinOp
@@ -102,6 +105,9 @@ const (
 func (op CmpOp) String() string {
 	return [...]string{"=", "<>", "<", "<=", ">", ">="}[op]
 }
+
+// Valid reports whether op is one of the operators above.
+func (op CmpOp) Valid() bool { return op >= CmpEq && op <= CmpGe }
 
 // Compare applies a comparison, yielding BOOLEAN (or NULL).
 type Compare struct {
@@ -193,7 +199,7 @@ func (e *Like) String() string {
 // analyzer into comparisons).
 type Case struct {
 	Whens []CaseWhen
-	Else  Expr // nil means NULL
+	Else  Expr `wire:"optional"` // nil means NULL
 	T     types.Type
 }
 

@@ -17,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
+	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -376,6 +378,9 @@ func pageToJSON(p *block.Page) [][]interface{} {
 	return out
 }
 
+// valueToJSON renders a value for the statement protocol: a non-finite
+// double, which JSON has no number for, as the string Presto's client
+// protocol uses ("NaN", "Infinity", "-Infinity").
 func valueToJSON(v types.Value) interface{} {
 	if v.Null {
 		return nil
@@ -384,6 +389,14 @@ func valueToJSON(v types.Value) interface{} {
 	case types.Bigint:
 		return v.I
 	case types.Double:
+		switch {
+		case math.IsNaN(v.F):
+			return "NaN"
+		case math.IsInf(v.F, 1):
+			return "Infinity"
+		case math.IsInf(v.F, -1):
+			return "-Infinity"
+		}
 		return v.F
 	case types.Boolean:
 		return v.B
@@ -394,9 +407,17 @@ func valueToJSON(v types.Value) interface{} {
 	}
 }
 
+// writeJSON answers with v, or with 500 and the error when v cannot be
+// encoded: a document is encoded whole before its status is sent.
 func writeJSON(w http.ResponseWriter, v interface{}) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		log.Printf("httpapi: encoding a %T response: %v", v, err)
+		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	w.Write(body)
 }
 
 // maxStatementBytes bounds a statement's text.

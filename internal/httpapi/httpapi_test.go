@@ -3,8 +3,10 @@ package httpapi
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -79,6 +81,30 @@ func TestStatementProtocol(t *testing.T) {
 	}
 	if len(rows) != 1 || rows[0][0].(float64) != 6 {
 		t.Errorf("rows: %v", rows)
+	}
+}
+
+// TestStatementNonFiniteDoubles: NaN and ±Infinity reach a client as the
+// strings Presto's client protocol uses, beside a finite double, not as an
+// empty 200 the JSON encoder gave up on.
+func TestStatementNonFiniteDoubles(t *testing.T) {
+	srv := testServer(t)
+	rows, errStr := runSQL(t, srv, "SELECT CAST('NaN' AS DOUBLE), CAST('Infinity' AS DOUBLE), CAST('-Infinity' AS DOUBLE), 1.5")
+	if errStr != "" {
+		t.Fatal(errStr)
+	}
+	if want := []interface{}{"NaN", "Infinity", "-Infinity", 1.5}; len(rows) != 1 || !reflect.DeepEqual(rows[0], want) {
+		t.Fatalf("rows %v, want [%v]", rows, want)
+	}
+}
+
+// TestWriteJSONFailureIs500: a document the encoder refuses is answered 500
+// with the encoder's error, not 200 with an empty body.
+func TestWriteJSONFailureIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, map[string]float64{"x": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "+Inf") {
+		t.Fatalf("status %d, body %q", rec.Code, rec.Body.String())
 	}
 }
 

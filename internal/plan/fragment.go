@@ -28,6 +28,9 @@ func (k PartitioningKind) String() string {
 	return [...]string{"SINGLE", "SOURCE", "HASH", "ROUND_ROBIN", "BROADCAST"}[k]
 }
 
+// Valid reports whether k is one of the kinds above.
+func (k PartitioningKind) Valid() bool { return k >= PartitionSingle && k <= PartitionBroadcast }
+
 // Partitioning is a fragment's output partitioning: kind plus the columns
 // hashed for PartitionHash.
 type Partitioning struct {

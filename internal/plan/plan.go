@@ -7,6 +7,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/expr"
@@ -168,6 +169,9 @@ func (s AggStep) String() string {
 	return [...]string{"SINGLE", "PARTIAL", "FINAL"}[s]
 }
 
+// Valid reports whether s is one of the steps above.
+func (s AggStep) Valid() bool { return s >= AggSingle && s <= AggFinal }
+
 // AggFunc names a supported aggregate function.
 type AggFunc string
 
@@ -186,10 +190,15 @@ const (
 	AggMax        AggFunc = "max"
 )
 
+// Valid reports whether f is one of the functions above.
+func (f AggFunc) Valid() bool {
+	return slices.Contains([]AggFunc{AggCount, AggCountAll, AggCountMerge, AggSum, AggAvg, AggMin, AggMax}, f)
+}
+
 // Aggregate is one aggregate computation within an Aggregation node.
 type Aggregate struct {
 	Func     AggFunc
-	Arg      expr.Expr // nil for COUNT(*)
+	Arg      expr.Expr `wire:"optional"` // nil for COUNT(*)
 	Distinct bool
 	Out      types.Type
 }
@@ -254,6 +263,11 @@ func (t JoinType) String() string {
 	return [...]string{"INNER", "LEFT", "RIGHT", "FULL", "CROSS"}[t]
 }
 
+// Valid reports whether t is one of the join types above or in subquery.go.
+func (t JoinType) Valid() bool {
+	return t >= InnerJoin && t <= CrossJoin || t == SemiJoin || t == AntiJoin
+}
+
 // JoinStrategy is the physical distribution strategy chosen by the
 // cost-based optimizer (§IV-C): broadcast replicates the build side to every
 // node; partitioned shuffles both sides on the join key; colocated uses the
@@ -273,6 +287,9 @@ const (
 func (s JoinStrategy) String() string {
 	return [...]string{"UNSET", "BROADCAST", "PARTITIONED", "COLOCATED", "INDEX"}[s]
 }
+
+// Valid reports whether s is one of the strategies above.
+func (s JoinStrategy) Valid() bool { return s >= StrategyUnset && s <= StrategyIndex }
 
 // EquiClause is one equality conjunct of a join condition: left column index
 // (in Left schema) equals right column index (in Right schema).
@@ -296,7 +313,7 @@ type Join struct {
 	Left     Node
 	Right    Node
 	Equi     []EquiClause
-	Residual expr.Expr
+	Residual expr.Expr `wire:"optional"` // nil when every condition is an equi clause
 	Strategy JoinStrategy
 	Out      Schema
 	// DynFilters lists the runtime filters this join's build side publishes.
@@ -410,10 +427,15 @@ const (
 	WinMax       WindowFunc = "max"
 )
 
+// Valid reports whether f is one of the functions above.
+func (f WindowFunc) Valid() bool {
+	return slices.Contains([]WindowFunc{WinRowNumber, WinRank, WinDenseRank, WinSum, WinCount, WinAvg, WinMin, WinMax}, f)
+}
+
 // WindowExpr is one window computation appended as an output column.
 type WindowExpr struct {
 	Func WindowFunc
-	Arg  expr.Expr // nil for ranking functions
+	Arg  expr.Expr `wire:"optional"` // nil for ranking functions
 	Out  types.Type
 }
 

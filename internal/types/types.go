@@ -45,6 +45,9 @@ func (t Type) String() string {
 	}
 }
 
+// Valid reports whether t is one of the types above.
+func (t Type) Valid() bool { return t >= Unknown && t <= Array }
+
 // ParseType parses a SQL type name as used in CAST and CREATE TABLE.
 func ParseType(s string) (Type, error) {
 	switch strings.ToUpper(strings.TrimSpace(s)) {

@@ -5,9 +5,14 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/connector"
+	"repro/internal/connectors/memconn"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
+	"repro/internal/memory"
+	"repro/internal/plan"
 	"repro/internal/shuffle"
+	"repro/internal/types"
 )
 
 // TestTaskConfigRoundTrip: every field of exec.TaskConfig that may cross a
@@ -67,32 +72,51 @@ func TestTaskConfigRoundTrip(t *testing.T) {
 
 // FuzzCreateRequestDecode feeds arbitrary bytes to a worker's create-request
 // decoding — the request, then each fragment in it — which must fail cleanly
-// or produce a config that re-encodes to itself, never panic.
+// or produce a config that re-encodes to itself, never panic. A fragment that
+// decodes is then rendered for EXPLAIN and compiled into a task, against a
+// one-table catalog: it compiles or fails to, but never panics.
 func FuzzCreateRequestDecode(f *testing.F) {
-	req := CreateRequest{Config: exec.TaskConfig{PageSize: 512, SpillEnabled: true,
-		Switches: exec.DisableCache | exec.MaterializedExchange, DynamicFilterWait: 7}}
-	for _, frag := range testFragments(f) {
-		raw, err := MarshalFragment(frag)
+	seed := func(frags ...*plan.Fragment) []byte {
+		req := CreateRequest{Config: exec.TaskConfig{PageSize: 512, SpillEnabled: true,
+			Switches: exec.DisableCache | exec.MaterializedExchange, DynamicFilterWait: 7}}
+		for _, frag := range frags {
+			raw, err := MarshalFragment(frag)
+			if err != nil {
+				f.Fatal(err)
+			}
+			req.Fragments = append(req.Fragments, raw)
+			req.Tasks = append(req.Tasks, TaskSpec{Fragment: frag.ID, OutPartitions: 2})
+		}
+		data, err := json.Marshal(req)
 		if err != nil {
 			f.Fatal(err)
 		}
-		req.Fragments = append(req.Fragments, raw)
-		req.Tasks = append(req.Tasks, TaskSpec{Fragment: frag.ID, OutPartitions: 2})
+		return data
 	}
-	seed, err := json.Marshal(req)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
+	f.Add(seed(testFragments(f)...))
 	f.Add([]byte(`{"config":{"switches":65535,"pageSize":-1},"fragments":[{"id":1}]}`))
 	f.Add([]byte(`{"config":{"switches":-1}}`))
+	f.Add(seed(nonFiniteFragment()))
+
+	conn := memconn.New("memory")
+	conn.LoadTable("d", []connector.Column{{Name: "k", T: types.Bigint}, {Name: "v", T: types.Double}}, nil)
+	ex := exec.NewExecutor(exec.ExecutorConfig{Threads: 1})
+	f.Cleanup(ex.Close)
+	pool := memory.NewNodePool(1<<30, 0)
+	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req CreateRequest
 		if json.Unmarshal(data, &req) != nil {
 			return
 		}
 		for _, raw := range req.Fragments {
-			UnmarshalFragment(raw)
+			frag, err := UnmarshalFragment(raw)
+			if err != nil {
+				continue
+			}
+			_ = plan.Format(frag.Root)
+			id := exec.TaskID{QueryID: "q", Fragment: frag.ID}
+			exec.NewTask(id, frag, 0, ex, oneCatalog{conn}, qmem, pool, nil, 2, nil, exec.TaskConfig{})
 		}
 		_ = req.Config.Switches.String()
 		raw, err := json.Marshal(req.Config)

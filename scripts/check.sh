@@ -17,10 +17,12 @@
 #                             # filtered scan, spill) and bench smokes
 #                             # + configuration (one switch set: cluster vs
 #                             # session twins, the switch headers, TaskConfig
-#                             # on the wire, dynamic filters decided at
-#                             # planning) + lake (orcish and hive under
-#                             # -race, fetched-bytes accounting, a damaged
-#                             # file fails one query; no encoding/gob)
+#                             # and fragments on the wire, non-finite doubles
+#                             # to HTTP workers and clients, dynamic filters
+#                             # decided at planning) + lake (orcish and
+#                             # hive under -race, fetched-bytes accounting,
+#                             # a damaged file fails one query; no
+#                             # encoding/gob)
 #   scripts/check.sh -chaos   # additionally sweep the chaos suite over more
 #                             # seeds (CHAOS_FULL), verbose
 #   scripts/check.sh -fuzz    # additionally run 10s fuzz smokes over the
@@ -28,7 +30,8 @@
 #                             # SQL parser, spill files and their index,
 #                             # exchange segments,
 #                             # dynamic-filter summary frames, and create
-#                             # requests (fragments plus task config)
+#                             # requests (fragments, compiled, plus task
+#                             # config)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -87,15 +90,18 @@ go test -race -count=1 -run 'TestLoadTableEncodesLowCardinality' ./internal/conn
 go test -race -count=1 -run 'TestDriverRecoversOperatorPanic' ./internal/exec/
 go test -race -count=1 -run 'TestEncodedMultiKeyGroupBy|TestEncodedProjectionErrorsOnlyWhenReferenced|TestEncodedLoadedThenInserted|TestDictionaryPathsInExplainAnalyze|TestOperatorPanicFailsOneQuery' .
 
-echo "==> configuration: a query's switches are one value, from the HTTP header to the task"
+echo "==> configuration: a query's switches are one value, from the HTTP header to the task; a fragment is its own wire form"
 # A cluster switch has its session twin's effect; each switch header sets its
-# switch and nothing else; every TaskConfig field survives the create
-# request; dynamic filters are decided at planning (materialized exchange
-# plans none, creates no filter hub, keeps its own plan-cache entry and still
-# recovers from a killed worker).
-go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestMaterializedExchangeDecidedAtPlanning|TestElasticKillWorkerMidQuery' .
-go test -race -count=1 -run 'TestSwitchHeaders' ./internal/httpapi/
-go test -race -count=1 -run 'TestTaskConfigRoundTrip|TestTaskConfigDynKnobsRoundTrip' ./internal/wire/
+# switch and nothing else; every TaskConfig field and every plan and
+# expression field survives the create request, every node and expression
+# type has a wire kind, and a fragment that decodes compiles without a panic;
+# NaN, ±Infinity and −0.0 reach HTTP workers and statement-protocol clients;
+# dynamic filters are decided at planning (materialized exchange plans none,
+# creates no filter hub, keeps its own plan-cache entry and still recovers from
+# a killed worker).
+go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestMaterializedExchangeDecidedAtPlanning|TestElasticKillWorkerMidQuery|TestDistributedNonFiniteDoubles' .
+go test -race -count=1 -run 'TestSwitchHeaders|TestStatementNonFiniteDoubles|TestWriteJSONFailureIs500' ./internal/httpapi/
+go test -race -count=1 ./internal/wire/
 go test -race -count=1 -run 'TestMaterializedExchangeCreatesNoFilterHub' ./internal/coordinator/
 
 echo "==> lake: orcish sections and footers are page-codec frames, and nothing imports encoding/gob"
