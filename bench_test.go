@@ -369,7 +369,7 @@ func BenchmarkHashAggBigintKey(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op := operators.NewHashAggregation(operators.NopContext(), []int{0},
-			[]types.Type{types.Bigint}, specs, false, 0)
+			[]types.Type{types.Bigint}, specs, false, 0, 0)
 		for _, p := range pages {
 			if err := op.AddInput(p); err != nil {
 				b.Fatal(err)
@@ -402,7 +402,7 @@ func BenchmarkHashAggVarcharKey(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op := operators.NewHashAggregation(operators.NopContext(), []int{0},
-			[]types.Type{types.Varchar}, specs, false, 0)
+			[]types.Type{types.Varchar}, specs, false, 0, 0)
 		for _, p := range pages {
 			if err := op.AddInput(p); err != nil {
 				b.Fatal(err)
@@ -548,7 +548,7 @@ func BenchmarkHashAggDictVarcharKey(b *testing.B) {
 		b.SetBytes(int64(nRows * (8 + 4*len(keys))))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			op := operators.NewHashAggregation(operators.NopContext(), keys, keyTs, specs, false, 0)
+			op := operators.NewHashAggregation(operators.NopContext(), keys, keyTs, specs, false, 0, 0)
 			for _, p := range pages {
 				if err := op.AddInput(p); err != nil {
 					b.Fatal(err)
@@ -601,7 +601,7 @@ func BenchmarkHashAggRLEKey(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op := operators.NewHashAggregation(operators.NopContext(), []int{0},
-			[]types.Type{types.Varchar}, specs, false, 0)
+			[]types.Type{types.Varchar}, specs, false, 0, 0)
 		for _, p := range pages {
 			if err := op.AddInput(p); err != nil {
 				b.Fatal(err)

@@ -85,6 +85,11 @@ type distConfig struct {
 	// observe, when set, sees every request the coordinator and the workers
 	// send (the cluster's one client), retries included.
 	observe func(*http.Request)
+	// history, when set, is the coordinator's optimizer history.
+	history optimizer.History
+	// limits, when set, bounds every query's memory on every worker (spill
+	// replaces them with its own).
+	limits memory.QueryLimits
 }
 
 // observedTransport reports each request before sending it.
@@ -121,6 +126,7 @@ func newDistClusterWith(t *testing.T, n int, dc distConfig) *distCluster {
 		ws := httpapi.NewWorkerServer(w, catalog)
 		ws.Inject = inj
 		ws.Client = client
+		ws.Limits = dc.limits
 		if sp != nil {
 			ws.Limits = memory.QueryLimits{PerNodeUser: sp.perNodeCap, SpillEnabled: true}
 		}
@@ -140,7 +146,9 @@ func newDistClusterWith(t *testing.T, n int, dc distConfig) *distCluster {
 		WorkerClient: client,
 		Task:         dc.task,
 		FaultInject:  inj, // rules are per site: the workers' HTTP faults never fire here
+		MemoryLimits: dc.limits,
 	}
+	ccfg.Optimizer.History = dc.history
 	if dc.broadcastRows != 0 {
 		ccfg.Optimizer.BroadcastThresholdRows = dc.broadcastRows
 	}

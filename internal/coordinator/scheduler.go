@@ -195,6 +195,7 @@ func (c *Coordinator) schedule(workers []workerClient, q *Query, dp *plan.Distri
 	q.session.apply(&cfg)
 
 	counts, outParts := taskCounts(dp, nWorkers, c.cfg.HashPartitions)
+	cfg.StageTasks = counts
 
 	// Dynamic-filter exchange: build-side summaries published by any task
 	// route through a per-query hub that merges partitioned builds and fans

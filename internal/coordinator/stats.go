@@ -344,6 +344,10 @@ func FormatOperatorTable(st QueryStats) string {
 				if op.DictRows > 0 {
 					fmt.Fprintf(&sb, "  dict-rows %d", op.DictRows)
 				}
+				if op.EstSource != "" {
+					fmt.Fprintf(&sb, "  groups est %.0f (%s) actual %d q-error %.2f",
+						op.EstGroups, op.EstSource, op.RowsOut, op.GroupQError())
+				}
 				sb.WriteByte('\n')
 			}
 		}

@@ -525,7 +525,7 @@ func runFusedAgg(t *testing.T, pages []*block.Page, groupCols []int, groupTs []t
 		t.Fatal("the test stack does not compose")
 	}
 	fp := operators.NewFilterProject(operators.NopContext(), expr.NewPageProcessor(pred, composed))
-	agg := operators.NewHashAggregation(operators.NopContext(), groupCols, groupTs, specs, revokeEvery > 0, 64)
+	agg := operators.NewHashAggregation(operators.NopContext(), groupCols, groupTs, specs, revokeEvery > 0, 64, 0)
 	agg.SetSpillDir(t.TempDir())
 	if lend {
 		lendOutputs([]operators.Operator{fp, agg})

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/connector"
 	"repro/internal/dynfilter"
@@ -129,11 +130,11 @@ type compiler struct {
 // opFactory builds one operator for a driver.
 type opFactory func(ctx *driverCtx) (operators.Operator, error)
 
-// chain accumulates named factories for the pipeline being built.
+// chain accumulates named factories for the pipeline being built, and the
+// stats object of each operator, filled in as compilation learns about it.
 type chain struct {
 	spec      *pipelineSpec
-	names     []string
-	fps       []uint64
+	stats     []*operators.OpStats
 	factories []opFactory
 	// dynScan is the pipeline's scan while it subscribes to dynamic filters
 	// and nothing has been placed on it yet: whatever is appended next applies
@@ -147,8 +148,7 @@ func (c *chain) append(name string, f opFactory) {
 		// which hands on untouched a page the filters drop nothing from.
 		c.appendProcessor(nil, identityExprs(sc.Schema()))
 	}
-	c.names = append(c.names, name)
-	c.fps = append(c.fps, 0)
+	c.stats = append(c.stats, &operators.OpStats{Name: name})
 	c.factories = append(c.factories, f)
 }
 
@@ -172,8 +172,8 @@ func (c *chain) appendProcessor(pred expr.Expr, exprs []expr.Expr) {
 // fingerprint of the plan node it realizes, so its observed row counts can
 // feed history-based optimizer estimates on repeat runs.
 func (c *chain) stampFP(fp uint64) {
-	if n := len(c.fps); n > 0 {
-		c.fps[n-1] = fp
+	if n := len(c.stats); n > 0 {
+		c.stats[n-1].PlanFP = fp
 	}
 }
 
@@ -186,11 +186,7 @@ func (c *compiler) newPipeline() *chain {
 func (c *chain) seal() {
 	fs := c.factories
 	spec := c.spec
-	spec.opStats = make([]*operators.OpStats, len(fs)+1)
-	spec.opStats[0] = &operators.OpStats{Name: spec.sourceName(), PlanFP: spec.sourceFP}
-	for i, name := range c.names {
-		spec.opStats[i+1] = &operators.OpStats{Name: name, PlanFP: c.fps[i]}
-	}
+	spec.opStats = append([]*operators.OpStats{{Name: spec.sourceName(), PlanFP: spec.sourceFP}}, c.stats...)
 	spec.mkOps = func(ctx *driverCtx) ([]operators.Operator, error) {
 		ops := make([]operators.Operator, 0, len(fs))
 		for i, f := range fs {
@@ -466,8 +462,10 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 			}
 			specs[i] = spec
 		}
+		per, drivers := c.task.groupsPerInstance(x.Est, pb.spec)
+		groups := int(math.Ceil(per))
 		pb.append("HashAggregation", func(ctx *driverCtx) (operators.Operator, error) {
-			op := operators.NewHashAggregation(ctx.opCtx(memory.User), groupCols, groupTs, specs, ctx.task.spillEnabled, c.pageSize)
+			op := operators.NewHashAggregation(ctx.opCtx(memory.User), groupCols, groupTs, specs, ctx.task.spillEnabled, c.pageSize, groups)
 			op.SetSpillDir(ctx.task.cfg.SpillDir)
 			if ctx.task.spillEnabled {
 				ctx.task.registerRevocable(op)
@@ -475,6 +473,10 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 			return op, nil
 		})
 		pb.stampFP(plan.CardFingerprint(x, nil))
+		if per > 0 {
+			st := pb.stats[len(pb.stats)-1]
+			st.EstGroups, st.EstSource = per*float64(drivers), string(x.Est.Source)
+		}
 		return nil
 
 	case *plan.Join:
@@ -508,6 +510,41 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 	default:
 		return fmt.Errorf("pipeline compiler: unsupported node %T", n)
 	}
+}
+
+// groupsPerInstance turns an aggregation's group estimate into the groups one
+// of its instances in pipeline p should expect, and returns how many
+// instances the pipeline runs in this task. The statement's instances are the
+// stage's tasks times the pipeline's drivers. A partial step's instance (est
+// has Rows) sees each of d keys with some probability and expects Cardenas'
+// d·(1 − e^(−n/d)) of them, n being its share of the rows; any other step's
+// instance gets an equal share of the groups, the shuffle having partitioned
+// them by key. 0 when there is no estimate, or when the instance count is not
+// known at compile time: static split scheduling starts a driver per split.
+func (t *Task) groupsPerInstance(est *plan.GroupEstimate, p *pipelineSpec) (groups float64, drivers int) {
+	switch p.source {
+	case srcScan:
+		if !t.cfg.Switches.Has(DisableMorsels) {
+			drivers = min(t.cfg.TargetSplitConcurrency, t.executor.Threads())
+		}
+	case srcLocalExchange:
+		drivers = p.localWays
+	default:
+		drivers = 1
+	}
+	var tasks int
+	if f := t.ID.Fragment; f < len(t.cfg.StageTasks) {
+		tasks = t.cfg.StageTasks[f]
+	}
+	if est == nil || tasks <= 0 || drivers <= 0 || !(est.Groups >= 1) || math.IsInf(est.Groups, 0) {
+		return 0, drivers
+	}
+	instances := float64(tasks * drivers)
+	per := est.Groups / instances
+	if est.Rows > 0 {
+		per = -est.Groups * math.Expm1(-est.Rows/instances/est.Groups)
+	}
+	return min(per, 1<<30), drivers
 }
 
 // compileRead compiles n for a consumer that reads only the columns of n's

@@ -70,6 +70,10 @@ type TaskConfig struct {
 	// SpillDir is where spill files and materialized exchange segments are
 	// written; empty selects the OS temp dir.
 	SpillDir string `json:"spillDir,omitempty"`
+	// StageTasks is a statement's task count per fragment id, which the
+	// scheduler fills in: an aggregation divides its group estimate among the
+	// instances of its stage (groupsPerInstance). Not a setting.
+	StageTasks []int `json:"stageTasks,omitempty"`
 	// WriteDelay simulates remote-storage write latency (benchmarks).
 	WriteDelay func() `json:"-"`
 	// Inject threads the chaos injector into task-level seams (morsel split

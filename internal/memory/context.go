@@ -52,41 +52,19 @@ func (q *QueryContext) Reserve(node int, kind Kind, n int64) error {
 	if n <= 0 {
 		return nil
 	}
-	if kind == User {
-		for attempt := 0; ; attempt++ {
-			q.mu.Lock()
-			newNode := q.nodeUser[node] + n
-			overNode := q.Limits.PerNodeUser > 0 && newNode > q.Limits.PerNodeUser
-			overGlobal := q.Limits.GlobalUser > 0 && q.userTotal.Load()+n > q.Limits.GlobalUser
-			if !overNode && !overGlobal {
-				q.nodeUser[node] = newNode
-				q.mu.Unlock()
-				break
-			}
-			q.mu.Unlock()
-			// Revocable memory does not have to count against the user
-			// limit: with spilling enabled, ask operators to spill and
-			// retry (§IV-F2).
-			if q.Limits.SpillEnabled && attempt < 3 {
-				if pool, ok := q.pools[node]; ok && pool.TryRevoke(n) {
-					continue
-				}
-			}
-			if overNode {
-				return fmt.Errorf("%w: per-node user limit %d exceeded on node %d (wanted %d)",
-					ErrExceededLimit, q.Limits.PerNodeUser, node, newNode)
-			}
-			return fmt.Errorf("%w: global user limit %d exceeded (wanted %d)",
-				ErrExceededLimit, q.Limits.GlobalUser, q.userTotal.Load()+n)
+	for attempt := 0; ; attempt++ {
+		err := q.charge(node, kind, n)
+		if err == nil {
+			break
 		}
-		q.userTotal.Add(n)
-		q.updatePeak()
-	} else {
-		if q.Limits.GlobalTotal > 0 && q.userTotal.Load()+q.sysTotal.Load()+n > q.Limits.GlobalTotal {
-			return fmt.Errorf("%w: global total limit %d exceeded", ErrExceededLimit, q.Limits.GlobalTotal)
+		// Revocable memory does not have to count against the user limit:
+		// with spilling enabled, ask operators to spill and retry (§IV-F2).
+		if kind == User && q.Limits.SpillEnabled && attempt < 3 {
+			if pool, ok := q.pools[node]; ok && pool.TryRevoke(n) {
+				continue
+			}
 		}
-		q.sysTotal.Add(n)
-		q.updatePeak()
+		return err
 	}
 	if pool, ok := q.pools[node]; ok {
 		err := pool.Reserve(q.QueryID, kind, n, q.Limits.SpillEnabled)
@@ -98,6 +76,55 @@ func (q *QueryContext) Reserve(node int, kind Kind, n int64) error {
 			return err
 		}
 	}
+	return nil
+}
+
+// TryReserve reserves n bytes of the given kind on node if they fit under the
+// query's limits and in the node's pool as things stand, and reports whether
+// it did. Unlike Reserve it never makes room: no operator is asked to spill,
+// no cache is evicted and no query is promoted.
+func (q *QueryContext) TryReserve(node int, kind Kind, n int64) bool {
+	if n <= 0 {
+		return true
+	}
+	if q.charge(node, kind, n) != nil {
+		return false
+	}
+	if pool, ok := q.pools[node]; ok && !pool.TryReserve(q.QueryID, kind, n) {
+		q.unwind(node, kind, n)
+		return false
+	}
+	return true
+}
+
+// charge counts n bytes of the given kind on node against the query's limits,
+// or changes nothing and says which limit they would pass.
+func (q *QueryContext) charge(node int, kind Kind, n int64) error {
+	if kind == User {
+		q.mu.Lock()
+		newNode := q.nodeUser[node] + n
+		overNode := q.Limits.PerNodeUser > 0 && newNode > q.Limits.PerNodeUser
+		overGlobal := q.Limits.GlobalUser > 0 && q.userTotal.Load()+n > q.Limits.GlobalUser
+		if !overNode && !overGlobal {
+			q.nodeUser[node] = newNode
+		}
+		q.mu.Unlock()
+		if overNode {
+			return fmt.Errorf("%w: per-node user limit %d exceeded on node %d (wanted %d)",
+				ErrExceededLimit, q.Limits.PerNodeUser, node, newNode)
+		}
+		if overGlobal {
+			return fmt.Errorf("%w: global user limit %d exceeded (wanted %d)",
+				ErrExceededLimit, q.Limits.GlobalUser, q.userTotal.Load()+n)
+		}
+		q.userTotal.Add(n)
+	} else {
+		if q.Limits.GlobalTotal > 0 && q.userTotal.Load()+q.sysTotal.Load()+n > q.Limits.GlobalTotal {
+			return fmt.Errorf("%w: global total limit %d exceeded", ErrExceededLimit, q.Limits.GlobalTotal)
+		}
+		q.sysTotal.Add(n)
+	}
+	q.updatePeak()
 	return nil
 }
 
@@ -182,6 +209,16 @@ func (l *LocalContext) SetBytes(n int64) error {
 	}
 	l.held.Store(n)
 	return nil
+}
+
+// TryGrow raises the reservation by n bytes if QueryContext.TryReserve finds
+// room for them, and reports whether it did.
+func (l *LocalContext) TryGrow(n int64) bool {
+	if !l.Q.TryReserve(l.Node, l.Kind, n) {
+		return false
+	}
+	l.held.Add(n)
+	return true
 }
 
 // Held returns the current reservation.

@@ -169,6 +169,24 @@ func (p *NodePool) Reserve(query string, kind Kind, n int64, spillEnabled bool) 
 		}
 		return fmt.Errorf("%w: node general pool exhausted reserving %d bytes for %s", ErrExceededLimit, n, query)
 	}
+	p.chargeLocked(query, kind, n)
+	return nil
+}
+
+// TryReserve reserves n bytes for query if they fit as the pool stands,
+// without evicting a cache or revoking anything.
+func (p *NodePool) TryReserve(query string, kind Kind, n int64) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.tryReserveLocked(query, n) {
+		return false
+	}
+	p.chargeLocked(query, kind, n)
+	return true
+}
+
+// chargeLocked counts n reserved bytes of the given kind to query.
+func (p *NodePool) chargeLocked(query string, kind Kind, n int64) {
 	u := p.queries[query]
 	if u == nil {
 		u = &queryNodeUsage{}
@@ -179,7 +197,6 @@ func (p *NodePool) Reserve(query string, kind Kind, n int64, spillEnabled bool) 
 	} else {
 		u.system += n
 	}
-	return nil
 }
 
 // revokeLocked asks revocable operators (ascending execution time) to spill

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/block"
@@ -60,6 +61,17 @@ func (a *aggVec) reset() {
 	}
 }
 
+// width is what one group takes in the state's arrays.
+func (a *aggVec) width() int64 {
+	switch a.spec.Func {
+	case plan.AggMin, plan.AggMax:
+		return valueWidth(a.spec.Out)
+	case plan.AggSum, plan.AggAvg:
+		return 16
+	}
+	return 8
+}
+
 func (a *aggVec) memBytes() int64 {
 	n := int64(8*(cap(a.count)+cap(a.sumI)+cap(a.sumF))) + a.mm.memBytes()
 	if a.dset != nil {
@@ -95,8 +107,9 @@ func (a *aggVec) add(id int, b block.Block, r int, n int64) {
 // and holds the key's normalized cells, and everything else about a group is
 // an entry at that id in a typed vector — one vector per group key the cells
 // cannot give back (keys), and per aggregate one vector per field its result
-// reads (accs). Nothing is allocated per group; vectors start empty and
-// double.
+// reads (accs). Nothing is allocated per group; the first table is sized for
+// the groups the optimizer expects (presize), every later one starts empty,
+// and past its size a table doubles.
 type HashAggregationOperator struct {
 	ctx       *OpContext
 	groupCols []int
@@ -127,7 +140,9 @@ type HashAggregationOperator struct {
 }
 
 // NewHashAggregation builds the operator. spillable enables revocation.
-func NewHashAggregation(ctx *OpContext, groupCols []int, groupTs []types.Type, aggs []AggSpec, spillable bool, pageSize int) *HashAggregationOperator {
+// groups is how many groups this instance is expected to see (0: no
+// estimate); presize decides what the first table is built for.
+func NewHashAggregation(ctx *OpContext, groupCols []int, groupTs []types.Type, aggs []AggSpec, spillable bool, pageSize, groups int) *HashAggregationOperator {
 	if pageSize <= 0 {
 		pageSize = 4096
 	}
@@ -150,35 +165,80 @@ func NewHashAggregation(ctx *OpContext, groupCols []int, groupTs []types.Type, a
 	for k := range o.spillKeys {
 		o.spillKeys[k] = k
 	}
-	o.resetTableLocked(false)
+	o.newTableLocked(o.presize(groups))
 	return o
 }
 
 // SetSpillDir directs spill files to dir instead of the OS temp dir.
 func (o *HashAggregationOperator) SetSpillDir(dir string) { o.spillDir = dir }
 
-// resetTableLocked empties the table. keep leaves every array in place for
-// the next fill — the drain refills the table once per partition, all about
-// the same size; without it the table is built anew and the arrays are
-// dropped, which is what a revocation owes the pool.
-func (o *HashAggregationOperator) resetTableLocked(keep bool) {
-	if keep {
-		o.table.reset()
-		for _, v := range o.keys {
-			if v != nil {
-				v.reset()
-			}
-		}
-		for i := range o.accs {
-			o.accs[i].reset()
-		}
-		return
+// Sizing the first table (DESIGN.md, "Sizing a group table").
+const (
+	// presizeHeadroom is how far past the expected groups a presized table
+	// holds before an array grows: an estimate within a fifth of the truth,
+	// either way, allocates every array once.
+	presizeHeadroom = 1.25
+	// maxPresizedGroups caps what one instance presizes for: a larger estimate
+	// starts the table empty, as a missing one does.
+	maxPresizedGroups = 1 << 18
+)
+
+// presize turns the groups this instance expects into what its first table is
+// built for, with the bytes already reserved: 0, a table that starts empty and
+// doubles, when there is no estimate, when the table would hold more than
+// maxPresizedGroups groups or take more than a quarter of the query's
+// per-node limit, or when the reservation would have to make room for it. An
+// estimate is a hint: its table takes only memory that is free, and never
+// more than that quarter.
+func (o *HashAggregationOperator) presize(groups int) int {
+	if groups <= 0 {
+		return 0
 	}
+	n := int(math.Ceil(float64(groups) * presizeHeadroom))
+	if n > maxPresizedGroups {
+		return 0
+	}
+	bytes := o.tableBytes(n)
+	if limit := o.ctx.Mem.Q.Limits.PerNodeUser; limit > 0 && bytes > limit/4 {
+		return 0
+	}
+	if !o.ctx.Mem.TryGrow(bytes) {
+		return 0
+	}
+	o.bytes = bytes
+	return n
+}
+
+// tableBytes is memBytesLocked of a table newTableLocked(n) builds.
+func (o *HashAggregationOperator) tableBytes(n int) int64 {
 	fixed := fixedWidthKeys(o.groupTs)
-	o.table = newKeyTable(fixed, len(o.groupTs), 0)
+	b := keyTableBytes(fixed, len(o.groupTs), n)
+	for _, t := range o.groupTs {
+		if keptBesideTable(fixed, t) {
+			b += int64(n) * valueWidth(t)
+		}
+	}
+	for i := range o.accs {
+		b += int64(n) * o.accs[i].width()
+		if o.accs[i].spec.Distinct {
+			b += keyTableBytes(false, 1, 0)
+		}
+	}
+	return b
+}
+
+// keptBesideTable reports whether a group key of type t goes in a valueVec:
+// the table's cells cannot give it back.
+func keptBesideTable(fixed bool, t types.Type) bool { return !fixed || t == types.Double }
+
+// newTableLocked builds an empty table whose arrays hold n groups before any
+// of them grows; n = 0 starts them empty.
+func (o *HashAggregationOperator) newTableLocked(n int) {
+	fixed := fixedWidthKeys(o.groupTs)
+	o.table = newKeyTable(fixed, len(o.groupTs), n)
 	for k, t := range o.groupTs {
 		o.keys[k] = nil
-		if !fixed || t == types.Double {
+		if keptBesideTable(fixed, t) {
 			o.keys[k] = &valueVec{t: t}
 		}
 	}
@@ -190,6 +250,42 @@ func (o *HashAggregationOperator) resetTableLocked(keep bool) {
 			a.dset = newKeyTable(false, 1, 0)
 		}
 		o.accs[i] = a
+	}
+	if n > 0 {
+		// Grown to n and emptied again, every vector keeps an array of n.
+		for _, v := range o.keys {
+			if v != nil {
+				v.grow(n)
+			}
+		}
+		for i := range o.accs {
+			o.accs[i].grow(n)
+		}
+		o.resetTableLocked()
+	}
+}
+
+// resetTableLocked empties the table and leaves every array in place for the
+// next fill — the drain refills the table once per partition, all about the
+// same size.
+func (o *HashAggregationOperator) resetTableLocked() {
+	o.table.reset()
+	for _, v := range o.keys {
+		if v != nil {
+			v.reset()
+		}
+	}
+	for i := range o.accs {
+		o.accs[i].reset()
+	}
+}
+
+// dropTableLocked lets go of the table once nothing is added to it again.
+func (o *HashAggregationOperator) dropTableLocked() {
+	o.table = nil
+	clear(o.keys)
+	for i := range o.accs {
+		o.accs[i] = aggVec{spec: o.accs[i].spec}
 	}
 }
 
@@ -573,7 +669,7 @@ func (o *HashAggregationOperator) prepareOutput() error {
 		}
 	}
 	o.emitGroups()
-	o.resetTableLocked(false)
+	o.dropTableLocked()
 	return nil
 }
 
@@ -585,7 +681,7 @@ func (o *HashAggregationOperator) prepareOutput() error {
 // that partition's extents of each file, so every record is read once.
 func (o *HashAggregationOperator) drainSpilled(files []string) error {
 	for part := 0; part < spillPartitions; part++ {
-		o.resetTableLocked(true)
+		o.resetTableLocked()
 		pages := spillPartIter{files: files, part: part}
 		for {
 			p, err := pages.next()
@@ -608,7 +704,7 @@ func (o *HashAggregationOperator) drainSpilled(files []string) error {
 		spill.Remove(name)
 	}
 	o.spillFiles = nil
-	o.resetTableLocked(false)
+	o.dropTableLocked()
 	o.bytes = 0
 	return nil
 }
@@ -672,7 +768,7 @@ func (o *HashAggregationOperator) Close() error {
 		spill.Remove(f)
 	}
 	o.spillFiles = nil
-	o.resetTableLocked(false)
+	o.dropTableLocked()
 	o.bytes, o.out = 0, nil
 	o.mu.Unlock()
 	o.ctx.Mem.Close() // outside o.mu, as syncMem
@@ -750,7 +846,13 @@ func (o *HashAggregationOperator) Revoke() (int64, error) {
 func (o *HashAggregationOperator) spillLocked() (int64, error) {
 	n := o.table.Len()
 	if n == 0 {
-		return 0, nil
+		// Nothing to write; a presized table gives its arrays back all the same.
+		freed := o.bytes
+		if freed > 0 {
+			o.newTableLocked(0)
+			o.bytes = 0
+		}
+		return freed, nil
 	}
 	// Counting sort of the group ids by partition. The partition comes from
 	// the hash the table already keyed the group on, so a key lands in the
@@ -789,7 +891,7 @@ func (o *HashAggregationOperator) spillLocked() (int64, error) {
 	o.spillFiles = append(o.spillFiles, w.Path())
 	o.spills++
 	freed := o.bytes
-	o.resetTableLocked(false)
+	o.newTableLocked(0)
 	o.bytes = 0
 	return freed, nil
 }

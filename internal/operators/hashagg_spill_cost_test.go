@@ -22,7 +22,7 @@ func loadedSpillAgg(tb testing.TB, dir string) *HashAggregationOperator {
 		{Func: plan.AggSum, ArgCol: 2, Out: types.Double},
 		{Func: plan.AggMax, ArgCol: 2, Out: types.Double},
 	}
-	op := NewHashAggregation(NopContext(), []int{0, 1}, []types.Type{types.Bigint, types.Date}, specs, true, 0)
+	op := NewHashAggregation(NopContext(), []int{0, 1}, []types.Type{types.Bigint, types.Date}, specs, true, 0, 0)
 	op.SetSpillDir(dir)
 	const pageRows = 4096
 	for from := 0; from < spillCostGroups; from += pageRows {

@@ -245,7 +245,7 @@ func TestGroupTableDifferential(t *testing.T) {
 			keyTs[i] = diffColTypes[c]
 		}
 		// A 64-row output page makes a partition of a spill file several pages.
-		op := NewHashAggregation(NopContext(), keys, keyTs, specs, true, 64)
+		op := NewHashAggregation(NopContext(), keys, keyTs, specs, true, 64, 0)
 		op.SetSpillDir(t.TempDir())
 		before := spill.CurrentStats()
 		for i, p := range input {
@@ -340,12 +340,12 @@ func TestHashAggRevokeRacesFinish(t *testing.T) {
 	for pg := 0; pg < 12; pg++ {
 		input = append(input, diffPage(pg*200, (pg+1)*200))
 	}
-	ref := NewHashAggregation(NopContext(), keys, keyTs, diffSpecs, true, 64)
+	ref := NewHashAggregation(NopContext(), keys, keyTs, diffSpecs, true, 64, 0)
 	want := sortedRows(drain(t, ref, input...))
 	ref.Close()
 
 	for round := 0; round < 20; round++ {
-		op := NewHashAggregation(NopContext(), keys, keyTs, diffSpecs, true, 64)
+		op := NewHashAggregation(NopContext(), keys, keyTs, diffSpecs, true, 64, 0)
 		op.SetSpillDir(t.TempDir())
 		before := spill.CurrentStats()
 		var stop atomic.Bool

@@ -63,7 +63,7 @@ func TestHashAggSpillMixedTypes(t *testing.T) {
 	}
 
 	run := func(t *testing.T, spilled bool) map[string]bool {
-		op := NewHashAggregation(NopContext(), groupCols, groupTs, specs, true, 0)
+		op := NewHashAggregation(NopContext(), groupCols, groupTs, specs, true, 0, 0)
 		op.SetSpillDir(t.TempDir())
 		for i, p := range makePages() {
 			if err := op.AddInput(p); err != nil {

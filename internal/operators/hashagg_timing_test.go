@@ -16,7 +16,7 @@ import (
 func TestHashAggregationExecutionNanosIsCPUTime(t *testing.T) {
 	specs := []AggSpec{{Func: plan.AggSum, ArgCol: 1, Out: types.Bigint}}
 	ctx := NopContext()
-	op := NewHashAggregation(ctx, []int{0}, []types.Type{types.Bigint}, specs, true, 0)
+	op := NewHashAggregation(ctx, []int{0}, []types.Type{types.Bigint}, specs, true, 0, 0)
 	in := block.NewPage(
 		block.NewLongBlock([]int64{1, 2}, nil),
 		block.NewLongBlock([]int64{10, 20}, nil),

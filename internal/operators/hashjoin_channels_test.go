@@ -348,7 +348,7 @@ func probeCostDriver(bridge *JoinBridge, probeTs, buildTs []types.Type) (*Lookup
 	join := NewLookupJoin(NopContext(), bridge, plan.InnerJoin, []int{0}, nil, probeTs, buildTs, 4096)
 	join.SetOutputChannels([]int{1}, []int{1})
 	agg := NewHashAggregation(NopContext(), []int{1}, []types.Type{types.Varchar},
-		[]AggSpec{{Func: plan.AggSum, ArgCol: 0, Out: types.Double}}, false, 4096)
+		[]AggSpec{{Func: plan.AggSum, ArgCol: 0, Out: types.Double}}, false, 4096, 0)
 	join.LendOutput(agg)
 	return join, agg
 }

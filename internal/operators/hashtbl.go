@@ -366,6 +366,20 @@ func (v *valueVec) reset() {
 		strs: truncate(v.strs), bools: truncate(v.bools), boxed: truncate(v.boxed)}
 }
 
+// valueWidth is what one entry of a valueVec of type t takes in its arrays:
+// the has mask and the slice t selects.
+func valueWidth(t types.Type) int64 {
+	switch t {
+	case types.Bigint, types.Date, types.Double:
+		return 1 + 8
+	case types.Varchar:
+		return 1 + 16
+	case types.Boolean:
+		return 1 + 1
+	}
+	return 1 + int64(unsafe.Sizeof(types.Value{}))
+}
+
 // memBytes is the memory the vec holds (capacities, as keyTable.memBytes).
 func (v *valueVec) memBytes() int64 {
 	return int64(cap(v.has)+8*cap(v.longs)+8*cap(v.doubles)+16*cap(v.strs)+cap(v.bools)) +

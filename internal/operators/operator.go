@@ -57,6 +57,12 @@ type OpStats struct {
 	// at pipeline compile time for operators whose output cardinality is
 	// worth recording for history-based optimizer feedback; zero elsewhere.
 	PlanFP uint64
+	// EstGroups is, for a hash aggregation whose plan node carries a group
+	// estimate, the groups its instances in the task were sized to expect,
+	// summed, and EstSource where the estimate came from ("stats" or
+	// "history"); zero and empty elsewhere. Set at pipeline compile time.
+	EstGroups float64
+	EstSource string
 
 	pagesIn  atomic.Int64
 	rowsIn   atomic.Int64
@@ -225,15 +231,17 @@ type OpStatsSnapshot struct {
 	CacheHits    int64  `json:"cacheHits,omitempty"`
 	CacheMisses  int64  `json:"cacheMisses,omitempty"`
 
-	PlanFP           uint64 `json:"planFP,omitempty"`
-	DynRowsFiltered  int64  `json:"dynRowsFiltered,omitempty"`
-	DynSplitsSkipped int64  `json:"dynSplitsSkipped,omitempty"`
-	DynWaitNanos     int64  `json:"dynWaitNanos,omitempty"`
-	VecProjEvals     int64  `json:"vecProjEvals,omitempty"`
-	CSEHits          int64  `json:"cseHits,omitempty"`
-	DictEvictions    int64  `json:"dictProjEvictions,omitempty"`
-	DictRows         int64  `json:"dictRows,omitempty"`
-	EncodedCols      int64  `json:"encodedCols,omitempty"`
+	PlanFP           uint64  `json:"planFP,omitempty"`
+	EstGroups        float64 `json:"estGroups,omitempty"`
+	EstSource        string  `json:"estSource,omitempty"`
+	DynRowsFiltered  int64   `json:"dynRowsFiltered,omitempty"`
+	DynSplitsSkipped int64   `json:"dynSplitsSkipped,omitempty"`
+	DynWaitNanos     int64   `json:"dynWaitNanos,omitempty"`
+	VecProjEvals     int64   `json:"vecProjEvals,omitempty"`
+	CSEHits          int64   `json:"cseHits,omitempty"`
+	DictEvictions    int64   `json:"dictProjEvictions,omitempty"`
+	DictRows         int64   `json:"dictRows,omitempty"`
+	EncodedCols      int64   `json:"encodedCols,omitempty"`
 }
 
 // Snapshot copies the counters.
@@ -256,6 +264,8 @@ func (s *OpStats) Snapshot() OpStatsSnapshot {
 		CacheMisses:  s.cacheMisses.Load(),
 
 		PlanFP:           s.PlanFP,
+		EstGroups:        s.EstGroups,
+		EstSource:        s.EstSource,
 		DynRowsFiltered:  s.dynRowsFiltered.Load(),
 		DynSplitsSkipped: s.dynSplitsSkipped.Load(),
 		DynWaitNanos:     s.dynWaitNanos.Load(),
@@ -265,6 +275,14 @@ func (s *OpStats) Snapshot() OpStatsSnapshot {
 		DictRows:         s.dictRows.Load(),
 		EncodedCols:      s.encodedCols.Load(),
 	}
+}
+
+// GroupQError is how far a hash aggregation's group estimate was from the
+// groups it produced, as a factor of at least 1 either way (the q-error);
+// a count under one reads as one.
+func (s OpStatsSnapshot) GroupQError() float64 {
+	e, a := max(s.EstGroups, 1), float64(max(s.RowsOut, 1))
+	return max(e/a, a/e)
 }
 
 // Merge adds o's counters into the snapshot (element-wise rollup across the
@@ -291,6 +309,10 @@ func (s *OpStatsSnapshot) Merge(o OpStatsSnapshot) {
 	s.CacheMisses += o.CacheMisses
 	if s.PlanFP == 0 {
 		s.PlanFP = o.PlanFP
+	}
+	s.EstGroups += o.EstGroups
+	if s.EstSource == "" {
+		s.EstSource = o.EstSource
 	}
 	s.DynRowsFiltered += o.DynRowsFiltered
 	s.DynSplitsSkipped += o.DynSplitsSkipped

@@ -128,7 +128,7 @@ func TestHashAggregation(t *testing.T) {
 		{Func: plan.AggSum, ArgCol: 1, Out: types.Bigint},
 		{Func: plan.AggCountAll, ArgCol: -1, Out: types.Bigint},
 	}
-	op := NewHashAggregation(NopContext(), []int{0}, []types.Type{types.Bigint}, specs, false, 0)
+	op := NewHashAggregation(NopContext(), []int{0}, []types.Type{types.Bigint}, specs, false, 0, 0)
 	in := block.NewPage(
 		block.NewLongBlock([]int64{1, 2, 1, 2, 1}, nil),
 		block.NewLongBlock([]int64{10, 20, 30, 40, 50}, nil),
@@ -147,7 +147,7 @@ func TestHashAggregation(t *testing.T) {
 
 func TestHashAggregationEmptyGlobal(t *testing.T) {
 	specs := []AggSpec{{Func: plan.AggCountAll, ArgCol: -1, Out: types.Bigint}}
-	op := NewHashAggregation(NopContext(), nil, nil, specs, false, 0)
+	op := NewHashAggregation(NopContext(), nil, nil, specs, false, 0, 0)
 	out := drain(t, op) // no input at all
 	if len(out) != 1 || out[0].Col(0).Long(0) != 0 {
 		t.Errorf("global agg over empty input should yield one zero row: %v", out)
@@ -159,7 +159,7 @@ func TestHashAggregationNullsIgnored(t *testing.T) {
 		{Func: plan.AggSum, ArgCol: 0, Out: types.Bigint},
 		{Func: plan.AggCount, ArgCol: 0, Out: types.Bigint},
 	}
-	op := NewHashAggregation(NopContext(), nil, nil, specs, false, 0)
+	op := NewHashAggregation(NopContext(), nil, nil, specs, false, 0, 0)
 	in := block.NewPage(&block.LongBlock{T: types.Bigint, Vals: []int64{1, 0, 3}, Nulls: []bool{false, true, false}})
 	out := drain(t, op, in)
 	if out[0].Col(0).Long(0) != 4 || out[0].Col(1).Long(0) != 2 {
@@ -169,7 +169,7 @@ func TestHashAggregationNullsIgnored(t *testing.T) {
 
 func TestHashAggregationDistinct(t *testing.T) {
 	specs := []AggSpec{{Func: plan.AggCount, ArgCol: 0, Distinct: true, Out: types.Bigint}}
-	op := NewHashAggregation(NopContext(), nil, nil, specs, false, 0)
+	op := NewHashAggregation(NopContext(), nil, nil, specs, false, 0, 0)
 	out := drain(t, op, longPage(1, 1, 2, 2, 3))
 	if out[0].Col(0).Long(0) != 3 {
 		t.Errorf("count distinct: %v", out[0].Row(0))
@@ -178,7 +178,7 @@ func TestHashAggregationDistinct(t *testing.T) {
 
 func TestHashAggregationSpillRoundTrip(t *testing.T) {
 	specs := []AggSpec{{Func: plan.AggSum, ArgCol: 1, Out: types.Bigint}}
-	op := NewHashAggregation(NopContext(), []int{0}, []types.Type{types.Bigint}, specs, true, 0)
+	op := NewHashAggregation(NopContext(), []int{0}, []types.Type{types.Bigint}, specs, true, 0, 0)
 	in1 := block.NewPage(
 		block.NewLongBlock([]int64{1, 2, 3}, nil),
 		block.NewLongBlock([]int64{10, 20, 30}, nil),

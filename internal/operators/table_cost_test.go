@@ -61,7 +61,7 @@ func TestHashAggAccountingMatchesHeap(t *testing.T) {
 		return int64(m.HeapAlloc)
 	}
 	before := heap()
-	op := NewHashAggregation(ctx, []int{0}, []types.Type{types.Bigint}, threeAggs, true, 0)
+	op := NewHashAggregation(ctx, []int{0}, []types.Type{types.Bigint}, threeAggs, true, 0, 0)
 	fixedKeyPages(t, groups, op.AddInput)
 	grown := heap() - before
 	reserved := q.UserBytes()
@@ -120,7 +120,7 @@ func TestGroupTableBytesPerGroup(t *testing.T) {
 		{"three counts", counts, 64 + 24*3},
 		{"count, sum, max", threeAggs, 170},
 	} {
-		op := NewHashAggregation(NopContext(), []int{0}, []types.Type{types.Bigint}, tc.specs, false, 0)
+		op := NewHashAggregation(NopContext(), []int{0}, []types.Type{types.Bigint}, tc.specs, false, 0, 0)
 		var pages []*block.Page
 		fixedKeyPages(t, groups, func(p *block.Page) error { pages = append(pages, p); return nil })
 		got := allocated(func() {
@@ -140,7 +140,7 @@ func TestGroupTableBytesPerGroup(t *testing.T) {
 	eight := append(append(append([]AggSpec(nil), threeAggs...), threeAggs...), threeAggs[:2]...)
 	var op *HashAggregationOperator
 	small := allocated(func() {
-		op = NewHashAggregation(NopContext(), []int{0}, []types.Type{types.Bigint}, eight, false, 0)
+		op = NewHashAggregation(NopContext(), []int{0}, []types.Type{types.Bigint}, eight, false, 0, 0)
 	})
 	page := block.NewPage(block.NewLongBlock([]int64{1, 2, 3, 4, 1, 2}, nil), block.NewLongBlock(make([]int64, 6), nil), &block.DoubleBlock{Vals: make([]float64, 6)})
 	small += allocated(func() {

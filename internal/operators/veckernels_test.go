@@ -144,7 +144,7 @@ func TestHashAggEdgeKeys(t *testing.T) {
 		{Func: plan.AggSum, ArgCol: 2, Out: types.Bigint},
 	}
 	keyTs := []types.Type{types.Double, types.Varchar}
-	op := NewHashAggregation(NopContext(), []int{0, 1}, keyTs, specs, false, 0)
+	op := NewHashAggregation(NopContext(), []int{0, 1}, keyTs, specs, false, 0, 0)
 	got := rowCounts(drain(t, op, keyPage(), keyPage()))
 	want := rowCounts([]*block.Page{refAggregate([]*block.Page{keyPage(), keyPage()}, []int{0, 1}, keyTs, specs)})
 	assertSameCounts(t, "hashagg edge keys", got, want)
@@ -183,7 +183,7 @@ func TestCountDistinctEdgeValues(t *testing.T) {
 	}
 	specs := []AggSpec{{Func: plan.AggCount, ArgCol: 1, Distinct: true, Out: types.Bigint}}
 	keyTs := []types.Type{types.Bigint}
-	op := NewHashAggregation(NopContext(), []int{0}, keyTs, specs, false, 0)
+	op := NewHashAggregation(NopContext(), []int{0}, keyTs, specs, false, 0, 0)
 	got := rowCounts(drain(t, op, page(), page()))
 	assertSameCounts(t, "count distinct", got, rowCounts([]*block.Page{refAggregate([]*block.Page{page(), page()}, []int{0}, keyTs, specs)}))
 }
@@ -243,7 +243,7 @@ func TestKeyTableGrowth(t *testing.T) {
 	const groups = 1_100_000
 	const pageRows = 8192
 	specs := []AggSpec{{Func: plan.AggCountAll, ArgCol: -1, Out: types.Bigint}}
-	op := NewHashAggregation(NopContext(), []int{0}, []types.Type{types.Bigint}, specs, false, 0)
+	op := NewHashAggregation(NopContext(), []int{0}, []types.Type{types.Bigint}, specs, false, 0, 0)
 	next := int64(0)
 	for next < groups {
 		n := int64(pageRows)

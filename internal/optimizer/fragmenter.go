@@ -440,6 +440,7 @@ func (fb *fragBuilder) visitAggregation(o *Optimizer, agg *plan.Aggregation) sub
 		Step:       plan.AggFinal,
 		Out:        finalOut,
 	}
+	partial.Est, final.Est = o.groupEstimates(agg, partial, final, fb.frags)
 
 	// Post-projection restores the original output: groups, then one column
 	// per original aggregate (computing avg = sum/count).
@@ -464,6 +465,36 @@ func (fb *fragBuilder) visitAggregation(o *Optimizer, agg *plan.Aggregation) sub
 	}
 	post := &plan.Project{Input: final, Exprs: postExprs, Out: agg.Out}
 	return sub{node: post, prop: g.prop}
+}
+
+// groupEstimates is what the partial and the final step cut from agg expect.
+// A step that has run before expects what it produced then (history, looked
+// up as coordinator/history.go records it, through the fragments cut so far).
+// Otherwise both expect the NDV product of agg's keys capped by its input
+// rows, when every key is a column of one scan: the partial step draws them
+// from all the input rows, the final step splits them. Otherwise nil, and
+// always for a global aggregation, whose one group needs no sizing.
+func (o *Optimizer) groupEstimates(agg, partial, final *plan.Aggregation, frags []*plan.Fragment) (pe, fe *plan.GroupEstimate) {
+	if len(agg.GroupBy) == 0 {
+		return nil, nil
+	}
+	if o.Config.UseStats {
+		if groups, rows := o.groupNDV(agg), o.estimateRows(agg.Input); groups > 0 && rows >= 0 {
+			groups = min(groups, rows)
+			pe = &plan.GroupEstimate{Groups: groups, Rows: rows, Source: plan.EstStats}
+			fe = &plan.GroupEstimate{Groups: groups, Source: plan.EstStats}
+		}
+	}
+	if h := o.Config.History; h != nil {
+		opts := HistoryFingerprintOpts(o.Meta, &plan.DistributedPlan{Fragments: frags})
+		if rows, ok := h.Lookup(plan.CardFingerprint(partial, opts)); ok {
+			pe = &plan.GroupEstimate{Groups: rows, Source: plan.EstHistory}
+		}
+		if rows, ok := h.Lookup(plan.CardFingerprint(final, opts)); ok {
+			fe = &plan.GroupEstimate{Groups: rows, Source: plan.EstHistory}
+		}
+	}
+	return pe, fe
 }
 
 // traceProjCols maps projection output columns back to input columns (nil if

@@ -104,15 +104,13 @@ func (o *Optimizer) estimateStatic(n plan.Node) float64 {
 		if len(x.GroupBy) == 0 {
 			return 1
 		}
-		// NDV product capped by input size.
+		// NDV product capped by input size; a tenth of the input when a key's
+		// NDV is unknown.
 		est := child / 10
-		if ndv := o.groupNDV(x); ndv > 0 && ndv < est {
-			est = ndv
+		if ndv := o.groupNDV(x); ndv > 0 {
+			est = min(ndv, child)
 		}
-		if est < 1 {
-			est = 1
-		}
-		return est
+		return max(est, 1)
 
 	case *plan.Join:
 		l := o.estimateRows(x.Left)
@@ -190,7 +188,8 @@ func columnSelectivity(st connector.TableStats, name string, cd *plan.ColumnDoma
 	return 0.3 // range constraint default
 }
 
-// groupNDV estimates the number of groups from column statistics.
+// groupNDV estimates the number of groups from column statistics: the product
+// of the keys' distinct counts when every key is a column of one scan, else -1.
 func (o *Optimizer) groupNDV(agg *plan.Aggregation) float64 {
 	scan := singleScanBelow(agg.Input)
 	if scan == nil || o.Meta == nil {
@@ -202,20 +201,45 @@ func (o *Optimizer) groupNDV(agg *plan.Aggregation) float64 {
 	}
 	prod := 1.0
 	for _, g := range agg.GroupBy {
-		cr, ok := g.(*expr.ColumnRef)
-		if !ok {
+		col := scanColumn(agg.Input, g)
+		if col < 0 {
 			return -1
 		}
-		if cr.Index >= len(scan.Columns) {
-			return -1
-		}
-		ndv := st.NDV(scan.Columns[cr.Index])
+		ndv := st.NDV(scan.Columns[col])
 		if ndv <= 0 {
 			return -1
 		}
 		prod *= float64(ndv)
 	}
 	return prod
+}
+
+// scanColumn follows e, an expression over n's output, down the chain of
+// filters and projections singleScanBelow walks, and returns the scan column
+// it reads; -1 when it is not a plain column all the way down.
+func scanColumn(n plan.Node, e expr.Expr) int {
+	for {
+		cr, ok := e.(*expr.ColumnRef)
+		if !ok {
+			return -1
+		}
+		switch x := n.(type) {
+		case *plan.Scan:
+			if cr.Index >= len(x.Columns) {
+				return -1
+			}
+			return cr.Index
+		case *plan.Filter:
+			n = x.Input
+		case *plan.Project:
+			if cr.Index >= len(x.Exprs) {
+				return -1
+			}
+			e, n = x.Exprs[cr.Index], x.Input
+		default:
+			return -1
+		}
+	}
 }
 
 // joinKeyNDV returns the max distinct count over the join's key columns.

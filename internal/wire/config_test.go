@@ -44,6 +44,11 @@ func TestTaskConfigRoundTrip(t *testing.T) {
 			fv.SetUint(1<<len(exec.SwitchHeaders) - 1)
 		case reflect.String:
 			fv.SetString(f.Name)
+		case reflect.Slice:
+			if fv.Type().Elem().Kind() != reflect.Int {
+				t.Fatalf("TaskConfig.%s is a %s: teach this test to set one", f.Name, fv.Type())
+			}
+			fv.Set(reflect.ValueOf([]int{1000 + i, 0, 7}))
 		default:
 			t.Fatalf("TaskConfig.%s is a %s: teach this test to set one", f.Name, fv.Kind())
 		}

@@ -342,8 +342,10 @@ func fill(t *testing.T, v reflect.Value, path string, open map[reflect.Type]bool
 			v.SetInt(n)
 		}
 	case reflect.String:
-		if v.SetString(path); !valid(v) {
-			v.SetString("sum") // an aggregate and a window function
+		for _, s := range []string{path, "sum", "stats"} { // the name of an aggregate, a window function, an estimate source
+			if v.SetString(s); valid(v) {
+				break
+			}
 		}
 	case reflect.Float64:
 		v.SetFloat(math.Float64frombits(0x7ff0000000000bad))

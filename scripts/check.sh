@@ -13,8 +13,10 @@
 #                             # a panicking operator fails one query)
 #                             # + borrowed-page poison run + non-race
 #                             # allocation ceilings (page codec, group
-#                             # table, join build and probe, dynamically
-#                             # filtered scan, spill) and bench smokes
+#                             # table — presized from its estimate, a
+#                             # wrong estimate changing no row — join
+#                             # build and probe, dynamically filtered
+#                             # scan, spill) and bench smokes
 #                             # + configuration (one switch set: cluster vs
 #                             # session twins, the switch headers, TaskConfig
 #                             # and fragments on the wire, non-finite doubles
@@ -136,9 +138,12 @@ echo "==> page codec allocation ceilings + bench smoke (no -race: the ceilings s
 go test -count=1 -run 'TestCodecAllocationCeilings' ./internal/block/
 go test -run '^$' -bench 'CodecEncodeRaw|CodecEncodeFlate|CodecDecodeRaw|CodecDecodeFlate' -benchtime 1x -benchmem ./internal/block/ > /dev/null
 
-echo "==> what a group, a build row and a probe row cost: allocation ceilings, accounting vs heap, bench smoke (no -race, same reason)"
-go test -count=1 -v -run 'TestAggSpillAllocationCeiling|TestGroupTableBytesPerGroup|TestJoinBuildBytesPerRow|TestJoinBuildAllocatesOnce|TestJoinProbeAllocationCeiling|TestHashAggAccountingMatchesHeap|TestJoinBuildAccountingMatchesHeap' ./internal/operators/ | grep -E '^(---|ok|FAIL|panic)|bytes'
+echo "==> what a group, a build row and a probe row cost: allocation ceilings, accounting vs heap, a group table sized from its estimate, bench smoke (no -race, same reason)"
+go test -count=1 -v -run 'TestAggSpillAllocationCeiling|TestGroupTableBytesPerGroup|TestGroupTableAllocatesOnce|TestPresizedTableReservesWhatItHolds|TestPresizeIsAHint|TestFinishedAggregationDropsItsTable|TestJoinBuildBytesPerRow|TestJoinBuildAllocatesOnce|TestJoinProbeAllocationCeiling|TestHashAggAccountingMatchesHeap|TestJoinBuildAccountingMatchesHeap' ./internal/operators/ | grep -E '^(---|ok|FAIL|panic)|bytes'
+go test -count=1 -run 'TestGroupsPerInstance' ./internal/exec/
+go test -count=1 -run 'TestGroupEstimate' .
 go test -run '^$' -bench 'AggSpillRevokeDrain|HashJoinProbeParallel' -benchtime 1x -benchmem ./internal/operators/ > /dev/null
+go test -run '^$' -bench 'KeyTableFixed1' -benchtime 20x -benchmem ./internal/operators/ | grep '^Benchmark'
 go test -run '^$' -bench 'HashJoinBuildParallel' -benchtime 5x -benchmem -cpu 1,2 ./internal/operators/ | grep '^Benchmark'
 go test -run '^$' -bench 'HashAggBigintKey|HashJoinBuildProbe|HashJoinDictKey' -benchtime 5x -benchmem . | grep '^Benchmark'
 
