@@ -499,8 +499,8 @@ var dynBenchCluster struct {
 
 // BenchmarkDynFilterFig6 runs the selective-join shapes of the Figure 6
 // suite (q37/q64/q82: a filtered dimension joined to the fact table) with
-// dynamic filters on and with the ablation toggle off. scripts/bench.sh
-// pairs the on/off timings into BENCH_7.json speedups.
+// dynamic filters on and with the ablation toggle off; the ratio of each
+// on/off pair is the filters' speedup on that shape.
 func BenchmarkDynFilterFig6(b *testing.B) {
 	dynBenchCluster.Do(func() {
 		// Minimal parallelism: the benchmark isolates work saved by probe

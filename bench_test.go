@@ -18,7 +18,6 @@ import (
 	"repro/internal/connector"
 	"repro/internal/connectors/hive"
 	"repro/internal/connectors/memconn"
-	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/expr"
 	"repro/internal/operators"
@@ -483,12 +482,12 @@ func BenchmarkFilterSelectivity(b *testing.B) {
 		pred := &expr.Compare{Op: expr.CmpLt,
 			L: &expr.ColumnRef{Index: 0, T: types.Bigint},
 			R: expr.NewConst(types.BigintValue(sel.bound))}
-		for _, mode := range []string{"vec", "legacy"} {
-			b.Run(sel.name+"/"+mode, func(b *testing.B) {
-				pp := expr.NewPageProcessor(pred, proj)
-				if mode == "legacy" {
-					pp.DisableVectorizedFilter()
-				}
+		for _, mode := range []struct {
+			name  string
+			newPP func(expr.Expr, []expr.Expr) *expr.PageProcessor
+		}{{"vec", expr.NewPageProcessor}, {"interpreted", expr.NewInterpretedPageProcessor}} {
+			b.Run(sel.name+"/"+mode.name, func(b *testing.B) {
+				pp := mode.newPP(pred, proj)
 				b.SetBytes(nRows * 8)
 				for i := 0; i < b.N; i++ {
 					if _, err := pp.Process(page); err != nil {
@@ -502,8 +501,8 @@ func BenchmarkFilterSelectivity(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Encoded-block kernels and morsel scheduling (§V-C, §IV-F): dictionary and
-// RLE inputs on the decode-free fast paths, and morsel-driven vs static split
-// scheduling on a skewed table. scripts/bench.sh records them in BENCH_6.json.
+// RLE inputs on the decode-free fast paths, and morsel-driven scanning of a
+// skewed table.
 // ---------------------------------------------------------------------------
 
 // benchDictPages builds pages whose varchar key column is dictionary-encoded
@@ -680,8 +679,8 @@ func BenchmarkHashJoinDictKey(b *testing.B) {
 
 // newSkewBenchCluster loads a table whose split sizes are pathologically
 // skewed — one split holds ~97% of the rows, the other three are tiny — the
-// shape where static split-per-driver assignment leaves most drivers idle and
-// the morsel queue keeps them fed (§IV-F).
+// shape where a driver per split would leave most drivers idle and the morsel
+// queue keeps them fed (§IV-F).
 func newSkewBenchCluster(b *testing.B) *presto.Cluster {
 	b.Helper()
 	const giantRows, tinyRows = 1 << 19, 2048
@@ -702,32 +701,24 @@ func newSkewBenchCluster(b *testing.B) *presto.Cluster {
 }
 
 // BenchmarkMorselSkewScan runs a grouped aggregation over the skewed table
-// end to end, morsel-driven vs static split assignment. The morsel run should
-// approach the all-drivers-busy runtime; the static run is bounded by the one
-// driver that owns the giant split.
+// end to end. It should approach the all-drivers-busy runtime, not the time
+// of the one driver that would own the giant split.
 func BenchmarkMorselSkewScan(b *testing.B) {
 	c := newSkewBenchCluster(b)
 	defer c.Close()
 	const q = "SELECT k, count(*), sum(v) FROM skew.facts GROUP BY k"
-	for _, mode := range []struct {
-		name string
-		s    presto.Session
-	}{{"morsel", presto.Session{}}, {"static", presto.Session{Switches: exec.DisableMorsels}}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := c.ExecuteSession(q, mode.s)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows, err := res.All()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(rows) != 64 {
-					b.Fatalf("groups: got %d, want 64", len(rows))
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		res, err := c.ExecuteSession(q, presto.Session{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows, err := res.All()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) != 64 {
+			b.Fatalf("groups: got %d, want 64", len(rows))
+		}
 	}
 }
 

@@ -4,10 +4,10 @@ package presto
 // dictionary, RLE, and flat blocks — including the shapes the decode-free
 // kernels and the morsel queue specialize on (an all-RLE page, a dictionary
 // with unreferenced ids, one giant split next to tiny ones). Every query runs
-// under the full {vector kernels × morsel scheduling} session matrix and, for
-// the distributed suite, through the HTTP worker protocol; all paths must
-// return identical rows. A Go-loop ground truth anchors the per-key counts so
-// the matrix cannot agree on a shared wrong answer.
+// on the default cluster and on an Interpreted one, the independent reference,
+// and, for the distributed suite, through the HTTP worker protocol; all paths
+// must return identical rows. A Go-loop ground truth anchors the per-key
+// counts so the two cannot agree on a shared wrong answer.
 
 import (
 	"fmt"
@@ -23,8 +23,8 @@ import (
 )
 
 // encGiantRows exceeds the 64k morsel target so the giant page must be sliced
-// into several morsels, and dwarfs the sibling splits so static per-driver
-// assignment would leave most drivers idle.
+// into several morsels, and dwarfs the sibling splits so a driver per split
+// would leave most drivers idle.
 const encGiantRows = 130_000
 
 // encodedFactPages builds the four facts pages. memconn chunks pages
@@ -221,16 +221,26 @@ var encDiffQueries = []string{
 	"SELECT sum(10 / (length(a) - length(b))), count(*) FROM enc.lens WHERE v < 50",
 }
 
-// encMatrix is the ablation session matrix: filter kernels vs interpreted filters ("legacy")
-// crossed with morsel vs static split scheduling.
-var encMatrix = []struct {
+// encEngine is one cluster every encoded query runs on.
+type encEngine struct {
 	name string
-	s    Session
-}{
-	{"vec+morsel", Session{}},
-	{"legacy+morsel", Session{Switches: exec.DisableVectorKernels}},
-	{"vec+static", Session{Switches: exec.DisableMorsels}},
-	{"legacy+static", Session{Switches: exec.DisableVectorKernels | exec.DisableMorsels}},
+	c    *Cluster
+}
+
+// encEngines starts cfg twice, each reading conn: as given (selection
+// kernels, vector projections, the morsel queue) and Interpreted, the
+// independent reference.
+func encEngines(t *testing.T, cfg ClusterConfig, conn connector.Connector) []encEngine {
+	t.Helper()
+	var out []encEngine
+	for _, name := range []string{"kernels", "interpreted"} {
+		cfg.Interpreted = name == "interpreted"
+		c := NewCluster(cfg)
+		t.Cleanup(c.Close)
+		c.Register(conn)
+		out = append(out, encEngine{name, c})
+	}
+	return out
 }
 
 // encGroundTruth walks the pages through the row-at-a-time Block interface —
@@ -252,41 +262,36 @@ func encGroundTruth() map[string][2]int64 {
 	return truth
 }
 
-// TestEncodedDifferentialMatrix runs every query under all four sessions on
-// an in-process cluster over the encoded skewed tables; the result sets must
-// be identical, and the group-by-key query must match the Go-loop ground
-// truth.
+// TestEncodedDifferentialMatrix runs every query on both in-process clusters
+// over the encoded skewed tables; the result sets must be identical, and the
+// group-by-key query must match the Go-loop ground truth.
 func TestEncodedDifferentialMatrix(t *testing.T) {
-	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
-	defer c.Close()
-	c.Register(newEncodedConnector())
-
+	engines := encEngines(t, ClusterConfig{Workers: 2, ThreadsPerWorker: 2}, newEncodedConnector())
 	for _, q := range encDiffQueries {
-		base := stringifyRows(execSession(t, c, q, encMatrix[0].s))
-		for _, m := range encMatrix[1:] {
-			got := stringifyRows(execSession(t, c, q, m.s))
-			assertRows(t, q+" ["+m.name+"]", got, base)
+		base := stringifyRows(execSession(t, engines[0].c, q, Session{}))
+		for _, e := range engines[1:] {
+			assertRows(t, q+" ["+e.name+"]", stringifyRows(execSession(t, e.c, q, Session{})), base)
 		}
 	}
 
-	// Anchor against ground truth so the matrix cannot agree on a shared
-	// wrong answer: per-key count and sum.
+	// Anchor against ground truth so the two cannot agree on a shared wrong
+	// answer: per-key count and sum.
 	truth := encGroundTruth()
-	for _, m := range encMatrix {
-		rows := execSession(t, c, "SELECT k, count(*), sum(v) FROM enc.facts WHERE k IS NOT NULL GROUP BY k", m.s)
+	for _, e := range engines {
+		rows := execSession(t, e.c, "SELECT k, count(*), sum(v) FROM enc.facts WHERE k IS NOT NULL GROUP BY k", Session{})
 		if len(rows) != len(truth) {
-			t.Fatalf("[%s] got %d groups, ground truth has %d", m.name, len(rows), len(truth))
+			t.Fatalf("[%s] got %d groups, ground truth has %d", e.name, len(rows), len(truth))
 		}
 		for _, row := range rows {
 			k := row[0].S
 			want, ok := truth[k]
 			if !ok {
-				t.Errorf("[%s] unexpected group %q (unreferenced dictionary id leaked?)", m.name, k)
+				t.Errorf("[%s] unexpected group %q (unreferenced dictionary id leaked?)", e.name, k)
 				continue
 			}
 			if row[1].I != want[0] || row[2].I != want[1] {
 				t.Errorf("[%s] group %q = (count %d, sum %d), want (%d, %d)",
-					m.name, k, row[1].I, row[2].I, want[0], want[1])
+					e.name, k, row[1].I, row[2].I, want[0], want[1])
 			}
 		}
 	}
@@ -312,23 +317,20 @@ func encPairTruth(keyCols int) map[string][2]int64 {
 }
 
 // TestEncodedMultiKeyGroupBy anchors the two- and three-key group-bys over
-// every mix of encodings against a Go-loop ground truth, under every session
-// of the matrix, and reads off the query's own stats that the pages which
+// every mix of encodings against a Go-loop ground truth, on both clusters,
+// and reads off the query's own stats that the pages which
 // could be resolved by dictionary entry were, and the others (a flat key
 // column beside a dictionary; fewer rows than combinations) were not.
 func TestEncodedMultiKeyGroupBy(t *testing.T) {
-	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
-	defer c.Close()
-	c.Register(newEncodedConnector())
+	engines := encEngines(t, ClusterConfig{Workers: 2, ThreadsPerWorker: 2}, newEncodedConnector())
 	for keyCols, q := range map[int]string{
 		2: "SELECT a, b, count(*), sum(v) FROM enc.pairs GROUP BY a, b",
 		3: "SELECT a, b, c, count(*), sum(v) FROM enc.pairs GROUP BY a, b, c",
 	} {
 		truth := encPairTruth(keyCols)
-		for _, m := range encMatrix {
-			s := m.s
-			s.Switches |= exec.DisableResultCache
-			res, err := c.ExecuteSession(q, s)
+		for _, m := range engines {
+			c := m.c
+			res, err := c.ExecuteSession(q, Session{Switches: exec.DisableResultCache})
 			if err != nil {
 				t.Fatalf("%s [%s]: %v", q, m.name, err)
 			}
@@ -415,12 +417,9 @@ func TestDictionaryPathsInExplainAnalyze(t *testing.T) {
 // succeeds (the rows are then evaluated one by one); once a row has it the
 // query fails with the row path's error.
 func TestEncodedProjectionErrorsOnlyWhenReferenced(t *testing.T) {
-	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
-	defer c.Close()
-	c.Register(newEncodedConnector())
 	const proj = "SELECT sum(10 / (length(a) - length(b))), count(*) FROM enc.lens"
-	for _, m := range encMatrix {
-		rows := execSession(t, c, proj+" WHERE v < 50", m.s)
+	for _, m := range encEngines(t, ClusterConfig{Workers: 2, ThreadsPerWorker: 2}, newEncodedConnector()) {
+		rows := execSession(t, m.c, proj+" WHERE v < 50", Session{})
 		var want int64
 		for i := 0; i < 50; i++ {
 			la, lb := []int64{2, 3, 4}[i%3], []int64{1, 2}[i%2]
@@ -432,9 +431,7 @@ func TestEncodedProjectionErrorsOnlyWhenReferenced(t *testing.T) {
 		if len(rows) != 1 || rows[0][0].I != want || rows[0][1].I != 50 {
 			t.Errorf("[%s] unreferenced failing combination: got %v, want sum %d over 50 rows", m.name, rows, want)
 		}
-		s := m.s
-		s.Switches |= exec.DisableResultCache
-		res, err := c.ExecuteSession(proj, s)
+		res, err := m.c.ExecuteSession(proj, Session{Switches: exec.DisableResultCache})
 		if err == nil {
 			_, err = res.All()
 		}
@@ -448,8 +445,6 @@ func TestEncodedProjectionErrorsOnlyWhenReferenced(t *testing.T) {
 // column stored under a dictionary) and then took INSERTs into (flat pages
 // behind the encoded ones) groups each key once, old and new rows together.
 func TestEncodedLoadedThenInserted(t *testing.T) {
-	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
-	defer c.Close()
 	conn := memconn.New("mem")
 	keys, vals := make([]string, 300), make([]int64, 300)
 	for i := range keys {
@@ -457,12 +452,12 @@ func TestEncodedLoadedThenInserted(t *testing.T) {
 	}
 	conn.LoadTable("t", []connector.Column{{Name: "k", T: types.Varchar}, {Name: "v", T: types.Bigint}},
 		[]*block.Page{block.NewPage(block.NewVarcharBlock(keys, nil), block.NewLongBlock(vals, nil))})
-	c.Register(conn)
+	engines := encEngines(t, ClusterConfig{Workers: 2, ThreadsPerWorker: 2}, conn)
 	if ndv := conn.Stats("t").ColumnNDV["k"]; ndv != 3 {
 		t.Fatalf("ColumnNDV[k] = %d after the load, want 3", ndv)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := c.Query(fmt.Sprintf("INSERT INTO mem.t VALUES ('hot', 10), ('new%d', 100)", i%2)); err != nil {
+		if _, err := engines[0].c.Query(fmt.Sprintf("INSERT INTO mem.t VALUES ('hot', 10), ('new%d', 100)", i%2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -470,8 +465,8 @@ func TestEncodedLoadedThenInserted(t *testing.T) {
 		t.Errorf("ColumnNDV[k] = %d after the inserts, want 5", ndv)
 	}
 	want := []string{"cold|100|100", "hot|105|150", "new0|3|300", "new1|2|200", "warm|100|100"}
-	for _, m := range encMatrix {
-		got := stringifyRows(execSession(t, c, "SELECT k, count(*), sum(v) FROM mem.t GROUP BY k", m.s))
+	for _, m := range engines {
+		got := stringifyRows(execSession(t, m.c, "SELECT k, count(*), sum(v) FROM mem.t GROUP BY k", Session{}))
 		assertRows(t, "loaded then inserted ["+m.name+"]", got, want)
 	}
 }
@@ -482,10 +477,6 @@ func TestEncodedLoadedThenInserted(t *testing.T) {
 // back per page rather than fail or drop rows, and the per-label counts must
 // match the ground truth.
 func TestEncodedDictProbeFlatBuildJoin(t *testing.T) {
-	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
-	defer c.Close()
-	c.Register(newEncodedConnector())
-
 	truth := encGroundTruth()
 	labelOf := map[string]string{"hot": "H", "key01": "K1", "key03": "K3", "alpha": "A", "": "EMPTY", "zz": "Z"}
 	want := map[string]int64{}
@@ -495,9 +486,9 @@ func TestEncodedDictProbeFlatBuildJoin(t *testing.T) {
 		}
 	}
 
-	for _, m := range encMatrix {
-		rows := execSession(t, c,
-			"SELECT d.label, count(*) FROM enc.facts f JOIN enc.dims d ON f.k = d.k GROUP BY d.label", m.s)
+	for _, m := range encEngines(t, ClusterConfig{Workers: 2, ThreadsPerWorker: 2}, newEncodedConnector()) {
+		rows := execSession(t, m.c,
+			"SELECT d.label, count(*) FROM enc.facts f JOIN enc.dims d ON f.k = d.k GROUP BY d.label", Session{})
 		got := map[string]int64{}
 		for _, row := range rows {
 			got[row[0].S] = row[1].I
@@ -517,9 +508,9 @@ func TestEncodedDictProbeFlatBuildJoin(t *testing.T) {
 // TestEncodedDistributedDifferential pushes the same encoded tables through
 // the HTTP-distributed cluster: the binary page codec must round-trip the
 // dictionary and RLE blocks, and distributed results must equal the embedded
-// engine's under both scheduling modes.
+// interpreter's.
 func TestEncodedDistributedDifferential(t *testing.T) {
-	ref := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
+	ref := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2, Interpreted: true})
 	t.Cleanup(ref.Close)
 	ref.Register(newEncodedConnector())
 	d := newDistCluster(t, 2, nil)
@@ -528,35 +519,57 @@ func TestEncodedDistributedDifferential(t *testing.T) {
 	for _, q := range encDiffQueries {
 		want := stringifyRows(execSession(t, ref, q, Session{}))
 		assertRows(t, q+" [distributed]", stringifyRows(d.mustQuery(t, q)), want)
-		res, err := d.Coord.Execute(q, Session{Switches: exec.DisableMorsels})
-		if err != nil {
-			t.Fatalf("distributed static %q: %v", q, err)
-		}
-		rows, err := res.All()
-		if err != nil {
-			t.Fatalf("distributed static %q: %v", q, err)
-		}
-		assertRows(t, q+" [distributed static]", stringifyRows(rows), want)
 	}
 }
 
 // TestEncodedSkewUsesAllDrivers is the scheduling half of the morsel story:
-// with one giant split and three tiny ones, the morsel path must spread the
-// giant split's pages across drivers instead of leaving them pinned to one.
-// We assert on results staying correct while the skewed table is scanned with
-// more parallelism than splits-per-driver would allow, by checking that the
-// morsel run completes and agrees with the static run even when the cluster
-// has more threads than splits.
+// with one giant split and three tiny ones on a worker of eight threads, the
+// scan starts as many drivers as the split-concurrency target allows — not one
+// a split, which would pin the giant split to a single driver — and their
+// shared reads of the giant split's morsels add up to the Go-loop ground
+// truth.
 func TestEncodedSkewUsesAllDrivers(t *testing.T) {
-	c := NewCluster(ClusterConfig{Workers: 1, ThreadsPerWorker: 8})
+	c := NewCluster(ClusterConfig{Workers: 1, ThreadsPerWorker: 8, TargetSplitConcurrency: 6})
 	defer c.Close()
 	c.Register(newEncodedConnector())
 
+	truth := map[string][2]int64{} // g rendered, NULL included → count, sum(v)
+	for _, p := range encodedFactPages() {
+		g, v := p.Col(1), p.Col(2)
+		for r := 0; r < p.RowCount(); r++ {
+			e := truth[g.Value(r).String()]
+			e[0]++
+			e[1] += v.Long(r)
+			truth[g.Value(r).String()] = e
+		}
+	}
 	q := "SELECT g, count(*), sum(v) FROM enc.facts GROUP BY g"
-	morsel := stringifyRows(execSession(t, c, q, Session{}))
-	static := stringifyRows(execSession(t, c, q, Session{Switches: exec.DisableMorsels}))
-	assertRows(t, q+" [morsel vs static on skew]", morsel, static)
-	if len(morsel) != 15 { // g in 0..12 from the giant page, 13 from the edge page, plus the NULL group
-		t.Errorf("skew scan produced %d groups, want 15: %v", len(morsel), morsel)
+	res, err := c.ExecuteSession(q, Session{Switches: exec.DisableResultCache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := res.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(truth) || len(rows) != 15 { // g in 0..12 from the giant page, 13 from the edge page, plus the NULL group
+		t.Errorf("skew scan produced %d groups, want 15 (ground truth %d): %v", len(rows), len(truth), rows)
+	}
+	for _, row := range rows {
+		if want := truth[row[0].String()]; row[1].I != want[0] || row[2].I != want[1] {
+			t.Errorf("group %s = (count %d, sum %d), want %v", row[0], row[1].I, row[2].I, want)
+		}
+	}
+	st, _ := c.QueryStats(res.QueryID)
+	drivers := 0
+	for _, sg := range st.Stages {
+		for _, pl := range sg.Pipelines {
+			if len(pl.Operators) > 0 && pl.Operators[0].Name == "TableScan" {
+				drivers = max(drivers, pl.Drivers)
+			}
+		}
+	}
+	if drivers != 6 {
+		t.Errorf("the skewed scan started %d drivers, want 6 (the split-concurrency target): more than its 4 splits", drivers)
 	}
 }

@@ -69,7 +69,7 @@ func (c *Coordinator) historyGen(session Session) uint64 {
 
 // cachedPlan looks up and validates a plan-cache entry for the statement,
 // keyed on its text, its catalog and the switches that change planning;
-// execution-only switches (cache, kernels, morsels) share entries. The key
+// execution-only switches (cache, shared scans, spill) share entries. The key
 // is returned even on a miss so the planning path can store under it. A
 // version or history-generation mismatch drops the entry and replans:
 // statistics, pushdown pruning, and history salts may all have changed.

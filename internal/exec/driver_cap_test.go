@@ -33,10 +33,10 @@ func (s *gatedSource) NextPage() (*block.Page, error) {
 	return s.PageSource.NextPage()
 }
 
-// scanDrivers runs a scan of an eight-page table, enumerated as the given
-// number of splits, as one task on an executor of the given threads, and
+// scanDriversStarted runs a scan of an eight-page table, enumerated as the
+// given number of splits, as one task on an executor of the given threads, and
 // returns how many drivers the task started for the scan.
-func scanDrivers(t *testing.T, threads, splits int, cfg TaskConfig) int {
+func scanDriversStarted(t *testing.T, threads, splits int, cfg TaskConfig) int {
 	t.Helper()
 	mem := memconn.New("mem")
 	mem.SplitsPerTable = splits
@@ -81,10 +81,10 @@ func scanDrivers(t *testing.T, threads, splits int, cfg TaskConfig) int {
 	return task.scanPipes[0].driversStarted
 }
 
-// TestScanDriversCappedAtThreads: morsel-mode drivers are not tied to splits,
-// so a scan starts as many as its executor has threads and no more — a
-// further one would compile an operator chain to find the queue drained. The
-// static ablation keeps a driver per split.
+// TestScanDriversCappedAtThreads: scan drivers are not tied to splits, so a
+// scan starts as many as its executor has threads and no more — a further one
+// would compile an operator chain to find the queue drained — whatever the
+// number of splits.
 func TestScanDriversCappedAtThreads(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
@@ -96,9 +96,10 @@ func TestScanDriversCappedAtThreads(t *testing.T) {
 		{"4 threads, 4 splits", 4, 4, TaskConfig{}, 4},
 		{"8 threads: the split-concurrency target still bounds it", 8, 4, TaskConfig{}, 4},
 		{"one oversized split is shared by 2 threads' drivers", 2, 1, TaskConfig{}, 2},
-		{"static ablation: a driver per split, whatever the threads", 1, 4, TaskConfig{Switches: DisableMorsels}, 4},
+		{"1 thread, 4 splits, a target of 1", 1, 4, TaskConfig{TargetSplitConcurrency: 1}, 1},
+		{"4 threads, 8 splits, a target of 2", 4, 8, TaskConfig{TargetSplitConcurrency: 2}, 2},
 	} {
-		if got := scanDrivers(t, tc.threads, tc.splits, tc.cfg); got != tc.want {
+		if got := scanDriversStarted(t, tc.threads, tc.splits, tc.cfg); got != tc.want {
 			t.Errorf("%s: %d scan drivers started, want %d", tc.name, got, tc.want)
 		}
 	}

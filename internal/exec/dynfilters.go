@@ -118,19 +118,19 @@ func (t *Task) DeliverFilter(id int, s *dynfilter.Summary) {
 		return
 	}
 	if s.Empty() {
-		for scanID, p := range t.scanPipes {
+		for _, p := range t.scanPipes {
 			if p.scanNode == nil {
 				continue
 			}
 			for _, df := range p.scanNode.DynFilters {
 				if df.ID == id && df.ShortCircuit {
-					t.dropScanSplitsLocked(scanID)
+					t.dropScanSplitsLocked(p)
 				}
 			}
 		}
 	}
-	for scanID := range t.scanPipes {
-		if err := t.maybeStartSplitsLocked(scanID); err != nil && t.failed == nil {
+	for _, p := range t.scanPipes {
+		if err := t.maybeStartScanDriversLocked(p); err != nil && t.failed == nil {
 			t.failed = err
 		}
 	}
@@ -141,24 +141,16 @@ func (t *Task) DeliverFilter(id int, s *dynfilter.Summary) {
 // circuit): already-open sources finish naturally — their rows are filtered
 // to zero by the same empty summary — and future splits are rejected at
 // AddSplit. Caller holds t.mu.
-func (t *Task) dropScanSplitsLocked(scanID int) {
-	if t.dynSkip[scanID] {
+func (t *Task) dropScanSplitsLocked(p *pipelineSpec) {
+	if t.dynSkip[p.scanID] {
 		return
 	}
 	if t.dynSkip == nil {
 		t.dynSkip = map[int]bool{}
 	}
-	t.dynSkip[scanID] = true
-	p := t.scanPipes[scanID]
-	stats := p.opStats[0]
-	if q, ok := t.morsels[scanID]; ok {
-		stats.RecordDynSplitSkipped(int64(q.dropPending()))
-	}
-	if n := len(t.pendingSplits[scanID]); n > 0 {
-		stats.RecordDynSplitSkipped(int64(n))
-		delete(t.pendingSplits, scanID)
-	}
-	t.maybeDeclareScanDoneLocked(scanID)
+	t.dynSkip[p.scanID] = true
+	p.opStats[0].RecordDynSplitSkipped(int64(p.morsels.dropPending()))
+	t.maybeDeclareScanDoneLocked(p)
 }
 
 // dynGateLocked reports whether a scan's split starts are still held waiting
@@ -179,7 +171,8 @@ func (t *Task) dynGateLocked(p *pipelineSpec) bool {
 		wait = DefaultDynamicFilterWait
 		if t.scanIsZeroCopy(p) {
 			// Zero-copy in-memory probes start for free; holding them costs
-			// more latency than the pruning saves (BENCH_7 q37/q82), and
+			// more latency than the pruning saves (EXPERIMENTS.md, "What the
+			// one-off benchmark files said": q37 and q82), and
 			// filters arriving mid-scan still narrow later-opened splits.
 			// Multi-filter subscriptions feed join chains where unpruned
 			// rows compound downstream, so those keep a short bounded hold.

@@ -249,14 +249,10 @@ func (s *hookSource) NextPage() (*block.Page, error) {
 // stats say. late, if set, is delivered between the split's first and second
 // page; one driver reads the split, so the first page has been through the
 // processor by then.
-func runDynJoin(t *testing.T, late *dynfilter.Summary, morsels bool) (rows, sumA int64, scan operators.OpStatsSnapshot) {
+func runDynJoin(t *testing.T, late *dynfilter.Summary) (rows, sumA int64, scan operators.OpStatsSnapshot) {
 	t.Helper()
 	conn := &hookConnector{Connector: dynTables(6)}
-	cfg := TaskConfig{TargetSplitConcurrency: 1}
-	if !morsels {
-		cfg.Switches = DisableMorsels
-	}
-	task := dynTask(t, dynJoinPlan(false), conn, 2, cfg)
+	task := dynTask(t, dynJoinPlan(false), conn, 2, TaskConfig{TargetSplitConcurrency: 1})
 	if late != nil {
 		conn.afterFirst = func() { task.DeliverFilter(1, late) }
 	}
@@ -313,20 +309,18 @@ func runDynJoin(t *testing.T, late *dynfilter.Summary, morsels bool) (rows, sumA
 // two to six that cannot join are counted as filtered; and the join answers as
 // it does with no filter at all.
 func TestDynFilterLateArrivalFiltersOpenSplit(t *testing.T) {
-	for _, morsels := range []bool{false, true} {
-		wantRows, wantSum, plain := runDynJoin(t, nil, morsels)
-		if wantRows == 0 || plain.DynRowsFiltered != 0 {
-			t.Fatalf("unfiltered run: %d rows joined, %d filtered", wantRows, plain.DynRowsFiltered)
-		}
-		rows, sum, scan := runDynJoin(t, dynBuildSummary(), morsels)
-		if rows != wantRows || sum != wantSum {
-			t.Errorf("morsels=%v: a late filter changed the join: %d rows (sum %d), want %d (%d)", morsels, rows, sum, wantRows, wantSum)
-		}
-		if scan.RowsOut != plain.RowsOut || scan.RowsOut != 6*dynPageRows {
-			t.Errorf("morsels=%v: the scan reports %d rows, want the %d it read, filter or none", morsels, scan.RowsOut, plain.RowsOut)
-		}
-		if want := dynDropped(dynProbePages(6)[1:]...); scan.DynRowsFiltered != want {
-			t.Errorf("morsels=%v: %d rows filtered, want the %d of pages two to six that cannot join", morsels, scan.DynRowsFiltered, want)
-		}
+	wantRows, wantSum, plain := runDynJoin(t, nil)
+	if wantRows == 0 || plain.DynRowsFiltered != 0 {
+		t.Fatalf("unfiltered run: %d rows joined, %d filtered", wantRows, plain.DynRowsFiltered)
+	}
+	rows, sum, scan := runDynJoin(t, dynBuildSummary())
+	if rows != wantRows || sum != wantSum {
+		t.Errorf("a late filter changed the join: %d rows (sum %d), want %d (%d)", rows, sum, wantRows, wantSum)
+	}
+	if scan.RowsOut != plain.RowsOut || scan.RowsOut != 6*dynPageRows {
+		t.Errorf("the scan reports %d rows, want the %d it read, filter or none", scan.RowsOut, plain.RowsOut)
+	}
+	if want := dynDropped(dynProbePages(6)[1:]...); scan.DynRowsFiltered != want {
+		t.Errorf("%d rows filtered, want the %d of pages two to six that cannot join", scan.DynRowsFiltered, want)
 	}
 }

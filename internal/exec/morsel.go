@@ -384,9 +384,9 @@ func (q *morselQueue) takeSplitLocked(stripe int) (connector.Split, bool) {
 	return s, true
 }
 
-// removeLocked drops an exhausted source from the open list. In morsel mode
-// drivers outnumber splits, so split progress is counted here — at source
-// exhaustion — rather than at driver completion; so are the source's bytes,
+// removeLocked drops an exhausted source from the open list. A driver is not
+// a split, so split progress is counted here — at source exhaustion —
+// rather than at driver completion; so are the source's bytes,
 // before the queue can be seen drained and the task finish.
 func (q *morselQueue) removeLocked(os *openSplit) {
 	q.stats.RecordSourceClosed(os.src)

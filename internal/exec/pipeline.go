@@ -40,9 +40,10 @@ type pipelineSpec struct {
 	scanID     int
 	scanHandle plan.TableHandle
 	scanCols   []string
-	scanNode   *plan.Scan // dynamic-filter subscriptions + output schema
-	sourceFP   uint64     // cardinality fingerprint of the source node
-	zeroCopy   int8       // cached ZeroCopyScans probe: 0 unknown, 1 yes, -1 no (guarded by t.mu)
+	scanNode   *plan.Scan   // dynamic-filter subscriptions + output schema
+	sourceFP   uint64       // cardinality fingerprint of the source node
+	zeroCopy   int8         // cached ZeroCopyScans probe: 0 unknown, 1 yes, -1 no (guarded by t.mu)
+	morsels    *morselQueue // the scan's splits, which every driver of the pipeline drains
 
 	// srcExchange
 	exchangeFragments []int
@@ -519,14 +520,11 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 // has Rows) sees each of d keys with some probability and expects Cardenas'
 // d·(1 − e^(−n/d)) of them, n being its share of the rows; any other step's
 // instance gets an equal share of the groups, the shuffle having partitioned
-// them by key. 0 when there is no estimate, or when the instance count is not
-// known at compile time: static split scheduling starts a driver per split.
+// them by key. 0 when there is no estimate or no task count.
 func (t *Task) groupsPerInstance(est *plan.GroupEstimate, p *pipelineSpec) (groups float64, drivers int) {
 	switch p.source {
 	case srcScan:
-		if !t.cfg.Switches.Has(DisableMorsels) {
-			drivers = min(t.cfg.TargetSplitConcurrency, t.executor.Threads())
-		}
+		drivers = t.scanDrivers()
 	case srcLocalExchange:
 		drivers = p.localWays
 	default:

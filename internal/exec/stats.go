@@ -44,20 +44,8 @@ func (t *Task) Stats() TaskStats {
 		OutputBufUtil: t.output.Utilization(),
 	}
 	t.mu.Lock()
-	for _, splits := range t.pendingSplits {
-		st.SplitsQueued += len(splits)
-	}
-	for id, n := range t.runningSplits {
-		if _, ok := t.morsels[id]; ok {
-			continue // morsel-mode: n counts drivers, not splits
-		}
-		st.SplitsRunning += n
-	}
-	for _, n := range t.splitsDone {
-		st.SplitsDone += n
-	}
-	for _, q := range t.morsels {
-		queued, running, done := q.splitStats()
+	for _, p := range t.scanPipes {
+		queued, running, done := p.morsels.splitStats()
 		st.SplitsQueued += queued
 		st.SplitsRunning += running
 		st.SplitsDone += done

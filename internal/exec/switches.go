@@ -12,8 +12,6 @@ type Switches uint16
 // The members, in the order of SwitchHeaders.
 const (
 	DisableCache          Switches = 1 << iota // bypass the page and split caches
-	DisableVectorKernels                       // run filters on the interpreter, not the selection kernels
-	DisableMorsels                             // static split-per-driver scans instead of the morsel queue
 	DisableDynamicFilters                      // plan no dynamic join filters
 	DisableHBO                                 // plan without recorded cardinalities and record none
 	DisablePlanCache                           // plan from scratch and store no plan
@@ -31,8 +29,6 @@ const (
 // member 1<<i is SwitchHeaders[i], and String uses the same words.
 var SwitchHeaders = [...]string{
 	"X-Presto-Disable-Cache",
-	"X-Presto-Disable-Vector-Kernels",
-	"X-Presto-Disable-Morsels",
 	"X-Presto-Disable-Dynamic-Filters",
 	"X-Presto-Disable-HBO",
 	"X-Presto-Disable-Plan-Cache",

@@ -95,7 +95,8 @@ const DefaultDynamicFilterWait = 100 * time.Millisecond
 // nothing to start, a filter that arrives mid-scan still narrows every split
 // opened afterwards, and with one downstream probe the row-level kernel
 // catches whatever early splits let through — so any hold is a pure latency
-// tax on short in-memory joins (BENCH_7 q37/q82).
+// tax on short in-memory joins (EXPERIMENTS.md, "What the one-off benchmark
+// files said": q37 and q82).
 const ZeroCopyDynamicFilterWait = 0 * time.Millisecond
 
 // ZeroCopyChainDynamicFilterWait is the bounded wait for a zero-copy scan
@@ -110,8 +111,8 @@ const ZeroCopyChainDynamicFilterWait = 5 * time.Millisecond
 const DefaultSharedScanWindow = 100 * time.Millisecond
 
 // Task executes one plan fragment on a worker: it owns the fragment's
-// pipelines, creates a driver per split for leaf pipelines, and produces
-// into a partitioned output buffer (paper §IV-D, §IV-E).
+// pipelines, queues each leaf scan's splits for the drivers that drain them,
+// and produces into a partitioned output buffer (paper §IV-D, §IV-E).
 type Task struct {
 	ID TaskID
 
@@ -137,11 +138,6 @@ type Task struct {
 	// skips unstarted tasks.
 	started       bool
 	activeDrivers int
-	pendingSplits map[int][]connector.Split // scanID → queued splits (static mode)
-	morsels       map[int]*morselQueue      // scanID → shared work queue (morsel mode)
-	runningSplits map[int]int               // scanID → running drivers
-	noMoreSplits  map[int]bool
-	splitsDone    map[int]int // scanID → completed split drivers (static mode)
 	failed        error
 	doneCh        chan struct{}
 	doneOnce      sync.Once
@@ -197,25 +193,20 @@ func NewTask(id TaskID, f *plan.Fragment, nodeID int, ex *Executor, reg Connecto
 		cfg.MaxWriters = 8
 	}
 	t := &Task{
-		ID:            id,
-		nodeID:        nodeID,
-		executor:      ex,
-		connectors:    reg,
-		queryMem:      qmem,
-		nodePool:      pool,
-		pageCache:     pageCache,
-		output:        shuffle.NewOutputBuffer(outPartitions, cfg.OutputBufferBytes),
-		handle:        NewTaskHandle(id.QueryID),
-		cfg:           cfg,
-		spillEnabled:  cfg.SpillEnabled && !cfg.Switches.Has(DisableSpill),
-		writeDelay:    cfg.WriteDelay,
-		pendingSplits: map[int][]connector.Split{},
-		morsels:       map[int]*morselQueue{},
-		runningSplits: map[int]int{},
-		splitsDone:    map[int]int{},
-		noMoreSplits:  map[int]bool{},
-		doneCh:        make(chan struct{}),
-		scanPipes:     map[int]*pipelineSpec{},
+		ID:           id,
+		nodeID:       nodeID,
+		executor:     ex,
+		connectors:   reg,
+		queryMem:     qmem,
+		nodePool:     pool,
+		pageCache:    pageCache,
+		output:       shuffle.NewOutputBuffer(outPartitions, cfg.OutputBufferBytes),
+		handle:       NewTaskHandle(id.QueryID),
+		cfg:          cfg,
+		spillEnabled: cfg.SpillEnabled && !cfg.Switches.Has(DisableSpill),
+		writeDelay:   cfg.WriteDelay,
+		doneCh:       make(chan struct{}),
+		scanPipes:    map[int]*pipelineSpec{},
 	}
 	if cfg.Switches.Has(MaterializedExchange) && cfg.Store != nil {
 		// Key the entry by task ID: a re-placed task (same query, fragment,
@@ -232,9 +223,13 @@ func NewTask(id TaskID, f *plan.Fragment, nodeID int, ex *Executor, reg Connecto
 	}
 	t.compiled = c.pipelines
 	for _, p := range t.compiled {
-		if p.source == srcScan {
-			t.scanPipes[p.scanID] = p
+		if p.source != srcScan {
+			continue
 		}
+		if err := t.attachMorselQueue(p); err != nil {
+			return nil, err
+		}
+		t.scanPipes[p.scanID] = p
 	}
 
 	// Wire exchange clients.
@@ -336,11 +331,7 @@ func (t *Task) newProcessor(pred expr.Expr, proj []expr.Expr) *expr.PageProcesso
 	if t.cfg.Interpreted {
 		return expr.NewInterpretedPageProcessor(pred, proj)
 	}
-	pp := expr.NewPageProcessor(pred, proj)
-	if t.cfg.Switches.Has(DisableVectorKernels) {
-		pp.DisableVectorizedFilter()
-	}
-	return pp
+	return expr.NewPageProcessor(pred, proj)
 }
 
 func (t *Task) registerRevocable(r memory.Revocable) {
@@ -391,76 +382,70 @@ func (t *Task) declareNoMoreDriversLocked(p *pipelineSpec) {
 	}
 }
 
-// AddSplit queues a split for the scan pipeline scanID. In morsel mode
-// (default) the split joins the scan's shared work queue; in the static
-// ablation it is owned end-to-end by one driver.
+// AddSplit queues a split on the morsel queue of the scan pipeline scanID.
 func (t *Task) AddSplit(scanID int, s connector.Split) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.aborted || t.failed != nil {
 		return nil
 	}
-	if p, ok := t.scanPipes[scanID]; !ok {
+	p, ok := t.scanPipes[scanID]
+	if !ok {
 		return fmt.Errorf("task %s has no scan pipeline %d", t.ID, scanID)
-	} else if t.dynSkip[scanID] {
+	}
+	if t.dynSkip[scanID] {
 		// Empty-build short circuit already proved this scan joins nothing.
 		p.opStats[0].RecordDynSplitSkipped(1)
 		return nil
 	}
-	if !t.cfg.Switches.Has(DisableMorsels) {
-		q, err := t.morselQueueLocked(scanID)
-		if err != nil {
-			return err
-		}
-		q.addSplit(s)
-	} else {
-		t.pendingSplits[scanID] = append(t.pendingSplits[scanID], s)
-	}
-	return t.maybeStartSplitsLocked(scanID)
+	p.morsels.addSplit(s)
+	return t.maybeStartScanDriversLocked(p)
 }
 
-// morselQueueLocked returns (creating on first use) the shared work queue of
-// a scan pipeline. The open function routes through the worker page cache
-// exactly like the static path, and completed opens record cache hits on the
-// pipeline's shared source stats.
-func (t *Task) morselQueueLocked(scanID int) (*morselQueue, error) {
-	if q, ok := t.morsels[scanID]; ok {
-		return q, nil
-	}
-	p := t.scanPipes[scanID]
+// scanDrivers is how many drivers a scan pipeline runs at most: the split
+// concurrency target, but no more than the executor has threads — a driver
+// beyond them would only compile an operator chain to find the queue drained.
+// The morsel queue deals its splits onto as many stripes, and a partial
+// aggregation in the pipeline is sized for as many instances.
+func (t *Task) scanDrivers() int {
+	return min(t.cfg.TargetSplitConcurrency, t.executor.Threads())
+}
+
+// attachMorselQueue gives a scan pipeline the queue its drivers drain. The
+// open function routes through the worker page cache, and completed opens
+// record cache hits on the pipeline's shared source stats.
+func (t *Task) attachMorselQueue(p *pipelineSpec) error {
 	conn, err := t.connectors.Connector(p.scanHandle.Catalog)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	pipe := p
 	stats := p.opStats[0]
-	q := newMorselQueue(t.cfg.TargetSplitConcurrency, DefaultMorselRows,
+	q := newMorselQueue(t.scanDrivers(), DefaultMorselRows,
 		func(s connector.Split) (connector.PageSource, error) {
 			if err := t.cfg.Inject.Err(faultinject.SiteMorselOpen); err != nil {
 				return nil, err
 			}
-			return t.openPageSource(conn, s, pipe, stats)
+			return t.openPageSource(conn, s, p, stats)
 		})
 	q.stats = stats
 	q.onReady = t.executor.Kick
 	q.onDrained = func() {
 		t.mu.Lock()
-		t.maybeDeclareScanDoneLocked(scanID)
+		t.maybeDeclareScanDoneLocked(p)
 		t.mu.Unlock()
 	}
-	t.morsels[scanID] = q
-	return q, nil
+	p.morsels = q
+	return nil
 }
 
 // NoMoreSplits declares split enumeration complete for a scan.
 func (t *Task) NoMoreSplits(scanID int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.noMoreSplits[scanID] = true
-	if q, ok := t.morsels[scanID]; ok {
-		q.noMoreSplits()
+	if p, ok := t.scanPipes[scanID]; ok {
+		p.morsels.noMoreSplits()
+		t.maybeDeclareScanDoneLocked(p)
 	}
-	t.maybeDeclareScanDoneLocked(scanID)
 	t.maybeFinishLocked()
 }
 
@@ -468,27 +453,18 @@ func (t *Task) NoMoreSplits(scanID int) {
 // none can be started any more: enumeration is over and nothing is left to
 // hand a new driver. It does not wait for the running drivers to finish —
 // a probe of a spilled join cannot finish before it hears this.
-func (t *Task) maybeDeclareScanDoneLocked(scanID int) {
-	if !t.noMoreSplits[scanID] {
-		return
-	}
-	if q, ok := t.morsels[scanID]; ok {
-		if !q.drained() {
-			return
-		}
-	} else if len(t.pendingSplits[scanID]) > 0 {
-		return
-	}
-	if p, ok := t.scanPipes[scanID]; ok {
+func (t *Task) maybeDeclareScanDoneLocked(p *pipelineSpec) {
+	if p.morsels.drained() {
 		t.declareNoMoreDriversLocked(p)
 	}
 }
 
-// maybeStartSplitsLocked starts pending split drivers up to the adaptive
-// concurrency target: when output buffer utilization is consistently high,
-// effective concurrency drops (§IV-E2).
-func (t *Task) maybeStartSplitsLocked(scanID int) error {
-	p := t.scanPipes[scanID]
+// maybeStartScanDriversLocked starts drivers on a scan pipeline up to the
+// adaptive concurrency target while its queue has any work at all, so even a
+// single oversized split fans out across every driver. Drivers are not tied
+// to splits. When output buffer utilization is consistently high, effective
+// concurrency drops (§IV-E2).
+func (t *Task) maybeStartScanDriversLocked(p *pipelineSpec) error {
 	// Phased scheduling: hold probe splits until the build sides are ready.
 	if t.cfg.Phased {
 		for _, b := range p.probeBridges {
@@ -499,53 +475,19 @@ func (t *Task) maybeStartSplitsLocked(scanID int) error {
 	}
 	// Dynamic filters: briefly hold a subscribed scan's split starts until
 	// its filters arrive (bounded — see dynGateLocked).
-	if t.dynGateLocked(p) {
+	if t.dynGateLocked(p) || p.noMoreDrivers {
 		return nil
 	}
-	target := t.cfg.TargetSplitConcurrency
+	target := t.scanDrivers()
 	if t.output.Utilization() > 0.5 {
 		target = 1 // buffers full: lower effective concurrency
 	}
-	if q, ok := t.morsels[scanID]; ok {
-		// Morsel mode: drivers are not tied to splits — start pullers up to
-		// the adaptive target while the shared queue has any work at all, so
-		// even a single oversized split fans out across every driver. A
-		// puller beyond the executor's threads would only compile an operator
-		// chain, find the queue drained and exit. (The static path below
-		// keeps its split-per-driver count: a probe of a spilled join waits
-		// for every driver of its pipeline to have been started.)
-		if p.noMoreDrivers {
-			return nil
-		}
-		target = min(target, t.executor.Threads())
-		for t.runningSplits[scanID] < target && q.hasWork() {
-			sctx := t.sourceCtx(p)
-			src := operators.NewMorselScan(sctx, &morselStripe{q: q, stripe: q.claimStripe()})
-			if err := t.startDriverLocked(p, src, sctx); err != nil {
-				return err
-			}
-			t.runningSplits[scanID]++
-		}
-		return nil
-	}
-	for t.runningSplits[scanID] < target && len(t.pendingSplits[scanID]) > 0 {
-		s := t.pendingSplits[scanID][0]
-		t.pendingSplits[scanID] = t.pendingSplits[scanID][1:]
-		conn, err := t.connectors.Connector(p.scanHandle.Catalog)
-		if err != nil {
-			return err
-		}
+	for p.driversStarted-p.driversDone < target && p.morsels.hasWork() {
 		sctx := t.sourceCtx(p)
-		srcReader, err := t.openPageSource(conn, s, p, sctx.Stats)
-		if err != nil {
-			return err
-		}
-		src := operators.NewTableScan(sctx, srcReader)
+		src := operators.NewMorselScan(sctx, &morselStripe{q: p.morsels, stripe: p.morsels.claimStripe()})
 		if err := t.startDriverLocked(p, src, sctx); err != nil {
-			srcReader.Close() // no driver owns the source: close it here
 			return err
 		}
-		t.runningSplits[scanID]++
 	}
 	return nil
 }
@@ -601,18 +543,12 @@ func (t *Task) driverDone(p *pipelineSpec, err error) {
 	t.activeDrivers--
 	p.driversDone++
 	if p.source == srcScan {
-		t.runningSplits[p.scanID]--
-		if _, morsel := t.morsels[p.scanID]; !morsel {
-			// Morsel-mode split completion is counted by the queue at source
-			// exhaustion; a scan driver there is not one split.
-			t.splitsDone[p.scanID]++
-		}
 		if err == nil && !t.aborted {
-			if serr := t.maybeStartSplitsLocked(p.scanID); serr != nil && t.failed == nil {
+			if serr := t.maybeStartScanDriversLocked(p); serr != nil && t.failed == nil {
 				t.failed = serr
 			}
 		}
-		t.maybeDeclareScanDoneLocked(p.scanID)
+		t.maybeDeclareScanDoneLocked(p)
 	}
 	if err != nil && t.failed == nil {
 		t.failed = err
@@ -639,23 +575,20 @@ func (t *Task) cancelPipelinesLocked() {
 		if p.localEx != nil {
 			p.localEx.Cancel()
 		}
-	}
-	for _, q := range t.morsels {
-		q.cancel()
+		if p.morsels != nil {
+			p.morsels.cancel()
+		}
 	}
 }
 
-// maybeFinishLocked finalizes the task when all drivers are done and no
-// splits remain.
+// maybeFinishLocked finalizes the task when all drivers are done and every
+// scan's queue is drained.
 func (t *Task) maybeFinishLocked() {
 	if t.activeDrivers > 0 {
 		return
 	}
-	for id := range t.scanPipes {
-		if !t.noMoreSplits[id] || len(t.pendingSplits[id]) > 0 {
-			return
-		}
-		if q, ok := t.morsels[id]; ok && !q.drained() {
+	for _, p := range t.scanPipes {
+		if !p.morsels.drained() {
 			return
 		}
 	}
@@ -708,10 +641,6 @@ func (t *Task) MarkLost() {
 func (t *Task) terminate(reason error) {
 	t.mu.Lock()
 	t.aborted = true
-	t.pendingSplits = map[int][]connector.Split{}
-	for id := range t.scanPipes {
-		t.noMoreSplits[id] = true
-	}
 	if t.failed == nil {
 		t.failed = reason
 	}
@@ -732,8 +661,8 @@ func (t *Task) PumpSplits() {
 	if !t.started || t.failed != nil || t.aborted {
 		return
 	}
-	for id := range t.scanPipes {
-		if err := t.maybeStartSplitsLocked(id); err != nil && t.failed == nil {
+	for _, p := range t.scanPipes {
+		if err := t.maybeStartScanDriversLocked(p); err != nil && t.failed == nil {
 			t.failed = err
 		}
 	}

@@ -141,7 +141,7 @@ func NewPageProcessor(filter Expr, projections []Expr) *PageProcessor {
 // interpreter — the baseline side of the codegen ablation.
 func NewInterpretedPageProcessor(filter Expr, projections []Expr) *PageProcessor {
 	pp := newPageProcessor(filter, projections, InterpretOnly)
-	pp.DisableVectorizedFilter()
+	pp.interpretFilter()
 	return pp
 }
 
@@ -247,9 +247,8 @@ func (pp *PageProcessor) compileVectorized(projections []Expr) {
 	pp.cseHitsPerPage = int64(refs - evals)
 }
 
-// DisableVectorizedFilter runs this processor's filter on the interpreter;
-// it is all that the DisableVectorKernels switch selects.
-func (pp *PageProcessor) DisableVectorizedFilter() {
+// interpretFilter runs this processor's filter on the interpreter.
+func (pp *PageProcessor) interpretFilter() {
 	if pp.filterExpr != nil {
 		pp.filter = selInterp(pp.filterExpr, false)
 	}

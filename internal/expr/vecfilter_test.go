@@ -187,7 +187,7 @@ func passingIDs(t *testing.T, pp *PageProcessor, p *block.Page) []int64 {
 
 // TestVectorizedFilterDifferential runs every predicate shape through the
 // vectorized kernels, the interpreted filter under vectorized projections
-// (DisableVectorizedFilter), and the interpreted processor, and requires
+// (interpretFilter), and the interpreted processor, and requires
 // identical surviving rows in identical order.
 func TestVectorizedFilterDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
@@ -200,7 +200,7 @@ func TestVectorizedFilterDifferential(t *testing.T) {
 	for pi, pred := range filterPredicates() {
 		vec := NewPageProcessor(pred, proj)
 		off := NewPageProcessor(pred, proj)
-		off.DisableVectorizedFilter()
+		off.interpretFilter()
 		interp := NewInterpretedPageProcessor(pred, proj)
 		for gi, p := range pages {
 			name := fmt.Sprintf("pred %d %s page %d", pi, pred, gi)

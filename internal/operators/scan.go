@@ -7,54 +7,10 @@ import (
 	"repro/internal/connector"
 )
 
-// TableScanOperator is a source operator reading one split through the
-// Connector Data Source API. Each driver of a leaf pipeline owns one split
-// (paper §IV-D3).
-type TableScanOperator struct {
-	ctx    *OpContext
-	source connector.PageSource
-	done   bool
-}
-
-// NewTableScan wraps a connector page source.
-func NewTableScan(ctx *OpContext, source connector.PageSource) *TableScanOperator {
-	return &TableScanOperator{ctx: ctx, source: source}
-}
-
-func (o *TableScanOperator) NeedsInput() bool { return false }
-func (o *TableScanOperator) AddInput(p *block.Page) error {
-	return fmt.Errorf("scan: unexpected input")
-}
-func (o *TableScanOperator) Finish()          { o.done = true }
-func (o *TableScanOperator) IsFinished() bool { return o.done }
-func (o *TableScanOperator) IsBlocked() bool  { return false }
-
-func (o *TableScanOperator) Output() (*block.Page, error) {
-	if o.done {
-		return nil, nil
-	}
-	p, err := o.source.NextPage()
-	if err != nil {
-		return nil, err
-	}
-	if p == nil {
-		o.done = true
-		return nil, nil
-	}
-	o.ctx.recordScanOut(p)
-	return p, nil
-}
-
-func (o *TableScanOperator) Close() error {
-	o.ctx.Stats.RecordSourceClosed(o.source)
-	o.source.Close()
-	return nil
-}
-
-// MorselSource is one driver's view of a shared scan work queue: the morsel
-// execution mode replaces per-driver split ownership with fixed-size batches
-// pulled (and stolen) from a per-pipeline queue. The exec package implements
-// it; this operator only maps the pull protocol onto the driver loop.
+// MorselSource is one driver's view of a shared scan work queue: no driver
+// owns a split; fixed-size batches are pulled (and stolen) from a
+// per-pipeline queue. The exec package implements it; this operator only maps
+// the pull protocol onto the driver loop.
 type MorselSource interface {
 	// NextMorsel returns the next batch, or nil when none is available
 	// right now (starved) or ever again (drained).
@@ -65,10 +21,10 @@ type MorselSource interface {
 	Starved() bool
 }
 
-// MorselScanOperator is the source operator of a morsel-driven leaf pipeline.
-// Unlike TableScanOperator it owns no split: every Output pulls one morsel
-// from the shared queue, and an empty queue that is not yet drained parks the
-// driver as blocked until the queue signals new work.
+// MorselScanOperator is the source operator of every leaf scan pipeline. It
+// owns no split: every Output pulls one morsel from the scan's shared queue,
+// and an empty queue that is not yet drained parks the driver as blocked
+// until the queue signals new work.
 type MorselScanOperator struct {
 	ctx  *OpContext
 	src  MorselSource

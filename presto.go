@@ -110,21 +110,20 @@ type ClusterConfig struct {
 	// Interpreted forces interpreted expression evaluation (the codegen
 	// ablation, §V-B).
 	Interpreted bool
-	// DisableVectorKernels runs filters on the interpreter instead of the
-	// columnar selection kernels, cluster-wide (per-query: the switch of the
-	// same name, as for every Disable* field below that has one).
-	DisableVectorKernels bool
-	// DisableVectorProjections is kept only because the frozen benchmark
-	// names it; the only non-vectorized projection path left is the
-	// interpreter, so it means Interpreted.
+	// DisableVectorKernels and DisableVectorProjections are kept only because
+	// the frozen benchmark names them; the only path without the kernels left
+	// is the interpreter, so either means Interpreted.
 	//
 	// Deprecated: set Interpreted.
-	DisableVectorProjections bool
-	// DisableMorsels reverts leaf pipelines to static split-per-driver
-	// execution cluster-wide (the morsel-scheduling ablation).
+	DisableVectorKernels, DisableVectorProjections bool
+	// DisableMorsels is kept only because the frozen benchmark names it. It
+	// does nothing: the morsel queue runs every scan.
+	//
+	// Deprecated: there is no other scan scheduler.
 	DisableMorsels bool
 	// DisableDynamicFilters turns off runtime dynamic join filters
-	// cluster-wide (the adaptive-execution ablation).
+	// cluster-wide (the adaptive-execution ablation; per-query: the switch of
+	// the same name, as for every Disable* field below that has one).
 	DisableDynamicFilters bool
 	// DynamicFilterWait bounds how long a probe scan waits for a dynamic
 	// filter before running unfiltered (default 100ms; negative disables
@@ -209,7 +208,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		TargetSplitConcurrency: cfg.TargetSplitConcurrency,
 		SpillEnabled:           cfg.SpillEnabled,
 		SpillDir:               cfg.SpillDir,
-		Interpreted:            cfg.Interpreted || cfg.DisableVectorProjections,
+		Interpreted:            cfg.Interpreted || cfg.DisableVectorKernels || cfg.DisableVectorProjections,
 		DynamicFilterWait:      cfg.DynamicFilterWait,
 		SharedScanWindow:       cfg.SharedScanWindow,
 		Phased:                 cfg.Phased,
@@ -223,8 +222,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 			taskCfg.Switches |= s
 		}
 	}
-	fold(cfg.DisableVectorKernels, exec.DisableVectorKernels)
-	fold(cfg.DisableMorsels, exec.DisableMorsels)
 	fold(cfg.DisableDynamicFilters, exec.DisableDynamicFilters)
 	fold(cfg.DisablePlanCache, exec.DisablePlanCache)
 	fold(cfg.DisableResultCache, exec.DisableResultCache)

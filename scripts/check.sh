@@ -6,7 +6,9 @@
 #
 #   scripts/check.sh          # build + vet + race tests + chaos smoke +
 #                             # split placement / driver cap ("no idle
-#                             # core") + distributed control plane (request
+#                             # core") + a spilled join finishes at every
+#                             # split-concurrency target, in-process and on
+#                             # HTTP workers + distributed control plane (request
 #                             # classes of one statement, filters in time)
 #                             # + point-read byte budget and written
 #                             # tables + dictionary paths (guards, stats,
@@ -71,6 +73,11 @@ echo "==> no idle core: splits are dealt evenly and the same way every run, a sc
 go test -count=1 -run 'TestScanDriversCappedAtThreads' ./internal/exec/
 go test -count=1 -v -run 'TestScanSplitsBalanced|TestPlacementStableAcrossRuns|TestNoIdleCoreReport' . | grep -E '^(---|ok|FAIL|panic)|skew|busy'
 
+echo "==> a spilled join finishes: split-concurrency target 1 and 4, in-process and on HTTP workers"
+# The probe of a spilled build waits until its scan can start no more drivers;
+# the one scan scheduler (the morsel queue) must say so whatever the target.
+go test -race -count=1 -run 'TestJoinUnderSpillFinishes' .
+
 echo "==> distributed control plane: one create, one status channel and one delete per worker"
 # The report lines are one three-join statement on two HTTP workers, split
 # enumerations memoized: its requests by class (what the workers export as
@@ -93,7 +100,8 @@ go test -race -count=1 -run 'TestDriverRecoversOperatorPanic' ./internal/exec/
 go test -race -count=1 -run 'TestEncodedMultiKeyGroupBy|TestEncodedProjectionErrorsOnlyWhenReferenced|TestEncodedLoadedThenInserted|TestDictionaryPathsInExplainAnalyze|TestOperatorPanicFailsOneQuery' .
 
 echo "==> configuration: a query's switches are one value, from the HTTP header to the task; a fragment is its own wire form"
-# A cluster switch has its session twin's effect; each switch header sets its
+# A cluster switch has its session twin's effect, and a deprecated cluster
+# field only its alias's; each switch header sets its
 # switch and nothing else; every TaskConfig field and every plan and
 # expression field survives the create request, every node and expression
 # type has a wire kind, and a fragment that decodes compiles without a panic;
@@ -101,7 +109,7 @@ echo "==> configuration: a query's switches are one value, from the HTTP header 
 # dynamic filters are decided at planning (materialized exchange plans none,
 # creates no filter hub, keeps its own plan-cache entry and still recovers from
 # a killed worker).
-go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestMaterializedExchangeDecidedAtPlanning|TestElasticKillWorkerMidQuery|TestDistributedNonFiniteDoubles' .
+go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestDeprecatedClusterFields|TestMaterializedExchangeDecidedAtPlanning|TestElasticKillWorkerMidQuery|TestDistributedNonFiniteDoubles' .
 go test -race -count=1 -run 'TestSwitchHeaders|TestStatementNonFiniteDoubles|TestWriteJSONFailureIs500' ./internal/httpapi/
 go test -race -count=1 ./internal/wire/
 go test -race -count=1 -run 'TestMaterializedExchangeCreatesNoFilterHub' ./internal/coordinator/

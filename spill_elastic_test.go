@@ -235,45 +235,69 @@ func TestSpillDisabledSessionOOM(t *testing.T) {
 }
 
 // TestJoinUnderSpillFinishes: a join whose probe side is a leaf scan and
-// whose build side must spill finishes, with the uncapped run's rows. The
+// whose build side must spill finishes, with the uncapped run's rows, at a
+// split-concurrency target of 1 and of 4, in-process and on HTTP workers. The
 // probe of a spilled build waits for every probe driver to have finished its
-// input, and used to wait forever: the task declared a scan pipeline's
-// drivers complete only once they had all exited (bench/README engine
-// defect 4).
+// input, and used to wait forever twice over: when the task declared a scan
+// pipeline's drivers complete only once they had all exited (bench/README
+// engine defect 4), and, while a scan could run a driver per split, when
+// fewer drivers could run than the probe scan had splits (a target of 1).
 func TestJoinUnderSpillFinishes(t *testing.T) {
+	const scale, perNodeCap = 0.5, 200 << 10
 	q := spillQueries[1]
 	uncapped := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true})
 	defer uncapped.Close()
-	uncapped.Register(workload.LoadTPCHMemory("tpch", 0.5))
+	uncapped.Register(workload.LoadTPCHMemory("tpch", scale))
 	want, err := uncapped.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spillBase := spill.CurrentStats()
-	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 1, SpillEnabled: true, SpillDir: t.TempDir(),
-		PerNodeQueryMemoryBytes: 200 << 10, DisableResultCache: true})
-	defer c.Close()
-	c.Register(workload.LoadTPCHMemory("tpch", 0.5))
-	for round := 0; round < 3; round++ {
-		var got [][]Value
-		done := make(chan error, 1)
-		go func() {
-			var err error
-			got, err = c.Query(q)
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
+	for _, target := range []int{1, 4} {
+		for _, remote := range []bool{false, true} {
+			name := fmt.Sprintf("target %d in-process", target)
+			if remote {
+				name = fmt.Sprintf("target %d on HTTP workers", target)
 			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("join under spill made no progress for 30s")
+			t.Run(name, func(t *testing.T) {
+				var query func(string) ([][]Value, error)
+				if remote {
+					d := newDistClusterWith(t, 2, distConfig{
+						spill: &distSpillConfig{dir: t.TempDir(), perNodeCap: perNodeCap},
+						task:  exec.TaskConfig{TargetSplitConcurrency: target},
+					})
+					d.catalog.Register(workload.LoadTPCHMemory("tpch", scale))
+					query = d.Query
+				} else {
+					c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 1, SpillEnabled: true, SpillDir: t.TempDir(),
+						PerNodeQueryMemoryBytes: perNodeCap, DisableResultCache: true, TargetSplitConcurrency: target})
+					t.Cleanup(c.Close)
+					c.Register(workload.LoadTPCHMemory("tpch", scale))
+					query = c.Query
+				}
+				spillBase := spill.CurrentStats()
+				for round := 0; round < 3; round++ {
+					var got [][]Value
+					done := make(chan error, 1)
+					go func() {
+						var err error
+						got, err = query(q)
+						done <- err
+					}()
+					select {
+					case err := <-done:
+						if err != nil {
+							t.Fatal(err)
+						}
+					case <-time.After(30 * time.Second):
+						t.Fatalf("round %d: join under spill made no progress for 30s", round)
+					}
+					assertRows(t, fmt.Sprintf("round %d: %s", round, q), roundedRows(got), roundedRows(want))
+				}
+				if sp := spill.CurrentStats(); sp.FilesCreated == spillBase.FilesCreated {
+					t.Fatal("the capped join never spilled")
+				}
+			})
 		}
-		assertRows(t, q, roundedRows(got), roundedRows(want))
-	}
-	if sp := spill.CurrentStats(); sp.FilesCreated == spillBase.FilesCreated {
-		t.Fatal("the capped join never spilled")
 	}
 }
 

@@ -63,26 +63,6 @@ func TestClusterSwitchMatchesSession(t *testing.T) {
 				twice(t, c, scan, s)
 				return []any{"page cache hits", c.PageCacheStats().Hits > 0, "split cache hits", c.MetaCacheStats().Hits > 0}
 			}},
-		{name: "vector kernels", sw: exec.DisableVectorKernels,
-			cluster: func(cfg *ClusterConfig) { cfg.DisableVectorKernels = true },
-			observe: func(t *testing.T, c *Cluster, s Session) []any {
-				return []any{"switches", twice(t, c, switchJoin, s).Switches}
-			}},
-		{name: "morsels", sw: exec.DisableMorsels,
-			cluster: func(cfg *ClusterConfig) { cfg.DisableMorsels = true },
-			session: exec.DisableResultCache,
-			observe: func(t *testing.T, c *Cluster, s Session) []any {
-				// One thread a worker: a morsel scan starts one driver a task,
-				// the static path one a split.
-				st := twice(t, c, "SELECT count(*) FROM tpch.lineitem", s)
-				drivers := 0
-				for _, sg := range st.Stages {
-					for _, pl := range sg.Pipelines {
-						drivers = max(drivers, pl.Drivers)
-					}
-				}
-				return []any{"scan drivers", drivers, "switches", st.Switches}
-			}},
 		{name: "dynamic filters", sw: exec.DisableDynamicFilters,
 			cluster: func(cfg *ClusterConfig) { cfg.DisableDynamicFilters = true },
 			observe: func(t *testing.T, c *Cluster, s Session) []any {
@@ -164,6 +144,70 @@ func TestClusterSwitchMatchesSession(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDeprecatedClusterFields: the ClusterConfig fields kept only because the
+// frozen benchmark names them do nothing but what they alias. DisableMorsels
+// changes nothing — a scan of a table with many splits on one-thread workers
+// still starts one driver a task, and no switch is reported — and
+// DisableVectorKernels is Interpreted: the rows agree and no projection
+// reaches a kernel.
+func TestDeprecatedClusterFields(t *testing.T) {
+	// max, not sum: a double sum's rounding follows arrival order.
+	const proj = "SELECT max(l_extendedprice * (1 - l_discount)), count(*) FROM tpch.lineitem WHERE l_quantity < 20"
+	run := func(t *testing.T, sql string, set func(*ClusterConfig)) ([]string, QueryStats) {
+		t.Helper()
+		cfg := ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true}
+		set(&cfg)
+		c := NewCluster(cfg)
+		defer c.Close()
+		// Pages small enough that a table has a split per task and more.
+		c.Register(workload.LoadTPCHMemorySmallPages("tpch", spillScale, 512))
+		coldCatalog(t, c.catalog, "tpch")
+		res, err := c.ExecuteSession(sql, Session{})
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		rows, err := res.All()
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		st, _ := c.QueryStats(res.QueryID)
+		return stringifyRows(rows), st
+	}
+	t.Run("morsels", func(t *testing.T) {
+		const sql = "SELECT count(*) FROM tpch.lineitem"
+		want, def := run(t, sql, func(*ClusterConfig) {})
+		got, st := run(t, sql, func(cfg *ClusterConfig) { cfg.DisableMorsels = true })
+		assertRows(t, sql, got, want)
+		// The scan stage's drivers and splits, summed over its tasks.
+		var tasks, drivers int
+		for _, sg := range st.Stages {
+			for _, pl := range sg.Pipelines {
+				if len(pl.Operators) > 0 && pl.Operators[0].Name == "TableScan" {
+					tasks, drivers = sg.Tasks, pl.Drivers
+				}
+			}
+		}
+		if tasks == 0 || st.SplitsDone <= tasks {
+			t.Fatalf("%d splits over %d scan tasks: want more splits than tasks", st.SplitsDone, tasks)
+		}
+		if drivers != tasks || st.Switches != def.Switches {
+			t.Errorf("DisableMorsels: %d scan drivers over %d tasks, switches %q; want one a task and %q, as without it",
+				drivers, tasks, st.Switches, def.Switches)
+		}
+	})
+	t.Run("vector kernels", func(t *testing.T) {
+		want, def := run(t, proj, func(*ClusterConfig) {})
+		ref, interp := run(t, proj, func(cfg *ClusterConfig) { cfg.Interpreted = true })
+		got, st := run(t, proj, func(cfg *ClusterConfig) { cfg.DisableVectorKernels = true })
+		assertRows(t, proj+" [interpreted]", ref, want)
+		assertRows(t, proj+" [DisableVectorKernels]", got, want)
+		if def.VecProjEvals == 0 || interp.VecProjEvals != 0 || st.VecProjEvals != 0 {
+			t.Errorf("kernel projections: %d by default, %d Interpreted, %d under DisableVectorKernels; want some, none, none",
+				def.VecProjEvals, interp.VecProjEvals, st.VecProjEvals)
+		}
+	})
 }
 
 // TestMaterializedExchangeDecidedAtPlanning: whether a statement gets dynamic

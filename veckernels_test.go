@@ -1,11 +1,11 @@
 package presto
 
 // End-to-end differential coverage for the filter kernels over hash-heavy
-// statements: every query runs twice — once on the default path and once
-// with the DisableVectorKernels switch forcing interpreted filters — and the
-// result sets must be identical. (The hash operators have one implementation;
-// their per-row reference and its differentials live in internal/operators.)
-// This is the kernel analogue of the cache and chaos differential suites.
+// statements: every query runs twice — once on the default path and once on
+// an Interpreted cluster, the independent reference — and the result sets
+// must be identical. (The hash operators have one implementation; their
+// per-row reference and its differentials live in internal/operators.) This
+// is the kernel analogue of the cache and chaos differential suites.
 
 import (
 	"fmt"
@@ -47,16 +47,28 @@ var vecDiffQueries = []string{
 	"SELECT l_discount, count(*) FROM tpch.lineitem GROUP BY l_discount",
 }
 
-// TestVecKernelsDifferentialTPCH asserts the vectorized and legacy paths
+// kernelClusters starts the default cluster and the interpreted reference
+// that the differentials below compare.
+func kernelClusters(t *testing.T) (vec, interp *Cluster) {
+	t.Helper()
+	vec = NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
+	t.Cleanup(vec.Close)
+	interp = NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2, Interpreted: true})
+	t.Cleanup(interp.Close)
+	return vec, interp
+}
+
+// TestVecKernelsDifferentialTPCH asserts the kernels and the interpreter
 // agree on the TPC-H workload.
 func TestVecKernelsDifferentialTPCH(t *testing.T) {
-	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
-	defer c.Close()
-	c.Register(workload.LoadTPCHMemory("tpch", chaosScale))
+	c, interp := kernelClusters(t)
+	for _, cl := range []*Cluster{c, interp} {
+		cl.Register(workload.LoadTPCHMemory("tpch", chaosScale))
+	}
 	for _, q := range vecDiffQueries {
 		vec := stringifyRows(execSession(t, c, q, Session{}))
-		legacy := stringifyRows(execSession(t, c, q, Session{Switches: exec.DisableVectorKernels}))
-		assertRows(t, q, vec, legacy)
+		ref := stringifyRows(execSession(t, interp, q, Session{}))
+		assertRows(t, q, vec, ref)
 	}
 }
 
@@ -64,9 +76,7 @@ func TestVecKernelsDifferentialTPCH(t *testing.T) {
 // edge cases — NULLs, -0.0, integral doubles, empty-vs-NULL varchar — and
 // runs group-by/join/distinct queries on both paths.
 func TestVecKernelsDifferentialEdgeData(t *testing.T) {
-	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
-	defer c.Close()
-	mustExec(t, c, "CREATE TABLE e (k BIGINT, d DOUBLE, s VARCHAR)")
+	c, interp := kernelClusters(t)
 	rows := []string{
 		"(0, 0.0, '')",
 		"(0, -0.0, '')",
@@ -78,8 +88,11 @@ func TestVecKernelsDifferentialEdgeData(t *testing.T) {
 		"(3, 3.0, 'b')",
 		"(0, 0.5, 'b')",
 	}
-	for _, r := range rows {
-		mustExec(t, c, "INSERT INTO e VALUES "+r)
+	for _, cl := range []*Cluster{c, interp} {
+		mustExec(t, cl, "CREATE TABLE e (k BIGINT, d DOUBLE, s VARCHAR)")
+		for _, r := range rows {
+			mustExec(t, cl, "INSERT INTO e VALUES "+r)
+		}
 	}
 	queries := []string{
 		"SELECT d, count(*) FROM e GROUP BY d",
@@ -117,10 +130,10 @@ func TestVecKernelsDifferentialEdgeData(t *testing.T) {
 	}
 	for _, q := range queries {
 		vec := foldGroupKey(q, stringifyRows(execSession(t, c, q, Session{})))
-		legacy := foldGroupKey(q, stringifyRows(execSession(t, c, q, Session{Switches: exec.DisableVectorKernels})))
-		assertRows(t, q, vec, legacy)
+		ref := foldGroupKey(q, stringifyRows(execSession(t, interp, q, Session{})))
+		assertRows(t, q, vec, ref)
 	}
-	// Sanity anchors (not just vec==legacy): -0.0 groups with +0.0, and the
+	// Sanity anchors (not just vec==interpreted): -0.0 groups with +0.0, and the
 	// bigint 0 rows join both zero doubles.
 	got := stringifyRows(execSession(t, c, "SELECT count(*) FROM e GROUP BY d HAVING d = 0.0", Session{}))
 	if len(got) != 1 || got[0] != "2" {
@@ -129,11 +142,12 @@ func TestVecKernelsDifferentialEdgeData(t *testing.T) {
 }
 
 // TestVecKernelsDifferentialRandom mirrors the cache differential harness:
-// random data, random-ish query mix, vec vs legacy.
+// random data, random-ish query mix, kernels vs interpreter.
 func TestVecKernelsDifferentialRandom(t *testing.T) {
-	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
-	defer c.Close()
-	mustExec(t, c, "CREATE TABLE r (k BIGINT, v BIGINT, s VARCHAR)")
+	c, interp := kernelClusters(t)
+	for _, cl := range []*Cluster{c, interp} {
+		mustExec(t, cl, "CREATE TABLE r (k BIGINT, v BIGINT, s VARCHAR)")
+	}
 	seed := int64(17)
 	vals := ""
 	for i := 0; i < 400; i++ {
@@ -150,7 +164,9 @@ func TestVecKernelsDifferentialRandom(t *testing.T) {
 		}
 		vals += fmt.Sprintf("(%d, %s, '%s')", k, vv, s)
 		if (i+1)%50 == 0 {
-			mustExec(t, c, "INSERT INTO r VALUES "+vals)
+			for _, cl := range []*Cluster{c, interp} {
+				mustExec(t, cl, "INSERT INTO r VALUES "+vals)
+			}
 			vals = ""
 		}
 	}
@@ -166,16 +182,16 @@ func TestVecKernelsDifferentialRandom(t *testing.T) {
 	}
 	for _, q := range queries {
 		vec := stringifyRows(execSession(t, c, q, Session{}))
-		legacy := stringifyRows(execSession(t, c, q, Session{Switches: exec.DisableVectorKernels}))
-		assertRows(t, q, vec, legacy)
+		ref := stringifyRows(execSession(t, interp, q, Session{}))
+		assertRows(t, q, vec, ref)
 	}
 }
 
 func execSession(t *testing.T, c *Cluster, q string, s Session) [][]Value {
 	t.Helper()
-	// The ablation arms these harnesses compare differ only in execution
-	// toggles, which share result-cache entries by design — a cached serve
-	// of the other arm's rows would make the comparison vacuous.
+	// The arms these harnesses compare may differ only in execution switches,
+	// which share result-cache entries by design — a cached serve of the other
+	// arm's rows would make the comparison vacuous.
 	s.Switches |= exec.DisableResultCache
 	res, err := c.ExecuteSession(q, s)
 	if err != nil {

@@ -1,12 +1,10 @@
 package presto
 
 // End-to-end differential coverage for the vectorized projection engine:
-// every query runs under the ablation matrix — columnar kernels with morsel
-// and static scheduling and with the hash/filter kernels off — and on a fully
-// interpreted cluster, and the result sets must be identical, in-process and
-// over the HTTP-distributed cluster. Division-by-zero must raise the same
-// error in every mode, and filter/CASE guards must suppress it in every
-// mode.
+// every query runs on the default cluster (columnar kernels) and on a fully
+// interpreted one, and the result sets must be identical, in-process and over
+// the HTTP-distributed cluster. Division-by-zero must raise the same error in
+// both, and filter/CASE guards must suppress it in both.
 
 import (
 	"strings"
@@ -42,18 +40,8 @@ var projDiffQueries = []string{
 	"SELECT 42, 'k', l_orderkey FROM tpch.lineitem WHERE l_orderkey < 50",
 }
 
-// projMatrix is the session ablation matrix for the projection engine.
-var projMatrix = []struct {
-	name string
-	s    Session
-}{
-	{"vec+morsel", Session{}},
-	{"vec+static", Session{Switches: exec.DisableMorsels}},
-	{"novec-kernels", Session{Switches: exec.DisableVectorKernels}},
-}
-
-// TestVecProjDifferentialTPCH runs the projection workload under the full
-// ablation matrix plus a fully interpreted cluster; all arms must agree.
+// TestVecProjDifferentialTPCH runs the projection workload on the default
+// cluster and on a fully interpreted one; both must agree.
 func TestVecProjDifferentialTPCH(t *testing.T) {
 	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
 	defer c.Close()
@@ -63,11 +51,7 @@ func TestVecProjDifferentialTPCH(t *testing.T) {
 	interp.Register(workload.LoadTPCHMemory("tpch", chaosScale))
 
 	for _, q := range projDiffQueries {
-		base := stringifyRows(execSession(t, c, q, projMatrix[0].s))
-		for _, m := range projMatrix[1:] {
-			got := stringifyRows(execSession(t, c, q, m.s))
-			assertRows(t, q+" ["+m.name+"]", got, base)
-		}
+		base := stringifyRows(execSession(t, c, q, Session{}))
 		assertRows(t, q+" [interpreted]", stringifyRows(execSession(t, interp, q, Session{})), base)
 	}
 }
@@ -119,11 +103,7 @@ func TestVecProjDifferentialEdgeData(t *testing.T) {
 		"SELECT k, max(d / 2.0) OVER (ORDER BY k) FROM pe WHERE k IS NOT NULL",
 	}
 	for _, q := range queries {
-		base := stringifyRows(execSession(t, c, q, projMatrix[0].s))
-		for _, m := range projMatrix[1:] {
-			got := stringifyRows(execSession(t, c, q, m.s))
-			assertRows(t, q+" ["+m.name+"]", got, base)
-		}
+		base := stringifyRows(execSession(t, c, q, Session{}))
 		assertRows(t, q+" [interpreted]", stringifyRows(execSession(t, interp, q, Session{})), base)
 	}
 	// Anchor: -0.0 renders the same as 0.0 through every path is NOT
@@ -147,8 +127,9 @@ func projQueryErr(c *Cluster, q string, s Session) error {
 }
 
 // TestVecProjDivisionByZeroMatrix: an unguarded division over a zero divisor
-// must fail the query identically in every ablation arm — never silently
-// produce NULL — while filter- and CASE-guarded forms succeed everywhere.
+// must fail the query identically on the kernels and on the interpreter —
+// never silently produce NULL — while filter- and CASE-guarded forms succeed
+// on both.
 func TestVecProjDivisionByZeroMatrix(t *testing.T) {
 	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
 	defer c.Close()
@@ -158,7 +139,7 @@ func TestVecProjDivisionByZeroMatrix(t *testing.T) {
 	defer interp.Close()
 	mustExec(t, interp, "CREATE TABLE dz (a BIGINT, b BIGINT)")
 	mustExec(t, interp, "INSERT INTO dz VALUES (10, 2), (9, 3), (7, 0), (8, 4)")
-	// Double modulo has no kernel; the interpreter defines it in every arm:
+	// Double modulo has no kernel; the interpreter defines it on both:
 	// a value, NULL for a NULL operand, an error for a zero divisor in a
 	// projection and a row that does not pass for one in a filter.
 	for _, cl := range []*Cluster{c, interp} {
@@ -167,20 +148,11 @@ func TestVecProjDivisionByZeroMatrix(t *testing.T) {
 	}
 
 	for _, q := range []string{"SELECT a / b FROM dz", "SELECT a % b FROM dz", "SELECT x % y FROM dm"} {
-		for _, m := range projMatrix {
-			s := m.s
-			s.Switches |= exec.DisableResultCache
-			err := projQueryErr(c, q, s)
-			if err == nil {
-				t.Fatalf("%s [%s]: expected division-by-zero error, got rows", q, m.name)
+		for name, cl := range map[string]*Cluster{"kernels": c, "interpreted": interp} {
+			err := projQueryErr(cl, q, Session{Switches: exec.DisableResultCache})
+			if err == nil || !strings.Contains(err.Error(), "division by zero") {
+				t.Fatalf("%s [%s]: want a division-by-zero error, got %v", q, name, err)
 			}
-			if !strings.Contains(err.Error(), "division by zero") {
-				t.Fatalf("%s [%s]: wrong error: %v", q, m.name, err)
-			}
-		}
-		if err := projQueryErr(interp, q, Session{Switches: exec.DisableResultCache}); err == nil ||
-			!strings.Contains(err.Error(), "division by zero") {
-			t.Fatalf("%s [interpreted]: wrong error: %v", q, err)
 		}
 	}
 	// Guarded forms: selection fusion means the projection only ever sees
@@ -191,10 +163,7 @@ func TestVecProjDivisionByZeroMatrix(t *testing.T) {
 		"SELECT x % y FROM dm WHERE y <> 0",
 		"SELECT x FROM dm WHERE x % y = 1.0",
 	} {
-		base := stringifyRows(execSession(t, c, q, projMatrix[0].s))
-		for _, m := range projMatrix[1:] {
-			assertRows(t, q+" ["+m.name+"]", stringifyRows(execSession(t, c, q, m.s)), base)
-		}
+		base := stringifyRows(execSession(t, c, q, Session{}))
 		assertRows(t, q+" [interpreted]", stringifyRows(execSession(t, interp, q, Session{})), base)
 	}
 	if rows := execSession(t, c, "SELECT x FROM dm WHERE x % y = 1.0", Session{}); len(rows) != 2 {
@@ -203,10 +172,9 @@ func TestVecProjDivisionByZeroMatrix(t *testing.T) {
 }
 
 // TestVecProjDistributedDifferential pushes the projection workload through
-// the HTTP-distributed cluster under vectorized and ablated sessions; rows
-// must match the embedded engine.
+// the HTTP-distributed cluster; rows must match the embedded interpreter.
 func TestVecProjDistributedDifferential(t *testing.T) {
-	ref := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
+	ref := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2, Interpreted: true})
 	t.Cleanup(ref.Close)
 	ref.Register(workload.LoadTPCHMemory("tpch", chaosScale))
 	d := newDistCluster(t, 2, nil)
@@ -215,15 +183,6 @@ func TestVecProjDistributedDifferential(t *testing.T) {
 	for _, q := range projDiffQueries {
 		want := stringifyRows(execSession(t, ref, q, Session{}))
 		assertRows(t, q+" [distributed]", stringifyRows(d.mustQuery(t, q)), want)
-		res, err := d.Coord.Execute(q, Session{Switches: exec.DisableVectorKernels})
-		if err != nil {
-			t.Fatalf("distributed ablated %q: %v", q, err)
-		}
-		rows, err := res.All()
-		if err != nil {
-			t.Fatalf("distributed ablated %q: %v", q, err)
-		}
-		assertRows(t, q+" [distributed novec-kernels]", stringifyRows(rows), want)
 	}
 }
 
