@@ -43,10 +43,10 @@ func NewCollector(specs []ColumnSpec, maxSet, maxRows int) *Collector {
 
 // Collect summarizes a build from its distinct keys, which the join's key
 // table already holds: rows build rows have a non-NULL key, there are keys
-// distinct key tuples, and at(k) names a page and row holding tuple k in
-// columns keyCols. Past MaxRows the build is too large for a useful probe
-// filter and the summaries are disabled unread.
-func (c *Collector) Collect(rows int64, keys int, keyCols []int, at func(k int) (*block.Page, int)) {
+// distinct key tuples, and each(visit) calls visit once per tuple with a page
+// and row holding it in columns keyCols. Past MaxRows the build is too large
+// for a useful probe filter and the summaries are disabled unread.
+func (c *Collector) Collect(rows int64, keys int, keyCols []int, each func(visit func(p *block.Page, r int))) {
 	if rows > int64(c.MaxRows) {
 		c.Disable()
 		return
@@ -60,14 +60,13 @@ func (c *Collector) Collect(rows int64, keys int, keyCols []int, at func(k int) 
 		}
 		s.reserve(min(keys, c.MaxSet))
 	}
-	for k := 0; k < keys; k++ {
-		p, r := at(k)
+	each(func(p *block.Page, r int) {
 		for i, s := range c.sums {
 			if !s.Disabled {
 				s.AddValue(p.Col(keyCols[c.specs[i].KeyIdx]).Value(r), c.MaxSet)
 			}
 		}
-	}
+	})
 	for _, s := range c.sums {
 		s.Rows = rows
 	}

@@ -198,7 +198,16 @@ func TestSummaryMergeExactOverflowWins(t *testing.T) {
 // collect runs a Collector over the distinct keys of one bigint key column.
 func collect(c *Collector, rows int64, keys []int64) {
 	p := block.NewPage(block.NewLongBlock(keys, nil))
-	c.Collect(rows, len(keys), []int{0}, func(k int) (*block.Page, int) { return p, k })
+	c.Collect(rows, len(keys), []int{0}, everyRow(p))
+}
+
+// everyRow visits every row of p, as a join build visits its distinct keys.
+func everyRow(p *block.Page) func(visit func(*block.Page, int)) {
+	return func(visit func(*block.Page, int)) {
+		for r := 0; r < p.RowCount(); r++ {
+			visit(p, r)
+		}
+	}
 }
 
 // TestCollectorSummarizesDistinctKeys: the collector sees each distinct key
@@ -258,7 +267,7 @@ func TestCollectorTwoKeyColumns(t *testing.T) {
 		block.NewLongBlock([]int64{1, 1, 2, 2}, nil),
 		block.NewVarcharBlock([]string{"a", "b", "a", "b"}, nil))
 	c := NewCollector([]ColumnSpec{{ID: 1, KeyIdx: 0, T: types.Bigint}, {ID: 2, KeyIdx: 1, T: types.Varchar}}, 0, 0)
-	c.Collect(9, 4, []int{0, 1}, func(k int) (*block.Page, int) { return p, k })
+	c.Collect(9, 4, []int{0, 1}, everyRow(p))
 	longs, strs := c.Summaries()[0], c.Summaries()[1]
 	if longs.ExactLen() != 2 || strs.ExactLen() != 2 || longs.Rows != 9 || strs.Rows != 9 {
 		t.Errorf("exact sets of %d and %d values over %d and %d rows, want 2 and 2 over 9 and 9", longs.ExactLen(), strs.ExactLen(), longs.Rows, strs.Rows)

@@ -18,7 +18,7 @@ import (
 // threeAggs holds, by what it is.
 func tableArrays(o *HashAggregationOperator) map[string]unsafe.Pointer {
 	out := map[string]unsafe.Pointer{
-		"slots": unsafe.Pointer(unsafe.SliceData(o.table.slots)), "hashes": unsafe.Pointer(unsafe.SliceData(o.table.hashes)),
+		"slots": unsafe.Pointer(unsafe.SliceData(o.table.slots)),
 		"cells": unsafe.Pointer(unsafe.SliceData(o.table.cells)), "tags": unsafe.Pointer(unsafe.SliceData(o.table.tags)),
 	}
 	for i := range o.accs {
@@ -37,10 +37,11 @@ func tableArrays(o *HashAggregationOperator) map[string]unsafe.Pointer {
 
 // TestGroupTableAllocatesOnce: a table presized for an estimate within a
 // fifth of the groups that arrive, either way, allocates every array once —
-// the slot array, the hashes, cells and tags, and every state vector are the
-// ones the constructor made when the last group is in — and filling it
-// allocates nothing but the page-sized hashing scratch. Without the estimate
-// the same groups allocate the table about twice over.
+// the slot array, the cells and tags, and every state vector are the ones the
+// constructor made when the last group is in, and a fixed-layout table has no
+// hash vector at all — and filling it allocates nothing but the page-sized
+// hashing scratch. Without the estimate the same groups allocate the table
+// about twice over.
 func TestGroupTableAllocatesOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates")
@@ -64,6 +65,9 @@ func TestGroupTableAllocatesOnce(t *testing.T) {
 		got := fill(op)
 		if op.table.Len() != groups {
 			t.Fatalf("estimate %d: %d groups, want %d", est, op.table.Len(), groups)
+		}
+		if op.table.hashes != nil {
+			t.Errorf("estimate %d: a fixed-layout table holds a hash vector of %d", est, cap(op.table.hashes))
 		}
 		for name, p := range tableArrays(op) {
 			if made[name] != p {

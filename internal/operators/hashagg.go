@@ -855,19 +855,20 @@ func (o *HashAggregationOperator) spillLocked() (int64, error) {
 		return freed, nil
 	}
 	// Counting sort of the group ids by partition. The partition comes from
-	// the hash the table already keyed the group on, so a key lands in the
-	// same partition of every file this operator writes.
+	// the hash the table keys the group on, the one batchKeys computes for its
+	// key, so a key lands in the same partition of every file this operator
+	// writes.
 	var ends [spillPartitions + 1]int
-	for _, h := range o.table.hashes {
-		ends[spillPartition(h)+1]++
+	for id := 0; id < n; id++ {
+		ends[spillPartition(o.table.hash(id))+1]++
 	}
 	for part := 0; part < spillPartitions; part++ {
 		ends[part+1] += ends[part]
 	}
 	next := ends
 	order := make([]int32, n)
-	for id, h := range o.table.hashes {
-		part := spillPartition(h)
+	for id := 0; id < n; id++ {
+		part := spillPartition(o.table.hash(id))
 		order[next[part]] = int32(id)
 		next[part]++
 	}

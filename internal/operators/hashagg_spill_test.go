@@ -11,9 +11,11 @@ import (
 )
 
 // TestHashAggSpillMixedTypes drives the codec-based spill path through mixed
-// group-key types (varchar + bigint with NULLs), every aggregate kind, and
-// multiple revocations. The spilled run must produce exactly the rows of an
-// unspilled run.
+// group-key types (varchar + bigint with NULLs: the bytes layout) and through
+// one and two fixed-width keys (the fixed layout, whose spill partitions are
+// recomputed from the cells), every aggregate kind, and multiple revocations.
+// The spilled run must produce exactly the rows of an unspilled run: a key
+// that two spill files put in different partitions would come out twice.
 func TestHashAggSpillMixedTypes(t *testing.T) {
 	specs := []AggSpec{
 		{Func: plan.AggCountAll, ArgCol: -1, Out: types.Bigint},
@@ -23,8 +25,6 @@ func TestHashAggSpillMixedTypes(t *testing.T) {
 		{Func: plan.AggMin, ArgCol: 4, Out: types.Varchar},
 		{Func: plan.AggMax, ArgCol: 2, Out: types.Bigint},
 	}
-	groupCols := []int{0, 1}
-	groupTs := []types.Type{types.Varchar, types.Bigint}
 
 	makePages := func() []*block.Page {
 		var pages []*block.Page
@@ -62,7 +62,7 @@ func TestHashAggSpillMixedTypes(t *testing.T) {
 		return pages
 	}
 
-	run := func(t *testing.T, spilled bool) map[string]bool {
+	run := func(t *testing.T, groupCols []int, groupTs []types.Type, spilled bool) map[string]bool {
 		op := NewHashAggregation(NopContext(), groupCols, groupTs, specs, true, 0, 0)
 		op.SetSpillDir(t.TempDir())
 		for i, p := range makePages() {
@@ -100,14 +100,52 @@ func TestHashAggSpillMixedTypes(t *testing.T) {
 		return rows
 	}
 
-	base := run(t, false)
-	got := run(t, true)
-	if len(got) != len(base) {
-		t.Fatalf("spilled run has %d groups, unspilled %d", len(got), len(base))
+	for _, tc := range []struct {
+		name      string
+		groupCols []int
+		groupTs   []types.Type
+	}{
+		{"varchar,bigint", []int{0, 1}, []types.Type{types.Varchar, types.Bigint}},
+		{"bigint", []int{2}, []types.Type{types.Bigint}},
+		{"bigint,bigint", []int{1, 2}, []types.Type{types.Bigint, types.Bigint}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := run(t, tc.groupCols, tc.groupTs, false)
+			got := run(t, tc.groupCols, tc.groupTs, true)
+			if len(got) != len(base) {
+				t.Fatalf("spilled run has %d groups, unspilled %d", len(got), len(base))
+			}
+			for row := range base {
+				if !got[row] {
+					t.Errorf("spilled run missing row %q", row)
+				}
+			}
+		})
 	}
-	for row := range base {
-		if !got[row] {
-			t.Errorf("spilled run missing row %q", row)
+}
+
+// TestFixedTableRehashesAsBatchKeys: a fixed-layout table stores no hash, and
+// what it recomputes from an entry's cells — to grow, and to pick a spill
+// partition — is the hash batchKeys computed for the key that made the entry:
+// one and two key columns, NULLs, -0.0 and 0.0, NaN, a double equal to an
+// integer, booleans.
+func TestFixedTableRehashesAsBatchKeys(t *testing.T) {
+	for _, cols := range [][]int{{colKeyBigint}, {colKeyDouble}, {colKeyBool}, {colKeyBigint, colKeyDate}, {colKeyDouble, colKeyBool}} {
+		tab := newKeyTable(true, len(cols), 0)
+		var bk batchKeys
+		for pg := 0; pg < 3; pg++ {
+			p := diffPage(pg*300, (pg+1)*300)
+			bk.reset(p, cols, true)
+			for r := 0; r < p.RowCount(); r++ {
+				cells, tags := bk.row(r)
+				id, _ := tab.getOrInsertFixed(bk.hashes[r], cells, tags)
+				if h := tab.hash(id); h != bk.hashes[r] {
+					t.Fatalf("columns %v, row %d: the table rehashes its entry to %x, batchKeys hashed the key to %x", cols, pg*300+r, h, bk.hashes[r])
+				}
+			}
+		}
+		if tab.hashes != nil {
+			t.Errorf("columns %v: a fixed-layout table holds %d hashes", cols, cap(tab.hashes))
 		}
 	}
 }

@@ -22,16 +22,15 @@ type JoinBridge struct {
 	// The build side. Until every builder has finished the bridge holds only
 	// the build pages, in arrival order, and no index: AddInput appends under
 	// mu and hashes nothing. The last builder's departure builds the index once
-	// (buildIndexLocked), from a row count it knows: ktab maps a key to a dense
-	// key id, and key id's build rows are krows[rowOff[id]:rowOff[id+1]], in
-	// arrival order. Nothing is allocated per key and nothing grows.
+	// (buildIndexLocked), at the size of the row count it then knows: nothing
+	// is allocated per key and nothing grows.
 	builtTable
 	keyCols []int        // build key columns and their planner types, from
 	keyTs   []types.Type // the first NewHashBuild (every builder agrees)
 
-	// matched holds, per page and row, the flags RIGHT/FULL joins emit their
-	// unmatched build rows by; a page's flags are nil until its first match.
-	matched [][]bool
+	// matched holds, by build position, the flags RIGHT/FULL joins emit their
+	// unmatched build rows by; nil until the first match.
+	matched []bool
 	indexed bool // the index build has been claimed (it runs once)
 	built   bool
 	rows    int64
@@ -92,16 +91,36 @@ func (b *JoinBridge) SetFilterCollector(c *dynfilter.Collector, publish func([]*
 	b.mu.Unlock()
 }
 
-// summarizeKeysLocked summarizes a just-built table, one row per distinct key.
+// summarizeKeysLocked summarizes a just-built table, one row per distinct key:
+// each key's first row, in arrival order, the order its columns are laid out
+// in. A row is its key's first unless its key is NULL or another row links to
+// it.
 func (b *JoinBridge) summarizeKeysLocked() {
 	switch c := b.collector; {
 	case c == nil:
 	case b.spl != nil && b.spl.spilled:
 		c.Disable()
 	case b.ktab != nil: // else no build row arrived: the summaries stay empty
-		c.Collect(int64(len(b.krows)), b.ktab.Len(), b.keyCols, func(k int) (*block.Page, int) {
-			m := b.krows[b.rowOff[k]]
-			return b.pages[m.page], int(m.row)
+		keyed := int64(b.ktab.keys) // rows with a non-NULL key
+		var linked []uint64         // bit pos: another row links to pos
+		if b.next != nil {
+			linked = make([]uint64, (len(b.next)+63)/64)
+			for _, n := range b.next {
+				if n != 0 {
+					linked[(n-1)/64] |= 1 << ((n - 1) % 64)
+					keyed++
+				}
+			}
+		}
+		c.Collect(keyed, b.ktab.keys, b.keyCols, func(visit func(*block.Page, int)) {
+			pos := -1
+			for _, p := range b.pages {
+				for r := 0; r < p.RowCount(); r++ {
+					if pos++; !b.ktab.nullKey(pos) && (linked == nil || linked[pos/64]&(1<<(pos%64)) == 0) {
+						visit(p, r)
+					}
+				}
+			}
 		})
 	}
 }
@@ -215,81 +234,128 @@ func (b *JoinBridge) builderStep(change func()) {
 
 // buildIndexBytes is what the index over rows build rows takes while it is
 // built, and what the bridge has reserved for it by then, page by page: the
-// key table sized for as many keys as rows, a key id a row (dropped once
-// sorted) and the row list — an address a row, an offset a key. The arena of a
-// bytes-layout table is not in it; the true-up adds it.
+// key table sized for a key a row. Neither the links a build with duplicate
+// keys adds nor the arena of a bytes-layout table is in it, since neither is
+// known before the keys are; the true-up adds them.
 func buildIndexBytes(rows, nk int, fixed bool) int64 {
 	if rows == 0 || nk == 0 {
 		return 0
 	}
-	return keyTableBytes(fixed, nk, rows) + int64(rows)*(4+8) + int64(rows+1)*4
+	return keyTableBytes(fixed, nk, rows)
 }
 
-// buildIndexLocked indexes the build pages, in one pass each: resolve every
-// row to its key id (-1: NULL key, never matches) in a table created at its
-// final size, then counting-sort the ids into the flat row list — count each
-// key's rows, prefix-sum the counts into rowOff, place every row at its key's
-// cursor. A keyless join probes every build row and keeps no index.
+// buildIndexLocked indexes the build pages by position, a row's place in the
+// build with pages in arrival order: the key table stores every row's key,
+// page by page, and then links the positions last to first, so that a slot
+// ends on its key's first position and each duplicate is chained to the next
+// one in arrival order. A NULL key (never matches) is not linked. A keyless
+// join probes every build position and keeps no key table.
 func (b *JoinBridge) buildIndexLocked() {
-	nk, rows := len(b.keyCols), 0
-	for _, p := range b.pages {
-		rows += p.RowCount()
-	}
-	if nk == 0 || rows == 0 {
-		return
-	}
-	fixed := fixedWidthKeys(b.keyTs)
-	t := newKeyTable(fixed, nk, rows)
-	ids := make([]int32, rows)
-	var batch batchKeys
-	var enc encodedKeys
-	at := 0
-	for _, p := range b.pages {
-		pageIDs := ids[at : at+p.RowCount()]
-		at += len(pageIDs)
-		resolveKeys(t, &batch, &enc, p, b.keyCols, pageIDs, true)
-	}
-	off := make([]int32, t.Len()+1)
-	for _, id := range ids {
-		if id >= 0 {
-			off[id+1]++
+	b.locate()
+	nk, rows, fixed := len(b.keyCols), int(b.positions()), fixedWidthKeys(b.keyTs)
+	reserved := buildIndexBytes(rows, nk, fixed)
+	if nk > 0 && rows > 0 {
+		t := newKeyTable(fixed, nk, rows)
+		var bk batchKeys
+		for _, p := range b.pages {
+			t.appendKeys(p, b.keyCols, &bk)
 		}
-	}
-	for k := 1; k < len(off); k++ {
-		off[k] += off[k-1]
-	}
-	krows := make([]bridgeRow, off[len(off)-1])
-	at = 0
-	for pg, p := range b.pages {
-		for r, id := range ids[at : at+p.RowCount()] {
-			if id >= 0 {
-				krows[off[id]] = bridgeRow{page: int32(pg), row: int32(r)}
-				off[id]++
+		var next []int32
+		for pos := rows - 1; pos >= 0; pos-- {
+			if t.nullKey(pos) {
+				continue
+			}
+			if q := t.link(pos); q >= 0 {
+				if next == nil {
+					next = make([]int32, rows)
+				}
+				next[pos] = int32(q + 1)
 			}
 		}
-		at += p.RowCount()
+		b.ktab, b.next = t, next
 	}
-	// Every cursor now stands at its key's end, the next key's start.
-	copy(off[1:], off)
-	off[0] = 0
-	b.ktab, b.rowOff, b.krows = t, off, krows
-	b.bytes.Add(t.memBytes() + int64(8*cap(krows)+4*cap(off)) - buildIndexBytes(rows, nk, fixed))
+	b.bytes.Add(b.indexBytes() - reserved)
 }
 
 // builtTable is what a probe reads. Writers hold the bridge's mu; nothing
 // changes once the bridge is built and a probe page has arrived (a revocation
 // only happens before that, Cancel leaves a built table alone), so a probe
 // copies it under mu, once per page, and reads the copy unlocked.
+//
+// Its rows are build positions: page pg holds positions starts[pg] up to
+// starts[pg+1], and steps[k] is the page that holds position k<<shift. ktab's
+// entries are the positions' keys, and a slot holds the first position of its
+// key; next[pos] is the key's position after pos, plus one (0: pos is its
+// last), so a key's rows come out in arrival order. next is nil while no key
+// repeats.
 type builtTable struct {
-	ktab   *keyTable
-	rowOff []int32
-	krows  []bridgeRow
 	pages  []*block.Page
+	starts []int32
+	steps  []int32
+	shift  uint
+	ktab   *keyTable
+	next   []int32
 }
 
-// matches returns the build rows of key id, in arrival order.
-func (t *builtTable) matches(id int32) []bridgeRow {
-	return t.krows[t.rowOff[id]:t.rowOff[id+1]]
+// locate builds the page-start prefix of the pages and the steps over it:
+// eight to sixteen a page on average, so that row finds a position's page in
+// a step or two where a binary search of the prefix mispredicts at every
+// level.
+func (t *builtTable) locate() {
+	t.starts = make([]int32, len(t.pages)+1)
+	for pg, p := range t.pages {
+		t.starts[pg+1] = t.starts[pg] + int32(p.RowCount())
+	}
+	rows := int(t.positions())
+	if rows == 0 {
+		return
+	}
+	for rows>>(t.shift+1) >= 8*len(t.pages) {
+		t.shift++
+	}
+	t.steps = make([]int32, (rows-1)>>t.shift+1)
+	pg := int32(0)
+	for k := range t.steps {
+		for t.starts[pg+1] <= int32(k<<t.shift) {
+			pg++
+		}
+		t.steps[k] = pg
+	}
+}
+
+// indexBytes is what the index over the pages holds.
+func (t *builtTable) indexBytes() int64 {
+	n := int64(4*cap(t.starts) + 4*cap(t.steps) + 4*cap(t.next))
+	if t.ktab != nil {
+		n += t.ktab.memBytes()
+	}
+	return n
+}
+
+// positions is the number of build positions.
+func (t *builtTable) positions() int32 {
+	if len(t.starts) == 0 {
+		return 0
+	}
+	return t.starts[len(t.starts)-1]
+}
+
+// row addresses build position pos: the page that holds it, found from the
+// step before pos, and its row there.
+func (t *builtTable) row(pos int32) bridgeRow {
+	pg := t.steps[pos>>t.shift]
+	for t.starts[pg+1] <= pos {
+		pg++
+	}
+	return bridgeRow{page: pg, row: pos - t.starts[pg]}
+}
+
+// after is the position after pos with the same key, or -1.
+func (t *builtTable) after(pos int32) int32 {
+	if t.next == nil {
+		return -1
+	}
+	return t.next[pos] - 1
 }
 
 // AddProbe registers a probe-side driver.
@@ -429,28 +495,27 @@ func (o *HashBuildOperator) AddInput(p *block.Page) error {
 	nk, fixed := len(b.keyCols), fixedWidthKeys(b.keyTs)
 	index := buildIndexBytes(int(b.rows)+n, nk, fixed) - buildIndexBytes(int(b.rows), nk, fixed)
 	b.pages = append(b.pages, p)
-	b.matched = append(b.matched, nil)
 	b.rows += int64(n)
 	b.bytes.Add(p.SizeBytes() + index)
 	b.mu.Unlock()
 	return b.syncBuildMem()
 }
 
-// resolveKeys resolves every row of p to its key id in t, inserting absent
-// keys if insert is set; -1: a NULL key (never matches an equi-join) or no such
-// key. Pages whose key columns all arrive dictionary- or RLE-encoded ask the
-// table once per combination of entries they reference (enc), the rest once
-// per row of a batch-hashed page. It reports which of the two it was.
-func resolveKeys(t *keyTable, bk *batchKeys, enc *encodedKeys, p *block.Page, cols []int, ids []int32, insert bool) (encoded bool) {
-	if _, encoded = enc.resolve(p, cols, ids, func(r int) int32 { return keyRow(t, bk, p, cols, r, insert) }); !encoded {
-		resolveBatch(t, bk, p, cols, ids, insert)
+// resolveKeys resolves every row of p to the first build position of its key
+// in t; -1: a NULL key (never matches an equi-join) or no such key. Pages whose
+// key columns all arrive dictionary- or RLE-encoded ask the table once per
+// combination of entries they reference (enc), the rest once per row of a
+// batch-hashed page. It reports which of the two it was.
+func resolveKeys(t *keyTable, bk *batchKeys, enc *encodedKeys, p *block.Page, cols []int, ids []int32) (encoded bool) {
+	if _, encoded = enc.resolve(p, cols, ids, func(r int) int32 { return keyRow(t, bk, p, cols, r) }); !encoded {
+		resolveBatch(t, bk, p, cols, ids)
 	}
 	return encoded
 }
 
-// resolveBatch is the general path of build and probe: batch-hash the page's
-// key columns, then resolve each row to its key id in t.
-func resolveBatch(t *keyTable, bk *batchKeys, p *block.Page, cols []int, ids []int32, insert bool) {
+// resolveBatch is the general path of the probe: batch-hash the page's key
+// columns, then look each row's key up in t.
+func resolveBatch(t *keyTable, bk *batchKeys, p *block.Page, cols []int, ids []int32) {
 	bk.reset(p, cols, t.fixed)
 	if t.fixed && len(cols) == 1 {
 		// One fixed-width key, which is most joins: probe on scalars, no
@@ -458,11 +523,7 @@ func resolveBatch(t *keyTable, bk *batchKeys, p *block.Page, cols []int, ids []i
 		cells, tags, hashes := bk.cells, bk.tags, bk.hashes
 		for r := range ids {
 			id := -1
-			switch {
-			case tags[r] == cellNull:
-			case insert:
-				id, _ = t.getOrInsertFixed1(hashes[r], cells[r], tags[r])
-			default:
+			if tags[r] != cellNull {
 				id = t.lookupFixed1(hashes[r], cells[r], tags[r])
 			}
 			ids[r] = int32(id)
@@ -473,42 +534,28 @@ func resolveBatch(t *keyTable, bk *batchKeys, p *block.Page, cols []int, ids []i
 		id := -1
 		switch {
 		case t.fixed && bk.nullKey(r), !t.fixed && rowKeyNull(p, r, cols):
-		case t.fixed && insert:
-			cells, tags := bk.row(r)
-			id, _ = t.getOrInsertFixed(bk.hashes[r], cells, tags)
 		case t.fixed:
 			cells, tags := bk.row(r)
 			id = t.lookupFixed(bk.hashes[r], cells, tags)
 		default:
 			bk.buf = encodeRowKey(bk.buf[:0], p, r, cols)
-			if insert {
-				id, _ = t.getOrInsertBytes(bk.hashes[r], bk.buf)
-			} else {
-				id = t.lookupBytes(bk.hashes[r], bk.buf)
-			}
+			id = t.lookupBytes(bk.hashes[r], bk.buf)
 		}
 		ids[r] = int32(id)
 	}
 }
 
-// keyRow resolves the key of the single row r of p to its key id in t, as
-// resolveBatch resolves every row's.
-func keyRow(t *keyTable, bk *batchKeys, p *block.Page, cols []int, r int, insert bool) int32 {
+// keyRow looks the key of the single row r of p up in t, as resolveBatch
+// looks up every row's.
+func keyRow(t *keyTable, bk *batchKeys, p *block.Page, cols []int, r int) int32 {
 	if rowKeyNull(p, r, cols) {
 		return -1
 	}
-	var id int
-	switch h := bk.rowKey(p, cols, r, t.fixed); {
-	case t.fixed && insert:
-		id, _ = t.getOrInsertFixed(h, bk.cells, bk.tags)
-	case t.fixed:
-		id = t.lookupFixed(h, bk.cells, bk.tags)
-	case insert:
-		id, _ = t.getOrInsertBytes(h, bk.buf)
-	default:
-		id = t.lookupBytes(h, bk.buf)
+	h := bk.rowKey(p, cols, r, t.fixed)
+	if t.fixed {
+		return int32(t.lookupFixed(h, bk.cells, bk.tags))
 	}
-	return int32(id)
+	return int32(t.lookupBytes(h, bk.buf))
 }
 
 // rowKeyNull reports whether any key column of row r is NULL.
@@ -734,50 +781,57 @@ func (o *LookupJoinOperator) AddInput(p *block.Page) error {
 }
 
 // joinRows is the row path: every candidate (probe ++ build) row is boxed and
-// put to the residual. ids == nil: every build row is a candidate.
+// put to the residual. A probe row's candidates are its key's build positions,
+// from the first (ids) along the links, or — ids == nil — every position.
 func (o *LookupJoinOperator) joinRows(p *block.Page, ids []int32) {
-	if o.jt == plan.RightJoin || o.jt == plan.FullJoin {
+	outer := o.jt == plan.RightJoin || o.jt == plan.FullJoin
+	if outer {
 		// The matched flags are shared by every probe driver of the bridge.
 		o.bridge.mu.Lock()
 		defer o.bridge.mu.Unlock()
 	}
 	t := &o.tab
+	first, after := func(r int) int32 { return ids[r] }, t.after
+	if ids == nil {
+		n, start := t.positions(), int32(-1)
+		if n > 0 {
+			start = 0
+		}
+		first = func(int) int32 { return start }
+		after = func(pos int32) int32 {
+			if pos+1 < n {
+				return pos + 1
+			}
+			return -1
+		}
+	}
 	nProbe := len(o.probeTs)
 	row := make([]types.Value, nProbe+len(o.buildTs))
+	var boxed expr.Row = expr.ValuesRow(row) // the residual reads row as it is refilled
 	out := o.sink()
-	var matches []bridgeRow
-	if ids == nil {
-		matches = allBuildRows(t.pages)
-	}
 	for r := 0; r < p.RowCount(); r++ {
-		if ids != nil {
-			matches = nil
-			if id := ids[r]; id >= 0 {
-				matches = t.matches(id)
-			}
-		}
 		for c := 0; c < nProbe; c++ {
 			row[c] = p.Col(c).Value(r)
 		}
 		matched := false
-		for _, m := range matches {
+		for pos := first(r); pos >= 0; pos = after(pos) {
+			m := t.row(pos)
 			bp := t.pages[m.page]
 			for c := range o.buildTs {
 				row[nProbe+c] = bp.Col(c).Value(int(m.row))
 			}
-			if o.residual != nil && !o.residualTrue(row) {
+			if o.residual != nil && !o.residualTrue(boxed) {
 				continue
 			}
 			matched = true
 			if o.jt == plan.SemiJoin || o.jt == plan.AntiJoin {
 				break
 			}
-			if o.jt == plan.RightJoin || o.jt == plan.FullJoin {
-				flags := o.bridge.matched
-				if flags[m.page] == nil {
-					flags[m.page] = make([]bool, bp.RowCount())
+			if outer {
+				if o.bridge.matched == nil {
+					o.bridge.matched = make([]bool, t.positions())
 				}
-				flags[m.page][m.row] = true
+				o.bridge.matched[pos] = true
 			}
 			out.emit(row)
 		}
@@ -794,10 +848,10 @@ func (o *LookupJoinOperator) joinRows(p *block.Page, ids []int32) {
 	out.flush()
 }
 
-// resolveProbe maps every probe row to a build-table entry id (-1 = no
-// match or NULL key) in one page-level pass. A probe column whose canonical
-// encoding can never equal the build layout's (varchar keys against a
-// fixed-width table: the tag bytes differ) resolves the whole page to
+// resolveProbe maps every probe row to the first build position of its key
+// (-1 = no match or NULL key) in one page-level pass. A probe column whose
+// canonical encoding can never equal the build layout's (varchar keys against
+// a fixed-width table: the tag bytes differ) resolves the whole page to
 // no-match once. Dictionary keys probe the table once per referenced entry,
 // RLE keys once per page (§V-B).
 func (o *LookupJoinOperator) resolveProbe(p *block.Page) []int32 {
@@ -813,33 +867,25 @@ func (o *LookupJoinOperator) resolveProbe(p *block.Page) []int32 {
 		}
 		return ids
 	}
-	if resolveKeys(t, &o.batch, &o.enc, p, o.probeKeys, ids, false) {
+	if resolveKeys(t, &o.batch, &o.enc, p, o.probeKeys, ids) {
 		o.ctx.recordDictRows(len(ids))
 	}
 	return ids
 }
 
-// selectMatches flattens the resolved ids into the page's output selection,
-// counted first so both vectors are sized once: a pair per match, plus a
-// NULL-extended pair per unmatched probe row for LEFT; the matched (SEMI) or
-// unmatched (ANTI) probe rows alone. A page that selects nothing is dropped.
+// selectMatches flattens the resolved positions into the page's output
+// selection: a pair per match, plus a NULL-extended pair per unmatched probe
+// row for LEFT; the matched (SEMI) or unmatched (ANTI) probe rows alone. Both
+// vectors start at the page's row count — every match, when no build key
+// repeats — and are kept from page to page. A page that selects nothing is
+// dropped.
 func (o *LookupJoinOperator) selectMatches(p *block.Page, ids []int32) {
 	t := &o.tab
 	semi, anti, left := o.jt == plan.SemiJoin, o.jt == plan.AntiJoin, o.jt == plan.LeftJoin
-	n := len(ids) // SEMI and ANTI select probe rows, at most all of them
-	buildSel := o.buildSel[:0]
+	probeSel, buildSel := scratch(o.probeSel, len(ids))[:0], o.buildSel[:0]
 	if !semi && !anti {
-		n = 0
-		for _, id := range ids {
-			if id >= 0 {
-				n += int(t.rowOff[id+1] - t.rowOff[id])
-			} else if left {
-				n++
-			}
-		}
-		buildSel = scratch(buildSel, n)[:0]
+		buildSel = scratch(buildSel, len(ids))[:0]
 	}
-	probeSel := scratch(o.probeSel, n)[:0]
 	for r, id := range ids {
 		switch {
 		case semi || anti:
@@ -847,9 +893,9 @@ func (o *LookupJoinOperator) selectMatches(p *block.Page, ids []int32) {
 				probeSel = append(probeSel, int32(r))
 			}
 		case id >= 0:
-			for _, m := range t.matches(id) {
+			for pos := id; pos >= 0; pos = t.after(pos) {
 				probeSel = append(probeSel, int32(r))
-				buildSel = append(buildSel, m)
+				buildSel = append(buildSel, t.row(pos))
 			}
 		case left:
 			probeSel = append(probeSel, int32(r))
@@ -1091,20 +1137,10 @@ func (o *LookupJoinOperator) gatherBuild(v *joinVec, bc *buildChan, sel []bridge
 	return block.BuildBlock(bc.t, vals)
 }
 
-func allBuildRows(pages []*block.Page) []bridgeRow {
-	var out []bridgeRow
-	for pi, p := range pages {
-		for r := 0; r < p.RowCount(); r++ {
-			out = append(out, bridgeRow{page: int32(pi), row: int32(r)})
-		}
-	}
-	return out
-}
-
 // residualTrue interprets the residual over one candidate (probe ++ build)
 // row; like a filter, a NULL or failing row is not a match.
-func (o *LookupJoinOperator) residualTrue(row []types.Value) bool {
-	v, err := o.interp.Eval(o.residual, expr.ValuesRow(row))
+func (o *LookupJoinOperator) residualTrue(row expr.Row) bool {
+	v, err := o.interp.Eval(o.residual, row)
 	return err == nil && !v.Null && v.B
 }
 
@@ -1130,9 +1166,10 @@ func (o *LookupJoinOperator) emitUnmatchedBuild() {
 		row[c] = types.NullValue(o.probeTs[c])
 	}
 	out := o.sink()
-	for pi, p := range b.pages {
+	pos := -1
+	for _, p := range b.pages {
 		for r := 0; r < p.RowCount(); r++ {
-			if flags := b.matched[pi]; flags != nil && flags[r] {
+			if pos++; b.matched != nil && b.matched[pos] {
 				continue
 			}
 			for c := range o.buildTs {

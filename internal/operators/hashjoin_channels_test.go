@@ -20,14 +20,22 @@ func channelTestTs(keyT types.Type) []types.Type {
 	return []types.Type{keyT, types.Varchar, types.Bigint, types.Double, types.Varchar}
 }
 
-// channelKeyKinds are the key columns the wall joins on. Each returns the key
-// block of page pg (rows rows, side offset off) and its type.
-var channelKeyKinds = []struct {
+// channelKeyKind is a key the wall joins on: key returns the key block of
+// page pg (rows rows, side offset off), of type t; a two-column key has a
+// second column, key2 of type t2, after the payload columns.
+type channelKeyKind struct {
 	name string
 	t    types.Type
 	key  func(pg, rows, off int) block.Block
-}{
-	{"flat+nulls", types.Bigint, func(pg, rows, off int) block.Block {
+	t2   types.Type
+	key2 func(pg, rows, off int) block.Block
+}
+
+// channelKeyKinds are the keys the wall joins on: duplicate-heavy, encoded
+// and edge-valued single keys, a unique one, a two-column fixed-width one and
+// a varchar one (the bytes layout).
+var channelKeyKinds = []channelKeyKind{
+	{name: "flat+nulls", t: types.Bigint, key: func(pg, rows, off int) block.Block {
 		vals, nulls := make([]int64, rows), make([]bool, rows)
 		for r := range vals {
 			i := pg*rows + r + off
@@ -35,17 +43,17 @@ var channelKeyKinds = []struct {
 		}
 		return block.NewLongBlock(vals, nulls)
 	}},
-	{"dictionary", types.Bigint, func(pg, rows, off int) block.Block {
+	{name: "dictionary", t: types.Bigint, key: func(pg, rows, off int) block.Block {
 		vals := make([]int64, rows)
 		for r := range vals {
 			vals[r] = int64((pg*rows + r + off) % 7)
 		}
 		return block.DictEncode(block.NewLongBlock(vals, nil), 1)
 	}},
-	{"rle", types.Bigint, func(pg, rows, off int) block.Block {
+	{name: "rle", t: types.Bigint, key: func(pg, rows, off int) block.Block {
 		return block.NewRLEBlock(types.BigintValue(int64((pg+off)%3)), rows)
 	}},
-	{"double -0.0/NaN", types.Double, func(pg, rows, off int) block.Block {
+	{name: "double -0.0/NaN", t: types.Double, key: func(pg, rows, off int) block.Block {
 		cycle := []float64{math.Copysign(0, -1), 0, math.NaN(), 1.5, 2, 3}
 		vals, nulls := make([]float64, rows), make([]bool, rows)
 		for r := range vals {
@@ -54,6 +62,65 @@ var channelKeyKinds = []struct {
 		}
 		return block.NewDoubleBlock(vals, nulls)
 	}},
+	{name: "unique", t: types.Bigint, key: func(pg, rows, off int) block.Block {
+		vals := make([]int64, rows)
+		for r := range vals {
+			vals[r] = int64(pg*rows + r + off)
+		}
+		return block.NewLongBlock(vals, nil)
+	}},
+	{name: "bigint,date", t: types.Bigint, key: func(pg, rows, off int) block.Block {
+		vals := make([]int64, rows)
+		for r := range vals {
+			vals[r] = int64((pg*rows + r + off) % 5)
+		}
+		return block.NewLongBlock(vals, nil)
+	}, t2: types.Date, key2: func(pg, rows, off int) block.Block {
+		vals, nulls := make([]int64, rows), make([]bool, rows)
+		for r := range vals {
+			i := pg*rows + r + off
+			vals[r], nulls[r] = int64(18000+i/2%3), i%13 == 0
+		}
+		return &block.LongBlock{T: types.Date, Vals: vals, Nulls: nulls}
+	}},
+	{name: "varchar", t: types.Varchar, key: func(pg, rows, off int) block.Block {
+		vals, nulls := make([]string, rows), make([]bool, rows)
+		for r := range vals {
+			i := pg*rows + r + off
+			vals[r], nulls[r] = fmt.Sprintf("k%d", i%6), i%8 == 0
+		}
+		vals[0] = "" // the empty string is a key, and not NULL's
+		return block.NewVarcharBlock(vals, nulls)
+	}},
+}
+
+// ts is the schema of a side: channelTestTs, then the second key column.
+func (k channelKeyKind) ts() []types.Type {
+	ts := channelTestTs(k.t)
+	if k.key2 != nil {
+		ts = append(ts, k.t2)
+	}
+	return ts
+}
+
+// keys are the key columns of a side.
+func (k channelKeyKind) keys() []int {
+	if k.key2 != nil {
+		return []int{0, 5}
+	}
+	return []int{0}
+}
+
+// pages builds one side's pages, as channelTestPages, with the second key
+// column after the payload.
+func (k channelKeyKind) pages(npages, rows, off int) []*block.Page {
+	pages := channelTestPages(k.key, npages, rows, off)
+	if k.key2 != nil {
+		for pg, p := range pages {
+			pages[pg] = block.NewPage(append(p.Cols, k.key2(pg, rows, off))...)
+		}
+	}
+	return pages
 }
 
 // channelTestPages builds one side's pages: the key column of the given
@@ -89,11 +156,12 @@ func channelTestPages(key func(pg, rows, off int) block.Block, npages, rows, off
 	return pages
 }
 
-// drainCounts drives op like drain, but renders every output page before it
-// asks for the next one: all a consumer of lent pages is entitled to.
-func drainCounts(t *testing.T, op Operator, inputs ...*block.Page) map[string]int {
+// drainRows drives op like drain, but renders every output page before it
+// asks for the next one — all a consumer of lent pages is entitled to — and
+// returns the rows in the order they came out.
+func drainRows(t *testing.T, op Operator, inputs ...*block.Page) [][]types.Value {
 	t.Helper()
-	out := map[string]int{}
+	var out [][]types.Value
 	pull := func() {
 		for {
 			p, err := op.Output()
@@ -104,7 +172,7 @@ func drainCounts(t *testing.T, op Operator, inputs ...*block.Page) map[string]in
 				return
 			}
 			for r := 0; r < p.RowCount(); r++ {
-				out[rowText(p.Row(r))]++
+				out = append(out, p.Row(r))
 			}
 		}
 	}
@@ -125,18 +193,52 @@ func drainCounts(t *testing.T, op Operator, inputs ...*block.Page) map[string]in
 	return out
 }
 
+// drainCounts is drainRows' rows as the multiset refJoin returns.
+func drainCounts(t *testing.T, op Operator, inputs ...*block.Page) map[string]int {
+	t.Helper()
+	out := map[string]int{}
+	for _, row := range drainRows(t, op, inputs...) {
+		out[rowText(row)]++
+	}
+	return out
+}
+
+// arrivalOrderPairs checks that a probe row's matches come out in build
+// arrival order: the rows one probe row joins come out one after another
+// (probe column p tells probe rows apart), and build column b, which grows
+// with arrival, grows along them. It returns how many pairs of successive
+// matches it compared.
+func arrivalOrderPairs(t *testing.T, name string, rows [][]types.Value, p, b int) int {
+	t.Helper()
+	pairs := 0
+	for i := 1; i < len(rows); i++ {
+		prev, cur := rows[i-1], rows[i]
+		if prev[p].Null || cur[p].Null || prev[p].Compare(cur[p]) != 0 || prev[b].Null || cur[b].Null {
+			continue
+		}
+		if pairs++; prev[b].Compare(cur[b]) >= 0 {
+			t.Errorf("%s: probe row %v joins build row %v before %v", name, cur[p], prev[b], cur[b])
+			return pairs
+		}
+	}
+	return pairs
+}
+
 // TestJoinOutputChannelsDifferential is the wall for the channel list: every
-// join type, over flat, dictionary, RLE, NULL, -0.0 and NaN keys, emitting
-// every channel, everything but the keys, one build column, the probe side
-// alone, and joining an empty build — lent and owned, from memory and through
-// a build spilled after every page (the drain's private operator) — must emit
-// exactly the listed columns of the per-row reference's rows. Pages of seven
-// rows make every probe page span several Outputs, so a lending join refills
-// its vectors — a dictionary column's index vector among them — while the
-// probe page is still being emitted. The build's last column is one shared
-// dictionary over all its pages: from memory it is gathered as indices (but
-// for LEFT, which null-extends), from a spilled build it comes back a
-// dictionary a page and is gathered flat.
+// join type, over flat, dictionary, RLE, NULL, -0.0 and NaN keys, unique,
+// two-column and varchar keys, emitting every channel, everything but the
+// keys, one build column, the probe side alone, and joining an empty build —
+// lent and owned, from memory and through a build spilled after every page
+// (the drain's private operator) — must emit exactly the listed columns of the
+// per-row reference's rows. Emitting every channel, each probe row's matches
+// come out in build arrival order, on the selection path (INNER, LEFT) and the
+// row path (RIGHT, FULL), from memory and spilled. Pages of seven rows make
+// every probe page span several Outputs, so a lending join refills its vectors
+// — a dictionary column's index vector among them — while the probe page is
+// still being emitted. The build's column 4 is one shared dictionary over all
+// its pages: from memory it is gathered as indices (but for LEFT, which
+// null-extends), from a spilled build it comes back a dictionary a page and is
+// gathered flat.
 func TestJoinOutputChannelsDifferential(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -150,21 +252,27 @@ func TestJoinOutputChannelsDifferential(t *testing.T) {
 		{"probe only", []int{3, 1}, nil, false},
 		{"empty build", []int{0, 2}, []int{1, 3}, true},
 	}
+	// Pairs of successive matches compared for arrival order, by path.
+	ordered := map[string]int{}
 	for _, kind := range channelKeyKinds {
-		ts := channelTestTs(kind.t)
-		probePages := channelTestPages(kind.key, 3, 40, 2)
+		ts, keys := kind.ts(), kind.keys()
+		keyTs := make([]types.Type, len(keys))
+		for i, c := range keys {
+			keyTs[i] = ts[c]
+		}
+		probePages := kind.pages(3, 40, 2)
 		for _, tc := range allJoinTypes {
 			for _, c := range cases {
 				var buildPages []*block.Page
 				if !c.emptyBuild {
-					buildPages = channelTestPages(kind.key, 3, 25, 0)
+					buildPages = kind.pages(3, 25, 0)
 				}
 				probeOut, buildOut := c.probe, c.build
 				if tc.jt == plan.SemiJoin || tc.jt == plan.AntiJoin {
 					buildOut = nil
 				}
 				want := map[string]int{}
-				refJoinRows(tc.jt, buildPages, probePages, []int{0}, []int{0}, nil, ts, ts, func(row []types.Value) {
+				refJoinRows(tc.jt, buildPages, probePages, keys, keys, nil, ts, ts, func(row []types.Value) {
 					var out []types.Value
 					for _, ch := range probeOut {
 						out = append(out, row[ch])
@@ -179,10 +287,10 @@ func TestJoinOutputChannelsDifferential(t *testing.T) {
 						name := fmt.Sprintf("%s/%s/%s/spilled=%v/lend=%v", kind.name, tc.name, c.name, spilled, lend)
 						bridge := NewJoinBridge()
 						if spilled {
-							bridge.EnableSpill(spillTestMem(), t.TempDir(), []int{0}, ts[:1])
+							bridge.EnableSpill(spillTestMem(), t.TempDir(), keys, keyTs)
 						}
 						bridge.AddBuilder()
-						hb := NewHashBuild(NopContext(), bridge, []int{0}, ts[:1])
+						hb := NewHashBuild(NopContext(), bridge, keys, keyTs)
 						for _, p := range buildPages {
 							if err := hb.AddInput(p); err != nil {
 								t.Fatal(err)
@@ -197,12 +305,25 @@ func TestJoinOutputChannelsDifferential(t *testing.T) {
 						bridge.NoMoreBuilders()
 						bridge.AddProbe()
 						bridge.NoMoreProbes()
-						op := NewLookupJoin(NopContext(), bridge, tc.jt, []int{0}, nil, ts, ts, 7)
+						op := NewLookupJoin(NopContext(), bridge, tc.jt, keys, nil, ts, ts, 7)
 						op.SetOutputChannels(probeOut, buildOut)
 						if lend {
 							op.LendOutput(nil)
 						}
-						assertSameCounts(t, name, drainCounts(t, op, probePages...), want)
+						rows := drainRows(t, op, probePages...)
+						got := map[string]int{}
+						for _, row := range rows {
+							got[rowText(row)]++
+						}
+						assertSameCounts(t, name, got, want)
+						if c.name == "all channels" && buildOut != nil {
+							// Probe and build column 3 grow with arrival.
+							path := "selection"
+							if tc.jt == plan.RightJoin || tc.jt == plan.FullJoin {
+								path = "row"
+							}
+							ordered[fmt.Sprintf("%s path, spilled=%v", path, spilled)] += arrivalOrderPairs(t, name, rows, 3, len(probeOut)+3)
+						}
 						if spilled && len(buildPages) > 0 && bridge.SpillCount() == 0 {
 							t.Errorf("%s: the build never spilled", name)
 						}
@@ -212,6 +333,13 @@ func TestJoinOutputChannelsDifferential(t *testing.T) {
 						bridge.ReleaseSpill()
 					}
 				}
+			}
+		}
+	}
+	for _, path := range []string{"selection", "row"} {
+		for _, spilled := range []bool{false, true} {
+			if what := fmt.Sprintf("%s path, spilled=%v", path, spilled); ordered[what] == 0 {
+				t.Errorf("%s: no probe row had two matches to compare", what)
 			}
 		}
 	}

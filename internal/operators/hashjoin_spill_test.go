@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/block"
+	"repro/internal/dynfilter"
 	"repro/internal/expr"
 	"repro/internal/memory"
 	"repro/internal/plan"
@@ -195,6 +196,56 @@ func TestJoinEmptyBuild(t *testing.T) {
 	}
 }
 
+// TestJoinBuildSummarizesDistinctKeys: the built transition hands the
+// dynamic-filter collector each distinct key once and the count of rows with
+// a non-NULL key — over unique keys, over keys that all repeat across pages
+// with NULLs among them, and over a mix of repeated and single keys.
+func TestJoinBuildSummarizesDistinctKeys(t *testing.T) {
+	for name, pages := range map[string][]*block.Page{
+		"unique":      {twoColPage([]int64{5, 1, 9}, []int64{0, 0, 0}), twoColPage([]int64{2, 7}, []int64{0, 0})},
+		"nulls+dups":  joinSpillPages(4, 30, 7, 0),
+		"one key run": {block.NewPage(block.NewRLEBlock(types.BigintValue(3), 40), block.NewLongBlock(make([]int64, 40), nil))},
+		"some repeat": {
+			block.NewPage(block.NewLongBlock([]int64{1, 2, 2, 3, 0}, []bool{false, false, false, false, true}), block.NewLongBlock(make([]int64, 5), nil)),
+			twoColPage([]int64{4, 2, 1}, []int64{0, 0, 0}),
+		},
+	} {
+		keys, rows := map[int64]bool{}, int64(0)
+		for _, p := range pages {
+			for r := 0; r < p.RowCount(); r++ {
+				if !p.Col(0).IsNull(r) {
+					keys[p.Col(0).Long(r)] = true
+					rows++
+				}
+			}
+		}
+		bridge := NewJoinBridge()
+		var got []*dynfilter.Summary
+		bridge.SetFilterCollector(dynfilter.NewCollector([]dynfilter.ColumnSpec{{ID: 1, T: types.Bigint}}, 0, 0),
+			func(s []*dynfilter.Summary) { got = s })
+		bridge.AddBuilder()
+		hb := NewHashBuild(NopContext(), bridge, []int{0}, []types.Type{types.Bigint})
+		for _, p := range pages {
+			if err := hb.AddInput(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hb.Finish()
+		bridge.NoMoreBuilders()
+		if len(got) != 1 {
+			t.Fatalf("%s: %d summaries published", name, len(got))
+		}
+		if s := got[0]; s.Rows != rows || s.ExactLen() != len(keys) {
+			t.Errorf("%s: a summary of %d rows and %d keys, want %d and %d", name, s.Rows, s.ExactLen(), rows, len(keys))
+		}
+		for k := range keys {
+			if !got[0].MatchLong(k) {
+				t.Errorf("%s: key %d is missing from the summary", name, k)
+			}
+		}
+	}
+}
+
 // TestJoinCancelThenLateBuildPage: a task failure cancels the bridge while a
 // sibling build driver is still running (nothing stops it). Its late pages
 // must be dropped — before and after some pages were indexed, keyed and
@@ -279,7 +330,7 @@ func TestJoinRevokeBeforeBuiltWritesPagesOnly(t *testing.T) {
 		held += p.SizeBytes()
 		rows += p.RowCount()
 	}
-	if bridge.ktab != nil || bridge.krows != nil {
+	if bridge.ktab != nil || bridge.starts != nil {
 		t.Fatal("the bridge indexed build pages before its builders finished")
 	}
 	if want, got := held+buildIndexBytes(rows, 1, true), bridge.RevocableBytes(); got != want {

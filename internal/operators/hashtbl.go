@@ -9,38 +9,48 @@ import (
 	"repro/internal/types"
 )
 
-// keyTable is an open-addressing, linear-probing hash table mapping group/join
-// keys to dense entry ids [0, Len). It is the lookup index of the aggregation,
-// distinct, join-build, and distinct-accumulator hot paths (paper §V-B):
-// probes compare a stored uint64 hash first and verify the key without
-// materializing byte strings.
+// keyTable is an open-addressing, linear-probing hash table over entries with
+// dense ids [0, Len), each holding one key. It is the lookup index of the
+// aggregation, distinct, join-build, and distinct-accumulator hot paths (paper
+// §V-B): a slot holds an entry id, and a probe verifies the key the entry
+// holds without materializing byte strings.
 //
 // Two key layouts:
 //   - fixed: nk normalized (tag, payload) cells per entry — single BIGINT/DATE
-//     keys and fixed-width multi-keys never touch a byte encoding at all;
+//     keys and fixed-width multi-keys never touch a byte encoding at all. The
+//     cells are the key: a probe compares them and nothing else, and growing
+//     or partitioning rehashes them (hash), so no hash is stored;
 //   - bytes: canonical encodeRowKey encodings packed into one arena — the
-//     fallback for varchar/array/mixed keys, with no allocation per insert.
+//     fallback for varchar/array/mixed keys, with no allocation per insert —
+//     and a hash per entry, compared before the arena bytes are.
 //
-// Entry ids are dense and insertion-ordered, and they are the only handle a
-// caller gets: per-entry payload (aggregate states, group keys the cells
-// cannot give back, build row lists) lives in plain typed slices indexed by
-// id, never in an object per entry (paper §V-A).
+// Two ways to fill it:
+//   - getOrInsert*: an entry per distinct key, in insertion order. The id is
+//     the only handle a caller gets: per-entry payload (aggregate states, group
+//     keys the cells cannot give back) lives in plain typed slices indexed by
+//     id, never in an object per entry (paper §V-A);
+//   - appendKeys, then link: an entry per row, every row's key stored, and
+//     each row entered into the slot array afterwards, where it takes the place
+//     of an equal key's entry. The join build indexes its rows this way
+//     (buildIndexLocked): entry ids are build positions.
 type keyTable struct {
 	fixed bool
 	nk    int // key cells per entry (fixed layout)
+	n     int // entries
+	keys  int // occupied slots: the distinct keys entered
 
 	slots []int32 // entry id + 1; 0 = empty
 	mask  uint64
-
-	hashes []uint64 // per-entry key hash
 
 	// fixed layout: row-major normalized cells, nk per entry.
 	cells []uint64
 	tags  []byte
 
-	// bytes layout: canonical key encodings, entry e at arena[offs[e]:offs[e+1]].
-	arena []byte
-	offs  []uint32
+	// bytes layout: per-entry key hash, and canonical key encodings, entry e at
+	// arena[offs[e]:offs[e+1]].
+	hashes []uint64
+	arena  []byte
+	offs   []uint32
 }
 
 // newKeyTable creates an empty table with the given key layout, its arrays
@@ -50,12 +60,12 @@ type keyTable struct {
 func newKeyTable(fixed bool, nk, n int) *keyTable {
 	slots := slotsFor(n)
 	t := &keyTable{fixed: fixed, nk: nk, slots: make([]int32, slots), mask: uint64(slots - 1)}
-	if n > 0 {
-		t.hashes = make([]uint64, 0, n)
-	}
 	switch {
 	case !fixed:
 		t.offs = append(make([]uint32, 0, n+1), 0)
+		if n > 0 {
+			t.hashes = make([]uint64, 0, n)
+		}
 	case n > 0:
 		t.cells, t.tags = make([]uint64, 0, n*nk), make([]byte, 0, n*nk)
 	}
@@ -73,17 +83,18 @@ func slotsFor(n int) int {
 }
 
 // keyTableBytes is memBytes of newKeyTable(fixed, nk, n) — what a table takes
-// before an arena.
+// before an arena: 4 bytes a slot, then 9 a key cell (fixed), or a hash and an
+// offset an entry (bytes).
 func keyTableBytes(fixed bool, nk, n int) int64 {
-	b := int64(4*slotsFor(n)) + int64(8*n)
+	b := int64(4 * slotsFor(n))
 	if fixed {
 		return b + int64(9*n*nk)
 	}
-	return b + int64(4*(n+1))
+	return b + int64(8*n) + int64(4*(n+1))
 }
 
-// Len returns the number of distinct keys inserted.
-func (t *keyTable) Len() int { return len(t.hashes) }
+// Len returns the number of entries.
+func (t *keyTable) Len() int { return t.n }
 
 // memBytes is the memory the table holds, for operator memory accounting:
 // capacities, because a backing array is held whole however full it is.
@@ -96,20 +107,31 @@ func (t *keyTable) memBytes() int64 {
 // reset empties the table and keeps its arrays for the next fill.
 func (t *keyTable) reset() {
 	clear(t.slots)
+	t.n, t.keys = 0, 0
 	t.hashes, t.cells, t.tags, t.arena = t.hashes[:0], t.cells[:0], t.tags[:0], t.arena[:0]
 	if !t.fixed {
 		t.offs = t.offs[:1]
 	}
 }
 
-// grow doubles the slot array and redistributes entries from stored hashes,
-// in entry order: the hashes are read in sequence and only the slot written is
-// a random access.
+// hash is entry e's key hash, the one batchKeys computes for the same key:
+// stored in the bytes layout, recomputed from the cells in the fixed one.
+func (t *keyTable) hash(e int) uint64 {
+	if !t.fixed {
+		return t.hashes[e]
+	}
+	return fixedHash(t.cells[e*t.nk:(e+1)*t.nk], t.tags[e*t.nk:(e+1)*t.nk])
+}
+
+// grow doubles the slot array and redistributes the entries, in entry order:
+// the keys are read in sequence and only the slot written is a random access.
+// Every entry has a slot (getOrInsert* tables; a linked table is built at its
+// final size).
 func (t *keyTable) grow() {
 	ns := make([]int32, 2*len(t.slots))
 	mask := uint64(len(ns) - 1)
-	for e, h := range t.hashes {
-		i := h & mask
+	for e := 0; e < t.n; e++ {
+		i := t.hash(e) & mask
 		for ns[i] != 0 {
 			i = (i + 1) & mask
 		}
@@ -120,9 +142,18 @@ func (t *keyTable) grow() {
 
 // maybeGrow keeps the load factor under 3/4 ahead of one insertion.
 func (t *keyTable) maybeGrow() {
-	if uint64(len(t.hashes)+1)*4 > uint64(len(t.slots))*3 {
+	if uint64(t.keys+1)*4 > uint64(len(t.slots))*3 {
 		t.grow()
 	}
+}
+
+// enter puts the next entry id into empty slot i and returns it; the caller
+// stores the entry's key.
+func (t *keyTable) enter(i uint64) int {
+	t.slots[i] = int32(t.n + 1)
+	t.n++
+	t.keys++
+	return t.n - 1
 }
 
 func (t *keyTable) eqFixed(e int, cells []uint64, tags []byte) bool {
@@ -142,13 +173,11 @@ func (t *keyTable) getOrInsertFixed(h uint64, cells []uint64, tags []byte) (id i
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		s := t.slots[i]
 		if s == 0 {
-			t.slots[i] = int32(len(t.hashes) + 1)
-			t.hashes = append(room(t.hashes, 1), h)
 			t.cells = append(room(t.cells, t.nk), cells...)
 			t.tags = append(room(t.tags, t.nk), tags...)
-			return len(t.hashes) - 1, true
+			return t.enter(i), true
 		}
-		if t.hashes[s-1] == h && t.eqFixed(int(s-1), cells, tags) {
+		if t.eqFixed(int(s-1), cells, tags) {
 			return int(s - 1), false
 		}
 	}
@@ -162,14 +191,11 @@ func (t *keyTable) getOrInsertFixed1(h uint64, cell uint64, tag byte) (id int, f
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		s := t.slots[i]
 		if s == 0 {
-			t.slots[i] = int32(len(t.hashes) + 1)
-			t.hashes = append(room(t.hashes, 1), h)
 			t.cells = append(room(t.cells, 1), cell)
 			t.tags = append(room(t.tags, 1), tag)
-			return len(t.hashes) - 1, true
+			return t.enter(i), true
 		}
-		e := int(s - 1)
-		if t.hashes[e] == h && t.cells[e] == cell && t.tags[e] == tag {
+		if e := int(s - 1); t.cells[e] == cell && t.tags[e] == tag {
 			return e, false
 		}
 	}
@@ -182,8 +208,7 @@ func (t *keyTable) lookupFixed1(h uint64, cell uint64, tag byte) int {
 		if s == 0 {
 			return -1
 		}
-		e := int(s - 1)
-		if t.hashes[e] == h && t.cells[e] == cell && t.tags[e] == tag {
+		if e := int(s - 1); t.cells[e] == cell && t.tags[e] == tag {
 			return e
 		}
 	}
@@ -196,7 +221,7 @@ func (t *keyTable) lookupFixed(h uint64, cells []uint64, tags []byte) int {
 		if s == 0 {
 			return -1
 		}
-		if t.hashes[s-1] == h && t.eqFixed(int(s-1), cells, tags) {
+		if t.eqFixed(int(s-1), cells, tags) {
 			return int(s - 1)
 		}
 	}
@@ -213,11 +238,10 @@ func (t *keyTable) getOrInsertBytes(h uint64, key []byte) (id int, fresh bool) {
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		s := t.slots[i]
 		if s == 0 {
-			t.slots[i] = int32(len(t.hashes) + 1)
 			t.hashes = append(room(t.hashes, 1), h)
 			t.arena = append(room(t.arena, len(key)), key...)
 			t.offs = append(room(t.offs, 1), uint32(len(t.arena)))
-			return len(t.hashes) - 1, true
+			return t.enter(i), true
 		}
 		if t.hashes[s-1] == h && bytes.Equal(t.entryBytes(int(s-1)), key) {
 			return int(s - 1), false
@@ -236,6 +260,80 @@ func (t *keyTable) lookupBytes(h uint64, key []byte) int {
 			return int(s - 1)
 		}
 	}
+}
+
+// appendKeys stores the key of every row of p, in row order, as the table's
+// next entries, and enters none of them into the slot array (link does). A row
+// with a NULL key column is stored too — as an empty encoding in the bytes
+// layout — so that entry ids stay row positions; nullKey tells it apart. bk is
+// the caller's hashing scratch.
+func (t *keyTable) appendKeys(p *block.Page, cols []int, bk *batchKeys) {
+	n := p.RowCount()
+	if t.fixed {
+		at, end := t.n*t.nk, (t.n+n)*t.nk
+		t.cells, t.tags = room(t.cells, n*t.nk)[:end], room(t.tags, n*t.nk)[:end]
+		bk.dicts = extend(bk.dicts, t.nk)
+		for k, c := range cols {
+			normCol(p.Col(c), t.cells[at:], t.tags[at:], k, t.nk, n, &bk.dicts[k])
+		}
+	} else {
+		bk.reset(p, cols, false)
+		t.hashes = append(room(t.hashes, n), bk.hashes...)
+		t.offs = room(t.offs, n)
+		for r := 0; r < n; r++ {
+			if !rowKeyNull(p, r, cols) {
+				bk.buf = encodeRowKey(bk.buf[:0], p, r, cols)
+				t.arena = append(room(t.arena, len(bk.buf)), bk.buf...)
+			}
+			t.offs = append(t.offs, uint32(len(t.arena)))
+		}
+	}
+	t.n += n
+}
+
+// nullKey reports whether entry e, stored by appendKeys, has a NULL key
+// column: its row never matches an equi-join and is never linked.
+func (t *keyTable) nullKey(e int) bool {
+	if !t.fixed {
+		return t.offs[e] == t.offs[e+1]
+	}
+	for _, tag := range t.tags[e*t.nk : (e+1)*t.nk] {
+		if tag == cellNull {
+			return true
+		}
+	}
+	return false
+}
+
+// link enters entry e, stored by appendKeys, into the slot array: into an
+// empty slot, returning -1, or into the slot of the entry with an equal key,
+// returning that entry's id. Linking a build's rows last to first thus leaves
+// every slot on its key's first row.
+func (t *keyTable) link(e int) int {
+	h := t.hash(e)
+	for i := h & t.mask; ; i = (i + 1) & t.mask {
+		s := t.slots[i]
+		if s == 0 {
+			t.slots[i] = int32(e + 1)
+			t.keys++
+			return -1
+		}
+		if q := int(s - 1); t.sameKey(q, e) {
+			t.slots[i] = int32(e + 1)
+			return q
+		}
+	}
+}
+
+// sameKey reports whether entries q and e hold equal keys.
+func (t *keyTable) sameKey(q, e int) bool {
+	switch {
+	case !t.fixed:
+		return t.hashes[q] == t.hashes[e] && bytes.Equal(t.entryBytes(q), t.entryBytes(e))
+	case t.nk == 1:
+		return t.cells[q] == t.cells[e] && t.tags[q] == t.tags[e]
+	}
+	return t.eqFixed(q, t.cells[e*t.nk:(e+1)*t.nk], t.tags[e*t.nk:(e+1)*t.nk])
 }
 
 // cellBlock gives key column k of the selected entries back from their

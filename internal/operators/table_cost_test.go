@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/block"
+	"repro/internal/expr"
 	"repro/internal/memory"
 	"repro/internal/plan"
 	"repro/internal/types"
@@ -93,8 +94,9 @@ func allocated(fn func()) int64 {
 
 // TestGroupTableBytesPerGroup: a fresh fixed-key group costs its columns and
 // nothing per group on top. Building 100 000 groups allocates, over the whole
-// life of the table and doubling included, at most 64 bytes a group for the
-// key table plus 24 for each aggregate; and a table is sized by its groups,
+// life of the table and doubling included, at most 48 bytes a group for the
+// key table (its slots and a cell and a tag; 64 while it stored a hash too)
+// plus 24 for each aggregate; and a table is sized by its groups,
 // not by a chunk: four groups under eight aggregates take under 8 KB (three
 // 256-group arenas took ~315 KB).
 func TestGroupTableBytesPerGroup(t *testing.T) {
@@ -110,15 +112,15 @@ func TestGroupTableBytesPerGroup(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		specs []AggSpec
-		// ceiling per group: the issue's 64 + 24 per aggregate where an
-		// aggregate is one 8-byte vector; a sum (count and sum) and a max
+		// ceiling per group: 48 + 24 per aggregate where an aggregate is
+		// one 8-byte vector; a sum (count and sum) and a max
 		// (value and mask) hold 33 bytes between them and 100 000 groups fall
 		// where doubling has allocated 2.62 elements per entry, so that shape
 		// is held to what it measures plus a tenth.
 		ceiling int64
 	}{
-		{"three counts", counts, 64 + 24*3},
-		{"count, sum, max", threeAggs, 170},
+		{"three counts", counts, 48 + 24*3},
+		{"count, sum, max", threeAggs, 143},
 	} {
 		op := NewHashAggregation(NopContext(), []int{0}, []types.Type{types.Bigint}, tc.specs, false, 0, 0)
 		var pages []*block.Page
@@ -173,15 +175,15 @@ func buildKeyPages(rows, keys int) []*block.Page {
 
 // TestJoinBuildBytesPerRow: what a build allocates beyond the pages it
 // retains is the index sized once from its row count — 4-byte slots under a
-// 3/4 load factor, a hash, a cell and a tag per key slot, a key id and a row
-// address per row, an offset per key — and nothing per key or per page. The
-// traffic is builds with as many keys as rows (18 of the benchmark's 20):
-// 200 000 rows of 200 000 keys allocate 44 bytes a row, where inserting page
-// by page into a table that doubled allocated 81. The price is the build with
-// many rows a key: the table is sized before a key is hashed, so from the
-// rows, and 200 000 rows of 12 500 keys allocate 40 bytes a row where doubling
-// to 12 500 entries allocated 16. No heuristic hides that: nothing measured
-// needs one (DESIGN.md, "The join build's row list").
+// 3/4 load factor, a cell and a tag per row, and a 4-byte link per row only
+// once a key repeats — and nothing per key or per page. The traffic is builds
+// with as many keys as rows (14 of join_local's 16): 200 000 rows of 200 000
+// keys allocate 19.5 bytes a row, where the key-id table with a row list
+// beside it allocated 44 and inserting page by page into a table that doubled
+// 81. The table is sized before a key is hashed, so from the rows: 200 000
+// rows of 12 500 keys allocate 23.5 bytes a row (40 with the row list), where
+// doubling to 12 500 entries allocated 16. No heuristic hides that: nothing
+// measured needs one (DESIGN.md, "The join build's position table").
 func TestJoinBuildBytesPerRow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates")
@@ -192,14 +194,14 @@ func TestJoinBuildBytesPerRow(t *testing.T) {
 		keys    int
 		ceiling int64
 	}{
-		{"a row a key", rows, 46},
-		{"16 rows a key", rows / 16, 42},
+		{"a row a key", rows, 22},
+		{"16 rows a key", rows / 16, 26},
 	} {
 		pages := buildKeyPages(rows, tc.keys)
 		var bridge *JoinBridge
 		got := allocated(func() { bridge = buildBridge(t, []int{0}, pages...) }) / rows
-		if bridge.BuildRows() != rows || bridge.ktab.Len() != tc.keys {
-			t.Fatalf("%s: built %d rows under %d keys", tc.name, bridge.BuildRows(), bridge.ktab.Len())
+		if bridge.BuildRows() != rows || bridge.ktab.keys != tc.keys {
+			t.Fatalf("%s: built %d rows under %d keys", tc.name, bridge.BuildRows(), bridge.ktab.keys)
 		}
 		t.Logf("%s: %d bytes of index allocated per build row", tc.name, got)
 		if got > tc.ceiling {
@@ -208,11 +210,12 @@ func TestJoinBuildBytesPerRow(t *testing.T) {
 	}
 }
 
-// TestJoinBuildAllocatesOnce: a build of 200 000 rows creates its key table
-// at its final size. Had an insert grown the slot array or reallocated a
-// vector, that array would be a doubled one and not the one newKeyTable made;
-// and the whole build allocates what buildIndexBytes reserved for it, plus the
-// page-sized hashing scratch.
+// TestJoinBuildAllocatesOnce: a build of 200 000 unique-key rows creates its
+// key table at its final size. Had a page's keys grown the slot array or
+// reallocated a vector, that array would be a doubled one and not the one
+// newKeyTable made; a fixed-layout table holds no hash vector, and no key
+// repeats, so there are no links. The whole build allocates what
+// buildIndexBytes reserved for it, plus the page-sized hashing scratch.
 func TestJoinBuildAllocatesOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates")
@@ -225,9 +228,12 @@ func TestJoinBuildAllocatesOnce(t *testing.T) {
 	if len(tab.slots) != len(sized.slots) {
 		t.Errorf("slot array grew: %d slots, sized for %d", len(tab.slots), len(sized.slots))
 	}
-	if cap(tab.hashes) != cap(sized.hashes) || cap(tab.cells) != cap(sized.cells) || cap(tab.tags) != cap(sized.tags) {
-		t.Errorf("a key vector was reallocated: capacities %d/%d/%d, sized %d/%d/%d",
-			cap(tab.hashes), cap(tab.cells), cap(tab.tags), cap(sized.hashes), cap(sized.cells), cap(sized.tags))
+	if cap(tab.cells) != cap(sized.cells) || cap(tab.tags) != cap(sized.tags) || tab.Len() != rows {
+		t.Errorf("a key vector was reallocated: capacities %d/%d for %d rows, sized %d/%d",
+			cap(tab.cells), cap(tab.tags), tab.Len(), cap(sized.cells), cap(sized.tags))
+	}
+	if tab.hashes != nil || bridge.next != nil {
+		t.Errorf("a unique fixed-key build holds %d hashes and %d links", cap(tab.hashes), cap(bridge.next))
 	}
 	if sized.memBytes() != keyTableBytes(true, 1, rows) {
 		t.Errorf("a sized table holds %d bytes, keyTableBytes says %d", sized.memBytes(), keyTableBytes(true, 1, rows))
@@ -282,10 +288,58 @@ func TestJoinBuildAccountingMatchesHeap(t *testing.T) {
 	if lo, hi := float64(grown)/1.25, float64(grown)*1.25; float64(reserved) < lo || float64(reserved) > hi {
 		t.Errorf("reserved %d bytes for a build of %d: want within 1.25x", reserved, grown)
 	}
-	if want := pageBytes + bridge.ktab.memBytes() + int64(8*cap(bridge.krows)+4*cap(bridge.rowOff)); reserved != want {
+	if want := pageBytes + bridge.indexBytes(); reserved != want {
 		t.Errorf("built: %d bytes reserved, the pages and the index hold %d", reserved, want)
 	}
 	runtime.KeepAlive(bridge)
+}
+
+// TestKeylessProbeAllocationFlat: a keyless join — a residual-only ANTI join
+// here, whose output is its probe rows whatever the build — walks the build's
+// positions for every probe row and allocates nothing per build row: a probe
+// page against 100 000 build rows allocates what one against 1 000 does, give
+// or take a kilobyte (1 064 bytes both, measured). A ten-row probe page used to
+// allocate 28 MB against 100 000 build rows: a (page, row) address per build
+// row in a slice it doubled, and the candidate row converted to an expr.Row
+// for every residual it was put to.
+func TestKeylessProbeAllocationFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	ts := []types.Type{types.Bigint, types.Bigint}
+	// The build payload is never negative: no candidate passes.
+	never := &expr.Compare{Op: expr.CmpLt, L: &expr.ColumnRef{Index: 3, T: types.Bigint}, R: expr.NewConst(types.BigintValue(0))}
+	probe := twoColPage(make([]int64, 10), make([]int64, 10))
+	perPage := func(rows int) int64 {
+		bridge := buildBridge(t, nil, buildKeyPages(rows, rows)...)
+		bridge.AddProbe()
+		bridge.NoMoreProbes()
+		op := NewLookupJoin(NopContext(), bridge, plan.AntiJoin, nil, never, ts, ts, 0)
+		page := func() {
+			if err := op.AddInput(probe); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				p, err := op.Output()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p == nil {
+					return
+				}
+				if p.RowCount() != probe.RowCount() {
+					t.Fatalf("an ANTI join no candidate passes emitted %d of %d probe rows", p.RowCount(), probe.RowCount())
+				}
+			}
+		}
+		page() // the first page makes the row sink
+		return allocated(page)
+	}
+	small, large := perPage(1_000), perPage(100_000)
+	t.Logf("a keyless probe page allocates %d bytes against 1 000 build rows, %d against 100 000", small, large)
+	if large > small+1024 {
+		t.Errorf("a keyless probe page allocates %d bytes against 100 000 build rows, %d against 1 000: it grows with the build", large, small)
+	}
 }
 
 // BenchmarkHashJoinBuildParallel times four build drivers feeding one bridge,

@@ -33,9 +33,11 @@
 #                             # page codec, orcish footers and sections,
 #                             # SQL parser, spill files and their index,
 #                             # exchange segments,
-#                             # dynamic-filter summary frames, and create
+#                             # dynamic-filter summary frames, create
 #                             # requests (fragments, compiled, plus task
-#                             # config)
+#                             # config), and the join position table
+#                             # (random keys and page sizes, every join
+#                             # type, against the per-row reference)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -147,7 +149,10 @@ go test -count=1 -run 'TestCodecAllocationCeilings' ./internal/block/
 go test -run '^$' -bench 'CodecEncodeRaw|CodecEncodeFlate|CodecDecodeRaw|CodecDecodeFlate' -benchtime 1x -benchmem ./internal/block/ > /dev/null
 
 echo "==> what a group, a build row and a probe row cost: allocation ceilings, accounting vs heap, a group table sized from its estimate, bench smoke (no -race, same reason)"
-go test -count=1 -v -run 'TestAggSpillAllocationCeiling|TestGroupTableBytesPerGroup|TestGroupTableAllocatesOnce|TestPresizedTableReservesWhatItHolds|TestPresizeIsAHint|TestFinishedAggregationDropsItsTable|TestJoinBuildBytesPerRow|TestJoinBuildAllocatesOnce|TestJoinProbeAllocationCeiling|TestHashAggAccountingMatchesHeap|TestJoinBuildAccountingMatchesHeap' ./internal/operators/ | grep -E '^(---|ok|FAIL|panic)|bytes'
+# A fixed-layout key table stores no hash (it rehashes its cells as batchKeys
+# hashes them), a join build indexes positions, and a keyless probe page
+# allocates nothing per build row.
+go test -count=1 -v -run 'TestAggSpillAllocationCeiling|TestGroupTableBytesPerGroup|TestGroupTableAllocatesOnce|TestPresizedTableReservesWhatItHolds|TestPresizeIsAHint|TestFinishedAggregationDropsItsTable|TestFixedTableRehashesAsBatchKeys|TestJoinBuildBytesPerRow|TestJoinBuildAllocatesOnce|TestJoinProbeAllocationCeiling|TestKeylessProbeAllocationFlat|TestHashAggAccountingMatchesHeap|TestJoinBuildAccountingMatchesHeap' ./internal/operators/ | grep -E '^(---|ok|FAIL|panic)|bytes'
 go test -count=1 -run 'TestGroupsPerInstance' ./internal/exec/
 go test -count=1 -run 'TestGroupEstimate' .
 go test -run '^$' -bench 'AggSpillRevokeDrain|HashJoinProbeParallel' -benchtime 1x -benchmem ./internal/operators/ > /dev/null
@@ -165,6 +170,8 @@ if [ "$chaos_full" = 1 ]; then
 fi
 
 if [ "$fuzz" = 1 ]; then
+  echo "==> fuzz smoke: join position table against the per-row reference (10s)"
+  go test -run '^$' -fuzz '^FuzzJoinIndex$' -fuzztime 10s ./internal/operators/
   echo "==> fuzz smoke: page codec decode (10s)"
   go test -fuzz '^FuzzPageCodecDecode$' -fuzztime 10s ./internal/block/
   echo "==> fuzz smoke: page codec round trip (10s)"

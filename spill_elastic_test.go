@@ -103,17 +103,18 @@ func spillBaselineRows(t *testing.T) (map[string][]string, int64) {
 	return spillBaseline.rows, spillBaseline.peak
 }
 
+// spillCapFloor is the least per-node user limit a capped spill test runs
+// under: under a third of what the three statements reserve at this scale
+// (~86 KB), so the aggregations and the join build both spill, and room
+// enough for a page's worth of groups between two reservations.
+const spillCapFloor = 24 << 10
+
 // cappedCluster builds a spill-enabled cluster whose per-node user limit is
 // the given fraction of the measured uncapped working set, but no less than
-// 32 KB: a third of what the three statements reserve at this scale (~97 KB),
-// so the aggregations and the join build both spill, and room enough for a
-// page's worth of groups between two reservations.
+// spillCapFloor.
 func cappedCluster(t *testing.T, peak int64, frac int64, extra func(*ClusterConfig)) *Cluster {
 	t.Helper()
-	cap := peak / frac
-	if cap < 32<<10 {
-		cap = 32 << 10
-	}
+	cap := max(peak/frac, spillCapFloor)
 	cfg := ClusterConfig{
 		Workers:                 2,
 		ThreadsPerWorker:        2,
@@ -540,10 +541,7 @@ func TestSpillDisabledGlobalStillCleanOOM(t *testing.T) {
 // the workers must actually have spilled.
 func TestDistributedSpillDifferential(t *testing.T) {
 	base, peak := spillBaselineRows(t)
-	cap := peak / 8
-	if cap < 32<<10 {
-		cap = 32 << 10
-	}
+	cap := max(peak/8, spillCapFloor)
 	spillBase := spill.CurrentStats()
 	d := newDistClusterSpill(t, 2, nil, &distSpillConfig{dir: t.TempDir(), perNodeCap: cap})
 	d.catalog.Register(workload.LoadTPCHMemory("tpch", spillScale))

@@ -92,7 +92,7 @@ func TestClusterSwitchMatchesSession(t *testing.T) {
 		{name: "spill", sw: exec.DisableSpill,
 			cluster: func(cfg *ClusterConfig) { cfg.SpillEnabled = false },
 			base: func(cfg *ClusterConfig) {
-				cfg.SpillEnabled, cfg.SpillDir, cfg.PerNodeQueryMemoryBytes = true, t.TempDir(), 32<<10
+				cfg.SpillEnabled, cfg.SpillDir, cfg.PerNodeQueryMemoryBytes = true, t.TempDir(), spillCapFloor
 			},
 			session: exec.DisableResultCache,
 			observe: func(t *testing.T, c *Cluster, s Session) []any {
