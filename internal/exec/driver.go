@@ -203,12 +203,22 @@ func (d *Driver) sampleMem() {
 	}
 }
 
-// finishDriver completes the driver: closes operators, takes a final memory
-// sample (operators release on Close), and records the driver's lifetime as
-// wall time on every operator of the pipeline.
+// finishDriver completes the driver — finished, failed or panicked: closes
+// operators, takes a final memory sample (operators release on Close), and
+// records the driver's lifetime as wall time on every operator of the
+// pipeline. It is also the one place scratch goes back to the pool: the
+// arenas of the driver's operators are released here, on the goroutine that
+// ran the driver's last step, after which nothing runs the operators again.
 func (d *Driver) finishDriver(now time.Time) {
 	d.finished = true
-	d.closeAll()
+	for _, op := range d.ops {
+		op.Close()
+	}
+	for _, op := range d.ops {
+		if s, ok := op.(operators.ScratchHolder); ok {
+			s.Scratch().Release()
+		}
+	}
 	d.sampleMem()
 	if d.stats != nil && !d.wallRecorded {
 		d.wallRecorded = true
@@ -306,18 +316,4 @@ func (d *Driver) iterate() bool {
 		}
 	}
 	return moved
-}
-
-func (d *Driver) closeAll() {
-	for _, op := range d.ops {
-		op.Close()
-	}
-}
-
-// Abort terminates the driver, closing all operators.
-func (d *Driver) Abort() {
-	if !d.finished {
-		d.finished = true
-		d.closeAll()
-	}
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/connector"
 	"repro/internal/connectors/memconn"
 	"repro/internal/dynfilter"
+	"repro/internal/expr"
 	"repro/internal/memory"
 	"repro/internal/operators"
 	"repro/internal/plan"
@@ -70,6 +72,50 @@ func TestDriverPropagatesErrors(t *testing.T) {
 	}
 	if lastErr == nil || d.Err() == nil {
 		t.Error("driver should surface operator errors")
+	}
+}
+
+// keeper says it releases its input and keeps the last page all the same: a
+// consumer that reads a borrowed page late.
+type keeper struct {
+	passthrough
+	last *block.Page
+	seen int64
+}
+
+func (o *keeper) ReleasesInput() bool { return true }
+func (o *keeper) AddInput(p *block.Page) error {
+	o.last, o.seen = p, p.Col(0).Long(0)
+	return nil
+}
+
+// TestFinishedDriverPoisonsItsScratch: a driver gives its operators' scratch
+// back when it finishes, and with the poison on (as scripts/check.sh links it
+// under the differential walls) every vector it gives back is poisoned, so a
+// page read after its driver finished — a filter/project's lent output here —
+// reads values no input holds.
+func TestFinishedDriverPoisonsItsScratch(t *testing.T) {
+	was := block.PoisonScratch(true)
+	t.Cleanup(func() { block.PoisonScratch(was) })
+	src := operators.NewValuesOperator([][]types.Value{{types.BigintValue(1)}, {types.BigintValue(2)}, {types.BigintValue(3)}}, []types.Type{types.Bigint})
+	pred := &expr.Compare{Op: expr.CmpGt, L: col(0, types.Bigint), R: lit(types.BigintValue(1))}
+	fp := operators.NewFilterProject(operators.NopContext(), expr.NewPageProcessor(pred, []expr.Expr{col(0, types.Bigint)}))
+	sink := &keeper{}
+	lendOutputs([]operators.Operator{fp, sink})
+	if !fp.Processor().BorrowsOutput() {
+		t.Fatal("the processor does not lend to a consumer that releases its input")
+	}
+	d := NewDriver([]operators.Operator{src, fp, sink})
+	for i := 0; i < 100 && !d.Finished(); i++ {
+		if _, err := d.Process(time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !d.Finished() || sink.seen != 2 {
+		t.Fatalf("finished %v, the sink read %d; want a finished driver and 2", d.Finished(), sink.seen)
+	}
+	if got := sink.last.Col(0).Long(0); got != math.MinInt64 {
+		t.Errorf("a lent page read after its driver finished gives %d, want the poison", got)
 	}
 }
 

@@ -10,12 +10,11 @@ import (
 // vectorized kernels cover run as a kernel tree specialized to the
 // expression (constants folded in, type dispatch done once, monomorphic
 // inner loops); everything else runs on the tree-walking interpreter, which
-// stays the semantic reference. An Evaluator reuses scratch buffers across
-// pages and is not safe for concurrent use.
+// stays the semantic reference. An Evaluator holds no mutable state, so one
+// may serve any number of goroutines.
 type Evaluator struct {
 	e   Expr
 	vec *vecProjector // nil: interpreted
-	it  Interpreter
 }
 
 // Compile builds an evaluator for e, specialized where the kernels cover it.
@@ -30,16 +29,21 @@ func InterpretOnly(e Expr) *Evaluator {
 }
 
 // EvalPage computes the output column for every row of p.
-func (ev *Evaluator) EvalPage(p *block.Page) (block.Block, error) {
+func (ev *Evaluator) EvalPage(p *block.Page) (block.Block, error) { return ev.evalPage(p, nil) }
+
+// evalPage is EvalPage with the kernels' temporaries leased from scratch; the
+// output block is the caller's.
+func (ev *Evaluator) evalPage(p *block.Page, scratch *block.Arena) (block.Block, error) {
 	n := p.RowCount()
 	if ev.vec != nil {
-		return ev.vec.eval(&vecInput{p: p, n: n}, false)
+		return ev.vec.eval(&vecInput{p: p, n: n, scratch: scratch}, false)
 	}
+	var it Interpreter
 	vals := make([]types.Value, n)
 	row := pageRow{p: p}
 	for i := range vals {
 		row.row = i
-		v, err := ev.it.Eval(ev.e, &row)
+		v, err := it.Eval(ev.e, &row)
 		if err != nil {
 			return nil, err
 		}

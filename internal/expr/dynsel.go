@@ -15,9 +15,10 @@ import (
 // keys never pass (they cannot match any build row, and filters only attach
 // to join types whose output drops unmatched probe rows).
 
-// SelVector is the exported selection-kernel shape (vecfilter's internal
-// selFn): append to out the rows of in that pass.
-type SelVector = func(p *block.Page, in []int, out []int) []int
+// SelVector is the exported name of the selection-kernel shape (vecfilter's
+// selFn): another package holds the kernels and hands them to a processor
+// (PageProcessor.SetDynamicFilters), which runs them.
+type SelVector = selFn
 
 // DynFilterSel builds a selection kernel testing column idx of type t
 // against the summary. A disabled summary selects everything.
@@ -40,12 +41,12 @@ func DynFilterSel(idx int, t types.Type, s *dynfilter.Summary) SelVector {
 }
 
 func dynSelLong(idx int, s *dynfilter.Summary) SelVector {
-	return func(p *block.Page, in, out []int) []int {
-		b := unwrapLazy(p.Col(idx))
+	return func(in *vecInput, rows, out []int) []int {
+		b := unwrapLazy(in.p.Col(idx))
 		switch col := b.(type) {
 		case *block.LongBlock:
 			nulls := col.Nulls
-			for _, r := range in {
+			for _, r := range rows {
 				if nulls != nil && nulls[r] {
 					continue
 				}
@@ -56,23 +57,23 @@ func dynSelLong(idx int, s *dynfilter.Summary) SelVector {
 			return out
 		case *block.RLEBlock:
 			if !col.Val.IsNull(0) && s.MatchLong(col.Val.Long(0)) {
-				return append(out, in...)
+				return append(out, rows...)
 			}
 			return out
 		case *block.DictionaryBlock:
 			d := col.Dict
-			verdict := make([]bool, d.Len())
+			verdict := block.Lease[bool](in.scratch, d.Len())
 			for k := range verdict {
 				verdict[k] = !d.IsNull(k) && s.MatchLong(d.Long(k))
 			}
-			for _, r := range in {
+			for _, r := range rows {
 				if verdict[col.Indices[r]] {
 					out = append(out, r)
 				}
 			}
 			return out
 		default:
-			for _, r := range in {
+			for _, r := range rows {
 				if !b.IsNull(r) && s.MatchLong(b.Long(r)) {
 					out = append(out, r)
 				}
@@ -83,12 +84,12 @@ func dynSelLong(idx int, s *dynfilter.Summary) SelVector {
 }
 
 func dynSelDouble(idx int, s *dynfilter.Summary) SelVector {
-	return func(p *block.Page, in, out []int) []int {
-		b := unwrapLazy(p.Col(idx))
+	return func(in *vecInput, rows, out []int) []int {
+		b := unwrapLazy(in.p.Col(idx))
 		switch col := b.(type) {
 		case *block.DoubleBlock:
 			nulls := col.Nulls
-			for _, r := range in {
+			for _, r := range rows {
 				if nulls != nil && nulls[r] {
 					continue
 				}
@@ -100,7 +101,7 @@ func dynSelDouble(idx int, s *dynfilter.Summary) SelVector {
 		case *block.LongBlock:
 			// Bigint/Date probe column joined against a double build key.
 			nulls := col.Nulls
-			for _, r := range in {
+			for _, r := range rows {
 				if nulls != nil && nulls[r] {
 					continue
 				}
@@ -111,23 +112,23 @@ func dynSelDouble(idx int, s *dynfilter.Summary) SelVector {
 			return out
 		case *block.RLEBlock:
 			if !col.Val.IsNull(0) && s.MatchValue(col.Val.Value(0)) {
-				return append(out, in...)
+				return append(out, rows...)
 			}
 			return out
 		case *block.DictionaryBlock:
 			d := col.Dict
-			verdict := make([]bool, d.Len())
+			verdict := block.Lease[bool](in.scratch, d.Len())
 			for k := range verdict {
 				verdict[k] = !d.IsNull(k) && s.MatchValue(d.Value(k))
 			}
-			for _, r := range in {
+			for _, r := range rows {
 				if verdict[col.Indices[r]] {
 					out = append(out, r)
 				}
 			}
 			return out
 		default:
-			for _, r := range in {
+			for _, r := range rows {
 				if !b.IsNull(r) && s.MatchValue(b.Value(r)) {
 					out = append(out, r)
 				}
@@ -138,12 +139,12 @@ func dynSelDouble(idx int, s *dynfilter.Summary) SelVector {
 }
 
 func dynSelStr(idx int, s *dynfilter.Summary) SelVector {
-	return func(p *block.Page, in, out []int) []int {
-		b := unwrapLazy(p.Col(idx))
+	return func(in *vecInput, rows, out []int) []int {
+		b := unwrapLazy(in.p.Col(idx))
 		switch col := b.(type) {
 		case *block.VarcharBlock:
 			nulls := col.Nulls
-			for _, r := range in {
+			for _, r := range rows {
 				if nulls != nil && nulls[r] {
 					continue
 				}
@@ -154,23 +155,23 @@ func dynSelStr(idx int, s *dynfilter.Summary) SelVector {
 			return out
 		case *block.RLEBlock:
 			if !col.Val.IsNull(0) && s.MatchStr(col.Val.Str(0)) {
-				return append(out, in...)
+				return append(out, rows...)
 			}
 			return out
 		case *block.DictionaryBlock:
 			d := col.Dict
-			verdict := make([]bool, d.Len())
+			verdict := block.Lease[bool](in.scratch, d.Len())
 			for k := range verdict {
 				verdict[k] = !d.IsNull(k) && s.MatchStr(d.Str(k))
 			}
-			for _, r := range in {
+			for _, r := range rows {
 				if verdict[col.Indices[r]] {
 					out = append(out, r)
 				}
 			}
 			return out
 		default:
-			for _, r := range in {
+			for _, r := range rows {
 				if !b.IsNull(r) && s.MatchStr(b.Str(r)) {
 					out = append(out, r)
 				}
@@ -181,15 +182,15 @@ func dynSelStr(idx int, s *dynfilter.Summary) SelVector {
 }
 
 func dynSelBool(idx int, s *dynfilter.Summary) SelVector {
-	return func(p *block.Page, in, out []int) []int {
-		b := unwrapLazy(p.Col(idx))
+	return func(in *vecInput, rows, out []int) []int {
+		b := unwrapLazy(in.p.Col(idx))
 		if col, ok := b.(*block.RLEBlock); ok {
 			if !col.Val.IsNull(0) && s.MatchBool(col.Val.Bool(0)) {
-				return append(out, in...)
+				return append(out, rows...)
 			}
 			return out
 		}
-		for _, r := range in {
+		for _, r := range rows {
 			if !b.IsNull(r) && s.MatchBool(b.Bool(r)) {
 				out = append(out, r)
 			}

@@ -1,11 +1,14 @@
 package expr
 
-import "testing"
+import (
+	"testing"
 
-// PoisonBorrowedPages turns the borrowed-page poison on for the rest of the
-// test (see poisonBorrowed).
+	"repro/internal/block"
+)
+
+// PoisonBorrowedPages turns the poisoning of taken-back scratch vectors on
+// for the rest of the test (see poisonBorrowed).
 func PoisonBorrowedPages(t testing.TB) {
-	old := poisonBorrowed
-	poisonBorrowed = "on"
-	t.Cleanup(func() { poisonBorrowed = old })
+	was := block.PoisonScratch(true)
+	t.Cleanup(func() { block.PoisonScratch(was) })
 }

@@ -1,7 +1,6 @@
 package expr
 
 import (
-	"math"
 	"sync/atomic"
 
 	"repro/internal/block"
@@ -21,37 +20,25 @@ import (
 // interpreter is the fallback for everything else and the ablation baseline
 // (NewInterpretedPageProcessor).
 type PageProcessor struct {
-	filterExpr  Expr  // nil means no filter
-	filter      selFn // selection kernels, or the interpreter over filterExpr
-	filterCols  []int // column indices referenced by the filter
-	projections []*Evaluator
-	identCol    []int   // input column a projection passes through, or -1
-	identFirst  []int   // first projection passing the same input column through (itself if none earlier)
-	projInputs  [][]int // referenced column indices per projection
-	projConst   []bool  // deterministic zero-input projections (RLE output)
-	projEncoded []bool  // deterministic projections of 1..maxDictInputs columns: one result per combination of their entries
+	*pageProgram
 
 	// dyn, when set, returns the dynamic-filter selection kernels to run
 	// ahead of the filter: this page's, so a summary that arrives between two
 	// pages of a split filters the second (SetDynamicFilters).
 	dyn func() []SelVector
 
-	selOut []int // selection output buffer, grown by the rows that survive
-	selTmp []int // the second output buffer a chain of selections alternates with
-
 	// borrow: the output page is read before the next Process call and not
-	// after, so its arrays can be the projectors' own (BorrowOutput).
+	// after, so its arrays can be leased from scratch (BorrowOutput).
 	borrow bool
 
-	// Vectorized projection state: one projector per covered projection
-	// (nil entries run on the interpreter), the CSE slots in evaluation
-	// order, which slots covered projections actually reference, and the
-	// per-page evaluation context.
-	projVec        []*vecProjector
-	cseSlots       []*cseSlot
-	slotNeeded     []bool
-	cseHitsPerPage int64
-	vin            vecInput
+	// scratch lends every vector a page needs: the kernels' temporaries, the
+	// selection chain's outputs, CSE slot outputs and, under BorrowOutput, the
+	// output vectors. Process rewinds it; the driver that runs the processor
+	// releases it when it finishes (Scratch).
+	scratch block.Arena
+	// vin is the page's evaluation context; its memo slots keep the selection
+	// kernels' dictionary verdicts from page to page.
+	vin vecInput
 
 	// constVal caches the 1-row result of each constant projection.
 	constVal []block.Block
@@ -63,10 +50,6 @@ type PageProcessor struct {
 	// cycle through few distinct dictionaries, so recency ~= insertion).
 	dictCache map[dictCacheKey]block.Block
 	dictOrder []dictCacheKey
-	// dictIdx holds, per projection, the index vector of a dictionary output
-	// while output is borrowed (BorrowOutput); it is refilled for the next
-	// page. Made when the first dictionary output is.
-	dictIdx [][]int32
 
 	// rleFiller caches the placeholder column of the pages the dictionary/RLE
 	// fast paths evaluate over, instead of allocating one per call.
@@ -75,6 +58,32 @@ type PageProcessor struct {
 
 	// Stats observed by the lazy-loading and compressed-execution benches.
 	Stats ProcessorStats
+}
+
+// pageProgram is a compiled filter and projection list. It holds no mutable
+// state: a kernel leases its temporaries from the evaluating processor's
+// arena and keeps its dictionary verdicts in the processor's memo slots, so
+// one program can serve processors on any number of goroutines.
+type pageProgram struct {
+	filterExpr  Expr  // nil means no filter
+	filter      selFn // selection kernels, or the interpreter over filterExpr
+	filterCols  []int // column indices referenced by the filter
+	memos       int   // memo slots the filter's kernels use (selCompiler)
+	projections []*Evaluator
+	identCol    []int   // input column a projection passes through, or -1
+	identFirst  []int   // first projection passing the same input column through (itself if none earlier)
+	projInputs  [][]int // referenced column indices per projection
+	projConst   []bool  // deterministic zero-input projections (RLE output)
+	projEncoded []bool  // deterministic projections of 1..maxDictInputs columns: one result per combination of their entries
+
+	// Vectorized projection state: one projector per covered projection
+	// (nil entries run on the interpreter), the CSE slots in evaluation
+	// order, which slots covered projections actually reference, and the
+	// shared-subtree evaluations a page saves.
+	projVec        []*vecProjector
+	cseSlots       []*cseSlot
+	slotNeeded     []bool
+	cseHitsPerPage int64
 }
 
 // maxDictInputs is how many dictionary-encoded input columns a projection may
@@ -109,62 +118,81 @@ type ProcessorStats struct {
 	CellsProcessed int64
 }
 
-// poisonBorrowed, when not empty, makes a borrowing processor overwrite its
-// output vectors at the start of every Process, so that a consumer that kept
-// part of a borrowed page past its time reads values no input holds. Nothing
-// but tests turns it on: this package's through export_test.go, and
-// scripts/check.sh by linking it on (-ldflags -X) under the aggregation
-// differential walls of the other packages.
+// poisonBorrowed, when not empty, makes every arena poison the vectors it
+// takes back (block.PoisonScratch): a borrowing processor's output vectors at
+// the start of every Process, a lending join's at every output page, and
+// every scratch vector when its driver finishes, so that a consumer that kept
+// part of a borrowed page past its time, or anyone who kept a vector past its
+// lease, reads values no input holds. Nothing but tests turns it on: this
+// package's through export_test.go, and scripts/check.sh by linking it on
+// (-ldflags -X) under the differential walls of the other packages.
 var poisonBorrowed string
 
-// PoisonsBorrowed reports whether the borrowed-page poison is on; an operator
-// outside this package that lends its output (the lookup join) asks before
-// every page and overwrites its lent vectors with PoisonVectors.
-func PoisonsBorrowed() bool { return poisonBorrowed != "" }
+func init() {
+	if poisonBorrowed != "" {
+		block.PoisonScratch(true)
+	}
+}
 
 // NewPageProcessor compiles filter (may be nil) and projections. The pages
 // it returns are owned by the caller and immutable, unless BorrowOutput says
 // otherwise.
 func NewPageProcessor(filter Expr, projections []Expr) *PageProcessor {
-	pp := newPageProcessor(filter, projections, Compile)
+	return newProcessor(compileProgram(filter, projections))
+}
+
+// compileProgram compiles filter and projections onto the selection and
+// projection kernels.
+func compileProgram(filter Expr, projections []Expr) *pageProgram {
+	prog := newProgram(filter, projections, Compile)
 	if filter != nil {
-		pp.filter = compileSel(filter, false)
+		var c selCompiler
+		prog.filter = c.compileSel(filter, false)
+		prog.memos = c.memos
 	}
 	for i, e := range projections {
-		pp.projConst[i] = len(pp.projInputs[i]) == 0 && IsDeterministic(e)
+		prog.projConst[i] = len(prog.projInputs[i]) == 0 && IsDeterministic(e)
 	}
-	pp.compileVectorized(projections)
-	return pp
+	prog.compileVectorized(projections)
+	return prog
 }
 
 // NewInterpretedPageProcessor builds a processor that uses only the
 // interpreter — the baseline side of the codegen ablation.
 func NewInterpretedPageProcessor(filter Expr, projections []Expr) *PageProcessor {
-	pp := newPageProcessor(filter, projections, InterpretOnly)
-	pp.interpretFilter()
-	return pp
+	prog := newProgram(filter, projections, InterpretOnly)
+	prog.interpretFilter()
+	return newProcessor(prog)
 }
 
-func newPageProcessor(filter Expr, projections []Expr, evaluator func(Expr) *Evaluator) *PageProcessor {
-	pp := &PageProcessor{
+// newProcessor gives prog the state one processor keeps.
+func newProcessor(prog *pageProgram) *PageProcessor {
+	return &PageProcessor{
+		pageProgram: prog,
+		vin:         vecInput{memo: make([]dictSel, prog.memos)},
+		constVal:    make([]block.Block, len(prog.projections)),
 		dictCache:   make(map[dictCacheKey]block.Block),
+	}
+}
+
+func newProgram(filter Expr, projections []Expr, evaluator func(Expr) *Evaluator) *pageProgram {
+	prog := &pageProgram{
 		filterExpr:  filter,
 		projEncoded: make([]bool, 0, len(projections)),
 		projConst:   make([]bool, len(projections)),
-		constVal:    make([]block.Block, len(projections)),
 		projVec:     make([]*vecProjector, len(projections)),
 	}
 	if filter != nil {
-		pp.filterCols = Columns(filter)
+		prog.filterCols = Columns(filter)
 	}
 	firstIdent := map[int]int{}
 	for i, e := range projections {
-		pp.projections = append(pp.projections, evaluator(e))
+		prog.projections = append(prog.projections, evaluator(e))
 		inputs := Columns(e)
-		pp.projInputs = append(pp.projInputs, inputs)
+		prog.projInputs = append(prog.projInputs, inputs)
 		// One result per combination of entries is the result of every row
 		// only if equal inputs give equal outputs.
-		pp.projEncoded = append(pp.projEncoded, len(inputs) >= 1 && len(inputs) <= maxDictInputs && IsDeterministic(e))
+		prog.projEncoded = append(prog.projEncoded, len(inputs) >= 1 && len(inputs) <= maxDictInputs && IsDeterministic(e))
 		ident, first := -1, i
 		if c, ok := e.(*ColumnRef); ok {
 			ident = c.Index
@@ -174,23 +202,28 @@ func newPageProcessor(filter Expr, projections []Expr, evaluator func(Expr) *Eva
 				firstIdent[ident] = i
 			}
 		}
-		pp.identCol = append(pp.identCol, ident)
-		pp.identFirst = append(pp.identFirst, first)
+		prog.identCol = append(prog.identCol, ident)
+		prog.identFirst = append(prog.identFirst, first)
 	}
-	return pp
+	return prog
 }
 
 // BorrowOutput tells the processor, once and before its first page, that
 // whoever receives an output page is done with it, and with every array
 // under it, before the next Process call. Filtered pass-through columns and
-// kernel-evaluated projections are from then on written into vectors the
-// processor owns and overwrites for the next page, so a driver allocates them
-// once and not per page; the index vector of a dictionary output (a filtered
-// pass-through dictionary column, a projection evaluated by combination) is
-// lent under the same rule, its dictionary never. Everything else — an
-// unfiltered pass-through column, RLE and array outputs, interpreted
-// projections — stays an owned, immutable block as without the call.
+// kernel-evaluated projections are from then on written into vectors leased
+// from the processor's arena, which the next Process takes back; the index
+// vector of a dictionary output (a filtered pass-through dictionary column, a
+// projection evaluated by combination) is lent under the same rule, its
+// dictionary never. Everything else — an unfiltered pass-through column, RLE
+// and array outputs, interpreted projections — stays an owned, immutable
+// block as without the call.
 func (pp *PageProcessor) BorrowOutput() { pp.borrow = true }
+
+// Scratch is the arena the processor leases every vector of a page from. The
+// driver that runs the processor releases it when it finishes; a processor
+// nobody releases leaves its vectors to the collector.
+func (pp *PageProcessor) Scratch() *block.Arena { return &pp.scratch }
 
 // BorrowsOutput reports whether BorrowOutput has been called.
 func (pp *PageProcessor) BorrowsOutput() bool { return pp.borrow }
@@ -198,16 +231,16 @@ func (pp *PageProcessor) BorrowsOutput() bool { return pp.borrow }
 // compileVectorized plans CSE across the projection list and picks each
 // covered projection's projector: its evaluator's own when CSE left it
 // alone, one compiled over the rewritten expression when it reads a slot.
-func (pp *PageProcessor) compileVectorized(projections []Expr) {
+func (prog *pageProgram) compileVectorized(projections []Expr) {
 	rewritten, slots := planCSE(projections)
 	for i, e := range rewritten {
 		switch {
-		case pp.identCol[i] >= 0 || pp.projConst[i]:
+		case prog.identCol[i] >= 0 || prog.projConst[i]:
 			// identity and constant projections have dedicated paths
 		case countSlotRefs(e) == 0:
-			pp.projVec[i] = pp.projections[i].vec
+			prog.projVec[i] = prog.projections[i].vec
 		default:
-			pp.projVec[i] = compileVecProj(e)
+			prog.projVec[i] = compileVecProj(e)
 		}
 	}
 	if len(slots) == 0 {
@@ -218,7 +251,7 @@ func (pp *PageProcessor) compileVectorized(projections []Expr) {
 	// unrewritten expressions.
 	needed := make([]bool, len(slots))
 	for i, e := range rewritten {
-		if pp.projVec[i] != nil {
+		if prog.projVec[i] != nil {
 			markSlotRefs(e, needed)
 		}
 	}
@@ -229,7 +262,7 @@ func (pp *PageProcessor) compileVectorized(projections []Expr) {
 	}
 	refs, evals := 0, 0
 	for i, e := range rewritten {
-		if pp.projVec[i] != nil {
+		if prog.projVec[i] != nil {
 			refs += countSlotRefs(e)
 		}
 	}
@@ -242,15 +275,15 @@ func (pp *PageProcessor) compileVectorized(projections []Expr) {
 	if evals == 0 {
 		return
 	}
-	pp.cseSlots = slots
-	pp.slotNeeded = needed
-	pp.cseHitsPerPage = int64(refs - evals)
+	prog.cseSlots = slots
+	prog.slotNeeded = needed
+	prog.cseHitsPerPage = int64(refs - evals)
 }
 
-// interpretFilter runs this processor's filter on the interpreter.
-func (pp *PageProcessor) interpretFilter() {
-	if pp.filterExpr != nil {
-		pp.filter = selInterp(pp.filterExpr, false)
+// interpretFilter runs the program's filter on the interpreter.
+func (prog *pageProgram) interpretFilter() {
+	if prog.filterExpr != nil {
+		prog.filter = selInterp(prog.filterExpr, false)
 	}
 }
 
@@ -267,13 +300,11 @@ func (pp *PageProcessor) SetDynamicFilters(sels func() []SelVector) { pp.dyn = s
 func (pp *PageProcessor) Process(p *block.Page) (*block.Page, error) {
 	pp.Stats.PagesIn++
 	pp.Stats.RowsIn += int64(p.RowCount())
-	if pp.borrow && poisonBorrowed != "" {
-		pp.poisonOutput()
-	}
+	pp.start(p)
 	n := p.RowCount()
 	var selected []int
 	if pp.filter != nil || pp.dyn != nil {
-		selected = pp.selectRows(p)
+		selected = pp.selectRows()
 		if len(selected) == 0 {
 			return nil, nil
 		}
@@ -293,7 +324,7 @@ func (pp *PageProcessor) Process(p *block.Page) (*block.Page, error) {
 		return block.NewEmptyPage(outRows), nil
 	}
 
-	pp.vin = vecInput{p: p, sel: selected, n: outRows, shared: pp.vin.shared[:0]}
+	pp.vin.sel, pp.vin.n = selected, outRows
 	if len(pp.cseSlots) > 0 {
 		if err := pp.evalCSESlots(); err != nil {
 			return nil, err
@@ -337,9 +368,17 @@ func (pp *PageProcessor) evalCSESlots() error {
 	return nil
 }
 
+// start begins page p: the arena takes back what the previous page leased —
+// the vectors of a borrowed output page with it, whose window ends here — and
+// the evaluation context is set to every row of p.
+func (pp *PageProcessor) start(p *block.Page) {
+	pp.scratch.Rewind()
+	pp.vin = vecInput{p: p, n: p.RowCount(), shared: pp.vin.shared[:0], scratch: &pp.scratch, memo: pp.vin.memo}
+}
+
 // identity is the process-wide identity row vector 0, 1, 2, …: every
 // selection chain starts from a prefix of it. It is shared by all processors
-// on all goroutines, so it is read-only — a selection kernel reads in and
+// on all goroutines, so it is read-only — a selection kernel reads rows and
 // appends to out, never the reverse — and grows by publishing a longer copy.
 var identity atomic.Pointer[[]int]
 
@@ -359,24 +398,17 @@ func identityRows(n int) []int {
 	return v
 }
 
-// selectRows returns the rows of p that pass the dynamic filters and then the
-// filter. The result aliases processor-owned buffers (or the shared identity
-// vector) and is valid until the next page.
-func (pp *PageProcessor) selectRows(p *block.Page) []int {
-	n := p.RowCount()
-	// Each selection reads rows and appends to the buffer rows does not alias;
-	// the two output buffers then trade places. They start small and keep what
-	// append grew them to, so a selective read pays for the rows that survive
-	// and a full scan pays one doubling sequence on its first page.
-	rows, out, spare := identityRows(n), &pp.selOut, &pp.selTmp
-	run := func(sel selFn, in []int) []int {
-		if *out == nil {
-			*out = make([]int, 0, min(n, 64))
-		}
-		res := sel(p, in, (*out)[:0])
-		*out = res[:0]
-		out, spare = spare, out
-		return res
+// selectRows returns the rows of the page being processed that pass the
+// dynamic filters and then the filter. The result is leased from the arena
+// (or is the shared identity vector) and is valid until the next page.
+func (pp *PageProcessor) selectRows() []int {
+	in := &pp.vin
+	n := in.p.RowCount()
+	// Each selection reads rows and appends to a vector leased for as many
+	// rows, so a kernel's append never grows it.
+	rows := identityRows(n)
+	run := func(sel selFn, rows []int) []int {
+		return sel(in, rows, block.Lease[int](in.scratch, len(rows))[:0])
 	}
 	if pp.dyn != nil {
 		for _, sel := range pp.dyn() {
@@ -392,7 +424,7 @@ func (pp *PageProcessor) selectRows(p *block.Page) []int {
 	}
 	// RLE fast path: if every column the filter references is RLE the result
 	// is all-or-nothing; evaluate the first row only.
-	if pp.allFilterInputsRLE(p) {
+	if pp.allFilterInputsRLE(in.p) {
 		if len(run(pp.filter, rows[:1])) == 0 {
 			return nil
 		}
@@ -406,11 +438,11 @@ func (pp *PageProcessor) selectRows(p *block.Page) []int {
 // references is run-length encoded. Only referenced columns matter: a flat
 // payload column elsewhere in the page must not defeat the fast path, and a
 // const-only filter (no referenced columns) gets no fast path.
-func (pp *PageProcessor) allFilterInputsRLE(p *block.Page) bool {
-	if len(pp.filterCols) == 0 {
+func (prog *pageProgram) allFilterInputsRLE(p *block.Page) bool {
+	if len(prog.filterCols) == 0 {
 		return false
 	}
-	for _, c := range pp.filterCols {
+	for _, c := range prog.filterCols {
 		if _, ok := p.Col(c).(*block.RLEBlock); !ok {
 			return false
 		}
@@ -434,7 +466,7 @@ func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows i
 			return col, nil
 		}
 		if d, ok := col.(*block.DictionaryBlock); ok {
-			return block.NewDictionaryBlock(d.Dict, pp.composeIndices(i, []*block.DictionaryBlock{d}, selected)), nil
+			return block.NewDictionaryBlock(d.Dict, pp.composeIndices([]*block.DictionaryBlock{d}, selected)), nil
 		}
 		if vp := pp.projections[i].vec; pp.borrow && vp != nil && isFlat(unwrapLazy(col)) {
 			return vp.eval(&pp.vin, true)
@@ -461,7 +493,7 @@ func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows i
 	// RLE fast path: every referenced input is a single run, so the
 	// projection has one distinct result; evaluate it once.
 	if pp.projEncoded[i] && outRows > 0 && allInputsRLE(p, inputs) {
-		out, err := pp.projections[i].EvalPage(pp.rleRunPage(p, inputs))
+		out, err := pp.projections[i].evalPage(pp.rleRunPage(p, inputs), &pp.scratch)
 		if err != nil {
 			return nil, err
 		}
@@ -492,7 +524,7 @@ func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows i
 	}
 	pp.Stats.FullEvals++
 	pp.Stats.CellsProcessed += int64(in.RowCount() * len(inputs))
-	return pp.projections[i].EvalPage(in)
+	return pp.projections[i].evalPage(in, &pp.scratch)
 }
 
 // isFlat reports whether b is a plain typed block the column kernels gather
@@ -505,21 +537,6 @@ func isFlat(b block.Block) bool {
 	return false
 }
 
-// poisonOutput overwrites the vectors borrowed output pages view.
-func (pp *PageProcessor) poisonOutput() {
-	for i, vp := range pp.projVec {
-		if vp != nil {
-			vp.poison()
-		}
-		if ident := pp.projections[i].vec; ident != nil {
-			ident.poison()
-		}
-	}
-	for _, idx := range pp.dictIdx {
-		fillCap(idx, math.MinInt32) // addresses no dictionary entry
-	}
-}
-
 // constOne evaluates constant projection i once, caching the 1-row result.
 func (pp *PageProcessor) constOne(i int, p *block.Page) (block.Block, error) {
 	if pp.constVal[i] != nil {
@@ -529,7 +546,7 @@ func (pp *PageProcessor) constOne(i int, p *block.Page) (block.Block, error) {
 	if ncols == 0 {
 		ncols = 1 // the projection reads no columns; give the page a row
 	}
-	one, err := pp.projections[i].EvalPage(block.NewPage(pp.placeholderCols(ncols, 1)...))
+	one, err := pp.projections[i].evalPage(block.NewPage(pp.placeholderCols(ncols, 1)...), &pp.scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -573,7 +590,7 @@ func (pp *PageProcessor) projectDictionary(i int, p *block.Page, selected []int,
 		if combos > outRows {
 			return nil
 		}
-		out, err := pp.projections[i].EvalPage(pp.combinationPage(p.ColCount(), inputs, srcs[:len(inputs)], combos))
+		out, err := pp.projections[i].evalPage(pp.combinationPage(p.ColCount(), inputs, srcs[:len(inputs)], combos), &pp.scratch)
 		if err != nil {
 			return nil
 		}
@@ -590,14 +607,14 @@ func (pp *PageProcessor) projectDictionary(i int, p *block.Page, selected []int,
 		projDict = out
 	}
 	pp.Stats.DictRows += int64(outRows)
-	return block.NewDictionaryBlock(projDict, pp.composeIndices(i, srcs[:len(inputs)], selected))
+	return block.NewDictionaryBlock(projDict, pp.composeIndices(srcs[:len(inputs)], selected))
 }
 
 // composeIndices returns, for every surviving row, the index of its
 // combination of dictionary entries: the first input's index varies slowest.
 // One input under no selection is its own index vector; anything else is
-// written into a vector the processor lends when its output is borrowed.
-func (pp *PageProcessor) composeIndices(i int, srcs []*block.DictionaryBlock, selected []int) []int32 {
+// written into a vector leased from the arena when the output is borrowed.
+func (pp *PageProcessor) composeIndices(srcs []*block.DictionaryBlock, selected []int) []int32 {
 	first := srcs[0].Indices
 	if len(srcs) == 1 && selected == nil {
 		return first
@@ -608,11 +625,7 @@ func (pp *PageProcessor) composeIndices(i int, srcs []*block.DictionaryBlock, se
 	}
 	var out []int32
 	if pp.borrow {
-		if pp.dictIdx == nil {
-			pp.dictIdx = make([][]int32, len(pp.projections))
-		}
-		pp.dictIdx[i] = growSlice(pp.dictIdx[i], n)
-		out = pp.dictIdx[i]
+		out = block.Lease[int32](&pp.scratch, n)
 	} else {
 		out = make([]int32, n)
 	}

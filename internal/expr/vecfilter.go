@@ -2,6 +2,7 @@ package expr
 
 import (
 	"cmp"
+	"slices"
 
 	"repro/internal/block"
 	"repro/internal/types"
@@ -14,16 +15,32 @@ import (
 // inspects rows that survived the previous one; RLE inputs are decided once
 // per run and dictionary inputs once per distinct entry.
 
-// selFn evaluates a predicate over the rows listed in `in`, appending to
-// `out` the rows where the predicate is definitely true (or, when compiled
-// with neg=true, definitely false). Rows where the predicate is NULL are
-// never appended in either polarity, which is exactly SQL filter semantics
-// and makes NOT compilable by polarity flipping (De Morgan) instead of
-// three-valued negation.
-type selFn func(p *block.Page, in []int, out []int) []int
+// selFn evaluates a predicate over the rows of page in.p listed in rows,
+// appending to out the rows where the predicate is definitely true (or, when
+// compiled with neg=true, definitely false). Rows where the predicate is NULL
+// are never appended in either polarity, which is exactly SQL filter
+// semantics and makes NOT compilable by polarity flipping (De Morgan) instead
+// of three-valued negation. out has room for every row of rows, so append
+// never grows it. A kernel keeps no state of its own: its temporaries are
+// leased from in.scratch and its dictionary verdicts kept in in.memo.
+type selFn func(in *vecInput, rows, out []int) []int
 
-func selNone(_ *block.Page, _ []int, out []int) []int { return out }
-func selAll(_ *block.Page, in []int, out []int) []int { return append(out, in...) }
+func selNone(_ *vecInput, _ []int, out []int) []int   { return out }
+func selAll(_ *vecInput, rows []int, out []int) []int { return append(out, rows...) }
+
+// selCompiler compiles a predicate into selection kernels, and numbers the
+// kernels that keep a dictionary memo (selDict): the evaluating processor
+// gives each its slot of vecInput.memo, so that the compiled tree holds no
+// mutable state and one tree can serve processors on several goroutines.
+type selCompiler struct {
+	memos int
+}
+
+// memo hands out the next memo slot.
+func (c *selCompiler) memo() int {
+	c.memos++
+	return c.memos - 1
+}
 
 // compileSel builds a selection kernel for e. neg=true asks for the rows
 // where e is definitely false. It never fails: a sub-expression without a
@@ -31,8 +48,8 @@ func selAll(_ *block.Page, in []int, out []int) []int { return append(out, in...
 // the kernels do not cover at all runs on the interpreter; both are evaluated
 // only over the current selection, so composition with specialized siblings
 // stays cheap.
-func compileSel(e Expr, neg bool) selFn {
-	if s, ok := compileSelKernel(e, neg); ok {
+func (c *selCompiler) compileSel(e Expr, neg bool) selFn {
+	if s, ok := c.compileSelKernel(e, neg); ok {
 		return s
 	}
 	if k, ok := vecBool(e); ok {
@@ -43,7 +60,7 @@ func compileSel(e Expr, neg bool) selFn {
 
 // compileSelKernel builds the specialized selection kernel for e, if its
 // shape has one; connectives compose whatever compileSel gives their operands.
-func compileSelKernel(e Expr, neg bool) (selFn, bool) {
+func (c *selCompiler) compileSelKernel(e Expr, neg bool) (selFn, bool) {
 	switch x := e.(type) {
 	case *Const:
 		v := x.Val
@@ -52,9 +69,9 @@ func compileSelKernel(e Expr, neg bool) (selFn, bool) {
 		}
 		return selNone, true
 	case *Not:
-		return compileSel(x.E, !neg), true
+		return c.compileSel(x.E, !neg), true
 	case *And:
-		l, r := compileSel(x.L, neg), compileSel(x.R, neg)
+		l, r := c.compileSel(x.L, neg), c.compileSel(x.R, neg)
 		if !neg {
 			// TRUE(L AND R) = TRUE(L) ∩ TRUE(R): chain, so R only
 			// inspects rows that survived L.
@@ -63,23 +80,23 @@ func compileSelKernel(e Expr, neg bool) (selFn, bool) {
 		// FALSE(L AND R) = FALSE(L) ∪ FALSE(R).
 		return selUnion(l, r), true
 	case *Or:
-		l, r := compileSel(x.L, neg), compileSel(x.R, neg)
+		l, r := c.compileSel(x.L, neg), c.compileSel(x.R, neg)
 		if !neg {
 			return selUnion(l, r), true
 		}
 		return selIntersectChain(l, r), true
 	case *Compare:
-		return compileSelCompare(x, neg)
+		return c.compileSelCompare(x, neg)
 	case *Between:
-		return compileSelBetween(x, neg)
+		return c.compileSelBetween(x, neg)
 	case *In:
-		return compileSelIn(x, neg)
+		return c.compileSelIn(x, neg)
 	case *Like:
-		return compileSelLike(x, neg)
+		return c.compileSelLike(x, neg)
 	case *IsNull:
-		if c, ok := x.E.(*ColumnRef); ok {
+		if col, ok := x.E.(*ColumnRef); ok {
 			// IS [NOT] NULL never yields NULL itself.
-			return selIsNull(c.Index, x.Negate != neg), true
+			return selIsNull(col.Index, x.Negate != neg), true
 		}
 	case *ColumnRef:
 		if x.T == types.Boolean {
@@ -90,24 +107,26 @@ func compileSelKernel(e Expr, neg bool) (selFn, bool) {
 }
 
 // selVecBool drives a vectorized boolean kernel over the current selection
-// (col-vs-col compares, arithmetic inside a predicate, CASE conditions).
+// (col-vs-col compares, arithmetic inside a predicate, CASE conditions). The
+// kernel reads the selection as in's: it is set for the call and put back.
 func selVecBool(e Expr, k boolKernel, neg bool) selFn {
-	var vals, nulls []bool
-	var vin vecInput
 	interp := selInterp(e, neg)
-	return func(p *block.Page, in, out []int) []int {
-		n := len(in)
-		vin = vecInput{p: p, sel: in, n: n}
-		if n == p.RowCount() {
-			vin.sel = nil // in is ascending and duplicate-free, so this is every row
+	return func(in *vecInput, rows, out []int) []int {
+		n := len(rows)
+		sel, outRows := in.sel, in.n
+		in.sel, in.n = rows, n
+		if n == in.p.RowCount() {
+			in.sel = nil // rows is ascending and duplicate-free, so this is every row
 		}
-		vals, nulls = growSlice(vals, n), growSlice(nulls, n)
-		if _, err := k(&vin, nil, vals, nulls); err != nil {
+		vals, nulls := block.Lease[bool](in.scratch, n), block.Lease[bool](in.scratch, n)
+		_, err := k(in, nil, vals, nulls)
+		in.sel, in.n = sel, outRows
+		if err != nil {
 			// A kernel stops at the first failing row, but in a filter a
 			// failing row just does not pass: decide the batch row by row.
-			return interp(p, in, out)
+			return interp(in, rows, out)
 		}
-		for i, r := range in {
+		for i, r := range rows {
 			if !nulls[i] && vals[i] != neg {
 				out = append(out, r)
 			}
@@ -120,10 +139,10 @@ func selVecBool(e Expr, k boolKernel, neg bool) selFn {
 // selection. A row whose evaluation fails does not pass in either polarity,
 // like a NULL.
 func selInterp(e Expr, neg bool) selFn {
-	var it Interpreter
-	return func(p *block.Page, in, out []int) []int {
-		row := pageRow{p: p}
-		for _, r := range in {
+	return func(in *vecInput, rows, out []int) []int {
+		var it Interpreter
+		row := pageRow{p: in.p}
+		for _, r := range rows {
 			row.row = r
 			if v, err := it.Eval(e, &row); err == nil && !v.Null && v.B != neg {
 				out = append(out, r)
@@ -134,18 +153,15 @@ func selInterp(e Expr, neg bool) selFn {
 }
 
 func selIntersectChain(l, r selFn) selFn {
-	var scratch []int
-	return func(p *block.Page, in, out []int) []int {
-		scratch = l(p, in, scratch[:0])
-		return r(p, scratch, out)
+	return func(in *vecInput, rows, out []int) []int {
+		return r(in, l(in, rows, block.Lease[int](in.scratch, len(rows))[:0]), out)
 	}
 }
 
 func selUnion(l, r selFn) selFn {
-	var ls, rs []int
-	return func(p *block.Page, in, out []int) []int {
-		ls = l(p, in, ls[:0])
-		rs = r(p, in, rs[:0])
+	return func(in *vecInput, rows, out []int) []int {
+		ls := l(in, rows, block.Lease[int](in.scratch, len(rows))[:0])
+		rs := r(in, rows, block.Lease[int](in.scratch, len(rows))[:0])
 		return mergeUnion(ls, rs, out)
 	}
 }
@@ -316,22 +332,22 @@ func unwrapLazy(b block.Block) block.Block {
 	return b
 }
 
-func compileSelCompare(x *Compare, neg bool) (selFn, bool) {
+func (c *selCompiler) compileSelCompare(x *Compare, neg bool) (selFn, bool) {
 	op := x.Op
 	if neg {
 		op = negateCmp(op)
 	}
 	var col *ColumnRef
 	var con *Const
-	if c, ok := x.L.(*ColumnRef); ok {
+	if cr, ok := x.L.(*ColumnRef); ok {
 		if k, ok2 := x.R.(*Const); ok2 {
-			col, con = c, k
+			col, con = cr, k
 		}
 	}
 	if col == nil {
 		if k, ok := x.L.(*Const); ok {
-			if c, ok2 := x.R.(*ColumnRef); ok2 {
-				col, con = c, k
+			if cr, ok2 := x.R.(*ColumnRef); ok2 {
+				col, con = cr, k
 				op = swapCmp(op)
 			}
 		}
@@ -348,27 +364,27 @@ func compileSelCompare(x *Compare, neg bool) (selFn, bool) {
 		if col.T != types.Bigint && col.T != types.Date {
 			return nil, false
 		}
-		return selLongCmp(col.Index, op, con.Val.I), true
+		return selLongCmp(c.memo(), col.Index, op, con.Val.I), true
 	case types.Double:
-		var c float64
+		var f float64
 		switch con.Val.T {
 		case types.Double:
-			c = con.Val.F
+			f = con.Val.F
 		case types.Bigint, types.Date:
-			c = float64(con.Val.I)
+			f = float64(con.Val.I)
 		default:
 			return nil, false
 		}
 		switch col.T {
 		case types.Double, types.Bigint, types.Date:
-			return selDoubleCmp(col.Index, op, c), true
+			return selDoubleCmp(c.memo(), col.Index, op, f), true
 		}
 		return nil, false
 	case types.Varchar:
 		if col.T != types.Varchar || con.Val.T != types.Varchar {
 			return nil, false
 		}
-		return selStrCmp(col.Index, op, con.Val.S), true
+		return selStrCmp(c.memo(), col.Index, op, con.Val.S), true
 	case types.Boolean:
 		if col.T != types.Boolean || con.Val.T != types.Boolean || (op != CmpEq && op != CmpNe) {
 			return nil, false
@@ -380,41 +396,36 @@ func compileSelCompare(x *Compare, neg bool) (selFn, bool) {
 
 // dictSel is the dictionary case of a selection kernel over one column:
 // entries are tested once each and the verdicts kept while pages share the
-// dictionary (paper §V-E). A kernel makes one when its column first arrives
-// under a dictionary.
+// dictionary (paper §V-E). It is a processor's, in the memo slot of the kernel
+// it serves (vecInput.memo), and outlives the page.
 type dictSel struct {
 	dict    block.Block // the dictionary verdict holds the verdicts of
 	verdict []bool
 }
 
-// selDict appends the rows of in whose dictionary entry passes test, which
-// gives the verdict on a non-null entry; *sp is the calling kernel's memo, made
-// on first need. It declines (false) when b is not a
-// dictionary block, and when its dictionary is new and has more entries than
-// there are rows to select from: testing those rows then costs less than
-// testing the entries (the paper's guard), and the kernel's row-level case
-// does.
-func selDict(sp **dictSel, b block.Block, in, out []int, test func(d block.Block, k int) bool) ([]int, bool) {
+// selDict appends the rows of rows whose dictionary entry passes test, which
+// gives the verdict on a non-null entry; s is the calling kernel's memo. It
+// declines (false) when b is not a dictionary block, and when its dictionary
+// is new and has more entries than there are rows to select from: testing
+// those rows then costs less than testing the entries (the paper's guard), and
+// the kernel's row-level case does.
+func selDict(s *dictSel, b block.Block, rows, out []int, test func(d block.Block, k int) bool) ([]int, bool) {
 	col, ok := b.(*block.DictionaryBlock)
 	if !ok {
 		return out, false
 	}
-	if *sp == nil {
-		*sp = new(dictSel)
-	}
-	s := *sp
 	if d := col.Dict; d != s.dict {
-		if d.Len() > len(in) {
+		if d.Len() > len(rows) {
 			return out, false
 		}
-		s.verdict = growSlice(s.verdict, d.Len())
+		s.verdict = slices.Grow(s.verdict[:0], d.Len())[:d.Len()]
 		for k := range s.verdict {
 			s.verdict[k] = !d.IsNull(k) && test(d, k)
 		}
 		s.dict = d
 	}
 	verdict, indices := s.verdict, col.Indices
-	for _, r := range in {
+	for _, r := range rows {
 		if verdict[indices[r]] {
 			out = append(out, r)
 		}
@@ -422,23 +433,22 @@ func selDict(sp **dictSel, b block.Block, in, out []int, test func(d block.Block
 	return out, true
 }
 
-func selLongCmp(idx int, op CmpOp, c int64) selFn {
-	var dict *dictSel
-	return func(p *block.Page, in, out []int) []int {
-		b := unwrapLazy(p.Col(idx))
-		if res, ok := selDict(&dict, b, in, out, func(d block.Block, k int) bool { return cmpOrd(op, d.Long(k), c) }); ok {
+func selLongCmp(memo, idx int, op CmpOp, c int64) selFn {
+	return func(in *vecInput, rows, out []int) []int {
+		b := unwrapLazy(in.p.Col(idx))
+		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return cmpOrd(op, d.Long(k), c) }); ok {
 			return res
 		}
 		switch col := b.(type) {
 		case *block.LongBlock:
-			return selCmpConst(op, col.Vals, col.Nulls, c, in, out)
+			return selCmpConst(op, col.Vals, col.Nulls, c, rows, out)
 		case *block.RLEBlock:
 			if !col.Val.IsNull(0) && cmpOrd(op, col.Val.Long(0), c) {
-				return append(out, in...)
+				return append(out, rows...)
 			}
 			return out
 		default:
-			for _, r := range in {
+			for _, r := range rows {
 				if !b.IsNull(r) && cmpOrd(op, b.Long(r), c) {
 					out = append(out, r)
 				}
@@ -448,20 +458,19 @@ func selLongCmp(idx int, op CmpOp, c int64) selFn {
 	}
 }
 
-func selDoubleCmp(idx int, op CmpOp, c float64) selFn {
-	var dict *dictSel
-	return func(p *block.Page, in, out []int) []int {
-		b := unwrapLazy(p.Col(idx))
-		if res, ok := selDict(&dict, b, in, out, func(d block.Block, k int) bool { return cmpOrd(op, d.Double(k), c) }); ok {
+func selDoubleCmp(memo, idx int, op CmpOp, c float64) selFn {
+	return func(in *vecInput, rows, out []int) []int {
+		b := unwrapLazy(in.p.Col(idx))
+		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return cmpOrd(op, d.Double(k), c) }); ok {
 			return res
 		}
 		switch col := b.(type) {
 		case *block.DoubleBlock:
-			return selCmpConst(op, col.Vals, col.Nulls, c, in, out)
+			return selCmpConst(op, col.Vals, col.Nulls, c, rows, out)
 		case *block.LongBlock:
 			// Bigint/Date column widened to double by the comparison.
 			nulls := col.Nulls
-			for _, r := range in {
+			for _, r := range rows {
 				if (nulls == nil || !nulls[r]) && cmpOrd(op, float64(col.Vals[r]), c) {
 					out = append(out, r)
 				}
@@ -469,11 +478,11 @@ func selDoubleCmp(idx int, op CmpOp, c float64) selFn {
 			return out
 		case *block.RLEBlock:
 			if !col.Val.IsNull(0) && cmpOrd(op, col.Val.Double(0), c) {
-				return append(out, in...)
+				return append(out, rows...)
 			}
 			return out
 		default:
-			for _, r := range in {
+			for _, r := range rows {
 				if !b.IsNull(r) && cmpOrd(op, b.Double(r), c) {
 					out = append(out, r)
 				}
@@ -483,23 +492,22 @@ func selDoubleCmp(idx int, op CmpOp, c float64) selFn {
 	}
 }
 
-func selStrCmp(idx int, op CmpOp, c string) selFn {
-	var dict *dictSel
-	return func(p *block.Page, in, out []int) []int {
-		b := unwrapLazy(p.Col(idx))
-		if res, ok := selDict(&dict, b, in, out, func(d block.Block, k int) bool { return cmpOrd(op, d.Str(k), c) }); ok {
+func selStrCmp(memo, idx int, op CmpOp, c string) selFn {
+	return func(in *vecInput, rows, out []int) []int {
+		b := unwrapLazy(in.p.Col(idx))
+		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return cmpOrd(op, d.Str(k), c) }); ok {
 			return res
 		}
 		switch col := b.(type) {
 		case *block.VarcharBlock:
-			return selCmpConst(op, col.Vals, col.Nulls, c, in, out)
+			return selCmpConst(op, col.Vals, col.Nulls, c, rows, out)
 		case *block.RLEBlock:
 			if !col.Val.IsNull(0) && cmpOrd(op, col.Val.Str(0), c) {
-				return append(out, in...)
+				return append(out, rows...)
 			}
 			return out
 		default:
-			for _, r := range in {
+			for _, r := range rows {
 				if !b.IsNull(r) && cmpOrd(op, b.Str(r), c) {
 					out = append(out, r)
 				}
@@ -516,12 +524,12 @@ func selBoolCmp(idx int, eq, c bool) selFn {
 	if !eq {
 		want = !c
 	}
-	return func(p *block.Page, in, out []int) []int {
-		b := unwrapLazy(p.Col(idx))
+	return func(in *vecInput, rows, out []int) []int {
+		b := unwrapLazy(in.p.Col(idx))
 		switch col := b.(type) {
 		case *block.BoolBlock:
 			nulls := col.Nulls
-			for _, r := range in {
+			for _, r := range rows {
 				if (nulls == nil || !nulls[r]) && col.Vals[r] == want {
 					out = append(out, r)
 				}
@@ -529,11 +537,11 @@ func selBoolCmp(idx int, eq, c bool) selFn {
 			return out
 		case *block.RLEBlock:
 			if !col.Val.IsNull(0) && col.Val.Bool(0) == want {
-				return append(out, in...)
+				return append(out, rows...)
 			}
 			return out
 		default:
-			for _, r := range in {
+			for _, r := range rows {
 				if !b.IsNull(r) && b.Bool(r) == want {
 					out = append(out, r)
 				}
@@ -551,15 +559,15 @@ func selBoolCol(idx int, neg bool) selFn {
 
 // selIsNull selects rows where IsNull(col) != flip.
 func selIsNull(idx int, flip bool) selFn {
-	return func(p *block.Page, in, out []int) []int {
-		b := unwrapLazy(p.Col(idx))
+	return func(in *vecInput, rows, out []int) []int {
+		b := unwrapLazy(in.p.Col(idx))
 		if col, ok := b.(*block.RLEBlock); ok {
 			if col.Val.IsNull(0) != flip {
-				return append(out, in...)
+				return append(out, rows...)
 			}
 			return out
 		}
-		for _, r := range in {
+		for _, r := range rows {
 			if b.IsNull(r) != flip {
 				out = append(out, r)
 			}
@@ -568,7 +576,7 @@ func selIsNull(idx int, flip bool) selFn {
 	}
 }
 
-func compileSelBetween(x *Between, neg bool) (selFn, bool) {
+func (c *selCompiler) compileSelBetween(x *Between, neg bool) (selFn, bool) {
 	col, ok := x.E.(*ColumnRef)
 	if !ok {
 		return nil, false
@@ -590,7 +598,7 @@ func compileSelBetween(x *Between, neg bool) (selFn, bool) {
 		if !longT(col.T) || !longT(lo.Val.T) || !longT(hi.Val.T) {
 			return nil, false
 		}
-		return selBetweenLong(col.Index, lo.Val.I, hi.Val.I, flip), true
+		return selBetweenLong(c.memo(), col.Index, lo.Val.I, hi.Val.I, flip), true
 	case types.Double:
 		toF := func(v types.Value) (float64, bool) {
 			switch v.T {
@@ -611,18 +619,17 @@ func compileSelBetween(x *Between, neg bool) (selFn, bool) {
 	return nil, false
 }
 
-func selBetweenLong(idx int, lo, hi int64, flip bool) selFn {
-	var dict *dictSel
-	return func(p *block.Page, in, out []int) []int {
-		b := unwrapLazy(p.Col(idx))
-		if res, ok := selDict(&dict, b, in, out, func(d block.Block, k int) bool { return (d.Long(k) >= lo && d.Long(k) <= hi) != flip }); ok {
+func selBetweenLong(memo, idx int, lo, hi int64, flip bool) selFn {
+	return func(in *vecInput, rows, out []int) []int {
+		b := unwrapLazy(in.p.Col(idx))
+		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return (d.Long(k) >= lo && d.Long(k) <= hi) != flip }); ok {
 			return res
 		}
 		switch col := b.(type) {
 		case *block.LongBlock:
 			nulls := col.Nulls
 			if nulls == nil && !flip {
-				for _, r := range in {
+				for _, r := range rows {
 					v := col.Vals[r]
 					if v >= lo && v <= hi {
 						out = append(out, r)
@@ -630,7 +637,7 @@ func selBetweenLong(idx int, lo, hi int64, flip bool) selFn {
 				}
 				return out
 			}
-			for _, r := range in {
+			for _, r := range rows {
 				if nulls != nil && nulls[r] {
 					continue
 				}
@@ -644,12 +651,12 @@ func selBetweenLong(idx int, lo, hi int64, flip bool) selFn {
 			if !col.Val.IsNull(0) {
 				v := col.Val.Long(0)
 				if (v >= lo && v <= hi) != flip {
-					return append(out, in...)
+					return append(out, rows...)
 				}
 			}
 			return out
 		default:
-			for _, r := range in {
+			for _, r := range rows {
 				if !b.IsNull(r) {
 					v := b.Long(r)
 					if (v >= lo && v <= hi) != flip {
@@ -663,14 +670,14 @@ func selBetweenLong(idx int, lo, hi int64, flip bool) selFn {
 }
 
 func selBetweenDouble(idx int, lo, hi float64, flip bool) selFn {
-	return func(p *block.Page, in, out []int) []int {
-		b := unwrapLazy(p.Col(idx))
+	return func(in *vecInput, rows, out []int) []int {
+		b := unwrapLazy(in.p.Col(idx))
 		switch col := b.(type) {
 		case *block.DoubleBlock:
 			nulls := col.Nulls
 			if nulls == nil && !flip {
 				vals := col.Vals
-				for _, r := range in {
+				for _, r := range rows {
 					v := vals[r]
 					if v >= lo && v <= hi {
 						out = append(out, r)
@@ -678,7 +685,7 @@ func selBetweenDouble(idx int, lo, hi float64, flip bool) selFn {
 				}
 				return out
 			}
-			for _, r := range in {
+			for _, r := range rows {
 				if nulls != nil && nulls[r] {
 					continue
 				}
@@ -692,7 +699,7 @@ func selBetweenDouble(idx int, lo, hi float64, flip bool) selFn {
 			nulls := col.Nulls
 			if nulls == nil && !flip {
 				vals := col.Vals
-				for _, r := range in {
+				for _, r := range rows {
 					v := float64(vals[r])
 					if v >= lo && v <= hi {
 						out = append(out, r)
@@ -700,7 +707,7 @@ func selBetweenDouble(idx int, lo, hi float64, flip bool) selFn {
 				}
 				return out
 			}
-			for _, r := range in {
+			for _, r := range rows {
 				if nulls != nil && nulls[r] {
 					continue
 				}
@@ -714,12 +721,12 @@ func selBetweenDouble(idx int, lo, hi float64, flip bool) selFn {
 			if !col.Val.IsNull(0) {
 				v := col.Val.Double(0)
 				if (v >= lo && v <= hi) != flip {
-					return append(out, in...)
+					return append(out, rows...)
 				}
 			}
 			return out
 		default:
-			for _, r := range in {
+			for _, r := range rows {
 				if !b.IsNull(r) {
 					v := b.Double(r)
 					if (v >= lo && v <= hi) != flip {
@@ -732,7 +739,7 @@ func selBetweenDouble(idx int, lo, hi float64, flip bool) selFn {
 	}
 }
 
-func compileSelIn(x *In, neg bool) (selFn, bool) {
+func (c *selCompiler) compileSelIn(x *In, neg bool) (selFn, bool) {
 	col, ok := x.E.(*ColumnRef)
 	if !ok {
 		return nil, false
@@ -743,39 +750,48 @@ func compileSelIn(x *In, neg bool) (selFn, bool) {
 		}
 	}
 	flip := x.Negate != neg
-	// NULL list elements are skipped, matching vecIn's set semantics.
+	listNull := false
+	for _, le := range x.List {
+		listNull = listNull || le.(*Const).Val.Null
+	}
+	if listNull && flip {
+		// A value that matches no other element is NULL against a NULL one:
+		// IN is never definitely false, and this polarity keeps no row (SQL's
+		// three-valued IN, as the interpreter's). The other polarity keeps
+		// the members of the rest of the list.
+		return selNone, true
+	}
 	switch col.T {
 	case types.Bigint, types.Date:
 		set := make(map[int64]bool, len(x.List))
 		for _, le := range x.List {
-			if c := le.(*Const); !c.Val.Null {
-				set[c.Val.I] = true
+			if k := le.(*Const); !k.Val.Null {
+				set[k.Val.I] = true
 			}
 		}
-		return selInLong(col.Index, set, flip), true
+		return selInLong(c.memo(), col.Index, set, flip), true
 	case types.Varchar:
 		set := make(map[string]bool, len(x.List))
 		for _, le := range x.List {
-			if c := le.(*Const); !c.Val.Null {
-				set[c.Val.S] = true
+			if k := le.(*Const); !k.Val.Null {
+				set[k.Val.S] = true
 			}
 		}
-		return selInStr(col.Index, set, flip), true
+		return selInStr(c.memo(), col.Index, set, flip), true
 	}
 	return nil, false
 }
 
-func selInLong(idx int, set map[int64]bool, flip bool) selFn {
-	var dict *dictSel
-	return func(p *block.Page, in, out []int) []int {
-		b := unwrapLazy(p.Col(idx))
-		if res, ok := selDict(&dict, b, in, out, func(d block.Block, k int) bool { return set[d.Long(k)] != flip }); ok {
+func selInLong(memo, idx int, set map[int64]bool, flip bool) selFn {
+	return func(in *vecInput, rows, out []int) []int {
+		b := unwrapLazy(in.p.Col(idx))
+		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return set[d.Long(k)] != flip }); ok {
 			return res
 		}
 		switch col := b.(type) {
 		case *block.LongBlock:
 			nulls := col.Nulls
-			for _, r := range in {
+			for _, r := range rows {
 				if nulls != nil && nulls[r] {
 					continue
 				}
@@ -786,11 +802,11 @@ func selInLong(idx int, set map[int64]bool, flip bool) selFn {
 			return out
 		case *block.RLEBlock:
 			if !col.Val.IsNull(0) && set[col.Val.Long(0)] != flip {
-				return append(out, in...)
+				return append(out, rows...)
 			}
 			return out
 		default:
-			for _, r := range in {
+			for _, r := range rows {
 				if !b.IsNull(r) && set[b.Long(r)] != flip {
 					out = append(out, r)
 				}
@@ -800,17 +816,16 @@ func selInLong(idx int, set map[int64]bool, flip bool) selFn {
 	}
 }
 
-func selInStr(idx int, set map[string]bool, flip bool) selFn {
-	var dict *dictSel
-	return func(p *block.Page, in, out []int) []int {
-		b := unwrapLazy(p.Col(idx))
-		if res, ok := selDict(&dict, b, in, out, func(d block.Block, k int) bool { return set[d.Str(k)] != flip }); ok {
+func selInStr(memo, idx int, set map[string]bool, flip bool) selFn {
+	return func(in *vecInput, rows, out []int) []int {
+		b := unwrapLazy(in.p.Col(idx))
+		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return set[d.Str(k)] != flip }); ok {
 			return res
 		}
 		switch col := b.(type) {
 		case *block.VarcharBlock:
 			nulls := col.Nulls
-			for _, r := range in {
+			for _, r := range rows {
 				if nulls != nil && nulls[r] {
 					continue
 				}
@@ -821,11 +836,11 @@ func selInStr(idx int, set map[string]bool, flip bool) selFn {
 			return out
 		case *block.RLEBlock:
 			if !col.Val.IsNull(0) && set[col.Val.Str(0)] != flip {
-				return append(out, in...)
+				return append(out, rows...)
 			}
 			return out
 		default:
-			for _, r := range in {
+			for _, r := range rows {
 				if !b.IsNull(r) && set[b.Str(r)] != flip {
 					out = append(out, r)
 				}
@@ -835,7 +850,7 @@ func selInStr(idx int, set map[string]bool, flip bool) selFn {
 	}
 }
 
-func compileSelLike(x *Like, neg bool) (selFn, bool) {
+func (c *selCompiler) compileSelLike(x *Like, neg bool) (selFn, bool) {
 	pat, ok := x.Pattern.(*Const)
 	if !ok || pat.Val.Null {
 		return nil, false
@@ -844,22 +859,21 @@ func compileSelLike(x *Like, neg bool) (selFn, bool) {
 	if !ok || col.T != types.Varchar {
 		return nil, false
 	}
-	return selLike(col.Index, pat.Val.S, x.Negate != neg), true
+	return selLike(c.memo(), col.Index, pat.Val.S, x.Negate != neg), true
 }
 
-func selLike(idx int, pattern string, flip bool) selFn {
+func selLike(memo, idx int, pattern string, flip bool) selFn {
 	// The big win: the (potentially expensive) match runs once per distinct
 	// entry instead of once per row.
-	var dict *dictSel
-	return func(p *block.Page, in, out []int) []int {
-		b := unwrapLazy(p.Col(idx))
-		if res, ok := selDict(&dict, b, in, out, func(d block.Block, k int) bool { return likeMatch(d.Str(k), pattern) != flip }); ok {
+	return func(in *vecInput, rows, out []int) []int {
+		b := unwrapLazy(in.p.Col(idx))
+		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return likeMatch(d.Str(k), pattern) != flip }); ok {
 			return res
 		}
 		switch col := b.(type) {
 		case *block.VarcharBlock:
 			nulls := col.Nulls
-			for _, r := range in {
+			for _, r := range rows {
 				if nulls != nil && nulls[r] {
 					continue
 				}
@@ -870,11 +884,11 @@ func selLike(idx int, pattern string, flip bool) selFn {
 			return out
 		case *block.RLEBlock:
 			if !col.Val.IsNull(0) && likeMatch(col.Val.Str(0), pattern) != flip {
-				return append(out, in...)
+				return append(out, rows...)
 			}
 			return out
 		default:
-			for _, r := range in {
+			for _, r := range rows {
 				if !b.IsNull(r) && likeMatch(b.Str(r), pattern) != flip {
 					out = append(out, r)
 				}

@@ -3,8 +3,6 @@ package expr
 import (
 	"cmp"
 	"errors"
-	"math"
-	"math/bits"
 
 	"repro/internal/block"
 	"repro/internal/types"
@@ -35,14 +33,20 @@ var errDivZero = errors.New("division by zero")
 const virtualColBase = 1 << 20
 
 // vecInput is the evaluation context for one page: the source page, the
-// filter's selection vector (nil = all rows), the output length, and the
+// filter's selection vector (nil = all rows), the output length, the
 // already-evaluated CSE slot blocks (selection-aligned, so virtual columns
-// index them identity).
+// index them identity), and the page's mutable state, which is the
+// evaluating processor's and never a kernel's: the arena every temporary is
+// leased from (nil makes them), and the dictionary verdicts the selection
+// kernels keep from page to page, one slot per kernel that keeps one
+// (selCompiler.memos).
 type vecInput struct {
-	p      *block.Page
-	sel    []int // nil means rows 0..n-1 of p
-	n      int   // number of output positions
-	shared []block.Block
+	p       *block.Page
+	sel     []int // nil means rows 0..n-1 of p
+	n       int   // number of output positions
+	shared  []block.Block
+	scratch *block.Arena
+	memo    []dictSel
 }
 
 // colBlock resolves a column index to its block and the selection that maps
@@ -61,7 +65,8 @@ func (in *vecInput) colBlock(colIdx int) (block.Block, []int) {
 // and nulls[i] are valid for every computed position i, with out[i] zeroed
 // where nulls[i] is true. The returned bool is a has-nulls hint: false
 // guarantees every computed position is non-null, letting the parent run a
-// null-free tight loop; true is always safe to return.
+// null-free tight loop; true is always safe to return. A kernel captures no
+// slice it writes: its temporaries are leased from in.scratch.
 type vkernel[T any] func(in *vecInput, idx []int, out []T, nulls []bool) (bool, error)
 
 type longKernel = vkernel[int64]
@@ -69,14 +74,7 @@ type doubleKernel = vkernel[float64]
 type strKernel = vkernel[string]
 type boolKernel = vkernel[bool]
 
-// ---- shared buffer and loop helpers ----
-
-func growSlice[T any](b []T, n int) []T {
-	if cap(b) < n {
-		return make([]T, n, 1<<bits.Len(uint(n-1)))
-	}
-	return b[:n]
-}
+// ---- shared loop helpers ----
 
 func clearBools(b []bool) {
 	for i := range b {
@@ -306,12 +304,10 @@ func vecConst[T any](v T, null bool) vkernel[T] {
 // the operator in one tight loop. Division/modulo by a non-null zero raises
 // errDivZero, matching the interpreter.
 func vecArithLong(op BinOp, l, r longKernel) longKernel {
-	var lv, rv []int64
-	var ln, rn []bool
 	return func(in *vecInput, idx []int, out []int64, nulls []bool) (bool, error) {
 		n := in.n
-		lv, ln = growSlice(lv, n), growSlice(ln, n)
-		rv, rn = growSlice(rv, n), growSlice(rn, n)
+		lv, ln := block.Lease[int64](in.scratch, n), block.Lease[bool](in.scratch, n)
+		rv, rn := block.Lease[int64](in.scratch, n), block.Lease[bool](in.scratch, n)
 		lHas, err := l(in, idx, lv, ln)
 		if err != nil {
 			return false, err
@@ -401,12 +397,10 @@ func vecArithLong(op BinOp, l, r longKernel) longKernel {
 
 // vecArithDouble covers +,-,*,/ (vecDouble leaves modulo to the interpreter).
 func vecArithDouble(op BinOp, l, r doubleKernel) doubleKernel {
-	var lv, rv []float64
-	var ln, rn []bool
 	return func(in *vecInput, idx []int, out []float64, nulls []bool) (bool, error) {
 		n := in.n
-		lv, ln = growSlice(lv, n), growSlice(ln, n)
-		rv, rn = growSlice(rv, n), growSlice(rn, n)
+		lv, ln := block.Lease[float64](in.scratch, n), block.Lease[bool](in.scratch, n)
+		rv, rn := block.Lease[float64](in.scratch, n), block.Lease[bool](in.scratch, n)
 		lHas, err := l(in, idx, lv, ln)
 		if err != nil {
 			return false, err
@@ -503,9 +497,8 @@ func vecNeg[T int64 | float64](f vkernel[T]) vkernel[T] {
 
 // vecLongToDouble widens a bigint/date kernel to double.
 func vecLongToDouble(f longKernel) doubleKernel {
-	var lv []int64
 	return func(in *vecInput, idx []int, out []float64, nulls []bool) (bool, error) {
-		lv = growSlice(lv, in.n)
+		lv := block.Lease[int64](in.scratch, in.n)
 		has, err := f(in, idx, lv, nulls)
 		if err != nil {
 			return false, err
@@ -525,9 +518,8 @@ func vecLongToDouble(f longKernel) doubleKernel {
 
 // vecDoubleToLong truncates a double kernel to bigint (CAST semantics).
 func vecDoubleToLong(f doubleKernel) longKernel {
-	var dv []float64
 	return func(in *vecInput, idx []int, out []int64, nulls []bool) (bool, error) {
-		dv = growSlice(dv, in.n)
+		dv := block.Lease[float64](in.scratch, in.n)
 		has, err := f(in, idx, dv, nulls)
 		if err != nil {
 			return false, err
@@ -547,12 +539,10 @@ func vecDoubleToLong(f doubleKernel) longKernel {
 
 // vecConcat is string concatenation with null propagation.
 func vecConcat(l, r strKernel) strKernel {
-	var lv, rv []string
-	var ln, rn []bool
 	return func(in *vecInput, idx []int, out []string, nulls []bool) (bool, error) {
 		n := in.n
-		lv, ln = growSlice(lv, n), growSlice(ln, n)
-		rv, rn = growSlice(rv, n), growSlice(rn, n)
+		lv, ln := block.Lease[string](in.scratch, n), block.Lease[bool](in.scratch, n)
+		rv, rn := block.Lease[string](in.scratch, n), block.Lease[bool](in.scratch, n)
 		lHas, err := l(in, idx, lv, ln)
 		if err != nil {
 			return false, err
@@ -610,13 +600,14 @@ func cmpApply[T cmp.Ordered](op CmpOp, a, b T) bool {
 	}
 }
 
-func vecCompareOrd[T cmp.Ordered](op CmpOp, l, r vkernel[T]) boolKernel {
-	var lv, rv []T
-	var ln, rn []bool
+func vecCompareOrd[T interface {
+	cmp.Ordered
+	block.Elem
+}](op CmpOp, l, r vkernel[T]) boolKernel {
 	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
 		n := in.n
-		lv, ln = growSlice(lv, n), growSlice(ln, n)
-		rv, rn = growSlice(rv, n), growSlice(rn, n)
+		lv, ln := block.Lease[T](in.scratch, n), block.Lease[bool](in.scratch, n)
+		rv, rn := block.Lease[T](in.scratch, n), block.Lease[bool](in.scratch, n)
 		lHas, err := l(in, idx, lv, ln)
 		if err != nil {
 			return false, err
@@ -683,11 +674,10 @@ func vecCompareBool(op CmpOp, l, r boolKernel) (boolKernel, bool) {
 	if op != CmpEq && op != CmpNe {
 		return nil, false
 	}
-	var lv, rv, ln, rn []bool
 	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
 		n := in.n
-		lv, ln = growSlice(lv, n), growSlice(ln, n)
-		rv, rn = growSlice(rv, n), growSlice(rn, n)
+		lv, ln := block.Lease[bool](in.scratch, n), block.Lease[bool](in.scratch, n)
+		rv, rn := block.Lease[bool](in.scratch, n), block.Lease[bool](in.scratch, n)
 		if _, err := l(in, idx, lv, ln); err != nil {
 			return false, err
 		}
@@ -716,14 +706,15 @@ func vecCompareBool(op CmpOp, l, r boolKernel) (boolKernel, bool) {
 	}, true
 }
 
-func vecBetweenOrd[T cmp.Ordered](v, lo, hi vkernel[T], neg bool) boolKernel {
-	var vv, lv, hv []T
-	var vn, ln, hn []bool
+func vecBetweenOrd[T interface {
+	cmp.Ordered
+	block.Elem
+}](v, lo, hi vkernel[T], neg bool) boolKernel {
 	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
 		n := in.n
-		vv, vn = growSlice(vv, n), growSlice(vn, n)
-		lv, ln = growSlice(lv, n), growSlice(ln, n)
-		hv, hn = growSlice(hv, n), growSlice(hn, n)
+		vv, vn := block.Lease[T](in.scratch, n), block.Lease[bool](in.scratch, n)
+		lv, ln := block.Lease[T](in.scratch, n), block.Lease[bool](in.scratch, n)
+		hv, hn := block.Lease[T](in.scratch, n), block.Lease[bool](in.scratch, n)
 		vHas, err := v(in, idx, vv, vn)
 		if err != nil {
 			return false, err
@@ -766,17 +757,21 @@ func vecBetweenOrd[T cmp.Ordered](v, lo, hi vkernel[T], neg bool) boolKernel {
 	}
 }
 
-func vecInSet[T comparable](f vkernel[T], set map[T]bool, neg bool) boolKernel {
-	var vv []T
-	var vn []bool
+// vecInSet tests membership in the list's non-NULL values. listNull: the list
+// holds a NULL, so a value that matches none of the others is NULL, not a
+// definite non-member (SQL's three-valued IN, as the interpreter's).
+func vecInSet[T interface {
+	comparable
+	block.Elem
+}](f vkernel[T], set map[T]bool, listNull, neg bool) boolKernel {
 	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
 		n := in.n
-		vv, vn = growSlice(vv, n), growSlice(vn, n)
+		vv, vn := block.Lease[T](in.scratch, n), block.Lease[bool](in.scratch, n)
 		vHas, err := f(in, idx, vv, vn)
 		if err != nil {
 			return false, err
 		}
-		if idx == nil && !vHas {
+		if idx == nil && !vHas && !listNull {
 			clearBools(nulls[:n])
 			a, o := vv[:n], out[:n]
 			for i := range o {
@@ -786,10 +781,11 @@ func vecInSet[T comparable](f vkernel[T], set map[T]bool, neg bool) boolKernel {
 		}
 		has := false
 		step := func(i int) {
-			if vn[i] {
+			switch {
+			case vn[i], !set[vv[i]] && listNull:
 				out[i], nulls[i] = false, true
 				has = true
-			} else {
+			default:
 				out[i], nulls[i] = set[vv[i]] != neg, false
 			}
 		}
@@ -807,11 +803,9 @@ func vecInSet[T comparable](f vkernel[T], set map[T]bool, neg bool) boolKernel {
 }
 
 func vecLike(f strKernel, pattern string, neg bool) boolKernel {
-	var vv []string
-	var vn []bool
 	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
 		n := in.n
-		vv, vn = growSlice(vv, n), growSlice(vn, n)
+		vv, vn := block.Lease[string](in.scratch, n), block.Lease[bool](in.scratch, n)
 		if _, err := f(in, idx, vv, vn); err != nil {
 			return false, err
 		}
@@ -887,15 +881,13 @@ func vecNot(f boolKernel) boolKernel {
 // merges with three-valued semantics — the batch analogue of the
 // interpreter's lazy right operand.
 func vecAnd(l, r boolKernel) boolKernel {
-	var lv, ln []bool
-	var need []int
 	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
 		n := in.n
-		lv, ln = growSlice(lv, n), growSlice(ln, n)
+		lv, ln := block.Lease[bool](in.scratch, n), block.Lease[bool](in.scratch, n)
 		if _, err := l(in, idx, lv, ln); err != nil {
 			return false, err
 		}
-		need = need[:0]
+		need := block.Lease[int](in.scratch, n)[:0]
 		collect := func(i int) {
 			if !ln[i] && !lv[i] {
 				out[i], nulls[i] = false, false
@@ -936,15 +928,13 @@ func vecAnd(l, r boolKernel) boolKernel {
 
 // vecOr mirrors vecAnd with definitely-true short-circuits.
 func vecOr(l, r boolKernel) boolKernel {
-	var lv, ln []bool
-	var need []int
 	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
 		n := in.n
-		lv, ln = growSlice(lv, n), growSlice(ln, n)
+		lv, ln := block.Lease[bool](in.scratch, n), block.Lease[bool](in.scratch, n)
 		if _, err := l(in, idx, lv, ln); err != nil {
 			return false, err
 		}
-		need = need[:0]
+		need := block.Lease[int](in.scratch, n)[:0]
 		collect := func(i int) {
 			if !ln[i] && lv[i] {
 				out[i], nulls[i] = true, false
@@ -989,12 +979,10 @@ func vecOr(l, r boolKernel) boolKernel {
 // Rows therefore see exactly the branch evaluations row-at-a-time execution
 // would have performed.
 func vecCase[T any](conds []boolKernel, thens []vkernel[T], els vkernel[T]) vkernel[T] {
-	var cv, cn []bool
-	var rem, match []int
 	return func(in *vecInput, idx []int, out []T, nulls []bool) (bool, error) {
 		n := in.n
-		cv, cn = growSlice(cv, n), growSlice(cn, n)
-		rem = rem[:0]
+		cv, cn := block.Lease[bool](in.scratch, n), block.Lease[bool](in.scratch, n)
+		rem, match := block.Lease[int](in.scratch, n)[:0], block.Lease[int](in.scratch, n)[:0]
 		if idx == nil {
 			for i := 0; i < n; i++ {
 				rem = append(rem, i)
@@ -1010,8 +998,7 @@ func vecCase[T any](conds []boolKernel, thens []vkernel[T], els vkernel[T]) vker
 			if _, err := conds[k](in, rem, cv, cn); err != nil {
 				return false, err
 			}
-			match = match[:0]
-			next := rem[:0]
+			match, next := match[:0], rem[:0]
 			for _, i := range rem {
 				if !cn[i] && cv[i] {
 					match = append(match, i)
@@ -1294,6 +1281,11 @@ func vecIn(x *In) (boolKernel, bool) {
 			return nil, false
 		}
 	}
+	// A NULL element is in no set: it only makes a non-member NULL.
+	listNull := false
+	for _, le := range x.List {
+		listNull = listNull || le.(*Const).Val.Null
+	}
 	switch x.E.Type() {
 	case types.Bigint, types.Date:
 		set := make(map[int64]bool, len(x.List))
@@ -1306,7 +1298,7 @@ func vecIn(x *In) (boolKernel, bool) {
 		if !ok {
 			return nil, false
 		}
-		return vecInSet(f, set, x.Negate), true
+		return vecInSet(f, set, listNull, x.Negate), true
 	case types.Varchar:
 		set := make(map[string]bool, len(x.List))
 		for _, le := range x.List {
@@ -1318,7 +1310,7 @@ func vecIn(x *In) (boolKernel, bool) {
 		if !ok {
 			return nil, false
 		}
-		return vecInSet(f, set, x.Negate), true
+		return vecInSet(f, set, listNull, x.Negate), true
 	default:
 		return nil, false
 	}
@@ -1327,27 +1319,19 @@ func vecIn(x *In) (boolKernel, bool) {
 // ---- top-level projector ----
 
 // vecProjector evaluates one projection expression as a kernel tree and
-// boxes the result into a flat block. Interior scratch buffers are reused
-// across pages. The output block's arrays are freshly allocated by default,
-// because a page is immutable and whoever receives it may keep it; a caller
-// that knows the block is read before the projector's next eval (a CSE slot,
-// or a page processor whose output is borrowed — PageProcessor.BorrowOutput)
-// asks for scratch output instead, and the block then views vectors the
-// projector owns and overwrites on that next eval.
+// boxes the result into a flat block. It holds no mutable state: the kernels'
+// temporaries are leased from the evaluating processor's arena. The output
+// block's arrays are freshly allocated by default, because a page is
+// immutable and whoever receives it may keep it; a caller that knows the
+// block is read before its arena is next rewound (a CSE slot, or a page
+// processor whose output is borrowed — PageProcessor.BorrowOutput) asks for
+// scratch output instead, and the block then views leased vectors.
 type vecProjector struct {
-	t     types.Type
-	lk    longKernel
-	dk    doubleKernel
-	sk    strKernel
-	bk    boolKernel
-	nulls []bool
-
-	// Scratch output vectors, one per kernel type (only the projector's own
-	// type is ever grown).
-	longs   []int64
-	doubles []float64
-	strs    []string
-	bools   []bool
+	t  types.Type
+	lk longKernel
+	dk doubleKernel
+	sk strKernel
+	bk boolKernel
 }
 
 // compileVecProj builds a vectorized projector for e, or nil when the
@@ -1375,49 +1359,51 @@ func compileVecProj(e Expr) *vecProjector {
 	return nil
 }
 
-// outVec returns the n-long vector a projector writes its result into: a
-// fresh one the output block will own, or the projector's own, grown to fit.
-func outVec[T any](own *[]T, n int, scratch bool) []T {
-	if !scratch {
-		return make([]T, n)
-	}
-	*own = growSlice(*own, n)
-	return *own
-}
-
 func (vp *vecProjector) eval(in *vecInput, scratch bool) (block.Block, error) {
-	n := in.n
-	vp.nulls = growSlice(vp.nulls, n)
 	switch {
 	case vp.lk != nil:
-		vals := outVec(&vp.longs, n, scratch)
-		has, err := vp.lk(in, nil, vals, vp.nulls)
+		vals, nulls, err := evalKernel(vp.lk, in, scratch)
 		if err != nil {
 			return nil, err
 		}
-		return &block.LongBlock{T: vp.t, Vals: vals, Nulls: nullMask(vp.nulls[:n], has, scratch)}, nil
+		return &block.LongBlock{T: vp.t, Vals: vals, Nulls: nulls}, nil
 	case vp.dk != nil:
-		vals := outVec(&vp.doubles, n, scratch)
-		has, err := vp.dk(in, nil, vals, vp.nulls)
+		vals, nulls, err := evalKernel(vp.dk, in, scratch)
 		if err != nil {
 			return nil, err
 		}
-		return block.NewDoubleBlock(vals, nullMask(vp.nulls[:n], has, scratch)), nil
+		return block.NewDoubleBlock(vals, nulls), nil
 	case vp.sk != nil:
-		vals := outVec(&vp.strs, n, scratch)
-		has, err := vp.sk(in, nil, vals, vp.nulls)
+		vals, nulls, err := evalKernel(vp.sk, in, scratch)
 		if err != nil {
 			return nil, err
 		}
-		return block.NewVarcharBlock(vals, nullMask(vp.nulls[:n], has, scratch)), nil
+		return block.NewVarcharBlock(vals, nulls), nil
 	default:
-		vals := outVec(&vp.bools, n, scratch)
-		has, err := vp.bk(in, nil, vals, vp.nulls)
+		vals, nulls, err := evalKernel(vp.bk, in, scratch)
 		if err != nil {
 			return nil, err
 		}
-		return block.NewBoolBlock(vals, nullMask(vp.nulls[:n], has, scratch)), nil
+		return block.NewBoolBlock(vals, nulls), nil
 	}
+}
+
+// evalKernel runs k over every output position into a vector the block will
+// own, or, for scratch output, one leased from in.scratch; the null mask
+// likewise (nil when no position is null).
+func evalKernel[T block.Elem](k vkernel[T], in *vecInput, scratch bool) ([]T, []bool, error) {
+	var vals []T
+	if scratch {
+		vals = block.Lease[T](in.scratch, in.n)
+	} else {
+		vals = make([]T, in.n)
+	}
+	nulls := block.Lease[bool](in.scratch, in.n)
+	has, err := k(in, nil, vals, nulls)
+	if err != nil {
+		return nil, nil, err
+	}
+	return vals, nullMask(nulls, has, scratch), nil
 }
 
 // nullMask turns the scratch null vector into the output block's mask: nil
@@ -1443,37 +1429,4 @@ func nullMask(nulls []bool, hint, scratch bool) []bool {
 	out := make([]bool, len(nulls))
 	copy(out, nulls)
 	return out
-}
-
-// poison overwrites every scratch output vector, to its full capacity, with
-// values no input produces, so a consumer still reading a borrowed block
-// after its time computes a visibly wrong answer (see poisonBorrowed).
-func (vp *vecProjector) poison() {
-	PoisonVectors(vp.longs, vp.doubles, vp.strs, vp.bools, vp.nulls, nil)
-}
-
-// PoisonVectors overwrites lent vectors, to their full capacity, with values
-// no input produces; a dictionary index vector with one that addresses no
-// entry.
-func PoisonVectors(longs []int64, doubles []float64, strs []string, bools, nulls []bool, indices []int32) {
-	fillCap(longs, math.MinInt64)
-	fillCap(doubles, math.NaN())
-	fillCap(strs, "\x00poisoned borrowed page")
-	flipCap(bools)
-	flipCap(nulls)
-	fillCap(indices, math.MinInt32)
-}
-
-func fillCap[T any](v []T, x T) {
-	v = v[:cap(v)]
-	for i := range v {
-		v[i] = x
-	}
-}
-
-func flipCap(v []bool) {
-	v = v[:cap(v)]
-	for i, b := range v {
-		v[i] = !b
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/block"
@@ -117,6 +118,13 @@ func projExpressions() []Expr {
 		&IsNull{E: c0(), Negate: true},
 		&Between{E: c0(), Lo: longConst(-3), Hi: longConst(4)},
 		&In{E: c5(), List: []Expr{strConst("apple"), strConst("cherry")}},
+		// IN with a NULL element: NULL for a non-member, over flat, dictionary
+		// and RLE inputs.
+		&In{E: c5(), List: []Expr{strConst("apple"), NewConst(types.NullValue(types.Varchar))}},
+		&In{E: c0(), List: []Expr{longConst(1), NewConst(types.NullValue(types.Bigint))}, Negate: true},
+		&In{E: c2(), List: []Expr{strConst("aa"), NewConst(types.NullValue(types.Varchar))}, Negate: true},
+		&In{E: c4(), List: []Expr{strConst("other"), NewConst(types.NullValue(types.Varchar))}},
+		&Not{E: &In{E: c4(), List: []Expr{strConst("run"), NewConst(types.NullValue(types.Varchar))}}},
 		&Like{E: c5(), Pattern: strConst("ap%")},
 		// CASE: typed output, null condition handling, missing ELSE, and a
 		// division guarded by the branch it sits in.
@@ -211,6 +219,55 @@ func TestVectorizedProjectionDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestProgramSharedByGoroutines: a compiled filter and projection list holds
+// no mutable state — every temporary is leased from the evaluating
+// processor's arena, every dictionary verdict kept in the processor's memo
+// slots — so two processors over one program, on two goroutines, each with
+// its own arena (one lending its output, one not), return the interpreter's
+// rows. Under -race a kernel that wrote a slice it captured would race.
+func TestProgramSharedByGoroutines(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	pages := []*block.Page{projTestPage(r, 211), projTestPage(r, 1024), projTestPage(r, 37)}
+	// The LIKE over the dictionary column keeps a dictionary memo.
+	filter := &And{L: &Compare{Op: CmpGt, L: colRef(0, types.Bigint), R: longConst(-5)},
+		R: &Not{E: &Like{E: colRef(2, types.Varchar), Pattern: strConst("z%")}}}
+	proj := append(projExpressions(), colRef(7, types.Bigint))
+	want := make([]string, len(pages))
+	for i, p := range pages {
+		want[i] = renderPage(t, NewInterpretedPageProcessor(filter, proj), p)
+	}
+	prog := compileProgram(filter, proj)
+	if prog.memos == 0 {
+		t.Fatal("the filter keeps no dictionary memo")
+	}
+	var wg sync.WaitGroup
+	for _, borrow := range []bool{false, true} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pp := newProcessor(prog)
+			if borrow {
+				pp.BorrowOutput()
+			}
+			defer pp.Scratch().Release()
+			for round := 0; round < 20; round++ {
+				for i, p := range pages {
+					out, err := pp.Process(p)
+					if err != nil {
+						t.Errorf("borrow=%v page %d: %v", borrow, i, err)
+						return
+					}
+					if got := renderOut(out); got != want[i] {
+						t.Errorf("borrow=%v round %d page %d:\ngot  %s\nwant %s", borrow, round, i, got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestVectorizedProjectionKernelsUsed pins down that representative shapes

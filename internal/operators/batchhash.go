@@ -2,8 +2,7 @@ package operators
 
 import (
 	"math"
-	"math/bits"
-	"sync"
+	"slices"
 
 	"repro/internal/block"
 	"repro/internal/types"
@@ -14,7 +13,7 @@ import (
 // kernels walk each key column's typed slice once and fold each column into a
 // per-row hash vector in place. Byte-layout hashes (hashCol) are bit-identical
 // to hashRowKey(encodeRowKey(...)), which keeps hash partitioning across
-// workers (HashPartitionPage) in exact agreement with the per-row fallback.
+// workers (hashPartitionPage) in exact agreement with the per-row fallback.
 // Fixed-layout table hashes use the cheaper mix64 over normalized cells —
 // they never leave the operator, and key equality is verified on the cells
 // themselves, so only distribution matters there.
@@ -207,8 +206,9 @@ func normRows(b block.Block, cells []uint64, tags []byte, k, nk, n int) {
 
 // dictKeys is the key form of every entry of one dictionary — canonical
 // encodings in an arena (bytes layout) or normalized cells (fixed layout) —
-// built once per dictionary identity and kept as scratch by whoever hashes a
-// key column page after page: pages of one column share their dictionary.
+// built once per dictionary identity and kept by whoever hashes a key column
+// page after page: pages of one column share their dictionary. It outlives a
+// page, so its arrays are its own, not leased.
 type dictKeys struct {
 	dict  block.Block
 	fixed bool
@@ -233,13 +233,13 @@ func (dk *dictKeys) covers(d block.Block, rows int, fixed bool) bool {
 	}
 	dk.dict, dk.fixed = d, fixed
 	if fixed {
-		dk.tags, dk.cells = scratch(dk.tags, dn), scratch(dk.cells, dn)
+		dk.tags, dk.cells = slices.Grow(dk.tags[:0], dn)[:dn], slices.Grow(dk.cells[:0], dn)[:dn]
 		for j := 0; j < dn; j++ {
 			dk.tags[j], dk.cells[j] = normValue(d.Value(j))
 		}
 		return true
 	}
-	dk.arena, dk.offs = dk.arena[:0], scratch(dk.offs, dn+1)
+	dk.arena, dk.offs = dk.arena[:0], slices.Grow(dk.offs[:0], dn+1)[:dn+1]
 	dk.offs[0] = 0
 	for j := 0; j < dn; j++ {
 		dk.arena = appendCellKey(dk.arena, d, j)
@@ -319,22 +319,29 @@ func hashRows(b block.Block, hashes []uint64, n int, dk *dictKeys) {
 	}
 }
 
-// batchKeys is the reusable per-page scratch of a hashing operator: the
-// per-row hash vector and, in fixed mode, the normalized key cells.
+// batchKeys is what a hashing operator computes for the key columns of a
+// page: the per-row hash vector and, in fixed mode, the normalized key cells,
+// all leased from the operator's arena for the page (reset); and what it keeps
+// from page to page: the dictionary memos and one row's key (rowKey).
 type batchKeys struct {
 	fixed  bool
 	nk     int
 	hashes []uint64
 	cells  []uint64   // row-major, nk per row (fixed mode only)
 	tags   []byte     // row-major, nk per row (fixed mode only)
-	buf    []byte     // canonical-encoding scratch (bytes mode)
 	dicts  []dictKeys // per key column, the entries of the dictionary it arrives under
+
+	// One row's key: its canonical encoding (bytes mode), or its cells and
+	// tags (fixed mode).
+	buf      []byte
+	rowCells []uint64
+	rowTags  []byte
 }
 
 // mix64 is the splitmix64 finalizer: a full-avalanche 64-bit mixer, far
 // cheaper than byte-wise FNV. Key-table hashes are consumed only locally (the
 // table verifies equality on the cells themselves), so they do not need the
-// canonical FNV that cross-worker partitioning requires — HashPartitionPage
+// canonical FNV that cross-worker partitioning requires — hashPartitionPage
 // keeps the canonical encoding.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
@@ -373,18 +380,19 @@ func loadCol(b block.Block) block.Block {
 	return b
 }
 
-// reset recomputes the hash vector (and normalized cells in fixed mode) for
-// the key columns of p. fixed must match the owning table's layout; callers
-// derive it from the key column types, which are constant per operator.
-func (bk *batchKeys) reset(p *block.Page, cols []int, fixed bool) {
+// reset computes the hash vector (and normalized cells in fixed mode) for
+// the key columns of p into vectors leased from a. fixed must match the
+// owning table's layout; callers derive it from the key column types, which
+// are constant per operator.
+func (bk *batchKeys) reset(a *block.Arena, p *block.Page, cols []int, fixed bool) {
 	n := p.RowCount()
 	bk.fixed = fixed
 	bk.nk = len(cols)
-	bk.hashes = scratch(bk.hashes, n)
+	bk.hashes = block.Lease[uint64](a, n)
 	bk.dicts = extend(bk.dicts, bk.nk)
 	if fixed {
-		bk.cells = scratch(bk.cells, n*bk.nk)
-		bk.tags = scratch(bk.tags, n*bk.nk)
+		bk.cells = block.Lease[uint64](a, n*bk.nk)
+		bk.tags = block.Lease[byte](a, n*bk.nk)
 		for k, c := range cols {
 			normCol(p.Col(c), bk.cells, bk.tags, k, bk.nk, n, &bk.dicts[k])
 		}
@@ -411,42 +419,39 @@ func (bk *batchKeys) reset(p *block.Page, cols []int, fixed bool) {
 
 // rowKey computes the key of the single row r of p as reset computes every
 // row's, in place of a reset for the page: in fixed mode the row's normalized
-// cells (cells, tags), else its canonical encoding (buf), and the key's table
-// hash, which it returns. It is the miss path of encodedKeys: a key it enters
-// and a key reset's batch enters are found by either.
+// cells (rowCells, rowTags), else its canonical encoding (buf), and the key's
+// table hash, which it returns. It is the miss path of resolveEncoded: a key
+// it enters and a key reset's batch enters are found by either.
 func (bk *batchKeys) rowKey(p *block.Page, cols []int, r int, fixed bool) uint64 {
 	if !fixed {
 		bk.buf = encodeRowKey(bk.buf[:0], p, r, cols)
 		return hashRowKey(bk.buf)
 	}
-	bk.cells, bk.tags = scratch(bk.cells, len(cols)), scratch(bk.tags, len(cols))
-	for k, c := range cols {
-		bk.tags[k], bk.cells[k] = normValue(p.Col(c).Value(r))
+	bk.rowCells, bk.rowTags = bk.rowCells[:0], bk.rowTags[:0]
+	for _, c := range cols {
+		tag, cell := normValue(p.Col(c).Value(r))
+		bk.rowCells, bk.rowTags = append(bk.rowCells, cell), append(bk.rowTags, tag)
 	}
-	return fixedHash(bk.cells, bk.tags)
+	return fixedHash(bk.rowCells, bk.rowTags)
 }
 
 // unresolvedKey marks a combination no row of the page has asked for yet in
-// an encodedKeys memo: key ids are >= 0, -1 is a join's "no such key".
+// resolveEncoded's memo: key ids are >= 0, -1 is a join's "no such key".
 const unresolvedKey = -2
 
-// encodedKeys resolves the pages whose key columns all arrive dictionary- or
+// resolveEncoded resolves a page whose key columns all arrive dictionary- or
 // RLE-encoded (paper §V-E): a row's key is then one of a few combinations of
 // dictionary entries, named by combining the columns' indices (an RLE column
 // is a dictionary of one entry), and the hash table is asked once per
-// combination the page references instead of once per row.
-type encodedKeys struct {
-	memo []int32 // per page: combination → key id, or unresolvedKey
-}
-
-// resolve writes every row's key id into ids, asking miss(r) for the id of row
-// r's key at the first row of each combination; combinations no row has are
-// never looked up or entered. run reports that the page is a single
-// combination (every column RLE): ids[0] is every row's. It declines (ok
-// false, ids scratch) when a key column is flat, and when the page has fewer
-// rows than combinations — the memo then costs more to clear than the rows to
-// resolve (the paper's guard).
-func (e *encodedKeys) resolve(p *block.Page, cols []int, ids []int32, miss func(r int) int32) (run, ok bool) {
+// combination the page references instead of once per row. It writes every
+// row's key id into ids, asking miss(r) for the id of row r's key at the first
+// row of each combination; combinations no row has are never looked up or
+// entered. The memo from combination to key id is leased from a. run reports
+// that the page is a single combination (every column RLE): ids[0] is every
+// row's. It declines (ok false, ids scratch) when a key column is flat, and
+// when the page has fewer rows than combinations — the memo then costs more to
+// clear than the rows to resolve (the paper's guard).
+func resolveEncoded(a *block.Arena, p *block.Page, cols []int, ids []int32, miss func(r int) int32) (run, ok bool) {
 	n := len(ids)
 	if n == 0 || len(cols) == 0 {
 		return false, false
@@ -488,8 +493,7 @@ func (e *encodedKeys) resolve(p *block.Page, cols []int, ids []int32, miss func(
 			}
 		}
 	}
-	e.memo = scratch(e.memo, combos)
-	memo := e.memo
+	memo := block.Lease[int32](a, combos)
 	for j := range memo {
 		memo[j] = unresolvedKey
 	}
@@ -521,64 +525,29 @@ func (bk *batchKeys) nullKey(r int) bool {
 	return false
 }
 
-// scratch returns per-page scratch of length n with unspecified contents:
-// s when it is big enough, else a new array of the next power of two. Page
-// sizes vary, and scratch sized to each record high is reallocated at every
-// one.
-func scratch[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]T, n, 1<<bits.Len(uint(n-1)))
-}
-
-// partitionScratch is what HashPartitionPage keeps between calls: the hash
-// vector and, per hash column, the encodings of the dictionary it arrives
-// under.
-type partitionScratch struct {
-	hashes []uint64
-	dicts  []dictKeys
-}
-
-// partitionScratchPool recycles the scratch across HashPartitionPage calls.
-var partitionScratchPool = sync.Pool{New: func() any { return new(partitionScratch) }}
-
-// HashPartitionPage computes every row's target partition in one batched
-// pass, replacing the per-row encodeRowKey+HashPartition loop on the exchange
-// hot paths. dst is reused when it has capacity; partition assignment is
-// bit-identical to HashPartition for every row.
-func HashPartitionPage(p *block.Page, cols []int, parts int, dst []int) []int {
-	n := p.RowCount()
-	dst = scratch(dst, n)
+// hashPartitionPage computes every row's target partition of parts in one
+// batched pass (bk's canonical hashes of the key columns), into a vector
+// leased from a; the assignment is bit-identical to HashPartition for every
+// row.
+func hashPartitionPage(a *block.Arena, bk *batchKeys, p *block.Page, cols []int, parts int) []int {
+	dst := block.Lease[int](a, p.RowCount())
 	if parts <= 1 {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 		return dst
 	}
-	ps := partitionScratchPool.Get().(*partitionScratch)
-	hs := scratch(ps.hashes, n)
-	for i := range hs {
-		hs[i] = fnvOffset
-	}
-	ps.dicts = extend(ps.dicts, len(cols))
-	for k, c := range cols {
-		hashCol(p.Col(c), hs, n, &ps.dicts[k])
-	}
-	for i, h := range hs {
+	bk.reset(a, p, cols, false)
+	for i, h := range bk.hashes {
 		dst[i] = int(h % uint64(parts))
 	}
-	ps.hashes = hs
-	partitionScratchPool.Put(ps)
 	return dst
 }
 
 // partitionRows groups a page's rows by target partition, by counting sort:
 // rows[offs[t]:offs[t+1]] are, in page order, the rows parts sends to
-// partition t of n. rows and offs are scratch the caller keeps from page to
-// page, so nothing is allocated per page or grown by append.
-func partitionRows(parts []int, n int, rows, offs []int) ([]int, []int) {
-	offs = scratch(offs, n+1)
+// partition t of n. Both vectors are leased from a, so nothing is allocated
+// per page or grown by append.
+func partitionRows(a *block.Arena, parts []int, n int) (rows, offs []int) {
+	offs = block.Lease[int](a, n+1)
 	clear(offs)
 	for _, t := range parts {
 		offs[t+1]++
@@ -586,7 +555,7 @@ func partitionRows(parts []int, n int, rows, offs []int) ([]int, []int) {
 	for t := 1; t <= n; t++ {
 		offs[t] += offs[t-1]
 	}
-	rows = scratch(rows, len(parts))
+	rows = block.Lease[int](a, len(parts))
 	for r, t := range parts {
 		rows[offs[t]] = r
 		offs[t]++

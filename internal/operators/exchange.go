@@ -18,9 +18,8 @@ type PartitionedOutputOperator struct {
 	hashCols []int // empty = single/round-robin/broadcast
 	mode     OutputMode
 	rr       int
-	parts    []int // per-row partition scratch, reused across pages
-	rows     []int // partitionRows scratch
-	offs     []int
+	scratch  block.Arena // a page's partition vectors (hash mode)
+	batch    batchKeys
 	finished bool
 }
 
@@ -71,10 +70,10 @@ func (o *PartitionedOutputOperator) AddInput(p *block.Page) error {
 		o.rr++
 	default: // OutputHash
 		// Split the page by target partition, batch-hashing the key columns.
-		o.parts = HashPartitionPage(p, o.hashCols, n, o.parts)
-		o.rows, o.offs = partitionRows(o.parts, n, o.rows, o.offs)
+		o.scratch.Rewind()
+		rows, offs := partitionRows(&o.scratch, hashPartitionPage(&o.scratch, &o.batch, p, o.hashCols, n), n)
 		for t := 0; t < n; t++ {
-			if rows := o.rows[o.offs[t]:o.offs[t+1]]; len(rows) > 0 {
+			if rows := rows[offs[t]:offs[t+1]]; len(rows) > 0 {
 				o.buf.Add(t, p.FilterPositions(rows))
 			}
 		}
@@ -83,6 +82,9 @@ func (o *PartitionedOutputOperator) AddInput(p *block.Page) error {
 }
 
 func (o *PartitionedOutputOperator) Output() (*block.Page, error) { return nil, nil }
+
+// Scratch implements ScratchHolder.
+func (o *PartitionedOutputOperator) Scratch() *block.Arena { return &o.scratch }
 
 // Finish marks this driver's sink complete. The buffer's no-more-pages
 // signal is issued by the task once ALL its drivers are done, since several
@@ -165,9 +167,6 @@ type LocalExchange struct {
 	queue [][]*block.Page
 	done  bool
 	hash  []int
-	parts []int // per-row partition scratch, reused across pages
-	rows  []int // partitionRows scratch
-	offs  []int
 	rr    int
 	cap   int
 
@@ -199,10 +198,13 @@ func NewLocalExchange(ways int, hashCols []int) *LocalExchange {
 	return l
 }
 
-// LocalExchangeSink is the producing end.
+// LocalExchangeSink is the producing end. Its arena and key hashes are the
+// partition vectors of the page it adds.
 type LocalExchangeSink struct {
 	ctx      *OpContext
 	ex       *LocalExchange
+	scratch  block.Arena
+	batch    batchKeys
 	finished bool
 }
 
@@ -218,10 +220,15 @@ func (o *LocalExchangeSink) IsBlocked() bool { return !o.finished && o.ex.full()
 
 func (o *LocalExchangeSink) AddInput(p *block.Page) error {
 	o.ctx.recordIn(p)
-	o.ex.add(p)
+	o.scratch.Rewind()
+	o.ex.add(p, &o.scratch, &o.batch)
 	return nil
 }
 func (o *LocalExchangeSink) Output() (*block.Page, error) { return nil, nil }
+
+// Scratch implements ScratchHolder.
+func (o *LocalExchangeSink) Scratch() *block.Arena { return &o.scratch }
+
 func (o *LocalExchangeSink) Finish() {
 	if !o.finished {
 		o.finished = true
@@ -273,7 +280,9 @@ func (o *LocalExchangeSource) Finish()          { o.done = true }
 func (o *LocalExchangeSource) IsFinished() bool { return o.done }
 func (o *LocalExchangeSource) Close() error     { return nil }
 
-func (l *LocalExchange) add(p *block.Page) {
+// add queues p, split by partition in hash mode with vectors leased from the
+// adding sink's arena and key hashes.
+func (l *LocalExchange) add(p *block.Page, scratch *block.Arena, bk *batchKeys) {
 	l.mu.Lock()
 	defer func() {
 		notify := l.notifyLocked()
@@ -282,10 +291,9 @@ func (l *LocalExchange) add(p *block.Page) {
 	}()
 	n := len(l.queue)
 	if len(l.hash) > 0 && n > 1 {
-		l.parts = HashPartitionPage(p, l.hash, n, l.parts)
-		l.rows, l.offs = partitionRows(l.parts, n, l.rows, l.offs)
+		rows, offs := partitionRows(scratch, hashPartitionPage(scratch, bk, p, l.hash, n), n)
 		for t := 0; t < n; t++ {
-			if rows := l.rows[l.offs[t]:l.offs[t+1]]; len(rows) > 0 {
+			if rows := rows[offs[t]:offs[t+1]]; len(rows) > 0 {
 				l.queue[t] = append(l.queue[t], p.FilterPositions(rows))
 			}
 		}

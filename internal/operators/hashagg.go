@@ -121,10 +121,14 @@ type HashAggregationOperator struct {
 	table *keyTable
 	keys  []*valueVec // per group key; nil where table.cellBlock gives the key back
 	accs  []aggVec
-	batch batchKeys
-	ids   []int32     // per-page row→group id vector
-	enc   encodedKeys // pages whose group keys all arrive dictionary/RLE-encoded
 	bytes int64
+
+	// scratch lends a page's vectors — its key hashes and cells, its group ids
+	// and the memo of its encoded keys — and an output page's group selection;
+	// the next page rewinds it (resolveGroups). Used on the driver's goroutine
+	// only: Revoke, from the pool's, allocates what it needs.
+	scratch block.Arena
+	batch   batchKeys
 
 	spillFiles []string
 	spills     int // lifetime revocation count (spillFiles is cleared on drain)
@@ -359,16 +363,17 @@ func (o *HashAggregationOperator) syncMem() error {
 // the given columns, entering each key not seen since the table was last
 // reset, and grows every state vector to the table's new size. Input pages
 // (keys at o.groupCols) and spilled pages on their way back (keys at
-// o.spillKeys) take the same path. A runID >= 0 marks a page whose rows all
-// fall in one group. The id vector is the operator's scratch, valid until the
-// next call. Caller holds o.mu.
+// o.spillKeys) take the same path, and it is where the operator starts a
+// page: the arena is rewound. A runID >= 0 marks a page whose rows all fall in
+// one group. The id vector is leased, valid until the next call. Caller holds
+// o.mu.
 func (o *HashAggregationOperator) resolveGroups(p *block.Page, cols []int) (ids []int32, runID int32) {
-	o.ids = scratch(o.ids, p.RowCount())
-	ids, runID = o.ids, -1
+	o.scratch.Rewind()
+	ids, runID = block.Lease[int32](&o.scratch, p.RowCount()), -1
 	// Encoded keys: the table is asked once per combination of dictionary
 	// entries the page references (or once per page of runs), through the
 	// row-at-a-time lookup; aggregates fold a whole run in a single step.
-	run, resolved := o.enc.resolve(p, cols, ids, func(r int) int32 { return o.groupIDForRow(p, cols, r) })
+	run, resolved := resolveEncoded(&o.scratch, p, cols, ids, func(r int) int32 { return o.groupIDForRow(p, cols, r) })
 	if resolved {
 		o.ctx.recordDictRows(len(ids))
 	}
@@ -401,7 +406,7 @@ func (o *HashAggregationOperator) keepKeysLocked(id int, p *block.Page, cols []i
 // resolveVecFixed is the vectorized fixed-cell lookup: one tight probe pass
 // over the page's normalized key cells (§V-B). Caller holds o.mu.
 func (o *HashAggregationOperator) resolveVecFixed(p *block.Page, ids []int32, cols []int) {
-	o.batch.reset(p, cols, true)
+	o.batch.reset(&o.scratch, p, cols, true)
 	if len(cols) == 1 {
 		// Single-key fast path: probe on scalars, no per-row slicing.
 		cells, tags, hashes := o.batch.cells, o.batch.tags, o.batch.hashes
@@ -428,7 +433,7 @@ func (o *HashAggregationOperator) resolveVecFixed(p *block.Page, ids []int32, co
 // group keys): hashes come from the batch kernels, the canonical key encoding
 // is built only to verify and store the key. Caller holds o.mu.
 func (o *HashAggregationOperator) resolveVecBytes(p *block.Page, ids []int32, cols []int) {
-	o.batch.reset(p, cols, false)
+	o.batch.reset(&o.scratch, p, cols, false)
 	for r := range ids {
 		o.batch.buf = encodeRowKey(o.batch.buf[:0], p, r, cols)
 		id, fresh := o.table.getOrInsertBytes(o.batch.hashes[r], o.batch.buf)
@@ -447,7 +452,7 @@ func (o *HashAggregationOperator) groupIDForRow(p *block.Page, cols []int, r int
 	var id int
 	var fresh bool
 	if h := o.batch.rowKey(p, cols, r, o.table.fixed); o.table.fixed {
-		id, fresh = o.table.getOrInsertFixed(h, o.batch.cells, o.batch.tags)
+		id, fresh = o.table.getOrInsertFixed(h, o.batch.rowCells, o.batch.rowTags)
 	} else {
 		id, fresh = o.table.getOrInsertBytes(h, o.batch.buf)
 	}
@@ -714,12 +719,13 @@ func (o *HashAggregationOperator) drainSpilled(files []string) error {
 // cells) it reads, so nothing is boxed and the table's arrays stay the
 // table's.
 func (o *HashAggregationOperator) emitGroups() {
-	for lo, n := 0, o.table.Len(); lo < n; lo += o.pageSize {
-		sel := scratch(o.ids, min(o.pageSize, n-lo))
+	n := o.table.Len()
+	ids := block.Lease[int32](&o.scratch, min(o.pageSize, n))
+	for lo := 0; lo < n; lo += o.pageSize {
+		sel := ids[:min(o.pageSize, n-lo)]
 		for i := range sel {
 			sel[i] = int32(lo + i)
 		}
-		o.ids = sel
 		cols := o.keyBlocks(sel, len(o.accs))
 		for i := range o.accs {
 			cols = append(cols, o.accs[i].resultBlock(sel))
@@ -762,6 +768,10 @@ func (o *HashAggregationOperator) IsFinished() bool {
 	return o.finished && o.prepared && o.outPos >= len(o.out)
 }
 func (o *HashAggregationOperator) IsBlocked() bool { return false }
+
+// Scratch implements ScratchHolder.
+func (o *HashAggregationOperator) Scratch() *block.Arena { return &o.scratch }
+
 func (o *HashAggregationOperator) Close() error {
 	o.mu.Lock()
 	for _, f := range o.spillFiles {

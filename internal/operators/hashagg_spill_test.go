@@ -135,7 +135,7 @@ func TestFixedTableRehashesAsBatchKeys(t *testing.T) {
 		var bk batchKeys
 		for pg := 0; pg < 3; pg++ {
 			p := diffPage(pg*300, (pg+1)*300)
-			bk.reset(p, cols, true)
+			bk.reset(nil, p, cols, true)
 			for r := 0; r < p.RowCount(); r++ {
 				cells, tags := bk.row(r)
 				id, _ := tab.getOrInsertFixed(bk.hashes[r], cells, tags)

@@ -256,9 +256,14 @@ func (b *JoinBridge) buildIndexLocked() {
 	reserved := buildIndexBytes(rows, nk, fixed)
 	if nk > 0 && rows > 0 {
 		t := newKeyTable(fixed, nk, rows)
+		// The key hashing leases a page's vectors from an arena of the index
+		// build's own: no driver holds it, so it is never released, and what it
+		// leased is the collector's once the index is built.
+		var scratch block.Arena
 		var bk batchKeys
 		for _, p := range b.pages {
-			t.appendKeys(p, b.keyCols, &bk)
+			scratch.Rewind()
+			t.appendKeys(&scratch, p, b.keyCols, &bk)
 		}
 		var next []int32
 		for pos := rows - 1; pos >= 0; pos-- {
@@ -504,19 +509,20 @@ func (o *HashBuildOperator) AddInput(p *block.Page) error {
 // resolveKeys resolves every row of p to the first build position of its key
 // in t; -1: a NULL key (never matches an equi-join) or no such key. Pages whose
 // key columns all arrive dictionary- or RLE-encoded ask the table once per
-// combination of entries they reference (enc), the rest once per row of a
-// batch-hashed page. It reports which of the two it was.
-func resolveKeys(t *keyTable, bk *batchKeys, enc *encodedKeys, p *block.Page, cols []int, ids []int32) (encoded bool) {
-	if _, encoded = enc.resolve(p, cols, ids, func(r int) int32 { return keyRow(t, bk, p, cols, r) }); !encoded {
-		resolveBatch(t, bk, p, cols, ids)
+// combination of entries they reference (resolveEncoded), the rest once per
+// row of a batch-hashed page. The vectors either way are leased from a. It
+// reports which of the two it was.
+func resolveKeys(a *block.Arena, t *keyTable, bk *batchKeys, p *block.Page, cols []int, ids []int32) (encoded bool) {
+	if _, encoded = resolveEncoded(a, p, cols, ids, func(r int) int32 { return keyRow(t, bk, p, cols, r) }); !encoded {
+		resolveBatch(a, t, bk, p, cols, ids)
 	}
 	return encoded
 }
 
 // resolveBatch is the general path of the probe: batch-hash the page's key
 // columns, then look each row's key up in t.
-func resolveBatch(t *keyTable, bk *batchKeys, p *block.Page, cols []int, ids []int32) {
-	bk.reset(p, cols, t.fixed)
+func resolveBatch(a *block.Arena, t *keyTable, bk *batchKeys, p *block.Page, cols []int, ids []int32) {
+	bk.reset(a, p, cols, t.fixed)
 	if t.fixed && len(cols) == 1 {
 		// One fixed-width key, which is most joins: probe on scalars, no
 		// per-row slicing (as the aggregation's resolveVecFixed).
@@ -553,7 +559,7 @@ func keyRow(t *keyTable, bk *batchKeys, p *block.Page, cols []int, r int) int32 
 	}
 	h := bk.rowKey(p, cols, r, t.fixed)
 	if t.fixed {
-		return int32(t.lookupFixed(h, bk.cells, bk.tags))
+		return int32(t.lookupFixed(h, bk.rowCells, bk.rowTags))
 	}
 	return int32(t.lookupBytes(h, bk.buf))
 }
@@ -601,22 +607,25 @@ type LookupJoinOperator struct {
 	// The probe and build channels the join emits, probe side first: every
 	// one unless SetOutputChannels says less; no build channel for SEMI/ANTI.
 	probeOut, buildOut []int
-	lend               bool // LendOutput
+	lend               bool     // LendOutput
+	consumer           Operator // who takes the output, when it is lent
 
-	batch batchKeys   // probe-side scratch
-	ids   []int32     // per-page row→build key id scratch
-	enc   encodedKeys // probe pages whose keys all arrive dictionary/RLE-encoded
+	// scratch lends the vectors of a probe page — its key hashes and ids, its
+	// selection and, under LendOutput, the output vectors, which every Output
+	// takes back from outMark on and leases again. AddInput, the next probe
+	// page, rewinds it. A pointer, because the spill drain's operator shares it.
+	scratch *block.Arena
+	outMark int
+	batch   batchKeys // probe-side key hashing
 
 	// The selection path: the probe page being emitted, its output selection
-	// (build page -1 = NULL-extend) and how far Output has gathered it; a typed
-	// view per build channel, the vectors a lending join fills per column.
-	tab      builtTable
-	probe    *block.Page
-	probeSel []int32
-	buildSel []bridgeRow
-	selPos   int
-	chans    []*buildChan
-	vecs     []joinVec
+	// — probe rows, and the page (-1 = NULL-extend) and row of each one's build
+	// row — and how far Output has gathered it; a typed view per build channel.
+	tab                         builtTable
+	probe                       *block.Page
+	probeSel, buildPg, buildRow []int32
+	selPos                      int
+	chans                       []*buildChan
 
 	rows         *rowSink // the row path's output
 	finished     bool
@@ -630,6 +639,7 @@ func NewLookupJoin(ctx *OpContext, bridge *JoinBridge, jt plan.JoinType, probeKe
 	op := &LookupJoinOperator{
 		ctx: ctx, bridge: bridge, jt: jt, probeKeys: probeKeys,
 		residual: residual, probeTs: probeTs, buildTs: buildTs, pageSize: pageSize,
+		scratch: new(block.Arena),
 	}
 	if op.pageSize <= 0 {
 		op.pageSize = 4096
@@ -662,11 +672,12 @@ func (o *LookupJoinOperator) SetOutputChannels(probe, build []int) {
 // value, which nobody lends), and a spilled probe page is encoded at once.
 func (o *LookupJoinOperator) ReleasesInput() bool { return true }
 
-// LendOutput tells the join, before its first page, that its consumer
-// releases its input: flat columns are then gathered into vectors the join
-// owns and refills in its next Output, which the driver calls only once the
-// consumer wants input again.
-func (o *LookupJoinOperator) LendOutput(Operator) { o.lend = true }
+// LendOutput tells the join, before its first page, that consumer releases
+// its input: flat columns are then gathered into vectors leased from the
+// join's arena and taken back at its next Output, which the driver calls only
+// once the consumer wants input again — as NeedsInput waits for, before the
+// next probe page rewinds the arena.
+func (o *LookupJoinOperator) LendOutput(consumer Operator) { o.lend, o.consumer = true, consumer }
 
 // LendsOutput reports whether LendOutput has been called.
 func (o *LookupJoinOperator) LendsOutput() bool { return o.lend }
@@ -678,8 +689,12 @@ func (o *LookupJoinOperator) IsBlocked() bool {
 }
 
 func (o *LookupJoinOperator) NeedsInput() bool {
-	return o.bridge.Built() && !o.finished && o.probe == nil && o.rows.empty()
+	return o.bridge.Built() && !o.finished && o.probe == nil && o.rows.empty() &&
+		(o.consumer == nil || o.consumer.NeedsInput())
 }
+
+// Scratch implements ScratchHolder.
+func (o *LookupJoinOperator) Scratch() *block.Arena { return o.scratch }
 
 // rowSink takes the row-at-a-time joins' output: the listed columns of every
 // emitted row go to a page builder, full pages onto a queue Output drains.
@@ -744,6 +759,7 @@ func (o *LookupJoinOperator) sink() *rowSink {
 
 func (o *LookupJoinOperator) AddInput(p *block.Page) error {
 	o.ctx.recordIn(p)
+	o.scratch.Rewind()
 	p = p.LoadLazy()
 	b := o.bridge
 	b.mu.Lock()
@@ -855,8 +871,7 @@ func (o *LookupJoinOperator) joinRows(p *block.Page, ids []int32) {
 // no-match once. Dictionary keys probe the table once per referenced entry,
 // RLE keys once per page (§V-B).
 func (o *LookupJoinOperator) resolveProbe(p *block.Page) []int32 {
-	o.ids = scratch(o.ids, p.RowCount())
-	ids, t := o.ids, o.tab.ktab
+	ids, t := block.Lease[int32](o.scratch, p.RowCount()), o.tab.ktab
 	compatible := t != nil // else an empty build side
 	for _, c := range o.probeKeys {
 		compatible = compatible && (!t.fixed || fixedWidthKey(p.Col(c).Type()))
@@ -867,7 +882,7 @@ func (o *LookupJoinOperator) resolveProbe(p *block.Page) []int32 {
 		}
 		return ids
 	}
-	if resolveKeys(t, &o.batch, &o.enc, p, o.probeKeys, ids) {
+	if resolveKeys(o.scratch, t, &o.batch, p, o.probeKeys, ids) {
 		o.ctx.recordDictRows(len(ids))
 	}
 	return ids
@@ -875,16 +890,29 @@ func (o *LookupJoinOperator) resolveProbe(p *block.Page) []int32 {
 
 // selectMatches flattens the resolved positions into the page's output
 // selection: a pair per match, plus a NULL-extended pair per unmatched probe
-// row for LEFT; the matched (SEMI) or unmatched (ANTI) probe rows alone. Both
-// vectors start at the page's row count — every match, when no build key
-// repeats — and are kept from page to page. A page that selects nothing is
-// dropped.
+// row for LEFT; the matched (SEMI) or unmatched (ANTI) probe rows alone. The
+// vectors are leased at the selection's size — the page's row count, unless a
+// build key repeats and the chains are counted first — so append never grows
+// them. A page that selects nothing is dropped.
 func (o *LookupJoinOperator) selectMatches(p *block.Page, ids []int32) {
 	t := &o.tab
 	semi, anti, left := o.jt == plan.SemiJoin, o.jt == plan.AntiJoin, o.jt == plan.LeftJoin
-	probeSel, buildSel := scratch(o.probeSel, len(ids))[:0], o.buildSel[:0]
+	pairs := len(ids)
+	if t.next != nil && !semi && !anti {
+		pairs = 0
+		for _, id := range ids {
+			if id < 0 && left {
+				pairs++
+			}
+			for pos := id; pos >= 0; pos = t.after(pos) {
+				pairs++
+			}
+		}
+	}
+	probeSel := block.Lease[int32](o.scratch, pairs)[:0]
+	var buildPg, buildRow []int32
 	if !semi && !anti {
-		buildSel = scratch(buildSel, len(ids))[:0]
+		buildPg, buildRow = block.Lease[int32](o.scratch, pairs)[:0], block.Lease[int32](o.scratch, pairs)[:0]
 	}
 	for r, id := range ids {
 		switch {
@@ -894,43 +922,41 @@ func (o *LookupJoinOperator) selectMatches(p *block.Page, ids []int32) {
 			}
 		case id >= 0:
 			for pos := id; pos >= 0; pos = t.after(pos) {
-				probeSel = append(probeSel, int32(r))
-				buildSel = append(buildSel, t.row(pos))
+				m := t.row(pos)
+				probeSel, buildPg, buildRow = append(probeSel, int32(r)), append(buildPg, m.page), append(buildRow, m.row)
 			}
 		case left:
-			probeSel = append(probeSel, int32(r))
-			buildSel = append(buildSel, bridgeRow{page: -1})
+			probeSel, buildPg, buildRow = append(probeSel, int32(r)), append(buildPg, -1), append(buildRow, 0)
 		}
 	}
-	o.probeSel, o.buildSel, o.selPos = probeSel, buildSel, 0
+	o.probeSel, o.buildPg, o.buildRow, o.selPos = probeSel, buildPg, buildRow, 0
+	o.outMark = o.scratch.Mark()
 	if len(probeSel) > 0 {
 		o.probe = p
 	}
 }
 
-// gatherNext builds the selection's next output page, the listed channels only.
+// gatherNext builds the selection's next output page, the listed channels
+// only. The previous output's vectors go back to the arena first: the driver
+// calls Output only once the consumer is done with that page.
 func (o *LookupJoinOperator) gatherNext() *block.Page {
 	start, end := o.selPos, min(o.selPos+o.pageSize, len(o.probeSel))
 	nProbe, nOut := len(o.probeOut), len(o.probeOut)+len(o.buildOut)
-	if o.vecs == nil {
-		o.vecs, o.chans = make([]joinVec, nOut), make([]*buildChan, len(o.buildOut))
+	if o.chans == nil {
+		o.chans = make([]*buildChan, len(o.buildOut))
 	}
-	for i := range o.vecs {
-		if v := &o.vecs[i]; o.lend && expr.PoisonsBorrowed() {
-			expr.PoisonVectors(v.longs, v.doubles, v.strs, v.bools, v.nulls, v.idx)
-		}
-	}
+	o.scratch.RewindTo(o.outMark)
 	out := block.NewEmptyPage(end - start)
 	if nOut > 0 {
 		cols := make([]block.Block, nOut)
 		for i, c := range o.probeOut {
-			cols[i] = o.gatherProbe(&o.vecs[i], o.probe.Col(c), o.probeSel[start:end])
+			cols[i] = o.gatherProbe(o.probe.Col(c), o.probeSel[start:end])
 		}
 		for i, c := range o.buildOut {
 			if o.chans[i] == nil {
 				o.chans[i] = newBuildChan(o.tab.pages, c, o.buildTs[c], o.jt == plan.LeftJoin)
 			}
-			cols[nProbe+i] = o.gatherBuild(&o.vecs[nProbe+i], o.chans[i], o.buildSel[start:end])
+			cols[nProbe+i] = o.gatherBuild(o.chans[i], o.buildPg[start:end], o.buildRow[start:end])
 		}
 		out = block.NewPage(cols...)
 	}
@@ -940,24 +966,14 @@ func (o *LookupJoinOperator) gatherNext() *block.Page {
 	return out
 }
 
-// joinVec is the storage of one output column of a join that lends its output,
-// refilled page after page; a join that does not gathers into fresh arrays.
-type joinVec struct {
-	longs   []int64
-	doubles []float64
-	strs    []string
-	bools   []bool
-	nulls   []bool
-	idx     []int32 // a dictionary column's indices; its dictionary is never lent
-}
-
-// vec returns the n-long array a gather writes: fresh, or *own when lent.
-func vec[T any](own *[]T, n int, lend bool) []T {
-	if !lend {
-		return make([]T, n)
+// outScratch is where an output page's vectors come from: the arena when the
+// output is lent; else none — a nil arena makes every vector, for the page to
+// own.
+func (o *LookupJoinOperator) outScratch() *block.Arena {
+	if o.lend {
+		return o.scratch
 	}
-	*own = scratch(*own, n)
-	return *own
+	return nil
 }
 
 func gatherAt[T any](dst, src []T, sel []int32) []T {
@@ -971,25 +987,25 @@ func gatherAt[T any](dst, src []T, sel []int32) []T {
 // are gathered without decoding: a dictionary result shares the source
 // dictionary under gathered indices, lent like a flat vector; an RLE run stays
 // a run.
-func (o *LookupJoinOperator) gatherProbe(v *joinVec, col block.Block, sel []int32) block.Block {
-	n := len(sel)
+func (o *LookupJoinOperator) gatherProbe(col block.Block, sel []int32) block.Block {
+	a, n := o.outScratch(), len(sel)
 	nulls := func(src []bool) []bool {
 		if src == nil {
 			return nil
 		}
-		return gatherAt(vec(&v.nulls, n, o.lend), src, sel)
+		return gatherAt(block.Lease[bool](a, n), src, sel)
 	}
 	switch src := col.(type) {
 	case *block.LongBlock:
-		return &block.LongBlock{T: src.T, Vals: gatherAt(vec(&v.longs, n, o.lend), src.Vals, sel), Nulls: nulls(src.Nulls)}
+		return &block.LongBlock{T: src.T, Vals: gatherAt(block.Lease[int64](a, n), src.Vals, sel), Nulls: nulls(src.Nulls)}
 	case *block.DoubleBlock:
-		return block.NewDoubleBlock(gatherAt(vec(&v.doubles, n, o.lend), src.Vals, sel), nulls(src.Nulls))
+		return block.NewDoubleBlock(gatherAt(block.Lease[float64](a, n), src.Vals, sel), nulls(src.Nulls))
 	case *block.VarcharBlock:
-		return block.NewVarcharBlock(gatherAt(vec(&v.strs, n, o.lend), src.Vals, sel), nulls(src.Nulls))
+		return block.NewVarcharBlock(gatherAt(block.Lease[string](a, n), src.Vals, sel), nulls(src.Nulls))
 	case *block.BoolBlock:
-		return block.NewBoolBlock(gatherAt(vec(&v.bools, n, o.lend), src.Vals, sel), nulls(src.Nulls))
+		return block.NewBoolBlock(gatherAt(block.Lease[bool](a, n), src.Vals, sel), nulls(src.Nulls))
 	case *block.DictionaryBlock:
-		return block.NewDictionaryBlock(src.Dict, gatherAt(vec(&v.idx, n, o.lend), src.Indices, sel))
+		return block.NewDictionaryBlock(src.Dict, gatherAt(block.Lease[int32](a, n), src.Indices, sel))
 	case *block.RLEBlock:
 		return block.NewRLEBlockFromBlock(src.Val, n)
 	default:
@@ -1083,55 +1099,56 @@ func newBuildChan(pages []*block.Page, c int, t types.Type, nullExtends bool) *b
 	return bc
 }
 
-// gatherRows copies the selected build rows of one channel into dst. mask is
-// nil when no row can be NULL; otherwise it receives every row's NULL flag: a
-// NULL in the build column, or page -1, a probe row LEFT-joined to nothing.
-func gatherRows[T any](dst []T, mask []bool, pages [][]T, nulls [][]bool, sel []bridgeRow) []T {
+// gatherRows copies the selected build rows — row row[i] of page pg[i] — of
+// one channel into dst. mask is nil when no row can be NULL; otherwise it
+// receives every row's NULL flag: a NULL in the build column, or page -1, a
+// probe row LEFT-joined to nothing.
+func gatherRows[T any](dst []T, mask []bool, pages [][]T, nulls [][]bool, pg, row []int32) []T {
 	if mask == nil {
-		for i, m := range sel {
-			dst[i] = pages[m.page][m.row]
+		for i, p := range pg {
+			dst[i] = pages[p][row[i]]
 		}
 		return dst
 	}
 	var null T
-	for i, m := range sel {
-		if m.page < 0 || (nulls[m.page] != nil && nulls[m.page][m.row]) {
+	for i, p := range pg {
+		if p < 0 || (nulls[p] != nil && nulls[p][row[i]]) {
 			dst[i], mask[i] = null, true
 		} else {
-			dst[i], mask[i] = pages[m.page][m.row], false
+			dst[i], mask[i] = pages[p][row[i]], false
 		}
 	}
 	return dst
 }
 
-// gatherBuild gathers build channel bc at the selected (page, row) pairs, with
-// a null mask only when the channel holds NULLs or the join null-extends: a
-// NULL-free build column stays on its consumer's no-null-check kernels.
-func (o *LookupJoinOperator) gatherBuild(v *joinVec, bc *buildChan, sel []bridgeRow) block.Block {
-	n := len(sel)
+// gatherBuild gathers build channel bc at the selected rows, with a null mask
+// only when the channel holds NULLs or the join null-extends: a NULL-free
+// build column stays on its consumer's no-null-check kernels.
+func (o *LookupJoinOperator) gatherBuild(bc *buildChan, pg, row []int32) block.Block {
+	a, n := o.outScratch(), len(pg)
 	if bc.dict != nil {
-		return block.NewDictionaryBlock(bc.dict, gatherRows(vec(&v.idx, n, o.lend), nil, bc.idx, nil, sel))
+		return block.NewDictionaryBlock(bc.dict, gatherRows(block.Lease[int32](a, n), nil, bc.idx, nil, pg, row))
 	}
 	var mask []bool
 	if bc.anyNull || o.jt == plan.LeftJoin {
-		mask = vec(&v.nulls, n, o.lend)
+		mask = block.Lease[bool](a, n)
 	}
 	switch bc.t {
 	case types.Bigint, types.Date:
-		return &block.LongBlock{T: bc.t, Vals: gatherRows(vec(&v.longs, n, o.lend), mask, bc.longs, bc.nulls, sel), Nulls: mask}
+		return &block.LongBlock{T: bc.t, Vals: gatherRows(block.Lease[int64](a, n), mask, bc.longs, bc.nulls, pg, row), Nulls: mask}
 	case types.Double:
-		return block.NewDoubleBlock(gatherRows(vec(&v.doubles, n, o.lend), mask, bc.doubles, bc.nulls, sel), mask)
+		return block.NewDoubleBlock(gatherRows(block.Lease[float64](a, n), mask, bc.doubles, bc.nulls, pg, row), mask)
 	case types.Varchar:
-		return block.NewVarcharBlock(gatherRows(vec(&v.strs, n, o.lend), mask, bc.strs, bc.nulls, sel), mask)
+		return block.NewVarcharBlock(gatherRows(block.Lease[string](a, n), mask, bc.strs, bc.nulls, pg, row), mask)
 	case types.Boolean:
-		return block.NewBoolBlock(gatherRows(vec(&v.bools, n, o.lend), mask, bc.bools, bc.nulls, sel), mask)
+		return block.NewBoolBlock(gatherRows(block.Lease[bool](a, n), mask, bc.bools, bc.nulls, pg, row), mask)
 	}
 	vals := make([]types.Value, n)
-	for i, m := range sel {
-		if m.page < 0 {
+	for i, p := range pg {
+		if p < 0 {
 			vals[i] = types.NullValue(bc.t)
 		} else {
-			vals[i] = o.tab.pages[m.page].Col(bc.c).Value(int(m.row))
+			vals[i] = o.tab.pages[p].Col(bc.c).Value(int(row[i]))
 		}
 	}
 	return block.BuildBlock(bc.t, vals)

@@ -376,14 +376,13 @@ func TestJoinRowPathHonoursChannels(t *testing.T) {
 	}
 }
 
-// TestJoinLentVectorsArePoisoned runs where the borrowed-page poison is
-// linked on (scripts/check.sh): a page a lending join handed out reads
-// differently once the join has gathered the next one, so a consumer that
-// kept it fails the differential walls instead of passing by luck.
+// TestJoinLentVectorsArePoisoned: with the poison on (as scripts/check.sh
+// links it under the differential walls), a page a lending join handed out
+// reads differently once the join has gathered the next one, so a consumer
+// that kept it fails the walls instead of passing by luck.
 func TestJoinLentVectorsArePoisoned(t *testing.T) {
-	if !expr.PoisonsBorrowed() {
-		t.Skip("the borrowed-page poison is linked on only by scripts/check.sh")
-	}
+	was := block.PoisonScratch(true)
+	t.Cleanup(func() { block.PoisonScratch(was) })
 	bridge := buildBridge(t, []int{0}, twoColPage([]int64{1, 2, 3}, []int64{10, 20, 30}))
 	bridge.AddProbe()
 	ts := []types.Type{types.Bigint, types.Bigint}

@@ -266,8 +266,8 @@ func (t *keyTable) lookupBytes(h uint64, key []byte) int {
 // next entries, and enters none of them into the slot array (link does). A row
 // with a NULL key column is stored too — as an empty encoding in the bytes
 // layout — so that entry ids stay row positions; nullKey tells it apart. bk is
-// the caller's hashing scratch.
-func (t *keyTable) appendKeys(p *block.Page, cols []int, bk *batchKeys) {
+// the caller's key hashing, with its vectors leased from a.
+func (t *keyTable) appendKeys(a *block.Arena, p *block.Page, cols []int, bk *batchKeys) {
 	n := p.RowCount()
 	if t.fixed {
 		at, end := t.n*t.nk, (t.n+n)*t.nk
@@ -277,7 +277,7 @@ func (t *keyTable) appendKeys(p *block.Page, cols []int, bk *batchKeys) {
 			normCol(p.Col(c), t.cells[at:], t.tags[at:], k, t.nk, n, &bk.dicts[k])
 		}
 	} else {
-		bk.reset(p, cols, false)
+		bk.reset(a, p, cols, false)
 		t.hashes = append(room(t.hashes, n), bk.hashes...)
 		t.offs = room(t.offs, n)
 		for r := 0; r < n; r++ {

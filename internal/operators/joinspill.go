@@ -431,7 +431,7 @@ func (d *joinSpillDrain) openPartition() error {
 		ctx: o.ctx, bridge: sub, jt: o.jt, probeKeys: o.probeKeys,
 		residual: o.residual, probeTs: o.probeTs, buildTs: o.buildTs,
 		probeOut: o.probeOut, buildOut: o.buildOut, lend: o.lend,
-		pageSize: o.pageSize,
+		pageSize: o.pageSize, scratch: o.scratch,
 	}
 	sub.AddProbe()
 	sub.NoMoreProbes()

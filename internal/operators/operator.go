@@ -36,6 +36,15 @@ type Operator interface {
 	Close() error
 }
 
+// ScratchHolder is an operator that leases the vectors of its pages from a
+// block.Arena: a filter/project (its processor's) and every operator that
+// hashes keys. Each rewinds its arena at what it treats as its next page;
+// the driver that runs it releases the arena when it finishes
+// (exec.Driver.finishDriver), and nothing else does.
+type ScratchHolder interface {
+	Scratch() *block.Arena
+}
+
 // OpContext carries per-operator execution context: memory accounting and
 // statistics shared with the task.
 type OpContext struct {

@@ -74,7 +74,7 @@ func hashRowKey[K []byte | string](key K) uint64 {
 
 // HashPartition computes the target partition of row r given the hash
 // columns; it is used by partitioned outputs and local exchanges. Page-level
-// callers should prefer HashPartitionPage, which batches the hashing.
+// callers should prefer hashPartitionPage, which batches the hashing.
 func HashPartition(p *block.Page, r int, cols []int, parts int) int {
 	if parts <= 1 {
 		return 0

@@ -140,6 +140,9 @@ func (o *FilterProjectOperator) flushKernelStats() {
 	o.flushed = st
 }
 
+// Scratch implements ScratchHolder: the processor's arena.
+func (o *FilterProjectOperator) Scratch() *block.Arena { return o.proc.Scratch() }
+
 func (o *FilterProjectOperator) Finish()          { o.finished = true }
 func (o *FilterProjectOperator) IsFinished() bool { return o.done && o.pending == nil }
 func (o *FilterProjectOperator) IsBlocked() bool  { return false }
@@ -198,10 +201,12 @@ func (o *LimitOperator) IsBlocked() bool { return false }
 func (o *LimitOperator) Close() error    { return nil }
 
 // DistinctOperator removes duplicate rows using a hash set of row keys: an
-// open-addressing keyTable fed by the batch hashing kernels.
+// open-addressing keyTable fed by the batch hashing kernels, whose vectors,
+// and the rows a page keeps, are leased from scratch for the page.
 type DistinctOperator struct {
 	ctx      *OpContext
 	table    *keyTable
+	scratch  block.Arena
 	batch    batchKeys
 	keyCols  []int
 	pending  *block.Page
@@ -224,8 +229,9 @@ func (o *DistinctOperator) NeedsInput() bool { return !o.finished && o.pending =
 
 func (o *DistinctOperator) AddInput(p *block.Page) error {
 	o.ctx.recordIn(p)
-	var keep []int
-	o.batch.reset(p, o.keyCols, o.table.fixed)
+	o.scratch.Rewind()
+	keep := block.Lease[int](&o.scratch, p.RowCount())[:0]
+	o.batch.reset(&o.scratch, p, o.keyCols, o.table.fixed)
 	for r := 0; r < p.RowCount(); r++ {
 		var fresh bool
 		if o.table.fixed {
@@ -254,6 +260,9 @@ func (o *DistinctOperator) Output() (*block.Page, error) {
 	o.ctx.recordOut(p)
 	return p, nil
 }
+
+// Scratch implements ScratchHolder.
+func (o *DistinctOperator) Scratch() *block.Arena { return &o.scratch }
 
 func (o *DistinctOperator) Finish()          { o.finished = true }
 func (o *DistinctOperator) IsFinished() bool { return o.finished && o.pending == nil }

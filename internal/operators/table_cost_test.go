@@ -137,6 +137,7 @@ func TestGroupTableBytesPerGroup(t *testing.T) {
 			t.Errorf("%s: %d bytes allocated per fresh group, want <= %d", tc.name, got, tc.ceiling)
 		}
 		op.Close()
+		op.Scratch().Release() // as its driver does when it finishes
 	}
 
 	eight := append(append(append([]AggSpec(nil), threeAggs...), threeAggs...), threeAggs[:2]...)

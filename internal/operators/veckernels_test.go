@@ -111,7 +111,7 @@ func TestHashPartitionPageMatchesRowHash(t *testing.T) {
 		p := randomMixedPage(r, 257)
 		for _, cols := range colSets {
 			for _, parts := range []int{1, 7, 16} {
-				got := HashPartitionPage(p, cols, parts, nil)
+				got := hashPartitionPage(nil, new(batchKeys), p, cols, parts)
 				for row := 0; row < p.RowCount(); row++ {
 					want := HashPartition(p, row, cols, parts)
 					if got[row] != want {

@@ -12,24 +12,47 @@ import (
 
 // seedFile is a real spill file: two records of partition 0, then one of
 // partition 15 — two extents.
-func seedFile(f *testing.F) []byte {
-	w, err := NewWriter(f.TempDir(), "fuzzseed")
+func seedFile(f *testing.F) []byte { return imageOf(f, 0, 0, 15) }
+
+// imageOf is a real spill file of one small page per listed partition tag.
+func imageOf(tb testing.TB, parts ...int) []byte {
+	w, err := NewWriter(tb.TempDir(), "fuzzseed")
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	for _, part := range []int{0, 0, 15} {
+	for _, part := range parts {
 		if err := w.WritePage(part, pageOfInts(3)); err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := w.Finish(); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	data, err := os.ReadFile(w.Path())
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	return data
+}
+
+// splitExtentImage is the image FuzzSpillFileDecode found: three records
+// tagged 48, under an index whose one extent is split in two and the second
+// half relabelled 49. Draining partition 48 through the index reads two pages;
+// reading in write order used to return three, all of partition 48.
+func splitExtentImage(tb testing.TB) []byte {
+	data := imageOf(tb, 48, 48, 48)
+	r, err := newReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	whole := r.extents[0]
+	r.Close()
+	third := whole.length / 3 // the three records are the same page
+	end := whole.offset + whole.length
+	return appendIndex(append([]byte(nil), data[:end]...), []extent{
+		{partition: 48, offset: whole.offset, length: whole.length - third},
+		{partition: 49, offset: end - third, length: third},
+	}, end)
 }
 
 // checkImage opens a spill file image the way a drain does. It must never
@@ -97,6 +120,7 @@ func FuzzSpillFileDecode(f *testing.F) {
 	f.Add(data[:len(data)/2])
 	f.Add(data[:len(data)-1])
 	f.Add(appendIndex([]byte("PSP2"), nil, 4)) // a file of no records
+	f.Add(splitExtentImage(f))
 	f.Add([]byte("PSP2"))
 	f.Add([]byte{})
 	f.Fuzz(checkImage)

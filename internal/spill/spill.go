@@ -296,8 +296,11 @@ type Reader struct {
 	extents []extent
 
 	span    io.SectionReader // what buf.br reads from
+	spanOff int64            // where span starts in the file
 	part    int              // partition NextPage is draining, -1 before its first call
-	nextExt int              // first extent NextPage has not looked at yet
+	// nextExt is, for NextPage, the first extent it has not looked at yet;
+	// for Next, the extent the record it read last lies in.
+	nextExt int
 }
 
 // OpenReader opens a spill file and validates its magic, trailer and index.
@@ -403,8 +406,14 @@ func decodeIndex(index []byte, end int64) ([]extent, error) {
 
 // seek positions the reader on the span [off, off+n) of the file.
 func (r *Reader) seek(off, n int64) {
-	r.span = *io.NewSectionReader(r.src, off, n)
+	r.span, r.spanOff = *io.NewSectionReader(r.src, off, n), off
 	r.buf.br.Reset(&r.span)
+}
+
+// pos is the file offset of the next byte the reader returns.
+func (r *Reader) pos() int64 {
+	at, _ := r.span.Seek(0, io.SeekCurrent) // never fails for SeekCurrent+0
+	return r.spanOff + at - int64(r.buf.br.Buffered())
 }
 
 // Next returns the next record's partition tag and raw page frame, io.EOF at
@@ -413,9 +422,22 @@ func (r *Reader) seek(off, n int64) {
 // block.DecodePage. A drain that wants one partition uses NextPage, which
 // reads nothing else off the file; a reader serves one or the other.
 func (r *Reader) Next() (int, []byte, error) {
+	if r.buf == nil {
+		return 0, nil, os.ErrClosed
+	}
+	at := r.pos()
 	part, n, err := r.header()
 	if err != nil {
 		return 0, nil, err
+	}
+	// The record must lie whole in one extent, and the extent be of its
+	// partition: what NextPage finds there, or the two readers disagree.
+	for r.nextExt < len(r.extents)-1 && at >= r.extents[r.nextExt].offset+r.extents[r.nextExt].length {
+		r.nextExt++
+	}
+	e := r.extents[r.nextExt]
+	if end := r.pos() + int64(n); e.partition != part || end > e.offset+e.length {
+		return 0, nil, corruptf("record of partition %d at %d in the extent [%d, +%d) of partition %d", part, at, e.offset, e.length, e.partition)
 	}
 	frame := make([]byte, n)
 	if err := r.readFrame(frame); err != nil {
@@ -487,8 +509,7 @@ func (r *Reader) header() (part, frameLen int, err error) {
 	if err != nil {
 		return 0, 0, corruptf("frame length: %v", err)
 	}
-	pos, _ := r.span.Seek(0, io.SeekCurrent) // never fails for SeekCurrent+0
-	left := r.span.Size() - pos + int64(br.Buffered())
+	left := r.spanOff + r.span.Size() - r.pos()
 	if n == 0 || n > maxFrameLen || int64(n) > left {
 		return 0, 0, corruptf("frame length %d out of range (%d bytes left)", n, left)
 	}

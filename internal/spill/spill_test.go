@@ -524,3 +524,42 @@ func TestSpillWriterClosedIsInert(t *testing.T) {
 		t.Errorf("finished spill file gone after a second Finish: %v", err)
 	}
 }
+
+// TestSpillRecordTagMatchesItsExtent: a record whose tag disagrees with the
+// extent its offset lies in is ErrCorruptFile to both readers — Next, which
+// reads the records in write order, as well as NextPage, which reads one
+// partition's extents — so the two never return different pages.
+func TestSpillRecordTagMatchesItsExtent(t *testing.T) {
+	relabelled := imageOf(t, 48, 48, 49)
+	probe, err := newReader(bytes.NewReader(relabelled), int64(len(relabelled)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	extents := append([]extent(nil), probe.extents...)
+	probe.Close()
+	extents[1].partition = 47
+	end := extents[1].offset + extents[1].length
+	relabelled = appendIndex(relabelled[:end:end], extents, end)
+
+	for name, c := range map[string]struct {
+		image []byte
+		part  int // the partition whose extent holds a record of another
+	}{
+		"an index entry relabelled":      {relabelled, 47},
+		"an extent split and relabelled": {splitExtentImage(t), 49},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := DecodeAll(c.image); !errors.Is(err, ErrCorruptFile) {
+				t.Errorf("reading in write order: %v, want ErrCorruptFile", err)
+			}
+			r, err := newReader(bytes.NewReader(c.image), int64(len(c.image)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if _, err := r.NextPage(c.part); !errors.Is(err, ErrCorruptFile) {
+				t.Errorf("draining partition %d: %v, want ErrCorruptFile", c.part, err)
+			}
+		})
+	}
+}

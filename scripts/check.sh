@@ -13,12 +13,14 @@
 #                             # + point-read byte budget and written
 #                             # tables + dictionary paths (guards, stats,
 #                             # a panicking operator fails one query)
-#                             # + borrowed-page poison run + non-race
-#                             # allocation ceilings (page codec, group
-#                             # table — presized from its estimate, a
-#                             # wrong estimate changing no row — join
-#                             # build and probe, dynamically filtered
-#                             # scan, spill) and bench smokes
+#                             # + borrowed-page and released-scratch
+#                             # poison run + non-race allocation
+#                             # ceilings (page codec, group table —
+#                             # presized from its estimate, a wrong
+#                             # estimate changing no row — join build
+#                             # and probe, dynamically filtered scan,
+#                             # spill, a second driver's first page on
+#                             # leased scratch) and bench smokes
 #                             # + configuration (one switch set: cluster vs
 #                             # session twins, the switch headers, TaskConfig
 #                             # and fragments on the wire, non-finite doubles
@@ -31,7 +33,8 @@
 #                             # seeds (CHAOS_FULL), verbose
 #   scripts/check.sh -fuzz    # additionally run 10s fuzz smokes over the
 #                             # page codec, orcish footers and sections,
-#                             # SQL parser, spill files and their index,
+#                             # SQL parser, spill files (both readers
+#                             # agree, or both reject) and their index,
 #                             # exchange segments,
 #                             # dynamic-filter summary frames, create
 #                             # requests (fragments, compiled, plus task
@@ -127,18 +130,20 @@ fi
 go test -race -count=1 ./internal/orcish/ ./internal/connectors/hive/
 go test -race -count=1 -run 'TestScanBytesReadAreFetchedBytes|TestChaosDamagedLakeFile' .
 
-echo "==> borrowed pages are never read late (poison linked on under the differential walls)"
-# expr.poisonBorrowed makes an operator that lends its output — a page
-# processor, a lookup join — overwrite the lent vectors before every page;
-# only a linker flag (or expr's own tests) can set it. The walls that reach an
-# aggregation or a join through a lender live in these four packages
-# (TestJoinLentVectorsArePoisoned runs only here, over flat vectors and over
-# the index vectors of dictionary probe and build columns; the root package's
-# tables are stored dictionary-encoded, so its walls read a processor's lent
-# index vectors; ./internal/exec holds the
-# processor composed onto a dynamically filtered scan,
-# TestDynFilteredScanGathersOnce, and the root package the dynamic-filter
-# differentials that run it under every join type).
+echo "==> borrowed pages and released scratch are never read late (poison linked on under the differential walls)"
+# expr.poisonBorrowed makes every scratch arena poison the vectors it takes
+# back: an operator that lends its output — a page processor, a lookup join —
+# has its lent vectors overwritten before every page, and a finishing driver
+# its every vector as it releases them; only a linker flag (or a test, for
+# itself: TestJoinLentVectorsArePoisoned over flat vectors and over the index
+# vectors of dictionary probe and build columns,
+# TestFinishedDriverPoisonsItsScratch) can set it. The walls that reach an
+# aggregation or a join through a lender live in these four packages (the
+# root package's tables are stored dictionary-encoded, so its walls read a
+# processor's lent index vectors; ./internal/exec holds the processor
+# composed onto a dynamically filtered scan, TestDynFilteredScanGathersOnce,
+# and the root package the dynamic-filter differentials that run it under
+# every join type).
 go test -count=1 -ldflags '-X repro/internal/expr.poisonBorrowed=on' . ./internal/exec ./internal/operators ./internal/expr
 
 echo "==> kernel + morsel bench smoke (1 iteration per benchmark)"
@@ -160,8 +165,16 @@ go test -run '^$' -bench 'KeyTableFixed1' -benchtime 20x -benchmem ./internal/op
 go test -run '^$' -bench 'HashJoinBuildParallel' -benchtime 5x -benchmem -cpu 1,2 ./internal/operators/ | grep '^Benchmark'
 go test -run '^$' -bench 'HashAggBigintKey|HashJoinBuildProbe|HashJoinDictKey' -benchtime 5x -benchmem . | grep '^Benchmark'
 
-echo "==> filter -> project -> aggregate (flat and dictionary group keys) and dynamically filtered scan -> join -> aggregate allocation ceilings + bench smoke (no -race, same reason)"
+echo "==> filter -> project -> aggregate (flat and dictionary group keys; a second driver from its first page) and dynamically filtered scan -> join -> aggregate allocation ceilings, scratch leases + bench smoke (no -race, same reason)"
+# Scratch is a lease (DESIGN.md "Scratch"): a driver's vectors go back to the
+# pool when it finishes, so a second h01 driver and a fresh processor's
+# selections allocate nothing for theirs on their first page; the arena's
+# leases, rewinds, poison and lease check; one compiled program on two
+# goroutines (-race: no kernel writes a slice it captured).
 go test -count=1 -v -run 'TestFilterProjectAggAllocationCeiling|TestDynFilteredScanGathersOnce' ./internal/exec/ | grep -E '^(---|ok|FAIL|panic)|bytes'
+go test -count=1 -run 'TestSelectionScratchSizedBySurvivors' ./internal/expr/
+go test -count=1 -run 'TestArena' ./internal/block/
+go test -race -count=10 -run 'TestProgramSharedByGoroutines' ./internal/expr/
 go test -run '^$' -bench 'FilterProjectAgg' -benchtime 1x -benchmem ./internal/exec/ > /dev/null
 
 if [ "$chaos_full" = 1 ]; then

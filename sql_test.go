@@ -44,6 +44,8 @@ func TestSQLWhereCombinations(t *testing.T) {
 		{"name LIKE '%a%'", 4}, // alice, carol, dave, frank
 		{"name NOT LIKE 'a%'", 5},
 		{"city IN ('SF', 'LA')", 4},
+		{"age IN (30, NULL)", 1},     // a non-member is NULL, a member still true
+		{"age NOT IN (30, NULL)", 0}, // no row is definitely outside a list with a NULL
 		{"age IS NULL", 1},
 		{"age IS NOT NULL", 5},
 		{"NOT (city = 'SF')", 3},
