@@ -167,6 +167,21 @@ func TestKVIndexJoin(t *testing.T) {
 	if rows[0][1].S != "DE" { // u0 divisible by 3
 		t.Fatalf("got %v", rows[0])
 	}
+
+	// A LEFT index join applies its residual: a probe row whose match fails
+	// it is NULL-extended, as the hash join against a memory copy of the
+	// table does.
+	const left = `SELECT e.user_id, u.country, e.clicks FROM events e LEFT JOIN %s u
+		ON e.user_id = u.user_id AND e.clicks > 4`
+	if text, err := c.Explain(fmt.Sprintf(left, "kv.users")); err != nil || !contains(text, "INDEX") {
+		t.Fatalf("expected an index join with a residual in plan (%v):\n%s", err, text)
+	}
+	mustExec(t, c, "CREATE TABLE users_copy AS SELECT * FROM kv.users")
+	want := []string{"u0|DE|5", "u1|NULL|3", "u3|DE|7", "u99|NULL|1"}
+	for _, table := range []string{"kv.users", "users_copy"} {
+		query := fmt.Sprintf(left, table)
+		assertRows(t, query, stringifyRows(mustExec(t, c, query)), want)
+	}
 }
 
 func contains(s, sub string) bool {

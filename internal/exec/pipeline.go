@@ -726,7 +726,8 @@ func (c *compiler) compileJoin(j *plan.Join, pb *chain, reads []bool) ([]int, er
 	buildTs := j.Right.Schema().Types()
 	pb.append("LookupJoin", func(ctx *driverCtx) (operators.Operator, error) {
 		bridge.AddProbe()
-		op := operators.NewLookupJoin(ctx.opCtx(memory.User), bridge, jt, probeKeys, residual, probeTs, buildTs, c.pageSize)
+		res := operators.NewJoinResidual(residual, len(probeTs), ctx.task.newProcessor)
+		op := operators.NewLookupJoin(ctx.opCtx(memory.User), bridge, jt, probeKeys, res, probeTs, buildTs, c.pageSize)
 		op.SetOutputChannels(probeOut, buildOut)
 		return op, nil
 	})
@@ -752,7 +753,7 @@ func (c *compiler) compileIndexJoin(j *plan.Join, pb *chain) error {
 		probeKeys[i] = eq.Left
 		keyCols[i] = scan.Columns[eq.Right]
 	}
-	jt := j.Type
+	jt, residual := j.Type, j.Residual
 	probeTs := j.Left.Schema().Types()
 	buildTs := j.Right.Schema().Types()
 	catalog, table := scan.Handle.Catalog, scan.Handle.Table
@@ -770,7 +771,8 @@ func (c *compiler) compileIndexJoin(j *plan.Join, pb *chain) error {
 		if !ok {
 			return nil, fmt.Errorf("no index on %s.%s(%v)", catalog, table, keyCols)
 		}
-		return operators.NewIndexJoin(ctx.opCtx(memory.User), idx.Lookup, jt, probeKeys, probeTs, buildTs, c.pageSize), nil
+		res := operators.NewJoinResidual(residual, len(probeTs), ctx.task.newProcessor)
+		return operators.NewIndexJoin(ctx.opCtx(memory.User), idx.Lookup, jt, probeKeys, res, probeTs, buildTs, c.pageSize), nil
 	})
 	pb.stampFP(plan.CardFingerprint(j, nil))
 	return nil

@@ -373,7 +373,23 @@ func (pp *PageProcessor) evalCSESlots() error {
 // the evaluation context is set to every row of p.
 func (pp *PageProcessor) start(p *block.Page) {
 	pp.scratch.Rewind()
-	pp.vin = vecInput{p: p, n: p.RowCount(), shared: pp.vin.shared[:0], scratch: &pp.scratch, memo: pp.vin.memo}
+	pp.begin(p, &pp.scratch)
+}
+
+// begin sets the evaluation context to every row of p, leasing from a.
+func (pp *PageProcessor) begin(p *block.Page, a *block.Arena) {
+	pp.vin = vecInput{p: p, n: p.RowCount(), shared: pp.vin.shared[:0], scratch: a, memo: pp.vin.memo}
+}
+
+// Select is the processor's filter half, for a caller that gathers the rows
+// it keeps itself (a join's residual): it returns the rows of p that pass the
+// dynamic filters and the predicate, as Process selects them. Its vectors are
+// leased from a — the caller's arena, which its driver releases — and are the
+// caller's until it rewinds a; the result may be the shared identity vector,
+// which nobody writes.
+func (pp *PageProcessor) Select(p *block.Page, a *block.Arena) []int {
+	pp.begin(p, a)
+	return pp.selectRows()
 }
 
 // identity is the process-wide identity row vector 0, 1, 2, …: every

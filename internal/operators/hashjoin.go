@@ -249,11 +249,18 @@ func buildIndexBytes(rows, nk int, fixed bool) int64 {
 // page by page, and then links the positions last to first, so that a slot
 // ends on its key's first position and each duplicate is chained to the next
 // one in arrival order. A NULL key (never matches) is not linked. A keyless
-// join probes every build position and keeps no key table.
+// join keeps no key table: one chain links every position, which every probe
+// row walks.
 func (b *JoinBridge) buildIndexLocked() {
 	b.locate()
 	nk, rows, fixed := len(b.keyCols), int(b.positions()), fixedWidthKeys(b.keyTs)
 	reserved := buildIndexBytes(rows, nk, fixed)
+	if nk == 0 && rows > 0 {
+		b.next = make([]int32, rows)
+		for pos := range rows - 1 {
+			b.next[pos] = int32(pos + 2)
+		}
+	}
 	if nk > 0 && rows > 0 {
 		t := newKeyTable(fixed, nk, rows)
 		// The key hashing leases a page's vectors from an arena of the index
@@ -292,7 +299,7 @@ func (b *JoinBridge) buildIndexLocked() {
 // entries are the positions' keys, and a slot holds the first position of its
 // key; next[pos] is the key's position after pos, plus one (0: pos is its
 // last), so a key's rows come out in arrival order. next is nil while no key
-// repeats.
+// repeats; keyless, it links every position to the next.
 type builtTable struct {
 	pages  []*block.Page
 	starts []int32
@@ -347,15 +354,16 @@ func (t *builtTable) positions() int32 {
 
 // row addresses build position pos: the page that holds it, found from the
 // step before pos, and its row there.
-func (t *builtTable) row(pos int32) bridgeRow {
+func (t *builtTable) row(pos int32) (page, row int32) {
 	pg := t.steps[pos>>t.shift]
 	for t.starts[pg+1] <= pos {
 		pg++
 	}
-	return bridgeRow{page: pg, row: pos - t.starts[pg]}
+	return pg, pos - t.starts[pg]
 }
 
-// after is the position after pos with the same key, or -1.
+// after is the position after pos with the same key (keyless: the next), or
+// -1.
 func (t *builtTable) after(pos int32) int32 {
 	if t.next == nil {
 		return -1
@@ -396,21 +404,16 @@ func (b *JoinBridge) AllProbesFinished() bool {
 	return b.noMoreProbes && b.probesActive <= 0
 }
 
-// ClaimOuter grants the outer-row emission to exactly one probe operator.
-func (b *JoinBridge) ClaimOuter() bool {
+// claimOuter grants the outer-row emission to exactly one probe operator,
+// with the table and the matched flags, which no probe changes any more.
+func (b *JoinBridge) claimOuter() (t builtTable, matched []bool, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.outerClaimed {
-		return false
+		return t, nil, false
 	}
 	b.outerClaimed = true
-	return true
-}
-
-// bridgeRow addresses one build row: its page in pages and its row in it.
-type bridgeRow struct {
-	page int32
-	row  int32
+	return b.builtTable, b.matched, true
 }
 
 // NewJoinBridge creates an empty bridge.
@@ -588,67 +591,35 @@ func (o *HashBuildOperator) IsBlocked() bool              { return false }
 func (o *HashBuildOperator) Close() error                 { return nil }
 
 // LookupJoinOperator probes the bridge's hash table with left-side pages and
-// emits joined rows. It implements INNER, LEFT, RIGHT, FULL, CROSS, SEMI,
-// and ANTI joins; RIGHT/FULL emit unmatched build rows after the probe side
-// finishes. A keyed INNER, LEFT, SEMI or ANTI join without a residual is
-// selection first: AddInput flattens the page's matches into one (probe row,
-// build row) selection and each Output gathers the next pageSize rows of it,
-// column at a time. The other shapes — a residual, RIGHT/FULL's matched
-// flags, no key — join row by row through boxed values.
+// emits joined rows — every join type, keyed or keyless, with a residual or
+// not — on the output path the index join shares (joinOutput). RIGHT and FULL
+// flag the build rows they match and, once every probe has finished, emit
+// the others against a NULL probe side.
 type LookupJoinOperator struct {
+	joinOutput
 	ctx       *OpContext
 	bridge    *JoinBridge
-	jt        plan.JoinType
 	probeKeys []int
-	residual  expr.Expr // over concatenated (probe ++ build) schema
-	interp    expr.Interpreter
-	probeTs   []types.Type
-	buildTs   []types.Type
-	// The probe and build channels the join emits, probe side first: every
-	// one unless SetOutputChannels says less; no build channel for SEMI/ANTI.
-	probeOut, buildOut []int
-	lend               bool     // LendOutput
-	consumer           Operator // who takes the output, when it is lent
+	consumer  Operator  // who takes the output, when it is lent
+	batch     batchKeys // probe-side key hashing
 
-	// scratch lends the vectors of a probe page — its key hashes and ids, its
-	// selection and, under LendOutput, the output vectors, which every Output
-	// takes back from outMark on and leases again. AddInput, the next probe
-	// page, rewinds it. A pointer, because the spill drain's operator shares it.
-	scratch *block.Arena
-	outMark int
-	batch   batchKeys // probe-side key hashing
+	// RIGHT/FULL's unmatched build rows, while unmatched: the flags (nil:
+	// none matched) and the next build position.
+	unmatched bool
+	matched   []bool
+	outerAt   int32
 
-	// The selection path: the probe page being emitted, its output selection
-	// — probe rows, and the page (-1 = NULL-extend) and row of each one's build
-	// row — and how far Output has gathered it; a typed view per build channel.
-	tab                         builtTable
-	probe                       *block.Page
-	probeSel, buildPg, buildRow []int32
-	selPos                      int
-	chans                       []*buildChan
-
-	rows         *rowSink // the row path's output
 	finished     bool
 	outerHandled bool
-	pageSize     int
 	drain        *joinSpillDrain // partitioned disk drain (spilled builds only)
 }
 
-// NewLookupJoin creates the probe-side operator.
-func NewLookupJoin(ctx *OpContext, bridge *JoinBridge, jt plan.JoinType, probeKeys []int, residual expr.Expr, probeTs, buildTs []types.Type, pageSize int) *LookupJoinOperator {
-	op := &LookupJoinOperator{
-		ctx: ctx, bridge: bridge, jt: jt, probeKeys: probeKeys,
-		residual: residual, probeTs: probeTs, buildTs: buildTs, pageSize: pageSize,
-		scratch: new(block.Arena),
+// NewLookupJoin creates the probe-side operator; residual may be nil.
+func NewLookupJoin(ctx *OpContext, bridge *JoinBridge, jt plan.JoinType, probeKeys []int, residual *JoinResidual, probeTs, buildTs []types.Type, pageSize int) *LookupJoinOperator {
+	return &LookupJoinOperator{
+		joinOutput: newJoinOutput(jt, residual, probeTs, buildTs, pageSize),
+		ctx:        ctx, bridge: bridge, probeKeys: probeKeys,
 	}
-	if op.pageSize <= 0 {
-		op.pageSize = 4096
-	}
-	op.probeOut = allChannels(len(probeTs))
-	if jt != plan.SemiJoin && jt != plan.AntiJoin {
-		op.buildOut = allChannels(len(buildTs))
-	}
-	return op
 }
 
 func allChannels(n int) []int {
@@ -657,12 +628,6 @@ func allChannels(n int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-// SetOutputChannels names, before the first page, the channels the join
-// emits: the pipeline compiler derives them from what the operator above reads.
-func (o *LookupJoinOperator) SetOutputChannels(probe, build []int) {
-	o.probeOut, o.buildOut = probe, build
 }
 
 // ReleasesInput declares to the pipeline compiler that the join is done with
@@ -689,72 +654,7 @@ func (o *LookupJoinOperator) IsBlocked() bool {
 }
 
 func (o *LookupJoinOperator) NeedsInput() bool {
-	return o.bridge.Built() && !o.finished && o.probe == nil && o.rows.empty() &&
-		(o.consumer == nil || o.consumer.NeedsInput())
-}
-
-// Scratch implements ScratchHolder.
-func (o *LookupJoinOperator) Scratch() *block.Arena { return o.scratch }
-
-// rowSink takes the row-at-a-time joins' output: the listed columns of every
-// emitted row go to a page builder, full pages onto a queue Output drains.
-type rowSink struct {
-	idx      []int // output column → its position in an emitted row
-	pageSize int
-	builder  *block.PageBuilder
-	out      []types.Value
-	pages    []*block.Page
-	pos      int
-}
-
-// newRowSink creates a sink for rows of types ts, of which it keeps idx.
-func newRowSink(idx []int, ts []types.Type, pageSize int) *rowSink {
-	outTs := make([]types.Type, len(idx))
-	for i, c := range idx {
-		outTs[i] = ts[c]
-	}
-	return &rowSink{idx: idx, pageSize: pageSize, builder: block.NewPageBuilder(outTs), out: make([]types.Value, len(idx))}
-}
-
-func (s *rowSink) emit(row []types.Value) {
-	for i, c := range s.idx {
-		s.out[i] = row[c]
-	}
-	s.builder.AppendRow(s.out)
-	if s.builder.RowCount() >= s.pageSize {
-		s.flush()
-	}
-}
-
-func (s *rowSink) flush() {
-	if s.builder.RowCount() > 0 {
-		s.pages = append(s.pages, s.builder.Build())
-	}
-}
-
-func (s *rowSink) empty() bool { return s == nil || s.pos >= len(s.pages) }
-
-func (s *rowSink) next() *block.Page {
-	if s.empty() {
-		return nil
-	}
-	p := s.pages[s.pos]
-	if s.pos++; s.pos == len(s.pages) {
-		s.pages, s.pos = s.pages[:0], 0
-	}
-	return p
-}
-
-// sink keeps the listed channels of the boxed (probe ++ build) rows.
-func (o *LookupJoinOperator) sink() *rowSink {
-	if o.rows == nil {
-		idx := append([]int(nil), o.probeOut...)
-		for _, c := range o.buildOut {
-			idx = append(idx, len(o.probeTs)+c)
-		}
-		o.rows = newRowSink(idx, append(o.probeTs[:len(o.probeTs):len(o.probeTs)], o.buildTs...), o.pageSize)
-	}
-	return o.rows
+	return o.bridge.Built() && !o.finished && o.probe == nil && (o.consumer == nil || o.consumer.NeedsInput())
 }
 
 func (o *LookupJoinOperator) AddInput(p *block.Page) error {
@@ -783,102 +683,31 @@ func (o *LookupJoinOperator) AddInput(p *block.Page) error {
 	o.tab = b.builtTable
 	b.mu.Unlock()
 
-	// Cross joins and keyless semi joins have no key: every build row is a
-	// candidate for every probe row.
-	switch {
-	case len(o.probeKeys) == 0 || o.jt == plan.CrossJoin:
-		o.joinRows(p, nil)
-	case o.residual != nil || o.jt == plan.RightJoin || o.jt == plan.FullJoin:
-		o.joinRows(p, o.resolveProbe(p))
-	default:
-		o.selectMatches(p, o.resolveProbe(p))
-	}
+	o.begin(p, o.resolveProbe(p))
 	return nil
 }
 
-// joinRows is the row path: every candidate (probe ++ build) row is boxed and
-// put to the residual. A probe row's candidates are its key's build positions,
-// from the first (ids) along the links, or — ids == nil — every position.
-func (o *LookupJoinOperator) joinRows(p *block.Page, ids []int32) {
-	outer := o.jt == plan.RightJoin || o.jt == plan.FullJoin
-	if outer {
-		// The matched flags are shared by every probe driver of the bridge.
-		o.bridge.mu.Lock()
-		defer o.bridge.mu.Unlock()
-	}
-	t := &o.tab
-	first, after := func(r int) int32 { return ids[r] }, t.after
-	if ids == nil {
-		n, start := t.positions(), int32(-1)
-		if n > 0 {
-			start = 0
-		}
-		first = func(int) int32 { return start }
-		after = func(pos int32) int32 {
-			if pos+1 < n {
-				return pos + 1
-			}
-			return -1
-		}
-	}
-	nProbe := len(o.probeTs)
-	row := make([]types.Value, nProbe+len(o.buildTs))
-	var boxed expr.Row = expr.ValuesRow(row) // the residual reads row as it is refilled
-	out := o.sink()
-	for r := 0; r < p.RowCount(); r++ {
-		for c := 0; c < nProbe; c++ {
-			row[c] = p.Col(c).Value(r)
-		}
-		matched := false
-		for pos := first(r); pos >= 0; pos = after(pos) {
-			m := t.row(pos)
-			bp := t.pages[m.page]
-			for c := range o.buildTs {
-				row[nProbe+c] = bp.Col(c).Value(int(m.row))
-			}
-			if o.residual != nil && !o.residualTrue(boxed) {
-				continue
-			}
-			matched = true
-			if o.jt == plan.SemiJoin || o.jt == plan.AntiJoin {
-				break
-			}
-			if outer {
-				if o.bridge.matched == nil {
-					o.bridge.matched = make([]bool, t.positions())
-				}
-				o.bridge.matched[pos] = true
-			}
-			out.emit(row)
-		}
-		switch {
-		case o.jt == plan.SemiJoin && matched, o.jt == plan.AntiJoin && !matched:
-			out.emit(row)
-		case !matched && (o.jt == plan.LeftJoin || o.jt == plan.FullJoin):
-			for c, typ := range o.buildTs {
-				row[nProbe+c] = types.NullValue(typ)
-			}
-			out.emit(row)
-		}
-	}
-	out.flush()
-}
-
 // resolveProbe maps every probe row to the first build position of its key
-// (-1 = no match or NULL key) in one page-level pass. A probe column whose
-// canonical encoding can never equal the build layout's (varchar keys against
-// a fixed-width table: the tag bytes differ) resolves the whole page to
-// no-match once. Dictionary keys probe the table once per referenced entry,
-// RLE keys once per page (§V-B).
+// (-1 = no match or NULL key) in one page-level pass; with no key (CROSS and
+// keyless joins), to the first of all, whose chain links every build row. A
+// probe column whose canonical encoding can never equal the build layout's
+// (varchar keys against a fixed-width table: the tag bytes differ) resolves
+// the whole page to no-match once. Dictionary keys probe the table once per
+// referenced entry, RLE keys once per page (§V-B).
 func (o *LookupJoinOperator) resolveProbe(p *block.Page) []int32 {
 	ids, t := block.Lease[int32](o.scratch, p.RowCount()), o.tab.ktab
-	compatible := t != nil // else an empty build side
+	keyless := len(o.probeKeys) == 0
+	compatible := t != nil && !keyless // else an empty build side, or no key
 	for _, c := range o.probeKeys {
 		compatible = compatible && (!t.fixed || fixedWidthKey(p.Col(c).Type()))
 	}
 	if !compatible {
+		first := int32(-1)
+		if keyless {
+			first = min(0, o.tab.positions()-1)
+		}
 		for i := range ids {
-			ids[i] = -1
+			ids[i] = first
 		}
 		return ids
 	}
@@ -888,92 +717,336 @@ func (o *LookupJoinOperator) resolveProbe(p *block.Page) []int32 {
 	return ids
 }
 
-// selectMatches flattens the resolved positions into the page's output
-// selection: a pair per match, plus a NULL-extended pair per unmatched probe
-// row for LEFT; the matched (SEMI) or unmatched (ANTI) probe rows alone. The
-// vectors are leased at the selection's size — the page's row count, unless a
-// build key repeats and the chains are counted first — so append never grows
-// them. A page that selects nothing is dropped.
-func (o *LookupJoinOperator) selectMatches(p *block.Page, ids []int32) {
-	t := &o.tab
-	semi, anti, left := o.jt == plan.SemiJoin, o.jt == plan.AntiJoin, o.jt == plan.LeftJoin
-	pairs := len(ids)
-	if t.next != nil && !semi && !anti {
-		pairs = 0
-		for _, id := range ids {
-			if id < 0 && left {
-				pairs++
-			}
-			for pos := id; pos >= 0; pos = t.after(pos) {
-				pairs++
-			}
-		}
+func (o *LookupJoinOperator) Finish() {
+	if o.finished {
+		return
 	}
-	probeSel := block.Lease[int32](o.scratch, pairs)[:0]
-	var buildPg, buildRow []int32
-	if !semi && !anti {
-		buildPg, buildRow = block.Lease[int32](o.scratch, pairs)[:0], block.Lease[int32](o.scratch, pairs)[:0]
-	}
-	for r, id := range ids {
-		switch {
-		case semi || anti:
-			if (id >= 0) == semi {
-				probeSel = append(probeSel, int32(r))
-			}
-		case id >= 0:
-			for pos := id; pos >= 0; pos = t.after(pos) {
-				m := t.row(pos)
-				probeSel, buildPg, buildRow = append(probeSel, int32(r)), append(buildPg, m.page), append(buildRow, m.row)
-			}
-		case left:
-			probeSel, buildPg, buildRow = append(probeSel, int32(r)), append(buildPg, -1), append(buildRow, 0)
-		}
-	}
-	o.probeSel, o.buildPg, o.buildRow, o.selPos = probeSel, buildPg, buildRow, 0
-	o.outMark = o.scratch.Mark()
-	if len(probeSel) > 0 {
-		o.probe = p
-	}
+	o.finished = true
+	o.bridge.ProbeFinished()
+	// A spilled build defers every join type to the disk drain, which one
+	// probe operator claims in Output once all probes have finished; RIGHT
+	// and FULL wait likewise to emit unmatched build rows.
+	o.outerHandled = !o.bridge.spillDrainPending() && o.jt != plan.RightJoin && o.jt != plan.FullJoin
 }
 
-// gatherNext builds the selection's next output page, the listed channels
-// only. The previous output's vectors go back to the arena first: the driver
-// calls Output only once the consumer is done with that page.
-func (o *LookupJoinOperator) gatherNext() *block.Page {
-	start, end := o.selPos, min(o.selPos+o.pageSize, len(o.probeSel))
-	nProbe, nOut := len(o.probeOut), len(o.probeOut)+len(o.buildOut)
-	if o.chans == nil {
-		o.chans = make([]*buildChan, len(o.buildOut))
+// markMatched flags the build rows the selection pairs (RIGHT, FULL): one
+// lock a page.
+func (o *LookupJoinOperator) markMatched() {
+	if o.jt != plan.RightJoin && o.jt != plan.FullJoin {
+		return
 	}
+	b, t := o.bridge, &o.tab
+	b.mu.Lock()
+	if b.matched == nil {
+		b.matched = make([]bool, t.positions())
+	}
+	for i, pg := range o.buildPg {
+		if pg >= 0 {
+			b.matched[t.starts[pg]+o.buildRow[i]] = true
+		}
+	}
+	b.mu.Unlock()
+}
+
+// selectUnmatched selects the next page of build rows no probe matched.
+func (o *LookupJoinOperator) selectUnmatched() int {
 	o.scratch.RewindTo(o.outMark)
-	out := block.NewEmptyPage(end - start)
-	if nOut > 0 {
-		cols := make([]block.Block, nOut)
-		for i, c := range o.probeOut {
-			cols[i] = o.gatherProbe(o.probe.Col(c), o.probeSel[start:end])
+	pg, row := block.Lease[int32](o.scratch, o.pageSize)[:0], block.Lease[int32](o.scratch, o.pageSize)[:0]
+	t, n := &o.tab, o.tab.positions()
+	for ; o.outerAt < n && len(pg) < o.pageSize; o.outerAt++ {
+		if o.matched == nil || !o.matched[o.outerAt] {
+			p, r := t.row(o.outerAt)
+			pg, row = append(pg, p), append(row, r)
 		}
-		for i, c := range o.buildOut {
-			if o.chans[i] == nil {
-				o.chans[i] = newBuildChan(o.tab.pages, c, o.buildTs[c], o.jt == plan.LeftJoin)
+	}
+	o.unmatched = o.outerAt < n
+	o.probeSel, o.buildPg, o.buildRow = nil, pg, row
+	return len(pg)
+}
+
+func (o *LookupJoinOperator) Output() (*block.Page, error) {
+	if b := o.bridge; o.finished && !o.outerHandled && b.AllProbesFinished() {
+		o.outerHandled = true
+		if b.spillDrainPending() {
+			spl, ok, err := b.claimSpillDrain()
+			if err != nil {
+				return nil, err
 			}
-			cols[nProbe+i] = o.gatherBuild(o.chans[i], o.buildPg[start:end], o.buildRow[start:end])
+			if ok {
+				o.drain = &joinSpillDrain{o: o, spl: spl}
+			}
+		} else {
+			o.tab, o.matched, o.unmatched = b.claimOuter()
 		}
-		out = block.NewPage(cols...)
 	}
-	if o.selPos = end; end == len(o.probeSel) {
-		o.probe = nil
+	if o.drain != nil {
+		if p, err := o.drain.next(); err != nil || p != nil {
+			return p, err
+		}
 	}
+	var out *block.Page
+	if p, n := o.selectNext(); n > 0 {
+		o.markMatched()
+		out = o.gather(p, n)
+	} else if o.unmatched {
+		if n := o.selectUnmatched(); n > 0 {
+			out = o.gather(nil, n)
+		}
+	}
+	o.ctx.recordOut(out)
+	return out, nil
+}
+
+func (o *LookupJoinOperator) IsFinished() bool {
+	return o.finished && o.outerHandled && o.probe == nil && !o.unmatched &&
+		(o.drain == nil || o.drain.done)
+}
+
+func (o *LookupJoinOperator) Close() error {
+	if o.drain != nil {
+		o.drain.close()
+	}
+	return nil
+}
+
+// JoinResidual is a join's residual over its (probe ++ build) row, compiled
+// once as a filter the way WHERE is: it selects the candidate pairs that
+// match, and a pair whose residual is NULL or fails does not.
+type JoinResidual struct {
+	filter *expr.PageProcessor
+	nProbe int
+	reads  []int // the channels the filter reads
+	// What it reads, refilled for every chunk: only reads are set.
+	cols []block.Block
+	page *block.Page
+}
+
+// NewJoinResidual compiles e, nProbe channels of whose row are the probe's,
+// with compile — how the caller builds WHERE clauses. A nil e is none.
+func NewJoinResidual(e expr.Expr, nProbe int, compile func(expr.Expr, []expr.Expr) *expr.PageProcessor) *JoinResidual {
+	if e == nil {
+		return nil
+	}
+	r := &JoinResidual{filter: compile(e, nil), nProbe: nProbe, reads: expr.Columns(e), page: block.NewEmptyPage(0)}
+	if n := len(r.reads); n > 0 {
+		r.cols = make([]block.Block, r.reads[n-1]+1) // reads ascends
+	}
+	return r
+}
+
+// joinOutput is the lookup and index joins' one output path: a cursor walks a
+// probe page's candidate (probe row, build position) pairs into a selection
+// of at most a page, the residual filters it, and the kernels gather it.
+type joinOutput struct {
+	jt               plan.JoinType
+	residual         *JoinResidual
+	probeTs, buildTs []types.Type
+	// The probe and build channels the join emits, probe side first: every
+	// one unless SetOutputChannels says less; no build channel for SEMI/ANTI.
+	probeOut, buildOut []int
+	lend               bool // the output is lent (LendOutput)
+	pageSize           int
+
+	// scratch lends a probe page's vectors and, after outMark, an output
+	// page's. A pointer: the spill drain's operator shares it.
+	scratch *block.Arena
+	outMark int
+
+	tab   builtTable   // the build rows the probe page joins against
+	chans []*buildChan // typed views of tab's channels, made on first use
+
+	// The cursor: the probe page, its rows' first candidates, the row walked,
+	// its next candidate, and whether it has begun and matched.
+	probe *block.Page
+	ids   []int32
+	row   int
+	at    int32
+	begun bool
+	hit   bool
+
+	// The selection: probe rows, their build rows' pages (-1: none), rows.
+	probeSel, buildPg, buildRow []int32
+}
+
+func newJoinOutput(jt plan.JoinType, residual *JoinResidual, probeTs, buildTs []types.Type, pageSize int) joinOutput {
+	if pageSize <= 0 {
+		pageSize = 4096
+	}
+	j := joinOutput{jt: jt, residual: residual, probeTs: probeTs, buildTs: buildTs, pageSize: pageSize, scratch: new(block.Arena)}
+	j.probeOut = allChannels(len(probeTs))
+	if jt != plan.SemiJoin && jt != plan.AntiJoin {
+		j.buildOut = allChannels(len(buildTs))
+	}
+	return j
+}
+
+// SetOutputChannels names, before the first page, the channels the join
+// emits: the pipeline compiler derives them from what the operator above reads.
+func (j *joinOutput) SetOutputChannels(probe, build []int) {
+	j.probeOut, j.buildOut = probe, build
+}
+
+// Scratch implements ScratchHolder.
+func (j *joinOutput) Scratch() *block.Arena { return j.scratch }
+
+// rowEnds reports whether a probe row's end is selected too (page -1): LEFT,
+// FULL and ANTI emit a row none of whose candidates matched.
+func (j *joinOutput) rowEnds() bool {
+	return j.jt == plan.LeftJoin || j.jt == plan.FullJoin || j.jt == plan.AntiJoin
+}
+
+// begin puts the cursor on probe page p, its rows' first candidates ids.
+func (j *joinOutput) begin(p *block.Page, ids []int32) {
+	j.probe, j.ids, j.row, j.begun = p, ids, 0, false
+	j.outMark = j.scratch.Mark()
+}
+
+// selectNext selects the probe page's next output page and returns the page
+// and its size, 0 once the page is done. The cursor walks chunks of what room
+// the page has left until it is half full: with no residual the first fills
+// it, and a residual that keeps few pairs still emits pages of some size.
+func (j *joinOutput) selectNext() (*block.Page, int) {
+	p := j.probe
+	if p == nil {
+		return nil, 0
+	}
+	j.scratch.RewindTo(j.outMark)
+	n := j.pageSize
+	j.probeSel, j.buildPg, j.buildRow = block.Lease[int32](j.scratch, n)[:0], block.Lease[int32](j.scratch, n)[:0], block.Lease[int32](j.scratch, n)[:0]
+	chunk := j.scratch.Mark()
+	for j.probe != nil && 2*len(j.probeSel) < n {
+		j.scratch.RewindTo(chunk)
+		from, cur, hit := len(j.probeSel), int32(j.row), j.begun && j.hit
+		j.walk(n - from)
+		if j.residual != nil {
+			j.decide(p, from, cur, hit)
+		}
+		if j.row == p.RowCount() {
+			j.probe = nil
+		}
+	}
+	return p, len(j.probeSel)
+}
+
+// walk appends the cursor's next entries to the selection, room of them: a
+// row's candidates (SEMI's and ANTI's up to a match), then its end (rowEnds).
+// With no residual every candidate matches, so walk appends what the join
+// emits: a row's end only if it had no candidate, ANTI's candidates never.
+func (j *joinOutput) walk(room int) {
+	stop, ends, decided := j.jt == plan.SemiJoin || j.jt == plan.AntiJoin, j.rowEnds(), j.residual == nil
+	skip := decided && j.jt == plan.AntiJoin // a match drops an ANTI row
+	k := len(j.probeSel)
+	sel, pg, row := j.probeSel[:k+room], j.buildPg[:k+room], j.buildRow[:k+room]
+	t, ids, n := &j.tab, j.ids, j.probe.RowCount()
+	r, at, begun, hit := j.row, j.at, j.begun, j.hit
+rows:
+	for ; r < n; r, begun = r+1, false {
+		if !begun {
+			at, begun, hit = ids[r], true, false
+		}
+		for ; at >= 0 && !(stop && hit); at = t.after(at) {
+			if k == len(sel) {
+				break rows
+			}
+			if !skip {
+				sel[k] = int32(r)
+				pg[k], row[k] = t.row(at)
+				k++
+			}
+			hit = hit || decided
+		}
+		if ends && !(decided && hit) {
+			if k == len(sel) {
+				break
+			}
+			sel[k], pg[k], row[k] = int32(r), -1, 0
+			k++
+		}
+	}
+	j.row, j.at, j.begun, j.hit = r, at, begun, hit
+	j.probeSel, j.buildPg, j.buildRow = sel[:k], pg[:k], row[:k]
+}
+
+// decide puts the entries walk appended from index from on to the residual
+// and keeps what the join emits: a matched candidate, SEMI's first, and the
+// end of a row none of whose candidates matched. Row cur began the walk,
+// having matched (hit) or not; the cursor's row carries what it found on.
+func (j *joinOutput) decide(p *block.Page, from int, cur int32, hit bool) {
+	sel, pg, row := j.probeSel[from:], j.buildPg[from:], j.buildRow[from:]
+	var keep []int // the entries the residual keeps, ascending
+	if len(sel) > 0 {
+		r := j.residual
+		for _, c := range r.reads {
+			if c < r.nProbe {
+				r.cols[c] = gatherProbe(j.scratch, p.Col(c), sel, r.cols[c])
+			} else {
+				r.cols[c] = j.gatherBuild(j.scratch, j.buildChan(c-r.nProbe), pg, row, r.cols[c])
+			}
+		}
+		if r.page.RowCount() != len(sel) {
+			r.page = block.NewEmptyPage(len(sel))
+		}
+		r.page.Cols = r.cols
+		keep = r.filter.Select(r.page, j.scratch)
+	}
+	w, k := from, 0
+	for i, r := range sel {
+		if r != cur {
+			cur, hit = r, false
+		}
+		kept := k < len(keep) && keep[k] == i
+		if kept {
+			k++
+		}
+		if pg[i] >= 0 { // a candidate
+			emit := kept && (!hit || j.jt != plan.SemiJoin) && j.jt != plan.AntiJoin
+			if hit = hit || kept; !emit {
+				continue
+			}
+		} else if hit { // a row's end
+			continue
+		}
+		j.probeSel[w], j.buildPg[w], j.buildRow[w] = r, pg[i], row[i]
+		w++
+	}
+	if j.begun && cur == int32(j.row) {
+		j.hit = hit
+	}
+	j.probeSel, j.buildPg, j.buildRow = j.probeSel[:w], j.buildPg[:w], j.buildRow[:w]
+}
+
+// gather builds the output page of the selection's n rows, the listed
+// channels only; p nil: a NULL probe side (unmatched build rows).
+func (j *joinOutput) gather(p *block.Page, n int) *block.Page {
+	nProbe, out := len(j.probeOut), block.NewEmptyPage(n)
+	var a *block.Arena // a nil arena makes every vector, for the page to own
+	if j.lend {
+		a = j.scratch
+	}
+	cols := make([]block.Block, nProbe+len(j.buildOut))
+	for i, c := range j.probeOut {
+		if p == nil {
+			cols[i] = block.NewRLEBlock(types.NullValue(j.probeTs[c]), n)
+		} else {
+			cols[i] = gatherProbe(a, p.Col(c), j.probeSel, nil)
+		}
+	}
+	for i, c := range j.buildOut {
+		cols[nProbe+i] = j.gatherBuild(a, j.buildChan(c), j.buildPg, j.buildRow, nil)
+	}
+	out.Cols = cols
 	return out
 }
 
-// outScratch is where an output page's vectors come from: the arena when the
-// output is lent; else none — a nil arena makes every vector, for the page to
-// own.
-func (o *LookupJoinOperator) outScratch() *block.Arena {
-	if o.lend {
-		return o.scratch
+// buildChan is the typed view of build channel c, made on first use.
+func (j *joinOutput) buildChan(c int) *buildChan {
+	if j.chans == nil {
+		j.chans = make([]*buildChan, len(j.buildTs))
 	}
-	return nil
+	if j.chans[c] == nil {
+		j.chans[c] = newBuildChan(j.tab.pages, c, j.buildTs[c], j.rowEnds())
+	}
+	return j.chans[c]
 }
 
 func gatherAt[T any](dst, src []T, sel []int32) []T {
@@ -983,12 +1056,23 @@ func gatherAt[T any](dst, src []T, sel []int32) []T {
 	return dst
 }
 
-// gatherProbe gathers probe column col at the selected rows. Encoded columns
-// are gathered without decoding: a dictionary result shares the source
-// dictionary under gathered indices, lent like a flat vector; an RLE run stays
-// a run.
-func (o *LookupJoinOperator) gatherProbe(col block.Block, sel []int32) block.Block {
-	a, n := o.outScratch(), len(sel)
+// reuse returns dst if it is a *B — a column the residual reads, whose header
+// is refilled for every chunk — and else a new B.
+func reuse[B any, P interface {
+	*B
+	block.Block
+}](dst block.Block) P {
+	if b, ok := dst.(P); ok {
+		return b
+	}
+	return new(B)
+}
+
+// gatherProbe gathers probe column col at the selected rows (into dst, see
+// reuse). A dictionary result shares the source dictionary under gathered
+// indices, lent like a flat vector; an RLE run stays a run.
+func gatherProbe(a *block.Arena, col block.Block, sel []int32, dst block.Block) block.Block {
+	n := len(sel)
 	nulls := func(src []bool) []bool {
 		if src == nil {
 			return nil
@@ -997,17 +1081,29 @@ func (o *LookupJoinOperator) gatherProbe(col block.Block, sel []int32) block.Blo
 	}
 	switch src := col.(type) {
 	case *block.LongBlock:
-		return &block.LongBlock{T: src.T, Vals: gatherAt(block.Lease[int64](a, n), src.Vals, sel), Nulls: nulls(src.Nulls)}
+		b := reuse[block.LongBlock](dst)
+		*b = block.LongBlock{T: src.T, Vals: gatherAt(block.Lease[int64](a, n), src.Vals, sel), Nulls: nulls(src.Nulls)}
+		return b
 	case *block.DoubleBlock:
-		return block.NewDoubleBlock(gatherAt(block.Lease[float64](a, n), src.Vals, sel), nulls(src.Nulls))
+		b := reuse[block.DoubleBlock](dst)
+		*b = block.DoubleBlock{Vals: gatherAt(block.Lease[float64](a, n), src.Vals, sel), Nulls: nulls(src.Nulls)}
+		return b
 	case *block.VarcharBlock:
-		return block.NewVarcharBlock(gatherAt(block.Lease[string](a, n), src.Vals, sel), nulls(src.Nulls))
+		b := reuse[block.VarcharBlock](dst)
+		*b = block.VarcharBlock{Vals: gatherAt(block.Lease[string](a, n), src.Vals, sel), Nulls: nulls(src.Nulls)}
+		return b
 	case *block.BoolBlock:
-		return block.NewBoolBlock(gatherAt(block.Lease[bool](a, n), src.Vals, sel), nulls(src.Nulls))
+		b := reuse[block.BoolBlock](dst)
+		*b = block.BoolBlock{Vals: gatherAt(block.Lease[bool](a, n), src.Vals, sel), Nulls: nulls(src.Nulls)}
+		return b
 	case *block.DictionaryBlock:
-		return block.NewDictionaryBlock(src.Dict, gatherAt(block.Lease[int32](a, n), src.Indices, sel))
+		b := reuse[block.DictionaryBlock](dst)
+		*b = block.DictionaryBlock{Dict: src.Dict, Indices: gatherAt(block.Lease[int32](a, n), src.Indices, sel)}
+		return b
 	case *block.RLEBlock:
-		return block.NewRLEBlockFromBlock(src.Val, n)
+		b := reuse[block.RLEBlock](dst)
+		*b = block.RLEBlock{Val: src.Val, Count: n}
+		return b
 	default:
 		vals := make([]types.Value, n)
 		for i, r := range sel {
@@ -1064,12 +1160,12 @@ func flatPage[B block.Block](col block.Block, t types.Type) B {
 	return block.BuildBlock(t, vals).(B)
 }
 
-// newBuildChan reads build channel c of pages. nullExtends: the join emits
-// rows with no build row (LEFT), which a dictionary without a NULL entry
+// newBuildChan reads build channel c of pages. noRow: a selection can hold
+// rows with no build row (rowEnds), which a dictionary without a NULL entry
 // cannot say, so the channel is read flat.
-func newBuildChan(pages []*block.Page, c int, t types.Type, nullExtends bool) *buildChan {
+func newBuildChan(pages []*block.Page, c int, t types.Type, noRow bool) *buildChan {
 	bc := &buildChan{c: c, t: t}
-	if !nullExtends {
+	if !noRow {
 		if bc.dict = sharedDictionary(pages, c); bc.dict != nil {
 			for _, p := range pages {
 				bc.idx = append(bc.idx, p.Col(c).(*block.DictionaryBlock).Indices)
@@ -1102,7 +1198,7 @@ func newBuildChan(pages []*block.Page, c int, t types.Type, nullExtends bool) *b
 // gatherRows copies the selected build rows — row row[i] of page pg[i] — of
 // one channel into dst. mask is nil when no row can be NULL; otherwise it
 // receives every row's NULL flag: a NULL in the build column, or page -1, a
-// probe row LEFT-joined to nothing.
+// probe row joined to nothing.
 func gatherRows[T any](dst []T, mask []bool, pages [][]T, nulls [][]bool, pg, row []int32) []T {
 	if mask == nil {
 		for i, p := range pg {
@@ -1121,167 +1217,90 @@ func gatherRows[T any](dst []T, mask []bool, pages [][]T, nulls [][]bool, pg, ro
 	return dst
 }
 
-// gatherBuild gathers build channel bc at the selected rows, with a null mask
-// only when the channel holds NULLs or the join null-extends: a NULL-free
-// build column stays on its consumer's no-null-check kernels.
-func (o *LookupJoinOperator) gatherBuild(bc *buildChan, pg, row []int32) block.Block {
-	a, n := o.outScratch(), len(pg)
+// gatherBuild gathers build channel bc at the selected rows (into dst, see
+// reuse), with a null mask only when the channel holds NULLs or a row can have
+// no build row: a NULL-free column stays on no-null-check kernels.
+func (j *joinOutput) gatherBuild(a *block.Arena, bc *buildChan, pg, row []int32, dst block.Block) block.Block {
+	n := len(pg)
 	if bc.dict != nil {
-		return block.NewDictionaryBlock(bc.dict, gatherRows(block.Lease[int32](a, n), nil, bc.idx, nil, pg, row))
+		b := reuse[block.DictionaryBlock](dst)
+		*b = block.DictionaryBlock{Dict: bc.dict, Indices: gatherRows(block.Lease[int32](a, n), nil, bc.idx, nil, pg, row)}
+		return b
 	}
 	var mask []bool
-	if bc.anyNull || o.jt == plan.LeftJoin {
+	if bc.anyNull || j.rowEnds() {
 		mask = block.Lease[bool](a, n)
 	}
 	switch bc.t {
 	case types.Bigint, types.Date:
-		return &block.LongBlock{T: bc.t, Vals: gatherRows(block.Lease[int64](a, n), mask, bc.longs, bc.nulls, pg, row), Nulls: mask}
+		b := reuse[block.LongBlock](dst)
+		*b = block.LongBlock{T: bc.t, Vals: gatherRows(block.Lease[int64](a, n), mask, bc.longs, bc.nulls, pg, row), Nulls: mask}
+		return b
 	case types.Double:
-		return block.NewDoubleBlock(gatherRows(block.Lease[float64](a, n), mask, bc.doubles, bc.nulls, pg, row), mask)
+		b := reuse[block.DoubleBlock](dst)
+		*b = block.DoubleBlock{Vals: gatherRows(block.Lease[float64](a, n), mask, bc.doubles, bc.nulls, pg, row), Nulls: mask}
+		return b
 	case types.Varchar:
-		return block.NewVarcharBlock(gatherRows(block.Lease[string](a, n), mask, bc.strs, bc.nulls, pg, row), mask)
+		b := reuse[block.VarcharBlock](dst)
+		*b = block.VarcharBlock{Vals: gatherRows(block.Lease[string](a, n), mask, bc.strs, bc.nulls, pg, row), Nulls: mask}
+		return b
 	case types.Boolean:
-		return block.NewBoolBlock(gatherRows(block.Lease[bool](a, n), mask, bc.bools, bc.nulls, pg, row), mask)
+		b := reuse[block.BoolBlock](dst)
+		*b = block.BoolBlock{Vals: gatherRows(block.Lease[bool](a, n), mask, bc.bools, bc.nulls, pg, row), Nulls: mask}
+		return b
 	}
 	vals := make([]types.Value, n)
 	for i, p := range pg {
 		if p < 0 {
 			vals[i] = types.NullValue(bc.t)
 		} else {
-			vals[i] = o.tab.pages[p].Col(bc.c).Value(int(row[i]))
+			vals[i] = j.tab.pages[p].Col(bc.c).Value(int(row[i]))
 		}
 	}
 	return block.BuildBlock(bc.t, vals)
 }
 
-// residualTrue interprets the residual over one candidate (probe ++ build)
-// row; like a filter, a NULL or failing row is not a match.
-func (o *LookupJoinOperator) residualTrue(row expr.Row) bool {
-	v, err := o.interp.Eval(o.residual, row)
-	return err == nil && !v.Null && v.B
-}
-
-func (o *LookupJoinOperator) Finish() {
-	if o.finished {
-		return
-	}
-	o.finished = true
-	o.bridge.ProbeFinished()
-	// A spilled build defers every join type to the disk drain, which one
-	// probe operator claims in Output once all probes have finished; RIGHT
-	// and FULL wait likewise to emit unmatched build rows.
-	o.outerHandled = !o.bridge.spillDrainPending() && o.jt != plan.RightJoin && o.jt != plan.FullJoin
-}
-
-func (o *LookupJoinOperator) emitUnmatchedBuild() {
-	b := o.bridge
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	nProbe := len(o.probeTs)
-	row := make([]types.Value, nProbe+len(o.buildTs))
-	for c := 0; c < nProbe; c++ {
-		row[c] = types.NullValue(o.probeTs[c])
-	}
-	out := o.sink()
-	pos := -1
-	for _, p := range b.pages {
-		for r := 0; r < p.RowCount(); r++ {
-			if pos++; b.matched != nil && b.matched[pos] {
-				continue
-			}
-			for c := range o.buildTs {
-				row[nProbe+c] = p.Col(c).Value(r)
-			}
-			out.emit(row)
-		}
-	}
-	out.flush()
-}
-
-func (o *LookupJoinOperator) Output() (*block.Page, error) {
-	if o.finished && !o.outerHandled && o.bridge.AllProbesFinished() {
-		o.outerHandled = true
-		if o.bridge.spillDrainPending() {
-			spl, ok, err := o.bridge.claimSpillDrain()
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				o.drain = newJoinSpillDrain(o, spl)
-			}
-		} else if o.bridge.ClaimOuter() {
-			o.emitUnmatchedBuild()
-		}
-	}
-	if o.drain != nil {
-		p, err := o.drain.next()
-		if err != nil {
-			return nil, err
-		}
-		if p != nil {
-			return p, nil
-		}
-	}
-	var p *block.Page
-	if o.probe != nil {
-		p = o.gatherNext()
-	} else {
-		p = o.rows.next()
-	}
-	o.ctx.recordOut(p)
-	return p, nil
-}
-
-func (o *LookupJoinOperator) IsFinished() bool {
-	return o.finished && o.outerHandled && o.probe == nil && o.rows.empty() &&
-		(o.drain == nil || o.drain.done)
-}
-
-func (o *LookupJoinOperator) Close() error {
-	if o.drain != nil {
-		o.drain.close()
-	}
-	return nil
-}
-
-// IndexJoinOperator joins probe rows against a connector index
-// (paper §IV-C1): for every probe row it looks up matching rows through the
+// IndexJoinOperator joins probe rows against a connector index (paper
+// §IV-C1): for every probe row it looks up the matching rows through the
 // connector's IndexLookup, avoiding a full build-side scan. Used when the
-// optimizer selects StrategyIndex against normalized production stores.
+// optimizer selects StrategyIndex against normalized production stores. The
+// results are the probe page's build table, on the lookup join's path.
 type IndexJoinOperator struct {
+	joinOutput
 	ctx       *OpContext
 	lookup    IndexLookupFunc
-	jt        plan.JoinType
 	probeKeys []int
-	probeTs   []types.Type
-	buildTs   []types.Type
-	rows      *rowSink
 	finished  bool
 }
 
 // IndexLookupFunc probes the connector index with one key tuple.
 type IndexLookupFunc func(keys []types.Value) (*block.Page, error)
 
-// NewIndexJoin creates an index join operator.
-func NewIndexJoin(ctx *OpContext, lookup IndexLookupFunc, jt plan.JoinType, probeKeys []int, probeTs, buildTs []types.Type, pageSize int) *IndexJoinOperator {
-	if pageSize <= 0 {
-		pageSize = 4096
+// NewIndexJoin creates an index join operator; residual may be nil.
+func NewIndexJoin(ctx *OpContext, lookup IndexLookupFunc, jt plan.JoinType, probeKeys []int, residual *JoinResidual, probeTs, buildTs []types.Type, pageSize int) *IndexJoinOperator {
+	return &IndexJoinOperator{
+		joinOutput: newJoinOutput(jt, residual, probeTs, buildTs, pageSize),
+		ctx:        ctx, lookup: lookup, probeKeys: probeKeys,
 	}
-	ts := append(append([]types.Type{}, probeTs...), buildTs...)
-	return &IndexJoinOperator{ctx: ctx, lookup: lookup, jt: jt, probeKeys: probeKeys, probeTs: probeTs, buildTs: buildTs,
-		rows: newRowSink(allChannels(len(ts)), ts, pageSize)}
 }
 
-func (o *IndexJoinOperator) NeedsInput() bool { return !o.finished && o.rows.empty() }
+func (o *IndexJoinOperator) NeedsInput() bool { return !o.finished && o.probe == nil }
 func (o *IndexJoinOperator) IsBlocked() bool  { return false }
 
+// AddInput looks each row's key up (not a NULL one): its result is its chain.
 func (o *IndexJoinOperator) AddInput(p *block.Page) error {
 	o.ctx.recordIn(p)
-	p = p.DecodeAll()
-	nProbe := len(o.probeTs)
-	row := make([]types.Value, nProbe+len(o.buildTs))
+	o.scratch.Rewind()
+	p = p.LoadLazy()
+	ids := block.Lease[int32](o.scratch, p.RowCount())
 	keys := make([]types.Value, len(o.probeKeys))
-	for r := 0; r < p.RowCount(); r++ {
+	var pages []*block.Page
+	var next []int32
+	for r := range ids {
+		ids[r] = -1
+		if rowKeyNull(p, r, o.probeKeys) {
+			continue
+		}
 		for i, c := range o.probeKeys {
 			keys[i] = p.Col(c).Value(r)
 		}
@@ -1289,36 +1308,30 @@ func (o *IndexJoinOperator) AddInput(p *block.Page) error {
 		if err != nil {
 			return fmt.Errorf("index lookup: %w", err)
 		}
-		for c := 0; c < nProbe; c++ {
-			row[c] = p.Col(c).Value(r)
-		}
-		matched := false
-		if res != nil {
-			for br := 0; br < res.RowCount(); br++ {
-				matched = true
-				for c := 0; c < len(o.buildTs); c++ {
-					row[nProbe+c] = res.Col(c).Value(br)
-				}
-				o.rows.emit(row)
+		if res != nil && res.RowCount() > 0 {
+			ids[r], pages = int32(len(next)), append(pages, res)
+			for k := 1; k < res.RowCount(); k++ {
+				next = append(next, int32(len(next)+2)) // to the row after
 			}
-		}
-		if !matched && o.jt == plan.LeftJoin {
-			for c := 0; c < len(o.buildTs); c++ {
-				row[nProbe+c] = types.NullValue(o.buildTs[c])
-			}
-			o.rows.emit(row)
+			next = append(next, 0)
 		}
 	}
-	o.rows.flush()
+	o.tab = builtTable{pages: pages, next: next}
+	o.tab.locate()
+	clear(o.chans) // views of the last page's results
+	o.begin(p, ids)
 	return nil
 }
 
 func (o *IndexJoinOperator) Output() (*block.Page, error) {
-	p := o.rows.next()
-	o.ctx.recordOut(p)
-	return p, nil
+	var out *block.Page
+	if p, n := o.selectNext(); n > 0 {
+		out = o.gather(p, n)
+	}
+	o.ctx.recordOut(out)
+	return out, nil
 }
 
 func (o *IndexJoinOperator) Finish()          { o.finished = true }
-func (o *IndexJoinOperator) IsFinished() bool { return o.finished && o.rows.empty() }
+func (o *IndexJoinOperator) IsFinished() bool { return o.finished && o.probe == nil }
 func (o *IndexJoinOperator) Close() error     { return nil }

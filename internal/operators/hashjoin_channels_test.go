@@ -224,21 +224,41 @@ func arrivalOrderPairs(t *testing.T, name string, rows [][]types.Value, p, b int
 	return pairs
 }
 
-// TestJoinOutputChannelsDifferential is the wall for the channel list: every
-// join type, over flat, dictionary, RLE, NULL, -0.0 and NaN keys, unique,
+// channelResidual is the wall's residual over (probe ++ build) rows of ts:
+// the probe's bigint payload below the build's, or the build's shared
+// dictionary varchar equal to one of its entries. The bigints hold NULLs and
+// runs, so the residual is NULL for some pairs, which do not match.
+func channelResidual(ts []types.Type) expr.Expr {
+	return &expr.Or{
+		L: &expr.Compare{Op: expr.CmpLt, L: &expr.ColumnRef{Index: 2, T: types.Bigint}, R: &expr.ColumnRef{Index: len(ts) + 2, T: types.Bigint}},
+		R: &expr.Compare{Op: expr.CmpEq, L: &expr.ColumnRef{Index: len(ts) + 4, T: types.Varchar}, R: expr.NewConst(types.VarcharValue("d0-2"))},
+	}
+}
+
+// joinShapes are the rows of the wall: keyed and keyless, each without a
+// residual and with channelResidual. A keyless join never spills.
+var joinShapes = []struct {
+	name            string
+	keyed, residual bool
+}{{"keyed", true, false}, {"keyed+residual", true, true}, {"keyless", false, false}, {"keyless+residual", false, true}}
+
+// TestJoinOutputChannelsDifferential is the wall for the join's one output
+// path: every join type, CROSS among them, keyed and keyless, with a residual
+// and without, over flat, dictionary, RLE, NULL, -0.0 and NaN keys, unique,
 // two-column and varchar keys, emitting every channel, everything but the
 // keys, one build column, the probe side alone, and joining an empty build —
-// lent and owned, from memory and through a build spilled after every page
-// (the drain's private operator) — must emit exactly the listed columns of the
-// per-row reference's rows. Emitting every channel, each probe row's matches
-// come out in build arrival order, on the selection path (INNER, LEFT) and the
-// row path (RIGHT, FULL), from memory and spilled. Pages of seven rows make
-// every probe page span several Outputs, so a lending join refills its vectors
-// — a dictionary column's index vector among them — while the probe page is
-// still being emitted. The build's column 4 is one shared dictionary over all
-// its pages: from memory it is gathered as indices (but for LEFT, which
-// null-extends), from a spilled build it comes back a dictionary a page and is
-// gathered flat.
+// lent and owned, from memory and, keyed, through a build spilled after every
+// page (the drain's private operator, which inherits the residual) — must
+// emit exactly the listed columns of the per-row reference's rows. The
+// residual reads columns that are not listed. Emitting every channel, each
+// probe row's matches come out in build arrival order. Pages of seven rows
+// make every probe page span several Outputs, and a probe row's candidates
+// span pages: a lending join refills its vectors — a dictionary column's
+// index vector among them — while the probe page is still being emitted, and
+// LEFT, SEMI and ANTI decide a row whose candidates two pages hold. The
+// build's column 4 is one shared dictionary over all its pages: from memory
+// it is gathered as indices (but for LEFT and FULL, which null-extend), from
+// a spilled build it comes back a dictionary a page and is gathered flat.
 func TestJoinOutputChannelsDifferential(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -252,127 +272,111 @@ func TestJoinOutputChannelsDifferential(t *testing.T) {
 		{"probe only", []int{3, 1}, nil, false},
 		{"empty build", []int{0, 2}, []int{1, 3}, true},
 	}
-	// Pairs of successive matches compared for arrival order, by path.
+	joinTypes := append(allJoinTypes[:len(allJoinTypes):len(allJoinTypes)], struct {
+		name string
+		jt   plan.JoinType
+	}{"cross", plan.CrossJoin})
+	// Pairs of successive matches compared for arrival order, by shape.
 	ordered := map[string]int{}
-	for _, kind := range channelKeyKinds {
-		ts, keys := kind.ts(), kind.keys()
-		keyTs := make([]types.Type, len(keys))
-		for i, c := range keys {
-			keyTs[i] = ts[c]
-		}
-		probePages := kind.pages(3, 40, 2)
-		for _, tc := range allJoinTypes {
-			for _, c := range cases {
-				var buildPages []*block.Page
-				if !c.emptyBuild {
-					buildPages = kind.pages(3, 25, 0)
+	for _, shape := range joinShapes {
+		for _, kind := range channelKeyKinds {
+			ts, keys := kind.ts(), kind.keys()
+			if !shape.keyed {
+				keys = nil
+			}
+			keyTs := make([]types.Type, len(keys))
+			for i, c := range keys {
+				keyTs[i] = ts[c]
+			}
+			var residual expr.Expr
+			if shape.residual {
+				residual = channelResidual(ts)
+			}
+			probePages := kind.pages(3, 40, 2)
+			for _, tc := range joinTypes {
+				if tc.jt == plan.CrossJoin && shape.keyed {
+					continue // a CROSS join has no key
 				}
-				probeOut, buildOut := c.probe, c.build
-				if tc.jt == plan.SemiJoin || tc.jt == plan.AntiJoin {
-					buildOut = nil
-				}
-				want := map[string]int{}
-				refJoinRows(tc.jt, buildPages, probePages, keys, keys, nil, ts, ts, func(row []types.Value) {
-					var out []types.Value
-					for _, ch := range probeOut {
-						out = append(out, row[ch])
+				for _, c := range cases {
+					var buildPages []*block.Page
+					if !c.emptyBuild {
+						buildPages = kind.pages(3, 25, 0)
 					}
-					for _, ch := range buildOut {
-						out = append(out, row[len(ts)+ch])
+					probeOut, buildOut := c.probe, c.build
+					if tc.jt == plan.SemiJoin || tc.jt == plan.AntiJoin {
+						buildOut = nil
 					}
-					want[rowText(out)]++
-				})
-				for _, spilled := range []bool{false, true} {
-					for _, lend := range []bool{false, true} {
-						name := fmt.Sprintf("%s/%s/%s/spilled=%v/lend=%v", kind.name, tc.name, c.name, spilled, lend)
-						bridge := NewJoinBridge()
-						if spilled {
-							bridge.EnableSpill(spillTestMem(), t.TempDir(), keys, keyTs)
+					want := map[string]int{}
+					refJoinRows(tc.jt, buildPages, probePages, keys, keys, residual, ts, ts, func(row []types.Value) {
+						var out []types.Value
+						for _, ch := range probeOut {
+							out = append(out, row[ch])
 						}
-						bridge.AddBuilder()
-						hb := NewHashBuild(NopContext(), bridge, keys, keyTs)
-						for _, p := range buildPages {
-							if err := hb.AddInput(p); err != nil {
-								t.Fatal(err)
-							}
+						for _, ch := range buildOut {
+							out = append(out, row[len(ts)+ch])
+						}
+						want[rowText(out)]++
+					})
+					for _, spilled := range []bool{false, true} {
+						if spilled && !shape.keyed {
+							continue // the compiler arms no spill for these
+						}
+						for _, lend := range []bool{false, true} {
+							name := fmt.Sprintf("%s/%s/%s/%s/spilled=%v/lend=%v", shape.name, kind.name, tc.name, c.name, spilled, lend)
+							bridge := NewJoinBridge()
 							if spilled {
-								if _, err := bridge.Revoke(); err != nil {
+								bridge.EnableSpill(spillTestMem(), t.TempDir(), keys, keyTs)
+							}
+							bridge.AddBuilder()
+							hb := NewHashBuild(NopContext(), bridge, keys, keyTs)
+							for _, p := range buildPages {
+								if err := hb.AddInput(p); err != nil {
 									t.Fatal(err)
 								}
+								if spilled {
+									if _, err := bridge.Revoke(); err != nil {
+										t.Fatal(err)
+									}
+								}
 							}
-						}
-						hb.Finish()
-						bridge.NoMoreBuilders()
-						bridge.AddProbe()
-						bridge.NoMoreProbes()
-						op := NewLookupJoin(NopContext(), bridge, tc.jt, keys, nil, ts, ts, 7)
-						op.SetOutputChannels(probeOut, buildOut)
-						if lend {
-							op.LendOutput(nil)
-						}
-						rows := drainRows(t, op, probePages...)
-						got := map[string]int{}
-						for _, row := range rows {
-							got[rowText(row)]++
-						}
-						assertSameCounts(t, name, got, want)
-						if c.name == "all channels" && buildOut != nil {
-							// Probe and build column 3 grow with arrival.
-							path := "selection"
-							if tc.jt == plan.RightJoin || tc.jt == plan.FullJoin {
-								path = "row"
+							hb.Finish()
+							bridge.NoMoreBuilders()
+							bridge.AddProbe()
+							bridge.NoMoreProbes()
+							op := NewLookupJoin(NopContext(), bridge, tc.jt, keys, NewJoinResidual(residual, len(ts), expr.NewPageProcessor), ts, ts, 7)
+							op.SetOutputChannels(probeOut, buildOut)
+							if lend {
+								op.LendOutput(nil)
 							}
-							ordered[fmt.Sprintf("%s path, spilled=%v", path, spilled)] += arrivalOrderPairs(t, name, rows, 3, len(probeOut)+3)
+							rows := drainRows(t, op, probePages...)
+							got := map[string]int{}
+							for _, row := range rows {
+								got[rowText(row)]++
+							}
+							assertSameCounts(t, name, got, want)
+							if c.name == "all channels" && buildOut != nil {
+								// Probe and build column 3 grow with arrival.
+								ordered[fmt.Sprintf("%s, spilled=%v", shape.name, spilled)] += arrivalOrderPairs(t, name, rows, 3, len(probeOut)+3)
+							}
+							if spilled && len(buildPages) > 0 && bridge.SpillCount() == 0 {
+								t.Errorf("%s: the build never spilled", name)
+							}
+							if err := op.Close(); err != nil {
+								t.Fatal(err)
+							}
+							bridge.ReleaseSpill()
 						}
-						if spilled && len(buildPages) > 0 && bridge.SpillCount() == 0 {
-							t.Errorf("%s: the build never spilled", name)
-						}
-						if err := op.Close(); err != nil {
-							t.Fatal(err)
-						}
-						bridge.ReleaseSpill()
 					}
 				}
 			}
 		}
 	}
-	for _, path := range []string{"selection", "row"} {
+	for _, shape := range joinShapes {
 		for _, spilled := range []bool{false, true} {
-			if what := fmt.Sprintf("%s path, spilled=%v", path, spilled); ordered[what] == 0 {
+			if what := fmt.Sprintf("%s, spilled=%v", shape.name, spilled); ordered[what] == 0 && (shape.keyed || !spilled) {
 				t.Errorf("%s: no probe row had two matches to compare", what)
 			}
 		}
-	}
-}
-
-// TestJoinRowPathHonoursChannels: a residual sends INNER, LEFT, SEMI and
-// ANTI down the row path with RIGHT and FULL; it emits the listed channels
-// too, and the residual still reads columns that are not among them.
-func TestJoinRowPathHonoursChannels(t *testing.T) {
-	kind := channelKeyKinds[0]
-	ts := channelTestTs(kind.t)
-	buildPages, probePages := channelTestPages(kind.key, 3, 25, 0), channelTestPages(kind.key, 3, 40, 2)
-	// probe bigint payload < build bigint payload: neither column is emitted.
-	residual := &expr.Compare{Op: expr.CmpLt, L: &expr.ColumnRef{Index: 2, T: types.Bigint}, R: &expr.ColumnRef{Index: len(ts) + 2, T: types.Bigint}}
-	for _, tc := range allJoinTypes {
-		probeOut, buildOut := []int{1}, []int{3}
-		if tc.jt == plan.SemiJoin || tc.jt == plan.AntiJoin {
-			buildOut = nil
-		}
-		want := map[string]int{}
-		refJoinRows(tc.jt, buildPages, probePages, []int{0}, []int{0}, residual, ts, ts, func(row []types.Value) {
-			out := []types.Value{row[1]}
-			if buildOut != nil {
-				out = append(out, row[len(ts)+3])
-			}
-			want[rowText(out)]++
-		})
-		bridge := buildBridge(t, []int{0}, buildPages...)
-		bridge.AddProbe()
-		bridge.NoMoreProbes()
-		op := NewLookupJoin(NopContext(), bridge, tc.jt, []int{0}, residual, ts, ts, 7)
-		op.SetOutputChannels(probeOut, buildOut)
-		assertSameCounts(t, tc.name, drainCounts(t, op, probePages...), want)
 	}
 }
 

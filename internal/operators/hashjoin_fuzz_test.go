@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/block"
+	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/types"
 )
@@ -38,44 +39,66 @@ func fuzzJoinPages(data, sizes []byte, base int64) []*block.Page {
 	return pages
 }
 
-// FuzzJoinIndex holds the position table against the per-row reference:
-// random BIGINT keys with duplicates and NULLs, split into random page sizes
-// (empty pages among them), built and probed under every join type, return
-// refJoinRows' rows, and every probe row's matches come out in build arrival
-// order.
+// FuzzJoinIndex holds the join's one output path against the per-row
+// reference: random BIGINT keys with duplicates and NULLs, split into random
+// page sizes (empty pages among them), built and probed under every join
+// type, keyed and keyless, with no residual and with one over both sides'
+// payloads, return refJoinRows' rows, and every probe row's matches come out
+// in build arrival order.
 func FuzzJoinIndex(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 1, 2, 3, 0, 14, 27}, []byte{1, 3, 5, 0, 22, 14}, []byte{2, 0, 3})
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 7}, []byte{7, 20, 8}, []byte{1})
 	f.Add([]byte{}, []byte{4, 5}, []byte{0})
+	ts := []types.Type{types.Bigint, types.Bigint}
+	// probe.payload + build.payload is odd
+	odd := &expr.Compare{Op: expr.CmpEq, R: expr.NewConst(types.BigintValue(1)), L: &expr.Arith{Op: expr.OpMod, T: types.Bigint,
+		L: &expr.Arith{Op: expr.OpAdd, T: types.Bigint, L: &expr.ColumnRef{Index: 1, T: types.Bigint}, R: &expr.ColumnRef{Index: 3, T: types.Bigint}},
+		R: expr.NewConst(types.BigintValue(2))}}
+	joinTypes := append(allJoinTypes[:len(allJoinTypes):len(allJoinTypes)], struct {
+		name string
+		jt   plan.JoinType
+	}{"cross", plan.CrossJoin})
 	f.Fuzz(func(t *testing.T, build, probe, sizes []byte) {
 		if len(build) > 512 || len(probe) > 512 {
 			t.Skip("sides past 512 rows add time, not shapes")
 		}
 		buildPages, probePages := fuzzJoinPages(build, sizes, 0), fuzzJoinPages(probe, sizes[min(1, len(sizes)):], 1000)
-		ts := []types.Type{types.Bigint, types.Bigint}
-		for _, tc := range allJoinTypes {
-			bridge := NewJoinBridge()
-			bridge.AddBuilder()
-			hb := NewHashBuild(NopContext(), bridge, []int{0}, ts[:1])
-			for _, p := range buildPages {
-				if err := hb.AddInput(p); err != nil {
-					t.Fatal(err)
+		for _, shape := range joinShapes {
+			var keys []int
+			if shape.keyed {
+				keys = []int{0}
+			}
+			var residual expr.Expr
+			if shape.residual {
+				residual = odd
+			}
+			for _, tc := range joinTypes {
+				if tc.jt == plan.CrossJoin && shape.keyed {
+					continue // a CROSS join has no key
 				}
-			}
-			hb.Finish()
-			bridge.NoMoreBuilders()
-			bridge.AddProbe()
-			bridge.NoMoreProbes()
-			op := NewLookupJoin(NopContext(), bridge, tc.jt, []int{0}, nil, ts, ts, 5)
-			rows := drainRows(t, op, probePages...)
-			got := map[string]int{}
-			for _, row := range rows {
-				got[rowText(row)]++
-			}
-			name := fmt.Sprintf("%s, %d build pages, %d probe pages", tc.name, len(buildPages), len(probePages))
-			assertSameCounts(t, name, got, refJoin(t, tc.jt, buildPages, probePages, []int{0}, []int{0}, nil, ts, ts))
-			if tc.jt != plan.SemiJoin && tc.jt != plan.AntiJoin {
-				arrivalOrderPairs(t, name, rows, 1, 3)
+				bridge := NewJoinBridge()
+				bridge.AddBuilder()
+				hb := NewHashBuild(NopContext(), bridge, keys, ts[:len(keys)])
+				for _, p := range buildPages {
+					if err := hb.AddInput(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				hb.Finish()
+				bridge.NoMoreBuilders()
+				bridge.AddProbe()
+				bridge.NoMoreProbes()
+				op := NewLookupJoin(NopContext(), bridge, tc.jt, keys, NewJoinResidual(residual, len(ts), expr.NewPageProcessor), ts, ts, 5)
+				rows := drainRows(t, op, probePages...)
+				got := map[string]int{}
+				for _, row := range rows {
+					got[rowText(row)]++
+				}
+				name := fmt.Sprintf("%s, %s, %d build pages, %d probe pages", shape.name, tc.name, len(buildPages), len(probePages))
+				assertSameCounts(t, name, got, refJoin(t, tc.jt, buildPages, probePages, keys, keys, residual, ts, ts))
+				if tc.jt != plan.SemiJoin && tc.jt != plan.AntiJoin {
+					arrivalOrderPairs(t, name, rows, 1, 3)
+				}
 			}
 		}
 	})

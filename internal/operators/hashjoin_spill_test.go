@@ -72,7 +72,7 @@ func runJoin(t *testing.T, jt plan.JoinType, buildPages, probePages []*block.Pag
 
 	bridge.AddProbe()
 	bridge.NoMoreProbes()
-	op := NewLookupJoin(NopContext(), bridge, jt, []int{0}, residual, rowTs, rowTs, 0)
+	op := NewLookupJoin(NopContext(), bridge, jt, []int{0}, NewJoinResidual(residual, len(rowTs), expr.NewPageProcessor), rowTs, rowTs, 0)
 	out := drain(t, op, probePages...)
 	if spilled && bridge.SpillCount() == 0 {
 		t.Fatal("expected build-side spill")

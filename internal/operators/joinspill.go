@@ -259,28 +259,22 @@ func (s *bridgeSpill) finishProbe() error {
 	return err
 }
 
-// writeJoinPartitioned splits a page by canonical key-hash partition and
-// writes each non-empty slice as one record. NULL keys hash on their
-// canonical tag-0 encoding: build and probe route them identically, so
-// unmatched-row semantics (LEFT/ANTI/RIGHT/FULL) survive the disk detour.
+// writeJoinPartitioned splits a page by key-hash partition, as the exchange
+// partitions by hash (HashPartition), and writes each non-empty slice as one
+// record. NULL keys hash on their canonical tag-0 encoding: build and probe
+// route them identically, so unmatched-row semantics (LEFT/ANTI/RIGHT/FULL)
+// survive the disk detour. The vectors are made, not leased: Revoke runs this
+// on the memory pool's goroutine, which holds no driver's arena.
 func writeJoinPartitioned(w *spill.Writer, p *block.Page, keys []int) error {
 	n := p.RowCount()
-	if n == 0 {
-		return nil
-	}
-	sel := make([][]int, spillJoinPartitions)
-	var buf []byte
-	for r := 0; r < n; r++ {
-		buf = encodeRowKey(buf[:0], p, r, keys)
-		part := int(hashRowKey(buf) % spillJoinPartitions)
-		sel[part] = append(sel[part], r)
-	}
-	for part, rows := range sel {
-		if len(rows) == 0 {
-			continue
-		}
+	rows, offs := partitionRows(nil, hashPartitionPage(nil, new(batchKeys), p, keys, spillJoinPartitions), spillJoinPartitions)
+	for part := 0; part < spillJoinPartitions; part++ {
 		sub := p
-		if len(rows) != n {
+		switch rows := rows[offs[part]:offs[part+1]]; len(rows) {
+		case 0:
+			continue
+		case n:
+		default:
 			sub = p.FilterPositions(rows)
 		}
 		if err := w.WritePage(part, sub); err != nil {
@@ -335,8 +329,9 @@ func (it *spillPartIter) close() {
 
 // joinSpillDrain replays a spilled join one partition at a time: rebuild the
 // partition's hash table from the build spill file into a private sub-bridge,
-// stream the partition's probe pages through a private lookup operator, and
-// emit its output (including per-partition RIGHT/FULL unmatched rows) before
+// stream the partition's probe pages through a private lookup operator — the
+// outer one's compiled residual, channels and arena with it — and emit its
+// output (including per-partition RIGHT/FULL unmatched rows) before
 // moving on. Peak memory is one partition's build side plus one output page.
 type joinSpillDrain struct {
 	o      *LookupJoinOperator
@@ -345,10 +340,6 @@ type joinSpillDrain struct {
 	inner  *LookupJoinOperator
 	probes *spillPartIter
 	done   bool
-}
-
-func newJoinSpillDrain(o *LookupJoinOperator, spl *bridgeSpill) *joinSpillDrain {
-	return &joinSpillDrain{o: o, spl: spl}
 }
 
 // next returns the drain's next output page, or (nil, nil) when fully
@@ -410,29 +401,24 @@ func (d *joinSpillDrain) openPartition() error {
 	sub.AddBuilder()
 	hb := NewHashBuild(o.ctx, sub, o.bridge.keyCols, o.bridge.keyTs)
 	builds := &spillPartIter{files: spl.buildFiles, part: d.part}
+	defer builds.close()
 	for {
 		p, err := builds.next()
 		if err != nil {
-			builds.close()
 			return err
 		}
 		if p == nil {
 			break
 		}
 		if err := hb.AddInput(p); err != nil {
-			builds.close()
 			return err
 		}
 	}
-	builds.close()
 	hb.Finish()
 	sub.NoMoreBuilders()
-	d.inner = &LookupJoinOperator{
-		ctx: o.ctx, bridge: sub, jt: o.jt, probeKeys: o.probeKeys,
-		residual: o.residual, probeTs: o.probeTs, buildTs: o.buildTs,
-		probeOut: o.probeOut, buildOut: o.buildOut, lend: o.lend,
-		pageSize: o.pageSize, scratch: o.scratch,
-	}
+	// The outer operator's output path, which never probed in memory: its
+	// residual, channels and arena, and an idle cursor.
+	d.inner = &LookupJoinOperator{joinOutput: o.joinOutput, ctx: o.ctx, bridge: sub, probeKeys: o.probeKeys}
 	sub.AddProbe()
 	sub.NoMoreProbes()
 	d.probes = &spillPartIter{files: spl.probeFiles, part: d.part}

@@ -278,27 +278,6 @@ func TestLeftJoinEmitsNulls(t *testing.T) {
 	}
 }
 
-func TestRightJoinEmitsUnmatchedBuild(t *testing.T) {
-	bridge := buildBridge(t, []int{0}, twoColPage([]int64{1, 7}, []int64{100, 700}))
-	bridge.AddProbe()
-	bridge.NoMoreProbes()
-	op := NewLookupJoin(NopContext(), bridge, plan.RightJoin, []int{0},
-		nil, []types.Type{types.Bigint}, []types.Type{types.Bigint, types.Bigint}, 0)
-	out := runProbe(t, op, longPage(1))
-	total, nullProbe := 0, 0
-	for _, p := range out {
-		for r := 0; r < p.RowCount(); r++ {
-			total++
-			if p.Col(0).IsNull(r) {
-				nullProbe++
-			}
-		}
-	}
-	if total != 2 || nullProbe != 1 {
-		t.Errorf("right join: total=%d nullProbe=%d", total, nullProbe)
-	}
-}
-
 func TestSemiAndAntiJoin(t *testing.T) {
 	bridge := buildBridge(t, []int{0}, longPage(2, 4))
 	bridge.AddProbe()
@@ -321,21 +300,6 @@ func TestSemiAndAntiJoin(t *testing.T) {
 	}
 }
 
-func TestCrossJoin(t *testing.T) {
-	bridge := buildBridge(t, nil, longPage(10, 20))
-	bridge.AddProbe()
-	op := NewLookupJoin(NopContext(), bridge, plan.CrossJoin, nil,
-		nil, []types.Type{types.Bigint}, []types.Type{types.Bigint}, 0)
-	out := runProbe(t, op, longPage(1, 2, 3))
-	total := 0
-	for _, p := range out {
-		total += p.RowCount()
-	}
-	if total != 6 {
-		t.Errorf("cross join rows: %d", total)
-	}
-}
-
 func TestJoinNullKeysNeverMatch(t *testing.T) {
 	build := block.NewPage(&block.LongBlock{T: types.Bigint, Vals: []int64{0, 1}, Nulls: []bool{true, false}})
 	bridge := buildBridge(t, []int{0}, build)
@@ -350,27 +314,6 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	}
 	if total != 1 { // only 1=1; NULL keys never match
 		t.Errorf("null-key join rows: %d", total)
-	}
-}
-
-func TestJoinResidualFilter(t *testing.T) {
-	bridge := buildBridge(t, []int{0}, twoColPage([]int64{1, 1}, []int64{5, 50}))
-	bridge.AddProbe()
-	// residual: build value (col 2 of joined row) > 10
-	residual := &expr.Compare{
-		Op: expr.CmpGt,
-		L:  &expr.ColumnRef{Index: 2, T: types.Bigint},
-		R:  expr.NewConst(types.BigintValue(10)),
-	}
-	op := NewLookupJoin(NopContext(), bridge, plan.InnerJoin, []int{0},
-		residual, []types.Type{types.Bigint}, []types.Type{types.Bigint, types.Bigint}, 0)
-	out := runProbe(t, op, longPage(1))
-	total := 0
-	for _, p := range out {
-		total += p.RowCount()
-	}
-	if total != 1 {
-		t.Errorf("residual join rows: %d", total)
 	}
 }
 

@@ -315,7 +315,7 @@ func TestKeylessProbeAllocationFlat(t *testing.T) {
 		bridge := buildBridge(t, nil, buildKeyPages(rows, rows)...)
 		bridge.AddProbe()
 		bridge.NoMoreProbes()
-		op := NewLookupJoin(NopContext(), bridge, plan.AntiJoin, nil, never, ts, ts, 0)
+		op := NewLookupJoin(NopContext(), bridge, plan.AntiJoin, nil, NewJoinResidual(never, len(ts), expr.NewPageProcessor), ts, ts, 0)
 		page := func() {
 			if err := op.AddInput(probe); err != nil {
 				t.Fatal(err)
@@ -340,6 +340,61 @@ func TestKeylessProbeAllocationFlat(t *testing.T) {
 	t.Logf("a keyless probe page allocates %d bytes against 1 000 build rows, %d against 100 000", small, large)
 	if large > small+1024 {
 		t.Errorf("a keyless probe page allocates %d bytes against 100 000 build rows, %d against 1 000: it grows with the build", large, small)
+	}
+}
+
+// TestCrossJoinOutputBounded: a CROSS join holds one output page of pairs at
+// a time. A ten-row probe page comes out in pages of at most pageSize rows,
+// and what AddInput and the first Output allocate does not grow with the
+// build: against 100 000 build rows what it does against 1 000, give or take
+// a kilobyte. The boxed row path built all of a page's joined rows in
+// AddInput, a million against 100 000 build rows.
+func TestCrossJoinOutputBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	const pageSize = 1024
+	ts := []types.Type{types.Bigint, types.Bigint}
+	probe := twoColPage(make([]int64, 10), make([]int64, 10))
+	firstPage := func(rows int) int64 {
+		bridge := buildBridge(t, nil, buildKeyPages(rows, rows)...)
+		bridge.AddProbe()
+		bridge.NoMoreProbes()
+		op := NewLookupJoin(NopContext(), bridge, plan.CrossJoin, nil, nil, ts, ts, pageSize)
+		// The first probe page sizes what the operator keeps, and is checked whole.
+		if err := op.AddInput(probe); err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for {
+			p, err := op.Output()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p == nil {
+				break
+			}
+			if p.RowCount() > pageSize {
+				t.Fatalf("a CROSS join emitted a page of %d rows, more than %d", p.RowCount(), pageSize)
+			}
+			total += p.RowCount()
+		}
+		if want := probe.RowCount() * rows; total != want {
+			t.Fatalf("a CROSS join emitted %d rows, want %d", total, want)
+		}
+		return allocated(func() {
+			if err := op.AddInput(probe); err != nil {
+				t.Fatal(err)
+			}
+			if p, err := op.Output(); err != nil || p == nil {
+				t.Fatalf("first page: %v %v", p, err)
+			}
+		})
+	}
+	small, large := firstPage(1_000), firstPage(100_000)
+	t.Logf("a CROSS probe page's first output allocates %d bytes against 1 000 build rows, %d against 100 000", small, large)
+	if large > small+1024 {
+		t.Errorf("a CROSS probe page's first output allocates %d bytes against 100 000 build rows, %d against 1 000: it grows with the build", large, small)
 	}
 }
 

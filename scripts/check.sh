@@ -25,7 +25,9 @@
 #                             # session twins, the switch headers, TaskConfig
 #                             # and fragments on the wire, non-finite doubles
 #                             # to HTTP workers and clients, dynamic filters
-#                             # decided at planning) + lake (orcish and
+#                             # decided at planning, a join residual filtered
+#                             # as WHERE is: IEEE NaN, applied by an index
+#                             # join) + lake (orcish and
 #                             # hive under -race, fetched-bytes accounting,
 #                             # a damaged file fails one query; no
 #                             # encoding/gob)
@@ -40,7 +42,8 @@
 #                             # requests (fragments, compiled, plus task
 #                             # config), and the join position table
 #                             # (random keys and page sizes, every join
-#                             # type, against the per-row reference)
+#                             # type, with and without a residual, keyed
+#                             # and keyless, against the per-row reference)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -113,8 +116,9 @@ echo "==> configuration: a query's switches are one value, from the HTTP header 
 # NaN, ±Infinity and −0.0 reach HTTP workers and statement-protocol clients;
 # dynamic filters are decided at planning (materialized exchange plans none,
 # creates no filter hub, keeps its own plan-cache entry and still recovers from
-# a killed worker).
-go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestDeprecatedClusterFields|TestMaterializedExchangeDecidedAtPlanning|TestElasticKillWorkerMidQuery|TestDistributedNonFiniteDoubles' .
+# a killed worker); a join residual is compiled as a WHERE clause is (NaN
+# compares by IEEE, as in WHERE) and an index join applies it.
+go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestDeprecatedClusterFields|TestMaterializedExchangeDecidedAtPlanning|TestElasticKillWorkerMidQuery|TestDistributedNonFiniteDoubles|TestJoinResidualNaNIsIEEE|TestKVIndexJoin' .
 go test -race -count=1 -run 'TestSwitchHeaders|TestStatementNonFiniteDoubles|TestWriteJSONFailureIs500' ./internal/httpapi/
 go test -race -count=1 ./internal/wire/
 go test -race -count=1 -run 'TestMaterializedExchangeCreatesNoFilterHub' ./internal/coordinator/
@@ -155,9 +159,10 @@ go test -run '^$' -bench 'CodecEncodeRaw|CodecEncodeFlate|CodecDecodeRaw|CodecDe
 
 echo "==> what a group, a build row and a probe row cost: allocation ceilings, accounting vs heap, a group table sized from its estimate, bench smoke (no -race, same reason)"
 # A fixed-layout key table stores no hash (it rehashes its cells as batchKeys
-# hashes them), a join build indexes positions, and a keyless probe page
-# allocates nothing per build row.
-go test -count=1 -v -run 'TestAggSpillAllocationCeiling|TestGroupTableBytesPerGroup|TestGroupTableAllocatesOnce|TestPresizedTableReservesWhatItHolds|TestPresizeIsAHint|TestFinishedAggregationDropsItsTable|TestFixedTableRehashesAsBatchKeys|TestJoinBuildBytesPerRow|TestJoinBuildAllocatesOnce|TestJoinProbeAllocationCeiling|TestKeylessProbeAllocationFlat|TestHashAggAccountingMatchesHeap|TestJoinBuildAccountingMatchesHeap' ./internal/operators/ | grep -E '^(---|ok|FAIL|panic)|bytes'
+# hashes them), a join build indexes positions, a keyless probe page
+# allocates nothing per build row, and a CROSS join holds one output page of
+# pairs at a time.
+go test -count=1 -v -run 'TestAggSpillAllocationCeiling|TestGroupTableBytesPerGroup|TestGroupTableAllocatesOnce|TestPresizedTableReservesWhatItHolds|TestPresizeIsAHint|TestFinishedAggregationDropsItsTable|TestFixedTableRehashesAsBatchKeys|TestJoinBuildBytesPerRow|TestJoinBuildAllocatesOnce|TestJoinProbeAllocationCeiling|TestKeylessProbeAllocationFlat|TestCrossJoinOutputBounded|TestHashAggAccountingMatchesHeap|TestJoinBuildAccountingMatchesHeap' ./internal/operators/ | grep -E '^(---|ok|FAIL|panic)|bytes'
 go test -count=1 -run 'TestGroupsPerInstance' ./internal/exec/
 go test -count=1 -run 'TestGroupEstimate' .
 go test -run '^$' -bench 'AggSpillRevokeDrain|HashJoinProbeParallel' -benchtime 1x -benchmem ./internal/operators/ > /dev/null
@@ -183,7 +188,7 @@ if [ "$chaos_full" = 1 ]; then
 fi
 
 if [ "$fuzz" = 1 ]; then
-  echo "==> fuzz smoke: join position table against the per-row reference (10s)"
+  echo "==> fuzz smoke: join position table, every join type with and without a residual, keyed and keyless, against the per-row reference (10s)"
   go test -run '^$' -fuzz '^FuzzJoinIndex$' -fuzztime 10s ./internal/operators/
   echo "==> fuzz smoke: page codec decode (10s)"
   go test -fuzz '^FuzzPageCodecDecode$' -fuzztime 10s ./internal/block/
