@@ -249,18 +249,12 @@ func buildIndexBytes(rows, nk int, fixed bool) int64 {
 // page by page, and then links the positions last to first, so that a slot
 // ends on its key's first position and each duplicate is chained to the next
 // one in arrival order. A NULL key (never matches) is not linked. A keyless
-// join keeps no key table: one chain links every position, which every probe
-// row walks.
+// join keeps no key table and no links: every probe row walks every position
+// in order.
 func (b *JoinBridge) buildIndexLocked() {
 	b.locate()
 	nk, rows, fixed := len(b.keyCols), int(b.positions()), fixedWidthKeys(b.keyTs)
 	reserved := buildIndexBytes(rows, nk, fixed)
-	if nk == 0 && rows > 0 {
-		b.next = make([]int32, rows)
-		for pos := range rows - 1 {
-			b.next[pos] = int32(pos + 2)
-		}
-	}
 	if nk > 0 && rows > 0 {
 		t := newKeyTable(fixed, nk, rows)
 		// The key hashing leases a page's vectors from an arena of the index
@@ -299,7 +293,7 @@ func (b *JoinBridge) buildIndexLocked() {
 // entries are the positions' keys, and a slot holds the first position of its
 // key; next[pos] is the key's position after pos, plus one (0: pos is its
 // last), so a key's rows come out in arrival order. next is nil while no key
-// repeats; keyless, it links every position to the next.
+// repeats. With neither (keyless), every position is followed by the next.
 type builtTable struct {
 	pages  []*block.Page
 	starts []int32
@@ -365,10 +359,13 @@ func (t *builtTable) row(pos int32) (page, row int32) {
 // after is the position after pos with the same key (keyless: the next), or
 // -1.
 func (t *builtTable) after(pos int32) int32 {
-	if t.next == nil {
-		return -1
+	switch {
+	case t.next != nil:
+		return t.next[pos] - 1
+	case t.ktab == nil && pos+1 < t.positions():
+		return pos + 1
 	}
-	return t.next[pos] - 1
+	return -1
 }
 
 // AddProbe registers a probe-side driver.
@@ -509,19 +506,6 @@ func (o *HashBuildOperator) AddInput(p *block.Page) error {
 	return b.syncBuildMem()
 }
 
-// resolveKeys resolves every row of p to the first build position of its key
-// in t; -1: a NULL key (never matches an equi-join) or no such key. Pages whose
-// key columns all arrive dictionary- or RLE-encoded ask the table once per
-// combination of entries they reference (resolveEncoded), the rest once per
-// row of a batch-hashed page. The vectors either way are leased from a. It
-// reports which of the two it was.
-func resolveKeys(a *block.Arena, t *keyTable, bk *batchKeys, p *block.Page, cols []int, ids []int32) (encoded bool) {
-	if _, encoded = resolveEncoded(a, p, cols, ids, func(r int) int32 { return keyRow(t, bk, p, cols, r) }); !encoded {
-		resolveBatch(a, t, bk, p, cols, ids)
-	}
-	return encoded
-}
-
 // resolveBatch is the general path of the probe: batch-hash the page's key
 // columns, then look each row's key up in t.
 func resolveBatch(a *block.Arena, t *keyTable, bk *batchKeys, p *block.Page, cols []int, ids []int32) {
@@ -609,7 +593,10 @@ type LookupJoinOperator struct {
 	matched   []bool
 	outerAt   int32
 
-	finished     bool
+	finished bool
+	// probeEnded: finished, and every pair of the last probe page emitted, so
+	// its matched flags are set; only then does the bridge count it finished.
+	probeEnded   bool
 	outerHandled bool
 	drain        *joinSpillDrain // partitioned disk drain (spilled builds only)
 }
@@ -622,6 +609,7 @@ func NewLookupJoin(ctx *OpContext, bridge *JoinBridge, jt plan.JoinType, probeKe
 	}
 }
 
+// allChannels lists channels 0 to n-1.
 func allChannels(n int) []int {
 	out := make([]int, n)
 	for i := range out {
@@ -647,10 +635,10 @@ func (o *LookupJoinOperator) LendOutput(consumer Operator) { o.lend, o.consumer 
 // LendsOutput reports whether LendOutput has been called.
 func (o *LookupJoinOperator) LendsOutput() bool { return o.lend }
 
-// IsBlocked: on the build, and — a finished RIGHT/FULL probe — on its peers,
-// before it emits unmatched build rows.
+// IsBlocked: on the build, and — a RIGHT/FULL probe that has emitted all it
+// probed — on its peers, before it emits unmatched build rows.
 func (o *LookupJoinOperator) IsBlocked() bool {
-	return !o.bridge.Built() || o.finished && !o.outerHandled && !o.bridge.AllProbesFinished()
+	return !o.bridge.Built() || o.probeEnded && !o.outerHandled && !o.bridge.AllProbesFinished()
 }
 
 func (o *LookupJoinOperator) NeedsInput() bool {
@@ -689,11 +677,13 @@ func (o *LookupJoinOperator) AddInput(p *block.Page) error {
 
 // resolveProbe maps every probe row to the first build position of its key
 // (-1 = no match or NULL key) in one page-level pass; with no key (CROSS and
-// keyless joins), to the first of all, whose chain links every build row. A
+// keyless joins), to the first of all, after which come all the others. A
 // probe column whose canonical encoding can never equal the build layout's
 // (varchar keys against a fixed-width table: the tag bytes differ) resolves
-// the whole page to no-match once. Dictionary keys probe the table once per
-// referenced entry, RLE keys once per page (§V-B).
+// the whole page to no-match once. Pages whose key columns all arrive
+// dictionary- or RLE-encoded ask the table once per combination of entries
+// they reference (resolveEncoded; §V-B), the rest once per row of a
+// batch-hashed page.
 func (o *LookupJoinOperator) resolveProbe(p *block.Page) []int32 {
 	ids, t := block.Lease[int32](o.scratch, p.RowCount()), o.tab.ktab
 	keyless := len(o.probeKeys) == 0
@@ -711,8 +701,10 @@ func (o *LookupJoinOperator) resolveProbe(p *block.Page) []int32 {
 		}
 		return ids
 	}
-	if resolveKeys(o.scratch, t, &o.batch, p, o.probeKeys, ids) {
+	if _, encoded := resolveEncoded(o.scratch, p, o.probeKeys, ids, func(r int) int32 { return keyRow(t, &o.batch, p, o.probeKeys, r) }); encoded {
 		o.ctx.recordDictRows(len(ids))
+	} else {
+		resolveBatch(o.scratch, t, &o.batch, p, o.probeKeys, ids)
 	}
 	return ids
 }
@@ -722,11 +714,21 @@ func (o *LookupJoinOperator) Finish() {
 		return
 	}
 	o.finished = true
-	o.bridge.ProbeFinished()
 	// A spilled build defers every join type to the disk drain, which one
 	// probe operator claims in Output once all probes have finished; RIGHT
 	// and FULL wait likewise to emit unmatched build rows.
 	o.outerHandled = !o.bridge.spillDrainPending() && o.jt != plan.RightJoin && o.jt != plan.FullJoin
+	o.endProbe()
+}
+
+// endProbe tells the bridge, once, that this operator flags no more matches:
+// when it is finished and has emitted its last probe page's pairs, which a
+// driver may finish it before.
+func (o *LookupJoinOperator) endProbe() {
+	if o.finished && o.probe == nil && !o.probeEnded {
+		o.probeEnded = true
+		o.bridge.ProbeFinished()
+	}
 }
 
 // markMatched flags the build rows the selection pairs (RIGHT, FULL): one
@@ -765,36 +767,49 @@ func (o *LookupJoinOperator) selectUnmatched() int {
 }
 
 func (o *LookupJoinOperator) Output() (*block.Page, error) {
-	if b := o.bridge; o.finished && !o.outerHandled && b.AllProbesFinished() {
-		o.outerHandled = true
-		if b.spillDrainPending() {
-			spl, ok, err := b.claimSpillDrain()
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				o.drain = &joinSpillDrain{o: o, spl: spl}
-			}
-		} else {
-			o.tab, o.matched, o.unmatched = b.claimOuter()
-		}
-	}
-	if o.drain != nil {
-		if p, err := o.drain.next(); err != nil || p != nil {
-			return p, err
-		}
-	}
 	var out *block.Page
 	if p, n := o.selectNext(); n > 0 {
 		o.markMatched()
 		out = o.gather(p, n)
-	} else if o.unmatched {
-		if n := o.selectUnmatched(); n > 0 {
-			out = o.gather(nil, n)
+	}
+	o.endProbe()
+	if out == nil {
+		if err := o.claim(); err != nil {
+			return nil, err
+		}
+		if o.drain != nil {
+			return o.drain.next() // its operator records what it emits
+		}
+		if o.unmatched {
+			if n := o.selectUnmatched(); n > 0 {
+				out = o.gather(nil, n)
+			}
 		}
 	}
 	o.ctx.recordOut(out)
 	return out, nil
+}
+
+// claim takes what follows the probe — a spilled build's partition drain, or
+// RIGHT/FULL's unmatched build rows — once every probe has ended, unless
+// another probe operator has.
+func (o *LookupJoinOperator) claim() error {
+	b := o.bridge
+	if !o.probeEnded || o.outerHandled || !b.AllProbesFinished() {
+		return nil
+	}
+	o.outerHandled = true
+	if b.spillDrainPending() {
+		spl, ok, err := b.claimSpillDrain()
+		if ok {
+			o.drain = &joinSpillDrain{o: o, spl: spl}
+		}
+		return err
+	}
+	if t, matched, ok := b.claimOuter(); ok {
+		o.tab, o.matched, o.unmatched = t, matched, true
+	}
+	return nil
 }
 
 func (o *LookupJoinOperator) IsFinished() bool {
@@ -856,13 +871,15 @@ type joinOutput struct {
 	chans []*buildChan // typed views of tab's channels, made on first use
 
 	// The cursor: the probe page, its rows' first candidates, the row walked,
-	// its next candidate, and whether it has begun and matched.
+	// its next candidate, whether it has begun and matched, and — a SEMI or
+	// ANTI row with a residual — how many candidates its last round took.
 	probe *block.Page
 	ids   []int32
 	row   int
 	at    int32
 	begun bool
 	hit   bool
+	round int
 
 	// The selection: probe rows, their build rows' pages (-1: none), rows.
 	probeSel, buildPg, buildRow []int32
@@ -928,24 +945,32 @@ func (j *joinOutput) selectNext() (*block.Page, int) {
 	return p, len(j.probeSel)
 }
 
+// semiRound is how many candidates a SEMI or ANTI row with a residual puts to
+// it at first; every round that matches none doubles it, up to a page. A
+// row's first match ends its chain, so a row whose first candidate passes
+// costs a round, not its chain.
+const semiRound = 8
+
 // walk appends the cursor's next entries to the selection, room of them: a
 // row's candidates (SEMI's and ANTI's up to a match), then its end (rowEnds).
 // With no residual every candidate matches, so walk appends what the join
 // emits: a row's end only if it had no candidate, ANTI's candidates never.
+// With one, a SEMI or ANTI row's round ends the walk, to be decided.
 func (j *joinOutput) walk(room int) {
 	stop, ends, decided := j.jt == plan.SemiJoin || j.jt == plan.AntiJoin, j.rowEnds(), j.residual == nil
 	skip := decided && j.jt == plan.AntiJoin // a match drops an ANTI row
+	rounds := stop && !decided
 	k := len(j.probeSel)
 	sel, pg, row := j.probeSel[:k+room], j.buildPg[:k+room], j.buildRow[:k+room]
 	t, ids, n := &j.tab, j.ids, j.probe.RowCount()
-	r, at, begun, hit := j.row, j.at, j.begun, j.hit
+	r, at, begun, hit, round := j.row, j.at, j.begun, j.hit, min(2*j.round, j.pageSize) // a carried row's next round
 rows:
 	for ; r < n; r, begun = r+1, false {
 		if !begun {
-			at, begun, hit = ids[r], true, false
+			at, begun, hit, round = ids[r], true, false, semiRound
 		}
-		for ; at >= 0 && !(stop && hit); at = t.after(at) {
-			if k == len(sel) {
+		for took := 0; at >= 0 && !(stop && hit); at, took = t.after(at), took+1 {
+			if k == len(sel) || rounds && took == round {
 				break rows
 			}
 			if !skip {
@@ -955,7 +980,7 @@ rows:
 			}
 			hit = hit || decided
 		}
-		if ends && !(decided && hit) {
+		if ends && !hit {
 			if k == len(sel) {
 				break
 			}
@@ -963,7 +988,7 @@ rows:
 			k++
 		}
 	}
-	j.row, j.at, j.begun, j.hit = r, at, begun, hit
+	j.row, j.at, j.begun, j.hit, j.round = r, at, begun, hit, round
 	j.probeSel, j.buildPg, j.buildRow = sel[:k], pg[:k], row[:k]
 }
 
@@ -983,9 +1008,7 @@ func (j *joinOutput) decide(p *block.Page, from int, cur int32, hit bool) {
 				r.cols[c] = j.gatherBuild(j.scratch, j.buildChan(c-r.nProbe), pg, row, r.cols[c])
 			}
 		}
-		if r.page.RowCount() != len(sel) {
-			r.page = block.NewEmptyPage(len(sel))
-		}
+		*r.page = *block.NewEmptyPage(len(sel))
 		r.page.Cols = r.cols
 		keep = r.filter.Select(r.page, j.scratch)
 	}
@@ -1056,20 +1079,22 @@ func gatherAt[T any](dst, src []T, sel []int32) []T {
 	return dst
 }
 
-// reuse returns dst if it is a *B — a column the residual reads, whose header
-// is refilled for every chunk — and else a new B.
-func reuse[B any, P interface {
+// refill stores column v in dst if dst is a *B — a column the residual reads,
+// whose header is refilled for every chunk — and else in a new B.
+func refill[B any, P interface {
 	*B
 	block.Block
-}](dst block.Block) P {
-	if b, ok := dst.(P); ok {
-		return b
+}](dst block.Block, v B) P {
+	b, ok := dst.(P)
+	if !ok {
+		b = new(B)
 	}
-	return new(B)
+	*b = v
+	return b
 }
 
 // gatherProbe gathers probe column col at the selected rows (into dst, see
-// reuse). A dictionary result shares the source dictionary under gathered
+// refill). A dictionary result shares the source dictionary under gathered
 // indices, lent like a flat vector; an RLE run stays a run.
 func gatherProbe(a *block.Arena, col block.Block, sel []int32, dst block.Block) block.Block {
 	n := len(sel)
@@ -1081,29 +1106,17 @@ func gatherProbe(a *block.Arena, col block.Block, sel []int32, dst block.Block) 
 	}
 	switch src := col.(type) {
 	case *block.LongBlock:
-		b := reuse[block.LongBlock](dst)
-		*b = block.LongBlock{T: src.T, Vals: gatherAt(block.Lease[int64](a, n), src.Vals, sel), Nulls: nulls(src.Nulls)}
-		return b
+		return refill(dst, block.LongBlock{T: src.T, Vals: gatherAt(block.Lease[int64](a, n), src.Vals, sel), Nulls: nulls(src.Nulls)})
 	case *block.DoubleBlock:
-		b := reuse[block.DoubleBlock](dst)
-		*b = block.DoubleBlock{Vals: gatherAt(block.Lease[float64](a, n), src.Vals, sel), Nulls: nulls(src.Nulls)}
-		return b
+		return refill(dst, block.DoubleBlock{Vals: gatherAt(block.Lease[float64](a, n), src.Vals, sel), Nulls: nulls(src.Nulls)})
 	case *block.VarcharBlock:
-		b := reuse[block.VarcharBlock](dst)
-		*b = block.VarcharBlock{Vals: gatherAt(block.Lease[string](a, n), src.Vals, sel), Nulls: nulls(src.Nulls)}
-		return b
+		return refill(dst, block.VarcharBlock{Vals: gatherAt(block.Lease[string](a, n), src.Vals, sel), Nulls: nulls(src.Nulls)})
 	case *block.BoolBlock:
-		b := reuse[block.BoolBlock](dst)
-		*b = block.BoolBlock{Vals: gatherAt(block.Lease[bool](a, n), src.Vals, sel), Nulls: nulls(src.Nulls)}
-		return b
+		return refill(dst, block.BoolBlock{Vals: gatherAt(block.Lease[bool](a, n), src.Vals, sel), Nulls: nulls(src.Nulls)})
 	case *block.DictionaryBlock:
-		b := reuse[block.DictionaryBlock](dst)
-		*b = block.DictionaryBlock{Dict: src.Dict, Indices: gatherAt(block.Lease[int32](a, n), src.Indices, sel)}
-		return b
+		return refill(dst, block.DictionaryBlock{Dict: src.Dict, Indices: gatherAt(block.Lease[int32](a, n), src.Indices, sel)})
 	case *block.RLEBlock:
-		b := reuse[block.RLEBlock](dst)
-		*b = block.RLEBlock{Val: src.Val, Count: n}
-		return b
+		return refill(dst, block.RLEBlock{Val: src.Val, Count: n})
 	default:
 		vals := make([]types.Value, n)
 		for i, r := range sel {
@@ -1218,14 +1231,12 @@ func gatherRows[T any](dst []T, mask []bool, pages [][]T, nulls [][]bool, pg, ro
 }
 
 // gatherBuild gathers build channel bc at the selected rows (into dst, see
-// reuse), with a null mask only when the channel holds NULLs or a row can have
-// no build row: a NULL-free column stays on no-null-check kernels.
+// refill), with a null mask only when the channel holds NULLs or a row can
+// have no build row: a NULL-free column stays on no-null-check kernels.
 func (j *joinOutput) gatherBuild(a *block.Arena, bc *buildChan, pg, row []int32, dst block.Block) block.Block {
 	n := len(pg)
 	if bc.dict != nil {
-		b := reuse[block.DictionaryBlock](dst)
-		*b = block.DictionaryBlock{Dict: bc.dict, Indices: gatherRows(block.Lease[int32](a, n), nil, bc.idx, nil, pg, row)}
-		return b
+		return refill(dst, block.DictionaryBlock{Dict: bc.dict, Indices: gatherRows(block.Lease[int32](a, n), nil, bc.idx, nil, pg, row)})
 	}
 	var mask []bool
 	if bc.anyNull || j.rowEnds() {
@@ -1233,21 +1244,13 @@ func (j *joinOutput) gatherBuild(a *block.Arena, bc *buildChan, pg, row []int32,
 	}
 	switch bc.t {
 	case types.Bigint, types.Date:
-		b := reuse[block.LongBlock](dst)
-		*b = block.LongBlock{T: bc.t, Vals: gatherRows(block.Lease[int64](a, n), mask, bc.longs, bc.nulls, pg, row), Nulls: mask}
-		return b
+		return refill(dst, block.LongBlock{T: bc.t, Vals: gatherRows(block.Lease[int64](a, n), mask, bc.longs, bc.nulls, pg, row), Nulls: mask})
 	case types.Double:
-		b := reuse[block.DoubleBlock](dst)
-		*b = block.DoubleBlock{Vals: gatherRows(block.Lease[float64](a, n), mask, bc.doubles, bc.nulls, pg, row), Nulls: mask}
-		return b
+		return refill(dst, block.DoubleBlock{Vals: gatherRows(block.Lease[float64](a, n), mask, bc.doubles, bc.nulls, pg, row), Nulls: mask})
 	case types.Varchar:
-		b := reuse[block.VarcharBlock](dst)
-		*b = block.VarcharBlock{Vals: gatherRows(block.Lease[string](a, n), mask, bc.strs, bc.nulls, pg, row), Nulls: mask}
-		return b
+		return refill(dst, block.VarcharBlock{Vals: gatherRows(block.Lease[string](a, n), mask, bc.strs, bc.nulls, pg, row), Nulls: mask})
 	case types.Boolean:
-		b := reuse[block.BoolBlock](dst)
-		*b = block.BoolBlock{Vals: gatherRows(block.Lease[bool](a, n), mask, bc.bools, bc.nulls, pg, row), Nulls: mask}
-		return b
+		return refill(dst, block.BoolBlock{Vals: gatherRows(block.Lease[bool](a, n), mask, bc.bools, bc.nulls, pg, row), Nulls: mask})
 	}
 	vals := make([]types.Value, n)
 	for i, p := range pg {

@@ -380,6 +380,80 @@ func TestJoinOutputChannelsDifferential(t *testing.T) {
 	}
 }
 
+// TestOuterJoinWaitsForPendingPairs: a driver finishes its join as soon as
+// its input ends, while the join may still have pairs of its last probe page
+// to emit. RIGHT and FULL flag matched build rows as they emit the pairs, so
+// a join counts as finished to its bridge only once it has emitted them, and
+// no peer emits the unmatched build rows before. Two probe operators over a
+// build with repeated keys, each finished with pairs pending, and one alone,
+// finished before its first Output, return the reference's rows: no build
+// row both joined and NULL-extended, none NULL-extended for want of a flag.
+func TestOuterJoinWaitsForPendingPairs(t *testing.T) {
+	ts := []types.Type{types.Bigint, types.Bigint}
+	build := []*block.Page{twoColPage([]int64{1, 1, 1, 2, 2, 3, 4}, []int64{0, 1, 2, 3, 4, 5, 6})}
+	probes := [][]*block.Page{
+		{twoColPage([]int64{1, 2, 1}, []int64{101, 102, 103})},
+		{twoColPage([]int64{3, 5}, []int64{201, 202})},
+	}
+	for _, tc := range allJoinTypes {
+		for _, peers := range []int{1, 2} {
+			for _, residual := range []expr.Expr{nil, oddPayloadSum} {
+				name := fmt.Sprintf("%s, %d probe operators, residual=%v", tc.name, peers, residual != nil)
+				bridge := buildBridge(t, []int{0}, build...)
+				var ops []*LookupJoinOperator
+				var probed []*block.Page
+				for i := 0; i < peers; i++ {
+					bridge.AddProbe()
+					ops = append(ops, NewLookupJoin(NopContext(), bridge, tc.jt, []int{0}, NewJoinResidual(residual, len(ts), expr.NewPageProcessor), ts, ts, 2))
+					probed = append(probed, probes[i]...)
+				}
+				bridge.NoMoreProbes()
+				got := map[string]int{}
+				for _, row := range drainPeers(t, ops, probes[:peers]) {
+					got[rowText(row)]++
+				}
+				assertSameCounts(t, name, got, refJoin(t, tc.jt, build, probed, []int{0}, []int{0}, residual, ts, ts))
+			}
+		}
+	}
+}
+
+// TestSemiResidualDecidesInRounds: a SEMI or ANTI row with a residual puts
+// its chain to the residual a round at a time, semiRound candidates first, and
+// its first match ends the chain. Probe rows whose first of 1 000 candidates
+// passes have the residual see rounds of semiRound pairs, not their chains.
+// Where none passes, the rounds double and the rows still come out right.
+func TestSemiResidualDecidesInRounds(t *testing.T) {
+	const chain = 1000
+	ts := []types.Type{types.Bigint, types.Bigint}
+	keys, payload := make([]int64, chain), make([]int64, chain)
+	for i := range payload {
+		payload[i] = int64(2 * i) // even: an odd probe payload passes, an even one does not
+	}
+	build := twoColPage(keys, payload)
+	for _, tc := range []struct {
+		name string
+		jt   plan.JoinType
+	}{{"semi", plan.SemiJoin}, {"anti", plan.AntiJoin}} {
+		for _, probePayload := range []int64{1, 2} {
+			name := fmt.Sprintf("%s, probe payload %d", tc.name, probePayload)
+			bridge := buildBridge(t, []int{0}, build)
+			bridge.AddProbe()
+			bridge.NoMoreProbes()
+			op := NewLookupJoin(NopContext(), bridge, tc.jt, []int{0}, NewJoinResidual(oddPayloadSum, len(ts), expr.NewPageProcessor), ts, ts, 4096)
+			probe := twoColPage([]int64{0, 0, 0}, []int64{probePayload, probePayload, probePayload})
+			got := map[string]int{}
+			for _, row := range drainRows(t, op, probe) {
+				got[rowText(row)]++
+			}
+			assertSameCounts(t, name, got, refJoin(t, tc.jt, []*block.Page{build}, []*block.Page{probe}, []int{0}, []int{0}, oddPayloadSum, ts, ts))
+			if seen := op.residual.page.RowCount(); probePayload%2 == 1 && seen != semiRound {
+				t.Errorf("%s: the residual's last round was %d pairs, want %d", name, seen, semiRound)
+			}
+		}
+	}
+}
+
 // TestJoinLentVectorsArePoisoned: with the poison on (as scripts/check.sh
 // links it under the differential walls), a page a lending join handed out
 // reads differently once the join has gathered the next one, so a consumer

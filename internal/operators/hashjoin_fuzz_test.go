@@ -39,21 +39,77 @@ func fuzzJoinPages(data, sizes []byte, base int64) []*block.Page {
 	return pages
 }
 
+// oddPayloadSum is a residual over two (key, payload) BIGINT sides:
+// probe.payload + build.payload is odd.
+var oddPayloadSum = &expr.Compare{Op: expr.CmpEq, R: expr.NewConst(types.BigintValue(1)), L: &expr.Arith{Op: expr.OpMod, T: types.Bigint,
+	L: &expr.Arith{Op: expr.OpAdd, T: types.Bigint, L: &expr.ColumnRef{Index: 1, T: types.Bigint}, R: &expr.ColumnRef{Index: 3, T: types.Bigint}},
+	R: expr.NewConst(types.BigintValue(2))}}
+
+// drainPeers drives probe operators of one bridge as drivers do, a turn each
+// in rotation: a turn hands an operator its next page of inputs if it wants
+// one, finishes it as soon as its last page is in — while it may still have
+// pairs of that page to emit — and then, unless it is blocked, takes one
+// output page, rendered before the next turn. It returns the rows in the
+// order they came out.
+func drainPeers(t *testing.T, ops []*LookupJoinOperator, inputs [][]*block.Page) [][]types.Value {
+	t.Helper()
+	inputs = append([][]*block.Page(nil), inputs...)
+	var out [][]types.Value
+	for idle := 0; ; {
+		done, moved := true, false
+		for i, op := range ops {
+			if op.IsFinished() {
+				continue
+			}
+			done = false
+			if len(inputs[i]) > 0 && op.NeedsInput() {
+				if err := op.AddInput(inputs[i][0]); err != nil {
+					t.Fatal(err)
+				}
+				inputs[i], moved = inputs[i][1:], true
+			}
+			if len(inputs[i]) == 0 && !op.finished {
+				op.Finish()
+			}
+			if op.IsBlocked() {
+				continue
+			}
+			p, err := op.Output()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p != nil && p.RowCount() > 0 {
+				for r := range p.RowCount() {
+					out = append(out, p.Row(r))
+				}
+				moved = true
+			}
+		}
+		switch {
+		case done:
+			return out
+		case moved:
+			idle = 0
+		case idle > 2: // an Output that emits nothing may still claim or end
+			t.Fatal("the probe operators stalled")
+		default:
+			idle++
+		}
+	}
+}
+
 // FuzzJoinIndex holds the join's one output path against the per-row
 // reference: random BIGINT keys with duplicates and NULLs, split into random
 // page sizes (empty pages among them), built and probed under every join
 // type, keyed and keyless, with no residual and with one over both sides'
 // payloads, return refJoinRows' rows, and every probe row's matches come out
-// in build arrival order.
+// in build arrival order. Two probe operators share the probe pages and are
+// finished as soon as their last page is in, as drivers finish them.
 func FuzzJoinIndex(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 1, 2, 3, 0, 14, 27}, []byte{1, 3, 5, 0, 22, 14}, []byte{2, 0, 3})
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 7}, []byte{7, 20, 8}, []byte{1})
 	f.Add([]byte{}, []byte{4, 5}, []byte{0})
 	ts := []types.Type{types.Bigint, types.Bigint}
-	// probe.payload + build.payload is odd
-	odd := &expr.Compare{Op: expr.CmpEq, R: expr.NewConst(types.BigintValue(1)), L: &expr.Arith{Op: expr.OpMod, T: types.Bigint,
-		L: &expr.Arith{Op: expr.OpAdd, T: types.Bigint, L: &expr.ColumnRef{Index: 1, T: types.Bigint}, R: &expr.ColumnRef{Index: 3, T: types.Bigint}},
-		R: expr.NewConst(types.BigintValue(2))}}
 	joinTypes := append(allJoinTypes[:len(allJoinTypes):len(allJoinTypes)], struct {
 		name string
 		jt   plan.JoinType
@@ -70,7 +126,7 @@ func FuzzJoinIndex(f *testing.F) {
 			}
 			var residual expr.Expr
 			if shape.residual {
-				residual = odd
+				residual = oddPayloadSum
 			}
 			for _, tc := range joinTypes {
 				if tc.jt == plan.CrossJoin && shape.keyed {
@@ -86,10 +142,16 @@ func FuzzJoinIndex(f *testing.F) {
 				}
 				hb.Finish()
 				bridge.NoMoreBuilders()
-				bridge.AddProbe()
+				ops, inputs := make([]*LookupJoinOperator, 2), make([][]*block.Page, 2)
+				for i := range ops {
+					bridge.AddProbe()
+					ops[i] = NewLookupJoin(NopContext(), bridge, tc.jt, keys, NewJoinResidual(residual, len(ts), expr.NewPageProcessor), ts, ts, 5)
+				}
 				bridge.NoMoreProbes()
-				op := NewLookupJoin(NopContext(), bridge, tc.jt, keys, NewJoinResidual(residual, len(ts), expr.NewPageProcessor), ts, ts, 5)
-				rows := drainRows(t, op, probePages...)
+				for i, p := range probePages {
+					inputs[i%2] = append(inputs[i%2], p)
+				}
+				rows := drainPeers(t, ops, inputs)
 				got := map[string]int{}
 				for _, row := range rows {
 					got[rowText(row)]++

@@ -218,10 +218,7 @@ type DistinctOperator struct {
 // decided here, up front, because input block types can under-report (an
 // all-NULL literal column arrives as an untyped block).
 func NewDistinct(ctx *OpContext, ts []types.Type) *DistinctOperator {
-	cols := make([]int, len(ts))
-	for i := range cols {
-		cols[i] = i
-	}
+	cols := allChannels(len(ts))
 	return &DistinctOperator{ctx: ctx, keyCols: cols, table: newKeyTable(fixedWidthKeys(ts), len(cols), 0)}
 }
 

@@ -184,7 +184,9 @@ func buildKeyPages(rows, keys int) []*block.Page {
 // 81. The table is sized before a key is hashed, so from the rows: 200 000
 // rows of 12 500 keys allocate 23.5 bytes a row (40 with the row list), where
 // doubling to 12 500 entries allocated 16. No heuristic hides that: nothing
-// measured needs one (DESIGN.md, "The join build's position table").
+// measured needs one (DESIGN.md, "The join build's position table"). A
+// keyless build has no key table and no links — its probe rows walk every
+// position in order — so it allocates nothing a row.
 func TestJoinBuildBytesPerRow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates")
@@ -192,17 +194,26 @@ func TestJoinBuildBytesPerRow(t *testing.T) {
 	const rows = 200_000
 	for _, tc := range []struct {
 		name    string
-		keys    int
+		keys    int // 0: keyless
 		ceiling int64
 	}{
 		{"a row a key", rows, 22},
 		{"16 rows a key", rows / 16, 26},
+		{"keyless", 0, 0},
 	} {
-		pages := buildKeyPages(rows, tc.keys)
+		pages := buildKeyPages(rows, max(tc.keys, 1))
+		keyCols := []int{0}
+		if tc.keys == 0 {
+			keyCols = nil
+		}
 		var bridge *JoinBridge
-		got := allocated(func() { bridge = buildBridge(t, []int{0}, pages...) }) / rows
-		if bridge.BuildRows() != rows || bridge.ktab.keys != tc.keys {
-			t.Fatalf("%s: built %d rows under %d keys", tc.name, bridge.BuildRows(), bridge.ktab.keys)
+		got := allocated(func() { bridge = buildBridge(t, keyCols, pages...) }) / rows
+		keys := 0
+		if bridge.ktab != nil {
+			keys = bridge.ktab.keys
+		}
+		if bridge.BuildRows() != rows || keys != tc.keys {
+			t.Fatalf("%s: built %d rows under %d keys", tc.name, bridge.BuildRows(), keys)
 		}
 		t.Logf("%s: %d bytes of index allocated per build row", tc.name, got)
 		if got > tc.ceiling {

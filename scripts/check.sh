@@ -117,8 +117,11 @@ echo "==> configuration: a query's switches are one value, from the HTTP header 
 # dynamic filters are decided at planning (materialized exchange plans none,
 # creates no filter hub, keeps its own plan-cache entry and still recovers from
 # a killed worker); a join residual is compiled as a WHERE clause is (NaN
-# compares by IEEE, as in WHERE) and an index join applies it.
+# compares by IEEE, as in WHERE) and an index join applies it; a RIGHT/FULL
+# probe finished with pairs still to emit counts as finished only once it has
+# emitted them, and a SEMI/ANTI row puts its chain to a residual in rounds.
 go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestDeprecatedClusterFields|TestMaterializedExchangeDecidedAtPlanning|TestElasticKillWorkerMidQuery|TestDistributedNonFiniteDoubles|TestJoinResidualNaNIsIEEE|TestKVIndexJoin' .
+go test -race -count=1 -run 'TestOuterJoinWaitsForPendingPairs|TestSemiResidualDecidesInRounds' ./internal/operators/
 go test -race -count=1 -run 'TestSwitchHeaders|TestStatementNonFiniteDoubles|TestWriteJSONFailureIs500' ./internal/httpapi/
 go test -race -count=1 ./internal/wire/
 go test -race -count=1 -run 'TestMaterializedExchangeCreatesNoFilterHub' ./internal/coordinator/
@@ -159,9 +162,9 @@ go test -run '^$' -bench 'CodecEncodeRaw|CodecEncodeFlate|CodecDecodeRaw|CodecDe
 
 echo "==> what a group, a build row and a probe row cost: allocation ceilings, accounting vs heap, a group table sized from its estimate, bench smoke (no -race, same reason)"
 # A fixed-layout key table stores no hash (it rehashes its cells as batchKeys
-# hashes them), a join build indexes positions, a keyless probe page
-# allocates nothing per build row, and a CROSS join holds one output page of
-# pairs at a time.
+# hashes them), a join build indexes positions (a keyless one nothing), a
+# keyless probe page allocates nothing per build row, and a CROSS join holds
+# one output page of pairs at a time.
 go test -count=1 -v -run 'TestAggSpillAllocationCeiling|TestGroupTableBytesPerGroup|TestGroupTableAllocatesOnce|TestPresizedTableReservesWhatItHolds|TestPresizeIsAHint|TestFinishedAggregationDropsItsTable|TestFixedTableRehashesAsBatchKeys|TestJoinBuildBytesPerRow|TestJoinBuildAllocatesOnce|TestJoinProbeAllocationCeiling|TestKeylessProbeAllocationFlat|TestCrossJoinOutputBounded|TestHashAggAccountingMatchesHeap|TestJoinBuildAccountingMatchesHeap' ./internal/operators/ | grep -E '^(---|ok|FAIL|panic)|bytes'
 go test -count=1 -run 'TestGroupsPerInstance' ./internal/exec/
 go test -count=1 -run 'TestGroupEstimate' .
@@ -188,7 +191,7 @@ if [ "$chaos_full" = 1 ]; then
 fi
 
 if [ "$fuzz" = 1 ]; then
-  echo "==> fuzz smoke: join position table, every join type with and without a residual, keyed and keyless, against the per-row reference (10s)"
+  echo "==> fuzz smoke: join position table, every join type with and without a residual, keyed and keyless, two probe operators finished as drivers finish them, against the per-row reference (10s)"
   go test -run '^$' -fuzz '^FuzzJoinIndex$' -fuzztime 10s ./internal/operators/
   echo "==> fuzz smoke: page codec decode (10s)"
   go test -fuzz '^FuzzPageCodecDecode$' -fuzztime 10s ./internal/block/
