@@ -72,8 +72,10 @@ func newDistClusterSpill(t *testing.T, n int, inj *faultinject.Injector, sp *dis
 
 // distConfig is everything a test may vary about a distCluster.
 type distConfig struct {
-	inj   *faultinject.Injector
-	spill *distSpillConfig
+	inj *faultinject.Injector
+	// workerInj, when set, is the workers' own injector (task-level sites).
+	workerInj *faultinject.Injector
+	spill     *distSpillConfig
 	// task is the coordinator's base task config (spill fields are filled
 	// from spill).
 	task exec.TaskConfig
@@ -117,7 +119,7 @@ func newDistClusterWith(t *testing.T, n int, dc distConfig) *distCluster {
 	if dc.observe != nil {
 		client.Transport = observedTransport{d.transport, dc.observe}
 	}
-	wcfg := exec.WorkerConfig{Threads: 2}
+	wcfg := exec.WorkerConfig{Threads: 2, FaultInject: dc.workerInj}
 	if sp != nil {
 		wcfg.Task = exec.TaskConfig{SpillEnabled: true, SpillDir: sp.dir}
 	}

@@ -114,7 +114,7 @@ func (t *Task) DeliverFilter(id int, s *dynfilter.Summary) {
 	t.dynFilters[id] = s
 	t.dynArrivals.Add(1)
 	t.dynMu.Unlock()
-	if t.aborted || t.failed != nil {
+	if t.failed != nil {
 		return
 	}
 	if s.Empty() {
@@ -129,12 +129,7 @@ func (t *Task) DeliverFilter(id int, s *dynfilter.Summary) {
 			}
 		}
 	}
-	for _, p := range t.scanPipes {
-		if err := t.maybeStartScanDriversLocked(p); err != nil && t.failed == nil {
-			t.failed = err
-		}
-	}
-	t.maybeFinishLocked()
+	t.startScansLocked()
 }
 
 // dropScanSplitsLocked discards a scan's remaining splits (empty-build short
@@ -155,9 +150,8 @@ func (t *Task) dropScanSplitsLocked(p *pipelineSpec) {
 
 // dynGateLocked reports whether a scan's split starts are still held waiting
 // for subscribed filters. The wait is bounded by DynamicFilterWait: a timer
-// re-pumps at the deadline (the worker monitor also re-pumps every 10ms), so
-// a lost filter costs at most the wait budget, never a hang. Caller holds
-// t.mu.
+// re-evaluates the scan's starts at the deadline, so a lost filter costs at
+// most the wait budget, never a hang. Caller holds t.mu.
 func (t *Task) dynGateLocked(p *pipelineSpec) bool {
 	sc := p.scanNode
 	if sc == nil || len(sc.DynFilters) == 0 {
@@ -204,7 +198,7 @@ func (t *Task) dynGateLocked(p *pipelineSpec) bool {
 			t.dynGates = map[int]*dynGate{}
 		}
 		t.dynGates[p.scanID] = g
-		time.AfterFunc(wait+time.Millisecond, t.PumpSplits)
+		time.AfterFunc(wait+time.Millisecond, t.resumeScans)
 	}
 	if !missing || time.Since(g.start) >= wait {
 		g.done = true

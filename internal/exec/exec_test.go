@@ -349,13 +349,15 @@ func TestWorkerLifecycle(t *testing.T) {
 	}
 }
 
-// TestUnstartedTaskInvisibleToMonitor is the regression test for the
+// TestUnstartedTaskCannotFinish is the regression test for the
 // register-before-Start hole in Worker.CreateTask: a task with no scan
-// pipeline has no drivers until Start, so the 10ms monitor's PumpSplits used
-// to read "no active drivers" as "finished" and seal its output — the
-// consumer then saw a clean end-of-stream with rows missing. The test parks
-// a registered, unstarted exchange-only task across several monitor ticks.
-func TestUnstartedTaskInvisibleToMonitor(t *testing.T) {
+// pipeline has no drivers until Start, and a 10 ms worker ticker used to read
+// "no active drivers" as "finished" and seal its output — the consumer then
+// saw a clean end-of-stream with rows missing. A task finishes only when every
+// pipeline has declared its last driver, which for these pipelines Start
+// does. The test parks a registered, unstarted exchange-only task, delivers a
+// filter to it (one of the events that re-evaluates a task), and starts it.
+func TestUnstartedTaskCannotFinish(t *testing.T) {
 	producer := shuffle.NewOutputBuffer(1, 1<<20)
 	producer.Add(0, block.NewPage(block.NewLongBlock([]int64{1, 2, 3}, nil)))
 	producer.SetNoMorePages()
@@ -378,10 +380,11 @@ func TestUnstartedTaskInvisibleToMonitor(t *testing.T) {
 	w.mu.Lock()
 	w.tasks[id] = task
 	w.mu.Unlock()
+	task.DeliverFilter(1, &dynfilter.Summary{Disabled: true})
 	time.Sleep(35 * time.Millisecond)
 	select {
 	case <-task.Done():
-		t.Fatal("the monitor finished a task that was never started")
+		t.Fatal("a task that was never started finished")
 	default:
 	}
 	if err := task.Start(); err != nil {

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/connector"
 	"repro/internal/dynfilter"
@@ -73,7 +74,8 @@ type pipelineSpec struct {
 	// hasWriter marks pipelines containing a table writer (adaptive
 	// scaling candidates).
 	hasWriter bool
-	// noMoreDrivers records that bridge driver-creation is complete.
+	scaledAt  atomic.Int64 // unix nanoseconds of the last look at a writer's backlog
+	// noMoreDrivers records that the pipeline starts no more drivers.
 	noMoreDrivers bool
 
 	// driver counters, guarded by the owning task's mu.

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,19 +133,14 @@ type Task struct {
 	compiled  []*pipelineSpec
 	scanPipes map[int]*pipelineSpec // scanID → pipeline
 
-	mu sync.Mutex
-	// started is set by Start. Until then the task has no drivers yet, so
-	// "no active drivers" must not read as "finished": the worker monitor
-	// skips unstarted tasks.
-	started       bool
+	mu            sync.Mutex
 	activeDrivers int
 	failed        error
 	doneCh        chan struct{}
 	doneOnce      sync.Once
-	aborted       bool
+	scanHeld      atomic.Bool // a scan start waits on a build or output space (see unblocked)
 
 	exchangeClients []*shuffle.ExchangeClient
-	scalablePipes   []*scalablePipe
 
 	// Dynamic-filter state. dynMu is a leaf lock (t.mu → dynMu is the only
 	// permitted order) so split-open paths can snapshot arrived filters
@@ -170,12 +166,8 @@ type dynGate struct {
 	done  bool // released: filters arrived or the deadline passed
 }
 
-// scalablePipe tracks a writer pipeline eligible for adaptive scaling.
-type scalablePipe struct {
-	spec    *pipelineSpec
-	client  *shuffle.ExchangeClient
-	drivers int
-}
+// writerScaleInterval spaces the looks at a writer pipeline's backlog.
+const writerScaleInterval = 10 * time.Millisecond
 
 // NewTask compiles a fragment and prepares (but does not start) execution.
 // exchangeSources maps upstream fragment ids to this task's page fetchers.
@@ -232,8 +224,18 @@ func NewTask(id TaskID, f *plan.Fragment, nodeID int, ex *Executor, reg Connecto
 		t.scanPipes[p.scanID] = p
 	}
 
-	// Wire exchange clients.
+	// Unblock notifications: every structure a driver can park on kicks the
+	// executor when its state changes, so parked drivers resume on the event
+	// instead of the executor's fallback poll (§IV-F1 adaptation).
+	kick := ex.Kick
+	t.output.SetNotify(t.unblocked)
 	for _, p := range t.compiled {
+		if p.buildBridge != nil {
+			p.buildBridge.SetNotify(t.unblocked)
+		}
+		if p.localEx != nil {
+			p.localEx.SetNotify(kick)
+		}
 		if p.source != srcExchange {
 			continue
 		}
@@ -244,41 +246,39 @@ func NewTask(id TaskID, f *plan.Fragment, nodeID int, ex *Executor, reg Connecto
 		client := shuffle.NewExchangeClient(fetchers, cfg.OutputBufferBytes)
 		t.exchangeClients = append(t.exchangeClients, client)
 		p.exchangeClient = client
-	}
-
-	// Unblock notifications: every structure a driver can park on kicks the
-	// executor when its state changes, so parked drivers resume on the event
-	// instead of the executor's fallback poll (§IV-F1 adaptation).
-	kick := ex.Kick
-	t.output.SetNotify(kick)
-	for _, client := range t.exchangeClients {
-		client.SetNotify(kick)
-	}
-	for _, p := range t.compiled {
-		if p.buildBridge != nil {
-			p.buildBridge.SetNotify(kick)
-		}
-		if p.localEx != nil {
-			p.localEx.SetNotify(kick)
+		if p.hasWriter {
+			client.SetNotify(func() { kick(); t.maybeScaleWriters(p) })
+		} else {
+			client.SetNotify(kick)
 		}
 	}
 	return t, nil
 }
 
+// unblocked, the output buffer's and the join bridges' notification, also
+// re-evaluates held scan starts. It can fire under t.mu (terminate cancels
+// the bridges and destroys the buffer), hence the goroutine.
+func (t *Task) unblocked() {
+	t.executor.Kick()
+	if t.scanHeld.CompareAndSwap(true, false) {
+		go t.resumeScans()
+	}
+}
+
 // Output returns the task's partitioned output buffer.
 func (t *Task) Output() *shuffle.OutputBuffer { return t.output }
 
-// Start launches the task's non-split drivers.
+// Start launches the task's non-split drivers and declares their pipelines
+// (a writer pipeline once it cannot scale).
 func (t *Task) Start() error {
 	for _, client := range t.exchangeClients {
 		client.Start()
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.aborted {
+	if t.failed != nil {
 		return t.failed // killed between registration and start
 	}
-	t.started = true
 	for _, p := range t.compiled {
 		switch p.source {
 		case srcValues:
@@ -286,18 +286,14 @@ func (t *Task) Start() error {
 			if err := t.startDriverLocked(p, src, t.sourceCtx(p)); err != nil {
 				return err
 			}
-			t.declareNoMoreDriversLocked(p)
 		case srcExchange:
 			sctx := t.sourceCtx(p)
 			src := operators.NewExchangeSource(sctx, p.exchangeClient)
 			if err := t.startDriverLocked(p, src, sctx); err != nil {
 				return err
 			}
-			if t.isWriterPipe(p) {
-				t.scalablePipes = append(t.scalablePipes, &scalablePipe{spec: p, client: p.exchangeClient, drivers: 1})
-				// Writers may scale: more drivers can still be added.
-			} else {
-				t.declareNoMoreDriversLocked(p)
+			if p.hasWriter && p.driversStarted < t.cfg.MaxWriters {
+				continue
 			}
 		case srcLocalExchange:
 			for i := 0; i < p.localWays; i++ {
@@ -307,14 +303,13 @@ func (t *Task) Start() error {
 					return err
 				}
 			}
-			t.declareNoMoreDriversLocked(p)
+		default:
+			continue // a scan declares when its queue is drained
 		}
+		t.declareNoMoreDriversLocked(p)
 	}
-	t.maybeFinishLocked()
 	return nil
 }
-
-func (t *Task) isWriterPipe(p *pipelineSpec) bool { return p.hasWriter }
 
 // sourceCtx builds the operator context for a pipeline's source position,
 // sharing the pipeline's source stats slot across its drivers.
@@ -367,8 +362,8 @@ func (t *Task) startDriverLocked(p *pipelineSpec, src operators.Operator, srcCtx
 	return nil
 }
 
-// declareNoMoreDriversLocked tells bridges attached to the pipeline that all
-// its drivers now exist.
+// declareNoMoreDriversLocked records that the pipeline starts no more drivers
+// and tells its bridges so; it is one of the two places a task can finish.
 func (t *Task) declareNoMoreDriversLocked(p *pipelineSpec) {
 	if p.noMoreDrivers {
 		return
@@ -380,13 +375,14 @@ func (t *Task) declareNoMoreDriversLocked(p *pipelineSpec) {
 	for _, b := range p.probeBridges {
 		b.NoMoreProbes()
 	}
+	t.maybeFinishLocked()
 }
 
 // AddSplit queues a split on the morsel queue of the scan pipeline scanID.
 func (t *Task) AddSplit(scanID int, s connector.Split) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.aborted || t.failed != nil {
+	if t.failed != nil {
 		return nil
 	}
 	p, ok := t.scanPipes[scanID]
@@ -446,7 +442,6 @@ func (t *Task) NoMoreSplits(scanID int) {
 		p.morsels.noMoreSplits()
 		t.maybeDeclareScanDoneLocked(p)
 	}
-	t.maybeFinishLocked()
 }
 
 // maybeDeclareScanDoneLocked declares a scan pipeline's drivers complete once
@@ -463,23 +458,22 @@ func (t *Task) maybeDeclareScanDoneLocked(p *pipelineSpec) {
 // adaptive concurrency target while its queue has any work at all, so even a
 // single oversized split fans out across every driver. Drivers are not tied
 // to splits. When output buffer utilization is consistently high, effective
-// concurrency drops (§IV-E2).
+// concurrency drops (§IV-E2). DESIGN.md "Task lifecycle" lists its events.
 func (t *Task) maybeStartScanDriversLocked(p *pipelineSpec) error {
+	if p.noMoreDrivers {
+		return nil
+	}
 	// Phased scheduling: hold probe splits until the build sides are ready.
-	if t.cfg.Phased {
-		for _, b := range p.probeBridges {
-			if !b.Built() {
-				return nil
-			}
-		}
+	if t.cfg.Phased && t.holding(func() bool { return slices.ContainsFunc(p.probeBridges, unbuilt) }) {
+		return nil
 	}
 	// Dynamic filters: briefly hold a subscribed scan's split starts until
 	// its filters arrive (bounded — see dynGateLocked).
-	if t.dynGateLocked(p) || p.noMoreDrivers {
+	if t.dynGateLocked(p) {
 		return nil
 	}
 	target := t.scanDrivers()
-	if t.output.Utilization() > 0.5 {
+	if target > 1 && t.holding(func() bool { return t.output.Utilization() > 0.5 }) {
 		target = 1 // buffers full: lower effective concurrency
 	}
 	for p.driversStarted-p.driversDone < target && p.morsels.hasWork() {
@@ -490,6 +484,35 @@ func (t *Task) maybeStartScanDriversLocked(p *pipelineSpec) error {
 		}
 	}
 	return nil
+}
+
+// holding reports whether cond holds a scan start back. It marks the hold
+// before reading cond again, so the event that ends it finds the mark.
+func (t *Task) holding(cond func() bool) bool {
+	if !cond() {
+		return false
+	}
+	t.scanHeld.Store(true)
+	return cond()
+}
+
+func unbuilt(b *operators.JoinBridge) bool { return !b.Built() }
+
+// resumeScans re-evaluates scan starts off-lock: a gate's deadline, a hold's end.
+func (t *Task) resumeScans() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.startScansLocked()
+}
+
+// startScansLocked re-evaluates every scan's driver starts.
+func (t *Task) startScansLocked() {
+	for _, p := range t.scanPipes {
+		if err := t.maybeStartScanDriversLocked(p); err != nil {
+			t.failLocked(err)
+			return
+		}
+	}
 }
 
 // openPageSource opens a split's PageSource, routing through the worker page
@@ -537,25 +560,38 @@ func (t *Task) openPageSource(conn connector.Connector, s connector.Split,
 	return open()
 }
 
-// driverDone is called by the executor when a driver completes.
+// driverDone is called by the executor when a driver completes; it is one of
+// the two places a task can finish.
 func (t *Task) driverDone(p *pipelineSpec, err error) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.activeDrivers--
 	p.driversDone++
-	if p.source == srcScan {
-		if err == nil && !t.aborted {
-			if serr := t.maybeStartScanDriversLocked(p); serr != nil && t.failed == nil {
-				t.failed = serr
-			}
+	switch {
+	case err != nil:
+		t.failLocked(err)
+	case p.source == srcScan:
+		if serr := t.maybeStartScanDriversLocked(p); serr != nil {
+			t.failLocked(serr)
 		}
 		t.maybeDeclareScanDoneLocked(p)
-	}
-	if err != nil && t.failed == nil {
-		t.failed = err
-		t.cancelPipelinesLocked()
+	case p.source == srcExchange:
+		t.declareNoMoreDriversLocked(p) // a writer's exchange is drained: no more writers
 	}
 	t.maybeFinishLocked()
-	t.mu.Unlock()
+}
+
+// failLocked fails the task unless it has failed already: parked drivers are
+// released and every pipeline declared, so the task finishes as drivers exit.
+func (t *Task) failLocked(err error) {
+	if t.failed != nil {
+		return
+	}
+	t.failed = err
+	t.cancelPipelinesLocked()
+	for _, p := range t.compiled {
+		t.declareNoMoreDriversLocked(p)
+	}
 }
 
 // cancelPipelinesLocked releases drivers parked on inter-pipeline handoffs so
@@ -581,14 +617,15 @@ func (t *Task) cancelPipelinesLocked() {
 	}
 }
 
-// maybeFinishLocked finalizes the task when all drivers are done and every
-// scan's queue is drained.
+// maybeFinishLocked finalizes the task when no driver is running and every
+// pipeline has declared its last driver, which Start does for the non-scan
+// ones: a task that has not started cannot finish.
 func (t *Task) maybeFinishLocked() {
 	if t.activeDrivers > 0 {
 		return
 	}
-	for _, p := range t.scanPipes {
-		if !p.morsels.drained() {
+	for _, p := range t.compiled {
+		if !p.noMoreDrivers {
 			return
 		}
 	}
@@ -640,74 +677,54 @@ func (t *Task) MarkLost() {
 // carries one.
 func (t *Task) terminate(reason error) {
 	t.mu.Lock()
-	t.aborted = true
-	if t.failed == nil {
-		t.failed = reason
-	}
-	t.cancelPipelinesLocked()
+	defer t.mu.Unlock()
 	t.output.Destroy()
 	for _, c := range t.exchangeClients {
 		c.Close()
 	}
-	t.maybeFinishLocked()
-	t.mu.Unlock()
+	t.failLocked(reason)
 }
 
-// PumpSplits re-evaluates gated split starts (phased scheduling and
-// adaptive concurrency); called periodically by the worker monitor.
-func (t *Task) PumpSplits() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.started || t.failed != nil || t.aborted {
-		return
+// maybeScaleWriters runs on a writer pipeline's input arrivals (under t.mu
+// when terminate closes the exchange): at most once a writerScaleInterval, a
+// backlog past the threshold — half the output buffer, at most 32 KiB (the
+// paper's buffer-utilization trigger) — scales the writers off-lock.
+func (t *Task) maybeScaleWriters(p *pipelineSpec) {
+	threshold := t.cfg.OutputBufferBytes / 2
+	if threshold <= 0 || threshold > 32<<10 {
+		threshold = 32 << 10
 	}
-	for _, p := range t.scanPipes {
-		if err := t.maybeStartScanDriversLocked(p); err != nil && t.failed == nil {
-			t.failed = err
-		}
+	now, last := time.Now().UnixNano(), p.scaledAt.Load()
+	if now-last >= int64(writerScaleInterval) && p.exchangeClient.BufferedBytes() > threshold &&
+		p.scaledAt.CompareAndSwap(last, now) {
+		go t.scaleWriters(p)
 	}
-	t.maybeFinishLocked()
 }
 
-// ScaleWriters checks adaptive writer scaling: when a writer pipeline's
-// input exchange buffer is persistently occupied, another writer driver is
-// added up to MaxWriters (paper §IV-E3: writer concurrency increases when
-// the producing stage exceeds a buffer utilization threshold). Called
-// periodically by the worker's monitor.
-func (t *Task) ScaleWriters() {
+// scaleWriters doubles a writer pipeline's drivers, up to MaxWriters, where
+// the pipeline declares its last (§IV-E3: writer concurrency grows when the
+// producing stage outruns the sink). A writer that cannot be built fails the
+// task.
+func (t *Task) scaleWriters(p *pipelineSpec) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.started || t.failed != nil || t.aborted {
+	if p.noMoreDrivers {
 		return
 	}
-	for _, sp := range t.scalablePipes {
-		if sp.drivers >= t.cfg.MaxWriters {
-			t.declareNoMoreDriversLocked(sp.spec)
-			continue
-		}
-		// Scale when the writer's input backlog persists past the
-		// threshold (the paper's buffer-utilization trigger, §IV-E3).
-		threshold := t.cfg.OutputBufferBytes / 2
-		if threshold <= 0 || threshold > 32<<10 {
-			threshold = 32 << 10
-		}
-		if sp.client.BufferedBytes() > threshold {
-			// Exponential ramp: double the writer count each time the
-			// backlog persists, up to the cap (§IV-E3).
-			add := sp.drivers
-			if sp.drivers+add > t.cfg.MaxWriters {
-				add = t.cfg.MaxWriters - sp.drivers
-			}
-			for i := 0; i < add; i++ {
-				sctx := t.sourceCtx(sp.spec)
-				src := operators.NewExchangeSource(sctx, sp.client)
-				if err := t.startDriverLocked(sp.spec, src, sctx); err != nil {
-					break
-				}
-				sp.drivers++
-			}
+	for range min(p.driversStarted, t.cfg.MaxWriters-p.driversStarted) {
+		sctx := t.sourceCtx(p)
+		if err := t.startDriverLocked(p, operators.NewExchangeSource(sctx, p.exchangeClient), sctx); err != nil {
+			t.failLocked(err)
+			return
 		}
 	}
+	if p.driversStarted >= t.cfg.MaxWriters {
+		t.declareNoMoreDriversLocked(p)
+		return
+	}
+	// Producers that sent everything in a burst send no more arrivals while
+	// the backlog lasts: the next look is due regardless, one per step.
+	time.AfterFunc(writerScaleInterval, func() { t.maybeScaleWriters(p) })
 }
 
 // CPUNanos reports task CPU time.

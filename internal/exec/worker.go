@@ -43,9 +43,6 @@ type Worker struct {
 	mu     sync.Mutex
 	tasks  map[TaskID]*Task
 	killed bool
-
-	stopMonitor chan struct{}
-	monitorOnce sync.Once
 }
 
 // WorkerConfig sizes a worker.
@@ -78,15 +75,14 @@ func NewWorker(id int, reg ConnectorRegistry, cfg WorkerConfig) *Worker {
 		}
 	}
 	w := &Worker{
-		ID:          id,
-		Exec:        NewExecutor(ExecutorConfig{Threads: cfg.Threads, Quanta: cfg.Quanta, FIFO: cfg.FIFO}),
-		Pool:        memory.NewNodePool(cfg.GeneralPoolBytes, cfg.ReservedPoolBytes),
-		connectors:  reg,
-		cfg:         cfg.Task,
-		inject:      cfg.FaultInject,
-		store:       shuffle.NewExchangeStore(cfg.Task.SpillDir),
-		tasks:       map[TaskID]*Task{},
-		stopMonitor: make(chan struct{}),
+		ID:         id,
+		Exec:       NewExecutor(ExecutorConfig{Threads: cfg.Threads, Quanta: cfg.Quanta, FIFO: cfg.FIFO}),
+		Pool:       memory.NewNodePool(cfg.GeneralPoolBytes, cfg.ReservedPoolBytes),
+		connectors: reg,
+		cfg:        cfg.Task,
+		inject:     cfg.FaultInject,
+		store:      shuffle.NewExchangeStore(cfg.Task.SpillDir),
+		tasks:      map[TaskID]*Task{},
 	}
 	if cfg.CacheBytes > 0 {
 		w.Cache = cache.NewPageCache(cache.Config{
@@ -106,7 +102,6 @@ func NewWorker(id int, reg ConnectorRegistry, cfg WorkerConfig) *Worker {
 			Accountant: serving.NewPoolAccountant(w.Pool, serving.ScanPoolOwner),
 		})
 	}
-	go w.monitor()
 	return w
 }
 
@@ -117,30 +112,6 @@ func (w *Worker) CacheStats() cache.Stats {
 		return cache.Stats{}
 	}
 	return w.Cache.Stats()
-}
-
-// monitor periodically drives adaptive behaviours that need a clock: writer
-// scaling (§IV-E3).
-func (w *Worker) monitor() {
-	ticker := time.NewTicker(10 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-w.stopMonitor:
-			return
-		case <-ticker.C:
-			w.mu.Lock()
-			ts := make([]*Task, 0, len(w.tasks))
-			for _, t := range w.tasks {
-				ts = append(ts, t)
-			}
-			w.mu.Unlock()
-			for _, t := range ts {
-				t.ScaleWriters()
-				t.PumpSplits()
-			}
-		}
-	}
 }
 
 // CreateTask instantiates and starts a task for a fragment.
@@ -181,6 +152,10 @@ func (w *Worker) CreateTask(id TaskID, f *plan.Fragment, qmem *memory.QueryConte
 		delete(w.tasks, id)
 		w.mu.Unlock()
 	}()
+	if err := cfg.Inject.Err(faultinject.SiteTaskStart); err != nil {
+		t.Abort()
+		return nil, err
+	}
 	if err := t.Start(); err != nil {
 		t.Abort()
 		return nil, err
@@ -219,7 +194,6 @@ func (w *Worker) OutputBufferUtilization() float64 {
 // and the worker refuses new tasks. Unlike Close, Kill does not wait for
 // tasks to drain — that is the point.
 func (w *Worker) Kill() {
-	w.monitorOnce.Do(func() { close(w.stopMonitor) })
 	w.mu.Lock()
 	if w.killed {
 		w.mu.Unlock()
@@ -242,7 +216,6 @@ func (w *Worker) Kill() {
 
 // Close stops the worker, releasing cached pages back to the pool.
 func (w *Worker) Close() {
-	w.monitorOnce.Do(func() { close(w.stopMonitor) })
 	if w.Cache != nil {
 		w.Cache.Clear()
 	}

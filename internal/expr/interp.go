@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/types"
@@ -164,7 +165,7 @@ func (it *Interpreter) Eval(e Expr, row Row) (types.Value, error) {
 		if v.Null || lo.Null || hi.Null {
 			return types.NullValue(types.Boolean), nil
 		}
-		in := v.Compare(lo) >= 0 && v.Compare(hi) <= 0
+		in := !unordered(v, lo) && !unordered(v, hi) && v.Compare(lo) >= 0 && v.Compare(hi) <= 0
 		return types.BooleanValue(in != x.Negate), nil
 
 	case *Like:
@@ -391,10 +392,20 @@ func EvalArith(op BinOp, t types.Type, l, r types.Value) (types.Value, error) {
 	return types.Value{}, fmt.Errorf("unsupported arithmetic op %v", op)
 }
 
-// EvalCompare applies a comparison with SQL NULL semantics.
+// unordered reports a pair with a NaN in it, which IEEE orders against
+// nothing: every comparison of it is false but <>, as in the kernels.
+func unordered(l, r types.Value) bool {
+	return l.T == types.Double && math.IsNaN(l.F) || r.T == types.Double && math.IsNaN(r.F)
+}
+
+// EvalCompare applies a comparison with SQL NULL semantics and IEEE NaN
+// semantics.
 func EvalCompare(op CmpOp, l, r types.Value) types.Value {
 	if l.Null || r.Null {
 		return types.NullValue(types.Boolean)
+	}
+	if unordered(l, r) {
+		return types.BooleanValue(op == CmpNe)
 	}
 	c := l.Compare(r)
 	var b bool

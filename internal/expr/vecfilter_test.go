@@ -337,23 +337,33 @@ func TestRLEFastPathWithoutSelectionKernel(t *testing.T) {
 	}
 }
 
-// TestVectorizedFilterNaN pins the kernels' IEEE semantics for NaN: it
-// compares unequal to everything and is ordered against nothing, in the
-// specialized selection kernel and in the boolean kernel alike. (The
-// interpreter's total-order Compare ranks NaN equal to every number, a
-// divergence this test is not trying to relitigate.)
+// TestVectorizedFilterNaN pins IEEE semantics for NaN: it compares unequal
+// to everything and is ordered against nothing, in the specialized selection
+// kernel, in the boolean kernel and in the interpreter alike, and it lies
+// between no bounds.
 func TestVectorizedFilterNaN(t *testing.T) {
 	vals := []float64{1.0, math.NaN(), -2.0}
 	ids := []int64{0, 1, 2}
 	p := block.NewPage(block.NewDoubleBlock(vals, nil), block.NewRLEBlock(types.DoubleValue(1.0), 3), block.NewLongBlock(ids, nil))
 	proj := []Expr{colRef(2, types.Bigint)}
-	want := map[CmpOp]string{CmpEq: "[0]", CmpNe: "[1 2]", CmpLt: "[2]", CmpLe: "[0 2]", CmpGt: "[]", CmpGe: "[0]"}
-	for op := CmpEq; op <= CmpGe; op++ {
-		sel := NewPageProcessor(&Compare{Op: op, L: colRef(0, types.Double), R: dblConst(1.0)}, proj)
-		kern := NewPageProcessor(&Compare{Op: op, L: colRef(0, types.Double), R: colRef(1, types.Double)}, proj)
-		s, k := fmt.Sprint(passingIDs(t, sel, p)), fmt.Sprint(passingIDs(t, kern, p))
-		if s != want[op] || k != want[op] {
-			t.Errorf("op %s: selection kernel %s, boolean kernel %s, want %s", op, s, k, want[op])
+	check := func(name string, pred Expr, want string) {
+		t.Helper()
+		for _, proc := range []struct {
+			path string
+			pp   *PageProcessor
+		}{{"kernels", NewPageProcessor(pred, proj)}, {"interpreter", NewInterpretedPageProcessor(pred, proj)}} {
+			if got := fmt.Sprint(passingIDs(t, proc.pp, p)); got != want {
+				t.Errorf("%s, %s: %s, want %s", name, proc.path, got, want)
+			}
 		}
 	}
+	want := map[CmpOp]string{CmpEq: "[0]", CmpNe: "[1 2]", CmpLt: "[2]", CmpLe: "[0 2]", CmpGt: "[]", CmpGe: "[0]"}
+	for op := CmpEq; op <= CmpGe; op++ {
+		check(fmt.Sprintf("op %s against a constant (selection kernel)", op),
+			&Compare{Op: op, L: colRef(0, types.Double), R: dblConst(1.0)}, want[op])
+		check(fmt.Sprintf("op %s against a column (boolean kernel)", op),
+			&Compare{Op: op, L: colRef(0, types.Double), R: colRef(1, types.Double)}, want[op])
+	}
+	check("BETWEEN", &Between{E: colRef(0, types.Double), Lo: dblConst(-5), Hi: dblConst(5)}, "[0 2]")
+	check("NOT BETWEEN", &Between{E: colRef(0, types.Double), Lo: dblConst(-5), Hi: dblConst(5), Negate: true}, "[1]")
 }

@@ -44,6 +44,10 @@ const (
 	// entry checksum, so verification rejects the entry and the lookup
 	// degrades to a miss (re-read from the connector).
 	SiteCacheCorrupt = "cache.corrupt"
+	// SiteTaskStart sits in Worker.CreateTask between a task's registration
+	// and its Start: a delay fault widens the window in which a registered
+	// task has no drivers yet, which must not read as finished.
+	SiteTaskStart = "exec.taskstart"
 	// SiteMorselOpen guards split opens inside the morsel queue (exercises
 	// the cancel/open-failure cleanup paths of scan pipelines).
 	SiteMorselOpen = "exec.morselopen"

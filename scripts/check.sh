@@ -8,7 +8,10 @@
 #                             # split placement / driver cap ("no idle
 #                             # core") + a spilled join finishes at every
 #                             # split-concurrency target, in-process and on
-#                             # HTTP workers + distributed control plane (request
+#                             # HTTP workers + task lifecycle (a delayed
+#                             # task start loses no row, phased scheduling
+#                             # without filters completes, no worker
+#                             # ticker) + distributed control plane (request
 #                             # classes of one statement, filters in time)
 #                             # + point-read byte budget and written
 #                             # tables + dictionary paths (guards, stats,
@@ -85,6 +88,17 @@ echo "==> a spilled join finishes: split-concurrency target 1 and 4, in-process 
 # The probe of a spilled build waits until its scan can start no more drivers;
 # the one scan scheduler (the morsel queue) must say so whatever the target.
 go test -race -count=1 -run 'TestJoinUnderSpillFinishes' .
+
+echo "==> task lifecycle: a task moves on events, not a clock"
+# A task finishes when no driver runs and every pipeline has declared its last
+# driver, so a task delayed 300 µs between its registration and its Start
+# loses no row; a phased probe held on its build is released by the build
+# finishing, with no dynamic filter to re-evaluate it (both ten runs under
+# -race); a worker starts no goroutine beyond its executor threads; and the
+# three ablations that ride on the lifecycle still pass their shape checks.
+go test -race -count=10 -run 'TestDelayedTaskStartLosesNoRows|TestPhasedWithoutFiltersCompletes' .
+go test -race -count=1 -run 'TestUnstartedTaskCannotFinish|TestWriterScaleFailureFailsTask|TestNewWorkerStartsOnlyItsThreads' ./internal/exec/
+go test -count=1 ./internal/experiments -run 'Phased|Writers|Backpressure'
 
 echo "==> distributed control plane: one create, one status channel and one delete per worker"
 # The report lines are one three-join statement on two HTTP workers, split
