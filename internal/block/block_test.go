@@ -149,7 +149,7 @@ func TestRLEEncodeDetectsConstant(t *testing.T) {
 
 func TestLazyBlock(t *testing.T) {
 	loads := 0
-	lz := NewLazyBlock(types.Bigint, 3, func() Block {
+	lz := NewLazyBlock(types.Bigint, 3, func(*Arena) Block {
 		loads++
 		return NewLongBlock([]int64{10, 20, 30}, nil)
 	})
@@ -279,7 +279,7 @@ func TestConcatPagesUntypedNulls(t *testing.T) {
 
 func TestLoadLazyKeepsEncodings(t *testing.T) {
 	dict := NewVarcharBlock([]string{"x", "y"}, nil)
-	lazy := NewLazyBlock(types.Varchar, 2, func() Block {
+	lazy := NewLazyBlock(types.Varchar, 2, func(*Arena) Block {
 		return NewDictionaryBlock(dict, []int32{0, 1})
 	})
 	p := NewPage(lazy, NewRLEBlock(types.BigintValue(9), 2))

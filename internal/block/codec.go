@@ -317,7 +317,10 @@ func parseFrameHeader(h []byte) (frameHeader, error) {
 // DecodePage parses one frame from the front of data, returning the page and
 // the number of bytes consumed. It never panics on arbitrary input, and the
 // page shares no memory with data.
-func DecodePage(data []byte) (*Page, int, error) {
+func DecodePage(data []byte) (*Page, int, error) { return decodePage(data, nil) }
+
+// decodePage is DecodePage leasing from a (DecodePageAt).
+func decodePage(data []byte, a *Arena) (*Page, int, error) {
 	h, err := parseFrameHeader(data)
 	if err != nil {
 		return nil, 0, err
@@ -326,7 +329,7 @@ func DecodePage(data []byte) (*Page, int, error) {
 		return nil, 0, corruptf("frame body truncated: want %d bytes, have %d", h.storedLen, len(data)-frameHeaderLen)
 	}
 	end := frameHeaderLen + int(h.storedLen)
-	p, err := decodeFrame(h, data[frameHeaderLen:end])
+	p, err := decodeFrame(h, data[frameHeaderLen:end], a)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -338,27 +341,38 @@ func DecodePage(data []byte) (*Page, int, error) {
 // are read into pooled scratch, which goes back to the pool before the call
 // returns (the page shares no memory with it), so concurrent callers over one
 // ReaderAt each take their own buffer and nothing is retained.
-func DecodePageAt(ra io.ReaderAt, off int64, n int) (*Page, error) {
+//
+// With an arena (nil: none, every vector is made), the page's top-level
+// columns decode into vectors leased from a: a flat column's fixed-width
+// values and its null vector, a dictionary column's indices. A dictionary's
+// entries and a run's value are always made — projection, selection and
+// group-key memos key on them, and they outlive any page (DESIGN.md "Who owns
+// a page"). A failed decode leaves a holding what it held before.
+func DecodePageAt(ra io.ReaderAt, off int64, n int, a *Arena) (*Page, error) {
 	if n < frameHeaderLen || n > frameHeaderLen+maxFramePayload {
 		return nil, corruptf("frame length %d out of range", n)
 	}
 	bp := scratchPool.Get().(*[]byte)
 	buf := slices.Grow((*bp)[:0], n)[:n]
+	mark := a.Mark()
 	var p *Page
 	got, err := ra.ReadAt(buf, off)
 	if got == n {
 		var used int
-		if p, used, err = DecodePage(buf); err == nil && used != n {
+		if p, used, err = decodePage(buf, a); err == nil && used != n {
 			p, err = nil, corruptf("%d trailing bytes after the frame", n-used)
 		}
 	} else if err == nil || err == io.EOF {
 		err = io.ErrUnexpectedEOF
 	}
+	if err != nil {
+		a.RewindTo(mark)
+	}
 	putScratch(bp, buf)
 	return p, err
 }
 
-func decodeFrame(h frameHeader, stored []byte) (*Page, error) {
+func decodeFrame(h frameHeader, stored []byte, a *Arena) (*Page, error) {
 	if crc32.Checksum(stored, crcTable) != h.crc {
 		return nil, corruptf("checksum mismatch")
 	}
@@ -366,7 +380,7 @@ func decodeFrame(h frameHeader, stored []byte) (*Page, error) {
 		if uint32(len(stored)) != h.rawLen {
 			return nil, corruptf("raw length %d disagrees with stored length %d", h.rawLen, len(stored))
 		}
-		return decodePayload(stored)
+		return decodePayload(stored, a)
 	}
 	// The checksum is over bytes the sender chose, so the declared size is
 	// still untrusted: bound it by what the stored bytes can inflate to.
@@ -378,13 +392,13 @@ func decodeFrame(h frameHeader, stored []byte) (*Page, error) {
 	err := inflate(raw, stored)
 	var p *Page
 	if err == nil {
-		p, err = decodePayload(raw)
+		p, err = decodePayload(raw, a)
 	}
 	putScratch(bp, raw)
 	return p, err
 }
 
-func decodePayload(raw []byte) (*Page, error) {
+func decodePayload(raw []byte, a *Arena) (*Page, error) {
 	r := &byteReader{data: raw}
 	rows, err := r.uvarint()
 	if err != nil {
@@ -407,7 +421,7 @@ func decodePayload(raw []byte) (*Page, error) {
 		cols = make([]Block, 0, ncols)
 	}
 	for i := uint64(0); i < ncols; i++ {
-		b, err := decodeBlock(r, 0)
+		b, err := decodeBlock(r, 0, a)
 		if err != nil {
 			return nil, fmt.Errorf("column %d: %w", i, err)
 		}
@@ -452,7 +466,7 @@ func (pr *PageReader) Next() (*Page, error) {
 	var p *Page
 	switch _, err = io.ReadFull(pr.r, body); err {
 	case nil:
-		p, err = decodeFrame(h, body)
+		p, err = decodeFrame(h, body, nil)
 	case io.EOF, io.ErrUnexpectedEOF:
 		err = io.ErrUnexpectedEOF
 	default:
@@ -679,7 +693,10 @@ func (r *byteReader) bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
-func decodeBlock(r *byteReader, depth int) (Block, error) {
+// decodeBlock decodes one block, leasing its fixed-width vectors from a (see
+// DecodePageAt); what lies under an encoding — a dictionary's entries, a run's
+// value — is made.
+func decodeBlock(r *byteReader, depth int, a *Arena) (Block, error) {
 	if depth > maxBlockDepth {
 		return nil, corruptf("block nesting exceeds %d", maxBlockDepth)
 	}
@@ -689,7 +706,7 @@ func decodeBlock(r *byteReader, depth int) (Block, error) {
 	}
 	switch kind {
 	case blockFlat:
-		return decodeFlatBlock(r)
+		return decodeFlatBlock(r, a)
 	case blockRLE:
 		count, err := r.uvarint()
 		if err != nil {
@@ -698,7 +715,7 @@ func decodeBlock(r *byteReader, depth int) (Block, error) {
 		if count > maxCodecRows {
 			return nil, corruptf("RLE run %d exceeds limit", count)
 		}
-		val, err := decodeBlock(r, depth+1)
+		val, err := decodeBlock(r, depth+1, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -715,7 +732,7 @@ func decodeBlock(r *byteReader, depth int) (Block, error) {
 		if nIdx > uint64(r.remaining()) {
 			return nil, corruptf("dictionary index count %d exceeds payload", nIdx)
 		}
-		indices := make([]int32, nIdx)
+		indices := Lease[int32](a, int(nIdx))
 		for i := range indices {
 			v, err := r.uvarint()
 			if err != nil {
@@ -726,7 +743,7 @@ func decodeBlock(r *byteReader, depth int) (Block, error) {
 			}
 			indices[i] = int32(v)
 		}
-		dict, err := decodeBlock(r, depth+1)
+		dict, err := decodeBlock(r, depth+1, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -742,7 +759,7 @@ func decodeBlock(r *byteReader, depth int) (Block, error) {
 	}
 }
 
-func decodeFlatBlock(r *byteReader) (Block, error) {
+func decodeFlatBlock(r *byteReader, a *Arena) (Block, error) {
 	tb, err := r.u8()
 	if err != nil {
 		return nil, err
@@ -772,7 +789,7 @@ func decodeFlatBlock(r *byteReader) (Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		nulls = unpackBits(bitmap, n)
+		nulls = unpackBits(bitmap, n, a)
 	}
 	switch t {
 	case types.Bigint, types.Date:
@@ -780,7 +797,7 @@ func decodeFlatBlock(r *byteReader) (Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		vals := make([]int64, n)
+		vals := Lease[int64](a, n)
 		for i := range vals {
 			vals[i] = int64(binary.LittleEndian.Uint64(data[i*8:]))
 		}
@@ -790,7 +807,7 @@ func decodeFlatBlock(r *byteReader) (Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		vals := make([]float64, n)
+		vals := Lease[float64](a, n)
 		for i := range vals {
 			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
 		}
@@ -800,7 +817,7 @@ func decodeFlatBlock(r *byteReader) (Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &BoolBlock{Vals: unpackBits(bitmap, n), Nulls: nulls}, nil
+		return &BoolBlock{Vals: unpackBits(bitmap, n, a), Nulls: nulls}, nil
 	case types.Varchar:
 		// Each value costs at least one wire byte (its length varint).
 		if n > r.remaining() {
@@ -938,12 +955,10 @@ func decodeValue(r *byteReader, depth int) (types.Value, error) {
 	return v, nil
 }
 
-func unpackBits(bitmap []byte, n int) []bool {
-	out := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if bitmap[i/8]&(1<<(i%8)) != 0 {
-			out[i] = true
-		}
+func unpackBits(bitmap []byte, n int, a *Arena) []bool {
+	out := Lease[bool](a, n)
+	for i := range out {
+		out[i] = bitmap[i/8]&(1<<(i%8)) != 0
 	}
 	return out
 }

@@ -29,7 +29,7 @@ func TestDecodePageAt(t *testing.T) {
 	offs = append(offs, len(file))
 	ra := bytes.NewReader(file)
 	for i, want := range pages {
-		got, err := DecodePageAt(ra, int64(offs[i]), offs[i+1]-offs[i])
+		got, err := DecodePageAt(ra, int64(offs[i]), offs[i+1]-offs[i], nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -37,14 +37,14 @@ func TestDecodePageAt(t *testing.T) {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 	}
-	if _, err := DecodePageAt(ra, 0, offs[1]-offs[0]+1); !errors.Is(err, ErrCorruptPage) {
+	if _, err := DecodePageAt(ra, 0, offs[1]-offs[0]+1, nil); !errors.Is(err, ErrCorruptPage) {
 		t.Errorf("a length past the frame: %v", err)
 	}
 	last := len(offs) - 2
-	if _, err := DecodePageAt(ra, int64(offs[last])+1, offs[last+1]-offs[last]); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := DecodePageAt(ra, int64(offs[last])+1, offs[last+1]-offs[last], nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("a read past the end: %v", err)
 	}
-	if _, err := DecodePageAt(ra, 0, math.MaxInt32); !errors.Is(err, ErrCorruptPage) {
+	if _, err := DecodePageAt(ra, 0, math.MaxInt32, nil); !errors.Is(err, ErrCorruptPage) {
 		t.Errorf("a length over the frame limit: %v", err)
 	}
 
@@ -56,10 +56,77 @@ func TestDecodePageAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	ra = bytes.NewReader(frame)
-	at := testing.AllocsPerRun(100, func() { DecodePageAt(ra, 0, len(frame)) })
+	at := testing.AllocsPerRun(100, func() { DecodePageAt(ra, 0, len(frame), nil) })
 	in := testing.AllocsPerRun(100, func() { DecodePage(frame) })
 	if at > in {
 		t.Errorf("DecodePageAt makes %.0f allocations, DecodePage of the same frame %.0f", at, in)
+	}
+}
+
+// TestDecodePageAtLeases decodes one frame into an arena and fresh: the pages
+// are equal; the flat columns' values and null vectors and the dictionary
+// column's indices are leases (the poison of a rewind reaches them), the
+// dictionary's entries, the run's value and a VARCHAR column's values are not;
+// and a frame that fails to decode leaves the arena holding what it held.
+func TestDecodePageAtLeases(t *testing.T) {
+	was := PoisonScratch(true)
+	t.Cleanup(func() { PoisonScratch(was) })
+	want := NewPage(
+		NewLongBlock([]int64{1, 2, 3, 4}, []bool{false, true, false, false}),
+		NewDoubleBlock([]float64{0.5, -1, math.NaN(), 2}, nil),
+		NewBoolBlock([]bool{true, false, false, true}, nil),
+		&DictionaryBlock{Dict: NewVarcharBlock([]string{"x", "y"}, nil), Indices: []int32{0, 1, 1, 0}},
+		&RLEBlock{Val: NewLongBlock([]int64{7}, nil), Count: 4},
+		NewVarcharBlock([]string{"a", "b", "c", "d"}, nil),
+	)
+	frame, err := EncodePage(want, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra := bytes.NewReader(frame)
+	var a Arena
+	got, err := DecodePageAt(ra, 0, len(frame), &a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := DecodePageAt(ra, 0, len(frame), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pagesEqual(fresh, got); err != nil {
+		t.Fatalf("leased decode: %v", err)
+	}
+	if err := pagesEqual(want, got); err != nil {
+		t.Fatalf("leased decode: %v", err)
+	}
+	a.Rewind()
+	long, dbl, bl := got.Col(0).(*LongBlock), got.Col(1).(*DoubleBlock), got.Col(2).(*BoolBlock)
+	dict, rle, str := got.Col(3).(*DictionaryBlock), got.Col(4).(*RLEBlock), got.Col(5).(*VarcharBlock)
+	for name, leased := range map[string]bool{
+		"bigint values":      long.Vals[0] == math.MinInt64,
+		"bigint nulls":       !long.Nulls[1],
+		"double values":      math.IsNaN(dbl.Vals[0]),
+		"boolean values":     !bl.Vals[0],
+		"dictionary indices": dict.Indices[0] == math.MinInt32,
+	} {
+		if !leased {
+			t.Errorf("%s were not leased from the arena", name)
+		}
+	}
+	if dict.Dict.Str(0) != "x" || rle.Val.Long(0) != 7 || str.Vals[0] != "a" {
+		t.Errorf("a dictionary's entries, a run's value or VARCHAR values were leased: %q %d %q", dict.Dict.Str(0), rle.Val.Long(0), str.Vals[0])
+	}
+
+	// A payload with a byte after its last column fails once every column
+	// has leased its vectors; its checksum is right.
+	bad := append(append([]byte(nil), frame...), 0)
+	putFrameHeader(bad, 0, len(bad)-frameHeaderLen)
+	mark := a.Mark()
+	if _, err := DecodePageAt(bytes.NewReader(bad), 0, len(bad), &a); !errors.Is(err, ErrCorruptPage) {
+		t.Fatalf("a payload with a trailing byte: %v", err)
+	}
+	if got := a.Mark(); got != mark {
+		t.Errorf("a failed decode left %d leases in the arena, want %d", got, mark)
 	}
 }
 

@@ -71,7 +71,10 @@ func (b *DictionaryBlock) SizeBytes() int64 {
 type LazyBlock struct {
 	T      types.Type
 	Count  int
-	loader func() Block
+	loader func(*Arena) Block
+	// arena is what the loader is given to decode into (Page.LeaseLazy):
+	// nil, the heap, unless the page's owner lends the page.
+	arena *Arena
 	// loaded publishes the materialized block atomically: sliced views of
 	// one page share the same LazyBlock across drivers, so Load races. An
 	// interface field would tear (two-word write) — a concurrent reader
@@ -82,8 +85,9 @@ type LazyBlock struct {
 }
 
 // NewLazyBlock builds a lazy block of the given type and row count; loader is
-// invoked at most once, on first access.
-func NewLazyBlock(t types.Type, count int, loader func() Block) *LazyBlock {
+// invoked at most once, on first access, with the arena the page's owner
+// attached (Page.LeaseLazy) or nil, and may lease the block's vectors from it.
+func NewLazyBlock(t types.Type, count int, loader func(*Arena) Block) *LazyBlock {
 	return &LazyBlock{T: t, Count: count, loader: loader}
 }
 
@@ -97,8 +101,8 @@ func (b *LazyBlock) Load() Block {
 	if p := b.loaded.Load(); p != nil {
 		return *p
 	}
-	blk := b.loader()
-	b.loader = nil
+	blk := b.loader(b.arena)
+	b.loader, b.arena = nil, nil
 	b.loaded.Store(&blk)
 	return blk
 }

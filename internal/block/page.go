@@ -119,6 +119,26 @@ func (p *Page) LoadLazy() *Page {
 	return &Page{Cols: cols, rows: p.rows}
 }
 
+// LeaseLazy points p's unloaded lazy columns at arena a, or back at the heap
+// when a is nil, and reports whether p has any. Only the page's one owner
+// calls it: before it hands the page on, and once the operator it handed it
+// to has released it (DESIGN.md "Who owns a page"). A page whose columns
+// other drivers may load — a slice of a larger page, a cached or shared page
+// — is never given an arena.
+func (p *Page) LeaseLazy(a *Arena) bool {
+	leases := false
+	for _, c := range p.Cols {
+		if lz, ok := c.(*LazyBlock); ok {
+			lz.mu.Lock()
+			if lz.loaded.Load() == nil {
+				lz.arena, leases = a, true
+			}
+			lz.mu.Unlock()
+		}
+	}
+	return leases
+}
+
 // String renders a small page for debugging.
 func (p *Page) String() string {
 	var sb strings.Builder

@@ -117,7 +117,7 @@ func fromPool[T Elem](s *arenaState, k, c uint8) any {
 // Mark is the point RewindTo takes the arena back to: the vectors leased
 // after it.
 func (a *Arena) Mark() int {
-	if a.s == nil {
+	if a == nil || a.s == nil {
 		return 0
 	}
 	return len(a.s.used)
@@ -126,10 +126,10 @@ func (a *Arena) Mark() int {
 // RewindTo takes back every vector leased since Mark returned m; the next
 // leases reuse them.
 func (a *Arena) RewindTo(m int) {
-	s := a.s
-	if s == nil {
+	if a == nil || a.s == nil {
 		return
 	}
+	s := a.s
 	poisoned := poison.Load()
 	// Pushed last to first, so that the next page's leases, which come in this
 	// page's order, find their vectors on top.

@@ -471,8 +471,9 @@ func busyWait(clock Clock, nanos int64) {
 }
 
 // PageCacheKey implements connector.PageCacheable. Lazy reads are not
-// cacheable (their blocks hold closures over an open file), so ok=false
-// falls back to a plain read. File identity is path+mtime+size — a rewrite
+// cacheable (their blocks hold closures over an open file, and a scan may
+// decode them into its own scratch, which holds only while one driver owns
+// the page), so ok=false falls back to a plain read. File identity is path+mtime+size — a rewrite
 // changes the key — and the pushed-down constraint is part of the key
 // because stripe skipping filters during the scan.
 func (c *Connector) PageCacheKey(sp connector.Split, columns []string, handle plan.TableHandle) (string, bool) {

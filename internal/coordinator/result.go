@@ -24,11 +24,11 @@ type Result struct {
 	QueryID string
 
 	mu      sync.Mutex
-	buf     shuffle.Fetcher // nil for literal results
+	buf     shuffle.Fetcher // nil for literal results, and once finished
 	token   int64
 	pages   []*block.Page // literal results / readahead
 	pos     int
-	done    bool
+	done    bool // every page is in pages: literal results are done at birth
 	drained bool // clean end of stream delivered to the client
 	err     error
 	rows    int64
@@ -90,6 +90,9 @@ func (r *Result) NextPage() (*block.Page, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
+		if r.closed {
+			return nil, r.err // the terminal result: what the stream ended with
+		}
 		if err := r.takeFailure(); err != nil {
 			r.err = err
 			r.finishLocked()
@@ -133,11 +136,17 @@ func (r *Result) NextPage() (*block.Page, error) {
 	}
 }
 
+// finishLocked ends the result, once. It drops what reaches the query's
+// tasks — the fetcher (the root task's output buffer, whose notify hook holds
+// the task), the capture tee and the verdict wait — so that a finished query
+// the coordinator still remembers pins none of its compiled pipelines or join
+// tables; its stats live on in the Query.
 func (r *Result) finishLocked() {
 	if r.closed {
 		return
 	}
 	r.closed = true
+	r.buf, r.tee, r.waitDone, r.pages = nil, nil, nil, nil
 	if r.onClose != nil {
 		r.onClose(r.err)
 		r.onClose = nil // it holds the plan and the capture; it runs once
@@ -151,12 +160,10 @@ func (r *Result) finishLocked() {
 // Without that, DELETE /v1/statement/{id} would block behind an in-flight
 // fetch until the query produced data or finished.
 func (r *Result) Close() {
-	if r.buf != nil {
-		r.setFailure(ErrCancelled)
-	}
+	r.setFailure(ErrCancelled)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.closed && !r.done && r.err == nil && r.buf != nil {
+	if !r.closed && !r.done && r.err == nil {
 		// Client abandoned a running query: cancel it.
 		r.err = ErrCancelled
 	}

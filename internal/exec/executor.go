@@ -182,6 +182,10 @@ func (e *Executor) pick() *driverRunner {
 			stillBlocked = append(stillBlocked, r)
 		}
 	}
+	// A runner taken off a list leaves no pointer behind in its array: a
+	// finished driver must not keep its task, and the task its query's
+	// pipelines and tables, reachable from an idle executor.
+	clear(e.blocked[len(stillBlocked):])
 	e.blocked = stillBlocked
 
 	best := -1
@@ -200,6 +204,7 @@ func (e *Executor) pick() *driverRunner {
 		return nil
 	}
 	r := e.levels[best][0]
+	e.levels[best][0] = nil
 	e.levels[best] = e.levels[best][1:]
 	return r
 }

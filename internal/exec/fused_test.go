@@ -74,7 +74,7 @@ func scanT() *plan.Scan {
 }
 
 // pipelineOps instantiates one driver's operators (behind the source) for
-// every pipeline of the task.
+// every pipeline of the task, lending decided as a driver decides it.
 func pipelineOps(tb testing.TB, task *Task) [][]operators.Operator {
 	tb.Helper()
 	var out [][]operators.Operator
@@ -83,6 +83,7 @@ func pipelineOps(tb testing.TB, task *Task) [][]operators.Operator {
 		if err != nil {
 			tb.Fatal(err)
 		}
+		lendOutputs(ops)
 		out = append(out, ops)
 	}
 	return out
@@ -496,8 +497,8 @@ func edgePages(r *rand.Rand, pages, rows int) []*block.Page {
 			kb = block.NewRLEBlock(types.VarcharValue(keys[pg%len(keys)]), rows)
 		case 3:
 			vFlat, sFlat := vb, sb
-			vb = block.NewLazyBlock(types.Double, rows, func() block.Block { return vFlat })
-			sb = block.NewLazyBlock(types.Varchar, rows, func() block.Block { return sFlat })
+			vb = block.NewLazyBlock(types.Double, rows, func(*block.Arena) block.Block { return vFlat })
+			sb = block.NewLazyBlock(types.Varchar, rows, func(*block.Arena) block.Block { return sFlat })
 		}
 		out = append(out, block.NewPage(kb, vb, sb, &block.LongBlock{T: types.Bigint, Vals: n, Nulls: nn}, block.NewLongBlock(f, nil)))
 	}

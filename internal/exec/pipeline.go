@@ -203,7 +203,6 @@ func (c *chain) seal() {
 			ctx.ctxs = append(ctx.ctxs, ctx.last)
 		}
 		ctx.stats = nil
-		lendOutputs(ops)
 		return ops, nil
 	}
 }
@@ -219,19 +218,21 @@ type inputReleaser interface {
 }
 
 // outputLender is implemented by the operators that can write their output
-// into vectors they own and reuse: filter/project and the lookup join.
+// into vectors they own and reuse: filter/project, the lookup join, and the
+// morsel scan (a whole lazy lake page's columns decode into its scratch).
 type outputLender interface {
 	LendOutput(consumer operators.Operator)
 }
 
 // lendOutputs is the one place an operator is told its output pages are
 // borrowed (DESIGN.md, "Who owns a page"): exactly when the operator placed
-// after it releases its input. It walks the chain from the sink backwards,
-// because whether a filter/project releases depends on whether it lends. The
-// driver calls Output only when the next operator's NeedsInput is true, so
-// that is the first moment lent vectors are written again. The operator chain
-// is fixed by the plan shape, so this is a compile-time rule, evaluated where
-// the chain is built.
+// after it releases its input. It walks the chain — source first — from the
+// sink backwards, because whether a filter/project releases depends on
+// whether it lends. The driver calls Output only when the next operator's
+// NeedsInput is true, so that is the first moment lent vectors are written
+// again. The operator chain is fixed by the plan shape, so this is a
+// compile-time rule, evaluated where a driver's chain is put together
+// (Task.startDriverLocked).
 func lendOutputs(ops []operators.Operator) {
 	for i := len(ops) - 2; i >= 0; i-- {
 		lender, ok := ops[i].(outputLender)

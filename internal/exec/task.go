@@ -351,6 +351,7 @@ func (t *Task) startDriverLocked(p *pipelineSpec, src operators.Operator, srcCtx
 		return err
 	}
 	all := append([]operators.Operator{src}, ops...)
+	lendOutputs(all)
 	ctxs := append([]*operators.OpContext{srcCtx}, dctx.ctxs...)
 	d := NewDriver(all).WithStats(ctxs)
 	t.activeDrivers++

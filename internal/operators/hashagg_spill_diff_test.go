@@ -162,7 +162,7 @@ func lazyWrapped(p *block.Page) *block.Page {
 	cols := make([]block.Block, p.ColCount())
 	for c := range cols {
 		col := p.Col(c)
-		cols[c] = block.NewLazyBlock(col.Type(), col.Len(), func() block.Block { return col })
+		cols[c] = block.NewLazyBlock(col.Type(), col.Len(), func(*block.Arena) block.Block { return col })
 	}
 	return block.NewPage(cols...)
 }

@@ -37,8 +37,8 @@ type Operator interface {
 }
 
 // ScratchHolder is an operator that leases the vectors of its pages from a
-// block.Arena: a filter/project (its processor's) and every operator that
-// hashes keys. Each rewinds its arena at what it treats as its next page;
+// block.Arena: a filter/project (its processor's), every operator that
+// hashes keys, and a scan whose lazy columns decode into scratch. Each rewinds its arena at what it treats as its next page;
 // the driver that runs it releases the arena when it finishes
 // (exec.Driver.finishDriver), and nothing else does.
 type ScratchHolder interface {

@@ -25,10 +25,19 @@ type MorselSource interface {
 // owns no split: every Output pulls one morsel from the scan's shared queue,
 // and an empty queue that is not yet drained parks the driver as blocked
 // until the queue signals new work.
+//
+// In front of an operator that releases its input the scan lends its pages
+// (LendOutput): the lazy columns of a page the queue hands on whole — a lazy
+// lake stripe — decode into vectors leased from the scan's arena, which its
+// next Output takes back.
 type MorselScanOperator struct {
 	ctx  *OpContext
 	src  MorselSource
 	done bool
+
+	lends   bool
+	scratch block.Arena
+	leased  *block.Page // the last page handed on with columns leasing from scratch
 }
 
 // NewMorselScan wraps one driver's stripe of a shared morsel queue.
@@ -48,6 +57,7 @@ func (o *MorselScanOperator) Output() (*block.Page, error) {
 	if o.done {
 		return nil, nil
 	}
+	o.takeBack()
 	p, err := o.src.NextMorsel()
 	if err != nil {
 		return nil, err
@@ -58,12 +68,38 @@ func (o *MorselScanOperator) Output() (*block.Page, error) {
 		}
 		return nil, nil
 	}
+	if o.lends && p.LeaseLazy(&o.scratch) {
+		o.leased = p
+	}
 	o.ctx.recordScanOut(p)
 	return p, nil
 }
 
-// Close releases nothing: the shared queue owns the page sources.
-func (o *MorselScanOperator) Close() error { return nil }
+// LendOutput tells the scan, before its first page, that the operator behind
+// it releases its input (DESIGN.md "Who owns a page"): the driver calls
+// Output only when that operator needs input, which is when it has let go of
+// the last page, so Output may take back what that page leased.
+func (o *MorselScanOperator) LendOutput(Operator) { o.lends = true }
+
+// takeBack ends the last page's leases. A column nobody loaded goes back to
+// the heap, so that a late load cannot lease what the next page is given.
+func (o *MorselScanOperator) takeBack() {
+	if o.leased != nil {
+		o.leased.LeaseLazy(nil)
+		o.leased = nil
+		o.scratch.Rewind()
+	}
+}
+
+// Close takes back the last page's leases; the shared queue owns the page
+// sources.
+func (o *MorselScanOperator) Close() error {
+	o.takeBack()
+	return nil
+}
+
+// Scratch implements ScratchHolder: the arena lazy columns decode into.
+func (o *MorselScanOperator) Scratch() *block.Arena { return &o.scratch }
 
 // TableWriterOperator writes its input through a connector page sink and
 // emits a single row count (paper §IV-E3). The adaptive writer-scaling

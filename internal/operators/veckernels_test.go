@@ -97,7 +97,7 @@ func randomMixedPage(r *rand.Rand, n int) *block.Page {
 		block.NewBoolBlock(bools, nil),
 		block.NewRLEBlock(types.VarcharValue("run"), n),
 		block.NewDictionaryBlock(dict, dictIdx),
-		block.NewLazyBlock(types.Bigint, n, func() block.Block { return lazySrc }),
+		block.NewLazyBlock(types.Bigint, n, func(*block.Arena) block.Block { return lazySrc }),
 	)
 }
 

@@ -2,6 +2,8 @@ package orcish
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -264,7 +266,9 @@ func orcishSeedFiles(f *testing.F) [][]byte {
 // it accepts, to the decode of every section the footer points to. Neither
 // may panic, and neither may allocate more than the input can hold: the
 // footer's structures are bounded by its flat frames, a section by its frame
-// (up to deflate's expansion limit, the page codec's own bound).
+// (up to deflate's expansion limit, the page codec's own bound). Every
+// section is decoded twice, fresh and into an arena as a lazy scan's column
+// is: the blocks are identical, or both decodes fail alike.
 func FuzzOrcishDecode(f *testing.F) {
 	for _, data := range orcishSeedFiles(f) {
 		f.Add(data)
@@ -286,18 +290,63 @@ func FuzzOrcishDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		var a block.Arena
+		defer a.Release()
 		for si := range footer.Stripes {
 			for ci, cm := range footer.Columns {
 				runtime.ReadMemStats(&ms)
-				b, err := decodeSection(ra, cm.T, &footer.Stripes[si], ci)
+				b, err := decodeSection(ra, cm.T, &footer.Stripes[si], ci, nil)
 				limit("section decode", ms.TotalAlloc)
-				if err != nil {
+				// The same section decoded into scratch is the same block, or
+				// fails the same way and leaves the arena as it was.
+				leased, lerr := decodeSection(ra, cm.T, &footer.Stripes[si], ci, &a)
+				if err != nil || lerr != nil {
+					if fmt.Sprint(err) != fmt.Sprint(lerr) {
+						t.Fatalf("stripe %d column %d: fresh decode %v, into an arena %v", si, ci, err, lerr)
+					}
+					if m := a.Mark(); m != 0 {
+						t.Fatalf("stripe %d column %d: a failed decode left %d leases", si, ci, m)
+					}
 					continue
 				}
+				if err := sameBlock(b, leased); err != nil {
+					t.Fatalf("stripe %d column %d: into an arena: %v", si, ci, err)
+				}
+				a.Rewind()
 				for r := 0; r < min(b.Len(), 1<<16); r++ {
 					b.Value(r)
 				}
 			}
 		}
 	})
+}
+
+// sameBlock reports how b differs from a in its encodings or in the frame it
+// encodes to (bit for bit: NaN payloads and -0.0 included).
+func sameBlock(a, b block.Block) error {
+	if reflect.TypeOf(a) != reflect.TypeOf(b) {
+		return fmt.Errorf("%T, want %T", b, a)
+	}
+	switch x := a.(type) {
+	case *block.DictionaryBlock:
+		if err := sameBlock(x.Dict, b.(*block.DictionaryBlock).Dict); err != nil {
+			return fmt.Errorf("dictionary: %w", err)
+		}
+	case *block.RLEBlock:
+		if err := sameBlock(x.Val, b.(*block.RLEBlock).Val); err != nil {
+			return fmt.Errorf("run value: %w", err)
+		}
+	}
+	fa, err := block.AppendPage(nil, block.NewPage(a), false)
+	if err != nil {
+		return err
+	}
+	fb, err := block.AppendPage(nil, block.NewPage(b), false)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(fa, fb) {
+		return errors.New("the blocks encode to different frames")
+	}
+	return nil
 }

@@ -107,13 +107,16 @@ func (r *Reader) readStripe(info *StripeInfo) (*block.Page, error) {
 	for i, ci := range r.columns {
 		if !r.lazy {
 			var err error
-			if cols[i], err = r.loadColumn(info, ci); err != nil {
+			if cols[i], err = r.loadColumn(info, ci, nil); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		cols[i] = block.NewLazyBlock(r.footer.Columns[ci].T, rows, func() block.Block {
-			b, err := r.loadColumn(info, ci)
+		// A lazy column decodes into the arena its page's scan attaches, if
+		// any (block.Page.LeaseLazy): a whole page feeding an operator that
+		// releases its input.
+		cols[i] = block.NewLazyBlock(r.footer.Columns[ci].T, rows, func(a *block.Arena) block.Block {
+			b, err := r.loadColumn(info, ci, a)
 			if err != nil {
 				// A substitute block would corrupt results or crash far from
 				// the cause: fail the query with the real failure.
@@ -125,11 +128,12 @@ func (r *Reader) readStripe(info *StripeInfo) (*block.Page, error) {
 	return block.NewPage(cols...), nil
 }
 
-// loadColumn fetches and decodes one column section of a stripe. Sibling
-// drivers may force lazy columns of one reader at once: each read takes its
-// own pooled scratch, and the block it becomes shares none of it.
-func (r *Reader) loadColumn(info *StripeInfo, ci int) (block.Block, error) {
-	b, err := decodeSection(r.f, r.footer.Columns[ci].T, info, ci)
+// loadColumn fetches and decodes one column section of a stripe, leasing its
+// vectors from a (nil: none). Sibling drivers may force lazy columns of one
+// reader at once: each read takes its own pooled scratch, and the block it
+// becomes shares none of it.
+func (r *Reader) loadColumn(info *StripeInfo, ci int, a *block.Arena) (block.Block, error) {
+	b, err := decodeSection(r.f, r.footer.Columns[ci].T, info, ci, a)
 	if err != nil {
 		return nil, fmt.Errorf("%s: column %q of the stripe at byte %d: %w", r.f.path, r.footer.Columns[ci].Name, info.Offset, err)
 	}
@@ -138,20 +142,23 @@ func (r *Reader) loadColumn(info *StripeInfo, ci int) (block.Block, error) {
 }
 
 // decodeSection decodes column ci of a stripe: one frame of a one-column page
-// holding the stripe's rows in the column's type.
-func decodeSection(ra io.ReaderAt, t types.Type, info *StripeInfo, ci int) (block.Block, error) {
-	p, err := block.DecodePageAt(ra, info.Offset+info.ColOffsets[ci], int(info.ColLengths[ci]))
-	if err != nil {
+// holding the stripe's rows in the column's type, its vectors leased from a
+// (block.DecodePageAt). A section that fails leaves a as it found it.
+func decodeSection(ra io.ReaderAt, t types.Type, info *StripeInfo, ci int, a *block.Arena) (block.Block, error) {
+	mark := a.Mark()
+	p, err := block.DecodePageAt(ra, info.Offset+info.ColOffsets[ci], int(info.ColLengths[ci]), a)
+	switch {
+	case err != nil:
 		return nil, err
+	case p.ColCount() != 1 || int64(p.RowCount()) != info.Rows:
+		err = fmt.Errorf("%w: section holds %d columns of %d rows, want 1 of %d", block.ErrCorruptPage, p.ColCount(), p.RowCount(), info.Rows)
+	case p.Col(0).Type() != t && t != types.Unknown: // an untyped NULL column is stored as BOOLEAN NULLs
+		err = fmt.Errorf("%w: %s section in a %s column", block.ErrCorruptPage, p.Col(0).Type(), t)
+	default:
+		return p.Col(0), nil
 	}
-	if p.ColCount() != 1 || int64(p.RowCount()) != info.Rows {
-		return nil, fmt.Errorf("%w: section holds %d columns of %d rows, want 1 of %d", block.ErrCorruptPage, p.ColCount(), p.RowCount(), info.Rows)
-	}
-	// A column of the untyped NULL's type is stored as BOOLEAN NULLs.
-	if b := p.Col(0); b.Type() == t || t == types.Unknown {
-		return b, nil
-	}
-	return nil, fmt.Errorf("%w: %s section in a %s column", block.ErrCorruptPage, p.Col(0).Type(), t)
+	a.RewindTo(mark)
+	return nil, err
 }
 
 // dataFile reads a file by offset. Its shared handle is the fast path; if it

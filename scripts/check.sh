@@ -11,19 +11,22 @@
 #                             # HTTP workers + task lifecycle (a delayed
 #                             # task start loses no row, phased scheduling
 #                             # without filters completes, no worker
-#                             # ticker) + distributed control plane (request
+#                             # ticker, a finished query's tasks are
+#                             # collected) + distributed control plane (request
 #                             # classes of one statement, filters in time)
 #                             # + point-read byte budget and written
 #                             # tables + dictionary paths (guards, stats,
 #                             # a panicking operator fails one query)
 #                             # + borrowed-page and released-scratch
-#                             # poison run + non-race allocation
+#                             # poison run (lazy lake scans lending
+#                             # included) + non-race allocation
 #                             # ceilings (page codec, group table —
 #                             # presized from its estimate, a wrong
 #                             # estimate changing no row — join build
 #                             # and probe, dynamically filtered scan,
 #                             # spill, a second driver's first page on
-#                             # leased scratch) and bench smokes
+#                             # leased scratch, a lazy lake scan decoding
+#                             # into scratch) and bench smokes
 #                             # + configuration (one switch set: cluster vs
 #                             # session twins, the switch headers, TaskConfig
 #                             # and fragments on the wire, non-finite doubles
@@ -37,7 +40,8 @@
 #   scripts/check.sh -chaos   # additionally sweep the chaos suite over more
 #                             # seeds (CHAOS_FULL), verbose
 #   scripts/check.sh -fuzz    # additionally run 10s fuzz smokes over the
-#                             # page codec, orcish footers and sections,
+#                             # page codec, orcish footers and sections
+#                             # (decoded fresh and into an arena alike),
 #                             # SQL parser, spill files (both readers
 #                             # agree, or both reject) and their index,
 #                             # exchange segments,
@@ -94,10 +98,12 @@ echo "==> task lifecycle: a task moves on events, not a clock"
 # driver, so a task delayed 300 µs between its registration and its Start
 # loses no row; a phased probe held on its build is released by the build
 # finishing, with no dynamic filter to re-evaluate it (both ten runs under
-# -race); a worker starts no goroutine beyond its executor threads; and the
+# -race); a worker starts no goroutine beyond its executor threads; a drained
+# in-process join's tasks are collected while its stats still answer; and the
 # three ablations that ride on the lifecycle still pass their shape checks.
 go test -race -count=10 -run 'TestDelayedTaskStartLosesNoRows|TestPhasedWithoutFiltersCompletes' .
 go test -race -count=1 -run 'TestUnstartedTaskCannotFinish|TestWriterScaleFailureFailsTask|TestNewWorkerStartsOnlyItsThreads' ./internal/exec/
+go test -race -count=1 -run 'TestFinishedQueryReleasesItsTasks' ./internal/coordinator/
 go test -count=1 ./internal/experiments -run 'Phased|Writers|Backpressure'
 
 echo "==> distributed control plane: one create, one status channel and one delete per worker"
@@ -164,8 +170,12 @@ echo "==> borrowed pages and released scratch are never read late (poison linked
 # processor's lent index vectors; ./internal/exec holds the processor
 # composed onto a dynamically filtered scan, TestDynFilteredScanGathersOnce,
 # and the root package the dynamic-filter differentials that run it under
-# every join type).
-go test -count=1 -ldflags '-X repro/internal/expr.poisonBorrowed=on' . ./internal/exec ./internal/operators ./internal/expr
+# every join type). A lazy lake scan lends too: TestLazyLakeLendingDifferential
+# runs lake statements of every shape — released and kept, whole and sliced
+# stripes, partitioned tables, dictionary columns with NULLs — against the
+# eager read and a memory copy; ./internal/block holds the decode into an
+# arena (TestDecodePageAtLeases).
+go test -count=1 -ldflags '-X repro/internal/expr.poisonBorrowed=on' . ./internal/exec ./internal/operators ./internal/expr ./internal/block
 
 echo "==> kernel + morsel bench smoke (1 iteration per benchmark)"
 go test -run '^$' -bench 'HashAggBigintKey|HashAggVarcharKey|HashAggDictVarcharKey|HashAggRLEKey|HashJoinBuildProbe|HashJoinDictKey|FilterSelectivity|MorselSkewScan|DynFilterFig6|ProjArithBigint|ProjArithDouble|ProjVarcharConcat|ProjTPCHQ1Proc|ProjTPCHQ6Proc' -benchtime 1x . > /dev/null
@@ -187,13 +197,13 @@ go test -run '^$' -bench 'KeyTableFixed1' -benchtime 20x -benchmem ./internal/op
 go test -run '^$' -bench 'HashJoinBuildParallel' -benchtime 5x -benchmem -cpu 1,2 ./internal/operators/ | grep '^Benchmark'
 go test -run '^$' -bench 'HashAggBigintKey|HashJoinBuildProbe|HashJoinDictKey' -benchtime 5x -benchmem . | grep '^Benchmark'
 
-echo "==> filter -> project -> aggregate (flat and dictionary group keys; a second driver from its first page) and dynamically filtered scan -> join -> aggregate allocation ceilings, scratch leases + bench smoke (no -race, same reason)"
+echo "==> filter -> project -> aggregate (flat and dictionary group keys; a second driver from its first page), dynamically filtered scan -> join -> aggregate and lazy lake scan -> filter -> aggregate allocation ceilings, scratch leases + bench smoke (no -race, same reason)"
 # Scratch is a lease (DESIGN.md "Scratch"): a driver's vectors go back to the
 # pool when it finishes, so a second h01 driver and a fresh processor's
 # selections allocate nothing for theirs on their first page; the arena's
 # leases, rewinds, poison and lease check; one compiled program on two
 # goroutines (-race: no kernel writes a slice it captured).
-go test -count=1 -v -run 'TestFilterProjectAggAllocationCeiling|TestDynFilteredScanGathersOnce' ./internal/exec/ | grep -E '^(---|ok|FAIL|panic)|bytes'
+go test -count=1 -v -run 'TestFilterProjectAggAllocationCeiling|TestDynFilteredScanGathersOnce|TestLazyLakeScanAllocationCeiling' ./internal/exec/ | grep -E '^(---|ok|FAIL|panic)|bytes'
 go test -count=1 -run 'TestSelectionScratchSizedBySurvivors' ./internal/expr/
 go test -count=1 -run 'TestArena' ./internal/block/
 go test -race -count=10 -run 'TestProgramSharedByGoroutines' ./internal/expr/
