@@ -3,8 +3,10 @@ package block
 import (
 	"math"
 	"math/bits"
+	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Scratch vectors (DESIGN.md "Scratch"). The per-page temporaries of the
@@ -14,14 +16,26 @@ import (
 // leased from an Arena, which takes all of them back at once when its owner
 // moves on to its next page (Rewind, RewindTo), and hands them to one
 // process-wide pool when the owner's driver finishes (Release). The next
-// driver's first page then finds the vectors an earlier driver grew.
+// driver's first page then finds the vectors an earlier driver grew. Arena
+// scratch is outside query memory accounting.
 //
-// Nothing reserved against a memory context, and nothing that outlives a
-// driver, is leased: scratch is outside query memory accounting.
+// Hash tables have a second lifetime (LeaseTable, ReturnTable): a group
+// table, a DISTINCT set or a join index leases its arrays when it is built or
+// presized and gives them back when its operator drops it — an aggregation
+// once its groups are copied out or spilled, or when a spill replaces its
+// table, a DISTINCT operator at Close, a join index once no more probes are
+// declared and the last one has ended (never after a cancellation). Those
+// arrays are reserved against a query, and a table accounts for the capacity
+// it holds: so a table array comes in a size class, sixteen to an octave (at
+// most 4.4 % over the request), and the estimate a table reserves ahead
+// rounds each array through TableCap as its lease does. A vector under
+// minTableLen elements is made as asked, as is the array that replaces one a
+// table outgrows; only an array whose capacity is a class length goes back
+// to the pool.
 
 // Elem is an element type a scratch vector can hold.
 type Elem interface {
-	int | int32 | int64 | uint64 | float64 | bool | byte | string
+	int | int32 | int64 | uint64 | float64 | bool | byte | string | uint32
 }
 
 // A pooled vector holds exactly 1<<c elements, for a size class c in
@@ -29,7 +43,7 @@ type Elem interface {
 const (
 	minClass = 6
 	maxClass = 20
-	numKinds = 8 // the types of Elem
+	numKinds = 9 // the types of Elem
 )
 
 // pools holds the idle vectors of every element kind and size class, each as
@@ -197,8 +211,10 @@ func kindOf[T Elem]() uint8 {
 		return 5
 	case *byte:
 		return 6
-	default: // *string
+	case *string:
 		return 7
+	default: // *uint32
+		return 8
 	}
 }
 
@@ -219,23 +235,52 @@ func PoisonScratch(on bool) (was bool) { return poison.Swap(on) }
 func poisonVec(box any) {
 	switch v := box.(type) {
 	case *[]int:
-		fill(*v, math.MinInt)
+		poisonSlice(*v)
 	case *[]int32:
-		fill(*v, math.MinInt32)
+		poisonSlice(*v)
 	case *[]int64:
-		fill(*v, math.MinInt64)
+		poisonSlice(*v)
 	case *[]uint64:
-		fill(*v, math.MaxUint64)
+		poisonSlice(*v)
 	case *[]float64:
-		fill(*v, math.NaN())
+		poisonSlice(*v)
 	case *[]bool:
-		for i, b := range *v {
-			(*v)[i] = !b
-		}
+		poisonSlice(*v)
 	case *[]byte:
-		fill(*v, 0xff)
+		poisonSlice(*v)
 	case *[]string:
-		fill(*v, "\x00poisoned scratch")
+		poisonSlice(*v)
+	case *[]uint32:
+		poisonSlice(*v)
+	}
+}
+
+// poisonSlice is poisonVec over v's length. It converts nothing to an
+// interface, so it allocates nothing.
+func poisonSlice[T Elem](v []T) {
+	p, n := unsafe.Pointer(unsafe.SliceData(v)), len(v)
+	switch any((*T)(nil)).(type) {
+	case *int:
+		fill(unsafe.Slice((*int)(p), n), math.MinInt)
+	case *int32:
+		fill(unsafe.Slice((*int32)(p), n), math.MinInt32)
+	case *int64:
+		fill(unsafe.Slice((*int64)(p), n), math.MinInt64)
+	case *uint64:
+		fill(unsafe.Slice((*uint64)(p), n), math.MaxUint64)
+	case *uint32:
+		fill(unsafe.Slice((*uint32)(p), n), math.MaxUint32)
+	case *float64:
+		fill(unsafe.Slice((*float64)(p), n), math.NaN())
+	case *bool:
+		b := unsafe.Slice((*bool)(p), n)
+		for i := range b {
+			b[i] = !b[i]
+		}
+	case *byte:
+		fill(unsafe.Slice((*byte)(p), n), 0xff)
+	case *string:
+		fill(unsafe.Slice((*string)(p), n), "\x00poisoned scratch")
 	}
 }
 
@@ -252,7 +297,8 @@ var checkLeases atomic.Bool
 
 var leases struct {
 	sync.Mutex
-	holder map[any]*arenaState // box → the arena state holding it; nil: pooled
+	holder map[any]*arenaState     // box → the arena state holding it; nil: pooled
+	pooled map[unsafe.Pointer]bool // a table vector's array → idle in the pool
 }
 
 // track moves box from holder from (nil: the pool) to holder to, and panics
@@ -270,4 +316,117 @@ func track(box any, from, to *arenaState) {
 		panic("block: a scratch vector released twice, or by an arena that does not hold it")
 	}
 	leases.holder[box] = to
+}
+
+// Table vectors: the size classes run from minTableLen to maxTableLen
+// elements, tableClassesPerOctave to an octave. Class j of the first octave is
+// minTableLen times 2^(j/16), rounded up, and every class doubles the one an
+// octave below, so that a table array that doubles from a class length lands
+// on one. A vector under minTableLen is made exactly as asked: a small table
+// costs little to make, and its bytes follow its size to the element.
+const (
+	minTableBits          = 12
+	maxTableBits          = 27
+	minTableLen           = 1 << minTableBits
+	maxTableLen           = 1 << maxTableBits
+	tableClassesPerOctave = 16
+	numTableClasses       = (maxTableBits-minTableBits)*tableClassesPerOctave + 1
+)
+
+// tableLens is the length of every size class, ascending.
+var tableLens = func() (lens [numTableClasses]int) {
+	for c := range lens {
+		octave, j := c/tableClassesPerOctave, c%tableClassesPerOctave
+		lens[c] = int(math.Ceil(minTableLen*math.Exp2(float64(j)/tableClassesPerOctave))) << octave
+	}
+	return lens
+}()
+
+// tablePools holds the idle table vectors of every element kind and size
+// class, each as the pointer to its first element: the class gives its
+// length back, so nothing is boxed on the way in or out. As with the arena
+// pool, a vector idle through two collections is dropped.
+var tablePools [numKinds][numTableClasses]sync.Pool
+
+// tableClass is the size class of a vector of capacity n, and false when n
+// is under or over every class.
+func tableClass(n int) (int, bool) {
+	if n < minTableLen || n > maxTableLen {
+		return 0, false
+	}
+	return sort.SearchInts(tableLens[:], n), true
+}
+
+// TableCap is the capacity LeaseTable gives a vector asked to hold n
+// elements: the class length n rounds up to, or n itself outside the classes.
+// A table that reserves its arrays before it leases them rounds each through
+// TableCap, so that what it reserves is what it then holds.
+func TableCap(n int) int {
+	if c, ok := tableClass(n); ok {
+		return tableLens[c]
+	}
+	return n
+}
+
+// LeaseTable returns a zeroed vector of length n and capacity
+// TableCap(max(n, c)), from the pool when it holds one of that class, else
+// made. It is the table's until ReturnTable takes it back.
+func LeaseTable[T Elem](n, c int) []T {
+	c = max(c, n)
+	cl, ok := tableClass(c)
+	if !ok {
+		return make([]T, n, c)
+	}
+	l := tableLens[cl]
+	x := tablePools[kindOf[T]()][cl].Get()
+	if x == nil {
+		return make([]T, n, l)
+	}
+	p := x.(unsafe.Pointer)
+	if checkLeases.Load() {
+		trackTable(p, false)
+	}
+	v := unsafe.Slice((*T)(p), l)
+	clear(v) // extend relies on zeros past the length
+	return v[:n]
+}
+
+// ReturnTable gives back a table vector nothing reads again. A vector whose
+// capacity is a class length goes to the pool — poisoned when the poison is
+// on, and a []string cleared so that the pool keeps no string alive — and any
+// other is left to the collector.
+func ReturnTable[T Elem](v []T) {
+	cl, ok := tableClass(cap(v))
+	if !ok || tableLens[cl] != cap(v) {
+		return
+	}
+	v = v[:cap(v)]
+	if poison.Load() {
+		poisonSlice(v)
+	} else if _, ok := any((*T)(nil)).(*string); ok {
+		clear(v)
+	}
+	p := unsafe.Pointer(unsafe.SliceData(v))
+	if checkLeases.Load() {
+		trackTable(p, true)
+	}
+	tablePools[kindOf[T]()][cl].Put(p)
+}
+
+// trackTable records a table vector's array going to the pool (idle) or
+// leaving it, and panics on one given back while the pool already holds it.
+func trackTable(p unsafe.Pointer, idle bool) {
+	leases.Lock()
+	defer leases.Unlock()
+	if leases.pooled == nil {
+		leases.pooled = map[unsafe.Pointer]bool{}
+	}
+	if idle && leases.pooled[p] {
+		panic("block: a table vector given back twice")
+	}
+	if idle {
+		leases.pooled[p] = true
+	} else {
+		delete(leases.pooled, p)
+	}
 }

@@ -52,6 +52,36 @@ func (a *aggVec) grow(n int) {
 	a.count = extend(a.count, n)
 }
 
+// presize gives the state the arrays grow(n) would, leased from the table
+// pool.
+func (a *aggVec) presize(n int) {
+	switch a.spec.Func {
+	case plan.AggMin, plan.AggMax:
+		a.mm.presize(n)
+		return
+	case plan.AggSum, plan.AggAvg:
+		if a.floatSum {
+			a.sumF = block.LeaseTable[float64](0, n)
+		} else {
+			a.sumI = block.LeaseTable[int64](0, n)
+		}
+	}
+	a.count = block.LeaseTable[int64](0, n)
+}
+
+// release gives the state's arrays, and its DISTINCT set's, back to the pool
+// and leaves it empty.
+func (a *aggVec) release() {
+	block.ReturnTable(a.count)
+	block.ReturnTable(a.sumI)
+	block.ReturnTable(a.sumF)
+	a.mm.release()
+	if a.dset != nil {
+		a.dset.release()
+	}
+	*a = aggVec{spec: a.spec}
+}
+
 // reset empties the state and keeps its arrays for the next fill.
 func (a *aggVec) reset() {
 	a.count, a.sumI, a.sumF = truncate(a.count), truncate(a.sumI), truncate(a.sumF)
@@ -109,7 +139,8 @@ func (a *aggVec) add(id int, b block.Block, r int, n int64) {
 // cannot give back (keys), and per aggregate one vector per field its result
 // reads (accs). Nothing is allocated per group; the first table is sized for
 // the groups the optimizer expects (presize), every later one starts empty,
-// and past its size a table doubles.
+// and past its size a table doubles. A table leases its arrays from the table
+// pool and gives them back when it is dropped or replaced (dropTableLocked).
 type HashAggregationOperator struct {
 	ctx       *OpContext
 	groupCols []int
@@ -213,17 +244,19 @@ func (o *HashAggregationOperator) presize(groups int) int {
 	return n
 }
 
-// tableBytes is memBytesLocked of a table newTableLocked(n) builds.
+// tableBytes is memBytesLocked of a table newTableLocked(n) builds: every
+// vector beside the key table holds n entries at the capacity its size class
+// gives it.
 func (o *HashAggregationOperator) tableBytes(n int) int64 {
 	fixed := fixedWidthKeys(o.groupTs)
-	b := keyTableBytes(fixed, len(o.groupTs), n)
+	b, c := keyTableBytes(fixed, len(o.groupTs), n), int64(block.TableCap(n))
 	for _, t := range o.groupTs {
 		if keptBesideTable(fixed, t) {
-			b += int64(n) * valueWidth(t)
+			b += c * valueWidth(t)
 		}
 	}
 	for i := range o.accs {
-		b += int64(n) * o.accs[i].width()
+		b += c * o.accs[i].width()
 		if o.accs[i].spec.Distinct {
 			b += keyTableBytes(false, 1, 0)
 		}
@@ -235,15 +268,19 @@ func (o *HashAggregationOperator) tableBytes(n int) int64 {
 // the table's cells cannot give it back.
 func keptBesideTable(fixed bool, t types.Type) bool { return !fixed || t == types.Double }
 
-// newTableLocked builds an empty table whose arrays hold n groups before any
-// of them grows; n = 0 starts them empty.
+// newTableLocked replaces the table, whose arrays go back to the pool, with
+// an empty one whose arrays, leased from it, hold n groups before any of them
+// grows; n = 0 starts them empty.
 func (o *HashAggregationOperator) newTableLocked(n int) {
+	o.dropTableLocked()
 	fixed := fixedWidthKeys(o.groupTs)
 	o.table = newKeyTable(fixed, len(o.groupTs), n)
 	for k, t := range o.groupTs {
-		o.keys[k] = nil
 		if keptBesideTable(fixed, t) {
 			o.keys[k] = &valueVec{t: t}
+			if n > 0 {
+				o.keys[k].presize(n)
+			}
 		}
 	}
 	for i := range o.accs {
@@ -253,19 +290,10 @@ func (o *HashAggregationOperator) newTableLocked(n int) {
 		if spec.Distinct {
 			a.dset = newKeyTable(false, 1, 0)
 		}
+		if n > 0 {
+			a.presize(n)
+		}
 		o.accs[i] = a
-	}
-	if n > 0 {
-		// Grown to n and emptied again, every vector keeps an array of n.
-		for _, v := range o.keys {
-			if v != nil {
-				v.grow(n)
-			}
-		}
-		for i := range o.accs {
-			o.accs[i].grow(n)
-		}
-		o.resetTableLocked()
 	}
 }
 
@@ -284,12 +312,23 @@ func (o *HashAggregationOperator) resetTableLocked() {
 	}
 }
 
-// dropTableLocked lets go of the table once nothing is added to it again.
+// dropTableLocked gives the table's arrays back to the pool once nothing
+// reads them again: its groups are copied out (emitGroups) or spilled, or the
+// operator is closing.
 func (o *HashAggregationOperator) dropTableLocked() {
+	if o.table == nil {
+		return
+	}
+	o.table.release()
 	o.table = nil
-	clear(o.keys)
+	for k, v := range o.keys {
+		if v != nil {
+			v.release()
+		}
+		o.keys[k] = nil
+	}
 	for i := range o.accs {
-		o.accs[i] = aggVec{spec: o.accs[i].spec}
+		o.accs[i].release()
 	}
 }
 

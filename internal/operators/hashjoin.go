@@ -61,6 +61,11 @@ type JoinBridge struct {
 	probesActive   int
 	noMoreProbes   bool
 	outerClaimed   bool
+	// cancelled: Cancel ran, and the index is never given back (probe drivers
+	// of a failed task may still read it); released: the index has gone back
+	// to the table pool (releaseIndexLocked).
+	cancelled bool
+	released  bool
 
 	// notify fires (outside mu) on every transition that can unblock a
 	// parked probe driver: the table becoming built, cancellation, and the
@@ -175,6 +180,7 @@ func (b *JoinBridge) BuilderFinished() {
 func (b *JoinBridge) Cancel() {
 	b.mu.Lock()
 	b.filtersDone = true // partial build: suppress any future publication
+	b.cancelled = true
 	b.built = true
 	b.noMoreBuilders = true
 	b.noMoreProbes = true
@@ -273,7 +279,7 @@ func (b *JoinBridge) buildIndexLocked() {
 			}
 			if q := t.link(pos); q >= 0 {
 				if next == nil {
-					next = make([]int32, rows)
+					next = block.LeaseTable[int32](rows, rows)
 				}
 				next[pos] = int32(q + 1)
 			}
@@ -285,8 +291,10 @@ func (b *JoinBridge) buildIndexLocked() {
 
 // builtTable is what a probe reads. Writers hold the bridge's mu; nothing
 // changes once the bridge is built and a probe page has arrived (a revocation
-// only happens before that, Cancel leaves a built table alone), so a probe
-// copies it under mu, once per page, and reads the copy unlocked.
+// only happens before that, Cancel leaves a built table alone) until the last
+// probe has ended, when ktab and next go back to the table pool
+// (releaseIndexLocked). So a probe copies it under mu, once per page, and
+// reads the copy unlocked.
 //
 // Its rows are build positions: page pg holds positions starts[pg] up to
 // starts[pg+1], and steps[k] is the page that holds position k<<shift. ktab's
@@ -377,20 +385,50 @@ func (b *JoinBridge) AddProbe() {
 
 // ProbeFinished marks one probe driver's input complete.
 func (b *JoinBridge) ProbeFinished() {
-	b.mu.Lock()
-	b.probesActive--
-	notify := b.notifyLocked()
-	b.mu.Unlock()
-	notify()
+	b.probeStep(func() { b.probesActive-- })
 }
 
 // NoMoreProbes declares that every probe driver has been created.
 func (b *JoinBridge) NoMoreProbes() {
+	b.probeStep(func() { b.noMoreProbes = true })
+}
+
+// probeStep applies a change to the probe accounting, gives the index back if
+// that leaves no probe to come, and then — outside mu, under the rules
+// syncBuildMem keeps — lowers the reservation to what the bridge still holds.
+func (b *JoinBridge) probeStep(change func()) {
 	b.mu.Lock()
-	b.noMoreProbes = true
+	change()
+	released := b.releaseIndexLocked()
 	notify := b.notifyLocked()
 	b.mu.Unlock()
+	if released {
+		_ = b.syncBuildMem() // a lower reservation releases and cannot fail
+	}
 	notify()
+}
+
+// releaseIndexLocked gives the key table and the links back to the table pool
+// once nothing probes them again: the bridge is built, no more probes are
+// declared and the last registered one has ended. A cancelled bridge keeps
+// them, for the collector: a failed task's probe drivers may still be
+// running. The pages, the positions (starts, steps) and the matched flags
+// stay, since RIGHT/FULL's unmatched emission reads nothing else. The bytes
+// drop by the whole index, the positions' few words a page with it, and the
+// caller re-syncs the reservation; it reports whether they dropped.
+func (b *JoinBridge) releaseIndexLocked() bool {
+	if !b.built || b.cancelled || b.released || !b.noMoreProbes || b.probesActive > 0 {
+		return false
+	}
+	b.released = true
+	index := b.indexBytes()
+	if b.ktab != nil {
+		b.ktab.release()
+	}
+	block.ReturnTable(b.next)
+	b.ktab, b.next = nil, nil
+	b.bytes.Add(-index)
+	return index > 0
 }
 
 // AllProbesFinished reports that no probe will record further matches, so

@@ -54,22 +54,36 @@ type keyTable struct {
 }
 
 // newKeyTable creates an empty table with the given key layout, its arrays
-// sized for n entries: no insert up to the n-th grows the slot array or
-// reallocates a vector (a bytes-layout arena aside — key lengths are not known
-// ahead). n = 0 is a table that doubles to size.
+// sized for n entries and leased from the table pool (block.LeaseTable): no
+// insert up to the n-th grows the slot array or reallocates a vector (a
+// bytes-layout arena aside — key lengths are not known ahead). n = 0 is a
+// table that doubles to size. The owner gives the arrays back (release) once
+// nothing reads the table again.
 func newKeyTable(fixed bool, nk, n int) *keyTable {
 	slots := slotsFor(n)
-	t := &keyTable{fixed: fixed, nk: nk, slots: make([]int32, slots), mask: uint64(slots - 1)}
+	t := &keyTable{fixed: fixed, nk: nk, slots: block.LeaseTable[int32](slots, slots), mask: uint64(slots - 1)}
 	switch {
 	case !fixed:
-		t.offs = append(make([]uint32, 0, n+1), 0)
+		t.offs = append(block.LeaseTable[uint32](0, n+1), 0)
 		if n > 0 {
-			t.hashes = make([]uint64, 0, n)
+			t.hashes = block.LeaseTable[uint64](0, n)
 		}
 	case n > 0:
-		t.cells, t.tags = make([]uint64, 0, n*nk), make([]byte, 0, n*nk)
+		t.cells, t.tags = block.LeaseTable[uint64](0, n*nk), block.LeaseTable[byte](0, n*nk)
 	}
 	return t
+}
+
+// release gives the table's arrays back to the pool and empties it. Nothing
+// may read the table after: a lookup in it fails at its first slot.
+func (t *keyTable) release() {
+	block.ReturnTable(t.slots)
+	block.ReturnTable(t.cells)
+	block.ReturnTable(t.tags)
+	block.ReturnTable(t.hashes)
+	block.ReturnTable(t.arena)
+	block.ReturnTable(t.offs)
+	*t = keyTable{fixed: t.fixed, nk: t.nk}
 }
 
 // slotsFor is the slot-array length that holds n entries under the 3/4 load
@@ -84,13 +98,14 @@ func slotsFor(n int) int {
 
 // keyTableBytes is memBytes of newKeyTable(fixed, nk, n) — what a table takes
 // before an arena: 4 bytes a slot, then 9 a key cell (fixed), or a hash and an
-// offset an entry (bytes).
+// offset an entry (bytes), each vector at the capacity its size class gives
+// it (a slot array's power of two is a class length).
 func keyTableBytes(fixed bool, nk, n int) int64 {
 	b := int64(4 * slotsFor(n))
 	if fixed {
-		return b + int64(9*n*nk)
+		return b + 9*int64(block.TableCap(n*nk))
 	}
-	return b + int64(8*n) + int64(4*(n+1))
+	return b + 8*int64(block.TableCap(n)) + 4*int64(block.TableCap(n+1))
 }
 
 // Len returns the number of entries.
@@ -440,6 +455,35 @@ type valueVec struct {
 	bools    []bool
 	boxed    []types.Value // array and untyped columns
 	strBytes int64         // bytes under strs, for accounting
+}
+
+// presize gives the vec the arrays that hold n entries before one grows,
+// leased from the table pool; an untyped vec's boxed values, which the pool
+// does not hold, are made at the same capacity.
+func (v *valueVec) presize(n int) {
+	v.has = block.LeaseTable[bool](0, n)
+	switch v.t {
+	case types.Bigint, types.Date:
+		v.longs = block.LeaseTable[int64](0, n)
+	case types.Double:
+		v.doubles = block.LeaseTable[float64](0, n)
+	case types.Varchar:
+		v.strs = block.LeaseTable[string](0, n)
+	case types.Boolean:
+		v.bools = block.LeaseTable[bool](0, n)
+	default:
+		v.boxed = make([]types.Value, 0, block.TableCap(n))
+	}
+}
+
+// release gives the vec's arrays back to the pool and empties it.
+func (v *valueVec) release() {
+	block.ReturnTable(v.has)
+	block.ReturnTable(v.longs)
+	block.ReturnTable(v.doubles)
+	block.ReturnTable(v.strs)
+	block.ReturnTable(v.bools)
+	*v = valueVec{t: v.t}
 }
 
 func (v *valueVec) grow(n int) {

@@ -202,7 +202,8 @@ func (o *LimitOperator) Close() error    { return nil }
 
 // DistinctOperator removes duplicate rows using a hash set of row keys: an
 // open-addressing keyTable fed by the batch hashing kernels, whose vectors,
-// and the rows a page keeps, are leased from scratch for the page.
+// and the rows a page keeps, are leased from scratch for the page. The
+// table's arrays go back to the table pool at Close.
 type DistinctOperator struct {
 	ctx      *OpContext
 	table    *keyTable
@@ -265,7 +266,10 @@ func (o *DistinctOperator) Finish()          { o.finished = true }
 func (o *DistinctOperator) IsFinished() bool { return o.finished && o.pending == nil }
 func (o *DistinctOperator) IsBlocked() bool  { return false }
 func (o *DistinctOperator) Close() error {
-	o.table = nil
+	if o.table != nil {
+		o.table.release()
+		o.table = nil
+	}
 	o.ctx.Mem.Close()
 	return nil
 }

@@ -139,9 +139,12 @@ echo "==> configuration: a query's switches are one value, from the HTTP header 
 # a killed worker); a join residual is compiled as a WHERE clause is (NaN
 # compares by IEEE, as in WHERE) and an index join applies it; a RIGHT/FULL
 # probe finished with pairs still to emit counts as finished only once it has
-# emitted them, and a SEMI/ANTI row puts its chain to a residual in rounds.
+# emitted them, and a SEMI/ANTI row puts its chain to a residual in rounds; a
+# join index goes back to the table pool once, after the last of four probes
+# ending in random order on goroutines, and never after a cancellation.
 go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestDeprecatedClusterFields|TestMaterializedExchangeDecidedAtPlanning|TestElasticKillWorkerMidQuery|TestDistributedNonFiniteDoubles|TestJoinResidualNaNIsIEEE|TestKVIndexJoin' .
 go test -race -count=1 -run 'TestOuterJoinWaitsForPendingPairs|TestSemiResidualDecidesInRounds' ./internal/operators/
+go test -race -count=10 -run 'TestJoinIndexGoesBackAfterTheLastProbe' ./internal/operators/
 go test -race -count=1 -run 'TestSwitchHeaders|TestStatementNonFiniteDoubles|TestWriteJSONFailureIs500' ./internal/httpapi/
 go test -race -count=1 ./internal/wire/
 go test -race -count=1 -run 'TestMaterializedExchangeCreatesNoFilterHub' ./internal/coordinator/
@@ -174,7 +177,10 @@ echo "==> borrowed pages and released scratch are never read late (poison linked
 # runs lake statements of every shape — released and kept, whole and sliced
 # stripes, partitioned tables, dictionary columns with NULLs — against the
 # eager read and a memory copy; ./internal/block holds the decode into an
-# arena (TestDecodePageAtLeases).
+# arena (TestDecodePageAtLeases). Hash tables give their arrays back to the
+# table pool poisoned: TestReleasedTablesArePoisoned reads a released group
+# table, join index and DISTINCT set, and TestOuterJoinEmitsAfterTheIndexGoesBack
+# runs RIGHT and FULL joins' unmatched emission after the index went back.
 go test -count=1 -ldflags '-X repro/internal/expr.poisonBorrowed=on' . ./internal/exec ./internal/operators ./internal/expr ./internal/block
 
 echo "==> kernel + morsel bench smoke (1 iteration per benchmark)"
@@ -188,8 +194,11 @@ echo "==> what a group, a build row and a probe row cost: allocation ceilings, a
 # A fixed-layout key table stores no hash (it rehashes its cells as batchKeys
 # hashes them), a join build indexes positions (a keyless one nothing), a
 # keyless probe page allocates nothing per build row, and a CROSS join holds
-# one output page of pairs at a time.
-go test -count=1 -v -run 'TestAggSpillAllocationCeiling|TestGroupTableBytesPerGroup|TestGroupTableAllocatesOnce|TestPresizedTableReservesWhatItHolds|TestPresizeIsAHint|TestFinishedAggregationDropsItsTable|TestFixedTableRehashesAsBatchKeys|TestJoinBuildBytesPerRow|TestJoinBuildAllocatesOnce|TestJoinProbeAllocationCeiling|TestKeylessProbeAllocationFlat|TestCrossJoinOutputBounded|TestHashAggAccountingMatchesHeap|TestJoinBuildAccountingMatchesHeap' ./internal/operators/ | grep -E '^(---|ok|FAIL|panic)|bytes'
+# one output page of pairs at a time. Tables lease their arrays from the table
+# pool: a second join build after the first one's probes ended, and a second
+# presized aggregation after the first one emitted, allocate under a byte a
+# row or group (warm-pool ceilings).
+go test -count=1 -v -run 'TestSecondJoinBuildReusesItsIndex|TestSecondGroupTableReusesItsArrays|TestAggSpillAllocationCeiling|TestGroupTableBytesPerGroup|TestGroupTableAllocatesOnce|TestPresizedTableReservesWhatItHolds|TestPresizeIsAHint|TestFinishedAggregationDropsItsTable|TestFixedTableRehashesAsBatchKeys|TestJoinBuildBytesPerRow|TestJoinBuildAllocatesOnce|TestJoinProbeAllocationCeiling|TestKeylessProbeAllocationFlat|TestCrossJoinOutputBounded|TestHashAggAccountingMatchesHeap|TestJoinBuildAccountingMatchesHeap' ./internal/operators/ | grep -E '^(---|ok|FAIL|panic)|bytes'
 go test -count=1 -run 'TestGroupsPerInstance' ./internal/exec/
 go test -count=1 -run 'TestGroupEstimate' .
 go test -run '^$' -bench 'AggSpillRevokeDrain|HashJoinProbeParallel' -benchtime 1x -benchmem ./internal/operators/ > /dev/null
