@@ -43,8 +43,7 @@ func main() {
 		hbo     = flag.Bool("enable-hbo", false, "enable history-based optimizer feedback")
 
 		spill    = flag.Bool("spill", false, "enable disk-backed spill for aggregations and join builds")
-		spillDir = flag.String("spill-dir", "", "directory for spill files and exchange segments (empty = OS temp)")
-		matEx    = flag.Bool("materialized-exchange", false, "materialize shuffles to disk-backed sealed segments (recoverable exchanges)")
+		spillDir = flag.String("spill-dir", "", "directory for spill files (empty = OS temp)")
 
 		coordMode  = flag.Bool("coordinator", false, "run as a distributed-mode coordinator (no local workers; remote workers register via /v1/node)")
 		workerMode = flag.Bool("worker", false, "run as a distributed-mode worker serving the task API")
@@ -56,7 +55,7 @@ func main() {
 		log.Fatal("-coordinator and -worker are mutually exclusive")
 	}
 
-	sp := spillOpts{enabled: *spill, dir: *spillDir, materialized: *matEx}
+	sp := spillOpts{enabled: *spill, dir: *spillDir}
 	switch {
 	case *coordMode:
 		runCoordinator(*addr, *scale, *lakeDir, *noStats, *noDyn, *hbo, sp)
@@ -69,9 +68,8 @@ func main() {
 
 // spillOpts bundles the disk-backed-execution flags.
 type spillOpts struct {
-	enabled      bool
-	dir          string
-	materialized bool
+	enabled bool
+	dir     string
 }
 
 // provisionCatalogs registers the demo catalogs on a shared catalog manager.
@@ -102,7 +100,6 @@ func runEmbedded(addr string, workers, threads int, scale float64, lakeDir strin
 		EnableHBO:             hbo,
 		SpillEnabled:          sp.enabled,
 		SpillDir:              sp.dir,
-		MaterializedExchange:  sp.materialized,
 	})
 	defer cluster.Close()
 
@@ -132,9 +129,6 @@ func runCoordinator(addr string, scale float64, lakeDir string, noStats, noDyn, 
 	var switches exec.Switches
 	if noDyn {
 		switches |= exec.DisableDynamicFilters
-	}
-	if sp.materialized {
-		switches |= exec.MaterializedExchange
 	}
 	optCfg := optimizer.DefaultConfig()
 	optCfg.UseStats = !noStats

@@ -1,10 +1,10 @@
 package block
 
 // Binary page codec: the serialized form of a Page. HTTP shuffle responses
-// (paper §IV-E2), spill files and materialized-exchange segments all carry
-// these frames, and so do the column sections and footers of orcish lake
-// files. A frame is length-prefixed and self-checking, so a receiver can cut
-// pages out of a byte stream and reject corruption:
+// (paper §IV-E2) and spill files carry these frames, and so do the column
+// sections and footers of orcish lake files. A frame is length-prefixed and
+// self-checking, so a receiver can cut pages out of a byte stream and reject
+// corruption:
 //
 //	frame  := "PPG1" flags(1) storedLen(u32le) rawLen(u32le) crc32c(u32le) stored
 //	payload (stored, flate-compressed when flags&1):
@@ -37,9 +37,9 @@ package block
 //     failure never hands the next caller a dirty one.
 //
 // Who compresses is the caller's fixed rule, not an option: a frame that
-// stays on the host (spill file, exchange segment, results response to a
-// loopback or same-address peer) is raw, because flate at ~150 MB/s in front
-// of a memory copy is pure cost there; a frame for another host is deflated
+// stays on the host (spill file, results response to a loopback or
+// same-address peer) is raw, because flate at ~150 MB/s in front of a memory
+// copy is pure cost there; a frame for another host is deflated
 // and kept deflated only when that shrinks it. The CRC-32C covers the stored
 // bytes either way, and decoders accept both flags wherever a frame came from.
 //

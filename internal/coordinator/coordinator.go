@@ -22,7 +22,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/queue"
 	"repro/internal/serving"
-	"repro/internal/shuffle"
 	"repro/internal/sqlparser"
 	"repro/internal/types"
 )
@@ -124,10 +123,6 @@ type Coordinator struct {
 	queue   *queue.Manager
 	arbiter *memory.Arbiter
 	pools   map[int]*memory.NodePool
-	// store holds materialized-exchange segments for embedded clusters: the
-	// coordinator injects it into every task it creates, standing in for the
-	// durable distributed storage of recoverable shuffles.
-	store *shuffle.ExchangeStore
 	// meta memoizes split enumeration ("splits/<handle>") and table
 	// metadata ("meta/<catalog>.<table>") with TTL + invalidation on write
 	// (nil when disabled).
@@ -219,17 +214,12 @@ func New(catalog *CatalogManager, workers []*exec.Worker, cfg Config) *Coordinat
 		queue:           queue.NewManager(cfg.QueuePolicies...),
 		arbiter:         memory.NewArbiter(pools),
 		pools:           pools,
-		store:           shuffle.NewExchangeStore(cfg.Task.SpillDir),
 		meta:            meta,
 		stmtLatency:     metrics.NewRingHistogram(0),
 		stageSkew:       metrics.NewBucketHistogram(1.05, 1.15, 1.5, 2, 4),
 		scanRowsPerPage: metrics.NewBucketHistogram(1, 16, 256, 1024, 4096),
 	}
 }
-
-// ExchangeStore exposes the coordinator's materialized-exchange store (for
-// leak checks in tests).
-func (c *Coordinator) ExchangeStore() *shuffle.ExchangeStore { return c.store }
 
 // AddWorker admits a new worker into the cluster mid-flight (elastic
 // scale-out): it joins the scheduling list, the memory arbiter, and future
@@ -246,9 +236,9 @@ func (c *Coordinator) AddWorker(w *exec.Worker) {
 }
 
 // KillWorker abruptly removes a worker (elastic scale-in / simulated crash).
-// The worker leaves the scheduling list before its tasks are failed, so
-// recovery re-places lost tasks only onto survivors. Returns false for an
-// unknown id.
+// The worker leaves the scheduling list before its tasks are failed, so a
+// client's retry of a query that failed with exec.ErrTaskLost is placed only
+// on survivors. Returns false for an unknown id.
 func (c *Coordinator) KillWorker(id int) bool {
 	c.mu.Lock()
 	var victim *exec.Worker
@@ -439,7 +429,7 @@ func (c *Coordinator) planStatement(stmt sqlparser.Statement, session Session) (
 		return nil, nil, err
 	}
 	optCfg := c.cfg.Optimizer
-	if session.Switches.Has(exec.DisableDynamicFilters | exec.MaterializedExchange) {
+	if session.Switches.Has(exec.DisableDynamicFilters) {
 		optCfg.DisableDynamicFilters = true
 	}
 	if session.Switches.Has(exec.DisableHBO) {
@@ -500,8 +490,8 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 
 	// end is the query's one teardown, however it ends: with err, whatever
 	// tasks exist are aborted (which also releases what their clients hold)
-	// and the query is failed; then memory, exchange segments, the admission
-	// slot (nil while the query holds none) and the context go.
+	// and the query is failed; then memory, the admission slot (nil while the
+	// query holds none) and the context go.
 	var release func()
 	end := func(err error) {
 		if err != nil {
@@ -512,7 +502,6 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 			q.qmem.Close()
 			c.arbiter.Clear(id)
 		}
-		c.store.RemoveQuery(id)
 		if release != nil {
 			release()
 		}
@@ -589,11 +578,9 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 			end(err)
 			return nil, nil, err
 		}
-		// Transient failure: re-admit through the queue and retry. Drop any
-		// materialized segments the failed attempt produced so the retry
-		// starts from a clean store, and forget its aborted tasks (stats and
-		// CPU rollups would otherwise double-count them).
-		c.store.RemoveQuery(id)
+		// Transient failure: re-admit through the queue and retry. Forget
+		// the failed attempt's aborted tasks (stats and CPU rollups would
+		// otherwise double-count them).
 		q.mu.Lock()
 		q.tasks, q.groups = nil, nil
 		q.mu.Unlock()

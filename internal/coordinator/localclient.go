@@ -14,10 +14,7 @@ import (
 )
 
 // The in-process client: tasks are *exec.Task objects in this process, and
-// every call is a method call — nothing is encoded. Under materialized
-// exchange the worker hands out recovery slots instead (recovery.go):
-// re-placement needs the coordinator-shared exchange store, which only
-// in-process workers write to.
+// every call is a method call — nothing is encoded.
 
 // localWorker places tasks on one in-process worker.
 type localWorker struct {
@@ -37,11 +34,7 @@ func (lw localWorker) CreateTasks(specs []*taskSpec) (taskGroup, error) {
 	for _, spec := range specs {
 		task, err := lw.c.startLocal(lw.w, spec)
 		if err == nil {
-			var t localTaskClient = localTask{task}
-			if spec.Config.Switches.Has(exec.MaterializedExchange) {
-				t = newRecoveryTask(lw.c, spec, task)
-			}
-			err = g.add(t, spec)
+			err = g.add(localTask{task}, spec)
 		}
 		if err != nil {
 			abortAndDrain([]taskGroup{g}, false)
@@ -51,7 +44,7 @@ func (lw localWorker) CreateTasks(specs []*taskSpec) (taskGroup, error) {
 	return g, nil
 }
 
-// startLocal instantiates spec on w: first placement and every re-placement.
+// startLocal instantiates spec on w.
 func (c *Coordinator) startLocal(w *exec.Worker, spec *taskSpec) (*exec.Task, error) {
 	sources := make(map[int][]shuffle.Fetcher, len(spec.Sources))
 	for pid, producers := range spec.Sources {
@@ -60,9 +53,7 @@ func (c *Coordinator) startLocal(w *exec.Worker, spec *taskSpec) (*exec.Task, er
 				faultinject.WrapFetcher(c.cfg.FaultInject, &placedOutput{p: p, part: spec.ID.Index}))
 		}
 	}
-	cfg := *spec.Config
-	cfg.Store = c.store
-	task, err := w.CreateTask(spec.ID, spec.Fragment, spec.Mem, spec.OutPartitions, sources, &cfg)
+	task, err := w.CreateTask(spec.ID, spec.Fragment, spec.Mem, spec.OutPartitions, sources, spec.Config)
 	if err != nil {
 		return nil, err
 	}

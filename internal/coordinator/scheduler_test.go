@@ -870,14 +870,14 @@ func TestSchedulerFilterRouting(t *testing.T) {
 	}
 }
 
-// TestMaterializedExchangeCreatesNoFilterHub: whether a statement has dynamic
-// filters is decided once, at planning. Under materialized exchange the plan
+// TestDisabledDynamicFiltersCreateNoFilterHub: whether a statement has
+// dynamic filters is decided once, at planning. With them disabled the plan
 // carries none, so the scheduler builds no filter hub and hands no task a
 // publish hook; under the default session the same statement gets both. Every
 // task's config carries the session's switches.
-func TestMaterializedExchangeCreatesNoFilterHub(t *testing.T) {
+func TestDisabledDynamicFiltersCreateNoFilterHub(t *testing.T) {
 	sql := "SELECT count(*) FROM big JOIN small ON big.k = small.k"
-	for _, s := range []Session{{}, {Switches: exec.MaterializedExchange}} {
+	for _, s := range []Session{{}, {Switches: exec.DisableDynamicFilters}} {
 		f := newSchedFixture(t, Config{})
 		dp, q, _, err := f.scheduleSession(t, sql, 2, s)
 		if err != nil {

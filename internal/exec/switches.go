@@ -3,10 +3,10 @@ package exec
 import "strings"
 
 // Switches is a query's set of per-query switches. Each member turns a
-// shipped default off, or (MaterializedExchange) a non-default mode on, so
-// the zero value is the shipped defaults. The coordinator unions a cluster's
-// set with a session's once, when it admits a statement; that union plans
-// the statement and reaches every task of it inside TaskConfig.
+// shipped default off, so the zero value is the shipped defaults. The
+// coordinator unions a cluster's set with a session's once, when it admits a
+// statement; that union plans the statement and reaches every task of it
+// inside TaskConfig.
 type Switches uint16
 
 // The members, in the order of SwitchHeaders.
@@ -18,11 +18,6 @@ const (
 	DisableResultCache                         // neither serve nor capture a cached result
 	DisableSharedScans                         // keep leaf scans out of the workers' shared-scan hubs
 	DisableSpill                               // fail with the exceeded-limit error instead of spilling (§IV-F2)
-	// MaterializedExchange routes shuffles through disk-backed sealed
-	// segments, so the scheduler can re-place only the tasks a dead worker
-	// lost (§IV-D). It plans no dynamic filters: a re-placed build task would
-	// publish a second time into a filter hub sized for the first.
-	MaterializedExchange
 )
 
 // SwitchHeaders is the switches' one name table: the HTTP header that sets
@@ -35,7 +30,6 @@ var SwitchHeaders = [...]string{
 	"X-Presto-Disable-Result-Cache",
 	"X-Presto-Disable-Shared-Scans",
 	"X-Presto-Disable-Spill",
-	"X-Presto-Materialized-Exchange",
 }
 
 // Has reports whether s holds any member of m.
@@ -44,11 +38,11 @@ func (s Switches) Has(m Switches) bool { return s&m != 0 }
 // Planning is the part of s that changes what the optimizer produces: what a
 // cached plan is keyed on.
 func (s Switches) Planning() Switches {
-	return s & (DisableDynamicFilters | DisableHBO | MaterializedExchange)
+	return s & (DisableDynamicFilters | DisableHBO)
 }
 
 // String names the members by their headers without the prefix, lower-case
-// and comma-separated ("disable-spill,materialized-exchange"); the zero set
+// and comma-separated ("disable-cache,disable-spill"); the zero set
 // is "defaults".
 func (s Switches) String() string {
 	if s == 0 {

@@ -68,8 +68,8 @@ type TaskConfig struct {
 	// first open. 0 selects DefaultSharedScanWindow, negative disables the
 	// hub on workers built from this config.
 	SharedScanWindow time.Duration `json:"sharedScanWindowNs,omitempty"`
-	// SpillDir is where spill files and materialized exchange segments are
-	// written; empty selects the OS temp dir.
+	// SpillDir is where spill files are written; empty selects the OS temp
+	// dir.
 	SpillDir string `json:"spillDir,omitempty"`
 	// StageTasks is a statement's task count per fragment id, which the
 	// scheduler fills in: an aggregation divides its group estimate among the
@@ -80,9 +80,6 @@ type TaskConfig struct {
 	// Inject threads the chaos injector into task-level seams (morsel split
 	// opens, dynamic-filter publication).
 	Inject *faultinject.Injector `json:"-"`
-	// Store is the worker's materialized-exchange segment store; required
-	// when Switches holds MaterializedExchange.
-	Store *shuffle.ExchangeStore `json:"-"`
 }
 
 // DefaultDynamicFilterWait is the bounded wait a subscribed scan applies to
@@ -199,15 +196,6 @@ func NewTask(id TaskID, f *plan.Fragment, nodeID int, ex *Executor, reg Connecto
 		writeDelay:   cfg.WriteDelay,
 		doneCh:       make(chan struct{}),
 		scanPipes:    map[int]*pipelineSpec{},
-	}
-	if cfg.Switches.Has(MaterializedExchange) && cfg.Store != nil {
-		// Key the entry by task ID: a re-placed task (same query, fragment,
-		// index) resets the same entry, so consumers follow it transparently.
-		// A sealed entry means a prior attempt already finished — its output
-		// is durable and this attempt's pages are discarded on arrival; the
-		// common replay path never even creates the replacement task.
-		entry, _ := cfg.Store.Create(id.String(), outPartitions)
-		t.output.AttachEntry(entry)
 	}
 	c := &compiler{task: t, pageSize: cfg.PageSize}
 	if err := c.compileFragment(f); err != nil {
@@ -658,18 +646,14 @@ func (t *Task) Abort() {
 	t.terminate(fmt.Errorf("task %s aborted", t.ID))
 }
 
-// ErrTaskLost marks a task whose worker died mid-query. Under materialized
-// exchange the coordinator re-places lost tasks on surviving workers instead
-// of failing the query; any other scheduler treats it like a plain failure.
+// ErrTaskLost marks a task whose worker died mid-query. The query fails with
+// it (errors.Is finds it through the coordinator's wrapping), and the client
+// may retry the statement on the surviving workers (§IV-G).
 var ErrTaskLost = errors.New("worker lost")
 
-// IsLost reports whether a task error came from worker death (MarkLost).
-func IsLost(err error) bool { return errors.Is(err, ErrTaskLost) }
-
 // MarkLost terminates the task as lost to worker death. Identical wind-down
-// to Abort, but the error is classified so a recovery-capable coordinator can
-// re-place the work. A materialized output entry survives untouched: sealed
-// segments keep serving consumers, unsealed ones are reset by the replacement.
+// to Abort, but the error is classified so the client can tell a lost worker
+// from a failed statement.
 func (t *Task) MarkLost() {
 	t.terminate(fmt.Errorf("task %s: %w", t.ID, ErrTaskLost))
 }

@@ -35,10 +35,6 @@ type Worker struct {
 	connectors ConnectorRegistry
 	cfg        TaskConfig
 	inject     *faultinject.Injector
-	// store holds this worker's materialized-exchange segments (remote mode;
-	// in embedded clusters the coordinator injects a shared store per task,
-	// modeling the durable distributed storage of recoverable exchanges).
-	store *shuffle.ExchangeStore
 
 	mu     sync.Mutex
 	tasks  map[TaskID]*Task
@@ -81,7 +77,6 @@ func NewWorker(id int, reg ConnectorRegistry, cfg WorkerConfig) *Worker {
 		connectors: reg,
 		cfg:        cfg.Task,
 		inject:     cfg.FaultInject,
-		store:      shuffle.NewExchangeStore(cfg.Task.SpillDir),
 		tasks:      map[TaskID]*Task{},
 	}
 	if cfg.CacheBytes > 0 {
@@ -125,9 +120,6 @@ func (w *Worker) CreateTask(id TaskID, f *plan.Fragment, qmem *memory.QueryConte
 	if cfg.Inject == nil {
 		cfg.Inject = w.inject
 	}
-	if cfg.Store == nil {
-		cfg.Store = w.store
-	}
 	t, err := NewTask(id, f, w.ID, w.Exec, w.connectors, qmem, w.Pool, w.Cache, outPartitions, exchangeSources, cfg)
 	if err != nil {
 		return nil, err
@@ -141,7 +133,7 @@ func (w *Worker) CreateTask(id TaskID, f *plan.Fragment, qmem *memory.QueryConte
 	if w.killed {
 		w.mu.Unlock()
 		t.Abort()
-		return nil, fmt.Errorf("worker %d is dead", w.ID)
+		return nil, fmt.Errorf("worker %d is dead: %w", w.ID, ErrTaskLost)
 	}
 	w.tasks[id] = t
 	w.mu.Unlock()
@@ -189,10 +181,10 @@ func (w *Worker) OutputBufferUtilization() float64 {
 	return max
 }
 
-// Kill simulates abrupt worker death for elastic-recovery tests: every live
-// task fails with ErrTaskLost (so the coordinator re-places it elsewhere),
-// and the worker refuses new tasks. Unlike Close, Kill does not wait for
-// tasks to drain — that is the point.
+// Kill simulates abrupt worker death for elastic scale-in and crash tests:
+// every live task fails with ErrTaskLost (so its query fails and the client
+// may retry), and the worker refuses new tasks. Unlike Close, Kill does not
+// wait for tasks to drain — that is the point.
 func (w *Worker) Kill() {
 	w.mu.Lock()
 	if w.killed {

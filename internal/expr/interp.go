@@ -26,6 +26,65 @@ type Interpreter struct {
 	lambdaEnv []types.Value // stack of bound lambda parameters
 }
 
+// predicate evaluates e as a filter: its AND/OR/NOT skeleton is three-valued,
+// and a leaf whose evaluation fails (a division by zero, say) counts as
+// NULL. That is the selection kernels' answer, and the only one that does not
+// depend on operand order: a row passes when the result is TRUE.
+func (it *Interpreter) predicate(e Expr, row Row) types.Value {
+	switch x := e.(type) {
+	case *And:
+		l := it.predicate(x.L, row)
+		if isFalse(l) {
+			return l
+		}
+		return and3(l, it.predicate(x.R, row))
+	case *Or:
+		l := it.predicate(x.L, row)
+		if isTrue(l) {
+			return l
+		}
+		return or3(l, it.predicate(x.R, row))
+	case *Not:
+		return not3(it.predicate(x.E, row))
+	}
+	v, err := it.Eval(e, row)
+	if err != nil {
+		return types.NullValue(types.Boolean)
+	}
+	return v
+}
+
+func isTrue(v types.Value) bool  { return !v.Null && v.B }
+func isFalse(v types.Value) bool { return !v.Null && !v.B }
+
+// and3, or3 and not3 are SQL's three-valued connectives.
+func and3(l, r types.Value) types.Value {
+	switch {
+	case isFalse(l) || isFalse(r):
+		return types.BooleanValue(false)
+	case l.Null || r.Null:
+		return types.NullValue(types.Boolean)
+	}
+	return types.BooleanValue(true)
+}
+
+func or3(l, r types.Value) types.Value {
+	switch {
+	case isTrue(l) || isTrue(r):
+		return types.BooleanValue(true)
+	case l.Null || r.Null:
+		return types.NullValue(types.Boolean)
+	}
+	return types.BooleanValue(false)
+}
+
+func not3(v types.Value) types.Value {
+	if v.Null {
+		return v
+	}
+	return types.BooleanValue(!v.B)
+}
+
 // Eval evaluates e against row, returning a boxed value.
 func (it *Interpreter) Eval(e Expr, row Row) (types.Value, error) {
 	switch x := e.(type) {
@@ -70,50 +129,32 @@ func (it *Interpreter) Eval(e Expr, row Row) (types.Value, error) {
 
 	case *And:
 		l, err := it.Eval(x.L, row)
-		if err != nil {
-			return types.Value{}, err
-		}
-		if !l.Null && !l.B {
-			return types.BooleanValue(false), nil
+		if err != nil || isFalse(l) {
+			return l, err
 		}
 		r, err := it.Eval(x.R, row)
 		if err != nil {
 			return types.Value{}, err
 		}
-		if !r.Null && !r.B {
-			return types.BooleanValue(false), nil
-		}
-		if l.Null || r.Null {
-			return types.NullValue(types.Boolean), nil
-		}
-		return types.BooleanValue(true), nil
+		return and3(l, r), nil
 
 	case *Or:
 		l, err := it.Eval(x.L, row)
-		if err != nil {
-			return types.Value{}, err
-		}
-		if !l.Null && l.B {
-			return types.BooleanValue(true), nil
+		if err != nil || isTrue(l) {
+			return l, err
 		}
 		r, err := it.Eval(x.R, row)
 		if err != nil {
 			return types.Value{}, err
 		}
-		if !r.Null && r.B {
-			return types.BooleanValue(true), nil
-		}
-		if l.Null || r.Null {
-			return types.NullValue(types.Boolean), nil
-		}
-		return types.BooleanValue(false), nil
+		return or3(l, r), nil
 
 	case *Not:
 		v, err := it.Eval(x.E, row)
-		if err != nil || v.Null {
+		if err != nil {
 			return v, err
 		}
-		return types.BooleanValue(!v.B), nil
+		return not3(v), nil
 
 	case *IsNull:
 		v, err := it.Eval(x.E, row)

@@ -136,15 +136,15 @@ func selVecBool(e Expr, k boolKernel, neg bool) selFn {
 }
 
 // selInterp evaluates e on the interpreter for each row of the current
-// selection. A row whose evaluation fails does not pass in either polarity,
-// like a NULL.
+// selection, as a predicate: a leaf whose evaluation fails is NULL, and a
+// NULL does not pass in either polarity.
 func selInterp(e Expr, neg bool) selFn {
 	return func(in *vecInput, rows, out []int) []int {
 		var it Interpreter
 		row := pageRow{p: in.p}
 		for _, r := range rows {
 			row.row = r
-			if v, err := it.Eval(e, &row); err == nil && !v.Null && v.B != neg {
+			if v := it.predicate(e, &row); !v.Null && v.B != neg {
 				out = append(out, r)
 			}
 		}

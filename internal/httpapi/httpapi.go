@@ -346,22 +346,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metrics.PromGauge(w, "presto_result_cache_corruptions_total", nil, float64(ss.Result.Corruptions))
 	metrics.PromGauge(w, "presto_result_cache_bytes", nil, float64(ss.Result.Bytes))
 	metrics.PromGauge(w, "presto_result_cache_entries", nil, float64(ss.Result.Entries))
-	// Larger-than-memory execution: disk-backed operator spill and
-	// materialized-exchange segment activity (process-wide counters).
+	// Larger-than-memory execution: disk-backed operator spill
+	// (process-wide counters).
 	sp := spill.CurrentStats()
 	metrics.PromGauge(w, "presto_spill_files_created_total", nil, float64(sp.FilesCreated))
 	metrics.PromGauge(w, "presto_spill_files_deleted_total", nil, float64(sp.FilesDeleted))
 	metrics.PromGauge(w, "presto_spill_pages_written_total", nil, float64(sp.PagesWritten))
 	metrics.PromGauge(w, "presto_spill_bytes_written_total", nil, float64(sp.BytesWritten))
 	metrics.PromGauge(w, "presto_spill_bytes_read_total", nil, float64(sp.BytesRead))
-	sg := shuffle.CurrentSegmentStats()
-	metrics.PromGauge(w, "presto_exchange_segments_created_total", nil, float64(sg.SegmentsCreated))
-	metrics.PromGauge(w, "presto_exchange_segments_deleted_total", nil, float64(sg.SegmentsDeleted))
-	metrics.PromGauge(w, "presto_exchange_segment_bytes_written_total", nil, float64(sg.BytesWritten))
-	metrics.PromGauge(w, "presto_exchange_segment_bytes_read_total", nil, float64(sg.BytesRead))
-	metrics.PromGauge(w, "presto_exchange_entries_sealed_total", nil, float64(sg.EntriesSealed))
-	metrics.PromGauge(w, "presto_exchange_replay_hits_total", nil, float64(sg.ReplayHits))
-	metrics.PromGauge(w, "presto_exchange_store_entries", nil, float64(s.Coord.ExchangeStore().EntryCount()))
 }
 
 // pageToJSON renders a page as rows of JSON-friendly values.

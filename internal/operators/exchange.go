@@ -48,11 +48,6 @@ func (o *PartitionedOutputOperator) IsBlocked() bool {
 }
 
 func (o *PartitionedOutputOperator) AddInput(p *block.Page) error {
-	// Materialized-exchange writes are void at the buffer API; a sticky
-	// segment-write failure (full disk) must fail the task promptly here.
-	if err := o.buf.Err(); err != nil {
-		return err
-	}
 	o.ctx.recordIn(p)
 	// Lazy columns must not cross the shuffle: their loaders reference
 	// reader state owned by this task. Compressed encodings survive.

@@ -7,7 +7,7 @@
 // materialize columns lazily (§V-D).
 //
 // Sections and footer are frames of the engine's page codec (internal/block),
-// the serialized form shuffle, spill and exchange segments use too: CRC-32C
+// the serialized form shuffle and spill use too: CRC-32C
 // checked, bounded on decode, encodings preserved.
 //
 //	file    := stripe* schema stripes footerLen(u64le) "ORCISH02"

@@ -6,12 +6,12 @@
 //
 //   - PlanCache (plancache.go): an expirable LRU over parse→analyze→optimize
 //     output, keyed by normalized SQL + the catalog default + the query's
-//     planning switches (exec.Switches.Planning: dynamic filters, HBO,
-//     materialized exchange). Its size (512 plans) and expiry (5m) are this
-//     package's defaults. A hit skips the parser, analyzer and
-//     optimizer entirely; validity is checked against the referenced tables'
-//     connector versions and the history store's generation, so a write or a
-//     materially-changed cardinality observation forces a replan.
+//     planning switches (exec.Switches.Planning: dynamic filters and HBO).
+//     Its size (512 plans) and expiry (5m) are this package's defaults. A
+//     hit skips the parser, analyzer and optimizer entirely; validity is
+//     checked against the referenced tables' connector versions and the
+//     history store's generation, so a write or a materially-changed
+//     cardinality observation forces a replan.
 //
 //   - ResultCache (resultcache.go): a byte-bounded LRU over small final
 //     result sets, keyed by a fingerprint of the optimized plan text plus the

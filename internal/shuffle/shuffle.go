@@ -18,9 +18,7 @@ import (
 // OutputBuffer is one task's partitioned output. Partition i is consumed by
 // task i of the downstream stage (or the coordinator for the root).
 type OutputBuffer struct {
-	parts    []*PartitionBuffer
-	capacity int64
-	entry    *StoreEntry // materialized mode (nil = in-memory)
+	parts []*PartitionBuffer
 }
 
 // NewOutputBuffer creates a buffer with n partitions, each holding up to
@@ -29,7 +27,7 @@ func NewOutputBuffer(n int, capacityBytes int64) *OutputBuffer {
 	if capacityBytes <= 0 {
 		capacityBytes = 16 << 20
 	}
-	b := &OutputBuffer{capacity: capacityBytes}
+	b := &OutputBuffer{}
 	for i := 0; i < n; i++ {
 		b.parts = append(b.parts, newPartitionBuffer(capacityBytes))
 	}
@@ -53,28 +51,6 @@ func (b *OutputBuffer) SetNotify(fn func()) {
 
 // Partition returns partition i's buffer.
 func (b *OutputBuffer) Partition(i int) *PartitionBuffer { return b.parts[i] }
-
-// AttachEntry switches the buffer to materialized mode: pages go to the store
-// entry's disk segments instead of memory, backpressure is disabled (disk is
-// the buffer), and fetches are served from the sealed entry. Call before any
-// page is added.
-func (b *OutputBuffer) AttachEntry(e *StoreEntry) {
-	b.entry = e
-	for i, p := range b.parts {
-		p.mu.Lock()
-		p.entry, p.part = e, i
-		p.mu.Unlock()
-	}
-}
-
-// Err surfaces a sticky materialized-exchange write failure, checked by the
-// producing operator so a full disk fails the task promptly (Add is void).
-func (b *OutputBuffer) Err() error {
-	if b.entry == nil {
-		return nil
-	}
-	return b.entry.Err()
-}
 
 // CanAdd reports whether every partition has room; producers stall when it
 // is false (backpressure).
@@ -120,10 +96,6 @@ func (b *OutputBuffer) Destroy() {
 }
 
 // PartitionBuffer is a single partition's page queue with token-based reads.
-// With a store entry attached (materialized exchange) every operation
-// delegates to the entry's disk segment; the entry pointer is stable across
-// producer re-placement, so consumers holding this buffer follow a restarted
-// producer transparently.
 type PartitionBuffer struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -133,8 +105,6 @@ type PartitionBuffer struct {
 	capacity int64
 	done     bool
 	notify   func() // space-freed callback, invoked outside mu
-	entry    *StoreEntry
-	part     int
 }
 
 func newPartitionBuffer(capacity int64) *PartitionBuffer {
@@ -145,12 +115,6 @@ func newPartitionBuffer(capacity int64) *PartitionBuffer {
 
 func (p *PartitionBuffer) add(page *block.Page) {
 	p.mu.Lock()
-	if e := p.entry; e != nil {
-		part := p.part
-		p.mu.Unlock()
-		e.append(part, page)
-		return
-	}
 	p.pages = append(p.pages, page)
 	p.bytes += page.SizeBytes()
 	p.cond.Broadcast()
@@ -159,12 +123,6 @@ func (p *PartitionBuffer) add(page *block.Page) {
 
 func (p *PartitionBuffer) finish() {
 	p.mu.Lock()
-	if e := p.entry; e != nil {
-		part := p.part
-		p.mu.Unlock()
-		e.finishPart(part)
-		return
-	}
 	p.done = true
 	p.cond.Broadcast()
 	p.mu.Unlock()
@@ -172,13 +130,6 @@ func (p *PartitionBuffer) finish() {
 
 func (p *PartitionBuffer) destroy() {
 	p.mu.Lock()
-	if p.entry != nil {
-		// Materialized output outlives the task: an aborted producer's
-		// unsealed entry is reset by its replacement or deleted at query
-		// cleanup, and consumers park on the entry, not this buffer.
-		p.mu.Unlock()
-		return
-	}
 	p.pages = nil
 	p.bytes = 0
 	p.done = true
@@ -193,16 +144,13 @@ func (p *PartitionBuffer) destroy() {
 func (p *PartitionBuffer) full() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.entry != nil {
-		return false // disk is the buffer: no backpressure
-	}
 	return p.bytes >= p.capacity
 }
 
 func (p *PartitionBuffer) utilization() float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.entry != nil || p.capacity == 0 {
+	if p.capacity == 0 {
 		return 0
 	}
 	u := float64(p.bytes) / float64(p.capacity)
@@ -218,18 +166,6 @@ func (p *PartitionBuffer) utilization() float64 {
 // It returns buffered pages from token onward, the next token, and whether
 // the stream is complete.
 func (p *PartitionBuffer) Fetch(token int64, maxBytes int64, wait time.Duration) ([]*block.Page, int64, bool) {
-	p.mu.Lock()
-	if e := p.entry; e != nil {
-		part := p.part
-		p.mu.Unlock()
-		// This signature cannot carry an error; a sticky read failure ends
-		// the stream and the coordinator's final verdict consults the
-		// producer's StoreEntry.Err before declaring success.
-		pages, next, done, _ := e.fetch(part, token, maxBytes, wait)
-		return pages, next, done
-	}
-	p.mu.Unlock()
-
 	deadline := time.Now().Add(wait)
 	p.mu.Lock()
 	defer p.mu.Unlock()

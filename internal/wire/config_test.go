@@ -11,7 +11,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/memory"
 	"repro/internal/plan"
-	"repro/internal/shuffle"
 	"repro/internal/types"
 )
 
@@ -25,7 +24,6 @@ func TestTaskConfigRoundTrip(t *testing.T) {
 	var in exec.TaskConfig
 	in.WriteDelay = func() {}
 	in.Inject = faultinject.New(1)
-	in.Store = shuffle.NewExchangeStore(t.TempDir())
 	v := reflect.ValueOf(&in).Elem()
 	var wireFields []int
 	for i := 0; i < v.NumField(); i++ {
@@ -67,7 +65,7 @@ func TestTaskConfigRoundTrip(t *testing.T) {
 			t.Errorf("TaskConfig.%s: sent %v, received %v", v.Type().Field(i).Name, want, have)
 		}
 	}
-	if got.Config.WriteDelay != nil || got.Config.Inject != nil || got.Config.Store != nil {
+	if got.Config.WriteDelay != nil || got.Config.Inject != nil {
 		t.Error("a local-only field crossed the wire")
 	}
 	if raw, err := json.Marshal(exec.TaskConfig{}); err != nil || string(raw) != "{}" {
@@ -83,7 +81,7 @@ func TestTaskConfigRoundTrip(t *testing.T) {
 func FuzzCreateRequestDecode(f *testing.F) {
 	seed := func(frags ...*plan.Fragment) []byte {
 		req := CreateRequest{Config: exec.TaskConfig{PageSize: 512, SpillEnabled: true,
-			Switches: exec.DisableCache | exec.MaterializedExchange, DynamicFilterWait: 7}}
+			Switches: exec.DisableCache | exec.DisableSpill, DynamicFilterWait: 7}}
 		for _, frag := range frags {
 			raw, err := MarshalFragment(frag)
 			if err != nil {

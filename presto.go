@@ -95,13 +95,8 @@ type ClusterConfig struct {
 	// SpillEnabled lets aggregations and join builds spill to disk under
 	// memory pressure (per-query opt-out: the DisableSpill switch).
 	SpillEnabled bool
-	// SpillDir is where spill files and materialized-exchange segments land
-	// (empty = OS temp dir).
+	// SpillDir is where spill files land (empty = OS temp dir).
 	SpillDir string
-	// MaterializedExchange routes every query's shuffles through disk-backed
-	// sealed segments, enabling task-level recovery from worker loss
-	// (per-query: the MaterializedExchange switch).
-	MaterializedExchange bool
 	// DisableStats turns off cost-based optimization (Figure 6's
 	// "no stats" configuration).
 	DisableStats bool
@@ -226,7 +221,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	fold(cfg.DisablePlanCache, exec.DisablePlanCache)
 	fold(cfg.DisableResultCache, exec.DisableResultCache)
 	fold(cfg.DisableSharedScans, exec.DisableSharedScans)
-	fold(cfg.MaterializedExchange, exec.MaterializedExchange)
 	wcfg := exec.WorkerConfig{
 		Threads:          cfg.ThreadsPerWorker,
 		Quanta:           cfg.Quanta,
@@ -298,9 +292,9 @@ func (c *Cluster) AddWorker() *exec.Worker {
 }
 
 // KillWorker abruptly kills a worker by id (simulated crash / elastic
-// scale-in): its tasks fail as lost, and under materialized exchange the
-// coordinator re-places only those tasks onto surviving workers. Returns
-// false for an unknown id.
+// scale-in): its tasks fail as lost, so every query running on it fails with
+// exec.ErrTaskLost and the client may retry it on the survivors (§IV-G).
+// Returns false for an unknown id.
 func (c *Cluster) KillWorker(id int) bool {
 	return c.Coordinator.KillWorker(id)
 }

@@ -44,25 +44,64 @@
 #                             # (decoded fresh and into an arena alike),
 #                             # SQL parser, spill files (both readers
 #                             # agree, or both reject) and their index,
-#                             # exchange segments,
 #                             # dynamic-filter summary frames, create
 #                             # requests (fragments, compiled, plus task
 #                             # config), and the join position table
 #                             # (random keys and page sizes, every join
 #                             # type, with and without a residual, keyed
 #                             # and keyless, against the per-row reference)
+#   scripts/check.sh -coverage # only the coverage map: builds prestobench
+#                             # and the benchmark with -cover, runs every
+#                             # paper experiment (-quick) and every
+#                             # workload (--seconds 1) under one
+#                             # GOCOVERDIR, and prints the files that run
+#                             # under 10% of their statements
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 chaos_full=0
 fuzz=0
+coverage=0
 for arg in "$@"; do
   case "$arg" in
     -chaos) chaos_full=1 ;;
     -fuzz) fuzz=1 ;;
+    -coverage) coverage=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
+
+if [ "$coverage" = 1 ]; then
+  # What the experiments and the benchmark workloads run of the engine, file
+  # by file: code that none of them reaches is a candidate for removal unless
+  # a test prices it. -cover is a build flag; the benchmark's sources are
+  # untouched.
+  cov="$(mktemp -d)"
+  trap 'rm -rf "$cov"' EXIT
+  mkdir -p "$cov/data"
+  echo "==> coverage builds: prestobench and the benchmark (-cover -coverpkg=repro/...)"
+  go build -cover -coverpkg=repro/... -o "$cov/prestobench" ./cmd/prestobench
+  (cd bench && go build -cover -coverpkg=repro/... -o "$cov/bench" .)
+  echo "==> prestobench -exp all -quick"
+  GOCOVERDIR="$cov/data" "$cov/prestobench" -exp all -quick > "$cov/prestobench.log" 2>&1 ||
+    { cat "$cov/prestobench.log" >&2; exit 1; }
+  echo "==> benchmark, every workload, --seconds 1"
+  GOCOVERDIR="$cov/data" "$cov/bench" --workload all --seconds 1 > "$cov/bench.log" 2>&1 ||
+    { cat "$cov/bench.log" >&2; exit 1; }
+  go tool covdata textfmt -i="$cov/data" -o "$cov/all.out"
+  # The engine's files only: the benchmark module's own are not the map's.
+  grep -v '^repro/bench/' "$cov/all.out" > "$cov/engine.out"
+  go tool cover -func="$cov/engine.out" | tail -n 1
+  echo "==> files run under 10% of their statements (covered/statements)"
+  # A block may appear once per counter file; it counts as run if any run
+  # reached it.
+  awk -F'[: ]' 'NR > 1 { key = $1 ":" $2; stmts[key] = $3; file[key] = $1; if ($4 > 0) hit[key] = 1 }
+    END {
+      for (k in stmts) { total[file[k]] += stmts[k]; if (k in hit) run[file[k]] += stmts[k] }
+      for (f in total) if (run[f] * 10 < total[f]) printf "%5.1f%%  %5d/%-5d  %s\n", 100 * run[f] / total[f], run[f], total[f], f
+    }' "$cov/engine.out" | sort -n
+  exit 0
+fi
 
 echo "==> go build ./..."
 go build ./...
@@ -134,23 +173,29 @@ echo "==> configuration: a query's switches are one value, from the HTTP header 
 # expression field survives the create request, every node and expression
 # type has a wire kind, and a fragment that decodes compiles without a panic;
 # NaN, ±Infinity and −0.0 reach HTTP workers and statement-protocol clients;
-# dynamic filters are decided at planning (materialized exchange plans none,
-# creates no filter hub, keeps its own plan-cache entry and still recovers from
-# a killed worker); a join residual is compiled as a WHERE clause is (NaN
+# dynamic filters are decided at planning (a session that disables them plans
+# none, creates no filter hub and keeps its own plan-cache entry); a join residual is compiled as a WHERE clause is (NaN
 # compares by IEEE, as in WHERE) and an index join applies it; a RIGHT/FULL
 # probe finished with pairs still to emit counts as finished only once it has
 # emitted them, and a SEMI/ANTI row puts its chain to a residual in rounds; a
 # join index goes back to the table pool once, after the last of four probes
 # ending in random order on goroutines, and never after a cancellation.
-go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestDeprecatedClusterFields|TestMaterializedExchangeDecidedAtPlanning|TestElasticKillWorkerMidQuery|TestDistributedNonFiniteDoubles|TestJoinResidualNaNIsIEEE|TestKVIndexJoin' .
+go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestDeprecatedClusterFields|TestDynamicFiltersDecidedAtPlanning|TestDistributedNonFiniteDoubles|TestJoinResidualNaNIsIEEE|TestKVIndexJoin' .
 go test -race -count=1 -run 'TestOuterJoinWaitsForPendingPairs|TestSemiResidualDecidesInRounds' ./internal/operators/
 go test -race -count=10 -run 'TestJoinIndexGoesBackAfterTheLastProbe' ./internal/operators/
 go test -race -count=1 -run 'TestSwitchHeaders|TestStatementNonFiniteDoubles|TestWriteJSONFailureIs500' ./internal/httpapi/
 go test -race -count=1 ./internal/wire/
-go test -race -count=1 -run 'TestMaterializedExchangeCreatesNoFilterHub' ./internal/coordinator/
+go test -race -count=1 -run 'TestDisabledDynamicFiltersCreateNoFilterHub' ./internal/coordinator/
+
+echo "==> a lost worker fails its query and the client retries (§IV-G)"
+# Every shuffle fetch is delayed so the kill lands while the query is in
+# flight (the test logs the victim's live tasks); the query fails with
+# exec.ErrTaskLost, nothing leaks, and the retry on the survivors returns the
+# baseline rows — for each of four victims, ten runs under -race.
+go test -race -count=10 -run 'TestElasticKillWorkerMidQuery' .
 
 echo "==> lake: orcish sections and footers are page-codec frames, and nothing imports encoding/gob"
-# One serialized form serves shuffle, spill, exchange and the lake; the gob
+# One serialized form serves shuffle, spill and the lake; the gob
 # format is gone, so an import of it anywhere in the module (tests included)
 # fails the check.
 if go list -f '{{.ImportPath}}: {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... | grep -E '(^| )encoding/gob( |$)'; then
@@ -239,8 +284,6 @@ if [ "$fuzz" = 1 ]; then
   go test -fuzz '^FuzzSpillFileDecode$' -fuzztime 10s ./internal/spill/
   echo "==> fuzz smoke: spill file index (10s)"
   go test -fuzz '^FuzzSpillIndex$' -fuzztime 10s ./internal/spill/
-  echo "==> fuzz smoke: exchange segment decode (10s)"
-  go test -fuzz '^FuzzExchangeSegmentDecode$' -fuzztime 10s ./internal/shuffle/
   echo "==> fuzz smoke: dynamic-filter summary decode (10s)"
   go test -fuzz '^FuzzSummaryDecode$' -fuzztime 10s ./internal/dynfilter/
   echo "==> fuzz smoke: task create request decode (10s)"

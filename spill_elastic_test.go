@@ -1,14 +1,15 @@
 package presto
 
-// Larger-than-memory execution test wall (paper §IV-F2 + recoverable
-// exchanges): differential spill tests run TPC-H shapes with the memory pool
+// Larger-than-memory execution and elastic-cluster test wall (paper §IV-F2,
+// §IV-G): differential spill tests run TPC-H shapes with the memory pool
 // capped far below the working set and require row-identical results to the
 // uncapped run, cold and warm; elastic tests kill and add workers mid-query
-// under materialized exchange and require completion without a query
-// restart; leak tests require every spill temp file and exchange segment
-// deleted on success, failure, and cancellation.
+// and require a query on a killed worker to fail as lost, and the client's
+// retry to succeed; leak tests require every spill temp file deleted on
+// success, failure, and cancellation.
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -17,9 +18,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/coordinator"
 	"repro/internal/exec"
+	"repro/internal/faultinject"
 	"repro/internal/memory"
-	"repro/internal/shuffle"
 	"repro/internal/spill"
 	"repro/internal/workload"
 )
@@ -133,30 +135,56 @@ func cappedCluster(t *testing.T, peak int64, frac int64, extra func(*ClusterConf
 	return c
 }
 
-// checkNoSpillArtifactLeaks polls until every spill file and exchange
-// segment created since the baselines has been deleted and the shared
-// exchange store holds no entries. Cleanup runs asynchronously after the
-// result closes.
-func checkNoSpillArtifactLeaks(t *testing.T, c *Cluster, spillBase spill.Stats, segBase shuffle.SegmentStats) {
+// checkNoSpillArtifactLeaks polls until every spill file created since the
+// baseline has been deleted. Cleanup runs asynchronously after the result
+// closes.
+func checkNoSpillArtifactLeaks(t *testing.T, spillBase spill.Stats) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		sp := spill.CurrentStats()
-		sg := shuffle.CurrentSegmentStats()
-		spLeak := (sp.FilesCreated - spillBase.FilesCreated) - (sp.FilesDeleted - spillBase.FilesDeleted)
-		sgLeak := (sg.SegmentsCreated - segBase.SegmentsCreated) - (sg.SegmentsDeleted - segBase.SegmentsDeleted)
-		entries := 0
-		if c != nil {
-			entries = c.Coordinator.ExchangeStore().EntryCount()
-		}
-		if spLeak == 0 && sgLeak == 0 && entries == 0 {
+		leak := (sp.FilesCreated - spillBase.FilesCreated) - (sp.FilesDeleted - spillBase.FilesDeleted)
+		if leak == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("disk artifact leak: %d spill files, %d exchange segments, %d store entries",
-				spLeak, sgLeak, entries)
+			t.Fatalf("disk artifact leak: %d spill files", leak)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// checkNoPoolLeak polls until no query holds bytes in any of the workers'
+// pools (the page cache's own bytes aside): a failed query's per-node
+// reservations are released when it closes, on dead workers too.
+func checkNoPoolLeak(t *testing.T, workers []*exec.Worker) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var pooled int64
+		for _, w := range workers {
+			pooled += w.Pool.GeneralUsed() - w.CacheStats().Bytes
+		}
+		if pooled <= 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pool leak: %d bytes", pooled)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// checkNoGoroutineLeak polls until the goroutine count is back near the
+// baseline taken before the cluster was built; call it after Close.
+func checkNoGoroutineLeak(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for runtime.NumGoroutine() > baseline+10 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak: %d, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }
 
@@ -167,7 +195,6 @@ func checkNoSpillArtifactLeaks(t *testing.T, c *Cluster, spillBase spill.Stats, 
 func TestSpillDifferentialWall(t *testing.T) {
 	base, peak := spillBaselineRows(t)
 	spillBase := spill.CurrentStats()
-	segBase := shuffle.CurrentSegmentStats()
 	c := cappedCluster(t, peak, 16, nil)
 	for round := 0; round < 2; round++ { // cold, then warm
 		for _, q := range spillQueries {
@@ -185,29 +212,7 @@ func TestSpillDifferentialWall(t *testing.T) {
 	if sp.BytesRead == spillBase.BytesRead {
 		t.Fatal("spilled state was never read back on drain")
 	}
-	checkNoSpillArtifactLeaks(t, c, spillBase, segBase)
-}
-
-// TestSpillDifferentialMaterialized repeats the capped differential with
-// materialized exchange on: spilling operators and disk-backed shuffles
-// compose.
-func TestSpillDifferentialMaterialized(t *testing.T) {
-	base, peak := spillBaselineRows(t)
-	spillBase := spill.CurrentStats()
-	segBase := shuffle.CurrentSegmentStats()
-	c := cappedCluster(t, peak, 8, nil)
-	for _, q := range spillQueries {
-		rows, err := querySession(c, q, Session{Switches: exec.MaterializedExchange})
-		if err != nil {
-			t.Fatalf("capped+materialized %q: %v", q, err)
-		}
-		assertRows(t, q, roundedRows(rows), base[q])
-	}
-	sg := shuffle.CurrentSegmentStats()
-	if sg.SegmentsCreated == segBase.SegmentsCreated {
-		t.Fatal("materialized session produced no exchange segments")
-	}
-	checkNoSpillArtifactLeaks(t, c, spillBase, segBase)
+	checkNoSpillArtifactLeaks(t, spillBase)
 }
 
 // TestSpillDisabledSessionOOM locks in the ablation: with spill disabled for
@@ -302,16 +307,14 @@ func TestJoinUnderSpillFinishes(t *testing.T) {
 	}
 }
 
-// TestSpillCancelCleansArtifacts cancels a capped, spilling, materialized
-// query mid-flight and requires every spill temp file and exchange segment
-// deleted afterwards.
+// TestSpillCancelCleansArtifacts cancels a capped, spilling query mid-flight
+// and requires every spill temp file deleted afterwards.
 func TestSpillCancelCleansArtifacts(t *testing.T) {
 	_, peak := spillBaselineRows(t)
 	spillBase := spill.CurrentStats()
-	segBase := shuffle.CurrentSegmentStats()
 	c := cappedCluster(t, peak, 16, nil)
 	for i := 0; i < 3; i++ {
-		res, err := c.ExecuteSession(spillQueries[0], Session{Switches: exec.MaterializedExchange})
+		res, err := c.ExecuteSession(spillQueries[0], Session{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,68 +322,61 @@ func TestSpillCancelCleansArtifacts(t *testing.T) {
 		time.Sleep(time.Duration(10+20*i) * time.Millisecond)
 		res.Close()
 	}
-	checkNoSpillArtifactLeaks(t, c, spillBase, segBase)
+	checkNoSpillArtifactLeaks(t, spillBase)
 }
 
-// TestMaterializedExchangeDifferential checks the materialized shuffle path
-// alone (no memory pressure): every chaos query returns the same rows as
-// the in-memory exchange.
-func TestMaterializedExchangeDifferential(t *testing.T) {
-	base := baselineRows(t)
-	segBase := shuffle.CurrentSegmentStats()
-	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2, SpillDir: t.TempDir(),
-		DisablePlanCache: true, DisableResultCache: true})
-	t.Cleanup(c.Close)
-	c.Register(workload.LoadTPCHMemory("tpch", chaosScale))
-	for _, q := range chaosQueries {
-		rows, err := querySession(c, q, Session{Switches: exec.MaterializedExchange})
-		if err != nil {
-			t.Fatalf("materialized %q: %v", q, err)
-		}
-		assertRows(t, q, stringifyRows(rows), base[q])
-	}
-	sg := shuffle.CurrentSegmentStats()
-	if sg.EntriesSealed == segBase.EntriesSealed {
-		t.Fatal("materialized differential sealed no entries")
-	}
-	checkNoSpillArtifactLeaks(t, c, spill.CurrentStats(), segBase)
-}
-
-// TestElasticKillWorkerMidQuery is the headline acceptance test: a 4-worker
-// cluster runs an aggregation under materialized exchange, one worker dies
-// mid-query, and the query completes with correct rows — only the lost
-// tasks re-place; the query is never restarted (restart would show up as a
-// second admission, which this path does not have).
+// TestElasticKillWorkerMidQuery: a worker dies while a query is in flight.
+// Worker loss has one meaning (§IV-G): the query fails with exec.ErrTaskLost
+// and the client retries it. Every shuffle fetch is delayed, so the query
+// cannot drain before the kill, and the kill is checked to find live tasks
+// of the query on its victim. For each of the 4 victims nothing leaks —
+// spill files, pool bytes, goroutines — and the client's retry on the three
+// survivors returns the baseline rows.
 func TestElasticKillWorkerMidQuery(t *testing.T) {
 	base := baselineRows(t)
-	q := chaosQueries[1] // shuffle-heavy grouped aggregate
+	q := chaosQueries[1] // leaf, intermediate and output stages on every worker
 
 	for kill := 0; kill < 4; kill++ {
-		segBase := shuffle.CurrentSegmentStats()
-		c := NewCluster(ClusterConfig{Workers: 4, ThreadsPerWorker: 2, SpillDir: t.TempDir(),
-			DisablePlanCache: true, DisableResultCache: true})
+		spillBase := spill.CurrentStats()
+		goroutines := runtime.NumGoroutine()
+		inj := faultinject.New(int64(kill), faultinject.Rule{Site: faultinject.SiteShuffleFetch,
+			Kind: faultinject.KindDelay, Rate: 1, Delay: 50 * time.Millisecond})
+		c := NewCluster(ClusterConfig{Workers: 4, ThreadsPerWorker: 2, SpillEnabled: true,
+			SpillDir: t.TempDir(), FaultInjector: inj, DisablePlanCache: true, DisableResultCache: true})
 		c.Register(workload.LoadTPCHMemory("tpch", chaosScale))
+		workers := c.Workers()
+		victim := workers[kill]
 
-		res, err := c.ExecuteSession(q, Session{Switches: exec.MaterializedExchange})
+		res, err := c.ExecuteSession(q, Session{})
 		if err != nil {
 			c.Close()
 			t.Fatal(err)
 		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			time.Sleep(5 * time.Millisecond)
-			c.KillWorker(kill)
-		}()
-		rows, err := res.All()
-		<-done
+		live := victim.TaskCount()
+		info, _ := c.Coordinator.QueryInfo(res.QueryID)
+		if live == 0 || info.State != coordinator.StateRunning {
+			c.Close()
+			t.Fatalf("kill %d: the victim holds %d tasks of a %s query; the kill would not land mid-query",
+				kill, live, info.State)
+		}
+		c.KillWorker(victim.ID)
+		t.Logf("kill %d landed mid-query on %d live tasks", kill, live)
+		if _, err := res.All(); !errors.Is(err, exec.ErrTaskLost) {
+			c.Close()
+			t.Fatalf("kill %d: the query ended with %v, want %v", kill, err, exec.ErrTaskLost)
+		}
+
+		inj.Clear()
+		rows, err := c.Query(q)
 		if err != nil {
 			c.Close()
-			t.Fatalf("kill worker %d: query failed instead of recovering: %v", kill, err)
+			t.Fatalf("kill %d: the retry on the survivors failed: %v", kill, err)
 		}
-		assertRows(t, fmt.Sprintf("kill %d: %s", kill, q), stringifyRows(rows), base[q])
-		checkNoSpillArtifactLeaks(t, c, spill.CurrentStats(), segBase)
+		assertRows(t, fmt.Sprintf("kill %d retry: %s", kill, q), stringifyRows(rows), base[q])
+		checkNoSpillArtifactLeaks(t, spillBase)
+		checkNoPoolLeak(t, workers)
 		c.Close()
+		checkNoGoroutineLeak(t, goroutines)
 	}
 }
 
@@ -394,11 +390,11 @@ func TestElasticScaleOutMidQuery(t *testing.T) {
 	t.Cleanup(c.Close)
 	c.Register(workload.LoadTPCHMemory("tpch", chaosScale))
 
-	res, err := c.ExecuteSession(chaosQueries[1], Session{Switches: exec.MaterializedExchange})
+	res, err := c.ExecuteSession(chaosQueries[1], Session{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := c.AddWorker() // joins mid-query
+	c.AddWorker() // joins mid-query
 	rows, err := res.All()
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +402,7 @@ func TestElasticScaleOutMidQuery(t *testing.T) {
 	assertRows(t, chaosQueries[1], stringifyRows(rows), base[chaosQueries[1]])
 
 	// The next query runs across all three nodes: the new worker gets tasks.
-	rows, err = querySession(c, chaosQueries[1], Session{Switches: exec.MaterializedExchange})
+	rows, err = c.Query(chaosQueries[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,21 +410,20 @@ func TestElasticScaleOutMidQuery(t *testing.T) {
 	if len(c.Coordinator.Workers()) != 3 {
 		t.Fatalf("scheduling list has %d workers, want 3", len(c.Coordinator.Workers()))
 	}
-	_ = w
 }
 
 // TestElasticChaosSwarm is the 100-worker churn suite: workers join and die
-// continuously while shuffle-heavy queries run under materialized exchange
-// with a bounded memory cap. Every query must either succeed with correct
-// rows or fail with a clean error (replacement budget exhausted); afterwards
-// nothing leaks — goroutines, pool bytes, spill files, exchange segments.
+// continuously while shuffle-heavy queries run with a bounded memory cap.
+// Every query must either return the baseline rows or fail as lost to a dead
+// worker (exec.ErrTaskLost); once churn stops, the client's retry of each
+// failed query returns the baseline rows. Afterwards nothing leaks —
+// goroutines, pool bytes, spill files.
 func TestElasticChaosSwarm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("swarm is slow")
 	}
 	base := baselineRows(t)
 	spillBase := spill.CurrentStats()
-	segBase := shuffle.CurrentSegmentStats()
 	goroutineBaseline := runtime.NumGoroutine()
 
 	c := NewCluster(ClusterConfig{Workers: 8, ThreadsPerWorker: 1, SpillEnabled: true,
@@ -458,21 +453,18 @@ func TestElasticChaosSwarm(t *testing.T) {
 		}
 	}()
 
-	succeeded := 0
+	var failed []string
 	for i := 0; i < 12; i++ {
 		q := chaosQueries[i%len(chaosQueries)]
-		rows, err := querySession(c, q, Session{Switches: exec.MaterializedExchange})
+		rows, err := c.Query(q)
 		if err == nil {
 			assertRows(t, q, stringifyRows(rows), base[q])
-			succeeded++
 			continue
 		}
-		// A query may legitimately fail when churn outruns the replacement
-		// budget — but it must fail as task loss, not as corruption.
-		if !strings.Contains(err.Error(), "worker lost") && !strings.Contains(err.Error(), "is dead") &&
-			!strings.Contains(err.Error(), "no workers left") {
+		if !errors.Is(err, exec.ErrTaskLost) {
 			t.Fatalf("swarm query %q failed outside the loss model: %v", q, err)
 		}
+		failed = append(failed, q)
 	}
 	close(stop)
 	wg.Wait()
@@ -485,36 +477,19 @@ func TestElasticChaosSwarm(t *testing.T) {
 			churned++
 		}
 	}
-	if succeeded == 0 {
-		t.Fatal("no swarm query succeeded; recovery never worked")
+	t.Logf("swarm: %d/12 queries lost a worker under churn of %d workers", len(failed), churned)
+	for _, q := range failed {
+		rows, err := c.Query(q)
+		if err != nil {
+			t.Fatalf("retry of %q after churn: %v", q, err)
+		}
+		assertRows(t, q+" [retry]", stringifyRows(rows), base[q])
 	}
-	t.Logf("swarm: %d/12 queries succeeded under churn of %d workers", succeeded, churned)
 
-	checkNoSpillArtifactLeaks(t, c, spillBase, segBase)
-	// Pool bytes drain once every query is done (killed workers' pools are
-	// cleaned by query close, which releases per-node reservations).
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var pooled int64
-		for _, w := range c.Workers() {
-			pooled += w.Pool.GeneralUsed() - w.CacheStats().Bytes
-		}
-		if pooled <= 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pool leak after swarm: %d bytes", pooled)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	checkNoSpillArtifactLeaks(t, spillBase)
+	checkNoPoolLeak(t, c.Workers())
 	c.Close()
-	deadline = time.Now().Add(15 * time.Second)
-	for runtime.NumGoroutine() > goroutineBaseline+10 {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutine leak after swarm: %d, baseline %d", runtime.NumGoroutine(), goroutineBaseline)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	checkNoGoroutineLeak(t, goroutineBaseline)
 }
 
 // TestSpillDisabledGlobalStillCleanOOM drives the global-user limit (not
@@ -556,7 +531,7 @@ func TestDistributedSpillDifferential(t *testing.T) {
 	if sp.FilesCreated == spillBase.FilesCreated {
 		t.Fatalf("distributed run with per-node cap %d never spilled", cap)
 	}
-	checkNoSpillArtifactLeaks(t, nil, spillBase, shuffle.CurrentSegmentStats())
+	checkNoSpillArtifactLeaks(t, spillBase)
 }
 
 // guard against accidental unused imports when tests are filtered.

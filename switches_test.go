@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/shuffle"
 	"repro/internal/workload"
 )
 
@@ -102,15 +101,6 @@ func TestClusterSwitchMatchesSession(t *testing.T) {
 					t.Fatalf("%s: %v", spillQueries[0], err)
 				}
 				return []any{"memory-limit error", limit}
-			}},
-		{name: "materialized exchange", sw: exec.MaterializedExchange,
-			cluster: func(cfg *ClusterConfig) { cfg.MaterializedExchange = true },
-			session: exec.DisableResultCache,
-			observe: func(t *testing.T, c *Cluster, s Session) []any {
-				before := shuffle.CurrentSegmentStats().SegmentsCreated
-				st := twice(t, c, switchJoin, s)
-				return []any{"exchange segments", shuffle.CurrentSegmentStats().SegmentsCreated > before,
-					"planned filters", planHasDynamicFilters(t, c, switchJoin, s), "switches", st.Switches}
 			}},
 	}
 	for _, tc := range cases {
@@ -210,13 +200,13 @@ func TestDeprecatedClusterFields(t *testing.T) {
 	})
 }
 
-// TestMaterializedExchangeDecidedAtPlanning: whether a statement gets dynamic
+// TestDynamicFiltersDecidedAtPlanning: whether a statement gets dynamic
 // filters is decided once, when it is planned, and the plan cache keys on it.
-// A statement planned and cached under the default session, then run under
-// materialized exchange, is planned again without filters and filters
+// A statement planned and cached under the default session, then run with
+// dynamic filters disabled, is planned again without filters and filters
 // nothing; the default session afterwards still hits its cached, filtered
 // plan.
-func TestMaterializedExchangeDecidedAtPlanning(t *testing.T) {
+func TestDynamicFiltersDecidedAtPlanning(t *testing.T) {
 	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true,
 		DynamicFilterWait: 2 * time.Second})
 	defer c.Close()
@@ -234,9 +224,9 @@ func TestMaterializedExchangeDecidedAtPlanning(t *testing.T) {
 		st, _ := c.QueryStats(res.QueryID)
 		return stringifyRows(rows), st
 	}
-	materialized := Session{Switches: exec.MaterializedExchange}
-	if !planHasDynamicFilters(t, c, switchJoin, Session{}) || planHasDynamicFilters(t, c, switchJoin, materialized) {
-		t.Fatal("EXPLAIN: want dynamic filters under the default session and none under materialized exchange")
+	unfiltered := Session{Switches: exec.DisableDynamicFilters}
+	if !planHasDynamicFilters(t, c, switchJoin, Session{}) || planHasDynamicFilters(t, c, switchJoin, unfiltered) {
+		t.Fatal("EXPLAIN: want dynamic filters under the default session and none with them disabled")
 	}
 
 	want, st := run(Session{})
@@ -244,21 +234,21 @@ func TestMaterializedExchangeDecidedAtPlanning(t *testing.T) {
 		t.Fatalf("the default plan filtered no probe rows: %+v", st)
 	}
 	before := c.ServingStats().Plan
-	got, st := run(materialized)
-	assertRows(t, switchJoin+" [materialized]", got, want)
-	if st.Switches != (exec.DisableResultCache|exec.MaterializedExchange).String() || st.DynRowsFiltered != 0 || st.DynFilterWaitNanos != 0 {
-		t.Errorf("materialized run: switches %q, %d rows filtered, %dns waited for filters; want none filtered or waited",
+	got, st := run(unfiltered)
+	assertRows(t, switchJoin+" [unfiltered]", got, want)
+	if st.Switches != (exec.DisableResultCache|exec.DisableDynamicFilters).String() || st.DynRowsFiltered != 0 || st.DynFilterWaitNanos != 0 {
+		t.Errorf("unfiltered run: switches %q, %d rows filtered, %dns waited for filters; want none filtered or waited",
 			st.Switches, st.DynRowsFiltered, st.DynFilterWaitNanos)
 	}
 	after := c.ServingStats().Plan
 	if after.Hits != before.Hits || after.Misses != before.Misses+1 {
-		t.Errorf("materialized run: plan cache %+v -> %+v, want one miss: its plan is not the default session's", before, after)
+		t.Errorf("unfiltered run: plan cache %+v -> %+v, want one miss: its plan is not the default session's", before, after)
 	}
 
 	got, st = run(Session{})
 	assertRows(t, switchJoin+" [default again]", got, want)
 	if c.ServingStats().Plan.Hits != after.Hits+1 || st.DynRowsFiltered == 0 {
-		t.Errorf("default session after the materialized run: %d plan hits (want %d), %d rows filtered",
+		t.Errorf("default session after the unfiltered run: %d plan hits (want %d), %d rows filtered",
 			c.ServingStats().Plan.Hits, after.Hits+1, st.DynRowsFiltered)
 	}
 }

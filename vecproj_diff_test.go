@@ -94,6 +94,11 @@ func TestVecProjDifferentialEdgeData(t *testing.T) {
 		"SELECT k, v FROM pe WHERE k < v",
 		"SELECT k, d FROM pe WHERE k > 0 AND k + v > d",
 		"SELECT s FROM pe WHERE NOT (k >= v OR s = 'a')",
+		// A failing leaf (division by zero on the row (2, 0)) counts as NULL
+		// under three-valued AND/OR/NOT, whatever the operand order.
+		"SELECT k, v FROM pe WHERE k / v > 0 OR k > 0",
+		"SELECT k, v FROM pe WHERE k > 0 OR k / v > 0",
+		"SELECT k, v FROM pe WHERE NOT (k / v > 0 AND k < 0)",
 		// Non-equi join residuals over NULLs (interpreted per candidate
 		// pair), where the residual cannot be pushed below the join.
 		"SELECT a.k, a.v, b.d FROM pe a LEFT JOIN pe b ON a.k = b.k AND a.v < b.d",
