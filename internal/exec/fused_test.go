@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/block"
 	"repro/internal/connector"
 	"repro/internal/connectors/memconn"
@@ -779,6 +780,7 @@ func TestFilterProjectAggAllocationCeiling(t *testing.T) {
 		ceiling float64 // bytes per input row
 	}{{"flat keys", false, 2.0}, {"dictionary keys", true, 0.2}} {
 		fp, agg, pages := h01Pipeline(t, 72, c.encoded)
+		alloctest.HoldCollections(t)
 		drive(t, fp, agg, pages[:8])
 		if got := allocatedPerRow(t, fp, agg, pages[8:]); got > c.ceiling {
 			t.Errorf("%s: a steady-state filter -> project -> aggregate driver allocates %.2f bytes per input row over %d pages, want <= %.2f", c.name, got, len(pages)-8, c.ceiling)

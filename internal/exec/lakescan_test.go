@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/block"
 	"repro/internal/expr"
 	"repro/internal/operators"
@@ -123,6 +124,7 @@ func TestLazyLakeScanAllocationCeiling(t *testing.T) {
 	}
 	path, rows := h06Lake(t, 16)
 	task := h06Task(t)
+	alloctest.HoldCollections(t)
 	runLakeDriver(t, h06LakeDriver(t, task, path))
 
 	d := h06LakeDriver(t, task, path)

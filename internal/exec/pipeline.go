@@ -211,15 +211,18 @@ func (c *chain) seal() {
 // page, and with every array under it, by the next time their NeedsInput is
 // true: the hash aggregation (when AddInput returns), the lookup join (it
 // gathers what it emits, and asks for no page while it has rows left to
-// emit), and a filter/project exactly when its own output is lent. Each
-// method's comment says why it holds.
+// emit), a filter/project exactly when its own output is lent, and the two
+// hash sinks — the partitioned output and the local exchange sink — exactly
+// when they copy each row into its partition's page. Each method's comment
+// says why it holds.
 type inputReleaser interface {
 	ReleasesInput() bool
 }
 
 // outputLender is implemented by the operators that can write their output
-// into vectors they own and reuse: filter/project, the lookup join, and the
-// morsel scan (a whole lazy lake page's columns decode into its scratch).
+// into vectors they own and reuse: filter/project, the lookup join, the hash
+// aggregation, and the morsel scan (a whole lazy lake page's columns decode
+// into its scratch).
 type outputLender interface {
 	LendOutput(consumer operators.Operator)
 }

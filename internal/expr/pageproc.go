@@ -120,10 +120,10 @@ type ProcessorStats struct {
 
 // poisonBorrowed, when not empty, makes every arena poison the vectors it
 // takes back (block.PoisonScratch): a borrowing processor's output vectors at
-// the start of every Process, a lending join's at every output page, a
-// lending scan's lake columns at its next page, and every scratch vector when
-// its driver finishes, so that a consumer that kept
-// part of a borrowed page past its time, or anyone who kept a vector past its
+// the start of every Process, a lending join's and a lending aggregation's at
+// every output page, a lending scan's lake columns at its next page, and every
+// scratch vector when its driver finishes, so that a consumer that kept part
+// of a borrowed page past its time, or anyone who kept a vector past its
 // lease, reads values no input holds. Nothing but tests turns it on: this
 // package's through export_test.go, and scripts/check.sh by linking it on
 // (-ldflags -X) under the differential walls of the other packages.

@@ -76,6 +76,16 @@ func (o *PartitionedOutputOperator) AddInput(p *block.Page) error {
 	return nil
 }
 
+// ReleasesInput declares to the pipeline compiler that the sink is done with
+// a page, and with every array under it, when AddInput returns — exactly when
+// it copies: hash mode over more than one partition, where each row is copied
+// into its partition's page (FilterPositions; a dictionary keeps its
+// dictionary and a run its value, which nobody lends). Single, broadcast and
+// round-robin modes, and hash mode over one partition, queue the page itself.
+func (o *PartitionedOutputOperator) ReleasesInput() bool {
+	return o.mode == OutputHash && o.buf.Partitions() > 1
+}
+
 func (o *PartitionedOutputOperator) Output() (*block.Page, error) { return nil, nil }
 
 // Scratch implements ScratchHolder.
@@ -221,6 +231,12 @@ func (o *LocalExchangeSink) AddInput(p *block.Page) error {
 }
 func (o *LocalExchangeSink) Output() (*block.Page, error) { return nil, nil }
 
+// ReleasesInput declares to the pipeline compiler that the sink is done with
+// a page when AddInput returns exactly when the exchange copies it: hash mode
+// over more than one consumer (LocalExchange.add). Round-robin queues the
+// page itself.
+func (o *LocalExchangeSink) ReleasesInput() bool { return o.ex.splits() }
+
 // Scratch implements ScratchHolder.
 func (o *LocalExchangeSink) Scratch() *block.Arena { return &o.scratch }
 
@@ -285,7 +301,7 @@ func (l *LocalExchange) add(p *block.Page, scratch *block.Arena, bk *batchKeys) 
 		notify()
 	}()
 	n := len(l.queue)
-	if len(l.hash) > 0 && n > 1 {
+	if l.splits() {
 		rows, offs := partitionRows(scratch, hashPartitionPage(scratch, bk, p, l.hash, n), n)
 		for t := 0; t < n; t++ {
 			if rows := rows[offs[t]:offs[t+1]]; len(rows) > 0 {
@@ -298,6 +314,10 @@ func (l *LocalExchange) add(p *block.Page, scratch *block.Arena, bk *batchKeys) 
 	}
 	l.cond.Broadcast()
 }
+
+// splits reports whether add copies each page's rows into per-consumer pages
+// — hash mode over more than one consumer — rather than queueing the page.
+func (l *LocalExchange) splits() bool { return len(l.hash) > 0 && len(l.queue) > 1 }
 
 func (l *LocalExchange) poll(i int) (*block.Page, bool) {
 	l.mu.Lock()

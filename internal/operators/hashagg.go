@@ -168,10 +168,14 @@ type HashAggregationOperator struct {
 	spillKeys  []int  // where a spilled page keeps the group keys: columns 0..nk-1
 
 	finished bool
-	out      []*block.Page
-	outPos   int
+	prepared bool // prepareOutput has run
+	lend     bool // the output is lent (LendOutput)
 	pageSize int
-	prepared bool
+	// The emission cursor (Output): the next group of the table to emit and,
+	// while a spilled aggregation drains, the next partition to read into it.
+	emitAt   int
+	nextPart int
+	done     bool // every group emitted, the table dropped
 }
 
 // NewHashAggregation builds the operator. spillable enables revocation.
@@ -358,6 +362,15 @@ func (o *HashAggregationOperator) NeedsInput() bool { return !o.finished }
 // Revoke and the drain read the table, not pages. Array-typed keys would
 // share the element slice, but no processor lends an array block.
 func (o *HashAggregationOperator) ReleasesInput() bool { return true }
+
+// LendOutput tells the aggregation, before its first page, that the operator
+// it feeds releases its input: the output vectors are then leased from the
+// aggregation's scratch and taken back at its next Output, which the driver
+// calls only once that operator wants input again.
+func (o *HashAggregationOperator) LendOutput(Operator) { o.lend = true }
+
+// LendsOutput reports whether LendOutput has been called.
+func (o *HashAggregationOperator) LendsOutput() bool { return o.lend }
 
 func (o *HashAggregationOperator) AddInput(p *block.Page) error {
 	o.ctx.recordIn(p)
@@ -649,26 +662,27 @@ func keepOrdered[T int64 | float64](has []bool, cur []T, ids []int32, vals []T, 
 	}
 }
 
-// resultBlock renders the aggregate's final value for the selected groups.
-func (a *aggVec) resultBlock(sel []int32) block.Block {
+// resultBlock renders the aggregate's final value for the selected groups,
+// its vectors leased from ar, or made when ar is nil.
+func (a *aggVec) resultBlock(ar *block.Arena, sel []int32) block.Block {
 	switch a.spec.Func {
 	case plan.AggMin, plan.AggMax:
-		return a.mm.block(sel)
+		return a.mm.block(ar, sel)
 	case plan.AggSum:
 		if a.floatSum {
-			return &block.DoubleBlock{Vals: pick(a.sumF, sel), Nulls: zeroMask(a.count, sel)}
+			return &block.DoubleBlock{Vals: pick(ar, a.sumF, sel), Nulls: zeroMask(ar, a.count, sel)}
 		}
-		return &block.LongBlock{T: a.spec.Out, Vals: pick(a.sumI, sel), Nulls: zeroMask(a.count, sel)}
+		return &block.LongBlock{T: a.spec.Out, Vals: pick(ar, a.sumI, sel), Nulls: zeroMask(ar, a.count, sel)}
 	case plan.AggAvg:
-		vals := pick(a.sumF, sel)
+		vals := pick(ar, a.sumF, sel)
 		for i, id := range sel {
 			if n := a.count[id]; n != 0 {
 				vals[i] /= float64(n)
 			}
 		}
-		return &block.DoubleBlock{Vals: vals, Nulls: zeroMask(a.count, sel)}
+		return &block.DoubleBlock{Vals: vals, Nulls: zeroMask(ar, a.count, sel)}
 	}
-	return &block.LongBlock{T: types.Bigint, Vals: pick(a.count, sel)}
+	return &block.LongBlock{T: types.Bigint, Vals: pick(ar, a.count, sel)}
 }
 
 func (o *HashAggregationOperator) Finish() {
@@ -679,31 +693,27 @@ func (o *HashAggregationOperator) Finish() {
 	o.mu.Unlock()
 }
 
+// prepareOutput readies the table for the emission cursor, once, at the first
+// Output after Finish: a spilled aggregation writes its in-memory tail to the
+// files, which the cursor then drains a partition at a time, and a global
+// aggregation that saw no row gets its one group.
 func (o *HashAggregationOperator) prepareOutput() error {
-	if o.prepared {
-		return nil
-	}
 	o.prepared = true
 	// The last look at state a revoker may still be writing: once finished is
 	// set Revoke is a no-op, so whoever holds o.mu here sees either all of a
 	// revocation or none of it, and from here on the table and spillFiles are
 	// this goroutine's alone until Close.
 	o.mu.Lock()
-	if len(o.spillFiles) > 0 && o.table.Len() > 0 {
-		// Spilled: the in-memory tail joins the files, so the drain below has
-		// one source.
+	spilled := len(o.spillFiles) > 0
+	if spilled && o.table.Len() > 0 {
 		if _, err := o.spillLocked(); err != nil {
 			o.mu.Unlock()
 			return err
 		}
 	}
-	files := o.spillFiles
 	o.mu.Unlock()
-	if len(files) > 0 {
-		if err := o.syncMem(); err != nil {
-			return err
-		}
-		return o.drainSpilled(files)
+	if spilled {
+		return o.syncMem()
 	}
 	if len(o.groupCols) == 0 && o.table.Len() == 0 {
 		// Global aggregation with no groups: one row even for empty input.
@@ -712,101 +722,123 @@ func (o *HashAggregationOperator) prepareOutput() error {
 			o.accs[i].grow(1)
 		}
 	}
-	o.emitGroups()
-	o.dropTableLocked()
 	return nil
 }
 
-// drainSpilled merges the spill files back one hash partition at a time, so
-// peak memory stays ~1/spillPartitions of the table: each partition's pages
-// go back through the lookup AddInput uses into a table emptied per
-// partition, their state columns merge by group id, and the partition's
-// groups are emitted before the next one is read. A partition pass reads only
-// that partition's extents of each file, so every record is read once.
-func (o *HashAggregationOperator) drainSpilled(files []string) error {
-	for part := 0; part < spillPartitions; part++ {
-		o.resetTableLocked()
-		pages := spillPartIter{files: files, part: part}
-		for {
-			p, err := pages.next()
-			if err == nil && p != nil {
-				err = o.mergeSpilledPage(p)
-			}
-			if err != nil {
-				pages.close()
-				return err
-			}
-			if p == nil {
-				break
-			}
-		}
-		o.emitGroups()
+// Output is the emission cursor: each call renders the next page of groups,
+// a column at a time, each output block a gather of the vector (or of the
+// table's cells) it reads, so nothing is boxed and the table's arrays stay
+// the table's. A lent output's vectors are leased from the scratch, which the
+// next call rewinds (LendOutput); an owned output's are made. A spilled
+// aggregation reads a hash partition back into the table only once the
+// partition before it has been emitted (readPartition), so one partition's
+// groups are in memory at a time and no page waits to be taken. The table is
+// dropped, and the spill files removed, with the last page.
+func (o *HashAggregationOperator) Output() (*block.Page, error) {
+	if !o.finished {
+		return nil, nil
 	}
+	o.scratch.Rewind()
+	if o.done {
+		return nil, nil
+	}
+	if !o.prepared {
+		if err := o.prepareOutput(); err != nil {
+			return nil, err
+		}
+	}
+	for o.emitAt == o.table.Len() {
+		if o.drained() {
+			o.endOutput()
+			return nil, nil
+		}
+		if err := o.readPartition(); err != nil {
+			return nil, err
+		}
+	}
+	var lent *block.Arena
+	if o.lend {
+		lent = &o.scratch
+	}
+	sel := block.Lease[int32](&o.scratch, min(o.pageSize, o.table.Len()-o.emitAt))
+	for i := range sel {
+		sel[i] = int32(o.emitAt + i)
+	}
+	o.emitAt += len(sel)
+	cols := o.keyBlocks(lent, sel, len(o.accs))
+	for i := range o.accs {
+		cols = append(cols, o.accs[i].resultBlock(lent, sel))
+	}
+	if o.emitAt == o.table.Len() && o.drained() {
+		o.endOutput()
+	}
+	p := block.NewPage(cols...)
+	o.ctx.recordOut(p)
+	return p, nil
+}
+
+// drained reports whether no spilled partition is left to read.
+func (o *HashAggregationOperator) drained() bool {
+	return len(o.spillFiles) == 0 || o.nextPart == spillPartitions
+}
+
+// readPartition reads the cursor's next spilled hash partition back into the
+// table, emptied for it: its pages go through the lookup AddInput uses and
+// their state columns merge by group id (mergeSpilledPage). A partition pass
+// reads only that partition's extents of each file, so every record is read
+// once, and peak memory stays about 1/spillPartitions of the table (§IV-F2).
+func (o *HashAggregationOperator) readPartition() error {
+	o.resetTableLocked()
+	o.emitAt = 0
+	pages := spillPartIter{files: o.spillFiles, part: o.nextPart}
+	o.nextPart++
+	for {
+		p, err := pages.next()
+		if err == nil && p != nil {
+			err = o.mergeSpilledPage(p)
+		}
+		if err != nil {
+			pages.close()
+			return err
+		}
+		if p == nil {
+			return nil
+		}
+	}
+}
+
+// endOutput ends the cursor: every group has been emitted, so the table goes
+// back to the pool and the spill files are removed.
+func (o *HashAggregationOperator) endOutput() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for _, name := range files {
+	for _, name := range o.spillFiles {
 		spill.Remove(name)
 	}
 	o.spillFiles = nil
 	o.dropTableLocked()
 	o.bytes = 0
-	return nil
-}
-
-// emitGroups renders every group of the table into output pages, a column at
-// a time: each output block owns a gather of the vector (or of the table's
-// cells) it reads, so nothing is boxed and the table's arrays stay the
-// table's.
-func (o *HashAggregationOperator) emitGroups() {
-	n := o.table.Len()
-	ids := block.Lease[int32](&o.scratch, min(o.pageSize, n))
-	for lo := 0; lo < n; lo += o.pageSize {
-		sel := ids[:min(o.pageSize, n-lo)]
-		for i := range sel {
-			sel[i] = int32(lo + i)
-		}
-		cols := o.keyBlocks(sel, len(o.accs))
-		for i := range o.accs {
-			cols = append(cols, o.accs[i].resultBlock(sel))
-		}
-		o.out = append(o.out, block.NewPage(cols...))
-	}
+	o.done = true
 }
 
 // keyBlocks renders the group-key columns of the selected groups, with room
-// for extra more columns behind them.
-func (o *HashAggregationOperator) keyBlocks(sel []int32, extra int) []block.Block {
+// for extra more columns behind them, their vectors leased from a, or made
+// when a is nil.
+func (o *HashAggregationOperator) keyBlocks(a *block.Arena, sel []int32, extra int) []block.Block {
 	cols := make([]block.Block, 0, len(o.keys)+extra)
 	for k, v := range o.keys {
 		if v != nil {
-			cols = append(cols, v.block(sel))
+			cols = append(cols, v.block(a, sel))
 		} else {
-			cols = append(cols, o.table.cellBlock(k, o.groupTs[k], sel))
+			cols = append(cols, o.table.cellBlock(a, k, o.groupTs[k], sel))
 		}
 	}
 	return cols
 }
 
-func (o *HashAggregationOperator) Output() (*block.Page, error) {
-	if !o.finished {
-		return nil, nil
-	}
-	if err := o.prepareOutput(); err != nil {
-		return nil, err
-	}
-	if o.outPos >= len(o.out) {
-		return nil, nil
-	}
-	p := o.out[o.outPos]
-	o.outPos++
-	o.ctx.recordOut(p)
-	return p, nil
-}
-
-func (o *HashAggregationOperator) IsFinished() bool {
-	return o.finished && o.prepared && o.outPos >= len(o.out)
-}
-func (o *HashAggregationOperator) IsBlocked() bool { return false }
+// IsFinished: the cursor has emitted the last page.
+func (o *HashAggregationOperator) IsFinished() bool { return o.done }
+func (o *HashAggregationOperator) IsBlocked() bool  { return false }
 
 // Scratch implements ScratchHolder.
 func (o *HashAggregationOperator) Scratch() *block.Arena { return &o.scratch }
@@ -818,7 +850,7 @@ func (o *HashAggregationOperator) Close() error {
 	}
 	o.spillFiles = nil
 	o.dropTableLocked()
-	o.bytes, o.out = 0, nil
+	o.bytes = 0
 	o.mu.Unlock()
 	o.ctx.Mem.Close() // outside o.mu, as syncMem
 	return nil
@@ -949,21 +981,21 @@ func (o *HashAggregationOperator) spillLocked() (int64, error) {
 // spillPage is the columnar on-disk form of the selected groups: the
 // group-key columns, then each aggregate's state vectors (spillStateCols).
 func (o *HashAggregationOperator) spillPage(sel []int32) *block.Page {
-	cols := o.keyBlocks(sel, 2*len(o.accs))
+	cols := o.keyBlocks(nil, sel, 2*len(o.accs))
 	for i := range o.accs {
 		a := &o.accs[i]
 		switch a.spec.Func {
 		case plan.AggMin, plan.AggMax:
-			cols = append(cols, &block.BoolBlock{Vals: pick(a.mm.has, sel)}, a.mm.block(sel))
+			cols = append(cols, &block.BoolBlock{Vals: pick(nil, a.mm.has, sel)}, a.mm.block(nil, sel))
 		case plan.AggSum, plan.AggAvg:
-			cols = append(cols, block.NewLongBlock(pick(a.count, sel), nil))
+			cols = append(cols, block.NewLongBlock(pick(nil, a.count, sel), nil))
 			if a.floatSum {
-				cols = append(cols, &block.DoubleBlock{Vals: pick(a.sumF, sel)})
+				cols = append(cols, &block.DoubleBlock{Vals: pick(nil, a.sumF, sel)})
 			} else {
-				cols = append(cols, block.NewLongBlock(pick(a.sumI, sel), nil))
+				cols = append(cols, block.NewLongBlock(pick(nil, a.sumI, sel), nil))
 			}
 		default:
-			cols = append(cols, block.NewLongBlock(pick(a.count, sel), nil))
+			cols = append(cols, block.NewLongBlock(pick(nil, a.count, sel), nil))
 		}
 	}
 	return block.NewPage(cols...)

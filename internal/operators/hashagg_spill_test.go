@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/plan"
+	"repro/internal/spill"
 	"repro/internal/types"
 )
 
@@ -146,6 +147,71 @@ func TestFixedTableRehashesAsBatchKeys(t *testing.T) {
 		}
 		if tab.hashes != nil {
 			t.Errorf("columns %v: a fixed-layout table holds %d hashes", cols, cap(tab.hashes))
+		}
+	}
+}
+
+// aggPages drives op's output to its end, as a driver does, and returns the
+// pages.
+func aggPages(tb testing.TB, op *HashAggregationOperator) []*block.Page {
+	tb.Helper()
+	var pages []*block.Page
+	for !op.IsFinished() {
+		p, err := op.Output()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if p != nil {
+			pages = append(pages, p)
+		}
+	}
+	return pages
+}
+
+// TestSpilledDrainEmitsAPartitionAtATime: a spilled aggregation reads its
+// files back one hash partition at a time and emits each partition's groups
+// before it reads the next (§IV-F2), so its first page arrives having read
+// about a sixteenth of what it spilled — not the whole file, with every group
+// buffered in unaccounted pages. The bound is a quarter. The rows are the
+// unspilled run's.
+func TestSpilledDrainEmitsAPartitionAtATime(t *testing.T) {
+	const groups = 100_000
+	newAgg := func(spill bool) *HashAggregationOperator {
+		op := NewHashAggregation(NopContext(), []int{0}, []types.Type{types.Bigint}, threeAggs, spill, 0, 0)
+		op.SetSpillDir(t.TempDir())
+		fixedKeyPages(t, groups, op.AddInput)
+		return op
+	}
+	want := newAgg(false)
+	want.Finish()
+	wantRows := sortedRows(aggPages(t, want))
+	want.Close()
+
+	op := newAgg(true)
+	written := spill.CurrentStats().BytesWritten
+	if n, err := op.Revoke(); err != nil || n == 0 {
+		t.Fatalf("Revoke freed %d bytes, err %v", n, err)
+	}
+	written = spill.CurrentStats().BytesWritten - written
+	op.Finish()
+	read := spill.CurrentStats().BytesRead
+	first, err := op.Output()
+	if err != nil || first == nil {
+		t.Fatalf("first page: %v %v", first, err)
+	}
+	read = spill.CurrentStats().BytesRead - read
+	t.Logf("the first page of %d spilled groups read %d of %d spill bytes", groups, read, written)
+	if read > written/4 {
+		t.Errorf("the first page read %d of %d spill bytes, want at most a quarter: the drain reads every partition before it emits", read, written)
+	}
+	got := sortedRows(append([]*block.Page{first}, aggPages(t, op)...))
+	op.Close()
+	if len(got) != len(wantRows) {
+		t.Fatalf("spilled run: %d rows, unspilled %d", len(got), len(wantRows))
+	}
+	for i := range got {
+		if got[i] != wantRows[i] {
+			t.Fatalf("row %d: spilled %q, unspilled %q", i, got[i], wantRows[i])
 		}
 	}
 }

@@ -355,19 +355,22 @@ func (t *keyTable) sameKey(q, e int) bool {
 // normalized cells. It serves the key types whose cell is the value: BIGINT
 // and DATE (the payload), BOOLEAN (payload 0 or 1), NULL (the tag). A
 // double's cell is not its value — -0.0 shares 0's — so double keys are kept
-// in a valueVec beside the table.
-func (t *keyTable) cellBlock(k int, typ types.Type, sel []int32) block.Block {
+// in a valueVec beside the table. The block's vectors are leased from a, or
+// made when a is nil.
+func (t *keyTable) cellBlock(a *block.Arena, k int, typ types.Type, sel []int32) block.Block {
 	var nulls []bool
 	setNull := func(i int) {
 		if nulls == nil {
-			nulls = make([]bool, len(sel))
+			nulls = block.Lease[bool](a, len(sel))
+			clear(nulls)
 		}
 		nulls[i] = true
 	}
 	if typ == types.Boolean {
-		vals := make([]bool, len(sel))
+		vals := block.Lease[bool](a, len(sel))
 		for i, id := range sel {
 			if c := int(id)*t.nk + k; t.tags[c] == cellNull {
+				vals[i] = false
 				setNull(i)
 			} else {
 				vals[i] = t.cells[c] == 1
@@ -375,9 +378,10 @@ func (t *keyTable) cellBlock(k int, typ types.Type, sel []int32) block.Block {
 		}
 		return &block.BoolBlock{Vals: vals, Nulls: nulls}
 	}
-	vals := make([]int64, len(sel))
+	vals := block.Lease[int64](a, len(sel))
 	for i, id := range sel {
 		if c := int(id)*t.nk + k; t.tags[c] == cellNull {
+			vals[i] = 0
 			setNull(i)
 		} else {
 			vals[i] = int64(t.cells[c])
@@ -415,9 +419,10 @@ func truncate[T any](s []T) []T {
 	return s[:0]
 }
 
-// pick gathers v at the selected ids into a slice a block can own.
-func pick[T any](v []T, sel []int32) []T {
-	out := make([]T, len(sel))
+// pick gathers v at the selected ids into a vector leased from a, or made
+// when a is nil.
+func pick[T block.Elem](a *block.Arena, v []T, sel []int32) []T {
+	out := block.Lease[T](a, len(sel))
 	for i, id := range sel {
 		out[i] = v[id]
 	}
@@ -425,14 +430,16 @@ func pick[T any](v []T, sel []int32) []T {
 }
 
 // zeroMask marks the selected entries of v that are zero — the groups no
-// value reached, whose result is NULL; nil when there are none.
-func zeroMask[T comparable](v []T, sel []int32) []bool {
+// value reached, whose result is NULL; nil when there are none. The mask is
+// leased from a, or made when a is nil.
+func zeroMask[T comparable](a *block.Arena, v []T, sel []int32) []bool {
 	var zero T
 	var mask []bool
 	for i, id := range sel {
 		if v[id] == zero {
 			if mask == nil {
-				mask = make([]bool, len(sel))
+				mask = block.Lease[bool](a, len(sel))
+				clear(mask)
 			}
 			mask[i] = true
 		}
@@ -598,21 +605,23 @@ func compareOrdered[T int64 | float64](a, b T) int {
 	return 0
 }
 
-// block gathers the selected entries into a block of the vec's type.
-func (v *valueVec) block(sel []int32) block.Block {
-	nulls := zeroMask(v.has, sel)
+// block gathers the selected entries into a block of the vec's type, its
+// vectors leased from a, or made when a is nil; a boxed type's are made.
+func (v *valueVec) block(a *block.Arena, sel []int32) block.Block {
+	nulls := zeroMask(a, v.has, sel)
 	switch v.t {
 	case types.Bigint, types.Date:
-		return &block.LongBlock{T: v.t, Vals: pick(v.longs, sel), Nulls: nulls}
+		return &block.LongBlock{T: v.t, Vals: pick(a, v.longs, sel), Nulls: nulls}
 	case types.Double:
-		return &block.DoubleBlock{Vals: pick(v.doubles, sel), Nulls: nulls}
+		return &block.DoubleBlock{Vals: pick(a, v.doubles, sel), Nulls: nulls}
 	case types.Varchar:
-		return &block.VarcharBlock{Vals: pick(v.strs, sel), Nulls: nulls}
+		return &block.VarcharBlock{Vals: pick(a, v.strs, sel), Nulls: nulls}
 	case types.Boolean:
-		return &block.BoolBlock{Vals: pick(v.bools, sel), Nulls: nulls}
+		return &block.BoolBlock{Vals: pick(a, v.bools, sel), Nulls: nulls}
 	}
-	vals := pick(v.boxed, sel)
-	for i := range vals {
+	vals := make([]types.Value, len(sel))
+	for i, id := range sel {
+		vals[i] = v.boxed[id]
 		if nulls != nil && nulls[i] {
 			vals[i] = types.NullValue(v.t)
 		}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/block"
 	"repro/internal/expr"
 	"repro/internal/memory"
@@ -109,6 +110,8 @@ func TestGroupTableBytesPerGroup(t *testing.T) {
 		{Func: plan.AggCount, ArgCol: 1, Out: types.Bigint},
 		{Func: plan.AggCountMerge, ArgCol: 1, Out: types.Bigint},
 	}
+	// The small table below leases its scratch from what the loop releases.
+	alloctest.HoldCollections(t)
 	for _, tc := range []struct {
 		name  string
 		specs []AggSpec

@@ -4,11 +4,11 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/block"
 	"repro/internal/memory"
 	"repro/internal/plan"
@@ -121,9 +121,7 @@ func TestSecondJoinBuildReusesItsIndex(t *testing.T) {
 	const rows = 200_000
 	pages := buildKeyPages(rows, rows)
 	first := buildBridge(t, []int{0}, pages...)
-	// No collection between the give-back and the lease: the pool drops what
-	// stays idle through two, which a busy machine can fit in that window.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	alloctest.HoldCollections(t) // from the give-back to the lease
 	first.AddProbe()
 	first.NoMoreProbes()
 	ts := []types.Type{types.Bigint, types.Bigint}
@@ -169,10 +167,12 @@ func TestSecondGroupTableReusesItsArrays(t *testing.T) {
 	}
 	first := newAgg()
 	fill(first)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // as in TestSecondJoinBuildReusesItsIndex
+	alloctest.HoldCollections(t)
 	first.Finish()
-	if p, err := first.Output(); err != nil || p == nil {
-		t.Fatalf("first output: %v %v", p, err)
+	for !first.IsFinished() {
+		if _, err := first.Output(); err != nil {
+			t.Fatalf("first output: %v", err)
+		}
 	}
 	if first.table != nil {
 		t.Fatal("the first aggregation kept its table once its groups were emitted")

@@ -18,15 +18,19 @@
 #                             # tables + dictionary paths (guards, stats,
 #                             # a panicking operator fails one query)
 #                             # + borrowed-page and released-scratch
-#                             # poison run (lazy lake scans lending
+#                             # poison run (lazy lake scans and
+#                             # aggregations into hash sinks lending
 #                             # included) + non-race allocation
 #                             # ceilings (page codec, group table —
 #                             # presized from its estimate, a wrong
 #                             # estimate changing no row — join build
 #                             # and probe, dynamically filtered scan,
-#                             # spill, a second driver's first page on
-#                             # leased scratch, a lazy lake scan decoding
-#                             # into scratch) and bench smokes
+#                             # spill, a spilled drain's first page
+#                             # after one partition, a second driver's
+#                             # first page on leased scratch, a lazy
+#                             # lake scan decoding into scratch, an
+#                             # aggregation into a hash sink copying
+#                             # once) and bench smokes
 #                             # + configuration (one switch set: cluster vs
 #                             # session twins, the switch headers, TaskConfig
 #                             # and fragments on the wire, non-finite doubles
@@ -205,14 +209,20 @@ fi
 go test -race -count=1 ./internal/orcish/ ./internal/connectors/hive/
 go test -race -count=1 -run 'TestScanBytesReadAreFetchedBytes|TestChaosDamagedLakeFile' .
 
-echo "==> borrowed pages and released scratch are never read late (poison linked on under the differential walls)"
+echo "==> borrowed pages and released scratch are never read late (poison linked on under the differential walls; an aggregation lending to a hash sink included)"
 # expr.poisonBorrowed makes every scratch arena poison the vectors it takes
-# back: an operator that lends its output — a page processor, a lookup join —
-# has its lent vectors overwritten before every page, and a finishing driver
-# its every vector as it releases them; only a linker flag (or a test, for
-# itself: TestJoinLentVectorsArePoisoned over flat vectors and over the index
-# vectors of dictionary probe and build columns,
-# TestFinishedDriverPoisonsItsScratch) can set it. The walls that reach an
+# back: an operator that lends its output — a page processor, a lookup join,
+# an aggregation — has its lent vectors overwritten before every page, and a
+# finishing driver its every vector as it releases them; only a linker flag
+# (or a test, for itself: TestJoinLentVectorsArePoisoned over flat vectors and
+# over the index vectors of dictionary probe and build columns,
+# TestAggregationLentVectorsArePoisoned over keys given back from the table's
+# cells and kept beside it and every aggregate's result,
+# TestFinishedDriverPoisonsItsScratch) can set it. A hash sink over more than
+# one partition copies every row, so whatever feeds it lends:
+# TestLentAggregationDifferential runs high-cardinality GROUP BYs whose partial
+# aggregations lend to a two-partition hash shuffle against an interpreted
+# one-worker cluster. The walls that reach an
 # aggregation or a join through a lender live in these four packages (the
 # root package's tables are stored dictionary-encoded, so its walls read a
 # processor's lent index vectors; ./internal/exec holds the processor
@@ -242,8 +252,10 @@ echo "==> what a group, a build row and a probe row cost: allocation ceilings, a
 # one output page of pairs at a time. Tables lease their arrays from the table
 # pool: a second join build after the first one's probes ended, and a second
 # presized aggregation after the first one emitted, allocate under a byte a
-# row or group (warm-pool ceilings).
-go test -count=1 -v -run 'TestSecondJoinBuildReusesItsIndex|TestSecondGroupTableReusesItsArrays|TestAggSpillAllocationCeiling|TestGroupTableBytesPerGroup|TestGroupTableAllocatesOnce|TestPresizedTableReservesWhatItHolds|TestPresizeIsAHint|TestFinishedAggregationDropsItsTable|TestFixedTableRehashesAsBatchKeys|TestJoinBuildBytesPerRow|TestJoinBuildAllocatesOnce|TestJoinProbeAllocationCeiling|TestKeylessProbeAllocationFlat|TestCrossJoinOutputBounded|TestHashAggAccountingMatchesHeap|TestJoinBuildAccountingMatchesHeap' ./internal/operators/ | grep -E '^(---|ok|FAIL|panic)|bytes'
+# row or group (warm-pool ceilings). A spilled aggregation's first page
+# arrives having read at most a quarter of what it spilled: the drain emits a
+# partition before it reads the next.
+go test -count=1 -v -run 'TestSecondJoinBuildReusesItsIndex|TestSecondGroupTableReusesItsArrays|TestAggSpillAllocationCeiling|TestSpilledDrainEmitsAPartitionAtATime|TestGroupTableBytesPerGroup|TestGroupTableAllocatesOnce|TestPresizedTableReservesWhatItHolds|TestPresizeIsAHint|TestFinishedAggregationDropsItsTable|TestFixedTableRehashesAsBatchKeys|TestJoinBuildBytesPerRow|TestJoinBuildAllocatesOnce|TestJoinProbeAllocationCeiling|TestKeylessProbeAllocationFlat|TestCrossJoinOutputBounded|TestHashAggAccountingMatchesHeap|TestJoinBuildAccountingMatchesHeap' ./internal/operators/ | grep -E '^(---|ok|FAIL|panic)|bytes'
 go test -count=1 -run 'TestGroupsPerInstance' ./internal/exec/
 go test -count=1 -run 'TestGroupEstimate' .
 go test -run '^$' -bench 'AggSpillRevokeDrain|HashJoinProbeParallel' -benchtime 1x -benchmem ./internal/operators/ > /dev/null
@@ -251,13 +263,18 @@ go test -run '^$' -bench 'KeyTableFixed1' -benchtime 20x -benchmem ./internal/op
 go test -run '^$' -bench 'HashJoinBuildParallel' -benchtime 5x -benchmem -cpu 1,2 ./internal/operators/ | grep '^Benchmark'
 go test -run '^$' -bench 'HashAggBigintKey|HashJoinBuildProbe|HashJoinDictKey' -benchtime 5x -benchmem . | grep '^Benchmark'
 
-echo "==> filter -> project -> aggregate (flat and dictionary group keys; a second driver from its first page), dynamically filtered scan -> join -> aggregate and lazy lake scan -> filter -> aggregate allocation ceilings, scratch leases + bench smoke (no -race, same reason)"
+echo "==> filter -> project -> aggregate (flat and dictionary group keys; a second driver from its first page), dynamically filtered scan -> join -> aggregate, lazy lake scan -> filter -> aggregate and aggregate -> hash sink allocation ceilings, scratch leases + bench smoke (no -race, same reason)"
 # Scratch is a lease (DESIGN.md "Scratch"): a driver's vectors go back to the
 # pool when it finishes, so a second h01 driver and a fresh processor's
 # selections allocate nothing for theirs on their first page; the arena's
 # leases, rewinds, poison and lease check; one compiled program on two
-# goroutines (-race: no kernel writes a slice it captured).
-go test -count=1 -v -run 'TestFilterProjectAggAllocationCeiling|TestDynFilteredScanGathersOnce|TestLazyLakeScanAllocationCeiling' ./internal/exec/ | grep -E '^(---|ok|FAIL|panic)|bytes'
+# goroutines (-race: no kernel writes a slice it captured). A partial
+# aggregation into a two-partition hash sink writes each group once: the
+# sink's copy, from pages the aggregation lends it. The warm-pool ceilings
+# hold the collector off from the warm-up's release to the end of the
+# measurement (alloctest.HoldCollections): a collection in that window empties
+# the pools they count on.
+go test -count=1 -v -run 'TestFilterProjectAggAllocationCeiling|TestDynFilteredScanGathersOnce|TestLazyLakeScanAllocationCeiling|TestAggregationIntoHashSinkCopiesOnce|TestHashSinksTakeLentPages' ./internal/exec/ | grep -E '^(---|ok|FAIL|panic)|bytes'
 go test -count=1 -run 'TestSelectionScratchSizedBySurvivors' ./internal/expr/
 go test -count=1 -run 'TestArena' ./internal/block/
 go test -race -count=10 -run 'TestProgramSharedByGoroutines' ./internal/expr/
