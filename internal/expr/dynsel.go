@@ -11,9 +11,10 @@ import (
 // the processor's own (PageProcessor.SetDynamicFilters). The kernels follow
 // the same shape as the static ones in vecfilter.go — typed flat-slice loops,
 // once-per-run RLE decisions, once-per-entry dictionary verdicts — with
-// membership delegated to the summary's normalized-cell testers. NULL probe
-// keys never pass (they cannot match any build row, and filters only attach
-// to join types whose output drops unmatched probe rows).
+// membership delegated to the summary's normalized-cell testers, and flat
+// columns appended by predication. NULL probe keys never pass (they cannot
+// match any build row, and filters only attach to join types whose output
+// drops unmatched probe rows).
 
 // SelVector is the exported name of the selection-kernel shape (vecfilter's
 // selFn): another package holds the kernels and hands them to a processor
@@ -45,33 +46,16 @@ func dynSelLong(idx int, s *dynfilter.Summary) SelVector {
 		b := unwrapLazy(in.p.Col(idx))
 		switch col := b.(type) {
 		case *block.LongBlock:
-			nulls := col.Nulls
-			for _, r := range rows {
-				if nulls != nil && nulls[r] {
-					continue
-				}
-				if s.MatchLong(col.Vals[r]) {
-					out = append(out, r)
-				}
-			}
-			return out
+			return dynSelLongs(s, col.Vals, col.Nulls, rows, out)
 		case *block.RLEBlock:
-			if !col.Val.IsNull(0) && s.MatchLong(col.Val.Long(0)) {
-				return append(out, rows...)
-			}
-			return out
+			return selRun(!col.Val.IsNull(0) && s.MatchLong(col.Val.Long(0)), rows, out)
 		case *block.DictionaryBlock:
 			d := col.Dict
 			verdict := block.Lease[bool](in.scratch, d.Len())
 			for k := range verdict {
 				verdict[k] = !d.IsNull(k) && s.MatchLong(d.Long(k))
 			}
-			for _, r := range rows {
-				if verdict[col.Indices[r]] {
-					out = append(out, r)
-				}
-			}
-			return out
+			return selVerdicts(verdict, col.Indices, rows, out)
 		default:
 			for _, r := range rows {
 				if !b.IsNull(r) && s.MatchLong(b.Long(r)) {
@@ -88,45 +72,19 @@ func dynSelDouble(idx int, s *dynfilter.Summary) SelVector {
 		b := unwrapLazy(in.p.Col(idx))
 		switch col := b.(type) {
 		case *block.DoubleBlock:
-			nulls := col.Nulls
-			for _, r := range rows {
-				if nulls != nil && nulls[r] {
-					continue
-				}
-				if s.MatchDouble(col.Vals[r]) {
-					out = append(out, r)
-				}
-			}
-			return out
+			return dynSelDoubles(s, col.Vals, col.Nulls, rows, out)
 		case *block.LongBlock:
 			// Bigint/Date probe column joined against a double build key.
-			nulls := col.Nulls
-			for _, r := range rows {
-				if nulls != nil && nulls[r] {
-					continue
-				}
-				if s.MatchLong(col.Vals[r]) {
-					out = append(out, r)
-				}
-			}
-			return out
+			return dynSelLongs(s, col.Vals, col.Nulls, rows, out)
 		case *block.RLEBlock:
-			if !col.Val.IsNull(0) && s.MatchValue(col.Val.Value(0)) {
-				return append(out, rows...)
-			}
-			return out
+			return selRun(!col.Val.IsNull(0) && s.MatchValue(col.Val.Value(0)), rows, out)
 		case *block.DictionaryBlock:
 			d := col.Dict
 			verdict := block.Lease[bool](in.scratch, d.Len())
 			for k := range verdict {
 				verdict[k] = !d.IsNull(k) && s.MatchValue(d.Value(k))
 			}
-			for _, r := range rows {
-				if verdict[col.Indices[r]] {
-					out = append(out, r)
-				}
-			}
-			return out
+			return selVerdicts(verdict, col.Indices, rows, out)
 		default:
 			for _, r := range rows {
 				if !b.IsNull(r) && s.MatchValue(b.Value(r)) {
@@ -143,33 +101,16 @@ func dynSelStr(idx int, s *dynfilter.Summary) SelVector {
 		b := unwrapLazy(in.p.Col(idx))
 		switch col := b.(type) {
 		case *block.VarcharBlock:
-			nulls := col.Nulls
-			for _, r := range rows {
-				if nulls != nil && nulls[r] {
-					continue
-				}
-				if s.MatchStr(col.Vals[r]) {
-					out = append(out, r)
-				}
-			}
-			return out
+			return dynSelStrs(s, col.Vals, col.Nulls, rows, out)
 		case *block.RLEBlock:
-			if !col.Val.IsNull(0) && s.MatchStr(col.Val.Str(0)) {
-				return append(out, rows...)
-			}
-			return out
+			return selRun(!col.Val.IsNull(0) && s.MatchStr(col.Val.Str(0)), rows, out)
 		case *block.DictionaryBlock:
 			d := col.Dict
 			verdict := block.Lease[bool](in.scratch, d.Len())
 			for k := range verdict {
 				verdict[k] = !d.IsNull(k) && s.MatchStr(d.Str(k))
 			}
-			for _, r := range rows {
-				if verdict[col.Indices[r]] {
-					out = append(out, r)
-				}
-			}
-			return out
+			return selVerdicts(verdict, col.Indices, rows, out)
 		default:
 			for _, r := range rows {
 				if !b.IsNull(r) && s.MatchStr(b.Str(r)) {
@@ -185,10 +126,7 @@ func dynSelBool(idx int, s *dynfilter.Summary) SelVector {
 	return func(in *vecInput, rows, out []int) []int {
 		b := unwrapLazy(in.p.Col(idx))
 		if col, ok := b.(*block.RLEBlock); ok {
-			if !col.Val.IsNull(0) && s.MatchBool(col.Val.Bool(0)) {
-				return append(out, rows...)
-			}
-			return out
+			return selRun(!col.Val.IsNull(0) && s.MatchBool(col.Val.Bool(0)), rows, out)
 		}
 		for _, r := range rows {
 			if !b.IsNull(r) && s.MatchBool(b.Bool(r)) {
@@ -197,4 +135,58 @@ func dynSelBool(idx int, s *dynfilter.Summary) SelVector {
 		}
 		return out
 	}
+}
+
+// dynSelLongs, dynSelDoubles and dynSelStrs append the rows r of rows whose
+// non-NULL vals[r] the summary may hold, by predication: a probe filter
+// passes most rows, and its test decides no branch.
+func dynSelLongs(s *dynfilter.Summary, vals []int64, nulls []bool, rows, out []int) []int {
+	base := len(out)
+	buf, k := out[base:base+len(rows)], 0
+	if nulls == nil {
+		for _, r := range rows {
+			buf[k] = r
+			k += b2i(s.MatchLong(vals[r]))
+		}
+	} else {
+		for _, r := range rows {
+			buf[k] = r
+			k += b2i(!nulls[r]) & b2i(s.MatchLong(vals[r]))
+		}
+	}
+	return out[:base+k]
+}
+
+func dynSelDoubles(s *dynfilter.Summary, vals []float64, nulls []bool, rows, out []int) []int {
+	base := len(out)
+	buf, k := out[base:base+len(rows)], 0
+	if nulls == nil {
+		for _, r := range rows {
+			buf[k] = r
+			k += b2i(s.MatchDouble(vals[r]))
+		}
+	} else {
+		for _, r := range rows {
+			buf[k] = r
+			k += b2i(!nulls[r]) & b2i(s.MatchDouble(vals[r]))
+		}
+	}
+	return out[:base+k]
+}
+
+func dynSelStrs(s *dynfilter.Summary, vals []string, nulls []bool, rows, out []int) []int {
+	base := len(out)
+	buf, k := out[base:base+len(rows)], 0
+	if nulls == nil {
+		for _, r := range rows {
+			buf[k] = r
+			k += b2i(s.MatchStr(vals[r]))
+		}
+	} else {
+		for _, r := range rows {
+			buf[k] = r
+			k += b2i(!nulls[r]) & b2i(s.MatchStr(vals[r]))
+		}
+	}
+	return out[:base+k]
 }

@@ -12,14 +12,17 @@ import "strings"
 func Fingerprint(e Expr) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
-	for _, s := range [...]string{e.Type().String(), "|", canonicalKey(e)} {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime
-		}
+	s := CanonicalKey(e)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime
 	}
 	return h
 }
+
+// CanonicalKey renders e and its type unambiguously: two expressions with one
+// key compute the same value from the same row, if they are deterministic.
+func CanonicalKey(e Expr) string { return e.Type().String() + "|" + canonicalKey(e) }
 
 // canonicalKey renders e unambiguously. Expr.String is close, but a few
 // nodes render degenerately for EXPLAIN (Case prints "CASE(...)",

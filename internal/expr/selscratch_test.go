@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/block"
 	"repro/internal/types"
 )
@@ -45,6 +46,11 @@ func TestSelectionScratchSizedBySurvivors(t *testing.T) {
 		}
 		// Warm the pool as finished drivers do, with a few processors' worth:
 		// each pool keeps one vector per thread that only that thread sees.
+		// A collection after the warm-up gives its vectors back empties the
+		// pool the measurement leases from (one forced there costs the point
+		// selection 536 bytes, two 35 184), so none may start until the
+		// measurement ends.
+		alloctest.HoldCollections(t)
 		var warm []*PageProcessor
 		for i := 0; i < 4; i++ {
 			for _, pred := range []Expr{point, all} {

@@ -126,13 +126,20 @@ func selVecBool(e Expr, k boolKernel, neg bool) selFn {
 			// failing row just does not pass: decide the batch row by row.
 			return interp(in, rows, out)
 		}
-		for i, r := range rows {
-			if !nulls[i] && vals[i] != neg {
-				out = append(out, r)
-			}
-		}
-		return out
+		return selBools(vals, nulls, neg, rows, out)
 	}
+}
+
+// selBools appends rows[i] wherever a boolean kernel's value vals[i] is not
+// NULL and != neg, by predication.
+func selBools(vals, nulls []bool, neg bool, rows, out []int) []int {
+	base, f := len(out), b2i(neg)
+	buf, k := out[base:base+len(rows)], 0
+	for i, r := range rows {
+		buf[k] = r
+		k += b2i(!nulls[i]) & (b2i(vals[i]) ^ f)
+	}
+	return out[:base+k]
 }
 
 // selInterp evaluates e on the interpreter for each row of the current
@@ -187,25 +194,6 @@ func mergeUnion(a, b, out []int) []int {
 	return append(out, b[j:]...)
 }
 
-// negateCmp returns the complement operator: for non-null operands,
-// NOT(a op b) == a negateCmp(op) b.
-func negateCmp(op CmpOp) CmpOp {
-	switch op {
-	case CmpEq:
-		return CmpNe
-	case CmpNe:
-		return CmpEq
-	case CmpLt:
-		return CmpGe
-	case CmpLe:
-		return CmpGt
-	case CmpGt:
-		return CmpLe
-	default:
-		return CmpLt
-	}
-}
-
 // swapCmp mirrors the operator so (const op col) becomes (col swapCmp(op) const).
 func swapCmp(op CmpOp) CmpOp {
 	switch op {
@@ -239,89 +227,181 @@ func cmpOrd[T cmp.Ordered](op CmpOp, a, b T) bool {
 	}
 }
 
-// selCmpConst is the hot flat-block kernel: op is hoisted out of the loop so
-// each variant is a branch-free-per-row monomorphic scan.
-func selCmpConst[T cmp.Ordered](op CmpOp, vals []T, nulls []bool, c T, in, out []int) []int {
-	if nulls == nil {
+// b2i is 1 for true and 0 for false. The compiler makes it a flag read, not a
+// branch, so a kernel can add a test's outcome to its cursor.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// num is what the typed compare and BETWEEN kernels read and compare in: a
+// long column is compared with a double constant as a double.
+type num interface{ int64 | float64 }
+
+// A selection kernel over a flat column appends by predication: it stores
+// every candidate row at the cursor and advances the cursor by the test's
+// outcome, 0 or 1, with the null test folded into the same 0/1 and NOT
+// folded in as an exclusive or (flip). The store is unconditional, which
+// selFn's contract allows: out has room for every row of rows. No row's
+// outcome decides a branch, so the kernel costs the same at every pass ratio;
+// a kernel that branched on it would stall on every mispredicted row, most
+// often near half. The operator is switched once, outside the loop.
+
+// selCmpConst appends the rows r of rows where vals[r] op c is true, != flip,
+// and vals[r] is not NULL. When rows holds as many rows as vals has values,
+// it is every row (rows is ascending and duplicate-free), and a NULL-free
+// column is then read in order, with no row vector to read it through.
+func selCmpConst[V, T num](op CmpOp, flip bool, vals []V, nulls []bool, c T, rows, out []int) []int {
+	base, f := len(out), b2i(flip)
+	buf, k := out[base:base+len(rows)], 0
+	switch {
+	case nulls != nil:
 		switch op {
 		case CmpEq:
-			for _, r := range in {
-				if vals[r] == c {
-					out = append(out, r)
-				}
+			for _, r := range rows {
+				buf[k] = r
+				k += b2i(!nulls[r]) & (b2i(T(vals[r]) == c) ^ f)
 			}
 		case CmpNe:
-			for _, r := range in {
-				if vals[r] != c {
-					out = append(out, r)
-				}
+			for _, r := range rows {
+				buf[k] = r
+				k += b2i(!nulls[r]) & (b2i(T(vals[r]) != c) ^ f)
 			}
 		case CmpLt:
-			for _, r := range in {
-				if vals[r] < c {
-					out = append(out, r)
-				}
+			for _, r := range rows {
+				buf[k] = r
+				k += b2i(!nulls[r]) & (b2i(T(vals[r]) < c) ^ f)
 			}
 		case CmpLe:
-			for _, r := range in {
-				if vals[r] <= c {
-					out = append(out, r)
-				}
+			for _, r := range rows {
+				buf[k] = r
+				k += b2i(!nulls[r]) & (b2i(T(vals[r]) <= c) ^ f)
 			}
 		case CmpGt:
-			for _, r := range in {
-				if vals[r] > c {
-					out = append(out, r)
-				}
+			for _, r := range rows {
+				buf[k] = r
+				k += b2i(!nulls[r]) & (b2i(T(vals[r]) > c) ^ f)
 			}
 		default:
-			for _, r := range in {
-				if vals[r] >= c {
-					out = append(out, r)
-				}
+			for _, r := range rows {
+				buf[k] = r
+				k += b2i(!nulls[r]) & (b2i(T(vals[r]) >= c) ^ f)
 			}
 		}
-		return out
-	}
-	switch op {
-	case CmpEq:
-		for _, r := range in {
-			if !nulls[r] && vals[r] == c {
-				out = append(out, r)
+	case len(rows) == len(vals):
+		buf = buf[:len(vals)]
+		switch op {
+		case CmpEq:
+			for r, v := range vals {
+				buf[k] = r
+				k += b2i(T(v) == c) ^ f
 			}
-		}
-	case CmpNe:
-		for _, r := range in {
-			if !nulls[r] && vals[r] != c {
-				out = append(out, r)
+		case CmpNe:
+			for r, v := range vals {
+				buf[k] = r
+				k += b2i(T(v) != c) ^ f
 			}
-		}
-	case CmpLt:
-		for _, r := range in {
-			if !nulls[r] && vals[r] < c {
-				out = append(out, r)
+		case CmpLt:
+			for r, v := range vals {
+				buf[k] = r
+				k += b2i(T(v) < c) ^ f
 			}
-		}
-	case CmpLe:
-		for _, r := range in {
-			if !nulls[r] && vals[r] <= c {
-				out = append(out, r)
+		case CmpLe:
+			for r, v := range vals {
+				buf[k] = r
+				k += b2i(T(v) <= c) ^ f
 			}
-		}
-	case CmpGt:
-		for _, r := range in {
-			if !nulls[r] && vals[r] > c {
-				out = append(out, r)
+		case CmpGt:
+			for r, v := range vals {
+				buf[k] = r
+				k += b2i(T(v) > c) ^ f
+			}
+		default:
+			for r, v := range vals {
+				buf[k] = r
+				k += b2i(T(v) >= c) ^ f
 			}
 		}
 	default:
-		for _, r := range in {
-			if !nulls[r] && vals[r] >= c {
-				out = append(out, r)
+		switch op {
+		case CmpEq:
+			for _, r := range rows {
+				buf[k] = r
+				k += b2i(T(vals[r]) == c) ^ f
+			}
+		case CmpNe:
+			for _, r := range rows {
+				buf[k] = r
+				k += b2i(T(vals[r]) != c) ^ f
+			}
+		case CmpLt:
+			for _, r := range rows {
+				buf[k] = r
+				k += b2i(T(vals[r]) < c) ^ f
+			}
+		case CmpLe:
+			for _, r := range rows {
+				buf[k] = r
+				k += b2i(T(vals[r]) <= c) ^ f
+			}
+		case CmpGt:
+			for _, r := range rows {
+				buf[k] = r
+				k += b2i(T(vals[r]) > c) ^ f
+			}
+		default:
+			for _, r := range rows {
+				buf[k] = r
+				k += b2i(T(vals[r]) >= c) ^ f
 			}
 		}
 	}
-	return out
+	return out[:base+k]
+}
+
+// selBetweenConst appends the rows r of rows where lo <= vals[r] <= hi is
+// true, != flip, and vals[r] is not NULL, reading a NULL-free column in
+// order when rows is every row, as selCmpConst does. A NaN lies between no
+// bounds, so NOT BETWEEN keeps it, as the interpreter does.
+func selBetweenConst[V, T num](flip bool, vals []V, nulls []bool, lo, hi T, rows, out []int) []int {
+	base, f := len(out), b2i(flip)
+	buf, k := out[base:base+len(rows)], 0
+	switch {
+	case nulls != nil:
+		for _, r := range rows {
+			v := T(vals[r])
+			buf[k] = r
+			k += b2i(!nulls[r]) & ((b2i(v >= lo) & b2i(v <= hi)) ^ f)
+		}
+	case len(rows) == len(vals):
+		buf = buf[:len(vals)]
+		for r, x := range vals {
+			v := T(x)
+			buf[k] = r
+			k += (b2i(v >= lo) & b2i(v <= hi)) ^ f
+		}
+	default:
+		for _, r := range rows {
+			v := T(vals[r])
+			buf[k] = r
+			k += (b2i(v >= lo) & b2i(v <= hi)) ^ f
+		}
+	}
+	return out[:base+k]
+}
+
+// selStrCmpConst is selCmpConst over strings, whose compare is a call to the
+// runtime anyway.
+func selStrCmpConst(op CmpOp, flip bool, vals []string, nulls []bool, c string, rows, out []int) []int {
+	base := len(out)
+	buf, k := out[base:base+len(rows)], 0
+	for _, r := range rows {
+		buf[k] = r
+		k += b2i((nulls == nil || !nulls[r]) && cmpOrd(op, vals[r], c) != flip)
+	}
+	return out[:base+k]
 }
 
 // unwrapLazy materializes lazy columns so the kernels see the real encoding.
@@ -334,9 +414,6 @@ func unwrapLazy(b block.Block) block.Block {
 
 func (c *selCompiler) compileSelCompare(x *Compare, neg bool) (selFn, bool) {
 	op := x.Op
-	if neg {
-		op = negateCmp(op)
-	}
 	var col *ColumnRef
 	var con *Const
 	if cr, ok := x.L.(*ColumnRef); ok {
@@ -359,12 +436,14 @@ func (c *selCompiler) compileSelCompare(x *Compare, neg bool) (selFn, bool) {
 		// Comparison with NULL is NULL for every row: empty in both polarities.
 		return selNone, true
 	}
+	// NOT is the test's outcome flipped, not the complement operator: NaN
+	// fails both a < b and a >= b, so NOT (a < b) keeps it.
 	switch types.CommonType(col.T, con.Val.T) {
 	case types.Bigint, types.Date:
 		if col.T != types.Bigint && col.T != types.Date {
 			return nil, false
 		}
-		return selLongCmp(c.memo(), col.Index, op, con.Val.I), true
+		return selLongCmp(c.memo(), col.Index, op, neg, con.Val.I), true
 	case types.Double:
 		var f float64
 		switch con.Val.T {
@@ -377,19 +456,19 @@ func (c *selCompiler) compileSelCompare(x *Compare, neg bool) (selFn, bool) {
 		}
 		switch col.T {
 		case types.Double, types.Bigint, types.Date:
-			return selDoubleCmp(c.memo(), col.Index, op, f), true
+			return selDoubleCmp(c.memo(), col.Index, op, neg, f), true
 		}
 		return nil, false
 	case types.Varchar:
 		if col.T != types.Varchar || con.Val.T != types.Varchar {
 			return nil, false
 		}
-		return selStrCmp(c.memo(), col.Index, op, con.Val.S), true
+		return selStrCmp(c.memo(), col.Index, op, neg, con.Val.S), true
 	case types.Boolean:
 		if col.T != types.Boolean || con.Val.T != types.Boolean || (op != CmpEq && op != CmpNe) {
 			return nil, false
 		}
-		return selBoolCmp(col.Index, op == CmpEq, con.Val.B), true
+		return selBoolCmp(col.Index, (op == CmpEq) != neg, con.Val.B), true
 	}
 	return nil, false
 }
@@ -424,32 +503,44 @@ func selDict(s *dictSel, b block.Block, rows, out []int, test func(d block.Block
 		}
 		s.dict = d
 	}
-	verdict, indices := s.verdict, col.Indices
-	for _, r := range rows {
-		if verdict[indices[r]] {
-			out = append(out, r)
-		}
-	}
-	return out, true
+	return selVerdicts(s.verdict, col.Indices, rows, out), true
 }
 
-func selLongCmp(memo, idx int, op CmpOp, c int64) selFn {
+// selVerdicts appends the rows r of rows whose dictionary entry indices[r]
+// has a true verdict, by predication.
+func selVerdicts(verdict []bool, indices []int32, rows, out []int) []int {
+	base := len(out)
+	buf, k := out[base:base+len(rows)], 0
+	for _, r := range rows {
+		buf[k] = r
+		k += b2i(verdict[indices[r]])
+	}
+	return out[:base+k]
+}
+
+// selRun decides a page whose column is one run (RLE) by its value: every
+// row or none.
+func selRun(pass bool, rows, out []int) []int {
+	if pass {
+		return append(out, rows...)
+	}
+	return out
+}
+
+func selLongCmp(memo, idx int, op CmpOp, flip bool, c int64) selFn {
 	return func(in *vecInput, rows, out []int) []int {
 		b := unwrapLazy(in.p.Col(idx))
-		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return cmpOrd(op, d.Long(k), c) }); ok {
+		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return cmpOrd(op, d.Long(k), c) != flip }); ok {
 			return res
 		}
 		switch col := b.(type) {
 		case *block.LongBlock:
-			return selCmpConst(op, col.Vals, col.Nulls, c, rows, out)
+			return selCmpConst(op, flip, col.Vals, col.Nulls, c, rows, out)
 		case *block.RLEBlock:
-			if !col.Val.IsNull(0) && cmpOrd(op, col.Val.Long(0), c) {
-				return append(out, rows...)
-			}
-			return out
+			return selRun(!col.Val.IsNull(0) && cmpOrd(op, col.Val.Long(0), c) != flip, rows, out)
 		default:
 			for _, r := range rows {
-				if !b.IsNull(r) && cmpOrd(op, b.Long(r), c) {
+				if !b.IsNull(r) && cmpOrd(op, b.Long(r), c) != flip {
 					out = append(out, r)
 				}
 			}
@@ -458,32 +549,23 @@ func selLongCmp(memo, idx int, op CmpOp, c int64) selFn {
 	}
 }
 
-func selDoubleCmp(memo, idx int, op CmpOp, c float64) selFn {
+func selDoubleCmp(memo, idx int, op CmpOp, flip bool, c float64) selFn {
 	return func(in *vecInput, rows, out []int) []int {
 		b := unwrapLazy(in.p.Col(idx))
-		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return cmpOrd(op, d.Double(k), c) }); ok {
+		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return cmpOrd(op, d.Double(k), c) != flip }); ok {
 			return res
 		}
 		switch col := b.(type) {
 		case *block.DoubleBlock:
-			return selCmpConst(op, col.Vals, col.Nulls, c, rows, out)
+			return selCmpConst(op, flip, col.Vals, col.Nulls, c, rows, out)
 		case *block.LongBlock:
 			// Bigint/Date column widened to double by the comparison.
-			nulls := col.Nulls
-			for _, r := range rows {
-				if (nulls == nil || !nulls[r]) && cmpOrd(op, float64(col.Vals[r]), c) {
-					out = append(out, r)
-				}
-			}
-			return out
+			return selCmpConst(op, flip, col.Vals, col.Nulls, c, rows, out)
 		case *block.RLEBlock:
-			if !col.Val.IsNull(0) && cmpOrd(op, col.Val.Double(0), c) {
-				return append(out, rows...)
-			}
-			return out
+			return selRun(!col.Val.IsNull(0) && cmpOrd(op, col.Val.Double(0), c) != flip, rows, out)
 		default:
 			for _, r := range rows {
-				if !b.IsNull(r) && cmpOrd(op, b.Double(r), c) {
+				if !b.IsNull(r) && cmpOrd(op, b.Double(r), c) != flip {
 					out = append(out, r)
 				}
 			}
@@ -492,23 +574,20 @@ func selDoubleCmp(memo, idx int, op CmpOp, c float64) selFn {
 	}
 }
 
-func selStrCmp(memo, idx int, op CmpOp, c string) selFn {
+func selStrCmp(memo, idx int, op CmpOp, flip bool, c string) selFn {
 	return func(in *vecInput, rows, out []int) []int {
 		b := unwrapLazy(in.p.Col(idx))
-		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return cmpOrd(op, d.Str(k), c) }); ok {
+		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return cmpOrd(op, d.Str(k), c) != flip }); ok {
 			return res
 		}
 		switch col := b.(type) {
 		case *block.VarcharBlock:
-			return selCmpConst(op, col.Vals, col.Nulls, c, rows, out)
+			return selStrCmpConst(op, flip, col.Vals, col.Nulls, c, rows, out)
 		case *block.RLEBlock:
-			if !col.Val.IsNull(0) && cmpOrd(op, col.Val.Str(0), c) {
-				return append(out, rows...)
-			}
-			return out
+			return selRun(!col.Val.IsNull(0) && cmpOrd(op, col.Val.Str(0), c) != flip, rows, out)
 		default:
 			for _, r := range rows {
-				if !b.IsNull(r) && cmpOrd(op, b.Str(r), c) {
+				if !b.IsNull(r) && cmpOrd(op, b.Str(r), c) != flip {
 					out = append(out, r)
 				}
 			}
@@ -528,18 +607,9 @@ func selBoolCmp(idx int, eq, c bool) selFn {
 		b := unwrapLazy(in.p.Col(idx))
 		switch col := b.(type) {
 		case *block.BoolBlock:
-			nulls := col.Nulls
-			for _, r := range rows {
-				if (nulls == nil || !nulls[r]) && col.Vals[r] == want {
-					out = append(out, r)
-				}
-			}
-			return out
+			return selBoolEq(col.Vals, col.Nulls, want, rows, out)
 		case *block.RLEBlock:
-			if !col.Val.IsNull(0) && col.Val.Bool(0) == want {
-				return append(out, rows...)
-			}
-			return out
+			return selRun(!col.Val.IsNull(0) && col.Val.Bool(0) == want, rows, out)
 		default:
 			for _, r := range rows {
 				if !b.IsNull(r) && b.Bool(r) == want {
@@ -549,6 +619,25 @@ func selBoolCmp(idx int, eq, c bool) selFn {
 			return out
 		}
 	}
+}
+
+// selBoolEq appends the rows r of rows where vals[r] == want and is not
+// NULL, by predication.
+func selBoolEq(vals, nulls []bool, want bool, rows, out []int) []int {
+	base := len(out)
+	buf, k := out[base:base+len(rows)], 0
+	if nulls == nil {
+		for _, r := range rows {
+			buf[k] = r
+			k += b2i(vals[r] == want)
+		}
+	} else {
+		for _, r := range rows {
+			buf[k] = r
+			k += b2i(!nulls[r]) & b2i(vals[r] == want)
+		}
+	}
+	return out[:base+k]
 }
 
 // selBoolCol selects rows where a boolean column is definitely true
@@ -562,10 +651,7 @@ func selIsNull(idx int, flip bool) selFn {
 	return func(in *vecInput, rows, out []int) []int {
 		b := unwrapLazy(in.p.Col(idx))
 		if col, ok := b.(*block.RLEBlock); ok {
-			if col.Val.IsNull(0) != flip {
-				return append(out, rows...)
-			}
-			return out
+			return selRun(col.Val.IsNull(0) != flip, rows, out)
 		}
 		for _, r := range rows {
 			if b.IsNull(r) != flip {
@@ -614,54 +700,29 @@ func (c *selCompiler) compileSelBetween(x *Between, neg bool) (selFn, bool) {
 		if !lok || !hok || (col.T != types.Double && !longT(col.T)) {
 			return nil, false
 		}
-		return selBetweenDouble(col.Index, lf, hf, flip), true
+		return selBetweenDouble(c.memo(), col.Index, lf, hf, flip), true
 	}
 	return nil, false
 }
 
+// between is BETWEEN's test on one value.
+func between[T num](v, lo, hi T) bool { return v >= lo && v <= hi }
+
 func selBetweenLong(memo, idx int, lo, hi int64, flip bool) selFn {
 	return func(in *vecInput, rows, out []int) []int {
 		b := unwrapLazy(in.p.Col(idx))
-		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return (d.Long(k) >= lo && d.Long(k) <= hi) != flip }); ok {
+		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return between(d.Long(k), lo, hi) != flip }); ok {
 			return res
 		}
 		switch col := b.(type) {
 		case *block.LongBlock:
-			nulls := col.Nulls
-			if nulls == nil && !flip {
-				for _, r := range rows {
-					v := col.Vals[r]
-					if v >= lo && v <= hi {
-						out = append(out, r)
-					}
-				}
-				return out
-			}
-			for _, r := range rows {
-				if nulls != nil && nulls[r] {
-					continue
-				}
-				v := col.Vals[r]
-				if (v >= lo && v <= hi) != flip {
-					out = append(out, r)
-				}
-			}
-			return out
+			return selBetweenConst(flip, col.Vals, col.Nulls, lo, hi, rows, out)
 		case *block.RLEBlock:
-			if !col.Val.IsNull(0) {
-				v := col.Val.Long(0)
-				if (v >= lo && v <= hi) != flip {
-					return append(out, rows...)
-				}
-			}
-			return out
+			return selRun(!col.Val.IsNull(0) && between(col.Val.Long(0), lo, hi) != flip, rows, out)
 		default:
 			for _, r := range rows {
-				if !b.IsNull(r) {
-					v := b.Long(r)
-					if (v >= lo && v <= hi) != flip {
-						out = append(out, r)
-					}
+				if !b.IsNull(r) && between(b.Long(r), lo, hi) != flip {
+					out = append(out, r)
 				}
 			}
 			return out
@@ -669,69 +730,23 @@ func selBetweenLong(memo, idx int, lo, hi int64, flip bool) selFn {
 	}
 }
 
-func selBetweenDouble(idx int, lo, hi float64, flip bool) selFn {
+func selBetweenDouble(memo, idx int, lo, hi float64, flip bool) selFn {
 	return func(in *vecInput, rows, out []int) []int {
 		b := unwrapLazy(in.p.Col(idx))
+		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return between(d.Double(k), lo, hi) != flip }); ok {
+			return res
+		}
 		switch col := b.(type) {
 		case *block.DoubleBlock:
-			nulls := col.Nulls
-			if nulls == nil && !flip {
-				vals := col.Vals
-				for _, r := range rows {
-					v := vals[r]
-					if v >= lo && v <= hi {
-						out = append(out, r)
-					}
-				}
-				return out
-			}
-			for _, r := range rows {
-				if nulls != nil && nulls[r] {
-					continue
-				}
-				v := col.Vals[r]
-				if (v >= lo && v <= hi) != flip {
-					out = append(out, r)
-				}
-			}
-			return out
+			return selBetweenConst(flip, col.Vals, col.Nulls, lo, hi, rows, out)
 		case *block.LongBlock:
-			nulls := col.Nulls
-			if nulls == nil && !flip {
-				vals := col.Vals
-				for _, r := range rows {
-					v := float64(vals[r])
-					if v >= lo && v <= hi {
-						out = append(out, r)
-					}
-				}
-				return out
-			}
-			for _, r := range rows {
-				if nulls != nil && nulls[r] {
-					continue
-				}
-				v := float64(col.Vals[r])
-				if (v >= lo && v <= hi) != flip {
-					out = append(out, r)
-				}
-			}
-			return out
+			return selBetweenConst(flip, col.Vals, col.Nulls, lo, hi, rows, out)
 		case *block.RLEBlock:
-			if !col.Val.IsNull(0) {
-				v := col.Val.Double(0)
-				if (v >= lo && v <= hi) != flip {
-					return append(out, rows...)
-				}
-			}
-			return out
+			return selRun(!col.Val.IsNull(0) && between(col.Val.Double(0), lo, hi) != flip, rows, out)
 		default:
 			for _, r := range rows {
-				if !b.IsNull(r) {
-					v := b.Double(r)
-					if (v >= lo && v <= hi) != flip {
-						out = append(out, r)
-					}
+				if !b.IsNull(r) && between(b.Double(r), lo, hi) != flip {
+					out = append(out, r)
 				}
 			}
 			return out
@@ -801,10 +816,7 @@ func selInLong(memo, idx int, set map[int64]bool, flip bool) selFn {
 			}
 			return out
 		case *block.RLEBlock:
-			if !col.Val.IsNull(0) && set[col.Val.Long(0)] != flip {
-				return append(out, rows...)
-			}
-			return out
+			return selRun(!col.Val.IsNull(0) && set[col.Val.Long(0)] != flip, rows, out)
 		default:
 			for _, r := range rows {
 				if !b.IsNull(r) && set[b.Long(r)] != flip {
@@ -835,10 +847,7 @@ func selInStr(memo, idx int, set map[string]bool, flip bool) selFn {
 			}
 			return out
 		case *block.RLEBlock:
-			if !col.Val.IsNull(0) && set[col.Val.Str(0)] != flip {
-				return append(out, rows...)
-			}
-			return out
+			return selRun(!col.Val.IsNull(0) && set[col.Val.Str(0)] != flip, rows, out)
 		default:
 			for _, r := range rows {
 				if !b.IsNull(r) && set[b.Str(r)] != flip {
@@ -883,10 +892,7 @@ func selLike(memo, idx int, pattern string, flip bool) selFn {
 			}
 			return out
 		case *block.RLEBlock:
-			if !col.Val.IsNull(0) && likeMatch(col.Val.Str(0), pattern) != flip {
-				return append(out, rows...)
-			}
-			return out
+			return selRun(!col.Val.IsNull(0) && likeMatch(col.Val.Str(0), pattern) != flip, rows, out)
 		default:
 			for _, r := range rows {
 				if !b.IsNull(r) && likeMatch(b.Str(r), pattern) != flip {

@@ -121,13 +121,25 @@ func gatherVals[T any](vals []T, vn []bool, sel, idx []int, n int, out []T, null
 		}
 		return has
 	}
+	switch {
+	case vn == nil && sel == nil:
+		for _, i := range idx {
+			out[i], nulls[i] = vals[i], false
+		}
+		return false
+	case vn == nil:
+		for _, i := range idx {
+			out[i], nulls[i] = vals[sel[i]], false
+		}
+		return false
+	}
 	has := false
 	for _, i := range idx {
 		r := i
 		if sel != nil {
 			r = sel[i]
 		}
-		if vn != nil && vn[r] {
+		if vn[r] {
 			out[i], nulls[i] = zero, true
 			has = true
 		} else {
@@ -583,23 +595,6 @@ func vecConcat(l, r strKernel) strKernel {
 
 // ---- comparisons, BETWEEN, IN, LIKE ----
 
-func cmpApply[T cmp.Ordered](op CmpOp, a, b T) bool {
-	switch op {
-	case CmpEq:
-		return a == b
-	case CmpNe:
-		return a != b
-	case CmpLt:
-		return a < b
-	case CmpLe:
-		return a <= b
-	case CmpGt:
-		return a > b
-	default:
-		return a >= b
-	}
-}
-
 func vecCompareOrd[T interface {
 	cmp.Ordered
 	block.Elem
@@ -653,7 +648,7 @@ func vecCompareOrd[T interface {
 				out[i], nulls[i] = false, true
 				has = true
 			} else {
-				out[i], nulls[i] = cmpApply(op, lv[i], rv[i]), false
+				out[i], nulls[i] = cmpOrd(op, lv[i], rv[i]), false
 			}
 		}
 		if idx == nil {
@@ -854,6 +849,358 @@ func vecIsNullCol(colIdx int, neg bool) boolKernel {
 	}
 }
 
+// ---- scalar constants ----
+
+// A non-null constant operand of an arithmetic, comparison or BETWEEN kernel
+// stays a scalar in the kernel's loop: the other operand is evaluated, and
+// the constant is read from a register, never written to a vector for every
+// row and read back. A NULL constant takes the vector path, which makes every
+// row NULL.
+
+// scalarLong reports e as a non-null bigint or date constant.
+func scalarLong(e Expr) (int64, bool) {
+	c, ok := e.(*Const)
+	if !ok || c.Val.Null || (c.Val.T != types.Bigint && c.Val.T != types.Date) {
+		return 0, false
+	}
+	return c.Val.I, true
+}
+
+// scalarDouble reports e as a non-null constant read as a double, as
+// vecDouble widens it.
+func scalarDouble(e Expr) (float64, bool) {
+	c, ok := e.(*Const)
+	if !ok || c.Val.Null {
+		return 0, false
+	}
+	switch c.Val.T {
+	case types.Double:
+		return c.Val.F, true
+	case types.Bigint, types.Date:
+		return float64(c.Val.I), true
+	}
+	return 0, false
+}
+
+// scalarStr reports e as a non-null varchar constant.
+func scalarStr(e Expr) (string, bool) {
+	c, ok := e.(*Const)
+	if !ok || c.Val.Null || c.Val.T != types.Varchar {
+		return "", false
+	}
+	return c.Val.S, true
+}
+
+// scalarOperand splits a binary operator's operands into a kernel-compiled
+// one and a scalar constant, the constant on the right when it is
+// (left=false), else on the left.
+func scalarOperand[T any](l, r Expr, scalar func(Expr) (T, bool), compile func(Expr) (vkernel[T], bool)) (f vkernel[T], c T, left, ok bool) {
+	if c, ok := scalar(r); ok {
+		f, ok := compile(l)
+		return f, c, false, ok
+	}
+	if c, ok := scalar(l); ok {
+		f, ok := compile(r)
+		return f, c, true, ok
+	}
+	return nil, c, false, false
+}
+
+// zeroNulls zeroes out[i] wherever nulls[i] is set, over the computed
+// positions: the vkernel contract for a value computed over a NULL operand.
+func zeroNulls[T any](idx []int, n int, out []T, nulls []bool) {
+	var zero T
+	if idx == nil {
+		for i, nl := range nulls[:n] {
+			if nl {
+				out[i] = zero
+			}
+		}
+		return
+	}
+	for _, i := range idx {
+		if nulls[i] {
+			out[i] = zero
+		}
+	}
+}
+
+// anyNonNull reports whether some computed position is not NULL.
+func anyNonNull(idx []int, n int, nulls []bool, has bool) bool {
+	if idx == nil && !has {
+		return n > 0
+	}
+	if !has {
+		return len(idx) > 0
+	}
+	if idx == nil {
+		for _, nl := range nulls[:n] {
+			if !nl {
+				return true
+			}
+		}
+		return false
+	}
+	for _, i := range idx {
+		if !nulls[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// vecArithConst is x op c, or c op x when left, for +, -, * and (x / c)
+// only: the operand is evaluated straight into out and the operator applied
+// in place. Division by a constant zero fails where the operand is not NULL,
+// as the vector form does.
+func vecArithConst[T int64 | float64](op BinOp, f vkernel[T], c T, left bool) vkernel[T] {
+	return func(in *vecInput, idx []int, out []T, nulls []bool) (bool, error) {
+		has, err := f(in, idx, out, nulls)
+		if err != nil {
+			return false, err
+		}
+		if op == OpDiv && c == 0 {
+			if anyNonNull(idx, in.n, nulls, has) {
+				return false, errDivZero
+			}
+			return has, nil
+		}
+		if idx == nil {
+			arithConst(op, out[:in.n], c, left)
+		} else {
+			arithConstAt(op, out, idx, c, left)
+		}
+		if has {
+			zeroNulls(idx, in.n, out, nulls)
+		}
+		return has, nil
+	}
+}
+
+// arithConst applies x op c (c op x when left) to every element of o; + and
+// * commute.
+func arithConst[T int64 | float64](op BinOp, o []T, c T, left bool) {
+	switch {
+	case op == OpAdd:
+		for i := range o {
+			o[i] += c
+		}
+	case op == OpMul:
+		for i := range o {
+			o[i] *= c
+		}
+	case op == OpSub && left:
+		for i := range o {
+			o[i] = c - o[i]
+		}
+	case op == OpSub:
+		for i := range o {
+			o[i] -= c
+		}
+	default:
+		for i := range o {
+			o[i] /= c
+		}
+	}
+}
+
+// arithConstAt is arithConst over the positions idx of o.
+func arithConstAt[T int64 | float64](op BinOp, o []T, idx []int, c T, left bool) {
+	switch {
+	case op == OpAdd:
+		for _, i := range idx {
+			o[i] += c
+		}
+	case op == OpMul:
+		for _, i := range idx {
+			o[i] *= c
+		}
+	case op == OpSub && left:
+		for _, i := range idx {
+			o[i] = c - o[i]
+		}
+	case op == OpSub:
+		for _, i := range idx {
+			o[i] -= c
+		}
+	default:
+		for _, i := range idx {
+			o[i] /= c
+		}
+	}
+}
+
+// scalarArith compiles x op c (or c op x) when one operand is a scalar
+// constant and the operator has a scalar kernel: +, -, * either way round,
+// and / by a constant.
+func scalarArith[T int64 | float64](x *Arith, scalar func(Expr) (T, bool), compile func(Expr) (vkernel[T], bool)) (vkernel[T], bool) {
+	switch x.Op {
+	case OpAdd, OpSub, OpMul, OpDiv:
+	default:
+		return nil, false
+	}
+	f, c, left, ok := scalarOperand(x.L, x.R, scalar, compile)
+	if !ok || (left && x.Op == OpDiv) {
+		return nil, false
+	}
+	return vecArithConst(x.Op, f, c, left), true
+}
+
+// vecCompareConst is x op c: the operand is evaluated into a leased vector
+// and its null mask straight into the result's.
+func vecCompareConst[T interface {
+	cmp.Ordered
+	block.Elem
+}](op CmpOp, f vkernel[T], c T) boolKernel {
+	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
+		vv := block.Lease[T](in.scratch, in.n)
+		has, err := f(in, idx, vv, nulls)
+		if err != nil {
+			return false, err
+		}
+		if idx == nil {
+			cmpConst(op, vv[:in.n], c, out[:in.n])
+		} else {
+			cmpConstAt(op, vv, c, out, idx)
+		}
+		if has {
+			zeroNulls(idx, in.n, out, nulls)
+		}
+		return has, nil
+	}
+}
+
+// cmpConst writes v[i] op c to o[i] for every element.
+func cmpConst[T cmp.Ordered](op CmpOp, v []T, c T, o []bool) {
+	v = v[:len(o)]
+	switch op {
+	case CmpEq:
+		for i := range o {
+			o[i] = v[i] == c
+		}
+	case CmpNe:
+		for i := range o {
+			o[i] = v[i] != c
+		}
+	case CmpLt:
+		for i := range o {
+			o[i] = v[i] < c
+		}
+	case CmpLe:
+		for i := range o {
+			o[i] = v[i] <= c
+		}
+	case CmpGt:
+		for i := range o {
+			o[i] = v[i] > c
+		}
+	default:
+		for i := range o {
+			o[i] = v[i] >= c
+		}
+	}
+}
+
+// cmpConstAt is cmpConst over the positions idx.
+func cmpConstAt[T cmp.Ordered](op CmpOp, v []T, c T, o []bool, idx []int) {
+	switch op {
+	case CmpEq:
+		for _, i := range idx {
+			o[i] = v[i] == c
+		}
+	case CmpNe:
+		for _, i := range idx {
+			o[i] = v[i] != c
+		}
+	case CmpLt:
+		for _, i := range idx {
+			o[i] = v[i] < c
+		}
+	case CmpLe:
+		for _, i := range idx {
+			o[i] = v[i] <= c
+		}
+	case CmpGt:
+		for _, i := range idx {
+			o[i] = v[i] > c
+		}
+	default:
+		for _, i := range idx {
+			o[i] = v[i] >= c
+		}
+	}
+}
+
+// scalarCompare compiles x op c, or c op x as x swapCmp(op) c, when one
+// operand is a scalar constant.
+func scalarCompare[T interface {
+	cmp.Ordered
+	block.Elem
+}](x *Compare, scalar func(Expr) (T, bool), compile func(Expr) (vkernel[T], bool)) (boolKernel, bool) {
+	f, c, left, ok := scalarOperand(x.L, x.R, scalar, compile)
+	if !ok {
+		return nil, false
+	}
+	op := x.Op
+	if left {
+		op = swapCmp(op)
+	}
+	return vecCompareConst(op, f, c), true
+}
+
+// vecBetweenConst is (lo <= x <= hi) != neg between constant bounds, each
+// position's outcome computed without a branch.
+func vecBetweenConst[T interface {
+	num
+	block.Elem
+}](f vkernel[T], lo, hi T, neg bool) boolKernel {
+	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
+		vv := block.Lease[T](in.scratch, in.n)
+		has, err := f(in, idx, vv, nulls)
+		if err != nil {
+			return false, err
+		}
+		betweenConst(vv, lo, hi, neg, idx, out[:in.n])
+		if has {
+			zeroNulls(idx, in.n, out, nulls)
+		}
+		return has, nil
+	}
+}
+
+// betweenConst writes (lo <= v[i] <= hi) != neg to o[i] for every element,
+// or for the positions idx.
+func betweenConst[T num](v []T, lo, hi T, neg bool, idx []int, o []bool) {
+	flip := b2i(neg)
+	if idx == nil {
+		for i, x := range v[:len(o)] {
+			o[i] = (b2i(x >= lo)&b2i(x <= hi))^flip != 0
+		}
+		return
+	}
+	for _, i := range idx {
+		x := v[i]
+		o[i] = (b2i(x >= lo)&b2i(x <= hi))^flip != 0
+	}
+}
+
+// scalarBetween compiles BETWEEN with constant bounds.
+func scalarBetween[T interface {
+	num
+	block.Elem
+}](x *Between, scalar func(Expr) (T, bool), compile func(Expr) (vkernel[T], bool)) (boolKernel, bool) {
+	lo, lok := scalar(x.Lo)
+	hi, hok := scalar(x.Hi)
+	if !lok || !hok {
+		return nil, false
+	}
+	f, ok := compile(x.E)
+	if !ok {
+		return nil, false
+	}
+	return vecBetweenConst(f, lo, hi, x.Negate), true
+}
+
 // ---- logical connectives and CASE (selection partitioning) ----
 
 // vecNot inverts the child's definite values; NULL stays NULL.
@@ -982,13 +1329,11 @@ func vecCase[T any](conds []boolKernel, thens []vkernel[T], els vkernel[T]) vker
 	return func(in *vecInput, idx []int, out []T, nulls []bool) (bool, error) {
 		n := in.n
 		cv, cn := block.Lease[bool](in.scratch, n), block.Lease[bool](in.scratch, n)
-		rem, match := block.Lease[int](in.scratch, n)[:0], block.Lease[int](in.scratch, n)[:0]
+		rem, match := block.Lease[int](in.scratch, n), block.Lease[int](in.scratch, n)
 		if idx == nil {
-			for i := 0; i < n; i++ {
-				rem = append(rem, i)
-			}
+			rem = rem[:copy(rem, identityRows(n))]
 		} else {
-			rem = append(rem, idx...)
+			rem = rem[:copy(rem, idx)]
 		}
 		has := false
 		for k := range conds {
@@ -998,17 +1343,10 @@ func vecCase[T any](conds []boolKernel, thens []vkernel[T], els vkernel[T]) vker
 			if _, err := conds[k](in, rem, cv, cn); err != nil {
 				return false, err
 			}
-			match, next := match[:0], rem[:0]
-			for _, i := range rem {
-				if !cn[i] && cv[i] {
-					match = append(match, i)
-				} else {
-					next = append(next, i)
-				}
-			}
-			rem = next
-			if len(match) > 0 {
-				h, err := thens[k](in, match, out, nulls)
+			var m int
+			m, rem = splitWhen(rem, match, cv, cn)
+			if m > 0 {
+				h, err := thens[k](in, match[:m], out, nulls)
 				if err != nil {
 					return false, err
 				}
@@ -1032,6 +1370,20 @@ func vecCase[T any](conds []boolKernel, thens []vkernel[T], els vkernel[T]) vker
 		}
 		return has, nil
 	}
+}
+
+// splitWhen splits the positions rem by a WHEN's outcome, by predication:
+// each position is stored in both lists and only the cursor of the one it
+// belongs to advances. The matched ones go to match[:m]; the rest are
+// written over rem, never ahead of the position being read, and returned.
+func splitWhen(rem, match []int, cv, cn []bool) (m int, rest []int) {
+	r := 0
+	for _, i := range rem {
+		hit := b2i(!cn[i]) & b2i(cv[i])
+		match[m], rem[r] = i, i
+		m, r = m+hit, r+1-hit
+	}
+	return m, rem[:r]
 }
 
 func vecCaseOf[T any](x *Case, child func(Expr) (vkernel[T], bool)) (vkernel[T], bool) {
@@ -1076,6 +1428,9 @@ func vecLong(e Expr) (longKernel, bool) {
 	case *Arith:
 		if x.Op == OpConcat {
 			return nil, false
+		}
+		if k, ok := scalarArith(x, scalarLong, vecLong); ok {
+			return k, true
 		}
 		l, lok := vecLong(x.L)
 		r, rok := vecLong(x.R)
@@ -1125,6 +1480,9 @@ func vecDouble(e Expr) (doubleKernel, bool) {
 		// Double modulo stays on the interpreter (EvalArith).
 		if x.Op == OpConcat || x.Op == OpMod {
 			return nil, false
+		}
+		if k, ok := scalarArith(x, scalarDouble, vecDouble); ok {
+			return k, true
 		}
 		l, lok := vecDouble(x.L)
 		r, rok := vecDouble(x.R)
@@ -1204,6 +1562,9 @@ func vecBool(e Expr) (boolKernel, bool) {
 		lt := types.CommonType(x.E.Type(), types.CommonType(x.Lo.Type(), x.Hi.Type()))
 		switch lt {
 		case types.Bigint, types.Date:
+			if k, ok := scalarBetween(x, scalarLong, vecLong); ok {
+				return k, true
+			}
 			v, ok1 := vecLong(x.E)
 			lo, ok2 := vecLong(x.Lo)
 			hi, ok3 := vecLong(x.Hi)
@@ -1212,6 +1573,9 @@ func vecBool(e Expr) (boolKernel, bool) {
 			}
 			return vecBetweenOrd(v, lo, hi, x.Negate), true
 		case types.Double:
+			if k, ok := scalarBetween(x, scalarDouble, vecDouble); ok {
+				return k, true
+			}
 			v, ok1 := vecDouble(x.E)
 			lo, ok2 := vecDouble(x.Lo)
 			hi, ok3 := vecDouble(x.Hi)
@@ -1243,6 +1607,9 @@ func vecBool(e Expr) (boolKernel, bool) {
 func vecCompare(x *Compare) (boolKernel, bool) {
 	switch types.CommonType(x.L.Type(), x.R.Type()) {
 	case types.Bigint, types.Date:
+		if k, ok := scalarCompare(x, scalarLong, vecLong); ok {
+			return k, true
+		}
 		l, lok := vecLong(x.L)
 		r, rok := vecLong(x.R)
 		if !lok || !rok {
@@ -1250,6 +1617,9 @@ func vecCompare(x *Compare) (boolKernel, bool) {
 		}
 		return vecCompareOrd(x.Op, l, r), true
 	case types.Double:
+		if k, ok := scalarCompare(x, scalarDouble, vecDouble); ok {
+			return k, true
+		}
 		l, lok := vecDouble(x.L)
 		r, rok := vecDouble(x.R)
 		if !lok || !rok {
@@ -1257,6 +1627,9 @@ func vecCompare(x *Compare) (boolKernel, bool) {
 		}
 		return vecCompareOrd(x.Op, l, r), true
 	case types.Varchar:
+		if k, ok := scalarCompare(x, scalarStr, vecStr); ok {
+			return k, true
+		}
 		l, lok := vecStr(x.L)
 		r, rok := vecStr(x.R)
 		if !lok || !rok {

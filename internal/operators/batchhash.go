@@ -447,10 +447,11 @@ const unresolvedKey = -2
 // row's key id into ids, asking miss(r) for the id of row r's key at the first
 // row of each combination; combinations no row has are never looked up or
 // entered. The memo from combination to key id is leased from a. run reports
-// that the page is a single combination (every column RLE): ids[0] is every
-// row's. It declines (ok false, ids scratch) when a key column is flat, and
-// when the page has fewer rows than combinations — the memo then costs more to
-// clear than the rows to resolve (the paper's guard).
+// that the page asked for a single combination (every column RLE, or every
+// row on the same dictionary entries): ids[0] is every row's. It declines (ok
+// false, ids scratch) when a key column is flat, and when the page has fewer
+// rows than combinations — the memo then costs more to clear than the rows to
+// resolve (the paper's guard).
 func resolveEncoded(a *block.Arena, p *block.Page, cols []int, ids []int32, miss func(r int) int32) (run, ok bool) {
 	n := len(ids)
 	if n == 0 || len(cols) == 0 {
@@ -497,15 +498,17 @@ func resolveEncoded(a *block.Arena, p *block.Page, cols []int, ids []int32, miss
 	for j := range memo {
 		memo[j] = unresolvedKey
 	}
+	asked := 0
 	for r, j := range ids {
 		id := memo[j]
 		if id == unresolvedKey {
 			id = miss(r)
 			memo[j] = id
+			asked++
 		}
 		ids[r] = id
 	}
-	return false, true
+	return asked == 1, true
 }
 
 // row returns the normalized cells and tags of row r (fixed mode).

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/block"
-	"repro/internal/expr"
 	"repro/internal/memory"
 	"repro/internal/plan"
 	"repro/internal/spill"
@@ -417,10 +416,17 @@ func (o *HashAggregationOperator) syncMem() error {
 // (keys at o.groupCols) and spilled pages on their way back (keys at
 // o.spillKeys) take the same path, and it is where the operator starts a
 // page: the arena is rewound. A runID >= 0 marks a page whose rows all fall in
-// one group. The id vector is leased, valid until the next call. Caller holds
-// o.mu.
+// one group, a run: a global aggregation's every page, whose rows are never
+// looked up (ids nil: its one group is entered with the first page, and the
+// table is not asked again), and a page whose keys resolveEncoded finds to be
+// a single combination. The id vector is leased, valid until the next call.
+// Caller holds o.mu.
 func (o *HashAggregationOperator) resolveGroups(p *block.Page, cols []int) (ids []int32, runID int32) {
 	o.scratch.Rewind()
+	if len(cols) == 0 {
+		o.globalGroupLocked()
+		return nil, 0
+	}
 	ids, runID = block.Lease[int32](&o.scratch, p.RowCount()), -1
 	// Encoded keys: the table is asked once per combination of dictionary
 	// entries the page references (or once per page of runs), through the
@@ -443,6 +449,28 @@ func (o *HashAggregationOperator) resolveGroups(p *block.Page, cols []int) (ids 
 		o.accs[i].grow(n)
 	}
 	return ids, runID
+}
+
+// globalGroupLocked enters a global aggregation's one group, id 0, if the
+// table does not hold it yet.
+func (o *HashAggregationOperator) globalGroupLocked() {
+	if o.table.Len() > 0 {
+		return
+	}
+	o.table.getOrInsertFixed(fnvOffset, nil, nil)
+	for i := range o.accs {
+		o.accs[i].grow(1)
+	}
+}
+
+// runIDs is the id vector of a run of n rows in group id, for the row paths,
+// leased from the scratch.
+func (o *HashAggregationOperator) runIDs(n int, id int32) []int32 {
+	ids := block.Lease[int32](&o.scratch, n)
+	for r := range ids {
+		ids[r] = id
+	}
+	return ids
 }
 
 // keepKeysLocked copies the key of the fresh group id out of row r, for the
@@ -514,17 +542,18 @@ func (o *HashAggregationOperator) groupIDForRow(p *block.Page, cols []int, r int
 	return int32(id)
 }
 
-// accumulatePage runs every aggregate over the resolved id vector: the O(1)
-// whole-run step when the page is a single group's RLE run, else the columnar
-// kernels over state[ids[r]], else the per-row fallback (DISTINCT, varchar
-// and boolean arguments, RLE/dictionary encodings). Caller holds o.mu.
+// accumulatePage runs every aggregate over the resolved groups: the run
+// kernels when the page is one group's run, else the columnar kernels over
+// state[ids[r]], else the per-row fallback (DISTINCT, varchar and boolean
+// arguments, RLE/dictionary encodings). Caller holds o.mu.
 func (o *HashAggregationOperator) accumulatePage(ids []int32, runID int32, p *block.Page) error {
+	n := p.RowCount()
 	for i := range o.accs {
 		a := &o.accs[i]
 		switch a.spec.Func {
 		case plan.AggCountAll:
 			if runID >= 0 {
-				a.count[runID] += int64(len(ids))
+				a.count[runID] += int64(n)
 			} else {
 				for _, id := range ids {
 					a.count[id]++
@@ -536,13 +565,11 @@ func (o *HashAggregationOperator) accumulatePage(ids []int32, runID int32, p *bl
 			return fmt.Errorf("unknown aggregate %q", a.spec.Func)
 		}
 		col := loadCol(p.Col(a.spec.ArgCol))
-		if rle, ok := col.(*block.RLEBlock); ok && runID >= 0 && a.dset == nil {
-			// The whole page is one group's run of one argument value; a NULL
-			// argument is skipped by every aggregate.
-			if !rle.Val.IsNull(0) {
-				a.add(int(runID), rle.Val, 0, int64(len(ids)))
-			}
+		if runID >= 0 && a.dset == nil && a.accumulateRun(int(runID), n, col) {
 			continue
+		}
+		if ids == nil {
+			ids = o.runIDs(n, runID)
 		}
 		if a.dset == nil && a.accumulateVec(ids, col) {
 			continue
@@ -621,6 +648,109 @@ func (a *aggVec) accumulateVec(ids []int32, col block.Block) bool {
 		return true
 	}
 	return false
+}
+
+// accumulateRun folds a run — the n rows of col, all in group id — into the
+// group's state, and returns false for an argument it has no run kernel for.
+// A run of one argument value (RLE) folds in one step; a flat column's sums,
+// counts and extremes are kept in locals over the run and written once, so
+// no row goes through the group's state in memory. The additions come in the
+// order of the per-row kernels, so a double sum is theirs bit for bit.
+func (a *aggVec) accumulateRun(id, n int, col block.Block) bool {
+	switch src := col.(type) {
+	case *block.RLEBlock:
+		// A NULL argument is skipped by every aggregate.
+		if !src.Val.IsNull(0) {
+			a.add(id, src.Val, 0, int64(n))
+		}
+		return true
+	case *block.LongBlock:
+		vals, nulls := src.Vals[:n], src.Nulls
+		switch a.spec.Func {
+		case plan.AggCount:
+			a.count[id] += nonNullRun(nulls, n)
+		case plan.AggCountMerge:
+			a.count[id] = sumRun(a.count[id], vals, nulls)
+		case plan.AggSum, plan.AggAvg:
+			a.count[id] += nonNullRun(nulls, n)
+			if a.floatSum {
+				a.sumF[id] = sumRun(a.sumF[id], vals, nulls)
+			} else {
+				a.sumI[id] = sumRun(a.sumI[id], vals, nulls)
+			}
+		case plan.AggMin, plan.AggMax:
+			if a.mm.t != types.Bigint && a.mm.t != types.Date {
+				return false
+			}
+			a.mm.has[id], a.mm.longs[id] = keepRun(a.mm.has[id], a.mm.longs[id], vals, nulls, a.spec.Func == plan.AggMax)
+		}
+		return true
+	case *block.DoubleBlock:
+		vals, nulls := src.Vals[:n], src.Nulls
+		switch a.spec.Func {
+		case plan.AggCount:
+			a.count[id] += nonNullRun(nulls, n)
+		case plan.AggSum, plan.AggAvg:
+			if !a.floatSum {
+				return false
+			}
+			a.count[id] += nonNullRun(nulls, n)
+			a.sumF[id] = sumRun(a.sumF[id], vals, nulls)
+		case plan.AggMin, plan.AggMax:
+			if a.mm.t != types.Double {
+				return false
+			}
+			a.mm.has[id], a.mm.doubles[id] = keepRun(a.mm.has[id], a.mm.doubles[id], vals, nulls, a.spec.Func == plan.AggMax)
+		default:
+			return false
+		}
+		return true
+	}
+	return false
+}
+
+// nonNullRun is how many of a run's n rows are not NULL.
+func nonNullRun(nulls []bool, n int) int64 {
+	if nulls == nil {
+		return int64(n)
+	}
+	c := 0
+	for _, nl := range nulls[:n] {
+		if !nl {
+			c++
+		}
+	}
+	return int64(c)
+}
+
+// sumRun adds a run's non-null values to s, in the sum's own arithmetic.
+func sumRun[S, V int64 | float64](s S, vals []V, nulls []bool) S {
+	if nulls == nil {
+		for _, v := range vals {
+			s += S(v)
+		}
+		return s
+	}
+	for r, v := range vals {
+		if !nulls[r] {
+			s += S(v)
+		}
+	}
+	return s
+}
+
+// keepRun is keepOrdered over a run: the extreme kept so far (has, cur) and
+// the run's non-null values give the new one.
+func keepRun[T int64 | float64](has bool, cur T, vals []T, nulls []bool, larger bool) (bool, T) {
+	for r, v := range vals {
+		if nulls != nil && nulls[r] {
+			continue
+		}
+		if !has || (larger && v > cur) || (!larger && v < cur) {
+			cur, has = v, true
+		}
+	}
+	return has, cur
 }
 
 // countNonNull is the shared COUNT(col) kernel over a flat null mask.
@@ -715,12 +845,9 @@ func (o *HashAggregationOperator) prepareOutput() error {
 	if spilled {
 		return o.syncMem()
 	}
-	if len(o.groupCols) == 0 && o.table.Len() == 0 {
+	if len(o.groupCols) == 0 {
 		// Global aggregation with no groups: one row even for empty input.
-		o.table.getOrInsertFixed(fnvOffset, nil, nil)
-		for i := range o.accs {
-			o.accs[i].grow(1)
-		}
+		o.globalGroupLocked()
 	}
 	return nil
 }
@@ -1013,7 +1140,10 @@ func (o *HashAggregationOperator) mergeSpilledPage(p *block.Page) error {
 	if p.ColCount() != want {
 		return fmt.Errorf("spilled page has %d columns, want %d", p.ColCount(), want)
 	}
-	ids, _ := o.resolveGroups(p, o.spillKeys)
+	ids, runID := o.resolveGroups(p, o.spillKeys)
+	if ids == nil {
+		ids = o.runIDs(p.RowCount(), runID)
+	}
 	c := len(o.groupTs)
 	for i := range o.accs {
 		a := &o.accs[i]
@@ -1064,25 +1194,4 @@ func (o *HashAggregationOperator) SpillCount() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.spills
-}
-
-// BuildAggProjection computes the projection expressions that feed a hash
-// aggregation: group-by expressions first, then aggregate arguments. It
-// returns the projection list, the operator's group columns/types, and the
-// rewritten agg specs.
-func BuildAggProjection(agg *plan.Aggregation) (proj []expr.Expr, groupCols []int, groupTs []types.Type, specs []AggSpec) {
-	for i, g := range agg.GroupBy {
-		proj = append(proj, g)
-		groupCols = append(groupCols, i)
-		groupTs = append(groupTs, g.Type())
-	}
-	for _, a := range agg.Aggregates {
-		spec := AggSpec{Func: a.Func, ArgCol: -1, Distinct: a.Distinct, Out: a.Out}
-		if a.Arg != nil {
-			spec.ArgCol = len(proj)
-			proj = append(proj, a.Arg)
-		}
-		specs = append(specs, spec)
-	}
-	return proj, groupCols, groupTs, specs
 }

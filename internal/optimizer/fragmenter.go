@@ -300,13 +300,27 @@ func (fb *fragBuilder) visitAggregation(o *Optimizer, agg *plan.Aggregation) sub
 		projExprs = append(projExprs, g)
 		projOut = append(projOut, plan.Field{Name: fmt.Sprintf("_k%d", i), T: g.Type()})
 	}
+	// An argument that more than one aggregate reads is projected once, when
+	// it is deterministic: the same expression over the same row.
 	argCol := make([]int, len(agg.Aggregates))
+	argAt := map[string]int{}
 	for i, a := range agg.Aggregates {
 		if a.Arg == nil {
 			argCol[i] = -1
 			continue
 		}
+		key := ""
+		if expr.IsDeterministic(a.Arg) {
+			key = expr.CanonicalKey(a.Arg)
+			if c, ok := argAt[key]; ok {
+				argCol[i] = c
+				continue
+			}
+		}
 		argCol[i] = len(projExprs)
+		if key != "" {
+			argAt[key] = argCol[i]
+		}
 		projExprs = append(projExprs, a.Arg)
 		projOut = append(projOut, plan.Field{Name: fmt.Sprintf("_a%d", i), T: a.Arg.Type()})
 	}
@@ -377,8 +391,23 @@ func (fb *fragBuilder) visitAggregation(o *Optimizer, agg *plan.Aggregation) sub
 	for i := 0; i < ng; i++ {
 		partialOut = append(partialOut, projOut[i])
 	}
+	// A partial aggregate is computed once for every final slot that needs
+	// it: the same function of the same argument column to the same type.
+	// avg's sum and count count too: avg(x) beside count(x), or beside a
+	// double sum(x), shares that partial.
+	type partialKey struct {
+		fn  plan.AggFunc
+		col int
+		out types.Type
+	}
+	partialAt := map[partialKey]int{}
 	addPartial := func(fn plan.AggFunc, col int, outT types.Type) int {
+		k := partialKey{fn, col, outT}
+		if idx, ok := partialAt[k]; ok {
+			return idx
+		}
 		idx := ng + len(partialAggs)
+		partialAt[k] = idx
 		a := plan.Aggregate{Func: fn, Out: outT}
 		if col >= 0 {
 			a.Arg = &expr.ColumnRef{Index: col, T: projOut[col].T, Name: projOut[col].Name}

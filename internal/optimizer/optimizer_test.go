@@ -343,6 +343,58 @@ func TestFragmenterAvgSplitsIntoSumCount(t *testing.T) {
 	}
 }
 
+// TestFragmenterSharesIdenticalPartials: a partial aggregate with the same
+// function, argument and output type as another is computed once and feeds
+// every final slot that reads it, and an argument two aggregates share is
+// projected once — when it is deterministic. avg(b) beside count(b) shares
+// its count; sum(b * 2) twice is one sum over one column; sum(random())
+// twice stays two sums over two columns.
+func TestFragmenterSharesIdenticalPartials(t *testing.T) {
+	s := scan("t", "a", "b")
+	b := colRef(1, "b")
+	twice := func() expr.Expr {
+		return &expr.Arith{Op: expr.OpMul, L: b, R: expr.NewConst(types.BigintValue(2)), T: types.Bigint}
+	}
+	fn, _ := expr.LookupBuiltin("random")
+	rnd := func() expr.Expr { return &expr.Call{Fn: fn} }
+	agg := &plan.Aggregation{
+		Input:   s,
+		GroupBy: []expr.Expr{colRef(0, "a")},
+		Aggregates: []plan.Aggregate{
+			{Func: plan.AggCount, Arg: b, Out: types.Bigint},
+			{Func: plan.AggAvg, Arg: b, Out: types.Double},
+			{Func: plan.AggSum, Arg: twice(), Out: types.Bigint},
+			{Func: plan.AggSum, Arg: twice(), Out: types.Bigint},
+			{Func: plan.AggSum, Arg: rnd(), Out: types.Double},
+			{Func: plan.AggSum, Arg: rnd(), Out: types.Double},
+		},
+		Step: plan.AggSingle,
+		Out: plan.Schema{{Name: "a", T: types.Bigint}, {Name: "c", T: types.Bigint}, {Name: "v", T: types.Double},
+			{Name: "s1", T: types.Bigint}, {Name: "s2", T: types.Bigint}, {Name: "r1", T: types.Double}, {Name: "r2", T: types.Double}},
+	}
+	o := newOpt(nil)
+	dp := o.Fragment(o.Optimize(&plan.Output{Input: agg, Names: []string{"a", "c", "v", "s1", "s2", "r1", "r2"}}))
+	var partial *plan.Aggregation
+	for _, f := range dp.Fragments {
+		plan.Walk(f.Root, func(n plan.Node) {
+			if a, ok := n.(*plan.Aggregation); ok && a.Step == plan.AggPartial {
+				partial = a
+			}
+		})
+	}
+	if partial == nil {
+		t.Fatalf("no partial aggregation:\n%s", dp.Format())
+	}
+	// count(b), avg's sum(b), sum(b * 2) and two sums of random().
+	if got := len(partial.Aggregates); got != 5 {
+		t.Errorf("the partial step runs %d aggregates, want 5:\n%s", got, dp.Format())
+	}
+	// The key, then b, b * 2 and random() twice.
+	if proj, ok := partial.Input.(*plan.Project); !ok || len(proj.Exprs) != 5 {
+		t.Errorf("the partial step's input is %T, want a projection of the key and 4 arguments:\n%s", partial.Input, dp.Format())
+	}
+}
+
 func TestFragmenterBroadcastJoinShape(t *testing.T) {
 	meta := &fakeMeta{stats: map[string]connector.TableStats{
 		"f": {RowCount: 100000}, "d": {RowCount: 10},

@@ -30,7 +30,9 @@
 #                             # first page on leased scratch, a lazy
 #                             # lake scan decoding into scratch, an
 #                             # aggregation into a hash sink copying
-#                             # once) and bench smokes
+#                             # once) and bench smokes (the predicated
+#                             # selection kernels and an aggregation's
+#                             # runs included)
 #                             # + configuration (one switch set: cluster vs
 #                             # session twins, the switch headers, TaskConfig
 #                             # and fragments on the wire, non-finite doubles
@@ -277,8 +279,16 @@ echo "==> filter -> project -> aggregate (flat and dictionary group keys; a seco
 go test -count=1 -v -run 'TestFilterProjectAggAllocationCeiling|TestDynFilteredScanGathersOnce|TestLazyLakeScanAllocationCeiling|TestAggregationIntoHashSinkCopiesOnce|TestHashSinksTakeLentPages' ./internal/exec/ | grep -E '^(---|ok|FAIL|panic)|bytes'
 go test -count=1 -run 'TestSelectionScratchSizedBySurvivors' ./internal/expr/
 go test -count=1 -run 'TestArena' ./internal/block/
-go test -race -count=10 -run 'TestProgramSharedByGoroutines' ./internal/expr/
+go test -race -count=10 -run 'TestProgramSharedByGoroutines|TestPredicatedProgramSharedByGoroutines' ./internal/expr/
 go test -run '^$' -bench 'FilterProjectAgg' -benchtime 1x -benchmem ./internal/exec/ > /dev/null
+
+echo "==> kernels that do not stall: predicated selection at every pass ratio, an aggregation's runs (bench smoke)"
+# A selection kernel appends by predication, so it costs the same per row at
+# a 0.3 % and a 50 % pass ratio; a no-key aggregation folds each page as one
+# group's run. Both benchmarks run once here so that they keep building; read
+# their ns/row with -benchtime 20000x.
+go test -run '^$' -bench 'SelectionKernel' -benchtime=1x ./internal/expr/ > /dev/null
+go test -run '^$' -bench 'AggregateRun' -benchtime=1x ./internal/operators/ > /dev/null
 
 if [ "$chaos_full" = 1 ]; then
   echo "==> chaos full sweep"
