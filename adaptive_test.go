@@ -78,11 +78,18 @@ func queryWith(t *testing.T, c *Cluster, sql string, s Session) ([]string, Query
 	return stringifyRows(rows), st
 }
 
-// TestDynamicFilterPrunesSelectiveJoin is the effect test: a 10-row build
-// side against a 20k-row probe must push a filter that skips most probe rows,
-// and the filtered result must equal the unfiltered one.
-func TestDynamicFilterPrunesSelectiveJoin(t *testing.T) {
-	c := adaptiveCluster(t, ClusterConfig{})
+// selectiveJoin is the selective join of the effect tests: a 10-row build
+// side, small, against a 20k-row probe, big; emptyJoin is the same probe
+// against an empty build, none.
+const (
+	selectiveJoin = "SELECT big.k, big.v FROM big JOIN small ON big.k = small.k"
+	emptyJoin     = "SELECT big.k, big.v FROM big JOIN none ON big.k = none.k"
+)
+
+// loadSelectiveJoin creates and fills the tables of selectiveJoin and
+// emptyJoin.
+func loadSelectiveJoin(t *testing.T, c *Cluster) {
+	t.Helper()
 	mustExec(t, c, "CREATE TABLE big (k BIGINT, v BIGINT)")
 	var sb strings.Builder
 	sb.WriteString("INSERT INTO big SELECT * FROM (VALUES ")
@@ -96,8 +103,76 @@ func TestDynamicFilterPrunesSelectiveJoin(t *testing.T) {
 	mustExec(t, c, sb.String())
 	mustExec(t, c, "CREATE TABLE small (k BIGINT)")
 	mustExec(t, c, "INSERT INTO small SELECT * FROM (VALUES (3), (1003), (2003), (3003), (4003), (5003), (6003), (7003), (8003), (9003))")
+	mustExec(t, c, "CREATE TABLE none (k BIGINT)")
+}
 
-	sql := "SELECT big.k, big.v FROM big JOIN small ON big.k = small.k"
+// dynFilterWork sums what a statement's dynamic-filter subscriptions did:
+// how many there were, how many of them test rows, and the rows they tested.
+func dynFilterWork(st QueryStats) (subs, rowTested int, rows int64) {
+	for _, sg := range st.Stages {
+		for _, pl := range sg.Pipelines {
+			for _, df := range pl.DynFilters {
+				subs++
+				if df.RowTested {
+					rowTested++
+				}
+				rows += df.RowsTested
+			}
+		}
+	}
+	return subs, rowTested, rows
+}
+
+// explainDynFilters returns the scan lines of sql's EXPLAIN ANALYZE that
+// name a dynamic filter's work.
+func explainDynFilters(t *testing.T, c *Cluster, sql string) string {
+	t.Helper()
+	var lines []string
+	for _, r := range mustExec(t, c, "EXPLAIN ANALYZE "+sql) {
+		if line := r[0].String(); strings.Contains(line, "TableScan") && strings.Contains(line, "  df") {
+			lines = append(lines, line)
+		}
+	}
+	return strings.Join(lines, "\n")
+}
+
+// assertDirectFeed is the direct-feed leg of an effect test. On c the joins
+// broadcast their builds, so the probe scan feeds the join that publishes its
+// filter through nothing but Filter/Project, in one pipeline: the join's own
+// lookup is the row test, and the filter only prunes. sql tests no row and
+// returns the rows it returns with filters off; emptySQL, a join against an
+// empty build, still skips the probe scan's splits.
+func assertDirectFeed(t *testing.T, c *Cluster, sql, emptySQL string) {
+	t.Helper()
+	on, st := queryWith(t, c, sql, Session{})
+	off, _ := queryWith(t, c, sql, Session{Switches: exec.DisableDynamicFilters})
+	assertRows(t, sql+" [direct feed]", on, off)
+	if subs, rowTested, rows := dynFilterWork(st); subs == 0 || rowTested != 0 || rows != 0 || st.DynRowsFiltered != 0 {
+		t.Errorf("direct feed: %d subscriptions, %d row-tested, %d rows tested, %d filtered; want some, all prune-only, none tested",
+			subs, rowTested, rows, st.DynRowsFiltered)
+	}
+	if lines := explainDynFilters(t, c, sql); !strings.Contains(lines, "prune-only") || strings.Contains(lines, "row-tested") {
+		t.Errorf("direct feed: EXPLAIN ANALYZE shows the filters as\n%s\nwant them prune-only", lines)
+	}
+	got, est := queryWith(t, c, emptySQL, Session{})
+	want, _ := queryWith(t, c, emptySQL, Session{Switches: exec.DisableDynamicFilters})
+	assertRows(t, emptySQL+" [direct feed]", got, want)
+	if est.DynSplitsSkipped == 0 {
+		t.Errorf("direct feed: a join against an empty build skipped no probe split (stats: %+v)", est)
+	}
+}
+
+// TestDynamicFilterPrunesSelectiveJoin is the effect test: a 10-row build
+// side against a 20k-row probe must push a filter that skips most probe rows,
+// and the filtered result must equal the unfiltered one. Without statistics
+// the join is partitioned, so the filter crosses from the build's fragment to
+// the probe scan's, where it tests rows. Beside it, the direct-feed leg: with
+// statistics the build is broadcast into the probe scan's pipeline, where the
+// filter only prunes.
+func TestDynamicFilterPrunesSelectiveJoin(t *testing.T) {
+	c := adaptiveCluster(t, ClusterConfig{DisableStats: true})
+	loadSelectiveJoin(t, c)
+	sql := selectiveJoin
 	on, onStats := queryWith(t, c, sql, Session{})
 	off, _ := queryWith(t, c, sql, Session{Switches: exec.DisableDynamicFilters})
 	assertRows(t, sql, on, off)
@@ -110,6 +185,13 @@ func TestDynamicFilterPrunesSelectiveJoin(t *testing.T) {
 	if onStats.DynRowsFiltered < 15000 {
 		t.Errorf("filter skipped only %d of ~19990 filterable rows", onStats.DynRowsFiltered)
 	}
+	if lines := explainDynFilters(t, c, sql); !strings.Contains(lines, "row-tested") || strings.Contains(lines, "prune-only") {
+		t.Errorf("EXPLAIN ANALYZE shows the filters as\n%s\nwant them row-tested", lines)
+	}
+
+	direct := adaptiveCluster(t, ClusterConfig{})
+	loadSelectiveJoin(t, direct)
+	assertDirectFeed(t, direct, selectiveJoin, emptyJoin)
 }
 
 // edgeKeyTables loads bigint and double key tables whose values hit every
@@ -163,6 +245,10 @@ func edgeKeyTables(t *testing.T, c *Cluster) {
 		[]connector.Column{{Name: "k", T: types.Bigint}}, [][]types.Value{{bn}, {bn}, {bn}})
 }
 
+// edgeJoinQueries are the edge-key joins. The RIGHT join (partitioned) and
+// the join over a UNION ALL (whose inputs are fragments of their own) publish
+// filters that cross fragments, through the coordinator's hub and its
+// publication seam; every other join's filter stays in its task.
 var edgeJoinQueries = []string{
 	"SELECT count(*) FROM edge.bprobe JOIN edge.bbuild ON bprobe.k = bbuild.k",
 	"SELECT bprobe.k, count(*) FROM edge.bprobe JOIN edge.bbuild ON bprobe.k = bbuild.k GROUP BY bprobe.k",
@@ -174,6 +260,7 @@ var edgeJoinQueries = []string{
 	"SELECT count(*) FROM edge.dprobe WHERE x IN (SELECT x FROM edge.dbuild)",
 	"SELECT count(*) FROM edge.bprobe JOIN edge.nbuild ON bprobe.k = nbuild.k",
 	"SELECT count(*) FROM edge.bprobe JOIN edge.bbuild ON bprobe.k = bbuild.k JOIN edge.nbuild ON bprobe.k = nbuild.k",
+	"SELECT count(*) FROM (SELECT k FROM edge.bprobe UNION ALL SELECT k FROM edge.bprobe) u JOIN edge.bbuild ON u.k = bbuild.k",
 }
 
 // TestDynamicFilterDifferentialEdgeData runs the edge-key join suite with
@@ -258,6 +345,9 @@ func TestChaosDynamicFilterDelayAndLoss(t *testing.T) {
 			}
 			if el := time.Since(start); el > 30*time.Second {
 				t.Errorf("suite took %v under %s faults; filter waits are not bounded", el, tc.name)
+			}
+			if inj.Count(faultinject.SiteFilterPublish) == 0 {
+				t.Errorf("no %s fault fired: no filter of the suite crossed a fragment", tc.name)
 			}
 			deadline := time.Now().Add(10 * time.Second)
 			for runtime.NumGoroutine() > goroutines+5 {
@@ -435,24 +525,13 @@ func TestHBOJoinOrderFeedback(t *testing.T) {
 // above the scan, so the 20 000-row probe scan of a 10-key join records 20 000
 // rows with filters on and off alike; it recorded the ten survivors when the
 // filter ran inside the source, and a later query scanning the same table
-// planned from whichever run came last.
+// planned from whichever run came last. The join is partitioned (no
+// statistics), so the filter crosses fragments and tests the scan's rows;
+// the direct-feed leg runs the broadcast join, where it only prunes.
 func TestHistoryScanRowsIgnoreDynamicFilters(t *testing.T) {
-	c := adaptiveCluster(t, ClusterConfig{EnableHBO: true})
-	mustExec(t, c, "CREATE TABLE big (k BIGINT, v BIGINT)")
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO big SELECT * FROM (VALUES ")
-	for i := 0; i < 20000; i++ {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "(%d, %d)", i, i%97)
-	}
-	sb.WriteString(")")
-	mustExec(t, c, sb.String())
-	mustExec(t, c, "CREATE TABLE small (k BIGINT)")
-	mustExec(t, c, "INSERT INTO small SELECT * FROM (VALUES (3), (1003), (2003), (3003), (4003), (5003), (6003), (7003), (8003), (9003))")
-
-	sql := "SELECT big.k, big.v FROM big JOIN small ON big.k = small.k"
+	c := adaptiveCluster(t, ClusterConfig{EnableHBO: true, DisableStats: true})
+	loadSelectiveJoin(t, c)
+	sql := selectiveJoin
 	recorded := func(s Session) float64 {
 		t.Helper()
 		rows, st := queryWith(t, c, sql, s)
@@ -486,6 +565,10 @@ func TestHistoryScanRowsIgnoreDynamicFilters(t *testing.T) {
 	if on != 20000 || off != 20000 {
 		t.Errorf("history holds %v rows for the scan of big with dynamic filters on, %v with them off; want 20000 both", on, off)
 	}
+
+	direct := adaptiveCluster(t, ClusterConfig{EnableHBO: true})
+	loadSelectiveJoin(t, direct)
+	assertDirectFeed(t, direct, selectiveJoin, emptyJoin)
 }
 
 // --- Figure 6 selective-join benchmark: dynamic filters on vs off ---

@@ -257,13 +257,3 @@ type SplitCodec interface {
 	// DecodeSplit reverses EncodeSplit.
 	DecodeSplit(data []byte) (Split, error)
 }
-
-// ZeroCopyScans is implemented by connectors whose page sources re-wrap
-// shared in-memory column blocks rather than reading and decoding storage.
-// Scans over such sources are effectively free, so the engine skips
-// optimizations that trade scan work for latency — notably waiting on
-// dynamic-filter builds before starting the probe scan.
-type ZeroCopyScans interface {
-	// ZeroCopy reports that this connector's scans copy no data.
-	ZeroCopy() bool
-}

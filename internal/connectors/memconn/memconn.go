@@ -525,7 +525,3 @@ func (c *Connector) DecodeSplit(data []byte) (connector.Split, error) {
 	}
 	return &split{catalog: c.name, table: ws.Table, from: ws.From, to: ws.To, rows: ws.Rows}, nil
 }
-
-// ZeroCopy implements connector.ZeroCopyScans: memconn page sources re-wrap
-// the shared column blocks, so scans copy nothing.
-func (c *Connector) ZeroCopy() bool { return true }

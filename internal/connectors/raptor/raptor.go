@@ -430,7 +430,3 @@ func (l *indexLookup) Lookup(keys []types.Value) (*block.Page, error) {
 	}
 	return b.Build(), nil
 }
-
-// ZeroCopy implements connector.ZeroCopyScans: raptor shards live in memory
-// and page sources re-wrap their column blocks without copying.
-func (c *Connector) ZeroCopy() bool { return true }

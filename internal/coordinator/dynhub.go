@@ -10,11 +10,14 @@ import (
 
 // filterHub is the per-query dynamic-filter exchange: every task of the
 // fragment containing a publishing join contributes one summary per filter id
-// (a partitioned build sees only its partition's keys), the hub unions them,
-// and the completed union fans out to the tasks whose scans subscribe to it.
-// How a publication reaches the hub is the task client's business — an
-// in-process task calls publish from its build driver, a remote one's arrives
-// in its worker's status channel. Incomplete publications — a task failed or
+// another fragment subscribes to (a partitioned build sees only its
+// partition's keys), the hub unions them, and the completed union fans out to
+// the tasks whose scans subscribe to it. A task's own scans take its
+// summaries directly, before its probes run (exec.Task.publishFilters): a
+// build that shares a fragment with its probe scan holds every row that
+// scan's rows can match. How a publication reaches the hub is the task client's business — an
+// in-process task calls publish from its build's goroutine, a remote one's
+// arrives in its worker's status channel. Incomplete publications — a task failed or
 // was aborted before its build finished — simply never complete the filter,
 // degrading to unfiltered scans.
 type filterHub struct {
@@ -75,9 +78,7 @@ func newFilterHub(dp *plan.DistributedPlan, counts []int) *filterHub {
 
 // relayed reports whether fragment fid's tasks publish filters, and lists
 // those of them a fragment other than fid subscribes to: the only summaries
-// that have to leave the process that built them. A task's own scans take its
-// summary directly (see httpGroup.DeliverFilter for why that is all they
-// need).
+// that go through the hub.
 func (h *filterHub) relayed(fid int) (ids []int, publishes bool) {
 	for id, pub := range h.publisherOf {
 		if pub == fid {

@@ -53,17 +53,8 @@ func (c *Coordinator) startLocal(w *exec.Worker, spec *taskSpec) (*exec.Task, er
 				faultinject.WrapFetcher(c.cfg.FaultInject, &placedOutput{p: p, part: spec.ID.Index}))
 		}
 	}
-	task, err := w.CreateTask(spec.ID, spec.Fragment, spec.Mem, spec.OutPartitions, sources, spec.Config)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Publish != nil {
-		// Installed after the task started: a build that completes inside
-		// the window self-delivers, which is safe (its own scans filter;
-		// sibling tasks stay unfiltered).
-		task.SetFilterPublisher(spec.Publish)
-	}
-	return task, nil
+	return w.CreateTask(spec.ID, spec.Fragment, spec.Mem, spec.OutPartitions, sources, spec.Config,
+		exec.FilterRelay{IDs: spec.Relay, Publish: spec.Publish})
 }
 
 // placedOutput reads one output partition of a placed producer p. Workers

@@ -69,10 +69,10 @@ type taskSpec struct {
 	// Mem is the query's memory context on this coordinator (in-process
 	// tasks charge it; a remote worker keeps its own).
 	Mem *memory.QueryContext
-	// Publish receives the summaries this task's join builds complete, one
-	// per filter id they publish (nil when the fragment has none). Relay are
-	// the ids among them that another fragment subscribes to: what a task in
-	// another process has to send back.
+	// Publish receives the summaries this task's join builds complete for
+	// the filter ids in Relay, those another fragment subscribes to (nil when
+	// the fragment publishes none): the task's own scans take its summaries
+	// themselves (exec.FilterRelay).
 	Publish func(ids []int, sums []*dynfilter.Summary)
 	Relay   []int
 

@@ -20,6 +20,9 @@ type PipelineRollup struct {
 	Drivers     int                         `json:"drivers"`
 	DriversDone int                         `json:"driversDone"`
 	Operators   []operators.OpStatsSnapshot `json:"operators"`
+	// DynFilters is what the dynamic-filter subscriptions of the pipeline's
+	// scan did, summed over the stage's tasks.
+	DynFilters []operators.DynFilterStats `json:"dynFilters,omitempty"`
 }
 
 // StageStats aggregates the tasks of one fragment.
@@ -284,6 +287,7 @@ func mergePipelines(sg *StageStats, pls []exec.PipelineStats) {
 		}
 		target.Drivers += pl.Drivers
 		target.DriversDone += pl.DriversDone
+		target.DynFilters = operators.MergeDynFilters(target.DynFilters, pl.DynFilters)
 		for i, op := range pl.Operators {
 			if i < len(target.Operators) {
 				target.Operators[i].Merge(op)
@@ -317,7 +321,7 @@ func FormatOperatorTable(st QueryStats) string {
 		}
 		for _, pl := range sg.Pipelines {
 			fmt.Fprintf(&sb, "  pipeline %d (%d drivers):\n", pl.Pipeline, pl.Drivers)
-			for _, op := range pl.Operators {
+			for i, op := range pl.Operators {
 				fmt.Fprintf(&sb, "    %-20s rows %d/%d  wall %s  cpu %s  blocked %s  peak mem %d B",
 					op.Name, op.RowsIn, op.RowsOut,
 					time.Duration(op.WallNanos).Round(10*time.Microsecond),
@@ -334,6 +338,16 @@ func FormatOperatorTable(st QueryStats) string {
 					fmt.Fprintf(&sb, "  dyn rows-skipped %d  dyn splits-skipped %d  dyn wait %s",
 						op.DynRowsFiltered, op.DynSplitsSkipped,
 						time.Duration(op.DynWaitNanos).Round(10*time.Microsecond))
+				}
+				if i == 0 { // the pipeline's source: its scan's filters
+					for _, df := range pl.DynFilters {
+						if df.RowTested {
+							fmt.Fprintf(&sb, "  df%d row-tested %d/%d passed", df.ID, df.RowsPassed, df.RowsTested)
+						} else {
+							fmt.Fprintf(&sb, "  df%d prune-only", df.ID)
+						}
+						fmt.Fprintf(&sb, " wait %s", time.Duration(df.WaitNanos).Round(10*time.Microsecond))
+					}
 				}
 				if op.VecProjEvals+op.CSEHits > 0 {
 					fmt.Fprintf(&sb, "  vec-proj %d  cse-hits %d", op.VecProjEvals, op.CSEHits)

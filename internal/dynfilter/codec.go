@@ -25,7 +25,10 @@ import (
 //	       with flagSparse a uint16 count of (uint16 index, word) pairs — the
 //	       build of a 25-row dimension table sets 50 bits, not 1 024 words
 //
-// A Disabled summary is its type and flags: nothing else is read.
+// A Disabled summary is its type and flags: nothing else is read. A summary
+// still on its exact set sends the Bloom of the set's members; one that says
+// nothing about membership (collected for pruning only, never relayed)
+// crosses as Disabled unless it is empty.
 const (
 	flagDisabled = 1 << iota
 	flagBounds
@@ -38,8 +41,14 @@ const sparseWord = 2 + 8
 
 // AppendSummary appends s's wire frame to dst.
 func AppendSummary(dst []byte, s *Summary) []byte {
-	if s.Disabled {
+	if s.Disabled || (!s.hasMembership() && s.Rows > 0) {
 		return append(dst, byte(s.T), flagDisabled)
+	}
+	bloom := s.Bloom
+	if bloom == nil {
+		wire := Summary{Bloom: make([]uint64, bloomWords)}
+		s.eachHash(wire.bloomSet)
+		bloom = wire.Bloom
 	}
 	var flags byte
 	if s.HasBounds {
@@ -49,12 +58,12 @@ func AppendSummary(dst []byte, s *Summary) []byte {
 		flags |= flagPoisoned
 	}
 	nonZero := 0
-	for _, w := range s.Bloom {
+	for _, w := range bloom {
 		if w != 0 {
 			nonZero++
 		}
 	}
-	if 2+nonZero*sparseWord < len(s.Bloom)*8 {
+	if 2+nonZero*sparseWord < len(bloom)*8 {
 		flags |= flagSparse
 	}
 	dst = append(dst, byte(s.T), flags)
@@ -63,13 +72,13 @@ func AppendSummary(dst []byte, s *Summary) []byte {
 		dst = appendBound(appendBound(dst, s.Min), s.Max)
 	}
 	if flags&flagSparse == 0 {
-		for _, w := range s.Bloom {
+		for _, w := range bloom {
 			dst = binary.LittleEndian.AppendUint64(dst, w)
 		}
 		return dst
 	}
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(nonZero))
-	for i, w := range s.Bloom {
+	for i, w := range bloom {
 		if w != 0 {
 			dst = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint16(dst, uint16(i)), w)
 		}

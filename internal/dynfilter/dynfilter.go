@@ -22,6 +22,7 @@ package dynfilter
 import (
 	"math"
 
+	"repro/internal/block"
 	"repro/internal/types"
 )
 
@@ -63,6 +64,12 @@ const bloomWords = BloomBits / 64
 // pushdown); beyond it the summary degrades to min/max + bloom.
 const DefaultMaxSet = 4096
 
+// MaxPushdownPoints caps the IN-list a summary's exact set becomes in a
+// scan's constraint (split and stripe pruning); larger sets fall back to
+// min/max range pushdown. Keeps cache keys and connector prune checks small,
+// and bounds the set a summary that only prunes collects (ColumnSpec.Bounded).
+const MaxPushdownPoints = 100
+
 // DefaultMaxRows bounds collection work: past this many build rows the
 // collector marks the summary disabled and stops (a huge build side makes a
 // probe filter worthless anyway).
@@ -85,8 +92,11 @@ type Summary struct {
 	exact *cellSet
 	Strs  map[string]struct{}
 
-	// Bloom is a fixed-size blocked bloom over the canonical cell hash,
-	// populated from the start so overflowing the exact set loses nothing.
+	// Bloom is a fixed-size blocked bloom over the canonical cell hash. It is
+	// nil while the exact set holds every key, and filled when the set
+	// overflows: from the set's members, then from every later key. A summary
+	// with neither — collected for pruning only (ColumnSpec.Bounded) — says
+	// nothing about membership, and every non-NULL value matches it.
 	Bloom []uint64
 
 	// Min/Max bound the observed keys for orderable types. HasBounds is
@@ -165,20 +175,22 @@ func (t *cellSet) each(fn func(cell)) {
 
 // matchCell is the shared fixed-width membership test: exact set when it
 // survived, bloom otherwise; a varchar build never equals a fixed-width
-// probe.
+// probe, and a summary without either matches every value.
 func (s *Summary) matchCell(c cell) bool {
-	if s.exact != nil {
+	switch {
+	case s.exact != nil:
 		return s.exact.has(c)
-	}
-	if s.Strs != nil {
+	case s.Strs != nil:
 		return false
+	case s.Bloom != nil:
+		return s.bloomHas(cellHash(c))
 	}
-	return s.bloomHas(cellHash(c))
+	return true
 }
 
 // NewSummary returns an empty (matches-nothing) summary for type t.
 func NewSummary(t types.Type) *Summary {
-	s := &Summary{T: t, Bloom: make([]uint64, bloomWords)}
+	s := &Summary{T: t}
 	switch t {
 	case types.Varchar:
 		s.Strs = make(map[string]struct{})
@@ -232,16 +244,52 @@ func strHash(v string) uint64 {
 	return splitmix64(h)
 }
 
+// overflow drops the exact set for the Bloom filter, which takes its members:
+// past maxSet keys the summary is its Bloom and its bounds.
+func (s *Summary) overflow() {
+	if s.Bloom == nil {
+		s.Bloom = make([]uint64, bloomWords)
+	}
+	s.eachHash(s.bloomSet)
+	s.exact, s.Strs = nil, nil
+}
+
+// eachHash calls fn with the Bloom hash of every member of the exact set.
+func (s *Summary) eachHash(fn func(uint64)) {
+	if s.exact != nil {
+		s.exact.each(func(c cell) { fn(cellHash(c)) })
+	}
+	for v := range s.Strs {
+		fn(strHash(v))
+	}
+}
+
+// hasMembership reports whether the summary can rule a value out: it has an
+// exact set or a Bloom filter.
+func (s *Summary) hasMembership() bool {
+	return s.exact != nil || s.Strs != nil || s.Bloom != nil
+}
+
 // addCell records one normalized non-null fixed-width key.
 func (s *Summary) addCell(c cell, maxSet int) {
 	s.Rows++
-	s.bloomSet(cellHash(c))
-	if t := s.exact; t != nil && !t.has(c) {
-		if t.n >= maxSet {
-			s.exact = nil // overflow: bloom + bounds carry on
-		} else {
-			t.add(c)
+	s.addMember(c, maxSet)
+}
+
+// addMember puts a key into the exact set, or into the Bloom filter once the
+// set has overflowed; a summary with neither keeps none.
+func (s *Summary) addMember(c cell, maxSet int) {
+	switch t := s.exact; {
+	case t == nil:
+		if s.Bloom != nil {
+			s.bloomSet(cellHash(c))
 		}
+	case t.has(c):
+	case t.n >= maxSet:
+		s.overflow()
+		s.bloomSet(cellHash(c))
+	default:
+		t.add(c)
 	}
 }
 
@@ -294,15 +342,17 @@ func (s *Summary) AddBool(b bool, maxSet int) { s.addCell(boolCell(b), maxSet) }
 // AddStr records a non-null varchar key.
 func (s *Summary) AddStr(v string, maxSet int) {
 	s.Rows++
-	s.bloomSet(strHash(v))
-	if s.Strs != nil {
-		if _, ok := s.Strs[v]; !ok {
-			if len(s.Strs) >= maxSet {
-				s.Strs = nil
-			} else {
-				s.Strs[v] = struct{}{}
-			}
+	switch _, ok := s.Strs[v]; {
+	case ok:
+	case s.Strs == nil:
+		if s.Bloom != nil {
+			s.bloomSet(strHash(v))
 		}
+	case len(s.Strs) >= maxSet:
+		s.overflow()
+		s.bloomSet(strHash(v))
+	default:
+		s.Strs[v] = struct{}{}
 	}
 	widen(s, v, &s.Min.S, &s.Max.S, types.VarcharValue(v))
 }
@@ -326,6 +376,26 @@ func (s *Summary) AddValue(v types.Value, maxSet int) {
 	}
 }
 
+// addRow records row r of a build key column read through its typed
+// accessor, as AddValue records the row's boxed value. NULLs are skipped.
+func (s *Summary) addRow(b block.Block, r, maxSet int) {
+	if b.IsNull(r) {
+		return
+	}
+	switch b.Type() {
+	case types.Bigint, types.Date:
+		s.AddLong(b.Long(r), maxSet)
+	case types.Double:
+		s.AddDouble(b.Double(r), maxSet)
+	case types.Boolean:
+		s.AddBool(b.Bool(r), maxSet)
+	case types.Varchar:
+		s.AddStr(b.Str(r), maxSet)
+	default:
+		s.Disabled = true
+	}
+}
+
 // --- probe-side membership (the vecfilter kernels call these) ---
 
 // MatchLong reports whether a bigint/date probe value may match a build key.
@@ -343,14 +413,16 @@ func (s *Summary) MatchBool(b bool) bool { return s.matchCell(boolCell(b)) }
 
 // MatchStr reports whether a varchar probe value may match a build key.
 func (s *Summary) MatchStr(v string) bool {
-	if s.Strs != nil {
+	switch {
+	case s.Strs != nil:
 		_, ok := s.Strs[v]
 		return ok
-	}
-	if s.exact != nil {
+	case s.exact != nil:
 		return false // fixed-width build keys never equal a varchar probe
+	case s.Bloom != nil:
+		return s.bloomHas(strHash(v))
 	}
-	return s.bloomHas(strHash(v))
+	return true
 }
 
 // MatchValue is the boxed fallback used for exotic block types.
@@ -439,12 +511,15 @@ func (s *Summary) Bounds() (min, max types.Value, ok bool) {
 
 // Merge unions o into s (partitioned builds publish one summary per task;
 // the coordinator merges them before delivery). A disabled input disables
-// the union; mismatched types disable it too (should not happen).
+// the union; mismatched types disable it too (should not happen). Exact sets
+// union into an exact set; if either side has only a Bloom filter, the union
+// is a Bloom filter holding both sides' keys; if either side says nothing
+// about membership, neither does the union.
 func (s *Summary) Merge(o *Summary) {
 	if o == nil {
 		return
 	}
-	if o.Disabled || s.T != o.T || len(o.Bloom) != len(s.Bloom) {
+	if o.Disabled || s.T != o.T {
 		s.Disabled = true
 		return
 	}
@@ -452,29 +527,27 @@ func (s *Summary) Merge(o *Summary) {
 		return
 	}
 	s.Rows += o.Rows
-	for i := range s.Bloom {
-		s.Bloom[i] |= o.Bloom[i]
-	}
 	switch {
-	case s.Strs != nil:
-		if o.Strs == nil {
-			s.Strs = nil
-		} else {
-			for v := range o.Strs {
-				s.Strs[v] = struct{}{}
-			}
+	case !s.hasMembership() || !o.hasMembership():
+		s.exact, s.Strs, s.Bloom = nil, nil, nil
+	case s.Strs != nil && o.Strs != nil:
+		for v := range o.Strs {
+			s.Strs[v] = struct{}{}
 		}
-	case s.exact != nil:
-		switch {
-		case o.exact == nil:
-			s.exact = nil
-		case s.exact.n == 0:
+	case s.exact != nil && o.exact != nil:
+		if s.exact.n == 0 {
 			adopted := *o.exact
 			adopted.shared = true
 			s.exact = &adopted
-		default:
+		} else {
 			o.exact.each(s.exact.add)
 		}
+	default:
+		s.overflow()
+		for i, w := range o.Bloom {
+			s.Bloom[i] |= w
+		}
+		o.eachHash(s.bloomSet)
 	}
 	if o.BoundsPoisoned {
 		s.poisonBounds()

@@ -307,3 +307,90 @@ func TestMergeSharesThenCopies(t *testing.T) {
 		t.Errorf("union of 21 keys holds %d, 99 in it: %v", union.ExactLen(), union.MatchLong(99))
 	}
 }
+
+// TestCollectCellsMatchesCollect: a build summarized from its key table's
+// normalized cells — row count and bounds from every entry, the set from one
+// entry per distinct key — is the summary the typed page path makes of the
+// same keys: the same set, bounds and row count, -0.0 and integral doubles on
+// their integer cells, NULL keys left out. No Bloom filter is filled while
+// the set holds.
+func TestCollectCellsMatchesCollect(t *testing.T) {
+	vals := []float64{3, math.Copysign(0, -1), 2.5, 3, -7.25, 2.5}
+	nulls := []bool{false, false, false, false, false, true}
+	var cells []uint64
+	var tags []byte
+	for i, f := range vals {
+		c := normDouble(f)
+		if nulls[i] {
+			c = cell{}
+		}
+		cells, tags = append(cells, c.payload), append(tags, c.tag)
+	}
+	specs := []ColumnSpec{{ID: 1, T: types.Double}}
+	fromCells := NewCollector(specs, 0, 0)
+	fromCells.CollectCells(5, 4, 1, cells, tags, func(visit func(int)) {
+		for _, e := range []int{0, 1, 2, 4} { // each distinct key's first entry
+			visit(e)
+		}
+	})
+	fromPage := NewCollector(specs, 0, 0)
+	p := block.NewPage(block.NewDoubleBlock([]float64{3, 0, 2.5, -7.25}, nil))
+	fromPage.Collect(5, 4, []int{0}, everyRow(p))
+	a, b := fromCells.Summaries()[0], fromPage.Summaries()[0]
+	if a.Rows != 5 || a.Rows != b.Rows || a.ExactLen() != 4 || b.ExactLen() != 4 || a.Bloom != nil || b.Bloom != nil {
+		t.Fatalf("cells: %d rows, %d keys, bloom %v; page: %d rows, %d keys, bloom %v", a.Rows, a.ExactLen(), a.Bloom != nil, b.Rows, b.ExactLen(), b.Bloom != nil)
+	}
+	for _, f := range []float64{3, 0, math.Copysign(0, -1), 2.5, -7.25, 1} {
+		if a.MatchDouble(f) != b.MatchDouble(f) {
+			t.Errorf("%v: cells say %v, the page %v", f, a.MatchDouble(f), b.MatchDouble(f))
+		}
+	}
+	amin, amax, aok := a.Bounds()
+	bmin, bmax, bok := b.Bounds()
+	if !aok || !bok || amin.F != bmin.F || amax.F != bmax.F || amin.F != -7.25 || amax.F != 3 {
+		t.Errorf("bounds from cells [%v, %v] %v, from the page [%v, %v] %v, want [-7.25, 3]", amin, amax, aok, bmin, bmax, bok)
+	}
+
+	// A NaN key poisons the bounds; BIGINT cells are their values.
+	nan := normDouble(math.NaN())
+	poisoned := NewCollector(specs, 0, 0)
+	poisoned.CollectCells(2, 2, 1, []uint64{cells[0], nan.payload}, []byte{tags[0], nan.tag}, func(visit func(int)) { visit(0); visit(1) })
+	if s := poisoned.Summaries()[0]; s.HasBounds || !s.BoundsPoisoned || !s.MatchDouble(math.NaN()) {
+		t.Errorf("a NaN build key: bounds %v poisoned %v, NaN matches %v", s.HasBounds, s.BoundsPoisoned, s.MatchDouble(math.NaN()))
+	}
+	longs := NewCollector([]ColumnSpec{{ID: 1, T: types.Bigint}}, 0, 0)
+	minus := int64(-9)
+	longs.CollectCells(3, 3, 1, []uint64{4, uint64(minus), 0}, []byte{cellLong, cellLong, cellNull}, func(visit func(int)) { visit(0); visit(1) })
+	if min, max, ok := longs.Summaries()[0].Bounds(); !ok || min.I != -9 || max.I != 4 {
+		t.Errorf("bigint bounds from cells [%v, %v] %v, want [-9, 4]", min, max, ok)
+	}
+}
+
+// TestBoundedSummaryPrunesOnly: a summary only split and stripe pruning reads
+// keeps its row count and bounds, and its set while the build has at most
+// MaxPushdownPoints keys; past that it holds no set and no Bloom filter, and
+// rules no value out. Relayed, the same summary is collected in full.
+func TestBoundedSummaryPrunesOnly(t *testing.T) {
+	keys := make([]int64, MaxPushdownPoints+1)
+	for i := range keys {
+		keys[i] = int64(10 * i)
+	}
+	for _, n := range []int{MaxPushdownPoints, MaxPushdownPoints + 1} {
+		c := NewCollector([]ColumnSpec{{ID: 4, T: types.Bigint, Bounded: true}}, 0, 0)
+		collect(c, int64(n), keys[:n])
+		s := c.Summaries()[0]
+		min, max, ok := s.Bounds()
+		if s.Rows != int64(n) || !ok || min.I != 0 || max.I != int64(10*(n-1)) || s.Bloom != nil {
+			t.Errorf("%d keys: %d rows, bounds [%v, %v] %v, bloom %v", n, s.Rows, min, max, ok, s.Bloom != nil)
+		}
+		if wantSet := n <= MaxPushdownPoints; s.HasExact() != wantSet || s.MatchLong(5) == wantSet {
+			t.Errorf("%d keys: exact set %v, 5 matches %v; want a set (ruling 5 out) only up to %d keys", n, s.HasExact(), s.MatchLong(5), MaxPushdownPoints)
+		}
+	}
+	c := NewCollector([]ColumnSpec{{ID: 4, T: types.Bigint, Bounded: true}}, 0, 0)
+	c.Relayed = func(id int) bool { return id == 4 }
+	collect(c, int64(len(keys)), keys)
+	if s := c.Summaries()[0]; !s.HasExact() || s.MatchLong(5) || !s.MatchLong(10) {
+		t.Error("a relayed summary was collected for pruning only")
+	}
+}

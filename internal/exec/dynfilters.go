@@ -1,85 +1,155 @@
 package exec
 
 import (
+	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/block"
+	"repro/internal/connector"
 	"repro/internal/dynfilter"
 	"repro/internal/expr"
 	"repro/internal/faultinject"
+	"repro/internal/operators"
 	"repro/internal/plan"
 )
 
 // Runtime-adaptive execution, probe side (see internal/dynfilter): a task
 // receives build-side key summaries for the filter ids its scans subscribed
-// to (plan.ScanDynFilter), briefly gates subscribed split starts on their
-// arrival, and applies arrived summaries twice: at split-open time as a
-// narrowed table handle for connector-side pruning, and page by page as
-// vectorized row predicates in the page processor placed on the scan.
-// Everything is best-effort: a summary that never arrives leaves the scan
-// unfiltered and row-for-row identical.
+// to (plan.ScanDynFilter) and applies them at split-open time as a narrowed
+// table handle for connector-side pruning, and — on a scan whose rows meet
+// the publishing join only after another operator that a dropped row saves
+// work in — page by page as vectorized row predicates in the page processor
+// placed on the scan. Where the summary comes from decides how long a scan
+// waits for it: a join of the same task installs it before its probes run, so
+// such a subscription never waits; one built in another fragment arrives
+// through the coordinator, and the scan holds its split starts for it, for at
+// most DynamicFilterWait. Everything is best-effort: a summary that never
+// arrives leaves the scan unfiltered and row-for-row identical.
 
-// dynMaxPushdownPoints caps the IN-list size pushed into a scan's constraint;
-// larger exact sets fall back to min/max range pushdown (the full set still
-// filters row-level). Keeps cache keys and connector prune checks small.
-const dynMaxPushdownPoints = 100
-
-// SetFilterPublisher installs the cross-task delivery hook (the
-// coordinator's per-query filter hub). Install before splits arrive; without
-// a publisher, published summaries deliver to this task's own scans only.
-func (t *Task) SetFilterPublisher(fn func(ids []int, sums []*dynfilter.Summary)) {
-	t.dynMu.Lock()
-	t.filterPublish = fn
-	t.dynMu.Unlock()
+// FilterRelay is how a task's dynamic-filter summaries reach the scans of
+// other fragments: IDs are the filters its joins publish that another
+// fragment subscribes to, and Publish takes their summaries (the
+// coordinator's filter hub). A task's own scans take its summaries directly,
+// whatever the relay.
+type FilterRelay struct {
+	IDs     []int
+	Publish func(ids []int, sums []*dynfilter.Summary)
 }
 
-// publishFilters routes a join build's completed summaries out of the task.
-// It runs asynchronously: the built transition can fire under task or bridge
-// locks, and delivery fans out into coordinator code. The fault seam models
-// delayed or lost delivery — a dropped publication leaves probe scans
-// unfiltered, which is always safe.
+// dynSub is one of a scan's dynamic-filter subscriptions as the task runs it.
+type dynSub struct {
+	plan.ScanDynFilter
+	// own: a join of this fragment publishes the filter, so the task installs
+	// it before that join's probes run and the scan never waits for it.
+	own bool
+	// rowTested: the scan's rows pass an operator other than Filter/Project,
+	// or a pipeline boundary, before they reach the publishing join, so a row
+	// the filter drops saves that operator's work; the processor on the scan
+	// tests every row. Otherwise the join's own lookup is the same test, and
+	// the subscription only prunes splits and stripes (and short-circuits an
+	// empty build).
+	rowTested bool
+	stats     *dynCounter
+}
+
+// dynCounter counts what one subscription did: the rows its row test read
+// and passed, and the time the scan's split starts waited for it.
+type dynCounter struct {
+	tested, passed, waitNanos atomic.Int64
+}
+
+func (c *dynCounter) recordRows(in, out int) {
+	c.tested.Add(int64(in))
+	c.passed.Add(int64(out))
+}
+
+// dynFilterStats snapshots the work of a scan pipeline's subscriptions, in
+// plan order (nil when it has none).
+func dynFilterStats(p *pipelineSpec) []operators.DynFilterStats {
+	var out []operators.DynFilterStats
+	for _, sub := range p.dynSubs {
+		out = append(out, operators.DynFilterStats{ID: sub.ID, RowTested: sub.rowTested,
+			RowsTested: sub.stats.tested.Load(), RowsPassed: sub.stats.passed.Load(), WaitNanos: sub.stats.waitNanos.Load()})
+	}
+	return out
+}
+
+// setRelay installs the task's relay before it starts.
+func (t *Task) setRelay(r FilterRelay) {
+	if len(r.IDs) > 0 {
+		t.relay = &r
+	}
+}
+
+// relayed reports whether the task relays filter id.
+func (t *Task) relayed(id int) bool {
+	return t.relay != nil && slices.Contains(t.relay.IDs, id)
+}
+
+// publishFilters takes a join build's completed summaries. It runs on the
+// built transition, under the join bridge's lock, before any probe of the
+// join can run (operators.JoinBridge.SetFilterCollector), and takes only
+// dynMu: the task's own scans have the summaries from then on. Those another
+// fragment subscribes to go to the relay on a goroutine — delivery fans out
+// into coordinator code — through the fault seam that models delayed or lost
+// delivery: a dropped publication leaves those probe scans unfiltered, which
+// is always safe.
 func (t *Task) publishFilters(ids []int, sums []*dynfilter.Summary) {
-	// A publisher with no collector still publishes — "never filter" — so
-	// the merged filter completes and gated probe scans stop waiting,
-	// whichever way the publication travels (hub callback or status poll).
+	// A build with no collector still publishes — "never filter" — so the
+	// merged filter completes and gated probe scans stop waiting.
 	full := make([]*dynfilter.Summary, len(ids))
+	empty := false
 	for i := range ids {
 		if i < len(sums) && sums[i] != nil {
 			full[i] = sums[i]
 		} else {
 			full[i] = &dynfilter.Summary{Disabled: true}
 		}
+		empty = empty || full[i].Empty()
+	}
+	t.dynMu.Lock()
+	if t.dynFilters == nil {
+		t.dynFilters = map[int]*dynfilter.Summary{}
+	}
+	if t.dynPublished == nil {
+		t.dynPublished = map[int]*dynfilter.Summary{}
+	}
+	for i, id := range ids {
+		t.dynFilters[id], t.dynPublished[id] = full[i], full[i]
+	}
+	t.dynArrivals.Add(1)
+	t.dynMu.Unlock()
+	if empty {
+		// Splits not yet opened are dropped off the bridge's lock; until
+		// then, a split opened is skipped (openPageSource).
+		go func() {
+			t.mu.Lock()
+			defer t.mu.Unlock()
+			t.shortCircuitLocked()
+		}()
+	}
+	var rids []int
+	var rsums []*dynfilter.Summary
+	for i, id := range ids {
+		if t.relayed(id) {
+			rids, rsums = append(rids, id), append(rsums, full[i])
+		}
+	}
+	if len(rids) == 0 || t.relay.Publish == nil {
+		return
 	}
 	go func() {
 		if err := t.cfg.Inject.Err(faultinject.SiteFilterPublish); err != nil {
 			return // injected loss
 		}
-		t.dynMu.Lock()
-		if t.dynPublished == nil {
-			t.dynPublished = map[int]*dynfilter.Summary{}
-		}
-		for i, id := range ids {
-			t.dynPublished[id] = full[i]
-		}
-		fn := t.filterPublish
-		t.dynMu.Unlock()
-		if fn != nil {
-			fn(ids, full)
-			return
-		}
-		// No publisher (single-task execution, or a remote worker between
-		// coordinator polls): deliver to our own subscribed scans. Safe in
-		// every strategy — broadcast and colocated builds see exactly the
-		// build rows their own probe rows can match, and partitioned builds
-		// have no probe scan in the same fragment.
-		for i, id := range ids {
-			t.DeliverFilter(id, full[i])
-		}
+		t.relay.Publish(rids, rsums)
 	}()
 }
 
 // PublishedFilters snapshots the summaries this task's join builds have
-// published (the remote-mode coordinator polls these via the task API).
+// published.
 func (t *Task) PublishedFilters() map[int]*dynfilter.Summary {
 	t.dynMu.Lock()
 	defer t.dynMu.Unlock()
@@ -90,13 +160,13 @@ func (t *Task) PublishedFilters() map[int]*dynfilter.Summary {
 	return out
 }
 
-// DeliverFilter hands one dynamic-filter summary to the task. Split starts
-// gated on the filter resume immediately; an empty summary short-circuits
-// subscribed INNER/SEMI scans by dropping their remaining splits. Late
-// delivery (after the bounded wait expired and splits opened unfiltered)
-// still narrows every split opened afterwards and filters every page read
-// afterwards, of open splits too. Safe at any point in the task lifecycle,
-// including after completion.
+// DeliverFilter hands the task one dynamic-filter summary built in another
+// fragment. Split starts gated on the filter resume immediately; an empty
+// summary short-circuits subscribed INNER/SEMI scans by dropping their
+// remaining splits. Late delivery (after the bounded wait expired and splits
+// opened unfiltered) still narrows every split opened afterwards and filters
+// every page read afterwards, of open splits too. Safe at any point in the
+// task lifecycle, including after completion.
 func (t *Task) DeliverFilter(id int, s *dynfilter.Summary) {
 	if s == nil {
 		return
@@ -118,24 +188,40 @@ func (t *Task) DeliverFilter(id int, s *dynfilter.Summary) {
 		return
 	}
 	if s.Empty() {
-		for _, p := range t.scanPipes {
-			if p.scanNode == nil {
-				continue
-			}
-			for _, df := range p.scanNode.DynFilters {
-				if df.ID == id && df.ShortCircuit {
-					t.dropScanSplitsLocked(p)
-				}
-			}
-		}
+		t.shortCircuitLocked()
 	}
 	t.startScansLocked()
 }
 
+// shortCircuitLocked drops the remaining splits of every scan an empty build
+// proved joins nothing. Caller holds t.mu.
+func (t *Task) shortCircuitLocked() {
+	for _, p := range t.scanPipes {
+		if t.dynEmpty(p) {
+			t.dropScanSplitsLocked(p)
+		}
+	}
+}
+
+// dynEmpty reports whether a summary a scan short-circuits on (INNER/SEMI
+// subscriptions) has arrived empty. It takes only dynMu.
+func (t *Task) dynEmpty(p *pipelineSpec) bool {
+	if len(p.dynSubs) == 0 {
+		return false
+	}
+	t.dynMu.Lock()
+	defer t.dynMu.Unlock()
+	for _, sub := range p.dynSubs {
+		if s := t.dynFilters[sub.ID]; sub.ShortCircuit && s != nil && s.Empty() {
+			return true
+		}
+	}
+	return false
+}
+
 // dropScanSplitsLocked discards a scan's remaining splits (empty-build short
-// circuit): already-open sources finish naturally — their rows are filtered
-// to zero by the same empty summary — and future splits are rejected at
-// AddSplit. Caller holds t.mu.
+// circuit): already-open sources finish naturally — their rows join nothing
+// — and future splits are rejected at AddSplit. Caller holds t.mu.
 func (t *Task) dropScanSplitsLocked(p *pipelineSpec) {
 	if t.dynSkip[p.scanID] {
 		return
@@ -148,13 +234,22 @@ func (t *Task) dropScanSplitsLocked(p *pipelineSpec) {
 	t.maybeDeclareScanDoneLocked(p)
 }
 
+// emptySource is the page source of a split an empty build made pointless.
+type emptySource struct{}
+
+func (emptySource) NextPage() (*block.Page, error) { return nil, nil }
+func (emptySource) BytesRead() int64               { return 0 }
+func (emptySource) Close()                         {}
+
+var _ connector.PageSource = emptySource{}
+
 // dynGateLocked reports whether a scan's split starts are still held waiting
-// for subscribed filters. The wait is bounded by DynamicFilterWait: a timer
-// re-evaluates the scan's starts at the deadline, so a lost filter costs at
-// most the wait budget, never a hang. Caller holds t.mu.
+// for the filters it subscribes to from other fragments. The wait is bounded
+// by DynamicFilterWait: a timer re-evaluates the scan's starts at the
+// deadline, so a lost filter costs at most the wait budget, never a hang.
+// Caller holds t.mu.
 func (t *Task) dynGateLocked(p *pipelineSpec) bool {
-	sc := p.scanNode
-	if sc == nil || len(sc.DynFilters) == 0 {
+	if !slices.ContainsFunc(p.dynSubs, func(sub dynSub) bool { return !sub.own }) {
 		return false
 	}
 	if g := t.dynGates[p.scanID]; g != nil && g.done {
@@ -163,26 +258,14 @@ func (t *Task) dynGateLocked(p *pipelineSpec) bool {
 	wait := t.cfg.DynamicFilterWait
 	if wait == 0 {
 		wait = DefaultDynamicFilterWait
-		if t.scanIsZeroCopy(p) {
-			// Zero-copy in-memory probes start for free; holding them costs
-			// more latency than the pruning saves (EXPERIMENTS.md, "What the
-			// one-off benchmark files said": q37 and q82), and
-			// filters arriving mid-scan still narrow later-opened splits.
-			// Multi-filter subscriptions feed join chains where unpruned
-			// rows compound downstream, so those keep a short bounded hold.
-			wait = ZeroCopyDynamicFilterWait
-			if len(sc.DynFilters) > 1 {
-				wait = ZeroCopyChainDynamicFilterWait
-			}
-		}
 	}
 	if wait <= 0 {
 		return false
 	}
 	missing := false
 	t.dynMu.Lock()
-	for _, df := range sc.DynFilters {
-		if _, ok := t.dynFilters[df.ID]; !ok {
+	for _, sub := range p.dynSubs {
+		if _, ok := t.dynFilters[sub.ID]; !ok && !sub.own {
 			missing = true
 			break
 		}
@@ -202,7 +285,13 @@ func (t *Task) dynGateLocked(p *pipelineSpec) bool {
 	}
 	if !missing || time.Since(g.start) >= wait {
 		g.done = true
-		p.opStats[0].RecordDynWait(time.Since(g.start).Nanoseconds())
+		waited := time.Since(g.start).Nanoseconds()
+		p.opStats[0].RecordDynWait(waited)
+		for _, sub := range p.dynSubs {
+			if !sub.own {
+				sub.stats.waitNanos.Add(waited)
+			}
+		}
 		return false
 	}
 	return true
@@ -211,23 +300,22 @@ func (t *Task) dynGateLocked(p *pipelineSpec) bool {
 // appliedFilter is one of a scan's subscriptions whose summary has arrived and
 // filters.
 type appliedFilter struct {
-	df  plan.ScanDynFilter
+	sub dynSub
 	sum *dynfilter.Summary
 }
 
-// dynApplied snapshots the filters applicable to a scan pipeline right now.
-// Called from split opens (with or without t.mu) and from drivers — it takes
-// only dynMu.
-func (t *Task) dynApplied(p *pipelineSpec) []appliedFilter {
-	sc := p.scanNode
-	if sc == nil || len(sc.DynFilters) == 0 {
+// dynApplied snapshots the filters applicable to a scan pipeline right now,
+// the row-tested ones only when rowTested is set. Called from split opens
+// (with or without t.mu) and from drivers — it takes only dynMu.
+func (t *Task) dynApplied(p *pipelineSpec, rowTested bool) []appliedFilter {
+	if len(p.dynSubs) == 0 {
 		return nil
 	}
 	var fs []appliedFilter
 	t.dynMu.Lock()
-	for _, df := range sc.DynFilters {
-		if s := t.dynFilters[df.ID]; s != nil && !s.Disabled {
-			fs = append(fs, appliedFilter{df, s})
+	for _, sub := range p.dynSubs {
+		if s := t.dynFilters[sub.ID]; s != nil && !s.Disabled && (sub.rowTested || !rowTested) {
+			fs = append(fs, appliedFilter{sub, s})
 		}
 	}
 	t.dynMu.Unlock()
@@ -235,16 +323,18 @@ func (t *Task) dynApplied(p *pipelineSpec) []appliedFilter {
 }
 
 // dynRowSelectors returns what a driver's page processor asks before every
-// page of a subscribed scan: the vectorized row predicates of the summaries
-// that have arrived, rebuilt only when another one has.
+// page of a scan with row-tested subscriptions: the vectorized row predicates
+// of the summaries that have arrived, rebuilt only when another one has. Each
+// counts the rows it tests and passes on its subscription's stats.
 func (t *Task) dynRowSelectors(p *pipelineSpec) func() []expr.SelVector {
 	var sels []expr.SelVector
 	seen := int64(-1) // the arrival count sels was built at
 	return func() []expr.SelVector {
 		if n := t.dynArrivals.Load(); n != seen {
 			seen, sels = n, sels[:0]
-			for _, f := range t.dynApplied(p) {
-				sels = append(sels, expr.DynFilterSel(f.df.Col, p.scanNode.Out[f.df.Col].T, f.sum))
+			for _, f := range t.dynApplied(p, true) {
+				sel := expr.DynFilterSel(f.sub.Col, p.scanNode.Out[f.sub.Col].T, f.sum)
+				sels = append(sels, expr.CountedSel(sel, f.sub.stats.recordRows))
 			}
 		}
 		return sels
@@ -255,18 +345,18 @@ func (t *Task) dynRowSelectors(p *pipelineSpec) func() []expr.SelVector {
 // pruning, by the summaries that have arrived at split-open time.
 func (t *Task) dynNarrowedHandle(p *pipelineSpec) plan.TableHandle {
 	h := p.scanHandle
-	fs := t.dynApplied(p)
+	fs := t.dynApplied(p, false)
 	if len(fs) == 0 {
 		return h
 	}
 	sc := p.scanNode
 	add := map[string]*plan.ColumnDomain{}
 	for _, f := range fs {
-		name := sc.Columns[f.df.Col]
+		name := sc.Columns[f.sub.Col]
 		// Only same-type summaries (cross-type equality folding stays in the
-		// row kernels, where it is exact) and only for columns the pushed-down
-		// constraint does not already bound.
-		if f.sum.T != sc.Out[f.df.Col].T || add[name] != nil {
+		// row kernels and the join, where it is exact) and only for columns
+		// the pushed-down constraint does not already bound.
+		if f.sum.T != sc.Out[f.sub.Col].T || add[name] != nil {
 			continue
 		}
 		if h.Constraint != nil && h.Constraint.Columns[name] != nil {
@@ -296,7 +386,7 @@ func (t *Task) dynNarrowedHandle(p *pipelineSpec) plan.TableHandle {
 // deterministic), everything else degrades to the observed [min,max] range.
 // NULL never joins, so NullAllowed stays false.
 func summaryDomain(s *dynfilter.Summary) *plan.ColumnDomain {
-	if n := s.ExactLen(); n > 0 && n <= dynMaxPushdownPoints {
+	if n := s.ExactLen(); n > 0 && n <= dynfilter.MaxPushdownPoints {
 		vals := s.ExactValues()
 		sort.Slice(vals, func(i, j int) bool { return vals[i].String() < vals[j].String() })
 		return &plan.ColumnDomain{T: s.T, Points: vals}

@@ -329,7 +329,7 @@ func TestWorkerLifecycle(t *testing.T) {
 	w := NewWorker(0, &testRegistry{conn: conn}, WorkerConfig{Threads: 1})
 	defer w.Close()
 	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: w.Pool})
-	task, err := w.CreateTask(TaskID{QueryID: "q", Fragment: 0}, buildScanFragment("mem"), qmem, 1, nil, nil)
+	task, err := w.CreateTask(TaskID{QueryID: "q", Fragment: 0}, buildScanFragment("mem"), qmem, 1, nil, nil, FilterRelay{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,9 +412,9 @@ func TestUnstartedTaskCannotFinish(t *testing.T) {
 
 // TestCollectorlessPublicationIsAnnounced: a join build that publishes with
 // no collector must still publish — as a Disabled ("never filter") summary —
-// both to the installed publisher and in PublishedFilters, which is how a
-// remote coordinator's status poll learns of it. Dropping it left the merged
-// filter pending forever and the probe scans waiting out their whole gate.
+// both to the task's relay, which is how the coordinator's hub learns of it,
+// and in PublishedFilters. Dropping it left the merged filter pending forever
+// and the probe scans waiting out their whole gate.
 func TestCollectorlessPublicationIsAnnounced(t *testing.T) {
 	ex := NewExecutor(ExecutorConfig{Threads: 1})
 	defer ex.Close()
@@ -427,14 +427,14 @@ func TestCollectorlessPublicationIsAnnounced(t *testing.T) {
 	}
 	defer task.Abort()
 	got := make(chan *dynfilter.Summary, 1)
-	task.SetFilterPublisher(func(ids []int, sums []*dynfilter.Summary) {
+	task.setRelay(FilterRelay{IDs: []int{7}, Publish: func(ids []int, sums []*dynfilter.Summary) {
 		if len(ids) == 1 && ids[0] == 7 && len(sums) == 1 {
 			got <- sums[0]
 		} else {
 			t.Errorf("publisher got ids %v, %d summaries", ids, len(sums))
 			got <- nil
 		}
-	})
+	}})
 	task.publishFilters([]int{7}, nil)
 	select {
 	case s := <-got:

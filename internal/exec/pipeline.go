@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/connector"
@@ -41,10 +42,10 @@ type pipelineSpec struct {
 	scanID     int
 	scanHandle plan.TableHandle
 	scanCols   []string
-	scanNode   *plan.Scan   // dynamic-filter subscriptions + output schema
+	scanNode   *plan.Scan   // output schema
 	sourceFP   uint64       // cardinality fingerprint of the source node
-	zeroCopy   int8         // cached ZeroCopyScans probe: 0 unknown, 1 yes, -1 no (guarded by t.mu)
 	morsels    *morselQueue // the scan's splits, which every driver of the pipeline drains
+	dynSubs    []dynSub     // the scan's dynamic-filter subscriptions
 
 	// srcExchange
 	exchangeFragments []int
@@ -128,6 +129,20 @@ type compiler struct {
 	pipelines []*pipelineSpec
 	scans     []*plan.Scan
 	pageSize  int
+
+	// published holds the filters a join of the fragment publishes, as
+	// compilation learns where they test rows.
+	published []placedFilter
+}
+
+// placedFilter is one filter a join of the fragment publishes: direct is the
+// scan that feeds the join through nothing but Filter/Project, in one
+// pipeline — the join's lookup tests that scan's rows as a row test would —
+// and rowTested records that some scan of the fragment tests rows by it.
+type placedFilter struct {
+	id        int
+	direct    *plan.Scan
+	rowTested bool
 }
 
 // opFactory builds one operator for a driver.
@@ -139,9 +154,9 @@ type chain struct {
 	spec      *pipelineSpec
 	stats     []*operators.OpStats
 	factories []opFactory
-	// dynScan is the pipeline's scan while it subscribes to dynamic filters
-	// and nothing has been placed on it yet: whatever is appended next applies
-	// their row predicates.
+	// dynScan is the pipeline's scan while it has row-tested dynamic-filter
+	// subscriptions and nothing has been placed on it yet: whatever is
+	// appended next applies their row predicates.
 	dynScan *plan.Scan
 }
 
@@ -291,8 +306,17 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 		pb.spec.scanNode = x
 		pb.spec.sourceFP = plan.CardFingerprint(x, nil)
 		c.scans = append(c.scans, x)
-		if len(x.DynFilters) > 0 {
-			pb.dynScan = x
+		for _, df := range x.DynFilters {
+			sub := dynSub{ScanDynFilter: df, rowTested: true, stats: &dynCounter{}}
+			if i := slices.IndexFunc(c.published, func(f placedFilter) bool { return f.id == df.ID }); i >= 0 {
+				f := &c.published[i]
+				sub.own, sub.rowTested = true, f.direct != x
+				f.rowTested = f.rowTested || sub.rowTested
+			}
+			pb.spec.dynSubs = append(pb.spec.dynSubs, sub)
+			if sub.rowTested {
+				pb.dynScan = x
+			}
 		}
 		return nil
 
@@ -651,20 +675,13 @@ func (c *compiler) compileJoin(j *plan.Join, pb *chain, reads []bool) ([]int, er
 	build.seal()
 	build.spec.buildBridge = bridge
 
-	// Dynamic-filter collection: the bridge folds build key columns into
-	// per-filter summaries and publishes them once the table is built.
+	// Dynamic-filter placement: a scan that feeds the probe through nothing
+	// but Filter/Project only prunes by the join's filters.
 	if len(j.DynFilters) > 0 {
-		specs := make([]dynfilter.ColumnSpec, len(j.DynFilters))
-		ids := make([]int, len(j.DynFilters))
-		for i, df := range j.DynFilters {
-			specs[i] = dynfilter.ColumnSpec{ID: df.ID, KeyIdx: df.KeyIdx, T: buildKeyTs[df.KeyIdx]}
-			ids[i] = df.ID
+		scan := directFeed(j.Left)
+		for _, df := range j.DynFilters {
+			c.published = append(c.published, placedFilter{id: df.ID, direct: scan})
 		}
-		coll := dynfilter.NewCollector(specs, dynfilter.DefaultMaxSet, dynfilter.DefaultMaxRows)
-		task := c.task
-		bridge.SetFilterCollector(coll, func(sums []*dynfilter.Summary) {
-			task.publishFilters(ids, sums)
-		})
 	}
 
 	// The output channels: the schema columns the consumer reads, probe side
@@ -704,6 +721,27 @@ func (c *compiler) compileJoin(j *plan.Join, pb *chain, reads []bool) ([]int, er
 	leftMap, err := c.compileRead(j.Left, pb, func() []bool { return leftReads })
 	if err != nil {
 		return nil, err
+	}
+
+	// Dynamic-filter collection: the bridge folds build key columns into
+	// per-filter summaries and installs them once the table is built. Every
+	// scan that subscribes within the fragment is on the probe side, compiled
+	// by now: a summary none of them row-tests is collected for pruning only,
+	// unless the task relays it.
+	if len(j.DynFilters) > 0 {
+		specs := make([]dynfilter.ColumnSpec, len(j.DynFilters))
+		ids := make([]int, len(j.DynFilters))
+		for i, df := range j.DynFilters {
+			tested := slices.ContainsFunc(c.published, func(f placedFilter) bool { return f.id == df.ID && f.rowTested })
+			specs[i] = dynfilter.ColumnSpec{ID: df.ID, KeyIdx: df.KeyIdx, T: buildKeyTs[df.KeyIdx], Bounded: !tested}
+			ids[i] = df.ID
+		}
+		coll := dynfilter.NewCollector(specs, dynfilter.DefaultMaxSet, dynfilter.DefaultMaxRows)
+		task := c.task
+		coll.Relayed = task.relayed
+		bridge.SetFilterCollector(coll, func(sums []*dynfilter.Summary) {
+			task.publishFilters(ids, sums)
+		})
 	}
 	probeTs := leftSchema.Types()
 	residual := j.Residual
@@ -819,6 +857,23 @@ func composeProjections(outer, inner []expr.Expr) (composed []expr.Expr, ok bool
 		})
 	}
 	return composed, true
+}
+
+// directFeed returns the scan whose rows reach n's consumer through nothing
+// but Filter and Project — in the same pipeline — or nil.
+func directFeed(n plan.Node) *plan.Scan {
+	for {
+		switch x := n.(type) {
+		case *plan.Filter:
+			n = x.Input
+		case *plan.Project:
+			n = x.Input
+		case *plan.Scan:
+			return x
+		default:
+			return nil
+		}
+	}
 }
 
 func identityExprs(sch plan.Schema) []expr.Expr {

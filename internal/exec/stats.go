@@ -10,6 +10,9 @@ type PipelineStats struct {
 	Drivers     int                         `json:"drivers"`
 	DriversDone int                         `json:"driversDone"`
 	Operators   []operators.OpStatsSnapshot `json:"operators"`
+	// DynFilters is what the dynamic-filter subscriptions of the pipeline's
+	// scan did (operators.OpStats.DynFilters).
+	DynFilters []operators.DynFilterStats `json:"dynFilters,omitempty"`
 }
 
 // TaskStats is a live snapshot of one task: split progress, driver
@@ -62,6 +65,7 @@ func (t *Task) Stats() TaskStats {
 		for _, s := range p.opStats {
 			ps.Operators = append(ps.Operators, s.Snapshot())
 		}
+		ps.DynFilters = dynFilterStats(p)
 		st.Pipelines = append(st.Pipelines, ps)
 		if p.source == srcScan && len(p.opStats) > 0 {
 			// Rows read are the rows a scan gave the query: what the connector

@@ -60,9 +60,11 @@ type TaskConfig struct {
 	// Switches is the query's switch set: on a coordinator's or worker's
 	// template the cluster's, on a task the union with its session's.
 	Switches Switches `json:"switches,omitempty"`
-	// DynamicFilterWait bounds how long a subscribed scan holds its split
-	// starts for filter delivery. 0 selects DefaultDynamicFilterWait,
-	// negative disables waiting (filters still apply to late-opened splits).
+	// DynamicFilterWait bounds how long a scan holds its split starts for the
+	// filters it subscribes to from other fragments (one of its own task's
+	// joins publishes is there before the scan's rows can reach the join). 0
+	// selects DefaultDynamicFilterWait, negative disables waiting (filters
+	// still apply to late-opened splits).
 	DynamicFilterWait time.Duration `json:"dynamicFilterWaitNs,omitempty"`
 	// SharedScanWindow is how long a shared scan stays joinable after its
 	// first open. 0 selects DefaultSharedScanWindow, negative disables the
@@ -82,27 +84,11 @@ type TaskConfig struct {
 	Inject *faultinject.Injector `json:"-"`
 }
 
-// DefaultDynamicFilterWait is the bounded wait a subscribed scan applies to
-// its first split starts when the session does not override it. Late or lost
-// filters degrade to an unfiltered scan, never a hang.
+// DefaultDynamicFilterWait is the bounded wait a scan applies to its first
+// split starts for the filters it subscribes to from other fragments, when the
+// session does not override it. Late or lost filters degrade to an unfiltered
+// scan, never a hang.
 const DefaultDynamicFilterWait = 100 * time.Millisecond
-
-// ZeroCopyDynamicFilterWait is the dynamic-filter wait when the probe scan
-// is a zero-copy in-memory source (connector.ZeroCopyScans) subscribed to a
-// single filter: zero, meaning the gate is skipped entirely. Such scans cost
-// nothing to start, a filter that arrives mid-scan still narrows every split
-// opened afterwards, and with one downstream probe the row-level kernel
-// catches whatever early splits let through — so any hold is a pure latency
-// tax on short in-memory joins (EXPERIMENTS.md, "What the one-off benchmark
-// files said": q37 and q82).
-const ZeroCopyDynamicFilterWait = 0 * time.Millisecond
-
-// ZeroCopyChainDynamicFilterWait is the bounded wait for a zero-copy scan
-// subscribed to multiple filters (a multi-join chain like Fig. 6 q64): rows
-// an early unfiltered split lets through traverse every downstream probe, so
-// the compounded selectivity makes a short hold worthwhile where a long one
-// still is not.
-const ZeroCopyChainDynamicFilterWait = 5 * time.Millisecond
 
 // DefaultSharedScanWindow is the shared-scan joinability window when the
 // task config does not override it.
@@ -139,14 +125,15 @@ type Task struct {
 
 	exchangeClients []*shuffle.ExchangeClient
 
-	// Dynamic-filter state. dynMu is a leaf lock (t.mu → dynMu is the only
-	// permitted order) so split-open paths can snapshot arrived filters
-	// whether or not they hold t.mu.
-	dynMu         sync.Mutex
-	dynFilters    map[int]*dynfilter.Summary // arrived summaries by filter id
-	dynArrivals   atomic.Int64               // deliveries so far: drivers rebuild their row predicates when it moves
-	dynPublished  map[int]*dynfilter.Summary // summaries this task's builds published
-	filterPublish func(ids []int, sums []*dynfilter.Summary)
+	// Dynamic-filter state. dynMu is a leaf lock (t.mu → dynMu and a join
+	// bridge's mu → dynMu are the only permitted orders) so split-open paths
+	// can snapshot arrived filters whether or not they hold t.mu, and a build
+	// can install its summaries on its built transition.
+	dynMu        sync.Mutex
+	dynFilters   map[int]*dynfilter.Summary // arrived summaries by filter id
+	dynArrivals  atomic.Int64               // deliveries so far: drivers rebuild their row predicates when it moves
+	dynPublished map[int]*dynfilter.Summary // summaries this task's builds published
+	relay        *FilterRelay               // set before Start; nil: nothing leaves the task
 
 	dynGates map[int]*dynGate // scanID → bounded-wait state (guarded by mu)
 	dynSkip  map[int]bool     // scanID → empty-build short circuit (guarded by mu)
@@ -509,6 +496,7 @@ func (t *Task) startScansLocked() {
 // session has not disabled caching. Each cached open records a hit or miss
 // on the scan operator's stats (surfaced by EXPLAIN ANALYZE).
 //
+// A split of a scan an empty build short-circuits is not opened at all.
 // Dynamic filters that have arrived by open time narrow the table handle —
 // the narrowed handle is both the connector read (stripe/split pruning) and
 // the cache identity, so cached pages always match what the connector would
@@ -518,6 +506,10 @@ func (t *Task) startScansLocked() {
 func (t *Task) openPageSource(conn connector.Connector, s connector.Split,
 	p *pipelineSpec, stats *operators.OpStats) (connector.PageSource, error) {
 
+	if t.dynEmpty(p) {
+		stats.RecordDynSplitSkipped(1)
+		return emptySource{}, nil
+	}
 	handle := t.dynNarrowedHandle(p)
 	// A connector is cached iff it says how: one that issues no key for this
 	// read (resident tables, lazy reads) is opened directly.
@@ -723,19 +715,4 @@ func (t *Task) waitDone(d time.Duration) bool {
 	case <-time.After(d):
 		return false
 	}
-}
-
-// scanIsZeroCopy reports (and caches) whether a scan pipeline's connector
-// advertises zero-copy scans. Caller holds t.mu (the flag lives on the
-// pipeline spec).
-func (t *Task) scanIsZeroCopy(p *pipelineSpec) bool {
-	if p.zeroCopy == 0 {
-		p.zeroCopy = -1
-		if conn, err := t.connectors.Connector(p.scanHandle.Catalog); err == nil {
-			if zc, ok := conn.(connector.ZeroCopyScans); ok && zc.ZeroCopy() {
-				p.zeroCopy = 1
-			}
-		}
-	}
-	return p.zeroCopy == 1
 }

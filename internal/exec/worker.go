@@ -109,9 +109,11 @@ func (w *Worker) CacheStats() cache.Stats {
 	return w.Cache.Stats()
 }
 
-// CreateTask instantiates and starts a task for a fragment.
+// CreateTask instantiates and starts a task for a fragment. relay routes the
+// dynamic-filter summaries its joins build for other fragments' scans (the
+// zero value: none leave the task).
 func (w *Worker) CreateTask(id TaskID, f *plan.Fragment, qmem *memory.QueryContext,
-	outPartitions int, exchangeSources map[int][]shuffle.Fetcher, overrides *TaskConfig) (*Task, error) {
+	outPartitions int, exchangeSources map[int][]shuffle.Fetcher, overrides *TaskConfig, relay FilterRelay) (*Task, error) {
 
 	cfg := w.cfg
 	if overrides != nil {
@@ -125,6 +127,7 @@ func (w *Worker) CreateTask(id TaskID, f *plan.Fragment, qmem *memory.QueryConte
 		return nil, err
 	}
 	t.sharedScans = w.Shared
+	t.setRelay(relay)
 	// Liveness is checked in the critical section that registers the task:
 	// Kill marks the worker dead and snapshots w.tasks under the same lock,
 	// so a task is either refused here or lost with its worker — never

@@ -21,6 +21,16 @@ import (
 // (PageProcessor.SetDynamicFilters), which runs them.
 type SelVector = selFn
 
+// CountedSel runs sel and tells count, per page, how many rows it was given
+// and how many it passed.
+func CountedSel(sel SelVector, count func(in, out int)) SelVector {
+	return func(in *vecInput, rows, out []int) []int {
+		out = sel(in, rows, out)
+		count(len(rows), len(out))
+		return out
+	}
+}
+
 // DynFilterSel builds a selection kernel testing column idx of type t
 // against the summary. A disabled summary selects everything.
 func DynFilterSel(idx int, t types.Type, s *dynfilter.Summary) SelVector {

@@ -277,22 +277,17 @@ func (s *WorkerServer) createTask(w http.ResponseWriter, rq *remoteQuery, id exe
 			sources[src.Fragment] = append(sources[src.Fragment], &shuffle.HTTPFetcher{Client: s.Client, URL: uri})
 		}
 	}
-	t, err := s.Worker.CreateTask(id, frag, rq.qmem, spec.OutPartitions, sources, cfg)
+	// The task's own scans take its summaries themselves; the coordinator
+	// hears, in the status channel, of those another fragment subscribes to.
+	relay := exec.FilterRelay{IDs: spec.Relay, Publish: func(ids []int, sums []*dynfilter.Summary) {
+		s.published(rq, id, ids, sums)
+	}}
+	t, err := s.Worker.CreateTask(id, frag, rq.qmem, spec.OutPartitions, sources, cfg, relay)
 	if err != nil {
 		http.Error(w, "create task: "+err.Error(), http.StatusInternalServerError)
 		return false
 	}
 	rt := &remoteTask{id: id, task: t, nextSeq: map[int]int64{}}
-	// The task's own scans get its summaries at once (what a task without
-	// a publisher does); the coordinator hears, in the status channel, of
-	// those another fragment subscribes to.
-	relay := spec.Relay // all the publisher, which lives as long as the task, keeps of spec
-	t.SetFilterPublisher(func(ids []int, sums []*dynfilter.Summary) {
-		s.published(rq, rt, relay, ids, sums)
-		for i, fid := range ids {
-			t.DeliverFilter(fid, sums[i])
-		}
-	})
 	s.mu.Lock()
 	if rq.deleted {
 		s.mu.Unlock()
@@ -327,21 +322,17 @@ func (s *WorkerServer) recordLocked(rq *remoteQuery, ev wire.StatusEvent, urgent
 	}
 }
 
-// published logs those of a task's dynamic-filter summaries that are to be
-// relayed, each encoded once.
-func (s *WorkerServer) published(rq *remoteQuery, rt *remoteTask, relay, ids []int, sums []*dynfilter.Summary) {
-	ev := wire.StatusEvent{Fragment: rt.id.Fragment, Index: rt.id.Index}
-	for i, id := range ids {
-		if slices.Contains(relay, id) {
-			ev.FilterIDs, ev.Filters = append(ev.FilterIDs, id), append(ev.Filters, dynfilter.AppendSummary(nil, sums[i]))
-		}
+// published logs the dynamic-filter summaries a task relays, each encoded
+// once.
+func (s *WorkerServer) published(rq *remoteQuery, id exec.TaskID, ids []int, sums []*dynfilter.Summary) {
+	ev := wire.StatusEvent{Fragment: id.Fragment, Index: id.Index, FilterIDs: ids}
+	for _, sum := range sums {
+		ev.Filters = append(ev.Filters, dynfilter.AppendSummary(nil, sum))
 	}
-	if len(ev.FilterIDs) > 0 {
-		s.relayed.Add(int64(len(ev.FilterIDs)))
-		s.mu.Lock()
-		s.recordLocked(rq, ev, true)
-		s.mu.Unlock()
-	}
+	s.relayed.Add(int64(len(ids)))
+	s.mu.Lock()
+	s.recordLocked(rq, ev, true)
+	s.mu.Unlock()
 }
 
 // ended logs a task's verdict. A failure is news at once; a clean end is

@@ -74,10 +74,10 @@ type JoinBridge struct {
 	notify func()
 
 	// Dynamic-filter collection: the built transition hands the table's
-	// distinct keys (columns keyCols of the build pages) to the collector
-	// and publishes the summaries through onFilters, once. A cancelled build
-	// never publishes — its partial key set would wrongly filter probe rows —
-	// and a spilled one publishes "never filter": its rows are on disk.
+	// distinct keys to the collector and the summaries to onFilters, once,
+	// before it releases the probes. A cancelled build never publishes — its
+	// partial key set would wrongly filter probe rows — and a spilled one
+	// publishes "never filter": its rows are on disk.
 	collector   *dynfilter.Collector
 	onFilters   func([]*dynfilter.Summary)
 	filtersDone bool
@@ -89,39 +89,56 @@ type JoinBridge struct {
 }
 
 // SetFilterCollector installs the dynamic-filter collector, which summarizes
-// the build key columns, and its publish callback, before any driver runs.
+// the build key columns, before any driver runs. publish receives the
+// summaries on the built transition, under the bridge's lock and before any
+// probe can see the table built: it may take only leaf locks, and must hand
+// anything slower to another goroutine.
 func (b *JoinBridge) SetFilterCollector(c *dynfilter.Collector, publish func([]*dynfilter.Summary)) {
 	b.mu.Lock()
 	b.collector, b.onFilters = c, publish
 	b.mu.Unlock()
 }
 
-// summarizeKeysLocked summarizes a just-built table, one row per distinct key:
-// each key's first row, in arrival order, the order its columns are laid out
-// in. A row is its key's first unless its key is NULL or another row links to
-// it.
+// summarizeKeysLocked summarizes a just-built table from its key table: a
+// fixed layout's normalized cells, whose slots hold one entry per distinct
+// key, or else each distinct key's first row, in arrival order — a row is its
+// key's first unless its key is NULL or another row links to it.
 func (b *JoinBridge) summarizeKeysLocked() {
-	switch c := b.collector; {
+	switch c, t := b.collector, b.ktab; {
 	case c == nil:
 	case b.spl != nil && b.spl.spilled:
 		c.Disable()
-	case b.ktab != nil: // else no build row arrived: the summaries stay empty
-		keyed := int64(b.ktab.keys) // rows with a non-NULL key
-		var linked []uint64         // bit pos: another row links to pos
+	case t != nil: // else no build row arrived: the summaries stay empty
+		keyed := int64(t.keys) // rows with a non-NULL key
+		for _, n := range b.next {
+			if n != 0 {
+				keyed++
+			}
+		}
+		if t.fixed {
+			c.CollectCells(keyed, t.keys, t.nk, t.cells, t.tags, func(visit func(int)) {
+				for _, s := range t.slots {
+					if s != 0 {
+						visit(int(s - 1))
+					}
+				}
+			})
+			return
+		}
+		var linked []uint64 // bit pos: another row links to pos
 		if b.next != nil {
 			linked = make([]uint64, (len(b.next)+63)/64)
 			for _, n := range b.next {
 				if n != 0 {
 					linked[(n-1)/64] |= 1 << ((n - 1) % 64)
-					keyed++
 				}
 			}
 		}
-		c.Collect(keyed, b.ktab.keys, b.keyCols, func(visit func(*block.Page, int)) {
+		c.Collect(keyed, t.keys, b.keyCols, func(visit func(*block.Page, int)) {
 			pos := -1
 			for _, p := range b.pages {
 				for r := 0; r < p.RowCount(); r++ {
-					if pos++; !b.ktab.nullKey(pos) && (linked == nil || linked[pos/64]&(1<<(pos%64)) == 0) {
+					if pos++; !t.nullKey(pos) && (linked == nil || linked[pos/64]&(1<<(pos%64)) == 0) {
 						visit(p, r)
 					}
 				}
@@ -130,16 +147,14 @@ func (b *JoinBridge) summarizeKeysLocked() {
 	}
 }
 
-// takeFilterPublishLocked claims the one-time filter publication if the build
-// just completed cleanly; the returned closure must run after mu is released
-// (publication fans out into task/coordinator code that may take other locks).
-func (b *JoinBridge) takeFilterPublishLocked() func() {
-	if !b.built || b.filtersDone || b.onFilters == nil {
-		return nil
+// publishFiltersLocked hands the collected summaries to onFilters, once, if
+// the build just completed cleanly.
+func (b *JoinBridge) publishFiltersLocked() {
+	if b.filtersDone || b.onFilters == nil {
+		return
 	}
 	b.filtersDone = true
-	fn, col := b.onFilters, b.collector
-	return func() { fn(col.Summaries()) }
+	b.onFilters(b.collector.Summaries())
 }
 
 // SetNotify installs the unblock callback; set before drivers start.
@@ -228,13 +243,10 @@ func (b *JoinBridge) builderStep(change func()) {
 			}
 		}
 		b.summarizeKeysLocked()
+		b.publishFiltersLocked()
 	}
-	publish := b.takeFilterPublishLocked()
 	notify := b.notifyLocked()
 	b.mu.Unlock()
-	if publish != nil {
-		publish()
-	}
 	notify()
 }
 

@@ -7,6 +7,7 @@
 package operators
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/block"
@@ -253,6 +254,17 @@ type OpStatsSnapshot struct {
 	EncodedCols      int64   `json:"encodedCols,omitempty"`
 }
 
+// DynFilterStats is what one dynamic-filter subscription of a scan did:
+// whether it tests rows or only prunes splits and stripes, the rows it tested
+// and passed, and how long the scan's split starts waited for it.
+type DynFilterStats struct {
+	ID         int   `json:"id"`
+	RowTested  bool  `json:"rowTested,omitempty"`
+	RowsTested int64 `json:"rowsTested,omitempty"`
+	RowsPassed int64 `json:"rowsPassed,omitempty"`
+	WaitNanos  int64 `json:"waitNanos,omitempty"`
+}
+
 // Snapshot copies the counters.
 func (s *OpStats) Snapshot() OpStatsSnapshot {
 	return OpStatsSnapshot{
@@ -284,6 +296,29 @@ func (s *OpStats) Snapshot() OpStatsSnapshot {
 		DictRows:         s.dictRows.Load(),
 		EncodedCols:      s.encodedCols.Load(),
 	}
+}
+
+// MergeDynFilters adds from's subscriptions into into, by filter id (the
+// rollup across the tasks of a stage), and returns the result; into is not
+// written in place.
+func MergeDynFilters(into, from []DynFilterStats) []DynFilterStats {
+	if len(from) == 0 {
+		return into
+	}
+	into = slices.Clone(into)
+	for _, f := range from {
+		i := slices.IndexFunc(into, func(g DynFilterStats) bool { return g.ID == f.ID })
+		if i < 0 {
+			into = append(into, f)
+			continue
+		}
+		g := &into[i]
+		g.RowTested = g.RowTested || f.RowTested
+		g.RowsTested += f.RowsTested
+		g.RowsPassed += f.RowsPassed
+		g.WaitNanos += f.WaitNanos
+	}
+	return into
 }
 
 // GroupQError is how far a hash aggregation's group estimate was from the

@@ -121,8 +121,9 @@ type ClusterConfig struct {
 	// the same name, as for every Disable* field below that has one).
 	DisableDynamicFilters bool
 	// DynamicFilterWait bounds how long a probe scan waits for a dynamic
-	// filter before running unfiltered (default 100ms; negative disables
-	// waiting — late filters still narrow later splits).
+	// filter built in another fragment before running unfiltered (default
+	// 100ms; negative disables waiting — late filters still narrow later
+	// splits). A filter its own task builds never keeps a scan waiting.
 	DynamicFilterWait time.Duration
 	// EnableHBO turns on history-based optimization: finished queries record
 	// observed operator cardinalities keyed by plan fingerprint, and repeat

@@ -14,6 +14,10 @@
 #                             # ticker, a finished query's tasks are
 #                             # collected) + distributed control plane (request
 #                             # classes of one statement, filters in time)
+#                             # + dynamic filters (placement: row-tested or
+#                             # prune-only; a task's own filter arrives
+#                             # with its build; the effect tests on a
+#                             # cross-fragment filter beside a direct feed)
 #                             # + point-read byte budget and written
 #                             # tables + dictionary paths (guards, stats,
 #                             # a panicking operator fails one query)
@@ -159,6 +163,18 @@ echo "==> distributed control plane: one create, one status channel and one dele
 go test -race -count=1 -run 'TestFetchBeforeProducerRegistered|TestCreateBatchIdempotent|TestStatusVersionMonotone' ./internal/httpapi/
 go test -race -count=1 -run 'TestHTTPTaskBatchesSplits|TestSchedulerCreateFailureAbortsAndDrains' ./internal/coordinator/
 go test -race -count=1 -v -run 'TestHTTPControlRequestsPerStatement|TestDistributedFilterArrivesBeforeProbe|TestCreateBatchPartialFailureDrains' . | grep -E '^(---|ok|FAIL|panic)|requests per statement|rows filtered'
+
+echo "==> dynamic filters: where a filter tests rows, and when it arrives"
+# A scan that feeds the publishing join through nothing but Filter/Project
+# only prunes; one behind another join, a local exchange or a fragment
+# boundary tests rows; a task's own filter is in place before its join's
+# probes run (ten runs under -race). The root effect tests run a partitioned
+# join, whose filter crosses fragments and tests rows, beside the broadcast
+# join's direct feed, which tests none and still skips an empty build's
+# splits; the chaos suite delays and loses the cross-fragment publications.
+go test -race -count=10 -run 'TestDynFilterPlacement|TestDynFilterArrivesWithItsBuild' ./internal/exec/
+go test -race -count=1 -run 'TestCollectCellsMatchesCollect|TestBoundedSummaryPrunesOnly' ./internal/dynfilter/
+go test -race -count=1 -run 'TestDynamicFilterPrunesSelectiveJoin|TestHistoryScanRowsIgnoreDynamicFilters|TestDynamicFilterEmptyBuildShortCircuit|TestChaosDynamicFilterDelayAndLoss' .
 
 echo "==> what a point read pays: byte budget (no -race: it skips under it), resident tables bypass the page cache, a written table stays worth scanning"
 go test -count=1 -v -run 'TestPointReadByteBudget|TestResidentTablesBypassPageCache' . | grep -E '^(---|ok|FAIL|panic)|bytes per'

@@ -205,10 +205,12 @@ func TestDeprecatedClusterFields(t *testing.T) {
 // A statement planned and cached under the default session, then run with
 // dynamic filters disabled, is planned again without filters and filters
 // nothing; the default session afterwards still hits its cached, filtered
-// plan.
+// plan. The cluster plans without statistics, so the join is partitioned and
+// its filter crosses into the probe scan's fragment, where it tests rows; the
+// direct-feed leg runs the broadcast join, where the filter only prunes.
 func TestDynamicFiltersDecidedAtPlanning(t *testing.T) {
 	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true,
-		DynamicFilterWait: 2 * time.Second})
+		DynamicFilterWait: 2 * time.Second, DisableStats: true})
 	defer c.Close()
 	c.Register(workload.LoadTPCHMemory("tpch", spillScale))
 	run := func(s Session) ([]string, QueryStats) {
@@ -251,4 +253,11 @@ func TestDynamicFiltersDecidedAtPlanning(t *testing.T) {
 		t.Errorf("default session after the unfiltered run: %d plan hits (want %d), %d rows filtered",
 			c.ServingStats().Plan.Hits, after.Hits+1, st.DynRowsFiltered)
 	}
+
+	direct := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true,
+		DynamicFilterWait: 2 * time.Second})
+	defer direct.Close()
+	direct.Register(workload.LoadTPCHMemory("tpch", spillScale))
+	mustExec(t, direct, "CREATE TABLE none (k BIGINT)")
+	assertDirectFeed(t, direct, switchJoin, "SELECT count(*) FROM tpch.lineitem JOIN none ON l_orderkey = none.k")
 }
