@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"repro/internal/types"
 )
 
 // Scratch vectors (DESIGN.md "Scratch"). The per-page temporaries of the
@@ -20,22 +22,26 @@ import (
 // scratch is outside query memory accounting.
 //
 // Hash tables have a second lifetime (LeaseTable, ReturnTable): a group
-// table, a DISTINCT set or a join index leases its arrays when it is built or
-// presized and gives them back when its operator drops it — an aggregation
-// once its groups are copied out or spilled, or when a spill replaces its
-// table, a DISTINCT operator at Close, a join index once no more probes are
-// declared and the last one has ended (never after a cancellation). Those
-// arrays are reserved against a query, and a table accounts for the capacity
-// it holds: so a table array comes in a size class, sixteen to an octave (at
-// most 4.4 % over the request), and the estimate a table reserves ahead
-// rounds each array through TableCap as its lease does. A vector under
-// minTableLen elements is made as asked, as is the array that replaces one a
-// table outgrows; only an array whose capacity is a class length goes back
-// to the pool.
+// table, a DISTINCT set or a join index leases its arrays — through its
+// operator's memory context, which counts them (memory.Lease) — when it is
+// built, presized or grown, and gives one back when it outgrows it or its
+// operator drops the table: an aggregation once its groups are copied out or
+// spilled, a DISTINCT operator at Close, a join index once the last probe has
+// ended or the build is revoked. A table array comes in a size class, sixteen
+// to an octave (at most 4.4 % over the request; a doubled class length is
+// one), and TableCap is the capacity a request rounds to. A vector under
+// minTableLen elements is made as asked; only an array whose capacity is a
+// class length goes back to the pool.
 
 // Elem is an element type a scratch vector can hold.
 type Elem interface {
 	int | int32 | int64 | uint64 | float64 | bool | byte | string | uint32
+}
+
+// TableElem is an element type a table vector can hold: a scratch vector's,
+// or the boxed value an array-typed group key or min/max state keeps.
+type TableElem interface {
+	Elem | types.Value
 }
 
 // A pooled vector holds exactly 1<<c elements, for a size class c in
@@ -43,7 +49,7 @@ type Elem interface {
 const (
 	minClass = 6
 	maxClass = 20
-	numKinds = 9 // the types of Elem
+	numKinds = 10 // the types of TableElem
 )
 
 // pools holds the idle vectors of every element kind and size class, each as
@@ -195,7 +201,7 @@ func toPool(s *arenaState, h held) {
 	pools[h.kind][h.class-minClass].Put(h.box)
 }
 
-func kindOf[T Elem]() uint8 {
+func kindOf[T TableElem]() uint8 {
 	switch any((*T)(nil)).(type) {
 	case *int:
 		return 0
@@ -213,6 +219,8 @@ func kindOf[T Elem]() uint8 {
 		return 6
 	case *string:
 		return 7
+	case *types.Value:
+		return 9
 	default: // *uint32
 		return 8
 	}
@@ -257,7 +265,7 @@ func poisonVec(box any) {
 
 // poisonSlice is poisonVec over v's length. It converts nothing to an
 // interface, so it allocates nothing.
-func poisonSlice[T Elem](v []T) {
+func poisonSlice[T TableElem](v []T) {
 	p, n := unsafe.Pointer(unsafe.SliceData(v)), len(v)
 	switch any((*T)(nil)).(type) {
 	case *int:
@@ -281,6 +289,8 @@ func poisonSlice[T Elem](v []T) {
 		fill(unsafe.Slice((*byte)(p), n), 0xff)
 	case *string:
 		fill(unsafe.Slice((*string)(p), n), "\x00poisoned scratch")
+	case *types.Value:
+		fill(unsafe.Slice((*types.Value)(p), n), types.Value{T: types.Varchar, S: "\x00poisoned scratch"})
 	}
 }
 
@@ -371,7 +381,7 @@ func TableCap(n int) int {
 // LeaseTable returns a zeroed vector of length n and capacity
 // TableCap(max(n, c)), from the pool when it holds one of that class, else
 // made. It is the table's until ReturnTable takes it back.
-func LeaseTable[T Elem](n, c int) []T {
+func LeaseTable[T TableElem](n, c int) []T {
 	c = max(c, n)
 	cl, ok := tableClass(c)
 	if !ok {
@@ -393,9 +403,9 @@ func LeaseTable[T Elem](n, c int) []T {
 
 // ReturnTable gives back a table vector nothing reads again. A vector whose
 // capacity is a class length goes to the pool — poisoned when the poison is
-// on, and a []string cleared so that the pool keeps no string alive — and any
-// other is left to the collector.
-func ReturnTable[T Elem](v []T) {
+// on, and a []string or []types.Value cleared so that the pool keeps nothing
+// alive — and any other is left to the collector.
+func ReturnTable[T TableElem](v []T) {
 	cl, ok := tableClass(cap(v))
 	if !ok || tableLens[cl] != cap(v) {
 		return
@@ -403,8 +413,11 @@ func ReturnTable[T Elem](v []T) {
 	v = v[:cap(v)]
 	if poison.Load() {
 		poisonSlice(v)
-	} else if _, ok := any((*T)(nil)).(*string); ok {
-		clear(v)
+	} else {
+		switch any((*T)(nil)).(type) {
+		case *string, *types.Value:
+			clear(v)
+		}
 	}
 	p := unsafe.Pointer(unsafe.SliceData(v))
 	if checkLeases.Load() {

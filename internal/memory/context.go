@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
+
+	"repro/internal/block"
 )
 
 // QueryLimits configures a query's memory ceilings (paper §IV-F2): distinct
@@ -184,12 +187,16 @@ func (q *QueryContext) TotalBytes() int64 { return q.userTotal.Load() + q.sysTot
 // LocalContext is an operator-scoped tracker that simplifies delta
 // accounting against a query context. `held` is atomic because revocation
 // (spill) may reset an operator's reservation from another query's thread
-// while the owning driver samples or adjusts it.
+// while the owning driver samples or adjusts it. It is also the operator's
+// ledger: its table arrays are leased (Lease) and returned (Return)
+// through it, and the operator reserves what it counts (Leased) — outside its
+// own lock, since the pool may take that lock under its own.
 type LocalContext struct {
-	Q    *QueryContext
-	Node int
-	Kind Kind
-	held atomic.Int64
+	Q      *QueryContext
+	Node   int
+	Kind   Kind
+	held   atomic.Int64
+	leased atomic.Int64
 }
 
 // NewLocalContext creates an operator-local tracker.
@@ -224,11 +231,39 @@ func (l *LocalContext) TryGrow(n int64) bool {
 // Held returns the current reservation.
 func (l *LocalContext) Held() int64 { return l.held.Load() }
 
+// Leased returns the capacity, in bytes, of the table arrays leased through l
+// and not returned.
+func (l *LocalContext) Leased() int64 { return l.leased.Load() }
+
 // Close releases everything held.
 func (l *LocalContext) Close() {
 	if held := l.held.Swap(0); held > 0 {
 		l.Q.Release(l.Node, l.Kind, held)
 	}
+}
+
+// Lease is block.LeaseTable(n, c), its bytes added to l's count. It reserves
+// nothing, so it is safe under an operator's lock. A nil l leases without
+// counting, as a nil *block.Arena lends without keeping.
+func Lease[T block.TableElem](l *LocalContext, n, c int) []T {
+	v := block.LeaseTable[T](n, c)
+	if l != nil {
+		l.leased.Add(arrayBytes(v))
+	}
+	return v
+}
+
+// Return is block.ReturnTable(v), its bytes taken off l's count.
+func Return[T block.TableElem](l *LocalContext, v []T) {
+	if l != nil {
+		l.leased.Add(-arrayBytes(v))
+	}
+	block.ReturnTable(v)
+}
+
+// arrayBytes is what v's backing array takes.
+func arrayBytes[T any](v []T) int64 {
+	return int64(cap(v)) * int64(unsafe.Sizeof(*new(T)))
 }
 
 // Arbiter coordinates the cluster-wide reserved-pool promotion: when a

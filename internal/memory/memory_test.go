@@ -250,3 +250,29 @@ func TestTryReserveNeverMakesRoom(t *testing.T) {
 		t.Errorf("pool holds %d after Close, want 800", pool.GeneralUsed())
 	}
 }
+
+// TestLedgerCountsLeasedCapacity: Lease adds an array's capacity times its
+// element size to the context's count and reserves nothing, and Return takes
+// them off again; a nil context leases without counting.
+func TestLedgerCountsLeasedCapacity(t *testing.T) {
+	q := NewQueryContext("q", QueryLimits{}, map[int]*NodePool{0: NewNodePool(1<<20, 0)})
+	l := NewLocalContext(q, 0, User)
+	a := Lease[int64](l, 10, 100)
+	if len(a) != 10 || cap(a) != 100 || l.Leased() != 800 || l.Held() != 0 {
+		t.Fatalf("leased %d of capacity %d: count %d, held %d; want 10, 100, 800, 0", len(a), cap(a), l.Leased(), l.Held())
+	}
+	b := Lease[uint32](l, 0, 1000)
+	if cap(b) != 1000 || l.Leased() != 4800 || l.Held() != 0 {
+		t.Fatalf("leased capacity %d: count %d, held %d; want 1000, 4800, 0", cap(b), l.Leased(), l.Held())
+	}
+	Return(l, a)
+	Return(l, b)
+	if l.Leased() != 0 {
+		t.Errorf("every array returned, the count reads %d", l.Leased())
+	}
+	var none *LocalContext
+	if v := Lease[byte](none, 5, 5); len(v) != 5 {
+		t.Errorf("a nil context leased %d bytes, want 5", len(v))
+	}
+	Return(none, Lease[byte](none, 5, 5))
+}

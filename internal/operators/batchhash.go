@@ -380,6 +380,13 @@ func loadCol(b block.Block) block.Block {
 	return b
 }
 
+// sizeDicts gives bk a dictionary record for each of nk key columns.
+func (bk *batchKeys) sizeDicts(nk int) {
+	if nk > len(bk.dicts) {
+		bk.dicts = append(bk.dicts, make([]dictKeys, nk-len(bk.dicts))...)
+	}
+}
+
 // reset computes the hash vector (and normalized cells in fixed mode) for
 // the key columns of p into vectors leased from a. fixed must match the
 // owning table's layout; callers derive it from the key column types, which
@@ -389,7 +396,7 @@ func (bk *batchKeys) reset(a *block.Arena, p *block.Page, cols []int, fixed bool
 	bk.fixed = fixed
 	bk.nk = len(cols)
 	bk.hashes = block.Lease[uint64](a, n)
-	bk.dicts = extend(bk.dicts, bk.nk)
+	bk.sizeDicts(bk.nk)
 	if fixed {
 		bk.cells = block.Lease[uint64](a, n*bk.nk)
 		bk.tags = block.Lease[byte](a, n*bk.nk)

@@ -74,7 +74,7 @@ func TestGroupTableAllocatesOnce(t *testing.T) {
 				t.Errorf("estimate %d: the %s array was reallocated", est, name)
 			}
 		}
-		t.Logf("estimate %d for %d groups: filling allocated %d bytes, the table holds %d", est, groups, got, op.memBytesLocked())
+		t.Logf("estimate %d for %d groups: filling allocated %d bytes, the table holds %d", est, groups, got, walkAgg(op))
 		if got > scratchBytes {
 			t.Errorf("estimate %d: filling allocated %d bytes, want at most %d of scratch", est, got, scratchBytes)
 		}
@@ -82,16 +82,17 @@ func TestGroupTableAllocatesOnce(t *testing.T) {
 	}
 	op := NewHashAggregation(NopContext(), []int{0}, []types.Type{types.Bigint}, threeAggs, false, 0, 0)
 	got := fill(op)
-	t.Logf("no estimate: filling allocated %d bytes, the table holds %d", got, op.memBytesLocked())
-	if got < op.memBytesLocked() {
-		t.Errorf("without an estimate filling allocated %d bytes, less than the %d the table holds", got, op.memBytesLocked())
+	t.Logf("no estimate: filling allocated %d bytes, the table holds %d", got, walkAgg(op))
+	if got < walkAgg(op) {
+		t.Errorf("without an estimate filling allocated %d bytes, less than the %d the table holds", got, walkAgg(op))
 	}
 	op.Close()
 }
 
 // TestPresizedTableReservesWhatItHolds: the bytes presize reserves before it
-// allocates are exactly what the table it builds holds, for every kind of key
-// vector and state: the reservation is taken first and never corrected.
+// leases are exactly what the table it builds holds (walkAgg), for every kind
+// of key vector and state: the reservation is taken first and never
+// corrected.
 func TestPresizedTableReservesWhatItHolds(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -118,8 +119,8 @@ func TestPresizedTableReservesWhatItHolds(t *testing.T) {
 		}
 		op := NewHashAggregation(ctx, cols, tc.keys, tc.specs, false, 0, 1000)
 		n := int(1000 * presizeHeadroom)
-		if held, holds, want := ctx.Mem.Held(), op.memBytesLocked(), op.tableBytes(n); held != want || holds != want {
-			t.Errorf("%s: reserved %d bytes, the table holds %d, tableBytes(%d) says %d", tc.name, held, holds, n, want)
+		if held, leased, holds := ctx.Mem.Held(), ctx.Mem.Leased(), walkAgg(op); held != holds || leased != holds {
+			t.Errorf("%s: reserved %d bytes and leased %d, the table holds %d", tc.name, held, leased, holds)
 		}
 		if len(op.table.slots) != slotsFor(n) {
 			t.Errorf("%s: %d slots, want %d", tc.name, len(op.table.slots), slotsFor(n))
@@ -144,7 +145,9 @@ func (v *spillVictim) Revoke() (int64, error) { v.asked = true; return 0, nil }
 func TestPresizeIsAHint(t *testing.T) {
 	empty := NewHashAggregation(NopContext(), []int{0}, []types.Type{types.Bigint}, threeAggs, true, 0, 0)
 	emptySlots := len(empty.table.slots)
-	limit := empty.tableBytes(int(1000*presizeHeadroom)) * 4 // 1000 groups take a quarter of it
+	sized := NewHashAggregation(NopContext(), []int{0}, []types.Type{types.Bigint}, threeAggs, true, 0, 1000)
+	limit := walkAgg(sized) * 4 // 1000 groups take a quarter of it
+	sized.Close()
 	for _, tc := range []struct {
 		name     string
 		groups   int
@@ -245,7 +248,7 @@ func BenchmarkKeyTableFixed1(b *testing.B) {
 		b.Run(fmt.Sprintf("insert/presized=%d", sized), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				t := newKeyTable(true, 1, sized)
+				t := newKeyTable(&tableLease{}, true, 1, sized)
 				for r := range hashes {
 					t.getOrInsertFixed1(hashes[r], cells[r], cellLong)
 				}
@@ -255,7 +258,7 @@ func BenchmarkKeyTableFixed1(b *testing.B) {
 	}
 	for _, entries := range []int{3_000, 30_000, 120_000} {
 		b.Run(fmt.Sprintf("lookup/entries=%d", entries), func(b *testing.B) {
-			t := newKeyTable(true, 1, entries)
+			t := newKeyTable(&tableLease{}, true, 1, entries)
 			for k := 0; k < entries; k++ {
 				t.getOrInsertFixed1(fixed1Hash(uint64(k), cellLong), uint64(k), cellLong)
 			}

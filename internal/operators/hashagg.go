@@ -25,9 +25,11 @@ type AggSpec struct {
 }
 
 // aggVec is the state of one aggregate for every group: one vector per field
-// its result reads, indexed by group id. The others stay nil.
+// its result reads, indexed by group id and leased through l; the others stay
+// nil.
 type aggVec struct {
 	spec     AggSpec
+	l        *memory.LocalContext
 	floatSum bool      // sum/avg accumulate in sumF (avg, and sum with a double result), else sumI
 	count    []int64   // the count family's result; for sum and avg the non-null inputs seen
 	sumI     []int64   // sum with a bigint result
@@ -43,42 +45,39 @@ func (a *aggVec) grow(n int) {
 		return
 	case plan.AggSum, plan.AggAvg:
 		if a.floatSum {
-			a.sumF = extend(a.sumF, n)
+			a.sumF = extend(a.l, a.sumF, n)
 		} else {
-			a.sumI = extend(a.sumI, n)
+			a.sumI = extend(a.l, a.sumI, n)
 		}
 	}
-	a.count = extend(a.count, n)
+	a.count = extend(a.l, a.count, n)
 }
 
-// presize gives the state the arrays grow(n) would, leased from the table
-// pool.
-func (a *aggVec) presize(n int) {
+// presize gives the state the arrays grow(n) would, leased through tl.
+func (a *aggVec) presize(tl *tableLease, n int) {
 	switch a.spec.Func {
 	case plan.AggMin, plan.AggMax:
-		a.mm.presize(n)
+		a.mm.presize(tl, n)
 		return
 	case plan.AggSum, plan.AggAvg:
 		if a.floatSum {
-			a.sumF = block.LeaseTable[float64](0, n)
+			a.sumF = leaseVec[float64](tl, 0, n)
 		} else {
-			a.sumI = block.LeaseTable[int64](0, n)
+			a.sumI = leaseVec[int64](tl, 0, n)
 		}
 	}
-	a.count = block.LeaseTable[int64](0, n)
+	a.count = leaseVec[int64](tl, 0, n)
 }
 
-// release gives the state's arrays, and its DISTINCT set's, back to the pool
-// and leaves it empty.
+// release gives the state's arrays, and its DISTINCT set's, back through the
+// ledger and leaves it empty.
 func (a *aggVec) release() {
-	block.ReturnTable(a.count)
-	block.ReturnTable(a.sumI)
-	block.ReturnTable(a.sumF)
+	memory.Return(a.l, a.count)
+	memory.Return(a.l, a.sumI)
+	memory.Return(a.l, a.sumF)
 	a.mm.release()
-	if a.dset != nil {
-		a.dset.release()
-	}
-	*a = aggVec{spec: a.spec}
+	a.dset.release()
+	*a = aggVec{spec: a.spec, l: a.l}
 }
 
 // reset empties the state and keeps its arrays for the next fill.
@@ -88,25 +87,6 @@ func (a *aggVec) reset() {
 	if a.dset != nil {
 		a.dset.reset()
 	}
-}
-
-// width is what one group takes in the state's arrays.
-func (a *aggVec) width() int64 {
-	switch a.spec.Func {
-	case plan.AggMin, plan.AggMax:
-		return valueWidth(a.spec.Out)
-	case plan.AggSum, plan.AggAvg:
-		return 16
-	}
-	return 8
-}
-
-func (a *aggVec) memBytes() int64 {
-	n := int64(8*(cap(a.count)+cap(a.sumI)+cap(a.sumF))) + a.mm.memBytes()
-	if a.dset != nil {
-		n += a.dset.memBytes()
-	}
-	return n
 }
 
 // add folds n copies of the non-null argument b[r] into group id: n is 1 for
@@ -138,20 +118,20 @@ func (a *aggVec) add(id int, b block.Block, r int, n int64) {
 // cannot give back (keys), and per aggregate one vector per field its result
 // reads (accs). Nothing is allocated per group; the first table is sized for
 // the groups the optimizer expects (presize), every later one starts empty,
-// and past its size a table doubles. A table leases its arrays from the table
-// pool and gives them back when it is dropped or replaced (dropTableLocked).
+// and past its size a table doubles. Every array is leased through the
+// operator's ledger (ctx.Mem), and the reservation is what it counts and the
+// strings beside (heldLocked).
 type HashAggregationOperator struct {
 	ctx       *OpContext
 	groupCols []int
 	groupTs   []types.Type
 
-	// mu guards the table state and bytes: the pool's revocation path may
-	// call Revoke from another query's thread (§IV-F2).
+	// mu guards the table state: the pool's revocation path may call Revoke
+	// from another query's thread (§IV-F2).
 	mu    sync.Mutex
 	table *keyTable
 	keys  []*valueVec // per group key; nil where table.cellBlock gives the key back
 	accs  []aggVec
-	bytes int64
 
 	// scratch lends a page's vectors — its key hashes and cells, its group ids
 	// and the memo of its encoded keys — and an output page's group selection;
@@ -203,7 +183,7 @@ func NewHashAggregation(ctx *OpContext, groupCols []int, groupTs []types.Type, a
 	for k := range o.spillKeys {
 		o.spillKeys[k] = k
 	}
-	o.newTableLocked(o.presize(groups))
+	o.presize(groups)
 	return o
 }
 
@@ -221,80 +201,54 @@ const (
 	maxPresizedGroups = 1 << 18
 )
 
-// presize turns the groups this instance expects into what its first table is
-// built for, with the bytes already reserved: 0, a table that starts empty and
-// doubles, when there is no estimate, when the table would hold more than
-// maxPresizedGroups groups or take more than a quarter of the query's
-// per-node limit, or when the reservation would have to make room for it. An
+// presize builds the first table for the groups this instance expects, each
+// array reserved before it is leased (tableLease). It starts empty instead
+// with no estimate, past maxPresizedGroups groups, or — every array going
+// back with its reservation — at the first array that does not fit as things
+// stand or would take the table past a quarter of the per-node limit. An
 // estimate is a hint: its table takes only memory that is free, and never
 // more than that quarter.
-func (o *HashAggregationOperator) presize(groups int) int {
-	if groups <= 0 {
-		return 0
-	}
-	n := int(math.Ceil(float64(groups) * presizeHeadroom))
-	if n > maxPresizedGroups {
-		return 0
-	}
-	bytes := o.tableBytes(n)
-	if limit := o.ctx.Mem.Q.Limits.PerNodeUser; limit > 0 && bytes > limit/4 {
-		return 0
-	}
-	if !o.ctx.Mem.TryGrow(bytes) {
-		return 0
-	}
-	o.bytes = bytes
-	return n
-}
-
-// tableBytes is memBytesLocked of a table newTableLocked(n) builds: every
-// vector beside the key table holds n entries at the capacity its size class
-// gives it.
-func (o *HashAggregationOperator) tableBytes(n int) int64 {
-	fixed := fixedWidthKeys(o.groupTs)
-	b, c := keyTableBytes(fixed, len(o.groupTs), n), int64(block.TableCap(n))
-	for _, t := range o.groupTs {
-		if keptBesideTable(fixed, t) {
-			b += c * valueWidth(t)
+func (o *HashAggregationOperator) presize(groups int) {
+	if n := int(math.Ceil(float64(groups) * presizeHeadroom)); groups > 0 && n <= maxPresizedGroups {
+		tl := tableLease{l: o.ctx.Mem, reserve: true, most: o.ctx.Mem.Q.Limits.PerNodeUser / 4}
+		o.newTableLocked(&tl, n)
+		if !tl.refused {
+			return
 		}
+		o.dropTableLocked()
+		_ = o.ctx.Mem.SetBytes(0) // a lower reservation releases and cannot fail
 	}
-	for i := range o.accs {
-		b += c * o.accs[i].width()
-		if o.accs[i].spec.Distinct {
-			b += keyTableBytes(false, 1, 0)
-		}
-	}
-	return b
+	o.newTableLocked(&tableLease{l: o.ctx.Mem}, 0)
 }
 
 // keptBesideTable reports whether a group key of type t goes in a valueVec:
 // the table's cells cannot give it back.
 func keptBesideTable(fixed bool, t types.Type) bool { return !fixed || t == types.Double }
 
-// newTableLocked replaces the table, whose arrays go back to the pool, with
-// an empty one whose arrays, leased from it, hold n groups before any of them
-// grows; n = 0 starts them empty.
-func (o *HashAggregationOperator) newTableLocked(n int) {
+// newTableLocked replaces the table, whose arrays go back through the
+// ledger, with an empty one whose arrays, leased through tl, hold n groups
+// before any of them grows; n = 0 starts them empty.
+func (o *HashAggregationOperator) newTableLocked(tl *tableLease, n int) {
 	o.dropTableLocked()
 	fixed := fixedWidthKeys(o.groupTs)
-	o.table = newKeyTable(fixed, len(o.groupTs), n)
+	o.table = newKeyTable(tl, fixed, len(o.groupTs), n)
 	for k, t := range o.groupTs {
 		if keptBesideTable(fixed, t) {
-			o.keys[k] = &valueVec{t: t}
+			o.keys[k] = &valueVec{t: t, l: tl.l}
 			if n > 0 {
-				o.keys[k].presize(n)
+				o.keys[k].presize(tl, n)
 			}
 		}
 	}
 	for i := range o.accs {
 		spec := o.accs[i].spec
-		a := aggVec{spec: spec, mm: valueVec{t: spec.Out}}
+		a := aggVec{spec: spec, l: tl.l, mm: valueVec{t: spec.Out, l: tl.l}}
 		a.floatSum = spec.Func == plan.AggAvg || spec.Out == types.Double
 		if spec.Distinct {
-			a.dset = newKeyTable(false, 1, 0)
+			a.dset = newKeyTable(tl, false, 1, 0)
 		}
 		if n > 0 {
-			a.presize(n)
+			a.presize(tl, n)
 		}
 		o.accs[i] = a
 	}
@@ -315,9 +269,9 @@ func (o *HashAggregationOperator) resetTableLocked() {
 	}
 }
 
-// dropTableLocked gives the table's arrays back to the pool once nothing
-// reads them again: its groups are copied out (emitGroups) or spilled, or the
-// operator is closing.
+// dropTableLocked gives the table's arrays back through the ledger once
+// nothing reads them again: its groups are copied out (emitGroups) or
+// spilled, or the operator is closing.
 func (o *HashAggregationOperator) dropTableLocked() {
 	if o.table == nil {
 		return
@@ -335,17 +289,17 @@ func (o *HashAggregationOperator) dropTableLocked() {
 	}
 }
 
-// memBytesLocked is what the table holds, summed from the capacity and
-// element width of every array under it.
-func (o *HashAggregationOperator) memBytesLocked() int64 {
-	n := o.table.memBytes()
+// heldLocked is what the operator holds: the arrays its ledger counts, and
+// the string bytes its key and min/max vectors keep beside them.
+func (o *HashAggregationOperator) heldLocked() int64 {
+	n := o.ctx.Mem.Leased()
 	for _, v := range o.keys {
 		if v != nil {
-			n += v.memBytes()
+			n += v.strBytes
 		}
 	}
 	for i := range o.accs {
-		n += o.accs[i].memBytes()
+		n += o.accs[i].mm.strBytes
 	}
 	return n
 }
@@ -397,15 +351,14 @@ func (o *HashAggregationOperator) addPage(p *block.Page) (int64, error) {
 	defer o.mu.Unlock()
 	ids, runID := o.resolveGroups(p, o.groupCols)
 	err := o.accumulatePage(ids, runID, p)
-	o.bytes = o.memBytesLocked()
-	return o.bytes, err
+	return o.heldLocked(), err
 }
 
-// syncMem reserves what the table holds now. The pool is never called under
-// o.mu: it calls RevocableBytes, which takes o.mu, under its own lock.
+// syncMem reserves what the operator holds now. The pool is never called
+// under o.mu: it calls RevocableBytes, which takes o.mu, under its own lock.
 func (o *HashAggregationOperator) syncMem() error {
 	o.mu.Lock()
-	bytes := o.bytes
+	bytes := o.heldLocked()
 	o.mu.Unlock()
 	return o.ctx.Mem.SetBytes(bytes)
 }
@@ -934,18 +887,18 @@ func (o *HashAggregationOperator) readPartition() error {
 	}
 }
 
-// endOutput ends the cursor: every group has been emitted, so the table goes
-// back to the pool and the spill files are removed.
+// endOutput ends the cursor: every group has been emitted, so the table and
+// its reservation go back and the spill files are removed.
 func (o *HashAggregationOperator) endOutput() {
 	o.mu.Lock()
-	defer o.mu.Unlock()
 	for _, name := range o.spillFiles {
 		spill.Remove(name)
 	}
 	o.spillFiles = nil
 	o.dropTableLocked()
-	o.bytes = 0
 	o.done = true
+	o.mu.Unlock()
+	_ = o.syncMem() // a lower reservation releases and cannot fail
 }
 
 // keyBlocks renders the group-key columns of the selected groups, with room
@@ -977,7 +930,6 @@ func (o *HashAggregationOperator) Close() error {
 	}
 	o.spillFiles = nil
 	o.dropTableLocked()
-	o.bytes = 0
 	o.mu.Unlock()
 	o.ctx.Mem.Close() // outside o.mu, as syncMem
 	return nil
@@ -1015,7 +967,7 @@ func (o *HashAggregationOperator) RevocableBytes() int64 {
 	if !o.spillable || o.finished {
 		return 0
 	}
-	return o.bytes
+	return o.heldLocked()
 }
 
 // ExecutionNanos implements memory.Revocable. It reports time actually
@@ -1032,7 +984,8 @@ func (o *HashAggregationOperator) ExecutionNanos() int64 {
 // Revoke spills the hash table to a temp file and clears it. Once the
 // operator is finished its state is draining or gone and there is nothing to
 // revoke: the pool picks its candidates, drops its lock and only then calls
-// Revoke on each, so the call can arrive after Finish.
+// Revoke on each, so the call can arrive after Finish — and what it holds
+// after the spill is read under the lock, since a drain fills it without.
 func (o *HashAggregationOperator) Revoke() (int64, error) {
 	o.mu.Lock()
 	if !o.spillable || o.finished {
@@ -1040,11 +993,12 @@ func (o *HashAggregationOperator) Revoke() (int64, error) {
 		return 0, nil
 	}
 	freed, err := o.spillLocked()
+	held := o.heldLocked()
 	o.mu.Unlock()
 	if err != nil || freed == 0 {
 		return freed, err
 	}
-	return freed, o.syncMem()
+	return freed, o.ctx.Mem.SetBytes(held)
 }
 
 // spillLocked writes every live group to one new spill file, bucketed by
@@ -1055,12 +1009,7 @@ func (o *HashAggregationOperator) spillLocked() (int64, error) {
 	n := o.table.Len()
 	if n == 0 {
 		// Nothing to write; a presized table gives its arrays back all the same.
-		freed := o.bytes
-		if freed > 0 {
-			o.newTableLocked(0)
-			o.bytes = 0
-		}
-		return freed, nil
+		return o.renewTableLocked(), nil
 	}
 	// Counting sort of the group ids by partition. The partition comes from
 	// the hash the table keys the group on, the one batchKeys computes for its
@@ -1099,10 +1048,16 @@ func (o *HashAggregationOperator) spillLocked() (int64, error) {
 	}
 	o.spillFiles = append(o.spillFiles, w.Path())
 	o.spills++
-	freed := o.bytes
-	o.newTableLocked(0)
-	o.bytes = 0
-	return freed, nil
+	return o.renewTableLocked(), nil
+}
+
+// renewTableLocked replaces the table with an empty one and returns what that
+// freed. An empty table leases nothing, so a spilled aggregation has nothing
+// left to revoke, and a revocation never reserves.
+func (o *HashAggregationOperator) renewTableLocked() int64 {
+	held := o.heldLocked()
+	o.newTableLocked(&tableLease{l: o.ctx.Mem}, 0)
+	return held - o.heldLocked()
 }
 
 // spillPage is the columnar on-disk form of the selected groups: the

@@ -132,7 +132,7 @@ func TestHashAggSpillMixedTypes(t *testing.T) {
 // integer, booleans.
 func TestFixedTableRehashesAsBatchKeys(t *testing.T) {
 	for _, cols := range [][]int{{colKeyBigint}, {colKeyDouble}, {colKeyBool}, {colKeyBigint, colKeyDate}, {colKeyDouble, colKeyBool}} {
-		tab := newKeyTable(true, len(cols), 0)
+		tab := newKeyTable(&tableLease{}, true, len(cols), 0)
 		var bk batchKeys
 		for pg := 0; pg < 3; pg++ {
 			p := diffPage(pg*300, (pg+1)*300)

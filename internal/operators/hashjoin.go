@@ -36,11 +36,11 @@ type JoinBridge struct {
 	rows    int64
 
 	// Accounting is the bridge's, not a builder's: the pages and the index are
-	// shared. mem is the context EnableSpill gave, else the first builder's;
-	// bytes is what the bridge holds — every page, plus buildIndexBytes of the
-	// rows so far until the index exists and its real size from then on. bytes
-	// changes under mu; the reservation follows outside it (syncBuildMem),
-	// since a reserve may block on this very bridge's revocation.
+	// shared. mem is the context EnableSpill gave, else the first builder's:
+	// the ledger the index is leased through. The bridge holds what it counts
+	// and bytes — every page, and keyTableBytes of the rows so far until the
+	// index exists. Both change under mu; the reservation follows outside it
+	// (syncBuildMem), since a reserve may block on this bridge's revocation.
 	mem *memory.LocalContext
 	// memMu serializes SetBytes callers; Revoke only TryLocks it (a builder
 	// holding it may be blocked inside SetBytes -> Reserve -> TryRevoke ->
@@ -250,31 +250,19 @@ func (b *JoinBridge) builderStep(change func()) {
 	notify()
 }
 
-// buildIndexBytes is what the index over rows build rows takes while it is
-// built, and what the bridge has reserved for it by then, page by page: the
-// key table sized for a key a row. Neither the links a build with duplicate
-// keys adds nor the arena of a bytes-layout table is in it, since neither is
-// known before the keys are; the true-up adds them.
-func buildIndexBytes(rows, nk int, fixed bool) int64 {
-	if rows == 0 || nk == 0 {
-		return 0
-	}
-	return keyTableBytes(fixed, nk, rows)
-}
-
 // buildIndexLocked indexes the build pages by position, a row's place in the
 // build with pages in arrival order: the key table stores every row's key,
 // page by page, and then links the positions last to first, so that a slot
 // ends on its key's first position and each duplicate is chained to the next
 // one in arrival order. A NULL key (never matches) is not linked. A keyless
 // join keeps no key table and no links: every probe row walks every position
-// in order.
+// in order. Every array is leased through the bridge's ledger, which counts
+// the index from here on in place of what the pages reserved ahead for it.
 func (b *JoinBridge) buildIndexLocked() {
-	b.locate()
+	b.locate(b.mem)
 	nk, rows, fixed := len(b.keyCols), int(b.positions()), fixedWidthKeys(b.keyTs)
-	reserved := buildIndexBytes(rows, nk, fixed)
 	if nk > 0 && rows > 0 {
-		t := newKeyTable(fixed, nk, rows)
+		t := newKeyTable(&tableLease{l: b.mem}, fixed, nk, rows)
 		// The key hashing leases a page's vectors from an arena of the index
 		// build's own: no driver holds it, so it is never released, and what it
 		// leased is the collector's once the index is built.
@@ -291,20 +279,20 @@ func (b *JoinBridge) buildIndexLocked() {
 			}
 			if q := t.link(pos); q >= 0 {
 				if next == nil {
-					next = block.LeaseTable[int32](rows, rows)
+					next = memory.Lease[int32](b.mem, rows, rows)
 				}
 				next[pos] = int32(q + 1)
 			}
 		}
 		b.ktab, b.next = t, next
+		b.bytes.Add(-keyTableBytes(fixed, nk, rows))
 	}
-	b.bytes.Add(b.indexBytes() - reserved)
 }
 
 // builtTable is what a probe reads. Writers hold the bridge's mu; nothing
 // changes once the bridge is built and a probe page has arrived (a revocation
 // only happens before that, Cancel leaves a built table alone) until the last
-// probe has ended, when ktab and next go back to the table pool
+// probe has ended, when ktab and next go back through the ledger
 // (releaseIndexLocked). So a probe copies it under mu, once per page, and
 // reads the copy unlocked.
 //
@@ -326,9 +314,9 @@ type builtTable struct {
 // locate builds the page-start prefix of the pages and the steps over it:
 // eight to sixteen a page on average, so that row finds a position's page in
 // a step or two where a binary search of the prefix mispredicts at every
-// level.
-func (t *builtTable) locate() {
-	t.starts = make([]int32, len(t.pages)+1)
+// level. Both are leased through the ledger l.
+func (t *builtTable) locate(l *memory.LocalContext) {
+	t.starts = memory.Lease[int32](l, len(t.pages)+1, 0)
 	for pg, p := range t.pages {
 		t.starts[pg+1] = t.starts[pg] + int32(p.RowCount())
 	}
@@ -339,7 +327,7 @@ func (t *builtTable) locate() {
 	for rows>>(t.shift+1) >= 8*len(t.pages) {
 		t.shift++
 	}
-	t.steps = make([]int32, (rows-1)>>t.shift+1)
+	t.steps = memory.Lease[int32](l, (rows-1)>>t.shift+1, 0)
 	pg := int32(0)
 	for k := range t.steps {
 		for t.starts[pg+1] <= int32(k<<t.shift) {
@@ -347,15 +335,6 @@ func (t *builtTable) locate() {
 		}
 		t.steps[k] = pg
 	}
-}
-
-// indexBytes is what the index over the pages holds.
-func (t *builtTable) indexBytes() int64 {
-	n := int64(4*cap(t.starts) + 4*cap(t.steps) + 4*cap(t.next))
-	if t.ktab != nil {
-		n += t.ktab.memBytes()
-	}
-	return n
 }
 
 // positions is the number of build positions.
@@ -420,28 +399,38 @@ func (b *JoinBridge) probeStep(change func()) {
 	notify()
 }
 
-// releaseIndexLocked gives the key table and the links back to the table pool
-// once nothing probes them again: the bridge is built, no more probes are
-// declared and the last registered one has ended. A cancelled bridge keeps
-// them, for the collector: a failed task's probe drivers may still be
-// running. The pages, the positions (starts, steps) and the matched flags
-// stay, since RIGHT/FULL's unmatched emission reads nothing else. The bytes
-// drop by the whole index, the positions' few words a page with it, and the
-// caller re-syncs the reservation; it reports whether they dropped.
+// releaseIndexLocked gives the key table and the links back through the
+// ledger once nothing probes them again: the bridge is built, no more probes
+// are declared and the last registered one has ended — never when it is
+// cancelled, since a failed task's probe drivers may still be running. The
+// pages, positions and matched flags stay for RIGHT/FULL's unmatched emission.
+// It reports whether anything went back; the caller re-syncs the reservation.
 func (b *JoinBridge) releaseIndexLocked() bool {
 	if !b.built || b.cancelled || b.released || !b.noMoreProbes || b.probesActive > 0 {
 		return false
 	}
 	b.released = true
-	index := b.indexBytes()
-	if b.ktab != nil {
-		b.ktab.release()
-	}
-	block.ReturnTable(b.next)
+	had := b.ktab != nil || b.next != nil
+	b.ktab.release()
+	memory.Return(b.mem, b.next)
 	b.ktab, b.next = nil, nil
-	b.bytes.Add(-index)
-	return index > 0
+	return had
 }
+
+// dropLocked gives back all the bridge holds in memory once nothing reads it:
+// the index and positions through the ledger, the pages and matched flags to
+// the collector. The caller re-syncs the reservation.
+func (b *JoinBridge) dropLocked() {
+	b.ktab.release()
+	memory.Return(b.mem, b.next)
+	memory.Return(b.mem, b.starts)
+	memory.Return(b.mem, b.steps)
+	b.builtTable, b.matched = builtTable{}, nil
+	b.bytes.Store(0)
+}
+
+// held is what the bridge holds: bytes, and what its ledger counts.
+func (b *JoinBridge) held() int64 { return b.bytes.Load() + b.mem.Leased() }
 
 // AllProbesFinished reports that no probe will record further matches, so
 // unmatched build rows may be emitted.
@@ -544,14 +533,21 @@ func (o *HashBuildOperator) AddInput(p *block.Page) error {
 		b.mu.Unlock()
 		return err
 	}
-	// Not spilled: every row so far is in memory, and the index over them is
-	// reserved as they arrive, so that a capped pool revokes before the built
-	// transition allocates it.
-	nk, fixed := len(b.keyCols), fixedWidthKeys(b.keyTs)
-	index := buildIndexBytes(int(b.rows)+n, nk, fixed) - buildIndexBytes(int(b.rows), nk, fixed)
+	// Not spilled: every row so far is in memory, and the key table over them
+	// is reserved ahead as they arrive, so that a capped pool revokes before
+	// the built transition leases it. The links and a bytes-layout arena,
+	// unknown before the keys are, come with the true-up.
+	var ahead int64
+	if nk, rows := len(b.keyCols), int(b.rows); nk > 0 && n > 0 {
+		fixed := fixedWidthKeys(b.keyTs)
+		ahead = keyTableBytes(fixed, nk, rows+n)
+		if rows > 0 { // the first page reserves the whole table
+			ahead -= keyTableBytes(fixed, nk, rows)
+		}
+	}
 	b.pages = append(b.pages, p)
 	b.rows += int64(n)
-	b.bytes.Add(p.SizeBytes() + index)
+	b.bytes.Add(p.SizeBytes() + ahead)
 	b.mu.Unlock()
 	return b.syncBuildMem()
 }
@@ -1370,8 +1366,8 @@ func (o *IndexJoinOperator) AddInput(p *block.Page) error {
 		}
 	}
 	o.tab = builtTable{pages: pages, next: next}
-	o.tab.locate()
-	clear(o.chans) // views of the last page's results
+	o.tab.locate(nil) // per probe page, unaccounted
+	clear(o.chans)    // views of the last page's results
 	o.begin(p, ids)
 	return nil
 }

@@ -333,7 +333,7 @@ func TestJoinRevokeBeforeBuiltWritesPagesOnly(t *testing.T) {
 	if bridge.ktab != nil || bridge.starts != nil {
 		t.Fatal("the bridge indexed build pages before its builders finished")
 	}
-	if want, got := held+buildIndexBytes(rows, 1, true), bridge.RevocableBytes(); got != want {
+	if want, got := held+keyTableBytes(true, 1, rows), bridge.RevocableBytes(); got != want {
 		t.Fatalf("%d revocable bytes, want the pages and the index reserved ahead, %d", got, want)
 	}
 	before := spill.CurrentStats()
@@ -341,7 +341,7 @@ func TestJoinRevokeBeforeBuiltWritesPagesOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := held + buildIndexBytes(rows, 1, true); freed != want {
+	if want := held + keyTableBytes(true, 1, rows); freed != want {
 		t.Errorf("revocation freed %d bytes, want %d", freed, want)
 	}
 	if len(bridge.pages) != 0 || bridge.ktab != nil || bridge.bytes.Load() != 0 || bridge.mem.Held() != 0 {
@@ -447,7 +447,7 @@ func TestJoinIndexTrueUpOverLimit(t *testing.T) {
 	page := block.NewPage(block.NewVarcharBlock(keys, nil), block.NewLongBlock(vals, nil))
 	rowTs := []types.Type{types.Varchar, types.Bigint}
 	// The pages and the index reserved ahead fit; the 210 KB arena does not.
-	limit := page.SizeBytes() + buildIndexBytes(rows, 1, false) + 50<<10
+	limit := page.SizeBytes() + keyTableBytes(false, 1, rows) + 50<<10
 	for _, armed := range []bool{true, false} {
 		q := memory.NewQueryContext("trueup", memory.QueryLimits{PerNodeUser: limit, SpillEnabled: armed},
 			map[int]*memory.NodePool{0: memory.NewNodePool(1<<30, 0)})

@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"repro/internal/block"
+	"repro/internal/memory"
 	"repro/internal/types"
 )
 
@@ -34,6 +35,7 @@ import (
 //     of an equal key's entry. The join build indexes its rows this way
 //     (buildIndexLocked): entry ids are build positions.
 type keyTable struct {
+	l     *memory.LocalContext // the ledger every array is leased through
 	fixed bool
 	nk    int // key cells per entry (fixed layout)
 	n     int // entries
@@ -54,36 +56,64 @@ type keyTable struct {
 }
 
 // newKeyTable creates an empty table with the given key layout, its arrays
-// sized for n entries and leased from the table pool (block.LeaseTable): no
-// insert up to the n-th grows the slot array or reallocates a vector (a
-// bytes-layout arena aside — key lengths are not known ahead). n = 0 is a
-// table that doubles to size. The owner gives the arrays back (release) once
-// nothing reads the table again.
-func newKeyTable(fixed bool, nk, n int) *keyTable {
+// sized for n entries and leased through tl: no insert up to the n-th grows
+// the slot array or reallocates a vector (a bytes-layout arena aside — key
+// lengths are not known ahead). n = 0 is a table that doubles to size from
+// no array at all, which only getOrInsert* may use: an empty table leases
+// nothing, so an operator that holds one has nothing to revoke. The owner
+// gives the arrays back (release) once nothing reads the table again.
+func newKeyTable(tl *tableLease, fixed bool, nk, n int) *keyTable {
+	t := &keyTable{l: tl.l, fixed: fixed, nk: nk}
+	if n == 0 {
+		return t
+	}
 	slots := slotsFor(n)
-	t := &keyTable{fixed: fixed, nk: nk, slots: block.LeaseTable[int32](slots, slots), mask: uint64(slots - 1)}
-	switch {
-	case !fixed:
-		t.offs = append(block.LeaseTable[uint32](0, n+1), 0)
-		if n > 0 {
-			t.hashes = block.LeaseTable[uint64](0, n)
-		}
-	case n > 0:
-		t.cells, t.tags = block.LeaseTable[uint64](0, n*nk), block.LeaseTable[byte](0, n*nk)
+	t.slots, t.mask = leaseVec[int32](tl, slots, slots), uint64(slots-1)
+	if fixed {
+		t.cells, t.tags = leaseVec[uint64](tl, 0, n*nk), leaseVec[byte](tl, 0, n*nk)
+	} else {
+		t.offs, t.hashes = leaseVec[uint32](tl, 1, n+1), leaseVec[uint64](tl, 0, n)
 	}
 	return t
 }
 
-// release gives the table's arrays back to the pool and empties it. Nothing
-// may read the table after: a lookup in it fails at its first slot.
+// release gives the table's arrays (a nil table's: none) back through its
+// ledger and empties it; a lookup in it after fails at its first slot.
 func (t *keyTable) release() {
-	block.ReturnTable(t.slots)
-	block.ReturnTable(t.cells)
-	block.ReturnTable(t.tags)
-	block.ReturnTable(t.hashes)
-	block.ReturnTable(t.arena)
-	block.ReturnTable(t.offs)
-	*t = keyTable{fixed: t.fixed, nk: t.nk}
+	if t == nil {
+		return
+	}
+	memory.Return(t.l, t.slots)
+	memory.Return(t.l, t.cells)
+	memory.Return(t.l, t.tags)
+	memory.Return(t.l, t.hashes)
+	memory.Return(t.l, t.arena)
+	memory.Return(t.l, t.offs)
+	*t = keyTable{l: t.l, fixed: t.fixed, nk: t.nk}
+}
+
+// tableLease is where a table gets its arrays: the operator's ledger l. A
+// reserving lease (a presized group table) reserves each array's bytes first,
+// with TryGrow, which never makes room, and is refused — leasing nothing more
+// — at the first that does not fit or would take the arrays past most bytes
+// (0: no bound). It must not reserve under an operator's lock.
+type tableLease struct {
+	l       *memory.LocalContext
+	reserve bool
+	most    int64
+	refused bool
+}
+
+// leaseVec leases one table array through tl, or gives nil once refused.
+func leaseVec[T block.TableElem](tl *tableLease, n, c int) []T {
+	if tl.reserve {
+		size := int64(block.TableCap(max(n, c))) * int64(unsafe.Sizeof(*new(T)))
+		tl.refused = tl.refused || tl.most > 0 && tl.l.Leased()+size > tl.most || !tl.l.TryGrow(size)
+		if tl.refused {
+			return nil
+		}
+	}
+	return memory.Lease[T](tl.l, n, c)
 }
 
 // slotsFor is the slot-array length that holds n entries under the 3/4 load
@@ -96,10 +126,10 @@ func slotsFor(n int) int {
 	return slots
 }
 
-// keyTableBytes is memBytes of newKeyTable(fixed, nk, n) — what a table takes
-// before an arena: 4 bytes a slot, then 9 a key cell (fixed), or a hash and an
-// offset an entry (bytes), each vector at the capacity its size class gives
-// it (a slot array's power of two is a class length).
+// keyTableBytes is what newKeyTable(fixed, nk, n > 0) leases, before an
+// arena: 4 bytes a slot, then 9 a key cell (fixed), or a hash and an offset an
+// entry (bytes), each vector at its class capacity. It is the join build's
+// reserve-ahead, the one price the ledger does not replace.
 func keyTableBytes(fixed bool, nk, n int) int64 {
 	b := int64(4 * slotsFor(n))
 	if fixed {
@@ -111,22 +141,12 @@ func keyTableBytes(fixed bool, nk, n int) int64 {
 // Len returns the number of entries.
 func (t *keyTable) Len() int { return t.n }
 
-// memBytes is the memory the table holds, for operator memory accounting:
-// capacities, because a backing array is held whole however full it is.
-func (t *keyTable) memBytes() int64 {
-	return int64(4*cap(t.slots)) + int64(8*cap(t.hashes)) +
-		int64(8*cap(t.cells)) + int64(cap(t.tags)) +
-		int64(cap(t.arena)) + int64(4*cap(t.offs))
-}
-
 // reset empties the table and keeps its arrays for the next fill.
 func (t *keyTable) reset() {
 	clear(t.slots)
 	t.n, t.keys = 0, 0
 	t.hashes, t.cells, t.tags, t.arena = t.hashes[:0], t.cells[:0], t.tags[:0], t.arena[:0]
-	if !t.fixed {
-		t.offs = t.offs[:1]
-	}
+	t.offs = t.offs[:min(len(t.offs), 1)] // no offsets yet in a table never filled
 }
 
 // hash is entry e's key hash, the one batchKeys computes for the same key:
@@ -138,12 +158,12 @@ func (t *keyTable) hash(e int) uint64 {
 	return fixedHash(t.cells[e*t.nk:(e+1)*t.nk], t.tags[e*t.nk:(e+1)*t.nk])
 }
 
-// grow doubles the slot array and redistributes the entries, in entry order:
-// the keys are read in sequence and only the slot written is a random access.
-// Every entry has a slot (getOrInsert* tables; a linked table is built at its
-// final size).
+// grow doubles the slot array (the first has 16) through the ledger and
+// redistributes the entries, in entry order: the keys are read in sequence and
+// only the slot written is a random access. Every entry has a slot
+// (getOrInsert* tables; a linked table is built at its final size).
 func (t *keyTable) grow() {
-	ns := make([]int32, 2*len(t.slots))
+	ns := memory.Lease[int32](t.l, max(16, 2*len(t.slots)), 0)
 	mask := uint64(len(ns) - 1)
 	for e := 0; e < t.n; e++ {
 		i := t.hash(e) & mask
@@ -152,6 +172,7 @@ func (t *keyTable) grow() {
 		}
 		ns[i] = int32(e + 1)
 	}
+	memory.Return(t.l, t.slots)
 	t.slots, t.mask = ns, mask
 }
 
@@ -188,8 +209,8 @@ func (t *keyTable) getOrInsertFixed(h uint64, cells []uint64, tags []byte) (id i
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		s := t.slots[i]
 		if s == 0 {
-			t.cells = append(room(t.cells, t.nk), cells...)
-			t.tags = append(room(t.tags, t.nk), tags...)
+			t.cells = append(room(t.l, t.cells, t.nk), cells...)
+			t.tags = append(room(t.l, t.tags, t.nk), tags...)
 			return t.enter(i), true
 		}
 		if t.eqFixed(int(s-1), cells, tags) {
@@ -206,8 +227,8 @@ func (t *keyTable) getOrInsertFixed1(h uint64, cell uint64, tag byte) (id int, f
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		s := t.slots[i]
 		if s == 0 {
-			t.cells = append(room(t.cells, 1), cell)
-			t.tags = append(room(t.tags, 1), tag)
+			t.cells = append(room(t.l, t.cells, 1), cell)
+			t.tags = append(room(t.l, t.tags, 1), tag)
 			return t.enter(i), true
 		}
 		if e := int(s - 1); t.cells[e] == cell && t.tags[e] == tag {
@@ -253,9 +274,12 @@ func (t *keyTable) getOrInsertBytes(h uint64, key []byte) (id int, fresh bool) {
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		s := t.slots[i]
 		if s == 0 {
-			t.hashes = append(room(t.hashes, 1), h)
-			t.arena = append(room(t.arena, len(key)), key...)
-			t.offs = append(room(t.offs, 1), uint32(len(t.arena)))
+			if len(t.offs) == 0 { // the first key: an empty table leases no offsets
+				t.offs = append(room(t.l, t.offs, 2), 0)
+			}
+			t.hashes = append(room(t.l, t.hashes, 1), h)
+			t.arena = append(room(t.l, t.arena, len(key)), key...)
+			t.offs = append(room(t.l, t.offs, 1), uint32(len(t.arena)))
 			return t.enter(i), true
 		}
 		if t.hashes[s-1] == h && bytes.Equal(t.entryBytes(int(s-1)), key) {
@@ -286,19 +310,19 @@ func (t *keyTable) appendKeys(a *block.Arena, p *block.Page, cols []int, bk *bat
 	n := p.RowCount()
 	if t.fixed {
 		at, end := t.n*t.nk, (t.n+n)*t.nk
-		t.cells, t.tags = room(t.cells, n*t.nk)[:end], room(t.tags, n*t.nk)[:end]
-		bk.dicts = extend(bk.dicts, t.nk)
+		t.cells, t.tags = room(t.l, t.cells, n*t.nk)[:end], room(t.l, t.tags, n*t.nk)[:end]
+		bk.sizeDicts(t.nk)
 		for k, c := range cols {
 			normCol(p.Col(c), t.cells[at:], t.tags[at:], k, t.nk, n, &bk.dicts[k])
 		}
 	} else {
 		bk.reset(a, p, cols, false)
-		t.hashes = append(room(t.hashes, n), bk.hashes...)
-		t.offs = room(t.offs, n)
+		t.hashes = append(room(t.l, t.hashes, n), bk.hashes...)
+		t.offs = room(t.l, t.offs, n)
 		for r := 0; r < n; r++ {
 			if !rowKeyNull(p, r, cols) {
 				bk.buf = encodeRowKey(bk.buf[:0], p, r, cols)
-				t.arena = append(room(t.arena, len(bk.buf)), bk.buf...)
+				t.arena = append(room(t.l, t.arena, len(bk.buf)), bk.buf...)
 			}
 			t.offs = append(t.offs, uint32(len(t.arena)))
 		}
@@ -390,27 +414,28 @@ func (t *keyTable) cellBlock(a *block.Arena, k int, typ types.Type, sel []int32)
 	return &block.LongBlock{T: typ, Vals: vals, Nulls: nulls}
 }
 
-// room returns s with capacity for n more elements, doubling a backing array
-// that is full. Go's append grows a large slice by a quarter, which over the
-// life of a table allocates five times its final size; doubling allocates
-// twice.
-func room[T any](s []T, n int) []T {
+// room returns the table array s with capacity for n more elements, doubling
+// a full one through the ledger l. Go's append grows a large slice by a
+// quarter, which over the life of a table allocates five times its final
+// size; doubling allocates twice, and a doubled class length is one.
+func room[T block.TableElem](l *memory.LocalContext, s []T, n int) []T {
 	if len(s)+n <= cap(s) {
 		return s
 	}
-	ns := make([]T, len(s), max(4, 2*cap(s), len(s)+n))
+	ns := memory.Lease[T](l, len(s), max(4, 2*cap(s), len(s)+n))
 	copy(ns, s)
+	memory.Return(l, s)
 	return ns
 }
 
-// extend lengthens an id-indexed vector to n zeroed entries. It relies on
-// every shortening going through truncate, so that what lies beyond the
-// length is zero.
-func extend[T any](s []T, n int) []T {
+// extend lengthens an id-indexed table array to n zeroed entries, through
+// the ledger l as room does. It relies on every shortening going through
+// truncate, so that what lies beyond the length is zero.
+func extend[T block.TableElem](l *memory.LocalContext, s []T, n int) []T {
 	if n <= len(s) {
 		return s
 	}
-	return room(s, n-len(s))[:n]
+	return room(l, s, n-len(s))[:n]
 }
 
 // truncate empties an id-indexed vector and keeps its array for the next fill.
@@ -455,6 +480,7 @@ func zeroMask[T comparable](a *block.Arena, v []T, sel []int32) []bool {
 // vector that held it — so the vec outlives the input page.
 type valueVec struct {
 	t        types.Type
+	l        *memory.LocalContext // the ledger the arrays are leased through
 	has      []bool
 	longs    []int64
 	doubles  []float64
@@ -464,75 +490,54 @@ type valueVec struct {
 	strBytes int64         // bytes under strs, for accounting
 }
 
-// presize gives the vec the arrays that hold n entries before one grows,
-// leased from the table pool; an untyped vec's boxed values, which the pool
-// does not hold, are made at the same capacity.
-func (v *valueVec) presize(n int) {
-	v.has = block.LeaseTable[bool](0, n)
+// presize leases through tl the arrays that hold n entries before one grows.
+func (v *valueVec) presize(tl *tableLease, n int) {
+	v.has = leaseVec[bool](tl, 0, n)
 	switch v.t {
 	case types.Bigint, types.Date:
-		v.longs = block.LeaseTable[int64](0, n)
+		v.longs = leaseVec[int64](tl, 0, n)
 	case types.Double:
-		v.doubles = block.LeaseTable[float64](0, n)
+		v.doubles = leaseVec[float64](tl, 0, n)
 	case types.Varchar:
-		v.strs = block.LeaseTable[string](0, n)
+		v.strs = leaseVec[string](tl, 0, n)
 	case types.Boolean:
-		v.bools = block.LeaseTable[bool](0, n)
+		v.bools = leaseVec[bool](tl, 0, n)
 	default:
-		v.boxed = make([]types.Value, 0, block.TableCap(n))
+		v.boxed = leaseVec[types.Value](tl, 0, n)
 	}
 }
 
-// release gives the vec's arrays back to the pool and empties it.
+// release gives the vec's arrays back through its ledger and empties it.
 func (v *valueVec) release() {
-	block.ReturnTable(v.has)
-	block.ReturnTable(v.longs)
-	block.ReturnTable(v.doubles)
-	block.ReturnTable(v.strs)
-	block.ReturnTable(v.bools)
-	*v = valueVec{t: v.t}
+	memory.Return(v.l, v.has)
+	memory.Return(v.l, v.longs)
+	memory.Return(v.l, v.doubles)
+	memory.Return(v.l, v.strs)
+	memory.Return(v.l, v.bools)
+	memory.Return(v.l, v.boxed)
+	*v = valueVec{t: v.t, l: v.l}
 }
 
 func (v *valueVec) grow(n int) {
-	v.has = extend(v.has, n)
+	v.has = extend(v.l, v.has, n)
 	switch v.t {
 	case types.Bigint, types.Date:
-		v.longs = extend(v.longs, n)
+		v.longs = extend(v.l, v.longs, n)
 	case types.Double:
-		v.doubles = extend(v.doubles, n)
+		v.doubles = extend(v.l, v.doubles, n)
 	case types.Varchar:
-		v.strs = extend(v.strs, n)
+		v.strs = extend(v.l, v.strs, n)
 	case types.Boolean:
-		v.bools = extend(v.bools, n)
+		v.bools = extend(v.l, v.bools, n)
 	default:
-		v.boxed = extend(v.boxed, n)
+		v.boxed = extend(v.l, v.boxed, n)
 	}
 }
 
 // reset empties the vec and keeps its arrays for the next fill.
 func (v *valueVec) reset() {
-	*v = valueVec{t: v.t, has: truncate(v.has), longs: truncate(v.longs), doubles: truncate(v.doubles),
+	*v = valueVec{t: v.t, l: v.l, has: truncate(v.has), longs: truncate(v.longs), doubles: truncate(v.doubles),
 		strs: truncate(v.strs), bools: truncate(v.bools), boxed: truncate(v.boxed)}
-}
-
-// valueWidth is what one entry of a valueVec of type t takes in its arrays:
-// the has mask and the slice t selects.
-func valueWidth(t types.Type) int64 {
-	switch t {
-	case types.Bigint, types.Date, types.Double:
-		return 1 + 8
-	case types.Varchar:
-		return 1 + 16
-	case types.Boolean:
-		return 1 + 1
-	}
-	return 1 + int64(unsafe.Sizeof(types.Value{}))
-}
-
-// memBytes is the memory the vec holds (capacities, as keyTable.memBytes).
-func (v *valueVec) memBytes() int64 {
-	return int64(cap(v.has)+8*cap(v.longs)+8*cap(v.doubles)+16*cap(v.strs)+cap(v.bools)) +
-		int64(cap(v.boxed))*int64(unsafe.Sizeof(types.Value{})) + v.strBytes
 }
 
 // set stores the non-null b[r] as entry id.

@@ -70,7 +70,7 @@ func (b *JoinBridge) RevocableBytes() int64 {
 	if spl == nil || spl.probeStarted || spl.draining || spl.released || len(b.pages) == 0 {
 		return 0
 	}
-	return b.bytes.Load()
+	return b.held()
 }
 
 // ExecutionNanos implements memory.Revocable: the pool revokes the cheapest
@@ -107,7 +107,7 @@ func (b *JoinBridge) Revoke() (int64, error) {
 
 // revokeSpillLocked moves the build pages to disk. Before the built transition
 // that is all there is; after it (and before a probe page) the index over them
-// is dropped too — the drain builds each partition its own.
+// goes back through the ledger too — the drain builds each partition its own.
 func (b *JoinBridge) revokeSpillLocked() (int64, error) {
 	spl := b.spl
 	if spl == nil || spl.probeStarted || spl.draining || spl.released || len(b.pages) == 0 {
@@ -118,10 +118,11 @@ func (b *JoinBridge) revokeSpillLocked() (int64, error) {
 			return 0, err
 		}
 	}
-	b.builtTable, b.matched = builtTable{}, nil
+	freed := b.held()
+	b.dropLocked()
 	spl.spilled = true
 	spl.spills++
-	return b.bytes.Swap(0), nil
+	return freed, nil
 }
 
 // syncBuildMem reconciles the pool reservation with what the bridge holds; on
@@ -133,14 +134,23 @@ func (b *JoinBridge) syncBuildMem() error {
 	}
 	b.memMu.Lock()
 	defer b.memMu.Unlock()
-	err := b.mem.SetBytes(b.bytes.Load())
+	err := b.mem.SetBytes(b.held())
 	if err == nil || b.spl == nil || !errors.Is(err, memory.ErrExceededLimit) {
 		return err
 	}
 	if _, serr := b.Revoke(); serr != nil {
 		return serr
 	}
-	return b.mem.SetBytes(b.bytes.Load())
+	return b.mem.SetBytes(b.held())
+}
+
+// release gives back everything the bridge holds once nothing reads it — a
+// drained partition's sub-bridge — and lowers the reservation to match.
+func (b *JoinBridge) release() {
+	b.mu.Lock()
+	b.dropLocked()
+	b.mu.Unlock()
+	_ = b.syncBuildMem() // a lower reservation releases and cannot fail
 }
 
 // releaseSpilledBytes shrinks the reservation after a revoke. TryLock only:
@@ -151,7 +161,7 @@ func (b *JoinBridge) releaseSpilledBytes() {
 		return
 	}
 	defer b.memMu.Unlock()
-	_ = b.mem.SetBytes(b.bytes.Load())
+	_ = b.mem.SetBytes(b.held())
 }
 
 // spillDrainPending reports whether probe output must come from the
@@ -185,7 +195,8 @@ func (b *JoinBridge) claimSpillDrain() (*bridgeSpill, bool, error) {
 	return spl, true, nil
 }
 
-// ReleaseSpill deletes every spill file and drops the bridge's reservation.
+// ReleaseSpill deletes every spill file, gives back what the bridge holds in
+// memory — a cancelled bridge's index too — and drops its reservation.
 // Idempotent; registered as a task cleanup so abort and success both run it
 // after all drivers have stopped.
 func (b *JoinBridge) ReleaseSpill() {
@@ -206,6 +217,7 @@ func (b *JoinBridge) ReleaseSpill() {
 	}
 	files := append(append([]string(nil), spl.buildFiles...), spl.probeFiles...)
 	spl.buildFiles, spl.probeFiles = nil, nil
+	b.dropLocked()
 	b.mu.Unlock()
 	for _, f := range files {
 		spill.Remove(f)
@@ -382,6 +394,7 @@ func (d *joinSpillDrain) next() (*block.Page, error) {
 			continue
 		}
 		if d.inner.IsFinished() {
+			d.inner.bridge.release()
 			d.inner = nil
 			d.part++
 			continue
@@ -392,9 +405,10 @@ func (d *joinSpillDrain) next() (*block.Page, error) {
 
 // openPartition rebuilds partition d.part's hash table and readies its probe
 // stream. The sub-operators reuse the outer operator's context, so the
-// rebuilt table is accounted (absolute SetBytes releases the previous
-// partition's table automatically) and a reserve failure here fails the
-// query: a drain must never itself be asked to spill.
+// rebuilt table is accounted and leased through its ledger — the previous
+// partition's sub-bridge gave everything back when it finished (release) —
+// and a reserve failure here fails the query: a drain must never itself be
+// asked to spill.
 func (d *joinSpillDrain) openPartition() error {
 	o, spl := d.o, d.spl
 	sub := NewJoinBridge()

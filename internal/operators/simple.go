@@ -203,7 +203,8 @@ func (o *LimitOperator) Close() error    { return nil }
 // DistinctOperator removes duplicate rows using a hash set of row keys: an
 // open-addressing keyTable fed by the batch hashing kernels, whose vectors,
 // and the rows a page keeps, are leased from scratch for the page. The
-// table's arrays go back to the table pool at Close.
+// table's arrays are leased through the operator's ledger, which its
+// reservation follows, and go back through it at Close.
 type DistinctOperator struct {
 	ctx      *OpContext
 	table    *keyTable
@@ -220,7 +221,7 @@ type DistinctOperator struct {
 // all-NULL literal column arrives as an untyped block).
 func NewDistinct(ctx *OpContext, ts []types.Type) *DistinctOperator {
 	cols := allChannels(len(ts))
-	return &DistinctOperator{ctx: ctx, keyCols: cols, table: newKeyTable(fixedWidthKeys(ts), len(cols), 0)}
+	return &DistinctOperator{ctx: ctx, keyCols: cols, table: newKeyTable(&tableLease{l: ctx.Mem}, fixedWidthKeys(ts), len(cols), 0)}
 }
 
 func (o *DistinctOperator) NeedsInput() bool { return !o.finished && o.pending == nil }
@@ -243,7 +244,7 @@ func (o *DistinctOperator) AddInput(p *block.Page) error {
 			keep = append(keep, r)
 		}
 	}
-	if err := o.ctx.Mem.SetBytes(o.table.memBytes()); err != nil {
+	if err := o.ctx.Mem.SetBytes(o.ctx.Mem.Leased()); err != nil {
 		return err
 	}
 	if len(keep) > 0 {
@@ -266,10 +267,8 @@ func (o *DistinctOperator) Finish()          { o.finished = true }
 func (o *DistinctOperator) IsFinished() bool { return o.finished && o.pending == nil }
 func (o *DistinctOperator) IsBlocked() bool  { return false }
 func (o *DistinctOperator) Close() error {
-	if o.table != nil {
-		o.table.release()
-		o.table = nil
-	}
+	o.table.release()
+	o.table = nil
 	o.ctx.Mem.Close()
 	return nil
 }

@@ -56,16 +56,10 @@ func TestHashAggAccountingMatchesHeap(t *testing.T) {
 	q := memory.NewQueryContext("accounting", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
 	ctx := &OpContext{Mem: memory.NewLocalContext(q, 0, memory.User), Stats: &OpStats{}}
 
-	heap := func() int64 {
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return int64(m.HeapAlloc)
-	}
-	before := heap()
+	before := coldHeap()
 	op := NewHashAggregation(ctx, []int{0}, []types.Type{types.Bigint}, threeAggs, true, 0, 0)
 	fixedKeyPages(t, groups, op.AddInput)
-	grown := heap() - before
+	grown := coldHeap() - before
 	reserved := q.UserBytes()
 	t.Logf("%d groups: reserved %d bytes (%.1f/group), heap grew %d bytes (%.1f/group)",
 		groups, reserved, float64(reserved)/groups, grown, float64(grown)/groups)
@@ -82,6 +76,16 @@ func TestHashAggAccountingMatchesHeap(t *testing.T) {
 		t.Errorf("%d bytes still reserved after Close", left)
 	}
 	runtime.KeepAlive(op)
+}
+
+// coldHeap is the live heap with the table pool cold: a pooled array survives
+// one collection, so two drop what an outgrown table array left there.
+func coldHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }
 
 // allocated returns the bytes fn allocates.
@@ -229,8 +233,8 @@ func TestJoinBuildBytesPerRow(t *testing.T) {
 // key table at its final size. Had a page's keys grown the slot array or
 // reallocated a vector, that array would be a doubled one and not the one
 // newKeyTable made; a fixed-layout table holds no hash vector, and no key
-// repeats, so there are no links. The whole build allocates what
-// buildIndexBytes reserved for it, plus the page-sized hashing scratch.
+// repeats, so there are no links. The whole build allocates what the pages
+// reserved ahead for it (keyTableBytes), plus the page-sized hashing scratch.
 func TestJoinBuildAllocatesOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates")
@@ -239,7 +243,7 @@ func TestJoinBuildAllocatesOnce(t *testing.T) {
 	pages := buildKeyPages(rows, rows)
 	var bridge *JoinBridge
 	got := allocated(func() { bridge = buildBridge(t, []int{0}, pages...) })
-	tab, sized := bridge.ktab, newKeyTable(true, 1, rows)
+	tab, sized := bridge.ktab, newKeyTable(&tableLease{}, true, 1, rows)
 	if len(tab.slots) != len(sized.slots) {
 		t.Errorf("slot array grew: %d slots, sized for %d", len(tab.slots), len(sized.slots))
 	}
@@ -250,10 +254,10 @@ func TestJoinBuildAllocatesOnce(t *testing.T) {
 	if tab.hashes != nil || bridge.next != nil {
 		t.Errorf("a unique fixed-key build holds %d hashes and %d links", cap(tab.hashes), cap(bridge.next))
 	}
-	if sized.memBytes() != keyTableBytes(true, 1, rows) {
-		t.Errorf("a sized table holds %d bytes, keyTableBytes says %d", sized.memBytes(), keyTableBytes(true, 1, rows))
+	if walkKeyTable(sized) != keyTableBytes(true, 1, rows) {
+		t.Errorf("a sized table holds %d bytes, keyTableBytes says %d", walkKeyTable(sized), keyTableBytes(true, 1, rows))
 	}
-	reserved := buildIndexBytes(rows, 1, true)
+	reserved := keyTableBytes(true, 1, rows)
 	t.Logf("%d rows: the build allocated %d bytes, %d of them reserved for the index", rows, got, reserved)
 	if scratch := int64(4096 * 32); got > reserved+scratch {
 		t.Errorf("the build allocated %d bytes, want at most the %d reserved and %d of scratch", got, reserved, scratch)
@@ -274,13 +278,7 @@ func TestJoinBuildAccountingMatchesHeap(t *testing.T) {
 	q := memory.NewQueryContext("accounting", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
 	ctx := &OpContext{Mem: memory.NewLocalContext(q, 0, memory.User), Stats: &OpStats{}}
 
-	heap := func() int64 {
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return int64(m.HeapAlloc)
-	}
-	before := heap()
+	before := coldHeap()
 	bridge := NewJoinBridge()
 	bridge.AddBuilder()
 	hb := NewHashBuild(ctx, bridge, []int{0}, []types.Type{types.Bigint})
@@ -291,19 +289,19 @@ func TestJoinBuildAccountingMatchesHeap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if want, got := pageBytes+buildIndexBytes(rows, 1, true), q.UserBytes(); got != want {
+	if want, got := pageBytes+keyTableBytes(true, 1, rows), q.UserBytes(); got != want {
 		t.Errorf("before the built transition %d bytes are reserved, want the pages and the index to come, %d", got, want)
 	}
 	hb.Finish()
 	bridge.NoMoreBuilders()
-	grown := heap() - before
+	grown := coldHeap() - before
 	reserved := q.UserBytes()
 	t.Logf("%d rows: reserved %d bytes (%.1f/row), heap grew %d bytes (%.1f/row)",
 		rows, reserved, float64(reserved)/rows, grown, float64(grown)/rows)
 	if lo, hi := float64(grown)/1.25, float64(grown)*1.25; float64(reserved) < lo || float64(reserved) > hi {
 		t.Errorf("reserved %d bytes for a build of %d: want within 1.25x", reserved, grown)
 	}
-	if want := pageBytes + bridge.indexBytes(); reserved != want {
+	if want := pageBytes + walkBridge(bridge); reserved != want {
 		t.Errorf("built: %d bytes reserved, the pages and the index hold %d", reserved, want)
 	}
 	runtime.KeepAlive(bridge)

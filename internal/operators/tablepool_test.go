@@ -79,12 +79,13 @@ func probeRows(op *LookupJoinOperator, pages []*block.Page) (int, error) {
 // TestJoinReservationFollowsItsIndex: a built join's index is reserved while
 // a probe may read it, and once the last probe has ended it goes back to the
 // pool and its bytes leave the query's reservation: what stays reserved is
-// the build pages alone. Before, only a revocation lowered a built bridge's
-// bytes, so its index stayed reserved until the task ended.
+// the build pages and the positions RIGHT/FULL's emission reads. Before, only
+// a revocation lowered a built bridge's bytes, so its index stayed reserved
+// until the task ended.
 func TestJoinReservationFollowsItsIndex(t *testing.T) {
 	const rows, keys = 20_000, 5_000 // four rows a key: links as well as slots
 	bridge, q, pageBytes := accountedBuild(t, rows, keys)
-	index := bridge.indexBytes()
+	index := walkBridge(bridge)
 	if bridge.next == nil || index == 0 {
 		t.Fatal("a build with repeated keys has no links")
 	}
@@ -105,8 +106,8 @@ func TestJoinReservationFollowsItsIndex(t *testing.T) {
 	if bridge.ktab != nil || bridge.next != nil {
 		t.Error("the index outlived the last probe")
 	}
-	if got := q.UserBytes(); got != pageBytes {
-		t.Errorf("after the last probe %d bytes are reserved, want the build pages' %d", got, pageBytes)
+	if got, want := q.UserBytes(), pageBytes+walkBridge(bridge); got != want || want >= pageBytes+index {
+		t.Errorf("after the last probe %d bytes are reserved, want the build pages and positions' %d", got, want)
 	}
 }
 
@@ -208,7 +209,7 @@ func TestJoinIndexGoesBackAfterTheLastProbe(t *testing.T) {
 		cancel := trial%2 == 1
 		rng := rand.New(rand.NewSource(int64(trial)))
 		bridge, q, pageBytes := accountedBuild(t, rows, keys)
-		index := bridge.indexBytes()
+		index := walkBridge(bridge)
 		ops := make([]*LookupJoinOperator, probes)
 		for i := range ops {
 			bridge.AddProbe()
@@ -246,11 +247,10 @@ func TestJoinIndexGoesBackAfterTheLastProbe(t *testing.T) {
 		}
 		wg.Wait()
 		bridge.mu.Lock()
-		kept := bridge.ktab != nil
+		kept, want := bridge.ktab != nil, pageBytes+walkBridge(bridge)
 		bridge.mu.Unlock()
-		want := pageBytes
-		if cancel {
-			want += index
+		if cancel != (want == pageBytes+index) {
+			t.Errorf("trial %d (cancelled %v): the bridge holds %d bytes of its %d-byte index", trial, cancel, want-pageBytes, index)
 		}
 		if kept != cancel || q.UserBytes() != want {
 			t.Errorf("trial %d (cancelled %v): index kept %v, %d bytes reserved, want %v and %d", trial, cancel, kept, q.UserBytes(), cancel, want)

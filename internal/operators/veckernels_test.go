@@ -287,7 +287,7 @@ func TestKeyTableGrowth(t *testing.T) {
 // TestKeyTableBytesKind exercises the byte-arena layout directly (varchar
 // keys) through growth, including re-insertion stability of entry ids.
 func TestKeyTableBytesKind(t *testing.T) {
-	tbl := newKeyTable(false, 1, 0)
+	tbl := newKeyTable(&tableLease{}, false, 1, 0)
 	n := 5000
 	key := func(i int) []byte {
 		return []byte(fmt.Sprintf("key-%d", i))

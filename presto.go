@@ -376,20 +376,13 @@ func (c *Cluster) Workers() []*exec.Worker {
 	return append([]*exec.Worker(nil), c.workers...)
 }
 
-// liveWorkers snapshots the worker list for stats rollups.
-func (c *Cluster) liveWorkers() []*exec.Worker {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*exec.Worker(nil), c.workers...)
-}
-
 // CacheStats snapshots a worker page cache's counters.
 type CacheStats = cache.Stats
 
 // PageCacheStats sums page-cache counters across the cluster's workers.
 func (c *Cluster) PageCacheStats() CacheStats {
 	var total CacheStats
-	for _, w := range c.liveWorkers() {
+	for _, w := range c.Workers() {
 		s := w.CacheStats()
 		total.Hits += s.Hits
 		total.Misses += s.Misses
@@ -405,7 +398,7 @@ func (c *Cluster) PageCacheStats() CacheStats {
 // ClearPageCaches drops every worker's cached pages (cold-start for
 // benchmarks and A/B runs), releasing their bytes back to the node pools.
 func (c *Cluster) ClearPageCaches() {
-	for _, w := range c.liveWorkers() {
+	for _, w := range c.Workers() {
 		if w.Cache != nil {
 			w.Cache.Clear()
 		}
@@ -426,7 +419,7 @@ func (c *Cluster) ServingStats() serving.TierStats {
 // SharedScanStats sums shared-scan hub counters across the cluster's workers.
 func (c *Cluster) SharedScanStats() serving.ScanHubStats {
 	var total serving.ScanHubStats
-	for _, w := range c.liveWorkers() {
+	for _, w := range c.Workers() {
 		s := w.SharedScanStats()
 		total.Scans += s.Scans
 		total.Joined += s.Joined
@@ -443,7 +436,7 @@ func (c *Cluster) ClearServingCaches() {
 	if t := c.Coordinator.Serving(); t != nil {
 		t.Clear()
 	}
-	for _, w := range c.liveWorkers() {
+	for _, w := range c.Workers() {
 		w.Shared.Clear()
 	}
 }
