@@ -671,6 +671,20 @@ func (c *ctx) planInSubquery(rel *relationPlan, x *sqlparser.InExpr) (*relationP
 	if err != nil {
 		return nil, err
 	}
+	// Both sides compare in their common type, as = does: a BIGINT probe
+	// against a DOUBLE column joins as DOUBLE.
+	subField := sub.node.Schema()[0]
+	t := types.CommonType(probe.Type(), subField.T)
+	if t == types.Unknown && probe.Type() != types.Unknown && subField.T != types.Unknown {
+		return nil, fmt.Errorf("IN subquery: cannot compare %s and %s", probe.Type(), subField.T)
+	}
+	if probe, err = coerceExpr(probe, t); err != nil {
+		return nil, err
+	}
+	subNode := sub.node
+	if t != types.Unknown && subField.T != t {
+		subNode = castTo(subNode, plan.Schema{{Name: subField.Name, T: t}})
+	}
 	// The probe side must be a column: append a projection if needed.
 	probeCol, relNode := asColumn(rel, probe)
 	jt := plan.SemiJoin
@@ -678,11 +692,12 @@ func (c *ctx) planInSubquery(rel *relationPlan, x *sqlparser.InExpr) (*relationP
 		jt = plan.AntiJoin
 	}
 	join := &plan.Join{
-		Type:  jt,
-		Left:  relNode,
-		Right: sub.node,
-		Equi:  []plan.EquiClause{{Left: probeCol, Right: 0}},
-		Out:   relNode.Schema(),
+		Type:      jt,
+		Left:      relNode,
+		Right:     subNode,
+		Equi:      []plan.EquiClause{{Left: probeCol, Right: 0}},
+		Out:       relNode.Schema(),
+		NullAware: x.Not,
 	}
 	// Semi/anti joins keep the left schema; the scope may have gained a
 	// hidden probe column which stays invisible.

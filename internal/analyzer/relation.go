@@ -2,6 +2,7 @@ package analyzer
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/expr"
@@ -109,7 +110,7 @@ func (c *ctx) planQueryBody(body sqlparser.QueryBody) (*relationPlan, *scope, er
 		}
 		node := plan.Node(&plan.Union{Inputs: []plan.Node{leftNode, rightNode}})
 		if !b.All {
-			node = &plan.Distinct{Input: node}
+			node = distinct(node)
 		}
 		sc := &scope{}
 		for i, f := range outFields {
@@ -119,6 +120,17 @@ func (c *ctx) planQueryBody(body sqlparser.QueryBody) (*relationPlan, *scope, er
 	default:
 		return nil, nil, fmt.Errorf("unsupported query body %T", body)
 	}
+}
+
+// distinct removes n's duplicate rows: an aggregation grouping by every
+// column with no aggregates, as SELECT DISTINCT and UNION plan.
+func distinct(n plan.Node) plan.Node {
+	sch := n.Schema()
+	keys := make([]expr.Expr, len(sch))
+	for i, f := range sch {
+		keys[i] = &expr.ColumnRef{Index: i, T: f.T, Name: f.Name}
+	}
+	return &plan.Aggregation{Input: n, GroupBy: keys, Step: plan.AggSingle, Out: slices.Clone(sch)}
 }
 
 func castTo(n plan.Node, target plan.Schema) plan.Node {

@@ -309,7 +309,7 @@ func (c *ctx) planSelectOrdered(s *sqlparser.Select, orderBy []*sqlparser.SortIt
 
 	node := plan.Node(&plan.Project{Input: rel.node, Exprs: projExprs, Out: outScope.schema()})
 	if s.Distinct {
-		node = &plan.Distinct{Input: node}
+		node = distinct(node)
 	}
 	if len(sorts) > 0 {
 		keys := make([]plan.SortKey, len(sorts))

@@ -22,11 +22,11 @@ import (
 // scratch is outside query memory accounting.
 //
 // Hash tables have a second lifetime (LeaseTable, ReturnTable): a group
-// table, a DISTINCT set or a join index leases its arrays — through its
+// table or a join index leases its arrays — through its
 // operator's memory context, which counts them (memory.Lease) — when it is
 // built, presized or grown, and gives one back when it outgrows it or its
 // operator drops the table: an aggregation once its groups are copied out or
-// spilled, a DISTINCT operator at Close, a join index once the last probe has
+// spilled or at Close, a join index once the last probe has
 // ended or the build is revoked. A table array comes in a size class, sixteen
 // to an octave (at most 4.4 % over the request; a doubled class length is
 // one), and TableCap is the capacity a request rounds to. A vector under

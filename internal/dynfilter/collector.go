@@ -136,9 +136,9 @@ func (s *Summary) cellBounds(cells []uint64, tags []byte, nk, k int) {
 	flo, fhi, doubles := 0.0, 0.0, false
 	for base := 0; base < len(tags); base += nk {
 		switch tags[base+k] {
-		case cellNull:
+		case block.CellNull:
 			continue
-		case cellLong:
+		case block.CellLong:
 			if nk == 1 || !nullCell(tags[base:base+nk]) {
 				v := int64(cells[base+k])
 				ilo, ihi = min(ilo, v), max(ihi, v)
@@ -179,7 +179,7 @@ func (s *Summary) cellBounds(cells []uint64, tags []byte, nk, k int) {
 
 func nullCell(tags []byte) bool {
 	for _, t := range tags {
-		if t == cellNull {
+		if t == block.CellNull {
 			return true
 		}
 	}

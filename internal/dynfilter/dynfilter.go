@@ -6,11 +6,11 @@
 // scan predicate and as min/max bounds for stripe/split skipping.
 //
 // Correctness contract: a summary may only ever claim "this value cannot
-// match any build row". Values are normalized exactly like the join hash
-// table's key cells (see internal/operators/batchhash.go normValue): doubles
-// equal to an integer share the integer's cell so BIGINT==DOUBLE joins filter
-// correctly, NaN uses its raw bit pattern (the join matches NaN==NaN through
-// Float64bits, so the filter must too), and -0.0 folds to the integer cell 0.
+// match any build row". Values are the join hash table's key cells
+// (block.CellLong and the rest, block.NormDouble): doubles equal to an integer
+// share the integer's cell so BIGINT==DOUBLE joins filter correctly, NaN uses
+// its raw bit pattern (the join matches NaN==NaN through Float64bits, so the
+// filter must too), and -0.0 folds to the integer cell 0.
 // NULL build keys never join, so they are excluded from summaries; NULL probe
 // keys never pass a filter, which is safe for the join types filters attach
 // to (INNER/SEMI/RIGHT — types whose output drops unmatched probe rows).
@@ -26,30 +26,16 @@ import (
 	"repro/internal/types"
 )
 
-// Normalized cell tags, mirroring internal/operators/batchhash.go. The
-// duplication is deliberate: operators cannot be imported here (it imports
-// exec-adjacent packages), and these four constants are the stable canonical
-// key encoding shared by the hash table, the partitioner, and now filters.
-const (
-	cellNull   byte = 0
-	cellLong   byte = 1 // also doubles equal to an integer
-	cellDouble byte = 2
-	cellBool   byte = 4
-)
-
 // cell is one normalized fixed-width key value.
 type cell struct {
 	tag     byte
 	payload uint64
 }
 
-// normDouble folds a non-null double onto its canonical cell, sharing the
-// integer cell when the value is integral (double==int join semantics).
+// normDouble is a non-null double's cell (block.NormDouble).
 func normDouble(f float64) cell {
-	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-		return cell{cellLong, uint64(int64(f))}
-	}
-	return cell{cellDouble, math.Float64bits(f)}
+	tag, payload := block.NormDouble(f)
+	return cell{tag, payload}
 }
 
 // BloomBits is the fixed bloom sizing (bits, power of two). A fixed size
@@ -110,12 +96,12 @@ type Summary struct {
 }
 
 // cellSet is the exact key set: open-addressed, linear-probing, at most half
-// full; tag cellNull marks an empty slot (NULL keys are never collected). One
-// goroutine writes it while its summary is collected or merged; published, it
+// full; tag block.CellNull marks an empty slot (NULL keys are never
+// collected). One goroutine writes it while its summary is collected or merged; published, it
 // is only read (probes run concurrently), in a few ns where a Go map's hashing
 // costs more than the vectorized join probe the filter is trying to save.
 type cellSet struct {
-	tags     []byte // cellNull: an empty slot; 9 bytes a slot, not a padded 16
+	tags     []byte // block.CellNull: an empty slot; 9 bytes a slot, not a padded 16
 	payloads []uint64
 	n        int
 	// shared: the arrays belong to a published summary this one was merged
@@ -137,13 +123,13 @@ func newCellSet(keys int) *cellSet {
 func (t *cellSet) find(c cell) uint64 {
 	mask := uint64(len(t.tags) - 1)
 	for i := cellHash(c) & mask; ; i = (i + 1) & mask {
-		if t.tags[i] == cellNull || (t.tags[i] == c.tag && t.payloads[i] == c.payload) {
+		if t.tags[i] == block.CellNull || (t.tags[i] == c.tag && t.payloads[i] == c.payload) {
 			return i
 		}
 	}
 }
 
-func (t *cellSet) has(c cell) bool { return t.tags[t.find(c)] != cellNull }
+func (t *cellSet) has(c cell) bool { return t.tags[t.find(c)] != block.CellNull }
 
 // put stores a cell the set does not hold and has room for.
 func (t *cellSet) put(c cell) {
@@ -167,7 +153,7 @@ func (t *cellSet) add(c cell) {
 // each calls fn with every member, in no particular order.
 func (t *cellSet) each(fn func(cell)) {
 	for i, tag := range t.tags {
-		if tag != cellNull {
+		if tag != block.CellNull {
 			fn(cell{tag, t.payloads[i]})
 		}
 	}
@@ -315,7 +301,7 @@ func (s *Summary) poisonBounds() {
 
 // AddLong records a non-null bigint/date key.
 func (s *Summary) AddLong(v int64, maxSet int) {
-	s.addCell(cell{cellLong, uint64(v)}, maxSet)
+	s.addCell(cell{block.CellLong, uint64(v)}, maxSet)
 	widen(s, v, &s.Min.I, &s.Max.I, types.Value{T: s.T, I: v})
 }
 
@@ -331,9 +317,9 @@ func (s *Summary) AddDouble(f float64, maxSet int) {
 
 func boolCell(b bool) cell {
 	if b {
-		return cell{cellBool, 1}
+		return cell{block.CellBool, 1}
 	}
-	return cell{cellBool, 0}
+	return cell{block.CellBool, 0}
 }
 
 // AddBool records a non-null boolean key.
@@ -400,7 +386,7 @@ func (s *Summary) addRow(b block.Block, r, maxSet int) {
 
 // MatchLong reports whether a bigint/date probe value may match a build key.
 func (s *Summary) MatchLong(v int64) bool {
-	return s.matchCell(cell{cellLong, uint64(v)})
+	return s.matchCell(cell{block.CellLong, uint64(v)})
 }
 
 // MatchDouble reports whether a double probe value may match a build key.
@@ -485,16 +471,16 @@ func (s *Summary) ExactValues() []types.Value {
 	out := make([]types.Value, 0, s.exact.n)
 	s.exact.each(func(c cell) {
 		switch c.tag {
-		case cellLong:
+		case block.CellLong:
 			switch s.T {
 			case types.Double:
 				out = append(out, types.DoubleValue(float64(int64(c.payload))))
 			default:
 				out = append(out, types.Value{T: s.T, I: int64(c.payload)})
 			}
-		case cellDouble:
+		case block.CellDouble:
 			out = append(out, types.DoubleValue(math.Float64frombits(c.payload)))
-		case cellBool:
+		case block.CellBool:
 			out = append(out, types.BooleanValue(c.payload != 0))
 		}
 	})

@@ -360,7 +360,7 @@ func TestCollectCellsMatchesCollect(t *testing.T) {
 	}
 	longs := NewCollector([]ColumnSpec{{ID: 1, T: types.Bigint}}, 0, 0)
 	minus := int64(-9)
-	longs.CollectCells(3, 3, 1, []uint64{4, uint64(minus), 0}, []byte{cellLong, cellLong, cellNull}, func(visit func(int)) { visit(0); visit(1) })
+	longs.CollectCells(3, 3, 1, []uint64{4, uint64(minus), 0}, []byte{block.CellLong, block.CellLong, block.CellNull}, func(visit func(int)) { visit(0); visit(1) })
 	if min, max, ok := longs.Summaries()[0].Bounds(); !ok || min.I != -9 || max.I != 4 {
 		t.Errorf("bigint bounds from cells [%v, %v] %v, want [-9, 4]", min, max, ok)
 	}

@@ -43,10 +43,9 @@ func innerJoin(left, right plan.Node, l, r int, ids ...int) *plan.Join {
 // TestDynFilterPlacement: a scan subscription whose rows reach the join that
 // publishes the filter through nothing but Filter/Project, in one pipeline,
 // only prunes — the join's lookup is the row test — and gets no processor of
-// its own; rows that pass another join's probe or build, a local exchange or
-// a fragment boundary first are tested row by row, by a processor on the
-// scan. Only a subscription to a filter built in another fragment waits for
-// it.
+// its own; rows that pass another join's probe or build or a fragment
+// boundary first are tested row by row, by a processor on the scan. Only a
+// subscription to a filter built in another fragment waits for it.
 func TestDynFilterPlacement(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -66,9 +65,6 @@ func TestDynFilterPlacement(t *testing.T) {
 		{"a join's build", func(p *plan.Scan) plan.Node {
 			return innerJoin(innerJoin(dynBuildScan(), p, 0, 0), dynBuildScan(), 1, 0, 1)
 		}, true, "FilterProject,HashBuild"},
-		{"local exchange", func(p *plan.Scan) plan.Node {
-			return innerJoin(&plan.LocalExchange{Input: p, Ways: 2}, dynBuildScan(), 0, 0, 1)
-		}, true, "FilterProject,LocalExchangeSink"},
 		{"remote source", func(p *plan.Scan) plan.Node { return p }, true, "FilterProject,PartitionedOutput"},
 	}
 	for _, tc := range cases {
@@ -173,21 +169,25 @@ func (s *pagedSource) NextPage() (*block.Page, error) {
 }
 
 // TestDynFilterArrivesWithItsBuild: a task's own filter is in place before
-// the join's build releases its probes. The probe scan reads two pages while
-// the build waits for them; then it waits for the build to be released, and
-// every page it reads after that is tested against the filter. The filter's
-// publication to other fragments is delayed, and this task has none to make:
-// delivery to the task's own scans does not wait for it. (It used to: the
+// the join's build releases its probes. The filtered scan feeds another
+// join's build, so it reads while the publishing join waits for its own
+// build: two pages while that build waits for them; then it waits for the
+// build to be released, and every page it reads after that is tested against
+// the filter. The filter's publication to other fragments is delayed, and this
+// task has none to make: delivery to the task's own scans does not wait for
+// it. (It used to: the
 // summary reached the task's own scans on a goroutine, through the same
 // publication, after the probes were released.)
 func TestDynFilterArrivesWithItsBuild(t *testing.T) {
-	p := dynProbeScan()
-	// The local exchange keeps the scan reading while the join waits for its
-	// build, and makes its subscription row-tested.
-	root := innerJoin(&plan.LocalExchange{Input: p, Ways: 1}, dynBuildScan(), 0, 0, 1)
+	// p reaches the publishing join through the inner join's build, which
+	// keeps it reading while the outer join waits for b, and makes its
+	// subscription row-tested.
+	p, b := dynProbeScan(), dynBuildScan()
+	root := innerJoin(innerJoin(dynBuildScan(), p, 0, 0), b, 1, 0, 1)
 	inj := faultinject.New(1, faultinject.Rule{Site: faultinject.SiteFilterPublish, Kind: faultinject.KindDelay, Rate: 1, Delay: time.Second})
 	probeRead := make(chan struct{})
 	var task *Task
+	var built *operators.JoinBridge
 	conn := &pagedConnector{Connector: dynTables(6)}
 	conn.before = func(table string, n int) {
 		switch {
@@ -200,7 +200,7 @@ func TestDynFilterArrivesWithItsBuild(t *testing.T) {
 		case table == "p" && n == 3:
 			close(probeRead)
 			deadline := time.Now().Add(10 * time.Second)
-			for !task.compiled[0].probeBridges[0].Built() {
+			for !built.Built() {
 				if time.Now().After(deadline) {
 					t.Error("the build was never released")
 					return
@@ -212,12 +212,15 @@ func TestDynFilterArrivesWithItsBuild(t *testing.T) {
 	task = dynTask(t, root, conn, 4, TaskConfig{TargetSplitConcurrency: 1, Inject: inj})
 	at := -1
 	for i, spec := range task.compiled {
-		if spec.scanNode == p {
+		switch spec.scanNode {
+		case p:
 			at = i
+		case b:
+			built = spec.buildBridge
 		}
 	}
 	if !task.compiled[at].dynSubs[0].rowTested {
-		t.Fatal("the scan behind a local exchange does not test rows")
+		t.Fatal("the scan behind another join's build does not test rows")
 	}
 	if err := task.Start(); err != nil {
 		t.Fatal(err)

@@ -134,12 +134,10 @@ func TestBorrowOnlyBeforeReleasers(t *testing.T) {
 			Equi: []plan.EquiClause{{Left: 0, Right: 0}}, Out: append(scanT().Out, bigints...)},
 		"LookupJoin": &plan.Join{Type: plan.InnerJoin, Left: proj(scanT()), Right: scanT(),
 			Equi: []plan.EquiClause{{Left: 0, Right: 0}}, Out: append(append(plan.Schema{}, bigints...), scanT().Out...)},
-		"TopN":              &plan.TopN{Input: proj(scanT()), Keys: []plan.SortKey{{Col: 0}}, N: 3},
-		"Sort":              &plan.Sort{Input: proj(scanT()), Keys: []plan.SortKey{{Col: 0}}},
-		"Limit":             &plan.Limit{Input: proj(scanT()), N: 3},
-		"Distinct":          &plan.Distinct{Input: proj(scanT())},
-		"LocalExchangeSink": &plan.LocalExchange{Input: proj(scanT()), Ways: 2},
-		"TableWriter":       &plan.TableWrite{Input: project(scanT(), col(0, types.Bigint), col(1, types.Double), col(2, types.Varchar)), Catalog: "mem", Table: "t", Out: plan.Schema{{Name: "rows", T: types.Bigint}}},
+		"TopN":        &plan.TopN{Input: proj(scanT()), Keys: []plan.SortKey{{Col: 0}}, N: 3},
+		"Sort":        &plan.Sort{Input: proj(scanT()), Keys: []plan.SortKey{{Col: 0}}},
+		"Limit":       &plan.Limit{Input: proj(scanT()), N: 3},
+		"TableWriter": &plan.TableWrite{Input: project(scanT(), col(0, types.Bigint), col(1, types.Double), col(2, types.Varchar)), Catalog: "mem", Table: "t", Out: plan.Schema{{Name: "rows", T: types.Bigint}}},
 		// Two layers that do not compose (the inner random() is read by the
 		// outer list): the first processor feeds the second, which feeds
 		// the aggregation.

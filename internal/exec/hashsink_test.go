@@ -18,7 +18,7 @@ import (
 // TestHashSinksTakeLentPages: a hash sink over more than one partition copies
 // every row into its partition's page, so it releases its input and the
 // operator in front of it — an aggregation, a filter/project, a lookup join —
-// lends its output. Every other sink mode, and hash mode over one partition,
+// lends its output. Every other output mode, and hash mode over one partition,
 // queues the page itself, and nothing is lent to it.
 func TestHashSinksTakeLentPages(t *testing.T) {
 	bigint := []types.Type{types.Bigint}
@@ -57,21 +57,6 @@ func TestHashSinksTakeLentPages(t *testing.T) {
 					return operators.NewPartitionedOutput(operators.NopContext(), shuffle.NewOutputBuffer(n, 1<<20), m.mode, []int{0})
 				},
 				lends: m.mode == operators.OutputHash && n == 2,
-			})
-		}
-	}
-	for _, hash := range [][]int{nil, {0}} {
-		for _, n := range []int{1, 2} {
-			mode := "round-robin"
-			if hash != nil {
-				mode = "hash"
-			}
-			sinks = append(sinks, sink{
-				name: fmt.Sprintf("local exchange, %s, %d consumers", mode, n),
-				make: func() operators.Operator {
-					return operators.NewLocalExchangeSink(operators.NopContext(), operators.NewLocalExchange(n, hash))
-				},
-				lends: hash != nil && n == 2,
 			})
 		}
 	}

@@ -29,7 +29,6 @@ const (
 	srcScan sourceKind = iota
 	srcExchange
 	srcValues
-	srcLocalExchange
 )
 
 // pipelineSpec is one compiled pipeline of a task: a source plus factories
@@ -52,11 +51,6 @@ type pipelineSpec struct {
 
 	// srcValues
 	values *plan.Values
-
-	// srcLocalExchange
-	localEx      *operators.LocalExchange
-	localWays    int
-	localSources int
 
 	// mkOps builds the per-driver operator chain after the source.
 	mkOps func(ctx *driverCtx) ([]operators.Operator, error)
@@ -93,8 +87,6 @@ func (p *pipelineSpec) sourceName() string {
 		return "ExchangeSource"
 	case srcValues:
 		return "Values"
-	case srcLocalExchange:
-		return "LocalExchangeSource"
 	}
 	return "Source"
 }
@@ -226,10 +218,9 @@ func (c *chain) seal() {
 // page, and with every array under it, by the next time their NeedsInput is
 // true: the hash aggregation (when AddInput returns), the lookup join (it
 // gathers what it emits, and asks for no page while it has rows left to
-// emit), a filter/project exactly when its own output is lent, and the two
-// hash sinks — the partitioned output and the local exchange sink — exactly
-// when they copy each row into its partition's page. Each method's comment
-// says why it holds.
+// emit), a filter/project exactly when its own output is lent, and the hash
+// sink — the partitioned output — exactly when it copies each row into its
+// partition's page. Each method's comment says why it holds.
 type inputReleaser interface {
 	ReleasesInput() bool
 }
@@ -295,7 +286,7 @@ func (c *compiler) compileFragment(f *plan.Fragment) error {
 }
 
 // compile appends operators for node to the pipeline being built, creating
-// additional pipelines for join build sides and local exchanges.
+// additional pipelines for join build sides.
 func (c *compiler) compile(n plan.Node, pb *chain) error {
 	switch x := n.(type) {
 	case *plan.Scan:
@@ -328,26 +319,6 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 	case *plan.Values:
 		pb.spec.source = srcValues
 		pb.spec.values = x
-		return nil
-
-	case *plan.LocalExchange:
-		// Producer side becomes its own pipeline ending in the sink.
-		ways := x.Ways
-		if ways <= 0 {
-			ways = 2
-		}
-		lex := operators.NewLocalExchange(ways, x.HashCols)
-		producer := c.newPipeline()
-		if err := c.compile(x.Input, producer); err != nil {
-			return err
-		}
-		producer.append("LocalExchangeSink", func(ctx *driverCtx) (operators.Operator, error) {
-			return operators.NewLocalExchangeSink(ctx.opCtx(memory.System), lex), nil
-		})
-		producer.seal()
-		pb.spec.source = srcLocalExchange
-		pb.spec.localEx = lex
-		pb.spec.localWays = ways
 		return nil
 
 	case *plan.Filter:
@@ -402,16 +373,6 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 		}
 		pb.append("Limit", func(ctx *driverCtx) (operators.Operator, error) {
 			return operators.NewLimit(ctx.opCtx(memory.System), nRows, off), nil
-		})
-		return nil
-
-	case *plan.Distinct:
-		if err := c.compile(x.Input, pb); err != nil {
-			return err
-		}
-		ts := x.Schema().Types()
-		pb.append("Distinct", func(ctx *driverCtx) (operators.Operator, error) {
-			return operators.NewDistinct(ctx.opCtx(memory.User), ts), nil
 		})
 		return nil
 
@@ -552,13 +513,9 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 // instance gets an equal share of the groups, the shuffle having partitioned
 // them by key. 0 when there is no estimate or no task count.
 func (t *Task) groupsPerInstance(est *plan.GroupEstimate, p *pipelineSpec) (groups float64, drivers int) {
-	switch p.source {
-	case srcScan:
+	drivers = 1
+	if p.source == srcScan {
 		drivers = t.scanDrivers()
-	case srcLocalExchange:
-		drivers = p.localWays
-	default:
-		drivers = 1
 	}
 	var tasks int
 	if f := t.ID.Fragment; f < len(t.cfg.StageTasks) {
@@ -645,6 +602,9 @@ func (c *compiler) compileJoin(j *plan.Join, pb *chain, reads []bool) ([]int, er
 	}
 	// Build side: its own pipeline ending in HashBuild.
 	bridge := operators.NewJoinBridge()
+	if j.NullAware {
+		bridge.SetNullAware()
+	}
 	build := c.newPipeline()
 	if err := c.compile(j.Right, build); err != nil {
 		return nil, err

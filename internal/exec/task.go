@@ -208,9 +208,6 @@ func NewTask(id TaskID, f *plan.Fragment, nodeID int, ex *Executor, reg Connecto
 		if p.buildBridge != nil {
 			p.buildBridge.SetNotify(t.unblocked)
 		}
-		if p.localEx != nil {
-			p.localEx.SetNotify(kick)
-		}
 		if p.source != srcExchange {
 			continue
 		}
@@ -269,14 +266,6 @@ func (t *Task) Start() error {
 			}
 			if p.hasWriter && p.driversStarted < t.cfg.MaxWriters {
 				continue
-			}
-		case srcLocalExchange:
-			for i := 0; i < p.localWays; i++ {
-				sctx := t.sourceCtx(p)
-				src := operators.NewLocalExchangeSource(sctx, p.localEx, i)
-				if err := t.startDriverLocked(p, src, sctx); err != nil {
-					return err
-				}
 			}
 		default:
 			continue // a scan declares when its queue is drained
@@ -578,7 +567,7 @@ func (t *Task) failLocked(err error) {
 // cancelPipelinesLocked releases drivers parked on inter-pipeline handoffs so
 // a failing or aborted task can wind down: join bridges are forced built (a
 // dead build driver never drains the builder count, so probes would otherwise
-// park forever) and local exchanges report done. Released drivers may run
+// park forever). Released drivers may run
 // against partial state, but the task is already failed, so nothing they
 // produce is ever surfaced as a result.
 func (t *Task) cancelPipelinesLocked() {
@@ -588,9 +577,6 @@ func (t *Task) cancelPipelinesLocked() {
 		}
 		for _, b := range p.probeBridges {
 			b.Cancel()
-		}
-		if p.localEx != nil {
-			p.localEx.Cancel()
 		}
 		if p.morsels != nil {
 			p.morsels.cancel()

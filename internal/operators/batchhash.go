@@ -1,7 +1,6 @@
 package operators
 
 import (
-	"math"
 	"slices"
 
 	"repro/internal/block"
@@ -29,15 +28,6 @@ import (
 const (
 	fnvOffset uint64 = 14695981039346656037
 	fnvPrime  uint64 = 1099511628211
-)
-
-// Normalized cell tags. They match the leading tag byte of encodeRowKey so
-// fixed-cell equality is canonical-byte equality.
-const (
-	cellNull   byte = 0
-	cellLong   byte = 1 // also doubles equal to an integer
-	cellDouble byte = 2
-	cellBool   byte = 4
 )
 
 // fixedWidthKey reports whether a key column of type t normalizes to a
@@ -68,31 +58,22 @@ func fixedWidthKeys(ts []types.Type) bool {
 	return true
 }
 
-// normDouble returns the canonical cell of a non-null double. Doubles that
-// equal an integer share the integer's cell (see encodeRowKey).
-func normDouble(f float64) (byte, uint64) {
-	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-		return cellLong, uint64(int64(f))
-	}
-	return cellDouble, math.Float64bits(f)
-}
-
 // normValue normalizes a boxed fixed-width value. It panics on variable-width
 // types, mirroring the typed block accessors: callers gate on fixedWidthKey.
 func normValue(v types.Value) (byte, uint64) {
 	if v.Null {
-		return cellNull, 0
+		return block.CellNull, 0
 	}
 	switch v.T {
 	case types.Bigint, types.Date:
-		return cellLong, uint64(v.I)
+		return block.CellLong, uint64(v.I)
 	case types.Double:
-		return normDouble(v.F)
+		return block.NormDouble(v.F)
 	case types.Boolean:
 		if v.B {
-			return cellBool, 1
+			return block.CellBool, 1
 		}
-		return cellBool, 0
+		return block.CellBool, 0
 	default:
 		panic("normValue on variable-width type")
 	}
@@ -119,10 +100,10 @@ func fnvBytes(h uint64, bs []byte) uint64 {
 func fnvCell(h uint64, tag byte, payload uint64) uint64 {
 	h = fnvByte(h, tag)
 	switch tag {
-	case cellNull:
-	case cellBool:
+	case block.CellNull:
+	case block.CellBool:
 		h = fnvByte(h, byte(payload&1))
-	default: // cellLong, cellDouble: 8 payload bytes, little-endian
+	default: // block.CellLong, block.CellDouble: 8 payload bytes, little-endian
 		for i := 0; i < 64; i += 8 {
 			h ^= (payload >> i) & 0xff
 			h *= fnvPrime
@@ -131,9 +112,9 @@ func fnvCell(h uint64, tag byte, payload uint64) uint64 {
 	return h
 }
 
-// fnvStr folds a varchar cell (tag 3, 4-byte length, bytes) into h.
+// fnvStr folds a varchar cell (its tag, 4-byte length, bytes) into h.
 func fnvStr(h uint64, s string) uint64 {
-	h = fnvByte(h, 3)
+	h = fnvByte(h, block.CellVarchar)
 	n := uint32(len(s))
 	for i := 0; i < 32; i += 8 {
 		h = fnvByte(h, byte(n>>i))
@@ -153,27 +134,27 @@ func normCol(b block.Block, cells []uint64, tags []byte, k, nk, n int, dk *dictK
 	case *block.LongBlock:
 		for i := 0; i < n; i++ {
 			if src.Nulls != nil && src.Nulls[i] {
-				tags[i*nk+k], cells[i*nk+k] = cellNull, 0
+				tags[i*nk+k], cells[i*nk+k] = block.CellNull, 0
 			} else {
-				tags[i*nk+k], cells[i*nk+k] = cellLong, uint64(src.Vals[i])
+				tags[i*nk+k], cells[i*nk+k] = block.CellLong, uint64(src.Vals[i])
 			}
 		}
 	case *block.DoubleBlock:
 		for i := 0; i < n; i++ {
 			if src.Nulls != nil && src.Nulls[i] {
-				tags[i*nk+k], cells[i*nk+k] = cellNull, 0
+				tags[i*nk+k], cells[i*nk+k] = block.CellNull, 0
 			} else {
-				tags[i*nk+k], cells[i*nk+k] = normDouble(src.Vals[i])
+				tags[i*nk+k], cells[i*nk+k] = block.NormDouble(src.Vals[i])
 			}
 		}
 	case *block.BoolBlock:
 		for i := 0; i < n; i++ {
 			if src.Nulls != nil && src.Nulls[i] {
-				tags[i*nk+k], cells[i*nk+k] = cellNull, 0
+				tags[i*nk+k], cells[i*nk+k] = block.CellNull, 0
 			} else if src.Vals[i] {
-				tags[i*nk+k], cells[i*nk+k] = cellBool, 1
+				tags[i*nk+k], cells[i*nk+k] = block.CellBool, 1
 			} else {
-				tags[i*nk+k], cells[i*nk+k] = cellBool, 0
+				tags[i*nk+k], cells[i*nk+k] = block.CellBool, 0
 			}
 		}
 	case *block.RLEBlock:
@@ -257,34 +238,34 @@ func hashCol(b block.Block, hashes []uint64, n int, dk *dictKeys) {
 	case *block.LongBlock:
 		for i := 0; i < n; i++ {
 			if src.Nulls != nil && src.Nulls[i] {
-				hashes[i] = fnvByte(hashes[i], cellNull)
+				hashes[i] = fnvByte(hashes[i], block.CellNull)
 			} else {
-				hashes[i] = fnvCell(hashes[i], cellLong, uint64(src.Vals[i]))
+				hashes[i] = fnvCell(hashes[i], block.CellLong, uint64(src.Vals[i]))
 			}
 		}
 	case *block.DoubleBlock:
 		for i := 0; i < n; i++ {
 			if src.Nulls != nil && src.Nulls[i] {
-				hashes[i] = fnvByte(hashes[i], cellNull)
+				hashes[i] = fnvByte(hashes[i], block.CellNull)
 			} else {
-				tag, cell := normDouble(src.Vals[i])
+				tag, cell := block.NormDouble(src.Vals[i])
 				hashes[i] = fnvCell(hashes[i], tag, cell)
 			}
 		}
 	case *block.BoolBlock:
 		for i := 0; i < n; i++ {
 			if src.Nulls != nil && src.Nulls[i] {
-				hashes[i] = fnvByte(hashes[i], cellNull)
+				hashes[i] = fnvByte(hashes[i], block.CellNull)
 			} else if src.Vals[i] {
-				hashes[i] = fnvCell(hashes[i], cellBool, 1)
+				hashes[i] = fnvCell(hashes[i], block.CellBool, 1)
 			} else {
-				hashes[i] = fnvCell(hashes[i], cellBool, 0)
+				hashes[i] = fnvCell(hashes[i], block.CellBool, 0)
 			}
 		}
 	case *block.VarcharBlock:
 		for i := 0; i < n; i++ {
 			if src.Nulls != nil && src.Nulls[i] {
-				hashes[i] = fnvByte(hashes[i], cellNull)
+				hashes[i] = fnvByte(hashes[i], block.CellNull)
 			} else {
 				hashes[i] = fnvStr(hashes[i], src.Vals[i])
 			}
@@ -528,7 +509,7 @@ func (bk *batchKeys) row(r int) ([]uint64, []byte) {
 func (bk *batchKeys) nullKey(r int) bool {
 	base := r * bk.nk
 	for k := 0; k < bk.nk; k++ {
-		if bk.tags[base+k] == cellNull {
+		if bk.tags[base+k] == block.CellNull {
 			return true
 		}
 	}

@@ -35,6 +35,13 @@ type JoinBridge struct {
 	built   bool
 	rows    int64
 
+	// nullAware marks the bridge of NOT IN's null-aware ANTI join,
+	// whose probes are decided by two facts of the whole build: whether it
+	// has a row and whether a row's key is NULL. The builders record them; a
+	// spilled join's drain hands the spilled bridge's to each partition's.
+	nullAware       bool
+	anyRow, nullKey bool
+
 	// Accounting is the bridge's, not a builder's: the pages and the index are
 	// shared. mem is the context EnableSpill gave, else the first builder's:
 	// the ledger the index is leased through. The bridge holds what it counts
@@ -455,6 +462,14 @@ func (b *JoinBridge) claimOuter() (t builtTable, matched []bool, ok bool) {
 // NewJoinBridge creates an empty bridge.
 func NewJoinBridge() *JoinBridge { return &JoinBridge{} }
 
+// SetNullAware makes the bridge NOT IN's (see nullAware); set before any
+// driver runs.
+func (b *JoinBridge) SetNullAware() {
+	b.mu.Lock()
+	b.nullAware = true
+	b.mu.Unlock()
+}
+
 // Built reports whether the build side has completed.
 func (b *JoinBridge) Built() bool {
 	b.mu.Lock()
@@ -524,6 +539,12 @@ func (o *HashBuildOperator) AddInput(p *block.Page) error {
 		return nil
 	}
 	n := p.RowCount()
+	if b.nullAware && n > 0 {
+		b.anyRow = true
+		for r := 0; r < n && !b.nullKey; r++ {
+			b.nullKey = rowKeyNull(p, r, b.keyCols)
+		}
+	}
 	if spl := b.spl; spl != nil && spl.spilled {
 		// The bridge has revoked its pages to disk: stream this one straight
 		// to the build spill file (the drain re-joins it partition by
@@ -562,7 +583,7 @@ func resolveBatch(a *block.Arena, t *keyTable, bk *batchKeys, p *block.Page, col
 		cells, tags, hashes := bk.cells, bk.tags, bk.hashes
 		for r := range ids {
 			id := -1
-			if tags[r] != cellNull {
+			if tags[r] != block.CellNull {
 				id = t.lookupFixed1(hashes[r], cells[r], tags[r])
 			}
 			ids[r] = int32(id)
@@ -715,10 +736,43 @@ func (o *LookupJoinOperator) AddInput(p *block.Page) error {
 		}
 	}
 	o.tab = b.builtTable
+	nullAware, anyRow, nullKey := b.nullAware, b.anyRow, b.nullKey
 	b.mu.Unlock()
 
+	if nullAware {
+		if p = o.nullAwareRows(p, anyRow, nullKey); p == nil {
+			return nil
+		}
+	}
 	o.begin(p, o.resolveProbe(p))
 	return nil
+}
+
+// nullAwareRows applies NOT IN's three-valued rule to a probe page before it
+// is probed: against an empty build every row is kept (the ANTI join keeps
+// them), against one holding a NULL key none (nil), and otherwise a row whose
+// key is NULL is dropped — NULL NOT IN a non-empty list is not TRUE.
+func (o *LookupJoinOperator) nullAwareRows(p *block.Page, anyRow, nullKey bool) *block.Page {
+	switch {
+	case !anyRow:
+		return p
+	case nullKey:
+		return nil
+	}
+	n := p.RowCount()
+	keep := block.Lease[int](o.scratch, n)[:0]
+	for r := 0; r < n; r++ {
+		if !rowKeyNull(p, r, o.probeKeys) {
+			keep = append(keep, r)
+		}
+	}
+	switch len(keep) {
+	case n:
+		return p
+	case 0:
+		return nil
+	}
+	return p.FilterPositions(keep)
 }
 
 // resolveProbe maps every probe row to the first build position of its key

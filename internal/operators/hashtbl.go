@@ -337,7 +337,7 @@ func (t *keyTable) nullKey(e int) bool {
 		return t.offs[e] == t.offs[e+1]
 	}
 	for _, tag := range t.tags[e*t.nk : (e+1)*t.nk] {
-		if tag == cellNull {
+		if tag == block.CellNull {
 			return true
 		}
 	}
@@ -393,7 +393,7 @@ func (t *keyTable) cellBlock(a *block.Arena, k int, typ types.Type, sel []int32)
 	if typ == types.Boolean {
 		vals := block.Lease[bool](a, len(sel))
 		for i, id := range sel {
-			if c := int(id)*t.nk + k; t.tags[c] == cellNull {
+			if c := int(id)*t.nk + k; t.tags[c] == block.CellNull {
 				vals[i] = false
 				setNull(i)
 			} else {
@@ -404,7 +404,7 @@ func (t *keyTable) cellBlock(a *block.Arena, k int, typ types.Type, sel []int32)
 	}
 	vals := block.Lease[int64](a, len(sel))
 	for i, id := range sel {
-		if c := int(id)*t.nk + k; t.tags[c] == cellNull {
+		if c := int(id)*t.nk + k; t.tags[c] == block.CellNull {
 			vals[i] = 0
 			setNull(i)
 		} else {

@@ -341,10 +341,11 @@ func (it *spillPartIter) close() {
 
 // joinSpillDrain replays a spilled join one partition at a time: rebuild the
 // partition's hash table from the build spill file into a private sub-bridge,
-// stream the partition's probe pages through a private lookup operator — the
-// outer one's compiled residual, channels and arena with it — and emit its
-// output (including per-partition RIGHT/FULL unmatched rows) before
-// moving on. Peak memory is one partition's build side plus one output page.
+// which NOT IN's facts of the whole build go with, stream the partition's
+// probe pages through a private lookup operator — the outer one's compiled
+// residual, channels and arena with it — and emit its output (including
+// per-partition RIGHT/FULL unmatched rows) before moving on. Peak memory is
+// one partition's build side plus one output page.
 type joinSpillDrain struct {
 	o      *LookupJoinOperator
 	spl    *bridgeSpill
@@ -412,6 +413,9 @@ func (d *joinSpillDrain) next() (*block.Page, error) {
 func (d *joinSpillDrain) openPartition() error {
 	o, spl := d.o, d.spl
 	sub := NewJoinBridge()
+	o.bridge.mu.Lock()
+	sub.nullAware, sub.anyRow, sub.nullKey = o.bridge.nullAware, o.bridge.anyRow, o.bridge.nullKey
+	o.bridge.mu.Unlock()
 	sub.AddBuilder()
 	hb := NewHashBuild(o.ctx, sub, o.bridge.keyCols, o.bridge.keyTs)
 	builds := &spillPartIter{files: spl.buildFiles, part: d.part}

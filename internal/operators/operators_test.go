@@ -83,8 +83,9 @@ func TestLimitWithOffset(t *testing.T) {
 	}
 }
 
+// TestDistinctOperator: DISTINCT is an aggregation with no aggregates.
 func TestDistinctOperator(t *testing.T) {
-	op := NewDistinct(NopContext(), []types.Type{types.Bigint})
+	op := NewHashAggregation(NopContext(), []int{0}, []types.Type{types.Bigint}, nil, false, 0, 0)
 	got := col0Values(drain(t, op, longPage(1, 2, 1), longPage(2, 3)))
 	if len(got) != 3 {
 		t.Errorf("distinct: %v", got)

@@ -2,49 +2,41 @@ package operators
 
 import (
 	"encoding/binary"
-	"math"
 	"strings"
 
 	"repro/internal/block"
 	"repro/internal/types"
 )
 
-// appendCellKey appends the canonical binary encoding of one cell (column col,
-// row r). It is the single definition of the engine's key encoding: the batch
-// hashing kernels (batchhash.go) fold exactly these bytes, so vectorized and
-// fallback paths always agree.
+// appendCellKey appends the byte encoding of one cell (column col, row r): its
+// key cell (block.CellNull and the rest), tag first. The batch hashing kernels
+// (batchhash.go) fold exactly these bytes, so vectorized and fallback paths
+// always agree.
 func appendCellKey(buf []byte, col block.Block, r int) []byte {
 	if col.IsNull(r) {
-		return append(buf, 0)
+		return append(buf, block.CellNull)
 	}
 	switch col.Type() {
 	case types.Bigint, types.Date:
-		buf = append(buf, 1)
+		buf = append(buf, block.CellLong)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(col.Long(r)))
 	case types.Double:
-		buf = append(buf, 2)
-		// Encode doubles that equal an integer identically to the
-		// integer so cross-type joins group correctly.
-		f := col.Double(r)
-		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-			buf[len(buf)-1] = 1
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(f)))
-		} else {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-		}
+		tag, payload := block.NormDouble(col.Double(r))
+		buf = append(buf, tag)
+		buf = binary.LittleEndian.AppendUint64(buf, payload)
 	case types.Varchar:
-		buf = append(buf, 3)
+		buf = append(buf, block.CellVarchar)
 		s := col.Str(r)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
 		buf = append(buf, s...)
 	case types.Boolean:
 		if col.Bool(r) {
-			buf = append(buf, 4, 1)
+			buf = append(buf, block.CellBool, 1)
 		} else {
-			buf = append(buf, 4, 0)
+			buf = append(buf, block.CellBool, 0)
 		}
 	default:
-		buf = append(buf, 5)
+		buf = append(buf, block.CellOther)
 		s := col.Value(r).String()
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
 		buf = append(buf, s...)
@@ -53,8 +45,8 @@ func appendCellKey(buf []byte, col block.Block, r int) []byte {
 }
 
 // encodeRowKey appends a canonical binary encoding of the given columns of
-// row r to buf. It is the hashing primitive for aggregations, joins,
-// distinct, and hash partitioning: equal rows encode identically.
+// row r to buf. It is the hashing primitive for aggregations, joins and hash
+// partitioning: equal rows encode identically.
 func encodeRowKey(buf []byte, p *block.Page, r int, cols []int) []byte {
 	for _, c := range cols {
 		buf = appendCellKey(buf, p.Col(c), r)
@@ -73,7 +65,7 @@ func hashRowKey[K []byte | string](key K) uint64 {
 }
 
 // HashPartition computes the target partition of row r given the hash
-// columns; it is used by partitioned outputs and local exchanges. Page-level
+// columns; it is used by partitioned outputs. Page-level
 // callers should prefer hashPartitionPage, which batches the hashing.
 func HashPartition(p *block.Page, r int, cols []int, parts int) int {
 	if parts <= 1 {

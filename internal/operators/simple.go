@@ -200,79 +200,6 @@ func (o *LimitOperator) IsFinished() bool {
 func (o *LimitOperator) IsBlocked() bool { return false }
 func (o *LimitOperator) Close() error    { return nil }
 
-// DistinctOperator removes duplicate rows using a hash set of row keys: an
-// open-addressing keyTable fed by the batch hashing kernels, whose vectors,
-// and the rows a page keeps, are leased from scratch for the page. The
-// table's arrays are leased through the operator's ledger, which its
-// reservation follows, and go back through it at Close.
-type DistinctOperator struct {
-	ctx      *OpContext
-	table    *keyTable
-	scratch  block.Arena
-	batch    batchKeys
-	keyCols  []int
-	pending  *block.Page
-	finished bool
-}
-
-// NewDistinct builds a distinct operator over all columns. ts are the
-// planner column types: the key-table layout (fixed cells vs byte arena) is
-// decided here, up front, because input block types can under-report (an
-// all-NULL literal column arrives as an untyped block).
-func NewDistinct(ctx *OpContext, ts []types.Type) *DistinctOperator {
-	cols := allChannels(len(ts))
-	return &DistinctOperator{ctx: ctx, keyCols: cols, table: newKeyTable(&tableLease{l: ctx.Mem}, fixedWidthKeys(ts), len(cols), 0)}
-}
-
-func (o *DistinctOperator) NeedsInput() bool { return !o.finished && o.pending == nil }
-
-func (o *DistinctOperator) AddInput(p *block.Page) error {
-	o.ctx.recordIn(p)
-	o.scratch.Rewind()
-	keep := block.Lease[int](&o.scratch, p.RowCount())[:0]
-	o.batch.reset(&o.scratch, p, o.keyCols, o.table.fixed)
-	for r := 0; r < p.RowCount(); r++ {
-		var fresh bool
-		if o.table.fixed {
-			cells, tags := o.batch.row(r)
-			_, fresh = o.table.getOrInsertFixed(o.batch.hashes[r], cells, tags)
-		} else {
-			o.batch.buf = encodeRowKey(o.batch.buf[:0], p, r, o.keyCols)
-			_, fresh = o.table.getOrInsertBytes(o.batch.hashes[r], o.batch.buf)
-		}
-		if fresh {
-			keep = append(keep, r)
-		}
-	}
-	if err := o.ctx.Mem.SetBytes(o.ctx.Mem.Leased()); err != nil {
-		return err
-	}
-	if len(keep) > 0 {
-		o.pending = p.FilterPositions(keep)
-	}
-	return nil
-}
-
-func (o *DistinctOperator) Output() (*block.Page, error) {
-	p := o.pending
-	o.pending = nil
-	o.ctx.recordOut(p)
-	return p, nil
-}
-
-// Scratch implements ScratchHolder.
-func (o *DistinctOperator) Scratch() *block.Arena { return &o.scratch }
-
-func (o *DistinctOperator) Finish()          { o.finished = true }
-func (o *DistinctOperator) IsFinished() bool { return o.finished && o.pending == nil }
-func (o *DistinctOperator) IsBlocked() bool  { return false }
-func (o *DistinctOperator) Close() error {
-	o.table.release()
-	o.table = nil
-	o.ctx.Mem.Close()
-	return nil
-}
-
 // EnforceSingleRowOperator implements scalar subquery semantics: exactly one
 // input row passes through; zero rows produce one all-NULL row; more than
 // one row fails the query.

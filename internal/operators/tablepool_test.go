@@ -309,8 +309,9 @@ func keyedPages(rows, keys int, seed int64) []*block.Page {
 }
 
 // TestReleasedTablesArePoisoned: with the poison on, the arrays a group
-// table, a join index and a DISTINCT set gave back read values no input
-// holds, so a reader that kept one fails instead of passing by luck.
+// table, a join index and a DISTINCT closed before it emitted gave back read
+// values no input holds, so a reader that kept one fails instead of passing
+// by luck.
 func TestReleasedTablesArePoisoned(t *testing.T) {
 	was := block.PoisonScratch(true)
 	t.Cleanup(func() { block.PoisonScratch(was) })
@@ -348,14 +349,8 @@ func TestReleasedTablesArePoisoned(t *testing.T) {
 		t.Errorf("a released join index reads link %d, want the poison", next[0])
 	}
 
-	distinct := NewDistinct(NopContext(), []types.Type{types.Bigint, types.Bigint})
-	fixedKeyPages(t, n, func(p *block.Page) error {
-		if err := distinct.AddInput(block.NewPage(p.Col(0), p.Col(1))); err != nil {
-			return err
-		}
-		_, err := distinct.Output()
-		return err
-	})
+	distinct := NewHashAggregation(NopContext(), []int{0, 1}, []types.Type{types.Bigint, types.Bigint}, nil, false, 0, 0)
+	fixedKeyPages(t, n, func(p *block.Page) error { return distinct.AddInput(block.NewPage(p.Col(0), p.Col(1))) })
 	dcells := distinct.table.cells
 	if cap(dcells) < n {
 		t.Fatalf("a DISTINCT set of %d rows holds %d cells", n, cap(dcells))

@@ -155,7 +155,8 @@ func TestHashAggEdgeKeys(t *testing.T) {
 	}
 }
 
-// TestDistinctEdgeKeys covers empty-vs-NULL varchar and NULL long keys.
+// TestDistinctEdgeKeys covers empty-vs-NULL varchar and NULL long keys in an
+// aggregation with no aggregates, as DISTINCT plans.
 func TestDistinctEdgeKeys(t *testing.T) {
 	page := func() *block.Page {
 		return block.NewPage(
@@ -163,7 +164,7 @@ func TestDistinctEdgeKeys(t *testing.T) {
 			&block.LongBlock{T: types.Bigint, Vals: []int64{0, 0, 1, 0, 1}, Nulls: []bool{true, false, false, true, false}},
 		)
 	}
-	op := NewDistinct(NopContext(), []types.Type{types.Varchar, types.Bigint})
+	op := NewHashAggregation(NopContext(), []int{0, 1}, []types.Type{types.Varchar, types.Bigint}, nil, false, 0, 0)
 	got := rowCounts(drain(t, op, page(), page()))
 	assertSameCounts(t, "distinct", got, refDistinct([]*block.Page{page(), page()}))
 	if len(got) != 4 {

@@ -100,8 +100,6 @@ func traceToScans(dp *plan.DistributedPlan, n plan.Node, col int) []scanCol {
 		return nil
 	case *plan.Output:
 		return traceToScans(dp, x.Input, col)
-	case *plan.LocalExchange:
-		return traceToScans(dp, x.Input, col)
 	case *plan.Join:
 		lw := len(x.Left.Schema())
 		if col < lw {

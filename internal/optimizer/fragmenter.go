@@ -165,22 +165,6 @@ func (fb *fragBuilder) visit(o *Optimizer, n plan.Node) sub {
 		}
 		return sub{node: &plan.Sort{Input: c.node, Keys: x.Keys}, prop: c.prop}
 
-	case *plan.Distinct:
-		c := fb.visit(o, x.Input)
-		if c.prop.kind == plan.PartitionSingle {
-			return sub{node: &plan.Distinct{Input: c.node}, prop: c.prop}
-		}
-		allCols := make([]int, len(x.Schema()))
-		for i := range allCols {
-			allCols[i] = i
-		}
-		if c.prop.kind == plan.PartitionHash && equalCols(c.prop.hashCols, allCols) {
-			return sub{node: &plan.Distinct{Input: c.node}, prop: c.prop}
-		}
-		partial := &plan.Distinct{Input: c.node}
-		g := fb.exchange(sub{node: partial, prop: c.prop}, plan.Partitioning{Kind: plan.PartitionHash, Cols: allCols})
-		return sub{node: &plan.Distinct{Input: g.node}, prop: g.prop}
-
 	case *plan.EnforceSingleRow:
 		c := fb.visit(o, x.Input)
 		if c.prop.kind != plan.PartitionSingle {

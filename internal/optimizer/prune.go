@@ -218,7 +218,7 @@ func (o *Optimizer) prune(n plan.Node, need []bool) (plan.Node, []int) {
 		}
 		return &plan.Join{
 			Type: x.Type, Left: left, Right: right,
-			Equi: equi, Residual: residual, Strategy: x.Strategy, Out: out,
+			Equi: equi, Residual: residual, Strategy: x.Strategy, Out: out, NullAware: x.NullAware,
 		}, mapping
 
 	case *plan.Sort:
@@ -248,11 +248,6 @@ func (o *Optimizer) prune(n plan.Node, need []bool) (plan.Node, []int) {
 	case *plan.Limit:
 		child, cm := o.prune(x.Input, need)
 		return o.narrow(&plan.Limit{Input: child, N: x.N, Offset: x.Offset, Partial: x.Partial}, need, cm)
-
-	case *plan.Distinct:
-		// Distinct semantics depend on every column: keep all.
-		child, cm := o.prune(x.Input, allOf(len(x.Input.Schema())))
-		return &plan.Distinct{Input: child}, cm
 
 	case *plan.Window:
 		inW := len(x.Input.Schema())

@@ -89,13 +89,6 @@ func (o *Optimizer) estimateStatic(n plan.Node) float64 {
 	case *plan.Sort:
 		return o.estimateRows(x.Input)
 
-	case *plan.Distinct:
-		child := o.estimateRows(x.Input)
-		if child < 0 {
-			return -1
-		}
-		return child * 0.5
-
 	case *plan.Aggregation:
 		child := o.estimateRows(x.Input)
 		if child < 0 {

@@ -31,6 +31,11 @@ func (o *Optimizer) chooseStrategy(j *plan.Join) plan.JoinStrategy {
 	if j.Type == plan.RightJoin || j.Type == plan.FullJoin {
 		return plan.StrategyPartitioned
 	}
+	// NOT IN's null-aware ANTI join is decided by the whole build — whether it
+	// is empty, whether it holds a NULL key — so every task sees all of it.
+	if j.NullAware {
+		return plan.StrategyBroadcast
+	}
 	if j.Type == plan.CrossJoin || len(j.Equi) == 0 {
 		return plan.StrategyBroadcast
 	}

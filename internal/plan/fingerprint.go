@@ -65,7 +65,7 @@ func colKey(s Schema, i int) string {
 
 // CardFingerprint returns the cardinality fingerprint of a plan subtree.
 // Nodes that preserve their input's row count (Project, Output, Sort,
-// Window, LocalExchange) are transparent: they hash to their input, so an
+// Window) are transparent: they hash to their input, so an
 // operator observed at any of them records under the same key.
 func CardFingerprint(n Node, opts *FingerprintOpts) uint64 {
 	switch x := n.(type) {
@@ -93,8 +93,6 @@ func CardFingerprint(n Node, opts *FingerprintOpts) uint64 {
 		return CardFingerprint(x.Input, opts)
 	case *Window:
 		return CardFingerprint(x.Input, opts)
-	case *LocalExchange:
-		return CardFingerprint(x.Input, opts)
 
 	case *Limit:
 		h := fpStr(fpOffset, fmt.Sprintf("limit|%d|%d|%t", x.N, x.Offset, x.Partial))
@@ -103,9 +101,6 @@ func CardFingerprint(n Node, opts *FingerprintOpts) uint64 {
 	case *TopN:
 		h := fpStr(fpOffset, fmt.Sprintf("topn|%d", x.N))
 		return fpU64(h, CardFingerprint(x.Input, opts))
-
-	case *Distinct:
-		return fpU64(fpStr(fpOffset, "distinct|"), CardFingerprint(x.Input, opts))
 
 	case *EnforceSingleRow:
 		return fpU64(fpStr(fpOffset, "singlerow|"), CardFingerprint(x.Input, opts))
@@ -152,7 +147,11 @@ func CardFingerprint(n Node, opts *FingerprintOpts) uint64 {
 		if x.Residual != nil {
 			res = x.Residual.String()
 		}
-		h := fpStr(fpOffset, "join|"+x.Type.String()+"|"+strings.Join(clauses, "&")+"|"+res)
+		typ := x.Type.String()
+		if x.NullAware {
+			typ += " null-aware"
+		}
+		h := fpStr(fpOffset, "join|"+typ+"|"+strings.Join(clauses, "&")+"|"+res)
 		return fpU64(fpU64(h, l), r)
 
 	case *RemoteSource:

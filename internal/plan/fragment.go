@@ -61,27 +61,6 @@ func (n *RemoteSource) Describe() string {
 	return fmt.Sprintf("RemoteSource[fragments=%v]", n.SourceFragments)
 }
 
-// LocalExchange re-partitions data between pipelines inside one task
-// (paper §IV-C4, Fig. 4), enabling intra-node parallelism.
-type LocalExchange struct {
-	Input Node
-	// Ways is the fan-out (number of consumer drivers).
-	Ways int
-	// HashCols partition rows between consumers ([] = round robin).
-	HashCols []int
-}
-
-func (n *LocalExchange) Schema() Schema   { return n.Input.Schema() }
-func (n *LocalExchange) Children() []Node { return []Node{n.Input} }
-func (n *LocalExchange) WithChildren(c []Node) Node {
-	cp := *n
-	cp.Input = c[0]
-	return &cp
-}
-func (n *LocalExchange) Describe() string {
-	return fmt.Sprintf("LocalExchange[ways=%d hash=%v]", n.Ways, n.HashCols)
-}
-
 // Fragment is one stage of a distributed plan: a plan subtree executed by
 // one or more identical tasks, consuming remote sources and producing output
 // partitioned per Output.

@@ -350,6 +350,11 @@ type Join struct {
 	Out      Schema
 	// DynFilters lists the runtime filters this join's build side publishes.
 	DynFilters []JoinDynFilter
+	// NullAware marks the ANTI join NOT IN plans: three-valued, so a build
+	// holding a NULL key keeps no probe row and, unless the build is empty,
+	// neither does a probe row whose key is NULL. Its build is replicated,
+	// since the whole build decides.
+	NullAware bool
 }
 
 func (n *Join) Schema() Schema   { return n.Out }
@@ -365,6 +370,9 @@ func (n *Join) Describe() string {
 		parts[i] = fmt.Sprintf("$%d=$%d", e.Left, e.Right)
 	}
 	s := fmt.Sprintf("%sJoin[%s]", n.Type, strings.Join(parts, " AND "))
+	if n.NullAware {
+		s += " null-aware"
+	}
 	if n.Residual != nil {
 		s += " residual=" + n.Residual.String()
 	}
@@ -436,14 +444,6 @@ func (n *Limit) Describe() string {
 	return fmt.Sprintf("Limit[%d offset %d%s]", n.N, n.Offset, p)
 }
 
-// Distinct removes duplicate rows.
-type Distinct struct{ Input Node }
-
-func (n *Distinct) Schema() Schema             { return n.Input.Schema() }
-func (n *Distinct) Children() []Node           { return []Node{n.Input} }
-func (n *Distinct) WithChildren(c []Node) Node { return &Distinct{Input: c[0]} }
-func (n *Distinct) Describe() string           { return "Distinct" }
-
 // WindowFunc names a supported window function.
 type WindowFunc string
 
@@ -502,8 +502,8 @@ func (n *Values) Children() []Node           { return nil }
 func (n *Values) WithChildren(c []Node) Node { cp := *n; return &cp }
 func (n *Values) Describe() string           { return fmt.Sprintf("Values[%d rows]", len(n.Rows)) }
 
-// Union concatenates inputs with identical schemas (UNION ALL; DISTINCT is
-// planned as Union + Distinct).
+// Union concatenates inputs with identical schemas (UNION ALL; UNION is
+// planned as an Aggregation grouping by every column over a Union).
 type Union struct {
 	Inputs []Node
 }

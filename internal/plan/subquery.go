@@ -4,9 +4,8 @@ package plan
 const (
 	// SemiJoin keeps left rows with at least one match (IN/EXISTS subquery).
 	SemiJoin JoinType = iota + 100
-	// AntiJoin keeps left rows with no match (NOT IN/NOT EXISTS). The
-	// engine implements the simple non-null-aware form; the analyzer
-	// documents this deviation from full NOT IN NULL semantics.
+	// AntiJoin keeps left rows with no match (NOT EXISTS; NOT IN with
+	// Join.NullAware set).
 	AntiJoin
 )
 

@@ -7,10 +7,6 @@ import (
 	"repro/internal/expr"
 )
 
-// maxLocalWays bounds LocalExchange.Ways: a fan-out past any worker's thread
-// count is a corrupt plan, and the compiler allocates a queue per way.
-const maxLocalWays = 1024
-
 // Validate checks that a fragment from outside the process indexes only what
 // exists — equi clauses, sort, partition and hash keys, dynamic-filter columns
 // and key indices, expression column references — in schemas as wide as the
@@ -85,11 +81,6 @@ func validate(n Node) error {
 		if len(x.Names) != len(x.Input.Schema()) {
 			return fmt.Errorf("output names %d of %d columns", len(x.Names), len(x.Input.Schema()))
 		}
-	case *LocalExchange:
-		if x.Ways > maxLocalWays {
-			return fmt.Errorf("local exchange %d ways wide", x.Ways)
-		}
-		return within("hash column", len(x.Input.Schema()), x.HashCols...)
 	}
 	return nil
 }

@@ -21,11 +21,10 @@ import (
 var kinds = map[string]any{
 	"scan": &plan.Scan{}, "filter": &plan.Filter{}, "project": &plan.Project{},
 	"aggregation": &plan.Aggregation{}, "join": &plan.Join{}, "sort": &plan.Sort{},
-	"topn": &plan.TopN{}, "limit": &plan.Limit{}, "distinct": &plan.Distinct{},
+	"topn": &plan.TopN{}, "limit": &plan.Limit{},
 	"window": &plan.Window{}, "values": &plan.Values{}, "union": &plan.Union{},
 	"output": &plan.Output{}, "tablewrite": &plan.TableWrite{},
 	"enforcesinglerow": &plan.EnforceSingleRow{}, "remotesource": &plan.RemoteSource{},
-	"localexchange": &plan.LocalExchange{},
 
 	"col": &expr.ColumnRef{}, "const": &expr.Const{}, "arith": &expr.Arith{},
 	"neg": &expr.Neg{}, "cmp": &expr.Compare{}, "and": &expr.And{}, "or": &expr.Or{},

@@ -148,10 +148,15 @@ func testFragments(t testing.TB) []*plan.Fragment {
 	}
 	sorted := &plan.Sort{Input: window, Keys: []plan.SortKey{{Col: 0}, {Col: 5, Descending: true}}}
 	limited := &plan.Limit{Input: sorted, N: 100, Offset: 5, Partial: true}
-	distinct := &plan.Distinct{Input: &plan.Union{Inputs: []plan.Node{limited, limited}}}
-	exchange := &plan.LocalExchange{Input: distinct, Ways: 4, HashCols: []int{0}}
+	union := &plan.Union{Inputs: []plan.Node{limited, limited}}
+	var keys []expr.Expr
+	for i, f := range union.Schema() {
+		keys = append(keys, col(i, f.T, f.Name))
+	}
+	// DISTINCT: every column a key, no aggregates.
+	distinct := &plan.Aggregation{Input: union, GroupBy: keys, Step: plan.AggSingle, Out: union.Schema()}
 	write := &plan.TableWrite{
-		Input:   &plan.EnforceSingleRow{Input: exchange},
+		Input:   &plan.EnforceSingleRow{Input: distinct},
 		Catalog: "memory", Table: "out",
 		Out: plan.Schema{{Name: "rows", T: types.Bigint}},
 	}

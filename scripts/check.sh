@@ -39,7 +39,8 @@
 #                             # runs included)
 #                             # + one ledger (a reservation is the
 #                             # capacity leased, in every state of an
-#                             # aggregation, DISTINCT and join bridge,
+#                             # aggregation (DISTINCT's too) and a join
+#                             # bridge,
 #                             # under -race; nothing to revoke in an
 #                             # empty one; accounting vs heap; the
 #                             # warm-pool ceilings twenty times each)
@@ -52,7 +53,9 @@
 #                             # join) + lake (orcish and
 #                             # hive under -race, fetched-bytes accounting,
 #                             # a damaged file fails one query; no
-#                             # encoding/gob)
+#                             # encoding/gob) + subqueries (IN and NOT IN
+#                             # keep the list form's rows; every plan
+#                             # node kind is planned by some statement)
 #   scripts/check.sh -chaos   # additionally sweep the chaos suite over more
 #                             # seeds (CHAOS_FULL), verbose
 #   scripts/check.sh -fuzz    # additionally run 10s fuzz smokes over the
@@ -71,7 +74,10 @@
 #                             # paper experiment (-quick) and every
 #                             # workload (--seconds 1) under one
 #                             # GOCOVERDIR, and prints the files that run
-#                             # under 10% of their statements
+#                             # under 10% of their statements, then the
+#                             # New... constructors none of them called
+#                             # (0.0%): what nothing builds either earns
+#                             # a measurement or leaves
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -116,6 +122,10 @@ if [ "$coverage" = 1 ]; then
       for (k in stmts) { total[file[k]] += stmts[k]; if (k in hit) run[file[k]] += stmts[k] }
       for (f in total) if (run[f] * 10 < total[f]) printf "%5.1f%%  %5d/%-5d  %s\n", 100 * run[f] / total[f], run[f], total[f], f
     }' "$cov/engine.out" | sort -n
+  echo "==> constructors no experiment or workload called (0.0%)"
+  # covdata merges the counter files itself: a function counts as called if
+  # any run reached it.
+  go tool covdata func -i="$cov/data" | awk '$1 !~ /^repro\/bench\// && $2 ~ /^New/ && $NF == "0.0%" { print $1, $2 }'
   exit 0
 fi
 
@@ -172,9 +182,9 @@ go test -race -count=1 -v -run 'TestHTTPControlRequestsPerStatement|TestDistribu
 
 echo "==> dynamic filters: where a filter tests rows, and when it arrives"
 # A scan that feeds the publishing join through nothing but Filter/Project
-# only prunes; one behind another join, a local exchange or a fragment
-# boundary tests rows; a task's own filter is in place before its join's
-# probes run (ten runs under -race). The root effect tests run a partitioned
+# only prunes; one behind another join or a fragment boundary tests rows; a
+# task's own filter is in place before its join's probes run (ten runs under
+# -race). The root effect tests run a partitioned
 # join, whose filter crosses fragments and tests rows, beside the broadcast
 # join's direct feed, which tests none and still skips an empty build's
 # splits; the chaos suite delays and loses the cross-fragment publications.
@@ -230,6 +240,16 @@ fi
 go test -race -count=1 ./internal/orcish/ ./internal/connectors/hive/
 go test -race -count=1 -run 'TestScanBytesReadAreFetchedBytes|TestChaosDamagedLakeFile' .
 
+echo "==> subqueries: IN and NOT IN keep the list form's rows; every plan node kind is planned"
+# x IN (subquery) compares in the common type, as = does, and NOT IN is
+# three-valued, its build replicated and its facts (a row, a NULL key) those
+# of the whole build: checked against the list form in process, on HTTP
+# workers that partition every other join, and with a build that spills, ten
+# runs under -race. A fixed corpus planned through the coordinator meets every
+# node type internal/plan declares.
+go test -race -count=10 -run 'TestInSubqueryMatchesInList' .
+go test -count=1 -run 'TestEveryPlanNodeIsPlanned' .
+
 echo "==> borrowed pages and released scratch are never read late (poison linked on under the differential walls; an aggregation lending to a hash sink included)"
 # expr.poisonBorrowed makes every scratch arena poison the vectors it takes
 # back: an operator that lends its output — a page processor, a lookup join,
@@ -255,7 +275,8 @@ echo "==> borrowed pages and released scratch are never read late (poison linked
 # eager read and a memory copy; ./internal/block holds the decode into an
 # arena (TestDecodePageAtLeases). Hash tables give their arrays back to the
 # table pool poisoned: TestReleasedTablesArePoisoned reads a released group
-# table, join index and DISTINCT set, and TestOuterJoinEmitsAfterTheIndexGoesBack
+# table, join index and a DISTINCT closed unemitted, and
+# TestOuterJoinEmitsAfterTheIndexGoesBack
 # runs RIGHT and FULL joins' unmatched emission after the index went back.
 go test -count=1 -ldflags '-X repro/internal/expr.poisonBorrowed=on' . ./internal/exec ./internal/operators ./internal/expr ./internal/block
 
@@ -312,8 +333,9 @@ go test -run '^$' -bench 'AggregateRun' -benchtime=1x ./internal/operators/ > /d
 echo "==> one ledger: what an operator reserves is the capacity it leased (§IV-F2)"
 # Every table array is leased through its operator's memory context and given
 # back through it, growth included. In every state of an aggregation (presized,
-# grown, spilled, emitted), a DISTINCT operator and a join bridge (mid-build,
-# built, probed, revoked after built, each grace-drain partition, cancelled),
+# grown, spilled, emitted; DISTINCT's, with no aggregates, too) and a join
+# bridge (mid-build, built, probed, revoked after built, each grace-drain
+# partition, cancelled),
 # the context counts exactly the live arrays' capacity and the reservation is
 # that plus what is kept beside them; a join index goes back once, after the
 # last of four probes ending in random order on goroutines, and never after a
