@@ -157,3 +157,49 @@ func TestInSubqueryMatchesInList(t *testing.T) {
 		}
 	}
 }
+
+// TestInListComparesInCommonType: an IN list compares the probe and each
+// value in their common type, as = does, so it keeps the rows its
+// OR-of-equalities form keeps — in WHERE and in SELECT, on the kernels and on
+// the interpreter: a BIGINT a is not IN (2.5) where a = 2, and a IN (d) over a
+// DOUBLE d runs as a = d does. A list of the probe's own type compares the
+// column itself, which a scan still prunes by.
+func TestInListComparesInCommonType(t *testing.T) {
+	c := memconn.New("lake")
+	if err := c.CreateTable("t", []connector.Column{{Name: "a", T: types.Bigint}, {Name: "d", T: types.Double}}); err != nil {
+		t.Fatal(err)
+	}
+	rows := [][]types.Value{
+		{types.BigintValue(2), types.DoubleValue(2.5)},
+		{types.BigintValue(3), types.DoubleValue(3)},
+		{types.BigintValue(7), types.DoubleValue(2.5)},
+		{types.NullValue(types.Bigint), types.DoubleValue(7)},
+		{types.BigintValue(5), types.NullValue(types.Double)},
+	}
+	if err := c.AppendRows("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	vec, interp := kernelClusters(t)
+	vec.Register(c)
+	interp.Register(c)
+	for list, oracle := range map[string]string{
+		"a IN (2.5)":         "a = 2.5",
+		"a IN (2.5, 7)":      "a = 2.5 OR a = 7",
+		"a NOT IN (2.5, 7)":  "NOT (a = 2.5 OR a = 7)",
+		"a IN (d)":           "a = d",
+		"a IN (d, 7)":        "a = d OR a = 7",
+		"a NOT IN (d, NULL)": "NOT (a = d OR a = NULL)",
+		"a IN (3, 7)":        "a = 3 OR a = 7",
+	} {
+		for _, q := range []string{"SELECT a, d FROM lake.t WHERE %s", "SELECT a, d, %s FROM lake.t"} {
+			want := stringifyRows(execSession(t, vec, strings.ReplaceAll(q, "%s", oracle), Session{}))
+			sql := strings.ReplaceAll(q, "%s", list)
+			assertRows(t, sql, stringifyRows(execSession(t, vec, sql, Session{})), want)
+			assertRows(t, sql+" interpreted", stringifyRows(execSession(t, interp, sql, Session{})), want)
+		}
+	}
+	plan := stringifyRows(execSession(t, vec, "EXPLAIN SELECT a FROM lake.t WHERE a IN (3, 7)", Session{}))
+	if !strings.Contains(strings.Join(plan, "\n"), "{a:IN(3,7)}") {
+		t.Errorf("a same-type list lost its scan domain:\n%s", strings.Join(plan, "\n"))
+	}
+}

@@ -160,6 +160,8 @@ func (ec *exprCtx) analyze(e sqlparser.Expr) (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The probe and every value compare in their common type, as = does:
+		// a BIGINT probe against 2.5 compares as DOUBLE.
 		list := make([]expr.Expr, len(x.List))
 		t := inner.Type()
 		for i, le := range x.List {
@@ -171,8 +173,13 @@ func (ec *exprCtx) analyze(e sqlparser.Expr) (expr.Expr, error) {
 			if ct == types.Unknown && v.Type() != types.Unknown {
 				return nil, fmt.Errorf("IN list value type %s does not match %s", v.Type(), t)
 			}
-			list[i], err = coerceExpr(v, t)
-			if err != nil {
+			list[i], t = v, ct
+		}
+		if inner, err = coerceExpr(inner, t); err != nil {
+			return nil, err
+		}
+		for i, v := range list {
+			if list[i], err = coerceExpr(v, t); err != nil {
 				return nil, err
 			}
 		}

@@ -13,13 +13,23 @@ import (
 // stays the semantic reference. An Evaluator holds no mutable state, so one
 // may serve any number of goroutines.
 type Evaluator struct {
-	e   Expr
-	vec *vecProjector // nil: interpreted
+	e     Expr
+	vec   *vecProjector // nil: interpreted
+	memos int           // memo slots EvalPage gives vec's kernels (selCompiler)
 }
 
 // Compile builds an evaluator for e, specialized where the kernels cover it.
 func Compile(e Expr) *Evaluator {
-	return &Evaluator{e: e, vec: compileVecProj(e)}
+	var c selCompiler
+	ev := c.evaluator(e)
+	ev.memos = c.memos
+	return ev
+}
+
+// evaluator builds an evaluator for e whose kernels are numbered among c's:
+// a program's evaluators share their processor's memo slots.
+func (c *selCompiler) evaluator(e Expr) *Evaluator {
+	return &Evaluator{e: e, vec: c.compileVecProj(e)}
 }
 
 // InterpretOnly wraps e in a pure-interpreter evaluator: the baseline side
@@ -28,15 +38,19 @@ func InterpretOnly(e Expr) *Evaluator {
 	return &Evaluator{e: e}
 }
 
-// EvalPage computes the output column for every row of p.
-func (ev *Evaluator) EvalPage(p *block.Page) (block.Block, error) { return ev.evalPage(p, nil) }
+// EvalPage computes the output column for every row of p. The kernels'
+// dictionary verdicts last the call: an evaluator is shared, so it keeps none.
+func (ev *Evaluator) EvalPage(p *block.Page) (block.Block, error) {
+	return ev.evalPage(p, nil, make([]dictSel, ev.memos))
+}
 
-// evalPage is EvalPage with the kernels' temporaries leased from scratch; the
-// output block is the caller's.
-func (ev *Evaluator) evalPage(p *block.Page, scratch *block.Arena) (block.Block, error) {
+// evalPage is EvalPage with the kernels' temporaries leased from scratch and
+// their dictionary verdicts kept in memo, the slots of the compiler that built
+// ev; the output block is the caller's.
+func (ev *Evaluator) evalPage(p *block.Page, scratch *block.Arena, memo []dictSel) (block.Block, error) {
 	n := p.RowCount()
 	if ev.vec != nil {
-		return ev.vec.eval(&vecInput{p: p, n: n, scratch: scratch}, false)
+		return ev.vec.eval(&vecInput{p: p, n: n, scratch: scratch, memo: memo}, false)
 	}
 	var it Interpreter
 	vals := make([]types.Value, n)

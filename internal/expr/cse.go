@@ -64,10 +64,10 @@ func cseShareable(x Expr) bool {
 }
 
 // planCSE rewrites projections, extracting repeated subtrees into shared
-// slots. It returns the rewritten list (aliasing the input where nothing
-// changed) and the slots in evaluation order; later slots may reference
-// earlier ones through virtual columns.
-func planCSE(projections []Expr) ([]Expr, []*cseSlot) {
+// slots compiled by c. It returns the rewritten list (aliasing the input
+// where nothing changed) and the slots in evaluation order; later slots may
+// reference earlier ones through virtual columns.
+func planCSE(c *selCompiler, projections []Expr) ([]Expr, []*cseSlot) {
 	if len(projections) < 2 {
 		return projections, nil
 	}
@@ -111,7 +111,7 @@ func planCSE(projections []Expr) ([]Expr, []*cseSlot) {
 		if best == nil {
 			break
 		}
-		proj := compileVecProj(best.e)
+		proj := c.compileVecProj(best.e)
 		if proj == nil {
 			banned[bestKey] = true
 			continue

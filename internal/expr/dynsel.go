@@ -24,10 +24,10 @@ type SelVector = selFn
 // CountedSel runs sel and tells count, per page, how many rows it was given
 // and how many it passed.
 func CountedSel(sel SelVector, count func(in, out int)) SelVector {
-	return func(in *vecInput, rows, out []int) []int {
-		out = sel(in, rows, out)
+	return func(in *vecInput, rows, out []int) ([]int, error) {
+		out, err := sel(in, rows, out)
 		count(len(rows), len(out))
-		return out
+		return out, err
 	}
 }
 
@@ -52,98 +52,98 @@ func DynFilterSel(idx int, t types.Type, s *dynfilter.Summary) SelVector {
 }
 
 func dynSelLong(idx int, s *dynfilter.Summary) SelVector {
-	return func(in *vecInput, rows, out []int) []int {
+	return func(in *vecInput, rows, out []int) ([]int, error) {
 		b := unwrapLazy(in.p.Col(idx))
 		switch col := b.(type) {
 		case *block.LongBlock:
-			return dynSelLongs(s, col.Vals, col.Nulls, rows, out)
+			return dynSelLongs(s, col.Vals, col.Nulls, rows, out), nil
 		case *block.RLEBlock:
-			return selRun(!col.Val.IsNull(0) && s.MatchLong(col.Val.Long(0)), rows, out)
+			return selRun(!col.Val.IsNull(0) && s.MatchLong(col.Val.Long(0)), rows, out), nil
 		case *block.DictionaryBlock:
 			d := col.Dict
 			verdict := block.Lease[bool](in.scratch, d.Len())
 			for k := range verdict {
 				verdict[k] = !d.IsNull(k) && s.MatchLong(d.Long(k))
 			}
-			return selVerdicts(verdict, col.Indices, rows, out)
+			return selVerdicts(verdict, col.Indices, nil, rows, out), nil
 		default:
 			for _, r := range rows {
 				if !b.IsNull(r) && s.MatchLong(b.Long(r)) {
 					out = append(out, r)
 				}
 			}
-			return out
+			return out, nil
 		}
 	}
 }
 
 func dynSelDouble(idx int, s *dynfilter.Summary) SelVector {
-	return func(in *vecInput, rows, out []int) []int {
+	return func(in *vecInput, rows, out []int) ([]int, error) {
 		b := unwrapLazy(in.p.Col(idx))
 		switch col := b.(type) {
 		case *block.DoubleBlock:
-			return dynSelDoubles(s, col.Vals, col.Nulls, rows, out)
+			return dynSelDoubles(s, col.Vals, col.Nulls, rows, out), nil
 		case *block.LongBlock:
 			// Bigint/Date probe column joined against a double build key.
-			return dynSelLongs(s, col.Vals, col.Nulls, rows, out)
+			return dynSelLongs(s, col.Vals, col.Nulls, rows, out), nil
 		case *block.RLEBlock:
-			return selRun(!col.Val.IsNull(0) && s.MatchValue(col.Val.Value(0)), rows, out)
+			return selRun(!col.Val.IsNull(0) && s.MatchValue(col.Val.Value(0)), rows, out), nil
 		case *block.DictionaryBlock:
 			d := col.Dict
 			verdict := block.Lease[bool](in.scratch, d.Len())
 			for k := range verdict {
 				verdict[k] = !d.IsNull(k) && s.MatchValue(d.Value(k))
 			}
-			return selVerdicts(verdict, col.Indices, rows, out)
+			return selVerdicts(verdict, col.Indices, nil, rows, out), nil
 		default:
 			for _, r := range rows {
 				if !b.IsNull(r) && s.MatchValue(b.Value(r)) {
 					out = append(out, r)
 				}
 			}
-			return out
+			return out, nil
 		}
 	}
 }
 
 func dynSelStr(idx int, s *dynfilter.Summary) SelVector {
-	return func(in *vecInput, rows, out []int) []int {
+	return func(in *vecInput, rows, out []int) ([]int, error) {
 		b := unwrapLazy(in.p.Col(idx))
 		switch col := b.(type) {
 		case *block.VarcharBlock:
-			return dynSelStrs(s, col.Vals, col.Nulls, rows, out)
+			return dynSelStrs(s, col.Vals, col.Nulls, rows, out), nil
 		case *block.RLEBlock:
-			return selRun(!col.Val.IsNull(0) && s.MatchStr(col.Val.Str(0)), rows, out)
+			return selRun(!col.Val.IsNull(0) && s.MatchStr(col.Val.Str(0)), rows, out), nil
 		case *block.DictionaryBlock:
 			d := col.Dict
 			verdict := block.Lease[bool](in.scratch, d.Len())
 			for k := range verdict {
 				verdict[k] = !d.IsNull(k) && s.MatchStr(d.Str(k))
 			}
-			return selVerdicts(verdict, col.Indices, rows, out)
+			return selVerdicts(verdict, col.Indices, nil, rows, out), nil
 		default:
 			for _, r := range rows {
 				if !b.IsNull(r) && s.MatchStr(b.Str(r)) {
 					out = append(out, r)
 				}
 			}
-			return out
+			return out, nil
 		}
 	}
 }
 
 func dynSelBool(idx int, s *dynfilter.Summary) SelVector {
-	return func(in *vecInput, rows, out []int) []int {
+	return func(in *vecInput, rows, out []int) ([]int, error) {
 		b := unwrapLazy(in.p.Col(idx))
 		if col, ok := b.(*block.RLEBlock); ok {
-			return selRun(!col.Val.IsNull(0) && s.MatchBool(col.Val.Bool(0)), rows, out)
+			return selRun(!col.Val.IsNull(0) && s.MatchBool(col.Val.Bool(0)), rows, out), nil
 		}
 		for _, r := range rows {
 			if !b.IsNull(r) && s.MatchBool(b.Bool(r)) {
 				out = append(out, r)
 			}
 		}
-		return out
+		return out, nil
 	}
 }
 

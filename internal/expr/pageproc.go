@@ -68,7 +68,7 @@ type pageProgram struct {
 	filterExpr  Expr  // nil means no filter
 	filter      selFn // selection kernels, or the interpreter over filterExpr
 	filterCols  []int // column indices referenced by the filter
-	memos       int   // memo slots the filter's kernels use (selCompiler)
+	memos       int   // memo slots the filter's and the projections' kernels use (selCompiler)
 	projections []*Evaluator
 	identCol    []int   // input column a projection passes through, or -1
 	identFirst  []int   // first projection passing the same input column through (itself if none earlier)
@@ -145,16 +145,16 @@ func NewPageProcessor(filter Expr, projections []Expr) *PageProcessor {
 // compileProgram compiles filter and projections onto the selection and
 // projection kernels.
 func compileProgram(filter Expr, projections []Expr) *pageProgram {
-	prog := newProgram(filter, projections, Compile)
+	var c selCompiler
+	prog := newProgram(filter, projections, c.evaluator)
 	if filter != nil {
-		var c selCompiler
-		prog.filter = c.compileSel(filter, false)
-		prog.memos = c.memos
+		prog.filter = c.compileWhere(filter)
 	}
 	for i, e := range projections {
 		prog.projConst[i] = len(prog.projInputs[i]) == 0 && IsDeterministic(e)
 	}
-	prog.compileVectorized(projections)
+	prog.compileVectorized(&c, projections)
+	prog.memos = c.memos
 	return prog
 }
 
@@ -231,17 +231,18 @@ func (pp *PageProcessor) BorrowsOutput() bool { return pp.borrow }
 
 // compileVectorized plans CSE across the projection list and picks each
 // covered projection's projector: its evaluator's own when CSE left it
-// alone, one compiled over the rewritten expression when it reads a slot.
-func (prog *pageProgram) compileVectorized(projections []Expr) {
-	rewritten, slots := planCSE(projections)
+// alone, one compiled by c over the rewritten expression when it reads a
+// slot. A constant projection has its own path; an identity one runs its
+// projector only to gather a borrowed flat column.
+func (prog *pageProgram) compileVectorized(c *selCompiler, projections []Expr) {
+	rewritten, slots := planCSE(c, projections)
 	for i, e := range rewritten {
 		switch {
-		case prog.identCol[i] >= 0 || prog.projConst[i]:
-			// identity and constant projections have dedicated paths
+		case prog.projConst[i]:
 		case countSlotRefs(e) == 0:
 			prog.projVec[i] = prog.projections[i].vec
 		default:
-			prog.projVec[i] = compileVecProj(e)
+			prog.projVec[i] = c.compileVecProj(e)
 		}
 	}
 	if len(slots) == 0 {
@@ -425,7 +426,9 @@ func (pp *PageProcessor) selectRows() []int {
 	// rows, so a kernel's append never grows it.
 	rows := identityRows(n)
 	run := func(sel selFn, rows []int) []int {
-		return sel(in, rows, block.Lease[int](in.scratch, len(rows))[:0])
+		// Neither fails: a failing leaf of a WHERE clause counts as NULL.
+		out, _ := sel(in, rows, leaseRows(in, len(rows)))
+		return out
 	}
 	if pp.dyn != nil {
 		for _, sel := range pp.dyn() {
@@ -485,7 +488,7 @@ func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows i
 		if d, ok := col.(*block.DictionaryBlock); ok {
 			return block.NewDictionaryBlock(d.Dict, pp.composeIndices([]*block.DictionaryBlock{d}, selected)), nil
 		}
-		if vp := pp.projections[i].vec; pp.borrow && vp != nil && isFlat(unwrapLazy(col)) {
+		if vp := pp.projVec[i]; pp.borrow && vp != nil && isFlat(unwrapLazy(col)) {
 			return vp.eval(&pp.vin, true)
 		}
 		return block.CopyPositions(col, selected), nil
@@ -510,7 +513,7 @@ func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows i
 	// RLE fast path: every referenced input is a single run, so the
 	// projection has one distinct result; evaluate it once.
 	if pp.projEncoded[i] && outRows > 0 && allInputsRLE(p, inputs) {
-		out, err := pp.projections[i].evalPage(pp.rleRunPage(p, inputs), &pp.scratch)
+		out, err := pp.projections[i].evalPage(pp.rleRunPage(p, inputs), &pp.scratch, pp.vin.memo)
 		if err != nil {
 			return nil, err
 		}
@@ -541,7 +544,7 @@ func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows i
 	}
 	pp.Stats.FullEvals++
 	pp.Stats.CellsProcessed += int64(in.RowCount() * len(inputs))
-	return pp.projections[i].evalPage(in, &pp.scratch)
+	return pp.projections[i].evalPage(in, &pp.scratch, pp.vin.memo)
 }
 
 // isFlat reports whether b is a plain typed block the column kernels gather
@@ -563,7 +566,7 @@ func (pp *PageProcessor) constOne(i int, p *block.Page) (block.Block, error) {
 	if ncols == 0 {
 		ncols = 1 // the projection reads no columns; give the page a row
 	}
-	one, err := pp.projections[i].evalPage(block.NewPage(pp.placeholderCols(ncols, 1)...), &pp.scratch)
+	one, err := pp.projections[i].evalPage(block.NewPage(pp.placeholderCols(ncols, 1)...), &pp.scratch, pp.vin.memo)
 	if err != nil {
 		return nil, err
 	}
@@ -607,7 +610,7 @@ func (pp *PageProcessor) projectDictionary(i int, p *block.Page, selected []int,
 		if combos > outRows {
 			return nil
 		}
-		out, err := pp.projections[i].evalPage(pp.combinationPage(p.ColCount(), inputs, srcs[:len(inputs)], combos), &pp.scratch)
+		out, err := pp.projections[i].evalPage(pp.combinationPage(p.ColCount(), inputs, srcs[:len(inputs)], combos), &pp.scratch, pp.vin.memo)
 		if err != nil {
 			return nil
 		}

@@ -235,28 +235,182 @@ func lArith0() Expr {
 	return &Arith{Op: OpDiv, L: colRef(0, types.Bigint), R: longConst(0), T: types.Bigint}
 }
 
-// TestScalarConstantsStayScalar: a constant operand of an arithmetic,
-// comparison or BETWEEN kernel compiles to the scalar kernels, and CASE's
-// WHEN over a constant BETWEEN does too.
+// TestScalarConstantsStayScalar: a constant operand of an arithmetic kernel
+// compiles to the scalar kernels, and a comparison or BETWEEN of a column
+// against constants reads the column in place with the constants as scalars
+// (its kernel keeps a dictionary memo), in a CASE's WHEN too.
 func TestScalarConstantsStayScalar(t *testing.T) {
 	c0, c1 := colRef(0, types.Bigint), colRef(1, types.Double)
-	if _, ok := scalarArith(&Arith{Op: OpSub, L: longConst(1), R: c0, T: types.Bigint}, scalarLong, vecLong); !ok {
+	var c selCompiler
+	if _, ok := scalarArith(&Arith{Op: OpSub, L: longConst(1), R: c0, T: types.Bigint}, scalarLong, c.vecLong); !ok {
 		t.Error("1 - bigint has no scalar kernel")
 	}
-	if _, ok := scalarArith(&Arith{Op: OpMul, L: c1, R: longConst(2), T: types.Double}, scalarDouble, vecDouble); !ok {
+	if _, ok := scalarArith(&Arith{Op: OpMul, L: c1, R: longConst(2), T: types.Double}, scalarDouble, c.vecDouble); !ok {
 		t.Error("double * 2 has no scalar kernel")
 	}
-	if _, ok := scalarArith(&Arith{Op: OpDiv, L: longConst(1), R: c0, T: types.Bigint}, scalarLong, vecLong); ok {
+	if _, ok := scalarArith(&Arith{Op: OpDiv, L: longConst(1), R: c0, T: types.Bigint}, scalarLong, c.vecLong); ok {
 		t.Error("1 / bigint has a scalar kernel: it must test each divisor")
 	}
-	if _, ok := scalarCompare(&Compare{Op: CmpLt, L: dblConst(3), R: c1}, scalarDouble, vecDouble); !ok {
-		t.Error("3 < double has no scalar kernel")
+	for _, p := range []Expr{
+		&Compare{Op: CmpLt, L: dblConst(3), R: c1},
+		&Between{E: c1, Lo: longConst(1), Hi: longConst(10)},
+	} {
+		var where, when selCompiler
+		where.compileSel(p, false, true)
+		if when.compileVecProj(&Case{T: types.Bigint, Whens: []CaseWhen{{Cond: p, Then: c0}}}) == nil {
+			t.Errorf("CASE WHEN %s has no kernel", p)
+		}
+		if where.memos != 1 || when.memos != 1 {
+			t.Errorf("%s: %d column kernels in WHERE and %d in a WHEN, want 1 against scalar constants", p, where.memos, when.memos)
+		}
 	}
-	if _, ok := scalarBetween(&Between{E: c1, Lo: longConst(1), Hi: longConst(10)}, scalarDouble, vecDouble); !ok {
-		t.Error("double BETWEEN 1 AND 10 has no scalar kernel")
+	// A NULL bound is no scalar: the vector path, which reads no column in
+	// place and makes every row NULL.
+	var cn selCompiler
+	if _, ok := cn.compileSel(&Between{E: c1, Lo: NewConst(types.NullValue(types.Double)), Hi: longConst(10)}, false, false); !ok || cn.memos != 0 {
+		t.Errorf("a NULL bound: kernel %v, %d column kernels, want the vector path", ok, cn.memos)
 	}
-	if _, ok := scalarBetween(&Between{E: c1, Lo: NewConst(types.NullValue(types.Double)), Hi: longConst(10)}, scalarDouble, vecDouble); ok {
-		t.Error("a NULL bound has a scalar kernel: it takes the vector path")
+}
+
+// treeTestPage is kernelTestPage with two more columns for the predicate
+// trees:
+//
+//	8 varchar dictionary, whose entries include a NULL
+//	9 boolean flat, 1 in 7 NULL
+func treeTestPage(r *rand.Rand, n int) *block.Page {
+	p := kernelTestPage(r, n)
+	cols := make([]block.Block, p.ColCount(), p.ColCount()+2)
+	for i := range cols {
+		cols[i] = p.Col(i)
+	}
+	idx, bools, boolNulls := make([]int32, n), make([]bool, n), make([]bool, n)
+	for i := range idx {
+		idx[i] = int32(r.Intn(5))
+		bools[i], boolNulls[i] = r.Intn(2) == 0, r.Intn(7) == 0
+	}
+	dict := block.NewVarcharBlock([]string{"aa", "ab", "ba", "", "null"}, []bool{false, false, false, false, true})
+	return block.NewPage(append(cols, block.NewDictionaryBlock(dict, idx), block.NewBoolBlock(bools, boolNulls))...)
+}
+
+// randPred is a random AND/OR/NOT tree over treeTestPage of the given depth,
+// with a failing leaf among its leaves when failing.
+func randPred(r *rand.Rand, depth int, failing bool) Expr {
+	if depth == 0 || r.Intn(4) == 0 {
+		if failing {
+			// a / (a - a) > 1: NULL where a is, a division by zero elsewhere.
+			a := colRef([]int{0, 3}[r.Intn(2)], types.Bigint)
+			return &Compare{Op: CmpGt, L: &Arith{Op: OpDiv, L: a, R: &Arith{Op: OpSub, L: a, R: a, T: types.Bigint}, T: types.Bigint}, R: longConst(1)}
+		}
+		return randLeaf(r)
+	}
+	half := r.Intn(2) == 0
+	switch r.Intn(3) {
+	case 0:
+		return &And{L: randPred(r, depth-1, failing && half), R: randPred(r, depth-1, failing && !half)}
+	case 1:
+		return &Or{L: randPred(r, depth-1, failing && half), R: randPred(r, depth-1, failing && !half)}
+	}
+	return &Not{E: randPred(r, depth-1, failing)}
+}
+
+// randLeaf is a random leaf of every kind the kernels cover, over
+// treeTestPage.
+func randLeaf(r *rand.Rand) Expr {
+	nums := []*ColumnRef{colRef(0, types.Bigint), colRef(1, types.Double), colRef(3, types.Bigint), colRef(4, types.Double), colRef(5, types.Bigint), colRef(6, types.Double)}
+	col := nums[r.Intn(len(nums))]
+	t := r.Int63n(1001)
+	bound := func(c *ColumnRef, t int64) *Const {
+		switch c.T {
+		case types.Double:
+			return dblConst(float64(t))
+		case types.Date:
+			return NewConst(types.DateValue(t))
+		}
+		return longConst(t)
+	}
+	op := CmpEq + CmpOp(r.Intn(int(CmpGe-CmpEq)+1))
+	str, flag := colRef(8, types.Varchar), colRef(9, types.Boolean)
+	switch r.Intn(10) {
+	case 0:
+		if r.Intn(4) == 0 {
+			col = colRef(2, types.Date)
+		}
+		return &Compare{Op: op, L: col, R: bound(col, t)}
+	case 1:
+		return &Compare{Op: op, L: bound(col, t), R: col}
+	case 2:
+		return &Compare{Op: op, L: col, R: nums[r.Intn(len(nums))]}
+	case 3:
+		if r.Intn(2) == 0 {
+			sum := &Arith{Op: OpAdd, L: colRef(0, types.Bigint), R: colRef(3, types.Bigint), T: types.Bigint}
+			return &Compare{Op: op, L: sum, R: longConst(2 * t)}
+		}
+		half := &Arith{Op: OpMul, L: colRef(1, types.Double), R: dblConst(0.5), T: types.Double}
+		return &Compare{Op: op, L: dblConst(float64(t) / 2), R: half}
+	case 4:
+		return &Between{E: col, Lo: bound(col, t/2), Hi: bound(col, t), Negate: r.Intn(2) == 0}
+	case 5:
+		null := func(t types.Type) Expr { return NewConst(types.NullValue(t)) }
+		switch r.Intn(3) {
+		case 0:
+			return &In{E: colRef(0, types.Bigint), List: []Expr{longConst(t), longConst(t + 1), null(types.Bigint)}, Negate: r.Intn(2) == 0}
+		case 1:
+			return &In{E: str, List: []Expr{strConst("aa"), null(types.Varchar)}, Negate: r.Intn(2) == 0}
+		}
+		// −0.0 is in the dictionary: it is IN (0).
+		return &In{E: colRef(4, types.Double), List: []Expr{dblConst(0), dblConst(math.Inf(1)), null(types.Double)}, Negate: r.Intn(2) == 0}
+	case 6:
+		if r.Intn(2) == 0 {
+			return &Compare{Op: op, L: str, R: strConst("ab")}
+		}
+		return &Like{E: str, Pattern: strConst([]string{"a%", "%a", "_b"}[r.Intn(3)]), Negate: r.Intn(2) == 0}
+	case 7:
+		all := append([]Expr{str, flag}, colRef(0, types.Bigint), colRef(1, types.Double), colRef(3, types.Bigint), colRef(4, types.Double), colRef(5, types.Bigint))
+		return &IsNull{E: all[r.Intn(len(all))], Negate: r.Intn(2) == 0}
+	case 8:
+		return &Compare{Op: CmpEq + CmpOp(r.Intn(2)), L: flag, R: NewConst(types.BooleanValue(r.Intn(2) == 0))}
+	}
+	return flag
+}
+
+// TestPredicateTreesDifferential: one predicate, three positions. Random
+// AND/OR/NOT trees of depth 3 over every kind of leaf, and over flat columns
+// with NULLs, doubles with NaN, −0.0 and ±Inf, dictionary, RLE and lazy
+// columns, run as a WHERE clause, as a boolean SELECT column and as a CASE
+// WHEN condition under another filter's selection, each on the kernels and on
+// the interpreted processor, which must return the same rows or the same
+// error. A quarter of the trees hold a failing leaf: a WHERE clause counts it
+// NULL, and elsewhere it fails wherever the interpreter evaluates it.
+func TestPredicateTreesDifferential(t *testing.T) {
+	r := rand.New(rand.NewSource(79))
+	pages := []*block.Page{treeTestPage(r, 512), treeTestPage(r, 37), treeTestPage(r, 1)}
+	id := colRef(7, types.Bigint)
+	under := &Compare{Op: CmpLt, L: colRef(6, types.Double), R: dblConst(500)}
+	for i := 0; i < 300; i++ {
+		pred := randPred(r, 3, i%4 == 3)
+		if _, ok := new(selCompiler).compileSel(pred, false, false); !ok {
+			t.Fatalf("tree %d %s: a leaf runs on the interpreter", i, pred)
+		}
+		when := &Case{T: types.Bigint, Whens: []CaseWhen{{Cond: pred, Then: id}}, Else: longConst(-1)}
+		for _, pos := range []struct {
+			name   string
+			filter Expr
+			proj   []Expr
+		}{
+			{"WHERE", pred, []Expr{id}},
+			{"SELECT", nil, []Expr{pred, id}},
+			{"CASE WHEN", under, []Expr{when, id}},
+		} {
+			vec, interp := NewPageProcessor(pos.filter, pos.proj), NewInterpretedPageProcessor(pos.filter, pos.proj)
+			if pos.filter != pred && vec.projVec[0] == nil {
+				t.Fatalf("tree %d %s in %s runs on the interpreter", i, pred, pos.name)
+			}
+			for gi, p := range pages {
+				if v, in := processOrError(vec, p), processOrError(interp, p); v != in {
+					t.Fatalf("tree %d %s in %s, page %d:\nkernels     %s\ninterpreter %s", i, pred, pos.name, gi, v, in)
+				}
+			}
+		}
 	}
 }
 
@@ -310,7 +464,10 @@ func TestPredicatedProgramSharedByGoroutines(t *testing.T) {
 // BETWEEN. Each iteration selects from the next of 64 pages of random
 // values, so no page repeats before the branch predictor has seen 256 Ki
 // rows: a kernel that branched on its predicate would pay for the
-// mispredictions here, most near 50 %. The ns/row metric is the one to read
+// mispredictions here, most near 50 %. The same predicates run as CASE WHEN
+// conditions, priced per row of the projection: q09's BETWEEN over a flat
+// bigint column, and q80's = over a dictionary-encoded varchar column
+// (its entries are tested once each). The ns/row metric is the one to read
 // across ratios.
 func BenchmarkSelectionKernel(b *testing.B) {
 	const rows, pages = 4096, 64
@@ -323,21 +480,44 @@ func BenchmarkSelectionKernel(b *testing.B) {
 		}
 		data[i] = block.NewPage(&block.LongBlock{T: types.Bigint, Vals: longs, Nulls: nulls}, block.NewDoubleBlock(doubles, nil))
 	}
+	flags := block.NewVarcharBlock([]string{"R", "A", "N", "O"}, nil)
 	for _, ratio := range []float64{0.003, 0.15, 0.5, 0.97, 0.995} {
+		// Column 2 is 'R' on about ratio of the rows.
+		flagged := make([]*block.Page, pages)
+		for i, p := range data {
+			idx := make([]int32, rows)
+			for j := range idx {
+				if v := p.Col(0).Long(j); float64(v) >= ratio*1000 {
+					idx[j] = int32(1 + v%3)
+				}
+			}
+			flagged[i] = block.NewPage(p.Col(0), p.Col(1), block.NewDictionaryBlock(flags, idx))
+		}
+		when := func(cond Expr) []Expr {
+			return []Expr{&Case{T: types.Double, Whens: []CaseWhen{{Cond: cond, Then: colRef(1, types.Double)}}, Else: dblConst(0)}}
+		}
 		for _, k := range []struct {
 			name string
 			pred Expr
+			proj []Expr
 		}{
-			{"cmp-bigint", &Compare{Op: CmpLt, L: colRef(0, types.Bigint), R: longConst(int64(ratio * 1000))}},
-			{"between-double", &Between{E: colRef(1, types.Double), Lo: dblConst(0.5 - ratio/2), Hi: dblConst(0.5 + ratio/2)}},
+			{"cmp-bigint", &Compare{Op: CmpLt, L: colRef(0, types.Bigint), R: longConst(int64(ratio * 1000))}, nil},
+			{"between-double", &Between{E: colRef(1, types.Double), Lo: dblConst(0.5 - ratio/2), Hi: dblConst(0.5 + ratio/2)}, nil},
+			{"case-between-bigint", nil, when(&Between{E: colRef(0, types.Bigint), Lo: longConst(0), Hi: longConst(int64(ratio*1000) - 1)})},
+			{"case-dict-varchar", nil, when(&Compare{Op: CmpEq, L: colRef(2, types.Varchar), R: strConst("R")})},
 		} {
 			b.Run(fmt.Sprintf("%s/pass=%.1f%%", k.name, ratio*100), func(b *testing.B) {
-				pp := NewPageProcessor(k.pred, nil)
+				pp := NewPageProcessor(k.pred, k.proj)
+				pp.BorrowOutput()
 				defer pp.Scratch().Release()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					pp.start(data[i%pages])
-					pp.selectRows()
+					if k.proj == nil {
+						pp.start(data[i%pages])
+						pp.selectRows()
+					} else if _, err := pp.Process(flagged[i%pages]); err != nil {
+						b.Fatal(err)
+					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 			})

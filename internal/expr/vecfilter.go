@@ -8,30 +8,42 @@ import (
 	"repro/internal/types"
 )
 
-// Columnar filter kernels (§V-E): instead of evaluating a predicate
-// row-by-row, a compiled filter runs as a tree of selection kernels that
-// scan the typed value slices of flat blocks directly and produce the
-// selection vector in one pass. Conjunctions chain kernels so each stage only
-// inspects rows that survived the previous one; RLE inputs are decided once
-// per run and dictionary inputs once per distinct entry.
+// The predicate compiler (§V-B, §V-E): every predicate — a WHERE clause, a
+// CASE WHEN condition, a boolean-valued projection — compiles into a tree of
+// selection kernels that scan typed value vectors and produce, in one pass,
+// the positions where it is TRUE, or those where it is FALSE. Conjunctions
+// chain kernels so each stage only inspects positions an earlier one left
+// undecided. A column is read in place: RLE inputs are decided once per run
+// and dictionary inputs once per distinct entry. Any other operand is
+// evaluated at the positions by its value kernel (vecproj.go).
+//
+// Where the predicate sits fixes what a failing leaf (a division by zero, say)
+// means. In a WHERE clause it counts as NULL, the interpreter's predicate
+// rule: the row just does not pass. Everywhere else it raises its error, as
+// Eval does. In both, a connective evaluates its right operand only at the
+// positions its left operand did not decide, as the interpreter's lazy AND
+// and OR do.
 
-// selFn evaluates a predicate over the rows of page in.p listed in rows,
-// appending to out the rows where the predicate is definitely true (or, when
-// compiled with neg=true, definitely false). Rows where the predicate is NULL
-// are never appended in either polarity, which is exactly SQL filter
+// selFn evaluates a predicate at the positions rows, ascending and
+// duplicate-free, appending to out those where it is TRUE (or, compiled with
+// neg=true, FALSE). NULL is appended in neither polarity, which is SQL filter
 // semantics and makes NOT compilable by polarity flipping (De Morgan) instead
-// of three-valued negation. out has room for every row of rows, so append
-// never grows it. A kernel keeps no state of its own: its temporaries are
-// leased from in.scratch and its dictionary verdicts kept in in.memo.
-type selFn func(in *vecInput, rows, out []int) []int
+// of three-valued negation. Positions are a value kernel's: in.sel maps them
+// to rows of in.p, and a WHERE clause, which runs with no selection, sees rows.
+// out has room for every position of rows, so append never grows it. A kernel
+// keeps no state of its own: its temporaries are leased from in.scratch and
+// its dictionary verdicts kept in in.memo. Only a predicate compiled outside a
+// WHERE clause returns an error.
+type selFn func(in *vecInput, rows, out []int) ([]int, error)
 
-func selNone(_ *vecInput, _ []int, out []int) []int   { return out }
-func selAll(_ *vecInput, rows []int, out []int) []int { return append(out, rows...) }
+func selNone(_ *vecInput, _ []int, out []int) ([]int, error)   { return out, nil }
+func selAll(_ *vecInput, rows []int, out []int) ([]int, error) { return append(out, rows...), nil }
 
-// selCompiler compiles a predicate into selection kernels, and numbers the
-// kernels that keep a dictionary memo (selDict): the evaluating processor
-// gives each its slot of vecInput.memo, so that the compiled tree holds no
-// mutable state and one tree can serve processors on several goroutines.
+// selCompiler compiles predicates into selection kernels and expressions into
+// value kernels, and numbers the kernels that keep a dictionary memo
+// (selDict): the evaluating processor gives each its slot of vecInput.memo, so
+// that the compiled tree holds no mutable state and one tree can serve
+// processors on several goroutines.
 type selCompiler struct {
 	memos int
 }
@@ -42,111 +54,130 @@ func (c *selCompiler) memo() int {
 	return c.memos - 1
 }
 
-// compileSel builds a selection kernel for e. neg=true asks for the rows
-// where e is definitely false. It never fails: a sub-expression without a
-// specialized selection kernel runs as its vectorized boolean kernel, and one
-// the kernels do not cover at all runs on the interpreter; both are evaluated
-// only over the current selection, so composition with specialized siblings
-// stays cheap.
-func (c *selCompiler) compileSel(e Expr, neg bool) selFn {
-	if s, ok := c.compileSelKernel(e, neg); ok {
-		return s
+// compileWhere compiles a WHERE clause. A leaf no kernel covers runs on the
+// interpreter, and a batch on which some leaf's kernels fail is decided row by
+// row there, where a failing leaf counts as NULL.
+func (c *selCompiler) compileWhere(e Expr) selFn {
+	s, _ := c.compileSel(e, false, true)
+	return func(in *vecInput, rows, out []int) ([]int, error) {
+		if res, err := s(in, rows, out); err == nil {
+			return res, nil
+		}
+		return selInterp(e, false)(in, rows, out)
 	}
-	if k, ok := vecBool(e); ok {
-		return selVecBool(e, k, neg)
-	}
-	return selInterp(e, neg)
 }
 
-// compileSelKernel builds the specialized selection kernel for e, if its
-// shape has one; connectives compose whatever compileSel gives their operands.
-func (c *selCompiler) compileSelKernel(e Expr, neg bool) (selFn, bool) {
+// compileSel builds the selection of e's TRUE positions, or of its FALSE ones
+// when neg. In a WHERE clause (where) it never fails: a leaf the kernels do not
+// cover runs on the interpreter. Elsewhere it fails when some leaf has no
+// kernel, and the expression that holds the predicate runs on the interpreter.
+func (c *selCompiler) compileSel(e Expr, neg, where bool) (selFn, bool) {
 	switch x := e.(type) {
 	case *Const:
-		v := x.Val
-		if !v.Null && v.B != neg {
+		if !x.Val.Null && x.Val.B != neg {
 			return selAll, true
 		}
 		return selNone, true
 	case *Not:
-		return c.compileSel(x.E, !neg), true
+		return c.compileSel(x.E, !neg, where)
 	case *And:
-		l, r := c.compileSel(x.L, neg), c.compileSel(x.R, neg)
-		if !neg {
-			// TRUE(L AND R) = TRUE(L) ∩ TRUE(R): chain, so R only
-			// inspects rows that survived L.
-			return selIntersectChain(l, r), true
-		}
-		// FALSE(L AND R) = FALSE(L) ∪ FALSE(R).
-		return selUnion(l, r), true
+		return c.compileConnective(x.L, x.R, true, neg, where)
 	case *Or:
-		l, r := c.compileSel(x.L, neg), c.compileSel(x.R, neg)
-		if !neg {
-			return selUnion(l, r), true
-		}
-		return selIntersectChain(l, r), true
-	case *Compare:
-		return c.compileSelCompare(x, neg)
-	case *Between:
-		return c.compileSelBetween(x, neg)
-	case *In:
-		return c.compileSelIn(x, neg)
-	case *Like:
-		return c.compileSelLike(x, neg)
-	case *IsNull:
-		if col, ok := x.E.(*ColumnRef); ok {
-			// IS [NOT] NULL never yields NULL itself.
-			return selIsNull(col.Index, x.Negate != neg), true
-		}
-	case *ColumnRef:
-		if x.T == types.Boolean {
-			return selBoolCol(x.Index, neg), true
-		}
+		return c.compileConnective(x.L, x.R, false, neg, where)
 	}
-	return nil, false
+	s, ok := c.compileLeaf(e, neg)
+	if !ok && where {
+		return selInterp(e, neg), true
+	}
+	return s, ok
 }
 
-// selVecBool drives a vectorized boolean kernel over the current selection
-// (col-vs-col compares, arithmetic inside a predicate, CASE conditions). The
-// kernel reads the selection as in's: it is set for the call and put back.
-func selVecBool(e Expr, k boolKernel, neg bool) selFn {
-	interp := selInterp(e, neg)
-	return func(in *vecInput, rows, out []int) []int {
-		n := len(rows)
-		sel, outRows := in.sel, in.n
-		in.sel, in.n = rows, n
-		if n == in.p.RowCount() {
-			in.sel = nil // rows is ascending and duplicate-free, so this is every row
-		}
-		vals, nulls := block.Lease[bool](in.scratch, n), block.Lease[bool](in.scratch, n)
-		_, err := k(in, nil, vals, nulls)
-		in.sel, in.n = sel, outRows
+// compileConnective compiles L AND R (dec=true) or L OR R (dec=false). The
+// left operand decides the connective at its positions of polarity dec (FALSE
+// for AND, TRUE for OR), and the right operand is evaluated only at the rest.
+// Asked for polarity dec, the result is those positions and the right
+// operand's among the rest. Asked for the other, it is the positions where both
+// operands hold: in a WHERE clause the right operand's among the left's (a
+// chain); elsewhere the left's and the right's among the rest, so that the
+// right operand is evaluated, and fails, wherever the interpreter evaluates it.
+func (c *selCompiler) compileConnective(l, r Expr, dec, neg, where bool) (selFn, bool) {
+	ls, lok := c.compileSel(l, neg, where)
+	rs, rok := c.compileSel(r, neg, where)
+	if !lok || !rok {
+		return nil, false
+	}
+	switch {
+	case neg == dec:
+		return selEither(ls, rs), true
+	case where:
+		return selChain(ls, rs), true
+	}
+	ld, _ := c.compileSel(l, dec, where)
+	return selBoth(ld, ls, rs), true
+}
+
+// leaseRows leases an empty position vector with room for n positions.
+func leaseRows(in *vecInput, n int) []int { return block.Lease[int](in.scratch, n)[:0] }
+
+// selChain keeps the positions l keeps at which r holds too.
+func selChain(l, r selFn) selFn {
+	return func(in *vecInput, rows, out []int) ([]int, error) {
+		ls, err := l(in, rows, leaseRows(in, len(rows)))
 		if err != nil {
-			// A kernel stops at the first failing row, but in a filter a
-			// failing row just does not pass: decide the batch row by row.
-			return interp(in, rows, out)
+			return out, err
 		}
-		return selBools(vals, nulls, neg, rows, out)
+		return r(in, ls, out)
 	}
 }
 
-// selBools appends rows[i] wherever a boolean kernel's value vals[i] is not
-// NULL and != neg, by predication.
-func selBools(vals, nulls []bool, neg bool, rows, out []int) []int {
-	base, f := len(out), b2i(neg)
-	buf, k := out[base:base+len(rows)], 0
-	for i, r := range rows {
-		buf[k] = r
-		k += b2i(!nulls[i]) & (b2i(vals[i]) ^ f)
+// selEither keeps the positions dec keeps, and those r keeps among the rest.
+func selEither(dec, r selFn) selFn {
+	return func(in *vecInput, rows, out []int) ([]int, error) {
+		ds, err := dec(in, rows, leaseRows(in, len(rows)))
+		switch {
+		case err != nil:
+			return out, err
+		case len(ds) == 0:
+			return r(in, rows, out)
+		case len(ds) == len(rows):
+			return append(out, ds...), nil
+		}
+		rest := selMinus(rows, ds, leaseRows(in, len(rows)))
+		rs, err := r(in, rest, leaseRows(in, len(rest)))
+		if err != nil {
+			return out, err
+		}
+		return mergeUnion(ds, rs, out), nil
 	}
-	return out[:base+k]
 }
 
-// selInterp evaluates e on the interpreter for each row of the current
-// selection, as a predicate: a leaf whose evaluation fails is NULL, and a
-// NULL does not pass in either polarity.
+// selBoth keeps the positions, among those dec does not keep, that l and r
+// both keep.
+func selBoth(dec, l, r selFn) selFn {
+	return func(in *vecInput, rows, out []int) ([]int, error) {
+		ds, err := dec(in, rows, leaseRows(in, len(rows)))
+		if err != nil {
+			return out, err
+		}
+		rest := selMinus(rows, ds, leaseRows(in, len(rows)))
+		ls, err := l(in, rest, leaseRows(in, len(rest)))
+		if err != nil {
+			return out, err
+		}
+		rs, err := r(in, rest, leaseRows(in, len(rest)))
+		if err != nil {
+			return out, err
+		}
+		return mergeIntersect(ls, rs, out), nil
+	}
+}
+
+// selInterp evaluates e on the interpreter for each row of rows, as a WHERE
+// clause does: a leaf whose evaluation fails is NULL, and a NULL does not pass
+// in either polarity. A WHERE clause runs with no selection, so its positions
+// are rows of in.p.
 func selInterp(e Expr, neg bool) selFn {
-	return func(in *vecInput, rows, out []int) []int {
+	return func(in *vecInput, rows, out []int) ([]int, error) {
 		var it Interpreter
 		row := pageRow{p: in.p}
 		for _, r := range rows {
@@ -155,25 +186,11 @@ func selInterp(e Expr, neg bool) selFn {
 				out = append(out, r)
 			}
 		}
-		return out
+		return out, nil
 	}
 }
 
-func selIntersectChain(l, r selFn) selFn {
-	return func(in *vecInput, rows, out []int) []int {
-		return r(in, l(in, rows, block.Lease[int](in.scratch, len(rows))[:0]), out)
-	}
-}
-
-func selUnion(l, r selFn) selFn {
-	return func(in *vecInput, rows, out []int) []int {
-		ls := l(in, rows, block.Lease[int](in.scratch, len(rows))[:0])
-		rs := r(in, rows, block.Lease[int](in.scratch, len(rows))[:0])
-		return mergeUnion(ls, rs, out)
-	}
-}
-
-// mergeUnion merges two ascending row lists, deduplicating.
+// mergeUnion merges two ascending position lists, deduplicating.
 func mergeUnion(a, b, out []int) []int {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -192,6 +209,195 @@ func mergeUnion(a, b, out []int) []int {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
+}
+
+// mergeIntersect appends the positions two ascending lists share.
+func mergeIntersect(a, b, out []int) []int {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	return out
+}
+
+// selMinus appends the positions of rows that sub, an ascending sublist of
+// rows, does not hold, by predication.
+func selMinus(rows, sub, out []int) []int {
+	base := len(out)
+	buf, k, j := out[base:base+len(rows)], 0, 0
+	for _, r := range rows {
+		buf[k] = r
+		hit := 0
+		if j < len(sub) {
+			hit = b2i(sub[j] == r)
+		}
+		j += hit
+		k += 1 - hit
+	}
+	return out[:base+k]
+}
+
+// ---- leaves ----
+
+// compileLeaf builds the selection kernel of a predicate that is not a
+// connective, if the kernels cover it.
+func (c *selCompiler) compileLeaf(e Expr, neg bool) (selFn, bool) {
+	switch x := e.(type) {
+	case *Compare:
+		return c.compileCompare(x, neg)
+	case *Between:
+		return c.compileBetween(x, neg)
+	case *In:
+		return c.compileIn(x, neg)
+	case *Like:
+		pat, ok := x.Pattern.(*Const)
+		if !ok || pat.Val.Null {
+			return nil, false
+		}
+		flip, p := x.Negate != neg, pat.Val.S
+		pass := func(v string) bool { return likeMatch(v, p) != flip }
+		return selOperand(c, x.E, c.vecStr, func(d block.Block, k int) bool { return pass(d.Str(k)) }, selPassing(pass))
+	case *IsNull:
+		if col, ok := x.E.(*ColumnRef); ok {
+			// IS [NOT] NULL never yields NULL itself.
+			return selIsNull(col.Index, x.Negate != neg), true
+		}
+	case *ColumnRef:
+		if x.T == types.Boolean {
+			return selBoolCol(x.Index, !neg), true
+		}
+	case *Case:
+		f, ok := c.vecBool(x)
+		if !ok {
+			return nil, false
+		}
+		return selValues(f, func(vals, nulls []bool, rows, out []int) []int { return selBools(vals, nulls, !neg, rows, out) }), true
+	}
+	return nil, false
+}
+
+// evalAt evaluates the value kernel k at the positions rows into vectors
+// leased from in.scratch, indexed by position; nulls is nil when no position
+// is NULL.
+func evalAt[T block.Elem](in *vecInput, k vkernel[T], rows []int) ([]T, []bool, error) {
+	idx := rows
+	if len(rows) == in.n {
+		idx = nil // every position
+	}
+	vals, nulls := block.Lease[T](in.scratch, in.n), block.Lease[bool](in.scratch, in.n)
+	has, err := k(in, idx, vals, nulls)
+	if !has {
+		nulls = nil
+	}
+	return vals, nulls, err
+}
+
+func isNull(nulls []bool, i int) bool { return nulls != nil && nulls[i] }
+
+// selValues is a leaf over one operand evaluated by its value kernel: test
+// appends the positions whose value passes and is not NULL.
+func selValues[T block.Elem](f vkernel[T], test func(vals []T, nulls []bool, rows, out []int) []int) selFn {
+	return func(in *vecInput, rows, out []int) ([]int, error) {
+		vals, nulls, err := evalAt(in, f, rows)
+		if err != nil {
+			return out, err
+		}
+		return test(vals, nulls, rows, out), nil
+	}
+}
+
+// selOperand is a leaf that tests one operand's values: verdict is the test of
+// entry k of a block, not NULL, and test the same over a value vector
+// (selValues). A column operand is read in place: a dictionary's entries are
+// tested once each, a run once, and a flat block's own vectors when no
+// selection maps positions to its rows. Any other operand, or encoding, is
+// evaluated by its value kernel.
+func selOperand[T block.Elem](c *selCompiler, e Expr, compile func(Expr) (vkernel[T], bool),
+	verdict func(d block.Block, k int) bool, test func(vals []T, nulls []bool, rows, out []int) []int) (selFn, bool) {
+	f, ok := compile(e)
+	if !ok {
+		return nil, false
+	}
+	col, ok := e.(*ColumnRef)
+	if !ok {
+		return selValues(f, test), true
+	}
+	memo := c.memo()
+	return func(in *vecInput, rows, out []int) ([]int, error) {
+		b, sel := in.colBlock(col.Index)
+		if res, ok := selDict(&in.memo[memo], b, sel, rows, out, verdict); ok {
+			return res, nil
+		}
+		if run, ok := b.(*block.RLEBlock); ok {
+			return selRun(!run.Val.IsNull(0) && verdict(run.Val, 0), rows, out), nil
+		}
+		vals, nulls, ok := flatVectors[T](b)
+		if !ok || sel != nil {
+			vals, nulls, _ = evalAt(in, f, rows) // a column's kernel does not fail
+		}
+		return test(vals, nulls, rows, out), nil
+	}, true
+}
+
+// flatVectors returns b's value and null vectors when b is a flat block of
+// values of type T.
+func flatVectors[T block.Elem](b block.Block) ([]T, []bool, bool) {
+	var vals any
+	var nulls []bool
+	switch col := b.(type) {
+	case *block.LongBlock:
+		vals, nulls = col.Vals, col.Nulls
+	case *block.DoubleBlock:
+		vals, nulls = col.Vals, col.Nulls
+	case *block.VarcharBlock:
+		vals, nulls = col.Vals, col.Nulls
+	default:
+		return nil, nil, false
+	}
+	v, ok := vals.([]T)
+	return v, nulls, ok
+}
+
+// selPassing is the value-vector test of pass, for tests that cost more than
+// a branch (a LIKE match, a set lookup).
+func selPassing[T any](pass func(T) bool) func(vals []T, nulls []bool, rows, out []int) []int {
+	return func(vals []T, nulls []bool, rows, out []int) []int {
+		for _, r := range rows {
+			if !isNull(nulls, r) && pass(vals[r]) {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+}
+
+// selPair is a leaf over two operands evaluated by their value kernels.
+func selPair[T block.Elem](lf, rf vkernel[T], pass func(a, b T) bool) selFn {
+	return func(in *vecInput, rows, out []int) ([]int, error) {
+		a, an, err := evalAt(in, lf, rows)
+		if err != nil {
+			return out, err
+		}
+		b, bn, err := evalAt(in, rf, rows)
+		if err != nil {
+			return out, err
+		}
+		for _, r := range rows {
+			if !isNull(an, r) && !isNull(bn, r) && pass(a[r], b[r]) {
+				out = append(out, r)
+			}
+		}
+		return out, nil
+	}
 }
 
 // swapCmp mirrors the operator so (const op col) becomes (col swapCmp(op) const).
@@ -236,24 +442,189 @@ func b2i(b bool) int {
 	return 0
 }
 
-// num is what the typed compare and BETWEEN kernels read and compare in: a
-// long column is compared with a double constant as a double.
+// num is what the typed compare and BETWEEN kernels read.
 type num interface{ int64 | float64 }
 
+// ordered is what a comparison kernel reads: a value kernel's element type
+// that Go orders.
+type ordered interface {
+	cmp.Ordered
+	block.Elem
+}
+
+func (c *selCompiler) compileCompare(x *Compare, neg bool) (selFn, bool) {
+	op, l, r := x.Op, x.L, x.R
+	if _, ok := l.(*Const); ok {
+		op, l, r = swapCmp(op), r, l // the constant on the right
+	}
+	switch types.CommonType(l.Type(), r.Type()) {
+	case types.Bigint, types.Date:
+		return compileCmp(c, op, neg, l, r, scalarLong, c.vecLong, block.Block.Long, selCmpConst[int64])
+	case types.Double:
+		return compileCmp(c, op, neg, l, r, scalarDouble, c.vecDouble, block.Block.Double, selCmpConst[float64])
+	case types.Varchar:
+		return compileCmp(c, op, neg, l, r, scalarStr, c.vecStr, block.Block.Str, selStrCmpConst)
+	case types.Boolean:
+		if op != CmpEq && op != CmpNe {
+			return nil, false
+		}
+		eq := op == CmpEq
+		if col, ok := l.(*ColumnRef); ok {
+			if k, ok := r.(*Const); ok && !k.Val.Null {
+				return selBoolCol(col.Index, (k.Val.B == eq) != neg), true
+			}
+		}
+		lf, lok := c.vecBool(l)
+		rf, rok := c.vecBool(r)
+		if !lok || !rok {
+			return nil, false
+		}
+		return selPair(lf, rf, func(a, b bool) bool { return (a == b) == eq != neg }), true
+	}
+	return nil, false
+}
+
+// compileCmp compiles l op r, tested != flip: against a scalar constant, a
+// test of one operand's values, else of two. NOT is the test's outcome
+// flipped, not the complement operator: NaN fails both a < b and a >= b, so
+// NOT (a < b) keeps it.
+func compileCmp[T ordered](c *selCompiler, op CmpOp, flip bool, l, r Expr, scalar func(Expr) (T, bool),
+	compile func(Expr) (vkernel[T], bool), value func(block.Block, int) T,
+	cmpConst func(CmpOp, bool, []T, []bool, T, []int, []int) []int) (selFn, bool) {
+	if k, ok := scalar(r); ok {
+		return selOperand(c, l, compile, func(d block.Block, i int) bool { return cmpOrd(op, value(d, i), k) != flip },
+			func(vals []T, nulls []bool, rows, out []int) []int {
+				return cmpConst(op, flip, vals, nulls, k, rows, out)
+			})
+	}
+	lf, lok := compile(l)
+	rf, rok := compile(r)
+	if !lok || !rok {
+		return nil, false
+	}
+	return selPair(lf, rf, func(a, b T) bool { return cmpOrd(op, a, b) != flip }), true
+}
+
+func (c *selCompiler) compileBetween(x *Between, neg bool) (selFn, bool) {
+	flip := x.Negate != neg
+	switch types.CommonType(x.E.Type(), types.CommonType(x.Lo.Type(), x.Hi.Type())) {
+	case types.Bigint, types.Date:
+		return compileRange(c, x, flip, scalarLong, c.vecLong, block.Block.Long)
+	case types.Double:
+		return compileRange(c, x, flip, scalarDouble, c.vecDouble, block.Block.Double)
+	}
+	return nil, false
+}
+
+// between is BETWEEN's test on one value.
+func between[T num](v, lo, hi T) bool { return v >= lo && v <= hi }
+
+// compileRange compiles BETWEEN, tested != flip: between constant bounds, a
+// test of one operand's values, else of three. A NaN lies between no bounds,
+// so NOT BETWEEN keeps it, as the interpreter does.
+func compileRange[T interface {
+	num
+	block.Elem
+}](c *selCompiler, x *Between, flip bool, scalar func(Expr) (T, bool), compile func(Expr) (vkernel[T], bool), value func(block.Block, int) T) (selFn, bool) {
+	lo, lok := scalar(x.Lo)
+	hi, hok := scalar(x.Hi)
+	if lok && hok {
+		return selOperand(c, x.E, compile, func(d block.Block, k int) bool { return between(value(d, k), lo, hi) != flip },
+			func(vals []T, nulls []bool, rows, out []int) []int {
+				return selBetweenConst(flip, vals, nulls, lo, hi, rows, out)
+			})
+	}
+	vf, ok1 := compile(x.E)
+	lf, ok2 := compile(x.Lo)
+	hf, ok3 := compile(x.Hi)
+	if !ok1 || !ok2 || !ok3 {
+		return nil, false
+	}
+	return func(in *vecInput, rows, out []int) ([]int, error) {
+		v, vn, err := evalAt(in, vf, rows)
+		if err != nil {
+			return out, err
+		}
+		l, ln, err := evalAt(in, lf, rows)
+		if err != nil {
+			return out, err
+		}
+		h, hn, err := evalAt(in, hf, rows)
+		if err != nil {
+			return out, err
+		}
+		for _, r := range rows {
+			if !isNull(vn, r) && !isNull(ln, r) && !isNull(hn, r) && between(v[r], l[r], h[r]) != flip {
+				out = append(out, r)
+			}
+		}
+		return out, nil
+	}, true
+}
+
+func (c *selCompiler) compileIn(x *In, neg bool) (selFn, bool) {
+	for _, le := range x.List {
+		if _, ok := le.(*Const); !ok {
+			return nil, false
+		}
+	}
+	flip := x.Negate != neg
+	switch x.E.Type() {
+	case types.Bigint, types.Date:
+		return compileInList(c, x, flip, scalarLong, c.vecLong, block.Block.Long)
+	case types.Double:
+		return compileInList(c, x, flip, scalarDouble, c.vecDouble, block.Block.Double)
+	case types.Varchar:
+		return compileInList(c, x, flip, scalarStr, c.vecStr, block.Block.Str)
+	}
+	return nil, false
+}
+
+// compileInList compiles IN over a list of constants, tested != flip. A NULL
+// element is in no set: a value that matches no other element is NULL against
+// it, not FALSE (SQL's three-valued IN, as the interpreter's), so that
+// polarity keeps no row.
+func compileInList[T interface {
+	comparable
+	block.Elem
+}](c *selCompiler, x *In, flip bool, scalar func(Expr) (T, bool), compile func(Expr) (vkernel[T], bool), value func(block.Block, int) T) (selFn, bool) {
+	set := make(map[T]bool, len(x.List))
+	listNull := false
+	for _, le := range x.List {
+		if le.(*Const).Val.Null {
+			listNull = true
+			continue
+		}
+		v, ok := scalar(le)
+		if !ok {
+			return nil, false
+		}
+		set[v] = true
+	}
+	pass := func(v T) bool {
+		member := set[v]
+		return member != flip && (member || !listNull)
+	}
+	return selOperand(c, x.E, compile, func(d block.Block, k int) bool { return pass(value(d, k)) }, selPassing(pass))
+}
+
+// ---- column kernels ----
+
 // A selection kernel over a flat column appends by predication: it stores
-// every candidate row at the cursor and advances the cursor by the test's
-// outcome, 0 or 1, with the null test folded into the same 0/1 and NOT
-// folded in as an exclusive or (flip). The store is unconditional, which
-// selFn's contract allows: out has room for every row of rows. No row's
+// every candidate position at the cursor and advances the cursor by the test's
+// outcome, 0 or 1, with the null test folded into the same 0/1 and NOT folded
+// in as an exclusive or (flip). The store is unconditional, which selFn's
+// contract allows: out has room for every position of rows. No position's
 // outcome decides a branch, so the kernel costs the same at every pass ratio;
 // a kernel that branched on it would stall on every mispredicted row, most
 // often near half. The operator is switched once, outside the loop.
 
-// selCmpConst appends the rows r of rows where vals[r] op c is true, != flip,
-// and vals[r] is not NULL. When rows holds as many rows as vals has values,
-// it is every row (rows is ascending and duplicate-free), and a NULL-free
-// column is then read in order, with no row vector to read it through.
-func selCmpConst[V, T num](op CmpOp, flip bool, vals []V, nulls []bool, c T, rows, out []int) []int {
+// selCmpConst appends the positions r of rows where vals[r] op c is true, !=
+// flip, and vals[r] is not NULL. When rows holds as many positions as vals has
+// values, it is every position (rows is ascending and duplicate-free), and a
+// NULL-free column is then read in order, with no position vector to read it
+// through.
+func selCmpConst[T num](op CmpOp, flip bool, vals []T, nulls []bool, c T, rows, out []int) []int {
 	base, f := len(out), b2i(flip)
 	buf, k := out[base:base+len(rows)], 0
 	switch {
@@ -262,32 +633,32 @@ func selCmpConst[V, T num](op CmpOp, flip bool, vals []V, nulls []bool, c T, row
 		case CmpEq:
 			for _, r := range rows {
 				buf[k] = r
-				k += b2i(!nulls[r]) & (b2i(T(vals[r]) == c) ^ f)
+				k += b2i(!nulls[r]) & (b2i(vals[r] == c) ^ f)
 			}
 		case CmpNe:
 			for _, r := range rows {
 				buf[k] = r
-				k += b2i(!nulls[r]) & (b2i(T(vals[r]) != c) ^ f)
+				k += b2i(!nulls[r]) & (b2i(vals[r] != c) ^ f)
 			}
 		case CmpLt:
 			for _, r := range rows {
 				buf[k] = r
-				k += b2i(!nulls[r]) & (b2i(T(vals[r]) < c) ^ f)
+				k += b2i(!nulls[r]) & (b2i(vals[r] < c) ^ f)
 			}
 		case CmpLe:
 			for _, r := range rows {
 				buf[k] = r
-				k += b2i(!nulls[r]) & (b2i(T(vals[r]) <= c) ^ f)
+				k += b2i(!nulls[r]) & (b2i(vals[r] <= c) ^ f)
 			}
 		case CmpGt:
 			for _, r := range rows {
 				buf[k] = r
-				k += b2i(!nulls[r]) & (b2i(T(vals[r]) > c) ^ f)
+				k += b2i(!nulls[r]) & (b2i(vals[r] > c) ^ f)
 			}
 		default:
 			for _, r := range rows {
 				buf[k] = r
-				k += b2i(!nulls[r]) & (b2i(T(vals[r]) >= c) ^ f)
+				k += b2i(!nulls[r]) & (b2i(vals[r] >= c) ^ f)
 			}
 		}
 	case len(rows) == len(vals):
@@ -296,32 +667,32 @@ func selCmpConst[V, T num](op CmpOp, flip bool, vals []V, nulls []bool, c T, row
 		case CmpEq:
 			for r, v := range vals {
 				buf[k] = r
-				k += b2i(T(v) == c) ^ f
+				k += b2i(v == c) ^ f
 			}
 		case CmpNe:
 			for r, v := range vals {
 				buf[k] = r
-				k += b2i(T(v) != c) ^ f
+				k += b2i(v != c) ^ f
 			}
 		case CmpLt:
 			for r, v := range vals {
 				buf[k] = r
-				k += b2i(T(v) < c) ^ f
+				k += b2i(v < c) ^ f
 			}
 		case CmpLe:
 			for r, v := range vals {
 				buf[k] = r
-				k += b2i(T(v) <= c) ^ f
+				k += b2i(v <= c) ^ f
 			}
 		case CmpGt:
 			for r, v := range vals {
 				buf[k] = r
-				k += b2i(T(v) > c) ^ f
+				k += b2i(v > c) ^ f
 			}
 		default:
 			for r, v := range vals {
 				buf[k] = r
-				k += b2i(T(v) >= c) ^ f
+				k += b2i(v >= c) ^ f
 			}
 		}
 	default:
@@ -329,62 +700,60 @@ func selCmpConst[V, T num](op CmpOp, flip bool, vals []V, nulls []bool, c T, row
 		case CmpEq:
 			for _, r := range rows {
 				buf[k] = r
-				k += b2i(T(vals[r]) == c) ^ f
+				k += b2i(vals[r] == c) ^ f
 			}
 		case CmpNe:
 			for _, r := range rows {
 				buf[k] = r
-				k += b2i(T(vals[r]) != c) ^ f
+				k += b2i(vals[r] != c) ^ f
 			}
 		case CmpLt:
 			for _, r := range rows {
 				buf[k] = r
-				k += b2i(T(vals[r]) < c) ^ f
+				k += b2i(vals[r] < c) ^ f
 			}
 		case CmpLe:
 			for _, r := range rows {
 				buf[k] = r
-				k += b2i(T(vals[r]) <= c) ^ f
+				k += b2i(vals[r] <= c) ^ f
 			}
 		case CmpGt:
 			for _, r := range rows {
 				buf[k] = r
-				k += b2i(T(vals[r]) > c) ^ f
+				k += b2i(vals[r] > c) ^ f
 			}
 		default:
 			for _, r := range rows {
 				buf[k] = r
-				k += b2i(T(vals[r]) >= c) ^ f
+				k += b2i(vals[r] >= c) ^ f
 			}
 		}
 	}
 	return out[:base+k]
 }
 
-// selBetweenConst appends the rows r of rows where lo <= vals[r] <= hi is
-// true, != flip, and vals[r] is not NULL, reading a NULL-free column in
-// order when rows is every row, as selCmpConst does. A NaN lies between no
-// bounds, so NOT BETWEEN keeps it, as the interpreter does.
-func selBetweenConst[V, T num](flip bool, vals []V, nulls []bool, lo, hi T, rows, out []int) []int {
+// selBetweenConst appends the positions r of rows where lo <= vals[r] <= hi
+// is true, != flip, and vals[r] is not NULL, reading a NULL-free column in
+// order when rows is every position, as selCmpConst does.
+func selBetweenConst[T num](flip bool, vals []T, nulls []bool, lo, hi T, rows, out []int) []int {
 	base, f := len(out), b2i(flip)
 	buf, k := out[base:base+len(rows)], 0
 	switch {
 	case nulls != nil:
 		for _, r := range rows {
-			v := T(vals[r])
+			v := vals[r]
 			buf[k] = r
 			k += b2i(!nulls[r]) & ((b2i(v >= lo) & b2i(v <= hi)) ^ f)
 		}
 	case len(rows) == len(vals):
 		buf = buf[:len(vals)]
-		for r, x := range vals {
-			v := T(x)
+		for r, v := range vals {
 			buf[k] = r
 			k += (b2i(v >= lo) & b2i(v <= hi)) ^ f
 		}
 	default:
 		for _, r := range rows {
-			v := T(vals[r])
+			v := vals[r]
 			buf[k] = r
 			k += (b2i(v >= lo) & b2i(v <= hi)) ^ f
 		}
@@ -399,7 +768,26 @@ func selStrCmpConst(op CmpOp, flip bool, vals []string, nulls []bool, c string, 
 	buf, k := out[base:base+len(rows)], 0
 	for _, r := range rows {
 		buf[k] = r
-		k += b2i((nulls == nil || !nulls[r]) && cmpOrd(op, vals[r], c) != flip)
+		k += b2i(!isNull(nulls, r) && cmpOrd(op, vals[r], c) != flip)
+	}
+	return out[:base+k]
+}
+
+// selBools appends the positions r of rows where vals[r] == want and is not
+// NULL, by predication.
+func selBools(vals, nulls []bool, want bool, rows, out []int) []int {
+	base, f := len(out), b2i(!want)
+	buf, k := out[base:base+len(rows)], 0
+	if nulls == nil {
+		for _, r := range rows {
+			buf[k] = r
+			k += b2i(vals[r]) ^ f
+		}
+	} else {
+		for _, r := range rows {
+			buf[k] = r
+			k += b2i(!nulls[r]) & (b2i(vals[r]) ^ f)
+		}
 	}
 	return out[:base+k]
 }
@@ -412,67 +800,6 @@ func unwrapLazy(b block.Block) block.Block {
 	return b
 }
 
-func (c *selCompiler) compileSelCompare(x *Compare, neg bool) (selFn, bool) {
-	op := x.Op
-	var col *ColumnRef
-	var con *Const
-	if cr, ok := x.L.(*ColumnRef); ok {
-		if k, ok2 := x.R.(*Const); ok2 {
-			col, con = cr, k
-		}
-	}
-	if col == nil {
-		if k, ok := x.L.(*Const); ok {
-			if cr, ok2 := x.R.(*ColumnRef); ok2 {
-				col, con = cr, k
-				op = swapCmp(op)
-			}
-		}
-	}
-	if col == nil {
-		return nil, false
-	}
-	if con.Val.Null {
-		// Comparison with NULL is NULL for every row: empty in both polarities.
-		return selNone, true
-	}
-	// NOT is the test's outcome flipped, not the complement operator: NaN
-	// fails both a < b and a >= b, so NOT (a < b) keeps it.
-	switch types.CommonType(col.T, con.Val.T) {
-	case types.Bigint, types.Date:
-		if col.T != types.Bigint && col.T != types.Date {
-			return nil, false
-		}
-		return selLongCmp(c.memo(), col.Index, op, neg, con.Val.I), true
-	case types.Double:
-		var f float64
-		switch con.Val.T {
-		case types.Double:
-			f = con.Val.F
-		case types.Bigint, types.Date:
-			f = float64(con.Val.I)
-		default:
-			return nil, false
-		}
-		switch col.T {
-		case types.Double, types.Bigint, types.Date:
-			return selDoubleCmp(c.memo(), col.Index, op, neg, f), true
-		}
-		return nil, false
-	case types.Varchar:
-		if col.T != types.Varchar || con.Val.T != types.Varchar {
-			return nil, false
-		}
-		return selStrCmp(c.memo(), col.Index, op, neg, con.Val.S), true
-	case types.Boolean:
-		if col.T != types.Boolean || con.Val.T != types.Boolean || (op != CmpEq && op != CmpNe) {
-			return nil, false
-		}
-		return selBoolCmp(col.Index, (op == CmpEq) != neg, con.Val.B), true
-	}
-	return nil, false
-}
-
 // dictSel is the dictionary case of a selection kernel over one column:
 // entries are tested once each and the verdicts kept while pages share the
 // dictionary (paper §V-E). It is a processor's, in the memo slot of the kernel
@@ -482,13 +809,14 @@ type dictSel struct {
 	verdict []bool
 }
 
-// selDict appends the rows of rows whose dictionary entry passes test, which
-// gives the verdict on a non-null entry; s is the calling kernel's memo. It
-// declines (false) when b is not a dictionary block, and when its dictionary
-// is new and has more entries than there are rows to select from: testing
-// those rows then costs less than testing the entries (the paper's guard), and
-// the kernel's row-level case does.
-func selDict(s *dictSel, b block.Block, rows, out []int, test func(d block.Block, k int) bool) ([]int, bool) {
+// selDict appends the positions of rows whose dictionary entry passes test,
+// which gives the verdict on a non-null entry; s is the calling kernel's memo
+// and sel maps positions to b's rows. It declines (false) when b is not a
+// dictionary block, and when its dictionary is new and has more entries than
+// there are positions to select from: testing those positions then costs less
+// than testing the entries (the paper's guard), and the kernel's row-level
+// case does.
+func selDict(s *dictSel, b block.Block, sel, rows, out []int, test func(d block.Block, k int) bool) ([]int, bool) {
 	col, ok := b.(*block.DictionaryBlock)
 	if !ok {
 		return out, false
@@ -503,23 +831,30 @@ func selDict(s *dictSel, b block.Block, rows, out []int, test func(d block.Block
 		}
 		s.dict = d
 	}
-	return selVerdicts(s.verdict, col.Indices, rows, out), true
+	return selVerdicts(s.verdict, col.Indices, sel, rows, out), true
 }
 
-// selVerdicts appends the rows r of rows whose dictionary entry indices[r]
-// has a true verdict, by predication.
-func selVerdicts(verdict []bool, indices []int32, rows, out []int) []int {
+// selVerdicts appends the positions r of rows whose dictionary entry (indices
+// of the row sel maps r to) has a true verdict, by predication.
+func selVerdicts(verdict []bool, indices []int32, sel, rows, out []int) []int {
 	base := len(out)
 	buf, k := out[base:base+len(rows)], 0
-	for _, r := range rows {
-		buf[k] = r
-		k += b2i(verdict[indices[r]])
+	if sel == nil {
+		for _, r := range rows {
+			buf[k] = r
+			k += b2i(verdict[indices[r]])
+		}
+	} else {
+		for _, r := range rows {
+			buf[k] = r
+			k += b2i(verdict[indices[sel[r]]])
+		}
 	}
 	return out[:base+k]
 }
 
 // selRun decides a page whose column is one run (RLE) by its value: every
-// row or none.
+// position or none.
 func selRun(pass bool, rows, out []int) []int {
 	if pass {
 		return append(out, rows...)
@@ -527,379 +862,47 @@ func selRun(pass bool, rows, out []int) []int {
 	return out
 }
 
-func selLongCmp(memo, idx int, op CmpOp, flip bool, c int64) selFn {
-	return func(in *vecInput, rows, out []int) []int {
-		b := unwrapLazy(in.p.Col(idx))
-		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return cmpOrd(op, d.Long(k), c) != flip }); ok {
-			return res
-		}
-		switch col := b.(type) {
-		case *block.LongBlock:
-			return selCmpConst(op, flip, col.Vals, col.Nulls, c, rows, out)
-		case *block.RLEBlock:
-			return selRun(!col.Val.IsNull(0) && cmpOrd(op, col.Val.Long(0), c) != flip, rows, out)
-		default:
-			for _, r := range rows {
-				if !b.IsNull(r) && cmpOrd(op, b.Long(r), c) != flip {
-					out = append(out, r)
-				}
-			}
-			return out
-		}
+// rowAt is the row of a block that sel maps position i to.
+func rowAt(sel []int, i int) int {
+	if sel != nil {
+		return sel[i]
 	}
+	return i
 }
 
-func selDoubleCmp(memo, idx int, op CmpOp, flip bool, c float64) selFn {
-	return func(in *vecInput, rows, out []int) []int {
-		b := unwrapLazy(in.p.Col(idx))
-		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return cmpOrd(op, d.Double(k), c) != flip }); ok {
-			return res
-		}
-		switch col := b.(type) {
-		case *block.DoubleBlock:
-			return selCmpConst(op, flip, col.Vals, col.Nulls, c, rows, out)
-		case *block.LongBlock:
-			// Bigint/Date column widened to double by the comparison.
-			return selCmpConst(op, flip, col.Vals, col.Nulls, c, rows, out)
-		case *block.RLEBlock:
-			return selRun(!col.Val.IsNull(0) && cmpOrd(op, col.Val.Double(0), c) != flip, rows, out)
-		default:
-			for _, r := range rows {
-				if !b.IsNull(r) && cmpOrd(op, b.Double(r), c) != flip {
-					out = append(out, r)
-				}
-			}
-			return out
-		}
-	}
-}
-
-func selStrCmp(memo, idx int, op CmpOp, flip bool, c string) selFn {
-	return func(in *vecInput, rows, out []int) []int {
-		b := unwrapLazy(in.p.Col(idx))
-		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return cmpOrd(op, d.Str(k), c) != flip }); ok {
-			return res
-		}
-		switch col := b.(type) {
-		case *block.VarcharBlock:
-			return selStrCmpConst(op, flip, col.Vals, col.Nulls, c, rows, out)
-		case *block.RLEBlock:
-			return selRun(!col.Val.IsNull(0) && cmpOrd(op, col.Val.Str(0), c) != flip, rows, out)
-		default:
-			for _, r := range rows {
-				if !b.IsNull(r) && cmpOrd(op, b.Str(r), c) != flip {
-					out = append(out, r)
-				}
-			}
-			return out
-		}
-	}
-}
-
-// selBoolCmp selects rows where (val == c) when eq, else (val != c).
-func selBoolCmp(idx int, eq, c bool) selFn {
-	// val == c  ⇔ val == c; val != c ⇔ val == !c — both are an equality test.
-	want := c
-	if !eq {
-		want = !c
-	}
-	return func(in *vecInput, rows, out []int) []int {
-		b := unwrapLazy(in.p.Col(idx))
+// selBoolCol selects the positions where a boolean column is want.
+func selBoolCol(idx int, want bool) selFn {
+	return func(in *vecInput, rows, out []int) ([]int, error) {
+		b, sel := in.colBlock(idx)
 		switch col := b.(type) {
 		case *block.BoolBlock:
-			return selBoolEq(col.Vals, col.Nulls, want, rows, out)
-		case *block.RLEBlock:
-			return selRun(!col.Val.IsNull(0) && col.Val.Bool(0) == want, rows, out)
-		default:
-			for _, r := range rows {
-				if !b.IsNull(r) && b.Bool(r) == want {
-					out = append(out, r)
-				}
+			if sel == nil {
+				return selBools(col.Vals, col.Nulls, want, rows, out), nil
 			}
-			return out
-		}
-	}
-}
-
-// selBoolEq appends the rows r of rows where vals[r] == want and is not
-// NULL, by predication.
-func selBoolEq(vals, nulls []bool, want bool, rows, out []int) []int {
-	base := len(out)
-	buf, k := out[base:base+len(rows)], 0
-	if nulls == nil {
-		for _, r := range rows {
-			buf[k] = r
-			k += b2i(vals[r] == want)
-		}
-	} else {
-		for _, r := range rows {
-			buf[k] = r
-			k += b2i(!nulls[r]) & b2i(vals[r] == want)
-		}
-	}
-	return out[:base+k]
-}
-
-// selBoolCol selects rows where a boolean column is definitely true
-// (neg=false) or definitely false (neg=true).
-func selBoolCol(idx int, neg bool) selFn {
-	return selBoolCmp(idx, true, !neg)
-}
-
-// selIsNull selects rows where IsNull(col) != flip.
-func selIsNull(idx int, flip bool) selFn {
-	return func(in *vecInput, rows, out []int) []int {
-		b := unwrapLazy(in.p.Col(idx))
-		if col, ok := b.(*block.RLEBlock); ok {
-			return selRun(col.Val.IsNull(0) != flip, rows, out)
+		case *block.RLEBlock:
+			return selRun(!col.Val.IsNull(0) && col.Val.Bool(0) == want, rows, out), nil
 		}
 		for _, r := range rows {
-			if b.IsNull(r) != flip {
+			if br := rowAt(sel, r); !b.IsNull(br) && b.Bool(br) == want {
 				out = append(out, r)
 			}
 		}
-		return out
+		return out, nil
 	}
 }
 
-func (c *selCompiler) compileSelBetween(x *Between, neg bool) (selFn, bool) {
-	col, ok := x.E.(*ColumnRef)
-	if !ok {
-		return nil, false
-	}
-	lo, ok1 := x.Lo.(*Const)
-	hi, ok2 := x.Hi.(*Const)
-	if !ok1 || !ok2 {
-		return nil, false
-	}
-	if lo.Val.Null || hi.Val.Null {
-		// NULL bound makes every non-degenerate row NULL. Rows where the
-		// tested value is NULL are NULL too, so both polarities are empty.
-		return selNone, true
-	}
-	flip := x.Negate != neg
-	longT := func(t types.Type) bool { return t == types.Bigint || t == types.Date }
-	switch types.CommonType(col.T, types.CommonType(lo.Val.T, hi.Val.T)) {
-	case types.Bigint, types.Date:
-		if !longT(col.T) || !longT(lo.Val.T) || !longT(hi.Val.T) {
-			return nil, false
+// selIsNull selects the positions where IsNull(col) != flip.
+func selIsNull(idx int, flip bool) selFn {
+	return func(in *vecInput, rows, out []int) ([]int, error) {
+		b, sel := in.colBlock(idx)
+		if col, ok := b.(*block.RLEBlock); ok {
+			return selRun(col.Val.IsNull(0) != flip, rows, out), nil
 		}
-		return selBetweenLong(c.memo(), col.Index, lo.Val.I, hi.Val.I, flip), true
-	case types.Double:
-		toF := func(v types.Value) (float64, bool) {
-			switch v.T {
-			case types.Double:
-				return v.F, true
-			case types.Bigint, types.Date:
-				return float64(v.I), true
-			}
-			return 0, false
-		}
-		lf, lok := toF(lo.Val)
-		hf, hok := toF(hi.Val)
-		if !lok || !hok || (col.T != types.Double && !longT(col.T)) {
-			return nil, false
-		}
-		return selBetweenDouble(c.memo(), col.Index, lf, hf, flip), true
-	}
-	return nil, false
-}
-
-// between is BETWEEN's test on one value.
-func between[T num](v, lo, hi T) bool { return v >= lo && v <= hi }
-
-func selBetweenLong(memo, idx int, lo, hi int64, flip bool) selFn {
-	return func(in *vecInput, rows, out []int) []int {
-		b := unwrapLazy(in.p.Col(idx))
-		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return between(d.Long(k), lo, hi) != flip }); ok {
-			return res
-		}
-		switch col := b.(type) {
-		case *block.LongBlock:
-			return selBetweenConst(flip, col.Vals, col.Nulls, lo, hi, rows, out)
-		case *block.RLEBlock:
-			return selRun(!col.Val.IsNull(0) && between(col.Val.Long(0), lo, hi) != flip, rows, out)
-		default:
-			for _, r := range rows {
-				if !b.IsNull(r) && between(b.Long(r), lo, hi) != flip {
-					out = append(out, r)
-				}
-			}
-			return out
-		}
-	}
-}
-
-func selBetweenDouble(memo, idx int, lo, hi float64, flip bool) selFn {
-	return func(in *vecInput, rows, out []int) []int {
-		b := unwrapLazy(in.p.Col(idx))
-		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return between(d.Double(k), lo, hi) != flip }); ok {
-			return res
-		}
-		switch col := b.(type) {
-		case *block.DoubleBlock:
-			return selBetweenConst(flip, col.Vals, col.Nulls, lo, hi, rows, out)
-		case *block.LongBlock:
-			return selBetweenConst(flip, col.Vals, col.Nulls, lo, hi, rows, out)
-		case *block.RLEBlock:
-			return selRun(!col.Val.IsNull(0) && between(col.Val.Double(0), lo, hi) != flip, rows, out)
-		default:
-			for _, r := range rows {
-				if !b.IsNull(r) && between(b.Double(r), lo, hi) != flip {
-					out = append(out, r)
-				}
-			}
-			return out
-		}
-	}
-}
-
-func (c *selCompiler) compileSelIn(x *In, neg bool) (selFn, bool) {
-	col, ok := x.E.(*ColumnRef)
-	if !ok {
-		return nil, false
-	}
-	for _, le := range x.List {
-		if _, ok := le.(*Const); !ok {
-			return nil, false
-		}
-	}
-	flip := x.Negate != neg
-	listNull := false
-	for _, le := range x.List {
-		listNull = listNull || le.(*Const).Val.Null
-	}
-	if listNull && flip {
-		// A value that matches no other element is NULL against a NULL one:
-		// IN is never definitely false, and this polarity keeps no row (SQL's
-		// three-valued IN, as the interpreter's). The other polarity keeps
-		// the members of the rest of the list.
-		return selNone, true
-	}
-	switch col.T {
-	case types.Bigint, types.Date:
-		set := make(map[int64]bool, len(x.List))
-		for _, le := range x.List {
-			if k := le.(*Const); !k.Val.Null {
-				set[k.Val.I] = true
+		for _, r := range rows {
+			if b.IsNull(rowAt(sel, r)) != flip {
+				out = append(out, r)
 			}
 		}
-		return selInLong(c.memo(), col.Index, set, flip), true
-	case types.Varchar:
-		set := make(map[string]bool, len(x.List))
-		for _, le := range x.List {
-			if k := le.(*Const); !k.Val.Null {
-				set[k.Val.S] = true
-			}
-		}
-		return selInStr(c.memo(), col.Index, set, flip), true
-	}
-	return nil, false
-}
-
-func selInLong(memo, idx int, set map[int64]bool, flip bool) selFn {
-	return func(in *vecInput, rows, out []int) []int {
-		b := unwrapLazy(in.p.Col(idx))
-		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return set[d.Long(k)] != flip }); ok {
-			return res
-		}
-		switch col := b.(type) {
-		case *block.LongBlock:
-			nulls := col.Nulls
-			for _, r := range rows {
-				if nulls != nil && nulls[r] {
-					continue
-				}
-				if set[col.Vals[r]] != flip {
-					out = append(out, r)
-				}
-			}
-			return out
-		case *block.RLEBlock:
-			return selRun(!col.Val.IsNull(0) && set[col.Val.Long(0)] != flip, rows, out)
-		default:
-			for _, r := range rows {
-				if !b.IsNull(r) && set[b.Long(r)] != flip {
-					out = append(out, r)
-				}
-			}
-			return out
-		}
-	}
-}
-
-func selInStr(memo, idx int, set map[string]bool, flip bool) selFn {
-	return func(in *vecInput, rows, out []int) []int {
-		b := unwrapLazy(in.p.Col(idx))
-		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return set[d.Str(k)] != flip }); ok {
-			return res
-		}
-		switch col := b.(type) {
-		case *block.VarcharBlock:
-			nulls := col.Nulls
-			for _, r := range rows {
-				if nulls != nil && nulls[r] {
-					continue
-				}
-				if set[col.Vals[r]] != flip {
-					out = append(out, r)
-				}
-			}
-			return out
-		case *block.RLEBlock:
-			return selRun(!col.Val.IsNull(0) && set[col.Val.Str(0)] != flip, rows, out)
-		default:
-			for _, r := range rows {
-				if !b.IsNull(r) && set[b.Str(r)] != flip {
-					out = append(out, r)
-				}
-			}
-			return out
-		}
-	}
-}
-
-func (c *selCompiler) compileSelLike(x *Like, neg bool) (selFn, bool) {
-	pat, ok := x.Pattern.(*Const)
-	if !ok || pat.Val.Null {
-		return nil, false
-	}
-	col, ok := x.E.(*ColumnRef)
-	if !ok || col.T != types.Varchar {
-		return nil, false
-	}
-	return selLike(c.memo(), col.Index, pat.Val.S, x.Negate != neg), true
-}
-
-func selLike(memo, idx int, pattern string, flip bool) selFn {
-	// The big win: the (potentially expensive) match runs once per distinct
-	// entry instead of once per row.
-	return func(in *vecInput, rows, out []int) []int {
-		b := unwrapLazy(in.p.Col(idx))
-		if res, ok := selDict(&in.memo[memo], b, rows, out, func(d block.Block, k int) bool { return likeMatch(d.Str(k), pattern) != flip }); ok {
-			return res
-		}
-		switch col := b.(type) {
-		case *block.VarcharBlock:
-			nulls := col.Nulls
-			for _, r := range rows {
-				if nulls != nil && nulls[r] {
-					continue
-				}
-				if likeMatch(col.Vals[r], pattern) != flip {
-					out = append(out, r)
-				}
-			}
-			return out
-		case *block.RLEBlock:
-			return selRun(!col.Val.IsNull(0) && likeMatch(col.Val.Str(0), pattern) != flip, rows, out)
-		default:
-			for _, r := range rows {
-				if !b.IsNull(r) && likeMatch(b.Str(r), pattern) != flip {
-					out = append(out, r)
-				}
-			}
-			return out
-		}
+		return out, nil
 	}
 }

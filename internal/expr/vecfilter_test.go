@@ -211,9 +211,9 @@ func TestVectorizedFilterDifferential(t *testing.T) {
 	}
 }
 
-// TestSelKernelsCompiled pins down which predicate shapes actually get a
-// specialized selection kernel, so fallback regressions are caught rather
-// than silently eating the speedup.
+// TestSelKernelsCompiled pins down which predicate shapes read their column
+// in place, so fallback regressions are caught rather than silently eating
+// the speedup.
 func TestSelKernelsCompiled(t *testing.T) {
 	kernelized := []Expr{
 		&Compare{Op: CmpLt, L: colRef(0, types.Bigint), R: longConst(3)},
@@ -221,26 +221,89 @@ func TestSelKernelsCompiled(t *testing.T) {
 		&Between{E: colRef(0, types.Bigint), Lo: longConst(0), Hi: longConst(9)},
 		&In{E: colRef(5, types.Varchar), List: []Expr{strConst("a")}},
 		&Like{E: colRef(5, types.Varchar), Pattern: strConst("a%")},
-		&IsNull{E: colRef(0, types.Bigint)},
-		colRef(3, types.Boolean),
 	}
 	for _, e := range kernelized {
-		if _, ok := new(selCompiler).compileSelKernel(e, false); !ok {
+		var c selCompiler
+		if _, ok := c.compileLeaf(e, false); !ok || c.memos != 1 {
+			t.Errorf("expected a column kernel for %s", e)
+		}
+	}
+	for _, e := range []Expr{&IsNull{E: colRef(0, types.Bigint)}, colRef(3, types.Boolean)} {
+		if _, ok := new(selCompiler).compileLeaf(e, false); !ok {
 			t.Errorf("expected selection kernel for %s", e)
 		}
 	}
-	// Shapes without a selection kernel must land on the vectorized boolean
-	// kernel, not the interpreter.
-	booleanKernel := []Expr{
-		&Compare{Op: CmpEq, L: colRef(0, types.Bigint), R: colRef(1, types.Double)},
-		&Compare{Op: CmpGt, L: &Arith{Op: OpAdd, L: colRef(0, types.Bigint), R: longConst(1), T: types.Bigint}, R: longConst(2)},
+}
+
+// TestPredicateKernelCoverage pins which predicate shapes run on kernels, in
+// each position a predicate takes: in a WHERE clause with no leaf on the
+// interpreter (the compiler puts a leaf there exactly where, outside a WHERE
+// clause, it fails to compile it), as a boolean SELECT column and as a CASE
+// WHEN condition under a filter, neither projection falling back on the
+// interpreter. A shape with a function call, double modulo, IS NULL over an
+// expression or a varchar BETWEEN has no kernel anywhere.
+func TestPredicateKernelCoverage(t *testing.T) {
+	c0, c1, c2, c3, c5 := colRef(0, types.Bigint), colRef(1, types.Double), colRef(2, types.Varchar), colRef(3, types.Boolean), colRef(5, types.Varchar)
+	date := colRef(7, types.Date)
+	plusOne := &Arith{Op: OpAdd, L: c0, R: longConst(1), T: types.Bigint}
+	null := func(t types.Type) Expr { return NewConst(types.NullValue(t)) }
+	gt := func(l, r Expr) Expr { return &Compare{Op: CmpGt, L: l, R: r} }
+	kernels := []Expr{
+		gt(c0, longConst(3)),
+		gt(longConst(3), c0),
+		gt(c1, dblConst(1.5)),
+		gt(c0, dblConst(2.5)),
+		gt(date, NewConst(types.DateValue(9))),
+		gt(c5, strConst("b")),
+		&Compare{Op: CmpEq, L: c2, R: strConst("ab")},
+		&Compare{Op: CmpNe, L: c3, R: NewConst(types.BooleanValue(true))},
+		gt(c0, c1),
+		gt(plusOne, longConst(2)),
+		gt(&Arith{Op: OpMul, L: c1, R: dblConst(2), T: types.Double}, dblConst(3)),
+		&Compare{Op: CmpEq, L: gt(c0, longConst(1)), R: c3},
+		&Between{E: c0, Lo: longConst(-3), Hi: longConst(4)},
+		&Between{E: c1, Lo: dblConst(-1), Hi: dblConst(2.5), Negate: true},
+		&Between{E: c0, Lo: c1, Hi: plusOne},
+		&In{E: c0, List: []Expr{longConst(1), null(types.Bigint)}},
+		&In{E: c2, List: []Expr{strConst("aa"), strConst("zz")}, Negate: true},
+		&In{E: plusOne, List: []Expr{longConst(2)}},
+		&In{E: &Cast{E: c0, T: types.Double}, List: []Expr{dblConst(2.5), null(types.Double)}},
+		&Like{E: c5, Pattern: strConst("ap%")},
+		&Like{E: &Arith{Op: OpConcat, L: c5, R: strConst("x"), T: types.Varchar}, Pattern: strConst("%x")},
+		&IsNull{E: c0},
+		&IsNull{E: c2, Negate: true},
+		c3,
+		&Not{E: c3},
+		&Case{T: types.Boolean, Whens: []CaseWhen{{Cond: c3, Then: gt(c0, longConst(1))}}, Else: NewConst(types.BooleanValue(false))},
+		&And{L: gt(c0, longConst(-2)), R: &Or{L: c3, R: &Not{E: &Like{E: c2, Pattern: strConst("z%")}}}},
+		&Not{E: &Or{L: gt(c0, c1), R: &And{L: &IsNull{E: c5}, R: gt(plusOne, longConst(2))}}},
 	}
-	for _, e := range booleanKernel {
-		if _, ok := new(selCompiler).compileSelKernel(e, false); ok {
-			t.Errorf("unexpected selection kernel for %s", e)
+	interpreted := []Expr{
+		gt(lengthOf(c5), longConst(5)),
+		&And{L: gt(c0, longConst(0)), R: gt(lengthOf(c5), longConst(5))},
+		&Compare{Op: CmpEq, L: &Arith{Op: OpMod, L: c1, R: dblConst(2), T: types.Double}, R: dblConst(1)},
+		&IsNull{E: plusOne},
+		&Between{E: c5, Lo: strConst("a"), Hi: strConst("b")},
+	}
+	under := gt(c0, longConst(0))
+	for _, want := range []bool{true, false} {
+		shapes := kernels
+		if !want {
+			shapes = interpreted
 		}
-		if _, ok := vecBool(e); !ok {
-			t.Errorf("expected vectorized boolean kernel for %s", e)
+		for _, e := range shapes {
+			_, whereTrue := new(selCompiler).compileSel(e, false, false)
+			_, whereFalse := new(selCompiler).compileSel(e, true, false)
+			when := &Case{T: types.Bigint, Whens: []CaseWhen{{Cond: e, Then: longConst(1)}}, Else: longConst(0)}
+			for pos, got := range map[string]bool{
+				"WHERE":     whereTrue && whereFalse,
+				"SELECT":    NewPageProcessor(nil, []Expr{e, colRef(6, types.Bigint)}).projVec[0] != nil,
+				"CASE WHEN": NewPageProcessor(under, []Expr{when, colRef(6, types.Bigint)}).projVec[0] != nil,
+			} {
+				if got != want {
+					t.Errorf("%s in %s: on kernels %v, want %v", e, pos, got, want)
+				}
+			}
 		}
 	}
 }
@@ -294,9 +357,10 @@ func TestRLEFastPathOnlyChecksFilterColumns(t *testing.T) {
 }
 
 // TestRLEFastPathWithoutSelectionKernel: an all-RLE filter page decides the
-// whole page from row 0 whichever evaluator the predicate runs on — the
-// boolean kernel (col-vs-col), the interpreter (function call), or the
-// interpreted processor — including a run whose evaluation fails.
+// whole page from row 0 whichever evaluator the predicate runs on — value
+// kernels compared at the positions (col-vs-col), the interpreter (function
+// call), or the interpreted processor — including a run whose evaluation
+// fails.
 func TestRLEFastPathWithoutSelectionKernel(t *testing.T) {
 	n := 64
 	ids := make([]int64, n)
@@ -338,9 +402,9 @@ func TestRLEFastPathWithoutSelectionKernel(t *testing.T) {
 }
 
 // TestVectorizedFilterNaN pins IEEE semantics for NaN: it compares unequal
-// to everything and is ordered against nothing, in the specialized selection
-// kernel, in the boolean kernel and in the interpreter alike, and it lies
-// between no bounds.
+// to everything and is ordered against nothing, in the selection kernel
+// against a constant, in the one comparing two columns' values and in the
+// interpreter alike, and it lies between no bounds.
 func TestVectorizedFilterNaN(t *testing.T) {
 	vals := []float64{1.0, math.NaN(), -2.0}
 	ids := []int64{0, 1, 2}
@@ -361,7 +425,7 @@ func TestVectorizedFilterNaN(t *testing.T) {
 	for op := CmpEq; op <= CmpGe; op++ {
 		check(fmt.Sprintf("op %s against a constant (selection kernel)", op),
 			&Compare{Op: op, L: colRef(0, types.Double), R: dblConst(1.0)}, want[op])
-		check(fmt.Sprintf("op %s against a column (boolean kernel)", op),
+		check(fmt.Sprintf("op %s against a column (two columns' values)", op),
 			&Compare{Op: op, L: colRef(0, types.Double), R: colRef(1, types.Double)}, want[op])
 	}
 	check("BETWEEN", &Between{E: colRef(0, types.Double), Lo: dblConst(-5), Hi: dblConst(5)}, "[0 2]")

@@ -1,7 +1,6 @@
 package expr
 
 import (
-	"cmp"
 	"errors"
 
 	"repro/internal/block"
@@ -13,10 +12,12 @@ import (
 // columnar kernels, each of which runs one tight loop-per-operator over
 // typed value vectors. Selection fusion: the kernels gather directly from
 // the source page through the filter's selection vector, so projections
-// never materialize an intermediate FilterPositions page. Conditional
-// operators (CASE, AND, OR) partition the position list instead of
-// branching per row, which preserves lazy-evaluation semantics (a division
-// in a THEN branch only ever sees the rows whose WHEN matched).
+// never materialize an intermediate FilterPositions page. A predicate —
+// a CASE WHEN condition, a boolean-valued projection — is compiled by the
+// predicate compiler (vecfilter.go) into selections of positions, and CASE
+// narrows the position list through them instead of branching per row,
+// which preserves lazy-evaluation semantics (a division in a THEN branch
+// only ever sees the rows whose WHEN matched).
 //
 // The interpreter (interp.go) remains the fallback for expressions the
 // kernels do not cover, and the ablation baseline.
@@ -288,19 +289,6 @@ func vecStrCol(colIdx int) strKernel {
 			}
 		}
 		return gatherBlock(b, b.Str, sel, idx, in.n, out, nulls), nil
-	}
-}
-
-func vecBoolCol(colIdx int) boolKernel {
-	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
-		b, sel := in.colBlock(colIdx)
-		switch src := b.(type) {
-		case *block.BoolBlock:
-			return gatherVals(src.Vals, src.Nulls, sel, idx, in.n, out, nulls), nil
-		case *block.RLEBlock:
-			return fillConst(src.Val.Bool(0), src.Val.IsNull(0), idx, in.n, out, nulls), nil
-		}
-		return gatherBlock(b, b.Bool, sel, idx, in.n, out, nulls), nil
 	}
 }
 
@@ -593,269 +581,13 @@ func vecConcat(l, r strKernel) strKernel {
 	}
 }
 
-// ---- comparisons, BETWEEN, IN, LIKE ----
-
-func vecCompareOrd[T interface {
-	cmp.Ordered
-	block.Elem
-}](op CmpOp, l, r vkernel[T]) boolKernel {
-	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
-		n := in.n
-		lv, ln := block.Lease[T](in.scratch, n), block.Lease[bool](in.scratch, n)
-		rv, rn := block.Lease[T](in.scratch, n), block.Lease[bool](in.scratch, n)
-		lHas, err := l(in, idx, lv, ln)
-		if err != nil {
-			return false, err
-		}
-		rHas, err := r(in, idx, rv, rn)
-		if err != nil {
-			return false, err
-		}
-		if idx == nil && !lHas && !rHas {
-			clearBools(nulls[:n])
-			a, b, o := lv[:n], rv[:n], out[:n]
-			switch op {
-			case CmpEq:
-				for i := range o {
-					o[i] = a[i] == b[i]
-				}
-			case CmpNe:
-				for i := range o {
-					o[i] = a[i] != b[i]
-				}
-			case CmpLt:
-				for i := range o {
-					o[i] = a[i] < b[i]
-				}
-			case CmpLe:
-				for i := range o {
-					o[i] = a[i] <= b[i]
-				}
-			case CmpGt:
-				for i := range o {
-					o[i] = a[i] > b[i]
-				}
-			default:
-				for i := range o {
-					o[i] = a[i] >= b[i]
-				}
-			}
-			return false, nil
-		}
-		has := false
-		step := func(i int) {
-			if ln[i] || rn[i] {
-				out[i], nulls[i] = false, true
-				has = true
-			} else {
-				out[i], nulls[i] = cmpOrd(op, lv[i], rv[i]), false
-			}
-		}
-		if idx == nil {
-			for i := 0; i < n; i++ {
-				step(i)
-			}
-		} else {
-			for _, i := range idx {
-				step(i)
-			}
-		}
-		return has, nil
-	}
-}
-
-// vecCompareBool covers boolean = and <>.
-func vecCompareBool(op CmpOp, l, r boolKernel) (boolKernel, bool) {
-	if op != CmpEq && op != CmpNe {
-		return nil, false
-	}
-	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
-		n := in.n
-		lv, ln := block.Lease[bool](in.scratch, n), block.Lease[bool](in.scratch, n)
-		rv, rn := block.Lease[bool](in.scratch, n), block.Lease[bool](in.scratch, n)
-		if _, err := l(in, idx, lv, ln); err != nil {
-			return false, err
-		}
-		if _, err := r(in, idx, rv, rn); err != nil {
-			return false, err
-		}
-		has := false
-		step := func(i int) {
-			if ln[i] || rn[i] {
-				out[i], nulls[i] = false, true
-				has = true
-			} else {
-				out[i], nulls[i] = (lv[i] == rv[i]) == (op == CmpEq), false
-			}
-		}
-		if idx == nil {
-			for i := 0; i < n; i++ {
-				step(i)
-			}
-		} else {
-			for _, i := range idx {
-				step(i)
-			}
-		}
-		return has, nil
-	}, true
-}
-
-func vecBetweenOrd[T interface {
-	cmp.Ordered
-	block.Elem
-}](v, lo, hi vkernel[T], neg bool) boolKernel {
-	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
-		n := in.n
-		vv, vn := block.Lease[T](in.scratch, n), block.Lease[bool](in.scratch, n)
-		lv, ln := block.Lease[T](in.scratch, n), block.Lease[bool](in.scratch, n)
-		hv, hn := block.Lease[T](in.scratch, n), block.Lease[bool](in.scratch, n)
-		vHas, err := v(in, idx, vv, vn)
-		if err != nil {
-			return false, err
-		}
-		lHas, err := lo(in, idx, lv, ln)
-		if err != nil {
-			return false, err
-		}
-		hHas, err := hi(in, idx, hv, hn)
-		if err != nil {
-			return false, err
-		}
-		if idx == nil && !vHas && !lHas && !hHas {
-			clearBools(nulls[:n])
-			a, b, c, o := vv[:n], lv[:n], hv[:n], out[:n]
-			for i := range o {
-				o[i] = (a[i] >= b[i] && a[i] <= c[i]) != neg
-			}
-			return false, nil
-		}
-		has := false
-		step := func(i int) {
-			if vn[i] || ln[i] || hn[i] {
-				out[i], nulls[i] = false, true
-				has = true
-			} else {
-				out[i], nulls[i] = (vv[i] >= lv[i] && vv[i] <= hv[i]) != neg, false
-			}
-		}
-		if idx == nil {
-			for i := 0; i < n; i++ {
-				step(i)
-			}
-		} else {
-			for _, i := range idx {
-				step(i)
-			}
-		}
-		return has, nil
-	}
-}
-
-// vecInSet tests membership in the list's non-NULL values. listNull: the list
-// holds a NULL, so a value that matches none of the others is NULL, not a
-// definite non-member (SQL's three-valued IN, as the interpreter's).
-func vecInSet[T interface {
-	comparable
-	block.Elem
-}](f vkernel[T], set map[T]bool, listNull, neg bool) boolKernel {
-	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
-		n := in.n
-		vv, vn := block.Lease[T](in.scratch, n), block.Lease[bool](in.scratch, n)
-		vHas, err := f(in, idx, vv, vn)
-		if err != nil {
-			return false, err
-		}
-		if idx == nil && !vHas && !listNull {
-			clearBools(nulls[:n])
-			a, o := vv[:n], out[:n]
-			for i := range o {
-				o[i] = set[a[i]] != neg
-			}
-			return false, nil
-		}
-		has := false
-		step := func(i int) {
-			switch {
-			case vn[i], !set[vv[i]] && listNull:
-				out[i], nulls[i] = false, true
-				has = true
-			default:
-				out[i], nulls[i] = set[vv[i]] != neg, false
-			}
-		}
-		if idx == nil {
-			for i := 0; i < n; i++ {
-				step(i)
-			}
-		} else {
-			for _, i := range idx {
-				step(i)
-			}
-		}
-		return has, nil
-	}
-}
-
-func vecLike(f strKernel, pattern string, neg bool) boolKernel {
-	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
-		n := in.n
-		vv, vn := block.Lease[string](in.scratch, n), block.Lease[bool](in.scratch, n)
-		if _, err := f(in, idx, vv, vn); err != nil {
-			return false, err
-		}
-		has := false
-		step := func(i int) {
-			if vn[i] {
-				out[i], nulls[i] = false, true
-				has = true
-			} else {
-				out[i], nulls[i] = likeMatch(vv[i], pattern) != neg, false
-			}
-		}
-		if idx == nil {
-			for i := 0; i < n; i++ {
-				step(i)
-			}
-		} else {
-			for _, i := range idx {
-				step(i)
-			}
-		}
-		return has, nil
-	}
-}
-
-func vecIsNullCol(colIdx int, neg bool) boolKernel {
-	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
-		b, sel := in.colBlock(colIdx)
-		step := func(i int) {
-			r := i
-			if sel != nil {
-				r = sel[i]
-			}
-			out[i], nulls[i] = b.IsNull(r) != neg, false
-		}
-		if idx == nil {
-			for i := 0; i < in.n; i++ {
-				step(i)
-			}
-		} else {
-			for _, i := range idx {
-				step(i)
-			}
-		}
-		return false, nil
-	}
-}
-
 // ---- scalar constants ----
 
-// A non-null constant operand of an arithmetic, comparison or BETWEEN kernel
-// stays a scalar in the kernel's loop: the other operand is evaluated, and
-// the constant is read from a register, never written to a vector for every
-// row and read back. A NULL constant takes the vector path, which makes every
-// row NULL.
+// A non-null constant operand of an arithmetic kernel, or of a comparison or
+// BETWEEN selection kernel (vecfilter.go), stays a scalar in the kernel's
+// loop: the other operand is evaluated, and the constant is read from a
+// register, never written to a vector for every row and read back. A NULL
+// constant takes the vector path, which makes every row NULL.
 
 // scalarLong reports e as a non-null bigint or date constant.
 func scalarLong(e Expr) (int64, bool) {
@@ -889,21 +621,6 @@ func scalarStr(e Expr) (string, bool) {
 		return "", false
 	}
 	return c.Val.S, true
-}
-
-// scalarOperand splits a binary operator's operands into a kernel-compiled
-// one and a scalar constant, the constant on the right when it is
-// (left=false), else on the left.
-func scalarOperand[T any](l, r Expr, scalar func(Expr) (T, bool), compile func(Expr) (vkernel[T], bool)) (f vkernel[T], c T, left, ok bool) {
-	if c, ok := scalar(r); ok {
-		f, ok := compile(l)
-		return f, c, false, ok
-	}
-	if c, ok := scalar(l); ok {
-		f, ok := compile(r)
-		return f, c, true, ok
-	}
-	return nil, c, false, false
 }
 
 // zeroNulls zeroes out[i] wherever nulls[i] is set, over the computed
@@ -1039,319 +756,48 @@ func scalarArith[T int64 | float64](x *Arith, scalar func(Expr) (T, bool), compi
 	default:
 		return nil, false
 	}
-	f, c, left, ok := scalarOperand(x.L, x.R, scalar, compile)
-	if !ok || (left && x.Op == OpDiv) {
-		return nil, false
+	if c, ok := scalar(x.R); ok {
+		f, ok := compile(x.L)
+		return vecArithConst(x.Op, f, c, false), ok
 	}
-	return vecArithConst(x.Op, f, c, left), true
+	if c, ok := scalar(x.L); ok && x.Op != OpDiv {
+		f, ok := compile(x.R)
+		return vecArithConst(x.Op, f, c, true), ok
+	}
+	return nil, false
 }
 
-// vecCompareConst is x op c: the operand is evaluated into a leased vector
-// and its null mask straight into the result's.
-func vecCompareConst[T interface {
-	cmp.Ordered
-	block.Elem
-}](op CmpOp, f vkernel[T], c T) boolKernel {
-	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
-		vv := block.Lease[T](in.scratch, in.n)
-		has, err := f(in, idx, vv, nulls)
-		if err != nil {
-			return false, err
-		}
-		if idx == nil {
-			cmpConst(op, vv[:in.n], c, out[:in.n])
-		} else {
-			cmpConstAt(op, vv, c, out, idx)
-		}
-		if has {
-			zeroNulls(idx, in.n, out, nulls)
-		}
-		return has, nil
-	}
-}
+// ---- CASE ----
 
-// cmpConst writes v[i] op c to o[i] for every element.
-func cmpConst[T cmp.Ordered](op CmpOp, v []T, c T, o []bool) {
-	v = v[:len(o)]
-	switch op {
-	case CmpEq:
-		for i := range o {
-			o[i] = v[i] == c
-		}
-	case CmpNe:
-		for i := range o {
-			o[i] = v[i] != c
-		}
-	case CmpLt:
-		for i := range o {
-			o[i] = v[i] < c
-		}
-	case CmpLe:
-		for i := range o {
-			o[i] = v[i] <= c
-		}
-	case CmpGt:
-		for i := range o {
-			o[i] = v[i] > c
-		}
-	default:
-		for i := range o {
-			o[i] = v[i] >= c
-		}
-	}
-}
-
-// cmpConstAt is cmpConst over the positions idx.
-func cmpConstAt[T cmp.Ordered](op CmpOp, v []T, c T, o []bool, idx []int) {
-	switch op {
-	case CmpEq:
-		for _, i := range idx {
-			o[i] = v[i] == c
-		}
-	case CmpNe:
-		for _, i := range idx {
-			o[i] = v[i] != c
-		}
-	case CmpLt:
-		for _, i := range idx {
-			o[i] = v[i] < c
-		}
-	case CmpLe:
-		for _, i := range idx {
-			o[i] = v[i] <= c
-		}
-	case CmpGt:
-		for _, i := range idx {
-			o[i] = v[i] > c
-		}
-	default:
-		for _, i := range idx {
-			o[i] = v[i] >= c
-		}
-	}
-}
-
-// scalarCompare compiles x op c, or c op x as x swapCmp(op) c, when one
-// operand is a scalar constant.
-func scalarCompare[T interface {
-	cmp.Ordered
-	block.Elem
-}](x *Compare, scalar func(Expr) (T, bool), compile func(Expr) (vkernel[T], bool)) (boolKernel, bool) {
-	f, c, left, ok := scalarOperand(x.L, x.R, scalar, compile)
-	if !ok {
-		return nil, false
-	}
-	op := x.Op
-	if left {
-		op = swapCmp(op)
-	}
-	return vecCompareConst(op, f, c), true
-}
-
-// vecBetweenConst is (lo <= x <= hi) != neg between constant bounds, each
-// position's outcome computed without a branch.
-func vecBetweenConst[T interface {
-	num
-	block.Elem
-}](f vkernel[T], lo, hi T, neg bool) boolKernel {
-	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
-		vv := block.Lease[T](in.scratch, in.n)
-		has, err := f(in, idx, vv, nulls)
-		if err != nil {
-			return false, err
-		}
-		betweenConst(vv, lo, hi, neg, idx, out[:in.n])
-		if has {
-			zeroNulls(idx, in.n, out, nulls)
-		}
-		return has, nil
-	}
-}
-
-// betweenConst writes (lo <= v[i] <= hi) != neg to o[i] for every element,
-// or for the positions idx.
-func betweenConst[T num](v []T, lo, hi T, neg bool, idx []int, o []bool) {
-	flip := b2i(neg)
-	if idx == nil {
-		for i, x := range v[:len(o)] {
-			o[i] = (b2i(x >= lo)&b2i(x <= hi))^flip != 0
-		}
-		return
-	}
-	for _, i := range idx {
-		x := v[i]
-		o[i] = (b2i(x >= lo)&b2i(x <= hi))^flip != 0
-	}
-}
-
-// scalarBetween compiles BETWEEN with constant bounds.
-func scalarBetween[T interface {
-	num
-	block.Elem
-}](x *Between, scalar func(Expr) (T, bool), compile func(Expr) (vkernel[T], bool)) (boolKernel, bool) {
-	lo, lok := scalar(x.Lo)
-	hi, hok := scalar(x.Hi)
-	if !lok || !hok {
-		return nil, false
-	}
-	f, ok := compile(x.E)
-	if !ok {
-		return nil, false
-	}
-	return vecBetweenConst(f, lo, hi, x.Negate), true
-}
-
-// ---- logical connectives and CASE (selection partitioning) ----
-
-// vecNot inverts the child's definite values; NULL stays NULL.
-func vecNot(f boolKernel) boolKernel {
-	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
-		has, err := f(in, idx, out, nulls)
-		if err != nil {
-			return false, err
-		}
-		if idx == nil {
-			for i := 0; i < in.n; i++ {
-				out[i] = !out[i] && !nulls[i]
-			}
-		} else {
-			for _, i := range idx {
-				out[i] = !out[i] && !nulls[i]
-			}
-		}
-		return has, nil
-	}
-}
-
-// vecAnd evaluates the left side everywhere, then the right side only at
-// positions the left did not decide (definitely-false short-circuits), then
-// merges with three-valued semantics — the batch analogue of the
-// interpreter's lazy right operand.
-func vecAnd(l, r boolKernel) boolKernel {
-	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
-		n := in.n
-		lv, ln := block.Lease[bool](in.scratch, n), block.Lease[bool](in.scratch, n)
-		if _, err := l(in, idx, lv, ln); err != nil {
-			return false, err
-		}
-		need := block.Lease[int](in.scratch, n)[:0]
-		collect := func(i int) {
-			if !ln[i] && !lv[i] {
-				out[i], nulls[i] = false, false
-			} else {
-				need = append(need, i)
-			}
-		}
-		if idx == nil {
-			for i := 0; i < n; i++ {
-				collect(i)
-			}
-		} else {
-			for _, i := range idx {
-				collect(i)
-			}
-		}
-		has := false
-		if len(need) > 0 {
-			if _, err := r(in, need, out, nulls); err != nil {
-				return false, err
-			}
-			for _, i := range need {
-				rv, rn := out[i], nulls[i]
-				switch {
-				case !rn && !rv:
-					out[i], nulls[i] = false, false
-				case ln[i] || rn:
-					out[i], nulls[i] = false, true
-					has = true
-				default:
-					out[i], nulls[i] = true, false
-				}
-			}
-		}
-		return has, nil
-	}
-}
-
-// vecOr mirrors vecAnd with definitely-true short-circuits.
-func vecOr(l, r boolKernel) boolKernel {
-	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
-		n := in.n
-		lv, ln := block.Lease[bool](in.scratch, n), block.Lease[bool](in.scratch, n)
-		if _, err := l(in, idx, lv, ln); err != nil {
-			return false, err
-		}
-		need := block.Lease[int](in.scratch, n)[:0]
-		collect := func(i int) {
-			if !ln[i] && lv[i] {
-				out[i], nulls[i] = true, false
-			} else {
-				need = append(need, i)
-			}
-		}
-		if idx == nil {
-			for i := 0; i < n; i++ {
-				collect(i)
-			}
-		} else {
-			for _, i := range idx {
-				collect(i)
-			}
-		}
-		has := false
-		if len(need) > 0 {
-			if _, err := r(in, need, out, nulls); err != nil {
-				return false, err
-			}
-			for _, i := range need {
-				rv, rn := out[i], nulls[i]
-				switch {
-				case !rn && rv:
-					out[i], nulls[i] = true, false
-				case ln[i] || rn:
-					out[i], nulls[i] = false, true
-					has = true
-				default:
-					out[i], nulls[i] = false, false
-				}
-			}
-		}
-		return has, nil
-	}
-}
-
-// vecCase partitions the position list through the WHEN conditions: each
-// condition is evaluated only over still-unmatched positions, each THEN only
-// over the positions its WHEN matched, and the ELSE over whatever remains.
-// Rows therefore see exactly the branch evaluations row-at-a-time execution
-// would have performed.
-func vecCase[T any](conds []boolKernel, thens []vkernel[T], els vkernel[T]) vkernel[T] {
+// vecCase narrows the position list through the WHEN conditions: each
+// condition is evaluated only over still-unmatched positions, as the
+// selection of its TRUE ones, each THEN only over the positions its WHEN
+// matched, and the ELSE over whatever remains. Rows therefore see exactly the
+// branch evaluations row-at-a-time execution would have performed.
+func vecCase[T any](conds []selFn, thens []vkernel[T], els vkernel[T]) vkernel[T] {
 	return func(in *vecInput, idx []int, out []T, nulls []bool) (bool, error) {
-		n := in.n
-		cv, cn := block.Lease[bool](in.scratch, n), block.Lease[bool](in.scratch, n)
-		rem, match := block.Lease[int](in.scratch, n), block.Lease[int](in.scratch, n)
-		if idx == nil {
-			rem = rem[:copy(rem, identityRows(n))]
-		} else {
-			rem = rem[:copy(rem, idx)]
+		rem := idx
+		if rem == nil {
+			rem = identityRows(in.n)
 		}
 		has := false
-		for k := range conds {
+		for k, cond := range conds {
 			if len(rem) == 0 {
 				break
 			}
-			if _, err := conds[k](in, rem, cv, cn); err != nil {
+			match, err := cond(in, rem, leaseRows(in, len(rem)))
+			if err != nil {
 				return false, err
 			}
-			var m int
-			m, rem = splitWhen(rem, match, cv, cn)
-			if m > 0 {
-				h, err := thens[k](in, match[:m], out, nulls)
-				if err != nil {
-					return false, err
-				}
-				has = has || h
+			if len(match) == 0 {
+				continue
 			}
+			h, err := thens[k](in, match, out, nulls)
+			if err != nil {
+				return false, err
+			}
+			has = has || h
+			rem = selMinus(rem, match, leaseRows(in, len(rem)))
 		}
 		if len(rem) > 0 {
 			if els == nil {
@@ -1372,25 +818,11 @@ func vecCase[T any](conds []boolKernel, thens []vkernel[T], els vkernel[T]) vker
 	}
 }
 
-// splitWhen splits the positions rem by a WHEN's outcome, by predication:
-// each position is stored in both lists and only the cursor of the one it
-// belongs to advances. The matched ones go to match[:m]; the rest are
-// written over rem, never ahead of the position being read, and returned.
-func splitWhen(rem, match []int, cv, cn []bool) (m int, rest []int) {
-	r := 0
-	for _, i := range rem {
-		hit := b2i(!cn[i]) & b2i(cv[i])
-		match[m], rem[r] = i, i
-		m, r = m+hit, r+1-hit
-	}
-	return m, rem[:r]
-}
-
-func vecCaseOf[T any](x *Case, child func(Expr) (vkernel[T], bool)) (vkernel[T], bool) {
-	conds := make([]boolKernel, len(x.Whens))
+func vecCaseOf[T any](c *selCompiler, x *Case, child func(Expr) (vkernel[T], bool)) (vkernel[T], bool) {
+	conds := make([]selFn, len(x.Whens))
 	thens := make([]vkernel[T], len(x.Whens))
 	for i, w := range x.Whens {
-		c, ok := vecBool(w.Cond)
+		cond, ok := c.compileSel(w.Cond, false, false)
 		if !ok {
 			return nil, false
 		}
@@ -1398,7 +830,7 @@ func vecCaseOf[T any](x *Case, child func(Expr) (vkernel[T], bool)) (vkernel[T],
 		if !ok {
 			return nil, false
 		}
-		conds[i], thens[i] = c, t
+		conds[i], thens[i] = cond, t
 	}
 	var els vkernel[T]
 	if x.Else != nil {
@@ -1411,16 +843,48 @@ func vecCaseOf[T any](x *Case, child func(Expr) (vkernel[T], bool)) (vkernel[T],
 	return vecCase(conds, thens, els), true
 }
 
+// ---- booleans ----
+
+// vecPredicate writes a predicate's two selections out as a boolean vector:
+// TRUE where t selects, FALSE where f selects among the other positions, NULL
+// where neither does.
+func vecPredicate(t, f selFn) boolKernel {
+	return func(in *vecInput, idx []int, out []bool, nulls []bool) (bool, error) {
+		rows := idx
+		if rows == nil {
+			rows = identityRows(in.n)
+		}
+		ts, err := t(in, rows, leaseRows(in, len(rows)))
+		if err != nil {
+			return false, err
+		}
+		fs, err := f(in, selMinus(rows, ts, leaseRows(in, len(rows))), leaseRows(in, len(rows)))
+		if err != nil {
+			return false, err
+		}
+		for _, i := range rows {
+			out[i], nulls[i] = false, true
+		}
+		for _, i := range ts {
+			out[i], nulls[i] = true, false
+		}
+		for _, i := range fs {
+			nulls[i] = false
+		}
+		return len(ts)+len(fs) < len(rows), nil
+	}
+}
+
 // ---- per-type kernel compilers ----
 
-func vecLong(e Expr) (longKernel, bool) {
+func (c *selCompiler) vecLong(e Expr) (longKernel, bool) {
 	switch x := e.(type) {
 	case *Const:
 		return vecConst(x.Val.I, x.Val.Null), true
 	case *ColumnRef:
 		return vecLongCol(x.Index), true
 	case *Neg:
-		f, ok := vecLong(x.E)
+		f, ok := c.vecLong(x.E)
 		if !ok {
 			return nil, false
 		}
@@ -1429,27 +893,27 @@ func vecLong(e Expr) (longKernel, bool) {
 		if x.Op == OpConcat {
 			return nil, false
 		}
-		if k, ok := scalarArith(x, scalarLong, vecLong); ok {
+		if k, ok := scalarArith(x, scalarLong, c.vecLong); ok {
 			return k, true
 		}
-		l, lok := vecLong(x.L)
-		r, rok := vecLong(x.R)
+		l, lok := c.vecLong(x.L)
+		r, rok := c.vecLong(x.R)
 		if !lok || !rok {
 			return nil, false
 		}
 		return vecArithLong(x.Op, l, r), true
 	case *Case:
-		return vecCaseOf(x, vecLong)
+		return vecCaseOf(c, x, c.vecLong)
 	case *Cast:
 		if x.E.Type() == types.Double {
-			f, ok := vecDouble(x.E)
+			f, ok := c.vecDouble(x.E)
 			if !ok {
 				return nil, false
 			}
 			return vecDoubleToLong(f), true
 		}
 		if x.E.Type() == types.Bigint || x.E.Type() == types.Date {
-			return vecLong(x.E)
+			return c.vecLong(x.E)
 		}
 		return nil, false
 	default:
@@ -1457,9 +921,9 @@ func vecLong(e Expr) (longKernel, bool) {
 	}
 }
 
-func vecDouble(e Expr) (doubleKernel, bool) {
+func (c *selCompiler) vecDouble(e Expr) (doubleKernel, bool) {
 	if e.Type() == types.Bigint || e.Type() == types.Date {
-		f, ok := vecLong(e)
+		f, ok := c.vecLong(e)
 		if !ok {
 			return nil, false
 		}
@@ -1471,7 +935,7 @@ func vecDouble(e Expr) (doubleKernel, bool) {
 	case *ColumnRef:
 		return vecDoubleCol(x.Index), true
 	case *Neg:
-		f, ok := vecDouble(x.E)
+		f, ok := c.vecDouble(x.E)
 		if !ok {
 			return nil, false
 		}
@@ -1481,20 +945,20 @@ func vecDouble(e Expr) (doubleKernel, bool) {
 		if x.Op == OpConcat || x.Op == OpMod {
 			return nil, false
 		}
-		if k, ok := scalarArith(x, scalarDouble, vecDouble); ok {
+		if k, ok := scalarArith(x, scalarDouble, c.vecDouble); ok {
 			return k, true
 		}
-		l, lok := vecDouble(x.L)
-		r, rok := vecDouble(x.R)
+		l, lok := c.vecDouble(x.L)
+		r, rok := c.vecDouble(x.R)
 		if !lok || !rok {
 			return nil, false
 		}
 		return vecArithDouble(x.Op, l, r), true
 	case *Case:
-		return vecCaseOf(x, vecDouble)
+		return vecCaseOf(c, x, c.vecDouble)
 	case *Cast:
 		if x.E.Type() == types.Bigint || x.E.Type() == types.Date || x.E.Type() == types.Double {
-			return vecDouble(x.E)
+			return c.vecDouble(x.E)
 		}
 		return nil, false
 	default:
@@ -1502,7 +966,7 @@ func vecDouble(e Expr) (doubleKernel, bool) {
 	}
 }
 
-func vecStr(e Expr) (strKernel, bool) {
+func (c *selCompiler) vecStr(e Expr) (strKernel, bool) {
 	switch x := e.(type) {
 	case *Const:
 		return vecConst(x.Val.S, x.Val.Null), true
@@ -1512,191 +976,42 @@ func vecStr(e Expr) (strKernel, bool) {
 		if x.Op != OpConcat {
 			return nil, false
 		}
-		l, lok := vecStr(x.L)
-		r, rok := vecStr(x.R)
+		l, lok := c.vecStr(x.L)
+		r, rok := c.vecStr(x.R)
 		if !lok || !rok {
 			return nil, false
 		}
 		return vecConcat(l, r), true
 	case *Case:
-		return vecCaseOf(x, vecStr)
+		return vecCaseOf(c, x, c.vecStr)
 	default:
 		return nil, false
 	}
 }
 
-func vecBool(e Expr) (boolKernel, bool) {
-	switch x := e.(type) {
-	case *Const:
-		return vecConst(x.Val.B, x.Val.Null), true
-	case *ColumnRef:
-		return vecBoolCol(x.Index), true
-	case *Not:
-		f, ok := vecBool(x.E)
-		if !ok {
-			return nil, false
-		}
-		return vecNot(f), true
-	case *And:
-		l, lok := vecBool(x.L)
-		r, rok := vecBool(x.R)
-		if !lok || !rok {
-			return nil, false
-		}
-		return vecAnd(l, r), true
-	case *Or:
-		l, lok := vecBool(x.L)
-		r, rok := vecBool(x.R)
-		if !lok || !rok {
-			return nil, false
-		}
-		return vecOr(l, r), true
-	case *IsNull:
-		if c, ok := x.E.(*ColumnRef); ok {
-			return vecIsNullCol(c.Index, x.Negate), true
-		}
-		return nil, false
-	case *Compare:
-		return vecCompare(x)
-	case *Between:
-		lt := types.CommonType(x.E.Type(), types.CommonType(x.Lo.Type(), x.Hi.Type()))
-		switch lt {
-		case types.Bigint, types.Date:
-			if k, ok := scalarBetween(x, scalarLong, vecLong); ok {
-				return k, true
-			}
-			v, ok1 := vecLong(x.E)
-			lo, ok2 := vecLong(x.Lo)
-			hi, ok3 := vecLong(x.Hi)
-			if !ok1 || !ok2 || !ok3 {
-				return nil, false
-			}
-			return vecBetweenOrd(v, lo, hi, x.Negate), true
-		case types.Double:
-			if k, ok := scalarBetween(x, scalarDouble, vecDouble); ok {
-				return k, true
-			}
-			v, ok1 := vecDouble(x.E)
-			lo, ok2 := vecDouble(x.Lo)
-			hi, ok3 := vecDouble(x.Hi)
-			if !ok1 || !ok2 || !ok3 {
-				return nil, false
-			}
-			return vecBetweenOrd(v, lo, hi, x.Negate), true
-		}
-		return nil, false
-	case *In:
-		return vecIn(x)
-	case *Like:
-		pat, ok := x.Pattern.(*Const)
-		if !ok || pat.Val.Null {
-			return nil, false
-		}
-		f, ok := vecStr(x.E)
-		if !ok {
-			return nil, false
-		}
-		return vecLike(f, pat.Val.S, x.Negate), true
-	case *Case:
-		return vecCaseOf(x, vecBool)
-	default:
+// vecBool compiles a boolean-valued expression: a CASE as any type's, and
+// anything else as a predicate, selected twice (vecPredicate).
+func (c *selCompiler) vecBool(e Expr) (boolKernel, bool) {
+	if x, ok := e.(*Case); ok {
+		return vecCaseOf(c, x, c.vecBool)
+	}
+	t, tok := c.compileSel(e, false, false)
+	f, fok := c.compileSel(e, true, false)
+	if !tok || !fok {
 		return nil, false
 	}
-}
-
-func vecCompare(x *Compare) (boolKernel, bool) {
-	switch types.CommonType(x.L.Type(), x.R.Type()) {
-	case types.Bigint, types.Date:
-		if k, ok := scalarCompare(x, scalarLong, vecLong); ok {
-			return k, true
-		}
-		l, lok := vecLong(x.L)
-		r, rok := vecLong(x.R)
-		if !lok || !rok {
-			return nil, false
-		}
-		return vecCompareOrd(x.Op, l, r), true
-	case types.Double:
-		if k, ok := scalarCompare(x, scalarDouble, vecDouble); ok {
-			return k, true
-		}
-		l, lok := vecDouble(x.L)
-		r, rok := vecDouble(x.R)
-		if !lok || !rok {
-			return nil, false
-		}
-		return vecCompareOrd(x.Op, l, r), true
-	case types.Varchar:
-		if k, ok := scalarCompare(x, scalarStr, vecStr); ok {
-			return k, true
-		}
-		l, lok := vecStr(x.L)
-		r, rok := vecStr(x.R)
-		if !lok || !rok {
-			return nil, false
-		}
-		return vecCompareOrd(x.Op, l, r), true
-	case types.Boolean:
-		l, lok := vecBool(x.L)
-		r, rok := vecBool(x.R)
-		if !lok || !rok {
-			return nil, false
-		}
-		return vecCompareBool(x.Op, l, r)
-	default:
-		return nil, false
-	}
-}
-
-func vecIn(x *In) (boolKernel, bool) {
-	for _, le := range x.List {
-		if _, ok := le.(*Const); !ok {
-			return nil, false
-		}
-	}
-	// A NULL element is in no set: it only makes a non-member NULL.
-	listNull := false
-	for _, le := range x.List {
-		listNull = listNull || le.(*Const).Val.Null
-	}
-	switch x.E.Type() {
-	case types.Bigint, types.Date:
-		set := make(map[int64]bool, len(x.List))
-		for _, le := range x.List {
-			if c := le.(*Const); !c.Val.Null {
-				set[c.Val.I] = true
-			}
-		}
-		f, ok := vecLong(x.E)
-		if !ok {
-			return nil, false
-		}
-		return vecInSet(f, set, listNull, x.Negate), true
-	case types.Varchar:
-		set := make(map[string]bool, len(x.List))
-		for _, le := range x.List {
-			if c := le.(*Const); !c.Val.Null {
-				set[c.Val.S] = true
-			}
-		}
-		f, ok := vecStr(x.E)
-		if !ok {
-			return nil, false
-		}
-		return vecInSet(f, set, listNull, x.Negate), true
-	default:
-		return nil, false
-	}
+	return vecPredicate(t, f), true
 }
 
 // ---- top-level projector ----
 
 // vecProjector evaluates one projection expression as a kernel tree and
 // boxes the result into a flat block. It holds no mutable state: the kernels'
-// temporaries are leased from the evaluating processor's arena. The output
-// block's arrays are freshly allocated by default, because a page is
-// immutable and whoever receives it may keep it; a caller that knows the
-// block is read before its arena is next rewound (a CSE slot, or a page
+// temporaries are leased from the evaluating processor's arena, and their
+// dictionary verdicts kept in its memo slots. The output block's arrays are
+// freshly allocated by default, because a page is immutable and whoever
+// receives it may keep it; a caller that knows the block is read before its
+// arena is next rewound (a CSE slot, or a page
 // processor whose output is borrowed — PageProcessor.BorrowOutput) asks for
 // scratch output instead, and the block then views leased vectors.
 type vecProjector struct {
@@ -1709,29 +1024,28 @@ type vecProjector struct {
 
 // compileVecProj builds a vectorized projector for e, or nil when the
 // kernels do not cover it (the interpreter then takes over).
-func compileVecProj(e Expr) *vecProjector {
+func (c *selCompiler) compileVecProj(e Expr) *vecProjector {
 	t := e.Type()
 	switch t {
 	case types.Bigint, types.Date:
-		if f, ok := vecLong(e); ok {
+		if f, ok := c.vecLong(e); ok {
 			return &vecProjector{t: t, lk: f}
 		}
 	case types.Double:
-		if f, ok := vecDouble(e); ok {
+		if f, ok := c.vecDouble(e); ok {
 			return &vecProjector{t: t, dk: f}
 		}
 	case types.Varchar:
-		if f, ok := vecStr(e); ok {
+		if f, ok := c.vecStr(e); ok {
 			return &vecProjector{t: t, sk: f}
 		}
 	case types.Boolean:
-		if f, ok := vecBool(e); ok {
+		if f, ok := c.vecBool(e); ok {
 			return &vecProjector{t: t, bk: f}
 		}
 	}
 	return nil
 }
-
 func (vp *vecProjector) eval(in *vecInput, scratch bool) (block.Block, error) {
 	switch {
 	case vp.lk != nil:

@@ -37,6 +37,11 @@
 #                             # once) and bench smokes (the predicated
 #                             # selection kernels and an aggregation's
 #                             # runs included)
+#                             # + one predicate compiler (random
+#                             # AND/OR/NOT trees as WHERE, boolean
+#                             # SELECT column and CASE WHEN against the
+#                             # interpreter, failing leaves included,
+#                             # three runs under -race)
 #                             # + one ledger (a reservation is the
 #                             # capacity leased, in every state of an
 #                             # aggregation (DISTINCT's too) and a join
@@ -320,6 +325,10 @@ go test -count=1 -v -run 'TestFilterProjectAggAllocationCeiling|TestDynFilteredS
 go test -count=1 -run 'TestSelectionScratchSizedBySurvivors' ./internal/expr/
 go test -count=1 -run 'TestArena' ./internal/block/
 go test -race -count=10 -run 'TestProgramSharedByGoroutines|TestPredicatedProgramSharedByGoroutines' ./internal/expr/
+# One predicate compiler: a predicate runs on the same selection kernels as a
+# WHERE clause, a boolean SELECT column and a CASE WHEN condition under a
+# filter's selection, and returns the interpreter's rows or error in each.
+go test -race -count=3 -run 'TestPredicateTreesDifferential' ./internal/expr/
 go test -run '^$' -bench 'FilterProjectAgg' -benchtime 1x -benchmem ./internal/exec/ > /dev/null
 
 echo "==> kernels that do not stall: predicated selection at every pass ratio, an aggregation's runs (bench smoke)"
