@@ -28,6 +28,7 @@ import (
 	"repro/internal/httpapi"
 	"repro/internal/optimizer"
 	"repro/internal/serving"
+	"repro/internal/shuffle"
 	"repro/internal/workload"
 )
 
@@ -153,7 +154,7 @@ func runCoordinator(addr string, scale float64, lakeDir string, noStats, noDyn, 
 		// One client, and so one connection pool, for everything this node
 		// says to its peers (http.DefaultClient keeps two idle connections a
 		// host and redials the rest every statement).
-		WorkerClient: httpapi.NewClusterClient(),
+		WorkerClient: shuffle.NewClusterClient(),
 		Serving:      tier,
 	})
 
@@ -169,7 +170,7 @@ func runWorker(addr, coordURL, publicURL string, threads int, scale float64, lak
 	catalog := coordinator.NewCatalogManager()
 	provisionCatalogs(catalog, scale, lakeDir)
 
-	client := httpapi.NewClusterClient() // registration, heartbeats and shuffle fetches share its pool
+	client := shuffle.NewClusterClient() // registration, heartbeats and shuffle fetches share its pool
 
 	// Register with the coordinator, retrying while it comes up; the
 	// assigned node id becomes the worker id so memory pools and metrics

@@ -31,6 +31,21 @@ var windowFuncs = map[string]plan.WindowFunc{
 	"max":        plan.WinMax,
 }
 
+// aggOut is the result type of aggregate f over an argument of type arg.
+func aggOut(f plan.AggFunc, arg types.Type) (types.Type, error) {
+	switch f {
+	case plan.AggCount:
+		return types.Bigint, nil
+	case plan.AggAvg:
+		return types.Double, nil
+	case plan.AggSum:
+		if arg != types.Double && arg != types.Bigint {
+			return types.Unknown, fmt.Errorf("sum over %s is not supported", arg)
+		}
+	}
+	return arg, nil
+}
+
 func isAggCall(e sqlparser.Expr) (*sqlparser.FuncCall, bool) {
 	fc, ok := e.(*sqlparser.FuncCall)
 	if !ok || fc.Over != nil {
@@ -411,21 +426,8 @@ func (c *ctx) planAggregation(rel *relationPlan, s *sqlparser.Select, items []*s
 				return nil, nil, err
 			}
 			agg.Arg = arg
-			switch agg.Func {
-			case plan.AggCount:
-				agg.Out = types.Bigint
-			case plan.AggAvg:
-				agg.Out = types.Double
-			case plan.AggSum:
-				if arg.Type() == types.Double {
-					agg.Out = types.Double
-				} else if arg.Type() == types.Bigint {
-					agg.Out = types.Bigint
-				} else {
-					return nil, nil, fmt.Errorf("sum over %s is not supported", arg.Type())
-				}
-			case plan.AggMin, plan.AggMax:
-				agg.Out = arg.Type()
+			if agg.Out, err = aggOut(agg.Func, arg.Type()); err != nil {
+				return nil, nil, err
 			}
 		}
 		aggs = append(aggs, agg)
@@ -522,6 +524,9 @@ func (c *ctx) planWindows(rel *relationPlan, sc *scope, winCalls []*sqlparser.Fu
 					return nil, nil, fmt.Errorf("window %s requires one argument", fc.Name)
 				}
 				if fc.Star {
+					if wf != plan.WinCount {
+						return nil, nil, fmt.Errorf("window %s requires an argument", fc.Name)
+					}
 					we.Out = types.Bigint
 				} else {
 					arg, err := c.analyzeMapped(fc.Args[0], sc, mappings)
@@ -529,13 +534,9 @@ func (c *ctx) planWindows(rel *relationPlan, sc *scope, winCalls []*sqlparser.Fu
 						return nil, nil, err
 					}
 					we.Arg = arg
-					switch wf {
-					case plan.WinCount:
-						we.Out = types.Bigint
-					case plan.WinAvg:
-						we.Out = types.Double
-					default:
-						we.Out = arg.Type()
+					// A window aggregate runs on the aggregation's state.
+					if we.Out, err = aggOut(plan.AggFunc(wf), arg.Type()); err != nil {
+						return nil, nil, err
 					}
 				}
 			}

@@ -620,12 +620,6 @@ func (s *WorkerServer) handleWorkerMetrics(w http.ResponseWriter, r *http.Reques
 	metrics.PromGauge(w, "presto_dynfilter_remote_deliveries_total", lbl, float64(s.delivered.Load()))
 }
 
-// NewClusterClient returns the HTTP client a node of a multi-process cluster
-// uses for its peers — the coordinator for the task API, a worker for
-// shuffle fetches and registration (see shuffle.NewClusterClient, where it
-// lives so the packages below this one can default to it).
-func NewClusterClient() *http.Client { return shuffle.NewClusterClient() }
-
 // RegisterWorker announces a worker's public URI to the coordinator's
 // /v1/node endpoint and returns the assigned node id. Called at worker
 // startup (with retries) and periodically as a heartbeat.

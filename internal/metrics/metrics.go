@@ -1,8 +1,7 @@
 // Package metrics provides the lightweight instrumentation the experiments
-// use: time-series recorders for the utilization trace (Fig. 8), latency
-// histograms and CDFs (Fig. 7), and simple counters. The paper stresses
-// "effortless instrumentation" (§VII); these helpers are allocation-light
-// and safe for concurrent use.
+// use: latency histograms and CDFs (Fig. 7), and simple counters. The paper
+// stresses "effortless instrumentation" (§VII); these helpers are
+// allocation-light and safe for concurrent use.
 package metrics
 
 import (
@@ -14,46 +13,6 @@ import (
 	"sync"
 	"time"
 )
-
-// Series records (elapsed, value) samples.
-type Series struct {
-	mu     sync.Mutex
-	start  time.Time
-	times  []time.Duration
-	values []float64
-	label  string
-}
-
-// NewSeries creates a series anchored at now.
-func NewSeries(label string) *Series {
-	return &Series{start: time.Now(), label: label}
-}
-
-// Record appends a sample at the current elapsed time.
-func (s *Series) Record(v float64) {
-	s.mu.Lock()
-	s.times = append(s.times, time.Since(s.start))
-	s.values = append(s.values, v)
-	s.mu.Unlock()
-}
-
-// Samples returns copies of the recorded points.
-func (s *Series) Samples() ([]time.Duration, []float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]time.Duration{}, s.times...), append([]float64{}, s.values...)
-}
-
-// Table renders the series as two columns.
-func (s *Series) Table() string {
-	ts, vs := s.Samples()
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-12s %s\n", "elapsed", s.label)
-	for i := range ts {
-		fmt.Fprintf(&sb, "%-12s %.2f\n", ts[i].Round(time.Millisecond), vs[i])
-	}
-	return sb.String()
-}
 
 // Histogram collects latency samples and reports quantiles and CDFs.
 type Histogram struct {

@@ -99,19 +99,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	s := NewSeries("cpu")
-	s.Record(1.5)
-	s.Record(2.5)
-	ts, vs := s.Samples()
-	if len(ts) != 2 || vs[1] != 2.5 {
-		t.Errorf("series: %v %v", ts, vs)
-	}
-	if s.Table() == "" {
-		t.Error("table render")
-	}
-}
-
 func TestLogScaleBuckets(t *testing.T) {
 	b := LogScaleBuckets(time.Millisecond, time.Second, 4)
 	if len(b) != 4 {

@@ -109,6 +109,36 @@ func (a *aggVec) add(id int, b block.Block, r int, n int64) {
 	}
 }
 
+// foldRun folds the rows of col, all in group id, into the group's state: a
+// run kernel, or else row by row.
+func (a *aggVec) foldRun(id int, col block.Block) {
+	if a.accumulateRun(id, col.Len(), col) {
+		return
+	}
+	for r := range col.Len() {
+		if !col.IsNull(r) {
+			a.add(id, col, r, 1)
+		}
+	}
+}
+
+// carry starts group to, still empty, from group from's state: a running
+// window frame continues its predecessor's.
+func (a *aggVec) carry(from, to int) {
+	if a.count != nil {
+		a.count[to] = a.count[from]
+	}
+	if a.sumI != nil {
+		a.sumI[to] = a.sumI[from]
+	}
+	if a.sumF != nil {
+		a.sumF[to] = a.sumF[from]
+	}
+	if a.mm.has != nil && a.mm.has[from] {
+		a.mm.copyEntry(from, to)
+	}
+}
+
 // HashAggregationOperator implements GROUP BY aggregation with a flat hash
 // table, memory accounting, and optional spill-to-disk revocation (§IV-F2).
 //

@@ -967,8 +967,8 @@ type joinOutput struct {
 	scratch *block.Arena
 	outMark int
 
-	tab   builtTable   // the build rows the probe page joins against
-	chans []*buildChan // typed views of tab's channels, made on first use
+	tab   builtTable    // the build rows the probe page joins against
+	chans []*gatherChan // typed views of tab's channels, made on first use
 
 	// The cursor: the probe page, its rows' first candidates, the row walked,
 	// its next candidate, whether it has begun and matched, and — a SEMI or
@@ -1105,7 +1105,7 @@ func (j *joinOutput) decide(p *block.Page, from int, cur int32, hit bool) {
 			if c < r.nProbe {
 				r.cols[c] = gatherProbe(j.scratch, p.Col(c), sel, r.cols[c])
 			} else {
-				r.cols[c] = j.gatherBuild(j.scratch, j.buildChan(c-r.nProbe), pg, row, r.cols[c])
+				r.cols[c] = j.buildChan(c-r.nProbe).gather(j.scratch, pg, row, r.cols[c])
 			}
 		}
 		*r.page = *block.NewEmptyPage(len(sel))
@@ -1155,212 +1155,21 @@ func (j *joinOutput) gather(p *block.Page, n int) *block.Page {
 		}
 	}
 	for i, c := range j.buildOut {
-		cols[nProbe+i] = j.gatherBuild(a, j.buildChan(c), j.buildPg, j.buildRow, nil)
+		cols[nProbe+i] = j.buildChan(c).gather(a, j.buildPg, j.buildRow, nil)
 	}
 	out.Cols = cols
 	return out
 }
 
 // buildChan is the typed view of build channel c, made on first use.
-func (j *joinOutput) buildChan(c int) *buildChan {
+func (j *joinOutput) buildChan(c int) *gatherChan {
 	if j.chans == nil {
-		j.chans = make([]*buildChan, len(j.buildTs))
+		j.chans = make([]*gatherChan, len(j.buildTs))
 	}
 	if j.chans[c] == nil {
-		j.chans[c] = newBuildChan(j.tab.pages, c, j.buildTs[c], j.rowEnds())
+		j.chans[c] = newGatherChan(j.tab.pages, c, j.buildTs[c], j.rowEnds())
 	}
 	return j.chans[c]
-}
-
-func gatherAt[T any](dst, src []T, sel []int32) []T {
-	for i, r := range sel {
-		dst[i] = src[r]
-	}
-	return dst
-}
-
-// refill stores column v in dst if dst is a *B — a column the residual reads,
-// whose header is refilled for every chunk — and else in a new B.
-func refill[B any, P interface {
-	*B
-	block.Block
-}](dst block.Block, v B) P {
-	b, ok := dst.(P)
-	if !ok {
-		b = new(B)
-	}
-	*b = v
-	return b
-}
-
-// gatherProbe gathers probe column col at the selected rows (into dst, see
-// refill). A dictionary result shares the source dictionary under gathered
-// indices, lent like a flat vector; an RLE run stays a run.
-func gatherProbe(a *block.Arena, col block.Block, sel []int32, dst block.Block) block.Block {
-	n := len(sel)
-	nulls := func(src []bool) []bool {
-		if src == nil {
-			return nil
-		}
-		return gatherAt(block.Lease[bool](a, n), src, sel)
-	}
-	switch src := col.(type) {
-	case *block.LongBlock:
-		return refill(dst, block.LongBlock{T: src.T, Vals: gatherAt(block.Lease[int64](a, n), src.Vals, sel), Nulls: nulls(src.Nulls)})
-	case *block.DoubleBlock:
-		return refill(dst, block.DoubleBlock{Vals: gatherAt(block.Lease[float64](a, n), src.Vals, sel), Nulls: nulls(src.Nulls)})
-	case *block.VarcharBlock:
-		return refill(dst, block.VarcharBlock{Vals: gatherAt(block.Lease[string](a, n), src.Vals, sel), Nulls: nulls(src.Nulls)})
-	case *block.BoolBlock:
-		return refill(dst, block.BoolBlock{Vals: gatherAt(block.Lease[bool](a, n), src.Vals, sel), Nulls: nulls(src.Nulls)})
-	case *block.DictionaryBlock:
-		return refill(dst, block.DictionaryBlock{Dict: src.Dict, Indices: gatherAt(block.Lease[int32](a, n), src.Indices, sel)})
-	case *block.RLEBlock:
-		return refill(dst, block.RLEBlock{Val: src.Val, Count: n})
-	default:
-		vals := make([]types.Value, n)
-		for i, r := range sel {
-			vals[i] = col.Value(int(r))
-		}
-		return block.BuildBlock(col.Type(), vals)
-	}
-}
-
-// buildChan is one build channel as the gather kernels read it: page pg's
-// values are the pg-th slice of the field its type selects, under null mask
-// nulls[pg] (nil: none). A channel whose pages all arrive under one dictionary
-// (a stored low-cardinality column) is read as its index vectors instead and
-// gathered into a dictionary block over dict: four bytes a row, and a group-by
-// above the join resolves it by entry. Array channels have no slices and are
-// gathered boxed.
-type buildChan struct {
-	c       int
-	t       types.Type
-	longs   [][]int64
-	doubles [][]float64
-	strs    [][]string
-	bools   [][]bool
-	nulls   [][]bool
-	anyNull bool
-	dict    block.Block
-	idx     [][]int32
-}
-
-// sharedDictionary returns the dictionary every page's column c is encoded
-// under, or nil when they are not all dictionary blocks over one.
-func sharedDictionary(pages []*block.Page, c int) block.Block {
-	var dict block.Block
-	for _, p := range pages {
-		d, ok := p.Col(c).(*block.DictionaryBlock)
-		if !ok || (dict != nil && d.Dict != dict) {
-			return nil
-		}
-		dict = d.Dict
-	}
-	return dict
-}
-
-// flatPage returns col as flat block B, reading out an encoded or untyped one.
-func flatPage[B block.Block](col block.Block, t types.Type) B {
-	col = block.Decode(col)
-	if b, ok := col.(B); ok {
-		return b
-	}
-	vals := make([]types.Value, col.Len())
-	for r := range vals {
-		vals[r] = col.Value(r)
-	}
-	return block.BuildBlock(t, vals).(B)
-}
-
-// newBuildChan reads build channel c of pages. noRow: a selection can hold
-// rows with no build row (rowEnds), which a dictionary without a NULL entry
-// cannot say, so the channel is read flat.
-func newBuildChan(pages []*block.Page, c int, t types.Type, noRow bool) *buildChan {
-	bc := &buildChan{c: c, t: t}
-	if !noRow {
-		if bc.dict = sharedDictionary(pages, c); bc.dict != nil {
-			for _, p := range pages {
-				bc.idx = append(bc.idx, p.Col(c).(*block.DictionaryBlock).Indices)
-			}
-			return bc
-		}
-	}
-	for _, p := range pages {
-		var nulls []bool
-		switch col := p.Col(c); t {
-		case types.Bigint, types.Date:
-			b := flatPage[*block.LongBlock](col, t)
-			bc.longs, nulls = append(bc.longs, b.Vals), b.Nulls
-		case types.Double:
-			b := flatPage[*block.DoubleBlock](col, t)
-			bc.doubles, nulls = append(bc.doubles, b.Vals), b.Nulls
-		case types.Varchar:
-			b := flatPage[*block.VarcharBlock](col, t)
-			bc.strs, nulls = append(bc.strs, b.Vals), b.Nulls
-		case types.Boolean:
-			b := flatPage[*block.BoolBlock](col, t)
-			bc.bools, nulls = append(bc.bools, b.Vals), b.Nulls
-		}
-		bc.nulls = append(bc.nulls, nulls)
-		bc.anyNull = bc.anyNull || nulls != nil
-	}
-	return bc
-}
-
-// gatherRows copies the selected build rows — row row[i] of page pg[i] — of
-// one channel into dst. mask is nil when no row can be NULL; otherwise it
-// receives every row's NULL flag: a NULL in the build column, or page -1, a
-// probe row joined to nothing.
-func gatherRows[T any](dst []T, mask []bool, pages [][]T, nulls [][]bool, pg, row []int32) []T {
-	if mask == nil {
-		for i, p := range pg {
-			dst[i] = pages[p][row[i]]
-		}
-		return dst
-	}
-	var null T
-	for i, p := range pg {
-		if p < 0 || (nulls[p] != nil && nulls[p][row[i]]) {
-			dst[i], mask[i] = null, true
-		} else {
-			dst[i], mask[i] = pages[p][row[i]], false
-		}
-	}
-	return dst
-}
-
-// gatherBuild gathers build channel bc at the selected rows (into dst, see
-// refill), with a null mask only when the channel holds NULLs or a row can
-// have no build row: a NULL-free column stays on no-null-check kernels.
-func (j *joinOutput) gatherBuild(a *block.Arena, bc *buildChan, pg, row []int32, dst block.Block) block.Block {
-	n := len(pg)
-	if bc.dict != nil {
-		return refill(dst, block.DictionaryBlock{Dict: bc.dict, Indices: gatherRows(block.Lease[int32](a, n), nil, bc.idx, nil, pg, row)})
-	}
-	var mask []bool
-	if bc.anyNull || j.rowEnds() {
-		mask = block.Lease[bool](a, n)
-	}
-	switch bc.t {
-	case types.Bigint, types.Date:
-		return refill(dst, block.LongBlock{T: bc.t, Vals: gatherRows(block.Lease[int64](a, n), mask, bc.longs, bc.nulls, pg, row), Nulls: mask})
-	case types.Double:
-		return refill(dst, block.DoubleBlock{Vals: gatherRows(block.Lease[float64](a, n), mask, bc.doubles, bc.nulls, pg, row), Nulls: mask})
-	case types.Varchar:
-		return refill(dst, block.VarcharBlock{Vals: gatherRows(block.Lease[string](a, n), mask, bc.strs, bc.nulls, pg, row), Nulls: mask})
-	case types.Boolean:
-		return refill(dst, block.BoolBlock{Vals: gatherRows(block.Lease[bool](a, n), mask, bc.bools, bc.nulls, pg, row), Nulls: mask})
-	}
-	vals := make([]types.Value, n)
-	for i, p := range pg {
-		if p < 0 {
-			vals[i] = types.NullValue(bc.t)
-		} else {
-			vals[i] = j.tab.pages[p].Col(bc.c).Value(int(row[i]))
-		}
-	}
-	return block.BuildBlock(bc.t, vals)
 }
 
 // IndexJoinOperator joins probe rows against a connector index (paper

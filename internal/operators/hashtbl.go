@@ -559,6 +559,24 @@ func (v *valueVec) set(id int, b block.Block, r int) {
 	}
 }
 
+// copyEntry stores entry from, which holds a value, as entry to.
+func (v *valueVec) copyEntry(from, to int) {
+	v.has[to] = true
+	switch v.t {
+	case types.Bigint, types.Date:
+		v.longs[to] = v.longs[from]
+	case types.Double:
+		v.doubles[to] = v.doubles[from]
+	case types.Varchar:
+		v.strBytes += int64(len(v.strs[from]) - len(v.strs[to]))
+		v.strs[to] = v.strs[from]
+	case types.Boolean:
+		v.bools[to] = v.bools[from]
+	default:
+		v.boxed[to] = v.boxed[from]
+	}
+}
+
 // put stores b[r] as the new entry id; a NULL leaves the entry unset.
 func (v *valueVec) put(id int, b block.Block, r int) {
 	v.grow(id + 1)

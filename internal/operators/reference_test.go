@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -289,4 +290,50 @@ func assertSameCounts(t *testing.T, name string, got, want map[string]int) {
 			t.Errorf("%s: row %q: %d times, reference none", name, row, n)
 		}
 	}
+}
+
+// refSorted orders every row of pages by keys, stably, as (page, row)
+// positions.
+func refSorted(pages []*block.Page, keys []sortKey) (pg, row []int32) {
+	for i, p := range pages {
+		for r := 0; r < p.RowCount(); r++ {
+			pg, row = append(pg, int32(i)), append(row, int32(r))
+		}
+	}
+	idx := make([]int, len(pg))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		return compareRows(pages[pg[idx[a]]], int(row[idx[a]]), pages[pg[idx[b]]], int(row[idx[b]]), keys) < 0
+	})
+	spg, srow := make([]int32, len(idx)), make([]int32, len(idx))
+	for i, x := range idx {
+		spg[i], srow[i] = pg[x], row[x]
+	}
+	return spg, srow
+}
+
+// buildFromRefs gathers the rows at the positions — row row[i] of page
+// pg[i] — into a new page, column by column, through the boxed value path; a
+// column typed by its first page, or by its first typed value where that page
+// has no type.
+func buildFromRefs(pages []*block.Page, pg, row []int32) *block.Page {
+	if len(pages) == 0 || len(pg) == 0 {
+		return block.NewEmptyPage(0)
+	}
+	ncols := pages[0].ColCount()
+	cols := make([]block.Block, ncols)
+	for c := 0; c < ncols; c++ {
+		t := pages[0].Col(c).Type()
+		vals := make([]types.Value, len(pg))
+		for i := range pg {
+			vals[i] = pages[pg[i]].Col(c).Value(int(row[i]))
+			if t == types.Unknown && vals[i].T != types.Unknown {
+				t = vals[i].T
+			}
+		}
+		cols[c] = block.BuildBlock(t, vals)
+	}
+	return block.NewPage(cols...)
 }

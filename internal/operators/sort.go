@@ -2,19 +2,51 @@ package operators
 
 import (
 	"container/heap"
-	"sort"
+	"slices"
 
 	"repro/internal/block"
-	"repro/internal/types"
 )
+
+// sortBuffer holds an operator's input pages, reserved as user memory, and
+// orders their rows by position: the one sort under Sort and Window.
+type sortBuffer struct {
+	ctx   *OpContext
+	pages []*block.Page
+	bytes int64
+}
+
+func (b *sortBuffer) add(p *block.Page) error {
+	b.ctx.recordIn(p)
+	p = p.LoadLazy()
+	b.pages = append(b.pages, p)
+	b.bytes += p.SizeBytes()
+	return b.ctx.Mem.SetBytes(b.bytes)
+}
+
+// sorted returns every row's position — row row[i] of page pg[i] — ordered
+// by keys; rows that tie keep their arrival order.
+func (b *sortBuffer) sorted(keys []sortKey) (pg, row []int32) {
+	var pos []int64 // page<<32 | row
+	for i, p := range b.pages {
+		for r := 0; r < p.RowCount(); r++ {
+			pos = append(pos, int64(i)<<32|int64(r))
+		}
+	}
+	slices.SortStableFunc(pos, func(x, y int64) int {
+		return compareRows(b.pages[x>>32], int(uint32(x)), b.pages[y>>32], int(uint32(y)), keys)
+	})
+	pg, row = make([]int32, len(pos)), make([]int32, len(pos))
+	for i, x := range pos {
+		pg[i], row[i] = int32(x>>32), int32(uint32(x))
+	}
+	return pg, row
+}
 
 // SortOperator fully sorts its input. It accumulates pages, reserves user
 // memory for them, and emits sorted output after Finish.
 type SortOperator struct {
-	ctx      *OpContext
+	buf      sortBuffer
 	keys     []sortKey
-	pages    []*block.Page
-	bytes    int64
 	finished bool
 	out      []*block.Page
 	outPos   int
@@ -23,80 +55,45 @@ type SortOperator struct {
 
 // NewSort builds a sort operator over the given key columns.
 func NewSort(ctx *OpContext, keyCols []int, desc []bool, pageSize int) *SortOperator {
-	keys := make([]sortKey, len(keyCols))
-	for i, c := range keyCols {
-		keys[i] = sortKey{col: c, desc: desc[i]}
-	}
 	if pageSize <= 0 {
 		pageSize = 4096
 	}
-	return &SortOperator{ctx: ctx, keys: keys, pageSize: pageSize}
+	return &SortOperator{buf: sortBuffer{ctx: ctx}, keys: sortKeys(keyCols, desc), pageSize: pageSize}
+}
+
+// sortKeys pairs key columns with their directions.
+func sortKeys(cols []int, desc []bool) []sortKey {
+	keys := make([]sortKey, len(cols))
+	for i, c := range cols {
+		keys[i] = sortKey{col: c, desc: desc[i]}
+	}
+	return keys
 }
 
 func (o *SortOperator) NeedsInput() bool { return !o.finished }
 
-func (o *SortOperator) AddInput(p *block.Page) error {
-	o.ctx.recordIn(p)
-	p = p.DecodeAll()
-	o.pages = append(o.pages, p)
-	o.bytes += p.SizeBytes()
-	return o.ctx.Mem.SetBytes(o.bytes)
-}
+func (o *SortOperator) AddInput(p *block.Page) error { return o.buf.add(p) }
 
 func (o *SortOperator) Finish() {
 	if o.finished {
 		return
 	}
 	o.finished = true
-	o.sortAll()
+	pg, row := o.buf.sorted(o.keys)
+	o.out = gatherSorted(o.buf.pages, pg, row, o.pageSize)
+	o.buf.pages = nil
 }
 
-type rowRef struct {
-	page int
-	row  int
-}
-
-func (o *SortOperator) sortAll() {
-	var refs []rowRef
-	for pi, p := range o.pages {
-		for r := 0; r < p.RowCount(); r++ {
-			refs = append(refs, rowRef{pi, r})
-		}
+// gatherSorted gathers the rows of pages at the sorted positions into pages
+// of at most pageSize rows.
+func gatherSorted(pages []*block.Page, pg, row []int32, pageSize int) []*block.Page {
+	var out []*block.Page
+	chans := pageChans(pages)
+	for start := 0; start < len(pg); start += pageSize {
+		end := min(start+pageSize, len(pg))
+		out = append(out, gatherPage(chans, pg[start:end], row[start:end]))
 	}
-	sort.SliceStable(refs, func(i, j int) bool {
-		a, b := refs[i], refs[j]
-		return compareRows(o.pages[a.page], a.row, o.pages[b.page], b.row, o.keys) < 0
-	})
-	for start := 0; start < len(refs); start += o.pageSize {
-		end := start + o.pageSize
-		if end > len(refs) {
-			end = len(refs)
-		}
-		o.out = append(o.out, buildFromRefs(o.pages, refs[start:end]))
-	}
-	o.pages = nil
-}
-
-// buildFromRefs gathers the referenced rows into a new page, column by
-// column, through the boxed value path (output assembly is not the hot loop).
-func buildFromRefs(pages []*block.Page, refs []rowRef) *block.Page {
-	if len(pages) == 0 || len(refs) == 0 {
-		return block.NewEmptyPage(0)
-	}
-	ncols := pages[0].ColCount()
-	cols := make([]block.Block, ncols)
-	for c := 0; c < ncols; c++ {
-		t := pages[0].Col(c).Type()
-		vals := make([]types.Value, len(refs))
-		for i, ref := range refs {
-			vals[i] = pages[ref.page].Col(c).Value(ref.row)
-			if t == types.Unknown && vals[i].T != types.Unknown {
-				t = vals[i].T
-			}
-		}
-		cols[c] = block.BuildBlock(t, vals)
-	}
-	return block.NewPage(cols...)
+	return out
 }
 
 func (o *SortOperator) Output() (*block.Page, error) {
@@ -105,15 +102,15 @@ func (o *SortOperator) Output() (*block.Page, error) {
 	}
 	p := o.out[o.outPos]
 	o.outPos++
-	o.ctx.recordOut(p)
+	o.buf.ctx.recordOut(p)
 	return p, nil
 }
 
 func (o *SortOperator) IsFinished() bool { return o.finished && o.outPos >= len(o.out) }
 func (o *SortOperator) IsBlocked() bool  { return false }
 func (o *SortOperator) Close() error {
-	o.pages, o.out = nil, nil
-	o.ctx.Mem.Close()
+	o.buf.pages, o.out = nil, nil
+	o.buf.ctx.Mem.Close()
 	return nil
 }
 
@@ -131,10 +128,7 @@ type TopNOperator struct {
 
 // NewTopN builds a top-N operator.
 func NewTopN(ctx *OpContext, keyCols []int, desc []bool, n int64) *TopNOperator {
-	keys := make([]sortKey, len(keyCols))
-	for i, c := range keyCols {
-		keys[i] = sortKey{col: c, desc: desc[i]}
-	}
+	keys := sortKeys(keyCols, desc)
 	return &TopNOperator{ctx: ctx, keys: keys, n: int(n), h: &topHeap{keys: keys}}
 }
 
@@ -170,7 +164,7 @@ func (o *TopNOperator) NeedsInput() bool { return !o.finished }
 
 func (o *TopNOperator) AddInput(p *block.Page) error {
 	o.ctx.recordIn(p)
-	p = p.DecodeAll()
+	p = p.LoadLazy()
 	for r := 0; r < p.RowCount(); r++ {
 		o.seq++
 		if o.h.Len() < o.n {
@@ -211,19 +205,19 @@ func (o *TopNOperator) Output() (*block.Page, error) {
 	if len(rows) == 0 {
 		return nil, nil
 	}
-	refs := make([]rowRef, len(rows))
-	pages := make([]*block.Page, 0)
-	pageIdx := map[*block.Page]int{}
+	var pages []*block.Page
+	pageIdx := map[*block.Page]int32{}
+	pg, row := make([]int32, len(rows)), make([]int32, len(rows))
 	for i, hr := range rows {
 		idx, ok := pageIdx[hr.page]
 		if !ok {
-			idx = len(pages)
+			idx = int32(len(pages))
 			pageIdx[hr.page] = idx
 			pages = append(pages, hr.page)
 		}
-		refs[i] = rowRef{page: idx, row: hr.row}
+		pg[i], row[i] = idx, int32(hr.row)
 	}
-	out := buildFromRefs(pages, refs)
+	out := gatherPage(pageChans(pages), pg, row)
 	o.ctx.recordOut(out)
 	return out, nil
 }

@@ -1,26 +1,31 @@
 package operators
 
 import (
-	"sort"
-
 	"repro/internal/block"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/types"
 )
 
-// WindowOperator evaluates window functions: it accumulates its input,
-// partitions by the partition columns, orders each partition, and appends
-// one output column per window function.
+// WindowOperator evaluates window functions. It sorts its input by the
+// partition keys and then the order keys, on the sort the Sort operator uses,
+// and makes one pass over the sorted rows, where a partition and a peer group
+// (rows equal under the order keys) are each a contiguous range. Ranking
+// functions write int64 vectors. An aggregate folds its frames into the hash
+// aggregation's state (aggVec), through its kernels and with its arithmetic,
+// and its column is that state's result: a frame is the whole partition
+// without ORDER BY, and with one the default RANGE UNBOUNDED
+// PRECEDING..CURRENT ROW, each peer group starting from its predecessor's
+// state. The output is the input rows in partition/order sequence, gathered
+// by the typed row gather, then one column per window function (the engine
+// adds an explicit Sort above if the query orders differently).
 type WindowOperator struct {
-	ctx      *OpContext
-	partCols []int
-	order    []sortKey
+	buf      sortBuffer
+	keys     []sortKey // the partition keys, then the order keys
+	nPart    int       // how many of keys partition
 	funcs    []plan.WindowExpr
 	argEvals []*expr.Evaluator
 
-	pages    []*block.Page
-	bytes    int64
 	finished bool
 	out      []*block.Page
 	outPos   int
@@ -30,236 +35,171 @@ type WindowOperator struct {
 
 // NewWindow builds a window operator.
 func NewWindow(ctx *OpContext, partCols []int, orderCols []int, desc []bool, funcs []plan.WindowExpr, pageSize int) *WindowOperator {
-	order := make([]sortKey, len(orderCols))
-	for i, c := range orderCols {
-		order[i] = sortKey{col: c, desc: desc[i]}
-	}
 	if pageSize <= 0 {
 		pageSize = 4096
 	}
-	o := &WindowOperator{ctx: ctx, partCols: partCols, order: order, funcs: funcs, pageSize: pageSize}
+	keys := sortKeys(partCols, make([]bool, len(partCols)))
+	o := &WindowOperator{buf: sortBuffer{ctx: ctx}, keys: append(keys, sortKeys(orderCols, desc)...), nPart: len(partCols),
+		funcs: funcs, pageSize: pageSize}
 	for _, f := range funcs {
+		var ev *expr.Evaluator
 		if f.Arg != nil {
-			o.argEvals = append(o.argEvals, expr.Compile(f.Arg))
-		} else {
-			o.argEvals = append(o.argEvals, nil)
+			ev = expr.Compile(f.Arg)
 		}
+		o.argEvals = append(o.argEvals, ev)
 	}
 	return o
 }
 
 func (o *WindowOperator) NeedsInput() bool { return !o.finished }
 
-func (o *WindowOperator) AddInput(p *block.Page) error {
-	o.ctx.recordIn(p)
-	o.pages = append(o.pages, p.DecodeAll())
-	o.bytes += p.SizeBytes()
-	return o.ctx.Mem.SetBytes(o.bytes)
-}
+func (o *WindowOperator) AddInput(p *block.Page) error { return o.buf.add(p) }
 
 func (o *WindowOperator) Finish() { o.finished = true }
+
+// frames is the pass over the sorted rows: frame[i] numbers row i's frame,
+// starts holds each frame's first row, and cont marks the frames that
+// continue their predecessor's state — a peer group after its partition's
+// first. ranks holds the ranking functions' columns.
+type frames struct {
+	frame  []int32
+	starts []int
+	cont   []bool
+	ranks  [][]int64
+}
+
+func (o *WindowOperator) walk(pg, row []int32) frames {
+	pages, n := o.buf.pages, len(pg)
+	part, order := o.keys[:o.nPart], o.keys[o.nPart:]
+	differ := func(i int, keys []sortKey) bool {
+		return compareRows(pages[pg[i-1]], int(row[i-1]), pages[pg[i]], int(row[i]), keys) != 0
+	}
+	w := frames{frame: make([]int32, n), ranks: make([][]int64, len(o.funcs))}
+	for fi, f := range o.funcs {
+		switch f.Func {
+		case plan.WinRowNumber, plan.WinRank, plan.WinDenseRank:
+			w.ranks[fi] = make([]int64, n)
+		}
+	}
+	var partStart, peerStart, dense int
+	for i := range n {
+		newPart := i == 0 || differ(i, part)
+		newPeer := newPart || differ(i, order)
+		if newPart {
+			partStart, dense = i, 0
+		}
+		if newPeer {
+			peerStart, dense = i, dense+1
+		}
+		if newPart || newPeer && len(order) > 0 {
+			w.starts, w.cont = append(w.starts, i), append(w.cont, !newPart)
+		}
+		w.frame[i] = int32(len(w.starts) - 1)
+		for fi, f := range o.funcs {
+			switch f.Func {
+			case plan.WinRowNumber:
+				w.ranks[fi][i] = int64(i - partStart + 1)
+			case plan.WinRank:
+				w.ranks[fi][i] = int64(peerStart - partStart + 1)
+			case plan.WinDenseRank:
+				w.ranks[fi][i] = int64(dense)
+			}
+		}
+	}
+	return w
+}
 
 func (o *WindowOperator) prepare() error {
 	if o.prepared {
 		return nil
 	}
 	o.prepared = true
+	pg, row := o.buf.sorted(o.keys)
+	out := gatherSorted(o.buf.pages, pg, row, o.pageSize)
+	w := o.walk(pg, row)
+	o.buf.pages = nil
 
-	// Evaluate window arguments once per page.
-	argCols := make([][]block.Block, len(o.funcs))
-	for fi, ev := range o.argEvals {
-		if ev == nil {
-			continue
+	// One aggregation state an aggregate, a group a frame, leased through
+	// the operator's ledger until the results are out.
+	mem := o.buf.ctx.Mem
+	accs := make([]aggVec, len(o.funcs))
+	defer func() {
+		for i := range accs {
+			accs[i].release()
 		}
-		argCols[fi] = make([]block.Block, len(o.pages))
-		for pi, p := range o.pages {
+		_ = mem.SetBytes(o.buf.bytes) // a lower reservation releases and cannot fail
+	}()
+	for fi, f := range o.funcs {
+		if w.ranks[fi] == nil {
+			spec := AggSpec{Func: plan.AggFunc(f.Func), Out: f.Out}
+			if f.Arg == nil {
+				spec.Func = plan.AggCountAll
+			}
+			accs[fi] = aggVec{spec: spec, l: mem, floatSum: spec.Func == plan.AggAvg || spec.Out == types.Double, mm: valueVec{t: spec.Out, l: mem}}
+			accs[fi].grow(len(w.starts))
+		}
+	}
+	if err := mem.SetBytes(o.buf.bytes + mem.Leased()); err != nil {
+		return err
+	}
+	for fi := range o.funcs {
+		if w.ranks[fi] == nil {
+			if err := fold(&accs[fi], o.argEvals[fi], out, w); err != nil {
+				return err
+			}
+		}
+	}
+	at := 0
+	for _, p := range out {
+		frame := w.frame[at : at+p.RowCount()]
+		for fi := range o.funcs {
+			if r := w.ranks[fi]; r != nil {
+				p.Cols = append(p.Cols, &block.LongBlock{T: types.Bigint, Vals: r[at : at+p.RowCount()]})
+			} else {
+				p.Cols = append(p.Cols, accs[fi].resultBlock(nil, frame))
+			}
+		}
+		at += p.RowCount()
+	}
+	o.out = out
+	return nil
+}
+
+// fold runs aggregate a over its frames, page by page of the sorted rows
+// out: each frame's rows on a page are one run of its argument (ev; nil for
+// COUNT(*)), and a frame that continues its predecessor starts from its
+// state.
+func fold(a *aggVec, ev *expr.Evaluator, out []*block.Page, w frames) error {
+	at := 0
+	for _, p := range out {
+		var arg block.Block
+		if ev != nil {
 			b, err := ev.EvalPage(p)
 			if err != nil {
 				return err
 			}
-			argCols[fi][pi] = b
+			arg = loadCol(b)
 		}
-	}
-
-	// Collect and globally order rows: partition key, then order keys.
-	var refs []rowRef
-	for pi, p := range o.pages {
-		for r := 0; r < p.RowCount(); r++ {
-			refs = append(refs, rowRef{pi, r})
+		end := at + p.RowCount()
+		for s := at; s < end; {
+			f := int(w.frame[s])
+			e := end
+			if f+1 < len(w.starts) {
+				e = min(e, w.starts[f+1])
+			}
+			if s == w.starts[f] && w.cont[f] {
+				a.carry(f-1, f)
+			}
+			if arg == nil {
+				a.count[f] += int64(e - s)
+			} else {
+				a.foldRun(f, block.Slice(arg, s-at, e-at))
+			}
+			s = e
 		}
+		at = end
 	}
-	partKeys := make([]sortKey, len(o.partCols))
-	for i, c := range o.partCols {
-		partKeys[i] = sortKey{col: c}
-	}
-	allKeys := append(append([]sortKey{}, partKeys...), o.order...)
-	sort.SliceStable(refs, func(i, j int) bool {
-		a, b := refs[i], refs[j]
-		return compareRows(o.pages[a.page], a.row, o.pages[b.page], b.row, allKeys) < 0
-	})
-
-	// Walk partitions and compute per-row outputs.
-	n := len(refs)
-	outVals := make([][]types.Value, len(o.funcs))
-	for i := range outVals {
-		outVals[i] = make([]types.Value, n)
-	}
-	start := 0
-	for start < n {
-		end := start + 1
-		for end < n && o.samePartition(refs[start], refs[end]) {
-			end++
-		}
-		o.computePartition(refs[start:end], outVals, start, argCols)
-		start = end
-	}
-
-	// Assemble output: input columns in original row order followed by the
-	// window columns; rows appear in partition/order sequence (the engine
-	// adds an explicit Sort above if the query orders differently).
-	for chunk := 0; chunk < n; chunk += o.pageSize {
-		endC := chunk + o.pageSize
-		if endC > n {
-			endC = n
-		}
-		base := buildFromRefs(o.pages, refs[chunk:endC])
-		cols := append([]block.Block{}, base.Cols...)
-		for fi, f := range o.funcs {
-			cols = append(cols, block.BuildBlock(f.Out, outVals[fi][chunk:endC]))
-		}
-		o.out = append(o.out, block.NewPage(cols...))
-	}
-	o.pages = nil
 	return nil
-}
-
-func (o *WindowOperator) samePartition(a, b rowRef) bool {
-	partKeys := make([]sortKey, len(o.partCols))
-	for i, c := range o.partCols {
-		partKeys[i] = sortKey{col: c}
-	}
-	return compareRows(o.pages[a.page], a.row, o.pages[b.page], b.row, partKeys) == 0
-}
-
-// computePartition fills outVals[fi][base+i] for each row i of one partition.
-func (o *WindowOperator) computePartition(part []rowRef, outVals [][]types.Value, base int, argCols [][]block.Block) {
-	for fi, f := range o.funcs {
-		switch f.Func {
-		case plan.WinRowNumber:
-			for i := range part {
-				outVals[fi][base+i] = types.BigintValue(int64(i + 1))
-			}
-		case plan.WinRank, plan.WinDenseRank:
-			rank, dense := int64(1), int64(1)
-			for i := range part {
-				if i > 0 {
-					if compareRows(o.pages[part[i].page], part[i].row, o.pages[part[i-1].page], part[i-1].row, o.order) != 0 {
-						rank = int64(i + 1)
-						dense++
-					}
-				}
-				if f.Func == plan.WinRank {
-					outVals[fi][base+i] = types.BigintValue(rank)
-				} else {
-					outVals[fi][base+i] = types.BigintValue(dense)
-				}
-			}
-		default:
-			// Running aggregates over the partition. With an ORDER BY the
-			// frame is the default RANGE UNBOUNDED PRECEDING..CURRENT ROW;
-			// without one it is the whole partition.
-			running := len(o.order) > 0
-			o.computeAggWindow(f, fi, part, outVals, base, argCols[fi], running)
-		}
-	}
-}
-
-func (o *WindowOperator) computeAggWindow(f plan.WindowExpr, fi int, part []rowRef, outVals [][]types.Value, base int, args []block.Block, running bool) {
-	var count int64
-	var sumF float64
-	var minmax types.Value
-	hasVal := false
-	valAt := func(i int) (types.Value, bool) {
-		ref := part[i]
-		col := args[ref.page]
-		if col.IsNull(ref.row) {
-			return types.Value{}, false
-		}
-		return col.Value(ref.row), true
-	}
-	emit := func(i int) {
-		switch f.Func {
-		case plan.WinCount:
-			outVals[fi][base+i] = types.BigintValue(count)
-		case plan.WinSum:
-			if !hasVal {
-				outVals[fi][base+i] = types.NullValue(f.Out)
-			} else if f.Out == types.Double {
-				outVals[fi][base+i] = types.DoubleValue(sumF)
-			} else {
-				outVals[fi][base+i] = types.BigintValue(int64(sumF))
-			}
-		case plan.WinAvg:
-			if count == 0 {
-				outVals[fi][base+i] = types.NullValue(types.Double)
-			} else {
-				outVals[fi][base+i] = types.DoubleValue(sumF / float64(count))
-			}
-		case plan.WinMin, plan.WinMax:
-			if !hasVal {
-				outVals[fi][base+i] = types.NullValue(f.Out)
-			} else {
-				outVals[fi][base+i] = minmax
-			}
-		}
-	}
-	accumulate := func(i int) {
-		v, ok := valAt(i)
-		if !ok {
-			return
-		}
-		count++
-		hasVal = true
-		switch v.T {
-		case types.Double:
-			sumF += v.F
-		case types.Bigint, types.Date:
-			sumF += float64(v.I)
-		}
-		if f.Func == plan.WinMin {
-			if count == 1 || v.Compare(minmax) < 0 {
-				minmax = v
-			}
-		}
-		if f.Func == plan.WinMax {
-			if count == 1 || v.Compare(minmax) > 0 {
-				minmax = v
-			}
-		}
-	}
-	if !running {
-		for i := range part {
-			accumulate(i)
-		}
-		for i := range part {
-			emit(i)
-		}
-		return
-	}
-	// Running frame with peer handling: rows equal under ORDER BY share the
-	// same aggregate value.
-	i := 0
-	for i < len(part) {
-		j := i
-		for j < len(part) && compareRows(o.pages[part[i].page], part[i].row, o.pages[part[j].page], part[j].row, o.order) == 0 {
-			accumulate(j)
-			j++
-		}
-		for k := i; k < j; k++ {
-			emit(k)
-		}
-		i = j
-	}
 }
 
 func (o *WindowOperator) Output() (*block.Page, error) {
@@ -274,14 +214,14 @@ func (o *WindowOperator) Output() (*block.Page, error) {
 	}
 	p := o.out[o.outPos]
 	o.outPos++
-	o.ctx.recordOut(p)
+	o.buf.ctx.recordOut(p)
 	return p, nil
 }
 
 func (o *WindowOperator) IsFinished() bool { return o.finished && o.prepared && o.outPos >= len(o.out) }
 func (o *WindowOperator) IsBlocked() bool  { return false }
 func (o *WindowOperator) Close() error {
-	o.pages, o.out = nil, nil
-	o.ctx.Mem.Close()
+	o.buf.pages, o.out = nil, nil
+	o.buf.ctx.Mem.Close()
 	return nil
 }

@@ -61,6 +61,12 @@
 #                             # encoding/gob) + subqueries (IN and NOT IN
 #                             # keep the list form's rows; every plan
 #                             # node kind is planned by some statement)
+#                             # + one sort, one aggregate state, one row
+#                             # gather (window aggregates equal GROUP BY
+#                             # and its self-join, in process and on HTTP
+#                             # workers; Sort, TopN and Window rows equal
+#                             # the boxed reference gather's; three runs
+#                             # under -race)
 #   scripts/check.sh -chaos   # additionally sweep the chaos suite over more
 #                             # seeds (CHAOS_FULL), verbose
 #   scripts/check.sh -fuzz    # additionally run 10s fuzz smokes over the
@@ -254,6 +260,18 @@ echo "==> subqueries: IN and NOT IN keep the list form's rows; every plan node k
 # node type internal/plan declares.
 go test -race -count=10 -run 'TestInSubqueryMatchesInList' .
 go test -count=1 -run 'TestEveryPlanNodeIsPlanned' .
+
+echo "==> one sort, one aggregate state, one row gather: Window, Sort and TopN"
+# A window aggregate folds into the hash aggregation's state, so it equals
+# GROUP BY k joined back (no ORDER BY) and the self-join grouped on (k, x)
+# (ORDER BY x, the default RANGE frame) — BIGINT sums exact past 2^53 and
+# near 2^63, NULLs, an all-NULL partition, -0.0, NaN, ±Inf, VARCHAR and DATE
+# extremes, an empty input — in process and on HTTP workers. Sort, TopN and
+# Window emit through the typed row gather the joins use, row for row what
+# the boxed reference builds over flat, dictionary (shared and per page) and
+# RLE pages with NULLs, an ARRAY column and an untyped all-NULL one.
+go test -race -count=3 -run 'TestWindowAggregatesMatchGroupBy' .
+go test -race -count=3 -run 'TestRowGatherMatchesReference' ./internal/operators/
 
 echo "==> borrowed pages and released scratch are never read late (poison linked on under the differential walls; an aggregation lending to a hash sink included)"
 # expr.poisonBorrowed makes every scratch arena poison the vectors it takes
