@@ -1,12 +1,12 @@
 package presto
 
-// Adaptive-execution suite: dynamic join filters and history-based optimizer
-// feedback. The tests are differential — every query must return identical
-// rows with the adaptive machinery on and off, including over adversarial key
-// data (NULLs, -0.0, NaN, integral doubles) and under injected delay/loss at
-// the filter-publication seam — plus effect assertions: selective joins must
-// actually skip probe rows, empty builds must short-circuit without draining
-// the probe scan, and a repeat query must replan from observed cardinalities.
+// Adaptive-execution suite: dynamic join filters. The tests are
+// differential — every query must return identical rows with the adaptive
+// machinery on and off, including over adversarial key data (NULLs, -0.0,
+// NaN, integral doubles) and under injected delay/loss at the
+// filter-publication seam — plus effect assertions: selective joins must
+// actually skip probe rows, and empty builds must short-circuit without
+// draining the probe scan.
 
 import (
 	"fmt"
@@ -21,8 +21,6 @@ import (
 	"repro/internal/connectors/memconn"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
-	"repro/internal/optimizer"
-	"repro/internal/plan"
 	"repro/internal/types"
 	"repro/internal/workload"
 )
@@ -418,159 +416,6 @@ func TestChaosMorselOpenFailure(t *testing.T) {
 	assertRows(t, chaosQueries[3], stringifyRows(rows), base[chaosQueries[3]])
 }
 
-// TestHBOJoinOrderFeedback: the first run of a three-way chain join plans
-// from static estimates that wildly overestimate a filtered relation
-// (12000 rows × 0.25 = 3000 estimated, 4 actual). The greedy reorderer
-// therefore makes the filtered relation the probe side of the first join.
-// Once the recorded actual (4 rows) feeds back, the repeat plan must flip
-// probe and build — hashing 4 rows instead of 1000 — without changing the
-// answer. A star join would not do here: with one dominant fact table the
-// greedy max(probe, build) metric ties across all candidate pairs and
-// history cannot move the pick.
-func TestHBOJoinOrderFeedback(t *testing.T) {
-	c := adaptiveCluster(t, ClusterConfig{EnableHBO: true})
-	mustExec(t, c, "CREATE TABLE a (k BIGINT)")
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO a SELECT * FROM (VALUES ")
-	for i := 0; i < 1000; i++ {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "(%d)", i)
-	}
-	sb.WriteString(")")
-	mustExec(t, c, sb.String())
-
-	mustExec(t, c, "CREATE TABLE b (k BIGINT, k2 BIGINT, tag BIGINT)")
-	sb.Reset()
-	sb.WriteString("INSERT INTO b SELECT * FROM (VALUES ")
-	for i := 0; i < 12000; i++ {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "(%d, %d, %d)", i%1000, i%500, i)
-	}
-	sb.WriteString(")")
-	mustExec(t, c, sb.String())
-
-	mustExec(t, c, "CREATE TABLE c (k2 BIGINT)")
-	sb.Reset()
-	sb.WriteString("INSERT INTO c SELECT * FROM (VALUES ")
-	for i := 0; i < 5000; i++ {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "(%d)", i%500)
-	}
-	sb.WriteString(")")
-	mustExec(t, c, sb.String())
-
-	// tag + 0 < 4 keeps the predicate out of the scan's pushed-down domain,
-	// so the static path sees a plain filter: 12000 × 0.25 = 3000 estimated
-	// rows against 4 actual. Statically b (3000) out-sizes a (1000) and
-	// probes it; with history (4) the sides must swap.
-	sql := "SELECT count(*) FROM a " +
-		"JOIN b ON a.k = b.k " +
-		"JOIN c ON b.k2 = c.k2 " +
-		"WHERE b.tag + 0 < 4"
-
-	before, err := c.Explain(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := c.QueryRow(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, ok := c.Coordinator.History().(*optimizer.MemoryHistory)
-	if !ok || h.Len() == 0 {
-		t.Fatalf("no cardinalities recorded after first run (history: %T, %v)", c.Coordinator.History(), ok)
-	}
-	after, err := c.Explain(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before == after {
-		t.Errorf("plan unchanged after history feedback:\n%s", after)
-	}
-	second, err := c.QueryRow(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first[0].I != second[0].I {
-		t.Fatalf("replanned query changed its answer: %d vs %d", first[0].I, second[0].I)
-	}
-
-	// The per-query opt-out must plan exactly like the history-free run.
-	res, err := c.ExecuteSession("EXPLAIN "+sql, Session{Switches: exec.DisableHBO})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := res.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var noHBO strings.Builder
-	for _, r := range rows {
-		noHBO.WriteString(r[0].S + "\n")
-	}
-	if noHBO.String() != before {
-		t.Errorf("exec.DisableHBO plan differs from the pre-history plan:\n--- pre-history\n%s\n--- exec.DisableHBO\n%s", before, noHBO.String())
-	}
-}
-
-// TestHistoryScanRowsIgnoreDynamicFilters: what history files under a scan is
-// what the connector produced, whether or not a dynamic filter arrived in time
-// to drop most of it on the way to the join. The filter runs in the processor
-// above the scan, so the 20 000-row probe scan of a 10-key join records 20 000
-// rows with filters on and off alike; it recorded the ten survivors when the
-// filter ran inside the source, and a later query scanning the same table
-// planned from whichever run came last. The join is partitioned (no
-// statistics), so the filter crosses fragments and tests the scan's rows;
-// the direct-feed leg runs the broadcast join, where it only prunes.
-func TestHistoryScanRowsIgnoreDynamicFilters(t *testing.T) {
-	c := adaptiveCluster(t, ClusterConfig{EnableHBO: true, DisableStats: true})
-	loadSelectiveJoin(t, c)
-	sql := selectiveJoin
-	recorded := func(s Session) float64 {
-		t.Helper()
-		rows, st := queryWith(t, c, sql, s)
-		if len(rows) != 10 {
-			t.Fatalf("join returned %d rows, want 10", len(rows))
-		}
-		if filtered := st.DynRowsFiltered > 0; filtered == s.Switches.Has(exec.DisableDynamicFilters) {
-			t.Fatalf("exec.DisableDynamicFilters=%v but %d rows were dynamically filtered", s.Switches.Has(exec.DisableDynamicFilters), st.DynRowsFiltered)
-		}
-		_, dp, err := c.Coordinator.Plan(sql, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := optimizer.HistoryFingerprintOpts(c.Coordinator.Catalog, dp)
-		var got float64
-		found := false
-		for _, f := range dp.Fragments {
-			plan.Walk(f.Root, func(n plan.Node) {
-				if sc, ok := n.(*plan.Scan); ok && sc.Handle.Table == "big" {
-					got, found = c.Coordinator.History().Lookup(plan.CardFingerprint(sc, opts))
-				}
-			})
-		}
-		if !found {
-			t.Fatal("no history entry for the scan of big")
-		}
-		return got
-	}
-	on := recorded(Session{})
-	off := recorded(Session{Switches: exec.DisableDynamicFilters})
-	if on != 20000 || off != 20000 {
-		t.Errorf("history holds %v rows for the scan of big with dynamic filters on, %v with them off; want 20000 both", on, off)
-	}
-
-	direct := adaptiveCluster(t, ClusterConfig{EnableHBO: true})
-	loadSelectiveJoin(t, direct)
-	assertDirectFeed(t, direct, selectiveJoin, emptyJoin)
-}
-
 // --- Figure 6 selective-join benchmark: dynamic filters on vs off ---
 
 // dynBenchCluster is shared across the on/off sub-benchmarks so the TPC-H
@@ -609,11 +454,8 @@ func BenchmarkDynFilterFig6(b *testing.B) {
 			name string
 			s    Session
 		}{
-			// HBO stays off in both modes: the benchmark's own repeat
-			// runs would otherwise feed history back into the planner and
-			// flip join orders mid-measurement, confounding the ablation.
-			{"on", Session{Switches: exec.DisableHBO}},
-			{"off", Session{Switches: exec.DisableHBO | exec.DisableDynamicFilters}},
+			{"on", Session{}},
+			{"off", Session{Switches: exec.DisableDynamicFilters}},
 		} {
 			b.Run(id+"/"+mode.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/exec"
 	"repro/internal/workload"
 )
 
@@ -88,7 +87,7 @@ func TestServingQPSSmoke(t *testing.T) {
 	c.Register(workload.LoadTPCHMemory("tpch", 0.05))
 	stmts := servingBenchStatements("tpch")
 
-	wall, lats := servingClosedLoop(t, c, Session{Catalog: "tpch", Switches: exec.DisableHBO}, 4, 40, stmts)
+	wall, lats := servingClosedLoop(t, c, Session{Catalog: "tpch"}, 4, 40, stmts)
 	if len(lats) != 4*40 {
 		t.Fatalf("closed loop completed %d statements, want %d", len(lats), 4*40)
 	}

@@ -41,7 +41,6 @@ func main() {
 		lakeDir = flag.String("lake", "", "directory for an orcish 'hive' catalog (empty disables)")
 		noStats = flag.Bool("disable-stats", false, "disable cost-based optimization")
 		noDyn   = flag.Bool("disable-dynamic-filters", false, "disable runtime dynamic join filters")
-		hbo     = flag.Bool("enable-hbo", false, "enable history-based optimizer feedback")
 
 		spill    = flag.Bool("spill", false, "enable disk-backed spill for aggregations and join builds")
 		spillDir = flag.String("spill-dir", "", "directory for spill files (empty = OS temp)")
@@ -59,11 +58,11 @@ func main() {
 	sp := spillOpts{enabled: *spill, dir: *spillDir}
 	switch {
 	case *coordMode:
-		runCoordinator(*addr, *scale, *lakeDir, *noStats, *noDyn, *hbo, sp)
+		runCoordinator(*addr, *scale, *lakeDir, *noStats, *noDyn, sp)
 	case *workerMode:
 		runWorker(*addr, *coordURL, *publicURL, *threads, *scale, *lakeDir, sp)
 	default:
-		runEmbedded(*addr, *workers, *threads, *scale, *lakeDir, *noStats, *noDyn, *hbo, sp)
+		runEmbedded(*addr, *workers, *threads, *scale, *lakeDir, *noStats, *noDyn, sp)
 	}
 }
 
@@ -92,13 +91,12 @@ func provisionCatalogs(catalog *coordinator.CatalogManager, scale float64, lakeD
 	}
 }
 
-func runEmbedded(addr string, workers, threads int, scale float64, lakeDir string, noStats, noDyn, hbo bool, sp spillOpts) {
+func runEmbedded(addr string, workers, threads int, scale float64, lakeDir string, noStats, noDyn bool, sp spillOpts) {
 	cluster := presto.NewCluster(presto.ClusterConfig{
 		Workers:               workers,
 		ThreadsPerWorker:      threads,
 		DisableStats:          noStats,
 		DisableDynamicFilters: noDyn,
-		EnableHBO:             hbo,
 		SpillEnabled:          sp.enabled,
 		SpillDir:              sp.dir,
 	})
@@ -123,7 +121,7 @@ func runEmbedded(addr string, workers, threads int, scale float64, lakeDir strin
 	log.Fatal(http.ListenAndServe(addr, srv.Handler()))
 }
 
-func runCoordinator(addr string, scale float64, lakeDir string, noStats, noDyn, hbo bool, sp spillOpts) {
+func runCoordinator(addr string, scale float64, lakeDir string, noStats, noDyn bool, sp spillOpts) {
 	catalog := coordinator.NewCatalogManager()
 	provisionCatalogs(catalog, scale, lakeDir)
 
@@ -133,9 +131,6 @@ func runCoordinator(addr string, scale float64, lakeDir string, noStats, noDyn, 
 	}
 	optCfg := optimizer.DefaultConfig()
 	optCfg.UseStats = !noStats
-	if hbo {
-		optCfg.History = optimizer.NewMemoryHistory()
-	}
 	// The serving tier runs here too; with no local node pool the result
 	// cache is bounded by its own byte budget rather than pool accounting.
 	tier := &serving.Tier{

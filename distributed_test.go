@@ -87,8 +87,6 @@ type distConfig struct {
 	// observe, when set, sees every request the coordinator and the workers
 	// send (the cluster's one client), retries included.
 	observe func(*http.Request)
-	// history, when set, is the coordinator's optimizer history.
-	history optimizer.History
 	// limits, when set, bounds every query's memory on every worker (spill
 	// replaces them with its own).
 	limits memory.QueryLimits
@@ -150,7 +148,6 @@ func newDistClusterWith(t *testing.T, n int, dc distConfig) *distCluster {
 		FaultInject:  inj, // rules are per site: the workers' HTTP faults never fire here
 		MemoryLimits: dc.limits,
 	}
-	ccfg.Optimizer.History = dc.history
 	if dc.broadcastRows != 0 {
 		ccfg.Optimizer.BroadcastThresholdRows = dc.broadcastRows
 	}

@@ -1,21 +1,21 @@
 package presto
 
 // An aggregation's group estimate sizes its first table and is a hint: a wrong
-// one changes no row and fails no query, it shows in EXPLAIN ANALYZE against
-// what happened, history corrects it, and nothing that identifies a plan moves
-// with it (DESIGN.md, "Sizing a group table").
+// one changes no row and fails no query, and it shows in EXPLAIN ANALYZE
+// against what happened (DESIGN.md, "Sizing a group table").
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/connector"
+	"repro/internal/connectors/memconn"
 	"repro/internal/coordinator"
 	"repro/internal/memory"
-	"repro/internal/optimizer"
 	"repro/internal/plan"
-	"repro/internal/serving"
 	"repro/internal/workload"
 )
 
@@ -46,171 +46,53 @@ const estimateScale = 0.5
 // quarter of it.
 const estimateNodeCap = 2 << 20
 
-// forceGroupEstimates records, as history, factor times the groups each
-// partial and final aggregation of sql expects — its statistics estimate, or
-// 1 000 where it has none — under the fingerprints the optimizer looks them up
-// by, so the next plan of sql carries them.
-func forceGroupEstimates(t *testing.T, coord *coordinator.Coordinator, h optimizer.History, sql string, factor float64) {
+// scaledStats is the TPC-H connector with statistics factor times off: its
+// row counts and column NDVs are scaled, so every statistics estimate the
+// optimizer derives from them is wrong by about that factor. Factor changes
+// between statements, never during one.
+type scaledStats struct {
+	*memconn.Connector
+	factor float64
+}
+
+func (s *scaledStats) Stats(table string) connector.TableStats {
+	st := s.Connector.Stats(table)
+	if st.Unknown() {
+		return st
+	}
+	scale := func(n int64) int64 { return max(1, int64(math.Round(float64(n)*s.factor))) }
+	ndv := make(map[string]int64, len(st.ColumnNDV))
+	for col, n := range st.ColumnNDV {
+		ndv[col] = scale(n)
+	}
+	st.RowCount, st.ColumnNDV = scale(st.RowCount), ndv
+	return st
+}
+
+// planEstimates sums the groups the partial and final aggregations of sql's
+// plan expect, and counts the steps that have an estimate.
+func planEstimates(t *testing.T, coord *coordinator.Coordinator, sql string) (groups float64, steps int) {
 	t.Helper()
 	_, dp, err := coord.Plan(sql, Session{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := optimizer.HistoryFingerprintOpts(coord.Catalog, dp)
 	for _, f := range dp.Fragments {
 		plan.Walk(f.Root, func(n plan.Node) {
-			a, ok := n.(*plan.Aggregation)
-			if !ok || a.Step == plan.AggSingle {
-				return
+			if a, ok := n.(*plan.Aggregation); ok && a.Est != nil {
+				groups += a.Est.Groups
+				steps++
 			}
-			groups := 1000.0
-			if a.Est != nil && a.Est.Source == plan.EstStats {
-				groups = a.Est.Groups
-			}
-			h.Record(plan.CardFingerprint(a, opts), factor*groups)
 		})
 	}
+	return groups, steps
 }
 
-// TestGroupEstimateWrongByHundred: with every aggregation of h18, q78 and topk
-// told to expect a hundred times too many groups, and a hundred times too few,
-// in-process and on HTTP workers, each statement returns the rows it returns
-// with no estimate, under a per-node limit it passes today with spilling off —
-// so no reservation went past the cap, the presize's own included (its quarter
-// rule is TestPresizeIsAHint's) — and the wrong estimates did reach the
-// operators.
-func TestGroupEstimateWrongByHundred(t *testing.T) {
-	limits := memory.QueryLimits{PerNodeUser: estimateNodeCap}
-	ref := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true, DisableStats: true})
-	t.Cleanup(ref.Close)
-	ref.Register(workload.LoadTPCHMemory("tpch", estimateScale))
-
-	local := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true,
-		DisablePlanCache: true, EnableHBO: true, PerNodeQueryMemoryBytes: estimateNodeCap})
-	t.Cleanup(local.Close)
-	local.Register(workload.LoadTPCHMemory("tpch", estimateScale))
-	remoteHistory := optimizer.NewMemoryHistory()
-	remote := newDistClusterWith(t, 2, distConfig{history: remoteHistory, limits: limits})
-	remote.catalog.Register(workload.LoadTPCHMemory("tpch", estimateScale))
-
-	for _, id := range []string{"h18", "q78", "topk"} {
-		sql := estimateShapes[id]
-		want := roundedRows(mustExec(t, ref, sql))
-		for _, factor := range []float64{100, 0.01} {
-			forceGroupEstimates(t, local.Coordinator, local.Coordinator.History(), sql, factor)
-			res, err := local.Execute(sql)
-			if err != nil {
-				t.Fatalf("%s ×%v in-process: %v", id, factor, err)
-			}
-			rows, err := res.All()
-			if err != nil {
-				t.Fatalf("%s ×%v in-process: %v", id, factor, err)
-			}
-			assertRows(t, fmt.Sprintf("%s ×%v in-process", id, factor), roundedRows(rows), want)
-			st, _ := local.QueryStats(res.QueryID)
-			if !sizedFromHistory(st) {
-				t.Errorf("%s ×%v in-process: no aggregation was sized from the forced estimates", id, factor)
-			}
-
-			forceGroupEstimates(t, remote.Coord, remoteHistory, sql, factor)
-			rows, err = remote.Query(sql)
-			if err != nil {
-				t.Fatalf("%s ×%v on HTTP workers: %v", id, factor, err)
-			}
-			assertRows(t, fmt.Sprintf("%s ×%v on HTTP workers", id, factor), roundedRows(rows), want)
-		}
-	}
-}
-
-// sizedFromHistory reports whether any hash aggregation of the query was
-// sized from a history estimate.
-func sizedFromHistory(st QueryStats) bool {
-	for _, sg := range st.Stages {
-		for _, pl := range sg.Pipelines {
-			for _, op := range pl.Operators {
-				if op.EstSource == string(plan.EstHistory) {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// TestGroupEstimateQErrorFromHistory: the first run of q78 sizes its order-key
-// aggregation from statistics and its status aggregation not at all; the
-// second, with history-based optimization on, sizes every aggregation from the
-// rows the first recorded, and EXPLAIN ANALYZE and the stats endpoint's
-// document show each estimate within 1.25× of the groups that arrived. The
-// EXPLAIN text, every node's fingerprint and the result-cache base are the
-// same under both sets of estimates.
-func TestGroupEstimateQErrorFromHistory(t *testing.T) {
-	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true, EnableHBO: true})
-	t.Cleanup(c.Close)
-	c.Register(workload.LoadTPCHMemory("tpch", estimateScale))
-	sql := estimateShapes["q78"]
-
-	type planView struct {
-		text, resultBase string
-		fps              []uint64
-		sources          []string
-	}
-	view := func() planView {
-		logical, dp, err := c.Coordinator.Plan(sql, Session{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		v := planView{text: plan.Format(logical) + dp.Format()}
-		v.resultBase = fmt.Sprint(serving.ResultBase(plan.Format(logical), nil))
-		for _, f := range dp.Fragments {
-			plan.Walk(f.Root, func(n plan.Node) {
-				v.fps = append(v.fps, plan.CardFingerprint(n, optimizer.HistoryFingerprintOpts(c.Coordinator.Catalog, dp)))
-				if a, ok := n.(*plan.Aggregation); ok && a.Step != plan.AggSingle {
-					src := "none"
-					if a.Est != nil {
-						src = string(a.Est.Source)
-					}
-					v.sources = append(v.sources, src)
-				}
-			})
-		}
-		return v
-	}
-	before := view()
-	if got := strings.Join(before.sources, ","); got != "stats,stats,none,none" {
-		t.Errorf("first plan's estimate sources %s, want stats,stats,none,none", got)
-	}
-	mustExec(t, c, sql)
-	after := view()
-	if got := strings.Join(after.sources, ","); got != "history,history,history,history" {
-		t.Errorf("second plan's estimate sources %s, want history on every step", got)
-	}
-	if after.text != before.text || after.resultBase != before.resultBase || fmt.Sprint(after.fps) != fmt.Sprint(before.fps) {
-		t.Errorf("the plan's identity moved with its estimates:\n%s\n%s", before.text, after.text)
-	}
-
-	rows := mustExec(t, c, "EXPLAIN ANALYZE "+sql)
-	lines := 0
-	for _, r := range rows {
-		if line := r[0].String(); strings.Contains(line, "HashAggregation") {
-			lines++
-			if !strings.Contains(line, "groups est") || !strings.Contains(line, "(history)") {
-				t.Errorf("EXPLAIN ANALYZE shows no history estimate: %s", line)
-			}
-		}
-	}
-	if lines != 4 {
-		t.Errorf("EXPLAIN ANALYZE shows %d aggregations, want 4", lines)
-	}
-
-	res, err := c.Execute(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := res.All(); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := c.QueryStats(res.QueryID)
+// operatorEstimates sums the groups the hash aggregations of a finished query
+// were sized to expect, as its stats document serves them, and fails the test
+// on an estimate whose source is not statistics.
+func operatorEstimates(t *testing.T, st QueryStats) float64 {
+	t.Helper()
 	doc, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
@@ -219,22 +101,119 @@ func TestGroupEstimateQErrorFromHistory(t *testing.T) {
 	if err := json.Unmarshal(doc, &served); err != nil {
 		t.Fatal(err)
 	}
-	aggs := 0
+	groups := 0.0
 	for _, sg := range served.Stages {
 		for _, pl := range sg.Pipelines {
 			for _, op := range pl.Operators {
-				if op.Name != "HashAggregation" {
+				if op.EstGroups == 0 {
 					continue
 				}
-				aggs++
-				if op.EstSource != string(plan.EstHistory) || op.GroupQError() > 1.25 {
-					t.Errorf("fragment %d: estimate %.0f (%s) against %d groups, q-error %.2f; want history within 1.25x",
-						sg.Fragment, op.EstGroups, op.EstSource, op.RowsOut, op.GroupQError())
+				if op.EstSource != string(plan.EstStats) {
+					t.Errorf("fragment %d: %s estimate %.0f has source %q, want %q", sg.Fragment, op.Name, op.EstGroups, op.EstSource, plan.EstStats)
 				}
+				groups += op.EstGroups
 			}
 		}
 	}
-	if aggs != 4 {
-		t.Errorf("the stats document shows %d aggregations, want 4", aggs)
+	return groups
+}
+
+// near reports whether got is within 1.25× of want.
+func near(got, want float64) bool { return got <= 1.25*want && want <= 1.25*got }
+
+// TestGroupEstimateWrongByHundred: with the connector's statistics a hundred
+// times too large, and a hundred times too small, every aggregation that has
+// a statistics estimate in h18, q78 and topk expects about that factor times
+// its honest groups, in process and on HTTP workers. Each statement returns
+// the rows it returns with no estimate, under a per-node limit it passes
+// today with spilling off — so no reservation went past the cap, the
+// presize's own included (its quarter rule is TestPresizeIsAHint's) — and in
+// process the operators show the scaled estimate (HTTP workers keep their
+// operator stats). An aggregation over a join's output (h18's and q78's
+// outer GROUP BY) has no statistics estimate, so a wrong estimate cannot be
+// injected there.
+func TestGroupEstimateWrongByHundred(t *testing.T) {
+	limits := memory.QueryLimits{PerNodeUser: estimateNodeCap}
+	ref := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true, DisableStats: true})
+	t.Cleanup(ref.Close)
+	ref.Register(workload.LoadTPCHMemory("tpch", estimateScale))
+
+	local := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true,
+		DisablePlanCache: true, PerNodeQueryMemoryBytes: estimateNodeCap})
+	t.Cleanup(local.Close)
+	localStats := &scaledStats{Connector: workload.LoadTPCHMemory("tpch", estimateScale), factor: 1}
+	local.Register(localStats)
+	remote := newDistClusterWith(t, 2, distConfig{limits: limits})
+	remoteStats := &scaledStats{Connector: workload.LoadTPCHMemory("tpch", estimateScale), factor: 1}
+	remote.catalog.Register(remoteStats)
+
+	for _, id := range []string{"h18", "q78", "topk"} {
+		sql := estimateShapes[id]
+		want := roundedRows(mustExec(t, ref, sql))
+		var honestPlan, honestOps float64
+		var honestSteps int
+		for _, factor := range []float64{1, 100, 0.01} {
+			name := fmt.Sprintf("%s ×%v", id, factor)
+			localStats.factor, remoteStats.factor = factor, factor
+
+			groups, steps := planEstimates(t, local.Coordinator, sql)
+			res, err := local.Execute(sql)
+			if err != nil {
+				t.Fatalf("%s in-process: %v", name, err)
+			}
+			rows, err := res.All()
+			if err != nil {
+				t.Fatalf("%s in-process: %v", name, err)
+			}
+			assertRows(t, name+" in-process", roundedRows(rows), want)
+			st, _ := local.QueryStats(res.QueryID)
+			ops := operatorEstimates(t, st)
+			if factor == 1 {
+				honestPlan, honestSteps, honestOps = groups, steps, ops
+				if steps == 0 || ops == 0 {
+					t.Fatalf("%s: no aggregation has a statistics estimate", name)
+				}
+			} else {
+				if steps != honestSteps || !near(groups, factor*honestPlan) {
+					t.Errorf("%s: %d steps expect %.0f groups, want %d expecting about %.0f", name, steps, groups, honestSteps, factor*honestPlan)
+				}
+				if !near(ops, factor*honestOps) {
+					t.Errorf("%s in-process: the operators expect %.0f groups, want about %.0f", name, ops, factor*honestOps)
+				}
+			}
+
+			if groups, steps := planEstimates(t, remote.Coord, sql); steps != honestSteps || !near(groups, factor*honestPlan) {
+				t.Errorf("%s on HTTP workers: %d steps expect %.0f groups, want %d expecting about %.0f", name, steps, groups, honestSteps, factor*honestPlan)
+			}
+			rows, err = remote.Query(sql)
+			if err != nil {
+				t.Fatalf("%s on HTTP workers: %v", name, err)
+			}
+			assertRows(t, name+" on HTTP workers", roundedRows(rows), want)
+		}
+	}
+}
+
+// TestGroupEstimateInExplainAnalyze: EXPLAIN ANALYZE shows each statistics
+// estimate of q78 (the order-key aggregation's partial and final steps)
+// beside the groups that arrived, and nothing for the status aggregation over
+// the join, which has none.
+func TestGroupEstimateInExplainAnalyze(t *testing.T) {
+	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true})
+	t.Cleanup(c.Close)
+	c.Register(workload.LoadTPCHMemory("tpch", estimateScale))
+	withEst, without := 0, 0
+	for _, r := range mustExec(t, c, "EXPLAIN ANALYZE "+estimateShapes["q78"]) {
+		line := r[0].String()
+		switch {
+		case !strings.Contains(line, "HashAggregation"):
+		case strings.Contains(line, "groups est") && strings.Contains(line, "(stats)"):
+			withEst++
+		default:
+			without++
+		}
+	}
+	if withEst != 2 || without != 2 {
+		t.Errorf("EXPLAIN ANALYZE shows %d aggregations with a statistics estimate and %d without, want 2 and 2", withEst, without)
 	}
 }

@@ -227,9 +227,8 @@ type PageCacheable interface {
 }
 
 // Versioned is implemented by connectors that maintain a monotonic per-table
-// version counter bumped on every write. The history-based optimizer folds
-// the version into its plan fingerprints, so cardinalities recorded against
-// one version of the data stop matching once the table changes.
+// version counter bumped on every write. The serving tier checks it before
+// trusting a cached plan or result, so a write makes them stale.
 type Versioned interface {
 	// TableVersion returns the table's current version (0 if never written).
 	TableVersion(table string) int64

@@ -22,8 +22,8 @@ type Connector struct {
 
 	mu     sync.RWMutex
 	tables map[string]*table
-	// versions counts mutations per table (connector.Versioned): plans,
-	// cached results and recorded cardinalities are valid for one version.
+	// versions counts mutations per table (connector.Versioned): cached
+	// plans and results are valid for one version.
 	versions map[string]int64
 	// SplitsPerTable controls how many splits a scan enumerates (default 4).
 	SplitsPerTable int

@@ -130,7 +130,7 @@ func (c *CatalogManager) Layouts(catalog, table string) []connector.Layout {
 	return meta.Layouts
 }
 
-// TableVersion implements optimizer.VersionedMeta for connectors that track
+// TableVersion reports a table's data version for connectors that track
 // data versions (0 for the rest).
 func (c *CatalogManager) TableVersion(catalog, table string) int64 {
 	conn, err := c.Connector(catalog)

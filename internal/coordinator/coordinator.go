@@ -327,9 +327,6 @@ func (c *Coordinator) Workers() []*exec.Worker { return c.aliveWorkers() }
 // Registry exposes the remote worker registry (nil in embedded mode).
 func (c *Coordinator) Registry() *WorkerRegistry { return c.cfg.Registry }
 
-// History exposes the history-based-optimization store (nil when HBO is off).
-func (c *Coordinator) History() optimizer.History { return c.cfg.Optimizer.History }
-
 // Execute runs a SQL statement to a streaming result. DDL statements
 // (CREATE TABLE without AS, DROP TABLE, SHOW TABLES) execute immediately.
 func (c *Coordinator) Execute(sql string, session Session) (*Result, error) {
@@ -431,9 +428,6 @@ func (c *Coordinator) planStatement(stmt sqlparser.Statement, session Session) (
 	optCfg := c.cfg.Optimizer
 	if session.Switches.Has(exec.DisableDynamicFilters) {
 		optCfg.DisableDynamicFilters = true
-	}
-	if session.Switches.Has(exec.DisableHBO) {
-		optCfg.History = nil
 	}
 	opt := optimizer.New(c.Catalog, optCfg)
 	optimized := opt.Optimize(logical)
@@ -541,7 +535,7 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 
 	if pre == nil && (planKey != "" || resultCacheOn) && len(targets) == 0 {
 		// Freshly planned read-only statement: offer it to the serving tier.
-		entry, deterministic := c.buildPlanEntry(logical, dp, session)
+		entry, deterministic := c.buildPlanEntry(logical, dp)
 		tables = entry.Tables
 		if planKey != "" && deterministic {
 			tier.Plans.Put(planKey, entry)
@@ -618,7 +612,6 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 			for _, t := range targets {
 				c.invalidateMeta(t[0], t[1])
 			}
-			c.recordHistory(stats, dp, session)
 			c.accumulateDynStats(stats)
 		}
 		end(resErr)
@@ -698,8 +691,8 @@ func (q *Query) fail(err error) {
 }
 
 // finish marks the query finished, releases its task groups — every worker
-// at once — and returns the final task stats for the history and
-// lifetime-counter rollups; the query keeps them in place of its tasks.
+// at once — and returns the final task stats for the lifetime-counter
+// rollups; the query keeps them in place of its tasks.
 func (q *Query) finish() []exec.TaskStats {
 	q.mu.Lock()
 	q.Info.State = StateFinished

@@ -55,24 +55,12 @@ func (c *Coordinator) allVersioned(tables [][2]string) bool {
 	return true
 }
 
-// historyGen is the optimizer history generation this session plans under (0
-// when the store is absent, non-generational, or HBO is off for the session).
-func (c *Coordinator) historyGen(session Session) uint64 {
-	if session.Switches.Has(exec.DisableHBO) {
-		return 0
-	}
-	if g, ok := c.cfg.Optimizer.History.(serving.Generational); ok {
-		return g.Gen()
-	}
-	return 0
-}
-
 // cachedPlan looks up and validates a plan-cache entry for the statement,
 // keyed on its text, its catalog and the switches that change planning;
 // execution-only switches (cache, shared scans, spill) share entries. The key
 // is returned even on a miss so the planning path can store under it. A
-// version or history-generation mismatch drops the entry and replans:
-// statistics, pushdown pruning, and history salts may all have changed.
+// version mismatch drops the entry and replans: statistics and pushdown
+// pruning may both have changed.
 func (c *Coordinator) cachedPlan(sql string, session Session) (*serving.PlanEntry, string, bool) {
 	tier := c.cfg.Serving
 	if tier == nil || tier.Plans == nil || session.Switches.Has(exec.DisablePlanCache) {
@@ -89,19 +77,13 @@ func (c *Coordinator) cachedPlan(sql string, session Session) (*serving.PlanEntr
 			return nil, key, false
 		}
 	}
-	if e.HistoryGen != c.historyGen(session) {
-		tier.Plans.Remove(key)
-		return nil, key, false
-	}
 	return e, key, true
 }
 
 // buildPlanEntry packages a freshly optimized read-only plan for the caches.
 // Deterministic means repeat executions produce identical rows (no random());
 // ResultOK additionally requires every table to be versioned.
-func (c *Coordinator) buildPlanEntry(logical plan.Node, dp *plan.DistributedPlan,
-	session Session) (*serving.PlanEntry, bool) {
-
+func (c *Coordinator) buildPlanEntry(logical plan.Node, dp *plan.DistributedPlan) (*serving.PlanEntry, bool) {
 	planText := plan.Format(logical)
 	deterministic := !strings.Contains(planText, "random(")
 	tables := scanTables(logical)
@@ -114,7 +96,6 @@ func (c *Coordinator) buildPlanEntry(logical plan.Node, dp *plan.DistributedPlan
 		Distributed: dp,
 		Tables:      tables,
 		Versions:    c.tableVersions(tables),
-		HistoryGen:  c.historyGen(session),
 		ResultBase:  serving.ResultBase(planText, cols),
 		ResultOK:    deterministic && c.allVersioned(tables),
 	}

@@ -21,7 +21,7 @@ func TestGroupsPerInstance(t *testing.T) {
 			cfg: TaskConfig{TargetSplitConcurrency: 4, StageTasks: stages}}
 	}
 	partial := &plan.GroupEstimate{Groups: 30_000, Rows: 120_000, Source: plan.EstStats}
-	final := &plan.GroupEstimate{Groups: 30_000, Source: plan.EstHistory}
+	final := &plan.GroupEstimate{Groups: 30_000, Source: plan.EstStats}
 	scan, exchange := &pipelineSpec{source: srcScan}, &pipelineSpec{source: srcExchange}
 	for _, tc := range []struct {
 		name    string

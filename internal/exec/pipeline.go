@@ -42,7 +42,6 @@ type pipelineSpec struct {
 	scanHandle plan.TableHandle
 	scanCols   []string
 	scanNode   *plan.Scan   // output schema
-	sourceFP   uint64       // cardinality fingerprint of the source node
 	morsels    *morselQueue // the scan's splits, which every driver of the pipeline drains
 	dynSubs    []dynSub     // the scan's dynamic-filter subscriptions
 
@@ -178,15 +177,6 @@ func (c *chain) appendProcessor(pred expr.Expr, exprs []expr.Expr) {
 	})
 }
 
-// stampFP tags the most recently appended operator with the cardinality
-// fingerprint of the plan node it realizes, so its observed row counts can
-// feed history-based optimizer estimates on repeat runs.
-func (c *chain) stampFP(fp uint64) {
-	if n := len(c.stats); n > 0 {
-		c.stats[n-1].PlanFP = fp
-	}
-}
-
 func (c *compiler) newPipeline() *chain {
 	spec := &pipelineSpec{id: len(c.pipelines)}
 	c.pipelines = append(c.pipelines, spec)
@@ -196,7 +186,7 @@ func (c *compiler) newPipeline() *chain {
 func (c *chain) seal() {
 	fs := c.factories
 	spec := c.spec
-	spec.opStats = append([]*operators.OpStats{{Name: spec.sourceName(), PlanFP: spec.sourceFP}}, c.stats...)
+	spec.opStats = append([]*operators.OpStats{{Name: spec.sourceName()}}, c.stats...)
 	spec.mkOps = func(ctx *driverCtx) ([]operators.Operator, error) {
 		ops := make([]operators.Operator, 0, len(fs))
 		for i, f := range fs {
@@ -295,7 +285,6 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 		pb.spec.scanHandle = x.Handle
 		pb.spec.scanCols = x.Columns
 		pb.spec.scanNode = x
-		pb.spec.sourceFP = plan.CardFingerprint(x, nil)
 		c.scans = append(c.scans, x)
 		for _, df := range x.DynFilters {
 			sub := dynSub{ScanDynFilter: df, rowTested: true, stats: &dynCounter{}}
@@ -327,15 +316,13 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 			return err
 		}
 		pb.appendProcessor(x.Predicate, identityExprs(x.Input.Schema()))
-		pb.stampFP(plan.CardFingerprint(x, nil))
 		return nil
 
 	case *plan.Project:
 		// Fuse Project*(Filter?(y)) into one page processor: stacked
 		// projections compose into one list over the bottom input, so a
 		// computed column reads the source page through the selection vector
-		// and no intermediate page exists. Project is transparent to
-		// CardFingerprint, so the stack's fingerprint is the top node's.
+		// and no intermediate page exists.
 		exprs, input := x.Exprs, x.Input
 		for {
 			inner, ok := input.(*plan.Project)
@@ -360,7 +347,6 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 			return err
 		}
 		pb.appendProcessor(remapColumn(pred, remap), remapColumns(exprs, remap))
-		pb.stampFP(plan.CardFingerprint(x, nil))
 		return nil
 
 	case *plan.Limit:
@@ -464,7 +450,6 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 			}
 			return op, nil
 		})
-		pb.stampFP(plan.CardFingerprint(x, nil))
 		if per > 0 {
 			st := pb.stats[len(pb.stats)-1]
 			st.EstGroups, st.EstSource = per*float64(drivers), string(x.Est.Source)
@@ -594,8 +579,8 @@ func remapIndex(col int, remap []int) int {
 // column lands in its output page (-1: not emitted). What the join itself
 // reads of its probe input — the listed probe channels, its probe keys, the
 // probe side of its residual — is passed down the same way, so a join under a
-// join prunes too. The plan node is not touched: EXPLAIN, the wire form and
-// the fingerprints describe the full join.
+// join prunes too. The plan node is not touched: EXPLAIN and the wire form
+// describe the full join.
 func (c *compiler) compileJoin(j *plan.Join, pb *chain, reads []bool) ([]int, error) {
 	if j.Strategy == plan.StrategyIndex {
 		return nil, c.compileIndexJoin(j, pb)
@@ -735,7 +720,6 @@ func (c *compiler) compileJoin(j *plan.Join, pb *chain, reads []bool) ([]int, er
 		op.SetOutputChannels(probeOut, buildOut)
 		return op, nil
 	})
-	pb.stampFP(plan.CardFingerprint(j, nil))
 	pb.spec.probeBridges = append(pb.spec.probeBridges, bridge)
 	if len(probeOut)+len(buildOut) == len(outMap) {
 		outMap = nil // nothing dropped: every column is where the schema says
@@ -778,7 +762,6 @@ func (c *compiler) compileIndexJoin(j *plan.Join, pb *chain) error {
 		res := operators.NewJoinResidual(residual, len(probeTs), ctx.task.newProcessor)
 		return operators.NewIndexJoin(ctx.opCtx(memory.User), idx.Lookup, jt, probeKeys, res, probeTs, buildTs, c.pageSize), nil
 	})
-	pb.stampFP(plan.CardFingerprint(j, nil))
 	return nil
 }
 

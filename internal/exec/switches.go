@@ -13,7 +13,6 @@ type Switches uint16
 const (
 	DisableCache          Switches = 1 << iota // bypass the page and split caches
 	DisableDynamicFilters                      // plan no dynamic join filters
-	DisableHBO                                 // plan without recorded cardinalities and record none
 	DisablePlanCache                           // plan from scratch and store no plan
 	DisableResultCache                         // neither serve nor capture a cached result
 	DisableSharedScans                         // keep leaf scans out of the workers' shared-scan hubs
@@ -25,7 +24,6 @@ const (
 var SwitchHeaders = [...]string{
 	"X-Presto-Disable-Cache",
 	"X-Presto-Disable-Dynamic-Filters",
-	"X-Presto-Disable-HBO",
 	"X-Presto-Disable-Plan-Cache",
 	"X-Presto-Disable-Result-Cache",
 	"X-Presto-Disable-Shared-Scans",
@@ -38,7 +36,7 @@ func (s Switches) Has(m Switches) bool { return s&m != 0 }
 // Planning is the part of s that changes what the optimizer produces: what a
 // cached plan is keyed on.
 func (s Switches) Planning() Switches {
-	return s & (DisableDynamicFilters | DisableHBO)
+	return s & DisableDynamicFilters
 }
 
 // String names the members by their headers without the prefix, lower-case

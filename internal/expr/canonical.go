@@ -2,24 +2,6 @@ package expr
 
 import "strings"
 
-// Fingerprint returns a stable 64-bit FNV-1a fingerprint of e, mixing the
-// result type with the canonical rendering. Structurally equal expressions
-// (see Equal) fingerprint identically across processes and releases, which
-// lets the plan-level cardinality fingerprints and the projection CSE
-// planner key history and sharing decisions on subtrees. Callers that
-// cannot tolerate hash collisions (the CSE planner) additionally compare
-// the canonical key string itself.
-func Fingerprint(e Expr) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	s := CanonicalKey(e)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
-}
-
 // CanonicalKey renders e and its type unambiguously: two expressions with one
 // key compute the same value from the same row, if they are deterministic.
 func CanonicalKey(e Expr) string { return e.Type().String() + "|" + canonicalKey(e) }

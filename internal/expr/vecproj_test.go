@@ -534,24 +534,25 @@ func TestConstantProjectionRLE(t *testing.T) {
 	}
 }
 
-// TestExprFingerprintDistinguishesComposites: the canonical fingerprint must
-// not merge distinct CASE/IN/BETWEEN trees the way String() rendering does.
+// TestExprFingerprintDistinguishesComposites: an expression's fingerprint is
+// its canonical key, which the CSE planner and the distinct-argument dedup
+// compare. It must not merge distinct CASE or IN trees the way String()
+// rendering does, and must give trees built apart from the same parts one key.
 func TestExprFingerprintDistinguishesComposites(t *testing.T) {
-	a := &Case{T: types.Bigint, Whens: []CaseWhen{
-		{Cond: colRef(3, types.Boolean), Then: longConst(1)},
-	}, Else: longConst(0)}
-	b := &Case{T: types.Bigint, Whens: []CaseWhen{
-		{Cond: colRef(3, types.Boolean), Then: longConst(2)},
-	}, Else: longConst(0)}
-	if Fingerprint(a) == Fingerprint(b) {
-		t.Fatal("distinct CASE trees share a fingerprint")
+	caseOf := func(then int64) Expr {
+		return &Case{T: types.Bigint, Whens: []CaseWhen{
+			{Cond: colRef(3, types.Boolean), Then: longConst(then)},
+		}, Else: longConst(0)}
 	}
-	if Fingerprint(a) != Fingerprint(a) {
-		t.Fatal("fingerprint not deterministic")
+	if CanonicalKey(caseOf(1)) == CanonicalKey(caseOf(2)) {
+		t.Fatal("distinct CASE trees share a canonical key")
+	}
+	if CanonicalKey(caseOf(1)) != CanonicalKey(caseOf(1)) {
+		t.Fatal("equal CASE trees have different canonical keys")
 	}
 	c := &In{E: colRef(0, types.Bigint), List: []Expr{longConst(1)}}
 	d := &In{E: colRef(0, types.Bigint), List: []Expr{longConst(1)}, Negate: true}
-	if Fingerprint(c) == Fingerprint(d) {
-		t.Fatal("IN and NOT IN share a fingerprint")
+	if CanonicalKey(c) == CanonicalKey(d) {
+		t.Fatal("IN and NOT IN share a canonical key")
 	}
 }

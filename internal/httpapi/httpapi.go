@@ -21,6 +21,7 @@ import (
 	"math"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -124,7 +125,16 @@ func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request) {
 		User:    r.Header.Get("X-Presto-User"),
 	}
 	for i, name := range exec.SwitchHeaders {
-		if r.Header.Get(name) != "" {
+		v := r.Header.Get(name)
+		if v == "" {
+			continue
+		}
+		on, err := strconv.ParseBool(v)
+		if err != nil {
+			http.Error(w, fmt.Sprintf("%s: %q is not a boolean", name, v), http.StatusBadRequest)
+			return
+		}
+		if on {
 			session.Switches |= 1 << i
 		}
 	}

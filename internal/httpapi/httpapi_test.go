@@ -266,9 +266,11 @@ func TestQueryStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestSwitchHeaders: each header of the switches' name table sets its switch
-// in the session the coordinator runs the statement under — what the query's
-// stats report — and an unknown X-Presto-Disable-* header sets nothing.
+// TestSwitchHeaders: each header of the switches' name table set to a true
+// value sets its switch in the session the coordinator runs the statement
+// under — what the query's stats report — and set to a false one leaves it
+// off; a value that is not a boolean is refused with a 400 naming the header,
+// and an unknown X-Presto-Disable-* header sets nothing.
 func TestSwitchHeaders(t *testing.T) {
 	srv := testServer(t)
 	switchesOf := func(header http.Header) string {
@@ -291,8 +293,29 @@ func TestSwitchHeaders(t *testing.T) {
 			t.Errorf("%s: the query ran under %q, want %q", name, got, want)
 		}
 	}
-	if got := switchesOf(http.Header{"X-Presto-Disable-Foo": {"1"}}); got != "defaults" {
-		t.Errorf("X-Presto-Disable-Foo: the query ran under %q, want the defaults", got)
+	for _, v := range []string{"false", "0"} {
+		if got := switchesOf(http.Header{"X-Presto-Disable-Spill": {v}}); got != "defaults" {
+			t.Errorf("X-Presto-Disable-Spill: %s: the query ran under %q, want the defaults", v, got)
+		}
+	}
+	for _, name := range []string{"X-Presto-Disable-Foo", "X-Presto-Disable-HBO"} {
+		if got := switchesOf(http.Header{name: {"1"}}); got != "defaults" {
+			t.Errorf("%s: the query ran under %q, want the defaults", name, got)
+		}
+	}
+	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/statement", strings.NewReader("SELECT 1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Presto-Disable-Spill", "maybe")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "X-Presto-Disable-Spill") {
+		t.Errorf("X-Presto-Disable-Spill: maybe: status %d %q, want 400 naming the header", resp.StatusCode, body)
 	}
 	all := http.Header{}
 	for _, name := range exec.SwitchHeaders {

@@ -62,15 +62,10 @@ type OpContext struct {
 type OpStats struct {
 	Name string // operator name, fixed at pipeline compile time
 
-	// PlanFP is the cardinality fingerprint of the plan node this operator
-	// realizes (plan.CardFingerprint without cross-fragment resolution), set
-	// at pipeline compile time for operators whose output cardinality is
-	// worth recording for history-based optimizer feedback; zero elsewhere.
-	PlanFP uint64
 	// EstGroups is, for a hash aggregation whose plan node carries a group
 	// estimate, the groups its instances in the task were sized to expect,
-	// summed, and EstSource where the estimate came from ("stats" or
-	// "history"); zero and empty elsewhere. Set at pipeline compile time.
+	// summed, and EstSource where the estimate came from ("stats"); zero and
+	// empty elsewhere. Set at pipeline compile time.
 	EstGroups float64
 	EstSource string
 
@@ -241,7 +236,6 @@ type OpStatsSnapshot struct {
 	CacheHits    int64  `json:"cacheHits,omitempty"`
 	CacheMisses  int64  `json:"cacheMisses,omitempty"`
 
-	PlanFP           uint64  `json:"planFP,omitempty"`
 	EstGroups        float64 `json:"estGroups,omitempty"`
 	EstSource        string  `json:"estSource,omitempty"`
 	DynRowsFiltered  int64   `json:"dynRowsFiltered,omitempty"`
@@ -284,7 +278,6 @@ func (s *OpStats) Snapshot() OpStatsSnapshot {
 		CacheHits:    s.cacheHits.Load(),
 		CacheMisses:  s.cacheMisses.Load(),
 
-		PlanFP:           s.PlanFP,
 		EstGroups:        s.EstGroups,
 		EstSource:        s.EstSource,
 		DynRowsFiltered:  s.dynRowsFiltered.Load(),
@@ -351,9 +344,6 @@ func (s *OpStatsSnapshot) Merge(o OpStatsSnapshot) {
 	s.PeakMemBytes += o.PeakMemBytes
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
-	if s.PlanFP == 0 {
-		s.PlanFP = o.PlanFP
-	}
 	s.EstGroups += o.EstGroups
 	if s.EstSource == "" {
 		s.EstSource = o.EstSource

@@ -74,9 +74,8 @@ func aggSteps(dp *plan.DistributedPlan) (partial, final *plan.Aggregation) {
 
 // TestFragmentStampsGroupEstimates: the partial and final steps cut from an
 // aggregation carry its statistics estimate (the partial with the input rows
-// it draws the groups from), then, once history has recorded them, their own
-// recorded rows; a key that is not a scan column, a global aggregation, or
-// stats turned off, leaves them without one.
+// it draws the groups from); a key that is not a scan column, a global
+// aggregation, or stats turned off, leaves them without one.
 func TestFragmentStampsGroupEstimates(t *testing.T) {
 	o := newOpt(estimateMeta)
 	logical := &plan.Output{Input: groupBy(scan("t", "a", "b"), 0), Names: []string{"a", "n"}}
@@ -87,21 +86,6 @@ func TestFragmentStampsGroupEstimates(t *testing.T) {
 	}
 	if want := (plan.GroupEstimate{Groups: 300, Source: plan.EstStats}); final.Est == nil || *final.Est != want {
 		t.Errorf("final step estimate %+v, want %+v", final.Est, want)
-	}
-
-	h := NewMemoryHistory()
-	opts := HistoryFingerprintOpts(estimateMeta, dp)
-	h.Record(plan.CardFingerprint(partial, opts), 512)
-	h.Record(plan.CardFingerprint(final, opts), 290)
-	cfg := DefaultConfig()
-	cfg.History = h
-	o = New(estimateMeta, cfg)
-	partial, final = aggSteps(o.Fragment(o.Optimize(logical)))
-	if want := (plan.GroupEstimate{Groups: 512, Source: plan.EstHistory}); partial.Est == nil || *partial.Est != want {
-		t.Errorf("partial step estimate from history %+v, want %+v", partial.Est, want)
-	}
-	if want := (plan.GroupEstimate{Groups: 290, Source: plan.EstHistory}); final.Est == nil || *final.Est != want {
-		t.Errorf("final step estimate from history %+v, want %+v", final.Est, want)
 	}
 
 	s := scan("t", "a", "b")
@@ -117,7 +101,7 @@ func TestFragmentStampsGroupEstimates(t *testing.T) {
 	if partial.Est != nil || final.Est != nil {
 		t.Errorf("a global aggregation has estimates %+v, %+v; want none", partial.Est, final.Est)
 	}
-	cfg = DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.UseStats = false
 	o = New(estimateMeta, cfg)
 	partial, final = aggSteps(o.Fragment(o.Optimize(logical)))

@@ -37,10 +37,6 @@ type Config struct {
 	// DisableDynamicFilters skips dynamic join-filter assignment (the
 	// coordinator sets it per statement from its effective switches).
 	DisableDynamicFilters bool
-	// History, when set, supplies observed cardinalities from prior runs of
-	// the same plan shape; estimates consult it before statistics. Nil
-	// disables history-based feedback.
-	History History
 }
 
 // DefaultConfig returns production defaults.

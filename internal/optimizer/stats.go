@@ -17,21 +17,9 @@ const (
 	defaultEquiSelectivity   = 0.1
 )
 
-// estimateRows returns the estimated output row count of a plan subtree, or
-// a negative value when unknown. Observed cardinalities recorded for the same
-// plan shape on a prior run (history-based feedback) take precedence over
-// statistics-derived estimates.
+// estimateRows returns the estimated output row count of a plan subtree,
+// derived from connector statistics, or a negative value when unknown.
 func (o *Optimizer) estimateRows(n plan.Node) float64 {
-	if h := o.Config.History; h != nil {
-		if rows, ok := h.Lookup(plan.CardFingerprint(n, HistoryFingerprintOpts(o.Meta, nil))); ok {
-			return rows
-		}
-	}
-	return o.estimateStatic(n)
-}
-
-// estimateStatic derives the estimate from connector statistics alone.
-func (o *Optimizer) estimateStatic(n plan.Node) float64 {
 	switch x := n.(type) {
 	case *plan.Scan:
 		if o.Meta == nil {

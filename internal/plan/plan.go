@@ -225,7 +225,7 @@ type Aggregation struct {
 	Out        Schema // group-by fields then aggregate fields
 	// Est is how many groups the optimizer expects, nil when it has no
 	// estimate. It sizes the group tables and is not part of the plan's shape:
-	// neither EXPLAIN nor the fingerprints see it.
+	// EXPLAIN does not show it.
 	Est *GroupEstimate
 }
 
@@ -237,20 +237,16 @@ const (
 	// EstStats is connector statistics: the NDV product of the group keys,
 	// capped by the input rows.
 	EstStats EstimateSource = "stats"
-	// EstHistory is the rows the same plan node produced on an earlier run
-	// (history-based optimization).
-	EstHistory EstimateSource = "history"
 )
 
-// Valid reports whether s is one of the sources above.
-func (s EstimateSource) Valid() bool { return s == EstStats || s == EstHistory }
+// Valid reports whether s is a known source.
+func (s EstimateSource) Valid() bool { return s == EstStats }
 
 // GroupEstimate is an aggregation's expected group count over the whole
 // statement. With Rows set, Groups distinct keys are drawn from Rows input
 // rows that reach every instance of the aggregation unpartitioned (a partial
 // step); with Rows zero, Groups is what the node outputs across its instances,
-// which split it between them (a final step, or any step whose Groups is its
-// recorded output).
+// which split it between them (a final step).
 type GroupEstimate struct {
 	Groups float64
 	Rows   float64

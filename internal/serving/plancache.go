@@ -16,14 +16,10 @@ type PlanEntry struct {
 	Distributed *plan.DistributedPlan
 	// Tables lists the (catalog, table) pairs the plan reads, aligned with
 	// Versions: the connector versions observed at planning time. A mismatch
-	// at hit time means the data changed under the plan — replan (statistics,
-	// pushdown pruning, and history salts may all differ).
+	// at hit time means the data changed under the plan — replan (statistics
+	// and pushdown pruning may both differ).
 	Tables   [][2]string
 	Versions []int64
-	// HistoryGen is the history store's generation at planning time; a bump
-	// means recorded cardinalities changed materially and a repeat query
-	// should replan to pick up the better join order.
-	HistoryGen uint64
 	// ResultBase fingerprints the plan text + output schema — the
 	// version-independent part of the result-cache key.
 	ResultBase uint64
@@ -55,8 +51,8 @@ type PlanCacheStats struct {
 
 // PlanCache is the expirable-LRU parse→plan cache. A hit hands back the
 // previously optimized plan so a repeat statement skips the parser, analyzer
-// and optimizer entirely; the coordinator still validates versions and
-// history generation against the entry before trusting it.
+// and optimizer entirely; the coordinator still validates the tables'
+// versions against the entry before trusting it.
 type PlanCache struct {
 	mu      sync.Mutex
 	lru     *lruCore

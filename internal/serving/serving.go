@@ -6,12 +6,11 @@
 //
 //   - PlanCache (plancache.go): an expirable LRU over parse→analyze→optimize
 //     output, keyed by normalized SQL + the catalog default + the query's
-//     planning switches (exec.Switches.Planning: dynamic filters and HBO).
+//     planning switches (exec.Switches.Planning: dynamic filters).
 //     Its size (512 plans) and expiry (5m) are this package's defaults. A
 //     hit skips the parser, analyzer and optimizer entirely; validity is
-//     checked against the referenced tables' connector versions and the
-//     history store's generation, so a write or a materially-changed
-//     cardinality observation forces a replan.
+//     checked against the referenced tables' connector versions, so a
+//     write forces a replan.
 //
 //   - ResultCache (resultcache.go): a byte-bounded LRU over small final
 //     result sets, keyed by a fingerprint of the optimized plan text plus the
@@ -92,13 +91,4 @@ func (t *Tier) Stats() TierStats {
 		s.Result = t.Results.Stats()
 	}
 	return s
-}
-
-// Generational is implemented by history stores (optimizer.MemoryHistory)
-// that report a generation counter bumped whenever recorded observations
-// change materially. A cached plan remembers the generation it was planned
-// under; a mismatch at hit time forces a replan so history-based join
-// reordering still takes effect on repeat queries.
-type Generational interface {
-	Gen() uint64
 }

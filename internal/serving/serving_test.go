@@ -100,7 +100,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	clk := newFakeClock()
 	pc := NewPlanCache(PlanCacheConfig{MaxEntries: 8, TTL: time.Minute, Clock: clk.now})
 	e := &PlanEntry{Tables: [][2]string{{"m", "t1"}, {"m", "t2"}}}
-	key := PlanKey("select * from t1, t2", "m", "df=false|hbo=false")
+	key := PlanKey("select * from t1, t2", "m", "df=false")
 	pc.Put(key, e)
 	if _, ok := pc.Get(key); !ok {
 		t.Fatal("fresh entry missing")

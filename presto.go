@@ -125,12 +125,6 @@ type ClusterConfig struct {
 	// 100ms; negative disables waiting — late filters still narrow later
 	// splits). A filter its own task builds never keeps a scan waiting.
 	DynamicFilterWait time.Duration
-	// EnableHBO turns on history-based optimization: finished queries record
-	// observed operator cardinalities keyed by plan fingerprint, and repeat
-	// runs of the same plan shape over unchanged tables reorder joins from
-	// those observations instead of selectivity guesses (per-query opt-out:
-	// the DisableHBO switch).
-	EnableHBO bool
 	// Phased enables phased stage scheduling (§IV-D1); default is
 	// all-at-once.
 	Phased bool
@@ -238,9 +232,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	optCfg := optimizer.DefaultConfig()
 	optCfg.UseStats = !cfg.DisableStats
 	optCfg.DisableColocated = cfg.DisableColocated
-	if cfg.EnableHBO {
-		optCfg.History = optimizer.NewMemoryHistory()
-	}
 
 	// The caches exist whatever the switches say: the coordinator consults a
 	// statement's effective set before either, as it does for every switch.

@@ -27,7 +27,8 @@
 #                             # included) + non-race allocation
 #                             # ceilings (page codec, group table —
 #                             # presized from its estimate, a wrong
-#                             # estimate changing no row — join build
+#                             # estimate changing no row under -race —
+#                             # join build
 #                             # and probe, dynamically filtered scan,
 #                             # spill, a spilled drain's first page
 #                             # after one partition, a second driver's
@@ -201,7 +202,7 @@ echo "==> dynamic filters: where a filter tests rows, and when it arrives"
 # splits; the chaos suite delays and loses the cross-fragment publications.
 go test -race -count=10 -run 'TestDynFilterPlacement|TestDynFilterArrivesWithItsBuild' ./internal/exec/
 go test -race -count=1 -run 'TestCollectCellsMatchesCollect|TestBoundedSummaryPrunesOnly' ./internal/dynfilter/
-go test -race -count=1 -run 'TestDynamicFilterPrunesSelectiveJoin|TestHistoryScanRowsIgnoreDynamicFilters|TestDynamicFilterEmptyBuildShortCircuit|TestChaosDynamicFilterDelayAndLoss' .
+go test -race -count=1 -run 'TestDynamicFilterPrunesSelectiveJoin|TestDynamicFilterEmptyBuildShortCircuit|TestChaosDynamicFilterDelayAndLoss' .
 
 echo "==> what a point read pays: byte budget (no -race: it skips under it), resident tables bypass the page cache, a written table stays worth scanning"
 go test -count=1 -v -run 'TestPointReadByteBudget|TestResidentTablesBypassPageCache' . | grep -E '^(---|ok|FAIL|panic)|bytes per'
@@ -310,7 +311,7 @@ echo "==> page codec allocation ceilings + bench smoke (no -race: the ceilings s
 go test -count=1 -run 'TestCodecAllocationCeilings' ./internal/block/
 go test -run '^$' -bench 'CodecEncodeRaw|CodecEncodeFlate|CodecDecodeRaw|CodecDecodeFlate' -benchtime 1x -benchmem ./internal/block/ > /dev/null
 
-echo "==> what a group, a build row and a probe row cost: allocation ceilings, accounting vs heap, a group table sized from its estimate, bench smoke (no -race, same reason)"
+echo "==> what a group, a build row and a probe row cost: allocation ceilings, accounting vs heap, a group table sized from its estimate (no -race, same reason), a wrong estimate changing no row (under -race), bench smoke"
 # A fixed-layout key table stores no hash (it rehashes its cells as batchKeys
 # hashes them), a join build indexes positions (a keyless one nothing), a
 # keyless probe page allocates nothing per build row, and a CROSS join holds
@@ -319,10 +320,12 @@ echo "==> what a group, a build row and a probe row cost: allocation ceilings, a
 # presized aggregation after the first one emitted, allocate under a byte a
 # row or group (warm-pool ceilings). A spilled aggregation's first page
 # arrives having read at most a quarter of what it spilled: the drain emits a
-# partition before it reads the next.
+# partition before it reads the next. Statistics a hundred times too large or
+# too small change no row of h18, q78 or topk under a 2 MB per-node cap, in
+# process and on HTTP workers, and reach the operators (under -race).
 go test -count=1 -v -run 'TestSecondJoinBuildReusesItsIndex|TestSecondGroupTableReusesItsArrays|TestAggSpillAllocationCeiling|TestSpilledDrainEmitsAPartitionAtATime|TestGroupTableBytesPerGroup|TestGroupTableAllocatesOnce|TestPresizedTableReservesWhatItHolds|TestPresizeIsAHint|TestFinishedAggregationDropsItsTable|TestFixedTableRehashesAsBatchKeys|TestJoinBuildBytesPerRow|TestJoinBuildAllocatesOnce|TestJoinProbeAllocationCeiling|TestKeylessProbeAllocationFlat|TestCrossJoinOutputBounded' ./internal/operators/ | grep -E '^(---|ok|FAIL|panic)|bytes'
 go test -count=1 -run 'TestGroupsPerInstance' ./internal/exec/
-go test -count=1 -run 'TestGroupEstimate' .
+go test -race -count=1 -run 'TestGroupEstimate' .
 go test -run '^$' -bench 'AggSpillRevokeDrain|HashJoinProbeParallel' -benchtime 1x -benchmem ./internal/operators/ > /dev/null
 go test -run '^$' -bench 'KeyTableFixed1' -benchtime 20x -benchmem ./internal/operators/ | grep '^Benchmark'
 go test -run '^$' -bench 'HashJoinBuildParallel' -benchtime 5x -benchmem -cpu 1,2 ./internal/operators/ | grep '^Benchmark'
