@@ -20,7 +20,7 @@ import (
 // servingBenchStatements is the repeated interactive statement mix: the five
 // dashboard shapes plus grouped-aggregate and point-ish lookups, all with
 // small deterministic results so the full serving stack (plan cache, result
-// cache, shared scans) is exercisable.
+// cache) is exercisable.
 func servingBenchStatements(catalog string) []string {
 	stmts := workload.InteractiveQueries(catalog)
 	stmts = append(stmts,

@@ -149,9 +149,8 @@ func TestClientCancellationStopsQuery(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	// And its memory must be released. Cached pages are node-lifetime (not
-	// part of the query's footprint) and shared-scan replay logs are
-	// window-lifetime — their expiry timers must hand the bytes back shortly,
-	// so poll rather than assert a single instant.
+	// part of the query's footprint); the cancelled drivers hand their bytes
+	// back as they exit, so poll rather than assert a single instant.
 	leakDeadline := time.Now().Add(2 * time.Second)
 	for {
 		var held int64

@@ -24,7 +24,7 @@ type resident interface {
 // cold makes a resident connector look like storage worth caching: it copies
 // the columns it reads instead of re-wrapping them and issues a versioned
 // page-cache key per read. Resident connectors are not page-cache clients themselves; the test walls
-// whose assertions are about the page cache and shared scans — hits on a warm
+// whose assertions are about the page cache — hits on a warm
 // run, corruption degrading to a miss, eviction storms — put their catalogs
 // behind it (coldCatalog). The key carries the table version at read time, so
 // a table must not be written while it is scanned through cold.

@@ -412,19 +412,20 @@ func TestDistributedTPCHSmoke(t *testing.T) {
 	}
 }
 
-// TestDistributedDisableSharedScans: session toggles reach HTTP workers
-// through the same Session→TaskConfig mapping as embedded tasks, so a query
-// under DisableSharedScans opens no shared scan on any worker's hub.
-func TestDistributedDisableSharedScans(t *testing.T) {
+// TestDistributedDisableCache: session switches reach HTTP workers through
+// the same Session→TaskConfig mapping as embedded tasks, so a query under
+// DisableCache records no page-cache hit or miss on any worker.
+func TestDistributedDisableCache(t *testing.T) {
 	d := newDistCluster(t, 2, nil)
 	d.catalog.Register(workload.LoadTPCHMemory("tpch", chaosScale))
 	coldCatalog(t, d.catalog, "tpch")
-	hubScans := func() int64 {
-		var n int64
+	// cacheAccesses sums the workers' page-cache hits and misses.
+	cacheAccesses := func() (hits, misses int64) {
 		for _, w := range d.workers {
-			n += w.Shared.Stats().Scans
+			st := w.CacheStats()
+			hits, misses = hits+st.Hits, misses+st.Misses
 		}
-		return n
+		return hits, misses
 	}
 	run := func(s Session) {
 		t.Helper()
@@ -436,15 +437,13 @@ func TestDistributedDisableSharedScans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// DisableCache keeps the page cache from answering the control run
-	// before it reaches the hub.
-	run(Session{Switches: exec.DisableSharedScans | exec.DisableCache})
-	if n := hubScans(); n != 0 {
-		t.Fatalf("query under DisableSharedScans opened %d shared scans on remote workers", n)
-	}
 	run(Session{Switches: exec.DisableCache})
-	if hubScans() == 0 {
-		t.Fatal("control: a default session opened no shared scan, so the check above proves nothing")
+	if hits, misses := cacheAccesses(); hits != 0 || misses != 0 {
+		t.Fatalf("query under DisableCache made %d page-cache hits and %d misses on remote workers", hits, misses)
+	}
+	run(Session{})
+	if _, misses := cacheAccesses(); misses == 0 {
+		t.Fatal("control: a default session recorded no page-cache miss, so the check above proves nothing")
 	}
 }
 

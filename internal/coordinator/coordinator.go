@@ -61,7 +61,7 @@ type Config struct {
 	// distributed mode (nil = shuffle.ClusterClient()).
 	WorkerClient *http.Client
 	// Serving holds the high-QPS serving tier (plan + result caches); nil
-	// disables both. Shared scans live on the workers (exec.WorkerConfig).
+	// disables both.
 	Serving *serving.Tier
 }
 

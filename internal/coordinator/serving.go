@@ -57,7 +57,7 @@ func (c *Coordinator) allVersioned(tables [][2]string) bool {
 
 // cachedPlan looks up and validates a plan-cache entry for the statement,
 // keyed on its text, its catalog and the switches that change planning;
-// execution-only switches (cache, shared scans, spill) share entries. The key
+// execution-only switches (cache, spill) share entries. The key
 // is returned even on a miss so the planning path can store under it. A
 // version mismatch drops the entry and replans: statistics and pushdown
 // pruning may both have changed.

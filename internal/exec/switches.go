@@ -15,7 +15,6 @@ const (
 	DisableDynamicFilters                      // plan no dynamic join filters
 	DisablePlanCache                           // plan from scratch and store no plan
 	DisableResultCache                         // neither serve nor capture a cached result
-	DisableSharedScans                         // keep leaf scans out of the workers' shared-scan hubs
 	DisableSpill                               // fail with the exceeded-limit error instead of spilling (§IV-F2)
 )
 
@@ -26,7 +25,6 @@ var SwitchHeaders = [...]string{
 	"X-Presto-Disable-Dynamic-Filters",
 	"X-Presto-Disable-Plan-Cache",
 	"X-Presto-Disable-Result-Cache",
-	"X-Presto-Disable-Shared-Scans",
 	"X-Presto-Disable-Spill",
 }
 

@@ -16,7 +16,6 @@ import (
 	"repro/internal/memory"
 	"repro/internal/operators"
 	"repro/internal/plan"
-	"repro/internal/serving"
 	"repro/internal/shuffle"
 )
 
@@ -66,10 +65,6 @@ type TaskConfig struct {
 	// selects DefaultDynamicFilterWait, negative disables waiting (filters
 	// still apply to late-opened splits).
 	DynamicFilterWait time.Duration `json:"dynamicFilterWaitNs,omitempty"`
-	// SharedScanWindow is how long a shared scan stays joinable after its
-	// first open. 0 selects DefaultSharedScanWindow, negative disables the
-	// hub on workers built from this config.
-	SharedScanWindow time.Duration `json:"sharedScanWindowNs,omitempty"`
 	// SpillDir is where spill files are written; empty selects the OS temp
 	// dir.
 	SpillDir string `json:"spillDir,omitempty"`
@@ -90,10 +85,6 @@ type TaskConfig struct {
 // scan, never a hang.
 const DefaultDynamicFilterWait = 100 * time.Millisecond
 
-// DefaultSharedScanWindow is the shared-scan joinability window when the
-// task config does not override it.
-const DefaultSharedScanWindow = 100 * time.Millisecond
-
 // Task executes one plan fragment on a worker: it owns the fragment's
 // pipelines, queues each leaf scan's splits for the drivers that drain them,
 // and produces into a partitioned output buffer (paper §IV-D, §IV-E).
@@ -106,7 +97,6 @@ type Task struct {
 	queryMem     *memory.QueryContext
 	nodePool     *memory.NodePool
 	pageCache    *cache.PageCache
-	sharedScans  *serving.ScanHub // worker scan hub (nil = sharing off)
 	output       *shuffle.OutputBuffer
 	handle       *TaskHandle
 	cfg          TaskConfig
@@ -503,31 +493,19 @@ func (t *Task) openPageSource(conn connector.Connector, s connector.Split,
 	// A connector is cached iff it says how: one that issues no key for this
 	// read (resident tables, lazy reads) is opened directly.
 	pc, ok := conn.(connector.PageCacheable)
-	if !ok {
-		return conn.PageSource(s, p.scanCols, handle)
-	}
-	key, haveKey := pc.PageCacheKey(s, p.scanCols, handle)
-	open := func() (connector.PageSource, error) {
-		return conn.PageSource(s, p.scanCols, handle)
-	}
-	// Shared scans layer under the page cache: the hub deduplicates the
-	// connector reads that fill the cache (or that run uncached), while a
-	// page-cache hit — already free — never round-trips through the hub.
-	if haveKey && t.sharedScans != nil && !t.cfg.Switches.Has(DisableSharedScans) {
-		raw := open
-		open = func() (connector.PageSource, error) {
-			return t.sharedScans.Open(key, raw)
+	if ok && t.pageCache != nil && !t.cfg.Switches.Has(DisableCache) {
+		if key, haveKey := pc.PageCacheKey(s, p.scanCols, handle); haveKey {
+			cached, hit, err := t.pageCache.OpenThrough(key, func() (connector.PageSource, error) {
+				return conn.PageSource(s, p.scanCols, handle)
+			})
+			if err != nil {
+				return nil, err
+			}
+			stats.RecordCacheAccess(hit)
+			return cached, nil
 		}
 	}
-	if haveKey && t.pageCache != nil && !t.cfg.Switches.Has(DisableCache) {
-		cached, hit, err := t.pageCache.OpenThrough(key, open)
-		if err != nil {
-			return nil, err
-		}
-		stats.RecordCacheAccess(hit)
-		return cached, nil
-	}
-	return open()
+	return conn.PageSource(s, p.scanCols, handle)
 }
 
 // driverDone is called by the executor when a driver completes; it is one of

@@ -26,11 +26,6 @@ type Worker struct {
 	// pseudo-query and registered as a cache revocable, so memory pressure
 	// evicts cached pages before any query fails.
 	Cache *cache.PageCache
-	// Shared is the worker's shared-scan hub (nil when disabled): queries
-	// admitted within the joinability window whose leaf scans share a cache
-	// key fan one connector read out to every consumer. Replay-log bytes are
-	// charged to Pool under serving.ScanPoolOwner.
-	Shared *serving.ScanHub
 
 	connectors ConnectorRegistry
 	cfg        TaskConfig
@@ -87,16 +82,6 @@ func NewWorker(id int, reg ConnectorRegistry, cfg WorkerConfig) *Worker {
 		})
 		w.Pool.RegisterCacheRevocable(w.Cache)
 	}
-	window := cfg.Task.SharedScanWindow
-	if window == 0 {
-		window = DefaultSharedScanWindow
-	}
-	if window > 0 && !cfg.Task.Switches.Has(DisableSharedScans) {
-		w.Shared = serving.NewScanHub(serving.ScanHubConfig{
-			Window:     window,
-			Accountant: serving.NewPoolAccountant(w.Pool, serving.ScanPoolOwner),
-		})
-	}
 	return w
 }
 
@@ -126,7 +111,6 @@ func (w *Worker) CreateTask(id TaskID, f *plan.Fragment, qmem *memory.QueryConte
 	if err != nil {
 		return nil, err
 	}
-	t.sharedScans = w.Shared
 	t.setRelay(relay)
 	// Liveness is checked in the critical section that registers the task:
 	// Kill marks the worker dead and snapshots w.tasks under the same lock,
@@ -219,9 +203,3 @@ func (w *Worker) Close() {
 
 // String renders the worker for logs.
 func (w *Worker) String() string { return fmt.Sprintf("worker-%d", w.ID) }
-
-// SharedScanStats snapshots the worker's shared-scan hub counters (zero when
-// sharing is disabled).
-func (w *Worker) SharedScanStats() serving.ScanHubStats {
-	return w.Shared.Stats()
-}

@@ -516,7 +516,9 @@ func vecLongToDouble(f longKernel) doubleKernel {
 	}
 }
 
-// vecDoubleToLong truncates a double kernel to bigint (CAST semantics).
+// vecDoubleToLong truncates a double kernel to bigint (CAST semantics): a
+// non-NULL row that is NaN or outside BIGINT's range fails, as in the
+// interpreter.
 func vecDoubleToLong(f doubleKernel) longKernel {
 	return func(in *vecInput, idx []int, out []int64, nulls []bool) (bool, error) {
 		dv := block.Lease[float64](in.scratch, in.n)
@@ -524,13 +526,25 @@ func vecDoubleToLong(f doubleKernel) longKernel {
 		if err != nil {
 			return false, err
 		}
+		conv := func(i int) error {
+			v, err := types.DoubleToBigint(dv[i])
+			if err != nil && !(has && nulls[i]) {
+				return err
+			}
+			out[i] = v
+			return nil
+		}
 		if idx == nil {
 			for i := 0; i < in.n; i++ {
-				out[i] = int64(dv[i])
+				if err := conv(i); err != nil {
+					return false, err
+				}
 			}
 		} else {
 			for _, i := range idx {
-				out[i] = int64(dv[i])
+				if err := conv(i); err != nil {
+					return false, err
+				}
 			}
 		}
 		return has, nil

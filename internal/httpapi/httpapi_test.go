@@ -270,7 +270,8 @@ func TestQueryStatsEndpoint(t *testing.T) {
 // value sets its switch in the session the coordinator runs the statement
 // under — what the query's stats report — and set to a false one leaves it
 // off; a value that is not a boolean is refused with a 400 naming the header,
-// and an unknown X-Presto-Disable-* header sets nothing.
+// and an unknown X-Presto-Disable-* header (a removed switch's among them)
+// sets nothing.
 func TestSwitchHeaders(t *testing.T) {
 	srv := testServer(t)
 	switchesOf := func(header http.Header) string {
@@ -298,7 +299,7 @@ func TestSwitchHeaders(t *testing.T) {
 			t.Errorf("X-Presto-Disable-Spill: %s: the query ran under %q, want the defaults", v, got)
 		}
 	}
-	for _, name := range []string{"X-Presto-Disable-Foo", "X-Presto-Disable-HBO"} {
+	for _, name := range []string{"X-Presto-Disable-Foo", "X-Presto-Disable-HBO", "X-Presto-Disable-Shared-Scans"} {
 		if got := switchesOf(http.Header{name: {"1"}}); got != "defaults" {
 			t.Errorf("%s: the query ran under %q, want the defaults", name, got)
 		}

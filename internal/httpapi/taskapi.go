@@ -676,9 +676,4 @@ func writeWorkerGauges(w io.Writer, wk *exec.Worker) {
 	metrics.PromGauge(w, "presto_cache_bytes", lbl, float64(cs.Bytes))
 	metrics.PromGauge(w, "presto_cache_entries", lbl, float64(cs.Entries))
 	metrics.PromGauge(w, "presto_cache_capacity_bytes", lbl, float64(cs.Capacity))
-	sh := wk.SharedScanStats()
-	metrics.PromGauge(w, "presto_shared_scans_total", lbl, float64(sh.Scans))
-	metrics.PromGauge(w, "presto_shared_scan_joined_total", lbl, float64(sh.Joined))
-	metrics.PromGauge(w, "presto_shared_scan_truncated_total", lbl, float64(sh.Truncated))
-	metrics.PromGauge(w, "presto_shared_scan_log_bytes", lbl, float64(sh.LogBytes))
 }

@@ -5,10 +5,9 @@ import (
 	"repro/internal/memory"
 )
 
-// NewPoolAccountant charges serving-tier bytes (result-cache entries,
-// shared-scan replay logs) to a node memory pool as non-spillable system
-// memory under the given pseudo-query owner — the same accounting contract
-// the page cache uses, so every cached byte is visible to the memory
+// NewPoolAccountant charges cached bytes (result-cache entries, page-cache
+// pages) to a node memory pool as non-spillable system memory under the
+// given pseudo-query owner, so every cached byte is visible to the memory
 // arbiter.
 func NewPoolAccountant(pool *memory.NodePool, owner string) cache.Accountant {
 	return poolAccountant{pool: pool, owner: owner}

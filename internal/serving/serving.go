@@ -2,7 +2,7 @@
 // many small *repeated* queries cheap, as opposed to making one big query
 // fast (paper §II use case A — "heavy traffic from millions of users").
 //
-// Three layers, composed front to back:
+// Two layers, composed front to back:
 //
 //   - PlanCache (plancache.go): an expirable LRU over parse→analyze→optimize
 //     output, keyed by normalized SQL + the catalog default + the query's
@@ -21,20 +21,10 @@
 //     (16 MiB, an eighth of it per entry) and expiry (5m) are this package's
 //     defaults.
 //
-//   - ScanHub (sharedscan.go): GLADE-style shared scans. Concurrently
-//     admitted queries whose leaf scans share a page-cache key (table
-//     version + columns + constraint) attach to one shared scan whose pages
-//     fan out to each query's own filter/agg pipeline. The protocol is
-//     co-producing: whichever consumer needs the next page reads it from the
-//     shared source and appends it to a bounded replay log, so a lone query
-//     never waits for a batching peer — the window only bounds how long the
-//     scan stays joinable.
-//
-// The coordinator owns a Tier (plan + result caches); each worker owns a
-// ScanHub. Every layer has a switch (exec.DisablePlanCache /
-// DisableResultCache / DisableSharedScans) that a cluster sets for all its
-// queries and a session — or its X-Presto-Disable-* header — for one, so A/B
-// ablations run side by side in one cluster.
+// The coordinator owns a Tier (plan + result caches). Each layer has a switch
+// (exec.DisablePlanCache / DisableResultCache) that a cluster sets for all
+// its queries and a session — or its X-Presto-Disable-* header — for one, so
+// A/B ablations run side by side in one cluster.
 package serving
 
 // Tier bundles the coordinator-side serving caches. Either field may be nil

@@ -2,18 +2,16 @@ package serving
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/block"
-	"repro/internal/connector"
 	"repro/internal/faultinject"
 	"repro/internal/types"
 )
 
-// fakeClock is an adjustable time source for TTL/window tests.
+// fakeClock is an adjustable time source for TTL tests.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -246,295 +244,5 @@ func TestCaptureCommitAndOverflow(t *testing.T) {
 	cp.Abandon()
 	if cp.Commit([]string{"x"}) {
 		t.Fatal("abandoned capture must not commit")
-	}
-}
-
-// sliceSource is a deterministic PageSource over fixed pages.
-type sliceSource struct {
-	pages  []*block.Page
-	pos    int
-	bytes  int64
-	closed bool
-	err    error // returned after the pages run out
-}
-
-func (s *sliceSource) NextPage() (*block.Page, error) {
-	if s.pos >= len(s.pages) {
-		return nil, s.err
-	}
-	p := s.pages[s.pos]
-	s.pos++
-	s.bytes += p.SizeBytes()
-	return p, nil
-}
-
-func (s *sliceSource) BytesRead() int64 { return s.bytes }
-func (s *sliceSource) Close()           { s.closed = true }
-
-func drain(t *testing.T, src connector.PageSource) []int64 {
-	t.Helper()
-	var out []int64
-	for {
-		p, err := src.NextPage()
-		if err != nil {
-			t.Fatalf("NextPage: %v", err)
-		}
-		if p == nil {
-			return out
-		}
-		for i := 0; i < p.RowCount(); i++ {
-			out = append(out, p.Row(i)[0].I)
-		}
-	}
-}
-
-func scanPages() []*block.Page {
-	return []*block.Page{testPage(4, 0), testPage(4, 4), testPage(4, 8)}
-}
-
-func hubOpener(opens *int) func() (connector.PageSource, error) {
-	return func() (connector.PageSource, error) {
-		*opens++
-		return &sliceSource{pages: scanPages()}, nil
-	}
-}
-
-func wantRows(t *testing.T, got []int64) {
-	t.Helper()
-	if len(got) != 12 {
-		t.Fatalf("rows = %v, want 0..11", got)
-	}
-	for i, v := range got {
-		if v != int64(i) {
-			t.Fatalf("row %d = %d", i, v)
-		}
-	}
-}
-
-func TestScanHubSharesOneOpen(t *testing.T) {
-	clk := newFakeClock()
-	hub := NewScanHub(ScanHubConfig{Window: time.Second, Clock: clk.now})
-	opens := 0
-	open := hubOpener(&opens)
-	a, err := hub.Open("k", open)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := hub.Open("k", open)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows(t, drain(t, a))
-	wantRows(t, drain(t, b))
-	a.Close()
-	b.Close()
-	if opens != 1 {
-		t.Fatalf("opens = %d, want 1 (second consumer joins)", opens)
-	}
-	// The completed log lingers inside the window: a third consumer joins it
-	// and replays the whole scan without touching the connector.
-	cl, err := hub.Open("k", open)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows(t, drain(t, cl))
-	cl.Close()
-	if opens != 1 {
-		t.Fatalf("opens = %d, want 1 (late joiner replays lingering log)", opens)
-	}
-	st := hub.Stats()
-	if st.Scans != 1 || st.Joined != 2 || st.ActiveEntries != 1 || st.LogBytes == 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// Past the window the lingering log is reclaimed.
-	clk.advance(2 * time.Second)
-	hub.Clear()
-	if st := hub.Stats(); st.ActiveEntries != 0 || st.LogBytes != 0 {
-		t.Fatalf("stats after clear = %+v", st)
-	}
-}
-
-func TestScanHubWindowExpires(t *testing.T) {
-	clk := newFakeClock()
-	hub := NewScanHub(ScanHubConfig{Window: 100 * time.Millisecond, Clock: clk.now})
-	opens := 0
-	open := hubOpener(&opens)
-	a, _ := hub.Open("k", open)
-	clk.advance(200 * time.Millisecond)
-	b, _ := hub.Open("k", open) // past the window: fresh scan
-	wantRows(t, drain(t, a))
-	wantRows(t, drain(t, b))
-	a.Close()
-	b.Close()
-	if opens != 2 {
-		t.Fatalf("opens = %d, want 2 (window expired)", opens)
-	}
-	if st := hub.Stats(); st.Joined != 0 || st.Scans != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestScanHubTruncationReopensAndSkips(t *testing.T) {
-	clk := newFakeClock()
-	// Log bound below one page: the first page truncates the log, consumer A
-	// keeps the live source, and B re-opens + skips rows it already got.
-	hub := NewScanHub(ScanHubConfig{Window: time.Second, MaxEntryBytes: 1, Clock: clk.now})
-	opens := 0
-	open := hubOpener(&opens)
-	a, _ := hub.Open("k", open)
-	b, _ := hub.Open("k", open)
-	// B consumes one page first so its post-truncation skip is non-zero.
-	p, err := b.NextPage()
-	if err != nil || p == nil || p.Row(0)[0].I != 0 {
-		t.Fatalf("b first page: %v %v", p, err)
-	}
-	got := []int64{}
-	for i := 0; i < p.RowCount(); i++ {
-		got = append(got, p.Row(i)[0].I)
-	}
-	wantRows(t, append(got, drain(t, b)...))
-	wantRows(t, drain(t, a))
-	a.Close()
-	b.Close()
-	st := hub.Stats()
-	if st.Truncated != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if opens != 2 {
-		t.Fatalf("opens = %d, want 2 (laggard reopened)", opens)
-	}
-}
-
-func TestScanHubAccountantPressureTruncates(t *testing.T) {
-	clk := newFakeClock()
-	acct := &memAccountant{limit: 1} // nothing fits: first logged page fails
-	hub := NewScanHub(ScanHubConfig{Window: time.Second, Accountant: acct, Clock: clk.now})
-	opens := 0
-	open := hubOpener(&opens)
-	a, _ := hub.Open("k", open)
-	b, _ := hub.Open("k", open)
-	wantRows(t, drain(t, a))
-	wantRows(t, drain(t, b))
-	a.Close()
-	b.Close()
-	if st := hub.Stats(); st.Truncated != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if acct.bytes() != 0 {
-		t.Fatalf("accountant holds %d bytes", acct.bytes())
-	}
-}
-
-func TestScanHubErrorPropagatesToAll(t *testing.T) {
-	clk := newFakeClock()
-	hub := NewScanHub(ScanHubConfig{Window: time.Second, Clock: clk.now})
-	boom := errors.New("storage failed")
-	open := func() (connector.PageSource, error) {
-		return &sliceSource{pages: scanPages()[:1], err: boom}, nil
-	}
-	a, _ := hub.Open("k", open)
-	b, _ := hub.Open("k", open)
-	for _, src := range []connector.PageSource{a, b} {
-		var err error
-		for {
-			var p *block.Page
-			p, err = src.NextPage()
-			if p == nil {
-				break
-			}
-		}
-		if !errors.Is(err, boom) {
-			t.Fatalf("err = %v, want %v", err, boom)
-		}
-		src.Close()
-	}
-}
-
-func TestScanHubConcurrentConsumers(t *testing.T) {
-	clk := newFakeClock()
-	hub := NewScanHub(ScanHubConfig{Window: time.Second, Clock: clk.now})
-	pages := make([]*block.Page, 32)
-	for i := range pages {
-		pages[i] = testPage(8, int64(i*8))
-	}
-	open := func() (connector.PageSource, error) {
-		return &sliceSource{pages: pages}, nil
-	}
-	const consumers = 8
-	var wg sync.WaitGroup
-	errs := make([]error, consumers)
-	for i := 0; i < consumers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			src, err := hub.Open("k", open)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer src.Close()
-			var rows int64
-			for {
-				p, err := src.NextPage()
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if p == nil {
-					break
-				}
-				rows += int64(p.RowCount())
-			}
-			if rows != 256 {
-				errs[i] = fmt.Errorf("rows = %d, want 256", rows)
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("consumer %d: %v", i, err)
-		}
-	}
-	hub.Clear()
-	if st := hub.Stats(); st.ActiveEntries != 0 || st.LogBytes != 0 {
-		t.Fatalf("stats after clear = %+v", st)
-	}
-}
-
-func TestSkipSourceSlicesBoundaryPage(t *testing.T) {
-	s := &skipSource{src: &sliceSource{pages: scanPages()}, skip: 6}
-	var got []int64
-	for {
-		p, err := s.NextPage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p == nil {
-			break
-		}
-		for i := 0; i < p.RowCount(); i++ {
-			got = append(got, p.Row(i)[0].I)
-		}
-	}
-	if len(got) != 6 || got[0] != 6 || got[5] != 11 {
-		t.Fatalf("rows = %v, want 6..11", got)
-	}
-}
-
-func TestScanHubNilAndDisabled(t *testing.T) {
-	if hub := NewScanHub(ScanHubConfig{Window: -1}); hub != nil {
-		t.Fatal("negative window must disable the hub")
-	}
-	var hub *ScanHub
-	opens := 0
-	src, err := hub.Open("k", hubOpener(&opens))
-	if err != nil || opens != 1 {
-		t.Fatalf("nil hub must pass through: err=%v opens=%d", err, opens)
-	}
-	wantRows(t, drain(t, src))
-	if st := hub.Stats(); st != (ScanHubStats{}) {
-		t.Fatalf("nil hub stats = %+v", st)
 	}
 }

@@ -246,7 +246,11 @@ func (v Value) Coerce(target Type) (Value, error) {
 		}
 	case Bigint:
 		if v.T == Double {
-			return BigintValue(int64(v.F)), nil
+			i, err := DoubleToBigint(v.F)
+			if err != nil {
+				return Value{}, err
+			}
+			return BigintValue(i), nil
 		}
 		if v.T == Date {
 			return BigintValue(v.I), nil
@@ -259,6 +263,16 @@ func (v Value) Coerce(target Type) (Value, error) {
 		}
 	}
 	return Value{}, fmt.Errorf("cannot coerce %s to %s", v.T, target)
+}
+
+// DoubleToBigint truncates f toward zero, as CAST(DOUBLE AS BIGINT) does, and
+// fails for NaN and for values outside BIGINT's range, where a Go conversion
+// would give an arbitrary result.
+func DoubleToBigint(f float64) (int64, error) {
+	if !(f >= -(1<<63) && f < 1<<63) {
+		return 0, fmt.Errorf("cannot cast DOUBLE %v to BIGINT: out of range", f)
+	}
+	return int64(f), nil
 }
 
 // Cast applies explicit CAST semantics, which are a superset of Coerce

@@ -67,15 +67,15 @@ func TestFragmentDynFilterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTaskConfigDynKnobsRoundTrip: the dynamic-filter and shared-scan knobs
-// must survive a create request's JSON round trip, and the injector, which
+// TestTaskConfigDynKnobsRoundTrip: the dynamic-filter and spill knobs must
+// survive a create request's JSON round trip, and the injector, which
 // never travels, must come back nil.
 func TestTaskConfigDynKnobsRoundTrip(t *testing.T) {
 	in := exec.TaskConfig{
 		PageSize:          1024,
-		Switches:          exec.DisableDynamicFilters | exec.DisableSharedScans,
+		Switches:          exec.DisableDynamicFilters | exec.DisableSpill,
 		DynamicFilterWait: 250 * time.Millisecond,
-		SharedScanWindow:  50 * time.Millisecond,
+		SpillDir:          "/spill",
 		Inject:            faultinject.New(1),
 	}
 	raw, err := json.Marshal(CreateRequest{Config: in})
@@ -90,8 +90,8 @@ func TestTaskConfigDynKnobsRoundTrip(t *testing.T) {
 	if !dec.Switches.Has(exec.DisableDynamicFilters) || dec.DynamicFilterWait != 250*time.Millisecond {
 		t.Fatalf("decode lost dyn knobs: %+v", dec)
 	}
-	if !dec.Switches.Has(exec.DisableSharedScans) || dec.SharedScanWindow != 50*time.Millisecond {
-		t.Fatalf("decode lost shared-scan knobs: %+v", dec)
+	if !dec.Switches.Has(exec.DisableSpill) || dec.SpillDir != "/spill" {
+		t.Fatalf("decode lost spill knobs: %+v", dec)
 	}
 	if dec.Inject != nil {
 		t.Fatal("injector materialized from the wire")

@@ -86,9 +86,6 @@ func TestResidentTablesBypassPageCache(t *testing.T) {
 	if after := c.PageCacheStats(); after != before {
 		t.Errorf("reads of a resident table moved the page cache: %+v, was %+v", after, before)
 	}
-	if st := c.SharedScanStats(); st.Scans != 0 {
-		t.Errorf("reads of a resident table went through the shared-scan hub: %+v", st)
-	}
 }
 
 // bytesPerStatement runs the point reads of keys [from, from+n) and returns

@@ -116,6 +116,11 @@ type ClusterConfig struct {
 	//
 	// Deprecated: there is no other scan scheduler.
 	DisableMorsels bool
+	// DisableSharedScans is kept only because the frozen benchmark names it.
+	// It does nothing: no two queries share a scan.
+	//
+	// Deprecated: there are no shared scans to disable.
+	DisableSharedScans bool
 	// DisableDynamicFilters turns off runtime dynamic join filters
 	// cluster-wide (the adaptive-execution ablation; per-query: the switch of
 	// the same name, as for every Disable* field below that has one).
@@ -157,11 +162,6 @@ type ClusterConfig struct {
 	// DisableResultCache turns off the serving tier's versioned result cache
 	// cluster-wide.
 	DisableResultCache bool
-	// DisableSharedScans turns off GLADE-style shared scans cluster-wide.
-	DisableSharedScans bool
-	// SharedScanWindow is how long a shared scan stays joinable after its
-	// first open (default 100ms; negative also disables sharing).
-	SharedScanWindow time.Duration
 }
 
 // Cluster is an in-process Presto-style cluster: one coordinator and N
@@ -200,7 +200,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		SpillDir:               cfg.SpillDir,
 		Interpreted:            cfg.Interpreted || cfg.DisableVectorKernels || cfg.DisableVectorProjections,
 		DynamicFilterWait:      cfg.DynamicFilterWait,
-		SharedScanWindow:       cfg.SharedScanWindow,
 		Phased:                 cfg.Phased,
 		MaxWriters:             cfg.MaxWriters,
 		WriteDelay:             cfg.WriteDelay,
@@ -215,7 +214,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	fold(cfg.DisableDynamicFilters, exec.DisableDynamicFilters)
 	fold(cfg.DisablePlanCache, exec.DisablePlanCache)
 	fold(cfg.DisableResultCache, exec.DisableResultCache)
-	fold(cfg.DisableSharedScans, exec.DisableSharedScans)
 	wcfg := exec.WorkerConfig{
 		Threads:          cfg.ThreadsPerWorker,
 		Quanta:           cfg.Quanta,
@@ -407,28 +405,11 @@ func (c *Cluster) ServingStats() serving.TierStats {
 	return c.Coordinator.ServingStats()
 }
 
-// SharedScanStats sums shared-scan hub counters across the cluster's workers.
-func (c *Cluster) SharedScanStats() serving.ScanHubStats {
-	var total serving.ScanHubStats
-	for _, w := range c.Workers() {
-		s := w.SharedScanStats()
-		total.Scans += s.Scans
-		total.Joined += s.Joined
-		total.Truncated += s.Truncated
-		total.ActiveEntries += s.ActiveEntries
-		total.LogBytes += s.LogBytes
-	}
-	return total
-}
-
-// ClearServingCaches drops every cached plan and result and every lingering
-// shared-scan replay log (cold-start for benchmarks and A/B runs).
+// ClearServingCaches drops every cached plan and result (cold-start for
+// benchmarks and A/B runs).
 func (c *Cluster) ClearServingCaches() {
 	if t := c.Coordinator.Serving(); t != nil {
 		t.Clear()
-	}
-	for _, w := range c.Workers() {
-		w.Shared.Clear()
 	}
 }
 

@@ -51,7 +51,8 @@
 #                             # empty one; accounting vs heap; the
 #                             # warm-pool ceilings twenty times each)
 #                             # + configuration (one switch set: cluster vs
-#                             # session twins, the switch headers, TaskConfig
+#                             # session twins, the switch headers, a session
+#                             # switch on HTTP workers, TaskConfig
 #                             # and fragments on the wire, non-finite doubles
 #                             # to HTTP workers and clients, dynamic filters
 #                             # decided at planning, a join residual filtered
@@ -67,7 +68,8 @@
 #                             # and its self-join, in process and on HTTP
 #                             # workers; Sort, TopN and Window rows equal
 #                             # the boxed reference gather's; three runs
-#                             # under -race)
+#                             # under -race) + examples (every program
+#                             # under examples/ runs to a zero exit)
 #   scripts/check.sh -chaos   # additionally sweep the chaos suite over more
 #                             # seeds (CHAOS_FULL), verbose
 #   scripts/check.sh -fuzz    # additionally run 10s fuzz smokes over the
@@ -153,6 +155,14 @@ go test -race ./...
 echo "==> nested benchmark module (bench/ against the working tree)"
 (cd bench && go vet . && go test -count=1 .)
 
+echo "==> examples: every program under examples/ runs to a zero exit"
+# go build ./... compiles them; this runs them: quickstart, the A/B test over
+# a bucketed store, the ETL over a lake with writer scaling, and the
+# federation join across a lake, a key-value store and a memory table.
+for ex in examples/*/; do
+  go run "./$ex" > /dev/null || { echo "example $ex failed" >&2; exit 1; }
+done
+
 echo "==> chaos smoke (seed 7)"
 CHAOS_SEED=7 go test -race -count=1 -run 'TestChaos' .
 
@@ -219,7 +229,9 @@ go test -race -count=1 -run 'TestEncodedMultiKeyGroupBy|TestEncodedProjectionErr
 echo "==> configuration: a query's switches are one value, from the HTTP header to the task; a fragment is its own wire form"
 # A cluster switch has its session twin's effect, and a deprecated cluster
 # field only its alias's; each switch header sets its
-# switch and nothing else; every TaskConfig field and every plan and
+# switch and nothing else; a session switch reaches HTTP workers inside
+# TaskConfig, as it reaches in-process tasks (DisableCache: no worker's page
+# cache is asked); every TaskConfig field and every plan and
 # expression field survives the create request, every node and expression
 # type has a wire kind, and a fragment that decodes compiles without a panic;
 # NaN, ±Infinity and −0.0 reach HTTP workers and statement-protocol clients;
@@ -228,7 +240,7 @@ echo "==> configuration: a query's switches are one value, from the HTTP header 
 # compares by IEEE, as in WHERE) and an index join applies it; a RIGHT/FULL
 # probe finished with pairs still to emit counts as finished only once it has
 # emitted them, and a SEMI/ANTI row puts its chain to a residual in rounds.
-go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestDeprecatedClusterFields|TestDynamicFiltersDecidedAtPlanning|TestDistributedNonFiniteDoubles|TestJoinResidualNaNIsIEEE|TestKVIndexJoin' .
+go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestDeprecatedClusterFields|TestDistributedDisableCache|TestDynamicFiltersDecidedAtPlanning|TestDistributedNonFiniteDoubles|TestJoinResidualNaNIsIEEE|TestKVIndexJoin' .
 go test -race -count=1 -run 'TestOuterJoinWaitsForPendingPairs|TestSemiResidualDecidesInRounds' ./internal/operators/
 go test -race -count=1 -run 'TestSwitchHeaders|TestStatementNonFiniteDoubles|TestWriteJSONFailureIs500' ./internal/httpapi/
 go test -race -count=1 ./internal/wire/

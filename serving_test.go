@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/faultinject"
@@ -64,7 +63,7 @@ func TestServingDifferentialFig6(t *testing.T) {
 	defer c.Close()
 	c.Register(workload.LoadTPCHMemory("tpch", 0.05))
 
-	off := Session{Catalog: "tpch", Switches: exec.DisablePlanCache | exec.DisableResultCache | exec.DisableSharedScans}
+	off := Session{Catalog: "tpch", Switches: exec.DisablePlanCache | exec.DisableResultCache}
 	on := Session{Catalog: "tpch"}
 
 	for _, q := range workload.Fig6Queries("tpch") {
@@ -217,78 +216,5 @@ func TestServingResultCacheCorruptionChaos(t *testing.T) {
 	}
 	if st.Hits == 0 {
 		t.Errorf("no clean hit after faults drained: %+v", st)
-	}
-}
-
-// TestServingSharedScanDifferential runs a concurrent burst of identical
-// scan-heavy queries with the page and result caches disabled — the
-// configuration where leaf scans reach the shared-scan hub — and requires
-// every run to return the rows a sharing-off session returns, with at least
-// one consumer having joined another query's scan.
-func TestServingSharedScanDifferential(t *testing.T) {
-	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 4,
-		SharedScanWindow: 2 * time.Second})
-	defer c.Close()
-	c.Register(workload.LoadTPCHMemory("tpch", 0.2))
-	coldCatalog(t, c.catalog, "tpch")
-
-	// Page cache off so scans reach the hub; result cache off so every run
-	// actually executes; plan cache off so runs stay symmetric.
-	shared := Session{Catalog: "tpch", Switches: exec.DisableCache | exec.DisableResultCache | exec.DisablePlanCache}
-	private := shared
-	private.Switches |= exec.DisableSharedScans
-
-	// Aggregates chosen to be arrival-order independent (integral sums,
-	// min/max): parallel partial aggregation reorders float addition with or
-	// without sharing, which is not what this test is about.
-	sql := "SELECT l_returnflag, l_shipmode, count(*), sum(l_quantity), " +
-		"min(l_extendedprice), max(l_extendedprice) " +
-		"FROM lineitem GROUP BY l_returnflag, l_shipmode"
-	want := servingRun(t, c, sql, private)
-
-	const burst = 8
-	joined := false
-	for attempt := 0; attempt < 5 && !joined; attempt++ {
-		results := make([][]string, burst)
-		errs := make([]error, burst)
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for i := 0; i < burst; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				<-start
-				res, err := c.ExecuteSession(sql, shared)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				rows, err := res.All()
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				results[i] = stringifyRows(rows)
-			}(i)
-		}
-		close(start)
-		wg.Wait()
-		for i := 0; i < burst; i++ {
-			if errs[i] != nil {
-				t.Fatalf("burst query %d: %v", i, errs[i])
-			}
-			assertRows(t, fmt.Sprintf("burst query %d", i), results[i], want)
-		}
-		joined = c.SharedScanStats().Joined > 0
-	}
-	st := c.SharedScanStats()
-	if st.Joined == 0 {
-		t.Errorf("no shared-scan joins across concurrent bursts: %+v", st)
-	}
-	// Completed logs linger joinable inside the window; clearing (or the
-	// window timer) must hand every byte back.
-	c.ClearServingCaches()
-	if st := c.SharedScanStats(); st.ActiveEntries != 0 || st.LogBytes != 0 {
-		t.Errorf("shared-scan state leaked after clear: %+v", st)
 	}
 }

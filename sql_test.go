@@ -4,6 +4,7 @@ package presto
 // through parse → analyze → optimize → distributed execution.
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -13,7 +14,13 @@ import (
 
 func sqlCluster(t *testing.T) *Cluster {
 	t.Helper()
-	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
+	return sqlClusterWith(t, ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
+}
+
+// sqlClusterWith is sqlCluster on a cluster built from cfg.
+func sqlClusterWith(t *testing.T, cfg ClusterConfig) *Cluster {
+	t.Helper()
+	c := NewCluster(cfg)
 	t.Cleanup(c.Close)
 	mustExec(t, c, "CREATE TABLE people (id BIGINT, name VARCHAR, age BIGINT, city VARCHAR)")
 	mustExec(t, c, `INSERT INTO people SELECT * FROM (VALUES
@@ -347,11 +354,38 @@ func TestSQLCastAndConcat(t *testing.T) {
 	}
 }
 
+// TestSQLCastErrorFailsQuery: a CAST to BIGINT that has no BIGINT to give
+// fails the query, on the kernels and on the interpreter alike: text that is
+// not a number, and a DOUBLE that is NaN or outside BIGINT's range, as a
+// constant or as a column. In-range doubles truncate, and a NULL row casts to
+// NULL.
 func TestSQLCastErrorFailsQuery(t *testing.T) {
-	c := sqlCluster(t)
-	err := queryErr(t, c, "SELECT CAST(name AS BIGINT) FROM people")
-	if !strings.Contains(err.Error(), "cast") && !strings.Contains(err.Error(), "BIGINT") {
-		t.Errorf("error: %v", err)
+	for _, interpreted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("interpreted=%v", interpreted), func(t *testing.T) {
+			c := sqlClusterWith(t, ClusterConfig{Workers: 2, ThreadsPerWorker: 2, Interpreted: interpreted})
+			err := queryErr(t, c, "SELECT CAST(name AS BIGINT) FROM people")
+			if !strings.Contains(err.Error(), "cast") && !strings.Contains(err.Error(), "BIGINT") {
+				t.Errorf("error: %v", err)
+			}
+			mustExec(t, c, "CREATE TABLE doubles (x DOUBLE)")
+			mustExec(t, c, "INSERT INTO doubles VALUES (1.9), (-2.9), (1e20), (-3e19), (9.3e18), (NULL)")
+			mustExec(t, c, "INSERT INTO doubles SELECT sqrt(-1.0)")
+			for _, sql := range []string{
+				"SELECT CAST(1e20 AS BIGINT)",
+				"SELECT CAST(-3e19 AS BIGINT)",
+				"SELECT CAST(9.3e18 AS BIGINT)",
+				"SELECT CAST(sqrt(-1.0) AS BIGINT)",
+				"SELECT CAST(x AS BIGINT) FROM doubles",
+				"SELECT CAST(x AS BIGINT) FROM doubles WHERE x > 1e19",
+				"SELECT CAST(x AS BIGINT) FROM doubles WHERE NOT (x < 1e19)",
+			} {
+				if err := queryErr(t, c, sql); !strings.Contains(err.Error(), "BIGINT") {
+					t.Errorf("%s: error %v does not name BIGINT", sql, err)
+				}
+			}
+			const inRange = "SELECT CAST(x AS BIGINT) FROM doubles WHERE x IS NULL OR abs(x) < 10"
+			assertRows(t, inRange, stringifyRows(mustExec(t, c, inRange)), []string{"-2", "1", "NULL"})
+		})
 	}
 }
 

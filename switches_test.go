@@ -80,14 +80,6 @@ func TestClusterSwitchMatchesSession(t *testing.T) {
 				twice(t, c, scan, s)
 				return []any{"result cache hits", c.ServingStats().Result.Hits}
 			}},
-		{name: "shared scans", sw: exec.DisableSharedScans,
-			cluster: func(cfg *ClusterConfig) { cfg.DisableSharedScans = true },
-			// The page cache would answer a repeat before the hub is asked.
-			session: exec.DisableCache | exec.DisableResultCache,
-			observe: func(t *testing.T, c *Cluster, s Session) []any {
-				st := twice(t, c, scan, s)
-				return []any{"hub scans", c.SharedScanStats().Scans > 0, "switches", st.Switches}
-			}},
 		{name: "spill", sw: exec.DisableSpill,
 			cluster: func(cfg *ClusterConfig) { cfg.SpillEnabled = false },
 			base: func(cfg *ClusterConfig) {
@@ -139,8 +131,9 @@ func TestClusterSwitchMatchesSession(t *testing.T) {
 // TestDeprecatedClusterFields: the ClusterConfig fields kept only because the
 // frozen benchmark names them do nothing but what they alias. DisableMorsels
 // changes nothing — a scan of a table with many splits on one-thread workers
-// still starts one driver a task, and no switch is reported — and
-// DisableVectorKernels is Interpreted: the rows agree and no projection
+// still starts one driver a task, and no switch is reported; nor does
+// DisableSharedScans, whose query gives the default's rows and switch set;
+// and DisableVectorKernels is Interpreted: the rows agree and no projection
 // reaches a kernel.
 func TestDeprecatedClusterFields(t *testing.T) {
 	// max, not sum: a double sum's rounding follows arrival order.
@@ -185,6 +178,15 @@ func TestDeprecatedClusterFields(t *testing.T) {
 		if drivers != tasks || st.Switches != def.Switches {
 			t.Errorf("DisableMorsels: %d scan drivers over %d tasks, switches %q; want one a task and %q, as without it",
 				drivers, tasks, st.Switches, def.Switches)
+		}
+	})
+	t.Run("shared scans", func(t *testing.T) {
+		const sql = "SELECT count(*) FROM tpch.orders"
+		want, def := run(t, sql, func(*ClusterConfig) {})
+		got, st := run(t, sql, func(cfg *ClusterConfig) { cfg.DisableSharedScans = true })
+		assertRows(t, sql, got, want)
+		if st.Switches != def.Switches {
+			t.Errorf("DisableSharedScans: switches %q, want %q, as without it", st.Switches, def.Switches)
 		}
 	})
 	t.Run("vector kernels", func(t *testing.T) {
