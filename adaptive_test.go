@@ -384,9 +384,9 @@ func TestChaosMorselOpenFailure(t *testing.T) {
 	for {
 		var pooled int64
 		for _, w := range c.Workers() {
-			pooled += w.Pool.GeneralUsed() - w.CacheStats().Bytes
+			pooled += w.Pool.GeneralUsed()
 		}
-		if pooled <= 0 {
+		if pooled == 0 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -16,7 +16,6 @@ import (
 	"repro"
 	"repro/internal/block"
 	"repro/internal/connector"
-	"repro/internal/connectors/hive"
 	"repro/internal/connectors/memconn"
 	"repro/internal/experiments"
 	"repro/internal/expr"
@@ -249,67 +248,6 @@ func BenchmarkJoin(b *testing.B) {
 // loadBenchTPCH builds a small shared TPC-H catalog for the micro benches.
 func loadBenchTPCH() presto.Connector {
 	return workload.LoadTPCHMemory("tpch", 0.25)
-}
-
-// newScanBenchCluster builds a cluster over an eager-read hive lake with a
-// simulated remote-storage delay, so the scan path is I/O-dominated and the
-// page cache's benefit is visible. Shared by BenchmarkScanCold/Warm.
-func newScanBenchCluster(b *testing.B) *presto.Cluster {
-	b.Helper()
-	// Serving caches off: these benchmarks repeat one statement and measure
-	// scan execution; a result-cache serve would measure nothing.
-	c := presto.NewCluster(presto.ClusterConfig{Workers: 2, ThreadsPerWorker: 2,
-		DisablePlanCache: true, DisableResultCache: true})
-	conn, err := workload.LoadTPCHHiveConfig("tpch", 0.1, hive.Config{
-		Dir:              b.TempDir(),
-		LazyReads:        false, // lazy blocks close over open readers and are uncacheable
-		StripeRows:       4096,
-		ReadDelayPerByte: 50,
-	})
-	if err != nil {
-		c.Close()
-		b.Fatal(err)
-	}
-	c.Register(conn)
-	return c
-}
-
-const scanBenchQuery = "SELECT count(*), sum(l_quantity), sum(l_extendedprice) FROM tpch.lineitem"
-
-// BenchmarkScanCold measures the scan with the page cache dropped before
-// every iteration: each run pays the full decode + simulated-storage cost.
-func BenchmarkScanCold(b *testing.B) {
-	c := newScanBenchCluster(b)
-	defer c.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		c.ClearPageCaches()
-		b.StartTimer()
-		if _, err := c.Query(scanBenchQuery); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkScanWarm primes the page cache once, then measures cache-served
-// scans. Compare against BenchmarkScanCold for the warm-read speedup.
-func BenchmarkScanWarm(b *testing.B) {
-	c := newScanBenchCluster(b)
-	defer c.Close()
-	if _, err := c.Query(scanBenchQuery); err != nil { // prime the cache
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Query(scanBenchQuery); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if st := c.PageCacheStats(); st.Hits == 0 {
-		b.Fatal("warm benchmark served no pages from the cache")
-	}
 }
 
 // ---------------------------------------------------------------------------

@@ -42,12 +42,12 @@ func TestMemoryReleasedAfterQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Page-cache and serving-tier bytes stay resident between queries by
-	// design; everything else must drain. Clearing the serving caches must
-	// hand their reservations back to the pools.
+	// Serving-tier bytes stay resident between queries by design; everything
+	// else must drain. Clearing the serving caches must hand their
+	// reservations back to the pools, which then hold nothing.
 	c.ClearServingCaches()
 	for _, w := range c.Workers() {
-		if used := w.Pool.GeneralUsed() - w.CacheStats().Bytes; used > 0 {
+		if used := w.Pool.GeneralUsed(); used != 0 {
 			t.Errorf("worker %d leaked %d bytes", w.ID, used)
 		}
 	}
@@ -148,16 +148,13 @@ func TestClientCancellationStopsQuery(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// And its memory must be released. Cached pages are node-lifetime (not
-	// part of the query's footprint); the cancelled drivers hand their bytes
+	// And its memory must be released: the cancelled drivers hand their bytes
 	// back as they exit, so poll rather than assert a single instant.
 	leakDeadline := time.Now().Add(2 * time.Second)
 	for {
 		var held int64
 		for _, w := range c.Workers() {
-			if used := w.Pool.GeneralUsed() - w.CacheStats().Bytes; used > 0 {
-				held += used
-			}
+			held += w.Pool.GeneralUsed()
 		}
 		if held == 0 {
 			break

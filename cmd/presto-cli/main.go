@@ -37,8 +37,6 @@ type opStats struct {
 	CPUNanos     int64  `json:"cpuNanos"`
 	BlockedNanos int64  `json:"blockedNanos"`
 	PeakMemBytes int64  `json:"peakMemBytes"`
-	CacheHits    int64  `json:"cacheHits"`
-	CacheMisses  int64  `json:"cacheMisses"`
 }
 
 type pipelineStats struct {
@@ -198,16 +196,12 @@ func printStats(server, queryID string) {
 		for _, pl := range sg.Pipelines {
 			fmt.Printf("  pipeline %d (%d drivers):\n", pl.Pipeline, pl.Drivers)
 			for _, op := range pl.Operators {
-				cache := ""
-				if total := op.CacheHits + op.CacheMisses; total > 0 {
-					cache = fmt.Sprintf("  cache %d/%d", op.CacheHits, total)
-				}
-				fmt.Printf("    %-20s rows %d/%d  wall %s  cpu %s  blocked %s  peak mem %d B%s\n",
+				fmt.Printf("    %-20s rows %d/%d  wall %s  cpu %s  blocked %s  peak mem %d B\n",
 					op.Name, op.RowsIn, op.RowsOut,
 					time.Duration(op.WallNanos).Round(10*time.Microsecond),
 					time.Duration(op.CPUNanos).Round(10*time.Microsecond),
 					time.Duration(op.BlockedNanos).Round(10*time.Microsecond),
-					op.PeakMemBytes, cache)
+					op.PeakMemBytes)
 			}
 		}
 	}

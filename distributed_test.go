@@ -32,6 +32,7 @@ import (
 	"repro/internal/httpapi"
 	"repro/internal/memory"
 	"repro/internal/optimizer"
+	"repro/internal/spill"
 	"repro/internal/types"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -185,14 +186,6 @@ func (d *distCluster) mustQuery(t *testing.T, sql string) [][]Value {
 	return rows
 }
 
-func (d *distCluster) cacheHits() int64 {
-	var hits int64
-	for _, w := range d.workers {
-		hits += w.CacheStats().Hits
-	}
-	return hits
-}
-
 // loadRefTable creates a refRow table in the distributed cluster's shared
 // catalog through the connector API directly (standing in for shared external
 // storage): SQL writes into the process-local memory catalog are rejected in
@@ -274,8 +267,7 @@ var distDiffQueries = []struct {
 
 // TestDistributedDifferential runs every query through the in-process engine
 // and through the HTTP-distributed cluster, cold and warm; all four row sets
-// must agree, and the warm distributed runs must have hit the worker page
-// caches.
+// must agree.
 func TestDistributedDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	left := randomRows(r, 200)
@@ -293,7 +285,6 @@ func TestDistributedDifferential(t *testing.T) {
 	// distributed mode (see TestDistributedRejectsLocalWrites).
 	d.loadRefTable(t, "d", left)
 	d.loadRefTable(t, "e", right)
-	coldCatalog(t, d.catalog, "memory")
 
 	for _, q := range distDiffQueries {
 		want := stringifyRows(mustExec(t, ref, q.sql))
@@ -306,9 +297,6 @@ func TestDistributedDifferential(t *testing.T) {
 		}
 		assertRows(t, q.sql+" [cold]", stringifyRows(cold), want)
 		assertRows(t, q.sql+" [warm]", stringifyRows(warm), want)
-	}
-	if hits := d.cacheHits(); hits == 0 {
-		t.Errorf("warm distributed runs recorded no worker page-cache hits")
 	}
 }
 
@@ -412,39 +400,37 @@ func TestDistributedTPCHSmoke(t *testing.T) {
 	}
 }
 
-// TestDistributedDisableCache: session switches reach HTTP workers through
-// the same Session→TaskConfig mapping as embedded tasks, so a query under
-// DisableCache records no page-cache hit or miss on any worker.
-func TestDistributedDisableCache(t *testing.T) {
-	d := newDistCluster(t, 2, nil)
-	d.catalog.Register(workload.LoadTPCHMemory("tpch", chaosScale))
-	coldCatalog(t, d.catalog, "tpch")
-	// cacheAccesses sums the workers' page-cache hits and misses.
-	cacheAccesses := func() (hits, misses int64) {
-		for _, w := range d.workers {
-			st := w.CacheStats()
-			hits, misses = hits+st.Hits, misses+st.Misses
-		}
-		return hits, misses
-	}
-	run := func(s Session) {
-		t.Helper()
-		res, err := d.Coord.Execute("SELECT count(*) FROM tpch.orders", s)
+// TestDistributedDisableSpill: session switches reach HTTP workers through
+// the same Session→TaskConfig mapping as embedded tasks. DisableSpill is the
+// switch a worker reads: under a per-node cap that forces a spill, a default
+// session spills and returns the uncapped rows, and a DisableSpill session
+// fails with the exceeded-limit error instead.
+func TestDistributedDisableSpill(t *testing.T) {
+	base, peak := spillBaselineRows(t)
+	spillBase := spill.CurrentStats()
+	d := newDistClusterSpill(t, 2, nil, &distSpillConfig{dir: t.TempDir(), perNodeCap: max(peak/8, spillCapFloor)})
+	d.catalog.Register(workload.LoadTPCHMemory("tpch", spillScale))
+	q := spillQueries[0]
+	run := func(s Session) ([][]Value, error) {
+		res, err := d.Coord.Execute(q, s)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		if _, err := res.All(); err != nil {
-			t.Fatal(err)
-		}
+		return res.All()
 	}
-	run(Session{Switches: exec.DisableCache})
-	if hits, misses := cacheAccesses(); hits != 0 || misses != 0 {
-		t.Fatalf("query under DisableCache made %d page-cache hits and %d misses on remote workers", hits, misses)
+	rows, err := run(Session{})
+	if err != nil {
+		t.Fatalf("default session: %v", err)
 	}
-	run(Session{})
-	if _, misses := cacheAccesses(); misses == 0 {
-		t.Fatal("control: a default session recorded no page-cache miss, so the check above proves nothing")
+	assertRows(t, q, roundedRows(rows), base[q])
+	if spill.CurrentStats().FilesCreated == spillBase.FilesCreated {
+		t.Fatal("control: the default session did not spill, so the check below proves nothing")
 	}
+	_, err = run(Session{Switches: exec.DisableSpill})
+	if err == nil || !strings.Contains(err.Error(), memory.ErrExceededLimit.Error()) {
+		t.Fatalf("DisableSpill session on remote workers: %v, want the exceeded-limit error", err)
+	}
+	checkNoSpillArtifactLeaks(t, spillBase)
 }
 
 // TestDistributedMetricsAggregation checks that one coordinator scrape
@@ -548,9 +534,9 @@ func TestChaosHTTPHardFaultAborts(t *testing.T) {
 	for {
 		var pooled int64
 		for _, w := range d.workers {
-			pooled += w.Pool.GeneralUsed() - w.CacheStats().Bytes
+			pooled += w.Pool.GeneralUsed()
 		}
-		if pooled <= 0 {
+		if pooled == 0 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -1,380 +1,19 @@
-// Package cache implements the engine's two caching tiers (paper §II use
-// case C, §IV-G; Wang et al. 2022, "Metadata Caching in Presto"):
+// Package cache implements the engine's metadata cache (paper §II use case
+// C, §IV-G; Wang et al. 2022, "Metadata Caching in Presto"): MetaCache
+// (meta.go), a TTL map used by the coordinator to memoize split enumeration
+// and table metadata, and by the hive connector for decoded file footers,
+// with explicit invalidation on write.
 //
-//   - PageCache: a sharded, memory-accounted LRU cache of decoded columnar
-//     pages kept on each worker. Entries are keyed by the connector
-//     (catalog, split, column-set, version) tuple, charged to the node's
-//     memory pool as system memory under a pseudo-query owner, and the
-//     cache registers itself as a *revocable* consumer so memory pressure
-//     evicts cached bytes before any query fails with out-of-memory.
-//
-//   - MetaCache (meta.go): a TTL map used by the coordinator to memoize
-//     split enumeration and table metadata, and by the hive connector for
-//     decoded file footers, with explicit invalidation on write.
-//
-// The PageSource integration lives in source.go: OpenThrough serves a scan
-// from cached pages on hit and transparently populates the cache on miss.
+// Workers keep no data cache: every split is read from its connector.
 package cache
 
-import (
-	"hash/fnv"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/block"
-	"repro/internal/faultinject"
-)
-
-// PoolOwner is the pseudo-query name the page cache reserves node memory
-// under. It never appears in the coordinator's query registry, so it can
-// never be promoted to the reserved pool — cache bytes always live in the
-// general pool where revocation can reclaim them.
-const PoolOwner = "@pagecache"
-
-// Accountant charges cache bytes to an external memory budget (the worker's
-// NodePool in production, nil or a test double in unit tests).
-type Accountant interface {
-	// Reserve charges n bytes; an error means the entry must not be admitted.
-	Reserve(n int64) error
-	// Release returns n previously reserved bytes.
-	Release(n int64)
-}
-
-// Config sizes a PageCache.
-type Config struct {
-	// Capacity bounds total cached bytes across all shards.
-	Capacity int64
-	// Shards is the number of independently locked LRU segments (default 8).
-	Shards int
-	// Accountant, when non-nil, mirrors every admitted/evicted byte into an
-	// external budget (the node memory pool).
-	Accountant Accountant
-	// Inject, when non-nil, enables the cache's fault seams: SiteCacheCorrupt
-	// flips a stored checksum (the lookup sees a corrupt entry and treats it
-	// as a miss) and SiteCacheEvict triggers a full eviction storm on insert.
-	Inject *faultinject.Injector
-}
-
-// entry is one cached page run plus its integrity checksum.
-type entry struct {
-	key   string
-	pages []*block.Page
-	size  int64
-	sum   uint64
-
-	// intrusive LRU list links (most-recent at head)
-	prev, next *entry
-}
-
-// shard is one independently locked LRU segment with capacity/shards budget.
-type shard struct {
-	mu      sync.Mutex
-	entries map[string]*entry
-	head    *entry // sentinel ring: head.next is most recent
-	bytes   int64
-	budget  int64
-}
-
-// PageCache is a sharded, memory-accounted LRU cache of decoded pages. It
-// implements memory.Revocable (structurally) so the node pool can shrink it
-// under pressure.
-type PageCache struct {
-	shards   []*shard
-	capacity int64
-	maxEntry int64
-	acct     Accountant
-	inject   *faultinject.Injector
-
-	bytes       atomic.Int64
-	hits        atomic.Int64
-	misses      atomic.Int64
-	evictions   atomic.Int64
-	corruptions atomic.Int64
-	entries     atomic.Int64
-}
-
-// Stats is a point-in-time snapshot of the cache counters.
+// Stats is the counter set of the worker page cache the engine no longer
+// keeps.
+//
+// Deprecated: nothing fills it; exec.(*Worker).CacheStats returns zero.
+// It stays only because the benchmark module names it.
 type Stats struct {
-	Hits        int64
-	Misses      int64
-	Evictions   int64
-	Corruptions int64
-	Entries     int64
-	Bytes       int64
-	Capacity    int64
-}
-
-// NewPageCache creates a page cache with the given configuration.
-func NewPageCache(cfg Config) *PageCache {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 8
-	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 64 << 20
-	}
-	c := &PageCache{
-		shards:   make([]*shard, cfg.Shards),
-		capacity: cfg.Capacity,
-		// An entry larger than 1/8 of the cache would thrash the LRU; such
-		// scans bypass caching entirely.
-		maxEntry: cfg.Capacity / 8,
-		acct:     cfg.Accountant,
-		inject:   cfg.Inject,
-	}
-	for i := range c.shards {
-		s := &shard{
-			entries: make(map[string]*entry),
-			budget:  cfg.Capacity / int64(cfg.Shards),
-		}
-		s.head = &entry{}
-		s.head.prev, s.head.next = s.head, s.head
-		c.shards[i] = s
-	}
-	return c
-}
-
-func (c *PageCache) shardFor(key string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return c.shards[int(h.Sum32())%len(c.shards)]
-}
-
-// Get returns the cached pages for key, verifying the entry checksum first:
-// a mismatch (real corruption or an injected SiteCacheCorrupt fault) drops
-// the entry and reports a miss, so corruption can never surface wrong rows —
-// the scan simply falls back to the connector.
-func (c *PageCache) Get(key string) ([]*block.Page, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	if !ok {
-		s.mu.Unlock()
-		c.misses.Add(1)
-		return nil, false
-	}
-	if c.inject.Err(faultinject.SiteCacheCorrupt) != nil {
-		// Simulate a flipped bit in the stored entry: the checksum below no
-		// longer matches and the verification path rejects it.
-		e.sum ^= 0xdeadbeef
-	}
-	if checksumPages(e.pages) != e.sum {
-		c.removeLocked(s, e)
-		s.mu.Unlock()
-		c.releaseBytes(e.size)
-		c.corruptions.Add(1)
-		c.misses.Add(1)
-		return nil, false
-	}
-	// Move to MRU position.
-	unlink(e)
-	pushFront(s.head, e)
-	pages := e.pages
-	s.mu.Unlock()
-	c.hits.Add(1)
-	return pages, true
-}
-
-// Put admits pages under key, evicting LRU entries from the shard to fit and
-// charging the bytes to the accountant. Oversized entries and entries the
-// accountant refuses (node memory pressure) are silently not cached.
-func (c *PageCache) Put(key string, pages []*block.Page) {
-	if c.inject.Err(faultinject.SiteCacheEvict) != nil {
-		// Injected eviction storm: drop everything, then admit as usual.
-		c.Clear()
-	}
-	size := sizePages(pages)
-	if size <= 0 || size > c.maxEntry {
-		return
-	}
-	// Reserve against the external budget with no shard lock held: the
-	// reservation can trigger pool-pressure revocation that re-enters this
-	// cache's Revoke (lock order is strictly shard → pool, never reversed).
-	if c.acct != nil {
-		if err := c.acct.Reserve(size); err != nil {
-			return
-		}
-	}
-	e := &entry{key: key, pages: pages, size: size, sum: checksumPages(pages)}
-
-	s := c.shardFor(key)
-	s.mu.Lock()
-	var freed int64
-	if old, ok := s.entries[key]; ok {
-		c.removeLocked(s, old)
-		freed += old.size
-	}
-	// Evict LRU entries until the new entry fits the shard budget.
-	for s.bytes+size > s.budget {
-		lru := s.head.prev
-		if lru == s.head {
-			break
-		}
-		c.removeLocked(s, lru)
-		c.evictions.Add(1)
-		freed += lru.size
-	}
-	s.entries[key] = e
-	pushFront(s.head, e)
-	s.bytes += size
-	s.mu.Unlock()
-
-	c.bytes.Add(size)
-	c.entries.Add(1)
-	c.releaseBytes(freed)
-}
-
-// removeLocked unlinks an entry from its shard (shard lock held). The caller
-// releases the accountant bytes after dropping the lock.
-func (c *PageCache) removeLocked(s *shard, e *entry) {
-	delete(s.entries, e.key)
-	unlink(e)
-	s.bytes -= e.size
-	c.bytes.Add(-e.size)
-	c.entries.Add(-1)
-}
-
-// releaseBytes returns bytes to the accountant (called with no locks held).
-func (c *PageCache) releaseBytes(n int64) {
-	if n > 0 && c.acct != nil {
-		c.acct.Release(n)
-	}
-}
-
-// RevocableBytes implements memory.Revocable: everything cached can go.
-func (c *PageCache) RevocableBytes() int64 { return c.bytes.Load() }
-
-// Revoke implements memory.Revocable: evict least-recently-used entries
-// until at least half the cached bytes are freed (always at least one entry
-// while non-empty), so repeated revocations under sustained pressure
-// converge to an empty cache. Bytes are released to the accountant before
-// returning, making them immediately reservable by the caller.
-func (c *PageCache) Revoke() (int64, error) {
-	target := c.bytes.Load() / 2
-	var freed int64
-	for {
-		evictedAny := false
-		for _, s := range c.shards {
-			s.mu.Lock()
-			lru := s.head.prev
-			if lru != s.head {
-				c.removeLocked(s, lru)
-				c.evictions.Add(1)
-				freed += lru.size
-				evictedAny = true
-			}
-			s.mu.Unlock()
-			if freed > target && freed > 0 {
-				c.releaseBytes(freed)
-				return freed, nil
-			}
-		}
-		if !evictedAny {
-			c.releaseBytes(freed)
-			return freed, nil
-		}
-	}
-}
-
-// ExecutionNanos implements memory.Revocable. Cache entries are always the
-// cheapest thing to give up (a re-read, not a spill), so the cache sorts
-// first among revocation candidates.
-func (c *PageCache) ExecutionNanos() int64 { return 0 }
-
-// Clear drops every entry (worker shutdown, injected eviction storms, and
-// cold-start benchmarking).
-func (c *PageCache) Clear() {
-	var freed int64
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for lru := s.head.prev; lru != s.head; lru = s.head.prev {
-			c.removeLocked(s, lru)
-			c.evictions.Add(1)
-			freed += lru.size
-		}
-		s.mu.Unlock()
-	}
-	c.releaseBytes(freed)
-}
-
-// Stats snapshots the cache counters.
-func (c *PageCache) Stats() Stats {
-	return Stats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Evictions:   c.evictions.Load(),
-		Corruptions: c.corruptions.Load(),
-		Entries:     c.entries.Load(),
-		Bytes:       c.bytes.Load(),
-		Capacity:    c.capacity,
-	}
-}
-
-// Capacity returns the configured byte budget.
-func (c *PageCache) Capacity() int64 { return c.capacity }
-
-// sizePages charges each page its encoded size with a small floor so that
-// zero-column pages (count(*) scans project no columns) still carry weight.
-func sizePages(pages []*block.Page) int64 {
-	var n int64
-	for _, p := range pages {
-		sz := p.SizeBytes()
-		if sz < 64 {
-			sz = 64
-		}
-		n += sz
-	}
-	return n
-}
-
-// ChecksumPages exposes the structural page checksum to the other caching
-// tiers (the serving-tier result cache reuses it so corruption degrades to a
-// miss under the same contract as the page cache).
-func ChecksumPages(pages []*block.Page) uint64 { return checksumPages(pages) }
-
-// checksumPages computes a structural integrity checksum: page and row
-// counts, per-column encoded sizes, and the first and last row values of
-// each page. O(pages × columns) rather than O(cells), so verification on the
-// warm path stays cheap; it is a simulation-grade integrity check, not a
-// cryptographic digest.
-func checksumPages(pages []*block.Page) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	writeInt := func(v int64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	writeInt(int64(len(pages)))
-	for _, p := range pages {
-		writeInt(int64(p.RowCount()))
-		writeInt(int64(p.ColCount()))
-		writeInt(p.SizeBytes())
-		if p.RowCount() > 0 && p.ColCount() > 0 {
-			for _, v := range p.Row(0) {
-				h.Write([]byte(v.String()))
-			}
-			for _, v := range p.Row(p.RowCount() - 1) {
-				h.Write([]byte(v.String()))
-			}
-		}
-	}
-	return h.Sum64()
-}
-
-// unlink removes e from its LRU ring.
-func unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-		e.next.prev = e.prev
-		e.prev, e.next = nil, nil
-	}
-}
-
-// pushFront inserts e right after the sentinel (MRU position).
-func pushFront(head, e *entry) {
-	e.next = head.next
-	e.prev = head
-	head.next.prev = e
-	head.next = e
+	Hits      int64
+	Misses    int64
+	Evictions int64
 }

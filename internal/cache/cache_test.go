@@ -1,318 +1,9 @@
 package cache
 
 import (
-	"errors"
-	"fmt"
 	"testing"
 	"time"
-
-	"repro/internal/block"
-	"repro/internal/connector"
-	"repro/internal/faultinject"
-	"repro/internal/memory"
 )
-
-// pageOf builds a single-column page with rows sequential values.
-func pageOf(rows int) *block.Page {
-	vals := make([]int64, rows)
-	for i := range vals {
-		vals[i] = int64(i)
-	}
-	return block.NewPage(block.NewLongBlock(vals, nil))
-}
-
-func TestPutGetAndLRUEviction(t *testing.T) {
-	// One shard so LRU order is global and deterministic.
-	c := NewPageCache(Config{Capacity: 8 << 10, Shards: 1})
-	big := []*block.Page{pageOf(100)} // ~800B encoded
-	for i := 0; i < 20; i++ {
-		c.Put(fmt.Sprintf("k%d", i), big)
-	}
-	st := c.Stats()
-	if st.Entries == 0 || st.Bytes == 0 {
-		t.Fatalf("nothing admitted: %+v", st)
-	}
-	if st.Bytes > c.Capacity() {
-		t.Fatalf("cache over budget: %d > %d", st.Bytes, c.Capacity())
-	}
-	if st.Evictions == 0 {
-		t.Fatal("filling past capacity should evict LRU entries")
-	}
-	// The most recently inserted key must have survived; the first must not.
-	if _, ok := c.Get("k19"); !ok {
-		t.Error("most recent entry evicted")
-	}
-	if _, ok := c.Get("k0"); ok {
-		t.Error("oldest entry should have been evicted")
-	}
-	// Touching an entry protects it: re-insert pressure evicts others first.
-	c.Clear()
-	for i := 0; i < 5; i++ {
-		c.Put(fmt.Sprintf("h%d", i), big)
-	}
-	c.Get("h0") // move to MRU
-	for i := 5; i < 12; i++ {
-		c.Put(fmt.Sprintf("h%d", i), big)
-	}
-	if _, ok := c.Get("h0"); !ok {
-		t.Error("recently used entry evicted before colder ones")
-	}
-}
-
-func TestOversizedEntryBypassesCache(t *testing.T) {
-	c := NewPageCache(Config{Capacity: 1 << 10, Shards: 1}) // maxEntry = 128B
-	c.Put("big", []*block.Page{pageOf(1000)})
-	if st := c.Stats(); st.Entries != 0 {
-		t.Fatalf("oversized entry admitted: %+v", st)
-	}
-}
-
-// failingAccountant refuses every reservation.
-type failingAccountant struct{}
-
-func (failingAccountant) Reserve(int64) error { return errors.New("no memory") }
-func (failingAccountant) Release(int64)       {}
-
-func TestAccountantRefusalSkipsAdmission(t *testing.T) {
-	c := NewPageCache(Config{Capacity: 1 << 20, Accountant: failingAccountant{}})
-	c.Put("k", []*block.Page{pageOf(10)})
-	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("entry admitted despite refused reservation: %+v", st)
-	}
-}
-
-func TestRevokeFreesAtLeastHalf(t *testing.T) {
-	c := NewPageCache(Config{Capacity: 1 << 20, Shards: 4})
-	for i := 0; i < 64; i++ {
-		c.Put(fmt.Sprintf("k%d", i), []*block.Page{pageOf(100)})
-	}
-	before := c.Stats().Bytes
-	if before == 0 {
-		t.Fatal("cache empty before revoke")
-	}
-	freed, err := c.Revoke()
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := c.Stats().Bytes
-	if freed < before/2 {
-		t.Errorf("revoke freed %d of %d bytes, want >= half", freed, before)
-	}
-	if after != before-freed {
-		t.Errorf("bytes accounting: before %d - freed %d != after %d", before, freed, after)
-	}
-	// Repeated revocation converges to empty.
-	for i := 0; i < 10 && c.Stats().Bytes > 0; i++ {
-		c.Revoke()
-	}
-	if got := c.Stats().Bytes; got != 0 {
-		t.Errorf("sustained revocation should empty the cache, %d bytes left", got)
-	}
-}
-
-func TestCorruptionFaultDegradesToMiss(t *testing.T) {
-	inj := faultinject.New(1, faultinject.Rule{
-		Site: faultinject.SiteCacheCorrupt, Kind: faultinject.KindError, Rate: 1,
-	})
-	c := NewPageCache(Config{Capacity: 1 << 20, Inject: inj})
-	c.Put("k", []*block.Page{pageOf(10)})
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("corrupted entry must not hit")
-	}
-	st := c.Stats()
-	if st.Corruptions != 1 {
-		t.Errorf("corruptions = %d, want 1", st.Corruptions)
-	}
-	if st.Entries != 0 || st.Bytes != 0 {
-		t.Errorf("corrupted entry must be dropped: %+v", st)
-	}
-}
-
-func TestEvictionStormFault(t *testing.T) {
-	inj := faultinject.New(1, faultinject.Rule{
-		Site: faultinject.SiteCacheEvict, Kind: faultinject.KindError, Rate: 1,
-	})
-	c := NewPageCache(Config{Capacity: 1 << 20, Inject: inj})
-	for i := 0; i < 5; i++ {
-		c.Put(fmt.Sprintf("k%d", i), []*block.Page{pageOf(10)})
-	}
-	// Every insert storms first, so at most the newest entry survives.
-	if st := c.Stats(); st.Entries != 1 {
-		t.Errorf("entries = %d under eviction storm, want 1", st.Entries)
-	}
-}
-
-// TestRevocationOrdering is the satellite proof: with the page cache holding
-// most of a small node pool, a query reservation that does not fit must
-// succeed by shrinking the cache — pool bytes visibly drop — and only a
-// reservation exceeding the whole pool fails with OOM.
-func TestRevocationOrdering(t *testing.T) {
-	pool := memory.NewNodePool(1<<20, 0) // 1 MiB general pool
-	c := NewPageCache(Config{Capacity: 1 << 20, Shards: 4, Accountant: poolAcct{pool}})
-	pool.RegisterCacheRevocable(c)
-
-	// Fill ~800 KiB of cache.
-	for i := 0; c.Stats().Bytes < 800<<10 && i < 10000; i++ {
-		c.Put(fmt.Sprintf("k%d", i), []*block.Page{pageOf(1000)})
-	}
-	cached := c.Stats().Bytes
-	if cached < 600<<10 {
-		t.Fatalf("cache fill too small: %d bytes", cached)
-	}
-	if used := pool.GeneralUsed(); used != cached {
-		t.Fatalf("pool sees %d bytes, cache holds %d", used, cached)
-	}
-
-	// A 900 KiB user reservation cannot fit beside the cache; it must succeed
-	// anyway, by revoking cached pages (spill disabled — this is the
-	// cache-before-fail path, not the spill path).
-	if err := pool.Reserve("q1", memory.User, 900<<10, false); err != nil {
-		t.Fatalf("reservation should succeed by shrinking the cache: %v", err)
-	}
-	if got := c.Stats().Bytes; got >= cached {
-		t.Errorf("cache bytes did not drop under pressure: %d -> %d", cached, got)
-	}
-	// Beyond the pool's total, reservation must still fail.
-	if err := pool.Reserve("q1", memory.User, 1<<20, false); err == nil {
-		t.Fatal("reservation exceeding the pool should fail even with an empty cache")
-	}
-	pool.Release("q1", memory.User, 900<<10)
-}
-
-// poolAcct mirrors exec.poolAccountant for tests.
-type poolAcct struct{ pool *memory.NodePool }
-
-func (a poolAcct) Reserve(n int64) error {
-	return a.pool.Reserve(PoolOwner, memory.System, n, false)
-}
-func (a poolAcct) Release(n int64) { a.pool.Release(PoolOwner, memory.System, n) }
-
-// slowSpill is a query revocable that records whether it was asked to spill.
-type slowSpill struct{ revoked bool }
-
-func (s *slowSpill) RevocableBytes() int64 { return 1 << 20 }
-func (s *slowSpill) Revoke() (int64, error) {
-	s.revoked = true
-	return 1 << 20, nil
-}
-func (s *slowSpill) ExecutionNanos() int64 { return int64(time.Hour) }
-
-func TestTryRevokeHitsCacheBeforeSpill(t *testing.T) {
-	pool := memory.NewNodePool(1<<20, 0)
-	c := NewPageCache(Config{Capacity: 1 << 20, Accountant: poolAcct{pool}})
-	pool.RegisterCacheRevocable(c)
-	sp := &slowSpill{}
-	pool.RegisterRevocable("q1", sp)
-
-	for i := 0; i < 32; i++ {
-		c.Put(fmt.Sprintf("k%d", i), []*block.Page{pageOf(500)})
-	}
-	if c.Stats().Bytes == 0 {
-		t.Fatal("cache empty")
-	}
-	if !pool.TryRevoke(1024) {
-		t.Fatal("TryRevoke should free cache bytes")
-	}
-	if sp.revoked {
-		t.Error("query spill ran while cache bytes were available — dropping a cached page is cheaper than a spill")
-	}
-}
-
-// fakeSource yields n pages then drains.
-type fakeSource struct {
-	n      int
-	served int
-	closed bool
-	failAt int // 0 = never
-}
-
-func (s *fakeSource) NextPage() (*block.Page, error) {
-	if s.failAt > 0 && s.served+1 == s.failAt {
-		return nil, errors.New("read error")
-	}
-	if s.served >= s.n {
-		return nil, nil
-	}
-	s.served++
-	return pageOf(10), nil
-}
-func (s *fakeSource) BytesRead() int64 { return int64(s.served) * 80 }
-func (s *fakeSource) Close()           { s.closed = true }
-
-func drain(t *testing.T, src connector.PageSource) int {
-	t.Helper()
-	rows := 0
-	for {
-		p, err := src.NextPage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p == nil {
-			return rows
-		}
-		rows += p.RowCount()
-	}
-}
-
-func TestOpenThroughFillsThenHits(t *testing.T) {
-	c := NewPageCache(Config{Capacity: 1 << 20})
-	open := func() (connector.PageSource, error) { return &fakeSource{n: 3}, nil }
-
-	src, hit, err := c.OpenThrough("k", open)
-	if err != nil || hit {
-		t.Fatalf("first open: hit=%v err=%v", hit, err)
-	}
-	if got := drain(t, src); got != 30 {
-		t.Fatalf("cold rows = %d", got)
-	}
-	src.Close()
-
-	src, hit, err = c.OpenThrough("k", open)
-	if err != nil || !hit {
-		t.Fatalf("second open should hit: hit=%v err=%v", hit, err)
-	}
-	if got := drain(t, src); got != 30 {
-		t.Fatalf("warm rows = %d", got)
-	}
-	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("stats: %+v", st)
-	}
-}
-
-func TestOpenThroughEarlyCloseNotAdmitted(t *testing.T) {
-	c := NewPageCache(Config{Capacity: 1 << 20})
-	src, _, err := c.OpenThrough("k", func() (connector.PageSource, error) {
-		return &fakeSource{n: 3}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.NextPage() // read one page of three, then abandon (a LIMIT)
-	src.Close()
-	if st := c.Stats(); st.Entries != 0 {
-		t.Fatalf("partial read must not be cached: %+v", st)
-	}
-}
-
-func TestOpenThroughErrorNotAdmitted(t *testing.T) {
-	c := NewPageCache(Config{Capacity: 1 << 20})
-	src, _, err := c.OpenThrough("k", func() (connector.PageSource, error) {
-		return &fakeSource{n: 3, failAt: 2}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.NextPage()
-	if _, err := src.NextPage(); err == nil {
-		t.Fatal("expected injected read error")
-	}
-	// Even if the caller keeps polling, nothing is admitted.
-	src.NextPage()
-	src.Close()
-	if st := c.Stats(); st.Entries != 0 {
-		t.Fatalf("errored read must not be cached: %+v", st)
-	}
-}
 
 func TestMetaCacheTTLExpiry(t *testing.T) {
 	now := int64(0)

@@ -214,18 +214,6 @@ type PushdownCapable interface {
 	ApplyPushdown(table string, d *plan.Domain) (enforced []string)
 }
 
-// PageCacheable is implemented by connectors whose scans can be served from
-// the worker page cache. The key must change whenever the split's underlying
-// data changes (a version counter, file mtime/size, …) and must include
-// every input that affects the produced pages: the column set and, for
-// connectors that filter during the scan, the pushed-down constraint.
-type PageCacheable interface {
-	// PageCacheKey returns the cache key for reading the given columns of a
-	// split, or ok=false when this particular read must not be cached (for
-	// example lazy reads whose blocks reference open file handles).
-	PageCacheKey(s Split, columns []string, handle plan.TableHandle) (key string, ok bool)
-}
-
 // Versioned is implemented by connectors that maintain a monotonic per-table
 // version counter bumped on every write. The serving tier checks it before
 // trusting a cached plan or result, so a write makes them stale.

@@ -4,8 +4,6 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"repro/internal/plan"
 )
 
 // TestFooterCacheHitAndTTL proves the per-query footer re-decode is fixed:
@@ -54,48 +52,5 @@ func TestFooterCacheHitAndTTL(t *testing.T) {
 	}
 	if got := c.MetaStats(); got.Hits != before.Hits+1 {
 		t.Errorf("re-decoded footer should be re-cached: %+v -> %+v", before, got)
-	}
-}
-
-// TestPageCacheKeyVersioning checks the cacheability contract: lazy reads are
-// uncacheable, eager reads key on file identity so a rewrite changes the key.
-func TestPageCacheKeyVersioning(t *testing.T) {
-	dir := t.TempDir()
-	if err := mkdirAll(filepath.Join(dir, "t")); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "t", "part-0.orcish")
-	if err := writeOrcish(path, []int64{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-
-	lazy, err := New("lazy", Config{Dir: dir, LazyReads: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	handle := plan.TableHandle{Catalog: "hive", Table: "t"}
-	sp := &split{table: "t", path: path}
-	if _, ok := lazy.PageCacheKey(sp, []string{"v"}, handle); ok {
-		t.Error("lazy reads must not be cacheable (blocks close over open readers)")
-	}
-
-	eager, err := New("eager", Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k1, ok := eager.PageCacheKey(sp, []string{"v"}, handle)
-	if !ok || k1 == "" {
-		t.Fatal("eager reads should be cacheable")
-	}
-	// Rewriting the file (different size) must change the key.
-	if err := writeOrcish(path, []int64{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
-		t.Fatal(err)
-	}
-	k2, ok := eager.PageCacheKey(sp, []string{"v"}, handle)
-	if !ok {
-		t.Fatal("rewritten file should still be cacheable")
-	}
-	if k1 == k2 {
-		t.Error("rewritten file must produce a different cache key")
 	}
 }

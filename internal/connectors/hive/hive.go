@@ -470,32 +470,6 @@ func busyWait(clock Clock, nanos int64) {
 	}
 }
 
-// PageCacheKey implements connector.PageCacheable. Lazy reads are not
-// cacheable (their blocks hold closures over an open file, and a scan may
-// decode them into its own scratch, which holds only while one driver owns
-// the page), so ok=false falls back to a plain read. File identity is path+mtime+size — a rewrite
-// changes the key — and the pushed-down constraint is part of the key
-// because stripe skipping filters during the scan.
-func (c *Connector) PageCacheKey(sp connector.Split, columns []string, handle plan.TableHandle) (string, bool) {
-	if c.cfg.LazyReads {
-		return "", false
-	}
-	hs, ok := sp.(*split)
-	if !ok {
-		return "", false
-	}
-	fi, err := os.Stat(hs.path)
-	if err != nil {
-		return "", false
-	}
-	dom := ""
-	if handle.Constraint != nil && !handle.Constraint.All() {
-		dom = handle.Constraint.String()
-	}
-	return fmt.Sprintf("hive/%s/%s@%d:%d|%s|%s",
-		c.name, hs.path, fi.ModTime().UnixNano(), fi.Size(), strings.Join(columns, ","), dom), true
-}
-
 // DistributedWrites implements connector.DistributedWriteCapable: sinks
 // write files under the warehouse directory, which every worker shares.
 func (c *Connector) DistributedWrites() bool { return true }

@@ -60,10 +60,6 @@ func (c *Coordinator) httpWorkers() []workerClient {
 
 func (w *httpWorker) NodeID() int { return w.node }
 
-// CachesPages is true until the registry says otherwise: a registered worker
-// does not report its cache configuration, and prestod workers keep one.
-func (w *httpWorker) CachesPages() bool { return true }
-
 func (w *httpWorker) Remote() bool { return true }
 
 // resultsURI is where any process reads partition part of task id on w.

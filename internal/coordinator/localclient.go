@@ -24,8 +24,6 @@ type localWorker struct {
 
 func (lw localWorker) NodeID() int { return lw.w.ID }
 
-func (lw localWorker) CachesPages() bool { return lw.w.Cache != nil }
-
 func (lw localWorker) Remote() bool { return false }
 
 // CreateTasks is a loop: every call below is a method call in this process.

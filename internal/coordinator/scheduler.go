@@ -2,7 +2,6 @@ package coordinator
 
 import (
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sync"
 	"time"
@@ -32,9 +31,6 @@ import (
 type workerClient interface {
 	// NodeID is the worker's cluster node id (split locality, rack lookup).
 	NodeID() int
-	// CachesPages reports whether the worker keeps a page cache: cache
-	// affinity has nothing to return to on a stage where none does.
-	CachesPages() bool
 	// Remote reports whether talking to the worker waits on a network, which
 	// is when a walk over the statement's workers is worth overlapping (see
 	// eachWorker). A statement's workers are all of one kind.
@@ -258,9 +254,8 @@ func (c *Coordinator) schedule(workers []workerClient, q *Query, dp *plan.Distri
 		for scanID, scan := range scans {
 			key := c.splitCacheKey(q, scan)
 			if memo, ok := c.memoizedSplits(key); ok {
-				affinity := c.affinityFn(q, ledger, scan)
 				for _, s := range memo {
-					spec := &stage[ledger.pick(s, affinity(s))]
+					spec := &stage[ledger.pick(s)]
 					spec.Splits[scanID] = append(spec.Splits[scanID], s)
 				}
 				q.splitsTotal.Add(int64(len(memo)))
@@ -546,8 +541,6 @@ func (c *Coordinator) memoizedSplits(key string) ([]connector.Split, bool) {
 // metastore in front of every task's creation. The end of the enumeration is
 // flushed to every worker at once.
 func (c *Coordinator) enumerateSplits(q *Query, stage *stageLedger, scanID int, scan *plan.Scan, cacheKey string) error {
-	affinity := c.affinityFn(q, stage, scan)
-
 	conn, err := c.Catalog.Connector(scan.Handle.Catalog)
 	if err != nil {
 		return err
@@ -572,7 +565,7 @@ func (c *Coordinator) enumerateSplits(q *Query, stage *stageLedger, scanID int, 
 		}
 		for _, s := range batch.Splits {
 			q.splitsTotal.Add(1)
-			if err := stage.tasks[stage.pick(s, affinity(s))].AddSplit(scanID, s); err != nil {
+			if err := stage.tasks[stage.pick(s)].AddSplit(scanID, s); err != nil {
 				return err
 			}
 		}
@@ -606,15 +599,13 @@ func (c *Coordinator) enumerateSplits(q *Query, stage *stageLedger, scanID int, 
 // Nothing is read back from the workers: every split of a scan is assigned
 // before the first finishes, so what a task has outstanding is what it was
 // given, and placement is a pure function of the split lists — the same
-// statement lands the same way every time, which is what brings a repeated
-// scan back to the worker whose page cache holds it.
+// statement lands the same way every time.
 type stageLedger struct {
 	// tasks are what split delivery addresses once they exist; the ledger
 	// picks by index from placement on.
-	tasks  []taskClient
-	nodes  []int          // worker node id by task index
-	racks  map[int]string // Config.Topology: node id → rack
-	cached bool           // some worker of the stage keeps a page cache
+	tasks []taskClient
+	nodes []int          // worker node id by task index
+	racks map[int]string // Config.Topology: node id → rack
 
 	mu       sync.Mutex
 	assigned []int64 // weight by task index
@@ -627,26 +618,22 @@ func newStageLedger(tasks int, racks map[int]string) *stageLedger {
 // placed records the worker task i goes to.
 func (l *stageLedger) placed(i int, w workerClient) {
 	l.nodes[i] = w.NodeID()
-	l.cached = l.cached || w.CachesPages()
 }
 
 // pick places one split and charges its weight to the chosen task, returning
 // the task's index: bucketed splits go to task (bucket mod tasks) so
 // co-located tables align; node-local splits go to their owning worker;
-// rack-located ones to the lightest task in a preferred rack; a split with a
-// cache-affinity key to the task the key hashes to while that costs no more
-// than affinitySlack splits of its own weight in imbalance; everything else
-// to the lightest task, the lowest index on a tie.
-func (l *stageLedger) pick(s connector.Split, affinity string) int {
-	w := max(s.EstimatedRows(), 1)
+// rack-located ones to the lightest task in a preferred rack; everything
+// else to the lightest task, the lowest index on a tie.
+func (l *stageLedger) pick(s connector.Split) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	i := l.chooseLocked(s, affinity, w)
-	l.assigned[i] += w
+	i := l.chooseLocked(s)
+	l.assigned[i] += max(s.EstimatedRows(), 1)
 	return i
 }
 
-func (l *stageLedger) chooseLocked(s connector.Split, affinity string, w int64) int {
+func (l *stageLedger) chooseLocked(s connector.Split) int {
 	if b, ok := s.(connector.Bucketed); ok {
 		return b.Bucket() % len(l.nodes)
 	}
@@ -665,16 +652,7 @@ func (l *stageLedger) chooseLocked(s connector.Split, affinity string, w int64) 
 			return inRack
 		}
 	}
-	lightest := l.lightestLocked(nil)
-	// Soft cache affinity (§IV-D3): cache hits are worth a short wait, not
-	// a hotspot.
-	if affinity != "" {
-		pref := int(affinityHash(affinity) % uint32(len(l.nodes)))
-		if l.assigned[pref] <= l.assigned[lightest]+affinitySlack*w {
-			return pref
-		}
-	}
-	return lightest
+	return l.lightestLocked(nil)
 }
 
 // lightestLocked returns the least-charged task among those eligible admits
@@ -687,42 +665,4 @@ func (l *stageLedger) lightestLocked(eligible func(i int) bool) int {
 		}
 	}
 	return best
-}
-
-// affinitySlack is how many splits of its own weight a split's
-// affinity-preferred task may be ahead of the lightest before placement
-// yields to balance.
-const affinitySlack = 8
-
-func affinityHash(s string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(s))
-	return h.Sum32()
-}
-
-// affinityFn returns a per-split affinity key function for a scan: the page
-// cache key when the connector issues one and a cache of the stage could hold
-// the read, "" otherwise — a session that disables caching, workers without a
-// page cache, and connectors that are not page-cache clients (resident tables:
-// every worker already holds their pages).
-func (c *Coordinator) affinityFn(q *Query, stage *stageLedger, scan *plan.Scan) func(connector.Split) string {
-	none := func(connector.Split) string { return "" }
-	if q.session.Switches.Has(exec.DisableCache) || !stage.cached {
-		return none
-	}
-	conn, err := c.Catalog.Connector(scan.Handle.Catalog)
-	if err != nil {
-		return none
-	}
-	pc, ok := conn.(connector.PageCacheable)
-	if !ok {
-		return none
-	}
-	return func(s connector.Split) string {
-		key, ok := pc.PageCacheKey(s, scan.Columns, scan.Handle)
-		if !ok {
-			return ""
-		}
-		return key
-	}
 }

@@ -36,7 +36,6 @@ type fakeCluster struct {
 	// failNode's batch is refused after failAfter of its tasks were created
 	// (failNode 0 = never: node ids start at 10).
 	failNode, failAfter int
-	noPageCache         bool // the workers report no page cache
 }
 
 type fakeWorker struct {
@@ -44,8 +43,7 @@ type fakeWorker struct {
 	node int
 }
 
-func (w *fakeWorker) NodeID() int       { return w.node }
-func (w *fakeWorker) CachesPages() bool { return !w.cl.noPageCache }
+func (w *fakeWorker) NodeID() int { return w.node }
 
 // Remote: the fakes are walked the way HTTP workers are, all at once.
 func (w *fakeWorker) Remote() bool { return true }
@@ -177,9 +175,7 @@ func (t *fakeTask) Close() {
 	t.mu.Unlock()
 }
 
-// fakeConn plans like a memory catalog but enumerates scripted splits, and
-// gives keyed splits a page-cache key (the affinity signal): unlike the
-// memory catalog it embeds, it is a page-cache client.
+// fakeConn plans like a memory catalog but enumerates scripted splits.
 type fakeConn struct {
 	*memconn.Connector
 	splits map[string][]connector.Split // by table
@@ -187,13 +183,6 @@ type fakeConn struct {
 
 func (f *fakeConn) Splits(h plan.TableHandle) (connector.SplitSource, error) {
 	return &fakeSplitSource{splits: f.splits[h.Table]}, nil
-}
-
-func (f *fakeConn) PageCacheKey(s connector.Split, _ []string, _ plan.TableHandle) (string, bool) {
-	if fs, ok := s.(*fakeSplit); ok && fs.cacheKey != "" {
-		return fs.cacheKey, true
-	}
-	return "", false
 }
 
 type fakeSplitSource struct{ splits []connector.Split }
@@ -208,10 +197,9 @@ func (s *fakeSplitSource) NextBatch(max int) (connector.SplitBatch, error) {
 func (s *fakeSplitSource) Close() {}
 
 type fakeSplit struct {
-	name     string
-	nodes    []int
-	cacheKey string
-	rows     int64 // 0: the connector has no estimate
+	name  string
+	nodes []int
+	rows  int64 // 0: the connector has no estimate
 }
 
 func (s *fakeSplit) Connector() string     { return "memory" }
@@ -291,7 +279,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // for its enumeration to end; it returns the leaf stage's tasks.
 func (f *schedFixture) scheduleScan(t *testing.T, n int) ([]*fakeTask, *Query) {
 	t.Helper()
-	f.cl = &fakeCluster{noPageCache: f.cl.noPageCache}
+	f.cl = &fakeCluster{}
 	dp, q, _, err := f.schedule(t, conformanceQueries[0], n)
 	if err != nil {
 		t.Fatal(err)
@@ -440,8 +428,8 @@ func TestSchedulerHashTaskCount(t *testing.T) {
 }
 
 // TestSchedulerSplitDelivery: every split reaches exactly one task exactly
-// once, NoMoreSplits arrives once per (task, scan), and bucketed, node-local,
-// cache-affine and unconstrained splits land where the placement rules say —
+// once, NoMoreSplits arrives once per (task, scan), and bucketed, node-local
+// and unconstrained splits land where the placement rules say —
 // also on the memoized second enumeration.
 func TestSchedulerSplitDelivery(t *testing.T) {
 	const nWorkers = 3
@@ -452,9 +440,6 @@ func TestSchedulerSplitDelivery(t *testing.T) {
 	}
 	for i := 0; i < 6; i++ {
 		all = append(all, &fakeSplit{name: fmt.Sprintf("local-%d", i), nodes: []int{99, 10 + i%nWorkers}})
-	}
-	for i := 0; i < 6; i++ {
-		all = append(all, &fakeSplit{name: fmt.Sprintf("aff-%d", i), cacheKey: fmt.Sprintf("key-%d", i)})
 	}
 	for i := 0; i < 5; i++ {
 		all = append(all, &fakeSplit{name: fmt.Sprintf("plain-%d", i)})
@@ -484,11 +469,6 @@ func TestSchedulerSplitDelivery(t *testing.T) {
 					delivered[s.name]++
 					if len(s.nodes) > 0 && task.node != s.nodes[1] {
 						t.Errorf("round %d: %s on node %d, want %d", round, s.name, task.node, s.nodes[1])
-					}
-					if s.cacheKey != "" {
-						if want := int(affinityHash(s.cacheKey) % nWorkers); i != want {
-							t.Errorf("round %d: %s on task %d, want its affinity task %d", round, s.name, i, want)
-						}
 					}
 				}
 			}
@@ -523,7 +503,7 @@ func TestSchedulerSplitDelivery(t *testing.T) {
 	}
 }
 
-// newTestLedger is a stage of n tasks on nodes 10, 11, ... with pages cached.
+// newTestLedger is a stage of n tasks on nodes 10, 11, ....
 func newTestLedger(n int, racks map[int]string) *stageLedger {
 	l := newStageLedger(n, racks)
 	cl := &fakeCluster{}
@@ -534,13 +514,12 @@ func newTestLedger(n int, racks map[int]string) *stageLedger {
 }
 
 // TestPickTask pins the placement order — bucketed → node-local → rack →
-// cache affinity within the slack → lightest task — on the ledger of what
-// the scheduler itself has assigned.
+// lightest task — on the ledger of what the scheduler itself has assigned.
 func TestPickTask(t *testing.T) {
 	plain := func(rows int64) *fakeSplit { return &fakeSplit{rows: rows} }
 	place := func(l *stageLedger, weights ...int64) []int64 {
 		for _, w := range weights {
-			l.pick(plain(w), "")
+			l.pick(plain(w))
 		}
 		return l.assigned
 	}
@@ -557,46 +536,23 @@ func TestPickTask(t *testing.T) {
 
 	l := newTestLedger(3, map[int]string{10: "r0", 11: "r1", 12: "r1"})
 	l.assigned = []int64{5, 9, 2}
-	if got := l.pick(&bucketSplit{fakeSplit{nodes: []int{12}}, 4}, ""); got != 1 {
+	if got := l.pick(&bucketSplit{fakeSplit{nodes: []int{12}}, 4}); got != 1 {
 		t.Errorf("bucket 4 of 3 tasks on task %d, want 1 (bucketing beats locality)", got)
 	}
-	if got := l.pick(&fakeSplit{nodes: []int{99, 11}}, ""); got != 1 {
+	if got := l.pick(&fakeSplit{nodes: []int{99, 11}}); got != 1 {
 		t.Errorf("node-local split on task %d, want the node-11 task", got)
 	}
 	if l.assigned[1] != 11 {
 		t.Errorf("constrained splits are not charged to the ledger: %v", l.assigned)
 	}
-	if got := l.pick(&rackSplit{racks: []string{"r0"}}, ""); got != 0 {
+	if got := l.pick(&rackSplit{racks: []string{"r0"}}); got != 0 {
 		t.Errorf("rack r0 split on task %d, want 0", got)
 	}
-	if got := l.pick(&rackSplit{racks: []string{"r1"}}, ""); got != 2 {
+	if got := l.pick(&rackSplit{racks: []string{"r1"}}); got != 2 {
 		t.Errorf("rack r1 split on task %d, want the lighter r1 task (2)", got)
 	}
-	if got := l.pick(&rackSplit{racks: []string{"r9"}}, ""); got != 2 {
+	if got := l.pick(&rackSplit{racks: []string{"r9"}}); got != 2 {
 		t.Errorf("unknown-rack split on task %d, want the lightest (2)", got)
-	}
-	// A rack rule beats affinity; a rack nobody sits in does not.
-	key := "some-page"
-	pref := int(affinityHash(key) % 3)
-	inRack := map[int]string{10: "r0", 11: "r0", 12: "r0"}
-	delete(inRack, 10+pref)
-	l = newTestLedger(3, inRack)
-	if got := l.pick(&rackSplit{racks: []string{"r0"}}, key); got == pref {
-		t.Errorf("rack-located split on its affinity task %d, which is outside the rack", pref)
-	}
-
-	// Affinity holds while the preferred task is at most affinitySlack splits
-	// of this split's weight ahead of the lightest, then yields to balance.
-	l = newTestLedger(3, nil)
-	l.assigned[pref] = affinitySlack * 100
-	if got := l.pick(plain(100), key); got != pref {
-		t.Errorf("affine split on task %d, want its preferred task %d within the slack", got, pref)
-	}
-	if got := l.pick(plain(100), key); got == pref {
-		t.Errorf("affine split stayed on task %d beyond the slack", pref)
-	}
-	if got := l.pick(plain(1000), key); got != pref {
-		t.Errorf("a heavier split's slack is wider: on task %d, want %d", got, pref)
 	}
 }
 
@@ -613,7 +569,7 @@ func TestLedgerSharedByConcurrentEnumerators(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 40; i++ {
-					l.pick(&fakeSplit{rows: int64(1 + (7*i+13*scan+rep)%maxRows)}, "")
+					l.pick(&fakeSplit{rows: int64(1 + (7*i+13*scan+rep)%maxRows)})
 				}
 			}()
 		}
@@ -649,40 +605,6 @@ func TestSchedulerPlacementIsDeterministic(t *testing.T) {
 			}
 		} else if fmt.Sprint(placed) != fmt.Sprint(first) {
 			t.Fatalf("rep %d placed %v, rep 0 placed %v", rep, placed, first)
-		}
-	}
-}
-
-// TestNoAffinityWithoutPageCache: cache affinity needs a cache. Splits with a
-// page-cache key hash to a fixed task only when some worker of the stage
-// keeps pages; otherwise, and when the connector issues no key for the read
-// (a resident table), they are dealt by weight like any other.
-func TestNoAffinityWithoutPageCache(t *testing.T) {
-	for _, tc := range []struct {
-		name         string
-		noPageCache  bool
-		cacheKey     string
-		wantAffinity bool
-	}{
-		{"cached workers, keyed reads", false, "one-key", true},
-		{"workers without a page cache", true, "one-key", false},
-		{"connector issues no key", false, "", false},
-	} {
-		f := newSchedFixture(t, Config{})
-		f.cl.noPageCache = tc.noPageCache
-		// One key for every split: affinity sends all four to one task.
-		for i := 0; i < 4; i++ {
-			f.conn.splits["big"] = append(f.conn.splits["big"],
-				&fakeSplit{name: fmt.Sprintf("s%d", i), cacheKey: tc.cacheKey, rows: 10})
-		}
-		perTask := [2]int{}
-		for _, i := range f.placeScan(t, 2) {
-			perTask[i]++
-		}
-		if affine := perTask[0] == 4 || perTask[1] == 4; affine != tc.wantAffinity {
-			t.Errorf("%s: splits landed %v, affinity = %v, want %v", tc.name, perTask, affine, tc.wantAffinity)
-		} else if !affine && perTask != [2]int{2, 2} {
-			t.Errorf("%s: splits landed %v, want 2 : 2", tc.name, perTask)
 		}
 	}
 }

@@ -331,9 +331,6 @@ func FormatOperatorTable(st QueryStats) string {
 				if pages := scanPages(op); pages > 0 {
 					fmt.Fprintf(&sb, "  pages %d (avg %d rows)", pages, op.RowsOut/pages)
 				}
-				if total := op.CacheHits + op.CacheMisses; total > 0 {
-					fmt.Fprintf(&sb, "  cache %d/%d", op.CacheHits, total)
-				}
 				if op.DynRowsFiltered+op.DynSplitsSkipped+op.DynWaitNanos > 0 {
 					fmt.Fprintf(&sb, "  dyn rows-skipped %d  dyn splits-skipped %d  dyn wait %s",
 						op.DynRowsFiltered, op.DynSplitsSkipped,

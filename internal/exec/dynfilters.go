@@ -382,7 +382,7 @@ func (t *Task) dynNarrowedHandle(p *pipelineSpec) plan.TableHandle {
 }
 
 // summaryDomain converts a summary to a connector-evaluable column domain:
-// small exact sets become IN-lists (sorted, so the derived cache key is
+// small exact sets become IN-lists (sorted, so the narrowed handle is
 // deterministic), everything else degrades to the observed [min,max] range.
 // NULL never joins, so NullAllowed stays false.
 func summaryDomain(s *dynfilter.Summary) *plan.ColumnDomain {

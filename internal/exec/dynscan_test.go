@@ -90,7 +90,7 @@ func dynTask(tb testing.TB, root plan.Node, conn connector.Connector, threads in
 	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
 	frag := &plan.Fragment{Root: root, OutputPartitioning: plan.Partitioning{Kind: plan.PartitionSingle}, OutputConsumer: -1}
 	cfg.DynamicFilterWait = -1
-	task, err := NewTask(TaskID{QueryID: "q"}, frag, 0, ex, &testRegistry{conn: conn}, qmem, pool, nil, 1, nil, cfg)
+	task, err := NewTask(TaskID{QueryID: "q"}, frag, 0, ex, &testRegistry{conn: conn}, qmem, pool, 1, nil, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -212,7 +212,7 @@ func TestTaskScanEndToEnd(t *testing.T) {
 	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
 
 	task, err := NewTask(TaskID{QueryID: "q", Fragment: 0}, buildScanFragment("mem"), 0,
-		ex, reg, qmem, pool, nil, 1, nil, TaskConfig{})
+		ex, reg, qmem, pool, 1, nil, TaskConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestTaskAbort(t *testing.T) {
 	pool := memory.NewNodePool(1<<30, 0)
 	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
 	task, err := NewTask(TaskID{QueryID: "q", Fragment: 0}, buildScanFragment("mem"), 0,
-		ex, reg, qmem, pool, nil, 1, nil, TaskConfig{})
+		ex, reg, qmem, pool, 1, nil, TaskConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestTaskExchangePipeline(t *testing.T) {
 	pool := memory.NewNodePool(1<<30, 0)
 	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
 	task, err := NewTask(TaskID{QueryID: "q", Fragment: 0}, frag, 0, ex,
-		&testRegistry{conn: memconn.New("mem")}, qmem, pool, nil, 1,
+		&testRegistry{conn: memconn.New("mem")}, qmem, pool, 1,
 		map[int][]shuffle.Fetcher{1: {&shuffle.LocalFetcher{Buf: producer.Partition(0)}}},
 		TaskConfig{})
 	if err != nil {
@@ -371,7 +371,7 @@ func TestUnstartedTaskCannotFinish(t *testing.T) {
 	defer w.Close()
 	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: w.Pool})
 	id := TaskID{QueryID: "q", Fragment: 0}
-	task, err := NewTask(id, frag, 0, w.Exec, w.connectors, qmem, w.Pool, nil, 1,
+	task, err := NewTask(id, frag, 0, w.Exec, w.connectors, qmem, w.Pool, 1,
 		map[int][]shuffle.Fetcher{1: {&shuffle.LocalFetcher{Buf: producer.Partition(0)}}}, TaskConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -421,7 +421,7 @@ func TestCollectorlessPublicationIsAnnounced(t *testing.T) {
 	pool := memory.NewNodePool(1<<30, 0)
 	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
 	task, err := NewTask(TaskID{QueryID: "q", Fragment: 0}, buildScanFragment("mem"), 0,
-		ex, &testRegistry{conn: loadTestTable(1)}, qmem, pool, nil, 1, nil, TaskConfig{})
+		ex, &testRegistry{conn: loadTestTable(1)}, qmem, pool, 1, nil, TaskConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func compileTestFragmentPart(tb testing.TB, root plan.Node, part plan.Partitioni
 	pool := memory.NewNodePool(1<<30, 0)
 	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
 	frag := &plan.Fragment{Root: root, OutputPartitioning: plan.Partitioning{Kind: part}, OutputConsumer: -1}
-	task, err := NewTask(TaskID{QueryID: "q"}, frag, 0, ex, &testRegistry{conn: conn}, qmem, pool, nil, 1, nil, TaskConfig{})
+	task, err := NewTask(TaskID{QueryID: "q"}, frag, 0, ex, &testRegistry{conn: conn}, qmem, pool, 1, nil, TaskConfig{})
 	if err != nil {
 		tb.Fatal(err)
 	}

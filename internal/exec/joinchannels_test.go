@@ -117,7 +117,7 @@ func runJoinFragment(t *testing.T, root plan.Node) (rows []string, joinBytes int
 	pool := memory.NewNodePool(1<<30, 0)
 	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
 	frag := &plan.Fragment{Root: root, OutputPartitioning: plan.Partitioning{Kind: plan.PartitionSingle}, OutputConsumer: -1}
-	task, err := NewTask(TaskID{QueryID: "q"}, frag, 0, ex, &testRegistry{conn: conn}, qmem, pool, nil, 1, nil, TaskConfig{})
+	task, err := NewTask(TaskID{QueryID: "q"}, frag, 0, ex, &testRegistry{conn: conn}, qmem, pool, 1, nil, TaskConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

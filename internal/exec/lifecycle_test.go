@@ -61,7 +61,7 @@ func TestWriterScaleFailureFailsTask(t *testing.T) {
 	defer ex.Close()
 	pool := memory.NewNodePool(1<<30, 0)
 	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
-	task, err := NewTask(TaskID{QueryID: "q"}, frag, 0, ex, &testRegistry{conn: conn}, qmem, pool, nil, 1,
+	task, err := NewTask(TaskID{QueryID: "q"}, frag, 0, ex, &testRegistry{conn: conn}, qmem, pool, 1,
 		map[int][]shuffle.Fetcher{1: {&shuffle.LocalFetcher{Buf: producer.Partition(0)}}},
 		// A slow sink keeps the backlog up while the exchange fills.
 		TaskConfig{MaxWriters: 4, WriteDelay: func() { time.Sleep(time.Millisecond) }})

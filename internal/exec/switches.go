@@ -11,7 +11,7 @@ type Switches uint16
 
 // The members, in the order of SwitchHeaders.
 const (
-	DisableCache          Switches = 1 << iota // bypass the page and split caches
+	DisableCache          Switches = 1 << iota // the coordinator bypasses its split cache
 	DisableDynamicFilters                      // plan no dynamic join filters
 	DisablePlanCache                           // plan from scratch and store no plan
 	DisableResultCache                         // neither serve nor capture a cached result

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/connector"
 	"repro/internal/dynfilter"
 	"repro/internal/expr"
@@ -96,7 +95,6 @@ type Task struct {
 	connectors   ConnectorRegistry
 	queryMem     *memory.QueryContext
 	nodePool     *memory.NodePool
-	pageCache    *cache.PageCache
 	output       *shuffle.OutputBuffer
 	handle       *TaskHandle
 	cfg          TaskConfig
@@ -146,7 +144,7 @@ const writerScaleInterval = 10 * time.Millisecond
 // NewTask compiles a fragment and prepares (but does not start) execution.
 // exchangeSources maps upstream fragment ids to this task's page fetchers.
 func NewTask(id TaskID, f *plan.Fragment, nodeID int, ex *Executor, reg ConnectorRegistry,
-	qmem *memory.QueryContext, pool *memory.NodePool, pageCache *cache.PageCache,
+	qmem *memory.QueryContext, pool *memory.NodePool,
 	outPartitions int, exchangeSources map[int][]shuffle.Fetcher, cfg TaskConfig) (*Task, error) {
 
 	if cfg.PageSize <= 0 {
@@ -165,7 +163,6 @@ func NewTask(id TaskID, f *plan.Fragment, nodeID int, ex *Executor, reg Connecto
 		connectors:   reg,
 		queryMem:     qmem,
 		nodePool:     pool,
-		pageCache:    pageCache,
 		output:       shuffle.NewOutputBuffer(outPartitions, cfg.OutputBufferBytes),
 		handle:       NewTaskHandle(id.QueryID),
 		cfg:          cfg,
@@ -363,8 +360,8 @@ func (t *Task) scanDrivers() int {
 }
 
 // attachMorselQueue gives a scan pipeline the queue its drivers drain. The
-// open function routes through the worker page cache, and completed opens
-// record cache hits on the pipeline's shared source stats.
+// open function opens each split from its connector; the queue records
+// every source it closes on the pipeline's shared source stats.
 func (t *Task) attachMorselQueue(p *pipelineSpec) error {
 	conn, err := t.connectors.Connector(p.scanHandle.Catalog)
 	if err != nil {
@@ -470,18 +467,13 @@ func (t *Task) startScansLocked() {
 	}
 }
 
-// openPageSource opens a split's PageSource, routing through the worker page
-// cache when the connector supports cache keys for this read and the task's
-// session has not disabled caching. Each cached open records a hit or miss
-// on the scan operator's stats (surfaced by EXPLAIN ANALYZE).
+// openPageSource opens a split's PageSource from its connector.
 //
 // A split of a scan an empty build short-circuits is not opened at all.
-// Dynamic filters that have arrived by open time narrow the table handle —
-// the narrowed handle is both the connector read (stripe/split pruning) and
-// the cache identity, so cached pages always match what the connector would
-// produce for that constraint. Their row predicates run later, in the page
-// processor on the scan (dynRowSelectors): the source hands on exactly what
-// the connector, or the cache, produced.
+// Dynamic filters that have arrived by open time narrow the table handle,
+// which the connector uses for stripe/split pruning. Their row predicates
+// run later, in the page processor on the scan (dynRowSelectors): the
+// source hands on exactly what the connector produced.
 func (t *Task) openPageSource(conn connector.Connector, s connector.Split,
 	p *pipelineSpec, stats *operators.OpStats) (connector.PageSource, error) {
 
@@ -489,23 +481,7 @@ func (t *Task) openPageSource(conn connector.Connector, s connector.Split,
 		stats.RecordDynSplitSkipped(1)
 		return emptySource{}, nil
 	}
-	handle := t.dynNarrowedHandle(p)
-	// A connector is cached iff it says how: one that issues no key for this
-	// read (resident tables, lazy reads) is opened directly.
-	pc, ok := conn.(connector.PageCacheable)
-	if ok && t.pageCache != nil && !t.cfg.Switches.Has(DisableCache) {
-		if key, haveKey := pc.PageCacheKey(s, p.scanCols, handle); haveKey {
-			cached, hit, err := t.pageCache.OpenThrough(key, func() (connector.PageSource, error) {
-				return conn.PageSource(s, p.scanCols, handle)
-			})
-			if err != nil {
-				return nil, err
-			}
-			stats.RecordCacheAccess(hit)
-			return cached, nil
-		}
-	}
-	return conn.PageSource(s, p.scanCols, handle)
+	return conn.PageSource(s, p.scanCols, t.dynNarrowedHandle(p))
 }
 
 // driverDone is called by the executor when a driver completes; it is one of

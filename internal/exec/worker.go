@@ -9,7 +9,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/memory"
 	"repro/internal/plan"
-	"repro/internal/serving"
 	"repro/internal/shuffle"
 )
 
@@ -21,11 +20,6 @@ type Worker struct {
 	ID   int
 	Exec *Executor
 	Pool *memory.NodePool
-	// Cache is the worker's page cache (nil when disabled). Its bytes are
-	// charged to Pool as system memory under the cache.PoolOwner
-	// pseudo-query and registered as a cache revocable, so memory pressure
-	// evicts cached pages before any query fails.
-	Cache *cache.PageCache
 
 	connectors ConnectorRegistry
 	cfg        TaskConfig
@@ -43,10 +37,7 @@ type WorkerConfig struct {
 	FIFO              bool
 	GeneralPoolBytes  int64
 	ReservedPoolBytes int64
-	// CacheBytes sizes the worker page cache: 0 defaults to
-	// min(64 MiB, GeneralPoolBytes/4), negative disables caching.
-	CacheBytes int64
-	// FaultInject threads the cluster's injector into the cache seams.
+	// FaultInject threads the cluster's injector into the task-start seam.
 	FaultInject *faultinject.Injector
 	Task        TaskConfig
 }
@@ -59,13 +50,7 @@ func NewWorker(id int, reg ConnectorRegistry, cfg WorkerConfig) *Worker {
 	if cfg.ReservedPoolBytes <= 0 {
 		cfg.ReservedPoolBytes = 256 << 20
 	}
-	if cfg.CacheBytes == 0 {
-		cfg.CacheBytes = cfg.GeneralPoolBytes / 4
-		if cfg.CacheBytes > 64<<20 {
-			cfg.CacheBytes = 64 << 20
-		}
-	}
-	w := &Worker{
+	return &Worker{
 		ID:         id,
 		Exec:       NewExecutor(ExecutorConfig{Threads: cfg.Threads, Quanta: cfg.Quanta, FIFO: cfg.FIFO}),
 		Pool:       memory.NewNodePool(cfg.GeneralPoolBytes, cfg.ReservedPoolBytes),
@@ -74,25 +59,12 @@ func NewWorker(id int, reg ConnectorRegistry, cfg WorkerConfig) *Worker {
 		inject:     cfg.FaultInject,
 		tasks:      map[TaskID]*Task{},
 	}
-	if cfg.CacheBytes > 0 {
-		w.Cache = cache.NewPageCache(cache.Config{
-			Capacity:   cfg.CacheBytes,
-			Accountant: serving.NewPoolAccountant(w.Pool, cache.PoolOwner),
-			Inject:     cfg.FaultInject,
-		})
-		w.Pool.RegisterCacheRevocable(w.Cache)
-	}
-	return w
 }
 
-// CacheStats snapshots the worker's page-cache counters (zero when caching
-// is disabled).
-func (w *Worker) CacheStats() cache.Stats {
-	if w.Cache == nil {
-		return cache.Stats{}
-	}
-	return w.Cache.Stats()
-}
+// CacheStats returns zero: workers keep no page cache.
+//
+// Deprecated: it stays only because the benchmark module calls it.
+func (w *Worker) CacheStats() cache.Stats { return cache.Stats{} }
 
 // CreateTask instantiates and starts a task for a fragment. relay routes the
 // dynamic-filter summaries its joins build for other fragments' scans (the
@@ -107,7 +79,7 @@ func (w *Worker) CreateTask(id TaskID, f *plan.Fragment, qmem *memory.QueryConte
 	if cfg.Inject == nil {
 		cfg.Inject = w.inject
 	}
-	t, err := NewTask(id, f, w.ID, w.Exec, w.connectors, qmem, w.Pool, w.Cache, outPartitions, exchangeSources, cfg)
+	t, err := NewTask(id, f, w.ID, w.Exec, w.connectors, qmem, w.Pool, outPartitions, exchangeSources, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -187,17 +159,11 @@ func (w *Worker) Kill() {
 	for _, t := range ts {
 		t.MarkLost()
 	}
-	if w.Cache != nil {
-		w.Cache.Clear()
-	}
 	w.Exec.Close()
 }
 
-// Close stops the worker, releasing cached pages back to the pool.
+// Close stops the worker.
 func (w *Worker) Close() {
-	if w.Cache != nil {
-		w.Cache.Clear()
-	}
 	w.Exec.Close()
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/types"
 )
@@ -157,7 +158,7 @@ func init() {
 	register(&Builtin{
 		Name: "length", ArgTypes: []types.Type{types.Varchar}, ReturnType: types.Bigint, Deterministic: true,
 		Eval: func(args []types.Value) (types.Value, error) {
-			return types.BigintValue(int64(len(args[0].S))), nil
+			return types.BigintValue(int64(utf8.RuneCountInString(args[0].S))), nil
 		},
 	})
 	register(&Builtin{
@@ -169,20 +170,7 @@ func init() {
 	register(&Builtin{
 		Name: "substr", ArgTypes: []types.Type{types.Varchar, types.Bigint, types.Bigint}, ReturnType: types.Varchar, Deterministic: true,
 		Eval: func(args []types.Value) (types.Value, error) {
-			s := args[0].S
-			start := int(args[1].I) // 1-based
-			n := int(args[2].I)
-			if start < 1 {
-				start = 1
-			}
-			if start > len(s) {
-				return types.VarcharValue(""), nil
-			}
-			end := start - 1 + n
-			if end > len(s) {
-				end = len(s)
-			}
-			return types.VarcharValue(s[start-1 : end]), nil
+			return types.VarcharValue(substr(args[0].S, args[1].I, args[2].I)), nil
 		},
 	})
 	register(&Builtin{
@@ -204,7 +192,11 @@ func init() {
 	register(&Builtin{
 		Name: "strpos", ArgTypes: []types.Type{types.Varchar, types.Varchar}, ReturnType: types.Bigint, Deterministic: true,
 		Eval: func(args []types.Value) (types.Value, error) {
-			return types.BigintValue(int64(strings.Index(args[0].S, args[1].S) + 1)), nil
+			i := strings.Index(args[0].S, args[1].S)
+			if i < 0 {
+				return types.BigintValue(0), nil
+			}
+			return types.BigintValue(int64(utf8.RuneCountInString(args[0].S[:i]) + 1)), nil
 		},
 	})
 	register(&Builtin{
@@ -327,4 +319,30 @@ func init() {
 	register(&Builtin{Name: "transform", ArgTypes: []types.Type{types.Array, types.Unknown}, ReturnType: types.Array, Deterministic: true, HigherOrder: true})
 	register(&Builtin{Name: "filter", ArgTypes: []types.Type{types.Array, types.Unknown}, ReturnType: types.Array, Deterministic: true, HigherOrder: true})
 	register(&Builtin{Name: "reduce", ArgTypes: []types.Type{types.Array, types.Unknown, types.Unknown}, ReturnType: types.Unknown, Deterministic: true, HigherOrder: true})
+}
+
+// substr is Presto's substr(s, start, length) over code points: start is
+// 1-based and a negative start counts from the end; a start of 0 or before
+// the beginning, or a length below 1, gives the empty string.
+func substr(s string, start, length int64) string {
+	if start < 0 {
+		start += int64(utf8.RuneCountInString(s)) + 1
+		if start < 1 {
+			return ""
+		}
+	}
+	if start == 0 || length <= 0 {
+		return ""
+	}
+	i := advance(s, 0, start-1)
+	return s[i:advance(s, i, length)]
+}
+
+// advance returns the byte offset n code points past byte offset i of s, or
+// len(s) when s ends first.
+func advance(s string, i int, n int64) int {
+	for ; n > 0 && i < len(s); n-- {
+		i += charLen(s, i)
+	}
+	return i
 }

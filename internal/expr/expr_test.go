@@ -103,6 +103,13 @@ func TestLikeMatch(t *testing.T) {
 		{"", "%", true},
 		{"abc", "%b%", true},
 		{"aXbXc", "a%b%c", true},
+		// _ is one character, not one byte, and so is the step after %.
+		{"é", "_", true},
+		{"héllo", "h_llo", true},
+		{"é", "%__", false},
+		{"€bz", "%__b%", false},
+		// % is a wildcard even where the string holds a '%'.
+		{"%x", "%", true},
 	}
 	for _, c := range cases {
 		if got := LikeMatch(c.s, c.p); got != c.want {
@@ -151,6 +158,27 @@ func TestBuiltins(t *testing.T) {
 	}
 	if v := call("strpos", types.VarcharValue("hello"), types.VarcharValue("ll")); v.I != 3 {
 		t.Errorf("strpos: %v", v)
+	}
+	// Positions and lengths count code points; substr gives '' for a start of
+	// 0, a length below 1 or a start before the beginning, and a negative
+	// start counts from the end.
+	for _, c := range []struct {
+		name string
+		args []types.Value
+		want types.Value
+	}{
+		{"length", []types.Value{types.VarcharValue("héllo")}, types.BigintValue(5)},
+		{"strpos", []types.Value{types.VarcharValue("héllo"), types.VarcharValue("l")}, types.BigintValue(3)},
+		{"substr", []types.Value{types.VarcharValue("héllo"), types.BigintValue(2), types.BigintValue(2)}, types.VarcharValue("él")},
+		{"substr", []types.Value{types.VarcharValue("héllo"), types.BigintValue(3), types.BigintValue(1)}, types.VarcharValue("l")},
+		{"substr", []types.Value{types.VarcharValue("hello"), types.BigintValue(-3), types.BigintValue(2)}, types.VarcharValue("ll")},
+		{"substr", []types.Value{types.VarcharValue("hello"), types.BigintValue(-6), types.BigintValue(2)}, types.VarcharValue("")},
+		{"substr", []types.Value{types.VarcharValue("hello"), types.BigintValue(0), types.BigintValue(2)}, types.VarcharValue("")},
+		{"substr", []types.Value{types.VarcharValue("hello"), types.BigintValue(3), types.BigintValue(-1)}, types.VarcharValue("")},
+	} {
+		if v := call(c.name, c.args...); v.T != c.want.T || v.String() != c.want.String() {
+			t.Errorf("%s%v = %q, want %q", c.name, c.args, v, c.want)
+		}
 	}
 	if v := call("greatest", types.BigintValue(2), types.BigintValue(9), types.BigintValue(4)); v.I != 9 {
 		t.Errorf("greatest: %v", v)

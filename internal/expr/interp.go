@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/types"
 )
@@ -467,7 +468,8 @@ func EvalCompare(op CmpOp, l, r types.Value) types.Value {
 	return types.BooleanValue(b)
 }
 
-// LikeMatch implements SQL LIKE with % (any run) and _ (any single char).
+// LikeMatch implements SQL LIKE with % (any run) and _ (any single
+// character, a code point).
 func LikeMatch(s, pattern string) bool {
 	return likeMatch(s, pattern)
 }
@@ -478,15 +480,20 @@ func likeMatch(s, p string) bool {
 	si, pi := 0, 0
 	for si < len(s) {
 		switch {
-		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
-			si++
-			pi++
 		case pi < len(p) && p[pi] == '%':
 			starP = pi
 			starS = si
 			pi++
+		case pi < len(p) && p[pi] == '_':
+			si += charLen(s, si)
+			pi++
+		case pi < len(p) && p[pi] == s[si]:
+			// A literal character matches byte by byte: both strings are
+			// at a character boundary here and leave it only together.
+			si++
+			pi++
 		case starP >= 0:
-			starS++
+			starS += charLen(s, starS)
 			si = starS
 			pi = starP + 1
 		default:
@@ -497,6 +504,16 @@ func likeMatch(s, p string) bool {
 		pi++
 	}
 	return pi == len(p)
+}
+
+// charLen is the byte length of the character at s[i]: one for ASCII,
+// without decoding.
+func charLen(s string, i int) int {
+	if s[i] < utf8.RuneSelf {
+		return 1
+	}
+	_, n := utf8.DecodeRuneInString(s[i:])
+	return n
 }
 
 // LikePrefix returns the literal prefix of a LIKE pattern (up to the first

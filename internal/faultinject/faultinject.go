@@ -40,10 +40,6 @@ const (
 	SiteShuffleFetch = "shuffle.fetch"
 	// SiteTaskCreate guards Worker.CreateTask in the scheduler.
 	SiteTaskCreate = "scheduler.createtask"
-	// SiteCacheCorrupt guards page-cache lookups: a fault flips the stored
-	// entry checksum, so verification rejects the entry and the lookup
-	// degrades to a miss (re-read from the connector).
-	SiteCacheCorrupt = "cache.corrupt"
 	// SiteTaskStart sits in Worker.CreateTask between a task's registration
 	// and its Start: a delay fault widens the window in which a registered
 	// task has no drivers yet, which must not read as finished.
@@ -60,9 +56,6 @@ const (
 	// makes the entry's checksum verification fail, so the hit degrades to a
 	// miss and the query re-executes.
 	SiteResultCacheCorrupt = "serving.resultcorrupt"
-	// SiteCacheEvict guards page-cache inserts: a fault triggers a full
-	// eviction storm (every cached entry dropped) before the insert.
-	SiteCacheEvict = "cache.evict"
 )
 
 // Kind selects what an injected fault does.

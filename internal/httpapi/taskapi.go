@@ -668,12 +668,4 @@ func writeWorkerGauges(w io.Writer, wk *exec.Worker) {
 	metrics.PromGauge(w, "presto_memory_general_limit_bytes", lbl, float64(wk.Pool.GeneralLimit()))
 	metrics.PromGauge(w, "presto_memory_reserved_used_bytes", lbl, float64(wk.Pool.ReservedUsed()))
 	metrics.PromGauge(w, "presto_memory_reserved_limit_bytes", lbl, float64(wk.Pool.ReservedLimit()))
-	cs := wk.CacheStats()
-	metrics.PromGauge(w, "presto_cache_hits_total", lbl, float64(cs.Hits))
-	metrics.PromGauge(w, "presto_cache_misses_total", lbl, float64(cs.Misses))
-	metrics.PromGauge(w, "presto_cache_evictions_total", lbl, float64(cs.Evictions))
-	metrics.PromGauge(w, "presto_cache_corruptions_total", lbl, float64(cs.Corruptions))
-	metrics.PromGauge(w, "presto_cache_bytes", lbl, float64(cs.Bytes))
-	metrics.PromGauge(w, "presto_cache_entries", lbl, float64(cs.Entries))
-	metrics.PromGauge(w, "presto_cache_capacity_bytes", lbl, float64(cs.Capacity))
 }

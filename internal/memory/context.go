@@ -84,8 +84,8 @@ func (q *QueryContext) Reserve(node int, kind Kind, n int64) error {
 
 // TryReserve reserves n bytes of the given kind on node if they fit under the
 // query's limits and in the node's pool as things stand, and reports whether
-// it did. Unlike Reserve it never makes room: no operator is asked to spill,
-// no cache is evicted and no query is promoted.
+// it did. Unlike Reserve it never makes room: no operator is asked to spill
+// and no query is promoted.
 func (q *QueryContext) TryReserve(node int, kind Kind, n int64) bool {
 	if n <= 0 {
 		return true

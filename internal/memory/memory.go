@@ -58,12 +58,6 @@ type NodePool struct {
 
 	revocables map[string][]Revocable
 
-	// cacheRevocables are node-lifetime caches (page cache) rather than
-	// query operators: their bytes can be dropped and re-read at will, so
-	// they are revoked before any reservation fails — even with spilling
-	// disabled — and before any operator is asked to spill.
-	cacheRevocables []Revocable
-
 	// blocked allocations waiting for memory, woken on release.
 	cond *sync.Cond
 }
@@ -123,14 +117,6 @@ func (p *NodePool) RegisterRevocable(query string, r Revocable) {
 	p.revocables[query] = append(p.revocables[query], r)
 }
 
-// RegisterCacheRevocable records a node-lifetime cache whose bytes are
-// evicted ahead of any query OOM or operator spill.
-func (p *NodePool) RegisterCacheRevocable(r Revocable) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.cacheRevocables = append(p.cacheRevocables, r)
-}
-
 // tryReserveLocked attempts to reserve n bytes for query, preferring the
 // general pool and falling back to the reserved pool if this query owns it.
 func (p *NodePool) tryReserveLocked(query string, n int64) bool {
@@ -158,12 +144,6 @@ func (p *NodePool) Reserve(query string, kind Kind, n int64, spillEnabled bool) 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for !p.tryReserveLocked(query, n) {
-		// Cache bytes go first: dropping a cached page is a re-read, not a
-		// spill, so it is always allowed regardless of spillEnabled and is
-		// tried before asking any operator to spill.
-		if p.revokeCacheLocked(n) {
-			continue
-		}
 		if spillEnabled && p.revokeLocked(n) {
 			continue
 		}
@@ -174,7 +154,7 @@ func (p *NodePool) Reserve(query string, kind Kind, n int64, spillEnabled bool) 
 }
 
 // TryReserve reserves n bytes for query if they fit as the pool stands,
-// without evicting a cache or revoking anything.
+// without revoking anything.
 func (p *NodePool) TryReserve(query string, kind Kind, n int64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -237,38 +217,12 @@ func (p *NodePool) revokeLocked(need int64) bool {
 	return freed > 0
 }
 
-// revokeCacheLocked evicts node-lifetime cache bytes until need bytes are
-// freed; returns whether anything was freed. Like revokeLocked it drops the
-// pool lock around each Revoke, which releases the freed bytes back here.
-func (p *NodePool) revokeCacheLocked(need int64) bool {
-	var freed int64
-	for _, r := range p.cacheRevocables {
-		if r.RevocableBytes() <= 0 {
-			continue
-		}
-		p.mu.Unlock()
-		n, err := r.Revoke()
-		p.mu.Lock()
-		if err == nil {
-			freed += n
-		}
-		if freed >= need {
-			break
-		}
-	}
-	return freed > 0
-}
-
 // TryRevoke asks revocable consumers to free at least need bytes, returning
-// whether anything was freed. Cache bytes are evicted before any operator is
-// asked to spill. Used both on pool exhaustion and when a query hits its own
-// user limit with spilling enabled (§IV-F2).
+// whether anything was freed. Used both on pool exhaustion and when a query
+// hits its own user limit with spilling enabled (§IV-F2).
 func (p *NodePool) TryRevoke(need int64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.revokeCacheLocked(need) {
-		return true
-	}
 	return p.revokeLocked(need)
 }
 

@@ -213,17 +213,12 @@ func TestQueryContextPromoteHookRetries(t *testing.T) {
 
 // TestTryReserveNeverMakesRoom: TryReserve takes what fits under the query's
 // limits and in the pool as they stand, and refuses the rest without asking a
-// spillable operator to spill, evicting a cache or promoting the query.
+// spillable operator to spill or promoting the query.
 func TestTryReserveNeverMakesRoom(t *testing.T) {
 	pool := NewNodePool(1000, 1000)
-	other := &fakeRevocable{pool: pool, query: "other", bytes: 600}
-	cache := &fakeRevocable{pool: pool, query: "@cache", bytes: 200}
+	other := &fakeRevocable{pool: pool, query: "other", bytes: 800}
 	pool.RegisterRevocable("other", other)
-	pool.RegisterCacheRevocable(cache)
-	if err := pool.Reserve("other", User, 600, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.Reserve("@cache", System, 200, true); err != nil {
+	if err := pool.Reserve("other", User, 800, true); err != nil {
 		t.Fatal(err)
 	}
 	q := NewQueryContext("q", QueryLimits{PerNodeUser: 150, SpillEnabled: true}, map[int]*NodePool{0: pool})
@@ -239,8 +234,8 @@ func TestTryReserveNeverMakesRoom(t *testing.T) {
 	if l.TryGrow(150) {
 		t.Error("TryGrow took 150 bytes from a pool with 100 free")
 	}
-	if other.freed != 0 || cache.freed != 0 {
-		t.Errorf("TryGrow made room: spilled %d, evicted %d", other.freed, cache.freed)
+	if other.freed != 0 {
+		t.Errorf("TryGrow made room: spilled %d", other.freed)
 	}
 	if l.Held() != 100 || q.UserBytes() != 100 || pool.GeneralUsed() != 900 {
 		t.Errorf("refusals left held %d, query %d, pool %d; want 100, 100, 900", l.Held(), q.UserBytes(), pool.GeneralUsed())

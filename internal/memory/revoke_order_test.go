@@ -32,53 +32,9 @@ func (f *orderedRevocable) Revoke() (int64, error) {
 	return n, nil
 }
 
-// TestRevocationOrderCacheBeforeSpill locks in the §IV-F2 revocation order:
-// node-lifetime cache bytes are evicted before any operator is asked to
-// spill — dropping a cached page is a re-read, spilling is real work.
-func TestRevocationOrderCacheBeforeSpill(t *testing.T) {
-	pool := NewNodePool(1000, 0)
-	var log []string
-	cache := &orderedRevocable{pool: pool, query: "cacheowner", held: 600, log: &log, name: "cache"}
-	op := &orderedRevocable{pool: pool, query: "q1", held: 300, log: &log, name: "operator"}
-	if err := pool.Reserve("cacheowner", System, 600, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.Reserve("q1", User, 300, true); err != nil {
-		t.Fatal(err)
-	}
-	pool.RegisterCacheRevocable(cache)
-	pool.RegisterRevocable("q1", op)
-
-	// 500 bytes wanted, 100 free: evicting the cache suffices, the operator
-	// must not be asked to spill.
-	if err := pool.Reserve("q2", User, 500, true); err != nil {
-		t.Fatal(err)
-	}
-	if cache.revokes != 1 {
-		t.Fatalf("cache revoked %d times, want 1", cache.revokes)
-	}
-	if op.revokes != 0 {
-		t.Fatalf("operator spilled %d times before the cache was evicted", op.revokes)
-	}
-
-	// Next pressure exceeds what the (now empty) cache can free: only now
-	// does the operator spill.
-	if err := pool.Reserve("q2", User, 400, true); err != nil {
-		t.Fatal(err)
-	}
-	if op.revokes != 1 {
-		t.Fatalf("operator spilled %d times, want 1", op.revokes)
-	}
-	want := []string{"cache", "operator"}
-	if len(log) != 2 || log[0] != want[0] || log[1] != want[1] {
-		t.Fatalf("revocation order %v, want %v", log, want)
-	}
-}
-
 // TestSpillDisabledReserveFailsClean locks in the spill-disabled contract:
 // with spilling off, operator memory is never revoked and exhaustion
-// surfaces as the §IV-F2 exceeded-limit error, while cache eviction is
-// still allowed (it is not a spill).
+// surfaces as the §IV-F2 exceeded-limit error.
 func TestSpillDisabledReserveFailsClean(t *testing.T) {
 	pool := NewNodePool(1000, 0)
 	op := &orderedRevocable{pool: pool, query: "q1", held: 900}

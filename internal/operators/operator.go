@@ -86,11 +86,6 @@ type OpStats struct {
 	memCur  atomic.Int64 // sampled current reservation across drivers
 	memPeak atomic.Int64 // high-water mark of memCur
 
-	// Page-cache lookups made on behalf of this operator's source (leaf
-	// scans only; zero elsewhere).
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-
 	// Dynamic-filter accounting (leaf scans only): probe rows dropped by
 	// attached runtime filters, splits skipped outright by an empty build
 	// side, and time split starts were gated waiting for filter delivery.
@@ -195,22 +190,6 @@ func (s *OpStats) AdjustMem(delta int64) {
 	}
 }
 
-// RecordCacheAccess counts one page-cache lookup (per split open) made on
-// behalf of this operator's source.
-func (s *OpStats) RecordCacheAccess(hit bool) {
-	if s == nil {
-		return
-	}
-	if hit {
-		s.cacheHits.Add(1)
-	} else {
-		s.cacheMisses.Add(1)
-	}
-}
-
-// CacheHits returns page-cache hits recorded so far.
-func (s *OpStats) CacheHits() int64 { return s.cacheHits.Load() }
-
 // RowsOut returns rows produced so far (live counter for scan progress).
 func (s *OpStats) RowsOut() int64 { return s.rowsOut.Load() }
 
@@ -233,8 +212,6 @@ type OpStatsSnapshot struct {
 	BlockedNanos int64  `json:"blockedNanos"`
 	MemBytes     int64  `json:"memBytes"`
 	PeakMemBytes int64  `json:"peakMemBytes"`
-	CacheHits    int64  `json:"cacheHits,omitempty"`
-	CacheMisses  int64  `json:"cacheMisses,omitempty"`
 
 	EstGroups        float64 `json:"estGroups,omitempty"`
 	EstSource        string  `json:"estSource,omitempty"`
@@ -275,8 +252,6 @@ func (s *OpStats) Snapshot() OpStatsSnapshot {
 		BlockedNanos: s.blockedNanos.Load(),
 		MemBytes:     s.memCur.Load(),
 		PeakMemBytes: s.memPeak.Load(),
-		CacheHits:    s.cacheHits.Load(),
-		CacheMisses:  s.cacheMisses.Load(),
 
 		EstGroups:        s.EstGroups,
 		EstSource:        s.EstSource,
@@ -342,8 +317,6 @@ func (s *OpStatsSnapshot) Merge(o OpStatsSnapshot) {
 	s.BlockedNanos += o.BlockedNanos
 	s.MemBytes += o.MemBytes
 	s.PeakMemBytes += o.PeakMemBytes
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
 	s.EstGroups += o.EstGroups
 	if s.EstSource == "" {
 		s.EstSource = o.EstSource

@@ -8,12 +8,11 @@ import (
 	"time"
 
 	"repro/internal/block"
-	"repro/internal/cache"
 	"repro/internal/faultinject"
 )
 
 // ResultPoolOwner is the pseudo-query the result cache reserves node memory
-// under (system memory, non-spillable — like the page cache's PoolOwner).
+// under (system memory, non-spillable).
 const ResultPoolOwner = "@resultcache"
 
 // ResultBase fingerprints the version-independent identity of a query's
@@ -29,7 +28,7 @@ func ResultBase(planText string, columns []string) uint64 {
 }
 
 // ResultKey combines a plan fingerprint with the referenced tables' connector
-// versions — the same version counters the page cache keys on — so any write
+// versions, so any write
 // moves repeat queries to a fresh key and the stale entry ages out.
 func ResultKey(base uint64, tables [][2]string, versions []int64) string {
 	var b strings.Builder
@@ -62,7 +61,7 @@ type ResultCacheConfig struct {
 	TTL time.Duration
 	// Accountant, when non-nil, mirrors admitted/evicted bytes into the node
 	// memory pool under ResultPoolOwner.
-	Accountant cache.Accountant
+	Accountant Accountant
 	// Inject enables the SiteResultCacheCorrupt fault seam: a fault makes the
 	// next hit's checksum verification fail, degrading it to a miss.
 	Inject *faultinject.Injector
@@ -83,8 +82,8 @@ type ResultCacheStats struct {
 
 // ResultCache is the versioned result cache: small final result sets served
 // without admission, planning, or execution. Every hit re-verifies the
-// entry's structural checksum (cache.ChecksumPages) so corruption degrades
-// to a miss, mirroring the page cache's integrity contract.
+// entry's structural checksum (checksumPages: counts, sizes and each page's
+// first and last row) so corruption degrades to a miss.
 type ResultCache struct {
 	mu      sync.Mutex
 	cfg     ResultCacheConfig
@@ -128,7 +127,7 @@ func (c *ResultCache) Get(key string) (*ResultEntry, bool) {
 		return nil, false
 	}
 	e := v.(*ResultEntry)
-	sum := cache.ChecksumPages(e.Pages)
+	sum := checksumPages(e.Pages)
 	if c.cfg.Inject.Err(faultinject.SiteResultCacheCorrupt) != nil {
 		sum = ^sum
 	}
@@ -163,7 +162,7 @@ func (c *ResultCache) Put(key string, columns []string, pages []*block.Page, row
 		Pages:   pages,
 		Rows:    rows,
 		size:    size,
-		sum:     cache.ChecksumPages(pages),
+		sum:     checksumPages(pages),
 		tables:  tables,
 	}
 	if !c.lru.put(key, e, size) {

@@ -119,7 +119,7 @@ func FuzzCreateRequestDecode(f *testing.F) {
 			}
 			_ = plan.Format(frag.Root)
 			id := exec.TaskID{QueryID: "q", Fragment: frag.ID}
-			exec.NewTask(id, frag, 0, ex, oneCatalog{conn}, qmem, pool, nil, 2, nil, exec.TaskConfig{})
+			exec.NewTask(id, frag, 0, ex, oneCatalog{conn}, qmem, pool, 2, nil, exec.TaskConfig{})
 		}
 		_ = req.Config.Switches.String()
 		raw, err := json.Marshal(req.Config)

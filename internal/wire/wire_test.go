@@ -592,7 +592,7 @@ func TestCompilingLeavesFragmentUnchanged(t *testing.T) {
 	defer ex.Close()
 	pool := memory.NewNodePool(1<<30, 0)
 	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
-	if _, err := exec.NewTask(exec.TaskID{QueryID: "q", Fragment: 1}, frag, 0, ex, oneCatalog{conn}, qmem, pool, nil, 2, nil, exec.TaskConfig{}); err != nil {
+	if _, err := exec.NewTask(exec.TaskID{QueryID: "q", Fragment: 1}, frag, 0, ex, oneCatalog{conn}, qmem, pool, 2, nil, exec.TaskConfig{}); err != nil {
 		t.Fatal(err)
 	}
 

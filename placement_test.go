@@ -131,11 +131,9 @@ func TestScanSplitsBalanced(t *testing.T) {
 }
 
 // TestPlacementStableAcrossRuns: the same statement lands the same way every
-// time, and over a cacheable catalog a warm run finds the pages the cold run
-// cached.
+// time.
 func TestPlacementStableAcrossRuns(t *testing.T) {
 	c := noIdleCoreCluster(t, 2)
-	coldCatalog(t, c.catalog, "tpch")
 	var first string
 	for run := 0; run < 10; run++ {
 		_, id := runTrackedQuery(t, c, shaped(t, "h01").sql)
@@ -147,9 +145,6 @@ func TestPlacementStableAcrossRuns(t *testing.T) {
 			first = got
 		} else if got != first {
 			t.Errorf("run %d placed %s, run 0 placed %s", run, got, first)
-		}
-		if hits := scanCacheHits(t, c, id); run > 0 && hits == 0 {
-			t.Errorf("run %d found none of its pages in the page cache", run)
 		}
 	}
 }

@@ -150,8 +150,10 @@ type ClusterConfig struct {
 	// cluster's I/O seams (split enumeration, page fetch, shuffle fetch, task
 	// creation) — see internal/faultinject. Nil means no faults.
 	FaultInjector *faultinject.Injector
-	// PageCacheBytes sizes each worker's page cache: 0 defaults to
-	// min(64 MiB, NodeMemoryBytes/4); negative disables page caching.
+	// PageCacheBytes is kept only because the frozen benchmark names it. It
+	// does nothing: workers keep no page cache.
+	//
+	// Deprecated: there is no page cache to size.
 	PageCacheBytes int64
 	// MetadataCacheTTL bounds staleness of the coordinator metadata/split
 	// cache (default 30s; negative disables metadata caching).
@@ -219,7 +221,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		Quanta:           cfg.Quanta,
 		FIFO:             cfg.FIFOScheduler,
 		GeneralPoolBytes: cfg.NodeMemoryBytes,
-		CacheBytes:       cfg.PageCacheBytes,
 		FaultInject:      cfg.FaultInjector,
 		Task:             taskCfg,
 	}
@@ -363,35 +364,6 @@ func (c *Cluster) Workers() []*exec.Worker {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]*exec.Worker(nil), c.workers...)
-}
-
-// CacheStats snapshots a worker page cache's counters.
-type CacheStats = cache.Stats
-
-// PageCacheStats sums page-cache counters across the cluster's workers.
-func (c *Cluster) PageCacheStats() CacheStats {
-	var total CacheStats
-	for _, w := range c.Workers() {
-		s := w.CacheStats()
-		total.Hits += s.Hits
-		total.Misses += s.Misses
-		total.Evictions += s.Evictions
-		total.Corruptions += s.Corruptions
-		total.Entries += s.Entries
-		total.Bytes += s.Bytes
-		total.Capacity += s.Capacity
-	}
-	return total
-}
-
-// ClearPageCaches drops every worker's cached pages (cold-start for
-// benchmarks and A/B runs), releasing their bytes back to the node pools.
-func (c *Cluster) ClearPageCaches() {
-	for _, w := range c.Workers() {
-		if w.Cache != nil {
-			w.Cache.Clear()
-		}
-	}
 }
 
 // MetaCacheStats snapshots the coordinator metadata/split cache counters.

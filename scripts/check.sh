@@ -18,7 +18,8 @@
 #                             # prune-only; a task's own filter arrives
 #                             # with its build; the effect tests on a
 #                             # cross-fragment filter beside a direct feed)
-#                             # + point-read byte budget and written
+#                             # + point-read byte budget, a resident
+#                             # table's scan line and written
 #                             # tables + dictionary paths (guards, stats,
 #                             # a panicking operator fails one query)
 #                             # + borrowed-page and released-scratch
@@ -52,7 +53,8 @@
 #                             # warm-pool ceilings twenty times each)
 #                             # + configuration (one switch set: cluster vs
 #                             # session twins, the switch headers, a session
-#                             # switch on HTTP workers, TaskConfig
+#                             # switch on HTTP workers (DisableSpill:
+#                             # spill, or the exceeded-limit error), TaskConfig
 #                             # and fragments on the wire, non-finite doubles
 #                             # to HTTP workers and clients, dynamic filters
 #                             # decided at planning, a join residual filtered
@@ -214,8 +216,8 @@ go test -race -count=10 -run 'TestDynFilterPlacement|TestDynFilterArrivesWithIts
 go test -race -count=1 -run 'TestCollectCellsMatchesCollect|TestBoundedSummaryPrunesOnly' ./internal/dynfilter/
 go test -race -count=1 -run 'TestDynamicFilterPrunesSelectiveJoin|TestDynamicFilterEmptyBuildShortCircuit|TestChaosDynamicFilterDelayAndLoss' .
 
-echo "==> what a point read pays: byte budget (no -race: it skips under it), resident tables bypass the page cache, a written table stays worth scanning"
-go test -count=1 -v -run 'TestPointReadByteBudget|TestResidentTablesBypassPageCache' . | grep -E '^(---|ok|FAIL|panic)|bytes per'
+echo "==> what a point read pays: byte budget (no -race: it skips under it), a resident table's scan reads its one page, a written table stays worth scanning"
+go test -count=1 -v -run 'TestPointReadByteBudget|TestResidentTableScanLine' . | grep -E '^(---|ok|FAIL|panic)|bytes per'
 go test -race -count=1 -run 'TestInsertsMergeIntoTail|TestSplitReadsItsSnapshot' ./internal/connectors/memconn/
 
 echo "==> what a low-cardinality string costs: stored under one dictionary a column, resolved by combination, guarded by rows >= entries; a panicking operator fails one query"
@@ -230,8 +232,9 @@ echo "==> configuration: a query's switches are one value, from the HTTP header 
 # A cluster switch has its session twin's effect, and a deprecated cluster
 # field only its alias's; each switch header sets its
 # switch and nothing else; a session switch reaches HTTP workers inside
-# TaskConfig, as it reaches in-process tasks (DisableCache: no worker's page
-# cache is asked); every TaskConfig field and every plan and
+# TaskConfig, as it reaches in-process tasks (DisableSpill: under a per-node
+# cap a default session spills and a DisableSpill one fails with the
+# exceeded-limit error); every TaskConfig field and every plan and
 # expression field survives the create request, every node and expression
 # type has a wire kind, and a fragment that decodes compiles without a panic;
 # NaN, ±Infinity and −0.0 reach HTTP workers and statement-protocol clients;
@@ -240,7 +243,7 @@ echo "==> configuration: a query's switches are one value, from the HTTP header 
 # compares by IEEE, as in WHERE) and an index join applies it; a RIGHT/FULL
 # probe finished with pairs still to emit counts as finished only once it has
 # emitted them, and a SEMI/ANTI row puts its chain to a residual in rounds.
-go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestDeprecatedClusterFields|TestDistributedDisableCache|TestDynamicFiltersDecidedAtPlanning|TestDistributedNonFiniteDoubles|TestJoinResidualNaNIsIEEE|TestKVIndexJoin' .
+go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestDeprecatedClusterFields|TestDistributedDisableSpill|TestDynamicFiltersDecidedAtPlanning|TestDistributedNonFiniteDoubles|TestJoinResidualNaNIsIEEE|TestKVIndexJoin' .
 go test -race -count=1 -run 'TestOuterJoinWaitsForPendingPairs|TestSemiResidualDecidesInRounds' ./internal/operators/
 go test -race -count=1 -run 'TestSwitchHeaders|TestStatementNonFiniteDoubles|TestWriteJSONFailureIs500' ./internal/httpapi/
 go test -race -count=1 ./internal/wire/

@@ -155,17 +155,17 @@ func checkNoSpillArtifactLeaks(t *testing.T, spillBase spill.Stats) {
 }
 
 // checkNoPoolLeak polls until no query holds bytes in any of the workers'
-// pools (the page cache's own bytes aside): a failed query's per-node
-// reservations are released when it closes, on dead workers too.
+// pools: a failed query's per-node reservations are released when it
+// closes, on dead workers too.
 func checkNoPoolLeak(t *testing.T, workers []*exec.Worker) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		var pooled int64
 		for _, w := range workers {
-			pooled += w.Pool.GeneralUsed() - w.CacheStats().Bytes
+			pooled += w.Pool.GeneralUsed()
 		}
-		if pooled <= 0 {
+		if pooled == 0 {
 			return
 		}
 		if time.Now().After(deadline) {

@@ -142,14 +142,44 @@ func TestSQLCaseExpression(t *testing.T) {
 }
 
 func TestSQLScalarFunctions(t *testing.T) {
-	c := sqlCluster(t)
-	row, err := c.QueryRow(`SELECT upper(name), length(name), substr(name, 1, 2), coalesce(age, -1)
-		FROM people WHERE id = 6`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row[0].S != "FRANK" || row[1].I != 5 || row[2].S != "fr" || row[3].I != -1 {
-		t.Errorf("functions: %v", row)
+	for _, interpreted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("interpreted=%v", interpreted), func(t *testing.T) {
+			c := sqlClusterWith(t, ClusterConfig{Workers: 2, ThreadsPerWorker: 2, Interpreted: interpreted})
+			row, err := c.QueryRow(`SELECT upper(name), length(name), substr(name, 1, 2), coalesce(age, -1)
+				FROM people WHERE id = 6`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row[0].S != "FRANK" || row[1].I != 5 || row[2].S != "fr" || row[3].I != -1 {
+				t.Errorf("functions: %v", row)
+			}
+			// VARCHAR positions and lengths count code points, as in Presto.
+			// Each case runs over a column and over a constant.
+			mustExec(t, c, "CREATE TABLE words (w VARCHAR)")
+			mustExec(t, c, "INSERT INTO words VALUES ('héllo'), ('hello'), ('é'), ('€bz'), ('%x')")
+			for _, tc := range []struct{ expr, word, want string }{
+				{"length(%s)", "héllo", "5"},
+				{"strpos(%s, 'l') * 10 + strpos(%[1]s, 'z')", "héllo", "30"},
+				{"substr(%s, 2, 2)", "héllo", "él"},
+				{"substr(%s, 3, 1)", "héllo", "l"},
+				{"substr(%s, 3)", "héllo", "llo"},
+				{"substr(%s, -3, 2)", "hello", "ll"},
+				{"substr(%s, -6, 2)", "hello", ""},
+				{"substr(%s, 0, 2)", "hello", ""},
+				{"substr(%s, 3, -1)", "hello", ""},
+				{"%s LIKE '_'", "é", "true"},
+				{"%s LIKE 'h_llo'", "héllo", "true"},
+				{"%s LIKE '%%__b%%'", "€bz", "false"},
+				{"%s LIKE '%%'", "%x", "true"},
+			} {
+				for _, sql := range []string{
+					"SELECT " + fmt.Sprintf(tc.expr, "w") + " FROM words WHERE w = '" + tc.word + "'",
+					"SELECT " + fmt.Sprintf(tc.expr, "'"+tc.word+"'"),
+				} {
+					assertRows(t, sql, stringifyRows(mustExec(t, c, sql)), []string{tc.want})
+				}
+			}
+		})
 	}
 }
 

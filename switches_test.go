@@ -56,11 +56,11 @@ func TestClusterSwitchMatchesSession(t *testing.T) {
 		observe func(t *testing.T, c *Cluster, s Session) []any
 	}{
 		{name: "cache", sw: exec.DisableCache,
-			cluster: func(cfg *ClusterConfig) { cfg.PageCacheBytes, cfg.MetadataCacheTTL = -1, -1 },
+			cluster: func(cfg *ClusterConfig) { cfg.MetadataCacheTTL = -1 },
 			session: exec.DisableResultCache,
 			observe: func(t *testing.T, c *Cluster, s Session) []any {
 				twice(t, c, scan, s)
-				return []any{"page cache hits", c.PageCacheStats().Hits > 0, "split cache hits", c.MetaCacheStats().Hits > 0}
+				return []any{"split cache hits", c.MetaCacheStats().Hits > 0}
 			}},
 		{name: "dynamic filters", sw: exec.DisableDynamicFilters,
 			cluster: func(cfg *ClusterConfig) { cfg.DisableDynamicFilters = true },
@@ -113,7 +113,6 @@ func TestClusterSwitchMatchesSession(t *testing.T) {
 				defer c.Close()
 				// Pages small enough that a table has a split per task and more.
 				c.Register(workload.LoadTPCHMemorySmallPages("tpch", spillScale, 512))
-				coldCatalog(t, c.catalog, "tpch")
 				return fmt.Sprint(tc.observe(t, c, s))
 			}
 			control, byCluster, bySession := arm(false, false), arm(true, false), arm(false, true)
@@ -131,9 +130,10 @@ func TestClusterSwitchMatchesSession(t *testing.T) {
 // TestDeprecatedClusterFields: the ClusterConfig fields kept only because the
 // frozen benchmark names them do nothing but what they alias. DisableMorsels
 // changes nothing — a scan of a table with many splits on one-thread workers
-// still starts one driver a task, and no switch is reported; nor does
-// DisableSharedScans, whose query gives the default's rows and switch set;
-// and DisableVectorKernels is Interpreted: the rows agree and no projection
+// still starts one driver a task, and no switch is reported; nor do
+// DisableSharedScans and PageCacheBytes, whose queries give the default's
+// rows and switch set whatever they are set to; and DisableVectorKernels is
+// Interpreted: the rows agree and no projection
 // reaches a kernel.
 func TestDeprecatedClusterFields(t *testing.T) {
 	// max, not sum: a double sum's rounding follows arrival order.
@@ -146,7 +146,6 @@ func TestDeprecatedClusterFields(t *testing.T) {
 		defer c.Close()
 		// Pages small enough that a table has a split per task and more.
 		c.Register(workload.LoadTPCHMemorySmallPages("tpch", spillScale, 512))
-		coldCatalog(t, c.catalog, "tpch")
 		res, err := c.ExecuteSession(sql, Session{})
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
@@ -187,6 +186,17 @@ func TestDeprecatedClusterFields(t *testing.T) {
 		assertRows(t, sql, got, want)
 		if st.Switches != def.Switches {
 			t.Errorf("DisableSharedScans: switches %q, want %q, as without it", st.Switches, def.Switches)
+		}
+	})
+	t.Run("page cache", func(t *testing.T) {
+		const sql = "SELECT count(*) FROM tpch.orders"
+		want, def := run(t, sql, func(*ClusterConfig) {})
+		for _, bytes := range []int64{-1, 1 << 20} {
+			got, st := run(t, sql, func(cfg *ClusterConfig) { cfg.PageCacheBytes = bytes })
+			assertRows(t, fmt.Sprintf("%s [PageCacheBytes=%d]", sql, bytes), got, want)
+			if st.Switches != def.Switches {
+				t.Errorf("PageCacheBytes=%d: switches %q, want %q, as without it", bytes, st.Switches, def.Switches)
+			}
 		}
 	})
 	t.Run("vector kernels", func(t *testing.T) {
