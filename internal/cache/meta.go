@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"strings"
 	"sync"
 	"time"
 )
@@ -16,16 +15,19 @@ const maxMetaEntries = 4096
 
 // MetaCache memoizes metadata lookups (split enumeration, table metadata,
 // decoded file footers) with a TTL bound on staleness plus explicit
-// prefix-based invalidation on write. TTL covers out-of-band changes the
-// engine cannot observe (files rewritten under the hive directory); explicit
-// invalidation covers writes the engine itself performs (INSERT, CREATE,
-// DROP), which take effect immediately.
+// invalidation by table on write. Every entry names, when it is stored, the
+// table it describes; a write drops exactly that table's entries, visiting
+// no other. TTL covers out-of-band changes the engine cannot observe (files
+// rewritten under the hive directory); explicit invalidation covers writes
+// the engine itself performs (INSERT, CREATE, DROP), which take effect
+// immediately.
 type MetaCache struct {
 	ttl   time.Duration
 	clock Clock
 
 	mu      sync.Mutex
 	entries map[string]metaEntry
+	byTable map[string]map[string]struct{} // table → keys describing it
 
 	hits          int64
 	misses        int64
@@ -35,6 +37,7 @@ type MetaCache struct {
 type metaEntry struct {
 	value    interface{}
 	storedAt int64
+	table    string
 }
 
 // MetaStats snapshots the metadata-cache counters.
@@ -50,7 +53,8 @@ func NewMetaCache(ttl time.Duration, clock Clock) *MetaCache {
 	if clock == nil {
 		clock = func() int64 { return time.Now().UnixNano() }
 	}
-	return &MetaCache{ttl: ttl, clock: clock, entries: make(map[string]metaEntry)}
+	return &MetaCache{ttl: ttl, clock: clock, entries: make(map[string]metaEntry),
+		byTable: make(map[string]map[string]struct{})}
 }
 
 // Get returns the live value for key, expiring it if older than the TTL.
@@ -66,7 +70,7 @@ func (m *MetaCache) Get(key string) (interface{}, bool) {
 		return nil, false
 	}
 	if m.ttl > 0 && m.clock()-e.storedAt > int64(m.ttl) {
-		delete(m.entries, key)
+		m.deleteLocked(key, e)
 		m.misses++
 		return nil, false
 	}
@@ -74,17 +78,36 @@ func (m *MetaCache) Get(key string) (interface{}, bool) {
 	return e.value, true
 }
 
-// Put stores value under key, stamped with the current clock.
-func (m *MetaCache) Put(key string, value interface{}) {
+// Put stores value under key, stamped with the current clock, as a
+// description of table: Invalidate(table) drops it.
+func (m *MetaCache) Put(table, key string, value interface{}) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.entries) >= maxMetaEntries {
+	if old, ok := m.entries[key]; ok {
+		m.deleteLocked(key, old)
+	} else if len(m.entries) >= maxMetaEntries {
 		m.pruneLocked()
 	}
-	m.entries[key] = metaEntry{value: value, storedAt: m.clock()}
+	m.entries[key] = metaEntry{value: value, storedAt: m.clock(), table: table}
+	keys := m.byTable[table]
+	if keys == nil {
+		keys = make(map[string]struct{})
+		m.byTable[table] = keys
+	}
+	keys[key] = struct{}{}
+}
+
+// deleteLocked removes one entry and its place in the table index.
+func (m *MetaCache) deleteLocked(key string, e metaEntry) {
+	delete(m.entries, key)
+	keys := m.byTable[e.table]
+	delete(keys, key)
+	if len(keys) == 0 {
+		delete(m.byTable, e.table)
+	}
 }
 
 // pruneLocked drops expired entries; if everything is live it drops
@@ -94,35 +117,33 @@ func (m *MetaCache) pruneLocked() {
 	now := m.clock()
 	for k, e := range m.entries {
 		if m.ttl > 0 && now-e.storedAt > int64(m.ttl) {
-			delete(m.entries, k)
+			m.deleteLocked(k, e)
 		}
 	}
-	for k := range m.entries {
+	for k, e := range m.entries {
 		if len(m.entries) <= maxMetaEntries/2 {
 			break
 		}
-		delete(m.entries, k)
+		m.deleteLocked(k, e)
 	}
 }
 
-// Invalidate removes every entry whose key starts with prefix, returning how
-// many were dropped. Writers call this so their own writes are visible
-// immediately rather than after a TTL expiry.
-func (m *MetaCache) Invalidate(prefix string) int {
+// Invalidate removes every entry stored for table, returning how many were
+// dropped. Writers call this so their own writes are visible immediately
+// rather than after a TTL expiry.
+func (m *MetaCache) Invalidate(table string) int {
 	if m == nil {
 		return 0
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for k := range m.entries {
-		if strings.HasPrefix(k, prefix) {
-			delete(m.entries, k)
-			n++
-		}
+	keys := m.byTable[table]
+	for k := range keys {
+		delete(m.entries, k)
 	}
-	m.invalidations += int64(n)
-	return n
+	delete(m.byTable, table)
+	m.invalidations += int64(len(keys))
+	return len(keys)
 }
 
 // Stats snapshots the counters.

@@ -30,7 +30,7 @@ func TestFooterCacheHitAndTTL(t *testing.T) {
 	}
 	// New()'s table scan decoded and cached the footer; this read must hit.
 	base := c.MetaStats()
-	if _, err := c.footer(path); err != nil {
+	if _, err := c.footer("t", path); err != nil {
 		t.Fatal(err)
 	}
 	st := c.MetaStats()
@@ -39,7 +39,7 @@ func TestFooterCacheHitAndTTL(t *testing.T) {
 	}
 	// Advancing the simulated clock past the TTL expires the entry.
 	now += int64(2 * time.Second)
-	if _, err := c.footer(path); err != nil {
+	if _, err := c.footer("t", path); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.MetaStats(); got.Misses != st.Misses+1 {
@@ -47,10 +47,46 @@ func TestFooterCacheHitAndTTL(t *testing.T) {
 	}
 	// And it was re-cached: an immediate re-read hits again.
 	before := c.MetaStats()
-	if _, err := c.footer(path); err != nil {
+	if _, err := c.footer("t", path); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.MetaStats(); got.Hits != before.Hits+1 {
 		t.Errorf("re-decoded footer should be re-cached: %+v -> %+v", before, got)
+	}
+}
+
+// TestDropTableDropsOnlyItsFooters: dropping table t drops the cached footers
+// of t's files and keeps those of t2, whose directory name t's is a prefix of.
+func TestDropTableDropsOnlyItsFooters(t *testing.T) {
+	dir := t.TempDir()
+	paths := map[string]string{}
+	for _, table := range []string{"t", "t2"} {
+		if err := mkdirAll(filepath.Join(dir, table)); err != nil {
+			t.Fatal(err)
+		}
+		paths[table] = filepath.Join(dir, table, "part-0.orcish")
+		if err := writeOrcish(paths[table], []int64{1, 2, 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := New("hive", Config{Dir: dir, MetadataTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.MetaStats(); st.Entries != 2 {
+		t.Fatalf("%d footers cached after the scan of two one-file tables", st.Entries)
+	}
+	if err := c.DropTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	st := c.MetaStats()
+	if st.Entries != 1 || st.Invalidations != 1 {
+		t.Fatalf("after dropping t: %d footers cached, %d invalidated; want t2's kept and t's dropped", st.Entries, st.Invalidations)
+	}
+	if _, err := c.footer("t2", paths["t2"]); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.MetaStats(); got.Hits != st.Hits+1 {
+		t.Errorf("t2's footer missed the cache after t was dropped: %+v -> %+v", st, got)
 	}
 }

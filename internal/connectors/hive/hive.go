@@ -95,10 +95,11 @@ func New(name string, cfg Config) (*Connector, error) {
 	return c, nil
 }
 
-// footer returns a file's decoded footer through the metadata cache. The key
-// includes mtime and size, so a rewritten file misses naturally; the TTL
+// footer returns a file of table's decoded footer through the metadata cache,
+// where it is stored as a description of the table (DropTable drops it). The
+// key includes mtime and size, so a rewritten file misses naturally; the TTL
 // bounds staleness for changes that do not tick the mtime.
-func (c *Connector) footer(path string) (*orcish.Footer, error) {
+func (c *Connector) footer(table, path string) (*orcish.Footer, error) {
 	if c.meta == nil {
 		return orcish.ReadFooter(path)
 	}
@@ -113,7 +114,7 @@ func (c *Connector) footer(path string) (*orcish.Footer, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.meta.Put(key, f)
+	c.meta.Put(table, key, f)
 	return f, nil
 }
 
@@ -160,7 +161,7 @@ func (c *Connector) loadTableInfo(table string) (*tableInfo, error) {
 	if err != nil || len(files) == 0 {
 		return nil, err
 	}
-	footer, err := c.footer(files[0])
+	footer, err := c.footer(table, files[0])
 	if err != nil {
 		return nil, err
 	}
@@ -176,15 +177,15 @@ func (c *Connector) loadTableInfo(table string) (*tableInfo, error) {
 	}
 	info.stats = connector.NoStats
 	if c.cfg.CollectStats {
-		info.stats = c.computeStats(files)
+		info.stats = c.computeStats(table, files)
 	}
 	return info, nil
 }
 
-func (c *Connector) computeStats(files []string) connector.TableStats {
+func (c *Connector) computeStats(table string, files []string) connector.TableStats {
 	stats := connector.TableStats{ColumnNDV: map[string]int64{}}
 	for _, f := range files {
-		if footer, err := c.footer(f); err == nil {
+		if footer, err := c.footer(table, f); err == nil {
 			addFileStats(&stats, footer)
 		}
 	}
@@ -400,7 +401,7 @@ func (c *Connector) PageSource(sp connector.Split, columns []string, handle plan
 			fileCols = append(fileCols, col)
 		}
 	}
-	footer, err := c.footer(hs.path)
+	footer, err := c.footer(hs.table, hs.path)
 	if err != nil {
 		return nil, err
 	}
@@ -510,7 +511,7 @@ func (c *Connector) DropTable(name string) error {
 	c.mu.Lock()
 	delete(c.tables, name)
 	c.mu.Unlock()
-	c.meta.Invalidate("footer/" + filepath.Join(c.cfg.Dir, name))
+	c.meta.Invalidate(name)
 	return os.RemoveAll(filepath.Join(c.cfg.Dir, name))
 }
 
@@ -560,7 +561,7 @@ func (s *pageSink) Finish() (int64, error) {
 	// the table's statistics take it in without re-reading the others.
 	footer := s.w.Footer()
 	if key, err := footerKey(s.f.Name()); err == nil {
-		s.c.meta.Put(key, footer)
+		s.c.meta.Put(s.table, key, footer)
 	}
 	if !s.c.cfg.CollectStats {
 		return s.rows, nil

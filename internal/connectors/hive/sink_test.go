@@ -70,7 +70,7 @@ func TestConcurrentSinksFoldStats(t *testing.T) {
 		if filepath.Base(f) == "part-00000.orcish" {
 			continue // CreateTable's schema file, not a sink's
 		}
-		if _, err := c.footer(f); err != nil {
+		if _, err := c.footer("t", f); err != nil {
 			t.Fatal(err)
 		}
 	}

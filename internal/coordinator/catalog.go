@@ -104,7 +104,7 @@ func (c *CatalogManager) Resolve(name sqlparser.QualifiedName, defaultCatalog st
 	if meta == nil {
 		return "", nil, fmt.Errorf("table %s.%s does not exist", catalog, table)
 	}
-	c.meta.Put(key, meta)
+	c.meta.Put(catalog+"."+table, key, meta)
 	return catalog, meta, nil
 }
 

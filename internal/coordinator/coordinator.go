@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -124,13 +125,21 @@ type Coordinator struct {
 	arbiter *memory.Arbiter
 	pools   map[int]*memory.NodePool
 	// meta memoizes split enumeration ("splits/<handle>") and table
-	// metadata ("meta/<catalog>.<table>") with TTL + invalidation on write
+	// metadata ("meta/<catalog>.<table>"), each stored under its
+	// "<catalog>.<table>", with TTL + invalidation of that table on write
 	// (nil when disabled).
 	meta *cache.MetaCache
 
-	mu      sync.Mutex
-	queries map[string]*Query
-	nextID  atomic.Int64
+	mu sync.Mutex
+	// queries holds every query not yet finished or failed — live, what
+	// RunningQueries and reserved-pool promotion walk — and the last
+	// maxFinishedQueries that did, whose ids retired holds in the order they
+	// ended: a ring whose oldest is forgotten when one more query ends.
+	queries     map[string]*Query
+	live        map[string]*Query
+	retired     [maxFinishedQueries]string
+	nextRetired int
+	nextID      atomic.Int64 // the last query id issued; advanced under mu
 
 	// Cumulative dynamic-filter effect counters across finished queries
 	// (exposed as gauges on /v1/metrics).
@@ -218,6 +227,8 @@ func New(catalog *CatalogManager, workers []*exec.Worker, cfg Config) *Coordinat
 		stmtLatency:     metrics.NewRingHistogram(0),
 		stageSkew:       metrics.NewBucketHistogram(1.05, 1.15, 1.5, 2, 4),
 		scanRowsPerPage: metrics.NewBucketHistogram(1, 16, 256, 1024, 4096),
+		queries:         map[string]*Query{},
+		live:            map[string]*Query{},
 	}
 }
 
@@ -298,8 +309,7 @@ func (c *Coordinator) invalidateMeta(catalog, table string) {
 	if c.meta == nil {
 		return
 	}
-	c.meta.Invalidate("splits/" + catalog + "." + table)
-	c.meta.Invalidate("meta/" + catalog + "." + table)
+	c.meta.Invalidate(catalog + "." + table)
 }
 
 // writeTargets collects the (catalog, table) pairs a plan writes to.
@@ -450,13 +460,13 @@ func (c *Coordinator) planStatement(stmt sqlparser.Statement, session Session) (
 func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre *serving.PlanEntry,
 	planKey, sql string, session Session, start time.Time, servable bool) (*Result, *Query, error) {
 
-	id := fmt.Sprintf("q%d", c.nextID.Add(1))
 	qctx, cancel := context.WithCancel(ctx)
 	q := &Query{coord: c, cancel: cancel, session: session}
-	q.Info = QueryInfo{ID: id, SQL: sql, State: StateQueued, Queued: time.Now()}
 	c.mu.Lock()
-	c.queries = lazyInit(c.queries)
+	id := fmt.Sprintf("q%d", c.nextID.Add(1))
+	q.Info = QueryInfo{ID: id, SQL: sql, State: StateQueued, Queued: time.Now()}
 	c.queries[id] = q
+	c.live[id] = q
 	c.mu.Unlock()
 
 	tier := c.cfg.Serving
@@ -501,6 +511,7 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 		}
 		cancel()
 		c.observeLatency(start)
+		c.retire(q)
 	}
 	release, err := c.queue.Acquire(qctx, session.Source)
 	if err != nil {
@@ -643,11 +654,38 @@ func (c *Coordinator) Cancel(id string) bool {
 	return true
 }
 
-func lazyInit(m map[string]*Query) map[string]*Query {
-	if m == nil {
-		return map[string]*Query{}
+// maxFinishedQueries is how many finished queries the coordinator remembers
+// for their info and stats; the oldest is forgotten when one more ends.
+const maxFinishedQueries = 1024
+
+// retire moves a query that has finished or failed out of the live set and
+// into the ring of remembered ones, forgetting the oldest there. A query
+// retires once.
+func (c *Coordinator) retire(q *Query) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	id := q.Info.ID
+	if c.live[id] == nil {
+		return
 	}
-	return m
+	delete(c.live, id)
+	if old := c.retired[c.nextRetired]; old != "" {
+		delete(c.queries, old)
+	}
+	c.retired[c.nextRetired] = id
+	c.nextRetired = (c.nextRetired + 1) % maxFinishedQueries
+}
+
+// Forgotten reports whether id names a query this coordinator issued and has
+// since forgotten: it ended, and maxFinishedQueries more ended after it.
+func (c *Coordinator) Forgotten(id string) bool {
+	n, err := strconv.ParseInt(strings.TrimPrefix(id, "q"), 10, 64)
+	if err != nil || id != fmt.Sprintf("q%d", n) {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return n >= 1 && n <= c.nextID.Load() && c.queries[id] == nil
 }
 
 // promoteHook implements reserved-pool promotion (§IV-F2): when a node's
@@ -662,7 +700,7 @@ func (c *Coordinator) promoteHook(node int) bool {
 	}
 	var biggest string
 	var biggestBytes int64 = -1
-	for id := range c.queries {
+	for id := range c.live {
 		u, s := pool.QueryBytes(id)
 		if u+s > biggestBytes {
 			biggestBytes = u + s
@@ -743,7 +781,7 @@ func (c *Coordinator) RunningQueries() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for _, q := range c.queries {
+	for _, q := range c.live {
 		q.mu.Lock()
 		if q.Info.State == StateRunning {
 			n++

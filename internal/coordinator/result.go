@@ -136,6 +136,18 @@ func (r *Result) NextPage() (*block.Page, error) {
 	}
 }
 
+// Ready reports whether NextPage would return now without fetching: a page
+// of the last fetch is still buffered, that fetch reported the stream
+// complete, the result is closed, or a failure is posted. It neither fetches
+// nor waits: a result another caller is fetching for is not ready.
+func (r *Result) Ready() bool {
+	if !r.mu.TryLock() {
+		return false
+	}
+	defer r.mu.Unlock()
+	return r.closed || r.pos < len(r.pages) || r.done || r.takeFailure() != nil
+}
+
 // finishLocked ends the result, once. It drops what reaches the query's
 // tasks — the fetcher (the root task's output buffer, whose notify hook holds
 // the task), the capture tee and the verdict wait — so that a finished query

@@ -506,9 +506,9 @@ func outputNames(f *plan.Fragment) []string {
 }
 
 // splitCacheKey names a scan's complete enumeration in the coordinator
-// metadata cache, "" when the query does not use it. Handle.String() leads
-// with catalog.table, so write invalidation by table-name prefix clears every
-// layout/constraint variant at once. The table's version, read before
+// metadata cache, "" when the query does not use it. The entry is stored
+// under its catalog.table, so a write's invalidation of the table clears
+// every layout/constraint variant at once. The table's version, read before
 // enumerating, is part of the key: a write's invalidation and a reader
 // re-filling the cache are not ordered, so without it a reader that
 // enumerated before the write could leave the old row ranges for one that
@@ -578,7 +578,7 @@ func (c *Coordinator) enumerateSplits(q *Query, stage *stageLedger, scanID int, 
 	}
 	// Only clean, complete enumerations are admitted to the cache.
 	if cacheKey != "" {
-		c.meta.Put(cacheKey, collected)
+		c.meta.Put(scan.Handle.Catalog+"."+scan.Handle.Table, cacheKey, collected)
 	}
 	for _, t := range stage.tasks {
 		if err := t.NoMoreSplits(scanID); err != nil {

@@ -120,6 +120,7 @@ func (c *Coordinator) servedResult(q *Query, e *serving.ResultEntry, start time.
 			q.finish()
 		}
 		c.observeLatency(start)
+		c.retire(q)
 	}
 	return r
 }

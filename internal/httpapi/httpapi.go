@@ -1,10 +1,13 @@
 // Package httpapi exposes the engine over HTTP, following the shape of
 // Presto's client protocol (paper §III, §IV-B1): the client POSTs a SQL
-// statement to /v1/statement and receives a JSON document with initial
-// results and a nextUri; it long-polls nextUri for further batches until
-// the document carries no nextUri. Results stream incrementally — clients
-// see rows before the query completes. The server also exposes cluster and
-// query introspection endpoints.
+// statement to /v1/statement and receives a JSON document carrying every
+// result page the coordinator holds; while the stream is still open the
+// document carries a nextUri, which the client long-polls for further
+// batches until a document carries none. A document ends the stream as soon
+// as the end is known, so a statement whose result fits one fetch costs one
+// round trip. Results stream incrementally — clients see rows before the
+// query completes. The server also exposes cluster and query introspection
+// endpoints.
 //
 // The paper's multi-node deployment runs HTTP between coordinator and
 // workers too: this package also serves the worker-side task API (see
@@ -18,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -33,7 +35,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/shuffle"
 	"repro/internal/spill"
-	"repro/internal/types"
 	"repro/internal/wire"
 )
 
@@ -143,7 +144,7 @@ func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request) {
 	// leaking a parked waiter.
 	res, err := s.Coord.ExecuteCtx(r.Context(), sql, session)
 	if err != nil {
-		writeJSON(w, StatementResponse{State: "FAILED", Error: err.Error()})
+		writeDocument(w, &StatementResponse{State: "FAILED", Error: err.Error()}, nil)
 		return
 	}
 	id := fmt.Sprintf("s%d", s.nextID.Add(1))
@@ -185,24 +186,34 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// respond emits the next protocol document: one page of results (long-poll
-// semantics come from Result.NextPage's internal wait).
+// respond emits the next protocol document. Its first page may long-poll
+// (Result.NextPage's wait); after that it takes every page the result already
+// holds, without fetching again, so one document carries at most one fetch.
+// When that fetch reported the stream complete, the same document drains it —
+// the query's verdict and the result-cache capture included — and ends it
+// with no nextUri: a small statement costs one round trip.
 func (s *Server) respond(w http.ResponseWriter, id string, lr *liveResult) {
 	doc := StatementResponse{ID: id, State: "RUNNING", Columns: lr.columns, QueryID: lr.res.QueryID}
-	p, err := lr.res.NextPage()
-	switch {
-	case err != nil:
-		doc.State = "FAILED"
-		doc.Error = err.Error()
-		s.drop(id)
-	case p == nil:
-		doc.State = "FINISHED"
-		s.drop(id)
-	default:
-		doc.Data = pageToJSON(p)
-		doc.NextURI = "/v1/statement/" + id
+	var pages []*block.Page
+	for {
+		p, err := lr.res.NextPage()
+		if err != nil {
+			doc.State, doc.Error, pages = "FAILED", err.Error(), nil
+			s.drop(id)
+			break
+		}
+		if p == nil {
+			doc.State = "FINISHED"
+			s.drop(id)
+			break
+		}
+		pages = append(pages, p)
+		if !lr.res.Ready() {
+			doc.NextURI = "/v1/statement/" + id
+			break
+		}
 	}
-	writeJSON(w, doc)
+	writeDocument(w, &doc, pages)
 }
 
 func (s *Server) drop(id string) {
@@ -230,7 +241,7 @@ func (s *Server) handleQueryInfo(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	info, ok := s.Coord.QueryInfo(id)
 	if !ok {
-		http.Error(w, "unknown query "+id, http.StatusNotFound)
+		s.unknownQuery(w, id)
 		return
 	}
 	doc := map[string]interface{}{
@@ -266,10 +277,21 @@ func (s *Server) handleQueryStats(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, ok := s.Coord.QueryStats(id)
 	if !ok {
-		http.Error(w, "unknown query "+id, http.StatusNotFound)
+		s.unknownQuery(w, id)
 		return
 	}
 	writeJSON(w, st)
+}
+
+// unknownQuery answers for a query id the coordinator does not hold: 410 Gone
+// when it issued the id and has since forgotten the finished query, 404 when
+// it never issued it.
+func (s *Server) unknownQuery(w http.ResponseWriter, id string) {
+	if s.Coord.Forgotten(id) {
+		http.Error(w, "query "+id+" finished and is no longer remembered", http.StatusGone)
+		return
+	}
+	http.Error(w, "unknown query "+id, http.StatusNotFound)
 }
 
 // handleMetrics exposes cluster gauges in the Prometheus text format:
@@ -364,49 +386,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metrics.PromGauge(w, "presto_spill_pages_written_total", nil, float64(sp.PagesWritten))
 	metrics.PromGauge(w, "presto_spill_bytes_written_total", nil, float64(sp.BytesWritten))
 	metrics.PromGauge(w, "presto_spill_bytes_read_total", nil, float64(sp.BytesRead))
-}
-
-// pageToJSON renders a page as rows of JSON-friendly values.
-func pageToJSON(p *block.Page) [][]interface{} {
-	out := make([][]interface{}, p.RowCount())
-	for i := range out {
-		row := p.Row(i)
-		vals := make([]interface{}, len(row))
-		for j, v := range row {
-			vals[j] = valueToJSON(v)
-		}
-		out[i] = vals
-	}
-	return out
-}
-
-// valueToJSON renders a value for the statement protocol: a non-finite
-// double, which JSON has no number for, as the string Presto's client
-// protocol uses ("NaN", "Infinity", "-Infinity").
-func valueToJSON(v types.Value) interface{} {
-	if v.Null {
-		return nil
-	}
-	switch v.T {
-	case types.Bigint:
-		return v.I
-	case types.Double:
-		switch {
-		case math.IsNaN(v.F):
-			return "NaN"
-		case math.IsInf(v.F, 1):
-			return "Infinity"
-		case math.IsInf(v.F, -1):
-			return "-Infinity"
-		}
-		return v.F
-	case types.Boolean:
-		return v.B
-	case types.Date:
-		return types.FormatDate(v.I)
-	default:
-		return v.String()
-	}
 }
 
 // writeJSON answers with v, or with 500 and the error when v cannot be

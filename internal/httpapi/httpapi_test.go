@@ -378,25 +378,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestQueryCancelEndpoint: a statement whose stream is still open after its
+// first document — a scan waiting on its gate — is cancellable by query id,
+// and, once the scan is let go, its stream ends with the failure; an unknown
+// id is a 404. (The next document waits for the query's drivers to exit, and
+// a driver blocked in its connector exits only when the call returns.)
 func TestQueryCancelEndpoint(t *testing.T) {
-	srv := testServer(t)
-	// A statement whose first document still carries a nextUri leaves the
-	// query in the running state, so it is cancellable by query id.
-	resp, err := http.Post(srv.URL+"/v1/statement", "text/plain",
-		strings.NewReader("SELECT * FROM (VALUES (1),(2),(3)) t (a)"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc StatementResponse
-	json.NewDecoder(resp.Body).Decode(&doc)
-	resp.Body.Close()
+	s := newProtocolServer(t)
+	doc := s.get(t, "/v1/statement", "SELECT a FROM gate.gated")
 	if doc.QueryID == "" {
 		t.Fatal("statement document carried no queryId")
 	}
 	if doc.NextURI == "" {
-		t.Skip("query finished in one document; nothing left to cancel")
+		t.Fatalf("the first document of a gated scan ended the stream (state %s)", doc.State)
 	}
-	req, _ := http.NewRequest("DELETE", srv.URL+"/v1/query/"+doc.QueryID, nil)
+	req, _ := http.NewRequest("DELETE", s.URL+"/v1/query/"+doc.QueryID, nil)
 	dresp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -405,8 +401,15 @@ func TestQueryCancelEndpoint(t *testing.T) {
 	if dresp.StatusCode != http.StatusNoContent {
 		t.Errorf("cancel status: %d", dresp.StatusCode)
 	}
+	s.release()
+	for doc.NextURI != "" {
+		doc = s.get(t, doc.NextURI, "")
+	}
+	if doc.State != "FAILED" {
+		t.Errorf("after the cancel the stream ended %s, want FAILED", doc.State)
+	}
 
-	req, _ = http.NewRequest("DELETE", srv.URL+"/v1/query/nope", nil)
+	req, _ = http.NewRequest("DELETE", s.URL+"/v1/query/nope", nil)
 	dresp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -417,20 +420,15 @@ func TestQueryCancelEndpoint(t *testing.T) {
 	}
 }
 
+// TestCancel: a statement whose stream is still open after its first
+// document is cancelled by DELETE on its nextUri, which then names nothing.
 func TestCancel(t *testing.T) {
-	srv := testServer(t)
-	resp, err := http.Post(srv.URL+"/v1/statement", "text/plain",
-		strings.NewReader("SELECT * FROM (VALUES (1),(2)) t (a)"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc StatementResponse
-	json.NewDecoder(resp.Body).Decode(&doc)
-	resp.Body.Close()
+	s := newProtocolServer(t)
+	doc := s.get(t, "/v1/statement", "SELECT a FROM gate.gated")
 	if doc.NextURI == "" {
-		return // finished in one document; nothing to cancel
+		t.Fatalf("the first document of a gated scan ended the stream (state %s)", doc.State)
 	}
-	req, _ := http.NewRequest("DELETE", srv.URL+doc.NextURI, nil)
+	req, _ := http.NewRequest("DELETE", s.URL+doc.NextURI, nil)
 	dresp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -438,6 +436,14 @@ func TestCancel(t *testing.T) {
 	dresp.Body.Close()
 	if dresp.StatusCode != http.StatusNoContent {
 		t.Errorf("cancel status: %d", dresp.StatusCode)
+	}
+	resp, err := http.Get(s.URL + doc.NextURI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("nextUri of a cancelled statement: status %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -19,6 +19,11 @@ func FormatDate(days int64) string {
 	return time.Unix(days*86400, 0).UTC().Format("2006-01-02")
 }
 
+// AppendDate appends FormatDate(days) to dst.
+func AppendDate(dst []byte, days int64) []byte {
+	return time.Unix(days*86400, 0).UTC().AppendFormat(dst, "2006-01-02")
+}
+
 // DateYear extracts the calendar year of a days-since-epoch date.
 func DateYear(days int64) int64 {
 	return int64(time.Unix(days*86400, 0).UTC().Year())

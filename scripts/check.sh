@@ -59,7 +59,10 @@
 #                             # to HTTP workers and clients, dynamic filters
 #                             # decided at planning, a join residual filtered
 #                             # as WHERE is: IEEE NaN, applied by an index
-#                             # join) + lake (orcish and
+#                             # join; the statement protocol: one request
+#                             # for a small statement, streaming, failure,
+#                             # cancel, 410 for a forgotten query, documents
+#                             # byte-equal to json.Marshal's) + lake (orcish and
 #                             # hive under -race, fetched-bytes accounting,
 #                             # a damaged file fails one query; no
 #                             # encoding/gob) + subqueries (IN and NOT IN
@@ -81,7 +84,8 @@
 #                             # agree, or both reject) and their index,
 #                             # dynamic-filter summary frames, create
 #                             # requests (fragments, compiled, plus task
-#                             # config), and the join position table
+#                             # config), statement documents (against
+#                             # json.Marshal), and the join position table
 #                             # (random keys and page sizes, every join
 #                             # type, with and without a residual, keyed
 #                             # and keyless, against the per-row reference)
@@ -243,9 +247,16 @@ echo "==> configuration: a query's switches are one value, from the HTTP header 
 # compares by IEEE, as in WHERE) and an index join applies it; a RIGHT/FULL
 # probe finished with pairs still to emit counts as finished only once it has
 # emitted them, and a SEMI/ANTI row puts its chain to a residual in rounds.
+# The statement protocol: a small statement costs one request, its document
+# ending the stream (a cache hit and DDL exactly one); a result larger than
+# one fetch streams over several documents in order; a failure after the
+# first pages is a FAILED document; a one-document drain commits to the
+# result cache; a statement still open after its first document is
+# cancellable; a forgotten query is 410 Gone; every document's bytes equal
+# json.Marshal's.
 go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestDeprecatedClusterFields|TestDistributedDisableSpill|TestDynamicFiltersDecidedAtPlanning|TestDistributedNonFiniteDoubles|TestJoinResidualNaNIsIEEE|TestKVIndexJoin' .
 go test -race -count=1 -run 'TestOuterJoinWaitsForPendingPairs|TestSemiResidualDecidesInRounds' ./internal/operators/
-go test -race -count=1 -run 'TestSwitchHeaders|TestStatementNonFiniteDoubles|TestWriteJSONFailureIs500' ./internal/httpapi/
+go test -race -count=1 -run 'TestSwitchHeaders|TestStatementNonFiniteDoubles|TestWriteJSONFailureIs500|TestSmallStatementCostsOneRequest|TestLargeResultStreamsOverDocuments|TestFailureAfterFirstPagesIsFailedDocument|TestOneDocumentDrainCommitsToResultCache|TestQueryCancelEndpoint|TestCancel|TestForgottenQueryIsGone|TestStatementDocumentMatchesJSONMarshal' ./internal/httpapi/
 go test -race -count=1 ./internal/wire/
 go test -race -count=1 -run 'TestDisabledDynamicFiltersCreateNoFilterHub' ./internal/coordinator/
 
@@ -421,6 +432,8 @@ if [ "$fuzz" = 1 ]; then
   go test -fuzz '^FuzzSummaryDecode$' -fuzztime 10s ./internal/dynfilter/
   echo "==> fuzz smoke: task create request decode (10s)"
   go test -fuzz '^FuzzCreateRequestDecode$' -fuzztime 10s ./internal/wire/
+  echo "==> fuzz smoke: statement documents, random pages of every type and block encoding, against json.Marshal of the boxed rendering (10s)"
+  go test -run '^$' -fuzz '^FuzzStatementDocument$' -fuzztime 10s ./internal/httpapi/
 fi
 
 echo "OK"
