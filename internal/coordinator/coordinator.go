@@ -31,9 +31,6 @@ import (
 type Config struct {
 	// DefaultCatalog resolves unqualified table names.
 	DefaultCatalog string
-	// HashPartitions is the task count for intermediate (hash/round-robin)
-	// stages (<= 0: one per alive worker when the query is scheduled).
-	HashPartitions int
 	// Optimizer configures the planner.
 	Optimizer optimizer.Config
 	// Task configures task execution on workers.
@@ -604,7 +601,9 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 		capture = tier.Results.NewCapture(resultKey, tables)
 		result.tee = capture.Observe
 	}
-	q.result = result
+	q.mu.Lock()
+	q.result = result // Cancel reads it
+	q.mu.Unlock()
 	result.QueryID = id
 	result.onClose = func(resErr error) {
 		// Commit only a fully drained stream: a client may Close a completed
@@ -631,9 +630,11 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 }
 
 // Cancel cancels a query by id: a queued query is removed from the admission
-// queue; a running query has its tasks aborted, which surfaces as a failure
-// to the client draining the result. Returns false for unknown or already
-// finished queries.
+// queue; a running query's result is failed with ErrCancelled and then its
+// tasks are aborted. The failure comes first: the client's next fetch ends
+// with it at once, where an abort alone would leave that fetch waiting for
+// every driver to exit — a driver blocked in its connector exits only when the
+// call returns. Returns false for unknown or already finished queries.
 func (c *Coordinator) Cancel(id string) bool {
 	c.mu.Lock()
 	q, ok := c.queries[id]
@@ -642,13 +643,16 @@ func (c *Coordinator) Cancel(id string) bool {
 		return false
 	}
 	q.mu.Lock()
-	st := q.Info.State
+	st, res := q.Info.State, q.result
 	q.mu.Unlock()
 	if st == StateFinished || st == StateFailed {
 		return false
 	}
 	if q.cancel != nil {
 		q.cancel()
+	}
+	if res != nil {
+		res.setFailure(ErrCancelled)
 	}
 	q.abort()
 	return true

@@ -179,8 +179,7 @@ func (c *Coordinator) workerClients() ([]workerClient, error) {
 // concurrently; paper §IV-D2): leaf (source) stages get a task on every
 // worker — since most CPU goes to decompressing/decoding/filtering connector
 // data, running leaves everywhere yields the shortest wall time; intermediate
-// stages get HashPartitions tasks spread round-robin; single stages get one
-// task. Splits whose enumeration the metadata cache already holds are
+// stages get one task per worker; single stages get one task. Splits whose enumeration the metadata cache already holds are
 // assigned from the stage's ledger before anything is created and travel with
 // the tasks; every other scan is enumerated lazily once they exist (§IV-D3),
 // each split going to the eligible task the ledger says is lightest.
@@ -190,7 +189,7 @@ func (c *Coordinator) schedule(workers []workerClient, q *Query, dp *plan.Distri
 	cfg := c.cfg.Task
 	q.session.apply(&cfg)
 
-	counts, outParts := taskCounts(dp, nWorkers, c.cfg.HashPartitions)
+	counts, outParts := taskCounts(dp, nWorkers)
 	cfg.StageTasks = counts
 
 	// Dynamic-filter exchange: build-side summaries published by any task
@@ -368,24 +367,14 @@ func firstError(errs []error) error {
 
 // taskCounts decides how many tasks each fragment runs on nWorkers alive
 // workers, and how many output partitions each produces (= the task count of
-// its consumer; the coordinator reads the root's single partition).
-// hashPartitions <= 0 selects one hash task per worker.
-func taskCounts(dp *plan.DistributedPlan, nWorkers, hashPartitions int) (counts, outParts []int) {
-	if hashPartitions <= 0 {
-		hashPartitions = nWorkers
-	}
-	if hashPartitions > nWorkers*4 {
-		hashPartitions = nWorkers * 4
-	}
+// its consumer; the coordinator reads the root's single partition). A
+// single stage runs one task, a source or hash stage one per worker.
+func taskCounts(dp *plan.DistributedPlan, nWorkers int) (counts, outParts []int) {
 	counts = make([]int, len(dp.Fragments))
 	for _, f := range dp.Fragments {
-		switch partitioningOf(f, dp) {
-		case plan.PartitionSingle:
+		counts[f.ID] = nWorkers
+		if partitioningOf(f, dp) == plan.PartitionSingle {
 			counts[f.ID] = 1
-		case plan.PartitionSource:
-			counts[f.ID] = nWorkers
-		default:
-			counts[f.ID] = hashPartitions
 		}
 	}
 	outParts = make([]int, len(dp.Fragments))
@@ -465,7 +454,7 @@ func (c *Coordinator) openSplitSource(conn connector.Connector, scan *plan.Scan)
 // partitioningOf infers the scheduling class of a fragment (§IV-D2):
 // fragments containing scans are source-partitioned (leaf stages run on
 // every worker); fragments fed by hash- or round-robin-partitioned producers
-// run HashPartitions tasks; fragments fed only by gathering (single) or
+// run one task per worker; fragments fed only by gathering (single) or
 // broadcast producers run one task.
 func partitioningOf(f *plan.Fragment, dp *plan.DistributedPlan) plan.PartitioningKind {
 	hasScan := false

@@ -404,22 +404,19 @@ func TestSchedulerPlacementAndWiring(t *testing.T) {
 	}
 }
 
-// TestSchedulerHashTaskCount: the hash-stage count comes from the alive-worker
-// snapshot at schedule time, or from HashPartitions capped at four per worker.
+// TestSchedulerHashTaskCount: a hash stage runs one task per worker of the
+// alive-worker snapshot at schedule time.
 func TestSchedulerHashTaskCount(t *testing.T) {
-	for _, tc := range []struct{ hashPartitions, workers, want int }{
-		{0, 2, 2}, {0, 5, 5}, {3, 2, 3}, {64, 2, 8},
-	} {
-		f := newSchedFixture(t, Config{HashPartitions: tc.hashPartitions})
-		dp, q, _, err := f.schedule(t, conformanceQueries[1], tc.workers)
+	for _, workers := range []int{2, 5} {
+		f := newSchedFixture(t, Config{})
+		dp, q, _, err := f.schedule(t, conformanceQueries[1], workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, fr := range dp.Fragments {
 			if partitioningOf(fr, dp) == plan.PartitionHash {
-				if got := len(f.cl.stage(fr.ID)); got != tc.want {
-					t.Errorf("HashPartitions=%d on %d workers: %d hash tasks, want %d",
-						tc.hashPartitions, tc.workers, got, tc.want)
+				if got := len(f.cl.stage(fr.ID)); got != workers {
+					t.Errorf("%d workers: %d hash tasks, want %d", workers, got, workers)
 				}
 			}
 		}
@@ -619,7 +616,7 @@ func TestSchedulerCreateFailureAbortsAndDrains(t *testing.T) {
 	if err == nil || res != nil || !strings.Contains(err.Error(), "create refused") || !strings.Contains(err.Error(), "worker 11") {
 		t.Fatalf("schedule = (%v, %v), want worker 11's create failure", res, err)
 	}
-	counts, _ := taskCounts(dp, 3, 0)
+	counts, _ := taskCounts(dp, 3)
 	placedElsewhere, singles := 0, 0
 	for _, fr := range dp.Fragments {
 		for i := 0; i < counts[fr.ID]; i++ {

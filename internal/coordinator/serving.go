@@ -107,12 +107,12 @@ func (c *Coordinator) buildPlanEntry(logical plan.Node, dp *plan.DistributedPlan
 // the cache entry.
 func (c *Coordinator) servedResult(q *Query, e *serving.ResultEntry, start time.Time) *Result {
 	now := time.Now()
+	r := &Result{Columns: e.Columns, QueryID: q.Info.ID, pages: e.Pages, done: true}
 	q.mu.Lock()
 	q.Info.State = StateRunning
 	q.Info.Started = now
-	q.mu.Unlock()
-	r := &Result{Columns: e.Columns, QueryID: q.Info.ID, pages: e.Pages, done: true}
 	q.result = r
+	q.mu.Unlock()
 	r.onClose = func(resErr error) {
 		if resErr != nil {
 			q.fail(resErr)

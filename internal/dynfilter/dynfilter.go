@@ -343,27 +343,8 @@ func (s *Summary) AddStr(v string, maxSet int) {
 	widen(s, v, &s.Min.S, &s.Max.S, types.VarcharValue(v))
 }
 
-// AddValue records a boxed key value. NULLs are skipped.
-func (s *Summary) AddValue(v types.Value, maxSet int) {
-	if s.Disabled || v.Null {
-		return
-	}
-	switch v.T {
-	case types.Bigint, types.Date:
-		s.AddLong(v.I, maxSet)
-	case types.Double:
-		s.AddDouble(v.F, maxSet)
-	case types.Boolean:
-		s.AddBool(v.B, maxSet)
-	case types.Varchar:
-		s.AddStr(v.S, maxSet)
-	default:
-		s.Disabled = true
-	}
-}
-
 // addRow records row r of a build key column read through its typed
-// accessor, as AddValue records the row's boxed value. NULLs are skipped.
+// accessor. NULLs are skipped.
 func (s *Summary) addRow(b block.Block, r, maxSet int) {
 	if b.IsNull(r) {
 		return
@@ -382,7 +363,7 @@ func (s *Summary) addRow(b block.Block, r, maxSet int) {
 	}
 }
 
-// --- probe-side membership (the vecfilter kernels call these) ---
+// --- probe-side membership (the predicate compiler's dynamic-filter leaf calls these) ---
 
 // MatchLong reports whether a bigint/date probe value may match a build key.
 func (s *Summary) MatchLong(v int64) bool {
@@ -411,28 +392,6 @@ func (s *Summary) MatchStr(v string) bool {
 	return true
 }
 
-// MatchValue is the boxed fallback used for exotic block types.
-func (s *Summary) MatchValue(v types.Value) bool {
-	if s.Disabled {
-		return true
-	}
-	if v.Null {
-		return false
-	}
-	switch v.T {
-	case types.Bigint, types.Date:
-		return s.MatchLong(v.I)
-	case types.Double:
-		return s.MatchDouble(v.F)
-	case types.Boolean:
-		return s.MatchBool(v.B)
-	case types.Varchar:
-		return s.MatchStr(v.S)
-	default:
-		return true // no safe test: keep the row
-	}
-}
-
 // reserve makes room in a still-empty exact set for keys cells at once,
 // instead of by doubling.
 func (s *Summary) reserve(keys int) {
@@ -440,9 +399,6 @@ func (s *Summary) reserve(keys int) {
 		s.exact = newCellSet(keys)
 	}
 }
-
-// HasExact reports whether the summary still carries its exact key set.
-func (s *Summary) HasExact() bool { return s.exact != nil || s.Strs != nil }
 
 // ExactLen is the size of the exact key set, 0 when there is none.
 func (s *Summary) ExactLen() int {

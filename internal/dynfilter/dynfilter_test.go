@@ -66,16 +66,17 @@ func TestSummaryNaNMatchesAndPoisonsBounds(t *testing.T) {
 	}
 }
 
+// hasExact reports whether s still carries its exact key set.
+func hasExact(s *Summary) bool { return s.exact != nil || s.Strs != nil }
+
+// TestSummaryNullsNeverCollected: a NULL build key is skipped. (A NULL probe
+// value never passes either: the probe leaf, expr's compileDynFilter, tests
+// only non-NULL values.)
 func TestSummaryNullsNeverCollected(t *testing.T) {
 	s := NewSummary(types.Bigint)
-	s.AddValue(types.NullValue(types.Bigint), DefaultMaxSet)
-	if s.Rows != 0 || !s.Empty() {
+	s.addRow(block.NewLongBlock([]int64{0}, []bool{true}), 0, DefaultMaxSet)
+	if s.Rows != 0 || !s.Empty() || s.MatchLong(0) {
 		t.Errorf("NULL build key was collected: rows=%d empty=%v", s.Rows, s.Empty())
-	}
-	// A NULL probe value never passes (safe for INNER/SEMI/RIGHT).
-	s.AddLong(1, DefaultMaxSet)
-	if s.MatchValue(types.NullValue(types.Bigint)) {
-		t.Error("NULL probe value passed the filter")
 	}
 }
 
@@ -85,7 +86,7 @@ func TestSummaryExactOverflowDegradesToBloom(t *testing.T) {
 	for i := int64(0); i < 100; i++ {
 		s.AddLong(i*7, maxSet)
 	}
-	if s.HasExact() {
+	if hasExact(s) {
 		t.Fatal("exact set survived overflow")
 	}
 	if s.ExactValues() != nil {
@@ -181,11 +182,11 @@ func TestSummaryMergeExactOverflowWins(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		b.AddLong(i, 4)
 	}
-	if b.HasExact() {
+	if hasExact(b) {
 		t.Fatal("setup: b should have overflowed")
 	}
 	a.Merge(b)
-	if a.HasExact() {
+	if hasExact(a) {
 		t.Error("exact set survived merging an overflowed input")
 	}
 	for i := int64(0); i < 10; i++ {
@@ -218,8 +219,8 @@ func TestCollectorSummarizesDistinctKeys(t *testing.T) {
 	c := NewCollector(specs, 8, 0)
 	collect(c, 40, []int64{5, -3, 12})
 	s := c.Summaries()[0]
-	if s.Rows != 40 || s.Empty() || !s.HasExact() || s.ExactLen() != 3 {
-		t.Errorf("rows %d empty %v exact %v len %d, want 40 false true 3", s.Rows, s.Empty(), s.HasExact(), s.ExactLen())
+	if s.Rows != 40 || s.Empty() || !hasExact(s) || s.ExactLen() != 3 {
+		t.Errorf("rows %d empty %v exact %v len %d, want 40 false true 3", s.Rows, s.Empty(), hasExact(s), s.ExactLen())
 	}
 	for _, k := range []int64{5, -3, 12} {
 		if !s.MatchLong(k) {
@@ -238,8 +239,8 @@ func TestCollectorSummarizesDistinctKeys(t *testing.T) {
 	}
 	c = NewCollector(specs, 8, 0)
 	collect(c, 100, many)
-	if s = c.Summaries()[0]; s.HasExact() || s.Disabled {
-		t.Errorf("overflowed summary: exact %v disabled %v", s.HasExact(), s.Disabled)
+	if s = c.Summaries()[0]; hasExact(s) || s.Disabled {
+		t.Errorf("overflowed summary: exact %v disabled %v", hasExact(s), s.Disabled)
 	}
 	for _, k := range many {
 		if !s.MatchLong(k) {
@@ -383,14 +384,14 @@ func TestBoundedSummaryPrunesOnly(t *testing.T) {
 		if s.Rows != int64(n) || !ok || min.I != 0 || max.I != int64(10*(n-1)) || s.Bloom != nil {
 			t.Errorf("%d keys: %d rows, bounds [%v, %v] %v, bloom %v", n, s.Rows, min, max, ok, s.Bloom != nil)
 		}
-		if wantSet := n <= MaxPushdownPoints; s.HasExact() != wantSet || s.MatchLong(5) == wantSet {
-			t.Errorf("%d keys: exact set %v, 5 matches %v; want a set (ruling 5 out) only up to %d keys", n, s.HasExact(), s.MatchLong(5), MaxPushdownPoints)
+		if wantSet := n <= MaxPushdownPoints; hasExact(s) != wantSet || s.MatchLong(5) == wantSet {
+			t.Errorf("%d keys: exact set %v, 5 matches %v; want a set (ruling 5 out) only up to %d keys", n, hasExact(s), s.MatchLong(5), MaxPushdownPoints)
 		}
 	}
 	c := NewCollector([]ColumnSpec{{ID: 4, T: types.Bigint, Bounded: true}}, 0, 0)
 	c.Relayed = func(id int) bool { return id == 4 }
 	collect(c, int64(len(keys)), keys)
-	if s := c.Summaries()[0]; !s.HasExact() || s.MatchLong(5) || !s.MatchLong(10) {
+	if s := c.Summaries()[0]; !hasExact(s) || s.MatchLong(5) || !s.MatchLong(10) {
 		t.Error("a relayed summary was collected for pruning only")
 	}
 }

@@ -55,14 +55,17 @@ type dynSub struct {
 }
 
 // dynCounter counts what one subscription did: the rows its row test read
-// and passed, and the time the scan's split starts waited for it.
+// and passed, and the time the scan's split starts waited for it. The rows it
+// drops are the scan's too (scan, its stats).
 type dynCounter struct {
 	tested, passed, waitNanos atomic.Int64
+	scan                      *operators.OpStats
 }
 
 func (c *dynCounter) recordRows(in, out int) {
 	c.tested.Add(int64(in))
 	c.passed.Add(int64(out))
+	c.scan.RecordDynFiltered(int64(in - out))
 }
 
 // dynFilterStats snapshots the work of a scan pipeline's subscriptions, in
@@ -322,22 +325,16 @@ func (t *Task) dynApplied(p *pipelineSpec, rowTested bool) []appliedFilter {
 	return fs
 }
 
-// dynRowSelectors returns what a driver's page processor asks before every
-// page of a scan with row-tested subscriptions: the vectorized row predicates
-// of the summaries that have arrived, rebuilt only when another one has. Each
-// counts the rows it tests and passes on its subscription's stats.
-func (t *Task) dynRowSelectors(p *pipelineSpec) func() []expr.SelVector {
-	var sels []expr.SelVector
-	seen := int64(-1) // the arrival count sels was built at
-	return func() []expr.SelVector {
-		if n := t.dynArrivals.Load(); n != seen {
-			seen, sels = n, sels[:0]
-			for _, f := range t.dynApplied(p, true) {
-				sel := expr.DynFilterSel(f.sub.Col, p.scanNode.Out[f.sub.Col].T, f.sum)
-				sels = append(sels, expr.CountedSel(sel, f.sub.stats.recordRows))
-			}
+// dynArrived returns what the page processor on a scan with row-tested
+// subscriptions asks whenever dynArrivals moves: the row-tested filters whose
+// summaries have arrived, each counting on its subscription's stats.
+func (t *Task) dynArrived(p *pipelineSpec) func() []expr.DynFilter {
+	return func() []expr.DynFilter {
+		var fs []expr.DynFilter
+		for _, f := range t.dynApplied(p, true) {
+			fs = append(fs, expr.DynFilter{Col: f.sub.Col, T: p.scanNode.Out[f.sub.Col].T, Summary: f.sum, Count: f.sub.stats.recordRows})
 		}
-		return sels
+		return fs
 	}
 }
 

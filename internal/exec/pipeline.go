@@ -171,7 +171,7 @@ func (c *chain) appendProcessor(pred expr.Expr, exprs []expr.Expr) {
 	c.append("FilterProject", func(ctx *driverCtx) (operators.Operator, error) {
 		op := operators.NewFilterProject(ctx.opCtx(memory.System), ctx.task.newProcessor(pred, exprs))
 		if dyn {
-			op.SetDynamicFilters(ctx.task.dynRowSelectors(spec), spec.opStats[0])
+			op.Processor().SetDynamicFilters(ctx.task.dynArrivals.Load, ctx.task.dynArrived(spec))
 		}
 		return op, nil
 	})
@@ -187,6 +187,9 @@ func (c *chain) seal() {
 	fs := c.factories
 	spec := c.spec
 	spec.opStats = append([]*operators.OpStats{{Name: spec.sourceName()}}, c.stats...)
+	for _, sub := range spec.dynSubs {
+		sub.stats.scan = spec.opStats[0]
+	}
 	spec.mkOps = func(ctx *driverCtx) ([]operators.Operator, error) {
 		ops := make([]operators.Operator, 0, len(fs))
 		for i, f := range fs {

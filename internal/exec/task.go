@@ -472,7 +472,7 @@ func (t *Task) startScansLocked() {
 // A split of a scan an empty build short-circuits is not opened at all.
 // Dynamic filters that have arrived by open time narrow the table handle,
 // which the connector uses for stripe/split pruning. Their row predicates
-// run later, in the page processor on the scan (dynRowSelectors): the
+// run later, in the page processor on the scan (dynArrived): the
 // source hands on exactly what the connector produced.
 func (t *Task) openPageSource(conn connector.Connector, s connector.Split,
 	p *pipelineSpec, stats *operators.OpStats) (connector.PageSource, error) {

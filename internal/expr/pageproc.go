@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/block"
+	"repro/internal/dynfilter"
 	"repro/internal/types"
 )
 
@@ -22,10 +23,9 @@ import (
 type PageProcessor struct {
 	*pageProgram
 
-	// dyn, when set, returns the dynamic-filter selection kernels to run
-	// ahead of the filter: this page's, so a summary that arrives between two
-	// pages of a split filters the second (SetDynamicFilters).
-	dyn func() []SelVector
+	// dyn, when set, holds the dynamic join filters run ahead of the filter
+	// (SetDynamicFilters).
+	dyn *dynFilters
 
 	// borrow: the output page is read before the next Process call and not
 	// after, so its arrays can be leased from scratch (BorrowOutput).
@@ -106,7 +106,6 @@ type ProcessorStats struct {
 	PagesIn        int64
 	RowsIn         int64
 	RowsOut        int64
-	DynFiltered    int64 // rows the dynamic filters dropped ahead of the filter
 	DictEvals      int64 // projections evaluated once-per-dictionary
 	DictRows       int64 // rows whose projection was emitted as indices into such results
 	FullEvals      int64 // projections evaluated once-per-row
@@ -289,13 +288,56 @@ func (prog *pageProgram) interpretFilter() {
 	}
 }
 
+// DynFilter is a dynamic join filter that has arrived at a scan: it drops the
+// rows whose column Col, of type T, holds no key Summary may hold, and tells
+// Count, page by page, how many rows it tested and how many passed. Summary is
+// not disabled.
+type DynFilter struct {
+	Col     int
+	T       types.Type
+	Summary *dynfilter.Summary
+	Count   func(tested, passed int)
+}
+
+// dynFilters is a processor's dynamic join filters: arrivals counts the
+// summaries that have arrived so far, arrived lists the filters among them,
+// and leaves are those filters compiled when the count was seen.
+type dynFilters struct {
+	arrivals func() int64
+	arrived  func() []DynFilter
+	seen     int64
+	filters  []DynFilter
+	leaves   []selFn
+}
+
 // SetDynamicFilters puts dynamic join filters ahead of the processor's own
-// filter: sels is asked before every page for the selection kernels of the
-// summaries that have arrived, and the rows they drop are neither filtered nor
-// gathered again — a page is narrowed to one selection vector and gathered
-// once, into lent vectors under BorrowOutput. Call before the first page, on
-// the processor that reads the subscribed scan's pages.
-func (pp *PageProcessor) SetDynamicFilters(sels func() []SelVector) { pp.dyn = sels }
+// filter. Before every page the processor reads arrivals, and when the count
+// has moved it compiles what arrived returns as leaves of the predicate
+// compiler, each with fresh memo slots past the program's: a summary that
+// arrives between two pages of a split filters the second. The rows they drop
+// are neither filtered nor gathered again — a page is narrowed to one
+// selection vector and gathered once, into lent vectors under BorrowOutput.
+// Call before the first page, on the processor that reads the subscribed
+// scan's pages.
+func (pp *PageProcessor) SetDynamicFilters(arrivals func() int64, arrived func() []DynFilter) {
+	pp.dyn = &dynFilters{arrivals: arrivals, arrived: arrived, seen: -1}
+}
+
+// dynLeaves returns the arrived dynamic filters' leaves, compiled again when
+// the arrival count has moved since they were.
+func (pp *PageProcessor) dynLeaves() []selFn {
+	d := pp.dyn
+	if n := d.arrivals(); n != d.seen {
+		c := selCompiler{memos: pp.memos}
+		d.seen, d.filters, d.leaves = n, d.arrived(), d.leaves[:0]
+		for _, f := range d.filters {
+			d.leaves = append(d.leaves, c.compileDynFilter(f))
+		}
+		// A verdict kept under an earlier summary is not the new one's.
+		pp.vin.memo = append(pp.vin.memo[:pp.memos], make([]dictSel, c.memos-pp.memos)...)
+	}
+	return d.leaves
+}
 
 // Process filters p and computes the projections, returning the output page
 // (nil when no rows pass the filter).
@@ -431,13 +473,14 @@ func (pp *PageProcessor) selectRows() []int {
 		return out
 	}
 	if pp.dyn != nil {
-		for _, sel := range pp.dyn() {
+		for i, sel := range pp.dynLeaves() {
 			if len(rows) == 0 {
 				break
 			}
-			rows = run(sel, rows)
+			out := run(sel, rows)
+			pp.dyn.filters[i].Count(len(rows), len(out))
+			rows = out
 		}
-		pp.Stats.DynFiltered += int64(n - len(rows))
 	}
 	if pp.filter == nil || len(rows) == 0 {
 		return rows

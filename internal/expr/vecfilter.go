@@ -285,6 +285,42 @@ func (c *selCompiler) compileLeaf(e Expr, neg bool) (selFn, bool) {
 	return nil, false
 }
 
+// compileDynFilter compiles an arrived dynamic join filter as a leaf over its
+// probe column: the positions whose key the summary may hold, NULL never (it
+// joins no build row, and filters attach only to joins whose output drops
+// unmatched probe rows). The verdict is the summary's typed membership test
+// for the column's type. A BOOLEAN key has at most two members, so its leaf is
+// a boolean column's, NOT NULL's, or selNone.
+func (c *selCompiler) compileDynFilter(f DynFilter) selFn {
+	s, col := f.Summary, &ColumnRef{Index: f.Col, T: f.T}
+	switch f.T {
+	case types.Bigint, types.Date:
+		return selMember(c, col, c.vecLong, block.Block.Long, s.MatchLong)
+	case types.Double:
+		return selMember(c, col, c.vecDouble, block.Block.Double, s.MatchDouble)
+	case types.Varchar:
+		return selMember(c, col, c.vecStr, block.Block.Str, s.MatchStr)
+	case types.Boolean:
+		switch yes, no := s.MatchBool(true), s.MatchBool(false); {
+		case yes && no:
+			return selIsNull(f.Col, true)
+		case yes || no:
+			return selBoolCol(f.Col, yes)
+		}
+		return selNone
+	}
+	return selAll
+}
+
+// selMember is the leaf testing a column's values for membership: a
+// dictionary's entries and a run are decided by member once each
+// (selOperand), a flat vector by predication (selMembers).
+func selMember[T block.Elem](c *selCompiler, col *ColumnRef, compile func(Expr) (vkernel[T], bool),
+	value func(block.Block, int) T, member func(T) bool) selFn {
+	s, _ := selOperand(c, col, compile, func(d block.Block, k int) bool { return member(value(d, k)) }, selMembers(member))
+	return s
+}
+
 // evalAt evaluates the value kernel k at the positions rows into vectors
 // leased from in.scratch, indexed by position; nulls is nil when no position
 // is NULL.
@@ -377,6 +413,27 @@ func selPassing[T any](pass func(T) bool) func(vals []T, nulls []bool, rows, out
 			}
 		}
 		return out
+	}
+}
+
+// selMembers is the value-vector test of member by predication: a probe
+// filter passes most rows, and its test decides no branch.
+func selMembers[T any](member func(T) bool) func(vals []T, nulls []bool, rows, out []int) []int {
+	return func(vals []T, nulls []bool, rows, out []int) []int {
+		base := len(out)
+		buf, k := out[base:base+len(rows)], 0
+		if nulls == nil {
+			for _, r := range rows {
+				buf[k] = r
+				k += b2i(member(vals[r]))
+			}
+		} else {
+			for _, r := range rows {
+				buf[k] = r
+				k += b2i(!nulls[r]) & b2i(member(vals[r]))
+			}
+		}
+		return out[:base+k]
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/connector"
@@ -379,10 +380,11 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestQueryCancelEndpoint: a statement whose stream is still open after its
-// first document — a scan waiting on its gate — is cancellable by query id,
-// and, once the scan is let go, its stream ends with the failure; an unknown
-// id is a 404. (The next document waits for the query's drivers to exit, and
-// a driver blocked in its connector exits only when the call returns.)
+// first document — a scan held in its connector — is cancellable by query id,
+// and the fetch of its next document, in flight when the cancel arrives,
+// answers FAILED at once: it does not wait for the drivers to exit, which a
+// driver blocked in its connector does only when the call returns. Once the
+// scan is let go, the node pool empties. An unknown id is a 404.
 func TestQueryCancelEndpoint(t *testing.T) {
 	s := newProtocolServer(t)
 	doc := s.get(t, "/v1/statement", "SELECT a FROM gate.gated")
@@ -391,6 +393,23 @@ func TestQueryCancelEndpoint(t *testing.T) {
 	}
 	if doc.NextURI == "" {
 		t.Fatalf("the first document of a gated scan ended the stream (state %s)", doc.State)
+	}
+	type answer struct {
+		doc StatementResponse
+		err error
+	}
+	next, sent := make(chan answer, 1), s.requests.Load()
+	go func() {
+		var a answer
+		resp, err := http.Get(s.URL + doc.NextURI)
+		if a.err = err; err == nil {
+			a.err = json.NewDecoder(resp.Body).Decode(&a.doc)
+			resp.Body.Close()
+		}
+		next <- a
+	}()
+	for s.requests.Load() == sent { // the fetch has reached the server
+		time.Sleep(time.Millisecond)
 	}
 	req, _ := http.NewRequest("DELETE", s.URL+"/v1/query/"+doc.QueryID, nil)
 	dresp, err := http.DefaultClient.Do(req)
@@ -401,12 +420,21 @@ func TestQueryCancelEndpoint(t *testing.T) {
 	if dresp.StatusCode != http.StatusNoContent {
 		t.Errorf("cancel status: %d", dresp.StatusCode)
 	}
-	s.release()
-	for doc.NextURI != "" {
-		doc = s.get(t, doc.NextURI, "")
+	select {
+	case a := <-next:
+		if a.err != nil || a.doc.State != "FAILED" || a.doc.NextURI != "" {
+			t.Errorf("after the cancel the stream answered %+v (%v), want it ended FAILED", a.doc, a.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("no document within 2 s of the cancel while the scan is held")
 	}
-	if doc.State != "FAILED" {
-		t.Errorf("after the cancel the stream ended %s, want FAILED", doc.State)
+	s.release()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.worker.Pool.GeneralUsed() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the cancelled query left %d bytes in the node pool", s.worker.Pool.GeneralUsed())
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 
 	req, _ = http.NewRequest("DELETE", s.URL+"/v1/query/nope", nil)

@@ -61,6 +61,7 @@ func (s *gatedSource) NextPage() (*block.Page, error) {
 type protocolServer struct {
 	*httptest.Server
 	coord    *coordinator.Coordinator
+	worker   *exec.Worker
 	gate     *gatedConnector
 	requests atomic.Int64
 }
@@ -93,8 +94,9 @@ func newProtocolServer(t *testing.T) *protocolServer {
 		Results: serving.NewResultCache(serving.ResultCacheConfig{}),
 	}
 	s := &protocolServer{
-		coord: coordinator.New(catalog, workers, coordinator.Config{DefaultCatalog: "memory", Serving: tier}),
-		gate:  gate,
+		coord:  coordinator.New(catalog, workers, coordinator.Config{DefaultCatalog: "memory", Serving: tier}),
+		gate:   gate,
+		worker: workers[0],
 	}
 	h := NewServer(s.coord).Handler()
 	s.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

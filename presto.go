@@ -79,9 +79,6 @@ type ClusterConfig struct {
 	Quanta time.Duration
 	// FIFOScheduler disables the multi-level feedback queue (ablation).
 	FIFOScheduler bool
-	// HashPartitions is the intermediate-stage task count (default =
-	// Workers).
-	HashPartitions int
 	// DefaultCatalog resolves unqualified table names (default "memory"; a
 	// memconn catalog of that name is registered automatically).
 	DefaultCatalog string
@@ -244,7 +241,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 
 	coord := coordinator.New(catalog, workers, coordinator.Config{
 		DefaultCatalog: cfg.DefaultCatalog,
-		HashPartitions: cfg.HashPartitions,
 		Optimizer:      optCfg,
 		Task:           taskCfg,
 		MemoryLimits: memory.QueryLimits{

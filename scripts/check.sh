@@ -89,11 +89,12 @@
 #                             # (random keys and page sizes, every join
 #                             # type, with and without a residual, keyed
 #                             # and keyless, against the per-row reference)
-#   scripts/check.sh -coverage # only the coverage map: builds prestobench
-#                             # and the benchmark with -cover, runs every
-#                             # paper experiment (-quick) and every
-#                             # workload (--seconds 1) under one
-#                             # GOCOVERDIR, and prints the files that run
+#   scripts/check.sh -coverage # only the coverage map: builds prestobench,
+#                             # the benchmark and every examples/ program
+#                             # with -cover, runs every paper experiment
+#                             # (-quick), every workload (--seconds 1) and
+#                             # every example under one GOCOVERDIR,
+#                             # and prints the files that run
 #                             # under 10% of their statements, then the
 #                             # New... constructors none of them called
 #                             # (0.0%): what nothing builds either earns
@@ -114,22 +115,29 @@ for arg in "$@"; do
 done
 
 if [ "$coverage" = 1 ]; then
-  # What the experiments and the benchmark workloads run of the engine, file
-  # by file: code that none of them reaches is a candidate for removal unless
-  # a test prices it. -cover is a build flag; the benchmark's sources are
+  # What the experiments, the benchmark workloads and the examples run of the
+  # engine, file by file: code that none of them reaches is a candidate for
+  # removal unless a test prices it. -cover is a build flag; the benchmark's sources are
   # untouched.
   cov="$(mktemp -d)"
   trap 'rm -rf "$cov"' EXIT
   mkdir -p "$cov/data"
-  echo "==> coverage builds: prestobench and the benchmark (-cover -coverpkg=repro/...)"
+  echo "==> coverage builds: prestobench, the benchmark and the examples (-cover -coverpkg=repro/...)"
   go build -cover -coverpkg=repro/... -o "$cov/prestobench" ./cmd/prestobench
   (cd bench && go build -cover -coverpkg=repro/... -o "$cov/bench" .)
+  for ex in examples/*/; do
+    go build -cover -coverpkg=repro/... -o "$cov/example-$(basename "$ex")" "./$ex"
+  done
   echo "==> prestobench -exp all -quick"
   GOCOVERDIR="$cov/data" "$cov/prestobench" -exp all -quick > "$cov/prestobench.log" 2>&1 ||
     { cat "$cov/prestobench.log" >&2; exit 1; }
   echo "==> benchmark, every workload, --seconds 1"
   GOCOVERDIR="$cov/data" "$cov/bench" --workload all --seconds 1 > "$cov/bench.log" 2>&1 ||
     { cat "$cov/bench.log" >&2; exit 1; }
+  echo "==> examples"
+  for ex in "$cov"/example-*; do
+    GOCOVERDIR="$cov/data" "$ex" > "$ex.log" 2>&1 || { cat "$ex.log" >&2; exit 1; }
+  done
   go tool covdata textfmt -i="$cov/data" -o "$cov/all.out"
   # The engine's files only: the benchmark module's own are not the map's.
   grep -v '^repro/bench/' "$cov/all.out" > "$cov/engine.out"
@@ -142,7 +150,7 @@ if [ "$coverage" = 1 ]; then
       for (k in stmts) { total[file[k]] += stmts[k]; if (k in hit) run[file[k]] += stmts[k] }
       for (f in total) if (run[f] * 10 < total[f]) printf "%5.1f%%  %5d/%-5d  %s\n", 100 * run[f] / total[f], run[f], total[f], f
     }' "$cov/engine.out" | sort -n
-  echo "==> constructors no experiment or workload called (0.0%)"
+  echo "==> constructors no experiment, workload or example called (0.0%)"
   # covdata merges the counter files itself: a function counts as called if
   # any run reached it.
   go tool covdata func -i="$cov/data" | awk '$1 !~ /^repro\/bench\// && $2 ~ /^New/ && $NF == "0.0%" { print $1, $2 }'
