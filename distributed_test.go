@@ -32,6 +32,7 @@ import (
 	"repro/internal/httpapi"
 	"repro/internal/memory"
 	"repro/internal/optimizer"
+	"repro/internal/serving"
 	"repro/internal/spill"
 	"repro/internal/types"
 	"repro/internal/wire"
@@ -91,6 +92,8 @@ type distConfig struct {
 	// limits, when set, bounds every query's memory on every worker (spill
 	// replaces them with its own).
 	limits memory.QueryLimits
+	// plans gives the coordinator a plan cache.
+	plans bool
 }
 
 // observedTransport reports each request before sending it.
@@ -148,6 +151,9 @@ func newDistClusterWith(t *testing.T, n int, dc distConfig) *distCluster {
 		Task:         dc.task,
 		FaultInject:  inj, // rules are per site: the workers' HTTP faults never fire here
 		MemoryLimits: dc.limits,
+	}
+	if dc.plans {
+		ccfg.Serving = &serving.Tier{Plans: serving.NewPlanCache(serving.PlanCacheConfig{})}
 	}
 	if dc.broadcastRows != 0 {
 		ccfg.Optimizer.BroadcastThresholdRows = dc.broadcastRows

@@ -63,16 +63,16 @@ func (ec *exprCtx) analyze(e sqlparser.Expr) (expr.Expr, error) {
 			if err != nil {
 				return nil, fmt.Errorf("invalid integer literal %q", x.Text)
 			}
-			return expr.NewConst(types.BigintValue(n)), nil
+			return expr.NewSlotConst(types.BigintValue(n), x.Slot), nil
 		}
 		f, err := strconv.ParseFloat(x.Text, 64)
 		if err != nil {
 			return nil, fmt.Errorf("invalid numeric literal %q", x.Text)
 		}
-		return expr.NewConst(types.DoubleValue(f)), nil
+		return expr.NewSlotConst(types.DoubleValue(f), x.Slot), nil
 
 	case *sqlparser.StringLit:
-		return expr.NewConst(types.VarcharValue(x.Val)), nil
+		return expr.NewSlotConst(types.VarcharValue(x.Val), x.Slot), nil
 
 	case *sqlparser.BoolLit:
 		return expr.NewConst(types.BooleanValue(x.Val)), nil
@@ -85,7 +85,7 @@ func (ec *exprCtx) analyze(e sqlparser.Expr) (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return expr.NewConst(types.DateValue(d)), nil
+		return expr.NewSlotConst(types.DateValue(d), x.Slot), nil
 
 	case *sqlparser.IntervalLit:
 		// Intervals are represented as day counts; MONTH and YEAR use the
@@ -129,6 +129,8 @@ func (ec *exprCtx) analyze(e sqlparser.Expr) (expr.Expr, error) {
 			}
 			return &expr.Not{E: inner}, nil
 		case "-":
+			// The folded constant drops the literal's slot: a plan that
+			// keeps no trace of a slot is not a template.
 			if c, ok := inner.(*expr.Const); ok && !c.Val.Null {
 				switch c.Val.T {
 				case types.Bigint:
@@ -294,9 +296,11 @@ func coerceExpr(e expr.Expr, t types.Type) (expr.Expr, error) {
 		return e, nil
 	}
 	if c, ok := e.(*expr.Const); ok {
+		// A lifted literal keeps its slot: binding coerces the new value the
+		// same way.
 		v, err := c.Val.Coerce(t)
 		if err == nil {
-			return expr.NewConst(v), nil
+			return expr.NewSlotConst(v, c.Slot()), nil
 		}
 	}
 	if !types.CanCoerce(e.Type(), t) {

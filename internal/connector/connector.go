@@ -214,12 +214,17 @@ type PushdownCapable interface {
 	ApplyPushdown(table string, d *plan.Domain) (enforced []string)
 }
 
-// Versioned is implemented by connectors that maintain a monotonic per-table
-// version counter bumped on every write. The serving tier checks it before
-// trusting a cached plan or result, so a write makes them stale.
+// Versioned is implemented by connectors that maintain monotonic per-table
+// version counters. The serving tier keys cached results by TableVersion, so
+// any write makes them stale, and holds a cached plan valid for one
+// SchemaVersion.
 type Versioned interface {
-	// TableVersion returns the table's current version (0 if never written).
+	// TableVersion returns the table's current version, which moves on every
+	// change to its schema or data (0 if never written).
 	TableVersion(table string) int64
+	// SchemaVersion returns a version that moves only when the table is
+	// created, dropped or replaced.
+	SchemaVersion(table string) int64
 }
 
 // DistributedWriteCapable is implemented by connectors whose PageSink writes

@@ -22,9 +22,11 @@ type Connector struct {
 
 	mu     sync.RWMutex
 	tables map[string]*table
-	// versions counts mutations per table (connector.Versioned): cached
-	// plans and results are valid for one version.
-	versions map[string]int64
+	// schemas counts a table's schema changes (CreateTable, DropTable,
+	// LoadTable) and versions its data changes (appends); both are per name
+	// and survive a drop (connector.Versioned). A cached plan is valid for
+	// one schema version, a cached result for one version of each.
+	schemas, versions map[string]int64
 	// SplitsPerTable controls how many splits a scan enumerates (default 4).
 	SplitsPerTable int
 }
@@ -43,7 +45,7 @@ type table struct {
 
 // New creates an empty in-memory catalog with the given name.
 func New(name string) *Connector {
-	return &Connector{name: name, tables: map[string]*table{}, versions: map[string]int64{}, SplitsPerTable: 4}
+	return &Connector{name: name, tables: map[string]*table{}, schemas: map[string]int64{}, versions: map[string]int64{}, SplitsPerTable: 4}
 }
 
 // Name implements connector.Connector.
@@ -72,11 +74,19 @@ func (c *Connector) Table(name string) *connector.TableMeta {
 	return &meta
 }
 
-// TableVersion implements connector.Versioned.
+// TableVersion implements connector.Versioned: it moves on every change,
+// schema or data.
 func (c *Connector) TableVersion(name string) int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.versions[name]
+	return c.schemas[name] + c.versions[name]
+}
+
+// SchemaVersion implements connector.Versioned.
+func (c *Connector) SchemaVersion(name string) int64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.schemas[name]
 }
 
 // Stats implements the Metadata API. Statistics are computed on load.
@@ -101,7 +111,7 @@ func (c *Connector) CreateTable(name string, columns []connector.Column) error {
 		meta:  connector.TableMeta{Name: name, Columns: columns},
 		stats: connector.TableStats{RowCount: 0, ColumnNDV: map[string]int64{}},
 	}
-	c.versions[name]++
+	c.schemas[name]++
 	return nil
 }
 
@@ -113,7 +123,7 @@ func (c *Connector) DropTable(name string) error {
 		return fmt.Errorf("table %s.%s does not exist", c.name, name)
 	}
 	delete(c.tables, name)
-	c.versions[name]++
+	c.schemas[name]++
 	return nil
 }
 
@@ -125,7 +135,7 @@ func (c *Connector) LoadTable(name string, columns []connector.Column, pages []*
 	t.pages = t.encodeLowCardinality(pages)
 	t.foldStats(t.pages)
 	c.tables[name] = t
-	c.versions[name]++
+	c.schemas[name]++
 }
 
 // AppendRows adds boxed rows to an existing table (used by examples).

@@ -143,6 +143,19 @@ func (c *CatalogManager) TableVersion(catalog, table string) int64 {
 	return 0
 }
 
+// SchemaVersion reports a table's schema version for connectors that track
+// versions (0 for the rest).
+func (c *CatalogManager) SchemaVersion(catalog, table string) int64 {
+	conn, err := c.Connector(catalog)
+	if err != nil {
+		return 0
+	}
+	if v, ok := conn.(connector.Versioned); ok {
+		return v.SchemaVersion(table)
+	}
+	return 0
+}
+
 // Pushdown implements optimizer.Metadata.
 func (c *CatalogManager) Pushdown(catalog, table string, d *plan.Domain) []string {
 	conn, err := c.Connector(catalog)

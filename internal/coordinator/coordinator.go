@@ -295,13 +295,16 @@ func (c *Coordinator) MetaCacheStats() cache.MetaStats {
 }
 
 // invalidateMeta drops cached splits and table metadata for one table. Called
-// on DDL and before/after any plan that writes the table, so readers observe
-// their own cluster's writes immediately rather than after TTL expiry.
-func (c *Coordinator) invalidateMeta(catalog, table string) {
-	// The serving tier invalidates on the same hook: cached plans and results
-	// derived from the table die with the stale splits.
-	if t := c.cfg.Serving; t != nil {
+// on DDL (ddl set) and before/after any plan that writes the table, so
+// readers observe their own cluster's writes immediately rather than after
+// TTL expiry.
+func (c *Coordinator) invalidateMeta(catalog, table string, ddl bool) {
+	// The serving tier invalidates on the same hook: cached results derived
+	// from the table die with the stale splits, and on DDL its plans too.
+	if t := c.cfg.Serving; ddl {
 		t.InvalidateTable(catalog, table)
+	} else {
+		t.InvalidateData(catalog, table)
 	}
 	if c.meta == nil {
 		return
@@ -352,12 +355,16 @@ func (c *Coordinator) ExecuteCtx(ctx context.Context, sql string, session Sessio
 	// Serving front door: a validated plan-cache hit skips the parser,
 	// analyzer and optimizer entirely (only plannable read statements are
 	// ever stored, so statement dispatch is implicit in the hit).
-	pre, planKey, hit := c.cachedPlan(sql, session)
-	if hit {
-		res, _, err := c.execute(ctx, nil, pre, planKey, sql, session, start, true)
+	pre, tmpl := c.cachedPlan(sql, session)
+	if pre != nil {
+		res, _, err := c.execute(ctx, nil, pre, tmpl, sql, session, start, true)
 		return res, err
 	}
-	stmt, err := sqlparser.Parse(sql)
+	var slots []int
+	if tmpl != nil {
+		slots = tmpl.Pos
+	}
+	stmt, err := sqlparser.ParseSlots(sql, slots)
 	if err != nil {
 		c.observeLatency(start)
 		return nil, fmt.Errorf("parse error: %w", err)
@@ -396,12 +403,13 @@ func (c *Coordinator) ExecuteCtx(ctx context.Context, sql string, session Sessio
 			c.observeLatency(start)
 			return nil, err
 		}
-		res, _, err := c.execute(ctx, stmt, nil, "", sql, session, start, true)
+		res, _, err := c.execute(ctx, stmt, nil, nil, sql, session, start, true)
 		return res, err
 	default:
-		// planKey carries the miss's cache key so the fresh plan is stored
-		// under it (empty when the plan cache is off for this statement).
-		res, _, err := c.execute(ctx, stmt, nil, planKey, sql, session, start, true)
+		// tmpl carries the miss's template so the fresh plan is stored under
+		// it and its result keyed by it (nil when both caches are off for
+		// this statement).
+		res, _, err := c.execute(ctx, stmt, nil, tmpl, sql, session, start, true)
 		return res, err
 	}
 }
@@ -443,11 +451,13 @@ func (c *Coordinator) planStatement(stmt sqlparser.Statement, session Session) (
 }
 
 // execute admits, plans, schedules and tracks one plannable statement
-// through the cluster. pre, when non-nil, is a validated plan-cache entry
-// (with planKey its cache key) that replaces the parse→analyze→optimize
-// phase; stmt may then be nil. servable gates the serving caches: EXPLAIN
-// ANALYZE passes false because it must genuinely execute, so it neither
-// serves nor stores cached results (and never stores its plan).
+// through the cluster. pre, when non-nil, is a validated plan-cache entry,
+// bound to the statement's literals, that replaces the parse→analyze→optimize
+// phase; stmt may then be nil. tmpl is the statement's plan-cache template,
+// which keys both serving caches (nil when both are off for the statement or
+// never hold it). servable gates the serving caches: EXPLAIN ANALYZE passes
+// false because it must genuinely execute, so it neither serves nor stores
+// cached results (and never stores its plan).
 //
 // Scheduling failures classified as transient (injected chaos faults,
 // dropped connections) are recovered by bounded full-query re-admission: the
@@ -455,7 +465,7 @@ func (c *Coordinator) planStatement(stmt sqlparser.Statement, session Session) (
 // restarts from scratch — the paper's client-driven retry model (§III)
 // applied one layer down — at most maxScheduleRetries times.
 func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre *serving.PlanEntry,
-	planKey, sql string, session Session, start time.Time, servable bool) (*Result, *Query, error) {
+	tmpl *serving.Template, sql string, session Session, start time.Time, servable bool) (*Result, *Query, error) {
 
 	qctx, cancel := context.WithCancel(ctx)
 	q := &Query{coord: c, cancel: cancel, session: session}
@@ -481,7 +491,7 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 			// skips the queue as well as execution. The key embeds current
 			// table versions, so a write since the cached run misses here.
 			keyVersions = c.tableVersions(tables)
-			resultKey = serving.ResultKey(pre.ResultBase, tables, keyVersions)
+			resultKey = serving.ResultKey(pre.ResultBase, tmpl.Values, tables, keyVersions)
 			if e, ok := tier.Results.Get(resultKey); ok {
 				cancel()
 				return c.servedResult(q, e, start), q, nil
@@ -517,6 +527,11 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 	}
 
 	q.setState(StatePlanning)
+	planCacheOn, _ := c.servingOn(session)
+	var planGen uint64
+	if planCacheOn {
+		planGen = tier.Plans.Generation()
+	}
 	if pre == nil {
 		logical, dp, err = c.planStatement(stmt, session)
 		if err != nil {
@@ -534,23 +549,28 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 			return nil, nil, err
 		}
 	}
-	// Drop cached splits/metadata for tables this plan writes, both up front
-	// (so the write plan itself resolves fresh state) and again when the
-	// result drains successfully (so subsequent reads see the new rows).
+	// Drop cached splits/metadata and results for tables this plan writes,
+	// both up front (so the write plan itself resolves fresh state) and again
+	// when the result drains successfully (so subsequent reads see the new
+	// rows). Plans over them stay: a write changes data, not schema.
 	for _, t := range targets {
-		c.invalidateMeta(t[0], t[1])
+		c.invalidateMeta(t[0], t[1], false)
 	}
 
-	if pre == nil && (planKey != "" || resultCacheOn) && len(targets) == 0 {
+	if pre == nil && tmpl != nil && len(targets) == 0 {
 		// Freshly planned read-only statement: offer it to the serving tier.
-		entry, deterministic := c.buildPlanEntry(logical, dp)
+		entry, deterministic := c.buildPlanEntry(logical, dp, tmpl)
 		tables = entry.Tables
-		if planKey != "" && deterministic {
-			tier.Plans.Put(planKey, entry)
+		if planCacheOn && deterministic {
+			key := tmpl.Key
+			if !entry.Template {
+				key = tmpl.LiteralKey()
+			}
+			tier.Plans.PutAt(planGen, key, entry)
 		}
 		if resultCacheOn && entry.ResultOK {
 			keyVersions = entry.Versions
-			resultKey = serving.ResultKey(entry.ResultBase, tables, keyVersions)
+			resultKey = serving.ResultKey(entry.ResultBase, tmpl.Values, tables, keyVersions)
 			if e, ok := tier.Results.Get(resultKey); ok {
 				release()
 				cancel()
@@ -620,7 +640,7 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 		if resErr == nil {
 			stats := q.finish()
 			for _, t := range targets {
-				c.invalidateMeta(t[0], t[1])
+				c.invalidateMeta(t[0], t[1], false)
 			}
 			c.accumulateDynStats(stats)
 		}
@@ -848,7 +868,7 @@ func (c *Coordinator) createTable(s *sqlparser.CreateTable, session Session) (*R
 	if err := conn.CreateTable(table, toConnectorCols(cols)); err != nil {
 		return nil, err
 	}
-	c.invalidateMeta(catalog, table)
+	c.invalidateMeta(catalog, table, true)
 	return literalResult([]string{"result"}, [][]types.Value{{types.VarcharValue("OK")}}), nil
 }
 
@@ -882,7 +902,7 @@ func (c *Coordinator) createTableFor(s *sqlparser.CreateTable, session Session) 
 	if err := conn.CreateTable(table, toConnectorCols(cols)); err != nil {
 		return err
 	}
-	c.invalidateMeta(catalog, table)
+	c.invalidateMeta(catalog, table, true)
 	return nil
 }
 
@@ -901,7 +921,7 @@ func (c *Coordinator) dropTable(s *sqlparser.DropTable, session Session) (*Resul
 	if err := conn.DropTable(table); err != nil {
 		return nil, err
 	}
-	c.invalidateMeta(catalog, table)
+	c.invalidateMeta(catalog, table, true)
 	return literalResult([]string{"result"}, [][]types.Value{{types.VarcharValue("OK")}}), nil
 }
 
@@ -945,7 +965,7 @@ func (c *Coordinator) explainAnalyze(ctx context.Context, s *sqlparser.Explain, 
 		return nil, err
 	}
 	start := time.Now()
-	res, q, err := c.execute(ctx, s.Stmt, nil, "", sql, session, start, false)
+	res, q, err := c.execute(ctx, s.Stmt, nil, nil, sql, session, start, false)
 	if err != nil {
 		return nil, err
 	}

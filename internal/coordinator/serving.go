@@ -6,14 +6,16 @@ package coordinator
 // same write-invalidation hook the metadata cache uses into both caches.
 
 import (
+	"slices"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/connector"
 	"repro/internal/exec"
+	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/serving"
+	"repro/internal/types"
 )
 
 // scanTables collects the distinct (catalog, table) pairs a plan reads, in
@@ -55,37 +57,108 @@ func (c *Coordinator) allVersioned(tables [][2]string) bool {
 	return true
 }
 
-// cachedPlan looks up and validates a plan-cache entry for the statement,
-// keyed on its text, its catalog and the switches that change planning;
-// execution-only switches (cache, spill) share entries. The key
-// is returned even on a miss so the planning path can store under it. A
-// version mismatch drops the entry and replans: statistics and pushdown
-// pruning may both have changed.
-func (c *Coordinator) cachedPlan(sql string, session Session) (*serving.PlanEntry, string, bool) {
+// cachedPlan builds the statement's template — its text with the literals of
+// value positions lifted out, its catalog and the switches that change
+// planning (execution-only switches — cache, spill — share entries) — and
+// looks up a plan under it. A template hit is bound to the statement's own
+// literals. The template is returned even on a miss, so the planning path can
+// parse with its slots and store under its key, and the result cache can key
+// by it; it is nil when both caches are off for the statement or never hold
+// it.
+//
+// An entry whose tables changed schema, or grew or shrank past
+// serving.RowDrift since planning, is dropped and the statement replanned: the
+// statistics that chose its join order no longer hold.
+func (c *Coordinator) cachedPlan(sql string, session Session) (*serving.PlanEntry, *serving.Template) {
 	tier := c.cfg.Serving
-	if tier == nil || tier.Plans == nil || session.Switches.Has(exec.DisablePlanCache) {
-		return nil, "", false
+	plans, results := c.servingOn(session)
+	if !plans && !results {
+		return nil, nil
 	}
-	key := serving.PlanKey(sql, session.Catalog, strconv.Itoa(int(session.Switches.Planning())))
-	e, ok := tier.Plans.Get(key)
+	tmpl, ok := serving.PlanKey(sql, session.Catalog, strconv.Itoa(int(session.Switches.Planning())))
 	if !ok {
-		return nil, key, false
+		return nil, nil
 	}
-	for i, t := range e.Tables {
-		if c.Catalog.TableVersion(t[0], t[1]) != e.Versions[i] {
-			tier.Plans.Remove(key)
-			return nil, key, false
+	if !plans {
+		return nil, &tmpl
+	}
+	e, ok := tier.Plans.Lookup(&tmpl, c.planValid)
+	if !ok {
+		return nil, &tmpl
+	}
+	if e.Template && !serving.SameValues(e.Values, tmpl.Values) {
+		if e = c.bindPlan(e, tmpl.Values); e == nil {
+			return nil, &tmpl
 		}
 	}
-	return e, key, true
+	return e, &tmpl
+}
+
+// servingOn reports which serving caches a statement of the session uses.
+func (c *Coordinator) servingOn(session Session) (plans, results bool) {
+	tier := c.cfg.Serving
+	if tier == nil {
+		return false, false
+	}
+	return tier.Plans != nil && !session.Switches.Has(exec.DisablePlanCache),
+		tier.Results != nil && !session.Switches.Has(exec.DisableResultCache)
+}
+
+// planValid reports whether each table a cached plan reads has the schema
+// version and, within serving.RowDrift, the row count it was planned at.
+func (c *Coordinator) planValid(e *serving.PlanEntry) bool {
+	for i, t := range e.Tables {
+		if c.Catalog.SchemaVersion(t[0], t[1]) != e.Schemas[i] ||
+			!serving.RowsWithin(e.Rows[i], c.Catalog.Stats(t[0], t[1]).RowCount) {
+			return false
+		}
+	}
+	return true
+}
+
+// bindPlan copies a template entry with vals bound into both of its plans, as
+// a prepared statement binds its parameters: join order, distribution and
+// estimates stay as planned. The connectors' pushdown is asked again for the
+// bound constraints (a sharded connector routes by them); nil means a value
+// does not coerce or the pushdown answer moved, and the statement is planned
+// afresh.
+func (c *Coordinator) bindPlan(e *serving.PlanEntry, vals []types.Value) *serving.PlanEntry {
+	logical, err := plan.BindSlots(e.Logical, vals)
+	if err != nil {
+		return nil
+	}
+	dp, err := e.Distributed.BindSlots(vals)
+	if err != nil || !slices.EqualFunc(c.pushdown(logical), e.Pushdown, slices.Equal) {
+		return nil
+	}
+	bound := *e
+	bound.Logical, bound.Distributed = logical, dp
+	return &bound
+}
+
+// pushdown asks each constrained scan's connector which constraint columns it
+// enforces, in plan.Walk order.
+func (c *Coordinator) pushdown(n plan.Node) [][]string {
+	var out [][]string
+	plan.Walk(n, func(n plan.Node) {
+		if sc, ok := n.(*plan.Scan); ok && !sc.Handle.Constraint.All() {
+			out = append(out, c.Catalog.Pushdown(sc.Handle.Catalog, sc.Handle.Table, sc.Handle.Constraint))
+		}
+	})
+	return out
 }
 
 // buildPlanEntry packages a freshly optimized read-only plan for the caches.
-// Deterministic means repeat executions produce identical rows (no random());
-// ResultOK additionally requires every table to be versioned.
-func (c *Coordinator) buildPlanEntry(logical plan.Node, dp *plan.DistributedPlan) (*serving.PlanEntry, bool) {
-	planText := plan.Format(logical)
-	deterministic := !strings.Contains(planText, "random(")
+// The plan is a template when every literal tmpl lifted is still traced in
+// both plans and no constraint's shape depended on their values.
+// Deterministic means repeat executions produce identical rows (no expression
+// calls random()); ResultOK additionally requires every table to be
+// versioned.
+func (c *Coordinator) buildPlanEntry(logical plan.Node, dp *plan.DistributedPlan, tmpl *serving.Template) (*serving.PlanEntry, bool) {
+	deterministic := true
+	plan.WalkExprs(logical, func(e expr.Expr) {
+		deterministic = deterministic && expr.IsDeterministic(e)
+	})
 	tables := scanTables(logical)
 	var cols []string
 	for _, f := range logical.Schema() {
@@ -94,12 +167,37 @@ func (c *Coordinator) buildPlanEntry(logical plan.Node, dp *plan.DistributedPlan
 	e := &serving.PlanEntry{
 		Logical:     logical,
 		Distributed: dp,
+		Template:    isTemplate(logical, dp, len(tmpl.Values)),
+		Values:      tmpl.Values,
 		Tables:      tables,
+		Schemas:     make([]int64, len(tables)),
+		Rows:        make([]int64, len(tables)),
 		Versions:    c.tableVersions(tables),
-		ResultBase:  serving.ResultBase(planText, cols),
+		Pushdown:    c.pushdown(logical),
+		ResultBase:  serving.ResultBase(tmpl.Key, cols),
 		ResultOK:    deterministic && c.allVersioned(tables),
 	}
+	for i, t := range tables {
+		e.Schemas[i] = c.Catalog.SchemaVersion(t[0], t[1])
+		e.Rows[i] = c.Catalog.Stats(t[0], t[1]).RowCount
+	}
 	return e, deterministic
+}
+
+// isTemplate reports whether each of the statement's slots is traced in the
+// logical plan and in every fragment, and no constraint is value-shaped.
+func isTemplate(logical plan.Node, dp *plan.DistributedPlan, slots int) bool {
+	traced := make([]bool, slots)
+	if !plan.TraceSlots(logical, traced) || slices.Contains(traced, false) {
+		return false
+	}
+	clear(traced)
+	for _, f := range dp.Fragments {
+		if !plan.TraceSlots(f.Root, traced) {
+			return false
+		}
+	}
+	return !slices.Contains(traced, false)
 }
 
 // servedResult completes a query straight from the result cache: no
@@ -135,4 +233,15 @@ func (c *Coordinator) observeLatency(start time.Time) {
 	if c.stmtLatency != nil {
 		c.stmtLatency.Record(time.Since(start))
 	}
+}
+
+// CachedPlan returns the plans a plan-cache hit would run the statement with,
+// bound to its literals, and false when the cache has none for it (a lookup
+// counts as one like a statement's). Tests compare them with a fresh Plan.
+func (c *Coordinator) CachedPlan(sql string, session Session) (plan.Node, *plan.DistributedPlan, bool) {
+	e, _ := c.cachedPlan(sql, c.admitSession(session))
+	if e == nil {
+		return nil, nil, false
+	}
+	return e.Logical, e.Distributed, true
 }

@@ -239,6 +239,11 @@ func (d *Driver) touch(i int) {
 	}
 }
 
+// tailSink is a sink told when its pipeline's source has finished, so that
+// every page still to reach it drains from operator state
+// (operators.PartitionedOutputOperator).
+type tailSink interface{ Tail() }
+
 // step is one iterate pass, and the engine's one recover: a panic under an
 // operator — a block of an encoding a type switch does not know, an index out
 // of range — fails this driver, and through it its query, with the panic and
@@ -312,6 +317,9 @@ func (d *Driver) iterate() bool {
 				d.finishSignaled[i+1] = true
 				d.touch(i + 1)
 				moved = true
+				if sink, ok := d.ops[len(d.ops)-1].(tailSink); ok && i == 0 && len(d.ops) > 2 {
+					sink.Tail() // the source is done: what follows drains
+				}
 			}
 		}
 	}

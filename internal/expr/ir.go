@@ -37,8 +37,14 @@ func (e *ColumnRef) String() string {
 	return fmt.Sprintf("$%d", e.Index)
 }
 
-// Const is a literal value.
-type Const struct{ Val types.Value }
+// Const is a literal value. A literal the plan cache lifted out of the
+// statement's text carries its slot (1-based; 0 for none), so a cached plan
+// can be bound to another statement's literals. The slot is unexported: it
+// never crosses the wire and never shows in EXPLAIN.
+type Const struct {
+	Val  types.Value
+	slot int
+}
 
 func (e *Const) Type() types.Type { return e.Val.T }
 func (e *Const) String() string {
@@ -50,6 +56,12 @@ func (e *Const) String() string {
 
 // NewConst boxes a value as a constant expression.
 func NewConst(v types.Value) *Const { return &Const{Val: v} }
+
+// NewSlotConst is NewConst for the literal lifted into slot (0: none).
+func NewSlotConst(v types.Value, slot int) *Const { return &Const{Val: v, slot: slot} }
+
+// Slot returns the plan-cache slot the constant was lifted into, 0 if none.
+func (e *Const) Slot() int { return e.slot }
 
 // BinOp enumerates arithmetic and string binary operators.
 type BinOp int

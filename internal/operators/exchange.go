@@ -20,6 +20,12 @@ type PartitionedOutputOperator struct {
 	scratch  block.Arena // a page's partition vectors (hash mode)
 	batch    batchKeys
 	finished bool
+	// tail is set once the pipeline's source has finished (Tail); from
+	// then on held keeps each partition's newest page, queued when the next
+	// one comes and staged by Finish, so that a task's last page reaches the
+	// fetch together with the end of its stream (one request, not two).
+	tail bool
+	held []*block.Page
 }
 
 // OutputMode selects how pages are routed across partitions.
@@ -54,13 +60,13 @@ func (o *PartitionedOutputOperator) AddInput(p *block.Page) error {
 	n := o.buf.Partitions()
 	switch {
 	case n == 1 || o.mode == OutputSingle:
-		o.buf.Add(0, p)
+		o.add(0, p)
 	case o.mode == OutputBroadcast:
 		for i := 0; i < n; i++ {
-			o.buf.Add(i, p)
+			o.add(i, p)
 		}
 	case o.mode == OutputRoundRobin:
-		o.buf.Add(o.rr%n, p)
+		o.add(o.rr%n, p)
 		o.rr++
 	default: // OutputHash
 		// Split the page by target partition, batch-hashing the key columns.
@@ -68,11 +74,33 @@ func (o *PartitionedOutputOperator) AddInput(p *block.Page) error {
 		rows, offs := partitionRows(&o.scratch, hashPartitionPage(&o.scratch, &o.batch, p, o.hashCols, n), n)
 		for t := 0; t < n; t++ {
 			if rows := rows[offs[t]:offs[t+1]]; len(rows) > 0 {
-				o.buf.Add(t, p.FilterPositions(rows))
+				o.add(t, p.FilterPositions(rows))
 			}
 		}
 	}
 	return nil
+}
+
+// Tail tells the sink that its pipeline's source has finished: every page
+// still to come is drained from state the operators between hold, with no
+// call into a connector or an exchange in between that could block, so
+// holding the newest page until the next one (or Finish) delays no reader.
+func (o *PartitionedOutputOperator) Tail() { o.tail = true }
+
+// add queues p on partition i; in the tail it queues the page held for the
+// partition instead and holds p in its place.
+func (o *PartitionedOutputOperator) add(i int, p *block.Page) {
+	if !o.tail {
+		o.buf.Add(i, p)
+		return
+	}
+	if o.held == nil {
+		o.held = make([]*block.Page, o.buf.Partitions())
+	}
+	if prev := o.held[i]; prev != nil {
+		o.buf.Add(i, prev)
+	}
+	o.held[i] = p
 }
 
 // ReleasesInput declares to the pipeline compiler that the sink is done with
@@ -90,10 +118,23 @@ func (o *PartitionedOutputOperator) Output() (*block.Page, error) { return nil, 
 // Scratch implements ScratchHolder.
 func (o *PartitionedOutputOperator) Scratch() *block.Arena { return &o.scratch }
 
-// Finish marks this driver's sink complete. The buffer's no-more-pages
-// signal is issued by the task once ALL its drivers are done, since several
-// drivers of one task share the output buffer.
-func (o *PartitionedOutputOperator) Finish()          { o.finished = true }
+// Finish marks this driver's sink complete and stages its held pages. The
+// buffer's no-more-pages signal, which publishes them, is issued by the task
+// once ALL its drivers are done, since several drivers of one task share the
+// output buffer.
+func (o *PartitionedOutputOperator) Finish() {
+	if o.finished {
+		return
+	}
+	o.finished = true
+	for i, p := range o.held {
+		if p != nil {
+			o.buf.AddLast(i, p)
+		}
+	}
+	o.held = nil
+}
+
 func (o *PartitionedOutputOperator) IsFinished() bool { return o.finished }
 func (o *PartitionedOutputOperator) Close() error     { return nil }
 

@@ -261,18 +261,20 @@ func conjunctDomain(e expr.Expr) (*plan.ColumnDomain, int, bool) {
 		if c.Val.Null {
 			return nil, 0, false
 		}
-		v := c.Val
+		// A lifted literal's slot follows its value into the domain, so a
+		// template's constraint binds with its filter.
+		v, s := c.Val, c.Slot()
 		switch op {
 		case expr.CmpEq:
-			return plan.PointDomain(cr.T, v), cr.Index, true
+			return plan.PointDomain(cr.T, v).WithSlots(s, 0), cr.Index, true
 		case expr.CmpLt:
-			return plan.RangeDomain(cr.T, nil, &v, false, false), cr.Index, true
+			return plan.RangeDomain(cr.T, nil, &v, false, false).WithSlots(0, s), cr.Index, true
 		case expr.CmpLe:
-			return plan.RangeDomain(cr.T, nil, &v, false, true), cr.Index, true
+			return plan.RangeDomain(cr.T, nil, &v, false, true).WithSlots(0, s), cr.Index, true
 		case expr.CmpGt:
-			return plan.RangeDomain(cr.T, &v, nil, false, false), cr.Index, true
+			return plan.RangeDomain(cr.T, &v, nil, false, false).WithSlots(s, 0), cr.Index, true
 		case expr.CmpGe:
-			return plan.RangeDomain(cr.T, &v, nil, true, false), cr.Index, true
+			return plan.RangeDomain(cr.T, &v, nil, true, false).WithSlots(s, 0), cr.Index, true
 		default:
 			return nil, 0, false
 		}
@@ -287,7 +289,7 @@ func conjunctDomain(e expr.Expr) (*plan.ColumnDomain, int, bool) {
 			return nil, 0, false
 		}
 		lv, hv := lo.Val, hi.Val
-		return plan.RangeDomain(cr.T, &lv, &hv, true, true), cr.Index, true
+		return plan.RangeDomain(cr.T, &lv, &hv, true, true).WithSlots(lo.Slot(), hi.Slot()), cr.Index, true
 	case *expr.In:
 		if x.Negate {
 			return nil, 0, false
@@ -303,7 +305,7 @@ func conjunctDomain(e expr.Expr) (*plan.ColumnDomain, int, bool) {
 				return nil, 0, false
 			}
 			if !c.Val.Null {
-				cd.Points = append(cd.Points, c.Val)
+				cd.AddPoint(c.Val, c.Slot())
 			}
 		}
 		if len(cd.Points) == 0 {
@@ -317,7 +319,8 @@ func conjunctDomain(e expr.Expr) (*plan.ColumnDomain, int, bool) {
 		}
 		cr, cok := x.E.(*expr.ColumnRef)
 		pat, pok := x.Pattern.(*expr.Const)
-		if !cok || !pok || pat.Val.Null {
+		// A lifted pattern would bind without the range derived from it.
+		if !cok || !pok || pat.Val.Null || pat.Slot() > 0 {
 			return nil, 0, false
 		}
 		prefix := expr.LikePrefix(pat.Val.S)

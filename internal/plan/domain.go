@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -27,12 +28,22 @@ type ColumnDomain struct {
 	Ranges []Range
 	// NullAllowed reports whether NULL satisfies the constraint.
 	NullAllowed bool
+
+	// slots is aligned with Points: the plan-cache slot each point's literal
+	// was lifted into (nil when none was). valueShaped marks a domain whose
+	// shape the values of lifted literals decided (an intersection of two
+	// different lifted constraints): binding other values into it could
+	// prune rows they select, so a plan holding one is not a template.
+	slots       []int
+	valueShaped bool
 }
 
 // Range is a contiguous value interval. Unbounded ends are nil.
 type Range struct {
 	Lo, Hi             *types.Value
 	LoClosed, HiClosed bool
+	// loSlot and hiSlot are the plan-cache slots of lifted bounds (0: none).
+	loSlot, hiSlot int
 }
 
 // AllDomain returns the unconstrained domain.
@@ -154,19 +165,43 @@ func (c *ColumnDomain) OverlapsMinMax(min, max types.Value) bool {
 // Point sets intersect; a point set intersected with ranges filters the
 // points; range unions intersect pairwise. The operation is idempotent
 // (d ∩ d = d), which the optimizer's fixpoint loop relies on.
+//
+// A constraint met again (the optimizer re-derives pushed predicates) is
+// returned as it is, so an empty range keeps the bounds it was written with.
+// Over lifted literals, only that and a lower bound joined to an upper one do
+// not depend on the literals' values: any other intersection that involves
+// one is marked value-shaped.
 func (c *ColumnDomain) Intersect(o *ColumnDomain) *ColumnDomain {
+	if c.sameAs(o) {
+		return c
+	}
+	if c.lifted() || o.lifted() {
+		if out, ok := c.joinBounds(o); ok {
+			return out
+		}
+		out := c.intersect(o)
+		out.slots, out.valueShaped = nil, true
+		for i := range out.Ranges {
+			out.Ranges[i].loSlot, out.Ranges[i].hiSlot = 0, 0
+		}
+		return out
+	}
+	return c.intersect(o)
+}
+
+func (c *ColumnDomain) intersect(o *ColumnDomain) *ColumnDomain {
 	out := &ColumnDomain{T: c.T, NullAllowed: c.NullAllowed && o.NullAllowed}
 	switch {
 	case len(c.Points) > 0:
-		for _, p := range c.Points {
+		for i, p := range c.Points {
 			if o.Contains(p) {
-				out.Points = append(out.Points, p)
+				out.AddPoint(p, c.slotOf(i))
 			}
 		}
 	case len(o.Points) > 0:
-		for _, p := range o.Points {
+		for i, p := range o.Points {
 			if c.Contains(p) {
-				out.Points = append(out.Points, p)
+				out.AddPoint(p, o.slotOf(i))
 			}
 		}
 	case len(c.Ranges) == 0:
@@ -276,4 +311,93 @@ func PointDomain(t types.Type, v types.Value) *ColumnDomain {
 // RangeDomain builds a single-range column constraint.
 func RangeDomain(t types.Type, lo, hi *types.Value, loClosed, hiClosed bool) *ColumnDomain {
 	return &ColumnDomain{T: t, Ranges: []Range{{Lo: lo, Hi: hi, LoClosed: loClosed, HiClosed: hiClosed}}}
+}
+
+// WithSlots records the plan-cache slots of a single-range or single-point
+// domain's literals (0: not lifted): lo is the point's or the lower bound's,
+// hi the upper bound's. It returns c.
+func (c *ColumnDomain) WithSlots(lo, hi int) *ColumnDomain {
+	switch {
+	case len(c.Points) == 1 && lo > 0:
+		c.slots = []int{lo}
+	case len(c.Ranges) == 1:
+		c.Ranges[0].loSlot, c.Ranges[0].hiSlot = lo, hi
+	}
+	return c
+}
+
+// AddPoint appends v to the point set; slot is the plan-cache slot of its
+// literal (0: not lifted).
+func (c *ColumnDomain) AddPoint(v types.Value, slot int) {
+	if slot > 0 && c.slots == nil {
+		c.slots = make([]int, len(c.Points), cap(c.Points)+1)
+	}
+	c.Points = append(c.Points, v)
+	if c.slots != nil {
+		c.slots = append(c.slots, slot)
+	}
+}
+
+func (c *ColumnDomain) slotOf(i int) int {
+	if c.slots == nil {
+		return 0
+	}
+	return c.slots[i]
+}
+
+// lifted reports whether a lifted literal is among the domain's values, or
+// decided its shape.
+func (c *ColumnDomain) lifted() bool {
+	if c.valueShaped || slices.ContainsFunc(c.slots, func(s int) bool { return s > 0 }) {
+		return true
+	}
+	return slices.ContainsFunc(c.Ranges, func(r Range) bool { return r.loSlot > 0 || r.hiSlot > 0 })
+}
+
+// sameAs reports that o is c again: the same values from the same slots.
+func (c *ColumnDomain) sameAs(o *ColumnDomain) bool {
+	if c.T != o.T || c.NullAllowed != o.NullAllowed || c.valueShaped || o.valueShaped ||
+		len(c.Points) != len(o.Points) || len(c.Ranges) != len(o.Ranges) {
+		return false
+	}
+	for i, p := range c.Points {
+		if !p.Equal(o.Points[i]) || c.slotOf(i) != o.slotOf(i) {
+			return false
+		}
+	}
+	for i, r := range c.Ranges {
+		q := o.Ranges[i]
+		if r.key() != q.key() || r.loSlot != q.loSlot || r.hiSlot != q.hiSlot {
+			return false
+		}
+	}
+	return true
+}
+
+// joinBounds intersects a lone lower bound with a lone upper bound, the one
+// intersection of lifted constraints whose shape no value decides. ok is
+// false for any other pair, and for bounds that do not overlap.
+func (c *ColumnDomain) joinBounds(o *ColumnDomain) (*ColumnDomain, bool) {
+	lone := func(d *ColumnDomain) (Range, bool) {
+		if d.valueShaped || len(d.Points) > 0 || len(d.Ranges) != 1 {
+			return Range{}, false
+		}
+		return d.Ranges[0], true
+	}
+	a, aok := lone(c)
+	b, bok := lone(o)
+	if !aok || !bok {
+		return nil, false
+	}
+	if a.Lo == nil && b.Hi == nil {
+		a, b = b, a
+	}
+	if a.Lo == nil || a.Hi != nil || b.Lo != nil || b.Hi == nil {
+		return nil, false
+	}
+	r := Range{Lo: a.Lo, LoClosed: a.LoClosed, loSlot: a.loSlot, Hi: b.Hi, HiClosed: b.HiClosed, hiSlot: b.hiSlot}
+	if cmp := r.Lo.Compare(*r.Hi); cmp > 0 || (cmp == 0 && !(r.LoClosed && r.HiClosed)) {
+		return nil, false
+	}
+	return &ColumnDomain{T: c.T, NullAllowed: c.NullAllowed && o.NullAllowed, Ranges: []Range{r}}, true
 }

@@ -1,11 +1,11 @@
 package serving
 
 import (
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/plan"
+	"repro/internal/types"
 )
 
 // PlanEntry is one cached planning outcome: the optimized logical plan and
@@ -14,19 +14,62 @@ import (
 type PlanEntry struct {
 	Logical     plan.Node
 	Distributed *plan.DistributedPlan
-	// Tables lists the (catalog, table) pairs the plan reads, aligned with
-	// Versions: the connector versions observed at planning time. A mismatch
-	// at hit time means the data changed under the plan — replan (statistics
-	// and pushdown pruning may both differ).
+	// Template marks a plan stored under its Template.Key: its lifted
+	// literals are slot-tagged and a hit binds the statement's own into a
+	// copy, unless they equal Values, the literals it was planned with. A
+	// plan that consumed a literal's value is stored under the
+	// Template.LiteralKey instead, and serves only the same literals.
+	Template bool
+	Values   []types.Value
+	// Tables lists the (catalog, table) pairs the plan reads; Schemas, Rows
+	// and Versions are aligned with it and were read at planning time. The
+	// plan stays valid while each table's schema version is the same and its
+	// row count within RowDrift of Rows (statistics chose the join order);
+	// Versions are the data versions the planning run's result key names.
 	Tables   [][2]string
+	Schemas  []int64
+	Rows     []int64
 	Versions []int64
-	// ResultBase fingerprints the plan text + output schema — the
-	// version-independent part of the result-cache key.
+	// Pushdown records, for each scan with a constraint (in plan.Walk
+	// order), the columns its connector enforced. A hit re-runs the
+	// pushdown on the bound constraint and replans if the answer differs.
+	Pushdown [][]string
+	// ResultBase fingerprints the template key + output schema — the part of
+	// the result-cache key that neither the statement's literals nor the
+	// table versions change.
 	ResultBase uint64
 	// ResultOK marks plans whose final results may be cached: read-only,
 	// deterministic, and every referenced table comes from a versioned
 	// connector (so staleness is detectable).
 	ResultOK bool
+}
+
+// SameValues reports whether a and b are the same literals, type and value.
+func SameValues(a, b []types.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].T != b[i].T || !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// RowDrift is how far, as a factor either way, a table's row count may move
+// from the count a cached plan was made with before the plan is made again:
+// the join order and distribution statistics chose may no longer fit.
+const RowDrift = 4
+
+// RowsWithin reports whether a table of now rows is within RowDrift of one
+// planned at then rows (a negative count is unknown, and matches only
+// unknown).
+func RowsWithin(then, now int64) bool {
+	if then < 0 || now < 0 {
+		return (then < 0) == (now < 0)
+	}
+	return max(now, 1) <= RowDrift*max(then, 1) && max(then, 1) <= RowDrift*max(now, 1)
 }
 
 // PlanCacheConfig sizes a PlanCache.
@@ -50,14 +93,17 @@ type PlanCacheStats struct {
 }
 
 // PlanCache is the expirable-LRU parse→plan cache. A hit hands back the
-// previously optimized plan so a repeat statement skips the parser, analyzer
-// and optimizer entirely; the coordinator still validates the tables'
-// versions against the entry before trusting it.
+// previously optimized plan so a statement with the same template skips the
+// parser, analyzer and optimizer entirely; Lookup has the caller validate
+// the entry against its tables before trusting it.
 type PlanCache struct {
 	mu      sync.Mutex
 	lru     *lruCore
 	byTable map[string]map[string]struct{} // "catalog.table" → keys reading it
 	stats   PlanCacheStats
+	// ddl counts InvalidateTable calls: a plan made while one ran may read
+	// the old schema, so PutAt refuses it.
+	ddl uint64
 }
 
 // NewPlanCache creates a plan cache.
@@ -78,34 +124,67 @@ func NewPlanCache(cfg PlanCacheConfig) *PlanCache {
 	return c
 }
 
-// PlanKey builds the cache key: normalized SQL, the catalog that resolves
-// unqualified names, and the session flags that change planning output.
-func PlanKey(sql, catalog, flags string) string {
-	return NormalizeSQL(sql) + "\x00" + catalog + "\x00" + flags
-}
-
-// Get returns a cached entry. Version/generation validation is the caller's
-// job (it owns the catalog manager); call Remove on a stale hit.
-func (c *PlanCache) Get(key string) (*PlanEntry, bool) {
+// Lookup returns the entry for a statement's template: the template plan, or
+// failing that a plan stored under the statement's literal key. An entry
+// valid rejects (its tables changed under it) is dropped and counted as an
+// invalidation; valid runs outside the cache's lock. Lookup counts one hit
+// or miss.
+func (c *PlanCache) Lookup(t *Template, valid func(*PlanEntry) bool) (*PlanEntry, bool) {
+	c.mu.Lock()
+	key := t.Key
+	e, ok := c.getLocked(key)
+	if !ok && len(t.Values) > 0 {
+		key = t.LiteralKey()
+		e, ok = c.getLocked(key)
+	}
+	c.mu.Unlock()
+	stale := ok && !valid(e)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok, expired := c.lru.get(key)
-	if !ok {
-		c.stats.Misses++
-		if expired {
-			c.stats.Expirations++
+	if stale {
+		if el, held := c.lru.items[key]; held && el.Value.(*lruItem).val == e {
+			c.lru.removeElement(el)
+			c.stats.Invalidations++
 		}
+		e, ok = nil, false
+	}
+	c.count(ok)
+	return e, ok
+}
+
+func (c *PlanCache) getLocked(key string) (*PlanEntry, bool) {
+	v, ok, expired := c.lru.get(key)
+	if expired {
+		c.stats.Expirations++
+	}
+	if !ok {
 		return nil, false
 	}
-	c.stats.Hits++
 	return v.(*PlanEntry), true
 }
 
-// Put stores an entry, indexing it by every table it reads for invalidation.
-func (c *PlanCache) Put(key string, e *PlanEntry) {
+func (c *PlanCache) count(hit bool) {
+	if hit {
+		c.stats.Hits++
+	} else {
+		c.stats.Misses++
+	}
+}
+
+// Generation returns a count that moves with every InvalidateTable.
+func (c *PlanCache) Generation() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.lru.put(key, e, 1) {
+	return c.ddl
+}
+
+// PutAt stores an entry made after Generation returned gen, indexing it by
+// every table it reads for invalidation. It drops the entry if a table was
+// invalidated since: the plan may predate the change.
+func (c *PlanCache) PutAt(gen uint64, key string, e *PlanEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ddl != gen || !c.lru.put(key, e, 1) {
 		return
 	}
 	for _, t := range e.Tables {
@@ -117,18 +196,13 @@ func (c *PlanCache) Put(key string, e *PlanEntry) {
 	}
 }
 
-// Remove drops a single entry (stale hit).
-func (c *PlanCache) Remove(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lru.remove(key)
-}
-
 // InvalidateTable drops every plan that reads the table; returns the number
-// dropped. Called from the coordinator's write hook (DDL and write plans).
+// dropped. Called from the coordinator's DDL hook: a data write leaves plans
+// in place (their validity is checked on each hit).
 func (c *PlanCache) InvalidateTable(catalog, table string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.ddl++
 	tk := catalog + "." + table
 	keys := c.byTable[tk]
 	n := 0
@@ -169,52 +243,4 @@ func (c *PlanCache) unindex(key string, e *PlanEntry) {
 			}
 		}
 	}
-}
-
-// NormalizeSQL canonicalizes a statement for cache keying: whitespace runs
-// collapse to one space and letters fold to lower case — except inside
-// single-quoted string literals, which pass through byte-for-byte (including
-// the ” escape). "SELECT  X" and "select x" share an entry; "WHERE s = 'A'"
-// and "WHERE s = 'a'" do not.
-func NormalizeSQL(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	inStr := false
-	pendingSpace := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if inStr {
-			b.WriteByte(c)
-			if c == '\'' {
-				if i+1 < len(s) && s[i+1] == '\'' {
-					b.WriteByte('\'')
-					i++
-					continue
-				}
-				inStr = false
-			}
-			continue
-		}
-		switch c {
-		case ' ', '\t', '\n', '\r':
-			pendingSpace = true
-		case '\'':
-			if pendingSpace && b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			pendingSpace = false
-			inStr = true
-			b.WriteByte(c)
-		default:
-			if pendingSpace && b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			pendingSpace = false
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			b.WriteByte(c)
-		}
-	}
-	return b.String()
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/faultinject"
+	"repro/internal/types"
 )
 
 // ResultPoolOwner is the pseudo-query the result cache reserves node memory
@@ -16,23 +17,27 @@ import (
 const ResultPoolOwner = "@resultcache"
 
 // ResultBase fingerprints the version-independent identity of a query's
-// result: the formatted optimized plan (which covers tables, constraints,
-// projections, join shapes, limits — everything execution derives from) plus
-// the output column names. Combined with the table versions by ResultKey.
-func ResultBase(planText string, columns []string) uint64 {
+// result but for its lifted literals: the statement's template key (its
+// tokens, catalog and planning flags) plus the output column names. Combined
+// with the literals and the table versions by ResultKey. (The plan's EXPLAIN
+// text would not do: it renders a CASE as "CASE(...)", so statements that
+// differ inside one would share results.)
+func ResultBase(templateKey string, columns []string) uint64 {
 	h := fnv.New64a()
-	h.Write([]byte(planText))
+	h.Write([]byte(templateKey))
 	h.Write([]byte{0})
 	h.Write([]byte(strings.Join(columns, "\x00")))
 	return h.Sum64()
 }
 
-// ResultKey combines a plan fingerprint with the referenced tables' connector
-// versions, so any write
-// moves repeat queries to a fresh key and the stale entry ages out.
-func ResultKey(base uint64, tables [][2]string, versions []int64) string {
+// ResultKey combines a plan fingerprint, the literals bound into it (none for
+// a plan that is not a template) and the referenced tables' connector
+// versions, so any write moves repeat queries to a fresh key and the stale
+// entry ages out.
+func ResultKey(base uint64, values []types.Value, tables [][2]string, versions []int64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%016x", base)
+	b.Write(appendValues(nil, values))
 	for i, t := range tables {
 		fmt.Fprintf(&b, "|%s.%s@%d", t[0], t[1], versions[i])
 	}

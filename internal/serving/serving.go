@@ -5,15 +5,19 @@
 // Two layers, composed front to back:
 //
 //   - PlanCache (plancache.go): an expirable LRU over parse→analyze→optimize
-//     output, keyed by normalized SQL + the catalog default + the query's
-//     planning switches (exec.Switches.Planning: dynamic filters).
-//     Its size (512 plans) and expiry (5m) are this package's defaults. A
-//     hit skips the parser, analyzer and optimizer entirely; validity is
-//     checked against the referenced tables' connector versions, so a
-//     write forces a replan.
+//     output. Its key (plankey.go) is the statement's template: its tokens
+//     with the literals of value positions lifted into typed slots, plus the
+//     catalog default and the query's planning switches
+//     (exec.Switches.Planning: dynamic filters). A hit on a template skips
+//     the parser, analyzer and optimizer; the coordinator binds the
+//     statement's literals into a copy of the plan. Its size (512 plans) and
+//     expiry (5m) are this package's defaults. A plan stays valid while each
+//     table it reads keeps its schema version and stays within RowDrift of
+//     the row count it was planned at: a data write does not replan, DDL
+//     drops the table's plans.
 //
 //   - ResultCache (resultcache.go): a byte-bounded LRU over small final
-//     result sets, keyed by a fingerprint of the optimized plan text plus the
+//     result sets, keyed by the template key, the lifted literals and the
 //     connector version keys. Entries are charged to the node memory pool as
 //     system memory under ResultPoolOwner, verified by structural checksum on
 //     every hit (corruption degrades to a miss), and invalidated by the same
@@ -35,8 +39,8 @@ type Tier struct {
 }
 
 // InvalidateTable drops every cached plan and result that reads the table.
-// Wired into the coordinator's write-invalidation hook, next to the
-// metadata/split cache invalidation.
+// Wired into the coordinator's DDL hook, next to the metadata/split cache
+// invalidation.
 func (t *Tier) InvalidateTable(catalog, table string) {
 	if t == nil {
 		return
@@ -44,7 +48,14 @@ func (t *Tier) InvalidateTable(catalog, table string) {
 	if t.Plans != nil {
 		t.Plans.InvalidateTable(catalog, table)
 	}
-	if t.Results != nil {
+	t.InvalidateData(catalog, table)
+}
+
+// InvalidateData drops every cached result that reads the table, and leaves
+// its plans: a data write changes rows, not what a plan may assume of them
+// (PlanEntry says how long that holds).
+func (t *Tier) InvalidateData(catalog, table string) {
+	if t != nil && t.Results != nil {
 		t.Results.InvalidateTable(catalog, table)
 	}
 }

@@ -31,27 +31,6 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func TestNormalizeSQL(t *testing.T) {
-	cases := [][2]string{
-		{"SELECT  1", "select 1"},
-		{"select\n\t x  FROM t", "select x from t"},
-		{"SELECT 'A  B'", "select 'A  B'"},
-		{"SELECT 'it''s  X' FROM T", "select 'it''s  X' from t"},
-		{"  SELECT 1  ", "select 1"},
-	}
-	for _, c := range cases {
-		if got := NormalizeSQL(c[0]); got != c[1] {
-			t.Errorf("NormalizeSQL(%q) = %q, want %q", c[0], got, c[1])
-		}
-	}
-	if NormalizeSQL("WHERE s = 'A'") == NormalizeSQL("WHERE s = 'a'") {
-		t.Error("string literals must not case-fold")
-	}
-	if NormalizeSQL("SELECT  X") != NormalizeSQL("select x") {
-		t.Error("whitespace and keyword case must normalize away")
-	}
-}
-
 func TestLRUCoreEvictionAndTTL(t *testing.T) {
 	clk := newFakeClock()
 	var evicted []string
@@ -98,21 +77,27 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	clk := newFakeClock()
 	pc := NewPlanCache(PlanCacheConfig{MaxEntries: 8, TTL: time.Minute, Clock: clk.now})
 	e := &PlanEntry{Tables: [][2]string{{"m", "t1"}, {"m", "t2"}}}
-	key := PlanKey("select * from t1, t2", "m", "df=false")
-	pc.Put(key, e)
-	if _, ok := pc.Get(key); !ok {
+	tm, _ := PlanKey("select * from t1, t2", "m", "df=false")
+	valid := true
+	get := func() bool {
+		_, ok := pc.Lookup(&tm, func(*PlanEntry) bool { return valid })
+		return ok
+	}
+	put := func() { pc.PutAt(pc.Generation(), tm.Key, e) }
+	put()
+	if !get() {
 		t.Fatal("fresh entry missing")
 	}
 	if n := pc.InvalidateTable("m", "t2"); n != 1 {
 		t.Fatalf("invalidated %d, want 1", n)
 	}
-	if _, ok := pc.Get(key); ok {
+	if get() {
 		t.Fatal("entry should be gone after table invalidation")
 	}
 	// Re-insert, expire by TTL.
-	pc.Put(key, e)
+	put()
 	clk.advance(2 * time.Minute)
-	if _, ok := pc.Get(key); ok {
+	if get() {
 		t.Fatal("entry should have expired")
 	}
 	st := pc.Stats()
@@ -122,6 +107,19 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	// Invalidation must also clean the reverse index (no dangling keys).
 	if n := pc.InvalidateTable("m", "t1"); n != 0 {
 		t.Fatalf("stale reverse index: invalidated %d", n)
+	}
+	// An entry its validator rejects is dropped as an invalidation; a plan
+	// made before a table invalidation is not stored.
+	put()
+	valid = false
+	if get() || pc.Stats().Invalidations != 2 || pc.Stats().Entries != 0 {
+		t.Fatalf("a stale entry was served or kept: %+v", pc.Stats())
+	}
+	gen := pc.Generation()
+	pc.InvalidateTable("m", "t1")
+	pc.PutAt(gen, tm.Key, e)
+	if pc.Stats().Entries != 0 {
+		t.Fatal("a plan made before a table invalidation was stored")
 	}
 }
 

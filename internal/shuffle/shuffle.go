@@ -81,7 +81,16 @@ func (b *OutputBuffer) Add(i int, p *block.Page) {
 	b.parts[i].add(p)
 }
 
-// SetNoMorePages marks all partitions finished.
+// AddLast stages a producer's last page for partition i: a fetch sees it
+// with the next Add to the partition or, when it is the task's last, together
+// with the end of the stream, so the fetch that returns it also reports the
+// stream complete.
+func (b *OutputBuffer) AddLast(i int, p *block.Page) {
+	b.parts[i].stage(p)
+}
+
+// SetNoMorePages publishes the staged pages and marks all partitions
+// finished.
 func (b *OutputBuffer) SetNoMorePages() {
 	for _, p := range b.parts {
 		p.finish()
@@ -105,6 +114,9 @@ type PartitionBuffer struct {
 	capacity int64
 	done     bool
 	notify   func() // space-freed callback, invoked outside mu
+	// staged holds last pages (AddLast) not yet visible to Fetch; they count
+	// towards bytes only once published, so they never hold back a producer.
+	staged []*block.Page
 }
 
 func newPartitionBuffer(capacity int64) *PartitionBuffer {
@@ -115,14 +127,31 @@ func newPartitionBuffer(capacity int64) *PartitionBuffer {
 
 func (p *PartitionBuffer) add(page *block.Page) {
 	p.mu.Lock()
+	p.publishLocked()
 	p.pages = append(p.pages, page)
 	p.bytes += page.SizeBytes()
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }
 
+func (p *PartitionBuffer) stage(page *block.Page) {
+	p.mu.Lock()
+	p.staged = append(p.staged, page)
+	p.mu.Unlock()
+}
+
+// publishLocked moves staged pages, in order, to the fetchable queue.
+func (p *PartitionBuffer) publishLocked() {
+	for _, pg := range p.staged {
+		p.pages = append(p.pages, pg)
+		p.bytes += pg.SizeBytes()
+	}
+	p.staged = nil
+}
+
 func (p *PartitionBuffer) finish() {
 	p.mu.Lock()
+	p.publishLocked()
 	p.done = true
 	p.cond.Broadcast()
 	p.mu.Unlock()
@@ -130,7 +159,7 @@ func (p *PartitionBuffer) finish() {
 
 func (p *PartitionBuffer) destroy() {
 	p.mu.Lock()
-	p.pages = nil
+	p.pages, p.staged = nil, nil
 	p.bytes = 0
 	p.done = true
 	p.cond.Broadcast()

@@ -191,17 +191,22 @@ func (e *Ident) String() string {
 	return strings.Join(e.Parts, ".")
 }
 
-// NumberLit is an integer or decimal literal.
+// NumberLit is an integer or decimal literal. Slot is the plan-cache slot
+// the literal was lifted into (0: none), here and on StringLit and DateLit.
 type NumberLit struct {
 	Text      string
 	IsInteger bool
+	Slot      int
 }
 
 func (*NumberLit) expr()            {}
 func (e *NumberLit) String() string { return e.Text }
 
 // StringLit is a character literal.
-type StringLit struct{ Val string }
+type StringLit struct {
+	Val  string
+	Slot int
+}
 
 func (*StringLit) expr()            {}
 func (e *StringLit) String() string { return "'" + e.Val + "'" }
@@ -223,8 +228,12 @@ type NullLit struct{}
 func (*NullLit) expr()            {}
 func (e *NullLit) String() string { return "NULL" }
 
-// DateLit is DATE 'YYYY-MM-DD'.
-type DateLit struct{ Text string }
+// DateLit is DATE 'YYYY-MM-DD'; a lifted one's slot offset is the DATE
+// keyword's.
+type DateLit struct {
+	Text string
+	Slot int
+}
 
 func (*DateLit) expr()            {}
 func (e *DateLit) String() string { return "DATE '" + e.Text + "'" }

@@ -2,6 +2,7 @@ package sqlparser
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -11,15 +12,24 @@ type Parser struct {
 	toks []Token
 	pos  int
 	src  string
+	// slots holds, ascending, the byte offsets of the literals the plan
+	// cache lifted out of the statement (see ParseSlots).
+	slots []int
 }
 
 // Parse parses a single SQL statement (a trailing semicolon is allowed).
-func Parse(sql string) (Statement, error) {
+func Parse(sql string) (Statement, error) { return ParseSlots(sql, nil) }
+
+// ParseSlots is Parse for a statement whose plan may become a template: the
+// literal that starts at byte offset slots[i] (ascending) carries Slot i+1,
+// which the analyzer copies onto its constant. A literal at an offset not
+// listed carries Slot 0.
+func ParseSlots(sql string, slots []int) (Statement, error) {
 	toks, err := Tokenize(sql)
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks, src: sql}
+	p := &Parser{toks: toks, src: sql, slots: slots}
 	stmt, err := p.parseStatement()
 	if err != nil {
 		return nil, err
@@ -43,6 +53,15 @@ func ParseQuery(sql string) (*Query, error) {
 		return nil, fmt.Errorf("statement is not a query")
 	}
 	return q, nil
+}
+
+// slotAt returns the slot of the literal token at byte offset pos, 0 when it
+// was not lifted.
+func (p *Parser) slotAt(pos int) int {
+	if i, ok := slices.BinarySearch(p.slots, pos); ok {
+		return i + 1
+	}
+	return 0
 }
 
 func (p *Parser) peek() Token   { return p.toks[p.pos] }

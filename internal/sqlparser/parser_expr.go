@@ -276,11 +276,11 @@ func (p *Parser) parsePrimary() (Expr, error) {
 				isInt = false
 			}
 		}
-		return &NumberLit{Text: t.Text, IsInteger: isInt}, nil
+		return &NumberLit{Text: t.Text, IsInteger: isInt, Slot: p.slotAt(t.Pos)}, nil
 
 	case TokString:
 		p.next()
-		return &StringLit{Val: t.Text}, nil
+		return &StringLit{Val: t.Text, Slot: p.slotAt(t.Pos)}, nil
 
 	case TokKeyword:
 		switch t.Text {
@@ -298,7 +298,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			st := p.peek()
 			if st.Kind == TokString {
 				p.next()
-				return &DateLit{Text: st.Text}, nil
+				return &DateLit{Text: st.Text, Slot: p.slotAt(t.Pos)}, nil
 			}
 			// DATE used as identifier-ish (e.g. column named date)
 			return &Ident{Parts: []string{"date"}}, nil

@@ -59,7 +59,11 @@
 #                             # to HTTP workers and clients, dynamic filters
 #                             # decided at planning, a join residual filtered
 #                             # as WHERE is: IEEE NaN, applied by an index
-#                             # join; the statement protocol: one request
+#                             # join; plan templates (a bound plan's rows
+#                             # and EXPLAIN equal a fresh plan's, in
+#                             # process and on HTTP workers; validity
+#                             # across writes, DDL and growth); the
+#                             # statement protocol: exactly one request
 #                             # for a small statement, streaming, failure,
 #                             # cancel, 410 for a forgotten query, documents
 #                             # byte-equal to json.Marshal's) + lake (orcish and
@@ -85,7 +89,10 @@
 #                             # dynamic-filter summary frames, create
 #                             # requests (fragments, compiled, plus task
 #                             # config), statement documents (against
-#                             # json.Marshal), and the join position table
+#                             # json.Marshal), plan-cache keys (a literal
+#                             # of the same type or a comment keeps the
+#                             # key, a changed kept token moves it), and
+#                             # the join position table
 #                             # (random keys and page sizes, every join
 #                             # type, with and without a residual, keyed
 #                             # and keyless, against the per-row reference)
@@ -255,14 +262,20 @@ echo "==> configuration: a query's switches are one value, from the HTTP header 
 # compares by IEEE, as in WHERE) and an index join applies it; a RIGHT/FULL
 # probe finished with pairs still to emit counts as finished only once it has
 # emitted them, and a SEMI/ANTI row puts its chain to a residual in rounds.
-# The statement protocol: a small statement costs one request, its document
-# ending the stream (a cache hit and DDL exactly one); a result larger than
+# A plan is a template: random literal sets bound into a cached plan return a
+# fresh plan's rows and, where the shapes agree, its EXPLAIN, in process and on
+# HTTP workers (twenty sets a shape under -race); an INSERT keeps a plan, DDL
+# and a hundredfold growth replace it; a comment's apostrophe opens no string
+# in the key; a literal spelling random( is cached, a random() call is not.
+# The statement protocol: a small statement costs exactly one request, its
+# document ending the stream (an INSERT's or an aggregate's last page is held
+# by the output sink until the task ends); a result larger than
 # one fetch streams over several documents in order; a failure after the
 # first pages is a FAILED document; a one-document drain commits to the
 # result cache; a statement still open after its first document is
 # cancellable; a forgotten query is 410 Gone; every document's bytes equal
 # json.Marshal's.
-go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestDeprecatedClusterFields|TestDistributedDisableSpill|TestDynamicFiltersDecidedAtPlanning|TestDistributedNonFiniteDoubles|TestJoinResidualNaNIsIEEE|TestKVIndexJoin' .
+go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestDeprecatedClusterFields|TestDistributedDisableSpill|TestDynamicFiltersDecidedAtPlanning|TestDistributedNonFiniteDoubles|TestJoinResidualNaNIsIEEE|TestKVIndexJoin|TestPlanTemplateMatchesFreshPlan|TestPlanValidity|TestPlanKeyCommentAlias|TestResultCacheDeterminismFromExpressions' .
 go test -race -count=1 -run 'TestOuterJoinWaitsForPendingPairs|TestSemiResidualDecidesInRounds' ./internal/operators/
 go test -race -count=1 -run 'TestSwitchHeaders|TestStatementNonFiniteDoubles|TestWriteJSONFailureIs500|TestSmallStatementCostsOneRequest|TestLargeResultStreamsOverDocuments|TestFailureAfterFirstPagesIsFailedDocument|TestOneDocumentDrainCommitsToResultCache|TestQueryCancelEndpoint|TestCancel|TestForgottenQueryIsGone|TestStatementDocumentMatchesJSONMarshal' ./internal/httpapi/
 go test -race -count=1 ./internal/wire/
@@ -440,6 +453,8 @@ if [ "$fuzz" = 1 ]; then
   go test -fuzz '^FuzzSummaryDecode$' -fuzztime 10s ./internal/dynfilter/
   echo "==> fuzz smoke: task create request decode (10s)"
   go test -fuzz '^FuzzCreateRequestDecode$' -fuzztime 10s ./internal/wire/
+  echo "==> fuzz smoke: plan-cache keys: same-type literals and comments keep a key, a changed kept token moves it (10s)"
+  go test -run '^$' -fuzz '^FuzzPlanKey$' -fuzztime 10s ./internal/serving/
   echo "==> fuzz smoke: statement documents, random pages of every type and block encoding, against json.Marshal of the boxed rendering (10s)"
   go test -run '^$' -fuzz '^FuzzStatementDocument$' -fuzztime 10s ./internal/httpapi/
 fi
