@@ -215,9 +215,9 @@ type PushdownCapable interface {
 }
 
 // Versioned is implemented by connectors that maintain monotonic per-table
-// version counters. The serving tier keys cached results by TableVersion, so
-// any write makes them stale, and holds a cached plan valid for one
-// SchemaVersion.
+// version counters. The serving tier stamps a cached result with the
+// TableVersion of each table it read, so a write makes it suspect, and holds
+// a cached plan valid for one SchemaVersion.
 type Versioned interface {
 	// TableVersion returns the table's current version, which moves on every
 	// change to its schema or data (0 if never written).
@@ -225,6 +225,114 @@ type Versioned interface {
 	// SchemaVersion returns a version that moves only when the table is
 	// created, dropped or replaced.
 	SchemaVersion(table string) int64
+}
+
+// AppendLog is implemented by Versioned connectors that remember what each of
+// a table's recent data versions appended. A cached result whose tables moved
+// only by appends that none of its scans could have read is still the answer:
+// the serving tier re-stamps it instead of executing the statement again.
+type AppendLog interface {
+	// Appends calls visit with the summary of each batch appended to the table
+	// after version since, oldest first, until visit returns false, and
+	// returns the table version the last batch brought it to. ok is false when
+	// the log no longer reaches back to since, or when something other than an
+	// append — a schema change — moved the version after it. visit runs under
+	// the connector's lock and must not call back into the connector.
+	Appends(table string, since int64, visit func(*AppendSummary) bool) (to int64, ok bool)
+}
+
+// AppendSummary describes one batch of rows appended to a table: how many,
+// and for each column the bounds of its values.
+type AppendSummary struct {
+	Rows    int64
+	Columns []ColumnSummary
+}
+
+// ColumnSummary bounds one column of an appended batch.
+type ColumnSummary struct {
+	Name string
+	// Min and Max are the least and greatest non-null value (both NULL when
+	// the batch holds none).
+	Min, Max types.Value
+	HasNull  bool
+	// Unordered marks a batch holding a value Min and Max do not bound (a
+	// NaN, an ARRAY): it may then meet any constraint on the column.
+	Unordered bool
+}
+
+// SummarizeAppend summarises pages appended to a table of the given columns.
+func SummarizeAppend(cols []Column, pages []*block.Page) *AppendSummary {
+	s := &AppendSummary{Columns: make([]ColumnSummary, len(cols))}
+	for ci, col := range cols {
+		s.Columns[ci] = ColumnSummary{Name: col.Name, Min: types.NullValue(col.T), Max: types.NullValue(col.T)}
+	}
+	for _, p := range pages {
+		s.Rows += int64(p.RowCount())
+		for ci := range cols {
+			s.Columns[ci].fold(p.Col(ci))
+		}
+	}
+	return s
+}
+
+// fold widens the summary by one block's values.
+func (c *ColumnSummary) fold(b block.Block) {
+	if b.Len() == 0 {
+		return
+	}
+	lo, hi, nulls, ok := block.Bounds(b)
+	c.HasNull = c.HasNull || nulls > 0
+	if !ok {
+		return
+	}
+	switch lo.T {
+	case types.Bigint, types.Date, types.Varchar, types.Boolean:
+	case types.Double:
+		// A NaN compares equal to everything, so no bound holds it.
+		for r, n := 0, b.Len(); r < n && !c.Unordered; r++ {
+			if !b.IsNull(r) {
+				f := b.Double(r)
+				c.Unordered = f != f
+			}
+		}
+	default:
+		c.Unordered = true
+		return
+	}
+	if c.Min.Null || lo.Compare(c.Min) < 0 {
+		c.Min = lo
+	}
+	if c.Max.Null || hi.Compare(c.Max) > 0 {
+		c.Max = hi
+	}
+}
+
+// Disjoint reports whether no row of the batch can satisfy the domain: some
+// column the domain constrains holds no value of the batch, and admits no
+// NULL where the batch has one. An empty batch is disjoint from every domain,
+// the unconstrained one too.
+func (s *AppendSummary) Disjoint(d *plan.Domain) bool {
+	if s.Rows == 0 {
+		return true
+	}
+	if d.All() {
+		return false
+	}
+	for name, cd := range d.Columns {
+		for i := range s.Columns {
+			if c := &s.Columns[i]; c.Name == name && c.disjoint(cd) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func (c *ColumnSummary) disjoint(cd *plan.ColumnDomain) bool {
+	if c.Unordered || c.HasNull && cd.NullAllowed {
+		return false
+	}
+	return c.Min.Null || !cd.OverlapsMinMax(c.Min, c.Max)
 }
 
 // DistributedWriteCapable is implemented by connectors whose PageSink writes

@@ -41,7 +41,19 @@ type table struct {
 	// dicts holds, per column, the dictionary LoadTable encoded it under (nil:
 	// stored as it arrived). Its entries are in ndv already, each once.
 	dicts []block.Block
+	// log is a ring of the summaries of the table's last appendLogSize
+	// appends; appends counts every append since the table was created or
+	// loaded. Only appends move the version of a live table, so append j
+	// (1-based) brought it to the current version minus appends, plus j.
+	log     []*connector.AppendSummary
+	appends int64
 }
+
+// appendLogSize is how many appends back a table's log reaches
+// (connector.AppendLog). A cached result stamped further back is dropped at
+// its next lookup. serving_mix writes about 650 single-row inserts in a run,
+// so the log reaches back over all of them.
+const appendLogSize = 1024
 
 // New creates an empty in-memory catalog with the given name.
 func New(name string) *Connector {
@@ -155,10 +167,38 @@ func (c *Connector) AppendRows(name string, rows [][]types.Value) error {
 		b.AppendRow(r)
 	}
 	pages := []*block.Page{b.Build()}
+	t.logAppend(pages)
 	t.appendPages(pages)
 	t.foldStats(pages)
 	c.versions[name]++
 	return nil
+}
+
+// logAppend records the summary of pages about to be appended.
+func (t *table) logAppend(pages []*block.Page) {
+	if t.log == nil {
+		t.log = make([]*connector.AppendSummary, appendLogSize)
+	}
+	t.log[t.appends%appendLogSize] = connector.SummarizeAppend(t.meta.Columns, pages)
+	t.appends++
+}
+
+// Appends implements connector.AppendLog.
+func (c *Connector) Appends(name string, since int64, visit func(*connector.AppendSummary) bool) (int64, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	now := c.schemas[name] + c.versions[name]
+	t, ok := c.tables[name]
+	back := now - since
+	if !ok || back < 0 || back > min(t.appends, appendLogSize) {
+		return now, false
+	}
+	for j := t.appends - back; j < t.appends; j++ {
+		if !visit(t.log[j%appendLogSize]) {
+			break
+		}
+	}
+	return now, true
 }
 
 // mergeTarget is the row count written pages are merged up to: the page size
@@ -498,6 +538,7 @@ func (s *pageSink) Finish() (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("table %s.%s vanished during write", s.c.name, s.table)
 	}
+	t.logAppend(s.pages)
 	t.appendPages(s.pages)
 	t.foldStats(s.pages)
 	s.c.versions[s.table]++

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -299,12 +298,11 @@ func (c *Coordinator) MetaCacheStats() cache.MetaStats {
 // readers observe their own cluster's writes immediately rather than after
 // TTL expiry.
 func (c *Coordinator) invalidateMeta(catalog, table string, ddl bool) {
-	// The serving tier invalidates on the same hook: cached results derived
-	// from the table die with the stale splits, and on DDL its plans too.
-	if t := c.cfg.Serving; ddl {
-		t.InvalidateTable(catalog, table)
-	} else {
-		t.InvalidateData(catalog, table)
+	// On DDL the serving tier drops the table's plans and results on the same
+	// hook. A data write leaves both: each result is checked, at its next
+	// lookup, against what was written since its stamp.
+	if ddl {
+		c.cfg.Serving.InvalidateTable(catalog, table)
 	}
 	if c.meta == nil {
 		return
@@ -354,7 +352,8 @@ func (c *Coordinator) ExecuteCtx(ctx context.Context, sql string, session Sessio
 	session = c.admitSession(session)
 	// Serving front door: a validated plan-cache hit skips the parser,
 	// analyzer and optimizer entirely (only plannable read statements are
-	// ever stored, so statement dispatch is implicit in the hit).
+	// ever stored, so statement dispatch is implicit in the hit). The hit is
+	// the unbound template: execute asks the result cache before it binds.
 	pre, tmpl := c.cachedPlan(sql, session)
 	if pre != nil {
 		res, _, err := c.execute(ctx, nil, pre, tmpl, sql, session, start, true)
@@ -451,9 +450,11 @@ func (c *Coordinator) planStatement(stmt sqlparser.Statement, session Session) (
 }
 
 // execute admits, plans, schedules and tracks one plannable statement
-// through the cluster. pre, when non-nil, is a validated plan-cache entry,
-// bound to the statement's literals, that replaces the parse→analyze→optimize
-// phase; stmt may then be nil. tmpl is the statement's plan-cache template,
+// through the cluster. pre, when non-nil, is a validated plan-cache entry
+// that replaces the parse→analyze→optimize phase; stmt may then be nil. A
+// template entry is bound to the statement's literals only if the result
+// cache misses, and a statement whose literals do not bind is parsed and
+// planned afresh. tmpl is the statement's plan-cache template,
 // which keys both serving caches (nil when both are off for the statement or
 // never hold it). servable gates the serving caches: EXPLAIN ANALYZE passes
 // false because it must genuinely execute, so it neither serves nor stores
@@ -481,18 +482,15 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 	var dp *plan.DistributedPlan
 	var tables [][2]string
 	var resultKey string
-	var keyVersions []int64 // the table versions resultKey was built from
 
 	resultCacheOn := servable && tier != nil && tier.Results != nil && !session.Switches.Has(exec.DisableResultCache)
 	if pre != nil {
-		logical, dp, tables = pre.Logical, pre.Distributed, pre.Tables
 		if resultCacheOn && pre.ResultOK {
 			// Pre-admission result check: a repeat of a cached statement
-			// skips the queue as well as execution. The key embeds current
-			// table versions, so a write since the cached run misses here.
-			keyVersions = c.tableVersions(tables)
-			resultKey = serving.ResultKey(pre.ResultBase, tmpl.Values, tables, keyVersions)
-			if e, ok := tier.Results.Get(resultKey); ok {
+			// skips the queue, binding and execution. The entry is served
+			// while no write since the cached run could have changed it.
+			resultKey = serving.ResultKey(pre.ResultBase, tmpl.Values)
+			if e, ok := tier.Results.Get(resultKey, c.resultFresh); ok {
 				cancel()
 				return c.servedResult(q, e, start), q, nil
 			}
@@ -504,6 +502,7 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 	// and the query is failed; then memory, the admission slot (nil while the
 	// query holds none) and the context go.
 	var release func()
+	var err error
 	end := func(err error) {
 		if err != nil {
 			q.abort()
@@ -520,8 +519,18 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 		c.observeLatency(start)
 		c.retire(q)
 	}
-	release, err := c.queue.Acquire(qctx, session.Source)
-	if err != nil {
+	if pre != nil {
+		if pre = c.bindPlan(pre, tmpl.Values); pre != nil {
+			logical, dp, tables = pre.Logical, pre.Distributed, pre.Tables
+		} else if stmt, err = sqlparser.ParseSlots(sql, tmpl.Pos); err != nil {
+			err = fmt.Errorf("parse error: %w", err)
+			end(err)
+			return nil, nil, err
+		} else {
+			resultKey = "" // the fresh plan keys its own result
+		}
+	}
+	if release, err = c.queue.Acquire(qctx, session.Source); err != nil {
 		end(err)
 		return nil, nil, err
 	}
@@ -549,10 +558,11 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 			return nil, nil, err
 		}
 	}
-	// Drop cached splits/metadata and results for tables this plan writes,
-	// both up front (so the write plan itself resolves fresh state) and again
-	// when the result drains successfully (so subsequent reads see the new
-	// rows). Plans over them stay: a write changes data, not schema.
+	// Drop cached splits/metadata for tables this plan writes, both up front
+	// (so the write plan itself resolves fresh state) and again when the
+	// result drains successfully (so subsequent reads see the new rows).
+	// Plans and results over them stay: a write changes data, not schema,
+	// and a result is checked against the write at its next lookup.
 	for _, t := range targets {
 		c.invalidateMeta(t[0], t[1], false)
 	}
@@ -569,9 +579,8 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 			tier.Plans.PutAt(planGen, key, entry)
 		}
 		if resultCacheOn && entry.ResultOK {
-			keyVersions = entry.Versions
-			resultKey = serving.ResultKey(entry.ResultBase, tmpl.Values, tables, keyVersions)
-			if e, ok := tier.Results.Get(resultKey); ok {
+			resultKey = serving.ResultKey(entry.ResultBase, tmpl.Values)
+			if e, ok := tier.Results.Get(resultKey, c.resultFresh); ok {
 				release()
 				cancel()
 				return c.servedResult(q, e, start), q, nil
@@ -583,6 +592,14 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 	limits.SpillEnabled = c.cfg.Task.SpillEnabled && !session.Switches.Has(exec.DisableSpill)
 	q.qmem = memory.NewQueryContext(id, limits, c.poolsSnapshot())
 	q.qmem.PromoteHook = c.promoteHook
+
+	// The versions a captured result is stamped at are read before any
+	// split is enumerated: the rows are of these versions or later ones.
+	var reads []serving.TableRead
+	var readVersions []int64
+	if resultKey != "" {
+		reads, readVersions = scanReads(logical, tables), c.tableVersions(tables)
+	}
 
 	q.setState(StateRunning)
 	q.Info.Started = time.Now()
@@ -618,7 +635,7 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 	if resultKey != "" {
 		// Capture the streamed pages; a clean drain commits them under the
 		// key both lookups above missed on.
-		capture = tier.Results.NewCapture(resultKey, tables)
+		capture = tier.Results.NewCapture(resultKey, reads)
 		result.tee = capture.Observe
 	}
 	q.mu.Lock()
@@ -628,12 +645,15 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 	result.onClose = func(resErr error) {
 		// Commit only a fully drained stream: a client may Close a completed
 		// result with pages still undelivered, and those never reached the
-		// capture. And only while the tables are still at the versions the key
-		// names: the key was built before the splits were enumerated, so a
-		// write landing in between is in the rows and not in the key.
-		if capture != nil && resErr == nil && result.drained &&
-			slices.Equal(c.tableVersions(tables), keyVersions) {
-			capture.Commit(result.Columns)
+		// capture. And only stamped at versions it holds at: the rows are of
+		// some version from readVersions on, so a write since then that its
+		// scans could have read leaves the result of no one version.
+		if capture != nil && resErr == nil && result.drained {
+			if now, ok := c.resultFresh(reads, readVersions); ok {
+				capture.Commit(result.Columns, now)
+			} else {
+				capture.Abandon()
+			}
 		} else if capture != nil {
 			capture.Abandon()
 		}

@@ -60,11 +60,12 @@ func (c *Coordinator) allVersioned(tables [][2]string) bool {
 // cachedPlan builds the statement's template — its text with the literals of
 // value positions lifted out, its catalog and the switches that change
 // planning (execution-only switches — cache, spill — share entries) — and
-// looks up a plan under it. A template hit is bound to the statement's own
-// literals. The template is returned even on a miss, so the planning path can
-// parse with its slots and store under its key, and the result cache can key
-// by it; it is nil when both caches are off for the statement or never hold
-// it.
+// looks up a plan under it. A template hit comes back unbound: the result
+// cache is asked first, and bindPlan binds the statement's literals only when
+// the statement executes. The template is returned even on a miss, so the
+// planning path can parse with its slots and store under its key, and the
+// result cache can key by it; it is nil when both caches are off for the
+// statement or never hold it.
 //
 // An entry whose tables changed schema, or grew or shrank past
 // serving.RowDrift since planning, is dropped and the statement replanned: the
@@ -82,15 +83,7 @@ func (c *Coordinator) cachedPlan(sql string, session Session) (*serving.PlanEntr
 	if !plans {
 		return nil, &tmpl
 	}
-	e, ok := tier.Plans.Lookup(&tmpl, c.planValid)
-	if !ok {
-		return nil, &tmpl
-	}
-	if e.Template && !serving.SameValues(e.Values, tmpl.Values) {
-		if e = c.bindPlan(e, tmpl.Values); e == nil {
-			return nil, &tmpl
-		}
-	}
+	e, _ := tier.Plans.Lookup(&tmpl, c.planValid)
 	return e, &tmpl
 }
 
@@ -116,13 +109,17 @@ func (c *Coordinator) planValid(e *serving.PlanEntry) bool {
 	return true
 }
 
-// bindPlan copies a template entry with vals bound into both of its plans, as
-// a prepared statement binds its parameters: join order, distribution and
-// estimates stay as planned. The connectors' pushdown is asked again for the
-// bound constraints (a sharded connector routes by them); nil means a value
-// does not coerce or the pushdown answer moved, and the statement is planned
-// afresh.
+// bindPlan returns the plans to run a cache entry with for the literals vals:
+// the entry itself when it is not a template or was planned with vals, and
+// otherwise a copy with vals bound into both of its plans, as a prepared
+// statement binds its parameters: join order, distribution and estimates stay
+// as planned. The connectors' pushdown is asked again for the bound
+// constraints (a sharded connector routes by them); nil means a value does not
+// coerce or the pushdown answer moved, and the statement is planned afresh.
 func (c *Coordinator) bindPlan(e *serving.PlanEntry, vals []types.Value) *serving.PlanEntry {
+	if !e.Template || serving.SameValues(e.Values, vals) {
+		return e
+	}
 	logical, err := plan.BindSlots(e.Logical, vals)
 	if err != nil {
 		return nil
@@ -172,7 +169,6 @@ func (c *Coordinator) buildPlanEntry(logical plan.Node, dp *plan.DistributedPlan
 		Tables:      tables,
 		Schemas:     make([]int64, len(tables)),
 		Rows:        make([]int64, len(tables)),
-		Versions:    c.tableVersions(tables),
 		Pushdown:    c.pushdown(logical),
 		ResultBase:  serving.ResultBase(tmpl.Key, cols),
 		ResultOK:    deterministic && c.allVersioned(tables),
@@ -228,6 +224,67 @@ func isVersioned(conn connector.Connector) bool {
 	return ok
 }
 
+// scanReads records, for each of tables (a plan's scanTables), the bound
+// constraint of every scan of it in n: what a result of n may depend on.
+func scanReads(n plan.Node, tables [][2]string) []serving.TableRead {
+	reads := make([]serving.TableRead, len(tables))
+	for i, t := range tables {
+		reads[i] = serving.TableRead{Catalog: t[0], Table: t[1]}
+	}
+	plan.Walk(n, func(n plan.Node) {
+		if sc, ok := n.(*plan.Scan); ok {
+			i := slices.Index(tables, [2]string{sc.Handle.Catalog, sc.Handle.Table})
+			reads[i].Scans = append(reads[i].Scans, sc.Handle.Constraint)
+		}
+	})
+	return reads
+}
+
+// appendLog returns the catalog's connector.AppendLog, or nil.
+func (c *Coordinator) appendLog(catalog string) connector.AppendLog {
+	conn, err := c.Catalog.Connector(catalog)
+	if err != nil {
+		return nil
+	}
+	log, _ := conn.(connector.AppendLog)
+	return log
+}
+
+// resultFresh is the result cache's serving.Freshness: a result stamped at
+// stamp still holds while each table it read is at its stamped version, or
+// moved from it only by appends its connector logged and no scan of the table
+// admits a row of. It then holds at the versions those appends reached.
+func (c *Coordinator) resultFresh(reads []serving.TableRead, stamp []int64) ([]int64, bool) {
+	now := stamp
+	for i, r := range reads {
+		if c.Catalog.TableVersion(r.Catalog, r.Table) == stamp[i] {
+			continue
+		}
+		log := c.appendLog(r.Catalog)
+		if log == nil {
+			return nil, false
+		}
+		disjoint := true
+		to, ok := log.Appends(r.Table, stamp[i], func(s *connector.AppendSummary) bool {
+			for _, d := range r.Scans {
+				if !s.Disjoint(d) {
+					disjoint = false
+					return false
+				}
+			}
+			return true
+		})
+		if !ok || !disjoint {
+			return nil, false
+		}
+		if &now[0] == &stamp[0] {
+			now = slices.Clone(stamp)
+		}
+		now[i] = to
+	}
+	return now, true
+}
+
 // observeLatency records one statement's end-to-end latency.
 func (c *Coordinator) observeLatency(start time.Time) {
 	if c.stmtLatency != nil {
@@ -239,7 +296,10 @@ func (c *Coordinator) observeLatency(start time.Time) {
 // bound to its literals, and false when the cache has none for it (a lookup
 // counts as one like a statement's). Tests compare them with a fresh Plan.
 func (c *Coordinator) CachedPlan(sql string, session Session) (plan.Node, *plan.DistributedPlan, bool) {
-	e, _ := c.cachedPlan(sql, c.admitSession(session))
+	e, tmpl := c.cachedPlan(sql, c.admitSession(session))
+	if e != nil {
+		e = c.bindPlan(e, tmpl.Values)
+	}
 	if e == nil {
 		return nil, nil, false
 	}

@@ -360,6 +360,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`presto_memory_reserved_limit_bytes{worker="0"}`,
 		"presto_metadata_cache_hits_total ",
 		"presto_metadata_cache_entries ",
+		"presto_result_cache_restamps_total ",
 		"presto_queries_running ",
 		`presto_stage_input_skew_bucket{le="1.15"} `,
 		`presto_stage_input_skew_bucket{le="+Inf"} `,

@@ -21,22 +21,19 @@ type PlanEntry struct {
 	// Template.LiteralKey instead, and serves only the same literals.
 	Template bool
 	Values   []types.Value
-	// Tables lists the (catalog, table) pairs the plan reads; Schemas, Rows
-	// and Versions are aligned with it and were read at planning time. The
-	// plan stays valid while each table's schema version is the same and its
-	// row count within RowDrift of Rows (statistics chose the join order);
-	// Versions are the data versions the planning run's result key names.
-	Tables   [][2]string
-	Schemas  []int64
-	Rows     []int64
-	Versions []int64
+	// Tables lists the (catalog, table) pairs the plan reads; Schemas and
+	// Rows are aligned with it and were read at planning time. The plan stays
+	// valid while each table's schema version is the same and its row count
+	// within RowDrift of Rows (statistics chose the join order).
+	Tables  [][2]string
+	Schemas []int64
+	Rows    []int64
 	// Pushdown records, for each scan with a constraint (in plan.Walk
 	// order), the columns its connector enforced. A hit re-runs the
 	// pushdown on the bound constraint and replans if the answer differs.
 	Pushdown [][]string
 	// ResultBase fingerprints the template key + output schema — the part of
-	// the result-cache key that neither the statement's literals nor the
-	// table versions change.
+	// the result-cache key that the statement's literals do not change.
 	ResultBase uint64
 	// ResultOK marks plans whose final results may be cached: read-only,
 	// deterministic, and every referenced table comes from a versioned

@@ -14,9 +14,9 @@ import (
 // only in the literals of value positions share a Template.Key, so they share
 // one plan: the coordinator binds each statement's Values into it.
 type Template struct {
-	// Key is the statement's token stream — comments dropped, keywords and
-	// unquoted identifiers folded, each lifted literal replaced by its type —
-	// then the catalog and the planning flags.
+	// Key is the statement's token stream — comments dropped, keywords
+	// folded, identifiers as written, each lifted literal replaced by its
+	// type — then the catalog and the planning flags.
 	Key string
 	// Values holds the lifted literals; slot s is Values[s-1].
 	Values []types.Value
@@ -165,23 +165,15 @@ func (k *keyBuilder) keep(src string, t sqlparser.Token) {
 	k.space()
 	switch t.Kind {
 	case sqlparser.TokIdent:
+		// An identifier keeps its spelling: the analyzer labels an output
+		// column as it was written, so Name and name share no plan.
 		if src[t.Pos] == '"' {
 			k.buf.WriteByte('"')
 			k.buf.WriteString(strings.ReplaceAll(t.Text, `"`, `""`))
 			k.buf.WriteByte('"')
 			return
 		}
-		for i := 0; i < len(t.Text); i++ {
-			c := t.Text[i]
-			if c >= 0x80 {
-				k.buf.WriteString(strings.ToLower(t.Text[i:]))
-				return
-			}
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			k.buf.WriteByte(c)
-		}
+		k.buf.WriteString(t.Text)
 	case sqlparser.TokString:
 		k.buf.WriteByte('\'')
 		k.buf.WriteString(strings.ReplaceAll(t.Text, "'", "''"))

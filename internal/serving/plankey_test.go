@@ -24,7 +24,7 @@ func TestPlanKey(t *testing.T) {
 		values   []types.Value
 	}{
 		{"SELECT  1", "SELECT 1", nil},
-		{"select\n\t X  FROM T", "SELECT x FROM t", nil},
+		{"select\n\t X  FROM T", "SELECT X FROM T", nil},
 		{`SELECT "Mixed ""q""" FROM t`, `SELECT "Mixed ""q""" FROM t`, nil},
 		{"SELECT 'it''s  X'", "SELECT 'it''s  X'", nil},
 		{"SELECT a FROM t -- it's\nWHERE c = 'SF'", "SELECT a FROM t WHERE c = ?s",
@@ -50,7 +50,7 @@ func TestPlanKey(t *testing.T) {
 			"SELECT a FROM t WHERE s LIKE 'ab%' AND substr ( s , 1 , 2 ) = ?s",
 			[]types.Value{types.VarcharValue("ab")}},
 		{"SELECT a FROM t WHERE d < DATE '1995-01-01' + INTERVAL '3' DAY",
-			"SELECT a FROM t WHERE d < ?t + INTERVAL '3' day", []types.Value{types.DateValue(9131)}},
+			"SELECT a FROM t WHERE d < ?t + INTERVAL '3' DAY", []types.Value{types.DateValue(9131)}},
 		{"SELECT a FROM t WHERE k IN (SELECT b FROM u GROUP BY 1, 2)",
 			"SELECT a FROM t WHERE k IN ( SELECT b FROM u GROUP BY 1 , 2 )", nil},
 		{"SELECT a FROM t WHERE k BETWEEN x AND 5", "SELECT a FROM t WHERE k BETWEEN x AND 5", nil},

@@ -1,14 +1,16 @@
 package serving
 
 import (
-	"fmt"
 	"hash/fnv"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/block"
 	"repro/internal/faultinject"
+	"repro/internal/plan"
 	"repro/internal/types"
 )
 
@@ -16,12 +18,11 @@ import (
 // under (system memory, non-spillable).
 const ResultPoolOwner = "@resultcache"
 
-// ResultBase fingerprints the version-independent identity of a query's
-// result but for its lifted literals: the statement's template key (its
-// tokens, catalog and planning flags) plus the output column names. Combined
-// with the literals and the table versions by ResultKey. (The plan's EXPLAIN
-// text would not do: it renders a CASE as "CASE(...)", so statements that
-// differ inside one would share results.)
+// ResultBase fingerprints the identity of a query's result but for its
+// lifted literals: the statement's template key (its tokens, catalog and
+// planning flags) plus the output column names. Combined with the literals by
+// ResultKey. (The plan's EXPLAIN text would not do: it renders a CASE as
+// "CASE(...)", so statements that differ inside one would share results.)
 func ResultBase(templateKey string, columns []string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(templateKey))
@@ -30,19 +31,26 @@ func ResultBase(templateKey string, columns []string) uint64 {
 	return h.Sum64()
 }
 
-// ResultKey combines a plan fingerprint, the literals bound into it (none for
-// a plan that is not a template) and the referenced tables' connector
-// versions, so any write moves repeat queries to a fresh key and the stale
-// entry ages out.
-func ResultKey(base uint64, values []types.Value, tables [][2]string, versions []int64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%016x", base)
-	b.Write(appendValues(nil, values))
-	for i, t := range tables {
-		fmt.Fprintf(&b, "|%s.%s@%d", t[0], t[1], versions[i])
-	}
-	return b.String()
+// ResultKey combines a plan fingerprint and the literals bound into it (none
+// for a plan that is not a template). The data it was read from is not in the
+// key: each entry carries the versions it holds at (ResultCache.Get).
+func ResultKey(base uint64, values []types.Value) string {
+	return string(appendValues(strconv.AppendUint(nil, base, 16), values))
 }
+
+// TableRead is what a cached result read of one table: the constraint of
+// each scan of it, bound to the statement's literals (an unconstrained scan
+// has an All domain). Rows that no scan's domain admits cannot have changed
+// the result.
+type TableRead struct {
+	Catalog, Table string
+	Scans          []*plan.Domain
+}
+
+// Freshness decides whether a cached result still holds: given what it read
+// and the table versions it is stamped at (aligned with reads), it returns
+// the versions it holds at — stamp itself when no table moved — or false.
+type Freshness func(reads []TableRead, stamp []int64) ([]int64, bool)
 
 // ResultEntry is one cached final result set.
 type ResultEntry struct {
@@ -51,7 +59,10 @@ type ResultEntry struct {
 	Rows    int64
 	size    int64
 	sum     uint64
-	tables  [][2]string
+	reads   []TableRead
+	// versions is the stamp, aligned with reads; a re-stamp replaces the
+	// slice (under the cache's lock), never writes into it.
+	versions []int64
 }
 
 // ResultCacheConfig sizes a ResultCache.
@@ -76,9 +87,13 @@ type ResultCacheConfig struct {
 
 // ResultCacheStats are the cache's counters.
 type ResultCacheStats struct {
-	Hits          int64
-	Misses        int64
+	Hits   int64
+	Misses int64
+	// Invalidations counts entries dropped because a table they read
+	// changed; Restamps counts hits on entries whose tables moved only by
+	// appends none of their scans read.
 	Invalidations int64
+	Restamps      int64
 	Corruptions   int64
 	Rejected      int64 // results too large (or unreservable) to admit
 	Entries       int
@@ -86,9 +101,10 @@ type ResultCacheStats struct {
 }
 
 // ResultCache is the versioned result cache: small final result sets served
-// without admission, planning, or execution. Every hit re-verifies the
-// entry's structural checksum (checksumPages: counts, sizes and each page's
-// first and last row) so corruption degrades to a miss.
+// without admission, planning, or execution. Every hit re-checks that the
+// entry still holds (its Freshness) and re-verifies its structural checksum
+// (checksumPages: counts, sizes and each page's first and last row), so a
+// stale or corrupt entry degrades to a miss.
 type ResultCache struct {
 	mu      sync.Mutex
 	cfg     ResultCacheConfig
@@ -120,35 +136,62 @@ func NewResultCache(cfg ResultCacheConfig) *ResultCache {
 	return c
 }
 
-// Get returns a verified entry, or misses. A checksum mismatch (real
-// corruption or an injected SiteResultCacheCorrupt fault) drops the entry
-// and reports a miss — the query re-executes and may re-admit a good copy.
-func (c *ResultCache) Get(key string) (*ResultEntry, bool) {
+// Get returns the entry under key when fresh says it still holds, re-stamped
+// at the versions fresh returns, and verified. An entry fresh rejects is
+// dropped and counted as an invalidation; fresh runs outside the cache's
+// lock. A checksum mismatch (real corruption or an injected
+// SiteResultCacheCorrupt fault) drops the entry too. Either way Get misses,
+// and the query executes and may admit a good copy.
+func (c *ResultCache) Get(key string, fresh Freshness) (*ResultEntry, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	v, ok, _ := c.lru.get(key)
 	if !ok {
 		c.stats.Misses++
+		c.mu.Unlock()
 		return nil, false
 	}
 	e := v.(*ResultEntry)
+	stamp := e.versions
+	c.mu.Unlock()
+	now, ok := fresh(e.reads, stamp)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, in := c.lru.items[key]
+	held := in && el.Value.(*lruItem).val == e // not replaced or dropped meanwhile
+	if !ok {
+		if held {
+			c.lru.remove(key)
+			c.stats.Invalidations++
+		}
+		c.stats.Misses++
+		return nil, false
+	}
 	sum := checksumPages(e.Pages)
 	if c.cfg.Inject.Err(faultinject.SiteResultCacheCorrupt) != nil {
 		sum = ^sum
 	}
 	if sum != e.sum {
-		c.lru.remove(key)
+		if held {
+			c.lru.remove(key)
+		}
 		c.stats.Corruptions++
 		c.stats.Misses++
 		return nil, false
+	}
+	if !slices.Equal(now, stamp) {
+		c.stats.Restamps++
+		if &e.versions[0] == &stamp[0] { // unless another lookup re-stamped it meanwhile
+			e.versions = now
+		}
 	}
 	c.stats.Hits++
 	return e, true
 }
 
-// Put admits a result set, charging its bytes to the accountant. Oversized
-// or unreservable results are rejected, never partially admitted.
-func (c *ResultCache) Put(key string, columns []string, pages []*block.Page, rows int64, tables [][2]string) bool {
+// Put admits a result set read at versions (aligned with reads), charging its
+// bytes to the accountant. Oversized or unreservable results are rejected,
+// never partially admitted.
+func (c *ResultCache) Put(key string, columns []string, pages []*block.Page, rows int64, reads []TableRead, versions []int64) bool {
 	size := pagesSize(pages)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -163,12 +206,13 @@ func (c *ResultCache) Put(key string, columns []string, pages []*block.Page, row
 		}
 	}
 	e := &ResultEntry{
-		Columns: columns,
-		Pages:   pages,
-		Rows:    rows,
-		size:    size,
-		sum:     checksumPages(pages),
-		tables:  tables,
+		Columns:  columns,
+		Pages:    pages,
+		Rows:     rows,
+		size:     size,
+		sum:      checksumPages(pages),
+		reads:    reads,
+		versions: versions,
 	}
 	if !c.lru.put(key, e, size) {
 		if c.cfg.Accountant != nil {
@@ -177,8 +221,8 @@ func (c *ResultCache) Put(key string, columns []string, pages []*block.Page, row
 		c.stats.Rejected++
 		return false
 	}
-	for _, t := range tables {
-		tk := t[0] + "." + t[1]
+	for _, r := range reads {
+		tk := r.Catalog + "." + r.Table
 		if c.byTable[tk] == nil {
 			c.byTable[tk] = map[string]struct{}{}
 		}
@@ -188,9 +232,8 @@ func (c *ResultCache) Put(key string, columns []string, pages []*block.Page, row
 }
 
 // InvalidateTable drops every result derived from the table; returns the
-// number dropped. Version-keyed misses already keep repeat queries fresh —
-// this hook additionally frees the dead entries' memory immediately and
-// covers any connector without version counters.
+// number dropped. The check on each lookup already keeps repeat queries
+// fresh; on DDL this frees the dead entries' memory at once.
 func (c *ResultCache) InvalidateTable(catalog, table string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -223,8 +266,8 @@ func (c *ResultCache) Stats() ResultCacheStats {
 }
 
 func (c *ResultCache) unindex(key string, e *ResultEntry) {
-	for _, t := range e.tables {
-		tk := t[0] + "." + t[1]
+	for _, r := range e.reads {
+		tk := r.Catalog + "." + r.Table
 		if m := c.byTable[tk]; m != nil {
 			delete(m, key)
 			if len(m) == 0 {
@@ -251,9 +294,9 @@ func pagesSize(pages []*block.Page) int64 {
 // A result that fails, is cancelled, or outgrows the entry bound is
 // abandoned — the cache never holds partial results.
 type Capture struct {
-	c      *ResultCache
-	key    string
-	tables [][2]string
+	c     *ResultCache
+	key   string
+	reads []TableRead
 
 	mu    sync.Mutex
 	pages []*block.Page
@@ -262,9 +305,9 @@ type Capture struct {
 	dead  bool
 }
 
-// NewCapture starts a capture destined for key.
-func (c *ResultCache) NewCapture(key string, tables [][2]string) *Capture {
-	return &Capture{c: c, key: key, tables: tables}
+// NewCapture starts a capture destined for key, of a result that reads reads.
+func (c *ResultCache) NewCapture(key string, reads []TableRead) *Capture {
+	return &Capture{c: c, key: key, reads: reads}
 }
 
 // Observe records one streamed page. Called from the result's page path, so
@@ -285,8 +328,9 @@ func (cp *Capture) Observe(p *block.Page) {
 	cp.rows += int64(p.RowCount())
 }
 
-// Commit admits the captured result after a clean drain.
-func (cp *Capture) Commit(columns []string) bool {
+// Commit admits the captured result after a clean drain, stamped at the
+// table versions it holds at.
+func (cp *Capture) Commit(columns []string, versions []int64) bool {
 	cp.mu.Lock()
 	dead, pages, rows := cp.dead, cp.pages, cp.rows
 	cp.dead = true
@@ -295,7 +339,7 @@ func (cp *Capture) Commit(columns []string) bool {
 	if dead {
 		return false
 	}
-	return cp.c.Put(cp.key, columns, pages, rows, cp.tables)
+	return cp.c.Put(cp.key, columns, pages, rows, cp.reads, versions)
 }
 
 // Abandon discards the capture (failed or cancelled result).

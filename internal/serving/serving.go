@@ -17,13 +17,16 @@
 //     drops the table's plans.
 //
 //   - ResultCache (resultcache.go): a byte-bounded LRU over small final
-//     result sets, keyed by the template key, the lifted literals and the
-//     connector version keys. Entries are charged to the node memory pool as
-//     system memory under ResultPoolOwner, verified by structural checksum on
-//     every hit (corruption degrades to a miss), and invalidated by the same
-//     write hooks that invalidate the metadata/split caches. Its budget
-//     (16 MiB, an eighth of it per entry) and expiry (5m) are this package's
-//     defaults.
+//     result sets, keyed by the template key and the lifted literals. An
+//     entry carries the data version of each table it read and the bound
+//     domain of each scan; it holds while those versions are the same, or
+//     moved only by appends that no scan's domain admits
+//     (connector.AppendLog), and is then re-stamped at the new versions.
+//     Anything else drops it at that lookup; DDL drops a table's results at
+//     once. Entries are charged to the node memory pool as
+//     system memory under ResultPoolOwner and verified by structural checksum
+//     on every hit (corruption degrades to a miss). Its budget (16 MiB, an
+//     eighth of it per entry) and expiry (5m) are this package's defaults.
 //
 // The coordinator owns a Tier (plan + result caches). Each layer has a switch
 // (exec.DisablePlanCache / DisableResultCache) that a cluster sets for all
@@ -40,7 +43,9 @@ type Tier struct {
 
 // InvalidateTable drops every cached plan and result that reads the table.
 // Wired into the coordinator's DDL hook, next to the metadata/split cache
-// invalidation.
+// invalidation. A data write calls nothing here: it changes rows, not what a
+// plan may assume of them (PlanEntry says how long that holds), and each
+// result is checked against what was written at its next lookup.
 func (t *Tier) InvalidateTable(catalog, table string) {
 	if t == nil {
 		return
@@ -48,14 +53,7 @@ func (t *Tier) InvalidateTable(catalog, table string) {
 	if t.Plans != nil {
 		t.Plans.InvalidateTable(catalog, table)
 	}
-	t.InvalidateData(catalog, table)
-}
-
-// InvalidateData drops every cached result that reads the table, and leaves
-// its plans: a data write changes rows, not what a plan may assume of them
-// (PlanEntry says how long that holds).
-func (t *Tier) InvalidateData(catalog, table string) {
-	if t != nil && t.Results != nil {
+	if t.Results != nil {
 		t.Results.InvalidateTable(catalog, table)
 	}
 }

@@ -2,12 +2,14 @@ package serving
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/block"
 	"repro/internal/faultinject"
+	"repro/internal/plan"
 	"repro/internal/types"
 )
 
@@ -164,19 +166,19 @@ func TestResultCacheRoundTripAndAccounting(t *testing.T) {
 	acct := &memAccountant{}
 	rc := NewResultCache(ResultCacheConfig{MaxBytes: 1 << 20, Accountant: acct})
 	pages := []*block.Page{testPage(10, 0), testPage(5, 10)}
-	tables := [][2]string{{"m", "t"}}
-	if !rc.Put("k1", []string{"x"}, pages, 15, tables) {
+	reads := []TableRead{{Catalog: "m", Table: "t", Scans: []*plan.Domain{nil}}}
+	if !rc.Put("k1", []string{"x"}, pages, 15, reads, []int64{1}) {
 		t.Fatal("put rejected")
 	}
 	if acct.bytes() == 0 {
 		t.Fatal("no bytes charged to the accountant")
 	}
-	e, ok := rc.Get("k1")
+	e, ok := rc.Get("k1", unmoved)
 	if !ok || e.Rows != 15 || len(e.Pages) != 2 || e.Columns[0] != "x" {
 		t.Fatalf("get = %+v ok=%v", e, ok)
 	}
 	rc.InvalidateTable("m", "t")
-	if _, ok := rc.Get("k1"); ok {
+	if _, ok := rc.Get("k1", unmoved); ok {
 		t.Fatal("entry survived invalidation")
 	}
 	if acct.bytes() != 0 {
@@ -191,7 +193,7 @@ func TestResultCacheRoundTripAndAccounting(t *testing.T) {
 func TestResultCacheRejectsWhenUnreservable(t *testing.T) {
 	acct := &memAccountant{limit: 8}
 	rc := NewResultCache(ResultCacheConfig{MaxBytes: 1 << 20, Accountant: acct})
-	if rc.Put("k", []string{"x"}, []*block.Page{testPage(100, 0)}, 100, nil) {
+	if rc.Put("k", []string{"x"}, []*block.Page{testPage(100, 0)}, 100, nil, nil) {
 		t.Fatal("put should fail when the pool cannot reserve")
 	}
 	if acct.bytes() != 0 {
@@ -207,11 +209,11 @@ func TestResultCacheCorruptionDegradesToMiss(t *testing.T) {
 		Site: faultinject.SiteResultCacheCorrupt, Kind: faultinject.KindError, Rate: 1, MaxFaults: 1,
 	})
 	rc := NewResultCache(ResultCacheConfig{Inject: inj})
-	rc.Put("k", []string{"x"}, []*block.Page{testPage(4, 0)}, 4, nil)
-	if _, ok := rc.Get("k"); ok {
+	rc.Put("k", []string{"x"}, []*block.Page{testPage(4, 0)}, 4, nil, nil)
+	if _, ok := rc.Get("k", unmoved); ok {
 		t.Fatal("corrupted hit must degrade to a miss")
 	}
-	if _, ok := rc.Get("k"); ok {
+	if _, ok := rc.Get("k", unmoved); ok {
 		t.Fatal("corrupted entry must be dropped, not served later")
 	}
 	st := rc.Stats()
@@ -224,23 +226,64 @@ func TestCaptureCommitAndOverflow(t *testing.T) {
 	rc := NewResultCache(ResultCacheConfig{MaxBytes: 1 << 20, MaxEntryBytes: 64})
 	cp := rc.NewCapture("k", nil)
 	cp.Observe(testPage(2, 0))
-	if !cp.Commit([]string{"x"}) {
+	if !cp.Commit([]string{"x"}, nil) {
 		t.Fatal("small capture should commit")
 	}
-	if e, ok := rc.Get("k"); !ok || e.Rows != 2 {
+	if e, ok := rc.Get("k", unmoved); !ok || e.Rows != 2 {
 		t.Fatalf("committed entry: %+v ok=%v", e, ok)
 	}
 	// Over the entry bound: the capture goes dead and never commits.
 	cp = rc.NewCapture("big", nil)
 	cp.Observe(testPage(100, 0))
-	if cp.Commit([]string{"x"}) {
+	if cp.Commit([]string{"x"}, nil) {
 		t.Fatal("oversized capture must not commit")
 	}
 	// Abandoned captures never commit either.
 	cp = rc.NewCapture("ab", nil)
 	cp.Observe(testPage(1, 0))
 	cp.Abandon()
-	if cp.Commit([]string{"x"}) {
+	if cp.Commit([]string{"x"}, nil) {
 		t.Fatal("abandoned capture must not commit")
+	}
+}
+
+// unmoved is the Freshness of tables nobody writes.
+func unmoved(_ []TableRead, stamp []int64) ([]int64, bool) { return stamp, true }
+
+// TestResultCacheFreshness: a lookup serves an entry its Freshness holds,
+// re-stamped at the versions that returns, and drops one it rejects.
+func TestResultCacheFreshness(t *testing.T) {
+	rc := NewResultCache(ResultCacheConfig{})
+	reads := []TableRead{{Catalog: "m", Table: "a"}, {Catalog: "m", Table: "b"}}
+	rc.Put("k", []string{"x"}, []*block.Page{testPage(3, 0)}, 3, reads, []int64{4, 9})
+
+	var seen []int64
+	moved := func(r []TableRead, stamp []int64) ([]int64, bool) {
+		seen = stamp
+		return []int64{4, 12}, true
+	}
+	if _, ok := rc.Get("k", moved); !ok {
+		t.Fatal("an entry its freshness holds was not served")
+	}
+	if !slices.Equal(seen, []int64{4, 9}) {
+		t.Fatalf("freshness saw stamp %v, want [4 9]", seen)
+	}
+	if _, ok := rc.Get("k", moved); !ok || !slices.Equal(seen, []int64{4, 12}) {
+		t.Fatalf("the entry was not re-stamped: the next lookup saw %v", seen)
+	}
+	// The second lookup found the entry at the versions it holds at.
+	if st := rc.Stats(); st.Hits != 2 || st.Restamps != 1 || st.Invalidations != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+
+	stale := func([]TableRead, []int64) ([]int64, bool) { return nil, false }
+	if _, ok := rc.Get("k", stale); ok {
+		t.Fatal("an entry its freshness rejects was served")
+	}
+	if _, ok := rc.Get("k", unmoved); ok {
+		t.Fatal("a rejected entry was kept")
+	}
+	if st := rc.Stats(); st.Invalidations != 1 || st.Entries != 0 || st.Misses != 2 {
+		t.Fatalf("stats = %+v", st)
 	}
 }

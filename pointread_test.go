@@ -28,7 +28,13 @@ const (
 // serving_mix loads it. The result cache is off so that every read executes.
 func eventsCluster(t *testing.T) *Cluster {
 	t.Helper()
-	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true})
+	return eventsClusterWith(t, ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true})
+}
+
+// eventsClusterWith is eventsCluster on a cluster built from cfg.
+func eventsClusterWith(t *testing.T, cfg ClusterConfig) *Cluster {
+	t.Helper()
+	c := NewCluster(cfg)
 	t.Cleanup(c.Close)
 	apps, ones := make([]int64, 0, eventKeys*eventsPerKey), make([]int64, 0, eventKeys*eventsPerKey)
 	for k := 0; k < eventKeys; k++ {

@@ -18,9 +18,13 @@
 #                             # prune-only; a task's own filter arrives
 #                             # with its build; the effect tests on a
 #                             # cross-fragment filter beside a direct feed)
-#                             # + point-read byte budget, a resident
+#                             # + point-read and result-hit byte
+#                             # budgets, a resident
 #                             # table's scan line and written
-#                             # tables + dictionary paths (guards, stats,
+#                             # tables + a cached result outliving the
+#                             # appends it misses (a differential
+#                             # against the cache off, under -race)
+#                             # + dictionary paths (guards, stats,
 #                             # a panicking operator fails one query)
 #                             # + borrowed-page and released-scratch
 #                             # poison run (lazy lake scans and
@@ -91,7 +95,9 @@
 #                             # config), statement documents (against
 #                             # json.Marshal), plan-cache keys (a literal
 #                             # of the same type or a comment keeps the
-#                             # key, a changed kept token moves it), and
+#                             # key, a changed kept token moves it),
+#                             # append summaries (one called disjoint from
+#                             # a domain holds no row it contains), and
 #                             # the join position table
 #                             # (random keys and page sizes, every join
 #                             # type, with and without a residual, keyed
@@ -235,9 +241,20 @@ go test -race -count=10 -run 'TestDynFilterPlacement|TestDynFilterArrivesWithIts
 go test -race -count=1 -run 'TestCollectCellsMatchesCollect|TestBoundedSummaryPrunesOnly' ./internal/dynfilter/
 go test -race -count=1 -run 'TestDynamicFilterPrunesSelectiveJoin|TestDynamicFilterEmptyBuildShortCircuit|TestChaosDynamicFilterDelayAndLoss' .
 
-echo "==> what a point read pays: byte budget (no -race: it skips under it), a resident table's scan reads its one page, a written table stays worth scanning"
-go test -count=1 -v -run 'TestPointReadByteBudget|TestResidentTableScanLine' . | grep -E '^(---|ok|FAIL|panic)|bytes per'
+echo "==> what a point read pays: byte budgets (no -race: they skip under it) of an executed read and of a result-cache hit on a template with other literals, a resident table's scan reads its one page, a written table stays worth scanning"
+# A result-cache hit binds no plan: it is looked up on the unbound template.
+go test -count=1 -v -run 'TestPointReadByteBudget|TestResultHitByteBudget|TestResidentTableScanLine' . | grep -E '^(---|ok|FAIL|panic)|bytes per'
 go test -race -count=1 -run 'TestInsertsMergeIntoTail|TestSplitReadsItsSnapshot' ./internal/connectors/memconn/
+
+echo "==> a cached result outlives the appends its scans could not read"
+# Seeded INSERT streams (single and multi-row, hot, cold and NULL keys, an
+# INSERT ... SELECT, a DROP/CREATE) between point, IN-list, range, IS NULL,
+# unconstrained and join reads: every answer equals the DisableResultCache
+# one, some from re-stamped entries. A write still reaches every reader that
+# must see it, and identifiers keep their spelling in the plan key. All
+# under -race.
+go test -race -count=1 -run 'TestResultCacheAppendsDifferential|TestServingResultCacheInvalidation|TestServingConcurrentWriteWhileRead|TestPlanKeyKeepsIdentifierSpelling' .
+go test -race -count=1 ./internal/connector/ ./internal/serving/
 
 echo "==> what a low-cardinality string costs: stored under one dictionary a column, resolved by combination, guarded by rows >= entries; a panicking operator fails one query"
 # The dict-rows figures are read off the statements' own stats: the pages
@@ -455,6 +472,8 @@ if [ "$fuzz" = 1 ]; then
   go test -fuzz '^FuzzCreateRequestDecode$' -fuzztime 10s ./internal/wire/
   echo "==> fuzz smoke: plan-cache keys: same-type literals and comments keep a key, a changed kept token moves it (10s)"
   go test -run '^$' -fuzz '^FuzzPlanKey$' -fuzztime 10s ./internal/serving/
+  echo "==> fuzz smoke: an appended batch its summary calls disjoint from a domain holds no row the domain contains (10s)"
+  go test -run '^$' -fuzz '^FuzzAppendDisjoint$' -fuzztime 10s ./internal/connector/
   echo "==> fuzz smoke: statement documents, random pages of every type and block encoding, against json.Marshal of the boxed rendering (10s)"
   go test -run '^$' -fuzz '^FuzzStatementDocument$' -fuzztime 10s ./internal/httpapi/
 fi
