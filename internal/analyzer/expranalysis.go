@@ -300,7 +300,7 @@ func coerceExpr(e expr.Expr, t types.Type) (expr.Expr, error) {
 		// same way.
 		v, err := c.Val.Coerce(t)
 		if err == nil {
-			return expr.NewSlotConst(v, c.Slot()), nil
+			return expr.NewSlotConst(v, c.Slot), nil
 		}
 	}
 	if !types.CanCoerce(e.Type(), t) {

@@ -350,15 +350,144 @@ func (c *ctx) planJoin(r *sqlparser.Join) (*relationPlan, error) {
 			return nil, fmt.Errorf("JOIN condition must be boolean, got %s", cond.Type())
 		}
 	}
-	if cond != nil {
-		equi, residual := extractEquiClauses(cond, len(left.scope.fields))
-		join.Equi = equi
-		join.Residual = residual
-	}
 	if jt != plan.CrossJoin && cond == nil {
 		return nil, fmt.Errorf("%s JOIN requires a condition", r.Type)
 	}
-	return &relationPlan{node: join, scope: combined}, nil
+	if cond == nil {
+		return &relationPlan{node: join, scope: combined}, nil
+	}
+	join.Equi, join.Residual = extractEquiClauses(cond, len(left.scope.fields))
+	return &relationPlan{node: castKeys(join, len(left.scope.fields)), scope: combined}, nil
+}
+
+// castKeys gives a join the keys its residual holds behind a cast: an
+// equality of the two sides whose types differ (BIGINT = DOUBLE) compares
+// CAST(col AS DOUBLE) with the other side's column, which extractEquiClauses
+// leaves in the residual, and a join without a key meets every probe row with
+// every build row. Each cast operand becomes a column appended to its side's
+// input by a projection below the join, and the join keys on it. The residual
+// keeps the equality, so the rows that join are exactly those it admits: the
+// join table matches a NaN key with a NaN key, the comparison does not. A
+// projection above the join drops the appended columns; j is returned as it
+// is when its residual holds no such equality.
+func castKeys(j *plan.Join, leftWidth int) plan.Node {
+	// side is 0 for an operand over left columns only, 1 for right only, -1
+	// otherwise.
+	side := func(e expr.Expr) int {
+		cols := expr.Columns(e)
+		switch {
+		case len(cols) == 0:
+			return -1
+		case cols[len(cols)-1] < leftWidth:
+			return 0
+		case cols[0] >= leftWidth:
+			return 1
+		}
+		return -1
+	}
+	// keyable: a column, or a BIGINT column cast to DOUBLE. That cast cannot
+	// fail, so evaluating it below the join, on rows that meet no partner, is
+	// safe; a cast that can (a VARCHAR's, a DOUBLE's to BIGINT) stays in the
+	// residual, which only candidate pairs reach.
+	keyable := func(e expr.Expr) bool {
+		switch x := e.(type) {
+		case *expr.ColumnRef:
+			return true
+		case *expr.Cast:
+			_, ok := x.E.(*expr.ColumnRef)
+			return ok && x.E.Type() == types.Bigint && x.T == types.Double
+		}
+		return false
+	}
+	var extra [2][]expr.Expr // cast operands appended to the left and right inputs
+	var keys [][2]expr.Expr  // (left operand, right operand) of each new key
+	if j.Residual != nil {
+		for _, cj := range splitConjuncts(j.Residual) {
+			cmp, ok := cj.(*expr.Compare)
+			if !ok || cmp.Op != expr.CmpEq || !keyable(cmp.L) || !keyable(cmp.R) || cmp.L.Type() != cmp.R.Type() {
+				continue
+			}
+			switch t := cmp.L.Type(); t {
+			case types.Bigint, types.Double, types.Date:
+			default:
+				continue
+			}
+			l, r := cmp.L, cmp.R
+			if side(l) == 1 && side(r) == 0 {
+				l, r = r, l
+			}
+			if side(l) != 0 || side(r) != 1 {
+				continue
+			}
+			keys = append(keys, [2]expr.Expr{l, r})
+			for s, e := range []expr.Expr{l, r} {
+				if _, cast := e.(*expr.Cast); cast {
+					extra[s] = append(extra[s], e)
+				}
+			}
+		}
+	}
+	if len(extra[0])+len(extra[1]) == 0 {
+		return j
+	}
+	out := j.Out
+	rightWidth := len(out) - leftWidth
+	// The appended left columns shift the right side's by nl.
+	nl := len(extra[0])
+	shift := func(e expr.Expr) expr.Expr {
+		return expr.Rewrite(e, func(x expr.Expr) expr.Expr {
+			if c, ok := x.(*expr.ColumnRef); ok && c.Index >= leftWidth {
+				return &expr.ColumnRef{Index: c.Index + nl, T: c.T, Name: c.Name}
+			}
+			return nil
+		})
+	}
+	// widen appends side s's cast operands to its input; base rebases an
+	// operand's columns onto that input.
+	widen := func(n plan.Node, s, base int) plan.Node {
+		if len(extra[s]) == 0 {
+			return n
+		}
+		sch := n.Schema()
+		exprs := make([]expr.Expr, 0, len(sch)+len(extra[s]))
+		schema := slices.Clone(sch)
+		for i, f := range sch {
+			exprs = append(exprs, &expr.ColumnRef{Index: i, T: f.T, Name: f.Name})
+		}
+		for i, e := range extra[s] {
+			exprs = append(exprs, expr.Rewrite(e, func(x expr.Expr) expr.Expr {
+				if c, ok := x.(*expr.ColumnRef); ok {
+					return &expr.ColumnRef{Index: c.Index - base, T: c.T, Name: c.Name}
+				}
+				return nil
+			}))
+			schema = append(schema, plan.Field{Name: fmt.Sprintf("$key%d", i), T: e.Type()})
+		}
+		return &plan.Project{Input: n, Exprs: exprs, Out: schema}
+	}
+	// key is where an operand of side s lands among its input's columns.
+	key := func(e expr.Expr, s, base, width int) int {
+		if c, ok := e.(*expr.ColumnRef); ok {
+			return c.Index - base
+		}
+		return width + slices.Index(extra[s], e)
+	}
+	keyed := &plan.Join{Type: j.Type, Left: widen(j.Left, 0, 0), Right: widen(j.Right, 1, leftWidth),
+		Equi: slices.Clone(j.Equi), Residual: shift(j.Residual), NullAware: j.NullAware}
+	// The clauses already there stay: each side's columns keep their places.
+	for _, k := range keys {
+		keyed.Equi = append(keyed.Equi, plan.EquiClause{Left: key(k[0], 0, 0, leftWidth), Right: key(k[1], 1, leftWidth, rightWidth)})
+	}
+	keyed.Out = append(slices.Clone(keyed.Left.Schema()), keyed.Right.Schema()...)
+	exprs := make([]expr.Expr, len(out))
+	for i, f := range out {
+		at := i
+		if i >= leftWidth {
+			at += nl
+		}
+		exprs[i] = &expr.ColumnRef{Index: at, T: f.T, Name: f.Name}
+	}
+	return &plan.Project{Input: keyed, Exprs: exprs, Out: out}
 }
 
 // extractEquiClauses splits a join condition into equi-join clauses

@@ -24,6 +24,7 @@ import (
 	"repro/internal/serving"
 	"repro/internal/sqlparser"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // Config tunes the coordinator.
@@ -480,8 +481,16 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 	tier := c.cfg.Serving
 	var logical plan.Node
 	var dp *plan.DistributedPlan
+	var forms []wire.Form // nil until a cached plan runs again
 	var tables [][2]string
 	var resultKey string
+	// binds holds the statement's literals, which a plan parsed with its
+	// template's slots runs with (none: a plan runs its own), and binds its
+	// scans' constraints to them.
+	binds := &scanBinder{}
+	if tmpl != nil {
+		binds.vals = tmpl.Values
+	}
 
 	resultCacheOn := servable && tier != nil && tier.Results != nil && !session.Switches.Has(exec.DisableResultCache)
 	if pre != nil {
@@ -520,14 +529,14 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 		c.retire(q)
 	}
 	if pre != nil {
-		if pre = c.bindPlan(pre, tmpl.Values); pre != nil {
-			logical, dp, tables = pre.Logical, pre.Distributed, pre.Tables
+		if c.canBind(pre, binds) {
+			logical, dp, tables, forms = pre.Logical, pre.Distributed, pre.Tables, pre.Forms(encodeForms)
 		} else if stmt, err = sqlparser.ParseSlots(sql, tmpl.Pos); err != nil {
 			err = fmt.Errorf("parse error: %w", err)
 			end(err)
 			return nil, nil, err
 		} else {
-			resultKey = "" // the fresh plan keys its own result
+			pre, resultKey = nil, "" // the fresh plan keys its own result
 		}
 	}
 	if release, err = c.queue.Acquire(qctx, session.Source); err != nil {
@@ -598,7 +607,7 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 	var reads []serving.TableRead
 	var readVersions []int64
 	if resultKey != "" {
-		reads, readVersions = scanReads(logical, tables), c.tableVersions(tables)
+		reads, readVersions = scanReads(logical, tables, binds), c.tableVersions(tables)
 	}
 
 	q.setState(StateRunning)
@@ -607,7 +616,7 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 	for attempt := 0; ; attempt++ {
 		var workers []workerClient
 		if workers, err = c.workerClients(); err == nil {
-			result, err = c.schedule(workers, q, dp)
+			result, err = c.schedule(workers, q, statementPlan{dp: dp, forms: forms, binds: binds})
 		}
 		if err == nil {
 			break

@@ -73,14 +73,25 @@ func (w *httpWorker) resultsURI(id exec.TaskID, part int) string {
 func (w *httpWorker) CreateTasks(specs []*taskSpec) (taskGroup, error) {
 	g := &httpGroup{w: w, base: w.uri + "/v1/query/" + specs[0].ID.QueryID, stop: make(chan struct{})}
 	req := wire.CreateRequest{Config: *specs[0].Config}
+	if run := specs[0].Run; run != nil && len(run.Values) > 0 {
+		var err error
+		if req.Values, err = wire.MarshalValues(run.Values); err != nil {
+			return nil, err
+		}
+	}
 	for _, spec := range specs {
 		id := spec.ID
 		if !slices.Contains(g.fragments, id.Fragment) {
-			frag, err := wire.MarshalFragment(spec.Fragment)
-			if err != nil {
-				return nil, fmt.Errorf("serializing fragment %d: %w", id.Fragment, err)
+			doc := wire.FragmentDoc{ID: id.Fragment}
+			if spec.Run != nil && spec.Run.Form != nil {
+				doc.Body = spec.Run.Form.Body
+			} else {
+				var err error
+				if doc.Body, err = wire.MarshalFragment(spec.Fragment); err != nil {
+					return nil, fmt.Errorf("serializing fragment %d: %w", id.Fragment, err)
+				}
 			}
-			g.fragments, req.Fragments = append(g.fragments, id.Fragment), append(req.Fragments, frag)
+			g.fragments, req.Fragments = append(g.fragments, id.Fragment), append(req.Fragments, doc)
 		}
 		ts := wire.TaskSpec{Fragment: id.Fragment, Index: id.Index, OutPartitions: spec.OutPartitions, Relay: spec.Relay}
 		for pid, producers := range spec.Sources {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dynfilter"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
+	"repro/internal/plan"
 	"repro/internal/shuffle"
 )
 
@@ -51,7 +52,14 @@ func (c *Coordinator) startLocal(w *exec.Worker, spec *taskSpec) (*exec.Task, er
 				faultinject.WrapFetcher(c.cfg.FaultInject, &placedOutput{p: p, part: spec.ID.Index}))
 		}
 	}
-	return w.CreateTask(spec.ID, spec.Fragment, spec.Mem, spec.OutPartitions, sources, spec.Config,
+	frag := exec.TaskFragment{Load: func() (*plan.Fragment, error) { return spec.Fragment, nil }}
+	if run := spec.Run; run != nil {
+		frag.Values = run.Values
+		if run.Form != nil {
+			frag.Digest = run.Form.Digest
+		}
+	}
+	return w.CreateTask(spec.ID, frag, spec.Mem, spec.OutPartitions, sources, spec.Config,
 		exec.FilterRelay{IDs: spec.Relay, Publish: spec.Publish})
 }
 
@@ -76,6 +84,9 @@ func (o *placedOutput) Fetch(token int64, maxBytes int64, wait time.Duration) ([
 	}
 	return o.out.Fetch(token, maxBytes, wait)
 }
+
+// InProcess declares the fetcher in-process (shuffle.InProcess).
+func (o *placedOutput) InProcess() {}
 
 // localTaskClient is a task this process can be told about one at a time.
 type localTaskClient interface {

@@ -13,6 +13,8 @@ import (
 	"repro/internal/memory"
 	"repro/internal/plan"
 	"repro/internal/shuffle"
+	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // The scheduler (paper §III, §IV-D) is one algorithm — stage placement, lazy
@@ -24,8 +26,8 @@ import (
 // There are two implementations: localclient.go calls *exec.Worker /
 // *exec.Task directly (a group is a loop over tasks), httpclient.go speaks
 // the task API (a group is three requests and a status channel). The
-// scheduler never sees net/http or the wire format; a client never picks a
-// worker.
+// scheduler never sees net/http, and passes a fragment's wire form through
+// without reading it; a client never picks a worker.
 
 // workerClient places tasks on one worker.
 type workerClient interface {
@@ -50,8 +52,10 @@ type taskSpec struct {
 	ID exec.TaskID
 	// Worker is where the task runs. With ID it is all a consumer in another
 	// process needs of a producer, and both are known before either exists.
-	Worker        workerClient
-	Fragment      *plan.Fragment
+	Worker   workerClient
+	Fragment *plan.Fragment
+	// Run is what every task of the fragment runs with.
+	Run           *fragmentRun
 	OutPartitions int
 	// Sources lists, per producing fragment id, the producer tasks; this
 	// task reads output partition ID.Index of each.
@@ -174,6 +178,25 @@ func (c *Coordinator) workerClients() ([]workerClient, error) {
 	return nil, fmt.Errorf("cluster has no workers")
 }
 
+// fragmentRun is what every task of a statement's fragment runs with: the
+// fragment's wire form, which the HTTP client sends and a worker keys its
+// compiled form of the fragment by (nil: none, each task compiles its own);
+// and the statement's literals, which the tasks read as parameters and bind
+// their scans' constraints to (none: the fragment's own).
+type fragmentRun struct {
+	Form   *wire.Form
+	Values []types.Value
+}
+
+// statementPlan is what a statement runs: its fragments, their wire forms (by
+// fragment id; nil: none) and its literals, with what binds its scans'
+// constraints to them.
+type statementPlan struct {
+	dp    *plan.DistributedPlan
+	forms []wire.Form
+	binds *scanBinder
+}
+
 // schedule places tasks for every fragment of the distributed plan on a
 // snapshot of the alive workers (elastic scale-out/in replaces the list
 // concurrently; paper §IV-D2): leaf (source) stages get a task on every
@@ -183,7 +206,11 @@ func (c *Coordinator) workerClients() ([]workerClient, error) {
 // assigned from the stage's ledger before anything is created and travel with
 // the tasks; every other scan is enumerated lazily once they exist (§IV-D3),
 // each split going to the eligible task the ledger says is lightest.
-func (c *Coordinator) schedule(workers []workerClient, q *Query, dp *plan.DistributedPlan) (*Result, error) {
+func (c *Coordinator) schedule(workers []workerClient, q *Query, sp statementPlan) (*Result, error) {
+	dp := sp.dp
+	if sp.binds == nil {
+		sp.binds = &scanBinder{}
+	}
 	nWorkers, remote := len(workers), workers[0].Remote()
 
 	cfg := c.cfg.Task
@@ -232,7 +259,19 @@ func (c *Coordinator) schedule(workers []workerClient, q *Query, dp *plan.Distri
 				publish, relay = hub.publish, relayed
 			}
 		}
+		// Splits are enumerated for the scans' constraints bound to the
+		// statement's literals.
 		scans := exec.ScanOrder(f.Root)
+		for i, sc := range scans {
+			var err error
+			if scans[i], err = sp.binds.scan(sc); err != nil {
+				return nil, err
+			}
+		}
+		run := &fragmentRun{Values: sp.binds.vals}
+		if sp.forms != nil {
+			run.Form = &sp.forms[f.ID]
+		}
 		noMore := make([]bool, len(scans))
 		for i := range stage {
 			wi := i % nWorkers // source stages: task i on worker i
@@ -242,7 +281,7 @@ func (c *Coordinator) schedule(workers []workerClient, q *Query, dp *plan.Distri
 			}
 			stage[i] = taskSpec{
 				ID:     exec.TaskID{QueryID: q.Info.ID, Fragment: f.ID, Index: i},
-				Worker: workers[wi], Fragment: f, OutPartitions: outParts[f.ID], Sources: sources,
+				Worker: workers[wi], Fragment: f, Run: run, OutPartitions: outParts[f.ID], Sources: sources,
 				Splits: make([][]connector.Split, len(scans)), NoMore: noMore,
 				Config: &cfg, Mem: q.qmem, Publish: publish, Relay: relay,
 				on: wi, created: created,

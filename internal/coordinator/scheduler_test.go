@@ -259,7 +259,7 @@ func (f *schedFixture) scheduleSession(t *testing.T, sql string, n int, s Sessio
 	}
 	q := &Query{coord: f.c, session: s}
 	q.Info.ID = "q1"
-	res, err := f.c.schedule(f.cl.workers(n), q, dp)
+	res, err := f.c.schedule(f.cl.workers(n), q, statementPlan{dp: dp})
 	return dp, q, res, err
 }
 

@@ -16,6 +16,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/serving"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // scanTables collects the distinct (catalog, table) pairs a plan reads, in
@@ -109,40 +110,80 @@ func (c *Coordinator) planValid(e *serving.PlanEntry) bool {
 	return true
 }
 
-// bindPlan returns the plans to run a cache entry with for the literals vals:
-// the entry itself when it is not a template or was planned with vals, and
-// otherwise a copy with vals bound into both of its plans, as a prepared
-// statement binds its parameters: join order, distribution and estimates stay
-// as planned. The connectors' pushdown is asked again for the bound
-// constraints (a sharded connector routes by them); nil means a value does not
-// coerce or the pushdown answer moved, and the statement is planned afresh.
-func (c *Coordinator) bindPlan(e *serving.PlanEntry, vals []types.Value) *serving.PlanEntry {
-	if !e.Template || serving.SameValues(e.Values, vals) {
-		return e
+// canBind reports whether a cache entry runs with the literals vals, as a
+// prepared statement runs with its parameters: join order, distribution and
+// estimates stay as planned, and nothing is copied. The plan runs unbound —
+// its tasks read vals as parameters, and a scan's constraint is bound where it
+// is read (split enumeration, a worker's page sources) — so what is checked
+// here is that every value coerces to each type the plan holds its slot at,
+// and that the connectors' pushdown answers the bound constraints as it
+// answered the planned ones (a sharded connector routes by them). false: the
+// statement is planned afresh.
+func (c *Coordinator) canBind(e *serving.PlanEntry, b *scanBinder) bool {
+	if !e.Template || serving.SameValues(e.Values, b.vals) {
+		return true
 	}
-	logical, err := plan.BindSlots(e.Logical, vals)
-	if err != nil {
-		return nil
+	for _, st := range e.Coercions {
+		if _, err := b.vals[st.Slot-1].Coerce(st.T); err != nil {
+			return false
+		}
 	}
-	dp, err := e.Distributed.BindSlots(vals)
-	if err != nil || !slices.EqualFunc(c.pushdown(logical), e.Pushdown, slices.Equal) {
-		return nil
+	pd, err := c.pushdown(e.Logical, b)
+	return err == nil && slices.EqualFunc(pd, e.Pushdown, slices.Equal)
+}
+
+// scanBinder binds scan constraints to a statement's literals vals (none: the
+// plan's own), each distinct constraint once for the statement: a template's
+// fragments share their scans' constraints with its logical plan.
+type scanBinder struct {
+	vals     []types.Value
+	from, to []*plan.Domain
+}
+
+// bind returns d bound: d itself when it holds no lifted bound.
+func (b *scanBinder) bind(d *plan.Domain) (*plan.Domain, error) {
+	if len(b.vals) == 0 || d.All() {
+		return d, nil
 	}
-	bound := *e
-	bound.Logical, bound.Distributed = logical, dp
-	return &bound
+	i := slices.Index(b.from, d)
+	if i < 0 {
+		bound, err := d.Bind(b.vals)
+		if err != nil {
+			return nil, err
+		}
+		b.from, b.to, i = append(b.from, d), append(b.to, bound), len(b.from)
+	}
+	return b.to[i], nil
+}
+
+// scan returns sc with its constraint bound: sc itself when it holds no
+// lifted bound.
+func (b *scanBinder) scan(sc *plan.Scan) (*plan.Scan, error) {
+	d, err := b.bind(sc.Handle.Constraint)
+	if err != nil || d == sc.Handle.Constraint {
+		return sc, err
+	}
+	cp := *sc
+	cp.Handle.Constraint = d
+	return &cp, nil
 }
 
 // pushdown asks each constrained scan's connector which constraint columns it
-// enforces, in plan.Walk order.
-func (c *Coordinator) pushdown(n plan.Node) [][]string {
+// enforces, in plan.Walk order, with the constraints bound by b.
+func (c *Coordinator) pushdown(n plan.Node, b *scanBinder) ([][]string, error) {
 	var out [][]string
+	var err error
 	plan.Walk(n, func(n plan.Node) {
-		if sc, ok := n.(*plan.Scan); ok && !sc.Handle.Constraint.All() {
-			out = append(out, c.Catalog.Pushdown(sc.Handle.Catalog, sc.Handle.Table, sc.Handle.Constraint))
+		sc, ok := n.(*plan.Scan)
+		if !ok || sc.Handle.Constraint.All() || err != nil {
+			return
+		}
+		var d *plan.Domain
+		if d, err = b.bind(sc.Handle.Constraint); err == nil {
+			out = append(out, c.Catalog.Pushdown(sc.Handle.Catalog, sc.Handle.Table, d))
 		}
 	})
-	return out
+	return out, err
 }
 
 // buildPlanEntry packages a freshly optimized read-only plan for the caches.
@@ -161,6 +202,7 @@ func (c *Coordinator) buildPlanEntry(logical plan.Node, dp *plan.DistributedPlan
 	for _, f := range logical.Schema() {
 		cols = append(cols, f.Name)
 	}
+	pushdown, _ := c.pushdown(logical, &scanBinder{})
 	e := &serving.PlanEntry{
 		Logical:     logical,
 		Distributed: dp,
@@ -169,15 +211,32 @@ func (c *Coordinator) buildPlanEntry(logical plan.Node, dp *plan.DistributedPlan
 		Tables:      tables,
 		Schemas:     make([]int64, len(tables)),
 		Rows:        make([]int64, len(tables)),
-		Pushdown:    c.pushdown(logical),
+		Pushdown:    pushdown,
 		ResultBase:  serving.ResultBase(tmpl.Key, cols),
 		ResultOK:    deterministic && c.allVersioned(tables),
+	}
+	for _, f := range dp.Fragments {
+		e.Coercions = plan.SlotTypes(f.Root, e.Coercions)
 	}
 	for i, t := range tables {
 		e.Schemas[i] = c.Catalog.SchemaVersion(t[0], t[1])
 		e.Rows[i] = c.Catalog.Stats(t[0], t[1]).RowCount
 	}
 	return e, deterministic
+}
+
+// encodeForms encodes each fragment of dp, for the life of a plan entry
+// (serving.PlanEntry.Forms): nil when one does not encode.
+func encodeForms(dp *plan.DistributedPlan) []wire.Form {
+	forms := make([]wire.Form, len(dp.Fragments))
+	for _, f := range dp.Fragments {
+		form, err := wire.EncodeFragment(f)
+		if err != nil {
+			return nil
+		}
+		forms[f.ID] = form
+	}
+	return forms
 }
 
 // isTemplate reports whether each of the statement's slots is traced in the
@@ -224,9 +283,10 @@ func isVersioned(conn connector.Connector) bool {
 	return ok
 }
 
-// scanReads records, for each of tables (a plan's scanTables), the bound
-// constraint of every scan of it in n: what a result of n may depend on.
-func scanReads(n plan.Node, tables [][2]string) []serving.TableRead {
+// scanReads records, for each of tables (a plan's scanTables), the
+// constraint of every scan of it in n, bound by b: what a result of n may
+// depend on.
+func scanReads(n plan.Node, tables [][2]string, b *scanBinder) []serving.TableRead {
 	reads := make([]serving.TableRead, len(tables))
 	for i, t := range tables {
 		reads[i] = serving.TableRead{Catalog: t[0], Table: t[1]}
@@ -234,7 +294,12 @@ func scanReads(n plan.Node, tables [][2]string) []serving.TableRead {
 	plan.Walk(n, func(n plan.Node) {
 		if sc, ok := n.(*plan.Scan); ok {
 			i := slices.Index(tables, [2]string{sc.Handle.Catalog, sc.Handle.Table})
-			reads[i].Scans = append(reads[i].Scans, sc.Handle.Constraint)
+			// canBind has bound every constraint before.
+			d, err := b.bind(sc.Handle.Constraint)
+			if err != nil {
+				d = sc.Handle.Constraint
+			}
+			reads[i].Scans = append(reads[i].Scans, d)
 		}
 	})
 	return reads
@@ -292,16 +357,14 @@ func (c *Coordinator) observeLatency(start time.Time) {
 	}
 }
 
-// CachedPlan returns the plans a plan-cache hit would run the statement with,
-// bound to its literals, and false when the cache has none for it (a lookup
-// counts as one like a statement's). Tests compare them with a fresh Plan.
-func (c *Coordinator) CachedPlan(sql string, session Session) (plan.Node, *plan.DistributedPlan, bool) {
+// CachedPlan returns the plans a plan-cache hit would run the statement with
+// and the literals it would run them with, and false when the cache has none
+// for it (a lookup counts as one like a statement's). Tests compare them, the
+// literals substituted, with a fresh Plan.
+func (c *Coordinator) CachedPlan(sql string, session Session) (plan.Node, *plan.DistributedPlan, []types.Value, bool) {
 	e, tmpl := c.cachedPlan(sql, c.admitSession(session))
-	if e != nil {
-		e = c.bindPlan(e, tmpl.Values)
+	if e == nil || !c.canBind(e, &scanBinder{vals: tmpl.Values}) {
+		return nil, nil, nil, false
 	}
-	if e == nil {
-		return nil, nil, false
-	}
-	return e.Logical, e.Distributed, true
+	return e.Logical, e.Distributed, tmpl.Values, true
 }

@@ -78,7 +78,7 @@ func scanDriversStarted(t *testing.T, threads, splits int, cfg TaskConfig) int {
 	}
 	task.mu.Lock()
 	defer task.mu.Unlock()
-	return task.scanPipes[0].driversStarted
+	return task.scanPipe(0).driversStarted
 }
 
 // TestScanDriversCappedAtThreads: scan drivers are not tied to splits, so a

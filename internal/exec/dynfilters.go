@@ -199,8 +199,8 @@ func (t *Task) DeliverFilter(id int, s *dynfilter.Summary) {
 // shortCircuitLocked drops the remaining splits of every scan an empty build
 // proved joins nothing. Caller holds t.mu.
 func (t *Task) shortCircuitLocked() {
-	for _, p := range t.scanPipes {
-		if t.dynEmpty(p) {
+	for _, p := range t.compiled {
+		if p.source == srcScan && t.dynEmpty(p) {
 			t.dropScanSplitsLocked(p)
 		}
 	}
@@ -341,7 +341,8 @@ func (t *Task) dynArrived(p *pipelineSpec) func() []expr.DynFilter {
 // dynNarrowedHandle returns the scan's table handle narrowed, for connector
 // pruning, by the summaries that have arrived at split-open time.
 func (t *Task) dynNarrowedHandle(p *pipelineSpec) plan.TableHandle {
-	h := p.scanHandle
+	h := p.handle
+	h.Constraint = p.constraint
 	fs := t.dynApplied(p, false)
 	if len(fs) == 0 {
 		return h

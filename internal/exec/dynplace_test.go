@@ -229,7 +229,7 @@ func TestDynFilterArrivesWithItsBuild(t *testing.T) {
 		if spec.source != srcScan {
 			continue
 		}
-		src, err := conn.Splits(spec.scanHandle)
+		src, err := conn.Splits(spec.handle)
 		if err != nil {
 			t.Fatal(err)
 		}

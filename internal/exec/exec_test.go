@@ -329,7 +329,8 @@ func TestWorkerLifecycle(t *testing.T) {
 	w := NewWorker(0, &testRegistry{conn: conn}, WorkerConfig{Threads: 1})
 	defer w.Close()
 	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: w.Pool})
-	task, err := w.CreateTask(TaskID{QueryID: "q", Fragment: 0}, buildScanFragment("mem"), qmem, 1, nil, nil, FilterRelay{})
+	frag := TaskFragment{Load: func() (*plan.Fragment, error) { return buildScanFragment("mem"), nil }}
+	task, err := w.CreateTask(TaskID{QueryID: "q", Fragment: 0}, frag, qmem, 1, nil, nil, FilterRelay{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestGroupsPerInstance(t *testing.T) {
 	}
 	partial := &plan.GroupEstimate{Groups: 30_000, Rows: 120_000, Source: plan.EstStats}
 	final := &plan.GroupEstimate{Groups: 30_000, Source: plan.EstStats}
-	scan, exchange := &pipelineSpec{source: srcScan}, &pipelineSpec{source: srcExchange}
+	scan, exchange := &pipelineSpec{pipeTemplate: &pipeTemplate{source: srcScan}}, &pipelineSpec{pipeTemplate: &pipeTemplate{source: srcExchange}}
 	for _, tc := range []struct {
 		name    string
 		task    *Task

@@ -109,22 +109,37 @@ func joinTestTable() *memconn.Connector {
 // by group first (how many partial rows a group gets depends on how the
 // drivers shared the input): the last column is summed, exactly — the
 // table's doubles are multiples of a half.
-func runJoinFragment(t *testing.T, root plan.Node) (rows []string, joinBytes int64) {
+func runJoinFragment(t testing.TB, root plan.Node) (rows []string, joinBytes int64) {
+	t.Helper()
+	frag := &plan.Fragment{Root: root, OutputPartitioning: plan.Partitioning{Kind: plan.PartitionSingle}, OutputConsumer: -1}
+	cf, err := Compile(frag, TaskConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runCompiledJoin(t, root, cf, nil)
+}
+
+// runCompiledJoin is runJoinFragment over cf, root's compiled form, run with
+// the literals vals (none: its own).
+func runCompiledJoin(t testing.TB, root plan.Node, cf *CompiledFragment, vals []types.Value) (rows []string, joinBytes int64) {
 	t.Helper()
 	conn := joinTestTable()
 	ex := NewExecutor(ExecutorConfig{Threads: 2, Quanta: time.Millisecond})
 	defer ex.Close()
 	pool := memory.NewNodePool(1<<30, 0)
 	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
-	frag := &plan.Fragment{Root: root, OutputPartitioning: plan.Partitioning{Kind: plan.PartitionSingle}, OutputConsumer: -1}
-	task, err := NewTask(TaskID{QueryID: "q"}, frag, 0, ex, &testRegistry{conn: conn}, qmem, pool, 1, nil, TaskConfig{})
+	task, err := newTask(TaskID{QueryID: "q"}, cf, &TaskFragment{Values: vals}, 0, ex, &testRegistry{conn: conn}, qmem, pool, 1, nil, TaskConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := task.Start(); err != nil {
 		t.Fatal(err)
 	}
-	for scanID := range task.scanPipes {
+	for _, p := range task.compiled {
+		if p.source != srcScan {
+			continue
+		}
+		scanID := p.scanID
 		src, err := conn.Splits(plan.TableHandle{Catalog: "mem", Table: "t"})
 		if err != nil {
 			t.Fatal(err)

@@ -31,19 +31,20 @@ const (
 	srcValues
 )
 
-// pipelineSpec is one compiled pipeline of a task: a source plus factories
-// creating the downstream operator chain per driver.
-type pipelineSpec struct {
+// pipeTemplate is one compiled pipeline of a fragment: a source plus the
+// factories that create the downstream operator chain per driver. It is part
+// of a CompiledFragment, so every task that runs the fragment shares it and
+// nothing writes it after compilation.
+type pipeTemplate struct {
 	id     int
 	source sourceKind
 
 	// srcScan
-	scanID     int
-	scanHandle plan.TableHandle
-	scanCols   []string
-	scanNode   *plan.Scan   // output schema
-	morsels    *morselQueue // the scan's splits, which every driver of the pipeline drains
-	dynSubs    []dynSub     // the scan's dynamic-filter subscriptions
+	scanID   int
+	handle   plan.TableHandle // its constraint's lifted bounds are bound per task
+	scanCols []string
+	scanNode *plan.Scan // output schema
+	subs     []dynSub   // the scan's dynamic-filter subscriptions, without stats
 
 	// srcExchange
 	exchangeFragments []int
@@ -51,8 +52,39 @@ type pipelineSpec struct {
 	// srcValues
 	values *plan.Values
 
-	// mkOps builds the per-driver operator chain after the source.
-	mkOps func(ctx *driverCtx) ([]operators.Operator, error)
+	// names labels each operator position's stats, index 0 the source, and
+	// factories build the per-driver operator chain after the source.
+	names     []string
+	factories []opFactory
+	// aggs are the hash aggregations with a group estimate, by position.
+	aggs []aggSite
+
+	// build is the join (CompiledFragment.joins) whose table the pipeline
+	// builds, -1 none; probes are those it probes.
+	build  int
+	probes []int
+
+	// hasWriter marks pipelines containing a table writer (adaptive
+	// scaling candidates).
+	hasWriter bool
+}
+
+// aggSite is a hash aggregation at operator position pos with a group
+// estimate, which each task divides among its instances.
+type aggSite struct {
+	pos int
+	est *plan.GroupEstimate
+}
+
+// pipelineSpec is one pipeline of a task: its template, and what the task
+// keeps for it.
+type pipelineSpec struct {
+	*pipeTemplate
+
+	// srcScan
+	constraint *plan.Domain // the scan's constraint, bound to the task's literals
+	morsels    *morselQueue // the scan's splits, which every driver of the pipeline drains
+	dynSubs    []dynSub     // the scan's dynamic-filter subscriptions, with the task's stats
 
 	// opStats holds one shared stats object per operator position (index 0
 	// is the source); every driver of the pipeline writes into the same
@@ -65,10 +97,7 @@ type pipelineSpec struct {
 
 	// exchangeClient is the shared client for srcExchange pipelines.
 	exchangeClient *shuffle.ExchangeClient
-	// hasWriter marks pipelines containing a table writer (adaptive
-	// scaling candidates).
-	hasWriter bool
-	scaledAt  atomic.Int64 // unix nanoseconds of the last look at a writer's backlog
+	scaledAt       atomic.Int64 // unix nanoseconds of the last look at a writer's backlog
 	// noMoreDrivers records that the pipeline starts no more drivers.
 	noMoreDrivers bool
 
@@ -77,8 +106,26 @@ type pipelineSpec struct {
 	driversDone    int
 }
 
+// mkOps builds one driver's operator chain after the source.
+func (p *pipelineSpec) mkOps(ctx *driverCtx) ([]operators.Operator, error) {
+	ctx.pipe = p
+	ops := make([]operators.Operator, 0, len(p.factories))
+	for i, f := range p.factories {
+		ctx.stats = p.opStats[i+1]
+		ctx.last = nil
+		op, err := f(ctx)
+		if err != nil {
+			return nil, err
+		}
+		ops = append(ops, op)
+		ctx.ctxs = append(ctx.ctxs, ctx.last)
+	}
+	ctx.stats = nil
+	return ops, nil
+}
+
 // sourceName labels the pipeline's source operator position for stats.
-func (p *pipelineSpec) sourceName() string {
+func (p *pipeTemplate) sourceName() string {
 	switch p.source {
 	case srcScan:
 		return "TableScan"
@@ -96,6 +143,7 @@ func (p *pipelineSpec) sourceName() string {
 // create so the driver can sample memory and attribute time.
 type driverCtx struct {
 	task  *Task
+	pipe  *pipelineSpec
 	stats *operators.OpStats
 	last  *operators.OpContext
 	ctxs  []*operators.OpContext
@@ -114,12 +162,16 @@ func (d *driverCtx) opCtx(kind memory.Kind) *operators.OpContext {
 	return c
 }
 
-// compiler translates a fragment's plan tree into pipelines.
+// compiler translates a fragment's plan tree into pipelines. Nothing it
+// produces belongs to a task: what a task keeps of its own — join bridges,
+// processors, literals — a factory takes from the driverCtx.
 type compiler struct {
-	task      *Task
-	pipelines []*pipelineSpec
-	scans     []*plan.Scan
-	pageSize  int
+	pipelines   []*pipeTemplate
+	scans       []*plan.Scan
+	joins       []*joinSpec
+	params      []paramSpec
+	pageSize    int
+	interpreted bool
 
 	// published holds the filters a join of the fragment publishes, as
 	// compilation learns where they test rows.
@@ -139,11 +191,11 @@ type placedFilter struct {
 // opFactory builds one operator for a driver.
 type opFactory func(ctx *driverCtx) (operators.Operator, error)
 
-// chain accumulates named factories for the pipeline being built, and the
-// stats object of each operator, filled in as compilation learns about it.
+// chain accumulates named factories for the pipeline being built.
 type chain struct {
-	spec      *pipelineSpec
-	stats     []*operators.OpStats
+	c         *compiler
+	spec      *pipeTemplate
+	names     []string
 	factories []opFactory
 	// dynScan is the pipeline's scan while it has row-tested dynamic-filter
 	// subscriptions and nothing has been placed on it yet: whatever is
@@ -157,7 +209,7 @@ func (c *chain) append(name string, f opFactory) {
 		// which hands on untouched a page the filters drop nothing from.
 		c.appendProcessor(nil, identityExprs(sc.Schema()))
 	}
-	c.stats = append(c.stats, &operators.OpStats{Name: name})
+	c.names = append(c.names, name)
 	c.factories = append(c.factories, f)
 }
 
@@ -166,45 +218,64 @@ func (c *chain) append(name string, f opFactory) {
 // processor runs them ahead of pred, over the one selection vector the page
 // is gathered by.
 func (c *chain) appendProcessor(pred expr.Expr, exprs []expr.Expr) {
-	spec, dyn := c.spec, c.dynScan != nil
+	dyn := c.dynScan != nil
 	c.dynScan = nil
-	c.append("FilterProject", func(ctx *driverCtx) (operators.Operator, error) {
-		op := operators.NewFilterProject(ctx.opCtx(memory.System), ctx.task.newProcessor(pred, exprs))
-		if dyn {
-			op.Processor().SetDynamicFilters(ctx.task.dynArrivals.Load, ctx.task.dynArrived(spec))
+	c.append("FilterProject", filterProject(c.c.program(pred, exprs), dyn))
+}
+
+// program compiles a filter and projection list once for every task that
+// runs the fragment: a lifted literal becomes a parameter, which each task's
+// processors read from its own literals (Task.params).
+func (c *compiler) program(pred expr.Expr, exprs []expr.Expr) *expr.Program {
+	pred, exprs = c.parameterize(pred), slices.Clone(exprs)
+	for i, e := range exprs {
+		exprs[i] = c.parameterize(e)
+	}
+	if c.interpreted {
+		return expr.InterpretedProgram(pred, exprs)
+	}
+	return expr.CompileProgram(pred, exprs)
+}
+
+// parameterize rewrites every slot-tagged constant of e as a Param.
+func (c *compiler) parameterize(e expr.Expr) expr.Expr {
+	lifted := false
+	expr.Walk(e, func(x expr.Expr) {
+		if k, ok := x.(*expr.Const); ok && k.Slot > 0 && !k.Val.Null {
+			lifted = true
 		}
-		return op, nil
+	})
+	if !lifted {
+		return e
+	}
+	return expr.Rewrite(e, func(x expr.Expr) expr.Expr {
+		if k, ok := x.(*expr.Const); ok && k.Slot > 0 && !k.Val.Null {
+			return &expr.Param{Index: c.param(k), T: k.Val.T}
+		}
+		return nil
 	})
 }
 
+// param numbers a lifted constant's parameter: one per slot and type.
+func (c *compiler) param(k *expr.Const) int {
+	for i, p := range c.params {
+		if p.slot == k.Slot && p.planned.T == k.Val.T {
+			return i
+		}
+	}
+	c.params = append(c.params, paramSpec{slot: k.Slot, planned: k.Val})
+	return len(c.params) - 1
+}
+
 func (c *compiler) newPipeline() *chain {
-	spec := &pipelineSpec{id: len(c.pipelines)}
+	spec := &pipeTemplate{id: len(c.pipelines), build: -1}
 	c.pipelines = append(c.pipelines, spec)
-	return &chain{spec: spec}
+	return &chain{c: c, spec: spec}
 }
 
 func (c *chain) seal() {
-	fs := c.factories
-	spec := c.spec
-	spec.opStats = append([]*operators.OpStats{{Name: spec.sourceName()}}, c.stats...)
-	for _, sub := range spec.dynSubs {
-		sub.stats.scan = spec.opStats[0]
-	}
-	spec.mkOps = func(ctx *driverCtx) ([]operators.Operator, error) {
-		ops := make([]operators.Operator, 0, len(fs))
-		for i, f := range fs {
-			ctx.stats = spec.opStats[i+1]
-			ctx.last = nil
-			op, err := f(ctx)
-			if err != nil {
-				return nil, err
-			}
-			ops = append(ops, op)
-			ctx.ctxs = append(ctx.ctxs, ctx.last)
-		}
-		ctx.stats = nil
-		return ops, nil
-	}
+	c.spec.names = append([]string{c.spec.sourceName()}, c.names...)
+	c.spec.factories = c.factories
 }
 
 // inputReleaser is implemented by operators that can be done with an input
@@ -271,9 +342,7 @@ func (c *compiler) compileFragment(f *plan.Fragment) error {
 	case plan.PartitionRoundRobin:
 		mode = operators.OutputRoundRobin
 	}
-	root.append("PartitionedOutput", func(ctx *driverCtx) (operators.Operator, error) {
-		return operators.NewPartitionedOutput(ctx.opCtx(memory.System), ctx.task.output, mode, hashCols), nil
-	})
+	root.append("PartitionedOutput", partitionedOutput(mode, hashCols))
 	root.seal()
 	return nil
 }
@@ -285,18 +354,18 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 	case *plan.Scan:
 		pb.spec.source = srcScan
 		pb.spec.scanID = len(c.scans)
-		pb.spec.scanHandle = x.Handle
+		pb.spec.handle = x.Handle
 		pb.spec.scanCols = x.Columns
 		pb.spec.scanNode = x
 		c.scans = append(c.scans, x)
 		for _, df := range x.DynFilters {
-			sub := dynSub{ScanDynFilter: df, rowTested: true, stats: &dynCounter{}}
+			sub := dynSub{ScanDynFilter: df, rowTested: true}
 			if i := slices.IndexFunc(c.published, func(f placedFilter) bool { return f.id == df.ID }); i >= 0 {
 				f := &c.published[i]
 				sub.own, sub.rowTested = true, f.direct != x
 				f.rowTested = f.rowTested || sub.rowTested
 			}
-			pb.spec.dynSubs = append(pb.spec.dynSubs, sub)
+			pb.spec.subs = append(pb.spec.subs, sub)
 			if sub.rowTested {
 				pb.dynScan = x
 			}
@@ -360,9 +429,7 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 		if x.Partial {
 			off = 0
 		}
-		pb.append("Limit", func(ctx *driverCtx) (operators.Operator, error) {
-			return operators.NewLimit(ctx.opCtx(memory.System), nRows, off), nil
-		})
+		pb.append("Limit", limitOp(nRows, off))
 		return nil
 
 	case *plan.Sort:
@@ -370,9 +437,7 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 			return err
 		}
 		cols, desc := splitKeys(x.Keys)
-		pb.append("Sort", func(ctx *driverCtx) (operators.Operator, error) {
-			return operators.NewSort(ctx.opCtx(memory.User), cols, desc, c.pageSize), nil
-		})
+		pb.append("Sort", sortOp(cols, desc, c.pageSize))
 		return nil
 
 	case *plan.TopN:
@@ -380,10 +445,7 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 			return err
 		}
 		cols, desc := splitKeys(x.Keys)
-		nRows := x.N
-		pb.append("TopN", func(ctx *driverCtx) (operators.Operator, error) {
-			return operators.NewTopN(ctx.opCtx(memory.User), cols, desc, nRows), nil
-		})
+		pb.append("TopN", topNOp(cols, desc, x.N))
 		return nil
 
 	case *plan.Window:
@@ -391,21 +453,20 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 			return err
 		}
 		cols, desc := splitKeys(x.OrderBy)
-		part := x.PartitionBy
-		funcs := x.Funcs
-		pb.append("Window", func(ctx *driverCtx) (operators.Operator, error) {
-			return operators.NewWindow(ctx.opCtx(memory.User), part, cols, desc, funcs, c.pageSize), nil
-		})
+		funcs := slices.Clone(x.Funcs)
+		for i := range funcs {
+			if funcs[i].Arg != nil {
+				funcs[i].Arg = c.parameterize(funcs[i].Arg)
+			}
+		}
+		pb.append("Window", windowOp(x.PartitionBy, cols, desc, funcs, c.pageSize))
 		return nil
 
 	case *plan.EnforceSingleRow:
 		if err := c.compile(x.Input, pb); err != nil {
 			return err
 		}
-		ts := x.Schema().Types()
-		pb.append("EnforceSingleRow", func(ctx *driverCtx) (operators.Operator, error) {
-			return operators.NewEnforceSingleRow(ctx.opCtx(memory.System), ts), nil
-		})
+		pb.append("EnforceSingleRow", enforceSingleRow(x.Schema().Types()))
 		return nil
 
 	case *plan.Aggregation:
@@ -443,19 +504,9 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 			}
 			specs[i] = spec
 		}
-		per, drivers := c.task.groupsPerInstance(x.Est, pb.spec)
-		groups := int(math.Ceil(per))
-		pb.append("HashAggregation", func(ctx *driverCtx) (operators.Operator, error) {
-			op := operators.NewHashAggregation(ctx.opCtx(memory.User), groupCols, groupTs, specs, ctx.task.spillEnabled, c.pageSize, groups)
-			op.SetSpillDir(ctx.task.cfg.SpillDir)
-			if ctx.task.spillEnabled {
-				ctx.task.registerRevocable(op)
-			}
-			return op, nil
-		})
-		if per > 0 {
-			st := pb.stats[len(pb.stats)-1]
-			st.EstGroups, st.EstSource = per*float64(drivers), string(x.Est.Source)
+		pb.append("HashAggregation", hashAggregation(groupCols, groupTs, specs, x.Est, c.pageSize))
+		if x.Est != nil {
+			pb.spec.aggs = append(pb.spec.aggs, aggSite{pos: len(pb.factories), est: x.Est})
 		}
 		return nil
 
@@ -468,20 +519,7 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 			return err
 		}
 		pb.spec.hasWriter = true
-		catalog, table := x.Catalog, x.Table
-		pb.append("TableWriter", func(ctx *driverCtx) (operators.Operator, error) {
-			conn, err := ctx.task.connectors.Connector(catalog)
-			if err != nil {
-				return nil, err
-			}
-			sink, err := conn.PageSink(table)
-			if err != nil {
-				return nil, err
-			}
-			w := operators.NewTableWriter(ctx.opCtx(memory.System), sink)
-			w.WriteDelay = ctx.task.writeDelay
-			return w, nil
-		})
+		pb.append("TableWriter", tableWriter(x.Catalog, x.Table))
 		return nil
 
 	case *plan.Output:
@@ -588,11 +626,11 @@ func (c *compiler) compileJoin(j *plan.Join, pb *chain, reads []bool) ([]int, er
 	if j.Strategy == plan.StrategyIndex {
 		return nil, c.compileIndexJoin(j, pb)
 	}
-	// Build side: its own pipeline ending in HashBuild.
-	bridge := operators.NewJoinBridge()
-	if j.NullAware {
-		bridge.SetNullAware()
-	}
+	// Build side: its own pipeline ending in HashBuild. The bridge between
+	// the two sides is the task's (Task.bridges[ji]).
+	ji := len(c.joins)
+	js := &joinSpec{nullAware: j.NullAware, spills: len(j.Equi) > 0 && j.Type != plan.CrossJoin}
+	c.joins = append(c.joins, js)
 	build := c.newPipeline()
 	if err := c.compile(j.Right, build); err != nil {
 		return nil, err
@@ -606,22 +644,10 @@ func (c *compiler) compileJoin(j *plan.Join, pb *chain, reads []bool) ([]int, er
 		probeKeys[i] = eq.Left
 		buildKeyTs[i] = rightTs[eq.Right]
 	}
-	// Arm the bridge for build-side spill: when the memory manager revokes
-	// it, the build table moves to a partitioned spill file and the probe
-	// side re-joins it partition by partition from disk (§IV-F2). Cross and
-	// keyless joins cannot hash-partition, so they stay memory-only.
-	if c.task.spillEnabled && len(j.Equi) > 0 && j.Type != plan.CrossJoin {
-		mem := memory.NewLocalContext(c.task.queryMem, c.task.nodeID, memory.User)
-		bridge.EnableSpill(mem, c.task.cfg.SpillDir, buildKeys, buildKeyTs)
-		c.task.registerRevocable(bridge)
-		c.task.registerCleanup(bridge.ReleaseSpill)
-	}
-	build.append("HashBuild", func(ctx *driverCtx) (operators.Operator, error) {
-		bridge.AddBuilder()
-		return operators.NewHashBuild(ctx.opCtx(memory.User), bridge, buildKeys, buildKeyTs), nil
-	})
+	js.buildKeys, js.buildKeyTs = buildKeys, buildKeyTs
+	build.append("HashBuild", hashBuild(ji, buildKeys, buildKeyTs))
 	build.seal()
-	build.spec.buildBridge = bridge
+	build.spec.build = ji
 
 	// Dynamic-filter placement: a scan that feeds the probe through nothing
 	// but Filter/Project only prunes by the join's filters.
@@ -676,20 +702,10 @@ func (c *compiler) compileJoin(j *plan.Join, pb *chain, reads []bool) ([]int, er
 	// scan that subscribes within the fragment is on the probe side, compiled
 	// by now: a summary none of them row-tests is collected for pruning only,
 	// unless the task relays it.
-	if len(j.DynFilters) > 0 {
-		specs := make([]dynfilter.ColumnSpec, len(j.DynFilters))
-		ids := make([]int, len(j.DynFilters))
-		for i, df := range j.DynFilters {
-			tested := slices.ContainsFunc(c.published, func(f placedFilter) bool { return f.id == df.ID && f.rowTested })
-			specs[i] = dynfilter.ColumnSpec{ID: df.ID, KeyIdx: df.KeyIdx, T: buildKeyTs[df.KeyIdx], Bounded: !tested}
-			ids[i] = df.ID
-		}
-		coll := dynfilter.NewCollector(specs, dynfilter.DefaultMaxSet, dynfilter.DefaultMaxRows)
-		task := c.task
-		coll.Relayed = task.relayed
-		bridge.SetFilterCollector(coll, func(sums []*dynfilter.Summary) {
-			task.publishFilters(ids, sums)
-		})
+	for _, df := range j.DynFilters {
+		tested := slices.ContainsFunc(c.published, func(f placedFilter) bool { return f.id == df.ID && f.rowTested })
+		js.filters = append(js.filters, dynfilter.ColumnSpec{ID: df.ID, KeyIdx: df.KeyIdx, T: buildKeyTs[df.KeyIdx], Bounded: !tested})
+		js.filterIDs = append(js.filterIDs, df.ID)
 	}
 	probeTs := leftSchema.Types()
 	residual := j.Residual
@@ -714,16 +730,9 @@ func (c *compiler) compileJoin(j *plan.Join, pb *chain, reads []bool) ([]int, er
 		}
 		residual = remapColumn(residual, both)
 	}
-	jt := j.Type
-	buildTs := j.Right.Schema().Types()
-	pb.append("LookupJoin", func(ctx *driverCtx) (operators.Operator, error) {
-		bridge.AddProbe()
-		res := operators.NewJoinResidual(residual, len(probeTs), ctx.task.newProcessor)
-		op := operators.NewLookupJoin(ctx.opCtx(memory.User), bridge, jt, probeKeys, res, probeTs, buildTs, c.pageSize)
-		op.SetOutputChannels(probeOut, buildOut)
-		return op, nil
-	})
-	pb.spec.probeBridges = append(pb.spec.probeBridges, bridge)
+	pb.append("LookupJoin", lookupJoin(ji, j.Type, probeKeys, c.residual(residual, len(probeTs)),
+		probeTs, j.Right.Schema().Types(), probeOut, buildOut, c.pageSize))
+	pb.spec.probes = append(pb.spec.probes, ji)
 	if len(probeOut)+len(buildOut) == len(outMap) {
 		outMap = nil // nothing dropped: every column is where the schema says
 	}
@@ -744,28 +753,25 @@ func (c *compiler) compileIndexJoin(j *plan.Join, pb *chain) error {
 		probeKeys[i] = eq.Left
 		keyCols[i] = scan.Columns[eq.Right]
 	}
-	jt, residual := j.Type, j.Residual
 	probeTs := j.Left.Schema().Types()
-	buildTs := j.Right.Schema().Types()
-	catalog, table := scan.Handle.Catalog, scan.Handle.Table
-	outCols := scan.Columns
-	pb.append("IndexJoin", func(ctx *driverCtx) (operators.Operator, error) {
-		conn, err := ctx.task.connectors.Connector(catalog)
-		if err != nil {
-			return nil, err
-		}
-		idxConn, ok := conn.(connector.Indexed)
-		if !ok {
-			return nil, fmt.Errorf("connector %s does not support index joins", catalog)
-		}
-		idx, ok := idxConn.Index(table, keyCols, outCols)
-		if !ok {
-			return nil, fmt.Errorf("no index on %s.%s(%v)", catalog, table, keyCols)
-		}
-		res := operators.NewJoinResidual(residual, len(probeTs), ctx.task.newProcessor)
-		return operators.NewIndexJoin(ctx.opCtx(memory.User), idx.Lookup, jt, probeKeys, res, probeTs, buildTs, c.pageSize), nil
-	})
+	pb.append("IndexJoin", indexJoin(scan.Handle.Catalog, scan.Handle.Table, keyCols, scan.Columns, j.Type, probeKeys,
+		c.residual(j.Residual, len(probeTs)), probeTs, j.Right.Schema().Types(), c.pageSize))
 	return nil
+}
+
+// residual compiles a join residual over nProbe probe channels and the build
+// channels (nil: none) once for the fragment, and returns what gives each
+// driver's join its own, over the task's literals.
+func (c *compiler) residual(e expr.Expr, nProbe int) func(ctx *driverCtx) *operators.JoinResidual {
+	if e == nil {
+		return func(*driverCtx) *operators.JoinResidual { return nil }
+	}
+	prog := c.program(e, nil)
+	return func(ctx *driverCtx) *operators.JoinResidual {
+		return operators.NewJoinResidual(e, nProbe, func(expr.Expr, []expr.Expr) *expr.PageProcessor {
+			return prog.NewProcessor(ctx.task.params)
+		})
+	}
 }
 
 // composeProjections rewrites outer, a projection list over the columns

@@ -47,7 +47,10 @@ func (t *Task) Stats() TaskStats {
 		OutputBufUtil: t.output.Utilization(),
 	}
 	t.mu.Lock()
-	for _, p := range t.scanPipes {
+	for _, p := range t.compiled {
+		if p.source != srcScan {
+			continue
+		}
 		queued, running, done := p.morsels.splitStats()
 		st.SplitsQueued += queued
 		st.SplitsRunning += running

@@ -10,12 +10,12 @@ import (
 
 	"repro/internal/connector"
 	"repro/internal/dynfilter"
-	"repro/internal/expr"
 	"repro/internal/faultinject"
 	"repro/internal/memory"
 	"repro/internal/operators"
 	"repro/internal/plan"
 	"repro/internal/shuffle"
+	"repro/internal/types"
 )
 
 // TaskID identifies a task: one execution of a fragment on one worker.
@@ -90,19 +90,23 @@ const DefaultDynamicFilterWait = 100 * time.Millisecond
 type Task struct {
 	ID TaskID
 
-	nodeID       int
-	executor     *Executor
-	connectors   ConnectorRegistry
-	queryMem     *memory.QueryContext
-	nodePool     *memory.NodePool
-	output       *shuffle.OutputBuffer
-	handle       *TaskHandle
-	cfg          TaskConfig
-	spillEnabled bool
-	writeDelay   func()
+	nodeID     int
+	executor   *Executor
+	connectors ConnectorRegistry
+	queryMem   *memory.QueryContext
+	nodePool   *memory.NodePool
+	output     *shuffle.OutputBuffer
+	handle     *TaskHandle
+	// cfg is the task's configuration; its SpillEnabled is false under
+	// DisableSpill.
+	cfg TaskConfig
 
-	compiled  []*pipelineSpec
-	scanPipes map[int]*pipelineSpec // scanID → pipeline
+	// params are the statement's literals as the compiled fragment's
+	// parameters read them, shared read-only by every processor of the task;
+	// bridges are its joins' (CompiledFragment.joins).
+	params   []types.Value
+	bridges  []*operators.JoinBridge
+	compiled []*pipelineSpec
 
 	mu            sync.Mutex
 	activeDrivers int
@@ -147,43 +151,55 @@ func NewTask(id TaskID, f *plan.Fragment, nodeID int, ex *Executor, reg Connecto
 	qmem *memory.QueryContext, pool *memory.NodePool,
 	outPartitions int, exchangeSources map[int][]shuffle.Fetcher, cfg TaskConfig) (*Task, error) {
 
-	if cfg.PageSize <= 0 {
-		cfg.PageSize = 1024
-	}
-	if cfg.TargetSplitConcurrency <= 0 {
-		cfg.TargetSplitConcurrency = 4
-	}
-	if cfg.MaxWriters <= 0 {
-		cfg.MaxWriters = 8
-	}
-	t := &Task{
-		ID:           id,
-		nodeID:       nodeID,
-		executor:     ex,
-		connectors:   reg,
-		queryMem:     qmem,
-		nodePool:     pool,
-		output:       shuffle.NewOutputBuffer(outPartitions, cfg.OutputBufferBytes),
-		handle:       NewTaskHandle(id.QueryID),
-		cfg:          cfg,
-		spillEnabled: cfg.SpillEnabled && !cfg.Switches.Has(DisableSpill),
-		writeDelay:   cfg.WriteDelay,
-		doneCh:       make(chan struct{}),
-		scanPipes:    map[int]*pipelineSpec{},
-	}
-	c := &compiler{task: t, pageSize: cfg.PageSize}
-	if err := c.compileFragment(f); err != nil {
+	cf, err := Compile(f, cfg)
+	if err != nil {
 		return nil, err
 	}
-	t.compiled = c.pipelines
-	for _, p := range t.compiled {
+	return newTask(id, cf, &TaskFragment{}, nodeID, ex, reg, qmem, pool, outPartitions, exchangeSources, cfg)
+}
+
+// newTask prepares a task of a compiled fragment, with frag's literals (none:
+// those the fragment was planned with).
+func newTask(id TaskID, cf *CompiledFragment, frag *TaskFragment, nodeID int, ex *Executor, reg ConnectorRegistry,
+	qmem *memory.QueryContext, pool *memory.NodePool,
+	outPartitions int, exchangeSources map[int][]shuffle.Fetcher, cfg TaskConfig) (*Task, error) {
+
+	cfg = cfg.withDefaults()
+	cfg.SpillEnabled = cfg.SpillEnabled && !cfg.Switches.Has(DisableSpill)
+	params, err := cf.bind(frag.Values)
+	if err != nil {
+		return nil, err
+	}
+	t := &Task{
+		ID:         id,
+		nodeID:     nodeID,
+		executor:   ex,
+		connectors: reg,
+		queryMem:   qmem,
+		nodePool:   pool,
+		output:     shuffle.NewOutputBuffer(outPartitions, cfg.OutputBufferBytes),
+		handle:     NewTaskHandle(id.QueryID),
+		cfg:        cfg,
+		doneCh:     make(chan struct{}),
+		params:     params,
+		bridges:    make([]*operators.JoinBridge, len(cf.joins)),
+		compiled:   make([]*pipelineSpec, len(cf.pipes)),
+	}
+	for i, js := range cf.joins {
+		t.bridges[i] = t.newBridge(js)
+	}
+	for i, pt := range cf.pipes {
+		p, err := t.instantiate(pt, frag)
+		if err != nil {
+			return nil, err
+		}
+		t.compiled[i] = p
 		if p.source != srcScan {
 			continue
 		}
 		if err := t.attachMorselQueue(p); err != nil {
 			return nil, err
 		}
-		t.scanPipes[p.scanID] = p
 	}
 
 	// Unblock notifications: every structure a driver can park on kicks the
@@ -271,15 +287,6 @@ func (t *Task) sourceCtx(p *pipelineSpec) *operators.OpContext {
 	}
 }
 
-// newProcessor builds a page processor honoring the interpreted-mode
-// ablation flag.
-func (t *Task) newProcessor(pred expr.Expr, proj []expr.Expr) *expr.PageProcessor {
-	if t.cfg.Interpreted {
-		return expr.NewInterpretedPageProcessor(pred, proj)
-	}
-	return expr.NewPageProcessor(pred, proj)
-}
-
 func (t *Task) registerRevocable(r memory.Revocable) {
 	if t.nodePool != nil {
 		t.nodePool.RegisterRevocable(t.ID.QueryID, r)
@@ -337,8 +344,8 @@ func (t *Task) AddSplit(scanID int, s connector.Split) error {
 	if t.failed != nil {
 		return nil
 	}
-	p, ok := t.scanPipes[scanID]
-	if !ok {
+	p := t.scanPipe(scanID)
+	if p == nil {
 		return fmt.Errorf("task %s has no scan pipeline %d", t.ID, scanID)
 	}
 	if t.dynSkip[scanID] {
@@ -363,7 +370,7 @@ func (t *Task) scanDrivers() int {
 // open function opens each split from its connector; the queue records
 // every source it closes on the pipeline's shared source stats.
 func (t *Task) attachMorselQueue(p *pipelineSpec) error {
-	conn, err := t.connectors.Connector(p.scanHandle.Catalog)
+	conn, err := t.connectors.Connector(p.handle.Catalog)
 	if err != nil {
 		return err
 	}
@@ -390,7 +397,7 @@ func (t *Task) attachMorselQueue(p *pipelineSpec) error {
 func (t *Task) NoMoreSplits(scanID int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if p, ok := t.scanPipes[scanID]; ok {
+	if p := t.scanPipe(scanID); p != nil {
 		p.morsels.noMoreSplits()
 		t.maybeDeclareScanDoneLocked(p)
 	}
@@ -457,9 +464,22 @@ func (t *Task) resumeScans() {
 	t.startScansLocked()
 }
 
+// scanPipe returns the pipeline of scan scanID, nil if none.
+func (t *Task) scanPipe(scanID int) *pipelineSpec {
+	for _, p := range t.compiled {
+		if p.source == srcScan && p.scanID == scanID {
+			return p
+		}
+	}
+	return nil
+}
+
 // startScansLocked re-evaluates every scan's driver starts.
 func (t *Task) startScansLocked() {
-	for _, p := range t.scanPipes {
+	for _, p := range t.compiled {
+		if p.source != srcScan {
+			continue
+		}
 		if err := t.maybeStartScanDriversLocked(p); err != nil {
 			t.failLocked(err)
 			return

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/faultinject"
 	"repro/internal/memory"
-	"repro/internal/plan"
 	"repro/internal/shuffle"
 )
 
@@ -24,6 +23,8 @@ type Worker struct {
 	connectors ConnectorRegistry
 	cfg        TaskConfig
 	inject     *faultinject.Injector
+
+	fragments fragmentCache
 
 	mu     sync.Mutex
 	tasks  map[TaskID]*Task
@@ -66,10 +67,11 @@ func NewWorker(id int, reg ConnectorRegistry, cfg WorkerConfig) *Worker {
 // Deprecated: it stays only because the benchmark module calls it.
 func (w *Worker) CacheStats() cache.Stats { return cache.Stats{} }
 
-// CreateTask instantiates and starts a task for a fragment. relay routes the
-// dynamic-filter summaries its joins build for other fragments' scans (the
-// zero value: none leave the task).
-func (w *Worker) CreateTask(id TaskID, f *plan.Fragment, qmem *memory.QueryContext,
+// CreateTask instantiates and starts a task for a fragment: from the
+// worker's compiled form of it when it holds one under frag.Digest. relay
+// routes the dynamic-filter summaries its joins build for other fragments'
+// scans (the zero value: none leave the task).
+func (w *Worker) CreateTask(id TaskID, frag TaskFragment, qmem *memory.QueryContext,
 	outPartitions int, exchangeSources map[int][]shuffle.Fetcher, overrides *TaskConfig, relay FilterRelay) (*Task, error) {
 
 	cfg := w.cfg
@@ -79,7 +81,12 @@ func (w *Worker) CreateTask(id TaskID, f *plan.Fragment, qmem *memory.QueryConte
 	if cfg.Inject == nil {
 		cfg.Inject = w.inject
 	}
-	t, err := NewTask(id, f, w.ID, w.Exec, w.connectors, qmem, w.Pool, outPartitions, exchangeSources, cfg)
+	cfg = cfg.withDefaults()
+	cf, err := w.fragments.get(frag, cfg)
+	if err != nil {
+		return nil, err
+	}
+	t, err := newTask(id, cf, &frag, w.ID, w.Exec, w.connectors, qmem, w.Pool, outPartitions, exchangeSources, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -113,6 +120,14 @@ func (w *Worker) CreateTask(id TaskID, f *plan.Fragment, qmem *memory.QueryConte
 	}
 	return t, nil
 }
+
+// FragmentCacheStats counts the worker's compiled-fragment lookups.
+func (w *Worker) FragmentCacheStats() FragmentCacheStats { return w.fragments.stats() }
+
+// DropCompiledFragments empties the worker's compiled-fragment cache: the
+// next task of each fragment compiles it again. Tests use it to compare a
+// cold compile with a cached one.
+func (w *Worker) DropCompiledFragments() { w.fragments.drop() }
 
 // TaskCount returns the number of live tasks (for scheduling metrics).
 func (w *Worker) TaskCount() int {

@@ -38,21 +38,22 @@ func InterpretOnly(e Expr) *Evaluator {
 	return &Evaluator{e: e}
 }
 
-// EvalPage computes the output column for every row of p. The kernels'
-// dictionary verdicts last the call: an evaluator is shared, so it keeps none.
-func (ev *Evaluator) EvalPage(p *block.Page) (block.Block, error) {
-	return ev.evalPage(p, nil, make([]dictSel, ev.memos))
+// EvalPage computes the output column for every row of p, reading params
+// where the expression holds a Param. The kernels' dictionary verdicts last
+// the call: an evaluator is shared, so it keeps none.
+func (ev *Evaluator) EvalPage(p *block.Page, params []types.Value) (block.Block, error) {
+	return ev.evalPage(p, nil, make([]dictSel, ev.memos), params)
 }
 
 // evalPage is EvalPage with the kernels' temporaries leased from scratch and
 // their dictionary verdicts kept in memo, the slots of the compiler that built
 // ev; the output block is the caller's.
-func (ev *Evaluator) evalPage(p *block.Page, scratch *block.Arena, memo []dictSel) (block.Block, error) {
+func (ev *Evaluator) evalPage(p *block.Page, scratch *block.Arena, memo []dictSel, params []types.Value) (block.Block, error) {
 	n := p.RowCount()
 	if ev.vec != nil {
-		return ev.vec.eval(&vecInput{p: p, n: n, scratch: scratch, memo: memo}, false)
+		return ev.vec.eval(&vecInput{p: p, n: n, scratch: scratch, memo: memo, params: params}, false)
 	}
-	var it Interpreter
+	it := Interpreter{params: params}
 	vals := make([]types.Value, n)
 	row := pageRow{p: p}
 	for i := range vals {

@@ -34,7 +34,7 @@ type cseSlot struct {
 // calls) must stay inline where CASE/AND/OR partitioning guards them.
 func cseShareable(x Expr) bool {
 	switch x.(type) {
-	case *Const, *ColumnRef:
+	case *Const, *Param, *ColumnRef:
 		return false
 	}
 	switch x.Type() {

@@ -242,7 +242,7 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 		row := &pageRowTest{p: page}
 		for _, e := range exprs {
 			compiled := Compile(e)
-			got, err := compiled.EvalPage(page)
+			got, err := compiled.EvalPage(page, nil)
 			if err != nil {
 				return false
 			}

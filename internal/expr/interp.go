@@ -25,6 +25,7 @@ func (r ValuesRow) ColValue(i int) types.Value { return r[i] }
 // this engine does the same — Compile is the fast path.
 type Interpreter struct {
 	lambdaEnv []types.Value // stack of bound lambda parameters
+	params    []types.Value // what a Param reads
 }
 
 // predicate evaluates e as a filter: its AND/OR/NOT skeleton is three-valued,
@@ -91,6 +92,8 @@ func (it *Interpreter) Eval(e Expr, row Row) (types.Value, error) {
 	switch x := e.(type) {
 	case *Const:
 		return x.Val, nil
+	case *Param:
+		return it.params[x.Index], nil
 	case *ColumnRef:
 		return row.ColValue(x.Index), nil
 	case *LambdaRef:

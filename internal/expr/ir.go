@@ -38,12 +38,13 @@ func (e *ColumnRef) String() string {
 }
 
 // Const is a literal value. A literal the plan cache lifted out of the
-// statement's text carries its slot (1-based; 0 for none), so a cached plan
-// can be bound to another statement's literals. The slot is unexported: it
-// never crosses the wire and never shows in EXPLAIN.
+// statement's text carries its Slot (1-based; 0 for none), so a cached plan
+// can run with another statement's literals: a worker compiles a slot-tagged
+// constant as a Param. The slot crosses the wire with the fragment and never
+// shows in EXPLAIN.
 type Const struct {
 	Val  types.Value
-	slot int
+	Slot int
 }
 
 func (e *Const) Type() types.Type { return e.Val.T }
@@ -58,10 +59,21 @@ func (e *Const) String() string {
 func NewConst(v types.Value) *Const { return &Const{Val: v} }
 
 // NewSlotConst is NewConst for the literal lifted into slot (0: none).
-func NewSlotConst(v types.Value, slot int) *Const { return &Const{Val: v, slot: slot} }
+func NewSlotConst(v types.Value, slot int) *Const { return &Const{Val: v, Slot: slot} }
 
-// Slot returns the plan-cache slot the constant was lifted into, 0 if none.
-func (e *Const) Slot() int { return e.slot }
+// Param reads element Index of the evaluation's parameter vector, a value of
+// type T that is never NULL: a compiled fragment is shared by the tasks of
+// every statement of its template, and each task hands its processors its
+// statement's literals, coerced to the types its constants had (see
+// exec.CompiledFragment). Params exist only in compiled programs; a plan
+// holds slot-tagged Consts.
+type Param struct {
+	Index int
+	T     types.Type
+}
+
+func (e *Param) Type() types.Type { return e.T }
+func (e *Param) String() string   { return fmt.Sprintf("?%d", e.Index) }
 
 // BinOp enumerates arithmetic and string binary operators.
 type BinOp int

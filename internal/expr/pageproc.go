@@ -21,7 +21,7 @@ import (
 // interpreter is the fallback for everything else and the ablation baseline
 // (NewInterpretedPageProcessor).
 type PageProcessor struct {
-	*pageProgram
+	*Program
 
 	// dyn, when set, holds the dynamic join filters run ahead of the filter
 	// (SetDynamicFilters).
@@ -40,14 +40,16 @@ type PageProcessor struct {
 	// kernels' dictionary verdicts from page to page.
 	vin vecInput
 
-	// constVal caches the 1-row result of each constant projection.
+	// constVal caches the 1-row result of each constant projection, made on
+	// the first.
 	constVal []block.Block
 
 	// Per-dictionary projection cache: maps (projection, input dictionary
 	// blocks) to the projected dictionary, emulating Presto's retained-array
-	// optimization for shared dictionaries. Bounded: when full, the oldest
-	// entry is evicted (cheap FIFO approximation of LRU — long-lived scans
-	// cycle through few distinct dictionaries, so recency ~= insertion).
+	// optimization for shared dictionaries; made on the first entry.
+	// Bounded: when full, the oldest entry is evicted (cheap FIFO
+	// approximation of LRU — long-lived scans cycle through few distinct
+	// dictionaries, so recency ~= insertion).
 	dictCache map[dictCacheKey]block.Block
 	dictOrder []dictCacheKey
 
@@ -60,11 +62,13 @@ type PageProcessor struct {
 	Stats ProcessorStats
 }
 
-// pageProgram is a compiled filter and projection list. It holds no mutable
+// Program is a compiled filter and projection list. It holds no mutable
 // state: a kernel leases its temporaries from the evaluating processor's
-// arena and keeps its dictionary verdicts in the processor's memo slots, so
-// one program can serve processors on any number of goroutines.
-type pageProgram struct {
+// arena, keeps its dictionary verdicts (and a parameterised IN list's set) in
+// the processor's memo slots and reads a Param from the processor's
+// parameters, so one program can serve processors on any number of
+// goroutines, of any number of tasks, each with its own literals.
+type Program struct {
 	filterExpr  Expr  // nil means no filter
 	filter      selFn // selection kernels, or the interpreter over filterExpr
 	filterCols  []int // column indices referenced by the filter
@@ -138,12 +142,12 @@ func init() {
 // it returns are owned by the caller and immutable, unless BorrowOutput says
 // otherwise.
 func NewPageProcessor(filter Expr, projections []Expr) *PageProcessor {
-	return newProcessor(compileProgram(filter, projections))
+	return CompileProgram(filter, projections).NewProcessor(nil)
 }
 
-// compileProgram compiles filter and projections onto the selection and
+// CompileProgram compiles filter and projections onto the selection and
 // projection kernels.
-func compileProgram(filter Expr, projections []Expr) *pageProgram {
+func CompileProgram(filter Expr, projections []Expr) *Program {
 	var c selCompiler
 	prog := newProgram(filter, projections, c.evaluator)
 	if filter != nil {
@@ -160,23 +164,28 @@ func compileProgram(filter Expr, projections []Expr) *pageProgram {
 // NewInterpretedPageProcessor builds a processor that uses only the
 // interpreter — the baseline side of the codegen ablation.
 func NewInterpretedPageProcessor(filter Expr, projections []Expr) *PageProcessor {
-	prog := newProgram(filter, projections, InterpretOnly)
-	prog.interpretFilter()
-	return newProcessor(prog)
+	return InterpretedProgram(filter, projections).NewProcessor(nil)
 }
 
-// newProcessor gives prog the state one processor keeps.
-func newProcessor(prog *pageProgram) *PageProcessor {
+// InterpretedProgram is CompileProgram on the interpreter only.
+func InterpretedProgram(filter Expr, projections []Expr) *Program {
+	prog := newProgram(filter, projections, InterpretOnly)
+	prog.interpretFilter()
+	return prog
+}
+
+// NewProcessor gives prog the state one processor keeps. params are what its
+// Params read, each of the Param's type and not NULL; the processor reads them
+// and never writes them.
+func (prog *Program) NewProcessor(params []types.Value) *PageProcessor {
 	return &PageProcessor{
-		pageProgram: prog,
-		vin:         vecInput{memo: make([]dictSel, prog.memos)},
-		constVal:    make([]block.Block, len(prog.projections)),
-		dictCache:   make(map[dictCacheKey]block.Block),
+		Program: prog,
+		vin:     vecInput{memo: make([]dictSel, prog.memos), params: params},
 	}
 }
 
-func newProgram(filter Expr, projections []Expr, evaluator func(Expr) *Evaluator) *pageProgram {
-	prog := &pageProgram{
+func newProgram(filter Expr, projections []Expr, evaluator func(Expr) *Evaluator) *Program {
+	prog := &Program{
 		filterExpr:  filter,
 		projEncoded: make([]bool, 0, len(projections)),
 		projConst:   make([]bool, len(projections)),
@@ -233,7 +242,7 @@ func (pp *PageProcessor) BorrowsOutput() bool { return pp.borrow }
 // alone, one compiled by c over the rewritten expression when it reads a
 // slot. A constant projection has its own path; an identity one runs its
 // projector only to gather a borrowed flat column.
-func (prog *pageProgram) compileVectorized(c *selCompiler, projections []Expr) {
+func (prog *Program) compileVectorized(c *selCompiler, projections []Expr) {
 	rewritten, slots := planCSE(c, projections)
 	for i, e := range rewritten {
 		switch {
@@ -282,7 +291,7 @@ func (prog *pageProgram) compileVectorized(c *selCompiler, projections []Expr) {
 }
 
 // interpretFilter runs the program's filter on the interpreter.
-func (prog *pageProgram) interpretFilter() {
+func (prog *Program) interpretFilter() {
 	if prog.filterExpr != nil {
 		prog.filter = selInterp(prog.filterExpr, false)
 	}
@@ -422,7 +431,7 @@ func (pp *PageProcessor) start(p *block.Page) {
 
 // begin sets the evaluation context to every row of p, leasing from a.
 func (pp *PageProcessor) begin(p *block.Page, a *block.Arena) {
-	pp.vin = vecInput{p: p, n: p.RowCount(), shared: pp.vin.shared[:0], scratch: a, memo: pp.vin.memo}
+	pp.vin = vecInput{p: p, n: p.RowCount(), shared: pp.vin.shared[:0], scratch: a, memo: pp.vin.memo, params: pp.vin.params}
 }
 
 // Select is the processor's filter half, for a caller that gathers the rows
@@ -501,7 +510,7 @@ func (pp *PageProcessor) selectRows() []int {
 // references is run-length encoded. Only referenced columns matter: a flat
 // payload column elsewhere in the page must not defeat the fast path, and a
 // const-only filter (no referenced columns) gets no fast path.
-func (prog *pageProgram) allFilterInputsRLE(p *block.Page) bool {
+func (prog *Program) allFilterInputsRLE(p *block.Page) bool {
 	if len(prog.filterCols) == 0 {
 		return false
 	}
@@ -556,7 +565,7 @@ func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows i
 	// RLE fast path: every referenced input is a single run, so the
 	// projection has one distinct result; evaluate it once.
 	if pp.projEncoded[i] && outRows > 0 && allInputsRLE(p, inputs) {
-		out, err := pp.projections[i].evalPage(pp.rleRunPage(p, inputs), &pp.scratch, pp.vin.memo)
+		out, err := pp.projections[i].evalPage(pp.rleRunPage(p, inputs), &pp.scratch, pp.vin.memo, pp.vin.params)
 		if err != nil {
 			return nil, err
 		}
@@ -587,7 +596,7 @@ func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows i
 	}
 	pp.Stats.FullEvals++
 	pp.Stats.CellsProcessed += int64(in.RowCount() * len(inputs))
-	return pp.projections[i].evalPage(in, &pp.scratch, pp.vin.memo)
+	return pp.projections[i].evalPage(in, &pp.scratch, pp.vin.memo, pp.vin.params)
 }
 
 // isFlat reports whether b is a plain typed block the column kernels gather
@@ -602,6 +611,9 @@ func isFlat(b block.Block) bool {
 
 // constOne evaluates constant projection i once, caching the 1-row result.
 func (pp *PageProcessor) constOne(i int, p *block.Page) (block.Block, error) {
+	if pp.constVal == nil {
+		pp.constVal = make([]block.Block, len(pp.projections))
+	}
 	if pp.constVal[i] != nil {
 		return pp.constVal[i], nil
 	}
@@ -609,7 +621,7 @@ func (pp *PageProcessor) constOne(i int, p *block.Page) (block.Block, error) {
 	if ncols == 0 {
 		ncols = 1 // the projection reads no columns; give the page a row
 	}
-	one, err := pp.projections[i].evalPage(block.NewPage(pp.placeholderCols(ncols, 1)...), &pp.scratch, pp.vin.memo)
+	one, err := pp.projections[i].evalPage(block.NewPage(pp.placeholderCols(ncols, 1)...), &pp.scratch, pp.vin.memo, pp.vin.params)
 	if err != nil {
 		return nil, err
 	}
@@ -653,12 +665,15 @@ func (pp *PageProcessor) projectDictionary(i int, p *block.Page, selected []int,
 		if combos > outRows {
 			return nil
 		}
-		out, err := pp.projections[i].evalPage(pp.combinationPage(p.ColCount(), inputs, srcs[:len(inputs)], combos), &pp.scratch, pp.vin.memo)
+		out, err := pp.projections[i].evalPage(pp.combinationPage(p.ColCount(), inputs, srcs[:len(inputs)], combos), &pp.scratch, pp.vin.memo, pp.vin.params)
 		if err != nil {
 			return nil
 		}
 		pp.Stats.DictEvals++
 		pp.Stats.CellsProcessed += int64(combos * len(inputs))
+		if pp.dictCache == nil {
+			pp.dictCache = make(map[dictCacheKey]block.Block)
+		}
 		if len(pp.dictCache) >= dictCacheCap {
 			oldest := pp.dictOrder[0]
 			pp.dictOrder = pp.dictOrder[1:]

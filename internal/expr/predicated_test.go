@@ -432,7 +432,7 @@ func TestPredicatedProgramSharedByGoroutines(t *testing.T) {
 	for i, p := range pages {
 		want[i] = processOrError(NewInterpretedPageProcessor(filter, proj), p)
 	}
-	prog := compileProgram(filter, proj)
+	prog := CompileProgram(filter, proj)
 	if prog.memos == 0 {
 		t.Fatal("the filter keeps no dictionary memo")
 	}
@@ -441,7 +441,7 @@ func TestPredicatedProgramSharedByGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pp := newProcessor(prog)
+			pp := prog.NewProcessor(nil)
 			if borrow {
 				pp.BorrowOutput()
 			}

@@ -178,7 +178,7 @@ func selBoth(dec, l, r selFn) selFn {
 // are rows of in.p.
 func selInterp(e Expr, neg bool) selFn {
 	return func(in *vecInput, rows, out []int) ([]int, error) {
-		var it Interpreter
+		it := Interpreter{params: in.params}
 		row := pageRow{p: in.p}
 		for _, r := range rows {
 			row.row = r
@@ -259,13 +259,17 @@ func (c *selCompiler) compileLeaf(e Expr, neg bool) (selFn, bool) {
 	case *In:
 		return c.compileIn(x, neg)
 	case *Like:
-		pat, ok := x.Pattern.(*Const)
-		if !ok || pat.Val.Null {
+		pat, ok := scalarStr(x.Pattern)
+		if !ok {
 			return nil, false
 		}
-		flip, p := x.Negate != neg, pat.Val.S
-		pass := func(v string) bool { return likeMatch(v, p) != flip }
-		return selOperand(c, x.E, c.vecStr, func(d block.Block, k int) bool { return pass(d.Str(k)) }, selPassing(pass))
+		flip := x.Negate != neg
+		return selOperand(c, x.E, c.vecStr,
+			func(in *vecInput, d block.Block, k int) bool { return likeMatch(d.Str(k), pat.at(in)) != flip },
+			func(in *vecInput, vals []string, nulls []bool, rows, out []int) []int {
+				p := pat.at(in)
+				return passing(func(v string) bool { return likeMatch(v, p) != flip }, vals, nulls, rows, out)
+			})
 	case *IsNull:
 		if col, ok := x.E.(*ColumnRef); ok {
 			// IS [NOT] NULL never yields NULL itself.
@@ -314,10 +318,13 @@ func (c *selCompiler) compileDynFilter(f DynFilter) selFn {
 
 // selMember is the leaf testing a column's values for membership: a
 // dictionary's entries and a run are decided by member once each
-// (selOperand), a flat vector by predication (selMembers).
+// (selOperand), a flat vector by predication (members).
 func selMember[T block.Elem](c *selCompiler, col *ColumnRef, compile func(Expr) (vkernel[T], bool),
 	value func(block.Block, int) T, member func(T) bool) selFn {
-	s, _ := selOperand(c, col, compile, func(d block.Block, k int) bool { return member(value(d, k)) }, selMembers(member))
+	s, _ := selOperand(c, col, compile, func(_ *vecInput, d block.Block, k int) bool { return member(value(d, k)) },
+		func(_ *vecInput, vals []T, nulls []bool, rows, out []int) []int {
+			return members(member, vals, nulls, rows, out)
+		})
 	return s
 }
 
@@ -352,35 +359,42 @@ func selValues[T block.Elem](f vkernel[T], test func(vals []T, nulls []bool, row
 }
 
 // selOperand is a leaf that tests one operand's values: verdict is the test of
-// entry k of a block, not NULL, and test the same over a value vector
-// (selValues). A column operand is read in place: a dictionary's entries are
-// tested once each, a run once, and a flat block's own vectors when no
+// entry k of a block, not NULL, and test the same over a value vector; both
+// are given the page's evaluation context, which a test against a parameter
+// reads it from. A column operand is read in place: a dictionary's entries
+// are tested once each, a run once, and a flat block's own vectors when no
 // selection maps positions to its rows. Any other operand, or encoding, is
 // evaluated by its value kernel.
 func selOperand[T block.Elem](c *selCompiler, e Expr, compile func(Expr) (vkernel[T], bool),
-	verdict func(d block.Block, k int) bool, test func(vals []T, nulls []bool, rows, out []int) []int) (selFn, bool) {
+	verdict func(in *vecInput, d block.Block, k int) bool, test func(in *vecInput, vals []T, nulls []bool, rows, out []int) []int) (selFn, bool) {
 	f, ok := compile(e)
 	if !ok {
 		return nil, false
 	}
 	col, ok := e.(*ColumnRef)
 	if !ok {
-		return selValues(f, test), true
+		return func(in *vecInput, rows, out []int) ([]int, error) {
+			vals, nulls, err := evalAt(in, f, rows)
+			if err != nil {
+				return out, err
+			}
+			return test(in, vals, nulls, rows, out), nil
+		}, true
 	}
 	memo := c.memo()
 	return func(in *vecInput, rows, out []int) ([]int, error) {
 		b, sel := in.colBlock(col.Index)
-		if res, ok := selDict(&in.memo[memo], b, sel, rows, out, verdict); ok {
+		if res, ok := selDict(&in.memo[memo], b, sel, rows, out, func(d block.Block, k int) bool { return verdict(in, d, k) }); ok {
 			return res, nil
 		}
 		if run, ok := b.(*block.RLEBlock); ok {
-			return selRun(!run.Val.IsNull(0) && verdict(run.Val, 0), rows, out), nil
+			return selRun(!run.Val.IsNull(0) && verdict(in, run.Val, 0), rows, out), nil
 		}
 		vals, nulls, ok := flatVectors[T](b)
 		if !ok || sel != nil {
 			vals, nulls, _ = evalAt(in, f, rows) // a column's kernel does not fail
 		}
-		return test(vals, nulls, rows, out), nil
+		return test(in, vals, nulls, rows, out), nil
 	}, true
 }
 
@@ -403,38 +417,34 @@ func flatVectors[T block.Elem](b block.Block) ([]T, []bool, bool) {
 	return v, nulls, ok
 }
 
-// selPassing is the value-vector test of pass, for tests that cost more than
-// a branch (a LIKE match, a set lookup).
-func selPassing[T any](pass func(T) bool) func(vals []T, nulls []bool, rows, out []int) []int {
-	return func(vals []T, nulls []bool, rows, out []int) []int {
-		for _, r := range rows {
-			if !isNull(nulls, r) && pass(vals[r]) {
-				out = append(out, r)
-			}
+// passing is the value-vector test of pass, for tests that cost more than a
+// branch (a LIKE match, a set lookup).
+func passing[T any](pass func(T) bool, vals []T, nulls []bool, rows, out []int) []int {
+	for _, r := range rows {
+		if !isNull(nulls, r) && pass(vals[r]) {
+			out = append(out, r)
 		}
-		return out
 	}
+	return out
 }
 
-// selMembers is the value-vector test of member by predication: a probe
-// filter passes most rows, and its test decides no branch.
-func selMembers[T any](member func(T) bool) func(vals []T, nulls []bool, rows, out []int) []int {
-	return func(vals []T, nulls []bool, rows, out []int) []int {
-		base := len(out)
-		buf, k := out[base:base+len(rows)], 0
-		if nulls == nil {
-			for _, r := range rows {
-				buf[k] = r
-				k += b2i(member(vals[r]))
-			}
-		} else {
-			for _, r := range rows {
-				buf[k] = r
-				k += b2i(!nulls[r]) & b2i(member(vals[r]))
-			}
+// members is the value-vector test of member by predication: a probe filter
+// passes most rows, and its test decides no branch.
+func members[T any](member func(T) bool, vals []T, nulls []bool, rows, out []int) []int {
+	base := len(out)
+	buf, k := out[base:base+len(rows)], 0
+	if nulls == nil {
+		for _, r := range rows {
+			buf[k] = r
+			k += b2i(member(vals[r]))
 		}
-		return out[:base+k]
+	} else {
+		for _, r := range rows {
+			buf[k] = r
+			k += b2i(!nulls[r]) & b2i(member(vals[r]))
+		}
 	}
+	return out[:base+k]
 }
 
 // selPair is a leaf over two operands evaluated by their value kernels.
@@ -511,7 +521,7 @@ type ordered interface {
 
 func (c *selCompiler) compileCompare(x *Compare, neg bool) (selFn, bool) {
 	op, l, r := x.Op, x.L, x.R
-	if _, ok := l.(*Const); ok {
+	if isLiteral(l) {
 		op, l, r = swapCmp(op), r, l // the constant on the right
 	}
 	switch types.CommonType(l.Type(), r.Type()) {
@@ -545,13 +555,13 @@ func (c *selCompiler) compileCompare(x *Compare, neg bool) (selFn, bool) {
 // test of one operand's values, else of two. NOT is the test's outcome
 // flipped, not the complement operator: NaN fails both a < b and a >= b, so
 // NOT (a < b) keeps it.
-func compileCmp[T ordered](c *selCompiler, op CmpOp, flip bool, l, r Expr, scalar func(Expr) (T, bool),
+func compileCmp[T ordered](c *selCompiler, op CmpOp, flip bool, l, r Expr, scalar func(Expr) (scalar[T], bool),
 	compile func(Expr) (vkernel[T], bool), value func(block.Block, int) T,
 	cmpConst func(CmpOp, bool, []T, []bool, T, []int, []int) []int) (selFn, bool) {
 	if k, ok := scalar(r); ok {
-		return selOperand(c, l, compile, func(d block.Block, i int) bool { return cmpOrd(op, value(d, i), k) != flip },
-			func(vals []T, nulls []bool, rows, out []int) []int {
-				return cmpConst(op, flip, vals, nulls, k, rows, out)
+		return selOperand(c, l, compile, func(in *vecInput, d block.Block, i int) bool { return cmpOrd(op, value(d, i), k.at(in)) != flip },
+			func(in *vecInput, vals []T, nulls []bool, rows, out []int) []int {
+				return cmpConst(op, flip, vals, nulls, k.at(in), rows, out)
 			})
 	}
 	lf, lok := compile(l)
@@ -582,13 +592,15 @@ func between[T num](v, lo, hi T) bool { return v >= lo && v <= hi }
 func compileRange[T interface {
 	num
 	block.Elem
-}](c *selCompiler, x *Between, flip bool, scalar func(Expr) (T, bool), compile func(Expr) (vkernel[T], bool), value func(block.Block, int) T) (selFn, bool) {
+}](c *selCompiler, x *Between, flip bool, scalar func(Expr) (scalar[T], bool), compile func(Expr) (vkernel[T], bool), value func(block.Block, int) T) (selFn, bool) {
 	lo, lok := scalar(x.Lo)
 	hi, hok := scalar(x.Hi)
 	if lok && hok {
-		return selOperand(c, x.E, compile, func(d block.Block, k int) bool { return between(value(d, k), lo, hi) != flip },
-			func(vals []T, nulls []bool, rows, out []int) []int {
-				return selBetweenConst(flip, vals, nulls, lo, hi, rows, out)
+		return selOperand(c, x.E, compile, func(in *vecInput, d block.Block, k int) bool {
+			return between(value(d, k), lo.at(in), hi.at(in)) != flip
+		},
+			func(in *vecInput, vals []T, nulls []bool, rows, out []int) []int {
+				return selBetweenConst(flip, vals, nulls, lo.at(in), hi.at(in), rows, out)
 			})
 	}
 	vf, ok1 := compile(x.E)
@@ -621,7 +633,7 @@ func compileRange[T interface {
 
 func (c *selCompiler) compileIn(x *In, neg bool) (selFn, bool) {
 	for _, le := range x.List {
-		if _, ok := le.(*Const); !ok {
+		if !isLiteral(le) {
 			return nil, false
 		}
 	}
@@ -637,32 +649,62 @@ func (c *selCompiler) compileIn(x *In, neg bool) (selFn, bool) {
 	return nil, false
 }
 
-// compileInList compiles IN over a list of constants, tested != flip. A NULL
-// element is in no set: a value that matches no other element is NULL against
-// it, not FALSE (SQL's three-valued IN, as the interpreter's), so that
-// polarity keeps no row.
+// compileInList compiles IN over a list of constants and parameters, tested
+// != flip. A NULL element is in no set: a value that matches no other element
+// is NULL against it, not FALSE (SQL's three-valued IN, as the interpreter's),
+// so that polarity keeps no row. A list of constants is one set, built here; a
+// list that holds a parameter is a set per processor, built from its
+// parameters on the first page and kept in a memo slot.
 func compileInList[T interface {
 	comparable
 	block.Elem
-}](c *selCompiler, x *In, flip bool, scalar func(Expr) (T, bool), compile func(Expr) (vkernel[T], bool), value func(block.Block, int) T) (selFn, bool) {
-	set := make(map[T]bool, len(x.List))
-	listNull := false
+}](c *selCompiler, x *In, flip bool, scalarOf func(Expr) (scalar[T], bool), compile func(Expr) (vkernel[T], bool), value func(block.Block, int) T) (selFn, bool) {
+	var list []scalar[T]
+	listNull, params := false, false
 	for _, le := range x.List {
-		if le.(*Const).Val.Null {
+		if k, ok := le.(*Const); ok && k.Val.Null {
 			listNull = true
 			continue
 		}
-		v, ok := scalar(le)
+		s, ok := scalarOf(le)
 		if !ok {
 			return nil, false
 		}
-		set[v] = true
+		list, params = append(list, s), params || s.param >= 0
 	}
-	pass := func(v T) bool {
-		member := set[v]
-		return member != flip && (member || !listNull)
+	setOf := func(in *vecInput) map[T]bool {
+		set := make(map[T]bool, len(list))
+		for _, s := range list {
+			set[s.at(in)] = true
+		}
+		return set
 	}
-	return selOperand(c, x.E, compile, func(d block.Block, k int) bool { return pass(value(d, k)) }, selPassing(pass))
+	var set func(in *vecInput) map[T]bool
+	if params {
+		slot := c.memo()
+		set = func(in *vecInput) map[T]bool {
+			m := &in.memo[slot]
+			if m.members == nil {
+				m.members = setOf(in)
+			}
+			return m.members.(map[T]bool)
+		}
+	} else {
+		lits := setOf(nil)
+		set = func(*vecInput) map[T]bool { return lits }
+	}
+	return selOperand(c, x.E, compile,
+		func(in *vecInput, d block.Block, k int) bool {
+			member := set(in)[value(d, k)]
+			return member != flip && (member || !listNull)
+		},
+		func(in *vecInput, vals []T, nulls []bool, rows, out []int) []int {
+			s := set(in)
+			return passing(func(v T) bool {
+				member := s[v]
+				return member != flip && (member || !listNull)
+			}, vals, nulls, rows, out)
+		})
 }
 
 // ---- column kernels ----
@@ -864,6 +906,9 @@ func unwrapLazy(b block.Block) block.Block {
 type dictSel struct {
 	dict    block.Block // the dictionary verdict holds the verdicts of
 	verdict []bool
+	// members is an IN list's set when the list holds parameters: built from
+	// the processor's parameters on its first page (compileInList).
+	members any
 }
 
 // selDict appends the positions of rows whose dictionary entry passes test,

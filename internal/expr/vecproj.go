@@ -40,7 +40,7 @@ const virtualColBase = 1 << 20
 // evaluating processor's and never a kernel's: the arena every temporary is
 // leased from (nil makes them), and the dictionary verdicts the selection
 // kernels keep from page to page, one slot per kernel that keeps one
-// (selCompiler.memos).
+// (selCompiler.memos), and the parameters a kernel over a Param reads.
 type vecInput struct {
 	p       *block.Page
 	sel     []int // nil means rows 0..n-1 of p
@@ -48,6 +48,7 @@ type vecInput struct {
 	shared  []block.Block
 	scratch *block.Arena
 	memo    []dictSel
+	params  []types.Value
 }
 
 // colBlock resolves a column index to its block and the selection that maps
@@ -295,6 +296,14 @@ func vecStrCol(colIdx int) strKernel {
 func vecConst[T any](v T, null bool) vkernel[T] {
 	return func(in *vecInput, idx []int, out []T, nulls []bool) (bool, error) {
 		return fillConst(v, null, idx, in.n, out, nulls), nil
+	}
+}
+
+// vecParam fills parameter index, read once per call.
+func vecParam[T any](index int, get func(*types.Value) T) vkernel[T] {
+	return func(in *vecInput, idx []int, out []T, nulls []bool) (bool, error) {
+		v := &in.params[index]
+		return fillConst(get(v), v.Null, idx, in.n, out, nulls), nil
 	}
 }
 
@@ -597,44 +606,98 @@ func vecConcat(l, r strKernel) strKernel {
 
 // ---- scalar constants ----
 
-// A non-null constant operand of an arithmetic kernel, or of a comparison or
-// BETWEEN selection kernel (vecfilter.go), stays a scalar in the kernel's
-// loop: the other operand is evaluated, and the constant is read from a
-// register, never written to a vector for every row and read back. A NULL
-// constant takes the vector path, which makes every row NULL.
+// A non-null constant operand of an arithmetic kernel, or of a comparison,
+// BETWEEN, LIKE or IN selection kernel (vecfilter.go), stays a scalar in the
+// kernel's loop: the other operand is evaluated, and the constant is read from
+// a register, never written to a vector for every row and read back. A
+// parameter is such a scalar too, read from the evaluation's parameters once
+// per call. A NULL constant takes the vector path, which makes every row NULL.
 
-// scalarLong reports e as a non-null bigint or date constant.
-func scalarLong(e Expr) (int64, bool) {
-	c, ok := e.(*Const)
-	if !ok || c.Val.Null || (c.Val.T != types.Bigint && c.Val.T != types.Date) {
-		return 0, false
-	}
-	return c.Val.I, true
+// scalar is a kernel's scalar operand: the literal v, or parameter param (v
+// unused) as get reads it.
+type scalar[T any] struct {
+	v     T
+	param int // -1: the literal
+	get   func(*types.Value) T
 }
 
-// scalarDouble reports e as a non-null constant read as a double, as
-// vecDouble widens it.
-func scalarDouble(e Expr) (float64, bool) {
-	c, ok := e.(*Const)
-	if !ok || c.Val.Null {
-		return 0, false
+// at is the operand's value in the evaluation in.
+func (s scalar[T]) at(in *vecInput) T {
+	if s.param < 0 {
+		return s.v
 	}
-	switch c.Val.T {
-	case types.Double:
-		return c.Val.F, true
-	case types.Bigint, types.Date:
-		return float64(c.Val.I), true
-	}
-	return 0, false
+	return s.get(&in.params[s.param])
 }
 
-// scalarStr reports e as a non-null varchar constant.
-func scalarStr(e Expr) (string, bool) {
-	c, ok := e.(*Const)
-	if !ok || c.Val.Null || c.Val.T != types.Varchar {
-		return "", false
+func literal[T any](v T) (scalar[T], bool) { return scalar[T]{v: v, param: -1}, true }
+
+// isLiteral reports whether e is a constant or a parameter.
+func isLiteral(e Expr) bool {
+	switch e.(type) {
+	case *Const, *Param:
+		return true
 	}
-	return c.Val.S, true
+	return false
+}
+
+func longOf(v *types.Value) int64      { return v.I }
+func doubleOf(v *types.Value) float64  { return v.F }
+func widenedOf(v *types.Value) float64 { return float64(v.I) }
+func strOf(v *types.Value) string      { return v.S }
+
+// scalarLong reports e as a non-null bigint or date constant or parameter.
+func scalarLong(e Expr) (scalar[int64], bool) {
+	switch x := e.(type) {
+	case *Const:
+		if !x.Val.Null && (x.Val.T == types.Bigint || x.Val.T == types.Date) {
+			return literal(x.Val.I)
+		}
+	case *Param:
+		if x.T == types.Bigint || x.T == types.Date {
+			return scalar[int64]{param: x.Index, get: longOf}, true
+		}
+	}
+	return scalar[int64]{}, false
+}
+
+// scalarDouble reports e as a non-null constant or parameter read as a
+// double, as vecDouble widens it.
+func scalarDouble(e Expr) (scalar[float64], bool) {
+	switch x := e.(type) {
+	case *Const:
+		if x.Val.Null {
+			break
+		}
+		switch x.Val.T {
+		case types.Double:
+			return literal(x.Val.F)
+		case types.Bigint, types.Date:
+			return literal(float64(x.Val.I))
+		}
+	case *Param:
+		switch x.T {
+		case types.Double:
+			return scalar[float64]{param: x.Index, get: doubleOf}, true
+		case types.Bigint, types.Date:
+			return scalar[float64]{param: x.Index, get: widenedOf}, true
+		}
+	}
+	return scalar[float64]{}, false
+}
+
+// scalarStr reports e as a non-null varchar constant or parameter.
+func scalarStr(e Expr) (scalar[string], bool) {
+	switch x := e.(type) {
+	case *Const:
+		if !x.Val.Null && x.Val.T == types.Varchar {
+			return literal(x.Val.S)
+		}
+	case *Param:
+		if x.T == types.Varchar {
+			return scalar[string]{param: x.Index, get: strOf}, true
+		}
+	}
+	return scalar[string]{}, false
 }
 
 // zeroNulls zeroes out[i] wherever nulls[i] is set, over the computed
@@ -684,12 +747,13 @@ func anyNonNull(idx []int, n int, nulls []bool, has bool) bool {
 // only: the operand is evaluated straight into out and the operator applied
 // in place. Division by a constant zero fails where the operand is not NULL,
 // as the vector form does.
-func vecArithConst[T int64 | float64](op BinOp, f vkernel[T], c T, left bool) vkernel[T] {
+func vecArithConst[T int64 | float64](op BinOp, f vkernel[T], k scalar[T], left bool) vkernel[T] {
 	return func(in *vecInput, idx []int, out []T, nulls []bool) (bool, error) {
 		has, err := f(in, idx, out, nulls)
 		if err != nil {
 			return false, err
 		}
+		c := k.at(in)
 		if op == OpDiv && c == 0 {
 			if anyNonNull(idx, in.n, nulls, has) {
 				return false, errDivZero
@@ -764,7 +828,7 @@ func arithConstAt[T int64 | float64](op BinOp, o []T, idx []int, c T, left bool)
 // scalarArith compiles x op c (or c op x) when one operand is a scalar
 // constant and the operator has a scalar kernel: +, -, * either way round,
 // and / by a constant.
-func scalarArith[T int64 | float64](x *Arith, scalar func(Expr) (T, bool), compile func(Expr) (vkernel[T], bool)) (vkernel[T], bool) {
+func scalarArith[T int64 | float64](x *Arith, scalar func(Expr) (scalar[T], bool), compile func(Expr) (vkernel[T], bool)) (vkernel[T], bool) {
 	switch x.Op {
 	case OpAdd, OpSub, OpMul, OpDiv:
 	default:
@@ -895,6 +959,8 @@ func (c *selCompiler) vecLong(e Expr) (longKernel, bool) {
 	switch x := e.(type) {
 	case *Const:
 		return vecConst(x.Val.I, x.Val.Null), true
+	case *Param:
+		return vecParam(x.Index, longOf), true
 	case *ColumnRef:
 		return vecLongCol(x.Index), true
 	case *Neg:
@@ -946,6 +1012,8 @@ func (c *selCompiler) vecDouble(e Expr) (doubleKernel, bool) {
 	switch x := e.(type) {
 	case *Const:
 		return vecConst(x.Val.F, x.Val.Null), true
+	case *Param:
+		return vecParam(x.Index, doubleOf), true
 	case *ColumnRef:
 		return vecDoubleCol(x.Index), true
 	case *Neg:
@@ -984,6 +1052,8 @@ func (c *selCompiler) vecStr(e Expr) (strKernel, bool) {
 	switch x := e.(type) {
 	case *Const:
 		return vecConst(x.Val.S, x.Val.Null), true
+	case *Param:
+		return vecParam(x.Index, strOf), true
 	case *ColumnRef:
 		return vecStrCol(x.Index), true
 	case *Arith:

@@ -238,7 +238,7 @@ func TestProgramSharedByGoroutines(t *testing.T) {
 	for i, p := range pages {
 		want[i] = renderPage(t, NewInterpretedPageProcessor(filter, proj), p)
 	}
-	prog := compileProgram(filter, proj)
+	prog := CompileProgram(filter, proj)
 	if prog.memos == 0 {
 		t.Fatal("the filter keeps no dictionary memo")
 	}
@@ -247,7 +247,7 @@ func TestProgramSharedByGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pp := newProcessor(prog)
+			pp := prog.NewProcessor(nil)
 			if borrow {
 				pp.BorrowOutput()
 			}

@@ -299,8 +299,15 @@ func (s *Server) unknownQuery(w http.ResponseWriter, id string) {
 // and memory-pool usage per worker.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	// The compiled-fragment caches are summed over the workers, in process
+	// and remote.
+	var fc exec.FragmentCacheStats
+	add := func(st exec.FragmentCacheStats) {
+		fc.Hits, fc.Misses, fc.Evictions = fc.Hits+st.Hits, fc.Misses+st.Misses, fc.Evictions+st.Evictions
+	}
 	for _, wk := range s.Coord.Workers() {
 		writeWorkerGauges(w, wk)
+		add(wk.FragmentCacheStats())
 	}
 	// In distributed mode the workers are remote processes: proxy each
 	// registered worker's gauges so one scrape covers the cluster. The
@@ -314,10 +321,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 					map[string]string{"worker": fmt.Sprintf("%d", rw.ID)}, 1)
 				continue
 			}
-			io.Copy(w, io.LimitReader(resp.Body, 1<<20))
+			scrape, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 			resp.Body.Close()
+			add(scrapedFragmentCacheStats(scrape))
+			w.Write(scrape)
 		}
 	}
+	metrics.PromGauge(w, "presto_fragment_cache_hits_total", nil, float64(fc.Hits))
+	metrics.PromGauge(w, "presto_fragment_cache_misses_total", nil, float64(fc.Misses))
+	metrics.PromGauge(w, "presto_fragment_cache_evictions_total", nil, float64(fc.Evictions))
 	ms := s.Coord.MetaCacheStats()
 	metrics.PromGauge(w, "presto_metadata_cache_hits_total", nil, float64(ms.Hits))
 	metrics.PromGauge(w, "presto_metadata_cache_misses_total", nil, float64(ms.Misses))

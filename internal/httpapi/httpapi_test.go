@@ -1,13 +1,16 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -17,10 +20,18 @@ import (
 	"repro/internal/connectors/memconn"
 	"repro/internal/coordinator"
 	"repro/internal/exec"
+	"repro/internal/metrics"
+	"repro/internal/serving"
 	"repro/internal/types"
 )
 
 func testServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	return testServerWith(t, nil)
+}
+
+// testServerWith is testServer with a serving tier (nil: none).
+func testServerWith(t *testing.T, tier *serving.Tier) *httptest.Server {
 	t.Helper()
 	catalog := coordinator.NewCatalogManager()
 	mem := memconn.New("memory")
@@ -32,7 +43,7 @@ func testServer(t *testing.T) *httptest.Server {
 		[]*block.Page{block.NewPage(block.NewVarcharBlock(flags, nil))})
 	catalog.Register(mem)
 	workers := []*exec.Worker{exec.NewWorker(0, catalog, exec.WorkerConfig{Threads: 2})}
-	coord := coordinator.New(catalog, workers, coordinator.Config{DefaultCatalog: "memory"})
+	coord := coordinator.New(catalog, workers, coordinator.Config{DefaultCatalog: "memory", Serving: tier})
 	srv := httptest.NewServer(NewServer(coord).Handler())
 	t.Cleanup(func() {
 		srv.Close()
@@ -328,6 +339,66 @@ func TestSwitchHeaders(t *testing.T) {
 	}
 }
 
+// TestFragmentCacheMetrics: statements of one template compile each fragment
+// once per worker, and /v1/metrics sums the workers' lookups.
+func TestFragmentCacheMetrics(t *testing.T) {
+	srv := testServerWith(t, &serving.Tier{Plans: serving.NewPlanCache(serving.PlanCacheConfig{})})
+	for _, flag := range []string{"A", "N", "R", "A"} {
+		if _, errStr := runSQL(t, srv, "SELECT count(*) FROM memory.flags WHERE flag = '"+flag+"'"); errStr != "" {
+			t.Fatal(errStr)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "presto_fragment_cache_") {
+			got[name] = value
+		}
+	}
+	// The first statement plans, and its tasks compile their own; the second,
+	// the template's first hit, compiles its fragments into the worker's
+	// cache, and the two after it run them from there.
+	misses, hits := got["presto_fragment_cache_misses_total"], got["presto_fragment_cache_hits_total"]
+	if misses == "" || misses == "0" || hits == "" || hits == "0" || got["presto_fragment_cache_evictions_total"] != "0" {
+		t.Fatalf("fragment cache metrics %v, want misses and hits and no evictions", got)
+	}
+	if want := fmt.Sprint(2 * mustAtoi(t, misses)); hits != want {
+		t.Errorf("fragment cache hits %s, want two statements' worth of misses: %s", hits, want)
+	}
+}
+
+// TestScrapedFragmentCacheStats: a remote worker's fragment-cache counters
+// are read back from its scrape, whatever else the scrape holds.
+func TestScrapedFragmentCacheStats(t *testing.T) {
+	var scrape bytes.Buffer
+	lbl := map[string]string{"worker": "3"}
+	metrics.PromGauge(&scrape, "presto_worker_tasks", lbl, 9)
+	metrics.PromGauge(&scrape, "presto_worker_fragment_cache_hits_total", lbl, 12)
+	metrics.PromGauge(&scrape, "presto_worker_fragment_cache_misses_total", lbl, 4)
+	metrics.PromGauge(&scrape, "presto_worker_fragment_cache_evictions_total", lbl, 1)
+	got := scrapedFragmentCacheStats(scrape.Bytes())
+	if want := (exec.FragmentCacheStats{Hits: 12, Misses: 4, Evictions: 1}); got != want {
+		t.Errorf("scraped %+v, want %+v", got, want)
+	}
+}
+
+func mustAtoi(t *testing.T, s string) int {
+	t.Helper()
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	srv := testServer(t)
 	if _, errStr := runSQL(t, srv, "SELECT 1 + 2"); errStr != "" {
@@ -369,6 +440,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		`presto_scan_rows_per_page_bucket{le="16"} `,
 		"presto_scan_rows_per_page_count ",
 		`presto_dictionary_rows_total{operator="HashAggregation"} 64`,
+		`presto_worker_fragment_cache_misses_total{worker="0"} `,
+		"presto_fragment_cache_hits_total ",
+		"presto_fragment_cache_misses_total ",
+		"presto_fragment_cache_evictions_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q\n%s", want, text)

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -232,14 +233,24 @@ func (s *WorkerServer) handleCreateTasks(w http.ResponseWriter, r *http.Request)
 	rq.creating.Lock()
 	defer rq.creating.Unlock()
 
-	frags := map[int]*plan.Fragment{}
-	for _, raw := range req.Fragments {
-		f, err := wire.UnmarshalFragment(raw)
-		if err != nil {
-			http.Error(w, "decode fragment: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		frags[f.ID] = f
+	// A fragment is decoded only when the worker holds no compiled form of
+	// it under the digest of its document, which the worker computes itself:
+	// a digest taken on trust could name another fragment's compiled form.
+	vals, err := wire.UnmarshalValues(req.Values)
+	if err != nil {
+		http.Error(w, "decode values: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	frags := map[int]exec.TaskFragment{}
+	for _, doc := range req.Fragments {
+		body := doc.Body
+		frags[doc.ID] = exec.TaskFragment{Digest: sha256.Sum256(body), Values: vals, Load: func() (*plan.Fragment, error) {
+			f, err := wire.UnmarshalFragment(body)
+			if err == nil && f.ID != doc.ID {
+				err = fmt.Errorf("fragment %d sent as fragment %d", f.ID, doc.ID)
+			}
+			return f, err
+		}}
 	}
 	// The injector never travels on the wire; thread this worker's own into
 	// the task so exec-level fault seams (morsel open, filter publish) fire
@@ -253,7 +264,12 @@ func (s *WorkerServer) handleCreateTasks(w http.ResponseWriter, r *http.Request)
 	}
 	for _, spec := range req.Tasks {
 		id := exec.TaskID{QueryID: qid, Fragment: spec.Fragment, Index: spec.Index}
-		if s.task(id) == nil && !s.createTask(w, rq, id, spec, frags[spec.Fragment], &cfg) {
+		frag, ok := frags[spec.Fragment]
+		if !ok {
+			http.Error(w, fmt.Sprintf("task %s: fragment not in the batch", id), http.StatusBadRequest)
+			return
+		}
+		if s.task(id) == nil && !s.createTask(w, rq, id, spec, frag, &cfg) {
 			return
 		}
 		if !s.applySplits(w, qid, splits[id]) {
@@ -266,11 +282,7 @@ func (s *WorkerServer) handleCreateTasks(w http.ResponseWriter, r *http.Request)
 // createTask starts one task of a batch and registers it; a failure is
 // answered on w and reported as false.
 func (s *WorkerServer) createTask(w http.ResponseWriter, rq *remoteQuery, id exec.TaskID,
-	spec wire.TaskSpec, frag *plan.Fragment, cfg *exec.TaskConfig) bool {
-	if frag == nil {
-		http.Error(w, fmt.Sprintf("task %s: fragment not in the batch", id), http.StatusBadRequest)
-		return false
-	}
+	spec wire.TaskSpec, frag exec.TaskFragment, cfg *exec.TaskConfig) bool {
 	sources := map[int][]shuffle.Fetcher{}
 	for _, src := range spec.Sources {
 		for _, uri := range src.URIs {
@@ -668,4 +680,29 @@ func writeWorkerGauges(w io.Writer, wk *exec.Worker) {
 	metrics.PromGauge(w, "presto_memory_general_limit_bytes", lbl, float64(wk.Pool.GeneralLimit()))
 	metrics.PromGauge(w, "presto_memory_reserved_used_bytes", lbl, float64(wk.Pool.ReservedUsed()))
 	metrics.PromGauge(w, "presto_memory_reserved_limit_bytes", lbl, float64(wk.Pool.ReservedLimit()))
+	fc := wk.FragmentCacheStats()
+	metrics.PromGauge(w, "presto_worker_fragment_cache_hits_total", lbl, float64(fc.Hits))
+	metrics.PromGauge(w, "presto_worker_fragment_cache_misses_total", lbl, float64(fc.Misses))
+	metrics.PromGauge(w, "presto_worker_fragment_cache_evictions_total", lbl, float64(fc.Evictions))
+}
+
+// scrapedFragmentCacheStats reads a remote worker's fragment-cache counters
+// back from its scrape (writeWorkerGauges).
+func scrapedFragmentCacheStats(scrape []byte) exec.FragmentCacheStats {
+	var st exec.FragmentCacheStats
+	counters := map[string]*int64{
+		"presto_worker_fragment_cache_hits_total":      &st.Hits,
+		"presto_worker_fragment_cache_misses_total":    &st.Misses,
+		"presto_worker_fragment_cache_evictions_total": &st.Evictions,
+	}
+	for _, line := range strings.Split(string(scrape), "\n") {
+		name, rest, ok := strings.Cut(line, "{")
+		if c := counters[name]; ok && c != nil {
+			_, value, _ := strings.Cut(rest, "} ")
+			if v, err := strconv.ParseFloat(strings.TrimSpace(value), 64); err == nil {
+				*c += int64(v)
+			}
+		}
+	}
+	return st
 }

@@ -78,7 +78,7 @@ func newControlFixture(t *testing.T) *controlFixture {
 		entry.Splits = append(entry.Splits, wire.SplitData{Catalog: "memory", Data: data})
 	}
 	create, err := json.Marshal(wire.CreateRequest{
-		Fragments: []json.RawMessage{frag},
+		Fragments: []wire.FragmentDoc{{ID: leaf.ID, Body: frag}},
 		Tasks:     []wire.TaskSpec{{Fragment: leaf.ID, OutPartitions: 1}},
 		Splits:    []wire.SplitEntry{entry},
 	})

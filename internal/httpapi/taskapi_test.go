@@ -38,7 +38,7 @@ func resultsServer(t *testing.T, page *block.Page) (*WorkerServer, string) {
 	}
 	id := exec.TaskID{QueryID: "q"}
 	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: w.Pool})
-	task, err := w.CreateTask(id, frag, qmem, 1,
+	task, err := w.CreateTask(id, exec.TaskFragment{Load: func() (*plan.Fragment, error) { return frag, nil }}, qmem, 1,
 		map[int][]shuffle.Fetcher{1: {&shuffle.LocalFetcher{Buf: producer.Partition(0)}}}, nil, exec.FilterRelay{})
 	if err != nil {
 		t.Fatal(err)

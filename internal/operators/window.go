@@ -25,6 +25,7 @@ type WindowOperator struct {
 	nPart    int       // how many of keys partition
 	funcs    []plan.WindowExpr
 	argEvals []*expr.Evaluator
+	params   []types.Value // what a Param of an argument reads (SetParams)
 
 	finished bool
 	out      []*block.Page
@@ -50,6 +51,10 @@ func NewWindow(ctx *OpContext, partCols []int, orderCols []int, desc []bool, fun
 	}
 	return o
 }
+
+// SetParams hands the operator, before its first page, the parameters its
+// functions' arguments read.
+func (o *WindowOperator) SetParams(params []types.Value) { o.params = params }
 
 func (o *WindowOperator) NeedsInput() bool { return !o.finished }
 
@@ -144,7 +149,7 @@ func (o *WindowOperator) prepare() error {
 	}
 	for fi := range o.funcs {
 		if w.ranks[fi] == nil {
-			if err := fold(&accs[fi], o.argEvals[fi], out, w); err != nil {
+			if err := fold(&accs[fi], o.argEvals[fi], o.params, out, w); err != nil {
 				return err
 			}
 		}
@@ -169,12 +174,12 @@ func (o *WindowOperator) prepare() error {
 // out: each frame's rows on a page are one run of its argument (ev; nil for
 // COUNT(*)), and a frame that continues its predecessor starts from its
 // state.
-func fold(a *aggVec, ev *expr.Evaluator, out []*block.Page, w frames) error {
+func fold(a *aggVec, ev *expr.Evaluator, params []types.Value, out []*block.Page, w frames) error {
 	at := 0
 	for _, p := range out {
 		var arg block.Block
 		if ev != nil {
-			b, err := ev.EvalPage(p)
+			b, err := ev.EvalPage(p, params)
 			if err != nil {
 				return err
 			}

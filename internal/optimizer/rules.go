@@ -263,7 +263,7 @@ func conjunctDomain(e expr.Expr) (*plan.ColumnDomain, int, bool) {
 		}
 		// A lifted literal's slot follows its value into the domain, so a
 		// template's constraint binds with its filter.
-		v, s := c.Val, c.Slot()
+		v, s := c.Val, c.Slot
 		switch op {
 		case expr.CmpEq:
 			return plan.PointDomain(cr.T, v).WithSlots(s, 0), cr.Index, true
@@ -289,7 +289,7 @@ func conjunctDomain(e expr.Expr) (*plan.ColumnDomain, int, bool) {
 			return nil, 0, false
 		}
 		lv, hv := lo.Val, hi.Val
-		return plan.RangeDomain(cr.T, &lv, &hv, true, true).WithSlots(lo.Slot(), hi.Slot()), cr.Index, true
+		return plan.RangeDomain(cr.T, &lv, &hv, true, true).WithSlots(lo.Slot, hi.Slot), cr.Index, true
 	case *expr.In:
 		if x.Negate {
 			return nil, 0, false
@@ -305,7 +305,7 @@ func conjunctDomain(e expr.Expr) (*plan.ColumnDomain, int, bool) {
 				return nil, 0, false
 			}
 			if !c.Val.Null {
-				cd.AddPoint(c.Val, c.Slot())
+				cd.AddPoint(c.Val, c.Slot)
 			}
 		}
 		if len(cd.Points) == 0 {
@@ -320,7 +320,7 @@ func conjunctDomain(e expr.Expr) (*plan.ColumnDomain, int, bool) {
 		cr, cok := x.E.(*expr.ColumnRef)
 		pat, pok := x.Pattern.(*expr.Const)
 		// A lifted pattern would bind without the range derived from it.
-		if !cok || !pok || pat.Val.Null || pat.Slot() > 0 {
+		if !cok || !pok || pat.Val.Null || pat.Slot > 0 {
 			return nil, 0, false
 		}
 		prefix := expr.LikePrefix(pat.Val.S)

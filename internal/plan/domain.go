@@ -29,12 +29,12 @@ type ColumnDomain struct {
 	// NullAllowed reports whether NULL satisfies the constraint.
 	NullAllowed bool
 
-	// slots is aligned with Points: the plan-cache slot each point's literal
+	// Slots is aligned with Points: the plan-cache slot each point's literal
 	// was lifted into (nil when none was). valueShaped marks a domain whose
 	// shape the values of lifted literals decided (an intersection of two
 	// different lifted constraints): binding other values into it could
 	// prune rows they select, so a plan holding one is not a template.
-	slots       []int
+	Slots       []int
 	valueShaped bool
 }
 
@@ -42,8 +42,8 @@ type ColumnDomain struct {
 type Range struct {
 	Lo, Hi             *types.Value
 	LoClosed, HiClosed bool
-	// loSlot and hiSlot are the plan-cache slots of lifted bounds (0: none).
-	loSlot, hiSlot int
+	// LoSlot and HiSlot are the plan-cache slots of lifted bounds (0: none).
+	LoSlot, HiSlot int
 }
 
 // AllDomain returns the unconstrained domain.
@@ -180,9 +180,9 @@ func (c *ColumnDomain) Intersect(o *ColumnDomain) *ColumnDomain {
 			return out
 		}
 		out := c.intersect(o)
-		out.slots, out.valueShaped = nil, true
+		out.Slots, out.valueShaped = nil, true
 		for i := range out.Ranges {
-			out.Ranges[i].loSlot, out.Ranges[i].hiSlot = 0, 0
+			out.Ranges[i].LoSlot, out.Ranges[i].HiSlot = 0, 0
 		}
 		return out
 	}
@@ -319,9 +319,9 @@ func RangeDomain(t types.Type, lo, hi *types.Value, loClosed, hiClosed bool) *Co
 func (c *ColumnDomain) WithSlots(lo, hi int) *ColumnDomain {
 	switch {
 	case len(c.Points) == 1 && lo > 0:
-		c.slots = []int{lo}
+		c.Slots = []int{lo}
 	case len(c.Ranges) == 1:
-		c.Ranges[0].loSlot, c.Ranges[0].hiSlot = lo, hi
+		c.Ranges[0].LoSlot, c.Ranges[0].HiSlot = lo, hi
 	}
 	return c
 }
@@ -329,29 +329,29 @@ func (c *ColumnDomain) WithSlots(lo, hi int) *ColumnDomain {
 // AddPoint appends v to the point set; slot is the plan-cache slot of its
 // literal (0: not lifted).
 func (c *ColumnDomain) AddPoint(v types.Value, slot int) {
-	if slot > 0 && c.slots == nil {
-		c.slots = make([]int, len(c.Points), cap(c.Points)+1)
+	if slot > 0 && c.Slots == nil {
+		c.Slots = make([]int, len(c.Points), cap(c.Points)+1)
 	}
 	c.Points = append(c.Points, v)
-	if c.slots != nil {
-		c.slots = append(c.slots, slot)
+	if c.Slots != nil {
+		c.Slots = append(c.Slots, slot)
 	}
 }
 
 func (c *ColumnDomain) slotOf(i int) int {
-	if c.slots == nil {
+	if c.Slots == nil {
 		return 0
 	}
-	return c.slots[i]
+	return c.Slots[i]
 }
 
 // lifted reports whether a lifted literal is among the domain's values, or
 // decided its shape.
 func (c *ColumnDomain) lifted() bool {
-	if c.valueShaped || slices.ContainsFunc(c.slots, func(s int) bool { return s > 0 }) {
+	if c.valueShaped || slices.ContainsFunc(c.Slots, func(s int) bool { return s > 0 }) {
 		return true
 	}
-	return slices.ContainsFunc(c.Ranges, func(r Range) bool { return r.loSlot > 0 || r.hiSlot > 0 })
+	return slices.ContainsFunc(c.Ranges, func(r Range) bool { return r.LoSlot > 0 || r.HiSlot > 0 })
 }
 
 // sameAs reports that o is c again: the same values from the same slots.
@@ -367,7 +367,7 @@ func (c *ColumnDomain) sameAs(o *ColumnDomain) bool {
 	}
 	for i, r := range c.Ranges {
 		q := o.Ranges[i]
-		if r.key() != q.key() || r.loSlot != q.loSlot || r.hiSlot != q.hiSlot {
+		if r.key() != q.key() || r.LoSlot != q.LoSlot || r.HiSlot != q.HiSlot {
 			return false
 		}
 	}
@@ -395,7 +395,7 @@ func (c *ColumnDomain) joinBounds(o *ColumnDomain) (*ColumnDomain, bool) {
 	if a.Lo == nil || a.Hi != nil || b.Lo != nil || b.Hi == nil {
 		return nil, false
 	}
-	r := Range{Lo: a.Lo, LoClosed: a.LoClosed, loSlot: a.loSlot, Hi: b.Hi, HiClosed: b.HiClosed, hiSlot: b.hiSlot}
+	r := Range{Lo: a.Lo, LoClosed: a.LoClosed, LoSlot: a.LoSlot, Hi: b.Hi, HiClosed: b.HiClosed, HiSlot: b.HiSlot}
 	if cmp := r.Lo.Compare(*r.Hi); cmp > 0 || (cmp == 0 && !(r.LoClosed && r.HiClosed)) {
 		return nil, false
 	}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/expr"
@@ -9,8 +10,9 @@ import (
 
 // A plan-cache template is a plan whose literals in value positions were
 // lifted into slots: each such literal is an expr.Const carrying its slot, and
-// so is every scan-constraint bound derived from one. Binding substitutes
-// another statement's literals, slot by slot, into a copy of the plan.
+// so is every scan-constraint bound derived from one. Another statement of the
+// template runs the same plan with its own literals: they travel to the
+// workers as task parameters, and only scan constraints are bound (Bind).
 
 // WalkExprs calls fn with every expression a node of n's tree evaluates:
 // filter predicates, projections, grouping keys, aggregate and window
@@ -60,7 +62,7 @@ func TraceSlots(n Node, traced []bool) bool {
 	WalkExprs(n, func(e expr.Expr) {
 		expr.Walk(e, func(x expr.Expr) {
 			if c, ok := x.(*expr.Const); ok {
-				mark(c.Slot())
+				mark(c.Slot)
 			}
 		})
 	})
@@ -71,12 +73,12 @@ func TraceSlots(n Node, traced []bool) bool {
 				if cd.valueShaped {
 					ok = false
 				}
-				for _, s := range cd.slots {
+				for _, s := range cd.Slots {
 					mark(s)
 				}
 				for _, r := range cd.Ranges {
-					mark(r.loSlot)
-					mark(r.hiSlot)
+					mark(r.LoSlot)
+					mark(r.HiSlot)
 				}
 			}
 		}
@@ -84,189 +86,74 @@ func TraceSlots(n Node, traced []bool) bool {
 	return ok
 }
 
-// BindSlots returns n with every lifted constant and constraint bound set to
-// vals[slot-1], coerced to the type the plan holds it at. Nodes off the path
-// to a lifted literal are shared with n, which is never modified. The error is
-// a value that does not coerce; the caller plans the statement afresh.
-func BindSlots(n Node, vals []types.Value) (Node, error) {
-	b := binder{vals: vals}
-	out := b.node(n)
-	return out, b.err
+// SlotType is a type a plan holds a lifted literal at.
+type SlotType struct {
+	Slot int
+	T    types.Type
 }
 
-// BindSlots is BindSlots over every fragment of the plan.
-func (d *DistributedPlan) BindSlots(vals []types.Value) (*DistributedPlan, error) {
-	b := binder{vals: vals}
-	out := &DistributedPlan{RootID: d.RootID, Fragments: make([]*Fragment, len(d.Fragments))}
-	for i, f := range d.Fragments {
-		cp := *f
-		cp.Root = b.node(f.Root)
-		out.Fragments[i] = &cp
-	}
-	return out, b.err
-}
-
-type binder struct {
-	vals []types.Value
-	err  error
-}
-
-func (b *binder) value(slot int, t types.Type) types.Value {
-	v := b.vals[slot-1]
-	if v.T != t {
-		var err error
-		if v, err = v.Coerce(t); err != nil && b.err == nil {
-			b.err = err
-		}
-	}
-	return v
-}
-
-func (b *binder) node(n Node) Node {
-	kids := n.Children()
-	var bound []Node
-	for i, k := range kids {
-		if nk := b.node(k); nk != k {
-			if bound == nil {
-				bound = slices.Clone(kids)
-			}
-			bound[i] = nk
-		}
-	}
-	if bound != nil {
-		n = n.WithChildren(bound)
-	}
-	switch x := n.(type) {
-	case *Scan:
-		if d := b.domain(x.Handle.Constraint); d != x.Handle.Constraint {
-			cp := *x
-			cp.Handle.Constraint = d
-			return &cp
-		}
-	case *Filter:
-		if p := b.expr(x.Predicate); p != x.Predicate {
-			cp := *x
-			cp.Predicate = p
-			return &cp
-		}
-	case *Project:
-		if es := b.exprs(x.Exprs); es != nil {
-			cp := *x
-			cp.Exprs = es
-			return &cp
-		}
-	case *Aggregation:
-		groups := b.exprs(x.GroupBy)
-		var aggs []Aggregate
-		for i, a := range x.Aggregates {
-			if arg := b.expr(a.Arg); arg != a.Arg {
-				if aggs == nil {
-					aggs = slices.Clone(x.Aggregates)
+// SlotTypes appends to out, once each, the (slot, type) pairs at which n's
+// expressions hold a lifted constant: a statement of the template runs n only
+// if each of its literals coerces to each type its slot is held at.
+func SlotTypes(n Node, out []SlotType) []SlotType {
+	WalkExprs(n, func(e expr.Expr) {
+		expr.Walk(e, func(x expr.Expr) {
+			if c, ok := x.(*expr.Const); ok && c.Slot > 0 {
+				if st := (SlotType{c.Slot, c.Val.T}); !slices.Contains(out, st) {
+					out = append(out, st)
 				}
-				aggs[i].Arg = arg
 			}
-		}
-		if groups != nil || aggs != nil {
-			cp := *x
-			if groups != nil {
-				cp.GroupBy = groups
-			}
-			if aggs != nil {
-				cp.Aggregates = aggs
-			}
-			return &cp
-		}
-	case *Join:
-		if r := b.expr(x.Residual); r != x.Residual {
-			cp := *x
-			cp.Residual = r
-			return &cp
-		}
-	case *Window:
-		var funcs []WindowExpr
-		for i, f := range x.Funcs {
-			if arg := b.expr(f.Arg); arg != f.Arg {
-				if funcs == nil {
-					funcs = slices.Clone(x.Funcs)
-				}
-				funcs[i].Arg = arg
-			}
-		}
-		if funcs != nil {
-			cp := *x
-			cp.Funcs = funcs
-			return &cp
-		}
-	}
-	return n
-}
-
-// exprs binds a list, returning nil when no element changed.
-func (b *binder) exprs(es []expr.Expr) []expr.Expr {
-	var out []expr.Expr
-	for i, e := range es {
-		if be := b.expr(e); be != e {
-			if out == nil {
-				out = slices.Clone(es)
-			}
-			out[i] = be
-		}
-	}
+		})
+	})
 	return out
 }
 
-// expr binds one expression, returning e itself when it holds no lifted
-// constant.
-func (b *binder) expr(e expr.Expr) expr.Expr {
-	if e == nil {
-		return nil
-	}
-	lifted := false
-	expr.Walk(e, func(x expr.Expr) {
-		if c, ok := x.(*expr.Const); ok && c.Slot() > 0 {
-			lifted = true
-		}
-	})
-	if !lifted {
-		return e
-	}
-	return expr.Rewrite(e, func(x expr.Expr) expr.Expr {
-		if c, ok := x.(*expr.Const); ok && c.Slot() > 0 {
-			return expr.NewSlotConst(b.value(c.Slot(), c.Val.T), c.Slot())
-		}
-		return nil
-	})
-}
-
-// domain binds a scan constraint, returning d itself when it holds no lifted
-// bound.
-func (b *binder) domain(d *Domain) *Domain {
+// Bind returns d with every lifted bound set to vals[slot-1], coerced to the
+// type the domain holds it at; d itself when it holds none, and is never
+// modified. The error is a value that does not coerce. A scan's constraint is
+// all of a template that is bound before it runs: the coordinator binds it to
+// enumerate splits and to ask the connector's pushdown again, a worker to open
+// its page sources. Expressions are not bound; a worker compiles their lifted
+// constants as parameters (exec.CompiledFragment).
+func (d *Domain) Bind(vals []types.Value) (*Domain, error) {
 	if d.All() {
-		return d
+		return d, nil
 	}
 	var out *Domain
+	var bindErr error
+	value := func(slot int, t types.Type) types.Value {
+		if slot > len(vals) {
+			bindErr = fmt.Errorf("no value for slot %d", slot)
+			return types.NullValue(t)
+		}
+		v, err := vals[slot-1].Coerce(t)
+		if err != nil && bindErr == nil {
+			bindErr = err
+		}
+		return v
+	}
 	for name, cd := range d.Columns {
 		if !cd.lifted() {
 			continue
 		}
 		nc := *cd
-		if cd.slots != nil {
+		if cd.Slots != nil {
 			nc.Points = slices.Clone(cd.Points)
-			for i, s := range cd.slots {
+			for i, s := range cd.Slots {
 				if s > 0 {
-					nc.Points[i] = b.value(s, cd.Points[i].T)
+					nc.Points[i] = value(s, cd.Points[i].T)
 				}
 			}
 		}
 		nc.Ranges = slices.Clone(cd.Ranges)
 		for i := range nc.Ranges {
 			r := &nc.Ranges[i]
-			if r.loSlot > 0 {
-				v := b.value(r.loSlot, r.Lo.T)
+			if r.LoSlot > 0 {
+				v := value(r.LoSlot, r.Lo.T)
 				r.Lo = &v
 			}
-			if r.hiSlot > 0 {
-				v := b.value(r.hiSlot, r.Hi.T)
+			if r.HiSlot > 0 {
+				v := value(r.HiSlot, r.Hi.T)
 				r.Hi = &v
 			}
 		}
@@ -279,7 +166,7 @@ func (b *binder) domain(d *Domain) *Domain {
 		out.Columns[name] = &nc
 	}
 	if out == nil {
-		return d
+		return d, nil
 	}
-	return out
+	return out, bindErr
 }

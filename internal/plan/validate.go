@@ -95,13 +95,26 @@ func within(what string, n int, is ...int) error {
 	return nil
 }
 
+// exprsWithin checks the expressions' column references, and that none holds
+// a Param: a plan carries its literals as constants, and only a worker's
+// compiled program reads parameters.
 func exprsWithin(n int, es ...expr.Expr) error {
+	var err error
 	for _, e := range es {
-		if err := within("column reference", n, expr.Columns(e)...); err != nil {
-			return err
-		}
+		expr.Walk(e, func(x expr.Expr) {
+			switch x := x.(type) {
+			case *expr.ColumnRef:
+				if err == nil {
+					err = within("column reference", n, x.Index)
+				}
+			case *expr.Param:
+				if err == nil {
+					err = fmt.Errorf("a plan expression holds a parameter: %s", e)
+				}
+			}
+		})
 	}
-	return nil
+	return err
 }
 
 func keysWithin(n int, keys []SortKey) error {

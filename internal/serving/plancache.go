@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/plan"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // PlanEntry is one cached planning outcome: the optimized logical plan and
@@ -15,10 +16,11 @@ type PlanEntry struct {
 	Logical     plan.Node
 	Distributed *plan.DistributedPlan
 	// Template marks a plan stored under its Template.Key: its lifted
-	// literals are slot-tagged and a hit binds the statement's own into a
-	// copy, unless they equal Values, the literals it was planned with. A
-	// plan that consumed a literal's value is stored under the
-	// Template.LiteralKey instead, and serves only the same literals.
+	// literals are slot-tagged, and a hit runs it with the statement's own,
+	// which its tasks read as parameters and its scans' constraints are bound
+	// to. A plan that consumed a literal's value is stored under the
+	// Template.LiteralKey instead, and serves only the same literals; Values
+	// are the literals it was planned with.
 	Template bool
 	Values   []types.Value
 	// Tables lists the (catalog, table) pairs the plan reads; Schemas and
@@ -32,6 +34,12 @@ type PlanEntry struct {
 	// order), the columns its connector enforced. A hit re-runs the
 	// pushdown on the bound constraint and replans if the answer differs.
 	Pushdown [][]string
+	// forms are the distributed plan's fragments in wire form (Forms).
+	formsOnce sync.Once
+	forms     []wire.Form
+	// Coercions are the types the fragments hold each lifted literal at: a
+	// hit whose literal does not coerce to one is planned afresh.
+	Coercions []plan.SlotType
 	// ResultBase fingerprints the template key + output schema — the part of
 	// the result-cache key that the statement's literals do not change.
 	ResultBase uint64
@@ -39,6 +47,17 @@ type PlanEntry struct {
 	// deterministic, and every referenced table comes from a versioned
 	// connector (so staleness is detectable).
 	ResultOK bool
+}
+
+// Forms returns the distributed plan's fragments in wire form, by fragment
+// id, which encode makes on the first call — the entry's first hit: a plan
+// that never runs again is never encoded. Every statement the entry runs
+// after that sends them, and a worker keys its compiled form of a fragment by
+// the digest. nil: the fragments did not encode, and each task compiles its
+// own.
+func (e *PlanEntry) Forms(encode func(*plan.DistributedPlan) []wire.Form) []wire.Form {
+	e.formsOnce.Do(func() { e.forms = encode(e.Distributed) })
+	return e.forms
 }
 
 // SameValues reports whether a and b are the same literals, type and value.

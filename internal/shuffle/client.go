@@ -25,6 +25,18 @@ func (f *LocalFetcher) Fetch(token int64, maxBytes int64, wait time.Duration) ([
 	return pages, next, done, nil
 }
 
+// InProcess declares the fetcher in-process.
+func (f *LocalFetcher) InProcess() {}
+
+// InProcess is implemented by a Fetcher whose Fetch only calls into this
+// process and returns within its wait: it cannot hang, so the exchange
+// client calls it directly, without the goroutine and the watchdog timer a
+// fetch that crosses a network gets (fetchOnce).
+type InProcess interface {
+	Fetcher
+	InProcess()
+}
+
 // fetchWait is the long-poll window passed to each Fetch attempt.
 const fetchWait = 200 * time.Millisecond
 
@@ -236,11 +248,12 @@ func (c *ExchangeClient) fetchLoop(src Fetcher) {
 }
 
 // fetchOnce issues one fetch attempt, bounded by the per-attempt timeout
-// (<= 0 disables it). On timeout the attempt counts as failed; the in-flight
-// request's eventual response is discarded (its goroutine exits once the
-// underlying fetch returns, which the long-poll wait bounds).
+// (<= 0 disables it) unless src is InProcess. On timeout the attempt counts
+// as failed; the in-flight request's eventual response is discarded (its
+// goroutine exits once the underlying fetch returns, which the long-poll wait
+// bounds).
 func fetchOnce(src Fetcher, token, maxBytes int64, wait, timeout time.Duration) ([]*block.Page, int64, bool, error) {
-	if timeout <= 0 {
+	if _, local := src.(InProcess); local || timeout <= 0 {
 		return src.Fetch(token, maxBytes, wait)
 	}
 	type result struct {

@@ -144,6 +144,28 @@ func TestExchangeClientFetchTimeoutRetries(t *testing.T) {
 	}
 }
 
+// slowLocal is an in-process fetcher slower than the fetch timeout.
+type slowLocal struct{ hangOnceFetcher }
+
+func (*slowLocal) InProcess() {}
+
+// TestInProcessFetchHasNoWatchdog: a fetch that crosses no network is called
+// directly, so a slow one is waited for and is not a failed attempt; any
+// other fetcher — a fault-injecting wrapper too — keeps the timeout.
+func TestInProcessFetchHasNoWatchdog(t *testing.T) {
+	b := NewOutputBuffer(1, 1<<20)
+	b.Add(0, page(1, 2, 3))
+	b.SetNoMorePages()
+	local := &slowLocal{hangOnceFetcher{inner: &LocalFetcher{Buf: b.Partition(0)}}}
+	if _, _, _, err := fetchOnce(local, 0, 1<<20, 0, 30*time.Millisecond); err != nil {
+		t.Fatalf("an in-process fetch timed out: %v", err)
+	}
+	remote := &hangOnceFetcher{inner: &LocalFetcher{Buf: b.Partition(0)}}
+	if _, _, _, err := fetchOnce(remote, 0, 1<<20, 0, 30*time.Millisecond); err == nil {
+		t.Fatal("a fetch past its timeout did not fail")
+	}
+}
+
 func TestExchangeClientConcurrencySizing(t *testing.T) {
 	c := NewExchangeClient(make([]Fetcher, 8), 1<<20)
 	c.mu.Lock()

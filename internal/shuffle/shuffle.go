@@ -208,11 +208,14 @@ func (p *PartitionBuffer) Fetch(token int64, maxBytes int64, wait time.Duration)
 		freed = true
 	}
 	p.cond.Broadcast() // space may have been freed
-	if freed && p.notify != nil {
-		// The callback must not run under mu (the executor holds its own
-		// lock while probing p.full(), so mu → executor-lock would cycle),
-		// and this function holds mu until it returns; hand off instead.
-		go p.notify()
+	if notify := p.notify; freed && notify != nil {
+		// The callback must not run under mu: the executor holds its own
+		// lock while probing p.full(), so mu → executor-lock would cycle.
+		// It runs before the long poll, so that the producer it wakes can
+		// fill what this fetch waits for.
+		p.mu.Unlock()
+		notify()
+		p.mu.Lock()
 	}
 
 	// Long-poll for data.

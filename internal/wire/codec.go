@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/plan"
+	"repro/internal/types"
 )
 
 // kinds names every plan node and expression type a fragment can hold. The
@@ -32,6 +33,9 @@ var kinds = map[string]any{
 	"between": &expr.Between{}, "like": &expr.Like{}, "case": &expr.Case{},
 	"cast": &expr.Cast{}, "call": &expr.Call{}, "lambda": &expr.Lambda{},
 	"lambdaref": &expr.LambdaRef{}, "subscript": &expr.Subscript{}, "array": &expr.ArrayCtor{},
+	// A plan never holds a Param (plan.Fragment.Validate refuses one); it is
+	// registered so that every expression type has a kind.
+	"param": &expr.Param{},
 }
 
 // validator is an enum: every field of such a type is checked on decode.
@@ -129,6 +133,32 @@ func UnmarshalFragment(data json.RawMessage) (*plan.Fragment, error) {
 		return nil, fmt.Errorf("fragment %d: %w", f.ID, err)
 	}
 	return f, nil
+}
+
+// MarshalValues encodes a statement's literals for a create request, as the
+// codec encodes a constant's value.
+func MarshalValues(vals []types.Value) (json.RawMessage, error) {
+	var e encoder
+	if err := e.value(reflect.ValueOf(vals)); err != nil {
+		return nil, fmt.Errorf("values: %w", err)
+	}
+	return e.buf, nil
+}
+
+// UnmarshalValues reverses MarshalValues; empty data is no values.
+func UnmarshalValues(data json.RawMessage) ([]types.Value, error) {
+	if len(data) == 0 {
+		return nil, nil
+	}
+	if !json.Valid(data) {
+		return nil, errors.New("values: not a JSON document")
+	}
+	var vals []types.Value
+	d := decoder{data: data}
+	if err := d.value(reflect.ValueOf(&vals).Elem()); err != nil {
+		return nil, fmt.Errorf("values: %w", err)
+	}
+	return vals, nil
 }
 
 // encoder appends the JSON form of plan values to buf.

@@ -87,7 +87,7 @@ func FuzzCreateRequestDecode(f *testing.F) {
 			if err != nil {
 				f.Fatal(err)
 			}
-			req.Fragments = append(req.Fragments, raw)
+			req.Fragments = append(req.Fragments, FragmentDoc{ID: frag.ID, Body: raw})
 			req.Tasks = append(req.Tasks, TaskSpec{Fragment: frag.ID, OutPartitions: 2})
 		}
 		data, err := json.Marshal(req)
@@ -112,8 +112,9 @@ func FuzzCreateRequestDecode(f *testing.F) {
 		if json.Unmarshal(data, &req) != nil {
 			return
 		}
-		for _, raw := range req.Fragments {
-			frag, err := UnmarshalFragment(raw)
+		UnmarshalValues(req.Values)
+		for _, doc := range req.Fragments {
+			frag, err := UnmarshalFragment(doc.Body)
 			if err != nil {
 				continue
 			}

@@ -13,22 +13,54 @@
 package wire
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 
 	"repro/internal/exec"
+	"repro/internal/plan"
 )
 
 // CreateRequest is the body of POST /v1/query/{qid}/tasks: every task of one
 // statement placed on one worker. A fragment is serialized once however many
-// of its tasks run there, the task configuration once for the statement, and
-// Splits carries what split enumeration already had in hand at placement
-// (sequence 0 of its scan, replay-safe like any later batch).
+// of its tasks run there, the task configuration and the statement's
+// literals once for the statement, and Splits carries what split enumeration
+// already had in hand at placement (sequence 0 of its scan, replay-safe like
+// any later batch).
 type CreateRequest struct {
 	Config exec.TaskConfig `json:"config"`
-	// Fragments are MarshalFragment documents; a TaskSpec names one by id.
-	Fragments []json.RawMessage `json:"fragments"`
-	Tasks     []TaskSpec        `json:"tasks"`
-	Splits    []SplitEntry      `json:"splits,omitempty"`
+	// Fragments are the batch's fragments; a TaskSpec names one by id.
+	Fragments []FragmentDoc `json:"fragments"`
+	// Values are the statement's literals by plan-cache slot
+	// (MarshalValues), which every task of the batch reads as its
+	// parameters; none runs the fragments' own literals.
+	Values json.RawMessage `json:"values,omitempty"`
+	Tasks  []TaskSpec      `json:"tasks"`
+	Splits []SplitEntry    `json:"splits,omitempty"`
+}
+
+// FragmentDoc is one fragment of a CreateRequest: its id and the
+// MarshalFragment document. A worker digests the document itself and does
+// not decode it again when it holds a compiled form under that digest.
+type FragmentDoc struct {
+	ID   int             `json:"id"`
+	Body json.RawMessage `json:"body"`
+}
+
+// Form is a fragment's wire form, encoded once for every statement that runs
+// it, and its digest, which an in-process worker keys its compiled form by (an
+// HTTP worker digests the body it receives).
+type Form struct {
+	Body   json.RawMessage
+	Digest exec.Digest
+}
+
+// EncodeFragment encodes f and digests the encoding.
+func EncodeFragment(f *plan.Fragment) (Form, error) {
+	body, err := MarshalFragment(f)
+	if err != nil {
+		return Form{}, err
+	}
+	return Form{Body: body, Digest: sha256.Sum256(body)}, nil
 }
 
 // TaskSpec is one task of a CreateRequest.

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/connector"
 	"repro/internal/coordinator"
 	"repro/internal/exec"
+	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/serving"
 	"repro/internal/types"
@@ -131,15 +133,106 @@ func explainBoth(logical plan.Node, dp *plan.DistributedPlan) string {
 	return plan.Format(logical) + dp.Format()
 }
 
+// substitute returns n with vals in place of its lifted constants and
+// constraint bounds, coerced to the types n holds them at: the plan a cache
+// hit runs, as its EXPLAIN would read. The engine never makes this copy — its
+// tasks read the literals as parameters — so only this comparison needs it.
+func substitute(t *testing.T, n plan.Node, vals []types.Value) plan.Node {
+	t.Helper()
+	bind := func(e expr.Expr) expr.Expr {
+		if e == nil {
+			return nil
+		}
+		return expr.Rewrite(e, func(x expr.Expr) expr.Expr {
+			if c, ok := x.(*expr.Const); ok && c.Slot > 0 {
+				v, err := vals[c.Slot-1].Coerce(c.Val.T)
+				if err != nil {
+					t.Fatalf("slot %d: %v", c.Slot, err)
+				}
+				return expr.NewSlotConst(v, c.Slot)
+			}
+			return nil
+		})
+	}
+	binds := func(es []expr.Expr) []expr.Expr {
+		out := make([]expr.Expr, len(es))
+		for i, e := range es {
+			out[i] = bind(e)
+		}
+		return out
+	}
+	if kids := n.Children(); len(kids) > 0 {
+		bound := make([]plan.Node, len(kids))
+		for i, k := range kids {
+			bound[i] = substitute(t, k, vals)
+		}
+		n = n.WithChildren(bound)
+	}
+	switch x := n.(type) {
+	case *plan.Scan:
+		d, err := x.Handle.Constraint.Bind(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := *x
+		cp.Handle.Constraint = d
+		return &cp
+	case *plan.Filter:
+		cp := *x
+		cp.Predicate = bind(x.Predicate)
+		return &cp
+	case *plan.Project:
+		cp := *x
+		cp.Exprs = binds(x.Exprs)
+		return &cp
+	case *plan.Aggregation:
+		cp := *x
+		cp.GroupBy, cp.Aggregates = binds(x.GroupBy), slices.Clone(x.Aggregates)
+		for i := range cp.Aggregates {
+			cp.Aggregates[i].Arg = bind(cp.Aggregates[i].Arg)
+		}
+		return &cp
+	case *plan.Join:
+		cp := *x
+		cp.Residual = bind(x.Residual)
+		return &cp
+	case *plan.Window:
+		cp := *x
+		cp.Funcs = slices.Clone(x.Funcs)
+		for i := range cp.Funcs {
+			cp.Funcs[i].Arg = bind(cp.Funcs[i].Arg)
+		}
+		return &cp
+	}
+	return n
+}
+
+// substituteAll is substitute over every fragment of dp.
+func substituteAll(t *testing.T, dp *plan.DistributedPlan, vals []types.Value) *plan.DistributedPlan {
+	out := &plan.DistributedPlan{RootID: dp.RootID}
+	for _, f := range dp.Fragments {
+		cp := *f
+		cp.Root = substitute(t, f.Root, vals)
+		out.Fragments = append(out.Fragments, &cp)
+	}
+	return out
+}
+
 // templateDifferential runs sets random literal sets of every statement on
 // coord, through the plan cache and around it, and compares rows; wherever the
 // cache bound a template, the bound plan's EXPLAIN must equal a fresh plan's
-// unless the fresh plan has another shape. It returns the ids whose every set
-// was a plan-cache hit.
-func templateDifferential(t *testing.T, coord *coordinator.Coordinator, stmts []templateStmt, sets int) map[string]bool {
+// unless the fresh plan has another shape. Each set also runs twice more on
+// the cached plan, with the result cache off: once on the fragments workers
+// compiled for an earlier set, once after every worker's compiled fragments
+// were dropped (exec.Worker.DropCompiledFragments), and both give the rows
+// planning afresh gives. It returns the ids whose every set was a plan-cache
+// hit.
+func templateDifferential(t *testing.T, coord *coordinator.Coordinator, stmts []templateStmt, sets int,
+	workers []*exec.Worker) map[string]bool {
 	t.Helper()
 	on := Session{}
 	off := Session{Switches: exec.DisablePlanCache | exec.DisableResultCache}
+	run := Session{Switches: exec.DisableResultCache}
 	rows := func(sql string, s Session, col int) []string {
 		t.Helper()
 		res, err := coord.Execute(sql, s)
@@ -164,7 +257,8 @@ func templateDifferential(t *testing.T, coord *coordinator.Coordinator, stmts []
 		if !ok {
 			t.Fatalf("%s: no plan-cache key", st.id)
 		}
-		rows(st.sql, on, st.tieCol) // plans the template
+		rows(st.sql, on, st.tieCol)  // plans the template
+		rows(st.sql, run, st.tieCol) // compiles its fragments under run's switches
 		hits, shapes := 0, 0
 		for i := 0; i < sets; i++ {
 			sql := randomLiterals(rng, st.sql, tm)
@@ -176,12 +270,23 @@ func templateDifferential(t *testing.T, coord *coordinator.Coordinator, stmts []
 			if coord.ServingStats().Plan.Hits > before {
 				hits++
 			}
-			assertRows(t, st.id+": "+sql, got, rows(sql, off, st.tieCol))
+			want := rows(sql, off, st.tieCol)
+			assertRows(t, st.id+": "+sql, got, want)
+			warm := fragmentCacheHits(workers)
+			assertRows(t, st.id+" (compiled fragments cached): "+sql, rows(sql, run, st.tieCol), want)
+			if fragmentCacheHits(workers) == warm {
+				t.Errorf("%s: no task of a cached plan took a cached compiled fragment: %s", st.id, sql)
+			}
+			for _, w := range workers {
+				w.DropCompiledFragments()
+			}
+			assertRows(t, st.id+" (compiled fragments dropped): "+sql, rows(sql, run, st.tieCol), want)
 
-			bl, bdp, ok := coord.CachedPlan(sql, on)
+			tl, tdp, vals, ok := coord.CachedPlan(sql, on)
 			if !ok {
 				continue
 			}
+			bl, bdp := substitute(t, tl, vals), substituteAll(t, tdp, vals)
 			fl, fdp, err := coord.Plan(sql, on)
 			if err != nil {
 				t.Fatalf("%s: %v", sql, err)
@@ -236,14 +341,23 @@ func TestPlanTemplateMatchesFreshPlan(t *testing.T) {
 		mem.(interface {
 			LoadTable(string, []connector.Column, []*block.Page)
 		}).LoadTable("events", eventsCols, []*block.Page{eventsPage(50)})
-		check(t, templateDifferential(t, c.Coordinator, servingShapes(true), sets), true)
+		check(t, templateDifferential(t, c.Coordinator, servingShapes(true), sets, c.workers), true)
 	})
 	t.Run("http", func(t *testing.T) {
 		d := newDistClusterWith(t, 2, distConfig{plans: true})
 		d.catalog.Register(workload.LoadTPCHMemory("tpch", 0.01))
 		d.mem.LoadTable("events", eventsCols, []*block.Page{eventsPage(50)})
-		check(t, templateDifferential(t, d.Coord, servingShapes(false), sets), false)
+		check(t, templateDifferential(t, d.Coord, servingShapes(false), sets, d.workers), false)
 	})
+}
+
+// fragmentCacheHits sums the workers' compiled-fragment cache hits.
+func fragmentCacheHits(workers []*exec.Worker) int64 {
+	var n int64
+	for _, w := range workers {
+		n += w.FragmentCacheStats().Hits
+	}
+	return n
 }
 
 // TestPlanKeyCommentAlias: an apostrophe in a comment or in a quoted

@@ -63,9 +63,11 @@
 #                             # to HTTP workers and clients, dynamic filters
 #                             # decided at planning, a join residual filtered
 #                             # as WHERE is: IEEE NaN, applied by an index
-#                             # join; plan templates (a bound plan's rows
-#                             # and EXPLAIN equal a fresh plan's, in
-#                             # process and on HTTP workers; validity
+#                             # join; plan templates (a cached plan's rows,
+#                             # on cached and cold compiled fragments, and
+#                             # its EXPLAIN with the literals substituted
+#                             # equal a fresh plan's, in process and on
+#                             # HTTP workers; validity
 #                             # across writes, DDL and growth); the
 #                             # statement protocol: exactly one request
 #                             # for a small statement, streaming, failure,
@@ -81,8 +83,15 @@
 #                             # and its self-join, in process and on HTTP
 #                             # workers; Sort, TopN and Window rows equal
 #                             # the boxed reference gather's; three runs
-#                             # under -race) + examples (every program
-#                             # under examples/ runs to a zero exit)
+#                             # under -race) + compiled fragments (one
+#                             # compiled fragment serves tasks of other
+#                             # literals on several goroutines, a
+#                             # template's statements at once on one plan,
+#                             # a cache hit and a cold compile return the
+#                             # same rows, a worker's cache keys and kept
+#                             # errors, a BIGINT = DOUBLE join keys on the
+#                             # cast, under -race) + examples (every
+#                             # program under examples/ runs to a zero exit)
 #   scripts/check.sh -chaos   # additionally sweep the chaos suite over more
 #                             # seeds (CHAOS_FULL), verbose
 #   scripts/check.sh -fuzz    # additionally run 10s fuzz smokes over the
@@ -279,9 +288,18 @@ echo "==> configuration: a query's switches are one value, from the HTTP header 
 # compares by IEEE, as in WHERE) and an index join applies it; a RIGHT/FULL
 # probe finished with pairs still to emit counts as finished only once it has
 # emitted them, and a SEMI/ANTI row puts its chain to a residual in rounds.
-# A plan is a template: random literal sets bound into a cached plan return a
-# fresh plan's rows and, where the shapes agree, its EXPLAIN, in process and on
-# HTTP workers (twenty sets a shape under -race); an INSERT keeps a plan, DDL
+# A plan is a template: random literal sets run on a cached plan return a
+# fresh plan's rows — on fragments the workers compiled before and on ones
+# compiled cold after exec.Worker.DropCompiledFragments — and, where the shapes agree,
+# its EXPLAIN with the literals substituted, in process and on HTTP workers
+# (twenty sets a shape under -race). A template compiles once per worker: one
+# compiled fragment serves tasks of other literals on several goroutines at
+# once, statements of one template from several goroutines at once each get
+# their own rows, a worker keys compiled fragments by digest and the settings
+# compilation reads and keeps a fragment that does not compile as its error,
+# and /v1/metrics sums the workers' lookups. A BIGINT = DOUBLE join keys on
+# the cast and returns exactly the rows the comparison admits (NULL, -0.0,
+# NaN, a BIGINT above 2^53). An INSERT keeps a plan, DDL
 # and a hundredfold growth replace it; a comment's apostrophe opens no string
 # in the key; a literal spelling random( is cached, a random() call is not.
 # The statement protocol: a small statement costs exactly one request, its
@@ -292,9 +310,10 @@ echo "==> configuration: a query's switches are one value, from the HTTP header 
 # result cache; a statement still open after its first document is
 # cancellable; a forgotten query is 410 Gone; every document's bytes equal
 # json.Marshal's.
-go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestDeprecatedClusterFields|TestDistributedDisableSpill|TestDynamicFiltersDecidedAtPlanning|TestDistributedNonFiniteDoubles|TestJoinResidualNaNIsIEEE|TestKVIndexJoin|TestPlanTemplateMatchesFreshPlan|TestPlanValidity|TestPlanKeyCommentAlias|TestResultCacheDeterminismFromExpressions' .
+go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestDeprecatedClusterFields|TestDistributedDisableSpill|TestDynamicFiltersDecidedAtPlanning|TestDistributedNonFiniteDoubles|TestJoinResidualNaNIsIEEE|TestKVIndexJoin|TestPlanTemplateMatchesFreshPlan|TestPlanValidity|TestPlanKeyCommentAlias|TestResultCacheDeterminismFromExpressions|TestTemplateLiteralsConcurrent|TestBigintDoubleJoinKey' .
+go test -race -count=3 -run 'TestCompiledFragmentSharedByTasks|TestFragmentCacheKeysAndErrors' ./internal/exec/
 go test -race -count=1 -run 'TestOuterJoinWaitsForPendingPairs|TestSemiResidualDecidesInRounds' ./internal/operators/
-go test -race -count=1 -run 'TestSwitchHeaders|TestStatementNonFiniteDoubles|TestWriteJSONFailureIs500|TestSmallStatementCostsOneRequest|TestLargeResultStreamsOverDocuments|TestFailureAfterFirstPagesIsFailedDocument|TestOneDocumentDrainCommitsToResultCache|TestQueryCancelEndpoint|TestCancel|TestForgottenQueryIsGone|TestStatementDocumentMatchesJSONMarshal' ./internal/httpapi/
+go test -race -count=1 -run 'TestFragmentCacheMetrics|TestSwitchHeaders|TestStatementNonFiniteDoubles|TestWriteJSONFailureIs500|TestSmallStatementCostsOneRequest|TestLargeResultStreamsOverDocuments|TestFailureAfterFirstPagesIsFailedDocument|TestOneDocumentDrainCommitsToResultCache|TestQueryCancelEndpoint|TestCancel|TestForgottenQueryIsGone|TestStatementDocumentMatchesJSONMarshal' ./internal/httpapi/
 go test -race -count=1 ./internal/wire/
 go test -race -count=1 -run 'TestDisabledDynamicFiltersCreateNoFilterHub' ./internal/coordinator/
 
