@@ -41,7 +41,8 @@ type scopeField struct {
 
 // scope maps visible names to the output columns of a plan node.
 type scope struct {
-	fields []scopeField
+	fields  []scopeField
+	grouped *scope // an aggregation's input: a column only there is ungrouped
 }
 
 func (s *scope) schema() plan.Schema {
@@ -78,6 +79,11 @@ func (s *scope) resolve(parts []string) (int, plan.Field, error) {
 	}
 	switch len(matches) {
 	case 0:
+		if s.grouped != nil {
+			if _, _, err := s.grouped.resolve(parts); err == nil {
+				return 0, plan.Field{}, fmt.Errorf("column %q must appear in GROUP BY or be used in an aggregate function", strings.Join(parts, "."))
+			}
+		}
 		return 0, plan.Field{}, fmt.Errorf("column %q cannot be resolved", strings.Join(parts, "."))
 	case 1:
 		return matches[0], s.fields[matches[0]].field, nil

@@ -122,7 +122,7 @@ func TestUnknownTableError(t *testing.T) {
 func TestAggregationValidation(t *testing.T) {
 	// Non-aggregated column outside GROUP BY must fail.
 	err := planErr(t, "SELECT status, sum(total) FROM orders GROUP BY custkey")
-	if !strings.Contains(err.Error(), "resolved") {
+	if !strings.Contains(err.Error(), `column "status" must appear in GROUP BY`) {
 		t.Errorf("error: %v", err)
 	}
 	// HAVING without aggregation must fail.
@@ -302,4 +302,24 @@ func TestDateArithmetic(t *testing.T) {
 	if sch[1].T != types.Bigint {
 		t.Errorf("date - date type: %s", sch[1].T)
 	}
+}
+
+// TestOrderByMatchesAcrossSlots: the plan cache lifts each 1 of
+// "orderkey + 1 … ORDER BY orderkey + 1" into its own slot, and ORDER BY still
+// names the select item: the plan sorts by it and adds no hidden column.
+func TestOrderByMatchesAcrossSlots(t *testing.T) {
+	sql := "SELECT orderkey + 1 FROM orders ORDER BY orderkey + 1"
+	stmt, err := sqlparser.ParseSlots(sql, []int{strings.Index(sql, "1"), strings.LastIndex(sql, "1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := testAnalyzer().PlanQuery(stmt.(*sqlparser.Query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Walk(out, func(n plan.Node) {
+		if p, ok := n.(*plan.Project); ok && len(p.Exprs) != 1 {
+			t.Errorf("a projection of %d columns:\n%s", len(p.Exprs), plan.Format(out))
+		}
+	})
 }

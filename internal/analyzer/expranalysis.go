@@ -15,7 +15,7 @@ import (
 type exprCtx struct {
 	c        *ctx
 	scope    *scope
-	mappings map[string]*expr.ColumnRef // AST text → aggregation/window output
+	mappings map[string]*expr.ColumnRef // sqlparser.Key → aggregation/window output
 	lambdas  []lambdaBinding            // innermost last
 }
 
@@ -38,22 +38,14 @@ func (c *ctx) analyzeMapped(e sqlparser.Expr, sc *scope, mappings map[string]*ex
 }
 
 func (ec *exprCtx) analyze(e sqlparser.Expr) (expr.Expr, error) {
-	// Aggregate/window mapping by textual form takes precedence.
-	if ec.mappings != nil {
-		if fc, ok := e.(*sqlparser.FuncCall); ok {
-			key := fc.String()
-			if fc.Over != nil {
-				key += windowKey(fc.Over)
-			}
-			if ref, ok := ec.mappings[key]; ok {
-				return ref, nil
-			}
-			if _, isAgg := isAggCall(fc); isAgg {
-				return nil, fmt.Errorf("aggregate %s was not extracted (nested aggregates are not supported)", fc.String())
-			}
-		} else if ref, ok := ec.mappings[e.String()]; ok {
+	// Aggregate, GROUP BY and window mapping by sqlparser.Key takes precedence.
+	if len(ec.mappings) > 0 {
+		if ref, ok := ec.mappings[sqlparser.Key(e)]; ok {
 			return ref, nil
 		}
+	}
+	if fc, isAgg := isAggCall(e); isAgg && ec.scope.grouped != nil {
+		return nil, fmt.Errorf("aggregate %s was not extracted (nested aggregates are not supported)", fc)
 	}
 
 	switch x := e.(type) {
@@ -278,7 +270,17 @@ func (ec *exprCtx) analyze(e sqlparser.Expr) (expr.Expr, error) {
 		if idx.Type() != types.Bigint {
 			return nil, fmt.Errorf("array subscript must be BIGINT")
 		}
-		return &expr.Subscript{Base: base, Index: idx, T: types.Unknown}, nil
+		// An ARRAY literal's element is of the type its elements share.
+		t := types.Unknown
+		if arr, ok := base.(*expr.ArrayCtor); ok && len(arr.Elems) > 0 {
+			t = arr.Elems[0].Type()
+			for _, el := range arr.Elems {
+				if el.Type() != t {
+					t = types.Unknown
+				}
+			}
+		}
+		return &expr.Subscript{Base: base, Index: idx, T: t}, nil
 
 	case *sqlparser.ScalarSubquery:
 		return nil, fmt.Errorf("scalar subqueries are only supported in WHERE clauses")
@@ -480,10 +482,10 @@ func (ec *exprCtx) analyzeCase(x *sqlparser.CaseExpr) (expr.Expr, error) {
 
 func (ec *exprCtx) analyzeFuncCall(x *sqlparser.FuncCall) (expr.Expr, error) {
 	if x.Over != nil {
-		return nil, fmt.Errorf("window function %s in unsupported position", x.Name)
+		return nil, fmt.Errorf("window function %s in unsupported position", x)
 	}
-	if _, isAgg := isAggCall(x); isAgg && ec.mappings == nil {
-		return nil, fmt.Errorf("aggregate function %s is not allowed here", x.Name)
+	if _, isAgg := isAggCall(x); isAgg {
+		return nil, fmt.Errorf("aggregate function %s is not allowed here", x)
 	}
 	b, ok := expr.LookupBuiltin(x.Name)
 	if !ok {
@@ -639,28 +641,20 @@ func (c *ctx) planWhere(rel *relationPlan, where sqlparser.Expr) (*relationPlan,
 				}
 			}
 		}
-		// Scalar subqueries inside the conjunct: replace with appended
+		// Scalar subqueries inside the conjunct: read from appended
 		// columns via cross join.
-		rewritten, rp, err := c.rewriteScalarSubqueries(rel, cj)
+		rp, mappings, err := c.planScalarSubqueries(rel, cj)
 		if err != nil {
 			return nil, nil, err
 		}
 		rel = rp
-		e, err := c.analyzeExpr(rewritten, rel.scope)
+		e, err := c.analyzeMapped(cj, rel.scope, mappings)
 		if err != nil {
 			return nil, nil, err
 		}
 		predicates = append(predicates, e)
 	}
-	var pred expr.Expr
-	for _, p := range predicates {
-		if pred == nil {
-			pred = p
-		} else {
-			pred = &expr.And{L: pred, R: p}
-		}
-	}
-	return rel, pred, nil
+	return rel, expr.AndAll(predicates), nil
 }
 
 func splitASTConjuncts(e sqlparser.Expr) []sqlparser.Expr {
@@ -733,10 +727,10 @@ func (c *ctx) planExists(rel *relationPlan, q *sqlparser.Query, not bool) (*rela
 	return &relationPlan{node: join, scope: rel.scope}, nil
 }
 
-// rewriteScalarSubqueries replaces ScalarSubquery nodes in an AST conjunct
-// with references to columns appended by cross-joining the (single-row)
-// subquery result.
-func (c *ctx) rewriteScalarSubqueries(rel *relationPlan, e sqlparser.Expr) (sqlparser.Expr, *relationPlan, error) {
+// planScalarSubqueries cross-joins the (single-row) result of each
+// ScalarSubquery node in an AST conjunct to rel, and maps each node's key to
+// the column it appends.
+func (c *ctx) planScalarSubqueries(rel *relationPlan, e sqlparser.Expr) (*relationPlan, map[string]*expr.ColumnRef, error) {
 	var found []*sqlparser.ScalarSubquery
 	var find func(sqlparser.Expr)
 	find = func(x sqlparser.Expr) {
@@ -750,9 +744,9 @@ func (c *ctx) rewriteScalarSubqueries(rel *relationPlan, e sqlparser.Expr) (sqlp
 	}
 	find(e)
 	if len(found) == 0 {
-		return e, rel, nil
+		return rel, nil, nil
 	}
-	names := map[*sqlparser.ScalarSubquery]string{}
+	mappings := map[string]*expr.ColumnRef{}
 	for i, s := range found {
 		sub, err := c.planQuery(s.Query, nil)
 		if err != nil {
@@ -769,20 +763,11 @@ func (c *ctx) rewriteScalarSubqueries(rel *relationPlan, e sqlparser.Expr) (sqlp
 			Right: single,
 			Out:   append(append(plan.Schema{}, rel.node.Schema()...), plan.Field{Name: name, T: sub.scope.fields[0].field.T}),
 		}
+		mappings[sqlparser.Key(s)] = &expr.ColumnRef{Index: len(rel.scope.fields), T: sub.scope.fields[0].field.T, Name: name}
 		sc := &scope{fields: append(append([]scopeField{}, rel.scope.fields...), scopeField{name: name, field: plan.Field{Name: name, T: sub.scope.fields[0].field.T}})}
 		rel = &relationPlan{node: join, scope: sc}
-		names[s] = name
 	}
-	// Rewrite the AST, replacing subqueries with identifier references.
-	rewritten := rewriteAST(e, func(x sqlparser.Expr) sqlparser.Expr {
-		if s, ok := x.(*sqlparser.ScalarSubquery); ok {
-			if n, ok := names[s]; ok {
-				return &sqlparser.Ident{Parts: []string{n}}
-			}
-		}
-		return nil
-	})
-	return rewritten, rel, nil
+	return rel, mappings, nil
 }
 
 // asColumn ensures e is available as a column of rel, appending a projection
@@ -802,56 +787,4 @@ func asColumn(rel *relationPlan, e expr.Expr) (int, plan.Node) {
 	out = append(out, plan.Field{Name: "_probe", T: e.Type()})
 	proj := &plan.Project{Input: rel.node, Exprs: exprs, Out: out}
 	return len(in), proj
-}
-
-// rewriteAST rebuilds an AST expression, replacing nodes where fn returns
-// non-nil.
-func rewriteAST(e sqlparser.Expr, fn func(sqlparser.Expr) sqlparser.Expr) sqlparser.Expr {
-	if e == nil {
-		return nil
-	}
-	if r := fn(e); r != nil {
-		return r
-	}
-	switch x := e.(type) {
-	case *sqlparser.BinaryExpr:
-		return &sqlparser.BinaryExpr{Op: x.Op, Left: rewriteAST(x.Left, fn), Right: rewriteAST(x.Right, fn)}
-	case *sqlparser.UnaryExpr:
-		return &sqlparser.UnaryExpr{Op: x.Op, Expr: rewriteAST(x.Expr, fn)}
-	case *sqlparser.FuncCall:
-		args := make([]sqlparser.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = rewriteAST(a, fn)
-		}
-		cp := *x
-		cp.Args = args
-		return &cp
-	case *sqlparser.CaseExpr:
-		cp := *x
-		cp.Operand = rewriteAST(x.Operand, fn)
-		cp.Whens = make([]sqlparser.WhenClause, len(x.Whens))
-		for i, w := range x.Whens {
-			cp.Whens[i] = sqlparser.WhenClause{Cond: rewriteAST(w.Cond, fn), Then: rewriteAST(w.Then, fn)}
-		}
-		cp.Else = rewriteAST(x.Else, fn)
-		return &cp
-	case *sqlparser.CastExpr:
-		return &sqlparser.CastExpr{Expr: rewriteAST(x.Expr, fn), Type: x.Type}
-	case *sqlparser.IsNullExpr:
-		return &sqlparser.IsNullExpr{Expr: rewriteAST(x.Expr, fn), Not: x.Not}
-	case *sqlparser.InExpr:
-		cp := *x
-		cp.Expr = rewriteAST(x.Expr, fn)
-		cp.List = make([]sqlparser.Expr, len(x.List))
-		for i, a := range x.List {
-			cp.List[i] = rewriteAST(a, fn)
-		}
-		return &cp
-	case *sqlparser.BetweenExpr:
-		return &sqlparser.BetweenExpr{Expr: rewriteAST(x.Expr, fn), Lo: rewriteAST(x.Lo, fn), Hi: rewriteAST(x.Hi, fn), Not: x.Not}
-	case *sqlparser.LikeExpr:
-		return &sqlparser.LikeExpr{Expr: rewriteAST(x.Expr, fn), Pattern: rewriteAST(x.Pattern, fn), Not: x.Not}
-	default:
-		return e
-	}
 }

@@ -321,7 +321,8 @@ func (c *ctx) planJoin(r *sqlparser.Join) (*relationPlan, error) {
 
 	var cond expr.Expr
 	if len(r.Using) > 0 {
-		for _, col := range r.Using {
+		eqs := make([]expr.Expr, len(r.Using))
+		for i, col := range r.Using {
 			li, lf, err := left.scope.resolve([]string{col})
 			if err != nil {
 				return nil, fmt.Errorf("USING column: %w", err)
@@ -330,17 +331,13 @@ func (c *ctx) planJoin(r *sqlparser.Join) (*relationPlan, error) {
 			if err != nil {
 				return nil, fmt.Errorf("USING column: %w", err)
 			}
-			eq := expr.Expr(&expr.Compare{
+			eqs[i] = &expr.Compare{
 				Op: expr.CmpEq,
 				L:  &expr.ColumnRef{Index: li, T: lf.T, Name: lf.Name},
 				R:  &expr.ColumnRef{Index: len(left.scope.fields) + ri, T: rf.T, Name: rf.Name},
-			})
-			if cond == nil {
-				cond = eq
-			} else {
-				cond = &expr.And{L: cond, R: eq}
 			}
 		}
+		cond = expr.AndAll(eqs)
 	} else if r.On != nil {
 		cond, err = c.analyzeExpr(r.On, combined)
 		if err != nil {
@@ -402,7 +399,7 @@ func castKeys(j *plan.Join, leftWidth int) plan.Node {
 	var extra [2][]expr.Expr // cast operands appended to the left and right inputs
 	var keys [][2]expr.Expr  // (left operand, right operand) of each new key
 	if j.Residual != nil {
-		for _, cj := range splitConjuncts(j.Residual) {
+		for _, cj := range expr.Conjuncts(j.Residual) {
 			cmp, ok := cj.(*expr.Compare)
 			if !ok || cmp.Op != expr.CmpEq || !keyable(cmp.L) || !keyable(cmp.R) || cmp.L.Type() != cmp.R.Type() {
 				continue
@@ -493,10 +490,9 @@ func castKeys(j *plan.Join, leftWidth int) plan.Node {
 // extractEquiClauses splits a join condition into equi-join clauses
 // (leftCol = rightCol) and a residual expression.
 func extractEquiClauses(cond expr.Expr, leftWidth int) ([]plan.EquiClause, expr.Expr) {
-	conjuncts := splitConjuncts(cond)
 	var equi []plan.EquiClause
-	var residual expr.Expr
-	for _, cj := range conjuncts {
+	var residual []expr.Expr
+	for _, cj := range expr.Conjuncts(cond) {
 		if cmp, ok := cj.(*expr.Compare); ok && cmp.Op == expr.CmpEq {
 			l, lok := cmp.L.(*expr.ColumnRef)
 			r, rok := cmp.R.(*expr.ColumnRef)
@@ -511,19 +507,7 @@ func extractEquiClauses(cond expr.Expr, leftWidth int) ([]plan.EquiClause, expr.
 				}
 			}
 		}
-		if residual == nil {
-			residual = cj
-		} else {
-			residual = &expr.And{L: residual, R: cj}
-		}
+		residual = append(residual, cj)
 	}
-	return equi, residual
-}
-
-// splitConjuncts flattens nested ANDs.
-func splitConjuncts(e expr.Expr) []expr.Expr {
-	if a, ok := e.(*expr.And); ok {
-		return append(splitConjuncts(a.L), splitConjuncts(a.R)...)
-	}
-	return []expr.Expr{e}
+	return equi, expr.AndAll(residual)
 }

@@ -55,14 +55,15 @@ func isAggCall(e sqlparser.Expr) (*sqlparser.FuncCall, bool) {
 	return fc, isAgg && (len(fc.Args) <= 1)
 }
 
-// findAggCalls collects aggregate calls (dedup by textual form) from an AST
-// expression without descending into subqueries.
+// findAggCalls collects aggregate calls from an AST expression without
+// descending into subqueries. A call is its sqlparser.Key: calls with one key
+// are one aggregate, here and in the mappings.
 func findAggCalls(e sqlparser.Expr, out *[]*sqlparser.FuncCall, seen map[string]bool) {
 	if e == nil {
 		return
 	}
 	if fc, ok := isAggCall(e); ok {
-		key := fc.String()
+		key := sqlparser.Key(fc)
 		if !seen[key] {
 			seen[key] = true
 			*out = append(*out, fc)
@@ -79,7 +80,7 @@ func findWindowCalls(e sqlparser.Expr, out *[]*sqlparser.FuncCall, seen map[stri
 		return
 	}
 	if fc, ok := e.(*sqlparser.FuncCall); ok && fc.Over != nil {
-		key := fc.String() + windowKey(fc.Over)
+		key := sqlparser.Key(fc)
 		if !seen[key] {
 			seen[key] = true
 			*out = append(*out, fc)
@@ -89,20 +90,6 @@ func findWindowCalls(e sqlparser.Expr, out *[]*sqlparser.FuncCall, seen map[stri
 	for _, child := range astChildren(e) {
 		findWindowCalls(child, out, seen)
 	}
-}
-
-func windowKey(w *sqlparser.WindowSpec) string {
-	var sb strings.Builder
-	for _, e := range w.PartitionBy {
-		sb.WriteString("|p:" + e.String())
-	}
-	for _, s := range w.OrderBy {
-		sb.WriteString("|o:" + s.Expr.String())
-		if s.Descending {
-			sb.WriteString(" DESC")
-		}
-	}
-	return sb.String()
 }
 
 // astChildren enumerates sub-expressions of an AST node (excluding subqueries).
@@ -203,8 +190,8 @@ func (c *ctx) planSelectOrdered(s *sqlparser.Select, orderBy []*sqlparser.SortIt
 	}
 	hasAgg := len(aggCalls) > 0 || len(s.GroupBy) > 0
 
-	// mappings translate AST text of group keys and aggregates into output
-	// columns of the aggregation.
+	// mappings translate the sqlparser.Key of group keys and aggregates into
+	// output columns of the aggregation.
 	mappings := map[string]*expr.ColumnRef{}
 	postScope := rel.scope
 
@@ -303,8 +290,9 @@ func (c *ctx) planSelectOrdered(s *sqlparser.Select, orderBy []*sqlparser.SortIt
 				if err != nil {
 					return nil, fmt.Errorf("in ORDER BY: %w", err)
 				}
+				key := sortKey(e)
 				for i, pe := range projExprs {
-					if expr.Equal(pe, e) {
+					if sortKey(pe) == key {
 						idx = i
 						break
 					}
@@ -345,6 +333,17 @@ func (c *ctx) planSelectOrdered(s *sqlparser.Select, orderBy []*sqlparser.SortIt
 	}
 	outScope.fields = outScope.fields[:nVisible]
 	return &relationPlan{node: node, scope: outScope}, nil
+}
+
+// sortKey is e's CanonicalKey without its literals' slots: ORDER BY age + 1
+// is the select list's age + 1, though each 1 has a slot of its own.
+func sortKey(e expr.Expr) string {
+	return expr.CanonicalKey(expr.Rewrite(e, func(x expr.Expr) expr.Expr {
+		if c, ok := x.(*expr.Const); ok && c.Slot != 0 {
+			return expr.NewConst(c.Val)
+		}
+		return nil
+	}))
 }
 
 func (c *ctx) expandWildcards(s *sqlparser.Select, sc *scope) ([]*sqlparser.SelectItem, error) {
@@ -434,7 +433,7 @@ func (c *ctx) planAggregation(rel *relationPlan, s *sqlparser.Select, items []*s
 	}
 
 	out := make(plan.Schema, 0, len(groupExprs)+len(aggs))
-	sc := &scope{}
+	sc := &scope{grouped: rel.scope}
 	for i, g := range groupExprs {
 		name := fmt.Sprintf("_group%d", i)
 		if id, ok := groupAST[i].(*sqlparser.Ident); ok {
@@ -443,14 +442,14 @@ func (c *ctx) planAggregation(rel *relationPlan, s *sqlparser.Select, items []*s
 		f := plan.Field{Name: name, T: g.Type()}
 		out = append(out, f)
 		sc.fields = append(sc.fields, scopeField{name: name, field: f})
-		mappings[groupAST[i].String()] = &expr.ColumnRef{Index: i, T: g.Type(), Name: name}
+		mappings[sqlparser.Key(groupAST[i])] = &expr.ColumnRef{Index: i, T: g.Type(), Name: name}
 	}
 	for i, a := range aggs {
 		name := fmt.Sprintf("_agg%d", i)
 		f := plan.Field{Name: name, T: a.Out}
 		out = append(out, f)
 		sc.fields = append(sc.fields, scopeField{name: name, field: f})
-		mappings[aggCalls[i].String()] = &expr.ColumnRef{Index: len(groupExprs) + i, T: a.Out, Name: name}
+		mappings[sqlparser.Key(aggCalls[i])] = &expr.ColumnRef{Index: len(groupExprs) + i, T: a.Out, Name: name}
 	}
 	node := &plan.Aggregation{
 		Input:      rel.node,
@@ -472,7 +471,7 @@ func (c *ctx) planWindows(rel *relationPlan, sc *scope, winCalls []*sqlparser.Fu
 	var groups []*group
 	byKey := map[string]*group{}
 	for _, fc := range winCalls {
-		k := windowKey(fc.Over)
+		k := fc.Over.Key()
 		g, ok := byKey[k]
 		if !ok {
 			g = &group{spec: fc.Over}
@@ -482,7 +481,7 @@ func (c *ctx) planWindows(rel *relationPlan, sc *scope, winCalls []*sqlparser.Fu
 		g.calls = append(g.calls, fc)
 	}
 	node := rel.node
-	outScope := &scope{fields: append([]scopeField{}, sc.fields...)}
+	outScope := &scope{fields: append([]scopeField{}, sc.fields...), grouped: sc.grouped}
 	for _, g := range groups {
 		var partCols []int
 		for _, pe := range g.spec.PartitionBy {
@@ -542,7 +541,7 @@ func (c *ctx) planWindows(rel *relationPlan, sc *scope, winCalls []*sqlparser.Fu
 			}
 			funcs = append(funcs, we)
 			name := fmt.Sprintf("_win%d", baseWidth+i)
-			mappings[fc.String()+windowKey(fc.Over)] = &expr.ColumnRef{Index: baseWidth + i, T: we.Out, Name: name}
+			mappings[sqlparser.Key(fc)] = &expr.ColumnRef{Index: baseWidth + i, T: we.Out, Name: name}
 			outScope.fields = append(outScope.fields, scopeField{name: name, field: plan.Field{Name: name, T: we.Out}})
 		}
 		win := &plan.Window{

@@ -87,7 +87,7 @@ func planCSE(c *selCompiler, projections []Expr) ([]Expr, []*cseSlot) {
 				if !cseShareable(x) {
 					return
 				}
-				k := canonicalKey(x)
+				k := CanonicalKey(x)
 				if banned[k] {
 					return
 				}
@@ -125,7 +125,7 @@ func planCSE(c *selCompiler, projections []Expr) ([]Expr, []*cseSlot) {
 		replaced := 0
 		for i, e := range out {
 			out[i] = Rewrite(e, func(x Expr) Expr {
-				if cseShareable(x) && canonicalKey(x) == bestKey {
+				if cseShareable(x) && CanonicalKey(x) == bestKey {
 					replaced++
 					return ref
 				}

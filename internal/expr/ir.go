@@ -18,7 +18,7 @@ import (
 type Expr interface {
 	// Type returns the expression's result type.
 	Type() types.Type
-	// String renders the expression for EXPLAIN output.
+	// String renders the expression for EXPLAIN output (see format).
 	String() string
 }
 
@@ -30,12 +30,7 @@ type ColumnRef struct {
 }
 
 func (e *ColumnRef) Type() types.Type { return e.T }
-func (e *ColumnRef) String() string {
-	if e.Name != "" {
-		return e.Name
-	}
-	return fmt.Sprintf("$%d", e.Index)
-}
+func (e *ColumnRef) String() string   { return format(e, false) }
 
 // Const is a literal value. A literal the plan cache lifted out of the
 // statement's text carries its Slot (1-based; 0 for none), so a cached plan
@@ -48,12 +43,7 @@ type Const struct {
 }
 
 func (e *Const) Type() types.Type { return e.Val.T }
-func (e *Const) String() string {
-	if e.Val.T == types.Varchar && !e.Val.Null {
-		return "'" + e.Val.S + "'"
-	}
-	return e.Val.String()
-}
+func (e *Const) String() string   { return format(e, false) }
 
 // NewConst boxes a value as a constant expression.
 func NewConst(v types.Value) *Const { return &Const{Val: v} }
@@ -73,7 +63,7 @@ type Param struct {
 }
 
 func (e *Param) Type() types.Type { return e.T }
-func (e *Param) String() string   { return fmt.Sprintf("?%d", e.Index) }
+func (e *Param) String() string   { return format(e, false) }
 
 // BinOp enumerates arithmetic and string binary operators.
 type BinOp int
@@ -103,15 +93,13 @@ type Arith struct {
 }
 
 func (e *Arith) Type() types.Type { return e.T }
-func (e *Arith) String() string {
-	return "(" + e.L.String() + " " + e.Op.String() + " " + e.R.String() + ")"
-}
+func (e *Arith) String() string   { return format(e, false) }
 
 // Neg is arithmetic negation.
 type Neg struct{ E Expr }
 
 func (e *Neg) Type() types.Type { return e.E.Type() }
-func (e *Neg) String() string   { return "(-" + e.E.String() + ")" }
+func (e *Neg) String() string   { return format(e, false) }
 
 // CmpOp enumerates comparison operators.
 type CmpOp int
@@ -140,27 +128,25 @@ type Compare struct {
 }
 
 func (e *Compare) Type() types.Type { return types.Boolean }
-func (e *Compare) String() string {
-	return "(" + e.L.String() + " " + e.Op.String() + " " + e.R.String() + ")"
-}
+func (e *Compare) String() string   { return format(e, false) }
 
 // And is logical conjunction with SQL three-valued semantics.
 type And struct{ L, R Expr }
 
 func (e *And) Type() types.Type { return types.Boolean }
-func (e *And) String() string   { return "(" + e.L.String() + " AND " + e.R.String() + ")" }
+func (e *And) String() string   { return format(e, false) }
 
 // Or is logical disjunction with SQL three-valued semantics.
 type Or struct{ L, R Expr }
 
 func (e *Or) Type() types.Type { return types.Boolean }
-func (e *Or) String() string   { return "(" + e.L.String() + " OR " + e.R.String() + ")" }
+func (e *Or) String() string   { return format(e, false) }
 
 // Not is logical negation.
 type Not struct{ E Expr }
 
 func (e *Not) Type() types.Type { return types.Boolean }
-func (e *Not) String() string   { return "(NOT " + e.E.String() + ")" }
+func (e *Not) String() string   { return format(e, false) }
 
 // IsNull tests for SQL NULL.
 type IsNull struct {
@@ -169,12 +155,7 @@ type IsNull struct {
 }
 
 func (e *IsNull) Type() types.Type { return types.Boolean }
-func (e *IsNull) String() string {
-	if e.Negate {
-		return "(" + e.E.String() + " IS NOT NULL)"
-	}
-	return "(" + e.E.String() + " IS NULL)"
-}
+func (e *IsNull) String() string   { return format(e, false) }
 
 // In tests membership in a literal list.
 type In struct {
@@ -184,17 +165,7 @@ type In struct {
 }
 
 func (e *In) Type() types.Type { return types.Boolean }
-func (e *In) String() string {
-	parts := make([]string, len(e.List))
-	for i, x := range e.List {
-		parts[i] = x.String()
-	}
-	neg := ""
-	if e.Negate {
-		neg = "NOT "
-	}
-	return "(" + e.E.String() + " " + neg + "IN (" + strings.Join(parts, ", ") + "))"
-}
+func (e *In) String() string   { return format(e, false) }
 
 // Between tests lo <= e <= hi.
 type Between struct {
@@ -203,9 +174,7 @@ type Between struct {
 }
 
 func (e *Between) Type() types.Type { return types.Boolean }
-func (e *Between) String() string {
-	return "(" + e.E.String() + " BETWEEN " + e.Lo.String() + " AND " + e.Hi.String() + ")"
-}
+func (e *Between) String() string   { return format(e, false) }
 
 // Like matches a SQL LIKE pattern (with % and _ wildcards).
 type Like struct {
@@ -215,9 +184,7 @@ type Like struct {
 }
 
 func (e *Like) Type() types.Type { return types.Boolean }
-func (e *Like) String() string {
-	return "(" + e.E.String() + " LIKE " + e.Pattern.String() + ")"
-}
+func (e *Like) String() string   { return format(e, false) }
 
 // Case is a searched CASE expression (operand form is desugared by the
 // analyzer into comparisons).
@@ -234,7 +201,7 @@ type CaseWhen struct {
 }
 
 func (e *Case) Type() types.Type { return e.T }
-func (e *Case) String() string   { return "CASE(...)" }
+func (e *Case) String() string   { return format(e, false) }
 
 // Cast converts to a target type with CAST semantics.
 type Cast struct {
@@ -243,9 +210,7 @@ type Cast struct {
 }
 
 func (e *Cast) Type() types.Type { return e.T }
-func (e *Cast) String() string {
-	return "CAST(" + e.E.String() + " AS " + e.T.String() + ")"
-}
+func (e *Cast) String() string   { return format(e, false) }
 
 // Call invokes a builtin scalar function.
 type Call struct {
@@ -254,13 +219,7 @@ type Call struct {
 }
 
 func (e *Call) Type() types.Type { return e.Fn.ReturnType }
-func (e *Call) String() string {
-	parts := make([]string, len(e.Args))
-	for i, a := range e.Args {
-		parts[i] = a.String()
-	}
-	return e.Fn.Name + "(" + strings.Join(parts, ", ") + ")"
-}
+func (e *Call) String() string   { return format(e, false) }
 
 // Lambda is an anonymous function value, usable only as an argument to a
 // higher-order builtin (transform/filter/reduce).
@@ -270,7 +229,7 @@ type Lambda struct {
 }
 
 func (e *Lambda) Type() types.Type { return types.Unknown }
-func (e *Lambda) String() string   { return "<lambda>" }
+func (e *Lambda) String() string   { return format(e, false) }
 
 // LambdaRef reads lambda parameter I (innermost lambda's params first).
 type LambdaRef struct {
@@ -279,7 +238,7 @@ type LambdaRef struct {
 }
 
 func (e *LambdaRef) Type() types.Type { return e.T }
-func (e *LambdaRef) String() string   { return fmt.Sprintf("#%d", e.I) }
+func (e *LambdaRef) String() string   { return format(e, false) }
 
 // Subscript is 1-based array element access.
 type Subscript struct {
@@ -289,15 +248,126 @@ type Subscript struct {
 }
 
 func (e *Subscript) Type() types.Type { return e.T }
-func (e *Subscript) String() string {
-	return e.Base.String() + "[" + e.Index.String() + "]"
-}
+func (e *Subscript) String() string   { return format(e, false) }
 
 // ArrayCtor builds an array value from element expressions.
 type ArrayCtor struct{ Elems []Expr }
 
 func (e *ArrayCtor) Type() types.Type { return types.Array }
-func (e *ArrayCtor) String() string   { return "ARRAY[...]" }
+func (e *ArrayCtor) String() string   { return format(e, false) }
+
+// CanonicalKey renders e unambiguously: two expressions with one key compute
+// the same value from the same row, if they are deterministic.
+func CanonicalKey(e Expr) string { return format(e, true) }
+
+// format is the one writer of an expression tree. Display mode (key false) is
+// EXPLAIN's: a column by its name, a literal without its type or slot. Key
+// mode is CanonicalKey's: a column by its index, each literal with its type
+// and slot, and the type of each node its operands do not fix.
+func format(e Expr, key bool) string {
+	f := func(e Expr) string { return format(e, key) }
+	list := func(es []Expr) string {
+		parts := make([]string, len(es))
+		for i, e := range es {
+			parts[i] = f(e)
+		}
+		return strings.Join(parts, ", ")
+	}
+	typ := func(t types.Type) string {
+		if key {
+			return ":" + t.String()
+		}
+		return ""
+	}
+	switch x := e.(type) {
+	case *ColumnRef:
+		if x.Name != "" && !key {
+			return x.Name
+		}
+		return fmt.Sprintf("$%d", x.Index)
+	case *Const:
+		s := x.Val.String()
+		if x.Val.T == types.Varchar && !x.Val.Null {
+			s = "'" + strings.ReplaceAll(s, "'", "''") + "'"
+		}
+		if key {
+			s += fmt.Sprintf(":%s@%d", x.Val.T, x.Slot)
+		}
+		return s
+	case *Param:
+		return fmt.Sprintf("?%d", x.Index)
+	case *Arith:
+		return "(" + f(x.L) + " " + x.Op.String() + " " + f(x.R) + ")" + typ(x.T)
+	case *Neg:
+		return "(-" + f(x.E) + ")"
+	case *Compare:
+		return "(" + f(x.L) + " " + x.Op.String() + " " + f(x.R) + ")"
+	case *And:
+		return "(" + f(x.L) + " AND " + f(x.R) + ")"
+	case *Or:
+		return "(" + f(x.L) + " OR " + f(x.R) + ")"
+	case *Not:
+		return "(NOT " + f(x.E) + ")"
+	case *IsNull:
+		return "(" + f(x.E) + " IS " + not(x.Negate) + "NULL)"
+	case *In:
+		return "(" + f(x.E) + " " + not(x.Negate) + "IN (" + list(x.List) + "))"
+	case *Between:
+		return "(" + f(x.E) + " " + not(x.Negate) + "BETWEEN " + f(x.Lo) + " AND " + f(x.Hi) + ")"
+	case *Like:
+		return "(" + f(x.E) + " " + not(x.Negate) + "LIKE " + f(x.Pattern) + ")"
+	case *Case:
+		s := "CASE"
+		for _, w := range x.Whens {
+			s += " WHEN " + f(w.Cond) + " THEN " + f(w.Then)
+		}
+		if x.Else != nil {
+			s += " ELSE " + f(x.Else)
+		}
+		return s + " END" + typ(x.T)
+	case *Cast:
+		return "CAST(" + f(x.E) + " AS " + x.T.String() + ")"
+	case *Call:
+		return x.Fn.Name + "(" + list(x.Args) + ")"
+	case *Lambda:
+		return fmt.Sprintf("(LAMBDA %d -> %s)", x.NParams, f(x.Body))
+	case *LambdaRef:
+		return fmt.Sprintf("#%d", x.I)
+	case *Subscript:
+		return f(x.Base) + "[" + f(x.Index) + "]" + typ(x.T)
+	case *ArrayCtor:
+		return "ARRAY[" + list(x.Elems) + "]"
+	}
+	return fmt.Sprintf("%T", e)
+}
+
+func not(negate bool) string {
+	if negate {
+		return "NOT "
+	}
+	return ""
+}
+
+// Conjuncts flattens nested ANDs into a conjunct list.
+func Conjuncts(e Expr) []Expr {
+	if a, ok := e.(*And); ok {
+		return append(Conjuncts(a.L), Conjuncts(a.R)...)
+	}
+	return []Expr{e}
+}
+
+// AndAll is the left-deep AND of cs, nil for none.
+func AndAll(cs []Expr) Expr {
+	var out Expr
+	for _, c := range cs {
+		if out == nil {
+			out = c
+		} else {
+			out = &And{L: out, R: c}
+		}
+	}
+	return out
+}
 
 // Walk visits e and all sub-expressions in pre-order.
 func Walk(e Expr, fn func(Expr)) {
@@ -453,13 +523,4 @@ func IsDeterministic(e Expr) bool {
 		}
 	})
 	return det
-}
-
-// Equal reports structural equality of two expressions, used for matching
-// GROUP BY keys against SELECT expressions.
-func Equal(a, b Expr) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return a.String() == b.String() && a.Type() == b.Type()
 }

@@ -142,7 +142,7 @@ func selEither(dec, r selFn) selFn {
 		case len(ds) == len(rows):
 			return append(out, ds...), nil
 		}
-		rest := selMinus(rows, ds, leaseRows(in, len(rows)))
+		rest := selMinus(in, rows, ds, leaseRows(in, len(rows)))
 		rs, err := r(in, rest, leaseRows(in, len(rest)))
 		if err != nil {
 			return out, err
@@ -159,7 +159,7 @@ func selBoth(dec, l, r selFn) selFn {
 		if err != nil {
 			return out, err
 		}
-		rest := selMinus(rows, ds, leaseRows(in, len(rows)))
+		rest := selMinus(in, rows, ds, leaseRows(in, len(rows)))
 		ls, err := l(in, rest, leaseRows(in, len(rest)))
 		if err != nil {
 			return out, err
@@ -229,19 +229,25 @@ func mergeIntersect(a, b, out []int) []int {
 	return out
 }
 
-// selMinus appends the positions of rows that sub, an ascending sublist of
-// rows, does not hold, by predication.
-func selMinus(rows, sub, out []int) []int {
+// selMinus appends the positions of rows that sub, a sublist of rows, does
+// not hold. It marks sub's positions and keeps the unmarked rows by
+// predication, so no load waits on the one before it.
+func selMinus(in *vecInput, rows, sub, out []int) []int {
+	if len(rows) == 0 {
+		return out
+	}
+	mark := block.Lease[byte](in.scratch, rows[len(rows)-1]+1)
+	for _, r := range rows {
+		mark[r] = 0
+	}
+	for _, r := range sub {
+		mark[r] = 1
+	}
 	base := len(out)
-	buf, k, j := out[base:base+len(rows)], 0, 0
+	buf, k := out[base:base+len(rows)], 0
 	for _, r := range rows {
 		buf[k] = r
-		hit := 0
-		if j < len(sub) {
-			hit = b2i(sub[j] == r)
-		}
-		j += hit
-		k += 1 - hit
+		k += 1 - int(mark[r])
 	}
 	return out[:base+k]
 }

@@ -188,15 +188,18 @@ func gatherDict[T any](dict []T, dn []bool, indices []int32, sel, idx []int, n i
 	return has
 }
 
-// fillConst writes one value (an RLE run or a literal) to every position.
+// fillConst writes one value (an RLE run or a literal) to every position,
+// all of them by doubling copies.
 func fillConst[T any](v T, null bool, idx []int, n int, out []T, nulls []bool) bool {
 	if null {
 		var zero T
 		v = zero
 	}
-	if idx == nil {
-		for i := 0; i < n; i++ {
-			out[i], nulls[i] = v, null
+	if idx == nil && n > 0 {
+		out[0], nulls[0] = v, null
+		for i := 1; i < n; i *= 2 {
+			copy(out[i:n], out[:i])
+			copy(nulls[i:n], nulls[:i])
 		}
 	} else {
 		for _, i := range idx {
@@ -849,16 +852,21 @@ func scalarArith[T int64 | float64](x *Arith, scalar func(Expr) (scalar[T], bool
 
 // vecCase narrows the position list through the WHEN conditions: each
 // condition is evaluated only over still-unmatched positions, as the
-// selection of its TRUE ones, each THEN only over the positions its WHEN
-// matched, and the ELSE over whatever remains. Rows therefore see exactly the
-// branch evaluations row-at-a-time execution would have performed.
-func vecCase[T any](conds []selFn, thens []vkernel[T], els vkernel[T]) vkernel[T] {
+// selection of its TRUE ones, and each THEN only over the positions its WHEN
+// matched. A constant ELSE (a missing one is NULL) is written over every
+// position first, so the last WHEN leaves no remainder to build; any other
+// ELSE runs over whatever remains. Rows therefore see exactly the branch
+// evaluations row-at-a-time execution would have performed.
+func vecCase[T any](conds []selFn, thens []vkernel[T], els vkernel[T], constElse bool) vkernel[T] {
 	return func(in *vecInput, idx []int, out []T, nulls []bool) (bool, error) {
+		has := false
+		if constElse {
+			has, _ = els(in, idx, out, nulls) // a constant cannot fail
+		}
 		rem := idx
 		if rem == nil {
 			rem = identityRows(in.n)
 		}
-		has := false
 		for k, cond := range conds {
 			if len(rem) == 0 {
 				break
@@ -875,22 +883,17 @@ func vecCase[T any](conds []selFn, thens []vkernel[T], els vkernel[T]) vkernel[T
 				return false, err
 			}
 			has = has || h
-			rem = selMinus(rem, match, leaseRows(in, len(rem)))
-		}
-		if len(rem) > 0 {
-			if els == nil {
-				var zero T
-				for _, i := range rem {
-					out[i], nulls[i] = zero, true
-				}
-				has = true
-			} else {
-				h, err := els(in, rem, out, nulls)
-				if err != nil {
-					return false, err
-				}
-				has = has || h
+			if constElse && k == len(conds)-1 {
+				break
 			}
+			rem = selMinus(in, rem, match, leaseRows(in, len(rem)))
+		}
+		if !constElse && len(rem) > 0 {
+			h, err := els(in, rem, out, nulls)
+			if err != nil {
+				return false, err
+			}
+			has = has || h
 		}
 		return has, nil
 	}
@@ -910,15 +913,16 @@ func vecCaseOf[T any](c *selCompiler, x *Case, child func(Expr) (vkernel[T], boo
 		}
 		conds[i], thens[i] = cond, t
 	}
-	var els vkernel[T]
+	var null T
+	els, constElse := vecConst(null, true), true
 	if x.Else != nil {
 		f, ok := child(x.Else)
 		if !ok {
 			return nil, false
 		}
-		els = f
+		els, constElse = f, isLiteral(x.Else)
 	}
-	return vecCase(conds, thens, els), true
+	return vecCase(conds, thens, els, constElse), true
 }
 
 // ---- booleans ----
@@ -936,7 +940,7 @@ func vecPredicate(t, f selFn) boolKernel {
 		if err != nil {
 			return false, err
 		}
-		fs, err := f(in, selMinus(rows, ts, leaseRows(in, len(rows))), leaseRows(in, len(rows)))
+		fs, err := f(in, selMinus(in, rows, ts, leaseRows(in, len(rows))), leaseRows(in, len(rows)))
 		if err != nil {
 			return false, err
 		}
@@ -1003,6 +1007,9 @@ func (c *selCompiler) vecLong(e Expr) (longKernel, bool) {
 
 func (c *selCompiler) vecDouble(e Expr) (doubleKernel, bool) {
 	if e.Type() == types.Bigint || e.Type() == types.Date {
+		if x, ok := e.(*Const); ok {
+			return vecConst(float64(x.Val.I), x.Val.Null), true
+		}
 		f, ok := c.vecLong(e)
 		if !ok {
 			return nil, false

@@ -534,25 +534,42 @@ func TestConstantProjectionRLE(t *testing.T) {
 	}
 }
 
-// TestExprFingerprintDistinguishesComposites: an expression's fingerprint is
-// its canonical key, which the CSE planner and the distinct-argument dedup
-// compare. It must not merge distinct CASE or IN trees the way String()
-// rendering does, and must give trees built apart from the same parts one key.
+// TestExprFingerprintDistinguishesComposites: an expression's canonical key,
+// which the CSE planner and the aggregation's argument dedup compare, tells
+// apart every pair below, which EXPLAIN's display may print alike, and gives
+// trees built apart from the same parts one key.
 func TestExprFingerprintDistinguishesComposites(t *testing.T) {
 	caseOf := func(then int64) Expr {
 		return &Case{T: types.Bigint, Whens: []CaseWhen{
 			{Cond: colRef(3, types.Boolean), Then: longConst(then)},
 		}, Else: longConst(0)}
 	}
-	if CanonicalKey(caseOf(1)) == CanonicalKey(caseOf(2)) {
-		t.Fatal("distinct CASE trees share a canonical key")
+	named := func(i int) Expr { return &ColumnRef{Index: i, T: types.Bigint, Name: "age"} }
+	in := func(negate bool) Expr {
+		return &In{E: colRef(0, types.Bigint), List: []Expr{longConst(1)}, Negate: negate}
+	}
+	for _, pair := range [][2]Expr{
+		{caseOf(1), caseOf(2)},
+		{in(false), in(true)},
+		{named(0), named(1)},
+		{NewSlotConst(types.BigintValue(30), 1), NewSlotConst(types.BigintValue(30), 2)},
+		{longConst(1), dblConst(1)},
+		{NewConst(types.NullValue(types.Bigint)), NewConst(types.NullValue(types.Varchar))},
+		{strConst("a', 'b"), &ArrayCtor{Elems: []Expr{strConst("a"), strConst("b")}}},
+		{&Lambda{NParams: 1, Body: &LambdaRef{I: 0, T: types.Bigint}}, &Lambda{NParams: 1, Body: longConst(0)}},
+	} {
+		if CanonicalKey(pair[0]) == CanonicalKey(pair[1]) {
+			t.Errorf("%s and %s share the key %s", pair[0], pair[1], CanonicalKey(pair[0]))
+		}
 	}
 	if CanonicalKey(caseOf(1)) != CanonicalKey(caseOf(1)) {
 		t.Fatal("equal CASE trees have different canonical keys")
 	}
-	c := &In{E: colRef(0, types.Bigint), List: []Expr{longConst(1)}}
-	d := &In{E: colRef(0, types.Bigint), List: []Expr{longConst(1)}, Negate: true}
-	if CanonicalKey(c) == CanonicalKey(d) {
-		t.Fatal("IN and NOT IN share a canonical key")
+	// Display mode names columns, hides slots and prints a CASE in full.
+	e := &Case{T: types.Bigint, Whens: []CaseWhen{
+		{Cond: &Compare{Op: CmpLt, L: named(4), R: NewSlotConst(types.BigintValue(30), 1)}, Then: strConst("it's")},
+	}}
+	if got, want := e.String(), "CASE WHEN (age < 30) THEN 'it''s' END"; got != want {
+		t.Errorf("display %q, want %q", got, want)
 	}
 }

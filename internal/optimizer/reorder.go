@@ -301,22 +301,17 @@ func (o *Optimizer) buildGreedy(mj *multiJoin) plan.Node {
 	// Apply residual predicates on top.
 	var node plan.Node = final.node
 	if len(mj.residuals) > 0 {
-		var conj expr.Expr
-		for _, r := range mj.residuals {
-			mapped := expr.Rewrite(r, func(e expr.Expr) expr.Expr {
+		conjs := make([]expr.Expr, len(mj.residuals))
+		for i, r := range mj.residuals {
+			conjs[i] = expr.Rewrite(r, func(e expr.Expr) expr.Expr {
 				if cr, ok := e.(*expr.ColumnRef); ok {
 					rel, col := locate(mj, cr.Index)
 					return &expr.ColumnRef{Index: final.colmap[[2]int{rel, col}], T: cr.T, Name: cr.Name}
 				}
 				return nil
 			})
-			if conj == nil {
-				conj = mapped
-			} else {
-				conj = &expr.And{L: conj, R: mapped}
-			}
 		}
-		node = &plan.Filter{Input: node, Predicate: conj}
+		node = &plan.Filter{Input: node, Predicate: expr.AndAll(conjs)}
 	}
 
 	// Restore the original global column order with a projection.

@@ -6,27 +6,6 @@ import (
 	"repro/internal/types"
 )
 
-// splitConjuncts flattens nested ANDs into a conjunct list.
-func splitConjuncts(e expr.Expr) []expr.Expr {
-	if a, ok := e.(*expr.And); ok {
-		return append(splitConjuncts(a.L), splitConjuncts(a.R)...)
-	}
-	return []expr.Expr{e}
-}
-
-// combineConjuncts rebuilds an AND tree (nil for an empty list).
-func combineConjuncts(cs []expr.Expr) expr.Expr {
-	var out expr.Expr
-	for _, c := range cs {
-		if out == nil {
-			out = c
-		} else {
-			out = &expr.And{L: out, R: c}
-		}
-	}
-	return out
-}
-
 // foldConstantFilter simplifies constant predicates: Filter(TRUE) vanishes,
 // Filter(FALSE/NULL) becomes an empty Values.
 func foldConstantFilter(o *Optimizer, n plan.Node) (plan.Node, bool) {
@@ -103,7 +82,7 @@ func pushFilterIntoJoin(o *Optimizer, n plan.Node) (plan.Node, bool) {
 	}
 	leftW := len(j.Left.Schema())
 	var leftPush, rightPush, keep []expr.Expr
-	for _, cj := range splitConjuncts(f.Predicate) {
+	for _, cj := range expr.Conjuncts(f.Predicate) {
 		cols := expr.Columns(cj)
 		onlyLeft, onlyRight := true, true
 		for _, c := range cols {
@@ -138,14 +117,14 @@ func pushFilterIntoJoin(o *Optimizer, n plan.Node) (plan.Node, bool) {
 	}
 	newJoin := *j
 	if len(leftPush) > 0 {
-		newJoin.Left = &plan.Filter{Input: j.Left, Predicate: combineConjuncts(leftPush)}
+		newJoin.Left = &plan.Filter{Input: j.Left, Predicate: expr.AndAll(leftPush)}
 	}
 	if len(rightPush) > 0 {
-		newJoin.Right = &plan.Filter{Input: j.Right, Predicate: combineConjuncts(rightPush)}
+		newJoin.Right = &plan.Filter{Input: j.Right, Predicate: expr.AndAll(rightPush)}
 	}
 	var out plan.Node = &newJoin
 	if len(keep) > 0 {
-		out = &plan.Filter{Input: out, Predicate: combineConjuncts(keep)}
+		out = &plan.Filter{Input: out, Predicate: expr.AndAll(keep)}
 	}
 	return out, true
 }
@@ -185,7 +164,7 @@ func pushFilterIntoScan(o *Optimizer, n plan.Node) (plan.Node, bool) {
 			enforced[col] = true
 		}
 	}
-	for _, cj := range splitConjuncts(f.Predicate) {
+	for _, cj := range expr.Conjuncts(f.Predicate) {
 		if col, ok := conjunctColumn(cj, scan); ok && enforced[col] {
 			continue // the connector guarantees this conjunct
 		}
@@ -194,7 +173,7 @@ func pushFilterIntoScan(o *Optimizer, n plan.Node) (plan.Node, bool) {
 	if len(remaining) == 0 {
 		return &newScan, true
 	}
-	return &plan.Filter{Input: &newScan, Predicate: combineConjuncts(remaining)}, true
+	return &plan.Filter{Input: &newScan, Predicate: expr.AndAll(remaining)}, true
 }
 
 // conjunctColumn returns the scan column name a simple sargable conjunct
@@ -217,7 +196,7 @@ func conjunctColumn(e expr.Expr, scan *plan.Scan) (string, bool) {
 func ExtractDomain(pred expr.Expr, scan *plan.Scan) (*plan.Domain, []expr.Expr) {
 	d := plan.AllDomain()
 	var used []expr.Expr
-	for _, cj := range splitConjuncts(pred) {
+	for _, cj := range expr.Conjuncts(pred) {
 		cd, colIdx, ok := conjunctDomain(cj)
 		if !ok {
 			continue

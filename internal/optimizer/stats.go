@@ -46,7 +46,7 @@ func (o *Optimizer) estimateRows(n plan.Node) float64 {
 			return -1
 		}
 		sel := 1.0
-		for range splitConjuncts(x.Predicate) {
+		for range expr.Conjuncts(x.Predicate) {
 			sel *= defaultFilterSelectivity
 		}
 		if sel < 0.001 {

@@ -21,8 +21,8 @@ const ResultPoolOwner = "@resultcache"
 // ResultBase fingerprints the identity of a query's result but for its
 // lifted literals: the statement's template key (its tokens, catalog and
 // planning flags) plus the output column names. Combined with the literals by
-// ResultKey. (The plan's EXPLAIN text would not do: it renders a CASE as
-// "CASE(...)", so statements that differ inside one would share results.)
+// ResultKey. (The plan's EXPLAIN text would not do: it names columns and
+// hides slots, so two plans can print alike and compute different rows.)
 func ResultBase(templateKey string, columns []string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(templateKey))

@@ -2,7 +2,9 @@ package sqlparser
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Statement is any top-level SQL statement.
@@ -186,10 +188,8 @@ func (*ValuesRel) relation() {}
 // Ident is a possibly-qualified column reference.
 type Ident struct{ Parts []string }
 
-func (*Ident) expr() {}
-func (e *Ident) String() string {
-	return strings.Join(e.Parts, ".")
-}
+func (*Ident) expr()            {}
+func (e *Ident) String() string { return format(e, false) }
 
 // NumberLit is an integer or decimal literal. Slot is the plan-cache slot
 // the literal was lifted into (0: none), here and on StringLit and DateLit.
@@ -200,7 +200,7 @@ type NumberLit struct {
 }
 
 func (*NumberLit) expr()            {}
-func (e *NumberLit) String() string { return e.Text }
+func (e *NumberLit) String() string { return format(e, false) }
 
 // StringLit is a character literal.
 type StringLit struct {
@@ -209,24 +209,19 @@ type StringLit struct {
 }
 
 func (*StringLit) expr()            {}
-func (e *StringLit) String() string { return "'" + e.Val + "'" }
+func (e *StringLit) String() string { return format(e, false) }
 
 // BoolLit is TRUE or FALSE.
 type BoolLit struct{ Val bool }
 
-func (*BoolLit) expr() {}
-func (e *BoolLit) String() string {
-	if e.Val {
-		return "TRUE"
-	}
-	return "FALSE"
-}
+func (*BoolLit) expr()            {}
+func (e *BoolLit) String() string { return format(e, false) }
 
 // NullLit is the NULL literal.
 type NullLit struct{}
 
 func (*NullLit) expr()            {}
-func (e *NullLit) String() string { return "NULL" }
+func (e *NullLit) String() string { return format(e, false) }
 
 // DateLit is DATE 'YYYY-MM-DD'; a lifted one's slot offset is the DATE
 // keyword's.
@@ -236,7 +231,7 @@ type DateLit struct {
 }
 
 func (*DateLit) expr()            {}
-func (e *DateLit) String() string { return "DATE '" + e.Text + "'" }
+func (e *DateLit) String() string { return format(e, false) }
 
 // IntervalLit is INTERVAL 'n' DAY (days only; enough for TPC-style predicates).
 type IntervalLit struct {
@@ -244,10 +239,8 @@ type IntervalLit struct {
 	Unit  string // "DAY", "MONTH", "YEAR"
 }
 
-func (*IntervalLit) expr() {}
-func (e *IntervalLit) String() string {
-	return fmt.Sprintf("INTERVAL '%d' %s", e.Value, e.Unit)
-}
+func (*IntervalLit) expr()            {}
+func (e *IntervalLit) String() string { return format(e, false) }
 
 // BinaryExpr is a binary operation: arithmetic, comparison, AND/OR, ||.
 type BinaryExpr struct {
@@ -256,10 +249,8 @@ type BinaryExpr struct {
 	Right Expr
 }
 
-func (*BinaryExpr) expr() {}
-func (e *BinaryExpr) String() string {
-	return "(" + e.Left.String() + " " + e.Op + " " + e.Right.String() + ")"
-}
+func (*BinaryExpr) expr()            {}
+func (e *BinaryExpr) String() string { return format(e, false) }
 
 // UnaryExpr is NOT x or -x or +x.
 type UnaryExpr struct {
@@ -268,7 +259,7 @@ type UnaryExpr struct {
 }
 
 func (*UnaryExpr) expr()            {}
-func (e *UnaryExpr) String() string { return "(" + e.Op + " " + e.Expr.String() + ")" }
+func (e *UnaryExpr) String() string { return format(e, false) }
 
 // FuncCall is a function or aggregate invocation, possibly with OVER clause.
 type FuncCall struct {
@@ -279,29 +270,8 @@ type FuncCall struct {
 	Over     *WindowSpec
 }
 
-func (*FuncCall) expr() {}
-func (e *FuncCall) String() string {
-	var sb strings.Builder
-	sb.WriteString(e.Name)
-	sb.WriteString("(")
-	if e.Star {
-		sb.WriteString("*")
-	}
-	if e.Distinct {
-		sb.WriteString("DISTINCT ")
-	}
-	for i, a := range e.Args {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(a.String())
-	}
-	sb.WriteString(")")
-	if e.Over != nil {
-		sb.WriteString(" OVER (...)")
-	}
-	return sb.String()
-}
+func (*FuncCall) expr()            {}
+func (e *FuncCall) String() string { return format(e, false) }
 
 // WindowSpec is the OVER clause of a window function.
 type WindowSpec struct {
@@ -323,7 +293,7 @@ type WhenClause struct {
 }
 
 func (*CaseExpr) expr()            {}
-func (e *CaseExpr) String() string { return "CASE ... END" }
+func (e *CaseExpr) String() string { return format(e, false) }
 
 // CastExpr is CAST(x AS type).
 type CastExpr struct {
@@ -331,10 +301,8 @@ type CastExpr struct {
 	Type string
 }
 
-func (*CastExpr) expr() {}
-func (e *CastExpr) String() string {
-	return "CAST(" + e.Expr.String() + " AS " + e.Type + ")"
-}
+func (*CastExpr) expr()            {}
+func (e *CastExpr) String() string { return format(e, false) }
 
 // IsNullExpr is x IS [NOT] NULL.
 type IsNullExpr struct {
@@ -342,13 +310,8 @@ type IsNullExpr struct {
 	Not  bool
 }
 
-func (*IsNullExpr) expr() {}
-func (e *IsNullExpr) String() string {
-	if e.Not {
-		return e.Expr.String() + " IS NOT NULL"
-	}
-	return e.Expr.String() + " IS NULL"
-}
+func (*IsNullExpr) expr()            {}
+func (e *IsNullExpr) String() string { return format(e, false) }
 
 // InExpr is x [NOT] IN (list) or x [NOT] IN (subquery).
 type InExpr struct {
@@ -359,7 +322,7 @@ type InExpr struct {
 }
 
 func (*InExpr) expr()            {}
-func (e *InExpr) String() string { return e.Expr.String() + " IN (...)" }
+func (e *InExpr) String() string { return format(e, false) }
 
 // BetweenExpr is x [NOT] BETWEEN lo AND hi.
 type BetweenExpr struct {
@@ -369,10 +332,8 @@ type BetweenExpr struct {
 	Not  bool
 }
 
-func (*BetweenExpr) expr() {}
-func (e *BetweenExpr) String() string {
-	return e.Expr.String() + " BETWEEN " + e.Lo.String() + " AND " + e.Hi.String()
-}
+func (*BetweenExpr) expr()            {}
+func (e *BetweenExpr) String() string { return format(e, false) }
 
 // LikeExpr is x [NOT] LIKE pattern.
 type LikeExpr struct {
@@ -381,10 +342,8 @@ type LikeExpr struct {
 	Not     bool
 }
 
-func (*LikeExpr) expr() {}
-func (e *LikeExpr) String() string {
-	return e.Expr.String() + " LIKE " + e.Pattern.String()
-}
+func (*LikeExpr) expr()            {}
+func (e *LikeExpr) String() string { return format(e, false) }
 
 // ExistsExpr is EXISTS (subquery).
 type ExistsExpr struct {
@@ -393,13 +352,13 @@ type ExistsExpr struct {
 }
 
 func (*ExistsExpr) expr()            {}
-func (e *ExistsExpr) String() string { return "EXISTS (...)" }
+func (e *ExistsExpr) String() string { return format(e, false) }
 
 // ScalarSubquery is a parenthesized query used as a scalar.
 type ScalarSubquery struct{ Query *Query }
 
 func (*ScalarSubquery) expr()            {}
-func (e *ScalarSubquery) String() string { return "(subquery)" }
+func (e *ScalarSubquery) String() string { return format(e, false) }
 
 // LambdaExpr is the paper's anonymous-function extension: x -> body or
 // (x, y) -> body, usable as an argument to higher-order functions.
@@ -408,16 +367,14 @@ type LambdaExpr struct {
 	Body   Expr
 }
 
-func (*LambdaExpr) expr() {}
-func (e *LambdaExpr) String() string {
-	return "(" + strings.Join(e.Params, ", ") + ") -> " + e.Body.String()
-}
+func (*LambdaExpr) expr()            {}
+func (e *LambdaExpr) String() string { return format(e, false) }
 
 // ArrayLit is ARRAY[e1, e2, ...].
 type ArrayLit struct{ Elems []Expr }
 
 func (*ArrayLit) expr()            {}
-func (e *ArrayLit) String() string { return "ARRAY[...]" }
+func (e *ArrayLit) String() string { return format(e, false) }
 
 // SubscriptExpr is arr[idx] (1-based, per SQL convention).
 type SubscriptExpr struct {
@@ -425,7 +382,161 @@ type SubscriptExpr struct {
 	Index Expr
 }
 
-func (*SubscriptExpr) expr() {}
-func (e *SubscriptExpr) String() string {
-	return e.Base.String() + "[" + e.Index.String() + "]"
+func (*SubscriptExpr) expr()            {}
+func (e *SubscriptExpr) String() string { return format(e, false) }
+
+// Key is the OVER clause's identity, as Key is an expression's.
+func (w *WindowSpec) Key() string { return w.format(true) }
+
+func (w *WindowSpec) format(key bool) string {
+	var parts []string
+	if len(w.PartitionBy) > 0 {
+		parts = append(parts, "PARTITION BY "+list(w.PartitionBy, key))
+	}
+	items := make([]string, len(w.OrderBy))
+	for i, s := range w.OrderBy {
+		items[i] = format(s.Expr, key)
+		if s.Descending {
+			items[i] += " DESC"
+		}
+		if s.NullsFirst {
+			items[i] += " NULLS FIRST"
+		}
+	}
+	if len(items) > 0 {
+		parts = append(parts, "ORDER BY "+strings.Join(items, ", "))
+	}
+	return strings.Join(parts, " ")
 }
+
+// Key is e's identity: two expressions have one key exactly when they are the
+// same tree, literal slots aside. The analyzer matches aggregates, GROUP BY
+// keys, window calls and scalar subqueries by it.
+func Key(e Expr) string { return format(e, true) }
+
+// format is the one writer of a parse tree. It prints every field but a
+// literal's plan-cache slot. Display mode (key false) is String's, for
+// messages: a subquery prints as "(subquery)". Key mode is Key's: a subquery
+// prints a token unique to its node, so two subqueries never match.
+func format(e Expr, key bool) string {
+	f := func(e Expr) string { return format(e, key) }
+	switch x := e.(type) {
+	case *Ident:
+		return names(x.Parts, ".")
+	case *NumberLit:
+		return x.Text
+	case *StringLit:
+		return quote(x.Val, "'")
+	case *BoolLit:
+		return strings.ToUpper(strconv.FormatBool(x.Val))
+	case *NullLit:
+		return "NULL"
+	case *DateLit:
+		return "DATE " + quote(x.Text, "'")
+	case *IntervalLit:
+		return fmt.Sprintf("INTERVAL '%d' %s", x.Value, x.Unit)
+	case *BinaryExpr:
+		return "(" + f(x.Left) + " " + x.Op + " " + f(x.Right) + ")"
+	case *UnaryExpr:
+		return "(" + x.Op + " " + f(x.Expr) + ")"
+	case *FuncCall:
+		s := quoteName(x.Name, false) + "("
+		if x.Star {
+			s += "*"
+		}
+		if x.Distinct {
+			s += "DISTINCT "
+		}
+		s += list(x.Args, key) + ")"
+		if x.Over != nil {
+			s += " OVER (" + x.Over.format(key) + ")"
+		}
+		return s
+	case *CaseExpr:
+		s := "CASE"
+		if x.Operand != nil {
+			s += " " + f(x.Operand)
+		}
+		for _, w := range x.Whens {
+			s += " WHEN " + f(w.Cond) + " THEN " + f(w.Then)
+		}
+		if x.Else != nil {
+			s += " ELSE " + f(x.Else)
+		}
+		return s + " END"
+	case *CastExpr:
+		return "CAST(" + f(x.Expr) + " AS " + quoteName(x.Type, false) + ")"
+	case *IsNullExpr:
+		return "(" + f(x.Expr) + " IS " + not(x.Not) + "NULL)"
+	case *InExpr:
+		if x.Subquery != nil {
+			return "(" + f(x.Expr) + " " + not(x.Not) + "IN " + subquery(x.Subquery, key) + ")"
+		}
+		return "(" + f(x.Expr) + " " + not(x.Not) + "IN (" + list(x.List, key) + "))"
+	case *BetweenExpr:
+		return "(" + f(x.Expr) + " " + not(x.Not) + "BETWEEN " + f(x.Lo) + " AND " + f(x.Hi) + ")"
+	case *LikeExpr:
+		return "(" + f(x.Expr) + " " + not(x.Not) + "LIKE " + f(x.Pattern) + ")"
+	case *ExistsExpr:
+		return "(" + not(x.Not) + "EXISTS " + subquery(x.Subquery, key) + ")"
+	case *ScalarSubquery:
+		return subquery(x.Query, key)
+	case *LambdaExpr:
+		return "((" + names(x.Params, ", ") + ") -> " + f(x.Body) + ")"
+	case *ArrayLit:
+		return "ARRAY[" + list(x.Elems, key) + "]"
+	case *SubscriptExpr:
+		return f(x.Base) + "[" + f(x.Index) + "]"
+	}
+	return fmt.Sprintf("%T", e)
+}
+
+func list(es []Expr, key bool) string {
+	parts := make([]string, len(es))
+	for i, e := range es {
+		parts[i] = format(e, key)
+	}
+	return strings.Join(parts, ", ")
+}
+
+func not(negate bool) string {
+	if negate {
+		return "NOT "
+	}
+	return ""
+}
+
+// subquery prints "(subquery)", and in key mode a token that names the query
+// node itself.
+func subquery(q *Query, key bool) string {
+	if key {
+		return fmt.Sprintf("(subquery %p)", q)
+	}
+	return "(subquery)"
+}
+
+// names prints column or parameter names, each as quoteName does.
+func names(ns []string, sep string) string {
+	parts := make([]string, len(ns))
+	for i, n := range ns {
+		parts[i] = quoteName(n, true)
+	}
+	return strings.Join(parts, sep)
+}
+
+// quoteName prints an identifier bare when the lexer reads it back as that
+// identifier, else double-quoted. A column name is quoted when it spells a
+// keyword, or ARRAY, which would read as a literal before '['.
+func quoteName(name string, column bool) string {
+	bare := name != "" && !(column && (keywords[strings.ToUpper(name)] || strings.EqualFold(name, "array")))
+	for i, r := range name {
+		bare = bare && (r == '_' || unicode.IsLetter(r) || i > 0 && (r == '$' || unicode.IsDigit(r)))
+	}
+	if bare {
+		return name
+	}
+	return quote(name, `"`)
+}
+
+// quote wraps s in q, doubling each q inside, as the lexer reads it back.
+func quote(s, q string) string { return q + strings.ReplaceAll(s, q, q+q) + q }

@@ -66,10 +66,17 @@ func (p *Parser) slotAt(pos int) int {
 
 func (p *Parser) peek() Token   { return p.toks[p.pos] }
 func (p *Parser) atEOF() bool   { return p.peek().Kind == TokEOF }
-func (p *Parser) next() Token   { t := p.toks[p.pos]; p.pos++; return t }
-func (p *Parser) backup()       { p.pos-- }
 func (p *Parser) save() int     { return p.pos }
 func (p *Parser) restore(n int) { p.pos = n }
+
+// next consumes a token, but not the final TokEOF, which it returns again.
+func (p *Parser) next() Token {
+	t := p.toks[p.pos]
+	if t.Kind != TokEOF {
+		p.pos++
+	}
+	return t
+}
 
 func (p *Parser) accept(kind TokenKind, text string) bool {
 	t := p.peek()
@@ -778,8 +785,6 @@ func (p *Parser) parseOptionalAlias() string {
 		if p.peek().Kind == TokIdent {
 			return p.next().Text
 		}
-		p.backup() // put AS back conceptually: error will surface elsewhere
-		p.next()
 		return ""
 	}
 	if p.peek().Kind == TokIdent {

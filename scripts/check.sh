@@ -97,7 +97,9 @@
 #   scripts/check.sh -fuzz    # additionally run 10s fuzz smokes over the
 #                             # page codec, orcish footers and sections
 #                             # (decoded fresh and into an arena alike),
-#                             # SQL parser, spill files (both readers
+#                             # SQL parser, expression text (equal
+#                             # exactly for equal parse trees), spill
+#                             # files (both readers
 #                             # agree, or both reject) and their index,
 #                             # dynamic-filter summary frames, create
 #                             # requests (fragments, compiled, plus task
@@ -481,6 +483,8 @@ if [ "$fuzz" = 1 ]; then
   go test -fuzz '^FuzzOrcishDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/orcish/
   echo "==> fuzz smoke: SQL parser (10s)"
   go test -fuzz '^FuzzParser$' -fuzztime 10s ./internal/sqlparser/
+  echo "==> fuzz smoke: two parsed expressions have one key exactly when their trees are equal (10s)"
+  go test -run '^$' -fuzz '^FuzzExprKey$' -fuzztime 10s ./internal/sqlparser/
   echo "==> fuzz smoke: spill file decode (10s)"
   go test -fuzz '^FuzzSpillFileDecode$' -fuzztime 10s ./internal/spill/
   echo "==> fuzz smoke: spill file index (10s)"
