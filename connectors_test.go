@@ -130,6 +130,24 @@ func TestShardSQLPushdown(t *testing.T) {
 	}
 }
 
+// TestIndexJoinKeepsBuildConstraint: a join whose build side is a
+// constrained scan of an indexed table returns only the rows the constraint
+// admits. As an index join it looked up every probe key and dropped the
+// constraint, so a point read on one side joined every row of the other.
+func TestIndexJoinKeepsBuildConstraint(t *testing.T) {
+	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
+	defer c.Close()
+	c.Register(shardsql.New("mysql", 4))
+	mustExec(t, c, "CREATE TABLE mysql.ev (k BIGINT, v BIGINT)")
+	mustExec(t, c, "INSERT INTO mysql.ev SELECT * FROM (VALUES (1, 1), (2, 1), (3, 1), (50, 2))")
+	mustExec(t, c, "CREATE TABLE mysql.dim (k BIGINT, name VARCHAR)")
+	mustExec(t, c, "INSERT INTO mysql.dim SELECT * FROM (VALUES (1, 'one'), (2, 'two'), (3, 'three'), (50, 'fifty'))")
+	for k, want := range map[int]string{2: "two|1|1", 50: "fifty|1|2"} {
+		sql := fmt.Sprintf("SELECT d.name, count(*), sum(e.v) FROM mysql.ev e JOIN mysql.dim d ON e.k = d.k WHERE e.k = %d GROUP BY d.name", k)
+		assertRows(t, sql, servingRun(t, c, sql, Session{}), []string{want})
+	}
+}
+
 func TestKVIndexJoin(t *testing.T) {
 	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
 	defer c.Close()

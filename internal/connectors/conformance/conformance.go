@@ -1,8 +1,9 @@
 // Package conformance provides a reusable test harness asserting that a
 // connector implements the Connector API contract: metadata consistency,
 // split enumeration that covers the whole table exactly once, column
-// projection, and (when supported) the write path. Every bundled connector
-// runs this suite from its own tests.
+// projection, (when supported) the write path, and (for a connector that
+// implements connector.Versioned) how writes and DDL move its versions. Every
+// bundled connector runs this suite from its own tests.
 package conformance
 
 import (
@@ -35,6 +36,9 @@ func Run(t *testing.T, h Harness) {
 	t.Run("UnknownTable", func(t *testing.T) { h.unknownTable(t) })
 	if h.Writable {
 		t.Run("WriteRoundTrip", func(t *testing.T) { h.writeRoundTrip(t) })
+		if v, ok := h.Conn.(connector.Versioned); ok {
+			t.Run("Versioning", func(t *testing.T) { h.versioning(t, v) })
+		}
 	}
 }
 
@@ -261,5 +265,93 @@ func (h Harness) writeRoundTrip(t *testing.T) {
 	}
 	if total != 3 {
 		t.Errorf("read back %d rows, want 3", total)
+	}
+}
+
+// versioning checks what moves a Versioned connector's versions: a write
+// moves the table version and not the schema version; a drop and a create
+// each move the schema version, and neither takes a version back, so nothing
+// stamped before the drop matches after it. An AppendLog connector's log
+// holds exactly the written batch, with its row count and column bounds, and
+// does not reach back across the drop.
+func (h Harness) versioning(t *testing.T, v connector.Versioned) {
+	name := "conformance_version_test"
+	cols := []connector.Column{{Name: "k", T: types.Bigint}, {Name: "s", T: types.Varchar}}
+	if err := h.Conn.CreateTable(name, cols); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	defer h.Conn.DropTable(name)
+	schema, before := v.SchemaVersion(name), v.TableVersion(name)
+	if schema == 0 {
+		t.Error("CREATE TABLE left the schema version at 0")
+	}
+
+	sink, err := h.Conn.PageSink(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Append(block.NewPage(
+		block.NewLongBlock([]int64{7, 3, 5}, nil),
+		block.NewVarcharBlock([]string{"b", "c", "a"}, nil),
+	)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sink.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	written := v.TableVersion(name)
+	if written <= before {
+		t.Errorf("a write left the table version at %d (was %d)", written, before)
+	}
+	if got := v.SchemaVersion(name); got != schema {
+		t.Errorf("a write moved the schema version %d -> %d", schema, got)
+	}
+
+	log, isLog := h.Conn.(connector.AppendLog)
+	if isLog {
+		var batches []*connector.AppendSummary
+		to, ok := log.Appends(name, before, func(s *connector.AppendSummary) bool {
+			batches = append(batches, s)
+			return true
+		})
+		if !ok || to != written || len(batches) != 1 {
+			t.Fatalf("Appends since %d: to %d ok %v, %d batches; want to %d, one batch", before, to, ok, len(batches), written)
+		}
+		b := batches[0]
+		if b.Rows != 3 || len(b.Columns) != 2 {
+			t.Fatalf("batch summary %+v, want 3 rows of 2 columns", b)
+		}
+		for i, want := range [][2]types.Value{
+			{types.BigintValue(3), types.BigintValue(7)},
+			{types.VarcharValue("a"), types.VarcharValue("c")},
+		} {
+			c := b.Columns[i]
+			if c.Name != cols[i].Name || c.Min.Compare(want[0]) != 0 || c.Max.Compare(want[1]) != 0 || c.HasNull {
+				t.Errorf("column summary %+v, want %s in [%v, %v] without NULL", c, cols[i].Name, want[0], want[1])
+			}
+		}
+	}
+
+	if err := h.Conn.DropTable(name); err != nil {
+		t.Fatal(err)
+	}
+	dropped := v.SchemaVersion(name)
+	if dropped <= schema || v.TableVersion(name) <= written {
+		t.Errorf("after DROP: schema version %d (was %d), table version %d (was %d); both must move on",
+			dropped, schema, v.TableVersion(name), written)
+	}
+	if err := h.Conn.CreateTable(name, cols); err != nil {
+		t.Fatalf("create again: %v", err)
+	}
+	if got := v.SchemaVersion(name); got <= dropped {
+		t.Errorf("CREATE after DROP left the schema version at %d (was %d)", got, dropped)
+	}
+	if v.TableVersion(name) <= written {
+		t.Errorf("the recreated table's version %d is not past the dropped one's %d", v.TableVersion(name), written)
+	}
+	if isLog {
+		if _, ok := log.Appends(name, written, func(*connector.AppendSummary) bool { return true }); ok {
+			t.Error("the append log reaches back across a DROP and CREATE")
+		}
 	}
 }

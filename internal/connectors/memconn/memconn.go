@@ -22,11 +22,9 @@ type Connector struct {
 
 	mu     sync.RWMutex
 	tables map[string]*table
-	// schemas counts a table's schema changes (CreateTable, DropTable,
-	// LoadTable) and versions its data changes (appends); both are per name
-	// and survive a drop (connector.Versioned). A cached plan is valid for
-	// one schema version, a cached result for one version of each.
-	schemas, versions map[string]int64
+	// versions moves a table's schema version on CreateTable, DropTable and
+	// LoadTable and its data version on every append, under mu's write lock.
+	versions connector.VersionLog
 	// SplitsPerTable controls how many splits a scan enumerates (default 4).
 	SplitsPerTable int
 }
@@ -41,23 +39,11 @@ type table struct {
 	// dicts holds, per column, the dictionary LoadTable encoded it under (nil:
 	// stored as it arrived). Its entries are in ndv already, each once.
 	dicts []block.Block
-	// log is a ring of the summaries of the table's last appendLogSize
-	// appends; appends counts every append since the table was created or
-	// loaded. Only appends move the version of a live table, so append j
-	// (1-based) brought it to the current version minus appends, plus j.
-	log     []*connector.AppendSummary
-	appends int64
 }
-
-// appendLogSize is how many appends back a table's log reaches
-// (connector.AppendLog). A cached result stamped further back is dropped at
-// its next lookup. serving_mix writes about 650 single-row inserts in a run,
-// so the log reaches back over all of them.
-const appendLogSize = 1024
 
 // New creates an empty in-memory catalog with the given name.
 func New(name string) *Connector {
-	return &Connector{name: name, tables: map[string]*table{}, schemas: map[string]int64{}, versions: map[string]int64{}, SplitsPerTable: 4}
+	return &Connector{name: name, tables: map[string]*table{}, SplitsPerTable: 4}
 }
 
 // Name implements connector.Connector.
@@ -86,19 +72,25 @@ func (c *Connector) Table(name string) *connector.TableMeta {
 	return &meta
 }
 
-// TableVersion implements connector.Versioned: it moves on every change,
-// schema or data.
+// TableVersion implements connector.Versioned.
 func (c *Connector) TableVersion(name string) int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.schemas[name] + c.versions[name]
+	return c.versions.TableVersion(name)
 }
 
 // SchemaVersion implements connector.Versioned.
 func (c *Connector) SchemaVersion(name string) int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.schemas[name]
+	return c.versions.SchemaVersion(name)
+}
+
+// Appends implements connector.AppendLog.
+func (c *Connector) Appends(name string, since int64, visit func(*connector.AppendSummary) bool) (int64, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.versions.Appends(name, since, visit)
 }
 
 // Stats implements the Metadata API. Statistics are computed on load.
@@ -123,7 +115,7 @@ func (c *Connector) CreateTable(name string, columns []connector.Column) error {
 		meta:  connector.TableMeta{Name: name, Columns: columns},
 		stats: connector.TableStats{RowCount: 0, ColumnNDV: map[string]int64{}},
 	}
-	c.schemas[name]++
+	c.versions.SchemaChanged(name)
 	return nil
 }
 
@@ -135,7 +127,7 @@ func (c *Connector) DropTable(name string) error {
 		return fmt.Errorf("table %s.%s does not exist", c.name, name)
 	}
 	delete(c.tables, name)
-	c.schemas[name]++
+	c.versions.SchemaChanged(name)
 	return nil
 }
 
@@ -147,7 +139,7 @@ func (c *Connector) LoadTable(name string, columns []connector.Column, pages []*
 	t.pages = t.encodeLowCardinality(pages)
 	t.foldStats(t.pages)
 	c.tables[name] = t
-	c.schemas[name]++
+	c.versions.SchemaChanged(name)
 }
 
 // AppendRows adds boxed rows to an existing table (used by examples).
@@ -166,39 +158,16 @@ func (c *Connector) AppendRows(name string, rows [][]types.Value) error {
 	for _, r := range rows {
 		b.AppendRow(r)
 	}
-	pages := []*block.Page{b.Build()}
-	t.logAppend(pages)
-	t.appendPages(pages)
-	t.foldStats(pages)
-	c.versions[name]++
+	c.append(name, t, []*block.Page{b.Build()})
 	return nil
 }
 
-// logAppend records the summary of pages about to be appended.
-func (t *table) logAppend(pages []*block.Page) {
-	if t.log == nil {
-		t.log = make([]*connector.AppendSummary, appendLogSize)
-	}
-	t.log[t.appends%appendLogSize] = connector.SummarizeAppend(t.meta.Columns, pages)
-	t.appends++
-}
-
-// Appends implements connector.AppendLog.
-func (c *Connector) Appends(name string, since int64, visit func(*connector.AppendSummary) bool) (int64, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	now := c.schemas[name] + c.versions[name]
-	t, ok := c.tables[name]
-	back := now - since
-	if !ok || back < 0 || back > min(t.appends, appendLogSize) {
-		return now, false
-	}
-	for j := t.appends - back; j < t.appends; j++ {
-		if !visit(t.log[j%appendLogSize]) {
-			break
-		}
-	}
-	return now, true
+// append publishes pages at t's tail and moves its data version; the caller
+// holds c.mu's write lock.
+func (c *Connector) append(name string, t *table, pages []*block.Page) {
+	c.versions.Appended(name, connector.SummarizeAppend(t.meta.Columns, pages))
+	t.appendPages(pages)
+	t.foldStats(pages)
 }
 
 // mergeTarget is the row count written pages are merged up to: the page size
@@ -538,10 +507,7 @@ func (s *pageSink) Finish() (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("table %s.%s vanished during write", s.c.name, s.table)
 	}
-	t.logAppend(s.pages)
-	t.appendPages(s.pages)
-	t.foldStats(s.pages)
-	s.c.versions[s.table]++
+	s.c.append(s.table, t, s.pages)
 	return s.rows, nil
 }
 

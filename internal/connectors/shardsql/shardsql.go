@@ -5,6 +5,13 @@
 // ever enumerated and only matching rows are ever returned. The connector
 // reports an indexed layout on the shard column, which the optimizer uses
 // for highly selective filtering.
+//
+// Tables are versioned (connector.Versioned, connector.AppendLog) as a MySQL
+// fleet is through its binlog: a table's data version is the binlog position
+// of its shards, moved by one for each committed write batch (LoadRows, an
+// INSERT's PageSink), and each batch's summary is kept, so the serving tier
+// can cache a read's result and keep it across writes none of its scans could
+// have seen. The schema version moves on CREATE and DROP.
 package shardsql
 
 import (
@@ -24,6 +31,9 @@ type Connector struct {
 
 	mu     sync.RWMutex
 	tables map[string]*table
+	// versions moves with the rows and schemas it counts, under mu's write
+	// lock.
+	versions connector.VersionLog
 }
 
 type table struct {
@@ -33,8 +43,6 @@ type table struct {
 	// shards[i] holds the rows of shard i, indexed by shard-key value.
 	shards []map[string][][]types.Value
 	stats  connector.TableStats
-	// PerShardDelay simulates the per-request latency of one MySQL shard.
-	rowCount int64
 }
 
 // New creates a sharded catalog with the given shard count.
@@ -48,7 +56,8 @@ func New(name string, shards int) *Connector {
 // Name implements connector.Connector.
 func (c *Connector) Name() string { return c.name }
 
-// CreateShardedTable registers a table sharded on shardCol.
+// CreateShardedTable registers a table sharded on shardCol, or errors if the
+// name is taken.
 func (c *Connector) CreateShardedTable(name string, columns []connector.Column, shardCol string) error {
 	idx := -1
 	for i, col := range columns {
@@ -65,6 +74,9 @@ func (c *Connector) CreateShardedTable(name string, columns []connector.Column, 
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if _, exists := c.tables[name]; exists {
+		return fmt.Errorf("table %s.%s already exists", c.name, name)
+	}
 	c.tables[name] = &table{
 		meta: connector.TableMeta{
 			Name:    name,
@@ -79,10 +91,12 @@ func (c *Connector) CreateShardedTable(name string, columns []connector.Column, 
 		shards:   shards,
 		stats:    connector.TableStats{ColumnNDV: map[string]int64{}},
 	}
+	c.versions.SchemaChanged(name)
 	return nil
 }
 
-// LoadRows routes rows to shards by hash of the shard key.
+// LoadRows routes rows to shards by hash of the shard key, as one write
+// batch.
 func (c *Connector) LoadRows(name string, rows [][]types.Value) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -90,14 +104,50 @@ func (c *Connector) LoadRows(name string, rows [][]types.Value) error {
 	if !ok {
 		return fmt.Errorf("table %s.%s does not exist", c.name, name)
 	}
+	ts := make([]types.Type, len(t.meta.Columns))
+	for i, col := range t.meta.Columns {
+		ts[i] = col.T
+	}
+	b := block.NewPageBuilder(ts)
+	for _, row := range rows {
+		b.AppendRow(row)
+	}
+	c.commit(name, t, rows, []*block.Page{b.Build()})
+	return nil
+}
+
+// commit routes a write batch's rows, which pages hold too, to their shards
+// and moves the table's data version past the batch. The caller holds c.mu's
+// write lock.
+func (c *Connector) commit(name string, t *table, rows [][]types.Value, pages []*block.Page) {
 	for _, row := range rows {
 		key := row[t.shardIdx].String()
 		s := shardOf(key, len(t.shards))
 		t.shards[s][key] = append(t.shards[s][key], row)
 	}
-	t.rowCount += int64(len(rows))
-	t.stats.RowCount = t.rowCount
-	return nil
+	t.stats.RowCount += int64(len(rows))
+	c.versions.Appended(name, connector.SummarizeAppend(t.meta.Columns, pages))
+}
+
+// TableVersion implements connector.Versioned.
+func (c *Connector) TableVersion(name string) int64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.versions.TableVersion(name)
+}
+
+// SchemaVersion implements connector.Versioned.
+func (c *Connector) SchemaVersion(name string) int64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.versions.SchemaVersion(name)
+}
+
+// Appends implements connector.AppendLog.
+func (c *Connector) Appends(name string, since int64, visit func(*connector.AppendSummary) bool) (int64, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.versions.Appends(name, since, visit)
 }
 
 func shardOf(key string, n int) int {
@@ -175,8 +225,8 @@ func (s *split) EstimatedRows() int64  { return s.rows }
 // one MySQL instance (§IV-C2).
 func (c *Connector) Splits(handle plan.TableHandle) (connector.SplitSource, error) {
 	c.mu.RLock()
+	defer c.mu.RUnlock()
 	t, ok := c.tables[handle.Table]
-	c.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("table %s.%s does not exist", c.name, handle.Table)
 	}
@@ -219,15 +269,16 @@ func (s *sliceSplits) Close() {}
 
 // PageSource implements the Data Source API: the shard applies the pushed
 // constraint itself, returning only matching rows — the "only matching data
-// is ever read from MySQL" property (§IV-C2).
+// is ever read from MySQL" property (§IV-C2). The read lock covers the read
+// of the shard, which a concurrent write batch extends.
 func (c *Connector) PageSource(sp connector.Split, columns []string, handle plan.TableHandle) (connector.PageSource, error) {
 	ss, ok := sp.(*split)
 	if !ok {
 		return nil, fmt.Errorf("foreign split type %T", sp)
 	}
 	c.mu.RLock()
+	defer c.mu.RUnlock()
 	t, okT := c.tables[ss.table]
-	c.mu.RUnlock()
 	if !okT {
 		return nil, fmt.Errorf("table %s.%s does not exist", c.name, ss.table)
 	}
@@ -313,6 +364,7 @@ func (c *Connector) DropTable(name string) error {
 		return fmt.Errorf("table %s.%s does not exist", c.name, name)
 	}
 	delete(c.tables, name)
+	c.versions.SchemaChanged(name)
 	return nil
 }
 
@@ -331,23 +383,30 @@ type pageSink struct {
 	c     *Connector
 	table string
 	rows  [][]types.Value
+	pages []*block.Page
 }
 
 func (s *pageSink) Append(p *block.Page) error {
 	for r := 0; r < p.RowCount(); r++ {
 		s.rows = append(s.rows, p.Row(r))
 	}
+	s.pages = append(s.pages, p.DecodeAll())
 	return nil
 }
 
+// Finish commits the rows appended as one write batch.
 func (s *pageSink) Finish() (int64, error) {
-	if err := s.c.LoadRows(s.table, s.rows); err != nil {
-		return 0, err
+	s.c.mu.Lock()
+	defer s.c.mu.Unlock()
+	t, ok := s.c.tables[s.table]
+	if !ok {
+		return 0, fmt.Errorf("table %s.%s vanished during write", s.c.name, s.table)
 	}
+	s.c.commit(s.table, t, s.rows, s.pages)
 	return int64(len(s.rows)), nil
 }
 
-func (s *pageSink) Abort() { s.rows = nil }
+func (s *pageSink) Abort() { s.rows, s.pages = nil, nil }
 
 // Index implements connector.Indexed on the shard column.
 func (c *Connector) Index(tableName string, keyCols, outCols []string) (connector.IndexLookup, bool) {
@@ -367,20 +426,23 @@ func (c *Connector) Index(tableName string, keyCols, outCols []string) (connecto
 		cols[i] = ci
 		ts[i] = t.meta.Columns[ci].T
 	}
-	return &indexLookup{t: t, cols: cols, ts: ts}, true
+	return &indexLookup{c: c, t: t, cols: cols, ts: ts}, true
 }
 
 type indexLookup struct {
+	c    *Connector
 	t    *table
 	cols []int
 	ts   []types.Type
 }
 
-// Lookup probes the owning shard directly.
+// Lookup probes the owning shard directly, under the connector's read lock.
 func (l *indexLookup) Lookup(keys []types.Value) (*block.Page, error) {
 	if len(keys) != 1 || keys[0].Null {
 		return nil, nil
 	}
+	l.c.mu.RLock()
+	defer l.c.mu.RUnlock()
 	key := keys[0].String()
 	shard := l.t.shards[shardOf(key, len(l.t.shards))]
 	rows := shard[key]

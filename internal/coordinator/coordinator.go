@@ -178,10 +178,10 @@ type Query struct {
 	mu      sync.Mutex
 	tasks   []taskClient // in placement order: what stats walk
 	groups  []taskGroup  // the same tasks by worker: what control talks to
-	// final is what the tasks' stats read when the query finished. From then
-	// on it stands for them: tasks and groups are dropped, so a finished
-	// query keeps counters and not its operators, buffers and plans.
-	final  []exec.TaskStats
+	// final is the tasks' tallies, taken when the query finished. From then
+	// on they stand for the tasks: tasks and groups are dropped, so a
+	// finished query keeps counters and not its operators, buffers and plans.
+	final  []exec.TaskTally
 	remote bool // the workers are other processes (see eachWorker)
 	qmem   *memory.QueryContext
 	result *Result
@@ -493,8 +493,13 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 	}
 
 	resultCacheOn := servable && tier != nil && tier.Results != nil && !session.Switches.Has(exec.DisableResultCache)
-	if pre != nil {
-		if resultCacheOn && pre.ResultOK {
+	// A plan-cache hit the result cache cannot hold is counted as skipped
+	// here, and not again if it is replanned below.
+	planHit := pre != nil
+	if planHit && resultCacheOn {
+		if !pre.ResultOK {
+			tier.Results.Skip()
+		} else {
 			// Pre-admission result check: a repeat of a cached statement
 			// skips the queue, binding and execution. The entry is served
 			// while no write since the cached run could have changed it.
@@ -594,6 +599,8 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 				cancel()
 				return c.servedResult(q, e, start), q, nil
 			}
+		} else if resultCacheOn && !planHit {
+			tier.Results.Skip()
 		}
 	}
 
@@ -782,18 +789,18 @@ func (q *Query) fail(err error) {
 }
 
 // finish marks the query finished, releases its task groups — every worker
-// at once — and returns the final task stats for the lifetime-counter
-// rollups; the query keeps them in place of its tasks.
-func (q *Query) finish() []exec.TaskStats {
+// at once — and returns the tasks' tallies for the lifetime-counter rollups;
+// the query keeps them in place of its tasks.
+func (q *Query) finish() []exec.TaskTally {
 	q.mu.Lock()
 	q.Info.State = StateFinished
 	q.Info.Finished = time.Now()
 	tasks, groups, remote := q.tasks, q.groups, q.remote
 	q.mu.Unlock()
 	var cpu int64
-	stats := make([]exec.TaskStats, len(tasks))
+	stats := make([]exec.TaskTally, len(tasks))
 	for i, t := range tasks {
-		stats[i] = t.Stats()
+		stats[i] = t.Tally()
 		cpu += stats[i].CPUNanos
 	}
 	eachWorker(len(groups), remote, func(i int) { groups[i].Close() })

@@ -305,8 +305,8 @@ func (t *httpTask) Output(part int) shuffle.Fetcher {
 
 func (t *httpTask) Done() <-chan struct{} { return t.done }
 
-func (t *httpTask) Stats() exec.TaskStats {
-	return exec.TaskStats{TaskID: t.id.String(), Fragment: t.id.Fragment, CPUNanos: t.cpuNanos.Load()}
+func (t *httpTask) Tally() exec.TaskTally {
+	return exec.TaskTally{ID: t.id, CPUNanos: t.cpuNanos.Load()}
 }
 
 func (t *httpTask) finish(err error) {

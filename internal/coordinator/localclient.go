@@ -194,7 +194,7 @@ func (t localTask) Wait() error {
 
 func (t localTask) DeliverFilter(id int, s *dynfilter.Summary) { t.task.DeliverFilter(id, s) }
 
-func (t localTask) Stats() exec.TaskStats { return t.task.Stats() }
+func (t localTask) Tally() exec.TaskTally { return t.task.Tally() }
 
 func (t localTask) Abort() { t.task.Abort() }
 

@@ -128,9 +128,10 @@ type taskClient interface {
 	Output(part int) shuffle.Fetcher
 	// Done closes once the task is known finished, failed or aborted.
 	Done() <-chan struct{}
-	// Stats snapshots the task. A remote task reports its CPU time only, and
-	// only once it has ended: its operators' counters stay with its worker.
-	Stats() exec.TaskStats
+	// Tally takes the task's tally. A remote task reports its CPU time only,
+	// and only once it has ended: its operators' counters stay with its
+	// worker.
+	Tally() exec.TaskTally
 }
 
 // eachWorker runs fn(0..n-1), one call per worker of a statement, and returns

@@ -156,10 +156,10 @@ func (t *fakeTask) DeliverFilter(id int, s *dynfilter.Summary) {
 	t.filters[id] = s
 }
 
-// Stats says which stage the task is of and counts one split done, so that a
+// Tally says which stage the task is of and counts one split done, so that a
 // rollup can be told from an empty one.
-func (t *fakeTask) Stats() exec.TaskStats {
-	return exec.TaskStats{Fragment: t.spec.ID.Fragment, SplitsDone: 1}
+func (t *fakeTask) Tally() exec.TaskTally {
+	return exec.TaskTally{ID: t.spec.ID, SplitsDone: 1}
 }
 
 func (t *fakeTask) Abort() {

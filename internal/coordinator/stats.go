@@ -132,13 +132,14 @@ func (c *Coordinator) QueryStats(id string) (QueryStats, bool) {
 	}
 
 	if final == nil {
-		final = make([]exec.TaskStats, len(tasks))
+		final = make([]exec.TaskTally, len(tasks))
 		for i, t := range tasks {
-			final[i] = t.Stats()
+			final[i] = t.Tally()
 		}
 	}
 	stages := map[int]*StageStats{}
-	for _, ts := range final {
+	for i := range final {
+		ts := final[i].Stats()
 		st.CPUNanos += ts.CPUNanos
 		st.SplitsQueued += ts.SplitsQueued
 		st.SplitsRunning += ts.SplitsRunning
@@ -224,11 +225,13 @@ func (c *Coordinator) ScanRowsPerPage() *metrics.BucketHistogram { return c.scan
 
 // accumulateDynStats folds one finished query's dynamic-filter and
 // vectorized-projection counters, its scanning stages' input skew and its
-// scans' page sizes into the coordinator-lifetime totals.
-func (c *Coordinator) accumulateDynStats(tasks []exec.TaskStats) {
+// scans' page sizes into the coordinator-lifetime totals, reading its tasks'
+// counters in place.
+func (c *Coordinator) accumulateDynStats(tasks []exec.TaskTally) {
 	stageRows := map[int][]int64{}
-	for _, ts := range tasks {
-		stageRows[ts.Fragment] = append(stageRows[ts.Fragment], ts.ScanRows)
+	for i := range tasks {
+		f := tasks[i].ID.Fragment
+		stageRows[f] = append(stageRows[f], tasks[i].ScanRows())
 	}
 	for _, rows := range stageRows {
 		if skew := inputSkew(rows); skew > 0 {
@@ -237,7 +240,8 @@ func (c *Coordinator) accumulateDynStats(tasks []exec.TaskStats) {
 	}
 	for _, ts := range tasks {
 		for _, pl := range ts.Pipelines {
-			for _, op := range pl.Operators {
+			for _, s := range pl.Ops {
+				op := s.Snapshot()
 				c.dynRowsFiltered.Add(op.DynRowsFiltered)
 				c.dynSplitsSkipped.Add(op.DynSplitsSkipped)
 				c.dynWaitNanos.Add(op.DynWaitNanos)

@@ -38,39 +38,98 @@ type TaskStats struct {
 	Pipelines     []PipelineStats `json:"pipelines"`
 }
 
+// TaskTally is what a task keeps for its statistics: its scalar counters and,
+// per pipeline, the operator stats it allocated, each named by the compiled
+// template, and what its dynamic filters counted. A finished query holds its
+// tasks' tallies, not the tasks — no bridge, buffer or operator — and Stats
+// builds the TaskStats snapshot from one when it is asked for. A remote task's
+// tally holds its CPU time only.
+type TaskTally struct {
+	ID            TaskID
+	CPUNanos      int64
+	SplitsQueued  int
+	SplitsRunning int
+	SplitsDone    int
+	ActiveDrivers int
+	OutputBufUtil float64
+	Pipelines     []PipelineTally
+}
+
+// PipelineTally is one pipeline of a TaskTally.
+type PipelineTally struct {
+	Pipeline, Drivers, DriversDone int
+	// Scan marks a pipeline whose source is a table scan (Ops[0]).
+	Scan bool
+	// Ops are the task's own counters, by operator position: they are read,
+	// not copied, so a tally of a running task stays live.
+	Ops        []*operators.OpStats
+	DynFilters []operators.DynFilterStats
+}
+
+// Tally takes the task's tally.
+func (t *Task) Tally() TaskTally {
+	tt := TaskTally{ID: t.ID, CPUNanos: t.handle.CPUNanos(), OutputBufUtil: t.output.Utilization()}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	tt.ActiveDrivers = t.activeDrivers
+	tt.Pipelines = make([]PipelineTally, len(t.compiled))
+	for i, p := range t.compiled {
+		scan := p.source == srcScan
+		if scan {
+			queued, running, done := p.morsels.splitStats()
+			tt.SplitsQueued += queued
+			tt.SplitsRunning += running
+			tt.SplitsDone += done
+		}
+		tt.Pipelines[i] = PipelineTally{Pipeline: p.id, Drivers: p.driversStarted, DriversDone: p.driversDone,
+			Scan: scan, Ops: p.opStats, DynFilters: dynFilterStats(p)}
+	}
+	return tt
+}
+
 // Stats snapshots the task's execution state.
 func (t *Task) Stats() TaskStats {
+	tt := t.Tally()
+	return tt.Stats()
+}
+
+// ScanRows is TaskStats.ScanRows, read off the scans' counters.
+func (tt *TaskTally) ScanRows() int64 {
+	var rows int64
+	for _, p := range tt.Pipelines {
+		if p.Scan && len(p.Ops) > 0 {
+			rows += p.Ops[0].RowsOut()
+		}
+	}
+	return rows
+}
+
+// Stats builds the tally's snapshot.
+func (tt *TaskTally) Stats() TaskStats {
 	st := TaskStats{
-		TaskID:        t.ID.String(),
-		Fragment:      t.ID.Fragment,
-		CPUNanos:      t.handle.CPUNanos(),
-		OutputBufUtil: t.output.Utilization(),
+		TaskID:        tt.ID.String(),
+		Fragment:      tt.ID.Fragment,
+		SplitsQueued:  tt.SplitsQueued,
+		SplitsRunning: tt.SplitsRunning,
+		SplitsDone:    tt.SplitsDone,
+		ActiveDrivers: tt.ActiveDrivers,
+		CPUNanos:      tt.CPUNanos,
+		OutputBufUtil: tt.OutputBufUtil,
+		Pipelines:     make([]PipelineStats, 0, len(tt.Pipelines)),
 	}
-	t.mu.Lock()
-	for _, p := range t.compiled {
-		if p.source != srcScan {
-			continue
-		}
-		queued, running, done := p.morsels.splitStats()
-		st.SplitsQueued += queued
-		st.SplitsRunning += running
-		st.SplitsDone += done
-	}
-	st.ActiveDrivers = t.activeDrivers
-	st.Pipelines = make([]PipelineStats, 0, len(t.compiled))
-	for _, p := range t.compiled {
+	for _, p := range tt.Pipelines {
 		ps := PipelineStats{
-			Pipeline:    p.id,
-			Drivers:     p.driversStarted,
-			DriversDone: p.driversDone,
-			Operators:   make([]operators.OpStatsSnapshot, 0, len(p.opStats)),
+			Pipeline:    p.Pipeline,
+			Drivers:     p.Drivers,
+			DriversDone: p.DriversDone,
+			Operators:   make([]operators.OpStatsSnapshot, len(p.Ops)),
+			DynFilters:  p.DynFilters,
 		}
-		for _, s := range p.opStats {
-			ps.Operators = append(ps.Operators, s.Snapshot())
+		for i, s := range p.Ops {
+			ps.Operators[i] = s.Snapshot()
 		}
-		ps.DynFilters = dynFilterStats(p)
 		st.Pipelines = append(st.Pipelines, ps)
-		if p.source == srcScan && len(p.opStats) > 0 {
+		if p.Scan && len(ps.Operators) > 0 {
 			// Rows read are the rows a scan gave the query: what the connector
 			// produced less what the scan's dynamic filters dropped (they run
 			// in the processor placed on it and are counted on its stats).
@@ -81,16 +140,10 @@ func (t *Task) Stats() TaskStats {
 			st.RowsRead += src.RowsOut - src.DynRowsFiltered
 			st.BytesRead += src.BytesRead
 		}
-	}
-	t.mu.Unlock()
-	// The root pipeline (id 0) ends in the partitioned output sink; its
-	// input is what the task emits downstream.
-	if len(st.Pipelines) > 0 {
-		for _, p := range st.Pipelines {
-			if p.Pipeline != 0 || len(p.Operators) == 0 {
-				continue
-			}
-			sink := p.Operators[len(p.Operators)-1]
+		// The root pipeline (id 0) ends in the partitioned output sink; its
+		// input is what the task emits downstream.
+		if p.Pipeline == 0 && len(ps.Operators) > 0 {
+			sink := ps.Operators[len(ps.Operators)-1]
 			st.OutputRows = sink.RowsIn
 			st.OutputBytes = sink.BytesIn
 		}

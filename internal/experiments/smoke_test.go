@@ -87,6 +87,9 @@ func TestFig7Smoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + r.Report())
+	if r.ResultHits != 0 {
+		t.Errorf("%d timed statements were result-cache hits, not executions", r.ResultHits)
+	}
 }
 
 func TestFig8Smoke(t *testing.T) {

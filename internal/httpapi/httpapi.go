@@ -389,6 +389,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metrics.PromGauge(w, "presto_result_cache_invalidations_total", nil, float64(ss.Result.Invalidations))
 	metrics.PromGauge(w, "presto_result_cache_restamps_total", nil, float64(ss.Result.Restamps))
 	metrics.PromGauge(w, "presto_result_cache_corruptions_total", nil, float64(ss.Result.Corruptions))
+	metrics.PromGauge(w, "presto_result_cache_skipped_total", nil, float64(ss.Result.Skipped))
 	metrics.PromGauge(w, "presto_result_cache_bytes", nil, float64(ss.Result.Bytes))
 	metrics.PromGauge(w, "presto_result_cache_entries", nil, float64(ss.Result.Entries))
 	// Larger-than-memory execution: disk-backed operator spill

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/connector"
+	"repro/internal/connectors/kvconn"
 	"repro/internal/connectors/memconn"
 	"repro/internal/coordinator"
 	"repro/internal/exec"
@@ -30,8 +31,9 @@ func testServer(t *testing.T) *httptest.Server {
 	return testServerWith(t, nil)
 }
 
-// testServerWith is testServer with a serving tier (nil: none).
-func testServerWith(t *testing.T, tier *serving.Tier) *httptest.Server {
+// testServerWith is testServer with a serving tier (nil: none) and the
+// catalogs extra.
+func testServerWith(t *testing.T, tier *serving.Tier, extra ...connector.Connector) *httptest.Server {
 	t.Helper()
 	catalog := coordinator.NewCatalogManager()
 	mem := memconn.New("memory")
@@ -42,6 +44,9 @@ func testServerWith(t *testing.T, tier *serving.Tier) *httptest.Server {
 	mem.LoadTable("flags", []connector.Column{{Name: "flag", T: types.Varchar}},
 		[]*block.Page{block.NewPage(block.NewVarcharBlock(flags, nil))})
 	catalog.Register(mem)
+	for _, conn := range extra {
+		catalog.Register(conn)
+	}
 	workers := []*exec.Worker{exec.NewWorker(0, catalog, exec.WorkerConfig{Threads: 2})}
 	coord := coordinator.New(catalog, workers, coordinator.Config{DefaultCatalog: "memory", Serving: tier})
 	srv := httptest.NewServer(NewServer(coord).Handler())
@@ -375,6 +380,54 @@ func TestFragmentCacheMetrics(t *testing.T) {
 	}
 }
 
+// TestResultCacheSkippedMetric: a read the result cache cannot hold — of an
+// unversioned table, or calling random() — is counted as skipped each time it
+// runs, once whether it was planned afresh or came from the plan cache; a
+// cacheable read is not.
+func TestResultCacheSkippedMetric(t *testing.T) {
+	kv := kvconn.New("kv")
+	if err := kv.CreateTable("t", []connector.Column{{Name: "k", T: types.Bigint}, {Name: "v", T: types.Bigint}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Put("t", []types.Value{types.BigintValue(1), types.BigintValue(10)}); err != nil {
+		t.Fatal(err)
+	}
+	srv := testServerWith(t, &serving.Tier{
+		Plans:   serving.NewPlanCache(serving.PlanCacheConfig{}),
+		Results: serving.NewResultCache(serving.ResultCacheConfig{}),
+	}, kv)
+	for _, sql := range []string{
+		"SELECT count(*) FROM memory.flags WHERE flag = 'A'",
+		"SELECT count(*) FROM memory.flags WHERE flag = 'A'", // a hit
+		"SELECT v FROM kv.t WHERE k = 1",                     // planned: skipped
+		"SELECT v FROM kv.t WHERE k = 2",                     // a plan hit: skipped
+		"SELECT count(*) FROM memory.flags WHERE random() < 2",
+		"SELECT count(*) FROM memory.flags WHERE random() < 2", // never a plan hit
+	} {
+		if _, errStr := runSQL(t, srv, sql); errStr != "" {
+			t.Fatal(errStr)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(body)
+	for _, want := range []string{
+		"presto_result_cache_skipped_total 4\n",
+		"presto_result_cache_hits_total 1\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics output missing %q\n%s", want, text)
+		}
+	}
+}
+
 // TestScrapedFragmentCacheStats: a remote worker's fragment-cache counters
 // are read back from its scrape, whatever else the scrape holds.
 func TestScrapedFragmentCacheStats(t *testing.T) {
@@ -432,6 +485,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"presto_metadata_cache_hits_total ",
 		"presto_metadata_cache_entries ",
 		"presto_result_cache_restamps_total ",
+		"presto_result_cache_skipped_total ",
 		"presto_queries_running ",
 		`presto_stage_input_skew_bucket{le="1.15"} `,
 		`presto_stage_input_skew_bucket{le="+Inf"} `,

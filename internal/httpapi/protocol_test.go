@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/connector"
@@ -317,5 +319,54 @@ func TestForgottenQueryIsGone(t *testing.T) {
 		if resp.StatusCode != c.want {
 			t.Errorf("GET %s: status %d, want %d", c.path, resp.StatusCode, c.want)
 		}
+	}
+}
+
+// TestFinishedQueryStatsOverHTTP: /v1/query/{id}/stats of a finished query
+// carries the stages and operator rows the coordinator builds in process from
+// the query's task tallies (coordinator.TestFinishedQueryStatsMatchSnapshots
+// holds those to the snapshot builder).
+func TestFinishedQueryStatsOverHTTP(t *testing.T) {
+	s := newProtocolServer(t)
+	docs := s.run(t, "SELECT count(*), max(k) FROM memory.big WHERE k > 10")
+	id := docs[0].QueryID
+	if id == "" {
+		t.Fatal("the statement carried no queryId")
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if info, _ := s.coord.QueryInfo(id); info.State == coordinator.StateFinished {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the drained statement never finished")
+		}
+	}
+	resp, err := http.Get(s.URL + "/v1/query/" + id + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got coordinator.QueryStats
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	st, ok := s.coord.QueryStats(id)
+	if !ok {
+		t.Fatal("the coordinator forgot the query")
+	}
+	// Through JSON, as the server sent it.
+	raw, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want coordinator.QueryStats
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Stages, want.Stages) || len(want.Stages) < 2 {
+		t.Errorf("stages over HTTP\n%+v\nin process\n%+v", got.Stages, want.Stages)
+	}
+	if a, b := coordinator.FormatOperatorTable(got), coordinator.FormatOperatorTable(st); a != b {
+		t.Errorf("operator rows over HTTP\n%s\nin process\n%s", a, b)
 	}
 }

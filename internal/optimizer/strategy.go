@@ -46,10 +46,11 @@ func (o *Optimizer) chooseStrategy(j *plan.Join) plan.JoinStrategy {
 			return plan.StrategyColocated
 		}
 	}
-	// Index join: the build side is a bare scan with an index layout on the
-	// join keys.
+	// Index join: the build side is a bare, unconstrained scan with an index
+	// layout on the join keys. A lookup returns every row under a key, so a
+	// constraint pushed into the scan would not be applied.
 	if name, ok := o.indexLayout(j); ok {
-		if scan, isScan := j.Right.(*plan.Scan); isScan {
+		if scan, isScan := j.Right.(*plan.Scan); isScan && scan.Handle.Constraint.All() {
 			scan.Handle.Layout = name
 			return plan.StrategyIndex
 		}

@@ -96,8 +96,13 @@ type ResultCacheStats struct {
 	Restamps      int64
 	Corruptions   int64
 	Rejected      int64 // results too large (or unreservable) to admit
-	Entries       int
-	Bytes         int64
+	// Skipped counts read statements the cache was on for and cannot hold: a
+	// table they read is unversioned (connector.Versioned), or their plan
+	// calls a nondeterministic function. Such a statement executes every
+	// time, and is neither a hit nor a miss.
+	Skipped int64
+	Entries int
+	Bytes   int64
 }
 
 // ResultCache is the versioned result cache: small final result sets served
@@ -186,6 +191,13 @@ func (c *ResultCache) Get(key string, fresh Freshness) (*ResultEntry, bool) {
 	}
 	c.stats.Hits++
 	return e, true
+}
+
+// Skip counts one statement the cache cannot hold (ResultCacheStats.Skipped).
+func (c *ResultCache) Skip() {
+	c.mu.Lock()
+	c.stats.Skipped++
+	c.mu.Unlock()
 }
 
 // Put admits a result set read at versions (aligned with reads), charging its

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/connectors/shardsql"
 	"repro/internal/exec"
 )
 
@@ -97,6 +98,100 @@ func appendsDifferential(t *testing.T, seed int64) {
 	t.Logf("result cache: %+v", st)
 	if st.Restamps == 0 || st.Hits <= st.Restamps {
 		t.Errorf("no result outlived an append: %+v", st)
+	}
+}
+
+// TestResultCacheShardSQLDifferential runs the stream of
+// TestResultCacheAppendsDifferential against a sharded-MySQL table: seeded
+// INSERTs on keys the reads look up and on keys they do not, between point,
+// IN-list, range, unconstrained and join reads, and one DROP and CREATE
+// midway. Two clusters take every statement, each with its own connector: one
+// with the serving caches at their defaults, one with the result cache off.
+// Every answer must be the same, some must be re-stamped past an append, and
+// a read repeated with no write between must be a result hit.
+func TestResultCacheShardSQLDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { shardsqlDifferential(t, seed) })
+	}
+}
+
+func shardsqlDifferential(t *testing.T, seed int64) {
+	cached := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
+	defer cached.Close()
+	ref := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2, DisableResultCache: true})
+	defer ref.Close()
+	cached.Register(shardsql.New("mysql", 4))
+	ref.Register(shardsql.New("mysql", 4))
+	both := func(sql string) {
+		t.Helper()
+		mustExec(t, cached, sql)
+		mustExec(t, ref, sql)
+	}
+	create := func() {
+		both("CREATE TABLE mysql.ev (k BIGINT, v BIGINT)")
+		both("INSERT INTO mysql.ev SELECT * FROM (VALUES (1, 1), (2, 1), (3, 1), (50, 2))")
+	}
+	create()
+	both("CREATE TABLE mysql.dim (k BIGINT, name VARCHAR)")
+	both("INSERT INTO mysql.dim SELECT * FROM (VALUES (1, 'one'), (2, 'two'), (3, 'three'), (50, 'fifty'))")
+
+	rng := rand.New(rand.NewSource(seed))
+	key := func() int {
+		if rng.Intn(10) < 6 {
+			return 1 + rng.Intn(4) // a key the reads look up
+		}
+		return 10 + rng.Intn(200) // one only the wide ranges and full scans see
+	}
+	read := func() string {
+		k := 1 + rng.Intn(4)
+		switch rng.Intn(7) {
+		case 0:
+			return fmt.Sprintf("SELECT count(*), sum(v) FROM mysql.ev WHERE k = %d", k)
+		case 1:
+			return fmt.Sprintf("SELECT k, count(*) FROM mysql.ev WHERE k IN (%d, %d, 50) GROUP BY k", k, k+1)
+		case 2:
+			return fmt.Sprintf("SELECT count(*), sum(v) FROM mysql.ev WHERE k BETWEEN %d AND %d", k, k+2)
+		case 3:
+			return fmt.Sprintf("SELECT count(*) FROM mysql.ev WHERE k > %d", 100+k*20)
+		case 4:
+			return "SELECT count(*), sum(v) FROM mysql.ev"
+		case 5:
+			return fmt.Sprintf("SELECT count(*), sum(a.v) FROM mysql.ev a JOIN mysql.ev b ON a.v = b.v WHERE a.k = %d AND b.k = %d", k, 1+rng.Intn(4))
+		}
+		return fmt.Sprintf("SELECT d.name, count(*), sum(e.v) FROM mysql.ev e JOIN mysql.dim d ON e.k = d.k WHERE e.k = %d GROUP BY d.name", k)
+	}
+	const ops = 300
+	for i := 0; i < ops; i++ {
+		switch r := rng.Intn(10); {
+		case i == ops/2:
+			both("DROP TABLE mysql.ev")
+			create()
+		case r < 2:
+			both(fmt.Sprintf("INSERT INTO mysql.ev SELECT * FROM (VALUES (%d, 1))", key()))
+		case r < 3:
+			rows := make([]string, 2+rng.Intn(3))
+			for j := range rows {
+				rows[j] = fmt.Sprintf("(%d, %d)", key(), 1+rng.Intn(3))
+			}
+			both("INSERT INTO mysql.ev SELECT * FROM (VALUES " + strings.Join(rows, ", ") + ")")
+		default:
+			sql := read()
+			assertRows(t, fmt.Sprintf("op %d: %s", i, sql), servingRun(t, cached, sql, Session{}), servingRun(t, ref, sql, Session{}))
+		}
+	}
+	st := cached.ServingStats().Result
+	t.Logf("result cache: %+v", st)
+	if st.Restamps == 0 || st.Hits <= st.Restamps || st.Skipped != 0 {
+		t.Errorf("no sharded result outlived an append, or one was skipped: %+v", st)
+	}
+	for _, sql := range []string{read(), read(), read()} {
+		want := servingRun(t, ref, sql, Session{})
+		servingRun(t, cached, sql, Session{})
+		hits := cached.ServingStats().Result.Hits
+		assertRows(t, "repeat: "+sql, servingRun(t, cached, sql, Session{}), want)
+		if cached.ServingStats().Result.Hits != hits+1 {
+			t.Errorf("repeat of %s with no write between was not a result hit", sql)
+		}
 	}
 }
 

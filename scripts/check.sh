@@ -262,10 +262,15 @@ echo "==> a cached result outlives the appends its scans could not read"
 # INSERT ... SELECT, a DROP/CREATE) between point, IN-list, range, IS NULL,
 # unconstrained and join reads: every answer equals the DisableResultCache
 # one, some from re-stamped entries. A write still reaches every reader that
-# must see it, and identifiers keep their spelling in the plan key. All
+# must see it, and identifiers keep their spelling in the plan key. The
+# same stream against a sharded-MySQL table, whose reads are cached through
+# its binlog versions, answers as a cluster with the result cache off. All
 # under -race.
-go test -race -count=1 -run 'TestResultCacheAppendsDifferential|TestServingResultCacheInvalidation|TestServingConcurrentWriteWhileRead|TestPlanKeyKeepsIdentifierSpelling' .
+go test -race -count=1 -run 'TestResultCacheAppendsDifferential|TestResultCacheShardSQLDifferential|TestServingResultCacheInvalidation|TestServingConcurrentWriteWhileRead|TestPlanKeyKeepsIdentifierSpelling' .
 go test -race -count=1 ./internal/connector/ ./internal/serving/
+# shardsql's write batches commit, rows and version together, while its
+# scans, index lookups and version reads run.
+go test -race -count=10 -run 'TestConcurrentWritesAndReads' ./internal/connectors/shardsql/
 
 echo "==> what a low-cardinality string costs: stored under one dictionary a column, resolved by combination, guarded by rows >= entries; a panicking operator fails one query"
 # The dict-rows figures are read off the statements' own stats: the pages
