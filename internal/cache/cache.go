@@ -1,8 +1,10 @@
 // Package cache implements the engine's metadata cache (paper §II use case
 // C, §IV-G; Wang et al. 2022, "Metadata Caching in Presto"): MetaCache
 // (meta.go), a TTL map used by the coordinator to memoize split enumeration
-// and table metadata, and by the hive connector for decoded file footers,
-// with explicit invalidation on write.
+// and table metadata, and by the hive connector for decoded file footers.
+// There is one freshness rule: an entry's key names the version of what it
+// describes, as its source reports it, so a change is a miss and nothing
+// invalidates an entry on write.
 //
 // Workers keep no data cache: every split is read from its connector.
 package cache

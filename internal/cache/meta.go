@@ -10,42 +10,36 @@ import (
 type Clock func() int64
 
 // maxMetaEntries bounds the map: metadata entries are tiny, but an unbounded
-// cache of mtime-versioned keys would grow forever on a churning warehouse.
+// cache of version-keyed entries would grow forever on a churning warehouse.
 const maxMetaEntries = 4096
 
 // MetaCache memoizes metadata lookups (split enumeration, table metadata,
-// decoded file footers) with a TTL bound on staleness plus explicit
-// invalidation by table on write. Every entry names, when it is stored, the
-// table it describes; a write drops exactly that table's entries, visiting
-// no other. TTL covers out-of-band changes the engine cannot observe (files
-// rewritten under the hive directory); explicit invalidation covers writes
-// the engine itself performs (INSERT, CREATE, DROP), which take effect
-// immediately.
+// decoded file footers) with a TTL bound on staleness. Nothing invalidates an
+// entry: its key names the version of what it describes — a table's schema
+// or data version (connector.Connector), a file's mtime and size — so a
+// change, made through the engine or outside it, is a miss, and the entries
+// of versions no longer read age out.
 type MetaCache struct {
 	ttl   time.Duration
 	clock Clock
 
 	mu      sync.Mutex
 	entries map[string]metaEntry
-	byTable map[string]map[string]struct{} // table → keys describing it
 
-	hits          int64
-	misses        int64
-	invalidations int64
+	hits   int64
+	misses int64
 }
 
 type metaEntry struct {
 	value    interface{}
 	storedAt int64
-	table    string
 }
 
 // MetaStats snapshots the metadata-cache counters.
 type MetaStats struct {
-	Hits          int64
-	Misses        int64
-	Invalidations int64
-	Entries       int
+	Hits    int64
+	Misses  int64
+	Entries int
 }
 
 // NewMetaCache creates a metadata cache. A nil clock uses wall time.
@@ -53,8 +47,7 @@ func NewMetaCache(ttl time.Duration, clock Clock) *MetaCache {
 	if clock == nil {
 		clock = func() int64 { return time.Now().UnixNano() }
 	}
-	return &MetaCache{ttl: ttl, clock: clock, entries: make(map[string]metaEntry),
-		byTable: make(map[string]map[string]struct{})}
+	return &MetaCache{ttl: ttl, clock: clock, entries: make(map[string]metaEntry)}
 }
 
 // Get returns the live value for key, expiring it if older than the TTL.
@@ -70,7 +63,7 @@ func (m *MetaCache) Get(key string) (interface{}, bool) {
 		return nil, false
 	}
 	if m.ttl > 0 && m.clock()-e.storedAt > int64(m.ttl) {
-		m.deleteLocked(key, e)
+		delete(m.entries, key)
 		m.misses++
 		return nil, false
 	}
@@ -78,36 +71,17 @@ func (m *MetaCache) Get(key string) (interface{}, bool) {
 	return e.value, true
 }
 
-// Put stores value under key, stamped with the current clock, as a
-// description of table: Invalidate(table) drops it.
-func (m *MetaCache) Put(table, key string, value interface{}) {
+// Put stores value under key, stamped with the current clock.
+func (m *MetaCache) Put(key string, value interface{}) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if old, ok := m.entries[key]; ok {
-		m.deleteLocked(key, old)
-	} else if len(m.entries) >= maxMetaEntries {
+	if _, ok := m.entries[key]; !ok && len(m.entries) >= maxMetaEntries {
 		m.pruneLocked()
 	}
-	m.entries[key] = metaEntry{value: value, storedAt: m.clock(), table: table}
-	keys := m.byTable[table]
-	if keys == nil {
-		keys = make(map[string]struct{})
-		m.byTable[table] = keys
-	}
-	keys[key] = struct{}{}
-}
-
-// deleteLocked removes one entry and its place in the table index.
-func (m *MetaCache) deleteLocked(key string, e metaEntry) {
-	delete(m.entries, key)
-	keys := m.byTable[e.table]
-	delete(keys, key)
-	if len(keys) == 0 {
-		delete(m.byTable, e.table)
-	}
+	m.entries[key] = metaEntry{value: value, storedAt: m.clock()}
 }
 
 // pruneLocked drops expired entries; if everything is live it drops
@@ -117,33 +91,15 @@ func (m *MetaCache) pruneLocked() {
 	now := m.clock()
 	for k, e := range m.entries {
 		if m.ttl > 0 && now-e.storedAt > int64(m.ttl) {
-			m.deleteLocked(k, e)
+			delete(m.entries, k)
 		}
 	}
-	for k, e := range m.entries {
+	for k := range m.entries {
 		if len(m.entries) <= maxMetaEntries/2 {
 			break
 		}
-		m.deleteLocked(k, e)
-	}
-}
-
-// Invalidate removes every entry stored for table, returning how many were
-// dropped. Writers call this so their own writes are visible immediately
-// rather than after a TTL expiry.
-func (m *MetaCache) Invalidate(table string) int {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	keys := m.byTable[table]
-	for k := range keys {
 		delete(m.entries, k)
 	}
-	delete(m.byTable, table)
-	m.invalidations += int64(len(keys))
-	return len(keys)
 }
 
 // Stats snapshots the counters.
@@ -153,5 +109,5 @@ func (m *MetaCache) Stats() MetaStats {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return MetaStats{Hits: m.hits, Misses: m.misses, Invalidations: m.invalidations, Entries: len(m.entries)}
+	return MetaStats{Hits: m.hits, Misses: m.misses, Entries: len(m.entries)}
 }

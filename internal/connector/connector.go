@@ -172,6 +172,15 @@ type Connector interface {
 	Table(name string) *TableMeta
 	// Stats returns statistics for the table ("NoStats" when unavailable).
 	Stats(name string) TableStats
+	// TableVersion returns the table's current version, which moves on every
+	// change to its schema or data, made through the connector or outside it
+	// (0 if never written). Every engine cache of what a table holds — split
+	// enumerations, results — is keyed or stamped by it.
+	TableVersion(name string) int64
+	// SchemaVersion returns a version that moves only when the table is
+	// created, dropped or replaced, or its layouts change. Cached table
+	// metadata and plans hold for one schema version.
+	SchemaVersion(name string) int64
 
 	// --- Data Location API ---
 
@@ -214,21 +223,8 @@ type PushdownCapable interface {
 	ApplyPushdown(table string, d *plan.Domain) (enforced []string)
 }
 
-// Versioned is implemented by connectors that maintain monotonic per-table
-// version counters. The serving tier stamps a cached result with the
-// TableVersion of each table it read, so a write makes it suspect, and holds
-// a cached plan valid for one SchemaVersion.
-type Versioned interface {
-	// TableVersion returns the table's current version, which moves on every
-	// change to its schema or data (0 if never written).
-	TableVersion(table string) int64
-	// SchemaVersion returns a version that moves only when the table is
-	// created, dropped or replaced.
-	SchemaVersion(table string) int64
-}
-
-// AppendLog is implemented by Versioned connectors that remember what each of
-// a table's recent data versions appended. A cached result whose tables moved
+// AppendLog is implemented by connectors that remember what each of a table's
+// recent data versions appended. A cached result whose tables moved
 // only by appends that none of its scans could have read is still the answer:
 // the serving tier re-stamps it instead of executing the statement again.
 type AppendLog interface {

@@ -6,8 +6,8 @@ package connector
 // back over all of them.
 const appendLogSize = 1024
 
-// VersionLog is the version bookkeeping of a connector that implements
-// Versioned and AppendLog: per table name, a schema version and a data
+// VersionLog is a connector's version bookkeeping (Connector.TableVersion,
+// SchemaVersion and AppendLog): per table name, a schema version and a data
 // version that survive a drop, and the summaries of the table's last
 // appendLogSize appends. A cached plan is valid for one schema version, a
 // cached result for one version of each.
@@ -62,7 +62,16 @@ func (l *VersionLog) Appended(name string, s *AppendSummary) {
 	t.data++
 }
 
-// TableVersion is Versioned.TableVersion: it moves on every change, schema or
+// Changed moves the table's data version by a change it keeps no summary of:
+// rows replaced, or files written by another program. Its append log starts
+// over, so Appends does not reach back across the change.
+func (l *VersionLog) Changed(name string) {
+	t := l.table(name)
+	t.data++
+	t.log, t.appends = nil, 0
+}
+
+// TableVersion is Connector.TableVersion: it moves on every change, schema or
 // data.
 func (l *VersionLog) TableVersion(name string) int64 {
 	if t := l.tables[name]; t != nil {
@@ -71,7 +80,7 @@ func (l *VersionLog) TableVersion(name string) int64 {
 	return 0
 }
 
-// SchemaVersion is Versioned.SchemaVersion.
+// SchemaVersion is Connector.SchemaVersion.
 func (l *VersionLog) SchemaVersion(name string) int64 {
 	if t := l.tables[name]; t != nil {
 		return t.schema

@@ -43,3 +43,30 @@ func TestVersionLogReach(t *testing.T) {
 		t.Error("a table never created has a version")
 	}
 }
+
+// TestVersionLogChanged: a change without a summary moves the data version
+// and not the schema version, and the log does not reach back across it; the
+// appends after it are logged again.
+func TestVersionLogChanged(t *testing.T) {
+	var l VersionLog
+	l.SchemaChanged("t")
+	l.Appended("t", &AppendSummary{Rows: 1})
+	before := l.TableVersion("t")
+	l.Changed("t")
+	if l.TableVersion("t") != before+1 || l.SchemaVersion("t") != 1 {
+		t.Fatalf("after a change: versions %d/%d", l.TableVersion("t"), l.SchemaVersion("t"))
+	}
+	if _, ok := l.Appends("t", before, func(*AppendSummary) bool { return true }); ok {
+		t.Error("the log reaches back across a change it holds no summary of")
+	}
+	changed := l.TableVersion("t")
+	l.Appended("t", &AppendSummary{Rows: 2})
+	var rows []int64
+	to, ok := l.Appends("t", changed, func(s *AppendSummary) bool {
+		rows = append(rows, s.Rows)
+		return true
+	})
+	if !ok || to != changed+1 || len(rows) != 1 || rows[0] != 2 {
+		t.Errorf("the append after the change: to %d ok %v rows %v", to, ok, rows)
+	}
+}

@@ -1,9 +1,9 @@
 // Package conformance provides a reusable test harness asserting that a
 // connector implements the Connector API contract: metadata consistency,
 // split enumeration that covers the whole table exactly once, column
-// projection, (when supported) the write path, and (for a connector that
-// implements connector.Versioned) how writes and DDL move its versions. Every
-// bundled connector runs this suite from its own tests.
+// projection, and (when supported) the write path and how writes and DDL
+// move the connector's versions. Every bundled connector runs this suite from
+// its own tests.
 package conformance
 
 import (
@@ -25,6 +25,10 @@ type Harness struct {
 	Rows int64
 	// Writable asserts the Data Sink API works.
 	Writable bool
+	// WriteOutside, when set, adds rows to the named table — of columns
+	// k BIGINT and s VARCHAR — the way another program would, without the
+	// connector: the Versioning check asserts it moves the table version too.
+	WriteOutside func(t *testing.T, table string)
 }
 
 // Run executes the conformance suite.
@@ -36,9 +40,7 @@ func Run(t *testing.T, h Harness) {
 	t.Run("UnknownTable", func(t *testing.T) { h.unknownTable(t) })
 	if h.Writable {
 		t.Run("WriteRoundTrip", func(t *testing.T) { h.writeRoundTrip(t) })
-		if v, ok := h.Conn.(connector.Versioned); ok {
-			t.Run("Versioning", func(t *testing.T) { h.versioning(t, v) })
-		}
+		t.Run("Versioning", func(t *testing.T) { h.versioning(t) })
 	}
 }
 
@@ -268,13 +270,15 @@ func (h Harness) writeRoundTrip(t *testing.T) {
 	}
 }
 
-// versioning checks what moves a Versioned connector's versions: a write
-// moves the table version and not the schema version; a drop and a create
-// each move the schema version, and neither takes a version back, so nothing
-// stamped before the drop matches after it. An AppendLog connector's log
-// holds exactly the written batch, with its row count and column bounds, and
-// does not reach back across the drop.
-func (h Harness) versioning(t *testing.T, v connector.Versioned) {
+// versioning checks what moves a connector's versions: a write — and, with
+// WriteOutside, one made around the connector — moves the table version and
+// not the schema version; a drop and a create each move the schema version,
+// and neither takes a version back, so nothing stamped before the drop
+// matches after it. An AppendLog connector's log holds exactly the written
+// batch, with its row count and column bounds, and reaches back neither
+// across a write made outside it nor across the drop.
+func (h Harness) versioning(t *testing.T) {
+	v := h.Conn
 	name := "conformance_version_test"
 	cols := []connector.Column{{Name: "k", T: types.Bigint}, {Name: "s", T: types.Varchar}}
 	if err := h.Conn.CreateTable(name, cols); err != nil {
@@ -330,6 +334,22 @@ func (h Harness) versioning(t *testing.T, v connector.Versioned) {
 				t.Errorf("column summary %+v, want %s in [%v, %v] without NULL", c, cols[i].Name, want[0], want[1])
 			}
 		}
+	}
+	if h.WriteOutside != nil {
+		h.WriteOutside(t, name)
+		outside := v.TableVersion(name)
+		if outside <= written {
+			t.Errorf("a write made outside the connector left the table version at %d", outside)
+		}
+		if got := v.SchemaVersion(name); got != schema {
+			t.Errorf("a write made outside the connector moved the schema version %d -> %d", schema, got)
+		}
+		if isLog {
+			if _, ok := log.Appends(name, written, func(*connector.AppendSummary) bool { return true }); ok {
+				t.Error("the append log reaches back across a write made outside the connector")
+			}
+		}
+		written = outside
 	}
 
 	if err := h.Conn.DropTable(name); err != nil {

@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/orcish"
 )
 
 // TestFooterCacheHitAndTTL proves the per-query footer re-decode is fixed:
@@ -30,7 +32,7 @@ func TestFooterCacheHitAndTTL(t *testing.T) {
 	}
 	// New()'s table scan decoded and cached the footer; this read must hit.
 	base := c.MetaStats()
-	if _, err := c.footer("t", path); err != nil {
+	if _, err := c.footer(path); err != nil {
 		t.Fatal(err)
 	}
 	st := c.MetaStats()
@@ -39,7 +41,7 @@ func TestFooterCacheHitAndTTL(t *testing.T) {
 	}
 	// Advancing the simulated clock past the TTL expires the entry.
 	now += int64(2 * time.Second)
-	if _, err := c.footer("t", path); err != nil {
+	if _, err := c.footer(path); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.MetaStats(); got.Misses != st.Misses+1 {
@@ -47,7 +49,7 @@ func TestFooterCacheHitAndTTL(t *testing.T) {
 	}
 	// And it was re-cached: an immediate re-read hits again.
 	before := c.MetaStats()
-	if _, err := c.footer("t", path); err != nil {
+	if _, err := c.footer(path); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.MetaStats(); got.Hits != before.Hits+1 {
@@ -55,9 +57,11 @@ func TestFooterCacheHitAndTTL(t *testing.T) {
 	}
 }
 
-// TestDropTableDropsOnlyItsFooters: dropping table t drops the cached footers
-// of t's files and keeps those of t2, whose directory name t's is a prefix of.
-func TestDropTableDropsOnlyItsFooters(t *testing.T) {
+// TestRewrittenFileMissesItsFooter: footers are keyed by each file's path,
+// mtime and size, and nothing drops them on DROP TABLE: t2's footer still
+// hits after t is dropped, and a file written again at t's old path misses
+// and decodes its own footer.
+func TestRewrittenFileMissesItsFooter(t *testing.T) {
 	dir := t.TempDir()
 	paths := map[string]string{}
 	for _, table := range []string{"t", "t2"} {
@@ -80,13 +84,27 @@ func TestDropTableDropsOnlyItsFooters(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.MetaStats()
-	if st.Entries != 1 || st.Invalidations != 1 {
-		t.Fatalf("after dropping t: %d footers cached, %d invalidated; want t2's kept and t's dropped", st.Entries, st.Invalidations)
-	}
-	if _, err := c.footer("t2", paths["t2"]); err != nil {
+	if _, err := c.footer(paths["t2"]); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.MetaStats(); got.Hits != st.Hits+1 {
 		t.Errorf("t2's footer missed the cache after t was dropped: %+v -> %+v", st, got)
+	}
+	if err := mkdirAll(filepath.Join(dir, "t")); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeOrcish(paths["t"], []int64{1, 2, 3, 4, 5}); err != nil {
+		t.Fatal(err)
+	}
+	st = c.MetaStats()
+	f, err := c.footer(paths["t"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, _ := orcish.FileStats(f); rows != 5 {
+		t.Errorf("the rewritten file's footer counts %d rows, want 5", rows)
+	}
+	if got := c.MetaStats(); got.Misses != st.Misses+1 {
+		t.Errorf("the rewritten file's footer did not miss: %+v -> %+v", st, got)
 	}
 }

@@ -10,6 +10,7 @@ package hive
 
 import (
 	"fmt"
+	"hash/fnv"
 	"maps"
 	"os"
 	"path/filepath"
@@ -60,6 +61,12 @@ type Connector struct {
 
 	mu     sync.RWMutex
 	tables map[string]*tableInfo
+	// versions moves under mu's write lock: a table's schema version on the
+	// connector's own DDL, its data version on each file the connector writes
+	// and whenever TableVersion finds the table's files differ from those it
+	// last saw, so a file another program writes moves it too. It keeps no
+	// append log.
+	versions connector.VersionLog
 }
 
 type tableInfo struct {
@@ -67,6 +74,9 @@ type tableInfo struct {
 	// partCols are the partition-directory columns (suffix of meta.Columns).
 	partCols []string
 	stats    connector.TableStats
+	// listing fingerprints the table's data files as the connector last saw
+	// them (listDataFiles).
+	listing uint64
 }
 
 // New creates (and scans) a hive connector over cfg.Dir.
@@ -95,18 +105,18 @@ func New(name string, cfg Config) (*Connector, error) {
 	return c, nil
 }
 
-// footer returns a file of table's decoded footer through the metadata cache,
-// where it is stored as a description of the table (DropTable drops it). The
-// key includes mtime and size, so a rewritten file misses naturally; the TTL
-// bounds staleness for changes that do not tick the mtime.
-func (c *Connector) footer(table, path string) (*orcish.Footer, error) {
+// footer returns a file's decoded footer through the metadata cache. The key
+// is the file's fileID, so a rewritten file misses naturally; the TTL bounds
+// staleness for changes that do not tick the mtime.
+func (c *Connector) footer(path string) (*orcish.Footer, error) {
 	if c.meta == nil {
 		return orcish.ReadFooter(path)
 	}
-	key, err := footerKey(path)
+	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, err
 	}
+	key := "footer/" + fileID(path, fi)
 	if v, ok := c.meta.Get(key); ok {
 		return v.(*orcish.Footer), nil
 	}
@@ -114,16 +124,21 @@ func (c *Connector) footer(table, path string) (*orcish.Footer, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.meta.Put(table, key, f)
+	c.meta.Put(key, f)
 	return f, nil
 }
 
-func footerKey(path string) (string, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("footer/%s@%d:%d", path, fi.ModTime().UnixNano(), fi.Size()), nil
+// fileID names one state of a data file: its path, mtime and size.
+func fileID(path string, fi os.FileInfo) string {
+	return fmt.Sprintf("%s@%d:%d", path, fi.ModTime().UnixNano(), fi.Size())
+}
+
+// listingTerm is one file's term of a table's listing fingerprint, the sum of
+// its files' terms: a file added, removed or rewritten changes the sum.
+func listingTerm(path string, fi os.FileInfo) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(fileID(path, fi)))
+	return h.Sum64()
 }
 
 // MetaStats exposes the footer-cache counters (tests and metrics).
@@ -157,15 +172,15 @@ func (c *Connector) rescan() error {
 
 // loadTableInfo derives schema and statistics from the table's files.
 func (c *Connector) loadTableInfo(table string) (*tableInfo, error) {
-	files, parts, err := listDataFiles(filepath.Join(c.cfg.Dir, table))
+	files, parts, listing, err := listDataFiles(filepath.Join(c.cfg.Dir, table))
 	if err != nil || len(files) == 0 {
 		return nil, err
 	}
-	footer, err := c.footer(table, files[0])
+	footer, err := c.footer(files[0])
 	if err != nil {
 		return nil, err
 	}
-	info := &tableInfo{meta: connector.TableMeta{Name: table}}
+	info := &tableInfo{meta: connector.TableMeta{Name: table}, listing: listing}
 	for _, cm := range footer.Columns {
 		info.meta.Columns = append(info.meta.Columns, connector.Column{Name: cm.Name, T: cm.T})
 	}
@@ -177,15 +192,15 @@ func (c *Connector) loadTableInfo(table string) (*tableInfo, error) {
 	}
 	info.stats = connector.NoStats
 	if c.cfg.CollectStats {
-		info.stats = c.computeStats(table, files)
+		info.stats = c.computeStats(files)
 	}
 	return info, nil
 }
 
-func (c *Connector) computeStats(table string, files []string) connector.TableStats {
+func (c *Connector) computeStats(files []string) connector.TableStats {
 	stats := connector.TableStats{ColumnNDV: map[string]int64{}}
 	for _, f := range files {
-		if footer, err := c.footer(table, f); err == nil {
+		if footer, err := c.footer(f); err == nil {
 			addFileStats(&stats, footer)
 		}
 	}
@@ -202,9 +217,10 @@ func addFileStats(stats *connector.TableStats, footer *orcish.Footer) {
 	}
 }
 
-// listDataFiles walks a table directory, returning data files and the
-// partition column names (from the first key=value path found).
-func listDataFiles(dir string) (files []string, partCols []string, err error) {
+// listDataFiles walks a table directory, returning data files, the partition
+// column names (from the first key=value path found) and the fingerprint of
+// the listing (listingTerm).
+func listDataFiles(dir string) (files []string, partCols []string, listing uint64, err error) {
 	err = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
 		if err != nil {
 			return err
@@ -213,6 +229,7 @@ func listDataFiles(dir string) (files []string, partCols []string, err error) {
 			return nil
 		}
 		files = append(files, path)
+		listing += listingTerm(path, info)
 		if partCols == nil {
 			rel, _ := filepath.Rel(dir, path)
 			for _, seg := range strings.Split(filepath.Dir(rel), string(filepath.Separator)) {
@@ -224,10 +241,10 @@ func listDataFiles(dir string) (files []string, partCols []string, err error) {
 		return nil
 	})
 	if os.IsNotExist(err) {
-		return nil, nil, nil
+		return nil, nil, 0, nil
 	}
 	sort.Strings(files)
-	return files, partCols, err
+	return files, partCols, listing, err
 }
 
 // partitionValues extracts the key=value pairs of a file's path.
@@ -283,6 +300,27 @@ func (c *Connector) Stats(name string) connector.TableStats {
 	return connector.NoStats
 }
 
+// TableVersion implements connector.Connector. It lists the table's files,
+// and moves the data version when the listing differs from the one last
+// seen (or cannot be taken).
+func (c *Connector) TableVersion(name string) int64 {
+	_, _, listing, err := listDataFiles(filepath.Join(c.cfg.Dir, name))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t := c.tables[name]; t != nil && (err != nil || listing != t.listing) {
+		t.listing = listing
+		c.versions.Changed(name)
+	}
+	return c.versions.TableVersion(name)
+}
+
+// SchemaVersion implements connector.Connector.
+func (c *Connector) SchemaVersion(name string) int64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.versions.SchemaVersion(name)
+}
+
 // split is one orcish file (or file section) plus its partition values.
 type split struct {
 	catalog  string
@@ -306,7 +344,7 @@ func (c *Connector) Splits(handle plan.TableHandle) (connector.SplitSource, erro
 		return nil, fmt.Errorf("table %s.%s does not exist", c.name, handle.Table)
 	}
 	tableDir := filepath.Join(c.cfg.Dir, handle.Table)
-	files, _, err := listDataFiles(tableDir)
+	files, _, _, err := listDataFiles(tableDir)
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +439,7 @@ func (c *Connector) PageSource(sp connector.Split, columns []string, handle plan
 			fileCols = append(fileCols, col)
 		}
 	}
-	footer, err := c.footer(hs.table, hs.path)
+	footer, err := c.footer(hs.path)
 	if err != nil {
 		return nil, err
 	}
@@ -490,11 +528,17 @@ func (c *Connector) CreateTable(name string, columns []connector.Column) error {
 	if err := orcish.WriteFile(path, cms, nil, c.cfg.StripeRows); err != nil {
 		return err
 	}
+	_, _, listing, err := listDataFiles(dir)
+	if err != nil {
+		return err
+	}
 	c.mu.Lock()
 	c.tables[name] = &tableInfo{
-		meta:  connector.TableMeta{Name: name, Columns: columns},
-		stats: statsFor(c.cfg.CollectStats),
+		meta:    connector.TableMeta{Name: name, Columns: columns},
+		stats:   statsFor(c.cfg.CollectStats),
+		listing: listing,
 	}
+	c.versions.SchemaChanged(name)
 	c.mu.Unlock()
 	return nil
 }
@@ -510,13 +554,16 @@ func statsFor(collect bool) connector.TableStats {
 func (c *Connector) DropTable(name string) error {
 	c.mu.Lock()
 	delete(c.tables, name)
+	c.versions.SchemaChanged(name)
 	c.mu.Unlock()
-	c.meta.Invalidate(name)
 	return os.RemoveAll(filepath.Join(c.cfg.Dir, name))
 }
 
 // PageSink implements the Data Sink API: every concurrent writer creates a
-// new file, mirroring the paper's S3 writer behaviour (§IV-E3).
+// new file, mirroring the paper's S3 writer behaviour (§IV-E3). The file is
+// written under a name listDataFiles skips and renamed into the table on
+// Finish, so no scan — not the one an INSERT … SELECT of the table itself
+// runs — lists a file still being written.
 func (c *Connector) PageSink(table string) (connector.PageSink, error) {
 	c.mu.RLock()
 	info, ok := c.tables[table]
@@ -528,12 +575,15 @@ func (c *Connector) PageSink(table string) (connector.PageSink, error) {
 	for i, col := range info.meta.Columns {
 		cms[i] = orcish.ColumnMeta{Name: col.Name, T: col.T}
 	}
-	f, err := os.CreateTemp(filepath.Join(c.cfg.Dir, table), "part-*.orcish")
+	f, err := os.CreateTemp(filepath.Join(c.cfg.Dir, table), "part-*.orcish"+writingSuffix)
 	if err != nil {
 		return nil, err
 	}
 	return &pageSink{c: c, table: table, f: f, w: orcish.NewWriter(f, cms, c.cfg.StripeRows)}, nil
 }
+
+// writingSuffix marks a data file a sink is still writing.
+const writingSuffix = ".writing"
 
 type pageSink struct {
 	c     *Connector
@@ -556,18 +606,30 @@ func (s *pageSink) Finish() (int64, error) {
 	if err := s.f.Close(); err != nil {
 		return 0, err
 	}
+	path := strings.TrimSuffix(s.f.Name(), writingSuffix)
+	if err := os.Rename(s.f.Name(), path); err != nil {
+		return 0, err
+	}
 	// The writer holds the footer it wrote: it is the new file's cache entry
 	// (files are write-once, so the table's other entries stay valid), and
-	// the table's statistics take it in without re-reading the others.
+	// the table's statistics take it in without re-reading the others. The
+	// file moves the table's data version and joins its listing.
 	footer := s.w.Footer()
-	if key, err := footerKey(s.f.Name()); err == nil {
-		s.c.meta.Put(s.table, key, footer)
-	}
-	if !s.c.cfg.CollectStats {
-		return s.rows, nil
+	fi, statErr := os.Stat(path)
+	if statErr == nil {
+		s.c.meta.Put("footer/"+fileID(path, fi), footer)
 	}
 	s.c.mu.Lock()
-	if info, ok := s.c.tables[s.table]; ok {
+	defer s.c.mu.Unlock()
+	info, ok := s.c.tables[s.table]
+	if !ok {
+		return s.rows, nil
+	}
+	if statErr == nil {
+		info.listing += listingTerm(path, fi)
+	}
+	s.c.versions.Changed(s.table)
+	if s.c.cfg.CollectStats {
 		// Stats hands out the map; the folded one is a copy.
 		stats := info.stats
 		stats.ColumnNDV = maps.Clone(stats.ColumnNDV)
@@ -577,7 +639,6 @@ func (s *pageSink) Finish() (int64, error) {
 		addFileStats(&stats, footer)
 		info.stats = stats
 	}
-	s.c.mu.Unlock()
 	return s.rows, nil
 }
 

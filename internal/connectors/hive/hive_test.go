@@ -1,11 +1,13 @@
 package hive
 
 import (
+	"path/filepath"
 	"testing"
 
 	"repro/internal/block"
 	"repro/internal/connector"
 	"repro/internal/connectors/conformance"
+	"repro/internal/orcish"
 	"repro/internal/plan"
 	"repro/internal/types"
 )
@@ -39,12 +41,26 @@ func loaded(t *testing.T, lazy bool) *Connector {
 	return c
 }
 
+// harness drives a loaded connector; a write outside it is an orcish file
+// another program puts in the table's directory.
+func harness(t *testing.T, lazy bool) conformance.Harness {
+	c := loaded(t, lazy)
+	return conformance.Harness{Conn: c, Table: "t", Rows: 100, Writable: true,
+		WriteOutside: func(t *testing.T, table string) {
+			cols := []orcish.ColumnMeta{{Name: "k", T: types.Bigint}, {Name: "s", T: types.Varchar}}
+			page := block.NewPage(block.NewLongBlock([]int64{9}, nil), block.NewVarcharBlock([]string{"z"}, nil))
+			if err := orcish.WriteFile(filepath.Join(c.cfg.Dir, table, "outside.orcish"), cols, []*block.Page{page}, 16); err != nil {
+				t.Fatal(err)
+			}
+		}}
+}
+
 func TestConformance(t *testing.T) {
-	conformance.Run(t, conformance.Harness{Conn: loaded(t, false), Table: "t", Rows: 100, Writable: true})
+	conformance.Run(t, harness(t, false))
 }
 
 func TestConformanceLazy(t *testing.T) {
-	conformance.Run(t, conformance.Harness{Conn: loaded(t, true), Table: "t", Rows: 100, Writable: true})
+	conformance.Run(t, harness(t, true))
 }
 
 func TestStatsFromFooters(t *testing.T) {

@@ -14,7 +14,9 @@ import (
 // TestConcurrentSinksFoldStats: four sinks writing one table at once leave
 // the statistics a fresh scan of the directory computes, and finishing them
 // reads no footer — each sink folds in the footer its writer holds, which is
-// also the new file's cache entry, so the next scan hits.
+// also the new file's cache entry, so the next scan hits. Each sink moves the
+// table version once, and adds its file to the listing the version is checked
+// against, so listing the table moves it no further.
 func TestConcurrentSinksFoldStats(t *testing.T) {
 	dir := t.TempDir()
 	c, err := New("hive", Config{Dir: dir, CollectStats: true, StripeRows: 16})
@@ -24,6 +26,7 @@ func TestConcurrentSinksFoldStats(t *testing.T) {
 	if err := c.CreateTable("t", []connector.Column{{Name: "id", T: types.Bigint}, {Name: "s", T: types.Varchar}}); err != nil {
 		t.Fatal(err)
 	}
+	created := c.TableVersion("t")
 	sinks := make([]connector.PageSink, 4)
 	for i := range sinks {
 		if sinks[i], err = c.PageSink("t"); err != nil {
@@ -52,6 +55,9 @@ func TestConcurrentSinksFoldStats(t *testing.T) {
 	if after := c.MetaStats(); after.Misses != before.Misses {
 		t.Errorf("finishing the sinks missed the footer cache %d times", after.Misses-before.Misses)
 	}
+	if v := c.TableVersion("t"); v != created+int64(len(sinks)) {
+		t.Errorf("%d sinks moved the table version %d -> %d", len(sinks), created, v)
+	}
 
 	fresh, err := New("hive", Config{Dir: dir, CollectStats: true})
 	if err != nil {
@@ -61,7 +67,7 @@ func TestConcurrentSinksFoldStats(t *testing.T) {
 	if !reflect.DeepEqual(got, want) || got.RowCount != 200 {
 		t.Errorf("stats after the sinks %+v, a fresh scan %+v", got, want)
 	}
-	files, _, err := listDataFiles(filepath.Join(dir, "t"))
+	files, _, _, err := listDataFiles(filepath.Join(dir, "t"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +76,7 @@ func TestConcurrentSinksFoldStats(t *testing.T) {
 		if filepath.Base(f) == "part-00000.orcish" {
 			continue // CreateTable's schema file, not a sink's
 		}
-		if _, err := c.footer("t", f); err != nil {
+		if _, err := c.footer(f); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -23,6 +23,10 @@ type Connector struct {
 
 	mu     sync.RWMutex
 	tables map[string]*kvTable
+	// versions moves with the rows and schemas it counts, under mu's write
+	// lock. A Put may replace a row, so it is a change the log holds no
+	// summary of: the connector keeps no append log.
+	versions connector.VersionLog
 }
 
 type kvTable struct {
@@ -60,6 +64,7 @@ func (c *Connector) CreateTable(name string, columns []connector.Column) error {
 		},
 		data: map[string][]types.Value{},
 	}
+	c.versions.SchemaChanged(name)
 	return nil
 }
 
@@ -72,6 +77,7 @@ func (c *Connector) Put(table string, row []types.Value) error {
 		return fmt.Errorf("table %s.%s does not exist", c.name, table)
 	}
 	t.data[row[0].String()] = row
+	c.versions.Changed(table)
 	return nil
 }
 
@@ -109,6 +115,20 @@ func (c *Connector) Stats(name string) connector.TableStats {
 	return connector.TableStats{RowCount: int64(len(t.data)), ColumnNDV: map[string]int64{
 		t.meta.Columns[0].Name: int64(len(t.data)),
 	}}
+}
+
+// TableVersion implements connector.Connector.
+func (c *Connector) TableVersion(name string) int64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.versions.TableVersion(name)
+}
+
+// SchemaVersion implements connector.Connector.
+func (c *Connector) SchemaVersion(name string) int64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.versions.SchemaVersion(name)
 }
 
 // split carries table info, key format, and hosts — the shape the paper
@@ -220,6 +240,7 @@ func (c *Connector) DropTable(name string) error {
 		return fmt.Errorf("table %s.%s does not exist", c.name, name)
 	}
 	delete(c.tables, name)
+	c.versions.SchemaChanged(name)
 	return nil
 }
 

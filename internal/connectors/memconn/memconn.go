@@ -72,14 +72,14 @@ func (c *Connector) Table(name string) *connector.TableMeta {
 	return &meta
 }
 
-// TableVersion implements connector.Versioned.
+// TableVersion implements connector.Connector.
 func (c *Connector) TableVersion(name string) int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.versions.TableVersion(name)
 }
 
-// SchemaVersion implements connector.Versioned.
+// SchemaVersion implements connector.Connector.
 func (c *Connector) SchemaVersion(name string) int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -28,6 +28,9 @@ type Connector struct {
 
 	mu     sync.RWMutex
 	tables map[string]*table
+	// versions moves with the rows, schemas and indexes it counts, under mu's
+	// write lock.
+	versions connector.VersionLog
 }
 
 type table struct {
@@ -78,6 +81,7 @@ func (c *Connector) CreateBucketedTable(name string, columns []connector.Column,
 	if _, exists := c.tables[name]; exists {
 		return fmt.Errorf("table %s.%s already exists", c.name, name)
 	}
+	c.versions.SchemaChanged(name)
 	c.tables[name] = &table{
 		meta:      connector.TableMeta{Name: name, Columns: columns, Layouts: []connector.Layout{layout}},
 		bucketCol: bucketCol,
@@ -119,6 +123,7 @@ func (c *Connector) CreateIndex(tableName, column string) error {
 		IndexCols: []string{column},
 		NodeLocal: true,
 	})
+	c.versions.SchemaChanged(tableName)
 	return nil
 }
 
@@ -130,10 +135,12 @@ func (c *Connector) LoadRows(tableName string, rows [][]types.Value) error {
 	if !ok {
 		return fmt.Errorf("table %s.%s does not exist", c.name, tableName)
 	}
-	return t.appendRows(rows)
+	c.versions.Appended(tableName, connector.SummarizeAppend(t.meta.Columns, t.appendRows(rows)))
+	return nil
 }
 
-func (t *table) appendRows(rows [][]types.Value) error {
+// appendRows routes rows to their buckets and returns the pages it added.
+func (t *table) appendRows(rows [][]types.Value) []*block.Page {
 	ts := make([]types.Type, len(t.meta.Columns))
 	for i, col := range t.meta.Columns {
 		ts[i] = col.T
@@ -146,13 +153,16 @@ func (t *table) appendRows(rows [][]types.Value) error {
 		}
 		builders[b].AppendRow(row)
 	}
+	var added []*block.Page
 	for b, bl := range builders {
 		if bl != nil && bl.RowCount() > 0 {
-			t.buckets[b] = append(t.buckets[b], bl.Build())
+			p := bl.Build()
+			t.buckets[b] = append(t.buckets[b], p)
+			added = append(added, p)
 		}
 	}
 	t.refreshStats()
-	return nil
+	return added
 }
 
 // bucketOf hashes a value consistently with the engine's hash partitioning.
@@ -217,6 +227,27 @@ func (c *Connector) Stats(name string) connector.TableStats {
 		return t.stats
 	}
 	return connector.NoStats
+}
+
+// TableVersion implements connector.Connector.
+func (c *Connector) TableVersion(name string) int64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.versions.TableVersion(name)
+}
+
+// SchemaVersion implements connector.Connector.
+func (c *Connector) SchemaVersion(name string) int64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.versions.SchemaVersion(name)
+}
+
+// Appends implements connector.AppendLog.
+func (c *Connector) Appends(name string, since int64, visit func(*connector.AppendSummary) bool) (int64, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.versions.Appends(name, since, visit)
 }
 
 // split is one bucket of a table, owned by a node.
@@ -342,6 +373,7 @@ func (c *Connector) DropTable(name string) error {
 		return fmt.Errorf("table %s.%s does not exist", c.name, name)
 	}
 	delete(c.tables, name)
+	c.versions.SchemaChanged(name)
 	return nil
 }
 

@@ -6,7 +6,7 @@
 // reports an indexed layout on the shard column, which the optimizer uses
 // for highly selective filtering.
 //
-// Tables are versioned (connector.Versioned, connector.AppendLog) as a MySQL
+// Tables are versioned (connector.Connector, connector.AppendLog) as a MySQL
 // fleet is through its binlog: a table's data version is the binlog position
 // of its shards, moved by one for each committed write batch (LoadRows, an
 // INSERT's PageSink), and each batch's summary is kept, so the serving tier
@@ -129,14 +129,14 @@ func (c *Connector) commit(name string, t *table, rows [][]types.Value, pages []
 	c.versions.Appended(name, connector.SummarizeAppend(t.meta.Columns, pages))
 }
 
-// TableVersion implements connector.Versioned.
+// TableVersion implements connector.Connector.
 func (c *Connector) TableVersion(name string) int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.versions.TableVersion(name)
 }
 
-// SchemaVersion implements connector.Versioned.
+// SchemaVersion implements connector.Connector.
 func (c *Connector) SchemaVersion(name string) int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -236,7 +236,9 @@ func (c *Connector) Splits(handle plan.TableHandle) (connector.SplitSource, erro
 		if cd, constrained := d.Columns[t.shardCol]; constrained && len(cd.Points) > 0 {
 			all = false
 			for _, p := range cd.Points {
-				wanted[shardOf(p.String(), len(t.shards))] = true
+				if !p.Null || cd.NullAllowed {
+					wanted[shardOf(p.String(), len(t.shards))] = true
+				}
 			}
 		}
 	}
@@ -309,6 +311,9 @@ func (c *Connector) PageSource(sp connector.Split, columns []string, handle plan
 	if cd != nil && len(cd.Points) > 0 {
 		// Point lookups: index access within the shard.
 		for _, p := range cd.Points {
+			if p.Null && !cd.NullAllowed {
+				continue // the empty set's point
+			}
 			for _, row := range shard[p.String()] {
 				emit(row)
 			}

@@ -6,6 +6,7 @@ package coordinator
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -22,8 +23,7 @@ type CatalogManager struct {
 	mu         sync.RWMutex
 	connectors map[string]connector.Connector
 	// meta, when non-nil, memoizes successful Resolve lookups under
-	// "meta/<catalog>.<table>" with the coordinator's TTL and write
-	// invalidation.
+	// "meta/<catalog>.<table>@<schema version>" with the coordinator's TTL.
 	meta *cache.MetaCache
 }
 
@@ -73,6 +73,13 @@ func (c *CatalogManager) Catalogs() []string {
 // catalog.schema.table (schema ignored — connectors are flat), or table in
 // the session default catalog.
 func (c *CatalogManager) Resolve(name sqlparser.QualifiedName, defaultCatalog string) (string, *connector.TableMeta, error) {
+	catalog, meta, _, err := c.resolve(name, defaultCatalog)
+	return catalog, meta, err
+}
+
+// resolve is Resolve, and also returns the table's schema version, read
+// before its metadata: the metadata is of that version or a later one.
+func (c *CatalogManager) resolve(name sqlparser.QualifiedName, defaultCatalog string) (string, *connector.TableMeta, int64, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var catalog, table string
@@ -84,7 +91,7 @@ func (c *CatalogManager) Resolve(name sqlparser.QualifiedName, defaultCatalog st
 	case 3:
 		catalog, table = name.Parts[0], name.Parts[2]
 	default:
-		return "", nil, fmt.Errorf("invalid table name %q", name)
+		return "", nil, 0, fmt.Errorf("invalid table name %q", name)
 	}
 	catalog = strings.ToLower(catalog)
 	table = strings.ToLower(table)
@@ -92,19 +99,41 @@ func (c *CatalogManager) Resolve(name sqlparser.QualifiedName, defaultCatalog st
 	if !ok {
 		// An unqualified name whose first part is a catalog? Try that too.
 		if len(name.Parts) == 1 {
-			return "", nil, fmt.Errorf("catalog %q does not exist", defaultCatalog)
+			return "", nil, 0, fmt.Errorf("catalog %q does not exist", defaultCatalog)
 		}
-		return "", nil, fmt.Errorf("catalog %q does not exist", catalog)
+		return "", nil, 0, fmt.Errorf("catalog %q does not exist", catalog)
 	}
-	key := "meta/" + catalog + "." + table
+	version := conn.SchemaVersion(table)
+	key := "meta/" + catalog + "." + table + "@" + strconv.FormatInt(version, 10)
 	if v, ok := c.meta.Get(key); ok {
-		return catalog, v.(*connector.TableMeta), nil
+		return catalog, v.(*connector.TableMeta), version, nil
 	}
 	meta := conn.Table(table)
 	if meta == nil {
-		return "", nil, fmt.Errorf("table %s.%s does not exist", catalog, table)
+		return "", nil, 0, fmt.Errorf("table %s.%s does not exist", catalog, table)
 	}
-	c.meta.Put(catalog+"."+table, key, meta)
+	c.meta.Put(key, meta)
+	return catalog, meta, version, nil
+}
+
+// schemaLog is the catalogs as one statement's analyzer sees them: it
+// records the schema version each table was first resolved at, read before
+// the metadata the statement is planned from.
+type schemaLog struct {
+	*CatalogManager
+	versions map[[2]string]int64
+}
+
+// Resolve implements analyzer.Catalogs.
+func (l schemaLog) Resolve(name sqlparser.QualifiedName, defaultCatalog string) (string, *connector.TableMeta, error) {
+	catalog, meta, version, err := l.resolve(name, defaultCatalog)
+	if err != nil {
+		return "", nil, err
+	}
+	t := [2]string{catalog, meta.Name}
+	if _, seen := l.versions[t]; !seen {
+		l.versions[t] = version
+	}
 	return catalog, meta, nil
 }
 
@@ -130,30 +159,24 @@ func (c *CatalogManager) Layouts(catalog, table string) []connector.Layout {
 	return meta.Layouts
 }
 
-// TableVersion reports a table's data version for connectors that track
-// data versions (0 for the rest).
+// TableVersion reports a table's version (connector.Connector.TableVersion;
+// 0 for an unknown catalog).
 func (c *CatalogManager) TableVersion(catalog, table string) int64 {
 	conn, err := c.Connector(catalog)
 	if err != nil {
 		return 0
 	}
-	if v, ok := conn.(connector.Versioned); ok {
-		return v.TableVersion(table)
-	}
-	return 0
+	return conn.TableVersion(table)
 }
 
-// SchemaVersion reports a table's schema version for connectors that track
-// versions (0 for the rest).
+// SchemaVersion reports a table's schema version
+// (connector.Connector.SchemaVersion; 0 for an unknown catalog).
 func (c *CatalogManager) SchemaVersion(catalog, table string) int64 {
 	conn, err := c.Connector(catalog)
 	if err != nil {
 		return 0
 	}
-	if v, ok := conn.(connector.Versioned); ok {
-		return v.SchemaVersion(table)
-	}
-	return 0
+	return conn.SchemaVersion(table)
 }
 
 // Pushdown implements optimizer.Metadata.

@@ -294,23 +294,6 @@ func (c *Coordinator) MetaCacheStats() cache.MetaStats {
 	return c.meta.Stats()
 }
 
-// invalidateMeta drops cached splits and table metadata for one table. Called
-// on DDL (ddl set) and before/after any plan that writes the table, so
-// readers observe their own cluster's writes immediately rather than after
-// TTL expiry.
-func (c *Coordinator) invalidateMeta(catalog, table string, ddl bool) {
-	// On DDL the serving tier drops the table's plans and results on the same
-	// hook. A data write leaves both: each result is checked, at its next
-	// lookup, against what was written since its stamp.
-	if ddl {
-		c.cfg.Serving.InvalidateTable(catalog, table)
-	}
-	if c.meta == nil {
-		return
-	}
-	c.meta.Invalidate(catalog + "." + table)
-}
-
 // writeTargets collects the (catalog, table) pairs a plan writes to.
 func writeTargets(n plan.Node) [][2]string {
 	var out [][2]string
@@ -420,7 +403,7 @@ func (c *Coordinator) Plan(sql string, session Session) (plan.Node, *plan.Distri
 	if err != nil {
 		return nil, nil, fmt.Errorf("parse error: %w", err)
 	}
-	return c.planStatement(stmt, c.admitSession(session))
+	return c.planStatement(stmt, c.admitSession(session), nil)
 }
 
 // admitSession fills in what a session leaves to the cluster: the default
@@ -434,8 +417,14 @@ func (c *Coordinator) admitSession(s Session) Session {
 	return s
 }
 
-func (c *Coordinator) planStatement(stmt sqlparser.Statement, session Session) (plan.Node, *plan.DistributedPlan, error) {
-	az := analyzer.New(c.Catalog, session.Catalog)
+// planStatement plans a statement. A non-nil schemas records the schema
+// version each table it reads was resolved at (schemaLog).
+func (c *Coordinator) planStatement(stmt sqlparser.Statement, session Session, schemas map[[2]string]int64) (plan.Node, *plan.DistributedPlan, error) {
+	var catalogs analyzer.Catalogs = c.Catalog
+	if schemas != nil {
+		catalogs = schemaLog{c.Catalog, schemas}
+	}
+	az := analyzer.New(catalogs, session.Catalog)
 	logical, err := az.PlanStatement(stmt)
 	if err != nil {
 		return nil, nil, err
@@ -493,21 +482,15 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 	}
 
 	resultCacheOn := servable && tier != nil && tier.Results != nil && !session.Switches.Has(exec.DisableResultCache)
-	// A plan-cache hit the result cache cannot hold is counted as skipped
-	// here, and not again if it is replanned below.
-	planHit := pre != nil
-	if planHit && resultCacheOn {
-		if !pre.ResultOK {
-			tier.Results.Skip()
-		} else {
-			// Pre-admission result check: a repeat of a cached statement
-			// skips the queue, binding and execution. The entry is served
-			// while no write since the cached run could have changed it.
-			resultKey = serving.ResultKey(pre.ResultBase, tmpl.Values)
-			if e, ok := tier.Results.Get(resultKey, c.resultFresh); ok {
-				cancel()
-				return c.servedResult(q, e, start), q, nil
-			}
+	if pre != nil && resultCacheOn {
+		// Pre-admission result check: a repeat of a cached statement skips
+		// the queue, binding and execution. The entry is served while no
+		// write since the cached run could have changed it. (The plan cache
+		// holds only plans whose results may be cached: PlanEntry.ResultOK.)
+		resultKey = serving.ResultKey(pre.ResultBase, tmpl.Values)
+		if e, ok := tier.Results.Get(resultKey, c.resultFresh); ok {
+			cancel()
+			return c.servedResult(q, e, start), q, nil
 		}
 	}
 
@@ -550,13 +533,10 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 	}
 
 	q.setState(StatePlanning)
-	planCacheOn, _ := c.servingOn(session)
-	var planGen uint64
-	if planCacheOn {
-		planGen = tier.Plans.Generation()
-	}
+	var schemas map[[2]string]int64
 	if pre == nil {
-		logical, dp, err = c.planStatement(stmt, session)
+		schemas = map[[2]string]int64{}
+		logical, dp, err = c.planStatement(stmt, session, schemas)
 		if err != nil {
 			end(err)
 			return nil, nil, err
@@ -572,25 +552,16 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 			return nil, nil, err
 		}
 	}
-	// Drop cached splits/metadata for tables this plan writes, both up front
-	// (so the write plan itself resolves fresh state) and again when the
-	// result drains successfully (so subsequent reads see the new rows).
-	// Plans and results over them stay: a write changes data, not schema,
-	// and a result is checked against the write at its next lookup.
-	for _, t := range targets {
-		c.invalidateMeta(t[0], t[1], false)
-	}
-
 	if pre == nil && tmpl != nil && len(targets) == 0 {
 		// Freshly planned read-only statement: offer it to the serving tier.
-		entry, deterministic := c.buildPlanEntry(logical, dp, tmpl)
+		entry := c.buildPlanEntry(logical, dp, tmpl, schemas)
 		tables = entry.Tables
-		if planCacheOn && deterministic {
+		if planCacheOn, _ := c.servingOn(session); planCacheOn && entry.ResultOK {
 			key := tmpl.Key
 			if !entry.Template {
 				key = tmpl.LiteralKey()
 			}
-			tier.Plans.PutAt(planGen, key, entry)
+			tier.Plans.Put(key, entry)
 		}
 		if resultCacheOn && entry.ResultOK {
 			resultKey = serving.ResultKey(entry.ResultBase, tmpl.Values)
@@ -599,7 +570,7 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 				cancel()
 				return c.servedResult(q, e, start), q, nil
 			}
-		} else if resultCacheOn && !planHit {
+		} else if resultCacheOn {
 			tier.Results.Skip()
 		}
 	}
@@ -674,11 +645,7 @@ func (c *Coordinator) execute(ctx context.Context, stmt sqlparser.Statement, pre
 			capture.Abandon()
 		}
 		if resErr == nil {
-			stats := q.finish()
-			for _, t := range targets {
-				c.invalidateMeta(t[0], t[1], false)
-			}
-			c.accumulateDynStats(stats)
+			c.accumulateDynStats(q.finish())
 		}
 		end(resErr)
 	}
@@ -904,7 +871,6 @@ func (c *Coordinator) createTable(s *sqlparser.CreateTable, session Session) (*R
 	if err := conn.CreateTable(table, toConnectorCols(cols)); err != nil {
 		return nil, err
 	}
-	c.invalidateMeta(catalog, table, true)
 	return literalResult([]string{"result"}, [][]types.Value{{types.VarcharValue("OK")}}), nil
 }
 
@@ -935,11 +901,7 @@ func (c *Coordinator) createTableFor(s *sqlparser.CreateTable, session Session) 
 	for _, f := range out.Schema() {
 		cols = append(cols, connectorColumn{Name: strings.ToLower(f.Name), T: f.T})
 	}
-	if err := conn.CreateTable(table, toConnectorCols(cols)); err != nil {
-		return err
-	}
-	c.invalidateMeta(catalog, table, true)
-	return nil
+	return conn.CreateTable(table, toConnectorCols(cols))
 }
 
 func (c *Coordinator) dropTable(s *sqlparser.DropTable, session Session) (*Result, error) {
@@ -957,7 +919,6 @@ func (c *Coordinator) dropTable(s *sqlparser.DropTable, session Session) (*Resul
 	if err := conn.DropTable(table); err != nil {
 		return nil, err
 	}
-	c.invalidateMeta(catalog, table, true)
 	return literalResult([]string{"result"}, [][]types.Value{{types.VarcharValue("OK")}}), nil
 }
 
@@ -996,7 +957,7 @@ func (c *Coordinator) describe(s *sqlparser.Describe, session Session) (*Result,
 // run statistics (wall time, aggregate task CPU, peak memory, output rows)
 // and the switches it ran under.
 func (c *Coordinator) explainAnalyze(ctx context.Context, s *sqlparser.Explain, sql string, session Session) (*Result, error) {
-	logical, dp, err := c.planStatement(s.Stmt, session)
+	logical, dp, err := c.planStatement(s.Stmt, session, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -1038,7 +999,7 @@ func (c *Coordinator) explainAnalyze(ctx context.Context, s *sqlparser.Explain, 
 }
 
 func (c *Coordinator) explain(s *sqlparser.Explain, session Session) (*Result, error) {
-	logical, dp, err := c.planStatement(s.Stmt, session)
+	logical, dp, err := c.planStatement(s.Stmt, session, nil)
 	if err != nil {
 		return nil, err
 	}

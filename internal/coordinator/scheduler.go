@@ -535,13 +535,11 @@ func outputNames(f *plan.Fragment) []string {
 }
 
 // splitCacheKey names a scan's complete enumeration in the coordinator
-// metadata cache, "" when the query does not use it. The entry is stored
-// under its catalog.table, so a write's invalidation of the table clears
-// every layout/constraint variant at once. The table's version, read before
-// enumerating, is part of the key: a write's invalidation and a reader
-// re-filling the cache are not ordered, so without it a reader that
-// enumerated before the write could leave the old row ranges for one that
-// runs after it. Unversioned connectors read 0 and stay TTL-bounded.
+// metadata cache, "" when the query does not use it. The table's version,
+// read before enumerating, is part of the key: a change to the table, made
+// through the engine or outside it, moves the version, and the next scan
+// misses. The enumeration is of that version or a later one, so an entry
+// never serves rows older than its key.
 func (c *Coordinator) splitCacheKey(q *Query, scan *plan.Scan) string {
 	if c.meta == nil || q.session.Switches.Has(exec.DisableCache) {
 		return ""
@@ -607,7 +605,7 @@ func (c *Coordinator) enumerateSplits(q *Query, stage *stageLedger, scanID int, 
 	}
 	// Only clean, complete enumerations are admitted to the cache.
 	if cacheKey != "" {
-		c.meta.Put(scan.Handle.Catalog+"."+scan.Handle.Table, cacheKey, collected)
+		c.meta.Put(cacheKey, collected)
 	}
 	for _, t := range stage.tasks {
 		if err := t.NoMoreSplits(scanID); err != nil {

@@ -1,9 +1,10 @@
 package coordinator
 
 // Serving-tier integration: the coordinator's front door consults the plan
-// cache before parsing and the result cache before admission, stores fresh
-// plans and captured results after planning and clean drains, and routes the
-// same write-invalidation hook the metadata cache uses into both caches.
+// cache before parsing and the result cache before admission, and stores
+// fresh plans and captured results after planning and clean drains. Each
+// entry holds the table versions it read, and a lookup checks them against
+// the connectors' (planValid, resultFresh): no write invalidates an entry.
 
 import (
 	"slices"
@@ -36,26 +37,13 @@ func scanTables(n plan.Node) [][2]string {
 	return out
 }
 
-// tableVersions snapshots the current connector version of each table (0 for
-// unversioned connectors).
+// tableVersions snapshots the current connector version of each table.
 func (c *Coordinator) tableVersions(tables [][2]string) []int64 {
 	out := make([]int64, len(tables))
 	for i, t := range tables {
 		out[i] = c.Catalog.TableVersion(t[0], t[1])
 	}
 	return out
-}
-
-// allVersioned reports that every table's connector tracks data versions —
-// the precondition for result caching, where staleness must be detectable
-// rather than merely TTL-bounded.
-func (c *Coordinator) allVersioned(tables [][2]string) bool {
-	for _, t := range tables {
-		if conn, err := c.Catalog.Connector(t[0]); err != nil || !isVersioned(conn) {
-			return false
-		}
-	}
-	return true
 }
 
 // cachedPlan builds the statement's template — its text with the literals of
@@ -186,13 +174,13 @@ func (c *Coordinator) pushdown(n plan.Node, b *scanBinder) ([][]string, error) {
 	return out, err
 }
 
-// buildPlanEntry packages a freshly optimized read-only plan for the caches.
-// The plan is a template when every literal tmpl lifted is still traced in
-// both plans and no constraint's shape depended on their values.
-// Deterministic means repeat executions produce identical rows (no expression
-// calls random()); ResultOK additionally requires every table to be
-// versioned.
-func (c *Coordinator) buildPlanEntry(logical plan.Node, dp *plan.DistributedPlan, tmpl *serving.Template) (*serving.PlanEntry, bool) {
+// buildPlanEntry packages a freshly optimized read-only plan for the caches,
+// with the schema versions its tables were resolved at (planStatement's
+// schemas). The plan is a template when every literal tmpl lifted is still
+// traced in both plans and no constraint's shape depended on their values.
+// ResultOK means repeat executions produce identical rows (no expression
+// calls random()): only such a plan is cached, and its results too.
+func (c *Coordinator) buildPlanEntry(logical plan.Node, dp *plan.DistributedPlan, tmpl *serving.Template, schemas map[[2]string]int64) *serving.PlanEntry {
 	deterministic := true
 	plan.WalkExprs(logical, func(e expr.Expr) {
 		deterministic = deterministic && expr.IsDeterministic(e)
@@ -213,16 +201,16 @@ func (c *Coordinator) buildPlanEntry(logical plan.Node, dp *plan.DistributedPlan
 		Rows:        make([]int64, len(tables)),
 		Pushdown:    pushdown,
 		ResultBase:  serving.ResultBase(tmpl.Key, cols),
-		ResultOK:    deterministic && c.allVersioned(tables),
+		ResultOK:    deterministic,
 	}
 	for _, f := range dp.Fragments {
 		e.Coercions = plan.SlotTypes(f.Root, e.Coercions)
 	}
 	for i, t := range tables {
-		e.Schemas[i] = c.Catalog.SchemaVersion(t[0], t[1])
+		e.Schemas[i] = schemas[t]
 		e.Rows[i] = c.Catalog.Stats(t[0], t[1]).RowCount
 	}
-	return e, deterministic
+	return e
 }
 
 // encodeForms encodes each fragment of dp, for the life of a plan entry
@@ -276,11 +264,6 @@ func (c *Coordinator) servedResult(q *Query, e *serving.ResultEntry, start time.
 		c.retire(q)
 	}
 	return r
-}
-
-func isVersioned(conn connector.Connector) bool {
-	_, ok := conn.(connector.Versioned)
-	return ok
 }
 
 // scanReads records, for each of tables (a plan's scanTables), the

@@ -333,7 +333,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ms := s.Coord.MetaCacheStats()
 	metrics.PromGauge(w, "presto_metadata_cache_hits_total", nil, float64(ms.Hits))
 	metrics.PromGauge(w, "presto_metadata_cache_misses_total", nil, float64(ms.Misses))
-	metrics.PromGauge(w, "presto_metadata_cache_invalidations_total", nil, float64(ms.Invalidations))
 	metrics.PromGauge(w, "presto_metadata_cache_entries", nil, float64(ms.Entries))
 	metrics.PromGauge(w, "presto_queries_running", nil, float64(s.Coord.RunningQueries()))
 	// Distributed mode's control plane, seen from here: summaries that came

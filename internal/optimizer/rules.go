@@ -291,6 +291,31 @@ func conjunctDomain(e expr.Expr) (*plan.ColumnDomain, int, bool) {
 			return nil, 0, false
 		}
 		return cd, cr.Index, true
+	case *expr.IsNull:
+		// col IS NULL: a NULL point, which no value equals.
+		cr, cok := x.E.(*expr.ColumnRef)
+		if x.Negate || !cok {
+			return nil, 0, false
+		}
+		return &plan.ColumnDomain{T: cr.T, Points: []types.Value{types.NullValue(cr.T)}, NullAllowed: true}, cr.Index, true
+	case *expr.Or:
+		// col = c OR col IS NULL (an IN list too, either side first): the
+		// points and the NULL point.
+		l, r := x.L, x.R
+		if _, ok := l.(*expr.IsNull); ok {
+			l, r = r, l
+		}
+		if _, ok := r.(*expr.IsNull); !ok {
+			return nil, 0, false
+		}
+		cd, col, ok := conjunctDomain(l)
+		null, ncol, nok := conjunctDomain(r)
+		if !ok || !nok || col != ncol || len(cd.Points) == 0 || cd.NullAllowed {
+			return nil, 0, false
+		}
+		cd.AddPoint(null.Points[0], 0)
+		cd.NullAllowed = true
+		return cd, col, true
 	case *expr.Like:
 		// Prefix patterns become ranges: col LIKE 'abc%' → ['abc','abd').
 		if x.Negate {

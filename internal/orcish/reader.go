@@ -90,7 +90,10 @@ func (r *Reader) stripeMatches(info *StripeInfo) bool {
 	for name, cd := range r.domain.Columns {
 		if ci := r.footer.column(name); ci >= 0 {
 			st := info.Stats[ci]
-			if st.HasValues && !cd.OverlapsMinMax(st.Min, st.Max) || !st.HasValues && !cd.NullAllowed {
+			if cd.NullAllowed && st.NullCount > 0 {
+				continue
+			}
+			if !st.HasValues || !cd.OverlapsMinMax(st.Min, st.Max) {
 				return false
 			}
 		}

@@ -26,7 +26,10 @@ type ColumnDomain struct {
 	Points []types.Value
 	// Ranges is a union of ordered ranges (nil when Points are used).
 	Ranges []Range
-	// NullAllowed reports whether NULL satisfies the constraint.
+	// NullAllowed reports whether NULL satisfies the constraint. A point
+	// set that admits NULL holds a NULL point (col IS NULL), which no value
+	// equals; a lone NULL point that does not admit NULL is the empty set
+	// (col = 1 AND col = 3).
 	NullAllowed bool
 
 	// Slots is aligned with Points: the plan-cache slot each point's literal
@@ -72,9 +75,14 @@ func (d *Domain) String() string {
 // String renders the column constraint.
 func (c *ColumnDomain) String() string {
 	if len(c.Points) > 0 {
-		parts := make([]string, len(c.Points))
-		for i, v := range c.Points {
-			parts[i] = v.String()
+		parts := make([]string, 0, len(c.Points))
+		for _, v := range c.Points {
+			if !v.Null {
+				parts = append(parts, v.String())
+			}
+		}
+		if c.NullAllowed {
+			parts = append(parts, "NULL")
 		}
 		return "IN(" + strings.Join(parts, ",") + ")"
 	}
@@ -191,6 +199,9 @@ func (c *ColumnDomain) Intersect(o *ColumnDomain) *ColumnDomain {
 
 func (c *ColumnDomain) intersect(o *ColumnDomain) *ColumnDomain {
 	out := &ColumnDomain{T: c.T, NullAllowed: c.NullAllowed && o.NullAllowed}
+	if len(c.Points) == 0 && len(o.Points) > 0 {
+		c, o = o, c
+	}
 	switch {
 	case len(c.Points) > 0:
 		for i, p := range c.Points {
@@ -198,11 +209,9 @@ func (c *ColumnDomain) intersect(o *ColumnDomain) *ColumnDomain {
 				out.AddPoint(p, c.slotOf(i))
 			}
 		}
-	case len(o.Points) > 0:
-		for i, p := range o.Points {
-			if c.Contains(p) {
-				out.AddPoint(p, o.slotOf(i))
-			}
+		if len(out.Points) == 0 {
+			// No point survives: the empty set, not the unconstrained one.
+			out.AddPoint(types.NullValue(out.T), 0)
 		}
 	case len(c.Ranges) == 0:
 		out.Ranges = append([]Range{}, o.Ranges...)
@@ -361,7 +370,8 @@ func (c *ColumnDomain) sameAs(o *ColumnDomain) bool {
 		return false
 	}
 	for i, p := range c.Points {
-		if !p.Equal(o.Points[i]) || c.slotOf(i) != o.slotOf(i) {
+		q := o.Points[i]
+		if p.Null != q.Null || !p.Null && !p.Equal(q) || c.slotOf(i) != o.slotOf(i) {
 			return false
 		}
 	}

@@ -7,8 +7,8 @@ import (
 
 // lruCore is a non-locking expirable LRU (the Milvus expirable-LRU shape):
 // entries age out after ttl, the size bound evicts from the cold end, and an
-// eviction callback lets the owner release external resources (reverse
-// indexes, memory-pool reservations). Callers hold their own lock.
+// eviction callback lets the owner release external resources (memory-pool
+// reservations). Callers hold their own lock.
 type lruCore struct {
 	maxEntries int   // 0 = unbounded count
 	maxBytes   int64 // 0 = unbounded bytes

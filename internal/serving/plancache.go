@@ -24,9 +24,12 @@ type PlanEntry struct {
 	Template bool
 	Values   []types.Value
 	// Tables lists the (catalog, table) pairs the plan reads; Schemas and
-	// Rows are aligned with it and were read at planning time. The plan stays
-	// valid while each table's schema version is the same and its row count
-	// within RowDrift of Rows (statistics chose the join order).
+	// Rows are aligned with it. Schemas are the versions read when the
+	// analyzer resolved each table, before the metadata the plan was made
+	// from, so a DDL statement that ran while the plan was being made fails
+	// its first lookup. The plan stays valid while each table's schema version
+	// is the same and its row count within RowDrift of Rows (statistics chose
+	// the join order).
 	Tables  [][2]string
 	Schemas []int64
 	Rows    []int64
@@ -43,9 +46,9 @@ type PlanEntry struct {
 	// ResultBase fingerprints the template key + output schema — the part of
 	// the result-cache key that the statement's literals do not change.
 	ResultBase uint64
-	// ResultOK marks plans whose final results may be cached: read-only,
-	// deterministic, and every referenced table comes from a versioned
-	// connector (so staleness is detectable).
+	// ResultOK marks plans whose final results may be cached: read-only and
+	// deterministic (every connector versions its tables, so staleness is
+	// always detectable).
 	ResultOK bool
 }
 
@@ -92,14 +95,15 @@ func RowsWithin(then, now int64) bool {
 type PlanCacheConfig struct {
 	// MaxEntries bounds cached plans (default 512).
 	MaxEntries int
-	// TTL expires entries even without invalidation (default 5m; negative
-	// disables expiry).
+	// TTL expires entries even when their tables do not change (default 5m;
+	// negative disables expiry).
 	TTL time.Duration
 	// Clock overrides time.Now (tests).
 	Clock func() time.Time
 }
 
-// PlanCacheStats are the cache's counters.
+// PlanCacheStats are the cache's counters. Invalidations counts entries a
+// lookup dropped because their tables changed under them.
 type PlanCacheStats struct {
 	Hits          int64
 	Misses        int64
@@ -113,13 +117,9 @@ type PlanCacheStats struct {
 // parser, analyzer and optimizer entirely; Lookup has the caller validate
 // the entry against its tables before trusting it.
 type PlanCache struct {
-	mu      sync.Mutex
-	lru     *lruCore
-	byTable map[string]map[string]struct{} // "catalog.table" → keys reading it
-	stats   PlanCacheStats
-	// ddl counts InvalidateTable calls: a plan made while one ran may read
-	// the old schema, so PutAt refuses it.
-	ddl uint64
+	mu    sync.Mutex
+	lru   *lruCore
+	stats PlanCacheStats
 }
 
 // NewPlanCache creates a plan cache.
@@ -133,11 +133,7 @@ func NewPlanCache(cfg PlanCacheConfig) *PlanCache {
 	} else if ttl < 0 {
 		ttl = 0
 	}
-	c := &PlanCache{byTable: map[string]map[string]struct{}{}}
-	c.lru = newLRUCore(cfg.MaxEntries, 0, ttl, cfg.Clock, func(key string, val interface{}, _ int64) {
-		c.unindex(key, val.(*PlanEntry))
-	})
-	return c
+	return &PlanCache{lru: newLRUCore(cfg.MaxEntries, 0, ttl, cfg.Clock, nil)}
 }
 
 // Lookup returns the entry for a statement's template: the template plan, or
@@ -187,48 +183,12 @@ func (c *PlanCache) count(hit bool) {
 	}
 }
 
-// Generation returns a count that moves with every InvalidateTable.
-func (c *PlanCache) Generation() uint64 {
+// Put stores an entry under key. Nothing removes it when a table it reads
+// changes: its first lookup after the change drops it.
+func (c *PlanCache) Put(key string, e *PlanEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ddl
-}
-
-// PutAt stores an entry made after Generation returned gen, indexing it by
-// every table it reads for invalidation. It drops the entry if a table was
-// invalidated since: the plan may predate the change.
-func (c *PlanCache) PutAt(gen uint64, key string, e *PlanEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ddl != gen || !c.lru.put(key, e, 1) {
-		return
-	}
-	for _, t := range e.Tables {
-		tk := t[0] + "." + t[1]
-		if c.byTable[tk] == nil {
-			c.byTable[tk] = map[string]struct{}{}
-		}
-		c.byTable[tk][key] = struct{}{}
-	}
-}
-
-// InvalidateTable drops every plan that reads the table; returns the number
-// dropped. Called from the coordinator's DDL hook: a data write leaves plans
-// in place (their validity is checked on each hit).
-func (c *PlanCache) InvalidateTable(catalog, table string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ddl++
-	tk := catalog + "." + table
-	keys := c.byTable[tk]
-	n := 0
-	for key := range keys {
-		if c.lru.remove(key) {
-			n++
-		}
-	}
-	c.stats.Invalidations += int64(n)
-	return n
+	c.lru.put(key, e, 1)
 }
 
 // Clear empties the cache.
@@ -245,18 +205,4 @@ func (c *PlanCache) Stats() PlanCacheStats {
 	s := c.stats
 	s.Entries = c.lru.len()
 	return s
-}
-
-// unindex removes an evicted entry's reverse-index references. Called from
-// the LRU eviction callback with c.mu already held.
-func (c *PlanCache) unindex(key string, e *PlanEntry) {
-	for _, t := range e.Tables {
-		tk := t[0] + "." + t[1]
-		if m := c.byTable[tk]; m != nil {
-			delete(m, key)
-			if len(m) == 0 {
-				delete(c.byTable, tk)
-			}
-		}
-	}
 }

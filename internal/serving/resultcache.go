@@ -72,8 +72,8 @@ type ResultCacheConfig struct {
 	// MaxEntryBytes bounds one result set (default MaxBytes/8): the cache
 	// targets the many-small-repeated-queries workload, not bulk exports.
 	MaxEntryBytes int64
-	// TTL expires entries even without invalidation (default 5m; negative
-	// disables expiry).
+	// TTL expires entries even when their tables do not change (default 5m;
+	// negative disables expiry).
 	TTL time.Duration
 	// Accountant, when non-nil, mirrors admitted/evicted bytes into the node
 	// memory pool under ResultPoolOwner.
@@ -89,17 +89,16 @@ type ResultCacheConfig struct {
 type ResultCacheStats struct {
 	Hits   int64
 	Misses int64
-	// Invalidations counts entries dropped because a table they read
+	// Invalidations counts entries a lookup dropped because a table they read
 	// changed; Restamps counts hits on entries whose tables moved only by
 	// appends none of their scans read.
 	Invalidations int64
 	Restamps      int64
 	Corruptions   int64
 	Rejected      int64 // results too large (or unreservable) to admit
-	// Skipped counts read statements the cache was on for and cannot hold: a
-	// table they read is unversioned (connector.Versioned), or their plan
-	// calls a nondeterministic function. Such a statement executes every
-	// time, and is neither a hit nor a miss.
+	// Skipped counts read statements the cache was on for and cannot hold:
+	// their plan calls a nondeterministic function. Such a statement executes
+	// every time, and is neither a hit nor a miss.
 	Skipped int64
 	Entries int
 	Bytes   int64
@@ -111,11 +110,10 @@ type ResultCacheStats struct {
 // (checksumPages: counts, sizes and each page's first and last row), so a
 // stale or corrupt entry degrades to a miss.
 type ResultCache struct {
-	mu      sync.Mutex
-	cfg     ResultCacheConfig
-	lru     *lruCore
-	byTable map[string]map[string]struct{}
-	stats   ResultCacheStats
+	mu    sync.Mutex
+	cfg   ResultCacheConfig
+	lru   *lruCore
+	stats ResultCacheStats
 }
 
 // NewResultCache creates a result cache.
@@ -131,9 +129,8 @@ func NewResultCache(cfg ResultCacheConfig) *ResultCache {
 	} else if cfg.TTL < 0 {
 		cfg.TTL = 0
 	}
-	c := &ResultCache{cfg: cfg, byTable: map[string]map[string]struct{}{}}
-	c.lru = newLRUCore(0, cfg.MaxBytes, cfg.TTL, cfg.Clock, func(key string, val interface{}, size int64) {
-		c.unindex(key, val.(*ResultEntry))
+	c := &ResultCache{cfg: cfg}
+	c.lru = newLRUCore(0, cfg.MaxBytes, cfg.TTL, cfg.Clock, func(_ string, _ interface{}, size int64) {
 		if cfg.Accountant != nil {
 			cfg.Accountant.Release(size)
 		}
@@ -233,31 +230,7 @@ func (c *ResultCache) Put(key string, columns []string, pages []*block.Page, row
 		c.stats.Rejected++
 		return false
 	}
-	for _, r := range reads {
-		tk := r.Catalog + "." + r.Table
-		if c.byTable[tk] == nil {
-			c.byTable[tk] = map[string]struct{}{}
-		}
-		c.byTable[tk][key] = struct{}{}
-	}
 	return true
-}
-
-// InvalidateTable drops every result derived from the table; returns the
-// number dropped. The check on each lookup already keeps repeat queries
-// fresh; on DDL this frees the dead entries' memory at once.
-func (c *ResultCache) InvalidateTable(catalog, table string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := c.byTable[catalog+"."+table]
-	n := 0
-	for key := range keys {
-		if c.lru.remove(key) {
-			n++
-		}
-	}
-	c.stats.Invalidations += int64(n)
-	return n
 }
 
 // Clear empties the cache, releasing accounted bytes.
@@ -275,18 +248,6 @@ func (c *ResultCache) Stats() ResultCacheStats {
 	s.Entries = c.lru.len()
 	s.Bytes = c.lru.bytes
 	return s
-}
-
-func (c *ResultCache) unindex(key string, e *ResultEntry) {
-	for _, r := range e.reads {
-		tk := r.Catalog + "." + r.Table
-		if m := c.byTable[tk]; m != nil {
-			delete(m, key)
-			if len(m) == 0 {
-				delete(c.byTable, tk)
-			}
-		}
-	}
 }
 
 // MaxEntryBytes reports the per-result admission bound (captures stop

@@ -12,9 +12,9 @@
 //     the parser, analyzer and optimizer; the coordinator binds the
 //     statement's literals into a copy of the plan. Its size (512 plans) and
 //     expiry (5m) are this package's defaults. A plan stays valid while each
-//     table it reads keeps its schema version and stays within RowDrift of
-//     the row count it was planned at: a data write does not replan, DDL
-//     drops the table's plans.
+//     table it reads keeps the schema version it was resolved at and stays
+//     within RowDrift of the row count it was planned at: a data write does
+//     not replan.
 //
 //   - ResultCache (resultcache.go): a byte-bounded LRU over small final
 //     result sets, keyed by the template key and the lifted literals. An
@@ -22,11 +22,16 @@
 //     domain of each scan; it holds while those versions are the same, or
 //     moved only by appends that no scan's domain admits
 //     (connector.AppendLog), and is then re-stamped at the new versions.
-//     Anything else drops it at that lookup; DDL drops a table's results at
-//     once. Entries are charged to the node memory pool as
+//     Entries are charged to the node memory pool as
 //     system memory under ResultPoolOwner and verified by structural checksum
 //     on every hit (corruption degrades to a miss). Its budget (16 MiB, an
 //     eighth of it per entry) and expiry (5m) are this package's defaults.
+//
+// Both follow one freshness rule, the metadata cache's too (internal/cache):
+// every connector versions its tables (connector.Connector.TableVersion,
+// SchemaVersion), each entry holds the versions it read, and a lookup checks
+// them. A change — through the engine or outside it, data or DDL — fails that
+// check and the lookup drops the entry; nothing invalidates entries on write.
 //
 // The coordinator owns a Tier (plan + result caches). Each layer has a switch
 // (exec.DisablePlanCache / DisableResultCache) that a cluster sets for all
@@ -39,23 +44,6 @@ package serving
 type Tier struct {
 	Plans   *PlanCache
 	Results *ResultCache
-}
-
-// InvalidateTable drops every cached plan and result that reads the table.
-// Wired into the coordinator's DDL hook, next to the metadata/split cache
-// invalidation. A data write calls nothing here: it changes rows, not what a
-// plan may assume of them (PlanEntry says how long that holds), and each
-// result is checked against what was written at its next lookup.
-func (t *Tier) InvalidateTable(catalog, table string) {
-	if t == nil {
-		return
-	}
-	if t.Plans != nil {
-		t.Plans.InvalidateTable(catalog, table)
-	}
-	if t.Results != nil {
-		t.Results.InvalidateTable(catalog, table)
-	}
 }
 
 // Clear empties both caches (cold-start for benchmarks and A/B runs).

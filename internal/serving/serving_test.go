@@ -75,53 +75,44 @@ func TestLRUCoreByteBound(t *testing.T) {
 	}
 }
 
+// TestPlanCacheInvalidation: an entry holds the schema versions its tables
+// were resolved at; the first lookup after one of them moves drops it and
+// counts an invalidation, and a plan made at the new versions is served.
 func TestPlanCacheInvalidation(t *testing.T) {
 	clk := newFakeClock()
 	pc := NewPlanCache(PlanCacheConfig{MaxEntries: 8, TTL: time.Minute, Clock: clk.now})
-	e := &PlanEntry{Tables: [][2]string{{"m", "t1"}, {"m", "t2"}}}
 	tm, _ := PlanKey("select * from t1, t2", "m", "df=false")
-	valid := true
+	now := []int64{1, 1} // the schema versions of m.t1 and m.t2
+	valid := func(e *PlanEntry) bool { return slices.Equal(e.Schemas, now) }
 	get := func() bool {
-		_, ok := pc.Lookup(&tm, func(*PlanEntry) bool { return valid })
+		_, ok := pc.Lookup(&tm, valid)
 		return ok
 	}
-	put := func() { pc.PutAt(pc.Generation(), tm.Key, e) }
+	put := func() {
+		pc.Put(tm.Key, &PlanEntry{Tables: [][2]string{{"m", "t1"}, {"m", "t2"}}, Schemas: slices.Clone(now)})
+	}
 	put()
 	if !get() {
 		t.Fatal("fresh entry missing")
 	}
-	if n := pc.InvalidateTable("m", "t2"); n != 1 {
-		t.Fatalf("invalidated %d, want 1", n)
-	}
+	now[1]++ // DDL on m.t2
 	if get() {
-		t.Fatal("entry should be gone after table invalidation")
+		t.Fatal("a plan made at the old schema of m.t2 was served")
 	}
-	// Re-insert, expire by TTL.
+	if st := pc.Stats(); st.Invalidations != 1 || st.Entries != 0 {
+		t.Fatalf("the stale entry was not dropped at its lookup: %+v", st)
+	}
 	put()
+	if !get() {
+		t.Fatal("a plan made at the new schema was not served")
+	}
+	// Expire by TTL.
 	clk.advance(2 * time.Minute)
 	if get() {
 		t.Fatal("entry should have expired")
 	}
-	st := pc.Stats()
-	if st.Hits != 1 || st.Expirations != 1 || st.Invalidations != 1 {
+	if st := pc.Stats(); st.Hits != 2 || st.Expirations != 1 || st.Invalidations != 1 {
 		t.Fatalf("stats = %+v", st)
-	}
-	// Invalidation must also clean the reverse index (no dangling keys).
-	if n := pc.InvalidateTable("m", "t1"); n != 0 {
-		t.Fatalf("stale reverse index: invalidated %d", n)
-	}
-	// An entry its validator rejects is dropped as an invalidation; a plan
-	// made before a table invalidation is not stored.
-	put()
-	valid = false
-	if get() || pc.Stats().Invalidations != 2 || pc.Stats().Entries != 0 {
-		t.Fatalf("a stale entry was served or kept: %+v", pc.Stats())
-	}
-	gen := pc.Generation()
-	pc.InvalidateTable("m", "t1")
-	pc.PutAt(gen, tm.Key, e)
-	if pc.Stats().Entries != 0 {
-		t.Fatal("a plan made before a table invalidation was stored")
 	}
 }
 
@@ -177,12 +168,15 @@ func TestResultCacheRoundTripAndAccounting(t *testing.T) {
 	if !ok || e.Rows != 15 || len(e.Pages) != 2 || e.Columns[0] != "x" {
 		t.Fatalf("get = %+v ok=%v", e, ok)
 	}
-	rc.InvalidateTable("m", "t")
+	// m.t moved: the lookup drops the entry and releases its bytes.
+	if _, ok := rc.Get("k1", stale); ok {
+		t.Fatal("an entry whose table moved was served")
+	}
 	if _, ok := rc.Get("k1", unmoved); ok {
-		t.Fatal("entry survived invalidation")
+		t.Fatal("an entry whose table moved was kept")
 	}
 	if acct.bytes() != 0 {
-		t.Fatalf("accountant holds %d bytes after invalidation", acct.bytes())
+		t.Fatalf("accountant holds %d bytes after the entry was dropped", acct.bytes())
 	}
 	st := rc.Stats()
 	if st.Hits != 1 || st.Invalidations != 1 {
@@ -247,8 +241,10 @@ func TestCaptureCommitAndOverflow(t *testing.T) {
 	}
 }
 
-// unmoved is the Freshness of tables nobody writes.
+// unmoved is the Freshness of tables nobody writes, stale that of tables
+// changed since the stamp.
 func unmoved(_ []TableRead, stamp []int64) ([]int64, bool) { return stamp, true }
+func stale([]TableRead, []int64) ([]int64, bool)           { return nil, false }
 
 // TestResultCacheFreshness: a lookup serves an entry its Freshness holds,
 // re-stamped at the versions that returns, and drops one it rejects.
@@ -276,7 +272,6 @@ func TestResultCacheFreshness(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 
-	stale := func([]TableRead, []int64) ([]int64, bool) { return nil, false }
 	if _, ok := rc.Get("k", stale); ok {
 		t.Fatal("an entry its freshness rejects was served")
 	}

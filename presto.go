@@ -152,8 +152,11 @@ type ClusterConfig struct {
 	//
 	// Deprecated: there is no page cache to size.
 	PageCacheBytes int64
-	// MetadataCacheTTL bounds staleness of the coordinator metadata/split
-	// cache (default 30s; negative disables metadata caching).
+	// MetadataCacheTTL bounds how long the coordinator metadata/split cache
+	// keeps an entry (default 30s; negative disables metadata caching). It
+	// does not keep entries fresh: each key names the version of the table
+	// it describes, so a change to the table, made through the engine or
+	// outside it, is a miss at once.
 	MetadataCacheTTL time.Duration
 	// DisablePlanCache turns off the serving tier's parse→plan cache
 	// cluster-wide.

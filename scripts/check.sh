@@ -257,17 +257,25 @@ echo "==> what a point read pays: byte budgets (no -race: they skip under it) of
 go test -count=1 -v -run 'TestPointReadByteBudget|TestResultHitByteBudget|TestResidentTableScanLine' . | grep -E '^(---|ok|FAIL|panic)|bytes per'
 go test -race -count=1 -run 'TestInsertsMergeIntoTail|TestSplitReadsItsSnapshot' ./internal/connectors/memconn/
 
-echo "==> a cached result outlives the appends its scans could not read"
+echo "==> a cached result outlives the appends its scans could not read; every cache checks the versions it read"
 # Seeded INSERT streams (single and multi-row, hot, cold and NULL keys, an
 # INSERT ... SELECT, a DROP/CREATE) between point, IN-list, range, IS NULL,
-# unconstrained and join reads: every answer equals the DisableResultCache
-# one, some from re-stamped entries. A write still reaches every reader that
-# must see it, and identifiers keep their spelling in the plan key. The
-# same stream against a sharded-MySQL table, whose reads are cached through
-# its binlog versions, answers as a cluster with the result cache off. All
+# point-or-NULL, unconstrained and join reads, over memory, raptor and a hive
+# lake (where a data file is also rewritten outside the engine): every answer
+# equals the DisableResultCache one, some from re-stamped entries. A write
+# still reaches every reader that must see it, and identifiers keep their
+# spelling in the plan key. The same stream against a sharded-MySQL table,
+# whose reads are cached through its binlog versions, answers as a cluster
+# with the result cache off. A table changed through a connector's own API,
+# or a file written into the lake, is seen through warm plan and metadata
+# caches; a DDL statement that races a plan fails the plan's first lookup;
+# IS NULL constrains the scan, and contradictory points read nothing. Every
+# writable connector's versions move as the conformance suite says. All
 # under -race.
-go test -race -count=1 -run 'TestResultCacheAppendsDifferential|TestResultCacheShardSQLDifferential|TestServingResultCacheInvalidation|TestServingConcurrentWriteWhileRead|TestPlanKeyKeepsIdentifierSpelling' .
-go test -race -count=1 ./internal/connector/ ./internal/serving/
+go test -race -count=1 -run 'TestResultCacheAppendsDifferential|TestResultCacheShardSQLDifferential|TestServingResultCacheInvalidation|TestServingConcurrentWriteWhileRead|TestPlanKeyKeepsIdentifierSpelling|TestCachesSeeConnectorChanges|TestIsNullConstrainsTheScan|TestContradictoryPointsReadNothing' .
+go test -race -count=1 ./internal/connector/ ./internal/serving/ ./internal/cache/
+go test -race -count=1 -run 'TestDDLDuringPlanningFailsTheFirstLookup|TestWriteInvalidatesOnlyItsTable' ./internal/coordinator/
+go test -race -count=1 -run 'TestConformance|TestConcurrentSinksFoldStats|TestRewrittenFileMissesItsFooter' ./internal/connectors/...
 # shardsql's write batches commit, rows and version together, while its
 # scans, index lookups and version reads run.
 go test -race -count=10 -run 'TestConcurrentWritesAndReads' ./internal/connectors/shardsql/
