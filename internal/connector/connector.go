@@ -4,9 +4,16 @@
 // data layouts — partitioning, sorting, and index properties the optimizer
 // uses to elide shuffles, select indexed access paths, and push predicates
 // down (§IV-C1).
+//
+// Catalog is the table catalog the in-process connectors share: it holds
+// their tables, the lock over them, and the VersionLog. A table's versions
+// move there, under the catalog's write lock, in the critical section that
+// makes the change they count.
 package connector
 
 import (
+	"fmt"
+
 	"repro/internal/block"
 	"repro/internal/plan"
 	"repro/internal/types"
@@ -33,6 +40,29 @@ func (t *TableMeta) ColumnIndex(name string) int {
 		}
 	}
 	return -1
+}
+
+// Resolve returns the positions and types of the named columns, in order, or
+// an error naming the first the table does not have.
+func (t *TableMeta) Resolve(names []string) ([]int, []types.Type, error) {
+	idx := make([]int, len(names))
+	ts := make([]types.Type, len(names))
+	for i, name := range names {
+		if idx[i] = t.ColumnIndex(name); idx[i] < 0 {
+			return nil, nil, fmt.Errorf("column %q does not exist in %s", name, t.Name)
+		}
+		ts[i] = t.Columns[idx[i]].T
+	}
+	return idx, ts, nil
+}
+
+// Types returns the types of the table's columns, in order.
+func (t *TableMeta) Types() []types.Type {
+	ts := make([]types.Type, len(t.Columns))
+	for i, c := range t.Columns {
+		ts[i] = c.T
+	}
+	return ts
 }
 
 // Layout describes one physical organization of a table's data

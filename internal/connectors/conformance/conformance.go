@@ -1,9 +1,10 @@
 // Package conformance provides a reusable test harness asserting that a
 // connector implements the Connector API contract: metadata consistency,
 // split enumeration that covers the whole table exactly once, column
-// projection, and (when supported) the write path and how writes and DDL
-// move the connector's versions. Every bundled connector runs this suite from
-// its own tests.
+// projection, and (when supported) the write path, how writes and DDL move
+// the connector's versions, and reads by key that must tell NULL from the
+// VARCHAR 'NULL' and read nothing of an empty range. Every bundled connector
+// runs this suite from its own tests.
 package conformance
 
 import (
@@ -41,6 +42,7 @@ func Run(t *testing.T, h Harness) {
 	if h.Writable {
 		t.Run("WriteRoundTrip", func(t *testing.T) { h.writeRoundTrip(t) })
 		t.Run("Versioning", func(t *testing.T) { h.versioning(t) })
+		t.Run("Keys", func(t *testing.T) { h.keys(t) })
 	}
 }
 
@@ -374,4 +376,101 @@ func (h Harness) versioning(t *testing.T) {
 			t.Error("the append log reaches back across a DROP and CREATE")
 		}
 	}
+}
+
+// keys writes four VARCHAR keys — 'a', the empty string, 'NULL' and NULL —
+// and reads them back: a full scan sees all four (NULL and 'NULL' are two
+// keys, so neither write replaces the other); a point read of 'NULL', and an
+// index probe where the connector has one, finds its row once and, where the
+// connector enforces the constraint, only it; and where it enforces the empty
+// range 'b' < k < 'a' it returns no row.
+func (h Harness) keys(t *testing.T) {
+	name := "conformance_key_test"
+	cols := []connector.Column{{Name: "k", T: types.Varchar}, {Name: "v", T: types.Bigint}}
+	if err := h.Conn.CreateTable(name, cols); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	defer h.Conn.DropTable(name)
+	sink, err := h.Conn.PageSink(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Append(block.NewPage(
+		block.NewVarcharBlock([]string{"a", "", "NULL", ""}, []bool{false, false, false, true}),
+		block.NewLongBlock([]int64{1, 2, 3, 4}, nil),
+	)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sink.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if vs, _ := h.readKeys(t, name, nil); len(vs) != 4 {
+		t.Errorf("a full scan read v %v, want the four rows written", vs)
+	}
+
+	point := &plan.ColumnDomain{T: types.Varchar, Points: []types.Value{types.VarcharValue("NULL")}}
+	vs, enforced := h.readKeys(t, name, point)
+	found := 0
+	for _, v := range vs {
+		if v == 3 {
+			found++
+		}
+	}
+	if found != 1 || enforced && len(vs) != 1 {
+		t.Errorf("k = 'NULL' read v %v (constraint enforced: %v), want the row of v = 3 once", vs, enforced)
+	}
+	if ix, ok := h.Conn.(connector.Indexed); ok {
+		if l, ok := ix.Index(name, []string{"k"}, []string{"v"}); ok {
+			p, err := l.Lookup([]types.Value{types.VarcharValue("NULL")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p == nil || p.RowCount() != 1 || p.Col(0).Long(0) != 3 {
+				t.Errorf("an index probe of 'NULL' returned %v, want the row of v = 3", p)
+			}
+		}
+	}
+
+	above := types.VarcharValue("b")
+	below := types.VarcharValue("a")
+	empty := (&plan.ColumnDomain{T: types.Varchar, Ranges: []plan.Range{{Lo: &above}}}).
+		Intersect(&plan.ColumnDomain{T: types.Varchar, Ranges: []plan.Range{{Hi: &below}}})
+	if vs, enforced := h.readKeys(t, name, empty); enforced && len(vs) != 0 {
+		t.Errorf("'b' < k < 'a' read v %v, want no row", vs)
+	}
+}
+
+// readKeys reads column v of the key table under a constraint on k (nil:
+// none), and reports whether the connector enforces it.
+func (h Harness) readKeys(t *testing.T, table string, cd *plan.ColumnDomain) (vs []int64, enforced bool) {
+	t.Helper()
+	handle := plan.TableHandle{Catalog: h.Conn.Name(), Table: table}
+	if cd != nil {
+		handle.Constraint = &plan.Domain{Columns: map[string]*plan.ColumnDomain{"k": cd}}
+		if p, ok := h.Conn.(connector.PushdownCapable); ok {
+			for _, col := range p.ApplyPushdown(table, handle.Constraint) {
+				enforced = enforced || col == "k"
+			}
+		}
+	}
+	for _, s := range allSplits(t, h.Conn, handle) {
+		ps, err := h.Conn.PageSource(s, []string{"v"}, handle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			p, err := ps.NextPage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p == nil {
+				break
+			}
+			for r := 0; r < p.RowCount(); r++ {
+				vs = append(vs, p.Col(0).Long(r))
+			}
+		}
+		ps.Close()
+	}
+	return vs, enforced
 }

@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/block"
@@ -49,24 +48,19 @@ type Config struct {
 	MetadataTTL time.Duration
 }
 
-// Connector is a directory-lake catalog.
+// Connector is a directory-lake catalog. Its catalog moves a table's schema
+// version on the connector's own DDL, and its data version on each file the
+// connector writes and whenever TableVersion finds the table's files differ
+// from those it last saw, so a file another program writes moves it too. It
+// keeps no append log.
 type Connector struct {
-	name  string
+	*connector.Catalog[*tableInfo]
 	cfg   Config
 	clock Clock
 	// meta caches decoded file footers keyed by path+mtime+size, fixing the
 	// per-query footer re-decode (every PageSource open and every stats
 	// refresh used to re-read the footer from disk).
 	meta *cache.MetaCache
-
-	mu     sync.RWMutex
-	tables map[string]*tableInfo
-	// versions moves under mu's write lock: a table's schema version on the
-	// connector's own DDL, its data version on each file the connector writes
-	// and whenever TableVersion finds the table's files differ from those it
-	// last saw, so a file another program writes moves it too. It keeps no
-	// append log.
-	versions connector.VersionLog
 }
 
 type tableInfo struct {
@@ -78,6 +72,8 @@ type tableInfo struct {
 	// them (listDataFiles).
 	listing uint64
 }
+
+func (t *tableInfo) Meta() *connector.TableMeta { return &t.meta }
 
 // New creates (and scans) a hive connector over cfg.Dir.
 func New(name string, cfg Config) (*Connector, error) {
@@ -91,7 +87,7 @@ func New(name string, cfg Config) (*Connector, error) {
 	if clock == nil {
 		clock = wallClock
 	}
-	c := &Connector{name: name, cfg: cfg, clock: clock, tables: map[string]*tableInfo{}}
+	c := &Connector{Catalog: connector.NewCatalog[*tableInfo](name), cfg: cfg, clock: clock}
 	ttl := cfg.MetadataTTL
 	if ttl == 0 {
 		ttl = time.Minute
@@ -150,13 +146,8 @@ func (c *Connector) rescan() error {
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		if _, ok := c.tables[e.Name()]; ok {
+		if !e.IsDir() || c.Check(e.Name()) == nil {
 			continue
 		}
 		info, err := c.loadTableInfo(e.Name())
@@ -164,7 +155,7 @@ func (c *Connector) rescan() error {
 			return fmt.Errorf("scanning table %s: %w", e.Name(), err)
 		}
 		if info != nil {
-			c.tables[e.Name()] = info
+			c.Discover(e.Name(), info)
 		}
 	}
 	return nil
@@ -262,42 +253,23 @@ func partitionValues(tableDir, path string) map[string]string {
 	return out
 }
 
-// Name implements connector.Connector.
-func (c *Connector) Name() string { return c.name }
-
-// Tables implements the Metadata API.
+// Tables implements the Metadata API, after a rescan of the lake.
 func (c *Connector) Tables() []string {
 	c.rescan()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.tables))
-	for n := range c.tables {
-		out = append(out, n)
-	}
-	return out
+	return c.Catalog.Tables()
 }
 
-// Table implements the Metadata API.
+// Table implements the Metadata API, after a rescan of the lake.
 func (c *Connector) Table(name string) *connector.TableMeta {
 	c.rescan()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	t, ok := c.tables[name]
-	if !ok {
-		return nil
-	}
-	meta := t.meta
-	return &meta
+	return c.Catalog.Table(name)
 }
 
 // Stats implements the Metadata API.
 func (c *Connector) Stats(name string) connector.TableStats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if t, ok := c.tables[name]; ok {
-		return t.stats
-	}
-	return connector.NoStats
+	stats := connector.NoStats
+	c.Read(name, func(t *tableInfo) error { stats = t.stats; return nil })
+	return stats
 }
 
 // TableVersion implements connector.Connector. It lists the table's files,
@@ -305,20 +277,14 @@ func (c *Connector) Stats(name string) connector.TableStats {
 // seen (or cannot be taken).
 func (c *Connector) TableVersion(name string) int64 {
 	_, _, listing, err := listDataFiles(filepath.Join(c.cfg.Dir, name))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t := c.tables[name]; t != nil && (err != nil || listing != t.listing) {
-		t.listing = listing
-		c.versions.Changed(name)
-	}
-	return c.versions.TableVersion(name)
-}
-
-// SchemaVersion implements connector.Connector.
-func (c *Connector) SchemaVersion(name string) int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.versions.SchemaVersion(name)
+	c.Write(name, func(t *tableInfo, v *connector.VersionLog) error {
+		if err != nil || listing != t.listing {
+			t.listing = listing
+			v.Changed(name)
+		}
+		return nil
+	})
+	return c.Catalog.TableVersion(name)
 }
 
 // split is one orcish file (or file section) plus its partition values.
@@ -337,11 +303,8 @@ func (s *split) EstimatedRows() int64  { return s.rows }
 // Splits implements the Data Location API: files are enumerated lazily and
 // whole partitions pruned against the pushed-down constraint.
 func (c *Connector) Splits(handle plan.TableHandle) (connector.SplitSource, error) {
-	c.mu.RLock()
-	info, ok := c.tables[handle.Table]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("table %s.%s does not exist", c.name, handle.Table)
+	if err := c.Check(handle.Table); err != nil {
+		return nil, err
 	}
 	tableDir := filepath.Join(c.cfg.Dir, handle.Table)
 	files, _, _, err := listDataFiles(tableDir)
@@ -353,7 +316,6 @@ func (c *Connector) Splits(handle plan.TableHandle) (connector.SplitSource, erro
 		handle:   handle,
 		tableDir: tableDir,
 		files:    files,
-		info:     info,
 	}, nil
 }
 
@@ -364,7 +326,6 @@ type lazySplitSource struct {
 	handle   plan.TableHandle
 	tableDir string
 	files    []string
-	info     *tableInfo
 	pos      int
 }
 
@@ -378,7 +339,7 @@ func (s *lazySplitSource) NextBatch(max int) (connector.SplitBatch, error) {
 			continue
 		}
 		out = append(out, &split{
-			catalog:  s.c.name,
+			catalog:  s.c.Name(),
 			table:    s.handle.Table,
 			path:     path,
 			partVals: pv,
@@ -416,16 +377,16 @@ func (c *Connector) PageSource(sp connector.Split, columns []string, handle plan
 	if !ok {
 		return nil, fmt.Errorf("foreign split type %T", sp)
 	}
-	c.mu.RLock()
-	info := c.tables[hs.table]
-	c.mu.RUnlock()
-	if info == nil {
-		return nil, fmt.Errorf("table %s.%s does not exist", c.name, hs.table)
-	}
 	// Separate file columns from partition columns.
 	partSet := map[string]bool{}
-	for _, pc := range info.partCols {
-		partSet[pc] = true
+	err := c.Read(hs.table, func(t *tableInfo) error {
+		for _, pc := range t.partCols {
+			partSet[pc] = true
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	var fileCols []string
 	var layout []int // output position → (file col ordinal | -1-partIdx)
@@ -532,14 +493,11 @@ func (c *Connector) CreateTable(name string, columns []connector.Column) error {
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	c.tables[name] = &tableInfo{
+	c.Replace(name, &tableInfo{
 		meta:    connector.TableMeta{Name: name, Columns: columns},
 		stats:   statsFor(c.cfg.CollectStats),
 		listing: listing,
-	}
-	c.versions.SchemaChanged(name)
-	c.mu.Unlock()
+	})
 	return nil
 }
 
@@ -550,12 +508,11 @@ func statsFor(collect bool) connector.TableStats {
 	return connector.NoStats
 }
 
-// DropTable removes the table directory.
+// DropTable removes the table and its directory.
 func (c *Connector) DropTable(name string) error {
-	c.mu.Lock()
-	delete(c.tables, name)
-	c.versions.SchemaChanged(name)
-	c.mu.Unlock()
+	if err := c.Catalog.DropTable(name); err != nil {
+		return err
+	}
 	return os.RemoveAll(filepath.Join(c.cfg.Dir, name))
 }
 
@@ -565,15 +522,15 @@ func (c *Connector) DropTable(name string) error {
 // Finish, so no scan — not the one an INSERT … SELECT of the table itself
 // runs — lists a file still being written.
 func (c *Connector) PageSink(table string) (connector.PageSink, error) {
-	c.mu.RLock()
-	info, ok := c.tables[table]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("table %s.%s does not exist", c.name, table)
-	}
-	cms := make([]orcish.ColumnMeta, len(info.meta.Columns))
-	for i, col := range info.meta.Columns {
-		cms[i] = orcish.ColumnMeta{Name: col.Name, T: col.T}
+	var cms []orcish.ColumnMeta
+	err := c.Read(table, func(t *tableInfo) error {
+		for _, col := range t.meta.Columns {
+			cms = append(cms, orcish.ColumnMeta{Name: col.Name, T: col.T})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	f, err := os.CreateTemp(filepath.Join(c.cfg.Dir, table), "part-*.orcish"+writingSuffix)
 	if err != nil {
@@ -619,26 +576,23 @@ func (s *pageSink) Finish() (int64, error) {
 	if statErr == nil {
 		s.c.meta.Put("footer/"+fileID(path, fi), footer)
 	}
-	s.c.mu.Lock()
-	defer s.c.mu.Unlock()
-	info, ok := s.c.tables[s.table]
-	if !ok {
-		return s.rows, nil
-	}
-	if statErr == nil {
-		info.listing += listingTerm(path, fi)
-	}
-	s.c.versions.Changed(s.table)
-	if s.c.cfg.CollectStats {
-		// Stats hands out the map; the folded one is a copy.
-		stats := info.stats
-		stats.ColumnNDV = maps.Clone(stats.ColumnNDV)
-		if stats.ColumnNDV == nil {
-			stats.ColumnNDV = map[string]int64{}
+	s.c.Write(s.table, func(info *tableInfo, v *connector.VersionLog) error {
+		if statErr == nil {
+			info.listing += listingTerm(path, fi)
 		}
-		addFileStats(&stats, footer)
-		info.stats = stats
-	}
+		v.Changed(s.table)
+		if s.c.cfg.CollectStats {
+			// Stats hands out the map; the folded one is a copy.
+			stats := info.stats
+			stats.ColumnNDV = maps.Clone(stats.ColumnNDV)
+			if stats.ColumnNDV == nil {
+				stats.ColumnNDV = map[string]int64{}
+			}
+			addFileStats(&stats, footer)
+			info.stats = stats
+		}
+		return nil
+	})
 	return s.rows, nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
-	"sync"
 
 	"repro/internal/block"
 	"repro/internal/connector"
@@ -16,15 +15,11 @@ import (
 	"repro/internal/types"
 )
 
-// Connector is an in-memory catalog.
+// Connector is an in-memory catalog. Its catalog moves a table's schema
+// version on CreateTable, DropTable and LoadTable and its data version on
+// every append.
 type Connector struct {
-	name string
-
-	mu     sync.RWMutex
-	tables map[string]*table
-	// versions moves a table's schema version on CreateTable, DropTable and
-	// LoadTable and its data version on every append, under mu's write lock.
-	versions connector.VersionLog
+	connector.AppendCatalog[*table]
 	// SplitsPerTable controls how many splits a scan enumerates (default 4).
 	SplitsPerTable int
 }
@@ -41,131 +36,52 @@ type table struct {
 	dicts []block.Block
 }
 
+func (t *table) Meta() *connector.TableMeta { return &t.meta }
+
 // New creates an empty in-memory catalog with the given name.
 func New(name string) *Connector {
-	return &Connector{name: name, tables: map[string]*table{}, SplitsPerTable: 4}
-}
-
-// Name implements connector.Connector.
-func (c *Connector) Name() string { return c.name }
-
-// Tables implements the Metadata API.
-func (c *Connector) Tables() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.tables))
-	for n := range c.tables {
-		out = append(out, n)
-	}
-	return out
-}
-
-// Table implements the Metadata API.
-func (c *Connector) Table(name string) *connector.TableMeta {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	t, ok := c.tables[name]
-	if !ok {
-		return nil
-	}
-	meta := t.meta
-	return &meta
-}
-
-// TableVersion implements connector.Connector.
-func (c *Connector) TableVersion(name string) int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.versions.TableVersion(name)
-}
-
-// SchemaVersion implements connector.Connector.
-func (c *Connector) SchemaVersion(name string) int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.versions.SchemaVersion(name)
-}
-
-// Appends implements connector.AppendLog.
-func (c *Connector) Appends(name string, since int64, visit func(*connector.AppendSummary) bool) (int64, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.versions.Appends(name, since, visit)
+	return &Connector{AppendCatalog: connector.NewAppendCatalog[*table](name), SplitsPerTable: 4}
 }
 
 // Stats implements the Metadata API. Statistics are computed on load.
 func (c *Connector) Stats(name string) connector.TableStats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	t, ok := c.tables[name]
-	if !ok {
-		return connector.NoStats
-	}
-	return t.stats
+	stats := connector.NoStats
+	c.Read(name, func(t *table) error { stats = t.stats; return nil })
+	return stats
 }
 
 // CreateTable implements DDL.
 func (c *Connector) CreateTable(name string, columns []connector.Column) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := c.tables[name]; exists {
-		return fmt.Errorf("table %s.%s already exists", c.name, name)
-	}
-	c.tables[name] = &table{
+	return c.Create(name, &table{
 		meta:  connector.TableMeta{Name: name, Columns: columns},
 		stats: connector.TableStats{RowCount: 0, ColumnNDV: map[string]int64{}},
-	}
-	c.versions.SchemaChanged(name)
-	return nil
-}
-
-// DropTable implements DDL.
-func (c *Connector) DropTable(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := c.tables[name]; !exists {
-		return fmt.Errorf("table %s.%s does not exist", c.name, name)
-	}
-	delete(c.tables, name)
-	c.versions.SchemaChanged(name)
-	return nil
+	})
 }
 
 // LoadTable registers a table with data, computing statistics.
 func (c *Connector) LoadTable(name string, columns []connector.Column, pages []*block.Page) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	t := &table{meta: connector.TableMeta{Name: name, Columns: columns}}
 	t.pages = t.encodeLowCardinality(pages)
 	t.foldStats(t.pages)
-	c.tables[name] = t
-	c.versions.SchemaChanged(name)
+	c.Replace(name, t)
 }
 
 // AppendRows adds boxed rows to an existing table (used by examples).
 func (c *Connector) AppendRows(name string, rows [][]types.Value) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t, ok := c.tables[name]
-	if !ok {
-		return fmt.Errorf("table %s.%s does not exist", c.name, name)
-	}
-	ts := make([]types.Type, len(t.meta.Columns))
-	for i, col := range t.meta.Columns {
-		ts[i] = col.T
-	}
-	b := block.NewPageBuilder(ts)
-	for _, r := range rows {
-		b.AppendRow(r)
-	}
-	c.append(name, t, []*block.Page{b.Build()})
-	return nil
+	return c.Write(name, func(t *table, v *connector.VersionLog) error {
+		b := block.NewPageBuilder(t.meta.Types())
+		for _, r := range rows {
+			b.AppendRow(r)
+		}
+		t.append(name, v, []*block.Page{b.Build()})
+		return nil
+	})
 }
 
-// append publishes pages at t's tail and moves its data version; the caller
-// holds c.mu's write lock.
-func (c *Connector) append(name string, t *table, pages []*block.Page) {
-	c.versions.Appended(name, connector.SummarizeAppend(t.meta.Columns, pages))
+// append publishes pages at the table's tail and moves its data version; the
+// caller holds the catalog's write lock.
+func (t *table) append(name string, v *connector.VersionLog, pages []*block.Page) {
+	v.Appended(name, connector.SummarizeAppend(t.meta.Columns, pages))
 	t.appendPages(pages)
 	t.foldStats(pages)
 }
@@ -360,61 +276,26 @@ func (s *split) EstimatedRows() int64  { return s.rows }
 // enumeration: a concurrent writer's Finish swaps the pages slice, and split
 // ranges must come from one consistent snapshot.
 func (c *Connector) Splits(handle plan.TableHandle) (connector.SplitSource, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	t, ok := c.tables[handle.Table]
-	if !ok {
-		return nil, fmt.Errorf("table %s.%s does not exist", c.name, handle.Table)
-	}
-	n := c.SplitsPerTable
-	if n <= 0 {
-		n = 4
-	}
 	var splits []connector.Split
-	total := len(t.pages)
-	if total == 0 {
-		return &sliceSplitSource{}, nil
-	}
-	per := (total + n - 1) / n
-	for from := 0; from < total; from += per {
-		to := from + per
-		if to > total {
-			to = total
+	err := c.Read(handle.Table, func(t *table) error {
+		n := c.SplitsPerTable
+		if n <= 0 {
+			n = 4
 		}
-		var rows int64
-		for _, p := range t.pages[from:to] {
-			rows += int64(p.RowCount())
+		total := len(t.pages)
+		per := (total + n - 1) / n
+		for from := 0; from < total; from += per {
+			to := min(from+per, total)
+			var rows int64
+			for _, p := range t.pages[from:to] {
+				rows += int64(p.RowCount())
+			}
+			splits = append(splits, &split{catalog: c.Name(), table: handle.Table, from: from, to: to, rows: rows,
+				tbl: t, pages: t.pages[from:to]})
 		}
-		splits = append(splits, &split{catalog: c.name, table: handle.Table, from: from, to: to, rows: rows,
-			tbl: t, pages: t.pages[from:to]})
-	}
-	return &sliceSplitSource{splits: splits}, nil
-}
-
-// sliceSplitSource enumerates a fixed split list in batches.
-type sliceSplitSource struct {
-	splits []connector.Split
-	pos    int
-}
-
-func (s *sliceSplitSource) NextBatch(max int) (connector.SplitBatch, error) {
-	end := s.pos + max
-	if end > len(s.splits) {
-		end = len(s.splits)
-	}
-	b := connector.SplitBatch{Splits: s.splits[s.pos:end], Done: end == len(s.splits)}
-	s.pos = end
-	return b, nil
-}
-
-func (s *sliceSplitSource) Close() {}
-
-// pageSource replays the split's pages with the requested columns.
-type pageSource struct {
-	pages []*block.Page
-	cols  []int
-	pos   int
-	bytes int64
+		return nil
+	})
+	return connector.ListSplits(splits), err
 }
 
 // PageSource implements the Data Source API. A split enumerated by this
@@ -429,51 +310,23 @@ func (c *Connector) PageSource(s connector.Split, columns []string, handle plan.
 	}
 	t, pages := ms.tbl, ms.pages
 	if t == nil {
-		c.mu.RLock()
-		if t, ok = c.tables[ms.table]; ok {
+		err := c.Read(ms.table, func(stored *table) error {
 			// A range computed against another version can out-range a table
 			// that was dropped and recreated smaller; clamp rather than panic.
-			to := min(ms.to, len(t.pages))
-			pages = t.pages[min(ms.from, to):to]
-		}
-		c.mu.RUnlock()
-		if !ok {
-			return nil, fmt.Errorf("table %s.%s does not exist", c.name, ms.table)
+			to := min(ms.to, len(stored.pages))
+			t, pages = stored, stored.pages[min(ms.from, to):to]
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
-	cols := make([]int, len(columns))
-	for i, name := range columns {
-		idx := t.meta.ColumnIndex(name)
-		if idx < 0 {
-			return nil, fmt.Errorf("column %q does not exist in %s", name, ms.table)
-		}
-		cols[i] = idx
+	cols, _, err := t.meta.Resolve(columns)
+	if err != nil {
+		return nil, err
 	}
-	return &pageSource{pages: pages, cols: cols}, nil
+	return connector.ReadPages(pages, cols), nil
 }
-
-func (p *pageSource) NextPage() (*block.Page, error) {
-	if p.pos >= len(p.pages) {
-		return nil, nil
-	}
-	src := p.pages[p.pos]
-	p.pos++
-	if len(p.cols) == 0 {
-		out := block.NewEmptyPage(src.RowCount())
-		p.bytes += out.SizeBytes()
-		return out, nil
-	}
-	cols := make([]block.Block, len(p.cols))
-	for i, c := range p.cols {
-		cols[i] = src.Col(c)
-	}
-	out := block.NewPage(cols...)
-	p.bytes += out.SizeBytes()
-	return out, nil
-}
-
-func (p *pageSource) BytesRead() int64 { return p.bytes }
-func (p *pageSource) Close()           {}
 
 // pageSink buffers pages and commits them to the table.
 type pageSink struct {
@@ -484,14 +337,11 @@ type pageSink struct {
 }
 
 // PageSink implements the Data Sink API.
-func (c *Connector) PageSink(table string) (connector.PageSink, error) {
-	c.mu.RLock()
-	_, ok := c.tables[table]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("table %s.%s does not exist", c.name, table)
+func (c *Connector) PageSink(name string) (connector.PageSink, error) {
+	if err := c.Check(name); err != nil {
+		return nil, err
 	}
-	return &pageSink{c: c, table: table}, nil
+	return &pageSink{c: c, table: name}, nil
 }
 
 func (s *pageSink) Append(p *block.Page) error {
@@ -501,13 +351,13 @@ func (s *pageSink) Append(p *block.Page) error {
 }
 
 func (s *pageSink) Finish() (int64, error) {
-	s.c.mu.Lock()
-	defer s.c.mu.Unlock()
-	t, ok := s.c.tables[s.table]
-	if !ok {
-		return 0, fmt.Errorf("table %s.%s vanished during write", s.c.name, s.table)
+	err := s.c.Write(s.table, func(t *table, v *connector.VersionLog) error {
+		t.append(s.table, v, s.pages)
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	s.c.append(s.table, t, s.pages)
 	return s.rows, nil
 }
 
@@ -540,5 +390,5 @@ func (c *Connector) DecodeSplit(data []byte) (connector.Split, error) {
 	if ws.From < 0 || ws.To < ws.From {
 		return nil, fmt.Errorf("memconn: decode split: bad page range [%d,%d)", ws.From, ws.To)
 	}
-	return &split{catalog: c.name, table: ws.Table, from: ws.From, to: ws.To, rows: ws.Rows}, nil
+	return &split{catalog: c.Name(), table: ws.Table, from: ws.From, to: ws.To, rows: ws.Rows}, nil
 }

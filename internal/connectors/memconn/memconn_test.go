@@ -27,6 +27,12 @@ func loaded(t *testing.T) *Connector {
 	return c
 }
 
+// storedTable returns the named table as the connector holds it.
+func storedTable(c *Connector, name string) (out *table) {
+	c.Read(name, func(t *table) error { out = t; return nil })
+	return out
+}
+
 func TestConformance(t *testing.T) {
 	conformance.Run(t, conformance.Harness{Conn: loaded(t), Table: "t", Rows: 100, Writable: true})
 }
@@ -194,7 +200,7 @@ func TestLoadTableEncodesLowCardinality(t *testing.T) {
 	}
 	c := New("mem")
 	c.LoadTable("t", columns, in)
-	stored := c.tables["t"].pages
+	stored := storedTable(c, "t").pages
 	if len(stored) != pages {
 		t.Fatalf("%d pages stored, want %d", len(stored), pages)
 	}

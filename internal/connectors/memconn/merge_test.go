@@ -142,12 +142,12 @@ func TestInsertsMergeIntoTail(t *testing.T) {
 	loaded := full.Build()
 	c := New("mem")
 	c.LoadTable("events", eventColumns, []*block.Page{loaded})
-	stored := c.tables["events"].pages[0] // loaded, its string column under the table's dictionary
+	stored := storedTable(c, "events").pages[0] // loaded, its string column under the table's dictionary
 	const inserts = 1000
 	for i := mergeTarget; i < mergeTarget+inserts; i++ {
 		insertRow(t, c, "events", i)
 		small := 0
-		for _, p := range c.tables["events"].pages {
+		for _, p := range storedTable(c, "events").pages {
 			if p.RowCount() < mergeTarget {
 				small++
 			}
@@ -156,7 +156,7 @@ func TestInsertsMergeIntoTail(t *testing.T) {
 			t.Fatalf("after %d inserts the table holds %d pages below %d rows, want <= 13", i-mergeTarget+1, small, mergeTarget)
 		}
 	}
-	tbl := c.tables["events"]
+	tbl := storedTable(c, "events")
 	if tbl.pages[0] != stored {
 		t.Error("the loaded full page was copied")
 	}

@@ -12,7 +12,6 @@ package raptor
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/block"
 	"repro/internal/connector"
@@ -21,16 +20,11 @@ import (
 	"repro/internal/types"
 )
 
-// Connector is a shared-nothing bucketed store.
+// Connector is a shared-nothing bucketed store. Its catalog's versions move
+// with the rows, schemas and indexes they count.
 type Connector struct {
-	name  string
+	connector.AppendCatalog[*table]
 	nodes int
-
-	mu     sync.RWMutex
-	tables map[string]*table
-	// versions moves with the rows, schemas and indexes it counts, under mu's
-	// write lock.
-	versions connector.VersionLog
 }
 
 type table struct {
@@ -40,8 +34,10 @@ type table struct {
 	buckets   [][]*block.Page // bucket → pages
 	stats     connector.TableStats
 	// index maps indexed column value → rows, per indexed column.
-	indexes map[string]map[string][]rowRef
+	indexes map[string]map[connector.Key][]rowRef
 }
+
+func (t *table) Meta() *connector.TableMeta { return &t.meta }
 
 type rowRef struct {
 	bucket, page, row int
@@ -49,102 +45,73 @@ type rowRef struct {
 
 // New creates a raptor catalog distributing buckets across n nodes.
 func New(name string, nodes int) *Connector {
-	if nodes <= 0 {
-		nodes = 1
-	}
-	return &Connector{name: name, nodes: nodes, tables: map[string]*table{}}
+	return &Connector{AppendCatalog: connector.NewAppendCatalog[*table](name), nodes: max(nodes, 1)}
 }
-
-// Name implements connector.Connector.
-func (c *Connector) Name() string { return c.name }
 
 // CreateBucketedTable registers a table bucketed on bucketCol with the given
 // bucket count. Data loads through LoadRows/PageSink.
 func (c *Connector) CreateBucketedTable(name string, columns []connector.Column, bucketCol string, buckets int) error {
-	idx := -1
-	for i, col := range columns {
-		if col.Name == bucketCol {
-			idx = i
-		}
-	}
-	if idx < 0 {
-		return fmt.Errorf("bucket column %q not in schema", bucketCol)
-	}
-	layout := connector.Layout{
+	meta := connector.TableMeta{Name: name, Columns: columns, Layouts: []connector.Layout{{
 		Name:          "bucketed",
 		PartitionCols: []string{bucketCol},
 		BucketCount:   buckets,
 		NodeLocal:     true,
+	}}}
+	idx := meta.ColumnIndex(bucketCol)
+	if idx < 0 {
+		return fmt.Errorf("bucket column %q not in schema", bucketCol)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := c.tables[name]; exists {
-		return fmt.Errorf("table %s.%s already exists", c.name, name)
-	}
-	c.versions.SchemaChanged(name)
-	c.tables[name] = &table{
-		meta:      connector.TableMeta{Name: name, Columns: columns, Layouts: []connector.Layout{layout}},
+	return c.Create(name, &table{
+		meta:      meta,
 		bucketCol: bucketCol,
 		bucketIdx: idx,
 		buckets:   make([][]*block.Page, buckets),
 		stats:     connector.TableStats{RowCount: 0, ColumnNDV: map[string]int64{}},
-		indexes:   map[string]map[string][]rowRef{},
-	}
-	return nil
+		indexes:   map[string]map[connector.Key][]rowRef{},
+	})
 }
 
 // CreateIndex builds a point-lookup index on column (enabling index joins).
 func (c *Connector) CreateIndex(tableName, column string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t, ok := c.tables[tableName]
-	if !ok {
-		return fmt.Errorf("table %s.%s does not exist", c.name, tableName)
-	}
-	ci := t.meta.ColumnIndex(column)
-	if ci < 0 {
-		return fmt.Errorf("column %q does not exist", column)
-	}
-	idx := map[string][]rowRef{}
-	for b, pages := range t.buckets {
-		for pi, p := range pages {
-			col := p.Col(ci)
-			for r := 0; r < p.RowCount(); r++ {
-				if col.IsNull(r) {
-					continue
+	return c.Write(tableName, func(t *table, v *connector.VersionLog) error {
+		ci := t.meta.ColumnIndex(column)
+		if ci < 0 {
+			return fmt.Errorf("column %q does not exist", column)
+		}
+		idx := map[connector.Key][]rowRef{}
+		for b, pages := range t.buckets {
+			for pi, p := range pages {
+				col := p.Col(ci)
+				for r := 0; r < p.RowCount(); r++ {
+					if !col.IsNull(r) {
+						k := connector.KeyOf(col.Value(r))
+						idx[k] = append(idx[k], rowRef{b, pi, r})
+					}
 				}
-				idx[col.Value(r).String()] = append(idx[col.Value(r).String()], rowRef{b, pi, r})
 			}
 		}
-	}
-	t.indexes[column] = idx
-	t.meta.Layouts = append(t.meta.Layouts, connector.Layout{
-		Name:      "idx_" + column,
-		IndexCols: []string{column},
-		NodeLocal: true,
+		t.indexes[column] = idx
+		t.meta.Layouts = append(t.meta.Layouts, connector.Layout{
+			Name:      "idx_" + column,
+			IndexCols: []string{column},
+			NodeLocal: true,
+		})
+		v.SchemaChanged(tableName)
+		return nil
 	})
-	c.versions.SchemaChanged(tableName)
-	return nil
 }
 
 // LoadRows appends boxed rows, routing each to its bucket.
 func (c *Connector) LoadRows(tableName string, rows [][]types.Value) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t, ok := c.tables[tableName]
-	if !ok {
-		return fmt.Errorf("table %s.%s does not exist", c.name, tableName)
-	}
-	c.versions.Appended(tableName, connector.SummarizeAppend(t.meta.Columns, t.appendRows(rows)))
-	return nil
+	return c.Write(tableName, func(t *table, v *connector.VersionLog) error {
+		v.Appended(tableName, connector.SummarizeAppend(t.meta.Columns, t.appendRows(rows)))
+		return nil
+	})
 }
 
 // appendRows routes rows to their buckets and returns the pages it added.
 func (t *table) appendRows(rows [][]types.Value) []*block.Page {
-	ts := make([]types.Type, len(t.meta.Columns))
-	for i, col := range t.meta.Columns {
-		ts[i] = col.T
-	}
+	ts := t.meta.Types()
 	builders := make([]*block.PageBuilder, len(t.buckets))
 	for _, row := range rows {
 		b := bucketOf(row[t.bucketIdx], len(t.buckets))
@@ -196,58 +163,11 @@ func (t *table) refreshStats() {
 	t.stats = stats
 }
 
-// Tables implements the Metadata API.
-func (c *Connector) Tables() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.tables))
-	for n := range c.tables {
-		out = append(out, n)
-	}
-	return out
-}
-
-// Table implements the Metadata API.
-func (c *Connector) Table(name string) *connector.TableMeta {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	t, ok := c.tables[name]
-	if !ok {
-		return nil
-	}
-	meta := t.meta
-	return &meta
-}
-
 // Stats implements the Metadata API.
 func (c *Connector) Stats(name string) connector.TableStats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if t, ok := c.tables[name]; ok {
-		return t.stats
-	}
-	return connector.NoStats
-}
-
-// TableVersion implements connector.Connector.
-func (c *Connector) TableVersion(name string) int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.versions.TableVersion(name)
-}
-
-// SchemaVersion implements connector.Connector.
-func (c *Connector) SchemaVersion(name string) int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.versions.SchemaVersion(name)
-}
-
-// Appends implements connector.AppendLog.
-func (c *Connector) Appends(name string, since int64, visit func(*connector.AppendSummary) bool) (int64, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.versions.Appends(name, since, visit)
+	stats := connector.NoStats
+	c.Read(name, func(t *table) error { stats = t.stats; return nil })
+	return stats
 }
 
 // split is one bucket of a table, owned by a node.
@@ -267,95 +187,40 @@ func (s *split) Bucket() int           { return s.bucket }
 // Splits implements the Data Location API: one split per bucket, pinned to
 // the owning node (shared-nothing, §IV-D2).
 func (c *Connector) Splits(handle plan.TableHandle) (connector.SplitSource, error) {
-	c.mu.RLock()
-	t, ok := c.tables[handle.Table]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("table %s.%s does not exist", c.name, handle.Table)
-	}
 	var splits []connector.Split
-	for b := range t.buckets {
-		var rows int64
-		for _, p := range t.buckets[b] {
-			rows += int64(p.RowCount())
+	err := c.Read(handle.Table, func(t *table) error {
+		for b, pages := range t.buckets {
+			var rows int64
+			for _, p := range pages {
+				rows += int64(p.RowCount())
+			}
+			splits = append(splits, &split{
+				catalog: c.Name(), table: handle.Table,
+				bucket: b, node: b % c.nodes, rows: rows,
+			})
 		}
-		splits = append(splits, &split{
-			catalog: c.name, table: handle.Table,
-			bucket: b, node: b % c.nodes, rows: rows,
-		})
-	}
-	return &sliceSplits{splits: splits}, nil
+		return nil
+	})
+	return connector.ListSplits(splits), err
 }
 
-type sliceSplits struct {
-	splits []connector.Split
-	pos    int
-}
-
-func (s *sliceSplits) NextBatch(max int) (connector.SplitBatch, error) {
-	end := s.pos + max
-	if end > len(s.splits) {
-		end = len(s.splits)
-	}
-	b := connector.SplitBatch{Splits: s.splits[s.pos:end], Done: end == len(s.splits)}
-	s.pos = end
-	return b, nil
-}
-
-func (s *sliceSplits) Close() {}
-
-// PageSource implements the Data Source API.
+// PageSource implements the Data Source API. The read lock covers the read
+// of the bucket's page list, which a concurrent write extends.
 func (c *Connector) PageSource(sp connector.Split, columns []string, handle plan.TableHandle) (connector.PageSource, error) {
 	rs, ok := sp.(*split)
 	if !ok {
 		return nil, fmt.Errorf("foreign split type %T", sp)
 	}
-	c.mu.RLock()
-	t, okT := c.tables[rs.table]
-	c.mu.RUnlock()
-	if !okT {
-		return nil, fmt.Errorf("table %s.%s does not exist", c.name, rs.table)
-	}
-	cols := make([]int, len(columns))
-	for i, name := range columns {
-		idx := t.meta.ColumnIndex(name)
-		if idx < 0 {
-			return nil, fmt.Errorf("column %q does not exist in %s", name, rs.table)
+	var src connector.PageSource
+	err := c.Read(rs.table, func(t *table) error {
+		cols, _, err := t.meta.Resolve(columns)
+		if err == nil {
+			src = connector.ReadPages(t.buckets[rs.bucket], cols)
 		}
-		cols[i] = idx
-	}
-	return &pageSource{pages: t.buckets[rs.bucket], cols: cols}, nil
+		return err
+	})
+	return src, err
 }
-
-type pageSource struct {
-	pages []*block.Page
-	cols  []int
-	pos   int
-	bytes int64
-}
-
-func (p *pageSource) NextPage() (*block.Page, error) {
-	if p.pos >= len(p.pages) {
-		return nil, nil
-	}
-	src := p.pages[p.pos]
-	p.pos++
-	if len(p.cols) == 0 {
-		out := block.NewEmptyPage(src.RowCount())
-		p.bytes += out.SizeBytes()
-		return out, nil
-	}
-	cols := make([]block.Block, len(p.cols))
-	for i, ci := range p.cols {
-		cols[i] = src.Col(ci)
-	}
-	out := block.NewPage(cols...)
-	p.bytes += out.SizeBytes()
-	return out, nil
-}
-
-func (p *pageSource) BytesRead() int64 { return p.bytes }
-func (p *pageSource) Close()           {}
 
 // CreateTable implements DDL with a default single-bucket layout.
 func (c *Connector) CreateTable(name string, columns []connector.Column) error {
@@ -365,25 +230,10 @@ func (c *Connector) CreateTable(name string, columns []connector.Column) error {
 	return c.CreateBucketedTable(name, columns, columns[0].Name, c.nodes)
 }
 
-// DropTable implements DDL.
-func (c *Connector) DropTable(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.tables[name]; !ok {
-		return fmt.Errorf("table %s.%s does not exist", c.name, name)
-	}
-	delete(c.tables, name)
-	c.versions.SchemaChanged(name)
-	return nil
-}
-
 // PageSink implements the Data Sink API.
 func (c *Connector) PageSink(tableName string) (connector.PageSink, error) {
-	c.mu.RLock()
-	_, ok := c.tables[tableName]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("table %s.%s does not exist", c.name, tableName)
+	if err := c.Check(tableName); err != nil {
+		return nil, err
 	}
 	return &pageSink{c: c, table: tableName}, nil
 }
@@ -412,53 +262,52 @@ func (s *pageSink) Abort() { s.rows = nil }
 
 // Index implements connector.Indexed for index joins (§IV-C1).
 func (c *Connector) Index(tableName string, keyCols, outCols []string) (connector.IndexLookup, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	t, ok := c.tables[tableName]
-	if !ok || len(keyCols) != 1 {
-		return nil, false
-	}
-	idx, ok := t.indexes[keyCols[0]]
-	if !ok {
-		return nil, false
-	}
-	cols := make([]int, len(outCols))
-	ts := make([]types.Type, len(outCols))
-	for i, name := range outCols {
-		ci := t.meta.ColumnIndex(name)
-		if ci < 0 {
-			return nil, false
+	var l *indexLookup
+	c.Read(tableName, func(t *table) error {
+		if len(keyCols) != 1 || t.indexes[keyCols[0]] == nil {
+			return nil
 		}
-		cols[i] = ci
-		ts[i] = t.meta.Columns[ci].T
-	}
-	return &indexLookup{t: t, idx: idx, cols: cols, ts: ts}, true
+		cols, ts, err := t.meta.Resolve(outCols)
+		if err == nil {
+			l = &indexLookup{c: c, t: t, idx: t.indexes[keyCols[0]], cols: cols, ts: ts}
+		}
+		return nil
+	})
+	return l, l != nil
 }
 
 type indexLookup struct {
+	c    *Connector
 	t    *table
-	idx  map[string][]rowRef
+	idx  map[connector.Key][]rowRef
 	cols []int
 	ts   []types.Type
 }
 
-// Lookup implements connector.IndexLookup.
+// Lookup implements connector.IndexLookup, under the catalog's read lock: a
+// write extends the buckets the index points into. It finds nothing once the
+// table it indexes is replaced.
 func (l *indexLookup) Lookup(keys []types.Value) (*block.Page, error) {
 	if len(keys) != 1 || keys[0].Null {
 		return nil, nil
 	}
-	refs := l.idx[keys[0].String()]
-	if len(refs) == 0 {
-		return nil, nil
-	}
-	b := block.NewPageBuilder(l.ts)
-	row := make([]types.Value, len(l.cols))
-	for _, ref := range refs {
-		p := l.t.buckets[ref.bucket][ref.page]
-		for i, ci := range l.cols {
-			row[i] = p.Col(ci).Value(ref.row)
+	var out *block.Page
+	err := l.c.Read(l.t.meta.Name, func(t *table) error {
+		refs := l.idx[connector.KeyOf(keys[0])]
+		if t != l.t || len(refs) == 0 {
+			return nil
 		}
-		b.AppendRow(row)
-	}
-	return b.Build(), nil
+		b := block.NewPageBuilder(l.ts)
+		row := make([]types.Value, len(l.cols))
+		for _, ref := range refs {
+			p := t.buckets[ref.bucket][ref.page]
+			for i, ci := range l.cols {
+				row[i] = p.Col(ci).Value(ref.row)
+			}
+			b.AppendRow(row)
+		}
+		out = b.Build()
+		return nil
+	})
+	return out, err
 }

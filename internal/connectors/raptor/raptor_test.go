@@ -84,11 +84,14 @@ func TestBucketRouting(t *testing.T) {
 	}
 	c.LoadRows("t", rows)
 	nonEmpty := 0
-	for _, pages := range c.tables["t"].buckets {
-		if len(pages) > 0 {
-			nonEmpty++
+	c.Read("t", func(tbl *table) error {
+		for _, pages := range tbl.buckets {
+			if len(pages) > 0 {
+				nonEmpty++
+			}
 		}
-	}
+		return nil
+	})
 	if nonEmpty != 1 {
 		t.Errorf("same-key rows spread across %d buckets", nonEmpty)
 	}

@@ -45,9 +45,6 @@ func scanDriversStarted(t *testing.T, threads, splits int, cfg TaskConfig) int {
 	scan := &plan.Scan{Handle: plan.TableHandle{Catalog: "mem", Table: "p"}, Columns: []string{"a"},
 		Out: plan.Schema{{Name: "a", T: types.Bigint}}}
 	task := dynTask(t, scan, conn, threads, cfg)
-	if err := task.Start(); err != nil {
-		t.Fatal(err)
-	}
 	src, err := conn.Splits(scan.Handle)
 	if err != nil {
 		t.Fatal(err)

@@ -222,9 +222,6 @@ func TestDynFilterArrivesWithItsBuild(t *testing.T) {
 	if !task.compiled[at].dynSubs[0].rowTested {
 		t.Fatal("the scan behind another join's build does not test rows")
 	}
-	if err := task.Start(); err != nil {
-		t.Fatal(err)
-	}
 	for _, spec := range task.compiled {
 		if spec.source != srcScan {
 			continue

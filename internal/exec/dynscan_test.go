@@ -12,7 +12,6 @@ import (
 	"repro/internal/connectors/memconn"
 	"repro/internal/dynfilter"
 	"repro/internal/expr"
-	"repro/internal/memory"
 	"repro/internal/operators"
 	"repro/internal/plan"
 	"repro/internal/types"
@@ -80,21 +79,13 @@ func dynJoinPlan(agg bool) plan.Node {
 		Out:        plan.Schema{{Name: "s", T: types.Varchar}, {Name: "n", T: types.Bigint}, {Name: "sum", T: types.Double}}}
 }
 
-// dynTask compiles root over conn as one task on an executor of the given
-// threads; its splits start without waiting for filters.
+// dynTask creates and starts root over conn as one task on a worker of the
+// given threads; its splits start without waiting for filters.
 func dynTask(tb testing.TB, root plan.Node, conn connector.Connector, threads int, cfg TaskConfig) *Task {
 	tb.Helper()
-	ex := NewExecutor(ExecutorConfig{Threads: threads, Quanta: time.Millisecond})
-	tb.Cleanup(ex.Close)
-	pool := memory.NewNodePool(1<<30, 0)
-	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
 	frag := &plan.Fragment{Root: root, OutputPartitioning: plan.Partitioning{Kind: plan.PartitionSingle}, OutputConsumer: -1}
 	cfg.DynamicFilterWait = -1
-	task, err := NewTask(TaskID{QueryID: "q"}, frag, 0, ex, &testRegistry{conn: conn}, qmem, pool, 1, nil, cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return task
+	return createTask(tb, &testRegistry{conn: conn}, WorkerConfig{Threads: threads, Quanta: time.Millisecond, Task: cfg}, frag, nil, FilterRelay{})
 }
 
 func dynTables(probePages int) *memconn.Connector {
@@ -255,9 +246,6 @@ func runDynJoin(t *testing.T, late *dynfilter.Summary) (rows, sumA int64, scan o
 	task := dynTask(t, dynJoinPlan(false), conn, 2, TaskConfig{TargetSplitConcurrency: 1})
 	if late != nil {
 		conn.afterFirst = func() { task.DeliverFilter(1, late) }
-	}
-	if err := task.Start(); err != nil {
-		t.Fatal(err)
 	}
 	// The build scan is scan 0 (the build side compiles first), the probe scan 1.
 	for scanID, table := range []string{"u", "p"} {

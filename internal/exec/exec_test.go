@@ -14,6 +14,7 @@ import (
 	"repro/internal/connectors/memconn"
 	"repro/internal/dynfilter"
 	"repro/internal/expr"
+	"repro/internal/faultinject"
 	"repro/internal/memory"
 	"repro/internal/operators"
 	"repro/internal/plan"
@@ -203,22 +204,33 @@ func loadTestTable(rows int) *memconn.Connector {
 	return conn
 }
 
+// createTask creates and starts a task of f through Worker.CreateTask, as
+// the engine does, on a worker of its own (configured by wc, its tasks by
+// wc.Task) that closes with the test. sources feeds the task's exchanges and
+// relay takes the filters its joins publish.
+func createTask(tb testing.TB, reg ConnectorRegistry, wc WorkerConfig, f *plan.Fragment,
+	sources map[int][]shuffle.Fetcher, relay FilterRelay) *Task {
+	tb.Helper()
+	w := NewWorker(0, reg, wc)
+	tb.Cleanup(w.Close)
+	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: w.Pool})
+	task, err := w.CreateTask(TaskID{QueryID: "q", Fragment: f.ID}, fragmentOf(f), qmem, 1, sources, nil, relay)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(task.Abort)
+	return task
+}
+
+// fragmentOf is the TaskFragment of f, with no digest: a worker compiles it.
+func fragmentOf(f *plan.Fragment) TaskFragment {
+	return TaskFragment{Load: func() (*plan.Fragment, error) { return f, nil }}
+}
+
 func TestTaskScanEndToEnd(t *testing.T) {
 	conn := loadTestTable(100)
-	reg := &testRegistry{conn: conn}
-	ex := NewExecutor(ExecutorConfig{Threads: 2, Quanta: time.Millisecond})
-	defer ex.Close()
-	pool := memory.NewNodePool(1<<30, 0)
-	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
-
-	task, err := NewTask(TaskID{QueryID: "q", Fragment: 0}, buildScanFragment("mem"), 0,
-		ex, reg, qmem, pool, 1, nil, TaskConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := task.Start(); err != nil {
-		t.Fatal(err)
-	}
+	task := createTask(t, &testRegistry{conn: conn}, WorkerConfig{Threads: 2, Quanta: time.Millisecond},
+		buildScanFragment("mem"), nil, FilterRelay{})
 	// Feed splits as the coordinator would.
 	src, err := conn.Splits(plan.TableHandle{Catalog: "mem", Table: "t"})
 	if err != nil {
@@ -261,20 +273,8 @@ func TestTaskScanEndToEnd(t *testing.T) {
 }
 
 func TestTaskAbort(t *testing.T) {
-	conn := loadTestTable(10)
-	reg := &testRegistry{conn: conn}
-	ex := NewExecutor(ExecutorConfig{Threads: 1})
-	defer ex.Close()
-	pool := memory.NewNodePool(1<<30, 0)
-	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
-	task, err := NewTask(TaskID{QueryID: "q", Fragment: 0}, buildScanFragment("mem"), 0,
-		ex, reg, qmem, pool, 1, nil, TaskConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := task.Start(); err != nil {
-		t.Fatal(err)
-	}
+	task := createTask(t, &testRegistry{conn: loadTestTable(10)}, WorkerConfig{Threads: 1},
+		buildScanFragment("mem"), nil, FilterRelay{})
 	task.Abort()
 	if !task.waitDone(2 * time.Second) {
 		t.Fatal("aborted task should finish")
@@ -297,20 +297,8 @@ func TestTaskExchangePipeline(t *testing.T) {
 		OutputPartitioning: plan.Partitioning{Kind: plan.PartitionSingle},
 		OutputConsumer:     -1,
 	}
-	ex := NewExecutor(ExecutorConfig{Threads: 1})
-	defer ex.Close()
-	pool := memory.NewNodePool(1<<30, 0)
-	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
-	task, err := NewTask(TaskID{QueryID: "q", Fragment: 0}, frag, 0, ex,
-		&testRegistry{conn: memconn.New("mem")}, qmem, pool, 1,
-		map[int][]shuffle.Fetcher{1: {&shuffle.LocalFetcher{Buf: producer.Partition(0)}}},
-		TaskConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := task.Start(); err != nil {
-		t.Fatal(err)
-	}
+	task := createTask(t, &testRegistry{conn: memconn.New("mem")}, WorkerConfig{Threads: 1}, frag,
+		map[int][]shuffle.Fetcher{1: {&shuffle.LocalFetcher{Buf: producer.Partition(0)}}}, FilterRelay{})
 	if !task.waitDone(5 * time.Second) {
 		t.Fatal("task did not finish")
 	}
@@ -329,8 +317,7 @@ func TestWorkerLifecycle(t *testing.T) {
 	w := NewWorker(0, &testRegistry{conn: conn}, WorkerConfig{Threads: 1})
 	defer w.Close()
 	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: w.Pool})
-	frag := TaskFragment{Load: func() (*plan.Fragment, error) { return buildScanFragment("mem"), nil }}
-	task, err := w.CreateTask(TaskID{QueryID: "q", Fragment: 0}, frag, qmem, 1, nil, nil, FilterRelay{})
+	task, err := w.CreateTask(TaskID{QueryID: "q", Fragment: 0}, fragmentOf(buildScanFragment("mem")), qmem, 1, nil, nil, FilterRelay{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,8 +343,9 @@ func TestWorkerLifecycle(t *testing.T) {
 // "no active drivers" as "finished" and seal its output — the consumer then
 // saw a clean end-of-stream with rows missing. A task finishes only when every
 // pipeline has declared its last driver, which for these pipelines Start
-// does. The test parks a registered, unstarted exchange-only task, delivers a
-// filter to it (one of the events that re-evaluates a task), and starts it.
+// does. A delay injected at the task-start site parks CreateTask's
+// exchange-only task registered and unstarted; the test delivers a filter to
+// it (one of the events that re-evaluates a task), and CreateTask starts it.
 func TestUnstartedTaskCannotFinish(t *testing.T) {
 	producer := shuffle.NewOutputBuffer(1, 1<<20)
 	producer.Add(0, block.NewPage(block.NewLongBlock([]int64{1, 2, 3}, nil)))
@@ -368,19 +356,26 @@ func TestUnstartedTaskCannotFinish(t *testing.T) {
 		OutputPartitioning: plan.Partitioning{Kind: plan.PartitionSingle},
 		OutputConsumer:     -1,
 	}
-	w := NewWorker(0, &testRegistry{conn: memconn.New("mem")}, WorkerConfig{Threads: 1})
+	inj := faultinject.New(1, faultinject.Rule{Site: faultinject.SiteTaskStart, Kind: faultinject.KindDelay, Rate: 1, Delay: 300 * time.Millisecond})
+	w := NewWorker(0, &testRegistry{conn: memconn.New("mem")}, WorkerConfig{Threads: 1, FaultInject: inj})
 	defer w.Close()
 	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: w.Pool})
 	id := TaskID{QueryID: "q", Fragment: 0}
-	task, err := NewTask(id, frag, 0, w.Exec, w.connectors, qmem, w.Pool, 1,
-		map[int][]shuffle.Fetcher{1: {&shuffle.LocalFetcher{Buf: producer.Partition(0)}}}, TaskConfig{})
-	if err != nil {
-		t.Fatal(err)
+	created := make(chan error, 1)
+	go func() {
+		_, err := w.CreateTask(id, fragmentOf(frag), qmem, 1,
+			map[int][]shuffle.Fetcher{1: {&shuffle.LocalFetcher{Buf: producer.Partition(0)}}}, nil, FilterRelay{})
+		created <- err
+	}()
+	var task *Task
+	for deadline := time.Now().Add(5 * time.Second); task == nil && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		w.mu.Lock()
+		task = w.tasks[id]
+		w.mu.Unlock()
 	}
-	// What CreateTask does between NewTask and Start, stretched.
-	w.mu.Lock()
-	w.tasks[id] = task
-	w.mu.Unlock()
+	if task == nil {
+		t.Fatal("CreateTask never registered the task")
+	}
 	task.DeliverFilter(1, &dynfilter.Summary{Disabled: true})
 	time.Sleep(35 * time.Millisecond)
 	select {
@@ -388,7 +383,7 @@ func TestUnstartedTaskCannotFinish(t *testing.T) {
 		t.Fatal("a task that was never started finished")
 	default:
 	}
-	if err := task.Start(); err != nil {
+	if err := <-created; err != nil {
 		t.Fatal(err)
 	}
 	if !task.waitDone(5 * time.Second) {
@@ -417,25 +412,16 @@ func TestUnstartedTaskCannotFinish(t *testing.T) {
 // and in PublishedFilters. Dropping it left the merged filter pending forever
 // and the probe scans waiting out their whole gate.
 func TestCollectorlessPublicationIsAnnounced(t *testing.T) {
-	ex := NewExecutor(ExecutorConfig{Threads: 1})
-	defer ex.Close()
-	pool := memory.NewNodePool(1<<30, 0)
-	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
-	task, err := NewTask(TaskID{QueryID: "q", Fragment: 0}, buildScanFragment("mem"), 0,
-		ex, &testRegistry{conn: loadTestTable(1)}, qmem, pool, 1, nil, TaskConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer task.Abort()
 	got := make(chan *dynfilter.Summary, 1)
-	task.setRelay(FilterRelay{IDs: []int{7}, Publish: func(ids []int, sums []*dynfilter.Summary) {
-		if len(ids) == 1 && ids[0] == 7 && len(sums) == 1 {
-			got <- sums[0]
-		} else {
-			t.Errorf("publisher got ids %v, %d summaries", ids, len(sums))
-			got <- nil
-		}
-	}})
+	task := createTask(t, &testRegistry{conn: loadTestTable(1)}, WorkerConfig{Threads: 1}, buildScanFragment("mem"), nil,
+		FilterRelay{IDs: []int{7}, Publish: func(ids []int, sums []*dynfilter.Summary) {
+			if len(ids) == 1 && ids[0] == 7 && len(sums) == 1 {
+				got <- sums[0]
+			} else {
+				t.Errorf("publisher got ids %v, %d summaries", ids, len(sums))
+				got <- nil
+			}
+		}})
 	task.publishFilters([]int{7}, nil)
 	select {
 	case s := <-got:

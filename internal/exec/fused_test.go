@@ -15,7 +15,6 @@ import (
 	"repro/internal/connector"
 	"repro/internal/connectors/memconn"
 	"repro/internal/expr"
-	"repro/internal/memory"
 	"repro/internal/operators"
 	"repro/internal/plan"
 	"repro/internal/types"
@@ -54,16 +53,8 @@ func compileTestFragmentPart(tb testing.TB, root plan.Node, part plan.Partitioni
 	conn.LoadTable("t", []connector.Column{
 		{Name: "a", T: types.Bigint}, {Name: "b", T: types.Double}, {Name: "s", T: types.Varchar},
 	}, nil)
-	ex := NewExecutor(ExecutorConfig{Threads: 1})
-	tb.Cleanup(ex.Close)
-	pool := memory.NewNodePool(1<<30, 0)
-	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
 	frag := &plan.Fragment{Root: root, OutputPartitioning: plan.Partitioning{Kind: part}, OutputConsumer: -1}
-	task, err := NewTask(TaskID{QueryID: "q"}, frag, 0, ex, &testRegistry{conn: conn}, qmem, pool, 1, nil, TaskConfig{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return task
+	return createTask(tb, &testRegistry{conn: conn}, WorkerConfig{Threads: 1}, frag, nil, FilterRelay{})
 }
 
 func scanT() *plan.Scan {

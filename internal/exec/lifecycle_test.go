@@ -11,7 +11,6 @@ import (
 	"repro/internal/block"
 	"repro/internal/connector"
 	"repro/internal/connectors/memconn"
-	"repro/internal/memory"
 	"repro/internal/plan"
 	"repro/internal/shuffle"
 	"repro/internal/types"
@@ -57,20 +56,10 @@ func TestWriterScaleFailureFailsTask(t *testing.T) {
 		OutputPartitioning: plan.Partitioning{Kind: plan.PartitionSingle},
 		OutputConsumer:     -1,
 	}
-	ex := NewExecutor(ExecutorConfig{Threads: 2})
-	defer ex.Close()
-	pool := memory.NewNodePool(1<<30, 0)
-	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
-	task, err := NewTask(TaskID{QueryID: "q"}, frag, 0, ex, &testRegistry{conn: conn}, qmem, pool, 1,
-		map[int][]shuffle.Fetcher{1: {&shuffle.LocalFetcher{Buf: producer.Partition(0)}}},
-		// A slow sink keeps the backlog up while the exchange fills.
-		TaskConfig{MaxWriters: 4, WriteDelay: func() { time.Sleep(time.Millisecond) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := task.Start(); err != nil {
-		t.Fatal(err)
-	}
+	// A slow sink keeps the backlog up while the exchange fills.
+	wc := WorkerConfig{Threads: 2, Task: TaskConfig{MaxWriters: 4, WriteDelay: func() { time.Sleep(time.Millisecond) }}}
+	task := createTask(t, &testRegistry{conn: conn}, wc, frag,
+		map[int][]shuffle.Fetcher{1: {&shuffle.LocalFetcher{Buf: producer.Partition(0)}}}, FilterRelay{})
 	if !task.waitDone(10 * time.Second) {
 		t.Fatal("a task whose writer could not be built never finished")
 	}

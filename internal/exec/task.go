@@ -13,7 +13,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/memory"
 	"repro/internal/operators"
-	"repro/internal/plan"
 	"repro/internal/shuffle"
 	"repro/internal/types"
 )
@@ -145,21 +144,9 @@ type dynGate struct {
 // writerScaleInterval spaces the looks at a writer pipeline's backlog.
 const writerScaleInterval = 10 * time.Millisecond
 
-// NewTask compiles a fragment and prepares (but does not start) execution.
-// exchangeSources maps upstream fragment ids to this task's page fetchers.
-func NewTask(id TaskID, f *plan.Fragment, nodeID int, ex *Executor, reg ConnectorRegistry,
-	qmem *memory.QueryContext, pool *memory.NodePool,
-	outPartitions int, exchangeSources map[int][]shuffle.Fetcher, cfg TaskConfig) (*Task, error) {
-
-	cf, err := Compile(f, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newTask(id, cf, &TaskFragment{}, nodeID, ex, reg, qmem, pool, outPartitions, exchangeSources, cfg)
-}
-
-// newTask prepares a task of a compiled fragment, with frag's literals (none:
-// those the fragment was planned with).
+// newTask prepares (but does not start) a task of a compiled fragment, with
+// frag's literals (none: those the fragment was planned with).
+// exchangeSources maps upstream fragment ids to the task's page fetchers.
 func newTask(id TaskID, cf *CompiledFragment, frag *TaskFragment, nodeID int, ex *Executor, reg ConnectorRegistry,
 	qmem *memory.QueryContext, pool *memory.NodePool,
 	outPartitions int, exchangeSources map[int][]shuffle.Fetcher, cfg TaskConfig) (*Task, error) {

@@ -78,7 +78,7 @@ func (c *ColumnDomain) String() string {
 		parts := make([]string, 0, len(c.Points))
 		for _, v := range c.Points {
 			if !v.Null {
-				parts = append(parts, v.String())
+				parts = append(parts, literal(v))
 			}
 		}
 		if c.NullAllowed {
@@ -91,13 +91,13 @@ func (c *ColumnDomain) String() string {
 		lo, hi := "-inf", "+inf"
 		lb, hb := "(", ")"
 		if r.Lo != nil {
-			lo = r.Lo.String()
+			lo = literal(*r.Lo)
 			if r.LoClosed {
 				lb = "["
 			}
 		}
 		if r.Hi != nil {
-			hi = r.Hi.String()
+			hi = literal(*r.Hi)
 			if r.HiClosed {
 				hb = "]"
 			}
@@ -105,6 +105,16 @@ func (c *ColumnDomain) String() string {
 		parts[i] = fmt.Sprintf("%s%s,%s%s", lb, lo, hi, hb)
 	}
 	return strings.Join(parts, "∪")
+}
+
+// literal renders a constraint's value: a VARCHAR quoted as SQL writes it, so
+// that no two constraints render alike (the split cache keys enumerations by
+// the rendering) — not 'NULL' and NULL, nor the empty string and no value.
+func literal(v types.Value) string {
+	if v.T == types.Varchar && !v.Null {
+		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
+	}
+	return v.String()
 }
 
 // Contains reports whether value v satisfies the column constraint.
@@ -231,21 +241,13 @@ func (c *ColumnDomain) intersect(o *ColumnDomain) *ColumnDomain {
 			}
 		}
 		if len(out.Ranges) == 0 {
-			// Empty intersection: an impossible point keeps the domain
-			// unsatisfiable rather than unconstrained.
-			out.Points = []types.Value{}
-			out.Ranges = []Range{{Lo: &emptyLo, Hi: &emptyHi, LoClosed: true, HiClosed: true}}
+			// No range overlaps: the empty set too, the lone NULL point
+			// (which admits no NULL unless both sides do).
+			out.AddPoint(types.NullValue(out.T), 0)
 		}
 	}
 	return out
 }
-
-// emptyLo/emptyHi form a deliberately empty range (1 > 0 inverted bounds are
-// not representable, so use a sentinel range matching nothing practical).
-var (
-	emptyLo = types.BigintValue(1)
-	emptyHi = types.BigintValue(0)
-)
 
 // intersect tightens two ranges; ok is false when they do not overlap.
 func (r Range) intersect(o Range) (Range, bool) {

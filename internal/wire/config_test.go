@@ -103,10 +103,9 @@ func FuzzCreateRequestDecode(f *testing.F) {
 
 	conn := memconn.New("memory")
 	conn.LoadTable("d", []connector.Column{{Name: "k", T: types.Bigint}, {Name: "v", T: types.Double}}, nil)
-	ex := exec.NewExecutor(exec.ExecutorConfig{Threads: 1})
-	f.Cleanup(ex.Close)
-	pool := memory.NewNodePool(1<<30, 0)
-	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
+	w := exec.NewWorker(0, oneCatalog{conn}, exec.WorkerConfig{Threads: 1})
+	f.Cleanup(w.Close)
+	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: w.Pool})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req CreateRequest
 		if json.Unmarshal(data, &req) != nil {
@@ -120,7 +119,10 @@ func FuzzCreateRequestDecode(f *testing.F) {
 			}
 			_ = plan.Format(frag.Root)
 			id := exec.TaskID{QueryID: "q", Fragment: frag.ID}
-			exec.NewTask(id, frag, 0, ex, oneCatalog{conn}, qmem, pool, 2, nil, exec.TaskConfig{})
+			load := exec.TaskFragment{Load: func() (*plan.Fragment, error) { return frag, nil }}
+			if task, err := w.CreateTask(id, load, qmem, 2, nil, nil, exec.FilterRelay{}); err == nil {
+				task.Abort()
+			}
 		}
 		_ = req.Config.Switches.String()
 		raw, err := json.Marshal(req.Config)

@@ -588,13 +588,15 @@ func TestCompilingLeavesFragmentUnchanged(t *testing.T) {
 
 	conn := memconn.New("memory")
 	conn.LoadTable("d", []connector.Column{{Name: "k", T: types.Bigint}, {Name: "v", T: types.Double}}, nil)
-	ex := exec.NewExecutor(exec.ExecutorConfig{Threads: 1})
-	defer ex.Close()
-	pool := memory.NewNodePool(1<<30, 0)
-	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
-	if _, err := exec.NewTask(exec.TaskID{QueryID: "q", Fragment: 1}, frag, 0, ex, oneCatalog{conn}, qmem, pool, 2, nil, exec.TaskConfig{}); err != nil {
+	w := exec.NewWorker(0, oneCatalog{conn}, exec.WorkerConfig{Threads: 1})
+	defer w.Close()
+	qmem := memory.NewQueryContext("q", memory.QueryLimits{}, map[int]*memory.NodePool{0: w.Pool})
+	load := exec.TaskFragment{Load: func() (*plan.Fragment, error) { return frag, nil }}
+	task, err := w.CreateTask(exec.TaskID{QueryID: "q", Fragment: 1}, load, qmem, 2, nil, nil, exec.FilterRelay{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	task.Abort()
 
 	rawAfter, err := MarshalFragment(frag)
 	if err != nil {

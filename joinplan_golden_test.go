@@ -25,8 +25,8 @@ import (
 // estimated names the statements whose plans carry one. q80's was re-taken
 // when its two CASE sums stopped printing alike and became two aggregates.
 var joinLocalStatements = []struct{ id, sql, digest string }{
-	{"h03", `SELECT l_orderkey, count(*) AS lines, sum(l_extendedprice * (1 - l_discount)) FROM tpch.customer JOIN tpch.orders ON c_custkey = o_custkey JOIN tpch.lineitem ON l_orderkey = o_orderkey WHERE c_mktsegment = 'BUILDING' AND o_orderdate < DATE '1997-07-04' AND l_shipdate > DATE '1997-07-04' GROUP BY l_orderkey ORDER BY lines DESC, l_orderkey LIMIT 10`, "2c104b48fc9b77fb365e1aec"},
-	{"h05", `SELECT n_name, count(*), sum(l_extendedprice * (1 - l_discount)) FROM tpch.customer JOIN tpch.orders ON c_custkey = o_custkey JOIN tpch.lineitem ON l_orderkey = o_orderkey JOIN tpch.supplier ON l_suppkey = s_suppkey JOIN tpch.nation ON s_nationkey = n_nationkey JOIN tpch.region ON n_regionkey = r_regionkey WHERE r_name = 'ASIA' AND c_nationkey = s_nationkey AND o_orderdate >= DATE '1998-12-31' AND o_orderdate < DATE '1999-12-31' GROUP BY n_name ORDER BY n_name`, "1a72ab32688c2b61d1b840c0"},
+	{"h03", `SELECT l_orderkey, count(*) AS lines, sum(l_extendedprice * (1 - l_discount)) FROM tpch.customer JOIN tpch.orders ON c_custkey = o_custkey JOIN tpch.lineitem ON l_orderkey = o_orderkey WHERE c_mktsegment = 'BUILDING' AND o_orderdate < DATE '1997-07-04' AND l_shipdate > DATE '1997-07-04' GROUP BY l_orderkey ORDER BY lines DESC, l_orderkey LIMIT 10`, "47b6201590b74ca2150a0546"},
+	{"h05", `SELECT n_name, count(*), sum(l_extendedprice * (1 - l_discount)) FROM tpch.customer JOIN tpch.orders ON c_custkey = o_custkey JOIN tpch.lineitem ON l_orderkey = o_orderkey JOIN tpch.supplier ON l_suppkey = s_suppkey JOIN tpch.nation ON s_nationkey = n_nationkey JOIN tpch.region ON n_regionkey = r_regionkey WHERE r_name = 'ASIA' AND c_nationkey = s_nationkey AND o_orderdate >= DATE '1998-12-31' AND o_orderdate < DATE '1999-12-31' GROUP BY n_name ORDER BY n_name`, "a6284bcb6aa57fb2d350cc25"},
 	{"h18", `SELECT c_name, c_custkey, o_orderkey, o_orderdate, count(*), sum(l_quantity) FROM tpch.customer JOIN tpch.orders ON c_custkey = o_custkey JOIN tpch.lineitem ON o_orderkey = l_orderkey WHERE o_orderkey IN ( SELECT l_orderkey FROM tpch.lineitem GROUP BY l_orderkey HAVING sum(l_quantity) > 276) GROUP BY c_name, c_custkey, o_orderkey, o_orderdate ORDER BY o_orderdate, o_orderkey LIMIT 100`, "a258e9c236a1b7d9c71654bb"},
 	{"q26", `SELECT p_brand, count(*), avg(l_quantity), avg(l_extendedprice) FROM tpch.lineitem JOIN tpch.part ON l_partkey = p_partkey JOIN tpch.supplier ON l_suppkey = s_suppkey WHERE s_acctbal > -11 GROUP BY p_brand ORDER BY p_brand`, "52ef7029fd6c7257b0247719"},
 	{"q35", `SELECT c_mktsegment, count(*) FROM tpch.customer WHERE c_custkey IN (SELECT o_custkey FROM tpch.orders WHERE o_totalprice > 202000) GROUP BY c_mktsegment ORDER BY c_mktsegment`, "ea146ca81916919bada0fa4c"},

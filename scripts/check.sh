@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repository check: build, vet, and run the full test suite under the race
-# detector, plus a fixed-seed chaos smoke (fault-injected TPC-H queries) and
-# the nested benchmark module (bench/ has its own go.mod, so ./... skips it).
+# detector (then print its ten slowest tests), plus a fixed-seed chaos smoke
+# (fault-injected TPC-H queries) and the nested benchmark module (bench/ has
+# its own go.mod, so ./... skips it).
 # Run from the repository root before sending changes.
 #
 #   scripts/check.sh          # build + vet + race tests + chaos smoke +
@@ -188,7 +189,9 @@ echo "==> go vet ./..."
 go vet ./...
 
 echo "==> go test -race ./..."
-go test -race ./...
+# scripts/testreport prints what go test prints from its -json events, then
+# the run's ten slowest tests: a test that grows slow shows the day it does.
+go test -race -json ./... | go run ./scripts/testreport
 
 echo "==> nested benchmark module (bench/ against the working tree)"
 (cd bench && go vet . && go test -count=1 .)
@@ -269,10 +272,11 @@ echo "==> a cached result outlives the appends its scans could not read; every c
 # with the result cache off. A table changed through a connector's own API,
 # or a file written into the lake, is seen through warm plan and metadata
 # caches; a DDL statement that races a plan fails the plan's first lookup;
-# IS NULL constrains the scan, and contradictory points read nothing. Every
-# writable connector's versions move as the conformance suite says. All
-# under -race.
-go test -race -count=1 -run 'TestResultCacheAppendsDifferential|TestResultCacheShardSQLDifferential|TestServingResultCacheInvalidation|TestServingConcurrentWriteWhileRead|TestPlanKeyKeepsIdentifierSpelling|TestCachesSeeConnectorChanges|TestIsNullConstrainsTheScan|TestContradictoryPointsReadNothing' .
+# IS NULL constrains the scan, and contradictory points read nothing; NULL
+# and 'NULL' are two row keys, and an empty VARCHAR range reads nothing.
+# Every writable connector's versions move, and its keys read back, as the
+# conformance suite says. All under -race.
+go test -race -count=1 -run 'TestResultCacheAppendsDifferential|TestResultCacheShardSQLDifferential|TestServingResultCacheInvalidation|TestServingConcurrentWriteWhileRead|TestPlanKeyKeepsIdentifierSpelling|TestCachesSeeConnectorChanges|TestIsNullConstrainsTheScan|TestContradictoryPointsReadNothing|TestNullAndNullStringAreTwoKeys|TestEmptyVarcharRangeReadsNothing' .
 go test -race -count=1 ./internal/connector/ ./internal/serving/ ./internal/cache/
 go test -race -count=1 -run 'TestDDLDuringPlanningFailsTheFirstLookup|TestWriteInvalidatesOnlyItsTable' ./internal/coordinator/
 go test -race -count=1 -run 'TestConformance|TestConcurrentSinksFoldStats|TestRewrittenFileMissesItsFooter' ./internal/connectors/...
