@@ -210,3 +210,43 @@ func contains(s, sub string) bool {
 	}
 	return false
 }
+
+// TestRaptorIndexJoinSeesWrites: an index join against a raptor table, and a
+// lookup of its index, find rows written after CreateIndex — by LoadRows and
+// by an INSERT.
+func TestRaptorIndexJoinSeesWrites(t *testing.T) {
+	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
+	defer c.Close()
+	rp := raptor.New("raptor", 2)
+	c.Register(rp)
+	cols := []connector.Column{{Name: "k", T: types.Bigint}, {Name: "name", T: types.Varchar}}
+	if err := rp.CreateBucketedTable("dim", cols, "k", 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := rp.LoadRows("dim", [][]types.Value{{types.BigintValue(1), types.VarcharValue("one")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rp.CreateIndex("dim", "k"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rp.LoadRows("dim", [][]types.Value{{types.BigintValue(2), types.VarcharValue("two")}}); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, c, "INSERT INTO raptor.dim SELECT * FROM (VALUES (3, 'three'))")
+	mustExec(t, c, "CREATE TABLE ev (k BIGINT, clicks BIGINT)")
+	mustExec(t, c, "INSERT INTO ev SELECT * FROM (VALUES (1, 10), (2, 20), (3, 30), (4, 40))")
+	const q = "SELECT e.k, d.name, e.clicks FROM ev e JOIN raptor.dim d ON e.k = d.k ORDER BY e.k"
+	if text, err := c.Explain(q); err != nil || !contains(text, "INDEX") {
+		t.Fatalf("expected an index join in plan (%v):\n%s", err, text)
+	}
+	assertRows(t, q, stringifyRows(mustExec(t, c, q)), []string{"1|one|10", "2|two|20", "3|three|30"})
+	idx, ok := rp.Index("dim", []string{"k"}, []string{"name"})
+	if !ok {
+		t.Fatal("index not found")
+	}
+	for k, want := range map[int64]string{2: "two", 3: "three"} {
+		if p, err := idx.Lookup([]types.Value{types.BigintValue(k)}); err != nil || p == nil || p.Col(0).Str(0) != want {
+			t.Errorf("lookup %d: %v %v, want %s", k, p, err, want)
+		}
+	}
+}

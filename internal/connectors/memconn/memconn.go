@@ -6,8 +6,6 @@ package memconn
 import (
 	"encoding/json"
 	"fmt"
-	"hash/maphash"
-	"math"
 
 	"repro/internal/block"
 	"repro/internal/connector"
@@ -160,7 +158,7 @@ func (t *table) encodeLowCardinality(pages []*block.Page) []*block.Page {
 			continue
 		}
 		dict := enc.Dict()
-		foldDistinct(t.ndv[ci], dict)
+		connector.FoldDistinct(t.ndv[ci], dict)
 		t.dicts[ci] = dict
 		if !copied { // the caller's pages are not ours to rewrite
 			out, copied = make([]*block.Page, len(pages)), true
@@ -198,7 +196,7 @@ func (t *table) foldStats(pages []*block.Page) {
 			if d, ok := col.(*block.DictionaryBlock); ok && t.dicts != nil && d.Dict == t.dicts[ci] {
 				continue // the table's own dictionary: folded when it was built
 			}
-			foldDistinct(t.ndv[ci], col)
+			connector.FoldDistinct(t.ndv[ci], col)
 		}
 	}
 	ndv := make(map[string]int64, len(t.meta.Columns))
@@ -206,51 +204,6 @@ func (t *table) foldStats(pages []*block.Page) {
 		ndv[col.Name] = int64(len(t.ndv[i]))
 	}
 	t.stats = connector.TableStats{RowCount: rows, ColumnNDV: ndv, Pages: int64(len(t.pages))}
-}
-
-var ndvSeed = maphash.MakeSeed()
-
-// foldDistinct adds the identity of every non-null cell of col to set. Two
-// cells share an identity when they render the same (Value.String): an
-// integer, date or boolean is its own identity and so is a double's bit
-// pattern (-0.0 is not 0.0; every NaN is one value); a string, and anything
-// else through its rendering, is a 64-bit hash, whose collisions among a
-// table's values are too rare to move a cardinality estimate.
-func foldDistinct(set map[uint64]struct{}, col block.Block) {
-	var last uint64
-	seen := false
-	typ := col.Type()
-	for r, n := 0, col.Len(); r < n; r++ {
-		if col.IsNull(r) {
-			continue
-		}
-		var id uint64
-		switch typ {
-		case types.Bigint, types.Date:
-			id = uint64(col.Long(r))
-		case types.Double:
-			f := col.Double(r)
-			if f != f {
-				f = math.NaN()
-			}
-			id = math.Float64bits(f)
-		case types.Boolean:
-			if col.Bool(r) {
-				id = 1
-			}
-		case types.Varchar:
-			id = maphash.String(ndvSeed, col.Str(r))
-		default:
-			id = maphash.String(ndvSeed, col.Value(r).String())
-		}
-		// Runs of one value are common (clustered keys, flags): skip the
-		// lookup for a repeat of the cell before.
-		if seen && id == last {
-			continue
-		}
-		last, seen = id, true
-		set[id] = struct{}{}
-	}
 }
 
 // split is a contiguous page range of a table. One enumerated here carries

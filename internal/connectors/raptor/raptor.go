@@ -33,6 +33,9 @@ type table struct {
 	bucketIdx int
 	buckets   [][]*block.Page // bucket → pages
 	stats     connector.TableStats
+	// ndv holds, per column, one identity per distinct non-null cell seen
+	// (connector.FoldDistinct), so that a write folds in only what it adds.
+	ndv []map[uint64]struct{}
 	// index maps indexed column value → rows, per indexed column.
 	indexes map[string]map[connector.Key][]rowRef
 }
@@ -67,6 +70,7 @@ func (c *Connector) CreateBucketedTable(name string, columns []connector.Column,
 		bucketIdx: idx,
 		buckets:   make([][]*block.Page, buckets),
 		stats:     connector.TableStats{RowCount: 0, ColumnNDV: map[string]int64{}},
+		ndv:       make([]map[uint64]struct{}, len(columns)),
 		indexes:   map[string]map[connector.Key][]rowRef{},
 	})
 }
@@ -81,13 +85,7 @@ func (c *Connector) CreateIndex(tableName, column string) error {
 		idx := map[connector.Key][]rowRef{}
 		for b, pages := range t.buckets {
 			for pi, p := range pages {
-				col := p.Col(ci)
-				for r := 0; r < p.RowCount(); r++ {
-					if !col.IsNull(r) {
-						k := connector.KeyOf(col.Value(r))
-						idx[k] = append(idx[k], rowRef{b, pi, r})
-					}
-				}
+				indexPage(idx, p.Col(ci), b, pi)
 			}
 		}
 		t.indexes[column] = idx
@@ -109,7 +107,19 @@ func (c *Connector) LoadRows(tableName string, rows [][]types.Value) error {
 	})
 }
 
-// appendRows routes rows to their buckets and returns the pages it added.
+// indexPage enters the non-null cells of col, page pi of bucket b, in idx.
+func indexPage(idx map[connector.Key][]rowRef, col block.Block, b, pi int) {
+	for r := 0; r < col.Len(); r++ {
+		if !col.IsNull(r) {
+			k := connector.KeyOf(col.Value(r))
+			idx[k] = append(idx[k], rowRef{b, pi, r})
+		}
+	}
+}
+
+// appendRows routes rows to their buckets, enters them in every index and the
+// statistics, and returns the pages it added. Its caller holds the catalog's
+// write lock, under which a lookup never reads.
 func (t *table) appendRows(rows [][]types.Value) []*block.Page {
 	ts := t.meta.Types()
 	builders := make([]*block.PageBuilder, len(t.buckets))
@@ -126,9 +136,12 @@ func (t *table) appendRows(rows [][]types.Value) []*block.Page {
 			p := bl.Build()
 			t.buckets[b] = append(t.buckets[b], p)
 			added = append(added, p)
+			for column, idx := range t.indexes {
+				indexPage(idx, p.Col(t.meta.ColumnIndex(column)), b, len(t.buckets[b])-1)
+			}
 		}
 	}
-	t.refreshStats()
+	t.foldStats(added)
 	return added
 }
 
@@ -138,29 +151,25 @@ func bucketOf(v types.Value, buckets int) int {
 	return operators.HashPartition(p, 0, []int{0}, buckets)
 }
 
-func (t *table) refreshStats() {
-	stats := connector.TableStats{ColumnNDV: map[string]int64{}}
-	ndv := make([]map[string]struct{}, len(t.meta.Columns))
-	for i := range ndv {
-		ndv[i] = map[string]struct{}{}
-	}
-	for _, pages := range t.buckets {
-		for _, p := range pages {
-			stats.RowCount += int64(p.RowCount())
-			for ci := range t.meta.Columns {
-				col := p.Col(ci)
-				for r := 0; r < p.RowCount(); r++ {
-					if !col.IsNull(r) {
-						ndv[ci][col.Value(r).String()] = struct{}{}
-					}
-				}
+// foldStats adds pages, just appended, to the table's statistics: the row
+// count and each column's count of distinct non-null values. It publishes a
+// new ColumnNDV map, never writes the one a reader may hold.
+func (t *table) foldStats(pages []*block.Page) {
+	rows := t.stats.RowCount
+	for _, p := range pages {
+		rows += int64(p.RowCount())
+		for ci := range t.meta.Columns {
+			if t.ndv[ci] == nil {
+				t.ndv[ci] = map[uint64]struct{}{}
 			}
+			connector.FoldDistinct(t.ndv[ci], p.Col(ci))
 		}
 	}
+	ndv := make(map[string]int64, len(t.meta.Columns))
 	for i, col := range t.meta.Columns {
-		stats.ColumnNDV[col.Name] = int64(len(ndv[i]))
+		ndv[col.Name] = int64(len(t.ndv[i]))
 	}
-	t.stats = stats
+	t.stats = connector.TableStats{RowCount: rows, ColumnNDV: ndv}
 }
 
 // Stats implements the Metadata API.

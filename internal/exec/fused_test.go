@@ -710,6 +710,45 @@ func h01Pipeline(tb testing.TB, pages int, encoded bool) (*operators.FilterProje
 	return ops[0].(*operators.FilterProjectOperator), ops[1].(*operators.HashAggregationOperator), in
 }
 
+// q09Pipeline compiles q09's shape — count(*), sum(l_quantity) and five sums
+// of l_extendedprice masked by l_quantity BETWEEN bands, else 0, with
+// l_shipdate <= a cutoff in front when filtered — as a partial aggregation,
+// and returns one driver's processor and aggregation, and pages of 4096 rows.
+func q09Pipeline(tb testing.TB, pages int, filtered bool) (*operators.FilterProjectOperator, *operators.HashAggregationOperator, []*block.Page) {
+	tb.Helper()
+	d := types.Double
+	scan := &plan.Scan{Handle: plan.TableHandle{Catalog: "mem", Table: "t"}, Columns: []string{"l_quantity", "l_extendedprice", "l_shipdate"},
+		Out: plan.Schema{{Name: "l_quantity", T: d}, {Name: "l_extendedprice", T: d}, {Name: "l_shipdate", T: types.Date}}}
+	var in plan.Node = scan
+	if filtered {
+		in = &plan.Filter{Input: scan, Predicate: &expr.Compare{Op: expr.CmpLe, L: col(2, types.Date), R: lit(types.Value{T: types.Date, I: 10000})}}
+	}
+	args := project(in, col(0, d), col(1, d), col(1, d), col(1, d), col(1, d), col(1, d))
+	aggs := []plan.Aggregate{{Func: plan.AggCountAll, Out: types.Bigint}, {Func: plan.AggSum, Arg: col(0, d), Out: d}}
+	out := plan.Schema{{Name: "_p0", T: types.Bigint}, {Name: "_p1", T: d}}
+	for b := 0; b < 5; b++ {
+		band := &expr.Between{E: col(0, d), Lo: lit(types.DoubleValue(float64(10*b + 1))), Hi: lit(types.DoubleValue(float64(10*b + 10)))}
+		aggs = append(aggs, plan.Aggregate{Func: plan.AggSum, Arg: col(1+b, d), Mask: band, Else: lit(types.DoubleValue(0)), Out: d})
+		out = append(out, plan.Field{Name: fmt.Sprintf("_p%d", len(out)), T: d})
+	}
+	task := compileTestFragment(tb, &plan.Aggregation{Input: args, Aggregates: aggs, Step: plan.AggPartial, Out: out})
+	ops := pipelineOps(tb, task)[0]
+	if got := strings.Join(opNames(task)[0], ","); got != "FilterProject,HashAggregation,PartitionedOutput" {
+		tb.Fatalf("q09 shape compiled to %s", got)
+	}
+	r := rand.New(rand.NewSource(9))
+	const rows = 4096
+	var inPages []*block.Page
+	for p := 0; p < pages; p++ {
+		qty, price, date := make([]float64, rows), make([]float64, rows), make([]int64, rows)
+		for i := range rows {
+			qty[i], price[i], date[i] = float64(1+r.Intn(50)), float64(r.Intn(100000))/100, int64(8766+r.Intn(1700))
+		}
+		inPages = append(inPages, block.NewPage(block.NewDoubleBlock(qty, nil), block.NewDoubleBlock(price, nil), block.NewDateBlock(date, nil)))
+	}
+	return ops[0].(*operators.FilterProjectOperator), ops[1].(*operators.HashAggregationOperator), inPages
+}
+
 // drive pushes pages through processor and aggregation as the driver loop
 // does and returns the rows that went in.
 func drive(tb testing.TB, fp *operators.FilterProjectOperator, agg *operators.HashAggregationOperator, pages []*block.Page) int {
@@ -759,16 +798,34 @@ func allocatedPerRow(tb testing.TB, fp *operators.FilterProjectOperator, agg *op
 // a second driver of the shape, built after the first has finished, meets the
 // same ceiling from its first page: it finds what the first one grew in the
 // pool. The ceilings are about twice the measurements.
+//
+// The h01 shapes read their pass-through columns through the filter's
+// selection, ungathered (DESIGN.md "Who owns a page"). q09's shape — five
+// masked sums (plan.Aggregate's Mask) of one column over bands of another,
+// with and without a filter in front — meets the dictionary keys' ceiling:
+// a mask's rows and its values are leases, and its block header the
+// processor's.
 func TestFilterProjectAggAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates")
 	}
+	h01 := func(encoded bool) func(testing.TB, int) (*operators.FilterProjectOperator, *operators.HashAggregationOperator, []*block.Page) {
+		return func(tb testing.TB, pages int) (*operators.FilterProjectOperator, *operators.HashAggregationOperator, []*block.Page) {
+			return h01Pipeline(tb, pages, encoded)
+		}
+	}
+	q09 := func(filtered bool) func(testing.TB, int) (*operators.FilterProjectOperator, *operators.HashAggregationOperator, []*block.Page) {
+		return func(tb testing.TB, pages int) (*operators.FilterProjectOperator, *operators.HashAggregationOperator, []*block.Page) {
+			return q09Pipeline(tb, pages, filtered)
+		}
+	}
 	for _, c := range []struct {
-		name    string
-		encoded bool
-		ceiling float64 // bytes per input row
-	}{{"flat keys", false, 2.0}, {"dictionary keys", true, 0.2}} {
-		fp, agg, pages := h01Pipeline(t, 72, c.encoded)
+		name     string
+		pipeline func(testing.TB, int) (*operators.FilterProjectOperator, *operators.HashAggregationOperator, []*block.Page)
+		ceiling  float64 // bytes per input row
+	}{{"flat keys", h01(false), 2.0}, {"dictionary keys", h01(true), 0.2},
+		{"q09 masked sums", q09(false), 0.2}, {"q09 masked sums, filtered", q09(true), 0.2}} {
+		fp, agg, pages := c.pipeline(t, 72)
 		alloctest.HoldCollections(t)
 		drive(t, fp, agg, pages[:8])
 		if got := allocatedPerRow(t, fp, agg, pages[8:]); got > c.ceiling {
@@ -778,13 +835,54 @@ func TestFilterProjectAggAllocationCeiling(t *testing.T) {
 		}
 		finish(fp, agg)
 
-		fp, agg, _ = h01Pipeline(t, 0, c.encoded)
+		fp, agg, _ = c.pipeline(t, 0)
 		if got := allocatedPerRow(t, fp, agg, pages[8:]); got > c.ceiling {
 			t.Errorf("%s: a second driver allocates %.2f bytes per input row over its first %d pages, want <= %.2f", c.name, got, len(pages)-8, c.ceiling)
 		} else {
 			t.Logf("%s: a second driver, from its first page: %.3f bytes per input row over %d pages", c.name, got, len(pages)-8)
 		}
 		finish(fp, agg)
+	}
+}
+
+// BenchmarkFilterAggregate times one driver of scan_agg's h01 shape (group
+// keys under dictionaries, as the memory catalog stores them) and of its q09
+// shape (five masked sums), each over 74 pages of 4096 rows — about 300 000,
+// the benchmark's lineitem — and reports rows/s and the bytes it allocates
+// per input row, processor and aggregation built as a driver builds them.
+// scripts/check.sh runs it once (-benchtime 1x); read it with more.
+func BenchmarkFilterAggregate(b *testing.B) {
+	const pages = (300_000 + 4095) / 4096
+	for _, c := range []struct {
+		name     string
+		pipeline func(testing.TB, int) (*operators.FilterProjectOperator, *operators.HashAggregationOperator, []*block.Page)
+	}{
+		{"h01", func(tb testing.TB, n int) (*operators.FilterProjectOperator, *operators.HashAggregationOperator, []*block.Page) {
+			return h01Pipeline(tb, n, true)
+		}},
+		{"q09", func(tb testing.TB, n int) (*operators.FilterProjectOperator, *operators.HashAggregationOperator, []*block.Page) {
+			return q09Pipeline(tb, n, false)
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var rows int
+			var allocated uint64
+			var before, after runtime.MemStats
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fp, agg, in := c.pipeline(b, pages)
+				runtime.ReadMemStats(&before)
+				b.StartTimer()
+				rows += drive(b, fp, agg, in)
+				finish(fp, agg)
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				allocated += after.TotalAlloc - before.TotalAlloc
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
+			b.ReportMetric(float64(allocated)/float64(rows), "B/row")
+		})
 	}
 }
 

@@ -207,7 +207,7 @@ func (c *chain) append(name string, f opFactory) {
 	if sc := c.dynScan; sc != nil {
 		// Not a filter or a projection: an identity processor goes between,
 		// which hands on untouched a page the filters drop nothing from.
-		c.appendProcessor(nil, identityExprs(sc.Schema()))
+		c.appendProcessor(nil, identityExprs(sc.Schema()), nil)
 	}
 	c.names = append(c.names, name)
 	c.factories = append(c.factories, f)
@@ -217,24 +217,30 @@ func (c *chain) append(name string, f opFactory) {
 // and exprs. Placed directly on a scan that subscribes to dynamic filters, its
 // processor runs them ahead of pred, over the one selection vector the page
 // is gathered by.
-func (c *chain) appendProcessor(pred expr.Expr, exprs []expr.Expr) {
+func (c *chain) appendProcessor(pred expr.Expr, exprs []expr.Expr, masks []*expr.Mask) {
 	dyn := c.dynScan != nil
 	c.dynScan = nil
-	c.append("FilterProject", filterProject(c.c.program(pred, exprs), dyn))
+	c.append("FilterProject", filterProject(c.c.program(pred, exprs, masks), dyn))
 }
 
-// program compiles a filter and projection list once for every task that
-// runs the fragment: a lifted literal becomes a parameter, which each task's
-// processors read from its own literals (Task.params).
-func (c *compiler) program(pred expr.Expr, exprs []expr.Expr) *expr.Program {
-	pred, exprs = c.parameterize(pred), slices.Clone(exprs)
+// program compiles a filter, projection list and the projections' masks
+// once for every task that runs the fragment: a lifted literal becomes a
+// parameter, which each task's processors read from its own literals
+// (Task.params).
+func (c *compiler) program(pred expr.Expr, exprs []expr.Expr, masks []*expr.Mask) *expr.Program {
+	pred, exprs, masks = c.parameterize(pred), slices.Clone(exprs), slices.Clone(masks)
 	for i, e := range exprs {
 		exprs[i] = c.parameterize(e)
 	}
-	if c.interpreted {
-		return expr.InterpretedProgram(pred, exprs)
+	for i, m := range masks {
+		if m != nil {
+			masks[i] = &expr.Mask{Pred: c.parameterize(m.Pred), Else: c.parameterize(m.Else)}
+		}
 	}
-	return expr.CompileProgram(pred, exprs)
+	if c.interpreted {
+		return expr.InterpretedProgram(pred, exprs, masks)
+	}
+	return expr.CompileProgram(pred, exprs, masks)
 }
 
 // parameterize rewrites every slot-tagged constant of e as a Param.
@@ -387,39 +393,11 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 		if err := c.compile(x.Input, pb); err != nil {
 			return err
 		}
-		pb.appendProcessor(x.Predicate, identityExprs(x.Input.Schema()))
+		pb.appendProcessor(x.Predicate, identityExprs(x.Input.Schema()), nil)
 		return nil
 
 	case *plan.Project:
-		// Fuse Project*(Filter?(y)) into one page processor: stacked
-		// projections compose into one list over the bottom input, so a
-		// computed column reads the source page through the selection vector
-		// and no intermediate page exists.
-		exprs, input := x.Exprs, x.Input
-		for {
-			inner, ok := input.(*plan.Project)
-			if !ok {
-				break
-			}
-			composed, ok := composeProjections(exprs, inner.Exprs)
-			if !ok {
-				break
-			}
-			exprs, input = composed, inner.Input
-		}
-		var pred expr.Expr
-		if f, ok := input.(*plan.Filter); ok {
-			pred = f.Predicate
-			input = f.Input
-		}
-		remap, err := c.compileRead(input, pb, func() []bool {
-			return columnsRead(len(input.Schema()), append(exprs[:len(exprs):len(exprs)], pred)...)
-		})
-		if err != nil {
-			return err
-		}
-		pb.appendProcessor(remapColumn(pred, remap), remapColumns(exprs, remap))
-		return nil
+		return c.compileProject(x, pb, nil)
 
 	case *plan.Limit:
 		if err := c.compile(x.Input, pb); err != nil {
@@ -470,15 +448,30 @@ func (c *compiler) compile(n plan.Node, pb *chain) error {
 		return nil
 
 	case *plan.Aggregation:
-		remap, err := c.compileRead(x.Input, pb, func() []bool {
-			reads := columnsRead(len(x.Input.Schema()), x.GroupBy...)
-			for _, a := range x.Aggregates {
-				for _, col := range expr.Columns(a.Arg) {
-					reads[col] = true
-				}
+		masks, err := aggMasks(x)
+		if err != nil {
+			return err
+		}
+		var remap []int
+		if masks != nil {
+			// A masked argument is evaluated under its mask by the processor
+			// of the projection that computes it.
+			proj, ok := x.Input.(*plan.Project)
+			if !ok {
+				return fmt.Errorf("masked aggregate over %T, not the projection of its arguments", x.Input)
 			}
-			return reads
-		})
+			err = c.compileProject(proj, pb, masks)
+		} else {
+			remap, err = c.compileRead(x.Input, pb, func() []bool {
+				reads := columnsRead(len(x.Input.Schema()), x.GroupBy...)
+				for _, a := range x.Aggregates {
+					for _, col := range expr.Columns(a.Arg) {
+						reads[col] = true
+					}
+				}
+				return reads
+			})
+		}
 		if err != nil {
 			return err
 		}
@@ -556,6 +549,111 @@ func (t *Task) groupsPerInstance(est *plan.GroupEstimate, p *pipelineSpec) (grou
 		per = -est.Groups * math.Expm1(-est.Rows/instances/est.Groups)
 	}
 	return min(per, 1<<30), drivers
+}
+
+// compileProject fuses Project*(Filter?(y)) into one page processor: stacked
+// projections compose into one list over the bottom input, so a computed
+// column reads the source page through the selection vector and no
+// intermediate page exists. masks, when not nil, holds a mask over x's output
+// for each of its columns a masked aggregate reads (aggMasks); it is rewritten
+// over the bottom input with the projections.
+func (c *compiler) compileProject(x *plan.Project, pb *chain, masks []*expr.Mask) error {
+	exprs, input := x.Exprs, x.Input
+	for {
+		inner, ok := input.(*plan.Project)
+		if !ok {
+			break
+		}
+		composed, ok := composeProjections(exprs, inner.Exprs)
+		if !ok {
+			break
+		}
+		exprs, input = composed, inner.Input
+	}
+	var pred expr.Expr
+	if f, ok := input.(*plan.Filter); ok {
+		pred = f.Predicate
+		input = f.Input
+	}
+	masks = slices.Clone(masks)
+	for i, m := range masks {
+		if m != nil {
+			masks[i] = &expr.Mask{Pred: expr.Rewrite(m.Pred, func(e expr.Expr) expr.Expr {
+				if c, ok := e.(*expr.ColumnRef); ok {
+					return exprs[c.Index]
+				}
+				return nil
+			}), Else: m.Else}
+		}
+	}
+	remap, err := c.compileRead(input, pb, func() []bool {
+		reads := columnsRead(len(input.Schema()), append(exprs[:len(exprs):len(exprs)], pred)...)
+		for _, m := range masks {
+			if m != nil {
+				for _, col := range expr.Columns(m.Pred) {
+					reads[col] = true
+				}
+			}
+		}
+		return reads
+	})
+	if err != nil {
+		return err
+	}
+	for _, m := range masks {
+		if m != nil {
+			m.Pred = remapColumn(m.Pred, remap)
+		}
+	}
+	pb.appendProcessor(remapColumn(pred, remap), remapColumns(exprs, remap), masks)
+	return nil
+}
+
+// aggMasks returns, for each column of x's input, the mask of the masked
+// aggregates that read it (plan.Aggregate's Mask), or nil when x has none. A
+// masked column is read by aggregates under that one mask and ELSE only: the
+// fragmenter projects a masked argument on its own.
+func aggMasks(x *plan.Aggregation) ([]*expr.Mask, error) {
+	var masks []*expr.Mask
+	for i, a := range x.Aggregates {
+		if a.Mask == nil {
+			continue
+		}
+		cr, ok := a.Arg.(*expr.ColumnRef)
+		if !ok {
+			return nil, fmt.Errorf("masked aggregate %d has no argument column", i)
+		}
+		if masks == nil {
+			masks = make([]*expr.Mask, len(x.Input.Schema()))
+		}
+		m := &expr.Mask{Pred: a.Mask, Else: a.Else}
+		if prev := masks[cr.Index]; prev != nil && !sameMask(prev, m) {
+			return nil, fmt.Errorf("aggregate argument %s is read under two masks", cr.Name)
+		}
+		masks[cr.Index] = m
+	}
+	for i, a := range x.Aggregates {
+		if cr, ok := a.Arg.(*expr.ColumnRef); ok && a.Mask == nil && masks != nil && masks[cr.Index] != nil {
+			return nil, fmt.Errorf("aggregate %d reads masked column %s unmasked", i, cr.Name)
+		}
+	}
+	for _, g := range x.GroupBy {
+		if cr, ok := g.(*expr.ColumnRef); ok && masks != nil && masks[cr.Index] != nil {
+			return nil, fmt.Errorf("group key %s is a masked column", cr.Name)
+		}
+	}
+	return masks, nil
+}
+
+// sameMask reports whether two masks are one: the same predicate and ELSE.
+func sameMask(a, b *expr.Mask) bool {
+	key := func(e expr.Expr) string {
+		if e == nil {
+			return ""
+		}
+		return expr.CanonicalKey(e)
+	}
+	return key(a.Pred) == key(b.Pred) && key(a.Else) == key(b.Else)
 }
 
 // compileRead compiles n for a consumer that reads only the columns of n's
@@ -766,7 +864,7 @@ func (c *compiler) residual(e expr.Expr, nProbe int) func(ctx *driverCtx) *opera
 	if e == nil {
 		return func(*driverCtx) *operators.JoinResidual { return nil }
 	}
-	prog := c.program(e, nil)
+	prog := c.program(e, nil, nil)
 	return func(ctx *driverCtx) *operators.JoinResidual {
 		return operators.NewJoinResidual(e, nProbe, func(expr.Expr, []expr.Expr) *expr.PageProcessor {
 			return prog.NewProcessor(ctx.task.params)

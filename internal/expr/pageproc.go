@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/block"
@@ -30,6 +31,9 @@ type PageProcessor struct {
 	// borrow: the output page is read before the next Process call and not
 	// after, so its arrays can be leased from scratch (BorrowOutput).
 	borrow bool
+	// keepSel: the consumer reads a page through the filter's selection
+	// (LendSelection).
+	keepSel bool
 
 	// scratch lends every vector a page needs: the kernels' temporaries, the
 	// selection chain's outputs, CSE slot outputs and, under BorrowOutput, the
@@ -39,6 +43,8 @@ type PageProcessor struct {
 	// vin is the page's evaluation context; its memo slots keep the selection
 	// kernels' dictionary verdicts from page to page.
 	vin vecInput
+	// maskedOut holds a borrowed page's masked columns (projectMasked).
+	maskedOut []block.MaskedBlock
 
 	// constVal caches the 1-row result of each constant projection, made on
 	// the first.
@@ -74,11 +80,12 @@ type Program struct {
 	filterCols  []int // column indices referenced by the filter
 	memos       int   // memo slots the filter's and the projections' kernels use (selCompiler)
 	projections []*Evaluator
-	identCol    []int   // input column a projection passes through, or -1
-	identFirst  []int   // first projection passing the same input column through (itself if none earlier)
-	projInputs  [][]int // referenced column indices per projection
-	projConst   []bool  // deterministic zero-input projections (RLE output)
-	projEncoded []bool  // deterministic projections of 1..maxDictInputs columns: one result per combination of their entries
+	identCol    []int       // input column a projection passes through, or -1
+	identFirst  []int       // first projection passing the same input column through (itself if none earlier)
+	projInputs  [][]int     // referenced column indices per projection
+	projConst   []bool      // deterministic zero-input projections (RLE output)
+	projEncoded []bool      // deterministic projections of 1..maxDictInputs columns: one result per combination of their entries
+	masks       []*progMask // per projection, its mask (Mask), or nil
 
 	// Vectorized projection state: one projector per covered projection
 	// (nil entries run on the interpreter), the CSE slots in evaluation
@@ -142,14 +149,33 @@ func init() {
 // it returns are owned by the caller and immutable, unless BorrowOutput says
 // otherwise.
 func NewPageProcessor(filter Expr, projections []Expr) *PageProcessor {
-	return CompileProgram(filter, projections).NewProcessor(nil)
+	return CompileProgram(filter, projections, nil).NewProcessor(nil)
+}
+
+// Mask is a masked aggregate's argument projection (plan.Aggregate's Mask):
+// the projection e is evaluated only at the rows where Pred is TRUE, and its
+// column is a block.MaskedBlock of the values there, every other row reading
+// Else, a literal or a parameter (nil: NULL) — CASE WHEN Pred THEN e ELSE
+// Else END, with Pred evaluated at every row and e only where it holds, as
+// CASE evaluates them.
+type Mask struct {
+	Pred Expr
+	Else Expr
+}
+
+// progMask is a Mask compiled: the selection of Pred's TRUE positions, and
+// the ELSE.
+type progMask struct {
+	sel selFn
+	els Expr
 }
 
 // CompileProgram compiles filter and projections onto the selection and
-// projection kernels.
-func CompileProgram(filter Expr, projections []Expr) *Program {
+// projection kernels. masks, when not nil, holds one entry per projection:
+// its Mask, or nil.
+func CompileProgram(filter Expr, projections []Expr, masks []*Mask) *Program {
 	var c selCompiler
-	prog := newProgram(filter, projections, c.evaluator)
+	prog := newProgram(filter, projections, masks, c.evaluator, c.compileMask)
 	if filter != nil {
 		prog.filter = c.compileWhere(filter)
 	}
@@ -164,12 +190,12 @@ func CompileProgram(filter Expr, projections []Expr) *Program {
 // NewInterpretedPageProcessor builds a processor that uses only the
 // interpreter — the baseline side of the codegen ablation.
 func NewInterpretedPageProcessor(filter Expr, projections []Expr) *PageProcessor {
-	return InterpretedProgram(filter, projections).NewProcessor(nil)
+	return InterpretedProgram(filter, projections, nil).NewProcessor(nil)
 }
 
 // InterpretedProgram is CompileProgram on the interpreter only.
-func InterpretedProgram(filter Expr, projections []Expr) *Program {
-	prog := newProgram(filter, projections, InterpretOnly)
+func InterpretedProgram(filter Expr, projections []Expr, masks []*Mask) *Program {
+	prog := newProgram(filter, projections, masks, InterpretOnly, selStrict)
 	prog.interpretFilter()
 	return prog
 }
@@ -184,15 +210,21 @@ func (prog *Program) NewProcessor(params []types.Value) *PageProcessor {
 	}
 }
 
-func newProgram(filter Expr, projections []Expr, evaluator func(Expr) *Evaluator) *Program {
+func newProgram(filter Expr, projections []Expr, masks []*Mask, evaluator func(Expr) *Evaluator, mask func(Expr) selFn) *Program {
 	prog := &Program{
 		filterExpr:  filter,
 		projEncoded: make([]bool, 0, len(projections)),
 		projConst:   make([]bool, len(projections)),
 		projVec:     make([]*vecProjector, len(projections)),
+		masks:       make([]*progMask, len(projections)),
 	}
 	if filter != nil {
 		prog.filterCols = Columns(filter)
+	}
+	for i, m := range masks {
+		if m != nil {
+			prog.masks[i] = &progMask{sel: mask(m.Pred), els: m.Else}
+		}
 	}
 	firstIdent := map[int]int{}
 	for i, e := range projections {
@@ -205,10 +237,13 @@ func newProgram(filter Expr, projections []Expr, evaluator func(Expr) *Evaluator
 		ident, first := -1, i
 		if c, ok := e.(*ColumnRef); ok {
 			ident = c.Index
-			if j, seen := firstIdent[ident]; seen {
-				first = j
-			} else {
-				firstIdent[ident] = i
+			// A masked column is its own: its rows are its mask's.
+			if prog.masks[i] == nil {
+				if j, seen := firstIdent[ident]; seen {
+					first = j
+				} else {
+					firstIdent[ident] = i
+				}
 			}
 		}
 		prog.identCol = append(prog.identCol, ident)
@@ -229,6 +264,14 @@ func newProgram(filter Expr, projections []Expr, evaluator func(Expr) *Evaluator
 // block as without the call.
 func (pp *PageProcessor) BorrowOutput() { pp.borrow = true }
 
+// LendSelection tells the processor, once and after BorrowOutput, that its
+// consumer is a hash aggregation, which reads a page through a selection
+// (DESIGN.md, "Who owns a page"): a filtered pass-through column then goes out
+// as its source block under the filter's selection (block.SelectedBlock), and
+// a column whose dictionary the processor keeps or computes keeps its source
+// indices, instead of being gathered.
+func (pp *PageProcessor) LendSelection() { pp.keepSel = true }
+
 // Scratch is the arena the processor leases every vector of a page from. The
 // driver that runs the processor releases it when it finishes; a processor
 // nobody releases leaves its vectors to the collector.
@@ -243,9 +286,22 @@ func (pp *PageProcessor) BorrowsOutput() bool { return pp.borrow }
 // slot. A constant projection has its own path; an identity one runs its
 // projector only to gather a borrowed flat column.
 func (prog *Program) compileVectorized(c *selCompiler, projections []Expr) {
-	rewritten, slots := planCSE(c, projections)
+	// A masked projection runs over its mask's rows, which a CSE slot (over
+	// the page's) is not aligned with: it takes no part in the planning.
+	shared := projections
+	if slices.ContainsFunc(prog.masks, func(m *progMask) bool { return m != nil }) {
+		shared = slices.Clone(projections)
+		for i, m := range prog.masks {
+			if m != nil {
+				shared[i] = &Const{Val: types.NullValue(projections[i].Type())}
+			}
+		}
+	}
+	rewritten, slots := planCSE(c, shared)
 	for i, e := range rewritten {
 		switch {
+		case prog.masks[i] != nil:
+			prog.projVec[i] = prog.projections[i].vec
 		case prog.projConst[i]:
 		case countSlotRefs(e) == 0:
 			prog.projVec[i] = prog.projections[i].vec
@@ -391,7 +447,13 @@ func (pp *PageProcessor) Process(p *block.Page) (*block.Page, error) {
 			cols[i] = cols[j] // a column projected twice is gathered once
 			continue
 		}
-		col, err := pp.project(i, p, selected, outRows, &gathered)
+		var col block.Block
+		var err error
+		if pp.masks[i] != nil {
+			col, err = pp.projectMasked(i, p, selected, outRows)
+		} else {
+			col, err = pp.project(i, p, selected, outRows, &gathered)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -537,6 +599,9 @@ func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows i
 		if selected == nil {
 			return col, nil
 		}
+		if pp.keepSel {
+			return selectedCol(col, selected), nil
+		}
 		if d, ok := col.(*block.DictionaryBlock); ok {
 			return block.NewDictionaryBlock(d.Dict, pp.composeIndices([]*block.DictionaryBlock{d}, selected)), nil
 		}
@@ -597,6 +662,81 @@ func (pp *PageProcessor) project(i int, p *block.Page, selected []int, outRows i
 	pp.Stats.FullEvals++
 	pp.Stats.CellsProcessed += int64(in.RowCount() * len(inputs))
 	return pp.projections[i].evalPage(in, &pp.scratch, pp.vin.memo, pp.vin.params)
+}
+
+// selectedCol is col at the source rows sel, read in place: a run stays a
+// run, anything else is viewed through sel — a lazy column loaded first, as
+// a gather would load it, so that a reader of the view's cells does not go
+// through the lazy block for each.
+func selectedCol(col block.Block, sel []int) block.Block {
+	col = unwrapLazy(col)
+	if r, ok := col.(*block.RLEBlock); ok {
+		return block.NewRLEBlockFromBlock(r.Val, len(sel))
+	}
+	return &block.SelectedBlock{Src: col, Sel: sel}
+}
+
+// projectMasked computes masked projection i (Mask): the mask's TRUE
+// positions are selected among the page's output positions, the projection is
+// evaluated at their rows only — a pass-through column read in place, a
+// kernel-covered one over them as its selection, anything else on the
+// interpreter over them gathered — and the column is a block.MaskedBlock of
+// those values.
+func (pp *PageProcessor) projectMasked(i int, p *block.Page, selected []int, outRows int) (block.Block, error) {
+	m := pp.masks[i]
+	in := &pp.vin
+	pos, err := m.sel(in, identityRows(outRows), leaseRows(in, outRows))
+	if err != nil {
+		return nil, err
+	}
+	rows := pos
+	if selected != nil {
+		rows = block.Lease[int](&pp.scratch, len(pos))
+		for k, j := range pos {
+			rows[k] = selected[j]
+		}
+	}
+	if !pp.borrow {
+		// The page is the caller's to keep: nothing of it may be leased.
+		pos, rows = slices.Clone(pos), slices.Clone(rows)
+	}
+	var vals block.Block
+	switch {
+	case pp.identCol[i] >= 0:
+		vals = selectedCol(p.Col(pp.identCol[i]), rows)
+	case pp.projVec[i] != nil:
+		// The page's context, narrowed to the mask's rows for the call; a
+		// masked projection reads no CSE slot (compileVectorized).
+		sel, n := in.sel, in.n
+		in.sel, in.n = rows, len(rows)
+		vals, err = pp.projVec[i].eval(in, pp.borrow)
+		in.sel, in.n = sel, n
+		pp.Stats.VecProjEvals++
+	default:
+		pp.Stats.FullEvals++
+		vals, err = pp.projections[i].evalPage(p.FilterPositions(rows), &pp.scratch, in.memo, in.params)
+	}
+	if err != nil {
+		return nil, err
+	}
+	pp.Stats.CellsProcessed += int64(len(rows) * len(pp.projInputs[i]))
+	els := types.NullValue(vals.Type())
+	switch e := m.els.(type) {
+	case *Const:
+		els = e.Val
+	case *Param:
+		els = in.params[e.Index]
+	}
+	if !pp.borrow {
+		return &block.MaskedBlock{Rows: pos, Vals: vals, N: outRows, Else: els}, nil
+	}
+	// A borrowed page's blocks are read before the next Process too: the
+	// header is the processor's, rewritten from page to page.
+	if pp.maskedOut == nil {
+		pp.maskedOut = make([]block.MaskedBlock, len(pp.projections))
+	}
+	pp.maskedOut[i] = block.MaskedBlock{Rows: pos, Vals: vals, N: outRows, Else: els}
+	return &pp.maskedOut[i], nil
 }
 
 // isFlat reports whether b is a plain typed block the column kernels gather
@@ -685,6 +825,9 @@ func (pp *PageProcessor) projectDictionary(i int, p *block.Page, selected []int,
 		projDict = out
 	}
 	pp.Stats.DictRows += int64(outRows)
+	if pp.keepSel && len(inputs) == 1 && selected != nil {
+		return &block.SelectedBlock{Src: block.NewDictionaryBlock(projDict, srcs[0].Indices), Sel: selected}
+	}
 	return block.NewDictionaryBlock(projDict, pp.composeIndices(srcs[:len(inputs)], selected))
 }
 

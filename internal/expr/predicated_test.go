@@ -432,7 +432,7 @@ func TestPredicatedProgramSharedByGoroutines(t *testing.T) {
 	for i, p := range pages {
 		want[i] = processOrError(NewInterpretedPageProcessor(filter, proj), p)
 	}
-	prog := CompileProgram(filter, proj)
+	prog := CompileProgram(filter, proj, nil)
 	if prog.memos == 0 {
 		t.Fatal("the filter keeps no dictionary memo")
 	}

@@ -84,6 +84,17 @@ func (c *selCompiler) compileSel(e Expr, neg, where bool) (selFn, bool) {
 		return c.compileConnective(x.L, x.R, true, neg, where)
 	case *Or:
 		return c.compileConnective(x.L, x.R, false, neg, where)
+	case *Case:
+		// CASE WHEN p THEN a ELSE NOT a END is a where p is TRUE and NOT a
+		// everywhere else, NULL included. (In a WHERE clause a failing p fails
+		// the CASE, which the leaf case decides.)
+		if cond, then, ok := boolSwitch(x); ok && !where {
+			s, ok := c.compileSel(cond, false, where)
+			if !ok || then != neg {
+				return s, ok
+			}
+			return selComplement(s), true
+		}
 	}
 	s, ok := c.compileLeaf(e, neg)
 	if !ok && where {
@@ -118,6 +129,63 @@ func (c *selCompiler) compileConnective(l, r Expr, dec, neg, where bool) (selFn,
 
 // leaseRows leases an empty position vector with room for n positions.
 func leaseRows(in *vecInput, n int) []int { return block.Lease[int](in.scratch, n)[:0] }
+
+// compileMask compiles a masked aggregate's predicate (Mask): its TRUE
+// positions, with a failing leaf failing the page as it fails the CASE the
+// mask stands for; a predicate the kernels do not cover runs on the
+// interpreter.
+func (c *selCompiler) compileMask(e Expr) selFn {
+	if s, ok := c.compileSel(e, false, false); ok {
+		return s
+	}
+	return selStrict(e)
+}
+
+// selStrict evaluates e on the interpreter at each position, as a CASE WHEN
+// condition is evaluated: an evaluation that fails fails the page, and NULL
+// does not pass.
+func selStrict(e Expr) selFn {
+	return func(in *vecInput, rows, out []int) ([]int, error) {
+		it := Interpreter{params: in.params}
+		row := pageRow{p: in.p}
+		for _, i := range rows {
+			row.row = rowAt(in.sel, i)
+			v, err := it.Eval(e, &row)
+			if err != nil {
+				return out, err
+			}
+			if !v.Null && v.B {
+				out = append(out, i)
+			}
+		}
+		return out, nil
+	}
+}
+
+// boolSwitch reports x as CASE WHEN cond THEN then ELSE NOT then END over
+// non-null boolean constants: the form a mask of "cond is not TRUE" takes.
+func boolSwitch(x *Case) (Expr, bool, bool) {
+	if len(x.Whens) != 1 || x.Else == nil {
+		return nil, false, false
+	}
+	t, tok := x.Whens[0].Then.(*Const)
+	e, eok := x.Else.(*Const)
+	if !tok || !eok || t.Val.Null || e.Val.Null || t.Val.T != types.Boolean || e.Val.T != types.Boolean || t.Val.B == e.Val.B {
+		return nil, false, false
+	}
+	return x.Whens[0].Cond, t.Val.B, true
+}
+
+// selComplement keeps the positions s does not.
+func selComplement(s selFn) selFn {
+	return func(in *vecInput, rows, out []int) ([]int, error) {
+		ts, err := s(in, rows, leaseRows(in, len(rows)))
+		if err != nil {
+			return out, err
+		}
+		return selMinus(in, rows, ts, out), nil
+	}
+}
 
 // selChain keeps the positions l keeps at which r holds too.
 func selChain(l, r selFn) selFn {

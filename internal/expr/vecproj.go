@@ -312,83 +312,51 @@ func vecParam[T any](index int, get func(*types.Value) T) vkernel[T] {
 
 // ---- arithmetic ----
 
-// vecArithLong evaluates both operands into scratch vectors, then applies
-// the operator in one tight loop. Division/modulo by a non-null zero raises
-// errDivZero, matching the interpreter.
-func vecArithLong(op BinOp, l, r longKernel) longKernel {
-	return func(in *vecInput, idx []int, out []int64, nulls []bool) (bool, error) {
+// vecArith evaluates a binary operator over both operands in one tight loop.
+// An operand that is a flat column with no NULL (lcol, rcol: its index, or -1
+// for any other operand) is read in place through the selection when every
+// position is computed, instead of gathered into a temporary first; any other
+// operand is evaluated into a scratch vector. Division, and modulo (rem; nil
+// where the type has none), by a non-null zero raises errDivZero, matching
+// the interpreter.
+func vecArith[T int64 | float64](op BinOp, l, r vkernel[T], lcol, rcol int, rem func(a, b T) T) vkernel[T] {
+	return func(in *vecInput, idx []int, out []T, nulls []bool) (bool, error) {
 		n := in.n
-		lv, ln := block.Lease[int64](in.scratch, n), block.Lease[bool](in.scratch, n)
-		rv, rn := block.Lease[int64](in.scratch, n), block.Lease[bool](in.scratch, n)
-		lHas, err := l(in, idx, lv, ln)
-		if err != nil {
-			return false, err
+		var a, b []T
+		var ai, bi []int
+		var an, bn []bool // nil: no NULL among the computed positions
+		aok, bok := false, false
+		if idx == nil {
+			a, ai, aok = flatAt[T](in, lcol)
+			b, bi, bok = flatAt[T](in, rcol)
 		}
-		rHas, err := r(in, idx, rv, rn)
-		if err != nil {
-			return false, err
-		}
-		if idx == nil && !lHas && !rHas {
-			clearBools(nulls[:n])
-			a, b, o := lv[:n], rv[:n], out[:n]
-			switch op {
-			case OpAdd:
-				for i := range o {
-					o[i] = a[i] + b[i]
-				}
-			case OpSub:
-				for i := range o {
-					o[i] = a[i] - b[i]
-				}
-			case OpMul:
-				for i := range o {
-					o[i] = a[i] * b[i]
-				}
-			case OpDiv:
-				for i := range o {
-					if b[i] == 0 {
-						return false, errDivZero
-					}
-					o[i] = a[i] / b[i]
-				}
-			case OpMod:
-				for i := range o {
-					if b[i] == 0 {
-						return false, errDivZero
-					}
-					o[i] = a[i] % b[i]
-				}
+		var err error
+		if !aok {
+			a, an, err = evalOperand(in, l, idx)
+			if err != nil {
+				return false, err
 			}
-			return false, nil
+		}
+		if !bok {
+			b, bn, err = evalOperand(in, r, idx)
+			if err != nil {
+				return false, err
+			}
+		}
+		if idx == nil && an == nil && bn == nil {
+			clearBools(nulls[:n])
+			return false, arithRows(op, out[:n], a, ai, b, bi, rem)
 		}
 		has := false
 		step := func(i int) error {
-			if ln[i] || rn[i] {
+			if (an != nil && an[i]) || (bn != nil && bn[i]) {
 				out[i], nulls[i] = 0, true
 				has = true
 				return nil
 			}
-			a, b := lv[i], rv[i]
-			nulls[i] = false
-			switch op {
-			case OpAdd:
-				out[i] = a + b
-			case OpSub:
-				out[i] = a - b
-			case OpMul:
-				out[i] = a * b
-			case OpDiv:
-				if b == 0 {
-					return errDivZero
-				}
-				out[i] = a / b
-			case OpMod:
-				if b == 0 {
-					return errDivZero
-				}
-				out[i] = a % b
-			}
-			return nil
+			v, err := arithOne(op, a[rowAt(ai, i)], b[rowAt(bi, i)], rem)
+			out[i], nulls[i] = v, false
+			return err
 		}
 		if idx == nil {
 			for i := 0; i < n; i++ {
@@ -407,85 +375,145 @@ func vecArithLong(op BinOp, l, r longKernel) longKernel {
 	}
 }
 
-// vecArithDouble covers +,-,*,/ (vecDouble leaves modulo to the interpreter).
-func vecArithDouble(op BinOp, l, r doubleKernel) doubleKernel {
-	return func(in *vecInput, idx []int, out []float64, nulls []bool) (bool, error) {
-		n := in.n
-		lv, ln := block.Lease[float64](in.scratch, n), block.Lease[bool](in.scratch, n)
-		rv, rn := block.Lease[float64](in.scratch, n), block.Lease[bool](in.scratch, n)
-		lHas, err := l(in, idx, lv, ln)
-		if err != nil {
-			return false, err
+// flatAt returns column col's values and the selection mapping positions to
+// them (nil: position i is value i), when col is a flat column of T with no
+// NULL that an arithmetic loop can read in place.
+func flatAt[T int64 | float64](in *vecInput, col int) ([]T, []int, bool) {
+	if col < 0 {
+		return nil, nil, false
+	}
+	b, sel := in.colBlock(col)
+	var vals any
+	switch src := b.(type) {
+	case *block.LongBlock:
+		if src.Nulls != nil {
+			return nil, nil, false
 		}
-		rHas, err := r(in, idx, rv, rn)
-		if err != nil {
-			return false, err
+		vals = &src.Vals
+	case *block.DoubleBlock:
+		if src.Nulls != nil {
+			return nil, nil, false
 		}
-		if idx == nil && !lHas && !rHas {
-			clearBools(nulls[:n])
-			a, b, o := lv[:n], rv[:n], out[:n]
-			switch op {
-			case OpAdd:
-				for i := range o {
-					o[i] = a[i] + b[i]
+		vals = &src.Vals
+	default:
+		return nil, nil, false
+	}
+	v, ok := vals.(*[]T)
+	if !ok {
+		return nil, nil, false
+	}
+	return *v, sel, true
+}
+
+// evalOperand evaluates one operand at idx (nil: every position) into
+// scratch vectors; its null vector is nil when no computed position is NULL.
+func evalOperand[T block.Elem](in *vecInput, k vkernel[T], idx []int) ([]T, []bool, error) {
+	v, vn := block.Lease[T](in.scratch, in.n), block.Lease[bool](in.scratch, in.n)
+	has, err := k(in, idx, v, vn)
+	if !has {
+		vn = nil
+	}
+	return v, vn, err
+}
+
+// arithOne applies op to one pair of non-null operands.
+func arithOne[T int64 | float64](op BinOp, a, b T, rem func(a, b T) T) (T, error) {
+	switch op {
+	case OpAdd:
+		return a + b, nil
+	case OpSub:
+		return a - b, nil
+	case OpMul:
+		return a * b, nil
+	}
+	if b == 0 {
+		return 0, errDivZero
+	}
+	if op == OpMod {
+		return rem(a, b), nil
+	}
+	return a / b, nil
+}
+
+// arithRows is arithOne over every position of o, with no NULL operand: a
+// at ai (nil: dense) and b at bi.
+func arithRows[T int64 | float64](op BinOp, o, a []T, ai []int, b []T, bi []int, rem func(a, b T) T) error {
+	n := len(o)
+	if ai == nil && bi == nil {
+		a, b = a[:n], b[:n]
+		switch op {
+		case OpAdd:
+			for i := range o {
+				o[i] = a[i] + b[i]
+			}
+		case OpSub:
+			for i := range o {
+				o[i] = a[i] - b[i]
+			}
+		case OpMul:
+			for i := range o {
+				o[i] = a[i] * b[i]
+			}
+		default:
+			for i := range o {
+				if b[i] == 0 {
+					return errDivZero
 				}
-			case OpSub:
-				for i := range o {
-					o[i] = a[i] - b[i]
-				}
-			case OpMul:
-				for i := range o {
-					o[i] = a[i] * b[i]
-				}
-			case OpDiv:
-				for i := range o {
-					if b[i] == 0 {
-						return false, errDivZero
-					}
+				if op == OpMod {
+					o[i] = rem(a[i], b[i])
+				} else {
 					o[i] = a[i] / b[i]
 				}
 			}
-			return false, nil
 		}
-		has := false
-		step := func(i int) error {
-			if ln[i] || rn[i] {
-				out[i], nulls[i] = 0, true
-				has = true
-				return nil
-			}
-			a, b := lv[i], rv[i]
-			nulls[i] = false
-			switch op {
-			case OpAdd:
-				out[i] = a + b
-			case OpSub:
-				out[i] = a - b
-			case OpMul:
-				out[i] = a * b
-			case OpDiv:
-				if b == 0 {
-					return errDivZero
-				}
-				out[i] = a / b
-			}
-			return nil
-		}
-		if idx == nil {
-			for i := 0; i < n; i++ {
-				if err := step(i); err != nil {
-					return false, err
-				}
-			}
-		} else {
-			for _, i := range idx {
-				if err := step(i); err != nil {
-					return false, err
-				}
-			}
-		}
-		return has, nil
+		return nil
 	}
+	if ai == nil {
+		ai = identityRows(n)
+	}
+	if bi == nil {
+		bi = identityRows(n)
+	}
+	ai, bi = ai[:n], bi[:n]
+	switch op {
+	case OpAdd:
+		for i := range o {
+			o[i] = a[ai[i]] + b[bi[i]]
+		}
+	case OpSub:
+		for i := range o {
+			o[i] = a[ai[i]] - b[bi[i]]
+		}
+	case OpMul:
+		for i := range o {
+			o[i] = a[ai[i]] * b[bi[i]]
+		}
+	default:
+		for i := range o {
+			v, err := arithOne(op, a[ai[i]], b[bi[i]], rem)
+			if err != nil {
+				return err
+			}
+			o[i] = v
+		}
+	}
+	return nil
+}
+
+// remLong is bigint modulo.
+func remLong(a, b int64) int64 { return a % b }
+
+// columnOf is e's column index when e is a column reference of one of ts,
+// else -1: the operand an arithmetic kernel may read in place.
+func columnOf(e Expr, ts ...types.Type) int {
+	if c, ok := e.(*ColumnRef); ok {
+		for _, t := range ts {
+			if c.T == t {
+				return c.Index
+			}
+		}
+	}
+	return -1
 }
 
 func vecNeg[T int64 | float64](f vkernel[T]) vkernel[T] {
@@ -748,15 +776,22 @@ func anyNonNull(idx []int, n int, nulls []bool, has bool) bool {
 
 // vecArithConst is x op c, or c op x when left, for +, -, * and (x / c)
 // only: the operand is evaluated straight into out and the operator applied
-// in place. Division by a constant zero fails where the operand is not NULL,
-// as the vector form does.
-func vecArithConst[T int64 | float64](op BinOp, f vkernel[T], k scalar[T], left bool) vkernel[T] {
+// in place — an operand that is a flat column with no NULL (col: its index,
+// or -1) read in place through the selection, in the operator's one pass.
+// Division by a constant zero fails where the operand is not NULL, as the
+// vector form does.
+func vecArithConst[T int64 | float64](op BinOp, f vkernel[T], col int, k scalar[T], left bool) vkernel[T] {
 	return func(in *vecInput, idx []int, out []T, nulls []bool) (bool, error) {
+		c := k.at(in)
+		if vals, sel, ok := flatAt[T](in, col); ok && idx == nil && (op != OpDiv || c != 0 || in.n == 0) {
+			clearBools(nulls[:in.n])
+			arithConstFrom(op, out[:in.n], vals, sel, c, left)
+			return false, nil
+		}
 		has, err := f(in, idx, out, nulls)
 		if err != nil {
 			return false, err
 		}
-		c := k.at(in)
 		if op == OpDiv && c == 0 {
 			if anyNonNull(idx, in.n, nulls, has) {
 				return false, errDivZero
@@ -802,6 +837,39 @@ func arithConst[T int64 | float64](op BinOp, o []T, c T, left bool) {
 	}
 }
 
+// arithConstFrom is arithConst over vals at the rows sel (nil: the first
+// len(o)) into o.
+func arithConstFrom[T int64 | float64](op BinOp, o, vals []T, sel []int, c T, left bool) {
+	if sel == nil {
+		copy(o, vals)
+		arithConst(op, o, c, left)
+		return
+	}
+	sel = sel[:len(o)]
+	switch {
+	case op == OpAdd:
+		for i, r := range sel {
+			o[i] = vals[r] + c
+		}
+	case op == OpMul:
+		for i, r := range sel {
+			o[i] = vals[r] * c
+		}
+	case op == OpSub && left:
+		for i, r := range sel {
+			o[i] = c - vals[r]
+		}
+	case op == OpSub:
+		for i, r := range sel {
+			o[i] = vals[r] - c
+		}
+	default:
+		for i, r := range sel {
+			o[i] = vals[r] / c
+		}
+	}
+}
+
 // arithConstAt is arithConst over the positions idx of o.
 func arithConstAt[T int64 | float64](op BinOp, o []T, idx []int, c T, left bool) {
 	switch {
@@ -831,7 +899,7 @@ func arithConstAt[T int64 | float64](op BinOp, o []T, idx []int, c T, left bool)
 // scalarArith compiles x op c (or c op x) when one operand is a scalar
 // constant and the operator has a scalar kernel: +, -, * either way round,
 // and / by a constant.
-func scalarArith[T int64 | float64](x *Arith, scalar func(Expr) (scalar[T], bool), compile func(Expr) (vkernel[T], bool)) (vkernel[T], bool) {
+func scalarArith[T int64 | float64](x *Arith, scalar func(Expr) (scalar[T], bool), compile func(Expr) (vkernel[T], bool), cols ...types.Type) (vkernel[T], bool) {
 	switch x.Op {
 	case OpAdd, OpSub, OpMul, OpDiv:
 	default:
@@ -839,11 +907,11 @@ func scalarArith[T int64 | float64](x *Arith, scalar func(Expr) (scalar[T], bool
 	}
 	if c, ok := scalar(x.R); ok {
 		f, ok := compile(x.L)
-		return vecArithConst(x.Op, f, c, false), ok
+		return vecArithConst(x.Op, f, columnOf(x.L, cols...), c, false), ok
 	}
 	if c, ok := scalar(x.L); ok && x.Op != OpDiv {
 		f, ok := compile(x.R)
-		return vecArithConst(x.Op, f, c, true), ok
+		return vecArithConst(x.Op, f, columnOf(x.R, cols...), c, true), ok
 	}
 	return nil, false
 }
@@ -977,7 +1045,7 @@ func (c *selCompiler) vecLong(e Expr) (longKernel, bool) {
 		if x.Op == OpConcat {
 			return nil, false
 		}
-		if k, ok := scalarArith(x, scalarLong, c.vecLong); ok {
+		if k, ok := scalarArith(x, scalarLong, c.vecLong, types.Bigint, types.Date); ok {
 			return k, true
 		}
 		l, lok := c.vecLong(x.L)
@@ -985,7 +1053,7 @@ func (c *selCompiler) vecLong(e Expr) (longKernel, bool) {
 		if !lok || !rok {
 			return nil, false
 		}
-		return vecArithLong(x.Op, l, r), true
+		return vecArith(x.Op, l, r, columnOf(x.L, types.Bigint, types.Date), columnOf(x.R, types.Bigint, types.Date), remLong), true
 	case *Case:
 		return vecCaseOf(c, x, c.vecLong)
 	case *Cast:
@@ -1034,7 +1102,7 @@ func (c *selCompiler) vecDouble(e Expr) (doubleKernel, bool) {
 		if x.Op == OpConcat || x.Op == OpMod {
 			return nil, false
 		}
-		if k, ok := scalarArith(x, scalarDouble, c.vecDouble); ok {
+		if k, ok := scalarArith(x, scalarDouble, c.vecDouble, types.Double); ok {
 			return k, true
 		}
 		l, lok := c.vecDouble(x.L)
@@ -1042,7 +1110,7 @@ func (c *selCompiler) vecDouble(e Expr) (doubleKernel, bool) {
 		if !lok || !rok {
 			return nil, false
 		}
-		return vecArithDouble(x.Op, l, r), true
+		return vecArith(x.Op, l, r, columnOf(x.L, types.Double), columnOf(x.R, types.Double), nil), true
 	case *Case:
 		return vecCaseOf(c, x, c.vecDouble)
 	case *Cast:

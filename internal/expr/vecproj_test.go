@@ -238,7 +238,7 @@ func TestProgramSharedByGoroutines(t *testing.T) {
 	for i, p := range pages {
 		want[i] = renderPage(t, NewInterpretedPageProcessor(filter, proj), p)
 	}
-	prog := CompileProgram(filter, proj)
+	prog := CompileProgram(filter, proj, nil)
 	if prog.memos == 0 {
 		t.Fatal("the filter keeps no dictionary memo")
 	}

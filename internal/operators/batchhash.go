@@ -173,6 +173,35 @@ func normCol(b block.Block, cells []uint64, tags []byte, k, nk, n int, dk *dictK
 		}
 	case *block.LazyBlock:
 		normCol(src.Load(), cells, tags, k, nk, n, dk)
+	case *block.SelectedBlock:
+		normSelected(src, cells, tags, k, nk, n, dk)
+	default:
+		normRows(b, cells, tags, k, nk, n)
+	}
+}
+
+// normSelected is normCol for a column under a selection: a bigint or
+// dictionary source is read through it in place, anything else row by row.
+func normSelected(b *block.SelectedBlock, cells []uint64, tags []byte, k, nk, n int, dk *dictKeys) {
+	src, sel := block.Unselect(b)
+	switch src := src.(type) {
+	case *block.LongBlock:
+		for i, r := range sel[:n] {
+			if src.Nulls != nil && src.Nulls[r] {
+				tags[i*nk+k], cells[i*nk+k] = block.CellNull, 0
+			} else {
+				tags[i*nk+k], cells[i*nk+k] = block.CellLong, uint64(src.Vals[r])
+			}
+		}
+	case *block.DictionaryBlock:
+		if !dk.covers(src.Dict, n, true) {
+			normRows(b, cells, tags, k, nk, n)
+			return
+		}
+		for i, r := range sel[:n] {
+			id := src.Indices[r]
+			tags[i*nk+k], cells[i*nk+k] = dk.tags[id], dk.cells[id]
+		}
 	default:
 		normRows(b, cells, tags, k, nk, n)
 	}
@@ -287,6 +316,44 @@ func hashCol(b block.Block, hashes []uint64, n int, dk *dictKeys) {
 		}
 	case *block.LazyBlock:
 		hashCol(src.Load(), hashes, n, dk)
+	case *block.SelectedBlock:
+		hashSelected(src, hashes, n, dk)
+	default:
+		hashRows(b, hashes, n, dk)
+	}
+}
+
+// hashSelected is hashCol for a column under a selection: a bigint, varchar
+// or dictionary source is read through it in place, anything else row by row.
+func hashSelected(b *block.SelectedBlock, hashes []uint64, n int, dk *dictKeys) {
+	src, sel := block.Unselect(b)
+	switch src := src.(type) {
+	case *block.LongBlock:
+		for i, r := range sel[:n] {
+			if src.Nulls != nil && src.Nulls[r] {
+				hashes[i] = fnvByte(hashes[i], block.CellNull)
+			} else {
+				hashes[i] = fnvCell(hashes[i], block.CellLong, uint64(src.Vals[r]))
+			}
+		}
+	case *block.VarcharBlock:
+		for i, r := range sel[:n] {
+			if src.Nulls != nil && src.Nulls[r] {
+				hashes[i] = fnvByte(hashes[i], block.CellNull)
+			} else {
+				hashes[i] = fnvStr(hashes[i], src.Vals[r])
+			}
+		}
+	case *block.DictionaryBlock:
+		if !dk.covers(src.Dict, n, false) {
+			hashRows(b, hashes, n, dk)
+			return
+		}
+		arena, offs := dk.arena, dk.offs
+		for i, r := range sel[:n] {
+			id := src.Indices[r]
+			hashes[i] = fnvBytes(hashes[i], arena[offs[id]:offs[id+1]])
+		}
 	default:
 		hashRows(b, hashes, n, dk)
 	}
@@ -447,7 +514,8 @@ func resolveEncoded(a *block.Arena, p *block.Page, cols []int, ids []int32, miss
 	}
 	combos, dicts := 1, 0
 	for _, c := range cols {
-		switch kc := loadCol(p.Col(c)).(type) {
+		kc, _ := block.Unselect(p.Col(c))
+		switch kc := kc.(type) {
 		case *block.RLEBlock:
 		case *block.DictionaryBlock:
 			dicts++
@@ -465,20 +533,28 @@ func resolveEncoded(a *block.Arena, p *block.Page, cols []int, ids []int32, miss
 		}
 		return true, true
 	}
-	// Combine the index vectors into ids, first key column slowest, then
-	// replace each combination by its key id.
+	// Combine the index vectors — a column under a selection read through
+	// it — into ids, first key column slowest, then replace each combination
+	// by its key id.
 	first := true
 	for _, c := range cols {
-		kc, isDict := loadCol(p.Col(c)).(*block.DictionaryBlock)
-		switch {
-		case !isDict:
-		case first:
-			copy(ids, kc.Indices)
+		b, sel := block.Unselect(p.Col(c))
+		kc, isDict := b.(*block.DictionaryBlock)
+		if !isDict {
+			continue
+		}
+		width, idx := int32(kc.Dict.Len()), kc.Indices
+		if first {
+			width = 0
 			first = false
-		default:
-			width, idx := int32(kc.Dict.Len()), kc.Indices
+		}
+		if sel == nil { // width 0: the first column starts every id
 			for r := range ids {
 				ids[r] = ids[r]*width + idx[r]
+			}
+		} else {
+			for r := range ids {
+				ids[r] = ids[r]*width + idx[sel[r]]
 			}
 		}
 	}

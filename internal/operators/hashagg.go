@@ -89,6 +89,18 @@ func (a *aggVec) reset() {
 	}
 }
 
+// zeroElse reports whether the aggregate folds a masked argument whose rows
+// outside the mask read v by counting them (accumulateMasked): v is a zero,
+// and the aggregate a sum, an average or a count, which a zero adds nothing
+// to.
+func (a *aggVec) zeroElse(v types.Value) bool {
+	switch a.spec.Func {
+	case plan.AggSum, plan.AggAvg, plan.AggCount:
+		return v.I == 0 && v.F == 0 && (v.T == types.Bigint || v.T == types.Double)
+	}
+	return false
+}
+
 // add folds n copies of the non-null argument b[r] into group id: n is 1 for
 // a row and the run length when a whole RLE run lands in one group.
 func (a *aggVec) add(id int, b block.Block, r int, n int64) {
@@ -112,7 +124,7 @@ func (a *aggVec) add(id int, b block.Block, r int, n int64) {
 // foldRun folds the rows of col, all in group id, into the group's state: a
 // run kernel, or else row by row.
 func (a *aggVec) foldRun(id int, col block.Block) {
-	if a.accumulateRun(id, col.Len(), col) {
+	if a.accumulateRun(id, col) {
 		return
 	}
 	for r := range col.Len() {
@@ -528,7 +540,10 @@ func (o *HashAggregationOperator) groupIDForRow(p *block.Page, cols []int, r int
 // accumulatePage runs every aggregate over the resolved groups: the run
 // kernels when the page is one group's run, else the columnar kernels over
 // state[ids[r]], else the per-row fallback (DISTINCT, varchar and boolean
-// arguments, RLE/dictionary encodings). Caller holds o.mu.
+// arguments, RLE/dictionary encodings). The kernels read an argument through
+// its selection (block.SelectedBlock) where it lies, and a masked argument
+// (block.MaskedBlock) at its mask's rows only (accumulateMasked). Caller holds
+// o.mu.
 func (o *HashAggregationOperator) accumulatePage(ids []int32, runID int32, p *block.Page) error {
 	n := p.RowCount()
 	for i := range o.accs {
@@ -548,23 +563,115 @@ func (o *HashAggregationOperator) accumulatePage(ids []int32, runID int32, p *bl
 			return fmt.Errorf("unknown aggregate %q", a.spec.Func)
 		}
 		col := loadCol(p.Col(a.spec.ArgCol))
-		if runID >= 0 && a.dset == nil && a.accumulateRun(int(runID), n, col) {
+		if m, ok := col.(*block.MaskedBlock); ok && a.dset == nil && (m.Else.Null || a.zeroElse(m.Else)) {
+			o.accumulateMasked(a, ids, runID, n, m)
+			continue
+		}
+		if runID >= 0 && a.dset == nil && a.accumulateRun(int(runID), col) {
 			continue
 		}
 		if ids == nil {
 			ids = o.runIDs(n, runID)
 		}
-		if a.dset == nil && a.accumulateVec(ids, col) {
-			continue
-		}
-		for r, id := range ids {
-			if col.IsNull(r) || (a.dset != nil && !o.firstSeenLocked(a, id, col, r)) {
-				continue
-			}
-			a.add(int(id), col, r, 1)
-		}
+		o.accumulateRows(a, ids, col)
 	}
 	return nil
+}
+
+// accumulateRows folds col into a, row r into group ids[r]: a columnar kernel,
+// or else row by row. Caller holds o.mu.
+func (o *HashAggregationOperator) accumulateRows(a *aggVec, ids []int32, col block.Block) {
+	if a.dset == nil && a.accumulateVec(ids, col) {
+		return
+	}
+	for r, id := range ids {
+		if col.IsNull(r) || (a.dset != nil && !o.firstSeenLocked(a, id, col, r)) {
+			continue
+		}
+		a.add(int(id), col, r, 1)
+	}
+}
+
+// accumulateMasked folds a masked argument into a: the values at the mask's
+// rows go through the kernels as a column of their own, each under its row's
+// group, and no other row is read. Under a zero ELSE (zeroElse) every other
+// row is a zero argument, which counts toward the group's non-null inputs —
+// so a sum over rows none of which the mask holds is 0, not NULL — and adds
+// nothing; any other non-null ELSE, or a min or max, reads the block row by
+// row, as the CASE it stands for (accumulatePage). Caller holds o.mu.
+func (o *HashAggregationOperator) accumulateMasked(a *aggVec, ids []int32, runID int32, n int, m *block.MaskedBlock) {
+	if runID >= 0 {
+		a.foldRun(int(runID), m.Vals)
+		if !m.Else.Null {
+			a.count[runID] += int64(n - len(m.Rows))
+		}
+		return
+	}
+	if !m.Else.Null && a.sumMasked(ids, m.Rows, m.Vals) {
+		// No row reads NULL: each is one non-null argument of its group.
+		for _, id := range ids {
+			a.count[id]++
+		}
+		return
+	}
+	mids := block.Lease[int32](&o.scratch, len(m.Rows))
+	for k, r := range m.Rows {
+		mids[k] = ids[r]
+	}
+	o.accumulateRows(a, mids, m.Vals)
+	if !m.Else.Null {
+		for _, id := range ids {
+			a.count[id]++
+		}
+		for _, id := range mids {
+			a.count[id]--
+		}
+	}
+}
+
+// sumMasked adds a masked argument's values, col's row k to the group of the
+// page's row rows[k], to a sum or an average, counting none of them; a count
+// has nothing to add. It reports false, having added nothing, when col holds
+// a NULL or has no flat kernel.
+func (a *aggVec) sumMasked(ids []int32, rows []int, col block.Block) bool {
+	b, sel := block.Unselect(col)
+	switch src := b.(type) {
+	case *block.LongBlock:
+		if src.Nulls != nil {
+			return false
+		}
+		switch {
+		case a.spec.Func == plan.AggCount:
+		case a.floatSum:
+			sumAtRows(a.sumF, ids, rows, src.Vals, sel)
+		default:
+			sumAtRows(a.sumI, ids, rows, src.Vals, sel)
+		}
+		return true
+	case *block.DoubleBlock:
+		if src.Nulls != nil || (a.spec.Func != plan.AggCount && !a.floatSum) {
+			return false
+		}
+		if a.spec.Func != plan.AggCount {
+			sumAtRows(a.sumF, ids, rows, src.Vals, sel)
+		}
+		return true
+	}
+	return false
+}
+
+// sumAtRows adds vals[k] — vals[sel[k]] under a selection — to the sum of
+// the group of row rows[k].
+func sumAtRows[S, V int64 | float64](sum []S, ids []int32, rows []int, vals []V, sel []int) {
+	if sel == nil {
+		for k, r := range rows {
+			sum[ids[r]] += S(vals[k])
+		}
+		return
+	}
+	for k, r := range rows {
+		sum[ids[r]] += S(vals[sel[k]])
+	}
 }
 
 // firstSeenLocked enters (group id, col[r]) in a DISTINCT aggregate's set and
@@ -581,50 +688,50 @@ func (o *HashAggregationOperator) firstSeenLocked(a *aggVec, id int32, col block
 // vector when the argument column has a specialized flat kernel, and returns
 // false when it has none. Each kernel mirrors add exactly: NULL arguments are
 // skipped, and min/max comparisons match Value.Compare for the block's type.
+//
+// A column under a selection (block.SelectedBlock) is read in place: row r of
+// the page is row sel[r] of the source vectors.
 func (a *aggVec) accumulateVec(ids []int32, col block.Block) bool {
 	count := a.count
-	switch src := col.(type) {
+	b, sel := block.Unselect(col)
+	switch src := b.(type) {
 	case *block.LongBlock:
 		vals, nulls := src.Vals, src.Nulls
 		switch a.spec.Func {
 		case plan.AggCount:
-			countNonNull(count, ids, nulls)
+			countNonNull(count, ids, nulls, sel)
 		case plan.AggCountMerge:
-			for r, id := range ids {
-				if nulls == nil || !nulls[r] {
-					count[id] += vals[r]
-				}
-			}
+			sumNonNull(nil, count, ids, vals, nulls, sel)
 		case plan.AggSum, plan.AggAvg:
 			if a.floatSum {
-				sumNonNull(count, a.sumF, ids, vals, nulls)
+				sumNonNull(count, a.sumF, ids, vals, nulls, sel)
 			} else {
-				sumNonNull(count, a.sumI, ids, vals, nulls)
+				sumNonNull(count, a.sumI, ids, vals, nulls, sel)
 			}
 		case plan.AggMin, plan.AggMax:
 			if a.mm.t != types.Bigint && a.mm.t != types.Date {
 				return false
 			}
-			keepOrdered(a.mm.has, a.mm.longs, ids, vals, nulls, a.spec.Func == plan.AggMax)
+			keepOrdered(a.mm.has, a.mm.longs, ids, vals, nulls, sel, a.spec.Func == plan.AggMax)
 		}
 		return true
 	case *block.DoubleBlock:
 		vals, nulls := src.Vals, src.Nulls
 		switch a.spec.Func {
 		case plan.AggCount:
-			countNonNull(count, ids, nulls)
+			countNonNull(count, ids, nulls, sel)
 		case plan.AggSum, plan.AggAvg:
 			if !a.floatSum {
 				return false
 			}
-			sumNonNull(count, a.sumF, ids, vals, nulls)
+			sumNonNull(count, a.sumF, ids, vals, nulls, sel)
 		case plan.AggMin, plan.AggMax:
 			if a.mm.t != types.Double {
 				return false
 			}
 			// v < cur matches compareFloat: NaN compares equal, so an
 			// incumbent is never displaced by NaN and vice versa.
-			keepOrdered(a.mm.has, a.mm.doubles, ids, vals, nulls, a.spec.Func == plan.AggMax)
+			keepOrdered(a.mm.has, a.mm.doubles, ids, vals, nulls, sel, a.spec.Func == plan.AggMax)
 		default:
 			return false
 		}
@@ -633,14 +740,17 @@ func (a *aggVec) accumulateVec(ids []int32, col block.Block) bool {
 	return false
 }
 
-// accumulateRun folds a run — the n rows of col, all in group id — into the
+// accumulateRun folds a run — the rows of col, all in group id — into the
 // group's state, and returns false for an argument it has no run kernel for.
 // A run of one argument value (RLE) folds in one step; a flat column's sums,
 // counts and extremes are kept in locals over the run and written once, so
-// no row goes through the group's state in memory. The additions come in the
-// order of the per-row kernels, so a double sum is theirs bit for bit.
-func (a *aggVec) accumulateRun(id, n int, col block.Block) bool {
-	switch src := col.(type) {
+// no row goes through the group's state in memory, and a column under a
+// selection is read in place. The additions come in the order of the per-row
+// kernels, so a double sum is theirs bit for bit.
+func (a *aggVec) accumulateRun(id int, col block.Block) bool {
+	n := col.Len()
+	b, sel := block.Unselect(col)
+	switch src := b.(type) {
 	case *block.RLEBlock:
 		// A NULL argument is skipped by every aggregate.
 		if !src.Val.IsNull(0) {
@@ -648,42 +758,48 @@ func (a *aggVec) accumulateRun(id, n int, col block.Block) bool {
 		}
 		return true
 	case *block.LongBlock:
-		vals, nulls := src.Vals[:n], src.Nulls
+		vals, nulls := src.Vals, src.Nulls
+		if sel == nil {
+			vals = vals[:n]
+		}
 		switch a.spec.Func {
 		case plan.AggCount:
-			a.count[id] += nonNullRun(nulls, n)
+			a.count[id] += nonNullRun(nulls, n, sel)
 		case plan.AggCountMerge:
-			a.count[id] = sumRun(a.count[id], vals, nulls)
+			a.count[id] = sumRun(a.count[id], vals, nulls, sel)
 		case plan.AggSum, plan.AggAvg:
-			a.count[id] += nonNullRun(nulls, n)
+			a.count[id] += nonNullRun(nulls, n, sel)
 			if a.floatSum {
-				a.sumF[id] = sumRun(a.sumF[id], vals, nulls)
+				a.sumF[id] = sumRun(a.sumF[id], vals, nulls, sel)
 			} else {
-				a.sumI[id] = sumRun(a.sumI[id], vals, nulls)
+				a.sumI[id] = sumRun(a.sumI[id], vals, nulls, sel)
 			}
 		case plan.AggMin, plan.AggMax:
 			if a.mm.t != types.Bigint && a.mm.t != types.Date {
 				return false
 			}
-			a.mm.has[id], a.mm.longs[id] = keepRun(a.mm.has[id], a.mm.longs[id], vals, nulls, a.spec.Func == plan.AggMax)
+			a.mm.has[id], a.mm.longs[id] = keepRun(a.mm.has[id], a.mm.longs[id], vals, nulls, sel, a.spec.Func == plan.AggMax)
 		}
 		return true
 	case *block.DoubleBlock:
-		vals, nulls := src.Vals[:n], src.Nulls
+		vals, nulls := src.Vals, src.Nulls
+		if sel == nil {
+			vals = vals[:n]
+		}
 		switch a.spec.Func {
 		case plan.AggCount:
-			a.count[id] += nonNullRun(nulls, n)
+			a.count[id] += nonNullRun(nulls, n, sel)
 		case plan.AggSum, plan.AggAvg:
 			if !a.floatSum {
 				return false
 			}
-			a.count[id] += nonNullRun(nulls, n)
-			a.sumF[id] = sumRun(a.sumF[id], vals, nulls)
+			a.count[id] += nonNullRun(nulls, n, sel)
+			a.sumF[id] = sumRun(a.sumF[id], vals, nulls, sel)
 		case plan.AggMin, plan.AggMax:
 			if a.mm.t != types.Double {
 				return false
 			}
-			a.mm.has[id], a.mm.doubles[id] = keepRun(a.mm.has[id], a.mm.doubles[id], vals, nulls, a.spec.Func == plan.AggMax)
+			a.mm.has[id], a.mm.doubles[id] = keepRun(a.mm.has[id], a.mm.doubles[id], vals, nulls, sel, a.spec.Func == plan.AggMax)
 		default:
 			return false
 		}
@@ -692,12 +808,21 @@ func (a *aggVec) accumulateRun(id, n int, col block.Block) bool {
 	return false
 }
 
-// nonNullRun is how many of a run's n rows are not NULL.
-func nonNullRun(nulls []bool, n int) int64 {
+// nonNullRun is how many of a run's n rows — the source rows sel, or the
+// first n when sel is nil — are not NULL.
+func nonNullRun(nulls []bool, n int, sel []int) int64 {
 	if nulls == nil {
 		return int64(n)
 	}
 	c := 0
+	if sel != nil {
+		for _, r := range sel {
+			if !nulls[r] {
+				c++
+			}
+		}
+		return int64(c)
+	}
 	for _, nl := range nulls[:n] {
 		if !nl {
 			c++
@@ -706,66 +831,120 @@ func nonNullRun(nulls []bool, n int) int64 {
 	return int64(c)
 }
 
-// sumRun adds a run's non-null values to s, in the sum's own arithmetic.
-func sumRun[S, V int64 | float64](s S, vals []V, nulls []bool) S {
-	if nulls == nil {
+// sumRun adds a run's non-null values — vals at the rows sel, or all of vals
+// when sel is nil — to s, in the sum's own arithmetic.
+func sumRun[S, V int64 | float64](s S, vals []V, nulls []bool, sel []int) S {
+	switch {
+	case sel != nil && nulls == nil:
+		for _, r := range sel {
+			s += S(vals[r])
+		}
+	case sel != nil:
+		for _, r := range sel {
+			if !nulls[r] {
+				s += S(vals[r])
+			}
+		}
+	case nulls == nil:
 		for _, v := range vals {
 			s += S(v)
 		}
-		return s
-	}
-	for r, v := range vals {
-		if !nulls[r] {
-			s += S(v)
+	default:
+		for r, v := range vals {
+			if !nulls[r] {
+				s += S(v)
+			}
 		}
 	}
 	return s
 }
 
 // keepRun is keepOrdered over a run: the extreme kept so far (has, cur) and
-// the run's non-null values give the new one.
-func keepRun[T int64 | float64](has bool, cur T, vals []T, nulls []bool, larger bool) (bool, T) {
-	for r, v := range vals {
+// the run's non-null values (vals at the rows sel, or all of vals) give the
+// new one.
+func keepRun[T int64 | float64](has bool, cur T, vals []T, nulls []bool, sel []int, larger bool) (bool, T) {
+	n := len(vals)
+	if sel != nil {
+		n = len(sel)
+	}
+	for k := range n {
+		r := k
+		if sel != nil {
+			r = sel[k]
+		}
 		if nulls != nil && nulls[r] {
 			continue
 		}
-		if !has || (larger && v > cur) || (!larger && v < cur) {
+		if v := vals[r]; !has || (larger && v > cur) || (!larger && v < cur) {
 			cur, has = v, true
 		}
 	}
 	return has, cur
 }
 
-// countNonNull is the shared COUNT(col) kernel over a flat null mask.
-func countNonNull(count []int64, ids []int32, nulls []bool) {
-	if nulls == nil {
+// countNonNull is the shared COUNT(col) kernel over a flat null mask; row r's
+// mask entry is nulls[sel[r]], or nulls[r] when sel is nil.
+func countNonNull(count []int64, ids []int32, nulls []bool, sel []int) {
+	switch {
+	case nulls == nil:
 		for _, id := range ids {
 			count[id]++
 		}
-		return
-	}
-	for r, id := range ids {
-		if !nulls[r] {
-			count[id]++
+	case sel != nil:
+		for k, id := range ids {
+			if !nulls[sel[k]] {
+				count[id]++
+			}
+		}
+	default:
+		for r, id := range ids {
+			if !nulls[r] {
+				count[id]++
+			}
 		}
 	}
 }
 
-// sumNonNull is the SUM/AVG kernel: each non-null value counts and adds, in
-// the sum's own arithmetic, to its group.
-func sumNonNull[S, V int64 | float64](count []int64, sum []S, ids []int32, vals []V, nulls []bool) {
-	for r, id := range ids {
-		if nulls == nil || !nulls[r] {
+// sumNonNull is the SUM/AVG kernel: each non-null value counts (when count is
+// not nil) and adds, in the sum's own arithmetic, to its group. Row r's value
+// is vals[sel[r]], or vals[r] when sel is nil.
+func sumNonNull[S, V int64 | float64](count []int64, sum []S, ids []int32, vals []V, nulls []bool, sel []int) {
+	switch {
+	case sel != nil && nulls == nil && count != nil:
+		for k, id := range ids {
+			count[id]++
+			sum[id] += S(vals[sel[k]])
+		}
+	case sel == nil && nulls == nil && count != nil:
+		vals = vals[:len(ids)]
+		for r, id := range ids {
 			count[id]++
 			sum[id] += S(vals[r])
+		}
+	default:
+		for k, id := range ids {
+			r := k
+			if sel != nil {
+				r = sel[k]
+			}
+			if nulls == nil || !nulls[r] {
+				if count != nil {
+					count[id]++
+				}
+				sum[id] += S(vals[r])
+			}
 		}
 	}
 }
 
 // keepOrdered is the min/max kernel over a flat column whose type is the
-// state's own.
-func keepOrdered[T int64 | float64](has []bool, cur []T, ids []int32, vals []T, nulls []bool, larger bool) {
-	for r, id := range ids {
+// state's own; row r's value is vals[sel[r]], or vals[r] when sel is nil.
+func keepOrdered[T int64 | float64](has []bool, cur []T, ids []int32, vals []T, nulls []bool, sel []int, larger bool) {
+	for k, id := range ids {
+		r := k
+		if sel != nil {
+			r = sel[k]
+		}
 		if nulls != nil && nulls[r] {
 			continue
 		}

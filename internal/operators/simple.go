@@ -69,9 +69,14 @@ func (o *FilterProjectOperator) Processor() *expr.PageProcessor { return o.proc 
 // LendOutput tells the operator, once and before its first page, that
 // consumer — the operator it feeds — releases its input (ReleasesInput), so
 // the processor may write its output into vectors it owns and reuses
-// (expr.PageProcessor.BorrowOutput).
+// (expr.PageProcessor.BorrowOutput). A hash aggregation reads a page through
+// the filter's selection besides (expr.PageProcessor.LendSelection); every
+// other consumer gets its rows gathered.
 func (o *FilterProjectOperator) LendOutput(consumer Operator) {
 	o.proc.BorrowOutput()
+	if _, ok := consumer.(*HashAggregationOperator); ok {
+		o.proc.LendSelection()
+	}
 	o.consumer = consumer
 }
 

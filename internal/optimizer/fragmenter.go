@@ -285,28 +285,55 @@ func (fb *fragBuilder) visitAggregation(o *Optimizer, agg *plan.Aggregation) sub
 		projOut = append(projOut, plan.Field{Name: fmt.Sprintf("_k%d", i), T: g.Type()})
 	}
 	// An argument that more than one aggregate reads is projected once, when
-	// it is deterministic: the same expression over the same row.
-	argCol := make([]int, len(agg.Aggregates))
+	// it is deterministic: the same expression over the same row. A masked
+	// argument is evaluated at its mask's rows only, so it is shared only
+	// under the same mask and ELSE; the columns a mask reads are projected as
+	// they are, and the mask reads them there.
 	argAt := map[string]int{}
+	project := func(e expr.Expr, key, name string) int {
+		if c, ok := argAt[key]; ok && key != "" {
+			return c
+		}
+		if key != "" {
+			argAt[key] = len(projExprs)
+		}
+		projExprs = append(projExprs, e)
+		projOut = append(projOut, plan.Field{Name: name, T: e.Type()})
+		return len(projExprs) - 1
+	}
+	argCol := make([]int, len(agg.Aggregates))
 	for i, a := range agg.Aggregates {
+		argCol[i] = -1
 		if a.Arg == nil {
-			argCol[i] = -1
 			continue
 		}
 		key := ""
-		if expr.IsDeterministic(a.Arg) {
+		if expr.IsDeterministic(a.Arg) && (a.Mask == nil || expr.IsDeterministic(a.Mask)) {
 			key = expr.CanonicalKey(a.Arg)
-			if c, ok := argAt[key]; ok {
-				argCol[i] = c
-				continue
+			if a.Mask != nil {
+				key += " mask " + expr.CanonicalKey(a.Mask)
+				if a.Else != nil {
+					key += " else " + expr.CanonicalKey(a.Else)
+				}
 			}
 		}
-		argCol[i] = len(projExprs)
-		if key != "" {
-			argAt[key] = argCol[i]
+		argCol[i] = project(a.Arg, key, fmt.Sprintf("_a%d", i))
+	}
+	masks := make([]expr.Expr, len(agg.Aggregates))
+	colMask := map[int]plan.Aggregate{} // a masked argument's column: its mask and ELSE
+	for i, a := range agg.Aggregates {
+		if a.Mask == nil {
+			continue
 		}
-		projExprs = append(projExprs, a.Arg)
-		projOut = append(projOut, plan.Field{Name: fmt.Sprintf("_a%d", i), T: a.Arg.Type()})
+		masks[i] = expr.Rewrite(a.Mask, func(x expr.Expr) expr.Expr {
+			c, ok := x.(*expr.ColumnRef)
+			if !ok {
+				return nil
+			}
+			at := project(c, expr.CanonicalKey(c), fmt.Sprintf("_m%d", i))
+			return &expr.ColumnRef{Index: at, T: c.T, Name: projOut[at].Name}
+		})
+		colMask[argCol[i]] = plan.Aggregate{Mask: masks[i], Else: a.Else}
 	}
 	proj := &plan.Project{Input: c.node, Exprs: projExprs, Out: projOut}
 
@@ -318,7 +345,7 @@ func (fb *fragBuilder) visitAggregation(o *Optimizer, agg *plan.Aggregation) sub
 	mkSingle := func(input plan.Node) *plan.Aggregation {
 		aggs := make([]plan.Aggregate, len(agg.Aggregates))
 		for i, a := range agg.Aggregates {
-			aggs[i] = plan.Aggregate{Func: a.Func, Distinct: a.Distinct, Out: a.Out}
+			aggs[i] = plan.Aggregate{Func: a.Func, Distinct: a.Distinct, Out: a.Out, Mask: masks[i], Else: a.Else}
 			if argCol[i] >= 0 {
 				aggs[i].Arg = &expr.ColumnRef{Index: argCol[i], T: a.Arg.Type(), Name: projOut[argCol[i]].Name}
 			}
@@ -395,6 +422,9 @@ func (fb *fragBuilder) visitAggregation(o *Optimizer, agg *plan.Aggregation) sub
 		a := plan.Aggregate{Func: fn, Out: outT}
 		if col >= 0 {
 			a.Arg = &expr.ColumnRef{Index: col, T: projOut[col].T, Name: projOut[col].Name}
+			if m, ok := colMask[col]; ok {
+				a.Mask, a.Else = m.Mask, m.Else
+			}
 		}
 		partialAggs = append(partialAggs, a)
 		partialOut = append(partialOut, plan.Field{Name: fmt.Sprintf("_p%d", idx), T: outT})

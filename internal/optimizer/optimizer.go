@@ -74,6 +74,7 @@ func (o *Optimizer) Optimize(root plan.Node) plan.Node {
 		fuseTopN,
 		mergeLimits,
 		removeIdentityProject,
+		maskCaseAggregates,
 	}
 	root = o.applyToFixpoint(root, rules)
 	if o.Config.UseStats {

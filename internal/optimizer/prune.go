@@ -130,6 +130,9 @@ func (o *Optimizer) prune(n plan.Node, need []bool) (plan.Node, []int) {
 			if a.Arg != nil {
 				markExprCols(a.Arg, childNeed)
 			}
+			if a.Mask != nil {
+				markExprCols(a.Mask, childNeed)
+			}
 			mapping[ng+i] = ng + len(keptAggs)
 			keptAggs = append(keptAggs, a)
 			out = append(out, x.Out[ng+i])
@@ -142,6 +145,9 @@ func (o *Optimizer) prune(n plan.Node, need []bool) (plan.Node, []int) {
 		for i := range keptAggs {
 			if keptAggs[i].Arg != nil {
 				keptAggs[i].Arg = remapExpr(keptAggs[i].Arg, cm)
+			}
+			if keptAggs[i].Mask != nil {
+				keptAggs[i].Mask = remapExpr(keptAggs[i].Mask, cm)
 			}
 		}
 		return &plan.Aggregation{Input: child, GroupBy: groups, Aggregates: keptAggs, Step: x.Step, Out: out}, mapping

@@ -1,6 +1,8 @@
 package optimizer
 
 import (
+	"slices"
+
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/types"
@@ -398,4 +400,90 @@ func removeIdentityProject(o *Optimizer, n plan.Node) (plan.Node, bool) {
 		}
 	}
 	return p.Input, true
+}
+
+// maskCaseAggregates gives an aggregate over a one-branch CASE a mask
+// (plan.Aggregate's Mask), so that the CASE is not evaluated as a column and
+// then aggregated whole:
+//
+//	sum(CASE WHEN p THEN y ELSE 0 END)    → sum(y) mask (p) else 0
+//	sum(CASE WHEN p THEN 0 ELSE y END)    → sum(y) mask (p is not TRUE) else 0
+//	f(CASE WHEN p THEN y [ELSE NULL] END) → f(y) mask (p), f one of sum, avg,
+//	                                        count, min and max
+//
+// The aggregate then reads exactly what it read: p is evaluated at every row
+// and y only where the mask holds, a row outside the mask reads the ELSE, and
+// a group none of whose rows the mask holds sums to 0 under ELSE 0 and is NULL
+// otherwise, as an empty input is. "p is not TRUE" — FALSE or NULL — is CASE
+// WHEN p THEN false ELSE true END, which the predicate compiler selects as the
+// complement of p. The ELSE literal stays in the plan: a template's other
+// statements carry their own. An aggregation with a DISTINCT aggregate is left
+// alone: it runs over an exchange of its projection, where no mask applies.
+func maskCaseAggregates(o *Optimizer, n plan.Node) (plan.Node, bool) {
+	agg, ok := n.(*plan.Aggregation)
+	if !ok || agg.Step != plan.AggSingle || slices.ContainsFunc(agg.Aggregates, func(a plan.Aggregate) bool { return a.Distinct }) {
+		return n, false
+	}
+	var aggs []plan.Aggregate
+	for i, a := range agg.Aggregates {
+		if m, ok := maskCase(a); ok {
+			if aggs == nil {
+				aggs = slices.Clone(agg.Aggregates)
+			}
+			aggs[i] = m
+		}
+	}
+	if aggs == nil {
+		return n, false
+	}
+	cp := *agg
+	cp.Aggregates = aggs
+	return &cp, true
+}
+
+// maskCase is a masked as maskCaseAggregates rewrites it, if it is one of the
+// forms.
+func maskCase(a plan.Aggregate) (plan.Aggregate, bool) {
+	c, ok := a.Arg.(*expr.Case)
+	if !ok || a.Mask != nil || len(c.Whens) != 1 {
+		return a, false
+	}
+	switch a.Func {
+	case plan.AggSum, plan.AggAvg, plan.AggCount, plan.AggMin, plan.AggMax:
+	default:
+		return a, false
+	}
+	m := a
+	p, then, els := c.Whens[0].Cond, c.Whens[0].Then, c.Else
+	switch {
+	case els == nil || isNullLiteral(els):
+		m.Arg, m.Mask = then, p
+	case a.Func == plan.AggSum && isZeroLiteral(els):
+		m.Arg, m.Mask, m.Else = then, p, els
+	case a.Func == plan.AggSum && isZeroLiteral(then):
+		notTrue := &expr.Case{
+			Whens: []expr.CaseWhen{{Cond: p, Then: &expr.Const{Val: types.BooleanValue(false)}}},
+			Else:  &expr.Const{Val: types.BooleanValue(true)},
+			T:     types.Boolean,
+		}
+		m.Arg, m.Mask, m.Else = els, notTrue, then
+	default:
+		return a, false
+	}
+	if m.Arg.Type() != c.Type() {
+		return a, false
+	}
+	return m, true
+}
+
+// isNullLiteral reports whether e is a NULL literal.
+func isNullLiteral(e expr.Expr) bool {
+	k, ok := e.(*expr.Const)
+	return ok && k.Val.Null
+}
+
+// isZeroLiteral reports whether e is a BIGINT or DOUBLE zero literal.
+func isZeroLiteral(e expr.Expr) bool {
+	k, ok := e.(*expr.Const)
+	return ok && !k.Val.Null && k.Val.I == 0 && k.Val.F == 0 && (k.Val.T == types.Bigint || k.Val.T == types.Double)
 }

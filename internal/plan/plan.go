@@ -197,8 +197,17 @@ func (f AggFunc) Valid() bool {
 
 // Aggregate is one aggregate computation within an Aggregation node.
 type Aggregate struct {
-	Func     AggFunc
-	Arg      expr.Expr `wire:"optional"` // nil for COUNT(*)
+	Func AggFunc
+	Arg  expr.Expr `wire:"optional"` // nil for COUNT(*)
+	// Mask, when set, is a predicate over the input: the aggregate's
+	// argument is evaluated only at the rows where the mask is TRUE, and every
+	// other row reads Else, a literal (nil: NULL). The aggregate then reads
+	// CASE WHEN Mask THEN Arg ELSE Else END, without that CASE evaluated as a
+	// column: sum(CASE WHEN p THEN y ELSE 0 END) is sum(y) masked by p, else 0
+	// (optimizer rule maskCaseAggregates). Only a single or partial step
+	// carries one, over the projection that computes its argument.
+	Mask     expr.Expr `wire:"optional"`
+	Else     expr.Expr `wire:"optional"`
 	Distinct bool
 	Out      types.Type
 }
@@ -213,7 +222,14 @@ func (a Aggregate) String() string {
 	if a.Distinct {
 		d = "DISTINCT "
 	}
-	return string(a.Func) + "(" + d + arg + ")"
+	s := string(a.Func) + "(" + d + arg + ")"
+	if a.Mask != nil {
+		s += " mask " + a.Mask.String()
+		if a.Else != nil {
+			s += " else " + a.Else.String()
+		}
+	}
+	return s
 }
 
 // Aggregation groups by key expressions and computes aggregates.

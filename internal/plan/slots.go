@@ -15,8 +15,8 @@ import (
 // workers as task parameters, and only scan constraints are bound (Bind).
 
 // WalkExprs calls fn with every expression a node of n's tree evaluates:
-// filter predicates, projections, grouping keys, aggregate and window
-// arguments and join residuals.
+// filter predicates, projections, grouping keys, aggregate arguments and
+// masks, window arguments and join residuals.
 func WalkExprs(n Node, fn func(expr.Expr)) {
 	Walk(n, func(n Node) {
 		switch x := n.(type) {
@@ -33,6 +33,12 @@ func WalkExprs(n Node, fn func(expr.Expr)) {
 			for _, a := range x.Aggregates {
 				if a.Arg != nil {
 					fn(a.Arg)
+				}
+				if a.Mask != nil {
+					fn(a.Mask)
+				}
+				if a.Else != nil {
+					fn(a.Else)
 				}
 			}
 		case *Join:

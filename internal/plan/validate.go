@@ -43,7 +43,7 @@ func validate(n Node) error {
 		return exprsWithin(len(x.Input.Schema()), x.Exprs...)
 	case *Aggregation:
 		for _, a := range x.Aggregates {
-			if err := exprsWithin(len(x.Input.Schema()), a.Arg); err != nil {
+			if err := exprsWithin(len(x.Input.Schema()), a.Arg, a.Mask, a.Else); err != nil {
 				return err
 			}
 		}

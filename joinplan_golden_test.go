@@ -31,7 +31,7 @@ var joinLocalStatements = []struct{ id, sql, digest string }{
 	{"q26", `SELECT p_brand, count(*), avg(l_quantity), avg(l_extendedprice) FROM tpch.lineitem JOIN tpch.part ON l_partkey = p_partkey JOIN tpch.supplier ON l_suppkey = s_suppkey WHERE s_acctbal > -11 GROUP BY p_brand ORDER BY p_brand`, "52ef7029fd6c7257b0247719"},
 	{"q35", `SELECT c_mktsegment, count(*) FROM tpch.customer WHERE c_custkey IN (SELECT o_custkey FROM tpch.orders WHERE o_totalprice > 202000) GROUP BY c_mktsegment ORDER BY c_mktsegment`, "ea146ca81916919bada0fa4c"},
 	{"q54", `SELECT c_mktsegment, count(*), sum(l_extendedprice * (1 - l_discount)) FROM tpch.customer JOIN tpch.orders ON c_custkey = o_custkey JOIN tpch.lineitem ON o_orderkey = l_orderkey GROUP BY c_mktsegment ORDER BY c_mktsegment`, "0096318618eb4643884b6872"},
-	{"q80", `SELECT p_brand, count(*), sum(CASE WHEN l_returnflag = 'R' THEN 0 ELSE l_extendedprice END), sum(CASE WHEN l_returnflag = 'R' THEN l_extendedprice ELSE 0 END) FROM tpch.lineitem JOIN tpch.part ON l_partkey = p_partkey WHERE l_shipdate >= DATE '1994-01-03' GROUP BY p_brand ORDER BY p_brand`, "0e010fe0f36118140a676f35"},
+	{"q80", `SELECT p_brand, count(*), sum(CASE WHEN l_returnflag = 'R' THEN 0 ELSE l_extendedprice END), sum(CASE WHEN l_returnflag = 'R' THEN l_extendedprice ELSE 0 END) FROM tpch.lineitem JOIN tpch.part ON l_partkey = p_partkey WHERE l_shipdate >= DATE '1994-01-03' GROUP BY p_brand ORDER BY p_brand`, "134a06d46261e5f5e02a3a37"},
 	{"q78", `SELECT o_orderstatus, count(*), sum(total_lines) FROM tpch.orders JOIN ( SELECT l_orderkey, count(*) AS total_lines FROM tpch.lineitem GROUP BY l_orderkey ) l ON o_orderkey = l.l_orderkey GROUP BY o_orderstatus ORDER BY o_orderstatus`, "591c730624a3c2ca369353ba"},
 	{"q82", `SELECT p_name, p_size, count(*) FROM tpch.part JOIN tpch.lineitem ON p_partkey = l_partkey WHERE p_size BETWEEN 40 AND 44 AND l_quantity BETWEEN 15 AND 19 GROUP BY p_name, p_size ORDER BY p_name LIMIT 40`, "3aab1011a39ddb67c63d1dea"},
 }

@@ -34,13 +34,14 @@ type templateStmt struct {
 	tieCol  int
 }
 
-// servingShapes are serving_mix's three read shapes; ads needs the sharded
-// connector, which only runs in process.
+// servingShapes are serving_mix's three read shapes, and q09's masked sums
+// (maskedSums); ads needs the sharded connector, which only runs in process.
 func servingShapes(withAds bool) []templateStmt {
 	out := []templateStmt{
 		{"orders", `SELECT o_orderkey, o_orderstatus, o_totalprice, o_orderdate
 			FROM tpch.orders WHERE o_custkey = 7 ORDER BY o_orderkey`, -1},
 		{"events", `SELECT count(*), sum(v) FROM memory.events WHERE app = 3`, -1},
+		{"q09masks", maskedSums, -1},
 	}
 	if withAds {
 		out = append(out, templateStmt{"ads", workload.AdvertiserQuery("ads", 5), -1})
@@ -54,6 +55,15 @@ func servingShapes(withAds bool) []templateStmt {
 	}
 	return out
 }
+
+// maskedSums is q09's shape with two sets of BETWEEN bounds: its aggregates
+// are masked (plan.Aggregate's Mask), and each mask's bounds and each ELSE
+// stay slots of the template, so that every literal set sums its own rows —
+// one whose ELSE is not 0 through the masked block's CASE semantics.
+const maskedSums = `SELECT count(*),
+	sum(CASE WHEN l_quantity BETWEEN 1 AND 10 THEN l_extendedprice ELSE 0 END),
+	sum(CASE WHEN l_quantity BETWEEN 11 AND 20 THEN l_extendedprice ELSE 0 END)
+	FROM tpch.lineitem`
 
 // eventsPage is memory.events: keys 0..keys-1, two rows each, v = 1.
 func eventsPage(keys int) *block.Page {
@@ -189,7 +199,8 @@ func substitute(t *testing.T, n plan.Node, vals []types.Value) plan.Node {
 		cp := *x
 		cp.GroupBy, cp.Aggregates = binds(x.GroupBy), slices.Clone(x.Aggregates)
 		for i := range cp.Aggregates {
-			cp.Aggregates[i].Arg = bind(cp.Aggregates[i].Arg)
+			a := &cp.Aggregates[i]
+			a.Arg, a.Mask, a.Else = bind(a.Arg), bind(a.Mask), bind(a.Else)
 		}
 		return &cp
 	case *plan.Join:
@@ -315,7 +326,7 @@ func TestPlanTemplateMatchesFreshPlan(t *testing.T) {
 		sets = 20
 	}
 	check := func(t *testing.T, templated map[string]bool, withAds bool) {
-		want := []string{"orders", "events"}
+		want := []string{"orders", "events", "q09masks"}
 		if withAds {
 			want = append(want, "ads")
 		}
@@ -342,6 +353,9 @@ func TestPlanTemplateMatchesFreshPlan(t *testing.T) {
 			LoadTable(string, []connector.Column, []*block.Page)
 		}).LoadTable("events", eventsCols, []*block.Page{eventsPage(50)})
 		check(t, templateDifferential(t, c.Coordinator, servingShapes(true), sets, c.workers), true)
+		if ex, err := c.Explain(maskedSums); err != nil || strings.Count(ex, " mask ") < 4 {
+			t.Errorf("q09masks: the plan does not mask both sums in both steps (%v):\n%s", err, ex)
+		}
 	})
 	t.Run("http", func(t *testing.T) {
 		d := newDistClusterWith(t, 2, distConfig{plans: true})

@@ -28,9 +28,10 @@
 #                             # + dictionary paths (guards, stats,
 #                             # a panicking operator fails one query)
 #                             # + borrowed-page and released-scratch
-#                             # poison run (lazy lake scans and
-#                             # aggregations into hash sinks lending
-#                             # included) + non-race allocation
+#                             # poison run (lazy lake scans,
+#                             # aggregations into hash sinks and pages
+#                             # an aggregation reads through a
+#                             # selection included) + non-race allocation
 #                             # ceilings (page codec, group table —
 #                             # presized from its estimate, a wrong
 #                             # estimate changing no row under -race —
@@ -41,9 +42,10 @@
 #                             # first page on leased scratch, a lazy
 #                             # lake scan decoding into scratch, an
 #                             # aggregation into a hash sink copying
-#                             # once) and bench smokes (the predicated
-#                             # selection kernels and an aggregation's
-#                             # runs included)
+#                             # once, masked sums) and bench smokes (the
+#                             # predicated selection kernels, an
+#                             # aggregation's runs and the h01/q09
+#                             # filter -> aggregate drivers included)
 #                             # + one predicate compiler (random
 #                             # AND/OR/NOT trees as WHERE, boolean
 #                             # SELECT column and CASE WHEN against the
@@ -399,7 +401,12 @@ echo "==> borrowed pages and released scratch are never read late (poison linked
 # runs lake statements of every shape — released and kept, whole and sliced
 # stripes, partitioned tables, dictionary columns with NULLs — against the
 # eager read and a memory copy; ./internal/block holds the decode into an
-# arena (TestDecodePageAtLeases). Hash tables give their arrays back to the
+# arena (TestDecodePageAtLeases). A processor lends an aggregation its
+# pass-through columns under the filter's selection and a masked sum's values
+# at its mask's rows: TestSelectionThroughAggregation (./internal/exec) runs
+# flat, dictionary, RLE and lazy keys and arguments through it against
+# gathered pages, and TestMaskedAggregates (the root package) masked sums
+# against hand-worked rows. Hash tables give their arrays back to the
 # table pool poisoned: TestReleasedTablesArePoisoned reads a released group
 # table, join index and a DISTINCT closed unemitted, and
 # TestOuterJoinEmitsAfterTheIndexGoesBack
@@ -453,6 +460,11 @@ go test -race -count=10 -run 'TestProgramSharedByGoroutines|TestPredicatedProgra
 # filter's selection, and returns the interpreter's rows or error in each.
 go test -race -count=3 -run 'TestPredicateTreesDifferential' ./internal/expr/
 go test -run '^$' -bench 'FilterProjectAgg' -benchtime 1x -benchmem ./internal/exec/ > /dev/null
+# An aggregation reads a processor's page through the filter's selection, and
+# a masked sum its mask's rows only: h01's and q09's drivers over 300 000 rows
+# report rows/s and B/row, once here so that the kernel-level figures can be
+# taken again (-benchtime 20x) without the benchmark module.
+go test -run '^$' -bench 'FilterAggregate' -benchtime 1x ./internal/exec/ > /dev/null
 
 echo "==> kernels that do not stall: predicated selection at every pass ratio, an aggregation's runs (bench smoke)"
 # A selection kernel appends by predication, so it costs the same per row at
