@@ -153,18 +153,16 @@ func checkNoLeaks(t *testing.T, c *Cluster, goroutineBaseline int) {
 	}
 }
 
-// TestChaosShuffleErrorsMasked injects a 10% transient error rate on every
-// shuffle fetch; the exchange-client retry protocol must mask all of it.
-func TestChaosShuffleErrorsMasked(t *testing.T) {
-	inj := faultinject.New(chaosSeed(t), faultinject.Rule{
-		Site: faultinject.SiteShuffleFetch, Kind: faultinject.KindError, Rate: 0.10, Transient: true,
-	})
-	c := chaosCluster(t, inj)
+// assertShuffleFaultsMasked runs every chaos query through query, a cluster
+// whose shuffle fetches inj faults, and checks each answer against the
+// fault-free one and that the faults fired.
+func assertShuffleFaultsMasked(t *testing.T, inj *faultinject.Injector, query func(string) ([][]Value, error)) {
+	t.Helper()
 	base := baselineRows(t)
 	for _, q := range chaosQueries {
-		rows, err := c.Query(q)
+		rows, err := query(q)
 		if err != nil {
-			t.Fatalf("%s under 10%% shuffle faults: %v", q, err)
+			t.Fatalf("%s under shuffle faults: %v", q, err)
 		}
 		assertRows(t, q, stringifyRows(rows), base[q])
 	}
@@ -173,25 +171,55 @@ func TestChaosShuffleErrorsMasked(t *testing.T) {
 	}
 }
 
+// shuffleErrors is a 10% transient error rate on every shuffle fetch.
+var shuffleErrors = faultinject.Rule{
+	Site: faultinject.SiteShuffleFetch, Kind: faultinject.KindError, Rate: 0.10, Transient: true,
+}
+
+// shufflePartialPages makes 30% of the shuffle fetches return only a prefix
+// of the available pages.
+var shufflePartialPages = faultinject.Rule{
+	Site: faultinject.SiteShuffleFetch, Kind: faultinject.KindPartial, Rate: 0.3,
+}
+
+// distChaosCluster is two HTTP workers whose co-located shuffle edges — a
+// consumer reading a producer on its own worker, in memory — carry inj's
+// faults. The coordinator and the edges between workers carry none, so every
+// fault that fires is on a co-located edge.
+func distChaosCluster(t *testing.T, inj *faultinject.Injector) *distCluster {
+	t.Helper()
+	d := newDistClusterWith(t, 2, distConfig{inj: inj, workersOnly: true})
+	d.catalog.Register(workload.LoadTPCHMemory("tpch", chaosScale))
+	return d
+}
+
+// TestChaosShuffleErrorsMasked injects a 10% transient error rate on every
+// shuffle fetch; the exchange-client retry protocol must mask all of it.
+func TestChaosShuffleErrorsMasked(t *testing.T) {
+	inj := faultinject.New(chaosSeed(t), shuffleErrors)
+	assertShuffleFaultsMasked(t, inj, chaosCluster(t, inj).Query)
+}
+
+// TestChaosHTTPShuffleErrorsMasked is TestChaosShuffleErrorsMasked on the
+// co-located edges of HTTP workers.
+func TestChaosHTTPShuffleErrorsMasked(t *testing.T) {
+	inj := faultinject.New(chaosSeed(t), shuffleErrors)
+	assertShuffleFaultsMasked(t, inj, distChaosCluster(t, inj).Query)
+}
+
 // TestChaosShufflePartialPagesMasked injects partial-delivery faults (a fetch
 // returns only a prefix of the available pages); the token protocol must
 // re-deliver the remainder with no loss, duplication, or reordering.
 func TestChaosShufflePartialPagesMasked(t *testing.T) {
-	inj := faultinject.New(chaosSeed(t), faultinject.Rule{
-		Site: faultinject.SiteShuffleFetch, Kind: faultinject.KindPartial, Rate: 0.3,
-	})
-	c := chaosCluster(t, inj)
-	base := baselineRows(t)
-	for _, q := range chaosQueries {
-		rows, err := c.Query(q)
-		if err != nil {
-			t.Fatalf("%s under partial-page faults: %v", q, err)
-		}
-		assertRows(t, q, stringifyRows(rows), base[q])
-	}
-	if inj.Count(faultinject.SiteShuffleFetch) == 0 {
-		t.Fatal("no partial faults fired")
-	}
+	inj := faultinject.New(chaosSeed(t), shufflePartialPages)
+	assertShuffleFaultsMasked(t, inj, chaosCluster(t, inj).Query)
+}
+
+// TestChaosHTTPShufflePartialPagesMasked is
+// TestChaosShufflePartialPagesMasked on the co-located edges of HTTP workers.
+func TestChaosHTTPShufflePartialPagesMasked(t *testing.T) {
+	inj := faultinject.New(chaosSeed(t), shufflePartialPages)
+	assertShuffleFaultsMasked(t, inj, distChaosCluster(t, inj).Query)
 }
 
 // TestChaosConnectorFaultsMasked hits split enumeration with transient errors

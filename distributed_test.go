@@ -75,6 +75,9 @@ func newDistClusterSpill(t *testing.T, n int, inj *faultinject.Injector, sp *dis
 // distConfig is everything a test may vary about a distCluster.
 type distConfig struct {
 	inj *faultinject.Injector
+	// workersOnly gives inj to the workers alone: the coordinator's own
+	// fetches of the root stage run without it.
+	workersOnly bool
 	// workerInj, when set, is the workers' own injector (task-level sites).
 	workerInj *faultinject.Injector
 	spill     *distSpillConfig
@@ -151,6 +154,9 @@ func newDistClusterWith(t *testing.T, n int, dc distConfig) *distCluster {
 		Task:         dc.task,
 		FaultInject:  inj, // rules are per site: the workers' HTTP faults never fire here
 		MemoryLimits: dc.limits,
+	}
+	if dc.workersOnly {
+		ccfg.FaultInject = nil
 	}
 	if dc.plans {
 		ccfg.Serving = &serving.Tier{Plans: serving.NewPlanCache(serving.PlanCacheConfig{})}

@@ -28,13 +28,15 @@ import (
 // each fragment serialized once, the splits in hand inside — one status
 // long-poll that is answered when something the coordinator acts on happened,
 // one POST .../filters per union that has to cross, one POST .../splits per
-// batch of a lazy enumeration, and one DELETE /v1/query/{qid}. Every
-// inter-stage exchange — including the coordinator's read of the root — runs
-// the HTTP shuffle protocol, worker to worker: each task is told its
-// producers' result URIs, which are a function of their ids, so shuffle
-// traffic never relays through the coordinator and a consumer may be created
-// before its producer. Everything net/http and wire.* in the coordinator's
-// scheduling lives in this file.
+// batch of a lazy enumeration, and one DELETE /v1/query/{qid}. An
+// inter-stage exchange between two workers — and the coordinator's read of
+// the root — runs the HTTP shuffle protocol, worker to worker: each task is
+// told its remote producers' result URIs, which are a function of their ids,
+// so shuffle traffic never relays through the coordinator and a consumer may
+// be created before its producer. A producer placed on the consumer's own
+// worker is named by its index instead, and read from its output buffer in
+// memory: the coordinator placed both, so it is the one that knows. Everything
+// net/http and wire.* in the coordinator's scheduling lives in this file.
 
 // httpWorker places tasks on one registered worker process.
 type httpWorker struct {
@@ -98,10 +100,14 @@ func (w *httpWorker) CreateTasks(specs []*taskSpec) (taskGroup, error) {
 			entry := wire.SourceEntry{Fragment: pid}
 			for _, p := range producers {
 				pw, ok := p.Worker.(*httpWorker)
-				if !ok {
+				switch {
+				case !ok:
 					return nil, fmt.Errorf("task %s: producer %s is not reachable over HTTP", id, p.ID)
+				case pw.node == w.node:
+					entry.Local = append(entry.Local, p.ID.Index)
+				default:
+					entry.URIs = append(entry.URIs, pw.resultsURI(p.ID, id.Index))
 				}
-				entry.URIs = append(entry.URIs, pw.resultsURI(p.ID, id.Index))
 			}
 			ts.Sources = append(ts.Sources, entry)
 		}

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -288,6 +289,11 @@ func (s *WorkerServer) createTask(w http.ResponseWriter, rq *remoteQuery, id exe
 		for _, uri := range src.URIs {
 			sources[src.Fragment] = append(sources[src.Fragment], &shuffle.HTTPFetcher{Client: s.Client, URL: uri})
 		}
+		for _, index := range src.Local {
+			producer := exec.TaskID{QueryID: id.QueryID, Fragment: src.Fragment, Index: index}
+			sources[src.Fragment] = append(sources[src.Fragment],
+				faultinject.WrapFetcher(s.Inject, &localResults{s: s, producer: producer.String(), part: id.Index}))
+		}
 	}
 	// The task's own scans take its summaries themselves; the coordinator
 	// hears, in the status channel, of those another fragment subscribes to.
@@ -512,52 +518,19 @@ func (s *WorkerServer) handleResults(w http.ResponseWriter, r *http.Request) {
 	if wait <= 0 {
 		wait = 100 * time.Millisecond
 	}
-	// The task may not be here yet (see WorkerServer): wait for it, unless its
-	// query — the id less ".<fragment>.<index>" — was deleted.
-	key, start := r.PathValue("id"), time.Now()
-	qid := key
-	for range 2 {
-		qid = qid[:max(strings.LastIndexByte(qid, '.'), 0)]
-	}
-	var rt *remoteTask
-	gone := false
-	s.mu.Lock()
-	s.awaitLocked(wait, func() bool {
-		rt, gone = s.tasks[key], !s.gone[qid].IsZero()
-		return rt != nil || gone
-	})
-	s.mu.Unlock()
-	if gone {
-		http.Error(w, "task "+key+" was deleted with its query", http.StatusNotFound)
+	pages, next, done, err := s.fetchResults(r.PathValue("id"), partition, token, maxBytes, wait)
+	var failed *shuffle.TaskFailedError
+	var refused *refusedFetch
+	switch {
+	case errors.As(err, &failed):
+		w.Header().Set(shuffle.HeaderTaskFailed, "true")
+		http.Error(w, failed.Msg, http.StatusInternalServerError)
+		return
+	case errors.As(err, &refused):
+		http.Error(w, refused.msg, refused.status)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-presto-pages")
-	if rt == nil {
-		// Not created yet: no pages, same token, ask again.
-		w.Header().Set(shuffle.HeaderNextToken, strconv.FormatInt(token, 10))
-		w.Header().Set(shuffle.HeaderComplete, "false")
-		return
-	}
-	wait = max(wait-time.Since(start), 0)
-
-	// A failed task's destroyed buffers report "complete"; report the
-	// failure instead so consumers fail fast rather than truncate.
-	if err := rt.task.Err(); err != nil {
-		w.Header().Set(shuffle.HeaderTaskFailed, "true")
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	out := rt.task.Output()
-	if partition >= out.Partitions() {
-		http.Error(w, fmt.Sprintf("partition %d of %d", partition, out.Partitions()), http.StatusBadRequest)
-		return
-	}
-	pages, next, done := out.Partition(partition).Fetch(token, maxBytes, wait)
-	if err := rt.task.Err(); err != nil {
-		w.Header().Set(shuffle.HeaderTaskFailed, "true")
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	w.Header().Set(shuffle.HeaderNextToken, strconv.FormatInt(next, 10))
 	w.Header().Set(shuffle.HeaderComplete, strconv.FormatBool(done))
 	compress := !peerOnThisHost(r)
@@ -569,6 +542,75 @@ func (s *WorkerServer) handleResults(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 }
+
+// refusedFetch is a results fetch the worker refuses, with the status
+// handleResults answers it with.
+type refusedFetch struct {
+	status int
+	msg    string
+}
+
+func (e *refusedFetch) Error() string { return e.msg }
+
+// fetchResults is one fetch of partition part of task key from token on, for
+// both kinds of consumer: one on another worker (handleResults) and one on
+// this worker (localResults). The task may not be here yet (see
+// WorkerServer): the fetch waits for it inside wait, and finding none
+// answers "no pages, same token", unless its query — the id less
+// ".<fragment>.<index>" — was deleted, which is refused. A failed task's
+// destroyed buffers report "complete", so the task's failure is checked
+// before the fetch and again after it: a consumer of a failed task fails
+// rather than truncate. Like PartitionBuffer.Fetch, it returns within wait.
+func (s *WorkerServer) fetchResults(key string, part int, token, maxBytes int64, wait time.Duration) ([]*block.Page, int64, bool, error) {
+	start, qid := time.Now(), key
+	for range 2 {
+		qid = qid[:max(strings.LastIndexByte(qid, '.'), 0)]
+	}
+	var rt *remoteTask
+	gone := false
+	s.mu.Lock()
+	s.awaitLocked(wait, func() bool {
+		rt, gone = s.tasks[key], !s.gone[qid].IsZero()
+		return rt != nil || gone
+	})
+	s.mu.Unlock()
+	switch {
+	case gone:
+		return nil, token, false, &refusedFetch{http.StatusNotFound, "task " + key + " was deleted with its query"}
+	case rt == nil:
+		return nil, token, false, nil
+	}
+	if err := rt.task.Err(); err != nil {
+		return nil, token, false, &shuffle.TaskFailedError{Msg: err.Error()}
+	}
+	out := rt.task.Output()
+	if part >= out.Partitions() {
+		return nil, token, false, &refusedFetch{http.StatusBadRequest, fmt.Sprintf("partition %d of %d", part, out.Partitions())}
+	}
+	pages, next, done := out.Partition(part).Fetch(token, maxBytes, max(wait-time.Since(start), 0))
+	if err := rt.task.Err(); err != nil {
+		return nil, token, false, &shuffle.TaskFailedError{Msg: err.Error()}
+	}
+	return pages, next, done, nil
+}
+
+// localResults reads partition part of a producer on this worker straight
+// from its output buffer: the pages its consumer gets are the ones the
+// producer buffered, neither encoded nor sent. The coordinator, which placed
+// both tasks, names such a producer in wire.SourceEntry.Local.
+type localResults struct {
+	s        *WorkerServer
+	producer string // the producer's task id
+	part     int
+}
+
+func (l *localResults) Fetch(token int64, maxBytes int64, wait time.Duration) ([]*block.Page, int64, bool, error) {
+	return l.s.fetchResults(l.producer, l.part, token, maxBytes, wait)
+}
+
+// InProcess declares the fetcher in-process (shuffle.InProcess): fetchResults
+// returns within its wait.
+func (l *localResults) InProcess() {}
 
 // peerOnThisHost reports whether a request came from this machine: from a
 // loopback address, or from the very address it was received on. Bytes to

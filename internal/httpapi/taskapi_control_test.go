@@ -3,6 +3,7 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/connectors/memconn"
 	"repro/internal/coordinator"
 	"repro/internal/exec"
+	"repro/internal/faultinject"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/shuffle"
@@ -288,5 +290,92 @@ func TestStatusVersionMonotone(t *testing.T) {
 	f.do(t, http.MethodDelete, "/v1/query/q", nil)
 	if code := <-gone; code != http.StatusNotFound || time.Since(start) > 500*time.Millisecond {
 		t.Errorf("long-poll of a deleted query: %d after %v, want a prompt 404", code, time.Since(start))
+	}
+}
+
+// TestOneFetchPath: a consumer on another worker (handleResults, over HTTP)
+// and one on the producer's own worker (localResults, in memory) are
+// answered by the same checks, case for case.
+func TestOneFetchPath(t *testing.T) {
+	consumers := map[string]func(f *controlFixture, task string, part int) shuffle.Fetcher{
+		"http": func(f *controlFixture, task string, part int) shuffle.Fetcher {
+			return &shuffle.HTTPFetcher{URL: fmt.Sprintf("%s/v1/task/%s/results/%d", f.url, task, part)}
+		},
+		"memory": func(f *controlFixture, task string, part int) shuffle.Fetcher {
+			return &localResults{s: f.ws, producer: task, part: part}
+		},
+	}
+	create := func(t *testing.T, f *controlFixture) {
+		t.Helper()
+		if code, body := f.do(t, http.MethodPost, "/v1/query/q/tasks", f.create); code != http.StatusOK {
+			t.Fatalf("create: %d %s", code, body)
+		}
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, f *controlFixture, consumer func(task string, part int) shuffle.Fetcher)
+	}{
+		{"consumer before producer", func(t *testing.T, f *controlFixture, consumer func(string, int) shuffle.Fetcher) {
+			fetch := consumer("q.0.0", 0)
+			pages, next, done, err := fetch.Fetch(0, 1<<20, 30*time.Millisecond)
+			if err != nil || len(pages) != 0 || next != 0 || done {
+				t.Fatalf("fetch before the producer exists = (%d pages, token %d, done %v, %v), want an empty poll", len(pages), next, done, err)
+			}
+			create(t, f)
+			rows := 0
+			for token, done := int64(0), false; !done; {
+				if pages, token, done, err = fetch.Fetch(token, 1<<20, time.Second); err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range pages {
+					rows += p.RowCount()
+				}
+			}
+			if rows != controlRows {
+				t.Errorf("read %d rows, want %d", rows, controlRows)
+			}
+		}},
+		{"failed producer", func(t *testing.T, f *controlFixture, consumer func(string, int) shuffle.Fetcher) {
+			f.ws.Inject = faultinject.New(1, faultinject.Rule{Site: faultinject.SiteMorselOpen, Kind: faultinject.KindError, Rate: 1})
+			create(t, f)
+			rt := f.ws.task(exec.TaskID{QueryID: "q"})
+			<-rt.task.Done()
+			if rt.task.Err() == nil {
+				t.Fatal("the producer did not fail")
+			}
+			_, _, done, err := consumer("q.0.0", 0).Fetch(0, 1<<20, time.Second)
+			var failed *shuffle.TaskFailedError
+			if done || !errors.As(err, &failed) || !strings.Contains(failed.Msg, rt.task.Err().Error()) {
+				t.Errorf("fetch of a failed producer = (done %v, %v), want its failure %q", done, err, rt.task.Err())
+			}
+		}},
+		{"query deleted mid-read", func(t *testing.T, f *controlFixture, consumer func(string, int) shuffle.Fetcher) {
+			create(t, f)
+			fetch := consumer("q.0.0", 0)
+			pages, next, done, err := fetch.Fetch(0, 1, time.Second)
+			if err != nil || len(pages) == 0 || done {
+				t.Fatalf("first fetch = (%d pages, done %v, %v), want the first page", len(pages), done, err)
+			}
+			if code, _ := f.do(t, http.MethodDelete, "/v1/query/q", nil); code != http.StatusNoContent {
+				t.Fatalf("delete: %d", code)
+			}
+			if _, _, done, err := fetch.Fetch(next, 1<<20, time.Second); done || err == nil || !strings.Contains(err.Error(), "deleted") {
+				t.Errorf("fetch after the delete = (done %v, %v), want it refused", done, err)
+			}
+		}},
+		{"partition out of range", func(t *testing.T, f *controlFixture, consumer func(string, int) shuffle.Fetcher) {
+			create(t, f)
+			if _, _, done, err := consumer("q.0.0", 3).Fetch(0, 1<<20, time.Second); done || err == nil || !strings.Contains(err.Error(), "partition 3 of 1") {
+				t.Errorf("fetch of partition 3 = (done %v, %v), want it refused", done, err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		for name, consumer := range consumers {
+			t.Run(tc.name+"/"+name, func(t *testing.T) {
+				f := newControlFixture(t)
+				tc.run(t, f, func(task string, part int) shuffle.Fetcher { return consumer(f, task, part) })
+			})
+		}
 	}
 }

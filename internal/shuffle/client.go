@@ -1,6 +1,7 @@
 package shuffle
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -90,7 +91,8 @@ func (p RetryPolicy) normalized() RetryPolicy {
 // flight to fill the input buffer, never more than one per source. Fetching
 // stops while the input buffer is full — propagating backpressure upstream —
 // and failed fetches are retried with capped exponential backoff and
-// per-attempt timeouts under the idempotent token protocol.
+// per-attempt timeouts under the idempotent token protocol, except one whose
+// producer failed, which fails the stream at once.
 type ExchangeClient struct {
 	// Retry configures fetch recovery; set before Start (the zero value
 	// selects defaults).
@@ -211,7 +213,7 @@ func (c *ExchangeClient) fetchLoop(src Fetcher) {
 			c.cond.Broadcast() // free the slot for other sources
 			c.mu.Unlock()
 			failures++
-			if failures > c.retry.MaxRetries {
+			if failures > c.retry.MaxRetries || producerFailed(err) {
 				c.fail(fmt.Errorf("exchange fetch failed after %d attempts: %w", failures, err))
 				return
 			}
@@ -277,6 +279,13 @@ func fetchOnce(src Fetcher, token, maxBytes int64, wait, timeout time.Duration) 
 	}
 }
 
+// producerFailed reports whether a fetch failed because its producer did
+// (TaskFailedError), which no retry can mend.
+func producerFailed(err error) bool {
+	var failed *TaskFailedError
+	return errors.As(err, &failed)
+}
+
 // backoff is the capped exponential delay before retry number failures.
 func (p RetryPolicy) backoff(failures int) time.Duration {
 	d := p.BaseBackoff
@@ -306,8 +315,8 @@ func (c *ExchangeClient) sleepBackoff(failures int) bool {
 // fetches in a loop and must stay interruptible between attempts (the
 // coordinator's read of a remote root stage): a failed attempt backs off and
 // reports "no pages yet" with the token unadvanced, so the caller's next Fetch
-// is the retry; only MaxRetries consecutive failures surface as an error. Not
-// safe for concurrent use.
+// is the retry; only MaxRetries consecutive failures, or a failed producer,
+// surface as an error. Not safe for concurrent use.
 type RetryFetcher struct {
 	Src Fetcher
 
@@ -323,7 +332,7 @@ func (f *RetryFetcher) Fetch(token int64, maxBytes int64, wait time.Duration) ([
 		return pages, next, done, nil
 	}
 	f.failures++
-	if f.failures > p.MaxRetries {
+	if f.failures > p.MaxRetries || producerFailed(err) {
 		return nil, token, false, fmt.Errorf("exchange fetch failed after %d attempts: %w", f.failures, err)
 	}
 	time.Sleep(p.backoff(f.failures))

@@ -34,9 +34,11 @@ func drain(t *testing.T, c *ExchangeClient, timeout time.Duration) int {
 	}
 }
 
-// flakyFetcher fails the first failuresPerToken attempts at each token.
+// flakyFetcher fails the first failuresPerToken attempts at each token, with
+// err (nil: a plain error).
 type flakyFetcher struct {
 	inner Fetcher
+	err   error
 
 	mu               sync.Mutex
 	failuresPerToken int
@@ -53,6 +55,9 @@ func (f *flakyFetcher) Fetch(token int64, maxBytes int64, wait time.Duration) ([
 		f.failed[token]++
 		f.totalFailures++
 		f.mu.Unlock()
+		if f.err != nil {
+			return nil, token, false, f.err
+		}
 		return nil, token, false, errors.New("transient fetch failure")
 	}
 	f.mu.Unlock()
@@ -222,5 +227,73 @@ func TestExchangeClientCloseUnblocksBackoff(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close blocked")
+	}
+}
+
+// TestFailedProducerIsTerminal: a fetch that failed because its producer did
+// fails the exchange client and the retrying fetcher on its first attempt,
+// while a transport error and a fetch timeout are still retried to the end
+// of the stream.
+func TestFailedProducerIsTerminal(t *testing.T) {
+	cases := []struct {
+		name     string
+		fetcher  func(inner Fetcher) Fetcher
+		terminal bool
+	}{
+		{"failed producer", func(inner Fetcher) Fetcher {
+			return &flakyFetcher{inner: inner, err: &TaskFailedError{Msg: "boom"}, failuresPerToken: 100}
+		}, true},
+		{"transport error", func(inner Fetcher) Fetcher {
+			return &flakyFetcher{inner: inner, err: &TransportError{Op: "get", Err: errors.New("reset")}, failuresPerToken: 2}
+		}, false},
+		{"fetch timeout", func(inner Fetcher) Fetcher { return &hangOnceFetcher{inner: inner} }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewOutputBuffer(1, 1<<20)
+			b.Add(0, page(1, 2, 3))
+			b.SetNoMorePages()
+			src := tc.fetcher(&LocalFetcher{Buf: b.Partition(0)})
+			c := NewExchangeClient([]Fetcher{src}, 1<<20)
+			c.Retry = RetryPolicy{MaxRetries: 4, BaseBackoff: time.Millisecond, FetchTimeout: 30 * time.Millisecond}
+			c.Start()
+			defer c.Close()
+			if !tc.terminal {
+				if rows := drain(t, c, 5*time.Second); rows != 3 {
+					t.Errorf("rows after retries: %d, want 3", rows)
+				}
+				return
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			var err error
+			for err == nil && time.Now().Before(deadline) {
+				var done bool
+				if _, _, done, err = c.Poll(); done && err == nil {
+					t.Fatal("the stream of a failed producer completed")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			var failed *TaskFailedError
+			if !errors.As(err, &failed) {
+				t.Fatalf("client error %v, want the producer's failure", err)
+			}
+			flaky := src.(*flakyFetcher)
+			flaky.mu.Lock()
+			defer flaky.mu.Unlock()
+			if flaky.totalFailures != 1 {
+				t.Errorf("a failed producer was fetched %d times, want once", flaky.totalFailures)
+			}
+		})
+	}
+
+	// The retrying fetcher (the coordinator's read of a remote root) reports
+	// a failed producer at once and absorbs a transport error.
+	failed := &RetryFetcher{Src: &flakyFetcher{err: &TaskFailedError{Msg: "boom"}, failuresPerToken: 100}}
+	if _, _, _, err := failed.Fetch(0, 1<<20, 0); err == nil {
+		t.Error("RetryFetcher absorbed a failed producer")
+	}
+	transport := &RetryFetcher{Src: &flakyFetcher{err: &TransportError{Op: "get", Err: errors.New("reset")}, failuresPerToken: 100}}
+	if _, _, _, err := transport.Fetch(0, 1<<20, 0); err != nil {
+		t.Errorf("RetryFetcher surfaced a first transport error: %v", err)
 	}
 }

@@ -45,16 +45,19 @@ func (e *TransportError) Unwrap() error { return e.Err }
 func (e *TransportError) Transient() bool { return true }
 
 // TaskFailedError is a terminal fetch failure: the producing task itself
-// failed, so retrying the fetch cannot help.
+// failed, so retrying the fetch cannot help, and the exchange client and
+// RetryFetcher fail on the first one.
 type TaskFailedError struct{ Msg string }
 
 func (e *TaskFailedError) Error() string { return "producer task failed: " + e.Msg }
 
 // clusterIdleConnsPerHost is how many connections a node keeps open to one
 // peer: one per fetch its exchange clients can have in flight there — a
-// consumer task polls each of its producers at once, so (consumers here) ×
-// (producers there), 16 for the widest plan the suite runs on two workers —
-// times a few concurrent statements, plus each statement's control channel.
+// consumer task polls each of its producers on other nodes at once, so
+// (consumers here) × (producers there), 16 for the widest plan the suite runs
+// on two workers — times a few concurrent statements, plus each statement's
+// control channel. A node keeps none to itself: a consumer reads a producer on
+// its own worker in memory.
 // http.DefaultTransport keeps 2, and redials the rest every statement.
 const clusterIdleConnsPerHost = 64
 

@@ -69,10 +69,9 @@ type TaskSpec struct {
 	Index    int `json:"index"`
 	// OutPartitions sizes the task's partitioned output buffer.
 	OutPartitions int `json:"outPartitions"`
-	// Sources lists, per producing fragment id, the result URIs this task
-	// fetches through HTTPFetcher ("<worker>/v1/task/<tid>/results/<part>").
-	// A URI is a function of the producer's id and worker, so it may name a
-	// task that does not exist yet.
+	// Sources lists, per producing fragment id, where this task reads its
+	// producers' partition Index: the producers on other workers by result
+	// URI, the ones on this worker by index. A producer may not exist yet.
 	Sources []SourceEntry `json:"sources,omitempty"`
 	// Relay lists the dynamic-filter ids whose summaries the task reports in
 	// its worker's status channel: those a fragment other than its own
@@ -80,10 +79,16 @@ type TaskSpec struct {
 	Relay []int `json:"relay,omitempty"`
 }
 
-// SourceEntry wires one RemoteSource fragment to its producers' result URIs.
+// SourceEntry wires one RemoteSource fragment to its producers. URIs are the
+// result streams of the producers placed on other workers, fetched through
+// HTTPFetcher ("<worker>/v1/task/<tid>/results/<part>"); a URI is a function
+// of the producer's id and worker. Local are the task indices of the
+// producers the coordinator placed on the receiving worker itself, whose
+// output buffers the consumer reads in memory.
 type SourceEntry struct {
 	Fragment int      `json:"fragment"`
-	URIs     []string `json:"uris"`
+	URIs     []string `json:"uris,omitempty"`
+	Local    []int    `json:"local,omitempty"`
 }
 
 // SplitsRequest is the body of POST /v1/query/{qid}/splits: the split batches

@@ -240,10 +240,13 @@ echo "==> distributed control plane: one create, one status channel and one dele
 # The report lines are one three-join statement on two HTTP workers, split
 # enumerations memoized: its requests by class (what the workers export as
 # presto_task_api_requests_total), and a partitioned join whose build
-# summaries cross processes in time to filter the probe scans.
-go test -race -count=1 -run 'TestFetchBeforeProducerRegistered|TestCreateBatchIdempotent|TestStatusVersionMonotone' ./internal/httpapi/
+# summaries cross processes in time to filter the probe scans. A consumer
+# reads a producer on its own worker in memory, through the checks an HTTP
+# fetch makes (TestOneFetchPath), so those pages are shared by two tasks'
+# goroutines: the shuffle chaos tests run on HTTP workers here too.
+go test -race -count=1 -run 'TestFetchBeforeProducerRegistered|TestCreateBatchIdempotent|TestStatusVersionMonotone|TestOneFetchPath' ./internal/httpapi/
 go test -race -count=1 -run 'TestHTTPTaskBatchesSplits|TestSchedulerCreateFailureAbortsAndDrains' ./internal/coordinator/
-go test -race -count=1 -v -run 'TestHTTPControlRequestsPerStatement|TestDistributedFilterArrivesBeforeProbe|TestCreateBatchPartialFailureDrains' . | grep -E '^(---|ok|FAIL|panic)|requests per statement|rows filtered'
+go test -race -count=1 -v -run 'TestHTTPControlRequestsPerStatement|TestDistributedFilterArrivesBeforeProbe|TestCreateBatchPartialFailureDrains|TestChaosHTTPShuffleErrorsMasked|TestChaosHTTPShufflePartialPagesMasked' . | grep -E '^(---|ok|FAIL|panic)|requests per statement|rows filtered'
 
 echo "==> dynamic filters: where a filter tests rows, and when it arrives"
 # A scan that feeds the publishing join through nothing but Filter/Project
