@@ -66,10 +66,13 @@ func chaosCluster(t *testing.T, inj *faultinject.Injector) *Cluster {
 	// Serving caches stay off: these tests target the page-cache, shuffle
 	// and split seams, and a result-cache hit would short-circuit all three.
 	// The serving tier has its own chaos coverage in serving_test.go.
+	// Statistics are off too: over tables this small every chaos query would
+	// be one task, with no shuffle and no second stage to fault.
 	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2, FaultInjector: inj,
-		DisablePlanCache: true, DisableResultCache: true})
+		DisablePlanCache: true, DisableResultCache: true, DisableStats: true})
 	t.Cleanup(c.Close)
 	c.Register(workload.LoadTPCHMemory("tpch", chaosScale))
+	requireDistributed(t, c.Coordinator, chaosQueries...)
 	return c
 }
 
@@ -188,8 +191,9 @@ var shufflePartialPages = faultinject.Rule{
 // fault that fires is on a co-located edge.
 func distChaosCluster(t *testing.T, inj *faultinject.Injector) *distCluster {
 	t.Helper()
-	d := newDistClusterWith(t, 2, distConfig{inj: inj, workersOnly: true})
+	d := newDistClusterWith(t, 2, distConfig{inj: inj, workersOnly: true, noStats: true})
 	d.catalog.Register(workload.LoadTPCHMemory("tpch", chaosScale))
+	requireDistributed(t, d.Coord, chaosQueries...)
 	return d
 }
 

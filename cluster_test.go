@@ -170,6 +170,7 @@ func TestEarlyLimitTerminatesQuickly(t *testing.T) {
 	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
 	defer c.Close()
 	c.Register(workload.LoadTPCHMemory("tpch", 1))
+	requireDistributed(t, c.Coordinator, "SELECT l_orderkey FROM tpch.lineitem LIMIT 5")
 	start := time.Now()
 	rows, err := c.Query("SELECT l_orderkey FROM tpch.lineitem LIMIT 5")
 	if err != nil {

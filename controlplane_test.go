@@ -70,6 +70,11 @@ func (c *requestCounter) take() (map[string]int, int) {
 	return counts, streams
 }
 
+// controlScale is the TPC-H scale of the control-plane tests: the smallest
+// whose statements here emit more than the optimizer's small-plan bound, so
+// that they stay multi-stage statements on both workers.
+const controlScale = 0.1
+
 const threeJoins = `SELECT n_name, count(*), sum(l_quantity)
 	FROM tpch.customer
 	JOIN tpch.orders ON c_custkey = o_custkey
@@ -81,15 +86,16 @@ const threeJoins = `SELECT n_name, count(*), sum(l_quantity)
 // costs each worker one create and one delete; with its enumerations
 // memoized it sends no split batch; nothing is asked per task; the whole
 // control plane — status answers and filter unions included — fits in 16
-// requests; and the data plane reads 10 result streams over HTTP. The table
-// it logs is the one scripts/check.sh prints.
+// requests; and the data plane reads at most 10 result streams over HTTP.
+// The table it logs is the one scripts/check.sh prints.
 func TestHTTPControlRequestsPerStatement(t *testing.T) {
 	var counter requestCounter
 	d := newDistClusterWith(t, 2, distConfig{observe: counter.observe})
-	d.catalog.Register(workload.LoadTPCHMemory("tpch", chaosScale))
+	d.catalog.Register(workload.LoadTPCHMemory("tpch", controlScale))
+	requireDistributed(t, d.Coord, threeJoins)
 	local := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
 	t.Cleanup(local.Close)
-	local.Register(workload.LoadTPCHMemory("tpch", chaosScale))
+	local.Register(workload.LoadTPCHMemory("tpch", controlScale))
 	want, err := local.Query(threeJoins)
 	if err != nil {
 		t.Fatal(err)
@@ -128,11 +134,12 @@ func TestHTTPControlRequestsPerStatement(t *testing.T) {
 	}
 	// A consumer reads a producer on its own worker in memory: only the
 	// edges between the two workers, and the coordinator's read of the
-	// root, are fetched over HTTP — 9 and 1 here, against 19 streams when
-	// every edge was. A stream costs one request when its producer has
-	// finished by the time it is asked, and one more for each answer that
-	// came before that, which timing decides: 10 requests in most runs, 11
-	// in about one in five, and in most under -race.
+	// root, are fetched over HTTP — 5 and 1 here, against 19 streams when
+	// every edge was, and 9 and 1 before a leaf stage placed its tasks only
+	// where its splits go. A stream costs one request when its
+	// producer has finished by the time it is asked, and one more for each
+	// answer that came before that, which timing decides: 6 requests in
+	// most runs, 7 in about one in four.
 	if streams > 10 {
 		t.Errorf("%d result streams read over HTTP for one statement, want at most 10: %v", streams, counts)
 	}
@@ -178,9 +185,10 @@ func TestDistributedFilterArrivesBeforeProbe(t *testing.T) {
 	}
 	d = newDistClusterWith(t, 2, distConfig{wrap: wrap, broadcastRows: 1,
 		task: exec.TaskConfig{DynamicFilterWait: gate}})
-	d.catalog.Register(workload.LoadTPCHMemory("tpch", chaosScale))
+	d.catalog.Register(workload.LoadTPCHMemory("tpch", controlScale))
 	sql := `SELECT count(*) FROM tpch.lineitem JOIN tpch.orders ON l_orderkey = o_orderkey
 		WHERE o_orderkey < 200`
+	requireDistributed(t, d.Coord, sql)
 
 	res, err := d.Coord.Execute(sql, Session{Switches: exec.DisableDynamicFilters})
 	if err != nil {
@@ -235,9 +243,10 @@ func TestCreateBatchPartialFailureDrains(t *testing.T) {
 	inj := faultinject.New(chaosSeed(t), faultinject.Rule{
 		Site: faultinject.SiteTaskCreate, Kind: faultinject.KindError, Rate: 1, After: 1, MaxFaults: 1,
 	})
-	d := newDistClusterWith(t, 2, distConfig{inj: inj, observe: counter.observe})
+	d := newDistClusterWith(t, 2, distConfig{inj: inj, observe: counter.observe, noStats: true})
 	d.catalog.Register(workload.LoadTPCHMemory("tpch", chaosScale))
 	q := chaosQueries[3]
+	requireDistributed(t, d.Coord, q)
 	if _, err := d.Query(q); err == nil || !strings.Contains(err.Error(), "injected") || !strings.Contains(err.Error(), "creating tasks on worker") {
 		t.Fatalf("query = %v, want the injected create failure, named by worker", err)
 	}

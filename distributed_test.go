@@ -60,6 +60,24 @@ func newDistCluster(t *testing.T, n int, inj *faultinject.Injector) *distCluster
 	return newDistClusterWith(t, n, distConfig{inj: inj})
 }
 
+// requireDistributed fails t unless every statement plans on coord to more
+// than one fragment. A test of a distributed mechanism — a shuffle, a task
+// failure mid-stage, a filter crossing workers — asserts it, so that the
+// optimizer's small-plan rule (one task for a statement over little data)
+// cannot hollow it out, whatever its bounds become.
+func requireDistributed(t *testing.T, coord *coordinator.Coordinator, sqls ...string) {
+	t.Helper()
+	for _, sql := range sqls {
+		_, dp, err := coord.Plan(sql, Session{})
+		if err != nil {
+			t.Fatalf("%s: plan: %v", sql, err)
+		}
+		if len(dp.Fragments) < 2 {
+			t.Fatalf("%s: planned as one fragment, want a distributed plan:\n%s", sql, dp.Format())
+		}
+	}
+}
+
 // distSpillConfig caps each worker's per-node user memory and points spill
 // at a directory, for the distributed larger-than-memory differential.
 type distSpillConfig struct {
@@ -97,6 +115,9 @@ type distConfig struct {
 	limits memory.QueryLimits
 	// plans gives the coordinator a plan cache.
 	plans bool
+	// noStats plans without statistics, as ClusterConfig.DisableStats does:
+	// every plan is distributed, however little its tables hold.
+	noStats bool
 }
 
 // observedTransport reports each request before sending it.
@@ -164,6 +185,7 @@ func newDistClusterWith(t *testing.T, n int, dc distConfig) *distCluster {
 	if dc.broadcastRows != 0 {
 		ccfg.Optimizer.BroadcastThresholdRows = dc.broadcastRows
 	}
+	ccfg.Optimizer.UseStats = !dc.noStats
 	if sp != nil {
 		ccfg.Task.SpillEnabled, ccfg.Task.SpillDir = true, sp.dir
 		ccfg.MemoryLimits = memory.QueryLimits{PerNodeUser: sp.perNodeCap, SpillEnabled: true}
@@ -483,8 +505,9 @@ func TestChaosHTTPTransportFaultsMasked(t *testing.T) {
 		faultinject.Rule{Site: faultinject.SiteHTTPTruncate, Kind: faultinject.KindError, Rate: 0.03, Transient: true},
 		faultinject.Rule{Site: faultinject.SiteHTTPDelay, Kind: faultinject.KindDelay, Rate: 0.05, Delay: 2 * time.Millisecond},
 	)
-	d := newDistCluster(t, 2, inj)
+	d := newDistClusterWith(t, 2, distConfig{inj: inj, noStats: true})
 	d.catalog.Register(workload.LoadTPCHMemory("tpch", chaosScale))
+	requireDistributed(t, d.Coord, chaosQueries...)
 	base := baselineRows(t)
 	for _, q := range chaosQueries {
 		rows, err := d.Query(q)
@@ -503,8 +526,9 @@ func TestChaosHTTPTransportFaultsMasked(t *testing.T) {
 func TestChaosHTTPHardFaultAborts(t *testing.T) {
 	inj := faultinject.New(chaosSeed(t),
 		faultinject.Rule{Site: faultinject.SiteHTTPDrop, Kind: faultinject.KindError, Rate: 1, After: 10})
-	d := newDistCluster(t, 2, inj)
+	d := newDistClusterWith(t, 2, distConfig{inj: inj, noStats: true})
 	d.catalog.Register(workload.LoadTPCHMemory("tpch", chaosScale))
+	requireDistributed(t, d.Coord, chaosQueries[3])
 	goroutines := runtime.NumGoroutine()
 
 	_, err := d.Query(chaosQueries[3])
@@ -653,9 +677,10 @@ var distJoinQueries = []string{
 // in-process shortcut.
 func TestDistributedDynamicFilterDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
-	d := newDistCluster(t, 2, nil)
+	d := newDistClusterWith(t, 2, distConfig{noStats: true})
 	d.loadRefTable(t, "d", randomRows(r, 200))
 	d.loadRefTable(t, "e", randomRows(r, 80))
+	requireDistributed(t, d.Coord, distJoinQueries...)
 	for _, sql := range distJoinQueries {
 		on := d.mustQuery(t, sql)
 		res, err := d.Coord.Execute(sql, Session{Switches: exec.DisableDynamicFilters})
@@ -687,9 +712,10 @@ func TestChaosDistributedFilterPublishFaults(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(47))
 			inj := faultinject.New(chaosSeed(t), tc.rule)
-			d := newDistCluster(t, 2, inj)
+			d := newDistClusterWith(t, 2, distConfig{inj: inj, noStats: true})
 			d.loadRefTable(t, "d", randomRows(r, 200))
 			d.loadRefTable(t, "e", randomRows(r, 80))
+			requireDistributed(t, d.Coord, distJoinQueries...)
 			// Reference rows come from a fault-free cluster so faults cannot
 			// mask a wrong answer.
 			rr := rand.New(rand.NewSource(47))
@@ -786,13 +812,14 @@ func TestDistributedCollectorlessFilterPublisher(t *testing.T) {
 	// the filter round trip — and ends right after it only if the Disabled
 	// union is actually delivered.
 	const gate = 3 * time.Second
-	d := newDistClusterWith(t, 2, distConfig{inj: inj, wrap: wrap, broadcastRows: 1,
+	d := newDistClusterWith(t, 2, distConfig{inj: inj, wrap: wrap, broadcastRows: 1, noStats: true,
 		task: exec.TaskConfig{DynamicFilterWait: gate}})
 	r := rand.New(rand.NewSource(47))
 	d.loadRefTable(t, "d", randomRows(r, 200))
 	d.loadRefTable(t, "e", randomRows(r, 80))
 
 	sql := distJoinQueries[0]
+	requireDistributed(t, d.Coord, sql)
 	res, err := d.Coord.Execute(sql, Session{Switches: exec.DisableDynamicFilters})
 	if err != nil {
 		t.Fatal(err)

@@ -47,9 +47,12 @@ const estimateScale = 0.5
 const estimateNodeCap = 2 << 20
 
 // scaledStats is the TPC-H connector with statistics factor times off: its
-// row counts and column NDVs are scaled, so every statistics estimate the
-// optimizer derives from them is wrong by about that factor. Factor changes
-// between statements, never during one.
+// column NDVs are scaled, and its row counts when factor is above 1, so every
+// statistics estimate the optimizer derives from them is wrong by about that
+// factor. A row count is never scaled down: tables a hundred times smaller
+// than they are would pass the optimizer's small-plan bounds, and the
+// statements would run as one task with no partial or final step to
+// estimate. Factor changes between statements, never during one.
 type scaledStats struct {
 	*memconn.Connector
 	factor float64
@@ -65,7 +68,10 @@ func (s *scaledStats) Stats(table string) connector.TableStats {
 	for col, n := range st.ColumnNDV {
 		ndv[col] = scale(n)
 	}
-	st.RowCount, st.ColumnNDV = scale(st.RowCount), ndv
+	st.ColumnNDV = ndv
+	if s.factor > 1 {
+		st.RowCount = scale(st.RowCount)
+	}
 	return st
 }
 
@@ -155,6 +161,8 @@ func TestGroupEstimateWrongByHundred(t *testing.T) {
 		for _, factor := range []float64{1, 100, 0.01} {
 			name := fmt.Sprintf("%s ×%v", id, factor)
 			localStats.factor, remoteStats.factor = factor, factor
+			requireDistributed(t, local.Coordinator, sql)
+			requireDistributed(t, remote.Coord, sql)
 
 			groups, steps := planEstimates(t, local.Coordinator, sql)
 			res, err := local.Execute(sql)
@@ -202,6 +210,7 @@ func TestGroupEstimateInExplainAnalyze(t *testing.T) {
 	c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true})
 	t.Cleanup(c.Close)
 	c.Register(workload.LoadTPCHMemory("tpch", estimateScale))
+	requireDistributed(t, c.Coordinator, estimateShapes["q78"])
 	withEst, without := 0, 0
 	for _, r := range mustExec(t, c, "EXPLAIN ANALYZE "+estimateShapes["q78"]) {
 		line := r[0].String()

@@ -43,6 +43,7 @@ func Run(t *testing.T, h Harness) {
 		t.Run("WriteRoundTrip", func(t *testing.T) { h.writeRoundTrip(t) })
 		t.Run("Versioning", func(t *testing.T) { h.versioning(t) })
 		t.Run("Keys", func(t *testing.T) { h.keys(t) })
+		t.Run("Statistics", func(t *testing.T) { h.statistics(t) })
 	}
 }
 
@@ -375,6 +376,39 @@ func (h Harness) versioning(t *testing.T) {
 		if _, ok := log.Appends(name, written, func(*connector.AppendSummary) bool { return true }); ok {
 			t.Error("the append log reaches back across a DROP and CREATE")
 		}
+	}
+}
+
+// statistics writes rows to a new table and reads its statistics back: a
+// connector that reports any reports the written row count and a distinct
+// count for the written key column — the point selectivity the optimizer
+// estimates from, which without one falls to a default.
+func (h Harness) statistics(t *testing.T) {
+	name := "conformance_stats_test"
+	cols := []connector.Column{{Name: "k", T: types.Bigint}, {Name: "s", T: types.Varchar}}
+	if err := h.Conn.CreateTable(name, cols); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	defer h.Conn.DropTable(name)
+	sink, err := h.Conn.PageSink(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Append(block.NewPage(
+		block.NewLongBlock([]int64{4, 8, 15}, nil),
+		block.NewVarcharBlock([]string{"a", "b", "a"}, nil),
+	)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sink.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	st := h.Conn.Stats(name)
+	if st.Unknown() {
+		return // a connector configured to collect none
+	}
+	if st.RowCount != 3 || st.NDV("k") <= 0 {
+		t.Errorf("after writing 3 rows: %d rows, NDV(k) %d; want 3 rows and a distinct count", st.RowCount, st.NDV("k"))
 	}
 }
 

@@ -33,9 +33,7 @@ type table struct {
 	bucketIdx int
 	buckets   [][]*block.Page // bucket → pages
 	stats     connector.TableStats
-	// ndv holds, per column, one identity per distinct non-null cell seen
-	// (connector.FoldDistinct), so that a write folds in only what it adds.
-	ndv []map[uint64]struct{}
+	ndv       connector.Distinct
 	// index maps indexed column value → rows, per indexed column.
 	indexes map[string]map[connector.Key][]rowRef
 }
@@ -70,7 +68,7 @@ func (c *Connector) CreateBucketedTable(name string, columns []connector.Column,
 		bucketIdx: idx,
 		buckets:   make([][]*block.Page, buckets),
 		stats:     connector.TableStats{RowCount: 0, ColumnNDV: map[string]int64{}},
-		ndv:       make([]map[uint64]struct{}, len(columns)),
+		ndv:       make(connector.Distinct, len(columns)),
 		indexes:   map[string]map[connector.Key][]rowRef{},
 	})
 }
@@ -141,7 +139,7 @@ func (t *table) appendRows(rows [][]types.Value) []*block.Page {
 			}
 		}
 	}
-	t.foldStats(added)
+	t.stats = t.ndv.Fold(t.stats, t.meta.Columns, added)
 	return added
 }
 
@@ -149,27 +147,6 @@ func (t *table) appendRows(rows [][]types.Value) []*block.Page {
 func bucketOf(v types.Value, buckets int) int {
 	p := block.NewPage(block.BuildBlock(v.T, []types.Value{v}))
 	return operators.HashPartition(p, 0, []int{0}, buckets)
-}
-
-// foldStats adds pages, just appended, to the table's statistics: the row
-// count and each column's count of distinct non-null values. It publishes a
-// new ColumnNDV map, never writes the one a reader may hold.
-func (t *table) foldStats(pages []*block.Page) {
-	rows := t.stats.RowCount
-	for _, p := range pages {
-		rows += int64(p.RowCount())
-		for ci := range t.meta.Columns {
-			if t.ndv[ci] == nil {
-				t.ndv[ci] = map[uint64]struct{}{}
-			}
-			connector.FoldDistinct(t.ndv[ci], p.Col(ci))
-		}
-	}
-	ndv := make(map[string]int64, len(t.meta.Columns))
-	for i, col := range t.meta.Columns {
-		ndv[col.Name] = int64(len(t.ndv[i]))
-	}
-	t.stats = connector.TableStats{RowCount: rows, ColumnNDV: ndv}
 }
 
 // Stats implements the Metadata API.

@@ -15,6 +15,7 @@
 package shardsql
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/block"
@@ -37,6 +38,7 @@ type table struct {
 	// shards[i] holds the rows of shard i, by shard key.
 	shards []map[connector.Key][][]types.Value
 	stats  connector.TableStats
+	ndv    connector.Distinct
 }
 
 func (t *table) Meta() *connector.TableMeta { return &t.meta }
@@ -70,6 +72,7 @@ func (c *Connector) CreateShardedTable(name string, columns []connector.Column, 
 		shardIdx: idx,
 		shards:   shards,
 		stats:    connector.TableStats{ColumnNDV: map[string]int64{}},
+		ndv:      make(connector.Distinct, len(columns)),
 	})
 }
 
@@ -86,16 +89,16 @@ func (c *Connector) LoadRows(name string, rows [][]types.Value) error {
 	})
 }
 
-// commit routes a write batch's rows, which pages hold too, to their shards
-// and moves the table's data version past the batch. The caller holds the
-// catalog's write lock.
+// commit routes a write batch's rows, which pages hold too, to their shards,
+// folds the pages into the table's statistics and moves the table's data
+// version past the batch. The caller holds the catalog's write lock.
 func (t *table) commit(name string, v *connector.VersionLog, rows [][]types.Value, pages []*block.Page) {
 	for _, row := range rows {
 		key := connector.KeyOf(row[t.shardIdx])
 		s := t.shards[shardOf(key, len(t.shards))]
 		s[key] = append(s[key], row)
 	}
-	t.stats.RowCount += int64(len(rows))
+	t.stats = t.ndv.Fold(t.stats, t.meta.Columns, pages)
 	v.Appended(name, connector.SummarizeAppend(t.meta.Columns, pages))
 }
 
@@ -142,6 +145,35 @@ type split struct {
 func (s *split) Connector() string     { return s.catalog }
 func (s *split) PreferredNodes() []int { return nil }
 func (s *split) EstimatedRows() int64  { return s.rows }
+
+// wireSplit is the JSON wire form of a split for cross-process scheduling.
+type wireSplit struct {
+	Table string `json:"table"`
+	Shard int    `json:"shard"`
+	Rows  int64  `json:"rows"`
+}
+
+// EncodeSplit implements connector.SplitCodec.
+func (c *Connector) EncodeSplit(s connector.Split) ([]byte, error) {
+	ss, ok := s.(*split)
+	if !ok {
+		return nil, fmt.Errorf("shardsql: cannot encode split %T", s)
+	}
+	return json.Marshal(wireSplit{Table: ss.table, Shard: ss.shard, Rows: ss.rows})
+}
+
+// DecodeSplit implements connector.SplitCodec. The catalog is stamped with
+// this connector's name so a decoded split routes like a local one.
+func (c *Connector) DecodeSplit(data []byte) (connector.Split, error) {
+	var ws wireSplit
+	if err := json.Unmarshal(data, &ws); err != nil {
+		return nil, fmt.Errorf("shardsql: decode split: %w", err)
+	}
+	if ws.Shard < 0 || ws.Shard >= c.shards {
+		return nil, fmt.Errorf("shardsql: decode split: shard %d of %d", ws.Shard, c.shards)
+	}
+	return &split{catalog: c.Name(), table: ws.Table, shard: ws.Shard, rows: ws.Rows}, nil
+}
 
 // Splits implements the Data Location API: point constraints on the shard
 // key enumerate only the owning shards, so a point lookup touches exactly

@@ -137,6 +137,10 @@ type Coordinator struct {
 	retired     [maxFinishedQueries]string
 	nextRetired int
 	nextID      atomic.Int64 // the last query id issued; advanced under mu
+	// singleRR rotates one-task stages over the workers across statements,
+	// so the output stages — and small statements, which are one task — do
+	// not all land on the first worker.
+	singleRR atomic.Uint64
 
 	// Cumulative dynamic-filter effect counters across finished queries
 	// (exposed as gauges on /v1/metrics).

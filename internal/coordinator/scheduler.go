@@ -200,13 +200,17 @@ type statementPlan struct {
 
 // schedule places tasks for every fragment of the distributed plan on a
 // snapshot of the alive workers (elastic scale-out/in replaces the list
-// concurrently; paper §IV-D2): leaf (source) stages get a task on every
-// worker — since most CPU goes to decompressing/decoding/filtering connector
-// data, running leaves everywhere yields the shortest wall time; intermediate
-// stages get one task per worker; single stages get one task. Splits whose enumeration the metadata cache already holds are
-// assigned from the stage's ledger before anything is created and travel with
-// the tasks; every other scan is enumerated lazily once they exist (§IV-D3),
-// each split going to the eligible task the ledger says is lightest.
+// concurrently; paper §IV-D2). Where every stage's tasks go is decided first
+// (placeStages): a leaf (source) stage gets a task on every worker, since most
+// CPU goes to decompressing/decoding/filtering connector data and running
+// leaves everywhere yields the shortest wall time — but when its splits are
+// all in hand, only on the workers they reach; intermediate stages get one
+// task per worker; single stages, a small statement's one fragment among
+// them, get one task on the next worker of the coordinator's rotation. Splits
+// whose enumeration the metadata cache already holds are assigned from the
+// stage's ledger before anything is created and travel with the tasks; every
+// other scan is enumerated lazily once they exist (§IV-D3), each split going
+// to the eligible task the ledger says is lightest.
 func (c *Coordinator) schedule(workers []workerClient, q *Query, sp statementPlan) (*Result, error) {
 	dp := sp.dp
 	if sp.binds == nil {
@@ -217,7 +221,11 @@ func (c *Coordinator) schedule(workers []workerClient, q *Query, sp statementPla
 	cfg := c.cfg.Task
 	q.session.apply(&cfg)
 
-	counts, outParts := taskCounts(dp, nWorkers)
+	stages, err := c.placeStages(q, sp, workers)
+	if err != nil {
+		return nil, err
+	}
+	counts, outParts := taskCounts(dp, stages)
 	cfg.StageTasks = counts
 
 	// Dynamic-filter exchange: build-side summaries published by any task
@@ -226,24 +234,20 @@ func (c *Coordinator) schedule(workers []workerClient, q *Query, sp statementPla
 	// there are any was decided at planning.
 	hub := newFilterHub(dp, counts)
 
-	// Placement comes first and is whole before any worker hears of the
-	// statement: it is a pure function of the plan and the worker list, and a
+	// Placement is whole before any worker hears of the statement: a
 	// producer's address is a function of its id, so every worker's share —
 	// fragments, wiring, the splits in hand — is one batch, in fragment-id
 	// order: the fragmenter numbers producers before consumers.
 	placed := make([][]*taskSpec, len(dp.Fragments))
-	ledgers := make([]*stageLedger, len(dp.Fragments))
 	per := make([]workerShare, nWorkers)
 	created := make(chan struct{})
 	injected := false
 	var lazy []func() error // the enumerations not in hand
-	total, singleRR := 0, 0
+	total := 0
 	for _, f := range dp.Fragments {
-		kind := partitioningOf(f, dp)
-		stage := make([]taskSpec, counts[f.ID])
+		st := &stages[f.ID]
+		stage := make([]taskSpec, len(st.on))
 		placed[f.ID] = make([]*taskSpec, len(stage))
-		ledger := newStageLedger(len(stage), c.cfg.Topology)
-		ledgers[f.ID] = ledger
 		total += len(stage)
 		sources := map[int][]*taskSpec{}
 		plan.Walk(f.Root, func(n plan.Node) {
@@ -260,48 +264,24 @@ func (c *Coordinator) schedule(workers []workerClient, q *Query, sp statementPla
 				publish, relay = hub.publish, relayed
 			}
 		}
-		// Splits are enumerated for the scans' constraints bound to the
-		// statement's literals.
-		scans := exec.ScanOrder(f.Root)
-		for i, sc := range scans {
-			var err error
-			if scans[i], err = sp.binds.scan(sc); err != nil {
-				return nil, err
-			}
-		}
 		run := &fragmentRun{Values: sp.binds.vals}
 		if sp.forms != nil {
 			run.Form = &sp.forms[f.ID]
 		}
-		noMore := make([]bool, len(scans))
-		for i := range stage {
-			wi := i % nWorkers // source stages: task i on worker i
-			if kind == plan.PartitionSingle {
-				wi = singleRR % nWorkers
-				singleRR++
-			}
+		for i, wi := range st.on {
 			stage[i] = taskSpec{
 				ID:     exec.TaskID{QueryID: q.Info.ID, Fragment: f.ID, Index: i},
 				Worker: workers[wi], Fragment: f, Run: run, OutPartitions: outParts[f.ID], Sources: sources,
-				Splits: make([][]connector.Split, len(scans)), NoMore: noMore,
+				Splits: st.splits[i], NoMore: st.noMore,
 				Config: &cfg, Mem: q.qmem, Publish: publish, Relay: relay,
 				on: wi, created: created,
 			}
 			placed[f.ID][i] = &stage[i]
-			ledger.placed(i, workers[wi])
 		}
-		for scanID, scan := range scans {
-			key := c.splitCacheKey(q, scan)
-			if memo, ok := c.memoizedSplits(key); ok {
-				for _, s := range memo {
-					spec := &stage[ledger.pick(s)]
-					spec.Splits[scanID] = append(spec.Splits[scanID], s)
-				}
-				q.splitsTotal.Add(int64(len(memo)))
-				noMore[scanID] = true
-				continue
+		for scanID, scan := range st.scans {
+			if !st.noMore[scanID] {
+				lazy = append(lazy, func() error { return c.enumerateSplits(q, st.ledger, scanID, scan, st.keys[scanID]) })
 			}
-			lazy = append(lazy, func() error { return c.enumerateSplits(q, ledger, scanID, scan, key) })
 		}
 		for _, spec := range placed[f.ID] {
 			share := &per[spec.on]
@@ -353,7 +333,7 @@ func (c *Coordinator) schedule(workers []workerClient, q *Query, sp statementPla
 		for _, p := range ps {
 			tasks = append(tasks, p.client)
 		}
-		ledgers[fid].tasks = tasks[len(tasks)-len(ps):]
+		stages[fid].ledger.tasks = tasks[len(tasks)-len(ps):]
 	}
 	q.mu.Lock()
 	q.tasks, q.groups, q.remote = tasks, live, remote
@@ -405,17 +385,110 @@ func firstError(errs []error) error {
 	return nil
 }
 
-// taskCounts decides how many tasks each fragment runs on nWorkers alive
-// workers, and how many output partitions each produces (= the task count of
-// its consumer; the coordinator reads the root's single partition). A
-// single stage runs one task, a source or hash stage one per worker.
-func taskCounts(dp *plan.DistributedPlan, nWorkers int) (counts, outParts []int) {
-	counts = make([]int, len(dp.Fragments))
-	for _, f := range dp.Fragments {
-		counts[f.ID] = nWorkers
-		if partitioningOf(f, dp) == plan.PartitionSingle {
-			counts[f.ID] = 1
+// stagePlacement is where one stage's tasks go, decided for every stage of a
+// statement before any task is placed.
+type stagePlacement struct {
+	on     []int // worker index by task index
+	ledger *stageLedger
+	scans  []*plan.Scan // in exec.ScanOrder, bound to the statement's literals
+	keys   []string     // each scan's splitCacheKey
+	// splits are, by task and scan, the splits in hand; noMore marks, by
+	// scan, the scans they complete.
+	splits [][][]connector.Split
+	noMore []bool
+}
+
+// placeStages decides every stage's tasks: a single stage one task, on the
+// next worker of the coordinator's rotation (singleRR); any other one task
+// per worker. The splits whose enumeration the metadata cache holds are
+// assigned from the stage's ledger here. A leaf stage that holds every
+// scan's splits keeps only the tasks a split went to, and at least one: a
+// task with no split would read nothing, yet cost a create, an output buffer
+// and its consumer's fetches.
+func (c *Coordinator) placeStages(q *Query, sp statementPlan, workers []workerClient) ([]stagePlacement, error) {
+	nWorkers := len(workers)
+	stages := make([]stagePlacement, len(sp.dp.Fragments))
+	for _, f := range sp.dp.Fragments {
+		st := &stages[f.ID]
+		kind := partitioningOf(f, sp.dp)
+		if kind == plan.PartitionSingle {
+			st.on = []int{int((c.singleRR.Add(1) - 1) % uint64(nWorkers))}
+		} else {
+			st.on = make([]int, nWorkers)
+			for i := range st.on {
+				st.on[i] = i // task i on worker i
+			}
 		}
+		st.ledger = newStageLedger(len(st.on), c.cfg.Topology)
+		for i, wi := range st.on {
+			st.ledger.placed(i, workers[wi])
+		}
+		// Splits are enumerated for the scans' constraints bound to the
+		// statement's literals.
+		st.scans = exec.ScanOrder(f.Root)
+		st.keys = make([]string, len(st.scans))
+		st.noMore = make([]bool, len(st.scans))
+		st.splits = make([][][]connector.Split, len(st.on))
+		for i := range st.splits {
+			st.splits[i] = make([][]connector.Split, len(st.scans))
+		}
+		inHand := len(st.scans) > 0
+		for scanID, sc := range st.scans {
+			scan, err := sp.binds.scan(sc)
+			if err != nil {
+				return nil, err
+			}
+			st.scans[scanID], st.keys[scanID] = scan, c.splitCacheKey(q, scan)
+			memo, ok := c.memoizedSplits(st.keys[scanID])
+			if !ok {
+				inHand = false
+				continue
+			}
+			for _, s := range memo {
+				i := st.ledger.pick(s)
+				st.splits[i][scanID] = append(st.splits[i][scanID], s)
+			}
+			q.splitsTotal.Add(int64(len(memo)))
+			st.noMore[scanID] = true
+		}
+		if inHand && kind == plan.PartitionSource {
+			st.dropSplitless()
+		}
+	}
+	return stages, nil
+}
+
+// dropSplitless keeps the tasks at least one split went to, and task 0 when
+// none did.
+func (st *stagePlacement) dropSplitless() {
+	var kept []int
+	for i, byScan := range st.splits {
+		if slices.ContainsFunc(byScan, func(ss []connector.Split) bool { return len(ss) > 0 }) {
+			kept = append(kept, i)
+		}
+	}
+	if len(kept) == len(st.on) {
+		return
+	}
+	if len(kept) == 0 {
+		kept = []int{0}
+	}
+	on := make([]int, len(kept))
+	splits := make([][][]connector.Split, len(kept))
+	for k, i := range kept {
+		on[k], splits[k] = st.on[i], st.splits[i]
+	}
+	st.on, st.splits = on, splits
+	st.ledger.keep(kept)
+}
+
+// taskCounts returns how many tasks each stage runs, and how many output
+// partitions each produces (= the task count of its consumer; the
+// coordinator reads the root's single partition).
+func taskCounts(dp *plan.DistributedPlan, stages []stagePlacement) (counts, outParts []int) {
+	counts = make([]int, len(dp.Fragments))
+	for id, st := range stages {
+		counts[id] = len(st.on)
 	}
 	outParts = make([]int, len(dp.Fragments))
 	for _, f := range dp.Fragments {
@@ -491,12 +564,16 @@ func (c *Coordinator) openSplitSource(conn connector.Connector, scan *plan.Scan)
 	return faultinject.WrapSplitSource(c.cfg.FaultInject, src), nil
 }
 
-// partitioningOf infers the scheduling class of a fragment (§IV-D2):
-// fragments containing scans are source-partitioned (leaf stages run on
-// every worker); fragments fed by hash- or round-robin-partitioned producers
-// run one task per worker; fragments fed only by gathering (single) or
-// broadcast producers run one task.
+// partitioningOf infers the scheduling class of a fragment (§IV-D2): a small
+// statement's one fragment (plan.Fragment.Single) runs one task; other
+// fragments containing scans are source-partitioned (leaf stages run on the
+// workers their splits reach); fragments fed by hash- or
+// round-robin-partitioned producers run one task per worker; fragments fed
+// only by gathering (single) or broadcast producers run one task.
 func partitioningOf(f *plan.Fragment, dp *plan.DistributedPlan) plan.PartitioningKind {
+	if f.Single {
+		return plan.PartitionSingle
+	}
 	hasScan := false
 	plan.Walk(f.Root, func(n plan.Node) {
 		if _, ok := n.(*plan.Scan); ok {
@@ -645,6 +722,16 @@ func newStageLedger(tasks int, racks map[int]string) *stageLedger {
 // placed records the worker task i goes to.
 func (l *stageLedger) placed(i int, w workerClient) {
 	l.nodes[i] = w.NodeID()
+}
+
+// keep narrows the ledger to the tasks at the given indices, in order, with
+// what they were charged.
+func (l *stageLedger) keep(idx []int) {
+	nodes, assigned := make([]int, len(idx)), make([]int64, len(idx))
+	for k, i := range idx {
+		nodes[k], assigned[k] = l.nodes[i], l.assigned[i]
+	}
+	l.nodes, l.assigned = nodes, assigned
 }
 
 // pick places one split and charges its weight to the chosen task, returning

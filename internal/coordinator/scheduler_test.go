@@ -181,6 +181,15 @@ type fakeConn struct {
 	splits map[string][]connector.Split // by table
 }
 
+// fakeTableRows is what the fake reports for each table: above the
+// optimizer's small-plan bounds, so that every plan here stays distributed
+// whatever splits are scripted, and below its broadcast threshold.
+const fakeTableRows = 1 << 17
+
+func (f *fakeConn) Stats(string) connector.TableStats {
+	return connector.TableStats{RowCount: fakeTableRows}
+}
+
 func (f *fakeConn) Splits(h plan.TableHandle) (connector.SplitSource, error) {
 	return &fakeSplitSource{splits: f.splits[h.Table]}, nil
 }
@@ -256,6 +265,9 @@ func (f *schedFixture) scheduleSession(t *testing.T, sql string, n int, s Sessio
 	_, dp, err := f.c.Plan(sql, s)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(dp.Fragments) < 2 {
+		t.Fatalf("%s: planned as %d fragment, want a distributed plan:\n%s", sql, len(dp.Fragments), dp.Format())
 	}
 	q := &Query{coord: f.c, session: s}
 	q.Info.ID = "q1"
@@ -401,6 +413,37 @@ func TestSchedulerPlacementAndWiring(t *testing.T) {
 		if !seen[kind] {
 			t.Errorf("conformance queries never produced a %v stage", kind)
 		}
+	}
+}
+
+// TestSingleStagesRotateAcrossStatements: one-task stages take the next
+// worker of one rotation for the whole coordinator, so consecutive
+// statements — each of whose output stages would otherwise start on the
+// first worker — spread over every worker.
+func TestSingleStagesRotateAcrossStatements(t *testing.T) {
+	const nWorkers = 3
+	f := newSchedFixture(t, Config{})
+	var nodes []int
+	for stmt := 0; stmt < 4; stmt++ {
+		f.cl = &fakeCluster{}
+		dp, q, _, err := f.schedule(t, conformanceQueries[0], nWorkers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fr := range dp.Fragments {
+			if partitioningOf(fr, dp) == plan.PartitionSingle {
+				nodes = append(nodes, f.cl.stage(fr.ID)[0].node)
+			}
+		}
+		q.abort()
+	}
+	for i, node := range nodes {
+		if want := 10 + i%nWorkers; node != want {
+			t.Fatalf("single stages placed on nodes %v, want each on the worker after the last one's", nodes)
+		}
+	}
+	if len(nodes) <= nWorkers {
+		t.Fatalf("%d single stages over 4 statements, want more than %d", len(nodes), nWorkers)
 	}
 }
 
@@ -616,16 +659,15 @@ func TestSchedulerCreateFailureAbortsAndDrains(t *testing.T) {
 	if err == nil || res != nil || !strings.Contains(err.Error(), "create refused") || !strings.Contains(err.Error(), "worker 11") {
 		t.Fatalf("schedule = (%v, %v), want worker 11's create failure", res, err)
 	}
-	counts, _ := taskCounts(dp, 3)
 	placedElsewhere, singles := 0, 0
 	for _, fr := range dp.Fragments {
-		for i := 0; i < counts[fr.ID]; i++ {
-			on := i % 3
-			if partitioningOf(fr, dp) == plan.PartitionSingle {
-				on = singles % 3
-				singles++
-			}
-			if on != 1 {
+		on := []int{0, 1, 2} // a task per worker: no split is in hand
+		if partitioningOf(fr, dp) == plan.PartitionSingle {
+			on = []int{singles % 3}
+			singles++
+		}
+		for _, wi := range on {
+			if wi != 1 {
 				placedElsewhere++
 			}
 		}

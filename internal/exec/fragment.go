@@ -53,10 +53,13 @@ type FragmentKey struct {
 //     bridge and the collector are the task's.
 //   - params: each parameter's slot and the literal the fragment was planned
 //     with; a task's values are its own (Task.params).
+//   - single: the fragment is a whole small statement (plan.Fragment.Single),
+//     so each of its pipelines runs one driver.
 type CompiledFragment struct {
 	pipes  []*pipeTemplate
 	joins  []*joinSpec
 	params []paramSpec
+	single bool
 }
 
 // joinSpec is what a task builds a hash join's bridge from.
@@ -103,7 +106,7 @@ func Compile(f *plan.Fragment, cfg TaskConfig) (*CompiledFragment, error) {
 	if err := c.compileFragment(f); err != nil {
 		return nil, err
 	}
-	return &CompiledFragment{pipes: c.pipelines, joins: c.joins, params: c.params}, nil
+	return &CompiledFragment{pipes: c.pipelines, joins: c.joins, params: c.params, single: f.Single}, nil
 }
 
 // bind returns a task's parameters: vals, a statement's literals by slot,

@@ -106,6 +106,7 @@ type Task struct {
 	params   []types.Value
 	bridges  []*operators.JoinBridge
 	compiled []*pipelineSpec
+	single   bool // CompiledFragment.single
 
 	mu            sync.Mutex
 	activeDrivers int
@@ -171,6 +172,7 @@ func newTask(id TaskID, cf *CompiledFragment, frag *TaskFragment, nodeID int, ex
 		params:     params,
 		bridges:    make([]*operators.JoinBridge, len(cf.joins)),
 		compiled:   make([]*pipelineSpec, len(cf.pipes)),
+		single:     cf.single,
 	}
 	for i, js := range cf.joins {
 		t.bridges[i] = t.newBridge(js)
@@ -348,8 +350,12 @@ func (t *Task) AddSplit(scanID int, s connector.Split) error {
 // concurrency target, but no more than the executor has threads — a driver
 // beyond them would only compile an operator chain to find the queue drained.
 // The morsel queue deals its splits onto as many stripes, and a partial
-// aggregation in the pipeline is sized for as many instances.
+// aggregation in the pipeline is sized for as many instances. A single
+// fragment's scan runs one driver: its aggregations are single steps.
 func (t *Task) scanDrivers() int {
+	if t.single {
+		return 1
+	}
 	return min(t.cfg.TargetSplitConcurrency, t.executor.Threads())
 }
 
@@ -393,11 +399,22 @@ func (t *Task) NoMoreSplits(scanID int) {
 // maybeDeclareScanDoneLocked declares a scan pipeline's drivers complete once
 // none can be started any more: enumeration is over and nothing is left to
 // hand a new driver. It does not wait for the running drivers to finish —
-// a probe of a spilled join cannot finish before it hears this.
+// a probe of a spilled join cannot finish before it hears this. A single
+// fragment's scan that got no split still runs its one driver over the empty
+// queue: a global aggregation over no rows answers one row.
 func (t *Task) maybeDeclareScanDoneLocked(p *pipelineSpec) {
-	if p.morsels.drained() {
-		t.declareNoMoreDriversLocked(p)
+	if !p.morsels.drained() {
+		return
 	}
+	if t.single && p.driversStarted == 0 && t.failed == nil {
+		sctx := t.sourceCtx(p)
+		src := operators.NewMorselScan(sctx, &morselStripe{q: p.morsels, stripe: p.morsels.claimStripe()})
+		if err := t.startDriverLocked(p, src, sctx); err != nil {
+			t.failLocked(err)
+			return
+		}
+	}
+	t.declareNoMoreDriversLocked(p)
 }
 
 // maybeStartScanDriversLocked starts drivers on a scan pipeline up to the

@@ -204,7 +204,7 @@ type HashAggregationOperator struct {
 // estimate); presize decides what the first table is built for.
 func NewHashAggregation(ctx *OpContext, groupCols []int, groupTs []types.Type, aggs []AggSpec, spillable bool, pageSize, groups int) *HashAggregationOperator {
 	if pageSize <= 0 {
-		pageSize = 4096
+		pageSize = DefaultPageRows
 	}
 	o := &HashAggregationOperator{
 		ctx:       ctx,

@@ -987,7 +987,7 @@ type joinOutput struct {
 
 func newJoinOutput(jt plan.JoinType, residual *JoinResidual, probeTs, buildTs []types.Type, pageSize int) joinOutput {
 	if pageSize <= 0 {
-		pageSize = 4096
+		pageSize = DefaultPageRows
 	}
 	j := joinOutput{jt: jt, residual: residual, probeTs: probeTs, buildTs: buildTs, pageSize: pageSize, scratch: new(block.Arena)}
 	j.probeOut = allChannels(len(probeTs))

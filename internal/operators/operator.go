@@ -15,6 +15,12 @@ import (
 	"repro/internal/memory"
 )
 
+// DefaultPageRows is how many rows an accumulating operator (aggregation,
+// join, sort, window) puts on an output page when its pipeline names no page
+// size. The optimizer's small-plan rule bounds a one-task statement's
+// emitted rows by one such page.
+const DefaultPageRows = 4096
+
 // Operator is one stage of a pipeline. The driver moves pages between
 // adjacent operators whenever the downstream needs input and the upstream
 // can produce (§IV-E1).

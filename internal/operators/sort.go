@@ -56,7 +56,7 @@ type SortOperator struct {
 // NewSort builds a sort operator over the given key columns.
 func NewSort(ctx *OpContext, keyCols []int, desc []bool, pageSize int) *SortOperator {
 	if pageSize <= 0 {
-		pageSize = 4096
+		pageSize = DefaultPageRows
 	}
 	return &SortOperator{buf: sortBuffer{ctx: ctx}, keys: sortKeys(keyCols, desc), pageSize: pageSize}
 }

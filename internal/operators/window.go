@@ -37,7 +37,7 @@ type WindowOperator struct {
 // NewWindow builds a window operator.
 func NewWindow(ctx *OpContext, partCols []int, orderCols []int, desc []bool, funcs []plan.WindowExpr, pageSize int) *WindowOperator {
 	if pageSize <= 0 {
-		pageSize = 4096
+		pageSize = DefaultPageRows
 	}
 	keys := sortKeys(partCols, make([]bool, len(partCols)))
 	o := &WindowOperator{buf: sortBuffer{ctx: ctx}, keys: append(keys, sortKeys(orderCols, desc)...), nPart: len(partCols),

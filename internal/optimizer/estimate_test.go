@@ -28,7 +28,11 @@ func groupBy(in plan.Node, cols ...int) *plan.Aggregation {
 
 var estimateMeta = &fakeMeta{stats: map[string]connector.TableStats{
 	"t": {RowCount: 1000, ColumnNDV: map[string]int64{"a": 300, "b": 50}},
+	// wide is t above the small-plan bounds: its plans have two steps.
+	"wide": {RowCount: wideRows, ColumnNDV: map[string]int64{"a": 300, "b": 50}},
 }}
+
+const wideRows = 1 << 17
 
 // TestAggregationEstimateUsesKnownNDV: an aggregation's estimate is the NDV
 // product of its keys capped by its input rows. A tenth of the input stands in
@@ -78,17 +82,20 @@ func aggSteps(dp *plan.DistributedPlan) (partial, final *plan.Aggregation) {
 // aggregation, or stats turned off, leaves them without one.
 func TestFragmentStampsGroupEstimates(t *testing.T) {
 	o := newOpt(estimateMeta)
-	logical := &plan.Output{Input: groupBy(scan("t", "a", "b"), 0), Names: []string{"a", "n"}}
+	logical := &plan.Output{Input: groupBy(scan("wide", "a", "b"), 0), Names: []string{"a", "n"}}
 	dp := o.Fragment(o.Optimize(logical))
+	if len(dp.Fragments) < 2 {
+		t.Fatalf("planned as one fragment, want two steps:\n%s", dp.Format())
+	}
 	partial, final := aggSteps(dp)
-	if want := (plan.GroupEstimate{Groups: 300, Rows: 1000, Source: plan.EstStats}); partial.Est == nil || *partial.Est != want {
+	if want := (plan.GroupEstimate{Groups: 300, Rows: wideRows, Source: plan.EstStats}); partial.Est == nil || *partial.Est != want {
 		t.Errorf("partial step estimate %+v, want %+v", partial.Est, want)
 	}
 	if want := (plan.GroupEstimate{Groups: 300, Source: plan.EstStats}); final.Est == nil || *final.Est != want {
 		t.Errorf("final step estimate %+v, want %+v", final.Est, want)
 	}
 
-	s := scan("t", "a", "b")
+	s := scan("wide", "a", "b")
 	computed := &plan.Project{Input: s,
 		Exprs: []expr.Expr{&expr.Arith{Op: expr.OpAdd, L: colRef(0, "a"), R: colRef(1, "b"), T: types.Bigint}},
 		Out:   plan.Schema{{Name: "ab", T: types.Bigint}}}

@@ -3,7 +3,9 @@ package optimizer
 import (
 	"fmt"
 
+	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/operators"
 	"repro/internal/plan"
 	"repro/internal/types"
 )
@@ -13,15 +15,17 @@ import (
 // child's partitioning cannot satisfy the parent's requirement: aggregations
 // over data already hash-partitioned (or co-located joins over bucketed
 // scans) run in place, partial aggregations/limits/topNs run in producer
-// stages, and the root gathers to a single output stage.
+// stages, and the root gathers to a single output stage. A small plan (see
+// small) is one SINGLE fragment with no exchange at all.
 func (o *Optimizer) Fragment(root plan.Node) *plan.DistributedPlan {
-	fb := &fragBuilder{}
+	fb := &fragBuilder{small: o.small(root)}
 	out := fb.visit(o, root)
 	// The root must be a single-task stage.
 	if out.prop.kind != plan.PartitionSingle {
 		out = fb.exchange(out, plan.Partitioning{Kind: plan.PartitionSingle})
 	}
 	rootID := fb.add(out.node, plan.Partitioning{Kind: plan.PartitionSingle})
+	fb.frags[rootID].Single = fb.small
 	dp := &plan.DistributedPlan{Fragments: fb.frags, RootID: rootID}
 	// Record each producer's consumer.
 	for _, f := range fb.frags {
@@ -56,6 +60,61 @@ type sub struct {
 
 type fragBuilder struct {
 	frags []*plan.Fragment
+	// small: the plan passed the small-plan rule, and its scans are SINGLE.
+	small bool
+}
+
+// The small-plan rule's bounds. A statement whose leaves read one morsel at
+// most and emit one page at most is one task: the tasks, exchanges and
+// requests of a parallel plan cost more than the few rows it moves (DESIGN.md
+// "A small statement is one task"). Each bound alone admits what the other keeps parallel: a
+// read bound alone, a 60 000-row scan that emits every row; an emit bound
+// alone, a point read that filters millions of rows on one driver.
+const (
+	smallReadRows = exec.DefaultMorselRows
+	smallEmitRows = operators.DefaultPageRows
+)
+
+// small reports whether root runs as one task: statistics are on; every leaf
+// is a VALUES list or a scan whose table has statistics; no UNION (its
+// branches are fragments of their own); and the leaves together read at most
+// smallReadRows and emit at most smallEmitRows. A scan reads its table's rows
+// narrowed only by the constraint columns its connector enforces, and emits
+// its estimateRows. Both follow from statistics and the shape of the
+// constraint — how many points, or a range — never from a literal's value, so
+// every statement of a plan-cache template gets the same answer.
+func (o *Optimizer) small(root plan.Node) bool {
+	if !o.Config.UseStats || o.Meta == nil {
+		return false
+	}
+	ok := true
+	var read, emit float64
+	plan.Walk(root, func(n plan.Node) {
+		switch x := n.(type) {
+		case *plan.Values:
+			read += float64(len(x.Rows))
+			emit += float64(len(x.Rows))
+		case *plan.Scan:
+			st := o.Meta.Stats(x.Handle.Catalog, x.Handle.Table)
+			if st.Unknown() {
+				ok = false
+				return
+			}
+			rows := float64(st.RowCount)
+			if c := x.Handle.Constraint; c != nil && !c.All() {
+				for _, name := range o.Meta.Pushdown(x.Handle.Catalog, x.Handle.Table, c) {
+					if cd := c.Columns[name]; cd != nil {
+						rows *= columnSelectivity(st, name, cd)
+					}
+				}
+			}
+			read += rows
+			emit += o.estimateRows(x)
+		case *plan.Union:
+			ok = false
+		}
+	})
+	return ok && read <= smallReadRows && emit <= smallEmitRows
 }
 
 func (fb *fragBuilder) add(root plan.Node, out plan.Partitioning) int {
@@ -92,6 +151,9 @@ func colRefs(sch plan.Schema) []expr.Expr {
 func (fb *fragBuilder) visit(o *Optimizer, n plan.Node) sub {
 	switch x := n.(type) {
 	case *plan.Scan:
+		if fb.small {
+			return sub{node: x, prop: prop{kind: plan.PartitionSingle}}
+		}
 		p := prop{kind: plan.PartitionSource}
 		// Bucketed layouts expose which output columns the data is
 		// partitioned on.
@@ -207,10 +269,14 @@ func (fb *fragBuilder) visit(o *Optimizer, n plan.Node) sub {
 		c := fb.visit(o, x.Input)
 		// Writers run as their own stage behind a round-robin exchange so
 		// the engine can scale writer concurrency independently of the
-		// producing stage (§IV-E3).
-		w := fb.exchange(c, plan.Partitioning{Kind: plan.PartitionRoundRobin})
-		write := &plan.TableWrite{Input: w.node, Catalog: x.Catalog, Table: x.Table, Out: x.Out}
-		g := fb.exchange(sub{node: write, prop: w.prop}, plan.Partitioning{Kind: plan.PartitionSingle})
+		// producing stage (§IV-E3); a small plan's one writer runs in place.
+		if !fb.small {
+			c = fb.exchange(c, plan.Partitioning{Kind: plan.PartitionRoundRobin})
+		}
+		g := sub{node: &plan.TableWrite{Input: c.node, Catalog: x.Catalog, Table: x.Table, Out: x.Out}, prop: c.prop}
+		if g.prop.kind != plan.PartitionSingle {
+			g = fb.exchange(g, plan.Partitioning{Kind: plan.PartitionSingle})
+		}
 		// Sum the per-task row counts.
 		agg := &plan.Aggregation{
 			Input: g.node,
@@ -541,17 +607,18 @@ func traceProjCols(p *plan.Project, cols []int) []int {
 	return out
 }
 
-// visitJoin plans joins per the strategy chosen by the optimizer.
+// visitJoin plans joins per the strategy chosen by the optimizer. A small
+// plan's join reads both sides in place, as a co-located one does.
 func (fb *fragBuilder) visitJoin(o *Optimizer, j *plan.Join) sub {
-	switch j.Strategy {
-	case plan.StrategyColocated:
+	switch {
+	case j.Strategy == plan.StrategyColocated, fb.small && j.Strategy != plan.StrategyIndex:
 		l := fb.visit(o, j.Left)
 		r := fb.visit(o, j.Right)
 		nj := *j
 		nj.Left, nj.Right = l.node, r.node
 		return sub{node: &nj, prop: l.prop}
 
-	case plan.StrategyIndex:
+	case j.Strategy == plan.StrategyIndex:
 		l := fb.visit(o, j.Left)
 		// The right side stays embedded as a Scan handle: the executor
 		// probes the connector index directly; no build fragment exists.
@@ -559,7 +626,7 @@ func (fb *fragBuilder) visitJoin(o *Optimizer, j *plan.Join) sub {
 		nj.Left = l.node
 		return sub{node: &nj, prop: l.prop}
 
-	case plan.StrategyPartitioned:
+	case j.Strategy == plan.StrategyPartitioned:
 		l := fb.visit(o, j.Left)
 		r := fb.visit(o, j.Right)
 		leftKeys := equiCols(j, true)

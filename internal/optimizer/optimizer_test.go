@@ -415,8 +415,10 @@ func TestFragmenterBroadcastJoinShape(t *testing.T) {
 }
 
 func TestFragmenterColocatedHasNoJoinExchange(t *testing.T) {
+	// Above the small-plan bounds: a small plan keeps both scans in its one
+	// fragment whatever the strategy.
 	meta := &fakeMeta{
-		stats: map[string]connector.TableStats{"l": {RowCount: 100}, "r": {RowCount: 100}},
+		stats: map[string]connector.TableStats{"l": {RowCount: 100000}, "r": {RowCount: 100000}},
 		layouts: map[string][]connector.Layout{
 			"l": {{Name: "bucketed", PartitionCols: []string{"k"}, BucketCount: 4}},
 			"r": {{Name: "bucketed", PartitionCols: []string{"k"}, BucketCount: 4}},
@@ -431,6 +433,9 @@ func TestFragmenterColocatedHasNoJoinExchange(t *testing.T) {
 	}
 	o := newOpt(meta)
 	dp := o.Fragment(o.Optimize(&plan.Output{Input: j, Names: []string{"a", "b"}}))
+	if len(dp.Fragments) < 2 || !strings.Contains(dp.Format(), "COLOCATED") {
+		t.Fatalf("want a co-located join under a gather:\n%s", dp.Format())
+	}
 	// Both scans and the join live in one leaf fragment; the only other
 	// fragment is the gather/output. Look for a fragment containing both
 	// scans.

@@ -72,6 +72,10 @@ type Fragment struct {
 	OutputPartitioning Partitioning
 	// OutputConsumer is the fragment that reads this one (-1 for the root).
 	OutputConsumer int
+	// Single marks the one fragment of a plan the optimizer found small: the
+	// whole statement runs as one task, and each of its pipelines as one
+	// driver, since its aggregations, sorts and limits are single steps.
+	Single bool
 }
 
 // DistributedPlan is the fragmented form of a query plan.
@@ -91,7 +95,11 @@ func (d *DistributedPlan) Root() *Fragment { return d.Fragments[d.RootID] }
 func (d *DistributedPlan) Format() string {
 	var sb strings.Builder
 	for _, f := range d.Fragments {
-		fmt.Fprintf(&sb, "Fragment %d [output=%s consumer=%d]\n", f.ID, f.OutputPartitioning, f.OutputConsumer)
+		single := ""
+		if f.Single {
+			single = " single"
+		}
+		fmt.Fprintf(&sb, "Fragment %d [output=%s consumer=%d%s]\n", f.ID, f.OutputPartitioning, f.OutputConsumer, single)
 		for _, line := range strings.Split(strings.TrimRight(Format(f.Root), "\n"), "\n") {
 			sb.WriteString("  " + line + "\n")
 		}

@@ -3,9 +3,11 @@ package presto_test
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"testing"
 
 	presto "repro"
+	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/wire"
 	engineworkload "repro/internal/workload"
@@ -94,4 +96,51 @@ func withoutEstimates(f *plan.Fragment) *plan.Fragment {
 	cp := *f
 	cp.Root = strip(f.Root)
 	return &cp
+}
+
+// TestLeafStageSkipsSplitlessTasks: at scale 2 customer, supplier, nation and
+// region are one split each. With every split of a leaf stage in hand — the
+// metadata cache holds the enumerations after the first run — no join_local
+// statement creates a leaf task a split does not reach, so none finishes with
+// no split; enumerated lazily (the cache off) a leaf stage still runs one task
+// a worker, and h05's have four with none. The rows are the same either way.
+func TestLeafStageSkipsSplitlessTasks(t *testing.T) {
+	c := presto.NewCluster(presto.ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true})
+	defer c.Close()
+	c.Register(engineworkload.LoadTPCHMemory("tpch", 2))
+	run := func(sql string, s presto.Session) (rows string, splitless int) {
+		t.Helper()
+		res, err := c.ExecuteSession(sql, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := res.All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, _ := c.QueryStats(res.QueryID)
+		for _, sg := range st.Stages {
+			for _, n := range sg.TaskSplits {
+				if n == 0 && slices.Max(sg.TaskSplits) > 0 {
+					splitless++
+				}
+			}
+		}
+		return fmt.Sprint(all), splitless
+	}
+	for _, st := range joinLocalStatements {
+		lazy, lazyless := run(st.sql, presto.Session{Switches: exec.DisableCache})
+		if st.id == "h05" && lazyless != 4 {
+			t.Errorf("h05 enumerated lazily has %d split-less leaf tasks, want 4", lazyless)
+		}
+		for i := 0; i < 2; i++ { // the first run memoizes the enumerations
+			rows, splitless := run(st.sql, presto.Session{})
+			if rows != lazy {
+				t.Fatalf("%s, run %d: rows %s, want %s", st.id, i, rows, lazy)
+			}
+			if i == 1 && splitless != 0 {
+				t.Errorf("%s: with every split in hand, %d leaf tasks have no split", st.id, splitless)
+			}
+		}
+	}
 }

@@ -111,15 +111,22 @@ var maskedCases = []maskedCase{
 
 // TestMaskedAggregates runs maskedCases in process and on two HTTP workers,
 // whose fragments carry the masks over the wire, and checks each against its
-// hand-worked rows and its plan against the rewrite it expects.
+// hand-worked rows and its plan against the rewrite it expects. Both plan
+// without statistics, so that every aggregation has a partial and a final
+// step over so few rows; a third cluster plans with them, and runs each case
+// as one task with one SINGLE step.
 func TestMaskedAggregates(t *testing.T) {
 	cols, rows := maskedRows()
-	local := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
+	local := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2, DisableStats: true})
 	defer local.Close()
 	mem := memconn.New("memory")
 	local.Register(mem)
-	dist := newDistCluster(t, 2, nil)
-	for _, conn := range []*memconn.Connector{mem, dist.mem} {
+	small := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2})
+	defer small.Close()
+	smallMem := memconn.New("memory")
+	small.Register(smallMem)
+	dist := newDistClusterWith(t, 2, distConfig{noStats: true})
+	for _, conn := range []*memconn.Connector{mem, smallMem, dist.mem} {
 		if err := conn.CreateTable("masked", cols); err != nil {
 			t.Fatal(err)
 		}
@@ -131,6 +138,8 @@ func TestMaskedAggregates(t *testing.T) {
 		}
 	}
 	for _, tc := range maskedCases {
+		requireDistributed(t, local.Coordinator, tc.sql)
+		requireDistributed(t, dist.Coord, tc.sql)
 		plan, err := local.Explain(tc.sql)
 		if err != nil {
 			t.Fatal(err)
@@ -141,6 +150,9 @@ func TestMaskedAggregates(t *testing.T) {
 		want := strings.Join(tc.want, "\n")
 		if got := joinRows(execSession(t, local, tc.sql, Session{})); got != want {
 			t.Errorf("%s in process:\n%s\nwant:\n%s", tc.sql, got, want)
+		}
+		if got := joinRows(execSession(t, small, tc.sql, Session{})); got != want {
+			t.Errorf("%s as one task:\n%s\nwant:\n%s", tc.sql, got, want)
 		}
 		if got := joinRows(dist.mustQuery(t, tc.sql)); got != want {
 			t.Errorf("%s on HTTP workers:\n%s\nwant:\n%s", tc.sql, got, want)

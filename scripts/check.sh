@@ -95,6 +95,11 @@
 #                             # errors, a BIGINT = DOUBLE join keys on the
 #                             # cast, under -race) + examples (every
 #                             # program under examples/ runs to a zero exit)
+#                             # + a small statement is one task (serving's
+#                             # reads in process and on HTTP workers, at
+#                             # most five requests; one decision for every
+#                             # literal set; a large read stays parallel;
+#                             # no leaf task without a split, under -race)
 #   scripts/check.sh -chaos   # additionally sweep the chaos suite over more
 #                             # seeds (CHAOS_FULL), verbose
 #   scripts/check.sh -fuzz    # additionally run 10s fuzz smokes over the
@@ -247,6 +252,12 @@ echo "==> distributed control plane: one create, one status channel and one dele
 go test -race -count=1 -run 'TestFetchBeforeProducerRegistered|TestCreateBatchIdempotent|TestStatusVersionMonotone|TestOneFetchPath' ./internal/httpapi/
 go test -race -count=1 -run 'TestHTTPTaskBatchesSplits|TestSchedulerCreateFailureAbortsAndDrains' ./internal/coordinator/
 go test -race -count=1 -v -run 'TestHTTPControlRequestsPerStatement|TestDistributedFilterArrivesBeforeProbe|TestCreateBatchPartialFailureDrains|TestChaosHTTPShuffleErrorsMasked|TestChaosHTTPShufflePartialPagesMasked' . | grep -E '^(---|ok|FAIL|panic)|requests per statement|rows filtered'
+
+echo "==> a small statement is one task: serving reads in process and on HTTP workers, one decision a template, a large read parallel, no split-less leaf task"
+# The report lines are the requests of each serving read on two HTTP workers,
+# split enumerations memoized: one create, the status answers, one result
+# fetch and one delete.
+go test -race -count=1 -v -run 'TestSmallStatementIsOneTask|TestSmallPlanRuleIgnoresLiterals|TestLargeReadStaysParallel|TestLeafStageSkipsSplitlessTasks' . | grep -E '^(---|ok|FAIL|panic)|on HTTP workers: [0-9]+ requests'
 
 echo "==> dynamic filters: where a filter tests rows, and when it arrives"
 # A scan that feeds the publishing join through nothing but Filter/Project

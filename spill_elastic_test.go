@@ -342,8 +342,10 @@ func TestElasticKillWorkerMidQuery(t *testing.T) {
 		inj := faultinject.New(int64(kill), faultinject.Rule{Site: faultinject.SiteShuffleFetch,
 			Kind: faultinject.KindDelay, Rate: 1, Delay: 50 * time.Millisecond})
 		c := NewCluster(ClusterConfig{Workers: 4, ThreadsPerWorker: 2, SpillEnabled: true,
-			SpillDir: t.TempDir(), FaultInjector: inj, DisablePlanCache: true, DisableResultCache: true})
+			SpillDir: t.TempDir(), FaultInjector: inj, DisablePlanCache: true, DisableResultCache: true,
+			DisableStats: true}) // over chaosScale's tables statistics make q one task
 		c.Register(workload.LoadTPCHMemory("tpch", chaosScale))
+		requireDistributed(t, c.Coordinator, q)
 		workers := c.Workers()
 		victim := workers[kill]
 

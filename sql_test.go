@@ -474,9 +474,13 @@ func TestSQLShowTablesAndDrop(t *testing.T) {
 	mustExec(t, c, "DROP TABLE IF EXISTS people") // idempotent with IF EXISTS
 }
 
+// TestSQLExplainShowsDistributedPlan: without statistics a grouped
+// aggregation is a partial and a final step with an exchange between them;
+// with them, over six rows, it is one SINGLE step in one single fragment.
 func TestSQLExplainShowsDistributedPlan(t *testing.T) {
-	c := sqlCluster(t)
-	text, err := c.Explain("SELECT city, count(*) FROM people GROUP BY city")
+	const sql = "SELECT city, count(*) FROM people GROUP BY city"
+	c := sqlClusterWith(t, ClusterConfig{Workers: 2, ThreadsPerWorker: 2, DisableStats: true})
+	text, err := c.Explain(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,6 +488,14 @@ func TestSQLExplainShowsDistributedPlan(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("explain missing %q:\n%s", want, text)
 		}
+	}
+	text, err = sqlCluster(t).Explain(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text, "Fragment 0 [output=SINGLE consumer=-1 single]") || strings.Contains(text, "Fragment 1") ||
+		!strings.Contains(text, "SINGLE") || strings.Contains(text, "RemoteSource") {
+		t.Errorf("a six-row aggregation is not one single fragment:\n%s", text)
 	}
 }
 

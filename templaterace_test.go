@@ -39,8 +39,13 @@ func TestTemplateLiteralsConcurrent(t *testing.T) {
 		}
 		return strings.Join(stringifyRows(all), ";"), nil
 	}
-	if _, err := run(0); err != nil { // plans the template
-		t.Fatal(err)
+	// Plans the template, then compiles its fragment on every worker: over
+	// 100 rows a statement is one task, and the coordinator rotates such
+	// tasks over the workers.
+	for range len(c.workers) + 1 {
+		if _, err := run(0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	before := fragmentCacheHits(c.workers)
 	const goroutines, rounds = 8, 10
