@@ -47,12 +47,9 @@ const estimateScale = 0.5
 const estimateNodeCap = 2 << 20
 
 // scaledStats is the TPC-H connector with statistics factor times off: its
-// column NDVs are scaled, and its row counts when factor is above 1, so every
-// statistics estimate the optimizer derives from them is wrong by about that
-// factor. A row count is never scaled down: tables a hundred times smaller
-// than they are would pass the optimizer's small-plan bounds, and the
-// statements would run as one task with no partial or final step to
-// estimate. Factor changes between statements, never during one.
+// row counts and column NDVs are scaled, so every statistics estimate the
+// optimizer derives from them is wrong by about that factor. Factor changes
+// between statements, never during one.
 type scaledStats struct {
 	*memconn.Connector
 	factor float64
@@ -68,11 +65,25 @@ func (s *scaledStats) Stats(table string) connector.TableStats {
 	for col, n := range st.ColumnNDV {
 		ndv[col] = scale(n)
 	}
-	st.ColumnNDV = ndv
-	if s.factor > 1 {
-		st.RowCount = scale(st.RowCount)
-	}
+	st.RowCount, st.ColumnNDV = scale(st.RowCount), ndv
 	return st
+}
+
+// requirePlanShape fails the test unless sql plans on coord as one SINGLE
+// fragment when oneTask, and as a distributed plan when not.
+func requirePlanShape(t *testing.T, coord *coordinator.Coordinator, sql string, oneTask bool) {
+	t.Helper()
+	if !oneTask {
+		requireDistributed(t, coord, sql)
+		return
+	}
+	_, dp, err := coord.Plan(sql, Session{})
+	if err != nil {
+		t.Fatalf("%s: plan: %v", sql, err)
+	}
+	if len(dp.Fragments) != 1 || !dp.Fragments[0].Single {
+		t.Fatalf("%s: planned as %d fragments, want one single fragment:\n%s", sql, len(dp.Fragments), dp.Format())
+	}
 }
 
 // planEstimates sums the groups the partial and final aggregations of sql's
@@ -137,7 +148,11 @@ func near(got, want float64) bool { return got <= 1.25*want && want <= 1.25*got 
 // process the operators show the scaled estimate (HTTP workers keep their
 // operator stats). An aggregation over a join's output (h18's and q78's
 // outer GROUP BY) has no statistics estimate, so a wrong estimate cannot be
-// injected there.
+// injected there. A hundred times too small, the tables pass the optimizer's
+// small-plan bounds: each statement runs as one task on one node, under the
+// same per-node limit, with one SINGLE step where the honest plan has a
+// partial and a final one, and that step's operator expects the groups its
+// plan does.
 func TestGroupEstimateWrongByHundred(t *testing.T) {
 	limits := memory.QueryLimits{PerNodeUser: estimateNodeCap}
 	ref := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true, DisableStats: true})
@@ -161,8 +176,17 @@ func TestGroupEstimateWrongByHundred(t *testing.T) {
 		for _, factor := range []float64{1, 100, 0.01} {
 			name := fmt.Sprintf("%s ×%v", id, factor)
 			localStats.factor, remoteStats.factor = factor, factor
-			requireDistributed(t, local.Coordinator, sql)
-			requireDistributed(t, remote.Coord, sql)
+			// A hundred times too small, every table here is under the
+			// optimizer's small-plan bounds: the statement is one task, and
+			// each aggregation with an estimate is one SINGLE step, not a
+			// partial and a final one, that expects every group.
+			oneTask := factor < 1
+			requirePlanShape(t, local.Coordinator, sql, oneTask)
+			requirePlanShape(t, remote.Coord, sql, oneTask)
+			wantSteps, wantGroups := honestSteps, factor*honestPlan
+			if oneTask {
+				wantSteps, wantGroups = honestSteps/2, factor*honestPlan/2
+			}
 
 			groups, steps := planEstimates(t, local.Coordinator, sql)
 			res, err := local.Execute(sql)
@@ -176,22 +200,34 @@ func TestGroupEstimateWrongByHundred(t *testing.T) {
 			assertRows(t, name+" in-process", roundedRows(rows), want)
 			st, _ := local.QueryStats(res.QueryID)
 			ops := operatorEstimates(t, st)
-			if factor == 1 {
+			switch {
+			case factor == 1:
 				honestPlan, honestSteps, honestOps = groups, steps, ops
+				wantSteps, wantGroups = steps, groups
 				if steps == 0 || ops == 0 {
 					t.Fatalf("%s: no aggregation has a statistics estimate", name)
 				}
-			} else {
-				if steps != honestSteps || !near(groups, factor*honestPlan) {
-					t.Errorf("%s: %d steps expect %.0f groups, want %d expecting about %.0f", name, steps, groups, honestSteps, factor*honestPlan)
+			case oneTask:
+				if st.Tasks != 1 {
+					t.Errorf("%s in-process: %d tasks, want 1", name, st.Tasks)
+				}
+				if steps != wantSteps || !near(groups, wantGroups) {
+					t.Errorf("%s: %d steps expect %.0f groups, want %d expecting about %.0f", name, steps, groups, wantSteps, wantGroups)
+				}
+				if !near(ops, groups) {
+					t.Errorf("%s in-process: the one task's operators expect %.0f groups, want its plan's %.0f", name, ops, groups)
+				}
+			default:
+				if steps != wantSteps || !near(groups, wantGroups) {
+					t.Errorf("%s: %d steps expect %.0f groups, want %d expecting about %.0f", name, steps, groups, wantSteps, wantGroups)
 				}
 				if !near(ops, factor*honestOps) {
 					t.Errorf("%s in-process: the operators expect %.0f groups, want about %.0f", name, ops, factor*honestOps)
 				}
 			}
 
-			if groups, steps := planEstimates(t, remote.Coord, sql); steps != honestSteps || !near(groups, factor*honestPlan) {
-				t.Errorf("%s on HTTP workers: %d steps expect %.0f groups, want %d expecting about %.0f", name, steps, groups, honestSteps, factor*honestPlan)
+			if groups, steps := planEstimates(t, remote.Coord, sql); steps != wantSteps || !near(groups, wantGroups) {
+				t.Errorf("%s on HTTP workers: %d steps expect %.0f groups, want %d expecting about %.0f", name, steps, groups, wantSteps, wantGroups)
 			}
 			rows, err = remote.Query(sql)
 			if err != nil {

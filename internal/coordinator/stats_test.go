@@ -35,6 +35,16 @@ func TestFinishedQueryStatsMatchSnapshots(t *testing.T) {
 			JOIN tpch.lineitem ON o_orderkey = l_orderkey WHERE o_totalprice < 20000 GROUP BY o_orderstatus`,
 		"SELECT l_returnflag, count(*) FROM tpch.lineitem WHERE l_quantity > 10 GROUP BY l_returnflag",
 	} {
+		// The coordinator plans without statistics (its optimizer config is
+		// the zero one), so neither statement meets the small-plan rule: a
+		// one-task plan would have no stage to roll up.
+		_, dp, err := c.Plan(sql, Session{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dp.Fragments) < 2 {
+			t.Fatalf("%s: planned as %d fragment, want a distributed plan:\n%s", sql, len(dp.Fragments), dp.Format())
+		}
 		res, err := c.Execute(sql, Session{})
 		if err != nil {
 			t.Fatal(err)

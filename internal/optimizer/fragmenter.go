@@ -65,11 +65,12 @@ type fragBuilder struct {
 }
 
 // The small-plan rule's bounds. A statement whose leaves read one morsel at
-// most and emit one page at most is one task: the tasks, exchanges and
-// requests of a parallel plan cost more than the few rows it moves (DESIGN.md
-// "A small statement is one task"). Each bound alone admits what the other keeps parallel: a
-// read bound alone, a 60 000-row scan that emits every row; an emit bound
-// alone, a point read that filters millions of rows on one driver.
+// most and whose leaves and joins emit one page at most is one task: the
+// tasks, exchanges and requests of a parallel plan cost more than the few
+// rows it moves (DESIGN.md "A small statement is one task"). Each bound alone
+// admits what the other keeps parallel: a read bound alone, a 60 000-row scan
+// that emits every row; an emit bound alone, a point read that filters
+// millions of rows on one driver.
 const (
 	smallReadRows = exec.DefaultMorselRows
 	smallEmitRows = operators.DefaultPageRows
@@ -77,12 +78,15 @@ const (
 
 // small reports whether root runs as one task: statistics are on; every leaf
 // is a VALUES list or a scan whose table has statistics; no UNION (its
-// branches are fragments of their own); and the leaves together read at most
-// smallReadRows and emit at most smallEmitRows. A scan reads its table's rows
-// narrowed only by the constraint columns its connector enforces, and emits
-// its estimateRows. Both follow from statistics and the shape of the
-// constraint — how many points, or a range — never from a literal's value, so
-// every statement of a plan-cache template gets the same answer.
+// branches are fragments of their own); the leaves together read at most
+// smallReadRows; and the leaves together, and each join, emit at most
+// smallEmitRows — a join is the one node that can emit more rows than it
+// reads, and a join of two small inputs may emit millions. A scan reads its
+// table's rows narrowed only by the constraint columns its connector
+// enforces, and emits its estimateRows; a join emits its estimateRows. All of
+// it follows from statistics and the shape of the constraint — how many
+// points, or a range — never from a literal's value, so every statement of a
+// plan-cache template gets the same answer.
 func (o *Optimizer) small(root plan.Node) bool {
 	if !o.Config.UseStats || o.Meta == nil {
 		return false
@@ -100,16 +104,15 @@ func (o *Optimizer) small(root plan.Node) bool {
 				ok = false
 				return
 			}
-			rows := float64(st.RowCount)
-			if c := x.Handle.Constraint; c != nil && !c.All() {
-				for _, name := range o.Meta.Pushdown(x.Handle.Catalog, x.Handle.Table, c) {
-					if cd := c.Columns[name]; cd != nil {
-						rows *= columnSelectivity(st, name, cd)
-					}
-				}
+			c := x.Handle.Constraint
+			var enforced []string
+			if !c.All() {
+				enforced = o.Meta.Pushdown(x.Handle.Catalog, x.Handle.Table, c)
 			}
-			read += rows
-			emit += o.estimateRows(x)
+			read += scanRows(st, c, enforced)
+			emit += max(scanRows(st, c, c.Names()), 1)
+		case *plan.Join:
+			ok = ok && o.estimateRows(x) <= smallEmitRows
 		case *plan.Union:
 			ok = false
 		}
@@ -444,7 +447,13 @@ func (fb *fragBuilder) visitAggregation(o *Optimizer, agg *plan.Aggregation) sub
 		}
 	}
 	if inPlace {
-		return sub{node: mkSingle(proj), prop: c.prop}
+		single := mkSingle(proj)
+		if fb.small {
+			// A small plan's one instance sees every group, as a final step's
+			// instances see theirs.
+			_, single.Est = o.groupEstimates(agg)
+		}
+		return sub{node: single, prop: c.prop}
 	}
 
 	if hasDistinct {

@@ -46,17 +46,36 @@ func isSmall(dp *plan.DistributedPlan) bool {
 
 // TestSmallPlanRule: a plan whose scans read at most one morsel and emit at
 // most one page is one single fragment; a plan past either bound, with a
-// scan of unknown statistics, with statistics off or with a UNION is
-// distributed. A scan reads its table narrowed only by what its connector
-// enforces.
+// join estimated to emit more than one page, with a scan of unknown
+// statistics, with statistics off or with a UNION is distributed. A scan
+// reads its table narrowed only by what its connector enforces.
 func TestSmallPlanRule(t *testing.T) {
 	meta := &fakeMeta{stats: map[string]connector.TableStats{
 		"small": {RowCount: 1000, ColumnNDV: map[string]int64{"a": 300}},
 		"wide":  {RowCount: 60000, ColumnNDV: map[string]int64{"a": 60000}},
 		"huge":  {RowCount: 1 << 22, ColumnNDV: map[string]int64{"a": 1 << 22}},
+		"l":     {RowCount: 2000, ColumnNDV: map[string]int64{"k": 2000, "g": 2}},
+		"r":     {RowCount: 1000, ColumnNDV: map[string]int64{"k": 1000, "g": 2}},
 	}}
 	grouped := func(in plan.Node) plan.Node {
 		return &plan.Output{Input: groupBy(in, 0), Names: []string{"a", "n"}}
+	}
+	// join joins l and r on col, or crosses them: two leaves under both
+	// bounds, whose output the join's estimate bounds.
+	join := func(typ plan.JoinType, col string) plan.Node {
+		j := &plan.Join{
+			Type:     typ,
+			Left:     scan("l", col),
+			Right:    scan("r", col),
+			Strategy: plan.StrategyPartitioned,
+			Out:      plan.Schema{{Name: col, T: types.Bigint}, {Name: col, T: types.Bigint}},
+		}
+		if typ == plan.CrossJoin {
+			j.Strategy = plan.StrategyBroadcast
+		} else {
+			j.Equi = []plan.EquiClause{{Left: 0, Right: 0}}
+		}
+		return &plan.Output{Input: j, Names: []string{"a", "b"}}
 	}
 	union := &plan.Output{Input: &plan.Union{Inputs: []plan.Node{scan("small", "a"), scan("small", "a")}}, Names: []string{"a"}}
 	off := DefaultConfig()
@@ -75,6 +94,9 @@ func TestSmallPlanRule(t *testing.T) {
 		{"unknown statistics", newOpt(meta), grouped(scan("nostats", "a", "b")), false},
 		{"statistics off", New(meta, off), grouped(scan("small", "a", "b")), false},
 		{"a union", newOpt(meta), union, false},
+		{"a foreign-key join, 2 000 rows out", newOpt(meta), join(plan.InnerJoin, "k"), true},
+		{"a join on a key of two values, 1 000 000 rows out", newOpt(meta), join(plan.InnerJoin, "g"), false},
+		{"a cross join, 2 000 000 rows out", newOpt(meta), join(plan.CrossJoin, "k"), false},
 	} {
 		dp := tc.o.Fragment(tc.o.Optimize(tc.root))
 		if got := isSmall(dp); got != tc.small {

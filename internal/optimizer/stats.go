@@ -29,16 +29,7 @@ func (o *Optimizer) estimateRows(n plan.Node) float64 {
 		if st.Unknown() {
 			return -1
 		}
-		rows := float64(st.RowCount)
-		if c := x.Handle.Constraint; c != nil && !c.All() {
-			for name, cd := range c.Columns {
-				rows *= columnSelectivity(st, name, cd)
-			}
-		}
-		if rows < 1 {
-			rows = 1
-		}
-		return rows
+		return max(scanRows(st, x.Handle.Constraint, x.Handle.Constraint.Names()), 1)
 
 	case *plan.Filter:
 		child := o.estimateRows(x.Input)
@@ -150,6 +141,19 @@ func (o *Optimizer) estimateRows(n plan.Node) float64 {
 		}
 		return -1
 	}
+}
+
+// scanRows is the rows of a table with statistics st that satisfy the
+// constraint d places on cols: its row count times each column's
+// selectivity.
+func scanRows(st connector.TableStats, d *plan.Domain, cols []string) float64 {
+	rows := float64(st.RowCount)
+	for _, name := range cols {
+		if cd := d.Columns[name]; cd != nil {
+			rows *= columnSelectivity(st, name, cd)
+		}
+	}
+	return rows
 }
 
 // columnSelectivity estimates the fraction of rows satisfying a column

@@ -55,16 +55,25 @@ func AllDomain() *Domain { return &Domain{Columns: map[string]*ColumnDomain{}} }
 // All reports whether the domain permits everything.
 func (d *Domain) All() bool { return d == nil || len(d.Columns) == 0 }
 
-// String renders the domain for EXPLAIN.
-func (d *Domain) String() string {
+// Names lists the columns the domain constrains, sorted.
+func (d *Domain) Names() []string {
 	if d.All() {
-		return "ALL"
+		return nil
 	}
 	names := make([]string, 0, len(d.Columns))
 	for n := range d.Columns {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	return names
+}
+
+// String renders the domain for EXPLAIN.
+func (d *Domain) String() string {
+	if d.All() {
+		return "ALL"
+	}
+	names := d.Names()
 	parts := make([]string, 0, len(names))
 	for _, n := range names {
 		parts = append(parts, n+":"+d.Columns[n].String())

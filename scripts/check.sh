@@ -253,11 +253,11 @@ go test -race -count=1 -run 'TestFetchBeforeProducerRegistered|TestCreateBatchId
 go test -race -count=1 -run 'TestHTTPTaskBatchesSplits|TestSchedulerCreateFailureAbortsAndDrains' ./internal/coordinator/
 go test -race -count=1 -v -run 'TestHTTPControlRequestsPerStatement|TestDistributedFilterArrivesBeforeProbe|TestCreateBatchPartialFailureDrains|TestChaosHTTPShuffleErrorsMasked|TestChaosHTTPShufflePartialPagesMasked' . | grep -E '^(---|ok|FAIL|panic)|requests per statement|rows filtered'
 
-echo "==> a small statement is one task: serving reads in process and on HTTP workers, one decision a template, a large read parallel, no split-less leaf task"
+echo "==> a small statement is one task: serving reads in process and on HTTP workers, one decision a template, a large read and an expanding join parallel, no split-less leaf task"
 # The report lines are the requests of each serving read on two HTTP workers,
 # split enumerations memoized: one create, the status answers, one result
 # fetch and one delete.
-go test -race -count=1 -v -run 'TestSmallStatementIsOneTask|TestSmallPlanRuleIgnoresLiterals|TestLargeReadStaysParallel|TestLeafStageSkipsSplitlessTasks' . | grep -E '^(---|ok|FAIL|panic)|on HTTP workers: [0-9]+ requests'
+go test -race -count=1 -v -run 'TestSmallStatementIsOneTask|TestSmallPlanRuleIgnoresLiterals|TestLargeReadStaysParallel|TestExpandingJoinStaysParallel|TestLeafStageSkipsSplitlessTasks' . | grep -E '^(---|ok|FAIL|panic)|on HTTP workers: [0-9]+ requests'
 
 echo "==> dynamic filters: where a filter tests rows, and when it arrives"
 # A scan that feeds the publishing join through nothing but Filter/Project

@@ -220,3 +220,40 @@ func TestLargeReadStaysParallel(t *testing.T) {
 		}
 	}
 }
+
+// TestExpandingJoinStaysParallel: customer and supplier at TPC-H scale 1
+// (1 500 and 100 rows) read and emit 1 600 rows together, under both bounds,
+// but joined on nation key they emit about 6 000: that join keeps its
+// distributed plan, while their join on customer key = supplier key (about
+// 100 rows out) is one task. Both return the rows a cluster without
+// statistics returns.
+func TestExpandingJoinStaysParallel(t *testing.T) {
+	local := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2, DisableResultCache: true})
+	t.Cleanup(local.Close)
+	local.Register(workload.LoadTPCHMemory("tpch", 1))
+	ref := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 2, DisableResultCache: true, DisableStats: true})
+	t.Cleanup(ref.Close)
+	ref.Register(workload.LoadTPCHMemory("tpch", 1))
+	for _, tc := range []struct {
+		sql    string
+		single bool
+	}{
+		{`SELECT c_nationkey, count(*), sum(s_suppkey) FROM tpch.customer JOIN tpch.supplier
+			ON c_nationkey = s_nationkey GROUP BY c_nationkey ORDER BY c_nationkey`, false},
+		{`SELECT count(*), sum(s_nationkey) FROM tpch.customer JOIN tpch.supplier ON c_custkey = s_suppkey`, true},
+	} {
+		_, dp, err := local.Coordinator.Plan(tc.sql, Session{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if single := len(dp.Fragments) == 1 && dp.Fragments[0].Single; single != tc.single {
+			t.Errorf("%s: one single fragment = %v, want %v:\n%s", tc.sql, single, tc.single, dp.Format())
+		}
+		want, _ := runTasks(t, ref.Coordinator, tc.sql)
+		got, tasks := runTasks(t, local.Coordinator, tc.sql)
+		assertRows(t, tc.sql, got, want)
+		if (tasks == 1) != tc.single {
+			t.Errorf("%s: %d tasks", tc.sql, tasks)
+		}
+	}
+}
