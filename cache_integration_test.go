@@ -1,75 +1,29 @@
 package presto
 
-// End-to-end tests for the coordinator's metadata cache at cluster level: the
-// per-session disable toggle and the version rule on writes.
+// End-to-end tests of freshness at cluster level: a read after a write, made
+// through the engine or around it, sees the write however warm the plan cache.
 
 import (
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/block"
 	"repro/internal/connector"
 	"repro/internal/connectors/hive"
 	"repro/internal/connectors/kvconn"
 	"repro/internal/connectors/raptor"
-	"repro/internal/exec"
 	"repro/internal/orcish"
 	"repro/internal/types"
 )
 
-// TestCacheSessionToggle checks the per-query opt-out: with DisableCache the
-// coordinator bypasses its split cache (no hits), and the same query with a
-// default session is served from it once enumerated.
-func TestCacheSessionToggle(t *testing.T) {
-	// The result cache is off, since a hit would answer the repeat without
-	// enumerating splits at all. The plan cache stays on, so a repeat does not
-	// look up the table's metadata again either: what it reads from the
-	// metadata cache is its splits.
-	c := NewCluster(ClusterConfig{Workers: 2, MetadataCacheTTL: time.Hour, DisableResultCache: true})
-	defer c.Close()
-	mustExec(t, c, "CREATE TABLE t (x BIGINT)")
-	mustExec(t, c, "INSERT INTO t SELECT * FROM (VALUES (1), (2))")
-	sql := "SELECT count(*) FROM t"
-	run := func(s Session) {
-		res, err := c.ExecuteSession(sql, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := res.All()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) != 1 || rows[0][0].I != 2 {
-			t.Fatalf("count: %v, want 2", rows)
-		}
-	}
-	run(Session{Switches: exec.DisableCache})
-	before := c.MetaCacheStats()
-	run(Session{Switches: exec.DisableCache})
-	if after := c.MetaCacheStats(); after.Hits != before.Hits {
-		t.Errorf("DisableCache session hit the split cache: %+v -> %+v", before, after)
-	}
-	// Default sessions use the split cache on the very same query.
-	run(Session{})
-	before = c.MetaCacheStats()
-	run(Session{})
-	if after := c.MetaCacheStats(); after.Hits <= before.Hits {
-		t.Errorf("default session should hit the split cache: %+v -> %+v", before, after)
-	}
-}
-
-// TestMetadataCacheInvalidatedOnWrite checks split/metadata memoization end
-// to end: repeated reads hit the coordinator metadata cache, and an INSERT
-// into the table moves its version, so the next read misses the split entry
-// and sees the new rows at once (well before the TTL could expire), while
-// the table's metadata, keyed by its unchanged schema version, still hits.
+// TestMetadataCacheInvalidatedOnWrite: a repeated read returns the same rows,
+// and a read after an INSERT into the table sees the new rows at once: its
+// splits come from the connector, which lists the table as it is.
 func TestMetadataCacheInvalidatedOnWrite(t *testing.T) {
 	// Serving caches off: a result-cache hit would serve the repeat read
-	// without touching split metadata at all (serving has its own
-	// invalidation coverage in serving_test.go).
-	c := NewCluster(ClusterConfig{Workers: 2, MetadataCacheTTL: time.Hour,
-		DisablePlanCache: true, DisableResultCache: true})
+	// without enumerating splits at all (serving has its own invalidation
+	// coverage in serving_test.go).
+	c := NewCluster(ClusterConfig{Workers: 2, DisablePlanCache: true, DisableResultCache: true})
 	defer c.Close()
 	mustExec(t, c, "CREATE TABLE t (x BIGINT)")
 	mustExec(t, c, "INSERT INTO t SELECT * FROM (VALUES (1), (2))")
@@ -84,32 +38,22 @@ func TestMetadataCacheInvalidatedOnWrite(t *testing.T) {
 	if got := count(); got != 2 {
 		t.Fatalf("initial count: %d", got)
 	}
-	before := c.MetaCacheStats()
 	if got := count(); got != 2 {
 		t.Fatalf("repeat count: %d", got)
 	}
-	if after := c.MetaCacheStats(); after.Hits <= before.Hits {
-		t.Errorf("repeated read should hit the metadata cache: %+v -> %+v", before, after)
-	}
-	// A write to the table must miss the cached splits despite the 1h TTL.
 	mustExec(t, c, "INSERT INTO t SELECT * FROM (VALUES (3))")
-	before = c.MetaCacheStats()
 	if got := count(); got != 3 {
-		t.Errorf("stale metadata after write: count=%d, want 3", got)
-	}
-	if after := c.MetaCacheStats(); after.Misses != before.Misses+1 || after.Hits != before.Hits+1 {
-		t.Errorf("the read after the write should miss its splits and hit its metadata: %+v -> %+v", before, after)
+		t.Errorf("stale rows after write: count=%d, want 3", got)
 	}
 }
 
 // TestCachesSeeConnectorChanges: a table changed through its connector's own
 // API, or a file written into the lake by another program, is seen by the
-// next read however warm the plan and metadata caches are and however long
-// their TTL: every connector versions its tables, and every cache checks the
-// versions it read.
+// next read however warm the plan and result caches are: every connector
+// versions its tables, and every cache checks the versions it read.
 func TestCachesSeeConnectorChanges(t *testing.T) {
 	newCluster := func(conn Connector) *Cluster {
-		c := NewCluster(ClusterConfig{Workers: 2, MetadataCacheTTL: time.Hour})
+		c := NewCluster(ClusterConfig{Workers: 2})
 		c.Register(conn)
 		return c
 	}
@@ -121,9 +65,6 @@ func TestCachesSeeConnectorChanges(t *testing.T) {
 		rows := mustExec(t, c, sql)
 		if c.ServingStats().Plan.Hits == hits && c.ServingStats().Result.Hits == 0 {
 			t.Fatalf("%s: the repeat hit neither serving cache", sql)
-		}
-		if c.MetaCacheStats().Hits == 0 {
-			t.Fatalf("%s: nothing hit the metadata cache", sql)
 		}
 		return rows
 	}

@@ -39,12 +39,15 @@ func requestClass(r *http.Request) string {
 	return path[strings.LastIndexByte(path, '/')+1:] // splits, status, filters
 }
 
-// requestCounter counts requests by class, and the result streams — one
-// partition of one task — the results requests read.
+// requestCounter counts requests by class, the result streams — one
+// partition of one task — the results requests read, and what each status
+// request asked.
 type requestCounter struct {
 	mu      sync.Mutex
+	since   time.Time // the window's start: the last take
 	counts  map[string]int
 	streams map[string]bool
+	polls   []string
 }
 
 func (c *requestCounter) observe(r *http.Request) {
@@ -52,22 +55,36 @@ func (c *requestCounter) observe(r *http.Request) {
 	defer c.mu.Unlock()
 	if c.counts == nil {
 		c.counts, c.streams = map[string]int{}, map[string]bool{}
+		if c.since.IsZero() {
+			c.since = time.Now()
+		}
 	}
 	class := requestClass(r)
 	c.counts[class]++
-	if class == "results" {
+	switch class {
+	case "results":
 		c.streams[r.URL.Path[:strings.LastIndexByte(r.URL.Path, '/')]] = true // less the token
+	case "status":
+		q := r.URL.Query()
+		c.polls = append(c.polls, fmt.Sprintf("%s version %s wait %sms at %v",
+			strings.Split(r.URL.Path, "/")[3], q.Get("version"), q.Get("waitMs"), time.Since(c.since).Round(10*time.Microsecond)))
 	}
 }
 
-// take returns the counts since the last take, and how many result streams
-// were read.
-func (c *requestCounter) take() (map[string]int, int) {
+// requestWindow is what a requestCounter saw between two takes.
+type requestWindow struct {
+	counts  map[string]int
+	streams int      // result streams read
+	polls   []string // each status request: its query, version, wait and time
+}
+
+// take returns what was seen since the last take.
+func (c *requestCounter) take() requestWindow {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	counts, streams := c.counts, len(c.streams)
-	c.counts, c.streams = nil, nil
-	return counts, streams
+	w := requestWindow{c.counts, len(c.streams), c.polls}
+	c.since, c.counts, c.streams, c.polls = time.Now(), nil, nil, nil
+	return w
 }
 
 // controlScale is the TPC-H scale of the control-plane tests: the smallest
@@ -83,8 +100,9 @@ const threeJoins = `SELECT n_name, count(*), sum(l_quantity)
 	GROUP BY n_name ORDER BY n_name`
 
 // TestHTTPControlRequestsPerStatement: a three-join statement on two workers
-// costs each worker one create and one delete; with its enumerations
-// memoized it sends no split batch; nothing is asked per task; the whole
+// costs each worker one create and one delete; its memory catalog's splits
+// travel with the creates, so no run sends a split batch, the first
+// included; nothing is asked per task; the whole
 // control plane — status answers and filter unions included — fits in 16
 // requests; and the data plane reads at most 10 result streams over HTTP.
 // The table it logs is the one scripts/check.sh prints.
@@ -102,12 +120,12 @@ func TestHTTPControlRequestsPerStatement(t *testing.T) {
 	}
 
 	assertRows(t, threeJoins, stringifyRows(d.mustQuery(t, threeJoins)), stringifyRows(want))
-	first, _ := counter.take()
-	if first["splits"] == 0 {
-		t.Errorf("first run %v: enumerations not yet memoized travel as split batches", first)
+	if first := counter.take().counts; first["splits"] != 0 {
+		t.Errorf("first run %v: want no split batch, the splits in hand travelling with the creates", first)
 	}
 	assertRows(t, threeJoins, stringifyRows(d.mustQuery(t, threeJoins)), stringifyRows(want))
-	counts, streams := counter.take()
+	w := counter.take()
+	counts, streams := w.counts, w.streams
 
 	classes := make([]string, 0, len(counts))
 	control := 0
@@ -127,7 +145,7 @@ func TestHTTPControlRequestsPerStatement(t *testing.T) {
 		t.Errorf("%d creates and %d deletes on 2 workers, want one of each per worker", counts["create"], counts["delete"])
 	}
 	if counts["splits"] != 0 || counts["per-task"] != 0 || counts["other"] != 0 {
-		t.Errorf("requests %v: want no split batch with memoized enumerations and nothing addressed to a task", counts)
+		t.Errorf("requests %v: want no split batch and nothing addressed to a task", counts)
 	}
 	if control > 16 {
 		t.Errorf("%d control requests for one statement, want at most 16: %v", control, counts)
@@ -250,7 +268,7 @@ func TestCreateBatchPartialFailureDrains(t *testing.T) {
 	if _, err := d.Query(q); err == nil || !strings.Contains(err.Error(), "injected") || !strings.Contains(err.Error(), "creating tasks on worker") {
 		t.Fatalf("query = %v, want the injected create failure, named by worker", err)
 	}
-	counts, _ := counter.take()
+	counts := counter.take().counts
 	if counts["create"] != 1 || counts["delete"] != 1 {
 		t.Errorf("requests %v: want the surviving worker's create, and its delete", counts)
 	}

@@ -6,7 +6,7 @@ package presto
 // pushdown, shuffles, partial aggregation) that unit tests miss.
 //
 // Every query runs twice — cold and warm — through diffQuery: the runs must
-// agree row-for-row (the split cache may never change results).
+// agree row-for-row (no cache may ever change results).
 
 import (
 	"fmt"

@@ -486,7 +486,7 @@ func TestDistributedMetricsAggregation(t *testing.T) {
 	for _, want := range []string{
 		`presto_executor_utilization{worker="0"}`,
 		`presto_executor_utilization{worker="1"}`,
-		"presto_metadata_cache_hits_total",
+		"presto_queries_running",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics scrape missing %s", want)

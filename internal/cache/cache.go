@@ -1,8 +1,8 @@
 // Package cache implements the engine's metadata cache (paper §II use case
 // C, §IV-G; Wang et al. 2022, "Metadata Caching in Presto"): MetaCache
-// (meta.go), a TTL map used by the coordinator to memoize split enumeration
-// and table metadata, and by the hive connector for decoded file footers.
-// There is one freshness rule: an entry's key names the version of what it
+// (meta.go), a TTL map the hive connector keeps decoded file footers in. The
+// coordinator keeps none: a scan's splits come from its connector. There is
+// one freshness rule: an entry's key names the version of what it
 // describes, as its source reports it, so a change is a miss and nothing
 // invalidates an entry on write.
 //

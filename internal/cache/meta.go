@@ -13,8 +13,8 @@ type Clock func() int64
 // cache of version-keyed entries would grow forever on a churning warehouse.
 const maxMetaEntries = 4096
 
-// MetaCache memoizes metadata lookups (split enumeration, table metadata,
-// decoded file footers) with a TTL bound on staleness. Nothing invalidates an
+// MetaCache memoizes metadata lookups (decoded file footers) with a TTL bound
+// on staleness. Nothing invalidates an
 // entry: its key names the version of what it describes — a table's schema
 // or data version (connector.Connector), a file's mtime and size — so a
 // change, made through the engine or outside it, is a miss, and the entries

@@ -197,6 +197,16 @@ func (s *splitList) NextBatch(max int) (SplitBatch, error) {
 
 func (s *splitList) Close() {}
 
+// Listed returns the splits of a source ListSplits made and nothing has read
+// from: an enumeration already in memory, which costs nothing to take whole.
+// Any other source is enumerated batch by batch.
+func Listed(src SplitSource) ([]Split, bool) {
+	if l, ok := src.(*splitList); ok && l.pos == 0 {
+		return l.splits, true
+	}
+	return nil, false
+}
+
 // ReadPages reads stored pages, skipping those of no rows: each page's
 // columns at the positions cols, in order (a page of its rows and no columns
 // when cols is empty), or the page as stored when cols is nil.

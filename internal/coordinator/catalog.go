@@ -6,11 +6,9 @@ package coordinator
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 
-	"repro/internal/cache"
 	"repro/internal/connector"
 	"repro/internal/plan"
 	"repro/internal/sqlparser"
@@ -22,17 +20,6 @@ import (
 type CatalogManager struct {
 	mu         sync.RWMutex
 	connectors map[string]connector.Connector
-	// meta, when non-nil, memoizes successful Resolve lookups under
-	// "meta/<catalog>.<table>@<schema version>" with the coordinator's TTL.
-	meta *cache.MetaCache
-}
-
-// SetMetaCache installs the coordinator's metadata cache (nil disables
-// memoization). Called once during coordinator construction.
-func (c *CatalogManager) SetMetaCache(m *cache.MetaCache) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.meta = m
 }
 
 // NewCatalogManager creates an empty manager.
@@ -104,15 +91,10 @@ func (c *CatalogManager) resolve(name sqlparser.QualifiedName, defaultCatalog st
 		return "", nil, 0, fmt.Errorf("catalog %q does not exist", catalog)
 	}
 	version := conn.SchemaVersion(table)
-	key := "meta/" + catalog + "." + table + "@" + strconv.FormatInt(version, 10)
-	if v, ok := c.meta.Get(key); ok {
-		return catalog, v.(*connector.TableMeta), version, nil
-	}
 	meta := conn.Table(table)
 	if meta == nil {
 		return "", nil, 0, fmt.Errorf("table %s.%s does not exist", catalog, table)
 	}
-	c.meta.Put(key, meta)
 	return catalog, meta, version, nil
 }
 

@@ -48,9 +48,6 @@ type Config struct {
 	// engine's I/O seams (split enumeration, shuffle fetches, task
 	// creation) for chaos testing; see internal/faultinject.
 	FaultInject *faultinject.Injector
-	// MetadataTTL bounds staleness of the coordinator metadata/split cache
-	// (default 30s; negative disables metadata caching).
-	MetadataTTL time.Duration
 	// Registry tracks worker processes registered over HTTP. When set and
 	// the coordinator has no in-process workers, queries are scheduled onto
 	// registered workers through the task API (distributed mode).
@@ -121,11 +118,6 @@ type Coordinator struct {
 	queue   *queue.Manager
 	arbiter *memory.Arbiter
 	pools   map[int]*memory.NodePool
-	// meta memoizes split enumeration ("splits/<handle>") and table
-	// metadata ("meta/<catalog>.<table>"), each stored under its
-	// "<catalog>.<table>", with TTL + invalidation of that table on write
-	// (nil when disabled).
-	meta *cache.MetaCache
 
 	mu sync.Mutex
 	// queries holds every query not yet finished or failed — live, what
@@ -208,15 +200,6 @@ func New(catalog *CatalogManager, workers []*exec.Worker, cfg Config) *Coordinat
 	for _, w := range workers {
 		pools[w.ID] = w.Pool
 	}
-	ttl := cfg.MetadataTTL
-	if ttl == 0 {
-		ttl = 30 * time.Second
-	}
-	var meta *cache.MetaCache
-	if ttl > 0 {
-		meta = cache.NewMetaCache(ttl, nil)
-	}
-	catalog.SetMetaCache(meta)
 	return &Coordinator{
 		Catalog:         catalog,
 		workers:         workers,
@@ -224,7 +207,6 @@ func New(catalog *CatalogManager, workers []*exec.Worker, cfg Config) *Coordinat
 		queue:           queue.NewManager(cfg.QueuePolicies...),
 		arbiter:         memory.NewArbiter(pools),
 		pools:           pools,
-		meta:            meta,
 		stmtLatency:     metrics.NewRingHistogram(0),
 		stageSkew:       metrics.NewBucketHistogram(1.05, 1.15, 1.5, 2, 4),
 		scanRowsPerPage: metrics.NewBucketHistogram(1, 16, 256, 1024, 4096),
@@ -292,11 +274,11 @@ func (c *Coordinator) poolsSnapshot() map[int]*memory.NodePool {
 	return pools
 }
 
-// MetaCacheStats snapshots the coordinator metadata/split cache counters
-// (zero when metadata caching is disabled).
-func (c *Coordinator) MetaCacheStats() cache.MetaStats {
-	return c.meta.Stats()
-}
+// MetaCacheStats returns zero counters.
+//
+// Deprecated: the coordinator keeps no metadata cache; a scan's splits are in
+// hand when its connector lists them in memory (connector.Listed).
+func (c *Coordinator) MetaCacheStats() cache.MetaStats { return cache.MetaStats{} }
 
 // writeTargets collects the (catalog, table) pairs a plan writes to.
 func writeTargets(n plan.Node) [][2]string {

@@ -185,10 +185,13 @@ type httpGroup struct {
 	splitMu sync.Mutex
 	queued  int // splits waiting in the queues
 
-	// statusMu guards version and is held while a status document is applied:
-	// the watcher and Wait's one ask may both be reading the channel.
+	// statusMu guards version and stopped and is held while a status
+	// document is applied: the watcher and Wait's one ask may both be reading
+	// the channel.
 	statusMu sync.Mutex
 	version  int64
+	stopped  bool
+	polls    sync.WaitGroup // status requests in flight
 	fail     func(error)
 
 	open     atomic.Int32  // tasks whose verdict is not in yet
@@ -403,14 +406,24 @@ func (g *httpGroup) giveUp(err error) {
 }
 
 // poll asks the worker, once, what happened after the version in hand,
-// waiting up to wait for something to, and applies the answer.
+// waiting up to wait for something to, and applies the answer. It asks
+// nothing once every verdict is in or the group has stopped, and a group
+// stops only after the asks in flight are answered, so no status request
+// outlives its statement.
 func (g *httpGroup) poll(wait time.Duration) error {
 	g.statusMu.Lock()
+	if g.stopped || g.open.Load() == 0 {
+		g.statusMu.Unlock()
+		return nil
+	}
+	g.polls.Add(1)
 	version := g.version
 	g.statusMu.Unlock()
 	var st wire.QueryStatus
 	url := fmt.Sprintf("%s/status?version=%d&waitMs=%d", g.base, version, wait.Milliseconds())
-	if err := g.w.do(http.MethodGet, url, nil, &st, "get status"); err != nil {
+	err := g.w.do(http.MethodGet, url, nil, &st, "get status")
+	g.polls.Done()
+	if err != nil {
 		return err
 	}
 	// Verdicts are settled under the lock, so whoever polled, a poll that has
@@ -468,9 +481,7 @@ func (g *httpGroup) announce(t *httpTask, ev wire.StatusEvent) {
 // Wait asks the worker once unless every verdict is already in; a status
 // that cannot be fetched is the watcher's to judge.
 func (g *httpGroup) Wait() error {
-	if g.open.Load() > 0 {
-		g.poll(0)
-	}
+	g.poll(0)
 	for _, t := range g.tasks {
 		select {
 		case <-t.done:
@@ -488,15 +499,21 @@ func (g *httpGroup) Abort() { g.shutdown(fmt.Errorf("tasks on %s aborted", g.w.u
 func (g *httpGroup) Close() { g.shutdown(nil) }
 
 // shutdown stops the status channel, settles the verdicts it had not, and
-// deletes the query on the worker (which aborts what still runs there) —
-// exactly once however the query ends.
+// deletes the query on the worker (which aborts what still runs there and
+// answers a status long-poll at once) — exactly once however the query ends.
+// It returns once no status request is in flight: one the watcher began just
+// before the stop would otherwise leave after the statement ended.
 func (g *httpGroup) shutdown(verdict error) {
 	g.stopOnce.Do(func() {
+		g.statusMu.Lock()
+		g.stopped = true
+		g.statusMu.Unlock()
 		close(g.stop)
 		for _, t := range g.tasks {
 			t.finish(verdict)
 		}
 		g.delete()
+		g.polls.Wait()
 	})
 }
 

@@ -5,9 +5,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/connector"
 	"repro/internal/connectors/memconn"
@@ -62,7 +64,7 @@ func TestHTTPTaskBatchesSplits(t *testing.T) {
 	w := &httpWorker{c: c, client: srv.Client(), node: 1, uri: srv.URL}
 	cfg := &exec.TaskConfig{}
 	g, err := w.CreateTasks([]*taskSpec{
-		// Task 0's first scan was memoized: its splits and their end are in hand.
+		// Task 0's first scan was listed: its splits and their end are in hand.
 		{ID: exec.TaskID{QueryID: "q1", Index: 0}, Fragment: frag, Config: cfg,
 			Splits: [][]connector.Split{{split, split}, nil}, NoMore: []bool{true, false}},
 		{ID: exec.TaskID{QueryID: "q1", Index: 1}, Fragment: frag, Config: cfg,
@@ -134,4 +136,80 @@ func TestHTTPTaskBatchesSplits(t *testing.T) {
 	if last := requests[len(requests)-1]; last != "DELETE /v1/query/q1" || strings.Count(strings.Join(requests, ","), "DELETE") != 1 {
 		t.Errorf("requests %v: want them to end in exactly one DELETE of the query", requests)
 	}
+}
+
+// lateWatcher holds the status channel's long-poll back before it is sent,
+// as a watcher goroutine descheduled between its check and its request
+// would, and records every request in the order they leave.
+type lateWatcher struct {
+	base    http.RoundTripper
+	entered chan struct{} // closed when the long-poll reaches the transport
+	once    sync.Once
+	mu      sync.Mutex
+	sent    []string
+}
+
+func (l *lateWatcher) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Query().Get("waitMs") == "1000" {
+		l.once.Do(func() { close(l.entered) })
+		time.Sleep(30 * time.Millisecond)
+	}
+	l.mu.Lock()
+	l.sent = append(l.sent, r.Method+" "+r.URL.RequestURI())
+	l.mu.Unlock()
+	return l.base.RoundTrip(r)
+}
+
+func (l *lateWatcher) requests() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.sent)
+}
+
+// TestStatusChannelEndsWithItsGroup: a statement's status requests all leave
+// before its group's Close returns. The watcher's long-poll is held back
+// until the end-of-stream check has brought the one task's verdict in and
+// the statement has closed; Close waits for it, so that a request of this
+// statement is not counted as the next one's — the third status request that
+// TestSmallStatementIsOneTask once saw on a loaded machine.
+func TestStatusChannelEndsWithItsGroup(t *testing.T) {
+	deleted := make(chan struct{})
+	var deleteOnce sync.Once
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodDelete:
+			deleteOnce.Do(func() { close(deleted) })
+		case strings.HasSuffix(r.URL.Path, "/status") && r.URL.Query().Get("waitMs") != "0":
+			select {
+			case <-deleted:
+				http.Error(w, "query q1 was deleted", http.StatusNotFound)
+			case <-time.After(time.Second):
+				json.NewEncoder(w).Encode(wire.QueryStatus{})
+			}
+		case strings.HasSuffix(r.URL.Path, "/status"):
+			json.NewEncoder(w).Encode(wire.QueryStatus{Events: []wire.StatusEvent{{State: "finished"}}})
+		}
+	}))
+	defer srv.Close()
+	tr := &lateWatcher{base: srv.Client().Transport, entered: make(chan struct{})}
+	c := New(NewCatalogManager(), nil, Config{})
+	w := &httpWorker{c: c, client: &http.Client{Transport: tr}, node: 1, uri: srv.URL}
+	frag := &plan.Fragment{Root: &plan.Scan{Handle: plan.TableHandle{Catalog: "memory", Table: "t"}}}
+	g, err := w.CreateTasks([]*taskSpec{{ID: exec.TaskID{QueryID: "q1"}, Fragment: frag,
+		Config: &exec.TaskConfig{}, Splits: [][]connector.Split{nil}, NoMore: []bool{true}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Monitor(func(err error) { t.Errorf("the status channel failed the statement: %v", err) })
+	<-tr.entered
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	g.Close()
+	closed := tr.requests()
+	time.Sleep(100 * time.Millisecond)
+	if after := tr.requests(); len(after) != len(closed) {
+		t.Errorf("requests %v left after the group closed: want every one before", after[len(closed):])
+	}
+	t.Logf("requests: %v", closed)
 }

@@ -206,11 +206,12 @@ type statementPlan struct {
 // leaves everywhere yields the shortest wall time — but when its splits are
 // all in hand, only on the workers they reach; intermediate stages get one
 // task per worker; single stages, a small statement's one fragment among
-// them, get one task on the next worker of the coordinator's rotation. Splits
-// whose enumeration the metadata cache already holds are assigned from the
-// stage's ledger before anything is created and travel with the tasks; every
-// other scan is enumerated lazily once they exist (§IV-D3), each split going
-// to the eligible task the ledger says is lightest.
+// them, get one task on the next worker of the coordinator's rotation. A
+// scan whose connector hands over its enumeration as a list in memory is
+// assigned from the stage's ledger before anything is created, and its splits
+// travel with the tasks; every other scan is enumerated lazily once they
+// exist (§IV-D3), each split going to the eligible task the ledger says is
+// lightest.
 func (c *Coordinator) schedule(workers []workerClient, q *Query, sp statementPlan) (*Result, error) {
 	dp := sp.dp
 	if sp.binds == nil {
@@ -242,7 +243,7 @@ func (c *Coordinator) schedule(workers []workerClient, q *Query, sp statementPla
 	per := make([]workerShare, nWorkers)
 	created := make(chan struct{})
 	injected := false
-	var lazy []func() error // the enumerations not in hand
+	var lazy []func() error // the enumerations not in hand, from their sources
 	total := 0
 	for _, f := range dp.Fragments {
 		st := &stages[f.ID]
@@ -278,9 +279,9 @@ func (c *Coordinator) schedule(workers []workerClient, q *Query, sp statementPla
 			}
 			placed[f.ID][i] = &stage[i]
 		}
-		for scanID, scan := range st.scans {
-			if !st.noMore[scanID] {
-				lazy = append(lazy, func() error { return c.enumerateSplits(q, st.ledger, scanID, scan, st.keys[scanID]) })
+		for scanID, src := range st.sources {
+			if src != nil {
+				lazy = append(lazy, func() error { return c.enumerateSplits(q, st.ledger, scanID, src) })
 			}
 		}
 		for _, spec := range placed[f.ID] {
@@ -326,6 +327,7 @@ func (c *Coordinator) schedule(workers []workerClient, q *Query, sp statementPla
 	if failed != nil {
 		hub.deliverTo(nil)
 		abortAndDrain(live, remote)
+		closeSources(stages)
 		return nil, failed
 	}
 	tasks := make([]taskClient, 0, total)
@@ -390,21 +392,24 @@ func firstError(errs []error) error {
 type stagePlacement struct {
 	on     []int // worker index by task index
 	ledger *stageLedger
-	scans  []*plan.Scan // in exec.ScanOrder, bound to the statement's literals
-	keys   []string     // each scan's splitCacheKey
-	// splits are, by task and scan, the splits in hand; noMore marks, by
-	// scan, the scans they complete.
+	// splits are, by task and scan (exec.ScanOrder), the splits in hand;
+	// noMore marks, by scan, the scans they complete.
 	splits [][][]connector.Split
 	noMore []bool
+	// sources are, by scan, the enumerations to run once the tasks exist:
+	// nil for a scan whose splits are in hand.
+	sources []connector.SplitSource
 }
 
 // placeStages decides every stage's tasks: a single stage one task, on the
 // next worker of the coordinator's rotation (singleRR); any other one task
-// per worker. The splits whose enumeration the metadata cache holds are
-// assigned from the stage's ledger here. A leaf stage that holds every
-// scan's splits keeps only the tasks a split went to, and at least one: a
-// task with no split would read nothing, yet cost a create, an output buffer
-// and its consumer's fetches.
+// per worker. It opens every scan's split source, bound to the statement's
+// literals; a source that is a list in memory (connector.Listed) is assigned
+// from the stage's ledger here, so a statement over the same tables is placed
+// the same way every time. A leaf stage that holds every scan's splits keeps
+// only the tasks a split went to, and at least one: a task with no split
+// would read nothing, yet cost a create, an output buffer and its consumer's
+// fetches.
 func (c *Coordinator) placeStages(q *Query, sp statementPlan, workers []workerClient) ([]stagePlacement, error) {
 	nWorkers := len(workers)
 	stages := make([]stagePlacement, len(sp.dp.Fragments))
@@ -423,32 +428,32 @@ func (c *Coordinator) placeStages(q *Query, sp statementPlan, workers []workerCl
 		for i, wi := range st.on {
 			st.ledger.placed(i, workers[wi])
 		}
-		// Splits are enumerated for the scans' constraints bound to the
-		// statement's literals.
-		st.scans = exec.ScanOrder(f.Root)
-		st.keys = make([]string, len(st.scans))
-		st.noMore = make([]bool, len(st.scans))
+		scans := exec.ScanOrder(f.Root)
+		st.noMore = make([]bool, len(scans))
+		st.sources = make([]connector.SplitSource, len(scans))
 		st.splits = make([][][]connector.Split, len(st.on))
 		for i := range st.splits {
-			st.splits[i] = make([][]connector.Split, len(st.scans))
+			st.splits[i] = make([][]connector.Split, len(scans))
 		}
-		inHand := len(st.scans) > 0
-		for scanID, sc := range st.scans {
-			scan, err := sp.binds.scan(sc)
+		inHand := len(scans) > 0
+		for scanID, sc := range scans {
+			src, err := c.openSplitSource(sp.binds, sc)
 			if err != nil {
+				closeSources(stages)
 				return nil, err
 			}
-			st.scans[scanID], st.keys[scanID] = scan, c.splitCacheKey(q, scan)
-			memo, ok := c.memoizedSplits(st.keys[scanID])
+			splits, ok := connector.Listed(src)
 			if !ok {
 				inHand = false
+				st.sources[scanID] = src
 				continue
 			}
-			for _, s := range memo {
+			src.Close()
+			for _, s := range splits {
 				i := st.ledger.pick(s)
 				st.splits[i][scanID] = append(st.splits[i][scanID], s)
 			}
-			q.splitsTotal.Add(int64(len(memo)))
+			q.splitsTotal.Add(int64(len(splits)))
 			st.noMore[scanID] = true
 		}
 		if inHand && kind == plan.PartitionSource {
@@ -456,6 +461,18 @@ func (c *Coordinator) placeStages(q *Query, sp statementPlan, workers []workerCl
 		}
 	}
 	return stages, nil
+}
+
+// closeSources closes every enumeration placement opened that no enumerator
+// has taken over.
+func closeSources(stages []stagePlacement) {
+	for _, st := range stages {
+		for _, src := range st.sources {
+			if src != nil {
+				src.Close()
+			}
+		}
+	}
 }
 
 // dropSplitless keeps the tasks at least one split went to, and task 0 when
@@ -548,9 +565,18 @@ func retryTransient(what string, op func() error) error {
 	return fmt.Errorf("%s failed after %d attempts: %w", what, transientRetryLimit+1, lastErr)
 }
 
-// openSplitSource opens split enumeration with bounded retry of transient
-// failures, and threads the fault injector into the returned source.
-func (c *Coordinator) openSplitSource(conn connector.Connector, scan *plan.Scan) (src connector.SplitSource, err error) {
+// openSplitSource opens the split enumeration of a scan bound to the
+// statement's literals, with bounded retry of transient failures, and threads
+// the fault injector into the returned source.
+func (c *Coordinator) openSplitSource(binds *scanBinder, sc *plan.Scan) (src connector.SplitSource, err error) {
+	scan, err := binds.scan(sc)
+	if err != nil {
+		return nil, err
+	}
+	conn, err := c.Catalog.Connector(scan.Handle.Catalog)
+	if err != nil {
+		return nil, err
+	}
 	err = retryTransient("split enumeration", func() error {
 		if err := c.cfg.FaultInject.Err(faultinject.SiteConnectorSplits); err != nil {
 			return err
@@ -611,51 +637,13 @@ func outputNames(f *plan.Fragment) []string {
 	return names
 }
 
-// splitCacheKey names a scan's complete enumeration in the coordinator
-// metadata cache, "" when the query does not use it. The table's version,
-// read before enumerating, is part of the key: a change to the table, made
-// through the engine or outside it, moves the version, and the next scan
-// misses. The enumeration is of that version or a later one, so an entry
-// never serves rows older than its key.
-func (c *Coordinator) splitCacheKey(q *Query, scan *plan.Scan) string {
-	if c.meta == nil || q.session.Switches.Has(exec.DisableCache) {
-		return ""
-	}
-	return fmt.Sprintf("splits/%s@%d", scan.Handle.String(),
-		c.Catalog.TableVersion(scan.Handle.Catalog, scan.Handle.Table))
-}
-
-// memoizedSplits returns the enumeration the metadata cache holds under key
-// (a splitCacheKey): repeated scans of an unchanged table skip the connector
-// round-trips, and their splits are in hand before their tasks are created.
-func (c *Coordinator) memoizedSplits(key string) ([]connector.Split, bool) {
-	if key != "" {
-		if v, ok := c.meta.Get(key); ok {
-			return v.([]connector.Split), true
-		}
-	}
-	return nil, false
-}
-
-// enumerateSplits lazily pulls split batches from the connector and assigns
-// them from the stage's ledger (see stageLedger.pick); a clean, complete
-// enumeration is memoized under cacheKey (the scan's splitCacheKey, read
-// before enumerating; "" memoizes nothing). It runs once the tasks exist,
-// first batch included: a connector call at placement would put a slow
-// metastore in front of every task's creation. The end of the enumeration is
-// flushed to every worker at once.
-func (c *Coordinator) enumerateSplits(q *Query, stage *stageLedger, scanID int, scan *plan.Scan, cacheKey string) error {
-	conn, err := c.Catalog.Connector(scan.Handle.Catalog)
-	if err != nil {
-		return err
-	}
-	src, err := c.openSplitSource(conn, scan)
-	if err != nil {
-		return err
-	}
+// enumerateSplits pulls split batches from a source placement opened and
+// assigns them from the stage's ledger (see stageLedger.pick). It runs once
+// the tasks exist, first batch included: a batch pulled at placement would
+// put a slow lister in front of every task's creation. The end of the
+// enumeration is flushed to every worker at once.
+func (c *Coordinator) enumerateSplits(q *Query, stage *stageLedger, scanID int, src connector.SplitSource) error {
 	defer src.Close()
-
-	var collected []connector.Split
 	for {
 		// The injected wrapper faults before touching enumeration state, so a
 		// retried pull observes the same batch.
@@ -673,16 +661,9 @@ func (c *Coordinator) enumerateSplits(q *Query, stage *stageLedger, scanID int, 
 				return err
 			}
 		}
-		if cacheKey != "" {
-			collected = append(collected, batch.Splits...)
-		}
 		if batch.Done {
 			break
 		}
-	}
-	// Only clean, complete enumerations are admitted to the cache.
-	if cacheKey != "" {
-		c.meta.Put(cacheKey, collected)
 	}
 	for _, t := range stage.tasks {
 		if err := t.NoMoreSplits(scanID); err != nil {

@@ -11,8 +11,7 @@ type Switches uint16
 
 // The members, in the order of SwitchHeaders.
 const (
-	DisableCache          Switches = 1 << iota // the coordinator bypasses its split cache
-	DisableDynamicFilters                      // plan no dynamic join filters
+	DisableDynamicFilters Switches = 1 << iota // plan no dynamic join filters
 	DisablePlanCache                           // plan from scratch and store no plan
 	DisableResultCache                         // neither serve nor capture a cached result
 	DisableSpill                               // fail with the exceeded-limit error instead of spilling (§IV-F2)
@@ -21,7 +20,6 @@ const (
 // SwitchHeaders is the switches' one name table: the HTTP header that sets
 // member 1<<i is SwitchHeaders[i], and String uses the same words.
 var SwitchHeaders = [...]string{
-	"X-Presto-Disable-Cache",
 	"X-Presto-Disable-Dynamic-Filters",
 	"X-Presto-Disable-Plan-Cache",
 	"X-Presto-Disable-Result-Cache",
@@ -38,7 +36,7 @@ func (s Switches) Planning() Switches {
 }
 
 // String names the members by their headers without the prefix, lower-case
-// and comma-separated ("disable-cache,disable-spill"); the zero set
+// and comma-separated ("disable-plan-cache,disable-spill"); the zero set
 // is "defaults".
 func (s Switches) String() string {
 	if s == 0 {

@@ -330,10 +330,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metrics.PromGauge(w, "presto_fragment_cache_hits_total", nil, float64(fc.Hits))
 	metrics.PromGauge(w, "presto_fragment_cache_misses_total", nil, float64(fc.Misses))
 	metrics.PromGauge(w, "presto_fragment_cache_evictions_total", nil, float64(fc.Evictions))
-	ms := s.Coord.MetaCacheStats()
-	metrics.PromGauge(w, "presto_metadata_cache_hits_total", nil, float64(ms.Hits))
-	metrics.PromGauge(w, "presto_metadata_cache_misses_total", nil, float64(ms.Misses))
-	metrics.PromGauge(w, "presto_metadata_cache_entries", nil, float64(ms.Entries))
 	metrics.PromGauge(w, "presto_queries_running", nil, float64(s.Coord.RunningQueries()))
 	// Distributed mode's control plane, seen from here: summaries that came
 	// up workers' status channels, unions a worker acknowledged, DELETEs that

@@ -316,7 +316,7 @@ func TestSwitchHeaders(t *testing.T) {
 			t.Errorf("X-Presto-Disable-Spill: %s: the query ran under %q, want the defaults", v, got)
 		}
 	}
-	for _, name := range []string{"X-Presto-Disable-Foo", "X-Presto-Disable-HBO", "X-Presto-Disable-Shared-Scans"} {
+	for _, name := range []string{"X-Presto-Disable-Foo", "X-Presto-Disable-HBO", "X-Presto-Disable-Shared-Scans", "X-Presto-Disable-Cache"} {
 		if got := switchesOf(http.Header{name: {"1"}}); got != "defaults" {
 			t.Errorf("%s: the query ran under %q, want the defaults", name, got)
 		}
@@ -482,8 +482,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`presto_shuffle_buffer_utilization{worker="0"}`,
 		`presto_memory_general_limit_bytes{worker="0"}`,
 		`presto_memory_reserved_limit_bytes{worker="0"}`,
-		"presto_metadata_cache_hits_total ",
-		"presto_metadata_cache_entries ",
 		"presto_result_cache_restamps_total ",
 		"presto_result_cache_skipped_total ",
 		"presto_queries_running ",

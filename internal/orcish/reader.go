@@ -193,7 +193,7 @@ func (r *Reader) Close() { r.f.Close() }
 // FileStats aggregates footer-level statistics for the optimizer.
 func FileStats(footer *Footer) (rows int64, ndv map[string]int64) {
 	// Distinct counts are not stored per file; estimate from min/max for
-	// integer columns and report unknown otherwise.
+	// integer columns, at most one a row, and report unknown otherwise.
 	ndv = map[string]int64{}
 	for ci, cm := range footer.Columns {
 		if cm.T != types.Bigint && cm.T != types.Date {
@@ -206,7 +206,7 @@ func FileStats(footer *Footer) (rows int64, ndv map[string]int64) {
 			}
 		}
 		if span := hi - lo + 1; lo <= hi && span > 0 {
-			ndv[cm.Name] = span
+			ndv[cm.Name] = min(span, footer.Rows)
 		}
 	}
 	return footer.Rows, ndv

@@ -117,8 +117,8 @@ func (c *ColumnDomain) String() string {
 }
 
 // literal renders a constraint's value: a VARCHAR quoted as SQL writes it, so
-// that no two constraints render alike (the split cache keys enumerations by
-// the rendering) — not 'NULL' and NULL, nor the empty string and no value.
+// that no two constraints render alike — not 'NULL' and NULL, nor the empty
+// string and no value.
 func literal(v types.Value) string {
 	if v.T == types.Varchar && !v.Null {
 		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"

@@ -27,7 +27,7 @@
 //     on every hit (corruption degrades to a miss). Its budget (16 MiB, an
 //     eighth of it per entry) and expiry (5m) are this package's defaults.
 //
-// Both follow one freshness rule, the metadata cache's too (internal/cache):
+// Both follow one freshness rule, hive's footer cache's too (internal/cache):
 // every connector versions its tables (connector.Connector.TableVersion,
 // SchemaVersion), each entry holds the versions it read, and a lookup checks
 // them. A change — through the engine or outside it, data or DDL — fails that

@@ -81,7 +81,7 @@ func TestTaskConfigRoundTrip(t *testing.T) {
 func FuzzCreateRequestDecode(f *testing.F) {
 	seed := func(frags ...*plan.Fragment) []byte {
 		req := CreateRequest{Config: exec.TaskConfig{PageSize: 512, SpillEnabled: true,
-			Switches: exec.DisableCache | exec.DisableSpill, DynamicFilterWait: 7}}
+			Switches: exec.DisablePlanCache | exec.DisableSpill, DynamicFilterWait: 7}}
 		for _, frag := range frags {
 			raw, err := MarshalFragment(frag)
 			if err != nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	presto "repro"
-	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/wire"
 	engineworkload "repro/internal/workload"
@@ -99,18 +98,24 @@ func withoutEstimates(f *plan.Fragment) *plan.Fragment {
 }
 
 // TestLeafStageSkipsSplitlessTasks: at scale 2 customer, supplier, nation and
-// region are one split each. With every split of a leaf stage in hand — the
-// metadata cache holds the enumerations after the first run — no join_local
-// statement creates a leaf task a split does not reach, so none finishes with
-// no split; enumerated lazily (the cache off) a leaf stage still runs one task
-// a worker, and h05's have four with none. The rows are the same either way.
+// region are one split each. The memory catalog lists its splits in memory,
+// so every split of a leaf stage is in hand at placement, and no join_local
+// statement creates a leaf task a split does not reach — none finishes with
+// no split, from the first run on; enumerated lazily (presto.LazySplits) a
+// leaf stage still runs one task a worker, and h05's have four with none. The
+// rows are the same either way.
 func TestLeafStageSkipsSplitlessTasks(t *testing.T) {
-	c := presto.NewCluster(presto.ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true})
-	defer c.Close()
-	c.Register(engineworkload.LoadTPCHMemory("tpch", 2))
-	run := func(sql string, s presto.Session) (rows string, splitless int) {
+	tpch := engineworkload.LoadTPCHMemory("tpch", 2)
+	cluster := func(conn presto.Connector) *presto.Cluster {
+		c := presto.NewCluster(presto.ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true})
+		t.Cleanup(c.Close)
+		c.Register(conn)
+		return c
+	}
+	listed, lazy := cluster(tpch), cluster(presto.LazySplits{Connector: tpch})
+	run := func(c *presto.Cluster, sql string) (rows string, splitless int) {
 		t.Helper()
-		res, err := c.ExecuteSession(sql, s)
+		res, err := c.Execute(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,17 +134,17 @@ func TestLeafStageSkipsSplitlessTasks(t *testing.T) {
 		return fmt.Sprint(all), splitless
 	}
 	for _, st := range joinLocalStatements {
-		lazy, lazyless := run(st.sql, presto.Session{Switches: exec.DisableCache})
+		want, lazyless := run(lazy, st.sql)
 		if st.id == "h05" && lazyless != 4 {
 			t.Errorf("h05 enumerated lazily has %d split-less leaf tasks, want 4", lazyless)
 		}
-		for i := 0; i < 2; i++ { // the first run memoizes the enumerations
-			rows, splitless := run(st.sql, presto.Session{})
-			if rows != lazy {
-				t.Fatalf("%s, run %d: rows %s, want %s", st.id, i, rows, lazy)
+		for i := 0; i < 2; i++ {
+			rows, splitless := run(listed, st.sql)
+			if rows != want {
+				t.Fatalf("%s, run %d: rows %s, want %s", st.id, i, rows, want)
 			}
-			if i == 1 && splitless != 0 {
-				t.Errorf("%s: with every split in hand, %d leaf tasks have no split", st.id, splitless)
+			if splitless != 0 {
+				t.Errorf("%s, run %d: with every split in hand, %d leaf tasks have no split", st.id, i, splitless)
 			}
 		}
 	}

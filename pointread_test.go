@@ -14,7 +14,6 @@ import (
 	"repro/internal/block"
 	"repro/internal/connector"
 	"repro/internal/connectors/memconn"
-	"repro/internal/exec"
 	"repro/internal/types"
 )
 
@@ -55,9 +54,17 @@ func pointRead(k int) string {
 
 // TestResidentTableScanLine: EXPLAIN ANALYZE of a point read over a memory
 // catalog prints one scan line, with no cache count, that read the table's
-// one page; the reads answer as they do with the split cache bypassed.
+// one page; the reads answer as they do with the table's splits enumerated
+// lazily.
 func TestResidentTableScanLine(t *testing.T) {
 	c := eventsCluster(t)
+	mem, err := c.catalog.Connector("memory")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true})
+	t.Cleanup(lazy.Close)
+	lazy.Register(LazySplits{mem.(*memconn.Connector)})
 	var plan strings.Builder
 	for _, row := range mustExec(t, c, "EXPLAIN ANALYZE "+pointRead(7)) {
 		plan.WriteString(row[0].S + "\n")
@@ -76,15 +83,7 @@ func TestResidentTableScanLine(t *testing.T) {
 	}
 	for k := 0; k < 20; k++ {
 		got := stringifyRows(mustExec(t, c, pointRead(k)))
-		res, err := c.ExecuteSession(pointRead(k), Session{Switches: exec.DisableCache})
-		if err != nil {
-			t.Fatal(err)
-		}
-		uncached, err := res.All()
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertRows(t, pointRead(k), got, stringifyRows(uncached))
+		assertRows(t, pointRead(k), got, stringifyRows(mustExec(t, lazy, pointRead(k))))
 		assertRows(t, pointRead(k), got, []string{fmt.Sprintf("%d|%d", eventsPerKey, eventsPerKey)})
 	}
 }

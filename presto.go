@@ -152,11 +152,10 @@ type ClusterConfig struct {
 	//
 	// Deprecated: there is no page cache to size.
 	PageCacheBytes int64
-	// MetadataCacheTTL bounds how long the coordinator metadata/split cache
-	// keeps an entry (default 30s; negative disables metadata caching). It
-	// does not keep entries fresh: each key names the version of the table
-	// it describes, so a change to the table, made through the engine or
-	// outside it, is a miss at once.
+	// MetadataCacheTTL is kept only because the frozen benchmark names it. It
+	// does nothing: the coordinator keeps no metadata cache.
+	//
+	// Deprecated: there is no coordinator metadata cache to bound.
 	MetadataCacheTTL time.Duration
 	// DisablePlanCache turns off the serving tier's parse→plan cache
 	// cluster-wide.
@@ -252,7 +251,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		},
 		QueuePolicies: cfg.QueuePolicies,
 		FaultInject:   cfg.FaultInjector,
-		MetadataTTL:   cfg.MetadataCacheTTL,
 		Serving:       tier,
 	})
 	return &Cluster{
@@ -365,10 +363,11 @@ func (c *Cluster) Workers() []*exec.Worker {
 	return append([]*exec.Worker(nil), c.workers...)
 }
 
-// MetaCacheStats snapshots the coordinator metadata/split cache counters.
-func (c *Cluster) MetaCacheStats() cache.MetaStats {
-	return c.Coordinator.MetaCacheStats()
-}
+// MetaCacheStats returns zero counters. It is kept only because the frozen
+// benchmark names it.
+//
+// Deprecated: the coordinator keeps no metadata cache.
+func (c *Cluster) MetaCacheStats() cache.MetaStats { return cache.MetaStats{} }
 
 // ServingStats snapshots the serving tier's plan- and result-cache counters
 // (zero when the tier is disabled).

@@ -99,7 +99,8 @@
 #                             # reads in process and on HTTP workers, at
 #                             # most five requests; one decision for every
 #                             # literal set; a large read stays parallel;
-#                             # no leaf task without a split, under -race)
+#                             # no leaf task without a split; a first run
+#                             # placed like every run, under -race)
 #   scripts/check.sh -chaos   # additionally sweep the chaos suite over more
 #                             # seeds (CHAOS_FULL), verbose
 #   scripts/check.sh -fuzz    # additionally run 10s fuzz smokes over the
@@ -133,6 +134,32 @@
 #                             # a measurement or leaves
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# A -run pattern runs only what it names, so a renamed test would drop out of
+# its line unseen: every alternative of a -run pattern below must name a test
+# of its packages (go test -list), or the check fails there.
+go() {
+  if [ "$1" = test ]; then
+    local prev="" run="" a alt listed
+    local -a pkgs=() alts=()
+    for a in "${@:2}"; do
+      [ "$prev" = -run ] && run="$a"
+      [[ "$a" == .* ]] && pkgs+=("$a")
+      prev="$a"
+    done
+    if [ -n "$run" ] && [ "$run" != '^$' ]; then
+      listed="$(command go test -list "$run" "${pkgs[@]}" | grep -E '^(Test|Example|Fuzz)' || true)"
+      IFS='|' read -ra alts <<< "$run"
+      for alt in "${alts[@]}"; do
+        if ! grep -Eq -- "$alt" <<< "$listed"; then
+          echo "check.sh: -run '$alt' names no test in ${pkgs[*]}" >&2
+          return 1
+        fi
+      done
+    fi
+  fi
+  command go "$@"
+}
 
 chaos_full=0
 fuzz=0
@@ -242,22 +269,28 @@ go test -race -count=1 -run 'TestFinishedQueryReleasesItsTasks' ./internal/coord
 go test -count=1 ./internal/experiments -run 'Phased|Writers|Backpressure'
 
 echo "==> distributed control plane: one create, one status channel and one delete per worker"
-# The report lines are one three-join statement on two HTTP workers, split
-# enumerations memoized: its requests by class (what the workers export as
-# presto_task_api_requests_total), and a partitioned join whose build
-# summaries cross processes in time to filter the probe scans. A consumer
+# The report lines are one three-join statement on two HTTP workers, its
+# memory catalog's splits in hand at placement: its requests by class (what
+# the workers export as presto_task_api_requests_total), and a partitioned
+# join whose build summaries cross processes in time to filter the probe
+# scans. A consumer
 # reads a producer on its own worker in memory, through the checks an HTTP
 # fetch makes (TestOneFetchPath), so those pages are shared by two tasks'
 # goroutines: the shuffle chaos tests run on HTTP workers here too.
 go test -race -count=1 -run 'TestFetchBeforeProducerRegistered|TestCreateBatchIdempotent|TestStatusVersionMonotone|TestOneFetchPath' ./internal/httpapi/
 go test -race -count=1 -run 'TestHTTPTaskBatchesSplits|TestSchedulerCreateFailureAbortsAndDrains' ./internal/coordinator/
+# A statement's status requests all leave before its Close returns, so none
+# is counted as the next statement's (ten runs under -race).
+go test -race -count=10 -run 'TestStatusChannelEndsWithItsGroup' ./internal/coordinator/
 go test -race -count=1 -v -run 'TestHTTPControlRequestsPerStatement|TestDistributedFilterArrivesBeforeProbe|TestCreateBatchPartialFailureDrains|TestChaosHTTPShuffleErrorsMasked|TestChaosHTTPShufflePartialPagesMasked' . | grep -E '^(---|ok|FAIL|panic)|requests per statement|rows filtered'
 
 echo "==> a small statement is one task: serving reads in process and on HTTP workers, one decision a template, a large read and an expanding join parallel, no split-less leaf task"
-# The report lines are the requests of each serving read on two HTTP workers,
-# split enumerations memoized: one create, the status answers, one result
-# fetch and one delete.
-go test -race -count=1 -v -run 'TestSmallStatementIsOneTask|TestSmallPlanRuleIgnoresLiterals|TestLargeReadStaysParallel|TestExpandingJoinStaysParallel|TestLeafStageSkipsSplitlessTasks' . | grep -E '^(---|ok|FAIL|panic)|on HTTP workers: [0-9]+ requests'
+# The report lines are the requests of each run of each serving read on two
+# HTTP workers, the first run included: one create, one or two status
+# answers (each logged with its version and wait), one result fetch and one
+# delete. A statement over tables whose connector lists its splits in memory
+# is placed the same way on its first run as on every other.
+go test -race -count=1 -v -run 'TestSmallStatementIsOneTask|TestSmallPlanRuleIgnoresLiterals|TestLargeReadStaysParallel|TestExpandingJoinStaysParallel|TestLeafStageSkipsSplitlessTasks|TestFirstRunPlacedLikeEveryRun' . | grep -E '^(---|ok|FAIL|panic)|on HTTP workers: [0-9]+ requests'
 
 echo "==> dynamic filters: where a filter tests rows, and when it arrives"
 # A scan that feeds the publishing join through nothing but Filter/Project

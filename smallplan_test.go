@@ -8,7 +8,9 @@ package presto
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/connector"
@@ -58,6 +60,13 @@ func smallReadsCluster(t *testing.T, cfg ClusterConfig) *Cluster {
 // runTasks runs sql on coord and returns its rows and how many tasks it ran.
 func runTasks(t *testing.T, coord *coordinator.Coordinator, sql string) ([]string, int) {
 	t.Helper()
+	rows, st := runStats(t, coord, sql)
+	return rows, st.Tasks
+}
+
+// runStats runs sql on coord and returns its rows and its stats.
+func runStats(t *testing.T, coord *coordinator.Coordinator, sql string) ([]string, coordinator.QueryStats) {
+	t.Helper()
 	res, err := coord.Execute(sql, Session{})
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
@@ -70,15 +79,19 @@ func runTasks(t *testing.T, coord *coordinator.Coordinator, sql string) ([]strin
 	if !ok {
 		t.Fatalf("%s: no stats", sql)
 	}
-	return stringifyRows(rows), st.Tasks
+	return stringifyRows(rows), st
 }
 
 // TestSmallStatementIsOneTask: with the result cache off, each of
 // serving_mix's reads runs one task, in process and on HTTP workers, and
 // returns the rows a cluster without statistics — which plans it as a
-// partial and a final step over every worker — returns. On HTTP workers a
-// read whose splits are memoized makes at most five requests: the create,
-// the status answers, the result fetch and the delete.
+// partial and a final step — returns. On HTTP workers every run of a read,
+// the first included, sends one create, one result fetch, one delete, no
+// split batch, and the status requests the design allows: the long-poll the
+// worker answers at the task's end, renewed every statusWait (a second) the
+// task runs, and the end-of-stream check when the stream ends before that
+// answer is in — two for a read under a second. Each is logged with its
+// version, wait and time into the run.
 func TestSmallStatementIsOneTask(t *testing.T) {
 	local := smallReadsCluster(t, ClusterConfig{})
 	ref := smallReadsCluster(t, ClusterConfig{DisableStats: true})
@@ -89,7 +102,7 @@ func TestSmallStatementIsOneTask(t *testing.T) {
 	for _, r := range smallReads {
 		requireDistributed(t, ref.Coordinator, r.sql)
 		want, tasks := runTasks(t, ref.Coordinator, r.sql)
-		if tasks < 3 || len(want) == 0 {
+		if tasks < 2 || len(want) == 0 {
 			t.Fatalf("%s without statistics: %d rows over %d tasks, want rows over several", r.id, len(want), tasks)
 		}
 		for run := 0; run < 2; run++ {
@@ -100,24 +113,24 @@ func TestSmallStatementIsOneTask(t *testing.T) {
 			}
 		}
 		counter.take()
-		for run := 0; run < 2; run++ { // the first run memoizes the splits
-			got, tasks := runTasks(t, dist.Coord, r.sql)
+		for run := 0; run < 2; run++ {
+			got, st := runStats(t, dist.Coord, r.sql)
 			assertRows(t, r.id+" on HTTP workers", got, want)
-			if tasks != 1 {
-				t.Errorf("%s on HTTP workers, run %d: %d tasks, want 1", r.id, run, tasks)
+			if st.Tasks != 1 {
+				t.Errorf("%s on HTTP workers, run %d: %d tasks, want 1", r.id, run, st.Tasks)
 			}
-		}
-		counter.take()
-		got, _ := runTasks(t, dist.Coord, r.sql)
-		assertRows(t, r.id+" on HTTP workers", got, want)
-		counts, _ := counter.take()
-		total := 0
-		for _, n := range counts {
-			total += n
-		}
-		t.Logf("%s on HTTP workers: %d requests %v", r.id, total, counts)
-		if total > 5 || counts["create"] != 1 || counts["delete"] != 1 {
-			t.Errorf("%s on HTTP workers: %d requests %v, want at most 5: one create and one delete", r.id, total, counts)
+			w := counter.take()
+			counts, total := w.counts, 0
+			for _, n := range counts {
+				total += n
+			}
+			t.Logf("%s on HTTP workers: %d requests %v; status %s", r.id, total, counts, strings.Join(w.polls, ", "))
+			status := 2 + int(st.ElapsedNanos/int64(time.Second))
+			if total != 3+counts["status"] || counts["create"] != 1 || counts["results"] != 1 || counts["delete"] != 1 ||
+				counts["status"] < 1 || counts["status"] > status {
+				t.Errorf("%s on HTTP workers, run %d: %d requests %v, want one create, one result fetch, one delete and 1 to %d status requests",
+					r.id, run, total, counts, status)
+			}
 		}
 	}
 }
@@ -196,7 +209,7 @@ func TestLargeReadStaysParallel(t *testing.T) {
 	mem.(*memconn.Connector).LoadTable("events", eventsCols, pages)
 	sql := `SELECT count(*), sum(v) FROM memory.events WHERE app = 7`
 	requireDistributed(t, c.Coordinator, sql)
-	for run := 0; run < 2; run++ { // the second run has its splits memoized
+	for run := 0; run < 2; run++ {
 		res, err := c.Execute(sql)
 		if err != nil {
 			t.Fatal(err)

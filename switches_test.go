@@ -55,13 +55,6 @@ func TestClusterSwitchMatchesSession(t *testing.T) {
 		// observe runs the arm's statements and says what it saw.
 		observe func(t *testing.T, c *Cluster, s Session) []any
 	}{
-		{name: "cache", sw: exec.DisableCache,
-			cluster: func(cfg *ClusterConfig) { cfg.MetadataCacheTTL = -1 },
-			session: exec.DisableResultCache,
-			observe: func(t *testing.T, c *Cluster, s Session) []any {
-				twice(t, c, scan, s)
-				return []any{"split cache hits", c.MetaCacheStats().Hits > 0}
-			}},
 		{name: "dynamic filters", sw: exec.DisableDynamicFilters,
 			cluster: func(cfg *ClusterConfig) { cfg.DisableDynamicFilters = true },
 			observe: func(t *testing.T, c *Cluster, s Session) []any {
@@ -131,9 +124,9 @@ func TestClusterSwitchMatchesSession(t *testing.T) {
 // frozen benchmark names them do nothing but what they alias. DisableMorsels
 // changes nothing — a scan of a table with many splits on one-thread workers
 // still starts one driver a task, and no switch is reported; nor do
-// DisableSharedScans and PageCacheBytes, whose queries give the default's
-// rows and switch set whatever they are set to; and DisableVectorKernels is
-// Interpreted: the rows agree and no projection
+// DisableSharedScans, PageCacheBytes and MetadataCacheTTL, whose queries give
+// the default's rows and switch set whatever they are set to; and
+// DisableVectorKernels is Interpreted: the rows agree and no projection
 // reaches a kernel.
 func TestDeprecatedClusterFields(t *testing.T) {
 	// max, not sum: a double sum's rounding follows arrival order.
@@ -196,6 +189,17 @@ func TestDeprecatedClusterFields(t *testing.T) {
 			assertRows(t, fmt.Sprintf("%s [PageCacheBytes=%d]", sql, bytes), got, want)
 			if st.Switches != def.Switches {
 				t.Errorf("PageCacheBytes=%d: switches %q, want %q, as without it", bytes, st.Switches, def.Switches)
+			}
+		}
+	})
+	t.Run("metadata cache", func(t *testing.T) {
+		const sql = "SELECT count(*) FROM tpch.orders"
+		want, def := run(t, sql, func(*ClusterConfig) {})
+		for _, ttl := range []time.Duration{-1, time.Hour} {
+			got, st := run(t, sql, func(cfg *ClusterConfig) { cfg.MetadataCacheTTL = ttl })
+			assertRows(t, fmt.Sprintf("%s [MetadataCacheTTL=%v]", sql, ttl), got, want)
+			if st.Switches != def.Switches {
+				t.Errorf("MetadataCacheTTL=%v: switches %q, want %q, as without it", ttl, st.Switches, def.Switches)
 			}
 		}
 	})
