@@ -185,12 +185,11 @@ type httpGroup struct {
 	splitMu sync.Mutex
 	queued  int // splits waiting in the queues
 
-	// statusMu guards version and stopped and is held while a status
-	// document is applied: the watcher and Wait's one ask may both be reading
-	// the channel.
+	// statusMu guards version and the closing of stop, and is held while a
+	// status document is applied: the watcher and Wait's one ask may both be
+	// reading the channel.
 	statusMu sync.Mutex
 	version  int64
-	stopped  bool
 	polls    sync.WaitGroup // status requests in flight
 	fail     func(error)
 
@@ -412,7 +411,13 @@ func (g *httpGroup) giveUp(err error) {
 // outlives its statement.
 func (g *httpGroup) poll(wait time.Duration) error {
 	g.statusMu.Lock()
-	if g.stopped || g.open.Load() == 0 {
+	select {
+	case <-g.stop:
+		g.statusMu.Unlock()
+		return nil
+	default:
+	}
+	if g.open.Load() == 0 {
 		g.statusMu.Unlock()
 		return nil
 	}
@@ -506,9 +511,8 @@ func (g *httpGroup) Close() { g.shutdown(nil) }
 func (g *httpGroup) shutdown(verdict error) {
 	g.stopOnce.Do(func() {
 		g.statusMu.Lock()
-		g.stopped = true
-		g.statusMu.Unlock()
 		close(g.stop)
+		g.statusMu.Unlock()
 		for _, t := range g.tasks {
 			t.finish(verdict)
 		}
