@@ -248,6 +248,23 @@ func TestChaosConnectorFaultsMasked(t *testing.T) {
 	}
 }
 
+// TestChaosShuffleOnlyKeepsSplitsInHand: faults that are all on the shuffle
+// leave split enumeration alone, so a memory scan's splits, a list in hand,
+// travel with the creates on HTTP workers: no statement sends a split batch,
+// and every answer is the fault-free one.
+func TestChaosShuffleOnlyKeepsSplitsInHand(t *testing.T) {
+	var counter requestCounter
+	inj := faultinject.New(chaosSeed(t), shuffleErrors)
+	d := newDistClusterWith(t, 2, distConfig{inj: inj, noStats: true, observe: counter.observe})
+	d.catalog.Register(workload.LoadTPCHMemory("tpch", chaosScale))
+	requireDistributed(t, d.Coord, chaosQueries...)
+	counter.take()
+	assertShuffleFaultsMasked(t, inj, d.Query)
+	if counts := counter.take().counts; counts["splits"] != 0 {
+		t.Errorf("requests %v: want no split batch, the splits in hand travelling with the creates", counts)
+	}
+}
+
 // TestChaosTaskCreateTransientReadmitted injects exactly two transient
 // task-creation faults; with the default two re-admission retries the query
 // must succeed on its third scheduling attempt.

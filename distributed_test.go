@@ -519,13 +519,14 @@ func TestChaosHTTPTransportFaultsMasked(t *testing.T) {
 }
 
 // TestChaosHTTPHardFaultAborts turns the network off mid-query (every
-// request dropped after the first 10, which is enough for both workers'
-// create batches to land): the query must fail with a clear error, and
-// coordinator-side goroutines and worker-side resources must wind down — no
-// leaked status channels, pumps, or buffered pages.
+// request dropped after the first 4, which is enough for both workers'
+// create batches to land, while the statement reads at least six result
+// streams over HTTP before it can answer): the query must fail with a clear
+// error, and coordinator-side goroutines and worker-side resources must wind
+// down — no leaked status channels, pumps, or buffered pages.
 func TestChaosHTTPHardFaultAborts(t *testing.T) {
 	inj := faultinject.New(chaosSeed(t),
-		faultinject.Rule{Site: faultinject.SiteHTTPDrop, Kind: faultinject.KindError, Rate: 1, After: 10})
+		faultinject.Rule{Site: faultinject.SiteHTTPDrop, Kind: faultinject.KindError, Rate: 1, After: 4})
 	d := newDistClusterWith(t, 2, distConfig{inj: inj, noStats: true})
 	d.catalog.Register(workload.LoadTPCHMemory("tpch", chaosScale))
 	requireDistributed(t, d.Coord, chaosQueries[3])

@@ -23,6 +23,9 @@ type Executor struct {
 	levels  [nLevels][]*driverRunner
 	blocked []*driverRunner
 	closed  bool
+	// kicks counts Kicks: a parked runner whose count is behind it may have
+	// been unblocked.
+	kicks uint64
 
 	// levelScheduled tracks thread-time given to each level for the
 	// weighted selection policy. It decays periodically so the fair-share
@@ -37,7 +40,8 @@ type Executor struct {
 	activeRuns atomic.Int64
 }
 
-// ExecutorConfig tunes the executor.
+// ExecutorConfig tunes the executor. A parked driver has no timer: it comes
+// back when an unblock source Kicks the executor, and at no other time.
 type ExecutorConfig struct {
 	// Threads is the number of concurrent driver slots (default 4).
 	Threads int
@@ -47,19 +51,6 @@ type ExecutorConfig struct {
 	// FIFO disables the multi-level feedback queue (scheduler ablation):
 	// drivers run in arrival order with no level priorities.
 	FIFO bool
-	// StarvedPark is how long a driver that made no progress but is not
-	// provably blocked stays parked before re-admission (default 1ms). It
-	// bounds the busy-spin of pipelines starved behind a slow upstream.
-	StarvedPark time.Duration
-	// BlockedPoll is the fallback re-scan interval for parked blocked
-	// drivers (default 20ms). Unblock sources wake the executor eagerly via
-	// Kick, so this only bounds wakeup latency for blocking conditions with
-	// no notification hook; it is configurable so the wakeup-latency
-	// regression test can make a missed notification obvious.
-	BlockedPoll time.Duration
-	// LevelThresholds override the cumulative task-CPU boundaries between
-	// levels (defaults scale the paper's 1s quanta world down 10x).
-	LevelThresholds [nLevels]time.Duration
 }
 
 const nLevels = 5
@@ -68,8 +59,9 @@ const nLevels = 5
 // (youngest tasks) gets the largest share.
 var levelWeights = [nLevels]int64{16, 8, 4, 2, 1}
 
-// defaultThresholds move a task up a level as its aggregate CPU grows.
-var defaultThresholds = [nLevels]time.Duration{
+// levelThresholds move a task up a level as its aggregate CPU grows (the
+// paper's 1s-quanta boundaries scaled down 10x).
+var levelThresholds = [nLevels]time.Duration{
 	0,
 	100 * time.Millisecond,
 	1 * time.Second,
@@ -94,11 +86,10 @@ type driverRunner struct {
 	driver *Driver
 	task   *TaskHandle
 	done   func(error)
-	failed bool
-	// parkedUntil delays re-admission of a starved (not provably blocked)
-	// runner: its driver reports Blocked() == false, so without a deadline
-	// pick() would re-admit it immediately and the thread would busy-spin.
-	parkedUntil time.Time
+	// kicks is the executor's Kick count when the runner was last picked or
+	// looked at while parked: a parked runner is looked at again only once
+	// a later Kick has come.
+	kicks uint64
 }
 
 // NewExecutor creates and starts an executor.
@@ -108,16 +99,6 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 	}
 	if cfg.Quanta <= 0 {
 		cfg.Quanta = 20 * time.Millisecond
-	}
-	if cfg.StarvedPark <= 0 {
-		cfg.StarvedPark = time.Millisecond
-	}
-	if cfg.BlockedPoll <= 0 {
-		cfg.BlockedPoll = 20 * time.Millisecond
-	}
-	zero := [nLevels]time.Duration{}
-	if cfg.LevelThresholds == zero {
-		cfg.LevelThresholds = defaultThresholds
 	}
 	e := &Executor{cfg: cfg, startTime: time.Now()}
 	e.cond = sync.NewCond(&e.mu)
@@ -146,7 +127,7 @@ func (e *Executor) levelOf(task *TaskHandle) int {
 	cpu := time.Duration(task.CPUNanos())
 	lvl := 0
 	for i := nLevels - 1; i >= 1; i-- {
-		if cpu >= e.cfg.LevelThresholds[i] {
+		if cpu >= levelThresholds[i] {
 			lvl = i
 			break
 		}
@@ -157,30 +138,22 @@ func (e *Executor) levelOf(task *TaskHandle) int {
 // pick selects the next runner using weighted level selection: the non-empty
 // level with the smallest scheduled-time/weight ratio runs next.
 func (e *Executor) pick() *driverRunner {
-	// Re-admit unblocked drivers. Starved runners additionally wait out
-	// their park deadline; finished (e.g. aborted) drivers re-admit at once
-	// so their done callback fires promptly.
-	now := time.Now()
+	// Look again at the parked runners a Kick has come for since they were
+	// last looked at, and re-admit those no longer blocked. A Kick during a
+	// runner's own fruitless quantum brings it straight back.
 	stillBlocked := e.blocked[:0]
 	for _, r := range e.blocked {
-		ready := r.driver.Finished() ||
-			(!r.driver.Blocked() && !now.Before(r.parkedUntil))
-		if ready {
-			r.parkedUntil = time.Time{}
-			lvl := e.levelOf(r.task)
-			e.levels[lvl] = append(e.levels[lvl], r)
-		} else {
-			if !r.parkedUntil.IsZero() && !now.Before(r.parkedUntil) {
-				// A starved runner whose driver has since become blocked has
-				// served its park; what holds it now is the blocking
-				// condition. Left in place, the expired deadline made run()
-				// compute a wait of no time at all and spin on this list with
-				// e.mu held, locking out the very Kick or Enqueue that would
-				// have unblocked the driver.
-				r.parkedUntil = time.Time{}
-			}
+		if r.kicks == e.kicks {
 			stillBlocked = append(stillBlocked, r)
+			continue
 		}
+		r.kicks = e.kicks
+		if r.driver.Blocked() {
+			stillBlocked = append(stillBlocked, r)
+			continue
+		}
+		lvl := e.levelOf(r.task)
+		e.levels[lvl] = append(e.levels[lvl], r)
 	}
 	// A runner taken off a list leaves no pointer behind in its array: a
 	// finished driver must not keep its task, and the task its query's
@@ -206,6 +179,7 @@ func (e *Executor) pick() *driverRunner {
 	r := e.levels[best][0]
 	e.levels[best][0] = nil
 	e.levels[best] = e.levels[best][1:]
+	r.kicks = e.kicks
 	return r
 }
 
@@ -223,28 +197,8 @@ func (e *Executor) run() {
 			if r != nil {
 				break
 			}
-			// Nothing runnable. With no parked drivers the thread sleeps
-			// until Enqueue, Kick, or Close signals; with parked drivers it
-			// wakes at the earliest park deadline (capped at BlockedPoll as
-			// a safety net for blocking conditions without a Kick hook)
-			// instead of busy-polling the blocked list every millisecond.
-			if len(e.blocked) == 0 {
-				e.cond.Wait()
-				continue
-			}
-			wait := e.cfg.BlockedPoll
-			now := time.Now()
-			for _, br := range e.blocked {
-				if br.parkedUntil.IsZero() {
-					continue
-				}
-				if d := br.parkedUntil.Sub(now); d < wait {
-					wait = d
-				}
-			}
-			if wait > 0 {
-				waitTimeout(e.cond, wait)
-			}
+			// Nothing runnable: sleep until Enqueue, Kick or Close.
+			e.cond.Wait()
 		}
 		e.mu.Unlock()
 
@@ -278,14 +232,8 @@ func (e *Executor) run() {
 			e.mu.Unlock()
 			r.done(nil)
 			e.mu.Lock()
-		case !progress && r.driver.Blocked():
-			e.blocked = append(e.blocked, r)
 		case !progress:
-			// Starved but not provably blocked (e.g. upstream pipeline in
-			// the same task hasn't produced yet): park briefly with the
-			// blocked set to avoid busy spin. The deadline is what keeps
-			// pick() from re-admitting the runner on the very next pass.
-			r.parkedUntil = time.Now().Add(e.cfg.StarvedPark)
+			// Blocked or starved: park until a Kick.
 			e.blocked = append(e.blocked, r)
 		default:
 			nl := e.levelOf(r.task)
@@ -294,21 +242,6 @@ func (e *Executor) run() {
 		e.cond.Signal()
 		e.mu.Unlock()
 	}
-}
-
-// waitTimeout waits on c (whose lock the caller holds) for at most d. The
-// timer broadcasts under c's lock: the caller holds that lock until Wait has
-// queued it, so even a deadline a few nanoseconds away cannot fire into the
-// gap before Wait and be lost — which parked the scheduling thread until an
-// unrelated Kick, or forever on an idle worker.
-func waitTimeout(c *sync.Cond, d time.Duration) {
-	t := time.AfterFunc(d, func() {
-		c.L.Lock()
-		c.Broadcast()
-		c.L.Unlock()
-	})
-	defer t.Stop()
-	c.Wait()
 }
 
 // Utilization returns the fraction of thread capacity used since start.
@@ -329,11 +262,11 @@ func (e *Executor) BusyNanos() int64 { return e.busyNanos.Load() }
 
 // Kick wakes the scheduling loop: an external event (bridge built, exchange
 // data arrived, buffer space freed, morsel queued) may have unblocked a
-// parked driver. Called by unblock sources instead of relying on the
-// BlockedPoll fallback, so wakeup latency is bounded by notification
-// delivery, not by a poll interval.
+// parked driver. It is the only way a parked driver comes back, so every
+// state a driver can park on Kicks after it changes.
 func (e *Executor) Kick() {
 	e.mu.Lock()
+	e.kicks++
 	e.cond.Broadcast()
 	e.mu.Unlock()
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // gateSource is a source operator that reports blocked until opened: the
-// executor parks its driver, and only a Kick (or the BlockedPoll fallback)
-// can bring it back. Opening the gate releases one page and finishes.
+// executor parks its driver, and only a Kick can bring it back. Opening the
+// gate releases one page and finishes.
 type gateSource struct {
 	mu      sync.Mutex
 	open    bool
@@ -52,13 +52,25 @@ func (g *gateSource) IsFinished() bool {
 	return g.emitted
 }
 
-// TestExecutorWakeupOnKick is the regression test for the idle-wait busy
-// poll: a parked blocked driver must resume when its unblock source kicks
-// the executor, not when a fixed poll interval expires. BlockedPoll is set
-// far above the asserted latency, so a missed notification fails loudly.
+// waitParked waits until the executor's one driver is parked.
+func waitParked(t *testing.T, e *Executor) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		if _, parked := e.QueueLengths(); parked == 1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("driver never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestExecutorWakeupOnKick: a parked blocked driver resumes as soon as its
+// unblock source kicks the executor.
 func TestExecutorWakeupOnKick(t *testing.T) {
-	e := NewExecutor(ExecutorConfig{Threads: 1, Quanta: time.Millisecond,
-		BlockedPoll: 2 * time.Second})
+	e := NewExecutor(ExecutorConfig{Threads: 1, Quanta: time.Millisecond})
 	defer e.Close()
 
 	g := &gateSource{}
@@ -66,17 +78,7 @@ func TestExecutorWakeupOnKick(t *testing.T) {
 	done := make(chan error, 1)
 	e.Enqueue(d, NewTaskHandle("q"), func(err error) { done <- err })
 
-	// Wait until the driver is parked on the blocked list.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, blocked := e.QueueLengths(); blocked == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("driver never parked as blocked")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked(t, e)
 
 	unblocked := time.Now()
 	g.Open()
@@ -90,41 +92,49 @@ func TestExecutorWakeupOnKick(t *testing.T) {
 		t.Fatal("driver did not finish after unblock")
 	}
 	if lat := time.Since(unblocked); lat > 500*time.Millisecond {
-		t.Fatalf("wakeup latency %v: driver waited out a poll interval instead of waking on Kick", lat)
+		t.Fatalf("wakeup latency %v: driver did not wake on Kick", lat)
 	}
 }
 
-// TestExecutorBlockedPollFallback proves the safety net: a blocking
-// condition with no Kick hook is still picked up within the poll interval.
-func TestExecutorBlockedPollFallback(t *testing.T) {
-	e := NewExecutor(ExecutorConfig{Threads: 1, Quanta: time.Millisecond,
-		BlockedPoll: 20 * time.Millisecond})
+// countedGate is a gateSource that counts how often it is asked whether it
+// is blocked.
+type countedGate struct {
+	gateSource
+	looks atomic.Int64
+}
+
+func (g *countedGate) IsBlocked() bool {
+	g.looks.Add(1)
+	return g.gateSource.IsBlocked()
+}
+
+// TestParkedDriverWaitsForKick: the executor does not poll its parked
+// drivers. Over 100ms with no Kick, a parked driver's source is asked at most
+// once whether it is still blocked; a Kick then brings the driver back.
+func TestParkedDriverWaitsForKick(t *testing.T) {
+	e := NewExecutor(ExecutorConfig{Threads: 1, Quanta: time.Millisecond})
 	defer e.Close()
 
-	g := &gateSource{}
+	g := &countedGate{}
 	d := NewDriver([]operators.Operator{g, &passthrough{}})
 	done := make(chan error, 1)
 	e.Enqueue(d, NewTaskHandle("q"), func(err error) { done <- err })
+	waitParked(t, e)
 
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, blocked := e.QueueLengths(); blocked == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("driver never parked as blocked")
-		}
-		time.Sleep(time.Millisecond)
+	base := g.looks.Load()
+	time.Sleep(100 * time.Millisecond)
+	if looks := g.looks.Load() - base; looks > 1 {
+		t.Errorf("a parked driver was looked at %d times in 100ms without a Kick: the executor polls", looks)
 	}
-
-	g.Open() // no Kick: only the poll can notice
+	g.Open()
+	e.Kick()
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("BlockedPoll fallback never re-scanned the blocked list")
+	case <-time.After(time.Second):
+		t.Fatal("driver did not finish after unblock")
 	}
 }
 
@@ -172,8 +182,7 @@ func TestQueueLengthsSeparatesRunnableAndBlocked(t *testing.T) {
 // driver does not spin: over a 100ms window the threads should accumulate
 // almost no busy time.
 func TestExecutorIdleNoBusyPoll(t *testing.T) {
-	e := NewExecutor(ExecutorConfig{Threads: 2, Quanta: time.Millisecond,
-		BlockedPoll: 20 * time.Millisecond})
+	e := NewExecutor(ExecutorConfig{Threads: 2, Quanta: time.Millisecond})
 	defer e.Close()
 
 	g := &gateSource{}
@@ -181,16 +190,7 @@ func TestExecutorIdleNoBusyPoll(t *testing.T) {
 	var doneFlag atomic.Bool
 	e.Enqueue(d, NewTaskHandle("q"), func(error) { doneFlag.Store(true) })
 
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, blocked := e.QueueLengths(); blocked == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("driver never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked(t, e)
 
 	base := e.BusyNanos()
 	time.Sleep(100 * time.Millisecond)
@@ -200,36 +200,12 @@ func TestExecutorIdleNoBusyPoll(t *testing.T) {
 	}
 	g.Open()
 	e.Kick()
-	deadline = time.Now().Add(2 * time.Second)
+	deadline := time.Now().Add(2 * time.Second)
 	for !doneFlag.Load() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if !doneFlag.Load() {
 		t.Fatal("driver did not finish")
-	}
-}
-
-// TestWaitTimeoutKeepsItsWakeup: a deadline that expires before Wait has
-// queued the caller must still wake it. The idle scheduling thread computes
-// such deadlines (a starved driver's park time minus now can be nanoseconds),
-// and a lost wakeup left every parked driver of the worker stranded — the
-// "query stops making progress" hang of single-threaded workers.
-func TestWaitTimeoutKeepsItsWakeup(t *testing.T) {
-	var mu sync.Mutex
-	c := sync.NewCond(&mu)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		mu.Lock()
-		defer mu.Unlock()
-		for i := 0; i < 20000; i++ {
-			waitTimeout(c, time.Nanosecond)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(20 * time.Second):
-		t.Fatal("waitTimeout lost its wakeup and never returned")
 	}
 }
 
@@ -246,13 +222,11 @@ func (s *starvedThenBlocked) IsBlocked() bool {
 }
 
 // TestExecutorStarvedThenBlockedYieldsLock: a runner parked as starved whose
-// driver turns blocked before the park deadline must not leave the scheduling
-// thread spinning on the blocked list with the executor lock held — Kick,
-// Enqueue and QueueLengths all need that lock, and the unblock arrives
-// through them. BlockedPoll is far above the asserted latency.
+// driver turns blocked while parked must not leave the scheduling thread
+// spinning on the blocked list with the executor lock held — Kick, Enqueue
+// and QueueLengths all need that lock, and the unblock arrives through them.
 func TestExecutorStarvedThenBlockedYieldsLock(t *testing.T) {
-	e := NewExecutor(ExecutorConfig{Threads: 1, Quanta: time.Millisecond,
-		StarvedPark: 30 * time.Millisecond, BlockedPoll: 5 * time.Second})
+	e := NewExecutor(ExecutorConfig{Threads: 1, Quanta: time.Millisecond})
 	defer func() {
 		if !t.Failed() { // a spinning thread never lets Close in
 			e.Close()
@@ -264,18 +238,9 @@ func TestExecutorStarvedThenBlockedYieldsLock(t *testing.T) {
 	done := make(chan error, 1)
 	e.Enqueue(d, NewTaskHandle("q"), func(err error) { done <- err })
 
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, parked := e.QueueLengths(); parked == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("driver never parked as starved")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked(t, e)
 	s.blocking.Store(true)
-	time.Sleep(60 * time.Millisecond) // the park deadline passes while blocked
+	time.Sleep(60 * time.Millisecond)
 
 	// Still blocked: whatever unblocks it will need the lock first.
 	locked := make(chan struct{})

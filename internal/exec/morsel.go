@@ -37,8 +37,8 @@ type morselQueue struct {
 	claimed int  // stripe ids handed to drivers
 	done    int  // splits fully consumed (source exhausted or failed)
 
-	// hungry records that a driver found no work since the last ready
-	// signal, so state changes that create work (or drain the queue) wake
+	// hungry records that a driver found no work, or was seen starved,
+	// since the last ready signal, so state changes that create work (or drain the queue) wake
 	// the executor exactly when someone is parked on it.
 	hungry bool
 
@@ -199,7 +199,9 @@ func (q *morselQueue) drainedLocked() bool {
 
 // starved reports that no work is available right now but more may appear
 // (splits still enumerating, or every open source busy under a sibling).
-// This is the operator's IsBlocked state.
+// This is the operator's IsBlocked state: a driver it parks comes back only
+// on a Kick, so a starved queue is hungry, and the change that ends the
+// starvation (a sibling freeing its source, a split, the end) fires onReady.
 func (q *morselQueue) starved() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -214,6 +216,7 @@ func (q *morselQueue) starved() bool {
 			return false
 		}
 	}
+	q.hungry = true
 	return true
 }
 

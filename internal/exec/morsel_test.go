@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/block"
@@ -188,5 +189,59 @@ func TestMorselQueueOpenErrorPropagates(t *testing.T) {
 	q.noMoreSplits()
 	if _, err := q.next(0); err == nil {
 		t.Fatal("open error should propagate to the consumer")
+	}
+}
+
+// heldPageSource holds its first NextPage until released, then returns one
+// page; it is exhausted after that.
+type heldPageSource struct {
+	entered, release chan struct{}
+	served           bool
+}
+
+func (h *heldPageSource) NextPage() (*block.Page, error) {
+	if h.served {
+		return nil, nil
+	}
+	h.served = true
+	close(h.entered)
+	<-h.release
+	return longPage(10, 0), nil
+}
+func (h *heldPageSource) BytesRead() int64 { return 0 }
+func (h *heldPageSource) Close()           {}
+
+// TestStarvedQueueWakesWhenSourceFreed: a driver is parked on a queue whose
+// only source a sibling holds busy (its scan's IsBlocked is starved()). The
+// sibling freeing the source must fire onReady, the Kick that is the parked
+// driver's only way back.
+func TestStarvedQueueWakesWhenSourceFreed(t *testing.T) {
+	src := &heldPageSource{entered: make(chan struct{}), release: make(chan struct{})}
+	q := newMorselQueue(2, 1024, func(connector.Split) (connector.PageSource, error) {
+		return src, nil
+	})
+	var ready atomic.Int64
+	q.onReady = func() { ready.Add(1) }
+	q.addSplit(fakeSplit{})
+
+	got := make(chan *block.Page, 1)
+	go func() {
+		p, err := q.next(0)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- p
+	}()
+	<-src.entered // the source is busy under stripe 0
+	if !q.starved() {
+		t.Fatal("stripe 1 is not starved while the only source is busy")
+	}
+	before := ready.Load()
+	close(src.release)
+	if p := <-got; p == nil || p.RowCount() != 10 {
+		t.Fatalf("stripe 0 got %v, want its 10-row page", p)
+	}
+	if ready.Load() == before {
+		t.Fatal("freeing the busy source fired no onReady: a driver parked as starved is never woken")
 	}
 }

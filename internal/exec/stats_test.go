@@ -10,8 +10,7 @@ import (
 )
 
 // starvedSource makes no progress until released: it is not finished, not
-// blocked (no external event to wait on), and produces nothing — the shape
-// of a pipeline starved behind a slow upstream in the same task.
+// blocked, and produces nothing.
 type starvedSource struct {
 	release atomic.Bool
 	polls   atomic.Int64
@@ -26,9 +25,10 @@ func (o *starvedSource) IsBlocked() bool              { return false }
 func (o *starvedSource) Close() error                 { return nil }
 
 // Regression test: a starved driver (no progress, Blocked() == false) must
-// not busy-spin on its executor thread. Before the starved-park deadline,
-// pick() re-admitted such runners immediately, so a single starved driver
-// pinned a thread at 100% polling its source tens of thousands of times.
+// not busy-spin on its executor thread. When pick() re-admitted such runners
+// immediately, a single starved driver pinned a thread at 100% polling its
+// source tens of thousands of times. It is parked like a blocked driver, and
+// the release, like every change a driver can wait on, Kicks.
 func TestStarvedDriverDoesNotBusySpin(t *testing.T) {
 	e := NewExecutor(ExecutorConfig{Threads: 1, Quanta: time.Millisecond})
 	defer e.Close()
@@ -41,6 +41,7 @@ func TestStarvedDriverDoesNotBusySpin(t *testing.T) {
 	const wait = 150 * time.Millisecond
 	time.Sleep(wait)
 	src.release.Store(true)
+	e.Kick()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -50,8 +51,8 @@ func TestStarvedDriverDoesNotBusySpin(t *testing.T) {
 		t.Fatal("driver did not finish after release")
 	}
 
-	// With the ~1ms park the source is polled on the order of wait/1ms
-	// times; an immediately re-admitted runner polls tens of thousands.
+	// A parked runner polls its source about once; an immediately
+	// re-admitted one polls tens of thousands of times.
 	if polls := src.polls.Load(); polls > 2000 {
 		t.Errorf("starved driver polled its source %d times in %v — busy spin", polls, wait)
 	}

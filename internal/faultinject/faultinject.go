@@ -195,6 +195,16 @@ func (i *Injector) Err(site string) error {
 	return nil
 }
 
+// has reports whether any rule is set at a site. Safe on a nil receiver.
+func (i *Injector) has(site string) bool {
+	if i == nil {
+		return false
+	}
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return len(i.rules[site]) > 0
+}
+
 // Count reports how many faults have fired at a site (all rules summed).
 func (i *Injector) Count(site string) int64 {
 	if i == nil {
@@ -298,9 +308,11 @@ func (f *faultyFetcher) Fetch(token int64, maxBytes int64, wait time.Duration) (
 
 // WrapSplitSource interposes fault injection on split enumeration. Faults
 // fire before NextBatch touches the underlying source, so a retry after an
-// injected error observes unchanged enumeration state.
+// injected error observes unchanged enumeration state. Without a rule at
+// SiteConnectorNextBatch the source is returned as it is, so a list of
+// splits in hand stays visible to connector.Listed.
 func WrapSplitSource(inj *Injector, src connector.SplitSource) connector.SplitSource {
-	if inj == nil {
+	if !inj.has(SiteConnectorNextBatch) {
 		return src
 	}
 	return &faultySplitSource{inj: inj, next: src}

@@ -13,7 +13,9 @@
 #                             # task start loses no row, phased scheduling
 #                             # without filters completes, no worker
 #                             # ticker, a finished query's tasks are
-#                             # collected) + distributed control plane (request
+#                             # collected) + executor wakeups (a parked
+#                             # driver returns on a Kick only, ten runs
+#                             # under -race) + distributed control plane (request
 #                             # classes of one statement, filters in time)
 #                             # + dynamic filters (placement: row-tested or
 #                             # prune-only; a task's own filter arrives
@@ -267,6 +269,14 @@ go test -race -count=10 -run 'TestDelayedTaskStartLosesNoRows|TestPhasedWithoutF
 go test -race -count=1 -run 'TestUnstartedTaskCannotFinish|TestWriterScaleFailureFailsTask|TestNewWorkerStartsOnlyItsThreads' ./internal/exec/
 go test -race -count=1 -run 'TestFinishedQueryReleasesItsTasks' ./internal/coordinator/
 go test -count=1 ./internal/experiments -run 'Phased|Writers|Backpressure'
+
+echo "==> a parked driver comes back on a Kick and nothing else"
+# The executor has no poll and no timed park: a driver that made no progress
+# is parked and looked at again only after a Kick. It wakes on the Kick, is
+# not looked at without one, does not spin when starved, yields the lock when
+# turning blocked while parked, and a scan starved behind a sibling's busy
+# source is woken when that source is freed (ten runs each under -race).
+go test -race -count=10 -run 'TestExecutorWakeupOnKick|TestParkedDriverWaitsForKick|TestExecutorIdleNoBusyPoll|TestExecutorStarvedThenBlockedYieldsLock|TestStarvedDriverDoesNotBusySpin|TestStarvedQueueWakesWhenSourceFreed' ./internal/exec/
 
 echo "==> distributed control plane: one create, one status channel and one delete per worker"
 # The report lines are one three-join statement on two HTTP workers, its
