@@ -411,6 +411,29 @@ func TestDictionaryPathsInExplainAnalyze(t *testing.T) {
 	}
 }
 
+// TestJoinIndexModeInExplainAnalyze: the HashBuild line of an in-process
+// EXPLAIN ANALYZE says how its join indexes are addressed — directly over a
+// dense integer key, hashed over a varchar one.
+func TestJoinIndexModeInExplainAnalyze(t *testing.T) {
+	c := NewCluster(ClusterConfig{Workers: 1, ThreadsPerWorker: 2})
+	defer c.Close()
+	c.Register(workload.LoadTPCHMemory("tpch", chaosScale))
+	for q, want := range map[string]string{
+		"SELECT count(*) FROM tpch.customer a JOIN tpch.customer b ON a.c_custkey = b.c_custkey": "index direct",
+		"SELECT count(*) FROM tpch.customer a JOIN tpch.customer b ON a.c_name = b.c_name":       "index hashed",
+	} {
+		var text []string
+		found := false
+		for _, r := range execSession(t, c, "EXPLAIN ANALYZE "+q, Session{}) {
+			text = append(text, r[0].S)
+			found = found || strings.Contains(r[0].S, "HashBuild") && strings.Contains(r[0].S, want)
+		}
+		if !found {
+			t.Errorf("%s: no HashBuild line says %q:\n%s", q, want, strings.Join(text, "\n"))
+		}
+	}
+}
+
 // TestEncodedProjectionErrorsOnlyWhenReferenced: a projection over two
 // dictionary columns is evaluated once per combination of their entries, and
 // one combination divides by zero. While no surviving row has it the query

@@ -359,6 +359,14 @@ func FormatOperatorTable(st QueryStats) string {
 				if op.DictRows > 0 {
 					fmt.Fprintf(&sb, "  dict-rows %d", op.DictRows)
 				}
+				switch d, h := op.DirectIndexes, op.HashedIndexes; {
+				case d > 0 && h > 0:
+					fmt.Fprintf(&sb, "  index direct %d hashed %d", d, h)
+				case d > 0:
+					sb.WriteString("  index direct")
+				case h > 0:
+					sb.WriteString("  index hashed")
+				}
 				if op.EstSource != "" {
 					fmt.Fprintf(&sb, "  groups est %.0f (%s) actual %d q-error %.2f",
 						op.EstGroups, op.EstSource, op.RowsOut, op.GroupQError())

@@ -100,14 +100,20 @@ func (c *Collector) Collect(rows int64, keys int, keyCols []int, each func(visit
 	}
 }
 
+// Span is the smallest and largest key of a one-column build whose every
+// non-NULL cell is an integer (block.CellLong), as the join's key table found
+// them while choosing its addressing.
+type Span struct{ Lo, Hi int64 }
+
 // CollectCells summarizes a build from its key table's normalized cells, the
 // encoding the summary's own exact set uses: entry e's key column k is the
 // cell (tags[e*nk+k], cells[e*nk+k]), an entry with a NULL cell never joins,
 // and distinct(visit) calls visit once per distinct key tuple with an entry
-// holding it. Row count and bounds come from one pass over the cells; the
-// exact set, or the Bloom filter it overflows to, from the distinct entries,
-// only when the summary keeps one.
-func (c *Collector) CollectCells(rows int64, keys, nk int, cells []uint64, tags []byte, distinct func(visit func(e int))) {
+// holding it. Row count and bounds come from one pass over the cells, or from
+// span when the key table has one (nil: none); the exact set, or the Bloom
+// filter it overflows to, from the distinct entries, only when the summary
+// keeps one.
+func (c *Collector) CollectCells(rows int64, keys, nk int, cells []uint64, tags []byte, span *Span, distinct func(visit func(e int))) {
 	if !c.prepare(rows, keys, nk) {
 		return
 	}
@@ -116,7 +122,7 @@ func (c *Collector) CollectCells(rows int64, keys, nk int, cells []uint64, tags 
 			continue
 		}
 		k := c.specs[i].KeyIdx
-		s.cellBounds(cells, tags, nk, k)
+		s.cellBounds(cells, tags, nk, k, span)
 		if s.exact != nil || s.Bloom != nil {
 			distinct(func(e int) { s.addMember(cell{tags[e*nk+k], cells[e*nk+k]}, c.MaxSet) })
 		}
@@ -126,15 +132,19 @@ func (c *Collector) CollectCells(rows int64, keys, nk int, cells []uint64, tags 
 // cellBounds sets min/max from key column k of every entry whose key has no
 // NULL cell: a BIGINT/DATE cell's payload is its value, a DOUBLE's is the
 // integer it equals or its bits, and a NaN poisons the bounds. BOOLEAN keys
-// have none.
-func (s *Summary) cellBounds(cells []uint64, tags []byte, nk, k int) {
+// have none. A span, which only a one-column key has, is its integer bounds,
+// and the cells are not read.
+func (s *Summary) cellBounds(cells []uint64, tags []byte, nk, k int, span *Span) {
 	if s.T != types.Bigint && s.T != types.Date && s.T != types.Double {
 		return
 	}
 	// Integer cells fold as integers, the others (DOUBLE only) as floats.
 	var ilo, ihi int64 = math.MaxInt64, math.MinInt64
 	flo, fhi, doubles := 0.0, 0.0, false
-	for base := 0; base < len(tags); base += nk {
+	if span != nil {
+		ilo, ihi = span.Lo, span.Hi
+	}
+	for base := 0; span == nil && base < len(tags); base += nk {
 		switch tags[base+k] {
 		case block.CellNull:
 			continue

@@ -329,7 +329,7 @@ func TestCollectCellsMatchesCollect(t *testing.T) {
 	}
 	specs := []ColumnSpec{{ID: 1, T: types.Double}}
 	fromCells := NewCollector(specs, 0, 0)
-	fromCells.CollectCells(5, 4, 1, cells, tags, func(visit func(int)) {
+	fromCells.CollectCells(5, 4, 1, cells, tags, nil, func(visit func(int)) {
 		for _, e := range []int{0, 1, 2, 4} { // each distinct key's first entry
 			visit(e)
 		}
@@ -355,13 +355,13 @@ func TestCollectCellsMatchesCollect(t *testing.T) {
 	// A NaN key poisons the bounds; BIGINT cells are their values.
 	nan := normDouble(math.NaN())
 	poisoned := NewCollector(specs, 0, 0)
-	poisoned.CollectCells(2, 2, 1, []uint64{cells[0], nan.payload}, []byte{tags[0], nan.tag}, func(visit func(int)) { visit(0); visit(1) })
+	poisoned.CollectCells(2, 2, 1, []uint64{cells[0], nan.payload}, []byte{tags[0], nan.tag}, nil, func(visit func(int)) { visit(0); visit(1) })
 	if s := poisoned.Summaries()[0]; s.HasBounds || !s.BoundsPoisoned || !s.MatchDouble(math.NaN()) {
 		t.Errorf("a NaN build key: bounds %v poisoned %v, NaN matches %v", s.HasBounds, s.BoundsPoisoned, s.MatchDouble(math.NaN()))
 	}
 	longs := NewCollector([]ColumnSpec{{ID: 1, T: types.Bigint}}, 0, 0)
 	minus := int64(-9)
-	longs.CollectCells(3, 3, 1, []uint64{4, uint64(minus), 0}, []byte{block.CellLong, block.CellLong, block.CellNull}, func(visit func(int)) { visit(0); visit(1) })
+	longs.CollectCells(3, 3, 1, []uint64{4, uint64(minus), 0}, []byte{block.CellLong, block.CellLong, block.CellNull}, nil, func(visit func(int)) { visit(0); visit(1) })
 	if min, max, ok := longs.Summaries()[0].Bounds(); !ok || min.I != -9 || max.I != 4 {
 		t.Errorf("bigint bounds from cells [%v, %v] %v, want [-9, 4]", min, max, ok)
 	}

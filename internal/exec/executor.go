@@ -271,29 +271,6 @@ func (e *Executor) Kick() {
 	e.mu.Unlock()
 }
 
-// QueueLengths reports runnable and blocked driver depths separately.
-// Runnable excludes finished-but-not-reaped drivers (queued only so their
-// done callback fires) and parked blocked/starved drivers — counting either
-// as load skewed the scheduler's shortest-queue placement toward workers
-// busy with blocking-heavy plans.
-func (e *Executor) QueueLengths() (runnable, blocked int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, l := range e.levels {
-		for _, r := range l {
-			if !r.driver.Finished() {
-				runnable++
-			}
-		}
-	}
-	for _, r := range e.blocked {
-		if !r.driver.Finished() {
-			blocked++
-		}
-	}
-	return runnable, blocked
-}
-
 // Threads returns the number of driver slots.
 func (e *Executor) Threads() int { return e.cfg.Threads }
 
@@ -333,10 +310,6 @@ func (e *Executor) Close() {
 	e.blocked = nil
 	e.mu.Unlock()
 	for _, r := range orphans {
-		if r.driver.Finished() {
-			r.done(nil)
-		} else {
-			r.done(ErrExecutorClosed)
-		}
+		r.done(ErrExecutorClosed)
 	}
 }

@@ -57,7 +57,7 @@ func waitParked(t *testing.T, e *Executor) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, parked := e.QueueLengths(); parked == 1 {
+		if _, parked := e.LevelOccupancy(); parked == 1 {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -138,46 +138,6 @@ func TestParkedDriverWaitsForKick(t *testing.T) {
 	}
 }
 
-// TestQueueLengthsSeparatesRunnableAndBlocked checks the counting semantics
-// directly on a hand-built executor (no worker threads): blocked drivers and
-// finished-but-not-reaped drivers must not inflate the runnable depth the
-// scheduler uses for split placement.
-func TestQueueLengthsSeparatesRunnableAndBlocked(t *testing.T) {
-	e := &Executor{cfg: ExecutorConfig{Threads: 1}}
-	e.cond = sync.NewCond(&e.mu)
-
-	runnable := NewDriver([]operators.Operator{&gateSource{open: true}, &passthrough{}})
-	blocked := NewDriver([]operators.Operator{&gateSource{}, &passthrough{}})
-
-	finished := NewDriver([]operators.Operator{&gateSource{open: true}, &passthrough{}})
-	for i := 0; i < 10 && !finished.Finished(); i++ {
-		if _, err := finished.Process(time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !finished.Finished() {
-		t.Fatal("setup: driver did not finish")
-	}
-
-	th := NewTaskHandle("q")
-	e.levels[0] = []*driverRunner{
-		{driver: runnable, task: th},
-		{driver: finished, task: th}, // awaiting its done callback only
-	}
-	e.blocked = []*driverRunner{
-		{driver: blocked, task: th},
-		{driver: finished, task: th},
-	}
-
-	r, b := e.QueueLengths()
-	if r != 1 {
-		t.Errorf("runnable = %d, want 1 (finished driver must not count)", r)
-	}
-	if b != 1 {
-		t.Errorf("blocked = %d, want 1 (finished driver must not count)", b)
-	}
-}
-
 // TestExecutorIdleNoBusyPoll asserts that an executor with one parked blocked
 // driver does not spin: over a 100ms window the threads should accumulate
 // almost no busy time.
@@ -224,7 +184,7 @@ func (s *starvedThenBlocked) IsBlocked() bool {
 // TestExecutorStarvedThenBlockedYieldsLock: a runner parked as starved whose
 // driver turns blocked while parked must not leave the scheduling thread
 // spinning on the blocked list with the executor lock held — Kick, Enqueue
-// and QueueLengths all need that lock, and the unblock arrives through them.
+// and LevelOccupancy all need that lock, and the unblock arrives through them.
 func TestExecutorStarvedThenBlockedYieldsLock(t *testing.T) {
 	e := NewExecutor(ExecutorConfig{Threads: 1, Quanta: time.Millisecond})
 	defer func() {
@@ -245,7 +205,7 @@ func TestExecutorStarvedThenBlockedYieldsLock(t *testing.T) {
 	// Still blocked: whatever unblocks it will need the lock first.
 	locked := make(chan struct{})
 	go func() {
-		e.QueueLengths()
+		e.LevelOccupancy()
 		close(locked)
 	}()
 	select {

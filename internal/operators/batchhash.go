@@ -441,34 +441,43 @@ func (bk *batchKeys) sizeDicts(nk int) {
 // are constant per operator.
 func (bk *batchKeys) reset(a *block.Arena, p *block.Page, cols []int, fixed bool) {
 	n := p.RowCount()
-	bk.fixed = fixed
-	bk.nk = len(cols)
 	bk.hashes = block.Lease[uint64](a, n)
-	bk.sizeDicts(bk.nk)
-	if fixed {
-		bk.cells = block.Lease[uint64](a, n*bk.nk)
-		bk.tags = block.Lease[byte](a, n*bk.nk)
-		for k, c := range cols {
-			normCol(p.Col(c), bk.cells, bk.tags, k, bk.nk, n, &bk.dicts[k])
-		}
-		// One fused pass over the row-major cells.
-		nk := bk.nk
-		if nk == 1 {
-			for i := 0; i < n; i++ {
-				bk.hashes[i] = fixed1Hash(bk.cells[i], bk.tags[i])
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				bk.hashes[i] = fixedHash(bk.cells[i*nk:(i+1)*nk], bk.tags[i*nk:(i+1)*nk])
-			}
-		}
-	} else {
+	if !fixed {
+		bk.fixed, bk.nk = false, len(cols)
+		bk.sizeDicts(bk.nk)
 		for i := range bk.hashes {
 			bk.hashes[i] = fnvOffset
 		}
 		for k, c := range cols {
 			hashCol(p.Col(c), bk.hashes, n, &bk.dicts[k])
 		}
+		return
+	}
+	bk.normalize(a, p, cols)
+	// One fused pass over the row-major cells.
+	nk := bk.nk
+	if nk == 1 {
+		for i := 0; i < n; i++ {
+			bk.hashes[i] = fixed1Hash(bk.cells[i], bk.tags[i])
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			bk.hashes[i] = fixedHash(bk.cells[i*nk:(i+1)*nk], bk.tags[i*nk:(i+1)*nk])
+		}
+	}
+}
+
+// normalize computes the fixed-mode normalized cells of the key columns of p,
+// as reset does, into vectors leased from a, and no hash: a direct key table
+// reads none.
+func (bk *batchKeys) normalize(a *block.Arena, p *block.Page, cols []int) {
+	n := p.RowCount()
+	bk.fixed, bk.nk = true, len(cols)
+	bk.sizeDicts(bk.nk)
+	bk.cells = block.Lease[uint64](a, n*bk.nk)
+	bk.tags = block.Lease[byte](a, n*bk.nk)
+	for k, c := range cols {
+		normCol(p.Col(c), bk.cells, bk.tags, k, bk.nk, n, &bk.dicts[k])
 	}
 }
 

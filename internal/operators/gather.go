@@ -69,8 +69,12 @@ func gatherProbe(a *block.Arena, col block.Block, sel []int32, dst block.Block) 
 // under null mask nulls[pg] (nil: none). A channel whose pages all arrive
 // under one dictionary (a stored low-cardinality column) is read as its index
 // vectors instead and gathered into a dictionary block over dict: four bytes
-// a row, and a group-by above resolves it by entry. Array and untyped
-// channels have no slices and are gathered boxed.
+// a row, and a group-by above resolves it by entry. Otherwise a page that
+// arrives dictionary-coded — a page decoded off the wire carries a dictionary
+// of its own — is read through it: its slice and null mask are its
+// dictionary's, and idx[pg] maps its rows to their entries (idx nil: no page
+// is read so). Array and untyped channels have no slices and are gathered
+// boxed.
 type gatherChan struct {
 	pages   []*block.Page
 	c       int
@@ -115,7 +119,7 @@ func flatPage[B block.Block](col block.Block, t types.Type) B {
 
 // newGatherChan reads channel c of pages as type t. noRow: a selection can
 // hold positions with no row (page -1), which a dictionary without a NULL
-// entry cannot say, so the channel is read flat.
+// entry cannot say, so the channel is not gathered into a dictionary block.
 func newGatherChan(pages []*block.Page, c int, t types.Type, noRow bool) *gatherChan {
 	gc := &gatherChan{pages: pages, c: c, t: t, noRow: noRow}
 	if !noRow {
@@ -126,9 +130,13 @@ func newGatherChan(pages []*block.Page, c int, t types.Type, noRow bool) *gather
 			return gc
 		}
 	}
-	for _, p := range pages {
+	for pg, p := range pages {
+		col, ix := p.Col(c), []int32(nil)
+		if d, ok := col.(*block.DictionaryBlock); ok {
+			col, ix = d.Dict, d.Indices
+		}
 		var nulls []bool
-		switch col := p.Col(c); t {
+		switch t {
 		case types.Bigint, types.Date:
 			b := flatPage[*block.LongBlock](col, t)
 			gc.longs, nulls = append(gc.longs, b.Vals), b.Nulls
@@ -141,9 +149,17 @@ func newGatherChan(pages []*block.Page, c int, t types.Type, noRow bool) *gather
 		case types.Boolean:
 			b := flatPage[*block.BoolBlock](col, t)
 			gc.bools, nulls = append(gc.bools, b.Vals), b.Nulls
+		default:
+			ix = nil // gathered boxed, from the pages themselves
 		}
 		gc.nulls = append(gc.nulls, nulls)
 		gc.anyNull = gc.anyNull || nulls != nil
+		if ix != nil {
+			if gc.idx == nil {
+				gc.idx = make([][]int32, len(pages))
+			}
+			gc.idx[pg] = ix
+		}
 	}
 	return gc
 }
@@ -151,7 +167,12 @@ func newGatherChan(pages []*block.Page, c int, t types.Type, noRow bool) *gather
 // gatherRows copies the selected rows — row row[i] of page pg[i] — of one
 // channel into dst. mask is nil when no row can be NULL; otherwise it
 // receives every row's NULL flag: a NULL in the column, or page -1, no row.
-func gatherRows[T any](dst []T, mask []bool, pages [][]T, nulls [][]bool, pg, row []int32) []T {
+// idx, when not nil, names the pages read through their dictionary
+// (gatherEntries).
+func gatherRows[T any](dst []T, mask []bool, pages [][]T, nulls [][]bool, idx [][]int32, pg, row []int32) []T {
+	if idx != nil {
+		return gatherEntries(dst, mask, pages, nulls, idx, pg, row)
+	}
 	if mask == nil {
 		for i, p := range pg {
 			dst[i] = pages[p][row[i]]
@@ -169,6 +190,32 @@ func gatherRows[T any](dst []T, mask []bool, pages [][]T, nulls [][]bool, pg, ro
 	return dst
 }
 
+// gatherEntries is gatherRows where page p is read through its dictionary
+// when idx[p] is not nil: row r is its entry idx[p][r], and the page's values
+// and null mask are its dictionary's.
+func gatherEntries[T any](dst []T, mask []bool, pages [][]T, nulls [][]bool, idx [][]int32, pg, row []int32) []T {
+	var null T
+	for i, p := range pg {
+		if p < 0 {
+			dst[i], mask[i] = null, true
+			continue
+		}
+		r := row[i]
+		if ix := idx[p]; ix != nil {
+			r = ix[r]
+		}
+		switch {
+		case mask == nil:
+			dst[i] = pages[p][r]
+		case nulls[p] != nil && nulls[p][r]:
+			dst[i], mask[i] = null, true
+		default:
+			dst[i], mask[i] = pages[p][r], false
+		}
+	}
+	return dst
+}
+
 // gather gathers the channel at the selected positions (into dst, see
 // refill), its vectors leased from a, or made when a is nil; with a null mask
 // only when the channel holds NULLs or a position can have no row: a
@@ -176,7 +223,7 @@ func gatherRows[T any](dst []T, mask []bool, pages [][]T, nulls [][]bool, pg, ro
 func (gc *gatherChan) gather(a *block.Arena, pg, row []int32, dst block.Block) block.Block {
 	n := len(pg)
 	if gc.dict != nil {
-		return refill(dst, block.DictionaryBlock{Dict: gc.dict, Indices: gatherRows(block.Lease[int32](a, n), nil, gc.idx, nil, pg, row)})
+		return refill(dst, block.DictionaryBlock{Dict: gc.dict, Indices: gatherRows(block.Lease[int32](a, n), nil, gc.idx, nil, nil, pg, row)})
 	}
 	var mask []bool
 	if gc.anyNull || gc.noRow {
@@ -184,13 +231,13 @@ func (gc *gatherChan) gather(a *block.Arena, pg, row []int32, dst block.Block) b
 	}
 	switch gc.t {
 	case types.Bigint, types.Date:
-		return refill(dst, block.LongBlock{T: gc.t, Vals: gatherRows(block.Lease[int64](a, n), mask, gc.longs, gc.nulls, pg, row), Nulls: mask})
+		return refill(dst, block.LongBlock{T: gc.t, Vals: gatherRows(block.Lease[int64](a, n), mask, gc.longs, gc.nulls, gc.idx, pg, row), Nulls: mask})
 	case types.Double:
-		return refill(dst, block.DoubleBlock{Vals: gatherRows(block.Lease[float64](a, n), mask, gc.doubles, gc.nulls, pg, row), Nulls: mask})
+		return refill(dst, block.DoubleBlock{Vals: gatherRows(block.Lease[float64](a, n), mask, gc.doubles, gc.nulls, gc.idx, pg, row), Nulls: mask})
 	case types.Varchar:
-		return refill(dst, block.VarcharBlock{Vals: gatherRows(block.Lease[string](a, n), mask, gc.strs, gc.nulls, pg, row), Nulls: mask})
+		return refill(dst, block.VarcharBlock{Vals: gatherRows(block.Lease[string](a, n), mask, gc.strs, gc.nulls, gc.idx, pg, row), Nulls: mask})
 	case types.Boolean:
-		return refill(dst, block.BoolBlock{Vals: gatherRows(block.Lease[bool](a, n), mask, gc.bools, gc.nulls, pg, row), Nulls: mask})
+		return refill(dst, block.BoolBlock{Vals: gatherRows(block.Lease[bool](a, n), mask, gc.bools, gc.nulls, gc.idx, pg, row), Nulls: mask})
 	}
 	vals := make([]types.Value, n)
 	for i, p := range pg {

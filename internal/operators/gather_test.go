@@ -45,7 +45,7 @@ func gatherPages(enc string) []*block.Page {
 		case "shared":
 			s = &block.DictionaryBlock{Dict: shared, Indices: idx}
 		case "distinct":
-			s = &block.DictionaryBlock{Dict: block.NewVarcharBlock(append([]string(nil), words...), nil), Indices: idx}
+			s = &block.DictionaryBlock{Dict: block.NewVarcharBlock(append([]string(nil), words...), []bool{false, false, false, true, false}), Indices: idx}
 		case "rle":
 			s = block.NewRLEBlock(types.VarcharValue(words[pi]), n)
 		}

@@ -235,8 +235,10 @@ func TestFinishedAggregationDropsItsTable(t *testing.T) {
 
 // BenchmarkKeyTableFixed1 prices the single-bigint-key table the aggregation
 // and the join build use: 120 000 rows into 30 000 groups from an empty table
-// and from one presized for them, and lookupFixed1 into tables of 3 000,
-// 30 000 and 120 000 entries.
+// and from one presized for them; and, into tables of 3 000, 30 000 and
+// 120 000 entries, a lookup as a hashed join build's probe makes it (the hash,
+// then lookupFixed1) and as a direct one's does (lookupDirect, over the same
+// keys linked as the join build links them).
 func BenchmarkKeyTableFixed1(b *testing.B) {
 	const rows, groups = 120_000, 30_000
 	hashes, cells := make([]uint64, rows), make([]uint64, rows)
@@ -270,6 +272,32 @@ func BenchmarkKeyTableFixed1(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, k := range probe {
 					if t.lookupFixed1(fixed1Hash(k, block.CellLong), k, block.CellLong) < 0 {
+						b.Fatal("missing key")
+					}
+				}
+			}
+			b.ReportMetric(float64(b.N*rows)/b.Elapsed().Seconds(), "rows/s")
+		})
+		b.Run(fmt.Sprintf("direct/entries=%d", entries), func(b *testing.B) {
+			t := newKeyTable(&tableLease{}, true, 1, entries)
+			for k := 0; k < entries; k++ {
+				t.cells, t.tags = append(t.cells, uint64(k)), append(t.tags, block.CellLong)
+			}
+			t.n = entries
+			if t.index(); !t.direct {
+				b.Fatal("a dense key is hashed")
+			}
+			for e := entries - 1; e >= 0; e-- {
+				t.link(e)
+			}
+			probe := make([]uint64, rows)
+			for r := range probe {
+				probe[r] = uint64(r*7919) % uint64(entries)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, k := range probe {
+					if t.lookupDirect(k, block.CellLong) < 0 {
 						b.Fatal("missing key")
 					}
 				}

@@ -57,6 +57,8 @@ type JoinBridge struct {
 	// buildErr is a failed true-up of the built index that no revocation could
 	// absorb; probes report it.
 	buildErr error
+	// stats is the first builder's, shared by the pipeline's build drivers.
+	stats *OpStats
 
 	// Multi-driver accounting: a leaf build pipeline runs one driver per
 	// split, each with its own HashBuildOperator feeding this bridge; the
@@ -108,8 +110,9 @@ func (b *JoinBridge) SetFilterCollector(c *dynfilter.Collector, publish func([]*
 
 // summarizeKeysLocked summarizes a just-built table from its key table: a
 // fixed layout's normalized cells, whose slots hold one entry per distinct
-// key, or else each distinct key's first row, in arrival order — a row is its
-// key's first unless its key is NULL or another row links to it.
+// key — a direct table's in key order, with its span as the bounds — or else
+// each distinct key's first row, in arrival order — a row is its key's first
+// unless its key is NULL or another row links to it.
 func (b *JoinBridge) summarizeKeysLocked() {
 	switch c, t := b.collector, b.ktab; {
 	case c == nil:
@@ -123,7 +126,11 @@ func (b *JoinBridge) summarizeKeysLocked() {
 			}
 		}
 		if t.fixed {
-			c.CollectCells(keyed, t.keys, t.nk, t.cells, t.tags, func(visit func(int)) {
+			var span *dynfilter.Span
+			if t.direct {
+				span = &dynfilter.Span{Lo: t.lo, Hi: t.hi}
+			}
+			c.CollectCells(keyed, t.keys, t.nk, t.cells, t.tags, span, func(visit func(int)) {
 				for _, s := range t.slots {
 					if s != 0 {
 						visit(int(s - 1))
@@ -259,9 +266,11 @@ func (b *JoinBridge) builderStep(change func()) {
 
 // buildIndexLocked indexes the build pages by position, a row's place in the
 // build with pages in arrival order: the key table stores every row's key,
-// page by page, and then links the positions last to first, so that a slot
-// ends on its key's first position and each duplicate is chained to the next
-// one in arrival order. A NULL key (never matches) is not linked. A keyless
+// page by page, chooses its addressing from them (direct over a dense integer
+// key, else hashed: keyTable.index), and then links the positions last to
+// first, so that a slot ends on its key's first position and each duplicate is
+// chained to the next one in arrival order. A NULL key (never matches) is not
+// linked. The builders' stats record the addressing chosen. A keyless
 // join keeps no key table and no links: every probe row walks every position
 // in order. Every array is leased through the bridge's ledger, which counts
 // the index from here on in place of what the pages reserved ahead for it.
@@ -279,6 +288,8 @@ func (b *JoinBridge) buildIndexLocked() {
 			scratch.Rewind()
 			t.appendKeys(&scratch, p, b.keyCols, &bk)
 		}
+		t.index()
+		b.stats.recordIndex(t.direct)
 		var next []int32
 		for pos := rows - 1; pos >= 0; pos-- {
 			if t.nullKey(pos) {
@@ -516,6 +527,9 @@ func (b *JoinBridge) registerBuilder(ctx *OpContext, keyCols []int, keyTs []type
 	if b.mem == nil {
 		b.mem = ctx.Mem
 	}
+	if b.stats == nil {
+		b.stats = ctx.Stats
+	}
 	if b.spl != nil && ctx.Stats != nil {
 		b.spl.stats = append(b.spl.stats, ctx.Stats)
 	}
@@ -574,8 +588,17 @@ func (o *HashBuildOperator) AddInput(p *block.Page) error {
 }
 
 // resolveBatch is the general path of the probe: batch-hash the page's key
-// columns, then look each row's key up in t.
+// columns, then look each row's key up in t — a direct table's by its cell
+// alone, with nothing hashed.
 func resolveBatch(a *block.Arena, t *keyTable, bk *batchKeys, p *block.Page, cols []int, ids []int32) {
+	if t.direct {
+		bk.normalize(a, p, cols)
+		cells, tags := bk.cells, bk.tags[:len(ids)]
+		for r, tag := range tags {
+			ids[r] = int32(t.lookupDirect(cells[r], tag))
+		}
+		return
+	}
 	bk.reset(a, p, cols, t.fixed)
 	if t.fixed && len(cols) == 1 {
 		// One fixed-width key, which is most joins: probe on scalars, no
@@ -610,6 +633,10 @@ func resolveBatch(a *block.Arena, t *keyTable, bk *batchKeys, p *block.Page, col
 func keyRow(t *keyTable, bk *batchKeys, p *block.Page, cols []int, r int) int32 {
 	if rowKeyNull(p, r, cols) {
 		return -1
+	}
+	if t.direct {
+		tag, cell := normValue(p.Col(cols[0]).Value(r))
+		return int32(t.lookupDirect(cell, tag))
 	}
 	h := bk.rowKey(p, cols, r, t.fixed)
 	if t.fixed {

@@ -2,7 +2,9 @@ package operators
 
 import (
 	"bytes"
+	"math"
 	"strings"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/block"
@@ -25,6 +27,15 @@ import (
 //     fallback for varchar/array/mixed keys, with no allocation per insert —
 //     and a hash per entry, compared before the arena bytes are.
 //
+// Three ways to address it:
+//   - hashed: a key's hash picks the slot a linear probe starts from;
+//   - direct: a linked table (below) over one key column whose non-NULL cells
+//     are all integers (CellLong: BIGINT, DATE, an integral DOUBLE) with
+//     max - min + 1 no more than the slots it leased anyway. The slot array is
+//     then indexed by value — slots[cell - lo] — and a lookup is a tag check,
+//     a subtraction, a bounds check and one load, with no hash and no probe.
+//     index decides it per build, from the build's own cells.
+//
 // Two ways to fill it:
 //   - getOrInsert*: an entry per distinct key, in insertion order. The id is
 //     the only handle a caller gets: per-entry payload (aggregate states, group
@@ -43,6 +54,11 @@ type keyTable struct {
 
 	slots []int32 // entry id + 1; 0 = empty
 	mask  uint64
+
+	// direct mode (index): slot i is key lo + i's; lo and hi are the smallest
+	// and largest key.
+	direct bool
+	lo, hi int64
 
 	// fixed layout: row-major normalized cells, nk per entry.
 	cells []uint64
@@ -174,6 +190,48 @@ func (t *keyTable) grow() {
 	}
 	memory.Return(t.l, t.slots)
 	t.slots, t.mask = ns, mask
+}
+
+// hashEveryIndex keeps every linked table hashed (index never makes one
+// direct); tests set it to compare the two modes over the same rows.
+var hashEveryIndex atomic.Bool
+
+// index makes a table filled by appendKeys direct when its keys allow it (see
+// keyTable), before link enters them. One pass over the cells finds the
+// smallest and largest key, as signed integers, and stops at the first cell
+// that rules the mode out: a non-integer, or a span past the slot array (one
+// that overflows int64 is such a span).
+func (t *keyTable) index() {
+	if !t.fixed || t.nk != 1 || hashEveryIndex.Load() {
+		return
+	}
+	lo, hi, slots := int64(math.MaxInt64), int64(math.MinInt64), uint64(len(t.slots))
+	for e, tag := range t.tags[:t.n] {
+		switch tag {
+		case block.CellNull:
+			continue
+		case block.CellLong:
+		default:
+			return
+		}
+		v := int64(t.cells[e])
+		if lo, hi = min(lo, v), max(hi, v); uint64(hi)-uint64(lo) >= slots {
+			return
+		}
+	}
+	if lo <= hi { // else every key is NULL, and nothing is linked
+		t.direct, t.lo, t.hi = true, lo, hi
+	}
+}
+
+// lookupDirect is lookupFixed1 on a direct table. Every cell lo + i
+// (mod 2^64) with i inside the slot array has slot i, which is empty unless
+// the cell is a key, so the slot needs no check against the cells.
+func (t *keyTable) lookupDirect(cell uint64, tag byte) int {
+	if i := cell - uint64(t.lo); tag == block.CellLong && i < uint64(len(t.slots)) {
+		return int(t.slots[i]) - 1
+	}
+	return -1
 }
 
 // maybeGrow keeps the load factor under 3/4 ahead of one insertion.
@@ -349,6 +407,14 @@ func (t *keyTable) nullKey(e int) bool {
 // returning that entry's id. Linking a build's rows last to first thus leaves
 // every slot on its key's first row.
 func (t *keyTable) link(e int) int {
+	if t.direct {
+		i := t.cells[e] - uint64(t.lo)
+		q := int(t.slots[i]) - 1
+		if t.slots[i] = int32(e + 1); q < 0 {
+			t.keys++
+		}
+		return q
+	}
 	h := t.hash(e)
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		s := t.slots[i]

@@ -415,6 +415,7 @@ func (d *joinSpillDrain) openPartition() error {
 	sub := NewJoinBridge()
 	o.bridge.mu.Lock()
 	sub.nullAware, sub.anyRow, sub.nullKey = o.bridge.nullAware, o.bridge.anyRow, o.bridge.nullKey
+	sub.stats = o.bridge.stats // the partition's index is the build's
 	o.bridge.mu.Unlock()
 	sub.AddBuilder()
 	hb := NewHashBuild(o.ctx, sub, o.bridge.keyCols, o.bridge.keyTs)

@@ -114,6 +114,22 @@ type OpStats struct {
 	// scan arrived with.
 	dictRows    atomic.Int64
 	encodedCols atomic.Int64
+
+	// Join-build accounting: the join indexes built with a direct key table
+	// (keyTable.index), counted in the high 32 bits, and with a hashed one,
+	// in the low: one word, so that OpStats stays in its allocation class.
+	indexes atomic.Int64
+}
+
+// recordIndex counts one join index built, direct or hashed.
+func (s *OpStats) recordIndex(direct bool) {
+	switch {
+	case s == nil:
+	case direct:
+		s.indexes.Add(1 << 32)
+	default:
+		s.indexes.Add(1)
+	}
 }
 
 // RecordDictRows counts rows an operator handled by dictionary entry.
@@ -229,6 +245,10 @@ type OpStatsSnapshot struct {
 	DictEvictions    int64   `json:"dictProjEvictions,omitempty"`
 	DictRows         int64   `json:"dictRows,omitempty"`
 	EncodedCols      int64   `json:"encodedCols,omitempty"`
+	// The join indexes a build made by addressing mode. They stay in the
+	// process: a task's stats carry them to no other.
+	DirectIndexes int64 `json:"-"`
+	HashedIndexes int64 `json:"-"`
 }
 
 // DynFilterStats is what one dynamic-filter subscription of a scan did:
@@ -244,6 +264,7 @@ type DynFilterStats struct {
 
 // Snapshot copies the counters.
 func (s *OpStats) Snapshot() OpStatsSnapshot {
+	indexes := s.indexes.Load()
 	return OpStatsSnapshot{
 		Name:         s.Name,
 		PagesIn:      s.pagesIn.Load(),
@@ -269,6 +290,8 @@ func (s *OpStats) Snapshot() OpStatsSnapshot {
 		DictEvictions:    s.dictEvictions.Load(),
 		DictRows:         s.dictRows.Load(),
 		EncodedCols:      s.encodedCols.Load(),
+		DirectIndexes:    indexes >> 32,
+		HashedIndexes:    indexes & (1<<32 - 1),
 	}
 }
 
@@ -335,6 +358,8 @@ func (s *OpStatsSnapshot) Merge(o OpStatsSnapshot) {
 	s.DictEvictions += o.DictEvictions
 	s.DictRows += o.DictRows
 	s.EncodedCols = max(s.EncodedCols, o.EncodedCols) // every task scans the same columns
+	s.DirectIndexes += o.DirectIndexes
+	s.HashedIndexes += o.HashedIndexes
 }
 
 // NopContext returns a context with no memory accounting, for tests.

@@ -365,7 +365,9 @@ echo "==> configuration: a query's switches are one value, from the HTTP header 
 # none, creates no filter hub and keeps its own plan-cache entry); a join residual is compiled as a WHERE clause is (NaN
 # compares by IEEE, as in WHERE) and an index join applies it; a RIGHT/FULL
 # probe finished with pairs still to emit counts as finished only once it has
-# emitted them, and a SEMI/ANTI row puts its chain to a residual in rounds.
+# emitted them, and a SEMI/ANTI row puts its chain to a residual in rounds; a
+# join build over a dense integer key indexed directly joins, and summarizes
+# its keys, exactly as the same build hashed.
 # A plan is a template: random literal sets run on a cached plan return a
 # fresh plan's rows — on fragments the workers compiled before and on ones
 # compiled cold after exec.Worker.DropCompiledFragments — and, where the shapes agree,
@@ -390,7 +392,7 @@ echo "==> configuration: a query's switches are one value, from the HTTP header 
 # json.Marshal's.
 go test -race -count=1 -run 'TestClusterSwitchMatchesSession|TestDeprecatedClusterFields|TestDistributedDisableSpill|TestDynamicFiltersDecidedAtPlanning|TestDistributedNonFiniteDoubles|TestJoinResidualNaNIsIEEE|TestKVIndexJoin|TestPlanTemplateMatchesFreshPlan|TestPlanValidity|TestPlanKeyCommentAlias|TestResultCacheDeterminismFromExpressions|TestTemplateLiteralsConcurrent|TestBigintDoubleJoinKey' .
 go test -race -count=3 -run 'TestCompiledFragmentSharedByTasks|TestFragmentCacheKeysAndErrors' ./internal/exec/
-go test -race -count=1 -run 'TestOuterJoinWaitsForPendingPairs|TestSemiResidualDecidesInRounds' ./internal/operators/
+go test -race -count=1 -run 'TestOuterJoinWaitsForPendingPairs|TestSemiResidualDecidesInRounds|TestDirectJoinIndexMatchesHashed' ./internal/operators/
 go test -race -count=1 -run 'TestFragmentCacheMetrics|TestSwitchHeaders|TestStatementNonFiniteDoubles|TestWriteJSONFailureIs500|TestSmallStatementCostsOneRequest|TestLargeResultStreamsOverDocuments|TestFailureAfterFirstPagesIsFailedDocument|TestOneDocumentDrainCommitsToResultCache|TestQueryCancelEndpoint|TestCancel|TestForgottenQueryIsGone|TestStatementDocumentMatchesJSONMarshal' ./internal/httpapi/
 go test -race -count=1 ./internal/wire/
 go test -race -count=1 -run 'TestDisabledDynamicFiltersCreateNoFilterHub' ./internal/coordinator/
