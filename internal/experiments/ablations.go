@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/memory"
 	"repro/internal/metrics"
+	"repro/internal/spill"
 	"repro/internal/types"
 	"repro/internal/workload"
 )
@@ -503,7 +505,9 @@ func (r *WritersResult) Report() string {
 // --- Spilling (§IV-F2) ---
 
 // SpillResult shows that a memory-capped aggregation fails without spilling
-// and succeeds — with identical results — with it.
+// and succeeds — with identical results — with it, and that a partitioned
+// join whose build exceeds the same cap joins on the grace path, its spilled
+// builds spreading over every spill partition.
 type SpillResult struct {
 	NoSpillErr error
 	SpillOK    bool
@@ -511,58 +515,116 @@ type SpillResult struct {
 	InMemRows  int64
 	SpillWall  time.Duration
 	InMemWall  time.Duration // uncapped in-memory baseline
+
+	// The join leg: its rows capped and uncapped, whether they are the same
+	// rows, and the grace partitions the capped run's spilled builds filled,
+	// summed over the workers — each builds one join index a partition that
+	// holds build rows — against the indexes the uncapped run built.
+	JoinRows, JoinInMemRows  int64
+	JoinOK                   bool
+	GraceParts, InMemIndexes int64
+	JoinWall, JoinInMemWall  time.Duration
 }
 
-// RunSpill caps per-node query memory below the aggregation's working set.
+// spillWorkers is how many workers the spill experiment runs on; the cap is
+// per worker.
+const spillWorkers = 2
+
+// spillJoinQuery joins lineitem to itself on its primary key. Each worker's
+// share of the build (the key and three more columns) exceeds the cap. A FULL
+// join is never broadcast — each unmatched build row must be emitted by one
+// task — so both sides are hash-exchanged on the key.
+const spillJoinQuery = `SELECT a.l_shipmode, count(*), sum(b.l_partkey), sum(b.l_suppkey), max(b.l_shipinstruct)
+	FROM tpch.lineitem a FULL JOIN tpch.lineitem b
+	  ON a.l_orderkey = b.l_orderkey AND a.l_linenumber = b.l_linenumber
+	GROUP BY a.l_shipmode`
+
+// RunSpill caps per-node query memory below the aggregation's working set,
+// and below each worker's share of the join's build.
 func RunSpill(opt Options) (*SpillResult, error) {
 	opt = opt.Defaults()
-	query := `SELECT l_orderkey, l_partkey, count(*), sum(l_extendedprice)
+	aggQuery := `SELECT l_orderkey, l_partkey, count(*), sum(l_extendedprice)
 	          FROM tpch.lineitem GROUP BY l_orderkey, l_partkey`
-	run := func(capBytes int64, spill bool) (int64, time.Duration, error) {
+	// run returns the statement's rows, rendered, its wall time and the join
+	// indexes its tasks built.
+	run := func(query string, capBytes int64, spilling bool) ([]string, time.Duration, int64, error) {
 		cluster := presto.NewCluster(presto.ClusterConfig{
-			Workers:                 2,
+			Workers:                 spillWorkers,
 			ThreadsPerWorker:        2,
 			PerNodeQueryMemoryBytes: capBytes,
-			SpillEnabled:            spill,
+			SpillEnabled:            spilling,
 		})
 		defer cluster.Close()
 		cluster.Register(workload.LoadTPCHMemory("tpch", opt.Scale*2))
 		start := time.Now()
 		res, err := cluster.Execute(query)
 		if err != nil {
-			return 0, 0, err
+			return nil, 0, 0, err
 		}
 		rows, err := res.All()
 		if err != nil {
-			return 0, 0, err
+			return nil, 0, 0, err
 		}
-		return int64(len(rows)), time.Since(start), nil
+		wall := time.Since(start)
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = fmt.Sprint(r)
+		}
+		slices.Sort(out)
+		var indexes int64
+		st, _ := cluster.QueryStats(res.QueryID)
+		for _, sg := range st.Stages {
+			for _, pl := range sg.Pipelines {
+				for _, op := range pl.Operators {
+					indexes += op.DirectIndexes + op.HashedIndexes
+				}
+			}
+		}
+		return out, wall, indexes, nil
 	}
 	res := &SpillResult{}
-	var err error
-	res.InMemRows, res.InMemWall, err = run(0, false)
+	inMem, wall, _, err := run(aggQuery, 0, false)
 	if err != nil {
 		return nil, fmt.Errorf("uncapped baseline: %w", err)
 	}
+	res.InMemRows, res.InMemWall = int64(len(inMem)), wall
 	const tinyCap = 512 << 10
-	_, _, res.NoSpillErr = run(tinyCap, false)
-	res.SpillRows, res.SpillWall, err = run(tinyCap, true)
+	_, _, _, res.NoSpillErr = run(aggQuery, tinyCap, false)
+	spilled, wall, _, err := run(aggQuery, tinyCap, true)
 	if err != nil {
 		return nil, fmt.Errorf("spill-enabled run failed: %w", err)
 	}
+	res.SpillRows, res.SpillWall = int64(len(spilled)), wall
 	res.SpillOK = res.SpillRows == res.InMemRows
+
+	inMem, res.JoinInMemWall, res.InMemIndexes, err = run(spillJoinQuery, 0, false)
+	if err != nil {
+		return nil, fmt.Errorf("uncapped join: %w", err)
+	}
+	spilled, res.JoinWall, res.GraceParts, err = run(spillJoinQuery, tinyCap, true)
+	if err != nil {
+		return nil, fmt.Errorf("spill-enabled join failed: %w", err)
+	}
+	res.JoinInMemRows, res.JoinRows = int64(len(inMem)), int64(len(spilled))
+	res.JoinOK = len(inMem) > 0 && slices.Equal(inMem, spilled)
 	return res, nil
 }
 
 // Report renders the outcome.
 func (r *SpillResult) Report() string {
 	var sb strings.Builder
-	sb.WriteString("§IV-F2 — spilling ablation (512KiB per-node cap on a large aggregation)\n")
+	sb.WriteString("§IV-F2 — spilling ablation (512KiB per-node cap on a large aggregation and a partitioned join)\n")
 	fmt.Fprintf(&sb, "no spill: failed=%v (%v)\nwith spill: ok=%v rows=%d/%d wall=%s (uncapped %s)\n",
 		r.NoSpillErr != nil, truncate(fmt.Sprint(r.NoSpillErr), 80),
 		r.SpillOK, r.SpillRows, r.InMemRows, r.SpillWall.Round(time.Millisecond), r.InMemWall.Round(time.Millisecond))
 	fmt.Fprintf(&sb, "shape check: capped fails without spill, succeeds with spill → %v\n",
 		r.NoSpillErr != nil && r.SpillOK && errors.Is(r.NoSpillErr, memory.ErrExceededLimit) || r.NoSpillErr != nil && r.SpillOK)
+	fmt.Fprintf(&sb, "join with spill: same rows=%v rows=%d/%d wall=%s (uncapped %s)\n",
+		r.JoinOK, r.JoinRows, r.JoinInMemRows, r.JoinWall.Round(time.Millisecond), r.JoinInMemWall.Round(time.Millisecond))
+	fmt.Fprintf(&sb, "grace partitions filled: %d of %d on %d workers (uncapped: %d join indexes)\n",
+		r.GraceParts, spill.Partitions*spillWorkers, spillWorkers, r.InMemIndexes)
+	fmt.Fprintf(&sb, "shape check: the capped join spills into every partition and matches → %v\n",
+		r.JoinOK && r.GraceParts == spill.Partitions*spillWorkers)
 	return sb.String()
 }
 

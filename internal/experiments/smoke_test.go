@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/spill"
+)
 
 // Smoke tests: every experiment runs end-to-end at quick scale.
 
@@ -70,6 +74,12 @@ func TestSpillSmoke(t *testing.T) {
 	}
 	if !r.SpillOK {
 		t.Error("expected the spill-enabled run to succeed")
+	}
+	if !r.JoinOK {
+		t.Errorf("the capped join's rows differ from the uncapped run's (%d and %d rows)", r.JoinRows, r.JoinInMemRows)
+	}
+	if want := int64(spill.Partitions * spillWorkers); r.GraceParts != want {
+		t.Errorf("the capped join's spilled builds filled %d grace partitions, want all %d", r.GraceParts, want)
 	}
 }
 

@@ -182,11 +182,10 @@ type HashAggregationOperator struct {
 	scratch block.Arena
 	batch   batchKeys
 
-	spillFiles []string
-	spills     int // lifetime revocation count (spillFiles is cleared on drain)
-	spillable  bool
-	spillDir   string // empty = OS temp dir
-	spillKeys  []int  // where a spilled page keeps the group keys: columns 0..nk-1
+	spilled   spill.Set // the groups revocations wrote, one file each
+	spills    int       // lifetime revocation count (spilled is emptied on drain)
+	spillable bool
+	spillKeys []int // where a spilled page keeps the group keys: columns 0..nk-1
 
 	finished bool
 	prepared bool // prepareOutput has run
@@ -215,6 +214,7 @@ func NewHashAggregation(ctx *OpContext, groupCols []int, groupTs []types.Type, a
 		accs:      make([]aggVec, len(aggs)),
 		keys:      make([]*valueVec, len(groupCols)),
 		spillKeys: make([]int, len(groupCols)),
+		spilled:   spill.Set{Label: "agg"},
 	}
 	for i, spec := range aggs {
 		o.accs[i].spec = spec
@@ -230,7 +230,7 @@ func NewHashAggregation(ctx *OpContext, groupCols []int, groupTs []types.Type, a
 }
 
 // SetSpillDir directs spill files to dir instead of the OS temp dir.
-func (o *HashAggregationOperator) SetSpillDir(dir string) { o.spillDir = dir }
+func (o *HashAggregationOperator) SetSpillDir(dir string) { o.spilled.Dir = dir }
 
 // Sizing the first table (DESIGN.md, "Sizing a group table").
 const (
@@ -993,10 +993,10 @@ func (o *HashAggregationOperator) prepareOutput() error {
 	o.prepared = true
 	// The last look at state a revoker may still be writing: once finished is
 	// set Revoke is a no-op, so whoever holds o.mu here sees either all of a
-	// revocation or none of it, and from here on the table and spillFiles are
-	// this goroutine's alone until Close.
+	// revocation or none of it, and from here on the table and the spilled
+	// files are this goroutine's alone until Close.
 	o.mu.Lock()
-	spilled := len(o.spillFiles) > 0
+	spilled := !o.spilled.Empty()
 	if spilled && o.table.Len() > 0 {
 		if _, err := o.spillLocked(); err != nil {
 			o.mu.Unlock()
@@ -1068,30 +1068,27 @@ func (o *HashAggregationOperator) Output() (*block.Page, error) {
 
 // drained reports whether no spilled partition is left to read.
 func (o *HashAggregationOperator) drained() bool {
-	return len(o.spillFiles) == 0 || o.nextPart == spillPartitions
+	return o.spilled.Empty() || o.nextPart == spill.Partitions
 }
 
 // readPartition reads the cursor's next spilled hash partition back into the
 // table, emptied for it: its pages go through the lookup AddInput uses and
 // their state columns merge by group id (mergeSpilledPage). A partition pass
 // reads only that partition's extents of each file, so every record is read
-// once, and peak memory stays about 1/spillPartitions of the table (§IV-F2).
+// once, and peak memory stays about 1/spill.Partitions of the table (§IV-F2).
 func (o *HashAggregationOperator) readPartition() error {
 	o.resetTableLocked()
 	o.emitAt = 0
-	pages := spillPartIter{files: o.spillFiles, part: o.nextPart}
+	pages := o.spilled.Pages(o.nextPart)
+	defer pages.Close()
 	o.nextPart++
 	for {
-		p, err := pages.next()
-		if err == nil && p != nil {
-			err = o.mergeSpilledPage(p)
-		}
-		if err != nil {
-			pages.close()
+		p, err := pages.Next()
+		if err != nil || p == nil {
 			return err
 		}
-		if p == nil {
-			return nil
+		if err := o.mergeSpilledPage(p); err != nil {
+			return err
 		}
 	}
 }
@@ -1100,10 +1097,7 @@ func (o *HashAggregationOperator) readPartition() error {
 // its reservation go back and the spill files are removed.
 func (o *HashAggregationOperator) endOutput() {
 	o.mu.Lock()
-	for _, name := range o.spillFiles {
-		spill.Remove(name)
-	}
-	o.spillFiles = nil
+	o.spilled.Remove()
 	o.dropTableLocked()
 	o.done = true
 	o.mu.Unlock()
@@ -1134,10 +1128,7 @@ func (o *HashAggregationOperator) Scratch() *block.Arena { return &o.scratch }
 
 func (o *HashAggregationOperator) Close() error {
 	o.mu.Lock()
-	for _, f := range o.spillFiles {
-		spill.Remove(f)
-	}
-	o.spillFiles = nil
+	o.spilled.Remove()
 	o.dropTableLocked()
 	o.mu.Unlock()
 	o.ctx.Mem.Close() // outside o.mu, as syncMem
@@ -1145,17 +1136,6 @@ func (o *HashAggregationOperator) Close() error {
 }
 
 // --- Revocable (spilling) support ---
-
-// spillPartitions is the merge fan-out for spilled aggregations: each group
-// is assigned a hash partition at spill time so the drain can merge one
-// partition at a time, bounding peak memory to ~1/spillPartitions of the
-// table (§IV-F2).
-const spillPartitions = 16
-
-// spillPartition is the partition of a group whose key hashes to h: the top
-// bits, because a key table places entries by the low ones and a partition's
-// keys are about to share a table.
-func spillPartition(h uint64) uint8 { return uint8(h >> 60) }
 
 // spillStateCols is how many columns an aggregate's state takes in a spilled
 // page. A function spills the vectors it keeps: count for the counts; count
@@ -1210,52 +1190,39 @@ func (o *HashAggregationOperator) Revoke() (int64, error) {
 	return freed, o.ctx.Mem.SetBytes(held)
 }
 
-// spillLocked writes every live group to one new spill file, bucketed by
-// partition, and drops the table. The pages are gathered column by column
-// straight from the table's vectors. Caller holds o.mu, and gives the freed
-// reservation back (syncMem) once it has let go of it.
+// spillLocked writes every live group to one new spill file, by partition,
+// and drops the table. The pages are gathered column by column straight from
+// the table's vectors, at most pageSize groups each. Caller holds o.mu, and
+// gives the freed reservation back (syncMem) once it has let go of it.
 func (o *HashAggregationOperator) spillLocked() (int64, error) {
 	n := o.table.Len()
 	if n == 0 {
 		// Nothing to write; a presized table gives its arrays back all the same.
 		return o.renewTableLocked(), nil
 	}
-	// Counting sort of the group ids by partition. The partition comes from
-	// the hash the table keys the group on, the one batchKeys computes for its
-	// key, so a key lands in the same partition of every file this operator
-	// writes.
-	var ends [spillPartitions + 1]int
-	for id := 0; id < n; id++ {
-		ends[spillPartition(o.table.hash(id))+1]++
+	// The partition comes from the hash the table keys the group on, the one
+	// batchKeys computes for its key, so a key lands in the same partition of
+	// every file this operator writes.
+	parts := make([]int, n)
+	for id := range parts {
+		parts[id] = spill.Partition(o.table.hash(id))
 	}
-	for part := 0; part < spillPartitions; part++ {
-		ends[part+1] += ends[part]
-	}
-	next := ends
-	order := make([]int32, n)
-	for id := 0; id < n; id++ {
-		part := spillPartition(o.table.hash(id))
-		order[next[part]] = int32(id)
-		next[part]++
-	}
-
-	w, err := spill.NewWriter(o.spillDir, "agg")
-	if err != nil {
-		return 0, err
-	}
-	for part := 0; part < spillPartitions; part++ {
-		for from := ends[part]; from < ends[part+1]; from += o.pageSize {
-			to := min(from+o.pageSize, ends[part+1])
-			if err := w.WritePage(part, o.spillPage(order[from:to])); err != nil {
-				w.Abort()
+	ids, offs := partitionRows(nil, parts, spill.Partitions)
+	sel := make([]int32, 0, min(o.pageSize, n))
+	for part := range spill.Partitions {
+		for from := offs[part]; from < offs[part+1]; from += o.pageSize {
+			sel = sel[:0]
+			for _, id := range ids[from:min(from+o.pageSize, offs[part+1])] {
+				sel = append(sel, int32(id))
+			}
+			if err := o.spilled.WritePage(part, o.spillPage(sel)); err != nil {
 				return 0, err
 			}
 		}
 	}
-	if err := w.Finish(); err != nil {
+	if err := o.spilled.Seal(); err != nil {
 		return 0, err
 	}
-	o.spillFiles = append(o.spillFiles, w.Path())
 	o.spills++
 	return o.renewTableLocked(), nil
 }

@@ -252,7 +252,7 @@ func (b *JoinBridge) builderStep(change func()) {
 		if spl := b.spl; spl != nil && spl.spilled {
 			// Every page is on disk (a revocation took them, and later ones
 			// streamed there): seal the file for the drain.
-			if err := spl.finishBuild(); err != nil && spl.err == nil {
+			if err := spl.build.Seal(); err != nil && spl.err == nil {
 				spl.err = err
 			}
 		}
@@ -564,7 +564,7 @@ func (o *HashBuildOperator) AddInput(p *block.Page) error {
 		// to the build spill file (the drain re-joins it partition by
 		// partition).
 		b.rows += int64(n)
-		err := spl.writeBuildPage(p, b.keyCols)
+		err := spillJoinPage(&spl.build, p, b.keyCols)
 		b.mu.Unlock()
 		return err
 	}
@@ -757,7 +757,7 @@ func (o *LookupJoinOperator) AddInput(p *block.Page) error {
 			// The build side lives on disk: route the probe page to the
 			// probe spill file; the drain joins the two partition by
 			// partition once all probes finish.
-			err := spl.writeProbePage(p, o.probeKeys)
+			err := spillJoinPage(&spl.probe, p, o.probeKeys)
 			b.mu.Unlock()
 			return err
 		}

@@ -483,3 +483,91 @@ func TestJoinIndexTrueUpOverLimit(t *testing.T) {
 		bridge.ReleaseSpill()
 	}
 }
+
+// exchangeRows keeps the rows of pages that a hash exchange over n consumers
+// sends to consumer 0 (hashPartitionPage on the key column).
+func exchangeRows(pages []*block.Page, n int) []*block.Page {
+	var out []*block.Page
+	for _, p := range pages {
+		var keep []int
+		for r, part := range hashPartitionPage(nil, new(batchKeys), p, []int{0}, n) {
+			if part == 0 {
+				keep = append(keep, r)
+			}
+		}
+		out = append(out, p.FilterPositions(keep))
+	}
+	return out
+}
+
+// graceBuildRows counts the build rows in each grace partition of a spilled,
+// built bridge, read back from its sealed build files.
+func graceBuildRows(t *testing.T, b *JoinBridge) []int {
+	t.Helper()
+	rows := make([]int, spill.Partitions)
+	for part := range rows {
+		it := b.spl.build.Pages(part)
+		for {
+			p, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p == nil {
+				break
+			}
+			rows[part] += p.RowCount()
+		}
+		it.Close()
+	}
+	return rows
+}
+
+// TestGraceJoinSpreadsAfterExchange: a worker behind a hash exchange over n
+// consumers holds only the keys whose hash is one value mod n. Its grace
+// partitions must still spread them: every partition holds build rows and
+// the largest at most twice the mean, for n = 2 and 4 — so the drain's peak
+// is about 1/spill.Partitions of the worker's build, not n times that. The
+// spilled join still produces what the per-row reference does.
+func TestGraceJoinSpreadsAfterExchange(t *testing.T) {
+	rowTs := []types.Type{types.Bigint, types.Varchar}
+	allBuild := joinSpillPages(20, 1000, 20000, 0) // 20 000 distinct keys, every 13th NULL
+	allProbe := joinSpillPages(10, 1000, 30000, 7)
+	for _, n := range []int{2, 4} {
+		t.Run(fmt.Sprintf("consumer 0 of %d", n), func(t *testing.T) {
+			buildPages, probePages := exchangeRows(allBuild, n), exchangeRows(allProbe, n)
+			bridge := NewJoinBridge()
+			bridge.EnableSpill(spillTestMem(), t.TempDir(), []int{0}, rowTs[:1])
+			bridge.AddBuilder()
+			hb := NewHashBuild(NopContext(), bridge, []int{0}, rowTs[:1])
+			total := 0
+			for _, p := range buildPages {
+				if err := hb.AddInput(p); err != nil {
+					t.Fatal(err)
+				}
+				total += p.RowCount()
+			}
+			if _, err := bridge.Revoke(); err != nil {
+				t.Fatal(err)
+			}
+			hb.Finish()
+			bridge.NoMoreBuilders()
+			rows := graceBuildRows(t, bridge)
+			t.Logf("grace partitions of %d build rows: %v", total, rows)
+			mean := float64(total) / float64(len(rows))
+			for part, r := range rows {
+				if r == 0 || float64(r) > 2*mean {
+					t.Errorf("grace partition %d holds %d of %d build rows, want some and at most twice the mean %.0f (all: %v)", part, r, total, mean, rows)
+				}
+			}
+			bridge.AddProbe()
+			bridge.NoMoreProbes()
+			op := NewLookupJoin(NopContext(), bridge, plan.FullJoin, []int{0}, nil, rowTs, rowTs, 0)
+			got := rowCounts(drain(t, op, probePages...))
+			assertSameCounts(t, "spilled", got, refJoin(t, plan.FullJoin, buildPages, probePages, []int{0}, []int{0}, nil, rowTs, rowTs))
+			if err := op.Close(); err != nil {
+				t.Fatal(err)
+			}
+			bridge.ReleaseSpill()
+		})
+	}
+}

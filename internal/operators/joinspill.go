@@ -2,8 +2,6 @@ package operators
 
 import (
 	"errors"
-	"fmt"
-	"io"
 
 	"repro/internal/block"
 	"repro/internal/memory"
@@ -11,17 +9,10 @@ import (
 	"repro/internal/types"
 )
 
-// spillJoinPartitions is the grace-join fan-out: build and probe rows are
-// partitioned by key hash into this many buckets, and the drain replays one
-// bucket at a time, bounding peak memory to roughly build-side/16 (§IV-F2).
-const spillJoinPartitions = 16
-
 // bridgeSpill holds the disk-backed state of a spilled hash-join build side.
 // It hangs off the JoinBridge so every build and probe driver shares it; its
 // fields are guarded by the bridge's mu.
 type bridgeSpill struct {
-	dir string
-
 	spilled      bool // build side has been written to disk at least once
 	probeStarted bool // a probe page arrived: matched flags are now live
 	draining     bool // one probe operator claimed the partition drain
@@ -29,11 +20,8 @@ type bridgeSpill struct {
 	spills       int  // revocation count, for tests and metrics
 	err          error
 
-	buildW     *spill.Writer
-	probeW     *spill.Writer
-	buildFiles []string
-	probeFiles []string
-	stats      []*OpStats // build-driver stats, for ExecutionNanos
+	build, probe spill.Set  // the build and probe rows on disk
+	stats        []*OpStats // build-driver stats, for ExecutionNanos
 }
 
 // EnableSpill arms the bridge for build-side spilling: when the memory
@@ -46,7 +34,7 @@ func (b *JoinBridge) EnableSpill(mem *memory.LocalContext, dir string, buildKeys
 	b.mem = mem
 	b.keyCols = append([]int(nil), buildKeys...)
 	b.keyTs = append([]types.Type(nil), buildKeyTs...)
-	b.spl = &bridgeSpill{dir: dir}
+	b.spl = &bridgeSpill{build: spill.Set{Dir: dir, Label: "joinbuild"}, probe: spill.Set{Dir: dir, Label: "joinprobe"}}
 	b.mu.Unlock()
 }
 
@@ -96,7 +84,7 @@ func (b *JoinBridge) Revoke() (int64, error) {
 	if err == nil && b.built && b.spl != nil && b.spl.spilled {
 		// Revoked after the build completed (but before any probe arrived):
 		// seal the file now so the drain reads a complete image.
-		err = b.spl.finishBuild()
+		err = b.spl.build.Seal()
 	}
 	b.mu.Unlock()
 	if freed > 0 && err == nil {
@@ -114,7 +102,7 @@ func (b *JoinBridge) revokeSpillLocked() (int64, error) {
 		return 0, nil
 	}
 	for _, p := range b.pages {
-		if err := spl.writeBuildPage(p, b.keyCols); err != nil {
+		if err := spillJoinPage(&spl.build, p, b.keyCols); err != nil {
 			return 0, err
 		}
 	}
@@ -173,23 +161,20 @@ func (b *JoinBridge) spillDrainPending() bool {
 }
 
 // claimSpillDrain grants the partition drain to exactly one probe operator
-// and seals the probe spill file. A cancelled build (file never sealed)
-// yields no drain: the task is already failing.
+// and seals the probe spill file. A cancelled bridge yields no drain: the task
+// is already failing.
 func (b *JoinBridge) claimSpillDrain() (*bridgeSpill, bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	spl := b.spl
-	if spl == nil || !spl.spilled || spl.draining || spl.released {
+	if spl == nil || !spl.spilled || spl.draining || spl.released || b.cancelled {
 		return nil, false, nil
 	}
 	if spl.err != nil {
 		return nil, false, spl.err
 	}
-	if spl.buildW != nil {
-		return nil, false, nil
-	}
 	spl.draining = true
-	if err := spl.finishProbe(); err != nil {
+	if err := spl.probe.Seal(); err != nil {
 		return nil, false, err
 	}
 	return spl, true, nil
@@ -207,80 +192,31 @@ func (b *JoinBridge) ReleaseSpill() {
 		return
 	}
 	spl.released = true
-	if spl.buildW != nil {
-		spl.buildW.Abort()
-		spl.buildW = nil
-	}
-	if spl.probeW != nil {
-		spl.probeW.Abort()
-		spl.probeW = nil
-	}
-	files := append(append([]string(nil), spl.buildFiles...), spl.probeFiles...)
-	spl.buildFiles, spl.probeFiles = nil, nil
+	spl.build.Remove()
+	spl.probe.Remove()
 	b.dropLocked()
 	b.mu.Unlock()
-	for _, f := range files {
-		spill.Remove(f)
-	}
 	b.mem.Close()
 }
 
-// writeBuildPage appends one build page to the build spill file, partitioned
-// by key hash. Caller holds the bridge mu.
-func (s *bridgeSpill) writeBuildPage(p *block.Page, buildKeys []int) error {
-	if s.buildW == nil {
-		w, err := spill.NewWriter(s.dir, "joinbuild")
-		if err != nil {
-			return err
-		}
-		s.buildW = w
-		s.buildFiles = append(s.buildFiles, w.Path())
+// spillJoinPage writes a build or probe page to set, each row to the spill
+// partition of its key's canonical hash, the hash the exchange routes by
+// (hashPartitionPage). A NULL key hashes on its canonical tag-0 encoding and
+// an integral DOUBLE as the BIGINT of its value, so build and probe route them
+// identically and unmatched-row semantics (LEFT/ANTI/RIGHT/FULL) survive the
+// disk detour. The vectors are made, not leased: Revoke runs this on the
+// memory pool's goroutine, which holds no driver's arena. Caller holds the
+// bridge mu.
+func spillJoinPage(set *spill.Set, p *block.Page, keys []int) error {
+	var bk batchKeys
+	bk.reset(nil, p, keys, false)
+	parts := make([]int, len(bk.hashes))
+	for r, h := range bk.hashes {
+		parts[r] = spill.Partition(h)
 	}
-	return writeJoinPartitioned(s.buildW, p, buildKeys)
-}
-
-// writeProbePage appends one probe page to the probe spill file, partitioned
-// by the same key hash as the build side. Caller holds the bridge mu.
-func (s *bridgeSpill) writeProbePage(p *block.Page, probeKeys []int) error {
-	if s.probeW == nil {
-		w, err := spill.NewWriter(s.dir, "joinprobe")
-		if err != nil {
-			return err
-		}
-		s.probeW = w
-		s.probeFiles = append(s.probeFiles, w.Path())
-	}
-	return writeJoinPartitioned(s.probeW, p, probeKeys)
-}
-
-func (s *bridgeSpill) finishBuild() error {
-	if s.buildW == nil {
-		return nil
-	}
-	err := s.buildW.Finish()
-	s.buildW = nil
-	return err
-}
-
-func (s *bridgeSpill) finishProbe() error {
-	if s.probeW == nil {
-		return nil
-	}
-	err := s.probeW.Finish()
-	s.probeW = nil
-	return err
-}
-
-// writeJoinPartitioned splits a page by key-hash partition, as the exchange
-// partitions by hash (HashPartition), and writes each non-empty slice as one
-// record. NULL keys hash on their canonical tag-0 encoding: build and probe
-// route them identically, so unmatched-row semantics (LEFT/ANTI/RIGHT/FULL)
-// survive the disk detour. The vectors are made, not leased: Revoke runs this
-// on the memory pool's goroutine, which holds no driver's arena.
-func writeJoinPartitioned(w *spill.Writer, p *block.Page, keys []int) error {
 	n := p.RowCount()
-	rows, offs := partitionRows(nil, hashPartitionPage(nil, new(batchKeys), p, keys, spillJoinPartitions), spillJoinPartitions)
-	for part := 0; part < spillJoinPartitions; part++ {
+	rows, offs := partitionRows(nil, parts, spill.Partitions)
+	for part := range spill.Partitions {
 		sub := p
 		switch rows := rows[offs[part]:offs[part+1]]; len(rows) {
 		case 0:
@@ -289,54 +225,11 @@ func writeJoinPartitioned(w *spill.Writer, p *block.Page, keys []int) error {
 		default:
 			sub = p.FilterPositions(rows)
 		}
-		if err := w.WritePage(part, sub); err != nil {
+		if err := set.WritePage(part, sub); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// spillPartIter streams the pages of one partition across a set of spill
-// files, one file open at a time, reading only that partition's extents of
-// each. Join and aggregation drains both run on it.
-type spillPartIter struct {
-	files []string
-	part  int
-	idx   int
-	r     *spill.Reader
-}
-
-func (it *spillPartIter) next() (*block.Page, error) {
-	for {
-		if it.r == nil {
-			if it.idx >= len(it.files) {
-				return nil, nil
-			}
-			r, err := spill.OpenReader(it.files[it.idx])
-			if err != nil {
-				return nil, fmt.Errorf("spill file %s: %w", it.files[it.idx], err)
-			}
-			it.r = r
-		}
-		p, err := it.r.NextPage(it.part)
-		if err == io.EOF {
-			it.r.Close()
-			it.r = nil
-			it.idx++
-			continue
-		}
-		if err != nil {
-			return nil, fmt.Errorf("spill file %s: %w", it.files[it.idx], err)
-		}
-		return p, nil
-	}
-}
-
-func (it *spillPartIter) close() {
-	if it.r != nil {
-		it.r.Close()
-		it.r = nil
-	}
 }
 
 // joinSpillDrain replays a spilled join one partition at a time: rebuild the
@@ -351,7 +244,7 @@ type joinSpillDrain struct {
 	spl    *bridgeSpill
 	part   int
 	inner  *LookupJoinOperator
-	probes *spillPartIter
+	probes *spill.PartIter
 	done   bool
 }
 
@@ -363,7 +256,7 @@ func (d *joinSpillDrain) next() (*block.Page, error) {
 			return nil, nil
 		}
 		if d.inner == nil {
-			if d.part >= spillJoinPartitions {
+			if d.part >= spill.Partitions {
 				d.done = true
 				return nil, nil
 			}
@@ -379,7 +272,7 @@ func (d *joinSpillDrain) next() (*block.Page, error) {
 			return p, nil
 		}
 		if d.probes != nil {
-			pp, err := d.probes.next()
+			pp, err := d.probes.Next()
 			if err != nil {
 				return nil, err
 			}
@@ -389,7 +282,7 @@ func (d *joinSpillDrain) next() (*block.Page, error) {
 				}
 				continue
 			}
-			d.probes.close()
+			d.probes.Close()
 			d.probes = nil
 			d.inner.Finish()
 			continue
@@ -419,10 +312,10 @@ func (d *joinSpillDrain) openPartition() error {
 	o.bridge.mu.Unlock()
 	sub.AddBuilder()
 	hb := NewHashBuild(o.ctx, sub, o.bridge.keyCols, o.bridge.keyTs)
-	builds := &spillPartIter{files: spl.buildFiles, part: d.part}
-	defer builds.close()
+	builds := spl.build.Pages(d.part)
+	defer builds.Close()
 	for {
-		p, err := builds.next()
+		p, err := builds.Next()
 		if err != nil {
 			return err
 		}
@@ -440,13 +333,13 @@ func (d *joinSpillDrain) openPartition() error {
 	d.inner = &LookupJoinOperator{joinOutput: o.joinOutput, ctx: o.ctx, bridge: sub, probeKeys: o.probeKeys}
 	sub.AddProbe()
 	sub.NoMoreProbes()
-	d.probes = &spillPartIter{files: spl.probeFiles, part: d.part}
+	d.probes = spl.probe.Pages(d.part)
 	return nil
 }
 
 func (d *joinSpillDrain) close() {
 	if d.probes != nil {
-		d.probes.close()
+		d.probes.Close()
 		d.probes = nil
 	}
 }

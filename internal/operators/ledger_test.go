@@ -10,6 +10,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/memory"
 	"repro/internal/plan"
+	"repro/internal/spill"
 	"repro/internal/types"
 )
 
@@ -289,8 +290,8 @@ func TestReservationIsLeasedCapacity(t *testing.T) {
 					checkLedger(t, fmt.Sprintf("drain partition %d", d.part), probeCtx.Mem, walkBridge(sub), pagesBytes(sub.pages))
 				}
 			}
-			if len(parts) < spillJoinPartitions/2 {
-				t.Errorf("checked %d drain partitions, want most of %d", len(parts), spillJoinPartitions)
+			if len(parts) < spill.Partitions/2 {
+				t.Errorf("checked %d drain partitions, want most of %d", len(parts), spill.Partitions)
 			}
 			checkLedger(t, "drained", probeCtx.Mem, 0, 0)
 			op.Close()

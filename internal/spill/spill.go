@@ -53,7 +53,7 @@ var (
 
 const (
 	// MaxPartitions bounds the partition tag of a record: spill producers
-	// use small fixed fan-outs (16), so anything large is corruption.
+	// use Partitions, so anything large is corruption.
 	MaxPartitions = 1 << 16
 	// maxFrameLen bounds one record's page frame. The block codec caps
 	// payloads at 64 MiB; the frame adds a fixed header.
@@ -166,9 +166,6 @@ func NewWriter(dir, label string) (*Writer, error) {
 
 // Path returns the file's path.
 func (w *Writer) Path() string { return w.path }
-
-// Bytes returns the bytes written so far (including buffered).
-func (w *Writer) Bytes() int64 { return w.bytes }
 
 // WritePage appends one page record under the given partition tag.
 func (w *Writer) WritePage(partition int, p *block.Page) error {

@@ -45,9 +45,6 @@ func TestSpillRoundTrip(t *testing.T) {
 	if err := w.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Bytes() <= 4 {
-		t.Fatalf("writer byte count %d not tracked", w.Bytes())
-	}
 
 	r, err := OpenReader(w.Path())
 	if err != nil {
@@ -561,5 +558,88 @@ func TestSpillRecordTagMatchesItsExtent(t *testing.T) {
 				t.Errorf("draining partition %d: %v, want ErrCorruptFile", c.part, err)
 			}
 		})
+	}
+}
+
+// TestPartitionTakesTheTopBits: the partition of a hash is its top bits, so
+// hashes that agree in their low bits — one exchange partition's, or one
+// table slot's — still reach every partition.
+func TestPartitionTakesTheTopBits(t *testing.T) {
+	seen := map[int]bool{}
+	for top := uint64(0); top < Partitions; top++ {
+		h := top<<(64-partitionBits) | 0x5 // same low bits every time
+		if got := Partition(h); got != int(top) {
+			t.Fatalf("Partition(%#x) = %d, want %d", h, got, top)
+		}
+		seen[Partition(h)] = true
+	}
+	if len(seen) != Partitions {
+		t.Fatalf("%d partitions reached, want %d", len(seen), Partitions)
+	}
+	if Partitions > MaxPartitions {
+		t.Fatalf("Partitions %d exceeds the file format's %d", Partitions, MaxPartitions)
+	}
+}
+
+// TestSetDrainsEachPartitionAcrossFiles: a set opens a file on the first write
+// after a seal, a partition's pages come back across every file in write
+// order, and Remove deletes every file, the open one too.
+func TestSetDrainsEachPartitionAcrossFiles(t *testing.T) {
+	dir := t.TempDir()
+	s := Set{Dir: dir, Label: "test"}
+	if !s.Empty() {
+		t.Fatal("a new set is not empty")
+	}
+	want := map[int][]*block.Page{}
+	for file := 0; file < 2; file++ {
+		for i := 0; i < 6; i++ {
+			part := i % 3
+			p := testPage(t, int64(100*file+10*i))
+			if err := s.WritePage(part, p); err != nil {
+				t.Fatal(err)
+			}
+			want[part] = append(want[part], p)
+		}
+		if err := s.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Empty() {
+		t.Fatal("a set with two files reports empty")
+	}
+	for part := 0; part < 4; part++ {
+		it := s.Pages(part)
+		var got []*block.Page
+		for {
+			p, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p == nil {
+				break
+			}
+			got = append(got, p)
+		}
+		it.Close()
+		if len(got) != len(want[part]) {
+			t.Fatalf("partition %d: %d pages, want %d", part, len(got), len(want[part]))
+		}
+		for i := range got {
+			samePage(t, got[i], want[part][i])
+		}
+	}
+	if err := s.WritePage(0, testPage(t, 0)); err != nil { // a third file, left open
+		t.Fatal(err)
+	}
+	before := CurrentStats()
+	s.Remove()
+	if !s.Empty() {
+		t.Fatal("a removed set is not empty")
+	}
+	if d := CurrentStats().FilesDeleted - before.FilesDeleted; d != 3 {
+		t.Fatalf("Remove deleted %d files, want 3", d)
+	}
+	if ents, _ := filepath.Glob(filepath.Join(dir, FilePrefix+"*")); len(ents) != 0 {
+		t.Fatalf("leftover spill files: %v", ents)
 	}
 }

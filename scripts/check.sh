@@ -9,7 +9,8 @@
 #                             # split placement / driver cap ("no idle
 #                             # core") + a spilled join finishes at every
 #                             # split-concurrency target, in-process and on
-#                             # HTTP workers + task lifecycle (a delayed
+#                             # HTTP workers, and its grace partitions
+#                             # spread behind an exchange + task lifecycle (a delayed
 #                             # task start loses no row, phased scheduling
 #                             # without filters completes, no worker
 #                             # ticker, a finished query's tasks are
@@ -252,10 +253,13 @@ echo "==> no idle core: splits are dealt evenly and the same way every run, a sc
 go test -count=1 -run 'TestScanDriversCappedAtThreads' ./internal/exec/
 go test -count=1 -v -run 'TestScanSplitsBalanced|TestPlacementStableAcrossRuns|TestNoIdleCoreReport' . | grep -E '^(---|ok|FAIL|panic)|skew|busy'
 
-echo "==> a spilled join finishes: split-concurrency target 1 and 4, in-process and on HTTP workers"
+echo "==> a spilled join finishes: split-concurrency target 1 and 4, in-process and on HTTP workers; its grace partitions spread behind a hash exchange"
 # The probe of a spilled build waits until its scan can start no more drivers;
 # the one scan scheduler (the morsel queue) must say so whatever the target.
 go test -race -count=1 -run 'TestJoinUnderSpillFinishes' .
+# A worker behind an exchange over 2 or 4 consumers holds one residue of the
+# key hash; its spilled build still fills every spill partition evenly.
+go test -race -count=1 -run 'TestGraceJoinSpreadsAfterExchange' ./internal/operators/
 
 echo "==> task lifecycle: a task moves on events, not a clock"
 # A task finishes when no driver runs and every pipeline has declared its last
