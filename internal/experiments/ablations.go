@@ -519,7 +519,8 @@ type SpillResult struct {
 	// The join leg: its rows capped and uncapped, whether they are the same
 	// rows, and the grace partitions the capped run's spilled builds filled,
 	// summed over the workers — each builds one join index a partition that
-	// holds build rows — against the indexes the uncapped run built.
+	// holds build rows, and the stats do not count an in-memory index a
+	// revocation dropped — against the indexes the uncapped run built.
 	JoinRows, JoinInMemRows  int64
 	JoinOK                   bool
 	GraceParts, InMemIndexes int64

@@ -620,9 +620,10 @@ func hashPartitionPage(a *block.Arena, bk *batchKeys, p *block.Page, cols []int,
 
 // partitionRows groups a page's rows by target partition, by counting sort:
 // rows[offs[t]:offs[t+1]] are, in page order, the rows parts sends to
-// partition t of n. Both vectors are leased from a, so nothing is allocated
-// per page or grown by append.
-func partitionRows(a *block.Arena, parts []int, n int) (rows, offs []int) {
+// partition t of n, in the integer type of parts (a spilled aggregation's
+// group ids are int32). Both vectors are leased from a, so nothing is
+// allocated per page or grown by append.
+func partitionRows[R int | int32](a *block.Arena, parts []R, n int) (rows []R, offs []int) {
 	offs = block.Lease[int](a, n+1)
 	clear(offs)
 	for _, t := range parts {
@@ -631,9 +632,9 @@ func partitionRows(a *block.Arena, parts []int, n int) (rows, offs []int) {
 	for t := 1; t <= n; t++ {
 		offs[t] += offs[t-1]
 	}
-	rows = block.Lease[int](a, len(parts))
+	rows = block.Lease[R](a, len(parts))
 	for r, t := range parts {
-		rows[offs[t]] = r
+		rows[offs[t]] = R(r)
 		offs[t]++
 	}
 	// Every cursor now stands at its partition's end, the next one's start.

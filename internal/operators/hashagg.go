@@ -1203,19 +1203,14 @@ func (o *HashAggregationOperator) spillLocked() (int64, error) {
 	// The partition comes from the hash the table keys the group on, the one
 	// batchKeys computes for its key, so a key lands in the same partition of
 	// every file this operator writes.
-	parts := make([]int, n)
+	parts := make([]int32, n)
 	for id := range parts {
-		parts[id] = spill.Partition(o.table.hash(id))
+		parts[id] = int32(spill.Partition(o.table.hash(id)))
 	}
 	ids, offs := partitionRows(nil, parts, spill.Partitions)
-	sel := make([]int32, 0, min(o.pageSize, n))
 	for part := range spill.Partitions {
 		for from := offs[part]; from < offs[part+1]; from += o.pageSize {
-			sel = sel[:0]
-			for _, id := range ids[from:min(from+o.pageSize, offs[part+1])] {
-				sel = append(sel, int32(id))
-			}
-			if err := o.spilled.WritePage(part, o.spillPage(sel)); err != nil {
+			if err := o.spilled.WritePage(part, o.spillPage(ids[from:min(from+o.pageSize, offs[part+1])])); err != nil {
 				return 0, err
 			}
 		}

@@ -289,7 +289,7 @@ func (b *JoinBridge) buildIndexLocked() {
 			t.appendKeys(&scratch, p, b.keyCols, &bk)
 		}
 		t.index()
-		b.stats.recordIndex(t.direct)
+		b.stats.recordIndex(t.direct, 1)
 		var next []int32
 		for pos := rows - 1; pos >= 0; pos-- {
 			if t.nullKey(pos) {

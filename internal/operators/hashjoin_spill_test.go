@@ -571,3 +571,54 @@ func TestGraceJoinSpreadsAfterExchange(t *testing.T) {
 		})
 	}
 }
+
+// TestJoinRevokedIndexNotCounted: a build indexed at its built transition and
+// revoked before any probe read the index counts, in its stats, only the
+// indexes its drain builds: one a grace partition that holds build rows.
+func TestJoinRevokedIndexNotCounted(t *testing.T) {
+	buildPages, probePages := joinSpillPages(4, 80, 17, 0), joinSpillPages(3, 90, 29, 3)
+	rowTs := []types.Type{types.Bigint, types.Varchar}
+	bridge := NewJoinBridge()
+	bridge.EnableSpill(spillTestMem(), t.TempDir(), []int{0}, rowTs[:1])
+	bridge.AddBuilder()
+	ctx := NopContext()
+	hb := NewHashBuild(ctx, bridge, []int{0}, rowTs[:1])
+	for _, p := range buildPages {
+		if err := hb.AddInput(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hb.Finish()
+	bridge.NoMoreBuilders()
+	indexes := func() int64 {
+		s := ctx.Stats.Snapshot()
+		return s.DirectIndexes + s.HashedIndexes
+	}
+	if n := indexes(); n != 1 {
+		t.Fatalf("the built bridge counts %d indexes, want 1", n)
+	}
+	if _, err := bridge.Revoke(); err != nil {
+		t.Fatal(err)
+	}
+	if n := indexes(); n != 0 || bridge.SpillCount() != 1 {
+		t.Fatalf("after the revocation: %d indexes counted, %d spills; want 0 and 1", n, bridge.SpillCount())
+	}
+	var filled int64
+	for _, r := range graceBuildRows(t, bridge) {
+		if r > 0 {
+			filled++
+		}
+	}
+	bridge.AddProbe()
+	bridge.NoMoreProbes()
+	op := NewLookupJoin(NopContext(), bridge, plan.InnerJoin, []int{0}, nil, rowTs, rowTs, 0)
+	got := rowCounts(drain(t, op, probePages...))
+	assertSameCounts(t, "revoked after built", got, refJoin(t, plan.InnerJoin, buildPages, probePages, []int{0}, []int{0}, nil, rowTs, rowTs))
+	if err := op.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bridge.ReleaseSpill()
+	if n := indexes(); n != filled {
+		t.Errorf("the drain counts %d indexes, want one for each of the %d filled partitions", n, filled)
+	}
+}

@@ -81,11 +81,6 @@ func (b *JoinBridge) ExecutionNanos() int64 {
 func (b *JoinBridge) Revoke() (int64, error) {
 	b.mu.Lock()
 	freed, err := b.revokeSpillLocked()
-	if err == nil && b.built && b.spl != nil && b.spl.spilled {
-		// Revoked after the build completed (but before any probe arrived):
-		// seal the file now so the drain reads a complete image.
-		err = b.spl.build.Seal()
-	}
 	b.mu.Unlock()
 	if freed > 0 && err == nil {
 		b.releaseSpilledBytes()
@@ -94,8 +89,10 @@ func (b *JoinBridge) Revoke() (int64, error) {
 }
 
 // revokeSpillLocked moves the build pages to disk. Before the built transition
-// that is all there is; after it (and before a probe page) the index over them
-// goes back through the ledger too — the drain builds each partition its own.
+// that is all there is; after it (and before a probe page) the file is sealed
+// for the drain and the index goes back through the ledger too — the drain
+// builds each partition its own. The pages go only once on disk: a failed
+// write or seal drops the file, the only one, and keeps them here.
 func (b *JoinBridge) revokeSpillLocked() (int64, error) {
 	spl := b.spl
 	if spl == nil || spl.probeStarted || spl.draining || spl.released || len(b.pages) == 0 {
@@ -104,6 +101,14 @@ func (b *JoinBridge) revokeSpillLocked() (int64, error) {
 	for _, p := range b.pages {
 		if err := spillJoinPage(&spl.build, p, b.keyCols); err != nil {
 			return 0, err
+		}
+	}
+	if b.built {
+		if err := spl.build.Seal(); err != nil {
+			return 0, err
+		}
+		if b.ktab != nil { // no probe reads it: the stats count the partitions'
+			b.stats.recordIndex(b.ktab.direct, -1)
 		}
 	}
 	freed := b.held()

@@ -121,14 +121,15 @@ type OpStats struct {
 	indexes atomic.Int64
 }
 
-// recordIndex counts one join index built, direct or hashed.
-func (s *OpStats) recordIndex(direct bool) {
+// recordIndex counts n join indexes built, direct or hashed; n is -1 for one
+// a revocation dropped before a probe read it.
+func (s *OpStats) recordIndex(direct bool, n int64) {
 	switch {
 	case s == nil:
 	case direct:
-		s.indexes.Add(1 << 32)
+		s.indexes.Add(n << 32)
 	default:
-		s.indexes.Add(1)
+		s.indexes.Add(n)
 	}
 }
 
@@ -245,8 +246,9 @@ type OpStatsSnapshot struct {
 	DictEvictions    int64   `json:"dictProjEvictions,omitempty"`
 	DictRows         int64   `json:"dictRows,omitempty"`
 	EncodedCols      int64   `json:"encodedCols,omitempty"`
-	// The join indexes a build made by addressing mode. They stay in the
-	// process: a task's stats carry them to no other.
+	// The join indexes a build made by addressing mode, less one a revocation
+	// dropped before any probe read it. They stay in the process: a task's
+	// stats carry them to no other.
 	DirectIndexes int64 `json:"-"`
 	HashedIndexes int64 `json:"-"`
 }

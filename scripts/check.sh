@@ -258,8 +258,10 @@ echo "==> a spilled join finishes: split-concurrency target 1 and 4, in-process 
 # the one scan scheduler (the morsel queue) must say so whatever the target.
 go test -race -count=1 -run 'TestJoinUnderSpillFinishes' .
 # A worker behind an exchange over 2 or 4 consumers holds one residue of the
-# key hash; its spilled build still fills every spill partition evenly.
-go test -race -count=1 -run 'TestGraceJoinSpreadsAfterExchange' ./internal/operators/
+# key hash; its spilled build still fills every spill partition evenly. A
+# revocation whose seal fails keeps the build in memory, and an index a
+# revocation dropped is not counted.
+go test -race -count=1 -run 'TestGraceJoinSpreadsAfterExchange|TestJoinSealFailureKeepsBuildInMemory|TestJoinRevokedIndexNotCounted' ./internal/operators/
 
 echo "==> task lifecycle: a task moves on events, not a clock"
 # A task finishes when no driver runs and every pipeline has declared its last
