@@ -1,18 +1,18 @@
 package hive
 
 import (
+	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
-	"time"
 
+	"repro/internal/block"
 	"repro/internal/orcish"
 )
 
-// TestFooterCacheHitAndTTL proves the per-query footer re-decode is fixed:
-// after the initial scan decodes a footer once, later opens hit the metadata
-// cache, and a simulated clock advance past the TTL expires the entry —
-// no wall-clock sleeping involved.
-func TestFooterCacheHitAndTTL(t *testing.T) {
+// TestFooterCacheHit proves the per-query footer re-decode is fixed: after
+// the initial scan decodes a footer once, later opens hit the footer cache.
+func TestFooterCacheHit(t *testing.T) {
 	dir := t.TempDir()
 	if err := mkdirAll(filepath.Join(dir, "t")); err != nil {
 		t.Fatal(err)
@@ -21,39 +21,78 @@ func TestFooterCacheHitAndTTL(t *testing.T) {
 	if err := writeOrcish(path, []int64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	now := int64(0)
-	c, err := New("hive", Config{
-		Dir:         dir,
-		MetadataTTL: time.Second,
-		Clock:       func() int64 { return now },
-	})
+	c, err := New("hive", Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// New()'s table scan decoded and cached the footer; this read must hit.
+	// New()'s table scan decoded and cached the footer; these reads must hit.
 	base := c.MetaStats()
-	if _, err := c.footer(path); err != nil {
+	for range 2 {
+		if _, err := c.footer(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.MetaStats(); st.Hits != base.Hits+2 || st.Misses != base.Misses || st.Entries != 1 {
+		t.Errorf("footer reads after the scan should hit the cache: %+v -> %+v", base, st)
+	}
+}
+
+// TestFooterCacheConcurrentReads: the footer cache does not lock itself, the
+// connector does. Goroutines reading the footers of several files while a
+// sink finishes a new file (and stores its footer) race on nothing, and each
+// read counts one hit or one miss.
+func TestFooterCacheConcurrentReads(t *testing.T) {
+	dir := t.TempDir()
+	if err := mkdirAll(filepath.Join(dir, "t")); err != nil {
 		t.Fatal(err)
 	}
-	st := c.MetaStats()
-	if st.Hits != base.Hits+1 {
-		t.Errorf("footer read after scan should hit the cache: %+v -> %+v", base, st)
+	var paths []string
+	for i := range 4 {
+		path := filepath.Join(dir, "t", fmt.Sprintf("part-%d.orcish", i))
+		if err := writeOrcish(path, []int64{int64(i), int64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
 	}
-	// Advancing the simulated clock past the TTL expires the entry.
-	now += int64(2 * time.Second)
-	if _, err := c.footer(path); err != nil {
+	c, err := New("hive", Config{Dir: dir})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.MetaStats(); got.Misses != st.Misses+1 {
-		t.Errorf("expired footer should miss: %+v -> %+v", st, got)
+	sink, err := c.PageSink("t")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// And it was re-cached: an immediate re-read hits again.
+	if err := sink.Append(block.NewPage(block.NewLongBlock([]int64{7, 8, 9}, nil))); err != nil {
+		t.Fatal(err)
+	}
+	const readers, rounds = 4, 50
 	before := c.MetaStats()
-	if _, err := c.footer(path); err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	wg.Add(readers + 1)
+	go func() {
+		defer wg.Done()
+		if _, err := sink.Finish(); err != nil {
+			t.Error(err)
+		}
+	}()
+	for range readers {
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				if _, err := c.footer(paths[r%len(paths)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
 	}
-	if got := c.MetaStats(); got.Hits != before.Hits+1 {
-		t.Errorf("re-decoded footer should be re-cached: %+v -> %+v", before, got)
+	wg.Wait()
+	after := c.MetaStats()
+	if got := (after.Hits - before.Hits) + (after.Misses - before.Misses); got != readers*rounds {
+		t.Errorf("%d reads counted %d hits and misses: %+v -> %+v", readers*rounds, got, before, after)
+	}
+	if after.Entries != len(paths)+1 {
+		t.Errorf("%d footers cached, want %d: the files' and the sink's", after.Entries, len(paths)+1)
 	}
 }
 
@@ -73,7 +112,7 @@ func TestRewrittenFileMissesItsFooter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c, err := New("hive", Config{Dir: dir, MetadataTTL: time.Minute})
+	c, err := New("hive", Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,7 @@ package hive
 import "time"
 
 // Clock supplies nanosecond timestamps. It is injectable (Config.Clock) so
-// simulated read latency and metadata-cache TTL expiry are testable without
-// wall-clock sleeps.
+// simulated read latency is testable without wall-clock sleeps.
 type Clock func() int64
 
 // wallClock is the production clock.

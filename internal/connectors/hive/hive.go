@@ -16,7 +16,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
+	"sync"
 
 	"repro/internal/block"
 	"repro/internal/cache"
@@ -40,13 +40,15 @@ type Config struct {
 	ReadDelayPerByte int
 	// StripeRows sizes written stripes.
 	StripeRows int
-	// Clock overrides the wall clock (simulated latency and metadata-cache
-	// TTL); nil uses time.Now.
+	// Clock overrides the wall clock the simulated read latency
+	// (ReadDelayPerByte) spins on; nil uses time.Now.
 	Clock Clock
-	// MetadataTTL bounds staleness of cached file footers (default 1m;
-	// negative disables footer caching).
-	MetadataTTL time.Duration
 }
+
+// maxFooters bounds the footer cache: footers are small, but the entries of
+// file versions no longer read would otherwise stay forever on a churning
+// warehouse.
+const maxFooters = 4096
 
 // Connector is a directory-lake catalog. Its catalog moves a table's schema
 // version on the connector's own DDL, and its data version on each file the
@@ -57,10 +59,12 @@ type Connector struct {
 	*connector.Catalog[*tableInfo]
 	cfg   Config
 	clock Clock
-	// meta caches decoded file footers keyed by path+mtime+size, fixing the
-	// per-query footer re-decode (every PageSource open and every stats
-	// refresh used to re-read the footer from disk).
-	meta *cache.MetaCache
+	// footers caches decoded file footers by fileID, so a PageSource open or
+	// a stats refresh does not re-read a footer from disk; footerMu guards it
+	// and footerStats (Hits and Misses).
+	footerMu    sync.Mutex
+	footers     *cache.LRU[string, *orcish.Footer]
+	footerStats cache.MetaStats
 }
 
 type tableInfo struct {
@@ -87,13 +91,11 @@ func New(name string, cfg Config) (*Connector, error) {
 	if clock == nil {
 		clock = wallClock
 	}
-	c := &Connector{Catalog: connector.NewCatalog[*tableInfo](name), cfg: cfg, clock: clock}
-	ttl := cfg.MetadataTTL
-	if ttl == 0 {
-		ttl = time.Minute
-	}
-	if ttl > 0 {
-		c.meta = cache.NewMetaCache(ttl, cache.Clock(clock))
+	c := &Connector{
+		Catalog: connector.NewCatalog[*tableInfo](name),
+		cfg:     cfg,
+		clock:   clock,
+		footers: cache.NewLRU[string, *orcish.Footer](maxFooters, 0, nil),
 	}
 	if err := c.rescan(); err != nil {
 		return nil, err
@@ -101,27 +103,40 @@ func New(name string, cfg Config) (*Connector, error) {
 	return c, nil
 }
 
-// footer returns a file's decoded footer through the metadata cache. The key
-// is the file's fileID, so a rewritten file misses naturally; the TTL bounds
-// staleness for changes that do not tick the mtime.
+// footer returns a file's decoded footer through the footer cache. The key
+// is the file's fileID, so a rewritten file misses. A rewrite that keeps the
+// path, mtime and size moves neither the key nor the table's version (the
+// listing hashes the same fileIDs); a section read through the stale footer
+// then fails its frame's checks (magic, CRC-32C, one column of the stripe's
+// rows) unless the new file lays out its sections alike.
 func (c *Connector) footer(path string) (*orcish.Footer, error) {
-	if c.meta == nil {
-		return orcish.ReadFooter(path)
-	}
 	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, err
 	}
-	key := "footer/" + fileID(path, fi)
-	if v, ok := c.meta.Get(key); ok {
-		return v.(*orcish.Footer), nil
+	key := fileID(path, fi)
+	c.footerMu.Lock()
+	f, ok := c.footers.Get(key)
+	if ok {
+		c.footerStats.Hits++
+	} else {
+		c.footerStats.Misses++
 	}
-	f, err := orcish.ReadFooter(path)
-	if err != nil {
+	c.footerMu.Unlock()
+	if ok {
+		return f, nil
+	}
+	if f, err = orcish.ReadFooter(path); err != nil {
 		return nil, err
 	}
-	c.meta.Put(key, f)
+	c.putFooter(key, f)
 	return f, nil
+}
+
+func (c *Connector) putFooter(key string, f *orcish.Footer) {
+	c.footerMu.Lock()
+	c.footers.Put(key, f, 1)
+	c.footerMu.Unlock()
 }
 
 // fileID names one state of a data file: its path, mtime and size.
@@ -137,8 +152,14 @@ func listingTerm(path string, fi os.FileInfo) uint64 {
 	return h.Sum64()
 }
 
-// MetaStats exposes the footer-cache counters (tests and metrics).
-func (c *Connector) MetaStats() cache.MetaStats { return c.meta.Stats() }
+// MetaStats snapshots the footer-cache counters.
+func (c *Connector) MetaStats() cache.MetaStats {
+	c.footerMu.Lock()
+	defer c.footerMu.Unlock()
+	st := c.footerStats
+	st.Entries = c.footers.Len()
+	return st
+}
 
 // rescan discovers tables from the directory structure.
 func (c *Connector) rescan() error {
@@ -574,7 +595,7 @@ func (s *pageSink) Finish() (int64, error) {
 	footer := s.w.Footer()
 	fi, statErr := os.Stat(path)
 	if statErr == nil {
-		s.c.meta.Put("footer/"+fileID(path, fi), footer)
+		s.c.putFooter(fileID(path, fi), footer)
 	}
 	s.c.Write(s.table, func(info *tableInfo, v *connector.VersionLog) error {
 		if statErr == nil {

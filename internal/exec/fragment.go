@@ -1,11 +1,11 @@
 package exec
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cache"
 	"repro/internal/dynfilter"
 	"repro/internal/memory"
 	"repro/internal/operators"
@@ -226,15 +226,13 @@ type FragmentCacheStats struct {
 // not compile is kept as its error: its next task fails the same way without
 // compiling it again.
 type fragmentCache struct {
-	mu      sync.Mutex
-	lru     list.List // of *compiledEntry, most recent first
-	entries map[FragmentKey]*list.Element
+	mu  sync.Mutex
+	lru *cache.LRU[FragmentKey, compiledEntry] // nil until the first lookup
 
 	hits, misses, evictions atomic.Int64
 }
 
 type compiledEntry struct {
-	key FragmentKey
 	cf  *CompiledFragment
 	err error
 }
@@ -251,12 +249,10 @@ func (c *fragmentCache) get(frag TaskFragment, cfg TaskConfig) (*CompiledFragmen
 	}
 	key := FragmentKey{Digest: frag.Digest, PageSize: cfg.PageSize, Interpreted: cfg.Interpreted}
 	c.mu.Lock()
-	if c.entries == nil {
-		c.entries = map[FragmentKey]*list.Element{}
+	if c.lru == nil {
+		c.lru = cache.NewLRU(fragmentCacheSize, 0, func(FragmentKey, compiledEntry, int64) { c.evictions.Add(1) })
 	}
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		e := el.Value.(*compiledEntry)
+	if e, ok := c.lru.Get(key); ok {
 		c.mu.Unlock()
 		c.hits.Add(1)
 		return e.cf, e.err
@@ -270,27 +266,19 @@ func (c *fragmentCache) get(frag TaskFragment, cfg TaskConfig) (*CompiledFragmen
 	cf, err := Compile(f, cfg)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
+	if e, ok := c.lru.Peek(key); ok {
 		// Another task compiled it meanwhile: keep one.
-		e := el.Value.(*compiledEntry)
 		return e.cf, e.err
 	}
-	c.entries[key] = c.lru.PushFront(&compiledEntry{key: key, cf: cf, err: err})
-	if c.lru.Len() > fragmentCacheSize {
-		last := c.lru.Back()
-		c.lru.Remove(last)
-		delete(c.entries, last.Value.(*compiledEntry).key)
-		c.evictions.Add(1)
-	}
+	c.lru.Put(key, compiledEntry{cf: cf, err: err}, 1)
 	return cf, err
 }
 
-// drop empties the cache.
+// drop empties the cache. The entries it drops are not evictions.
 func (c *fragmentCache) drop() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = map[FragmentKey]*list.Element{}
-	c.lru.Init()
+	c.lru = nil
 }
 
 func (c *fragmentCache) stats() FragmentCacheStats {

@@ -192,8 +192,8 @@ func newTask(id TaskID, cf *CompiledFragment, frag *TaskFragment, nodeID int, ex
 	}
 
 	// Unblock notifications: every structure a driver can park on kicks the
-	// executor when its state changes, so parked drivers resume on the event
-	// instead of the executor's fallback poll (§IV-F1 adaptation).
+	// executor when its state changes. The executor does not poll, so that
+	// Kick is the only way a parked driver resumes (§IV-F1 adaptation).
 	kick := ex.Kick
 	t.output.SetNotify(t.unblocked)
 	for _, p := range t.compiled {

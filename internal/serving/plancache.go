@@ -2,8 +2,8 @@ package serving
 
 import (
 	"sync"
-	"time"
 
+	"repro/internal/cache"
 	"repro/internal/plan"
 	"repro/internal/types"
 	"repro/internal/wire"
@@ -95,11 +95,6 @@ func RowsWithin(then, now int64) bool {
 type PlanCacheConfig struct {
 	// MaxEntries bounds cached plans (default 512).
 	MaxEntries int
-	// TTL expires entries even when their tables do not change (default 5m;
-	// negative disables expiry).
-	TTL time.Duration
-	// Clock overrides time.Now (tests).
-	Clock func() time.Time
 }
 
 // PlanCacheStats are the cache's counters. Invalidations counts entries a
@@ -107,18 +102,17 @@ type PlanCacheConfig struct {
 type PlanCacheStats struct {
 	Hits          int64
 	Misses        int64
-	Expirations   int64
 	Invalidations int64
 	Entries       int
 }
 
-// PlanCache is the expirable-LRU parse→plan cache. A hit hands back the
+// PlanCache is the parse→plan cache, an LRU of plans. A hit hands back the
 // previously optimized plan so a statement with the same template skips the
 // parser, analyzer and optimizer entirely; Lookup has the caller validate
 // the entry against its tables before trusting it.
 type PlanCache struct {
 	mu    sync.Mutex
-	lru   *lruCore
+	lru   *cache.LRU[string, *PlanEntry]
 	stats PlanCacheStats
 }
 
@@ -127,13 +121,7 @@ func NewPlanCache(cfg PlanCacheConfig) *PlanCache {
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = 512
 	}
-	ttl := cfg.TTL
-	if ttl == 0 {
-		ttl = 5 * time.Minute
-	} else if ttl < 0 {
-		ttl = 0
-	}
-	return &PlanCache{lru: newLRUCore(cfg.MaxEntries, 0, ttl, cfg.Clock, nil)}
+	return &PlanCache{lru: cache.NewLRU[string, *PlanEntry](cfg.MaxEntries, 0, nil)}
 }
 
 // Lookup returns the entry for a statement's template: the template plan, or
@@ -144,35 +132,24 @@ func NewPlanCache(cfg PlanCacheConfig) *PlanCache {
 func (c *PlanCache) Lookup(t *Template, valid func(*PlanEntry) bool) (*PlanEntry, bool) {
 	c.mu.Lock()
 	key := t.Key
-	e, ok := c.getLocked(key)
+	e, ok := c.lru.Get(key)
 	if !ok && len(t.Values) > 0 {
 		key = t.LiteralKey()
-		e, ok = c.getLocked(key)
+		e, ok = c.lru.Get(key)
 	}
 	c.mu.Unlock()
 	stale := ok && !valid(e)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if stale {
-		if el, held := c.lru.items[key]; held && el.Value.(*lruItem).val == e {
-			c.lru.removeElement(el)
+		if cur, held := c.lru.Peek(key); held && cur == e {
+			c.lru.Remove(key)
 			c.stats.Invalidations++
 		}
 		e, ok = nil, false
 	}
 	c.count(ok)
 	return e, ok
-}
-
-func (c *PlanCache) getLocked(key string) (*PlanEntry, bool) {
-	v, ok, expired := c.lru.get(key)
-	if expired {
-		c.stats.Expirations++
-	}
-	if !ok {
-		return nil, false
-	}
-	return v.(*PlanEntry), true
 }
 
 func (c *PlanCache) count(hit bool) {
@@ -188,14 +165,14 @@ func (c *PlanCache) count(hit bool) {
 func (c *PlanCache) Put(key string, e *PlanEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lru.put(key, e, 1)
+	c.lru.Put(key, e, 1)
 }
 
 // Clear empties the cache.
 func (c *PlanCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lru.clear()
+	c.lru.Clear()
 }
 
 // Stats snapshots the counters.
@@ -203,6 +180,6 @@ func (c *PlanCache) Stats() PlanCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.Entries = c.lru.len()
+	s.Entries = c.lru.Len()
 	return s
 }

@@ -6,9 +6,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/block"
+	"repro/internal/cache"
 	"repro/internal/faultinject"
 	"repro/internal/plan"
 	"repro/internal/types"
@@ -72,17 +72,12 @@ type ResultCacheConfig struct {
 	// MaxEntryBytes bounds one result set (default MaxBytes/8): the cache
 	// targets the many-small-repeated-queries workload, not bulk exports.
 	MaxEntryBytes int64
-	// TTL expires entries even when their tables do not change (default 5m;
-	// negative disables expiry).
-	TTL time.Duration
 	// Accountant, when non-nil, mirrors admitted/evicted bytes into the node
 	// memory pool under ResultPoolOwner.
 	Accountant Accountant
 	// Inject enables the SiteResultCacheCorrupt fault seam: a fault makes the
 	// next hit's checksum verification fail, degrading it to a miss.
 	Inject *faultinject.Injector
-	// Clock overrides time.Now (tests).
-	Clock func() time.Time
 }
 
 // ResultCacheStats are the cache's counters.
@@ -112,7 +107,7 @@ type ResultCacheStats struct {
 type ResultCache struct {
 	mu    sync.Mutex
 	cfg   ResultCacheConfig
-	lru   *lruCore
+	lru   *cache.LRU[string, *ResultEntry]
 	stats ResultCacheStats
 }
 
@@ -124,13 +119,8 @@ func NewResultCache(cfg ResultCacheConfig) *ResultCache {
 	if cfg.MaxEntryBytes <= 0 {
 		cfg.MaxEntryBytes = cfg.MaxBytes / 8
 	}
-	if cfg.TTL == 0 {
-		cfg.TTL = 5 * time.Minute
-	} else if cfg.TTL < 0 {
-		cfg.TTL = 0
-	}
 	c := &ResultCache{cfg: cfg}
-	c.lru = newLRUCore(0, cfg.MaxBytes, cfg.TTL, cfg.Clock, func(_ string, _ interface{}, size int64) {
+	c.lru = cache.NewLRU(0, cfg.MaxBytes, func(_ string, _ *ResultEntry, size int64) {
 		if cfg.Accountant != nil {
 			cfg.Accountant.Release(size)
 		}
@@ -146,23 +136,22 @@ func NewResultCache(cfg ResultCacheConfig) *ResultCache {
 // and the query executes and may admit a good copy.
 func (c *ResultCache) Get(key string, fresh Freshness) (*ResultEntry, bool) {
 	c.mu.Lock()
-	v, ok, _ := c.lru.get(key)
+	e, ok := c.lru.Get(key)
 	if !ok {
 		c.stats.Misses++
 		c.mu.Unlock()
 		return nil, false
 	}
-	e := v.(*ResultEntry)
 	stamp := e.versions
 	c.mu.Unlock()
 	now, ok := fresh(e.reads, stamp)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, in := c.lru.items[key]
-	held := in && el.Value.(*lruItem).val == e // not replaced or dropped meanwhile
+	cur, in := c.lru.Peek(key)
+	held := in && cur == e // not replaced or dropped meanwhile
 	if !ok {
 		if held {
-			c.lru.remove(key)
+			c.lru.Remove(key)
 			c.stats.Invalidations++
 		}
 		c.stats.Misses++
@@ -174,7 +163,7 @@ func (c *ResultCache) Get(key string, fresh Freshness) (*ResultEntry, bool) {
 	}
 	if sum != e.sum {
 		if held {
-			c.lru.remove(key)
+			c.lru.Remove(key)
 		}
 		c.stats.Corruptions++
 		c.stats.Misses++
@@ -223,7 +212,7 @@ func (c *ResultCache) Put(key string, columns []string, pages []*block.Page, row
 		reads:    reads,
 		versions: versions,
 	}
-	if !c.lru.put(key, e, size) {
+	if !c.lru.Put(key, e, size) {
 		if c.cfg.Accountant != nil {
 			c.cfg.Accountant.Release(size)
 		}
@@ -237,7 +226,7 @@ func (c *ResultCache) Put(key string, columns []string, pages []*block.Page, row
 func (c *ResultCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lru.clear()
+	c.lru.Clear()
 }
 
 // Stats snapshots the counters.
@@ -245,8 +234,8 @@ func (c *ResultCache) Stats() ResultCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.Entries = c.lru.len()
-	s.Bytes = c.lru.bytes
+	s.Entries = c.lru.Len()
+	s.Bytes = c.lru.Bytes()
 	return s
 }
 

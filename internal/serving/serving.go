@@ -4,14 +4,14 @@
 //
 // Two layers, composed front to back:
 //
-//   - PlanCache (plancache.go): an expirable LRU over parse→analyze→optimize
+//   - PlanCache (plancache.go): an LRU over parse→analyze→optimize
 //     output. Its key (plankey.go) is the statement's template: its tokens
 //     with the literals of value positions lifted into typed slots, plus the
 //     catalog default and the query's planning switches
 //     (exec.Switches.Planning: dynamic filters). A hit on a template skips
 //     the parser, analyzer and optimizer; the coordinator binds the
-//     statement's literals into a copy of the plan. Its size (512 plans) and
-//     expiry (5m) are this package's defaults. A plan stays valid while each
+//     statement's literals into a copy of the plan. Its size (512 plans) is
+//     this package's default. A plan stays valid while each
 //     table it reads keeps the schema version it was resolved at and stays
 //     within RowDrift of the row count it was planned at: a data write does
 //     not replan.
@@ -25,13 +25,16 @@
 //     Entries are charged to the node memory pool as
 //     system memory under ResultPoolOwner and verified by structural checksum
 //     on every hit (corruption degrades to a miss). Its budget (16 MiB, an
-//     eighth of it per entry) and expiry (5m) are this package's defaults.
+//     eighth of it per entry) is this package's default.
 //
-// Both follow one freshness rule, hive's footer cache's too (internal/cache):
-// every connector versions its tables (connector.Connector.TableVersion,
-// SchemaVersion), each entry holds the versions it read, and a lookup checks
-// them. A change — through the engine or outside it, data or DDL — fails that
-// check and the lookup drops the entry; nothing invalidates entries on write.
+// Both are a cache.LRU under the cache's own lock, and follow one freshness
+// rule, hive's footer cache's too (internal/cache): every connector versions
+// its tables (connector.Connector.TableVersion, SchemaVersion), each entry
+// holds the versions it read, and a lookup checks them. A change — through
+// the engine or outside it, data or DDL — fails that check and the lookup
+// drops the entry; nothing invalidates entries on write, and nothing expires
+// them on a clock: an entry leaves when its lookup finds it stale or the
+// bound evicts it.
 //
 // The coordinator owns a Tier (plan + result caches). Each layer has a switch
 // (exec.DisablePlanCache / DisableResultCache) that a cluster sets for all

@@ -52,7 +52,7 @@ func TestScanBytesReadAreFetchedBytes(t *testing.T) {
 		// One thread a worker: one driver drains each task's scan, so no
 		// sibling forces a column after the source has closed.
 		c := NewCluster(ClusterConfig{Workers: 2, ThreadsPerWorker: 1, DisableResultCache: true})
-		lake, err := workload.LoadTPCHHiveConfig("lake", 0.05, hive.Config{Dir: dir, LazyReads: lazy, StripeRows: 1024, MetadataTTL: -1})
+		lake, err := workload.LoadTPCHHiveConfig("lake", 0.05, hive.Config{Dir: dir, LazyReads: lazy, StripeRows: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}

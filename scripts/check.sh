@@ -344,7 +344,7 @@ echo "==> a cached result outlives the appends its scans could not read; every c
 go test -race -count=1 -run 'TestResultCacheAppendsDifferential|TestResultCacheShardSQLDifferential|TestServingResultCacheInvalidation|TestServingConcurrentWriteWhileRead|TestPlanKeyKeepsIdentifierSpelling|TestCachesSeeConnectorChanges|TestIsNullConstrainsTheScan|TestContradictoryPointsReadNothing|TestNullAndNullStringAreTwoKeys|TestEmptyVarcharRangeReadsNothing' .
 go test -race -count=1 ./internal/connector/ ./internal/serving/ ./internal/cache/
 go test -race -count=1 -run 'TestDDLDuringPlanningFailsTheFirstLookup|TestWriteInvalidatesOnlyItsTable' ./internal/coordinator/
-go test -race -count=1 -run 'TestConformance|TestConcurrentSinksFoldStats|TestRewrittenFileMissesItsFooter' ./internal/connectors/...
+go test -race -count=1 -run 'TestConformance|TestConcurrentSinksFoldStats|TestRewrittenFileMissesItsFooter|TestFooterCacheConcurrentReads' ./internal/connectors/...
 # shardsql's write batches commit, rows and version together, while its
 # scans, index lookups and version reads run.
 go test -race -count=10 -run 'TestConcurrentWritesAndReads' ./internal/connectors/shardsql/
