@@ -743,20 +743,21 @@ func (q *Query) fail(err error) {
 
 // finish marks the query finished, releases its task groups — every worker
 // at once — and returns the tasks' tallies for the lifetime-counter rollups;
-// the query keeps them in place of its tasks.
+// the query keeps them in place of its tasks. The tallies are taken after the
+// release, whose answer brings in a remote task's final CPU time.
 func (q *Query) finish() []exec.TaskTally {
 	q.mu.Lock()
 	q.Info.State = StateFinished
 	q.Info.Finished = time.Now()
 	tasks, groups, remote := q.tasks, q.groups, q.remote
 	q.mu.Unlock()
+	eachWorker(len(groups), remote, func(i int) { groups[i].Close() })
 	var cpu int64
 	stats := make([]exec.TaskTally, len(tasks))
 	for i, t := range tasks {
 		stats[i] = t.Tally()
 		cpu += stats[i].CPUNanos
 	}
-	eachWorker(len(groups), remote, func(i int) { groups[i].Close() })
 	q.mu.Lock()
 	q.final, q.tasks, q.groups = stats, nil, nil
 	q.Info.CPUNanos = cpu

@@ -185,9 +185,9 @@ type httpGroup struct {
 	splitMu sync.Mutex
 	queued  int // splits waiting in the queues
 
-	// statusMu guards version and the closing of stop, and is held while a
-	// status document is applied: the watcher and Wait's one ask may both be
-	// reading the channel.
+	// statusMu orders the closing of stop against the start of an ask, so
+	// that Close's wait for the asks in flight misses none. The watcher is
+	// the channel's one reader: version is its own.
 	statusMu sync.Mutex
 	version  int64
 	polls    sync.WaitGroup // status requests in flight
@@ -207,7 +207,7 @@ func (g *httpGroup) Tasks() []taskClient {
 }
 
 // httpTask is one remote task: a name for its output, a queue for its splits,
-// and the verdict the status channel delivered.
+// and what the status channel and the delete told of its end.
 type httpTask struct {
 	g      *httpGroup
 	id     exec.TaskID
@@ -219,8 +219,7 @@ type httpTask struct {
 	publish func(ids []int, sums []*dynfilter.Summary)
 
 	cpuNanos atomic.Int64
-	err      error // the verdict; set before done closes
-	done     chan struct{}
+	done     chan struct{} // closed once the task is known to have ended
 	doneOnce sync.Once
 }
 
@@ -317,9 +316,9 @@ func (t *httpTask) Tally() exec.TaskTally {
 	return exec.TaskTally{ID: t.id, CPUNanos: t.cpuNanos.Load()}
 }
 
-func (t *httpTask) finish(err error) {
+// finish records that the task is known to have ended.
+func (t *httpTask) finish() {
 	t.doneOnce.Do(func() {
-		t.err = err
 		close(t.done)
 		t.g.open.Add(-1)
 	})
@@ -367,7 +366,7 @@ func (g *httpGroup) Monitor(fail func(error)) {
 	go func() {
 		var failingSince time.Time
 		for g.open.Load() > 0 {
-			err := g.poll(statusWait)
+			err := g.poll()
 			select {
 			case <-g.stop:
 				return
@@ -396,20 +395,20 @@ func (g *httpGroup) Monitor(fail func(error)) {
 	}()
 }
 
-// giveUp ends every task still open with err and fails the query.
+// giveUp ends every task still open and fails the query with err.
 func (g *httpGroup) giveUp(err error) {
 	for _, t := range g.tasks {
-		t.finish(err)
+		t.finish()
 	}
 	g.fail(err)
 }
 
 // poll asks the worker, once, what happened after the version in hand,
-// waiting up to wait for something to, and applies the answer. It asks
+// waiting up to statusWait for something to, and applies the answer. It asks
 // nothing once every verdict is in or the group has stopped, and a group
 // stops only after the asks in flight are answered, so no status request
 // outlives its statement.
-func (g *httpGroup) poll(wait time.Duration) error {
+func (g *httpGroup) poll() error {
 	g.statusMu.Lock()
 	select {
 	case <-g.stop:
@@ -422,28 +421,24 @@ func (g *httpGroup) poll(wait time.Duration) error {
 		return nil
 	}
 	g.polls.Add(1)
-	version := g.version
 	g.statusMu.Unlock()
 	var st wire.QueryStatus
-	url := fmt.Sprintf("%s/status?version=%d&waitMs=%d", g.base, version, wait.Milliseconds())
+	url := fmt.Sprintf("%s/status?version=%d&waitMs=%d", g.base, g.version, statusWait.Milliseconds())
 	err := g.w.do(http.MethodGet, url, nil, &st, "get status")
 	g.polls.Done()
 	if err != nil {
 		return err
 	}
-	// Verdicts are settled under the lock, so whoever polled, a poll that has
-	// returned has seen every event before its version applied; the callbacks
-	// — the hub, the query's abort — run outside it.
-	g.statusMu.Lock()
+	// Every verdict is settled before the callbacks — the hub, the query's
+	// abort — run.
 	fresh := st.Events[min(max(g.version-st.From, 0), int64(len(st.Events))):]
 	g.version = max(g.version, st.From+int64(len(st.Events))) // re-served events are never re-applied
 	for _, ev := range fresh {
 		if t := g.task(ev); t != nil && ev.State != "" {
 			t.cpuNanos.Store(ev.CPUNanos)
-			t.finish(verdictOf(ev))
+			t.finish()
 		}
 	}
-	g.statusMu.Unlock()
 	for _, ev := range fresh {
 		if t := g.task(ev); t != nil {
 			g.announce(t, ev)
@@ -483,38 +478,20 @@ func (g *httpGroup) announce(t *httpTask, ev wire.StatusEvent) {
 	}
 }
 
-// Wait asks the worker once unless every verdict is already in; a status
-// that cannot be fetched is the watcher's to judge.
-func (g *httpGroup) Wait() error {
-	g.poll(0)
-	for _, t := range g.tasks {
-		select {
-		case <-t.done:
-			if t.err != nil {
-				return t.err
-			}
-		default:
-		}
-	}
-	return nil
-}
+func (g *httpGroup) Abort() { g.Close() }
 
-func (g *httpGroup) Abort() { g.shutdown(fmt.Errorf("tasks on %s aborted", g.w.uri)) }
-
-func (g *httpGroup) Close() { g.shutdown(nil) }
-
-// shutdown stops the status channel, settles the verdicts it had not, and
+// Close stops the status channel, ends the tasks it had not heard end, and
 // deletes the query on the worker (which aborts what still runs there and
 // answers a status long-poll at once) — exactly once however the query ends.
 // It returns once no status request is in flight: one the watcher began just
 // before the stop would otherwise leave after the statement ended.
-func (g *httpGroup) shutdown(verdict error) {
+func (g *httpGroup) Close() {
 	g.stopOnce.Do(func() {
 		g.statusMu.Lock()
 		close(g.stop)
 		g.statusMu.Unlock()
 		for _, t := range g.tasks {
-			t.finish(verdict)
+			t.finish()
 		}
 		g.delete()
 		g.polls.Wait()
@@ -523,11 +500,19 @@ func (g *httpGroup) shutdown(verdict error) {
 
 // delete is the one request that cannot be allowed to vanish: a worker that
 // never hears it keeps the query's tasks and buffered pages. It is retried
-// like any idempotent request, and a failure is logged and counted.
+// like any idempotent request, and a failure is logged and counted. Its
+// answer is each task's CPU time, which a task that ended after the status
+// channel's last answer reports nowhere else.
 func (g *httpGroup) delete() {
-	if err := g.w.do(http.MethodDelete, g.base, nil, nil, "delete query"); err != nil {
+	var deleted wire.DeleteResponse
+	if err := g.w.do(http.MethodDelete, g.base, nil, &deleted, "delete query"); err != nil {
 		g.w.c.deleteFailures.Add(1)
 		log.Printf("coordinator: %v: its tasks stay on %s until it restarts", err, g.w.uri)
+	}
+	for _, ev := range deleted.Tasks {
+		if t := g.task(ev); t != nil {
+			t.cpuNanos.Store(max(t.cpuNanos.Load(), ev.CPUNanos))
+		}
 	}
 }
 

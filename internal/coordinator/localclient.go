@@ -150,15 +150,6 @@ func (g *localGroup) Monitor(fail func(error)) {
 	}
 }
 
-func (g *localGroup) Wait() error {
-	for _, t := range g.tasks {
-		if err := t.Wait(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (g *localGroup) Abort() {
 	for _, t := range g.tasks {
 		t.Abort()

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"errors"
 	"sync"
 	"time"
 
@@ -38,16 +39,11 @@ type Result struct {
 	tee    func(*block.Page)
 	closed bool
 
-	// failCh learns about task failures from the query monitor.
+	// failure is the query's first failure: posted by the task monitor, by
+	// a cancel, or by the root read, which a failed or aborted root task
+	// fails with its error (it never ends early).
 	failMu  sync.Mutex
 	failure error
-
-	// waitDone, when set, resolves the query's final verdict once the
-	// output stream reports complete. A failing task destroys its output
-	// buffer, which a consumer cannot tell apart from normal completion —
-	// and the asynchronous failure monitor may not have published the error
-	// yet when the last fetch returns. Consulted exactly once.
-	waitDone func() error
 }
 
 // literalResult wraps immediate (DDL/EXPLAIN) output.
@@ -108,19 +104,16 @@ func (r *Result) NextPage() (*block.Page, error) {
 			return p, nil
 		}
 		if r.done {
-			if wd := r.waitDone; wd != nil {
-				r.waitDone = nil
-				if err := wd(); err != nil {
-					r.setFailure(err)
-					continue
-				}
-			}
 			r.drained = true
 			r.finishLocked()
 			return nil, nil
 		}
 		// Long-poll the root task's output buffer.
 		pages, next, complete, err := r.buf.Fetch(r.token, 4<<20, 100*time.Millisecond)
+		var failed *shuffle.TaskFailedError
+		if errors.As(err, &failed) {
+			err = failed.Err // the query fails with what its root task did
+		}
 		if err != nil {
 			r.setFailure(err)
 			continue
@@ -150,7 +143,7 @@ func (r *Result) Ready() bool {
 
 // finishLocked ends the result, once. It drops what reaches the query's
 // tasks — the fetcher (the root task's output buffer, whose notify hook holds
-// the task), the capture tee and the verdict wait — so that a finished query
+// the task) and the capture tee — so that a finished query
 // the coordinator still remembers pins none of its compiled pipelines or join
 // tables; its stats live on in the Query.
 func (r *Result) finishLocked() {
@@ -158,7 +151,7 @@ func (r *Result) finishLocked() {
 		return
 	}
 	r.closed = true
-	r.buf, r.tee, r.waitDone, r.pages = nil, nil, nil, nil
+	r.buf, r.tee, r.pages = nil, nil, nil
 	if r.onClose != nil {
 		r.onClose(r.err)
 		r.onClose = nil // it holds the plan and the capture; it runs once

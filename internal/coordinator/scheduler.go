@@ -103,13 +103,10 @@ type taskGroup interface {
 	// tasks' scans to unfiltered, never fails the query.
 	DeliverFilter(f *unionFilter, fragments []int)
 	// Monitor calls fail with every task failure as it becomes known (paper
-	// §III: the coordinator monitors task health). Called once.
+	// §III: the coordinator monitors task health), so that the query's other
+	// tasks are aborted at once. A consumer does not depend on it: a failed
+	// task's output fails its readers. Called once.
 	Monitor(fail func(error))
-	// Wait returns a failure among the group's tasks, if any. Called when a
-	// consumer has seen end-of-stream: in-process tasks are awaited; a remote
-	// worker is asked at most once, and a task still running by then counts
-	// as clean.
-	Wait() error
 	// Abort cancels the tasks and drops their output; Close ends the
 	// coordinator's interest in them once the query is over, without
 	// disturbing a finished task's results while they are read. Either
@@ -351,18 +348,10 @@ func (c *Coordinator) schedule(workers []workerClient, q *Query, sp statementPla
 	}
 	// Failure monitor (paper §III: the coordinator monitors task health and
 	// fails queries whose tasks die): the first task error cancels the query.
+	// The root's end of stream needs no second look: a task that fails fails
+	// its readers, so the stream ends only when the root task finished.
 	for _, g := range live {
 		g.Monitor(fail)
-	}
-	// The monitor publishes failures asynchronously; a consumer that sees
-	// the output stream complete (a failed task destroys its buffer, which
-	// looks like end-of-stream) re-checks every worker's verdict here before
-	// declaring success. At that point the tasks are finished or aborting,
-	// so the waits are short.
-	res.waitDone = func() error {
-		verdicts := make([]error, len(live))
-		eachWorker(len(live), remote, func(i int) { verdicts[i] = live[i].Wait() })
-		return firstError(verdicts)
 	}
 
 	// Lazy split scheduling (§IV-D3): one enumerator per scan that was not in

@@ -23,10 +23,10 @@ import (
 
 // Scheduler conformance: the one scheduler driven through fake worker and
 // task clients, so what it decides — task counts, worker choice, source
-// wiring, split placement, exactly-once delivery, abort-and-drain, the final
-// verdict, filter routing — is asserted without running a query. Both real
-// clients sit behind the same two interfaces, so these rules hold for
-// in-process and HTTP workers alike.
+// wiring, split placement, exactly-once delivery, abort-and-drain, a failed
+// root failing its reader, filter routing — is asserted without running a
+// query. Both real clients sit behind the same two interfaces, so these rules
+// hold for in-process and HTTP workers alike.
 
 // fakeCluster records every task the scheduler creates.
 type fakeCluster struct {
@@ -123,12 +123,22 @@ func (t *fakeTask) NoMoreSplits(scanID int) error {
 	return nil
 }
 
-// Output is an already-complete empty stream: the fake produces no pages.
-func (t *fakeTask) Output(int) shuffle.Fetcher { return completeFetcher{} }
+// Output is an empty stream that ends the way the task does, as a real
+// task's buffer does: complete once it finished, failed with its error (a
+// TaskFailedError) once it failed or was aborted.
+func (t *fakeTask) Output(int) shuffle.Fetcher { return fakeOutput{t} }
 
-type completeFetcher struct{}
+type fakeOutput struct{ t *fakeTask }
 
-func (completeFetcher) Fetch(token, _ int64, _ time.Duration) ([]*block.Page, int64, bool, error) {
+func (o fakeOutput) Fetch(token, _ int64, wait time.Duration) ([]*block.Page, int64, bool, error) {
+	select {
+	case <-o.t.done:
+	case <-time.After(wait):
+		return nil, token, false, nil
+	}
+	if err := o.t.Wait(); err != nil {
+		return nil, token, false, &shuffle.TaskFailedError{Err: err}
+	}
 	return nil, token, true, nil
 }
 
@@ -692,30 +702,26 @@ func TestSchedulerCreateFailureAbortsAndDrains(t *testing.T) {
 	}
 }
 
-// TestSchedulerFailedTaskSurfacesAfterCleanEnd: a task failure that the
-// consumer saw only as a clean end-of-stream still fails the query, through
-// the final verdict — and the query's other tasks are aborted.
-func TestSchedulerFailedTaskSurfacesAfterCleanEnd(t *testing.T) {
+// TestSchedulerFailedTaskFailsItsReader: a stream ends only when its task
+// finished. A root task that fails before any other task has ended fails the
+// client's read with its own error — not a clean end of stream, and not the
+// fetch's wrapping of it; when every task finishes clean, the read ends clean.
+func TestSchedulerFailedTaskFailsItsReader(t *testing.T) {
 	f := newSchedFixture(t, Config{})
-	_, _, res, err := f.schedule(t, conformanceQueries[1], 2)
+	dp, _, res, err := f.schedule(t, conformanceQueries[1], 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	root := f.cl.stage(dp.Root().ID)
+	if len(root) != 1 || len(f.cl.tasks) < 2 {
+		t.Fatalf("%d root tasks of %d, want one root among several tasks", len(root), len(f.cl.tasks))
+	}
 	boom := errors.New("fake: operator blew up")
-	for i, task := range f.cl.tasks {
-		if i == 1 {
-			task.finish(boom)
-		} else {
-			task.finish(nil)
-		}
-	}
-	if err := res.waitDone(); !errors.Is(err, boom) {
-		t.Fatalf("final verdict = %v, want the task failure", err)
-	}
-	// Every fake output is an empty complete stream, so NextPage goes
-	// straight to the verdict (unless the failure monitor got there first).
-	if p, err := res.NextPage(); !errors.Is(err, boom) {
-		t.Fatalf("NextPage = (%v, %v), want the task failure", p, err)
+	root[0].finish(boom)
+	p, err := res.NextPage()
+	var failed *shuffle.TaskFailedError
+	if p != nil || !errors.Is(err, boom) || errors.As(err, &failed) {
+		t.Fatalf("NextPage = (%v, %v), want the root task's own failure", p, err)
 	}
 
 	// All clean: end of stream is success.

@@ -239,7 +239,10 @@ func TestDynFilterArrivesWithItsBuild(t *testing.T) {
 		task.NoMoreSplits(spec.scanID)
 	}
 	for token, done := int64(0), false; !done; {
-		_, token, done = task.Output().Partition(0).Fetch(token, 0, 100*time.Millisecond)
+		var err error
+		if _, token, done, err = task.Output().Partition(0).Fetch(token, 0, 100*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !task.waitDone(10 * time.Second) {
 		t.Fatal("task did not finish")

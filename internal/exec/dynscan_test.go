@@ -270,7 +270,10 @@ func runDynJoin(t *testing.T, late *dynfilter.Summary) (rows, sumA int64, scan o
 	}
 	var token int64
 	for {
-		pages, next, done := task.Output().Partition(0).Fetch(token, 0, 100*time.Millisecond)
+		pages, next, done, err := task.Output().Partition(0).Fetch(token, 0, 100*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, p := range pages {
 			rows += int64(p.RowCount())
 			for r := 0; r < p.RowCount(); r++ {

@@ -22,6 +22,16 @@ import (
 	"repro/internal/types"
 )
 
+// waitDone reports whether the task finished (or failed) within d.
+func (t *Task) waitDone(d time.Duration) bool {
+	select {
+	case <-t.doneCh:
+		return true
+	case <-time.After(d):
+		return false
+	}
+}
+
 // passthrough is a counting sink for driver tests (pipelines end in a sink
 // that consumes without producing, like PartitionedOutput).
 type passthrough struct {
@@ -258,7 +268,10 @@ func TestTaskScanEndToEnd(t *testing.T) {
 	rows := 0
 	var token int64
 	for {
-		pages, next, done := task.Output().Partition(0).Fetch(token, 0, 100*time.Millisecond)
+		pages, next, done, err := task.Output().Partition(0).Fetch(token, 0, 100*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, p := range pages {
 			rows += p.RowCount()
 		}
@@ -302,7 +315,10 @@ func TestTaskExchangePipeline(t *testing.T) {
 	if !task.waitDone(5 * time.Second) {
 		t.Fatal("task did not finish")
 	}
-	pages, _, _ := task.Output().Partition(0).Fetch(0, 0, 100*time.Millisecond)
+	pages, _, _, err := task.Output().Partition(0).Fetch(0, 0, 100*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows := 0
 	for _, p := range pages {
 		rows += p.RowCount()
@@ -392,7 +408,10 @@ func TestUnstartedTaskCannotFinish(t *testing.T) {
 	rows := 0
 	var token int64
 	for {
-		pages, next, done := task.Output().Partition(0).Fetch(token, 0, 100*time.Millisecond)
+		pages, next, done, err := task.Output().Partition(0).Fetch(token, 0, 100*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, p := range pages {
 			rows += p.RowCount()
 		}

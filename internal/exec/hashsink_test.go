@@ -108,7 +108,7 @@ func groupsIntoHashSink(tb testing.TB, pages []*block.Page, groups int) float64 
 	}
 	runtime.ReadMemStats(&after)
 	NewDriver(ops).finishDriver(time.Now())
-	buf.Destroy()
+	buf.Destroy(fmt.Errorf("done measuring"))
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(groups)
 }
 

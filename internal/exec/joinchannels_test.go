@@ -169,7 +169,10 @@ func runCompiledJoin(t testing.TB, root plan.Node, cf *CompiledFragment, vals []
 	var token int64
 	for done := false; !done; {
 		var pages []*block.Page
-		pages, token, done = task.Output().Partition(0).Fetch(token, 0, 100*time.Millisecond)
+		var err error
+		if pages, token, done, err = task.Output().Partition(0).Fetch(token, 0, 100*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
 		for _, p := range pages {
 			for r := 0; r < p.RowCount(); r++ {
 				var sb strings.Builder

@@ -564,7 +564,8 @@ func (t *Task) cancelPipelinesLocked() {
 
 // maybeFinishLocked finalizes the task when no driver is running and every
 // pipeline has declared its last driver, which Start does for the non-scan
-// ones: a task that has not started cannot finish.
+// ones: a task that has not started cannot finish. Its output tells readers
+// how it ended only after the cleanups ran and Done closed.
 func (t *Task) maybeFinishLocked() {
 	if t.activeDrivers > 0 {
 		return
@@ -574,17 +575,17 @@ func (t *Task) maybeFinishLocked() {
 			return
 		}
 	}
-	if t.failed != nil {
-		t.output.Destroy()
-	} else {
-		t.output.SetNoMorePages()
-	}
 	t.doneOnce.Do(func() {
 		for _, fn := range t.cleanups {
 			fn()
 		}
 		close(t.doneCh)
 	})
+	if t.failed != nil {
+		t.output.Destroy(t.failed)
+	} else {
+		t.output.SetNoMorePages()
+	}
 }
 
 // Done returns a channel closed when the task finishes (or fails).
@@ -597,7 +598,7 @@ func (t *Task) Err() error {
 	return t.failed
 }
 
-// Abort cancels the task, dropping buffered output.
+// Abort cancels the task, dropping buffered output (its readers fail).
 func (t *Task) Abort() {
 	t.terminate(fmt.Errorf("task %s aborted", t.ID))
 }
@@ -615,15 +616,15 @@ func (t *Task) MarkLost() {
 }
 
 // terminate winds the task down with the given failure unless it already
-// carries one.
+// carries one, which is then what its readers fail with.
 func (t *Task) terminate(reason error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.output.Destroy()
+	t.failLocked(reason)
+	t.output.Destroy(t.failed)
 	for _, c := range t.exchangeClients {
 		c.Close()
 	}
-	t.failLocked(reason)
 }
 
 // maybeScaleWriters runs on a writer pipeline's input arrivals (under t.mu
@@ -670,13 +671,3 @@ func (t *Task) scaleWriters(p *pipelineSpec) {
 
 // CPUNanos reports task CPU time.
 func (t *Task) CPUNanos() int64 { return t.handle.CPUNanos() }
-
-// waitDone blocks until completion or timeout.
-func (t *Task) waitDone(d time.Duration) bool {
-	select {
-	case <-t.doneCh:
-		return true
-	case <-time.After(d):
-		return false
-	}
-}

@@ -190,8 +190,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // (Result.NextPage's wait); after that it takes every page the result already
 // holds, without fetching again, so one document carries at most one fetch.
 // When that fetch reported the stream complete, the same document drains it —
-// the query's verdict and the result-cache capture included — and ends it
-// with no nextUri: a small statement costs one round trip.
+// the result-cache capture included — and ends it with no nextUri: a small
+// statement costs one round trip.
 func (s *Server) respond(w http.ResponseWriter, id string, lr *liveResult) {
 	doc := StatementResponse{ID: id, State: "RUNNING", Columns: lr.columns, QueryID: lr.res.QueryID}
 	var pages []*block.Page

@@ -38,7 +38,7 @@ import (
 //	POST   /v1/query/{qid}/splits   split batches of lazy enumerations, by (task, scan, seq)
 //	GET    /v1/query/{qid}/status   long-poll for the events from ?version=N on
 //	POST   /v1/query/{qid}/filters  completed dynamic-filter unions, by fragment
-//	DELETE /v1/query/{qid}          abort and forget the query's tasks
+//	DELETE /v1/query/{qid}          abort and forget the query's tasks, answering their CPU times
 //	GET    /v1/task/{id}/results/{partition}/{token}  long-poll result fetch
 //	GET    /v1/worker/metrics       this worker's gauges
 //
@@ -353,9 +353,10 @@ func (s *WorkerServer) published(rq *remoteQuery, id exec.TaskID, ids []int, sum
 	s.mu.Unlock()
 }
 
-// ended logs a task's verdict. A failure is news at once; a clean end is
-// news when it is the query's last here — until then nobody acts on it, and
-// the coordinator's end-of-stream check asks without waiting.
+// ended logs a task's verdict. A failure is news at once: the coordinator
+// aborts the query's other tasks. A clean end is news when it is the query's
+// last here, which ends the status channel; until then nobody acts on it —
+// a consumer learns that a stream is whole from the stream itself.
 func (s *WorkerServer) ended(rq *remoteQuery, rt *remoteTask) {
 	ev := wire.StatusEvent{Fragment: rt.id.Fragment, Index: rt.id.Index, State: "finished", CPUNanos: rt.task.CPUNanos()}
 	if err := rt.task.Err(); err != nil {
@@ -440,9 +441,8 @@ func waitParam(r *http.Request) time.Duration {
 
 // handleStatus answers with the events from ?version=N on as soon as an urgent
 // one is among them, and with whatever there is, possibly nothing, when
-// ?waitMs runs out (at once for waitMs=0: the end-of-stream check). A deleted
-// query answers 404 at once, which is what ends the coordinator's long-poll
-// when it deletes the query.
+// ?waitMs runs out. A deleted query answers 404 at once, which is what ends
+// the coordinator's long-poll when it deletes the query.
 func (s *WorkerServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.requests[classStatus].Add(1)
 	from, err := strconv.Atoi(r.URL.Query().Get("version"))
@@ -524,7 +524,7 @@ func (s *WorkerServer) handleResults(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.As(err, &failed):
 		w.Header().Set(shuffle.HeaderTaskFailed, "true")
-		http.Error(w, failed.Msg, http.StatusInternalServerError)
+		http.Error(w, failed.Err.Error(), http.StatusInternalServerError)
 		return
 	case errors.As(err, &refused):
 		http.Error(w, refused.msg, refused.status)
@@ -557,10 +557,10 @@ func (e *refusedFetch) Error() string { return e.msg }
 // this worker (localResults). The task may not be here yet (see
 // WorkerServer): the fetch waits for it inside wait, and finding none
 // answers "no pages, same token", unless its query — the id less
-// ".<fragment>.<index>" — was deleted, which is refused. A failed task's
-// destroyed buffers report "complete", so the task's failure is checked
-// before the fetch and again after it: a consumer of a failed task fails
-// rather than truncate. Like PartitionBuffer.Fetch, it returns within wait.
+// ".<fragment>.<index>" — was deleted, which is refused. A failed or aborted
+// task's buffer fails the fetch with the task's error, a TaskFailedError:
+// its consumer fails rather than truncate. Like PartitionBuffer.Fetch, it
+// returns within wait.
 func (s *WorkerServer) fetchResults(key string, part int, token, maxBytes int64, wait time.Duration) ([]*block.Page, int64, bool, error) {
 	start, qid := time.Now(), key
 	for range 2 {
@@ -580,16 +580,13 @@ func (s *WorkerServer) fetchResults(key string, part int, token, maxBytes int64,
 	case rt == nil:
 		return nil, token, false, nil
 	}
-	if err := rt.task.Err(); err != nil {
-		return nil, token, false, &shuffle.TaskFailedError{Msg: err.Error()}
-	}
 	out := rt.task.Output()
 	if part >= out.Partitions() {
 		return nil, token, false, &refusedFetch{http.StatusBadRequest, fmt.Sprintf("partition %d of %d", part, out.Partitions())}
 	}
-	pages, next, done := out.Partition(part).Fetch(token, maxBytes, max(wait-time.Since(start), 0))
-	if err := rt.task.Err(); err != nil {
-		return nil, token, false, &shuffle.TaskFailedError{Msg: err.Error()}
+	pages, next, done, err := out.Partition(part).Fetch(token, maxBytes, max(wait-time.Since(start), 0))
+	if err != nil {
+		return nil, token, false, &shuffle.TaskFailedError{Err: err}
 	}
 	return pages, next, done, nil
 }
@@ -632,16 +629,21 @@ func peerOnThisHost(r *http.Request) bool {
 }
 
 // handleDeleteQuery is idempotent: deleting a query this worker never heard
-// of (its create never landed) still remembers the id.
+// of (its create never landed) still remembers the id. It answers each task's
+// CPU time, which the status channel may not have reported yet.
 func (s *WorkerServer) handleDeleteQuery(w http.ResponseWriter, r *http.Request) {
 	s.requests[classDelete].Add(1)
-	s.deleteQuery(r.PathValue("qid"))
-	w.WriteHeader(http.StatusNoContent)
+	var resp wire.DeleteResponse
+	for _, rt := range s.deleteQuery(r.PathValue("qid")) {
+		resp.Tasks = append(resp.Tasks, wire.StatusEvent{Fragment: rt.id.Fragment, Index: rt.id.Index,
+			CPUNanos: rt.task.CPUNanos()})
+	}
+	writeJSON(w, resp)
 }
 
-// deleteQuery forgets a query and aborts its tasks; its status long-poll and
-// the fetches waiting for its tasks are answered.
-func (s *WorkerServer) deleteQuery(qid string) {
+// deleteQuery forgets a query and aborts its tasks, which it returns; its
+// status long-poll and the fetches waiting for its tasks are answered.
+func (s *WorkerServer) deleteQuery(qid string) []*remoteTask {
 	s.mu.Lock()
 	now := time.Now()
 	maps.DeleteFunc(s.gone, func(_ string, at time.Time) bool { return now.Sub(at) > goneTTL })
@@ -659,6 +661,7 @@ func (s *WorkerServer) deleteQuery(qid string) {
 	for _, rt := range tasks {
 		rt.task.Abort()
 	}
+	return tasks
 }
 
 func (s *WorkerServer) handleWorkerMetrics(w http.ResponseWriter, r *http.Request) {

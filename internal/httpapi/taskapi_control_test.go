@@ -197,8 +197,13 @@ func TestFetchBeforeProducerRegistered(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond)
 	start = time.Now()
-	if code, _ := f.do(t, http.MethodDelete, "/v1/query/q", nil); code != http.StatusNoContent {
-		t.Fatalf("delete: %d", code)
+	code, body := f.do(t, http.MethodDelete, "/v1/query/q", nil)
+	var deleted wire.DeleteResponse
+	if err := json.Unmarshal(body, &deleted); code != http.StatusOK || err != nil {
+		t.Fatalf("delete: %d %s", code, body)
+	}
+	if len(deleted.Tasks) != 1 || deleted.Tasks[0].CPUNanos <= 0 {
+		t.Errorf("delete answered %+v, want the read task with the CPU time it used", deleted.Tasks)
 	}
 	if r := <-got; r.err == nil || !strings.Contains(r.err.Error(), "404") || time.Since(start) > 500*time.Millisecond {
 		t.Errorf("a fetch waiting on a deleted query's task = %v after %v, want a prompt 404", r.err, time.Since(start))
@@ -206,8 +211,8 @@ func TestFetchBeforeProducerRegistered(t *testing.T) {
 	if _, _, _, err := fetch.Fetch(0, 1<<20, time.Second); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("fetch after delete = %v, want 404", err)
 	}
-	if code, _ := f.do(t, http.MethodDelete, "/v1/query/q", nil); code != http.StatusNoContent {
-		t.Errorf("second delete: %d, want it idempotent", code)
+	if code, body := f.do(t, http.MethodDelete, "/v1/query/q", nil); code != http.StatusOK || string(body) != "{}" {
+		t.Errorf("second delete: %d %s, want it idempotent, with no task left to report", code, body)
 	}
 	if ids := f.ws.TaskIDs(); len(ids) != 0 {
 		t.Errorf("tasks %v survive their query's delete", ids)
@@ -345,7 +350,7 @@ func TestOneFetchPath(t *testing.T) {
 			}
 			_, _, done, err := consumer("q.0.0", 0).Fetch(0, 1<<20, time.Second)
 			var failed *shuffle.TaskFailedError
-			if done || !errors.As(err, &failed) || !strings.Contains(failed.Msg, rt.task.Err().Error()) {
+			if done || !errors.As(err, &failed) || !strings.Contains(failed.Err.Error(), rt.task.Err().Error()) {
 				t.Errorf("fetch of a failed producer = (done %v, %v), want its failure %q", done, err, rt.task.Err())
 			}
 		}},
@@ -356,7 +361,7 @@ func TestOneFetchPath(t *testing.T) {
 			if err != nil || len(pages) == 0 || done {
 				t.Fatalf("first fetch = (%d pages, done %v, %v), want the first page", len(pages), done, err)
 			}
-			if code, _ := f.do(t, http.MethodDelete, "/v1/query/q", nil); code != http.StatusNoContent {
+			if code, _ := f.do(t, http.MethodDelete, "/v1/query/q", nil); code != http.StatusOK {
 				t.Fatalf("delete: %d", code)
 			}
 			if _, _, done, err := fetch.Fetch(next, 1<<20, time.Second); done || err == nil || !strings.Contains(err.Error(), "deleted") {

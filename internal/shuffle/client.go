@@ -20,9 +20,13 @@ type Fetcher interface {
 // LocalFetcher adapts a PartitionBuffer as a Fetcher.
 type LocalFetcher struct{ Buf *PartitionBuffer }
 
-// Fetch implements Fetcher.
+// Fetch implements Fetcher; a destroyed buffer's error is the producer's
+// failure (TaskFailedError).
 func (f *LocalFetcher) Fetch(token int64, maxBytes int64, wait time.Duration) ([]*block.Page, int64, bool, error) {
-	pages, next, done := f.Buf.Fetch(token, maxBytes, wait)
+	pages, next, done, err := f.Buf.Fetch(token, maxBytes, wait)
+	if err != nil {
+		return nil, token, false, &TaskFailedError{Err: err}
+	}
 	return pages, next, done, nil
 }
 

@@ -241,7 +241,7 @@ func TestFailedProducerIsTerminal(t *testing.T) {
 		terminal bool
 	}{
 		{"failed producer", func(inner Fetcher) Fetcher {
-			return &flakyFetcher{inner: inner, err: &TaskFailedError{Msg: "boom"}, failuresPerToken: 100}
+			return &flakyFetcher{inner: inner, err: &TaskFailedError{Err: errors.New("boom")}, failuresPerToken: 100}
 		}, true},
 		{"transport error", func(inner Fetcher) Fetcher {
 			return &flakyFetcher{inner: inner, err: &TransportError{Op: "get", Err: errors.New("reset")}, failuresPerToken: 2}
@@ -288,7 +288,7 @@ func TestFailedProducerIsTerminal(t *testing.T) {
 
 	// The retrying fetcher (the coordinator's read of a remote root) reports
 	// a failed producer at once and absorbs a transport error.
-	failed := &RetryFetcher{Src: &flakyFetcher{err: &TaskFailedError{Msg: "boom"}, failuresPerToken: 100}}
+	failed := &RetryFetcher{Src: &flakyFetcher{err: &TaskFailedError{Err: errors.New("boom")}, failuresPerToken: 100}}
 	if _, _, _, err := failed.Fetch(0, 1<<20, 0); err == nil {
 		t.Error("RetryFetcher absorbed a failed producer")
 	}

@@ -1,10 +1,12 @@
 package shuffle
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -45,11 +47,15 @@ func (e *TransportError) Unwrap() error { return e.Err }
 func (e *TransportError) Transient() bool { return true }
 
 // TaskFailedError is a terminal fetch failure: the producing task itself
-// failed, so retrying the fetch cannot help, and the exchange client and
-// RetryFetcher fail on the first one.
-type TaskFailedError struct{ Msg string }
+// failed or was aborted, so retrying the fetch cannot help, and the exchange
+// client and RetryFetcher fail on the first one. Err is the producer's error
+// (over HTTP, its message).
+type TaskFailedError struct{ Err error }
 
-func (e *TaskFailedError) Error() string { return "producer task failed: " + e.Msg }
+func (e *TaskFailedError) Error() string { return "producer task failed: " + e.Err.Error() }
+
+// Unwrap exposes the producer's error.
+func (e *TaskFailedError) Unwrap() error { return e.Err }
 
 // clusterIdleConnsPerHost is how many connections a node keeps open to one
 // peer: one per fetch its exchange clients can have in flight there — a
@@ -106,7 +112,7 @@ func (f *HTTPFetcher) Fetch(token int64, maxBytes int64, wait time.Duration) ([]
 
 	if resp.Header.Get(HeaderTaskFailed) != "" {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 16<<10))
-		return nil, token, false, &TaskFailedError{Msg: string(msg)}
+		return nil, token, false, &TaskFailedError{Err: errors.New(strings.TrimSuffix(string(msg), "\n"))}
 	}
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))

@@ -90,17 +90,19 @@ func (b *OutputBuffer) AddLast(i int, p *block.Page) {
 }
 
 // SetNoMorePages publishes the staged pages and marks all partitions
-// finished.
+// finished: it is the only way a stream ends.
 func (b *OutputBuffer) SetNoMorePages() {
 	for _, p := range b.parts {
 		p.finish()
 	}
 }
 
-// Destroy drops all buffered data (query cancelled).
-func (b *OutputBuffer) Destroy() {
+// Destroy drops all buffered data: the producer failed or was aborted with err.
+// Every fetch then fails with err, a parked one included, except of a
+// finished partition whose every page was acknowledged, which stays complete.
+func (b *OutputBuffer) Destroy(err error) {
 	for _, p := range b.parts {
-		p.destroy()
+		p.destroy(err)
 	}
 }
 
@@ -112,7 +114,8 @@ type PartitionBuffer struct {
 	firstSeq int64 // sequence number of pages[0]
 	bytes    int64
 	capacity int64
-	done     bool
+	done     bool   // the producer published its end (finish)
+	err      error  // the producer failed (destroy); fetches fail with it
 	notify   func() // space-freed callback, invoked outside mu
 	// staged holds last pages (AddLast) not yet visible to Fetch; they count
 	// towards bytes only once published, so they never hold back a producer.
@@ -127,10 +130,12 @@ func newPartitionBuffer(capacity int64) *PartitionBuffer {
 
 func (p *PartitionBuffer) add(page *block.Page) {
 	p.mu.Lock()
-	p.publishLocked()
-	p.pages = append(p.pages, page)
-	p.bytes += page.SizeBytes()
-	p.cond.Broadcast()
+	if p.err == nil { // else a driver winding down after a destroy: nobody reads it
+		p.publishLocked()
+		p.pages = append(p.pages, page)
+		p.bytes += page.SizeBytes()
+		p.cond.Broadcast()
+	}
 	p.mu.Unlock()
 }
 
@@ -157,11 +162,13 @@ func (p *PartitionBuffer) finish() {
 	p.mu.Unlock()
 }
 
-func (p *PartitionBuffer) destroy() {
+func (p *PartitionBuffer) destroy(err error) {
 	p.mu.Lock()
+	if p.err == nil && !(p.done && len(p.pages) == 0) {
+		p.err = err
+	}
 	p.pages, p.staged = nil, nil
 	p.bytes = 0
-	p.done = true
 	p.cond.Broadcast()
 	notify := p.notify
 	p.mu.Unlock()
@@ -193,8 +200,9 @@ func (p *PartitionBuffer) utilization() float64 {
 // the previous response (0 initially); pages before the token are discarded
 // (implicit acknowledgement) and the call blocks up to wait for new data.
 // It returns buffered pages from token onward, the next token, and whether
-// the stream is complete.
-func (p *PartitionBuffer) Fetch(token int64, maxBytes int64, wait time.Duration) ([]*block.Page, int64, bool) {
+// the stream is complete; or the producer's error once Destroy failed the
+// stream.
+func (p *PartitionBuffer) Fetch(token int64, maxBytes int64, wait time.Duration) ([]*block.Page, int64, bool, error) {
 	deadline := time.Now().Add(wait)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -219,15 +227,18 @@ func (p *PartitionBuffer) Fetch(token int64, maxBytes int64, wait time.Duration)
 	}
 
 	// Long-poll for data.
-	for len(p.pages) == 0 && !p.done {
+	for len(p.pages) == 0 && !p.done && p.err == nil {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			return nil, p.firstSeq, false
+			return nil, p.firstSeq, false, nil
 		}
 		waitCond(p.cond, remaining)
 	}
-	if len(p.pages) == 0 && p.done {
-		return nil, p.firstSeq, true
+	if p.err != nil {
+		return nil, token, false, p.err
+	}
+	if len(p.pages) == 0 {
+		return nil, p.firstSeq, true, nil
 	}
 	var out []*block.Page
 	var outBytes int64
@@ -241,7 +252,7 @@ func (p *PartitionBuffer) Fetch(token int64, maxBytes int64, wait time.Duration)
 		}
 	}
 	complete := p.done && int(next-p.firstSeq) == len(p.pages)
-	return out, next, complete
+	return out, next, complete, nil
 }
 
 // waitCond waits on a condition variable (whose lock the caller holds) with

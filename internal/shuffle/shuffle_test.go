@@ -1,6 +1,7 @@
 package shuffle
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -17,19 +18,19 @@ func TestPartitionBufferFetchAndAck(t *testing.T) {
 	b.Add(0, page(1))
 	b.Add(0, page(2))
 
-	pages, next, done := b.Partition(0).Fetch(0, 0, 10*time.Millisecond)
+	pages, next, done, _ := b.Partition(0).Fetch(0, 0, 10*time.Millisecond)
 	if len(pages) != 2 || done {
 		t.Fatalf("fetch: %d pages done=%v", len(pages), done)
 	}
 	// Re-fetching with the same token re-delivers (at-least-once until
 	// acknowledged by advancing the token — the long-poll protocol).
-	again, _, _ := b.Partition(0).Fetch(0, 0, 10*time.Millisecond)
+	again, _, _, _ := b.Partition(0).Fetch(0, 0, 10*time.Millisecond)
 	if len(again) != 2 {
 		t.Errorf("unacknowledged pages should be re-delivered, got %d", len(again))
 	}
 	// Advancing the token acknowledges; completion arrives after finish.
 	b.SetNoMorePages()
-	pages, _, done = b.Partition(0).Fetch(next, 0, 10*time.Millisecond)
+	pages, _, done, _ = b.Partition(0).Fetch(next, 0, 10*time.Millisecond)
 	if len(pages) != 0 || !done {
 		t.Errorf("after ack: %d pages done=%v", len(pages), done)
 	}
@@ -42,7 +43,7 @@ func TestPartitionBufferLongPollWakesOnData(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		b.Add(0, page(7))
 	}()
-	pages, _, _ := b.Partition(0).Fetch(0, 0, 2*time.Second)
+	pages, _, _, _ := b.Partition(0).Fetch(0, 0, 2*time.Second)
 	if len(pages) != 1 {
 		t.Fatalf("long poll got %d pages", len(pages))
 	}
@@ -62,7 +63,7 @@ func TestOutputBufferBackpressure(t *testing.T) {
 		t.Errorf("utilization: %f", b.Utilization())
 	}
 	// Consuming (ack) frees space.
-	_, next, _ := b.Partition(0).Fetch(0, 0, 10*time.Millisecond)
+	_, next, _, _ := b.Partition(0).Fetch(0, 0, 10*time.Millisecond)
 	b.Partition(0).Fetch(next, 0, 10*time.Millisecond)
 	if !b.CanAdd() {
 		t.Error("acknowledged buffer should accept again")
@@ -78,8 +79,8 @@ func TestPartitionBufferRefetchIdempotent(t *testing.T) {
 	b.Add(0, page(1, 2))
 	b.Add(0, page(3))
 
-	first, next1, _ := b.Partition(0).Fetch(0, 0, 10*time.Millisecond)
-	second, next2, _ := b.Partition(0).Fetch(0, 0, 10*time.Millisecond)
+	first, next1, _, _ := b.Partition(0).Fetch(0, 0, 10*time.Millisecond)
+	second, next2, _, _ := b.Partition(0).Fetch(0, 0, 10*time.Millisecond)
 	if next1 != next2 {
 		t.Errorf("re-fetch advanced the token: %d vs %d", next1, next2)
 	}
@@ -116,7 +117,7 @@ func TestAckFreesCapacityUnblocksProducer(t *testing.T) {
 	}()
 
 	// Fetch without ack: data is retained, so capacity must NOT free yet.
-	_, next, _ := b.Partition(0).Fetch(0, 0, 10*time.Millisecond)
+	_, next, _, _ := b.Partition(0).Fetch(0, 0, 10*time.Millisecond)
 	time.Sleep(20 * time.Millisecond)
 	if b.CanAdd() {
 		t.Error("unacknowledged fetch must not free capacity")
@@ -134,13 +135,77 @@ func TestAckFreesCapacityUnblocksProducer(t *testing.T) {
 	}
 }
 
+// TestOutputBufferDestroy: a destroy with unread pages fails the stream with
+// the producer's error — the finished part of it too: a stream cut short is
+// an error, never an end — and pages a winding-down driver adds afterwards
+// are dropped.
 func TestOutputBufferDestroy(t *testing.T) {
-	b := NewOutputBuffer(2, 1<<20)
+	boom := errors.New("producer blew up")
+	for _, finished := range []bool{false, true} {
+		b := NewOutputBuffer(2, 1<<20)
+		b.Add(0, page(1))
+		if finished {
+			b.SetNoMorePages()
+		}
+		b.Destroy(boom)
+		b.Add(0, page(2))
+		for part := range 2 {
+			pages, _, done, err := b.Partition(part).Fetch(0, 0, 10*time.Millisecond)
+			if part == 1 && finished {
+				// Partition 1 was finished with nothing in it: its reader
+				// has the whole stream, so it stays complete.
+				if len(pages) != 0 || !done || err != nil {
+					t.Errorf("finished empty partition after destroy: %d pages, done=%v, err=%v", len(pages), done, err)
+				}
+				continue
+			}
+			if len(pages) != 0 || done || !errors.Is(err, boom) {
+				t.Errorf("finished=%v partition %d after destroy: %d pages, done=%v, err=%v; want the producer's error",
+					finished, part, len(pages), done, err)
+			}
+		}
+		if b.Utilization() != 0 {
+			t.Errorf("finished=%v: a destroyed buffer holds %v of its capacity", finished, b.Utilization())
+		}
+	}
+}
+
+// TestDestroyAfterStreamTakenStaysComplete: once the reader has acknowledged
+// every page of a finished stream, a later destroy (the query's teardown)
+// leaves it complete.
+func TestDestroyAfterStreamTakenStaysComplete(t *testing.T) {
+	b := NewOutputBuffer(1, 1<<20)
 	b.Add(0, page(1))
-	b.Destroy()
-	pages, _, done := b.Partition(0).Fetch(0, 0, 10*time.Millisecond)
-	if len(pages) != 0 || !done {
-		t.Error("destroyed buffer should be empty and done")
+	b.SetNoMorePages()
+	pages, next, done, err := b.Partition(0).Fetch(0, 0, 10*time.Millisecond)
+	if len(pages) != 1 || !done || err != nil {
+		t.Fatalf("fetch: %d pages, done=%v, err=%v", len(pages), done, err)
+	}
+	b.Partition(0).Fetch(next, 0, 10*time.Millisecond) // acknowledge
+	b.Destroy(errors.New("aborted at teardown"))
+	if pages, _, done, err := b.Partition(0).Fetch(next, 0, 10*time.Millisecond); len(pages) != 0 || !done || err != nil {
+		t.Errorf("after destroy: %d pages, done=%v, err=%v; want the complete stream", len(pages), done, err)
+	}
+}
+
+// TestDestroyWakesParkedFetch: a reader parked in the long-poll returns with
+// the producer's error as soon as the buffer is destroyed, not when its wait
+// runs out; in process it is a TaskFailedError that unwraps to that error.
+func TestDestroyWakesParkedFetch(t *testing.T) {
+	boom := errors.New("worker lost")
+	b := NewOutputBuffer(1, 1<<20)
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		b.Destroy(boom)
+	}()
+	start := time.Now()
+	_, _, done, err := (&LocalFetcher{Buf: b.Partition(0)}).Fetch(0, 0, 5*time.Second)
+	var failed *TaskFailedError
+	if done || !errors.As(err, &failed) || !errors.Is(err, boom) {
+		t.Fatalf("parked fetch: done=%v, err=%v; want a TaskFailedError wrapping the producer's error", done, err)
+	}
+	if time.Since(start) > time.Second {
+		t.Errorf("parked fetch returned after %v: the destroy did not wake it", time.Since(start))
 	}
 }
 
@@ -249,7 +314,7 @@ func TestConcurrentProducersAndConsumer(t *testing.T) {
 	var token int64
 	total := 0
 	for {
-		pages, next, done := b.Partition(0).Fetch(token, 0, 100*time.Millisecond)
+		pages, next, done, _ := b.Partition(0).Fetch(token, 0, 100*time.Millisecond)
 		total += len(pages)
 		token = next
 		if done {

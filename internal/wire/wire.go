@@ -139,6 +139,13 @@ type StatusEvent struct {
 	Filters   [][]byte `json:"filters,omitempty"`
 }
 
+// DeleteResponse is the body of the answer to DELETE /v1/query/{qid}: each of
+// the statement's tasks on the worker, with Fragment, Index and CPUNanos set
+// (the CPU it had used when the delete aborted it).
+type DeleteResponse struct {
+	Tasks []StatusEvent `json:"tasks,omitempty"`
+}
+
 // FiltersRequest is the body of POST /v1/query/{qid}/filters: completed
 // unions for the statement's tasks on one worker.
 type FiltersRequest struct {

@@ -17,7 +17,10 @@
 #                             # collected) + executor wakeups (a parked
 #                             # driver returns on a Kick only, ten runs
 #                             # under -race) + distributed control plane (request
-#                             # classes of one statement, filters in time)
+#                             # classes of one statement, filters in time;
+#                             # a failed producer's stream fails its
+#                             # readers, a parked one included, and a
+#                             # read over HTTP reports its CPU time)
 #                             # + dynamic filters (placement: row-tested or
 #                             # prune-only; a task's own filter arrives
 #                             # with its build; the effect tests on a
@@ -99,8 +102,9 @@
 #                             # cast, under -race) + examples (every
 #                             # program under examples/ runs to a zero exit)
 #                             # + a small statement is one task (serving's
-#                             # reads in process and on HTTP workers, at
-#                             # most five requests; one decision for every
+#                             # reads in process and on HTTP workers,
+#                             # exactly four requests, ten runs under
+#                             # -race; one decision for every
 #                             # literal set; a large read stays parallel;
 #                             # no leaf task without a split; a first run
 #                             # placed like every run, under -race)
@@ -294,19 +298,24 @@ echo "==> distributed control plane: one create, one status channel and one dele
 # fetch makes (TestOneFetchPath), so those pages are shared by two tasks'
 # goroutines: the shuffle chaos tests run on HTTP workers here too.
 go test -race -count=1 -run 'TestFetchBeforeProducerRegistered|TestCreateBatchIdempotent|TestStatusVersionMonotone|TestOneFetchPath' ./internal/httpapi/
-go test -race -count=1 -run 'TestHTTPTaskBatchesSplits|TestSchedulerCreateFailureAbortsAndDrains' ./internal/coordinator/
+# A stream ends only when its producer finished: a destroyed buffer fails
+# every reader with the producer's error (a parked long-poll at once), unless
+# the reader had taken the whole finished stream; a failed root task fails the
+# client's read with its own error.
+go test -race -count=1 -run 'TestOutputBufferDestroy|TestDestroyAfterStreamTakenStaysComplete|TestDestroyWakesParkedFetch' ./internal/shuffle/
+go test -race -count=1 -run 'TestHTTPTaskBatchesSplits|TestSchedulerCreateFailureAbortsAndDrains|TestSchedulerFailedTaskFailsItsReader' ./internal/coordinator/
 # A statement's status requests all leave before its Close returns, so none
 # is counted as the next statement's (ten runs under -race).
 go test -race -count=10 -run 'TestStatusChannelEndsWithItsGroup' ./internal/coordinator/
-go test -race -count=1 -v -run 'TestHTTPControlRequestsPerStatement|TestDistributedFilterArrivesBeforeProbe|TestCreateBatchPartialFailureDrains|TestChaosHTTPShuffleErrorsMasked|TestChaosHTTPShufflePartialPagesMasked' . | grep -E '^(---|ok|FAIL|panic)|requests per statement|rows filtered'
+go test -race -count=1 -v -run 'TestHTTPControlRequestsPerStatement|TestDistributedFilterArrivesBeforeProbe|TestCreateBatchPartialFailureDrains|TestChaosHTTPShuffleErrorsMasked|TestChaosHTTPShufflePartialPagesMasked|TestSmallReadReportsCPUOnHTTPWorkers' . | grep -E '^(---|ok|FAIL|panic)|requests per statement|rows filtered'
 
 echo "==> a small statement is one task: serving reads in process and on HTTP workers, one decision a template, a large read and an expanding join parallel, no split-less leaf task"
-# The report lines are the requests of each run of each serving read on two
-# HTTP workers, the first run included: one create, one or two status
-# answers (each logged with its version and wait), one result fetch and one
-# delete. A statement over tables whose connector lists its splits in memory
-# is placed the same way on its first run as on every other.
-go test -race -count=1 -v -run 'TestSmallStatementIsOneTask|TestSmallPlanRuleIgnoresLiterals|TestLargeReadStaysParallel|TestExpandingJoinStaysParallel|TestLeafStageSkipsSplitlessTasks|TestFirstRunPlacedLikeEveryRun' . | grep -E '^(---|ok|FAIL|panic)|on HTTP workers: [0-9]+ requests'
+# Every run of each serving read on two HTTP workers, the first included,
+# sends one create, one status long-poll, one result fetch and one delete
+# (ten runs under -race). A statement over tables whose connector lists its
+# splits in memory is placed the same way on its first run as on every other.
+go test -race -count=10 -run 'TestSmallStatementIsOneTask' .
+go test -race -count=1 -v -run 'TestSmallPlanRuleIgnoresLiterals|TestLargeReadStaysParallel|TestExpandingJoinStaysParallel|TestLeafStageSkipsSplitlessTasks|TestFirstRunPlacedLikeEveryRun' . | grep -E '^(---|ok|FAIL|panic)'
 
 echo "==> dynamic filters: where a filter tests rows, and when it arrives"
 # A scan that feeds the publishing join through nothing but Filter/Project
