@@ -434,6 +434,30 @@ func TestJoinIndexModeInExplainAnalyze(t *testing.T) {
 	}
 }
 
+// TestGroupTableModeInExplainAnalyze: the HashAggregation lines of an
+// in-process EXPLAIN ANALYZE say how their group tables were addressed —
+// directly over a dense integer key, hashed over a varchar one.
+func TestGroupTableModeInExplainAnalyze(t *testing.T) {
+	c := NewCluster(ClusterConfig{Workers: 1, ThreadsPerWorker: 2})
+	defer c.Close()
+	c.Register(workload.LoadTPCHMemory("tpch", chaosScale))
+	for q, want := range map[string]string{
+		"SELECT l_partkey, count(*) FROM tpch.lineitem GROUP BY l_partkey": "table direct",
+		"SELECT c_name, count(*) FROM tpch.customer GROUP BY c_name":       "table hashed",
+	} {
+		var text []string
+		found := false
+		for _, r := range execSession(t, c, "EXPLAIN ANALYZE "+q, Session{}) {
+			text = append(text, r[0].S)
+			found = found || strings.Contains(r[0].S, "HashAggregation") && strings.Contains(r[0].S, want)
+		}
+		t.Logf("%s", strings.Join(text, "\n"))
+		if !found {
+			t.Errorf("%s: no HashAggregation line says %q:\n%s", q, want, strings.Join(text, "\n"))
+		}
+	}
+}
+
 // TestEncodedProjectionErrorsOnlyWhenReferenced: a projection over two
 // dictionary columns is evaluated once per combination of their entries, and
 // one combination divides by zero. While no surviving row has it the query

@@ -367,6 +367,9 @@ func FormatOperatorTable(st QueryStats) string {
 				case h > 0:
 					sb.WriteString("  index hashed")
 				}
+				if op.TableModes != 0 {
+					sb.WriteString("  table " + op.TableModes.String())
+				}
 				if op.EstSource != "" {
 					fmt.Fprintf(&sb, "  groups est %.0f (%s) actual %d q-error %.2f",
 						op.EstGroups, op.EstSource, op.RowsOut, op.GroupQError())

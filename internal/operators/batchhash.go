@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/block"
@@ -205,6 +206,53 @@ func normSelected(b *block.SelectedBlock, cells []uint64, tags []byte, k, nk, n 
 	default:
 		normRows(b, cells, tags, k, nk, n)
 	}
+}
+
+// flatLongs gives the values and NULL mask of a key column that is a flat
+// bigint block, or a selection over one (sel: row r is source row sel[r]),
+// for a direct key table to read where they lie; ok is false for any other
+// encoding, which normCol reads.
+func flatLongs(b block.Block) (vals []int64, nulls []bool, sel []int, ok bool) {
+	src, sel := block.Unselect(b)
+	if l, ok := src.(*block.LongBlock); ok {
+		return l.Vals, l.Nulls, sel, true
+	}
+	return nil, nil, nil, false
+}
+
+// longSpan is the smallest and largest of n rows of a flatLongs column; ok is
+// false when one of them is NULL.
+func longSpan(vals []int64, nulls []bool, sel []int, n int) (lo, hi int64, ok bool) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	if sel == nil {
+		for r, v := range vals[:n] {
+			if nulls != nil && nulls[r] {
+				return 0, 0, false
+			}
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		return lo, hi, true
+	}
+	for _, r := range sel[:n] {
+		if nulls != nil && nulls[r] {
+			return 0, 0, false
+		}
+		lo, hi = min(lo, vals[r]), max(hi, vals[r])
+	}
+	return lo, hi, true
+}
+
+// cellSpan is the smallest and largest of normalized single-key cells, as
+// signed integers; ok is false when one of them is not an integer (CellLong).
+func cellSpan(cells []uint64, tags []byte) (lo, hi int64, ok bool) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	for r, tag := range tags {
+		if tag != block.CellLong {
+			return 0, 0, false
+		}
+		lo, hi = min(lo, int64(cells[r])), max(hi, int64(cells[r]))
+	}
+	return lo, hi, true
 }
 
 // normRows is normCol's row-at-a-time case, for any block.
@@ -436,13 +484,13 @@ func (bk *batchKeys) sizeDicts(nk int) {
 }
 
 // reset computes the hash vector (and normalized cells in fixed mode) for
-// the key columns of p into vectors leased from a. fixed must match the
-// owning table's layout; callers derive it from the key column types, which
-// are constant per operator.
+// the key columns of p into vectors leased from a: normalize, then hashCells,
+// in fixed mode. fixed must match the owning table's layout; callers derive it
+// from the key column types, which are constant per operator.
 func (bk *batchKeys) reset(a *block.Arena, p *block.Page, cols []int, fixed bool) {
 	n := p.RowCount()
-	bk.hashes = block.Lease[uint64](a, n)
 	if !fixed {
+		bk.hashes = block.Lease[uint64](a, n)
 		bk.fixed, bk.nk = false, len(cols)
 		bk.sizeDicts(bk.nk)
 		for i := range bk.hashes {
@@ -454,22 +502,11 @@ func (bk *batchKeys) reset(a *block.Arena, p *block.Page, cols []int, fixed bool
 		return
 	}
 	bk.normalize(a, p, cols)
-	// One fused pass over the row-major cells.
-	nk := bk.nk
-	if nk == 1 {
-		for i := 0; i < n; i++ {
-			bk.hashes[i] = fixed1Hash(bk.cells[i], bk.tags[i])
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			bk.hashes[i] = fixedHash(bk.cells[i*nk:(i+1)*nk], bk.tags[i*nk:(i+1)*nk])
-		}
-	}
+	bk.hashCells(a, n)
 }
 
-// normalize computes the fixed-mode normalized cells of the key columns of p,
-// as reset does, into vectors leased from a, and no hash: a direct key table
-// reads none.
+// normalize computes the fixed-mode normalized cells of the key columns of p
+// into vectors leased from a, and no hash: a direct key table reads none.
 func (bk *batchKeys) normalize(a *block.Arena, p *block.Page, cols []int) {
 	n := p.RowCount()
 	bk.fixed, bk.nk = true, len(cols)
@@ -478,6 +515,23 @@ func (bk *batchKeys) normalize(a *block.Arena, p *block.Page, cols []int) {
 	bk.tags = block.Lease[byte](a, n*bk.nk)
 	for k, c := range cols {
 		normCol(p.Col(c), bk.cells, bk.tags, k, bk.nk, n, &bk.dicts[k])
+	}
+}
+
+// hashCells computes the table hash of each of the n rows normalize left
+// cells for, in one fused pass over the row-major cells, into a vector leased
+// from a: the pass reset makes after normalize, and a hashed key table's
+// after a direct one declined the page.
+func (bk *batchKeys) hashCells(a *block.Arena, n int) {
+	bk.hashes = block.Lease[uint64](a, n)
+	if nk := bk.nk; nk == 1 {
+		for i := 0; i < n; i++ {
+			bk.hashes[i] = fixed1Hash(bk.cells[i], bk.tags[i])
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			bk.hashes[i] = fixedHash(bk.cells[i*nk:(i+1)*nk], bk.tags[i*nk:(i+1)*nk])
+		}
 	}
 }
 

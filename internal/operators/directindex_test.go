@@ -297,3 +297,49 @@ func directSpilledPartitions(t *testing.T) {
 		}
 	}
 }
+
+// TestDirectProbeReadsKeysInPlace: the probe of a direct index reads a flat
+// bigint key column, or a selection over one, where it lies (flatLongs), and
+// finds for every row, NULL included, the build position the hashed index
+// finds.
+func TestDirectProbeReadsKeysInPlace(t *testing.T) {
+	ts := []types.Type{types.Bigint}
+	build := block.NewPage(block.NewLongBlock([]int64{3, 5, 4, 3, 8}, nil))
+	src := block.NewLongBlock([]int64{5, 9, 3, 0, 4, 7, 8, -1}, []bool{false, false, false, true, false, false, false, false})
+	probes := []*block.Page{
+		block.NewPage(src),
+		block.NewPage(&block.SelectedBlock{Src: src, Sel: []int{5, 3, 0, 2, 7, 4, 6}}),
+		block.NewPage(&block.SelectedBlock{Src: block.NewLongBlock([]int64{8, 2, 3}, nil), Sel: []int{2, 0, 1}}),
+	}
+	run := func(hashed bool) (bool, [][]int32) {
+		hashEveryIndex.Store(hashed)
+		defer hashEveryIndex.Store(false)
+		bridge := NewJoinBridge()
+		bridge.AddBuilder()
+		hb := NewHashBuild(NopContext(), bridge, []int{0}, ts)
+		if err := hb.AddInput(build); err != nil {
+			t.Fatal(err)
+		}
+		hb.Finish()
+		bridge.NoMoreBuilders()
+		bridge.AddProbe()
+		bridge.NoMoreProbes()
+		op := NewLookupJoin(NopContext(), bridge, plan.InnerJoin, []int{0}, nil, ts, ts, 0)
+		op.tab = bridge.builtTable
+		var ids [][]int32
+		for _, p := range probes {
+			ids = append(ids, slices.Clone(op.resolveProbe(p)))
+		}
+		return bridge.ktab.direct, ids
+	}
+	direct, got := run(false)
+	hashed, want := run(true)
+	if !direct || hashed {
+		t.Fatalf("index direct %v, forced hashed %v", direct, hashed)
+	}
+	for pg := range want {
+		if !slices.Equal(got[pg], want[pg]) {
+			t.Errorf("probe page %d resolves to %v, hashed to %v", pg, got[pg], want[pg])
+		}
+	}
+}

@@ -235,10 +235,13 @@ func TestFinishedAggregationDropsItsTable(t *testing.T) {
 
 // BenchmarkKeyTableFixed1 prices the single-bigint-key table the aggregation
 // and the join build use: 120 000 rows into 30 000 groups from an empty table
-// and from one presized for them; and, into tables of 3 000, 30 000 and
-// 120 000 entries, a lookup as a hashed join build's probe makes it (the hash,
-// then lookupFixed1) and as a direct one's does (lookupDirect, over the same
-// keys linked as the join build links them).
+// and from one presized for them; 120 000 rows into 3 000 and 120 000 groups
+// from an empty table, hashed (the hash, then getOrInsertFixed1) and direct
+// (fit, then findDirect and insertDirect), as the aggregation enters a page;
+// and, into tables of 3 000, 30 000 and 120 000 entries, a lookup as a hashed
+// join build's probe makes it (the hash, then lookupFixed1) and as a direct
+// one's does (lookupDirect, over the same keys linked as the join build links
+// them).
 func BenchmarkKeyTableFixed1(b *testing.B) {
 	const rows, groups = 120_000, 30_000
 	hashes, cells := make([]uint64, rows), make([]uint64, rows)
@@ -253,6 +256,37 @@ func BenchmarkKeyTableFixed1(b *testing.B) {
 				t := newKeyTable(&tableLease{}, true, 1, sized)
 				for r := range hashes {
 					t.getOrInsertFixed1(hashes[r], cells[r], block.CellLong)
+				}
+			}
+			b.ReportMetric(float64(b.N*rows)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
+	for _, keys := range []int{3_000, 120_000} {
+		cells := make([]uint64, rows)
+		for r := range cells {
+			cells[r] = uint64(r*7919) % uint64(keys)
+		}
+		b.Run(fmt.Sprintf("insert/hashed/keys=%d", keys), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				t := newKeyTable(&tableLease{}, true, 1, 0)
+				for _, c := range cells {
+					t.getOrInsertFixed1(fixed1Hash(c, block.CellLong), c, block.CellLong)
+				}
+			}
+			b.ReportMetric(float64(b.N*rows)/b.Elapsed().Seconds(), "rows/s")
+		})
+		b.Run(fmt.Sprintf("insert/direct/keys=%d", keys), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				t := newKeyTable(&tableLease{}, true, 1, 0)
+				if !t.fit(0, int64(keys-1), rows) {
+					b.Fatal("a dense key is hashed")
+				}
+				for _, c := range cells {
+					if t.findDirect(c) < 0 {
+						t.insertDirect(c)
+					}
 				}
 			}
 			b.ReportMetric(float64(b.N*rows)/b.Elapsed().Seconds(), "rows/s")

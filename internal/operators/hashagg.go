@@ -300,6 +300,7 @@ func (o *HashAggregationOperator) newTableLocked(tl *tableLease, n int) {
 // next fill — the drain refills the table once per partition, all about the
 // same size.
 func (o *HashAggregationOperator) resetTableLocked() {
+	o.recordTableLocked()
 	o.table.reset()
 	for _, v := range o.keys {
 		if v != nil {
@@ -311,6 +312,21 @@ func (o *HashAggregationOperator) resetTableLocked() {
 	}
 }
 
+// recordTableLocked counts the mode the table was filled in, at the end of a
+// fill that entered a group: a global aggregation's one group has no key to
+// address.
+func (o *HashAggregationOperator) recordTableLocked() {
+	switch t := o.table; {
+	case t.Len() == 0 || len(o.groupCols) == 0:
+	case t.direct:
+		o.ctx.Stats.recordTable(TableDirect)
+	case t.turned:
+		o.ctx.Stats.recordTable(TableTurned)
+	default:
+		o.ctx.Stats.recordTable(TableHashed)
+	}
+}
+
 // dropTableLocked gives the table's arrays back through the ledger once
 // nothing reads them again: its groups are copied out (emitGroups) or
 // spilled, or the operator is closing.
@@ -318,6 +334,7 @@ func (o *HashAggregationOperator) dropTableLocked() {
 	if o.table == nil {
 		return
 	}
+	o.recordTableLocked()
 	o.table.release()
 	o.table = nil
 	for k, v := range o.keys {
@@ -478,10 +495,25 @@ func (o *HashAggregationOperator) keepKeysLocked(id int, p *block.Page, cols []i
 	}
 }
 
-// resolveVecFixed is the vectorized fixed-cell lookup: one tight probe pass
-// over the page's normalized key cells (§V-B). Caller holds o.mu.
+// resolveVecFixed is the vectorized fixed-cell lookup: one tight pass over
+// the page's normalized key cells (§V-B) — by value on a direct table
+// (resolveDirect), else a probe by each row's hash. Caller holds o.mu.
 func (o *HashAggregationOperator) resolveVecFixed(p *block.Page, ids []int32, cols []int) {
-	o.batch.reset(&o.scratch, p, cols, true)
+	if len(ids) == 0 {
+		return
+	}
+	normalized := false
+	if len(cols) == 1 && !o.table.hashed {
+		var done bool
+		if done, normalized = o.resolveDirect(p, ids, cols); done {
+			return
+		}
+	}
+	if normalized { // by resolveDirect, for a table the page has turned hashed
+		o.batch.hashCells(&o.scratch, len(ids))
+	} else {
+		o.batch.reset(&o.scratch, p, cols, true)
+	}
 	if len(cols) == 1 {
 		// Single-key fast path: probe on scalars, no per-row slicing.
 		cells, tags, hashes := o.batch.cells, o.batch.tags, o.batch.hashes
@@ -504,6 +536,63 @@ func (o *HashAggregationOperator) resolveVecFixed(p *block.Page, ids []int32, co
 	}
 }
 
+// resolveDirect resolves a page of one key column on a table that is open or
+// direct: it finds the page's smallest and largest key and, when the table
+// fits them (keyTable.fit), enters every row's key at its slot, with no hash
+// and no probe. A flat bigint column, or a selection over one, is read where
+// it lies (flatLongs); any other is normalized first. It reports done false —
+// the table now hashed — when a key is not an integer (a NULL among them) or
+// the span does not fit, and normalized when the page's cells are in o.batch.
+// Caller holds o.mu.
+func (o *HashAggregationOperator) resolveDirect(p *block.Page, ids []int32, cols []int) (done, normalized bool) {
+	t, kc, n := o.table, p.Col(cols[0]), len(ids)
+	if vals, nulls, sel, ok := flatLongs(kc); ok {
+		lo, hi, ints := longSpan(vals, nulls, sel, n)
+		if !ints || !t.fit(lo, hi, n) {
+			t.settleHashed()
+			return false, false
+		}
+		if sel == nil {
+			for r, v := range vals[:n] {
+				if ids[r] = int32(t.findDirect(uint64(v))); ids[r] < 0 {
+					ids[r] = o.insertDirectLocked(uint64(v), kc, r)
+				}
+			}
+		} else {
+			for r, k := range sel[:n] {
+				if ids[r] = int32(t.findDirect(uint64(vals[k]))); ids[r] < 0 {
+					ids[r] = o.insertDirectLocked(uint64(vals[k]), kc, r)
+				}
+			}
+		}
+		return true, false
+	}
+	o.batch.normalize(&o.scratch, p, cols)
+	cells := o.batch.cells[:n]
+	lo, hi, ints := cellSpan(cells, o.batch.tags[:n])
+	if !ints || !t.fit(lo, hi, n) {
+		t.settleHashed()
+		return false, true
+	}
+	for r, c := range cells {
+		if ids[r] = int32(t.findDirect(c)); ids[r] < 0 {
+			ids[r] = o.insertDirectLocked(c, kc, r)
+		}
+	}
+	return true, true
+}
+
+// insertDirectLocked enters a new group for cell, the key of row r of the key
+// column kc, in the direct table, and keeps the key where the cells cannot
+// give it back (a double key). Caller holds o.mu.
+func (o *HashAggregationOperator) insertDirectLocked(cell uint64, kc block.Block, r int) int32 {
+	id := o.table.insertDirect(cell)
+	if o.keys[0] != nil {
+		o.keys[0].put(id, kc, r)
+	}
+	return int32(id)
+}
+
 // resolveVecBytes is the vectorized byte-layout lookup (varchar/array/mixed
 // group keys): hashes come from the batch kernels, the canonical key encoding
 // is built only to verify and store the key. Caller holds o.mu.
@@ -521,15 +610,29 @@ func (o *HashAggregationOperator) resolveVecBytes(p *block.Page, ids []int32, co
 
 // groupIDForRow returns the dense group id of row r's key, entering a fresh
 // group when absent: the lookup of resolveVecFixed and resolveVecBytes for one
-// row, whatever the encodings of its columns. NULL is a valid group key in
-// aggregation (unlike joins). Caller holds o.mu.
+// row, whatever the encodings of its columns — by value while the table is
+// open or direct and fits the key, as resolveDirect decides for a page of the
+// row's size. NULL is a valid group key in aggregation (unlike joins). Caller
+// holds o.mu.
 func (o *HashAggregationOperator) groupIDForRow(p *block.Page, cols []int, r int) int32 {
 	var id int
 	var fresh bool
-	if h := o.batch.rowKey(p, cols, r, o.table.fixed); o.table.fixed {
-		id, fresh = o.table.getOrInsertFixed(h, o.batch.rowCells, o.batch.rowTags)
-	} else {
-		id, fresh = o.table.getOrInsertBytes(h, o.batch.buf)
+	t := o.table
+	if t.fixed && len(cols) == 1 && !t.hashed {
+		if tag, cell := normValue(p.Col(cols[0]).Value(r)); tag == block.CellLong && t.fit(int64(cell), int64(cell), p.RowCount()) {
+			if id = t.findDirect(cell); id < 0 {
+				id, fresh = t.insertDirect(cell), true
+			}
+		} else {
+			t.settleHashed()
+		}
+	}
+	if !t.direct {
+		if h := o.batch.rowKey(p, cols, r, t.fixed); t.fixed {
+			id, fresh = t.getOrInsertFixed(h, o.batch.rowCells, o.batch.rowTags)
+		} else {
+			id, fresh = t.getOrInsertBytes(h, o.batch.buf)
+		}
 	}
 	if fresh {
 		o.keepKeysLocked(id, p, cols, r)

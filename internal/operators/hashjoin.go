@@ -589,9 +589,14 @@ func (o *HashBuildOperator) AddInput(p *block.Page) error {
 
 // resolveBatch is the general path of the probe: batch-hash the page's key
 // columns, then look each row's key up in t — a direct table's by its cell
-// alone, with nothing hashed.
+// alone, with nothing hashed, and a flat bigint key column's (flatLongs) read
+// where it lies.
 func resolveBatch(a *block.Arena, t *keyTable, bk *batchKeys, p *block.Page, cols []int, ids []int32) {
 	if t.direct {
+		if vals, nulls, sel, ok := flatLongs(p.Col(cols[0])); ok {
+			probeDirect(t, vals, nulls, sel, ids)
+			return
+		}
 		bk.normalize(a, p, cols)
 		cells, tags := bk.cells, bk.tags[:len(ids)]
 		for r, tag := range tags {
@@ -625,6 +630,26 @@ func resolveBatch(a *block.Arena, t *keyTable, bk *batchKeys, p *block.Page, col
 			id = t.lookupBytes(bk.hashes[r], bk.buf)
 		}
 		ids[r] = int32(id)
+	}
+}
+
+// probeDirect looks up, in a direct table, the key of each row of a flatLongs
+// column: the row's value is its cell, and a NULL finds nothing.
+func probeDirect(t *keyTable, vals []int64, nulls []bool, sel []int, ids []int32) {
+	if sel == nil {
+		for r, v := range vals[:len(ids)] {
+			ids[r] = -1
+			if nulls == nil || !nulls[r] {
+				ids[r] = int32(t.lookupDirect(uint64(v), block.CellLong))
+			}
+		}
+		return
+	}
+	for r, k := range sel[:len(ids)] {
+		ids[r] = -1
+		if nulls == nil || !nulls[k] {
+			ids[r] = int32(t.lookupDirect(uint64(vals[k]), block.CellLong))
+		}
 	}
 }
 

@@ -29,12 +29,19 @@ import (
 //
 // Three ways to address it:
 //   - hashed: a key's hash picks the slot a linear probe starts from;
-//   - direct: a linked table (below) over one key column whose non-NULL cells
-//     are all integers (CellLong: BIGINT, DATE, an integral DOUBLE) with
-//     max - min + 1 no more than the slots it leased anyway. The slot array is
-//     then indexed by value — slots[cell - lo] — and a lookup is a tag check,
-//     a subtraction, a bounds check and one load, with no hash and no probe.
-//     index decides it per build, from the build's own cells.
+//   - direct: the slot array is indexed by value — slots[cell - base] — over
+//     one key column whose cells are all integers (CellLong: BIGINT, DATE, an
+//     integral DOUBLE) with a span max - min + 1 that fits the slots. A lookup
+//     is a tag check, a subtraction, a bounds check and one load, with no hash
+//     and no probe. A linked table (below) decides it per build, from the
+//     build's own cells (index), NULL keys aside, and fits the slots it leased
+//     anyway. A group table (getOrInsert*) decides it per page (fit): it is
+//     direct while every cell is an integer and the span fits the larger of
+//     the slots it holds (a presized table's) and the slots a hashed table
+//     would lease after the page, so it never takes more memory than hashed.
+//     The first page that has another cell (a NULL, a double, a boolean) or a
+//     wider span turns it hashed: its entries are hashed again from their
+//     cells, once, and it stays hashed until reset.
 //
 // Two ways to fill it:
 //   - getOrInsert*: an entry per distinct key, in insertion order. The id is
@@ -55,10 +62,14 @@ type keyTable struct {
 	slots []int32 // entry id + 1; 0 = empty
 	mask  uint64
 
-	// direct mode (index): slot i is key lo + i's; lo and hi are the smallest
-	// and largest key.
-	direct bool
-	lo, hi int64
+	// Addressing (see above). A direct table's slot i is key base + i's, and
+	// lo and hi are its smallest and largest key. A group table over one fixed
+	// key column is open — neither direct nor hashed, and empty — until its
+	// first page decides (fit); hashed marks one that stays hashed until
+	// reset, and turned one that was direct before.
+	direct         bool
+	hashed, turned bool
+	base, lo, hi   int64
 
 	// fixed layout: row-major normalized cells, nk per entry.
 	cells []uint64
@@ -157,10 +168,12 @@ func keyTableBytes(fixed bool, nk, n int) int64 {
 // Len returns the number of entries.
 func (t *keyTable) Len() int { return t.n }
 
-// reset empties the table and keeps its arrays for the next fill.
+// reset empties the table, open again, and keeps its arrays for the next
+// fill.
 func (t *keyTable) reset() {
 	clear(t.slots)
 	t.n, t.keys = 0, 0
+	t.direct, t.hashed, t.turned = false, false, false
 	t.hashes, t.cells, t.tags, t.arena = t.hashes[:0], t.cells[:0], t.tags[:0], t.arena[:0]
 	t.offs = t.offs[:min(len(t.offs), 1)] // no offsets yet in a table never filled
 }
@@ -174,13 +187,23 @@ func (t *keyTable) hash(e int) uint64 {
 	return fixedHash(t.cells[e*t.nk:(e+1)*t.nk], t.tags[e*t.nk:(e+1)*t.nk])
 }
 
-// grow doubles the slot array (the first has 16) through the ledger and
-// redistributes the entries, in entry order: the keys are read in sequence and
-// only the slot written is a random access. Every entry has a slot
-// (getOrInsert* tables; a linked table is built at its final size).
-func (t *keyTable) grow() {
-	ns := memory.Lease[int32](t.l, max(16, 2*len(t.slots)), 0)
-	mask := uint64(len(ns) - 1)
+// grow doubles the slot array (the first has 16) and enters every entry again
+// (rehash). Every entry has a slot (getOrInsert* tables; a linked table is
+// built at its final size).
+func (t *keyTable) grow() { t.rehash(max(16, 2*len(t.slots))) }
+
+// rehash enters every entry again by its hash, in entry order — the keys are
+// read in sequence and only the slot written is a random access — into a slot
+// array of size slots: the one the table holds, cleared, when it has that
+// size, else a new one leased through the ledger.
+func (t *keyTable) rehash(size int) {
+	ns := t.slots
+	if size == len(ns) {
+		clear(ns)
+	} else {
+		ns = memory.Lease[int32](t.l, size, 0)
+	}
+	mask := uint64(size - 1)
 	for e := 0; e < t.n; e++ {
 		i := t.hash(e) & mask
 		for ns[i] != 0 {
@@ -188,12 +211,15 @@ func (t *keyTable) grow() {
 		}
 		ns[i] = int32(e + 1)
 	}
-	memory.Return(t.l, t.slots)
+	if size != len(t.slots) {
+		memory.Return(t.l, t.slots)
+	}
 	t.slots, t.mask = ns, mask
 }
 
-// hashEveryIndex keeps every linked table hashed (index never makes one
-// direct); tests set it to compare the two modes over the same rows.
+// hashEveryIndex keeps every key table hashed (index and fit never make one
+// direct), linked and group tables alike; tests set it to compare the two
+// modes over the same rows.
 var hashEveryIndex atomic.Bool
 
 // index makes a table filled by appendKeys direct when its keys allow it (see
@@ -220,18 +246,99 @@ func (t *keyTable) index() {
 		}
 	}
 	if lo <= hi { // else every key is NULL, and nothing is linked
-		t.direct, t.lo, t.hi = true, lo, hi
+		t.direct, t.base, t.lo, t.hi = true, lo, lo, hi
 	}
 }
 
-// lookupDirect is lookupFixed1 on a direct table. Every cell lo + i
+// lookupDirect is lookupFixed1 on a direct table. Every cell base + i
 // (mod 2^64) with i inside the slot array has slot i, which is empty unless
 // the cell is a key, so the slot needs no check against the cells.
 func (t *keyTable) lookupDirect(cell uint64, tag byte) int {
-	if i := cell - uint64(t.lo); tag == block.CellLong && i < uint64(len(t.slots)) {
+	if i := cell - uint64(t.base); tag == block.CellLong && i < uint64(len(t.slots)) {
 		return int(t.slots[i]) - 1
 	}
 	return -1
+}
+
+// fit readies a group table over one fixed key column to enter keys lo..hi
+// directly — the cells of a page, every one an integer, with rows rows — and
+// reports whether it did. It does while the table is open or direct and the
+// span of its keys and these is within the larger of the slots it holds and
+// slotsFor(keys + rows), what a hashed table would lease after the page. It
+// moves the keys to a wider window when the new ones pass it (place).
+// Otherwise the table turns hashed (settleHashed) and fit reports false.
+func (t *keyTable) fit(lo, hi int64, rows int) bool {
+	if t.direct {
+		lo, hi = min(lo, t.lo), max(hi, t.hi)
+	}
+	limit := uint64(max(len(t.slots), slotsFor(t.keys+rows)))
+	if t.hashed || hashEveryIndex.Load() || uint64(hi)-uint64(lo) >= limit {
+		t.settleHashed()
+		return false
+	}
+	if size := uint64(len(t.slots)); !t.direct || uint64(lo)-uint64(t.base) >= size || uint64(hi)-uint64(t.base) >= size {
+		t.place(lo, hi)
+	}
+	t.direct, t.lo, t.hi = true, lo, hi
+	return true
+}
+
+// place makes the slot array a window over keys lo..hi, with the keys the
+// table holds moved to their new slots: the array it holds when that is long
+// enough, else one twice as long as often as it takes (16 at least), leased
+// through the ledger. The keys sit in the middle of the window, so that it
+// can widen either way before they move again.
+func (t *keyTable) place(lo, hi int64) {
+	span := uint64(hi) - uint64(lo) + 1
+	size := max(16, len(t.slots))
+	for uint64(size) < span {
+		size *= 2
+	}
+	base := int64(uint64(lo) - (uint64(size)-span)/2)
+	ns := t.slots
+	if size != len(ns) {
+		ns = memory.Lease[int32](t.l, size, 0)
+	}
+	if t.direct { // else the array is empty
+		from := t.slots[uint64(t.lo)-uint64(t.base) : uint64(t.hi)-uint64(t.base)+1]
+		at := uint64(t.lo) - uint64(base)
+		copy(ns[at:], from)
+		if size == len(t.slots) {
+			clear(ns[:at])
+			clear(ns[at+uint64(len(from)):])
+		}
+	}
+	if size != len(t.slots) {
+		memory.Return(t.l, t.slots)
+	}
+	t.slots, t.mask, t.base = ns, uint64(size-1), base
+}
+
+// settleHashed makes the table hashed until reset: a direct table's entries
+// are entered again by their hashes, in the slot array it holds unless the
+// load factor asks for a longer one.
+func (t *keyTable) settleHashed() {
+	if t.direct {
+		t.turned = true
+		t.rehash(max(len(t.slots), slotsFor(t.keys)))
+	}
+	t.direct, t.hashed = false, true
+}
+
+// findDirect is the entry id of an integer cell fit has admitted to a direct
+// table, or -1: the cell is the slot, with no hash and no probe. With
+// insertDirect for a -1, it is getOrInsertFixed1 on a direct table, and it
+// inlines into the caller's per-row loop.
+func (t *keyTable) findDirect(cell uint64) int {
+	return int(t.slots[cell-uint64(t.base)]) - 1
+}
+
+// insertDirect enters cell, admitted by fit and not yet a key of the direct
+// table, as its next entry.
+func (t *keyTable) insertDirect(cell uint64) int {
+	t.cells = append(room(t.l, t.cells, 1), cell)
+	t.tags = append(room(t.l, t.tags, 1), block.CellLong)
+	return t.enter(cell - uint64(t.base))
 }
 
 // maybeGrow keeps the load factor under 3/4 ahead of one insertion.
@@ -408,7 +515,7 @@ func (t *keyTable) nullKey(e int) bool {
 // every slot on its key's first row.
 func (t *keyTable) link(e int) int {
 	if t.direct {
-		i := t.cells[e] - uint64(t.lo)
+		i := t.cells[e] - uint64(t.base)
 		q := int(t.slots[i]) - 1
 		if t.slots[i] = int32(e + 1); q < 0 {
 			t.keys++

@@ -8,6 +8,7 @@ package operators
 
 import (
 	"slices"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/block"
@@ -113,12 +114,52 @@ type OpStats struct {
 	// (scans only): the most dictionary- or RLE-encoded columns a page of the
 	// scan arrived with.
 	dictRows    atomic.Int64
-	encodedCols atomic.Int64
+	encodedCols atomic.Int32
+
+	// Group-table accounting (hash aggregations only): the TableModes the
+	// operator's group tables were filled in. It and encodedCols share a word,
+	// so that OpStats stays in its allocation class.
+	tableModes atomic.Uint32
 
 	// Join-build accounting: the join indexes built with a direct key table
 	// (keyTable.index), counted in the high 32 bits, and with a hashed one,
 	// in the low: one word, so that OpStats stays in its allocation class.
 	indexes atomic.Int64
+}
+
+// TableModes is a set of the ways a hash aggregation's group tables addressed
+// their groups, one mode a fill (keyTable): a table filled direct throughout,
+// hashed throughout, or direct until a page turned it hashed.
+type TableModes uint8
+
+const (
+	TableDirect TableModes = 1 << iota
+	TableHashed
+	TableTurned
+)
+
+// String names the modes in the set, as EXPLAIN ANALYZE prints them.
+func (m TableModes) String() string {
+	var names []string
+	for _, mode := range []struct {
+		m    TableModes
+		name string
+	}{{TableDirect, "direct"}, {TableHashed, "hashed"}, {TableTurned, "direct→hashed"}} {
+		if m&mode.m != 0 {
+			names = append(names, mode.name)
+		}
+	}
+	return strings.Join(names, ", ")
+}
+
+// recordTable adds the mode of one group table's fill to the set.
+func (s *OpStats) recordTable(m TableModes) {
+	for s != nil {
+		cur := s.tableModes.Load()
+		if cur&uint32(m) != 0 || s.tableModes.CompareAndSwap(cur, cur|uint32(m)) {
+			return
+		}
+	}
 }
 
 // recordIndex counts n join indexes built, direct or hashed; n is -1 for one
@@ -251,6 +292,9 @@ type OpStatsSnapshot struct {
 	// stats carry them to no other.
 	DirectIndexes int64 `json:"-"`
 	HashedIndexes int64 `json:"-"`
+	// The modes a hash aggregation's group tables were filled in; they stay in
+	// the process as the join indexes do.
+	TableModes TableModes `json:"-"`
 }
 
 // DynFilterStats is what one dynamic-filter subscription of a scan did:
@@ -291,7 +335,8 @@ func (s *OpStats) Snapshot() OpStatsSnapshot {
 		CSEHits:          s.cseHits.Load(),
 		DictEvictions:    s.dictEvictions.Load(),
 		DictRows:         s.dictRows.Load(),
-		EncodedCols:      s.encodedCols.Load(),
+		EncodedCols:      int64(s.encodedCols.Load()),
+		TableModes:       TableModes(s.tableModes.Load()),
 		DirectIndexes:    indexes >> 32,
 		HashedIndexes:    indexes & (1<<32 - 1),
 	}
@@ -362,6 +407,7 @@ func (s *OpStatsSnapshot) Merge(o OpStatsSnapshot) {
 	s.EncodedCols = max(s.EncodedCols, o.EncodedCols) // every task scans the same columns
 	s.DirectIndexes += o.DirectIndexes
 	s.HashedIndexes += o.HashedIndexes
+	s.TableModes |= o.TableModes
 }
 
 // NopContext returns a context with no memory accounting, for tests.
@@ -391,7 +437,7 @@ func (c *OpContext) recordScanOut(p *block.Page) {
 	if c == nil || c.Stats == nil || p == nil {
 		return
 	}
-	var encoded int64
+	var encoded int32
 	for _, col := range p.Cols {
 		switch col.(type) {
 		case *block.DictionaryBlock, *block.RLEBlock:

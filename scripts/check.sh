@@ -264,8 +264,9 @@ go test -race -count=1 -run 'TestJoinUnderSpillFinishes' .
 # A worker behind an exchange over 2 or 4 consumers holds one residue of the
 # key hash; its spilled build still fills every spill partition evenly. A
 # revocation whose seal fails keeps the build in memory, and an index a
-# revocation dropped is not counted.
-go test -race -count=1 -run 'TestGraceJoinSpreadsAfterExchange|TestJoinSealFailureKeepsBuildInMemory|TestJoinRevokedIndexNotCounted' ./internal/operators/
+# revocation dropped is not counted. A group table over a dense integer key
+# is direct and aggregates as a hashed one, spilled and drained too.
+go test -race -count=1 -run 'TestGraceJoinSpreadsAfterExchange|TestJoinSealFailureKeepsBuildInMemory|TestJoinRevokedIndexNotCounted|TestDirectGroupTableMatchesHashed' ./internal/operators/
 
 echo "==> task lifecycle: a task moves on events, not a clock"
 # A task finishes when no driver runs and every pipeline has declared its last
