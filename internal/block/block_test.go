@@ -111,6 +111,54 @@ func TestDictEncodeHighCardinalityBailsOut(t *testing.T) {
 	}
 }
 
+// TestDictEncodeGivesUpExactlyPastTheLimit: the distinct-value count that
+// lets DictEncode give up before building a dictionary is a lower bound, so
+// a column is dictionary-encoded exactly when its entries — the NULL one
+// included — fit the limit, as the encoder alone decides, for BIGINT and
+// VARCHAR columns of 4 096 rows around the limit of 2 048 entries and far
+// past it.
+func TestDictEncodeGivesUpExactlyPastTheLimit(t *testing.T) {
+	const rows, limit = 4096, 2048
+	for _, distinct := range []int{1, 9, limit - 1, limit, limit + 1, limit + 2, 3000, rows} {
+		for _, withNull := range []bool{false, true} {
+			longs, strs := make([]int64, rows), make([]string, rows)
+			var nulls []bool
+			if withNull {
+				nulls = make([]bool, rows)
+				nulls[rows-1] = true
+			}
+			for r := range longs {
+				longs[r] = int64(r%distinct) * 7919
+				strs[r] = fmt.Sprint("s", r%distinct)
+			}
+			seen := map[int64]bool{}
+			for r, v := range longs {
+				seen[v] = seen[v] || nulls == nil || !nulls[r]
+			}
+			entries := 0
+			for _, valued := range seen {
+				if valued {
+					entries++
+				}
+			}
+			if withNull {
+				entries++
+			}
+			for _, b := range []Block{NewLongBlock(longs, nulls), NewVarcharBlock(strs, nulls)} {
+				enc := DictEncode(b, 0.5)
+				if _, isDict := enc.(*DictionaryBlock); isDict != (entries <= limit) {
+					t.Errorf("%s, %d entries: dictionary %v, want %v", b.Type(), entries, isDict, entries <= limit)
+				}
+				for r := range rows {
+					if enc.IsNull(r) != b.IsNull(r) || !b.IsNull(r) && !enc.Value(r).Equal(b.Value(r)) {
+						t.Fatalf("%s, %d entries: row %d reads %v, want %v", b.Type(), entries, r, enc.Value(r), b.Value(r))
+					}
+				}
+			}
+		}
+	}
+}
+
 // Property: DictEncode and RLEEncode preserve every value.
 func TestEncodeDecodeProperty(t *testing.T) {
 	f := func(raw []uint8) bool {

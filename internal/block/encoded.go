@@ -2,7 +2,9 @@ package block
 
 import (
 	"cmp"
+	"hash/maphash"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -144,6 +146,7 @@ type DictEncoder struct {
 type dictValues[T comparable] struct {
 	ids  map[T]int32
 	vals []T
+	hint int // at least this many entries are coming (0: unknown); sizes vals and ids
 }
 
 const dictScanEntries = 8
@@ -167,6 +170,11 @@ func (d *dictValues[T]) find(v T, nullAt int32) (int32, bool) {
 // its index.
 func (d *dictValues[T]) add(v T, nullAt int32) int32 {
 	id := int32(len(d.vals))
+	if d.vals == nil && d.hint > 0 {
+		// A lower bound misses a few colliding values: room for an eighth more.
+		d.hint += d.hint / 8
+		d.vals = make([]T, 0, d.hint)
+	}
 	d.vals = append(d.vals, v)
 	switch {
 	case d.ids != nil:
@@ -174,7 +182,7 @@ func (d *dictValues[T]) add(v T, nullAt int32) int32 {
 			d.ids[v] = id
 		}
 	case len(d.vals) > dictScanEntries:
-		d.ids = make(map[T]int32, 2*len(d.vals))
+		d.ids = make(map[T]int32, max(2*len(d.vals), d.hint))
 		for j, x := range d.vals {
 			if int32(j) != nullAt-1 {
 				d.ids[x] = int32(j)
@@ -258,14 +266,58 @@ func (e *DictEncoder) Dict() Block {
 // DictEncode builds a dictionary block from a plain block if the column's
 // cardinality is low enough to make it worthwhile; otherwise it returns the
 // input unchanged. maxRatio caps dictionary size as a fraction of row count.
+// A column that surely has more distinct values than that is returned before
+// any dictionary is built (distinctAtLeast), and one that may not gets its
+// dictionary sized by the same count.
 func DictEncode(b Block, maxRatio float64) Block {
+	limit := int(maxRatio * float64(b.Len()))
 	var enc DictEncoder
-	indices, ok := enc.Encode(b, int(maxRatio*float64(b.Len())))
+	switch src := b.(type) {
+	case *LongBlock:
+		if enc.longs.hint = distinctAtLeast(src.Vals, src.Nulls, hashLong); enc.longs.hint > limit {
+			return b
+		}
+	case *VarcharBlock:
+		if enc.strs.hint = distinctAtLeast(src.Vals, src.Nulls, hashString); enc.strs.hint > limit {
+			return b
+		}
+	}
+	indices, ok := enc.Encode(b, limit)
 	if !ok || len(indices) == 0 {
 		return b
 	}
 	return &DictionaryBlock{Dict: enc.Dict(), Indices: indices}
 }
+
+// sketchBits is the size of the bitmap distinctAtLeast hashes into (2 KiB,
+// on the stack).
+const sketchLog, sketchBits = 14, 1 << 14
+
+// distinctAtLeast returns a lower bound on the dictionary entries a column
+// needs, its NULL entry included, without a set: each value sets the bit its
+// hash picks, so no more bits are set than there are distinct values.
+func distinctAtLeast[T any](vals []T, nulls []bool, hash func(T) uint64) int {
+	var set [sketchBits / 64]uint64
+	null := 0
+	for i, v := range vals {
+		if nulls != nil && nulls[i] {
+			null = 1
+			continue
+		}
+		h := hash(v) >> (64 - sketchLog)
+		set[h/64] |= 1 << (h % 64)
+	}
+	n := null
+	for _, w := range set {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+var sketchSeed = maphash.MakeSeed()
+
+func hashLong(v int64) uint64    { return uint64(v) * 0x9e3779b97f4a7c15 }
+func hashString(s string) uint64 { return maphash.String(sketchSeed, s) }
 
 // RLEEncode returns an RLE block if every row of b holds the same value
 // (including all-NULL), otherwise b unchanged. Doubles must match to the bit:

@@ -14,6 +14,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -308,23 +309,35 @@ func (c *Connector) TableVersion(name string) int64 {
 	return c.Catalog.TableVersion(name)
 }
 
-// split is one orcish file (or file section) plus its partition values.
+// split is a stripe of one orcish file (§IV-D3: a file is cut into splits,
+// so a one-file table is read by every task of its stage). It carries the
+// file's footer, so opening it reads neither the catalog nor the file's
+// metadata, and its exact row count, so the stage ledger balances rows.
 type split struct {
-	catalog  string
-	table    string
+	catalog string
+	file    *lakeFile
+	stripe  int
+}
+
+// lakeFile is what the splits of one file share: its path, the footer they
+// were cut from, its partition values and the table's partition columns.
+type lakeFile struct {
 	path     string
+	footer   *orcish.Footer
+	partCols []string
 	partVals map[string]string
-	rows     int64
 }
 
 func (s *split) Connector() string     { return s.catalog }
 func (s *split) PreferredNodes() []int { return nil }
-func (s *split) EstimatedRows() int64  { return s.rows }
+func (s *split) EstimatedRows() int64  { return s.file.footer.Stripes[s.stripe].Rows }
 
-// Splits implements the Data Location API: files are enumerated lazily and
-// whole partitions pruned against the pushed-down constraint.
+// Splits implements the Data Location API: files are enumerated lazily, whole
+// partitions pruned against the pushed-down constraint, and each file that
+// remains is cut at its stripes.
 func (c *Connector) Splits(handle plan.TableHandle) (connector.SplitSource, error) {
-	if err := c.Check(handle.Table); err != nil {
+	var partCols []string
+	if err := c.Read(handle.Table, func(t *tableInfo) error { partCols = t.partCols; return nil }); err != nil {
 		return nil, err
 	}
 	tableDir := filepath.Join(c.cfg.Dir, handle.Table)
@@ -336,38 +349,56 @@ func (c *Connector) Splits(handle plan.TableHandle) (connector.SplitSource, erro
 		c:        c,
 		handle:   handle,
 		tableDir: tableDir,
+		partCols: partCols,
 		files:    files,
 	}, nil
 }
 
-// lazySplitSource yields file splits in batches, applying partition pruning
-// as it goes (the coordinator never sees pruned partitions).
+// lazySplitSource yields one split per stripe in batches, applying partition
+// pruning as it goes (the coordinator never sees pruned partitions). The
+// stripe table is the file's footer, read through the footer cache when the
+// enumeration reaches the file; a file with no stripe (CreateTable's schema
+// file) yields no split.
 type lazySplitSource struct {
 	c        *Connector
 	handle   plan.TableHandle
 	tableDir string
+	partCols []string
 	files    []string
-	pos      int
+	pos      int       // the next file to open
+	file     *lakeFile // the file being cut, nil between files
+	stripe   int       // file's next stripe
 }
 
 func (s *lazySplitSource) NextBatch(max int) (connector.SplitBatch, error) {
 	var out []connector.Split
-	for len(out) < max && s.pos < len(s.files) {
-		path := s.files[s.pos]
-		s.pos++
-		pv := partitionValues(s.tableDir, path)
-		if !s.partitionMatches(pv) {
-			continue
+	for len(out) < max && (s.file != nil || s.pos < len(s.files)) {
+		if s.file == nil {
+			path := s.files[s.pos]
+			pv := partitionValues(s.tableDir, path)
+			if !s.partitionMatches(pv) {
+				s.pos++
+				continue
+			}
+			footer, err := s.c.footer(path)
+			if err != nil {
+				if len(out) > 0 {
+					break // the splits cut so far; the next call meets the error
+				}
+				return connector.SplitBatch{}, err
+			}
+			s.pos++
+			s.file, s.stripe = &lakeFile{path: path, footer: footer, partCols: s.partCols, partVals: pv}, 0
 		}
-		out = append(out, &split{
-			catalog:  s.c.Name(),
-			table:    s.handle.Table,
-			path:     path,
-			partVals: pv,
-			rows:     orcish.DefaultStripeRows, // refined by the footer at read time
-		})
+		if s.stripe < len(s.file.footer.Stripes) {
+			out = append(out, &split{catalog: s.c.Name(), file: s.file, stripe: s.stripe})
+			s.stripe++
+		}
+		if s.stripe == len(s.file.footer.Stripes) {
+			s.file = nil
+		}
 	}
-	return connector.SplitBatch{Splits: out, Done: s.pos >= len(s.files)}, nil
+	return connector.SplitBatch{Splits: out, Done: s.file == nil && s.pos >= len(s.files)}, nil
 }
 
 // partitionMatches prunes partitions against the pushed-down domain.
@@ -390,30 +421,21 @@ func (s *lazySplitSource) partitionMatches(pv map[string]string) bool {
 
 func (s *lazySplitSource) Close() {}
 
-// PageSource implements the Data Source API: an orcish reader with stripe
-// skipping and (optionally) lazy columns, with partition columns appended as
-// RLE blocks.
+// PageSource implements the Data Source API: an orcish reader over the
+// split's stripe, with stripe skipping and (optionally) lazy columns, and
+// partition columns appended as RLE blocks.
 func (c *Connector) PageSource(sp connector.Split, columns []string, handle plan.TableHandle) (connector.PageSource, error) {
 	hs, ok := sp.(*split)
 	if !ok {
 		return nil, fmt.Errorf("foreign split type %T", sp)
 	}
 	// Separate file columns from partition columns.
-	partSet := map[string]bool{}
-	err := c.Read(hs.table, func(t *tableInfo) error {
-		for _, pc := range t.partCols {
-			partSet[pc] = true
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	f := hs.file
 	var fileCols []string
 	var layout []int // output position → (file col ordinal | -1-partIdx)
 	var partIdx []string
 	for _, col := range columns {
-		if partSet[col] {
+		if slices.Contains(f.partCols, col) {
 			layout = append(layout, -1-len(partIdx))
 			partIdx = append(partIdx, col)
 		} else {
@@ -421,20 +443,17 @@ func (c *Connector) PageSource(sp connector.Split, columns []string, handle plan
 			fileCols = append(fileCols, col)
 		}
 	}
-	footer, err := c.footer(hs.path)
+	r, err := orcish.OpenReaderWithFooter(f.path, f.footer, fileCols, handle.Constraint, c.cfg.LazyReads)
 	if err != nil {
 		return nil, err
 	}
-	r, err := orcish.OpenReaderWithFooter(hs.path, footer, fileCols, handle.Constraint, c.cfg.LazyReads)
-	if err != nil {
-		return nil, err
-	}
+	r.SetRange(hs.stripe, hs.stripe+1)
 	return &pageSource{
 		c:      c,
 		reader: r,
 		layout: layout,
 		parts:  partIdx,
-		vals:   hs.partVals,
+		vals:   f.partVals,
 	}, nil
 }
 

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/block"
@@ -77,15 +78,20 @@ type Footer struct {
 	Rows    int64
 }
 
-// Writer streams pages into an orcish file.
+// Writer streams pages into an orcish file. It holds the pages it has not yet
+// written as they came, and copies each row once, into the stripe's column
+// vectors; those and the stripe's bytes are leased from the scratch pool for
+// the length of one stripe (block.Arena).
 type Writer struct {
-	w          io.Writer
-	footer     Footer
+	w      io.Writer
+	footer Footer
+	// pending are the pages not yet written, the first one's first skip rows
+	// excepted; pendRows counts the rows left.
 	pending    []*block.Page
+	skip       int
 	pendRows   int
 	stripeRows int
 	offset     int64
-	buf        []byte // one stripe's sections, then the footer; reused
 }
 
 // NewWriter creates a writer over ws for the given schema.
@@ -96,9 +102,13 @@ func NewWriter(ws io.WriteSeeker, columns []ColumnMeta, stripeRows int) *Writer 
 	return &Writer{w: ws, footer: Footer{Columns: columns}, stripeRows: stripeRows}
 }
 
-// Append buffers a page, flushing complete stripes.
+// Append buffers a page, flushing complete stripes. Lazy columns load here,
+// so a pending page holds nothing of the reader it came from.
 func (w *Writer) Append(p *block.Page) error {
-	w.pending = append(w.pending, p.DecodeAll())
+	if p.RowCount() == 0 {
+		return nil
+	}
+	w.pending = append(w.pending, p.LoadLazy())
 	w.pendRows += p.RowCount()
 	for w.pendRows >= w.stripeRows {
 		if err := w.flushStripe(w.stripeRows); err != nil {
@@ -115,12 +125,11 @@ func (w *Writer) Close() error {
 			return err
 		}
 	}
-	buf, err := appendFooter(w.buf[:0], &w.footer)
+	buf, err := appendFooter(nil, &w.footer)
 	if err == nil {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(buf)))
 		_, err = w.w.Write(append(buf, Magic...))
 	}
-	w.buf = nil
 	return err
 }
 
@@ -130,66 +139,198 @@ func (w *Writer) Footer() *Footer { return &w.footer }
 
 // flushStripe writes the first n pending rows as one stripe.
 func (w *Writer) flushStripe(n int) error {
-	page := block.ConcatPages(w.pending)
-	stripe := page.SlicePage(0, n)
-	rest := page.SlicePage(n, page.RowCount())
-	if rest.RowCount() > 0 {
-		w.pending = []*block.Page{rest}
-	} else {
-		w.pending = nil
-	}
-	w.pendRows -= n
-
+	var a block.Arena
+	defer a.Release()
 	nc := len(w.footer.Columns)
 	info := StripeInfo{Offset: w.offset, Rows: int64(n),
 		ColOffsets: make([]int64, nc), ColLengths: make([]int64, nc), Stats: make([]ColumnStats, nc)}
-	w.buf = w.buf[:0]
+	cols := make([]block.Block, nc)
+	size := 0
 	for ci, cm := range w.footer.Columns {
-		col, err := encodeColumn(cm.T, stripe.Col(ci))
-		if err == nil {
-			start := len(w.buf)
-			w.buf, err = block.AppendPage(w.buf, block.NewPage(col), false)
-			info.ColOffsets[ci], info.ColLengths[ci] = int64(start), int64(len(w.buf)-start)
-		}
+		col, err := w.gather(&a, ci, cm.T, n)
 		if err != nil {
 			return fmt.Errorf("column %q: %w", cm.Name, err)
 		}
+		cols[ci] = encodeColumn(col)
+		size += int(cols[ci].SizeBytes()) + frameSlack
+	}
+	buf := block.Lease[byte](&a, size)[:0]
+	for ci, col := range cols {
+		start := len(buf)
+		var err error
+		if buf, err = block.AppendPage(buf, block.NewPage(col), false); err != nil {
+			return fmt.Errorf("column %q: %w", w.footer.Columns[ci].Name, err)
+		}
+		info.ColOffsets[ci], info.ColLengths[ci] = int64(start), int64(len(buf)-start)
 		lo, hi, nulls, ok := block.Bounds(col)
 		// A bound outlives the stripe in a cached footer: it must not pin the
 		// stripe's string memory.
 		lo.S, hi.S = strings.Clone(lo.S), strings.Clone(hi.S)
 		info.Stats[ci] = ColumnStats{Min: lo, Max: hi, NullCount: nulls, HasValues: ok}
 	}
-	if _, err := w.w.Write(w.buf); err != nil {
+	if _, err := w.w.Write(buf); err != nil {
 		return err
 	}
-	info.Length = int64(len(w.buf))
+	w.consume(n)
+	info.Length = int64(len(buf))
 	w.offset += info.Length
 	w.footer.Stripes = append(w.footer.Stripes, info)
 	w.footer.Rows += int64(n)
 	return nil
 }
 
-// encodeColumn picks a stripe column's encoding: RLE for a constant run, a
-// dictionary for low cardinality, flat otherwise. A section holds its
-// column's type: a block of another type (an untyped NULL literal's, or an
-// INSERT's BIGINT into a DOUBLE column) is coerced first.
-func encodeColumn(t types.Type, col block.Block) (block.Block, error) {
-	if col.Type() != t {
-		vals := make([]types.Value, col.Len())
-		for r := range vals {
-			v, err := col.Value(r).Coerce(t)
-			if err != nil {
-				return nil, err
-			}
-			vals[r] = v
+// frameSlack is what a section's frame may take beyond its block's
+// SizeBytes (header, lengths, checksum): the stripe's buffer is leased at the
+// sum, and grows only if a frame takes more.
+const frameSlack = 64
+
+// consume drops the first n pending rows.
+func (w *Writer) consume(n int) {
+	w.pendRows -= n
+	k := 0
+	for ; k < len(w.pending); k++ {
+		left := w.pending[k].RowCount() - w.skip
+		if n < left {
+			w.skip += n
+			break
 		}
-		col = block.BuildBlock(t, vals)
+		n -= left
+		w.skip = 0
 	}
+	rest := copy(w.pending, w.pending[k:])
+	clear(w.pending[rest:])
+	w.pending = w.pending[:rest]
+}
+
+// each calls f on the pending blocks of column ci that hold its first n rows,
+// with the range [from, to) of each that does.
+func (w *Writer) each(ci, n int, f func(b block.Block, from, to int)) {
+	from := w.skip
+	for _, p := range w.pending {
+		to := min(p.RowCount(), from+n)
+		f(p.Col(ci), from, to)
+		if n -= to - from; n == 0 {
+			return
+		}
+		from = 0
+	}
+}
+
+// gather returns the first n pending rows of column ci as one flat block of
+// type t, its vectors leased from a: each row is copied once, from whatever
+// encoding it came in, and a flat block of t that holds the whole stripe is
+// not copied at all. A section holds its column's type: a block of another
+// type (an untyped NULL literal's, or an INSERT's BIGINT into a DOUBLE
+// column) is coerced row by row.
+func (w *Writer) gather(a *block.Arena, ci int, t types.Type, n int) (block.Block, error) {
+	if b := w.pending[0].Col(ci); w.skip+n <= b.Len() && flatOf(b, t) {
+		return block.Slice(b, w.skip, w.skip+n), nil
+	}
+	switch t {
+	case types.Bigint, types.Date:
+		vals, nulls, err := gatherVals(w, a, ci, n, t, func(b *block.LongBlock) ([]int64, []bool) { return b.Vals, b.Nulls },
+			block.Block.Long, func(v types.Value) int64 { return v.I })
+		return &block.LongBlock{T: t, Vals: vals, Nulls: nulls}, err
+	case types.Double:
+		vals, nulls, err := gatherVals(w, a, ci, n, t, func(b *block.DoubleBlock) ([]float64, []bool) { return b.Vals, b.Nulls },
+			block.Block.Double, func(v types.Value) float64 { return v.F })
+		return block.NewDoubleBlock(vals, nulls), err
+	case types.Varchar:
+		vals, nulls, err := gatherVals(w, a, ci, n, t, func(b *block.VarcharBlock) ([]string, []bool) { return b.Vals, b.Nulls },
+			block.Block.Str, func(v types.Value) string { return v.S })
+		return block.NewVarcharBlock(vals, nulls), err
+	case types.Boolean:
+		vals, nulls, err := gatherVals(w, a, ci, n, t, func(b *block.BoolBlock) ([]bool, []bool) { return b.Vals, b.Nulls },
+			block.Block.Bool, func(v types.Value) bool { return v.B })
+		return block.NewBoolBlock(vals, nulls), err
+	}
+	// An array or untyped column: the rows' own blocks end to end, coerced as
+	// a whole.
+	var parts []*block.Page
+	w.each(ci, n, func(b block.Block, from, to int) {
+		parts = append(parts, block.NewPage(block.Slice(b, from, to)))
+	})
+	return coerce(t, block.ConcatPages(parts).Col(0))
+}
+
+// flatOf reports whether b is a flat block of type t.
+func flatOf(b block.Block, t types.Type) bool {
+	switch b.(type) {
+	case *block.LongBlock, *block.DoubleBlock, *block.VarcharBlock, *block.BoolBlock:
+		return b.Type() == t
+	}
+	return false
+}
+
+// gatherVals copies the first n pending rows of column ci, of type t, into
+// vectors leased from a: a flat block B of t by copy, another block of t by
+// its accessor, a block of another type by coercing each value. A NULL row's
+// value is the zero value, and the mask is nil when no row is NULL.
+func gatherVals[T block.Elem, B block.Block](w *Writer, a *block.Arena, ci, n int, t types.Type,
+	flat func(B) ([]T, []bool), get func(block.Block, int) T, of func(types.Value) T) ([]T, []bool, error) {
+	vals, nulls := block.Lease[T](a, n), block.Lease[bool](a, n)
+	var err error
+	anyNull, k := false, 0
+	w.each(ci, n, func(b block.Block, from, to int) {
+		if fb, ok := b.(B); ok && b.Type() == t {
+			v, m := flat(fb)
+			copy(vals[k:], v[from:to])
+			if m != nil {
+				copy(nulls[k:], m[from:to])
+				anyNull = anyNull || slices.Contains(m[from:to], true)
+			} else {
+				clear(nulls[k : k+to-from])
+			}
+			k += to - from
+			return
+		}
+		var zero T
+		for r := from; r < to && err == nil; r, k = r+1, k+1 {
+			v := zero
+			if b.Type() == t {
+				if nulls[k] = b.IsNull(r); !nulls[k] {
+					v = get(b, r)
+				}
+			} else {
+				var x types.Value
+				if x, err = b.Value(r).Coerce(t); !x.Null {
+					v = of(x)
+				}
+				nulls[k] = x.Null
+			}
+			vals[k] = v
+			anyNull = anyNull || nulls[k]
+		}
+	})
+	if !anyNull {
+		nulls = nil
+	}
+	return vals, nulls, err
+}
+
+// encodeColumn picks a stripe column's encoding: RLE for a constant run, a
+// dictionary for low cardinality, flat otherwise.
+func encodeColumn(col block.Block) block.Block {
 	if rle, ok := block.RLEEncode(col).(*block.RLEBlock); ok {
-		return rle, nil
+		return rle
 	}
-	return block.DictEncode(col, 0.5), nil
+	return block.DictEncode(col, 0.5)
+}
+
+// coerce returns col as a block of type t, value by value.
+func coerce(t types.Type, col block.Block) (block.Block, error) {
+	if col.Type() == t {
+		return col, nil
+	}
+	vals := make([]types.Value, col.Len())
+	for r := range vals {
+		v, err := col.Value(r).Coerce(t)
+		if err != nil {
+			return nil, err
+		}
+		vals[r] = v
+	}
+	return block.BuildBlock(t, vals), nil
 }
 
 // appendFooter appends f's schema frame and stripe-table frame to dst.

@@ -24,7 +24,8 @@ type Reader struct {
 	lazy    bool
 
 	f         dataFile
-	stripe    int
+	stripe    int // the next stripe to read
+	end       int // one past the last stripe to read
 	bytesRead atomic.Int64
 
 	// Stripes skipped by their statistics and read.
@@ -51,7 +52,7 @@ func OpenReaderWithFooter(path string, footer *Footer, columns []string, domain 
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{footer: footer, domain: domain, lazy: lazy, f: dataFile{f, path}}
+	r := &Reader{footer: footer, domain: domain, lazy: lazy, f: dataFile{f, path}, end: len(footer.Stripes)}
 	for _, name := range columns {
 		idx := footer.column(name)
 		if idx < 0 {
@@ -67,12 +68,19 @@ func (f *Footer) column(name string) int {
 	return slices.IndexFunc(f.Columns, func(c ColumnMeta) bool { return c.Name == name })
 }
 
+// SetRange narrows the reader to stripes [first, end) of its footer, a
+// split's share of the file. Call it before the first NextPage.
+func (r *Reader) SetRange(first, end int) {
+	r.stripe, r.end = first, min(end, len(r.footer.Stripes))
+}
+
 // BytesRead reports physical bytes fetched (grows as lazy columns load).
 func (r *Reader) BytesRead() int64 { return r.bytesRead.Load() }
 
-// NextPage returns the next stripe as a page, or nil at end of file.
+// NextPage returns the next stripe of the reader's range as a page, or nil
+// past its end.
 func (r *Reader) NextPage() (*block.Page, error) {
-	for r.stripe < len(r.footer.Stripes) {
+	for r.stripe < r.end {
 		info := &r.footer.Stripes[r.stripe]
 		r.stripe++
 		if r.domain != nil && !r.stripeMatches(info) {

@@ -82,7 +82,8 @@
 #                             # for a small statement, streaming, failure,
 #                             # cancel, 410 for a forgotten query, documents
 #                             # byte-equal to json.Marshal's) + lake (orcish and
-#                             # hive under -race, fetched-bytes accounting,
+#                             # hive under -race, a file cut at its stripes
+#                             # read by both workers, fetched-bytes accounting,
 #                             # a damaged file fails one query; no
 #                             # encoding/gob) + subqueries (IN and NOT IN
 #                             # keep the list form's rows; every plan
@@ -420,16 +421,19 @@ echo "==> a lost worker fails its query and the client retries (§IV-G)"
 # baseline rows — for each of four victims, ten runs under -race.
 go test -race -count=10 -run 'TestElasticKillWorkerMidQuery' .
 
-echo "==> lake: orcish sections and footers are page-codec frames, and nothing imports encoding/gob"
+echo "==> lake: orcish sections and footers are page-codec frames, nothing imports encoding/gob, and a file is cut at its stripes"
 # One serialized form serves shuffle, spill and the lake; the gob
 # format is gone, so an import of it anywhere in the module (tests included)
-# fails the check.
+# fails the check. A lake file is one split per stripe
+# (TestSplitsCutAtStripes, in the hive package), so a one-file table is
+# scanned by both workers, whose drivers read the file through handles of
+# their own and force lazy columns late (TestLakeFileReadByEveryWorker).
 if go list -f '{{.ImportPath}}: {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... | grep -E '(^| )encoding/gob( |$)'; then
   echo "encoding/gob is imported by the packages above" >&2
   exit 1
 fi
 go test -race -count=1 ./internal/orcish/ ./internal/connectors/hive/
-go test -race -count=1 -run 'TestScanBytesReadAreFetchedBytes|TestChaosDamagedLakeFile' .
+go test -race -count=1 -run 'TestScanBytesReadAreFetchedBytes|TestChaosDamagedLakeFile|TestLakeFileReadByEveryWorker' .
 
 echo "==> subqueries: IN and NOT IN keep the list form's rows; every plan node kind is planned"
 # x IN (subquery) compares in the common type, as = does, and NOT IN is
