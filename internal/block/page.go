@@ -28,6 +28,15 @@ func NewPage(cols ...Block) *Page {
 	return p
 }
 
+// SetCols makes p the page of cols, as NewPage makes a new one, for a caller
+// that reuses one page from batch to batch.
+func (p *Page) SetCols(cols []Block) {
+	p.Cols, p.rows = cols, 0
+	if len(cols) > 0 {
+		p.rows = cols[0].Len()
+	}
+}
+
 // NewEmptyPage builds a page with no columns but a row count, used by
 // COUNT(*)-style scans that read no columns.
 func NewEmptyPage(rows int) *Page { return &Page{rows: rows} }

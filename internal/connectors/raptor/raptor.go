@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/connector"
-	"repro/internal/operators"
 	"repro/internal/plan"
 	"repro/internal/types"
 )
@@ -143,10 +142,10 @@ func (t *table) appendRows(rows [][]types.Value) []*block.Page {
 	return added
 }
 
-// bucketOf hashes a value consistently with the engine's hash partitioning.
+// bucketOf is the bucket of a key value: the consumer the exchange routes
+// its key hash to, so that a bucketed join needs no exchange.
 func bucketOf(v types.Value, buckets int) int {
-	p := block.NewPage(block.BuildBlock(v.T, []types.Value{v}))
-	return operators.HashPartition(p, 0, []int{0}, buckets)
+	return block.Route(block.HashAt(block.BuildBlock(v.T, []types.Value{v}), 0), buckets)
 }
 
 // Stats implements the Metadata API.

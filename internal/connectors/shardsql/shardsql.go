@@ -102,15 +102,10 @@ func (t *table) commit(name string, v *connector.VersionLog, rows [][]types.Valu
 	v.Appended(name, connector.SummarizeAppend(t.meta.Columns, pages))
 }
 
-// shardOf routes a key to its shard. NULL shares the empty string's shard,
-// under a key of its own.
+// shardOf routes a key to its shard by the key hash of its text. NULL shares
+// the empty string's shard, under a key of its own.
 func shardOf(key connector.Key, n int) int {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(key.S); i++ {
-		h ^= uint64(key.S[i])
-		h *= 1099511628211
-	}
-	return int(h % uint64(n))
+	return block.Route(block.HashString(key.S), n)
 }
 
 // Stats implements the Metadata API.

@@ -32,12 +32,6 @@ type cell struct {
 	payload uint64
 }
 
-// normDouble is a non-null double's cell (block.NormDouble).
-func normDouble(f float64) cell {
-	tag, payload := block.NormDouble(f)
-	return cell{tag, payload}
-}
-
 // BloomBits is the fixed bloom sizing (bits, power of two). A fixed size
 // keeps cross-task unions a plain word-wise OR: partitioned join builds run
 // on many tasks and the coordinator merges their summaries before delivery.
@@ -78,7 +72,7 @@ type Summary struct {
 	exact *cellSet
 	Strs  map[string]struct{}
 
-	// Bloom is a fixed-size blocked bloom over the canonical cell hash. It is
+	// Bloom is a fixed-size blocked bloom over the key hash. It is
 	// nil while the exact set holds every key, and filled when the set
 	// overflows: from the set's members, then from every later key. A summary
 	// with neither — collected for pruning only (ColumnSpec.Bounded) — says
@@ -122,7 +116,7 @@ func newCellSet(keys int) *cellSet {
 // find returns the slot c is in, or the empty slot where it would go.
 func (t *cellSet) find(c cell) uint64 {
 	mask := uint64(len(t.tags) - 1)
-	for i := cellHash(c) & mask; ; i = (i + 1) & mask {
+	for i := c.hash() & mask; ; i = (i + 1) & mask {
 		if t.tags[i] == block.CellNull || (t.tags[i] == c.tag && t.payloads[i] == c.payload) {
 			return i
 		}
@@ -169,7 +163,7 @@ func (s *Summary) matchCell(c cell) bool {
 	case s.Strs != nil:
 		return false
 	case s.Bloom != nil:
-		return s.bloomHas(cellHash(c))
+		return s.bloomHas(c.hash())
 	}
 	return true
 }
@@ -193,42 +187,24 @@ func NewSummary(t types.Type) *Summary {
 // keys: an INNER/SEMI probe can short-circuit to zero rows.
 func (s *Summary) Empty() bool { return !s.Disabled && s.Rows == 0 }
 
-// splitmix64 is the bloom hash finalizer (matches the operator-local hash
-// family; any good 64-bit mixer works here since blooms never cross tasks
-// un-merged with different functions).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
+// bloomSet and bloomHas read a key hash (block.HashCell, block.HashString)
+// at two fields, bits 0-15 and 16-31, which the exchange does not route by:
+// a build behind one still spreads over every bit of the Bloom.
 func (s *Summary) bloomSet(h uint64) {
 	h1 := h & (BloomBits - 1)
-	h2 := (h >> 32) & (BloomBits - 1)
+	h2 := (h >> 16) & (BloomBits - 1)
 	s.Bloom[h1>>6] |= 1 << (h1 & 63)
 	s.Bloom[h2>>6] |= 1 << (h2 & 63)
 }
 
 func (s *Summary) bloomHas(h uint64) bool {
 	h1 := h & (BloomBits - 1)
-	h2 := (h >> 32) & (BloomBits - 1)
+	h2 := (h >> 16) & (BloomBits - 1)
 	return s.Bloom[h1>>6]&(1<<(h1&63)) != 0 && s.Bloom[h2>>6]&(1<<(h2&63)) != 0
 }
 
-func cellHash(c cell) uint64 {
-	return splitmix64(uint64(c.tag)*0x9e3779b97f4a7c15 ^ c.payload)
-}
-
-func strHash(v string) uint64 {
-	// FNV-1a, finalized through splitmix for bloom bit spread.
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(v); i++ {
-		h ^= uint64(v[i])
-		h *= 1099511628211
-	}
-	return splitmix64(h)
-}
+// hash is c's key hash.
+func (c cell) hash() uint64 { return block.HashCell(c.tag, c.payload) }
 
 // overflow drops the exact set for the Bloom filter, which takes its members:
 // past maxSet keys the summary is its Bloom and its bounds.
@@ -243,10 +219,10 @@ func (s *Summary) overflow() {
 // eachHash calls fn with the Bloom hash of every member of the exact set.
 func (s *Summary) eachHash(fn func(uint64)) {
 	if s.exact != nil {
-		s.exact.each(func(c cell) { fn(cellHash(c)) })
+		s.exact.each(func(c cell) { fn(c.hash()) })
 	}
 	for v := range s.Strs {
-		fn(strHash(v))
+		fn(block.HashString(v))
 	}
 }
 
@@ -268,12 +244,12 @@ func (s *Summary) addMember(c cell, maxSet int) {
 	switch t := s.exact; {
 	case t == nil:
 		if s.Bloom != nil {
-			s.bloomSet(cellHash(c))
+			s.bloomSet(c.hash())
 		}
 	case t.has(c):
 	case t.n >= maxSet:
 		s.overflow()
-		s.bloomSet(cellHash(c))
+		s.bloomSet(c.hash())
 	default:
 		t.add(c)
 	}
@@ -307,7 +283,8 @@ func (s *Summary) AddLong(v int64, maxSet int) {
 
 // AddDouble records a non-null double key.
 func (s *Summary) AddDouble(f float64, maxSet int) {
-	s.addCell(normDouble(f), maxSet)
+	tag, payload := block.NormDouble(f)
+	s.addCell(cell{tag, payload}, maxSet)
 	if math.IsNaN(f) {
 		s.poisonBounds()
 		return
@@ -332,11 +309,11 @@ func (s *Summary) AddStr(v string, maxSet int) {
 	case ok:
 	case s.Strs == nil:
 		if s.Bloom != nil {
-			s.bloomSet(strHash(v))
+			s.bloomSet(block.HashString(v))
 		}
 	case len(s.Strs) >= maxSet:
 		s.overflow()
-		s.bloomSet(strHash(v))
+		s.bloomSet(block.HashString(v))
 	default:
 		s.Strs[v] = struct{}{}
 	}
@@ -372,7 +349,8 @@ func (s *Summary) MatchLong(v int64) bool {
 
 // MatchDouble reports whether a double probe value may match a build key.
 func (s *Summary) MatchDouble(f float64) bool {
-	return s.matchCell(normDouble(f))
+	tag, payload := block.NormDouble(f)
+	return s.matchCell(cell{tag, payload})
 }
 
 // MatchBool reports whether a boolean probe value may match a build key.
@@ -387,7 +365,7 @@ func (s *Summary) MatchStr(v string) bool {
 	case s.exact != nil:
 		return false // fixed-width build keys never equal a varchar probe
 	case s.Bloom != nil:
-		return s.bloomHas(strHash(v))
+		return s.bloomHas(block.HashString(v))
 	}
 	return true
 }

@@ -321,7 +321,8 @@ func TestCollectCellsMatchesCollect(t *testing.T) {
 	var cells []uint64
 	var tags []byte
 	for i, f := range vals {
-		c := normDouble(f)
+		tag, payload := block.NormDouble(f)
+		c := cell{tag, payload}
 		if nulls[i] {
 			c = cell{}
 		}
@@ -353,7 +354,8 @@ func TestCollectCellsMatchesCollect(t *testing.T) {
 	}
 
 	// A NaN key poisons the bounds; BIGINT cells are their values.
-	nan := normDouble(math.NaN())
+	tag, payload := block.NormDouble(math.NaN())
+	nan := cell{tag, payload}
 	poisoned := NewCollector(specs, 0, 0)
 	poisoned.CollectCells(2, 2, 1, []uint64{cells[0], nan.payload}, []byte{tags[0], nan.tag}, nil, func(visit func(int)) { visit(0); visit(1) })
 	if s := poisoned.Summaries()[0]; s.HasBounds || !s.BoundsPoisoned || !s.MatchDouble(math.NaN()) {

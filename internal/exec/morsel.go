@@ -16,25 +16,23 @@ import (
 // Memory"; see DESIGN.md §IV-F).
 const DefaultMorselRows = 64 << 10
 
-// morselQueue is the shared split/page queue of one scan pipeline. Splits are
-// dealt round-robin onto per-driver stripes; a driver whose stripe is empty
-// steals from the stripe with the most pending work. Open page sources are
-// shared: any driver may pull the next page from any non-busy source, so the
-// pages of a single giant split fan out across all drivers of the pipeline.
+// morselQueue is the shared split/page queue of one scan pipeline: one FIFO
+// of pending splits, the next of which a driver opens when it finds no open
+// source to read. Open page sources are shared: any driver may pull the next
+// page from any non-busy source, one it opened first, so the pages of a
+// single giant split fan out across all drivers of the pipeline.
 //
 // Lock order: q.mu is a leaf lock, except that onReady (the executor kick) is
 // always invoked after q.mu is released — executor threads call into
 // available()/drained() while holding the executor mutex.
 type morselQueue struct {
 	mu      sync.Mutex
-	stripes [][]connector.Split // per-driver pending splits
-	pending int                 // total pending splits across stripes
+	pending []connector.Split // splits not yet opened, in arrival order
 	open    []*openSplit
 	opening int // splits taken off pending whose source is still being opened
 	noMore  bool
 	stopped bool // canceled: pending dropped, sources closed
-	rr      int  // round-robin split dealing
-	claimed int  // stripe ids handed to drivers
+	drivers int  // driver ids handed out
 	done    int  // splits fully consumed (source exhausted or failed)
 
 	// hungry records that a driver found no work, or was seen starved,
@@ -59,42 +57,32 @@ type morselQueue struct {
 // the unreturned tail of a page larger than one morsel.
 type openSplit struct {
 	src    connector.PageSource
-	stripe int
+	driver int // the driver that opened it
 	busy   bool
 	rem    *block.Page
 }
 
-func newMorselQueue(stripes, morselRows int, openFn func(connector.Split) (connector.PageSource, error)) *morselQueue {
-	if stripes <= 0 {
-		stripes = 1
-	}
-	return &morselQueue{
-		stripes:    make([][]connector.Split, stripes),
-		morselRows: morselRows,
-		openFn:     openFn,
-	}
+func newMorselQueue(morselRows int, openFn func(connector.Split) (connector.PageSource, error)) *morselQueue {
+	return &morselQueue{morselRows: morselRows, openFn: openFn}
 }
 
-// claimStripe hands out the stripe id for the next driver.
-func (q *morselQueue) claimStripe() int {
+// claimDriver hands out the id of the next driver, by which it prefers the
+// sources it opened.
+func (q *morselQueue) claimDriver() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	s := q.claimed % len(q.stripes)
-	q.claimed++
-	return s
+	q.drivers++
+	return q.drivers - 1
 }
 
-// addSplit deals a split onto the next stripe.
+// addSplit queues a split behind the pending ones.
 func (q *morselQueue) addSplit(s connector.Split) {
 	q.mu.Lock()
 	if q.stopped {
 		q.mu.Unlock()
 		return
 	}
-	i := q.rr % len(q.stripes)
-	q.rr++
-	q.stripes[i] = append(q.stripes[i], s)
-	q.pending++
+	q.pending = append(q.pending, s)
 	wake := q.wakeLocked()
 	q.mu.Unlock()
 	if wake {
@@ -131,10 +119,7 @@ func (q *morselQueue) cancel() {
 		}
 	}
 	q.open = nil
-	for i := range q.stripes {
-		q.stripes[i] = nil
-	}
-	q.pending = 0
+	q.pending = nil
 	q.hungry = false
 	q.mu.Unlock()
 	for _, s := range srcs {
@@ -155,11 +140,8 @@ func (q *morselQueue) dropPending() int {
 		q.mu.Unlock()
 		return 0
 	}
-	n := q.pending
-	for i := range q.stripes {
-		q.stripes[i] = nil
-	}
-	q.pending = 0
+	n := len(q.pending)
+	q.pending = nil
 	wake := q.wakeLocked()
 	q.mu.Unlock()
 	if wake {
@@ -183,7 +165,7 @@ func (q *morselQueue) wakeLocked() bool {
 func (q *morselQueue) hasWork() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return !q.stopped && (q.pending > 0 || q.opening > 0 || len(q.open) > 0)
+	return !q.stopped && (len(q.pending) > 0 || q.opening > 0 || len(q.open) > 0)
 }
 
 // drained reports that no morsel will ever be produced again.
@@ -194,7 +176,7 @@ func (q *morselQueue) drained() bool {
 }
 
 func (q *morselQueue) drainedLocked() bool {
-	return q.stopped || (q.noMore && q.pending == 0 && q.opening == 0 && len(q.open) == 0)
+	return q.stopped || (q.noMore && len(q.pending) == 0 && q.opening == 0 && len(q.open) == 0)
 }
 
 // starved reports that no work is available right now but more may appear
@@ -208,7 +190,7 @@ func (q *morselQueue) starved() bool {
 	if q.drainedLocked() {
 		return false
 	}
-	if q.pending > 0 {
+	if len(q.pending) > 0 {
 		return false
 	}
 	for _, os := range q.open {
@@ -220,13 +202,12 @@ func (q *morselQueue) starved() bool {
 	return true
 }
 
-// next returns the next morsel for the given stripe: a remainder of an
-// oversized page, the next page of a shared open source (own stripe's
-// preferred), or the first page of a pending split (stolen from the longest
-// sibling stripe when the own stripe is empty). Returns (nil, nil) when no
-// work is available right now — the caller distinguishes starvation from
-// completion via drained().
-func (q *morselQueue) next(stripe int) (*block.Page, error) {
+// next returns the next morsel for the given driver: a remainder of an
+// oversized page, the next page of a shared open source (one the driver
+// opened preferred), or the first page of the next pending split. Returns
+// (nil, nil) when no work is available right now — the caller distinguishes
+// starvation from completion via drained().
+func (q *morselQueue) next(driver int) (*block.Page, error) {
 	q.mu.Lock()
 	for {
 		if q.stopped {
@@ -234,7 +215,7 @@ func (q *morselQueue) next(stripe int) (*block.Page, error) {
 			return nil, nil
 		}
 		// Oversized-page remainders are ready without touching a source.
-		if os := q.pickRemainder(stripe); os != nil {
+		if os := q.pickRemainder(driver); os != nil {
 			m := os.rem
 			if m.RowCount() > q.morselRows {
 				os.rem = m.SlicePage(q.morselRows, m.RowCount())
@@ -250,7 +231,7 @@ func (q *morselQueue) next(stripe int) (*block.Page, error) {
 			return m, nil
 		}
 		// Pull the next page from a free open source.
-		if os := q.pickSource(stripe); os != nil {
+		if os := q.pickSource(driver); os != nil {
 			os.busy = true
 			q.mu.Unlock()
 			p, err := os.src.NextPage()
@@ -293,8 +274,10 @@ func (q *morselQueue) next(stripe int) (*block.Page, error) {
 			}
 			return p, nil
 		}
-		// Open a pending split: own stripe first, then steal.
-		if s, ok := q.takeSplitLocked(stripe); ok {
+		// Open the next pending split.
+		if len(q.pending) > 0 {
+			s := q.pending[0]
+			q.pending[0], q.pending = nil, q.pending[1:]
 			q.opening++ // neither pending nor open: the queue is not drained
 			q.mu.Unlock()
 			src, err := q.openFn(s)
@@ -309,7 +292,7 @@ func (q *morselQueue) next(stripe int) (*block.Page, error) {
 				src.Close()
 				return nil, nil
 			}
-			q.open = append(q.open, &openSplit{src: src, stripe: stripe})
+			q.open = append(q.open, &openSplit{src: src, driver: driver})
 			continue
 		}
 		// Nothing available: starved (or drained — caller checks).
@@ -326,14 +309,14 @@ func (q *morselQueue) next(stripe int) (*block.Page, error) {
 }
 
 // pickRemainder finds an open source holding an unreturned page tail,
-// preferring the caller's own stripe.
-func (q *morselQueue) pickRemainder(stripe int) *openSplit {
+// preferring one the driver opened.
+func (q *morselQueue) pickRemainder(driver int) *openSplit {
 	var any *openSplit
 	for _, os := range q.open {
 		if os.rem == nil {
 			continue
 		}
-		if os.stripe == stripe {
+		if os.driver == driver {
 			return os
 		}
 		if any == nil {
@@ -343,14 +326,14 @@ func (q *morselQueue) pickRemainder(stripe int) *openSplit {
 	return any
 }
 
-// pickSource finds a non-busy open source, preferring the caller's stripe.
-func (q *morselQueue) pickSource(stripe int) *openSplit {
+// pickSource finds a non-busy open source, preferring one the driver opened.
+func (q *morselQueue) pickSource(driver int) *openSplit {
 	var any *openSplit
 	for _, os := range q.open {
 		if os.busy {
 			continue
 		}
-		if os.stripe == stripe {
+		if os.driver == driver {
 			return os
 		}
 		if any == nil {
@@ -358,33 +341,6 @@ func (q *morselQueue) pickSource(stripe int) *openSplit {
 		}
 	}
 	return any
-}
-
-// takeSplitLocked pops a pending split: the front of the caller's stripe, or
-// — when that stripe is empty — the tail of the longest sibling stripe (the
-// steal path; stealing from the tail keeps the victim's locality at its
-// front).
-func (q *morselQueue) takeSplitLocked(stripe int) (connector.Split, bool) {
-	if own := q.stripes[stripe]; len(own) > 0 {
-		s := own[0]
-		q.stripes[stripe] = own[1:]
-		q.pending--
-		return s, true
-	}
-	victim, max := -1, 0
-	for i, st := range q.stripes {
-		if len(st) > max {
-			victim, max = i, len(st)
-		}
-	}
-	if victim < 0 {
-		return nil, false
-	}
-	st := q.stripes[victim]
-	s := st[len(st)-1]
-	q.stripes[victim] = st[:len(st)-1]
-	q.pending--
-	return s, true
 }
 
 // removeLocked drops an exhausted source from the open list. A driver is not
@@ -406,16 +362,16 @@ func (q *morselQueue) removeLocked(os *openSplit) {
 func (q *morselQueue) splitStats() (queued, running, done int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.pending, len(q.open), q.done
+	return len(q.pending), len(q.open), q.done
 }
 
-// morselStripe adapts one driver's view of the queue to the scan operator's
+// morselDriver adapts one driver's view of the queue to the scan operator's
 // MorselSource interface.
-type morselStripe struct {
-	q      *morselQueue
-	stripe int
+type morselDriver struct {
+	q  *morselQueue
+	id int
 }
 
-func (m *morselStripe) NextMorsel() (*block.Page, error) { return m.q.next(m.stripe) }
-func (m *morselStripe) Drained() bool                    { return m.q.drained() }
-func (m *morselStripe) Starved() bool                    { return m.q.starved() }
+func (m *morselDriver) NextMorsel() (*block.Page, error) { return m.q.next(m.id) }
+func (m *morselDriver) Drained() bool                    { return m.q.drained() }
+func (m *morselDriver) Starved() bool                    { return m.q.starved() }

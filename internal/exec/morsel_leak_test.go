@@ -80,7 +80,7 @@ func (s *leakSource) NextPage() (*block.Page, error) {
 func (s *leakSource) BytesRead() int64 { return 0 }
 func (s *leakSource) Close()           { s.closed.Add(1) }
 
-// drain pulls morsels from one stripe until the queue is drained, returning
+// drainQueue pulls morsels for one driver until the queue is drained, returning
 // the first error.
 func drainQueue(q *morselQueue) error {
 	for {
@@ -98,7 +98,7 @@ func drainQueue(q *morselQueue) error {
 
 func TestMorselQueueClosesSourcesOnExhaustion(t *testing.T) {
 	tr := &leakTracker{}
-	q := newMorselQueue(2, 4, tr.open)
+	q := newMorselQueue(4, tr.open)
 	for i := 0; i < 6; i++ {
 		q.addSplit(leakSplit{i})
 	}
@@ -114,7 +114,7 @@ func TestMorselQueueClosesSourcesOnExhaustion(t *testing.T) {
 
 func TestMorselQueueClosesSourcesOnReadError(t *testing.T) {
 	tr := &leakTracker{}
-	q := newMorselQueue(1, 4, func(s connector.Split) (connector.PageSource, error) {
+	q := newMorselQueue(4, func(s connector.Split) (connector.PageSource, error) {
 		src, err := tr.open(s)
 		if err != nil {
 			return nil, err
@@ -136,7 +136,7 @@ func TestMorselQueueClosesSourcesOnReadError(t *testing.T) {
 
 func TestMorselQueueCancelClosesIdleSources(t *testing.T) {
 	tr := &leakTracker{}
-	q := newMorselQueue(2, 1, tr.open) // morselRows 1: sources stay open mid-drain
+	q := newMorselQueue(1, tr.open) // morselRows 1: sources stay open mid-drain
 	for i := 0; i < 4; i++ {
 		q.addSplit(leakSplit{i})
 	}
@@ -155,7 +155,7 @@ func TestMorselQueueCancelClosesIdleSources(t *testing.T) {
 func TestMorselQueueCancelRacingBusyRead(t *testing.T) {
 	tr := &leakTracker{}
 	release := make(chan struct{})
-	q := newMorselQueue(1, 4, func(s connector.Split) (connector.PageSource, error) {
+	q := newMorselQueue(4, func(s connector.Split) (connector.PageSource, error) {
 		src, err := tr.open(s)
 		if err != nil {
 			return nil, err
@@ -190,7 +190,7 @@ func TestMorselQueueCancelRacingBusyRead(t *testing.T) {
 
 func TestMorselQueueOpenFailureLeaksNothing(t *testing.T) {
 	tr := &leakTracker{openErr: errors.New("open failed"), after: 2}
-	q := newMorselQueue(1, 4, tr.open)
+	q := newMorselQueue(4, tr.open)
 	for i := 0; i < 5; i++ {
 		q.addSplit(leakSplit{i})
 	}
@@ -204,7 +204,7 @@ func TestMorselQueueOpenFailureLeaksNothing(t *testing.T) {
 
 func TestMorselQueueDropPendingKeepsOpenSources(t *testing.T) {
 	tr := &leakTracker{}
-	q := newMorselQueue(1, 1, tr.open)
+	q := newMorselQueue(1, tr.open)
 	for i := 0; i < 5; i++ {
 		q.addSplit(leakSplit{i})
 	}

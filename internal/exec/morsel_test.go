@@ -42,12 +42,12 @@ func longPage(n int, base int64) *block.Page {
 	return block.NewPage(block.NewLongBlock(vals, nil))
 }
 
-// drainStripe pulls morsels for one stripe until the queue drains, returning
+// drainDriver pulls morsels for one driver until the queue drains, returning
 // the total row count seen and the morsel sizes.
-func drainStripe(t *testing.T, q *morselQueue, stripe int) (rows int, sizes []int) {
+func drainDriver(t *testing.T, q *morselQueue, driver int) (rows int, sizes []int) {
 	t.Helper()
 	for {
-		p, err := q.next(stripe)
+		p, err := q.next(driver)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,45 +65,50 @@ func drainStripe(t *testing.T, q *morselQueue, stripe int) (rows int, sizes []in
 	}
 }
 
-// TestMorselQueueStealsSiblingSplits deals splits across two stripes and
-// drains everything from stripe 0: the splits dealt to stripe 1 must be
-// stolen, and split completion must be counted at source exhaustion.
+// TestMorselQueueStealsSiblingSplits: the queue is one FIFO, so any one
+// driver drains every split — a sibling that never runs takes none with it —
+// and split completion is counted at source exhaustion.
 func TestMorselQueueStealsSiblingSplits(t *testing.T) {
-	opened := 0
-	q := newMorselQueue(2, 1024, func(s connector.Split) (connector.PageSource, error) {
-		opened++
-		return &fakePageSource{pages: []*block.Page{longPage(100, int64(s.(fakeSplit).id)*1000)}}, nil
-	})
-	for i := 0; i < 4; i++ {
-		q.addSplit(fakeSplit{id: i})
-	}
-	q.noMoreSplits()
+	for driver := range 2 {
+		opened := 0
+		q := newMorselQueue(1024, func(s connector.Split) (connector.PageSource, error) {
+			opened++
+			return &fakePageSource{pages: []*block.Page{longPage(100, int64(s.(fakeSplit).id)*1000)}}, nil
+		})
+		if q.claimDriver() != 0 || q.claimDriver() != 1 {
+			t.Fatal("driver ids are not handed out in order")
+		}
+		for i := 0; i < 4; i++ {
+			q.addSplit(fakeSplit{id: i})
+		}
+		q.noMoreSplits()
 
-	rows, _ := drainStripe(t, q, 0)
-	if rows != 400 {
-		t.Errorf("rows = %d, want 400 (stripe 0 must steal stripe 1's splits)", rows)
-	}
-	if opened != 4 {
-		t.Errorf("opened %d sources, want 4", opened)
-	}
-	if _, _, done := q.splitStats(); done != 4 {
-		t.Errorf("done splits = %d, want 4", done)
-	}
-	if !q.drained() {
-		t.Error("queue should be drained")
+		rows, _ := drainDriver(t, q, driver)
+		if rows != 400 {
+			t.Errorf("driver %d: rows = %d, want 400 (one driver drains every split)", driver, rows)
+		}
+		if opened != 4 {
+			t.Errorf("driver %d: opened %d sources, want 4", driver, opened)
+		}
+		if _, _, done := q.splitStats(); done != 4 {
+			t.Errorf("driver %d: done splits = %d, want 4", driver, done)
+		}
+		if !q.drained() {
+			t.Errorf("driver %d: queue should be drained", driver)
+		}
 	}
 }
 
 // TestMorselQueueSlicesOversizedPages feeds one split whose single page far
 // exceeds the morsel size: the queue must hand it out in morsel-sized runs.
 func TestMorselQueueSlicesOversizedPages(t *testing.T) {
-	q := newMorselQueue(1, 10, func(connector.Split) (connector.PageSource, error) {
+	q := newMorselQueue(10, func(connector.Split) (connector.PageSource, error) {
 		return &fakePageSource{pages: []*block.Page{longPage(35, 0)}}, nil
 	})
 	q.addSplit(fakeSplit{})
 	q.noMoreSplits()
 
-	rows, sizes := drainStripe(t, q, 0)
+	rows, sizes := drainDriver(t, q, 0)
 	if rows != 35 {
 		t.Errorf("rows = %d, want 35", rows)
 	}
@@ -118,37 +123,37 @@ func TestMorselQueueSlicesOversizedPages(t *testing.T) {
 }
 
 // TestMorselQueueSharesGiantSplit runs two concurrent consumers against a
-// single split of many pages: both stripes must receive work (the whole point
+// single split of many pages: both drivers must receive work (the whole point
 // of morsel scheduling — one oversized split fans out across drivers).
 func TestMorselQueueSharesGiantSplit(t *testing.T) {
 	var pages []*block.Page
 	for i := 0; i < 64; i++ {
 		pages = append(pages, longPage(50, int64(i)*100))
 	}
-	q := newMorselQueue(2, 1024, func(connector.Split) (connector.PageSource, error) {
+	q := newMorselQueue(1024, func(connector.Split) (connector.PageSource, error) {
 		return &fakePageSource{pages: pages}, nil
 	})
 	q.addSplit(fakeSplit{})
 	q.noMoreSplits()
 
-	// Alternate pulls between the two stripes from one thread, so the
-	// interleaving is deterministic: every stripe must be served pages of
+	// Alternate pulls between the two drivers from one thread, so the
+	// interleaving is deterministic: every driver must be served pages of
 	// the single shared split.
-	perStripe := map[int]int{}
-	for st := 0; !q.drained(); st = 1 - st {
-		p, err := q.next(st)
+	perDriver := map[int]int{}
+	for d := 0; !q.drained(); d = 1 - d {
+		p, err := q.next(d)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if p != nil {
-			perStripe[st] += p.RowCount()
+			perDriver[d] += p.RowCount()
 		}
 	}
-	if total := perStripe[0] + perStripe[1]; total != 64*50 {
+	if total := perDriver[0] + perDriver[1]; total != 64*50 {
 		t.Fatalf("total rows = %d, want %d", total, 64*50)
 	}
-	if perStripe[0] == 0 || perStripe[1] == 0 {
-		t.Errorf("one stripe starved on a shared split: %v", perStripe)
+	if perDriver[0] == 0 || perDriver[1] == 0 {
+		t.Errorf("one driver starved on a shared split: %v", perDriver)
 	}
 }
 
@@ -156,7 +161,7 @@ func TestMorselQueueSharesGiantSplit(t *testing.T) {
 // closed, pending splits dropped, and consumers observe the drained state.
 func TestMorselQueueCancelClosesSources(t *testing.T) {
 	src := &fakePageSource{pages: []*block.Page{longPage(10, 0), longPage(10, 10)}}
-	q := newMorselQueue(1, 1024, func(connector.Split) (connector.PageSource, error) {
+	q := newMorselQueue(1024, func(connector.Split) (connector.PageSource, error) {
 		return src, nil
 	})
 	q.addSplit(fakeSplit{})
@@ -182,7 +187,7 @@ func TestMorselQueueCancelClosesSources(t *testing.T) {
 // TestMorselQueueOpenErrorPropagates surfaces split-open failures to the
 // pulling driver rather than wedging the queue.
 func TestMorselQueueOpenErrorPropagates(t *testing.T) {
-	q := newMorselQueue(1, 1024, func(connector.Split) (connector.PageSource, error) {
+	q := newMorselQueue(1024, func(connector.Split) (connector.PageSource, error) {
 		return nil, errors.New("open failed")
 	})
 	q.addSplit(fakeSplit{})
@@ -217,7 +222,7 @@ func (h *heldPageSource) Close()           {}
 // driver's only way back.
 func TestStarvedQueueWakesWhenSourceFreed(t *testing.T) {
 	src := &heldPageSource{entered: make(chan struct{}), release: make(chan struct{})}
-	q := newMorselQueue(2, 1024, func(connector.Split) (connector.PageSource, error) {
+	q := newMorselQueue(1024, func(connector.Split) (connector.PageSource, error) {
 		return src, nil
 	})
 	var ready atomic.Int64
@@ -232,14 +237,14 @@ func TestStarvedQueueWakesWhenSourceFreed(t *testing.T) {
 		}
 		got <- p
 	}()
-	<-src.entered // the source is busy under stripe 0
+	<-src.entered // the source is busy under driver 0
 	if !q.starved() {
-		t.Fatal("stripe 1 is not starved while the only source is busy")
+		t.Fatal("driver 1 is not starved while the only source is busy")
 	}
 	before := ready.Load()
 	close(src.release)
 	if p := <-got; p == nil || p.RowCount() != 10 {
-		t.Fatalf("stripe 0 got %v, want its 10-row page", p)
+		t.Fatalf("driver 0 got %v, want its 10-row page", p)
 	}
 	if ready.Load() == before {
 		t.Fatal("freeing the busy source fired no onReady: a driver parked as starved is never woken")

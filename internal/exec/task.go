@@ -349,8 +349,7 @@ func (t *Task) AddSplit(scanID int, s connector.Split) error {
 // scanDrivers is how many drivers a scan pipeline runs at most: the split
 // concurrency target, but no more than the executor has threads — a driver
 // beyond them would only compile an operator chain to find the queue drained.
-// The morsel queue deals its splits onto as many stripes, and a partial
-// aggregation in the pipeline is sized for as many instances. A single
+// A partial aggregation in the pipeline is sized for as many instances. A single
 // fragment's scan runs one driver: its aggregations are single steps.
 func (t *Task) scanDrivers() int {
 	if t.single {
@@ -368,7 +367,7 @@ func (t *Task) attachMorselQueue(p *pipelineSpec) error {
 		return err
 	}
 	stats := p.opStats[0]
-	q := newMorselQueue(t.scanDrivers(), DefaultMorselRows,
+	q := newMorselQueue(DefaultMorselRows,
 		func(s connector.Split) (connector.PageSource, error) {
 			if err := t.cfg.Inject.Err(faultinject.SiteMorselOpen); err != nil {
 				return nil, err
@@ -408,7 +407,7 @@ func (t *Task) maybeDeclareScanDoneLocked(p *pipelineSpec) {
 	}
 	if t.single && p.driversStarted == 0 && t.failed == nil {
 		sctx := t.sourceCtx(p)
-		src := operators.NewMorselScan(sctx, &morselStripe{q: p.morsels, stripe: p.morsels.claimStripe()})
+		src := operators.NewMorselScan(sctx, &morselDriver{q: p.morsels, id: p.morsels.claimDriver()})
 		if err := t.startDriverLocked(p, src, sctx); err != nil {
 			t.failLocked(err)
 			return
@@ -441,7 +440,7 @@ func (t *Task) maybeStartScanDriversLocked(p *pipelineSpec) error {
 	}
 	for p.driversStarted-p.driversDone < target && p.morsels.hasWork() {
 		sctx := t.sourceCtx(p)
-		src := operators.NewMorselScan(sctx, &morselStripe{q: p.morsels, stripe: p.morsels.claimStripe()})
+		src := operators.NewMorselScan(sctx, &morselDriver{q: p.morsels, id: p.morsels.claimDriver()})
 		if err := t.startDriverLocked(p, src, sctx); err != nil {
 			return err
 		}

@@ -8,15 +8,12 @@ import (
 	"repro/internal/types"
 )
 
-// Batch hashing kernels (paper §V-B, §V-E): instead of serializing every row
-// into a canonical byte key and hashing it with a per-row FNV loop, these
-// kernels walk each key column's typed slice once and fold each column into a
-// per-row hash vector in place. Byte-layout hashes (hashCol) are bit-identical
-// to hashRowKey(encodeRowKey(...)), which keeps hash partitioning across
-// workers (hashPartitionPage) in exact agreement with the per-row fallback.
-// Fixed-layout table hashes use the cheaper mix64 over normalized cells —
-// they never leave the operator, and key equality is verified on the cells
-// themselves, so only distribution matters there.
+// Batch hashing kernels (paper §V-B, §V-E): instead of hashing a key row by
+// row, these kernels walk each key column's typed slice once and fold each
+// column's cell hashes into a per-row hash vector in place (hashCol). The hash
+// is the one key hash (block.HashCell, block.HashString, block.HashFold), so
+// the exchange (hashPartitionPage), a spill partition and a key table read
+// disjoint bits of the same value, whatever layout or encoding hashed it.
 //
 // For fixed-width key columns (BIGINT, DATE, DOUBLE, BOOLEAN) each cell also
 // normalizes to a (tag, payload) pair whose equality is exactly equality of
@@ -26,10 +23,8 @@ import (
 // double==int join/group equivalence; NULL normalizes to a dedicated tag so
 // NULL != 0 and NULL(varchar) != "".
 
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
+// nullHash is a NULL key cell's hash.
+var nullHash = block.HashCell(block.CellNull, 0)
 
 // fixedWidthKey reports whether a key column of type t normalizes to a
 // fixed-width (tag, payload) cell. Varchar and Array need byte encodings.
@@ -80,82 +75,28 @@ func normValue(v types.Value) (byte, uint64) {
 	}
 }
 
-// fnvByte folds one byte into h (FNV-1a step).
-func fnvByte(h uint64, b byte) uint64 {
-	h ^= uint64(b)
-	h *= fnvPrime
-	return h
-}
-
-// fnvBytes folds a byte slice into h.
-func fnvBytes(h uint64, bs []byte) uint64 {
-	for _, b := range bs {
-		h ^= uint64(b)
-		h *= fnvPrime
-	}
-	return h
-}
-
-// fnvCell folds a normalized cell into h exactly as hashRowKey folds the
-// cell's canonical encodeRowKey bytes.
-func fnvCell(h uint64, tag byte, payload uint64) uint64 {
-	h = fnvByte(h, tag)
-	switch tag {
-	case block.CellNull:
-	case block.CellBool:
-		h = fnvByte(h, byte(payload&1))
-	default: // block.CellLong, block.CellDouble: 8 payload bytes, little-endian
-		for i := 0; i < 64; i += 8 {
-			h ^= (payload >> i) & 0xff
-			h *= fnvPrime
-		}
-	}
-	return h
-}
-
-// fnvStr folds a varchar cell (its tag, 4-byte length, bytes) into h.
-func fnvStr(h uint64, s string) uint64 {
-	h = fnvByte(h, block.CellVarchar)
-	n := uint32(len(s))
-	for i := 0; i < 32; i += 8 {
-		h = fnvByte(h, byte(n>>i))
-	}
-	for i := 0; i < len(s); i++ {
-		h = fnvByte(h, s[i])
-	}
-	return h
-}
-
 // normCol writes the normalized cells of column b into the row-major scratch
-// at key position k (stride nk). RLE columns normalize once; dictionary
-// columns normalize per dictionary entry (kept in dk while pages share the
+// at key position k (stride nk). A flat column, or a selection over one, is
+// read where it lies; RLE columns normalize once; dictionary columns
+// normalize per dictionary entry (kept in dk while pages share the
 // dictionary) and gather through the index vector.
 func normCol(b block.Block, cells []uint64, tags []byte, k, nk, n int, dk *dictKeys) {
-	switch src := b.(type) {
+	src, sel := block.Unselect(b)
+	switch src := src.(type) {
 	case *block.LongBlock:
 		for i := 0; i < n; i++ {
-			if src.Nulls != nil && src.Nulls[i] {
+			if r := at(sel, i); src.Nulls != nil && src.Nulls[r] {
 				tags[i*nk+k], cells[i*nk+k] = block.CellNull, 0
 			} else {
-				tags[i*nk+k], cells[i*nk+k] = block.CellLong, uint64(src.Vals[i])
+				tags[i*nk+k], cells[i*nk+k] = block.CellLong, uint64(src.Vals[r])
 			}
 		}
 	case *block.DoubleBlock:
 		for i := 0; i < n; i++ {
-			if src.Nulls != nil && src.Nulls[i] {
+			if r := at(sel, i); src.Nulls != nil && src.Nulls[r] {
 				tags[i*nk+k], cells[i*nk+k] = block.CellNull, 0
 			} else {
-				tags[i*nk+k], cells[i*nk+k] = block.NormDouble(src.Vals[i])
-			}
-		}
-	case *block.BoolBlock:
-		for i := 0; i < n; i++ {
-			if src.Nulls != nil && src.Nulls[i] {
-				tags[i*nk+k], cells[i*nk+k] = block.CellNull, 0
-			} else if src.Vals[i] {
-				tags[i*nk+k], cells[i*nk+k] = block.CellBool, 1
-			} else {
-				tags[i*nk+k], cells[i*nk+k] = block.CellBool, 0
+				tags[i*nk+k], cells[i*nk+k] = block.NormDouble(src.Vals[r])
 			}
 		}
 	case *block.RLEBlock:
@@ -169,43 +110,21 @@ func normCol(b block.Block, cells []uint64, tags []byte, k, nk, n int, dk *dictK
 			return
 		}
 		for i := 0; i < n; i++ {
-			id := src.Indices[i]
+			id := src.Indices[at(sel, i)]
 			tags[i*nk+k], cells[i*nk+k] = dk.tags[id], dk.cells[id]
 		}
-	case *block.LazyBlock:
-		normCol(src.Load(), cells, tags, k, nk, n, dk)
-	case *block.SelectedBlock:
-		normSelected(src, cells, tags, k, nk, n, dk)
 	default:
 		normRows(b, cells, tags, k, nk, n)
 	}
 }
 
-// normSelected is normCol for a column under a selection: a bigint or
-// dictionary source is read through it in place, anything else row by row.
-func normSelected(b *block.SelectedBlock, cells []uint64, tags []byte, k, nk, n int, dk *dictKeys) {
-	src, sel := block.Unselect(b)
-	switch src := src.(type) {
-	case *block.LongBlock:
-		for i, r := range sel[:n] {
-			if src.Nulls != nil && src.Nulls[r] {
-				tags[i*nk+k], cells[i*nk+k] = block.CellNull, 0
-			} else {
-				tags[i*nk+k], cells[i*nk+k] = block.CellLong, uint64(src.Vals[r])
-			}
-		}
-	case *block.DictionaryBlock:
-		if !dk.covers(src.Dict, n, true) {
-			normRows(b, cells, tags, k, nk, n)
-			return
-		}
-		for i, r := range sel[:n] {
-			id := src.Indices[r]
-			tags[i*nk+k], cells[i*nk+k] = dk.tags[id], dk.cells[id]
-		}
-	default:
-		normRows(b, cells, tags, k, nk, n)
+// at is the row of a selection's source that row i reads: sel[i], or i
+// when there is no selection.
+func at(sel []int, i int) int {
+	if sel == nil {
+		return i
 	}
+	return sel[i]
 }
 
 // flatLongs gives the values and NULL mask of a key column that is a flat
@@ -262,25 +181,23 @@ func normRows(b block.Block, cells []uint64, tags []byte, k, nk, n int) {
 	}
 }
 
-// dictKeys is the key form of every entry of one dictionary — canonical
-// encodings in an arena (bytes layout) or normalized cells (fixed layout) —
-// built once per dictionary identity and kept by whoever hashes a key column
-// page after page: pages of one column share their dictionary. It outlives a
-// page, so its arrays are its own, not leased.
+// dictKeys is the key form of every entry of one dictionary — its cell hash
+// (bytes layout) or its normalized cell (fixed layout) — built once per
+// dictionary identity and kept by whoever hashes a key column page after
+// page: pages of one column share their dictionary. It outlives a page, so
+// its arrays are its own, not leased.
 type dictKeys struct {
-	dict  block.Block
-	fixed bool
-	arena []byte
-	offs  []uint32
-	tags  []byte
-	cells []uint64
-	row   []byte // one row's encoding, when the column is hashed row by row
+	dict   block.Block
+	fixed  bool
+	hashes []uint64
+	tags   []byte
+	cells  []uint64
 }
 
 // covers makes dk hold d's entries in the asked layout and reports true; it
 // reports false, holding what it held, when that takes building them for a
 // dictionary with more entries than the page has rows — the rows are then
-// encoded one by one for less (the paper's guard, §V-E).
+// hashed one by one for less (the paper's guard, §V-E).
 func (dk *dictKeys) covers(d block.Block, rows int, fixed bool) bool {
 	if dk.dict == d && dk.fixed == fixed {
 		return true
@@ -297,128 +214,86 @@ func (dk *dictKeys) covers(d block.Block, rows int, fixed bool) bool {
 		}
 		return true
 	}
-	dk.arena, dk.offs = dk.arena[:0], slices.Grow(dk.offs[:0], dn+1)[:dn+1]
-	dk.offs[0] = 0
+	dk.hashes = slices.Grow(dk.hashes[:0], dn)[:dn]
 	for j := 0; j < dn; j++ {
-		dk.arena = appendCellKey(dk.arena, d, j)
-		dk.offs[j+1] = uint32(len(dk.arena))
+		dk.hashes[j] = block.HashAt(d, j)
 	}
 	return true
 }
 
-// hashCol folds column b's canonical per-row encoding into the hash vector,
-// column-at-a-time. After folding every key column in order, hashes[i] equals
-// hashRowKey(encodeRowKey(nil, p, i, cols)). dk is the caller's scratch for
-// this key column's dictionary, should it arrive under one.
+// hashCol folds the cell hashes of column b into the hash vector,
+// column-at-a-time (block.HashFold): after every key column in order,
+// hashes[i] is row i's key hash. A flat column, or a selection over one, is
+// read where it lies. dk is the caller's scratch for this key column's
+// dictionary, should it arrive under one.
 func hashCol(b block.Block, hashes []uint64, n int, dk *dictKeys) {
-	switch src := b.(type) {
-	case *block.LongBlock:
-		for i := 0; i < n; i++ {
-			if src.Nulls != nil && src.Nulls[i] {
-				hashes[i] = fnvByte(hashes[i], block.CellNull)
-			} else {
-				hashes[i] = fnvCell(hashes[i], block.CellLong, uint64(src.Vals[i]))
-			}
-		}
-	case *block.DoubleBlock:
-		for i := 0; i < n; i++ {
-			if src.Nulls != nil && src.Nulls[i] {
-				hashes[i] = fnvByte(hashes[i], block.CellNull)
-			} else {
-				tag, cell := block.NormDouble(src.Vals[i])
-				hashes[i] = fnvCell(hashes[i], tag, cell)
-			}
-		}
-	case *block.BoolBlock:
-		for i := 0; i < n; i++ {
-			if src.Nulls != nil && src.Nulls[i] {
-				hashes[i] = fnvByte(hashes[i], block.CellNull)
-			} else if src.Vals[i] {
-				hashes[i] = fnvCell(hashes[i], block.CellBool, 1)
-			} else {
-				hashes[i] = fnvCell(hashes[i], block.CellBool, 0)
-			}
-		}
-	case *block.VarcharBlock:
-		for i := 0; i < n; i++ {
-			if src.Nulls != nil && src.Nulls[i] {
-				hashes[i] = fnvByte(hashes[i], block.CellNull)
-			} else {
-				hashes[i] = fnvStr(hashes[i], src.Vals[i])
-			}
-		}
-	case *block.RLEBlock:
-		enc := appendCellKey(nil, src.Val, 0)
-		for i := 0; i < n; i++ {
-			hashes[i] = fnvBytes(hashes[i], enc)
-		}
-	case *block.DictionaryBlock:
-		if !dk.covers(src.Dict, n, false) {
-			hashRows(b, hashes, n, dk)
-			return
-		}
-		arena, offs := dk.arena, dk.offs
-		for i := 0; i < n; i++ {
-			id := src.Indices[i]
-			hashes[i] = fnvBytes(hashes[i], arena[offs[id]:offs[id+1]])
-		}
-	case *block.LazyBlock:
-		hashCol(src.Load(), hashes, n, dk)
-	case *block.SelectedBlock:
-		hashSelected(src, hashes, n, dk)
-	default:
-		hashRows(b, hashes, n, dk)
-	}
-}
-
-// hashSelected is hashCol for a column under a selection: a bigint, varchar
-// or dictionary source is read through it in place, anything else row by row.
-func hashSelected(b *block.SelectedBlock, hashes []uint64, n int, dk *dictKeys) {
 	src, sel := block.Unselect(b)
 	switch src := src.(type) {
 	case *block.LongBlock:
-		for i, r := range sel[:n] {
-			if src.Nulls != nil && src.Nulls[r] {
-				hashes[i] = fnvByte(hashes[i], block.CellNull)
-			} else {
-				hashes[i] = fnvCell(hashes[i], block.CellLong, uint64(src.Vals[r]))
+		if sel == nil { // the exchange's common case, without the indirection
+			for i, v := range src.Vals[:n] {
+				c := block.HashCell(block.CellLong, uint64(v))
+				if src.Nulls != nil && src.Nulls[i] {
+					c = nullHash
+				}
+				hashes[i] = block.HashFold(hashes[i], c)
 			}
+			return
+		}
+		for i, r := range sel[:n] {
+			c := nullHash
+			if src.Nulls == nil || !src.Nulls[r] {
+				c = block.HashCell(block.CellLong, uint64(src.Vals[r]))
+			}
+			hashes[i] = block.HashFold(hashes[i], c)
+		}
+	case *block.DoubleBlock:
+		for i := range hashes[:n] {
+			c := nullHash
+			if r := at(sel, i); src.Nulls == nil || !src.Nulls[r] {
+				c = block.HashCell(block.NormDouble(src.Vals[r]))
+			}
+			hashes[i] = block.HashFold(hashes[i], c)
 		}
 	case *block.VarcharBlock:
-		for i, r := range sel[:n] {
-			if src.Nulls != nil && src.Nulls[r] {
-				hashes[i] = fnvByte(hashes[i], block.CellNull)
-			} else {
-				hashes[i] = fnvStr(hashes[i], src.Vals[r])
+		for i := range hashes[:n] {
+			c := nullHash
+			if r := at(sel, i); src.Nulls == nil || !src.Nulls[r] {
+				c = block.HashString(src.Vals[r])
 			}
+			hashes[i] = block.HashFold(hashes[i], c)
+		}
+	case *block.RLEBlock:
+		c := block.HashAt(src.Val, 0)
+		for i := range hashes[:n] {
+			hashes[i] = block.HashFold(hashes[i], c)
 		}
 	case *block.DictionaryBlock:
 		if !dk.covers(src.Dict, n, false) {
-			hashRows(b, hashes, n, dk)
+			hashRows(b, hashes, n)
 			return
 		}
-		arena, offs := dk.arena, dk.offs
-		for i, r := range sel[:n] {
-			id := src.Indices[r]
-			hashes[i] = fnvBytes(hashes[i], arena[offs[id]:offs[id+1]])
+		for i := range hashes[:n] {
+			hashes[i] = block.HashFold(hashes[i], dk.hashes[src.Indices[at(sel, i)]])
 		}
 	default:
-		hashRows(b, hashes, n, dk)
+		hashRows(b, hashes, n)
 	}
 }
 
 // hashRows is hashCol's row-at-a-time case, for any block.
-func hashRows(b block.Block, hashes []uint64, n int, dk *dictKeys) {
-	for i := 0; i < n; i++ {
-		dk.row = appendCellKey(dk.row[:0], b, i)
-		hashes[i] = fnvBytes(hashes[i], dk.row)
+func hashRows(b block.Block, hashes []uint64, n int) {
+	for i := range hashes[:n] {
+		hashes[i] = block.HashFold(hashes[i], block.HashAt(b, i))
 	}
 }
 
 // batchKeys is what a hashing operator computes for the key columns of a
 // page: the per-row hash vector and, in fixed mode, the normalized key cells,
 // all leased from the operator's arena for the page (reset); and what it keeps
-// from page to page: the dictionary memos and one row's key (rowKey).
+// from page to page: the dictionary memos, one row's canonical encoding, and
+// the page on which resolveEncoded hands the first row of each key
+// combination to the lookup (selectRows).
 type batchKeys struct {
 	fixed  bool
 	nk     int
@@ -426,44 +301,20 @@ type batchKeys struct {
 	cells  []uint64   // row-major, nk per row (fixed mode only)
 	tags   []byte     // row-major, nk per row (fixed mode only)
 	dicts  []dictKeys // per key column, the entries of the dictionary it arrives under
+	buf    []byte     // one row's canonical encoding (encodeRowKey)
 
-	// One row's key: its canonical encoding (bytes mode), or its cells and
-	// tags (fixed mode).
-	buf      []byte
-	rowCells []uint64
-	rowTags  []byte
+	firsts   block.Page
+	firstSel []block.SelectedBlock
+	firstCol []block.Block
+	firstKey []int
 }
 
-// mix64 is the splitmix64 finalizer: a full-avalanche 64-bit mixer, far
-// cheaper than byte-wise FNV. Key-table hashes are consumed only locally (the
-// table verifies equality on the cells themselves), so they do not need the
-// canonical FNV that cross-worker partitioning requires — hashPartitionPage
-// keeps the canonical encoding.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// fixed1Hash is the table hash of a single normalized fixed-width key cell.
-func fixed1Hash(cell uint64, tag byte) uint64 {
-	return mix64(cell ^ uint64(tag)*0x9e3779b97f4a7c15)
-}
-
-// fixedHash is the table hash of one row's normalized cells: the tag is
-// folded in via a golden-ratio multiple so equal payloads of different kinds
-// (e.g. long 1 vs bool true) hash apart. reset hashes a page's rows with it
-// and rowKey a single row, so a key hashes the same whichever resolved it.
+// fixedHash is the key hash of one row's normalized cells: the fold of their
+// cell hashes, which is what hashCol computes for the same key.
 func fixedHash(cells []uint64, tags []byte) uint64 {
-	if len(cells) == 1 {
-		return fixed1Hash(cells[0], tags[0])
-	}
-	h := uint64(fnvOffset)
+	var h uint64
 	for k, cell := range cells {
-		h = mix64(h ^ cell ^ uint64(tags[k])*0x9e3779b97f4a7c15)
+		h = block.HashFold(h, block.HashCell(tags[k], cell))
 	}
 	return h
 }
@@ -493,9 +344,7 @@ func (bk *batchKeys) reset(a *block.Arena, p *block.Page, cols []int, fixed bool
 		bk.hashes = block.Lease[uint64](a, n)
 		bk.fixed, bk.nk = false, len(cols)
 		bk.sizeDicts(bk.nk)
-		for i := range bk.hashes {
-			bk.hashes[i] = fnvOffset
-		}
+		clear(bk.hashes)
 		for k, c := range cols {
 			hashCol(p.Col(c), bk.hashes, n, &bk.dicts[k])
 		}
@@ -518,7 +367,7 @@ func (bk *batchKeys) normalize(a *block.Arena, p *block.Page, cols []int) {
 	}
 }
 
-// hashCells computes the table hash of each of the n rows normalize left
+// hashCells computes the key hash of each of the n rows normalize left
 // cells for, in one fused pass over the row-major cells, into a vector leased
 // from a: the pass reset makes after normalize, and a hashed key table's
 // after a direct one declined the page.
@@ -526,7 +375,7 @@ func (bk *batchKeys) hashCells(a *block.Arena, n int) {
 	bk.hashes = block.Lease[uint64](a, n)
 	if nk := bk.nk; nk == 1 {
 		for i := 0; i < n; i++ {
-			bk.hashes[i] = fixed1Hash(bk.cells[i], bk.tags[i])
+			bk.hashes[i] = block.HashCell(bk.tags[i], bk.cells[i])
 		}
 	} else {
 		for i := 0; i < n; i++ {
@@ -535,42 +384,22 @@ func (bk *batchKeys) hashCells(a *block.Arena, n int) {
 	}
 }
 
-// rowKey computes the key of the single row r of p as reset computes every
-// row's, in place of a reset for the page: in fixed mode the row's normalized
-// cells (rowCells, rowTags), else its canonical encoding (buf), and the key's
-// table hash, which it returns. It is the miss path of resolveEncoded: a key
-// it enters and a key reset's batch enters are found by either.
-func (bk *batchKeys) rowKey(p *block.Page, cols []int, r int, fixed bool) uint64 {
-	if !fixed {
-		bk.buf = encodeRowKey(bk.buf[:0], p, r, cols)
-		return hashRowKey(bk.buf)
-	}
-	bk.rowCells, bk.rowTags = bk.rowCells[:0], bk.rowTags[:0]
-	for _, c := range cols {
-		tag, cell := normValue(p.Col(c).Value(r))
-		bk.rowCells, bk.rowTags = append(bk.rowCells, cell), append(bk.rowTags, tag)
-	}
-	return fixedHash(bk.rowCells, bk.rowTags)
-}
-
-// unresolvedKey marks a combination no row of the page has asked for yet in
-// resolveEncoded's memo: key ids are >= 0, -1 is a join's "no such key".
-const unresolvedKey = -2
-
 // resolveEncoded resolves a page whose key columns all arrive dictionary- or
 // RLE-encoded (paper §V-E): a row's key is then one of a few combinations of
 // dictionary entries, named by combining the columns' indices (an RLE column
 // is a dictionary of one entry), and the hash table is asked once per
-// combination the page references instead of once per row. It writes every
-// row's key id into ids, asking miss(r) for the id of row r's key at the first
-// row of each combination; combinations no row has are never looked up or
-// entered. The memo from combination to key id is leased from a. run reports
-// that the page asked for a single combination (every column RLE, or every
+// combination the page references instead of once per row. It collects the
+// first row of each combination the page has, in row order, and hands them to
+// resolve as one page — the key columns selected at those rows, key k at
+// column k of cols — for the page's batch lookup to fill their ids; then it
+// writes every row's key id into ids. Combinations no row has are never looked
+// up or entered. Its vectors are leased from a, and the page is bk's. run
+// reports that the page has a single combination (every column RLE, or every
 // row on the same dictionary entries): ids[0] is every row's. It declines (ok
 // false, ids scratch) when a key column is flat, and when the page has fewer
 // rows than combinations — the memo then costs more to clear than the rows to
 // resolve (the paper's guard).
-func resolveEncoded(a *block.Arena, p *block.Page, cols []int, ids []int32, miss func(r int) int32) (run, ok bool) {
+func resolveEncoded(a *block.Arena, bk *batchKeys, p *block.Page, cols []int, ids []int32, resolve func(firsts *block.Page, cols []int, ids []int32)) (run, ok bool) {
 	n := len(ids)
 	if n == 0 || len(cols) == 0 {
 		return false, false
@@ -589,16 +418,18 @@ func resolveEncoded(a *block.Arena, p *block.Page, cols []int, ids []int32, miss
 			return false, false
 		}
 	}
-	if dicts == 0 {
-		id := miss(0)
+	firstIDs := block.Lease[int32](a, min(n, combos))
+	if dicts == 0 { // every column a run: row 0 is every row
+		first := block.Lease[int](a, 1)
+		first[0] = 0
+		resolve(bk.selectRows(a, p, cols, first), bk.firstKey[:len(cols)], firstIDs)
 		for r := range ids {
-			ids[r] = id
+			ids[r] = firstIDs[0]
 		}
 		return true, true
 	}
 	// Combine the index vectors — a column under a selection read through
-	// it — into ids, first key column slowest, then replace each combination
-	// by its key id.
+	// it — into ids, first key column slowest.
 	first := true
 	for _, c := range cols {
 		b, sel := block.Unselect(p.Col(c))
@@ -607,11 +438,10 @@ func resolveEncoded(a *block.Arena, p *block.Page, cols []int, ids []int32, miss
 			continue
 		}
 		width, idx := int32(kc.Dict.Len()), kc.Indices
-		if first {
-			width = 0
-			first = false
+		if first { // width 0: the first column starts every id
+			width, first = 0, false
 		}
-		if sel == nil { // width 0: the first column starts every id
+		if sel == nil {
 			for r := range ids {
 				ids[r] = ids[r]*width + idx[r]
 			}
@@ -621,21 +451,55 @@ func resolveEncoded(a *block.Arena, p *block.Page, cols []int, ids []int32, miss
 			}
 		}
 	}
+	// Collect the first row of each combination, resolve them, and give
+	// every row its combination's id.
 	memo := block.Lease[int32](a, combos)
 	for j := range memo {
-		memo[j] = unresolvedKey
+		memo[j] = -1
 	}
-	asked := 0
+	firsts := block.Lease[int](a, len(firstIDs))[:0]
 	for r, j := range ids {
-		id := memo[j]
-		if id == unresolvedKey {
-			id = miss(r)
-			memo[j] = id
-			asked++
+		if memo[j] < 0 {
+			memo[j] = 0 // seen: its id comes from resolve
+			firsts = append(firsts, r)
 		}
-		ids[r] = id
 	}
-	return asked == 1, true
+	firstIDs = firstIDs[:len(firsts)]
+	resolve(bk.selectRows(a, p, cols, firsts), bk.firstKey[:len(cols)], firstIDs)
+	for k, r := range firsts {
+		memo[ids[r]] = firstIDs[k]
+	}
+	for r, j := range ids {
+		ids[r] = memo[j]
+	}
+	return len(firsts) == 1, true
+}
+
+// selectRows is the page of p's key columns cols at the ascending rows rows,
+// key k at column k (firstKey), read where they lie: bk's page, made again
+// for every call, with the selections of columns already under one leased
+// from a.
+func (bk *batchKeys) selectRows(a *block.Arena, p *block.Page, cols []int, rows []int) *block.Page {
+	nk := len(cols)
+	if len(bk.firstSel) < nk {
+		bk.firstSel, bk.firstCol = make([]block.SelectedBlock, nk), make([]block.Block, nk)
+		bk.firstKey = make([]int, nk)
+	}
+	for k, c := range cols {
+		src, sel := block.Unselect(p.Col(c))
+		if sel != nil {
+			through := block.Lease[int](a, len(rows))
+			for i, r := range rows {
+				through[i] = sel[r]
+			}
+			bk.firstSel[k] = block.SelectedBlock{Src: src, Sel: through}
+		} else {
+			bk.firstSel[k] = block.SelectedBlock{Src: src, Sel: rows}
+		}
+		bk.firstCol[k], bk.firstKey[k] = &bk.firstSel[k], k
+	}
+	bk.firsts.SetCols(bk.firstCol[:nk])
+	return &bk.firsts
 }
 
 // row returns the normalized cells and tags of row r (fixed mode).
@@ -656,9 +520,8 @@ func (bk *batchKeys) nullKey(r int) bool {
 }
 
 // hashPartitionPage computes every row's target partition of parts in one
-// batched pass (bk's canonical hashes of the key columns), into a vector
-// leased from a; the assignment is bit-identical to HashPartition for every
-// row.
+// batched pass: the route (block.Route) of the key hash bk computes for the
+// key columns, into a vector leased from a.
 func hashPartitionPage(a *block.Arena, bk *batchKeys, p *block.Page, cols []int, parts int) []int {
 	dst := block.Lease[int](a, p.RowCount())
 	if parts <= 1 {
@@ -667,7 +530,7 @@ func hashPartitionPage(a *block.Arena, bk *batchKeys, p *block.Page, cols []int,
 	}
 	bk.reset(a, p, cols, false)
 	for i, h := range bk.hashes {
-		dst[i] = int(h % uint64(parts))
+		dst[i] = block.Route(h, parts)
 	}
 	return dst
 }

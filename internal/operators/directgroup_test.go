@@ -211,7 +211,8 @@ func runGroups(t *testing.T, c groupCase, input []*block.Page, hashed bool) grou
 // the key's sign, type and encoding. A NULL, a non-integer or a span past the
 // slots turns the table hashed, for the rest of the fill, wherever it comes:
 // on the first page, in the middle of a fill, or on a dictionary page, whose
-// keys are entered one combination at a time (groupIDForRow). The mode the
+// keys are entered by the first row of each combination (resolveEncoded), as
+// one page sized as the whole page. The mode the
 // table ended in is in the operator's stats. A first page of ten rows may
 // span 16 keys (slotsFor(10)): -3..12 fits, -3..13 does not.
 func TestDirectGroupTableMatchesHashed(t *testing.T) {

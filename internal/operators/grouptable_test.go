@@ -247,7 +247,7 @@ func BenchmarkKeyTableFixed1(b *testing.B) {
 	hashes, cells := make([]uint64, rows), make([]uint64, rows)
 	for r := range hashes {
 		cells[r] = uint64(r*7919) % groups
-		hashes[r] = fixed1Hash(cells[r], block.CellLong)
+		hashes[r] = block.HashCell(block.CellLong, cells[r])
 	}
 	for _, sized := range []int{0, groups} {
 		b.Run(fmt.Sprintf("insert/presized=%d", sized), func(b *testing.B) {
@@ -271,7 +271,7 @@ func BenchmarkKeyTableFixed1(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				t := newKeyTable(&tableLease{}, true, 1, 0)
 				for _, c := range cells {
-					t.getOrInsertFixed1(fixed1Hash(c, block.CellLong), c, block.CellLong)
+					t.getOrInsertFixed1(block.HashCell(block.CellLong, c), c, block.CellLong)
 				}
 			}
 			b.ReportMetric(float64(b.N*rows)/b.Elapsed().Seconds(), "rows/s")
@@ -296,7 +296,7 @@ func BenchmarkKeyTableFixed1(b *testing.B) {
 		b.Run(fmt.Sprintf("lookup/entries=%d", entries), func(b *testing.B) {
 			t := newKeyTable(&tableLease{}, true, 1, entries)
 			for k := 0; k < entries; k++ {
-				t.getOrInsertFixed1(fixed1Hash(uint64(k), block.CellLong), uint64(k), block.CellLong)
+				t.getOrInsertFixed1(block.HashCell(block.CellLong, uint64(k)), uint64(k), block.CellLong)
 			}
 			probe := make([]uint64, rows)
 			for r := range probe {
@@ -305,7 +305,7 @@ func BenchmarkKeyTableFixed1(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, k := range probe {
-					if t.lookupFixed1(fixed1Hash(k, block.CellLong), k, block.CellLong) < 0 {
+					if t.lookupFixed1(block.HashCell(block.CellLong, k), k, block.CellLong) < 0 {
 						b.Fatal("missing key")
 					}
 				}

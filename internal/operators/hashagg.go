@@ -439,26 +439,25 @@ func (o *HashAggregationOperator) resolveGroups(p *block.Page, cols []int) (ids 
 		o.globalGroupLocked()
 		return nil, 0
 	}
-	ids, runID = block.Lease[int32](&o.scratch, p.RowCount()), -1
+	n := p.RowCount()
+	ids, runID = block.Lease[int32](&o.scratch, n), -1
 	// Encoded keys: the table is asked once per combination of dictionary
 	// entries the page references (or once per page of runs), through the
-	// row-at-a-time lookup; aggregates fold a whole run in a single step.
-	run, resolved := resolveEncoded(&o.scratch, p, cols, ids, func(r int) int32 { return o.groupIDForRow(p, cols, r) })
+	// page's lookup over the first row of each, sized for the whole page;
+	// aggregates fold a whole run in a single step.
+	run, resolved := resolveEncoded(&o.scratch, &o.batch, p, cols, ids, func(firsts *block.Page, keys []int, firstIDs []int32) {
+		o.resolveRows(firsts, firstIDs, keys, n)
+	})
 	if resolved {
-		o.ctx.recordDictRows(len(ids))
+		o.ctx.recordDictRows(n)
+	} else {
+		o.resolveRows(p, ids, cols, n)
 	}
-	switch {
-	case run:
+	if run {
 		runID = ids[0]
-	case resolved:
-	case o.table.fixed:
-		o.resolveVecFixed(p, ids, cols)
-	default:
-		o.resolveVecBytes(p, ids, cols)
 	}
-	n := o.table.Len()
 	for i := range o.accs {
-		o.accs[i].grow(n)
+		o.accs[i].grow(o.table.Len())
 	}
 	return ids, runID
 }
@@ -469,7 +468,7 @@ func (o *HashAggregationOperator) globalGroupLocked() {
 	if o.table.Len() > 0 {
 		return
 	}
-	o.table.getOrInsertFixed(fnvOffset, nil, nil)
+	o.table.getOrInsertFixed(0, nil, nil)
 	for i := range o.accs {
 		o.accs[i].grow(1)
 	}
@@ -495,17 +494,28 @@ func (o *HashAggregationOperator) keepKeysLocked(id int, p *block.Page, cols []i
 	}
 }
 
+// resolveRows writes the group id of every row of p into ids, entering each
+// key the table does not hold: the table's vectorized lookup, sized as for a
+// page of rows rows. Caller holds o.mu.
+func (o *HashAggregationOperator) resolveRows(p *block.Page, ids []int32, cols []int, rows int) {
+	if o.table.fixed {
+		o.resolveVecFixed(p, ids, cols, rows)
+	} else {
+		o.resolveVecBytes(p, ids, cols)
+	}
+}
+
 // resolveVecFixed is the vectorized fixed-cell lookup: one tight pass over
 // the page's normalized key cells (§V-B) — by value on a direct table
 // (resolveDirect), else a probe by each row's hash. Caller holds o.mu.
-func (o *HashAggregationOperator) resolveVecFixed(p *block.Page, ids []int32, cols []int) {
+func (o *HashAggregationOperator) resolveVecFixed(p *block.Page, ids []int32, cols []int, rows int) {
 	if len(ids) == 0 {
 		return
 	}
 	normalized := false
 	if len(cols) == 1 && !o.table.hashed {
 		var done bool
-		if done, normalized = o.resolveDirect(p, ids, cols); done {
+		if done, normalized = o.resolveDirect(p, ids, cols, rows); done {
 			return
 		}
 	}
@@ -538,17 +548,17 @@ func (o *HashAggregationOperator) resolveVecFixed(p *block.Page, ids []int32, co
 
 // resolveDirect resolves a page of one key column on a table that is open or
 // direct: it finds the page's smallest and largest key and, when the table
-// fits them (keyTable.fit), enters every row's key at its slot, with no hash
-// and no probe. A flat bigint column, or a selection over one, is read where
-// it lies (flatLongs); any other is normalized first. It reports done false —
+// fits them (keyTable.fit) with room for rows keys, enters every row's key at
+// its slot, with no hash and no probe. A flat bigint column, or a selection
+// over one, is read where it lies (flatLongs); any other is normalized first. It reports done false —
 // the table now hashed — when a key is not an integer (a NULL among them) or
 // the span does not fit, and normalized when the page's cells are in o.batch.
 // Caller holds o.mu.
-func (o *HashAggregationOperator) resolveDirect(p *block.Page, ids []int32, cols []int) (done, normalized bool) {
+func (o *HashAggregationOperator) resolveDirect(p *block.Page, ids []int32, cols []int, rows int) (done, normalized bool) {
 	t, kc, n := o.table, p.Col(cols[0]), len(ids)
 	if vals, nulls, sel, ok := flatLongs(kc); ok {
 		lo, hi, ints := longSpan(vals, nulls, sel, n)
-		if !ints || !t.fit(lo, hi, n) {
+		if !ints || !t.fit(lo, hi, rows) {
 			t.settleHashed()
 			return false, false
 		}
@@ -570,7 +580,7 @@ func (o *HashAggregationOperator) resolveDirect(p *block.Page, ids []int32, cols
 	o.batch.normalize(&o.scratch, p, cols)
 	cells := o.batch.cells[:n]
 	lo, hi, ints := cellSpan(cells, o.batch.tags[:n])
-	if !ints || !t.fit(lo, hi, n) {
+	if !ints || !t.fit(lo, hi, rows) {
 		t.settleHashed()
 		return false, true
 	}
@@ -606,38 +616,6 @@ func (o *HashAggregationOperator) resolveVecBytes(p *block.Page, ids []int32, co
 		}
 		ids[r] = int32(id)
 	}
-}
-
-// groupIDForRow returns the dense group id of row r's key, entering a fresh
-// group when absent: the lookup of resolveVecFixed and resolveVecBytes for one
-// row, whatever the encodings of its columns — by value while the table is
-// open or direct and fits the key, as resolveDirect decides for a page of the
-// row's size. NULL is a valid group key in aggregation (unlike joins). Caller
-// holds o.mu.
-func (o *HashAggregationOperator) groupIDForRow(p *block.Page, cols []int, r int) int32 {
-	var id int
-	var fresh bool
-	t := o.table
-	if t.fixed && len(cols) == 1 && !t.hashed {
-		if tag, cell := normValue(p.Col(cols[0]).Value(r)); tag == block.CellLong && t.fit(int64(cell), int64(cell), p.RowCount()) {
-			if id = t.findDirect(cell); id < 0 {
-				id, fresh = t.insertDirect(cell), true
-			}
-		} else {
-			t.settleHashed()
-		}
-	}
-	if !t.direct {
-		if h := o.batch.rowKey(p, cols, r, t.fixed); t.fixed {
-			id, fresh = t.getOrInsertFixed(h, o.batch.rowCells, o.batch.rowTags)
-		} else {
-			id, fresh = t.getOrInsertBytes(h, o.batch.buf)
-		}
-	}
-	if fresh {
-		o.keepKeysLocked(id, p, cols, r)
-	}
-	return int32(id)
 }
 
 // accumulatePage runs every aggregate over the resolved groups: the run
@@ -783,7 +761,8 @@ func (o *HashAggregationOperator) firstSeenLocked(a *aggVec, id int32, col block
 	buf := binary.LittleEndian.AppendUint32(o.batch.buf[:0], uint32(id))
 	buf = appendCellKey(buf, col, r)
 	o.batch.buf = buf
-	_, fresh := a.dset.getOrInsertBytes(hashRowKey(buf), buf)
+	h := block.HashFold(block.HashCell(block.CellLong, uint64(id)), block.HashAt(col, r))
+	_, fresh := a.dset.getOrInsertBytes(h, buf)
 	return fresh
 }
 

@@ -653,23 +653,6 @@ func probeDirect(t *keyTable, vals []int64, nulls []bool, sel []int, ids []int32
 	}
 }
 
-// keyRow looks the key of the single row r of p up in t, as resolveBatch
-// looks up every row's.
-func keyRow(t *keyTable, bk *batchKeys, p *block.Page, cols []int, r int) int32 {
-	if rowKeyNull(p, r, cols) {
-		return -1
-	}
-	if t.direct {
-		tag, cell := normValue(p.Col(cols[0]).Value(r))
-		return int32(t.lookupDirect(cell, tag))
-	}
-	h := bk.rowKey(p, cols, r, t.fixed)
-	if t.fixed {
-		return int32(t.lookupFixed(h, bk.rowCells, bk.rowTags))
-	}
-	return int32(t.lookupBytes(h, bk.buf))
-}
-
 // rowKeyNull reports whether any key column of row r is NULL.
 func rowKeyNull(p *block.Page, r int, cols []int) bool {
 	for _, c := range cols {
@@ -834,8 +817,8 @@ func (o *LookupJoinOperator) nullAwareRows(p *block.Page, anyRow, nullKey bool) 
 // (varchar keys against a fixed-width table: the tag bytes differ) resolves
 // the whole page to no-match once. Pages whose key columns all arrive
 // dictionary- or RLE-encoded ask the table once per combination of entries
-// they reference (resolveEncoded; §V-B), the rest once per row of a
-// batch-hashed page.
+// they reference (resolveEncoded; §V-B), through the batch lookup over the
+// first row of each; the rest once per row of a batch-hashed page.
 func (o *LookupJoinOperator) resolveProbe(p *block.Page) []int32 {
 	ids, t := block.Lease[int32](o.scratch, p.RowCount()), o.tab.ktab
 	keyless := len(o.probeKeys) == 0
@@ -853,7 +836,9 @@ func (o *LookupJoinOperator) resolveProbe(p *block.Page) []int32 {
 		}
 		return ids
 	}
-	if _, encoded := resolveEncoded(o.scratch, p, o.probeKeys, ids, func(r int) int32 { return keyRow(t, &o.batch, p, o.probeKeys, r) }); encoded {
+	if _, encoded := resolveEncoded(o.scratch, &o.batch, p, o.probeKeys, ids, func(firsts *block.Page, keys []int, firstIDs []int32) {
+		resolveBatch(o.scratch, t, &o.batch, firsts, keys, firstIDs)
+	}); encoded {
 		o.ctx.recordDictRows(len(ids))
 	} else {
 		resolveBatch(o.scratch, t, &o.batch, p, o.probeKeys, ids)

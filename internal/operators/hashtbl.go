@@ -28,7 +28,10 @@ import (
 //     and a hash per entry, compared before the arena bytes are.
 //
 // Three ways to address it:
-//   - hashed: a key's hash picks the slot a linear probe starts from;
+//   - hashed: the low bits of a key's hash (block.HashCell and the rest, the
+//     one key hash) pick the slot a linear probe starts from. The exchange
+//     and the spill partitions read other bits of the same hash (block.Route,
+//     spill.Partition), so a table behind either still fills every slot;
 //   - direct: the slot array is indexed by value — slots[cell - base] — over
 //     one key column whose cells are all integers (CellLong: BIGINT, DATE, an
 //     integral DOUBLE) with a span max - min + 1 that fits the slots. A lookup

@@ -205,9 +205,9 @@ func (b *JoinBridge) ReleaseSpill() {
 }
 
 // spillJoinPage writes a build or probe page to set, each row to the spill
-// partition of its key's canonical hash, the hash the exchange routes by
-// (hashPartitionPage). A NULL key hashes on its canonical tag-0 encoding and
-// an integral DOUBLE as the BIGINT of its value, so build and probe route them
+// partition of its key hash, the hash the exchange routes by
+// (hashPartitionPage). A NULL key hashes as the NULL cell and an integral
+// DOUBLE as the BIGINT of its value, so build and probe route them
 // identically and unmatched-row semantics (LEFT/ANTI/RIGHT/FULL) survive the
 // disk detour. The vectors are made, not leased: Revoke runs this on the
 // memory pool's goroutine, which holds no driver's arena. Caller holds the

@@ -377,12 +377,12 @@ func TestEnforceSingleRow(t *testing.T) {
 
 func TestHashPartitionDeterministic(t *testing.T) {
 	p := longPage(7)
-	a := HashPartition(p, 0, []int{0}, 8)
-	b := HashPartition(p, 0, []int{0}, 8)
+	a := hashPartitionPage(nil, new(batchKeys), p, []int{0}, 8)[0]
+	b := hashPartitionPage(nil, new(batchKeys), p, []int{0}, 8)[0]
 	if a != b {
 		t.Error("hash partition must be deterministic")
 	}
-	if HashPartition(p, 0, []int{0}, 1) != 0 {
+	if hashPartitionPage(nil, new(batchKeys), p, []int{0}, 1)[0] != 0 {
 		t.Error("single partition must be 0")
 	}
 }

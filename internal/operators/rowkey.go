@@ -9,9 +9,9 @@ import (
 )
 
 // appendCellKey appends the byte encoding of one cell (column col, row r): its
-// key cell (block.CellNull and the rest), tag first. The batch hashing kernels
-// (batchhash.go) fold exactly these bytes, so vectorized and fallback paths
-// always agree.
+// key cell (block.CellNull and the rest), tag first. Two cells are the same
+// key exactly when their encodings are equal, and then their key hashes
+// (block.HashAt) are too.
 func appendCellKey(buf []byte, col block.Block, r int) []byte {
 	if col.IsNull(r) {
 		return append(buf, block.CellNull)
@@ -45,35 +45,13 @@ func appendCellKey(buf []byte, col block.Block, r int) []byte {
 }
 
 // encodeRowKey appends a canonical binary encoding of the given columns of
-// row r to buf. It is the hashing primitive for aggregations, joins and hash
-// partitioning: equal rows encode identically.
+// row r to buf: the key a bytes-layout key table stores and compares. Equal
+// rows encode identically.
 func encodeRowKey(buf []byte, p *block.Page, r int, cols []int) []byte {
 	for _, c := range cols {
 		buf = appendCellKey(buf, p.Col(c), r)
 	}
 	return buf
-}
-
-// hashRowKey hashes the encoded key with FNV-1a, used for partitioning.
-func hashRowKey[K []byte | string](key K) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// HashPartition computes the target partition of row r given the hash
-// columns; it is used by partitioned outputs. Page-level
-// callers should prefer hashPartitionPage, which batches the hashing.
-func HashPartition(p *block.Page, r int, cols []int, parts int) int {
-	if parts <= 1 {
-		return 0
-	}
-	var buf [64]byte
-	key := encodeRowKey(buf[:0], p, r, cols)
-	return int(hashRowKey(key) % uint64(parts))
 }
 
 // compareRows orders row a of pa against row b of pb on the sort keys.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/block"
@@ -101,23 +102,76 @@ func randomMixedPage(r *rand.Rand, n int) *block.Page {
 	)
 }
 
+// hashPartitionRow is the row-wise reference of hashPartitionPage: row r's
+// key hash folded cell by cell through the blocks' accessors, routed to one
+// of parts.
+func hashPartitionRow(p *block.Page, r int, cols []int, parts int) int {
+	if parts <= 1 {
+		return 0
+	}
+	var h uint64
+	for _, c := range cols {
+		h = block.HashFold(h, block.HashAt(p.Col(c), r))
+	}
+	return block.Route(h, parts)
+}
+
 // TestHashPartitionPageMatchesRowHash verifies the batch hasher reproduces
-// the per-row canonical hash bit-for-bit across every encoding, so
-// partitioning decisions agree wherever a row is hashed.
+// the row-wise key hash bit for bit across every encoding and under a
+// selection, so partitioning decisions agree wherever a row is hashed; that
+// it is deterministic and one partition is partition 0; that a fixed-width
+// key hashes the same from its normalized cells (a key table's fixed layout)
+// as column by column; and that equal keys hash equal across BIGINT and
+// DOUBLE, -0.0 and 0.0, NaN and NULL.
 func TestHashPartitionPageMatchesRowHash(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	colSets := [][]int{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {0, 1}, {2, 5}, {0, 1, 2, 3, 4, 5, 6}}
+	colSets := [][]int{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}, {0, 1}, {2, 5}, {7, 8, 3}, {0, 1, 2, 3, 4, 5, 6, 7, 8}}
 	for trial := 0; trial < 5; trial++ {
 		p := randomMixedPage(r, 257)
-		for _, cols := range colSets {
-			for _, parts := range []int{1, 7, 16} {
-				got := hashPartitionPage(nil, new(batchKeys), p, cols, parts)
+		sel := make([]int, p.RowCount()) // ascending, some rows read twice
+		for i := range sel {
+			sel[i] = i * 3 / 4
+		}
+		cols := append([]block.Block(nil), p.Cols...)
+		cols = append(cols, &block.SelectedBlock{Src: p.Col(0), Sel: sel}, &block.SelectedBlock{Src: p.Col(5), Sel: sel})
+		p = block.NewPage(cols...)
+		for _, keys := range colSets {
+			for _, parts := range []int{1, 2, 7, 16} {
+				got := hashPartitionPage(nil, new(batchKeys), p, keys, parts)
+				again := hashPartitionPage(nil, new(batchKeys), p, keys, parts)
 				for row := 0; row < p.RowCount(); row++ {
-					want := HashPartition(p, row, cols, parts)
-					if got[row] != want {
-						t.Fatalf("cols %v parts %d row %d: page=%d rowwise=%d", cols, parts, row, got[row], want)
+					want := hashPartitionRow(p, row, keys, parts)
+					if got[row] != want || again[row] != want {
+						t.Fatalf("cols %v parts %d row %d: page=%d again=%d rowwise=%d", keys, parts, row, got[row], again[row], want)
+					}
+					if parts == 1 && got[row] != 0 {
+						t.Fatalf("cols %v row %d: one partition, got %d", keys, row, got[row])
 					}
 				}
+			}
+		}
+		for _, keys := range [][]int{{0}, {1}, {3}, {6}, {7}, {0, 1, 3, 6}} {
+			var bytes, fixed batchKeys
+			bytes.reset(nil, p, keys, false)
+			fixed.reset(nil, p, keys, true)
+			if !slices.Equal(bytes.hashes, fixed.hashes) {
+				t.Fatalf("cols %v: the fixed layout's key hashes differ from the column kernels'", keys)
+			}
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	same := [][]block.Block{
+		{block.NewLongBlock([]int64{3}, nil), block.NewDoubleBlock([]float64{3}, nil)},
+		{block.NewLongBlock([]int64{0}, nil), block.NewDoubleBlock([]float64{negZero}, nil), block.NewDoubleBlock([]float64{0}, nil)},
+		{block.NewDoubleBlock([]float64{math.NaN()}, nil), block.NewDoubleBlock([]float64{math.NaN()}, nil)},
+		{block.NewLongBlock([]int64{1}, []bool{true}), block.NewDoubleBlock([]float64{2}, []bool{true}), block.NewVarcharBlock([]string{"x"}, []bool{true})},
+	}
+	for _, blocks := range same {
+		for _, b := range blocks[1:] {
+			x := hashPartitionPage(nil, new(batchKeys), block.NewPage(blocks[0]), []int{0}, 1<<20)[0]
+			y := hashPartitionPage(nil, new(batchKeys), block.NewPage(b), []int{0}, 1<<20)[0]
+			if x != y {
+				t.Errorf("%v and %v are one key but route to %d and %d", blocks[0].Value(0), b.Value(0), x, y)
 			}
 		}
 	}
@@ -317,4 +371,4 @@ func TestKeyTableBytesKind(t *testing.T) {
 	}
 }
 
-func hashRowKeyBytes(b []byte) uint64 { return hashRowKey(b) }
+func hashRowKeyBytes(b []byte) uint64 { return block.HashString(string(b)) }

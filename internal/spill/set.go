@@ -16,11 +16,10 @@ const partitionBits = 4
 // time, so its peak memory is about 1/Partitions of what spilled (§IV-F2).
 const Partitions = 1 << partitionBits
 
-// Partition is the spill partition of a key whose hash is h: its top bits.
-// Not h mod anything: the exchange routes a row to consumer h mod n — for a
-// power-of-two n, its low bits — and a key table places an entry by the low
-// bits too, so the keys one worker or one table holds agree in their low bits
-// but still spread over the top ones.
+// Partition is the spill partition of a key whose hash (block.HashCell and
+// the rest) is h: its top four bits. The exchange routes by bits 32 and up
+// mod n (block.Route) and a key table places an entry by the low bits, so
+// the keys one worker or one table holds still spread over the top four.
 func Partition(h uint64) int { return int(h >> (64 - partitionBits)) }
 
 // Set is the spill files of one side of an operator — an aggregation's

@@ -263,11 +263,15 @@ echo "==> a spilled join finishes: split-concurrency target 1 and 4, in-process 
 # the one scan scheduler (the morsel queue) must say so whatever the target.
 go test -race -count=1 -run 'TestJoinUnderSpillFinishes' .
 # A worker behind an exchange over 2 or 4 consumers holds one residue of the
-# key hash; its spilled build still fills every spill partition evenly. A
-# revocation whose seal fails keeps the build in memory, and an index a
-# revocation dropped is not counted. A group table over a dense integer key
-# is direct and aggregates as a hashed one, spilled and drained too.
-go test -race -count=1 -run 'TestGraceJoinSpreadsAfterExchange|TestJoinSealFailureKeepsBuildInMemory|TestJoinRevokedIndexNotCounted|TestDirectGroupTableMatchesHashed' ./internal/operators/
+# key hash; its spilled build still fills every spill partition evenly, and
+# the keys behind consumer 0 of 2, 3, 4 or 8 fill every spill partition and
+# every low-bit slot class of a key table, BIGINT, VARCHAR or mixed (the
+# exchange, the spill partitions and the slots read disjoint bits of the one
+# key hash). A revocation whose seal fails keeps the build in memory, and an
+# index a revocation dropped is not counted. A group table over a dense
+# integer key is direct and aggregates as a hashed one, spilled and drained
+# too.
+go test -race -count=1 -run 'TestGraceJoinSpreadsAfterExchange|TestKeyHashBitsIndependent|TestJoinSealFailureKeepsBuildInMemory|TestJoinRevokedIndexNotCounted|TestDirectGroupTableMatchesHashed' ./internal/operators/
 
 echo "==> task lifecycle: a task moves on events, not a clock"
 # A task finishes when no driver runs and every pipeline has declared its last
@@ -493,7 +497,7 @@ echo "==> borrowed pages and released scratch are never read late (poison linked
 go test -count=1 -ldflags '-X repro/internal/expr.poisonBorrowed=on' . ./internal/exec ./internal/operators ./internal/expr ./internal/block
 
 echo "==> kernel + morsel bench smoke (1 iteration per benchmark)"
-go test -run '^$' -bench 'HashAggBigintKey|HashAggVarcharKey|HashAggDictVarcharKey|HashAggRLEKey|HashJoinBuildProbe|HashJoinDictKey|FilterSelectivity|MorselSkewScan|DynFilterFig6|ProjArithBigint|ProjArithDouble|ProjVarcharConcat|ProjTPCHQ1Proc|ProjTPCHQ6Proc' -benchtime 1x . > /dev/null
+go test -run '^$' -bench 'HashAggBigintKey|HashAggVarcharKey|HashAggDictVarcharKey|HashAggRLEKey|HashJoinBuildProbe|HashJoinDictKey|HashPartitionPage|FilterSelectivity|MorselSkewScan|DynFilterFig6|ProjArithBigint|ProjArithDouble|ProjVarcharConcat|ProjTPCHQ1Proc|ProjTPCHQ6Proc' -benchtime 1x . ./internal/operators > /dev/null
 
 echo "==> page codec allocation ceilings + bench smoke (no -race: the ceilings skip under it)"
 go test -count=1 -run 'TestCodecAllocationCeilings' ./internal/block/
