@@ -319,8 +319,9 @@ func BenchmarkHashAggBigintKey(b *testing.B) {
 	}
 }
 
-// BenchmarkHashAggVarcharKey measures the byte-arena fallback layout on a
-// VARCHAR group key, where keys need canonical byte encodings.
+// BenchmarkHashAggVarcharKey measures grouped aggregation on a flat VARCHAR
+// group key: a string cell, a hash of its bytes, which the key table keeps in
+// its arena and compares when two cells are equal.
 func BenchmarkHashAggVarcharKey(b *testing.B) {
 	const nRows, nGroups = 1 << 17, 1 << 13
 	var pages []*block.Page

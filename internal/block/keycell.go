@@ -11,8 +11,10 @@ import (
 // two values are the same key exactly when their cells are equal. NULL has a
 // tag of its own (NULL is neither 0 nor ""), and a double equal to an integer
 // below 1e15 shares the integer's cell, so BIGINT = DOUBLE joins and groups
-// find each other. A fixed-width value's cell is its tag and a uint64; a
-// VARCHAR's, or any other type's, exists only as bytes after its tag.
+// find each other. A fixed-width value's cell is its tag and a uint64. A
+// VARCHAR's cell is CellVarchar and the FNV-1a of its bytes (VarPayload), any
+// other type's CellOther and that of its rendered text: two such cells may be
+// equal for different values, so whoever keys on one compares the bytes too.
 //
 // The key hash: every consumer of a key's hash computes it here, so one key
 // has one hash wherever it is hashed — in the exchange, a raptor bucket, a
@@ -76,9 +78,11 @@ func HashCell(tag byte, payload uint64) uint64 {
 
 // HashString is the hash of a VARCHAR key cell: FNV-1a over its bytes, mixed
 // as a cell.
-func HashString(s string) uint64 { return HashCell(CellVarchar, fnv1a(s)) }
+func HashString(s string) uint64 { return HashCell(CellVarchar, VarPayload(s)) }
 
-func fnv1a(s string) uint64 {
+// VarPayload is the payload of a variable-width cell (CellVarchar, CellOther):
+// FNV-1a over the value's bytes.
+func VarPayload(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -112,7 +116,7 @@ func HashAt(b Block, r int) uint64 {
 		}
 		return HashCell(CellBool, 0)
 	}
-	return HashCell(CellOther, fnv1a(b.Value(r).String()))
+	return HashCell(CellOther, VarPayload(b.Value(r).String()))
 }
 
 // Route is the one of n consumers (an exchange's, a raptor table's buckets)

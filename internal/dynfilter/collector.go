@@ -78,28 +78,6 @@ func (c *Collector) prepare(rows int64, keys, nk int) bool {
 	return true
 }
 
-// Collect summarizes a build from its distinct keys, which the join's key
-// table already holds: rows build rows have a non-NULL key, there are keys
-// distinct key tuples, and each(visit) calls visit once per tuple with a page
-// and row holding it in columns keyCols. Each key is read through its
-// column's typed accessor. It serves builds whose keys the table keeps as
-// byte encodings (varchar and mixed keys); CollectCells serves the others.
-func (c *Collector) Collect(rows int64, keys int, keyCols []int, each func(visit func(p *block.Page, r int))) {
-	if !c.prepare(rows, keys, len(keyCols)) {
-		return
-	}
-	each(func(p *block.Page, r int) {
-		for i, s := range c.sums {
-			if !s.Disabled {
-				s.addRow(p.Col(keyCols[c.specs[i].KeyIdx]), r, c.MaxSet)
-			}
-		}
-	})
-	for _, s := range c.sums {
-		s.Rows = rows
-	}
-}
-
 // Span is the smallest and largest key of a one-column build whose every
 // non-NULL cell is an integer (block.CellLong), as the join's key table found
 // them while choosing its addressing.
@@ -107,13 +85,15 @@ type Span struct{ Lo, Hi int64 }
 
 // CollectCells summarizes a build from its key table's normalized cells, the
 // encoding the summary's own exact set uses: entry e's key column k is the
-// cell (tags[e*nk+k], cells[e*nk+k]), an entry with a NULL cell never joins,
-// and distinct(visit) calls visit once per distinct key tuple with an entry
-// holding it. Row count and bounds come from one pass over the cells, or from
-// span when the key table has one (nil: none); the exact set, or the Bloom
-// filter it overflows to, from the distinct entries, only when the summary
-// keeps one.
-func (c *Collector) CollectCells(rows int64, keys, nk int, cells []uint64, tags []byte, span *Span, distinct func(visit func(e int))) {
+// cell (tags[e*nk+k], cells[e*nk+k]), and a VARCHAR one's bytes are str(e, k),
+// a view the summary copies what it keeps of; an entry with a NULL cell never
+// joins, and distinct(visit) calls visit once per distinct key tuple with an
+// entry holding it. Row count and bounds come from one pass over the cells, or
+// from span when the key table has one (nil: none); the exact set, or the
+// Bloom filter it overflows to, from the distinct entries, only when the
+// summary keeps one. A VARCHAR summary's set, Bloom filter and bounds all come
+// from the distinct entries.
+func (c *Collector) CollectCells(rows int64, keys, nk int, cells []uint64, tags []byte, str func(e, k int) string, span *Span, distinct func(visit func(e int))) {
 	if !c.prepare(rows, keys, nk) {
 		return
 	}
@@ -122,6 +102,10 @@ func (c *Collector) CollectCells(rows int64, keys, nk int, cells []uint64, tags 
 			continue
 		}
 		k := c.specs[i].KeyIdx
+		if s.T == types.Varchar {
+			distinct(func(e int) { s.addStr(str(e, k), c.MaxSet) })
+			continue
+		}
 		s.cellBounds(cells, tags, nk, k, span)
 		if s.exact != nil || s.Bloom != nil {
 			distinct(func(e int) { s.addMember(cell{tags[e*nk+k], cells[e*nk+k]}, c.MaxSet) })

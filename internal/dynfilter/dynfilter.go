@@ -21,6 +21,7 @@ package dynfilter
 
 import (
 	"math"
+	"strings"
 
 	"repro/internal/block"
 	"repro/internal/types"
@@ -305,6 +306,13 @@ func (s *Summary) AddBool(b bool, maxSet int) { s.addCell(boolCell(b), maxSet) }
 // AddStr records a non-null varchar key.
 func (s *Summary) AddStr(v string, maxSet int) {
 	s.Rows++
+	s.addStr(v, maxSet)
+}
+
+// addStr puts a non-null varchar key into the exact set, or into the Bloom
+// filter once the set has overflowed, and into the bounds, counting no row.
+// v may view memory the caller reuses: what the summary keeps is a copy.
+func (s *Summary) addStr(v string, maxSet int) {
 	switch _, ok := s.Strs[v]; {
 	case ok:
 	case s.Strs == nil:
@@ -315,9 +323,12 @@ func (s *Summary) AddStr(v string, maxSet int) {
 		s.overflow()
 		s.bloomSet(block.HashString(v))
 	default:
-		s.Strs[v] = struct{}{}
+		s.Strs[strings.Clone(v)] = struct{}{}
 	}
-	widen(s, v, &s.Min.S, &s.Max.S, types.VarcharValue(v))
+	if !s.HasBounds || v < s.Min.S || v > s.Max.S {
+		v = strings.Clone(v)
+		widen(s, v, &s.Min.S, &s.Max.S, types.VarcharValue(v))
+	}
 }
 
 // addRow records row r of a build key column read through its typed

@@ -196,17 +196,22 @@ func TestSummaryMergeExactOverflowWins(t *testing.T) {
 	}
 }
 
-// collect runs a Collector over the distinct keys of one bigint key column.
+// collect runs a Collector over the distinct keys of one bigint key column,
+// as the cells of a key table's entries.
 func collect(c *Collector, rows int64, keys []int64) {
-	p := block.NewPage(block.NewLongBlock(keys, nil))
-	c.Collect(rows, len(keys), []int{0}, everyRow(p))
+	cells, tags := make([]uint64, len(keys)), make([]byte, len(keys))
+	for e, k := range keys {
+		cells[e], tags[e] = uint64(k), block.CellLong
+	}
+	c.CollectCells(rows, len(keys), 1, cells, tags, nil, nil, everyEntry(len(keys)))
 }
 
-// everyRow visits every row of p, as a join build visits its distinct keys.
-func everyRow(p *block.Page) func(visit func(*block.Page, int)) {
-	return func(visit func(*block.Page, int)) {
-		for r := 0; r < p.RowCount(); r++ {
-			visit(p, r)
+// everyEntry visits entries 0..n-1, as a join build visits one entry per
+// distinct key.
+func everyEntry(n int) func(visit func(int)) {
+	return func(visit func(int)) {
+		for e := range n {
+			visit(e)
 		}
 	}
 }
@@ -264,17 +269,25 @@ func TestCollectorSummarizesDistinctKeys(t *testing.T) {
 // TestCollectorTwoKeyColumns: distinct key tuples repeat a column's values;
 // the summary of each column holds each value once.
 func TestCollectorTwoKeyColumns(t *testing.T) {
-	p := block.NewPage(
-		block.NewLongBlock([]int64{1, 1, 2, 2}, nil),
-		block.NewVarcharBlock([]string{"a", "b", "a", "b"}, nil))
-	c := NewCollector([]ColumnSpec{{ID: 1, KeyIdx: 0, T: types.Bigint}, {ID: 2, KeyIdx: 1, T: types.Varchar}}, 0, 0)
-	c.Collect(9, 4, []int{0, 1}, everyRow(p))
-	longs, strs := c.Summaries()[0], c.Summaries()[1]
-	if longs.ExactLen() != 2 || strs.ExactLen() != 2 || longs.Rows != 9 || strs.Rows != 9 {
-		t.Errorf("exact sets of %d and %d values over %d and %d rows, want 2 and 2 over 9 and 9", longs.ExactLen(), strs.ExactLen(), longs.Rows, strs.Rows)
+	longs, strs := []int64{1, 1, 2, 2}, []string{"a", "b", "a", "b"}
+	var cells []uint64
+	var tags []byte
+	for e := range longs {
+		cells = append(cells, uint64(longs[e]), block.VarPayload(strs[e]))
+		tags = append(tags, block.CellLong, block.CellVarchar)
 	}
-	if !longs.MatchLong(2) || longs.MatchLong(3) || !strs.MatchStr("b") || strs.MatchStr("c") {
+	str := func(e, k int) string { return strs[e] }
+	c := NewCollector([]ColumnSpec{{ID: 1, KeyIdx: 0, T: types.Bigint}, {ID: 2, KeyIdx: 1, T: types.Varchar}}, 0, 0)
+	c.CollectCells(9, 4, 2, cells, tags, str, nil, everyEntry(4))
+	ls, ss := c.Summaries()[0], c.Summaries()[1]
+	if ls.ExactLen() != 2 || ss.ExactLen() != 2 || ls.Rows != 9 || ss.Rows != 9 {
+		t.Errorf("exact sets of %d and %d values over %d and %d rows, want 2 and 2 over 9 and 9", ls.ExactLen(), ss.ExactLen(), ls.Rows, ss.Rows)
+	}
+	if !ls.MatchLong(2) || ls.MatchLong(3) || !ss.MatchStr("b") || ss.MatchStr("c") {
 		t.Error("two-column summaries match the wrong values")
+	}
+	if min, max, ok := ss.Bounds(); !ok || min.S != "a" || max.S != "b" {
+		t.Errorf("varchar bounds [%v, %v] %v, want [a, b]", min, max, ok)
 	}
 }
 
@@ -311,7 +324,7 @@ func TestMergeSharesThenCopies(t *testing.T) {
 
 // TestCollectCellsMatchesCollect: a build summarized from its key table's
 // normalized cells — row count and bounds from every entry, the set from one
-// entry per distinct key — is the summary the typed page path makes of the
+// entry per distinct key — is the summary the typed Add calls make of the
 // same keys: the same set, bounds and row count, -0.0 and integral doubles on
 // their integer cells, NULL keys left out. No Bloom filter is filled while
 // the set holds.
@@ -330,40 +343,42 @@ func TestCollectCellsMatchesCollect(t *testing.T) {
 	}
 	specs := []ColumnSpec{{ID: 1, T: types.Double}}
 	fromCells := NewCollector(specs, 0, 0)
-	fromCells.CollectCells(5, 4, 1, cells, tags, nil, func(visit func(int)) {
+	fromCells.CollectCells(5, 4, 1, cells, tags, nil, nil, func(visit func(int)) {
 		for _, e := range []int{0, 1, 2, 4} { // each distinct key's first entry
 			visit(e)
 		}
 	})
-	fromPage := NewCollector(specs, 0, 0)
-	p := block.NewPage(block.NewDoubleBlock([]float64{3, 0, 2.5, -7.25}, nil))
-	fromPage.Collect(5, 4, []int{0}, everyRow(p))
-	a, b := fromCells.Summaries()[0], fromPage.Summaries()[0]
+	b := NewSummary(types.Double)
+	for _, f := range []float64{3, 0, 2.5, -7.25} {
+		b.AddDouble(f, DefaultMaxSet)
+	}
+	b.Rows = 5 // the build's rows, as the collector is told them
+	a := fromCells.Summaries()[0]
 	if a.Rows != 5 || a.Rows != b.Rows || a.ExactLen() != 4 || b.ExactLen() != 4 || a.Bloom != nil || b.Bloom != nil {
-		t.Fatalf("cells: %d rows, %d keys, bloom %v; page: %d rows, %d keys, bloom %v", a.Rows, a.ExactLen(), a.Bloom != nil, b.Rows, b.ExactLen(), b.Bloom != nil)
+		t.Fatalf("cells: %d rows, %d keys, bloom %v; added: %d rows, %d keys, bloom %v", a.Rows, a.ExactLen(), a.Bloom != nil, b.Rows, b.ExactLen(), b.Bloom != nil)
 	}
 	for _, f := range []float64{3, 0, math.Copysign(0, -1), 2.5, -7.25, 1} {
 		if a.MatchDouble(f) != b.MatchDouble(f) {
-			t.Errorf("%v: cells say %v, the page %v", f, a.MatchDouble(f), b.MatchDouble(f))
+			t.Errorf("%v: cells say %v, the added keys %v", f, a.MatchDouble(f), b.MatchDouble(f))
 		}
 	}
 	amin, amax, aok := a.Bounds()
 	bmin, bmax, bok := b.Bounds()
 	if !aok || !bok || amin.F != bmin.F || amax.F != bmax.F || amin.F != -7.25 || amax.F != 3 {
-		t.Errorf("bounds from cells [%v, %v] %v, from the page [%v, %v] %v, want [-7.25, 3]", amin, amax, aok, bmin, bmax, bok)
+		t.Errorf("bounds from cells [%v, %v] %v, added [%v, %v] %v, want [-7.25, 3]", amin, amax, aok, bmin, bmax, bok)
 	}
 
 	// A NaN key poisons the bounds; BIGINT cells are their values.
 	tag, payload := block.NormDouble(math.NaN())
 	nan := cell{tag, payload}
 	poisoned := NewCollector(specs, 0, 0)
-	poisoned.CollectCells(2, 2, 1, []uint64{cells[0], nan.payload}, []byte{tags[0], nan.tag}, nil, func(visit func(int)) { visit(0); visit(1) })
+	poisoned.CollectCells(2, 2, 1, []uint64{cells[0], nan.payload}, []byte{tags[0], nan.tag}, nil, nil, func(visit func(int)) { visit(0); visit(1) })
 	if s := poisoned.Summaries()[0]; s.HasBounds || !s.BoundsPoisoned || !s.MatchDouble(math.NaN()) {
 		t.Errorf("a NaN build key: bounds %v poisoned %v, NaN matches %v", s.HasBounds, s.BoundsPoisoned, s.MatchDouble(math.NaN()))
 	}
 	longs := NewCollector([]ColumnSpec{{ID: 1, T: types.Bigint}}, 0, 0)
 	minus := int64(-9)
-	longs.CollectCells(3, 3, 1, []uint64{4, uint64(minus), 0}, []byte{block.CellLong, block.CellLong, block.CellNull}, nil, func(visit func(int)) { visit(0); visit(1) })
+	longs.CollectCells(3, 3, 1, []uint64{4, uint64(minus), 0}, []byte{block.CellLong, block.CellLong, block.CellNull}, nil, nil, func(visit func(int)) { visit(0); visit(1) })
 	if min, max, ok := longs.Summaries()[0].Bounds(); !ok || min.I != -9 || max.I != 4 {
 		t.Errorf("bigint bounds from cells [%v, %v] %v, want [-9, 4]", min, max, ok)
 	}

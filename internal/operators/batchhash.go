@@ -9,78 +9,65 @@ import (
 )
 
 // Batch hashing kernels (paper §V-B, §V-E): instead of hashing a key row by
-// row, these kernels walk each key column's typed slice once and fold each
-// column's cell hashes into a per-row hash vector in place (hashCol). The hash
-// is the one key hash (block.HashCell, block.HashString, block.HashFold), so
-// the exchange (hashPartitionPage), a spill partition and a key table read
-// disjoint bits of the same value, whatever layout or encoding hashed it.
+// row, these kernels walk each key column's typed slice once and normalize
+// every cell to a (tag, payload) pair (normCol), then fold each row's cell
+// hashes into a per-row hash vector in one pass (hashCells). The hash is the
+// one key hash (block.HashCell, block.HashFold), so the exchange
+// (hashPartitionPage), a spill partition and a key table read disjoint bits
+// of the same value, whatever encoding hashed it.
 //
-// For fixed-width key columns (BIGINT, DATE, DOUBLE, BOOLEAN) each cell also
-// normalizes to a (tag, payload) pair whose equality is exactly equality of
-// the cell's canonical encoding, which lets the hash tables verify keys
-// without materializing any bytes at all. Doubles equal to an integer
-// normalize to the integer cell, preserving the engine's cross-type
+// A key table compares the cells to verify a key: doubles equal to an
+// integer normalize to the integer cell, preserving the engine's cross-type
 // double==int join/group equivalence; NULL normalizes to a dedicated tag so
-// NULL != 0 and NULL(varchar) != "".
+// NULL != 0 and NULL(varchar) != ""; a VARCHAR's payload is a hash of its
+// bytes, so its cell comes with the string, which the table compares only
+// when the cells are equal.
 
-// nullHash is a NULL key cell's hash.
-var nullHash = block.HashCell(block.CellNull, 0)
+// varKey reports whether a key column of planner type t may hold
+// variable-width cells (block.CellVarchar, block.CellOther), whose bytes a key
+// table keeps beside them: a VARCHAR, an array, and an untyped column. It is
+// decided from planner types, never from a page's: an all-NULL page arrives
+// as an untyped (boolean) block, and the VARCHAR pages after it still need
+// their bytes kept.
+func varKey(t types.Type) bool { return t == types.Varchar || !t.Comparable() }
 
-// fixedWidthKey reports whether a key column of type t normalizes to a
-// fixed-width (tag, payload) cell. Varchar and Array need byte encodings.
-// Unknown is also routed to the byte layout: operators that derive the
-// layout from their first input page would otherwise lock into fixed cells
-// on an all-NULL batch (typed Unknown) and fail when a later page delivers
-// the column's real variable-width type.
-func fixedWidthKey(t types.Type) bool {
-	switch t {
-	case types.Varchar, types.Array, types.Unknown:
-		return false
+// varCell reports whether a cell's tag is a variable-width value's, whose
+// payload is a hash of its bytes (block.VarPayload): equal cells with this tag
+// are the same key only when the bytes are equal too.
+func varCell(tag byte) bool { return tag == block.CellVarchar || tag == block.CellOther }
+
+// cellAt is the key cell of row r of b, any type and encoding, read through
+// its accessors, and for a variable-width cell the bytes its payload hashes.
+func cellAt(b block.Block, r int) (tag byte, payload uint64, s string) {
+	if b.IsNull(r) {
+		return block.CellNull, 0, ""
 	}
-	return true
-}
-
-// fixedWidthKeys reports whether every key type normalizes to fixed cells.
-// Layout decisions must come from planner types, not first-page block types:
-// an all-NULL literal column materializes as an untyped (boolean) block, and
-// a layout locked in from such a page would mis-handle later variable-width
-// pages of the same column.
-func fixedWidthKeys(ts []types.Type) bool {
-	for _, t := range ts {
-		if !fixedWidthKey(t) {
-			return false
-		}
-	}
-	return true
-}
-
-// normValue normalizes a boxed fixed-width value. It panics on variable-width
-// types, mirroring the typed block accessors: callers gate on fixedWidthKey.
-func normValue(v types.Value) (byte, uint64) {
-	if v.Null {
-		return block.CellNull, 0
-	}
-	switch v.T {
+	switch b.Type() {
 	case types.Bigint, types.Date:
-		return block.CellLong, uint64(v.I)
+		return block.CellLong, uint64(b.Long(r)), ""
 	case types.Double:
-		return block.NormDouble(v.F)
+		tag, payload = block.NormDouble(b.Double(r))
+		return tag, payload, ""
+	case types.Varchar:
+		s = b.Str(r)
+		return block.CellVarchar, block.VarPayload(s), s
 	case types.Boolean:
-		if v.B {
-			return block.CellBool, 1
+		if b.Bool(r) {
+			return block.CellBool, 1, ""
 		}
-		return block.CellBool, 0
-	default:
-		panic("normValue on variable-width type")
+		return block.CellBool, 0, ""
 	}
+	s = b.Value(r).String()
+	return block.CellOther, block.VarPayload(s), s
 }
 
 // normCol writes the normalized cells of column b into the row-major scratch
-// at key position k (stride nk). A flat column, or a selection over one, is
-// read where it lies; RLE columns normalize once; dictionary columns
-// normalize per dictionary entry (kept in dk while pages share the
-// dictionary) and gather through the index vector.
-func normCol(b block.Block, cells []uint64, tags []byte, k, nk, n int, dk *dictKeys) {
+// at key position k (stride nk), and the string of each string cell (varCell)
+// into strs at the same place, leased when b may hold one (leaseStrs). A flat
+// column, or a selection over one, is read where it lies; RLE columns
+// normalize once; dictionary columns normalize per dictionary entry (kept in
+// dk while pages share the dictionary) and gather through the index vector.
+func normCol(b block.Block, cells []uint64, tags []byte, strs []string, k, nk, n int, dk *dictKeys) {
 	src, sel := block.Unselect(b)
 	switch src := src.(type) {
 	case *block.LongBlock:
@@ -99,22 +86,31 @@ func normCol(b block.Block, cells []uint64, tags []byte, k, nk, n int, dk *dictK
 				tags[i*nk+k], cells[i*nk+k] = block.NormDouble(src.Vals[r])
 			}
 		}
-	case *block.RLEBlock:
-		tag, cell := normValue(src.Val.Value(0))
+	case *block.VarcharBlock:
 		for i := 0; i < n; i++ {
-			tags[i*nk+k], cells[i*nk+k] = tag, cell
+			if r := at(sel, i); src.Nulls != nil && src.Nulls[r] {
+				tags[i*nk+k], cells[i*nk+k] = block.CellNull, 0
+			} else {
+				s := src.Vals[r]
+				tags[i*nk+k], cells[i*nk+k], strs[i*nk+k] = block.CellVarchar, block.VarPayload(s), s
+			}
+		}
+	case *block.RLEBlock:
+		tag, cell, s := cellAt(src.Val, 0)
+		for i := 0; i < n; i++ {
+			putCell(cells, tags, strs, i*nk+k, tag, cell, s)
 		}
 	case *block.DictionaryBlock:
-		if !dk.covers(src.Dict, n, true) {
-			normRows(b, cells, tags, k, nk, n)
+		if !dk.covers(src.Dict, n) {
+			normRows(b, cells, tags, strs, k, nk, n)
 			return
 		}
 		for i := 0; i < n; i++ {
 			id := src.Indices[at(sel, i)]
-			tags[i*nk+k], cells[i*nk+k] = dk.tags[id], dk.cells[id]
+			putCell(cells, tags, strs, i*nk+k, dk.tags[id], dk.cells[id], dk.strs[id])
 		}
 	default:
-		normRows(b, cells, tags, k, nk, n)
+		normRows(b, cells, tags, strs, k, nk, n)
 	}
 }
 
@@ -175,142 +171,79 @@ func cellSpan(cells []uint64, tags []byte) (lo, hi int64, ok bool) {
 }
 
 // normRows is normCol's row-at-a-time case, for any block.
-func normRows(b block.Block, cells []uint64, tags []byte, k, nk, n int) {
+func normRows(b block.Block, cells []uint64, tags []byte, strs []string, k, nk, n int) {
 	for i := 0; i < n; i++ {
-		tags[i*nk+k], cells[i*nk+k] = normValue(b.Value(i))
+		tag, cell, s := cellAt(b, i)
+		putCell(cells, tags, strs, i*nk+k, tag, cell, s)
 	}
 }
 
-// dictKeys is the key form of every entry of one dictionary — its cell hash
-// (bytes layout) or its normalized cell (fixed layout) — built once per
-// dictionary identity and kept by whoever hashes a key column page after
-// page: pages of one column share their dictionary. It outlives a page, so
-// its arrays are its own, not leased.
-type dictKeys struct {
-	dict   block.Block
-	fixed  bool
-	hashes []uint64
-	tags   []byte
-	cells  []uint64
+// putCell writes one normalized cell at i, and its string if it is a string
+// cell: strs is leased only where a key column may hold one (leaseStrs).
+func putCell(cells []uint64, tags []byte, strs []string, i int, tag byte, cell uint64, s string) {
+	if tags[i], cells[i] = tag, cell; varCell(tag) {
+		strs[i] = s
+	}
 }
 
-// covers makes dk hold d's entries in the asked layout and reports true; it
-// reports false, holding what it held, when that takes building them for a
-// dictionary with more entries than the page has rows — the rows are then
-// hashed one by one for less (the paper's guard, §V-E).
-func (dk *dictKeys) covers(d block.Block, rows int, fixed bool) bool {
-	if dk.dict == d && dk.fixed == fixed {
+// leaseStrs leases from a the strings of m key rows of the columns cols of p
+// when one of them may hold a string cell (varKey of its block's type), and
+// gives nil otherwise: a fixed-width key's rows write no string.
+func leaseStrs(a *block.Arena, p *block.Page, cols []int, m int) []string {
+	for _, c := range cols {
+		if varKey(p.Col(c).Type()) {
+			return block.Lease[string](a, m*len(cols))
+		}
+	}
+	return nil
+}
+
+// dictKeys is the normalized cell of every entry of one dictionary, and a
+// variable-width entry's string, built once per dictionary identity and kept
+// by whoever normalizes or hashes a key column page after page: pages of one
+// column share their dictionary. It outlives a page, so its arrays are its
+// own, not leased; a string is the dictionary's, which dict keeps.
+type dictKeys struct {
+	dict  block.Block
+	tags  []byte
+	cells []uint64
+	strs  []string
+}
+
+// covers makes dk hold d's entries and reports true; it reports false,
+// holding what it held, when that takes building them for a dictionary with
+// more entries than the page has rows — the rows are then normalized one by
+// one for less (the paper's guard, §V-E).
+func (dk *dictKeys) covers(d block.Block, rows int) bool {
+	if dk.dict == d {
 		return true
 	}
 	dn := d.Len()
 	if dn > rows {
 		return false
 	}
-	dk.dict, dk.fixed = d, fixed
-	if fixed {
-		dk.tags, dk.cells = slices.Grow(dk.tags[:0], dn)[:dn], slices.Grow(dk.cells[:0], dn)[:dn]
-		for j := 0; j < dn; j++ {
-			dk.tags[j], dk.cells[j] = normValue(d.Value(j))
-		}
-		return true
-	}
-	dk.hashes = slices.Grow(dk.hashes[:0], dn)[:dn]
-	for j := 0; j < dn; j++ {
-		dk.hashes[j] = block.HashAt(d, j)
-	}
+	dk.dict = d
+	dk.tags, dk.cells = slices.Grow(dk.tags[:0], dn)[:dn], slices.Grow(dk.cells[:0], dn)[:dn]
+	dk.strs = slices.Grow(dk.strs[:0], dn)[:dn]
+	normRows(d, dk.cells, dk.tags, dk.strs, 0, 1, dn)
 	return true
 }
 
-// hashCol folds the cell hashes of column b into the hash vector,
-// column-at-a-time (block.HashFold): after every key column in order,
-// hashes[i] is row i's key hash. A flat column, or a selection over one, is
-// read where it lies. dk is the caller's scratch for this key column's
-// dictionary, should it arrive under one.
-func hashCol(b block.Block, hashes []uint64, n int, dk *dictKeys) {
-	src, sel := block.Unselect(b)
-	switch src := src.(type) {
-	case *block.LongBlock:
-		if sel == nil { // the exchange's common case, without the indirection
-			for i, v := range src.Vals[:n] {
-				c := block.HashCell(block.CellLong, uint64(v))
-				if src.Nulls != nil && src.Nulls[i] {
-					c = nullHash
-				}
-				hashes[i] = block.HashFold(hashes[i], c)
-			}
-			return
-		}
-		for i, r := range sel[:n] {
-			c := nullHash
-			if src.Nulls == nil || !src.Nulls[r] {
-				c = block.HashCell(block.CellLong, uint64(src.Vals[r]))
-			}
-			hashes[i] = block.HashFold(hashes[i], c)
-		}
-	case *block.DoubleBlock:
-		for i := range hashes[:n] {
-			c := nullHash
-			if r := at(sel, i); src.Nulls == nil || !src.Nulls[r] {
-				c = block.HashCell(block.NormDouble(src.Vals[r]))
-			}
-			hashes[i] = block.HashFold(hashes[i], c)
-		}
-	case *block.VarcharBlock:
-		for i := range hashes[:n] {
-			c := nullHash
-			if r := at(sel, i); src.Nulls == nil || !src.Nulls[r] {
-				c = block.HashString(src.Vals[r])
-			}
-			hashes[i] = block.HashFold(hashes[i], c)
-		}
-	case *block.RLEBlock:
-		c := block.HashAt(src.Val, 0)
-		for i := range hashes[:n] {
-			hashes[i] = block.HashFold(hashes[i], c)
-		}
-	case *block.DictionaryBlock:
-		if !dk.covers(src.Dict, n, false) {
-			hashRows(b, hashes, n)
-			return
-		}
-		for i := range hashes[:n] {
-			hashes[i] = block.HashFold(hashes[i], dk.hashes[src.Indices[at(sel, i)]])
-		}
-	default:
-		hashRows(b, hashes, n)
-	}
-}
-
-// hashRows is hashCol's row-at-a-time case, for any block.
-func hashRows(b block.Block, hashes []uint64, n int) {
-	for i := range hashes[:n] {
-		hashes[i] = block.HashFold(hashes[i], block.HashAt(b, i))
-	}
-}
-
 // batchKeys is what a hashing operator computes for the key columns of a
-// page: the per-row hash vector and, in fixed mode, the normalized key cells,
-// all leased from the operator's arena for the page (reset); and what it keeps
-// from page to page: the dictionary memos, one row's canonical encoding, and
-// the page on which resolveEncoded hands the first row of each key
-// combination to the lookup (selectRows).
+// page: the per-row hash vector, the normalized key cells and the strings of
+// the variable-width ones, all leased from the operator's arena for the page
+// (hashKeys); and what it keeps from page to page: the dictionary memos.
 type batchKeys struct {
-	fixed  bool
 	nk     int
 	hashes []uint64
-	cells  []uint64   // row-major, nk per row (fixed mode only)
-	tags   []byte     // row-major, nk per row (fixed mode only)
+	cells  []uint64   // row-major, nk per row
+	tags   []byte     // row-major, nk per row
+	strs   []string   // row-major, nk per row, set where a cell is a string cell (varCell)
 	dicts  []dictKeys // per key column, the entries of the dictionary it arrives under
-	buf    []byte     // one row's canonical encoding (encodeRowKey)
-
-	firsts   block.Page
-	firstSel []block.SelectedBlock
-	firstCol []block.Block
-	firstKey []int
 }
 
 // fixedHash is the key hash of one row's normalized cells: the fold of their
-// cell hashes, which is what hashCol computes for the same key.
+// cell hashes, which is what hashCells computes for the same key.
 func fixedHash(cells []uint64, tags []byte) uint64 {
 	var h uint64
 	for k, cell := range cells {
@@ -334,36 +267,31 @@ func (bk *batchKeys) sizeDicts(nk int) {
 	}
 }
 
-// reset computes the hash vector (and normalized cells in fixed mode) for
-// the key columns of p into vectors leased from a: normalize, then hashCells,
-// in fixed mode. fixed must match the owning table's layout; callers derive it
-// from the key column types, which are constant per operator.
-func (bk *batchKeys) reset(a *block.Arena, p *block.Page, cols []int, fixed bool) {
-	n := p.RowCount()
-	if !fixed {
-		bk.hashes = block.Lease[uint64](a, n)
-		bk.fixed, bk.nk = false, len(cols)
-		bk.sizeDicts(bk.nk)
-		clear(bk.hashes)
-		for k, c := range cols {
-			hashCol(p.Col(c), bk.hashes, n, &bk.dicts[k])
-		}
-		return
-	}
+// hashKeys computes the normalized cells and the hash vector for the key
+// columns of p into vectors leased from a: normalize, then hashCells. The
+// exchange and a spilled join route rows by the hashes and look nothing up.
+func (bk *batchKeys) hashKeys(a *block.Arena, p *block.Page, cols []int) {
 	bk.normalize(a, p, cols)
-	bk.hashCells(a, n)
+	bk.hashCells(a, p.RowCount())
 }
 
-// normalize computes the fixed-mode normalized cells of the key columns of p
-// into vectors leased from a, and no hash: a direct key table reads none.
+// lease readies bk's vectors for m rows of the key columns cols of p, leased
+// from a.
+func (bk *batchKeys) lease(a *block.Arena, p *block.Page, cols []int, m int) {
+	bk.nk = len(cols)
+	bk.sizeDicts(bk.nk)
+	bk.cells = block.Lease[uint64](a, m*bk.nk)
+	bk.tags = block.Lease[byte](a, m*bk.nk)
+	bk.strs = leaseStrs(a, p, cols, m)
+}
+
+// normalize computes the normalized cells of the key columns of p into
+// vectors leased from a, and no hash: a direct key table reads none.
 func (bk *batchKeys) normalize(a *block.Arena, p *block.Page, cols []int) {
 	n := p.RowCount()
-	bk.fixed, bk.nk = true, len(cols)
-	bk.sizeDicts(bk.nk)
-	bk.cells = block.Lease[uint64](a, n*bk.nk)
-	bk.tags = block.Lease[byte](a, n*bk.nk)
+	bk.lease(a, p, cols, n)
 	for k, c := range cols {
-		normCol(p.Col(c), bk.cells, bk.tags, k, bk.nk, n, &bk.dicts[k])
+		normCol(p.Col(c), bk.cells, bk.tags, bk.strs, k, bk.nk, n, &bk.dicts[k])
 	}
 }
 
@@ -388,18 +316,18 @@ func (bk *batchKeys) hashCells(a *block.Arena, n int) {
 // RLE-encoded (paper §V-E): a row's key is then one of a few combinations of
 // dictionary entries, named by combining the columns' indices (an RLE column
 // is a dictionary of one entry), and the hash table is asked once per
-// combination the page references instead of once per row. It collects the
-// first row of each combination the page has, in row order, and hands them to
-// resolve as one page — the key columns selected at those rows, key k at
-// column k of cols — for the page's batch lookup to fill their ids; then it
-// writes every row's key id into ids. Combinations no row has are never looked
-// up or entered. Its vectors are leased from a, and the page is bk's. run
+// combination the page references instead of once per row. It finds the
+// first row of each combination the page has, in row order, normalizes their
+// keys into bk from the cells dictKeys holds per dictionary entry
+// (normEncoded), and hands the rows to resolve for the page's batch lookup to
+// fill their ids; then it writes every row's key id into ids. Combinations no
+// row has are never looked up or entered. Its vectors are leased from a. run
 // reports that the page has a single combination (every column RLE, or every
 // row on the same dictionary entries): ids[0] is every row's. It declines (ok
 // false, ids scratch) when a key column is flat, and when the page has fewer
 // rows than combinations — the memo then costs more to clear than the rows to
 // resolve (the paper's guard).
-func resolveEncoded(a *block.Arena, bk *batchKeys, p *block.Page, cols []int, ids []int32, resolve func(firsts *block.Page, cols []int, ids []int32)) (run, ok bool) {
+func resolveEncoded(a *block.Arena, bk *batchKeys, p *block.Page, cols []int, ids []int32, resolve func(rows []int, ids []int32)) (run, ok bool) {
 	n := len(ids)
 	if n == 0 || len(cols) == 0 {
 		return false, false
@@ -418,13 +346,13 @@ func resolveEncoded(a *block.Arena, bk *batchKeys, p *block.Page, cols []int, id
 			return false, false
 		}
 	}
-	firstIDs := block.Lease[int32](a, min(n, combos))
 	if dicts == 0 { // every column a run: row 0 is every row
 		first := block.Lease[int](a, 1)
 		first[0] = 0
-		resolve(bk.selectRows(a, p, cols, first), bk.firstKey[:len(cols)], firstIDs)
+		bk.normEncoded(a, p, cols, first)
+		resolve(first, ids[:1])
 		for r := range ids {
-			ids[r] = firstIDs[0]
+			ids[r] = ids[0]
 		}
 		return true, true
 	}
@@ -457,15 +385,16 @@ func resolveEncoded(a *block.Arena, bk *batchKeys, p *block.Page, cols []int, id
 	for j := range memo {
 		memo[j] = -1
 	}
-	firsts := block.Lease[int](a, len(firstIDs))[:0]
+	firsts := block.Lease[int](a, min(n, combos))[:0]
 	for r, j := range ids {
 		if memo[j] < 0 {
 			memo[j] = 0 // seen: its id comes from resolve
 			firsts = append(firsts, r)
 		}
 	}
-	firstIDs = firstIDs[:len(firsts)]
-	resolve(bk.selectRows(a, p, cols, firsts), bk.firstKey[:len(cols)], firstIDs)
+	firstIDs := block.Lease[int32](a, len(firsts))
+	bk.normEncoded(a, p, cols, firsts)
+	resolve(firsts, firstIDs)
 	for k, r := range firsts {
 		memo[ids[r]] = firstIDs[k]
 	}
@@ -475,40 +404,50 @@ func resolveEncoded(a *block.Arena, bk *batchKeys, p *block.Page, cols []int, id
 	return len(firsts) == 1, true
 }
 
-// selectRows is the page of p's key columns cols at the ascending rows rows,
-// key k at column k (firstKey), read where they lie: bk's page, made again
-// for every call, with the selections of columns already under one leased
-// from a.
-func (bk *batchKeys) selectRows(a *block.Arena, p *block.Page, cols []int, rows []int) *block.Page {
-	nk := len(cols)
-	if len(bk.firstSel) < nk {
-		bk.firstSel, bk.firstCol = make([]block.SelectedBlock, nk), make([]block.Block, nk)
-		bk.firstKey = make([]int, nk)
-	}
+// normEncoded normalizes the keys of p's rows rows into bk, key k from column
+// cols[k], each an RLE or a dictionary column (resolveEncoded): a run's one
+// cell, or the cell dictKeys holds for the row's dictionary entry, with the
+// string read from the dictionary's own block. resolveEncoded has checked
+// that no dictionary has more entries than the page has rows, so dictKeys
+// covers every one.
+func (bk *batchKeys) normEncoded(a *block.Arena, p *block.Page, cols []int, rows []int) {
+	bk.lease(a, p, cols, len(rows))
+	nk := bk.nk
 	for k, c := range cols {
 		src, sel := block.Unselect(p.Col(c))
-		if sel != nil {
-			through := block.Lease[int](a, len(rows))
-			for i, r := range rows {
-				through[i] = sel[r]
+		switch src := src.(type) {
+		case *block.RLEBlock:
+			tag, cell, s := cellAt(src.Val, 0)
+			for i := range rows {
+				putCell(bk.cells, bk.tags, bk.strs, i*nk+k, tag, cell, s)
 			}
-			bk.firstSel[k] = block.SelectedBlock{Src: src, Sel: through}
-		} else {
-			bk.firstSel[k] = block.SelectedBlock{Src: src, Sel: rows}
+		case *block.DictionaryBlock:
+			dk := &bk.dicts[k]
+			dk.covers(src.Dict, p.RowCount())
+			for i, r := range rows {
+				id := src.Indices[at(sel, r)]
+				putCell(bk.cells, bk.tags, bk.strs, i*nk+k, dk.tags[id], dk.cells[id], dk.strs[id])
+			}
 		}
-		bk.firstCol[k], bk.firstKey[k] = &bk.firstSel[k], k
 	}
-	bk.firsts.SetCols(bk.firstCol[:nk])
-	return &bk.firsts
 }
 
-// row returns the normalized cells and tags of row r (fixed mode).
-func (bk *batchKeys) row(r int) ([]uint64, []byte) {
+// row returns the normalized cells, tags and strings of row r.
+func (bk *batchKeys) row(r int) ([]uint64, []byte, []string) {
 	base := r * bk.nk
-	return bk.cells[base : base+bk.nk], bk.tags[base : base+bk.nk]
+	return bk.cells[base : base+bk.nk], bk.tags[base : base+bk.nk], keyStrs(bk.strs, base, bk.nk)
 }
 
-// nullKey reports whether any key cell of row r is NULL (fixed mode).
+// keyStrs is the nk strings of the row-major strs at base, or nil when strs
+// is (leaseStrs leased none).
+func keyStrs(strs []string, base, nk int) []string {
+	if strs == nil {
+		return nil
+	}
+	return strs[base : base+nk]
+}
+
+// nullKey reports whether any key cell of row r is NULL.
 func (bk *batchKeys) nullKey(r int) bool {
 	base := r * bk.nk
 	for k := 0; k < bk.nk; k++ {
@@ -528,7 +467,7 @@ func hashPartitionPage(a *block.Arena, bk *batchKeys, p *block.Page, cols []int,
 		clear(dst)
 		return dst
 	}
-	bk.reset(a, p, cols, false)
+	bk.hashKeys(a, p, cols)
 	for i, h := range bk.hashes {
 		dst[i] = block.Route(h, parts)
 	}

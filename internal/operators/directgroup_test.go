@@ -278,7 +278,7 @@ func TestDirectGroupTableMatchesHashed(t *testing.T) {
 		sameAsReference(t, c.name, direct.rows, input, c.typ)
 	}
 	// reset opens a hashed table again: the drain decides per partition.
-	tb := newKeyTable(&tableLease{}, true, 1, 0)
+	tb := newKeyTable(&tableLease{}, bigintKey, 0)
 	if tb.fit(0, 1000, 10) || !tb.hashed {
 		t.Fatalf("keys 0..1000 of ten rows fit a table of %d slots", len(tb.slots))
 	}

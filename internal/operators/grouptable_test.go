@@ -14,7 +14,10 @@ import (
 // Sizing a group table from the optimizer's estimate (DESIGN.md, "Sizing a
 // group table").
 
-// tableArrays names the backing array of every array a fixed-key table with
+// bigintKey is the key types of a table over one BIGINT key column.
+var bigintKey = []types.Type{types.Bigint}
+
+// tableArrays names the backing array of every array a bigint-key table with
 // threeAggs holds, by what it is.
 func tableArrays(o *HashAggregationOperator) map[string]unsafe.Pointer {
 	out := map[string]unsafe.Pointer{
@@ -38,8 +41,8 @@ func tableArrays(o *HashAggregationOperator) map[string]unsafe.Pointer {
 // TestGroupTableAllocatesOnce: a table presized for an estimate within a
 // fifth of the groups that arrive, either way, allocates every array once —
 // the slot array, the cells and tags, and every state vector are the ones the
-// constructor made when the last group is in, and a fixed-layout table has no
-// hash vector at all — and filling it allocates nothing but the page-sized
+// constructor made when the last group is in, and a bigint-key table keeps
+// no string bytes at all — and filling it allocates nothing but the page-sized
 // hashing scratch. Without the estimate the same groups allocate the table
 // about twice over.
 func TestGroupTableAllocatesOnce(t *testing.T) {
@@ -66,8 +69,8 @@ func TestGroupTableAllocatesOnce(t *testing.T) {
 		if op.table.Len() != groups {
 			t.Fatalf("estimate %d: %d groups, want %d", est, op.table.Len(), groups)
 		}
-		if op.table.hashes != nil {
-			t.Errorf("estimate %d: a fixed-layout table holds a hash vector of %d", est, cap(op.table.hashes))
+		if op.table.offs != nil || op.table.arena != nil {
+			t.Errorf("estimate %d: a bigint-key table keeps %d string offsets", est, cap(op.table.offs))
 		}
 		for name, p := range tableArrays(op) {
 			if made[name] != p {
@@ -253,7 +256,7 @@ func BenchmarkKeyTableFixed1(b *testing.B) {
 		b.Run(fmt.Sprintf("insert/presized=%d", sized), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				t := newKeyTable(&tableLease{}, true, 1, sized)
+				t := newKeyTable(&tableLease{}, bigintKey, sized)
 				for r := range hashes {
 					t.getOrInsertFixed1(hashes[r], cells[r], block.CellLong)
 				}
@@ -269,7 +272,7 @@ func BenchmarkKeyTableFixed1(b *testing.B) {
 		b.Run(fmt.Sprintf("insert/hashed/keys=%d", keys), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				t := newKeyTable(&tableLease{}, true, 1, 0)
+				t := newKeyTable(&tableLease{}, bigintKey, 0)
 				for _, c := range cells {
 					t.getOrInsertFixed1(block.HashCell(block.CellLong, c), c, block.CellLong)
 				}
@@ -279,7 +282,7 @@ func BenchmarkKeyTableFixed1(b *testing.B) {
 		b.Run(fmt.Sprintf("insert/direct/keys=%d", keys), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				t := newKeyTable(&tableLease{}, true, 1, 0)
+				t := newKeyTable(&tableLease{}, bigintKey, 0)
 				if !t.fit(0, int64(keys-1), rows) {
 					b.Fatal("a dense key is hashed")
 				}
@@ -294,7 +297,7 @@ func BenchmarkKeyTableFixed1(b *testing.B) {
 	}
 	for _, entries := range []int{3_000, 30_000, 120_000} {
 		b.Run(fmt.Sprintf("lookup/entries=%d", entries), func(b *testing.B) {
-			t := newKeyTable(&tableLease{}, true, 1, entries)
+			t := newKeyTable(&tableLease{}, bigintKey, entries)
 			for k := 0; k < entries; k++ {
 				t.getOrInsertFixed1(block.HashCell(block.CellLong, uint64(k)), uint64(k), block.CellLong)
 			}
@@ -313,7 +316,7 @@ func BenchmarkKeyTableFixed1(b *testing.B) {
 			b.ReportMetric(float64(b.N*rows)/b.Elapsed().Seconds(), "rows/s")
 		})
 		b.Run(fmt.Sprintf("direct/entries=%d", entries), func(b *testing.B) {
-			t := newKeyTable(&tableLease{}, true, 1, entries)
+			t := newKeyTable(&tableLease{}, bigintKey, entries)
 			for k := 0; k < entries; k++ {
 				t.cells, t.tags = append(t.cells, uint64(k)), append(t.tags, block.CellLong)
 			}
@@ -332,6 +335,49 @@ func BenchmarkKeyTableFixed1(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, k := range probe {
 					if t.lookupDirect(k, block.CellLong) < 0 {
+						b.Fatal("missing key")
+					}
+				}
+			}
+			b.ReportMetric(float64(b.N*rows)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
+}
+
+// BenchmarkKeyTableVarchar prices the VARCHAR key table: 120 000 rows of
+// eleven-byte keys into 3 000 and 120 000 groups from an empty table (the
+// cell, then getOrInsert, which keeps a new key's bytes), and a lookup of the
+// same rows in the filled table, which compares the bytes of an equal cell.
+func BenchmarkKeyTableVarchar(b *testing.B) {
+	const rows = 120_000
+	for _, keys := range []int{3_000, 120_000} {
+		strs, cells := make([]string, rows), make([]uint64, rows)
+		for r := range strs {
+			strs[r] = fmt.Sprintf("key-%07d", r*7919%keys)
+			cells[r] = block.VarPayload(strs[r])
+		}
+		tags := []byte{block.CellVarchar}
+		fill := func() *keyTable {
+			t := newKeyTable(&tableLease{}, []types.Type{types.Varchar}, 0)
+			for r, s := range strs {
+				t.getOrInsert(block.HashCell(block.CellVarchar, cells[r]), cells[r:r+1], tags, []string{s})
+			}
+			return t
+		}
+		b.Run(fmt.Sprintf("insert/keys=%d", keys), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fill()
+			}
+			b.ReportMetric(float64(b.N*rows)/b.Elapsed().Seconds(), "rows/s")
+		})
+		b.Run(fmt.Sprintf("lookup/keys=%d", keys), func(b *testing.B) {
+			t := fill()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for r, s := range strs {
+					if t.lookup(block.HashCell(block.CellVarchar, cells[r]), cells[r:r+1], tags, []string{s}) < 0 {
 						b.Fatal("missing key")
 					}
 				}

@@ -1,7 +1,6 @@
 package operators
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -264,18 +263,22 @@ func (o *HashAggregationOperator) presize(groups int) {
 }
 
 // keptBesideTable reports whether a group key of type t goes in a valueVec:
-// the table's cells cannot give it back.
-func keptBesideTable(fixed bool, t types.Type) bool { return !fixed || t == types.Double }
+// the table cannot give it back (cellBlock).
+func keptBesideTable(t types.Type) bool { return t == types.Double || !t.Comparable() }
+
+// distinctKeyTs are the key types of a DISTINCT aggregate's set: the group id,
+// then the argument, whose type the set does not know — an untyped column,
+// which keeps a string cell's bytes (varKey).
+var distinctKeyTs = []types.Type{types.Bigint, types.Unknown}
 
 // newTableLocked replaces the table, whose arrays go back through the
 // ledger, with an empty one whose arrays, leased through tl, hold n groups
 // before any of them grows; n = 0 starts them empty.
 func (o *HashAggregationOperator) newTableLocked(tl *tableLease, n int) {
 	o.dropTableLocked()
-	fixed := fixedWidthKeys(o.groupTs)
-	o.table = newKeyTable(tl, fixed, len(o.groupTs), n)
+	o.table = newKeyTable(tl, o.groupTs, n)
 	for k, t := range o.groupTs {
-		if keptBesideTable(fixed, t) {
+		if keptBesideTable(t) {
 			o.keys[k] = &valueVec{t: t, l: tl.l}
 			if n > 0 {
 				o.keys[k].presize(tl, n)
@@ -287,7 +290,7 @@ func (o *HashAggregationOperator) newTableLocked(tl *tableLease, n int) {
 		a := aggVec{spec: spec, l: tl.l, mm: valueVec{t: spec.Out, l: tl.l}}
 		a.floatSum = spec.Func == plan.AggAvg || spec.Out == types.Double
 		if spec.Distinct {
-			a.dset = newKeyTable(tl, false, 1, 0)
+			a.dset = newKeyTable(tl, distinctKeyTs, 0)
 		}
 		if n > 0 {
 			a.presize(tl, n)
@@ -348,15 +351,11 @@ func (o *HashAggregationOperator) dropTableLocked() {
 	}
 }
 
-// heldLocked is what the operator holds: the arrays its ledger counts, and
-// the string bytes its key and min/max vectors keep beside them.
+// heldLocked is what the operator holds: the arrays its ledger counts, the
+// key bytes among them, and the string bytes its min/max vectors keep beside
+// them.
 func (o *HashAggregationOperator) heldLocked() int64 {
 	n := o.ctx.Mem.Leased()
-	for _, v := range o.keys {
-		if v != nil {
-			n += v.strBytes
-		}
-	}
 	for i := range o.accs {
 		n += o.accs[i].mm.strBytes
 	}
@@ -368,9 +367,10 @@ func (o *HashAggregationOperator) NeedsInput() bool { return !o.finished }
 // ReleasesInput declares to the pipeline compiler that the operator keeps no
 // reference to an input page, or to any array under it, once AddInput
 // returns, on any path. The operator in front of it then reuses its output
-// vectors from page to page (LendOutput). It holds because the key table copies normalized cells and encoded bytes, key
-// and min/max vectors copy values out of the page (valueVec), DISTINCT sets
-// copy encoded bytes, the batch hashing scratch is the operator's own, and
+// vectors from page to page (LendOutput). It holds because the key table and
+// the DISTINCT sets copy a key's normalized cells and a string cell's bytes
+// into arrays of their own, key and min/max vectors copy values out of the
+// page (valueVec), the batch hashing scratch is the operator's own, and
 // Revoke and the drain read the table, not pages. Array-typed keys would
 // share the element slice, but no processor lends an array block.
 func (o *HashAggregationOperator) ReleasesInput() bool { return true }
@@ -445,8 +445,8 @@ func (o *HashAggregationOperator) resolveGroups(p *block.Page, cols []int) (ids 
 	// entries the page references (or once per page of runs), through the
 	// page's lookup over the first row of each, sized for the whole page;
 	// aggregates fold a whole run in a single step.
-	run, resolved := resolveEncoded(&o.scratch, &o.batch, p, cols, ids, func(firsts *block.Page, keys []int, firstIDs []int32) {
-		o.resolveRows(firsts, firstIDs, keys, n)
+	run, resolved := resolveEncoded(&o.scratch, &o.batch, p, cols, ids, func(rows []int, rowIDs []int32) {
+		o.resolveCells(p, cols, rows, rowIDs, n)
 	})
 	if resolved {
 		o.ctx.recordDictRows(n)
@@ -468,7 +468,7 @@ func (o *HashAggregationOperator) globalGroupLocked() {
 	if o.table.Len() > 0 {
 		return
 	}
-	o.table.getOrInsertFixed(0, nil, nil)
+	o.table.getOrInsert(0, nil, nil, nil)
 	for i := range o.accs {
 		o.accs[i].grow(1)
 	}
@@ -495,101 +495,83 @@ func (o *HashAggregationOperator) keepKeysLocked(id int, p *block.Page, cols []i
 }
 
 // resolveRows writes the group id of every row of p into ids, entering each
-// key the table does not hold: the table's vectorized lookup, sized as for a
-// page of rows rows. Caller holds o.mu.
+// key the table does not hold: one tight pass over the page's key cells
+// (§V-B), sized as for a page of rows rows. A flat bigint key column, or a
+// selection over one, is read where it lies (flatLongs) while the table may
+// be direct and fits the page's smallest and largest key (keyTable.fit) with
+// room for rows keys: every row's key is entered at its slot, with no hash
+// and no probe. Any other page is normalized first (resolveCells). Caller
+// holds o.mu.
 func (o *HashAggregationOperator) resolveRows(p *block.Page, ids []int32, cols []int, rows int) {
-	if o.table.fixed {
-		o.resolveVecFixed(p, ids, cols, rows)
-	} else {
-		o.resolveVecBytes(p, ids, cols)
-	}
-}
-
-// resolveVecFixed is the vectorized fixed-cell lookup: one tight pass over
-// the page's normalized key cells (§V-B) — by value on a direct table
-// (resolveDirect), else a probe by each row's hash. Caller holds o.mu.
-func (o *HashAggregationOperator) resolveVecFixed(p *block.Page, ids []int32, cols []int, rows int) {
 	if len(ids) == 0 {
 		return
 	}
-	normalized := false
-	if len(cols) == 1 && !o.table.hashed {
-		var done bool
-		if done, normalized = o.resolveDirect(p, ids, cols, rows); done {
+	if vals, nulls, sel, ok := flatLongs(p.Col(cols[0])); ok && o.directOpen(cols) {
+		t := o.table
+		if lo, hi, ints := longSpan(vals, nulls, sel, len(ids)); ints && t.fit(lo, hi, rows) {
+			for r := range ids {
+				v := uint64(vals[at(sel, r)])
+				if ids[r] = int32(t.findDirect(v)); ids[r] < 0 {
+					ids[r] = o.insertDirectLocked(v, p.Col(cols[0]), r)
+				}
+			}
 			return
 		}
+		t.settleHashed() // a NULL key, or a span past the slots
 	}
-	if normalized { // by resolveDirect, for a table the page has turned hashed
-		o.batch.hashCells(&o.scratch, len(ids))
-	} else {
-		o.batch.reset(&o.scratch, p, cols, true)
+	o.batch.normalize(&o.scratch, p, cols)
+	o.resolveCells(p, cols, nil, ids, rows)
+}
+
+// directOpen reports whether the table may be direct after a page of cols:
+// one key column, the table not hashed and keeping no bytes.
+func (o *HashAggregationOperator) directOpen(cols []int) bool {
+	return len(cols) == 1 && !o.table.hashed && o.table.vars == nil
+}
+
+// resolveCells writes into ids the group id of each key o.batch holds
+// normalized, entering each the table does not hold: the keys of p's rows
+// sel, or of every row when sel is nil, with key k at column cols[k]. A table
+// that may be direct (directOpen) enters them by value when every cell is an
+// integer and the table fits their span with room for rows keys, and turns
+// hashed otherwise; a hashed table probes by each key's hash. Caller holds
+// o.mu.
+func (o *HashAggregationOperator) resolveCells(p *block.Page, cols []int, sel []int, ids []int32, rows int) {
+	t, n := o.table, len(ids)
+	if o.directOpen(cols) {
+		cells := o.batch.cells[:n]
+		if lo, hi, ints := cellSpan(cells, o.batch.tags[:n]); ints && t.fit(lo, hi, rows) {
+			kc := p.Col(cols[0])
+			for i, c := range cells {
+				if ids[i] = int32(t.findDirect(c)); ids[i] < 0 {
+					ids[i] = o.insertDirectLocked(c, kc, at(sel, i))
+				}
+			}
+			return
+		}
+		t.settleHashed()
 	}
-	if len(cols) == 1 {
+	o.batch.hashCells(&o.scratch, n)
+	if len(cols) == 1 && t.vars == nil {
 		// Single-key fast path: probe on scalars, no per-row slicing.
 		cells, tags, hashes := o.batch.cells, o.batch.tags, o.batch.hashes
-		for r := range ids {
-			id, fresh := o.table.getOrInsertFixed1(hashes[r], cells[r], tags[r])
+		for i := range ids {
+			id, fresh := t.getOrInsertFixed1(hashes[i], cells[i], tags[i])
 			if fresh && o.keys[0] != nil {
-				o.keys[0].put(id, p.Col(cols[0]), r)
+				o.keys[0].put(id, p.Col(cols[0]), at(sel, i))
 			}
-			ids[r] = int32(id)
+			ids[i] = int32(id)
 		}
 		return
 	}
-	for r := range ids {
-		cells, tags := o.batch.row(r)
-		id, fresh := o.table.getOrInsertFixed(o.batch.hashes[r], cells, tags)
+	for i := range ids {
+		cells, tags, strs := o.batch.row(i)
+		id, fresh := t.getOrInsert(o.batch.hashes[i], cells, tags, strs)
 		if fresh {
-			o.keepKeysLocked(id, p, cols, r)
+			o.keepKeysLocked(id, p, cols, at(sel, i))
 		}
-		ids[r] = int32(id)
+		ids[i] = int32(id)
 	}
-}
-
-// resolveDirect resolves a page of one key column on a table that is open or
-// direct: it finds the page's smallest and largest key and, when the table
-// fits them (keyTable.fit) with room for rows keys, enters every row's key at
-// its slot, with no hash and no probe. A flat bigint column, or a selection
-// over one, is read where it lies (flatLongs); any other is normalized first. It reports done false —
-// the table now hashed — when a key is not an integer (a NULL among them) or
-// the span does not fit, and normalized when the page's cells are in o.batch.
-// Caller holds o.mu.
-func (o *HashAggregationOperator) resolveDirect(p *block.Page, ids []int32, cols []int, rows int) (done, normalized bool) {
-	t, kc, n := o.table, p.Col(cols[0]), len(ids)
-	if vals, nulls, sel, ok := flatLongs(kc); ok {
-		lo, hi, ints := longSpan(vals, nulls, sel, n)
-		if !ints || !t.fit(lo, hi, rows) {
-			t.settleHashed()
-			return false, false
-		}
-		if sel == nil {
-			for r, v := range vals[:n] {
-				if ids[r] = int32(t.findDirect(uint64(v))); ids[r] < 0 {
-					ids[r] = o.insertDirectLocked(uint64(v), kc, r)
-				}
-			}
-		} else {
-			for r, k := range sel[:n] {
-				if ids[r] = int32(t.findDirect(uint64(vals[k]))); ids[r] < 0 {
-					ids[r] = o.insertDirectLocked(uint64(vals[k]), kc, r)
-				}
-			}
-		}
-		return true, false
-	}
-	o.batch.normalize(&o.scratch, p, cols)
-	cells := o.batch.cells[:n]
-	lo, hi, ints := cellSpan(cells, o.batch.tags[:n])
-	if !ints || !t.fit(lo, hi, rows) {
-		t.settleHashed()
-		return false, true
-	}
-	for r, c := range cells {
-		if ids[r] = int32(t.findDirect(c)); ids[r] < 0 {
-			ids[r] = o.insertDirectLocked(c, kc, r)
-		}
-	}
-	return true, true
 }
 
 // insertDirectLocked enters a new group for cell, the key of row r of the key
@@ -601,21 +583,6 @@ func (o *HashAggregationOperator) insertDirectLocked(cell uint64, kc block.Block
 		o.keys[0].put(id, kc, r)
 	}
 	return int32(id)
-}
-
-// resolveVecBytes is the vectorized byte-layout lookup (varchar/array/mixed
-// group keys): hashes come from the batch kernels, the canonical key encoding
-// is built only to verify and store the key. Caller holds o.mu.
-func (o *HashAggregationOperator) resolveVecBytes(p *block.Page, ids []int32, cols []int) {
-	o.batch.reset(&o.scratch, p, cols, false)
-	for r := range ids {
-		o.batch.buf = encodeRowKey(o.batch.buf[:0], p, r, cols)
-		id, fresh := o.table.getOrInsertBytes(o.batch.hashes[r], o.batch.buf)
-		if fresh {
-			o.keepKeysLocked(id, p, cols, r)
-		}
-		ids[r] = int32(id)
-	}
 }
 
 // accumulatePage runs every aggregate over the resolved groups: the run
@@ -755,14 +722,12 @@ func sumAtRows[S, V int64 | float64](sum []S, ids []int32, rows []int, vals []V,
 	}
 }
 
-// firstSeenLocked enters (group id, col[r]) in a DISTINCT aggregate's set and
-// reports whether the pair is new.
+// firstSeenLocked enters (group id, col[r]) in a DISTINCT aggregate's set,
+// the key of two cells, and reports whether the pair is new.
 func (o *HashAggregationOperator) firstSeenLocked(a *aggVec, id int32, col block.Block, r int) bool {
-	buf := binary.LittleEndian.AppendUint32(o.batch.buf[:0], uint32(id))
-	buf = appendCellKey(buf, col, r)
-	o.batch.buf = buf
-	h := block.HashFold(block.HashCell(block.CellLong, uint64(id)), block.HashAt(col, r))
-	_, fresh := a.dset.getOrInsertBytes(h, buf)
+	tag, payload, s := cellAt(col, r)
+	cells, tags, strs := [2]uint64{uint64(id), payload}, [2]byte{block.CellLong, tag}, [2]string{1: s}
+	_, fresh := a.dset.getOrInsert(fixedHash(cells[:], tags[:]), cells[:], tags[:], strs[:])
 	return fresh
 }
 

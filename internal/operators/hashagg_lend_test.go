@@ -90,9 +90,9 @@ func holdsPoison(b, was block.Block) bool {
 // output page into vectors leased from its scratch, which the next Output
 // takes back — poisoned, under block.PoisonScratch — so that a consumer that
 // kept the page past its time reads poison, not groups. Every rendering path
-// is lent: key columns given back from the table's cells (bigint and boolean
-// keys, NULL keys among them: cellBlock), key columns kept beside the table
-// (varchar and double keys: valueVec.block) and every resultBlock case. The
+// is lent: key columns given back from the table (bigint, boolean and varchar
+// keys, NULL keys among them: cellBlock), key columns kept beside it (double
+// keys: valueVec.block) and every resultBlock case. The
 // NULL-key rows make each key column carry a null mask, which is lent too.
 func TestAggregationLentVectorsArePoisoned(t *testing.T) {
 	was := block.PoisonScratch(true)
@@ -102,18 +102,18 @@ func TestAggregationLentVectorsArePoisoned(t *testing.T) {
 		name   string
 		keys   []types.Type
 		k0, k1 block.Block
-		cells  bool // the table's cells give the keys back
+		cells  [2]bool // the table gives key k back
 	}{
 		{"bigint and boolean keys", []types.Type{types.Bigint, types.Boolean},
 			block.NewLongBlock([]int64{1, 2, 0, 1, 4, 5, 0, 6}, keyNulls),
-			&block.BoolBlock{Vals: []bool{true, false, false, true, false, true, false, true}, Nulls: keyNulls}, true},
+			&block.BoolBlock{Vals: []bool{true, false, false, true, false, true, false, true}, Nulls: keyNulls}, [2]bool{true, true}},
 		{"varchar and double keys", []types.Type{types.Varchar, types.Double},
 			block.NewVarcharBlock([]string{"x", "y", "", "x", "z", "w", "", "v"}, keyNulls),
-			block.NewDoubleBlock([]float64{1, 2, 0, 1, 4, 5, 0, 6}, keyNulls), false},
+			block.NewDoubleBlock([]float64{1, 2, 0, 1, 4, 5, 0, 6}, keyNulls), [2]bool{true, false}},
 	} {
 		op := NewHashAggregation(NopContext(), []int{0, 1}, c.keys, lentAggSpecs, false, 0, 0)
-		if got := op.keys[0] == nil; got != c.cells {
-			t.Fatalf("%s: keys given back from cells = %v, want %v", c.name, got, c.cells)
+		if got := [2]bool{op.keys[0] == nil, op.keys[1] == nil}; got != c.cells {
+			t.Fatalf("%s: keys given back by the table = %v, want %v", c.name, got, c.cells)
 		}
 		op.LendOutput(nil)
 		if err := op.AddInput(lentAggPage(c.k0, c.k1)); err != nil {

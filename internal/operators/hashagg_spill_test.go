@@ -2,6 +2,7 @@ package operators
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -125,28 +126,34 @@ func TestHashAggSpillMixedTypes(t *testing.T) {
 	}
 }
 
-// TestFixedTableRehashesAsBatchKeys: a fixed-layout table stores no hash, and
-// what it recomputes from an entry's cells — to grow, and to pick a spill
-// partition — is the hash batchKeys computed for the key that made the entry:
-// one and two key columns, NULLs, -0.0 and 0.0, NaN, a double equal to an
-// integer, booleans.
+// TestFixedTableRehashesAsBatchKeys: a table stores no hash, and what it
+// recomputes from an entry's cells — to grow, and to pick a spill partition —
+// is the hash batchKeys computed for the key that made the entry (hashKeys,
+// which the exchange routes by too): one and two key columns, NULLs, -0.0
+// and 0.0, NaN, a double equal to an integer, booleans, VARCHAR (a string
+// cell's payload hashes its bytes) and VARCHAR beside other types.
 func TestFixedTableRehashesAsBatchKeys(t *testing.T) {
-	for _, cols := range [][]int{{colKeyBigint}, {colKeyDouble}, {colKeyBool}, {colKeyBigint, colKeyDate}, {colKeyDouble, colKeyBool}} {
-		tab := newKeyTable(&tableLease{}, true, len(cols), 0)
+	for _, cols := range [][]int{{colKeyBigint}, {colKeyDouble}, {colKeyBool}, {colKeyBigint, colKeyDate}, {colKeyDouble, colKeyBool},
+		{colKeyVarchar}, {colKeyBigint, colKeyVarchar}, {colKeyVarchar, colKeyDouble, colKeyBool}} {
+		ts := make([]types.Type, len(cols))
+		for k, c := range cols {
+			ts[k] = diffColTypes[c]
+		}
+		tab := newKeyTable(&tableLease{}, ts, 0)
 		var bk batchKeys
 		for pg := 0; pg < 3; pg++ {
 			p := diffPage(pg*300, (pg+1)*300)
-			bk.reset(nil, p, cols, true)
+			bk.hashKeys(nil, p, cols)
 			for r := 0; r < p.RowCount(); r++ {
-				cells, tags := bk.row(r)
-				id, _ := tab.getOrInsertFixed(bk.hashes[r], cells, tags)
+				cells, tags, strs := bk.row(r)
+				id, _ := tab.getOrInsert(bk.hashes[r], cells, tags, strs)
 				if h := tab.hash(id); h != bk.hashes[r] {
 					t.Fatalf("columns %v, row %d: the table rehashes its entry to %x, batchKeys hashed the key to %x", cols, pg*300+r, h, bk.hashes[r])
 				}
 			}
 		}
-		if tab.hashes != nil {
-			t.Errorf("columns %v: a fixed-layout table holds %d hashes", cols, cap(tab.hashes))
+		if (tab.offs != nil) != slices.Contains(cols, colKeyVarchar) {
+			t.Errorf("columns %v: the table keeps %d string offsets", cols, cap(tab.offs))
 		}
 	}
 }

@@ -108,11 +108,9 @@ func (b *JoinBridge) SetFilterCollector(c *dynfilter.Collector, publish func([]*
 	b.mu.Unlock()
 }
 
-// summarizeKeysLocked summarizes a just-built table from its key table: a
-// fixed layout's normalized cells, whose slots hold one entry per distinct
-// key — a direct table's in key order, with its span as the bounds — or else
-// each distinct key's first row, in arrival order — a row is its key's first
-// unless its key is NULL or another row links to it.
+// summarizeKeysLocked summarizes a just-built table from its key table's
+// normalized cells, and a string cell's bytes, whose slots hold one entry per
+// distinct key — a direct table's in key order, with its span as the bounds.
 func (b *JoinBridge) summarizeKeysLocked() {
 	switch c, t := b.collector, b.ktab; {
 	case c == nil:
@@ -125,36 +123,14 @@ func (b *JoinBridge) summarizeKeysLocked() {
 				keyed++
 			}
 		}
-		if t.fixed {
-			var span *dynfilter.Span
-			if t.direct {
-				span = &dynfilter.Span{Lo: t.lo, Hi: t.hi}
-			}
-			c.CollectCells(keyed, t.keys, t.nk, t.cells, t.tags, span, func(visit func(int)) {
-				for _, s := range t.slots {
-					if s != 0 {
-						visit(int(s - 1))
-					}
-				}
-			})
-			return
+		var span *dynfilter.Span
+		if t.direct {
+			span = &dynfilter.Span{Lo: t.lo, Hi: t.hi}
 		}
-		var linked []uint64 // bit pos: another row links to pos
-		if b.next != nil {
-			linked = make([]uint64, (len(b.next)+63)/64)
-			for _, n := range b.next {
-				if n != 0 {
-					linked[(n-1)/64] |= 1 << ((n - 1) % 64)
-				}
-			}
-		}
-		c.Collect(keyed, t.keys, b.keyCols, func(visit func(*block.Page, int)) {
-			pos := -1
-			for _, p := range b.pages {
-				for r := 0; r < p.RowCount(); r++ {
-					if pos++; !t.nullKey(pos) && (linked == nil || linked[pos/64]&(1<<(pos%64)) == 0) {
-						visit(p, r)
-					}
+		c.CollectCells(keyed, t.keys, t.nk, t.cells, t.tags, t.keyStr, span, func(visit func(int)) {
+			for _, s := range t.slots {
+				if s != 0 {
+					visit(int(s - 1))
 				}
 			}
 		})
@@ -276,9 +252,9 @@ func (b *JoinBridge) builderStep(change func()) {
 // the index from here on in place of what the pages reserved ahead for it.
 func (b *JoinBridge) buildIndexLocked() {
 	b.locate(b.mem)
-	nk, rows, fixed := len(b.keyCols), int(b.positions()), fixedWidthKeys(b.keyTs)
+	nk, rows := len(b.keyCols), int(b.positions())
 	if nk > 0 && rows > 0 {
-		t := newKeyTable(&tableLease{l: b.mem}, fixed, nk, rows)
+		t := newKeyTable(&tableLease{l: b.mem}, b.keyTs, rows)
 		// The key hashing leases a page's vectors from an arena of the index
 		// build's own: no driver holds it, so it is never released, and what it
 		// leased is the collector's once the index is built.
@@ -303,7 +279,7 @@ func (b *JoinBridge) buildIndexLocked() {
 			}
 		}
 		b.ktab, b.next = t, next
-		b.bytes.Add(-keyTableBytes(fixed, nk, rows))
+		b.bytes.Add(-keyTableBytes(b.keyTs, rows))
 	}
 }
 
@@ -506,7 +482,7 @@ type HashBuildOperator struct {
 
 // NewHashBuild creates the build-side sink for a join. keyTs are the planner
 // types of the key columns, aligned with keyCols: they, not input block
-// types, decide the shared key table's layout (see fixedWidthKeys).
+// types, decide whether the shared key table keeps bytes (see varKey).
 func NewHashBuild(ctx *OpContext, bridge *JoinBridge, keyCols []int, keyTs []types.Type) *HashBuildOperator {
 	bridge.registerBuilder(ctx, keyCols, keyTs)
 	return &HashBuildOperator{ctx: ctx, bridge: bridge}
@@ -570,14 +546,13 @@ func (o *HashBuildOperator) AddInput(p *block.Page) error {
 	}
 	// Not spilled: every row so far is in memory, and the key table over them
 	// is reserved ahead as they arrive, so that a capped pool revokes before
-	// the built transition leases it. The links and a bytes-layout arena,
-	// unknown before the keys are, come with the true-up.
+	// the built transition leases it. The links and the byte arena, unknown
+	// before the keys are, come with the true-up.
 	var ahead int64
-	if nk, rows := len(b.keyCols), int(b.rows); nk > 0 && n > 0 {
-		fixed := fixedWidthKeys(b.keyTs)
-		ahead = keyTableBytes(fixed, nk, rows+n)
+	if rows := int(b.rows); len(b.keyCols) > 0 && n > 0 {
+		ahead = keyTableBytes(b.keyTs, rows+n)
 		if rows > 0 { // the first page reserves the whole table
-			ahead -= keyTableBytes(fixed, nk, rows)
+			ahead -= keyTableBytes(b.keyTs, rows)
 		}
 	}
 	b.pages = append(b.pages, p)
@@ -587,27 +562,35 @@ func (o *HashBuildOperator) AddInput(p *block.Page) error {
 	return b.syncBuildMem()
 }
 
-// resolveBatch is the general path of the probe: batch-hash the page's key
-// columns, then look each row's key up in t — a direct table's by its cell
-// alone, with nothing hashed, and a flat bigint key column's (flatLongs) read
-// where it lies.
+// resolveBatch is the general path of the probe: normalize the page's key
+// columns, then look each row's key up in t (lookupCells) — a direct table's
+// flat bigint key column (flatLongs) read where it lies, with nothing
+// normalized.
 func resolveBatch(a *block.Arena, t *keyTable, bk *batchKeys, p *block.Page, cols []int, ids []int32) {
 	if t.direct {
 		if vals, nulls, sel, ok := flatLongs(p.Col(cols[0])); ok {
 			probeDirect(t, vals, nulls, sel, ids)
 			return
 		}
-		bk.normalize(a, p, cols)
-		cells, tags := bk.cells, bk.tags[:len(ids)]
-		for r, tag := range tags {
-			ids[r] = int32(t.lookupDirect(cells[r], tag))
+	}
+	bk.normalize(a, p, cols)
+	lookupCells(a, t, bk, ids)
+}
+
+// lookupCells writes into ids the entry of t holding each key bk holds
+// normalized, or -1: a direct table's by its cell alone, with nothing hashed,
+// a hashed table's by the key's hash, its vector leased from a.
+func lookupCells(a *block.Arena, t *keyTable, bk *batchKeys, ids []int32) {
+	if t.direct {
+		for r, tag := range bk.tags[:len(ids)] {
+			ids[r] = int32(t.lookupDirect(bk.cells[r], tag))
 		}
 		return
 	}
-	bk.reset(a, p, cols, t.fixed)
-	if t.fixed && len(cols) == 1 {
-		// One fixed-width key, which is most joins: probe on scalars, no
-		// per-row slicing (as the aggregation's resolveVecFixed).
+	bk.hashCells(a, len(ids))
+	if bk.nk == 1 && t.vars == nil {
+		// One key that keeps no bytes, which is most joins: probe on scalars,
+		// no per-row slicing (as the aggregation's resolveCells).
 		cells, tags, hashes := bk.cells, bk.tags, bk.hashes
 		for r := range ids {
 			id := -1
@@ -620,14 +603,9 @@ func resolveBatch(a *block.Arena, t *keyTable, bk *batchKeys, p *block.Page, col
 	}
 	for r := range ids {
 		id := -1
-		switch {
-		case t.fixed && bk.nullKey(r), !t.fixed && rowKeyNull(p, r, cols):
-		case t.fixed:
-			cells, tags := bk.row(r)
-			id = t.lookupFixed(bk.hashes[r], cells, tags)
-		default:
-			bk.buf = encodeRowKey(bk.buf[:0], p, r, cols)
-			id = t.lookupBytes(bk.hashes[r], bk.buf)
+		if !bk.nullKey(r) {
+			cells, tags, strs := bk.row(r)
+			id = t.lookup(bk.hashes[r], cells, tags, strs)
 		}
 		ids[r] = int32(id)
 	}
@@ -812,21 +790,15 @@ func (o *LookupJoinOperator) nullAwareRows(p *block.Page, anyRow, nullKey bool) 
 
 // resolveProbe maps every probe row to the first build position of its key
 // (-1 = no match or NULL key) in one page-level pass; with no key (CROSS and
-// keyless joins), to the first of all, after which come all the others. A
-// probe column whose canonical encoding can never equal the build layout's
-// (varchar keys against a fixed-width table: the tag bytes differ) resolves
-// the whole page to no-match once. Pages whose key columns all arrive
-// dictionary- or RLE-encoded ask the table once per combination of entries
-// they reference (resolveEncoded; §V-B), through the batch lookup over the
-// first row of each; the rest once per row of a batch-hashed page.
+// keyless joins), to the first of all, after which come all the others.
+// Pages whose key columns all arrive dictionary- or RLE-encoded ask the table
+// once per combination of entries they reference (resolveEncoded; §V-B),
+// through the batch lookup over the first row of each; the rest once per row
+// of a normalized page.
 func (o *LookupJoinOperator) resolveProbe(p *block.Page) []int32 {
 	ids, t := block.Lease[int32](o.scratch, p.RowCount()), o.tab.ktab
 	keyless := len(o.probeKeys) == 0
-	compatible := t != nil && !keyless // else an empty build side, or no key
-	for _, c := range o.probeKeys {
-		compatible = compatible && (!t.fixed || fixedWidthKey(p.Col(c).Type()))
-	}
-	if !compatible {
+	if t == nil || keyless { // an empty build side, or no key
 		first := int32(-1)
 		if keyless {
 			first = min(0, o.tab.positions()-1)
@@ -836,8 +808,8 @@ func (o *LookupJoinOperator) resolveProbe(p *block.Page) []int32 {
 		}
 		return ids
 	}
-	if _, encoded := resolveEncoded(o.scratch, &o.batch, p, o.probeKeys, ids, func(firsts *block.Page, keys []int, firstIDs []int32) {
-		resolveBatch(o.scratch, t, &o.batch, firsts, keys, firstIDs)
+	if _, encoded := resolveEncoded(o.scratch, &o.batch, p, o.probeKeys, ids, func(_ []int, rowIDs []int32) {
+		lookupCells(o.scratch, t, &o.batch, rowIDs)
 	}); encoded {
 		o.ctx.recordDictRows(len(ids))
 	} else {

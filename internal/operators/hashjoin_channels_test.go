@@ -33,7 +33,7 @@ type channelKeyKind struct {
 
 // channelKeyKinds are the keys the wall joins on: duplicate-heavy, encoded
 // and edge-valued single keys, a unique one, a two-column fixed-width one and
-// a varchar one (the bytes layout).
+// a varchar one (its bytes kept in the table's arena).
 var channelKeyKinds = []channelKeyKind{
 	{name: "flat+nulls", t: types.Bigint, key: func(pg, rows, off int) block.Block {
 		vals, nulls := make([]int64, rows), make([]bool, rows)

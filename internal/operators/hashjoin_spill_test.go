@@ -3,6 +3,7 @@ package operators
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -333,7 +334,7 @@ func TestJoinRevokeBeforeBuiltWritesPagesOnly(t *testing.T) {
 	if bridge.ktab != nil || bridge.starts != nil {
 		t.Fatal("the bridge indexed build pages before its builders finished")
 	}
-	if want, got := held+keyTableBytes(true, 1, rows), bridge.RevocableBytes(); got != want {
+	if want, got := held+keyTableBytes(bigintKey, rows), bridge.RevocableBytes(); got != want {
 		t.Fatalf("%d revocable bytes, want the pages and the index reserved ahead, %d", got, want)
 	}
 	before := spill.CurrentStats()
@@ -341,7 +342,7 @@ func TestJoinRevokeBeforeBuiltWritesPagesOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := held + keyTableBytes(true, 1, rows); freed != want {
+	if want := held + keyTableBytes(bigintKey, rows); freed != want {
 		t.Errorf("revocation freed %d bytes, want %d", freed, want)
 	}
 	if len(bridge.pages) != 0 || bridge.ktab != nil || bridge.bytes.Load() != 0 || bridge.mem.Held() != 0 {
@@ -432,8 +433,8 @@ func TestJoinRevokeUnderConcurrentBuilders(t *testing.T) {
 	}
 }
 
-// TestJoinIndexTrueUpOverLimit: a bytes-layout index holds an arena of encoded
-// keys that no page-by-page reservation knows the size of, so the true-up at
+// TestJoinIndexTrueUpOverLimit: a VARCHAR-key index holds an arena of key
+// bytes that no page-by-page reservation knows the size of, so the true-up at
 // the built transition can ask for more than the query may have. A spill-armed
 // bridge is then revoked — pages and fresh index alike, before any probe is
 // released — and joins on the grace path; a bridge that cannot spill fails its
@@ -447,7 +448,7 @@ func TestJoinIndexTrueUpOverLimit(t *testing.T) {
 	page := block.NewPage(block.NewVarcharBlock(keys, nil), block.NewLongBlock(vals, nil))
 	rowTs := []types.Type{types.Varchar, types.Bigint}
 	// The pages and the index reserved ahead fit; the 210 KB arena does not.
-	limit := page.SizeBytes() + keyTableBytes(false, 1, rows) + 50<<10
+	limit := page.SizeBytes() + keyTableBytes(rowTs[:1], rows) + 50<<10
 	for _, armed := range []bool{true, false} {
 		q := memory.NewQueryContext("trueup", memory.QueryLimits{PerNodeUser: limit, SpillEnabled: armed},
 			map[int]*memory.NodePool{0: memory.NewNodePool(1<<30, 0)})
@@ -485,13 +486,13 @@ func TestJoinIndexTrueUpOverLimit(t *testing.T) {
 }
 
 // exchangeRows keeps the rows of pages that a hash exchange over n consumers
-// sends to consumer 0 (hashPartitionPage on the key column).
-func exchangeRows(pages []*block.Page, n int) []*block.Page {
+// sends to consumer c (hashPartitionPage on the key column).
+func exchangeRows(pages []*block.Page, n, c int) []*block.Page {
 	var out []*block.Page
 	for _, p := range pages {
 		var keep []int
 		for r, part := range hashPartitionPage(nil, new(batchKeys), p, []int{0}, n) {
-			if part == 0 {
+			if part == c {
 				keep = append(keep, r)
 			}
 		}
@@ -501,10 +502,11 @@ func exchangeRows(pages []*block.Page, n int) []*block.Page {
 }
 
 // graceBuildRows counts the build rows in each grace partition of a spilled,
-// built bridge, read back from its sealed build files.
-func graceBuildRows(t *testing.T, b *JoinBridge) []int {
+// built bridge, read back from its sealed build files: all of them, and those
+// whose key (column 0) is NULL.
+func graceBuildRows(t *testing.T, b *JoinBridge) (rows, nulls []int) {
 	t.Helper()
-	rows := make([]int, spill.Partitions)
+	rows, nulls = make([]int, spill.Partitions), make([]int, spill.Partitions)
 	for part := range rows {
 		it := b.spl.build.Pages(part)
 		for {
@@ -516,60 +518,95 @@ func graceBuildRows(t *testing.T, b *JoinBridge) []int {
 				break
 			}
 			rows[part] += p.RowCount()
+			for r := range p.RowCount() {
+				if p.Col(0).IsNull(r) {
+					nulls[part]++
+				}
+			}
 		}
 		it.Close()
 	}
-	return rows
+	return rows, nulls
 }
 
 // TestGraceJoinSpreadsAfterExchange: a worker behind a hash exchange over n
 // consumers holds only the keys whose hash is one value mod n. Its grace
-// partitions must still spread them: every partition holds build rows and
-// the largest at most twice the mean, for n = 2 and 4 — so the drain's peak
-// is about 1/spill.Partitions of the worker's build, not n times that. The
-// spilled join still produces what the per-row reference does.
+// partitions must still spread the non-NULL ones: every partition holds
+// build rows and the largest at most twice the mean, for n = 2 and 4 — so the
+// drain's peak is about 1/spill.Partitions of the worker's build, not n times
+// that. Every NULL key has one hash, so the NULL build rows (every 13th) go
+// to one consumer, the one a NULL routes to, and sit in one of its grace
+// partitions; consumer 0 is checked, and that one. The spilled join still
+// produces what the per-row reference does.
 func TestGraceJoinSpreadsAfterExchange(t *testing.T) {
 	rowTs := []types.Type{types.Bigint, types.Varchar}
 	allBuild := joinSpillPages(20, 1000, 20000, 0) // 20 000 distinct keys, every 13th NULL
 	allProbe := joinSpillPages(10, 1000, 30000, 7)
 	for _, n := range []int{2, 4} {
-		t.Run(fmt.Sprintf("consumer 0 of %d", n), func(t *testing.T) {
-			buildPages, probePages := exchangeRows(allBuild, n), exchangeRows(allProbe, n)
-			bridge := NewJoinBridge()
-			bridge.EnableSpill(spillTestMem(), t.TempDir(), []int{0}, rowTs[:1])
-			bridge.AddBuilder()
-			hb := NewHashBuild(NopContext(), bridge, []int{0}, rowTs[:1])
-			total := 0
-			for _, p := range buildPages {
-				if err := hb.AddInput(p); err != nil {
-					t.Fatal(err)
-				}
-				total += p.RowCount()
-			}
-			if _, err := bridge.Revoke(); err != nil {
-				t.Fatal(err)
-			}
-			hb.Finish()
-			bridge.NoMoreBuilders()
-			rows := graceBuildRows(t, bridge)
-			t.Logf("grace partitions of %d build rows: %v", total, rows)
-			mean := float64(total) / float64(len(rows))
-			for part, r := range rows {
-				if r == 0 || float64(r) > 2*mean {
-					t.Errorf("grace partition %d holds %d of %d build rows, want some and at most twice the mean %.0f (all: %v)", part, r, total, mean, rows)
-				}
-			}
-			bridge.AddProbe()
-			bridge.NoMoreProbes()
-			op := NewLookupJoin(NopContext(), bridge, plan.FullJoin, []int{0}, nil, rowTs, rowTs, 0)
-			got := rowCounts(drain(t, op, probePages...))
-			assertSameCounts(t, "spilled", got, refJoin(t, plan.FullJoin, buildPages, probePages, []int{0}, []int{0}, nil, rowTs, rowTs))
-			if err := op.Close(); err != nil {
-				t.Fatal(err)
-			}
-			bridge.ReleaseSpill()
-		})
+		nullsTo := block.Route(block.HashCell(block.CellNull, 0), n)
+		for _, c := range slices.Compact([]int{0, nullsTo}) {
+			t.Run(fmt.Sprintf("consumer %d of %d", c, n), func(t *testing.T) {
+				graceJoinAfterExchange(t, allBuild, allProbe, rowTs, n, c, c == nullsTo)
+			})
+		}
 	}
+}
+
+// graceJoinAfterExchange is TestGraceJoinSpreadsAfterExchange for consumer c
+// of n, which holds the NULL build rows when nulls is set.
+func graceJoinAfterExchange(t *testing.T, allBuild, allProbe []*block.Page, rowTs []types.Type, n, c int, nulls bool) {
+	buildPages, probePages := exchangeRows(allBuild, n, c), exchangeRows(allProbe, n, c)
+	bridge := NewJoinBridge()
+	bridge.EnableSpill(spillTestMem(), t.TempDir(), []int{0}, rowTs[:1])
+	bridge.AddBuilder()
+	hb := NewHashBuild(NopContext(), bridge, []int{0}, rowTs[:1])
+	for _, p := range buildPages {
+		if err := hb.AddInput(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := bridge.Revoke(); err != nil {
+		t.Fatal(err)
+	}
+	hb.Finish()
+	bridge.NoMoreBuilders()
+	rows, nullRows := graceBuildRows(t, bridge)
+	keyed, nullParts, nullTotal := make([]int, len(rows)), 0, 0
+	for part, r := range rows {
+		keyed[part] = r - nullRows[part]
+		if nullRows[part] > 0 {
+			nullParts++
+		}
+		nullTotal += nullRows[part]
+	}
+	t.Logf("grace partitions: %v non-NULL build rows, %v NULL", keyed, nullRows)
+	mean := float64(sumInts(keyed)) / float64(len(keyed))
+	for part, r := range keyed {
+		if r == 0 || float64(r) > 2*mean {
+			t.Errorf("grace partition %d holds %d non-NULL build rows, want some and at most twice the mean %.0f (all: %v)", part, r, mean, keyed)
+		}
+	}
+	if nullParts > 1 || nulls != (nullTotal > 0) {
+		t.Errorf("%d NULL build rows in %d grace partitions, want them in one, and some only at the consumer a NULL routes to (this one: %v)", nullTotal, nullParts, nulls)
+	}
+	bridge.AddProbe()
+	bridge.NoMoreProbes()
+	op := NewLookupJoin(NopContext(), bridge, plan.FullJoin, []int{0}, nil, rowTs, rowTs, 0)
+	got := rowCounts(drain(t, op, probePages...))
+	assertSameCounts(t, "spilled", got, refJoin(t, plan.FullJoin, buildPages, probePages, []int{0}, []int{0}, nil, rowTs, rowTs))
+	if err := op.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bridge.ReleaseSpill()
+}
+
+// sumInts is the sum of v.
+func sumInts(v []int) int {
+	n := 0
+	for _, x := range v {
+		n += x
+	}
+	return n
 }
 
 // TestJoinRevokedIndexNotCounted: a build indexed at its built transition and
@@ -604,7 +641,8 @@ func TestJoinRevokedIndexNotCounted(t *testing.T) {
 		t.Fatalf("after the revocation: %d indexes counted, %d spills; want 0 and 1", n, bridge.SpillCount())
 	}
 	var filled int64
-	for _, r := range graceBuildRows(t, bridge) {
+	rows, _ := graceBuildRows(t, bridge)
+	for _, r := range rows {
 		if r > 0 {
 			filled++
 		}

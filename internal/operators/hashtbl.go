@@ -3,6 +3,7 @@ package operators
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"unsafe"
@@ -18,14 +19,13 @@ import (
 // §V-B): a slot holds an entry id, and a probe verifies the key the entry
 // holds without materializing byte strings.
 //
-// Two key layouts:
-//   - fixed: nk normalized (tag, payload) cells per entry — single BIGINT/DATE
-//     keys and fixed-width multi-keys never touch a byte encoding at all. The
-//     cells are the key: a probe compares them and nothing else, and growing
-//     or partitioning rehashes them (hash), so no hash is stored;
-//   - bytes: canonical encodeRowKey encodings packed into one arena — the
-//     fallback for varchar/array/mixed keys, with no allocation per insert —
-//     and a hash per entry, compared before the arena bytes are.
+// One key layout: nk normalized (tag, payload) cells per entry (normCol). The
+// cells are the key: a probe compares them, and growing or partitioning
+// rehashes them (hash), so no hash is stored. A string cell's payload is a
+// hash of its bytes (block.VarPayload), so a table whose planner key types
+// include a variable-width one (varKey) also keeps the bytes of its string
+// cells in one arena, and compares them when the cells are equal; any other
+// table keeps no bytes, and its probes compare cells only.
 //
 // Three ways to address it:
 //   - hashed: the low bits of a key's hash (block.HashCell and the rest, the
@@ -44,65 +44,65 @@ import (
 //     would lease after the page, so it never takes more memory than hashed.
 //     The first page that has another cell (a NULL, a double, a boolean) or a
 //     wider span turns it hashed: its entries are hashed again from their
-//     cells, once, and it stays hashed until reset.
+//     cells, once, and it stays hashed until reset. A table that keeps bytes
+//     is never direct;
 //
 // Two ways to fill it:
 //   - getOrInsert*: an entry per distinct key, in insertion order. The id is
 //     the only handle a caller gets: per-entry payload (aggregate states, group
-//     keys the cells cannot give back) lives in plain typed slices indexed by
+//     keys the table cannot give back) lives in plain typed slices indexed by
 //     id, never in an object per entry (paper §V-A);
 //   - appendKeys, then link: an entry per row, every row's key stored, and
 //     each row entered into the slot array afterwards, where it takes the place
 //     of an equal key's entry. The join build indexes its rows this way
 //     (buildIndexLocked): entry ids are build positions.
 type keyTable struct {
-	l     *memory.LocalContext // the ledger every array is leased through
-	fixed bool
-	nk    int // key cells per entry (fixed layout)
-	n     int // entries
-	keys  int // occupied slots: the distinct keys entered
+	l    *memory.LocalContext // the ledger every array is leased through
+	nk   int                  // key cells per entry
+	vars []int                // the key columns of a variable-width planner type, whose string cells' bytes the table keeps; nil: none
+	n    int                  // entries
+	keys int                  // occupied slots: the distinct keys entered
 
 	slots []int32 // entry id + 1; 0 = empty
 	mask  uint64
 
 	// Addressing (see above). A direct table's slot i is key base + i's, and
-	// lo and hi are its smallest and largest key. A group table over one fixed
-	// key column is open — neither direct nor hashed, and empty — until its
-	// first page decides (fit); hashed marks one that stays hashed until
-	// reset, and turned one that was direct before.
+	// lo and hi are its smallest and largest key. A group table over one key
+	// column is open — neither direct nor hashed, and empty — until its first
+	// page decides (fit); hashed marks one that stays hashed until reset, and
+	// turned one that was direct before.
 	direct         bool
 	hashed, turned bool
 	base, lo, hi   int64
 
-	// fixed layout: row-major normalized cells, nk per entry.
+	// Row-major normalized cells, nk per entry.
 	cells []uint64
 	tags  []byte
 
-	// bytes layout: per-entry key hash, and canonical key encodings, entry e at
-	// arena[offs[e]:offs[e+1]].
-	hashes []uint64
-	arena  []byte
-	offs   []uint32
+	// The bytes of the string cells, one offset per entry and key column in
+	// vars: entry e's j-th is arena[offs[e*len(vars)+j]:offs[e*len(vars)+j+1]],
+	// empty unless its cell is a string cell (varCell).
+	arena []byte
+	offs  []uint32
 }
 
-// newKeyTable creates an empty table with the given key layout, its arrays
-// sized for n entries and leased through tl: no insert up to the n-th grows
-// the slot array or reallocates a vector (a bytes-layout arena aside — key
-// lengths are not known ahead). n = 0 is a table that doubles to size from
-// no array at all, which only getOrInsert* may use: an empty table leases
+// newKeyTable creates an empty table over keys of the planner types ts, its
+// arrays sized for n entries and leased through tl: no insert up to the n-th
+// grows the slot array or reallocates a vector (the byte arena aside — key
+// lengths are not known ahead). n = 0 is a table that doubles to size from no
+// array at all, which only getOrInsert* may use: an empty table leases
 // nothing, so an operator that holds one has nothing to revoke. The owner
 // gives the arrays back (release) once nothing reads the table again.
-func newKeyTable(tl *tableLease, fixed bool, nk, n int) *keyTable {
-	t := &keyTable{l: tl.l, fixed: fixed, nk: nk}
+func newKeyTable(tl *tableLease, ts []types.Type, n int) *keyTable {
+	t := &keyTable{l: tl.l, nk: len(ts), vars: varKeys(ts)}
 	if n == 0 {
 		return t
 	}
 	slots := slotsFor(n)
 	t.slots, t.mask = leaseVec[int32](tl, slots, slots), uint64(slots-1)
-	if fixed {
-		t.cells, t.tags = leaseVec[uint64](tl, 0, n*nk), leaseVec[byte](tl, 0, n*nk)
-	} else {
-		t.offs, t.hashes = leaseVec[uint32](tl, 1, n+1), leaseVec[uint64](tl, 0, n)
+	t.cells, t.tags = leaseVec[uint64](tl, 0, n*t.nk), leaseVec[byte](tl, 0, n*t.nk)
+	if t.vars != nil {
+		t.offs = leaseVec[uint32](tl, 1, n*len(t.vars)+1)
 	}
 	return t
 }
@@ -116,10 +116,9 @@ func (t *keyTable) release() {
 	memory.Return(t.l, t.slots)
 	memory.Return(t.l, t.cells)
 	memory.Return(t.l, t.tags)
-	memory.Return(t.l, t.hashes)
 	memory.Return(t.l, t.arena)
 	memory.Return(t.l, t.offs)
-	*t = keyTable{l: t.l, fixed: t.fixed, nk: t.nk}
+	*t = keyTable{l: t.l, nk: t.nk, vars: t.vars}
 }
 
 // tableLease is where a table gets its arrays: the operator's ledger l. A
@@ -156,16 +155,28 @@ func slotsFor(n int) int {
 	return slots
 }
 
-// keyTableBytes is what newKeyTable(fixed, nk, n > 0) leases, before an
-// arena: 4 bytes a slot, then 9 a key cell (fixed), or a hash and an offset an
-// entry (bytes), each vector at its class capacity. It is the join build's
+// keyTableBytes is what newKeyTable(ts, n > 0) leases, before the byte arena:
+// 4 bytes a slot, 9 a key cell, and 4 an offset of a variable-width key
+// column's cell, each vector at its class capacity. It is the join build's
 // reserve-ahead, the one price the ledger does not replace.
-func keyTableBytes(fixed bool, nk, n int) int64 {
-	b := int64(4 * slotsFor(n))
-	if fixed {
-		return b + 9*int64(block.TableCap(n*nk))
+func keyTableBytes(ts []types.Type, n int) int64 {
+	b := int64(4*slotsFor(n)) + 9*int64(block.TableCap(n*len(ts)))
+	if nv := len(varKeys(ts)); nv > 0 {
+		b += 4 * int64(block.TableCap(n*nv+1))
 	}
-	return b + 8*int64(block.TableCap(n)) + 4*int64(block.TableCap(n+1))
+	return b
+}
+
+// varKeys is the positions of the variable-width key types among ts (varKey),
+// nil when there is none.
+func varKeys(ts []types.Type) []int {
+	var vars []int
+	for k, t := range ts {
+		if varKey(t) {
+			vars = append(vars, k)
+		}
+	}
+	return vars
 }
 
 // Len returns the number of entries.
@@ -177,16 +188,13 @@ func (t *keyTable) reset() {
 	clear(t.slots)
 	t.n, t.keys = 0, 0
 	t.direct, t.hashed, t.turned = false, false, false
-	t.hashes, t.cells, t.tags, t.arena = t.hashes[:0], t.cells[:0], t.tags[:0], t.arena[:0]
+	t.cells, t.tags, t.arena = t.cells[:0], t.tags[:0], t.arena[:0]
 	t.offs = t.offs[:min(len(t.offs), 1)] // no offsets yet in a table never filled
 }
 
-// hash is entry e's key hash, the one batchKeys computes for the same key:
-// stored in the bytes layout, recomputed from the cells in the fixed one.
+// hash is entry e's key hash, the one batchKeys computes for the same key,
+// recomputed from its cells.
 func (t *keyTable) hash(e int) uint64 {
-	if !t.fixed {
-		return t.hashes[e]
-	}
 	return fixedHash(t.cells[e*t.nk:(e+1)*t.nk], t.tags[e*t.nk:(e+1)*t.nk])
 }
 
@@ -231,7 +239,7 @@ var hashEveryIndex atomic.Bool
 // that rules the mode out: a non-integer, or a span past the slot array (one
 // that overflows int64 is such a span).
 func (t *keyTable) index() {
-	if !t.fixed || t.nk != 1 || hashEveryIndex.Load() {
+	if t.nk != 1 || t.vars != nil || hashEveryIndex.Load() {
 		return
 	}
 	lo, hi, slots := int64(math.MaxInt64), int64(math.MinInt64), uint64(len(t.slots))
@@ -360,36 +368,76 @@ func (t *keyTable) enter(i uint64) int {
 	return t.n - 1
 }
 
-func (t *keyTable) eqFixed(e int, cells []uint64, tags []byte) bool {
+// eq reports whether entry e holds the key of normalized cells, tags and
+// the strings of its string cells (batchKeys.row): equal cells, and for a
+// string cell equal bytes too.
+func (t *keyTable) eq(e int, cells []uint64, tags []byte, strs []string) bool {
 	base := e * t.nk
 	for k := 0; k < t.nk; k++ {
 		if t.cells[base+k] != cells[k] || t.tags[base+k] != tags[k] {
 			return false
 		}
 	}
+	for j, k := range t.vars {
+		if varCell(tags[k]) && string(t.keyBytes(e, j)) != strs[k] {
+			return false
+		}
+	}
 	return true
 }
 
-// getOrInsertFixed returns the entry id of the normalized key, inserting a
-// new entry when absent (fresh=true).
-func (t *keyTable) getOrInsertFixed(h uint64, cells []uint64, tags []byte) (id int, fresh bool) {
+// keyBytes is the bytes of entry e's j-th variable-width key column.
+func (t *keyTable) keyBytes(e, j int) []byte {
+	i := e*len(t.vars) + j
+	return t.arena[t.offs[i]:t.offs[i+1]]
+}
+
+// keyStr is keyBytes of key column k, one of vars, as a string that views the
+// arena: a caller copies what it keeps.
+func (t *keyTable) keyStr(e, k int) string {
+	b := t.keyBytes(e, slices.Index(t.vars, k))
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// keepStrs stores the bytes of the string cells of the key of tags and strs,
+// the table's next entry's.
+func (t *keyTable) keepStrs(tags []byte, strs []string) {
+	if len(t.offs) == 0 { // the first key: an empty table leases no offsets
+		t.offs = append(room(t.l, t.offs, 1), 0)
+	}
+	t.offs = room(t.l, t.offs, len(t.vars))
+	for _, k := range t.vars {
+		if varCell(tags[k]) {
+			t.arena = append(room(t.l, t.arena, len(strs[k])), strs[k]...)
+		}
+		t.offs = append(t.offs, uint32(len(t.arena)))
+	}
+}
+
+// getOrInsert returns the entry id of the normalized key, inserting a new
+// entry when absent (fresh=true).
+func (t *keyTable) getOrInsert(h uint64, cells []uint64, tags []byte, strs []string) (id int, fresh bool) {
 	t.maybeGrow()
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		s := t.slots[i]
 		if s == 0 {
 			t.cells = append(room(t.l, t.cells, t.nk), cells...)
 			t.tags = append(room(t.l, t.tags, t.nk), tags...)
+			if t.vars != nil {
+				t.keepStrs(tags, strs)
+			}
 			return t.enter(i), true
 		}
-		if t.eqFixed(int(s-1), cells, tags) {
+		if t.eq(int(s-1), cells, tags, strs) {
 			return int(s - 1), false
 		}
 	}
 }
 
-// getOrInsertFixed1 is the nk==1 specialization of getOrInsertFixed: the key
-// is a single (cell, tag) pair passed by value, so the probe loop touches no
-// slices beyond the table's own and inlines into the caller's per-row loop.
+// getOrInsertFixed1 is getOrInsert for a table of one key column that keeps
+// no bytes: the key is a single (cell, tag) pair passed by value, so the probe
+// loop touches no slices beyond the table's own and inlines into the caller's
+// per-row loop.
 func (t *keyTable) getOrInsertFixed1(h uint64, cell uint64, tag byte) (id int, fresh bool) {
 	t.maybeGrow()
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
@@ -405,7 +453,7 @@ func (t *keyTable) getOrInsertFixed1(h uint64, cell uint64, tag byte) (id int, f
 	}
 }
 
-// lookupFixed1 is the nk==1 specialization of lookupFixed.
+// lookupFixed1 is getOrInsertFixed1's lookup, which inserts nothing.
 func (t *keyTable) lookupFixed1(h uint64, cell uint64, tag byte) int {
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		s := t.slots[i]
@@ -418,52 +466,14 @@ func (t *keyTable) lookupFixed1(h uint64, cell uint64, tag byte) int {
 	}
 }
 
-// lookupFixed returns the entry id of the normalized key, or -1.
-func (t *keyTable) lookupFixed(h uint64, cells []uint64, tags []byte) int {
+// lookup returns the entry id of the normalized key, or -1.
+func (t *keyTable) lookup(h uint64, cells []uint64, tags []byte, strs []string) int {
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		s := t.slots[i]
 		if s == 0 {
 			return -1
 		}
-		if t.eqFixed(int(s-1), cells, tags) {
-			return int(s - 1)
-		}
-	}
-}
-
-func (t *keyTable) entryBytes(e int) []byte {
-	return t.arena[t.offs[e]:t.offs[e+1]]
-}
-
-// getOrInsertBytes returns the entry id of the canonical key encoding,
-// inserting a new entry when absent (fresh=true).
-func (t *keyTable) getOrInsertBytes(h uint64, key []byte) (id int, fresh bool) {
-	t.maybeGrow()
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
-		s := t.slots[i]
-		if s == 0 {
-			if len(t.offs) == 0 { // the first key: an empty table leases no offsets
-				t.offs = append(room(t.l, t.offs, 2), 0)
-			}
-			t.hashes = append(room(t.l, t.hashes, 1), h)
-			t.arena = append(room(t.l, t.arena, len(key)), key...)
-			t.offs = append(room(t.l, t.offs, 1), uint32(len(t.arena)))
-			return t.enter(i), true
-		}
-		if t.hashes[s-1] == h && bytes.Equal(t.entryBytes(int(s-1)), key) {
-			return int(s - 1), false
-		}
-	}
-}
-
-// lookupBytes returns the entry id of the canonical key encoding, or -1.
-func (t *keyTable) lookupBytes(h uint64, key []byte) int {
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
-		s := t.slots[i]
-		if s == 0 {
-			return -1
-		}
-		if t.hashes[s-1] == h && bytes.Equal(t.entryBytes(int(s-1)), key) {
+		if t.eq(int(s-1), cells, tags, strs) {
 			return int(s - 1)
 		}
 	}
@@ -471,28 +481,21 @@ func (t *keyTable) lookupBytes(h uint64, key []byte) int {
 
 // appendKeys stores the key of every row of p, in row order, as the table's
 // next entries, and enters none of them into the slot array (link does). A row
-// with a NULL key column is stored too — as an empty encoding in the bytes
-// layout — so that entry ids stay row positions; nullKey tells it apart. bk is
-// the caller's key hashing, with its vectors leased from a.
+// with a NULL key column is stored too, so that entry ids stay row positions;
+// nullKey tells it apart. bk is the caller's key hashing; the strings of a
+// page's string cells are leased from a (leaseStrs).
 func (t *keyTable) appendKeys(a *block.Arena, p *block.Page, cols []int, bk *batchKeys) {
 	n := p.RowCount()
-	if t.fixed {
-		at, end := t.n*t.nk, (t.n+n)*t.nk
-		t.cells, t.tags = room(t.l, t.cells, n*t.nk)[:end], room(t.l, t.tags, n*t.nk)[:end]
-		bk.sizeDicts(t.nk)
-		for k, c := range cols {
-			normCol(p.Col(c), t.cells[at:], t.tags[at:], k, t.nk, n, &bk.dicts[k])
-		}
-	} else {
-		bk.reset(a, p, cols, false)
-		t.hashes = append(room(t.l, t.hashes, n), bk.hashes...)
-		t.offs = room(t.l, t.offs, n)
+	at, end := t.n*t.nk, (t.n+n)*t.nk
+	t.cells, t.tags = room(t.l, t.cells, n*t.nk)[:end], room(t.l, t.tags, n*t.nk)[:end]
+	strs := leaseStrs(a, p, cols, n)
+	bk.sizeDicts(t.nk)
+	for k, c := range cols {
+		normCol(p.Col(c), t.cells[at:], t.tags[at:], strs, k, t.nk, n, &bk.dicts[k])
+	}
+	if t.vars != nil {
 		for r := 0; r < n; r++ {
-			if !rowKeyNull(p, r, cols) {
-				bk.buf = encodeRowKey(bk.buf[:0], p, r, cols)
-				t.arena = append(room(t.l, t.arena, len(bk.buf)), bk.buf...)
-			}
-			t.offs = append(t.offs, uint32(len(t.arena)))
+			t.keepStrs(t.tags[at+r*t.nk:], keyStrs(strs, r*t.nk, t.nk))
 		}
 	}
 	t.n += n
@@ -501,9 +504,6 @@ func (t *keyTable) appendKeys(a *block.Arena, p *block.Page, cols []int, bk *bat
 // nullKey reports whether entry e, stored by appendKeys, has a NULL key
 // column: its row never matches an equi-join and is never linked.
 func (t *keyTable) nullKey(e int) bool {
-	if !t.fixed {
-		return t.offs[e] == t.offs[e+1]
-	}
 	for _, tag := range t.tags[e*t.nk : (e+1)*t.nk] {
 		if tag == block.CellNull {
 			return true
@@ -542,21 +542,26 @@ func (t *keyTable) link(e int) int {
 
 // sameKey reports whether entries q and e hold equal keys.
 func (t *keyTable) sameKey(q, e int) bool {
-	switch {
-	case !t.fixed:
-		return t.hashes[q] == t.hashes[e] && bytes.Equal(t.entryBytes(q), t.entryBytes(e))
-	case t.nk == 1:
-		return t.cells[q] == t.cells[e] && t.tags[q] == t.tags[e]
+	for k := 0; k < t.nk; k++ {
+		if t.cells[q*t.nk+k] != t.cells[e*t.nk+k] || t.tags[q*t.nk+k] != t.tags[e*t.nk+k] {
+			return false
+		}
 	}
-	return t.eqFixed(q, t.cells[e*t.nk:(e+1)*t.nk], t.tags[e*t.nk:(e+1)*t.nk])
+	for j, k := range t.vars {
+		if varCell(t.tags[e*t.nk+k]) && !bytes.Equal(t.keyBytes(q, j), t.keyBytes(e, j)) {
+			return false
+		}
+	}
+	return true
 }
 
 // cellBlock gives key column k of the selected entries back from their
-// normalized cells. It serves the key types whose cell is the value: BIGINT
-// and DATE (the payload), BOOLEAN (payload 0 or 1), NULL (the tag). A
-// double's cell is not its value — -0.0 shares 0's — so double keys are kept
-// in a valueVec beside the table. The block's vectors are leased from a, or
-// made when a is nil.
+// normalized cells. It serves the key types whose cell gives the value back:
+// BIGINT and DATE (the payload), BOOLEAN (payload 0 or 1), VARCHAR (the bytes
+// the table keeps), NULL (the tag). A double's cell is not its value — -0.0
+// shares 0's — nor is another type's rendered text, so those keys are kept in
+// a valueVec beside the table. The block's vectors are leased from a, or made
+// when a is nil; a VARCHAR's bytes are made.
 func (t *keyTable) cellBlock(a *block.Arena, k int, typ types.Type, sel []int32) block.Block {
 	var nulls []bool
 	setNull := func(i int) {
@@ -565,6 +570,25 @@ func (t *keyTable) cellBlock(a *block.Arena, k int, typ types.Type, sel []int32)
 			clear(nulls)
 		}
 		nulls[i] = true
+	}
+	if typ == types.Varchar {
+		// The strings are copied into one buffer the block owns, made even for
+		// a lent block: the arena goes back to the pool with the table, and a
+		// string's bytes are immutable — a consumer that releases its input
+		// may still keep them.
+		j, size := slices.Index(t.vars, k), 0
+		for _, id := range sel {
+			size += len(t.keyBytes(int(id), j))
+		}
+		buf, vals := make([]byte, 0, size), block.Lease[string](a, len(sel))
+		for i, id := range sel {
+			from := len(buf)
+			buf = append(buf, t.keyBytes(int(id), j)...) // a NULL's are empty
+			if vals[i] = unsafe.String(unsafe.SliceData(buf[from:]), len(buf)-from); t.tags[int(id)*t.nk+k] == block.CellNull {
+				setNull(i)
+			}
+		}
+		return &block.VarcharBlock{Vals: vals, Nulls: nulls}
 	}
 	if typ == types.Boolean {
 		vals := block.Lease[bool](a, len(sel))
@@ -648,8 +672,8 @@ func zeroMask[T comparable](a *block.Arena, v []T, sel []int32) []bool {
 	return mask
 }
 
-// valueVec is one typed column indexed by entry id: a group key the table's
-// cells cannot give back (varchar, array, double) or a min/max state. Only
+// valueVec is one typed column indexed by entry id: a group key the table
+// cannot give back (a double, an array: cellBlock) or a min/max state. Only
 // the slice its type selects is in use; has marks the entries that hold a
 // value, the others read as NULL. Values are copied out of the block they
 // come from — a string shares its bytes, which are immutable, never the
@@ -663,7 +687,7 @@ type valueVec struct {
 	strs     []string
 	bools    []bool
 	boxed    []types.Value // array and untyped columns
-	strBytes int64         // bytes under strs, for accounting
+	strBytes int64         // bytes under strs (a min/max state's), for accounting
 }
 
 // presize leases through tl the arrays that hold n entries before one grows.

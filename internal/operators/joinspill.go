@@ -214,7 +214,7 @@ func (b *JoinBridge) ReleaseSpill() {
 // bridge mu.
 func spillJoinPage(set *spill.Set, p *block.Page, keys []int) error {
 	var bk batchKeys
-	bk.reset(nil, p, keys, false)
+	bk.hashKeys(nil, p, keys)
 	parts := make([]int, len(bk.hashes))
 	for r, h := range bk.hashes {
 		parts[r] = spill.Partition(h)

@@ -54,7 +54,7 @@ func TestKeyHashBitsIndependent(t *testing.T) {
 						}
 					}
 					var bk batchKeys
-					bk.reset(nil, p.FilterPositions(keep), key.cols, fixedWidthKeys(key.ts))
+					bk.hashKeys(nil, p.FilterPositions(keep), key.cols)
 					for _, h := range bk.hashes {
 						parts[spill.Partition(h)]++
 						slots[h&3]++

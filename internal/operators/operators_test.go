@@ -387,15 +387,24 @@ func TestHashPartitionDeterministic(t *testing.T) {
 	}
 }
 
-func TestEncodeRowKeyCrossTypeNumeric(t *testing.T) {
-	// 3 (bigint) and 3.0 (double) must encode identically so joins across
-	// numeric types group correctly.
-	pi := longPage(3)
-	pd := block.NewPage(block.NewDoubleBlock([]float64{3.0}, nil))
-	ki := encodeRowKey(nil, pi, 0, []int{0})
-	kd := encodeRowKey(nil, pd, 0, []int{0})
-	if string(ki) != string(kd) {
-		t.Error("3 and 3.0 should share a hash key")
+// TestGroupKeyCrossTypeNumeric: 3 (bigint) and 3.0 (double) are one group
+// key, alone and beside a VARCHAR, so that joins and groups across numeric
+// types find each other; 3.5 is another.
+func TestGroupKeyCrossTypeNumeric(t *testing.T) {
+	strs := block.NewVarcharBlock([]string{"x"}, nil)
+	ints := block.NewPage(block.NewLongBlock([]int64{3}, nil), strs)
+	doubles := block.NewPage(block.NewDoubleBlock([]float64{3.0}, nil), strs)
+	other := block.NewPage(block.NewDoubleBlock([]float64{3.5}, nil), strs)
+	for _, cols := range [][]int{{0}, {0, 1}} {
+		ts := []types.Type{types.Double, types.Varchar}[:len(cols)]
+		op := NewHashAggregation(NopContext(), cols, ts, nil, false, 0, 0)
+		rows := 0
+		for _, p := range drain(t, op, ints, doubles, other) {
+			rows += p.RowCount()
+		}
+		if rows != 2 {
+			t.Errorf("keys %v: 3, 3.0 and 3.5 make %d groups, want 2", ts, rows)
+		}
 	}
 }
 

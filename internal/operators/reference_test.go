@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"encoding/binary"
 	"sort"
 	"strings"
 	"testing"
@@ -15,9 +16,54 @@ import (
 // operators against. They are what the operators' row-at-a-time paths were
 // before the columnar tables replaced them: every cell boxed into a
 // types.Value, keys compared through the canonical row encoding in a Go map,
-// one object per group or key, one row folded at a time. They share
-// encodeRowKey with the operators — it is the definition of key equality —
-// and nothing else.
+// one object per group or key, one row folded at a time. Their maps key on
+// encodeRowKey, defined here: the definition of key equality the operators'
+// key cells must agree with. They share nothing with the operators.
+
+// appendCellKey appends the byte encoding of one cell (column col, row r): its
+// key cell's tag (block.CellNull and the rest), then the value — a string's
+// length and bytes, not the hash its cell holds. Two cells are the same key
+// exactly when their encodings are equal.
+func appendCellKey(buf []byte, col block.Block, r int) []byte {
+	if col.IsNull(r) {
+		return append(buf, block.CellNull)
+	}
+	switch col.Type() {
+	case types.Bigint, types.Date:
+		buf = append(buf, block.CellLong)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(col.Long(r)))
+	case types.Double:
+		tag, payload := block.NormDouble(col.Double(r))
+		buf = append(buf, tag)
+		buf = binary.LittleEndian.AppendUint64(buf, payload)
+	case types.Varchar:
+		buf = append(buf, block.CellVarchar)
+		s := col.Str(r)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
+		buf = append(buf, s...)
+	case types.Boolean:
+		if col.Bool(r) {
+			buf = append(buf, block.CellBool, 1)
+		} else {
+			buf = append(buf, block.CellBool, 0)
+		}
+	default:
+		buf = append(buf, block.CellOther)
+		s := col.Value(r).String()
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
+		buf = append(buf, s...)
+	}
+	return buf
+}
+
+// encodeRowKey appends the canonical encoding of the given columns of row r to
+// buf. Equal keys encode identically.
+func encodeRowKey(buf []byte, p *block.Page, r int, cols []int) []byte {
+	for _, c := range cols {
+		buf = appendCellKey(buf, p.Col(c), r)
+	}
+	return buf
+}
 
 type refState struct {
 	count, sumI int64

@@ -1,58 +1,11 @@
 package operators
 
 import (
-	"encoding/binary"
 	"strings"
 
 	"repro/internal/block"
 	"repro/internal/types"
 )
-
-// appendCellKey appends the byte encoding of one cell (column col, row r): its
-// key cell (block.CellNull and the rest), tag first. Two cells are the same
-// key exactly when their encodings are equal, and then their key hashes
-// (block.HashAt) are too.
-func appendCellKey(buf []byte, col block.Block, r int) []byte {
-	if col.IsNull(r) {
-		return append(buf, block.CellNull)
-	}
-	switch col.Type() {
-	case types.Bigint, types.Date:
-		buf = append(buf, block.CellLong)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(col.Long(r)))
-	case types.Double:
-		tag, payload := block.NormDouble(col.Double(r))
-		buf = append(buf, tag)
-		buf = binary.LittleEndian.AppendUint64(buf, payload)
-	case types.Varchar:
-		buf = append(buf, block.CellVarchar)
-		s := col.Str(r)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-		buf = append(buf, s...)
-	case types.Boolean:
-		if col.Bool(r) {
-			buf = append(buf, block.CellBool, 1)
-		} else {
-			buf = append(buf, block.CellBool, 0)
-		}
-	default:
-		buf = append(buf, block.CellOther)
-		s := col.Value(r).String()
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-		buf = append(buf, s...)
-	}
-	return buf
-}
-
-// encodeRowKey appends a canonical binary encoding of the given columns of
-// row r to buf: the key a bytes-layout key table stores and compares. Equal
-// rows encode identically.
-func encodeRowKey(buf []byte, p *block.Page, r int, cols []int) []byte {
-	for _, c := range cols {
-		buf = appendCellKey(buf, p.Col(c), r)
-	}
-	return buf
-}
 
 // compareRows orders row a of pa against row b of pb on the sort keys.
 // Numeric, varchar, and boolean keys compare through the typed block

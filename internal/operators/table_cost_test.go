@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -34,6 +35,23 @@ func fixedKeyPages(tb testing.TB, groups int, fn func(*block.Page) error) {
 	}
 }
 
+// varcharGroupPages is fixedKeyPages with each key k the VARCHAR "key-k",
+// seven digits wide: eleven bytes a key.
+func varcharGroupPages(tb testing.TB, groups int, fn func(*block.Page) error) {
+	fixedKeyPages(tb, groups, func(p *block.Page) error {
+		keys := make([]string, p.RowCount())
+		for i := range keys {
+			keys[i] = fmt.Sprintf("key-%07d", p.Col(0).Long(i))
+		}
+		return fn(block.NewPage(block.NewVarcharBlock(keys, nil), p.Col(1), p.Col(2)))
+	})
+}
+
+// keyPages are the page makers of the group-table cost tests, by key type.
+var keyPages = map[types.Type]func(testing.TB, int, func(*block.Page) error){
+	types.Bigint: fixedKeyPages, types.Varchar: varcharGroupPages,
+}
+
 // threeAggs is the shape of the benchmark's aggregating statements: a count,
 // a sum and a min or max.
 var threeAggs = []AggSpec{
@@ -43,7 +61,8 @@ var threeAggs = []AggSpec{
 }
 
 // TestHashAggAccountingMatchesHeap: what the aggregation reserves in the pool
-// is what its table holds on the heap. For 100 000 fixed-key groups and three
+// is what its table holds on the heap. For 100 000 groups of a BIGINT key, or
+// of a VARCHAR key whose bytes the table keeps in its arena, and three
 // aggregates the reservation is within 1.25x of the measured heap growth
 // either way (the per-group estimate it replaces was off by more than 2x),
 // and all of it goes back on Close.
@@ -52,30 +71,32 @@ func TestHashAggAccountingMatchesHeap(t *testing.T) {
 		t.Skip("the race detector changes what allocates")
 	}
 	const groups = 100_000
-	pool := memory.NewNodePool(1<<30, 0)
-	q := memory.NewQueryContext("accounting", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
-	ctx := &OpContext{Mem: memory.NewLocalContext(q, 0, memory.User), Stats: &OpStats{}}
+	for _, keyT := range []types.Type{types.Bigint, types.Varchar} {
+		pool := memory.NewNodePool(1<<30, 0)
+		q := memory.NewQueryContext("accounting", memory.QueryLimits{}, map[int]*memory.NodePool{0: pool})
+		ctx := &OpContext{Mem: memory.NewLocalContext(q, 0, memory.User), Stats: &OpStats{}}
 
-	before := coldHeap()
-	op := NewHashAggregation(ctx, []int{0}, []types.Type{types.Bigint}, threeAggs, true, 0, 0)
-	fixedKeyPages(t, groups, op.AddInput)
-	grown := coldHeap() - before
-	reserved := q.UserBytes()
-	t.Logf("%d groups: reserved %d bytes (%.1f/group), heap grew %d bytes (%.1f/group)",
-		groups, reserved, float64(reserved)/groups, grown, float64(grown)/groups)
-	if lo, hi := float64(grown)/1.25, float64(grown)*1.25; float64(reserved) < lo || float64(reserved) > hi {
-		t.Errorf("reserved %d bytes for a table of %d: want within 1.25x", reserved, grown)
+		before := coldHeap()
+		op := NewHashAggregation(ctx, []int{0}, []types.Type{keyT}, threeAggs, true, 0, 0)
+		keyPages[keyT](t, groups, op.AddInput)
+		grown := coldHeap() - before
+		reserved := q.UserBytes()
+		t.Logf("%v key, %d groups: reserved %d bytes (%.1f/group), heap grew %d bytes (%.1f/group)",
+			keyT, groups, reserved, float64(reserved)/groups, grown, float64(grown)/groups)
+		if lo, hi := float64(grown)/1.25, float64(grown)*1.25; float64(reserved) < lo || float64(reserved) > hi {
+			t.Errorf("%v key: reserved %d bytes for a table of %d: want within 1.25x", keyT, reserved, grown)
+		}
+		if held := ctx.Mem.Held(); held != reserved {
+			t.Errorf("%v key: operator holds %d bytes, the pool has %d", keyT, held, reserved)
+		}
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if left := q.UserBytes(); left != 0 {
+			t.Errorf("%v key: %d bytes still reserved after Close", keyT, left)
+		}
+		runtime.KeepAlive(op)
 	}
-	if held := ctx.Mem.Held(); held != reserved {
-		t.Errorf("operator holds %d bytes, the pool has %d", held, reserved)
-	}
-	if err := op.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if left := q.UserBytes(); left != 0 {
-		t.Errorf("%d bytes still reserved after Close", left)
-	}
-	runtime.KeepAlive(op)
 }
 
 // coldHeap is the live heap with the table pool cold: a pooled array survives
@@ -101,7 +122,9 @@ func allocated(fn func()) int64 {
 // nothing per group on top. Building 100 000 groups allocates, over the whole
 // life of the table and doubling included, at most 48 bytes a group for the
 // key table (its slots and a cell and a tag; 64 while it stored a hash too)
-// plus 24 for each aggregate; and a table is sized by its groups,
+// plus 24 for each aggregate; an eleven-byte VARCHAR key, kept once, in the
+// table's arena, measures 53 (103 while it was kept as an encoding and again
+// as a string beside the table); and a table is sized by its groups,
 // not by a chunk: four groups under eight aggregates take under 8 KB (three
 // 256-group arenas took ~315 KB).
 func TestGroupTableBytesPerGroup(t *testing.T) {
@@ -118,20 +141,24 @@ func TestGroupTableBytesPerGroup(t *testing.T) {
 	alloctest.HoldCollections(t)
 	for _, tc := range []struct {
 		name  string
+		keyT  types.Type
 		specs []AggSpec
 		// ceiling per group: 48 + 24 per aggregate where an aggregate is
 		// one 8-byte vector; a sum (count and sum) and a max
 		// (value and mask) hold 33 bytes between them and 100 000 groups fall
 		// where doubling has allocated 2.62 elements per entry, so that shape
-		// is held to what it measures plus a tenth.
+		// is held to what it measures plus a tenth, and so is a VARCHAR key,
+		// whose table keeps an offset and the key's eleven bytes beside its
+		// cell.
 		ceiling int64
 	}{
-		{"three counts", counts, 48 + 24*3},
-		{"count, sum, max", threeAggs, 143},
+		{"three counts", types.Bigint, counts, 48 + 24*3},
+		{"count, sum, max", types.Bigint, threeAggs, 143},
+		{"varchar key, three counts", types.Varchar, counts, 58},
 	} {
-		op := NewHashAggregation(NopContext(), []int{0}, []types.Type{types.Bigint}, tc.specs, false, 0, 0)
+		op := NewHashAggregation(NopContext(), []int{0}, []types.Type{tc.keyT}, tc.specs, false, 0, 0)
 		var pages []*block.Page
-		fixedKeyPages(t, groups, func(p *block.Page) error { pages = append(pages, p); return nil })
+		keyPages[tc.keyT](t, groups, func(p *block.Page) error { pages = append(pages, p); return nil })
 		got := allocated(func() {
 			for _, p := range pages {
 				if err := op.AddInput(p); err != nil {
@@ -232,7 +259,7 @@ func TestJoinBuildBytesPerRow(t *testing.T) {
 // TestJoinBuildAllocatesOnce: a build of 200 000 unique-key rows creates its
 // key table at its final size. Had a page's keys grown the slot array or
 // reallocated a vector, that array would be a doubled one and not the one
-// newKeyTable made; a fixed-layout table holds no hash vector, and no key
+// newKeyTable made; a bigint-key table keeps no string bytes, and no key
 // repeats, so there are no links. The whole build allocates what the pages
 // reserved ahead for it (keyTableBytes), plus the page-sized hashing scratch.
 func TestJoinBuildAllocatesOnce(t *testing.T) {
@@ -243,7 +270,7 @@ func TestJoinBuildAllocatesOnce(t *testing.T) {
 	pages := buildKeyPages(rows, rows)
 	var bridge *JoinBridge
 	got := allocated(func() { bridge = buildBridge(t, []int{0}, pages...) })
-	tab, sized := bridge.ktab, newKeyTable(&tableLease{}, true, 1, rows)
+	tab, sized := bridge.ktab, newKeyTable(&tableLease{}, bigintKey, rows)
 	if len(tab.slots) != len(sized.slots) {
 		t.Errorf("slot array grew: %d slots, sized for %d", len(tab.slots), len(sized.slots))
 	}
@@ -251,13 +278,13 @@ func TestJoinBuildAllocatesOnce(t *testing.T) {
 		t.Errorf("a key vector was reallocated: capacities %d/%d for %d rows, sized %d/%d",
 			cap(tab.cells), cap(tab.tags), tab.Len(), cap(sized.cells), cap(sized.tags))
 	}
-	if tab.hashes != nil || bridge.next != nil {
-		t.Errorf("a unique fixed-key build holds %d hashes and %d links", cap(tab.hashes), cap(bridge.next))
+	if tab.offs != nil || bridge.next != nil {
+		t.Errorf("a unique bigint-key build holds %d string offsets and %d links", cap(tab.offs), cap(bridge.next))
 	}
-	if walkKeyTable(sized) != keyTableBytes(true, 1, rows) {
-		t.Errorf("a sized table holds %d bytes, keyTableBytes says %d", walkKeyTable(sized), keyTableBytes(true, 1, rows))
+	if walkKeyTable(sized) != keyTableBytes(bigintKey, rows) {
+		t.Errorf("a sized table holds %d bytes, keyTableBytes says %d", walkKeyTable(sized), keyTableBytes(bigintKey, rows))
 	}
-	reserved := keyTableBytes(true, 1, rows)
+	reserved := keyTableBytes(bigintKey, rows)
 	t.Logf("%d rows: the build allocated %d bytes, %d of them reserved for the index", rows, got, reserved)
 	if scratch := int64(4096 * 32); got > reserved+scratch {
 		t.Errorf("the build allocated %d bytes, want at most the %d reserved and %d of scratch", got, reserved, scratch)
@@ -289,7 +316,7 @@ func TestJoinBuildAccountingMatchesHeap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if want, got := pageBytes+keyTableBytes(true, 1, rows), q.UserBytes(); got != want {
+	if want, got := pageBytes+keyTableBytes(bigintKey, rows), q.UserBytes(); got != want {
 		t.Errorf("before the built transition %d bytes are reserved, want the pages and the index to come, %d", got, want)
 	}
 	hb.Finish()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/block"
@@ -12,13 +11,12 @@ import (
 	"repro/internal/types"
 )
 
-// TestNormValueCanonicalEquivalence checks that the normalized fixed-cell
-// representation groups exactly the values the canonical byte encoding
-// groups: integral doubles with equal integers, -0.0 with +0.0, NaN with
-// itself, and nothing else.
+// TestNormValueCanonicalEquivalence checks that the normalized cell groups
+// exactly the values the canonical byte encoding groups: integral doubles
+// with equal integers, -0.0 with +0.0, NaN with itself, and nothing else.
 func TestNormValueCanonicalEquivalence(t *testing.T) {
 	cell := func(v types.Value) [2]uint64 {
-		tag, payload := normValue(v)
+		tag, payload, _ := cellAt(block.BuildBlock(v.T, []types.Value{v}), 0)
 		return [2]uint64{uint64(tag), payload}
 	}
 	if cell(types.DoubleValue(3.0)) != cell(types.BigintValue(3)) {
@@ -51,8 +49,9 @@ func TestNormValueCanonicalEquivalence(t *testing.T) {
 	for _, v := range []types.Value{
 		types.BigintValue(7), types.DoubleValue(7), types.DoubleValue(-0.0),
 		types.DoubleValue(2.5), types.NullValue(types.Double), types.BooleanValue(true),
+		types.VarcharValue("x"), types.NullValue(types.Varchar),
 	} {
-		tag, _ := normValue(v)
+		tag := byte(cell(v)[0])
 		want := appendCellKey(nil, block.BuildBlock(v.T, []types.Value{v}), 0)[0]
 		if tag != want {
 			t.Errorf("%v: cell tag %d != canonical tag %d", v, tag, want)
@@ -119,10 +118,8 @@ func hashPartitionRow(p *block.Page, r int, cols []int, parts int) int {
 // TestHashPartitionPageMatchesRowHash verifies the batch hasher reproduces
 // the row-wise key hash bit for bit across every encoding and under a
 // selection, so partitioning decisions agree wherever a row is hashed; that
-// it is deterministic and one partition is partition 0; that a fixed-width
-// key hashes the same from its normalized cells (a key table's fixed layout)
-// as column by column; and that equal keys hash equal across BIGINT and
-// DOUBLE, -0.0 and 0.0, NaN and NULL.
+// it is deterministic and one partition is partition 0; and that equal keys
+// hash equal across BIGINT and DOUBLE, -0.0 and 0.0, NaN and NULL.
 func TestHashPartitionPageMatchesRowHash(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	colSets := [][]int{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}, {0, 1}, {2, 5}, {7, 8, 3}, {0, 1, 2, 3, 4, 5, 6, 7, 8}}
@@ -148,14 +145,6 @@ func TestHashPartitionPageMatchesRowHash(t *testing.T) {
 						t.Fatalf("cols %v row %d: one partition, got %d", keys, row, got[row])
 					}
 				}
-			}
-		}
-		for _, keys := range [][]int{{0}, {1}, {3}, {6}, {7}, {0, 1, 3, 6}} {
-			var bytes, fixed batchKeys
-			bytes.reset(nil, p, keys, false)
-			fixed.reset(nil, p, keys, true)
-			if !slices.Equal(bytes.hashes, fixed.hashes) {
-				t.Fatalf("cols %v: the fixed layout's key hashes differ from the column kernels'", keys)
 			}
 		}
 	}
@@ -339,17 +328,18 @@ func TestKeyTableGrowth(t *testing.T) {
 	}
 }
 
-// TestKeyTableBytesKind exercises the byte-arena layout directly (varchar
-// keys) through growth, including re-insertion stability of entry ids.
+// TestKeyTableBytesKind exercises a VARCHAR key table directly through
+// growth: each key's cell holds a hash of its bytes, which the table keeps in
+// its arena, every key keeps its entry id when entered again, and a lookup
+// finds it, or -1 for an absent key.
 func TestKeyTableBytesKind(t *testing.T) {
-	tbl := newKeyTable(&tableLease{}, false, 1, 0)
+	tbl := newKeyTable(&tableLease{}, []types.Type{types.Varchar}, 0)
 	n := 5000
-	key := func(i int) []byte {
-		return []byte(fmt.Sprintf("key-%d", i))
+	key := func(s string) (uint64, []uint64, []byte, []string) {
+		return block.HashString(s), []uint64{block.VarPayload(s)}, []byte{block.CellVarchar}, []string{s}
 	}
 	for i := 0; i < n; i++ {
-		k := key(i)
-		id, fresh := tbl.getOrInsertBytes(hashRowKeyBytes(k), k)
+		id, fresh := tbl.getOrInsert(key(fmt.Sprintf("key-%d", i)))
 		if !fresh || id != i {
 			t.Fatalf("insert %d: id=%d fresh=%v", i, id, fresh)
 		}
@@ -358,17 +348,18 @@ func TestKeyTableBytesKind(t *testing.T) {
 		t.Fatalf("len=%d want %d", tbl.Len(), n)
 	}
 	for i := 0; i < n; i++ {
-		k := key(i)
-		if id, fresh := tbl.getOrInsertBytes(hashRowKeyBytes(k), k); fresh || id != i {
+		k := fmt.Sprintf("key-%d", i)
+		if id, fresh := tbl.getOrInsert(key(k)); fresh || id != i {
 			t.Fatalf("re-insert %d: id=%d fresh=%v", i, id, fresh)
 		}
-		if id := tbl.lookupBytes(hashRowKeyBytes(k), k); id != i {
+		if id := tbl.lookup(key(k)); id != i {
 			t.Fatalf("lookup %d: id=%d", i, id)
 		}
+		if got := tbl.keyStr(i, 0); got != k {
+			t.Fatalf("entry %d keeps %q, want %q", i, got, k)
+		}
 	}
-	if id := tbl.lookupBytes(hashRowKeyBytes([]byte("absent")), []byte("absent")); id != -1 {
+	if id := tbl.lookup(key("absent")); id != -1 {
 		t.Fatalf("absent key found: %d", id)
 	}
 }
-
-func hashRowKeyBytes(b []byte) uint64 { return block.HashString(string(b)) }

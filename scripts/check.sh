@@ -270,8 +270,9 @@ go test -race -count=1 -run 'TestJoinUnderSpillFinishes' .
 # key hash). A revocation whose seal fails keeps the build in memory, and an
 # index a revocation dropped is not counted. A group table over a dense
 # integer key is direct and aggregates as a hashed one, spilled and drained
-# too.
-go test -race -count=1 -run 'TestGraceJoinSpreadsAfterExchange|TestKeyHashBitsIndependent|TestJoinSealFailureKeepsBuildInMemory|TestJoinRevokedIndexNotCounted|TestDirectGroupTableMatchesHashed' ./internal/operators/
+# too. A VARCHAR key is a cell whose bytes the table compares: two strings
+# with equal cells stay two keys, and every encoding resolves to one entry.
+go test -race -count=1 -run 'TestGraceJoinSpreadsAfterExchange|TestKeyHashBitsIndependent|TestJoinSealFailureKeepsBuildInMemory|TestJoinRevokedIndexNotCounted|TestDirectGroupTableMatchesHashed|TestVarcharCellKeys' ./internal/operators/
 
 echo "==> task lifecycle: a task moves on events, not a clock"
 # A task finishes when no driver runs and every pipeline has declared its last
@@ -519,7 +520,7 @@ go test -count=1 -v -run 'TestSecondJoinBuildReusesItsIndex|TestSecondGroupTable
 go test -count=1 -run 'TestGroupsPerInstance' ./internal/exec/
 go test -race -count=1 -run 'TestGroupEstimate' .
 go test -run '^$' -bench 'AggSpillRevokeDrain|HashJoinProbeParallel' -benchtime 1x -benchmem ./internal/operators/ > /dev/null
-go test -run '^$' -bench 'KeyTableFixed1' -benchtime 20x -benchmem ./internal/operators/ | grep '^Benchmark'
+go test -run '^$' -bench 'KeyTableFixed1|KeyTableVarchar' -benchtime 20x -benchmem ./internal/operators/ | grep '^Benchmark'
 go test -run '^$' -bench 'HashJoinBuildParallel' -benchtime 5x -benchmem -cpu 1,2 ./internal/operators/ | grep '^Benchmark'
 go test -run '^$' -bench 'HashAggBigintKey|HashJoinBuildProbe|HashJoinDictKey' -benchtime 5x -benchmem . | grep '^Benchmark'
 
