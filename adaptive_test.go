@@ -11,7 +11,9 @@ package presto
 import (
 	"fmt"
 	"math"
+	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +23,8 @@ import (
 	"repro/internal/connectors/memconn"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
+	"repro/internal/operators"
+	"repro/internal/plan"
 	"repro/internal/types"
 	"repro/internal/workload"
 )
@@ -469,5 +473,127 @@ func BenchmarkDynFilterFig6(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// handleRecorder is a memconn catalog that records, for every split it
+// opens, the constraint the scan's table handle carries on one column: the
+// domain a dynamic filter narrowed it to.
+type handleRecorder struct {
+	*memconn.Connector
+	col  string
+	mu   sync.Mutex
+	seen map[string]bool
+}
+
+func (h *handleRecorder) PageSource(split connector.Split, columns []string, handle plan.TableHandle) (connector.PageSource, error) {
+	if handle.Constraint != nil && handle.Constraint.Columns[h.col] != nil {
+		h.mu.Lock()
+		h.seen[handle.Constraint.Columns[h.col].String()] = true
+		h.mu.Unlock()
+	}
+	return h.Connector.PageSource(split, columns, handle)
+}
+
+// domains lists the constraints recorded so far, sorted.
+func (h *handleRecorder) domains() []string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var out []string
+	for d := range h.seen {
+		out = append(out, d)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// rowTestCounts sums what each row-tested dynamic-filter subscription did
+// over its pipelines, as EXPLAIN ANALYZE prints it: dfN row-tested
+// passed/tested.
+func rowTestCounts(dfs []operators.DynFilterStats) []string {
+	passed, tested := map[int]int64{}, map[int]int64{}
+	for _, df := range dfs {
+		if df.RowTested {
+			passed[df.ID] += df.RowsPassed
+			tested[df.ID] += df.RowsTested
+		}
+	}
+	var out []string
+	for id := range tested {
+		out = append(out, fmt.Sprintf("df%d row-tested %d/%d", id, passed[id], tested[id]))
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestDynamicFilterSameInProcessAndOverHTTP: a filter that crosses fragments
+// is one summary whatever carries it. The selective join, partitioned, runs
+// on an in-process cluster and on one of HTTP workers, where the union
+// crosses as a wire frame: both return the same rows, their row tests pass
+// and test the same rows, and the probe scan's splits open narrowed to the
+// same domain — the build's ten keys as points, not only their bounds.
+func TestDynamicFilterSameInProcessAndOverHTTP(t *testing.T) {
+	big := make([][]types.Value, 20000)
+	for i := range big {
+		big[i] = []types.Value{types.BigintValue(int64(i)), types.BigintValue(int64(i % 97))}
+	}
+	var small [][]types.Value
+	for k := int64(3); k < 10000; k += 1000 {
+		small = append(small, []types.Value{types.BigintValue(k)})
+	}
+	load := func(register func(connector.Connector)) *handleRecorder {
+		rec := &handleRecorder{Connector: memconn.New("df"), col: "k", seen: map[string]bool{}}
+		register(rec)
+		loadTable(t, nil, rec.Connector, "big", []connector.Column{{Name: "k", T: types.Bigint}, {Name: "v", T: types.Bigint}}, big)
+		loadTable(t, nil, rec.Connector, "small", []connector.Column{{Name: "k", T: types.Bigint}}, small)
+		return rec
+	}
+	const sql = "SELECT big.k, big.v FROM df.big JOIN df.small ON big.k = small.k"
+
+	local := adaptiveCluster(t, ClusterConfig{DisableStats: true, DynamicFilterWait: 10 * time.Second})
+	localRec := load(func(c connector.Connector) { local.Register(c) })
+	localRows, localStats := queryWith(t, local, sql, Session{})
+
+	// A remote task's operator counters never leave its worker: read them
+	// there, just before the statement's DELETE drops the tasks.
+	var mu sync.Mutex
+	var remoteDFs []operators.DynFilterStats
+	var remote *distCluster
+	wrap := func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodDelete {
+				mu.Lock()
+				for _, ts := range remote.servers[i].TaskStats() {
+					for _, pl := range ts.Pipelines {
+						remoteDFs = append(remoteDFs, pl.DynFilters...)
+					}
+				}
+				mu.Unlock()
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	remote = newDistClusterWith(t, 2, distConfig{wrap: wrap, noStats: true, task: exec.TaskConfig{DynamicFilterWait: 10 * time.Second}})
+	remoteRec := load(func(c connector.Connector) { remote.catalog.Register(c) })
+	requireDistributed(t, remote.Coord, sql)
+	assertRows(t, sql, stringifyRows(remote.mustQuery(t, sql)), localRows)
+	if len(localRows) != len(small) {
+		t.Fatalf("the join returned %d rows, want %d", len(localRows), len(small))
+	}
+	var localDFs []operators.DynFilterStats
+	for _, sg := range localStats.Stages {
+		for _, pl := range sg.Pipelines {
+			localDFs = append(localDFs, pl.DynFilters...)
+		}
+	}
+	mu.Lock()
+	lc, rc := rowTestCounts(localDFs), rowTestCounts(remoteDFs)
+	mu.Unlock()
+	if len(lc) == 0 || !slices.Equal(lc, rc) {
+		t.Errorf("row tests in process %v, over HTTP %v; want the same, and some", lc, rc)
+	}
+	ld, rd := localRec.domains(), remoteRec.domains()
+	if len(ld) != 1 || !slices.Equal(ld, rd) || !strings.Contains(ld[0], "1003") {
+		t.Errorf("probe splits narrowed in process to %v, over HTTP to %v; want one domain of the build's keys", ld, rd)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/cache"
@@ -41,9 +42,6 @@ type Config struct {
 	ReadDelayPerByte int
 	// StripeRows sizes written stripes.
 	StripeRows int
-	// Clock overrides the wall clock the simulated read latency
-	// (ReadDelayPerByte) spins on; nil uses time.Now.
-	Clock Clock
 }
 
 // maxFooters bounds the footer cache: footers are small, but the entries of
@@ -58,8 +56,7 @@ const maxFooters = 4096
 // keeps no append log.
 type Connector struct {
 	*connector.Catalog[*tableInfo]
-	cfg   Config
-	clock Clock
+	cfg Config
 	// footers caches decoded file footers by fileID, so a PageSource open or
 	// a stats refresh does not re-read a footer from disk; footerMu guards it
 	// and footerStats (Hits and Misses).
@@ -88,14 +85,9 @@ func New(name string, cfg Config) (*Connector, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = wallClock
-	}
 	c := &Connector{
 		Catalog: connector.NewCatalog[*tableInfo](name),
 		cfg:     cfg,
-		clock:   clock,
 		footers: cache.NewLRU[string, *orcish.Footer](maxFooters, 0, nil),
 	}
 	if err := c.rescan(); err != nil {
@@ -475,7 +467,7 @@ func (p *pageSource) NextPage() (*block.Page, error) {
 		// Simulated remote-storage latency proportional to bytes fetched.
 		delta := p.reader.BytesRead() - p.last
 		p.last = p.reader.BytesRead()
-		busyWait(p.c.clock, delta*int64(p.c.cfg.ReadDelayPerByte))
+		busyWait(delta * int64(p.c.cfg.ReadDelayPerByte))
 	}
 	if len(p.parts) == 0 {
 		return inner, nil
@@ -495,9 +487,9 @@ func (p *pageSource) NextPage() (*block.Page, error) {
 func (p *pageSource) BytesRead() int64 { return p.reader.BytesRead() }
 func (p *pageSource) Close()           { p.reader.Close() }
 
-// busyWait spins for roughly d nanoseconds on the given clock (std sleep
+// busyWait spins for roughly nanos nanoseconds of wall time (std sleep
 // granularity is too coarse for per-page delays).
-func busyWait(clock Clock, nanos int64) {
+func busyWait(nanos int64) {
 	if nanos <= 0 {
 		return
 	}
@@ -505,8 +497,8 @@ func busyWait(clock Clock, nanos int64) {
 	if nanos > 5e7 {
 		nanos = 5e7
 	}
-	start := clock()
-	for clock()-start < nanos {
+	start := time.Now()
+	for time.Since(start).Nanoseconds() < nanos {
 	}
 }
 

@@ -815,7 +815,7 @@ func TestSchedulerFilterRouting(t *testing.T) {
 					t.Fatalf("filter %d delivered after %d of %d publications", id, i, len(stage))
 				}
 				s := dynfilter.NewSummary(types.Bigint)
-				s.AddLong(int64(100+i), 0)
+				s.AddLong(int64(100 + i))
 				if i == len(stage)-1 {
 					// What a publisher with no collector sends.
 					s = &dynfilter.Summary{Disabled: true}

@@ -9,11 +9,11 @@ import (
 	"repro/internal/types"
 )
 
-// The wire form of a summary: one small binary frame. Across a process
-// boundary a summary is its bounds and its Bloom — at most 8 KB, where
-// ≤ DefaultMaxSet keys in BloomBits bits at two probes is ≈ 1.4 % false
-// positives — and the exact set stays in the process that built it
-// (in-process delivery shares the *Summary itself, exact set included).
+// The wire form of a summary: one small binary frame, which carries all of
+// it, so a union delivered over HTTP filters and narrows a scan exactly as
+// one shared in process does. At most 8 KB of Bloom: the ≤ 200 keys a
+// row-tested build holds on the benchmark set ≤ 400 of BloomBits bits, and at
+// two probes pass ≈ 4 × 10⁻⁵ of absent keys (4 096 keys would pass ≈ 1.4 %).
 //
 //	byte   type (types.Type)
 //	byte   flags
@@ -21,19 +21,21 @@ import (
 //	bounds (flagBounds): min then max — 8 bytes little-endian for
 //	       BIGINT/DATE (the int64) and DOUBLE (its IEEE bits, so -0.0 stays
 //	       -0.0), uvarint length + bytes for VARCHAR
+//	points (flagPoints): uvarint count (≤ MaxPushdownPoints), then each
+//	       value ascending, as a bound is, a BOOLEAN as one byte 0 or 1
 //	bloom  (absent when flagDisabled): bloomWords little-endian words, or
 //	       with flagSparse a uint16 count of (uint16 index, word) pairs — the
 //	       build of a 25-row dimension table sets 50 bits, not 1 024 words
 //
-// A Disabled summary is its type and flags: nothing else is read. A summary
-// still on its exact set sends the Bloom of the set's members; one that says
-// nothing about membership (collected for pruning only, never relayed)
+// A Disabled summary is its type and flags: nothing else is read. One that
+// says nothing about membership (collected for pruning only, never relayed)
 // crosses as Disabled unless it is empty.
 const (
 	flagDisabled = 1 << iota
 	flagBounds
 	flagPoisoned
 	flagSparse
+	flagPoints
 )
 
 // sparseWord is what one non-zero Bloom word costs in the sparse form.
@@ -41,14 +43,8 @@ const sparseWord = 2 + 8
 
 // AppendSummary appends s's wire frame to dst.
 func AppendSummary(dst []byte, s *Summary) []byte {
-	if s.Disabled || (!s.hasMembership() && s.Rows > 0) {
+	if s.Disabled || (s.Bloom == nil && s.Rows > 0) {
 		return append(dst, byte(s.T), flagDisabled)
-	}
-	bloom := s.Bloom
-	if bloom == nil {
-		wire := Summary{Bloom: make([]uint64, bloomWords)}
-		s.eachHash(wire.bloomSet)
-		bloom = wire.Bloom
 	}
 	var flags byte
 	if s.HasBounds {
@@ -57,13 +53,16 @@ func AppendSummary(dst []byte, s *Summary) []byte {
 	if s.BoundsPoisoned {
 		flags |= flagPoisoned
 	}
+	if s.points != nil {
+		flags |= flagPoints
+	}
 	nonZero := 0
-	for _, w := range bloom {
+	for _, w := range s.Bloom {
 		if w != 0 {
 			nonZero++
 		}
 	}
-	if 2+nonZero*sparseWord < len(bloom)*8 {
+	if 2+nonZero*sparseWord < bloomWords*8 {
 		flags |= flagSparse
 	}
 	dst = append(dst, byte(s.T), flags)
@@ -71,14 +70,20 @@ func AppendSummary(dst []byte, s *Summary) []byte {
 	if s.HasBounds {
 		dst = appendBound(appendBound(dst, s.Min), s.Max)
 	}
+	if s.points != nil {
+		dst = binary.AppendUvarint(dst, uint64(len(s.points)))
+		for _, v := range s.points {
+			dst = appendBound(dst, v)
+		}
+	}
 	if flags&flagSparse == 0 {
-		for _, w := range bloom {
+		for _, w := range s.Bloom {
 			dst = binary.LittleEndian.AppendUint64(dst, w)
 		}
 		return dst
 	}
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(nonZero))
-	for i, w := range bloom {
+	for i, w := range s.Bloom {
 		if w != 0 {
 			dst = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint16(dst, uint16(i)), w)
 		}
@@ -92,6 +97,11 @@ func appendBound(dst []byte, v types.Value) []byte {
 		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
 	case types.Varchar:
 		return append(binary.AppendUvarint(dst, uint64(len(v.S))), v.S...)
+	case types.Boolean:
+		if v.B {
+			return append(dst, 1)
+		}
+		return append(dst, 0)
 	default:
 		return binary.LittleEndian.AppendUint64(dst, uint64(v.I))
 	}
@@ -101,7 +111,7 @@ var errShortSummary = errors.New("dynfilter: truncated summary frame")
 
 // DecodeSummary reads one frame. Every length is checked against the bytes
 // that remain before anything is allocated, and a frame with bytes left over
-// is rejected. The result carries no exact set: membership is the Bloom's.
+// is rejected, and so are points out of order.
 func DecodeSummary(b []byte) (*Summary, error) {
 	if len(b) < 2 {
 		return nil, errShortSummary
@@ -122,17 +132,25 @@ func DecodeSummary(b []byte) (*Summary, error) {
 		return nil, errShortSummary
 	}
 	s.Rows, b = int64(rows), b[n:]
+	var err error
 	s.BoundsPoisoned = flags&flagPoisoned != 0
 	if flags&flagBounds != 0 {
 		if s.BoundsPoisoned || !ordered {
 			return nil, fmt.Errorf("dynfilter: bounds on a poisoned or unordered (%s) summary", t)
 		}
 		s.HasBounds = true
-		var err error
 		if s.Min, b, err = decodeBound(b, t); err != nil {
 			return nil, err
 		}
 		if s.Max, b, err = decodeBound(b, t); err != nil {
+			return nil, err
+		}
+	}
+	if flags&flagPoints != 0 {
+		if s.BoundsPoisoned {
+			return nil, errors.New("dynfilter: points on a poisoned summary")
+		}
+		if s.points, b, err = decodePoints(b, t); err != nil {
 			return nil, err
 		}
 	}
@@ -160,7 +178,36 @@ func DecodeSummary(b []byte) (*Summary, error) {
 	return s, nil
 }
 
+// decodePoints reads a count of points and the points, ascending and, on a
+// DOUBLE summary, none NaN.
+func decodePoints(b []byte, t types.Type) ([]types.Value, []byte, error) {
+	n, w := binary.Uvarint(b)
+	switch {
+	case w <= 0 || n > uint64(len(b)-w):
+		return nil, nil, errShortSummary
+	case n > MaxPushdownPoints:
+		return nil, nil, fmt.Errorf("dynfilter: %d points, at most %d", n, MaxPushdownPoints)
+	}
+	points, b := make([]types.Value, n), b[w:]
+	for i := range points {
+		var err error
+		if points[i], b, err = decodeBound(b, t); err != nil {
+			return nil, nil, err
+		}
+		if p := points[i]; p.F != p.F || i > 0 && points[i-1].Compare(p) >= 0 {
+			return nil, nil, fmt.Errorf("dynfilter: point %d out of order", i)
+		}
+	}
+	return points, b, nil
+}
+
 func decodeBound(b []byte, t types.Type) (types.Value, []byte, error) {
+	if t == types.Boolean {
+		if len(b) < 1 || b[0] > 1 {
+			return types.Value{}, nil, errShortSummary
+		}
+		return types.BooleanValue(b[0] == 1), b[1:], nil
+	}
 	if t == types.Varchar {
 		n, w := binary.Uvarint(b)
 		if w <= 0 || n > uint64(len(b)-w) {

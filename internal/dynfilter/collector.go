@@ -16,9 +16,7 @@ type ColumnSpec struct {
 	T      types.Type
 	// Bounded marks a summary that no row test in its task reads and that
 	// does not leave the task: only split and stripe pruning does. It carries
-	// its row count and bounds, and its exact set only while the build has at
-	// most MaxPushdownPoints distinct keys — what pruning can push down — and
-	// never a Bloom filter.
+	// its row count, bounds and points, and never a Bloom filter.
 	Bounded bool
 }
 
@@ -26,7 +24,6 @@ type ColumnSpec struct {
 // column. It is not goroutine-safe: the JoinBridge calls it once, under its
 // own lock, on the built transition.
 type Collector struct {
-	MaxSet  int
 	MaxRows int
 	// Relayed, when set, reports whether the summary of filter id leaves the
 	// task: it is then collected in full even where ColumnSpec.Bounded says
@@ -36,16 +33,10 @@ type Collector struct {
 	sums    []*Summary
 }
 
-// NewCollector builds a collector for the given filter columns. maxSet/
-// maxRows <= 0 pick the defaults.
-func NewCollector(specs []ColumnSpec, maxSet, maxRows int) *Collector {
-	if maxSet <= 0 {
-		maxSet = DefaultMaxSet
-	}
-	if maxRows <= 0 {
-		maxRows = DefaultMaxRows
-	}
-	c := &Collector{MaxSet: maxSet, MaxRows: maxRows, specs: specs}
+// NewCollector builds a collector for the given filter columns, which
+// disables its summaries past DefaultMaxRows build rows.
+func NewCollector(specs []ColumnSpec) *Collector {
+	c := &Collector{MaxRows: DefaultMaxRows, specs: specs}
 	c.sums = make([]*Summary, len(specs))
 	for i, sp := range specs {
 		c.sums[i] = NewSummary(sp.T)
@@ -53,7 +44,7 @@ func NewCollector(specs []ColumnSpec, maxSet, maxRows int) *Collector {
 	return c
 }
 
-// prepare sizes the summaries for a build of rows non-NULL-key rows, keys
+// prepare sets up the summaries for a build of rows non-NULL-key rows, keys
 // distinct key tuples and nk key columns, and reports whether they are to be
 // collected at all: past MaxRows the build is too large for a useful probe
 // filter and the summaries are disabled unread.
@@ -63,16 +54,17 @@ func (c *Collector) prepare(rows int64, keys, nk int) bool {
 		return false
 	}
 	for i, s := range c.sums {
-		switch sp := c.specs[i]; {
-		case sp.KeyIdx >= nk:
+		sp := c.specs[i]
+		if sp.KeyIdx >= nk {
 			s.Disabled = true // not a key of this build: nothing to say
 			continue
-		case sp.Bounded && keys > MaxPushdownPoints && (c.Relayed == nil || !c.Relayed(sp.ID)):
-			s.exact, s.Strs = nil, nil // bounds only: no set to push down
-		case nk == 1 && keys > c.MaxSet:
-			s.overflow() // one key column: the set is known to overflow
 		}
-		s.reserve(min(keys, c.MaxSet))
+		if !sp.Bounded || (c.Relayed != nil && c.Relayed(sp.ID)) {
+			s.Bloom = make([]uint64, bloomWords)
+		}
+		if nk == 1 && keys > MaxPushdownPoints {
+			s.points = nil // one key column: the points are known to overflow
+		}
 		s.Rows = rows
 	}
 	return true
@@ -83,16 +75,14 @@ func (c *Collector) prepare(rows int64, keys, nk int) bool {
 // them while choosing its addressing.
 type Span struct{ Lo, Hi int64 }
 
-// CollectCells summarizes a build from its key table's normalized cells, the
-// encoding the summary's own exact set uses: entry e's key column k is the
-// cell (tags[e*nk+k], cells[e*nk+k]), and a VARCHAR one's bytes are str(e, k),
-// a view the summary copies what it keeps of; an entry with a NULL cell never
-// joins, and distinct(visit) calls visit once per distinct key tuple with an
-// entry holding it. Row count and bounds come from one pass over the cells, or
-// from span when the key table has one (nil: none); the exact set, or the
-// Bloom filter it overflows to, from the distinct entries, only when the
-// summary keeps one. A VARCHAR summary's set, Bloom filter and bounds all come
-// from the distinct entries.
+// CollectCells summarizes a build from its key table's normalized cells: entry
+// e's key column k is the cell (tags[e*nk+k], cells[e*nk+k]), and a VARCHAR
+// one's bytes are str(e, k), a view the summary copies what it keeps of; an
+// entry with a NULL cell never joins, and distinct(visit) calls visit once per
+// distinct key tuple with an entry holding it. A numeric column's row count
+// and bounds come from one pass over the cells, or from span when the key
+// table has one (nil: none); the Bloom filter, the points and a VARCHAR
+// column's bounds from the distinct entries.
 func (c *Collector) CollectCells(rows int64, keys, nk int, cells []uint64, tags []byte, str func(e, k int) string, span *Span, distinct func(visit func(e int))) {
 	if !c.prepare(rows, keys, nk) {
 		return
@@ -102,14 +92,17 @@ func (c *Collector) CollectCells(rows int64, keys, nk int, cells []uint64, tags 
 			continue
 		}
 		k := c.specs[i].KeyIdx
-		if s.T == types.Varchar {
-			distinct(func(e int) { s.addStr(str(e, k), c.MaxSet) })
+		s.cellBounds(cells, tags, nk, k, span)
+		if s.Bloom == nil && s.points == nil && s.T != types.Varchar {
 			continue
 		}
-		s.cellBounds(cells, tags, nk, k, span)
-		if s.exact != nil || s.Bloom != nil {
-			distinct(func(e int) { s.addMember(cell{tags[e*nk+k], cells[e*nk+k]}, c.MaxSet) })
-		}
+		distinct(func(e int) {
+			var v string
+			if s.T == types.Varchar {
+				v = str(e, k)
+			}
+			s.addKey(tags[e*nk+k], cells[e*nk+k], v)
+		})
 	}
 }
 
@@ -184,7 +177,7 @@ func nullCell(tags []byte) bool {
 func (c *Collector) Disable() {
 	for _, s := range c.sums {
 		s.Disabled = true
-		s.exact, s.Strs = nil, nil
+		s.Bloom, s.points = nil, nil
 	}
 }
 

@@ -1,16 +1,19 @@
 // Package dynfilter implements runtime dynamic join filters (the §IV-B
 // adaptivity the paper defers): during a hash-join build the engine collects
-// a per-key-column summary — an exact key set while the distinct count stays
-// under a configurable cardinality, min/max bounds, and a bloom filter above
-// the threshold — and ships it to the probe side, where it runs as an extra
-// scan predicate and as min/max bounds for stripe/split skipping.
+// a per-key-column summary — a Bloom filter over the distinct keys, min/max
+// bounds, and the keys themselves while there are at most MaxPushdownPoints
+// of them — and ships it to the probe side, where the Bloom filter runs as an
+// extra scan predicate and the points or bounds narrow splits and stripes.
+// The summary is the same in process and on the wire: whatever carries it, a
+// scan tests the same rows against the same bits.
 //
 // Correctness contract: a summary may only ever claim "this value cannot
 // match any build row". Values are the join hash table's key cells
 // (block.CellLong and the rest, block.NormDouble): doubles equal to an integer
 // share the integer's cell so BIGINT==DOUBLE joins filter correctly, NaN uses
 // its raw bit pattern (the join matches NaN==NaN through Float64bits, so the
-// filter must too), and -0.0 folds to the integer cell 0.
+// filter must too), and -0.0 folds to the integer cell 0. A Bloom filter's
+// false positive only lets a row through to the join, which drops it.
 // NULL build keys never join, so they are excluded from summaries; NULL probe
 // keys never pass a filter, which is safe for the join types filters attach
 // to (INNER/SEMI/RIGHT — types whose output drops unmatched probe rows).
@@ -21,17 +24,12 @@ package dynfilter
 
 import (
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/block"
 	"repro/internal/types"
 )
-
-// cell is one normalized fixed-width key value.
-type cell struct {
-	tag     byte
-	payload uint64
-}
 
 // BloomBits is the fixed bloom sizing (bits, power of two). A fixed size
 // keeps cross-task unions a plain word-wise OR: partitioned join builds run
@@ -40,15 +38,10 @@ const BloomBits = 1 << 16
 
 const bloomWords = BloomBits / 64
 
-// DefaultMaxSet is the exact-set cardinality threshold: up to this many
-// distinct keys the summary carries the exact set (enabling IN-list domain
-// pushdown); beyond it the summary degrades to min/max + bloom.
-const DefaultMaxSet = 4096
-
-// MaxPushdownPoints caps the IN-list a summary's exact set becomes in a
-// scan's constraint (split and stripe pruning); larger sets fall back to
-// min/max range pushdown. Keeps cache keys and connector prune checks small,
-// and bounds the set a summary that only prunes collects (ColumnSpec.Bounded).
+// MaxPushdownPoints caps the keys a summary keeps as points, the IN-list they
+// become in a scan's constraint (split and stripe pruning); past it the
+// summary keeps none and pruning falls back to min/max. Keeps cache keys,
+// connector prune checks and wire frames small.
 const MaxPushdownPoints = 100
 
 // DefaultMaxRows bounds collection work: past this many build rows the
@@ -68,17 +61,16 @@ type Summary struct {
 	// Rows counts non-null build keys observed.
 	Rows int64
 
-	// exact carries the distinct normalized cells while the cardinality is
-	// ≤ maxSet; nil once overflowed. For varchar keys Strs is used instead.
-	exact *cellSet
-	Strs  map[string]struct{}
-
-	// Bloom is a fixed-size blocked bloom over the key hash. It is
-	// nil while the exact set holds every key, and filled when the set
-	// overflows: from the set's members, then from every later key. A summary
-	// with neither — collected for pruning only (ColumnSpec.Bounded) — says
-	// nothing about membership, and every non-NULL value matches it.
+	// Bloom is a fixed-size blocked bloom over the key cells' hashes
+	// (block.HashCell), the only membership test. A summary without one —
+	// collected for pruning only (ColumnSpec.Bounded) — says nothing about
+	// membership, and every non-NULL value matches it unless it is empty.
 	Bloom []uint64
+
+	// points are the distinct keys, ascending, boxed as the summary's type;
+	// nil once there are more than MaxPushdownPoints of them, or a NaN key
+	// has been seen (it equals no point). Only pruning reads them.
+	points []types.Value
 
 	// Min/Max bound the observed keys for orderable types. HasBounds is
 	// false when unset (empty build) or poisoned (NaN key observed: NaN is
@@ -90,93 +82,11 @@ type Summary struct {
 	BoundsPoisoned bool
 }
 
-// cellSet is the exact key set: open-addressed, linear-probing, at most half
-// full; tag block.CellNull marks an empty slot (NULL keys are never
-// collected). One goroutine writes it while its summary is collected or merged; published, it
-// is only read (probes run concurrently), in a few ns where a Go map's hashing
-// costs more than the vectorized join probe the filter is trying to save.
-type cellSet struct {
-	tags     []byte // block.CellNull: an empty slot; 9 bytes a slot, not a padded 16
-	payloads []uint64
-	n        int
-	// shared: the arrays belong to a published summary this one was merged
-	// from and are copied before the first write; a union of identical sets
-	// (every task of a broadcast build publishes the same one) never copies.
-	shared bool
-}
-
-// newCellSet returns an empty set with room for keys cells.
-func newCellSet(keys int) *cellSet {
-	size := 16
-	for size < 2*keys {
-		size <<= 1
-	}
-	return &cellSet{tags: make([]byte, size), payloads: make([]uint64, size)}
-}
-
-// find returns the slot c is in, or the empty slot where it would go.
-func (t *cellSet) find(c cell) uint64 {
-	mask := uint64(len(t.tags) - 1)
-	for i := c.hash() & mask; ; i = (i + 1) & mask {
-		if t.tags[i] == block.CellNull || (t.tags[i] == c.tag && t.payloads[i] == c.payload) {
-			return i
-		}
-	}
-}
-
-func (t *cellSet) has(c cell) bool { return t.tags[t.find(c)] != block.CellNull }
-
-// put stores a cell the set does not hold and has room for.
-func (t *cellSet) put(c cell) {
-	i := t.find(c)
-	t.tags[i], t.payloads[i] = c.tag, c.payload
-	t.n++
-}
-
-func (t *cellSet) add(c cell) {
-	if t.has(c) {
-		return
-	}
-	if 2*(t.n+1) > len(t.tags) || t.shared {
-		old := *t
-		*t = *newCellSet(old.n + 1)
-		old.each(t.put)
-	}
-	t.put(c)
-}
-
-// each calls fn with every member, in no particular order.
-func (t *cellSet) each(fn func(cell)) {
-	for i, tag := range t.tags {
-		if tag != block.CellNull {
-			fn(cell{tag, t.payloads[i]})
-		}
-	}
-}
-
-// matchCell is the shared fixed-width membership test: exact set when it
-// survived, bloom otherwise; a varchar build never equals a fixed-width
-// probe, and a summary without either matches every value.
-func (s *Summary) matchCell(c cell) bool {
-	switch {
-	case s.exact != nil:
-		return s.exact.has(c)
-	case s.Strs != nil:
-		return false
-	case s.Bloom != nil:
-		return s.bloomHas(c.hash())
-	}
-	return true
-}
-
 // NewSummary returns an empty (matches-nothing) summary for type t.
 func NewSummary(t types.Type) *Summary {
-	s := &Summary{T: t}
+	s := &Summary{T: t, points: []types.Value{}}
 	switch t {
-	case types.Varchar:
-		s.Strs = make(map[string]struct{})
-	case types.Bigint, types.Date, types.Double, types.Boolean:
-		s.exact = newCellSet(0)
+	case types.Varchar, types.Bigint, types.Date, types.Double, types.Boolean:
 	default:
 		// Array/Unknown keys: no safe normalization — never filter.
 		s.Disabled = true
@@ -188,9 +98,23 @@ func NewSummary(t types.Type) *Summary {
 // keys: an INNER/SEMI probe can short-circuit to zero rows.
 func (s *Summary) Empty() bool { return !s.Disabled && s.Rows == 0 }
 
-// bloomSet and bloomHas read a key hash (block.HashCell, block.HashString)
-// at two fields, bits 0-15 and 16-31, which the exchange does not route by:
-// a build behind one still spreads over every bit of the Bloom.
+// Has reports whether a probe value whose key cell is (tag, payload) may
+// match a build key: the predicate compiler's dynamic-filter leaf asks it of
+// every row. A VARCHAR value's cell is (block.CellVarchar,
+// block.VarPayload(v)).
+func (s *Summary) Has(tag byte, payload uint64) bool {
+	if s.Bloom == nil {
+		return s.Rows > 0
+	}
+	h := block.HashCell(tag, payload)
+	h1 := h & (BloomBits - 1)
+	h2 := (h >> 16) & (BloomBits - 1)
+	return s.Bloom[h1>>6]&(1<<(h1&63)) != 0 && s.Bloom[h2>>6]&(1<<(h2&63)) != 0
+}
+
+// bloomSet sets a key hash's bits. Has reads them at two fields, bits 0-15
+// and 16-31, which the exchange does not route by: a build behind one still
+// spreads over every bit of the Bloom.
 func (s *Summary) bloomSet(h uint64) {
 	h1 := h & (BloomBits - 1)
 	h2 := (h >> 16) & (BloomBits - 1)
@@ -198,62 +122,50 @@ func (s *Summary) bloomSet(h uint64) {
 	s.Bloom[h2>>6] |= 1 << (h2 & 63)
 }
 
-func (s *Summary) bloomHas(h uint64) bool {
-	h1 := h & (BloomBits - 1)
-	h2 := (h >> 16) & (BloomBits - 1)
-	return s.Bloom[h1>>6]&(1<<(h1&63)) != 0 && s.Bloom[h2>>6]&(1<<(h2&63)) != 0
-}
-
-// hash is c's key hash.
-func (c cell) hash() uint64 { return block.HashCell(c.tag, c.payload) }
-
-// overflow drops the exact set for the Bloom filter, which takes its members:
-// past maxSet keys the summary is its Bloom and its bounds.
-func (s *Summary) overflow() {
-	if s.Bloom == nil {
-		s.Bloom = make([]uint64, bloomWords)
+// addKey records one non-NULL key cell, counting no row: into the Bloom
+// filter when the summary has one, into the points while they last, and a
+// VARCHAR key, whose bytes are str, into the bounds. str may view memory the
+// caller reuses: what the summary keeps is a copy.
+func (s *Summary) addKey(tag byte, payload uint64, str string) {
+	if s.Bloom != nil {
+		s.bloomSet(block.HashCell(tag, payload))
 	}
-	s.eachHash(s.bloomSet)
-	s.exact, s.Strs = nil, nil
-}
-
-// eachHash calls fn with the Bloom hash of every member of the exact set.
-func (s *Summary) eachHash(fn func(uint64)) {
-	if s.exact != nil {
-		s.exact.each(func(c cell) { fn(c.hash()) })
+	if s.T == types.Varchar && (!s.HasBounds || str < s.Min.S || str > s.Max.S) {
+		v := strings.Clone(str)
+		widen(s, v, &s.Min.S, &s.Max.S, types.VarcharValue(v))
 	}
-	for v := range s.Strs {
-		fn(block.HashString(v))
+	if s.points == nil {
+		return
 	}
-}
-
-// hasMembership reports whether the summary can rule a value out: it has an
-// exact set or a Bloom filter.
-func (s *Summary) hasMembership() bool {
-	return s.exact != nil || s.Strs != nil || s.Bloom != nil
-}
-
-// addCell records one normalized non-null fixed-width key.
-func (s *Summary) addCell(c cell, maxSet int) {
-	s.Rows++
-	s.addMember(c, maxSet)
-}
-
-// addMember puts a key into the exact set, or into the Bloom filter once the
-// set has overflowed; a summary with neither keeps none.
-func (s *Summary) addMember(c cell, maxSet int) {
-	switch t := s.exact; {
-	case t == nil:
-		if s.Bloom != nil {
-			s.bloomSet(c.hash())
-		}
-	case t.has(c):
-	case t.n >= maxSet:
-		s.overflow()
-		s.bloomSet(c.hash())
+	v := s.point(tag, payload, str)
+	i, found := slices.BinarySearchFunc(s.points, v, types.Value.Compare)
+	switch {
+	case found:
+	case len(s.points) == MaxPushdownPoints:
+		s.points = nil
 	default:
-		t.add(c)
+		if v.T == types.Varchar {
+			v.S = strings.Clone(v.S)
+		}
+		s.points = slices.Insert(s.points, i, v)
 	}
+}
+
+// point boxes a key cell as a value of the summary's type: an integer cell of
+// a DOUBLE summary is the double it equals.
+func (s *Summary) point(tag byte, payload uint64, str string) types.Value {
+	switch tag {
+	case block.CellLong:
+		if s.T == types.Double {
+			return types.DoubleValue(float64(int64(payload)))
+		}
+		return types.Value{T: s.T, I: int64(payload)}
+	case block.CellDouble:
+		return types.DoubleValue(math.Float64frombits(payload))
+	case block.CellBool:
+		return types.BooleanValue(payload != 0)
+	}
+	return types.VarcharValue(str)
 }
 
 // widen folds the key v into min/max, compared as its own type: lo and hi are
@@ -270,166 +182,85 @@ func widen[T int64 | float64 | string](s *Summary, v T, lo, hi *T, first types.V
 	}
 }
 
-// poisonBounds drops min/max for good: a NaN key is unordered.
+// poisonBounds drops min/max and the points for good: a NaN key is unordered,
+// and equals no point.
 func (s *Summary) poisonBounds() {
 	s.HasBounds, s.BoundsPoisoned = false, true
 	s.Min, s.Max = types.Value{}, types.Value{}
+	s.points = nil
+}
+
+// added counts a key the typed Add calls record, which always fill a Bloom
+// filter.
+func (s *Summary) added() {
+	s.Rows++
+	if s.Bloom == nil {
+		s.Bloom = make([]uint64, bloomWords)
+	}
 }
 
 // AddLong records a non-null bigint/date key.
-func (s *Summary) AddLong(v int64, maxSet int) {
-	s.addCell(cell{block.CellLong, uint64(v)}, maxSet)
+func (s *Summary) AddLong(v int64) {
+	s.added()
+	s.addKey(block.CellLong, uint64(v), "")
 	widen(s, v, &s.Min.I, &s.Max.I, types.Value{T: s.T, I: v})
 }
 
 // AddDouble records a non-null double key.
-func (s *Summary) AddDouble(f float64, maxSet int) {
-	tag, payload := block.NormDouble(f)
-	s.addCell(cell{tag, payload}, maxSet)
+func (s *Summary) AddDouble(f float64) {
+	s.added()
 	if math.IsNaN(f) {
 		s.poisonBounds()
-		return
 	}
+	tag, payload := block.NormDouble(f)
+	s.addKey(tag, payload, "")
 	widen(s, f, &s.Min.F, &s.Max.F, types.DoubleValue(f))
 }
 
-func boolCell(b bool) cell {
-	if b {
-		return cell{block.CellBool, 1}
-	}
-	return cell{block.CellBool, 0}
-}
-
 // AddBool records a non-null boolean key.
-func (s *Summary) AddBool(b bool, maxSet int) { s.addCell(boolCell(b), maxSet) }
+func (s *Summary) AddBool(b bool) {
+	s.added()
+	if b {
+		s.addKey(block.CellBool, 1, "")
+	} else {
+		s.addKey(block.CellBool, 0, "")
+	}
+}
 
 // AddStr records a non-null varchar key.
-func (s *Summary) AddStr(v string, maxSet int) {
-	s.Rows++
-	s.addStr(v, maxSet)
-}
-
-// addStr puts a non-null varchar key into the exact set, or into the Bloom
-// filter once the set has overflowed, and into the bounds, counting no row.
-// v may view memory the caller reuses: what the summary keeps is a copy.
-func (s *Summary) addStr(v string, maxSet int) {
-	switch _, ok := s.Strs[v]; {
-	case ok:
-	case s.Strs == nil:
-		if s.Bloom != nil {
-			s.bloomSet(block.HashString(v))
-		}
-	case len(s.Strs) >= maxSet:
-		s.overflow()
-		s.bloomSet(block.HashString(v))
-	default:
-		s.Strs[strings.Clone(v)] = struct{}{}
-	}
-	if !s.HasBounds || v < s.Min.S || v > s.Max.S {
-		v = strings.Clone(v)
-		widen(s, v, &s.Min.S, &s.Max.S, types.VarcharValue(v))
-	}
+func (s *Summary) AddStr(v string) {
+	s.added()
+	s.addKey(block.CellVarchar, block.VarPayload(v), v)
 }
 
 // addRow records row r of a build key column read through its typed
 // accessor. NULLs are skipped.
-func (s *Summary) addRow(b block.Block, r, maxSet int) {
+func (s *Summary) addRow(b block.Block, r int) {
 	if b.IsNull(r) {
 		return
 	}
 	switch b.Type() {
 	case types.Bigint, types.Date:
-		s.AddLong(b.Long(r), maxSet)
+		s.AddLong(b.Long(r))
 	case types.Double:
-		s.AddDouble(b.Double(r), maxSet)
+		s.AddDouble(b.Double(r))
 	case types.Boolean:
-		s.AddBool(b.Bool(r), maxSet)
+		s.AddBool(b.Bool(r))
 	case types.Varchar:
-		s.AddStr(b.Str(r), maxSet)
+		s.AddStr(b.Str(r))
 	default:
 		s.Disabled = true
 	}
 }
 
-// --- probe-side membership (the predicate compiler's dynamic-filter leaf calls these) ---
-
-// MatchLong reports whether a bigint/date probe value may match a build key.
-func (s *Summary) MatchLong(v int64) bool {
-	return s.matchCell(cell{block.CellLong, uint64(v)})
-}
-
-// MatchDouble reports whether a double probe value may match a build key.
-func (s *Summary) MatchDouble(f float64) bool {
-	tag, payload := block.NormDouble(f)
-	return s.matchCell(cell{tag, payload})
-}
-
-// MatchBool reports whether a boolean probe value may match a build key.
-func (s *Summary) MatchBool(b bool) bool { return s.matchCell(boolCell(b)) }
-
-// MatchStr reports whether a varchar probe value may match a build key.
-func (s *Summary) MatchStr(v string) bool {
-	switch {
-	case s.Strs != nil:
-		_, ok := s.Strs[v]
-		return ok
-	case s.exact != nil:
-		return false // fixed-width build keys never equal a varchar probe
-	case s.Bloom != nil:
-		return s.bloomHas(block.HashString(v))
-	}
-	return true
-}
-
-// reserve makes room in a still-empty exact set for keys cells at once,
-// instead of by doubling.
-func (s *Summary) reserve(keys int) {
-	if s.exact != nil && s.exact.n == 0 && 2*keys > len(s.exact.tags) {
-		s.exact = newCellSet(keys)
-	}
-}
-
-// ExactLen is the size of the exact key set, 0 when there is none.
-func (s *Summary) ExactLen() int {
-	if s.exact != nil {
-		return s.exact.n
-	}
-	return len(s.Strs)
-}
-
-// ExactValues returns the exact key set as boxed values of the summary's
-// type, or nil when overflowed/unavailable. Used for IN-list domain pushdown.
-func (s *Summary) ExactValues() []types.Value {
+// Points returns the distinct keys in ascending order, or nil when there are
+// more than MaxPushdownPoints of them or the summary does not keep them. Used
+// for IN-list domain pushdown; the caller must not modify the slice.
+func (s *Summary) Points() []types.Value {
 	if s.Disabled {
 		return nil
 	}
-	if s.Strs != nil {
-		out := make([]types.Value, 0, len(s.Strs))
-		for v := range s.Strs {
-			out = append(out, types.VarcharValue(v))
-		}
-		return out
-	}
-	if s.exact == nil {
-		return nil
-	}
-	out := make([]types.Value, 0, s.exact.n)
-	s.exact.each(func(c cell) {
-		switch c.tag {
-		case block.CellLong:
-			switch s.T {
-			case types.Double:
-				out = append(out, types.DoubleValue(float64(int64(c.payload))))
-			default:
-				out = append(out, types.Value{T: s.T, I: int64(c.payload)})
-			}
-		case block.CellDouble:
-			out = append(out, types.DoubleValue(math.Float64frombits(c.payload)))
-		case block.CellBool:
-			out = append(out, types.BooleanValue(c.payload != 0))
-		}
-	})
-	return out
+	return s.points
 }
 
 // Bounds returns the observed [min, max] when available.
@@ -442,10 +273,11 @@ func (s *Summary) Bounds() (min, max types.Value, ok bool) {
 
 // Merge unions o into s (partitioned builds publish one summary per task;
 // the coordinator merges them before delivery). A disabled input disables
-// the union; mismatched types disable it too (should not happen). Exact sets
-// union into an exact set; if either side has only a Bloom filter, the union
-// is a Bloom filter holding both sides' keys; if either side says nothing
-// about membership, neither does the union.
+// the union; mismatched types disable it too (should not happen). The Blooms
+// OR; if either side says nothing about membership, neither does the union.
+// The points union while there are at most MaxPushdownPoints of them, so the
+// identical points every task of a broadcast build publishes merge into one
+// list.
 func (s *Summary) Merge(o *Summary) {
 	if o == nil {
 		return
@@ -457,28 +289,30 @@ func (s *Summary) Merge(o *Summary) {
 	if s.Disabled {
 		return
 	}
-	s.Rows += o.Rows
 	switch {
-	case !s.hasMembership() || !o.hasMembership():
-		s.exact, s.Strs, s.Bloom = nil, nil, nil
-	case s.Strs != nil && o.Strs != nil:
-		for v := range o.Strs {
-			s.Strs[v] = struct{}{}
-		}
-	case s.exact != nil && o.exact != nil:
-		if s.exact.n == 0 {
-			adopted := *o.exact
-			adopted.shared = true
-			s.exact = &adopted
-		} else {
-			o.exact.each(s.exact.add)
-		}
+	case s.Bloom == nil && s.Rows > 0, o.Bloom == nil && o.Rows > 0:
+		s.Bloom = nil
+	case o.Bloom == nil:
+	case s.Bloom == nil:
+		s.Bloom = slices.Clone(o.Bloom)
 	default:
-		s.overflow()
 		for i, w := range o.Bloom {
 			s.Bloom[i] |= w
 		}
-		o.eachHash(s.bloomSet)
+	}
+	s.Rows += o.Rows
+	switch {
+	case s.points == nil || o.points == nil:
+		s.points = nil
+	case len(s.points) == 0:
+		s.points = slices.Clip(o.points) // shared: a later key copies it
+	case len(o.points) > 0:
+		u := slices.Concat(s.points, o.points)
+		slices.SortFunc(u, types.Value.Compare)
+		if u = slices.CompactFunc(u, func(a, b types.Value) bool { return a.Compare(b) == 0 }); len(u) > MaxPushdownPoints {
+			u = nil
+		}
+		s.points = u
 	}
 	if o.BoundsPoisoned {
 		s.poisonBounds()

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -380,14 +379,12 @@ func (t *Task) dynNarrowedHandle(p *pipelineSpec) plan.TableHandle {
 }
 
 // summaryDomain converts a summary to a connector-evaluable column domain:
-// small exact sets become IN-lists (sorted, so the narrowed handle is
-// deterministic), everything else degrades to the observed [min,max] range.
-// NULL never joins, so NullAllowed stays false.
+// its points, already ascending (so the narrowed handle is deterministic),
+// become an IN-list; without them it degrades to the observed [min,max]
+// range. NULL never joins, so NullAllowed stays false.
 func summaryDomain(s *dynfilter.Summary) *plan.ColumnDomain {
-	if n := s.ExactLen(); n > 0 && n <= dynfilter.MaxPushdownPoints {
-		vals := s.ExactValues()
-		sort.Slice(vals, func(i, j int) bool { return vals[i].String() < vals[j].String() })
-		return &plan.ColumnDomain{T: s.T, Points: vals}
+	if pts := s.Points(); len(pts) > 0 {
+		return &plan.ColumnDomain{T: s.T, Points: slices.Clip(pts)}
 	}
 	if min, max, ok := s.Bounds(); ok {
 		return &plan.ColumnDomain{

@@ -54,7 +54,7 @@ func dynBuildPage() *block.Page {
 func dynBuildSummary() *dynfilter.Summary {
 	s := dynfilter.NewSummary(types.Bigint)
 	for k := 0; k < dynBuildKeys; k++ {
-		s.AddLong(int64(k), dynfilter.DefaultMaxSet)
+		s.AddLong(int64(k))
 	}
 	return s
 }

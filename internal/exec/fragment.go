@@ -154,7 +154,7 @@ func (t *Task) newBridge(js *joinSpec) *operators.JoinBridge {
 	// summary no scan of the fragment row-tests is collected for pruning
 	// only, unless the task relays it.
 	if len(js.filters) > 0 {
-		coll := dynfilter.NewCollector(js.filters, dynfilter.DefaultMaxSet, dynfilter.DefaultMaxRows)
+		coll := dynfilter.NewCollector(js.filters)
 		coll.Relayed = t.relayed
 		ids := js.filterIDs
 		bridge.SetFilterCollector(coll, func(sums []*dynfilter.Summary) {

@@ -16,13 +16,13 @@ func summaryOf(t types.Type, keys ...types.Value) *dynfilter.Summary {
 	for _, k := range keys {
 		switch t {
 		case types.Bigint, types.Date:
-			s.AddLong(k.I, dynfilter.DefaultMaxSet)
+			s.AddLong(k.I)
 		case types.Double:
-			s.AddDouble(k.F, dynfilter.DefaultMaxSet)
+			s.AddDouble(k.F)
 		case types.Varchar:
-			s.AddStr(k.S, dynfilter.DefaultMaxSet)
+			s.AddStr(k.S)
 		case types.Boolean:
-			s.AddBool(k.B, dynfilter.DefaultMaxSet)
+			s.AddBool(k.B)
 		}
 	}
 	return s

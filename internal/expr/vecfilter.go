@@ -364,22 +364,23 @@ func (c *selCompiler) compileLeaf(e Expr, neg bool) (selFn, bool) {
 }
 
 // compileDynFilter compiles an arrived dynamic join filter as a leaf over its
-// probe column: the positions whose key the summary may hold, NULL never (it
-// joins no build row, and filters attach only to joins whose output drops
-// unmatched probe rows). The verdict is the summary's typed membership test
-// for the column's type. A BOOLEAN key has at most two members, so its leaf is
-// a boolean column's, NOT NULL's, or selNone.
+// probe column: the positions whose key cell the summary's Bloom filter may
+// hold, NULL never (it joins no build row, and filters attach only to joins
+// whose output drops unmatched probe rows). A value's cell is the join's:
+// a DOUBLE equal to an integer is the integer's, a VARCHAR is its bytes'
+// hash. A BOOLEAN key has at most two members, so its leaf is a boolean
+// column's, NOT NULL's, or selNone.
 func (c *selCompiler) compileDynFilter(f DynFilter) selFn {
 	s, col := f.Summary, &ColumnRef{Index: f.Col, T: f.T}
 	switch f.T {
 	case types.Bigint, types.Date:
-		return selMember(c, col, c.vecLong, block.Block.Long, s.MatchLong)
+		return selMember(c, col, c.vecLong, block.Block.Long, func(v int64) bool { return s.Has(block.CellLong, uint64(v)) })
 	case types.Double:
-		return selMember(c, col, c.vecDouble, block.Block.Double, s.MatchDouble)
+		return selMember(c, col, c.vecDouble, block.Block.Double, func(v float64) bool { return s.Has(block.NormDouble(v)) })
 	case types.Varchar:
-		return selMember(c, col, c.vecStr, block.Block.Str, s.MatchStr)
+		return selMember(c, col, c.vecStr, block.Block.Str, func(v string) bool { return s.Has(block.CellVarchar, block.VarPayload(v)) })
 	case types.Boolean:
-		switch yes, no := s.MatchBool(true), s.MatchBool(false); {
+		switch yes, no := s.Has(block.CellBool, 1), s.Has(block.CellBool, 0); {
 		case yes && no:
 			return selIsNull(f.Col, true)
 		case yes || no:

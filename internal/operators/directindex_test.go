@@ -95,8 +95,8 @@ type directRun struct {
 	sums            []*dynfilter.Summary
 }
 
-// runDirect builds c's pages into a bridge, with a collector that keeps an
-// exact set of at most eight keys, and probes it as join type jt.
+// runDirect builds c's pages into a bridge, with a dynamic-filter collector,
+// and probes it as join type jt.
 func runDirect(t *testing.T, c directCase, jt plan.JoinType, hashed bool) directRun {
 	t.Helper()
 	hashEveryIndex.Store(hashed)
@@ -107,7 +107,7 @@ func runDirect(t *testing.T, c directCase, jt plan.JoinType, hashed bool) direct
 	probeTs := []types.Type{c.probeT, types.Bigint}
 
 	bridge := NewJoinBridge()
-	col := dynfilter.NewCollector([]dynfilter.ColumnSpec{{ID: 1, T: c.buildT}}, 8, 0)
+	col := dynfilter.NewCollector([]dynfilter.ColumnSpec{{ID: 1, T: c.buildT}})
 	bridge.SetFilterCollector(col, func(s []*dynfilter.Summary) { run.sums = s })
 	bridge.AddBuilder()
 	hb := NewHashBuild(NopContext(), bridge, []int{0}, []types.Type{c.buildT})
@@ -134,7 +134,7 @@ func runDirect(t *testing.T, c directCase, jt plan.JoinType, hashed bool) direct
 }
 
 // sameSummaries holds the direct build's filter summaries to the hashed one's:
-// row count, exact set, Bloom filter and bounds.
+// row count, points, Bloom filter and bounds.
 func sameSummaries(t *testing.T, name string, got, want []*dynfilter.Summary) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -142,7 +142,7 @@ func sameSummaries(t *testing.T, name string, got, want []*dynfilter.Summary) {
 	}
 	set := func(s *dynfilter.Summary) []string {
 		var out []string
-		for _, v := range s.ExactValues() {
+		for _, v := range s.Points() {
 			out = append(out, v.String())
 		}
 		slices.Sort(out)
@@ -152,7 +152,7 @@ func sameSummaries(t *testing.T, name string, got, want []*dynfilter.Summary) {
 		w := want[i]
 		gmin, gmax, gok := g.Bounds()
 		wmin, wmax, wok := w.Bounds()
-		if g.Disabled != w.Disabled || g.Rows != w.Rows || g.ExactLen() != w.ExactLen() || !slices.Equal(set(g), set(w)) ||
+		if g.Disabled != w.Disabled || g.Rows != w.Rows || !slices.Equal(set(g), set(w)) ||
 			!slices.Equal(g.Bloom, w.Bloom) || gok != wok || g.BoundsPoisoned != w.BoundsPoisoned ||
 			gmin.T != wmin.T || gmin.String() != wmin.String() || gmax.T != wmax.T || gmax.String() != wmax.String() {
 			t.Errorf("%s: summary rows %d set %v bounds %v..%v (%v), hashed rows %d set %v bounds %v..%v (%v)",

@@ -222,7 +222,7 @@ func TestJoinBuildSummarizesDistinctKeys(t *testing.T) {
 		}
 		bridge := NewJoinBridge()
 		var got []*dynfilter.Summary
-		bridge.SetFilterCollector(dynfilter.NewCollector([]dynfilter.ColumnSpec{{ID: 1, T: types.Bigint}}, 0, 0),
+		bridge.SetFilterCollector(dynfilter.NewCollector([]dynfilter.ColumnSpec{{ID: 1, T: types.Bigint}}),
 			func(s []*dynfilter.Summary) { got = s })
 		bridge.AddBuilder()
 		hb := NewHashBuild(NopContext(), bridge, []int{0}, []types.Type{types.Bigint})
@@ -236,11 +236,11 @@ func TestJoinBuildSummarizesDistinctKeys(t *testing.T) {
 		if len(got) != 1 {
 			t.Fatalf("%s: %d summaries published", name, len(got))
 		}
-		if s := got[0]; s.Rows != rows || s.ExactLen() != len(keys) {
-			t.Errorf("%s: a summary of %d rows and %d keys, want %d and %d", name, s.Rows, s.ExactLen(), rows, len(keys))
+		if s := got[0]; s.Rows != rows || len(s.Points()) != len(keys) {
+			t.Errorf("%s: a summary of %d rows and %d keys, want %d and %d", name, s.Rows, len(s.Points()), rows, len(keys))
 		}
 		for k := range keys {
-			if !got[0].MatchLong(k) {
+			if !got[0].Has(block.CellLong, uint64(k)) {
 				t.Errorf("%s: key %d is missing from the summary", name, k)
 			}
 		}

@@ -9,7 +9,7 @@ import (
 // Dynamic join filters (adaptive execution): after fragmentation, every
 // hash-join equi clause whose output drops unmatched probe rows is a
 // candidate to prune the probe side at the source. The build side collects a
-// runtime summary of its key column (exact set / min-max / bloom); the
+// runtime summary of its key column (Bloom / min-max / points); the
 // summary is delivered to the probe-side scans feeding the clause, where it
 // runs as an extra vectorized predicate and as min/max bounds for stripe and
 // split skipping. Assignment here only annotates the plan — collection,

@@ -332,9 +332,12 @@ echo "==> dynamic filters: where a filter tests rows, and when it arrives"
 # join, whose filter crosses fragments and tests rows, beside the broadcast
 # join's direct feed, which tests none and still skips an empty build's
 # splits; the chaos suite delays and loses the cross-fragment publications.
+# The same partitioned join on an in-process cluster and on HTTP workers tests
+# the same rows and narrows its probe splits to the same points: a summary is
+# one Bloom filter and one point list, whatever carries it.
 go test -race -count=10 -run 'TestDynFilterPlacement|TestDynFilterArrivesWithItsBuild' ./internal/exec/
 go test -race -count=1 -run 'TestCollectCellsMatchesCollect|TestBoundedSummaryPrunesOnly' ./internal/dynfilter/
-go test -race -count=1 -run 'TestDynamicFilterPrunesSelectiveJoin|TestDynamicFilterEmptyBuildShortCircuit|TestChaosDynamicFilterDelayAndLoss' .
+go test -race -count=1 -run 'TestDynamicFilterPrunesSelectiveJoin|TestDynamicFilterEmptyBuildShortCircuit|TestChaosDynamicFilterDelayAndLoss|TestDynamicFilterSameInProcessAndOverHTTP' .
 
 echo "==> what a point read pays: byte budgets (no -race: they skip under it) of an executed read and of a result-cache hit on a template with other literals, a resident table's scan reads its one page, a written table stays worth scanning"
 # A result-cache hit binds no plan: it is looked up on the unbound template.
